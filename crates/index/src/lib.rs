@@ -13,7 +13,9 @@
 //! Node storage goes through any [`timecrypt_store::KvStore`], with an LRU
 //! cache in front sized in bytes (the Fig. 7 "tiny 1 MB cache" experiment
 //! shrinks it to force misses). Node identifiers are computed from
-//! `(stream, level, index)` — no stored references (§4.6).
+//! `(stream, level, index)` — no stored references (§4.6). A node is
+//! stored once, when it is full; the partial node of each level lives in
+//! memory and is rebuilt on open from the per-chunk level-0 records.
 //!
 //! # Locking model
 //!
@@ -21,10 +23,11 @@
 //! the write path, and run against a consistent snapshot of the published
 //! chunk count (an atomic `len` with `Release`-publish / `Acquire`-read
 //! ordering). `append` and `decay` also take `&self` but are serialized by
-//! an internal writer mutex; the node cache sits behind its own mutex,
-//! locked per node access. Any number of readers therefore proceed while
-//! an append is in flight — see `tree` module docs for the exactness
-//! argument.
+//! an internal writer mutex; the open nodes sit behind a read-write lock
+//! the writer takes only to swap them, the node cache behind its own
+//! mutexes, locked per node access. Any number of readers therefore
+//! proceed while an append is in flight — see `tree` module docs for the
+//! exactness argument.
 
 pub mod cache;
 pub mod digest;
@@ -32,4 +35,4 @@ pub mod tree;
 
 pub use cache::LruCache;
 pub use digest::HomDigest;
-pub use tree::{stored_chunk_count, AggTree, IndexError, TreeConfig, TreeStats};
+pub use tree::{purge_stream, stored_chunk_count, AggTree, IndexError, TreeConfig, TreeStats};

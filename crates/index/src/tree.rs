@@ -9,41 +9,63 @@
 //! partially-covered edges — O(2(k−1)·log_k n) additions worst case, the
 //! bound quoted in §6.1.
 //!
+//! # Persistence: every node is written once
+//!
+//! * `il/<stream>/<chunk>` — the **level-0 record** of one chunk: its
+//!   encoded digest, then the caller's opaque tag (the engine stores the
+//!   chunk's integrity commitment there; [`AggTree::append`] stores none).
+//! * `i/<stream>/<level><index>` — a **sealed** node: its k-th entry has
+//!   landed, so its bytes are final. Written once, when it seals.
+//! * `im/<stream>` — the published chunk count, rewritten by every append.
+//!
+//! Nodes that are not full yet — one per level, the *open right spine* —
+//! live only in memory (the `frontier`). They are a pure function of the
+//! level-0 records, so [`AggTree::open`] rebuilds them by replaying the
+//! first `len` leaves through the same ripple an append performs. An
+//! append thus costs one leaf record, the length record and amortised
+//! `1/k + 1/k² + …` sealed nodes, not a rewritten partial node per level.
+//!
+//! An append that fails part-way leaves `im/`, `len` and the frontier
+//! untouched. What it did write (leaves at or past `len`, a sealed node
+//! covering unpublished chunks) is invisible — recovery ignores leaves
+//! past `len`, and readers find that position's still-open node in the
+//! frontier before they would look in the store — and the retry
+//! overwrites it, byte for byte if it carries the same digests.
+//!
 //! # Concurrency: shared readers, serialized writers
 //!
-//! The tree is a shared handle: any number of threads may call
-//! [`AggTree::query`] concurrently with one in-flight
-//! [`AggTree::append`]. Writers (`append`, `decay`) are serialized by an
-//! internal mutex; readers never take it. A query snapshots the published
-//! chunk count `len` once (an `Acquire` load) and answers exactly for
-//! chunks `[0, len)`:
+//! Any number of threads may call [`AggTree::query`] concurrently with one
+//! in-flight [`AggTree::append`]. Writers (`append`, `decay`) are
+//! serialized by an internal mutex; readers never take it. A query
+//! snapshots the published chunk count `len` once (an `Acquire` load) and
+//! answers exactly for chunks `[0, len)`, resolving each node from the
+//! frontier first, then the cache, then the store:
 //!
-//! * `append` publishes the new `len` with a `Release` store only after
-//!   every node write for the new chunk reached the store and cache, so a
-//!   reader that observes `len == n` can resolve every node covering
-//!   chunks `< n`.
-//! * A reader whose snapshot predates an in-flight append of chunk `n`
-//!   stays exact even if it reads nodes the append already rewrote: every
-//!   entry the append touches covers a chunk range *containing `n`*, and a
-//!   query with `end ≤ n` never consumes such an entry whole — it either
-//!   skips it (leaf level, where the new chunk occupies a fresh slot) or
-//!   recurses past it into children covering only chunks `< n`. Node
-//!   values are replaced wholesale in both the KV store and the cache, so
-//!   readers see complete old or complete new nodes, never torn entries.
-//! * The read path's cache fill is guarded by a seqlock-style generation
-//!   (odd while a writer's node writes are in flight): a reader that
-//!   raced a writer still *returns* the bytes it fetched, but never
-//!   inserts them into the cache, so stale bytes cannot overwrite the
-//!   writer's freshly cached node or resurrect a decayed one.
-//!
-//! `decay` deletes nodes, so a reader drilling below a freshly decayed
-//! level surfaces [`IndexError::Decayed`] — the aged-out region is only
-//! answerable at coarser granularity, which is the documented decay
-//! contract, not corruption.
+//! * `append` works on a private copy of the frontier. Its **commit
+//!   point** comes after the leaf, sealed-node and `im/` writes all
+//!   succeeded: it swaps the new frontier in wholesale, then publishes
+//!   the new `len` with a `Release` store. A reader that observes
+//!   `len == n` therefore finds every node covering chunks `< n`: sealed
+//!   ones reached the store before the swap, open ones are in the
+//!   frontier it sees.
+//! * A reader whose `len` snapshot predates the commit may still be handed
+//!   post-commit nodes (the new frontier, or a node the append sealed).
+//!   It stays exact: every entry the append added or changed covers a
+//!   chunk range reaching past the snapshot, and a query with `end ≤ n`
+//!   never consumes such an entry whole — it skips it or recurses past it
+//!   into children covering only chunks `< n`. Frontier nodes are
+//!   replaced, never mutated in place: readers see whole nodes.
+//! * Sealed nodes never change, so a reader may cache what it fetched —
+//!   except across [`AggTree::decay`], which deletes sealed nodes: a
+//!   seqlock-style generation (odd while a decay runs) stops a reader that
+//!   raced it from re-caching a node the decay just dropped. A query
+//!   drilling below a decayed level surfaces [`IndexError::Decayed`] — the
+//!   documented decay contract, not corruption. Level-0 records never
+//!   decay: the frontier (and the engine's ledger) recover from them.
 
 use crate::cache::LruCache;
 use crate::digest::HomDigest;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_store::{KvStore, StoreError};
@@ -162,6 +184,74 @@ impl<D: HomDigest> Node<D> {
     }
 }
 
+/// A node on its way to the store or the cache, with its position.
+type Placed<D> = ((u8, u64), Arc<Node<D>>);
+
+/// The open right spine: per level the one node that is not full yet, plus
+/// the running total a new top level absorbs when the tree grows. Cloning
+/// is shallow (nodes are `Arc`ed); a writer copies a node on first touch
+/// ([`Arc::make_mut`]), so the shared frontier never sees half an append.
+#[derive(Clone)]
+struct Spine<D> {
+    /// `open[ℓ-1]` is `(index, node)` of the level-ℓ node still accepting
+    /// entries; `None` when the last node of that level is full.
+    open: Vec<Option<(u64, Arc<Node<D>>)>>,
+    /// Sum of every chunk pushed so far.
+    total: Option<D>,
+}
+
+impl<D: HomDigest> Spine<D> {
+    /// Ripples chunk `i`'s digest into the spine: a new level-1 entry, and
+    /// per ancestor either one addition into the entry of the subtree the
+    /// chunk extends or, when the chunk starts a new subtree, a new entry.
+    /// Levels are maintained up to the lowest one whose single node covers
+    /// `[0, i]`. Nodes this chunk fills leave the spine through `sealed`.
+    /// No I/O: the spine (and so every sealed node) is a pure function of
+    /// the chunk digests pushed in order.
+    fn push(&mut self, k: u64, i: u64, digest: &D, sealed: &mut Vec<Placed<D>>) {
+        let mut level = 1u8;
+        let mut child = i; // index, one level down, of the subtree holding chunk i
+        loop {
+            let (index, slot) = (child / k, (child % k) as usize);
+            if self.open.len() < level as usize {
+                self.open.push(None);
+            }
+            let at = &mut self.open[level as usize - 1];
+            let (open_index, node) = at.get_or_insert_with(|| {
+                let entries = Vec::new();
+                (index, Arc::new(Node { entries }))
+            });
+            debug_assert_eq!(*open_index, index, "spine out of step at level {level}");
+            let entries = &mut Arc::make_mut(node).entries;
+            if slot < entries.len() {
+                entries[slot].add_assign(digest);
+            } else {
+                if slot > entries.len() {
+                    // Only a brand-new top level starts past slot 0: the
+                    // subtree to its left was the whole tree until now.
+                    entries.extend(self.total.clone());
+                }
+                entries.push(digest.clone());
+            }
+            let span = span_at(level, k);
+            if (i + 1).is_multiple_of(span) {
+                if let Some((index, node)) = at.take() {
+                    sealed.push(((level, index), node));
+                }
+            }
+            if index == 0 && i < span {
+                break;
+            }
+            child = index;
+            level += 1;
+        }
+        match &mut self.total {
+            Some(total) => total.add_assign(digest),
+            None => self.total = Some(digest.clone()),
+        }
+    }
+}
+
 /// Runtime statistics (cache behaviour, sizes) for the benchmarks.
 #[derive(Debug, Clone, Default)]
 pub struct TreeStats {
@@ -169,9 +259,10 @@ pub struct TreeStats {
     pub cache_hits: u64,
     /// Index-node cache misses (KV fetches).
     pub cache_misses: u64,
-    /// Total serialized bytes of all index nodes in the store.
+    /// Total serialized bytes (key + value) of all index nodes: the sealed
+    /// ones in the store plus the open spine held in memory.
     pub stored_bytes: usize,
-    /// Number of index nodes in the store.
+    /// Number of index nodes, sealed and open.
     pub stored_nodes: usize,
 }
 
@@ -182,21 +273,21 @@ pub struct AggTree<D: HomDigest> {
     stream: u128,
     cfg: TreeConfig,
     /// Published chunk count. Readers snapshot it with `Acquire`;
-    /// [`append`](Self::append) publishes with `Release` only after every
-    /// node write for the new chunk reached the store and cache.
+    /// [`append`](Self::append) publishes with `Release` at its commit
+    /// point, after every store write and the frontier swap.
     len: AtomicU64,
     /// Serializes the write path (`append`, `decay`). Queries never take
     /// it — see the module docs for why reads stay exact regardless.
     write: Mutex<()>,
+    /// The open right spine. Readers take it shared for one lookup; the
+    /// writer takes it exclusively only to swap in the next spine at its
+    /// commit point. Never held across a store call.
+    frontier: RwLock<Spine<D>>,
     /// Seqlock-style generation for the read-aside cache fill: odd while a
-    /// writer's node writes are in flight, bumped even when they finish. A
-    /// reader that loaded node bytes from the KV store may only insert
-    /// them into the cache if the generation was even before its KV read
-    /// *and* is unchanged at fill time — otherwise its (possibly stale)
-    /// bytes could overwrite the node a concurrent `append` just cached,
-    /// or resurrect a node `decay` just deleted, silently corrupting every
-    /// later cached read. Stale bytes are still fine for the reader's own
-    /// snapshot-consistent query; they just must not poison the cache.
+    /// `decay` is deleting nodes. A reader may cache node bytes it loaded
+    /// from the store only if the generation was even before the load and
+    /// is unchanged at fill time — otherwise it could resurrect a node the
+    /// decay just deleted. (Appends need no guard: sealed bytes are final.)
     cache_gen: AtomicU64,
     cache: NodeCache<D>,
 }
@@ -261,10 +352,9 @@ impl<D: HomDigest> NodeCache<D> {
     }
 }
 
-/// RAII end-bump for `cache_gen`: makes the odd→even transition
-/// unskippable even when a writer errors out mid-flight (`?`), so a failed
-/// append can't leave the generation permanently odd (readers would stop
-/// caching) or desync the parity for the next writer.
+/// RAII end-bump for `cache_gen`: the odd→even transition happens even
+/// when `decay` errors out mid-flight (`?`), so a failed decay can't leave
+/// the generation odd for good (readers would stop caching).
 struct GenGuard<'a> {
     gen: &'a AtomicU64,
 }
@@ -291,12 +381,62 @@ pub fn stored_chunk_count(kv: &dyn KvStore, stream: u128) -> Result<u64, IndexEr
     }
 }
 
+/// Deletes every index record of `stream` — level-0 records, sealed nodes
+/// and the length record. The caller must have dropped the stream's
+/// [`AggTree`] handle (its in-memory frontier dies with it).
+pub fn purge_stream(kv: &dyn KvStore, stream: u128) -> Result<(), IndexError> {
+    for prefix in [leaf_prefix(stream), node_prefix(stream)] {
+        for (key, _) in kv.scan_prefix(&prefix)? {
+            kv.delete(&key)?;
+        }
+    }
+    Ok(kv.delete(&meta_key(stream))?)
+}
+
 impl<D: HomDigest> AggTree<D> {
     /// Opens (or creates) the tree for `stream` on `kv`, recovering the
-    /// chunk count from the store.
+    /// chunk count and the open spine from the store.
     pub fn open(kv: Arc<dyn KvStore>, stream: u128, cfg: TreeConfig) -> Result<Self, IndexError> {
+        Self::open_with(kv, stream, cfg, |_, _| {})
+    }
+
+    /// [`open`](Self::open) that also hands every published chunk's level-0
+    /// record to `visit` as `(digest, tag)`, in chunk order — the one
+    /// replay of the leaves serves both the tree's frontier and whatever
+    /// the caller derives from them (the engine's integrity ledger).
+    pub fn open_with(
+        kv: Arc<dyn KvStore>,
+        stream: u128,
+        cfg: TreeConfig,
+        mut visit: impl FnMut(D, &[u8]),
+    ) -> Result<Self, IndexError> {
         assert!(cfg.arity >= 2, "arity must be at least 2");
         let len = stored_chunk_count(kv.as_ref(), stream)?;
+        let mut spine = Spine {
+            open: Vec::new(),
+            total: None,
+        };
+        let prefix = leaf_prefix(stream);
+        let mut leaves = match len {
+            0 => Vec::new(),
+            _ => kv.scan_prefix(&prefix)?,
+        };
+        leaves.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let leaf = |index: u64| -> Option<(D, &[u8])> {
+            let (key, value) = leaves.get(index as usize)?;
+            let in_place = key.strip_prefix(&prefix[..]) == Some(&index.to_be_bytes()[..]);
+            let (digest, used) = D::decode(value).filter(|_| in_place)?;
+            Some((digest, &value[used..]))
+        };
+        let mut sealed = Vec::new();
+        // Exactly the first `len` leaves: any at or past `len` are debris
+        // of an append that never committed (a retry overwrites them).
+        for index in 0..len {
+            let (digest, tag) = leaf(index).ok_or(IndexError::CorruptNode { level: 0, index })?;
+            spine.push(cfg.arity as u64, index, &digest, &mut sealed);
+            sealed.clear();
+            visit(digest, tag);
+        }
         let cache = NodeCache::new(cfg.cache_bytes);
         Ok(AggTree {
             kv,
@@ -304,6 +444,7 @@ impl<D: HomDigest> AggTree<D> {
             cfg,
             len: AtomicU64::new(len),
             write: Mutex::new(()),
+            frontier: RwLock::new(spine),
             cache_gen: AtomicU64::new(0),
             cache,
         })
@@ -336,140 +477,70 @@ impl<D: HomDigest> AggTree<D> {
         levels.max(1)
     }
 
-    /// Appends the next chunk's digest (chunk index = current `len`),
-    /// updating every ancestor level (write-through). Appends are
-    /// serialized internally; concurrent queries proceed against the
-    /// previous `len` snapshot and stay exact (see module docs).
+    /// Appends the next chunk's digest (chunk index = current `len`).
+    /// Appends are serialized internally; concurrent queries proceed
+    /// against the previous `len` snapshot and stay exact (module docs).
     pub fn append(&self, digest: D) -> Result<(), IndexError> {
         self.append_batch(std::slice::from_ref(&digest))
     }
 
     /// Appends a run of consecutive chunk digests (starting at the current
-    /// `len`) with **one store write per touched node** instead of one per
-    /// chunk per level: the run is applied to an in-memory overlay of the
-    /// touched nodes, which is flushed node-by-node at the end, followed by
-    /// a single length-metadata write. For a k-chunk run landing in one
-    /// leaf node this turns `2k` index puts into `~2` — the dominant cost
-    /// of ingest when the store has per-operation latency.
+    /// `len`): one level-0 record per chunk, every node the run fills, and
+    /// a single length record. The final store state is byte-identical to
+    /// sequential [`append`](Self::append)s (pinned by
+    /// `append_batch_matches_sequential_appends`). `len` is published once
+    /// — readers observe either the pre-batch or the post-batch length,
+    /// never a torn middle.
     ///
-    /// The final store/cache state is byte-identical to `k` sequential
-    /// [`append`](Self::append)s (pinned by `append_batch_matches_
-    /// sequential_appends`): the overlay applies exactly the per-chunk
-    /// operations in the same order, only the persistence is coalesced.
-    /// `len` is published once, after every flush write — readers observe
-    /// either the pre-batch or the post-batch length, never a torn middle,
-    /// by the same Release/Acquire argument as single appends.
-    ///
-    /// # Torn flushes self-heal
-    ///
-    /// A store failure mid-flush leaves `len` unpublished but may leave
-    /// node writes behind (a *torn* flush). Appends are idempotent over
-    /// that state: any entry at or beyond the appended chunk's slot
-    /// describes unpublished history and is truncated, and every ancestor
-    /// slot is *recomputed* as the total of its (corrected) child node
-    /// rather than accumulated incrementally — so a retry after a crash or
-    /// storage error can never double-count, and a stream never wedges on
-    /// a failed append (it retries until the flush finally lands).
+    /// A store failure anywhere in the run leaves the tree exactly as it
+    /// was (see the module docs); the caller may simply retry.
     pub fn append_batch(&self, digests: &[D]) -> Result<(), IndexError> {
+        self.append_tagged::<[u8; 0]>(digests, &[])
+    }
+
+    /// [`append_batch`](Self::append_batch) where chunk `i`'s level-0
+    /// record also carries `tags[i]` — opaque bytes handed back by
+    /// [`open_with`](Self::open_with). `tags` holds one tag per digest, or
+    /// is empty for none.
+    pub fn append_tagged<T: AsRef<[u8]>>(
+        &self,
+        digests: &[D],
+        tags: &[T],
+    ) -> Result<(), IndexError> {
+        assert!(tags.is_empty() || tags.len() == digests.len());
         if digests.is_empty() {
             return Ok(());
         }
         let _write = self.write.lock();
-        // Generation goes odd for the whole node-write window (see
-        // `cache_gen`); the guard restores even parity on every exit path.
-        self.cache_gen.fetch_add(1, Ordering::AcqRel);
-        let _gen = GenGuard {
-            gen: &self.cache_gen,
-        };
         // lint: allow(atomics-ordering) — stable: we hold `write`, the only mutator; Relaxed cannot observe a torn value of our own last Release store
         let base = self.len.load(Ordering::Relaxed);
-        let k = self.cfg.arity as u64;
-        // Overlay of nodes touched by this run. BTreeMap so the flush
-        // below writes in deterministic (level, index) order.
-        let mut dirty: std::collections::BTreeMap<(u8, u64), Node<D>> =
-            std::collections::BTreeMap::new();
+        let mut spine = self.frontier.read().clone();
+        let mut sealed = Vec::new();
+        let mut record = Vec::new();
         for (off, digest) in digests.iter().enumerate() {
-            let i = base + off as u64;
-            // Ripple into each ancestor: at level ℓ the digest lands in
-            // node i / k^ℓ, slot (i / k^(ℓ-1)) % k. We stop one level above
-            // the highest level whose node would have only one child ever —
-            // but to keep queries simple we always maintain levels up to
-            // levels().
-            let mut level = 1u8;
-            let mut child_index = i; // index at level-1 (ℓ-1)
-            loop {
-                let node_index = child_index / k;
-                let slot = (child_index % k) as usize;
-                let key = (level, node_index);
-                if let std::collections::btree_map::Entry::Vacant(vacant) = dirty.entry(key) {
-                    let loaded = self
-                        .load_node(level, node_index)?
-                        .map(|a| (*a).clone())
-                        .unwrap_or(Node {
-                            entries: Vec::new(),
-                        });
-                    vacant.insert(loaded);
-                }
-                // Entries at or beyond this chunk's slot describe history
-                // past the published `len`: slots left behind by a torn
-                // flush (the leaf was written but `len` never advanced), or
-                // — at ancestors — the partial aggregate this pass is about
-                // to recompute anyway. Dropping them makes the append
-                // idempotent over any interrupted predecessor instead of
-                // double-counting its leftovers.
-                // lint: allow(panic-freedom) — `key` was inserted by the Entry::Vacant arm above; nothing removes from `dirty` in between
-                dirty
-                    .get_mut(&key)
-                    .expect("inserted above")
-                    .entries
-                    .truncate(slot);
-                let filled = dirty[&key].entries.len();
-                // When the tree grows a new top level, the fresh node
-                // must first absorb the aggregates of the already-
-                // completed child subtrees to its left (they were roots
-                // until now). Those children may themselves be dirty
-                // from this very run, so totals consult the overlay.
-                let mut backfill = Vec::with_capacity(slot - filled);
-                for c in filled..slot {
-                    backfill.push(self.node_total_overlay(
-                        &dirty,
-                        level - 1,
-                        node_index * k + c as u64,
-                    )?);
-                }
-                // A leaf slot holds the chunk digest itself; an ancestor
-                // slot is, by definition, the total of its child subtree —
-                // recomputed from the overlay child (corrected by the
-                // previous ripple step) rather than accumulated in place,
-                // so stale flushed aggregates can never double-count.
-                let value = if level == 1 {
-                    digest.clone()
-                } else {
-                    self.node_total_overlay(&dirty, level - 1, child_index)?
-                };
-                // lint: allow(panic-freedom) — same invariant as above: inserted this iteration, and `node_total_overlay` only reads `dirty`
-                let node = dirty.get_mut(&key).expect("inserted above");
-                node.entries.extend(backfill);
-                node.entries.push(value);
-                // Continue while there is (or will be) a higher level: stop
-                // when this node is the lone root-level node and covers
-                // everything.
-                if node_index == 0 && (i + 1) <= span_at(level, k) {
-                    break;
-                }
-                child_index = node_index;
-                level += 1;
-            }
+            let index = base + off as u64;
+            spine.push(self.cfg.arity as u64, index, digest, &mut sealed);
+            record.clear();
+            digest.encode(&mut record);
+            record.extend_from_slice(tags.get(off).map_or(&[][..], AsRef::as_ref));
+            self.kv.put(&leaf_key(self.stream, index), &record)?;
         }
-        // Flush: each touched node exactly once, then the length metadata.
-        for ((level, node_index), node) in dirty {
-            self.store_node(level, node_index, node)?;
+        for ((level, index), node) in &sealed {
+            self.kv
+                .put(&node_key(self.stream, *level, *index), &node.encode())?;
         }
         let new_len = base + digests.len() as u64;
         self.kv
             .put(&meta_key(self.stream), &new_len.to_le_bytes())?;
+        // Commit point: everything the new length promises is in the store.
+        for (key, node) in sealed {
+            let weight = node.weight();
+            self.cache.put(key, node, weight);
+        }
+        // The old spine is freed after the lock is released, at return.
+        let _old = std::mem::replace(&mut *self.frontier.write(), spine);
         // Publish last: a reader that observes the new length is
-        // guaranteed (Release/Acquire) to see every node write above.
+        // guaranteed (Release/Acquire) to see the swap above.
         self.len.store(new_len, Ordering::Release);
         Ok(())
     }
@@ -618,7 +689,8 @@ impl<D: HomDigest> AggTree<D> {
         };
         let k = self.cfg.arity as u64;
         let mut removed = 0usize;
-        // Never decay the current root level: growth backfill needs it.
+        // Only published history decays, and never the current root level.
+        let before_chunk = before_chunk.min(self.len());
         let keep_level = keep_level.min(self.levels());
         for level in 1..keep_level {
             let span = span_at(level, k);
@@ -643,43 +715,34 @@ impl<D: HomDigest> AggTree<D> {
     /// Cache and size statistics.
     pub fn stats(&self) -> Result<TreeStats, IndexError> {
         let (hits, misses) = self.cache.stats();
-        let nodes = self.kv.scan_prefix(&node_prefix(self.stream))?;
+        let sealed = self.kv.scan_prefix(&node_prefix(self.stream))?;
+        let spine = self.frontier.read().clone();
+        let open = spine.open.iter().flatten();
+        let key_len = node_key(self.stream, 0, 0).len();
+        let open_bytes: usize = open.clone().map(|(_, n)| key_len + n.weight()).sum();
         Ok(TreeStats {
             cache_hits: hits,
             cache_misses: misses,
-            stored_bytes: nodes.iter().map(|(k, v)| k.len() + v.len()).sum(),
-            stored_nodes: nodes.len(),
+            stored_bytes: sealed.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>() + open_bytes,
+            stored_nodes: sealed.len() + open.count(),
         })
     }
 
-    /// The homomorphic total of one (complete) node: the sum of its
-    /// entries, preferring the batch overlay over the persisted state (a
-    /// run crossing a level boundary backfills from nodes the same run
-    /// just grew).
-    fn node_total_overlay(
-        &self,
-        dirty: &std::collections::BTreeMap<(u8, u64), Node<D>>,
-        level: u8,
-        index: u64,
-    ) -> Result<D, IndexError> {
-        let sum = |entries: &[D]| {
-            let mut acc = entries[0].clone();
-            for e in &entries[1..] {
-                acc.add_assign(e);
-            }
-            acc
-        };
-        if let Some(node) = dirty.get(&(level, index)) {
-            return Ok(sum(&node.entries));
+    /// The open node at `(level, index)`, if that position is on the spine.
+    fn open_node(&self, level: u8, index: u64) -> Option<Arc<Node<D>>> {
+        let spine = self.frontier.read();
+        match spine.open.get(level as usize - 1) {
+            Some(Some((open, node))) if *open == index => Some(node.clone()),
+            _ => None,
         }
-        let node = self
-            .load_node(level, index)?
-            .ok_or(IndexError::CorruptNode { level, index })?;
-        Ok(sum(&node.entries))
     }
 
     fn load_node(&self, level: u8, index: u64) -> Result<Option<Arc<Node<D>>>, IndexError> {
-        if let Some(n) = self.cache.get(&(level, index)) {
+        let key = (level, index);
+        if let Some(n) = self
+            .open_node(level, index)
+            .or_else(|| self.cache.get(&key))
+        {
             return Ok(Some(n));
         }
         let gen_before = self.cache_gen.load(Ordering::Acquire);
@@ -687,11 +750,9 @@ impl<D: HomDigest> AggTree<D> {
             Some(bytes) => {
                 let node =
                     Arc::new(Node::decode(&bytes).ok_or(IndexError::CorruptNode { level, index })?);
-                // Read-aside fill, guarded by the seqlock generation: only
-                // cache if no writer critical section overlapped the KV
-                // read (even and unchanged generation), otherwise these
-                // bytes may already be superseded — returning them is fine
-                // (snapshot semantics), caching them is not.
+                // Read-aside fill, guarded by the seqlock generation: cache
+                // only if no decay overlapped the KV read, else the node
+                // may already be deleted — fine to return, not to cache.
                 if gen_before.is_multiple_of(2) {
                     let w = node.weight();
                     let stripe = self.cache.stripe(&(level, index));
@@ -704,14 +765,6 @@ impl<D: HomDigest> AggTree<D> {
             }
             None => Ok(None),
         }
-    }
-
-    fn store_node(&self, level: u8, index: u64, node: Node<D>) -> Result<(), IndexError> {
-        self.kv
-            .put(&node_key(self.stream, level, index), &node.encode())?;
-        let w = node.weight();
-        self.cache.put((level, index), Arc::new(node), w);
-        Ok(())
     }
 }
 
@@ -738,6 +791,20 @@ fn node_key(stream: u128, level: u8, index: u64) -> Vec<u8> {
     let mut key = node_prefix(stream);
     key.push(b'/');
     key.push(level);
+    key.extend_from_slice(&index.to_be_bytes());
+    key
+}
+
+fn leaf_prefix(stream: u128) -> Vec<u8> {
+    let mut key = Vec::with_capacity(28);
+    key.extend_from_slice(b"il/");
+    key.extend_from_slice(&stream.to_be_bytes());
+    key.push(b'/');
+    key
+}
+
+fn leaf_key(stream: u128, index: u64) -> Vec<u8> {
+    let mut key = leaf_prefix(stream);
     key.extend_from_slice(&index.to_be_bytes());
     key
 }
@@ -923,6 +990,28 @@ mod tests {
     }
 
     #[test]
+    fn decayed_tree_reopens_and_keeps_growing() {
+        // Recovery reads leaves, never the (possibly decayed) sealed
+        // children: decay everything decayable below the root level,
+        // reopen, append across the next seal and growth boundaries.
+        let kv = Arc::new(MemKv::new());
+        let t = open4(kv.clone());
+        fill(&t, 250);
+        assert!(t.decay(250, 4).unwrap() > 0);
+        drop(t);
+        let t = open4(kv);
+        assert_eq!(t.query(0, 250).unwrap(), naive_sum(0, 250));
+        assert_eq!(t.query(192, 250).unwrap(), naive_sum(192, 250));
+        assert!(matches!(t.query(0, 1), Err(IndexError::Decayed { .. })));
+        for i in 250..300 {
+            t.append(vec![i, 1]).unwrap();
+        }
+        assert_eq!(t.query(0, 300).unwrap(), naive_sum(0, 300));
+        assert_eq!(t.query(249, 299).unwrap(), naive_sum(249, 299));
+        assert!(matches!(t.query(0, 1), Err(IndexError::Decayed { .. })));
+    }
+
+    #[test]
     fn stats_accounting() {
         let t = tree(64);
         fill(&t, 500);
@@ -934,21 +1023,19 @@ mod tests {
         assert!(s.stored_bytes > 500 * 16, "leaf digests dominate");
     }
 
-    /// A store that fails the `fail_at`-th put (1-based), passing
-    /// everything else through to a [`MemKv`].
+    /// A [`MemKv`] whose put number `fail_at` (counted from 1) fails.
+    #[derive(Default)]
     struct FailNthPut {
         inner: MemKv,
-        puts: std::sync::atomic::AtomicU64,
-        fail_at: u64,
+        puts: AtomicU64,
+        fail_at: AtomicU64,
     }
 
     impl FailNthPut {
-        fn new(fail_at: u64) -> Self {
-            FailNthPut {
-                inner: MemKv::new(),
-                puts: std::sync::atomic::AtomicU64::new(0),
-                fail_at,
-            }
+        /// Makes the `nth` put from now fail.
+        fn arm(&self, nth: u64) {
+            let now = self.puts.load(Ordering::Relaxed);
+            self.fail_at.store(now + nth, Ordering::Relaxed);
         }
     }
 
@@ -957,8 +1044,8 @@ mod tests {
             self.inner.get(key)
         }
         fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-            let n = self.puts.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            if n == self.fail_at {
+            let n = self.puts.fetch_add(1, Ordering::Relaxed) + 1;
+            if n == self.fail_at.load(Ordering::Relaxed) {
                 return Err(StoreError::Corrupt("injected put failure"));
             }
             self.inner.put(key, value)
@@ -971,54 +1058,130 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interrupted_append_self_heals_on_retry_without_double_counting() {
-        // Arity 4: appends 0..=3 cost 2 puts each (leaf node + meta).
-        // Append of chunk 4 puts the level-1 node (put #9), then fails on
-        // the level-2 node (put #10) — a torn append: leaf written, len
-        // not advanced.
-        let kv = Arc::new(FailNthPut::new(10));
-        let t: AggTree<Vec<u64>> = AggTree::open(
-            kv.clone(),
-            1,
-            TreeConfig {
-                arity: 4,
-                cache_bytes: 1 << 20,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
-        fill(&t, 4);
-        match t.append(vec![4, 1]) {
-            Err(IndexError::Store(_)) => {}
-            other => panic!("expected injected store failure, got {other:?}"),
+    fn open4(kv: Arc<dyn KvStore>) -> AggTree<Vec<u64>> {
+        let cfg = TreeConfig {
+            arity: 4,
+            cache_bytes: 1 << 20,
+            ..TreeConfig::default()
+        };
+        AggTree::open(kv, 1, cfg).unwrap()
+    }
+
+    /// The open spine as `(index, encoded node)` per level.
+    fn spine_bytes(t: &AggTree<Vec<u64>>) -> Vec<Option<(u64, Vec<u8>)>> {
+        let open = t.frontier.read().open.clone();
+        open.into_iter()
+            .map(|o| o.map(|(index, node)| (index, node.encode())))
+            .collect()
+    }
+
+    fn assert_exhaustive(t: &AggTree<Vec<u64>>, n: u64) {
+        assert_eq!(t.len(), n);
+        for a in 0..n {
+            for b in (a + 1)..=n {
+                assert_eq!(t.query(a, b).unwrap(), naive_sum(a, b), "[{a},{b}) of {n}");
+            }
         }
-        assert_eq!(t.len(), 4, "torn append must not publish a new length");
-        // The committed prefix stays exact and queryable.
-        assert_eq!(t.query(0, 4).unwrap(), naive_sum(0, 4));
-        // The retry must absorb the torn leftovers (the already-written
-        // leaf slot) instead of double-counting them or wedging.
-        t.append(vec![4, 1]).unwrap();
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.query(0, 5).unwrap(), naive_sum(0, 5));
-        // And the healed store is byte-identical to one that never failed.
-        let clean_kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let clean: AggTree<Vec<u64>> = AggTree::open(
-            clean_kv.clone(),
-            1,
-            TreeConfig {
-                arity: 4,
-                cache_bytes: 1 << 20,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
-        fill(&clean, 5);
-        assert_eq!(
-            dump(kv.as_ref()),
-            dump(clean_kv.as_ref()),
-            "healed store diverges from a clean history"
-        );
+        assert!(t.query(0, n + 1).is_err());
+    }
+
+    #[test]
+    fn failed_append_at_every_put_changes_nothing_and_retry_converges() {
+        // Arity 4 with 3 chunks in; the batch adds chunks 3..=16: it seals
+        // four level-1 nodes and level-2 node 0, and grows levels 2 and 3.
+        // 14 leaves + 5 sealed nodes + the length record = 20 puts.
+        let clean_kv = Arc::new(MemKv::new());
+        fill(&open4(clean_kv.clone()), 17);
+        let batch: Vec<Vec<u64>> = (3..17).map(|i| vec![i, 1]).collect();
+        for nth in 1..=20 {
+            let kv = Arc::new(FailNthPut::default());
+            let t = open4(kv.clone());
+            fill(&t, 3);
+            let before = spine_bytes(&t);
+            kv.arm(nth);
+            match t.append_batch(&batch) {
+                Err(IndexError::Store(_)) => {}
+                other => panic!("put {nth}: expected the injected failure, got {other:?}"),
+            }
+            // Nothing published, the frontier untouched, and a fresh
+            // handle recovers the same tree.
+            assert_exhaustive(&t, 3);
+            assert_eq!(spine_bytes(&t), before, "put {nth}");
+            let reopened = open4(kv.clone());
+            assert_exhaustive(&reopened, 3);
+            assert_eq!(spine_bytes(&reopened), before, "put {nth}");
+            t.append_batch(&batch).unwrap();
+            assert_exhaustive(&t, 17);
+            assert_eq!(dump(kv.as_ref()), dump(clean_kv.as_ref()), "put {nth}");
+        }
+        let kv = Arc::new(FailNthPut::default());
+        let t = open4(kv.clone());
+        fill(&t, 3);
+        let before = kv.puts.load(Ordering::Relaxed);
+        t.append_batch(&batch).unwrap();
+        assert_eq!(kv.puts.load(Ordering::Relaxed) - before, 20);
+    }
+
+    /// The bytes the parent commit stored for a full node: k entries, each
+    /// the sum of its child subtree's chunk digests.
+    fn full_node_bytes(level: u8, index: u64, k: u64) -> Vec<u8> {
+        let child = span_at(level - 1, k);
+        let lo = index * span_at(level, k);
+        let entries = (0..k)
+            .map(|c| naive_sum(lo + c * child, lo + (c + 1) * child))
+            .collect();
+        Node::<Vec<u64>> { entries }.encode()
+    }
+
+    #[test]
+    fn reopen_at_every_length_matches_a_never_closed_tree() {
+        // k² + k chunks through a handle that is dropped and reopened
+        // before every append, against one that never closes.
+        let (kv, live_kv) = (Arc::new(MemKv::new()), Arc::new(MemKv::new()));
+        let live = open4(live_kv.clone());
+        for n in 0..=20u64 {
+            let t = open4(kv.clone());
+            assert_exhaustive(&t, n);
+            let (a, b) = (t.stats().unwrap(), live.stats().unwrap());
+            assert_eq!(
+                (a.stored_nodes, a.stored_bytes),
+                (b.stored_nodes, b.stored_bytes)
+            );
+            assert_eq!(dump(kv.as_ref()), dump(live_kv.as_ref()), "length {n}");
+            // Exactly the full nodes are stored, with the bytes their
+            // definition gives (what the parent commit wrote for them).
+            let stored: Vec<_> = kv.scan_prefix(&node_prefix(1)).unwrap();
+            let mut full = 0;
+            for level in 1..=t.levels() {
+                for index in 0..n / span_at(level, 4) {
+                    let bytes = kv.get(&node_key(1, level, index)).unwrap();
+                    assert_eq!(bytes, Some(full_node_bytes(level, index, 4)));
+                    full += 1;
+                }
+            }
+            assert_eq!(stored.len(), full, "length {n}: a partial node was stored");
+            t.append(vec![n, 1]).unwrap();
+            live.append(vec![n, 1]).unwrap();
+        }
+    }
+
+    #[test]
+    fn uncommitted_leaves_are_ignored_on_reopen() {
+        // A crash after the leaf writes but before the length record: the
+        // reopened tree answers for the committed prefix only, and the
+        // next append overwrites the leftovers.
+        let kv = Arc::new(FailNthPut::default());
+        let t = open4(kv.clone());
+        fill(&t, 6);
+        kv.arm(4); // leaves 6, 7 and sealed node (1, 1) land; `im/` does not
+        assert!(t.append_batch(&[vec![60, 1], vec![70, 1]]).is_err());
+        drop(t);
+        let t = open4(kv.clone());
+        assert_exhaustive(&t, 6);
+        t.append_batch(&[vec![6, 1], vec![7, 1], vec![8, 1]])
+            .unwrap();
+        assert_exhaustive(&t, 9);
+        assert_exhaustive(&open4(kv), 9);
     }
 
     #[test]
@@ -1101,8 +1264,14 @@ mod tests {
             let writer = t.clone();
             let writer_done = done.clone();
             scope.spawn(move || {
-                for i in 0..N {
-                    writer.append(vec![i, 1]).unwrap();
+                // Single appends and runs of 3 (arity 4), so commits
+                // land on, before and across seal boundaries.
+                let mut i = 0;
+                while i < N {
+                    let run = if i % 7 == 0 { 3.min(N - i) } else { 1 };
+                    let digests: Vec<Vec<u64>> = (i..i + run).map(|c| vec![c, 1]).collect();
+                    writer.append_batch(&digests).unwrap();
+                    i += run;
                 }
                 writer_done.store(true, Ordering::Release);
             });
@@ -1207,48 +1376,6 @@ mod tests {
             }
             assert_eq!(batch.query(0, i).unwrap(), naive_sum(0, i));
         }
-    }
-
-    #[test]
-    fn append_batch_self_heals_torn_state() {
-        // Same torn-state setup as the single-append test: chunk 4's first
-        // append died after the leaf write. A later *batch* starting at
-        // chunk 4 must absorb the stale leaf slot and land both chunks
-        // exactly once, converging on the same bytes as a clean history.
-        let kv = Arc::new(FailNthPut::new(10));
-        let t: AggTree<Vec<u64>> = AggTree::open(
-            kv.clone(),
-            1,
-            TreeConfig {
-                arity: 4,
-                cache_bytes: 1 << 20,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
-        fill(&t, 4);
-        assert!(t.append(vec![4, 1]).is_err());
-        assert_eq!(t.len(), 4);
-        t.append_batch(&[vec![4, 1], vec![5, 1]]).unwrap();
-        assert_eq!(t.len(), 6);
-        assert_eq!(t.query(0, 6).unwrap(), naive_sum(0, 6));
-        let clean_kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let clean: AggTree<Vec<u64>> = AggTree::open(
-            clean_kv.clone(),
-            1,
-            TreeConfig {
-                arity: 4,
-                cache_bytes: 1 << 20,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
-        fill(&clean, 6);
-        assert_eq!(
-            dump(kv.as_ref()),
-            dump(clean_kv.as_ref()),
-            "healed store diverges from a clean history"
-        );
     }
 
     #[test]

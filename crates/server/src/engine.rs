@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
-use timecrypt_index::{stored_chunk_count, AggTree, IndexError, TreeConfig};
+use timecrypt_index::{purge_stream, stored_chunk_count, AggTree, IndexError, TreeConfig};
 use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
 use timecrypt_obs::trace;
 use timecrypt_store::{KvStore, StoreError};
@@ -271,7 +271,7 @@ struct StreamState {
     /// tree's own writer mutex as a backstop).
     tree: AggTree<Vec<u64>>,
     /// Integrity extension: the server's authenticated aggregation ledger.
-    /// Rebuilt from persisted leaf records (`il/` prefix) on hydration.
+    /// Rebuilt on hydration from the tree's level-0 records (tag = commitment).
     ledger: RwLock<StreamLedger>,
     /// The per-stream ingest lock: held by `insert`, `rollup`, and
     /// `delete_range` (exclusive writers). The read path never takes it.
@@ -399,46 +399,11 @@ fn chunk_key(stream: u128, index: u64) -> Vec<u8> {
     k
 }
 
-/// Integrity-ledger leaf record: commitment + digest ciphertext. Retained
-/// independently of the chunk payload so `delete_range` cannot silently
-/// shrink the attested history.
-fn ledger_key(stream: u128, index: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(28);
-    k.extend_from_slice(b"il/");
-    k.extend_from_slice(&stream.to_be_bytes());
-    k.push(b'/');
-    k.extend_from_slice(&index.to_be_bytes());
-    k
-}
-
 fn attestation_key(stream: u128) -> Vec<u8> {
     let mut k = Vec::with_capacity(20);
     k.extend_from_slice(b"att/");
     k.extend_from_slice(&stream.to_be_bytes());
     k
-}
-
-fn encode_ledger_leaf(commitment: &[u8; 32], digest_ct: &[u64]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(32 + digest_ct.len() * 8);
-    v.extend_from_slice(commitment);
-    for d in digest_ct {
-        v.extend_from_slice(&d.to_le_bytes());
-    }
-    v
-}
-
-fn decode_ledger_leaf(bytes: &[u8]) -> Option<([u8; 32], Vec<u64>)> {
-    if bytes.len() < 32 || !(bytes.len() - 32).is_multiple_of(8) {
-        return None;
-    }
-    let commitment: [u8; 32] = bytes[..32].try_into().ok()?;
-    let mut sum = Vec::with_capacity((bytes.len() - 32) / 8);
-    let mut word = [0u8; 8];
-    for c in bytes[32..].chunks_exact(8) {
-        word.copy_from_slice(c);
-        sum.push(u64::from_le_bytes(word));
-    }
-    Some((commitment, sum))
 }
 
 impl TimeCryptServer {
@@ -551,24 +516,6 @@ impl TimeCryptServer {
         Ok(())
     }
 
-    /// Replays persisted ledger leaves (in index order) into a fresh ledger.
-    fn rebuild_ledger(&self, stream: u128) -> Result<StreamLedger, ServerError> {
-        let mut prefix = b"il/".to_vec();
-        prefix.extend_from_slice(&stream.to_be_bytes());
-        prefix.push(b'/');
-        let mut entries = self.kv.scan_prefix(&prefix)?;
-        entries.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let mut ledger = StreamLedger::new(stream);
-        for (_, bytes) in entries {
-            let (commitment, sum) = decode_ledger_leaf(&bytes)
-                .ok_or(ServerError::Integrity("corrupt ledger leaf".into()))?;
-            ledger
-                .append(commitment, sum)
-                .map_err(|e| ServerError::Integrity(e.to_string()))?;
-        }
-        Ok(ledger)
-    }
-
     /// Deletes a stream with all chunks, index nodes, and key-store entries.
     pub fn delete_stream(&self, stream: u128) -> Result<(), ServerError> {
         let dropped = {
@@ -583,13 +530,12 @@ impl TimeCryptServer {
         drop(dropped);
         self.kv.delete(&stream_meta_key(stream))?;
         self.kv.delete(&attestation_key(stream))?;
-        for prefix in ["c/", "i/", "im/", "il/"] {
-            let mut p = prefix.as_bytes().to_vec();
-            p.extend_from_slice(&stream.to_be_bytes());
-            for (k, _) in self.kv.scan_prefix(&p)? {
-                self.kv.delete(&k)?;
-            }
+        let mut chunks = b"c/".to_vec();
+        chunks.extend_from_slice(&stream.to_be_bytes());
+        for (k, _) in self.kv.scan_prefix(&chunks)? {
+            self.kv.delete(&k)?;
         }
+        purge_stream(self.kv.as_ref(), stream)?;
         KeyStore::new(self.kv.as_ref()).purge_stream(stream)?;
         self.live.lock().remove(&stream);
         Ok(())
@@ -675,22 +621,27 @@ impl TimeCryptServer {
         }
     }
 
-    /// Rebuilds one stream's heavy state from the store: the tree handle
-    /// re-opens from the index's persisted meta record, the integrity
-    /// ledger replays from its persisted leaves. Runs outside the registry
-    /// lock, single-flighted per stream by the hydration gate.
+    /// Rebuilds one stream's heavy state in one replay of the tree's
+    /// level-0 records: the tree recovers its open frontier from their
+    /// digests, the ledger from `(tag = commitment, digest)`. Runs outside
+    /// the registry lock, single-flighted per stream by the hydration gate.
     fn hydrate(&self, stream: u128, meta: StreamMeta) -> Result<StreamState, ServerError> {
         let _stage = trace::stage("engine.hydrate");
-        let tree = AggTree::open(
-            self.kv.clone(),
-            stream,
-            TreeConfig {
-                arity: self.cfg.arity,
-                cache_bytes: self.cfg.cache_bytes,
-                parallel_edges: self.cfg.parallel_query,
-            },
-        )?;
-        let ledger = self.rebuild_ledger(stream)?;
+        let cfg = TreeConfig {
+            arity: self.cfg.arity,
+            cache_bytes: self.cfg.cache_bytes,
+            parallel_edges: self.cfg.parallel_query,
+        };
+        let mut ledger = StreamLedger::new(stream);
+        let mut replay = Ok(());
+        let tree = AggTree::open_with(self.kv.clone(), stream, cfg, |digest, tag| {
+            if replay.is_ok() {
+                replay = <[u8; 32]>::try_from(tag)
+                    .map_err(|_| "corrupt ledger leaf".to_string())
+                    .and_then(|c| ledger.append(c, digest).map_err(|e| e.to_string()));
+            }
+        })?;
+        replay.map_err(ServerError::Integrity)?;
         Ok(StreamState {
             meta,
             tree,
@@ -967,14 +918,14 @@ impl TimeCryptServer {
     /// One stream's ordered ingest run under a single ingest-lock
     /// acquisition. Per-chunk semantics mirror sequential
     /// [`insert`](Self::insert): width and next-index validation per
-    /// chunk (a rejected chunk does not advance the expected index),
-    /// payload + ledger-leaf writes per accepted chunk, then **one**
-    /// coalesced index append for the accepted run, ledger appends, and
-    /// live-buffer cleanup. If the coalesced index append itself fails —
-    /// a store fault, not a validation outcome — the first pending chunk
-    /// reports the real error and the rest report `Unavailable`, and
-    /// `len` was never advanced (the torn-append contract of
-    /// `AggTree::append_batch`).
+    /// chunk (a rejected chunk does not advance the expected index), a
+    /// payload write per accepted chunk, then **one** index append for the
+    /// accepted run (it persists each chunk's `(commitment, digest)` as
+    /// its level-0 record), ledger appends, and live-buffer cleanup. If
+    /// the index append fails — a store fault, not a validation outcome —
+    /// the first pending chunk reports the real error, the rest report
+    /// `Unavailable`, and nothing was published (`AggTree::append_batch`
+    /// is all-or-nothing).
     fn insert_stream_run(
         &self,
         stream: u128,
@@ -995,8 +946,9 @@ impl TimeCryptServer {
         let _ingest = st.ingest.lock();
         let mut expected = st.tree.len();
         let mut verdicts: Vec<Option<ServerError>> = Vec::with_capacity(items.len());
-        // (input position, commitment) per accepted chunk, in run order.
-        let mut accepted: Vec<(usize, [u8; 32])> = Vec::new();
+        // Input position, commitment, digest per accepted chunk, in run order.
+        let mut accepted: Vec<usize> = Vec::new();
+        let mut commitments: Vec<[u8; 32]> = Vec::new();
         let mut digests: Vec<Vec<u64>> = Vec::new();
         for (pos, item) in items.iter().enumerate() {
             if item.digest_ct.len() as u32 != st.meta.digest_width {
@@ -1013,47 +965,30 @@ impl TimeCryptServer {
                 }));
                 continue;
             }
-            let commitment = chunk_commitment(item.bytes);
-            let stored = self
-                .kv
-                .put(&chunk_key(stream, item.index), item.bytes)
-                .and_then(|()| {
-                    self.kv.put(
-                        &ledger_key(stream, item.index),
-                        &encode_ledger_leaf(&commitment, item.digest_ct),
-                    )
-                });
-            if let Err(e) = stored {
+            if let Err(e) = self.kv.put(&chunk_key(stream, item.index), item.bytes) {
                 // Mirrors a sequential insert dying before the index
                 // append: this chunk fails, `expected` does not advance,
                 // so later chunks of the run report out-of-order.
                 verdicts.push(Some(ServerError::Store(e)));
                 continue;
             }
-            accepted.push((pos, commitment));
+            accepted.push(pos);
+            commitments.push(chunk_commitment(item.bytes));
             digests.push(item.digest_ct.to_vec());
             verdicts.push(None);
             expected += 1;
         }
-        if let Err(e) = st.tree.append_batch(&digests) {
+        if let Err(e) = st.tree.append_tagged(&digests, &commitments) {
             let mut first = Some(ServerError::from(e));
-            for &(pos, _) in &accepted {
+            for &pos in &accepted {
                 verdicts[pos] = Some(first.take().unwrap_or(ServerError::Unavailable(
                     "batched index append failed for an earlier chunk of this run",
                 )));
             }
-            return verdicts
-                .into_iter()
-                .map(|v| match v {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                })
-                .collect();
-        }
-        if !accepted.is_empty() {
+        } else if !accepted.is_empty() {
             let mut ledger = st.ledger.write();
-            for (&(pos, commitment), digest) in accepted.iter().zip(&digests) {
-                if let Err(e) = ledger.append(commitment, digest.clone()) {
+            for ((&pos, commitment), digest) in accepted.iter().zip(commitments).zip(digests) {
+                if let Err(e) = ledger.append(commitment, digest) {
                     verdicts[pos] = Some(ServerError::Integrity(e.to_string()));
                 }
             }
@@ -1064,9 +999,9 @@ impl TimeCryptServer {
             // exactly as a sequential insert erroring out would.
             let mut live = self.live.lock();
             if let Some(buf) = live.get_mut(&stream) {
-                for (pos, _) in &accepted {
-                    if verdicts[*pos].is_none() {
-                        buf.remove(&items[*pos].index);
+                for &pos in &accepted {
+                    if verdicts[pos].is_none() {
+                        buf.remove(&items[pos].index);
                     }
                 }
             }

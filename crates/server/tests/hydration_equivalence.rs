@@ -80,15 +80,21 @@ fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
 fn run_equivalence(ops: &[Op], evict_every_op: bool) {
     let kv_capped: Arc<dyn KvStore> = Arc::new(MemKv::new());
     let kv_uncapped: Arc<dyn KvStore> = Arc::new(MemKv::new());
+    // Arity 4: a stream's dozen-odd inserts cross index seal and growth
+    // boundaries, so rehydration rebuilds a non-trivial open frontier.
+    let cfg = ServerConfig {
+        arity: 4,
+        ..ServerConfig::default()
+    };
     let capped = TimeCryptServer::open(
         kv_capped.clone(),
         ServerConfig {
             max_resident_streams: Some(1),
-            ..ServerConfig::default()
+            ..cfg.clone()
         },
     )
     .unwrap();
-    let uncapped = TimeCryptServer::open(kv_uncapped.clone(), ServerConfig::default()).unwrap();
+    let uncapped = TimeCryptServer::open(kv_uncapped.clone(), cfg).unwrap();
     for engine in [&capped, &uncapped] {
         for &s in &STREAMS {
             engine.create_stream(s, 0, DELTA_MS, 2).unwrap();

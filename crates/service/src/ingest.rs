@@ -1,24 +1,26 @@
 //! The batched ingest pipeline: one worker thread + bounded queue per shard.
 //!
-//! Ordering contract: jobs enqueued to one shard are processed FIFO by a
-//! single worker, and the batch partitioner keeps each stream's chunks in
-//! submission order (a stream maps to exactly one shard), so the engine's
+//! Ordering contract: a job is one submitter's chunks for one shard, in
+//! submission order; jobs enqueued to one shard are processed FIFO by a
+//! single worker (a stream maps to exactly one shard), so the engine's
 //! strict next-index ingest check sees the same order a direct caller would
 //! produce. Backpressure: the queue is a `sync_channel`, so submitters
 //! block once a shard is `queue_depth` jobs behind — producers slow down
 //! instead of ballooning memory.
 //!
 //! The worker drains greedily: after blocking for one job it grabs every
-//! already-queued job (up to `GREEDY_BATCH`) and hands the whole run to
-//! the shard backend as one ordered batch. Local backends apply it
+//! already-queued job (up to `GREEDY_BATCH` chunks) and hands the whole
+//! run to the shard backend as one ordered batch. A job is never split —
+//! one client batch costs one backend call per shard it touches — while
+//! jobs of concurrent submitters coalesce. Local backends apply the run
 //! sequentially — identical behavior to per-job processing — while remote
-//! backends collapse the run into a single `InsertBatch` round trip, which
-//! is what makes batched ingest efficient over TCP.
+//! backends collapse it into a single `InsertBatch` round trip, which is
+//! what makes batched ingest efficient over TCP.
 
 use crate::backend::ShardReplicas;
 use crate::metrics::ShardMetrics;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -26,14 +28,15 @@ use timecrypt_chunk::serialize::EncryptedChunk;
 use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::{ServerError, TimeCryptServer};
 
-/// Upper bound on one greedy drain, in jobs.
+/// Chunk count at which a greedy drain stops taking further jobs.
 pub(crate) const GREEDY_BATCH: usize = 64;
 
-/// Upper bound on one greedy drain, in (approximate) serialized bytes:
-/// a remote backend ships the whole drain as one `InsertBatch` frame, so
-/// the drain must stay well under the transport's 16 MiB frame cap even
-/// when individual chunks are large. 4 MiB leaves a 4× margin for
-/// framing overhead and the occasional oversized straggler chunk.
+/// Serialized size at which a greedy drain stops taking further jobs: a
+/// remote backend ships the whole drain as one `InsertBatch` frame, so the
+/// drain must stay well under the transport's 16 MiB frame cap even when
+/// individual chunks are large. 4 MiB leaves a 4× margin for framing
+/// overhead and the last job taken (itself at most one inbound frame's
+/// share for this shard).
 const GREEDY_BATCH_BYTES: usize = 4 * 1024 * 1024;
 
 /// Serialized size of one chunk. Delegates to the serializer's own length
@@ -114,12 +117,14 @@ pub(crate) fn metered_insert_bytes_run(
     verdicts
 }
 
-/// One queued chunk insert; `reply` carries the original batch position so
-/// the submitter can reassemble results in input order.
+/// One queued ingest job: the chunks of one submitted batch that belong to
+/// one shard, in submission order. `positions[i]` is `chunks[i]`'s place in
+/// the original batch; the single reply carries each verdict with it so the
+/// submitter can reassemble results in input order.
 pub(crate) struct Job {
-    pub(crate) chunk: EncryptedChunk,
-    pub(crate) idx: usize,
-    pub(crate) reply: Sender<(usize, Result<(), ServerError>)>,
+    pub(crate) chunks: Vec<EncryptedChunk>,
+    pub(crate) positions: Vec<usize>,
+    pub(crate) reply: Sender<Vec<(usize, Result<(), ServerError>)>>,
     /// The submitter's trace context, restored on the worker thread for
     /// the drain containing this job.
     pub(crate) trace: Option<TraceContext>,
@@ -148,42 +153,38 @@ impl IngestWorker {
     }
 
     /// Enqueues one job, blocking while the shard queue is full
-    /// (backpressure). The queue-depth gauge is bumped *before* the
-    /// potentially blocking send so `Stats` shows saturated queues.
+    /// (backpressure). The queue-depth gauge counts chunks and is bumped
+    /// *before* the potentially blocking send so `Stats` shows saturated
+    /// queues.
     pub(crate) fn submit(&self, metrics_depth: &std::sync::atomic::AtomicU64, job: Job) {
-        metrics_depth.fetch_add(1, Ordering::Relaxed);
+        let chunks = job.chunks.len() as u64;
+        metrics_depth.fetch_add(chunks, Ordering::Relaxed);
         if self.tx.send(job).is_err() {
             // Worker gone (service shutting down); undo the gauge.
-            metrics_depth.fetch_sub(1, Ordering::Relaxed);
+            metrics_depth.fetch_sub(chunks, Ordering::Relaxed);
         }
     }
 }
 
 fn run_worker(rx: Receiver<Job>, backend: Arc<ShardReplicas>) {
     while let Ok(first) = rx.recv() {
-        let mut bytes = wire_size(&first.chunk);
-        let mut jobs = vec![first];
-        loop {
-            if jobs.len() >= GREEDY_BATCH || bytes >= GREEDY_BATCH_BYTES {
-                break;
-            }
-            match rx.try_recv() {
-                Ok(job) => {
-                    bytes += wire_size(&job.chunk);
-                    jobs.push(job);
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
-        }
-        let mut replies = Vec::with_capacity(jobs.len());
-        let mut chunks = Vec::with_capacity(jobs.len());
         // A greedy drain can coalesce jobs from concurrent submitters;
         // the whole drain is attributed to the oldest job's trace (the
         // one whose wait the drain actually serves).
-        let drain_trace = jobs[0].trace;
-        for job in jobs {
-            replies.push((job.idx, job.reply));
-            chunks.push(job.chunk);
+        let drain_trace = first.trace;
+        let mut chunks = Vec::new();
+        // Per job: its reply channel and batch positions (one per chunk).
+        let mut replies = Vec::new();
+        let mut bytes = 0usize;
+        let mut next = Some(first);
+        while let Some(job) = next.take() {
+            bytes += job.chunks.iter().map(wire_size).sum::<usize>();
+            chunks.extend(job.chunks);
+            replies.push((job.reply, job.positions));
+            if chunks.len() < GREEDY_BATCH && bytes < GREEDY_BATCH_BYTES {
+                // Empty or disconnected: either way the drain ends here.
+                next = rx.try_recv().ok();
+            }
         }
         let _trace = trace::set_current(drain_trace);
         // The backend contains engine panics per chunk; this backstop
@@ -197,11 +198,15 @@ fn run_worker(rx: Receiver<Job>, backend: Arc<ShardReplicas>) {
                 .map(|_| Err(ServerError::Unavailable("shard ingest worker panicked")))
                 .collect()
         });
-        let m = backend.metrics();
-        for ((idx, reply), result) in replies.into_iter().zip(results) {
-            m.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        backend
+            .metrics()
+            .queue_depth
+            .fetch_sub(chunks.len() as u64, Ordering::Relaxed);
+        let mut results = results.into_iter();
+        for (reply, positions) in replies {
+            let verdicts = positions.into_iter().zip(results.by_ref()).collect();
             // A dropped submitter just means nobody wants the result.
-            let _ = reply.send((idx, result));
+            let _ = reply.send(verdicts);
         }
     }
 }

@@ -33,7 +33,8 @@ pub struct ServiceConfig {
     /// Connection-pool tuning for remote shards (one pool per remote
     /// backend; reconnect-with-backoff on failure).
     pub pool: PoolConfig,
-    /// Bounded ingest-queue depth per shard (backpressure threshold).
+    /// Bounded ingest-queue depth per shard (backpressure threshold), in
+    /// jobs: one job is one submitted batch's chunks for that shard.
     pub queue_depth: usize,
     /// Intra-shard reader threads (shared across shards) used to split the
     /// sub-queries of one large scatter-gather leg on a *local* shard. The
@@ -345,13 +346,24 @@ impl ShardedService {
         let n = chunks.len();
         let (reply_tx, reply_rx) = channel();
         let route = trace::stage("route");
+        // One job per shard the batch touches: its chunks in submission
+        // order, each with its position in the batch.
+        let mut by_shard: Vec<(Vec<EncryptedChunk>, Vec<usize>)> = Vec::new();
+        by_shard.resize_with(self.router.shards(), Default::default);
         for (idx, chunk) in chunks.into_iter().enumerate() {
-            let shard = self.router.shard_of(chunk.stream);
+            let (slice, positions) = &mut by_shard[self.router.shard_of(chunk.stream)];
+            slice.push(chunk);
+            positions.push(idx);
+        }
+        for (shard, (chunks, positions)) in by_shard.into_iter().enumerate() {
+            if chunks.is_empty() {
+                continue;
+            }
             self.workers[shard].submit(
                 &self.metrics.shard(shard).queue_depth,
                 Job {
-                    chunk,
-                    idx,
+                    chunks,
+                    positions,
                     reply: reply_tx.clone(),
                     trace: ctx,
                 },
@@ -365,7 +377,7 @@ impl ShardedService {
         results.resize_with(n, || {
             Err(ServerError::Unavailable("shard ingest worker unavailable"))
         });
-        for (idx, result) in reply_rx {
+        for (idx, result) in reply_rx.into_iter().flatten() {
             results[idx] = result;
         }
         results
@@ -769,6 +781,28 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
         let addr = server.addr().to_string();
         (server, addr)
+    }
+
+    #[test]
+    fn submit_batch_reaches_each_shard_as_one_run() {
+        // One job per (batch, shard): a stream's 40 chunks in one batch
+        // are one engine run, so the index writes its length record once —
+        // never cut in two by the worker's greedy drain. Per batch: 40
+        // payloads + 40 level-0 records + 1 length record; per 64 chunks
+        // one sealed index node.
+        let svc = service(2);
+        svc.create_stream(1, 0, 10_000, 2).unwrap();
+        let before = svc.kv().counters().puts;
+        for repeat in 0..20u64 {
+            let batch = (0..40).map(|i| sealed_chunk(1, repeat * 40 + i, 1));
+            assert!(svc.submit_batch(batch.collect()).iter().all(Result::is_ok));
+        }
+        let sealed_nodes = 20 * 40 / 64;
+        assert_eq!(
+            svc.kv().counters().puts - before,
+            20 * 81 + sealed_nodes,
+            "a batch was split into more than one index append"
+        );
     }
 
     #[test]
