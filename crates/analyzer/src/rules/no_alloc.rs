@@ -1,9 +1,10 @@
 //! Rule `no-alloc`: a function annotated `// lint: deny(alloc)` is a
 //! zero-copy seam — its body must not allocate. The banned tokens are the
 //! allocation entry points that past PRs actually removed from these
-//! paths (`encode_into`, `handle_frame`, `seal_into`/`open_into`, the
-//! scratch-buffer send paths); reintroducing one silently reverts the
-//! optimization without failing any functional test.
+//! paths (`encode_into`, the handlers' ingest `dispatch`,
+//! `seal_into`/`open_into`, the scratch-buffer send paths); reintroducing
+//! one silently reverts the optimization without failing any functional
+//! test.
 
 use crate::scan::SourceFile;
 use crate::Violation;

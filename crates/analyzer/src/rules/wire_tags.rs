@@ -3,7 +3,9 @@
 //! - two tag consts in the same family (`REQ_*` / `RESP_*`) sharing a value;
 //! - a `Request`/`Response` enum variant with no arm in `encode_into` or
 //!   `decode` (a variant that encodes but can't decode — or vice versa —
-//!   is a protocol break waiting for the first real deployment);
+//!   is a protocol break waiting for the first real deployment); the
+//!   method's arms may live in same-file functions it delegates to
+//!   (`Request::decode` is `RequestRef::decode` + `to_owned`);
 //! - a tag value missing from the reserved-tag table in `analyzer.toml`
 //!   (new tags must be reserved) or reserved under a *different* const
 //!   name (a removed tag's value must stay burned, never reassigned).
@@ -155,12 +157,30 @@ fn audit_arms(f: &SourceFile, fam: &Family<'_>, out: &mut Vec<Violation>) {
             );
             continue;
         };
+        // The method plus every same-file function it (transitively)
+        // names: a delegating method's arms are its callees' arms.
+        let mut region = vec![span];
+        let mut next = 0;
+        while let Some(from) = region.get(next).copied() {
+            next += 1;
+            for callee in &fns {
+                let named = !f.in_test[callee.header]
+                    && !region.iter().any(|r| r.header == callee.header)
+                    && (from.header..=from.body_close.line)
+                        .any(|li| has_word(&f.lines[li].code, &callee.name));
+                if named {
+                    region.push(callee);
+                }
+            }
+        }
         for (variant, vline) in &variants {
             let qualified = format!("{}::{variant}", fam.enum_name);
             let selfed = format!("Self::{variant}");
-            let present = (span.header..=span.body_close.line).any(|li| {
-                let code = &f.lines[li].code;
-                has_word(code, &qualified) || has_word(code, &selfed)
+            let present = region.iter().any(|r| {
+                (r.header..=r.body_close.line).any(|li| {
+                    let code = &f.lines[li].code;
+                    has_word(code, &qualified) || has_word(code, &selfed)
+                })
             });
             if !present && !f.allowed(*vline, NAME) {
                 emit(
@@ -366,6 +386,24 @@ impl Response {
                 .any(|x| x.msg.contains("`Request::Insert` has no arm in `decode`")),
             "got: {v:?}"
         );
+    }
+
+    #[test]
+    fn decode_arms_may_live_in_a_delegate() {
+        // `decode` forwards to a same-file helper holding the `Insert` arm.
+        let c = cfg(&[(1, "REQ_PING"), (2, "REQ_INSERT")], &[(1, "RESP_OK")]);
+        let delegating = FIXTURE.replace(
+            "            REQ_INSERT => Request::Insert { chunk: 0 },
+",
+            "            REQ_INSERT => insert_view().owned(),
+",
+        ) + "fn owned(self) -> Request {\n    Request::Insert { chunk: 0 }\n}\n";
+        assert!(run(&c, &delegating).is_empty());
+        // A helper nothing names does not count.
+        let orphaned = delegating.replace("insert_view().owned()", "insert_view()");
+        assert!(run(&c, &orphaned)
+            .iter()
+            .any(|x| x.msg.contains("`Request::Insert` has no arm in `decode`")));
     }
 
     #[test]

@@ -293,6 +293,14 @@ impl<'a> ChunkRef<'a> {
         })
     }
 
+    /// Reads just the stream id from serialized chunk bytes, without
+    /// parsing the digest or touching the payload: the grouping key for
+    /// code that handles already-validated chunk bytes per stream. `None`
+    /// when `buf` is too short to be a chunk.
+    pub fn peek_stream(buf: &[u8]) -> Option<StreamId> {
+        Some(u128::from_le_bytes(buf.get(0..16)?.try_into().ok()?))
+    }
+
     /// Copies the borrow into an owned [`EncryptedChunk`].
     pub fn to_owned(self) -> EncryptedChunk {
         EncryptedChunk {
@@ -720,6 +728,8 @@ mod tests {
         let sealed = chunk.seal(&cfg, &keys, &mut rng).unwrap();
         let bytes = sealed.to_bytes();
         assert_eq!(EncryptedChunk::from_bytes(&bytes).unwrap(), sealed);
+        assert_eq!(ChunkRef::peek_stream(&bytes), Some(7));
+        assert_eq!(ChunkRef::peek_stream(&bytes[..15]), None);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
 use timecrypt_obs::trace;
 use timecrypt_store::{KvStore, StoreError};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
-use timecrypt_wire::transport::Handler;
+use timecrypt_wire::transport::{dispatch_frame, Handler};
 
 /// Server-side tuning knobs.
 #[derive(Debug, Clone)]
@@ -201,15 +201,14 @@ impl From<IndexError> for ServerError {
 /// one full chunk, the covered window and the homomorphic sum over it.
 pub type StreamStat = (u32, Option<(u64, u64, Vec<u64>)>);
 
-/// One chunk of an ingest run: the parsed header fields the validations
-/// need, plus the serialized bytes to store verbatim. Borrowing both keeps
-/// the run path payload-copy-free whether the chunks arrived parsed
-/// (in-process) or as wire bytes (zero-copy).
-struct RunItem<'a> {
-    index: u64,
-    digest_ct: &'a [u64],
-    bytes: &'a [u8],
-}
+/// One chunk of an ingest run: its borrowed parse (what the validations
+/// read) and the serialized bytes it was parsed from (what is stored).
+type RunItem<'a> = (ChunkRef<'a>, &'a [u8]);
+
+/// Placeholder verdict of a batch position until its stream's run reports
+/// (`insert_stream_run` yields one verdict per chunk, so it never
+/// survives): an error, so a missed position can not read as accepted.
+const NO_VERDICT: ServerError = ServerError::Unavailable("chunk received no verdict");
 
 /// Buffered real-time records of one stream: per open chunk, the `(seq,
 /// sealed bytes)` records received so far.
@@ -761,167 +760,75 @@ impl TimeCryptServer {
     }
 
     /// Ingests one sealed chunk: stores the payload blob and appends the
-    /// digest ciphertext to the aggregation index.
+    /// digest ciphertext to the aggregation index. A convenience over the
+    /// one ingest path: the chunk is serialized here, once, and enters
+    /// [`insert_bytes_run`](Self::insert_bytes_run) like any wire chunk.
     pub fn insert(&self, chunk: &EncryptedChunk) -> Result<(), ServerError> {
-        let mut scratch = Vec::with_capacity(chunk.encoded_len());
-        chunk.encode_into(&mut scratch);
-        let items = [RunItem {
-            index: chunk.index,
-            digest_ct: &chunk.digest_ct,
-            bytes: &scratch,
-        }];
-        self.insert_stream_run(chunk.stream, &items)
-            .pop()
-            // lint: allow(panic-freedom) — `insert_stream_run` returns one verdict per item and `items` has length 1
-            .expect("one verdict per chunk")
+        self.insert_bytes(&chunk.to_bytes())
     }
 
-    /// Zero-copy single-chunk ingest from serialized bytes (the wire
-    /// path): the chunk is validated through a borrowed parse and the
-    /// *input bytes* are stored directly — the serialization is canonical
-    /// (see [`timecrypt_chunk::ChunkRef`]), so the stored value is
-    /// byte-identical to re-serializing a parsed chunk, without ever
-    /// copying the payload through an intermediate `EncryptedChunk`.
+    /// Single-chunk ingest from serialized bytes: the length-1 call of
+    /// [`insert_bytes_run`](Self::insert_bytes_run).
     pub fn insert_bytes(&self, bytes: &[u8]) -> Result<(), ServerError> {
-        let chunk = ChunkRef::parse(bytes).map_err(|_| ServerError::BadChunk)?;
-        let items = [RunItem {
-            index: chunk.index,
-            digest_ct: &chunk.digest_ct,
-            bytes,
-        }];
-        self.insert_stream_run(chunk.stream, &items)
+        self.insert_bytes_run(&[bytes])
             .pop()
-            // lint: allow(panic-freedom) — `insert_stream_run` returns one verdict per item and `items` has length 1
-            .expect("one verdict per chunk")
+            .unwrap_or(Err(NO_VERDICT))
     }
 
-    /// Batched ingest of parsed chunks (any stream mix; per-stream order
-    /// is the caller's submission order). Verdicts come back in input
-    /// order and match what per-chunk [`insert`](Self::insert) calls would
-    /// produce; the final store/index state is byte-identical (pinned by
-    /// `insert_run_matches_sequential_inserts`). Each stream's run takes
-    /// its ingest lock once and coalesces index writes via
-    /// `AggTree::append_batch` — the whole-drain entry point of the
-    /// service tier's ingest workers.
-    pub fn insert_run(&self, chunks: &[EncryptedChunk]) -> Vec<Result<(), ServerError>> {
-        self.insert_run_refs(&chunks.iter().collect::<Vec<_>>())
-    }
-
-    /// [`insert_run`](Self::insert_run) over a reference slice — for
-    /// callers that regroup chunks (e.g. per-stream panic containment in
-    /// the service tier) without cloning payloads into contiguous runs.
-    pub fn insert_run_refs(&self, chunks: &[&EncryptedChunk]) -> Vec<Result<(), ServerError>> {
-        let mut scratch = Vec::new();
-        let mut encoded: Vec<(usize, usize)> = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
-            let start = scratch.len();
-            chunk.encode_into(&mut scratch);
-            encoded.push((start, scratch.len()));
-        }
-        let items: Vec<RunItem<'_>> = chunks
-            .iter()
-            .zip(&encoded)
-            .map(|(chunk, &(start, end))| RunItem {
-                index: chunk.index,
-                digest_ct: &chunk.digest_ct,
-                bytes: &scratch[start..end],
-            })
-            .collect();
-        self.insert_grouped(chunks.iter().map(|c| c.stream).collect::<Vec<_>>(), items)
-    }
-
-    /// [`insert_run`](Self::insert_run) over serialized chunk bytes (the
-    /// wire batch path): chunks are validated through borrowed parses and
-    /// stored from the input slices — no payload copies. Unparseable
-    /// entries report [`ServerError::BadChunk`] at their position.
+    /// The engine's one ingest implementation: a batch of serialized
+    /// chunks, any stream mix (per-stream order is the caller's submission
+    /// order), verdicts in input order. Each chunk is validated through a
+    /// borrowed parse and the *input bytes* are stored directly — the
+    /// serialization is canonical (see [`timecrypt_chunk::ChunkRef`]), so
+    /// the stored value is byte-identical to re-serializing a parsed
+    /// chunk, without ever copying the payload through an intermediate
+    /// `EncryptedChunk`. Unparseable entries report
+    /// [`ServerError::BadChunk`] at their position. Each stream's chunks
+    /// form one run: one ingest-lock acquisition and one coalesced index
+    /// append (`AggTree::append_tagged`), whether the batch is a whole
+    /// drain of the service tier's ingest workers or a single chunk.
     pub fn insert_bytes_run(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
-        let mut verdicts: Vec<Option<ServerError>> = Vec::with_capacity(chunks.len());
-        let mut parsed: Vec<Option<ChunkRef<'_>>> = Vec::with_capacity(chunks.len());
-        for &bytes in chunks {
-            match ChunkRef::parse(bytes) {
-                Ok(c) => {
-                    parsed.push(Some(c));
-                    verdicts.push(None);
-                }
-                Err(_) => {
-                    parsed.push(None);
-                    verdicts.push(Some(ServerError::BadChunk));
-                }
-            }
-        }
-        let mut streams = Vec::new();
-        let mut items = Vec::new();
-        let mut positions = Vec::new();
-        for (pos, (entry, &bytes)) in parsed.iter().zip(chunks).enumerate() {
-            if let Some(c) = entry {
-                streams.push(c.stream);
-                items.push(RunItem {
-                    index: c.index,
-                    digest_ct: &c.digest_ct,
-                    bytes,
-                });
-                positions.push(pos);
-            }
-        }
-        let run_verdicts = self.insert_grouped(streams, items);
-        let mut out: Vec<Result<(), ServerError>> = verdicts
-            .into_iter()
-            .map(|v| match v {
-                Some(e) => Err(e),
-                None => Ok(()),
-            })
-            .collect();
-        for (pos, verdict) in positions.into_iter().zip(run_verdicts) {
-            out[pos] = verdict;
-        }
-        out
-    }
-
-    /// Groups `items` by stream (preserving each stream's submission
-    /// order) and applies one locked run per stream. `streams[i]` is the
-    /// owning stream of `items[i]`.
-    fn insert_grouped(
-        &self,
-        streams: Vec<u128>,
-        items: Vec<RunItem<'_>>,
-    ) -> Vec<Result<(), ServerError>> {
+        let mut out: Vec<Result<(), ServerError>> = Vec::with_capacity(chunks.len());
+        // Per stream, in first-appearance order: its parsed chunks with
+        // their bytes (submission order) and their batch positions.
         let mut order: Vec<u128> = Vec::new();
-        let mut groups: HashMap<u128, (Vec<RunItem<'_>>, Vec<usize>)> = HashMap::new();
-        for (pos, (stream, item)) in streams.into_iter().zip(items).enumerate() {
-            let entry = groups.entry(stream).or_insert_with(|| {
-                order.push(stream);
-                (Vec::new(), Vec::new())
-            });
-            entry.0.push(item);
-            entry.1.push(pos);
+        let mut runs: HashMap<u128, (Vec<RunItem<'_>>, Vec<usize>)> = HashMap::new();
+        for (pos, &bytes) in chunks.iter().enumerate() {
+            match ChunkRef::parse(bytes) {
+                Ok(chunk) => {
+                    let (run, positions) = runs.entry(chunk.stream).or_insert_with(|| {
+                        order.push(chunk.stream);
+                        Default::default()
+                    });
+                    run.push((chunk, bytes));
+                    positions.push(pos);
+                    out.push(Err(NO_VERDICT));
+                }
+                Err(_) => out.push(Err(ServerError::BadChunk)),
+            }
         }
-        let mut out: Vec<Option<Result<(), ServerError>>> = Vec::new();
-        out.resize_with(order.iter().map(|s| groups[s].1.len()).sum(), || None);
         for stream in order {
-            // `order` records each stream exactly once, when its group is created.
-            let Some((run, positions)) = groups.remove(&stream) else {
+            // `order` records each stream exactly once, when its run is created.
+            let Some((run, positions)) = runs.remove(&stream) else {
                 continue;
             };
             for (pos, verdict) in positions
                 .into_iter()
                 .zip(self.insert_stream_run(stream, &run))
             {
-                out[pos] = Some(verdict);
+                out[pos] = verdict;
             }
         }
-        out.into_iter()
-            // lint: allow(panic-freedom) — every input position was pushed into exactly one group's position list, and `insert_stream_run` yields one verdict per item
-            .map(|v| v.expect("every position receives a verdict"))
-            .collect()
+        out
     }
 
     /// One stream's ordered ingest run under a single ingest-lock
-    /// acquisition. Per-chunk semantics mirror sequential
-    /// [`insert`](Self::insert): width and next-index validation per
-    /// chunk (a rejected chunk does not advance the expected index), a
-    /// payload write per accepted chunk, then **one** index append for the
-    /// accepted run (it persists each chunk's `(commitment, digest)` as
-    /// its level-0 record), ledger appends, and live-buffer cleanup. If
+    /// acquisition. Per-chunk semantics are those of chunk-at-a-time
+    /// ingest: width and next-index validation per chunk (a rejected
+    /// chunk does not advance the expected index), a payload write per
+    /// accepted chunk, then **one** index append for the accepted run
+    /// (it persists each chunk's `(commitment, digest)` as its level-0
+    /// record), ledger appends, and live-buffer cleanup. If
     /// the index append fails — a store fault, not a validation outcome —
     /// the first pending chunk reports the real error, the rest report
     /// `Unavailable`, and nothing was published (`AggTree::append_batch`
@@ -950,22 +857,22 @@ impl TimeCryptServer {
         let mut accepted: Vec<usize> = Vec::new();
         let mut commitments: Vec<[u8; 32]> = Vec::new();
         let mut digests: Vec<Vec<u64>> = Vec::new();
-        for (pos, item) in items.iter().enumerate() {
-            if item.digest_ct.len() as u32 != st.meta.digest_width {
+        for (pos, (chunk, bytes)) in items.iter().enumerate() {
+            if chunk.digest_ct.len() as u32 != st.meta.digest_width {
                 verdicts.push(Some(ServerError::WidthMismatch {
                     expected: st.meta.digest_width,
-                    got: item.digest_ct.len() as u32,
+                    got: chunk.digest_ct.len() as u32,
                 }));
                 continue;
             }
-            if item.index != expected {
+            if chunk.index != expected {
                 verdicts.push(Some(ServerError::OutOfOrderChunk {
                     expected,
-                    got: item.index,
+                    got: chunk.index,
                 }));
                 continue;
             }
-            if let Err(e) = self.kv.put(&chunk_key(stream, item.index), item.bytes) {
+            if let Err(e) = self.kv.put(&chunk_key(stream, chunk.index), bytes) {
                 // Mirrors a sequential insert dying before the index
                 // append: this chunk fails, `expected` does not advance,
                 // so later chunks of the run report out-of-order.
@@ -973,8 +880,8 @@ impl TimeCryptServer {
                 continue;
             }
             accepted.push(pos);
-            commitments.push(chunk_commitment(item.bytes));
-            digests.push(item.digest_ct.to_vec());
+            commitments.push(chunk_commitment(bytes));
+            digests.push(chunk.digest_ct.clone());
             verdicts.push(None);
             expected += 1;
         }
@@ -1001,7 +908,7 @@ impl TimeCryptServer {
             if let Some(buf) = live.get_mut(&stream) {
                 for &pos in &accepted {
                     if verdicts[pos].is_none() {
-                        buf.remove(&items[pos].index);
+                        buf.remove(&items[pos].0.index);
                     }
                 }
             }
@@ -1445,31 +1352,41 @@ pub fn batch_errors(verdicts: Vec<Result<(), ServerError>>) -> Vec<(u32, String)
         .collect()
 }
 
-impl Handler for TimeCryptServer {
-    /// Zero-copy frame entry point: ingest requests are parsed as borrows
-    /// of the frame buffer and stored without payload copies
-    /// ([`TimeCryptServer::insert_bytes`]); everything else takes the
-    /// owned path. Replies are byte-identical to the default
-    /// decode-then-`handle` route (same validations, same error strings).
+impl TimeCryptServer {
+    /// The engine's single request dispatch, over the borrowed view both
+    /// [`Handler`] entry points produce. This half holds the ingest arms:
+    /// chunk bytes go from the caller's buffer (the frame, on the wire
+    /// path) straight to [`insert_bytes_run`](Self::insert_bytes_run);
+    /// every other variant continues in
+    /// [`dispatch_unborrowed`](Self::dispatch_unborrowed).
     // lint: deny(alloc)
-    fn handle_frame(&self, body: &[u8]) -> Response {
-        match RequestRef::decode(body) {
-            Ok(RequestRef::Insert { chunk }) => match self.insert_bytes(chunk) {
+    fn dispatch(&self, req: RequestRef<'_>) -> Response {
+        match req {
+            RequestRef::Insert { chunk } => match self.insert_bytes(chunk) {
                 Ok(()) => Response::Ok,
                 // lint: allow(no-alloc) — error formatting on the rejection path only; accepted chunks stay allocation-free
                 Err(e) => Response::Error(e.to_string()),
             },
-            Ok(RequestRef::InsertBatch { chunks }) => Response::Batch {
+            RequestRef::InsertBatch { chunks } => Response::Batch {
                 errors: batch_errors(self.insert_bytes_run(&chunks)),
             },
-            // lint: allow(no-alloc) — non-ingest requests take the owned decode path by design
-            Ok(other) => self.handle(other.to_owned()),
-            // lint: allow(no-alloc) — malformed-frame rejection path
-            Err(e) => Response::Error(format!("bad request: {e}")),
+            RequestRef::InsertLive { record } => {
+                let buffered = SealedRecord::from_bytes(record)
+                    .map_err(|_| ServerError::BadRecord)
+                    .and_then(|r| self.insert_live(&r));
+                match buffered {
+                    Ok(()) => Response::Ok,
+                    // lint: allow(no-alloc) — error formatting on the rejection path only
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            RequestRef::Other(req) => self.dispatch_unborrowed(req),
         }
     }
 
-    fn handle(&self, req: Request) -> Response {
+    /// The arms of [`dispatch`](Self::dispatch) for requests that carry
+    /// no bulk payload.
+    fn dispatch_unborrowed(&self, req: Request) -> Response {
         fn ok_or<T>(r: Result<T, ServerError>, f: impl FnOnce(T) -> Response) -> Response {
             match r {
                 Ok(v) => f(v),
@@ -1477,6 +1394,11 @@ impl Handler for TimeCryptServer {
             }
         }
         match req {
+            // `RequestRef` carries ingest requests borrowed; one that was
+            // wrapped owned re-enters through its view.
+            Request::Insert { .. } | Request::InsertLive { .. } | Request::InsertBatch { .. } => {
+                req.with_ref(|view| self.dispatch(view))
+            }
             Request::CreateStream {
                 stream,
                 t0,
@@ -1487,14 +1409,6 @@ impl Handler for TimeCryptServer {
                 |_| Response::Ok,
             ),
             Request::DeleteStream { stream } => ok_or(self.delete_stream(stream), |_| Response::Ok),
-            Request::Insert { chunk } => match EncryptedChunk::from_bytes(&chunk) {
-                Ok(c) => ok_or(self.insert(&c), |_| Response::Ok),
-                Err(_) => Response::Error(ServerError::BadChunk.to_string()),
-            },
-            Request::InsertLive { record } => match SealedRecord::from_bytes(&record) {
-                Ok(r) => ok_or(self.insert_live(&r), |_| Response::Ok),
-                Err(_) => Response::Error(ServerError::BadRecord.to_string()),
-            },
             Request::GetLive { stream, ts_s, ts_e } => {
                 ok_or(self.get_live(stream, ts_s, ts_e), Response::Records)
             }
@@ -1579,12 +1493,6 @@ impl Handler for TimeCryptServer {
                     chunks,
                 },
             ),
-            Request::InsertBatch { chunks } => {
-                let views: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-                Response::Batch {
-                    errors: batch_errors(self.insert_bytes_run(&views)),
-                }
-            }
             Request::Stats => {
                 Response::Error("service stats unavailable: single-engine deployment".into())
             }
@@ -1601,6 +1509,16 @@ impl Handler for TimeCryptServer {
             ),
             Request::Ping => Response::Pong,
         }
+    }
+}
+
+impl Handler for TimeCryptServer {
+    fn handle(&self, req: Request) -> Response {
+        req.with_ref(|view| self.dispatch(view))
+    }
+
+    fn handle_frame(&self, body: &[u8]) -> Response {
+        dispatch_frame(body, |view| self.dispatch(view))
     }
 }
 
@@ -1960,142 +1878,5 @@ mod tests {
             }
         });
         assert_eq!(s.stream_info(1).unwrap().len, N);
-    }
-
-    /// Seals one chunk of stream `id` for the equivalence tests.
-    fn sealed(id: u128, index: u64, seed: u64) -> EncryptedChunk {
-        let cfg = StreamConfig {
-            schema: timecrypt_chunk::DigestSchema::sum_count(),
-            ..StreamConfig::new(id, "m", 0, 10_000)
-        };
-        let km = StreamKeyMaterial::with_params(id, [id as u8; 16], 20, PrgKind::Aes).unwrap();
-        let mut rng = SecureRandom::from_seed_insecure(seed);
-        timecrypt_chunk::PlainChunk {
-            stream: id,
-            index,
-            points: vec![DataPoint::new(index as i64 * 10_000, seed as i64)],
-        }
-        .seal(&cfg, &km, &mut rng)
-        .unwrap()
-    }
-
-    fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut all = kv.scan_prefix(b"").unwrap();
-        all.sort();
-        all
-    }
-
-    #[test]
-    fn insert_run_matches_sequential_inserts() {
-        // A mixed-stream batch with every validation failure mode: the
-        // batched path must produce identical per-chunk verdicts AND a
-        // byte-identical store to sequential inserts.
-        let kv_seq: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let kv_run: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let seq = TimeCryptServer::open(kv_seq.clone(), ServerConfig::default()).unwrap();
-        let run = TimeCryptServer::open(kv_run.clone(), ServerConfig::default()).unwrap();
-        for s in [&seq, &run] {
-            s.create_stream(1, 0, 10_000, 2).unwrap();
-            s.create_stream(2, 0, 10_000, 2).unwrap();
-        }
-        let mut batch = vec![
-            sealed(1, 0, 10),
-            sealed(2, 0, 20),
-            sealed(1, 1, 11),
-            sealed(1, 5, 99), // out of order
-            sealed(2, 1, 21),
-            sealed(3, 0, 1), // unknown stream
-        ];
-        // Width mismatch.
-        batch.push(EncryptedChunk {
-            stream: 1,
-            index: 2,
-            digest_ct: vec![0],
-            payload: vec![],
-        });
-        let seq_verdicts: Vec<Result<(), ServerError>> =
-            batch.iter().map(|c| seq.insert(c)).collect();
-        let run_verdicts = run.insert_run(&batch);
-        assert_eq!(seq_verdicts.len(), run_verdicts.len());
-        for (i, (a, b)) in seq_verdicts.iter().zip(&run_verdicts).enumerate() {
-            match (a, b) {
-                (Ok(()), Ok(())) => {}
-                (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string(), "chunk {i}"),
-                other => panic!("verdicts diverge at {i}: {other:?}"),
-            }
-        }
-        assert_eq!(
-            dump(kv_seq.as_ref()),
-            dump(kv_run.as_ref()),
-            "stores must be byte-identical"
-        );
-        // And the bytes path over the same input is identical again.
-        let kv_bytes: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let by_bytes = TimeCryptServer::open(kv_bytes.clone(), ServerConfig::default()).unwrap();
-        by_bytes.create_stream(1, 0, 10_000, 2).unwrap();
-        by_bytes.create_stream(2, 0, 10_000, 2).unwrap();
-        let encoded: Vec<Vec<u8>> = batch.iter().map(|c| c.to_bytes()).collect();
-        let views: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
-        let bytes_verdicts = by_bytes.insert_bytes_run(&views);
-        for (a, b) in run_verdicts.iter().zip(&bytes_verdicts) {
-            assert_eq!(a.is_ok(), b.is_ok());
-        }
-        assert_eq!(dump(kv_run.as_ref()), dump(kv_bytes.as_ref()));
-    }
-
-    #[test]
-    fn handle_frame_matches_handle() {
-        // The zero-copy frame path must answer byte-identically to the
-        // decode-then-handle default, for ingest and non-ingest requests,
-        // success and failure alike.
-        let kv_a: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let kv_b: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let a = TimeCryptServer::open(kv_a.clone(), ServerConfig::default()).unwrap();
-        let b = TimeCryptServer::open(kv_b.clone(), ServerConfig::default()).unwrap();
-        let requests = vec![
-            Request::CreateStream {
-                stream: 1,
-                t0: 0,
-                delta_ms: 10_000,
-                digest_width: 2,
-            },
-            Request::Insert {
-                chunk: sealed(1, 0, 5).to_bytes(),
-            },
-            Request::InsertBatch {
-                chunks: vec![
-                    sealed(1, 1, 6).to_bytes(),
-                    sealed(1, 9, 7).to_bytes(), // out of order
-                    vec![1, 2, 3],              // malformed
-                ],
-            },
-            Request::Insert {
-                chunk: vec![9, 9], // malformed
-            },
-            Request::GetStatRange {
-                streams: vec![1],
-                ts_s: 0,
-                ts_e: 20_000,
-            },
-            Request::StreamInfo { stream: 1 },
-            Request::StreamInfo { stream: 42 },
-            Request::Ping,
-        ];
-        for req in requests {
-            let frame = req.encode();
-            let via_frame = a.handle_frame(&frame);
-            let via_handle = b.handle(req);
-            assert_eq!(
-                via_frame.encode(),
-                via_handle.encode(),
-                "replies diverge for {via_handle:?}"
-            );
-        }
-        assert_eq!(dump(kv_a.as_ref()), dump(kv_b.as_ref()));
-        // Undecodable frames render the same error as the default path.
-        assert_eq!(
-            a.handle_frame(&[200]).encode(),
-            Handler::handle_frame(&|_req: Request| Response::Pong, &[200]).encode(),
-        );
     }
 }

@@ -33,10 +33,10 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_chunk::serialize::EncryptedChunk;
-use timecrypt_obs::{tc_debug, trace, TraceContext};
+use timecrypt_chunk::serialize::ChunkRef;
+use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::{ServerError, StreamStat, TimeCryptServer, EXPORT_PAGE_BYTES};
-use timecrypt_wire::messages::{peer_lacks_trace_support, Request, Response, StreamInfoWire};
+use timecrypt_wire::messages::{Request, Response, StreamInfoWire};
 use timecrypt_wire::pool::{ClientPool, PoolConfig};
 
 /// One per-stream statistical sub-query outcome.
@@ -129,12 +129,15 @@ pub trait ShardBackend: Send + Sync + 'static {
         digest_width: u32,
     ) -> Result<(), ServerError>;
 
-    /// Ingests `chunks` in order (per-stream submission order is the
+    /// Ingests `chunks` — serialized chunk bytes, validated where they
+    /// entered the service — in order (per-stream submission order is the
     /// service tier's ordering contract) and reports per-chunk verdicts.
-    fn insert_batch(
-        &self,
-        chunks: &[EncryptedChunk],
-    ) -> Result<Vec<Result<(), ServerError>>, ServerError>;
+    /// Also the import side of the replica-rebuild seam: exported pages
+    /// are applied verbatim, and chunks rejected as out-of-order against
+    /// the replica's current length are expected when the copy races live
+    /// write-mirroring — the rebuild loop re-reads the length and
+    /// converges.
+    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError>;
 
     /// Streams currently hosted by this shard (occupancy metric).
     fn stream_count(&self) -> Result<u64, ServerError>;
@@ -159,19 +162,6 @@ pub trait ShardBackend: Send + Sync + 'static {
     /// `from_idx`, sized under the wire frame cap (the export side of the
     /// replica-rebuild seam).
     fn export_chunks(&self, stream: u128, from_idx: u64) -> Result<ExportPage, ServerError>;
-
-    /// The import side of the rebuild seam: applies a page of exported
-    /// chunks in order and returns how many the shard accepted. Rejected
-    /// chunks (out-of-order against the replica's current length) are
-    /// expected when the copy races live write-mirroring — the rebuild
-    /// loop re-reads the replica's length and converges.
-    fn import_chunks(&self, chunks: &[EncryptedChunk]) -> Result<u64, ServerError> {
-        Ok(self
-            .insert_batch(chunks)?
-            .iter()
-            .filter(|r| r.is_ok())
-            .count() as u64)
-    }
 
     /// The remote endpoint (`host:port`) this backend dials, `None` for
     /// in-process backends. Lets the coordinator's stats aggregation
@@ -324,30 +314,33 @@ impl ShardBackend for LocalShard {
             .create_stream(stream, t0, delta_ms, digest_width)
     }
 
-    fn insert_batch(
-        &self,
-        chunks: &[EncryptedChunk],
-    ) -> Result<Vec<Result<(), ServerError>>, ServerError> {
+    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError> {
         let m = self.metrics.shard(self.shard);
         // Each stream's chunks go to the engine as one run (one
         // ingest-lock acquisition and one coalesced index append instead
-        // of per-chunk lock/append/store cycles). Panic containment is
-        // per stream run: a poisoned stream must not make chunks of
-        // *other* streams — possibly already durably committed by their
-        // own runs — report failure, or a replica mirror would skip
-        // writes the primary actually holds.
+        // of per-chunk lock/append/store cycles), stored from the input
+        // bytes. Panic containment is per stream run: a poisoned stream
+        // must not make chunks of *other* streams — possibly already
+        // durably committed by their own runs — report failure, or a
+        // replica mirror would skip writes the primary actually holds.
         let t = std::time::Instant::now();
         let mut verdicts: Vec<Option<Result<(), ServerError>>> = Vec::new();
         verdicts.resize_with(chunks.len(), || None);
         let mut order: Vec<u128> = Vec::new();
-        let mut groups: std::collections::HashMap<u128, (Vec<&EncryptedChunk>, Vec<usize>)> =
+        let mut groups: std::collections::HashMap<u128, (Vec<&[u8]>, Vec<usize>)> =
             std::collections::HashMap::new();
-        for (pos, chunk) in chunks.iter().enumerate() {
-            let entry = groups.entry(chunk.stream).or_insert_with(|| {
-                order.push(chunk.stream);
+        for (pos, &bytes) in chunks.iter().enumerate() {
+            // The grouping key is peeked, not parsed: the engine's run
+            // performs the one full validation.
+            let Some(stream) = ChunkRef::peek_stream(bytes) else {
+                verdicts[pos] = Some(Err(ServerError::BadChunk));
+                continue;
+            };
+            let entry = groups.entry(stream).or_insert_with(|| {
+                order.push(stream);
                 (Vec::new(), Vec::new())
             });
-            entry.0.push(chunk);
+            entry.0.push(bytes);
             entry.1.push(pos);
         }
         for stream in order {
@@ -356,7 +349,7 @@ impl ShardBackend for LocalShard {
                 continue;
             };
             let run_verdicts = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.engine.insert_run_refs(&run)
+                self.engine.insert_bytes_run(&run)
             }))
             .unwrap_or_else(|_| {
                 run.iter()
@@ -410,11 +403,6 @@ pub struct RemoteShard {
     pool: ClientPool,
     metrics: Arc<ServiceMetrics>,
     shard: usize,
-    /// Latched when the node rejected a trace-context envelope (an older
-    /// build): every later request from this backend goes out untraced,
-    /// so a mixed-version cluster interoperates at full speed after one
-    /// probe per backend.
-    peer_legacy: AtomicBool,
 }
 
 impl RemoteShard {
@@ -428,58 +416,25 @@ impl RemoteShard {
             pool: ClientPool::new(addr, pool_cfg),
             metrics,
             shard,
-            peer_legacy: AtomicBool::new(false),
         }
     }
+}
 
-    /// The trace context to stamp on the next outgoing request: a child
-    /// of the caller's current context, unless the peer is known to
-    /// predate the envelope.
-    fn trace_ctx(&self) -> Option<TraceContext> {
-        if self.peer_legacy.load(Ordering::Relaxed) {
-            return None;
-        }
-        trace::current().map(|c| c.child())
-    }
-
-    /// Latches the legacy-peer flag when `msg` is the decode error an old
-    /// node answers a trace envelope with. Safe to retry even mutations
-    /// afterwards: the rejection happened at decode, before dispatch, so
-    /// the node applied nothing.
-    fn note_trace_reject(&self, msg: &str) -> bool {
-        if peer_lacks_trace_support(msg) {
-            if !self.peer_legacy.swap(true, Ordering::Relaxed) {
-                tc_debug!(
-                    "service",
-                    "peer {} rejected trace envelope; falling back to untraced requests",
-                    self.pool.addr()
-                );
-            }
-            return true;
-        }
-        false
-    }
+/// The trace context to stamp on the next outgoing request: a child of
+/// the caller's current context.
+fn trace_ctx() -> Option<TraceContext> {
+    trace::current().map(|c| c.child())
 }
 
 impl ShardBackend for RemoteShard {
     fn call(&self, req: Request) -> Result<Response, ServerError> {
         let _span = trace::stage("backend.exchange");
-        loop {
-            let ctx = self.trace_ctx();
-            return match self.pool.call_traced(ctx, &req) {
-                Ok(resp) => Ok(resp),
-                // `ClientPool::call` surfaces `Response::Error` as a client
-                // error; re-wrap it — the node answered, the transport is
-                // fine. A trace-envelope rejection from an old node retries
-                // once untraced (nothing was applied; see `note_trace_reject`).
-                Err(timecrypt_wire::transport::ClientError::Server(msg)) => {
-                    if ctx.is_some() && self.note_trace_reject(&msg) {
-                        continue;
-                    }
-                    Ok(Response::Error(msg))
-                }
-                Err(_) => Err(UNREACHABLE),
-            };
+        match self.pool.call_traced(trace_ctx(), &req) {
+            Ok(resp) => Ok(resp),
+            // `ClientPool::call` surfaces `Response::Error` as a client
+            // error; re-wrap it — the node answered, the transport is fine.
+            Err(timecrypt_wire::transport::ClientError::Server(msg)) => Ok(Response::Error(msg)),
+            Err(_) => Err(UNREACHABLE),
         }
     }
 
@@ -499,10 +454,8 @@ impl ShardBackend for RemoteShard {
         match self.try_stat_leg(legs, ts_s, ts_e, false) {
             Ok(out) => Ok(out),
             // The pooled connection was likely stale (node restarted
-            // underneath it) — or an old node rejected the trace envelope,
-            // which latches the legacy flag; sub-queries are idempotent, so
-            // retry the whole leg once on a freshly dialed connection
-            // (untraced, when the flag latched).
+            // underneath it); sub-queries are idempotent, so retry the
+            // whole leg once on a freshly dialed connection.
             Err(_) => self.try_stat_leg(legs, ts_s, ts_e, true),
         }
     }
@@ -526,25 +479,23 @@ impl ShardBackend for RemoteShard {
         }
     }
 
-    fn insert_batch(
-        &self,
-        chunks: &[EncryptedChunk],
-    ) -> Result<Vec<Result<(), ServerError>>, ServerError> {
+    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError> {
         let _span = trace::stage("backend.exchange");
         let m = self.metrics.shard(self.shard);
-        let ctx = self.trace_ctx();
+        let ctx = trace_ctx();
         let t = Instant::now();
-        // Frame assembly without intermediate copies: each chunk is
-        // serialized once, straight into the connection's scratch buffer
-        // (no per-chunk `Vec<u8>`, no owned `Request`), and the buffer's
-        // capacity is reused across drains on the pooled connection.
+        // Frame assembly is the one payload copy of this hop: each
+        // chunk's bytes are appended as received, straight into the
+        // connection's scratch buffer (no per-chunk `Vec<u8>`, no owned
+        // `Request`), whose capacity is reused across drains on the
+        // pooled connection.
         let reply = self.pool.call_with(|buf| {
             if let Some(ctx) = ctx {
                 timecrypt_wire::messages::encode_trace_prefix(ctx, buf);
             }
             let mut enc = timecrypt_wire::messages::BatchEncoder::begin(buf);
             for c in chunks {
-                enc.append_with(c.encoded_len(), |out| c.encode_into(out));
+                enc.append_with(c.len(), |out| out.extend_from_slice(c));
             }
             enc.finish();
         });
@@ -561,13 +512,8 @@ impl ShardBackend for RemoteShard {
                 results
             }
             // The node answered, but not with a batch verdict: fail every
-            // chunk with the node's message (transport is still fine). An
-            // old node rejecting the trace envelope did so at decode —
-            // nothing was applied — so the whole batch retries untraced.
+            // chunk with the node's message (transport is still fine).
             Ok(Response::Error(msg)) | Err(timecrypt_wire::transport::ClientError::Server(msg)) => {
-                if ctx.is_some() && self.note_trace_reject(&msg) {
-                    return self.insert_batch(chunks);
-                }
                 chunks
                     .iter()
                     .map(|_| Err(ServerError::Remote(msg.clone())))
@@ -677,7 +623,7 @@ impl RemoteShard {
             self.pool.get()
         }
         .map_err(|_| UNREACHABLE)?;
-        let ctx = self.trace_ctx();
+        let ctx = trace_ctx();
         // The node renders a per-stream empty window as this exact string
         // (both sides run the same code); it is the one app-level "error"
         // that is *not* an error to the merge fold.
@@ -735,18 +681,7 @@ impl RemoteShard {
                     // Placeholder until the width probe resolves.
                     Ok((0, None))
                 }
-                Response::Error(msg) => {
-                    // An old node rejects every traced sub-query at decode:
-                    // latch the legacy flag and fail the attempt so the
-                    // caller's retry re-runs the whole leg untraced. The
-                    // connection still has pipelined rejections in flight —
-                    // discard it rather than resynchronize.
-                    if ctx.is_some() && self.note_trace_reject(&msg) {
-                        conn.discard();
-                        return Err(UNREACHABLE);
-                    }
-                    Err(ServerError::Remote(msg))
-                }
+                Response::Error(msg) => Err(ServerError::Remote(msg)),
                 _ => Err(ServerError::Unavailable("unexpected remote stat reply")),
             };
             out.push((pos, result));
@@ -1191,7 +1126,7 @@ impl ShardReplicas {
     /// just-promoted primary — safe, because a batch that failed at the
     /// transport level was never acknowledged). Infallible: an
     /// unreachable primary yields per-chunk `Unavailable` verdicts.
-    pub(crate) fn ingest_batch(&self, chunks: &[EncryptedChunk]) -> Vec<Result<(), ServerError>> {
+    pub(crate) fn ingest_batch(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
         let mut retried = false;
         loop {
             let primary = self.primary();
@@ -1242,8 +1177,8 @@ impl ShardReplicas {
     }
 
     /// Synchronous single-chunk ingest (the unbatched path).
-    pub(crate) fn insert(&self, chunk: &EncryptedChunk) -> Result<(), ServerError> {
-        self.ingest_batch(std::slice::from_ref(chunk))
+    pub(crate) fn insert(&self, chunk: &[u8]) -> Result<(), ServerError> {
+        self.ingest_batch(&[chunk])
             .pop()
             .unwrap_or(Err(UNREACHABLE))
     }
@@ -1494,20 +1429,13 @@ impl ShardReplicas {
                     all_synced = false;
                     break;
                 }
-                let mut parsed = Vec::with_capacity(page.chunks.len());
-                for bytes in &page.chunks {
-                    match EncryptedChunk::from_bytes(bytes) {
-                        Ok(c) => parsed.push(c),
-                        Err(_) => {
-                            all_synced = false;
-                            break;
-                        }
-                    }
-                }
-                if parsed.len() != page.chunks.len() {
-                    break;
-                }
-                let copied = replacement.import_chunks(&parsed).unwrap_or(0);
+                // The page goes to the replacement as exported; its ingest
+                // validates every chunk, so a corrupt one is rejected there
+                // and the stuck check below ends the pass.
+                let views: Vec<&[u8]> = page.chunks.iter().map(Vec::as_slice).collect();
+                let copied = replacement.insert_batch(&views).map_or(0, |verdicts| {
+                    verdicts.iter().filter(|v| v.is_ok()).count() as u64
+                });
                 if copied > 0 {
                     self.m()
                         .rebuild_chunks_copied
@@ -1642,10 +1570,10 @@ mod tests {
 
         fn insert_batch(
             &self,
-            chunks: &[EncryptedChunk],
+            chunks: &[&[u8]],
         ) -> Result<Vec<Result<(), ServerError>>, ServerError> {
             self.ensure_up()?;
-            Ok(chunks.iter().map(|c| self.engine.insert(c)).collect())
+            Ok(self.engine.insert_bytes_run(chunks))
         }
 
         fn stream_count(&self) -> Result<u64, ServerError> {
@@ -1671,7 +1599,7 @@ mod tests {
         }
     }
 
-    fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
+    fn sealed(id: u128, index: u64, value: i64) -> Vec<u8> {
         let cfg = StreamConfig {
             schema: DigestSchema::sum_count(),
             ..StreamConfig::new(id, "m", 0, 10_000)
@@ -1685,6 +1613,7 @@ mod tests {
         }
         .seal(&cfg, &keys, &mut rng)
         .unwrap()
+        .to_bytes()
     }
 
     fn replicas(
@@ -1733,7 +1662,7 @@ mod tests {
         let r = replicas(primary, Some(backup.clone()), 0);
         backup.set_up(false);
         let batch = [sealed(1, 0, 5), sealed(1, 9, 6), sealed(1, 1, 7)];
-        let verdicts = r.ingest_batch(&batch);
+        let verdicts = r.ingest_batch(&batch.each_ref().map(Vec::as_slice));
         assert!(verdicts[0].is_ok() && verdicts[2].is_ok());
         assert!(verdicts[1].is_err(), "out-of-order chunk rejected");
         assert_eq!(
@@ -1821,7 +1750,10 @@ mod tests {
         for id in [1u128, 2] {
             primary.create_stream(id, 0, 10_000, 2).unwrap();
             for i in 0..5 {
-                primary.engine.insert(&sealed(id, i, i as i64)).unwrap();
+                primary
+                    .engine
+                    .insert_bytes(&sealed(id, i, i as i64))
+                    .unwrap();
             }
         }
         let r = replicas(primary.clone(), None, 1);

@@ -1,10 +1,11 @@
 //! The batched ingest pipeline: one worker thread + bounded queue per shard.
 //!
-//! Ordering contract: a job is one submitter's chunks for one shard, in
-//! submission order; jobs enqueued to one shard are processed FIFO by a
-//! single worker (a stream maps to exactly one shard), so the engine's
-//! strict next-index ingest check sees the same order a direct caller would
-//! produce. Backpressure: the queue is a `sync_channel`, so submitters
+//! Ordering contract: a job is one submitter's chunks for one shard —
+//! validated serialized chunk bytes, the service tier's one ingest
+//! currency — in submission order; jobs enqueued to one shard are
+//! processed FIFO by a single worker (a stream maps to exactly one
+//! shard), so the engine's strict next-index ingest check sees the same
+//! order a direct caller would produce. Backpressure: the queue is a `sync_channel`, so submitters
 //! block once a shard is `queue_depth` jobs behind — producers slow down
 //! instead of ballooning memory.
 //!
@@ -12,10 +13,10 @@
 //! already-queued job (up to `GREEDY_BATCH` chunks) and hands the whole
 //! run to the shard backend as one ordered batch. A job is never split —
 //! one client batch costs one backend call per shard it touches — while
-//! jobs of concurrent submitters coalesce. Local backends apply the run
-//! sequentially — identical behavior to per-job processing — while remote
-//! backends collapse it into a single `InsertBatch` round trip, which is
-//! what makes batched ingest efficient over TCP.
+//! jobs of concurrent submitters coalesce. Local backends store the
+//! drain's bytes as per-stream engine runs, while remote backends copy
+//! them once into a single `InsertBatch` frame — one round trip, which
+//! is what makes batched ingest efficient over TCP.
 
 use crate::backend::ShardReplicas;
 use crate::metrics::ShardMetrics;
@@ -23,10 +24,8 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-use timecrypt_chunk::serialize::EncryptedChunk;
 use timecrypt_obs::{trace, TraceContext};
-use timecrypt_server::{ServerError, TimeCryptServer};
+use timecrypt_server::ServerError;
 
 /// Chunk count at which a greedy drain stops taking further jobs.
 pub(crate) const GREEDY_BATCH: usize = 64;
@@ -38,33 +37,6 @@ pub(crate) const GREEDY_BATCH: usize = 64;
 /// overhead and the last job taken (itself at most one inbound frame's
 /// share for this shard).
 const GREEDY_BATCH_BYTES: usize = 4 * 1024 * 1024;
-
-/// Serialized size of one chunk. Delegates to the serializer's own length
-/// accounting (`EncryptedChunk::encoded_len`, test-pinned against
-/// `to_bytes`) instead of duplicating the layout here — a layout change
-/// must not silently break the frame-cap math of the greedy drain.
-fn wire_size(chunk: &EncryptedChunk) -> usize {
-    chunk.encoded_len()
-}
-
-/// Inserts one chunk into `engine`, recording latency and outcome counters
-/// on the shard's metrics. Shared by the local backend's batch path and
-/// the shard node's ingest handlers so all report identically.
-pub(crate) fn metered_insert(
-    engine: &TimeCryptServer,
-    m: &ShardMetrics,
-    chunk: &EncryptedChunk,
-) -> Result<(), ServerError> {
-    let _span = trace::stage("engine.ingest");
-    let t = Instant::now();
-    let result = engine.insert(chunk);
-    m.ingest_latency.record(t.elapsed());
-    match &result {
-        Ok(()) => m.ingested_chunks.fetch_add(1, Ordering::Relaxed),
-        Err(_) => m.ingest_errors.fetch_add(1, Ordering::Relaxed),
-    };
-    result
-}
 
 /// Records one batched-run outcome on the shard metrics: the run's wall
 /// time is sampled once per chunk (the same convention the remote batch
@@ -84,45 +56,13 @@ pub(crate) fn record_run_metrics(
     }
 }
 
-/// Zero-copy single-chunk ingest from serialized bytes with metrics —
-/// the frame-path sibling of [`metered_insert`].
-pub(crate) fn metered_insert_bytes(
-    engine: &TimeCryptServer,
-    m: &ShardMetrics,
-    bytes: &[u8],
-) -> Result<(), ServerError> {
-    let _span = trace::stage("engine.ingest");
-    let t = Instant::now();
-    let result = engine.insert_bytes(bytes);
-    m.ingest_latency.record(t.elapsed());
-    match &result {
-        Ok(()) => m.ingested_chunks.fetch_add(1, Ordering::Relaxed),
-        Err(_) => m.ingest_errors.fetch_add(1, Ordering::Relaxed),
-    };
-    result
-}
-
-/// Batched zero-copy ingest of serialized chunks into `engine` with run
-/// metrics. Shared by the shard node's `InsertBatch` frame path and the
-/// single engine's — one implementation, identical accounting.
-pub(crate) fn metered_insert_bytes_run(
-    engine: &TimeCryptServer,
-    m: &ShardMetrics,
-    chunks: &[&[u8]],
-) -> Vec<Result<(), ServerError>> {
-    let _span = trace::stage("engine.ingest");
-    let t = Instant::now();
-    let verdicts = engine.insert_bytes_run(chunks);
-    record_run_metrics(m, t.elapsed(), &verdicts);
-    verdicts
-}
-
-/// One queued ingest job: the chunks of one submitted batch that belong to
-/// one shard, in submission order. `positions[i]` is `chunks[i]`'s place in
+/// One queued ingest job: the validated serialized chunks of one
+/// submitted batch that belong to one shard, in submission order (owned,
+/// because the job crosses to the worker thread). `positions[i]` is `chunks[i]`'s place in
 /// the original batch; the single reply carries each verdict with it so the
 /// submitter can reassemble results in input order.
 pub(crate) struct Job {
-    pub(crate) chunks: Vec<EncryptedChunk>,
+    pub(crate) chunks: Vec<Vec<u8>>,
     pub(crate) positions: Vec<usize>,
     pub(crate) reply: Sender<Vec<(usize, Result<(), ServerError>)>>,
     /// The submitter's trace context, restored on the worker thread for
@@ -178,7 +118,7 @@ fn run_worker(rx: Receiver<Job>, backend: Arc<ShardReplicas>) {
         let mut bytes = 0usize;
         let mut next = Some(first);
         while let Some(job) = next.take() {
-            bytes += job.chunks.iter().map(wire_size).sum::<usize>();
+            bytes += job.chunks.iter().map(Vec::len).sum::<usize>();
             chunks.extend(job.chunks);
             replies.push((job.reply, job.positions));
             if chunks.len() < GREEDY_BATCH && bytes < GREEDY_BATCH_BYTES {
@@ -187,10 +127,11 @@ fn run_worker(rx: Receiver<Job>, backend: Arc<ShardReplicas>) {
             }
         }
         let _trace = trace::set_current(drain_trace);
+        let views: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
         // The backend contains engine panics per chunk; this backstop
         // covers the dispatch itself so queued replies are never eaten.
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.ingest_batch(&chunks)
+            backend.ingest_batch(&views)
         }))
         .unwrap_or_else(|_| {
             chunks

@@ -18,16 +18,17 @@
 //! data error.
 
 use crate::backend::metered_stat;
-use crate::ingest::{metered_insert, metered_insert_bytes, metered_insert_bytes_run};
+use crate::ingest::record_run_metrics;
 use crate::metrics::{ServiceMetrics, ShardOccupancy};
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
+use timecrypt_chunk::serialize::{ChunkRef, SealedRecord};
+use timecrypt_obs::trace;
 use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{Request, RequestRef, Response};
-use timecrypt_wire::transport::Handler;
+use timecrypt_wire::transport::{dispatch_frame, Handler};
 
 const NOT_HOSTED: ServerError =
     ServerError::Unavailable("stream's shard is not hosted on this node");
@@ -112,13 +113,13 @@ impl ShardNode {
         }
     }
 
-    /// Batched ingest over serialized chunk views: chunks are routed to
-    /// their owning engine by a borrowed header parse (payloads are never
-    /// copied), each engine gets its sub-batch as one zero-copy run, and
-    /// verdicts come back in batch order with the same error strings as
-    /// per-chunk inserts. Shared by the owned `InsertBatch` handler and
-    /// the zero-copy frame path.
-    fn insert_batch_views(&self, chunks: &[&[u8]]) -> Response {
+    /// The node's one ingest path, over serialized chunk views: chunks are
+    /// routed to their owning engine by a borrowed header parse (payloads
+    /// are never copied), each engine gets its sub-batch as one zero-copy
+    /// run, and the failures come back as `(batch position, error
+    /// string)` in batch order — the same strings whether the batch is an
+    /// `InsertBatch` or the single chunk of an `Insert`.
+    fn insert_views(&self, chunks: &[&[u8]]) -> Vec<(u32, String)> {
         let mut verdict_msgs: Vec<Option<String>> = Vec::new();
         verdict_msgs.resize_with(chunks.len(), || None);
         // Per-shard sub-batches, each preserving batch order.
@@ -139,21 +140,21 @@ impl ShardNode {
             }
         }
         for (shard, (views, positions)) in by_shard {
-            let engine = &self.engines[&shard];
-            let verdicts = metered_insert_bytes_run(engine, self.metrics.shard(shard), &views);
+            let _span = trace::stage("engine.ingest");
+            let t = std::time::Instant::now();
+            let verdicts = self.engines[&shard].insert_bytes_run(&views);
+            record_run_metrics(self.metrics.shard(shard), t.elapsed(), &verdicts);
             for (pos, verdict) in positions.into_iter().zip(verdicts) {
                 if let Err(e) = verdict {
                     verdict_msgs[pos] = Some(e.to_string());
                 }
             }
         }
-        Response::Batch {
-            errors: verdict_msgs
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, m)| m.map(|msg| (i as u32, msg)))
-                .collect(),
-        }
+        verdict_msgs
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, m)| m.map(|msg| (i as u32, msg)))
+            .collect()
     }
 
     /// Node metrics snapshot: one entry per *hosted* shard (global shard
@@ -193,38 +194,49 @@ impl ShardNode {
     }
 }
 
-impl Handler for ShardNode {
-    /// Zero-copy frame entry point: ingest payloads are parsed and stored
-    /// as borrows of the frame buffer, batches as per-engine runs. Replies
-    /// are byte-identical to the decode-then-`handle` default.
+impl ShardNode {
+    /// The node's single request dispatch, over the borrowed view both
+    /// [`Handler`] entry points produce. This half holds the ingest arms
+    /// — chunk bytes are parsed and stored as borrows of the caller's
+    /// buffer (the frame, on the wire path), batches as per-engine runs;
+    /// every other variant continues in
+    /// [`dispatch_unborrowed`](Self::dispatch_unborrowed).
     // lint: deny(alloc)
-    fn handle_frame(&self, body: &[u8]) -> Response {
-        match RequestRef::decode(body) {
-            Ok(RequestRef::Insert { chunk }) => match ChunkRef::parse(chunk) {
-                Ok(c) => match self.engine_for(c.stream) {
-                    Ok((shard, engine)) => {
-                        match metered_insert_bytes(engine, self.metrics.shard(shard), chunk) {
-                            Ok(()) => Response::Ok,
-                            // lint: allow(no-alloc) — error formatting on the rejection path only; accepted chunks stay allocation-free
-                            Err(e) => Response::Error(e.to_string()),
-                        }
-                    }
+    fn dispatch(&self, req: RequestRef<'_>) -> Response {
+        match req {
+            RequestRef::Insert { chunk } => match self.insert_views(&[chunk]).pop() {
+                None => Response::Ok,
+                Some((_, msg)) => Response::Error(msg),
+            },
+            // Batched runs per owning engine preserve the batch's
+            // per-stream order; error strings match the single-engine and
+            // coordinator-local paths (same `ServerError` renderings).
+            RequestRef::InsertBatch { chunks } => Response::Batch {
+                errors: self.insert_views(&chunks),
+            },
+            RequestRef::InsertLive { record } => {
+                let buffered = SealedRecord::from_bytes(record)
+                    .map_err(|_| ServerError::BadRecord)
+                    .and_then(|r| self.engine_for(r.stream)?.1.insert_live(&r));
+                match buffered {
+                    Ok(()) => Response::Ok,
                     // lint: allow(no-alloc) — error formatting on the rejection path only
                     Err(e) => Response::Error(e.to_string()),
-                },
-                // lint: allow(no-alloc) — error formatting on the rejection path only
-                Err(_) => Response::Error(ServerError::BadChunk.to_string()),
-            },
-            Ok(RequestRef::InsertBatch { chunks }) => self.insert_batch_views(&chunks),
-            // lint: allow(no-alloc) — non-ingest requests take the owned decode path by design
-            Ok(other) => self.handle(other.to_owned()),
-            // lint: allow(no-alloc) — malformed-frame rejection path
-            Err(e) => Response::Error(format!("bad request: {e}")),
+                }
+            }
+            RequestRef::Other(req) => self.dispatch_unborrowed(req),
         }
     }
 
-    fn handle(&self, req: Request) -> Response {
+    /// The arms of [`dispatch`](Self::dispatch) for requests that carry
+    /// no bulk payload.
+    fn dispatch_unborrowed(&self, req: Request) -> Response {
         match req {
+            // `RequestRef` carries ingest requests borrowed; one that was
+            // wrapped owned re-enters through its view.
+            Request::Insert { .. } | Request::InsertLive { .. } | Request::InsertBatch { .. } => {
+                req.with_ref(|view| self.dispatch(view))
+            }
             // The coordinator pipelines scatter-gather legs as one
             // single-stream GetStatRange per stream, but any multi-stream
             // query whose streams are all hosted here works too (same
@@ -250,35 +262,6 @@ impl Handler for ShardNode {
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
-            Request::Insert { chunk } => match EncryptedChunk::from_bytes(&chunk) {
-                Ok(c) => match self.engine_for(c.stream) {
-                    Ok((shard, engine)) => {
-                        match metered_insert(engine, self.metrics.shard(shard), &c) {
-                            Ok(()) => Response::Ok,
-                            Err(e) => Response::Error(e.to_string()),
-                        }
-                    }
-                    Err(e) => Response::Error(e.to_string()),
-                },
-                Err(_) => Response::Error(ServerError::BadChunk.to_string()),
-            },
-            // Batched runs per owning engine preserve the batch's
-            // per-stream order; error strings match the single-engine and
-            // coordinator-local paths (same `ServerError` renderings).
-            Request::InsertBatch { chunks } => {
-                let views: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-                self.insert_batch_views(&views)
-            }
-            Request::InsertLive { record } => match SealedRecord::from_bytes(&record) {
-                Ok(r) => match self.engine_for(r.stream) {
-                    Ok((_, engine)) => match engine.insert_live(&r) {
-                        Ok(()) => Response::Ok,
-                        Err(e) => Response::Error(e.to_string()),
-                    },
-                    Err(e) => Response::Error(e.to_string()),
-                },
-                Err(_) => Response::Error(ServerError::BadRecord.to_string()),
-            },
             Request::Stats => Response::ServiceStats(self.stats()),
             // Replica rebuild: enumerate one hosted shard's streams...
             Request::ListStreams { shard } => match self.engines.get(&(shard as usize)) {
@@ -332,6 +315,16 @@ impl Handler for ShardNode {
     }
 }
 
+impl Handler for ShardNode {
+    fn handle(&self, req: Request) -> Response {
+        req.with_ref(|view| self.dispatch(view))
+    }
+
+    fn handle_frame(&self, body: &[u8]) -> Response {
+        dispatch_frame(body, |view| self.dispatch(view))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,7 +333,7 @@ mod tests {
     use timecrypt_crypto::{PrgKind, SecureRandom};
     use timecrypt_store::MemKv;
 
-    fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
+    fn sealed(id: u128, index: u64, value: i64) -> timecrypt_chunk::serialize::EncryptedChunk {
         let cfg = StreamConfig {
             schema: DigestSchema::sum_count(),
             ..StreamConfig::new(id, "m", 0, 10_000)

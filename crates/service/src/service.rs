@@ -10,13 +10,13 @@ use crate::metrics::ServiceMetrics;
 use crate::router::ShardRouter;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
-use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
+use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
-use timecrypt_wire::messages::{Request, Response, StatReply};
+use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply};
 use timecrypt_wire::pool::PoolConfig;
-use timecrypt_wire::transport::Handler;
+use timecrypt_wire::transport::{dispatch_frame, Handler};
 
 /// Service-level tuning knobs.
 #[derive(Debug, Clone)]
@@ -329,18 +329,28 @@ impl ShardedService {
     /// queue: latency-sensitive callers pay no queueing delay, and ordering
     /// versus batched ingest is preserved because
     /// [`submit_batch`](Self::submit_batch) returns only after its jobs
-    /// completed.
+    /// completed. A convenience over the one ingest path: the chunk is
+    /// serialized here, once, and travels as bytes from then on.
     pub fn insert(&self, chunk: &EncryptedChunk) -> Result<(), ServerError> {
         let _trace = self.trace_root();
-        self.replicas_for(chunk.stream).insert(chunk)
+        self.replicas_for(chunk.stream).insert(&chunk.to_bytes())
     }
 
     /// Batched ingest: partitions `chunks` across shard queues (keeping
     /// each stream's chunks in their submission order), lets the shard
     /// workers drain them in parallel, and returns per-chunk results in
     /// input order. Blocks while queues are full — that is the
-    /// backpressure contract.
+    /// backpressure contract. A convenience over the one ingest path: each
+    /// chunk is serialized here, once, and joins the wire `InsertBatch`
+    /// route as bytes.
     pub fn submit_batch(&self, chunks: Vec<EncryptedChunk>) -> Vec<Result<(), ServerError>> {
+        self.submit_routed(chunks.iter().map(|c| (c.stream, c.to_bytes())).collect())
+    }
+
+    /// [`submit_batch`](Self::submit_batch) over the service's ingest
+    /// currency: validated serialized chunks, each with the stream id its
+    /// validation read (the routing key).
+    fn submit_routed(&self, chunks: Vec<(u128, Vec<u8>)>) -> Vec<Result<(), ServerError>> {
         let _trace = self.trace_root();
         let ctx = trace::current();
         let n = chunks.len();
@@ -348,11 +358,11 @@ impl ShardedService {
         let route = trace::stage("route");
         // One job per shard the batch touches: its chunks in submission
         // order, each with its position in the batch.
-        let mut by_shard: Vec<(Vec<EncryptedChunk>, Vec<usize>)> = Vec::new();
+        let mut by_shard: Vec<(Vec<Vec<u8>>, Vec<usize>)> = Vec::new();
         by_shard.resize_with(self.router.shards(), Default::default);
-        for (idx, chunk) in chunks.into_iter().enumerate() {
-            let (slice, positions) = &mut by_shard[self.router.shard_of(chunk.stream)];
-            slice.push(chunk);
+        for (idx, (stream, bytes)) in chunks.into_iter().enumerate() {
+            let (slice, positions) = &mut by_shard[self.router.shard_of(stream)];
+            slice.push(bytes);
             positions.push(idx);
         }
         for (shard, (chunks, positions)) in by_shard.into_iter().enumerate() {
@@ -591,24 +601,25 @@ impl ShardedService {
         crate::expose::serve_stats(addr, move || svc.stats())
     }
 
-    /// One `InsertBatch` over serialized chunk views: parse failures keep
-    /// their batch position; parsed chunks go through the sharded
-    /// pipeline. Shared by the owned and frame entry points so their
-    /// replies cannot diverge (`handle_frame_matches_handle` pins it).
+    /// One wire `InsertBatch`: each chunk is validated (and its route
+    /// read) through a borrowed parse — a malformed one is rejected here,
+    /// at its batch position — and the received bytes, copied once into
+    /// the job that crosses to the shard's ingest worker, go through the
+    /// sharded pipeline verbatim.
     fn insert_batch_bytes(&self, chunks: &[&[u8]]) -> Response {
         let mut errors = Vec::new();
-        let mut parsed = Vec::with_capacity(chunks.len());
+        let mut routed = Vec::with_capacity(chunks.len());
         let mut positions = Vec::with_capacity(chunks.len());
-        for (i, bytes) in chunks.iter().enumerate() {
-            match EncryptedChunk::from_bytes(bytes) {
+        for (i, &bytes) in chunks.iter().enumerate() {
+            match ChunkRef::parse(bytes) {
                 Ok(c) => {
-                    parsed.push(c);
+                    routed.push((c.stream, bytes.to_vec()));
                     positions.push(i as u32);
                 }
                 Err(_) => errors.push((i as u32, ServerError::BadChunk.to_string())),
             }
         }
-        for (pos, result) in positions.into_iter().zip(self.submit_batch(parsed)) {
+        for (pos, result) in positions.into_iter().zip(self.submit_routed(routed)) {
             if let Err(e) = result {
                 errors.push((pos, e.to_string()));
             }
@@ -616,54 +627,57 @@ impl ShardedService {
         errors.sort_by_key(|&(i, _)| i);
         Response::Batch { errors }
     }
-}
 
-impl Drop for ShardedService {
-    fn drop(&mut self) {
-        // Stop in-flight replica rebuilds (they check the flag once per
-        // page) and wait for their threads, so a dropped service never
-        // leaves workers writing to a replica behind its back.
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        for handle in self.rebuild_workers.lock().drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Handler for ShardedService {
-    /// Frame entry point: ingest payloads are parsed once, straight from
-    /// the frame buffer into the owned chunks the shard queues need —
-    /// instead of first copying every payload into an owned `Request` and
-    /// then parsing (two copies per chunk). Replies are byte-identical to
-    /// the decode-then-`handle` default.
+    /// The coordinator's single request dispatch, over the borrowed view
+    /// both [`Handler`] entry points produce. This half holds the ingest
+    /// arms: chunks are validated and routed on a borrowed parse and the
+    /// received bytes are forwarded verbatim; every other variant
+    /// continues in [`dispatch_unborrowed`](Self::dispatch_unborrowed).
     // lint: deny(alloc)
-    fn handle_frame(&self, body: &[u8]) -> Response {
-        use timecrypt_wire::messages::RequestRef;
-        match RequestRef::decode(body) {
-            Ok(RequestRef::Insert { chunk }) => match EncryptedChunk::from_bytes(chunk) {
-                Ok(c) => match self.insert(&c) {
-                    Ok(()) => Response::Ok,
-                    // lint: allow(no-alloc) — error formatting on the rejection path only; accepted chunks stay allocation-free
-                    Err(e) => Response::Error(e.to_string()),
-                },
-                // lint: allow(no-alloc) — error formatting on the rejection path only
-                Err(_) => Response::Error(ServerError::BadChunk.to_string()),
-            },
-            Ok(RequestRef::InsertBatch { chunks }) => self.insert_batch_bytes(&chunks),
-            // lint: allow(no-alloc) — non-ingest requests take the owned decode path by design
-            Ok(other) => self.handle(other.to_owned()),
-            // lint: allow(no-alloc) — malformed-frame rejection path
-            Err(e) => Response::Error(format!("bad request: {e}")),
-        }
-    }
-
-    fn handle(&self, req: Request) -> Response {
-        // Mint a root trace for requests that bypass the methods above
+    fn dispatch(&self, req: RequestRef<'_>) -> Response {
+        // Mint a root trace for requests that bypass the public methods
         // (single-stream delegations); a no-op unless tracing is enabled
         // and no envelope-supplied context is already current.
         let _trace = self.trace_root();
         match req {
+            // Ingest singles take the synchronous replicated path (typed
+            // errors rendered at this boundary), straight from the
+            // caller's buffer.
+            RequestRef::Insert { chunk } => {
+                let inserted = ChunkRef::parse(chunk)
+                    .map_err(|_| ServerError::BadChunk)
+                    .and_then(|c| self.replicas_for(c.stream).insert(chunk));
+                match inserted {
+                    Ok(()) => Response::Ok,
+                    // lint: allow(no-alloc) — error formatting on the rejection path only; accepted chunks stay allocation-free
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            RequestRef::InsertBatch { chunks } => self.insert_batch_bytes(&chunks),
+            // Routing needs only the record's stream id — peek it without
+            // a full parse; the owning engine performs the one parse +
+            // validation (and rejects what the peek let through).
+            RequestRef::InsertLive { record } => match SealedRecord::peek_stream(record) {
+                Some(stream) => self.replicas_for(stream).call(Request::InsertLive {
+                    // lint: allow(no-alloc) — live records (one point each) are forwarded as an owned request
+                    record: record.to_vec(),
+                }),
+                // lint: allow(no-alloc) — error formatting on the rejection path only
+                None => Response::Error(ServerError::BadRecord.to_string()),
+            },
+            RequestRef::Other(req) => self.dispatch_unborrowed(req),
+        }
+    }
+
+    /// The arms of [`dispatch`](Self::dispatch) for requests that carry
+    /// no bulk payload.
+    fn dispatch_unborrowed(&self, req: Request) -> Response {
+        match req {
+            // `RequestRef` carries ingest requests borrowed; one that was
+            // wrapped owned re-enters through its view.
+            Request::Insert { .. } | Request::InsertLive { .. } | Request::InsertBatch { .. } => {
+                req.with_ref(|view| self.dispatch(view))
+            }
             // Multi-stream and service-level requests are handled here.
             Request::GetStatRange {
                 streams,
@@ -673,10 +687,6 @@ impl Handler for ShardedService {
                 Ok(reply) => Response::Stat(reply),
                 Err(e) => Response::Error(e.to_string()),
             },
-            Request::InsertBatch { chunks } => {
-                let views: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-                self.insert_batch_bytes(&views)
-            }
             Request::Stats => Response::ServiceStats(self.stats()),
             // The stream-list probe addresses a shard, not a stream.
             Request::ListStreams { shard } => match self.backends.get(shard as usize) {
@@ -686,22 +696,6 @@ impl Handler for ShardedService {
             // Export routes by stream like any single-stream request.
             Request::ExportStream { stream, .. } => self.replicas_for(stream).call(req),
             Request::Ping => Response::Pong,
-            // Ingest singles route through the replicated ingest path with
-            // metrics (typed errors rendered at this boundary).
-            Request::Insert { chunk } => match EncryptedChunk::from_bytes(&chunk) {
-                Ok(c) => match self.insert(&c) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => Response::Error(e.to_string()),
-                },
-                Err(_) => Response::Error(ServerError::BadChunk.to_string()),
-            },
-            // Routing needs only the record's stream id — peek it without
-            // a full parse; the owning engine performs the one parse +
-            // validation (and rejects what the peek let through).
-            Request::InsertLive { ref record } => match SealedRecord::peek_stream(record) {
-                Some(stream) => self.replicas_for(stream).call(req),
-                None => Response::Error(ServerError::BadRecord.to_string()),
-            },
             // Everything else is a single-stream request: delegate the
             // whole request to the owning shard's backend, which keeps
             // error strings byte-identical to a single-engine server.
@@ -722,6 +716,29 @@ impl Handler for ShardedService {
             | Request::GetRangeProof { stream, .. }
             | Request::GetVerifiedRange { stream, .. } => self.replicas_for(stream).call(req),
         }
+    }
+}
+
+impl Drop for ShardedService {
+    fn drop(&mut self) {
+        // Stop in-flight replica rebuilds (they check the flag once per
+        // page) and wait for their threads, so a dropped service never
+        // leaves workers writing to a replica behind its back.
+        self.shutdown
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        for handle in self.rebuild_workers.lock().drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Handler for ShardedService {
+    fn handle(&self, req: Request) -> Response {
+        req.with_ref(|view| self.dispatch(view))
+    }
+
+    fn handle_frame(&self, body: &[u8]) -> Response {
+        dispatch_frame(body, |view| self.dispatch(view))
     }
 }
 
@@ -1134,50 +1151,6 @@ mod tests {
             ServerError::IncompatibleStreams.to_string(),
             "width conflict must win over the empty window"
         );
-    }
-
-    #[test]
-    fn handle_frame_matches_handle() {
-        // The coordinator's zero-copy frame path must answer
-        // byte-identically to the decode-then-handle default — ingest
-        // (single, batched, malformed, out-of-order) and non-ingest alike.
-        let a = service(2);
-        let b = service(2);
-        let requests = vec![
-            Request::CreateStream {
-                stream: 1,
-                t0: 0,
-                delta_ms: 10_000,
-                digest_width: 2,
-            },
-            Request::Insert {
-                chunk: sealed_chunk(1, 0, 5).to_bytes(),
-            },
-            Request::InsertBatch {
-                chunks: vec![
-                    sealed_chunk(1, 1, 6).to_bytes(),
-                    sealed_chunk(1, 9, 7).to_bytes(), // out of order
-                    vec![1, 2, 3],                    // malformed
-                    sealed_chunk(2, 0, 8).to_bytes(), // unknown stream
-                ],
-            },
-            Request::Insert { chunk: vec![9] }, // malformed
-            Request::GetStatRange {
-                streams: vec![1],
-                ts_s: 0,
-                ts_e: 20_000,
-            },
-            Request::StreamInfo { stream: 1 },
-            Request::Ping,
-        ];
-        for req in requests {
-            let frame = req.encode();
-            assert_eq!(
-                a.handle_frame(&frame).encode(),
-                b.handle(req.clone()).encode(),
-                "replies diverge for {req:?}"
-            );
-        }
     }
 
     #[test]

@@ -15,9 +15,7 @@ use timecrypt_obs::trace::{self, TraceContext};
 use timecrypt_server::ServerConfig;
 use timecrypt_service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
 use timecrypt_store::MemKv;
-use timecrypt_wire::messages::{Request, Response};
-use timecrypt_wire::transport::{Handler, Server};
-use timecrypt_wire::{read_frame, write_frame};
+use timecrypt_wire::transport::Server;
 
 fn keys(id: u128) -> StreamKeyMaterial {
     StreamKeyMaterial::with_params(id, [id as u8; 16], 20, PrgKind::Aes).unwrap()
@@ -172,63 +170,4 @@ fn tracing_flag_mints_roots_for_untraced_callers() {
         .filter(|e| e.target == "wire" && e.msg.starts_with("span serve") && e.trace.is_some())
         .collect();
     assert!(!spans.is_empty(), "tracing=true must produce traced spans");
-}
-
-/// A legacy peer (pre-trace decoder) rejects the envelope at decode
-/// time; the coordinator latches the rejection and retries untraced —
-/// the request still succeeds, end to end.
-#[test]
-fn legacy_peer_falls_back_to_untraced_requests() {
-    // A minimal "old" node: decodes with the plain `Request` decoder
-    // (which rejects the trace envelope's tag as unknown) and answers
-    // just enough of the protocol for create/insert/query to work.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        let engine = timecrypt_server::TimeCryptServer::open(
-            Arc::new(MemKv::new()),
-            ServerConfig::default(),
-        )
-        .unwrap();
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { break };
-            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-            let mut writer = std::io::BufWriter::new(stream);
-            while let Ok(body) = read_frame(&mut reader) {
-                // Exactly what a pre-envelope server did: decode the
-                // frame as a bare Request; tag 25 is unknown to it.
-                let resp = match Request::decode(&body) {
-                    Ok(req) => engine.handle(req),
-                    Err(e) => Response::Error(format!("bad request: {e}")),
-                };
-                let mut out = Vec::new();
-                resp.encode_into(&mut out);
-                if write_frame(&mut writer, &out).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![ShardSpec::remote(addr)],
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    svc.create_stream(3, 0, 10_000, 2).unwrap();
-
-    let ctx = TraceContext::new_root();
-    let _g = trace::set_current(Some(ctx));
-    // First traced attempt is rejected by the legacy decoder; the
-    // coordinator must fall back and still succeed.
-    svc.insert(&sealed_chunk(3, 0, 42)).unwrap();
-    svc.insert(&sealed_chunk(3, 1, 43)).unwrap();
-    let reply = svc.get_stat_range(&[3], 0, 2 * 10_000).unwrap();
-    assert_eq!(reply.parts.len(), 1);
-    // And no node-side serve span can exist: the legacy peer never
-    // accepted a traced frame.
-    assert!(serve_spans(ctx.trace_id).is_empty());
 }

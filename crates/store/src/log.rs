@@ -32,9 +32,10 @@
 //! share fsyncs: each waiter checks the synced watermark and only issues
 //! the syscall if its record is not already covered.
 //!
-//! Legacy logs written by the pre-CRC format (no magic) are replayed with
-//! the old parser, then rewritten in-place to the checksummed format
-//! before the store opens.
+//! A non-empty file that does not begin with the magic (or, if shorter
+//! than it, with a prefix of it — a crash during file creation, treated
+//! as a torn tail at offset 0) is refused with [`StoreError::CorruptAt`]
+//! and left untouched: one flipped header bit must never cost the store.
 
 use crate::{KvStore, StoreError};
 use parking_lot::Mutex;
@@ -43,7 +44,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use timecrypt_obs::{tc_error, tc_warn};
+use timecrypt_obs::tc_warn;
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -178,28 +179,31 @@ impl LogKv {
 
     /// Opens (or creates) a log file with an explicit durability mode.
     ///
-    /// Fails with [`StoreError::CorruptAt`] if replay finds mid-file
-    /// corruption (see the module docs for the torn-tail distinction).
+    /// Fails with [`StoreError::CorruptAt`] if the file lacks the magic or
+    /// replay finds mid-file corruption (see the module docs for the
+    /// torn-tail distinction); the file is not modified in either case.
     pub fn open_with(path: impl AsRef<Path>, durability: Durability) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut buf = Vec::new();
         if path.exists() {
             File::open(&path)?.read_to_end(&mut buf)?;
         }
-
-        if !buf.is_empty() && !buf.starts_with(MAGIC) {
-            // Legacy pre-CRC file: replay with the old parser, then
-            // rewrite checksummed so every later open verifies.
-            let map = replay_legacy(&path, &buf)?;
-            let (writer, file, next_seq) = write_snapshot(&path, &map, durability)?;
-            return Ok(Self::assemble(
-                path, durability, map, writer, file, next_seq,
-            ));
+        if !MAGIC.starts_with(&buf[..buf.len().min(MAGIC.len())]) {
+            return Err(StoreError::CorruptAt {
+                what: "missing log magic",
+                offset: 0,
+            });
         }
 
         let mut map = BTreeMap::new();
         let mut next_seq: u8 = 0;
-        let mut valid_len = MAGIC.len().min(buf.len()) as u64;
+        // A strict prefix of the magic is a crash during file creation:
+        // a torn tail at offset 0, truncated like any other.
+        let mut valid_len = if buf.len() < MAGIC.len() {
+            0
+        } else {
+            MAGIC.len() as u64
+        };
         if buf.len() > MAGIC.len() {
             let (_records, seq, tail) = replay(&path, &buf, &mut map)?;
             next_seq = seq;
@@ -225,20 +229,7 @@ impl LogKv {
             sync_file.sync_data()?;
             timecrypt_obs::counters::fsync_recorded();
         }
-        Ok(Self::assemble(
-            path, durability, map, writer, sync_file, next_seq,
-        ))
-    }
-
-    fn assemble(
-        path: PathBuf,
-        durability: Durability,
-        map: BTreeMap<Vec<u8>, Vec<u8>>,
-        writer: BufWriter<File>,
-        sync_file: File,
-        next_seq: u8,
-    ) -> Self {
-        LogKv {
+        Ok(LogKv {
             path,
             durability,
             inner: Mutex::new(Inner {
@@ -252,7 +243,7 @@ impl LogKv {
                 synced: 0,
                 file: sync_file,
             }),
-        }
+        })
     }
 
     /// Appends one record under the inner lock. Returns the record's
@@ -520,57 +511,6 @@ fn replay(
     Ok((records, next_seq, pos as u64))
 }
 
-/// Replays a legacy (pre-CRC, no-magic) file. Unlike the historical
-/// parser, leftover bytes that are not a clean end are *reported* with
-/// their offset instead of being silently treated as one.
-fn replay_legacy(path: &Path, buf: &[u8]) -> Result<BTreeMap<Vec<u8>, Vec<u8>>, StoreError> {
-    let mut map = BTreeMap::new();
-    let mut pos = 0usize;
-    while pos < buf.len() {
-        let Some((op, key, value, consumed)) = parse_legacy(&buf[pos..]) else {
-            tc_error!(
-                "store.log",
-                "legacy log: discarding {} unparseable byte(s) at offset {} path={}",
-                buf.len() - pos,
-                pos,
-                path.display()
-            );
-            break;
-        };
-        match op {
-            OP_PUT => {
-                map.insert(key.to_vec(), value.to_vec());
-            }
-            OP_DELETE => {
-                map.remove(key);
-            }
-            _ => {
-                return Err(StoreError::CorruptAt {
-                    what: "unknown op byte in legacy log",
-                    offset: pos as u64,
-                })
-            }
-        }
-        pos += consumed;
-    }
-    Ok(map)
-}
-
-/// Legacy record format: `op(1) | key_len(u32 le) | val_len(u32 le) | key | value`.
-fn parse_legacy(buf: &[u8]) -> Option<(u8, &[u8], &[u8], usize)> {
-    if buf.len() < 9 {
-        return None;
-    }
-    let op = buf[0];
-    let klen = u32::from_le_bytes(buf.get(1..5)?.try_into().ok()?) as usize;
-    let vlen = u32::from_le_bytes(buf.get(5..9)?.try_into().ok()?) as usize;
-    let total = 9usize.checked_add(klen)?.checked_add(vlen)?;
-    if buf.len() < total {
-        return None;
-    }
-    Some((op, &buf[9..9 + klen], &buf[9 + klen..total], total))
-}
-
 /// Writes `map` as a fresh checksummed log (magic + one put per pair) to
 /// a temp file, atomically renames it over `path`, and returns a writer
 /// positioned at the end, a second handle for fsync, and the next
@@ -795,28 +735,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_format_upgrades_on_open() {
-        let path = tmp("legacy");
-        // Hand-write two records in the pre-CRC format (no magic).
-        let mut bytes = Vec::new();
-        for (k, v) in [(&b"old1"[..], &b"val1"[..]), (&b"old2"[..], &b"val2"[..])] {
-            bytes.push(OP_PUT);
-            bytes.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(k);
-            bytes.extend_from_slice(v);
+    fn rotted_magic_is_hard_error_and_leaves_the_file_untouched() {
+        // One flipped bit in the header must not send a healthy log down
+        // a path that rewrites it: every magic byte in turn.
+        let path = tmp("magicrot");
+        {
+            let kv = LogKv::open(&path).unwrap();
+            kv.put(b"first", b"value").unwrap();
+            kv.put(b"second", b"other").unwrap();
         }
-        std::fs::write(&path, &bytes).unwrap();
-        let kv = LogKv::open(&path).unwrap();
-        assert_eq!(kv.get(b"old1").unwrap(), Some(b"val1".to_vec()));
-        assert_eq!(kv.get(b"old2").unwrap(), Some(b"val2".to_vec()));
-        kv.put(b"new", b"post-upgrade").unwrap();
-        drop(kv);
-        // The file is now checksummed: magic present, reopen verifies.
-        assert!(std::fs::read(&path).unwrap().starts_with(MAGIC));
-        let kv = LogKv::open(&path).unwrap();
-        assert_eq!(kv.len(), 3);
-        assert_eq!(kv.get(b"new").unwrap(), Some(b"post-upgrade".to_vec()));
+        let healthy = std::fs::read(&path).unwrap();
+        for victim in 0..MAGIC.len() {
+            let mut rotted = healthy.clone();
+            rotted[victim] ^= 0x01;
+            std::fs::write(&path, &rotted).unwrap();
+            match LogKv::open(&path) {
+                Err(StoreError::CorruptAt { what, offset }) => {
+                    assert_eq!((what, offset), ("missing log magic", 0), "byte {victim}");
+                }
+                other => panic!(
+                    "byte {victim}: expected CorruptAt, got {:?}",
+                    other.map(|kv| kv.len())
+                ),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), rotted, "byte {victim}");
+        }
+        // A short file that is not a prefix of the magic is no torn header.
+        std::fs::write(&path, b"TCX").unwrap();
+        assert!(matches!(
+            LogKv::open(&path),
+            Err(StoreError::CorruptAt { offset: 0, .. })
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), b"TCX");
         std::fs::remove_file(path).unwrap();
     }
 

@@ -472,10 +472,8 @@ pub const TRACE_PREFIX_LEN: usize = 1 + 16 + 8;
 
 /// Appends the trace-context envelope prefix to `out`; the encoded inner
 /// request must follow. Requests sent *without* a context are encoded
-/// exactly as before this envelope existed — that is the
-/// backward-compatibility story: an untraced sender interops with any
-/// peer, and a traced sender can detect a legacy peer (see
-/// [`peer_lacks_trace_support`]) and fall back to untraced encoding.
+/// exactly as before this envelope existed, so tracing-off costs nothing
+/// on the wire.
 pub fn encode_trace_prefix(ctx: TraceContext, out: &mut Vec<u8>) {
     let mut w = ByteWriter::with_vec(std::mem::take(out));
     w.u8(REQ_TRACED).u128(ctx.trace_id).u64(ctx.span_id);
@@ -484,9 +482,9 @@ pub fn encode_trace_prefix(ctx: TraceContext, out: &mut Vec<u8>) {
 
 /// Peels an optional trace-context envelope off a request body: returns
 /// the context (if the body is enveloped) and the inner request bytes.
-/// Bodies that don't start with the envelope tag pass through untouched
-/// — every pre-envelope peer's bytes take that path. Nested envelopes
-/// are not a thing; the inner bytes must decode as a plain request.
+/// Bodies that don't start with the envelope tag pass through untouched.
+/// Nested envelopes are not a thing; the inner bytes must decode as a
+/// plain request.
 pub fn split_trace(body: &[u8]) -> Result<(Option<TraceContext>, &[u8]), WireError> {
     if body.first() != Some(&REQ_TRACED) {
         return Ok((None, body));
@@ -500,14 +498,6 @@ pub fn split_trace(body: &[u8]) -> Result<(Option<TraceContext>, &[u8]), WireErr
         span_id: r.u64()?,
     };
     Ok((Some(ctx), &body[TRACE_PREFIX_LEN..]))
-}
-
-/// Does this app-level error text mean the peer rejected the trace
-/// envelope because it predates it? A decode-level rejection happens
-/// before any dispatch — the peer applied nothing — so the sender may
-/// safely retry the same request untraced, even a mutation.
-pub fn peer_lacks_trace_support(msg: &str) -> bool {
-    msg.contains("unknown message tag 25")
 }
 
 impl Request {
@@ -691,10 +681,17 @@ impl Request {
         *out = w.into_bytes();
     }
 
-    /// Parses a request body.
+    /// Parses a request body: [`RequestRef::decode`], the one request
+    /// decoder, with the ingest payloads copied out of `buf`.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(buf);
-        let req = match r.u8()? {
+        RequestRef::decode(buf).map(RequestRef::to_owned)
+    }
+
+    /// Decodes the fields of a request tagged `tag` that carries no bulk
+    /// payload (every variant except the three ingest ones, which
+    /// [`RequestRef::decode`] borrows from the frame).
+    fn decode_fields(tag: u8, r: &mut ByteReader) -> Result<Self, WireError> {
+        Ok(match tag {
             REQ_CREATE => Request::CreateStream {
                 stream: r.u128()?,
                 t0: r.i64()?,
@@ -702,8 +699,6 @@ impl Request {
                 digest_width: r.u32()?,
             },
             REQ_DELETE_STREAM => Request::DeleteStream { stream: r.u128()? },
-            REQ_INSERT => Request::Insert { chunk: r.bytes()? },
-            REQ_INSERT_LIVE => Request::InsertLive { record: r.bytes()? },
             REQ_GET_LIVE => Request::GetLive {
                 stream: r.u128()?,
                 ts_s: r.i64()?,
@@ -792,17 +787,6 @@ impl Request {
                 ts_s: r.i64()?,
                 ts_e: r.i64()?,
             },
-            REQ_INSERT_BATCH => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut chunks = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    chunks.push(r.bytes()?);
-                }
-                Request::InsertBatch { chunks }
-            }
             REQ_STATS => Request::Stats,
             REQ_LIST_STREAMS => Request::ListStreams { shard: r.u32()? },
             REQ_EXPORT_STREAM => Request::ExportStream {
@@ -811,9 +795,22 @@ impl Request {
             },
             REQ_PING => Request::Ping,
             t => return Err(WireError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(req)
+        })
+    }
+
+    /// Lends this request to `f` as its borrowed view: the ingest
+    /// variants lend their payload bytes, everything else moves into
+    /// [`RequestRef::Other`]. The inverse of [`RequestRef::to_owned`]; it
+    /// is how an owned request enters a handler's single dispatch.
+    pub fn with_ref<R>(self, f: impl FnOnce(RequestRef<'_>) -> R) -> R {
+        match self {
+            Request::Insert { chunk } => f(RequestRef::Insert { chunk: &chunk }),
+            Request::InsertLive { record } => f(RequestRef::InsertLive { record: &record }),
+            Request::InsertBatch { chunks } => f(RequestRef::InsertBatch {
+                chunks: chunks.iter().map(Vec::as_slice).collect(),
+            }),
+            other => f(RequestRef::Other(other)),
+        }
     }
 }
 
@@ -1098,13 +1095,14 @@ impl Response {
     }
 }
 
-/// A zero-copy decode of a [`Request`]: the bulk-payload-carrying ingest
-/// variants borrow their byte fields straight from the frame buffer; every
-/// other variant decodes to its owned form (their fields are a few dozen
-/// bytes — borrowing them buys nothing). `decode` + [`to_owned`]
-/// is equivalent to [`Request::decode`] for every variant (pinned by the
-/// wire property tests), so handlers can opt into the borrowed path for
-/// exactly the requests where it pays.
+/// The borrowed view of a [`Request`], and the form every frame decodes
+/// to: the bulk-payload-carrying ingest variants borrow their byte fields
+/// straight from the frame buffer; every other variant is carried owned
+/// (their fields are a few dozen bytes — borrowing them buys nothing).
+/// Handlers dispatch on this view, so accepted chunk bytes travel from the
+/// socket buffer to the store (or the next hop's frame) without an
+/// intermediate copy. [`to_owned`] and [`Request::with_ref`] convert
+/// between the two forms.
 ///
 /// [`to_owned`]: RequestRef::to_owned
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1150,9 +1148,7 @@ impl<'a> RequestRef<'a> {
                 }
                 RequestRef::InsertBatch { chunks }
             }
-            // Every other variant has no bulk payload: reuse the owned
-            // decoder so the two paths cannot drift.
-            _ => return Request::decode(buf).map(RequestRef::Other),
+            tag => RequestRef::Other(Request::decode_fields(tag, &mut r)?),
         };
         r.finish()?;
         Ok(req)
@@ -1171,105 +1167,6 @@ impl<'a> RequestRef<'a> {
                 chunks: chunks.into_iter().map(<[u8]>::to_vec).collect(),
             },
             RequestRef::Other(req) => req,
-        }
-    }
-}
-
-/// A zero-copy decode of a [`Response`]: the chunk/record/blob-carrying
-/// variants borrow their payloads from the frame buffer, everything else
-/// decodes owned. `decode` + [`to_owned`](ResponseRef::to_owned) is
-/// equivalent to [`Response::decode`] for every variant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResponseRef<'a> {
-    /// [`Response::Chunks`] with every chunk borrowed.
-    Chunks(Vec<&'a [u8]>),
-    /// [`Response::Records`] with every record borrowed.
-    Records(Vec<&'a [u8]>),
-    /// [`Response::Blobs`] with every blob borrowed.
-    Blobs(Vec<&'a [u8]>),
-    /// [`Response::VerifiedChunks`] with proof material and chunks borrowed.
-    VerifiedChunks {
-        /// `RootAttestation::encode()` bytes.
-        attestation: &'a [u8],
-        /// Open `RangeProof::encode()` bytes.
-        proof: &'a [u8],
-        /// The chunk bytes, in chunk order.
-        chunks: Vec<&'a [u8]>,
-    },
-    /// [`Response::StreamChunks`] with every chunk borrowed.
-    StreamChunks {
-        /// The page's chunk bytes, in index order.
-        chunks: Vec<&'a [u8]>,
-        /// Index to request the next page from.
-        next_idx: u64,
-        /// No further chunks are exportable.
-        done: bool,
-    },
-    /// Any other response, decoded owned.
-    Other(Response),
-}
-
-impl<'a> ResponseRef<'a> {
-    /// Parses a response body without copying bulk payloads.
-    pub fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(buf);
-        let read_list = |r: &mut ByteReader<'a>| -> Result<Vec<&'a [u8]>, WireError> {
-            let n = r.u32()? as usize;
-            if n > MAX_REPEATED {
-                return Err(WireError::TooLarge(n));
-            }
-            let mut items = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                items.push(r.bytes_borrowed()?);
-            }
-            Ok(items)
-        };
-        let resp = match r.u8()? {
-            RESP_CHUNKS => ResponseRef::Chunks(read_list(&mut r)?),
-            RESP_RECORDS => ResponseRef::Records(read_list(&mut r)?),
-            RESP_BLOBS => ResponseRef::Blobs(read_list(&mut r)?),
-            RESP_VCHUNKS => ResponseRef::VerifiedChunks {
-                attestation: r.bytes_borrowed()?,
-                proof: r.bytes_borrowed()?,
-                chunks: read_list(&mut r)?,
-            },
-            RESP_STREAM_CHUNKS => ResponseRef::StreamChunks {
-                chunks: read_list(&mut r)?,
-                next_idx: r.u64()?,
-                done: r.u8()? != 0,
-            },
-            _ => return Response::decode(buf).map(ResponseRef::Other),
-        };
-        r.finish()?;
-        Ok(resp)
-    }
-
-    /// Copies the borrows into an owned [`Response`].
-    pub fn to_owned(self) -> Response {
-        let own = |items: Vec<&[u8]>| items.into_iter().map(<[u8]>::to_vec).collect();
-        match self {
-            ResponseRef::Chunks(c) => Response::Chunks(own(c)),
-            ResponseRef::Records(c) => Response::Records(own(c)),
-            ResponseRef::Blobs(c) => Response::Blobs(own(c)),
-            ResponseRef::VerifiedChunks {
-                attestation,
-                proof,
-                chunks,
-            } => Response::VerifiedChunks {
-                attestation: attestation.to_vec(),
-                proof: proof.to_vec(),
-                chunks: own(chunks),
-            },
-            ResponseRef::StreamChunks {
-                chunks,
-                next_idx,
-                done,
-            } => Response::StreamChunks {
-                chunks: own(chunks),
-                next_idx,
-                done,
-            },
-            ResponseRef::Other(resp) => resp,
         }
     }
 }
@@ -1555,8 +1452,8 @@ mod tests {
 
     #[test]
     fn borrowed_decode_matches_owned_decode() {
-        // Every variant: the borrowed decoder round-trips to exactly what
-        // the owned decoder produces, and the bulk variants really borrow.
+        // Every variant round-trips through the borrowed view, and the
+        // bulk variants really borrow.
         for req in all_requests() {
             let bytes = req.encode();
             let borrowed = RequestRef::decode(&bytes).unwrap();
@@ -1564,15 +1461,10 @@ mod tests {
                 let range = bytes.as_ptr_range();
                 assert!(range.contains(&chunk.as_ptr()), "chunk borrows the frame");
             }
+            // An owned request lends the same view back.
+            let lent = req.clone().with_ref(|view| view == borrowed);
+            assert!(lent, "{req:?}");
             assert_eq!(borrowed.to_owned(), req, "{req:?}");
-        }
-        for resp in all_responses() {
-            let bytes = resp.encode();
-            assert_eq!(
-                ResponseRef::decode(&bytes).unwrap().to_owned(),
-                resp,
-                "{resp:?}"
-            );
         }
     }
 
@@ -1589,15 +1481,6 @@ mod tests {
             let mut trailing = bytes.clone();
             trailing.push(0);
             assert!(RequestRef::decode(&trailing).is_err(), "{req:?} trailing");
-        }
-        for resp in all_responses() {
-            let bytes = resp.encode();
-            for cut in 0..bytes.len() {
-                assert!(
-                    ResponseRef::decode(&bytes[..cut]).is_err(),
-                    "{resp:?} cut {cut}"
-                );
-            }
         }
     }
 
@@ -1705,11 +1588,6 @@ mod tests {
         );
         Request::Ping.encode_into(&mut traced);
         assert_eq!(Request::decode(&traced), Err(WireError::BadTag(REQ_TRACED)));
-        // ...and that rejection is exactly what the sender-side legacy
-        // detection keys on.
-        let reply = format!("bad request: {}", WireError::BadTag(REQ_TRACED));
-        assert!(peer_lacks_trace_support(&reply));
-        assert!(!peer_lacks_trace_support("stream 7 not found"));
     }
 
     #[test]

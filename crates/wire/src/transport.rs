@@ -35,8 +35,9 @@
 //! assert_eq!(client.recv().unwrap(), Response::Pong);
 //! ```
 
+use crate::codec::WireError;
 use crate::frame::{read_frame, write_frame, FrameError};
-use crate::messages::{split_trace, Request, Response};
+use crate::messages::{split_trace, Request, RequestRef, Response};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,18 +68,27 @@ pub trait Handler: Send + Sync + 'static {
     fn handle(&self, req: Request) -> Response;
 
     /// Handles one raw frame body. The default decodes owned and delegates
-    /// to [`handle`](Self::handle); handlers with a zero-copy ingest path
-    /// (the server engine, shard nodes) override this to parse bulk
-    /// payloads as borrows of the frame buffer — replies must stay
-    /// byte-identical to the default path.
-    // lint: deny(alloc)
+    /// to [`handle`](Self::handle); the engine, shard node and coordinator
+    /// instead feed the borrowed view ([`dispatch_frame`]) to the same
+    /// dispatch `handle` enters, so ingest payloads are never copied out
+    /// of the frame buffer.
     fn handle_frame(&self, body: &[u8]) -> Response {
-        match Request::decode(body) {
-            Ok(req) => self.handle(req),
-            // lint: allow(no-alloc) — malformed-frame rejection path
-            Err(e) => Response::Error(format!("bad request: {e}")),
-        }
+        dispatch_frame(body, |view| self.handle(view.to_owned()))
     }
+}
+
+/// Decodes one frame body to its borrowed view and hands it to
+/// `dispatch`; a body that does not decode gets the one `bad request`
+/// rendering every handler and transport shares.
+pub fn dispatch_frame(body: &[u8], dispatch: impl FnOnce(RequestRef<'_>) -> Response) -> Response {
+    match RequestRef::decode(body) {
+        Ok(view) => dispatch(view),
+        Err(e) => bad_request(&e),
+    }
+}
+
+fn bad_request(e: &WireError) -> Response {
+    Response::Error(format!("bad request: {e}"))
 }
 
 impl<F> Handler for F
@@ -236,7 +246,7 @@ fn render_stages(stages: &[trace::StageTotal]) -> String {
 pub fn handle_frame_traced(handler: &dyn Handler, body: &[u8]) -> Response {
     let (ctx, inner) = match split_trace(body) {
         Ok(split) => split,
-        Err(e) => return Response::Error(format!("bad request: {e}")),
+        Err(e) => return bad_request(&e),
     };
     let _trace_guard = ctx.map(|c| trace::set_current(Some(c)));
     let scope = slow_threshold().map(|_| trace::begin_request());
