@@ -45,7 +45,6 @@ fn main() {
             TreeConfig {
                 arity,
                 cache_bytes: 512 << 20,
-                ..TreeConfig::default()
             },
         )
         .unwrap();

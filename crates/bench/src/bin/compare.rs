@@ -8,7 +8,7 @@
 //!
 //! Rows are matched by their configuration fields (`bench` phase plus
 //! every integer knob such as `shards`, `query_threads`, `chunks`);
-//! throughput metrics (`*_ops_s`, `speedup`) are higher-better and fail
+//! throughput metrics (`*_ops_s`) are higher-better and fail
 //! the run when the current value drops more than `tolerance` below the
 //! baseline. Latency fields are reported but not gated (they are the
 //! reciprocal story of the ops/s fields and noisier). Rows present only
@@ -101,7 +101,6 @@ fn row_key(row: &BTreeMap<String, Value>) -> String {
 fn is_metric(key: &str) -> bool {
     key.contains("_ops_s")
         || key.contains("_ms")
-        || key == "speedup"
         || key == "rebuild_chunks_copied"
         || key == "ingest_exhausted"
         || key == "injected_faults"
@@ -118,8 +117,7 @@ fn is_gated(key: &str) -> bool {
     // probabilistic store-fault plan: throughput there measures the *cost
     // of the faults* (retries, injected delays), not a code path whose
     // regression should block a merge. Reported, not gated.
-    (key.contains("_ops_s") && key != "concurrent_ingest_ops_s" && !key.starts_with("faulty_"))
-        || key == "speedup"
+    key.contains("_ops_s") && key != "concurrent_ingest_ops_s" && !key.starts_with("faulty_")
 }
 
 fn load(path: &str) -> Vec<BTreeMap<String, Value>> {
@@ -239,7 +237,6 @@ mod tests {
     fn gating_covers_throughput_not_latency() {
         assert!(is_gated("ingest_ops_s"));
         assert!(is_gated("query_ops_s_par"));
-        assert!(is_gated("speedup"));
         assert!(!is_gated("query_wall_ms"));
         assert!(!is_gated("promotion_ms"));
         assert!(!is_gated("concurrent_ingest_ops_s"));

@@ -28,7 +28,6 @@ fn build<D: HomDigest>(n: u64, mut make: impl FnMut(u64) -> D) -> AggTree<D> {
         TreeConfig {
             arity: 64,
             cache_bytes: 1 << 30,
-            ..TreeConfig::default()
         },
     )
     .unwrap();

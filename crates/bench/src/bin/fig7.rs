@@ -84,7 +84,6 @@ fn drive<D: HomDigest>(
                             TreeConfig {
                                 arity: 64,
                                 cache_bytes,
-                                ..TreeConfig::default()
                             },
                         )
                         .unwrap()

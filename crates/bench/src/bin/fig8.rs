@@ -32,7 +32,6 @@ fn build(encrypted: bool, kd: &TreeKd) -> AggTree<Vec<u64>> {
         TreeConfig {
             arity: 64,
             cache_bytes: 1 << 30,
-            ..TreeConfig::default()
         },
     )
     .unwrap();

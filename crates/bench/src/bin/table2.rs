@@ -25,7 +25,6 @@ fn tree_cfg() -> TreeConfig {
     TreeConfig {
         arity: 64,
         cache_bytes: 512 << 20,
-        ..TreeConfig::default()
     }
 }
 

@@ -34,12 +34,6 @@
 //! sync, and a final query sweep measures throughput once the shard is
 //! back at R=2.
 //!
-//! The **deep-tree** phase measures single-query latency down a
-//! many-level tree (one stream, small arity, tiny cache, latency-modelled
-//! store) twice over the same data — parallel edge recursion off, then
-//! on — so the reported `speedup` isolates the intra-query parallelism
-//! and the run can assert the two modes answer byte-identically.
-//!
 //! Env knobs: `TC_SHARDS` (comma list, default `1,2,4,8`), `TC_STREAMS`
 //! (default 32), `TC_CHUNKS` (chunks/stream, default 64), `TC_PRODUCERS`
 //! (default 8), `TC_BATCH` (chunks/batch, default 16), `TC_QUERIES`
@@ -51,9 +45,7 @@
 //! Failover/rebuild phase: `TC_FAILOVER` (`0` skips). Faults phase:
 //! `TC_FAULTS` (`0` skips), `TC_FAULT_SEED` (default 7) — single-shard
 //! workload under seeded store faults (1% errors, 1% of puts stalled
-//! 10 ms), retry-until-acked; reported, not gated. Deep-tree phase:
-//! `TC_DEEP` (`0` skips), `TC_DEEP_CHUNKS` (default 8192),
-//! `TC_DEEP_ARITY` (default 4), `TC_DEEP_QUERIES` (default 30).
+//! 10 ms), retry-until-acked; reported, not gated.
 //! Tracing-overhead phase: `TC_TRACING` (`0` skips) — reruns the
 //! ingest and query workload with request tracing enabled and reports
 //! both. Many-streams phase: `TC_MANY` (`0` skips), `TC_MANY_STREAMS`
@@ -427,113 +419,6 @@ fn run_mixed(
         query_wall_ms: query_wall.as_secs_f64() * 1e3,
         concurrent_ingest_ops_s: ingested_during_queries as f64 / ingest_wall.as_secs_f64(),
         ingest_exhausted: ingested_during_queries >= hot.len() as u64,
-    }
-}
-
-struct DeepTreeSample {
-    chunks: u64,
-    arity: usize,
-    query_ms_seq: f64,
-    query_ms_par: f64,
-    speedup: f64,
-    query_ops_s_par: f64,
-}
-
-/// The deep-tree phase: ONE stream with a small arity (many tree levels)
-/// behind a latency-modelled store and a tiny index cache, so a single
-/// misaligned statistical query pays one store fetch per level down each
-/// of its two partial edges. Measures the same query sweep twice over the
-/// same ingested store — parallel edge recursion off, then on — so the
-/// reported speedup isolates exactly the intra-query parallelism this
-/// repo's index added (the edges' store waits overlap; replies are
-/// byte-identical, which the run asserts).
-fn run_deep_tree(
-    chunks: u64,
-    arity: usize,
-    queries: usize,
-    store_latency: Duration,
-) -> DeepTreeSample {
-    use timecrypt_chunk::ChunkSealer;
-    let cfg = StreamConfig {
-        schema: DigestSchema::sum_count(),
-        ..StreamConfig::new(0, "deep", 0, 10_000)
-    };
-    let keys = StreamKeyMaterial::with_params(0, [0x77; 16], 26, PrgKind::Aes).unwrap();
-    let mut rng = SecureRandom::from_seed_insecure(7);
-    let mut sealer = ChunkSealer::new(&cfg, &keys);
-    let workload: Vec<EncryptedChunk> = (0..chunks)
-        .map(|i| {
-            sealer
-                .seal(
-                    &timecrypt_chunk::PlainChunk {
-                        stream: 0,
-                        index: i,
-                        points: vec![DataPoint::new(i as i64 * 10_000, i as i64)],
-                    },
-                    &mut rng,
-                )
-                .unwrap()
-        })
-        .collect();
-    let kv = latency_store(store_latency);
-    let open = |parallel: bool| {
-        ShardedService::open(
-            kv.clone(),
-            ServiceConfig {
-                shards: 1,
-                engine: timecrypt_server::ServerConfig {
-                    arity,
-                    // Tiny cache: the per-level node fetches really hit the
-                    // (latency-modelled) store, the regime where edge
-                    // parallelism pays.
-                    cache_bytes: 1024,
-                    parallel_query: parallel,
-                    ..timecrypt_server::ServerConfig::default()
-                },
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap()
-    };
-    // Ingest once (through the batched pipeline) with the sequential
-    // service; the parallel service reopens the same store read-only.
-    let (ts_s, ts_e) = (10_000i64, (chunks as i64 - 1) * 10_000);
-    let measure = |svc: &ShardedService| {
-        for _ in 0..3 {
-            svc.get_stat_range(&[0], ts_s, ts_e).unwrap(); // warm-up
-        }
-        let t = Instant::now();
-        let mut reply = None;
-        for _ in 0..queries {
-            reply = Some(svc.get_stat_range(&[0], ts_s, ts_e).unwrap());
-        }
-        (t.elapsed().as_secs_f64() * 1e3 / queries as f64, reply)
-    };
-    let (seq_ms, seq_reply) = {
-        let svc = open(false);
-        svc.create_stream(0, 0, 10_000, 2).unwrap();
-        for window in workload.chunks(64) {
-            for r in svc.submit_batch(window.to_vec()) {
-                r.unwrap();
-            }
-        }
-        measure(&svc)
-    };
-    let (par_ms, par_reply) = {
-        let svc = open(true);
-        measure(&svc)
-    };
-    assert_eq!(
-        seq_reply, par_reply,
-        "parallel edge recursion must answer byte-identically"
-    );
-    DeepTreeSample {
-        chunks,
-        arity,
-        query_ms_seq: seq_ms,
-        query_ms_par: par_ms,
-        speedup: seq_ms / par_ms,
-        query_ops_s_par: 1e3 / par_ms,
     }
 }
 
@@ -1018,20 +903,6 @@ fn main() {
             s.query_ops_s,
             s.injected,
             s.retries,
-        );
-    }
-
-    // Deep-tree phase: single-query latency down a many-level tree,
-    // sequential vs parallel edge recursion over the same store.
-    if env_usize("TC_DEEP", 1) != 0 {
-        let deep_chunks = env_usize("TC_DEEP_CHUNKS", 8192) as u64;
-        let deep_arity = env_usize("TC_DEEP_ARITY", 4).max(2);
-        let deep_queries = env_usize("TC_DEEP_QUERIES", 30).max(1);
-        eprintln!("sealing deep-tree workload: {deep_chunks} chunks (arity {deep_arity}) ...");
-        let s = run_deep_tree(deep_chunks, deep_arity, deep_queries, store_latency);
-        println!(
-            "{{\"bench\":\"deep_tree\",\"chunks\":{},\"arity\":{},\"queries\":{},\"query_ms_seq\":{:.3},\"query_ms_par\":{:.3},\"speedup\":{:.2},\"query_ops_s_par\":{:.0}}}",
-            s.chunks, s.arity, deep_queries, s.query_ms_seq, s.query_ms_par, s.speedup, s.query_ops_s_par,
         );
     }
 

@@ -79,10 +79,6 @@ pub struct TreeConfig {
     /// cache's lock stripes). Fig. 7's "small cache" variant uses 1 MB;
     /// the default is generous.
     pub cache_bytes: usize,
-    /// Recurse the two partially-covered edges of one deep query in
-    /// parallel (see [`AggTree::query`]). On by default; benchmarks
-    /// disable it to measure the sequential baseline.
-    pub parallel_edges: bool,
 }
 
 impl Default for TreeConfig {
@@ -90,7 +86,6 @@ impl Default for TreeConfig {
         TreeConfig {
             arity: 64,
             cache_bytes: 256 * 1024 * 1024,
-            parallel_edges: true,
         }
     }
 }
@@ -292,10 +287,9 @@ pub struct AggTree<D: HomDigest> {
     cache: NodeCache<D>,
 }
 
-/// Lock stripes in the node cache. Parallel edge recursion means one query
-/// takes node-cache locks from two threads at once (and concurrent queries
-/// multiply that); striping by node key keeps them off one global mutex.
-/// Eight stripes cover the practical parallelism (two edges per query × a
+/// Lock stripes in the node cache. Concurrent queries take node-cache
+/// locks from many reader threads at once; striping by node key keeps them
+/// off one global mutex. Eight stripes cover the practical parallelism (a
 /// handful of concurrent readers) without fragmenting the byte budget.
 const CACHE_STRIPES: usize = 8;
 
@@ -548,22 +542,6 @@ impl<D: HomDigest> AggTree<D> {
     /// Statistical range query over chunks `[start, end)`: the homomorphic
     /// sum of their digests. Runs against a single `len` snapshot taken at
     /// entry, so it is exact even while an append is in flight.
-    ///
-    /// # Parallel edge recursion
-    ///
-    /// A misaligned range drills down two independent edge chains (the
-    /// start edge and the end edge), each paying one node load per level —
-    /// for a deep tree over a latency-bearing store that serial chain *is*
-    /// the query latency. When [`TreeConfig::parallel_edges`] is set and
-    /// the edges split high enough to amortize a thread spawn
-    /// (`MIN_PARALLEL_LEVEL`), the two edges below the split node recurse
-    /// on two threads, overlapping their store waits. Correctness follows
-    /// from the same consistent-`len`-snapshot argument as sequential
-    /// reads — both threads resolve nodes for the one snapshot taken at
-    /// entry and take no locks beyond per-stripe cache mutexes — and the
-    /// merged result is identical because digest addition is commutative
-    /// (see [`HomDigest::add_assign`]); `parallel_query_matches_sequential`
-    /// pins the equivalence.
     pub fn query(&self, start: u64, end: u64) -> Result<D, IndexError> {
         let _span = timecrypt_obs::trace::stage("index.walk");
         let len = self.len();
@@ -582,9 +560,7 @@ impl<D: HomDigest> AggTree<D> {
     }
 
     /// Recursive combine: add fully-covered entries of `(level, index)`;
-    /// recurse into the (at most two) partially-covered children —
-    /// in parallel when both edges are present and deep (see
-    /// [`query`](Self::query)).
+    /// recurse into the (at most two) partially-covered children.
     fn query_node(
         &self,
         level: u8,
@@ -640,36 +616,8 @@ impl<D: HomDigest> AggTree<D> {
                 self.query_node(level - 1, child, start, end, acc)
             }
             [Some(left), Some(right)] => {
-                if self.cfg.parallel_edges && level > MIN_PARALLEL_LEVEL {
-                    // Below the split node each edge is a pure chain (one
-                    // partial child per level), so the two subtrees never
-                    // split again — two threads cover all the parallelism
-                    // there is.
-                    let (left_acc, right_result) = std::thread::scope(|scope| {
-                        let left_edge = scope.spawn(move || {
-                            let mut edge_acc: Option<D> = None;
-                            self.query_node(level - 1, left, start, end, &mut edge_acc)
-                                .map(|()| edge_acc)
-                        });
-                        let right_result = self.query_node(level - 1, right, start, end, acc);
-                        let left_acc = match left_edge.join() {
-                            Ok(result) => result,
-                            Err(panic) => std::panic::resume_unwind(panic),
-                        };
-                        (left_acc, right_result)
-                    });
-                    right_result?;
-                    if let Some(left) = left_acc? {
-                        match acc {
-                            Some(a) => a.add_assign(&left),
-                            None => *acc = Some(left),
-                        }
-                    }
-                    Ok(())
-                } else {
-                    self.query_node(level - 1, left, start, end, acc)?;
-                    self.query_node(level - 1, right, start, end, acc)
-                }
+                self.query_node(level - 1, left, start, end, acc)?;
+                self.query_node(level - 1, right, start, end, acc)
             }
         }
     }
@@ -768,13 +716,6 @@ impl<D: HomDigest> AggTree<D> {
     }
 }
 
-/// Minimum split-node level for parallel edge recursion: below this the
-/// edge chains are one or two loads each and a thread spawn costs more
-/// than it hides. At a split level of 4 each edge still descends ≥ 3
-/// levels — with a latency-bearing store that is comfortably worth one
-/// spawn.
-const MIN_PARALLEL_LEVEL: u8 = 3;
-
 /// Chunks covered by one node at `level` (k^level).
 fn span_at(level: u8, k: u64) -> u64 {
     k.saturating_pow(level as u32)
@@ -829,7 +770,6 @@ mod tests {
             TreeConfig {
                 arity,
                 cache_bytes: 1 << 20,
-                ..TreeConfig::default()
             },
         )
         .unwrap()
@@ -903,7 +843,6 @@ mod tests {
                 TreeConfig {
                     arity: 8,
                     cache_bytes: 1 << 20,
-                    ..TreeConfig::default()
                 },
             )
             .unwrap();
@@ -917,7 +856,6 @@ mod tests {
             TreeConfig {
                 arity: 8,
                 cache_bytes: 1 << 20,
-                ..TreeConfig::default()
             },
         )
         .unwrap();
@@ -948,7 +886,6 @@ mod tests {
             TreeConfig {
                 arity: 4,
                 cache_bytes: 200,
-                ..TreeConfig::default()
             },
         )
         .unwrap();
@@ -1062,7 +999,6 @@ mod tests {
         let cfg = TreeConfig {
             arity: 4,
             cache_bytes: 1 << 20,
-            ..TreeConfig::default()
         };
         AggTree::open(kv, 1, cfg).unwrap()
     }
@@ -1196,7 +1132,6 @@ mod tests {
                 TreeConfig {
                     arity: 4,
                     cache_bytes: 1 << 20,
-                    ..TreeConfig::default()
                 },
             )
             .unwrap();
@@ -1212,7 +1147,6 @@ mod tests {
             TreeConfig {
                 arity: 4,
                 cache_bytes: 1 << 20,
-                ..TreeConfig::default()
             },
         )
         .unwrap();
@@ -1253,7 +1187,6 @@ mod tests {
                 TreeConfig {
                     arity: 4,
                     cache_bytes: 512,
-                    ..TreeConfig::default()
                 },
             )
             .unwrap(),
@@ -1345,7 +1278,6 @@ mod tests {
                 TreeConfig {
                     arity,
                     cache_bytes: 1 << 20,
-                    ..TreeConfig::default()
                 },
             )
             .unwrap();
@@ -1355,7 +1287,6 @@ mod tests {
                 TreeConfig {
                     arity,
                     cache_bytes: 1 << 20,
-                    ..TreeConfig::default()
                 },
             )
             .unwrap();
@@ -1375,51 +1306,6 @@ mod tests {
                 );
             }
             assert_eq!(batch.query(0, i).unwrap(), naive_sum(0, i));
-        }
-    }
-
-    #[test]
-    fn parallel_query_matches_sequential() {
-        // A deep arity-2 tree (600 chunks ⇒ 10 levels) so misaligned
-        // ranges split high enough to take the parallel-edge path; every
-        // reply must equal the sequential tree's byte-for-byte.
-        let kv = Arc::new(MemKv::new());
-        let par: AggTree<Vec<u64>> = AggTree::open(
-            kv.clone(),
-            1,
-            TreeConfig {
-                arity: 2,
-                cache_bytes: 512, // tiny: exercise the store-miss path too
-                parallel_edges: true,
-            },
-        )
-        .unwrap();
-        fill(&par, 600);
-        let seq: AggTree<Vec<u64>> = AggTree::open(
-            kv,
-            1,
-            TreeConfig {
-                arity: 2,
-                cache_bytes: 512,
-                parallel_edges: false,
-            },
-        )
-        .unwrap();
-        for (a, b) in [
-            (1u64, 599u64),
-            (1, 600),
-            (0, 599),
-            (3, 517),
-            (255, 257),
-            (0, 600),
-            (299, 300),
-        ] {
-            assert_eq!(
-                par.query(a, b).unwrap(),
-                seq.query(a, b).unwrap(),
-                "[{a},{b})"
-            );
-            assert_eq!(par.query(a, b).unwrap(), naive_sum(a, b), "[{a},{b})");
         }
     }
 }

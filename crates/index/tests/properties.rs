@@ -11,8 +11,8 @@ proptest! {
 
     /// The in-place digest accumulate (`&mut self` add_assign, what the
     /// query hot loop uses) agrees with the clone-heavy reference fold
-    /// that clones both operands per combine — for every operand order,
-    /// since the hot loop relies on commutativity to merge parallel edges.
+    /// that clones both operands per combine — for every operand order
+    /// (digest addition is commutative).
     #[test]
     fn digest_accumulate_matches_clone_fold(
         width in 1usize..8,
@@ -35,7 +35,7 @@ proptest! {
             in_place.add_assign(d);
         }
         prop_assert_eq!(&in_place, &clone_fold);
-        // Commutativity (what parallel edge merging relies on).
+        // Commutativity.
         let mut reversed = digests.last().unwrap().clone();
         for d in digests[..digests.len() - 1].iter().rev() {
             reversed.add_assign(d);
@@ -54,13 +54,13 @@ proptest! {
         let seq: AggTree<Vec<u64>> = AggTree::open(
             Arc::new(MemKv::new()),
             1,
-            TreeConfig { arity, cache_bytes: 1 << 20, ..TreeConfig::default() },
+            TreeConfig { arity, cache_bytes: 1 << 20 },
         )
         .unwrap();
         let batch: AggTree<Vec<u64>> = AggTree::open(
             Arc::new(MemKv::new()),
             1,
-            TreeConfig { arity, cache_bytes: 1 << 20, ..TreeConfig::default() },
+            TreeConfig { arity, cache_bytes: 1 << 20 },
         )
         .unwrap();
         for &v in &values {
@@ -94,7 +94,7 @@ proptest! {
         let tree: AggTree<Vec<u64>> = AggTree::open(
             Arc::new(MemKv::new()),
             1,
-            TreeConfig { arity, cache_bytes: 1 << 20 ,    ..TreeConfig::default()},
+            TreeConfig { arity, cache_bytes: 1 << 20 },
         )
         .unwrap();
         for &v in &values {
@@ -117,7 +117,7 @@ proptest! {
             let tree: AggTree<Vec<u64>> = AggTree::open(
                 Arc::new(MemKv::new()),
                 1,
-                TreeConfig { arity: 4, cache_bytes ,    ..TreeConfig::default()},
+                TreeConfig { arity: 4, cache_bytes },
             )
             .unwrap();
             for &v in &values {
@@ -139,13 +139,13 @@ proptest! {
         let kv: Arc<MemKv> = Arc::new(MemKv::new());
         {
             let tree: AggTree<Vec<u64>> =
-                AggTree::open(kv.clone(), 1, TreeConfig { arity: 8, cache_bytes: 1 << 20 ,    ..TreeConfig::default()}).unwrap();
+                AggTree::open(kv.clone(), 1, TreeConfig { arity: 8, cache_bytes: 1 << 20 }).unwrap();
             for &v in &values {
                 tree.append(vec![v]).unwrap();
             }
         }
         let tree: AggTree<Vec<u64>> =
-            AggTree::open(kv, 1, TreeConfig { arity: 8, cache_bytes: 1 << 20 ,    ..TreeConfig::default()}).unwrap();
+            AggTree::open(kv, 1, TreeConfig { arity: 8, cache_bytes: 1 << 20 }).unwrap();
         prop_assert_eq!(tree.len(), values.len() as u64);
         let expect = values.iter().fold(0u64, |x, &y| x.wrapping_add(y));
         prop_assert_eq!(tree.query(0, values.len() as u64).unwrap(), vec![expect]);

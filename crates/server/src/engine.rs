@@ -39,11 +39,6 @@ pub struct ServerConfig {
     /// Per-stream index-node cache budget in bytes (Fig. 7 "small cache"
     /// sets this to 1 MB).
     pub cache_bytes: usize,
-    /// Recurse the two partial edges of one deep index query in parallel
-    /// (see `timecrypt_index::TreeConfig::parallel_edges`). On by
-    /// default; the `deep_tree` bench phase disables it to measure the
-    /// sequential baseline.
-    pub parallel_query: bool,
     /// Upper bound on hydrated stream states held resident at once
     /// (`None` = unbounded, the compatibility default). When the resident
     /// set exceeds the cap, the coldest streams with no in-flight
@@ -58,7 +53,6 @@ impl Default for ServerConfig {
         ServerConfig {
             arity: 64,
             cache_bytes: 64 * 1024 * 1024,
-            parallel_query: true,
             max_resident_streams: None,
         }
     }
@@ -629,7 +623,6 @@ impl TimeCryptServer {
         let cfg = TreeConfig {
             arity: self.cfg.arity,
             cache_bytes: self.cfg.cache_bytes,
-            parallel_edges: self.cfg.parallel_query,
         };
         let mut ledger = StreamLedger::new(stream);
         let mut replay = Ok(());

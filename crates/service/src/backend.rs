@@ -35,8 +35,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_chunk::serialize::ChunkRef;
 use timecrypt_obs::{trace, TraceContext};
-use timecrypt_server::{ServerError, StreamStat, TimeCryptServer, EXPORT_PAGE_BYTES};
-use timecrypt_wire::messages::{Request, Response, StreamInfoWire};
+use timecrypt_server::{ServerError, StreamStat, TimeCryptServer};
+use timecrypt_wire::messages::{Request, Response, ServiceStatsWire, StreamInfoWire};
 use timecrypt_wire::pool::{ClientPool, PoolConfig};
 
 /// One per-stream statistical sub-query outcome.
@@ -57,6 +57,12 @@ const UNREACHABLE: ServerError = ServerError::Unavailable("shard node unreachabl
 /// engine's strict next-index rejection as "already applied".
 pub(crate) const AMBIGUOUS: ServerError =
     ServerError::Unavailable("mutation outcome unknown: shard unreachable mid-exchange");
+
+/// The reply to a request whose [`Route`](timecrypt_wire::messages::Route)
+/// says the serving tier answers it itself, but which the tier has no arm
+/// for: a variant added to the protocol without a handler.
+pub(crate) const UNROUTED: ServerError =
+    ServerError::Unavailable("request has no handler at this tier");
 
 /// Where a shard (or its backup replica) runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +110,14 @@ impl ShardSpec {
 
 /// Executes one shard's operations, wherever the shard runs. See the
 /// module docs for the error contract.
+///
+/// Five methods. `call` carries every plain request/reply: stream
+/// creation, the rebuild seam's list / export / length probes and the
+/// node stats probe are functions over it, written once. The others are
+/// what a `call` cannot express: `stat_leg` pipelines a leg on one
+/// connection, `insert_batch` frames borrowed chunk bytes, `occupancy`
+/// is the one probe a local engine cannot answer as a wire request (it
+/// has no `Stats`), and `endpoint` names the node.
 pub trait ShardBackend: Send + Sync + 'static {
     /// Dispatches one wire request and returns the shard's reply.
     fn call(&self, req: Request) -> Result<Response, ServerError>;
@@ -118,17 +132,6 @@ pub trait ShardBackend: Send + Sync + 'static {
         ts_e: i64,
     ) -> Result<Vec<(usize, StreamStatResult)>, ServerError>;
 
-    /// Registers a stream. Local backends surface the engine's *typed*
-    /// error (`StreamExists`, …); remote backends wrap the node's message
-    /// in [`ServerError::Remote`].
-    fn create_stream(
-        &self,
-        stream: u128,
-        t0: i64,
-        delta_ms: u64,
-        digest_width: u32,
-    ) -> Result<(), ServerError>;
-
     /// Ingests `chunks` — serialized chunk bytes, validated where they
     /// entered the service — in order (per-stream submission order is the
     /// service tier's ordering contract) and reports per-chunk verdicts.
@@ -139,29 +142,9 @@ pub trait ShardBackend: Send + Sync + 'static {
     /// converges.
     fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError>;
 
-    /// Streams currently hosted by this shard (occupancy metric).
-    fn stream_count(&self) -> Result<u64, ServerError>;
-
     /// Stream occupancy: hosted stream count plus the shard's resident /
-    /// hydration / eviction counters. The default covers backends that
-    /// predate lazy hydration (stream count only, residency zeroed);
-    /// engine-backed and node-backed shards override it.
-    fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
-        Ok(ShardOccupancy {
-            streams: self.stream_count()?,
-            ..ShardOccupancy::default()
-        })
-    }
-
-    /// Metadata of every stream this shard hosts, ascending by stream id
-    /// (the export side of the replica-rebuild seam: the survivor
-    /// enumerates what a replacement must copy).
-    fn list_streams(&self) -> Result<Vec<StreamInfoWire>, ServerError>;
-
-    /// One page of a stream's raw encrypted chunks starting at
-    /// `from_idx`, sized under the wire frame cap (the export side of the
-    /// replica-rebuild seam).
-    fn export_chunks(&self, stream: u128, from_idx: u64) -> Result<ExportPage, ServerError>;
+    /// hydration / eviction counters.
+    fn occupancy(&self) -> Result<ShardOccupancy, ServerError>;
 
     /// The remote endpoint (`host:port`) this backend dials, `None` for
     /// in-process backends. Lets the coordinator's stats aggregation
@@ -169,25 +152,48 @@ pub trait ShardBackend: Send + Sync + 'static {
     fn endpoint(&self) -> Option<&str> {
         None
     }
+}
 
-    /// Full stats snapshot of the hosting node, for remote backends.
-    /// In-process backends return `None`: the coordinator reads its own
-    /// counters directly, and summing them here would double-count.
-    fn node_stats(&self) -> Option<timecrypt_wire::messages::ServiceStatsWire> {
-        None
+/// Full stats snapshot of the node behind `backend`. In-process backends
+/// answer `None` (an engine has no service stats): the coordinator reads
+/// its own counters directly, and summing them here would double-count.
+pub(crate) fn node_stats(backend: &dyn ShardBackend) -> Option<ServiceStatsWire> {
+    match backend.call(Request::Stats) {
+        Ok(Response::ServiceStats(stats)) => Some(stats),
+        _ => None,
     }
 }
 
-/// One page of a stream export ([`ShardBackend::export_chunks`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExportPage {
-    /// Serialized `EncryptedChunk`s, consecutive from the requested index.
-    pub chunks: Vec<Vec<u8>>,
-    /// Index to request the next page from.
-    pub next_idx: u64,
-    /// No further chunks are exportable (end of stream, or the next
-    /// payload was deleted and the contiguous prefix ends here).
-    pub done: bool,
+/// A stream's chunk count on `backend`, `None` when the stream does not
+/// exist there (or the backend is unreachable — the caller's pass retries
+/// either way).
+fn stream_len(backend: &dyn ShardBackend, stream: u128) -> Option<u64> {
+    match backend.call(Request::StreamInfo { stream }) {
+        Ok(Response::Info(info)) => Some(info.len),
+        _ => None,
+    }
+}
+
+/// Metadata of every stream of `shard` hosted by `backend`, ascending by
+/// stream id (the export side of the replica-rebuild seam: the survivor
+/// enumerates what a replacement must copy). `None` when unreachable.
+fn list_streams(backend: &dyn ShardBackend, shard: usize) -> Option<Vec<StreamInfoWire>> {
+    let shard = shard as u32;
+    match backend.call(Request::ListStreams { shard }) {
+        Ok(Response::StreamList(infos)) => Some(infos),
+        _ => None,
+    }
+}
+
+/// One page of a stream's raw encrypted chunks starting at `from_idx`,
+/// sized under the wire frame cap (the export side of the replica-rebuild
+/// seam). Empty when nothing is exportable at `from_idx`; `None` when the
+/// stream is missing or the backend unreachable.
+fn export_page(backend: &dyn ShardBackend, stream: u128, from_idx: u64) -> Option<Vec<Vec<u8>>> {
+    match backend.call(Request::ExportStream { stream, from_idx }) {
+        Ok(Response::StreamChunks { chunks, .. }) => Some(chunks),
+        _ => None,
+    }
 }
 
 /// Executes one per-stream sub-query with metrics. One latency sample and
@@ -303,17 +309,6 @@ impl ShardBackend for LocalShard {
         Ok(out)
     }
 
-    fn create_stream(
-        &self,
-        stream: u128,
-        t0: i64,
-        delta_ms: u64,
-        digest_width: u32,
-    ) -> Result<(), ServerError> {
-        self.engine
-            .create_stream(stream, t0, delta_ms, digest_width)
-    }
-
     fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError> {
         let m = self.metrics.shard(self.shard);
         // Each stream's chunks go to the engine as one run (one
@@ -368,33 +363,8 @@ impl ShardBackend for LocalShard {
         Ok(verdicts)
     }
 
-    fn stream_count(&self) -> Result<u64, ServerError> {
-        Ok(self.engine.stream_count() as u64)
-    }
-
     fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
-        let residency = self.engine.residency();
-        Ok(ShardOccupancy {
-            streams: self.engine.stream_count() as u64,
-            resident_streams: residency.resident,
-            hydrations: residency.hydrations,
-            evictions: residency.evictions,
-        })
-    }
-
-    fn list_streams(&self) -> Result<Vec<StreamInfoWire>, ServerError> {
-        self.engine.stream_infos()
-    }
-
-    fn export_chunks(&self, stream: u128, from_idx: u64) -> Result<ExportPage, ServerError> {
-        let (chunks, next_idx, done) =
-            self.engine
-                .export_chunks(stream, from_idx, EXPORT_PAGE_BYTES)?;
-        Ok(ExportPage {
-            chunks,
-            next_idx,
-            done,
-        })
+        Ok(ShardOccupancy::of(&self.engine))
     }
 }
 
@@ -460,25 +430,6 @@ impl ShardBackend for RemoteShard {
         }
     }
 
-    fn create_stream(
-        &self,
-        stream: u128,
-        t0: i64,
-        delta_ms: u64,
-        digest_width: u32,
-    ) -> Result<(), ServerError> {
-        match self.call(Request::CreateStream {
-            stream,
-            t0,
-            delta_ms,
-            digest_width,
-        })? {
-            Response::Ok => Ok(()),
-            Response::Error(msg) => Err(ServerError::Remote(msg)),
-            _ => Err(ServerError::Unavailable("unexpected create-stream reply")),
-        }
-    }
-
     fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError> {
         let _span = trace::stage("backend.exchange");
         let m = self.metrics.shard(self.shard);
@@ -525,18 +476,8 @@ impl ShardBackend for RemoteShard {
                 .collect(),
             Err(_) => return Err(UNREACHABLE),
         };
-        for r in &results {
-            m.ingest_latency.record(elapsed);
-            match r {
-                Ok(()) => m.ingested_chunks.fetch_add(1, Ordering::Relaxed),
-                Err(_) => m.ingest_errors.fetch_add(1, Ordering::Relaxed),
-            };
-        }
+        crate::ingest::record_run_metrics(m, elapsed, &results);
         Ok(results)
-    }
-
-    fn stream_count(&self) -> Result<u64, ServerError> {
-        Ok(self.occupancy()?.streams)
     }
 
     fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
@@ -556,41 +497,8 @@ impl ShardBackend for RemoteShard {
         }
     }
 
-    fn list_streams(&self) -> Result<Vec<StreamInfoWire>, ServerError> {
-        match self.call(Request::ListStreams {
-            shard: self.shard as u32,
-        })? {
-            Response::StreamList(infos) => Ok(infos),
-            Response::Error(msg) => Err(ServerError::Remote(msg)),
-            _ => Err(ServerError::Unavailable("unexpected stream-list reply")),
-        }
-    }
-
-    fn export_chunks(&self, stream: u128, from_idx: u64) -> Result<ExportPage, ServerError> {
-        match self.call(Request::ExportStream { stream, from_idx })? {
-            Response::StreamChunks {
-                chunks,
-                next_idx,
-                done,
-            } => Ok(ExportPage {
-                chunks,
-                next_idx,
-                done,
-            }),
-            Response::Error(msg) => Err(ServerError::Remote(msg)),
-            _ => Err(ServerError::Unavailable("unexpected stream-export reply")),
-        }
-    }
-
     fn endpoint(&self) -> Option<&str> {
         Some(self.pool.addr())
-    }
-
-    fn node_stats(&self) -> Option<timecrypt_wire::messages::ServiceStatsWire> {
-        match self.call(Request::Stats) {
-            Ok(Response::ServiceStats(stats)) => Some(stats),
-            _ => None,
-        }
     }
 }
 
@@ -771,7 +679,9 @@ struct Roles {
 /// One shard's replica set: a primary backend plus an optional backup,
 /// with a health state machine that closes the R=2 loop.
 ///
-/// * **Mutations** go primary-then-backup. If the primary is unreachable
+/// * **Mutations** (`write_then_mirror`: `call` of a mutation,
+///   `ingest_batch`, `create_stream`) go primary-then-backup. If the
+///   primary is unreachable
 ///   the mutation fails *without* touching the backup — the backup only
 ///   ever receives writes the primary received, in the same order, which
 ///   is the invariant that keeps the replicas byte-identical. A backup
@@ -780,7 +690,8 @@ struct Roles {
 ///   backup to the drifted state — a replica that provably missed an
 ///   acknowledged write must never be promoted or serve failover reads,
 ///   or acknowledged data would silently vanish.
-/// * **Reads** go to the primary and fail over to an *in-sync* backup
+/// * **Reads** (`read_with_failover`: `call` of a read, `stat_leg`,
+///   `occupancy`) go to the primary and fail over to an *in-sync* backup
 ///   when the primary is unreachable, ticking `failovers`. A rebuilding
 ///   or drifted replica never serves reads — it would answer from
 ///   incomplete data.
@@ -972,208 +883,148 @@ impl ShardReplicas {
         self.roles.read().backup.clone()
     }
 
-    /// Dispatches one wire request with replication/failover/promotion
-    /// semantics. Infallible at this level: an unreachable shard becomes
-    /// a `Response::Error`, exactly what a wire client would see.
-    pub(crate) fn call(&self, req: Request) -> Response {
-        // Every mutation goes through the replicated path, replicated
-        // shard or not: the mirror target must be re-read *after* the
-        // primary acknowledges, so a backup attached (and even armed)
-        // while the call was in flight still receives — or vetoes the
-        // arming of — the acknowledged write. A snapshot-gated fast path
-        // here would let an acked mutation bypass a mid-flight attach.
-        if req.is_mutation() {
-            return self.call_replicated(req);
-        }
-        let primary = {
-            let roles = self.roles.read();
-            if roles.backup.is_some() {
-                None
-            } else {
-                Some(roles.primary.clone())
-            }
-        };
-        let Some(primary) = primary else {
-            return self.call_replicated(req);
-        };
-        // Un-replicated read — the common case: no request clone.
-        match primary.call(req) {
-            Ok(resp) => {
-                self.note_primary_ok();
-                resp
-            }
-            Err(e) => {
-                // Strikes still count: a replica attached later can be
-                // promoted as soon as it is in sync.
-                self.note_primary_failure(&primary);
-                Response::Error(e.to_string())
-            }
-        }
-    }
-
-    /// [`call`](Self::call) for a shard that currently has a backup. At
-    /// most two attempts: the retry runs only when the first attempt's
-    /// failure triggered (or lost the race to) a promotion.
-    fn call_replicated(&self, req: Request) -> Response {
+    /// The read policy: the primary answers; when it is unreachable an
+    /// *in-sync* backup answers instead (one `failovers` tick), and when
+    /// no backup may answer but the failure triggered (or lost the race
+    /// to) a promotion, `op` is retried once against the new primary. The
+    /// error is the last backend's.
+    fn read_with_failover<T>(
+        &self,
+        op: impl Fn(&dyn ShardBackend) -> Result<T, ServerError>,
+    ) -> Result<T, ServerError> {
         let mut retried = false;
         loop {
             let (primary, backup) = self.snapshot();
-            if req.is_mutation() {
-                let resp = match primary.call(req.clone()) {
-                    Ok(resp) => resp,
-                    Err(_) => {
-                        // Retrying against a *promoted* backup is safe: the
-                        // mirror only runs after the primary acknowledged
-                        // client-side, so a write whose ack was lost never
-                        // reached the backup — and strict next-index ingest
-                        // rejects any duplicate that somehow did.
-                        if self.note_primary_failure(&primary) && !retried {
-                            retried = true;
-                            continue;
-                        }
-                        // No safe retry target: surface the ambiguity
-                        // instead of the generic transport error, so
-                        // callers know the write may have been applied.
-                        return Response::Error(AMBIGUOUS.to_string());
-                    }
-                };
-                self.note_primary_ok();
-                if let Some(b) = self.mirror_target() {
-                    match b.backend.call(req) {
-                        Ok(backup_resp) if backup_resp == resp => {}
-                        // Unreachable backup or diverging verdict: the
-                        // operation stands (the primary accepted it), but
-                        // the replica missed it — `note_mirror_drift`
-                        // decides against its *current* health whether
-                        // that is drift or an expected mid-rebuild
-                        // rejection.
-                        _ => self.note_mirror_drift(&b.backend, 1),
-                    }
-                }
-                return resp;
-            }
-            match primary.call(req.clone()) {
-                Ok(resp) => {
+            let err = match op(&*primary) {
+                Ok(out) => {
                     self.note_primary_ok();
-                    return resp;
+                    return Ok(out);
                 }
-                Err(e) => {
-                    let promoted = self.note_primary_failure(&primary);
-                    // Only an in-sync backup may answer reads.
-                    if let Some(b) = backup.filter(|b| b.health == ReplicaHealth::InSync) {
-                        self.m().failovers.fetch_add(1, Ordering::Relaxed);
-                        return match b.backend.call(req) {
-                            Ok(resp) => resp,
-                            Err(e) => Response::Error(e.to_string()),
-                        };
-                    }
-                    if promoted && !retried {
-                        retried = true;
-                        continue;
-                    }
-                    return Response::Error(e.to_string());
-                }
+                Err(e) => e,
+            };
+            // Strikes count on an un-replicated shard too: a replica
+            // attached later can be promoted as soon as it is in sync.
+            let promoted = self.note_primary_failure(&primary);
+            // Only an in-sync backup may answer reads — a rebuilding or
+            // drifted replica would answer from incomplete data.
+            if let Some(b) = backup.filter(|b| b.health == ReplicaHealth::InSync) {
+                self.m().failovers.fetch_add(1, Ordering::Relaxed);
+                return op(&*b.backend);
             }
+            if promoted && !retried {
+                retried = true;
+                continue;
+            }
+            return Err(err);
         }
     }
 
-    /// Executes one scatter-gather leg, failing over whole-leg to an
-    /// in-sync backup when the primary is unreachable (retrying once when
-    /// the failure triggered a promotion). Infallible: a fully
-    /// unreachable shard yields per-position `Unavailable` results for
-    /// the merge fold.
+    /// The write policy: primary first, then the mirror. `missed` counts
+    /// the acknowledged writes the backup lacks, given the primary's
+    /// outcome and the mirror's (`None`: backup unreachable). Every
+    /// mutation takes this path, replicated shard or not: the mirror
+    /// target must be re-read *after* the primary acknowledges, so a
+    /// backup attached (and even armed) while the call was in flight
+    /// still receives — or vetoes the arming of — the acknowledged write.
+    /// A snapshot-gated fast path would let an acked mutation bypass a
+    /// mid-flight attach.
+    ///
+    /// An unreachable primary fails the write *without* touching the
+    /// backup, which therefore never holds state the primary lacks. At
+    /// most two attempts: the retry runs only when the first attempt's
+    /// failure triggered (or lost the race to) a promotion — safe, because
+    /// the mirror only runs after the primary acknowledged client-side,
+    /// so a write whose ack was lost never reached the backup, and strict
+    /// next-index ingest rejects any duplicate that somehow did. With no
+    /// safe retry target the error is [`AMBIGUOUS`], not the generic
+    /// transport error, so callers know the write may have been applied.
+    fn write_then_mirror<T>(
+        &self,
+        op: impl Fn(&dyn ShardBackend) -> Result<T, ServerError>,
+        missed: impl Fn(&T, Option<&T>) -> u64,
+    ) -> Result<T, ServerError> {
+        let mut retried = false;
+        loop {
+            let primary = self.primary();
+            let Ok(out) = op(&*primary) else {
+                if self.note_primary_failure(&primary) && !retried {
+                    retried = true;
+                    continue;
+                }
+                return Err(AMBIGUOUS);
+            };
+            self.note_primary_ok();
+            if let Some(b) = self.mirror_target() {
+                // Unreachable backup or diverging verdict: the operation
+                // stands (the primary accepted it), but the replica missed
+                // it — `note_mirror_drift` decides against its *current*
+                // health whether that is drift or an expected mid-rebuild
+                // rejection.
+                let mirrored = op(&*b.backend).ok();
+                self.note_mirror_drift(&b.backend, missed(&out, mirrored.as_ref()));
+            }
+            return Ok(out);
+        }
+    }
+
+    /// Dispatches one wire request under the write policy (mutations; the
+    /// mirror must return the primary's reply) or the read policy.
+    /// Infallible at this level: an unreachable shard becomes a
+    /// `Response::Error`, exactly what a wire client would see.
+    pub(crate) fn call(&self, req: Request) -> Response {
+        let reply = if req.is_mutation() {
+            self.write_then_mirror(
+                |b| b.call(req.clone()),
+                |resp, mirrored| u64::from(mirrored != Some(resp)),
+            )
+        } else {
+            self.read_with_failover(|b| b.call(req.clone()))
+        };
+        reply.unwrap_or_else(|e| Response::Error(e.to_string()))
+    }
+
+    /// Executes one scatter-gather leg under the read policy (failover is
+    /// whole-leg). Infallible: a fully unreachable shard yields
+    /// per-position `Unavailable` results for the merge fold.
     pub(crate) fn stat_leg(
         &self,
         legs: &Leg,
         ts_s: i64,
         ts_e: i64,
     ) -> Vec<(usize, StreamStatResult)> {
-        let mut retried = false;
-        loop {
-            let (primary, backup) = self.snapshot();
-            let err = match primary.stat_leg(legs, ts_s, ts_e) {
-                Ok(out) => {
-                    self.note_primary_ok();
-                    return out;
-                }
-                Err(e) => e,
-            };
-            let promoted = self.note_primary_failure(&primary);
-            // Only an in-sync backup may answer reads — a rebuilding or
-            // drifted replica would answer from incomplete data.
-            if let Some(b) = backup.filter(|b| b.health == ReplicaHealth::InSync) {
-                self.m().failovers.fetch_add(1, Ordering::Relaxed);
-                return match b.backend.stat_leg(legs, ts_s, ts_e) {
-                    Ok(out) => out,
-                    Err(e) => legs
-                        .iter()
-                        .map(|&(pos, _)| (pos, Err(clone_unavailable(&e))))
-                        .collect(),
-                };
-            }
-            if promoted && !retried {
-                retried = true;
-                continue;
-            }
-            return legs
-                .iter()
-                .map(|&(pos, _)| (pos, Err(clone_unavailable(&err))))
-                .collect();
-        }
+        self.read_with_failover(|b| b.stat_leg(legs, ts_s, ts_e))
+            .unwrap_or_else(|e| {
+                legs.iter()
+                    .map(|&(pos, _)| (pos, Err(clone_unavailable(&e))))
+                    .collect()
+            })
     }
 
-    /// Ingests an ordered batch with replication (retrying once against a
-    /// just-promoted primary — safe, because a batch that failed at the
-    /// transport level was never acknowledged). Infallible: an
-    /// unreachable primary yields per-chunk `Unavailable` verdicts.
+    /// Ingests an ordered batch under the write policy. Infallible: an
+    /// unreachable primary yields per-chunk [`AMBIGUOUS`] verdicts — the
+    /// batch may have been applied (in full or in prefix) before the
+    /// transport failed, so callers must not blindly re-submit.
     pub(crate) fn ingest_batch(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
-        let mut retried = false;
-        loop {
-            let primary = self.primary();
-            let results = match primary.insert_batch(chunks) {
-                Ok(results) => {
-                    self.note_primary_ok();
-                    results
-                }
-                Err(_) => {
-                    // The promoted-backup retry is safe (see
-                    // `call_replicated`): the backup never holds a write
-                    // the primary did not acknowledge first.
-                    if self.note_primary_failure(&primary) && !retried {
-                        retried = true;
-                        continue;
-                    }
-                    let m = self.m();
-                    m.ingest_errors
-                        .fetch_add(chunks.len() as u64, Ordering::Relaxed);
-                    // Per-chunk ambiguous verdicts: the batch may have been
-                    // applied (in full or in prefix) before the transport
-                    // failed — callers must not blindly re-submit.
-                    return chunks.iter().map(|_| Err(AMBIGUOUS)).collect();
-                }
-            };
-            if let Some(b) = self.mirror_target() {
-                match b.backend.insert_batch(chunks) {
-                    Ok(backup_results) => {
-                        let diverged = results
-                            .iter()
-                            .zip(&backup_results)
-                            .filter(|(a, b)| a.is_ok() != b.is_ok())
-                            .count() as u64;
-                        self.note_mirror_drift(&b.backend, diverged);
-                    }
-                    Err(_) => {
-                        // Whole-batch mirror failure: only the chunks the
-                        // primary *accepted* diverge the replicas — chunks
-                        // the primary itself rejected never landed on
-                        // either side.
-                        let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
-                        self.note_mirror_drift(&b.backend, accepted);
-                    }
-                }
-            }
-            return results;
-        }
+        self.write_then_mirror(
+            |b| b.insert_batch(chunks),
+            |results, mirrored| match mirrored {
+                Some(mirrored) => results
+                    .iter()
+                    .zip(mirrored)
+                    .filter(|(a, b)| a.is_ok() != b.is_ok())
+                    .count() as u64,
+                // Whole-batch mirror failure: only the chunks the primary
+                // *accepted* diverge the replicas — chunks the primary
+                // itself rejected never landed on either side.
+                None => results.iter().filter(|r| r.is_ok()).count() as u64,
+            },
+        )
+        .unwrap_or_else(|_| {
+            self.m()
+                .ingest_errors
+                .fetch_add(chunks.len() as u64, Ordering::Relaxed);
+            chunks.iter().map(|_| Err(AMBIGUOUS)).collect()
+        })
     }
 
     /// Synchronous single-chunk ingest (the unbatched path).
@@ -1183,10 +1034,13 @@ impl ShardReplicas {
             .unwrap_or(Err(UNREACHABLE))
     }
 
-    /// Registers a stream with replication: primary first (typed errors
-    /// pass through — `StreamExists` stays `StreamExists` on a local
-    /// shard), then mirrored to the backup unless the primary was
-    /// unreachable.
+    /// Registers a stream: a [`call`](Self::call) like every other
+    /// mutation, with the reply read back into a `Result`. An error —
+    /// the engine's own (`stream … already exists`) or an unreachable
+    /// shard's — is [`ServerError::Remote`] carrying the message
+    /// verbatim, so its `Display` is what a wire client would read
+    /// whether the shard is in-process or on a node; the typed variant
+    /// does not survive the seam.
     pub(crate) fn create_stream(
         &self,
         stream: u128,
@@ -1194,50 +1048,24 @@ impl ShardReplicas {
         delta_ms: u64,
         digest_width: u32,
     ) -> Result<(), ServerError> {
-        let mut retried = false;
-        loop {
-            let primary = self.primary();
-            let result = primary.create_stream(stream, t0, delta_ms, digest_width);
-            if matches!(result, Err(ServerError::Unavailable(_))) {
-                if self.note_primary_failure(&primary) && !retried {
-                    retried = true;
-                    continue;
-                }
-                // Primary unreachable: leave the backup untouched so it
-                // never holds state the primary lacks.
-                return result;
-            }
-            self.note_primary_ok();
-            if let Some(b) = self.mirror_target() {
-                let mirrored = b.backend.create_stream(stream, t0, delta_ms, digest_width);
-                if mirrored.is_ok() != result.is_ok() {
-                    self.note_mirror_drift(&b.backend, 1);
-                }
-            }
-            return result;
+        match self.call(Request::CreateStream {
+            stream,
+            t0,
+            delta_ms,
+            digest_width,
+        }) {
+            Response::Ok => Ok(()),
+            Response::Error(msg) => Err(ServerError::Remote(msg)),
+            _ => Err(ServerError::Unavailable("unexpected create-stream reply")),
         }
     }
 
-    /// Stream occupancy of this shard (primary, failing over to an
-    /// in-sync backup — counted like every other failover read).
+    /// Stream occupancy of this shard, under the read policy (a
+    /// backup-served probe is a failover like any other read). An
+    /// unreachable shard reports zeros.
     pub(crate) fn occupancy(&self) -> ShardOccupancy {
-        let (primary, backup) = self.snapshot();
-        match primary.occupancy() {
-            Ok(occ) => {
-                self.note_primary_ok();
-                occ
-            }
-            Err(_) => {
-                self.note_primary_failure(&primary);
-                match backup.filter(|b| b.health == ReplicaHealth::InSync) {
-                    Some(b) => {
-                        self.m().failovers.fetch_add(1, Ordering::Relaxed);
-                        b.backend.occupancy().unwrap_or_default()
-                    }
-                    None => ShardOccupancy::default(),
-                }
-            }
-        }
+        self.read_with_failover(|b| b.occupancy())
+            .unwrap_or_default()
     }
 
     /// Attaches a replacement backup in the rebuilding state: write
@@ -1367,7 +1195,7 @@ impl ShardReplicas {
             if shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            let Ok(streams) = survivor.list_streams() else {
+            let Some(streams) = list_streams(&*survivor, self.shard) else {
                 // Survivor unreachable: nothing to copy from right now;
                 // try again next pass (the dial already backed off).
                 continue;
@@ -1401,8 +1229,12 @@ impl ShardReplicas {
         for info in streams {
             // Mirrored creates may have raced ahead: an existing stream
             // is fine (`StreamExists` / its remote rendering).
-            let _ =
-                replacement.create_stream(info.stream, info.t0, info.delta_ms, info.digest_width);
+            let _ = replacement.call(Request::CreateStream {
+                stream: info.stream,
+                t0: info.t0,
+                delta_ms: info.delta_ms,
+                digest_width: info.digest_width,
+            });
             loop {
                 if shutdown.load(Ordering::Relaxed) {
                     return false;
@@ -1418,11 +1250,11 @@ impl ShardReplicas {
                 if replica_len >= survivor_len {
                     break;
                 }
-                let Ok(page) = survivor.export_chunks(info.stream, replica_len) else {
+                let Some(page) = export_page(survivor, info.stream, replica_len) else {
                     all_synced = false;
                     break;
                 };
-                if page.chunks.is_empty() {
+                if page.is_empty() {
                     // `done` with nothing at this index: the payload was
                     // decayed by delete_range — the exportable prefix ends
                     // short of the survivor's length.
@@ -1432,7 +1264,7 @@ impl ShardReplicas {
                 // The page goes to the replacement as exported; its ingest
                 // validates every chunk, so a corrupt one is rejected there
                 // and the stuck check below ends the pass.
-                let views: Vec<&[u8]> = page.chunks.iter().map(Vec::as_slice).collect();
+                let views: Vec<&[u8]> = page.iter().map(Vec::as_slice).collect();
                 let copied = replacement.insert_batch(&views).map_or(0, |verdicts| {
                     verdicts.iter().filter(|v| v.is_ok()).count() as u64
                 });
@@ -1476,16 +1308,6 @@ impl ShardReplicas {
 /// and writes racing the verify read.
 const REBUILD_MAX_PASSES: usize = 16;
 
-/// A stream's chunk count on `backend`, `None` when the stream does not
-/// exist there (or the backend is unreachable — the caller's pass retries
-/// either way).
-fn stream_len(backend: &dyn ShardBackend, stream: u128) -> Option<u64> {
-    match backend.call(Request::StreamInfo { stream }) {
-        Ok(Response::Info(info)) => Some(info.len),
-        _ => None,
-    }
-}
-
 /// `ServerError` is not `Clone` (it can carry an `io::Error`); transport
 /// failures are always the static `Unavailable` case, which is.
 pub(crate) fn clone_unavailable(e: &ServerError) -> ServerError {
@@ -1512,6 +1334,9 @@ mod tests {
     struct StubShard {
         engine: Arc<TimeCryptServer>,
         up: AtomicBool,
+        /// Runs once, inside the next operation that finds the shard down
+        /// — how a test interleaves a state change with an in-flight call.
+        while_down: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
     }
 
     impl StubShard {
@@ -1521,6 +1346,7 @@ mod tests {
                     TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap(),
                 ),
                 up: AtomicBool::new(true),
+                while_down: parking_lot::Mutex::new(None),
             })
         }
 
@@ -1530,10 +1356,17 @@ mod tests {
 
         fn ensure_up(&self) -> Result<(), ServerError> {
             if self.up.load(Ordering::Relaxed) {
-                Ok(())
-            } else {
-                Err(UNREACHABLE)
+                return Ok(());
             }
+            let hook = self.while_down.lock().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+            Err(UNREACHABLE)
+        }
+
+        fn create_stream(&self, stream: u128) {
+            self.engine.create_stream(stream, 0, 10_000, 2).unwrap();
         }
     }
 
@@ -1556,18 +1389,6 @@ mod tests {
                 .collect())
         }
 
-        fn create_stream(
-            &self,
-            stream: u128,
-            t0: i64,
-            delta_ms: u64,
-            digest_width: u32,
-        ) -> Result<(), ServerError> {
-            self.ensure_up()?;
-            self.engine
-                .create_stream(stream, t0, delta_ms, digest_width)
-        }
-
         fn insert_batch(
             &self,
             chunks: &[&[u8]],
@@ -1576,26 +1397,9 @@ mod tests {
             Ok(self.engine.insert_bytes_run(chunks))
         }
 
-        fn stream_count(&self) -> Result<u64, ServerError> {
+        fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
             self.ensure_up()?;
-            Ok(self.engine.stream_count() as u64)
-        }
-
-        fn list_streams(&self) -> Result<Vec<StreamInfoWire>, ServerError> {
-            self.ensure_up()?;
-            self.engine.stream_infos()
-        }
-
-        fn export_chunks(&self, stream: u128, from_idx: u64) -> Result<ExportPage, ServerError> {
-            self.ensure_up()?;
-            let (chunks, next_idx, done) =
-                self.engine
-                    .export_chunks(stream, from_idx, EXPORT_PAGE_BYTES)?;
-            Ok(ExportPage {
-                chunks,
-                next_idx,
-                done,
-            })
+            Ok(ShardOccupancy::of(&self.engine))
         }
     }
 
@@ -1630,23 +1434,206 @@ mod tests {
         )
     }
 
+    /// Every operation `ShardReplicas` offers, by the policy it runs under.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        ReadCall,
+        StatLeg,
+        Occupancy,
+        MutCall,
+        IngestBatch,
+        CreateStream,
+    }
+
+    const KINDS: [Kind; 6] = [
+        Kind::ReadCall,
+        Kind::StatLeg,
+        Kind::Occupancy,
+        Kind::MutCall,
+        Kind::IngestBatch,
+        Kind::CreateStream,
+    ];
+
+    impl Kind {
+        fn is_write(self) -> bool {
+            matches!(self, Kind::MutCall | Kind::IngestBatch | Kind::CreateStream)
+        }
+
+        /// Runs the operation against a [`seeded`] shard; `Err` carries
+        /// the rendered error.
+        fn run(self, r: &ShardReplicas) -> Result<(), String> {
+            let reply = |resp| match resp {
+                Response::Ok | Response::Info(_) => Ok(()),
+                Response::Error(e) => Err(e),
+                other => panic!("unexpected {other:?}"),
+            };
+            match self {
+                Kind::ReadCall => reply(r.call(Request::StreamInfo { stream: 1 })),
+                Kind::StatLeg => match r.stat_leg(&[(0, 1)], 0, 10_000).pop().unwrap().1 {
+                    Ok(_) => Ok(()),
+                    Err(e) => Err(e.to_string()),
+                },
+                // An unreachable shard reports zeros.
+                Kind::Occupancy => match r.occupancy().streams {
+                    0 => Err(UNREACHABLE.to_string()),
+                    _ => Ok(()),
+                },
+                Kind::MutCall => reply(r.call(Request::DeleteStream { stream: 2 })),
+                Kind::IngestBatch => r.insert(&sealed(1, 1, 6)).map_err(|e| e.to_string()),
+                Kind::CreateStream => r.create_stream(3, 0, 10_000, 2).map_err(|e| e.to_string()),
+            }
+        }
+    }
+
+    /// A backend on which every [`Kind`] succeeds: stream 1 holding chunk
+    /// 0, and stream 2.
+    fn seeded() -> Arc<StubShard> {
+        let shard = StubShard::new();
+        shard.create_stream(1);
+        shard.create_stream(2);
+        shard.engine.insert_bytes(&sealed(1, 0, 5)).unwrap();
+        shard
+    }
+
+    /// A reachable backend that rejects every write [`Kind`] a [`seeded`]
+    /// primary accepts: stream 1 lacks chunk 0, stream 2 is missing,
+    /// stream 3 already exists.
+    fn diverged() -> Arc<StubShard> {
+        let shard = StubShard::new();
+        shard.create_stream(1);
+        shard.create_stream(3);
+        shard
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Script {
+        /// No backup, promotion armed: one failure is one strike, no more.
+        PrimaryDownBelowThreshold,
+        /// The failure crosses the threshold while the backup turns in
+        /// sync under the in-flight call: promoted, retried once.
+        PrimaryDownPromotes,
+        /// Promotion disabled, in-sync backup attached.
+        PrimaryDownBackupInSync,
+        BackupUnreachableOnMirror,
+        BackupRejectsMirror,
+        /// First with the primary up (the mirror is armed and rejects),
+        /// then with it down (even `promote_after = 1` must not promote).
+        BackupStillRebuilding,
+    }
+
+    const SCRIPTS: [Script; 6] = [
+        Script::PrimaryDownBelowThreshold,
+        Script::PrimaryDownPromotes,
+        Script::PrimaryDownBackupInSync,
+        Script::BackupUnreachableOnMirror,
+        Script::BackupRejectsMirror,
+        Script::BackupStillRebuilding,
+    ];
+
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        served: Result<(), String>,
+        failovers: u64,
+        promotions: u64,
+        replica_errors: u64,
+        in_sync: bool,
+    }
+
+    impl Script {
+        fn play(self, kind: Kind) -> Outcome {
+            let primary = seeded();
+            let r = match self {
+                Script::PrimaryDownBelowThreshold => {
+                    primary.set_up(false);
+                    Arc::new(replicas(primary, None, 2))
+                }
+                Script::PrimaryDownPromotes => {
+                    let r = Arc::new(replicas(primary.clone(), None, 1));
+                    r.attach_backup(seeded()).unwrap();
+                    primary.set_up(false);
+                    let armed = r.clone();
+                    *primary.while_down.lock() = Some(Box::new(move || {
+                        assert!(armed.arm_if_no_drops(armed.mirror_drops.load(Ordering::Acquire)));
+                    }));
+                    r
+                }
+                Script::PrimaryDownBackupInSync => {
+                    primary.set_up(false);
+                    Arc::new(replicas(primary, Some(seeded()), 0))
+                }
+                Script::BackupUnreachableOnMirror => {
+                    let backup = seeded();
+                    backup.set_up(false);
+                    Arc::new(replicas(primary, Some(backup), 1))
+                }
+                Script::BackupRejectsMirror => Arc::new(replicas(primary, Some(diverged()), 1)),
+                Script::BackupStillRebuilding => {
+                    let r = Arc::new(replicas(primary.clone(), None, 1));
+                    r.attach_backup(diverged()).unwrap();
+                    assert_eq!(kind.run(&r), Ok(()), "{kind:?}: primary up");
+                    primary.set_up(false);
+                    r
+                }
+            };
+            let served = kind.run(&r);
+            let m = r.metrics();
+            Outcome {
+                served,
+                failovers: m.failovers.load(Ordering::Relaxed),
+                promotions: m.promotions.load(Ordering::Relaxed),
+                replica_errors: m.replica_errors.load(Ordering::Relaxed),
+                in_sync: m.in_sync.load(Ordering::Relaxed),
+            }
+        }
+
+        /// What every kind of one policy must report.
+        fn expected(self, write: bool) -> Outcome {
+            let quiet = |served, in_sync| Outcome {
+                served,
+                failovers: 0,
+                promotions: 0,
+                replica_errors: 0,
+                in_sync,
+            };
+            // An unanswered read reports the transport failure; a write
+            // whose primary was unreachable is ambiguous, never retried.
+            let unserved = Err(if write { AMBIGUOUS } else { UNREACHABLE }.to_string());
+            match (self, write) {
+                (Script::PrimaryDownBelowThreshold, _) => quiet(unserved, false),
+                (Script::PrimaryDownPromotes, _) => Outcome {
+                    promotions: 1,
+                    ..quiet(Ok(()), false)
+                },
+                (Script::PrimaryDownBackupInSync, false) => Outcome {
+                    failovers: 1,
+                    ..quiet(Ok(()), true)
+                },
+                (Script::PrimaryDownBackupInSync, true) => quiet(unserved, true),
+                (Script::BackupUnreachableOnMirror | Script::BackupRejectsMirror, false) => {
+                    quiet(Ok(()), true)
+                }
+                (Script::BackupUnreachableOnMirror | Script::BackupRejectsMirror, true) => {
+                    Outcome {
+                        replica_errors: 1,
+                        ..quiet(Ok(()), false)
+                    }
+                }
+                (Script::BackupStillRebuilding, _) => quiet(unserved, false),
+            }
+        }
+    }
+
     #[test]
-    fn stream_count_failover_ticks_the_counter() {
-        // Regression: the stream-count probe used to fall back to the
-        // backup silently, undercounting failovers versus call/stat_leg.
-        let primary = StubShard::new();
-        let backup = StubShard::new();
-        backup.create_stream(7, 0, 10_000, 2).unwrap();
-        let r = replicas(primary.clone(), Some(backup), 0);
-        assert_eq!(r.occupancy().streams, 0);
-        assert_eq!(r.metrics().failovers.load(Ordering::Relaxed), 0);
-        primary.set_up(false);
-        assert_eq!(r.occupancy().streams, 1, "served by the backup");
-        assert_eq!(
-            r.metrics().failovers.load(Ordering::Relaxed),
-            1,
-            "the backup-served probe is a failover like any other read"
-        );
+    fn every_operation_kind_follows_its_policy_through_every_script() {
+        for script in SCRIPTS {
+            for kind in KINDS {
+                assert_eq!(
+                    script.play(kind),
+                    script.expected(kind.is_write()),
+                    "{script:?} × {kind:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1657,7 +1644,7 @@ mod tests {
         let primary = StubShard::new();
         let backup = StubShard::new();
         for b in [&primary, &backup] {
-            b.create_stream(1, 0, 10_000, 2).unwrap();
+            b.create_stream(1);
         }
         let r = replicas(primary, Some(backup.clone()), 0);
         backup.set_up(false);
@@ -1673,40 +1660,9 @@ mod tests {
     }
 
     #[test]
-    fn strikes_promote_the_in_sync_backup_and_restore_writes() {
-        let primary = StubShard::new();
-        let backup = StubShard::new();
-        for b in [&primary, &backup] {
-            b.create_stream(1, 0, 10_000, 2).unwrap();
-        }
-        let r = replicas(primary.clone(), Some(backup), 2);
-        r.insert(&sealed(1, 0, 5)).unwrap();
-        primary.set_up(false);
-        // Strike 1: read fails over, no promotion yet.
-        let leg = [(0usize, 1u128)];
-        assert!(r.stat_leg(&leg, 0, 10_000)[0].1.is_ok());
-        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 0);
-        // Strike 2 promotes; the write is retried against the promoted
-        // backup (which mirrored chunk 0) and succeeds.
-        r.insert(&sealed(1, 1, 6)).unwrap();
-        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 1);
-        assert!(
-            !r.metrics().in_sync.load(Ordering::Relaxed),
-            "promoted shard runs un-replicated"
-        );
-        // The promoted primary answers reads directly; strikes were reset.
-        assert!(r.stat_leg(&leg, 0, 20_000)[0].1.is_ok());
-        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn successes_reset_strikes() {
-        let primary = StubShard::new();
-        let backup = StubShard::new();
-        for b in [&primary, &backup] {
-            b.create_stream(1, 0, 10_000, 2).unwrap();
-        }
-        let r = replicas(primary.clone(), Some(backup), 2);
+    fn only_consecutive_strikes_promote() {
+        let primary = seeded();
+        let r = replicas(primary.clone(), Some(seeded()), 2);
         let leg = [(0usize, 1u128)];
         // One strike, then a recovery: the strike count must restart, so
         // a single later failure cannot promote.
@@ -1721,34 +1677,22 @@ mod tests {
             0,
             "non-consecutive failures must not promote"
         );
-    }
-
-    #[test]
-    fn rebuilding_backup_serves_no_reads_and_is_not_promoted() {
-        let primary = StubShard::new();
-        primary.create_stream(1, 0, 10_000, 2).unwrap();
-        let r = replicas(primary.clone(), None, 1);
-        r.insert(&sealed(1, 0, 5)).unwrap();
-        let replacement = StubShard::new();
-        r.attach_backup(replacement.clone()).unwrap();
-        // Mirroring is armed (the replica must miss no writes), but its
-        // rejections do not count as drift while rebuilding.
+        // The second consecutive strike — a write this time — promotes,
+        // and the write is retried against the promoted backup.
         r.insert(&sealed(1, 1, 6)).unwrap();
-        assert_eq!(r.metrics().replica_errors.load(Ordering::Relaxed), 0);
-        primary.set_up(false);
-        let leg = [(0usize, 1u128)];
-        // Reads must NOT fail over to incomplete data, and even
-        // promote_after=1 must not promote an out-of-sync replica.
-        assert!(r.stat_leg(&leg, 0, 10_000)[0].1.is_err());
-        assert_eq!(r.metrics().failovers.load(Ordering::Relaxed), 0);
-        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 0);
+        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 1);
+        // The promoted primary answers reads directly; strikes were reset.
+        let failovers = r.metrics().failovers.load(Ordering::Relaxed);
+        assert!(r.stat_leg(&leg, 0, 20_000)[0].1.is_ok());
+        assert_eq!(r.metrics().failovers.load(Ordering::Relaxed), failovers);
+        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn rebuild_copies_verifies_and_arms_the_replica() {
         let primary = StubShard::new();
         for id in [1u128, 2] {
-            primary.create_stream(id, 0, 10_000, 2).unwrap();
+            primary.create_stream(id);
             for i in 0..5 {
                 primary
                     .engine
@@ -1790,7 +1734,7 @@ mod tests {
         let primary = StubShard::new();
         let backup = StubShard::new();
         for b in [&primary, &backup] {
-            b.create_stream(1, 0, 10_000, 2).unwrap();
+            b.create_stream(1);
         }
         let r = replicas(primary.clone(), Some(backup.clone()), 1);
         r.insert(&sealed(1, 0, 5)).unwrap();

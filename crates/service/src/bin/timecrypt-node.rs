@@ -168,7 +168,6 @@ fn main() {
                 arity: args.arity,
                 cache_bytes: args.cache_bytes,
                 max_resident_streams: args.max_resident,
-                ..ServerConfig::default()
             },
         },
     ) {

@@ -32,15 +32,20 @@
 //!   client threads can query a shard — even one hot stream — concurrently
 //!   with its ingest worker.
 //! * **Multi-node shard placement** ([`backend`], [`node`]) — the router
-//!   decides *which* shard owns a stream; a [`backend::ShardBackend`]
+//!   decides *which* shard owns a stream
+//!   ([`timecrypt_wire::messages::Request::route`] names the routing key
+//!   of every request, for the coordinator and the node alike); a
+//!   [`backend::ShardBackend`] — five methods, `backend/mod.rs` —
 //!   decides *where* that shard runs: in-process
-//!   ([`backend::LocalShard`]) or on a `timecrypt-node` process reached
-//!   over the wire protocol ([`backend::RemoteShard`], pipelined +
-//!   pooled TCP). [`ServiceConfig::topology`] maps each shard to
-//!   `local` or `host:port`, optionally with a backup replica (R=2:
-//!   writes go primary-then-backup, reads fail over). Replies stay
-//!   byte-identical however shards are placed.
-//! * **Replica promotion + rebuild** ([`backend::ShardReplicas`]) — a
+//!   ([`backend::LocalShard`], `backend/local.rs`) or on a
+//!   `timecrypt-node` process reached over the wire protocol
+//!   ([`backend::RemoteShard`], `backend/remote.rs`: pipelined + pooled
+//!   TCP). [`ServiceConfig::topology`] maps each shard to `local` or
+//!   `host:port`, optionally with a backup replica (R=2: writes go
+//!   primary-then-backup, reads fail over — one function per policy).
+//!   Replies stay byte-identical however shards are placed.
+//! * **Replica promotion + rebuild** ([`backend::ShardReplicas`],
+//!   `backend/replicas.rs`) — a
 //!   primary that stays unreachable for
 //!   [`ServiceConfig::promote_after`] consecutive operations has its
 //!   in-sync backup *promoted* (reads and writes flip, replies stay

@@ -6,6 +6,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
+use timecrypt_server::TimeCryptServer;
+use timecrypt_store::StoreCounters;
 use timecrypt_wire::messages::{ServiceStatsWire, ShardStatsWire};
 
 /// Number of log₂ microsecond buckets: bucket `i` counts latencies in
@@ -56,6 +58,33 @@ pub struct ShardOccupancy {
     pub hydrations: u64,
     /// Resident streams evicted since the engine opened.
     pub evictions: u64,
+}
+
+impl ShardOccupancy {
+    /// The occupancy of the shard `engine` serves.
+    pub(crate) fn of(engine: &TimeCryptServer) -> Self {
+        let residency = engine.residency();
+        ShardOccupancy {
+            streams: engine.stream_count() as u64,
+            resident_streams: residency.resident,
+            hydrations: residency.hydrations,
+            evictions: residency.evictions,
+        }
+    }
+}
+
+/// A stats snapshot holding a metered store's traffic counters and no
+/// shards yet: what a coordinator or node starts its `Stats` reply from.
+pub(crate) fn store_stats(store: StoreCounters) -> ServiceStatsWire {
+    ServiceStatsWire {
+        store_gets: store.gets,
+        store_puts: store.puts,
+        store_deletes: store.deletes,
+        store_scans: store.scans,
+        store_bytes_read: store.bytes_read,
+        store_bytes_written: store.bytes_written,
+        ..ServiceStatsWire::default()
+    }
 }
 
 /// One shard's counters. Counters track *backend operations performed by

@@ -17,9 +17,9 @@
 //! signals a mis-routed coordinator or a total-shards mismatch, never a
 //! data error.
 
-use crate::backend::metered_stat;
+use crate::backend::{metered_stat, UNROUTED};
 use crate::ingest::record_run_metrics;
-use crate::metrics::{ServiceMetrics, ShardOccupancy};
+use crate::metrics::{store_stats, ServiceMetrics, ShardOccupancy};
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,7 +27,7 @@ use timecrypt_chunk::serialize::{ChunkRef, SealedRecord};
 use timecrypt_obs::trace;
 use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
-use timecrypt_wire::messages::{Request, RequestRef, Response};
+use timecrypt_wire::messages::{Request, RequestRef, Response, Route};
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
 const NOT_HOSTED: ServerError =
@@ -160,25 +160,12 @@ impl ShardNode {
     /// Node metrics snapshot: one entry per *hosted* shard (global shard
     /// ids), plus the node store's traffic counters.
     pub fn stats(&self) -> timecrypt_wire::messages::ServiceStatsWire {
-        let mut snap = timecrypt_wire::messages::ServiceStatsWire::default();
+        let mut snap = store_stats(self.kv.counters());
         for (&shard, engine) in &self.engines {
-            let residency = engine.residency();
-            let occ = ShardOccupancy {
-                streams: engine.stream_count() as u64,
-                resident_streams: residency.resident,
-                hydrations: residency.hydrations,
-                evictions: residency.evictions,
-            };
+            let occ = ShardOccupancy::of(engine);
             snap.shards
                 .push(self.metrics.shard(shard).snapshot(shard as u32, occ));
         }
-        let store = self.kv.counters();
-        snap.store_gets = store.gets;
-        snap.store_puts = store.puts;
-        snap.store_deletes = store.deletes;
-        snap.store_scans = store.scans;
-        snap.store_bytes_read = store.bytes_read;
-        snap.store_bytes_written = store.bytes_written;
         snap
     }
 
@@ -229,87 +216,53 @@ impl ShardNode {
     }
 
     /// The arms of [`dispatch`](Self::dispatch) for requests that carry
-    /// no bulk payload.
+    /// no bulk payload, by routing key.
     fn dispatch_unborrowed(&self, req: Request) -> Response {
-        match req {
+        // A request addressed to one hosted engine delegates to that
+        // engine's own handler — byte-identical to a single-engine server.
+        let delegate = |engine: Result<&Arc<TimeCryptServer>, ServerError>, req| match engine {
+            Ok(engine) => engine.handle(req),
+            Err(e) => Response::Error(e.to_string()),
+        };
+        match req.route() {
             // `RequestRef` carries ingest requests borrowed; one that was
             // wrapped owned re-enters through its view.
-            Request::Insert { .. } | Request::InsertLive { .. } | Request::InsertBatch { .. } => {
-                req.with_ref(|view| self.dispatch(view))
+            Route::Payload => req.with_ref(|view| self.dispatch(view)),
+            Route::Stream(stream) => delegate(self.engine_for(stream).map(|(_, e)| e), req),
+            // Replica rebuild: the survivor enumerates one hosted shard.
+            Route::Shard(shard) => {
+                delegate(self.engines.get(&(shard as usize)).ok_or(NOT_HOSTED), req)
             }
-            // The coordinator pipelines scatter-gather legs as one
-            // single-stream GetStatRange per stream, but any multi-stream
-            // query whose streams are all hosted here works too (same
-            // merge fold ⇒ same bytes as a single engine).
-            Request::GetStatRange {
-                streams,
-                ts_s,
-                ts_e,
-            } => {
-                let merged = merge_stream_stats(streams.iter().map(|&sid| {
-                    (
-                        sid,
-                        match self.engine_for(sid) {
-                            Ok((shard, engine)) => {
-                                metered_stat(engine, self.metrics.shard(shard), sid, ts_s, ts_e)
-                            }
-                            Err(e) => Err(e),
-                        },
-                    )
-                }));
-                match merged {
-                    Ok(reply) => Response::Stat(reply),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Request::Stats => Response::ServiceStats(self.stats()),
-            // Replica rebuild: enumerate one hosted shard's streams...
-            Request::ListStreams { shard } => match self.engines.get(&(shard as usize)) {
-                Some(engine) => match engine.stream_infos() {
-                    Ok(infos) => Response::StreamList(infos),
-                    Err(e) => Response::Error(e.to_string()),
-                },
-                None => Response::Error(NOT_HOSTED.to_string()),
-            },
-            // ...and page its raw chunks out to the rebuilding peer.
-            Request::ExportStream { stream, from_idx } => match self.engine_for(stream) {
-                Ok((_, engine)) => {
-                    match engine.export_chunks(
-                        stream,
-                        from_idx,
-                        timecrypt_server::EXPORT_PAGE_BYTES,
-                    ) {
-                        Ok((chunks, next_idx, done)) => Response::StreamChunks {
-                            chunks,
-                            next_idx,
-                            done,
-                        },
+            Route::Fanout | Route::Service => match req {
+                // The coordinator pipelines scatter-gather legs as one
+                // single-stream GetStatRange per stream, but any
+                // multi-stream query whose streams are all hosted here
+                // works too (same merge fold ⇒ same bytes as a single
+                // engine).
+                Request::GetStatRange {
+                    streams,
+                    ts_s,
+                    ts_e,
+                } => {
+                    let merged = merge_stream_stats(streams.iter().map(|&sid| {
+                        (
+                            sid,
+                            match self.engine_for(sid) {
+                                Ok((shard, engine)) => {
+                                    metered_stat(engine, self.metrics.shard(shard), sid, ts_s, ts_e)
+                                }
+                                Err(e) => Err(e),
+                            },
+                        )
+                    }));
+                    match merged {
+                        Ok(reply) => Response::Stat(reply),
                         Err(e) => Response::Error(e.to_string()),
                     }
                 }
-                Err(e) => Response::Error(e.to_string()),
-            },
-            Request::Ping => Response::Pong,
-            // Single-stream requests delegate to the owning engine's own
-            // handler — byte-identical to a single-engine server.
-            Request::CreateStream { stream, .. }
-            | Request::DeleteStream { stream }
-            | Request::GetLive { stream, .. }
-            | Request::GetRange { stream, .. }
-            | Request::DeleteRange { stream, .. }
-            | Request::Rollup { stream, .. }
-            | Request::StreamInfo { stream }
-            | Request::PutGrant { stream, .. }
-            | Request::GetGrants { stream, .. }
-            | Request::RevokeGrants { stream, .. }
-            | Request::PutEnvelopes { stream, .. }
-            | Request::GetEnvelopes { stream, .. }
-            | Request::PutAttestation { stream, .. }
-            | Request::GetAttestation { stream }
-            | Request::GetRangeProof { stream, .. }
-            | Request::GetVerifiedRange { stream, .. } => match self.engine_for(stream) {
-                Ok((_, engine)) => engine.handle(req),
-                Err(e) => Response::Error(e.to_string()),
+                Request::Stats => Response::ServiceStats(self.stats()),
+                Request::Ping => Response::Pong,
+                _ => Response::Error(UNROUTED.to_string()),
             },
         }
     }

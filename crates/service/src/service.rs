@@ -1,12 +1,12 @@
 //! The sharded service: router + shard backends + ingest workers + metrics.
 
 use crate::backend::{
-    clone_unavailable, BackendSpec, LocalShard, RemoteShard, ShardBackend, ShardReplicas,
-    ShardSpec, StreamStatResult,
+    clone_unavailable, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend,
+    ShardReplicas, ShardSpec, StreamStatResult, UNROUTED,
 };
 use crate::fanout::{ReaderPool, ShardPool};
 use crate::ingest::{IngestWorker, Job};
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{store_stats, ServiceMetrics};
 use crate::router::ShardRouter;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
-use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply};
+use timecrypt_wire::messages::{Request, RequestRef, Response, Route, StatReply};
 use timecrypt_wire::pool::PoolConfig;
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
@@ -310,9 +310,9 @@ impl ShardedService {
     }
 
     /// Registers a stream on its owning shard (replicated when the shard
-    /// has a backup). Local shards surface the engine's typed error
-    /// (`StreamExists`, …); remote shards surface the node's message as
-    /// [`ServerError::Remote`].
+    /// has a backup). An error is [`ServerError::Remote`] carrying the
+    /// shard's message verbatim — the engine's own rendering (`stream …
+    /// already exists`) whether the shard is in-process or on a node.
     pub fn create_stream(
         &self,
         stream: u128,
@@ -533,13 +533,7 @@ impl ShardedService {
             self.backends.iter().map(|b| b.occupancy()).collect()
         };
         let mut snap = self.metrics.snapshot(&occupancy);
-        let store = self.kv.counters();
-        snap.store_gets = store.gets;
-        snap.store_puts = store.puts;
-        snap.store_deletes = store.deletes;
-        snap.store_scans = store.scans;
-        snap.store_bytes_read = store.bytes_read;
-        snap.store_bytes_written = store.bytes_written;
+        snap.add_store(&store_stats(self.kv.counters()));
         if self.has_remote {
             self.aggregate_remote_store(&mut snap);
         }
@@ -567,7 +561,7 @@ impl ShardedService {
         let remote: Vec<_> = std::thread::scope(|scope| {
             let probes: Vec<_> = nodes
                 .iter()
-                .map(|b| scope.spawn(|| b.node_stats()))
+                .map(|b| scope.spawn(|| node_stats(&**b)))
                 .collect();
             probes
                 .into_iter()
@@ -575,12 +569,7 @@ impl ShardedService {
                 .collect()
         });
         for stats in remote.into_iter().flatten() {
-            snap.store_gets += stats.store_gets;
-            snap.store_puts += stats.store_puts;
-            snap.store_deletes += stats.store_deletes;
-            snap.store_scans += stats.store_scans;
-            snap.store_bytes_read += stats.store_bytes_read;
-            snap.store_bytes_written += stats.store_bytes_written;
+            snap.add_store(&stats);
         }
     }
 
@@ -670,51 +659,35 @@ impl ShardedService {
     }
 
     /// The arms of [`dispatch`](Self::dispatch) for requests that carry
-    /// no bulk payload.
+    /// no bulk payload, by routing key.
     fn dispatch_unborrowed(&self, req: Request) -> Response {
-        match req {
+        match req.route() {
             // `RequestRef` carries ingest requests borrowed; one that was
             // wrapped owned re-enters through its view.
-            Request::Insert { .. } | Request::InsertLive { .. } | Request::InsertBatch { .. } => {
-                req.with_ref(|view| self.dispatch(view))
-            }
-            // Multi-stream and service-level requests are handled here.
-            Request::GetStatRange {
-                streams,
-                ts_s,
-                ts_e,
-            } => match self.get_stat_range(&streams, ts_s, ts_e) {
-                Ok(reply) => Response::Stat(reply),
-                Err(e) => Response::Error(e.to_string()),
-            },
-            Request::Stats => Response::ServiceStats(self.stats()),
+            Route::Payload => req.with_ref(|view| self.dispatch(view)),
+            // A single-stream request: delegate the whole request to the
+            // owning shard's backend, which keeps error strings
+            // byte-identical to a single-engine server.
+            Route::Stream(stream) => self.replicas_for(stream).call(req),
             // The stream-list probe addresses a shard, not a stream.
-            Request::ListStreams { shard } => match self.backends.get(shard as usize) {
-                Some(replicas) => replicas.call(Request::ListStreams { shard }),
+            Route::Shard(shard) => match self.backends.get(shard as usize) {
+                Some(replicas) => replicas.call(req),
                 None => Response::Error(ServerError::Unavailable("no such shard").to_string()),
             },
-            // Export routes by stream like any single-stream request.
-            Request::ExportStream { stream, .. } => self.replicas_for(stream).call(req),
-            Request::Ping => Response::Pong,
-            // Everything else is a single-stream request: delegate the
-            // whole request to the owning shard's backend, which keeps
-            // error strings byte-identical to a single-engine server.
-            Request::CreateStream { stream, .. }
-            | Request::DeleteStream { stream }
-            | Request::GetLive { stream, .. }
-            | Request::GetRange { stream, .. }
-            | Request::DeleteRange { stream, .. }
-            | Request::Rollup { stream, .. }
-            | Request::StreamInfo { stream }
-            | Request::PutGrant { stream, .. }
-            | Request::GetGrants { stream, .. }
-            | Request::RevokeGrants { stream, .. }
-            | Request::PutEnvelopes { stream, .. }
-            | Request::GetEnvelopes { stream, .. }
-            | Request::PutAttestation { stream, .. }
-            | Request::GetAttestation { stream }
-            | Request::GetRangeProof { stream, .. }
-            | Request::GetVerifiedRange { stream, .. } => self.replicas_for(stream).call(req),
+            // Multi-stream and service-level requests are handled here.
+            Route::Fanout | Route::Service => match req {
+                Request::GetStatRange {
+                    streams,
+                    ts_s,
+                    ts_e,
+                } => match self.get_stat_range(&streams, ts_s, ts_e) {
+                    Ok(reply) => Response::Stat(reply),
+                    Err(e) => Response::Error(e.to_string()),
+                },
+                Request::Stats => Response::ServiceStats(self.stats()),
+                Request::Ping => Response::Pong,
+                _ => Response::Error(UNROUTED.to_string()),
+            },
         }
     }
 }

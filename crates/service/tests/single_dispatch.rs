@@ -5,8 +5,8 @@
 //! `handle` (owned `Request`) and `handle_frame` (frame bytes) are
 //! adapters into one dispatch per handler, so a request script must get
 //! identical encoded replies and leave identical stores whichever way it
-//! enters — ingest (accepted and every rejection), live records, queries
-//! and undecodable frames alike.
+//! enters — ingest (accepted and every rejection), live records, queries,
+//! the replica-rebuild probes, stats and undecodable frames alike.
 
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
@@ -18,7 +18,7 @@ use timecrypt_service::{
     NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
 };
 use timecrypt_store::{KvStore, MemKv};
-use timecrypt_wire::messages::{Request, Response};
+use timecrypt_wire::messages::{Request, Response, ShardStatsWire};
 use timecrypt_wire::transport::{Handler, Server};
 
 const DELTA_MS: u64 = 10_000;
@@ -67,7 +67,8 @@ fn streams_on_shard(total: usize, shard: usize, n: usize) -> Vec<u128> {
 
 /// The shared script. `mine` gets created; `unknown` and `foreign` never
 /// are — a shard node is opened so that it does not host `foreign`.
-fn script(mine: u128, unknown: u128, foreign: u128) -> Vec<Request> {
+/// `shard` is the one owning `mine`.
+fn script(mine: u128, unknown: u128, foreign: u128, shard: u32) -> Vec<Request> {
     vec![
         Request::CreateStream {
             stream: mine,
@@ -109,7 +110,30 @@ fn script(mine: u128, unknown: u128, foreign: u128) -> Vec<Request> {
         Request::StreamInfo { stream: mine },
         Request::StreamInfo { stream: unknown },
         Request::Ping,
+        Request::ListStreams { shard },
+        Request::ListStreams { shard: 9 }, // no such shard
+        Request::ExportStream {
+            stream: mine,
+            from_idx: 1,
+        },
+        Request::ExportStream {
+            stream: foreign,
+            from_idx: 0,
+        },
+        Request::Stats,
     ]
+}
+
+/// `resp` without what differs between two runs of one script: a stats
+/// snapshot's latency histograms.
+fn timeless(mut resp: Response) -> Response {
+    if let Response::ServiceStats(stats) = &mut resp {
+        for shard in &mut stats.shards {
+            shard.ingest_hist_us.clear();
+            shard.query_hist_us.clear();
+        }
+    }
+    resp
 }
 
 /// Runs `script` through `handle` of one instance and `handle_frame` of
@@ -117,8 +141,8 @@ fn script(mine: u128, unknown: u128, foreign: u128) -> Vec<Request> {
 fn drive<H: Handler>(via_handle: &H, via_frame: &H, script: Vec<Request>) -> Vec<Response> {
     let mut replies = Vec::new();
     for req in script {
-        let from_frame = via_frame.handle_frame(&req.encode());
-        let from_owned = via_handle.handle(req.clone());
+        let from_frame = timeless(via_frame.handle_frame(&req.encode()));
+        let from_owned = timeless(via_handle.handle(req.clone()));
         assert_eq!(
             from_frame.encode(),
             from_owned.encode(),
@@ -135,8 +159,15 @@ fn drive<H: Handler>(via_handle: &H, via_frame: &H, script: Vec<Request>) -> Vec
 }
 
 /// What every handler must answer to the script, up to the rendering of
-/// the batch's `foreign` entry (`foreign_error`).
-fn assert_expected(replies: &[Response], foreign_error: &str) {
+/// the `foreign` entries (`foreign_error`), of shard 9 (`no_shard_9`:
+/// an engine lists its streams whatever the shard) and of `Stats`
+/// (`stats_shards`: the shards reported, `None` on a bare engine).
+fn assert_expected(
+    replies: &[Response],
+    foreign_error: &str,
+    no_shard_9: Option<&str>,
+    stats_shards: Option<&[u32]>,
+) {
     let error = |e: ServerError| Response::Error(e.to_string());
     assert_eq!(replies[0], Response::Ok, "create");
     assert_eq!(replies[1], Response::Ok, "insert");
@@ -172,6 +203,50 @@ fn assert_expected(replies: &[Response], foreign_error: &str) {
     }
     assert!(matches!(&replies[10], Response::Error(e) if e.contains("no such stream")));
     assert_eq!(replies[11], Response::Pong);
+    let listed = |reply: &Response| -> Vec<(u128, u64)> {
+        match reply {
+            Response::StreamList(infos) => infos.iter().map(|i| (i.stream, i.len)).collect(),
+            other => panic!("expected a stream list, got {other:?}"),
+        }
+    };
+    let Response::Info(mine) = &replies[9] else {
+        unreachable!("checked above");
+    };
+    let hosted: Vec<(u128, u64)> = vec![(mine.stream, 3)];
+    assert_eq!(listed(&replies[12]), hosted);
+    match no_shard_9 {
+        Some(error) => assert!(
+            matches!(&replies[13], Response::Error(e) if e.contains(error)),
+            "{:?}",
+            replies[13]
+        ),
+        None => assert_eq!(listed(&replies[13]), hosted),
+    }
+    match &replies[14] {
+        Response::StreamChunks {
+            chunks,
+            next_idx,
+            done,
+        } => assert_eq!((chunks.len(), *next_idx, *done), (2, 3, true)),
+        other => panic!("expected an export page, got {other:?}"),
+    }
+    assert!(
+        matches!(&replies[15], Response::Error(e) if e.contains(foreign_error)),
+        "{:?}",
+        replies[15]
+    );
+    match (&replies[16], stats_shards) {
+        (Response::ServiceStats(stats), Some(shards)) => {
+            let reported: Vec<u32> = stats.shards.iter().map(|s| s.shard).collect();
+            assert_eq!(reported, shards);
+            let total = |f: fn(&ShardStatsWire) -> u64| stats.shards.iter().map(f).sum::<u64>();
+            assert_eq!(total(|s| s.streams), 1);
+            assert_eq!(total(|s| s.ingested_chunks), 3);
+            assert!(stats.store_puts > 0 && stats.store_bytes_written > 0);
+        }
+        (Response::Error(e), None) => assert!(e.contains("single-engine"), "{e}"),
+        (other, _) => panic!("unexpected stats reply {other:?}"),
+    }
 }
 
 #[test]
@@ -180,8 +255,8 @@ fn engine_answers_identically_from_both_entry_points() {
     let [a, b] = stores
         .clone()
         .map(|kv| TimeCryptServer::open(kv, ServerConfig::default()).unwrap());
-    let replies = drive(&a, &b, script(1, 2, 3));
-    assert_expected(&replies, "no such stream");
+    let replies = drive(&a, &b, script(1, 2, 3, 0));
+    assert_expected(&replies, "no such stream", None, None);
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
 }
 
@@ -198,8 +273,13 @@ fn shard_node_answers_identically_from_both_entry_points() {
     });
     let hosted = streams_on_shard(2, 0, 2);
     let foreign = streams_on_shard(2, 1, 1)[0];
-    let replies = drive(&a, &b, script(hosted[0], hosted[1], foreign));
-    assert_expected(&replies, "not hosted on this node");
+    let replies = drive(&a, &b, script(hosted[0], hosted[1], foreign, 0));
+    assert_expected(
+        &replies,
+        "not hosted on this node",
+        Some("not hosted on this node"),
+        Some(&[0]),
+    );
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
 }
 
@@ -213,8 +293,14 @@ fn coordinator_answers_identically_from_both_entry_points() {
         };
         ShardedService::open(kv, cfg).unwrap()
     });
-    let replies = drive(&a, &b, script(1, 2, 3));
-    assert_expected(&replies, "no such stream");
+    let shard = ShardRouter::new(2).shard_of(1) as u32;
+    let replies = drive(&a, &b, script(1, 2, 3, shard));
+    assert_expected(
+        &replies,
+        "no such stream",
+        Some("no such shard"),
+        Some(&[0, 1]),
+    );
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
 }
 

@@ -436,6 +436,20 @@ pub struct ServiceStatsWire {
     pub store_bytes_written: u64,
 }
 
+impl ServiceStatsWire {
+    /// Adds `other`'s store-traffic counters to this snapshot's (the
+    /// shards are left alone): how a coordinator folds each node's storage
+    /// traffic into cluster-wide totals.
+    pub fn add_store(&mut self, other: &ServiceStatsWire) {
+        self.store_gets += other.store_gets;
+        self.store_puts += other.store_puts;
+        self.store_deletes += other.store_deletes;
+        self.store_scans += other.store_scans;
+        self.store_bytes_read += other.store_bytes_read;
+        self.store_bytes_written += other.store_bytes_written;
+    }
+}
+
 const REQ_CREATE: u8 = 1;
 const REQ_DELETE_STREAM: u8 = 2;
 const REQ_INSERT: u8 = 3;
@@ -500,7 +514,56 @@ pub fn split_trace(body: &[u8]) -> Result<(Option<TraceContext>, &[u8]), WireErr
     Ok((Some(ctx), &body[TRACE_PREFIX_LEN..]))
 }
 
+/// Where a request is answered in a sharded deployment: its routing key
+/// ([`Request::route`]). The coordinator and the shard node both dispatch
+/// on this, so "which shard does this request belong to" is decided here,
+/// once, next to the variants themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// A single-stream request: the shard owning this stream answers it.
+    Stream(u128),
+    /// Addresses one shard by its cluster-wide id.
+    Shard(u32),
+    /// An ingest request: the stream id sits inside the sealed payload,
+    /// which this crate does not parse — handlers read it from the
+    /// borrowed view ([`RequestRef`]).
+    Payload,
+    /// A multi-stream query, fanned out across the owning shards.
+    Fanout,
+    /// Answered by the serving tier itself, whatever it hosts.
+    Service,
+}
+
 impl Request {
+    /// The routing key of this request (see [`Route`]).
+    pub fn route(&self) -> Route {
+        match *self {
+            Request::CreateStream { stream, .. }
+            | Request::DeleteStream { stream }
+            | Request::GetLive { stream, .. }
+            | Request::GetRange { stream, .. }
+            | Request::DeleteRange { stream, .. }
+            | Request::Rollup { stream, .. }
+            | Request::StreamInfo { stream }
+            | Request::PutGrant { stream, .. }
+            | Request::GetGrants { stream, .. }
+            | Request::RevokeGrants { stream, .. }
+            | Request::PutEnvelopes { stream, .. }
+            | Request::GetEnvelopes { stream, .. }
+            | Request::PutAttestation { stream, .. }
+            | Request::GetAttestation { stream }
+            | Request::GetRangeProof { stream, .. }
+            | Request::GetVerifiedRange { stream, .. }
+            | Request::ExportStream { stream, .. } => Route::Stream(stream),
+            Request::ListStreams { shard } => Route::Shard(shard),
+            Request::Insert { .. } | Request::InsertLive { .. } | Request::InsertBatch { .. } => {
+                Route::Payload
+            }
+            Request::GetStatRange { .. } => Route::Fanout,
+            Request::Stats | Request::Ping => Route::Service,
+        }
+    }
+
     /// True for requests that change server state. The distinction drives
     /// two policies in multi-node deployments: replicated writes go
     /// primary-then-backup while reads may fail over, and the pooled TCP
@@ -1432,6 +1495,24 @@ mod tests {
         for req in all_requests() {
             let bytes = req.encode();
             assert_eq!(Request::decode(&bytes).unwrap(), req, "{req:?}");
+        }
+    }
+
+    #[test]
+    fn stream_routes_carry_the_requests_stream_field() {
+        // `Route::Stream(s)` exactly for the variants with a `stream`
+        // field, and `s` is that field (the list uses distinct ids).
+        for req in all_requests() {
+            let shown = format!("{req:?}");
+            match req.route() {
+                Route::Stream(s) => assert!(
+                    [",", " }"]
+                        .iter()
+                        .any(|end| shown.contains(&format!("stream: {s}{end}"))),
+                    "{shown}"
+                ),
+                _ => assert!(!shown.contains("stream:"), "{shown}"),
+            }
         }
     }
 
