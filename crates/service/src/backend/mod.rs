@@ -1,0 +1,183 @@
+//! The shard-backend seam: where a shard's requests are executed.
+//!
+//! The [`crate::ShardRouter`] decides *which* shard owns a stream; a
+//! [`ShardBackend`] decides *where* that shard runs. Two implementations:
+//!
+//! * [`LocalShard`] — an in-process [`TimeCryptServer`] engine (the only
+//!   option before multi-node support; still the default).
+//! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
+//!   reached over the blocking TCP transport through a
+//!   [`ClientPool`] (reconnect-with-backoff). Scatter-gather legs are
+//!   *pipelined*: a leg's per-stream sub-queries stream onto one
+//!   connection with up to `PIPELINE_WINDOW` requests in flight ahead of
+//!   the responses being drained — one round trip of latency per leg,
+//!   without the buffer-deadlock an unbounded send loop would risk.
+//!
+//! [`ShardReplicas`] composes one primary backend with an optional backup
+//! (replication factor R=2): mutations go primary-then-backup, reads fail
+//! over to the backup when the primary is unreachable. Failovers and
+//! backup divergence are counted in the shard's
+//! [`metrics`](crate::metrics::ShardMetrics).
+//!
+//! Error contract: every trait method returns
+//! `Err(`[`ServerError::Unavailable`]`)` **only** for transport-level
+//! failure (the backend cannot be reached at all) — that is the signal
+//! [`ShardReplicas`] fails over on. Application-level errors travel inside
+//! the `Ok` payload: for remote backends as [`ServerError::Remote`], whose
+//! `Display` is the node's message verbatim, so wire replies stay
+//! byte-identical between single-process and multi-node deployments.
+
+use crate::fanout::ReaderPool;
+use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+use timecrypt_chunk::serialize::ChunkRef;
+use timecrypt_obs::{trace, TraceContext};
+use timecrypt_server::{ServerError, StreamStat, TimeCryptServer};
+use timecrypt_wire::messages::{Request, Response, ServiceStatsWire, StreamInfoWire};
+use timecrypt_wire::pool::{ClientPool, PoolConfig};
+
+/// One per-stream statistical sub-query outcome.
+pub(crate) type StreamStatResult = Result<StreamStat, ServerError>;
+
+/// A scatter-gather leg: `(position in the request, stream id)` pairs, all
+/// owned by one shard.
+pub(crate) type Leg = [(usize, u128)];
+
+const UNREACHABLE: ServerError = ServerError::Unavailable("shard node unreachable");
+
+/// The verdict for a mutation whose exchange failed at the transport
+/// level *after* it may have reached the primary (a timeout or severed
+/// connection mid-exchange): the write's fate is unknown, so the service
+/// must not blindly retry it — the peer may have applied it, and a
+/// duplicate would be acknowledged-then-rejected downstream. Callers
+/// that want at-least-once semantics re-submit explicitly and treat the
+/// engine's strict next-index rejection as "already applied".
+pub(crate) const AMBIGUOUS: ServerError =
+    ServerError::Unavailable("mutation outcome unknown: shard unreachable mid-exchange");
+
+/// The reply to a request whose [`Route`](timecrypt_wire::messages::Route)
+/// says the serving tier answers it itself, but which the tier has no arm
+/// for: a variant added to the protocol without a handler.
+pub(crate) const UNROUTED: ServerError =
+    ServerError::Unavailable("request has no handler at this tier");
+
+/// Where a shard (or its backup replica) runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BackendSpec {
+    /// In this process, over the coordinator's shared KV store.
+    Local,
+    /// On a `timecrypt-node` process at `host:port`.
+    Remote(String),
+}
+
+/// One shard's placement: a primary backend and an optional backup
+/// replica (replication factor R=2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardSpec {
+    /// Where the shard's primary runs.
+    pub primary: BackendSpec,
+    /// Optional backup replica. Must be remote: a "local" backup would
+    /// share the primary's store and self-corrupt.
+    pub backup: Option<BackendSpec>,
+}
+
+impl ShardSpec {
+    /// An unreplicated in-process shard (the classic deployment).
+    pub fn local() -> Self {
+        ShardSpec {
+            primary: BackendSpec::Local,
+            backup: None,
+        }
+    }
+
+    /// An unreplicated remote shard at `addr` (`host:port`).
+    pub fn remote(addr: impl Into<String>) -> Self {
+        ShardSpec {
+            primary: BackendSpec::Remote(addr.into()),
+            backup: None,
+        }
+    }
+
+    /// Adds a remote backup replica at `addr`.
+    pub fn with_backup(mut self, addr: impl Into<String>) -> Self {
+        self.backup = Some(BackendSpec::Remote(addr.into()));
+        self
+    }
+}
+
+/// Executes one shard's operations, wherever the shard runs. See the
+/// module docs for the error contract.
+///
+/// Five methods. `call` carries every plain request/reply: stream
+/// creation, the rebuild seam's list / export / length probes and the
+/// node stats probe are functions over it, written once. The others are
+/// what a `call` cannot express: `stat_leg` pipelines a leg on one
+/// connection, `insert_batch` frames borrowed chunk bytes, `occupancy`
+/// is the one probe a local engine cannot answer as a wire request (it
+/// has no `Stats`), and `endpoint` names the node.
+pub trait ShardBackend: Send + Sync + 'static {
+    /// Dispatches one wire request and returns the shard's reply.
+    fn call(&self, req: Request) -> Result<Response, ServerError>;
+
+    /// Executes one scatter-gather leg: a per-stream statistical sub-query
+    /// for every `(position, stream)` entry, returned with the positions
+    /// so the caller can merge in request order.
+    fn stat_leg(
+        &self,
+        legs: &Leg,
+        ts_s: i64,
+        ts_e: i64,
+    ) -> Result<Vec<(usize, StreamStatResult)>, ServerError>;
+
+    /// Ingests `chunks` — serialized chunk bytes, validated where they
+    /// entered the service — in order (per-stream submission order is the
+    /// service tier's ordering contract) and reports per-chunk verdicts.
+    /// Also the import side of the replica-rebuild seam: exported pages
+    /// are applied verbatim, and chunks rejected as out-of-order against
+    /// the replica's current length are expected when the copy races live
+    /// write-mirroring — the rebuild loop re-reads the length and
+    /// converges.
+    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError>;
+
+    /// Stream occupancy: hosted stream count plus the shard's resident /
+    /// hydration / eviction counters.
+    fn occupancy(&self) -> Result<ShardOccupancy, ServerError>;
+
+    /// The remote endpoint (`host:port`) this backend dials, `None` for
+    /// in-process backends. Lets the coordinator's stats aggregation
+    /// dedup per-node probes when one node hosts several shards.
+    fn endpoint(&self) -> Option<&str> {
+        None
+    }
+}
+
+/// Full stats snapshot of the node behind `backend`. In-process backends
+/// answer `None` (an engine has no service stats): the coordinator reads
+/// its own counters directly, and summing them here would double-count.
+pub(crate) fn node_stats(backend: &dyn ShardBackend) -> Option<ServiceStatsWire> {
+    match backend.call(Request::Stats) {
+        Ok(Response::ServiceStats(stats)) => Some(stats),
+        _ => None,
+    }
+}
+
+mod local;
+mod remote;
+mod replicas;
+
+pub(crate) use local::metered_stat;
+pub use local::LocalShard;
+pub use remote::RemoteShard;
+pub use replicas::ShardReplicas;
+
+/// `ServerError` is not `Clone` (it can carry an `io::Error`); transport
+/// failures are always the static `Unavailable` case, which is.
+pub(crate) fn clone_unavailable(e: &ServerError) -> ServerError {
+    match e {
+        ServerError::Unavailable(what) => ServerError::Unavailable(what),
+        _ => UNREACHABLE,
+    }
+}

@@ -1,645 +1,6 @@
-//! The shard-backend seam: where a shard's requests are executed.
-//!
-//! The [`crate::ShardRouter`] decides *which* shard owns a stream; a
-//! [`ShardBackend`] decides *where* that shard runs. Two implementations:
-//!
-//! * [`LocalShard`] — an in-process [`TimeCryptServer`] engine (the only
-//!   option before multi-node support; still the default).
-//! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
-//!   reached over the blocking TCP transport through a
-//!   [`ClientPool`] (reconnect-with-backoff). Scatter-gather legs are
-//!   *pipelined*: a leg's per-stream sub-queries stream onto one
-//!   connection with up to `PIPELINE_WINDOW` requests in flight ahead of
-//!   the responses being drained — one round trip of latency per leg,
-//!   without the buffer-deadlock an unbounded send loop would risk.
-//!
-//! [`ShardReplicas`] composes one primary backend with an optional backup
-//! (replication factor R=2): mutations go primary-then-backup, reads fail
-//! over to the backup when the primary is unreachable. Failovers and
-//! backup divergence are counted in the shard's
-//! [`metrics`](crate::metrics::ShardMetrics).
-//!
-//! Error contract: every trait method returns
-//! `Err(`[`ServerError::Unavailable`]`)` **only** for transport-level
-//! failure (the backend cannot be reached at all) — that is the signal
-//! [`ShardReplicas`] fails over on. Application-level errors travel inside
-//! the `Ok` payload: for remote backends as [`ServerError::Remote`], whose
-//! `Display` is the node's message verbatim, so wire replies stay
-//! byte-identical between single-process and multi-node deployments.
+//! One shard's replica set: failover, promotion and rebuild.
 
-use crate::fanout::ReaderPool;
-use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-use timecrypt_chunk::serialize::ChunkRef;
-use timecrypt_obs::{trace, TraceContext};
-use timecrypt_server::{ServerError, StreamStat, TimeCryptServer};
-use timecrypt_wire::messages::{Request, Response, ServiceStatsWire, StreamInfoWire};
-use timecrypt_wire::pool::{ClientPool, PoolConfig};
-
-/// One per-stream statistical sub-query outcome.
-pub(crate) type StreamStatResult = Result<StreamStat, ServerError>;
-
-/// A scatter-gather leg: `(position in the request, stream id)` pairs, all
-/// owned by one shard.
-pub(crate) type Leg = [(usize, u128)];
-
-const UNREACHABLE: ServerError = ServerError::Unavailable("shard node unreachable");
-
-/// The verdict for a mutation whose exchange failed at the transport
-/// level *after* it may have reached the primary (a timeout or severed
-/// connection mid-exchange): the write's fate is unknown, so the service
-/// must not blindly retry it — the peer may have applied it, and a
-/// duplicate would be acknowledged-then-rejected downstream. Callers
-/// that want at-least-once semantics re-submit explicitly and treat the
-/// engine's strict next-index rejection as "already applied".
-pub(crate) const AMBIGUOUS: ServerError =
-    ServerError::Unavailable("mutation outcome unknown: shard unreachable mid-exchange");
-
-/// The reply to a request whose [`Route`](timecrypt_wire::messages::Route)
-/// says the serving tier answers it itself, but which the tier has no arm
-/// for: a variant added to the protocol without a handler.
-pub(crate) const UNROUTED: ServerError =
-    ServerError::Unavailable("request has no handler at this tier");
-
-/// Where a shard (or its backup replica) runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BackendSpec {
-    /// In this process, over the coordinator's shared KV store.
-    Local,
-    /// On a `timecrypt-node` process at `host:port`.
-    Remote(String),
-}
-
-/// One shard's placement: a primary backend and an optional backup
-/// replica (replication factor R=2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Where the shard's primary runs.
-    pub primary: BackendSpec,
-    /// Optional backup replica. Must be remote: a "local" backup would
-    /// share the primary's store and self-corrupt.
-    pub backup: Option<BackendSpec>,
-}
-
-impl ShardSpec {
-    /// An unreplicated in-process shard (the classic deployment).
-    pub fn local() -> Self {
-        ShardSpec {
-            primary: BackendSpec::Local,
-            backup: None,
-        }
-    }
-
-    /// An unreplicated remote shard at `addr` (`host:port`).
-    pub fn remote(addr: impl Into<String>) -> Self {
-        ShardSpec {
-            primary: BackendSpec::Remote(addr.into()),
-            backup: None,
-        }
-    }
-
-    /// Adds a remote backup replica at `addr`.
-    pub fn with_backup(mut self, addr: impl Into<String>) -> Self {
-        self.backup = Some(BackendSpec::Remote(addr.into()));
-        self
-    }
-}
-
-/// Executes one shard's operations, wherever the shard runs. See the
-/// module docs for the error contract.
-///
-/// Five methods. `call` carries every plain request/reply: stream
-/// creation, the rebuild seam's list / export / length probes and the
-/// node stats probe are functions over it, written once. The others are
-/// what a `call` cannot express: `stat_leg` pipelines a leg on one
-/// connection, `insert_batch` frames borrowed chunk bytes, `occupancy`
-/// is the one probe a local engine cannot answer as a wire request (it
-/// has no `Stats`), and `endpoint` names the node.
-pub trait ShardBackend: Send + Sync + 'static {
-    /// Dispatches one wire request and returns the shard's reply.
-    fn call(&self, req: Request) -> Result<Response, ServerError>;
-
-    /// Executes one scatter-gather leg: a per-stream statistical sub-query
-    /// for every `(position, stream)` entry, returned with the positions
-    /// so the caller can merge in request order.
-    fn stat_leg(
-        &self,
-        legs: &Leg,
-        ts_s: i64,
-        ts_e: i64,
-    ) -> Result<Vec<(usize, StreamStatResult)>, ServerError>;
-
-    /// Ingests `chunks` — serialized chunk bytes, validated where they
-    /// entered the service — in order (per-stream submission order is the
-    /// service tier's ordering contract) and reports per-chunk verdicts.
-    /// Also the import side of the replica-rebuild seam: exported pages
-    /// are applied verbatim, and chunks rejected as out-of-order against
-    /// the replica's current length are expected when the copy races live
-    /// write-mirroring — the rebuild loop re-reads the length and
-    /// converges.
-    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError>;
-
-    /// Stream occupancy: hosted stream count plus the shard's resident /
-    /// hydration / eviction counters.
-    fn occupancy(&self) -> Result<ShardOccupancy, ServerError>;
-
-    /// The remote endpoint (`host:port`) this backend dials, `None` for
-    /// in-process backends. Lets the coordinator's stats aggregation
-    /// dedup per-node probes when one node hosts several shards.
-    fn endpoint(&self) -> Option<&str> {
-        None
-    }
-}
-
-/// Full stats snapshot of the node behind `backend`. In-process backends
-/// answer `None` (an engine has no service stats): the coordinator reads
-/// its own counters directly, and summing them here would double-count.
-pub(crate) fn node_stats(backend: &dyn ShardBackend) -> Option<ServiceStatsWire> {
-    match backend.call(Request::Stats) {
-        Ok(Response::ServiceStats(stats)) => Some(stats),
-        _ => None,
-    }
-}
-
-/// A stream's chunk count on `backend`, `None` when the stream does not
-/// exist there (or the backend is unreachable — the caller's pass retries
-/// either way).
-fn stream_len(backend: &dyn ShardBackend, stream: u128) -> Option<u64> {
-    match backend.call(Request::StreamInfo { stream }) {
-        Ok(Response::Info(info)) => Some(info.len),
-        _ => None,
-    }
-}
-
-/// Metadata of every stream of `shard` hosted by `backend`, ascending by
-/// stream id (the export side of the replica-rebuild seam: the survivor
-/// enumerates what a replacement must copy). `None` when unreachable.
-fn list_streams(backend: &dyn ShardBackend, shard: usize) -> Option<Vec<StreamInfoWire>> {
-    let shard = shard as u32;
-    match backend.call(Request::ListStreams { shard }) {
-        Ok(Response::StreamList(infos)) => Some(infos),
-        _ => None,
-    }
-}
-
-/// One page of a stream's raw encrypted chunks starting at `from_idx`,
-/// sized under the wire frame cap (the export side of the replica-rebuild
-/// seam). Empty when nothing is exportable at `from_idx`; `None` when the
-/// stream is missing or the backend unreachable.
-fn export_page(backend: &dyn ShardBackend, stream: u128, from_idx: u64) -> Option<Vec<Vec<u8>>> {
-    match backend.call(Request::ExportStream { stream, from_idx }) {
-        Ok(Response::StreamChunks { chunks, .. }) => Some(chunks),
-        _ => None,
-    }
-}
-
-/// Executes one per-stream sub-query with metrics. One latency sample and
-/// one `queries` increment per sub-query, so `Request::Stats` histogram
-/// totals and counters agree by construction.
-pub(crate) fn metered_stat(
-    engine: &TimeCryptServer,
-    m: &ShardMetrics,
-    sid: u128,
-    ts_s: i64,
-    ts_e: i64,
-) -> StreamStatResult {
-    let _span = trace::stage("engine.query");
-    let t = Instant::now();
-    let r = engine.stream_stat(sid, ts_s, ts_e);
-    m.query_latency.record(t.elapsed());
-    m.queries.fetch_add(1, Ordering::Relaxed);
-    if r.is_err() {
-        m.query_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    r
-}
-
-/// The in-process backend: a filtered engine over the coordinator's
-/// shared store.
-pub struct LocalShard {
-    engine: Arc<TimeCryptServer>,
-    readers: Arc<ReaderPool>,
-    metrics: Arc<ServiceMetrics>,
-    shard: usize,
-}
-
-impl LocalShard {
-    pub(crate) fn new(
-        engine: Arc<TimeCryptServer>,
-        readers: Arc<ReaderPool>,
-        metrics: Arc<ServiceMetrics>,
-        shard: usize,
-    ) -> Self {
-        LocalShard {
-            engine,
-            readers,
-            metrics,
-            shard,
-        }
-    }
-}
-
-impl ShardBackend for LocalShard {
-    fn call(&self, req: Request) -> Result<Response, ServerError> {
-        use timecrypt_wire::transport::Handler;
-        Ok(self.engine.handle(req))
-    }
-
-    /// The engine's read path takes no exclusive stream lock, so the
-    /// sub-queries of a large leg are independent: the leg is sliced
-    /// across the shared reader pool (the caller keeps the first slice
-    /// inline). Small legs (or a zero-reader pool) stay sequential — no
-    /// handoff cost.
-    fn stat_leg(
-        &self,
-        legs: &Leg,
-        ts_s: i64,
-        ts_e: i64,
-    ) -> Result<Vec<(usize, StreamStatResult)>, ServerError> {
-        let m = self.metrics.shard(self.shard);
-        // At most one offloaded slice per reader, and always ≥ 1 sub-query
-        // kept inline so the caller makes progress itself.
-        let offload_slices = self.readers.len().min(legs.len().saturating_sub(1));
-        if offload_slices == 0 {
-            return Ok(legs
-                .iter()
-                .map(|&(pos, sid)| (pos, metered_stat(&self.engine, m, sid, ts_s, ts_e)))
-                .collect());
-        }
-        let per = legs.len().div_ceil(offload_slices + 1);
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        let mut offloaded = 0usize;
-        // Reader threads are shared across requests: each slice carries
-        // the submitting request's trace context across the handoff.
-        let ctx = trace::current();
-        for slice in legs[per..].chunks(per) {
-            let engine = self.engine.clone();
-            let metrics = self.metrics.clone();
-            let shard = self.shard;
-            let slice: Vec<(usize, u128)> = slice.to_vec();
-            let reply = reply_tx.clone();
-            self.readers.exec(Box::new(move || {
-                let _trace = trace::set_current(ctx);
-                let m = metrics.shard(shard);
-                let out: Vec<(usize, StreamStatResult)> = slice
-                    .iter()
-                    .map(|&(pos, sid)| (pos, metered_stat(&engine, m, sid, ts_s, ts_e)))
-                    .collect();
-                // A dropped caller just means nobody wants the result.
-                let _ = reply.send(out);
-            }));
-            offloaded += 1;
-        }
-        drop(reply_tx);
-        let mut out: Vec<(usize, StreamStatResult)> = legs[..per]
-            .iter()
-            .map(|&(pos, sid)| (pos, metered_stat(&self.engine, m, sid, ts_s, ts_e)))
-            .collect();
-        for _ in 0..offloaded {
-            // A closed channel means a slice was lost to a reader panic; the
-            // affected positions fall through to the caller's "query leg
-            // lost" default instead of stranding anyone. Buffered results are
-            // still delivered before `recv` reports disconnection.
-            let Ok(slice) = reply_rx.recv() else { break };
-            out.extend(slice);
-        }
-        Ok(out)
-    }
-
-    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError> {
-        let m = self.metrics.shard(self.shard);
-        // Each stream's chunks go to the engine as one run (one
-        // ingest-lock acquisition and one coalesced index append instead
-        // of per-chunk lock/append/store cycles), stored from the input
-        // bytes. Panic containment is per stream run: a poisoned stream
-        // must not make chunks of *other* streams — possibly already
-        // durably committed by their own runs — report failure, or a
-        // replica mirror would skip writes the primary actually holds.
-        let t = std::time::Instant::now();
-        let mut verdicts: Vec<Option<Result<(), ServerError>>> = Vec::new();
-        verdicts.resize_with(chunks.len(), || None);
-        let mut order: Vec<u128> = Vec::new();
-        let mut groups: std::collections::HashMap<u128, (Vec<&[u8]>, Vec<usize>)> =
-            std::collections::HashMap::new();
-        for (pos, &bytes) in chunks.iter().enumerate() {
-            // The grouping key is peeked, not parsed: the engine's run
-            // performs the one full validation.
-            let Some(stream) = ChunkRef::peek_stream(bytes) else {
-                verdicts[pos] = Some(Err(ServerError::BadChunk));
-                continue;
-            };
-            let entry = groups.entry(stream).or_insert_with(|| {
-                order.push(stream);
-                (Vec::new(), Vec::new())
-            });
-            entry.0.push(bytes);
-            entry.1.push(pos);
-        }
-        for stream in order {
-            // `order` records each stream exactly once, when its group is created.
-            let Some((run, positions)) = groups.remove(&stream) else {
-                continue;
-            };
-            let run_verdicts = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.engine.insert_bytes_run(&run)
-            }))
-            .unwrap_or_else(|_| {
-                run.iter()
-                    .map(|_| Err(ServerError::Unavailable("shard engine panicked")))
-                    .collect()
-            });
-            for (pos, verdict) in positions.into_iter().zip(run_verdicts) {
-                verdicts[pos] = Some(verdict);
-            }
-        }
-        let verdicts: Vec<Result<(), ServerError>> = verdicts
-            .into_iter()
-            .map(|v| v.unwrap_or(Err(ServerError::Unavailable("chunk received no verdict"))))
-            .collect();
-        crate::ingest::record_run_metrics(m, t.elapsed(), &verdicts);
-        Ok(verdicts)
-    }
-
-    fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
-        Ok(ShardOccupancy::of(&self.engine))
-    }
-}
-
-/// A shard hosted by a `timecrypt-node` process, reached over TCP.
-pub struct RemoteShard {
-    pool: ClientPool,
-    metrics: Arc<ServiceMetrics>,
-    shard: usize,
-}
-
-impl RemoteShard {
-    pub(crate) fn new(
-        addr: String,
-        pool_cfg: PoolConfig,
-        metrics: Arc<ServiceMetrics>,
-        shard: usize,
-    ) -> Self {
-        RemoteShard {
-            pool: ClientPool::new(addr, pool_cfg),
-            metrics,
-            shard,
-        }
-    }
-}
-
-/// The trace context to stamp on the next outgoing request: a child of
-/// the caller's current context.
-fn trace_ctx() -> Option<TraceContext> {
-    trace::current().map(|c| c.child())
-}
-
-impl ShardBackend for RemoteShard {
-    fn call(&self, req: Request) -> Result<Response, ServerError> {
-        let _span = trace::stage("backend.exchange");
-        match self.pool.call_traced(trace_ctx(), &req) {
-            Ok(resp) => Ok(resp),
-            // `ClientPool::call` surfaces `Response::Error` as a client
-            // error; re-wrap it — the node answered, the transport is fine.
-            Err(timecrypt_wire::transport::ClientError::Server(msg)) => Ok(Response::Error(msg)),
-            Err(_) => Err(UNREACHABLE),
-        }
-    }
-
-    /// Pipelines the whole leg on one pooled connection: every sub-query
-    /// is sent before the first response is read, so the leg pays one
-    /// round-trip of latency, not one per stream. Streams whose window is
-    /// empty need their digest width (the empty/width distinction matters
-    /// to the merge fold), which the `Stat` reply cannot carry — a second
-    /// pipelined round of `StreamInfo` probes resolves those.
-    fn stat_leg(
-        &self,
-        legs: &Leg,
-        ts_s: i64,
-        ts_e: i64,
-    ) -> Result<Vec<(usize, StreamStatResult)>, ServerError> {
-        let _span = trace::stage("backend.exchange");
-        match self.try_stat_leg(legs, ts_s, ts_e, false) {
-            Ok(out) => Ok(out),
-            // The pooled connection was likely stale (node restarted
-            // underneath it); sub-queries are idempotent, so retry the
-            // whole leg once on a freshly dialed connection.
-            Err(_) => self.try_stat_leg(legs, ts_s, ts_e, true),
-        }
-    }
-
-    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError> {
-        let _span = trace::stage("backend.exchange");
-        let m = self.metrics.shard(self.shard);
-        let ctx = trace_ctx();
-        let t = Instant::now();
-        // Frame assembly is the one payload copy of this hop: each
-        // chunk's bytes are appended as received, straight into the
-        // connection's scratch buffer (no per-chunk `Vec<u8>`, no owned
-        // `Request`), whose capacity is reused across drains on the
-        // pooled connection.
-        let reply = self.pool.call_with(|buf| {
-            if let Some(ctx) = ctx {
-                timecrypt_wire::messages::encode_trace_prefix(ctx, buf);
-            }
-            let mut enc = timecrypt_wire::messages::BatchEncoder::begin(buf);
-            for c in chunks {
-                enc.append_with(c.len(), |out| out.extend_from_slice(c));
-            }
-            enc.finish();
-        });
-        let elapsed = t.elapsed();
-        let results: Vec<Result<(), ServerError>> = match reply {
-            Ok(Response::Batch { errors }) => {
-                let mut results: Vec<Result<(), ServerError>> =
-                    chunks.iter().map(|_| Ok(())).collect();
-                for (idx, msg) in errors {
-                    if let Some(slot) = results.get_mut(idx as usize) {
-                        *slot = Err(ServerError::Remote(msg));
-                    }
-                }
-                results
-            }
-            // The node answered, but not with a batch verdict: fail every
-            // chunk with the node's message (transport is still fine).
-            Ok(Response::Error(msg)) | Err(timecrypt_wire::transport::ClientError::Server(msg)) => {
-                chunks
-                    .iter()
-                    .map(|_| Err(ServerError::Remote(msg.clone())))
-                    .collect()
-            }
-            Ok(_) => chunks
-                .iter()
-                .map(|_| Err(ServerError::Unavailable("unexpected remote batch reply")))
-                .collect(),
-            Err(_) => return Err(UNREACHABLE),
-        };
-        crate::ingest::record_run_metrics(m, elapsed, &results);
-        Ok(results)
-    }
-
-    fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
-        match self.call(Request::Stats)? {
-            Response::ServiceStats(stats) => Ok(stats
-                .shards
-                .iter()
-                .find(|s| s.shard == self.shard as u32)
-                .map(|s| ShardOccupancy {
-                    streams: s.streams,
-                    resident_streams: s.resident_streams,
-                    hydrations: s.hydrations,
-                    evictions: s.evictions,
-                })
-                .unwrap_or_default()),
-            _ => Ok(ShardOccupancy::default()),
-        }
-    }
-
-    fn endpoint(&self) -> Option<&str> {
-        Some(self.pool.addr())
-    }
-}
-
-/// Maximum unanswered pipelined requests per connection. Requests are a
-/// few dozen bytes, so a count-bounded window keeps the request direction
-/// far below socket-buffer capacity while replies are drained
-/// concurrently — the property that makes the strict-FIFO pipeline
-/// deadlock-free even for legs of thousands of sub-queries (an unbounded
-/// send loop could fill both directions' buffers and wedge coordinator
-/// and node against each other).
-const PIPELINE_WINDOW: usize = 128;
-
-impl RemoteShard {
-    /// One pipelined leg attempt on one connection (pooled or fresh).
-    ///
-    /// Metrics are published only when the attempt completes: a discarded
-    /// attempt (stale connection, mid-leg failure) must not skew the
-    /// per-sub-query counter/histogram invariant when the leg is retried
-    /// or failed over.
-    fn try_stat_leg(
-        &self,
-        legs: &Leg,
-        ts_s: i64,
-        ts_e: i64,
-        fresh: bool,
-    ) -> Result<Vec<(usize, StreamStatResult)>, ServerError> {
-        let mut conn = if fresh {
-            self.pool.fresh()
-        } else {
-            self.pool.get()
-        }
-        .map_err(|_| UNREACHABLE)?;
-        let ctx = trace_ctx();
-        // The node renders a per-stream empty window as this exact string
-        // (both sides run the same code); it is the one app-level "error"
-        // that is *not* an error to the merge fold.
-        let empty_range = ServerError::EmptyRange.to_string();
-        let mut out: Vec<(usize, StreamStatResult)> = Vec::with_capacity(legs.len());
-        // Positions (into `out`) that need a follow-up width probe.
-        let mut width_probes: Vec<usize> = Vec::new();
-        // Per-sub-query send timestamps: FIFO pipelining means response i
-        // answers request i, so sampling recv-time − send-time gives each
-        // sub-query its true latency (timing only the recv wait would
-        // credit every reply behind the first with ~0 µs). Recorded on
-        // attempt success.
-        let mut send_times = Vec::with_capacity(legs.len());
-        let mut samples = Vec::with_capacity(legs.len());
-        let mut sent = 0usize;
-        while out.len() < legs.len() {
-            // Top the window up, then drain one response.
-            while sent < legs.len() && sent - out.len() < PIPELINE_WINDOW {
-                let (_, sid) = legs[sent];
-                send_times.push(Instant::now());
-                if conn
-                    .client()
-                    .send_traced(
-                        ctx,
-                        &Request::GetStatRange {
-                            streams: vec![sid],
-                            ts_s,
-                            ts_e,
-                        },
-                    )
-                    .is_err()
-                {
-                    conn.discard();
-                    return Err(UNREACHABLE);
-                }
-                sent += 1;
-            }
-            let resp = match conn.client().recv() {
-                Ok(r) => r,
-                Err(_) => {
-                    conn.discard();
-                    return Err(UNREACHABLE);
-                }
-            };
-            samples.push(send_times[out.len()].elapsed());
-            // Responses arrive in send order: this one answers `legs[out.len()]`.
-            let (pos, _) = legs[out.len()];
-            let result: StreamStatResult = match resp {
-                Response::Stat(s) => match (s.parts.as_slice(), s.agg) {
-                    ([(_, lo, hi)], agg) => Ok((agg.len() as u32, Some((*lo, *hi, agg)))),
-                    _ => Err(ServerError::Unavailable("malformed remote stat reply")),
-                },
-                Response::Error(msg) if msg == empty_range => {
-                    width_probes.push(out.len());
-                    // Placeholder until the width probe resolves.
-                    Ok((0, None))
-                }
-                Response::Error(msg) => Err(ServerError::Remote(msg)),
-                _ => Err(ServerError::Unavailable("unexpected remote stat reply")),
-            };
-            out.push((pos, result));
-        }
-        // Second pipelined round: width probes for empty-window streams,
-        // same window discipline.
-        let mut probes_sent = 0usize;
-        let mut probes_done = 0usize;
-        while probes_done < width_probes.len() {
-            while probes_sent < width_probes.len() && probes_sent - probes_done < PIPELINE_WINDOW {
-                // `out[i]` was produced from `legs[i]` (pushed in leg order).
-                let (_, sid) = legs[width_probes[probes_sent]];
-                if conn
-                    .client()
-                    .send_traced(ctx, &Request::StreamInfo { stream: sid })
-                    .is_err()
-                {
-                    conn.discard();
-                    return Err(UNREACHABLE);
-                }
-                probes_sent += 1;
-            }
-            let resp = match conn.client().recv() {
-                Ok(r) => r,
-                Err(_) => {
-                    conn.discard();
-                    return Err(UNREACHABLE);
-                }
-            };
-            out[width_probes[probes_done]].1 = match resp {
-                Response::Info(info) => Ok((info.digest_width, None)),
-                Response::Error(msg) => Err(ServerError::Remote(msg)),
-                _ => Err(ServerError::Unavailable("unexpected remote info reply")),
-            };
-            probes_done += 1;
-        }
-        // Attempt completed — publish its metrics: one latency sample and
-        // one `queries` tick per sub-query (histogram total == counter).
-        let m = self.metrics.shard(self.shard);
-        for d in samples {
-            m.query_latency.record(d);
-        }
-        m.queries.fetch_add(legs.len() as u64, Ordering::Relaxed);
-        let errors = out.iter().filter(|(_, r)| r.is_err()).count() as u64;
-        if errors > 0 {
-            m.query_errors.fetch_add(errors, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
-}
+use super::*;
 
 /// Backup replica health. Write mirroring is armed in *every* state —
 /// the replica must not miss writes while it catches up — but only an
@@ -1308,12 +669,35 @@ impl ShardReplicas {
 /// and writes racing the verify read.
 const REBUILD_MAX_PASSES: usize = 16;
 
-/// `ServerError` is not `Clone` (it can carry an `io::Error`); transport
-/// failures are always the static `Unavailable` case, which is.
-pub(crate) fn clone_unavailable(e: &ServerError) -> ServerError {
-    match e {
-        ServerError::Unavailable(what) => ServerError::Unavailable(what),
-        _ => UNREACHABLE,
+/// A stream's chunk count on `backend`, `None` when the stream does not
+/// exist there (or the backend is unreachable — the caller's pass retries
+/// either way).
+fn stream_len(backend: &dyn ShardBackend, stream: u128) -> Option<u64> {
+    match backend.call(Request::StreamInfo { stream }) {
+        Ok(Response::Info(info)) => Some(info.len),
+        _ => None,
+    }
+}
+
+/// Metadata of every stream of `shard` hosted by `backend`, ascending by
+/// stream id (the export side of the replica-rebuild seam: the survivor
+/// enumerates what a replacement must copy). `None` when unreachable.
+fn list_streams(backend: &dyn ShardBackend, shard: usize) -> Option<Vec<StreamInfoWire>> {
+    let shard = shard as u32;
+    match backend.call(Request::ListStreams { shard }) {
+        Ok(Response::StreamList(infos)) => Some(infos),
+        _ => None,
+    }
+}
+
+/// One page of a stream's raw encrypted chunks starting at `from_idx`,
+/// sized under the wire frame cap (the export side of the replica-rebuild
+/// seam). Empty when nothing is exportable at `from_idx`; `None` when the
+/// stream is missing or the backend unreachable.
+fn export_page(backend: &dyn ShardBackend, stream: u128, from_idx: u64) -> Option<Vec<Vec<u8>>> {
+    match backend.call(Request::ExportStream { stream, from_idx }) {
+        Ok(Response::StreamChunks { chunks, .. }) => Some(chunks),
+        _ => None,
     }
 }
 
