@@ -1,6 +1,15 @@
 //! The in-process backend.
 
-use super::*;
+use super::{Leg, ShardBackend, StreamStatResult};
+use crate::fanout::ReaderPool;
+use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+use timecrypt_chunk::serialize::ChunkRef;
+use timecrypt_obs::trace;
+use timecrypt_server::{ServerError, TimeCryptServer};
+use timecrypt_wire::messages::{Request, Response};
 
 /// Executes one per-stream sub-query with metrics. One latency sample and
 /// one `queries` increment per sub-query, so `Request::Stats` histogram

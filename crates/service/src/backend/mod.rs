@@ -3,11 +3,13 @@
 //! The [`crate::ShardRouter`] decides *which* shard owns a stream; a
 //! [`ShardBackend`] decides *where* that shard runs. Two implementations:
 //!
-//! * [`LocalShard`] — an in-process [`TimeCryptServer`] engine (the only
+//! * [`LocalShard`] — an in-process
+//!   [`TimeCryptServer`](timecrypt_server::TimeCryptServer) engine (the only
 //!   option before multi-node support; still the default).
 //! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
 //!   reached over the blocking TCP transport through a
-//!   [`ClientPool`] (reconnect-with-backoff). Scatter-gather legs are
+//!   [`ClientPool`](timecrypt_wire::pool::ClientPool)
+//!   (reconnect-with-backoff). Scatter-gather legs are
 //!   *pipelined*: a leg's per-stream sub-queries stream onto one
 //!   connection with up to `PIPELINE_WINDOW` requests in flight ahead of
 //!   the responses being drained — one round trip of latency per leg,
@@ -27,17 +29,18 @@
 //! `Display` is the node's message verbatim, so wire replies stay
 //! byte-identical between single-process and multi-node deployments.
 
-use crate::fanout::ReaderPool;
-use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-use timecrypt_chunk::serialize::ChunkRef;
-use timecrypt_obs::{trace, TraceContext};
-use timecrypt_server::{ServerError, StreamStat, TimeCryptServer};
-use timecrypt_wire::messages::{Request, Response, ServiceStatsWire, StreamInfoWire};
-use timecrypt_wire::pool::{ClientPool, PoolConfig};
+mod local;
+mod remote;
+mod replicas;
+
+pub(crate) use local::metered_stat;
+pub use local::LocalShard;
+pub use remote::RemoteShard;
+pub use replicas::ShardReplicas;
+
+use crate::metrics::ShardOccupancy;
+use timecrypt_server::{ServerError, StreamStat};
+use timecrypt_wire::messages::{Request, Response, ServiceStatsWire};
 
 /// One per-stream statistical sub-query outcome.
 pub(crate) type StreamStatResult = Result<StreamStat, ServerError>;
@@ -163,15 +166,6 @@ pub(crate) fn node_stats(backend: &dyn ShardBackend) -> Option<ServiceStatsWire>
         _ => None,
     }
 }
-
-mod local;
-mod remote;
-mod replicas;
-
-pub(crate) use local::metered_stat;
-pub use local::LocalShard;
-pub use remote::RemoteShard;
-pub use replicas::ShardReplicas;
 
 /// `ServerError` is not `Clone` (it can carry an `io::Error`); transport
 /// failures are always the static `Unavailable` case, which is.

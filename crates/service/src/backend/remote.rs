@@ -1,6 +1,14 @@
 //! The backend for a shard hosted by a `timecrypt-node` process.
 
-use super::*;
+use super::{Leg, ShardBackend, StreamStatResult, UNREACHABLE};
+use crate::metrics::{ServiceMetrics, ShardOccupancy};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+use timecrypt_obs::{trace, TraceContext};
+use timecrypt_server::ServerError;
+use timecrypt_wire::messages::{Request, Response};
+use timecrypt_wire::pool::{ClientPool, PoolConfig};
 
 /// A shard hosted by a `timecrypt-node` process, reached over TCP.
 pub struct RemoteShard {

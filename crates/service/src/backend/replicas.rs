@@ -1,6 +1,12 @@
 //! One shard's replica set: failover, promotion and rebuild.
 
-use super::*;
+use super::{clone_unavailable, Leg, ShardBackend, StreamStatResult, AMBIGUOUS, UNREACHABLE};
+use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
+use timecrypt_server::ServerError;
+use timecrypt_wire::messages::{Request, Response, StreamInfoWire};
 
 /// Backup replica health. Write mirroring is armed in *every* state —
 /// the replica must not miss writes while it catches up — but only an
@@ -707,7 +713,7 @@ mod tests {
     use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
     use timecrypt_core::StreamKeyMaterial;
     use timecrypt_crypto::{PrgKind, SecureRandom};
-    use timecrypt_server::ServerConfig;
+    use timecrypt_server::{ServerConfig, TimeCryptServer};
     use timecrypt_store::MemKv;
     use timecrypt_wire::transport::Handler;
 

@@ -233,7 +233,7 @@ impl ShardNode {
             Route::Shard(shard) => {
                 delegate(self.engines.get(&(shard as usize)).ok_or(NOT_HOSTED), req)
             }
-            Route::Fanout | Route::Service => match req {
+            Route::Service => match req {
                 // The coordinator pipelines scatter-gather legs as one
                 // single-stream GetStatRange per stream, but any
                 // multi-stream query whose streams are all hosted here

@@ -675,7 +675,7 @@ impl ShardedService {
                 None => Response::Error(ServerError::Unavailable("no such shard").to_string()),
             },
             // Multi-stream and service-level requests are handled here.
-            Route::Fanout | Route::Service => match req {
+            Route::Service => match req {
                 Request::GetStatRange {
                     streams,
                     ts_s,

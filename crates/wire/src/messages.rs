@@ -528,9 +528,8 @@ pub enum Route {
     /// which this crate does not parse — handlers read it from the
     /// borrowed view ([`RequestRef`]).
     Payload,
-    /// A multi-stream query, fanned out across the owning shards.
-    Fanout,
-    /// Answered by the serving tier itself, whatever it hosts.
+    /// Answered by the serving tier itself rather than one of its shards:
+    /// a multi-stream query it fans out, or a probe of the tier.
     Service,
 }
 
@@ -559,8 +558,7 @@ impl Request {
             Request::Insert { .. } | Request::InsertLive { .. } | Request::InsertBatch { .. } => {
                 Route::Payload
             }
-            Request::GetStatRange { .. } => Route::Fanout,
-            Request::Stats | Request::Ping => Route::Service,
+            Request::GetStatRange { .. } | Request::Stats | Request::Ping => Route::Service,
         }
     }
 
