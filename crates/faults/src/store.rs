@@ -118,6 +118,13 @@ impl<S: KvStore> KvStore for FaultyKv<S> {
             Some(_) => Err(injected_err()),
         }
     }
+
+    fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        match self.decide(OpKind::Scan, prefix) {
+            None => self.inner.scan_keys(prefix),
+            Some(_) => Err(injected_err()),
+        }
+    }
 }
 
 /// Convenience constructor used by tests/bench: a shared faulty wrapper

@@ -380,7 +380,7 @@ pub fn stored_chunk_count(kv: &dyn KvStore, stream: u128) -> Result<u64, IndexEr
 /// [`AggTree`] handle (its in-memory frontier dies with it).
 pub fn purge_stream(kv: &dyn KvStore, stream: u128) -> Result<(), IndexError> {
     for prefix in [leaf_prefix(stream), node_prefix(stream)] {
-        for (key, _) in kv.scan_prefix(&prefix)? {
+        for key in kv.scan_keys(&prefix)? {
             kv.delete(&key)?;
         }
     }
@@ -646,8 +646,10 @@ impl<D: HomDigest> AggTree<D> {
             // the cutoff iff (n+1)*span <= before_chunk.
             let full_nodes = before_chunk / span;
             for n in 0..full_nodes {
+                // Node keys have one length, so the exact key as a prefix
+                // probes for it without reading the node.
                 let key = node_key(self.stream, level, n);
-                if self.kv.get(&key)?.is_some() {
+                if !self.kv.scan_keys(&key)?.is_empty() {
                     self.kv.delete(&key)?;
                     // Per-node cache locking (one stripe per removal):
                     // concurrent readers only ever wait one removal, not

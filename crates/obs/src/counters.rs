@@ -7,7 +7,10 @@
 //! durable). Both are recorded here as process-wide atomics so the store
 //! and wire crates can bump them without a metrics registry dependency,
 //! and the `/metrics` exposition renders them as
-//! `timecrypt_timeouts_total` / `timecrypt_fsyncs_total`.
+//! `timecrypt_timeouts_total` / `timecrypt_fsyncs_total`. The log store's
+//! **footprint** (file length, live keys, index bytes, dead bytes) takes
+//! the same road as four gauges, `timecrypt_store_*`: last writer wins, so
+//! they describe the one `LogKv` a node process runs.
 //!
 //! Like `timecrypt_uptime_seconds`, these are per-process: a node reports
 //! its own fsyncs, a coordinator its own timeouts.
@@ -16,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static FSYNCS: AtomicU64 = AtomicU64::new(0);
+static STORE_FOOTPRINT: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
 
 /// Records one I/O deadline expiry (socket read/write timed out).
 pub fn timeout_recorded() {
@@ -25,6 +29,20 @@ pub fn timeout_recorded() {
 /// Total I/O deadline expiries observed by this process.
 pub fn timeouts_total() -> u64 {
     TIMEOUTS.load(Ordering::Relaxed)
+}
+
+/// Records the crash-safe log's footprint after a mutation, as
+/// `[log_bytes, live_keys, index_bytes, dead_bytes]`: file length, keys
+/// with a value, estimated index bytes, bytes a compaction would reclaim.
+pub fn store_footprint_recorded(footprint: [u64; 4]) {
+    for (i, v) in footprint.into_iter().enumerate() {
+        STORE_FOOTPRINT[i].store(v, Ordering::Relaxed);
+    }
+}
+
+/// The last recorded `[log_bytes, live_keys, index_bytes, dead_bytes]`.
+pub fn store_footprint() -> [u64; 4] {
+    [0, 1, 2, 3].map(|i| STORE_FOOTPRINT[i].load(Ordering::Relaxed))
 }
 
 /// Records one fsync system call issued by the crash-safe log.

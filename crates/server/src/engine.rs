@@ -525,7 +525,7 @@ impl TimeCryptServer {
         self.kv.delete(&attestation_key(stream))?;
         let mut chunks = b"c/".to_vec();
         chunks.extend_from_slice(&stream.to_be_bytes());
-        for (k, _) in self.kv.scan_prefix(&chunks)? {
+        for k in self.kv.scan_keys(&chunks)? {
             self.kv.delete(&k)?;
         }
         purge_stream(self.kv.as_ref(), stream)?;
@@ -1137,8 +1137,10 @@ impl TimeCryptServer {
         let hi = st.meta.chunk_end_at_or_before(ts_e).min(st.tree.len());
         let mut n = 0;
         for i in lo..hi {
+            // Chunk keys have one length, so the exact key as a prefix
+            // probes for it without reading the payload.
             let key = chunk_key(stream, i);
-            if self.kv.get(&key)?.is_some() {
+            if !self.kv.scan_keys(&key)?.is_empty() {
                 self.kv.delete(&key)?;
                 n += 1;
             }

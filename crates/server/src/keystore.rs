@@ -31,7 +31,7 @@ impl<'a> KeyStore<'a> {
     /// each carries its own scope inside the sealed bytes.
     pub fn put_grant(&self, stream: u128, principal: &str, blob: &[u8]) -> Result<(), StoreError> {
         let prefix = Self::grant_prefix(stream, principal);
-        let seq = self.kv.scan_prefix(&prefix)?.len() as u64;
+        let seq = self.kv.scan_keys(&prefix)?.len() as u64;
         let mut key = prefix;
         key.extend_from_slice(&seq.to_be_bytes());
         self.kv.put(&key, blob)
@@ -50,11 +50,9 @@ impl<'a> KeyStore<'a> {
     /// cryptographic revocation is the owner ceasing to extend tokens —
     /// already-downloaded old-data keys remain usable, §3.3).
     pub fn revoke_grants(&self, stream: u128, principal: &str) -> Result<usize, StoreError> {
-        let hits = self
-            .kv
-            .scan_prefix(&Self::grant_prefix(stream, principal))?;
+        let hits = self.kv.scan_keys(&Self::grant_prefix(stream, principal))?;
         let n = hits.len();
-        for (k, _) in hits {
+        for k in hits {
             self.kv.delete(&k)?;
         }
         Ok(n)
@@ -107,7 +105,7 @@ impl<'a> KeyStore<'a> {
         for prefix in [b"g/".as_slice(), b"e/".as_slice()] {
             let mut p = prefix.to_vec();
             p.extend_from_slice(&stream.to_be_bytes());
-            for (k, _) in self.kv.scan_prefix(&p)? {
+            for k in self.kv.scan_keys(&p)? {
                 self.kv.delete(&k)?;
             }
         }

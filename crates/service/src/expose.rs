@@ -295,6 +295,33 @@ pub fn render_stats(stats: &ServiceStatsWire) -> String {
         &[],
         timecrypt_obs::counters::fsyncs_total() as f64,
     );
+    // The log store's footprint; dead / log bytes is the share of the file
+    // a compaction would reclaim. All zero in a process without a `LogKv`.
+    let footprint = timecrypt_obs::counters::store_footprint();
+    for ((name, help), v) in [
+        (
+            "timecrypt_store_log_bytes",
+            "Length of the store's log file, buffered appends included.",
+        ),
+        (
+            "timecrypt_store_live_keys",
+            "Keys with a live value in the log store.",
+        ),
+        (
+            "timecrypt_store_index_bytes",
+            "Estimated resident bytes of the log store's key-to-location index.",
+        ),
+        (
+            "timecrypt_store_dead_bytes",
+            "Log bytes held by superseded, deleted and delete records.",
+        ),
+    ]
+    .into_iter()
+    .zip(footprint)
+    {
+        page.header(name, help, "gauge");
+        page.sample(name, &[], v as f64);
+    }
 
     page.finish()
 }
@@ -368,6 +395,10 @@ mod tests {
             "timecrypt_obs_dropped_events_total",
             "timecrypt_timeouts_total",
             "timecrypt_fsyncs_total",
+            "timecrypt_store_log_bytes",
+            "timecrypt_store_live_keys",
+            "timecrypt_store_index_bytes",
+            "timecrypt_store_dead_bytes",
         ] {
             assert!(
                 text.contains(&format!("# TYPE {name}")),

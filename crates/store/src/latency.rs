@@ -65,6 +65,11 @@ impl<S: KvStore> KvStore for LatencyKv<S> {
         self.tick();
         self.inner.scan_prefix(prefix)
     }
+
+    fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        self.tick();
+        self.inner.scan_keys(prefix)
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,10 @@
 //!
 //! * [`MemKv`] — sharded in-memory hash map (the fast path; what the
 //!   co-located Cassandra + row-cache deployment approximates),
-//! * [`LogKv`] — persistent append-only log with an in-memory index and
-//!   crash-recovery replay (durability),
+//! * [`LogKv`] — persistent append-only log with crash-recovery replay
+//!   (durability). Its in-memory index holds keys and record locations
+//!   only; the log file is the one copy of the values, read positionally
+//!   and re-validated on every read,
 //! * [`LatencyKv`] — a decorator injecting configurable per-operation
 //!   latency to model a remote storage tier (the DevOps deployment where
 //!   Cassandra runs on a separate machine).
@@ -23,7 +25,7 @@ pub mod mem;
 pub mod metered;
 
 pub use latency::LatencyKv;
-pub use log::{Durability, LogKv};
+pub use log::{Durability, LogKv, LogStats};
 pub use mem::MemKv;
 pub use metered::{MeteredKv, StoreCounters};
 
@@ -36,10 +38,11 @@ pub enum StoreError {
     Io(std::io::Error),
     /// Log file corrupt at recovery.
     Corrupt(&'static str),
-    /// Log file corrupt at recovery, with the byte offset of the damage.
-    /// Distinct from a torn tail (which is truncated and warned about):
-    /// this means valid data *follows* the damage, so resuming would
-    /// silently drop history.
+    /// Log file corrupt, with the byte offset of the damage. At recovery
+    /// it is distinct from a torn tail (which is truncated and warned
+    /// about): valid data *follows* the damage, so resuming would silently
+    /// drop history. On a read it is the offset of a live record that no
+    /// longer validates (bit rot since open).
     CorruptAt {
         /// What failed to validate.
         what: &'static str,
@@ -80,6 +83,16 @@ pub trait KvStore: Send + Sync {
     /// Returns all `(key, value)` pairs whose key starts with `prefix`,
     /// in unspecified order.
     fn scan_prefix(&self, prefix: &[u8]) -> Result<KvPairs, StoreError>;
+    /// The keys of [`scan_prefix`](Self::scan_prefix) without the values —
+    /// for callers that enumerate, count or probe. Engines answer it from
+    /// their key index; the default drops the values of a full scan.
+    fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        Ok(self
+            .scan_prefix(prefix)?
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect())
+    }
 }
 
 /// Shared handles delegate, so decorators can wrap an `Arc<dyn KvStore>`
@@ -96,6 +109,9 @@ impl<S: KvStore + ?Sized> KvStore for Arc<S> {
     }
     fn scan_prefix(&self, prefix: &[u8]) -> Result<KvPairs, StoreError> {
         (**self).scan_prefix(prefix)
+    }
+    fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        (**self).scan_keys(prefix)
     }
 }
 
@@ -142,6 +158,14 @@ pub(crate) mod conformance {
         assert_eq!(kv.scan_prefix(b"zzz").unwrap().len(), 0);
         // Empty prefix = everything.
         assert_eq!(kv.scan_prefix(b"").unwrap().len(), 4);
+        // `scan_keys` is `scan_prefix` without the values.
+        for prefix in [&b"s/1/"[..], b"s/", b"zzz", b""] {
+            let mut keys = kv.scan_keys(prefix).unwrap();
+            let mut pairs = kv.scan_prefix(prefix).unwrap();
+            keys.sort();
+            pairs.sort();
+            assert_eq!(keys, pairs.into_iter().map(|(k, _)| k).collect::<Vec<_>>());
+        }
     }
 
     pub fn binary_safety(kv: &dyn KvStore) {

@@ -3,6 +3,7 @@
 use crate::{KvStore, StoreError};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Number of shards; a small power of two balancing contention vs memory.
 const SHARDS: usize = 16;
@@ -48,6 +49,22 @@ impl MemKv {
         self.len() == 0
     }
 
+    /// `pick` of every entry whose key starts with `prefix`, shard by shard.
+    fn scan<T>(&self, prefix: &[u8], pick: impl Fn(&Vec<u8>, &Vec<u8>) -> T) -> Vec<T> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            let map = shard.read();
+            // Range from the prefix forward; stop at the first non-match.
+            let from = (Bound::Included(prefix), Bound::Unbounded);
+            let hits = map.range::<[u8], _>(from);
+            out.extend(
+                hits.take_while(|(k, _)| k.starts_with(prefix))
+                    .map(|(k, v)| pick(k, v)),
+            );
+        }
+        out
+    }
+
     /// Approximate total bytes held (keys + values) — used by the Table 2
     /// index-size accounting.
     pub fn approx_bytes(&self) -> usize {
@@ -79,18 +96,11 @@ impl KvStore for MemKv {
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read();
-            // Range from the prefix forward; stop at the first non-match.
-            for (k, v) in map.range(prefix.to_vec()..) {
-                if !k.starts_with(prefix) {
-                    break;
-                }
-                out.push((k.clone(), v.clone()));
-            }
-        }
-        Ok(out)
+        Ok(self.scan(prefix, |k, v| (k.clone(), v.clone())))
+    }
+
+    fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        Ok(self.scan(prefix, |k, _| k.clone()))
     }
 }
 

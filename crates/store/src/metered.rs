@@ -25,9 +25,9 @@ pub struct StoreCounters {
     pub puts: u64,
     /// `delete` calls.
     pub deletes: u64,
-    /// `scan_prefix` calls.
+    /// `scan_prefix` and `scan_keys` calls.
     pub scans: u64,
-    /// Total value bytes read by `get` hits.
+    /// Total value bytes returned by `get` hits and `scan_prefix`.
     pub bytes_read: u64,
     /// Total value bytes written by `put`.
     pub bytes_written: u64,
@@ -106,7 +106,16 @@ impl KvStore for MeteredKv {
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
         let _span = trace::stage("store.scan");
         self.scans.fetch_add(1, Ordering::Relaxed);
-        self.inner.scan_prefix(prefix)
+        let hits = self.inner.scan_prefix(prefix)?;
+        let bytes: usize = hits.iter().map(|(_, v)| v.len()).sum();
+        self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
+        Ok(hits)
+    }
+
+    fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        let _span = trace::stage("store.scan");
+        self.scans.fetch_add(1, Ordering::Relaxed);
+        self.inner.scan_keys(prefix)
     }
 }
 
@@ -132,9 +141,11 @@ mod tests {
         kv.get(b"k").unwrap();
         kv.get(b"missing").unwrap();
         kv.scan_prefix(b"").unwrap();
+        kv.scan_keys(b"").unwrap();
         kv.delete(b"k").unwrap();
         let c = kv.counters();
-        assert_eq!((c.gets, c.puts, c.deletes, c.scans), (2, 1, 1, 1));
-        assert_eq!((c.bytes_read, c.bytes_written), (5, 5));
+        assert_eq!((c.gets, c.puts, c.deletes, c.scans), (2, 1, 1, 2));
+        // One get hit and one value scan return the 5 bytes; the key scan none.
+        assert_eq!((c.bytes_read, c.bytes_written), (10, 5));
     }
 }

@@ -1,0 +1,119 @@
+//! Deterministic residency guard for the log store (ROADMAP item 6, aim
+//! 1(c): gate the counts that don't jitter), next to
+//! `write_amplification.rs`. `LogKv` keeps keys and record locations in
+//! RAM, never values: its index footprint must not depend on how large the
+//! stored values are, and callers that only enumerate keys must not pull a
+//! single value byte out of the log. Counts only — no RSS read.
+
+use std::path::PathBuf;
+use std::sync::Arc;
+use timecrypt::chunk::serialize::EncryptedChunk;
+use timecrypt::service::{ServiceConfig, ShardedService};
+use timecrypt::store::{LogKv, LogStats};
+use timecrypt::wire::messages::{Request, Response};
+use timecrypt::wire::transport::Handler;
+
+const WIDTH: usize = 4;
+
+fn tmp(name: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!(
+        "timecrypt-residency-{}-{name}.log",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&p);
+    p
+}
+
+/// A sealed chunk shaped like `points` points at 4 B each (the benchmark's
+/// 500-point chunks compress to ≈ 1.6 KB).
+fn chunk(stream: u128, index: u64, points: usize) -> EncryptedChunk {
+    EncryptedChunk {
+        stream,
+        index,
+        digest_ct: vec![index; WIDTH],
+        payload: vec![stream as u8; 4 * points],
+    }
+}
+
+fn service(log: &Arc<LogKv>) -> ShardedService {
+    let cfg = ServiceConfig {
+        shards: 2,
+        ..ServiceConfig::default()
+    };
+    ShardedService::open(log.clone(), cfg).unwrap()
+}
+
+/// 64 streams × 64 chunks, a batch holding one chunk of every stream, so
+/// every chunk rewrites its stream's length record exactly once.
+fn ingest(points: usize) -> LogStats {
+    const STREAMS: u128 = 64;
+    const CHUNKS: u64 = 64;
+    let path = tmp(&format!("ingest-{points}"));
+    let log = Arc::new(LogKv::open(&path).unwrap());
+    let svc = service(&log);
+    for stream in 0..STREAMS {
+        svc.create_stream(stream, 0, 10_000, WIDTH as u32).unwrap();
+    }
+    for index in 0..CHUNKS {
+        let batch = (0..STREAMS).map(|s| chunk(s, index, points)).collect();
+        assert!(svc.submit_batch(batch).iter().all(Result::is_ok));
+    }
+    drop(svc);
+    let stats = log.stats();
+    assert_eq!(stats.log_bytes, std::fs::metadata(&path).unwrap().len());
+    // The only records ever superseded are the length records: key
+    // `im/<stream>` (19 B), value 8 B, 10 B header, 4 B CRC — written per
+    // chunk, so all but the last of each stream are dead.
+    assert_eq!(
+        stats.dead_bytes,
+        STREAMS as u64 * (CHUNKS - 1) * (10 + 19 + 8 + 4),
+        "{points} points/chunk"
+    );
+    std::fs::remove_file(path).unwrap();
+    stats
+}
+
+#[test]
+fn index_footprint_is_independent_of_value_size() {
+    let (small, large) = (ingest(50), ingest(500));
+    assert_eq!(small.live_keys, large.live_keys);
+    assert_eq!(small.index_bytes, large.index_bytes);
+    assert_eq!(small.dead_bytes, large.dead_bytes);
+    // Ten times the points is several times the log, and the same index.
+    assert!(large.log_bytes > 4 * small.log_bytes, "{small:?} {large:?}");
+    assert!(large.index_bytes * 4 < large.log_bytes, "{large:?}");
+}
+
+#[test]
+fn deleting_a_stream_reads_no_value_bytes() {
+    const CHUNKS: u64 = 1000;
+    let path = tmp("delete");
+    let log = Arc::new(LogKv::open(&path).unwrap());
+    let svc = service(&log);
+    svc.create_stream(7, 0, 10_000, WIDTH as u32).unwrap();
+    for base in (0..CHUNKS).step_by(50) {
+        let batch = (base..base + 50).map(|i| chunk(7, i, 50)).collect();
+        assert!(svc.submit_batch(batch).iter().all(Result::is_ok));
+    }
+    let live = log.len();
+    assert!(live as u64 > 2 * CHUNKS, "payloads and level-0 records");
+    let before = svc.kv().counters();
+    assert!(matches!(
+        svc.handle(Request::DeleteStream { stream: 7 }),
+        Response::Ok
+    ));
+    let after = svc.kv().counters();
+    assert_eq!(log.len(), 0, "every record of the stream is gone");
+    assert_eq!(after.deletes - before.deletes, live as u64 + 1);
+    assert_eq!(
+        (
+            after.gets - before.gets,
+            after.bytes_read - before.bytes_read
+        ),
+        (0, 0),
+        "a delete enumerates keys; it must not fetch what it deletes"
+    );
+    drop(svc);
+    std::fs::remove_file(path).unwrap();
+}
