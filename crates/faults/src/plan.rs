@@ -54,9 +54,9 @@ impl DetRng {
 pub enum OpKind {
     /// `KvStore::get`.
     Get,
-    /// `KvStore::put`.
+    /// `KvStore::put`, and a `KvStore::write_batch` whose first op is a put.
     Put,
-    /// `KvStore::delete`.
+    /// `KvStore::delete`, and a `write_batch` whose first op is a delete.
     Delete,
     /// `KvStore::scan_prefix`.
     Scan,
@@ -72,8 +72,10 @@ pub enum StoreFault {
     Delay(Duration),
     /// For `put`: persist only a deterministic prefix of the value, then
     /// report failure. The caller never sees an ack; the store is left
-    /// holding a torn value — exactly the state a mid-write crash leaves.
-    /// Non-put ops treat this as [`StoreFault::Error`].
+    /// holding a torn value — exactly the state a mid-write crash leaves
+    /// behind a single-record writer. Every other op, `write_batch`
+    /// included, treats this as [`StoreFault::Error`]: a batch torn by a
+    /// crash is a batch recovery discards.
     TornWrite,
 }
 

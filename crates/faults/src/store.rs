@@ -9,7 +9,7 @@ use crate::plan::{FaultPlan, OpKind, StoreFault};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use timecrypt_store::{KvPairs, KvStore, StoreError};
+use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
 
 /// Fault-injecting store decorator. See the crate docs for the plan
 /// model; `set_plan` swaps the schedule at runtime (e.g. to go quiet
@@ -125,6 +125,23 @@ impl<S: KvStore> KvStore for FaultyKv<S> {
             Some(_) => Err(injected_err()),
         }
     }
+
+    /// One plan decision per batch, asked as the batch's first op (its kind
+    /// and key) — a batch is one op to the counter triggers too. Any fault
+    /// but a delay fails the batch with nothing applied, `TornWrite`
+    /// included: all or nothing is what a real engine keeps, so a torn
+    /// batch is an absent batch.
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        let fault = match ops.first() {
+            None => None,
+            Some(WriteOp::Put { key, .. }) => self.decide(OpKind::Put, key),
+            Some(WriteOp::Delete { key }) => self.decide(OpKind::Delete, key),
+        };
+        match fault {
+            None => self.inner.write_batch(ops),
+            Some(_) => Err(injected_err()),
+        }
+    }
 }
 
 /// Convenience constructor used by tests/bench: a shared faulty wrapper
@@ -193,6 +210,28 @@ mod tests {
         let torn = kv.inner().get(b"t/x").unwrap().unwrap_or_default();
         assert!(torn.len() < value.len(), "torn write kept the full value");
         assert!(value.starts_with(&torn));
+    }
+
+    #[test]
+    fn a_faulted_batch_applies_nothing_and_counts_as_one_op() {
+        let put = |key, value| WriteOp::Put { key, value };
+        let batch = [put(b"c/1", b"payload"), put(b"il/1", b"leaf")];
+        for fault in [StoreFault::Error, StoreFault::TornWrite] {
+            let plan = FaultPlan::quiet().with_store_rule(StoreRule {
+                op: Some(OpKind::Put),
+                key_prefix: b"c/".to_vec(),
+                when: Trigger::Nth(1),
+                fault,
+            });
+            let kv = FaultyKv::new(MemKv::new(), plan);
+            // Op 0 is asked as a delete of `c/0`, op 1 as a put of `c/1`.
+            kv.write_batch(&[WriteOp::Delete { key: b"c/0" }]).unwrap();
+            assert!(kv.write_batch(&batch).is_err());
+            assert!(kv.inner().scan_keys(b"").unwrap().is_empty());
+            assert_eq!((kv.ops_total(), kv.injected_total()), (2, 1));
+            kv.write_batch(&batch).unwrap();
+            assert_eq!(kv.inner().scan_keys(b"").unwrap().len(), 2);
+        }
     }
 
     #[test]

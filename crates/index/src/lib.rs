@@ -35,4 +35,4 @@ pub mod tree;
 
 pub use cache::LruCache;
 pub use digest::HomDigest;
-pub use tree::{purge_stream, stored_chunk_count, AggTree, IndexError, TreeConfig, TreeStats};
+pub use tree::{stored_chunk_count, stream_keys, AggTree, IndexError, TreeConfig, TreeStats};

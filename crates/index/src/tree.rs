@@ -9,28 +9,30 @@
 //! partially-covered edges — O(2(k−1)·log_k n) additions worst case, the
 //! bound quoted in §6.1.
 //!
-//! # Persistence: every node is written once
+//! # Persistence: two record kinds, each written once
 //!
 //! * `il/<stream>/<chunk>` — the **level-0 record** of one chunk: its
 //!   encoded digest, then the caller's opaque tag (the engine stores the
 //!   chunk's integrity commitment there; [`AggTree::append`] stores none).
+//!   The records are contiguous from chunk 0 and their count *is* the
+//!   stream's length; nothing else stores it ([`AggTree::open`] refuses a
+//!   gap as [`IndexError::CorruptNode`]).
 //! * `i/<stream>/<level><index>` — a **sealed** node: its k-th entry has
 //!   landed, so its bytes are final. Written once, when it seals.
-//! * `im/<stream>` — the published chunk count, rewritten by every append.
 //!
 //! Nodes that are not full yet — one per level, the *open right spine* —
 //! live only in memory (the `frontier`). They are a pure function of the
 //! level-0 records, so [`AggTree::open`] rebuilds them by replaying the
-//! first `len` leaves through the same ripple an append performs. An
-//! append thus costs one leaf record, the length record and amortised
-//! `1/k + 1/k² + …` sealed nodes, not a rewritten partial node per level.
+//! leaves through the same ripple an append performs. An append thus
+//! costs one leaf record and amortised `1/k + 1/k² + …` sealed nodes, not
+//! a rewritten partial node per level.
 //!
-//! An append that fails part-way leaves `im/`, `len` and the frontier
-//! untouched. What it did write (leaves at or past `len`, a sealed node
-//! covering unpublished chunks) is invisible — recovery ignores leaves
-//! past `len`, and readers find that position's still-open node in the
-//! frontier before they would look in the store — and the retry
-//! overwrites it, byte for byte if it carries the same digests.
+//! **Commit = one batch.** An append — one digest or a run — builds its
+//! level-0 records and the nodes it seals and hands them to the store,
+//! with whatever writes the caller wants committed alongside (the
+//! engine's chunk payloads), as one [`KvStore::write_batch`]: all of it or
+//! none of it, across failure and crash. A failed append therefore left
+//! nothing behind, in the store or in memory, and a retry is a first try.
 //!
 //! # Concurrency: shared readers, serialized writers
 //!
@@ -42,12 +44,11 @@
 //! frontier first, then the cache, then the store:
 //!
 //! * `append` works on a private copy of the frontier. Its **commit
-//!   point** comes after the leaf, sealed-node and `im/` writes all
-//!   succeeded: it swaps the new frontier in wholesale, then publishes
-//!   the new `len` with a `Release` store. A reader that observes
-//!   `len == n` therefore finds every node covering chunks `< n`: sealed
-//!   ones reached the store before the swap, open ones are in the
-//!   frontier it sees.
+//!   point** comes after the store batch succeeded: it swaps the new
+//!   frontier in wholesale, then publishes the new `len` with a `Release`
+//!   store. A reader that observes `len == n` therefore finds every node
+//!   covering chunks `< n`: sealed ones reached the store before the swap,
+//!   open ones are in the frontier it sees.
 //! * A reader whose `len` snapshot predates the commit may still be handed
 //!   post-commit nodes (the new frontier, or a node the append sealed).
 //!   It stays exact: every entry the append added or changed covers a
@@ -68,7 +69,7 @@ use crate::digest::HomDigest;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use timecrypt_store::{KvStore, StoreError};
+use timecrypt_store::{KvStore, StoreError, WriteOp};
 
 /// Tree parameters.
 #[derive(Debug, Clone)]
@@ -359,42 +360,51 @@ impl Drop for GenGuard<'_> {
     }
 }
 
-/// The chunk count persisted for `stream`, read straight from the index's
-/// meta record without building a tree handle (no record stored means an
-/// empty stream). This is exactly the length a fresh [`AggTree::open`]
-/// would recover — the cheap answer for callers that need a cold stream's
-/// published length without hydrating its state (lazy stream directories,
+/// The chunk count persisted for `stream` — the number of its level-0
+/// records, found by O(log n) exact-key probes that read no value —
+/// without building a tree handle. Exactly the length a fresh
+/// [`AggTree::open`] would recover: the cheap answer for callers that need
+/// a cold stream's length without hydrating it (stream directories,
 /// live-record staleness checks).
 pub fn stored_chunk_count(kv: &dyn KvStore, stream: u128) -> Result<u64, IndexError> {
-    match kv.get(&meta_key(stream))? {
-        Some(bytes) => match <[u8; 8]>::try_from(bytes.as_slice()) {
-            Ok(arr) => Ok(u64::from_le_bytes(arr)),
-            Err(_) => Err(IndexError::CorruptNode { level: 0, index: 0 }),
-        },
-        None => Ok(0),
+    // Contiguous from 0, so at least `n` leaves iff leaf `n - 1` exists; its
+    // exact key as a prefix probes for it. `lo` are present, `hi` too many.
+    let at_least = |n: u64| {
+        let hit = kv.scan_keys(&leaf_key(stream, n - 1))?;
+        Ok::<_, IndexError>(!hit.is_empty())
+    };
+    let (mut lo, mut hi) = (0, 1);
+    while at_least(hi)? {
+        (lo, hi) = (hi, hi.saturating_mul(2));
     }
-}
-
-/// Deletes every index record of `stream` — level-0 records, sealed nodes
-/// and the length record. The caller must have dropped the stream's
-/// [`AggTree`] handle (its in-memory frontier dies with it).
-pub fn purge_stream(kv: &dyn KvStore, stream: u128) -> Result<(), IndexError> {
-    for prefix in [leaf_prefix(stream), node_prefix(stream)] {
-        for key in kv.scan_keys(&prefix)? {
-            kv.delete(&key)?;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if at_least(mid)? {
+            lo = mid;
+        } else {
+            hi = mid;
         }
     }
-    Ok(kv.delete(&meta_key(stream))?)
+    Ok(lo)
+}
+
+/// The keys of `stream`'s index records, level-0 and sealed, for the caller
+/// to delete in one batch with the rest of the stream. It must have dropped
+/// the stream's [`AggTree`] handle (the in-memory frontier dies with it).
+pub fn stream_keys(kv: &dyn KvStore, stream: u128) -> Result<Vec<Vec<u8>>, IndexError> {
+    let mut keys = kv.scan_keys(&leaf_prefix(stream))?;
+    keys.extend(kv.scan_keys(&node_prefix(stream))?);
+    Ok(keys)
 }
 
 impl<D: HomDigest> AggTree<D> {
     /// Opens (or creates) the tree for `stream` on `kv`, recovering the
-    /// chunk count and the open spine from the store.
+    /// chunk count and the open spine from the level-0 records.
     pub fn open(kv: Arc<dyn KvStore>, stream: u128, cfg: TreeConfig) -> Result<Self, IndexError> {
         Self::open_with(kv, stream, cfg, |_, _| {})
     }
 
-    /// [`open`](Self::open) that also hands every published chunk's level-0
+    /// [`open`](Self::open) that also hands every chunk's level-0
     /// record to `visit` as `(digest, tag)`, in chunk order — the one
     /// replay of the leaves serves both the tree's frontier and whatever
     /// the caller derives from them (the engine's integrity ledger).
@@ -405,38 +415,30 @@ impl<D: HomDigest> AggTree<D> {
         mut visit: impl FnMut(D, &[u8]),
     ) -> Result<Self, IndexError> {
         assert!(cfg.arity >= 2, "arity must be at least 2");
-        let len = stored_chunk_count(kv.as_ref(), stream)?;
         let mut spine = Spine {
             open: Vec::new(),
             total: None,
         };
         let prefix = leaf_prefix(stream);
-        let mut leaves = match len {
-            0 => Vec::new(),
-            _ => kv.scan_prefix(&prefix)?,
-        };
+        let mut leaves = kv.scan_prefix(&prefix)?;
         leaves.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let leaf = |index: u64| -> Option<(D, &[u8])> {
-            let (key, value) = leaves.get(index as usize)?;
-            let in_place = key.strip_prefix(&prefix[..]) == Some(&index.to_be_bytes()[..]);
-            let (digest, used) = D::decode(value).filter(|_| in_place)?;
-            Some((digest, &value[used..]))
-        };
         let mut sealed = Vec::new();
-        // Exactly the first `len` leaves: any at or past `len` are debris
-        // of an append that never committed (a retry overwrites them).
-        for index in 0..len {
-            let (digest, tag) = leaf(index).ok_or(IndexError::CorruptNode { level: 0, index })?;
+        // Chunk `index` must sit at position `index`: a gap puts a key out of place.
+        for (index, (key, value)) in (0u64..).zip(&leaves) {
+            let in_place = key.strip_prefix(&prefix[..]) == Some(&index.to_be_bytes()[..]);
+            let (digest, used) = D::decode(value)
+                .filter(|_| in_place)
+                .ok_or(IndexError::CorruptNode { level: 0, index })?;
             spine.push(cfg.arity as u64, index, &digest, &mut sealed);
             sealed.clear();
-            visit(digest, tag);
+            visit(digest, &value[used..]);
         }
         let cache = NodeCache::new(cfg.cache_bytes);
         Ok(AggTree {
             kv,
             stream,
             cfg,
-            len: AtomicU64::new(len),
+            len: AtomicU64::new(leaves.len() as u64),
             write: Mutex::new(()),
             frontier: RwLock::new(spine),
             cache_gen: AtomicU64::new(0),
@@ -479,30 +481,32 @@ impl<D: HomDigest> AggTree<D> {
     }
 
     /// Appends a run of consecutive chunk digests (starting at the current
-    /// `len`): one level-0 record per chunk, every node the run fills, and
-    /// a single length record. The final store state is byte-identical to
-    /// sequential [`append`](Self::append)s (pinned by
+    /// `len`): one level-0 record per chunk and every node the run fills,
+    /// committed as one store batch. The final store state is
+    /// byte-identical to sequential [`append`](Self::append)s (pinned by
     /// `append_batch_matches_sequential_appends`). `len` is published once
     /// — readers observe either the pre-batch or the post-batch length,
     /// never a torn middle.
     ///
-    /// A store failure anywhere in the run leaves the tree exactly as it
-    /// was (see the module docs); the caller may simply retry.
+    /// A store failure leaves the tree and the store exactly as they were
+    /// (see the module docs); the caller may simply retry.
     pub fn append_batch(&self, digests: &[D]) -> Result<(), IndexError> {
-        self.append_tagged::<[u8; 0]>(digests, &[])
+        self.append_tagged::<[u8; 0]>(digests, &[], &[])
     }
 
     /// [`append_batch`](Self::append_batch) where chunk `i`'s level-0
     /// record also carries `tags[i]` — opaque bytes handed back by
-    /// [`open_with`](Self::open_with). `tags` holds one tag per digest, or
-    /// is empty for none.
+    /// [`open_with`](Self::open_with); one tag per digest, or none at all —
+    /// and the caller's `extra` writes commit in the same store batch as
+    /// the index records: they land if and only if the append does.
     pub fn append_tagged<T: AsRef<[u8]>>(
         &self,
         digests: &[D],
         tags: &[T],
+        extra: &[WriteOp<'_>],
     ) -> Result<(), IndexError> {
         assert!(tags.is_empty() || tags.len() == digests.len());
-        if digests.is_empty() {
+        if digests.is_empty() && extra.is_empty() {
             return Ok(());
         }
         let _write = self.write.lock();
@@ -510,22 +514,24 @@ impl<D: HomDigest> AggTree<D> {
         let base = self.len.load(Ordering::Relaxed);
         let mut spine = self.frontier.read().clone();
         let mut sealed = Vec::new();
-        let mut record = Vec::new();
+        let mut records = Vec::with_capacity(digests.len());
         for (off, digest) in digests.iter().enumerate() {
             let index = base + off as u64;
             spine.push(self.cfg.arity as u64, index, digest, &mut sealed);
-            record.clear();
+            let tag = tags.get(off).map_or(&[][..], AsRef::as_ref);
+            let mut record = Vec::with_capacity(digest.encoded_len() + tag.len());
             digest.encode(&mut record);
-            record.extend_from_slice(tags.get(off).map_or(&[][..], AsRef::as_ref));
-            self.kv.put(&leaf_key(self.stream, index), &record)?;
+            record.extend_from_slice(tag);
+            records.push((leaf_key(self.stream, index), record));
         }
         for ((level, index), node) in &sealed {
-            self.kv
-                .put(&node_key(self.stream, *level, *index), &node.encode())?;
+            records.push((node_key(self.stream, *level, *index), node.encode()));
         }
-        let new_len = base + digests.len() as u64;
-        self.kv
-            .put(&meta_key(self.stream), &new_len.to_le_bytes())?;
+        let puts = records
+            .iter()
+            .map(|(key, value)| WriteOp::Put { key, value });
+        let ops: Vec<_> = extra.iter().copied().chain(puts).collect();
+        self.kv.write_batch(&ops)?;
         // Commit point: everything the new length promises is in the store.
         for (key, node) in sealed {
             let weight = node.weight();
@@ -535,7 +541,8 @@ impl<D: HomDigest> AggTree<D> {
         let _old = std::mem::replace(&mut *self.frontier.write(), spine);
         // Publish last: a reader that observes the new length is
         // guaranteed (Release/Acquire) to see the swap above.
-        self.len.store(new_len, Ordering::Release);
+        self.len
+            .store(base + digests.len() as u64, Ordering::Release);
         Ok(())
     }
 
@@ -752,13 +759,6 @@ fn leaf_key(stream: u128, index: u64) -> Vec<u8> {
     key
 }
 
-fn meta_key(stream: u128) -> Vec<u8> {
-    let mut key = Vec::with_capacity(18);
-    key.extend_from_slice(b"im/");
-    key.extend_from_slice(&stream.to_be_bytes());
-    key
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,18 +962,18 @@ mod tests {
         assert!(s.stored_bytes > 500 * 16, "leaf digests dominate");
     }
 
-    /// A [`MemKv`] whose put number `fail_at` (counted from 1) fails.
+    /// A [`MemKv`] whose write number `fail_at` (counted from 1; a batch is
+    /// one write, applied whole or not at all) fails.
     #[derive(Default)]
     struct FailNthPut {
         inner: MemKv,
-        puts: AtomicU64,
+        writes: AtomicU64,
         fail_at: AtomicU64,
     }
 
     impl FailNthPut {
-        /// Makes the `nth` put from now fail.
         fn arm(&self, nth: u64) {
-            let now = self.puts.load(Ordering::Relaxed);
+            let now = self.writes.load(Ordering::Relaxed);
             self.fail_at.store(now + nth, Ordering::Relaxed);
         }
     }
@@ -983,17 +983,20 @@ mod tests {
             self.inner.get(key)
         }
         fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-            let n = self.puts.fetch_add(1, Ordering::Relaxed) + 1;
-            if n == self.fail_at.load(Ordering::Relaxed) {
-                return Err(StoreError::Corrupt("injected put failure"));
-            }
-            self.inner.put(key, value)
+            self.write_batch(&[WriteOp::Put { key, value }])
         }
         fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
             self.inner.delete(key)
         }
         fn scan_prefix(&self, prefix: &[u8]) -> Result<timecrypt_store::KvPairs, StoreError> {
             self.inner.scan_prefix(prefix)
+        }
+        fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+            let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
+            if n == self.fail_at.load(Ordering::Relaxed) {
+                return Err(StoreError::Corrupt("injected write failure"));
+            }
+            self.inner.write_batch(ops)
         }
     }
 
@@ -1024,40 +1027,42 @@ mod tests {
     }
 
     #[test]
-    fn failed_append_at_every_put_changes_nothing_and_retry_converges() {
-        // Arity 4 with 3 chunks in; the batch adds chunks 3..=16: it seals
+    fn failed_append_changes_nothing_and_retry_converges() {
+        // Arity 4 with 3 chunks in; the run adds chunks 3..=16: it seals
         // four level-1 nodes and level-2 node 0, and grows levels 2 and 3.
-        // 14 leaves + 5 sealed nodes + the length record = 20 puts.
+        // 14 leaves + 5 sealed nodes + the caller's extra write: one batch.
         let clean_kv = Arc::new(MemKv::new());
         fill(&open4(clean_kv.clone()), 17);
-        let batch: Vec<Vec<u64>> = (3..17).map(|i| vec![i, 1]).collect();
-        for nth in 1..=20 {
-            let kv = Arc::new(FailNthPut::default());
-            let t = open4(kv.clone());
-            fill(&t, 3);
-            let before = spine_bytes(&t);
-            kv.arm(nth);
-            match t.append_batch(&batch) {
-                Err(IndexError::Store(_)) => {}
-                other => panic!("put {nth}: expected the injected failure, got {other:?}"),
-            }
-            // Nothing published, the frontier untouched, and a fresh
-            // handle recovers the same tree.
-            assert_exhaustive(&t, 3);
-            assert_eq!(spine_bytes(&t), before, "put {nth}");
-            let reopened = open4(kv.clone());
-            assert_exhaustive(&reopened, 3);
-            assert_eq!(spine_bytes(&reopened), before, "put {nth}");
-            t.append_batch(&batch).unwrap();
-            assert_exhaustive(&t, 17);
-            assert_eq!(dump(kv.as_ref()), dump(clean_kv.as_ref()), "put {nth}");
-        }
+        clean_kv.put(b"extra", b"rides along").unwrap();
+        let run: Vec<Vec<u64>> = (3..17).map(|i| vec![i, 1]).collect();
+        let extra = [WriteOp::Put {
+            key: b"extra",
+            value: b"rides along",
+        }];
+        let append = |t: &AggTree<Vec<u64>>| t.append_tagged::<[u8; 0]>(&run, &[], &extra);
+
         let kv = Arc::new(FailNthPut::default());
         let t = open4(kv.clone());
         fill(&t, 3);
-        let before = kv.puts.load(Ordering::Relaxed);
-        t.append_batch(&batch).unwrap();
-        assert_eq!(kv.puts.load(Ordering::Relaxed) - before, 20);
+        let before = (dump(kv.as_ref()), spine_bytes(&t));
+        kv.arm(1);
+        match append(&t) {
+            Err(IndexError::Store(_)) => {}
+            other => panic!("expected the injected failure, got {other:?}"),
+        }
+        // Nothing stored, nothing published, the frontier untouched, and a
+        // fresh handle recovers the same tree.
+        assert_exhaustive(&t, 3);
+        assert_eq!((dump(kv.as_ref()), spine_bytes(&t)), before);
+        let reopened = open4(kv.clone());
+        assert_exhaustive(&reopened, 3);
+        assert_eq!(spine_bytes(&reopened), before.1);
+        let writes = kv.writes.load(Ordering::Relaxed);
+        append(&t).unwrap();
+        assert_eq!(kv.writes.load(Ordering::Relaxed) - writes, 1, "one commit");
+        assert_exhaustive(&t, 17);
+        assert_eq!(dump(kv.as_ref()), dump(clean_kv.as_ref()));
+        assert_eq!(dump(kv.as_ref()).len(), 17 + 4 + 1 + 1);
     }
 
     /// The bytes the parent commit stored for a full node: k entries, each
@@ -1104,22 +1109,42 @@ mod tests {
     }
 
     #[test]
-    fn uncommitted_leaves_are_ignored_on_reopen() {
-        // A crash after the leaf writes but before the length record: the
-        // reopened tree answers for the committed prefix only, and the
-        // next append overwrites the leftovers.
-        let kv = Arc::new(FailNthPut::default());
+    fn a_gap_in_the_leaves_fails_open_at_the_first_missing_index() {
+        // The leaves are the length: one that is missing cannot be told
+        // from the end of the stream by counting, so open must refuse it.
+        let kv = Arc::new(MemKv::new());
+        fill(&open4(kv.clone()), 9);
+        assert_eq!(stored_chunk_count(kv.as_ref(), 1).unwrap(), 9);
+        let leaf5 = kv.get(&leaf_key(1, 5)).unwrap().unwrap();
+        kv.delete(&leaf_key(1, 5)).unwrap();
+        kv.delete(&leaf_key(1, 7)).unwrap();
+        let cfg = TreeConfig::default();
+        match AggTree::<Vec<u64>>::open(kv.clone(), 1, cfg.clone()) {
+            Err(IndexError::CorruptNode { level: 0, index: 5 }) => {}
+            other => panic!(
+                "expected CorruptNode at leaf 5, got {:?}",
+                other.map(|t| t.len())
+            ),
+        }
+        // A leaf whose bytes do not decode is refused at its own index.
+        kv.put(&leaf_key(1, 5), &leaf5).unwrap();
+        kv.put(&leaf_key(1, 7), &[1, 2, 3]).unwrap();
+        assert!(matches!(
+            AggTree::<Vec<u64>>::open(kv, 1, cfg),
+            Err(IndexError::CorruptNode { level: 0, index: 7 })
+        ));
+    }
+
+    #[test]
+    fn stored_chunk_count_finds_every_length() {
+        // Every length around the doubling and bisection boundaries.
+        let kv = Arc::new(MemKv::new());
         let t = open4(kv.clone());
-        fill(&t, 6);
-        kv.arm(4); // leaves 6, 7 and sealed node (1, 1) land; `im/` does not
-        assert!(t.append_batch(&[vec![60, 1], vec![70, 1]]).is_err());
-        drop(t);
-        let t = open4(kv.clone());
-        assert_exhaustive(&t, 6);
-        t.append_batch(&[vec![6, 1], vec![7, 1], vec![8, 1]])
-            .unwrap();
-        assert_exhaustive(&t, 9);
-        assert_exhaustive(&open4(kv), 9);
+        for n in 0..=40u64 {
+            assert_eq!(stored_chunk_count(kv.as_ref(), 1).unwrap(), n);
+            assert_eq!(stored_chunk_count(kv.as_ref(), 2).unwrap(), 0);
+            t.append(vec![n, 1]).unwrap();
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! durable). Both are recorded here as process-wide atomics so the store
 //! and wire crates can bump them without a metrics registry dependency,
 //! and the `/metrics` exposition renders them as
-//! `timecrypt_timeouts_total` / `timecrypt_fsyncs_total`. The log store's
+//! `timecrypt_timeouts_total` / `timecrypt_fsyncs_total`; next to the
+//! fsyncs, `timecrypt_store_batches_total` counts the log's commits, so
+//! the two give fsyncs per commit. The log store's
 //! **footprint** (file length, live keys, index bytes, dead bytes) takes
 //! the same road as four gauges, `timecrypt_store_*`: last writer wins, so
 //! they describe the one `LogKv` a node process runs.
@@ -19,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static FSYNCS: AtomicU64 = AtomicU64::new(0);
+static BATCHES: AtomicU64 = AtomicU64::new(0);
 static STORE_FOOTPRINT: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
 
 /// Records one I/O deadline expiry (socket read/write timed out).
@@ -55,6 +58,18 @@ pub fn fsyncs_total() -> u64 {
     FSYNCS.load(Ordering::Relaxed)
 }
 
+/// Records one commit of the crash-safe log: a write batch, a single put
+/// or delete being a batch of one.
+pub fn store_batch_recorded() {
+    BATCHES.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Total log commits by this process; `fsyncs_total / store_batches_total`
+/// is the fsyncs a commit costs under group commit.
+pub fn store_batches_total() -> u64 {
+    BATCHES.load(Ordering::Relaxed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,6 +78,9 @@ mod tests {
     fn counters_are_monotonic() {
         let t0 = timeouts_total();
         let f0 = fsyncs_total();
+        let b0 = store_batches_total();
+        store_batch_recorded();
+        assert!(store_batches_total() > b0);
         timeout_recorded();
         fsync_recorded();
         fsync_recorded();

@@ -24,10 +24,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
-use timecrypt_index::{purge_stream, stored_chunk_count, AggTree, IndexError, TreeConfig};
+use timecrypt_index::{stored_chunk_count, stream_keys, AggTree, IndexError, TreeConfig};
 use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
 use timecrypt_obs::trace;
-use timecrypt_store::{KvStore, StoreError};
+use timecrypt_store::{KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
@@ -399,6 +399,11 @@ fn attestation_key(stream: u128) -> Vec<u8> {
     k
 }
 
+/// The batch that deletes `keys`.
+fn delete_all(keys: &[Vec<u8>]) -> Vec<WriteOp<'_>> {
+    keys.iter().map(|key| WriteOp::Delete { key }).collect()
+}
+
 impl TimeCryptServer {
     /// Opens the engine over a KV store, recovering all registered streams.
     pub fn open(kv: Arc<dyn KvStore>, cfg: ServerConfig) -> Result<Self, ServerError> {
@@ -509,7 +514,8 @@ impl TimeCryptServer {
         Ok(())
     }
 
-    /// Deletes a stream with all chunks, index nodes, and key-store entries.
+    /// Deletes a stream with all chunks, index records, and key-store
+    /// entries, in one store batch: a crash leaves the stream whole or gone.
     pub fn delete_stream(&self, stream: u128) -> Result<(), ServerError> {
         let dropped = {
             let mut reg = self.registry.lock();
@@ -521,15 +527,13 @@ impl TimeCryptServer {
             reg.remove_resident(stream)
         };
         drop(dropped);
-        self.kv.delete(&stream_meta_key(stream))?;
-        self.kv.delete(&attestation_key(stream))?;
         let mut chunks = b"c/".to_vec();
         chunks.extend_from_slice(&stream.to_be_bytes());
-        for k in self.kv.scan_keys(&chunks)? {
-            self.kv.delete(&k)?;
-        }
-        purge_stream(self.kv.as_ref(), stream)?;
-        KeyStore::new(self.kv.as_ref()).purge_stream(stream)?;
+        let mut keys = vec![stream_meta_key(stream), attestation_key(stream)];
+        keys.extend(self.kv.scan_keys(&chunks)?);
+        keys.extend(stream_keys(self.kv.as_ref(), stream)?);
+        keys.extend(KeyStore::new(self.kv.as_ref()).stream_keys(stream)?);
+        self.kv.write_batch(&delete_all(&keys))?;
         self.live.lock().remove(&stream);
         Ok(())
     }
@@ -737,8 +741,8 @@ impl TimeCryptServer {
 
     /// The stream's published chunk count without forcing hydration: a
     /// resident stream answers from its tree handle (refreshing its
-    /// recency), a cold one from the index's persisted meta record — one
-    /// point read instead of a full state replay.
+    /// recency), a cold one from the index's level-0 keys — a few key
+    /// probes instead of a full state replay.
     fn stream_len(&self, stream: u128) -> Result<u64, ServerError> {
         {
             let mut reg = self.registry.lock();
@@ -777,9 +781,10 @@ impl TimeCryptServer {
     /// chunk, without ever copying the payload through an intermediate
     /// `EncryptedChunk`. Unparseable entries report
     /// [`ServerError::BadChunk`] at their position. Each stream's chunks
-    /// form one run: one ingest-lock acquisition and one coalesced index
-    /// append (`AggTree::append_tagged`), whether the batch is a whole
-    /// drain of the service tier's ingest workers or a single chunk.
+    /// form one run: one ingest-lock acquisition and one store commit
+    /// (payloads and index records together, `AggTree::append_tagged`),
+    /// whether the batch is a whole drain of the service tier's ingest
+    /// workers or a single chunk.
     pub fn insert_bytes_run(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
         let mut out: Vec<Result<(), ServerError>> = Vec::with_capacity(chunks.len());
         // Per stream, in first-appearance order: its parsed chunks with
@@ -818,14 +823,14 @@ impl TimeCryptServer {
     /// One stream's ordered ingest run under a single ingest-lock
     /// acquisition. Per-chunk semantics are those of chunk-at-a-time
     /// ingest: width and next-index validation per chunk (a rejected
-    /// chunk does not advance the expected index), a payload write per
-    /// accepted chunk, then **one** index append for the accepted run
-    /// (it persists each chunk's `(commitment, digest)` as its level-0
-    /// record), ledger appends, and live-buffer cleanup. If
-    /// the index append fails — a store fault, not a validation outcome —
-    /// the first pending chunk reports the real error, the rest report
-    /// `Unavailable`, and nothing was published (`AggTree::append_batch`
-    /// is all-or-nothing).
+    /// chunk does not advance the expected index). The accepted chunks
+    /// then commit as **one** store batch — their payloads, their level-0
+    /// records (each chunk's `(commitment, digest)`) and the index nodes
+    /// they seal, through `AggTree::append_tagged` — followed by the
+    /// ledger appends and live-buffer cleanup. If the commit fails — a
+    /// store fault, not a validation outcome — nothing of the run was
+    /// stored or published: the first accepted chunk reports the real
+    /// error, the rest report `Unavailable`.
     fn insert_stream_run(
         &self,
         stream: u128,
@@ -846,8 +851,10 @@ impl TimeCryptServer {
         let _ingest = st.ingest.lock();
         let mut expected = st.tree.len();
         let mut verdicts: Vec<Option<ServerError>> = Vec::with_capacity(items.len());
-        // Input position, commitment, digest per accepted chunk, in run order.
+        // Input position, payload key, commitment, digest per accepted
+        // chunk, in run order.
         let mut accepted: Vec<usize> = Vec::new();
+        let mut keys: Vec<Vec<u8>> = Vec::new();
         let mut commitments: Vec<[u8; 32]> = Vec::new();
         let mut digests: Vec<Vec<u64>> = Vec::new();
         for (pos, (chunk, bytes)) in items.iter().enumerate() {
@@ -865,24 +872,26 @@ impl TimeCryptServer {
                 }));
                 continue;
             }
-            if let Err(e) = self.kv.put(&chunk_key(stream, chunk.index), bytes) {
-                // Mirrors a sequential insert dying before the index
-                // append: this chunk fails, `expected` does not advance,
-                // so later chunks of the run report out-of-order.
-                verdicts.push(Some(ServerError::Store(e)));
-                continue;
-            }
             accepted.push(pos);
+            keys.push(chunk_key(stream, chunk.index));
             commitments.push(chunk_commitment(bytes));
             digests.push(chunk.digest_ct.clone());
             verdicts.push(None);
             expected += 1;
         }
-        if let Err(e) = st.tree.append_tagged(&digests, &commitments) {
+        let payloads: Vec<WriteOp<'_>> = accepted
+            .iter()
+            .zip(&keys)
+            .map(|(&pos, key)| WriteOp::Put {
+                key,
+                value: items[pos].1,
+            })
+            .collect();
+        if let Err(e) = st.tree.append_tagged(&digests, &commitments, &payloads) {
             let mut first = Some(ServerError::from(e));
             for &pos in &accepted {
                 verdicts[pos] = Some(first.take().unwrap_or(ServerError::Unavailable(
-                    "batched index append failed for an earlier chunk of this run",
+                    "the store commit failed for an earlier chunk of this run",
                 )));
             }
         } else if !accepted.is_empty() {
@@ -920,7 +929,7 @@ impl TimeCryptServer {
     /// server.
     pub fn insert_live(&self, record: &SealedRecord) -> Result<(), ServerError> {
         // Staleness check against the published chunk count — answered
-        // from the resident tree or the persisted index meta, never by
+        // from the resident tree or the index's level-0 keys, never by
         // forcing a hydration (live records are the hot real-time path).
         let next = self.stream_len(record.stream)?;
         if record.chunk < next {
@@ -1127,25 +1136,23 @@ impl TimeCryptServer {
         )
     }
 
-    /// Deletes raw chunk payloads in `[ts_s, ts_e)` while keeping digests in
-    /// the index (Table 1 (7): "while maintaining per-chunk digest").
+    /// Deletes raw chunk payloads in `[ts_s, ts_e)`, as one store batch,
+    /// while keeping digests in the index (Table 1 (7): "while maintaining
+    /// per-chunk digest").
     pub fn delete_range(&self, stream: u128, ts_s: i64, ts_e: i64) -> Result<usize, ServerError> {
         let st = self.stream(stream)?;
         // Deletion is a writer: keep it serialized with inserts/rollups.
         let _ingest = st.ingest.lock();
         let lo = st.meta.first_chunk_at_or_after(ts_s);
         let hi = st.meta.chunk_end_at_or_before(ts_e).min(st.tree.len());
-        let mut n = 0;
+        let mut keys = Vec::new();
         for i in lo..hi {
             // Chunk keys have one length, so the exact key as a prefix
             // probes for it without reading the payload.
-            let key = chunk_key(stream, i);
-            if !self.kv.scan_keys(&key)?.is_empty() {
-                self.kv.delete(&key)?;
-                n += 1;
-            }
+            keys.extend(self.kv.scan_keys(&chunk_key(stream, i))?);
         }
-        Ok(n)
+        self.kv.write_batch(&delete_all(&keys))?;
+        Ok(keys.len())
     }
 
     /// Data decay: ages out index levels below `keep_level` for chunks
@@ -1209,7 +1216,7 @@ impl TimeCryptServer {
     }
 
     /// Stream metadata. Non-hydrating: directory entry plus the published
-    /// chunk count (resident tree or persisted index meta).
+    /// chunk count (resident tree or the index's level-0 keys).
     pub fn stream_info(&self, stream: u128) -> Result<StreamInfoWire, ServerError> {
         let meta = self.stream_meta(stream)?;
         let len = self.stream_len(stream)?;

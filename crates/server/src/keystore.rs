@@ -100,16 +100,16 @@ impl<'a> KeyStore<'a> {
         Ok(out)
     }
 
-    /// Deletes everything key-store-related for a stream (stream deletion).
-    pub fn purge_stream(&self, stream: u128) -> Result<(), StoreError> {
+    /// The key of everything key-store-related for a stream, for the
+    /// stream deletion's one batch.
+    pub fn stream_keys(&self, stream: u128) -> Result<Vec<Vec<u8>>, StoreError> {
+        let mut keys = Vec::new();
         for prefix in [b"g/".as_slice(), b"e/".as_slice()] {
             let mut p = prefix.to_vec();
             p.extend_from_slice(&stream.to_be_bytes());
-            for k in self.kv.scan_keys(&p)? {
-                self.kv.delete(&k)?;
-            }
+            keys.extend(self.kv.scan_keys(&p)?);
         }
-        Ok(())
+        Ok(keys)
     }
 }
 
@@ -157,13 +157,15 @@ mod tests {
     }
 
     #[test]
-    fn purge_removes_stream_material() {
+    fn stream_keys_cover_one_streams_material() {
         let kv = MemKv::new();
         let ks = KeyStore::new(&kv);
         ks.put_grant(1, "alice", b"g0").unwrap();
         ks.put_envelopes(1, 6, &[(0, vec![1])]).unwrap();
         ks.put_grant(2, "alice", b"other").unwrap();
-        ks.purge_stream(1).unwrap();
+        for key in ks.stream_keys(1).unwrap() {
+            kv.delete(&key).unwrap();
+        }
         assert!(ks.get_grants(1, "alice").unwrap().is_empty());
         assert!(ks.get_envelopes(1, 6, 0, 10).unwrap().is_empty());
         assert_eq!(ks.get_grants(2, "alice").unwrap().len(), 1);

@@ -1,6 +1,7 @@
-//! Engine-level checks of the write-once index persistence: a store fault
-//! inside a run publishes nothing and a retry converges on the clean
-//! history; `delete_stream` leaves no index residue (stored or resident);
+//! Engine-level checks of the write-once index persistence: a run is one
+//! store commit, so a store fault fails it whole — nothing stored, nothing
+//! published — and a retry converges on the clean history; a cold stream's
+//! length comes from key probes alone; `delete_stream` leaves no index residue (stored or resident);
 //! rollup keeps its contract on sealed nodes across a rehydration.
 //! Arity 4, so short histories cross seal and growth boundaries.
 
@@ -10,7 +11,7 @@ use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::{PrgKind, SecureRandom};
 use timecrypt_server::{ServerConfig, ServerError, TimeCryptServer};
-use timecrypt_store::{KvPairs, KvStore, MemKv, StoreError};
+use timecrypt_store::{KvPairs, KvStore, LogKv, MemKv, MeteredKv, StoreError, WriteOp};
 
 const DELTA_MS: u64 = 10_000;
 
@@ -75,11 +76,12 @@ fn dump(kv: &dyn KvStore) -> KvPairs {
     all
 }
 
-/// A [`MemKv`] whose put number `fail_at` (counted from 1) fails.
+/// A [`MemKv`] whose write number `fail_at` (counted from 1; a batch is
+/// one write, applied whole or not at all) fails.
 #[derive(Default)]
 struct FailNthPut {
     inner: MemKv,
-    puts: AtomicU64,
+    writes: AtomicU64,
     fail_at: AtomicU64,
 }
 
@@ -88,11 +90,7 @@ impl KvStore for FailNthPut {
         self.inner.get(key)
     }
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let n = self.puts.fetch_add(1, Ordering::Relaxed) + 1;
-        if n == self.fail_at.load(Ordering::Relaxed) {
-            return Err(StoreError::Corrupt("injected put failure"));
-        }
-        self.inner.put(key, value)
+        self.write_batch(&[WriteOp::Put { key, value }])
     }
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
         self.inner.delete(key)
@@ -100,41 +98,82 @@ impl KvStore for FailNthPut {
     fn scan_prefix(&self, prefix: &[u8]) -> Result<KvPairs, StoreError> {
         self.inner.scan_prefix(prefix)
     }
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
+        if n == self.fail_at.load(Ordering::Relaxed) {
+            return Err(StoreError::Corrupt("injected write failure"));
+        }
+        self.inner.write_batch(ops)
+    }
 }
 
 #[test]
-fn store_fault_inside_the_index_append_publishes_nothing_and_retry_converges() {
+fn store_fault_fails_the_run_whole_and_retry_converges() {
     let clean_kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
     let clean = engine(clean_kv.clone(), &[1]);
     assert!(all_ok(insert_run(&clean, 1, 0..9)));
     let want = all_stats(&clean, 1, 9);
-    // Chunks 3..9 on top of 0..3: six payload puts, then the index append
-    // (6 level-0 records, sealed nodes (1,0) and (1,1), the length record).
-    // Fail each of the append's 9 puts in turn.
-    for nth in 7..=15 {
-        let kv = Arc::new(FailNthPut::default());
-        let server = engine(kv.clone(), &[1]);
-        assert!(all_ok(insert_run(&server, 1, 0..3)));
-        let before = all_stats(&server, 1, 3);
-        kv.fail_at
-            .store(kv.puts.load(Ordering::Relaxed) + nth, Ordering::Relaxed);
-        let verdicts = insert_run(&server, 1, 3..9);
-        assert!(
-            matches!(verdicts[0], Err(ServerError::Index(_))),
-            "put {nth}"
-        );
-        assert!(verdicts[1..]
-            .iter()
-            .all(|v| matches!(v, Err(ServerError::Unavailable(_)))));
-        // Nothing published — resident or after a cold rehydration.
-        assert_eq!(server.stream_info(1).unwrap().len, 3);
-        assert_eq!(all_stats(&server, 1, 3), before);
-        server.evict_idle_streams();
-        assert_eq!(all_stats(&server, 1, 3), before);
-        assert!(all_ok(insert_run(&server, 1, 3..9)), "retry");
-        assert_eq!(all_stats(&server, 1, 9), want, "put {nth}");
-        assert_eq!(dump(kv.as_ref()), dump(clean_kv.as_ref()), "put {nth}");
+    // Chunks 3..9 on top of 0..3 are one commit: six payloads, six level-0
+    // records, sealed nodes (1,0) and (1,1). Fail it.
+    let kv = Arc::new(FailNthPut::default());
+    let server = engine(kv.clone(), &[1]);
+    assert!(all_ok(insert_run(&server, 1, 0..3)));
+    let before = (all_stats(&server, 1, 3), dump(kv.as_ref()));
+    let writes = kv.writes.load(Ordering::Relaxed);
+    kv.fail_at.store(writes + 1, Ordering::Relaxed);
+    let verdicts = insert_run(&server, 1, 3..9);
+    assert!(matches!(verdicts[0], Err(ServerError::Index(_))));
+    assert!(verdicts[1..]
+        .iter()
+        .all(|v| matches!(v, Err(ServerError::Unavailable(_)))));
+    assert_eq!(kv.writes.load(Ordering::Relaxed), writes + 1, "one commit");
+    // Nothing stored, nothing published — resident or after a cold
+    // rehydration.
+    assert_eq!(dump(kv.as_ref()), before.1);
+    assert_eq!(server.stream_info(1).unwrap().len, 3);
+    assert_eq!(all_stats(&server, 1, 3), before.0);
+    server.evict_idle_streams();
+    assert_eq!(server.stream_info(1).unwrap().len, 3);
+    assert_eq!(all_stats(&server, 1, 3), before.0);
+    assert!(all_ok(insert_run(&server, 1, 3..9)), "retry");
+    assert_eq!(all_stats(&server, 1, 9), want);
+    assert_eq!(dump(kv.as_ref()), dump(clean_kv.as_ref()));
+}
+
+#[test]
+fn cold_stream_length_is_a_few_key_probes() {
+    const CHUNKS: u64 = 5_000;
+    let path = std::env::temp_dir().join(format!("tc-cold-len-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let metered = Arc::new(MeteredKv::new(Arc::new(LogKv::open(&path).unwrap())));
+    let server = engine(metered.clone(), &[1]);
+    let chunk = |index| timecrypt_chunk::serialize::EncryptedChunk {
+        stream: 1,
+        index,
+        digest_ct: vec![index, 1],
+        payload: vec![7; 40],
+    };
+    for base in (0..CHUNKS).step_by(500) {
+        let bytes: Vec<Vec<u8>> = (base..base + 500).map(|i| chunk(i).to_bytes()).collect();
+        let views: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+        assert!(all_ok(server.insert_bytes_run(&views)));
     }
+    assert_eq!(server.evict_idle_streams(), 1);
+    let before = metered.counters();
+    assert_eq!(server.stream_info(1).unwrap().len, CHUNKS);
+    let after = metered.counters();
+    assert_eq!(server.residency().resident, 0, "the length did not hydrate");
+    assert_eq!(
+        (
+            after.gets - before.gets,
+            after.bytes_read - before.bytes_read
+        ),
+        (0, 0)
+    );
+    let calls = after.scans - before.scans;
+    assert!(calls <= 30, "{calls} store calls for one length");
+    drop(server);
+    std::fs::remove_file(path).unwrap();
 }
 
 #[test]
@@ -149,7 +188,7 @@ fn delete_stream_leaves_no_index_residue() {
     assert!(all_ok(insert_run(&server, 1, 0..22)));
     assert!(all_ok(insert_run(&server, 2, 0..7)));
     server.delete_stream(1).unwrap();
-    // Payloads, level-0 records, sealed nodes, length record: all gone.
+    // Payloads, level-0 records, sealed nodes: all gone.
     assert_eq!(dump(kv.as_ref()), only_stream_2);
     // No resident frontier either: the recreated stream starts empty and
     // answers for its new history only.

@@ -295,6 +295,17 @@ pub fn render_stats(stats: &ServiceStatsWire) -> String {
         &[],
         timecrypt_obs::counters::fsyncs_total() as f64,
     );
+    page.header(
+        "timecrypt_store_batches_total",
+        "Log store commits (write batches; a lone put or delete is a batch of one). \
+         fsyncs over batches is the fsyncs a commit costs.",
+        "counter",
+    );
+    page.sample(
+        "timecrypt_store_batches_total",
+        &[],
+        timecrypt_obs::counters::store_batches_total() as f64,
+    );
     // The log store's footprint; dead / log bytes is the share of the file
     // a compaction would reclaim. All zero in a process without a `LogKv`.
     let footprint = timecrypt_obs::counters::store_footprint();
@@ -395,6 +406,7 @@ mod tests {
             "timecrypt_obs_dropped_events_total",
             "timecrypt_timeouts_total",
             "timecrypt_fsyncs_total",
+            "timecrypt_store_batches_total",
             "timecrypt_store_log_bytes",
             "timecrypt_store_live_keys",
             "timecrypt_store_index_bytes",

@@ -722,7 +722,7 @@ mod tests {
     use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
     use timecrypt_core::StreamKeyMaterial;
     use timecrypt_crypto::{PrgKind, SecureRandom};
-    use timecrypt_store::MemKv;
+    use timecrypt_store::{KvPairs, KvStore, MemKv, StoreError, WriteOp};
     use timecrypt_wire::transport::Server;
 
     fn service(shards: usize) -> ShardedService {
@@ -776,22 +776,49 @@ mod tests {
     #[test]
     fn submit_batch_reaches_each_shard_as_one_run() {
         // One job per (batch, shard): a stream's 40 chunks in one batch
-        // are one engine run, so the index writes its length record once —
-        // never cut in two by the worker's greedy drain. Per batch: 40
-        // payloads + 40 level-0 records + 1 length record; per 64 chunks
-        // one sealed index node.
-        let svc = service(2);
+        // are one engine run and so one store commit — never cut in two by
+        // the worker's greedy drain. Per run: 40 payloads + 40 level-0
+        // records + the index nodes it seals (one per 64 chunks).
+        #[derive(Default)]
+        struct BatchSizes(MemKv, parking_lot::Mutex<Vec<usize>>);
+        impl KvStore for BatchSizes {
+            fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+                self.0.get(key)
+            }
+            fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+                self.0.put(key, value)
+            }
+            fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+                self.0.delete(key)
+            }
+            fn scan_prefix(&self, prefix: &[u8]) -> Result<KvPairs, StoreError> {
+                self.0.scan_prefix(prefix)
+            }
+            fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+                self.1.lock().push(ops.len());
+                self.0.write_batch(ops)
+            }
+        }
+        let store = Arc::new(BatchSizes::default());
+        let cfg = ServiceConfig {
+            shards: 2,
+            ..ServiceConfig::default()
+        };
+        let svc = ShardedService::open(store.clone(), cfg).unwrap();
         svc.create_stream(1, 0, 10_000, 2).unwrap();
         let before = svc.kv().counters().puts;
+        let mut want = Vec::new();
         for repeat in 0..20u64 {
             let batch = (0..40).map(|i| sealed_chunk(1, repeat * 40 + i, 1));
             assert!(svc.submit_batch(batch.collect()).iter().all(Result::is_ok));
+            let seals = (repeat + 1) * 40 / 64 - repeat * 40 / 64;
+            want.push(80 + seals as usize);
         }
-        let sealed_nodes = 20 * 40 / 64;
+        assert_eq!(*store.1.lock(), want, "a run is exactly one store batch");
+        // The service's meter counts the batches' ops as the puts they are.
         assert_eq!(
             svc.kv().counters().puts - before,
-            20 * 81 + sealed_nodes,
-            "a batch was split into more than one index append"
+            want.iter().sum::<usize>() as u64
         );
     }
 

@@ -5,7 +5,7 @@
 //! any [`KvStore`] and sleeps a configurable duration per operation. Used by
 //! the end-to-end benchmarks to separate engine cost from storage-tier cost.
 
-use crate::{KvStore, StoreError};
+use crate::{KvStore, StoreError, WriteOp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -18,7 +18,8 @@ pub struct LatencyKv<S> {
 }
 
 impl<S: KvStore> LatencyKv<S> {
-    /// Wraps `inner`, sleeping `latency` on every get/put/delete/scan.
+    /// Wraps `inner`, sleeping `latency` on every get/put/delete/scan and
+    /// once per write batch.
     pub fn new(inner: S, latency: Duration) -> Self {
         LatencyKv {
             inner,
@@ -70,6 +71,13 @@ impl<S: KvStore> KvStore for LatencyKv<S> {
         self.tick();
         self.inner.scan_keys(prefix)
     }
+
+    /// One latency for the whole batch: it travels to the remote tier as
+    /// one request.
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        self.tick();
+        self.inner.write_batch(ops)
+    }
 }
 
 #[cfg(test)]
@@ -87,6 +95,7 @@ mod tests {
         conformance::prefix_scan(&fresh());
         conformance::binary_safety(&fresh());
         conformance::empty_value(&fresh());
+        conformance::write_batch(&fresh());
     }
 
     #[test]
@@ -97,6 +106,9 @@ mod tests {
         kv.delete(b"a").unwrap();
         kv.scan_prefix(b"").unwrap();
         assert_eq!(kv.op_count(), 4);
+        let put = |key, value| WriteOp::Put { key, value };
+        kv.write_batch(&[put(b"a", b"1"), put(b"b", b"2")]).unwrap();
+        assert_eq!(kv.op_count(), 5, "a batch is one round trip");
     }
 
     #[test]

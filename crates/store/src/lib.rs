@@ -15,6 +15,11 @@
 //!   latency to model a remote storage tier (the DevOps deployment where
 //!   Cassandra runs on a separate machine).
 //!
+//! Writes that belong together go through [`KvStore::write_batch`]: one
+//! failure-atomic commit (one log append, one fsync wait in [`LogKv`]; one
+//! round trip behind [`LatencyKv`]). The index and the engine commit a
+//! stream's whole ingest run, and a whole stream deletion, that way.
+//!
 //! Keys are arbitrary byte strings; TimeCrypt computes chunk/index-node keys
 //! on the fly from `(stream id, temporal range)` without storing references
 //! (§4.6 "storage model").
@@ -71,8 +76,26 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// Minimal key-value interface the server engine needs: point get/put/delete
-/// plus a prefix scan for stream enumeration and range deletion.
+/// One operation of a [`KvStore::write_batch`], borrowing its key and value.
+#[derive(Clone, Copy, Debug)]
+pub enum WriteOp<'a> {
+    /// Store `value` under `key`, as [`KvStore::put`] does.
+    Put {
+        /// The key.
+        key: &'a [u8],
+        /// Its new value.
+        value: &'a [u8],
+    },
+    /// Remove `key`, as [`KvStore::delete`] does.
+    Delete {
+        /// The key.
+        key: &'a [u8],
+    },
+}
+
+/// Minimal key-value interface the server engine needs: point get/put/delete,
+/// an atomic batch of those writes, plus a prefix scan for stream enumeration
+/// and range deletion.
 pub trait KvStore: Send + Sync {
     /// Fetches the value stored under `key`.
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError>;
@@ -92,6 +115,28 @@ pub trait KvStore: Send + Sync {
             .into_iter()
             .map(|(k, _)| k)
             .collect())
+    }
+    /// Applies `ops` in order as one commit: **all of it or none of it**
+    /// with respect to failure and crash. `Err` means no op took effect,
+    /// and recovery after a crash finds either every op or none. There is
+    /// no isolation promise — a concurrent reader may see a prefix of the
+    /// batch while the call runs — so callers that publish a batch to
+    /// readers do it after the call returns (the index publishes `len`).
+    ///
+    /// The default is a loop over [`put`](Self::put) and
+    /// [`delete`](Self::delete), which keeps the promise only where those
+    /// cannot fail ([`MemKv`]) and in doubles that do not care (test
+    /// counters, the benchmark's timing wrapper, which then sees a batch as
+    /// its separate writes). [`LogKv`] commits a batch as one framed
+    /// append; every decorator in this workspace forwards the batch whole.
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        for op in ops {
+            match *op {
+                WriteOp::Put { key, value } => self.put(key, value)?,
+                WriteOp::Delete { key } => self.delete(key)?,
+            }
+        }
+        Ok(())
     }
 }
 
@@ -113,6 +158,9 @@ impl<S: KvStore + ?Sized> KvStore for Arc<S> {
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
         (**self).scan_keys(prefix)
     }
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        (**self).write_batch(ops)
+    }
 }
 
 /// Owned `(key, value)` pairs, as returned by [`KvStore::scan_prefix`].
@@ -125,7 +173,7 @@ pub type SharedKv = Arc<dyn KvStore>;
 pub(crate) mod conformance {
     //! A conformance suite every engine must pass; each engine's test module
     //! invokes it.
-    use super::KvStore;
+    use super::{KvStore, WriteOp};
 
     pub fn basic_ops(kv: &dyn KvStore) {
         assert_eq!(kv.get(b"missing").unwrap(), None);
@@ -138,6 +186,29 @@ pub(crate) mod conformance {
         assert_eq!(kv.get(b"a").unwrap(), None);
         kv.delete(b"a").unwrap(); // idempotent
         assert_eq!(kv.get(b"b").unwrap(), Some(b"2".to_vec()));
+    }
+
+    /// A mixed batch is visible whole, its ops applied in order; an empty
+    /// batch changes nothing.
+    pub fn write_batch(kv: &dyn KvStore) {
+        kv.put(b"old", b"0").unwrap();
+        kv.write_batch(&[]).unwrap();
+        assert_eq!(kv.scan_keys(b"").unwrap(), vec![b"old".to_vec()]);
+        let put = |key, value| WriteOp::Put { key, value };
+        kv.write_batch(&[
+            put(b"a", b"1"),
+            WriteOp::Delete { key: b"old" },
+            put(b"b", b""),
+            put(b"a", b"2"),
+            WriteOp::Delete { key: b"absent" },
+        ])
+        .unwrap();
+        let mut all = kv.scan_prefix(b"").unwrap();
+        all.sort();
+        let want = [(&b"a"[..], &b"2"[..]), (b"b", b"")];
+        assert_eq!(all, want.map(|(k, v)| (k.to_vec(), v.to_vec())));
+        kv.write_batch(&[put(b"c", b"3")]).unwrap();
+        assert_eq!(kv.get(b"c").unwrap(), Some(b"3".to_vec()));
     }
 
     pub fn prefix_scan(kv: &dyn KvStore) {

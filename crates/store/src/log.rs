@@ -7,8 +7,22 @@
 //! op(1) | seq(1) | key_len(u32 le) | val_len(u32 le) | key | value | crc32(u32 le)
 //! ```
 //!
-//! `op` is 0 = put, 1 = delete; `seq` is a wrapping per-record sequence
-//! byte; the CRC32 (IEEE) footer covers everything before it.
+//! `op` is 0 = put, 1 = delete, in its low bits; `seq` is a wrapping
+//! per-record sequence byte; the CRC32 (IEEE) footer covers everything
+//! before it.
+//!
+//! **Batches.** [`KvStore::write_batch`] appends its records back to back
+//! as one run, under one lock acquisition, one `write(2)` and one
+//! group-commit wait, and sets the *continues* bit (`0x80`) in the `op`
+//! byte of every record but the last: "the batch I belong to is not over".
+//! A single put or delete is a batch of one, so its `op` byte is plain and
+//! a log without batches is byte for byte what it always was — the frame
+//! costs nothing. Replay holds a batch's index updates back until the
+//! record that closes it validates, which is what makes the batch all or
+//! nothing across a crash. Readers may ignore the bit: a record is only
+//! reachable through the index, the index only ever holds records of
+//! closed batches, and a record's meaning does not depend on its
+//! neighbours. `compact()` writes plain records, one per live key.
 //!
 //! The file is the only copy of the values. The in-memory index maps each
 //! live key to the location of its latest put record — offset and value
@@ -33,16 +47,19 @@
 //! record if larger) to rebuild the index, and the footer + the sequence
 //! byte let replay tell two very different failures apart:
 //!
-//! * **Torn tail** — the final record is incomplete or fails its CRC and
-//!   nothing valid follows it: a crash mid-append. Recovery truncates the
-//!   tail and warns with the byte offset (WAL semantics; the record was
-//!   never acked, so nothing durable is lost).
+//! * **Torn tail** — the final batch is incomplete: its last record is cut
+//!   short or fails its CRC with nothing valid after it, or the file ends
+//!   on a record whose continues bit promises more. A crash mid-append.
+//!   Recovery truncates to the batch's first byte, rewinds the sequence
+//!   byte to match and warns with the offset (WAL semantics; the batch was
+//!   never acked, so nothing durable is lost, and none of it is applied).
 //! * **Mid-file corruption** — an invalid record that is *followed* by a
-//!   valid one, or a record whose CRC passes but whose sequence byte
-//!   breaks the chain: bit rot or a spliced file. Recovery refuses with
-//!   [`StoreError::CorruptAt`] carrying the offset, because silently
-//!   resuming would drop every later record (the pre-CRC format treated
-//!   this exactly like a torn tail and lost history silently).
+//!   valid one (inside a batch or not), or a record whose CRC passes but
+//!   whose sequence byte breaks the chain: bit rot or a spliced file.
+//!   Recovery refuses with [`StoreError::CorruptAt`] carrying the damaged
+//!   record's offset, because silently resuming would drop every later
+//!   record (the pre-CRC format treated this exactly like a torn tail and
+//!   lost history silently).
 //!
 //! Durability is a three-position knob ([`Durability`]): `Buffered`
 //! (bytes may sit in the `BufWriter`), `Flush` (write(2) per op — survives
@@ -51,14 +68,15 @@
 //! survives kill-9 and power loss; the node binary's default). Under
 //! `Fsync`, concurrent writers serialize appends on the inner lock but
 //! share fsyncs: each waiter checks the synced watermark and only issues
-//! the syscall if its record is not already covered.
+//! the syscall if its append is not already covered. A batch is one
+//! append and waits once.
 //!
 //! A non-empty file that does not begin with the magic (or, if shorter
 //! than it, with a prefix of it — a crash during file creation, treated
 //! as a torn tail at offset 0) is refused with [`StoreError::CorruptAt`]
 //! and left untouched: one flipped header bit must never cost the store.
 
-use crate::{KvStore, StoreError};
+use crate::{KvStore, StoreError, WriteOp};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -72,6 +90,8 @@ use timecrypt_obs::tc_warn;
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
+/// Set in the `op` byte of every record of a batch but its last.
+const OP_CONTINUES: u8 = 0x80;
 
 /// File magic for the checksummed format ("version 2").
 const MAGIC: &[u8; 8] = b"TCLOG2\r\n";
@@ -259,6 +279,14 @@ struct Loc {
     vlen: u32,
 }
 
+/// A write as the record it becomes: op byte, key, value.
+fn parts<'a>(op: &WriteOp<'a>) -> (u8, &'a [u8], &'a [u8]) {
+    match *op {
+        WriteOp::Put { key, value } => (OP_PUT, key, value),
+        WriteOp::Delete { key } => (OP_DELETE, key, &[]),
+    }
+}
+
 /// Bytes of a record holding `klen` key and `vlen` value bytes.
 fn record_len(klen: usize, vlen: u32) -> u64 {
     (HDR + klen + FOOTER) as u64 + u64::from(vlen)
@@ -280,18 +308,20 @@ struct Index {
 impl Index {
     /// Applies one record at `loc`, as replay and the write path both do.
     /// A superseded or deleted put turns dead, and so does a delete record.
-    fn apply(&mut self, op: u8, key: &[u8], loc: Loc) {
-        let klen = key.len() as u64;
+    /// The key comes borrowed or, from replay's held batches, owned.
+    fn apply(&mut self, op: u8, key: impl AsRef<[u8]> + Into<Vec<u8>>, loc: Loc) {
+        let klen = key.as_ref().len();
         let old = match op {
-            OP_PUT => self.map.insert(key.to_vec(), loc),
+            OP_PUT => self.map.insert(key.into(), loc),
             _ => {
-                self.dead_bytes += record_len(key.len(), 0);
-                self.map.remove(key)
+                self.dead_bytes += record_len(klen, 0);
+                self.map.remove(key.as_ref())
             }
         };
         if let Some(old) = old {
-            self.dead_bytes += record_len(key.len(), old.vlen);
+            self.dead_bytes += record_len(klen, old.vlen);
         }
+        let klen = klen as u64;
         // The live keys' bytes follow the map: a new key in, a deleted one out.
         match (op, old.is_some()) {
             (OP_PUT, false) => self.key_bytes += klen,
@@ -331,7 +361,8 @@ struct Inner {
     writer: BufWriter<Arc<File>>,
     /// Sequence byte the next record will carry (wrapping).
     next_seq: u8,
-    /// Records appended since open (monotonic; group-commit watermark).
+    /// Appends since open, a batch counting once (monotonic; group-commit
+    /// watermark).
     appended: u64,
     /// Offset the next record starts at (buffered bytes included).
     tail: u64,
@@ -380,7 +411,7 @@ pub struct LogKv {
     path: PathBuf,
     durability: Durability,
     inner: Mutex<Inner>,
-    /// Records whose bytes reached the fd (flushed) — published after the
+    /// Appends whose bytes reached the fd (flushed) — published after the
     /// inner lock flushes, read by `commit` before fsync to learn what
     /// the syscall will cover.
     flushed: AtomicU64,
@@ -453,39 +484,6 @@ impl LogKv {
             flushed: AtomicU64::new(0),
             sync_state: Mutex::new(SyncState { synced: 0, file }),
         })
-    }
-
-    /// Appends one record and applies it to the index, then group-commits.
-    fn write(&self, op: u8, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let my = {
-            let mut inner = self.inner.lock();
-            let mut hdr = [0u8; HDR];
-            hdr[0] = op;
-            hdr[1] = inner.next_seq;
-            hdr[2..6].copy_from_slice(&(key.len() as u32).to_le_bytes());
-            hdr[6..10].copy_from_slice(&(value.len() as u32).to_le_bytes());
-            let mut crc = 0xFFFF_FFFFu32;
-            crc = crc32_update(crc, &hdr);
-            crc = crc32_update(crc, key);
-            crc = crc32_update(crc, value);
-            let w = &mut inner.writer;
-            w.write_all(&hdr)?;
-            w.write_all(key)?;
-            w.write_all(value)?;
-            w.write_all(&(!crc).to_le_bytes())?;
-            if self.durability != Durability::Buffered {
-                w.flush()?;
-            }
-            let (offset, vlen) = (inner.tail, value.len() as u32);
-            inner.tail += record_len(key.len(), vlen);
-            inner.index.apply(op, key, Loc { offset, vlen });
-            inner.publish();
-            inner.next_seq = inner.next_seq.wrapping_add(1);
-            inner.appended += 1;
-            self.flushed.store(inner.appended, Ordering::Release);
-            inner.appended
-        };
-        self.commit(my)
     }
 
     /// Group-commit fsync: make append number `my` durable, sharing the
@@ -575,11 +573,58 @@ impl KvStore for LogKv {
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.write(OP_PUT, key, value)
+        self.write_batch(&[WriteOp::Put { key, value }])
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.write(OP_DELETE, key, &[])
+        self.write_batch(&[WriteOp::Delete { key }])
+    }
+
+    /// Appends `ops` as one run of records — all but the last carrying the
+    /// continues bit — and applies them to the index: one lock acquisition,
+    /// one `write(2)`, one group-commit wait.
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        let Some(last) = ops.len().checked_sub(1) else {
+            return Ok(());
+        };
+        let lens = ops
+            .iter()
+            .map(parts)
+            .map(|(_, k, v)| HDR + k.len() + v.len() + FOOTER);
+        let mut run = Vec::with_capacity(lens.sum());
+        let my = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            let mut seq = inner.next_seq;
+            for (i, (op, key, value)) in ops.iter().map(parts).enumerate() {
+                let start = run.len();
+                run.push(if i < last { op | OP_CONTINUES } else { op });
+                run.push(seq);
+                run.extend_from_slice(&(key.len() as u32).to_le_bytes());
+                run.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                run.extend_from_slice(key);
+                run.extend_from_slice(value);
+                let crc = crc32(&run[start..]);
+                run.extend_from_slice(&crc.to_le_bytes());
+                seq = seq.wrapping_add(1);
+            }
+            inner.writer.write_all(&run)?;
+            if self.durability != Durability::Buffered {
+                inner.writer.flush()?;
+            }
+            for (op, key, value) in ops.iter().map(parts) {
+                let (offset, vlen) = (inner.tail, value.len() as u32);
+                inner.tail += record_len(key.len(), vlen);
+                inner.index.apply(op, key, Loc { offset, vlen });
+            }
+            inner.publish();
+            inner.next_seq = seq;
+            inner.appended += 1;
+            self.flushed.store(inner.appended, Ordering::Release);
+            inner.appended
+        };
+        timecrypt_obs::counters::store_batch_recorded();
+        self.commit(my)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
@@ -641,7 +686,10 @@ fn read_value(file: &File, key: &[u8], loc: Loc) -> Result<Vec<u8>, StoreError> 
 /// A record parsed out of the buffer, or why parsing stopped.
 enum Parsed<'a> {
     Record {
+        /// [`OP_PUT`] or [`OP_DELETE`], the continues bit taken off.
         op: u8,
+        /// The continues bit: the record's batch goes on after it.
+        more: bool,
         seq: u8,
         key: &'a [u8],
         value: &'a [u8],
@@ -674,12 +722,13 @@ fn parse_v2(buf: &[u8]) -> Parsed<'_> {
     let (Some(body), Some(footer)) = (buf.get(..body_end), buf.get(body_end..total)) else {
         return Parsed::Short;
     };
-    let (op, seq) = (body[0], body[1]);
+    let (op, seq) = (body[0] & !OP_CONTINUES, body[1]);
     if footer != crc32(body).to_le_bytes() || (op != OP_PUT && op != OP_DELETE) {
         return Parsed::Bad;
     }
     Parsed::Record {
         op,
+        more: body[0] & OP_CONTINUES != 0,
         seq,
         key: &body[HDR..HDR + klen as usize],
         value: &body[HDR + klen as usize..],
@@ -744,7 +793,7 @@ impl Window<'_> {
 
 /// Replays the `len`-byte log in `file` into `index`. Returns
 /// `(next_seq, tail)` where `tail` is the byte length of the valid prefix
-/// (magic included).
+/// (magic included): everything up to the end of the last closed batch.
 fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, u64), StoreError> {
     let mut win = Window {
         file,
@@ -754,10 +803,15 @@ fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, 
     };
     let mut pos = MAGIC.len() as u64;
     let mut next_seq: u8 = 0;
+    // The open batch: where it starts, and its records so far — held back
+    // from the index until the record that closes it validates.
+    let mut batch_start = pos;
+    let mut held: Vec<(u8, Vec<u8>, Loc)> = Vec::new();
     while pos < len {
         match win.parse_at(pos)? {
             Parsed::Record {
                 op,
+                more,
                 seq,
                 key,
                 value,
@@ -772,9 +826,18 @@ fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, 
                     });
                 }
                 let vlen = value.len() as u32;
-                index.apply(op, key, Loc { offset: pos, vlen });
+                let loc = Loc { offset: pos, vlen };
                 next_seq = next_seq.wrapping_add(1);
                 pos += consumed as u64;
+                if more {
+                    held.push((op, key.to_vec(), loc));
+                } else {
+                    for (op, key, loc) in held.drain(..) {
+                        index.apply(op, key, loc);
+                    }
+                    index.apply(op, key, loc);
+                    batch_start = pos;
+                }
             }
             Parsed::Short | Parsed::Bad => {
                 if win.any_valid_record_after(pos + 1)? {
@@ -783,22 +846,26 @@ fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, 
                         offset: pos,
                     });
                 }
-                tc_warn!(
-                    "store.log",
-                    "torn tail: truncating {} byte(s) at offset {} path={}",
-                    len - pos,
-                    pos,
-                    path.display()
-                );
                 break;
             }
         }
     }
-    Ok((next_seq, pos))
+    if batch_start < len {
+        tc_warn!(
+            "store.log",
+            "torn tail: truncating {} byte(s) at offset {} path={}",
+            len - batch_start,
+            batch_start,
+            path.display()
+        );
+    }
+    // The held records go with the tail; the chain resumes where they began.
+    Ok((next_seq.wrapping_sub(held.len() as u8), batch_start))
 }
 
 /// Copies the live records of `map` out of `old` into a fresh checksummed
-/// log (magic + one put per key in key order, on a new sequence chain) in
+/// log (magic + one plain put per key in key order, on a new sequence
+/// chain, whatever batches the records arrived in) in
 /// a temp file, atomically renames it over `path`, and returns its handle,
 /// positioned at the end. Under `Fsync` the snapshot and its directory
 /// entry are both synced before the rename is trusted.
@@ -821,7 +888,7 @@ fn write_snapshot(
     for (seq, (key, loc)) in map.iter().enumerate() {
         let mut rec = read_record(old, key, *loc)?;
         let body_end = rec.len() - FOOTER;
-        rec[1] = seq as u8;
+        (rec[0], rec[1]) = (OP_PUT, seq as u8);
         let crc = crc32(&rec[..body_end]);
         rec[body_end..].copy_from_slice(&crc.to_le_bytes());
         w.write_all(&rec)?;
@@ -930,8 +997,28 @@ mod tests {
     }
 
     #[test]
+    fn conformance_write_batch() {
+        for (i, mode) in [Durability::Flush, Durability::Buffered]
+            .into_iter()
+            .enumerate()
+        {
+            conformance::write_batch(&LogKv::open_with(tmp(&format!("batch{i}")), mode).unwrap());
+        }
+    }
+
+    /// Serialises the tests that fsync: the fsync counter is one per
+    /// process, and two of them assert on how far it moved.
+    static FSYNC_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn fsync_tests() -> std::sync::MutexGuard<'static, ()> {
+        FSYNC_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
     fn conformance_fsync_mode() {
+        let _serial = fsync_tests();
         conformance::basic_ops(&LogKv::open_with(tmp("fsync"), Durability::Fsync).unwrap());
+        conformance::write_batch(&LogKv::open_with(tmp("fsync-b"), Durability::Fsync).unwrap());
     }
 
     #[test]
@@ -1066,6 +1153,7 @@ mod tests {
 
     #[test]
     fn fsync_mode_counts_fsyncs() {
+        let _serial = fsync_tests();
         let path = tmp("fsynccount");
         let before = timecrypt_obs::counters::fsyncs_total();
         let kv = LogKv::open_with(&path, Durability::Fsync).unwrap();
@@ -1076,6 +1164,25 @@ mod tests {
             "each uncontended fsync-mode put must fsync"
         );
         drop(kv);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_batch_under_fsync_is_one_fsync() {
+        let _serial = fsync_tests();
+        let path = tmp("fsyncbatch");
+        let kv = LogKv::open_with(&path, Durability::Fsync).unwrap();
+        let keys: Vec<[u8; 1]> = (0..33).map(|i| [i]).collect();
+        let ops: Vec<_> = keys
+            .iter()
+            .map(|key| WriteOp::Put { key, value: b"v" })
+            .collect();
+        let fsyncs = timecrypt_obs::counters::fsyncs_total();
+        kv.write_batch(&ops).unwrap();
+        assert_eq!(timecrypt_obs::counters::fsyncs_total() - fsyncs, 1);
+        assert_eq!(kv.len(), 33);
+        drop(kv);
+        assert_eq!(LogKv::open(&path).unwrap().len(), 33);
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1108,6 +1215,7 @@ mod tests {
 
     #[test]
     fn compaction_under_fsync_durability() {
+        let _serial = fsync_tests();
         let path = tmp("compact-fsync");
         let kv = LogKv::open_with(&path, Durability::Fsync).unwrap();
         for i in 0..20 {
@@ -1295,69 +1403,102 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
+    /// A generated write: key, value, and whether it is a delete instead.
+    type GenOp = (Vec<u8>, Vec<u8>, bool);
+
+    fn as_ops(ops: &[GenOp]) -> Vec<WriteOp<'_>> {
+        ops.iter()
+            .map(|(key, value, delete)| match delete {
+                true => WriteOp::Delete { key },
+                false => WriteOp::Put { key, value },
+            })
+            .collect()
+    }
+
+    /// Writes step `i` of a generated log: a plain `put`/`delete` when its
+    /// shape is 0, else one `write_batch` of 1, 2 or 33 ops.
+    fn write_step(kv: &LogKv, shape: usize, ops: &[GenOp]) -> usize {
+        let n = [1, 1, 2, 33][shape];
+        match (shape, &ops[0]) {
+            (0, (key, _, true)) => kv.delete(key).unwrap(),
+            (0, (key, value, false)) => kv.put(key, value).unwrap(),
+            _ => kv.write_batch(&as_ops(&ops[..n])).unwrap(),
+        }
+        n
+    }
+
     // The satellite crash-recovery property: truncating a populated log
-    // at EVERY byte offset and reopening must recover exactly the
-    // records fully contained in the kept prefix, and the store must
-    // accept appends afterwards. Record sets are proptest-generated; the
-    // offset sweep inside each case is exhaustive.
+    // at EVERY byte offset and reopening must recover exactly the writes
+    // whose batch is fully contained in the kept prefix — a cut anywhere
+    // inside a batch loses the whole batch and nothing before it — and
+    // the store must accept appends afterwards. Logs interleave single
+    // records with batches of 1, 2 and 33 ops, puts and deletes over a
+    // small key space; the offset sweep inside each case is exhaustive.
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(8))]
         #[test]
         fn truncate_at_every_offset_recovers_longest_valid_prefix(
-            recs in proptest::collection::vec(
-                (proptest::collection::vec(proptest::any::<u8>(), 1..12),
-                 proptest::collection::vec(proptest::any::<u8>(), 0..24)),
+            steps in proptest::collection::vec(
+                (0usize..4,
+                 proptest::collection::vec(
+                    (proptest::collection::vec(0u8..6, 1..4),
+                     proptest::collection::vec(proptest::any::<u8>(), 0..10),
+                     proptest::any::<bool>()),
+                    33,
+                 )),
                 1..5,
             )
         ) {
-            truncation_sweep(&recs);
+            truncation_sweep(&steps);
         }
     }
 
-    fn truncation_sweep(recs: &[(Vec<u8>, Vec<u8>)]) {
+    fn truncation_sweep(steps: &[(usize, Vec<GenOp>)]) {
         let path = tmp("sweep-src");
+        // Per step: the byte offset it ends at and the state it leaves.
+        let mut after = Vec::new();
         {
             let kv = LogKv::open(&path).unwrap();
-            for (k, v) in recs {
-                kv.put(k, v).unwrap();
+            let mut state = BTreeMap::new();
+            for (shape, ops) in steps {
+                let n = write_step(&kv, *shape, ops);
+                for (key, value, delete) in &ops[..n] {
+                    match delete {
+                        true => state.remove(key),
+                        false => state.insert(key.clone(), value.clone()),
+                    };
+                }
+                after.push((kv.stats().log_bytes as usize, state.clone()));
             }
         }
         let full = std::fs::read(&path).unwrap();
-        // Byte offset where each record ends, in append order.
-        let mut ends = Vec::new();
-        let mut pos = MAGIC.len();
-        for (k, v) in recs {
-            pos += HDR + k.len() + v.len() + FOOTER;
-            ends.push(pos);
-        }
-        assert_eq!(pos, full.len());
+        assert_eq!(after.last().unwrap().0, full.len());
 
         let cut_path = tmp("sweep-cut");
+        let empty = BTreeMap::new();
         for cut in 0..=full.len() {
             std::fs::write(&cut_path, &full[..cut]).unwrap();
             let kv = match LogKv::open(&cut_path) {
                 Ok(kv) => kv,
                 Err(e) => panic!("offset {cut}: truncated log must open, got {e}"),
             };
-            // Expected: exactly the records whose extent fits in `cut`.
-            let complete = ends.iter().filter(|&&e| e <= cut).count();
-            let mut expect: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-            for (k, v) in &recs[..complete] {
-                expect.insert(k.clone(), v.clone());
-            }
+            // Expected: exactly the steps whose whole extent fits in `cut`.
+            let (end, expect) = after
+                .iter()
+                .rev()
+                .find(|(end, _)| *end <= cut)
+                .map_or((MAGIC.len(), &empty), |(end, state)| (*end, state));
+            let mut got = kv.scan_prefix(b"").unwrap();
+            got.sort();
+            let want: Vec<_> = expect.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            assert_eq!(got, want, "offset {cut}: recovered state");
             assert_eq!(
-                kv.len(),
-                expect.len(),
-                "offset {cut}: wrong number of recovered keys"
+                kv.stats().log_bytes as usize,
+                end,
+                "offset {cut}: kept prefix"
             );
-            for (k, v) in &expect {
-                assert_eq!(
-                    kv.get(k).unwrap().as_deref(),
-                    Some(v.as_slice()),
-                    "offset {cut}: wrong value recovered"
-                );
-            }
-            // Post-recovery appends must round-trip across reopen.
+            // Post-recovery appends must round-trip across reopen: the
+            // sequence chain resumed where the kept prefix ends.
             kv.put(b"post-recovery", b"ok").unwrap();
             drop(kv);
             let kv = LogKv::open(&cut_path).unwrap();
@@ -1366,8 +1507,147 @@ mod tests {
                 Some(b"ok".to_vec()),
                 "offset {cut}: post-recovery append lost"
             );
+            assert_eq!(kv.len(), expect.len() + 1, "offset {cut}: second reopen");
+            assert_eq!(
+                kv.stats().log_bytes,
+                std::fs::metadata(&cut_path).unwrap().len(),
+                "offset {cut}: the second reopen truncated nothing"
+            );
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&cut_path);
+    }
+
+    /// Three batches of `n` puts; returns the path and each record's offset.
+    fn three_batches(name: &str, n: usize) -> (PathBuf, Vec<u64>) {
+        let path = tmp(name);
+        let kv = LogKv::open(&path).unwrap();
+        let mut offsets = Vec::new();
+        for b in 0..3u8 {
+            let keys: Vec<[u8; 2]> = (0..n as u8).map(|i| [b, i]).collect();
+            let ops: Vec<_> = keys
+                .iter()
+                .map(|key| WriteOp::Put {
+                    key,
+                    value: b"0123456789",
+                })
+                .collect();
+            let start = kv.stats().log_bytes;
+            offsets.extend((0..n as u64).map(|i| start + i * record_len(2, 10)));
+            kv.write_batch(&ops).unwrap();
+        }
+        (path, offsets)
+    }
+
+    #[test]
+    fn damage_inside_a_batch_before_a_valid_batch_is_corrupt_at_not_a_tail() {
+        let (path, offsets) = three_batches("batch-rot", 4);
+        let healthy = std::fs::read(&path).unwrap();
+        // Every record of the first two batches in turn: valid data (the
+        // rest of its batch, and a whole later batch) follows the damage.
+        for &at in &offsets[..8] {
+            let mut rotted = healthy.clone();
+            rotted[at as usize + HDR + 1] ^= 0x10;
+            std::fs::write(&path, &rotted).unwrap();
+            match LogKv::open(&path) {
+                Err(StoreError::CorruptAt { offset, .. }) => assert_eq!(offset, at),
+                other => panic!("record at {at}: got {:?}", other.map(|kv| kv.len())),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), rotted, "file left untouched");
+        }
+        // A cleared continues bit fails the CRC like any other flip.
+        let mut rotted = healthy.clone();
+        rotted[offsets[0] as usize] &= !OP_CONTINUES;
+        std::fs::write(&path, &rotted).unwrap();
+        assert!(matches!(
+            LogKv::open(&path),
+            Err(StoreError::CorruptAt { offset, .. }) if offset == offsets[0]
+        ));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn compaction_of_a_batched_log_equals_compaction_of_single_writes() {
+        let ops: Vec<GenOp> = (0..40u8)
+            .map(|i| (vec![b'k', i % 13], vec![i; 5 + i as usize % 7], i % 5 == 4))
+            .collect();
+        let (batched, single) = (tmp("compact-batched"), tmp("compact-single"));
+        let kv = LogKv::open(&batched).unwrap();
+        kv.write_batch(&as_ops(&ops[..33])).unwrap();
+        kv.write_batch(&as_ops(&ops[33..])).unwrap();
+        kv.compact().unwrap();
+        let one_by_one = LogKv::open(&single).unwrap();
+        for op in &ops {
+            write_step(&one_by_one, 0, std::slice::from_ref(op));
+        }
+        assert_ne!(
+            std::fs::read(&batched).unwrap().len(),
+            std::fs::read(&single).unwrap().len(),
+            "compaction dropped the dead records"
+        );
+        one_by_one.compact().unwrap();
+        assert_eq!(
+            std::fs::read(&batched).unwrap(),
+            std::fs::read(&single).unwrap()
+        );
+        // Reads after the rewrite, and a reopen of it, see the same data.
+        let mut live = kv.scan_prefix(b"").unwrap();
+        drop(kv);
+        let mut reopened = LogKv::open(&batched).unwrap().scan_prefix(b"").unwrap();
+        live.sort();
+        reopened.sort();
+        assert_eq!(live, reopened);
+        std::fs::remove_file(batched).unwrap();
+        std::fs::remove_file(single).unwrap();
+    }
+
+    #[test]
+    fn readers_never_see_half_a_batch() {
+        use std::sync::atomic::AtomicBool;
+        const KEYS: u8 = 33;
+        const ROUNDS: u64 = 200;
+        let path = tmp("batch-race");
+        let kv = LogKv::open(&path).unwrap();
+        let keys: Vec<[u8; 2]> = (0..KEYS).map(|k| [b'b', k]).collect();
+        let write_round = |round: u64| {
+            let value = round.to_le_bytes();
+            let ops: Vec<_> = keys
+                .iter()
+                .map(|key| WriteOp::Put { key, value: &value })
+                .collect();
+            kv.write_batch(&ops).unwrap();
+        };
+        write_round(0);
+        let scans = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    while !done.load(Ordering::Acquire) {
+                        // Every batch rewrites all keys to one round: a scan
+                        // that mixes two rounds caught a batch half applied.
+                        let all = kv.scan_prefix(b"b").unwrap();
+                        assert_eq!(all.len(), KEYS as usize);
+                        assert!(all.iter().all(|(_, v)| v == &all[0].1), "{all:?}");
+                        scans.fetch_add(1, Ordering::Release);
+                    }
+                });
+            }
+            // Each round waits for a scan since the last, so scans
+            // bracket every batch.
+            for round in 1..=ROUNDS {
+                let seen = scans.load(Ordering::Acquire);
+                write_round(round);
+                while scans.load(Ordering::Acquire) == seen {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(
+            kv.get(&keys[0]).unwrap(),
+            Some(ROUNDS.to_le_bytes().to_vec())
+        );
+        std::fs::remove_file(path).unwrap();
     }
 }

@@ -130,6 +130,11 @@ mod tests {
     }
 
     #[test]
+    fn conformance_write_batch() {
+        conformance::write_batch(&MemKv::new());
+    }
+
+    #[test]
     fn len_and_bytes_track_contents() {
         let kv = MemKv::new();
         assert!(kv.is_empty());

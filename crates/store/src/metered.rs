@@ -6,12 +6,12 @@
 //! metrics the paper's deployment would export (§4.6).
 //!
 //! The decorator also feeds per-request tracing: each operation opens a
-//! `timecrypt-obs` stage span (`store.get`, `store.put`, ...), which
+//! `timecrypt-obs` stage span (`store.get`, `store.put`, `store.batch`, ...), which
 //! aggregates store time into the active request scope's breakdown. With
 //! no scope active on the thread the span is free (no clock read), so
 //! the hot path stays untouched when tracing is idle.
 
-use crate::{KvStore, StoreError};
+use crate::{KvStore, StoreError, WriteOp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_obs::trace;
@@ -117,6 +117,24 @@ impl KvStore for MeteredKv {
         self.scans.fetch_add(1, Ordering::Relaxed);
         self.inner.scan_keys(prefix)
     }
+
+    /// Counted as the puts and deletes it carries, under one `store.batch`
+    /// span.
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        let _span = trace::stage("store.batch");
+        let (mut puts, mut bytes) = (0, 0);
+        for op in ops {
+            if let WriteOp::Put { value, .. } = op {
+                puts += 1;
+                bytes += value.len() as u64;
+            }
+        }
+        self.puts.fetch_add(puts, Ordering::Relaxed);
+        self.deletes
+            .fetch_add(ops.len() as u64 - puts, Ordering::Relaxed);
+        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+        self.inner.write_batch(ops)
+    }
 }
 
 #[cfg(test)]
@@ -132,6 +150,7 @@ mod tests {
         conformance::prefix_scan(&kv());
         conformance::binary_safety(&kv());
         conformance::empty_value(&kv());
+        conformance::write_batch(&kv());
     }
 
     #[test]
@@ -143,9 +162,17 @@ mod tests {
         kv.scan_prefix(b"").unwrap();
         kv.scan_keys(b"").unwrap();
         kv.delete(b"k").unwrap();
+        // A batch counts as the writes it carries.
+        let put = |key, value| WriteOp::Put { key, value };
+        kv.write_batch(&[
+            put(b"a", b"123"),
+            WriteOp::Delete { key: b"k" },
+            put(b"b", b"4"),
+        ])
+        .unwrap();
         let c = kv.counters();
-        assert_eq!((c.gets, c.puts, c.deletes, c.scans), (2, 1, 1, 2));
+        assert_eq!((c.gets, c.puts, c.deletes, c.scans), (2, 3, 2, 2));
         // One get hit and one value scan return the 5 bytes; the key scan none.
-        assert_eq!((c.bytes_read, c.bytes_written), (10, 5));
+        assert_eq!((c.bytes_read, c.bytes_written), (10, 9));
     }
 }

@@ -1,6 +1,6 @@
 //! Chaos capstone: the whole robustness story under one roof.
 //!
-//! Two scenarios:
+//! Three scenarios:
 //!
 //! 1. **Seeded cluster chaos** — a replicated 2-node cluster whose stores
 //!    *and* network paths run a seeded randomized [`FaultPlan`] during
@@ -19,7 +19,13 @@
 //!    [`StoreError::CorruptAt`] naming the damaged offset (valid data
 //!    follows the flip, so silently resuming would drop history).
 //!
-//! Both accept env knobs for soak runs:
+//! 3. **Node killed mid-batch** — a shard node over a [`LogKv`] dies
+//!    while a stream's ingest run is being appended: its log ends inside
+//!    the run's batch, at any byte. The restarted node holds every acked
+//!    chunk and nothing of the un-acked run, and the client's retry of
+//!    the run lands.
+//!
+//! The first two accept env knobs for soak runs:
 //!
 //! ```text
 //! TC_CHAOS_SEED=1234 TC_CHAOS_ITERS=50 \
@@ -380,4 +386,112 @@ fn kill9_mid_append_preserves_acked_records_and_flags_corruption() {
 
     let _ = std::fs::remove_file(&log);
     let _ = std::fs::remove_file(&ack);
+}
+
+// ---------------------------------------------------------------------------
+// node killed mid-batch
+// ---------------------------------------------------------------------------
+
+/// A node process over the log at `path`: both shards, like `timecrypt-node`.
+fn node_over(path: &std::path::Path) -> (ShardNode, Arc<LogKv>) {
+    let log = Arc::new(LogKv::open(path).unwrap());
+    let cfg = NodeConfig {
+        total_shards: TOTAL_SHARDS,
+        hosted: (0..TOTAL_SHARDS).collect(),
+        engine: ServerConfig::default(),
+    };
+    (ShardNode::open(log.clone(), cfg).unwrap(), log)
+}
+
+/// One stream's run as the `InsertBatch` a coordinator sends; `Ok` when
+/// every chunk was accepted.
+fn insert_run(node: &ShardNode, id: u128, chunks: std::ops::Range<u64>) -> Result<(), String> {
+    let chunks = chunks.map(|i| sealed(id, i, i as i64).to_bytes()).collect();
+    match node.handle(Request::InsertBatch { chunks }) {
+        timecrypt::wire::Response::Batch { errors } if errors.is_empty() => Ok(()),
+        other => Err(format!("{other:?}")),
+    }
+}
+
+#[test]
+fn node_killed_mid_batch_keeps_acked_chunks_drops_the_run_and_takes_the_retry() {
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("tc-chaos-midbatch-{}.log", std::process::id()));
+    let cut_path = dir.join(format!("tc-chaos-midbatch-{}.cut", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    // Streams 1 and 2 are acked history; stream 1's second run (chunks
+    // 70..86, sealing nothing; the first sealed a level-1 node) is the one
+    // in flight when the node dies.
+    let battery = |node: &ShardNode| -> Vec<Vec<u8>> {
+        let window = 100 * 10_000;
+        let stat = |streams: Vec<u128>| Request::GetStatRange {
+            streams,
+            ts_s: 0,
+            ts_e: window,
+        };
+        let range = |stream| Request::GetRange {
+            stream,
+            ts_s: 0,
+            ts_e: window,
+        };
+        let info = |stream| Request::StreamInfo { stream };
+        [
+            stat(vec![1]),
+            stat(vec![2, 1]),
+            range(1),
+            range(2),
+            info(1),
+            info(2),
+        ]
+        .map(|q| node.handle(q).encode())
+        .into()
+    };
+    let (acked_len, acked_keys, acked_replies, full_replies) = {
+        let (node, log) = node_over(&path);
+        for id in [1, 2] {
+            let create = Request::CreateStream {
+                stream: id,
+                t0: 0,
+                delta_ms: 10_000,
+                digest_width: 2,
+            };
+            assert_eq!(node.handle(create), timecrypt::wire::Response::Ok);
+        }
+        insert_run(&node, 1, 0..70).unwrap();
+        insert_run(&node, 2, 0..5).unwrap();
+        let acked = (log.stats().log_bytes, log.len(), battery(&node));
+        insert_run(&node, 1, 70..86).unwrap();
+        (acked.0, acked.1, acked.2, battery(&node))
+    };
+    let full = std::fs::read(&path).unwrap();
+    assert!(
+        full.len() as u64 > acked_len + 16 * 100,
+        "the run is in the log"
+    );
+    // Kill points: every byte of the batch's first two records, then a
+    // stride through the rest, and the byte before its end.
+    let cuts = (acked_len + 1..acked_len + 400)
+        .chain((acked_len + 400..full.len() as u64).step_by(37))
+        .chain([full.len() as u64 - 1]);
+    for cut in cuts {
+        std::fs::write(&cut_path, &full[..cut as usize]).unwrap();
+        let (node, log) = node_over(&cut_path);
+        assert_eq!(
+            log.stats().log_bytes,
+            acked_len,
+            "cut {cut}: the batch is gone whole"
+        );
+        assert_eq!(log.len(), acked_keys, "cut {cut}");
+        assert_eq!(battery(&node), acked_replies, "cut {cut}: acked history");
+        insert_run(&node, 1, 70..86).unwrap_or_else(|e| panic!("cut {cut}: retry: {e}"));
+        assert_eq!(battery(&node), full_replies, "cut {cut}: after the retry");
+        drop(node);
+        assert_eq!(
+            std::fs::read(&cut_path).unwrap(),
+            full,
+            "cut {cut}: same log"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&cut_path);
 }

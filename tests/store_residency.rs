@@ -45,7 +45,7 @@ fn service(log: &Arc<LogKv>) -> ShardedService {
 }
 
 /// 64 streams × 64 chunks, a batch holding one chunk of every stream, so
-/// every chunk rewrites its stream's length record exactly once.
+/// every chunk is its own run and its own store commit.
 fn ingest(points: usize) -> LogStats {
     const STREAMS: u128 = 64;
     const CHUNKS: u64 = 64;
@@ -62,14 +62,8 @@ fn ingest(points: usize) -> LogStats {
     drop(svc);
     let stats = log.stats();
     assert_eq!(stats.log_bytes, std::fs::metadata(&path).unwrap().len());
-    // The only records ever superseded are the length records: key
-    // `im/<stream>` (19 B), value 8 B, 10 B header, 4 B CRC — written per
-    // chunk, so all but the last of each stream are dead.
-    assert_eq!(
-        stats.dead_bytes,
-        STREAMS as u64 * (CHUNKS - 1) * (10 + 19 + 8 + 4),
-        "{points} points/chunk"
-    );
+    // Every record is written once: ingest supersedes nothing.
+    assert_eq!(stats.dead_bytes, 0, "{points} points/chunk");
     std::fs::remove_file(path).unwrap();
     stats
 }
