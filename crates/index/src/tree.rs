@@ -15,17 +15,27 @@
 //!   encoded digest, then the caller's opaque tag (the engine stores the
 //!   chunk's integrity commitment there; [`AggTree::append`] stores none).
 //!   The records are contiguous from chunk 0 and their count *is* the
-//!   stream's length; nothing else stores it ([`AggTree::open`] refuses a
-//!   gap as [`IndexError::CorruptNode`]).
+//!   stream's length; nothing else stores it. They never decay, and a
+//!   missing or undecodable one is [`IndexError::CorruptNode`] at level 0.
 //! * `i/<stream>/<level><index>` — a **sealed** node: its k-th entry has
 //!   landed, so its bytes are final. Written once, when it seals.
 //!
 //! Nodes that are not full yet — one per level, the *open right spine* —
 //! live only in memory (the `frontier`). They are a pure function of the
-//! level-0 records, so [`AggTree::open`] rebuilds them by replaying the
-//! leaves through the same ripple an append performs. An append thus
-//! costs one leaf record and amortised `1/k + 1/k² + …` sealed nodes, not
-//! a rewritten partial node per level.
+//! level-0 records, and a resident tree holds nothing else of its history:
+//! an append costs one leaf record and amortised `1/k + 1/k² + …` sealed
+//! nodes, not a rewritten partial node per level.
+//!
+//! **Open is bounded.** [`AggTree::open`] takes the length `n` from
+//! [`stored_chunk_count`] (O(log n) key probes, no value read) and rebuilds
+//! each open node from what lies under it: the level-1 node from its
+//! `n mod k` level-0 records; each higher one from the sums of its sealed
+//! children (a sealed node's sum is the sum of its k entries) plus, as its
+//! last entry, the sum of the open node one level down. That is at most
+//! k−1 record reads per level — (k−1)·⌈log_k n⌉ + O(log n) probes,
+//! following `n mod k^ℓ`, not `n`. A sealed child that [`AggTree::decay`]
+//! deleted is re-derived from *its* children, down to the level-0 records:
+//! the same code, at worst the reads of a full leaf replay.
 //!
 //! **Commit = one batch.** An append — one digest or a run — builds its
 //! level-0 records and the nodes it seals and hands them to the store,
@@ -61,12 +71,12 @@
 //!   seqlock-style generation (odd while a decay runs) stops a reader that
 //!   raced it from re-caching a node the decay just dropped. A query
 //!   drilling below a decayed level surfaces [`IndexError::Decayed`] — the
-//!   documented decay contract, not corruption. Level-0 records never
-//!   decay: the frontier (and the engine's ledger) recover from them.
+//!   documented decay contract, not corruption.
 
 use crate::cache::LruCache;
 use crate::digest::HomDigest;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_store::{KvStore, StoreError, WriteOp};
@@ -248,6 +258,16 @@ impl<D: HomDigest> Spine<D> {
     }
 }
 
+/// The homomorphic sum of `entries`; `None` for none.
+fn sum_of<D: HomDigest>(entries: &[D]) -> Option<D> {
+    let (first, rest) = entries.split_first()?;
+    let mut sum = first.clone();
+    for entry in rest {
+        sum.add_assign(entry);
+    }
+    Some(sum)
+}
+
 /// Runtime statistics (cache behaviour, sizes) for the benchmarks.
 #[derive(Debug, Clone, Default)]
 pub struct TreeStats {
@@ -398,52 +418,91 @@ pub fn stream_keys(kv: &dyn KvStore, stream: u128) -> Result<Vec<Vec<u8>>, Index
 }
 
 impl<D: HomDigest> AggTree<D> {
-    /// Opens (or creates) the tree for `stream` on `kv`, recovering the
-    /// chunk count and the open spine from the level-0 records.
+    /// Opens (or creates) the tree for `stream` on `kv`: the chunk count
+    /// from [`stored_chunk_count`], the open spine from at most k−1 records
+    /// per level (module docs, "Open is bounded").
     pub fn open(kv: Arc<dyn KvStore>, stream: u128, cfg: TreeConfig) -> Result<Self, IndexError> {
-        Self::open_with(kv, stream, cfg, |_, _| {})
-    }
-
-    /// [`open`](Self::open) that also hands every chunk's level-0
-    /// record to `visit` as `(digest, tag)`, in chunk order — the one
-    /// replay of the leaves serves both the tree's frontier and whatever
-    /// the caller derives from them (the engine's integrity ledger).
-    pub fn open_with(
-        kv: Arc<dyn KvStore>,
-        stream: u128,
-        cfg: TreeConfig,
-        mut visit: impl FnMut(D, &[u8]),
-    ) -> Result<Self, IndexError> {
         assert!(cfg.arity >= 2, "arity must be at least 2");
-        let mut spine = Spine {
-            open: Vec::new(),
-            total: None,
-        };
-        let prefix = leaf_prefix(stream);
-        let mut leaves = kv.scan_prefix(&prefix)?;
-        leaves.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut sealed = Vec::new();
-        // Chunk `index` must sit at position `index`: a gap puts a key out of place.
-        for (index, (key, value)) in (0u64..).zip(&leaves) {
-            let in_place = key.strip_prefix(&prefix[..]) == Some(&index.to_be_bytes()[..]);
-            let (digest, used) = D::decode(value)
-                .filter(|_| in_place)
-                .ok_or(IndexError::CorruptNode { level: 0, index })?;
-            spine.push(cfg.arity as u64, index, &digest, &mut sealed);
-            sealed.clear();
-            visit(digest, &value[used..]);
-        }
+        let len = stored_chunk_count(kv.as_ref(), stream)?;
         let cache = NodeCache::new(cfg.cache_bytes);
-        Ok(AggTree {
+        let mut tree = AggTree {
             kv,
             stream,
             cfg,
-            len: AtomicU64::new(leaves.len() as u64),
+            len: AtomicU64::new(len),
             write: Mutex::new(()),
-            frontier: RwLock::new(spine),
+            frontier: RwLock::new(Spine {
+                open: Vec::new(),
+                total: None,
+            }),
             cache_gen: AtomicU64::new(0),
             cache,
-        })
+        };
+        tree.frontier = RwLock::new(tree.stored_spine(len)?);
+        Ok(tree)
+    }
+
+    /// The spine [`Spine::push`]ing chunks `0..n` leaves behind, read back
+    /// from the store bottom-up: per level, the open node's entries are its
+    /// sealed children's sums and then — unless the level below ends on a
+    /// node boundary — the sum of the open node below.
+    fn stored_spine(&self, n: u64) -> Result<Spine<D>, IndexError> {
+        let k = self.cfg.arity as u64;
+        let (mut open, mut total) = (Vec::new(), None);
+        // Levels up to the lowest one whose single node spans `[0, n)`.
+        let mut span = 0;
+        while span < n {
+            let level = open.len() as u8 + 1;
+            span = span_at(level, k);
+            let index = n / span;
+            let sealed = index * k..n / span_at(level - 1, k);
+            let mut entries = sealed
+                .map(|child| self.subtree_sum(level - 1, child))
+                .collect::<Result<Vec<D>, _>>()?;
+            // `total` is still the sum of the open node one level down.
+            entries.extend(total.take());
+            total = sum_of(&entries);
+            open.push((!entries.is_empty()).then(|| (index, Arc::new(Node { entries }))));
+        }
+        // The top node covers every chunk; at n = k^levels it has just sealed.
+        if total.is_none() && n > 0 {
+            total = Some(self.subtree_sum(open.len() as u8, 0)?);
+        }
+        Ok(Spine { open, total })
+    }
+
+    /// Sum of the chunks under the complete subtree `(level, index)`: the
+    /// level-0 record's digest, or the sum of the sealed node's k entries —
+    /// or, where `decay` deleted the node, of its children's subtrees.
+    fn subtree_sum(&self, level: u8, index: u64) -> Result<D, IndexError> {
+        if level == 0 {
+            return Ok(self.leaf(index)?.0);
+        }
+        let k = self.cfg.arity as u64;
+        let corrupt = IndexError::CorruptNode { level, index };
+        let entries = match self.kv.get(&node_key(self.stream, level, index))? {
+            Some(bytes) => match Node::decode(&bytes) {
+                Some(node) if node.entries.len() as u64 == k => node.entries,
+                _ => return Err(corrupt),
+            },
+            None => (index * k..(index + 1) * k)
+                .map(|child| self.subtree_sum(level - 1, child))
+                .collect::<Result<_, _>>()?,
+        };
+        sum_of(&entries).ok_or(corrupt)
+    }
+
+    /// Chunk `index`'s level-0 record as the `(digest, tag)` that
+    /// [`append_tagged`](Self::append_tagged) stored. Missing or undecodable,
+    /// it is `CorruptNode` at level 0: batches are atomic, a gap is no crash state.
+    pub fn leaf(&self, index: u64) -> Result<(D, Vec<u8>), IndexError> {
+        let corrupt = IndexError::CorruptNode { level: 0, index };
+        let Some(mut record) = self.kv.get(&leaf_key(self.stream, index))? else {
+            return Err(corrupt);
+        };
+        let (digest, used) = D::decode(&record).ok_or(corrupt)?;
+        record.drain(..used);
+        Ok((digest, record))
     }
 
     /// Number of chunks ingested (a consistent snapshot: every chunk
@@ -496,12 +555,13 @@ impl<D: HomDigest> AggTree<D> {
 
     /// [`append_batch`](Self::append_batch) where chunk `i`'s level-0
     /// record also carries `tags[i]` — opaque bytes handed back by
-    /// [`open_with`](Self::open_with); one tag per digest, or none at all —
-    /// and the caller's `extra` writes commit in the same store batch as
-    /// the index records: they land if and only if the append does.
+    /// [`leaf`](Self::leaf); one tag per digest, or none at all — and the
+    /// caller's `extra` writes commit in the same store batch as the index
+    /// records: they land if and only if the append does. The digests are
+    /// only read, so a caller may pass them borrowed.
     pub fn append_tagged<T: AsRef<[u8]>>(
         &self,
-        digests: &[D],
+        digests: &[impl Borrow<D>],
         tags: &[T],
         extra: &[WriteOp<'_>],
     ) -> Result<(), IndexError> {
@@ -516,7 +576,7 @@ impl<D: HomDigest> AggTree<D> {
         let mut sealed = Vec::new();
         let mut records = Vec::with_capacity(digests.len());
         for (off, digest) in digests.iter().enumerate() {
-            let index = base + off as u64;
+            let (index, digest) = (base + off as u64, digest.borrow());
             spine.push(self.cfg.arity as u64, index, digest, &mut sealed);
             let tag = tags.get(off).map_or(&[][..], AsRef::as_ref);
             let mut record = Vec::with_capacity(digest.encoded_len() + tag.len());
@@ -1108,31 +1168,84 @@ mod tests {
         }
     }
 
+    /// Batches are atomic, so a missing or undecodable level-0 record is
+    /// corruption, never a crash state, and it is refused where it is
+    /// read. Open reads only the tail records of the open level-1 node: a
+    /// gap there fails open. A gap further back leaves open (and every
+    /// query the sealed nodes answer) untouched and fails
+    /// [`AggTree::leaf`] — the read the engine's ledger catch-up makes —
+    /// at that index.
     #[test]
-    fn a_gap_in_the_leaves_fails_open_at_the_first_missing_index() {
-        // The leaves are the length: one that is missing cannot be told
-        // from the end of the stream by counting, so open must refuse it.
+    fn a_gap_in_the_leaves_is_corrupt_node_where_it_is_read() {
+        // 11 chunks at arity 4: open reads leaves 8..11 and sealed nodes
+        // (1, 0) and (1, 1); none of the deleted leaves is a length probe.
         let kv = Arc::new(MemKv::new());
-        fill(&open4(kv.clone()), 9);
-        assert_eq!(stored_chunk_count(kv.as_ref(), 1).unwrap(), 9);
-        let leaf5 = kv.get(&leaf_key(1, 5)).unwrap().unwrap();
-        kv.delete(&leaf_key(1, 5)).unwrap();
-        kv.delete(&leaf_key(1, 7)).unwrap();
-        let cfg = TreeConfig::default();
-        match AggTree::<Vec<u64>>::open(kv.clone(), 1, cfg.clone()) {
-            Err(IndexError::CorruptNode { level: 0, index: 5 }) => {}
-            other => panic!(
-                "expected CorruptNode at leaf 5, got {:?}",
-                other.map(|t| t.len())
-            ),
-        }
-        // A leaf whose bytes do not decode is refused at its own index.
-        kv.put(&leaf_key(1, 5), &leaf5).unwrap();
-        kv.put(&leaf_key(1, 7), &[1, 2, 3]).unwrap();
+        fill(&open4(kv.clone()), 11);
+        let open = |kv: &Arc<MemKv>| {
+            let cfg = TreeConfig::default();
+            AggTree::<Vec<u64>>::open(kv.clone(), 1, TreeConfig { arity: 4, ..cfg })
+        };
+        let leaf8 = kv.get(&leaf_key(1, 8)).unwrap().unwrap();
+        kv.delete(&leaf_key(1, 8)).unwrap();
+        assert_eq!(stored_chunk_count(kv.as_ref(), 1).unwrap(), 11);
         assert!(matches!(
-            AggTree::<Vec<u64>>::open(kv, 1, cfg),
-            Err(IndexError::CorruptNode { level: 0, index: 7 })
+            open(&kv),
+            Err(IndexError::CorruptNode { level: 0, index: 8 })
         ));
+        // A tail record whose bytes do not decode is refused the same way.
+        kv.put(&leaf_key(1, 8), &[1, 2, 3]).unwrap();
+        assert!(matches!(
+            open(&kv),
+            Err(IndexError::CorruptNode { level: 0, index: 8 })
+        ));
+        kv.put(&leaf_key(1, 8), &leaf8).unwrap();
+        kv.delete(&leaf_key(1, 5)).unwrap();
+        let t = open(&kv).unwrap();
+        assert_exhaustive(&t, 11);
+        assert_eq!(t.leaf(4).unwrap(), (vec![4, 1], Vec::new()));
+        assert!(matches!(
+            t.leaf(5),
+            Err(IndexError::CorruptNode { level: 0, index: 5 })
+        ));
+        kv.put(&leaf_key(1, 5), &[1, 2, 3]).unwrap();
+        assert!(matches!(
+            t.leaf(5),
+            Err(IndexError::CorruptNode { level: 0, index: 5 })
+        ));
+    }
+
+    #[test]
+    fn reopen_at_every_length_after_decay_matches_a_never_closed_tree() {
+        // Every length up to k³ + 5, every decay depth: the handle that
+        // decayed and stayed open against one opened afterwards on the
+        // same store — which finds sealed children missing at every level
+        // below `keep_level` and must re-derive them from what is left.
+        let results = |t: &AggTree<Vec<u64>>, n: u64| -> Vec<Result<Vec<u64>, String>> {
+            (0..n)
+                .flat_map(|a| (a + 1..=n).map(move |b| (a, b)))
+                .map(|(a, b)| t.query(a, b).map_err(|e| e.to_string()))
+                .collect()
+        };
+        for n in 1..=4u64.pow(3) + 5 {
+            for keep_level in 1..=5 {
+                let kv = Arc::new(MemKv::new());
+                let live = open4(kv.clone());
+                fill(&live, n);
+                let removed = live.decay(n, keep_level).unwrap();
+                assert_eq!(removed > 0, keep_level > 1 && n >= 4 && live.levels() > 1);
+                let reopened = open4(kv);
+                let at = format!("length {n}, keep_level {keep_level}");
+                assert_eq!(reopened.len(), n, "{at}");
+                assert_eq!(spine_bytes(&reopened), spine_bytes(&live), "{at}");
+                assert_eq!(
+                    reopened.frontier.read().total,
+                    live.frontier.read().total,
+                    "{at}"
+                );
+                assert_eq!(results(&reopened, n), results(&live, n), "{at}");
+                assert_eq!(reopened.query(0, n).unwrap(), naive_sum(0, n), "{at}");
+            }
+        }
     }
 
     #[test]
@@ -1152,35 +1265,26 @@ mod tests {
         // A stored node claiming u32::MAX entries must parse-fail as
         // CorruptNode, not attempt a multi-GB Vec pre-allocation.
         let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        {
-            let t: AggTree<Vec<u64>> = AggTree::open(
-                kv.clone(),
-                1,
-                TreeConfig {
-                    arity: 4,
-                    cache_bytes: 1 << 20,
-                },
-            )
-            .unwrap();
-            fill(&t, 8);
-        }
+        fill(&open4(kv.clone()), 8);
+        // A handle opened before the damage (cold cache: open caches
+        // nothing), so the query is what reads the corrupt bytes.
+        let t = open4(kv.clone());
         let mut bad = u32::MAX.to_le_bytes().to_vec();
         bad.extend_from_slice(&[0u8; 7]);
         kv.put(&node_key(1, 1, 0), &bad).unwrap();
-        // Fresh handle (cold cache) so the corrupt bytes are actually read.
-        let t: AggTree<Vec<u64>> = AggTree::open(
-            kv,
-            1,
-            TreeConfig {
-                arity: 4,
-                cache_bytes: 1 << 20,
-            },
-        )
-        .unwrap();
         match t.query(0, 4) {
             Err(IndexError::CorruptNode { level: 1, index: 0 }) => {}
             other => panic!("expected CorruptNode, got {other:?}"),
         }
+        // Open needs that node's sum for the level-2 spine: same refusal.
+        let cfg = TreeConfig {
+            arity: 4,
+            ..TreeConfig::default()
+        };
+        assert!(matches!(
+            AggTree::<Vec<u64>>::open(kv, 1, cfg),
+            Err(IndexError::CorruptNode { level: 1, index: 0 })
+        ));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! and the `/metrics` exposition renders them as
 //! `timecrypt_timeouts_total` / `timecrypt_fsyncs_total`; next to the
 //! fsyncs, `timecrypt_store_batches_total` counts the log's commits, so
-//! the two give fsyncs per commit. The log store's
+//! the two give fsyncs per commit. `timecrypt_ledger_leaves_loaded_total`
+//! counts the level-0 records the engine read back to build integrity
+//! ledgers for proof requests — who is paying for proofs, and whether a
+//! plain query ever rebuilt a ledger (it must not). The log store's
 //! **footprint** (file length, live keys, index bytes, dead bytes) takes
 //! the same road as four gauges, `timecrypt_store_*`: last writer wins, so
 //! they describe the one `LogKv` a node process runs.
@@ -22,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static FSYNCS: AtomicU64 = AtomicU64::new(0);
 static BATCHES: AtomicU64 = AtomicU64::new(0);
+static LEDGER_LEAVES: AtomicU64 = AtomicU64::new(0);
 static STORE_FOOTPRINT: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
 
 /// Records one I/O deadline expiry (socket read/write timed out).
@@ -58,6 +62,18 @@ pub fn fsyncs_total() -> u64 {
     FSYNCS.load(Ordering::Relaxed)
 }
 
+/// Records one level-0 record read back into a stream's integrity ledger
+/// by a proof request's catch-up.
+pub fn ledger_leaf_loaded() {
+    LEDGER_LEAVES.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Total ledger leaves loaded by this process: what proofs have cost in
+/// index reads. It stays flat under ingest and plain queries.
+pub fn ledger_leaves_loaded_total() -> u64 {
+    LEDGER_LEAVES.load(Ordering::Relaxed)
+}
+
 /// Records one commit of the crash-safe log: a write batch, a single put
 /// or delete being a batch of one.
 pub fn store_batch_recorded() {
@@ -79,8 +95,11 @@ mod tests {
         let t0 = timeouts_total();
         let f0 = fsyncs_total();
         let b0 = store_batches_total();
+        let l0 = ledger_leaves_loaded_total();
         store_batch_recorded();
+        ledger_leaf_loaded();
         assert!(store_batches_total() > b0);
+        assert!(ledger_leaves_loaded_total() > l0);
         timeout_recorded();
         fsync_recorded();
         fsync_recorded();

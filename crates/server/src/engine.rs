@@ -6,17 +6,21 @@
 //! The engine never keeps every stream's state in memory. Opening a store
 //! builds only a *directory* — one small metadata record per registered
 //! stream — so open time is O(streams' meta records), not O(history).
-//! A stream's heavy state (`StreamState`: tree handle, replayed integrity
-//! ledger, ingest mutex) is *hydrated* from the store on first touch and
-//! parked in a recency-ordered resident set bounded by
-//! [`ServerConfig::max_resident_streams`]. Hydration is single-flight:
-//! concurrent cold touches of one stream replay the store exactly once
-//! (the winner holds the stream's hydration gate; losers queue on it and
-//! then take the resident hit). Eviction only removes a resident entry
-//! whose `Arc` has no in-flight references, so an operation holding a
-//! handle keeps using it safely even after the stream leaves the resident
-//! set — and no stream ever has two live `StreamState`s (which would
-//! split its ingest mutex). See ARCHITECTURE.md "Stream lifecycle".
+//! A stream's state (`StreamState`) is *hydrated* on first touch and parked
+//! in a recency-ordered resident set bounded by
+//! [`ServerConfig::max_resident_streams`]. Hydration is `AggTree::open`:
+//! the length by key probes, the open spine from at most k−1 records per
+//! level — O(k·log_k n) reads and resident bytes, whatever the history.
+//! The integrity ledger is no part of it: it is a cache of the level-0
+//! records that a proof request brings up to the attested size, and that
+//! eviction drops with the rest. Hydration is single-flight: concurrent
+//! cold touches of one stream open it exactly once (the winner holds the
+//! stream's hydration gate; losers queue on it and then take the resident
+//! hit). Eviction only removes a resident entry whose `Arc` has no
+//! in-flight references, so an operation holding a handle keeps using it
+//! safely after the stream leaves the resident set — and no stream ever
+//! has two live `StreamState`s (which would split its ingest mutex). See
+//! ARCHITECTURE.md "Stream lifecycle".
 
 use crate::keystore::KeyStore;
 use parking_lot::{Mutex, RwLock};
@@ -26,7 +30,7 @@ use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_index::{stored_chunk_count, stream_keys, AggTree, IndexError, TreeConfig};
 use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
-use timecrypt_obs::trace;
+use timecrypt_obs::{counters, trace};
 use timecrypt_store::{KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
 use timecrypt_wire::transport::{dispatch_frame, Handler};
@@ -113,7 +117,9 @@ pub enum ServerError {
         /// Node index within that level.
         index: u64,
     },
-    /// Integrity ledger failure (proofs, attestation bookkeeping).
+    /// Integrity failure of an attestation or proof request (a rejected
+    /// attestation, an unprovable range). Ingest keeps no ledger and never
+    /// returns it.
     Integrity(String),
     /// No attestation stored for the stream yet.
     NoAttestation(u128),
@@ -253,18 +259,20 @@ impl StreamMeta {
 /// Read/write split: the registration metadata is immutable; the
 /// aggregation tree is a shared handle whose queries run lock-free
 /// against a published `len` snapshot; the integrity ledger sits behind
-/// an `RwLock` (proof builders share it, ingest appends take it
-/// exclusively for one push); and the `ingest` mutex serializes the
-/// write path only. Statistical and raw reads therefore never wait on an
-/// in-flight insert.
+/// an `RwLock` (proof builders share it; one that finds it short of the
+/// attested size extends it exclusively); and the `ingest` mutex
+/// serializes the write path only. Statistical and raw reads therefore
+/// never wait on an in-flight insert, and ingest never takes the ledger.
 struct StreamState {
     meta: StreamMeta,
     /// Shared-read aggregation tree: queries take `&self` and snapshot a
     /// consistent length; appends are serialized by `ingest` (plus the
-    /// tree's own writer mutex as a backstop).
+    /// tree's own writer mutex as a backstop). Holds the open spine (at
+    /// most k−1 digests per level) and a node cache, not the history.
     tree: AggTree<Vec<u64>>,
-    /// Integrity extension: the server's authenticated aggregation ledger.
-    /// Rebuilt on hydration from the tree's level-0 records (tag = commitment).
+    /// Integrity extension: the authenticated aggregation ledger over a
+    /// prefix of the stream — a cache of its level-0 records, empty after
+    /// hydration, extended only by [`TimeCryptServer::prove`].
     ledger: RwLock<StreamLedger>,
     /// The per-stream ingest lock: held by `insert`, `rollup`, and
     /// `delete_range` (exclusive writers). The read path never takes it.
@@ -280,7 +288,7 @@ struct Resident {
 
 /// The stream registry: the always-complete directory plus the bounded
 /// resident set, all behind one mutex (`registry` in the documented lock
-/// order). Holders never block on the store — hydration replays run
+/// order). Holders never block on the store — hydration reads run
 /// outside this lock, serialized per stream by a `hydrating` gate.
 #[derive(Default)]
 struct StreamRegistry {
@@ -296,8 +304,8 @@ struct StreamRegistry {
     tick: u64,
     /// Per-stream single-flight hydration gates (lock class `hydrate`,
     /// taken *before* `registry`): the winner holds its stream's gate
-    /// while replaying the store; concurrent cold touches queue on the
-    /// gate instead of replaying again.
+    /// while opening the stream; concurrent cold touches queue on the
+    /// gate instead of opening it again.
     hydrating: HashMap<u128, Arc<Mutex<()>>>,
 }
 
@@ -346,7 +354,7 @@ impl StreamRegistry {
 pub struct ResidencyStats {
     /// Streams currently hydrated.
     pub resident: u64,
-    /// Hydrations performed since open (cold-touch store replays).
+    /// Hydrations performed since open (cold-touch stream opens).
     pub hydrations: u64,
     /// Resident streams evicted since open.
     pub evictions: u64,
@@ -370,7 +378,7 @@ pub struct TimeCryptServer {
     /// chunk, the sealed records received so far. Volatile by design — the
     /// durable copy is the finalized chunk that supersedes these records.
     live: Mutex<HashMap<u128, LiveBuffer>>,
-    /// Cold-touch store replays since open.
+    /// Cold-touch stream opens since the engine opened.
     hydrations: AtomicU64,
     /// Resident streams evicted since open.
     evictions: AtomicU64,
@@ -542,7 +550,7 @@ impl TimeCryptServer {
     /// touch.
     ///
     /// Single-flight protocol: a cold touch registers (or joins) the
-    /// stream's hydration gate, then replays the store *outside* the
+    /// stream's hydration gate, then reads the store *outside* the
     /// registry lock while holding only the gate. Losers block on the
     /// gate and find the state resident when they wake; if the winner
     /// failed (store error) or was superseded, the next waiter either
@@ -590,11 +598,11 @@ impl TimeCryptServer {
                 }
                 meta
             };
-            // We are the winner: replay the store with no registry lock
+            // We are the winner: open the stream with no registry lock
             // held — resident hits on other streams proceed meanwhile.
             //
             // lint: allow(blocking-under-lock) — the hydration gate exists
-            // precisely to serialize this store replay: it is per-stream,
+            // precisely to serialize these store reads: it is per-stream,
             // ordered before `registry`, and held by at most the one
             // winner plus waiters for this same stream, so blocking here
             // stalls no one who isn't already waiting for this state.
@@ -618,30 +626,19 @@ impl TimeCryptServer {
         }
     }
 
-    /// Rebuilds one stream's heavy state in one replay of the tree's
-    /// level-0 records: the tree recovers its open frontier from their
-    /// digests, the ledger from `(tag = commitment, digest)`. Runs outside
-    /// the registry lock, single-flighted per stream by the hydration gate.
+    /// Builds one stream's resident state: the tree handle (its bounded
+    /// open) around an empty ledger. Runs outside the registry lock,
+    /// single-flighted per stream by the hydration gate.
     fn hydrate(&self, stream: u128, meta: StreamMeta) -> Result<StreamState, ServerError> {
         let _stage = trace::stage("engine.hydrate");
         let cfg = TreeConfig {
             arity: self.cfg.arity,
             cache_bytes: self.cfg.cache_bytes,
         };
-        let mut ledger = StreamLedger::new(stream);
-        let mut replay = Ok(());
-        let tree = AggTree::open_with(self.kv.clone(), stream, cfg, |digest, tag| {
-            if replay.is_ok() {
-                replay = <[u8; 32]>::try_from(tag)
-                    .map_err(|_| "corrupt ledger leaf".to_string())
-                    .and_then(|c| ledger.append(c, digest).map_err(|e| e.to_string()));
-            }
-        })?;
-        replay.map_err(ServerError::Integrity)?;
         Ok(StreamState {
             meta,
-            tree,
-            ledger: RwLock::new(ledger),
+            tree: AggTree::open(self.kv.clone(), stream, cfg)?,
+            ledger: RwLock::new(StreamLedger::new(stream)),
             ingest: Mutex::new(()),
         })
     }
@@ -742,7 +739,7 @@ impl TimeCryptServer {
     /// The stream's published chunk count without forcing hydration: a
     /// resident stream answers from its tree handle (refreshing its
     /// recency), a cold one from the index's level-0 keys — a few key
-    /// probes instead of a full state replay.
+    /// probes.
     fn stream_len(&self, stream: u128) -> Result<u64, ServerError> {
         {
             let mut reg = self.registry.lock();
@@ -825,12 +822,12 @@ impl TimeCryptServer {
     /// ingest: width and next-index validation per chunk (a rejected
     /// chunk does not advance the expected index). The accepted chunks
     /// then commit as **one** store batch — their payloads, their level-0
-    /// records (each chunk's `(commitment, digest)`) and the index nodes
+    /// records (each chunk's `digest ‖ commitment`) and the index nodes
     /// they seal, through `AggTree::append_tagged` — followed by the
-    /// ledger appends and live-buffer cleanup. If the commit fails — a
-    /// store fault, not a validation outcome — nothing of the run was
-    /// stored or published: the first accepted chunk reports the real
-    /// error, the rest report `Unavailable`.
+    /// live-buffer cleanup. If the commit fails — a store fault, not a
+    /// validation outcome — nothing of the run was stored or published:
+    /// the first accepted chunk reports the real error, the rest report
+    /// `Unavailable`.
     fn insert_stream_run(
         &self,
         stream: u128,
@@ -856,7 +853,7 @@ impl TimeCryptServer {
         let mut accepted: Vec<usize> = Vec::new();
         let mut keys: Vec<Vec<u8>> = Vec::new();
         let mut commitments: Vec<[u8; 32]> = Vec::new();
-        let mut digests: Vec<Vec<u64>> = Vec::new();
+        let mut digests: Vec<&Vec<u64>> = Vec::new();
         for (pos, (chunk, bytes)) in items.iter().enumerate() {
             if chunk.digest_ct.len() as u32 != st.meta.digest_width {
                 verdicts.push(Some(ServerError::WidthMismatch {
@@ -875,7 +872,7 @@ impl TimeCryptServer {
             accepted.push(pos);
             keys.push(chunk_key(stream, chunk.index));
             commitments.push(chunk_commitment(bytes));
-            digests.push(chunk.digest_ct.clone());
+            digests.push(&chunk.digest_ct);
             verdicts.push(None);
             expected += 1;
         }
@@ -895,23 +892,13 @@ impl TimeCryptServer {
                 )));
             }
         } else if !accepted.is_empty() {
-            let mut ledger = st.ledger.write();
-            for ((&pos, commitment), digest) in accepted.iter().zip(commitments).zip(digests) {
-                if let Err(e) = ledger.append(commitment, digest) {
-                    verdicts[pos] = Some(ServerError::Integrity(e.to_string()));
-                }
-            }
             // The finalized chunks supersede their real-time records (§4.6
             // "dropping the encrypted records once the corresponding chunk
-            // is stored") — but only chunks whose verdict stayed Ok: a
-            // chunk that failed its ledger append keeps its live records,
-            // exactly as a sequential insert erroring out would.
+            // is stored").
             let mut live = self.live.lock();
             if let Some(buf) = live.get_mut(&stream) {
                 for &pos in &accepted {
-                    if verdicts[pos].is_none() {
-                        buf.remove(&items[pos].0.index);
-                    }
+                    buf.remove(&items[pos].0.index);
                 }
             }
         }
@@ -1024,6 +1011,55 @@ impl TimeCryptServer {
             .ok_or(ServerError::NoAttestation(stream))
     }
 
+    /// The one path of both proof builders: the latest attestation and the
+    /// range proof against it (`open`ing every in-range leaf or not) for
+    /// the chunks of `window` that are both stored and attested, as
+    /// `(attestation bytes, proof bytes, lo, hi)`. What the ledger is short
+    /// of the attested size — everything on first use, what ingest added
+    /// since on later ones — is read back from the level-0 records here; an
+    /// attestation ahead of the stored stream is refused before any read.
+    fn prove(
+        &self,
+        stream: u128,
+        open: bool,
+        window: impl FnOnce(&StreamMeta) -> Option<(u64, u64)>,
+    ) -> Result<(Vec<u8>, Vec<u8>, u64, u64), ServerError> {
+        let att_bytes = self.get_attestation(stream)?;
+        let att = RootAttestation::decode(&att_bytes)
+            .ok_or(ServerError::Integrity("stored attestation corrupt".into()))?;
+        let st = self.stream(stream)?;
+        let (lo, hi) = window(&st.meta).ok_or(ServerError::EmptyRange)?;
+        let hi = hi.min(st.tree.len()).min(att.size);
+        if lo >= hi {
+            return Err(ServerError::EmptyRange);
+        }
+        if att.size > st.tree.len() {
+            return Err(ServerError::Integrity(
+                "attestation covers chunks this server does not hold".into(),
+            ));
+        }
+        if (st.ledger.read().len() as u64) < att.size {
+            let mut ledger = st.ledger.write();
+            for index in ledger.len() as u64..att.size {
+                let corrupt = || IndexError::CorruptNode { level: 0, index };
+                let (digest, tag) = st.tree.leaf(index)?;
+                let commitment = <[u8; 32]>::try_from(&tag[..]).map_err(|_| corrupt())?;
+                // The ledger refuses a digest of another width than its first.
+                ledger.append(commitment, digest).map_err(|_| corrupt())?;
+                counters::ledger_leaf_loaded();
+            }
+        }
+        // Proof builders share the ledger; only a catch-up excludes them.
+        let ledger = st.ledger.read();
+        let (from, to, size) = (lo as usize, hi as usize, att.size as usize);
+        let proof = match open {
+            true => ledger.prove_range_open(from, to, size),
+            false => ledger.prove_range(from, to, size),
+        }
+        .map_err(|e| ServerError::Integrity(e.to_string()))?;
+        Ok((att_bytes, proof.encode(), lo, hi))
+    }
+
     /// Builds an authenticated range proof for `[ts_s, ts_e)` against the
     /// latest attestation and returns `(attestation bytes, proof bytes)`.
     /// The proof's chunk window is clamped to the attested size: chunks
@@ -1034,27 +1070,11 @@ impl TimeCryptServer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<(Vec<u8>, Vec<u8>), ServerError> {
-        let att_bytes = self.get_attestation(stream)?;
-        let att = RootAttestation::decode(&att_bytes)
-            .ok_or(ServerError::Integrity("stored attestation corrupt".into()))?;
-        let st = self.stream(stream)?;
-        let lo = st.meta.first_chunk_at_or_after(ts_s);
-        let hi = st
-            .meta
-            .chunk_end_at_or_before(ts_e)
-            .min(st.tree.len())
-            .min(att.size);
-        if lo >= hi {
-            return Err(ServerError::EmptyRange);
-        }
-        // Shared ledger access: proof builders only exclude the one-push
-        // ledger append inside `insert`, not each other.
-        let proof = st
-            .ledger
-            .read()
-            .prove_range(lo as usize, hi as usize, att.size as usize)
-            .map_err(|e| ServerError::Integrity(e.to_string()))?;
-        Ok((att_bytes, proof.encode()))
+        let (attestation, proof, ..) = self.prove(stream, false, |meta| {
+            let lo = meta.first_chunk_at_or_after(ts_s);
+            Some((lo, meta.chunk_end_at_or_before(ts_e)))
+        })?;
+        Ok((attestation, proof))
     }
 
     /// Raw range retrieval: all chunks overlapping `[ts_s, ts_e)`.
@@ -1180,28 +1200,15 @@ impl TimeCryptServer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<VerifiedRange, ServerError> {
-        let att_bytes = self.get_attestation(stream)?;
-        let att = RootAttestation::decode(&att_bytes)
-            .ok_or(ServerError::Integrity("stored attestation corrupt".into()))?;
-        let st = self.stream(stream)?;
         // Raw reads cover every chunk *overlapping* the interval, matching
         // get_range's semantics (not only fully-contained chunks).
-        if ts_e <= ts_s {
-            return Err(ServerError::EmptyRange);
-        }
-        let lo = st.meta.chunk_containing(ts_s.max(st.meta.t0)).unwrap_or(0);
-        let hi = match st.meta.chunk_containing(ts_e - 1) {
-            Some(c) => (c + 1).min(st.tree.len()).min(att.size),
-            None => return Err(ServerError::EmptyRange),
-        };
-        if lo >= hi {
-            return Err(ServerError::EmptyRange);
-        }
-        let proof = st
-            .ledger
-            .read()
-            .prove_range_open(lo as usize, hi as usize, att.size as usize)
-            .map_err(|e| ServerError::Integrity(e.to_string()))?;
+        let (attestation, proof, lo, hi) = self.prove(stream, true, |meta| {
+            if ts_e <= ts_s {
+                return None;
+            }
+            let lo = meta.chunk_containing(ts_s.max(meta.t0)).unwrap_or(0);
+            Some((lo, meta.chunk_containing(ts_e - 1)? + 1))
+        })?;
         let mut chunks = Vec::with_capacity((hi - lo) as usize);
         for i in lo..hi {
             let bytes = self
@@ -1212,7 +1219,7 @@ impl TimeCryptServer {
                 ))?;
             chunks.push(bytes);
         }
-        Ok((att_bytes, proof.encode(), chunks))
+        Ok((attestation, proof, chunks))
     }
 
     /// Stream metadata. Non-hydrating: directory entry plus the published

@@ -9,11 +9,13 @@
 //! Instances are stateless apart from the KV store behind them ("TimeCrypt
 //! instances are stateless and therefore horizontally scalable", §3.2):
 //! [`TimeCryptServer::open`] builds a stream *directory* from the store
-//! in one scan and rehydrates each stream's heavy state (tree handle,
-//! integrity ledger) lazily on first touch, behind a resident LRU bounded
-//! by [`ServerConfig::max_resident_streams`] — so open time and resident
-//! RAM scale with the streams actually used, not the streams stored (see
-//! the `engine` module docs for the hydration state machine).
+//! in one scan and hydrates each stream's state (the tree handle: its
+//! length and open spine, O(k·log_k n) reads whatever the history) lazily
+//! on first touch, behind a resident LRU bounded by
+//! [`ServerConfig::max_resident_streams`] — so open time and resident RAM
+//! scale with the streams actually used, not the streams stored nor their
+//! length (see the `engine` module docs for the hydration state machine).
+//! The integrity ledger is a per-stream cache only proof requests fill.
 //!
 //! # Locking model
 //!
@@ -25,7 +27,7 @@
 //!   `delete_range`. Writers serialize against each other only.
 //! * **Registry mutex (short critical sections):** every operation's
 //!   stream lookup — a resident hit is a map probe plus a recency bump;
-//!   cold-touch hydration replays the store *outside* this lock, holding
+//!   cold-touch hydration reads the store *outside* this lock, holding
 //!   only the stream's single-flight hydration gate (lock class
 //!   `hydrate`, ordered before `registry`).
 //! * **Shared, lock-free:** `stream_stat` / `get_stat_range`, `get_range`,
@@ -34,8 +36,9 @@
 //!   atomically published chunk-count snapshot
 //!   (see `timecrypt_index::tree` for the exactness argument).
 //! * **Shared (ledger read lock):** `get_range_proof` and
-//!   `get_verified_range`. Proof builders run concurrently; an in-flight
-//!   insert excludes them only for its single ledger push.
+//!   `get_verified_range`. Proof builders run concurrently; one that finds
+//!   the ledger short of the attested size takes it exclusively while it
+//!   reads the missing level-0 records back. Ingest never takes it.
 //!
 //! **Snapshot semantics:** a query observes the chunk prefix `[0, len)`
 //! published when it began; a chunk whose insert races the query appears

@@ -1,5 +1,5 @@
 //! Concurrency tests for the hydration seam: single-flight (N threads
-//! slamming one cold stream replay the store exactly once) and
+//! slamming one cold stream open it from the store exactly once) and
 //! evict-vs-read races (a reader holding the stream's `Arc` survives
 //! eviction and answers exactly).
 
@@ -36,10 +36,11 @@ fn ingest(engine: &TimeCryptServer, stream: u128, chunks: u64) {
 }
 
 #[test]
-fn concurrent_cold_touch_replays_the_store_once() {
-    // Seed a store, then reopen it cold behind a metered wrapper: the
-    // ledger-rebuild scan is the hydration fingerprint (queries only
-    // `get`), so the scan delta counts store replays exactly.
+fn concurrent_cold_touch_opens_the_stream_once() {
+    // Seed a store, then reopen it cold behind a metered wrapper. A query
+    // over the whole 6-chunk stream is answered from the open spine, so
+    // every store read is hydration's: the length probes (key scans) and
+    // the six level-0 records of the open level-1 node (gets).
     let base: Arc<dyn KvStore> = Arc::new(MemKv::new());
     {
         let seeder = TimeCryptServer::open(base.clone(), ServerConfig::default()).unwrap();
@@ -74,15 +75,20 @@ fn concurrent_cold_touch_replays_the_store_once() {
     for r in &replies[1..] {
         assert_eq!(r, &replies[0], "racing cold reads diverged");
     }
-    let after = metered.counters();
-    assert_eq!(
-        after.scans - before.scans,
-        1,
-        "exactly one ledger replay for {threads} racing cold touches"
-    );
+    let raced = metered.counters();
     let residency = engine.residency();
     assert_eq!(residency.hydrations, 1, "exactly one hydration counted");
     assert_eq!(residency.resident, 1);
+    // The race read exactly what one cold touch alone reads.
+    assert_eq!(engine.evict_idle_streams(), 1);
+    engine.stream_stat(1, 0, 6 * DELTA_MS as i64).unwrap();
+    let alone = metered.counters();
+    assert_eq!(raced.gets - before.gets, 6);
+    assert_eq!(
+        (raced.gets - before.gets, raced.scans - before.scans),
+        (alone.gets - raced.gets, alone.scans - raced.scans),
+        "one open for {threads} racing cold touches"
+    );
 }
 
 #[test]

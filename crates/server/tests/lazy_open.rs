@@ -40,7 +40,7 @@ fn open_cost_scales_with_touched_streams_not_stored() {
     assert_eq!(engine.residency().resident, 0, "nothing hydrated yet");
 
     // Touch 3 of the 10k streams; reads must stay a small constant per
-    // touched stream (tree-length get + ledger scan), nowhere near the
+    // touched stream (the length probes of an empty stream), nowhere near the
     // stored stream count.
     for s in [17u128, 4_242, 9_999] {
         engine.stream_stat(s, 0, 100_000).unwrap();

@@ -306,6 +306,17 @@ pub fn render_stats(stats: &ServiceStatsWire) -> String {
         &[],
         timecrypt_obs::counters::store_batches_total() as f64,
     );
+    page.header(
+        "timecrypt_ledger_leaves_loaded_total",
+        "Level-0 index records read back into integrity ledgers by proof requests. \
+         Flat under ingest and plain queries.",
+        "counter",
+    );
+    page.sample(
+        "timecrypt_ledger_leaves_loaded_total",
+        &[],
+        timecrypt_obs::counters::ledger_leaves_loaded_total() as f64,
+    );
     // The log store's footprint; dead / log bytes is the share of the file
     // a compaction would reclaim. All zero in a process without a `LogKv`.
     let footprint = timecrypt_obs::counters::store_footprint();
@@ -407,6 +418,7 @@ mod tests {
             "timecrypt_timeouts_total",
             "timecrypt_fsyncs_total",
             "timecrypt_store_batches_total",
+            "timecrypt_ledger_leaves_loaded_total",
             "timecrypt_store_log_bytes",
             "timecrypt_store_live_keys",
             "timecrypt_store_index_bytes",

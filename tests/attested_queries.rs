@@ -350,3 +350,169 @@ fn verified_query_over_tcp() {
     assert_eq!(verified.count, Some(120));
     tcp.shutdown();
 }
+
+/// The three attested replies over `[lo_s, hi_s)` seconds: attestation,
+/// range proof, verified raw range.
+fn attested_replies(t: &mut InProcess, stream: u128, lo_s: i64, hi_s: i64) -> Vec<Response> {
+    let (ts_s, ts_e) = (lo_s * 1000, hi_s * 1000);
+    [
+        Request::GetAttestation { stream },
+        Request::GetRangeProof { stream, ts_s, ts_e },
+        Request::GetVerifiedRange { stream, ts_s, ts_e },
+    ]
+    .iter()
+    .map(|req| t.call(req).unwrap())
+    .collect()
+}
+
+#[test]
+fn evicting_between_every_request_changes_no_attested_reply() {
+    use timecrypt::integrity::{verify_attested_range, RangeProof, RootAttestation};
+    // Two engines fed the same bytes. `kept` never evicts: its ledger is
+    // caught up by the first proof and topped up by later ones with what
+    // ingest added in between. `churned` drops the stream before every
+    // request: each proof rebuilds the ledger from the level-0 records.
+    // Attestation, proof and verified-range replies must be the same
+    // bytes — and the proofs must verify against the owner's signed root.
+    let (_, mut kept) = setup(Arc::new(MemKv::new()));
+    let (churned_server, mut churned) = setup(Arc::new(MemKv::new()));
+    let cfg = StreamConfig::new(11, "hr", 0, 10_000);
+    let key = SigningKey::generate(&mut SecureRandom::from_seed_insecure(9));
+    let producer = |t: &mut InProcess| {
+        let mut owner = owner_for(&cfg, 1);
+        owner.create_stream(t).unwrap();
+        let rng = SecureRandom::from_seed_insecure(2);
+        Producer::new(cfg.clone(), owner.provision_producer(), rng).with_attester(key.clone())
+    };
+    let (mut p_kept, mut p_churned) = (producer(&mut kept), producer(&mut churned));
+    // 70 chunks per run: every run crosses a sealed level-1 node.
+    for (run, attest) in [(0, true), (1, true), (2, false), (3, true)] {
+        for (p, t) in [(&mut p_kept, &mut kept), (&mut p_churned, &mut churned)] {
+            for s in run * 700..(run + 1) * 700 {
+                p.push(t, DataPoint::new(s * 1000, s)).unwrap();
+            }
+            p.flush(t).unwrap();
+            if attest {
+                p.attest(t).unwrap();
+            }
+        }
+        // Attested: what the last attesting run had uploaded.
+        let attested = if attest { run + 1 } else { run } * 700;
+        for (lo_s, hi_s) in [(0, attested), (35, 95), (attested - 25, (run + 1) * 700)] {
+            churned_server.evict_idle_streams();
+            let replies = attested_replies(&mut churned, cfg.id, lo_s, hi_s);
+            let at = format!("run {run}, [{lo_s}s, {hi_s}s)");
+            assert_eq!(
+                replies,
+                attested_replies(&mut kept, cfg.id, lo_s, hi_s),
+                "{at}"
+            );
+            let Response::Attested { attestation, proof } = &replies[1] else {
+                panic!("{at}: {:?}", replies[1]);
+            };
+            let att = RootAttestation::decode(attestation).unwrap();
+            let proof = RangeProof::decode(proof).unwrap();
+            assert_eq!(
+                (att.size, proof.n as i64),
+                (attested as u64 / 10, attested / 10)
+            );
+            verify_attested_range(cfg.id, &att, &key.verifying_key(), &proof)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn an_attestation_ahead_of_the_stored_stream_is_refused_before_any_read() {
+    // The owner attested 12 chunks; this server holds 10 (a lagging
+    // replica, a truncated store). Both proof builders refuse with the
+    // same explicit error, having read nothing but the attestation.
+    let kv = Arc::new(timecrypt::store::MeteredKv::new(Arc::new(MemKv::new())));
+    let (server, mut t) = setup(kv.clone());
+    let cfg = StreamConfig::new(12, "hr", 0, 10_000);
+    let mut owner = owner_for(&cfg, 1);
+    owner.create_stream(&mut t).unwrap();
+    let mut rng = SecureRandom::from_seed_insecure(9);
+    let key = SigningKey::generate(&mut rng);
+    ingest_attested(&mut t, &cfg, &owner, key.clone(), 100);
+    let mut ahead = timecrypt::integrity::StreamLedger::new(cfg.id);
+    for i in 0..12u8 {
+        ahead.append([i; 32], vec![0; 3]).unwrap();
+    }
+    ahead.attest(&key, &mut rng);
+    let att = ahead.attest(&key, &mut rng);
+    assert_eq!((att.size, att.epoch), (12, 1));
+    server.put_attestation(cfg.id, &att.encode()).unwrap();
+
+    let before = kv.counters();
+    let proof = server.get_range_proof(cfg.id, 0, 50_000).unwrap_err();
+    let range = server.get_verified_range(cfg.id, 0, 50_000).unwrap_err();
+    let after = kv.counters();
+    let expected = "integrity: attestation covers chunks this server does not hold";
+    assert_eq!(proof.to_string(), expected);
+    assert_eq!(range.to_string(), expected);
+    assert_eq!(
+        (after.gets - before.gets, after.scans - before.scans),
+        (2, 0),
+        "one attestation read per request, nothing else"
+    );
+}
+
+#[test]
+fn a_damaged_level0_record_fails_the_ledger_catch_up_as_corrupt_node() {
+    use timecrypt::index::IndexError;
+    use timecrypt::server::ServerError;
+    // Batches are atomic, so a missing or mangled `il/` record is
+    // corruption, not a crash state. Chunk 5 of 70 lies under a sealed
+    // level-1 node and is no length probe: hydration and statistical
+    // queries never read it; the ledger catch-up does, and reports it.
+    let (server, mut t) = setup(Arc::new(MemKv::new()));
+    let cfg = StreamConfig::new(13, "hr", 0, 10_000);
+    let mut owner = owner_for(&cfg, 1);
+    owner.create_stream(&mut t).unwrap();
+    let mut rng = SecureRandom::from_seed_insecure(9);
+    let key = SigningKey::generate(&mut rng);
+    ingest_attested(&mut t, &cfg, &owner, key, 700);
+    let mut leaf5 = b"il/".to_vec();
+    leaf5.extend_from_slice(&cfg.id.to_be_bytes());
+    leaf5.push(b'/');
+    leaf5.extend_from_slice(&5u64.to_be_bytes());
+    let kv = server.kv();
+    let record = kv.get(&leaf5).unwrap().expect("chunk 5's level-0 record");
+    let width = (record.len() - 4 - 32) / 8;
+    let mut other_width = ((width + 1) as u32).to_le_bytes().to_vec();
+    other_width.extend_from_slice(&vec![0; 8 * (width + 1) + 32]);
+    for damaged in [
+        None,
+        Some(&record[..record.len() - 1]),
+        Some(&record[..3]),
+        Some(&other_width[..]),
+    ] {
+        match damaged {
+            Some(bytes) => kv.put(&leaf5, bytes).unwrap(),
+            None => kv.delete(&leaf5).unwrap(),
+        }
+        for evict_first in [false, true] {
+            if evict_first {
+                server.evict_idle_streams();
+            }
+            assert!(server.get_stat_range(&[cfg.id], 0, 700_000).is_ok());
+            for err in [
+                server.get_range_proof(cfg.id, 0, 700_000).unwrap_err(),
+                server.get_verified_range(cfg.id, 0, 700_000).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(
+                        err,
+                        ServerError::Index(IndexError::CorruptNode { level: 0, index: 5 })
+                    ),
+                    "{damaged:?}: {err}"
+                );
+            }
+        }
+    }
+    // Restored, the same engine proves: the failed catch-ups left a valid
+    // ledger prefix behind.
+    kv.put(&leaf5, &record).unwrap();
+    assert!(server.get_range_proof(cfg.id, 0, 700_000).is_ok());
+}

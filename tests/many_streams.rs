@@ -24,7 +24,11 @@ const DELTA_MS: u64 = 10_000;
 /// Every `HOT_EVERY`-th stream gets chunks; the rest exist only in the
 /// directory — the shape lazy hydration is for.
 const HOT_EVERY: u128 = 25;
-const CHUNKS: u64 = 3;
+/// Chunks per hot stream: three sealed level-1 nodes and an 8-entry open
+/// one at the default arity 64, so every rehydration the LRU churn forces
+/// reads back a real spine — tail records and sealed siblings — not a
+/// three-record stream.
+const CHUNKS: u64 = 200;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
