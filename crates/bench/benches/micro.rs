@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
-use timecrypt_baselines::{EcElGamal, Paillier};
+use timecrypt_bench::baselines::{EcElGamal, Paillier};
 use timecrypt_chunk::compress::{compress, decompress, Codec};
 use timecrypt_chunk::DataPoint;
 use timecrypt_core::dualkr::chain_walk;
@@ -98,8 +98,8 @@ fn bench_compression(c: &mut Criterion) {
 }
 
 fn bench_integrity(c: &mut Criterion) {
-    use timecrypt_baselines::SigningKey;
     use timecrypt_integrity::{chunk_commitment, MerkleTree, SumLeaf, SumTree};
+    use timecrypt_pk::SigningKey;
     let mut g = c.benchmark_group("integrity");
     g.sample_size(20);
 

@@ -7,11 +7,11 @@
 //! configurable plaintext range (the reason Table 2 lists EC-ElGamal
 //! decryption as expensive/N-A on constrained devices).
 
-use crate::bn::BigUint;
-use crate::p256::{curve, Point};
 use std::collections::HashMap;
 use timecrypt_crypto::SecureRandom;
 use timecrypt_index::HomDigest;
+use timecrypt_pk::bn::BigUint;
+use timecrypt_pk::p256::{curve, Point};
 
 /// An EC-ElGamal ciphertext: `(R, S) = (rG, mG + rQ)`.
 #[derive(Debug, Clone, PartialEq, Eq)]

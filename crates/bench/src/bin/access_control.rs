@@ -9,7 +9,7 @@
 //! cargo run -p timecrypt-bench --release --bin access_control
 //! ```
 
-use timecrypt_baselines::abe::AbeCostModel;
+use timecrypt_bench::baselines::abe::AbeCostModel;
 use timecrypt_bench::measure::{format_duration, time_avg};
 use timecrypt_core::dualkr::chain_walk;
 use timecrypt_core::heac::{decrypt_range_sum, HeacEncryptor};

@@ -15,12 +15,12 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_baselines::SigningKey;
 use timecrypt_bench::measure::{format_duration, time_avg};
 use timecrypt_chunk::{DataPoint, StreamConfig};
 use timecrypt_client::{Consumer, DataOwner, InProcess, Producer};
 use timecrypt_crypto::SecureRandom;
 use timecrypt_integrity::{chunk_commitment, SumLeaf, SumTree};
+use timecrypt_pk::SigningKey;
 use timecrypt_server::{ServerConfig, TimeCryptServer};
 use timecrypt_store::MemKv;
 

@@ -13,7 +13,7 @@
 //! ```
 
 use std::sync::Arc;
-use timecrypt_baselines::{EcElGamal, ElGamalDigest, Paillier, PaillierDigest};
+use timecrypt_bench::baselines::{EcElGamal, ElGamalDigest, Paillier, PaillierDigest};
 use timecrypt_bench::measure::time_avg;
 use timecrypt_core::heac::{decrypt_range_sum, HeacEncryptor};
 use timecrypt_core::TreeKd;

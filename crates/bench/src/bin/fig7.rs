@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_baselines::{EcElGamal, ElGamalDigest, Paillier, PaillierDigest};
+use timecrypt_bench::baselines::{EcElGamal, ElGamalDigest, Paillier, PaillierDigest};
 use timecrypt_bench::workload::{DevOpsWorkload, MHealthWorkload};
 use timecrypt_core::heac::{decrypt_range_sum, HeacEncryptor};
 use timecrypt_core::TreeKd;

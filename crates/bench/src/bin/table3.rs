@@ -12,7 +12,7 @@
 //! cargo run -p timecrypt-bench --release --bin table3
 //! ```
 
-use timecrypt_baselines::{EcElGamal, Paillier};
+use timecrypt_bench::baselines::{EcElGamal, Paillier};
 use timecrypt_bench::measure::{format_duration, time_avg};
 use timecrypt_core::heac::{decrypt_range_sum, HeacEncryptor};
 use timecrypt_core::TreeKd;

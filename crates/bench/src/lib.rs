@@ -1,7 +1,9 @@
-//! Benchmark support library: workload generators and measurement helpers
-//! shared by the table/figure harness binaries (see DESIGN.md §2 for the
-//! experiment → binary map).
+//! Evaluation-only code: the paper's strawman baselines, workload
+//! generators and measurement helpers shared by the table/figure
+//! reproductions and the two cluster phases (see `README.md` in this
+//! crate for the experiment → binary map).
 
+pub mod baselines;
 pub mod measure;
 pub mod workload;
 

@@ -4,10 +4,47 @@
 //!   50 Hz with Δ = 10 s chunks (≤ 500 points per chunk per metric).
 //! * **DevOps** — a TSBS-style CPU monitoring fleet: 10 metrics × 100
 //!   hosts, one reading per 10 s, Δ = 60 s chunks (6 records per chunk).
+//! * **pre-sealed** — one-point chunks sealed ahead of time for the two
+//!   cluster phases, which measure the serving tier, not the client CPU.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use timecrypt_chunk::{DataPoint, DigestOp, DigestSchema, StreamConfig};
+use timecrypt_chunk::serialize::EncryptedChunk;
+use timecrypt_chunk::{ChunkSealer, DataPoint, DigestOp, DigestSchema, PlainChunk, StreamConfig};
+use timecrypt_core::StreamKeyMaterial;
+use timecrypt_crypto::{PrgKind, SecureRandom};
+
+/// `chunks` sealed one-point chunks (sum/count digests, Δ = 10 s) for each
+/// of streams `0..streams`. Deterministic: the same arguments seal the
+/// same bytes.
+pub fn presealed(streams: usize, chunks: u64) -> Vec<Vec<EncryptedChunk>> {
+    (0..streams as u128)
+        .map(|id| {
+            let cfg = StreamConfig {
+                schema: DigestSchema::sum_count(),
+                ..StreamConfig::new(id, "bench", 0, 10_000)
+            };
+            let keys =
+                StreamKeyMaterial::with_params(id, [(id as u8) ^ 0x5a; 16], 22, PrgKind::Aes)
+                    .unwrap();
+            let mut rng = SecureRandom::from_seed_insecure(id as u64);
+            // Amortized sealer: sequential chunks share boundary-leaf
+            // derivations (byte-identical to one-shot `seal`).
+            let mut sealer = ChunkSealer::new(&cfg, &keys);
+            (0..chunks)
+                .map(|i| {
+                    let points = vec![DataPoint::new(i as i64 * 10_000, i as i64)];
+                    let plain = PlainChunk {
+                        stream: id,
+                        index: i,
+                        points,
+                    };
+                    sealer.seal(&plain, &mut rng).unwrap()
+                })
+                .collect()
+        })
+        .collect()
+}
 
 /// mhealth generator: `metrics` streams at `rate_hz`, Δ = 10 s.
 pub struct MHealthWorkload {

@@ -3,13 +3,13 @@
 use crate::grants::{Grant, StreamDescriptor};
 use crate::transport::{ClientFault, Transport};
 use std::collections::HashMap;
-use timecrypt_baselines::ecies::EciesKeypair;
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_chunk::{DataPoint, StatSummary};
 use timecrypt_core::heac::{decrypt_range_sum, KeySource};
 use timecrypt_core::resolution::{Envelope, ResolutionConsumer};
 use timecrypt_core::{CoreError, TokenSet};
 use timecrypt_crypto::Seed128;
+use timecrypt_pk::ecies::EciesKeypair;
 use timecrypt_wire::messages::{Request, Response};
 
 /// Per-stream key material reconstructed from grants.
@@ -67,7 +67,7 @@ impl Consumer {
     }
 
     /// The public key owners seal grants to.
-    pub fn public_key(&self) -> &timecrypt_baselines::p256::Point {
+    pub fn public_key(&self) -> &timecrypt_pk::p256::Point {
         &self.keypair.public
     }
 
@@ -260,7 +260,7 @@ impl Consumer {
         &mut self,
         transport: &mut T,
         stream: u128,
-        owner_key: &timecrypt_baselines::VerifyingKey,
+        owner_key: &timecrypt_pk::VerifyingKey,
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatSummary, ClientFault> {
@@ -295,7 +295,7 @@ impl Consumer {
         &mut self,
         transport: &mut T,
         stream: u128,
-        owner_key: &timecrypt_baselines::VerifyingKey,
+        owner_key: &timecrypt_pk::VerifyingKey,
         ts_s: i64,
         ts_e: i64,
     ) -> Result<Vec<DataPoint>, ClientFault> {

@@ -3,12 +3,12 @@
 use crate::grants::{Grant, StreamDescriptor};
 use crate::transport::{ClientFault, Transport};
 use std::collections::HashMap;
-use timecrypt_baselines::ecies;
-use timecrypt_baselines::p256::Point;
 use timecrypt_chunk::StreamConfig;
 use timecrypt_core::resolution::ResolutionOwner;
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::SecureRandom;
+use timecrypt_pk::ecies;
+use timecrypt_pk::p256::Point;
 use timecrypt_wire::messages::{Request, Response};
 
 /// The data owner of one stream.

@@ -17,10 +17,7 @@ pub struct Producer {
     live_seq: (u64, u32),
     records_sent: u64,
     /// Integrity extension: mirror ledger + signing key (§3.3).
-    attester: Option<(
-        timecrypt_baselines::SigningKey,
-        timecrypt_integrity::StreamLedger,
-    )>,
+    attester: Option<(timecrypt_pk::SigningKey, timecrypt_integrity::StreamLedger)>,
 }
 
 impl Producer {
@@ -45,7 +42,7 @@ impl Producer {
     /// attestations with [`attest`](Self::attest). The signing key is the
     /// data owner's attestation key (its public half reaches consumers via
     /// the identity provider).
-    pub fn with_attester(mut self, key: timecrypt_baselines::SigningKey) -> Self {
+    pub fn with_attester(mut self, key: timecrypt_pk::SigningKey) -> Self {
         self.attester = Some((key, timecrypt_integrity::StreamLedger::new(self.cfg.id)));
         self
     }

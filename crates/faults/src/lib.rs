@@ -13,8 +13,8 @@
 //!   black-holes, or severs individual length-prefixed frames, modelling
 //!   lossy links, hung-but-alive peers, and hard partitions.
 //!
-//! Shared by `tests/chaos.rs`, the timeout-promotion integration test,
-//! and the bench `faults` phase — one schedule format for all three.
+//! Shared by `tests/chaos.rs` and the timeout-promotion integration test
+//! — one schedule format for both.
 
 pub mod net;
 pub mod plan;

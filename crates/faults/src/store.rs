@@ -1,9 +1,12 @@
 //! [`FaultyKv`]: a `KvStore` decorator that injects scheduled faults.
 //!
-//! Follows the decorator idiom of `LatencyKv`/`MeteredKv`: wraps any
-//! inner store, consults the shared [`FaultPlan`] on every op, and keeps
-//! a per-decorator op counter so a plan's `Nth`/`EveryNth`/`PerMillion`
-//! triggers replay exactly under single-threaded drivers.
+//! Follows the decorator idiom of `MeteredKv`: wraps any inner store,
+//! consults the shared [`FaultPlan`] on every op, and keeps a
+//! per-decorator op counter so a plan's `Nth`/`EveryNth`/`PerMillion`
+//! triggers replay exactly under single-threaded drivers. A plan whose
+//! only rule always fires a [`StoreFault::Delay`] makes it a
+//! latency-modelled store (a remote storage tier): one delay per op, one
+//! per batch.
 
 use crate::plan::{FaultPlan, OpKind, StoreFault};
 use std::io;
@@ -144,8 +147,8 @@ impl<S: KvStore> KvStore for FaultyKv<S> {
     }
 }
 
-/// Convenience constructor used by tests/bench: a shared faulty wrapper
-/// over an arbitrary shared store.
+/// Convenience constructor used by tests: a shared faulty wrapper over
+/// an arbitrary shared store.
 pub fn faulty(inner: Arc<dyn KvStore>, plan: FaultPlan) -> Arc<FaultyKv<Arc<dyn KvStore>>> {
     Arc::new(FaultyKv::new(inner, plan))
 }
@@ -154,6 +157,7 @@ pub fn faulty(inner: Arc<dyn KvStore>, plan: FaultPlan) -> Arc<FaultyKv<Arc<dyn 
 mod tests {
     use super::*;
     use crate::plan::{StoreRule, Trigger};
+    use std::time::{Duration, Instant};
     use timecrypt_store::MemKv;
 
     fn plan_every_put_errors() -> FaultPlan {
@@ -165,6 +169,16 @@ mod tests {
         })
     }
 
+    /// The latency-modelled store: every op is delayed by `d`, none fails.
+    fn plan_every_op_delayed(d: Duration) -> FaultPlan {
+        FaultPlan::quiet().with_store_rule(StoreRule {
+            op: None,
+            key_prefix: Vec::new(),
+            when: Trigger::EveryNth(1),
+            fault: StoreFault::Delay(d),
+        })
+    }
+
     #[test]
     fn injected_error_leaves_inner_untouched() {
         let kv = FaultyKv::new(MemKv::new(), plan_every_put_errors());
@@ -173,12 +187,63 @@ mod tests {
         assert_eq!(kv.injected_total(), 1);
     }
 
+    /// Every `KvStore` method once (single ops, binary and empty values,
+    /// idempotent delete, empty and mixed batches), then everything the
+    /// store can be asked about the result (rendered, for comparison).
+    fn drive(kv: &dyn KvStore) -> String {
+        let put = |key, value| WriteOp::Put { key, value };
+        kv.put(b"s/a", b"1").unwrap();
+        kv.put(b"s/b", b"").unwrap();
+        kv.put(b"t/c", &[0, 255, 10, 13, 0]).unwrap();
+        kv.put(b"s/a", b"1b").unwrap();
+        kv.delete(b"s/b").unwrap();
+        kv.delete(b"s/b").unwrap();
+        kv.write_batch(&[]).unwrap();
+        let batch = [
+            put(b"s/d", b"4"),
+            WriteOp::Delete { key: b"s/a" },
+            put(b"s/d", b"5"),
+            put(b"s/e", b""),
+        ];
+        kv.write_batch(&batch).unwrap();
+        let gets = [&b"s/a"[..], b"s/b", b"t/c", b"s/d", b"s/e", b"missing"];
+        let mut pairs = kv.scan_prefix(b"s/").unwrap();
+        let mut keys = kv.scan_keys(b"").unwrap();
+        pairs.sort();
+        keys.sort();
+        format!("{:?}", (gets.map(|k| kv.get(k).unwrap()), pairs, keys))
+    }
+
+    /// The store crate's conformance suite is private to its own tests, so
+    /// transparency is checked differentially: under a plan that injects
+    /// nothing, or only delays, every answer equals a bare `MemKv`'s (which
+    /// passes that suite).
     #[test]
-    fn quiet_plan_passes_through() {
-        let kv = FaultyKv::new(MemKv::new(), FaultPlan::quiet());
-        kv.put(b"k", b"v").unwrap();
-        assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
-        assert_eq!(kv.injected_total(), 0);
+    fn quiet_and_delay_only_plans_pass_through() {
+        let quiet = FaultyKv::new(MemKv::new(), FaultPlan::quiet());
+        assert_eq!(drive(&quiet), drive(&MemKv::new()));
+        assert_eq!(quiet.injected_total(), 0);
+        let delayed = FaultyKv::new(MemKv::new(), plan_every_op_delayed(Duration::ZERO));
+        assert_eq!(drive(&delayed), drive(&MemKv::new()));
+        assert_eq!(delayed.injected_total(), delayed.ops_total());
+    }
+
+    #[test]
+    fn a_delay_is_served_once_per_op_and_once_per_batch() {
+        let d = Duration::from_millis(5);
+        let kv = FaultyKv::new(MemKv::new(), plan_every_op_delayed(d));
+        let t = Instant::now();
+        assert_eq!(kv.get(b"x").unwrap(), None);
+        assert!(t.elapsed() >= d, "the delay must be observable");
+        let put = |key, value| WriteOp::Put { key, value };
+        kv.write_batch(&[put(b"a", b"1"), put(b"b", b"2"), put(b"c", b"3")])
+            .unwrap();
+        assert_eq!(
+            (kv.ops_total(), kv.injected_total()),
+            (2, 2),
+            "a batch is one round trip: one op, one delay"
+        );
+        assert_eq!(kv.inner().scan_keys(b"").unwrap().len(), 3);
     }
 
     #[test]

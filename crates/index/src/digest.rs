@@ -3,7 +3,7 @@
 //! TimeCrypt digests and plaintext digests are both `Vec<u64>` (HEAC has
 //! zero ciphertext expansion and its addition is u64 wrapping addition —
 //! Table 2's headline). The strawman encryptions (Paillier, EC-ElGamal)
-//! implement the same trait in `timecrypt-baselines` with their much larger
+//! implement the same trait in `timecrypt-bench` with their much larger
 //! and slower ciphertexts, letting the identical index code reproduce the
 //! paper's comparisons.
 

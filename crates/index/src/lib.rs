@@ -8,7 +8,7 @@
 //! scan; appends touch log_k n nodes. Because HEAC addition *is* u64
 //! wrapping addition, the very same tree code serves the plaintext baseline
 //! (`Vec<u64>`), and — via the [`HomDigest`] abstraction — the Paillier and
-//! EC-ElGamal strawman ciphertexts in `timecrypt-baselines`.
+//! EC-ElGamal strawman ciphertexts in `timecrypt-bench`.
 //!
 //! Node storage goes through any [`timecrypt_store::KvStore`], with an LRU
 //! cache in front sized in bytes (the Fig. 7 "tiny 1 MB cache" experiment

@@ -11,8 +11,8 @@
 
 use crate::merkle::Hash;
 use crate::sumtree::{RangeProof, SumLeaf, SumTree, SumTreeError, VerifyError};
-use timecrypt_baselines::{Signature, SigningKey, VerifyingKey};
 use timecrypt_crypto::{sha256, SecureRandom};
+use timecrypt_pk::{Signature, SigningKey, VerifyingKey};
 
 /// Domain prefix for attestation signatures (versioned).
 const ATTEST_DOMAIN: &[u8] = b"timecrypt.root.v1";

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use timecrypt_integrity::{chunk_commitment, verify_attested_range, StreamLedger};
-//! use timecrypt_baselines::SigningKey;
+//! use timecrypt_pk::SigningKey;
 //! use timecrypt_crypto::SecureRandom;
 //!
 //! let mut rng = SecureRandom::from_seed_insecure(1);

@@ -1,12 +1,13 @@
-//! Property-based tests for the numeric substrate and the homomorphic
-//! baselines.
+//! Property-based tests for the numeric substrate, P-256 and ECDSA, and
+//! for the decoders that run on bytes a server or a peer supplies.
 
 use proptest::prelude::*;
-use timecrypt_baselines::bn::BigUint;
-use timecrypt_baselines::mont::Mont;
-use timecrypt_baselines::p256::curve;
-use timecrypt_baselines::{EcElGamal, Paillier};
 use timecrypt_crypto::SecureRandom;
+use timecrypt_pk::bn::BigUint;
+use timecrypt_pk::ecies::{self, EciesKeypair};
+use timecrypt_pk::mont::Mont;
+use timecrypt_pk::p256::{curve, Point};
+use timecrypt_pk::{Signature, SigningKey, VerifyingKey};
 
 proptest! {
     /// Add/sub/mul/div agree with a u128 oracle.
@@ -94,37 +95,10 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Paillier: Dec(Enc(a) ⊕ Enc(b)) = a + b for arbitrary u32 pairs
-    /// (small key for test speed; the algebra is key-size independent).
-    #[test]
-    fn paillier_homomorphism(a in any::<u32>(), b in any::<u32>()) {
-        let mut rng = SecureRandom::from_seed_insecure(42);
-        let kp = Paillier::generate(256, &mut rng);
-        let ca = kp.public.encrypt(a as u64, &mut rng);
-        let cb = kp.public.encrypt(b as u64, &mut rng);
-        let sum = kp.public.add(&ca, &cb);
-        prop_assert_eq!(kp.decrypt(&sum), a as u64 + b as u64);
-    }
-
-    /// EC-ElGamal: Dec(Enc(a) + Enc(b)) = a + b within the BSGS range.
-    #[test]
-    fn elgamal_homomorphism(a in 0u64..2000, b in 0u64..2000) {
-        let mut rng = SecureRandom::from_seed_insecure(43);
-        let kp = EcElGamal::generate(4096, &mut rng);
-        let ca = kp.encrypt(a, &mut rng);
-        let cb = kp.encrypt(b, &mut rng);
-        prop_assert_eq!(kp.decrypt(&EcElGamal::add(&ca, &cb)), Some(a + b));
-    }
-}
-
-proptest! {
     /// ECDSA: honest signatures always verify; signatures never transfer
     /// across messages; encode/decode is stable.
     #[test]
     fn ecdsa_sign_verify_properties(seed in any::<u64>(), msg in proptest::collection::vec(any::<u8>(), 0..64)) {
-        use timecrypt_baselines::{Signature, SigningKey};
         let mut rng = SecureRandom::from_seed_insecure(seed);
         let key = SigningKey::generate(&mut rng);
         let vk = key.verifying_key();
@@ -140,9 +114,66 @@ proptest! {
     /// whatever decodes re-encodes identically.
     #[test]
     fn ecdsa_signature_decode_total(bytes in proptest::collection::vec(any::<u8>(), 0..80)) {
-        use timecrypt_baselines::Signature;
         if let Some(sig) = Signature::decode(&bytes) {
             prop_assert_eq!(sig.encode().to_vec(), bytes);
         }
+    }
+
+    /// Hostile bytes into the decoders clients run on server-supplied data:
+    /// arbitrary input and every single-bit corruption of a valid encoding
+    /// is rejected or decodes to something well-formed — never a panic, and
+    /// a corrupted signature, key or sealed blob is never accepted as the
+    /// original.
+    #[test]
+    fn decoders_survive_hostile_bytes(
+        seed in any::<u64>(),
+        junk in proptest::collection::vec(any::<u8>(), 0..140),
+        tag in prop_oneof![Just(0u8), Just(4u8), any::<u8>()],
+        flip in any::<u16>(),
+    ) {
+        // Arbitrary bytes, biased towards the two tags `Point::decode` knows.
+        let mut bytes = junk;
+        if let Some(first) = bytes.first_mut() {
+            *first = tag;
+        }
+        let mut rng = SecureRandom::from_seed_insecure(seed);
+        let recipient = EciesKeypair::generate(&mut rng);
+        // `Signature::decode` looks at nothing but 64-byte inputs.
+        let mut sig_bytes = bytes.clone();
+        sig_bytes.resize(64, tag);
+        if let Some(sig) = Signature::decode(&sig_bytes) {
+            prop_assert_eq!(sig.encode().to_vec(), sig_bytes);
+        }
+        if let Some((pt, used)) = Point::decode(&bytes) {
+            prop_assert!(used <= bytes.len());
+            prop_assert!(pt.is_infinity() || curve().is_on_curve(&pt));
+        }
+        if let Some(vk) = VerifyingKey::decode(&bytes) {
+            prop_assert_eq!(vk.encode(), bytes.clone());
+        }
+        prop_assert!(recipient.open(&bytes).is_err());
+
+        // One flipped bit in each valid encoding.
+        let flipped = |valid: &[u8]| {
+            let mut out = valid.to_vec();
+            let bit = flip as usize % (out.len() * 8);
+            out[bit / 8] ^= 1 << (bit % 8);
+            out
+        };
+        let key = SigningKey::generate(&mut rng);
+        let vk = key.verifying_key();
+        let msg = b"attested root";
+        let sig = key.sign(msg, &mut rng);
+        if let Some(forged) = Signature::decode(&flipped(&sig.encode())) {
+            prop_assert!(!vk.verify(msg, &forged));
+        }
+        let bad_key = flipped(&vk.encode());
+        prop_assert!(VerifyingKey::decode(&bad_key).is_none());
+        if let Some((pt, _)) = Point::decode(&bad_key) {
+            prop_assert!(pt.is_infinity(), "an off-curve point decoded");
+        }
+        let blob = ecies::seal(&recipient.public, b"grant", &mut rng);
+        prop_assert_eq!(recipient.open(&blob).unwrap(), b"grant".to_vec());
+        prop_assert!(recipient.open(&flipped(&blob)).is_err());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! TimeCrypt "can be plugged-in with any scalable key-value store for
 //! persisting data chunks and statistical indices" (§4.6). The prototype
-//! used Cassandra; this reproduction provides three interchangeable engines
+//! used Cassandra; this reproduction provides two interchangeable engines
 //! behind the [`KvStore`] trait:
 //!
 //! * [`MemKv`] — sharded in-memory hash map (the fast path; what the
@@ -11,25 +11,24 @@
 //!   (durability). Its in-memory index holds keys and record locations
 //!   only; the log file is the one copy of the values, read positionally
 //!   and re-validated on every read,
-//! * [`LatencyKv`] — a decorator injecting configurable per-operation
-//!   latency to model a remote storage tier (the DevOps deployment where
-//!   Cassandra runs on a separate machine).
+//!
+//! plus the [`MeteredKv`] decorator, which counts ops and bytes for the
+//! service tier's metrics (`timecrypt-faults` adds `FaultyKv`, which
+//! injects errors, torn writes and delays).
 //!
 //! Writes that belong together go through [`KvStore::write_batch`]: one
-//! failure-atomic commit (one log append, one fsync wait in [`LogKv`]; one
-//! round trip behind [`LatencyKv`]). The index and the engine commit a
-//! stream's whole ingest run, and a whole stream deletion, that way.
+//! failure-atomic commit (one log append, one fsync wait in [`LogKv`]).
+//! The index and the engine commit a stream's whole ingest run, and a
+//! whole stream deletion, that way.
 //!
 //! Keys are arbitrary byte strings; TimeCrypt computes chunk/index-node keys
 //! on the fly from `(stream id, temporal range)` without storing references
 //! (§4.6 "storage model").
 
-pub mod latency;
 pub mod log;
 pub mod mem;
 pub mod metered;
 
-pub use latency::LatencyKv;
 pub use log::{Durability, LogKv, LogStats};
 pub use mem::MemKv;
 pub use metered::{MeteredKv, StoreCounters};

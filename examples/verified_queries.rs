@@ -15,11 +15,11 @@
 //! cargo run --example verified_queries
 //! ```
 
-use timecrypt::baselines::SigningKey;
 use timecrypt::chunk::{DataPoint, DigestOp, PlainChunk, StreamConfig};
 use timecrypt::core::{decrypt_range_sum, StreamKeyMaterial};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::integrity::{chunk_commitment, verify_attested_range, StreamLedger};
+use timecrypt::pk::SigningKey;
 
 const STREAM: u128 = 0xBEEF;
 const DELTA_MS: u64 = 10_000;

@@ -20,8 +20,8 @@
 //!   chunk sealing.
 //! * [`index`] — the k-ary time-partitioned aggregation
 //!   tree with LRU node cache.
-//! * [`store`] — KV engines (memory / persistent log /
-//!   latency-injected / op-metered).
+//! * [`store`] — KV engines (memory / persistent log) and the
+//!   op-metering decorator.
 //! * [`server`] — the untrusted server engine.
 //! * [`service`] — the sharded concurrent serving tier:
 //!   shard-routed backends (in-process engines and/or remote
@@ -32,9 +32,9 @@
 //! * [`wire`] — framing + TCP transport.
 //! * [`faults`] — deterministic fault injection: seeded
 //!   `FaultPlan` schedules, a `FaultyKv` store decorator, a
-//!   `FaultyTransport` frame-level proxy (chaos tests + bench).
-//! * [`baselines`] — Paillier, EC-ElGamal/P-256,
-//!   ECIES, ECDSA, ABE cost model.
+//!   `FaultyTransport` frame-level proxy (chaos tests).
+//! * [`pk`] — the public-key substrate: bignum/Montgomery arithmetic,
+//!   P-256, ECDSA (attestations), ECIES (sealed grants).
 //! * [`integrity`] — the Verena-style extension
 //!   (§3.3): authenticated aggregation proofs and signed root attestations
 //!   giving completeness/correctness on top of confidentiality.
@@ -43,8 +43,9 @@
 //!
 //! See `examples/quickstart.rs` for the end-to-end owner → producer →
 //! consumer flow, `examples/multi_node_cluster.rs` for a replicated
-//! two-node cluster with failover, and EXPERIMENTS.md for reproducing the
-//! paper's tables and figures.
+//! two-node cluster with failover, and `crates/bench/README.md` for
+//! reproducing the paper's tables and figures (the strawman baselines live
+//! there, in `timecrypt-bench`, outside this facade).
 //!
 //! ## Architecture
 //!
@@ -54,7 +55,6 @@
 //! [ARCHITECTURE.md](https://github.com/timecrypt-rs/timecrypt/blob/main/ARCHITECTURE.md)
 //! at the repository root.
 
-pub use timecrypt_baselines as baselines;
 pub use timecrypt_chunk as chunk;
 pub use timecrypt_client as client;
 pub use timecrypt_core as core;
@@ -62,6 +62,7 @@ pub use timecrypt_crypto as crypto;
 pub use timecrypt_faults as faults;
 pub use timecrypt_index as index;
 pub use timecrypt_integrity as integrity;
+pub use timecrypt_pk as pk;
 pub use timecrypt_server as server;
 pub use timecrypt_service as service;
 pub use timecrypt_store as store;

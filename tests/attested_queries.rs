@@ -4,10 +4,10 @@
 //! real TCP transport, plus persistence of the ledger across restarts.
 
 use std::sync::Arc;
-use timecrypt::baselines::SigningKey;
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
+use timecrypt::pk::SigningKey;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::{LogKv, MemKv};
 use timecrypt::wire::messages::{Request, Response};

@@ -92,7 +92,7 @@ fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
     )
     .unwrap();
     let mut rng = timecrypt::crypto::SecureRandom::from_seed_insecure(5);
-    let key = timecrypt::baselines::SigningKey::generate(&mut rng);
+    let key = timecrypt::pk::SigningKey::generate(&mut rng);
     let mut owner = StreamLedger::new(1);
     // Ingests `range`, mirrors it in the owner's ledger and attests.
     let mut upload = |range: std::ops::Range<u64>| {

@@ -6,11 +6,11 @@
 //! while everything stays encrypted: the verified aggregate is a HEAC
 //! ciphertext the consumer then decrypts with its boundary keys.
 
-use timecrypt::baselines::SigningKey;
 use timecrypt::chunk::{DataPoint, PlainChunk, StreamConfig};
 use timecrypt::core::{decrypt_range_sum, StreamKeyMaterial};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::integrity::{chunk_commitment, verify_attested_range, AttestError, StreamLedger};
+use timecrypt::pk::SigningKey;
 
 const STREAM: u128 = 77;
 const CHUNKS: u64 = 40;
