@@ -26,5 +26,5 @@ pub use compress::Codec;
 pub use model::{ChunkId, DataPoint, StreamConfig, StreamId};
 pub use schema::{DigestOp, DigestSchema, StatSummary};
 pub use serialize::{
-    ChunkBuilder, ChunkRef, ChunkSealer, EncryptedChunk, PlainChunk, SealedRecord,
+    ChunkBuilder, ChunkRef, ChunkSealer, DigestWords, EncryptedChunk, PlainChunk, SealedRecord,
 };

@@ -199,6 +199,20 @@ impl EncryptedChunk {
         compress::decompress(&compressed).map_err(ChunkError::Codec)
     }
 
+    /// Serialized chunk bytes lead with the chunk's position, `stream ‖
+    /// index`, this many bytes; what follows — `digest ‖ payload`, each
+    /// length-prefixed — does not name the chunk it belongs to.
+    pub const POSITION_LEN: usize = 24;
+
+    /// The [`POSITION_LEN`](Self::POSITION_LEN) bytes that lead the
+    /// serialization of chunk `index` of `stream`.
+    pub fn position(stream: StreamId, index: ChunkId) -> [u8; Self::POSITION_LEN] {
+        let mut out = [0u8; Self::POSITION_LEN];
+        out[..16].copy_from_slice(&stream.to_le_bytes());
+        out[16..].copy_from_slice(&index.to_le_bytes());
+        out
+    }
+
     /// Exact length of [`to_bytes`](Self::to_bytes) without serializing:
     /// fixed header (stream 16 + index 8 + two `u32` length prefixes 8)
     /// plus the digest words and the payload. Frame-budget math (the
@@ -223,8 +237,7 @@ impl EncryptedChunk {
     // lint: deny(alloc)
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.encoded_len());
-        out.extend_from_slice(&self.stream.to_le_bytes());
-        out.extend_from_slice(&self.index.to_le_bytes());
+        out.extend_from_slice(&Self::position(self.stream, self.index));
         out.extend_from_slice(&(self.digest_ct.len() as u32).to_le_bytes());
         for &d in &self.digest_ct {
             out.extend_from_slice(&d.to_le_bytes());
@@ -239,28 +252,57 @@ impl EncryptedChunk {
     }
 }
 
-/// A zero-copy parse of serialized [`EncryptedChunk`] bytes: the (small)
-/// digest vector is decoded, the (large) payload stays a borrow of the
-/// input buffer. The serialization is canonical — exactly one byte string
-/// parses to a given chunk — so storing the *input bytes* of a validated
-/// `ChunkRef` is byte-identical to re-serializing the parsed chunk; the
-/// server's ingest path relies on this to index and store a chunk without
-/// ever copying its payload.
+/// A digest ciphertext as it lies in serialized chunk bytes: 8 little-endian
+/// bytes per word, borrowed — a validating parse allocates nothing for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DigestWords<'a>(&'a [u8]);
+
+impl DigestWords<'_> {
+    /// Number of words (the digest width).
+    pub fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    /// True for a digest of width 0.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The words, in order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(take_arr(w, 0)))
+    }
+}
+
+impl PartialEq<Vec<u64>> for DigestWords<'_> {
+    fn eq(&self, other: &Vec<u64>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
+    }
+}
+
+/// A zero-copy parse of serialized [`EncryptedChunk`] bytes: digest and
+/// payload both stay borrows of the input buffer. The serialization is
+/// canonical — exactly one byte string parses to a given chunk — so
+/// storing the *input bytes* of a validated `ChunkRef` is byte-identical to
+/// re-serializing the parsed chunk; the server's ingest path relies on
+/// this to index and store a chunk without copying any of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkRef<'a> {
     /// Owning stream.
     pub stream: StreamId,
     /// Chunk index.
     pub index: ChunkId,
-    /// Element-wise HEAC ciphertext of the digest vector.
-    pub digest_ct: Vec<u64>,
+    /// Element-wise HEAC ciphertext of the digest vector, borrowed.
+    pub digest_ct: DigestWords<'a>,
     /// `nonce || AES-GCM(compressed payload)`, borrowed from the input.
     pub payload: &'a [u8],
 }
 
 impl<'a> ChunkRef<'a> {
     /// Parses bytes produced by [`EncryptedChunk::to_bytes`] without
-    /// copying the payload. Same strictness as
+    /// copying or allocating. Same strictness as
     /// [`EncryptedChunk::from_bytes`] (which delegates here): truncated or
     /// trailing bytes are rejected.
     pub fn parse(buf: &'a [u8]) -> Result<Self, ChunkError> {
@@ -275,21 +317,17 @@ impl<'a> ChunkRef<'a> {
         let stream = u128::from_le_bytes(take_arr(buf, 0));
         let index = u64::from_le_bytes(take_arr(buf, 16));
         let dn = u32::from_le_bytes(take_arr(buf, 24)) as usize;
-        let mut pos = 28;
-        need(buf.len() >= pos + dn * 8 + 4)?;
-        let mut digest_ct = Vec::with_capacity(dn);
-        for _ in 0..dn {
-            digest_ct.push(u64::from_le_bytes(take_arr(buf, pos)));
-            pos += 8;
-        }
+        // Where the payload's length prefix starts; `dn` is untrusted.
+        let pos = dn.checked_mul(8).and_then(|words| words.checked_add(28));
+        let pos = pos.filter(|&pos| pos <= buf.len() - 4);
+        let pos = pos.ok_or(ChunkError::Malformed("truncated"))?;
         let pn = u32::from_le_bytes(take_arr(buf, pos)) as usize;
-        pos += 4;
-        need(buf.len() == pos + pn)?;
+        need(buf.len() - pos - 4 == pn)?;
         Ok(ChunkRef {
             stream,
             index,
-            digest_ct,
-            payload: &buf[pos..],
+            digest_ct: DigestWords(&buf[28..pos]),
+            payload: &buf[pos + 4..],
         })
     }
 
@@ -306,7 +344,7 @@ impl<'a> ChunkRef<'a> {
         EncryptedChunk {
             stream: self.stream,
             index: self.index,
-            digest_ct: self.digest_ct,
+            digest_ct: self.digest_ct.iter().collect(),
             payload: self.payload.to_vec(),
         }
     }

@@ -35,4 +35,6 @@ pub mod tree;
 
 pub use cache::LruCache;
 pub use digest::HomDigest;
-pub use tree::{stored_chunk_count, stream_keys, AggTree, IndexError, TreeConfig, TreeStats};
+pub use tree::{
+    leaf_record, stored_chunk_count, stream_keys, AggTree, IndexError, TreeConfig, TreeStats,
+};

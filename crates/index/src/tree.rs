@@ -9,14 +9,16 @@
 //! partially-covered edges — O(2(k−1)·log_k n) additions worst case, the
 //! bound quoted in §6.1.
 //!
-//! # Persistence: two record kinds, each written once
+//! # Persistence: two record kinds
 //!
-//! * `il/<stream>/<chunk>` — the **level-0 record** of one chunk: its
-//!   encoded digest, then the caller's opaque tag (the engine stores the
-//!   chunk's integrity commitment there; [`AggTree::append`] stores none).
-//!   The records are contiguous from chunk 0 and their count *is* the
-//!   stream's length; nothing else stores it. They never decay, and a
-//!   missing or undecodable one is [`IndexError::CorruptNode`] at level 0.
+//! * `il/<stream>/<chunk>` — the **level-0 record** of one chunk: the
+//!   caller's bytes, its encoded digest and then a *tag*, opaque here. The
+//!   leaf **is** the chunk — the engine's only copy of it — written once,
+//!   though [`AggTree::retag`] may replace the tag (`delete_range` swaps a
+//!   payload for its commitment). The records are contiguous from chunk 0
+//!   and their count *is* the stream's length; nothing else stores it.
+//!   They never decay, and a missing or undecodable one is
+//!   [`IndexError::CorruptNode`] at level 0.
 //! * `i/<stream>/<level><index>` — a **sealed** node: its k-th entry has
 //!   landed, so its bytes are final. Written once, when it seals.
 //!
@@ -37,12 +39,11 @@
 //! deleted is re-derived from *its* children, down to the level-0 records:
 //! the same code, at worst the reads of a full leaf replay.
 //!
-//! **Commit = one batch.** An append — one digest or a run — builds its
-//! level-0 records and the nodes it seals and hands them to the store,
-//! with whatever writes the caller wants committed alongside (the
-//! engine's chunk payloads), as one [`KvStore::write_batch`]: all of it or
-//! none of it, across failure and crash. A failed append therefore left
-//! nothing behind, in the store or in memory, and a retry is a first try.
+//! **Commit = one batch.** An append — one chunk or a run — hands its
+//! level-0 records and the nodes it seals to the store as one
+//! [`KvStore::write_batch`]: all of it or none of it, across failure and
+//! crash. A failed append therefore left nothing behind, in the store or
+//! in memory, and a retry is a first try.
 //!
 //! # Concurrency: shared readers, serialized writers
 //!
@@ -76,7 +77,6 @@
 use crate::cache::LruCache;
 use crate::digest::HomDigest;
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_store::{KvStore, StoreError, WriteOp};
@@ -412,9 +412,17 @@ pub fn stored_chunk_count(kv: &dyn KvStore, stream: u128) -> Result<u64, IndexEr
 /// to delete in one batch with the rest of the stream. It must have dropped
 /// the stream's [`AggTree`] handle (the in-memory frontier dies with it).
 pub fn stream_keys(kv: &dyn KvStore, stream: u128) -> Result<Vec<Vec<u8>>, IndexError> {
-    let mut keys = kv.scan_keys(&leaf_prefix(stream))?;
+    let mut keys = kv.scan_keys(&leaf_key(stream, 0)[..LEAF_PREFIX_LEN])?;
     keys.extend(kv.scan_keys(&node_prefix(stream))?);
     Ok(keys)
+}
+
+/// Chunk `index`'s level-0 record, whole, without a tree handle (raw reads
+/// do not hydrate a stream). Missing below the stream's length, it is
+/// `CorruptNode` at level 0: batches are atomic, a gap is no crash state.
+pub fn leaf_record(kv: &dyn KvStore, stream: u128, index: u64) -> Result<Vec<u8>, IndexError> {
+    kv.get(&leaf_key(stream, index))?
+        .ok_or(IndexError::CorruptNode { level: 0, index })
 }
 
 impl<D: HomDigest> AggTree<D> {
@@ -475,11 +483,12 @@ impl<D: HomDigest> AggTree<D> {
     /// level-0 record's digest, or the sum of the sealed node's k entries —
     /// or, where `decay` deleted the node, of its children's subtrees.
     fn subtree_sum(&self, level: u8, index: u64) -> Result<D, IndexError> {
+        let corrupt = IndexError::CorruptNode { level, index };
         if level == 0 {
-            return Ok(self.leaf(index)?.0);
+            let record = leaf_record(self.kv.as_ref(), self.stream, index)?;
+            return Ok(D::decode(&record).ok_or(corrupt)?.0);
         }
         let k = self.cfg.arity as u64;
-        let corrupt = IndexError::CorruptNode { level, index };
         let entries = match self.kv.get(&node_key(self.stream, level, index))? {
             Some(bytes) => match Node::decode(&bytes) {
                 Some(node) if node.entries.len() as u64 == k => node.entries,
@@ -490,19 +499,6 @@ impl<D: HomDigest> AggTree<D> {
                 .collect::<Result<_, _>>()?,
         };
         sum_of(&entries).ok_or(corrupt)
-    }
-
-    /// Chunk `index`'s level-0 record as the `(digest, tag)` that
-    /// [`append_tagged`](Self::append_tagged) stored. Missing or undecodable,
-    /// it is `CorruptNode` at level 0: batches are atomic, a gap is no crash state.
-    pub fn leaf(&self, index: u64) -> Result<(D, Vec<u8>), IndexError> {
-        let corrupt = IndexError::CorruptNode { level: 0, index };
-        let Some(mut record) = self.kv.get(&leaf_key(self.stream, index))? else {
-            return Err(corrupt);
-        };
-        let (digest, used) = D::decode(&record).ok_or(corrupt)?;
-        record.drain(..used);
-        Ok((digest, record))
     }
 
     /// Number of chunks ingested (a consistent snapshot: every chunk
@@ -539,34 +535,29 @@ impl<D: HomDigest> AggTree<D> {
         self.append_batch(std::slice::from_ref(&digest))
     }
 
-    /// Appends a run of consecutive chunk digests (starting at the current
-    /// `len`): one level-0 record per chunk and every node the run fills,
-    /// committed as one store batch. The final store state is
-    /// byte-identical to sequential [`append`](Self::append)s (pinned by
-    /// `append_batch_matches_sequential_appends`). `len` is published once
-    /// — readers observe either the pre-batch or the post-batch length,
-    /// never a torn middle.
-    ///
-    /// A store failure leaves the tree and the store exactly as they were
-    /// (see the module docs); the caller may simply retry.
+    /// [`append_records`](Self::append_records) for chunks that are their
+    /// digest alone; the store ends byte-identical to sequential
+    /// [`append`](Self::append)s (`append_batch_matches_sequential_appends`).
     pub fn append_batch(&self, digests: &[D]) -> Result<(), IndexError> {
-        self.append_tagged::<[u8; 0]>(digests, &[], &[])
+        let encode = |digest: &D| {
+            let mut record = Vec::with_capacity(digest.encoded_len());
+            digest.encode(&mut record);
+            record
+        };
+        self.append_records(&digests.iter().map(encode).collect::<Vec<_>>())
     }
 
-    /// [`append_batch`](Self::append_batch) where chunk `i`'s level-0
-    /// record also carries `tags[i]` — opaque bytes handed back by
-    /// [`leaf`](Self::leaf); one tag per digest, or none at all — and the
-    /// caller's `extra` writes commit in the same store batch as the index
-    /// records: they land if and only if the append does. The digests are
-    /// only read, so a caller may pass them borrowed.
-    pub fn append_tagged<T: AsRef<[u8]>>(
-        &self,
-        digests: &[impl Borrow<D>],
-        tags: &[T],
-        extra: &[WriteOp<'_>],
-    ) -> Result<(), IndexError> {
-        assert!(tags.is_empty() || tags.len() == digests.len());
-        if digests.is_empty() && extra.is_empty() {
+    /// Appends a run of consecutive chunks (starting at the current `len`)
+    /// given as their level-0 records, `digest ‖ tag`: what enters the
+    /// index is the digest decoded from the bytes stored. The records,
+    /// borrowed, and every node the run fills commit as one store batch;
+    /// `len` is published once — readers never observe a torn middle.
+    ///
+    /// A record that starts with no digest (`CorruptNode` at level 0) or a
+    /// store failure leaves the tree and the store exactly as they were
+    /// (see the module docs); the caller may simply retry.
+    pub fn append_records(&self, records: &[impl AsRef<[u8]>]) -> Result<(), IndexError> {
+        if records.is_empty() {
             return Ok(());
         }
         let _write = self.write.lock();
@@ -574,24 +565,24 @@ impl<D: HomDigest> AggTree<D> {
         let base = self.len.load(Ordering::Relaxed);
         let mut spine = self.frontier.read().clone();
         let mut sealed = Vec::new();
-        let mut records = Vec::with_capacity(digests.len());
-        for (off, digest) in digests.iter().enumerate() {
-            let (index, digest) = (base + off as u64, digest.borrow());
-            spine.push(self.cfg.arity as u64, index, digest, &mut sealed);
-            let tag = tags.get(off).map_or(&[][..], AsRef::as_ref);
-            let mut record = Vec::with_capacity(digest.encoded_len() + tag.len());
-            digest.encode(&mut record);
-            record.extend_from_slice(tag);
-            records.push((leaf_key(self.stream, index), record));
+        let mut leaf_keys = Vec::with_capacity(records.len());
+        for (index, record) in (base..).zip(records) {
+            let (digest, _) =
+                D::decode(record.as_ref()).ok_or(IndexError::CorruptNode { level: 0, index })?;
+            spine.push(self.cfg.arity as u64, index, &digest, &mut sealed);
+            leaf_keys.push(leaf_key(self.stream, index));
         }
-        for ((level, index), node) in &sealed {
-            records.push((node_key(self.stream, *level, *index), node.encode()));
-        }
-        let puts = records
+        let nodes: Vec<_> = sealed
             .iter()
+            .map(|((level, index), node)| (node_key(self.stream, *level, *index), node.encode()))
+            .collect();
+        let leaves = leaf_keys.iter().zip(records);
+        let leaves = leaves.map(|(key, record)| (&key[..], record.as_ref()));
+        let nodes = nodes.iter().map(|(key, value)| (&key[..], &value[..]));
+        let puts = leaves
+            .chain(nodes)
             .map(|(key, value)| WriteOp::Put { key, value });
-        let ops: Vec<_> = extra.iter().copied().chain(puts).collect();
-        self.kv.write_batch(&ops)?;
+        self.kv.write_batch(&puts.collect::<Vec<_>>())?;
         // Commit point: everything the new length promises is in the store.
         for (key, node) in sealed {
             let weight = node.weight();
@@ -602,8 +593,37 @@ impl<D: HomDigest> AggTree<D> {
         // Publish last: a reader that observes the new length is
         // guaranteed (Release/Acquire) to see the swap above.
         self.len
-            .store(base + digests.len() as u64, Ordering::Release);
+            .store(base + records.len() as u64, Ordering::Release);
         Ok(())
+    }
+
+    /// Replaces, as one store batch, the tag of each chunk in `[lo, hi)`
+    /// for which `tag`, given the chunk's index and whole record, returns a
+    /// new one; the digest bytes stay, so nothing the index answers moves.
+    /// Returns the records rewritten; none, or an error, writes nothing.
+    pub fn retag(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut tag: impl FnMut(u64, &[u8]) -> Result<Option<Vec<u8>>, IndexError>,
+    ) -> Result<usize, IndexError> {
+        let _write = self.write.lock();
+        let mut rewritten = Vec::new();
+        for index in lo..hi.min(self.len()) {
+            let mut record = leaf_record(self.kv.as_ref(), self.stream, index)?;
+            let corrupt = IndexError::CorruptNode { level: 0, index };
+            let (_, digest_len) = D::decode(&record).ok_or(corrupt)?;
+            if let Some(tag) = tag(index, &record)? {
+                record.truncate(digest_len);
+                record.extend_from_slice(&tag);
+                rewritten.push((leaf_key(self.stream, index), record));
+            }
+        }
+        let puts = rewritten
+            .iter()
+            .map(|(key, value)| WriteOp::Put { key, value });
+        self.kv.write_batch(&puts.collect::<Vec<_>>())?;
+        Ok(rewritten.len())
     }
 
     /// Statistical range query over chunks `[start, end)`: the homomorphic
@@ -805,17 +825,15 @@ fn node_key(stream: u128, level: u8, index: u64) -> Vec<u8> {
     key
 }
 
-fn leaf_prefix(stream: u128) -> Vec<u8> {
-    let mut key = Vec::with_capacity(28);
-    key.extend_from_slice(b"il/");
-    key.extend_from_slice(&stream.to_be_bytes());
-    key.push(b'/');
-    key
-}
+/// Bytes of a level-0 key that name the stream: `il/<stream>/`.
+const LEAF_PREFIX_LEN: usize = 20;
 
-fn leaf_key(stream: u128, index: u64) -> Vec<u8> {
-    let mut key = leaf_prefix(stream);
-    key.extend_from_slice(&index.to_be_bytes());
+fn leaf_key(stream: u128, index: u64) -> [u8; LEAF_PREFIX_LEN + 8] {
+    let mut key = [0u8; LEAF_PREFIX_LEN + 8];
+    key[..3].copy_from_slice(b"il/");
+    key[3..19].copy_from_slice(&stream.to_be_bytes());
+    key[19] = b'/';
+    key[LEAF_PREFIX_LEN..].copy_from_slice(&index.to_be_bytes());
     key
 }
 
@@ -1086,30 +1104,51 @@ mod tests {
         assert!(t.query(0, n + 1).is_err());
     }
 
+    /// Chunk `i`'s level-0 record as a caller with a tag would write it:
+    /// the digest `[i, 1]`, then `i mod 5` bytes of its own.
+    fn tagged(i: u64) -> Vec<u8> {
+        let mut record = Vec::new();
+        vec![i, 1].encode(&mut record);
+        record.extend_from_slice(&i.to_be_bytes()[..(i % 5) as usize]);
+        record
+    }
+
     #[test]
     fn failed_append_changes_nothing_and_retry_converges() {
         // Arity 4 with 3 chunks in; the run adds chunks 3..=16: it seals
         // four level-1 nodes and level-2 node 0, and grows levels 2 and 3.
-        // 14 leaves + 5 sealed nodes + the caller's extra write: one batch.
+        // 14 leaves — the caller's bytes, tags and all — and 5 sealed
+        // nodes: one batch.
         let clean_kv = Arc::new(MemKv::new());
-        fill(&open4(clean_kv.clone()), 17);
-        clean_kv.put(b"extra", b"rides along").unwrap();
-        let run: Vec<Vec<u64>> = (3..17).map(|i| vec![i, 1]).collect();
-        let extra = [WriteOp::Put {
-            key: b"extra",
-            value: b"rides along",
-        }];
-        let append = |t: &AggTree<Vec<u64>>| t.append_tagged::<[u8; 0]>(&run, &[], &extra);
+        let clean = open4(clean_kv.clone());
+        for i in 0..17 {
+            clean.append_records(&[tagged(i)]).unwrap();
+        }
+        let run: Vec<Vec<u8>> = (3..17).map(tagged).collect();
 
         let kv = Arc::new(FailNthPut::default());
         let t = open4(kv.clone());
-        fill(&t, 3);
+        t.append_records(&[tagged(0), tagged(1), tagged(2)])
+            .unwrap();
         let before = (dump(kv.as_ref()), spine_bytes(&t));
         kv.arm(1);
-        match append(&t) {
+        match t.append_records(&run) {
             Err(IndexError::Store(_)) => {}
             other => panic!("expected the injected failure, got {other:?}"),
         }
+        // So does a run holding a record that starts with no digest, which
+        // never reaches the store.
+        let writes = kv.writes.load(Ordering::Relaxed);
+        let mut bad = run.clone();
+        bad[9].truncate(11);
+        assert!(matches!(
+            t.append_records(&bad),
+            Err(IndexError::CorruptNode {
+                level: 0,
+                index: 12
+            })
+        ));
+        assert_eq!(kv.writes.load(Ordering::Relaxed), writes);
         // Nothing stored, nothing published, the frontier untouched, and a
         // fresh handle recovers the same tree.
         assert_exhaustive(&t, 3);
@@ -1117,12 +1156,52 @@ mod tests {
         let reopened = open4(kv.clone());
         assert_exhaustive(&reopened, 3);
         assert_eq!(spine_bytes(&reopened), before.1);
-        let writes = kv.writes.load(Ordering::Relaxed);
-        append(&t).unwrap();
+        t.append_records(&run).unwrap();
         assert_eq!(kv.writes.load(Ordering::Relaxed) - writes, 1, "one commit");
         assert_exhaustive(&t, 17);
         assert_eq!(dump(kv.as_ref()), dump(clean_kv.as_ref()));
-        assert_eq!(dump(kv.as_ref()).len(), 17 + 4 + 1 + 1);
+        assert_eq!(dump(kv.as_ref()).len(), 17 + 4 + 1);
+        for i in 0..17 {
+            assert_eq!(leaf_record(kv.as_ref(), 1, i).unwrap(), tagged(i));
+        }
+    }
+
+    #[test]
+    fn retag_rewrites_tags_in_one_batch_and_keeps_the_digests() {
+        let kv = Arc::new(FailNthPut::default());
+        let t = open4(kv.clone());
+        t.append_records(&(0..11).map(tagged).collect::<Vec<_>>())
+            .unwrap();
+        let spine = spine_bytes(&t);
+        // Chunks 2..9 but the odd ones; the closure sees whole records.
+        let stub = |i: u64, record: &[u8]| {
+            assert_eq!(record, tagged(i));
+            Ok(i.is_multiple_of(2).then(|| vec![0xEE; 3]))
+        };
+        let before = dump(kv.as_ref());
+        kv.arm(1);
+        assert!(matches!(t.retag(2, 9, stub), Err(IndexError::Store(_))));
+        assert_eq!(dump(kv.as_ref()), before, "all of the batch or none");
+        let writes = kv.writes.load(Ordering::Relaxed);
+        assert_eq!(t.retag(2, 9, stub).unwrap(), 4);
+        assert_eq!(kv.writes.load(Ordering::Relaxed) - writes, 1, "one commit");
+        for i in 0..11 {
+            let mut expected = tagged(i);
+            if (2..9).contains(&i) && i.is_multiple_of(2) {
+                expected.truncate(20);
+                expected.extend_from_slice(&[0xEE; 3]);
+            }
+            assert_eq!(leaf_record(kv.as_ref(), 1, i).unwrap(), expected);
+        }
+        // Nothing the index answers moved, live or reopened.
+        assert_exhaustive(&t, 11);
+        assert_eq!(spine_bytes(&open4(kv.clone())), spine);
+        // No new tag, nothing written; the range is clamped to the length.
+        let before = dump(kv.as_ref());
+        assert_eq!(t.retag(0, 99, |_, _| Ok(None)).unwrap(), 0);
+        assert_eq!(dump(kv.as_ref()), before);
+        assert_eq!(t.retag(9, 99, |_, _| Ok(Some(Vec::new()))).unwrap(), 2);
+        assert_eq!(leaf_record(kv.as_ref(), 1, 10).unwrap(), tagged(10)[..20]);
     }
 
     /// The bytes the parent commit stored for a full node: k entries, each
@@ -1173,8 +1252,8 @@ mod tests {
     /// read. Open reads only the tail records of the open level-1 node: a
     /// gap there fails open. A gap further back leaves open (and every
     /// query the sealed nodes answer) untouched and fails
-    /// [`AggTree::leaf`] — the read the engine's ledger catch-up makes —
-    /// at that index.
+    /// [`leaf_record`] — the read the engine's ledger catch-up and raw
+    /// reads make — at that index, or the digest decode that follows it.
     #[test]
     fn a_gap_in_the_leaves_is_corrupt_node_where_it_is_read() {
         // 11 chunks at arity 4: open reads leaves 8..11 and sealed nodes
@@ -1202,14 +1281,16 @@ mod tests {
         kv.delete(&leaf_key(1, 5)).unwrap();
         let t = open(&kv).unwrap();
         assert_exhaustive(&t, 11);
-        assert_eq!(t.leaf(4).unwrap(), (vec![4, 1], Vec::new()));
+        let mut leaf4 = Vec::new();
+        vec![4u64, 1].encode(&mut leaf4);
+        assert_eq!(leaf_record(kv.as_ref(), 1, 4).unwrap(), leaf4);
         assert!(matches!(
-            t.leaf(5),
+            leaf_record(kv.as_ref(), 1, 5),
             Err(IndexError::CorruptNode { level: 0, index: 5 })
         ));
         kv.put(&leaf_key(1, 5), &[1, 2, 3]).unwrap();
         assert!(matches!(
-            t.leaf(5),
+            t.retag(5, 6, |_, _| Ok(None)),
             Err(IndexError::CorruptNode { level: 0, index: 5 })
         ));
     }

@@ -11,8 +11,10 @@
 //! fsyncs, `timecrypt_store_batches_total` counts the log's commits, so
 //! the two give fsyncs per commit. `timecrypt_ledger_leaves_loaded_total`
 //! counts the level-0 records the engine read back to build integrity
-//! ledgers for proof requests — who is paying for proofs, and whether a
-//! plain query ever rebuilt a ledger (it must not). The log store's
+//! ledgers for proof requests and `timecrypt_ledger_bytes_loaded_total`
+//! their bytes (a record is the whole chunk, so a catch-up reads and
+//! hashes bodies) — who is paying for proofs, and whether a plain query
+//! ever rebuilt a ledger (it must not). The log store's
 //! **footprint** (file length, live keys, index bytes, dead bytes) takes
 //! the same road as four gauges, `timecrypt_store_*`: last writer wins, so
 //! they describe the one `LogKv` a node process runs.
@@ -26,6 +28,7 @@ static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static FSYNCS: AtomicU64 = AtomicU64::new(0);
 static BATCHES: AtomicU64 = AtomicU64::new(0);
 static LEDGER_LEAVES: AtomicU64 = AtomicU64::new(0);
+static LEDGER_BYTES: AtomicU64 = AtomicU64::new(0);
 static STORE_FOOTPRINT: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
 
 /// Records one I/O deadline expiry (socket read/write timed out).
@@ -62,16 +65,24 @@ pub fn fsyncs_total() -> u64 {
     FSYNCS.load(Ordering::Relaxed)
 }
 
-/// Records one level-0 record read back into a stream's integrity ledger
-/// by a proof request's catch-up.
-pub fn ledger_leaf_loaded() {
+/// Records one level-0 record of `bytes` bytes read back into a stream's
+/// integrity ledger by a proof request's catch-up.
+pub fn ledger_leaf_loaded(bytes: usize) {
     LEDGER_LEAVES.fetch_add(1, Ordering::Relaxed);
+    LEDGER_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 /// Total ledger leaves loaded by this process: what proofs have cost in
 /// index reads. It stays flat under ingest and plain queries.
 pub fn ledger_leaves_loaded_total() -> u64 {
     LEDGER_LEAVES.load(Ordering::Relaxed)
+}
+
+/// Total bytes of the level-0 records behind
+/// [`ledger_leaves_loaded_total`]: what proofs have cost in store reads
+/// and hashing.
+pub fn ledger_bytes_loaded_total() -> u64 {
+    LEDGER_BYTES.load(Ordering::Relaxed)
 }
 
 /// Records one commit of the crash-safe log: a write batch, a single put
@@ -95,11 +106,12 @@ mod tests {
         let t0 = timeouts_total();
         let f0 = fsyncs_total();
         let b0 = store_batches_total();
-        let l0 = ledger_leaves_loaded_total();
+        let (l0, lb0) = (ledger_leaves_loaded_total(), ledger_bytes_loaded_total());
         store_batch_recorded();
-        ledger_leaf_loaded();
+        ledger_leaf_loaded(95);
         assert!(store_batches_total() > b0);
         assert!(ledger_leaves_loaded_total() > l0);
+        assert!(ledger_bytes_loaded_total() >= lb0 + 95);
         timeout_recorded();
         fsync_recorded();
         fsync_recorded();

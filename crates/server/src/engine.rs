@@ -28,8 +28,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
-use timecrypt_index::{stored_chunk_count, stream_keys, AggTree, IndexError, TreeConfig};
-use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
+use timecrypt_crypto::sha256::sha256_concat;
+use timecrypt_index::{
+    leaf_record, stored_chunk_count, stream_keys, AggTree, HomDigest, IndexError, TreeConfig,
+};
+use timecrypt_integrity::{RootAttestation, StreamLedger};
 use timecrypt_obs::{counters, trace};
 use timecrypt_store::{KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
@@ -202,7 +205,7 @@ impl From<IndexError> for ServerError {
 pub type StreamStat = (u32, Option<(u64, u64, Vec<u64>)>);
 
 /// One chunk of an ingest run: its borrowed parse (what the validations
-/// read) and the serialized bytes it was parsed from (what is stored).
+/// read) and the bytes it was parsed from (stored, past their position).
 type RunItem<'a> = (ChunkRef<'a>, &'a [u8]);
 
 /// Placeholder verdict of a batch position until its stream's run reports
@@ -391,13 +394,32 @@ fn stream_meta_key(stream: u128) -> Vec<u8> {
     k
 }
 
-fn chunk_key(stream: u128, index: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(27);
-    k.extend_from_slice(b"c/");
-    k.extend_from_slice(&stream.to_be_bytes());
-    k.push(b'/');
-    k.extend_from_slice(&index.to_be_bytes());
-    k
+/// The `pn` of a stub: no frame (16 MiB cap) carries a payload that long.
+const STUB_PN: u32 = u32::MAX;
+
+/// The one decoder of a chunk's one record (the index's level-0 record of
+/// its position): `digest ‖ pn:u32 ‖ payload`, the validated ingest bytes
+/// past their `stream ‖ index`, or — its payload deleted — the *stub*
+/// `digest ‖ 0xFFFF_FFFF ‖ commitment[32]`. Yields the encoded digest and a
+/// stub's commitment: SHA-256 of the chunk as ingested, hashed when a full
+/// record is read back, never at ingest. Neither form: `CorruptNode`, level 0.
+fn split_record(index: u64, record: &[u8]) -> Result<(&[u8], Option<&[u8; 32]>), IndexError> {
+    let split = || {
+        let dn = u32::from_le_bytes(record.get(..4)?.try_into().ok()?) as usize;
+        let (digest, rest) = record.split_at_checked(dn.checked_mul(8)?.checked_add(4)?)?;
+        let (pn, body) = rest.split_first_chunk::<4>()?;
+        match u32::from_le_bytes(*pn) {
+            STUB_PN => Some((digest, Some(body.try_into().ok()?))),
+            pn => (body.len() == pn as usize).then_some((digest, None)),
+        }
+    };
+    split().ok_or(IndexError::CorruptNode { level: 0, index })
+}
+
+/// [`timecrypt_integrity::chunk_commitment`] of the bytes chunk `index` of
+/// `stream` was ingested as, from its full record.
+fn record_commitment(stream: u128, index: u64, record: &[u8]) -> [u8; 32] {
+    sha256_concat(&EncryptedChunk::position(stream, index), record)
 }
 
 fn attestation_key(stream: u128) -> Vec<u8> {
@@ -405,11 +427,6 @@ fn attestation_key(stream: u128) -> Vec<u8> {
     k.extend_from_slice(b"att/");
     k.extend_from_slice(&stream.to_be_bytes());
     k
-}
-
-/// The batch that deletes `keys`.
-fn delete_all(keys: &[Vec<u8>]) -> Vec<WriteOp<'_>> {
-    keys.iter().map(|key| WriteOp::Delete { key }).collect()
 }
 
 impl TimeCryptServer {
@@ -535,13 +552,11 @@ impl TimeCryptServer {
             reg.remove_resident(stream)
         };
         drop(dropped);
-        let mut chunks = b"c/".to_vec();
-        chunks.extend_from_slice(&stream.to_be_bytes());
         let mut keys = vec![stream_meta_key(stream), attestation_key(stream)];
-        keys.extend(self.kv.scan_keys(&chunks)?);
         keys.extend(stream_keys(self.kv.as_ref(), stream)?);
         keys.extend(KeyStore::new(self.kv.as_ref()).stream_keys(stream)?);
-        self.kv.write_batch(&delete_all(&keys))?;
+        let deletes: Vec<_> = keys.iter().map(|key| WriteOp::Delete { key }).collect();
+        self.kv.write_batch(&deletes)?;
         self.live.lock().remove(&stream);
         Ok(())
     }
@@ -753,9 +768,9 @@ impl TimeCryptServer {
         Ok(stored_chunk_count(self.kv.as_ref(), stream)?)
     }
 
-    /// Ingests one sealed chunk: stores the payload blob and appends the
-    /// digest ciphertext to the aggregation index. A convenience over the
-    /// one ingest path: the chunk is serialized here, once, and enters
+    /// Ingests one sealed chunk: one record that holds the payload blob and
+    /// puts the digest ciphertext into the aggregation index. A convenience
+    /// over the one ingest path: the chunk is serialized here, once, and enters
     /// [`insert_bytes_run`](Self::insert_bytes_run) like any wire chunk.
     pub fn insert(&self, chunk: &EncryptedChunk) -> Result<(), ServerError> {
         self.insert_bytes(&chunk.to_bytes())
@@ -772,16 +787,13 @@ impl TimeCryptServer {
     /// The engine's one ingest implementation: a batch of serialized
     /// chunks, any stream mix (per-stream order is the caller's submission
     /// order), verdicts in input order. Each chunk is validated through a
-    /// borrowed parse and the *input bytes* are stored directly — the
+    /// borrowed parse and the *input bytes* are what is stored — the
     /// serialization is canonical (see [`timecrypt_chunk::ChunkRef`]), so
-    /// the stored value is byte-identical to re-serializing a parsed
-    /// chunk, without ever copying the payload through an intermediate
-    /// `EncryptedChunk`. Unparseable entries report
-    /// [`ServerError::BadChunk`] at their position. Each stream's chunks
-    /// form one run: one ingest-lock acquisition and one store commit
-    /// (payloads and index records together, `AggTree::append_tagged`),
-    /// whether the batch is a whole drain of the service tier's ingest
-    /// workers or a single chunk.
+    /// nothing is copied through an intermediate `EncryptedChunk`.
+    /// Unparseable entries report [`ServerError::BadChunk`] at their
+    /// position. Each stream's chunks form one run: one ingest-lock
+    /// acquisition and one store commit, whether the batch is a whole drain
+    /// of the service tier's ingest workers or a single chunk.
     pub fn insert_bytes_run(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
         let mut out: Vec<Result<(), ServerError>> = Vec::with_capacity(chunks.len());
         // Per stream, in first-appearance order: its parsed chunks with
@@ -821,94 +833,60 @@ impl TimeCryptServer {
     /// acquisition. Per-chunk semantics are those of chunk-at-a-time
     /// ingest: width and next-index validation per chunk (a rejected
     /// chunk does not advance the expected index). The accepted chunks
-    /// then commit as **one** store batch — their payloads, their level-0
-    /// records (each chunk's `digest ‖ commitment`) and the index nodes
-    /// they seal, through `AggTree::append_tagged` — followed by the
-    /// live-buffer cleanup. If the commit fails — a store fault, not a
+    /// then commit as **one** store batch — one level-0 record each and the
+    /// index nodes they seal, through `AggTree::append_records` — followed
+    /// by the live-buffer cleanup. If the commit fails — a store fault, not a
     /// validation outcome — nothing of the run was stored or published:
     /// the first accepted chunk reports the real error, the rest report
     /// `Unavailable`.
-    fn insert_stream_run(
+    fn insert_stream_run<'a>(
         &self,
         stream: u128,
-        items: &[RunItem<'_>],
+        items: &[RunItem<'a>],
     ) -> Vec<Result<(), ServerError>> {
-        let st = match self.stream(stream) {
-            Ok(st) => st,
-            Err(_) => {
-                return items
-                    .iter()
-                    .map(|_| Err(ServerError::NoSuchStream(stream)))
-                    .collect()
-            }
+        let Ok(st) = self.stream(stream) else {
+            let unknown = |_| Err(ServerError::NoSuchStream(stream));
+            return items.iter().map(unknown).collect();
         };
         // Exclusive per-stream ingest lock: serializes writers only.
         // Concurrent statistical/raw reads proceed against the previous
         // tree-length snapshot.
         let _ingest = st.ingest.lock();
-        let mut expected = st.tree.len();
-        let mut verdicts: Vec<Option<ServerError>> = Vec::with_capacity(items.len());
-        // Input position, payload key, commitment, digest per accepted
-        // chunk, in run order.
-        let mut accepted: Vec<usize> = Vec::new();
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut commitments: Vec<[u8; 32]> = Vec::new();
-        let mut digests: Vec<&Vec<u64>> = Vec::new();
-        for (pos, (chunk, bytes)) in items.iter().enumerate() {
-            if chunk.digest_ct.len() as u32 != st.meta.digest_width {
-                verdicts.push(Some(ServerError::WidthMismatch {
-                    expected: st.meta.digest_width,
-                    got: chunk.digest_ct.len() as u32,
-                }));
-                continue;
+        let base = st.tree.len();
+        let mut expected = base;
+        // The level-0 record of each accepted chunk, in run order.
+        let mut records: Vec<&[u8]> = Vec::with_capacity(items.len());
+        let validate = |(chunk, bytes): &RunItem<'a>| {
+            let got = chunk.digest_ct.len() as u32;
+            if got != st.meta.digest_width {
+                let expected = st.meta.digest_width;
+                return Err(ServerError::WidthMismatch { expected, got });
             }
             if chunk.index != expected {
-                verdicts.push(Some(ServerError::OutOfOrderChunk {
-                    expected,
-                    got: chunk.index,
-                }));
-                continue;
+                let got = chunk.index;
+                return Err(ServerError::OutOfOrderChunk { expected, got });
             }
-            accepted.push(pos);
-            keys.push(chunk_key(stream, chunk.index));
-            commitments.push(chunk_commitment(bytes));
-            digests.push(&chunk.digest_ct);
-            verdicts.push(None);
+            records.push(&bytes[EncryptedChunk::POSITION_LEN..]);
             expected += 1;
-        }
-        let payloads: Vec<WriteOp<'_>> = accepted
-            .iter()
-            .zip(&keys)
-            .map(|(&pos, key)| WriteOp::Put {
-                key,
-                value: items[pos].1,
-            })
-            .collect();
-        if let Err(e) = st.tree.append_tagged(&digests, &commitments, &payloads) {
+            Ok(())
+        };
+        let mut verdicts: Vec<_> = items.iter().map(validate).collect();
+        if let Err(e) = st.tree.append_records(&records) {
             let mut first = Some(ServerError::from(e));
-            for &pos in &accepted {
-                verdicts[pos] = Some(first.take().unwrap_or(ServerError::Unavailable(
+            for verdict in verdicts.iter_mut().filter(|v| v.is_ok()) {
+                *verdict = Err(first.take().unwrap_or(ServerError::Unavailable(
                     "the store commit failed for an earlier chunk of this run",
                 )));
             }
-        } else if !accepted.is_empty() {
+        } else if let Some(buf) = self.live.lock().get_mut(&stream) {
             // The finalized chunks supersede their real-time records (§4.6
             // "dropping the encrypted records once the corresponding chunk
             // is stored").
-            let mut live = self.live.lock();
-            if let Some(buf) = live.get_mut(&stream) {
-                for &pos in &accepted {
-                    buf.remove(&items[pos].0.index);
-                }
+            for index in base..expected {
+                buf.remove(&index);
             }
         }
         verdicts
-            .into_iter()
-            .map(|v| match v {
-                Some(e) => Err(e),
-                None => Ok(()),
-            })
-            .collect()
     }
 
     /// Buffers one real-time record (§4.6). The record must target a chunk
@@ -1042,11 +1020,14 @@ impl TimeCryptServer {
             let mut ledger = st.ledger.write();
             for index in ledger.len() as u64..att.size {
                 let corrupt = || IndexError::CorruptNode { level: 0, index };
-                let (digest, tag) = st.tree.leaf(index)?;
-                let commitment = <[u8; 32]>::try_from(&tag[..]).map_err(|_| corrupt())?;
+                let record = leaf_record(self.kv.as_ref(), stream, index)?;
+                let (digest, stub) = split_record(index, &record)?;
+                let hash = || record_commitment(stream, index, &record);
+                let (digest, _) = Vec::<u64>::decode(digest).ok_or_else(corrupt)?;
                 // The ledger refuses a digest of another width than its first.
-                ledger.append(commitment, digest).map_err(|_| corrupt())?;
-                counters::ledger_leaf_loaded();
+                let appended = ledger.append(stub.copied().unwrap_or_else(hash), digest);
+                appended.map_err(|_| corrupt())?;
+                counters::ledger_leaf_loaded(record.len());
             }
         }
         // Proof builders share the ledger; only a catch-up excludes them.
@@ -1077,16 +1058,25 @@ impl TimeCryptServer {
         Ok((attestation, proof))
     }
 
-    /// Raw range retrieval: all chunks overlapping `[ts_s, ts_e)`.
+    /// Chunk `index` of `stream` exactly as ingested — its record with the
+    /// position put back from the key — or `None` where `delete_range` left
+    /// a stub. Every raw read goes through here; none hydrates the stream.
+    fn stored_chunk(&self, stream: u128, index: u64) -> Result<Option<Vec<u8>>, ServerError> {
+        let record = leaf_record(self.kv.as_ref(), stream, index)?;
+        let (_, stub) = split_record(index, &record)?;
+        let position = EncryptedChunk::position(stream, index);
+        Ok(stub.is_none().then(|| [&position[..], &record].concat()))
+    }
+
+    /// Raw range retrieval: the chunks overlapping `[ts_s, ts_e)`, as ingested.
     pub fn get_range(
         &self,
         stream: u128,
         ts_s: i64,
         ts_e: i64,
-    ) -> Result<Vec<EncryptedChunk>, ServerError> {
-        // Raw reads need no hydrated state: chunk-window math comes from
-        // the directory, the length from `stream_len`, payloads from the
-        // store directly.
+    ) -> Result<Vec<Vec<u8>>, ServerError> {
+        // No hydrated state needed: chunk-window math comes from the
+        // directory, the length from `stream_len`.
         let meta = self.stream_meta(stream)?;
         if ts_e <= ts_s {
             return Err(ServerError::EmptyRange);
@@ -1100,13 +1090,8 @@ impl TimeCryptServer {
         if len == 0 || first > last_incl {
             return Ok(Vec::new());
         }
-        let mut out = Vec::with_capacity((last_incl - first + 1) as usize);
-        for i in first..=last_incl {
-            if let Some(bytes) = self.kv.get(&chunk_key(stream, i))? {
-                out.push(EncryptedChunk::from_bytes(&bytes).map_err(|_| ServerError::BadChunk)?);
-            }
-        }
-        Ok(out)
+        let chunk = |i| self.stored_chunk(stream, i).transpose();
+        (first..=last_incl).filter_map(chunk).collect()
     }
 
     /// One stream's contribution to a statistical range query: its digest
@@ -1156,23 +1141,23 @@ impl TimeCryptServer {
         )
     }
 
-    /// Deletes raw chunk payloads in `[ts_s, ts_e)`, as one store batch,
-    /// while keeping digests in the index (Table 1 (7): "while maintaining
-    /// per-chunk digest").
+    /// Deletes raw chunk payloads in `[ts_s, ts_e)` while keeping digests
+    /// in the index (Table 1 (7): "while maintaining per-chunk digest"):
+    /// one store batch turns each full record of the range into its stub.
+    /// Returns how many; a range of stubs writes nothing.
     pub fn delete_range(&self, stream: u128, ts_s: i64, ts_e: i64) -> Result<usize, ServerError> {
         let st = self.stream(stream)?;
         // Deletion is a writer: keep it serialized with inserts/rollups.
         let _ingest = st.ingest.lock();
         let lo = st.meta.first_chunk_at_or_after(ts_s);
-        let hi = st.meta.chunk_end_at_or_before(ts_e).min(st.tree.len());
-        let mut keys = Vec::new();
-        for i in lo..hi {
-            // Chunk keys have one length, so the exact key as a prefix
-            // probes for it without reading the payload.
-            keys.extend(self.kv.scan_keys(&chunk_key(stream, i))?);
-        }
-        self.kv.write_batch(&delete_all(&keys))?;
-        Ok(keys.len())
+        let hi = st.meta.chunk_end_at_or_before(ts_e);
+        let stub = |index, record: &[u8]| {
+            let (_, stub) = split_record(index, record)?;
+            let commitment = || record_commitment(stream, index, record);
+            let tag = || [&STUB_PN.to_le_bytes()[..], &commitment()].concat();
+            Ok(stub.is_none().then(tag))
+        };
+        Ok(st.tree.retag(lo, hi, stub)?)
     }
 
     /// Data decay: ages out index levels below `keep_level` for chunks
@@ -1209,17 +1194,16 @@ impl TimeCryptServer {
             let lo = meta.chunk_containing(ts_s.max(meta.t0)).unwrap_or(0);
             Some((lo, meta.chunk_containing(ts_e - 1)? + 1))
         })?;
-        let mut chunks = Vec::with_capacity((hi - lo) as usize);
-        for i in lo..hi {
-            let bytes = self
-                .kv
-                .get(&chunk_key(stream, i))?
-                .ok_or(ServerError::Integrity(
-                    "chunk payload deleted; raw completeness unprovable".into(),
-                ))?;
-            chunks.push(bytes);
-        }
-        Ok((attestation, proof, chunks))
+        let deleted = "chunk payload deleted; raw completeness unprovable";
+        let chunk = |i| {
+            self.stored_chunk(stream, i)?
+                .ok_or(ServerError::Integrity(deleted.into()))
+        };
+        Ok((
+            attestation,
+            proof,
+            (lo..hi).map(chunk).collect::<Result<_, _>>()?,
+        ))
     }
 
     /// Stream metadata. Non-hydrating: directory entry plus the published
@@ -1278,7 +1262,7 @@ impl TimeCryptServer {
     ) -> Result<(Vec<Vec<u8>>, u64, bool), ServerError> {
         // Non-hydrating on purpose: a replica rebuild pages *every*
         // stream of a shard, and pulling each one resident would thrash
-        // the LRU for state the export never reads (payloads come
+        // the LRU for state the export never reads (chunks come
         // straight from the store). Like the read path, it answers for
         // the chunk prefix published when the call began; the rebuild
         // loop re-reads lengths per page, so a concurrent append is
@@ -1288,17 +1272,15 @@ impl TimeCryptServer {
         let mut bytes = 0usize;
         let mut idx = from_idx;
         while idx < len {
-            match self.kv.get(&chunk_key(stream, idx))? {
-                Some(b) => {
-                    if !out.is_empty() && bytes + b.len() > max_bytes {
-                        return Ok((out, idx, false));
-                    }
-                    bytes += b.len();
-                    out.push(b);
-                    idx += 1;
-                }
-                None => return Ok((out, idx, true)),
+            let Some(chunk) = self.stored_chunk(stream, idx)? else {
+                break;
+            };
+            if !out.is_empty() && bytes + chunk.len() > max_bytes {
+                return Ok((out, idx, false));
             }
+            bytes += chunk.len();
+            out.push(chunk);
+            idx += 1;
         }
         Ok((out, idx, true))
     }
@@ -1422,9 +1404,7 @@ impl TimeCryptServer {
                 ok_or(self.get_live(stream, ts_s, ts_e), Response::Records)
             }
             Request::GetRange { stream, ts_s, ts_e } => {
-                ok_or(self.get_range(stream, ts_s, ts_e), |chunks| {
-                    Response::Chunks(chunks.iter().map(|c| c.to_bytes()).collect())
-                })
+                ok_or(self.get_range(stream, ts_s, ts_e), Response::Chunks)
             }
             Request::GetStatRange {
                 streams,
@@ -1659,7 +1639,8 @@ mod tests {
         ingest(&s, 5);
         let chunks = s.get_range(1, 0, 50_000).unwrap();
         assert_eq!(chunks.len(), 5);
-        let points = chunks[2].open_payload(&keys().tree).unwrap();
+        let chunk = EncryptedChunk::from_bytes(&chunks[2]).unwrap();
+        let points = chunk.open_payload(&keys().tree).unwrap();
         assert_eq!(points.len(), 10);
         assert_eq!(points[0].value, 20);
     }

@@ -113,8 +113,8 @@ fn store_fault_fails_the_run_whole_and_retry_converges() {
     let clean = engine(clean_kv.clone(), &[1]);
     assert!(all_ok(insert_run(&clean, 1, 0..9)));
     let want = all_stats(&clean, 1, 9);
-    // Chunks 3..9 on top of 0..3 are one commit: six payloads, six level-0
-    // records, sealed nodes (1,0) and (1,1). Fail it.
+    // Chunks 3..9 on top of 0..3 are one commit: six level-0 records (the
+    // chunks), sealed nodes (1,0) and (1,1). Fail it.
     let kv = Arc::new(FailNthPut::default());
     let server = engine(kv.clone(), &[1]);
     assert!(all_ok(insert_run(&server, 1, 0..3)));

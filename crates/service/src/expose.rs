@@ -317,6 +317,17 @@ pub fn render_stats(stats: &ServiceStatsWire) -> String {
         &[],
         timecrypt_obs::counters::ledger_leaves_loaded_total() as f64,
     );
+    page.header(
+        "timecrypt_ledger_bytes_loaded_total",
+        "Bytes of the level-0 records (whole chunks) proof requests read back and hashed \
+         into integrity ledgers: what proofs cost the store.",
+        "counter",
+    );
+    page.sample(
+        "timecrypt_ledger_bytes_loaded_total",
+        &[],
+        timecrypt_obs::counters::ledger_bytes_loaded_total() as f64,
+    );
     // The log store's footprint; dead / log bytes is the share of the file
     // a compaction would reclaim. All zero in a process without a `LogKv`.
     let footprint = timecrypt_obs::counters::store_footprint();
@@ -419,6 +430,7 @@ mod tests {
             "timecrypt_fsyncs_total",
             "timecrypt_store_batches_total",
             "timecrypt_ledger_leaves_loaded_total",
+            "timecrypt_ledger_bytes_loaded_total",
             "timecrypt_store_log_bytes",
             "timecrypt_store_live_keys",
             "timecrypt_store_index_bytes",

@@ -777,8 +777,8 @@ mod tests {
     fn submit_batch_reaches_each_shard_as_one_run() {
         // One job per (batch, shard): a stream's 40 chunks in one batch
         // are one engine run and so one store commit — never cut in two by
-        // the worker's greedy drain. Per run: 40 payloads + 40 level-0
-        // records + the index nodes it seals (one per 64 chunks).
+        // the worker's greedy drain. Per run: 40 level-0 records — the
+        // chunks — + the index nodes it seals (one per 64 chunks).
         #[derive(Default)]
         struct BatchSizes(MemKv, parking_lot::Mutex<Vec<usize>>);
         impl KvStore for BatchSizes {
@@ -812,7 +812,7 @@ mod tests {
             let batch = (0..40).map(|i| sealed_chunk(1, repeat * 40 + i, 1));
             assert!(svc.submit_batch(batch.collect()).iter().all(Result::is_ok));
             let seals = (repeat + 1) * 40 / 64 - repeat * 40 / 64;
-            want.push(80 + seals as usize);
+            want.push(40 + seals as usize);
         }
         assert_eq!(*store.1.lock(), want, "a run is exactly one store batch");
         // The service's meter counts the batches' ops as the puts they are.

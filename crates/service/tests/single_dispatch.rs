@@ -345,9 +345,11 @@ fn cluster(remote: bool) -> (ShardedService, Vec<Arc<MemKv>>, Vec<Server>) {
 }
 
 /// The coordinator forwards the bytes it received: what the store holds
-/// under a chunk key is exactly what the client put in the `InsertBatch`
-/// frame, and `submit_batch` of the same chunks — serialized once on entry
-/// — joins the same path, down to identical stores and verdicts.
+/// as a chunk's one record is exactly what the client put in the
+/// `InsertBatch` frame past the chunk's position (which the key carries),
+/// a raw read returns the frame's bytes whole, and `submit_batch` of the
+/// same chunks — serialized once on entry — joins the same path, down to
+/// identical stores and verdicts.
 #[test]
 fn coordinator_stores_the_frames_chunk_bytes_verbatim() {
     for remote in [false, true] {
@@ -390,13 +392,29 @@ fn coordinator_stores_the_frames_chunk_bytes_verbatim() {
 
         let mut stored: Vec<Vec<u8>> = wire_stores
             .iter()
-            .flat_map(|kv| kv.scan_prefix(b"c/").unwrap())
+            .flat_map(|kv| kv.scan_prefix(b"il/").unwrap())
             .map(|(_, value)| value)
             .collect();
         stored.sort();
-        let mut expected = sent[..accepted].to_vec();
+        let mut expected: Vec<Vec<u8>> = sent[..accepted]
+            .iter()
+            .map(|bytes| bytes[EncryptedChunk::POSITION_LEN..].to_vec())
+            .collect();
         expected.sort();
         assert_eq!(stored, expected, "stored values (remote={remote})");
+        for kv in &wire_stores {
+            assert!(kv.scan_prefix(b"c/").unwrap().is_empty(), "no second copy");
+        }
+        for &stream in &streams {
+            let (ts_s, ts_e) = (0, 3 * DELTA_MS as i64);
+            let Response::Chunks(read) = by_wire.handle(Request::GetRange { stream, ts_s, ts_e })
+            else {
+                panic!("expected chunks (remote={remote})");
+            };
+            let of_stream = |bytes: &&Vec<u8>| bytes[..16] == stream.to_le_bytes();
+            let sent: Vec<_> = sent[..accepted].iter().filter(of_stream).collect();
+            assert_eq!(read.iter().collect::<Vec<_>>(), sent, "raw read");
+        }
         for (wire, call) in wire_stores.iter().zip(&call_stores) {
             assert_eq!(dump(&**wire), dump(&**call), "stores (remote={remote})");
         }

@@ -253,11 +253,24 @@ fn verified_raw_read_detects_chunk_substitution() {
     let vk = key.verifying_key();
     ingest_attested(&mut t, &cfg, &owner, key, 100);
 
-    // The storage layer (or a compromised server) replays chunk 2's bytes
-    // under chunk 3's key. The plain read returns the forged data silently;
-    // the verified read refuses it.
+    let mut c = Consumer::new("c", &mut rng);
+    owner
+        .grant_access(&mut t, "c", c.public_key(), 0, 100_000)
+        .unwrap();
+    c.sync_grants(&mut t, cfg.id).unwrap();
+    // A first verified read succeeds — and leaves the server's ledger
+    // cache filled from the honest records.
+    let honest = c.verified_get_range(&mut t, cfg.id, &vk, 0, 100_000);
+    assert_eq!(honest.unwrap().len(), 100);
+
+    // The storage layer (or a compromised server) replays chunk 2's record
+    // — the chunk is its level-0 record, digest and payload — under chunk
+    // 3's key. The verified read refuses it either way: against the cached
+    // ledger the returned bytes miss the attested commitment; against a
+    // ledger rebuilt from the forged record (after an eviction) the proof
+    // misses the attested root.
     let kv = server.kv();
-    let mut key2 = b"c/".to_vec();
+    let mut key2 = b"il/".to_vec();
     key2.extend_from_slice(&cfg.id.to_be_bytes());
     key2.push(b'/');
     let mut key3 = key2.clone();
@@ -265,20 +278,17 @@ fn verified_raw_read_detects_chunk_substitution() {
     key3.extend_from_slice(&3u64.to_be_bytes());
     let chunk2 = kv.get(&key2).unwrap().expect("chunk 2 exists");
     kv.put(&key3, &chunk2).unwrap();
+    assert!(kv.scan_prefix(b"c/").unwrap().is_empty());
 
-    let mut c = Consumer::new("c", &mut rng);
-    owner
-        .grant_access(&mut t, "c", c.public_key(), 0, 100_000)
-        .unwrap();
-    c.sync_grants(&mut t, cfg.id).unwrap();
-
-    // The forged chunk decrypts fine under chunk 2's key... but the plain
-    // read drops it silently (AES-GCM AAD pins the chunk index), while the
-    // verified read *detects and reports* the substitution.
     let err = c
         .verified_get_range(&mut t, cfg.id, &vk, 0, 100_000)
         .unwrap_err();
     assert!(err.to_string().contains("commitment"), "{err}");
+    assert_eq!(server.evict_idle_streams(), 1);
+    let err = c
+        .verified_get_range(&mut t, cfg.id, &vk, 0, 100_000)
+        .unwrap_err();
+    assert!(err.to_string().contains("integrity check failed"), "{err}");
 }
 
 #[test]
@@ -479,9 +489,11 @@ fn a_damaged_level0_record_fails_the_ledger_catch_up_as_corrupt_node() {
     leaf5.extend_from_slice(&5u64.to_be_bytes());
     let kv = server.kv();
     let record = kv.get(&leaf5).unwrap().expect("chunk 5's level-0 record");
-    let width = (record.len() - 4 - 32) / 8;
+    // `digest ‖ pn ‖ payload`: a record of another width in the same form.
+    let width = u32::from_le_bytes(record[..4].try_into().unwrap()) as usize;
     let mut other_width = ((width + 1) as u32).to_le_bytes().to_vec();
-    other_width.extend_from_slice(&vec![0; 8 * (width + 1) + 32]);
+    other_width.extend_from_slice(&vec![0; 8 * (width + 1)]);
+    other_width.extend_from_slice(&record[4 + 8 * width..]);
     for damaged in [
         None,
         Some(&record[..record.len() - 1]),

@@ -43,8 +43,8 @@ fn tampered_chunk_payload_detected_at_open() {
     ingest(&mut t, &cfg, &owner, 30);
 
     // A curious server (or on-path attacker) flips a byte in a stored chunk.
-    let mut chunks = server.get_range(11, 0, 30_000).unwrap();
-    let mut victim = chunks.remove(0);
+    let chunks = server.get_range(11, 0, 30_000).unwrap();
+    let mut victim = EncryptedChunk::from_bytes(&chunks[0]).unwrap();
     let last = victim.payload.len() - 1;
     victim.payload[last] ^= 0x01;
     // GCM refuses at the client.
@@ -62,7 +62,7 @@ fn replayed_chunk_under_wrong_index_detected() {
     // Server swaps chunk 0's payload into chunk 1's position.
     let forged = EncryptedChunk {
         index: 1,
-        ..chunks[0].clone()
+        ..EncryptedChunk::from_bytes(&chunks[0]).unwrap()
     };
     assert!(forged
         .open_payload(&owner.provision_producer().tree)

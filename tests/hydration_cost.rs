@@ -8,8 +8,14 @@
 //! cache only proof requests fill: ingest and statistical queries never
 //! read a level-0 record back for it.
 //!
-//! Byte model at arity 64 and digest width 4: a level-0 record is 68 B
-//! (4 + 8·4 digest, 32 commitment), a sealed node 2 308 B (4 + 64·36).
+//! Byte model at arity 64 and digest width 4: a sealed node is 2 308 B
+//! (4 + 64·36); a level-0 record is the chunk without its position — 36 B
+//! of digest, then the body, 4 + payload (48 B with this file's 8 B
+//! payloads). Re-pinned in PR 19, when the record became the chunk: the
+//! read *counts* are those of the `digest ‖ commitment` records before it
+//! (68 B each); the bytes of a first touch are the old bound with ≤ 63 tail
+//! bodies in place of 63 commitments, and a stream's first proof reads —
+//! and hashes — every attested record whole: `n` gets, `Σ record bytes`.
 
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
@@ -21,13 +27,16 @@ use timecrypt::store::{KvStore, MemKv, MeteredKv};
 
 const WIDTH: usize = 4;
 const DELTA_MS: u64 = 10_000;
+const PAYLOAD: usize = 8;
+/// A level-0 record: the encoded digest, then `pn ‖ payload`.
+const RECORD: u64 = (4 + 8 * WIDTH + 4 + PAYLOAD) as u64;
 
 fn chunk(stream: u128, index: u64) -> Vec<u8> {
     EncryptedChunk {
         stream,
         index,
         digest_ct: vec![index; WIDTH],
-        payload: vec![stream as u8; 8],
+        payload: vec![stream as u8; PAYLOAD],
     }
     .to_bytes()
 }
@@ -46,9 +55,9 @@ fn first_touch_reads_the_open_spine_not_the_history() {
     // Three levels at every length; the same absolute bounds at each:
     // at most 63 records or nodes per level plus the length probes, and
     // at most 63 level-0 records and 2·63 sealed nodes in bytes. (A replay
-    // of the level-0 records reads 68·n bytes: over the bound at 10 000.)
+    // of the level-0 records reads 48·n bytes: over the bound at 10 000.)
     const MAX_READS: u64 = 3 * 63 + 40;
-    const MAX_BYTES: u64 = 63 * 68 + 2 * 63 * 2308;
+    const MAX_BYTES: u64 = 63 * RECORD + 2 * 63 * 2308;
     for n in [10_000u64, 20_000, 40_000] {
         let base: Arc<dyn KvStore> = Arc::new(MemKv::new());
         {
@@ -83,8 +92,10 @@ fn first_touch_reads_the_open_spine_not_the_history() {
 #[test]
 fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
     let loaded = timecrypt_obs::counters::ledger_leaves_loaded_total;
+    let loaded_bytes = timecrypt_obs::counters::ledger_bytes_loaded_total;
+    let kv = Arc::new(MeteredKv::new(Arc::new(MemKv::new())));
     let server = TimeCryptServer::open(
-        Arc::new(MemKv::new()),
+        kv.clone(),
         ServerConfig {
             max_resident_streams: Some(1),
             ..ServerConfig::default()
@@ -118,7 +129,7 @@ fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
             .create_stream(stream, 0, DELTA_MS, WIDTH as u32)
             .unwrap();
     }
-    let start = loaded();
+    let (start, start_bytes) = (loaded(), loaded_bytes());
 
     // Ingest and statistical queries, across an eviction and a
     // rehydration: no ledger.
@@ -133,11 +144,26 @@ fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
     assert!(server.residency().evictions >= 2, "the cap of 1 churned");
     assert_eq!(loaded() - start, 0);
 
-    // The first proof catches up from zero to the attested size; the next
-    // one finds it there.
-    assert_eq!(prove(10, 200), vec![(10..200).sum::<u64>(); WIDTH]);
+    // The first proof catches up from zero to the attested size — one get
+    // per attested record, whole, next to the attestation's — and the next
+    // one finds the ledger there.
+    let reads = |f: &dyn Fn()| {
+        let before = kv.counters();
+        f();
+        let after = kv.counters();
+        assert_eq!(after.scans, before.scans);
+        (
+            after.gets - before.gets,
+            after.bytes_read - before.bytes_read,
+        )
+    };
+    let attestation = server.get_attestation(1).unwrap().len() as u64;
+    let first = reads(&|| assert_eq!(prove(10, 200), vec![(10..200).sum::<u64>(); WIDTH]));
+    assert_eq!(first, (1 + 300, attestation + 300 * RECORD));
     assert_eq!(loaded() - start, 300);
-    assert_eq!(prove(0, 300), vec![(0..300).sum::<u64>(); WIDTH]);
+    assert_eq!(loaded_bytes() - start_bytes, 300 * RECORD);
+    let second = reads(&|| assert_eq!(prove(0, 300), vec![(0..300).sum::<u64>(); WIDTH]));
+    assert_eq!(second, (1, attestation));
     assert_eq!(loaded() - start, 300);
 
     // Ingest does not extend it; the next proof tops up what was added.
@@ -153,4 +179,5 @@ fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
     assert_eq!(server.residency().evictions, evictions + 1);
     assert_eq!(prove(0, 350), vec![(0..350).sum::<u64>(); WIDTH]);
     assert_eq!(loaded() - start, 700);
+    assert_eq!(loaded_bytes() - start_bytes, 700 * RECORD);
 }

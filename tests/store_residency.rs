@@ -4,6 +4,11 @@
 //! RAM, never values: its index footprint must not depend on how large the
 //! stored values are, and callers that only enumerate keys must not pull a
 //! single value byte out of the log. Counts only — no RSS read.
+//!
+//! One record per chunk (PR 19) halved what there is to index: a chunk is
+//! one `il/` key (28 B + 56 per entry), no longer that and a `c/` key
+//! (27 B + 56) — `live_keys` and `index_bytes` below are pinned to the new
+//! model, from 8 320 keys and 694 144 B for the same ingest.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -73,6 +78,10 @@ fn index_footprint_is_independent_of_value_size() {
     let (small, large) = (ingest(50), ingest(500));
     assert_eq!(small.live_keys, large.live_keys);
     assert_eq!(small.index_bytes, large.index_bytes);
+    // Per stream: its meta record, one record per chunk, and the level-1
+    // node its 64th chunk sealed.
+    assert_eq!(small.live_keys, 64 * (1 + 64 + 1));
+    assert_eq!(small.index_bytes, 64 * ((18 + 56) + 65 * (28 + 56)));
     assert_eq!(small.dead_bytes, large.dead_bytes);
     // Ten times the points is several times the log, and the same index.
     assert!(large.log_bytes > 4 * small.log_bytes, "{small:?} {large:?}");
@@ -91,7 +100,7 @@ fn deleting_a_stream_reads_no_value_bytes() {
         assert!(svc.submit_batch(batch).iter().all(Result::is_ok));
     }
     let live = log.len();
-    assert!(live as u64 > 2 * CHUNKS, "payloads and level-0 records");
+    assert_eq!(live as u64, 1 + CHUNKS + CHUNKS / 64, "meta, chunks, nodes");
     let before = svc.kv().counters();
     assert!(matches!(
         svc.handle(Request::DeleteStream { stream: 7 }),
