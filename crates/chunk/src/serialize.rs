@@ -2,16 +2,17 @@
 //!
 //! The producer path is: accumulate points → cut at Δ boundaries
 //! ([`ChunkBuilder`]) → compute the plaintext digest → HEAC-encrypt the
-//! digest and AES-GCM-encrypt the compressed payload ([`PlainChunk::seal`])
+//! digest and AES-GCM-encrypt the compressed payload ([`ChunkSealer::seal`],
+//! one sealer per stream; [`PlainChunk::seal`] is the stateless reference)
 //! → ship the [`EncryptedChunk`] to the server. The server indexes the
 //! digest ciphertext and stores the payload blob; it can read neither.
 
 use crate::compress::{self, CodecError};
 use crate::model::{ChunkId, DataPoint, StreamConfig, StreamId};
 use std::sync::OnceLock;
-use timecrypt_core::heac::{encrypt_digest_with, ElementKeys, HeacEncryptor, KeySource};
+use timecrypt_core::heac::{encrypt_digest_with, ElementKeys, KeySource};
 use timecrypt_core::keys::{payload_key, payload_key_from_leaves};
-use timecrypt_core::{CoreError, StreamKeyMaterial};
+use timecrypt_core::{CoreError, LeafCursor, StreamKeyMaterial, TreeKd};
 use timecrypt_crypto::gcm::NONCE_LEN;
 use timecrypt_crypto::{AesGcm128, GcmKeyCache, SecureRandom};
 
@@ -88,13 +89,51 @@ impl From<CoreError> for ChunkError {
 impl PlainChunk {
     /// Seals this chunk: computes and HEAC-encrypts the digest, compresses
     /// and AES-GCM-encrypts the points.
+    ///
+    /// The one-shot form: both boundary leaves are derived from the root
+    /// (two walks of the key tree). Anything that seals a stream's chunks
+    /// one after another keeps a [`ChunkSealer`] instead; this is the
+    /// reference its output is pinned to.
     pub fn seal(
         &self,
         cfg: &StreamConfig,
         keys: &StreamKeyMaterial,
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
-        ChunkSealer::new(cfg, keys).seal(self, rng)
+        self.seal_at(cfg, &keys.tree, &mut LeafCursor::new(), rng)
+    }
+
+    /// [`seal`](Self::seal) with the boundary leaves derived through
+    /// `cursor`, from wherever the previous chunk left it.
+    fn seal_at(
+        &self,
+        cfg: &StreamConfig,
+        tree: &TreeKd,
+        cursor: &mut LeafCursor,
+        rng: &mut SecureRandom,
+    ) -> Result<EncryptedChunk, ChunkError> {
+        let digest = cfg.schema.compute(&self.points);
+        let (l0, l1) = cursor.boundary_leaves(tree, self.index)?;
+        let digest_ct =
+            encrypt_digest_with(&ElementKeys::new(&l0), &ElementKeys::new(&l1), &digest);
+        let compressed = compress::compress(cfg.codec, &self.points);
+        let gcm = AesGcm128::new(&payload_key_from_leaves(&l0, &l1));
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill(&mut nonce);
+        let mut payload = Vec::with_capacity(NONCE_LEN + compressed.len() + 16);
+        payload.extend_from_slice(&nonce);
+        gcm.seal_into(
+            &nonce,
+            &Self::aad(self.stream, self.index),
+            &compressed,
+            &mut payload,
+        );
+        Ok(EncryptedChunk {
+            stream: self.stream,
+            index: self.index,
+            digest_ct,
+            payload,
+        })
     }
 
     fn aad(stream: StreamId, index: ChunkId) -> [u8; 24] {
@@ -105,33 +144,39 @@ impl PlainChunk {
     }
 }
 
-/// A reusable chunk sealer for one stream.
+/// The sealing state of one stream: its configuration, its key tree and
+/// the producer's place in that tree ([`LeafCursor`]).
 ///
-/// [`PlainChunk::seal`] is correct but pays the full key-derivation cost per
-/// call; a sealer amortizes the producer hot path across a run of chunks:
-///
-/// * one tree walk per chunk instead of two — the boundary leaves derived
-///   for the HEAC digest are reused for the payload key
-///   ([`payload_key_from_leaves`]);
-/// * sequential sealing reuses chunk `i+1`'s leaf from chunk `i` via the
-///   encryptor's leaf cache, halving the remaining derivation cost;
-/// * the `nonce || ct || tag` payload is assembled in place
-///   ([`AesGcm128::seal_into`]) instead of through intermediate vectors.
+/// Per sealed chunk it derives the two boundary leaves once — the digest
+/// keys and the payload key ([`payload_key_from_leaves`]) are both made
+/// from them — and assembles the `nonce || ct || tag` payload in place
+/// ([`AesGcm128::seal_into`]). Between chunks it carries the cursor:
+/// sealing chunk `i + 1` after chunk `i` costs under two PRG calls instead
+/// of two root-to-leaf walks, and any other order costs at most those two
+/// walks. The saving lasts as long as the sealer does, so whatever seals a
+/// stream (a producer, a bulk loader) keeps one for the stream's life.
 ///
 /// Output is byte-identical to [`PlainChunk::seal`] driven by the same RNG
 /// stream (pinned by `sealer_matches_plain_seal`).
-pub struct ChunkSealer<'a> {
-    cfg: &'a StreamConfig,
-    enc: HeacEncryptor<'a>,
+pub struct ChunkSealer {
+    cfg: StreamConfig,
+    tree: TreeKd,
+    cursor: LeafCursor,
 }
 
-impl<'a> ChunkSealer<'a> {
+impl ChunkSealer {
     /// A sealer for `cfg`'s stream over the owner key material.
-    pub fn new(cfg: &'a StreamConfig, keys: &'a StreamKeyMaterial) -> Self {
+    pub fn new(cfg: &StreamConfig, keys: &StreamKeyMaterial) -> Self {
         ChunkSealer {
-            cfg,
-            enc: HeacEncryptor::new(&keys.tree),
+            cfg: cfg.clone(),
+            tree: keys.tree.clone(),
+            cursor: LeafCursor::new(),
         }
+    }
+
+    /// PRG invocations spent on key derivation so far.
+    pub fn prg_calls(&self) -> u64 {
+        self.cursor.prg_calls()
     }
 
     /// Seals one chunk (any index; sequential indices are the fast path).
@@ -140,28 +185,14 @@ impl<'a> ChunkSealer<'a> {
         chunk: &PlainChunk,
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
-        let digest = self.cfg.schema.compute(&chunk.points);
-        let (l0, l1) = self.enc.boundary_leaves(chunk.index)?;
-        let digest_ct =
-            encrypt_digest_with(&ElementKeys::new(&l0), &ElementKeys::new(&l1), &digest);
-        let compressed = compress::compress(self.cfg.codec, &chunk.points);
-        let gcm = AesGcm128::new(&payload_key_from_leaves(&l0, &l1));
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill(&mut nonce);
-        let mut payload = Vec::with_capacity(NONCE_LEN + compressed.len() + 16);
-        payload.extend_from_slice(&nonce);
-        gcm.seal_into(
-            &nonce,
-            &PlainChunk::aad(chunk.stream, chunk.index),
-            &compressed,
-            &mut payload,
-        );
-        Ok(EncryptedChunk {
-            stream: chunk.stream,
-            index: chunk.index,
-            digest_ct,
-            payload,
-        })
+        chunk.seal_at(&self.cfg, &self.tree, &mut self.cursor, rng)
+    }
+
+    /// The payload key of `chunk`, for sealing its real-time records
+    /// ([`SealedRecord::seal_with_key`]) before the chunk itself closes.
+    pub fn payload_key(&mut self, chunk: ChunkId) -> Result<[u8; 16], ChunkError> {
+        let (l0, l1) = self.cursor.boundary_leaves(&self.tree, chunk)?;
+        Ok(payload_key_from_leaves(&l0, &l1))
     }
 }
 
@@ -384,7 +415,8 @@ impl SealedRecord {
         aad
     }
 
-    /// Seals one point for real-time upload.
+    /// Seals one point for real-time upload, deriving the chunk's payload
+    /// key from `keys` (two leaf derivations).
     pub fn seal<K: KeySource>(
         stream: StreamId,
         chunk: ChunkId,
@@ -394,9 +426,23 @@ impl SealedRecord {
         rng: &mut SecureRandom,
     ) -> Result<Self, ChunkError> {
         let key = payload_key(keys, chunk)?;
-        // Every record of one open chunk reuses this key: the cache makes
-        // the per-record cost one AES-GCM pass, not a key schedule + pass.
-        let gcm = payload_ciphers().get(&key);
+        Ok(Self::seal_with_key(stream, chunk, seq, point, &key, rng))
+    }
+
+    /// [`seal`](Self::seal) under a payload key the caller already holds:
+    /// every record of one open chunk shares the chunk's key
+    /// ([`ChunkSealer::payload_key`]), so a producer derives it once.
+    pub fn seal_with_key(
+        stream: StreamId,
+        chunk: ChunkId,
+        seq: u32,
+        point: DataPoint,
+        key: &[u8; 16],
+        rng: &mut SecureRandom,
+    ) -> Self {
+        // The cache makes the per-record cost one AES-GCM pass, not a key
+        // schedule + pass.
+        let gcm = payload_ciphers().get(key);
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill(&mut nonce);
         let mut plain = [0u8; 16];
@@ -410,12 +456,12 @@ impl SealedRecord {
             &plain,
             &mut payload,
         );
-        Ok(SealedRecord {
+        SealedRecord {
             stream,
             chunk,
             seq,
             payload,
-        })
+        }
     }
 
     /// Opens the record with any key source covering leaf `chunk`.
@@ -772,10 +818,12 @@ mod tests {
 
     #[test]
     fn sealer_matches_plain_seal() {
-        // The amortized sealer must be byte-identical to the one-shot path
-        // when driven by the same RNG stream — sequential and gappy indices.
+        // One sealer kept across the whole run must be byte-identical to
+        // the one-shot path driven by the same RNG stream — sequential,
+        // gappy, repeated and backwards indices, with live-record key
+        // lookups moving the cursor in between.
         let (cfg, keys, _) = setup();
-        let chunks: Vec<PlainChunk> = [0u64, 1, 2, 5, 6, 40]
+        let chunks: Vec<PlainChunk> = [0u64, 1, 2, 5, 6, 40, 40, 7, 3, 4, (1 << 20) - 3]
             .iter()
             .map(|&i| PlainChunk {
                 stream: 7,
@@ -790,8 +838,32 @@ mod tests {
             let one_shot = c.seal(&cfg, &keys, &mut rng_a).unwrap();
             let amortized = sealer.seal(c, &mut rng_b).unwrap();
             assert_eq!(one_shot, amortized, "chunk {}", c.index);
+            assert_eq!(one_shot.to_bytes(), amortized.to_bytes());
             assert_eq!(amortized.open_payload(&keys.tree).unwrap(), c.points);
+            // The open chunk ahead: its live records' key, and a record
+            // sealed under it, are the from-root ones.
+            let live = c.index + 1;
+            let key = sealer.payload_key(live).unwrap();
+            assert_eq!(key, keys.payload_key(live).unwrap());
+            let p = DataPoint::new(live as i64 * 10_000, 5);
+            let from_root = SealedRecord::seal(7, live, 3, p, &keys.tree, &mut rng_a).unwrap();
+            assert_eq!(
+                SealedRecord::seal_with_key(7, live, 3, p, &key, &mut rng_b),
+                from_root
+            );
+            assert_eq!(from_root.open(&keys.tree).unwrap(), p);
         }
+        // The last leaf of the height-20 tree has no right neighbour.
+        let end = PlainChunk {
+            stream: 7,
+            index: (1 << 20) - 1,
+            points: Vec::new(),
+        };
+        assert!(matches!(
+            sealer.seal(&end, &mut rng_b),
+            Err(ChunkError::Core(CoreError::OutOfScope { .. }))
+        ));
+        assert!(end.seal(&cfg, &keys, &mut rng_a).is_err());
     }
 
     #[test]

@@ -2,12 +2,13 @@
 
 use crate::grants::{Grant, StreamDescriptor};
 use crate::transport::{ClientFault, Transport};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_chunk::{DataPoint, StatSummary};
 use timecrypt_core::heac::{decrypt_range_sum, KeySource};
 use timecrypt_core::resolution::{Envelope, ResolutionConsumer};
-use timecrypt_core::{CoreError, TokenSet};
+use timecrypt_core::{CoreError, LeafCursor, TokenSet};
 use timecrypt_crypto::Seed128;
 use timecrypt_pk::ecies::EciesKeypair;
 use timecrypt_wire::messages::{Request, Response};
@@ -21,21 +22,41 @@ struct StreamKeys {
     /// grants for the same granularity (e.g. an extended subscription);
     /// each keeps its own window, and decryption tries them in turn.
     resolutions: HashMap<u64, Vec<ResolutionConsumer>>,
+    /// The reader's place under `tokens`: a range read opens consecutive
+    /// chunks, so each boundary leaf is a short step from the last one.
+    cursor: LeafCursor,
 }
 
-/// Unified key source: tree tokens first, then any resolution consumer
-/// holding the boundary leaf.
-struct CombinedKeys<'a>(&'a StreamKeys);
+impl StreamKeys {
+    /// This stream's keys as one [`KeySource`].
+    fn combined(&mut self) -> CombinedKeys<'_> {
+        CombinedKeys {
+            tokens: self.tokens.as_ref(),
+            resolutions: &self.resolutions,
+            cursor: RefCell::new(&mut self.cursor),
+        }
+    }
+}
+
+/// Unified key source: tree tokens first (through the stream's cursor),
+/// then any resolution consumer holding the boundary leaf.
+struct CombinedKeys<'a> {
+    tokens: Option<&'a TokenSet>,
+    resolutions: &'a HashMap<u64, Vec<ResolutionConsumer>>,
+    /// `KeySource::leaf` takes `&self`; the cell lends the cursor out for
+    /// the one derivation.
+    cursor: RefCell<&'a mut LeafCursor>,
+}
 
 impl KeySource for CombinedKeys<'_> {
     fn leaf(&self, i: u64) -> Result<Seed128, CoreError> {
-        if let Some(ts) = &self.0.tokens {
-            if let Ok(leaf) = ts.leaf(i) {
+        if let Some(ts) = self.tokens {
+            if let Ok(leaf) = self.cursor.borrow_mut().leaf(ts, i) {
                 return Ok(leaf);
             }
         }
         let mut last_err = CoreError::OutOfScope { index: i };
-        for rcs in self.0.resolutions.values() {
+        for rcs in self.resolutions.values() {
             for rc in rcs {
                 match rc.leaf(i) {
                     Ok(leaf) => return Ok(leaf),
@@ -113,6 +134,7 @@ impl Consumer {
                 descriptor: descriptor.clone(),
                 tokens: None,
                 resolutions: HashMap::new(),
+                cursor: LeafCursor::new(),
             });
         match grant {
             Grant::Full { tokens, .. } => match &mut entry.tokens {
@@ -152,6 +174,11 @@ impl Consumer {
         Ok(())
     }
 
+    /// PRG invocations spent deriving tree leaves so far, over all streams.
+    pub fn prg_calls(&self) -> u64 {
+        self.streams.values().map(|s| s.cursor.prg_calls()).sum()
+    }
+
     /// A stream's descriptor (after [`sync_grants`](Self::sync_grants)).
     pub fn descriptor(&self, stream: u128) -> Option<&StreamDescriptor> {
         self.streams.get(&stream).map(|s| &s.descriptor)
@@ -178,10 +205,10 @@ impl Consumer {
         };
         let keys = self
             .streams
-            .get(&stream)
+            .get_mut(&stream)
             .ok_or(ClientFault::Protocol("synced grants"))?;
         let (_, lo, hi) = reply.parts[0];
-        let plain = decrypt_range_sum(&CombinedKeys(keys), lo, hi, &reply.agg)?;
+        let plain = decrypt_range_sum(&keys.combined(), lo, hi, &reply.agg)?;
         Ok(keys.descriptor.schema.interpret(&plain))
     }
 
@@ -209,9 +236,9 @@ impl Consumer {
         for &(sid, lo, hi) in &reply.parts {
             let keys = self
                 .streams
-                .get(&sid)
+                .get_mut(&sid)
                 .ok_or(ClientFault::Protocol("synced grants"))?;
-            agg = decrypt_range_sum(&CombinedKeys(keys), lo, hi, &agg)?;
+            agg = decrypt_range_sum(&keys.combined(), lo, hi, &agg)?;
             schema.get_or_insert_with(|| keys.descriptor.schema.clone());
         }
         let schema = schema.ok_or(ClientFault::Protocol("non-empty streams"))?;
@@ -233,14 +260,15 @@ impl Consumer {
         };
         let keys = self
             .streams
-            .get(&stream)
-            .ok_or(ClientFault::Protocol("synced grants"))?;
+            .get_mut(&stream)
+            .ok_or(ClientFault::Protocol("synced grants"))?
+            .combined();
         let mut out = Vec::new();
         for bytes in chunks {
             let chunk = EncryptedChunk::from_bytes(&bytes)
                 .map_err(|e| ClientFault::Chunk(e.to_string()))?;
             let points = chunk
-                .open_payload(&CombinedKeys(keys))
+                .open_payload(&keys)
                 .map_err(|e| ClientFault::Chunk(e.to_string()))?;
             out.extend(points.into_iter().filter(|p| p.ts >= ts_s && p.ts < ts_e));
         }
@@ -279,9 +307,9 @@ impl Consumer {
             .map_err(|e| ClientFault::Chunk(format!("integrity check failed: {e}")))?;
         let keys = self
             .streams
-            .get(&stream)
+            .get_mut(&stream)
             .ok_or(ClientFault::Protocol("synced grants"))?;
-        let plain = decrypt_range_sum(&CombinedKeys(keys), lo, hi, &agg)?;
+        let plain = decrypt_range_sum(&keys.combined(), lo, hi, &agg)?;
         Ok(keys.descriptor.schema.interpret(&plain))
     }
 
@@ -326,8 +354,9 @@ impl Consumer {
         }
         let keys = self
             .streams
-            .get(&stream)
-            .ok_or(ClientFault::Protocol("synced grants"))?;
+            .get_mut(&stream)
+            .ok_or(ClientFault::Protocol("synced grants"))?
+            .combined();
         let mut out = Vec::new();
         for (i, (bytes, leaf)) in chunks.iter().zip(&leaves).enumerate() {
             if chunk_commitment(bytes) != leaf.commitment {
@@ -345,7 +374,7 @@ impl Consumer {
                 )));
             }
             let points = chunk
-                .open_payload(&CombinedKeys(keys))
+                .open_payload(&keys)
                 .map_err(|e| ClientFault::Chunk(e.to_string()))?;
             out.extend(points.into_iter().filter(|p| p.ts >= ts_s && p.ts < ts_e));
         }
@@ -372,13 +401,14 @@ impl Consumer {
         };
         let keys = self
             .streams
-            .get(&stream)
-            .ok_or(ClientFault::Protocol("synced grants"))?;
+            .get_mut(&stream)
+            .ok_or(ClientFault::Protocol("synced grants"))?
+            .combined();
         for bytes in records {
             let record =
                 SealedRecord::from_bytes(&bytes).map_err(|e| ClientFault::Chunk(e.to_string()))?;
             let point = record
-                .open(&CombinedKeys(keys))
+                .open(&keys)
                 .map_err(|e| ClientFault::Chunk(e.to_string()))?;
             if point.ts >= ts_s && point.ts < ts_e {
                 out.push(point);

@@ -1,20 +1,23 @@
 //! The data producer: a device writing an encrypted stream.
 
 use crate::transport::{ClientFault, Transport};
-use timecrypt_chunk::{ChunkBuilder, DataPoint, SealedRecord, StreamConfig};
+use timecrypt_chunk::{ChunkBuilder, ChunkSealer, DataPoint, SealedRecord, StreamConfig};
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::SecureRandom;
 use timecrypt_wire::messages::{Request, Response};
 
 /// A producer for one stream: batches, digests, seals, uploads (§4.1, §4.6).
 pub struct Producer {
-    cfg: StreamConfig,
-    keys: StreamKeyMaterial,
+    /// Sealing state, kept for the life of the stream: every sealed chunk
+    /// and every real-time record derives its keys from where the last
+    /// one left the key-tree cursor.
+    sealer: ChunkSealer,
     builder: ChunkBuilder,
     rng: SecureRandom,
     chunks_sent: u64,
-    /// Real-time mode sequence state: `(chunk, next seq within it)`.
-    live_seq: (u64, u32),
+    /// Real-time mode state: `(open chunk, next seq within it, the chunk's
+    /// payload key)`.
+    live: Option<(u64, u32, [u8; 16])>,
     records_sent: u64,
     /// Integrity extension: mirror ledger + signing key (§3.3).
     attester: Option<(timecrypt_pk::SigningKey, timecrypt_integrity::StreamLedger)>,
@@ -24,14 +27,12 @@ impl Producer {
     /// Creates a producer. `keys` is provisioned by the data owner (the
     /// tree root is the stream's master secret).
     pub fn new(cfg: StreamConfig, keys: StreamKeyMaterial, rng: SecureRandom) -> Self {
-        let builder = ChunkBuilder::new(cfg.clone());
         Producer {
-            cfg,
-            keys,
-            builder,
+            sealer: ChunkSealer::new(&cfg, &keys),
+            builder: ChunkBuilder::new(cfg),
             rng,
             chunks_sent: 0,
-            live_seq: (0, 0),
+            live: None,
             records_sent: 0,
             attester: None,
         }
@@ -43,7 +44,8 @@ impl Producer {
     /// data owner's attestation key (its public half reaches consumers via
     /// the identity provider).
     pub fn with_attester(mut self, key: timecrypt_pk::SigningKey) -> Self {
-        self.attester = Some((key, timecrypt_integrity::StreamLedger::new(self.cfg.id)));
+        let ledger = timecrypt_integrity::StreamLedger::new(self.config().id);
+        self.attester = Some((key, ledger));
         self
     }
 
@@ -58,7 +60,7 @@ impl Producer {
             .ok_or(ClientFault::Chunk("producer has no attestation key".into()))?;
         let att = ledger.attest(key, &mut self.rng);
         match transport.call(&Request::PutAttestation {
-            stream: self.cfg.id,
+            stream: self.config().id,
             attestation: att.encode(),
         })? {
             Response::Ok => Ok(()),
@@ -68,12 +70,18 @@ impl Producer {
 
     /// The stream configuration.
     pub fn config(&self) -> &StreamConfig {
-        &self.cfg
+        self.builder.config()
     }
 
     /// Chunks successfully uploaded.
     pub fn chunks_sent(&self) -> u64 {
         self.chunks_sent
+    }
+
+    /// PRG invocations spent deriving keys so far (sealed chunks and
+    /// real-time records).
+    pub fn prg_calls(&self) -> u64 {
+        self.sealer.prg_calls()
     }
 
     /// Feeds one point; uploads any chunks it completes.
@@ -108,24 +116,24 @@ impl Producer {
         transport: &mut T,
         point: DataPoint,
     ) -> Result<(), ClientFault> {
-        let chunk = self
-            .cfg
+        let cfg = self.builder.config();
+        let stream = cfg.id;
+        let chunk = cfg
             .chunk_of(point.ts)
             .ok_or(ClientFault::Chunk("timestamp before stream epoch".into()))?;
-        if chunk != self.live_seq.0 {
-            self.live_seq = (chunk, 0);
-        }
-        let seq = self.live_seq.1;
-        self.live_seq.1 += 1;
-        let record = SealedRecord::seal(
-            self.cfg.id,
-            chunk,
-            seq,
-            point,
-            &self.keys.tree,
-            &mut self.rng,
-        )
-        .map_err(|e| ClientFault::Chunk(e.to_string()))?;
+        let (_, seq, key) = match &mut self.live {
+            Some(live) if live.0 == chunk => live,
+            // A new open chunk: its records all share one payload key.
+            live => {
+                let key = self
+                    .sealer
+                    .payload_key(chunk)
+                    .map_err(|e| ClientFault::Chunk(e.to_string()))?;
+                live.insert((chunk, 0, key))
+            }
+        };
+        let record = SealedRecord::seal_with_key(stream, chunk, *seq, point, key, &mut self.rng);
+        *seq += 1;
         match transport.call(&Request::InsertLive {
             record: record.to_bytes(),
         })? {
@@ -148,13 +156,19 @@ impl Producer {
         transport: &mut T,
         chunk: timecrypt_chunk::PlainChunk,
     ) -> Result<(), ClientFault> {
-        let sealed = chunk
-            .seal(&self.cfg, &self.keys, &mut self.rng)
+        let sealed = self
+            .sealer
+            .seal(&chunk, &mut self.rng)
             .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-        let bytes = sealed.to_bytes();
-        match transport.call(&Request::Insert {
-            chunk: bytes.clone(),
-        })? {
+        // The request owns the bytes for the call; the ledger gets them back.
+        let req = Request::Insert {
+            chunk: sealed.to_bytes(),
+        };
+        let reply = transport.call(&req)?;
+        let Request::Insert { chunk: bytes } = req else {
+            unreachable!("constructed above")
+        };
+        match reply {
             Response::Ok => {
                 self.chunks_sent += 1;
                 if let Some((_, ledger)) = &mut self.attester {
@@ -209,8 +223,8 @@ impl Producer {
 /// assert_eq!(producer.batches_sent(), 3, "4 + 4 + flushed 2");
 /// ```
 pub struct BatchingProducer {
-    cfg: StreamConfig,
-    keys: StreamKeyMaterial,
+    /// Sealing state, kept for the life of the stream (see [`Producer`]).
+    sealer: ChunkSealer,
     builder: ChunkBuilder,
     rng: SecureRandom,
     batch: Vec<Vec<u8>>,
@@ -229,11 +243,9 @@ impl BatchingProducer {
         batch_size: usize,
     ) -> Self {
         assert!(batch_size >= 1, "batch size must be at least 1");
-        let builder = ChunkBuilder::new(cfg.clone());
         BatchingProducer {
-            cfg,
-            keys,
-            builder,
+            sealer: ChunkSealer::new(&cfg, &keys),
+            builder: ChunkBuilder::new(cfg),
             rng,
             batch: Vec::with_capacity(batch_size),
             batch_size,
@@ -250,6 +262,11 @@ impl BatchingProducer {
     /// Batches shipped so far.
     pub fn batches_sent(&self) -> u64 {
         self.batches_sent
+    }
+
+    /// PRG invocations spent deriving keys so far.
+    pub fn prg_calls(&self) -> u64 {
+        self.sealer.prg_calls()
     }
 
     /// Feeds one point; seals any completed chunks into the pending batch
@@ -272,10 +289,7 @@ impl BatchingProducer {
         // windows completes several chunks at once) before any shipping, so
         // a ship failure can never drop a sealed-but-unsent chunk.
         for chunk in done {
-            let sealed = chunk
-                .seal(&self.cfg, &self.keys, &mut self.rng)
-                .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-            self.batch.push(sealed.to_bytes());
+            self.seal_into_batch(&chunk)?;
         }
         while self.batch.len() >= self.batch_size {
             self.ship(transport, self.batch_size)?;
@@ -286,15 +300,23 @@ impl BatchingProducer {
     /// Seals the in-progress chunk and ships everything still buffered.
     pub fn flush<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientFault> {
         if let Some(chunk) = self.builder.flush() {
-            let sealed = chunk
-                .seal(&self.cfg, &self.keys, &mut self.rng)
-                .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-            self.batch.push(sealed.to_bytes());
+            self.seal_into_batch(&chunk)?;
         }
         while !self.batch.is_empty() {
             let window = self.batch.len().min(self.batch_size);
             self.ship(transport, window)?;
         }
+        Ok(())
+    }
+
+    /// Seals `chunk` and queues its bytes. A queued chunk is never sealed
+    /// again: a failed ship retries the same bytes.
+    fn seal_into_batch(&mut self, chunk: &timecrypt_chunk::PlainChunk) -> Result<(), ClientFault> {
+        let sealed = self
+            .sealer
+            .seal(chunk, &mut self.rng)
+            .map_err(|e| ClientFault::Chunk(e.to_string()))?;
+        self.batch.push(sealed.to_bytes());
         Ok(())
     }
 
@@ -474,6 +496,113 @@ mod tests {
         p.flush(&mut t).unwrap();
         assert_eq!(p.chunks_sent(), 4, "chunks 0..=2 plus the flushed tail");
         assert_eq!(server.stream_info(1).unwrap().len, 4);
+    }
+
+    /// Records every chunk the server acknowledged, in order; refuses the
+    /// `fail_at`-th batch with a transport fault.
+    #[derive(Default)]
+    struct Recorder {
+        acked: Vec<Vec<u8>>,
+        batches: usize,
+        fail_at: Option<usize>,
+    }
+
+    impl crate::transport::Transport for Recorder {
+        fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+            match req {
+                Request::Insert { chunk } => {
+                    self.acked.push(chunk.clone());
+                    Ok(Response::Ok)
+                }
+                Request::InsertBatch { chunks } => {
+                    self.batches += 1;
+                    if self.fail_at == Some(self.batches) {
+                        return Err(ClientFault::Transport("injected fault".into()));
+                    }
+                    self.acked.extend(chunks.iter().cloned());
+                    Ok(Response::Batch { errors: vec![] })
+                }
+                _ => Ok(Response::Ok),
+            }
+        }
+    }
+
+    #[test]
+    fn producers_emit_the_bytes_of_per_chunk_plain_seal() {
+        // One sealing state per producer for the life of the stream must
+        // not change a byte: driven by the same RNG stream, `Producer`,
+        // `BatchingProducer` (any batch size, with and without a failed
+        // ship in the middle), a reused `ChunkSealer` and per-chunk
+        // `PlainChunk::seal` emit the same chunks.
+        let cfg = StreamConfig::new(1, "m", 0, 10_000);
+        let keys = StreamKeyMaterial::with_params(1, [5u8; 16], 20, Default::default()).unwrap();
+        let rng = || SecureRandom::from_seed_insecure(77);
+        // Sequential chunks, a point that skips five windows, a flush in
+        // the middle of the stream, then more of the same.
+        let before: Vec<DataPoint> = (0..45)
+            .chain(100..130)
+            .map(|s| DataPoint::new(s * 1000, s))
+            .collect();
+        let after: Vec<DataPoint> = (130..175)
+            .chain(260..290)
+            .map(|s| DataPoint::new(s * 1000, -s))
+            .collect();
+
+        // Reference: a builder and a fresh one-shot seal per chunk.
+        let mut reference = Vec::new();
+        let mut via_sealer = Vec::new();
+        {
+            let (mut builder, mut rng_a, mut rng_b) =
+                (ChunkBuilder::new(cfg.clone()), rng(), rng());
+            let mut sealer = ChunkSealer::new(&cfg, &keys);
+            let mut seal = |chunk: timecrypt_chunk::PlainChunk| {
+                reference.push(chunk.seal(&cfg, &keys, &mut rng_a).unwrap().to_bytes());
+                via_sealer.push(sealer.seal(&chunk, &mut rng_b).unwrap().to_bytes());
+            };
+            for half in [&before, &after] {
+                for &p in half {
+                    builder.push(p).unwrap().into_iter().for_each(&mut seal);
+                }
+                builder.flush().into_iter().for_each(&mut seal);
+            }
+        }
+        assert_eq!(reference.len(), 29, "chunks 0..=12, then 13..=28");
+        assert_eq!(via_sealer, reference);
+
+        let mut t = Recorder::default();
+        let mut single = Producer::new(cfg.clone(), keys.clone(), rng());
+        for half in [&before, &after] {
+            for &p in half {
+                single.push(&mut t, p).unwrap();
+            }
+            single.flush(&mut t).unwrap();
+        }
+        assert_eq!(t.acked, reference, "Producer");
+        assert_eq!(single.chunks_sent(), 29);
+
+        for (batch_size, fail_at) in [(1, None), (4, None), (16, None), (1, Some(3)), (4, Some(2))]
+        {
+            let mut t = Recorder {
+                fail_at,
+                ..Recorder::default()
+            };
+            let mut p = BatchingProducer::new(cfg.clone(), keys.clone(), rng(), batch_size);
+            let mut faults = 0;
+            for half in [&before, &after] {
+                for &point in half {
+                    // A failed ship keeps its sealed chunks queued; the
+                    // point itself is already in the builder.
+                    faults += p.push(&mut t, point).is_err() as usize;
+                }
+                while p.flush(&mut t).is_err() {
+                    faults += 1;
+                }
+            }
+            assert_eq!(faults, fail_at.is_some() as usize, "batch {batch_size}");
+            assert_eq!(t.acked, reference, "batch {batch_size}, fault {fail_at:?}");
+            assert_eq!(p.chunks_sent(), 29);
+            assert_eq!(p.prg_calls(), single.prg_calls(), "same leaves, same order");
+        }
     }
 
     #[test]

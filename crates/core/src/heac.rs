@@ -22,7 +22,7 @@
 //! one-time key.
 
 use crate::error::CoreError;
-use crate::kdtree::{TokenSet, TreeKd};
+use crate::kdtree::{LeafCursor, TokenSet, TreeKd};
 use timecrypt_crypto::{fold_u64, Aes128, Seed128};
 
 /// A HEAC ciphertext element: a u64 in `Z_{2^64}`. Identical in size to the
@@ -82,13 +82,14 @@ impl KeySource for TokenSet {
 
 /// Owner/producer-side encryptor bound to a stream's key tree.
 ///
-/// Caches the most recently derived leaf: in the common append-only ingest
-/// pattern chunk `i+1`'s encryption reuses chunk `i`'s second boundary leaf,
-/// halving the per-chunk derivation cost (the paper's ingest path relies on
-/// exactly this sequential amortization).
+/// Holds a [`LeafCursor`], so an encryptor kept across a run of chunks
+/// derives chunk `i+1`'s boundary leaves from where chunk `i` left off —
+/// under two PRG calls per chunk in the append-only ingest order, at most
+/// two walks for any other. The amortisation lasts as long as the
+/// encryptor does: one built per chunk pays both walks every time.
 pub struct HeacEncryptor<'a> {
     tree: &'a TreeKd,
-    leaf_cache: std::cell::RefCell<Option<(u64, Seed128)>>,
+    cursor: std::cell::RefCell<LeafCursor>,
 }
 
 impl<'a> HeacEncryptor<'a> {
@@ -96,30 +97,14 @@ impl<'a> HeacEncryptor<'a> {
     pub fn new(tree: &'a TreeKd) -> Self {
         HeacEncryptor {
             tree,
-            leaf_cache: std::cell::RefCell::new(None),
+            cursor: std::cell::RefCell::new(LeafCursor::new()),
         }
     }
 
-    fn leaf_cached(&self, i: u64) -> Result<Seed128, CoreError> {
-        if let Some((idx, leaf)) = *self.leaf_cache.borrow() {
-            if idx == i {
-                return Ok(leaf);
-            }
-        }
-        let leaf = self.tree.leaf(i)?;
-        *self.leaf_cache.borrow_mut() = Some((i, leaf));
-        Ok(leaf)
-    }
-
-    /// The boundary leaves `(leaf_i, leaf_{i+1})` of chunk `i`, going
-    /// through (and refreshing) the sequential leaf cache. Sealing code
-    /// uses this to derive the digest element keys *and* the payload key
-    /// from one tree walk per chunk.
+    /// The boundary leaves `(leaf_i, leaf_{i+1})` of chunk `i`, derived
+    /// through (and advancing) the encryptor's cursor.
     pub fn boundary_leaves(&self, chunk: u64) -> Result<(Seed128, Seed128), CoreError> {
-        let l0 = self.leaf_cached(chunk)?;
-        let l1 = self.tree.leaf(chunk + 1)?;
-        *self.leaf_cache.borrow_mut() = Some((chunk + 1, l1));
-        Ok((l0, l1))
+        self.cursor.borrow_mut().boundary_leaves(self.tree, chunk)
     }
 
     /// Encrypts the digest vector of chunk `i`:

@@ -53,15 +53,73 @@ pub struct AccessToken {
     pub node: Seed128,
 }
 
+/// Key material a leaf derivation can start from: tokens of one tree. A
+/// [`TreeKd`] is the set of one token, its root; a [`TokenSet`] holds the
+/// tokens a principal was granted.
+pub trait TokenSource {
+    /// Height of the tree the tokens belong to.
+    fn height(&self) -> u8;
+
+    /// PRG the tree is built with.
+    fn prg(&self) -> PrgKind;
+
+    /// The token whose subtree holds leaf `i`, or [`CoreError::OutOfScope`].
+    fn covering(&self, i: u64) -> Result<&AccessToken, CoreError>;
+}
+
+/// The one descent loop every derivation shares: walks `levels` edges down
+/// from `v`, reading the turns from bit `levels − 1` of `bits` (the first
+/// edge) to bit 0, and hands each node it reaches to `each`.
+fn descend(
+    prg: PrgKind,
+    mut v: Seed128,
+    levels: u8,
+    bits: u64,
+    mut each: impl FnMut(Seed128),
+) -> Seed128 {
+    for level in (0..levels).rev() {
+        v = prg.child(&v, (bits >> level) & 1 == 1);
+        each(v);
+    }
+    v
+}
+
+/// Leaf `i` of `src` by a walk from the token that covers it.
+fn leaf_from_token<S: TokenSource>(src: &S, i: u64) -> Result<Seed128, CoreError> {
+    let t = src.covering(i)?;
+    // A token's range is aligned to its span, so the low bits of `i` are
+    // the turns below it.
+    let levels = src.height() - t.label.depth;
+    Ok(descend(src.prg(), t.node, levels, i, |_| {}))
+}
+
 /// The owner-side key-derivation tree: secret root seed + height + PRG choice.
 ///
 /// Only the data owner (and producers it provisions) hold a `TreeKd`;
 /// principals get [`TokenSet`]s, the server gets nothing.
 #[derive(Clone)]
 pub struct TreeKd {
-    root: Seed128,
+    /// The root seed, as the token `(0, 0)`.
+    root: AccessToken,
     height: u8,
     prg: PrgKind,
+}
+
+impl TokenSource for TreeKd {
+    fn height(&self) -> u8 {
+        self.height
+    }
+
+    fn prg(&self) -> PrgKind {
+        self.prg
+    }
+
+    fn covering(&self, i: u64) -> Result<&AccessToken, CoreError> {
+        if i >= self.num_leaves() {
+            return Err(CoreError::OutOfScope { index: i });
+        }
+        Ok(&self.root)
+    }
 }
 
 impl TreeKd {
@@ -70,6 +128,10 @@ impl TreeKd {
         if height == 0 || height > MAX_HEIGHT {
             return Err(CoreError::InvalidParams("tree height must be in 1..=63"));
         }
+        let root = AccessToken {
+            label: NodeLabel { depth: 0, index: 0 },
+            node: root,
+        };
         Ok(TreeKd { root, height, prg })
     }
 
@@ -99,24 +161,19 @@ impl TreeKd {
                 "node index out of range for depth",
             ));
         }
-        let mut v = self.root;
-        // Walk the bits of `index` from most-significant (top of tree) down.
-        for level in (0..label.depth).rev() {
-            let bit = (label.index >> level) & 1 == 1;
-            v = self.prg.child(&v, bit);
-        }
-        Ok(v)
+        Ok(descend(
+            self.prg,
+            self.root.node,
+            label.depth,
+            label.index,
+            |_| {},
+        ))
     }
 
-    /// Derives leaf `i` (the `i`-th keystream element).
+    /// Derives leaf `i` (the `i`-th keystream element) by walking from the
+    /// root: the one-shot reference a [`LeafCursor`] is checked against.
     pub fn leaf(&self, i: u64) -> Result<Seed128, CoreError> {
-        if i >= self.num_leaves() {
-            return Err(CoreError::OutOfScope { index: i });
-        }
-        self.node(NodeLabel {
-            depth: self.height,
-            index: i,
-        })
+        leaf_from_token(self, i)
     }
 
     /// Computes the canonical minimal cover of the (inclusive) leaf range
@@ -151,14 +208,7 @@ impl TreeKd {
     /// A token set granting the entire keystream (the owner's own view, or a
     /// fully-trusted principal). This is a single token: the root.
     pub fn full_token_set(&self) -> TokenSet {
-        TokenSet::new(
-            vec![AccessToken {
-                label: NodeLabel { depth: 0, index: 0 },
-                node: self.root,
-            }],
-            self.height,
-            self.prg,
-        )
+        TokenSet::new(vec![self.root.clone()], self.height, self.prg)
     }
 }
 
@@ -267,32 +317,114 @@ impl TokenSet {
         next > hi
     }
 
-    /// Derives leaf `i`, or fails with `OutOfScope` if no token covers it.
-    /// Cost: at most `height` PRG calls (binary search + subtree walk).
+    /// Derives leaf `i` by walking down from the token that covers it, or
+    /// fails with `OutOfScope` if none does. Cost: at most `height` PRG
+    /// calls (binary search + subtree walk). The one-shot reference a
+    /// [`LeafCursor`] is checked against.
     pub fn leaf(&self, i: u64) -> Result<Seed128, CoreError> {
+        leaf_from_token(self, i)
+    }
+}
+
+impl TokenSource for TokenSet {
+    fn height(&self) -> u8 {
+        self.height
+    }
+
+    fn prg(&self) -> PrgKind {
+        self.prg
+    }
+
+    fn covering(&self, i: u64) -> Result<&AccessToken, CoreError> {
         // Binary search for the last token starting at or before i.
         let pos = self
             .tokens
             .partition_point(|t| t.label.leaf_range(self.height).start <= i);
-        // Check candidates ending after i (there can be overlaps; scan back).
-        for t in self.tokens[..pos].iter().rev() {
-            let r = t.label.leaf_range(self.height);
-            if r.contains(&i) {
-                let mut v = t.node;
-                let depth_below = self.height - t.label.depth;
-                let offset = i - r.start;
-                for level in (0..depth_below).rev() {
-                    let bit = (offset >> level) & 1 == 1;
-                    v = self.prg.child(&v, bit);
-                }
-                return Ok(v);
-            }
-            // Tokens are sorted by start; once starts are too small AND the
-            // range has ended before i we can still have an earlier larger
-            // token, so keep scanning (bounded by token count, which is
-            // O(log n) for canonical grants).
-        }
-        Err(CoreError::OutOfScope { index: i })
+        // Tokens are sorted by start and may overlap: a token that ended
+        // before `i` can still be preceded by a larger one that holds it,
+        // so scan back (bounded by the token count, O(log n) for canonical
+        // grants).
+        self.tokens[..pos]
+            .iter()
+            .rev()
+            .find(|t| t.label.leaf_range(self.height).contains(&i))
+            .ok_or(CoreError::OutOfScope { index: i })
+    }
+}
+
+/// A producer's or reader's place in the key tree: the path from a token
+/// down to the last leaf derived through this cursor. The next leaf is
+/// derived from the deepest node it shares with that path — no PRG call for
+/// the same leaf, fewer than two on average for `i → i + 1`, at most the
+/// tree height for any jump — and is bit-identical to [`TreeKd::leaf`] /
+/// [`TokenSet::leaf`] for every access order.
+///
+/// The cursor owns no key source: every lookup names the source and first
+/// finds the covering token *there*, so the path is reused only while it
+/// hangs from a token the source still holds. A lookup that fails leaves
+/// the path as it was.
+#[derive(Clone, Default)]
+pub struct LeafCursor {
+    /// What `path[0]` is: the token the path hangs from and the PRG that
+    /// derived the rest. `None` until the first derivation.
+    top: Option<(AccessToken, PrgKind)>,
+    /// `path[d]` is the node `d` edges below the token on the way to leaf
+    /// `index`, the last entry the leaf itself: at most 64 seeds, allocated
+    /// by the first derivation.
+    path: Vec<Seed128>,
+    index: u64,
+    prg_calls: u64,
+}
+
+impl LeafCursor {
+    /// A cursor that has derived nothing yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// PRG invocations made through this cursor so far.
+    pub fn prg_calls(&self) -> u64 {
+        self.prg_calls
+    }
+
+    /// Derives leaf `i` of `src`, reusing the part of the previous path
+    /// that leads to it.
+    pub fn leaf<S: TokenSource>(&mut self, src: &S, i: u64) -> Result<Seed128, CoreError> {
+        let token = src.covering(i)?;
+        let levels = src.height() - token.label.depth;
+        let same_path = self.path.len() == levels as usize + 1
+            && matches!(&self.top, Some((t, prg)) if t == token && *prg == src.prg());
+        // Both leaves lie under the token, so they differ only in the low
+        // `levels` bits; everything above the highest differing bit is kept.
+        let keep = if same_path {
+            levels - (u64::BITS - (self.index ^ i).leading_zeros()) as u8
+        } else {
+            self.top = Some((token.clone(), src.prg()));
+            self.path.clear();
+            self.path.reserve_exact(levels as usize + 1);
+            self.path.push(token.node);
+            0
+        };
+        self.index = i;
+        self.prg_calls += u64::from(levels - keep);
+        self.path.truncate(keep as usize + 1);
+        let from = self.path[keep as usize];
+        let path = &mut self.path;
+        Ok(descend(src.prg(), from, levels - keep, i, |node| {
+            path.push(node)
+        }))
+    }
+
+    /// The boundary leaves `(leaf_i, leaf_{i+1})` of chunk `i` — what both
+    /// the digest keys and the payload key of a chunk are made from.
+    pub fn boundary_leaves<S: TokenSource>(
+        &mut self,
+        src: &S,
+        chunk: u64,
+    ) -> Result<(Seed128, Seed128), CoreError> {
+        let l0 = self.leaf(src, chunk)?;
+        let l1 = self.leaf(src, chunk + 1)?;
+        Ok((l0, l1))
     }
 }
 

@@ -36,6 +36,6 @@ pub mod resolution;
 pub use dualkr::{DualKeyRegression, KrState, KrToken};
 pub use error::CoreError;
 pub use heac::{decrypt_range_sum, Ciphertext, ElementKeys, HeacEncryptor, KeySource};
-pub use kdtree::{AccessToken, NodeLabel, TokenSet, TreeKd};
+pub use kdtree::{AccessToken, LeafCursor, NodeLabel, TokenSet, TokenSource, TreeKd};
 pub use keys::StreamKeyMaterial;
 pub use resolution::{Envelope, ResolutionConsumer, ResolutionOwner};

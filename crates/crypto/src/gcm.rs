@@ -38,9 +38,9 @@ impl std::error::Error for GcmError {}
 /// (block bytes loaded big-endian, reduction polynomial
 /// x^128 + x^7 + x^2 + x + 1, bit 0 = most significant).
 ///
-/// Reference implementation: the hot path uses the per-key precomputed
-/// table in [`GhashKey`]; this bitwise version remains the ground truth the
-/// table path is tested against.
+/// Reference implementation: the hot path is one of the two multiplies
+/// behind [`GhashKey`]; this bitwise version remains the ground truth both
+/// are tested against.
 #[cfg(test)]
 fn gf128_mul(x: u128, y: u128) -> u128 {
     let mut z = 0u128;
@@ -92,23 +92,36 @@ fn mulx4(z: u128) -> u128 {
     (z >> 4) ^ REM4[(z & 0xf) as usize]
 }
 
-/// The per-key GHASH state: `table[n] = n·H` for every 4-bit pattern `n`
-/// (placed in the top nibble of the u128, i.e. the lowest-degree
-/// coefficients of the field element). One block multiplication then costs
-/// 32 table lookups instead of 128 shift/xor rounds — GHASH is the
-/// serial half of GCM, so this is the difference between the tag
-/// computation dominating bulk encryption and disappearing behind it.
-///
-/// The table is built from three `mulx` applications plus xors, so
-/// constructing an instance stays cheap even for the per-chunk keys the
-/// payload cipher uses.
+/// The per-key GHASH state. Where the CPU multiplies carry-less
+/// (`pclmulqdq`) it is `H` itself and a block costs four multiplies and a
+/// shift-and-xor reduction; elsewhere it is the 4-bit table of the portable
+/// path. Either way constructing one stays cheap — no table of powers of
+/// `H` — because the payload cipher builds one per chunk key.
+// Inline on purpose: a box would cost the per-chunk-key construction an
+// allocation to save bytes no one keeps for long.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
-struct GhashKey {
-    table: [u128; 16],
+enum GhashKey {
+    /// `H`, for [`mul_clmul`].
+    #[cfg(target_arch = "x86_64")]
+    Clmul(u128),
+    /// `table[n] = n·H` for every 4-bit pattern `n` (placed in the top
+    /// nibble of the u128, i.e. the lowest-degree coefficients of the field
+    /// element): one block multiplication is 32 table lookups instead of
+    /// 128 shift/xor rounds. Built from three `mulx` applications plus xors.
+    Table([u128; 16]),
 }
 
 impl GhashKey {
-    fn new(h: u128) -> Self {
+    fn new(h: u128, force_table: bool) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if !force_table
+            && std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse2")
+        {
+            return GhashKey::Clmul(h);
+        }
+        let _ = force_table;
         let mut table = [0u128; 16];
         // Top nibble bit 3 (u128 bit 127) is the coefficient of x^0, so
         // pattern 8 is the multiplicative identity times H.
@@ -119,35 +132,97 @@ impl GhashKey {
         for n in [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15] {
             table[n] = table[n & 8] ^ table[n & 4] ^ table[n & 2] ^ table[n & 1];
         }
-        GhashKey { table }
-    }
-
-    /// `x · H` via the precomputed table (Horner over the 32 nibbles of
-    /// `x`, highest-degree nibble first). Bit-identical to
-    /// `gf128_mul(x, h)`.
-    #[inline]
-    fn mul(&self, x: u128) -> u128 {
-        let mut z = 0u128;
-        let mut k = 0;
-        while k < 128 {
-            z = mulx4(z) ^ self.table[((x >> k) & 0xf) as usize];
-            k += 4;
-        }
-        z
+        GhashKey::Table(table)
     }
 
     /// GHASH over AAD and ciphertext.
     fn ghash(&self, aad: &[u8], ct: &[u8]) -> u128 {
-        let mut y = 0u128;
-        for chunk in aad.chunks(16) {
-            y = self.mul(y ^ block_to_u128(chunk));
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the `Clmul` variant is only built in `new`, after
+            // both target features `ghash_clmul` is compiled for were
+            // detected on this CPU.
+            GhashKey::Clmul(h) => unsafe { ghash_clmul(*h, aad, ct) },
+            GhashKey::Table(table) => ghash_with(|x| mul_table(table, x), aad, ct),
         }
-        for chunk in ct.chunks(16) {
-            y = self.mul(y ^ block_to_u128(chunk));
-        }
-        let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
-        self.mul(y ^ lens)
     }
+}
+
+/// `x · H` via the precomputed table (Horner over the 32 nibbles of `x`,
+/// highest-degree nibble first). Bit-identical to `gf128_mul(x, h)`.
+#[inline]
+fn mul_table(table: &[u128; 16], x: u128) -> u128 {
+    let mut z = 0u128;
+    let mut k = 0;
+    while k < 128 {
+        z = mulx4(z) ^ table[((x >> k) & 0xf) as usize];
+        k += 4;
+    }
+    z
+}
+
+/// GHASH over AAD and ciphertext, given the multiplication by `H`.
+#[inline(always)]
+fn ghash_with(mul: impl Fn(u128) -> u128, aad: &[u8], ct: &[u8]) -> u128 {
+    let mut y = 0u128;
+    for chunk in aad.chunks(16) {
+        y = mul(y ^ block_to_u128(chunk));
+    }
+    for chunk in ct.chunks(16) {
+        y = mul(y ^ block_to_u128(chunk));
+    }
+    let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
+    mul(y ^ lens)
+}
+
+/// [`ghash_with`] multiplying by `h` with [`mul_clmul`]: the block loop is
+/// compiled with the multiply inlined into it.
+///
+/// # Safety
+/// The CPU must support `pclmulqdq` and `sse2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq", enable = "sse2")]
+unsafe fn ghash_clmul(h: u128, aad: &[u8], ct: &[u8]) -> u128 {
+    // SAFETY: this function's own target features are `mul_clmul`'s.
+    ghash_with(|x| unsafe { mul_clmul(x, h) }, aad, ct)
+}
+
+/// `x · h` in GF(2^128) with four carry-less 64×64 multiplies.
+/// Bit-identical to `gf128_mul(x, h)`.
+///
+/// GCM numbers a block's bits from the other end than the integer the
+/// block loads as, so the integer product of `x` and `h` is the field
+/// product bit-reversed within 255 bits (Gueron & Kounavis, "Intel
+/// Carry-Less Multiplication Instruction and its Usage for Computing the
+/// GCM Mode", 2010, §"bit-reflection peculiarity"). One left shift makes it
+/// the 256-bit reversal; in that picture the *low* half holds the
+/// high-degree terms, `x^128 = x^7 + x^2 + x + 1` folds them into the high
+/// half with right shifts, and the (at most seven) bits those shifts push
+/// out are folded a second time via the left shifts.
+///
+/// # Safety
+/// The CPU must support `pclmulqdq` and `sse2`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "pclmulqdq", enable = "sse2")]
+unsafe fn mul_clmul(x: u128, h: u128) -> u128 {
+    use std::arch::x86_64::{__m128i, _mm_clmulepi64_si128, _mm_xor_si128};
+    // SAFETY (of the transmutes): `u128` and `__m128i` are both 16 bytes
+    // of plain integer data, every bit pattern valid for either; on
+    // little-endian x86 the low u64 of the u128 is lane 0.
+    let lanes = |v: u128| std::mem::transmute::<u128, __m128i>(v);
+    let int = |v: __m128i| std::mem::transmute::<__m128i, u128>(v);
+    let (a, b) = (lanes(x), lanes(h));
+    let lo = int(_mm_clmulepi64_si128(a, b, 0x00));
+    let hi = int(_mm_clmulepi64_si128(a, b, 0x11));
+    let mid = int(_mm_xor_si128(
+        _mm_clmulepi64_si128(a, b, 0x01),
+        _mm_clmulepi64_si128(a, b, 0x10),
+    ));
+    let (lo, hi) = (lo ^ (mid << 64), hi ^ (mid >> 64));
+    let (lo, hi) = (lo << 1, (hi << 1) | (lo >> 127));
+    let fold = lo ^ (lo << 127) ^ (lo << 126) ^ (lo << 121);
+    hi ^ fold ^ (fold >> 1) ^ (fold >> 2) ^ (fold >> 7)
 }
 
 /// Keystream blocks generated per batched AES call: enough to feed the
@@ -156,8 +231,8 @@ const CTR_BATCH: usize = 8;
 
 /// AES-128-GCM instance bound to one key.
 ///
-/// Construction expands the AES round keys and precomputes the GHASH
-/// table once; every `seal`/`open` under the same key reuses both. Callers
+/// Construction expands the AES round keys and derives the GHASH key
+/// once; every `seal`/`open` under the same key reuses both. Callers
 /// that encrypt many items under one key (live-record batches, chunk
 /// sealing) should construct the instance once — or use a key cache —
 /// instead of re-deriving per item.
@@ -170,11 +245,18 @@ pub struct AesGcm128 {
 impl AesGcm128 {
     /// Creates a GCM instance for `key`.
     pub fn new(key: &[u8; 16]) -> Self {
-        let cipher = Aes128::new(key);
+        Self::with_force_software(key, false)
+    }
+
+    /// [`new`](Self::new), optionally keeping both AES and GHASH on their
+    /// portable paths whatever the CPU offers (what the tests compare the
+    /// accelerated paths against).
+    fn with_force_software(key: &[u8; 16], force_software: bool) -> Self {
+        let cipher = Aes128::with_force_software(key, force_software);
         let h = u128::from_be_bytes(cipher.encrypt(&[0u8; 16]));
         AesGcm128 {
             cipher,
-            ghash: GhashKey::new(h),
+            ghash: GhashKey::new(h, force_software),
         }
     }
 
@@ -349,24 +431,35 @@ mod tests {
             .collect()
     }
 
+    /// The cipher for `key` on the path the CPU selects and on the portable
+    /// one: every vector below must hold on both.
+    fn both_paths(key: &[u8; 16]) -> [AesGcm128; 2] {
+        [
+            AesGcm128::new(key),
+            AesGcm128::with_force_software(key, true),
+        ]
+    }
+
     #[test]
     fn nist_test_case_1_empty() {
         // McGrew-Viega test case 1: zero key, zero IV, empty plaintext.
-        let gcm = AesGcm128::new(&[0u8; 16]);
-        let nonce = [0u8; 12];
-        let out = gcm.seal(&nonce, &[], &[]);
-        assert_eq!(out, from_hex("58e2fccefa7e3061367f1d57a4e7455a"));
+        for gcm in both_paths(&[0u8; 16]) {
+            let nonce = [0u8; 12];
+            let out = gcm.seal(&nonce, &[], &[]);
+            assert_eq!(out, from_hex("58e2fccefa7e3061367f1d57a4e7455a"));
+        }
     }
 
     #[test]
     fn nist_test_case_2_one_block() {
-        let gcm = AesGcm128::new(&[0u8; 16]);
-        let nonce = [0u8; 12];
-        let out = gcm.seal(&nonce, &[], &[0u8; 16]);
-        assert_eq!(
-            out,
-            from_hex("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
-        );
+        for gcm in both_paths(&[0u8; 16]) {
+            let nonce = [0u8; 12];
+            let out = gcm.seal(&nonce, &[], &[0u8; 16]);
+            assert_eq!(
+                out,
+                from_hex("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
+            );
+        }
     }
 
     #[test]
@@ -384,11 +477,12 @@ mod tests {
              21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
         );
         let expected_tag = from_hex("4d5c2af327cd64a62cf35abd2ba6fab4");
-        let gcm = AesGcm128::new(&key);
-        let out = gcm.seal(&nonce, &[], &pt);
-        assert_eq!(&out[..pt.len()], &expected_ct[..]);
-        assert_eq!(&out[pt.len()..], &expected_tag[..]);
-        assert_eq!(gcm.open(&nonce, &[], &out).unwrap(), pt);
+        for gcm in both_paths(&key) {
+            let out = gcm.seal(&nonce, &[], &pt);
+            assert_eq!(&out[..pt.len()], &expected_ct[..]);
+            assert_eq!(&out[pt.len()..], &expected_tag[..]);
+            assert_eq!(gcm.open(&nonce, &[], &out).unwrap(), pt);
+        }
     }
 
     #[test]
@@ -403,10 +497,11 @@ mod tests {
         );
         let aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
         let expected_tag = from_hex("5bc94fbc3221a5db94fae95ae7121a47");
-        let gcm = AesGcm128::new(&key);
-        let out = gcm.seal(&nonce, &aad, &pt);
-        assert_eq!(&out[pt.len()..], &expected_tag[..]);
-        assert_eq!(gcm.open(&nonce, &aad, &out).unwrap(), pt);
+        for gcm in both_paths(&key) {
+            let out = gcm.seal(&nonce, &aad, &pt);
+            assert_eq!(&out[pt.len()..], &expected_tag[..]);
+            assert_eq!(gcm.open(&nonce, &aad, &out).unwrap(), pt);
+        }
     }
 
     #[test]
@@ -462,10 +557,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn table_mul_matches_bitwise_gf128_mul() {
-        // The precomputed-table path must agree with the reference bitwise
-        // multiplication for structured and pseudo-random operands.
+    /// Structured operands plus a pseudo-random tail.
+    fn operands() -> Vec<u128> {
         let mut xs = vec![
             0u128,
             1,
@@ -478,10 +571,48 @@ mod tests {
             v = v.wrapping_mul(0x2545f4914f6cdd1d).rotate_left(23) ^ 0xa5a5;
             xs.push(v);
         }
-        for &h in &[1u128 << 127, 0xdeadbeefcafebabe1122334455667788, v] {
-            let key = GhashKey::new(h);
+        xs
+    }
+
+    #[test]
+    fn every_mul_matches_bitwise_gf128_mul() {
+        // The table path and (where the CPU has it) the carry-less path
+        // must agree with the reference bitwise multiplication.
+        let xs = operands();
+        let hs = [1u128 << 127, 1, 0xdeadbeefcafebabe1122334455667788];
+        for &h in hs.iter().chain(&xs[xs.len() - 8..]) {
+            let GhashKey::Table(table) = GhashKey::new(h, true) else {
+                panic!("forced table path");
+            };
             for &x in &xs {
-                assert_eq!(key.mul(x), gf128_mul(x, h), "x={x:#x} h={h:#x}");
+                let expect = gf128_mul(x, h);
+                assert_eq!(mul_table(&table, x), expect, "table x={x:#x} h={h:#x}");
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("pclmulqdq") {
+                    // SAFETY: `pclmulqdq` detected just above; `sse2` is
+                    // part of the x86_64 baseline.
+                    let got = unsafe { mul_clmul(x, h) };
+                    assert_eq!(got, expect, "clmul x={x:#x} h={h:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ghash_paths_agree_on_every_length() {
+        // Block-boundary handling: every AAD and ciphertext length from
+        // empty to just past eight blocks, selected path == table path ==
+        // the bitwise reference.
+        let data: Vec<u8> = (0..129u32).map(|i| (i * 37 + 11) as u8).collect();
+        for &h in &operands()[3..8] {
+            let (fast, table) = (GhashKey::new(h, false), GhashKey::new(h, true));
+            for len in 0..=129 {
+                let reference = ghash_with(|x| gf128_mul(x, h), &data[..len], &data[len..]);
+                assert_eq!(table.ghash(&data[..len], &data[len..]), reference);
+                assert_eq!(fast.ghash(&data[..len], &data[len..]), reference);
+                let reference = ghash_with(|x| gf128_mul(x, h), &data[..5], &data[..len]);
+                assert_eq!(table.ghash(&data[..5], &data[..len]), reference);
+                assert_eq!(fast.ghash(&data[..5], &data[..len]), reference, "len {len}");
             }
         }
     }
