@@ -1,12 +1,11 @@
 //! Loader for `analyzer.toml` — the checked-in policy the rules run
-//! against (lock order, hot-path crate list, reserved wire tags).
+//! against (lock order, hot-path crate list, blocking and atomics roles).
 //!
 //! The file is a deliberately tiny TOML subset so the analyzer stays
-//! dependency-free: `[dotted.section]` headers, `key = "string"`,
-//! `key = ["a", "b"]`, integer keys for the reserved-tag tables, and `#`
-//! comments. Anything outside that subset is a hard error — the config is
-//! part of the gate, so a silently ignored line would be a silently
-//! disabled check.
+//! dependency-free: `[dotted.section]` headers, `key = ["a", "b"]` lists
+//! and `#` comments. Anything outside that subset is a hard error — the
+//! config is part of the gate, so a silently ignored line would be a
+//! silently disabled check.
 
 use std::collections::BTreeMap;
 
@@ -18,10 +17,6 @@ pub struct Config {
     pub lock_order: Vec<(String, Vec<String>)>,
     /// Crate names whose non-test code must be panic-free.
     pub panic_free_crates: Vec<String>,
-    /// Reserved request tags: tag value → owning const name.
-    pub reserved_request_tags: BTreeMap<u32, String>,
-    /// Reserved response tags: tag value → owning const name.
-    pub reserved_response_tags: BTreeMap<u32, String>,
     /// Method/function names too generic to resolve as call-graph edges
     /// (std container and iterator idiom: `get`, `insert`, `lock`, …).
     /// Calls to these names never create edges; the interprocedural rules
@@ -214,22 +209,6 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
                     }
                 }
             }
-            "wire.reserved.request" | "wire.reserved.response" => {
-                let tag: u32 = key.parse().map_err(|_| {
-                    ConfigError(format!("line {line_no}: tag `{key}` not a number"))
-                })?;
-                let name = unquote(value, line_no)?;
-                let table = if section == "wire.reserved.request" {
-                    &mut cfg.reserved_request_tags
-                } else {
-                    &mut cfg.reserved_response_tags
-                };
-                if let Some(prev) = table.insert(tag, name) {
-                    return err(format!(
-                        "line {line_no}: tag {key} reserved twice (first for {prev})"
-                    ));
-                }
-            }
             _ => {
                 return err(format!(
                     "line {line_no}: unknown entry `{key}` in section `[{section}]`"
@@ -277,13 +256,6 @@ receivers = ["ingest", "ingest_for"]
 
 [panic_freedom]
 crates = ["wire", "store"]
-
-[wire.reserved.request]
-1 = "REQ_CREATE"
-25 = "REQ_TRACED"
-
-[wire.reserved.response]
-1 = "RESP_OK"
 "#;
 
     #[test]
@@ -297,8 +269,6 @@ crates = ["wire", "store"]
             ]
         );
         assert_eq!(cfg.panic_free_crates, vec!["wire", "store"]);
-        assert_eq!(cfg.reserved_request_tags[&25], "REQ_TRACED");
-        assert_eq!(cfg.reserved_response_tags[&1], "RESP_OK");
     }
 
     #[test]
@@ -313,12 +283,6 @@ crates = ["wire", "store"]
         assert!(parse(missing).is_err());
         let orphan = "[locks.class.b]\nreceivers = [\"b\"]";
         assert!(parse(orphan).is_err());
-    }
-
-    #[test]
-    fn duplicate_reserved_tags_rejected() {
-        let dup = "[wire.reserved.request]\n1 = \"A\"\n1 = \"B\"";
-        assert!(parse(dup).is_err());
     }
 
     const CONCURRENCY: &str = r#"

@@ -1,4 +1,4 @@
-//! The seven repo-specific rules. Each exposes `NAME` (the identifier
+//! The six repo-specific rules. Each exposes `NAME` (the identifier
 //! used in `lint: allow(...)`) and a check that appends [`Violation`]s.
 //! Per-file rules take a [`SourceFile`]; the interprocedural rules
 //! (`lock-ordering`, `blocking-under-lock`) run over the workspace call
@@ -10,7 +10,6 @@ pub mod lock_order;
 pub mod no_alloc;
 pub mod panic_freedom;
 pub mod unsafe_hygiene;
-pub mod wire_tags;
 
 use crate::callgraph;
 use crate::config::Config;
@@ -25,7 +24,6 @@ pub fn run_all(cfg: &Config, files: &[SourceFile]) -> Vec<Violation> {
         out.extend(f.directive_errors.iter().cloned());
         unsafe_hygiene::check(f, &mut out);
         panic_freedom::check(cfg, f, &mut out);
-        wire_tags::check(cfg, f, &mut out);
         no_alloc::check(f, &mut out);
         atomics::check(cfg, f, &mut out);
     }

@@ -6,11 +6,10 @@ use crate::lexer::{self, Line};
 use crate::Violation;
 
 /// Rule identifiers, exactly as they appear in `lint: allow(<rule>)`.
-pub const RULES: [&str; 7] = [
+pub const RULES: [&str; 6] = [
     "unsafe-hygiene",
     "panic-freedom",
     "lock-ordering",
-    "wire-tags",
     "no-alloc",
     "blocking-under-lock",
     "atomics-ordering",

@@ -4,7 +4,7 @@
 //! encryption) and stored at the server's key-store" (§3.2). The server
 //! treats all of this as bytes; it cannot open grants or envelopes.
 
-use timecrypt_store::{KvStore, StoreError};
+use timecrypt_store::{KvStore, StoreError, WriteOp};
 
 /// Key-store facade over the shared KV.
 pub struct KeyStore<'a> {
@@ -49,41 +49,54 @@ impl<'a> KeyStore<'a> {
     /// Drops a principal's grant blobs (revocation bookkeeping; the
     /// cryptographic revocation is the owner ceasing to extend tokens —
     /// already-downloaded old-data keys remain usable, §3.3).
+    /// One batch: a store fault leaves every grant in place.
     pub fn revoke_grants(&self, stream: u128, principal: &str) -> Result<usize, StoreError> {
         let hits = self.kv.scan_keys(&Self::grant_prefix(stream, principal))?;
-        let n = hits.len();
-        for k in hits {
-            self.kv.delete(&k)?;
-        }
-        Ok(n)
+        let ops: Vec<WriteOp<'_>> = hits.iter().map(|key| WriteOp::Delete { key }).collect();
+        self.kv.write_batch(&ops)?;
+        Ok(hits.len())
     }
 
-    fn env_key(stream: u128, resolution: u64, index: u64) -> Vec<u8> {
+    fn env_prefix(stream: u128, resolution: u64) -> Vec<u8> {
         let mut k = Vec::with_capacity(36);
         k.extend_from_slice(b"e/");
         k.extend_from_slice(&stream.to_be_bytes());
         k.push(b'/');
         k.extend_from_slice(&resolution.to_be_bytes());
         k.push(b'/');
+        k
+    }
+
+    fn env_key(stream: u128, resolution: u64, index: u64) -> Vec<u8> {
+        let mut k = Self::env_prefix(stream, resolution);
         k.extend_from_slice(&index.to_be_bytes());
         k
     }
 
-    /// Stores resolution envelopes.
+    /// Stores resolution envelopes, as one batch: all of them or, on a
+    /// store fault, none.
     pub fn put_envelopes(
         &self,
         stream: u128,
         resolution: u64,
         envelopes: &[(u64, Vec<u8>)],
     ) -> Result<(), StoreError> {
-        for (index, blob) in envelopes {
-            self.kv
-                .put(&Self::env_key(stream, resolution, *index), blob)?;
-        }
-        Ok(())
+        let keys: Vec<Vec<u8>> = envelopes
+            .iter()
+            .map(|(index, _)| Self::env_key(stream, resolution, *index))
+            .collect();
+        let ops: Vec<WriteOp<'_>> = keys
+            .iter()
+            .zip(envelopes)
+            .map(|(key, (_, value))| WriteOp::Put { key, value })
+            .collect();
+        self.kv.write_batch(&ops)
     }
 
-    /// Fetches envelopes `lo..=hi` (missing indices are skipped).
+    /// Fetches the envelopes held with an index in `lo..=hi`, ascending.
+    /// The window comes from the client, so it is answered from the keys
+    /// stored under `(stream, resolution)`: the cost is bounded by the
+    /// envelopes held, not by `hi - lo`.
     pub fn get_envelopes(
         &self,
         stream: u128,
@@ -91,10 +104,20 @@ impl<'a> KeyStore<'a> {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
-        let mut out = Vec::new();
-        for i in lo..=hi {
-            if let Some(v) = self.kv.get(&Self::env_key(stream, resolution, i))? {
-                out.push((i, v));
+        let prefix = Self::env_prefix(stream, resolution);
+        let mut held: Vec<u64> = self
+            .kv
+            .scan_keys(&prefix)?
+            .iter()
+            .filter_map(|key| key.strip_prefix(prefix.as_slice())?.try_into().ok())
+            .map(u64::from_be_bytes)
+            .filter(|index| (lo..=hi).contains(index))
+            .collect();
+        held.sort_unstable();
+        let mut out = Vec::with_capacity(held.len());
+        for index in held {
+            if let Some(blob) = self.kv.get(&Self::env_key(stream, resolution, index))? {
+                out.push((index, blob));
             }
         }
         Ok(out)
@@ -154,6 +177,32 @@ mod tests {
         assert_eq!(got[0], (3, vec![3u8]));
         // Different resolution is a different namespace.
         assert!(ks.get_envelopes(1, 12, 0, 9).unwrap().is_empty());
+    }
+
+    /// A client may ask for every index there is. The walk-the-window
+    /// version of `get_envelopes` never came back from this; the watchdog
+    /// turns that into a failure and not a hung test run.
+    #[test]
+    fn full_range_window_returns_the_stored_envelopes_promptly() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let kv = MemKv::new();
+            let ks = KeyStore::new(&kv);
+            let envs = vec![(0, vec![1]), (7, vec![]), (u64::MAX, vec![2, 3])];
+            ks.put_envelopes(1, 6, &envs).unwrap();
+            // Neighbouring namespaces that must not leak into the reply.
+            ks.put_envelopes(1, 7, &[(7, vec![9])]).unwrap();
+            ks.put_envelopes(2, 6, &[(7, vec![9])]).unwrap();
+            let all = ks.get_envelopes(1, 6, 0, u64::MAX).unwrap();
+            let upper = ks.get_envelopes(1, 6, 1, u64::MAX).unwrap();
+            let empty = ks.get_envelopes(1, 6, 8, u64::MAX - 1).unwrap();
+            done.send((all == envs, upper == envs[1..], empty.is_empty()))
+                .unwrap();
+        });
+        let verdict = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("GetEnvelopes over the full index range must not walk 2^64 keys");
+        assert_eq!(verdict, (true, true, true));
     }
 
     #[test]

@@ -97,15 +97,6 @@ impl ByteWriter {
     pub fn string(&mut self, v: &str) -> &mut Self {
         self.bytes(v.as_bytes())
     }
-
-    /// Writes a length-prefixed u64 vector.
-    pub fn u64_vec(&mut self, v: &[u64]) -> &mut Self {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u64(x);
-        }
-        self
-    }
 }
 
 /// Cursor-based message reader.
@@ -207,6 +198,129 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// A value with a wire form. The message tables in
+/// [`messages`](crate::messages) are lists of typed fields; each field is
+/// written and parsed through this trait, in declaration order.
+pub(crate) trait Wire: Sized {
+    /// Appends the value.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Parses one value.
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError>;
+
+    /// Appends a repeated field: `u32` element count, then the elements.
+    // lint: deny(alloc)
+    fn put_slice(items: &[Self], w: &mut ByteWriter) {
+        w.u32(items.len() as u32);
+        for item in items {
+            item.put(w);
+        }
+    }
+
+    /// Parses a repeated field. The count is checked against
+    /// [`MAX_REPEATED`] and never trusted for more than 1024 elements of
+    /// capacity up front: a hostile count costs the peer a frame that long.
+    fn take_vec(r: &mut ByteReader<'_>) -> Result<Vec<Self>, WireError> {
+        let n = r.u32()? as usize;
+        if n > MAX_REPEATED {
+            return Err(WireError::TooLarge(n));
+        }
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(Self::take(r)?);
+        }
+        Ok(items)
+    }
+}
+
+macro_rules! wire_int {
+    ($($int:ident),*) => {$(
+        impl Wire for $int {
+            fn put(&self, w: &mut ByteWriter) {
+                w.$int(*self);
+            }
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                r.$int()
+            }
+        }
+    )*};
+}
+wire_int!(u32, i64, u128);
+
+/// A `Vec<u8>` is a length-prefixed byte string: one copy in, one copy
+/// out, no per-element work.
+impl Wire for u8 {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u8(*self);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        r.u8()
+    }
+    fn put_slice(items: &[Self], w: &mut ByteWriter) {
+        w.bytes(items);
+    }
+    fn take_vec(r: &mut ByteReader<'_>) -> Result<Vec<Self>, WireError> {
+        r.bytes()
+    }
+}
+
+/// A `Vec<u64>` parses through [`ByteReader::u64_vec`], whose count is
+/// checked against the bytes that remain (`Truncated`, exact capacity).
+impl Wire for u64 {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u64(*self);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        r.u64()
+    }
+    fn take_vec(r: &mut ByteReader<'_>) -> Result<Vec<Self>, WireError> {
+        r.u64_vec()
+    }
+}
+
+/// One byte, zero for false; any other value parses as true.
+impl Wire for bool {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u8(u8::from(*self));
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok(r.u8()? != 0)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.string(self);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        r.string()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        T::put_slice(self, w);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        T::take_vec(r)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($part:ident . $idx:tt),*) => {
+        impl<$($part: Wire),*> Wire for ($($part,)*) {
+            fn put(&self, w: &mut ByteWriter) {
+                $(self.$idx.put(w);)*
+            }
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                Ok(($($part::take(r)?,)*))
+            }
+        }
+    };
+}
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +335,7 @@ mod tests {
             .u128(1 << 100)
             .bytes(b"blob")
             .string("héllo");
-        w.u64_vec(&[1, 2, 3]);
+        vec![1u64, 2, 3].put(&mut w);
         let buf = w.into_bytes();
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);

@@ -2,8 +2,9 @@
 //!
 //! The paper's prototype exposes the TimeCrypt API over Netty with protobuf
 //! messages (§5). This crate is the from-scratch substitute: a length-
-//! prefixed binary framing layer ([`frame`]), hand-rolled message codecs
-//! ([`codec`], [`messages`]) mirroring the Table 1 API, a blocking
+//! prefixed binary framing layer ([`frame`]), a hand-rolled codec
+//! ([`codec`]) under one declarative table per message direction
+//! ([`messages`]) mirroring the Table 1 API, a blocking
 //! thread-per-connection TCP transport ([`transport`]) with request
 //! pipelining, and a client-connection pool with reconnect-and-backoff
 //! ([`pool`]) — enough for both the multi-client load generator and the

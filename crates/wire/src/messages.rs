@@ -3,437 +3,284 @@
 //! The server never sees plaintext: chunk payloads arrive pre-encrypted,
 //! digests arrive as HEAC ciphertexts (plain `u64` words), and key-store
 //! blobs (grants, envelopes) are opaque bytes sealed for the principal.
+//!
+//! A message is declared once, in the [`Request`] or [`Response`] table
+//! below: its tag, its fields in wire order and — for a request — where it
+//! is answered and whether it changes server state. The tables generate
+//! the enums, the codec, [`Request::route`], [`Request::is_mutation`] and
+//! the `TAGS` lists; every field is written and parsed by its type's
+//! `Wire` form (`codec.rs`).
 
-use crate::codec::{ByteReader, ByteWriter, WireError, MAX_REPEATED};
+use crate::codec::{ByteReader, ByteWriter, Wire, WireError, MAX_REPEATED};
 use timecrypt_obs::TraceContext;
 
-/// Server-side per-stream metadata (non-secret: the paper's server knows
-/// chunk boundaries because index keys encode temporal ranges, §4.6).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamInfoWire {
-    /// Stream id.
-    pub stream: u128,
-    /// Epoch (ms) of chunk 0.
-    pub t0: i64,
-    /// Chunk interval Δ in ms.
-    pub delta_ms: u64,
-    /// Digest vector width (element count).
-    pub digest_width: u32,
-    /// Chunks ingested so far.
-    pub len: u64,
+/// Declares a struct that travels inside a message: the type, and a
+/// `Wire` form that is its fields in declaration order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $fty ),*
+        }
+
+        impl Wire for $name {
+            // lint: deny(alloc)
+            fn put(&self, w: &mut ByteWriter) {
+                $( self.$field.put(w); )*
+            }
+
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                Ok($name { $( $field: Wire::take(r)? ),* })
+            }
+        }
+    };
 }
 
-impl StreamInfoWire {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.u128(self.stream);
-        w.i64(self.t0);
-        w.u64(self.delta_ms);
-        w.u32(self.digest_width);
-        w.u64(self.len);
-    }
+/// Declares a message enum from its table. An entry reads `tag = Variant
+/// { fields }` (or `Variant(name: Type)`, or a bare `Variant`), with `as
+/// NAME` after the variant where hand-written code needs the tag as a
+/// const; `reserved` lists tag values of the same space that are taken but
+/// are no variant. The body of a message is its tag byte, then its fields
+/// in declaration order. A request entry ends in `=> Class(key), mutates:
+/// bool` — its [`Route`] and its [`Request::is_mutation`] answer.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal = $variant:ident $( as $tag_const:ident )?
+                $( { $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)? } )?
+                => $route:ident $( ( $key:ident ) )?, mutates: $mutates:literal;
+            )*
+        }
+        reserved { $( $(#[$rmeta:meta])* $rtag:literal = $rname:ident ),* $(,)? }
+    ) => {
+        wire_enum! {
+            $(#[$meta])*
+            pub enum $name {
+                $(
+                    $(#[$vmeta])*
+                    $tag = $variant $( as $tag_const )?
+                    $( { $( $(#[$fmeta])* $field : $fty ),* } )?;
+                )*
+            }
+            reserved { $( $(#[$rmeta])* $rtag = $rname ),* }
+        }
 
-    fn decode(r: &mut ByteReader) -> Result<Self, WireError> {
-        Ok(StreamInfoWire {
-            stream: r.u128()?,
-            t0: r.i64()?,
-            delta_ms: r.u64()?,
-            digest_width: r.u32()?,
-            len: r.u64()?,
-        })
-    }
+        impl $name {
+            /// The routing key of this request (see [`Route`]).
+            pub fn route(&self) -> Route {
+                match self {
+                    $( Self::$variant { $( $key, )? .. } => Route::$route $( (*$key) )?, )*
+                }
+            }
+
+            /// True for requests that change server state. The distinction
+            /// drives two policies in multi-node deployments: replicated
+            /// writes go primary-then-backup while reads may fail over, and
+            /// the pooled TCP client retries only non-mutating requests on a
+            /// stale connection (a lost mutating exchange may already have
+            /// been applied).
+            pub fn is_mutation(&self) -> bool {
+                match self {
+                    $( Self::$variant { .. } => $mutates, )*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal = $variant:ident $( as $tag_const:ident )?
+                $( ( $tname:ident : $tty:ty ) )?
+                $( { $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)? } )?;
+            )*
+        }
+        reserved { $( $(#[$rmeta:meta])* $rtag:literal = $rname:ident ),* $(,)? }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $( ( $tty ) )? $( { $( $(#[$fmeta])* $field: $fty ),* } )?
+            ),*
+        }
+
+        $( $( const $tag_const: u8 = $tag; )? )*
+        $( $(#[$rmeta])* const $rname: u8 = $rtag; )*
+
+        impl $name {
+            /// `(tag, variant name)` of every message, in table order.
+            pub const TAGS: &'static [(u8, &'static str)] =
+                &[ $( ($tag, stringify!($variant)) ),* ];
+
+            /// Serializes the message body.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                self.encode_into(&mut out);
+                out
+            }
+
+            /// Appends the serialized message to `out`, reusing its capacity
+            /// — the per-connection scratch-buffer path (byte-identical to
+            /// [`encode`](Self::encode)).
+            // lint: deny(alloc)
+            pub fn encode_into(&self, out: &mut Vec<u8>) {
+                let mut w = ByteWriter::with_vec(std::mem::take(out));
+                match self {
+                    $(
+                        Self::$variant $( ( $tname ) )? $( { $( $field ),* } )? => {
+                            w.u8($tag);
+                            $( $tname.put(&mut w); )?
+                            $( $( $field.put(&mut w); )* )?
+                        }
+                    )*
+                }
+                *out = w.into_bytes();
+            }
+
+            /// Parses a message body, every field owned.
+            pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+                let mut r = ByteReader::new(buf);
+                let msg = Self::take_tagged(r.u8()?, &mut r)?;
+                r.finish()?;
+                Ok(msg)
+            }
+
+            /// Parses the fields of the message tagged `tag`.
+            #[deny(unreachable_patterns)] // a tag value declared twice does not compile
+            fn take_tagged(tag: u8, r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                Ok(match tag {
+                    $(
+                        $tag => Self::$variant
+                            $( ( <$tty as Wire>::take(r)? ) )?
+                            $( { $( $field: Wire::take(r)? ),* } )?,
+                    )*
+                    $( $rtag => return Err(WireError::BadTag($rtag)), )*
+                    unknown => return Err(WireError::BadTag(unknown)),
+                })
+            }
+        }
+    };
 }
 
-/// A statistical query reply: the combined aggregate plus, per stream, the
-/// chunk boundaries the client must derive keys for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatReply {
-    /// `(stream, chunk_lo, chunk_hi)` per queried stream: the aggregate
-    /// covers chunks `[chunk_lo, chunk_hi)` of each.
-    pub parts: Vec<(u128, u64, u64)>,
-    /// Element-wise homomorphic sum across all covered chunks of all
-    /// streams.
-    pub agg: Vec<u64>,
-}
-
-/// Client → server requests (Table 1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// (1) Create a stream with server-visible metadata.
-    CreateStream {
+wire_struct! {
+    /// Server-side per-stream metadata (non-secret: the paper's server knows
+    /// chunk boundaries because index keys encode temporal ranges, §4.6).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StreamInfoWire {
         /// Stream id.
-        stream: u128,
-        /// Epoch ms.
-        t0: i64,
-        /// Chunk interval ms.
-        delta_ms: u64,
-        /// Digest width.
-        digest_width: u32,
-    },
-    /// (2) Delete a stream and all associated data.
-    DeleteStream {
-        /// Stream id.
-        stream: u128,
-    },
-    /// (4) Append one sealed chunk (serialized `EncryptedChunk`).
-    Insert {
-        /// `EncryptedChunk::to_bytes()` payload.
-        chunk: Vec<u8>,
-    },
-    /// (4b) Real-time upload of a single record (§4.6): the server buffers
-    /// it until the covering chunk arrives via `Insert`, then drops it.
-    InsertLive {
-        /// `SealedRecord::to_bytes()` payload.
-        record: Vec<u8>,
-    },
-    /// (5b) Fetch buffered live records overlapping a time interval
-    /// (records of chunks not yet finalized).
-    GetLive {
-        /// Stream id.
-        stream: u128,
-        /// Interval start (ms, inclusive).
-        ts_s: i64,
-        /// Interval end (ms, exclusive).
-        ts_e: i64,
-    },
-    /// (5) Retrieve raw (encrypted) chunks for a time interval.
-    GetRange {
-        /// Stream id.
-        stream: u128,
-        /// Interval start (ms, inclusive).
-        ts_s: i64,
-        /// Interval end (ms, exclusive).
-        ts_e: i64,
-    },
-    /// (6) Statistical query over one or more streams.
-    GetStatRange {
-        /// Streams to aggregate over (inter-stream queries sum across all).
-        streams: Vec<u128>,
-        /// Interval start (ms).
-        ts_s: i64,
-        /// Interval end (ms).
-        ts_e: i64,
-    },
-    /// (7) Delete raw chunk payloads in an interval, retaining digests.
-    DeleteRange {
-        /// Stream id.
-        stream: u128,
-        /// Interval start (ms).
-        ts_s: i64,
-        /// Interval end (ms).
-        ts_e: i64,
-    },
-    /// (3) Roll up: age out fine-grained index levels before a time.
-    Rollup {
-        /// Stream id.
-        stream: u128,
-        /// Cutoff time (ms): chunks before it decay.
-        before_ts: i64,
-        /// Index level to keep (coarser levels survive).
-        keep_level: u8,
-    },
-    /// Stream metadata probe.
-    StreamInfo {
-        /// Stream id.
-        stream: u128,
-    },
-    /// (8)(9) Store an opaque grant blob for a principal (hybrid-encrypted
-    /// token set / KR token).
-    PutGrant {
-        /// Stream id.
-        stream: u128,
-        /// Principal identity.
-        principal: String,
-        /// Sealed grant bytes.
-        blob: Vec<u8>,
-    },
-    /// Fetch all grant blobs for a principal on a stream.
-    GetGrants {
-        /// Stream id.
-        stream: u128,
-        /// Principal identity.
-        principal: String,
-    },
-    /// (10) Remove a principal's grants (revocation bookkeeping; the
-    /// cryptographic cut-off is the owner ceasing token extension).
-    RevokeGrants {
-        /// Stream id.
-        stream: u128,
-        /// Principal identity.
-        principal: String,
-    },
-    /// Store resolution envelopes (opaque) for a stream + resolution.
-    PutEnvelopes {
-        /// Stream id.
-        stream: u128,
-        /// Resolution in chunks.
-        resolution: u64,
-        /// `(envelope index, sealed bytes)` pairs.
-        envelopes: Vec<(u64, Vec<u8>)>,
-    },
-    /// Fetch resolution envelopes in an index window.
-    GetEnvelopes {
-        /// Stream id.
-        stream: u128,
-        /// Resolution in chunks.
-        resolution: u64,
-        /// First envelope index (inclusive).
-        lo: u64,
-        /// Last envelope index (inclusive).
-        hi: u64,
-    },
-    /// Store the data owner's signed root attestation for a stream
-    /// (integrity extension, §3.3). Opaque to the server.
-    PutAttestation {
-        /// Stream id.
-        stream: u128,
-        /// `RootAttestation::encode()` bytes.
-        attestation: Vec<u8>,
-    },
-    /// Fetch the latest stored attestation for a stream.
-    GetAttestation {
-        /// Stream id.
-        stream: u128,
-    },
-    /// Raw chunk retrieval with per-chunk authenticated commitments
-    /// against the latest attestation (integrity extension).
-    GetVerifiedRange {
-        /// Stream id.
-        stream: u128,
-        /// Interval start (ms).
-        ts_s: i64,
-        /// Interval end (ms).
-        ts_e: i64,
-    },
-    /// Statistical range query with an authenticated-aggregation proof
-    /// against the latest attestation (integrity extension).
-    GetRangeProof {
-        /// Stream id.
-        stream: u128,
-        /// Interval start (ms).
-        ts_s: i64,
-        /// Interval end (ms).
-        ts_e: i64,
-    },
-    /// (4c) Append a batch of sealed chunks in one round trip. Chunks of
-    /// the same stream must appear in index order; the server (or the
-    /// sharded service layer) preserves the batch's per-stream order, so
-    /// the out-of-order ingest check behaves exactly as for single inserts.
-    InsertBatch {
-        /// `EncryptedChunk::to_bytes()` payloads.
-        chunks: Vec<Vec<u8>>,
-    },
-    /// Service-layer metrics probe (shard counters, queue depths, latency
-    /// histograms). Single-engine deployments answer with an error.
-    Stats,
-    /// Metadata of every stream owned by one shard (replica rebuild: the
-    /// survivor enumerates what the replacement must copy). A single
-    /// engine answers with all of its streams regardless of `shard`.
-    ListStreams {
-        /// Cluster-wide shard id whose streams to list.
-        shard: u32,
-    },
-    /// Page of a stream's raw encrypted chunks, starting at `from_idx`
-    /// (replica rebuild: chunked so every reply stays far under the
-    /// 16 MiB frame cap however large the stream is). Answered with
-    /// [`Response::StreamChunks`].
-    ExportStream {
-        /// Stream id.
-        stream: u128,
-        /// First chunk index of the page.
-        from_idx: u64,
-    },
-    /// Liveness probe.
-    Ping,
-}
-
-/// Server → client responses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// Success without payload.
-    Ok,
-    /// Failure with a human-readable reason. The server maps internal
-    /// errors to strings; no stack detail crosses the wire.
-    Error(String),
-    /// Raw encrypted chunks (each `EncryptedChunk::to_bytes()`).
-    Chunks(Vec<Vec<u8>>),
-    /// Buffered live records (each `SealedRecord::to_bytes()`).
-    Records(Vec<Vec<u8>>),
-    /// Statistical aggregate.
-    Stat(StatReply),
-    /// Opaque blobs (grants).
-    Blobs(Vec<Vec<u8>>),
-    /// Envelopes `(index, bytes)`.
-    Envelopes(Vec<(u64, Vec<u8>)>),
-    /// Stream metadata.
-    Info(StreamInfoWire),
-    /// An attested aggregate: the owner-signed attestation plus the
-    /// server's range proof against it (integrity extension).
-    Attested {
-        /// `RootAttestation::encode()` bytes.
-        attestation: Vec<u8>,
-        /// `RangeProof::encode()` bytes.
-        proof: Vec<u8>,
-    },
-    /// Raw chunks with an open range proof binding each chunk's commitment
-    /// to the attested root (integrity extension).
-    VerifiedChunks {
-        /// `RootAttestation::encode()` bytes.
-        attestation: Vec<u8>,
-        /// Open `RangeProof::encode()` bytes.
-        proof: Vec<u8>,
-        /// The chunk bytes, in chunk order, matching the proof's window.
-        chunks: Vec<Vec<u8>>,
-    },
-    /// Per-chunk outcome of an [`Request::InsertBatch`]: `(batch index,
-    /// error string)` for each failed chunk, empty when everything landed.
-    /// Successes are implicit — the producer only needs to know what to
-    /// retry or surface.
-    Batch {
-        /// `(index into the batch, server error string)` per failure.
-        errors: Vec<(u32, String)>,
-    },
-    /// Service metrics snapshot ([`Request::Stats`]).
-    ServiceStats(ServiceStatsWire),
-    /// Per-stream metadata of one shard ([`Request::ListStreams`]),
-    /// ascending by stream id.
-    StreamList(Vec<StreamInfoWire>),
-    /// One page of a stream's raw encrypted chunks
-    /// ([`Request::ExportStream`]): consecutive
-    /// `EncryptedChunk::to_bytes()` payloads starting at the requested
-    /// index.
-    StreamChunks {
-        /// The page's chunk bytes, in index order.
-        chunks: Vec<Vec<u8>>,
-        /// Index to request the next page from.
-        next_idx: u64,
-        /// No further chunks are exportable: the page reached the end of
-        /// the stream, or the next payload has been deleted
-        /// (`DeleteRange` decay) and the exportable prefix ends here.
-        done: bool,
-    },
-    /// Ping reply.
-    Pong,
-}
-
-/// One shard's counters in a [`Response::ServiceStats`] reply.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardStatsWire {
-    /// Shard index.
-    pub shard: u32,
-    /// Streams owned by this shard.
-    pub streams: u64,
-    /// Chunks ingested (batched + direct) since service start.
-    pub ingested_chunks: u64,
-    /// Ingest attempts rejected by the engine (out-of-order, width, ...).
-    pub ingest_errors: u64,
-    /// Statistical sub-queries served.
-    pub queries: u64,
-    /// Sub-queries that returned an error.
-    pub query_errors: u64,
-    /// Jobs currently waiting in the shard's ingest queue.
-    pub queue_depth: u64,
-    /// Reads served by the backup replica after the primary was
-    /// unreachable (always 0 without replication).
-    pub failovers: u64,
-    /// Backup-replica operations that failed or diverged from the primary
-    /// verdict (always 0 without replication). A growing value means the
-    /// replicas are drifting apart and the backup needs rebuilding.
-    pub replica_errors: u64,
-    /// Backups promoted to primary after the primary stayed unreachable
-    /// (the shard then runs un-replicated until a replacement is
-    /// attached and rebuilt).
-    pub promotions: u64,
-    /// Replica rebuilds completed: a freshly attached backup copied every
-    /// hosted stream from the survivor, verified chunk counts, and
-    /// re-armed write mirroring.
-    pub rebuilds: u64,
-    /// Chunks copied survivor → replacement by rebuild workers.
-    pub rebuild_chunks_copied: u64,
-    /// True iff a backup replica is attached and in sync (write-mirrored,
-    /// eligible for read failover and promotion). False while a
-    /// replacement is still rebuilding — and always false without
-    /// replication.
-    pub in_sync: bool,
-    /// Ingest latency histogram: bucket `i` counts operations that took
-    /// `[2^(i-1), 2^i)` microseconds (bucket 0 is sub-microsecond).
-    pub ingest_hist_us: Vec<u64>,
-    /// Query latency histogram, same bucket layout.
-    pub query_hist_us: Vec<u64>,
-    /// Streams currently hydrated (resident state) on this shard's
-    /// engine; bounded by the engine's `max_resident_streams` cap, and at
-    /// most `streams`.
-    pub resident_streams: u64,
-    /// Cold-touch hydrations (store replays of stream state) since open.
-    pub hydrations: u64,
-    /// Resident streams evicted since open.
-    pub evictions: u64,
-}
-
-impl ShardStatsWire {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.u32(self.shard);
-        w.u64(self.streams);
-        w.u64(self.ingested_chunks);
-        w.u64(self.ingest_errors);
-        w.u64(self.queries);
-        w.u64(self.query_errors);
-        w.u64(self.queue_depth);
-        w.u64(self.failovers);
-        w.u64(self.replica_errors);
-        w.u64(self.promotions);
-        w.u64(self.rebuilds);
-        w.u64(self.rebuild_chunks_copied);
-        w.u8(u8::from(self.in_sync));
-        w.u64_vec(&self.ingest_hist_us);
-        w.u64_vec(&self.query_hist_us);
-        w.u64(self.resident_streams);
-        w.u64(self.hydrations);
-        w.u64(self.evictions);
-    }
-
-    fn decode(r: &mut ByteReader) -> Result<Self, WireError> {
-        Ok(ShardStatsWire {
-            shard: r.u32()?,
-            streams: r.u64()?,
-            ingested_chunks: r.u64()?,
-            ingest_errors: r.u64()?,
-            queries: r.u64()?,
-            query_errors: r.u64()?,
-            queue_depth: r.u64()?,
-            failovers: r.u64()?,
-            replica_errors: r.u64()?,
-            promotions: r.u64()?,
-            rebuilds: r.u64()?,
-            rebuild_chunks_copied: r.u64()?,
-            in_sync: r.u8()? != 0,
-            ingest_hist_us: r.u64_vec()?,
-            query_hist_us: r.u64_vec()?,
-            resident_streams: r.u64()?,
-            hydrations: r.u64()?,
-            evictions: r.u64()?,
-        })
+        pub stream: u128,
+        /// Epoch (ms) of chunk 0.
+        pub t0: i64,
+        /// Chunk interval Δ in ms.
+        pub delta_ms: u64,
+        /// Digest vector width (element count).
+        pub digest_width: u32,
+        /// Chunks ingested so far.
+        pub len: u64,
     }
 }
 
-/// Service-layer metrics snapshot: per-shard counters plus storage-backend
-/// op counts (when the deployment meters its KV store).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ServiceStatsWire {
-    /// Per-shard counters, in shard order.
-    pub shards: Vec<ShardStatsWire>,
-    /// KV `get` operations observed by the metered store.
-    pub store_gets: u64,
-    /// KV `put` operations.
-    pub store_puts: u64,
-    /// KV `delete` operations.
-    pub store_deletes: u64,
-    /// KV `scan_prefix` operations.
-    pub store_scans: u64,
-    /// Value bytes returned by `get`/`scan_prefix` (the paper's
-    /// Cassandra-side read traffic, §4.6).
-    pub store_bytes_read: u64,
-    /// Key+value bytes written by `put`.
-    pub store_bytes_written: u64,
+wire_struct! {
+    /// A statistical query reply: the combined aggregate plus, per stream, the
+    /// chunk boundaries the client must derive keys for.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StatReply {
+        /// `(stream, chunk_lo, chunk_hi)` per queried stream: the aggregate
+        /// covers chunks `[chunk_lo, chunk_hi)` of each.
+        pub parts: Vec<(u128, u64, u64)>,
+        /// Element-wise homomorphic sum across all covered chunks of all
+        /// streams.
+        pub agg: Vec<u64>,
+    }
+}
+
+wire_struct! {
+    /// One shard's counters in a [`Response::ServiceStats`] reply.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct ShardStatsWire {
+        /// Shard index.
+        pub shard: u32,
+        /// Streams owned by this shard.
+        pub streams: u64,
+        /// Chunks ingested (batched + direct) since service start.
+        pub ingested_chunks: u64,
+        /// Ingest attempts rejected by the engine (out-of-order, width, ...).
+        pub ingest_errors: u64,
+        /// Statistical sub-queries served.
+        pub queries: u64,
+        /// Sub-queries that returned an error.
+        pub query_errors: u64,
+        /// Jobs currently waiting in the shard's ingest queue.
+        pub queue_depth: u64,
+        /// Reads served by the backup replica after the primary was
+        /// unreachable (always 0 without replication).
+        pub failovers: u64,
+        /// Backup-replica operations that failed or diverged from the primary
+        /// verdict (always 0 without replication). A growing value means the
+        /// replicas are drifting apart and the backup needs rebuilding.
+        pub replica_errors: u64,
+        /// Backups promoted to primary after the primary stayed unreachable
+        /// (the shard then runs un-replicated until a replacement is
+        /// attached and rebuilt).
+        pub promotions: u64,
+        /// Replica rebuilds completed: a freshly attached backup copied every
+        /// hosted stream from the survivor, verified chunk counts, and
+        /// re-armed write mirroring.
+        pub rebuilds: u64,
+        /// Chunks copied survivor → replacement by rebuild workers.
+        pub rebuild_chunks_copied: u64,
+        /// True iff a backup replica is attached and in sync (write-mirrored,
+        /// eligible for read failover and promotion). False while a
+        /// replacement is still rebuilding — and always false without
+        /// replication.
+        pub in_sync: bool,
+        /// Ingest latency histogram: bucket `i` counts operations that took
+        /// `[2^(i-1), 2^i)` microseconds (bucket 0 is sub-microsecond).
+        pub ingest_hist_us: Vec<u64>,
+        /// Query latency histogram, same bucket layout.
+        pub query_hist_us: Vec<u64>,
+        /// Streams currently hydrated (resident state) on this shard's
+        /// engine; bounded by the engine's `max_resident_streams` cap, and at
+        /// most `streams`.
+        pub resident_streams: u64,
+        /// Cold-touch hydrations (store replays of stream state) since open.
+        pub hydrations: u64,
+        /// Resident streams evicted since open.
+        pub evictions: u64,
+    }
+}
+
+wire_struct! {
+    /// Service-layer metrics snapshot: per-shard counters plus storage-backend
+    /// op counts (when the deployment meters its KV store).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct ServiceStatsWire {
+        /// Per-shard counters, in shard order.
+        pub shards: Vec<ShardStatsWire>,
+        /// KV `get` operations observed by the metered store.
+        pub store_gets: u64,
+        /// KV `put` operations.
+        pub store_puts: u64,
+        /// KV `delete` operations.
+        pub store_deletes: u64,
+        /// KV `scan_prefix` operations.
+        pub store_scans: u64,
+        /// Value bytes returned by `get`/`scan_prefix` (the paper's
+        /// Cassandra-side read traffic, §4.6).
+        pub store_bytes_read: u64,
+        /// Key+value bytes written by `put`.
+        pub store_bytes_written: u64,
+    }
 }
 
 impl ServiceStatsWire {
@@ -450,36 +297,297 @@ impl ServiceStatsWire {
     }
 }
 
-const REQ_CREATE: u8 = 1;
-const REQ_DELETE_STREAM: u8 = 2;
-const REQ_INSERT: u8 = 3;
-const REQ_GET_RANGE: u8 = 4;
-const REQ_GET_STAT: u8 = 5;
-const REQ_DELETE_RANGE: u8 = 6;
-const REQ_ROLLUP: u8 = 7;
-const REQ_INFO: u8 = 8;
-const REQ_PUT_GRANT: u8 = 9;
-const REQ_GET_GRANTS: u8 = 10;
-const REQ_REVOKE: u8 = 11;
-const REQ_PUT_ENV: u8 = 12;
-const REQ_GET_ENV: u8 = 13;
-const REQ_PING: u8 = 14;
-const REQ_INSERT_LIVE: u8 = 15;
-const REQ_GET_LIVE: u8 = 16;
-const REQ_PUT_ATT: u8 = 17;
-const REQ_GET_ATT: u8 = 18;
-const REQ_GET_PROOF: u8 = 19;
-const REQ_GET_VRANGE: u8 = 20;
-const REQ_INSERT_BATCH: u8 = 21;
-const REQ_STATS: u8 = 22;
-const REQ_LIST_STREAMS: u8 = 23;
-const REQ_EXPORT_STREAM: u8 = 24;
-/// Trace-context envelope: `[tag][u128 trace id][u64 span id][inner
-/// request]`. Not a [`Request`] variant — the envelope is peeled off by
-/// [`split_trace`] at the transport boundary before request decoding, so
-/// handlers (and replies) are identical whether or not a request arrived
-/// traced.
-const REQ_TRACED: u8 = 25;
+/// Where a request is answered in a sharded deployment: its routing key
+/// ([`Request::route`]). The coordinator and the shard node both dispatch
+/// on this, so "which shard does this request belong to" is decided here,
+/// once, next to the variants themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// A single-stream request: the shard owning this stream answers it.
+    Stream(u128),
+    /// Addresses one shard by its cluster-wide id.
+    Shard(u32),
+    /// An ingest request: the stream id sits inside the sealed payload,
+    /// which this crate does not parse — handlers read it from the
+    /// borrowed view ([`RequestRef`]).
+    Payload,
+    /// Answered by the serving tier itself rather than one of its shards:
+    /// a multi-stream query it fans out, or a probe of the tier.
+    Service,
+}
+
+wire_enum! {
+    /// Client → server requests (Table 1).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request {
+        /// (1) Create a stream with server-visible metadata.
+        1 = CreateStream {
+            /// Stream id.
+            stream: u128,
+            /// Epoch ms.
+            t0: i64,
+            /// Chunk interval ms.
+            delta_ms: u64,
+            /// Digest width.
+            digest_width: u32,
+        } => Stream(stream), mutates: true;
+        /// (2) Delete a stream and all associated data.
+        2 = DeleteStream {
+            /// Stream id.
+            stream: u128,
+        } => Stream(stream), mutates: true;
+        /// (4) Append one sealed chunk (serialized `EncryptedChunk`).
+        3 = Insert as REQ_INSERT {
+            /// `EncryptedChunk::to_bytes()` payload.
+            chunk: Vec<u8>,
+        } => Payload, mutates: true;
+        /// (5) Retrieve raw (encrypted) chunks for a time interval.
+        4 = GetRange {
+            /// Stream id.
+            stream: u128,
+            /// Interval start (ms, inclusive).
+            ts_s: i64,
+            /// Interval end (ms, exclusive).
+            ts_e: i64,
+        } => Stream(stream), mutates: false;
+        /// (6) Statistical query over one or more streams.
+        5 = GetStatRange {
+            /// Streams to aggregate over (inter-stream queries sum across all).
+            streams: Vec<u128>,
+            /// Interval start (ms).
+            ts_s: i64,
+            /// Interval end (ms).
+            ts_e: i64,
+        } => Service, mutates: false;
+        /// (7) Delete raw chunk payloads in an interval, retaining digests.
+        6 = DeleteRange {
+            /// Stream id.
+            stream: u128,
+            /// Interval start (ms).
+            ts_s: i64,
+            /// Interval end (ms).
+            ts_e: i64,
+        } => Stream(stream), mutates: true;
+        /// (3) Roll up: age out fine-grained index levels before a time.
+        7 = Rollup {
+            /// Stream id.
+            stream: u128,
+            /// Cutoff time (ms): chunks before it decay.
+            before_ts: i64,
+            /// Index level to keep (coarser levels survive).
+            keep_level: u8,
+        } => Stream(stream), mutates: true;
+        /// Stream metadata probe.
+        8 = StreamInfo {
+            /// Stream id.
+            stream: u128,
+        } => Stream(stream), mutates: false;
+        /// (8)(9) Store an opaque grant blob for a principal (hybrid-encrypted
+        /// token set / KR token).
+        9 = PutGrant {
+            /// Stream id.
+            stream: u128,
+            /// Principal identity.
+            principal: String,
+            /// Sealed grant bytes.
+            blob: Vec<u8>,
+        } => Stream(stream), mutates: true;
+        /// Fetch all grant blobs for a principal on a stream.
+        10 = GetGrants {
+            /// Stream id.
+            stream: u128,
+            /// Principal identity.
+            principal: String,
+        } => Stream(stream), mutates: false;
+        /// (10) Remove a principal's grants (revocation bookkeeping; the
+        /// cryptographic cut-off is the owner ceasing token extension).
+        11 = RevokeGrants {
+            /// Stream id.
+            stream: u128,
+            /// Principal identity.
+            principal: String,
+        } => Stream(stream), mutates: true;
+        /// Store resolution envelopes (opaque) for a stream + resolution.
+        12 = PutEnvelopes {
+            /// Stream id.
+            stream: u128,
+            /// Resolution in chunks.
+            resolution: u64,
+            /// `(envelope index, sealed bytes)` pairs.
+            envelopes: Vec<(u64, Vec<u8>)>,
+        } => Stream(stream), mutates: true;
+        /// Fetch resolution envelopes in an index window.
+        13 = GetEnvelopes {
+            /// Stream id.
+            stream: u128,
+            /// Resolution in chunks.
+            resolution: u64,
+            /// First envelope index (inclusive).
+            lo: u64,
+            /// Last envelope index (inclusive).
+            hi: u64,
+        } => Stream(stream), mutates: false;
+        /// Liveness probe.
+        14 = Ping => Service, mutates: false;
+        /// (4b) Real-time upload of a single record (§4.6): the server buffers
+        /// it until the covering chunk arrives via `Insert`, then drops it.
+        15 = InsertLive as REQ_INSERT_LIVE {
+            /// `SealedRecord::to_bytes()` payload.
+            record: Vec<u8>,
+        } => Payload, mutates: true;
+        /// (5b) Fetch buffered live records overlapping a time interval
+        /// (records of chunks not yet finalized).
+        16 = GetLive {
+            /// Stream id.
+            stream: u128,
+            /// Interval start (ms, inclusive).
+            ts_s: i64,
+            /// Interval end (ms, exclusive).
+            ts_e: i64,
+        } => Stream(stream), mutates: false;
+        /// Store the data owner's signed root attestation for a stream
+        /// (integrity extension, §3.3). Opaque to the server.
+        17 = PutAttestation {
+            /// Stream id.
+            stream: u128,
+            /// `RootAttestation::encode()` bytes.
+            attestation: Vec<u8>,
+        } => Stream(stream), mutates: true;
+        /// Fetch the latest stored attestation for a stream.
+        18 = GetAttestation {
+            /// Stream id.
+            stream: u128,
+        } => Stream(stream), mutates: false;
+        /// Statistical range query with an authenticated-aggregation proof
+        /// against the latest attestation (integrity extension).
+        19 = GetRangeProof {
+            /// Stream id.
+            stream: u128,
+            /// Interval start (ms).
+            ts_s: i64,
+            /// Interval end (ms).
+            ts_e: i64,
+        } => Stream(stream), mutates: false;
+        /// Raw chunk retrieval with per-chunk authenticated commitments
+        /// against the latest attestation (integrity extension).
+        20 = GetVerifiedRange {
+            /// Stream id.
+            stream: u128,
+            /// Interval start (ms).
+            ts_s: i64,
+            /// Interval end (ms).
+            ts_e: i64,
+        } => Stream(stream), mutates: false;
+        /// (4c) Append a batch of sealed chunks in one round trip. Chunks of
+        /// the same stream must appear in index order; the server (or the
+        /// sharded service layer) preserves the batch's per-stream order, so
+        /// the out-of-order ingest check behaves exactly as for single inserts.
+        21 = InsertBatch as REQ_INSERT_BATCH {
+            /// `EncryptedChunk::to_bytes()` payloads.
+            chunks: Vec<Vec<u8>>,
+        } => Payload, mutates: true;
+        /// Service-layer metrics probe (shard counters, queue depths, latency
+        /// histograms). Single-engine deployments answer with an error.
+        22 = Stats => Service, mutates: false;
+        /// Metadata of every stream owned by one shard (replica rebuild: the
+        /// survivor enumerates what the replacement must copy). A single
+        /// engine answers with all of its streams regardless of `shard`.
+        23 = ListStreams {
+            /// Cluster-wide shard id whose streams to list.
+            shard: u32,
+        } => Shard(shard), mutates: false;
+        /// Page of a stream's raw encrypted chunks, starting at `from_idx`
+        /// (replica rebuild: chunked so every reply stays far under the
+        /// 16 MiB frame cap however large the stream is). Answered with
+        /// [`Response::StreamChunks`].
+        24 = ExportStream {
+            /// Stream id.
+            stream: u128,
+            /// First chunk index of the page.
+            from_idx: u64,
+        } => Stream(stream), mutates: false;
+    }
+    reserved {
+        /// Trace-context envelope: `[tag][u128 trace id][u64 span id][inner
+        /// request]`. Not a [`Request`] variant — the envelope is peeled off
+        /// by [`split_trace`] at the transport boundary before request
+        /// decoding, so handlers (and replies) are identical whether or not
+        /// a request arrived traced.
+        25 = REQ_TRACED,
+    }
+}
+
+wire_enum! {
+    /// Server → client responses.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response {
+        /// Success without payload.
+        1 = Ok;
+        /// Failure with a human-readable reason. The server maps internal
+        /// errors to strings; no stack detail crosses the wire.
+        2 = Error(reason: String);
+        /// Raw encrypted chunks (each `EncryptedChunk::to_bytes()`).
+        3 = Chunks(chunks: Vec<Vec<u8>>);
+        /// Statistical aggregate.
+        4 = Stat(reply: StatReply);
+        /// Opaque blobs (grants).
+        5 = Blobs(blobs: Vec<Vec<u8>>);
+        /// Envelopes `(index, bytes)`.
+        6 = Envelopes(envelopes: Vec<(u64, Vec<u8>)>);
+        /// Stream metadata.
+        7 = Info(info: StreamInfoWire);
+        /// Ping reply.
+        8 = Pong;
+        /// Buffered live records (each `SealedRecord::to_bytes()`).
+        9 = Records(records: Vec<Vec<u8>>);
+        /// An attested aggregate: the owner-signed attestation plus the
+        /// server's range proof against it (integrity extension).
+        10 = Attested {
+            /// `RootAttestation::encode()` bytes.
+            attestation: Vec<u8>,
+            /// `RangeProof::encode()` bytes.
+            proof: Vec<u8>,
+        };
+        /// Raw chunks with an open range proof binding each chunk's commitment
+        /// to the attested root (integrity extension).
+        11 = VerifiedChunks {
+            /// `RootAttestation::encode()` bytes.
+            attestation: Vec<u8>,
+            /// Open `RangeProof::encode()` bytes.
+            proof: Vec<u8>,
+            /// The chunk bytes, in chunk order, matching the proof's window.
+            chunks: Vec<Vec<u8>>,
+        };
+        /// Per-chunk outcome of an [`Request::InsertBatch`]: `(batch index,
+        /// error string)` for each failed chunk, empty when everything landed.
+        /// Successes are implicit — the producer only needs to know what to
+        /// retry or surface.
+        12 = Batch {
+            /// `(index into the batch, server error string)` per failure.
+            errors: Vec<(u32, String)>,
+        };
+        /// Service metrics snapshot ([`Request::Stats`]).
+        13 = ServiceStats(stats: ServiceStatsWire);
+        /// Per-stream metadata of one shard ([`Request::ListStreams`]),
+        /// ascending by stream id.
+        14 = StreamList(infos: Vec<StreamInfoWire>);
+        /// One page of a stream's raw encrypted chunks
+        /// ([`Request::ExportStream`]): consecutive
+        /// `EncryptedChunk::to_bytes()` payloads starting at the requested
+        /// index.
+        15 = StreamChunks {
+            /// The page's chunk bytes, in index order.
+            chunks: Vec<Vec<u8>>,
+            /// Index to request the next page from.
+            next_idx: u64,
+            /// No further chunks are exportable: the page reached the end of
+            /// the stream, or the next payload has been deleted
+            /// (`DeleteRange` decay) and the exportable prefix ends here.
+            done: bool,
+        };
+    }
+    reserved {}
+}
 
 /// Encoded size of the trace envelope prefix.
 pub const TRACE_PREFIX_LEN: usize = 1 + 16 + 8;
@@ -514,351 +622,7 @@ pub fn split_trace(body: &[u8]) -> Result<(Option<TraceContext>, &[u8]), WireErr
     Ok((Some(ctx), &body[TRACE_PREFIX_LEN..]))
 }
 
-/// Where a request is answered in a sharded deployment: its routing key
-/// ([`Request::route`]). The coordinator and the shard node both dispatch
-/// on this, so "which shard does this request belong to" is decided here,
-/// once, next to the variants themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// A single-stream request: the shard owning this stream answers it.
-    Stream(u128),
-    /// Addresses one shard by its cluster-wide id.
-    Shard(u32),
-    /// An ingest request: the stream id sits inside the sealed payload,
-    /// which this crate does not parse — handlers read it from the
-    /// borrowed view ([`RequestRef`]).
-    Payload,
-    /// Answered by the serving tier itself rather than one of its shards:
-    /// a multi-stream query it fans out, or a probe of the tier.
-    Service,
-}
-
 impl Request {
-    /// The routing key of this request (see [`Route`]).
-    pub fn route(&self) -> Route {
-        match *self {
-            Request::CreateStream { stream, .. }
-            | Request::DeleteStream { stream }
-            | Request::GetLive { stream, .. }
-            | Request::GetRange { stream, .. }
-            | Request::DeleteRange { stream, .. }
-            | Request::Rollup { stream, .. }
-            | Request::StreamInfo { stream }
-            | Request::PutGrant { stream, .. }
-            | Request::GetGrants { stream, .. }
-            | Request::RevokeGrants { stream, .. }
-            | Request::PutEnvelopes { stream, .. }
-            | Request::GetEnvelopes { stream, .. }
-            | Request::PutAttestation { stream, .. }
-            | Request::GetAttestation { stream }
-            | Request::GetRangeProof { stream, .. }
-            | Request::GetVerifiedRange { stream, .. }
-            | Request::ExportStream { stream, .. } => Route::Stream(stream),
-            Request::ListStreams { shard } => Route::Shard(shard),
-            Request::Insert { .. } | Request::InsertLive { .. } | Request::InsertBatch { .. } => {
-                Route::Payload
-            }
-            Request::GetStatRange { .. } | Request::Stats | Request::Ping => Route::Service,
-        }
-    }
-
-    /// True for requests that change server state. The distinction drives
-    /// two policies in multi-node deployments: replicated writes go
-    /// primary-then-backup while reads may fail over, and the pooled TCP
-    /// client retries only non-mutating requests on a stale connection
-    /// (a lost mutating exchange may already have been applied).
-    pub fn is_mutation(&self) -> bool {
-        match self {
-            Request::CreateStream { .. }
-            | Request::DeleteStream { .. }
-            | Request::Insert { .. }
-            | Request::InsertLive { .. }
-            | Request::InsertBatch { .. }
-            | Request::DeleteRange { .. }
-            | Request::Rollup { .. }
-            | Request::PutGrant { .. }
-            | Request::RevokeGrants { .. }
-            | Request::PutEnvelopes { .. }
-            | Request::PutAttestation { .. } => true,
-            Request::GetLive { .. }
-            | Request::GetRange { .. }
-            | Request::GetStatRange { .. }
-            | Request::StreamInfo { .. }
-            | Request::GetGrants { .. }
-            | Request::GetEnvelopes { .. }
-            | Request::GetAttestation { .. }
-            | Request::GetRangeProof { .. }
-            | Request::GetVerifiedRange { .. }
-            | Request::Stats
-            | Request::ListStreams { .. }
-            | Request::ExportStream { .. }
-            | Request::Ping => false,
-        }
-    }
-
-    /// Serializes the request body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Appends the serialized request to `out`, reusing its capacity —
-    /// the per-connection scratch-buffer path (byte-identical to
-    /// [`encode`](Self::encode), pinned by the wire property tests).
-    // lint: deny(alloc)
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::with_vec(std::mem::take(out));
-        match self {
-            Request::CreateStream {
-                stream,
-                t0,
-                delta_ms,
-                digest_width,
-            } => {
-                w.u8(REQ_CREATE)
-                    .u128(*stream)
-                    .i64(*t0)
-                    .u64(*delta_ms)
-                    .u32(*digest_width);
-            }
-            Request::DeleteStream { stream } => {
-                w.u8(REQ_DELETE_STREAM).u128(*stream);
-            }
-            Request::Insert { chunk } => {
-                w.u8(REQ_INSERT).bytes(chunk);
-            }
-            Request::InsertLive { record } => {
-                w.u8(REQ_INSERT_LIVE).bytes(record);
-            }
-            Request::GetLive { stream, ts_s, ts_e } => {
-                w.u8(REQ_GET_LIVE).u128(*stream).i64(*ts_s).i64(*ts_e);
-            }
-            Request::GetRange { stream, ts_s, ts_e } => {
-                w.u8(REQ_GET_RANGE).u128(*stream).i64(*ts_s).i64(*ts_e);
-            }
-            Request::GetStatRange {
-                streams,
-                ts_s,
-                ts_e,
-            } => {
-                w.u8(REQ_GET_STAT).u32(streams.len() as u32);
-                for s in streams {
-                    w.u128(*s);
-                }
-                w.i64(*ts_s).i64(*ts_e);
-            }
-            Request::DeleteRange { stream, ts_s, ts_e } => {
-                w.u8(REQ_DELETE_RANGE).u128(*stream).i64(*ts_s).i64(*ts_e);
-            }
-            Request::Rollup {
-                stream,
-                before_ts,
-                keep_level,
-            } => {
-                w.u8(REQ_ROLLUP)
-                    .u128(*stream)
-                    .i64(*before_ts)
-                    .u8(*keep_level);
-            }
-            Request::StreamInfo { stream } => {
-                w.u8(REQ_INFO).u128(*stream);
-            }
-            Request::PutGrant {
-                stream,
-                principal,
-                blob,
-            } => {
-                w.u8(REQ_PUT_GRANT)
-                    .u128(*stream)
-                    .string(principal)
-                    .bytes(blob);
-            }
-            Request::GetGrants { stream, principal } => {
-                w.u8(REQ_GET_GRANTS).u128(*stream).string(principal);
-            }
-            Request::RevokeGrants { stream, principal } => {
-                w.u8(REQ_REVOKE).u128(*stream).string(principal);
-            }
-            Request::PutEnvelopes {
-                stream,
-                resolution,
-                envelopes,
-            } => {
-                w.u8(REQ_PUT_ENV)
-                    .u128(*stream)
-                    .u64(*resolution)
-                    .u32(envelopes.len() as u32);
-                for (i, b) in envelopes {
-                    w.u64(*i).bytes(b);
-                }
-            }
-            Request::GetEnvelopes {
-                stream,
-                resolution,
-                lo,
-                hi,
-            } => {
-                w.u8(REQ_GET_ENV)
-                    .u128(*stream)
-                    .u64(*resolution)
-                    .u64(*lo)
-                    .u64(*hi);
-            }
-            Request::PutAttestation {
-                stream,
-                attestation,
-            } => {
-                w.u8(REQ_PUT_ATT).u128(*stream).bytes(attestation);
-            }
-            Request::GetAttestation { stream } => {
-                w.u8(REQ_GET_ATT).u128(*stream);
-            }
-            Request::GetRangeProof { stream, ts_s, ts_e } => {
-                w.u8(REQ_GET_PROOF).u128(*stream).i64(*ts_s).i64(*ts_e);
-            }
-            Request::GetVerifiedRange { stream, ts_s, ts_e } => {
-                w.u8(REQ_GET_VRANGE).u128(*stream).i64(*ts_s).i64(*ts_e);
-            }
-            Request::InsertBatch { chunks } => {
-                w.u8(REQ_INSERT_BATCH).u32(chunks.len() as u32);
-                for c in chunks {
-                    w.bytes(c);
-                }
-            }
-            Request::Stats => {
-                w.u8(REQ_STATS);
-            }
-            Request::ListStreams { shard } => {
-                w.u8(REQ_LIST_STREAMS).u32(*shard);
-            }
-            Request::ExportStream { stream, from_idx } => {
-                w.u8(REQ_EXPORT_STREAM).u128(*stream).u64(*from_idx);
-            }
-            Request::Ping => {
-                w.u8(REQ_PING);
-            }
-        }
-        *out = w.into_bytes();
-    }
-
-    /// Parses a request body: [`RequestRef::decode`], the one request
-    /// decoder, with the ingest payloads copied out of `buf`.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        RequestRef::decode(buf).map(RequestRef::to_owned)
-    }
-
-    /// Decodes the fields of a request tagged `tag` that carries no bulk
-    /// payload (every variant except the three ingest ones, which
-    /// [`RequestRef::decode`] borrows from the frame).
-    fn decode_fields(tag: u8, r: &mut ByteReader) -> Result<Self, WireError> {
-        Ok(match tag {
-            REQ_CREATE => Request::CreateStream {
-                stream: r.u128()?,
-                t0: r.i64()?,
-                delta_ms: r.u64()?,
-                digest_width: r.u32()?,
-            },
-            REQ_DELETE_STREAM => Request::DeleteStream { stream: r.u128()? },
-            REQ_GET_LIVE => Request::GetLive {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_GET_RANGE => Request::GetRange {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_GET_STAT => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut streams = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    streams.push(r.u128()?);
-                }
-                Request::GetStatRange {
-                    streams,
-                    ts_s: r.i64()?,
-                    ts_e: r.i64()?,
-                }
-            }
-            REQ_DELETE_RANGE => Request::DeleteRange {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_ROLLUP => Request::Rollup {
-                stream: r.u128()?,
-                before_ts: r.i64()?,
-                keep_level: r.u8()?,
-            },
-            REQ_INFO => Request::StreamInfo { stream: r.u128()? },
-            REQ_PUT_GRANT => Request::PutGrant {
-                stream: r.u128()?,
-                principal: r.string()?,
-                blob: r.bytes()?,
-            },
-            REQ_GET_GRANTS => Request::GetGrants {
-                stream: r.u128()?,
-                principal: r.string()?,
-            },
-            REQ_REVOKE => Request::RevokeGrants {
-                stream: r.u128()?,
-                principal: r.string()?,
-            },
-            REQ_PUT_ENV => {
-                let stream = r.u128()?;
-                let resolution = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut envelopes = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let i = r.u64()?;
-                    envelopes.push((i, r.bytes()?));
-                }
-                Request::PutEnvelopes {
-                    stream,
-                    resolution,
-                    envelopes,
-                }
-            }
-            REQ_GET_ENV => Request::GetEnvelopes {
-                stream: r.u128()?,
-                resolution: r.u64()?,
-                lo: r.u64()?,
-                hi: r.u64()?,
-            },
-            REQ_PUT_ATT => Request::PutAttestation {
-                stream: r.u128()?,
-                attestation: r.bytes()?,
-            },
-            REQ_GET_ATT => Request::GetAttestation { stream: r.u128()? },
-            REQ_GET_PROOF => Request::GetRangeProof {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_GET_VRANGE => Request::GetVerifiedRange {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_STATS => Request::Stats,
-            REQ_LIST_STREAMS => Request::ListStreams { shard: r.u32()? },
-            REQ_EXPORT_STREAM => Request::ExportStream {
-                stream: r.u128()?,
-                from_idx: r.u64()?,
-            },
-            REQ_PING => Request::Ping,
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-
     /// Lends this request to `f` as its borrowed view: the ingest
     /// variants lend their payload bytes, everything else moves into
     /// [`RequestRef::Other`]. The inverse of [`RequestRef::to_owned`]; it
@@ -872,287 +636,6 @@ impl Request {
             }),
             other => f(RequestRef::Other(other)),
         }
-    }
-}
-
-const RESP_OK: u8 = 1;
-const RESP_ERR: u8 = 2;
-const RESP_CHUNKS: u8 = 3;
-const RESP_STAT: u8 = 4;
-const RESP_BLOBS: u8 = 5;
-const RESP_ENV: u8 = 6;
-const RESP_INFO: u8 = 7;
-const RESP_PONG: u8 = 8;
-const RESP_RECORDS: u8 = 9;
-const RESP_ATTESTED: u8 = 10;
-const RESP_VCHUNKS: u8 = 11;
-const RESP_BATCH: u8 = 12;
-const RESP_SERVICE_STATS: u8 = 13;
-const RESP_STREAM_LIST: u8 = 14;
-const RESP_STREAM_CHUNKS: u8 = 15;
-
-impl Response {
-    /// Serializes the response body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Appends the serialized response to `out`, reusing its capacity
-    /// (byte-identical to [`encode`](Self::encode)).
-    // lint: deny(alloc)
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::with_vec(std::mem::take(out));
-        match self {
-            Response::Ok => {
-                w.u8(RESP_OK);
-            }
-            Response::Error(msg) => {
-                w.u8(RESP_ERR).string(msg);
-            }
-            Response::Chunks(chunks) => {
-                w.u8(RESP_CHUNKS).u32(chunks.len() as u32);
-                for c in chunks {
-                    w.bytes(c);
-                }
-            }
-            Response::Records(recs) => {
-                w.u8(RESP_RECORDS).u32(recs.len() as u32);
-                for c in recs {
-                    w.bytes(c);
-                }
-            }
-            Response::Stat(s) => {
-                w.u8(RESP_STAT).u32(s.parts.len() as u32);
-                for (stream, lo, hi) in &s.parts {
-                    w.u128(*stream).u64(*lo).u64(*hi);
-                }
-                w.u64_vec(&s.agg);
-            }
-            Response::Blobs(blobs) => {
-                w.u8(RESP_BLOBS).u32(blobs.len() as u32);
-                for b in blobs {
-                    w.bytes(b);
-                }
-            }
-            Response::Envelopes(envs) => {
-                w.u8(RESP_ENV).u32(envs.len() as u32);
-                for (i, b) in envs {
-                    w.u64(*i).bytes(b);
-                }
-            }
-            Response::Info(info) => {
-                w.u8(RESP_INFO);
-                info.encode(&mut w);
-            }
-            Response::Attested { attestation, proof } => {
-                w.u8(RESP_ATTESTED).bytes(attestation).bytes(proof);
-            }
-            Response::VerifiedChunks {
-                attestation,
-                proof,
-                chunks,
-            } => {
-                w.u8(RESP_VCHUNKS)
-                    .bytes(attestation)
-                    .bytes(proof)
-                    .u32(chunks.len() as u32);
-                for c in chunks {
-                    w.bytes(c);
-                }
-            }
-            Response::Batch { errors } => {
-                w.u8(RESP_BATCH).u32(errors.len() as u32);
-                for (i, msg) in errors {
-                    w.u32(*i).string(msg);
-                }
-            }
-            Response::ServiceStats(stats) => {
-                w.u8(RESP_SERVICE_STATS).u32(stats.shards.len() as u32);
-                for s in &stats.shards {
-                    s.encode(&mut w);
-                }
-                w.u64(stats.store_gets)
-                    .u64(stats.store_puts)
-                    .u64(stats.store_deletes)
-                    .u64(stats.store_scans)
-                    .u64(stats.store_bytes_read)
-                    .u64(stats.store_bytes_written);
-            }
-            Response::StreamList(infos) => {
-                w.u8(RESP_STREAM_LIST).u32(infos.len() as u32);
-                for info in infos {
-                    info.encode(&mut w);
-                }
-            }
-            Response::StreamChunks {
-                chunks,
-                next_idx,
-                done,
-            } => {
-                w.u8(RESP_STREAM_CHUNKS).u32(chunks.len() as u32);
-                for c in chunks {
-                    w.bytes(c);
-                }
-                w.u64(*next_idx).u8(u8::from(*done));
-            }
-            Response::Pong => {
-                w.u8(RESP_PONG);
-            }
-        }
-        *out = w.into_bytes();
-    }
-
-    /// Parses a response body.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(buf);
-        let resp = match r.u8()? {
-            RESP_OK => Response::Ok,
-            RESP_ERR => Response::Error(r.string()?),
-            RESP_CHUNKS => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut chunks = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    chunks.push(r.bytes()?);
-                }
-                Response::Chunks(chunks)
-            }
-            RESP_STAT => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut parts = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    parts.push((r.u128()?, r.u64()?, r.u64()?));
-                }
-                Response::Stat(StatReply {
-                    parts,
-                    agg: r.u64_vec()?,
-                })
-            }
-            RESP_BLOBS => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut blobs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    blobs.push(r.bytes()?);
-                }
-                Response::Blobs(blobs)
-            }
-            RESP_ENV => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut envs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let i = r.u64()?;
-                    envs.push((i, r.bytes()?));
-                }
-                Response::Envelopes(envs)
-            }
-            RESP_INFO => Response::Info(StreamInfoWire::decode(&mut r)?),
-            RESP_RECORDS => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut recs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    recs.push(r.bytes()?);
-                }
-                Response::Records(recs)
-            }
-            RESP_ATTESTED => Response::Attested {
-                attestation: r.bytes()?,
-                proof: r.bytes()?,
-            },
-            RESP_VCHUNKS => {
-                let attestation = r.bytes()?;
-                let proof = r.bytes()?;
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut chunks = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    chunks.push(r.bytes()?);
-                }
-                Response::VerifiedChunks {
-                    attestation,
-                    proof,
-                    chunks,
-                }
-            }
-            RESP_BATCH => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut errors = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let i = r.u32()?;
-                    errors.push((i, r.string()?));
-                }
-                Response::Batch { errors }
-            }
-            RESP_SERVICE_STATS => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut shards = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    shards.push(ShardStatsWire::decode(&mut r)?);
-                }
-                Response::ServiceStats(ServiceStatsWire {
-                    shards,
-                    store_gets: r.u64()?,
-                    store_puts: r.u64()?,
-                    store_deletes: r.u64()?,
-                    store_scans: r.u64()?,
-                    store_bytes_read: r.u64()?,
-                    store_bytes_written: r.u64()?,
-                })
-            }
-            RESP_STREAM_LIST => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut infos = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    infos.push(StreamInfoWire::decode(&mut r)?);
-                }
-                Response::StreamList(infos)
-            }
-            RESP_STREAM_CHUNKS => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut chunks = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    chunks.push(r.bytes()?);
-                }
-                Response::StreamChunks {
-                    chunks,
-                    next_idx: r.u64()?,
-                    done: r.u8()? != 0,
-                }
-            }
-            RESP_PONG => Response::Pong,
-            t => return Err(WireError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(resp)
     }
 }
 
@@ -1209,7 +692,7 @@ impl<'a> RequestRef<'a> {
                 }
                 RequestRef::InsertBatch { chunks }
             }
-            tag => RequestRef::Other(Request::decode_fields(tag, &mut r)?),
+            tag => RequestRef::Other(Request::take_tagged(tag, &mut r)?),
         };
         r.finish()?;
         Ok(req)
@@ -1299,6 +782,7 @@ impl<'a> BatchEncoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn all_requests() -> Vec<Request> {
         vec![
@@ -1486,6 +970,90 @@ mod tests {
             },
             Response::Pong,
         ]
+    }
+
+    /// Every tag value ever shipped, under the name it shipped with: the
+    /// one fact about the tag space the compiler cannot know. Append-only —
+    /// a new message adds a line, and a retired message keeps its line, so
+    /// its value is never handed to another message.
+    const REQUEST_LEDGER: &[(u8, &str)] = &[
+        (1, "CreateStream"),
+        (2, "DeleteStream"),
+        (3, "Insert"),
+        (4, "GetRange"),
+        (5, "GetStatRange"),
+        (6, "DeleteRange"),
+        (7, "Rollup"),
+        (8, "StreamInfo"),
+        (9, "PutGrant"),
+        (10, "GetGrants"),
+        (11, "RevokeGrants"),
+        (12, "PutEnvelopes"),
+        (13, "GetEnvelopes"),
+        (14, "Ping"),
+        (15, "InsertLive"),
+        (16, "GetLive"),
+        (17, "PutAttestation"),
+        (18, "GetAttestation"),
+        (19, "GetRangeProof"),
+        (20, "GetVerifiedRange"),
+        (21, "InsertBatch"),
+        (22, "Stats"),
+        (23, "ListStreams"),
+        (24, "ExportStream"),
+        (25, "REQ_TRACED"), // the PR 6 trace envelope: no variant
+    ];
+
+    /// As [`REQUEST_LEDGER`], for responses.
+    const RESPONSE_LEDGER: &[(u8, &str)] = &[
+        (1, "Ok"),
+        (2, "Error"),
+        (3, "Chunks"),
+        (4, "Stat"),
+        (5, "Blobs"),
+        (6, "Envelopes"),
+        (7, "Info"),
+        (8, "Pong"),
+        (9, "Records"),
+        (10, "Attested"),
+        (11, "VerifiedChunks"),
+        (12, "Batch"),
+        (13, "ServiceStats"),
+        (14, "StreamList"),
+        (15, "StreamChunks"),
+    ];
+
+    #[test]
+    fn every_live_tag_is_in_the_ledger_under_its_own_name() {
+        for (live, ledger) in [
+            (Request::TAGS, REQUEST_LEDGER),
+            (Response::TAGS, RESPONSE_LEDGER),
+        ] {
+            for (i, (tag, name)) in ledger.iter().enumerate() {
+                assert!(
+                    ledger[..i].iter().all(|(t, _)| t != tag),
+                    "tag {tag} ({name}) has two ledger lines"
+                );
+            }
+            for entry in live {
+                assert!(
+                    ledger.contains(entry),
+                    "{entry:?} is not in the ledger: a new message adds a line, \
+                     and a value that ever shipped is never given to another message"
+                );
+            }
+        }
+        assert!(REQUEST_LEDGER.contains(&(REQ_TRACED, "REQ_TRACED")));
+    }
+
+    #[test]
+    fn sample_lists_cover_every_declared_tag() {
+        // A message with no sample would silently escape every test below.
+        let declared = |tags: &[(u8, &str)]| tags.iter().map(|t| t.0).collect::<BTreeSet<u8>>();
+        let sampled: BTreeSet<u8> = all_requests().iter().map(|m| m.encode()[0]).collect();
+        assert_eq!(sampled, declared(Request::TAGS));
+        let sampled: BTreeSet<u8> = all_responses().iter().map(|m| m.encode()[0]).collect();
+        assert_eq!(sampled, declared(Response::TAGS));
     }
 
     #[test]

@@ -6,6 +6,8 @@ use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
+use timecrypt::faults::{FaultPlan, FaultyKv, OpKind, StoreFault, StoreRule, Trigger};
+use timecrypt::server::keystore::KeyStore;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::MemKv;
 use timecrypt::wire::{Request, Response};
@@ -198,4 +200,69 @@ fn stat_query_with_zero_streams_rejected() {
             ts_e: 1000
         })
         .is_err());
+}
+
+/// A `MemKv` behind a `FaultyKv` whose `nth` op from now, if it is an `op`
+/// under `prefix`, fails.
+fn fail_nth(kv: &FaultyKv<MemKv>, op: OpKind, prefix: &[u8], nth: u64) {
+    kv.set_plan(FaultPlan::quiet().with_store_rule(StoreRule {
+        op: Some(op),
+        key_prefix: prefix.to_vec(),
+        when: Trigger::Nth(kv.ops_total() + nth),
+        fault: StoreFault::Error,
+    }));
+}
+
+#[test]
+fn faulted_put_envelopes_leaves_nothing_behind() {
+    let envs: Vec<(u64, Vec<u8>)> = (0..4u64).map(|i| (i, vec![i as u8; 3])).collect();
+    let mut faulted = 0;
+    // Fail the k-th store write the call issues, for every k it could reach.
+    for k in 0..envs.len() as u64 {
+        let kv = FaultyKv::new(MemKv::new(), FaultPlan::quiet());
+        let ks = KeyStore::new(&kv);
+        ks.put_envelopes(11, 6, &[(9, vec![9])]).unwrap();
+        fail_nth(&kv, OpKind::Put, b"e/", k);
+        let result = ks.put_envelopes(11, 6, &envs);
+        kv.set_plan(FaultPlan::quiet());
+        let held = ks.get_envelopes(11, 6, 0, 16).unwrap();
+        match result {
+            Err(_) => {
+                faulted += 1;
+                assert_eq!(
+                    held,
+                    [(9, vec![9])],
+                    "write {k} failed: nothing of the call"
+                );
+            }
+            Ok(()) => assert_eq!(held.len(), envs.len() + 1, "write {k}"),
+        }
+    }
+    assert!(faulted > 0, "the plan never reached the call");
+}
+
+#[test]
+fn faulted_revoke_grants_leaves_every_grant_in_place() {
+    let grants = [&b"g0"[..], b"g1", b"g2"];
+    let mut faulted = 0;
+    // Op 0 of the call is its key scan; the writes follow.
+    for k in 1..=grants.len() as u64 {
+        let kv = FaultyKv::new(MemKv::new(), FaultPlan::quiet());
+        let ks = KeyStore::new(&kv);
+        for blob in grants {
+            ks.put_grant(11, "c", blob).unwrap();
+        }
+        fail_nth(&kv, OpKind::Delete, b"g/", k);
+        let result = ks.revoke_grants(11, "c");
+        kv.set_plan(FaultPlan::quiet());
+        let held = ks.get_grants(11, "c").unwrap();
+        match result {
+            Err(_) => {
+                faulted += 1;
+                assert_eq!(held, grants, "write {k} failed: nothing revoked");
+            }
+            Ok(n) => assert_eq!((n, held.len()), (grants.len(), 0), "write {k}"),
+        }
+    }
+    assert!(faulted > 0, "the plan never reached the call");
 }
