@@ -711,9 +711,9 @@ impl<D: HomDigest> AggTree<D> {
 
     /// Data decay (§4.5): drops all *fully covered* index nodes at levels
     /// `< keep_level` for chunks before `before_chunk`, retaining only
-    /// coarser aggregates for the aged-out region. Returns nodes removed.
-    /// Serialized with `append`; a concurrent query drilling below the
-    /// decayed level surfaces [`IndexError::Decayed`].
+    /// coarser aggregates for the aged-out region, in one store commit.
+    /// Returns nodes removed. Serialized with `append`; a concurrent query
+    /// drilling below the decayed level surfaces [`IndexError::Decayed`].
     pub fn decay(&self, before_chunk: u64, keep_level: u8) -> Result<usize, IndexError> {
         let _write = self.write.lock();
         // Odd generation across the deletes: a reader that fetched a node
@@ -723,30 +723,30 @@ impl<D: HomDigest> AggTree<D> {
             gen: &self.cache_gen,
         };
         let k = self.cfg.arity as u64;
-        let mut removed = 0usize;
         // Only published history decays, and never the current root level.
         let before_chunk = before_chunk.min(self.len());
         let keep_level = keep_level.min(self.levels());
+        let mut doomed = Vec::new();
         for level in 1..keep_level {
-            let span = span_at(level, k);
             // Node n at `level` covers [n*span, (n+1)*span): fully before
             // the cutoff iff (n+1)*span <= before_chunk.
-            let full_nodes = before_chunk / span;
-            for n in 0..full_nodes {
-                // Node keys have one length, so the exact key as a prefix
-                // probes for it without reading the node.
-                let key = node_key(self.stream, level, n);
-                if !self.kv.scan_keys(&key)?.is_empty() {
-                    self.kv.delete(&key)?;
-                    // Per-node cache locking (one stripe per removal):
-                    // concurrent readers only ever wait one removal, not
-                    // the whole decay scan.
-                    self.cache.remove(&(level, n));
-                    removed += 1;
-                }
-            }
+            let full_nodes = before_chunk / span_at(level, k);
+            let first = node_key(self.stream, level, 0);
+            let stored = self.kv.scan_keys(&first[..first.len() - 8])?;
+            doomed.extend(stored.into_iter().filter_map(|key| {
+                let n = u64::from_be_bytes(*key.last_chunk()?);
+                (n < full_nodes).then_some(((level, n), key))
+            }));
         }
-        Ok(removed)
+        // One commit, all or nothing, like an append or a stream delete.
+        let deletes: Vec<_> = doomed
+            .iter()
+            .map(|(_, key)| WriteOp::Delete { key })
+            .collect();
+        self.kv.write_batch(&deletes)?;
+        // One stripe lock per removal: readers wait one, not the whole decay.
+        doomed.iter().for_each(|(node, _)| self.cache.remove(node));
+        Ok(doomed.len())
     }
 
     /// Cache and size statistics.
@@ -1076,6 +1076,28 @@ mod tests {
             }
             self.inner.write_batch(ops)
         }
+    }
+
+    #[test]
+    fn a_decay_whose_commit_fails_removes_nothing() {
+        // Every level's deletes are one batch: a store fault leaves every
+        // node stored and cached, and the retry removes what an unfaulted
+        // decay does, in that one write.
+        let kv = Arc::new(FailNthPut::default());
+        let t = open4(kv.clone());
+        fill(&t, 250);
+        let nodes = kv.scan_keys(&node_prefix(1)).unwrap().len();
+        kv.arm(1);
+        assert!(matches!(t.decay(128, 3), Err(IndexError::Store(_))));
+        assert_eq!(kv.scan_keys(&node_prefix(1)).unwrap().len(), nodes);
+        assert_exhaustive(&t, 250);
+        let writes = kv.writes.load(Ordering::Relaxed);
+        // 32 level-1 nodes and 8 level-2 nodes lie wholly before chunk 128.
+        assert_eq!(t.decay(128, 3).unwrap(), 40);
+        assert_eq!(kv.writes.load(Ordering::Relaxed), writes + 1);
+        assert_eq!(kv.scan_keys(&node_prefix(1)).unwrap().len(), nodes - 40);
+        assert!(matches!(t.query(0, 1), Err(IndexError::Decayed { .. })));
+        assert_eq!(t.query(0, 250).unwrap(), naive_sum(0, 250));
     }
 
     fn open4(kv: Arc<dyn KvStore>) -> AggTree<Vec<u64>> {

@@ -342,7 +342,7 @@ pub fn render_stats(stats: &ServiceStatsWire) -> String {
         ),
         (
             "timecrypt_store_index_bytes",
-            "Estimated resident bytes of the log store's key-to-location index.",
+            "Resident bytes of the log store's index: 12 per slot of a run, key + constant otherwise.",
         ),
         (
             "timecrypt_store_dead_bytes",

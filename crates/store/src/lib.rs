@@ -8,9 +8,11 @@
 //! * [`MemKv`] — sharded in-memory hash map (the fast path; what the
 //!   co-located Cassandra + row-cache deployment approximates),
 //! * [`LogKv`] — persistent append-only log with crash-recovery replay
-//!   (durability). Its in-memory index holds keys and record locations
-//!   only; the log file is the one copy of the values, read positionally
-//!   and re-validated on every read,
+//!   (durability). Its in-memory index holds record locations only — 12
+//!   bytes per key for keys that count up under a shared head (a stream's
+//!   chunks, a level's nodes), key and location for the rest; the log
+//!   file is the one copy of the values, read positionally and
+//!   re-validated on every read,
 //!
 //! plus the [`MeteredKv`] decorator, which counts ops and bytes for the
 //! service tier's metrics (`timecrypt-faults` adds `FaultyKv`, which

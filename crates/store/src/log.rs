@@ -29,6 +29,16 @@
 //! length, nothing else — so resident memory grows with the number of
 //! keys, not with the bytes stored; the OS page cache is the only cache.
 //!
+//! **Index.** Runs plus a side map (`Index`). A key whose last eight
+//! bytes, read as a big-endian integer, are one more than those of a key
+//! already held with the same bytes before them is not stored at all: its
+//! location is appended to that head's run, an array indexed by the
+//! integer, at 12 bytes and no allocation. The keys written in volume all
+//! count up like that (≈ 14 B of RAM per key with the array's slack). Any
+//! other key sits, with its bytes, in an ordered map beside the runs
+//! (≈ 105–120 B per key). Which of the two holds a key is the index's own
+//! business: no record, key format or [`KvStore`] signature knows.
+//!
 //! **Read path.** `get` / `scan_prefix` look locations up under the inner
 //! lock, clone the `Arc<File>` of the current log generation, release the
 //! lock and `pread` each whole record (`FileExt::read_exact_at`, so the
@@ -78,7 +88,7 @@
 
 use crate::{KvStore, StoreError, WriteOp};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::ops::Bound;
@@ -272,11 +282,23 @@ pub fn crc32(data: &[u8]) -> u32 {
 // -------------------------------------------------------------------------
 
 /// Where a live key's put record sits in the log; with the key's length
-/// the value length gives the record's whole extent.
+/// the value length gives the record's whole extent. Twelve bytes, not
+/// sixteen: a [`Run`] holds one per key and nothing else.
 #[derive(Clone, Copy)]
+#[repr(C, packed(4))]
 struct Loc {
     offset: u64,
     vlen: u32,
+}
+
+impl Loc {
+    /// The slot of a deleted key inside a [`Run`]. Offset 0 is the magic,
+    /// never a record.
+    const HOLE: Loc = Loc { offset: 0, vlen: 0 };
+
+    fn live(self) -> Option<Loc> {
+        (self.offset != 0).then_some(self)
+    }
 }
 
 /// A write as the record it becomes: op byte, key, value.
@@ -292,15 +314,113 @@ fn record_len(klen: usize, vlen: u32) -> u64 {
     (HDR + klen + FOOTER) as u64 + u64::from(vlen)
 }
 
-/// What [`LogStats::index_bytes`] charges per live key besides the key's
-/// bytes: its `Vec` header (24), the `Loc` (16), allocator rounding (~16).
-const INDEX_ENTRY_BYTES: u64 = 56;
+/// Bytes of a key that count: its big-endian `u64` tail.
+const TAIL: usize = 8;
+
+/// A key as `(head, tail)`: everything before its last eight bytes, and
+/// those as a big-endian integer. `None` for a key too short to have both.
+fn split(key: &[u8]) -> Option<(&[u8], u64)> {
+    let (head, tail) = key.split_last_chunk::<TAIL>()?;
+    Some((head, u64::from_be_bytes(*tail)))
+}
+
+fn join(head: &[u8], tail: u64) -> Vec<u8> {
+    [head, &tail.to_be_bytes()].concat()
+}
+
+/// The keys `head + base`, `head + (base + 1)`, … of one head, held as
+/// their locations alone. Both ends are live; a key deleted in between
+/// leaves a [`Loc::HOLE`].
+struct Run {
+    base: u64,
+    locs: VecDeque<Loc>,
+}
+
+impl Run {
+    /// The slot of `tail`, if the run spans it.
+    fn slot(&self, tail: u64) -> Option<usize> {
+        let i = usize::try_from(tail.checked_sub(self.base)?).ok()?;
+        (i < self.locs.len()).then_some(i)
+    }
+
+    /// Appends the successor of the last key. Grows by a quarter, not by
+    /// doubling: a run is O(history), and its slack is RAM per stored key.
+    fn push(&mut self, loc: Loc) {
+        if self.locs.len() == self.locs.capacity() {
+            self.locs.reserve_exact((self.locs.len() / 4).max(4));
+        }
+        self.locs.push_back(loc);
+    }
+
+    /// Deletes the key in slot `i`: the ends close up over holes (decay
+    /// trims the front, a rollback pops the back), the middle keeps one,
+    /// and a run left half empty gives its memory back.
+    fn remove(&mut self, i: usize) -> Option<Loc> {
+        let old = std::mem::replace(&mut self.locs[i], Loc::HOLE).live();
+        while self.locs.back().is_some_and(|l| l.live().is_none()) {
+            self.locs.pop_back();
+        }
+        // What is left, if anything, now ends on a live key: this stops there.
+        while self.locs.front().is_some_and(|l| l.live().is_none()) {
+            self.locs.pop_front();
+            self.base += 1;
+        }
+        if self.locs.len() < self.locs.capacity() / 2 {
+            self.locs.shrink_to_fit();
+        }
+        old
+    }
+
+    /// The live keys with tails in `lo..=hi`, ascending, spelled out.
+    fn between<'a>(
+        &'a self,
+        head: &'a [u8],
+        lo: u64,
+        hi: u64,
+    ) -> impl Iterator<Item = (Vec<u8>, Loc)> + 'a {
+        let last = self.base + (self.locs.len() as u64 - 1);
+        let slots = match (self.slot(lo.max(self.base)), self.slot(hi.min(last))) {
+            (Some(a), Some(b)) if a <= b => a..b + 1,
+            _ => 0..0,
+        };
+        let base = self.base;
+        slots
+            .clone()
+            .zip(self.locs.range(slots))
+            .filter_map(move |(i, loc)| Some((join(head, base + i as u64), loc.live()?)))
+    }
+}
+
+/// What [`LogStats::index_bytes`] charges per key of the side map besides
+/// the key's bytes: the key's `Vec` header and the `Loc` in a B-tree node
+/// half to two thirds full, the node's header and its share of the levels
+/// above, the allocator's header and rounding on the key. Calibrated in
+/// `tests/index_ram.rs`, where the allocator counts 105 B per 28-byte key
+/// inserted in random order and 120 B in ascending order.
+const INDEX_ENTRY_BYTES: u64 = 84;
+/// The same per head of a run, whose map slot holds a [`Run`], not a `Loc`.
+const RUN_ENTRY_BYTES: u64 = 150;
 
 /// The in-memory index — key → location of its latest put record, never
 /// the value — with the byte accounting [`LogKv::stats`] reports.
+///
+/// Keys that count up cost a [`Loc`] each and no key bytes: a key that is
+/// the successor of a key already held under the same head (see [`split`])
+/// joins that head's [`Run`], which its predecessor starts when it has none
+/// yet. `il/<stream>/` + chunk index, `i/<stream>/<level>` + node index,
+/// envelope and grant sequences all do. Every other key — too short, after
+/// a gap, out of order, the only one of its head — sits in `side`, an
+/// ordered map, exactly as every key once did. A key is in one of the two
+/// and never both: `put` looks where the key belongs before it inserts.
 #[derive(Default)]
 struct Index {
-    map: BTreeMap<Vec<u8>, Loc>,
+    side: BTreeMap<Vec<u8>, Loc>,
+    runs: BTreeMap<Vec<u8>, Run>,
+    /// Live keys in `runs` (their slots less the holes).
+    run_keys: usize,
+    /// Slots allocated in `runs`, live or not.
+    run_slots: usize,
+    /// Bytes of the keys of `side` and of the heads of `runs`.
     key_bytes: u64,
     dead_bytes: u64,
 }
@@ -308,34 +428,159 @@ struct Index {
 impl Index {
     /// Applies one record at `loc`, as replay and the write path both do.
     /// A superseded or deleted put turns dead, and so does a delete record.
-    /// The key comes borrowed or, from replay's held batches, owned.
-    fn apply(&mut self, op: u8, key: impl AsRef<[u8]> + Into<Vec<u8>>, loc: Loc) {
-        let klen = key.as_ref().len();
+    fn apply(&mut self, op: u8, key: &[u8], loc: Loc) {
         let old = match op {
-            OP_PUT => self.map.insert(key.into(), loc),
+            OP_PUT => self.put(key, loc),
             _ => {
-                self.dead_bytes += record_len(klen, 0);
-                self.map.remove(key.as_ref())
+                self.dead_bytes += record_len(key.len(), 0);
+                self.remove(key)
             }
         };
         if let Some(old) = old {
-            self.dead_bytes += record_len(klen, old.vlen);
-        }
-        let klen = klen as u64;
-        // The live keys' bytes follow the map: a new key in, a deleted one out.
-        match (op, old.is_some()) {
-            (OP_PUT, false) => self.key_bytes += klen,
-            (OP_PUT, true) | (_, false) => {}
-            (_, true) => self.key_bytes -= klen,
+            self.dead_bytes += record_len(key.len(), old.vlen);
         }
     }
 
-    /// Keys starting with `prefix` and their locations, in key order.
-    fn range<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = (&'a Vec<u8>, Loc)> {
-        self.map
+    /// Points `key` at `loc`; returns the location it had.
+    fn put(&mut self, key: &[u8], loc: Loc) -> Option<Loc> {
+        let Some((head, tail)) = split(key) else {
+            return self.put_aside(key, loc);
+        };
+        if let Some(run) = self.runs.get_mut(head) {
+            if let Some(i) = run.slot(tail) {
+                let old = std::mem::replace(&mut run.locs[i], loc).live();
+                self.run_keys += usize::from(old.is_none());
+                return old;
+            }
+            if tail.checked_sub(run.base) != Some(run.locs.len() as u64) {
+                return self.put_aside(key, loc);
+            }
+            let before = run.locs.capacity();
+            run.push(loc);
+            self.run_slots += run.locs.capacity() - before;
+        } else {
+            // No run under this head yet: the predecessor, if it is here,
+            // starts one with this key.
+            let pred = tail.checked_sub(1);
+            let Some(first) = pred.and_then(|t| self.take_aside(&join(head, t))) else {
+                return self.put_aside(key, loc);
+            };
+            let run = Run {
+                base: tail - 1,
+                locs: VecDeque::from([first, loc]),
+            };
+            self.run_slots += run.locs.capacity();
+            self.run_keys += 1; // `first`; `key` is counted below
+            self.key_bytes += head.len() as u64;
+            self.runs.insert(head.to_vec(), run);
+        }
+        // The run grew over `key`, which may have been waiting aside.
+        self.run_keys += 1;
+        self.take_aside(key)
+    }
+
+    fn put_aside(&mut self, key: &[u8], loc: Loc) -> Option<Loc> {
+        let old = self.side.insert(key.to_vec(), loc);
+        if old.is_none() {
+            self.key_bytes += key.len() as u64;
+        }
+        old
+    }
+
+    fn take_aside(&mut self, key: &[u8]) -> Option<Loc> {
+        let old = self.side.remove(key)?;
+        self.key_bytes -= key.len() as u64;
+        Some(old)
+    }
+
+    /// Forgets `key`; returns the location it had.
+    fn remove(&mut self, key: &[u8]) -> Option<Loc> {
+        if let Some((head, tail)) = split(key) {
+            if let Some(run) = self.runs.get_mut(head) {
+                if let Some(i) = run.slot(tail) {
+                    let before = run.locs.capacity();
+                    let old = run.remove(i);
+                    self.run_slots = self.run_slots + run.locs.capacity() - before;
+                    self.run_keys -= usize::from(old.is_some());
+                    if run.locs.is_empty() {
+                        self.run_slots -= run.locs.capacity();
+                        self.key_bytes -= head.len() as u64;
+                        self.runs.remove(head);
+                    }
+                    return old;
+                }
+            }
+        }
+        self.take_aside(key)
+    }
+
+    fn get(&self, key: &[u8]) -> Option<Loc> {
+        let in_run = || {
+            let (head, tail) = split(key)?;
+            let run = self.runs.get(head)?;
+            Some(run.locs[run.slot(tail)?].live())
+        };
+        in_run().unwrap_or_else(|| self.side.get(key).copied())
+    }
+
+    fn len(&self) -> usize {
+        self.side.len() + self.run_keys
+    }
+
+    /// Resident bytes, as [`LogStats::index_bytes`] reports them.
+    fn bytes(&self) -> u64 {
+        self.key_bytes
+            + INDEX_ENTRY_BYTES * self.side.len() as u64
+            + RUN_ENTRY_BYTES * self.runs.len() as u64
+            + (self.run_slots * size_of::<Loc>()) as u64
+    }
+
+    /// Keys starting with `prefix` and their locations. Of the runs: every
+    /// key of a head that extends the prefix, heads and tails ascending,
+    /// and — where the prefix ends inside a tail — of each of the at most
+    /// eight heads it then spells out, the tails that start with the rest.
+    /// Then the side map's, in key order. With an empty prefix this is the
+    /// order `compact` rewrites the log in — runs first, so that replaying
+    /// the rewritten log forms every run again before a stray key of its
+    /// head could start another.
+    fn range<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = (Vec<u8>, Loc)> + 'a {
+        let whole = self
+            .runs
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(head, _)| head.starts_with(prefix))
+            .flat_map(|(head, run)| run.between(head, 0, u64::MAX));
+        let cut = (1..=prefix.len().min(TAIL)).filter_map(move |n| {
+            let (head, part) = prefix.split_at(prefix.len() - n);
+            let (head, run) = self.runs.get_key_value(head)?;
+            let (mut lo, mut hi) = ([0; TAIL], [0xFF; TAIL]);
+            lo[..n].copy_from_slice(part);
+            hi[..n].copy_from_slice(part);
+            Some(run.between(head, u64::from_be_bytes(lo), u64::from_be_bytes(hi)))
+        });
+        let aside = self
+            .side
             .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, loc)| (k, *loc))
+            .map(|(k, loc)| (k.clone(), *loc));
+        whole.chain(cut.flatten()).chain(aside)
+    }
+
+    /// Moves every live key to where [`write_snapshot`] put its record —
+    /// back to back after the magic, in [`range`](Self::range)'s order —
+    /// and returns the rewritten log's length.
+    fn relocate(&mut self) -> u64 {
+        let mut tail = MAGIC.len() as u64;
+        let in_runs = self.runs.iter_mut().flat_map(|(head, run)| {
+            let slots = run.locs.iter_mut().filter(|loc| loc.live().is_some());
+            slots.map(move |loc| (head.len() + TAIL, loc))
+        });
+        let aside = self.side.iter_mut().map(|(key, loc)| (key.len(), loc));
+        for (klen, loc) in in_runs.chain(aside) {
+            loc.offset = tail;
+            tail += record_len(klen, loc.vlen);
+        }
+        self.dead_bytes = 0;
+        tail
     }
 }
 
@@ -347,8 +592,10 @@ pub struct LogStats {
     pub log_bytes: u64,
     /// Keys with a live value.
     pub live_keys: u64,
-    /// Estimated resident bytes of the index: the keys' bytes plus a fixed
-    /// 56 per entry — independent of value sizes by construction.
+    /// Resident bytes of the index, from what it holds: 12 per slot
+    /// allocated to a run of counting keys, plus per run and per other key
+    /// its bytes and a constant calibrated against a counting allocator
+    /// (`tests/index_ram.rs`) — independent of value sizes by construction.
     pub index_bytes: u64,
     /// Bytes of superseded puts, deleted puts and delete records.
     pub dead_bytes: u64,
@@ -380,11 +627,10 @@ impl Inner {
     }
 
     fn footprint(&self) -> LogStats {
-        let live_keys = self.index.map.len() as u64;
         LogStats {
             log_bytes: self.tail,
-            live_keys,
-            index_bytes: self.index.key_bytes + INDEX_ENTRY_BYTES * live_keys,
+            live_keys: self.index.len() as u64,
+            index_bytes: self.index.bytes(),
             dead_bytes: self.index.dead_bytes,
         }
     }
@@ -517,7 +763,7 @@ impl LogKv {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.inner.lock().index.map.len()
+        self.inner.lock().index.len()
     }
 
     /// True if there are no live keys.
@@ -538,14 +784,9 @@ impl LogKv {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let old = inner.reader(inner.tail)?;
-        let file = write_snapshot(&self.path, &old, &inner.index.map, self.durability)?;
-        inner.tail = MAGIC.len() as u64;
-        for (key, loc) in inner.index.map.iter_mut() {
-            loc.offset = inner.tail;
-            inner.tail += record_len(key.len(), loc.vlen);
-        }
-        inner.index.dead_bytes = 0;
-        inner.next_seq = (inner.index.map.len() % 256) as u8;
+        let file = write_snapshot(&self.path, &old, &inner.index, self.durability)?;
+        inner.tail = inner.index.relocate();
+        inner.next_seq = (inner.index.len() % 256) as u8;
         inner.writer = BufWriter::new(Arc::clone(&file));
         inner.publish();
         // The rewritten file is a fresh fd: swap the fsync handle and mark
@@ -563,7 +804,7 @@ impl KvStore for LogKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
         let (file, loc) = {
             let mut inner = self.inner.lock();
-            let Some(&loc) = inner.index.map.get(key) else {
+            let Some(loc) = inner.index.get(key) else {
                 return Ok(None);
             };
             let end = loc.offset + record_len(key.len(), loc.vlen);
@@ -630,11 +871,7 @@ impl KvStore for LogKv {
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
         let (file, hits) = {
             let mut inner = self.inner.lock();
-            let hits: Vec<(Vec<u8>, Loc)> = inner
-                .index
-                .range(prefix)
-                .map(|(k, loc)| (k.clone(), loc))
-                .collect();
+            let hits: Vec<(Vec<u8>, Loc)> = inner.index.range(prefix).collect();
             let ends = hits
                 .iter()
                 .map(|(k, loc)| loc.offset + record_len(k.len(), loc.vlen));
@@ -647,7 +884,7 @@ impl KvStore for LogKv {
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
         let inner = self.inner.lock();
-        Ok(inner.index.range(prefix).map(|(k, _)| k.clone()).collect())
+        Ok(inner.index.range(prefix).map(|(k, _)| k).collect())
     }
 }
 
@@ -806,7 +1043,9 @@ fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, 
     // The open batch: where it starts, and its records so far — held back
     // from the index until the record that closes it validates.
     let mut batch_start = pos;
-    let mut held: Vec<(u8, Vec<u8>, Loc)> = Vec::new();
+    let mut held: Vec<(u8, usize, Loc)> = Vec::new();
+    // Their keys, end to end (the window may have moved on by then).
+    let mut held_keys: Vec<u8> = Vec::new();
     while pos < len {
         match win.parse_at(pos)? {
             Parsed::Record {
@@ -830,11 +1069,16 @@ fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, 
                 next_seq = next_seq.wrapping_add(1);
                 pos += consumed as u64;
                 if more {
-                    held.push((op, key.to_vec(), loc));
+                    held.push((op, key.len(), loc));
+                    held_keys.extend_from_slice(key);
                 } else {
-                    for (op, key, loc) in held.drain(..) {
-                        index.apply(op, key, loc);
+                    let mut keys = &held_keys[..];
+                    for (op, klen, loc) in held.drain(..) {
+                        let (held_key, rest) = keys.split_at(klen);
+                        index.apply(op, held_key, loc);
+                        keys = rest;
                     }
+                    held_keys.clear();
                     index.apply(op, key, loc);
                     batch_start = pos;
                 }
@@ -863,16 +1107,16 @@ fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, 
     Ok((next_seq.wrapping_sub(held.len() as u8), batch_start))
 }
 
-/// Copies the live records of `map` out of `old` into a fresh checksummed
-/// log (magic + one plain put per key in key order, on a new sequence
-/// chain, whatever batches the records arrived in) in
+/// Copies the live records of `index` out of `old` into a fresh checksummed
+/// log (magic + one plain put per key in [`Index::range`]'s order, on a new
+/// sequence chain, whatever batches the records arrived in) in
 /// a temp file, atomically renames it over `path`, and returns its handle,
 /// positioned at the end. Under `Fsync` the snapshot and its directory
 /// entry are both synced before the rename is trusted.
 fn write_snapshot(
     path: &Path,
     old: &File,
-    map: &BTreeMap<Vec<u8>, Loc>,
+    index: &Index,
     durability: Durability,
 ) -> Result<Arc<File>, StoreError> {
     let tmp_path = path.with_extension("compact");
@@ -885,8 +1129,8 @@ fn write_snapshot(
             .open(&tmp_path)?,
     );
     w.write_all(MAGIC)?;
-    for (seq, (key, loc)) in map.iter().enumerate() {
-        let mut rec = read_record(old, key, *loc)?;
+    for (seq, (key, loc)) in index.range(b"").enumerate() {
+        let mut rec = read_record(old, &key, loc)?;
         let body_end = rec.len() - FOOTER;
         (rec[0], rec[1]) = (OP_PUT, seq as u8);
         let crc = crc32(&rec[..body_end]);
