@@ -6,6 +6,7 @@
 //!
 //! | Module | Content |
 //! |--------|---------|
+//! | [`mont`] | Heap-limb Montgomery multiplication & modular exponentiation (CIOS), any odd modulus |
 //! | [`prime`] | Sieve + Miller-Rabin probable-prime generation |
 //! | [`paillier`] | Paillier cryptosystem with `g = n+1` fast path; 3072-bit for the 128-bit setting of Table 2 |
 //! | [`elgamal`] | Additively homomorphic EC-ElGamal (`m·G` encoding) with baby-step/giant-step decryption |
@@ -17,6 +18,7 @@
 
 pub mod abe;
 pub mod elgamal;
+pub mod mont;
 pub mod paillier;
 pub mod prime;
 

@@ -1,10 +1,12 @@
 //! Montgomery modular arithmetic (CIOS multiplication) and exponentiation.
 //!
-//! All hot modular paths — Paillier encryption/decryption, Miller-Rabin,
-//! P-256 field multiplication — run through this context. The modulus must
-//! be odd (true for RSA-style moduli, `n²`, and the P-256 prime).
+//! The strawman's hot modular paths — Paillier encryption/decryption and
+//! Miller-Rabin — run through this context, over heap limbs of any length
+//! (the product's P-256 has its own four-limb arithmetic in
+//! `timecrypt_pk::p256`). The modulus must be odd (true for RSA-style
+//! moduli and `n²`).
 
-use crate::bn::BigUint;
+use timecrypt_pk::bn::BigUint;
 
 /// A Montgomery context for one odd modulus.
 #[derive(Debug, Clone)]
@@ -50,11 +52,6 @@ impl Mont {
     /// The modulus.
     pub fn modulus(&self) -> BigUint {
         BigUint::from_limbs(self.n.clone())
-    }
-
-    /// Limb count.
-    pub fn limbs(&self) -> usize {
-        self.k
     }
 
     /// CIOS Montgomery multiplication: returns `a·b·R^{-1} mod n`.

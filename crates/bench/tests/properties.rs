@@ -1,8 +1,26 @@
 //! Property-based tests for the homomorphic strawman baselines.
 
 use proptest::prelude::*;
+use timecrypt_bench::baselines::mont::Mont;
 use timecrypt_bench::baselines::{EcElGamal, Paillier};
 use timecrypt_crypto::SecureRandom;
+use timecrypt_pk::bn::BigUint;
+
+proptest! {
+    /// Montgomery modmul/pow agree with naive mul+rem for random odd moduli.
+    #[test]
+    fn mont_matches_naive(
+        m in (any::<u64>().prop_map(|x| x | 1)),
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        prop_assume!(m > 2);
+        let m_b = BigUint::from_u64(m);
+        let ctx = Mont::new(&m_b);
+        let expect = BigUint::from_u128((a as u128 % m as u128) * (b as u128 % m as u128) % m as u128);
+        prop_assert_eq!(ctx.modmul(&BigUint::from_u64(a), &BigUint::from_u64(b)), expect);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]

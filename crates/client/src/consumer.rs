@@ -92,9 +92,12 @@ impl Consumer {
         &self.keypair.public
     }
 
-    /// Downloads and opens all grants for `stream`, rebuilding local key
-    /// material. Also fetches resolution envelopes for any resolution
-    /// grants. Returns the number of grants ingested.
+    /// Downloads and opens all grants for `stream` and rebuilds its local
+    /// key material from them alone, so syncing again (polling for an
+    /// extended grant) is idempotent; also fetches the envelopes of any
+    /// resolution grants. The new material replaces the old only when every
+    /// blob opened and decoded: a failed sync changes nothing. Returns the
+    /// number of grants ingested; with none stored, the material is dropped.
     pub fn sync_grants<T: Transport>(
         &mut self,
         transport: &mut T,
@@ -107,43 +110,50 @@ impl Consumer {
             Response::Blobs(b) => b,
             _ => return Err(ClientFault::Protocol("Blobs")),
         };
-        let mut n = 0;
-        for blob in blobs {
+        let mut fresh: Option<StreamKeys> = None;
+        for blob in &blobs {
             let plain = self
                 .keypair
-                .open(&blob)
+                .open(blob)
                 .map_err(|e| ClientFault::Transport(format!("grant unsealing failed: {e}")))?;
             let grant = Grant::decode(&plain)
                 .map_err(|e| ClientFault::Transport(format!("grant decode failed: {e}")))?;
-            self.ingest_grant(transport, grant)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    fn ingest_grant<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        grant: Grant,
-    ) -> Result<(), ClientFault> {
-        let descriptor = grant.descriptor().clone();
-        let entry = self
-            .streams
-            .entry(descriptor.stream)
-            .or_insert_with(|| StreamKeys {
-                descriptor: descriptor.clone(),
+            if grant.descriptor().stream != stream {
+                return Err(ClientFault::Protocol("grants of the requested stream"));
+            }
+            let keys = fresh.get_or_insert_with(|| StreamKeys {
+                descriptor: grant.descriptor().clone(),
                 tokens: None,
                 resolutions: HashMap::new(),
                 cursor: LeafCursor::new(),
             });
+            Self::ingest_grant(transport, keys, grant)?;
+        }
+        // The reader keeps its place (and its PRG count): a cursor's path is
+        // reused only while it hangs from a token the new set still holds.
+        let old = self.streams.remove(&stream);
+        if let Some(mut keys) = fresh {
+            if let Some(old) = old {
+                keys.cursor = old.cursor;
+            }
+            self.streams.insert(stream, keys);
+        }
+        Ok(blobs.len())
+    }
+
+    fn ingest_grant<T: Transport>(
+        transport: &mut T,
+        keys: &mut StreamKeys,
+        grant: Grant,
+    ) -> Result<(), ClientFault> {
         match grant {
-            Grant::Full { tokens, .. } => match &mut entry.tokens {
+            Grant::Full { tokens, .. } => match &mut keys.tokens {
                 Some(ts) => ts.extend(tokens),
                 None => {
-                    entry.tokens = Some(TokenSet::new(
+                    keys.tokens = Some(TokenSet::new(
                         tokens,
-                        descriptor.tree_height,
-                        descriptor.prg,
+                        keys.descriptor.tree_height,
+                        keys.descriptor.prg,
                     ))
                 }
             },
@@ -151,12 +161,9 @@ impl Consumer {
                 resolution, token, ..
             } => {
                 let (lo, hi) = (token.lower.index, token.upper.index);
-                let rcs = entry.resolutions.entry(resolution).or_default();
-                rcs.push(ResolutionConsumer::new(resolution, token));
-                let rc = rcs.last_mut().expect("just pushed");
                 // Fetch and open the envelopes for the window.
                 let envs = match transport.call(&Request::GetEnvelopes {
-                    stream: descriptor.stream,
+                    stream: keys.descriptor.stream,
                     resolution,
                     lo,
                     hi,
@@ -168,7 +175,9 @@ impl Consumer {
                     .into_iter()
                     .map(|(index, blob)| Envelope { index, blob })
                     .collect();
+                let mut rc = ResolutionConsumer::new(resolution, token);
                 rc.ingest_all(&envelopes)?;
+                keys.resolutions.entry(resolution).or_default().push(rc);
             }
         }
         Ok(())
@@ -416,5 +425,164 @@ impl Consumer {
         }
         out.sort_by_key(|p| p.ts);
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DataOwner, InProcess, Producer};
+    use std::sync::Arc;
+    use timecrypt_chunk::StreamConfig;
+    use timecrypt_crypto::SecureRandom;
+    use timecrypt_server::{ServerConfig, TimeCryptServer};
+    use timecrypt_store::MemKv;
+
+    const MIN: i64 = 60_000;
+
+    /// Twenty minutes of one-second points in 10-second chunks.
+    fn setup() -> (InProcess, StreamConfig, DataOwner) {
+        let server = Arc::new(
+            TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap(),
+        );
+        let mut t = InProcess::new(server);
+        let cfg = StreamConfig::new(9, "hr", 0, 10_000);
+        let mut owner = DataOwner::with_height(
+            cfg.clone(),
+            [3u8; 16],
+            24,
+            SecureRandom::from_seed_insecure(1),
+        );
+        owner.create_stream(&mut t).unwrap();
+        let mut p = Producer::new(
+            cfg.clone(),
+            owner.provision_producer(),
+            SecureRandom::from_seed_insecure(2),
+        );
+        for s in 0..20 * 60 {
+            p.push(&mut t, DataPoint::new(s * 1000, 60 + (s % 30)))
+                .unwrap();
+        }
+        p.flush(&mut t).unwrap();
+        (t, cfg, owner)
+    }
+
+    /// How many tree tokens and resolution consumers the stream holds.
+    fn held(c: &Consumer, stream: u128) -> (usize, usize) {
+        let keys = &c.streams[&stream];
+        (
+            keys.tokens.as_ref().map_or(0, |ts| ts.tokens().len()),
+            keys.resolutions.values().map(Vec::len).sum(),
+        )
+    }
+
+    /// A transport that fails every call from the `fail_from`-th on.
+    struct Flaky<'a> {
+        inner: &'a mut InProcess,
+        calls: usize,
+        fail_from: usize,
+    }
+
+    impl Transport for Flaky<'_> {
+        fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+            self.calls += 1;
+            if self.calls >= self.fail_from {
+                return Err(ClientFault::Transport("link down".into()));
+            }
+            self.inner.call(req)
+        }
+    }
+
+    #[test]
+    fn syncing_twice_is_syncing_once() {
+        let (mut t, cfg, mut owner) = setup();
+        let mut c = Consumer::new("c", &mut SecureRandom::from_seed_insecure(3));
+        owner
+            .grant_access(&mut t, "c", c.public_key(), 2 * MIN, 9 * MIN)
+            .unwrap();
+        owner
+            .grant_resolution_access(&mut t, "c", c.public_key(), 10 * MIN, 15 * MIN, 6)
+            .unwrap();
+        assert_eq!(c.sync_grants(&mut t, cfg.id).unwrap(), 2);
+        let once = held(&c, cfg.id);
+        let stat = c.stat_query(&mut t, cfg.id, 3 * MIN, 8 * MIN).unwrap();
+        let coarse = c.stat_query(&mut t, cfg.id, 10 * MIN, 12 * MIN).unwrap();
+        let range = c.get_range(&mut t, cfg.id, 3 * MIN, 4 * MIN).unwrap();
+        let prg_calls = c.prg_calls();
+
+        assert_eq!(c.sync_grants(&mut t, cfg.id).unwrap(), 2);
+        assert_eq!(held(&c, cfg.id), once);
+        assert!(c.prg_calls() >= prg_calls, "the reader keeps its count");
+        let tokens = c.streams[&cfg.id].tokens.as_ref().unwrap();
+        assert!(tokens.covers(12, 54) && !tokens.covers(11, 54) && !tokens.covers(12, 55));
+        assert_eq!(
+            c.stat_query(&mut t, cfg.id, 3 * MIN, 8 * MIN).unwrap(),
+            stat
+        );
+        assert_eq!(
+            c.stat_query(&mut t, cfg.id, 10 * MIN, 12 * MIN).unwrap(),
+            coarse
+        );
+        assert_eq!(
+            c.get_range(&mut t, cfg.id, 3 * MIN, 4 * MIN).unwrap(),
+            range
+        );
+        assert!(c.stat_query(&mut t, cfg.id, 0, 3 * MIN).is_err());
+    }
+
+    #[test]
+    fn a_sync_after_a_second_grant_sees_both_windows() {
+        let (mut t, cfg, mut owner) = setup();
+        let mut c = Consumer::new("c", &mut SecureRandom::from_seed_insecure(4));
+        owner
+            .grant_access(&mut t, "c", c.public_key(), 0, 5 * MIN)
+            .unwrap();
+        c.sync_grants(&mut t, cfg.id).unwrap();
+        let first = held(&c, cfg.id);
+        assert!(c.stat_query(&mut t, cfg.id, 12 * MIN, 13 * MIN).is_err());
+        owner
+            .grant_access(&mut t, "c", c.public_key(), 10 * MIN, 15 * MIN)
+            .unwrap();
+        assert_eq!(c.sync_grants(&mut t, cfg.id).unwrap(), 2);
+        assert!(held(&c, cfg.id).0 > first.0);
+        assert!(c.stat_query(&mut t, cfg.id, MIN, 2 * MIN).is_ok());
+        assert!(c.stat_query(&mut t, cfg.id, 12 * MIN, 13 * MIN).is_ok());
+        assert!(c.stat_query(&mut t, cfg.id, 6 * MIN, 7 * MIN).is_err());
+    }
+
+    #[test]
+    fn a_sync_that_fails_midway_changes_nothing() {
+        let (mut t, cfg, mut owner) = setup();
+        let mut c = Consumer::new("c", &mut SecureRandom::from_seed_insecure(5));
+        owner
+            .grant_access(&mut t, "c", c.public_key(), 0, 5 * MIN)
+            .unwrap();
+        c.sync_grants(&mut t, cfg.id).unwrap();
+        let before = held(&c, cfg.id);
+        let stat = c.stat_query(&mut t, cfg.id, MIN, 2 * MIN).unwrap();
+        // A second full grant and a resolution grant: the next sync opens
+        // three blobs, then loses the link on the envelope fetch.
+        owner
+            .grant_access(&mut t, "c", c.public_key(), 10 * MIN, 15 * MIN)
+            .unwrap();
+        owner
+            .grant_resolution_access(&mut t, "c", c.public_key(), 0, 20 * MIN, 6)
+            .unwrap();
+        let mut flaky = Flaky {
+            inner: &mut t,
+            calls: 0,
+            fail_from: 2,
+        };
+        assert!(c.sync_grants(&mut flaky, cfg.id).is_err());
+        assert_eq!(
+            flaky.calls, 2,
+            "GetGrants went through, GetEnvelopes did not"
+        );
+        assert_eq!(held(&c, cfg.id), before);
+        assert_eq!(c.stat_query(&mut t, cfg.id, MIN, 2 * MIN).unwrap(), stat);
+        assert!(c.stat_query(&mut t, cfg.id, 12 * MIN, 13 * MIN).is_err());
+        // The link comes back: the same call now sees all three.
+        assert_eq!(c.sync_grants(&mut t, cfg.id).unwrap(), 3);
+        assert!(c.stat_query(&mut t, cfg.id, 12 * MIN, 13 * MIN).is_ok());
     }
 }

@@ -3,7 +3,9 @@
 //! Little-endian `u64` limbs, always normalized (no trailing zero limbs).
 //! Implements exactly the operations the Paillier/P-256 stack needs:
 //! comparison, add/sub, schoolbook multiply, shifts, bit access, and binary
-//! long division. Hot modular paths go through [`crate::mont`] instead.
+//! long division. Hot modular paths do not run here: P-256 works on four
+//! limbs in [`crate::p256`], the strawman through its own Montgomery
+//! context in `timecrypt-bench`.
 
 /// An unsigned big integer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -280,31 +282,35 @@ impl BigUint {
     }
 
     /// Binary long division: returns `(quotient, remainder)`. Cold-path only
-    /// (Montgomery setup, Paillier `L` function); hot loops use `mont`.
+    /// (a random scalar's reduction, the strawman's setup); the shifted
+    /// divisor and the remainder are the same length throughout and are
+    /// updated in place, so a division allocates three times, not per bit.
     pub fn div_rem(&self, divisor: &Self) -> (Self, Self) {
         assert!(!divisor.is_zero(), "division by zero");
         if self.cmp_val(divisor) == std::cmp::Ordering::Less {
             return (Self::zero(), self.clone());
         }
         let shift = self.bits() - divisor.bits();
-        let mut remainder = self.clone();
-        let mut quotient = Self::zero();
-        let mut d = divisor.shl(shift);
+        let mut remainder = self.limbs.clone();
+        let mut d = divisor.shl(shift).limbs;
+        let mut quotient = vec![0u64; shift / 64 + 1];
         for i in (0..=shift).rev() {
-            if remainder.cmp_val(&d) != std::cmp::Ordering::Less {
-                remainder = remainder.sub(&d);
-                // quotient |= 1 << i
-                let limb = i / 64;
-                if quotient.limbs.len() <= limb {
-                    quotient.limbs.resize(limb + 1, 0);
+            if remainder.iter().rev().ge(d.iter().rev()) {
+                let mut borrow = false;
+                for (r, &s) in remainder.iter_mut().zip(&d) {
+                    let (d1, b1) = r.overflowing_sub(s);
+                    let (d2, b2) = d1.overflowing_sub(borrow as u64);
+                    (*r, borrow) = (d2, b1 | b2);
                 }
-                quotient.limbs[limb] |= 1u64 << (i % 64);
+                quotient[i / 64] |= 1u64 << (i % 64);
             }
-            d = d.shr(1);
+            // d >>= 1
+            let mut carry = 0;
+            for l in d.iter_mut().rev() {
+                (*l, carry) = ((*l >> 1) | carry, *l << 63);
+            }
         }
-        quotient.normalize();
-        remainder.normalize();
-        (quotient, remainder)
+        (Self::from_limbs(quotient), Self::from_limbs(remainder))
     }
 
     /// `self mod m`.

@@ -9,7 +9,7 @@
 //! against local side channels.
 
 use crate::bn::BigUint;
-use crate::p256::{curve, Point};
+use crate::p256::{curve, limbs4, Point, ORDER};
 use timecrypt_crypto::{sha256, SecureRandom};
 
 /// An ECDSA signature: the standard `(r, s)` pair, each in `[1, n-1]`.
@@ -116,9 +116,11 @@ impl SigningKey {
             return None;
         }
         // s = k⁻¹ (z + r·d) mod n
-        let k_inv = k.rem(&c.n).modinv_odd(&c.n)?;
-        let rd = r.mul(&self.d).rem(&c.n);
-        let s = k_inv.mul(&z.rem(&c.n).add_mod(&rd, &c.n)).rem(&c.n);
+        let n = &ORDER;
+        let k_inv = n.inv(&n.to_mont(&k.rem(&c.n)));
+        let rd = n.mul(&n.to_mont(&r), &n.to_mont(&self.d));
+        let s = n.mul(&k_inv, &n.add(&n.to_mont(&z), &rd));
+        let s = BigUint::from_limbs(n.to_raw(&s).to_vec());
         if s.is_zero() {
             return None;
         }
@@ -137,14 +139,13 @@ impl VerifyingKey {
         if !less(&sig.r) || !less(&sig.s) {
             return false;
         }
-        let z = hash_to_scalar(msg);
-        let Some(w) = sig.s.modinv_odd(&c.n) else {
-            return false;
-        };
-        let u1 = z.rem(&c.n).mul(&w).rem(&c.n);
-        let u2 = sig.r.mul(&w).rem(&c.n);
-        let point = c.add(&c.scalar_mul_base(&u1), &c.scalar_mul(&u2, &self.point));
-        match point.coords {
+        // u₁ = z·s⁻¹, u₂ = r·s⁻¹ mod n: one factor in Montgomery form, so
+        // each product comes out of it as a raw scalar.
+        let n = &ORDER;
+        let w = n.inv(&n.to_mont(&sig.s));
+        let u1 = n.mul(&limbs4(&hash_to_scalar(msg)), &w);
+        let u2 = n.mul(&limbs4(&sig.r), &w);
+        match c.mul_add_base(&u1, &u2, &self.point).coords {
             None => false,
             Some((x, _)) => x.rem(&c.n) == sig.r,
         }

@@ -138,4 +138,31 @@ mod tests {
         let b = seal(&kp.public, b"msg", &mut rng);
         assert_ne!(a, b);
     }
+
+    /// Captured from the bitwise double-and-add curve this crate had before
+    /// its fixed-limb one: the draw order from the RNG (key scalar,
+    /// ephemeral scalar, nonce) and every sealed byte are unchanged, so
+    /// blobs in a key store open as before.
+    #[test]
+    fn golden_blob_from_a_fixed_seed() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let mut rng = SecureRandom::from_seed_insecure(0x6772616e74);
+        let kp = EciesKeypair::generate(&mut rng);
+        assert_eq!(
+            hex(&kp.public.encode()),
+            "046d6cef3a46fa18e4a29ca12311a67d7a2469f3ff2f9689a838b79984922c2cff\
+             001b584da68693600ccdfa560f0fce4223e954a1b4a3e3ad3606a174f7e5745a"
+        );
+        let msg: Vec<u8> = (0..48).collect();
+        let blob = seal(&kp.public, &msg, &mut rng);
+        assert_eq!(
+            hex(&blob),
+            "04c43f4536752749451eab08e52a48b233522b425f1f7f1d910d8b4dccae0b4d28\
+             c481c0af495bddf45adab3514725de032290a830cdd61be8ee9ed4522e7afe25\
+             43dac239a0e11e5b4a2f9107f6a5cbec\
+             e8f9e4f5d2deadf4b0bf58430233a3cdf1f6db05ebbcc2373431c9cd8b0ba5c5\
+             203ef95106e50e4bceee4fafc9eec76b211ce6252054976bda881f53"
+        );
+        assert_eq!(kp.open(&blob).unwrap(), msg);
+    }
 }

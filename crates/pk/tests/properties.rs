@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use timecrypt_crypto::SecureRandom;
 use timecrypt_pk::bn::BigUint;
 use timecrypt_pk::ecies::{self, EciesKeypair};
-use timecrypt_pk::mont::Mont;
 use timecrypt_pk::p256::{curve, Point};
 use timecrypt_pk::{Signature, SigningKey, VerifyingKey};
 
@@ -54,20 +53,6 @@ proptest! {
             canonical.remove(0);
         }
         prop_assert_eq!(back, canonical);
-    }
-
-    /// Montgomery modmul/pow agree with naive mul+rem for random odd moduli.
-    #[test]
-    fn mont_matches_naive(
-        m in (any::<u64>().prop_map(|x| x | 1)),
-        a in any::<u64>(),
-        b in any::<u64>(),
-    ) {
-        prop_assume!(m > 2);
-        let m_b = BigUint::from_u64(m);
-        let ctx = Mont::new(&m_b);
-        let expect = BigUint::from_u128((a as u128 % m as u128) * (b as u128 % m as u128) % m as u128);
-        prop_assert_eq!(ctx.modmul(&BigUint::from_u64(a), &BigUint::from_u64(b)), expect);
     }
 
     /// Modular inverse, when it exists, really inverts.
