@@ -2,22 +2,21 @@
 //!
 //! The TimeCrypt reproduction's concurrency and hot-path invariants
 //! (documented in `ARCHITECTURE.md` §"Static analysis") are enforced here
-//! as six mechanical rules over lexed source text:
+//! as five mechanical rules over lexed source text:
 //!
-//! 1. `unsafe-hygiene` — every `unsafe` needs an adjacent `// SAFETY:`.
-//! 2. `panic-freedom` — no `.unwrap()`/`.expect(`/panicking macros in
+//! 1. `panic-freedom` — no `.unwrap()`/`.expect(`/panicking macros in
 //!    non-test code of the hot-path crates.
-//! 3. `lock-ordering` — nested lock acquisitions must follow the
+//! 2. `lock-ordering` — nested lock acquisitions must follow the
 //!    documented order (config-driven), checked both within one function
 //!    body and across call chains via the workspace call graph.
-//! 4. `no-alloc` — `// lint: deny(alloc)` functions must not allocate.
-//! 5. `blocking-under-lock` — no store I/O, socket reads, or sleeps
+//! 3. `no-alloc` — `// lint: deny(alloc)` functions must not allocate.
+//! 4. `blocking-under-lock` — no store I/O, socket reads, or sleeps
 //!    (transitively) while holding a configured blocking-sensitive lock
 //!    class.
-//! 6. `atomics-ordering` — every `Ordering::*` usage must match the
+//! 5. `atomics-ordering` — every `Ordering::*` usage must match the
 //!    declared role of its atomic (counter / publish / gate).
 //!
-//! Rules 3, 5, and 6 are driven by an interprocedural layer: [`heldset`]
+//! Rules 2, 4, and 5 are driven by an interprocedural layer: [`heldset`]
 //! walks each function body tracking live lock guards, [`callgraph`]
 //! resolves call sites to workspace definitions (name-based,
 //! over-approximating) and propagates may-acquire / may-block summaries
@@ -25,7 +24,7 @@
 //!
 //! Deliberately dependency-free (crates.io is not assumed reachable) and
 //! parser-free: a comment/string-aware lexer ([`lexer`]) plus brace
-//! matching ([`scan`]) is enough for all six rules, keeps the gate under
+//! matching ([`scan`]) is enough for all five rules, keeps the gate under
 //! a second on the workspace, and cannot fall behind rustc's grammar.
 //!
 //! Per-statement escape hatch, reason mandatory:

@@ -6,8 +6,7 @@ use crate::lexer::{self, Line};
 use crate::Violation;
 
 /// Rule identifiers, exactly as they appear in `lint: allow(<rule>)`.
-pub const RULES: [&str; 6] = [
-    "unsafe-hygiene",
+pub const RULES: [&str; 5] = [
     "panic-freedom",
     "lock-ordering",
     "no-alloc",

@@ -793,7 +793,8 @@ impl TimeCryptServer {
     /// Unparseable entries report [`ServerError::BadChunk`] at their
     /// position. Each stream's chunks form one run: one ingest-lock
     /// acquisition and one store commit, whether the batch is a whole drain
-    /// of the service tier's ingest workers or a single chunk.
+    /// of the service tier's ingest workers or a single chunk. A run that
+    /// panics fails its own chunks (`Unavailable`) and no other stream's.
     pub fn insert_bytes_run(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
         let mut out: Vec<Result<(), ServerError>> = Vec::with_capacity(chunks.len());
         // Per stream, in first-appearance order: its parsed chunks with
@@ -819,10 +820,18 @@ impl TimeCryptServer {
             let Some((run, positions)) = runs.remove(&stream) else {
                 continue;
             };
-            for (pos, verdict) in positions
-                .into_iter()
-                .zip(self.insert_stream_run(stream, &run))
-            {
+            // Panic containment is per stream run: a poisoned stream must
+            // not make chunks of *other* streams — possibly already
+            // durably committed by their own runs — report failure, or a
+            // replica mirror would skip writes the primary actually holds.
+            let verdicts = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.insert_stream_run(stream, &run)
+            }))
+            .unwrap_or_else(|_| {
+                let panicked = |_| Err(ServerError::Unavailable("shard engine panicked"));
+                run.iter().map(panicked).collect()
+            });
+            for (pos, verdict) in positions.into_iter().zip(verdicts) {
                 out[pos] = verdict;
             }
         }

@@ -3,9 +3,8 @@
 //! The [`crate::ShardRouter`] decides *which* shard owns a stream; a
 //! [`ShardBackend`] decides *where* that shard runs. Two implementations:
 //!
-//! * [`LocalShard`] — an in-process
-//!   [`TimeCryptServer`](timecrypt_server::TimeCryptServer) engine (the only
-//!   option before multi-node support; still the default).
+//! * [`LocalShard`] — one shard of the coordinator's in-process
+//!   [`ShardNode`](crate::ShardNode), called directly (the default).
 //! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
 //!   reached over the blocking TCP transport through a
 //!   [`ClientPool`](timecrypt_wire::pool::ClientPool)
@@ -33,7 +32,6 @@ mod local;
 mod remote;
 mod replicas;
 
-pub(crate) use local::metered_stat;
 pub use local::LocalShard;
 pub use remote::RemoteShard;
 pub use replicas::ShardReplicas;
@@ -118,9 +116,10 @@ impl ShardSpec {
 /// creation, the rebuild seam's list / export / length probes and the
 /// node stats probe are functions over it, written once. The others are
 /// what a `call` cannot express: `stat_leg` pipelines a leg on one
-/// connection, `insert_batch` frames borrowed chunk bytes, `occupancy`
-/// is the one probe a local engine cannot answer as a wire request (it
-/// has no `Stats`), and `endpoint` names the node.
+/// connection (in process, its sub-queries run in order on the calling
+/// thread), `insert_batch` frames borrowed chunk bytes and returns typed
+/// verdicts, `occupancy` probes one shard where a node's `Stats` covers
+/// all it hosts, and `endpoint` names the node.
 pub trait ShardBackend: Send + Sync + 'static {
     /// Dispatches one wire request and returns the shard's reply.
     fn call(&self, req: Request) -> Result<Response, ServerError>;
@@ -157,9 +156,10 @@ pub trait ShardBackend: Send + Sync + 'static {
     }
 }
 
-/// Full stats snapshot of the node behind `backend`. In-process backends
-/// answer `None` (an engine has no service stats): the coordinator reads
-/// its own counters directly, and summing them here would double-count.
+/// Full stats snapshot of the node behind `backend`. Asked of backends
+/// with an [`endpoint`](ShardBackend::endpoint) only: the coordinator
+/// reads its in-process node's counters directly, and summing them here
+/// would double-count.
 pub(crate) fn node_stats(backend: &dyn ShardBackend) -> Option<ServiceStatsWire> {
     match backend.call(Request::Stats) {
         Ok(Response::ServiceStats(stats)) => Some(stats),

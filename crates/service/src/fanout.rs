@@ -6,17 +6,8 @@
 //! an unbounded channel. The caller always executes one leg inline (the
 //! largest), so a single-shard query never crosses a thread boundary at
 //! all.
-//!
-//! A second, shared pool ([`ReaderPool`]) provides *intra-shard* query
-//! parallelism: now that `TimeCryptServer`'s read path takes no exclusive
-//! stream lock, the sub-queries of one large leg can run concurrently, so
-//! a leg is sliced across the readers (the leg runner keeps one slice
-//! inline). Reader tasks never block on other pools, so the
-//! shard-worker → reader-pool handoff cannot deadlock.
 
-use parking_lot::Mutex;
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 type Task = Box<dyn FnOnce() + Send>;
@@ -76,73 +67,6 @@ impl Drop for PoolWorker {
     }
 }
 
-/// A small pool of reader threads shared by all shards, used to split the
-/// sub-queries of one large query leg. Work-stealing off a single shared
-/// channel: whichever reader is idle picks up the next slice.
-pub(crate) struct ReaderPool {
-    tx: Sender<Task>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ReaderPool {
-    /// A pool of `n` readers. `n == 0` is valid: `exec` then runs tasks
-    /// inline (no intra-leg parallelism).
-    pub(crate) fn new(n: usize) -> Self {
-        let (tx, rx) = channel::<Task>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..n)
-            .map(|i| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("tc-reader-{i}"))
-                    .spawn(move || loop {
-                        // Classic shared-receiver pool: hold the lock only
-                        // while waiting for the next task.
-                        let task = rx.lock().recv();
-                        match task {
-                            Ok(task) => {
-                                // Tasks do their own panic containment;
-                                // this backstop keeps the reader alive.
-                                let _ =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                            }
-                            Err(_) => break,
-                        }
-                    })
-                    // lint: allow(panic-freedom) — one-time pool construction at service startup; spawn failure here means the process cannot run at all
-                    .expect("spawn reader worker")
-            })
-            .collect();
-        ReaderPool { tx, handles }
-    }
-
-    /// Number of reader threads.
-    pub(crate) fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Runs `task` on an idle reader; inline when the pool is empty or
-    /// shutting down.
-    pub(crate) fn exec(&self, task: Task) {
-        if self.handles.is_empty() {
-            task();
-            return;
-        }
-        if let Err(e) = self.tx.send(task) {
-            (e.0)();
-        }
-    }
-}
-
-impl Drop for ReaderPool {
-    fn drop(&mut self) {
-        drop(std::mem::replace(&mut self.tx, channel().0));
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,36 +102,5 @@ mod tests {
         let pool = ShardPool::new(2);
         pool.exec(0, Box::new(|| {}));
         drop(pool);
-    }
-
-    #[test]
-    fn reader_pool_executes_across_workers() {
-        let pool = ReaderPool::new(3);
-        assert_eq!(pool.len(), 3);
-        let counter = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = channel();
-        for _ in 0..24 {
-            let counter = counter.clone();
-            let tx = tx.clone();
-            pool.exec(Box::new(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-                tx.send(()).unwrap();
-            }));
-        }
-        for _ in 0..24 {
-            rx.recv().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 24);
-    }
-
-    #[test]
-    fn empty_reader_pool_runs_inline() {
-        let pool = ReaderPool::new(0);
-        let counter = Arc::new(AtomicU64::new(0));
-        let c = counter.clone();
-        pool.exec(Box::new(move || {
-            c.fetch_add(1, Ordering::Relaxed);
-        }));
-        assert_eq!(counter.load(Ordering::Relaxed), 1, "ran synchronously");
     }
 }

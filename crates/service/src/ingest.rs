@@ -13,10 +13,10 @@
 //! already-queued job (up to `GREEDY_BATCH` chunks) and hands the whole
 //! run to the shard backend as one ordered batch. A job is never split —
 //! one client batch costs one backend call per shard it touches — while
-//! jobs of concurrent submitters coalesce. Local backends store the
-//! drain's bytes as per-stream engine runs, while remote backends copy
-//! them once into a single `InsertBatch` frame — one round trip, which
-//! is what makes batched ingest efficient over TCP.
+//! jobs of concurrent submitters coalesce. Local backends hand the
+//! drain's bytes to the shard's engine as one run, while remote backends
+//! copy them once into a single `InsertBatch` frame — one round trip,
+//! which is what makes batched ingest efficient over TCP.
 
 use crate::backend::ShardReplicas;
 use crate::metrics::ShardMetrics;
@@ -128,7 +128,7 @@ fn run_worker(rx: Receiver<Job>, backend: Arc<ShardReplicas>) {
         }
         let _trace = trace::set_current(drain_trace);
         let views: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-        // The backend contains engine panics per chunk; this backstop
+        // The engine contains panics per stream run; this backstop
         // covers the dispatch itself so queued replies are never eaten.
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             backend.ingest_batch(&views)

@@ -27,17 +27,16 @@
 //!   single-engine deployment on the same workload.
 //! * **Intra-shard read parallelism** — the engine's read path takes no
 //!   exclusive stream lock (queries run against a published chunk-count
-//!   snapshot), so sub-queries of one large leg are split across a shared
-//!   reader pool ([`ServiceConfig::query_readers`]), and any number of
-//!   client threads can query a shard — even one hot stream — concurrently
-//!   with its ingest worker.
+//!   snapshot), so any number of client threads can query a shard — even
+//!   one hot stream — concurrently with each other and with its ingest
+//!   worker.
 //! * **Multi-node shard placement** ([`backend`], [`node`]) — the router
 //!   decides *which* shard owns a stream
 //!   ([`timecrypt_wire::messages::Request::route`] names the routing key
 //!   of every request, for the coordinator and the node alike); a
 //!   [`backend::ShardBackend`] — five methods, `backend/mod.rs` —
-//!   decides *where* that shard runs: in-process
-//!   ([`backend::LocalShard`], `backend/local.rs`) or on a
+//!   decides *where* that shard runs: in the coordinator's own
+//!   [`ShardNode`] ([`backend::LocalShard`], `backend/local.rs`) or on a
 //!   `timecrypt-node` process reached over the wire protocol
 //!   ([`backend::RemoteShard`], `backend/remote.rs`: pipelined + pooled
 //!   TCP). [`ServiceConfig::topology`] maps each shard to `local` or

@@ -1,5 +1,5 @@
 //! A shard node: hosts a subset of the cluster's shards behind the wire
-//! protocol.
+//! protocol — the one place in this crate that opens or owns an engine.
 //!
 //! A multi-node TimeCrypt cluster is a coordinator (a
 //! [`crate::ShardedService`] whose [`crate::ServiceConfig::topology`] maps
@@ -7,7 +7,11 @@
 //! per address. Each node opens one filtered engine per hosted shard over
 //! the node's own KV store and answers the same Request/Response protocol
 //! a single-process server does — which is what keeps coordinator replies
-//! byte-identical however shards are placed.
+//! byte-identical however shards are placed. The shards a coordinator
+//! keeps in its own process run in a `ShardNode` too, over the
+//! coordinator's store; [`crate::backend::LocalShard`] calls the typed
+//! operations (`stream_stat`, `insert_run`) that the wire dispatch below
+//! reaches for the same requests.
 //!
 //! **Topology invariant:** stream → shard assignment is
 //! `ShardRouter::shard_of(stream)` over the *cluster-wide* shard count, so
@@ -17,14 +21,17 @@
 //! signals a mis-routed coordinator or a total-shards mismatch, never a
 //! data error.
 
-use crate::backend::{metered_stat, UNROUTED};
+use crate::backend::{StreamStatResult, UNROUTED};
 use crate::ingest::record_run_metrics;
 use crate::metrics::{store_stats, ServiceMetrics, ShardOccupancy};
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 use timecrypt_chunk::serialize::{ChunkRef, SealedRecord};
 use timecrypt_obs::trace;
+use timecrypt_server::engine::batch_errors;
 use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{Request, RequestRef, Response, Route};
@@ -69,9 +76,20 @@ impl ShardNode {
                 "a node must host at least one shard",
             ));
         }
-        let router = ShardRouter::new(cfg.total_shards);
-        let kv = Arc::new(MeteredKv::new(kv));
         let metrics = Arc::new(ServiceMetrics::new(cfg.total_shards));
+        Self::open_over(Arc::new(MeteredKv::new(kv)), metrics, cfg)
+    }
+
+    /// [`open`](Self::open) over a store meter and shard metrics the
+    /// caller keeps a handle to: how a [`crate::ShardedService`] hosts its
+    /// in-process shards (none of them, for an all-remote topology) and
+    /// still reads their counters directly.
+    pub(crate) fn open_over(
+        kv: Arc<MeteredKv>,
+        metrics: Arc<ServiceMetrics>,
+        cfg: NodeConfig,
+    ) -> Result<Self, ServerError> {
+        let router = ShardRouter::new(cfg.total_shards);
         let mut engines = BTreeMap::new();
         for &shard in &cfg.hosted {
             if shard >= cfg.total_shards {
@@ -113,48 +131,80 @@ impl ShardNode {
         }
     }
 
-    /// The node's one ingest path, over serialized chunk views: chunks are
-    /// routed to their owning engine by a borrowed header parse (payloads
-    /// are never copied), each engine gets its sub-batch as one zero-copy
-    /// run, and the failures come back as `(batch position, error
-    /// string)` in batch order — the same strings whether the batch is an
-    /// `InsertBatch` or the single chunk of an `Insert`.
+    /// One per-stream statistical sub-query with metrics: one latency
+    /// sample and one `queries` increment each, so `Request::Stats`
+    /// histogram totals and counters agree by construction.
+    pub(crate) fn stream_stat(&self, sid: u128, ts_s: i64, ts_e: i64) -> StreamStatResult {
+        let (shard, engine) = self.engine_for(sid)?;
+        let m = self.metrics.shard(shard);
+        let _span = trace::stage("engine.query");
+        let t = Instant::now();
+        let r = engine.stream_stat(sid, ts_s, ts_e);
+        m.query_latency.record(t.elapsed());
+        m.queries.fetch_add(1, Ordering::Relaxed);
+        if r.is_err() {
+            m.query_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        r
+    }
+
+    /// One shard's ingest run: `chunks` (serialized, any stream mix, in
+    /// submission order) go to the shard's engine as one zero-copy batch
+    /// and the verdicts come back typed, in input order. Where every
+    /// chunk this process stores enters its engine — a frame's chunks
+    /// after [`insert_views`](Self::insert_views) routed them, a
+    /// coordinator's through its in-process backend.
+    pub(crate) fn insert_run(
+        &self,
+        shard: usize,
+        chunks: &[&[u8]],
+    ) -> Vec<Result<(), ServerError>> {
+        let Some(engine) = self.engines.get(&shard) else {
+            return chunks.iter().map(|_| Err(NOT_HOSTED)).collect();
+        };
+        let _span = trace::stage("engine.ingest");
+        let t = Instant::now();
+        let verdicts = engine.insert_bytes_run(chunks);
+        record_run_metrics(self.metrics.shard(shard), t.elapsed(), &verdicts);
+        verdicts
+    }
+
+    /// Occupancy of one hosted shard's engine.
+    pub(crate) fn occupancy(&self, shard: usize) -> Result<ShardOccupancy, ServerError> {
+        self.engines
+            .get(&shard)
+            .map(|engine| ShardOccupancy::of(engine))
+            .ok_or(NOT_HOSTED)
+    }
+
+    /// The wire ingest path, over serialized chunk views: chunks are
+    /// routed to their owning shard by a borrowed header parse (payloads
+    /// are never copied), each shard gets its sub-batch as one
+    /// [`insert_run`](Self::insert_run), and the failures come back as
+    /// `(batch position, error string)` in batch order — the same strings
+    /// whether the batch is an `InsertBatch` or the single chunk of an
+    /// `Insert`.
     fn insert_views(&self, chunks: &[&[u8]]) -> Vec<(u32, String)> {
-        let mut verdict_msgs: Vec<Option<String>> = Vec::new();
-        verdict_msgs.resize_with(chunks.len(), || None);
+        let mut verdicts: Vec<Result<(), ServerError>> = Vec::with_capacity(chunks.len());
         // Per-shard sub-batches, each preserving batch order.
         let mut by_shard: BTreeMap<usize, (Vec<&[u8]>, Vec<usize>)> = BTreeMap::new();
         for (pos, &bytes) in chunks.iter().enumerate() {
-            match ChunkRef::parse(bytes) {
+            verdicts.push(match ChunkRef::parse(bytes) {
                 Ok(c) => {
-                    let shard = self.router.shard_of(c.stream);
-                    if self.engines.contains_key(&shard) {
-                        let entry = by_shard.entry(shard).or_default();
-                        entry.0.push(bytes);
-                        entry.1.push(pos);
-                    } else {
-                        verdict_msgs[pos] = Some(NOT_HOSTED.to_string());
-                    }
+                    let entry = by_shard.entry(self.router.shard_of(c.stream)).or_default();
+                    entry.0.push(bytes);
+                    entry.1.push(pos);
+                    Err(ServerError::Unavailable("chunk received no verdict"))
                 }
-                Err(_) => verdict_msgs[pos] = Some(ServerError::BadChunk.to_string()),
-            }
+                Err(_) => Err(ServerError::BadChunk),
+            });
         }
         for (shard, (views, positions)) in by_shard {
-            let _span = trace::stage("engine.ingest");
-            let t = std::time::Instant::now();
-            let verdicts = self.engines[&shard].insert_bytes_run(&views);
-            record_run_metrics(self.metrics.shard(shard), t.elapsed(), &verdicts);
-            for (pos, verdict) in positions.into_iter().zip(verdicts) {
-                if let Err(e) = verdict {
-                    verdict_msgs[pos] = Some(e.to_string());
-                }
+            for (pos, verdict) in positions.into_iter().zip(self.insert_run(shard, &views)) {
+                verdicts[pos] = verdict;
             }
         }
-        verdict_msgs
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.map(|msg| (i as u32, msg)))
-            .collect()
+        batch_errors(verdicts)
     }
 
     /// Node metrics snapshot: one entry per *hosted* shard (global shard
@@ -244,17 +294,11 @@ impl ShardNode {
                     ts_s,
                     ts_e,
                 } => {
-                    let merged = merge_stream_stats(streams.iter().map(|&sid| {
-                        (
-                            sid,
-                            match self.engine_for(sid) {
-                                Ok((shard, engine)) => {
-                                    metered_stat(engine, self.metrics.shard(shard), sid, ts_s, ts_e)
-                                }
-                                Err(e) => Err(e),
-                            },
-                        )
-                    }));
+                    let merged = merge_stream_stats(
+                        streams
+                            .iter()
+                            .map(|&sid| (sid, self.stream_stat(sid, ts_s, ts_e))),
+                    );
                     match merged {
                         Ok(reply) => Response::Stat(reply),
                         Err(e) => Response::Error(e.to_string()),

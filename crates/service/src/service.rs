@@ -4,15 +4,16 @@ use crate::backend::{
     clone_unavailable, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend,
     ShardReplicas, ShardSpec, StreamStatResult, UNROUTED,
 };
-use crate::fanout::{ReaderPool, ShardPool};
+use crate::fanout::ShardPool;
 use crate::ingest::{IngestWorker, Job};
 use crate::metrics::{store_stats, ServiceMetrics};
+use crate::node::{NodeConfig, ShardNode};
 use crate::router::ShardRouter;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_obs::{trace, TraceContext};
-use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError, TimeCryptServer};
+use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{Request, RequestRef, Response, Route, StatReply};
 use timecrypt_wire::pool::PoolConfig;
@@ -36,12 +37,6 @@ pub struct ServiceConfig {
     /// Bounded ingest-queue depth per shard (backpressure threshold), in
     /// jobs: one job is one submitted batch's chunks for that shard.
     pub queue_depth: usize,
-    /// Intra-shard reader threads (shared across shards) used to split the
-    /// sub-queries of one large scatter-gather leg on a *local* shard. The
-    /// engine's lock-free read path makes those sub-queries independent
-    /// even on a single hot stream's shard. `0` disables intra-leg
-    /// parallelism. (Remote legs pipeline instead of splitting.)
-    pub query_readers: usize,
     /// Consecutive primary transport failures after which a replicated
     /// shard's in-sync backup is automatically *promoted* to primary
     /// (reads and writes flip to it; the shard then runs un-replicated
@@ -56,8 +51,8 @@ pub struct ServiceConfig {
     /// legally take `sub-queries × io_timeout`; this budget caps the
     /// *whole* query. Legs that miss the deadline report per-position
     /// `Unavailable("query deadline exceeded")` to the merge fold instead
-    /// of stalling the caller. `None` disables the budget.
-    pub query_deadline: Option<std::time::Duration>,
+    /// of stalling the caller.
+    pub query_deadline: std::time::Duration,
     /// Mint a root trace context for requests that arrive without one
     /// (library calls, untraced wire requests), so every scatter-gather
     /// leg and mirror write of one request shares one trace id across
@@ -78,9 +73,8 @@ impl Default for ServiceConfig {
             topology: Vec::new(),
             pool: PoolConfig::default(),
             queue_depth: 1024,
-            query_readers: 4,
             promote_after: 3,
-            query_deadline: Some(std::time::Duration::from_secs(30)),
+            query_deadline: std::time::Duration::from_secs(30),
             tracing: false,
             engine: ServerConfig::default(),
         }
@@ -114,12 +108,9 @@ pub struct ShardedService {
     query_pool: ShardPool,
     metrics: Arc<ServiceMetrics>,
     kv: Arc<MeteredKv>,
-    /// Any shard (primary or backup) placed on a remote node — gates the
-    /// parallel stats probe.
-    has_remote: bool,
     /// End-to-end budget for one scatter-gather query (see
     /// [`ServiceConfig::query_deadline`]).
-    query_deadline: Option<std::time::Duration>,
+    query_deadline: std::time::Duration,
     /// Mint root trace contexts for otherwise-untraced requests.
     tracing: bool,
     /// Pool tuning, retained for replicas attached after open.
@@ -131,11 +122,12 @@ pub struct ShardedService {
 }
 
 impl ShardedService {
-    /// Opens the service. Local shards open filtered engines over `kv`
-    /// (wrapped in a [`MeteredKv`] so `Request::Stats` can report storage
-    /// traffic), each recovering only the streams it owns; remote shards
-    /// get a connection pool to their node. One ingest worker per shard
-    /// starts immediately.
+    /// Opens the service. The shards the topology places in this process
+    /// run in one [`ShardNode`] over `kv` (wrapped in a [`MeteredKv`] so
+    /// `Request::Stats` can report storage traffic), each engine
+    /// recovering only the streams it owns; remote shards get a
+    /// connection pool to their node. One ingest worker per shard starts
+    /// immediately.
     pub fn open(kv: Arc<dyn KvStore>, cfg: ServiceConfig) -> Result<Self, ServerError> {
         let specs: Vec<ShardSpec> = if cfg.topology.is_empty() {
             (0..cfg.shards).map(|_| ShardSpec::local()).collect()
@@ -145,67 +137,57 @@ impl ShardedService {
         if specs.is_empty() {
             return Err(ServerError::Unavailable("shard count must be at least 1"));
         }
+        if specs.iter().any(|s| s.backup == Some(BackendSpec::Local)) {
+            // Two engines over one store would both own the same streams
+            // and corrupt each other's index writes.
+            return Err(ServerError::Unavailable(
+                "local backup replicas are unsupported; point the backup at its own node",
+            ));
+        }
         let router = ShardRouter::new(specs.len());
         let kv = Arc::new(MeteredKv::new(kv));
         let metrics = Arc::new(ServiceMetrics::new(specs.len()));
-        let readers = Arc::new(ReaderPool::new(cfg.query_readers));
-        let open_backend =
-            |spec: &BackendSpec, shard: usize| -> Result<Arc<dyn ShardBackend>, ServerError> {
-                match spec {
-                    BackendSpec::Local => {
-                        let shared: Arc<dyn KvStore> = kv.clone();
-                        let engine = Arc::new(TimeCryptServer::open_filtered(
-                            shared,
-                            cfg.engine.clone(),
-                            |stream| router.shard_of(stream) == shard,
-                        )?);
-                        Ok(Arc::new(LocalShard::new(
-                            engine,
-                            readers.clone(),
-                            metrics.clone(),
-                            shard,
-                        )))
-                    }
-                    BackendSpec::Remote(addr) => Ok(Arc::new(RemoteShard::new(
-                        addr.clone(),
-                        cfg.pool.clone(),
-                        metrics.clone(),
-                        shard,
-                    ))),
-                }
-            };
-        let mut backends = Vec::with_capacity(specs.len());
-        for (shard, spec) in specs.iter().enumerate() {
-            let primary = open_backend(&spec.primary, shard)?;
-            let backup = match &spec.backup {
-                None => None,
-                Some(BackendSpec::Local) => {
-                    // Two engines over one store would both own the same
-                    // streams and corrupt each other's index writes.
-                    return Err(ServerError::Unavailable(
-                        "local backup replicas are unsupported; point the backup at its own node",
-                    ));
-                }
-                Some(remote) => Some(open_backend(remote, shard)?),
-            };
-            backends.push(Arc::new(ShardReplicas::new(
-                shard,
-                metrics.clone(),
-                primary,
-                backup,
-                cfg.promote_after,
-            )));
-        }
+        let node = Arc::new(ShardNode::open_over(
+            kv.clone(),
+            metrics.clone(),
+            NodeConfig {
+                total_shards: specs.len(),
+                hosted: (0..specs.len())
+                    .filter(|&shard| specs[shard].primary == BackendSpec::Local)
+                    .collect(),
+                engine: cfg.engine.clone(),
+            },
+        )?);
+        let open_backend = |spec: &BackendSpec, shard: usize| -> Arc<dyn ShardBackend> {
+            match spec {
+                BackendSpec::Local => Arc::new(LocalShard::new(node.clone(), shard)),
+                BackendSpec::Remote(addr) => Arc::new(RemoteShard::new(
+                    addr.clone(),
+                    cfg.pool.clone(),
+                    metrics.clone(),
+                    shard,
+                )),
+            }
+        };
+        let backends: Vec<Arc<ShardReplicas>> = specs
+            .iter()
+            .enumerate()
+            .map(|(shard, spec)| {
+                Arc::new(ShardReplicas::new(
+                    shard,
+                    metrics.clone(),
+                    open_backend(&spec.primary, shard),
+                    spec.backup.as_ref().map(|b| open_backend(b, shard)),
+                    cfg.promote_after,
+                ))
+            })
+            .collect();
         let workers = backends
             .iter()
             .enumerate()
             .map(|(i, backend)| IngestWorker::spawn(i, backend.clone(), cfg.queue_depth))
             .collect();
         let query_pool = ShardPool::new(specs.len());
-        let has_remote = specs.iter().any(|s| {
-            matches!(s.primary, BackendSpec::Remote(_))
-                || matches!(s.backup, Some(BackendSpec::Remote(_)))
-        });
         Ok(ShardedService {
             router,
             backends,
@@ -213,7 +195,6 @@ impl ShardedService {
             query_pool,
             metrics,
             kv,
-            has_remote,
             query_deadline: cfg.query_deadline,
             tracing: cfg.tracing,
             pool_cfg: cfg.pool,
@@ -395,12 +376,12 @@ impl ShardedService {
 
     /// Scatter-gather statistical query: per-stream sub-queries fan out to
     /// the owning shards in parallel (one gather thread per involved
-    /// shard). Local legs are further split across the intra-shard reader
-    /// pool ([`ServiceConfig::query_readers`]); remote legs are pipelined
-    /// on one node connection. Everything merges in request order with the
-    /// same fold as the single-engine path — so the reply is byte-identical
-    /// to [`TimeCryptServer::get_stat_range`] on the same data, wherever
-    /// the shards run.
+    /// shard). A local leg's sub-queries run in order on the thread that
+    /// took the leg; remote legs are pipelined on one node connection.
+    /// Everything merges in request order with the same fold as the
+    /// single-engine path — so the reply is byte-identical to
+    /// [`timecrypt_server::TimeCryptServer::get_stat_range`] on the same
+    /// data, wherever the shards run.
     pub fn get_stat_range(
         &self,
         streams: &[u128],
@@ -411,7 +392,7 @@ impl ShardedService {
         let ctx = trace::current();
         // The whole-query budget starts before any leg is dispatched, so
         // the inline leg's duration counts against it too.
-        let deadline = self.query_deadline.map(|d| std::time::Instant::now() + d);
+        let started = std::time::Instant::now();
         let route = trace::stage("route");
         // Partition `(position, stream)` pairs by owning shard.
         let mut by_shard: Vec<Vec<(usize, u128)>> = vec![Vec::new(); self.router.shards()];
@@ -474,23 +455,15 @@ impl ShardedService {
             // timeouts somehow never fire (many pipelined sub-queries,
             // each individually under the per-op budget) must not stall
             // the caller past the whole-query budget.
-            let leg = match deadline {
-                None => match reply_rx.recv() {
-                    Ok(leg) => leg,
-                    Err(_) => break,
-                },
-                Some(dl) => {
-                    let left = dl.saturating_duration_since(std::time::Instant::now());
-                    match reply_rx.recv_timeout(left) {
-                        Ok(leg) => leg,
-                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                            timecrypt_obs::counters::timeout_recorded();
-                            deadline_hit = true;
-                            break;
-                        }
-                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
+            let left = self.query_deadline.saturating_sub(started.elapsed());
+            let leg = match reply_rx.recv_timeout(left) {
+                Ok(leg) => leg,
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    timecrypt_obs::counters::timeout_recorded();
+                    deadline_hit = true;
+                    break;
                 }
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
             };
             for (pos, r) in leg {
                 results[pos] = Some(r);
@@ -512,31 +485,32 @@ impl ShardedService {
     /// Wire metrics snapshot (per-shard counters + storage traffic).
     /// Remote shards' stream counts are probed from their nodes — in
     /// parallel, so an unreachable node costs one backoff'd dial, not one
-    /// per shard in sequence; the store counters cover only this
-    /// process's shared store (each node meters its own).
+    /// per shard in sequence. The store counters cover this process's
+    /// shared store plus every distinct node currently attached.
     pub fn stats(&self) -> timecrypt_wire::messages::ServiceStatsWire {
-        // All-local deployments read in-process counters directly; only a
-        // topology with remote nodes pays for probe threads.
-        let occupancy: Vec<crate::metrics::ShardOccupancy> = if self.has_remote {
-            std::thread::scope(|scope| {
-                let probes: Vec<_> = self
-                    .backends
-                    .iter()
-                    .map(|b| scope.spawn(|| b.occupancy()))
-                    .collect();
-                probes
-                    .into_iter()
-                    .map(|p| p.join().unwrap_or_default())
-                    .collect()
-            })
-        } else {
-            self.backends.iter().map(|b| b.occupancy()).collect()
-        };
+        // Only a replica set that can dial a node pays for a probe thread;
+        // in-process sets read their counters on this one.
+        let occupancy: Vec<crate::metrics::ShardOccupancy> = std::thread::scope(|scope| {
+            let probes: Vec<_> = self
+                .backends
+                .iter()
+                .map(|b| {
+                    let dials = b.attached_backends().iter().any(|x| x.endpoint().is_some());
+                    dials.then(|| scope.spawn(|| b.occupancy()))
+                })
+                .collect();
+            probes
+                .into_iter()
+                .zip(&self.backends)
+                .map(|(probe, b)| match probe {
+                    Some(p) => p.join().unwrap_or_default(),
+                    None => b.occupancy(),
+                })
+                .collect()
+        });
         let mut snap = self.metrics.snapshot(&occupancy);
         snap.add_store(&store_stats(self.kv.counters()));
-        if self.has_remote {
-            self.aggregate_remote_store(&mut snap);
-        }
+        self.aggregate_remote_store(&mut snap);
         snap
     }
 
@@ -718,7 +692,6 @@ impl Handler for ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{NodeConfig, ShardNode};
     use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
     use timecrypt_core::StreamKeyMaterial;
     use timecrypt_crypto::{PrgKind, SecureRandom};
@@ -942,6 +915,39 @@ mod tests {
     }
 
     #[test]
+    fn stats_cover_a_replica_attached_after_open() {
+        // Opened all-local, so nothing at `open` said "remote": the node
+        // attached later must still be probed for its store counters.
+        let node = Arc::new(
+            ShardNode::open(
+                Arc::new(MemKv::new()),
+                NodeConfig {
+                    total_shards: 1,
+                    hosted: vec![0],
+                    engine: ServerConfig::default(),
+                },
+            )
+            .unwrap(),
+        );
+        let server = Server::bind("127.0.0.1:0", node.clone()).unwrap();
+        let svc = service(1);
+        svc.create_stream(1, 0, 10_000, 2).unwrap();
+        svc.attach_replica(0, BackendSpec::Remote(server.addr().to_string()))
+            .unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !svc.stats().shards[0].in_sync {
+            assert!(std::time::Instant::now() < deadline, "rebuild never armed");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        for index in 0..10 {
+            svc.insert(&sealed_chunk(1, index, 1)).unwrap();
+        }
+        let mirrored = node.stats().store_puts;
+        assert!(mirrored >= 10, "the replica stored the mirrored chunks");
+        assert_eq!(svc.stats().store_puts, svc.kv().counters().puts + mirrored);
+    }
+
+    #[test]
     fn query_latency_samples_agree_with_query_counter() {
         // One latency sample per sub-query: histogram totals and the
         // `queries` counter must agree in Request::Stats, including when
@@ -970,16 +976,15 @@ mod tests {
     }
 
     #[test]
-    fn reader_pool_split_leg_matches_single_engine_reply() {
-        // Many streams on few shards with a multi-reader pool: the split
-        // leg must still produce a reply byte-identical to one engine
-        // walking the same store sequentially.
+    fn many_stream_legs_match_single_engine_reply() {
+        // Many streams on few shards: the two legs must still produce a
+        // reply byte-identical to one engine walking the same store
+        // sequentially.
         let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
         let svc = ShardedService::open(
             kv.clone(),
             ServiceConfig {
                 shards: 2,
-                query_readers: 3,
                 ..ServiceConfig::default()
             },
         )

@@ -1,7 +1,7 @@
 //! End-to-end read/write concurrency: statistical queries must not
 //! serialize behind the per-stream ingest lock, and every reply must be
 //! exact for the chunk prefix it observed — under both the bare engine
-//! and the sharded service with an intra-shard reader pool.
+//! and the sharded service.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,15 +129,14 @@ fn engine_readers_stay_exact_and_monotone_during_ingest() {
 #[test]
 fn service_readers_stay_exact_during_batched_ingest() {
     // The same hammer through the sharded tier: one shard (so the hot
-    // stream and the queries share an engine), intra-shard reader pool
-    // on, ingest flowing through the shard's worker queue.
+    // stream and the queries share an engine), ingest flowing through the
+    // shard's worker queue.
     const N: u64 = 300;
     let svc = Arc::new(
         ShardedService::open(
             Arc::new(MemKv::new()),
             ServiceConfig {
                 shards: 1,
-                query_readers: 2,
                 ..ServiceConfig::default()
             },
         )

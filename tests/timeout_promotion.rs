@@ -4,7 +4,8 @@
 //! the strike machinery must promote the in-sync backup within the
 //! `promote_after × io_timeout` budget. Mutations whose exchange timed
 //! out are ambiguous (the hung node may have applied them) and must be
-//! reported as such, never silently duplicated.
+//! reported as such, never silently duplicated. A scatter-gather query
+//! has its own, shorter end-to-end budget on top of the socket deadline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,11 +40,16 @@ fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
 }
 
 fn spawn_node() -> (Server, std::net::SocketAddr) {
+    spawn_shard_node(1, 0)
+}
+
+/// A node hosting `shard` of `total` over its own store.
+fn spawn_shard_node(total: usize, shard: usize) -> (Server, std::net::SocketAddr) {
     let node = ShardNode::open(
         Arc::new(MemKv::new()),
         NodeConfig {
-            total_shards: 1,
-            hosted: vec![0],
+            total_shards: total,
+            hosted: vec![shard],
             engine: ServerConfig::default(),
         },
     )
@@ -190,4 +196,66 @@ fn reads_fail_over_from_hung_primary_within_one_deadline() {
         "failover read took {elapsed:?}"
     );
     assert!(svc.stats().shards[0].failovers > 0);
+}
+
+/// The whole-query budget: a leg stuck behind a hung node is given up on
+/// at `query_deadline`, well before its socket deadline would fire, and
+/// the caller gets a typed answer instead of a stall. The shard's pool
+/// worker stays busy until the socket deadline; queries that do not touch
+/// the hung shard are unaffected.
+#[test]
+fn query_deadline_bounds_a_scatter_gather_over_a_hung_leg() {
+    const IO_TIMEOUT: Duration = Duration::from_secs(1);
+    const QUERY_DEADLINE: Duration = Duration::from_millis(200);
+    let (_node_a, addr_a) = spawn_shard_node(2, 0);
+    let (_node_b, addr_b) = spawn_shard_node(2, 1);
+    let proxy = FaultyTransport::spawn(addr_b, timecrypt::faults::FaultPlan::quiet()).unwrap();
+    let svc = ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            topology: vec![
+                ShardSpec::remote(addr_a.to_string()),
+                ShardSpec::remote(proxy.addr().to_string()),
+            ],
+            pool: timecrypt::wire::pool::PoolConfig {
+                connect_attempts: 2,
+                backoff: Duration::from_millis(1),
+                io_timeout: Some(IO_TIMEOUT),
+                ..Default::default()
+            },
+            promote_after: 0,
+            query_deadline: QUERY_DEADLINE,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    // Two streams on the healthy shard and one on the other: the caller
+    // runs the larger leg itself and waits for the smaller one.
+    let router = svc.router();
+    let on = |shard| (1..100u128).filter(move |&id| router.shard_of(id) == shard);
+    let healthy: Vec<u128> = on(0).take(2).collect();
+    let hung: u128 = on(1).next().unwrap();
+    let all = [healthy[0], hung, healthy[1]];
+    for id in all {
+        svc.create_stream(id, 0, 10_000, 2).unwrap();
+        svc.insert(&sealed(id, 0, 3)).unwrap();
+    }
+    assert_eq!(svc.get_stat_range(&all, 0, 10_000).unwrap().parts.len(), 3);
+
+    proxy.black_hole();
+    let timeouts = timecrypt_obs::counters::timeouts_total();
+    let t = Instant::now();
+    let err = svc.get_stat_range(&all, 0, 10_000).unwrap_err();
+    let elapsed = t.elapsed();
+    assert_eq!(
+        err.to_string(),
+        "service unavailable: query deadline exceeded"
+    );
+    // The budget, not the socket deadline, released the caller (≈ 200 ms
+    // when the box is quiet).
+    assert!(elapsed >= QUERY_DEADLINE, "returned early: {elapsed:?}");
+    assert!(elapsed < IO_TIMEOUT, "waited out the socket: {elapsed:?}");
+    assert!(timecrypt_obs::counters::timeouts_total() > timeouts);
+    let reply = svc.get_stat_range(&healthy, 0, 10_000).unwrap();
+    assert_eq!(reply.parts.len(), 2);
 }
