@@ -16,7 +16,7 @@
 //! Writers never block on the ring: each slot is claimed with one atomic
 //! ticket and written under a `try_lock` — a writer that loses the race
 //! (a concurrent dump holding the slot, or a lapping writer) drops the
-//! event and bumps [`dropped_events`] instead of waiting.
+//! event and bumps [`DROPPED_EVENTS`](crate::counters::DROPPED_EVENTS) instead.
 
 use crate::trace::{self, TraceContext};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -111,7 +111,6 @@ impl Event {
 struct Ring {
     slots: Vec<Mutex<Option<(u64, Event)>>>,
     next: AtomicU64,
-    dropped: AtomicU64,
 }
 
 impl Ring {
@@ -119,7 +118,6 @@ impl Ring {
         Ring {
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
             next: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -128,9 +126,7 @@ impl Ring {
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         match slot.try_lock() {
             Ok(mut guard) => *guard = Some((seq, event)),
-            Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => crate::counters::DROPPED_EVENTS.inc(),
         }
     }
 
@@ -240,11 +236,6 @@ pub fn dump() -> Vec<Event> {
     logger().ring.dump()
 }
 
-/// Events lost to ring contention since process start.
-pub fn dropped_events() -> u64 {
-    logger().ring.dropped.load(Ordering::Relaxed)
-}
-
 /// Overrides the stderr threshold at runtime (tests, signal handlers).
 /// `None` silences stderr entirely. Per-target `TC_LOG` overrides keep
 /// winning for their targets.
@@ -305,6 +296,7 @@ mod tests {
     #[test]
     fn ring_drops_instead_of_blocking() {
         let ring = Ring::new(1);
+        let dropped = crate::counters::DROPPED_EVENTS.get();
         let _held = ring.slots[0].lock().unwrap();
         ring.push(Event {
             ts_ms: 0,
@@ -313,7 +305,7 @@ mod tests {
             trace: None,
             msg: "lost".into(),
         });
-        assert_eq!(ring.dropped.load(Ordering::Relaxed), 1);
+        assert!(crate::counters::DROPPED_EVENTS.get() > dropped);
     }
 
     #[test]

@@ -1,21 +1,46 @@
-//! Prometheus text-format (exposition format 0.0.4) rendering, plus
-//! percentile derivation from the service tier's log₂ latency
-//! histograms.
+//! Prometheus text-format (exposition format 0.0.4) rendering, the log₂
+//! latency histogram the service tier records into, and percentile
+//! derivation from its buckets.
+
+use crate::counters::Counter;
+use std::time::Duration;
 
 /// Number of log₂ buckets a full latency histogram carries: bucket `i`
 /// counts samples in `[2^(i-1), 2^i)` microseconds (bucket 0 is
 /// sub-microsecond), so the top bucket is open-ended at `2^28` µs
-/// (~4.5 min). Mirrors the service tier's `HIST_BUCKETS`; snapshots may
-/// arrive shorter (trailing zero buckets are trimmed on the wire).
+/// (~4.5 min). Snapshots may arrive shorter (trailing zero buckets are
+/// trimmed on the wire).
 pub const LOG2_BUCKETS: usize = 30;
+
+/// What a family's samples mean to a scraper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Only grows; the name ends in `_total`.
+    Counter,
+    /// A current value.
+    Gauge,
+    /// Quantiles, by the `quantile` label convention.
+    Summary,
+}
+
+/// One metric family: what its `# HELP` / `# TYPE` preamble says.
+#[derive(Debug, Clone, Copy)]
+pub struct Family {
+    /// The family name, part of the scrape interface.
+    pub name: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// The `# TYPE`.
+    pub kind: Kind,
+}
 
 /// Builder for one exposition-format page.
 ///
 /// ```
-/// use timecrypt_obs::prom::PromText;
+/// use timecrypt_obs::prom::{Family, Kind, PromText};
 ///
 /// let mut page = PromText::new();
-/// page.header("up_total", "Example counter.", "counter");
+/// page.header(&Family { name: "up_total", help: "Example counter.", kind: Kind::Counter });
 /// page.sample("up_total", &[("shard", "0")], 3.0);
 /// let text = page.finish();
 /// assert!(text.contains("up_total{shard=\"0\"} 3"));
@@ -31,18 +56,16 @@ impl PromText {
         PromText::default()
     }
 
-    /// Emits the `# HELP` / `# TYPE` preamble for a metric family.
-    /// `kind` is `counter`, `gauge`, or `summary`.
-    pub fn header(&mut self, name: &str, help: &str, kind: &str) {
-        self.buf.push_str("# HELP ");
-        self.buf.push_str(name);
-        self.buf.push(' ');
-        self.buf.push_str(help);
-        self.buf.push_str("\n# TYPE ");
-        self.buf.push_str(name);
-        self.buf.push(' ');
-        self.buf.push_str(kind);
-        self.buf.push('\n');
+    /// Emits the `# HELP` / `# TYPE` preamble of a metric family.
+    pub fn header(&mut self, family: &Family) {
+        let kind = match family.kind {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Summary => "summary",
+        };
+        let Family { name, help, .. } = family;
+        self.buf
+            .push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
     }
 
     /// Emits one sample line with optional labels. Label values are
@@ -140,26 +163,43 @@ pub fn quantile_log2(buckets: &[u64], q: f64) -> f64 {
     }
 }
 
-/// Convenience: p50/p95/p99 of a log₂ bucketed histogram, in µs.
-pub fn p50_p95_p99(buckets: &[u64]) -> [f64; 3] {
-    [
-        quantile_log2(buckets, 0.50),
-        quantile_log2(buckets, 0.95),
-        quantile_log2(buckets, 0.99),
-    ]
-}
+/// The quantiles a latency summary reports: `quantile` label and rank.
+pub const QUANTILES: [(&str, f64); 3] = [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)];
 
-/// Folds a sample (in µs) into a full-width log₂ bucket array — the same
-/// bucketing rule as the service tier's `LatencyHist`. Exposed so tests
-/// can pin [`quantile_log2`] against exact computations on known sample
-/// sets.
+/// The log₂ bucket a sample of `us` microseconds falls in.
 pub fn bucket_of(us: u64) -> usize {
     ((u64::BITS - us.leading_zeros()) as usize).min(LOG2_BUCKETS - 1)
+}
+
+/// A log₂-bucketed latency histogram over microseconds.
+#[derive(Default)]
+pub struct LatencyHist {
+    buckets: [Counter; LOG2_BUCKETS],
+}
+
+impl LatencyHist {
+    /// Records one latency sample.
+    pub fn record(&self, d: Duration) {
+        self.buckets[bucket_of(d.as_micros() as u64)].inc();
+    }
+
+    /// Snapshot, trimmed of trailing empty buckets.
+    pub fn snapshot(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = self.buckets.iter().map(Counter::get).collect();
+        while v.last() == Some(&0) {
+            v.pop();
+        }
+        v
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn p50_p95_p99(buckets: &[u64]) -> [f64; 3] {
+        QUANTILES.map(|(_, q)| quantile_log2(buckets, q))
+    }
 
     fn hist(samples: &[u64]) -> Vec<u64> {
         let mut buckets = vec![0u64; LOG2_BUCKETS];
@@ -249,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_of_matches_latency_hist_rule() {
+    fn bucket_of_is_log2_of_the_microseconds() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
         assert_eq!(bucket_of(2), 2);
@@ -259,9 +299,46 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_by_log2_us() {
+        let h = LatencyHist::default();
+        h.record(Duration::from_micros(0)); // bucket 0
+        h.record(Duration::from_micros(1)); // bucket 1
+        h.record(Duration::from_micros(3)); // bucket 2
+        h.record(Duration::from_micros(1000)); // bucket 10
+        let snap = h.snapshot();
+        assert_eq!(snap[0], 1);
+        assert_eq!(snap[1], 1);
+        assert_eq!(snap[2], 1);
+        assert_eq!(snap[10], 1);
+        assert_eq!(snap.len(), 11, "trailing zeros trimmed");
+    }
+
+    #[test]
+    fn recorded_samples_produce_exact_percentiles() {
+        // End to end: record a known sample set, trim-snapshot it (the
+        // wire form), and pin the derived percentiles against hand
+        // computation. 90 samples in [16,32) µs, 10 in [256,512) µs.
+        let h = LatencyHist::default();
+        for _ in 0..90 {
+            h.record(Duration::from_micros(20));
+        }
+        for _ in 0..10 {
+            h.record(Duration::from_micros(300));
+        }
+        let [p50, p95, p99] = p50_p95_p99(&h.snapshot());
+        assert!((p50 - (16.0 + (50.0 / 90.0) * 16.0)).abs() < 1e-9, "{p50}");
+        assert!((p95 - (256.0 + 0.5 * 256.0)).abs() < 1e-9, "{p95}");
+        assert!((p99 - (256.0 + 0.9 * 256.0)).abs() < 1e-9, "{p99}");
+    }
+
+    #[test]
     fn prom_text_escapes_and_formats() {
         let mut page = PromText::new();
-        page.header("x_total", "Help text.", "counter");
+        page.header(&Family {
+            name: "x_total",
+            help: "Help text.",
+            kind: Kind::Counter,
+        });
         page.sample("x_total", &[("name", "a\"b\\c")], 1.0);
         page.sample("x_total", &[], 2.5);
         let text = page.finish();

@@ -25,7 +25,6 @@
 use crate::keystore::KeyStore;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_crypto::sha256::sha256_concat;
@@ -382,9 +381,9 @@ pub struct TimeCryptServer {
     /// durable copy is the finalized chunk that supersedes these records.
     live: Mutex<HashMap<u128, LiveBuffer>>,
     /// Cold-touch stream opens since the engine opened.
-    hydrations: AtomicU64,
+    hydrations: counters::Counter,
     /// Resident streams evicted since open.
-    evictions: AtomicU64,
+    evictions: counters::Counter,
 }
 
 fn stream_meta_key(stream: u128) -> Vec<u8> {
@@ -456,8 +455,8 @@ impl TimeCryptServer {
             cfg,
             registry: Mutex::new(StreamRegistry::default()),
             live: Mutex::new(HashMap::new()),
-            hydrations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hydrations: counters::Counter::new(),
+            evictions: counters::Counter::new(),
         };
         let mut directory: HashMap<u128, StreamMeta> = HashMap::new();
         for (key, meta) in server.kv.scan_prefix(b"s/")? {
@@ -629,7 +628,7 @@ impl TimeCryptServer {
                 // Deleted while hydrating: discard the rebuilt state.
                 return Err(ServerError::NoSuchStream(stream));
             }
-            self.hydrations.fetch_add(1, Ordering::Relaxed);
+            self.hydrations.inc();
             reg.insert_resident(stream, st.clone());
             let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
             self.note_evictions(idle.len());
@@ -712,9 +711,7 @@ impl TimeCryptServer {
     }
 
     fn note_evictions(&self, n: usize) {
-        if n > 0 {
-            self.evictions.fetch_add(n as u64, Ordering::Relaxed);
-        }
+        self.evictions.add(n as u64);
     }
 
     /// Evicts every resident stream with no in-flight references,
@@ -735,8 +732,8 @@ impl TimeCryptServer {
     pub fn residency(&self) -> ResidencyStats {
         ResidencyStats {
             resident: self.registry.lock().resident.len() as u64,
-            hydrations: self.hydrations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hydrations: self.hydrations.get(),
+            evictions: self.evictions.get(),
         }
     }
 
@@ -1036,7 +1033,8 @@ impl TimeCryptServer {
                 // The ledger refuses a digest of another width than its first.
                 let appended = ledger.append(stub.copied().unwrap_or_else(hash), digest);
                 appended.map_err(|_| corrupt())?;
-                counters::ledger_leaf_loaded(record.len());
+                counters::LEDGER_LEAVES.inc();
+                counters::LEDGER_BYTES.add(record.len() as u64);
             }
         }
         // Proof builders share the ledger; only a catch-up excludes them.

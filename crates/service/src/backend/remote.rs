@@ -2,7 +2,6 @@
 
 use super::{Leg, ShardBackend, StreamStatResult, UNREACHABLE};
 use crate::metrics::{ServiceMetrics, ShardOccupancy};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_obs::{trace, TraceContext};
@@ -274,10 +273,10 @@ impl RemoteShard {
         for d in samples {
             m.query_latency.record(d);
         }
-        m.queries.fetch_add(legs.len() as u64, Ordering::Relaxed);
+        m.queries.add(legs.len() as u64);
         let errors = out.iter().filter(|(_, r)| r.is_err()).count() as u64;
         if errors > 0 {
-            m.query_errors.fetch_add(errors, Ordering::Relaxed);
+            m.query_errors.add(errors);
         }
         Ok(out)
     }

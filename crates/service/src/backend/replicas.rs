@@ -110,10 +110,7 @@ impl ShardReplicas {
         backup: Option<Arc<dyn ShardBackend>>,
         promote_after: u32,
     ) -> Self {
-        metrics
-            .shard(shard)
-            .in_sync
-            .store(backup.is_some(), Ordering::Relaxed);
+        metrics.shard(shard).in_sync.set(backup.is_some());
         ShardReplicas {
             shard,
             metrics,
@@ -196,8 +193,8 @@ impl ShardReplicas {
                 roles.primary = promoted.backend;
                 self.strikes.store(0, Ordering::Relaxed);
                 let m = self.m();
-                m.promotions.fetch_add(1, Ordering::Relaxed);
-                m.in_sync.store(false, Ordering::Relaxed);
+                m.promotions.inc();
+                m.in_sync.set(false);
                 true
             }
             // No backup, or one that is rebuilding/drifted: nothing safe
@@ -232,12 +229,12 @@ impl ShardReplicas {
         match b.health {
             ReplicaHealth::Rebuilding => {}
             ReplicaHealth::InSync => {
-                self.m().replica_errors.fetch_add(errors, Ordering::Relaxed);
+                self.m().replica_errors.add(errors);
                 b.health = ReplicaHealth::Drifted;
-                self.m().in_sync.store(false, Ordering::Relaxed);
+                self.m().in_sync.set(false);
             }
             ReplicaHealth::Drifted => {
-                self.m().replica_errors.fetch_add(errors, Ordering::Relaxed);
+                self.m().replica_errors.add(errors);
             }
         }
     }
@@ -275,7 +272,7 @@ impl ShardReplicas {
             // Only an in-sync backup may answer reads — a rebuilding or
             // drifted replica would answer from incomplete data.
             if let Some(b) = backup.filter(|b| b.health == ReplicaHealth::InSync) {
-                self.m().failovers.fetch_add(1, Ordering::Relaxed);
+                self.m().failovers.inc();
                 return op(&*b.backend);
             }
             if promoted && !retried {
@@ -387,9 +384,7 @@ impl ShardReplicas {
             },
         )
         .unwrap_or_else(|_| {
-            self.m()
-                .ingest_errors
-                .fetch_add(chunks.len() as u64, Ordering::Relaxed);
+            self.m().ingest_errors.add(chunks.len() as u64);
             chunks.iter().map(|_| Err(AMBIGUOUS)).collect()
         })
     }
@@ -476,7 +471,7 @@ impl ShardReplicas {
         }
         if let Some(b) = &mut roles.backup {
             b.health = ReplicaHealth::InSync;
-            self.m().in_sync.store(true, Ordering::Relaxed);
+            self.m().in_sync.set(true);
             true
         } else {
             false
@@ -491,9 +486,7 @@ impl ShardReplicas {
         let mut roles = self.roles.write();
         let b = roles.backup.as_mut()?;
         b.health = health;
-        self.m()
-            .in_sync
-            .store(health == ReplicaHealth::InSync, Ordering::Relaxed);
+        self.m().in_sync.set(health == ReplicaHealth::InSync);
         Some(b.backend.clone())
     }
 
@@ -572,7 +565,7 @@ impl ShardReplicas {
                 && self.verify_pass(&*survivor, &*replacement, &streams)
                 && self.arm_if_no_drops(drops_before)
             {
-                self.m().rebuilds.fetch_add(1, Ordering::Relaxed);
+                self.m().rebuilds.inc();
                 return;
             }
         }
@@ -636,9 +629,7 @@ impl ShardReplicas {
                     verdicts.iter().filter(|v| v.is_ok()).count() as u64
                 });
                 if copied > 0 {
-                    self.m()
-                        .rebuild_chunks_copied
-                        .fetch_add(copied, Ordering::Relaxed);
+                    self.m().rebuild_chunks_copied.add(copied);
                 } else if stream_len(replacement, info.stream).unwrap_or(0) <= replica_len {
                     // No import landed *and* the mirror did not advance
                     // the replica either: stuck, give this pass up.
@@ -969,10 +960,10 @@ mod tests {
             let m = r.metrics();
             Outcome {
                 served,
-                failovers: m.failovers.load(Ordering::Relaxed),
-                promotions: m.promotions.load(Ordering::Relaxed),
-                replica_errors: m.replica_errors.load(Ordering::Relaxed),
-                in_sync: m.in_sync.load(Ordering::Relaxed),
+                failovers: m.failovers.get(),
+                promotions: m.promotions.get(),
+                replica_errors: m.replica_errors.get(),
+                in_sync: m.in_sync.get() == 1,
             }
         }
 
@@ -1043,7 +1034,7 @@ mod tests {
         assert!(verdicts[0].is_ok() && verdicts[2].is_ok());
         assert!(verdicts[1].is_err(), "out-of-order chunk rejected");
         assert_eq!(
-            r.metrics().replica_errors.load(Ordering::Relaxed),
+            r.metrics().replica_errors.get(),
             2,
             "only the two primary-accepted chunks diverged the replicas"
         );
@@ -1063,19 +1054,19 @@ mod tests {
         primary.set_up(false);
         r.stat_leg(&leg, 0, 10_000);
         assert_eq!(
-            r.metrics().promotions.load(Ordering::Relaxed),
+            r.metrics().promotions.get(),
             0,
             "non-consecutive failures must not promote"
         );
         // The second consecutive strike — a write this time — promotes,
         // and the write is retried against the promoted backup.
         r.insert(&sealed(1, 1, 6)).unwrap();
-        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 1);
+        assert_eq!(r.metrics().promotions.get(), 1);
         // The promoted primary answers reads directly; strikes were reset.
-        let failovers = r.metrics().failovers.load(Ordering::Relaxed);
+        let failovers = r.metrics().failovers.get();
         assert!(r.stat_leg(&leg, 0, 20_000)[0].1.is_ok());
-        assert_eq!(r.metrics().failovers.load(Ordering::Relaxed), failovers);
-        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 1);
+        assert_eq!(r.metrics().failovers.get(), failovers);
+        assert_eq!(r.metrics().promotions.get(), 1);
     }
 
     #[test]
@@ -1095,9 +1086,9 @@ mod tests {
         r.attach_backup(replacement.clone()).unwrap();
         r.rebuild_backup(&AtomicBool::new(false));
         let m = r.metrics();
-        assert_eq!(m.rebuilds.load(Ordering::Relaxed), 1);
-        assert_eq!(m.rebuild_chunks_copied.load(Ordering::Relaxed), 10);
-        assert!(m.in_sync.load(Ordering::Relaxed));
+        assert_eq!(m.rebuilds.get(), 1);
+        assert_eq!(m.rebuild_chunks_copied.get(), 10);
+        assert_eq!(m.in_sync.get(), 1);
         assert_eq!(replacement.engine.stream_count(), 2);
         // The rebuilt replica now serves failover reads byte-identically
         // and is promotion-eligible.
@@ -1105,8 +1096,8 @@ mod tests {
         primary.set_up(false);
         let failed_over = r.stat_leg(&[(0, 1)], 0, 50_000);
         assert_eq!(format!("{healthy:?}"), format!("{failed_over:?}"));
-        assert_eq!(m.failovers.load(Ordering::Relaxed), 1);
-        assert_eq!(m.promotions.load(Ordering::Relaxed), 1, "promote_after=1");
+        assert_eq!(m.failovers.get(), 1);
+        assert_eq!(m.promotions.get(), 1, "promote_after=1");
     }
 
     #[test]
@@ -1128,35 +1119,35 @@ mod tests {
         }
         let r = replicas(primary.clone(), Some(backup.clone()), 1);
         r.insert(&sealed(1, 0, 5)).unwrap();
-        assert!(r.metrics().in_sync.load(Ordering::Relaxed));
+        assert_eq!(r.metrics().in_sync.get(), 1);
         // The backup blips for one acknowledged write: drift is counted
         // AND the replica is demoted.
         backup.set_up(false);
         r.insert(&sealed(1, 1, 6)).unwrap();
-        assert_eq!(r.metrics().replica_errors.load(Ordering::Relaxed), 1);
-        assert!(!r.metrics().in_sync.load(Ordering::Relaxed), "demoted");
+        assert_eq!(r.metrics().replica_errors.get(), 1);
+        assert_eq!(r.metrics().in_sync.get(), 0, "demoted");
         // Back up but still behind: mirrored writes keep counting drift
         // (chunk 2 is rejected — the replica never got chunk 1).
         backup.set_up(true);
         r.insert(&sealed(1, 2, 7)).unwrap();
-        assert_eq!(r.metrics().replica_errors.load(Ordering::Relaxed), 2);
+        assert_eq!(r.metrics().replica_errors.get(), 2);
         // Even promote_after=1 must not promote the drifted replica, and
         // reads must not fail over to its incomplete data.
         primary.set_up(false);
         assert!(r.stat_leg(&[(0, 1)], 0, 30_000)[0].1.is_err());
-        assert_eq!(r.metrics().promotions.load(Ordering::Relaxed), 0);
-        assert_eq!(r.metrics().failovers.load(Ordering::Relaxed), 0);
+        assert_eq!(r.metrics().promotions.get(), 0);
+        assert_eq!(r.metrics().failovers.get(), 0);
         primary.set_up(true);
         // A rebuild copies the missed chunks in place (a drifted replica
         // is always a prefix of its primary) and re-arms the loop.
         r.rebuild_backup(&AtomicBool::new(false));
         let m = r.metrics();
-        assert_eq!(m.rebuilds.load(Ordering::Relaxed), 1);
-        assert_eq!(m.rebuild_chunks_copied.load(Ordering::Relaxed), 2);
-        assert!(m.in_sync.load(Ordering::Relaxed));
+        assert_eq!(m.rebuilds.get(), 1);
+        assert_eq!(m.rebuild_chunks_copied.get(), 2);
+        assert_eq!(m.in_sync.get(), 1);
         primary.set_up(false);
         assert!(r.stat_leg(&[(0, 1)], 0, 30_000)[0].1.is_ok());
-        assert_eq!(m.failovers.load(Ordering::Relaxed), 1);
-        assert_eq!(m.promotions.load(Ordering::Relaxed), 1);
+        assert_eq!(m.failovers.get(), 1);
+        assert_eq!(m.promotions.get(), 1);
     }
 }

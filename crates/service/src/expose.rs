@@ -4,356 +4,75 @@
 //! over the wire by `Request::Stats` — as Prometheus text format 0.0.4,
 //! and wires it to the observability crate's minimal HTTP listener so
 //! both the coordinator and `timecrypt-node` can expose a `/metrics`
-//! endpoint with one call. Latency quantiles (p50/p95/p99) are derived
-//! from the log₂ latency histograms the shards already maintain; no new
-//! per-request accounting is introduced by scraping.
+//! endpoint with one call. No family is named here: the page is a loop
+//! over the rows the snapshot's fields declare
+//! (`ShardStatsWire::ROWS`, `ServiceStatsWire::ROWS`) and over this
+//! process's table (`timecrypt_obs::counters::PROCESS`), so a metric
+//! added to either is on the page. Latency quantiles (p50/p95/p99) are
+//! derived from the log₂ latency histograms the shards already maintain;
+//! no new per-request accounting is introduced by scraping.
 
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-use timecrypt_obs::prom::{p50_p95_p99, PromText};
+use std::sync::Arc;
+use timecrypt_obs::counters::{process_start, PROCESS};
+use timecrypt_obs::prom::{quantile_log2, Kind, PromText, QUANTILES};
 use timecrypt_obs::HttpServer;
-use timecrypt_wire::messages::ServiceStatsWire;
+use timecrypt_wire::messages::{ServiceStatsWire, ShardStatsWire, StatRow, StatValue};
 
-/// Process start, latched on first use so `timecrypt_uptime_seconds`
-/// measures from the first render rather than requiring explicit init.
-static START: OnceLock<Instant> = OnceLock::new();
-
-/// Resident set size in bytes from `/proc/self/statm`, or 0 where that
-/// interface is unavailable. Pages are assumed 4 KiB (the Linux
-/// default); exact page size is not worth a libc dependency here.
-fn resident_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/statm")
-        .ok()
-        .and_then(|s| {
-            s.split_whitespace()
-                .nth(1)
-                .and_then(|pages| pages.parse::<u64>().ok())
-        })
-        .map(|pages| pages * 4096)
-        .unwrap_or(0)
-}
-
-/// Emits one per-shard counter family: header once, one sample per
-/// shard, values picked by `pick`.
-fn shard_counter(
-    page: &mut PromText,
-    stats: &ServiceStatsWire,
-    name: &str,
-    help: &str,
-    kind: &str,
-    pick: impl Fn(&timecrypt_wire::messages::ShardStatsWire) -> f64,
-) {
-    page.header(name, help, kind);
-    for shard in &stats.shards {
-        let label = shard.shard.to_string();
-        page.sample(name, &[("shard", &label)], pick(shard));
+/// Emits one field's samples: a number is one sample, a histogram its
+/// three quantiles in seconds (`quantile` label convention).
+fn samples(page: &mut PromText, name: &str, labels: &[(&str, &str)], value: StatValue<'_>) {
+    match value {
+        StatValue::Num(v) => page.sample(name, labels, v),
+        StatValue::Hist(hist) => {
+            for (quantile, q) in QUANTILES {
+                let labels = [labels, &[("quantile", quantile)]].concat();
+                page.sample(name, &labels, quantile_log2(hist, q) / 1e6);
+            }
+        }
     }
 }
 
-/// Emits one latency summary family (`quantile` label convention) from
-/// per-shard log₂ histograms, in seconds: one series per shard plus an
-/// aggregate over all shards labeled `shard="all"`.
-fn latency_summary(
-    page: &mut PromText,
-    stats: &ServiceStatsWire,
-    name: &str,
-    help: &str,
-    pick: impl Fn(&timecrypt_wire::messages::ShardStatsWire) -> &Vec<u64>,
-) {
-    page.header(name, help, "summary");
-    let mut total: Vec<u64> = Vec::new();
-    for shard in &stats.shards {
-        let hist = pick(shard);
-        if hist.len() > total.len() {
-            total.resize(hist.len(), 0);
-        }
-        for (t, &c) in total.iter_mut().zip(hist.iter()) {
-            *t += c;
-        }
-        let label = shard.shard.to_string();
-        let [p50, p95, p99] = p50_p95_p99(hist);
-        for (q, us) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
-            page.sample(name, &[("shard", &label), ("quantile", q)], us / 1e6);
-        }
-    }
-    let [p50, p95, p99] = p50_p95_p99(&total);
-    for (q, us) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
-        page.sample(name, &[("shard", "all"), ("quantile", q)], us / 1e6);
-    }
-}
-
-/// Renders one stats snapshot as a Prometheus text-format page,
-/// including process gauges (uptime, resident memory) and the flight
-/// recorder's dropped-event counter. Metric names are part of the
-/// scrape interface — CI greps for them — so treat them as stable.
+/// Renders one stats snapshot as a Prometheus text-format page: the
+/// per-shard families (one series per shard; the latency summaries come
+/// last and carry an aggregate over all shards labeled `shard="all"`),
+/// the store traffic, then this process's own families (uptime, resident
+/// memory, the cross-crate counters — each node exposes its own). Metric
+/// names are part of the scrape interface, so treat them as stable;
+/// `tests/golden/metrics.txt` pins the page.
 pub fn render_stats(stats: &ServiceStatsWire) -> String {
-    let start = *START.get_or_init(Instant::now);
     let mut page = PromText::new();
 
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_shard_streams",
-        "Streams owned by each shard.",
-        "gauge",
-        |s| s.streams as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_ingested_chunks_total",
-        "Chunks ingested since service start.",
-        "counter",
-        |s| s.ingested_chunks as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_ingest_errors_total",
-        "Ingest attempts rejected by the engine.",
-        "counter",
-        |s| s.ingest_errors as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_queries_total",
-        "Statistical sub-queries served.",
-        "counter",
-        |s| s.queries as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_query_errors_total",
-        "Sub-queries that returned an error.",
-        "counter",
-        |s| s.query_errors as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_ingest_queue_depth",
-        "Jobs waiting in each shard's ingest queue.",
-        "gauge",
-        |s| s.queue_depth as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_failovers_total",
-        "Reads served by the backup after a primary failure.",
-        "counter",
-        |s| s.failovers as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_replica_errors_total",
-        "Backup operations that failed or diverged from the primary.",
-        "counter",
-        |s| s.replica_errors as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_promotions_total",
-        "Backups promoted to primary.",
-        "counter",
-        |s| s.promotions as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_rebuilds_total",
-        "Replica rebuilds completed.",
-        "counter",
-        |s| s.rebuilds as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_replica_in_sync",
-        "1 if an in-sync backup replica is attached.",
-        "gauge",
-        |s| if s.in_sync { 1.0 } else { 0.0 },
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_resident_streams",
-        "Streams currently hydrated into RAM on each shard.",
-        "gauge",
-        |s| s.resident_streams as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_hydrations_total",
-        "Cold-touch stream hydrations since the engine opened.",
-        "counter",
-        |s| s.hydrations as f64,
-    );
-    shard_counter(
-        &mut page,
-        stats,
-        "timecrypt_evictions_total",
-        "Resident streams evicted since the engine opened.",
-        "counter",
-        |s| s.evictions as f64,
-    );
-
-    latency_summary(
-        &mut page,
-        stats,
-        "timecrypt_ingest_latency_seconds",
-        "Per-chunk ingest latency quantiles.",
-        |s| &s.ingest_hist_us,
-    );
-    latency_summary(
-        &mut page,
-        stats,
-        "timecrypt_query_latency_seconds",
-        "Per-sub-query latency quantiles.",
-        |s| &s.query_hist_us,
-    );
-
-    page.header(
-        "timecrypt_store_ops_total",
-        "KV operations observed by the metered store.",
-        "counter",
-    );
-    for (op, v) in [
-        ("get", stats.store_gets),
-        ("put", stats.store_puts),
-        ("delete", stats.store_deletes),
-        ("scan", stats.store_scans),
-    ] {
-        page.sample("timecrypt_store_ops_total", &[("op", op)], v as f64);
-    }
-    page.header(
-        "timecrypt_store_bytes_total",
-        "Bytes moved through the metered store.",
-        "counter",
-    );
-    for (dir, v) in [
-        ("read", stats.store_bytes_read),
-        ("written", stats.store_bytes_written),
-    ] {
-        page.sample("timecrypt_store_bytes_total", &[("dir", dir)], v as f64);
+    let summary = |row: &&StatRow<ShardStatsWire>| {
+        row.family
+            .is_some_and(|family| family.kind == Kind::Summary)
+    };
+    let (summaries, scalars): (Vec<_>, Vec<_>) = ShardStatsWire::ROWS.iter().partition(summary);
+    for row in scalars.into_iter().chain(summaries) {
+        let Some(family) = &row.family else { continue };
+        page.header(family);
+        let mut all = ShardStatsWire::default();
+        for shard in &stats.shards {
+            (row.merge)(&mut all, shard);
+            let labels = [("shard", &*shard.shard.to_string())];
+            samples(&mut page, family.name, &labels, (row.get)(shard));
+        }
+        if family.kind == Kind::Summary {
+            samples(&mut page, family.name, &[("shard", "all")], (row.get)(&all));
+        }
     }
 
-    page.header(
-        "timecrypt_uptime_seconds",
-        "Seconds since the exposition layer first rendered.",
-        "gauge",
-    );
-    page.sample(
-        "timecrypt_uptime_seconds",
-        &[],
-        start.elapsed().as_secs_f64(),
-    );
-    page.header(
-        "timecrypt_resident_memory_bytes",
-        "Resident set size (0 where /proc is unavailable).",
-        "gauge",
-    );
-    page.sample(
-        "timecrypt_resident_memory_bytes",
-        &[],
-        resident_bytes() as f64,
-    );
-    page.header(
-        "timecrypt_obs_dropped_events_total",
-        "Flight-recorder events dropped under contention.",
-        "counter",
-    );
-    page.sample(
-        "timecrypt_obs_dropped_events_total",
-        &[],
-        timecrypt_obs::log::dropped_events() as f64,
-    );
-    // Process-local robustness counters (like uptime/rss, these describe
-    // this process, not the cluster — each node exposes its own).
-    page.header(
-        "timecrypt_timeouts_total",
-        "I/O deadlines expired (socket timeouts and query-budget hits).",
-        "counter",
-    );
-    page.sample(
-        "timecrypt_timeouts_total",
-        &[],
-        timecrypt_obs::counters::timeouts_total() as f64,
-    );
-    page.header(
-        "timecrypt_fsyncs_total",
-        "fsync/fdatasync calls issued by Fsync-durability stores.",
-        "counter",
-    );
-    page.sample(
-        "timecrypt_fsyncs_total",
-        &[],
-        timecrypt_obs::counters::fsyncs_total() as f64,
-    );
-    page.header(
-        "timecrypt_store_batches_total",
-        "Log store commits (write batches; a lone put or delete is a batch of one). \
-         fsyncs over batches is the fsyncs a commit costs.",
-        "counter",
-    );
-    page.sample(
-        "timecrypt_store_batches_total",
-        &[],
-        timecrypt_obs::counters::store_batches_total() as f64,
-    );
-    page.header(
-        "timecrypt_ledger_leaves_loaded_total",
-        "Level-0 index records read back into integrity ledgers by proof requests. \
-         Flat under ingest and plain queries.",
-        "counter",
-    );
-    page.sample(
-        "timecrypt_ledger_leaves_loaded_total",
-        &[],
-        timecrypt_obs::counters::ledger_leaves_loaded_total() as f64,
-    );
-    page.header(
-        "timecrypt_ledger_bytes_loaded_total",
-        "Bytes of the level-0 records (whole chunks) proof requests read back and hashed \
-         into integrity ledgers: what proofs cost the store.",
-        "counter",
-    );
-    page.sample(
-        "timecrypt_ledger_bytes_loaded_total",
-        &[],
-        timecrypt_obs::counters::ledger_bytes_loaded_total() as f64,
-    );
-    // The log store's footprint; dead / log bytes is the share of the file
-    // a compaction would reclaim. All zero in a process without a `LogKv`.
-    let footprint = timecrypt_obs::counters::store_footprint();
-    for ((name, help), v) in [
-        (
-            "timecrypt_store_log_bytes",
-            "Length of the store's log file, buffered appends included.",
-        ),
-        (
-            "timecrypt_store_live_keys",
-            "Keys with a live value in the log store.",
-        ),
-        (
-            "timecrypt_store_index_bytes",
-            "Resident bytes of the log store's index: 12 per slot of a run, key + constant otherwise.",
-        ),
-        (
-            "timecrypt_store_dead_bytes",
-            "Log bytes held by superseded, deleted and delete records.",
-        ),
-    ]
-    .into_iter()
-    .zip(footprint)
-    {
-        page.header(name, help, "gauge");
-        page.sample(name, &[], v as f64);
+    let mut name = "";
+    for row in ServiceStatsWire::ROWS {
+        if let Some(family) = &row.family {
+            page.header(family);
+            name = family.name;
+        }
+        samples(&mut page, name, row.label, (row.get)(stats));
+    }
+
+    for (family, read) in PROCESS {
+        page.header(family);
+        page.sample(family.name, &[], read());
     }
 
     page.finish()
@@ -363,11 +82,14 @@ pub fn render_stats(stats: &ServiceStatsWire) -> String {
 /// from `stats()` on every scrape (plus the flight recorder on
 /// `/events`). `stats` is invoked per scrape on the listener's handler
 /// thread — pass the service's `stats()` snapshot, which is cheap and
-/// lock-light. The listener stops when the returned server is dropped.
+/// lock-light. `timecrypt_uptime_seconds` counts from this call (or from
+/// the process's first one). The listener stops when the returned server
+/// is dropped.
 pub fn serve_stats<F>(addr: &str, stats: F) -> std::io::Result<HttpServer>
 where
     F: Fn() -> ServiceStatsWire + Send + Sync + 'static,
 {
+    process_start();
     HttpServer::bind(addr, Arc::new(move || render_stats(&stats())))
 }
 
@@ -410,44 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn renders_expected_families() {
-        let text = render_stats(&sample_stats());
-        for name in [
-            "timecrypt_shard_streams",
-            "timecrypt_ingested_chunks_total",
-            "timecrypt_queries_total",
-            "timecrypt_resident_streams",
-            "timecrypt_hydrations_total",
-            "timecrypt_evictions_total",
-            "timecrypt_ingest_latency_seconds",
-            "timecrypt_query_latency_seconds",
-            "timecrypt_store_ops_total",
-            "timecrypt_store_bytes_total",
-            "timecrypt_uptime_seconds",
-            "timecrypt_resident_memory_bytes",
-            "timecrypt_obs_dropped_events_total",
-            "timecrypt_timeouts_total",
-            "timecrypt_fsyncs_total",
-            "timecrypt_store_batches_total",
-            "timecrypt_ledger_leaves_loaded_total",
-            "timecrypt_ledger_bytes_loaded_total",
-            "timecrypt_store_log_bytes",
-            "timecrypt_store_live_keys",
-            "timecrypt_store_index_bytes",
-            "timecrypt_store_dead_bytes",
-        ] {
-            assert!(
-                text.contains(&format!("# TYPE {name}")),
-                "missing family {name} in:\n{text}"
-            );
-        }
-        assert!(text.contains("timecrypt_store_ops_total{op=\"put\"} 8"));
-        assert!(text.contains("timecrypt_store_bytes_total{dir=\"read\"} 4096"));
-        assert!(text.contains("quantile=\"0.95\""));
-        assert!(text.contains("shard=\"all\""));
-    }
-
-    #[test]
     fn well_formed_exposition_lines() {
         // Every non-comment line is `name{labels} value` with a finite
         // numeric value — the shape a Prometheus scraper requires.
@@ -467,14 +151,23 @@ mod tests {
     }
 
     #[test]
-    fn scrape_roundtrip_over_http() {
+    fn scrape_roundtrip_over_http_and_uptime_counts_from_the_bind() {
         use std::io::{Read, Write};
         let server = serve_stats("127.0.0.1:0", sample_stats).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(30));
         let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
         conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
         let mut reply = String::new();
         conn.read_to_string(&mut reply).unwrap();
         assert!(reply.starts_with("HTTP/1.0 200 OK"));
         assert!(reply.contains("timecrypt_store_ops_total{op=\"get\"} 7"));
+        // The node was up for the 30 ms before its first scrape.
+        let uptime = reply
+            .lines()
+            .find_map(|l| l.strip_prefix("timecrypt_uptime_seconds "));
+        assert!(
+            uptime.unwrap().parse::<f64>().unwrap() >= 0.03,
+            "{uptime:?}"
+        );
     }
 }

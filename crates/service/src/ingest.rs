@@ -20,7 +20,6 @@
 
 use crate::backend::ShardReplicas;
 use crate::metrics::ShardMetrics;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -50,9 +49,9 @@ pub(crate) fn record_run_metrics(
     for v in verdicts {
         m.ingest_latency.record(elapsed);
         match v {
-            Ok(()) => m.ingested_chunks.fetch_add(1, Ordering::Relaxed),
-            Err(_) => m.ingest_errors.fetch_add(1, Ordering::Relaxed),
-        };
+            Ok(()) => m.ingested_chunks.inc(),
+            Err(_) => m.ingest_errors.inc(),
+        }
     }
 }
 
@@ -96,12 +95,12 @@ impl IngestWorker {
     /// (backpressure). The queue-depth gauge counts chunks and is bumped
     /// *before* the potentially blocking send so `Stats` shows saturated
     /// queues.
-    pub(crate) fn submit(&self, metrics_depth: &std::sync::atomic::AtomicU64, job: Job) {
+    pub(crate) fn submit(&self, metrics_depth: &timecrypt_obs::counters::Gauge, job: Job) {
         let chunks = job.chunks.len() as u64;
-        metrics_depth.fetch_add(chunks, Ordering::Relaxed);
+        metrics_depth.add(chunks);
         if self.tx.send(job).is_err() {
             // Worker gone (service shutting down); undo the gauge.
-            metrics_depth.fetch_sub(chunks, Ordering::Relaxed);
+            metrics_depth.sub(chunks);
         }
     }
 }
@@ -139,10 +138,7 @@ fn run_worker(rx: Receiver<Job>, backend: Arc<ShardReplicas>) {
                 .map(|_| Err(ServerError::Unavailable("shard ingest worker panicked")))
                 .collect()
         });
-        backend
-            .metrics()
-            .queue_depth
-            .fetch_sub(chunks.len() as u64, Ordering::Relaxed);
+        backend.metrics().queue_depth.sub(chunks.len() as u64);
         let mut results = results.into_iter();
         for (reply, positions) in replies {
             let verdicts = positions.into_iter().zip(results.by_ref()).collect();

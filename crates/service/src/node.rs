@@ -26,7 +26,6 @@ use crate::ingest::record_run_metrics;
 use crate::metrics::{store_stats, ServiceMetrics, ShardOccupancy};
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_chunk::serialize::{ChunkRef, SealedRecord};
@@ -141,9 +140,9 @@ impl ShardNode {
         let t = Instant::now();
         let r = engine.stream_stat(sid, ts_s, ts_e);
         m.query_latency.record(t.elapsed());
-        m.queries.fetch_add(1, Ordering::Relaxed);
+        m.queries.inc();
         if r.is_err() {
-            m.query_errors.fetch_add(1, Ordering::Relaxed);
+            m.query_errors.inc();
         }
         r
     }

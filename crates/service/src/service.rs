@@ -459,7 +459,7 @@ impl ShardedService {
             let leg = match reply_rx.recv_timeout(left) {
                 Ok(leg) => leg,
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    timecrypt_obs::counters::timeout_recorded();
+                    timecrypt_obs::counters::TIMEOUTS.inc();
                     deadline_hit = true;
                     break;
                 }

@@ -96,7 +96,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use timecrypt_obs::tc_warn;
+use timecrypt_obs::{counters, tc_warn};
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -638,8 +638,10 @@ impl Inner {
     /// Publishes the footprint as this process's `timecrypt_store_*` gauges.
     fn publish(&self) {
         let s = self.footprint();
-        let gauges = [s.log_bytes, s.live_keys, s.index_bytes, s.dead_bytes];
-        timecrypt_obs::counters::store_footprint_recorded(gauges);
+        counters::STORE_LOG_BYTES.set(s.log_bytes);
+        counters::STORE_LIVE_KEYS.set(s.live_keys);
+        counters::STORE_INDEX_BYTES.set(s.index_bytes);
+        counters::STORE_DEAD_BYTES.set(s.dead_bytes);
     }
 }
 
@@ -713,7 +715,7 @@ impl LogKv {
         }
         if durability == Durability::Fsync {
             file.sync_data()?;
-            timecrypt_obs::counters::fsync_recorded();
+            counters::FSYNCS.inc();
         }
         let inner = Inner {
             index,
@@ -746,7 +748,7 @@ impl LogKv {
         // durable when it returns; snapshot the watermark first.
         let covered = self.flushed.load(Ordering::Acquire);
         sync.file.sync_data()?;
-        timecrypt_obs::counters::fsync_recorded();
+        counters::FSYNCS.inc();
         sync.synced = sync.synced.max(covered);
         Ok(())
     }
@@ -864,7 +866,7 @@ impl KvStore for LogKv {
             self.flushed.store(inner.appended, Ordering::Release);
             inner.appended
         };
-        timecrypt_obs::counters::store_batch_recorded();
+        counters::STORE_BATCHES.inc();
         self.commit(my)
     }
 
@@ -1140,7 +1142,7 @@ fn write_snapshot(
     let file = w.into_inner().map_err(|e| e.into_error())?;
     if durability == Durability::Fsync {
         file.sync_data()?;
-        timecrypt_obs::counters::fsync_recorded();
+        counters::FSYNCS.inc();
     }
     std::fs::rename(&tmp_path, path)?;
     if durability == Durability::Fsync {
@@ -1399,12 +1401,12 @@ mod tests {
     fn fsync_mode_counts_fsyncs() {
         let _serial = fsync_tests();
         let path = tmp("fsynccount");
-        let before = timecrypt_obs::counters::fsyncs_total();
+        let before = counters::FSYNCS.get();
         let kv = LogKv::open_with(&path, Durability::Fsync).unwrap();
         kv.put(b"a", b"1").unwrap();
         kv.put(b"b", b"2").unwrap();
         assert!(
-            timecrypt_obs::counters::fsyncs_total() >= before + 2,
+            counters::FSYNCS.get() >= before + 2,
             "each uncontended fsync-mode put must fsync"
         );
         drop(kv);
@@ -1421,9 +1423,9 @@ mod tests {
             .iter()
             .map(|key| WriteOp::Put { key, value: b"v" })
             .collect();
-        let fsyncs = timecrypt_obs::counters::fsyncs_total();
+        let fsyncs = counters::FSYNCS.get();
         kv.write_batch(&ops).unwrap();
-        assert_eq!(timecrypt_obs::counters::fsyncs_total() - fsyncs, 1);
+        assert_eq!(counters::FSYNCS.get() - fsyncs, 1);
         assert_eq!(kv.len(), 33);
         drop(kv);
         assert_eq!(LogKv::open(&path).unwrap().len(), 33);

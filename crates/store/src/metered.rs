@@ -12,8 +12,8 @@
 //! the hot path stays untouched when tracing is idle.
 
 use crate::{KvStore, StoreError, WriteOp};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use timecrypt_obs::counters::Counter;
 use timecrypt_obs::trace;
 
 /// Point-in-time snapshot of a [`MeteredKv`]'s counters.
@@ -38,12 +38,12 @@ pub struct StoreCounters {
 /// under concurrency is not required for monitoring.
 pub struct MeteredKv {
     inner: Arc<dyn KvStore>,
-    gets: AtomicU64,
-    puts: AtomicU64,
-    deletes: AtomicU64,
-    scans: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
+    gets: Counter,
+    puts: Counter,
+    deletes: Counter,
+    scans: Counter,
+    bytes_read: Counter,
+    bytes_written: Counter,
 }
 
 impl MeteredKv {
@@ -51,24 +51,24 @@ impl MeteredKv {
     pub fn new(inner: Arc<dyn KvStore>) -> Self {
         MeteredKv {
             inner,
-            gets: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            scans: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
+            gets: Counter::new(),
+            puts: Counter::new(),
+            deletes: Counter::new(),
+            scans: Counter::new(),
+            bytes_read: Counter::new(),
+            bytes_written: Counter::new(),
         }
     }
 
     /// Snapshots the counters.
     pub fn counters(&self) -> StoreCounters {
         StoreCounters {
-            gets: self.gets.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            scans: self.scans.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            gets: self.gets.get(),
+            puts: self.puts.get(),
+            deletes: self.deletes.get(),
+            scans: self.scans.get(),
+            bytes_read: self.bytes_read.get(),
+            bytes_written: self.bytes_written.get(),
         }
     }
 
@@ -81,40 +81,39 @@ impl MeteredKv {
 impl KvStore for MeteredKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
         let _span = trace::stage("store.get");
-        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.gets.inc();
         let v = self.inner.get(key)?;
         if let Some(v) = &v {
-            self.bytes_read.fetch_add(v.len() as u64, Ordering::Relaxed);
+            self.bytes_read.add(v.len() as u64);
         }
         Ok(v)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         let _span = trace::stage("store.put");
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(value.len() as u64, Ordering::Relaxed);
+        self.puts.inc();
+        self.bytes_written.add(value.len() as u64);
         self.inner.put(key, value)
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
         let _span = trace::stage("store.delete");
-        self.deletes.fetch_add(1, Ordering::Relaxed);
+        self.deletes.inc();
         self.inner.delete(key)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
         let _span = trace::stage("store.scan");
-        self.scans.fetch_add(1, Ordering::Relaxed);
+        self.scans.inc();
         let hits = self.inner.scan_prefix(prefix)?;
         let bytes: usize = hits.iter().map(|(_, v)| v.len()).sum();
-        self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.bytes_read.add(bytes as u64);
         Ok(hits)
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
         let _span = trace::stage("store.scan");
-        self.scans.fetch_add(1, Ordering::Relaxed);
+        self.scans.inc();
         self.inner.scan_keys(prefix)
     }
 
@@ -129,10 +128,9 @@ impl KvStore for MeteredKv {
                 bytes += value.len() as u64;
             }
         }
-        self.puts.fetch_add(puts, Ordering::Relaxed);
-        self.deletes
-            .fetch_add(ops.len() as u64 - puts, Ordering::Relaxed);
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+        self.puts.add(puts);
+        self.deletes.add(ops.len() as u64 - puts);
+        self.bytes_written.add(bytes);
         self.inner.write_batch(ops)
     }
 }

@@ -12,11 +12,55 @@
 //! `Wire` form (`codec.rs`).
 
 use crate::codec::{ByteReader, ByteWriter, Wire, WireError, MAX_REPEATED};
+use timecrypt_obs::prom::{Family, Kind};
 use timecrypt_obs::TraceContext;
 
 /// Declares a struct that travels inside a message: the type, and a
 /// `Wire` form that is its fields in declaration order.
+///
+/// A stats struct says after each field what it is on the `/metrics` page:
+/// `= [Kind "family" "help"]` opens a family (with `{label = "value"}` when
+/// several fields are series of it), `= [{label = "value"}]` is a further
+/// series of the family the field before it opened, `= -` is a field that
+/// is no sample (a label, a nested list). Its `ROWS` are those
+/// declarations in field order — what renders a snapshot and what adds two
+/// up; a field that says nothing does not compile.
 macro_rules! wire_struct {
+    (@family) => { None };
+    (@family $kind:ident $family:literal $help:literal) => {
+        Some(Family { name: $family, help: $help, kind: Kind::$kind })
+    };
+    (
+        @row $field:ident
+        $( $kind:ident $family:literal $help:literal )? $( { $label:ident = $series:literal } )?
+    ) => {
+        StatRow {
+            family: wire_struct!(@family $( $kind $family $help )?),
+            label: &[ $( (stringify!($label), $series) )? ],
+            get: |s| s.$field.value(),
+            merge: |s, other| s.$field.merge(&other.$field),
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                pub $field:ident : $fty:ty = $( - )? $( [ $( $row:tt )* ] )?
+            ),* $(,)?
+        }
+    ) => {
+        wire_struct! {
+            $(#[$meta])*
+            pub struct $name { $( $(#[$fmeta])* pub $field: $fty ),* }
+        }
+
+        impl $name {
+            /// The fields that are samples on `/metrics`, in field order.
+            pub const ROWS: &'static [StatRow<$name>] =
+                &[ $( $( wire_struct!(@row $field $( $row )*), )? )* ];
+        }
+    };
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
@@ -172,6 +216,69 @@ macro_rules! wire_enum {
     };
 }
 
+/// What a stats field is on the `/metrics` page.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StatValue<'a> {
+    /// One sample.
+    Num(f64),
+    /// A log₂ latency histogram (µs), rendered as its quantiles.
+    Hist(&'a [u64]),
+}
+
+/// A field of a stats struct: its `/metrics` value, and how another
+/// snapshot's value adds to it.
+pub trait Stat {
+    /// The field's current value.
+    fn value(&self) -> StatValue<'_>;
+    /// Adds `other` to this field.
+    fn merge(&mut self, other: &Self);
+}
+
+impl Stat for u64 {
+    fn value(&self) -> StatValue<'_> {
+        StatValue::Num(*self as f64)
+    }
+    fn merge(&mut self, other: &u64) {
+        *self += other;
+    }
+}
+
+impl Stat for bool {
+    fn value(&self) -> StatValue<'_> {
+        StatValue::Num(u8::from(*self).into())
+    }
+    fn merge(&mut self, other: &bool) {
+        *self |= other;
+    }
+}
+
+impl Stat for Vec<u64> {
+    fn value(&self) -> StatValue<'_> {
+        StatValue::Hist(self)
+    }
+    fn merge(&mut self, other: &Vec<u64>) {
+        if other.len() > self.len() {
+            self.resize(other.len(), 0);
+        }
+        for (sum, count) in self.iter_mut().zip(other) {
+            *sum += count;
+        }
+    }
+}
+
+/// One sample-bearing field of the stats struct `S`: see [`wire_struct`].
+pub struct StatRow<S: 'static> {
+    /// The family the field opens; `None` when it is a further series of
+    /// the family the row before it opened.
+    pub family: Option<Family>,
+    /// The label that tells the field's series from its family's others.
+    pub label: &'static [(&'static str, &'static str)],
+    /// Reads the field.
+    pub get: for<'a> fn(&'a S) -> StatValue<'a>,
+    /// Adds another snapshot's field to this one's.
+    pub merge: fn(&mut S, &S),
+}
+
 wire_struct! {
     /// Server-side per-stream metadata (non-secret: the paper's server knows
     /// chunk boundaries because index keys encode temporal ranges, §4.6).
@@ -209,54 +316,66 @@ wire_struct! {
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
     pub struct ShardStatsWire {
         /// Shard index.
-        pub shard: u32,
+        pub shard: u32 = -,
         /// Streams owned by this shard.
-        pub streams: u64,
+        pub streams: u64 = [Gauge "timecrypt_shard_streams" "Streams owned by each shard."],
         /// Chunks ingested (batched + direct) since service start.
-        pub ingested_chunks: u64,
+        pub ingested_chunks: u64 =
+            [Counter "timecrypt_ingested_chunks_total" "Chunks ingested since service start."],
         /// Ingest attempts rejected by the engine (out-of-order, width, ...).
-        pub ingest_errors: u64,
+        pub ingest_errors: u64 =
+            [Counter "timecrypt_ingest_errors_total" "Ingest attempts rejected by the engine."],
         /// Statistical sub-queries served.
-        pub queries: u64,
+        pub queries: u64 = [Counter "timecrypt_queries_total" "Statistical sub-queries served."],
         /// Sub-queries that returned an error.
-        pub query_errors: u64,
+        pub query_errors: u64 =
+            [Counter "timecrypt_query_errors_total" "Sub-queries that returned an error."],
         /// Jobs currently waiting in the shard's ingest queue.
-        pub queue_depth: u64,
+        pub queue_depth: u64 =
+            [Gauge "timecrypt_ingest_queue_depth" "Jobs waiting in each shard's ingest queue."],
         /// Reads served by the backup replica after the primary was
         /// unreachable (always 0 without replication).
-        pub failovers: u64,
+        pub failovers: u64 = [Counter "timecrypt_failovers_total"
+            "Reads served by the backup after a primary failure."],
         /// Backup-replica operations that failed or diverged from the primary
         /// verdict (always 0 without replication). A growing value means the
         /// replicas are drifting apart and the backup needs rebuilding.
-        pub replica_errors: u64,
+        pub replica_errors: u64 = [Counter "timecrypt_replica_errors_total"
+            "Backup operations that failed or diverged from the primary."],
         /// Backups promoted to primary after the primary stayed unreachable
         /// (the shard then runs un-replicated until a replacement is
         /// attached and rebuilt).
-        pub promotions: u64,
+        pub promotions: u64 = [Counter "timecrypt_promotions_total" "Backups promoted to primary."],
         /// Replica rebuilds completed: a freshly attached backup copied every
         /// hosted stream from the survivor, verified chunk counts, and
         /// re-armed write mirroring.
-        pub rebuilds: u64,
+        pub rebuilds: u64 = [Counter "timecrypt_rebuilds_total" "Replica rebuilds completed."],
         /// Chunks copied survivor → replacement by rebuild workers.
-        pub rebuild_chunks_copied: u64,
+        pub rebuild_chunks_copied: u64 = -,
         /// True iff a backup replica is attached and in sync (write-mirrored,
         /// eligible for read failover and promotion). False while a
         /// replacement is still rebuilding — and always false without
         /// replication.
-        pub in_sync: bool,
+        pub in_sync: bool =
+            [Gauge "timecrypt_replica_in_sync" "1 if an in-sync backup replica is attached."],
         /// Ingest latency histogram: bucket `i` counts operations that took
         /// `[2^(i-1), 2^i)` microseconds (bucket 0 is sub-microsecond).
-        pub ingest_hist_us: Vec<u64>,
+        pub ingest_hist_us: Vec<u64> =
+            [Summary "timecrypt_ingest_latency_seconds" "Per-chunk ingest latency quantiles."],
         /// Query latency histogram, same bucket layout.
-        pub query_hist_us: Vec<u64>,
+        pub query_hist_us: Vec<u64> =
+            [Summary "timecrypt_query_latency_seconds" "Per-sub-query latency quantiles."],
         /// Streams currently hydrated (resident state) on this shard's
         /// engine; bounded by the engine's `max_resident_streams` cap, and at
         /// most `streams`.
-        pub resident_streams: u64,
+        pub resident_streams: u64 = [Gauge "timecrypt_resident_streams"
+            "Streams currently hydrated into RAM on each shard."],
         /// Cold-touch hydrations (store replays of stream state) since open.
-        pub hydrations: u64,
+        pub hydrations: u64 = [Counter "timecrypt_hydrations_total"
+            "Cold-touch stream hydrations since the engine opened."],
         /// Resident streams evicted since open.
-        pub evictions: u64,
+        pub evictions: u64 = [Counter "timecrypt_evictions_total"
+            "Resident streams evicted since the engine opened."],
     }
 }
 
@@ -266,20 +385,22 @@ wire_struct! {
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
     pub struct ServiceStatsWire {
         /// Per-shard counters, in shard order.
-        pub shards: Vec<ShardStatsWire>,
+        pub shards: Vec<ShardStatsWire> = -,
         /// KV `get` operations observed by the metered store.
-        pub store_gets: u64,
+        pub store_gets: u64 = [Counter "timecrypt_store_ops_total"
+            "KV operations observed by the metered store." {op = "get"}],
         /// KV `put` operations.
-        pub store_puts: u64,
+        pub store_puts: u64 = [{op = "put"}],
         /// KV `delete` operations.
-        pub store_deletes: u64,
+        pub store_deletes: u64 = [{op = "delete"}],
         /// KV `scan_prefix` operations.
-        pub store_scans: u64,
+        pub store_scans: u64 = [{op = "scan"}],
         /// Value bytes returned by `get`/`scan_prefix` (the paper's
         /// Cassandra-side read traffic, §4.6).
-        pub store_bytes_read: u64,
-        /// Key+value bytes written by `put`.
-        pub store_bytes_written: u64,
+        pub store_bytes_read: u64 = [Counter "timecrypt_store_bytes_total"
+            "Bytes moved through the metered store." {dir = "read"}],
+        /// Value bytes written by `put`.
+        pub store_bytes_written: u64 = [{dir = "written"}],
     }
 }
 
@@ -288,12 +409,9 @@ impl ServiceStatsWire {
     /// shards are left alone): how a coordinator folds each node's storage
     /// traffic into cluster-wide totals.
     pub fn add_store(&mut self, other: &ServiceStatsWire) {
-        self.store_gets += other.store_gets;
-        self.store_puts += other.store_puts;
-        self.store_deletes += other.store_deletes;
-        self.store_scans += other.store_scans;
-        self.store_bytes_read += other.store_bytes_read;
-        self.store_bytes_written += other.store_bytes_written;
+        for row in Self::ROWS {
+            (row.merge)(self, other);
+        }
     }
 }
 
@@ -783,6 +901,54 @@ impl<'a> BatchEncoder<'a> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    #[test]
+    fn stat_rows_read_and_add_the_fields_they_are_declared_on() {
+        let mut a = ServiceStatsWire {
+            shards: vec![ShardStatsWire::default()],
+            store_puts: 2,
+            store_bytes_written: 10,
+            ..Default::default()
+        };
+        let b = ServiceStatsWire {
+            shards: vec![ShardStatsWire::default(); 2],
+            store_gets: 1,
+            store_puts: 3,
+            ..Default::default()
+        };
+        a.add_store(&b);
+        assert_eq!(
+            (a.store_gets, a.store_puts, a.store_bytes_written),
+            (1, 5, 10)
+        );
+        assert_eq!(a.shards.len(), 1, "the shards are left alone");
+        // One row per store field: the first of a family opens it, the
+        // others are its further series.
+        let rows = ServiceStatsWire::ROWS;
+        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.iter().filter(|r| r.family.is_some()).count(), 2);
+        assert_eq!(rows[1].label, [("op", "put")]);
+        assert_eq!((rows[1].get)(&a), StatValue::Num(5.0));
+
+        // Histograms add bucket by bucket, the shorter one padded.
+        let mut x = ShardStatsWire {
+            query_hist_us: vec![1, 2],
+            ..Default::default()
+        };
+        let y = ShardStatsWire {
+            query_hist_us: vec![0, 1, 4],
+            in_sync: true,
+            ..Default::default()
+        };
+        for row in ShardStatsWire::ROWS {
+            (row.merge)(&mut x, &y);
+        }
+        assert_eq!(x.query_hist_us, [1, 3, 4]);
+        assert!(x.in_sync);
+        assert!(ShardStatsWire::ROWS
+            .iter()
+            .all(|r| r.family.is_some() && r.label.is_empty()));
+    }
 
     fn all_requests() -> Vec<Request> {
         vec![

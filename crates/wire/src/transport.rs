@@ -296,7 +296,7 @@ fn serve_connection(
                 // Idle (or mid-frame stalled) past the deadline: close.
                 // The client side redials; a stalled sender was never
                 // going to complete this frame anyway.
-                timecrypt_obs::counters::timeout_recorded();
+                timecrypt_obs::counters::TIMEOUTS.inc();
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -444,7 +444,7 @@ impl Client {
         self.scratch = body;
         if let Err(e) = &result {
             if e.is_timeout() {
-                timecrypt_obs::counters::timeout_recorded();
+                timecrypt_obs::counters::TIMEOUTS.inc();
             }
         }
         Ok(result?)
@@ -457,7 +457,7 @@ impl Client {
     pub fn recv(&mut self) -> Result<Response, ClientError> {
         let body = read_frame(&mut self.reader).inspect_err(|e| {
             if e.is_timeout() {
-                timecrypt_obs::counters::timeout_recorded();
+                timecrypt_obs::counters::TIMEOUTS.inc();
             }
         })?;
         Ok(Response::decode(&body).map_err(FrameError::Wire)?)

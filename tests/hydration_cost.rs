@@ -91,8 +91,8 @@ fn first_touch_reads_the_open_spine_not_the_history() {
 /// is per process.
 #[test]
 fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
-    let loaded = timecrypt_obs::counters::ledger_leaves_loaded_total;
-    let loaded_bytes = timecrypt_obs::counters::ledger_bytes_loaded_total;
+    let loaded = || timecrypt_obs::counters::LEDGER_LEAVES.get();
+    let loaded_bytes = || timecrypt_obs::counters::LEDGER_BYTES.get();
     let kv = Arc::new(MeteredKv::new(Arc::new(MemKv::new())));
     let server = TimeCryptServer::open(
         kv.clone(),

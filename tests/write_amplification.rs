@@ -130,10 +130,10 @@ fn an_ingest_run_under_fsync_waits_for_one_fsync() {
         assert!(server.insert_bytes_run(&views).iter().all(Result::is_ok));
     };
     run(0..48);
-    let (fsyncs, keys) = (timecrypt_obs::counters::fsyncs_total(), log.len());
+    let (fsyncs, keys) = (timecrypt_obs::counters::FSYNCS.get(), log.len());
     run(48..64);
     assert_eq!(log.len() - keys, 17);
-    assert_eq!(timecrypt_obs::counters::fsyncs_total() - fsyncs, 1);
+    assert_eq!(timecrypt_obs::counters::FSYNCS.get() - fsyncs, 1);
     drop(server);
     std::fs::remove_file(path).unwrap();
 }
