@@ -351,7 +351,8 @@ wire_struct! {
         /// re-armed write mirroring.
         pub rebuilds: u64 = [Counter "timecrypt_rebuilds_total" "Replica rebuilds completed."],
         /// Chunks copied survivor → replacement by rebuild workers.
-        pub rebuild_chunks_copied: u64 = -,
+        pub rebuild_chunks_copied: u64 = [Counter "timecrypt_rebuild_chunks_copied_total"
+            "Chunks copied from the survivor to the replacement by replica rebuilds."],
         /// True iff a backup replica is attached and in sync (write-mirrored,
         /// eligible for read failover and promotion). False while a
         /// replacement is still rebuilding — and always false without
