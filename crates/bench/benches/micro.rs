@@ -98,7 +98,7 @@ fn bench_compression(c: &mut Criterion) {
 }
 
 fn bench_integrity(c: &mut Criterion) {
-    use timecrypt_integrity::{chunk_commitment, MerkleTree, SumLeaf, SumTree};
+    use timecrypt_integrity::{chunk_commitment, SumLeaf, SumTree};
     use timecrypt_pk::SigningKey;
     let mut g = c.benchmark_group("integrity");
     g.sample_size(20);
@@ -120,17 +120,6 @@ fn bench_integrity(c: &mut Criterion) {
     let proof = tree.range_proof(1000, 9000, n).unwrap();
     g.bench_function("sumtree_verify_range_16k", |b| {
         b.iter(|| std::hint::black_box(proof.verify(&root).unwrap()))
-    });
-
-    let mut log = MerkleTree::new();
-    for i in 0..n as u64 {
-        log.push(&i.to_le_bytes());
-    }
-    g.bench_function("merkle_inclusion_16k", |b| {
-        b.iter(|| std::hint::black_box(log.inclusion_proof(7777, n).unwrap()))
-    });
-    g.bench_function("merkle_root_incremental_16k", |b| {
-        b.iter(|| std::hint::black_box(log.root()))
     });
 
     let mut rng = SecureRandom::from_seed_insecure(3);

@@ -9,8 +9,7 @@
 //! aggregate: [`verify_attested_range`] checks the signature, the size
 //! binding, and the proof in one step.
 
-use crate::merkle::Hash;
-use crate::sumtree::{RangeProof, SumLeaf, SumTree, SumTreeError, VerifyError};
+use crate::sumtree::{Hash, RangeProof, SumLeaf, SumTree, SumTreeError, VerifyError};
 use timecrypt_crypto::{sha256, SecureRandom};
 use timecrypt_pk::{Signature, SigningKey, VerifyingKey};
 

@@ -8,7 +8,6 @@
 //!
 //! | Module | Content |
 //! |--------|---------|
-//! | [`merkle`] | RFC 6962 append-only Merkle tree: inclusion proofs (a chunk is in the attested history) and consistency proofs (a newer root extends an older one — no history rewriting) |
 //! | [`sumtree`] | Authenticated aggregation tree: every node binds child hashes **and** child HEAC digest sums, so an O(log n) [`RangeProof`] authenticates any range aggregate |
 //! | [`attest`] | ECDSA-signed root attestations and the per-stream [`StreamLedger`] run by owner and server |
 //!
@@ -42,14 +41,10 @@
 //! ```
 
 pub mod attest;
-pub mod merkle;
 pub mod sumtree;
 
 pub use attest::{
     chunk_commitment, verify_attested_range, verify_attested_range_open, AttestError,
     RootAttestation, StreamLedger,
 };
-pub use merkle::{
-    leaf_hash, node_hash, verify_consistency, verify_inclusion, Hash, MerkleTree, ProofError,
-};
-pub use sumtree::{ProofNode, RangeProof, SumLeaf, SumTree, SumTreeError, VerifyError};
+pub use sumtree::{Hash, ProofNode, RangeProof, SumLeaf, SumTree, SumTreeError, VerifyError};

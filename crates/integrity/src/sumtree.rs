@@ -10,7 +10,7 @@
 //! data owner — a lying server cannot inflate, deflate, drop, or reorder
 //! chunks without breaking the root hash.
 //!
-//! Hash structure (domain-separated like [`crate::merkle`]):
+//! Hash structure (domain-separated, as in RFC 6962):
 //!
 //! * leaf: `H(0x00 || commitment || width || le(sum))`
 //! * node: `H(0x01 || left.hash || right.hash || le(left.sum) || le(right.sum))`
@@ -20,10 +20,12 @@
 //! proof's root-level node needs expansion, which [`SumTree::range_proof`]
 //! guarantees.
 
-use crate::merkle::Hash;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use timecrypt_crypto::sha256;
+
+/// A 32-byte node or root hash.
+pub type Hash = [u8; 32];
 
 /// One leaf: a binding commitment to the chunk (e.g. `H(chunk bytes)`)
 /// plus the chunk's HEAC-encrypted digest vector.

@@ -147,47 +147,6 @@ fn server_substituting_a_digest_is_caught_before_decryption() {
 }
 
 #[test]
-fn consistency_between_attestations_proves_append_only() {
-    use timecrypt::integrity::{verify_consistency, MerkleTree};
-    // A pure commitment log (inclusion/consistency layer): attest at 25,
-    // then at 40; the consistency proof convinces a consumer that the first
-    // 25 chunks were untouched.
-    let w = build_world();
-    let _ = &w.server_ledger;
-    let mut log = MerkleTree::new();
-    let mut rng = SecureRandom::from_seed_insecure(99);
-    let _ = SigningKey::generate(&mut rng);
-    for i in 0..CHUNKS {
-        let points: Vec<DataPoint> = (0..PTS_PER_CHUNK)
-            .map(|p| DataPoint::new(i as i64 * 10_000 + p * 1_000, i as i64 * PTS_PER_CHUNK + p))
-            .collect();
-        let sealed = PlainChunk {
-            stream: STREAM,
-            index: i,
-            points,
-        }
-        .seal(&w.cfg, &w.keys, &mut rng)
-        .unwrap();
-        log.push(&sealed.to_bytes());
-    }
-    let old_root = log.root_at(25).unwrap();
-    let new_root = log.root_at(40).unwrap();
-    let proof = log.consistency_proof(25, 40).unwrap();
-    verify_consistency(25, 40, &proof, &old_root, &new_root).unwrap();
-
-    // A rewritten history cannot connect the two roots.
-    let tampered = {
-        let mut t = MerkleTree::new();
-        for i in 0..40u64 {
-            t.push(format!("other-{i}").as_bytes());
-        }
-        t
-    };
-    let bad_proof = tampered.consistency_proof(25, 40).unwrap();
-    assert!(verify_consistency(25, 40, &bad_proof, &old_root, &tampered.root()).is_err());
-}
-
-#[test]
 fn integrity_composes_with_access_control() {
     // A consumer with only a *partial* token range can still verify the
     // whole-stream proof (integrity needs no secrets) but can only decrypt
