@@ -1,5 +1,5 @@
 //! Loader for `analyzer.toml` — the checked-in policy the rules run
-//! against (lock order, hot-path crate list, blocking and atomics roles).
+//! against (lock order, blocking and atomics roles).
 //!
 //! The file is a deliberately tiny TOML subset so the analyzer stays
 //! dependency-free: `[dotted.section]` headers, `key = ["a", "b"]` lists
@@ -15,8 +15,6 @@ pub struct Config {
     /// Lock classes in acquisition order (outermost first). Each entry is
     /// `(class name, receiver identifiers that acquire it)`.
     pub lock_order: Vec<(String, Vec<String>)>,
-    /// Crate names whose non-test code must be panic-free.
-    pub panic_free_crates: Vec<String>,
     /// Method/function names too generic to resolve as call-graph edges
     /// (std container and iterator idiom: `get`, `insert`, `lock`, …).
     /// Calls to these names never create edges; the interprocedural rules
@@ -168,9 +166,6 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
                 }
                 classes.insert(class, parse_list(value, line_no)?);
             }
-            "panic_freedom" if key == "crates" => {
-                cfg.panic_free_crates = parse_list(value, line_no)?;
-            }
             "callgraph" if key == "ambient_methods" => {
                 cfg.ambient_methods = parse_list(value, line_no)?;
             }
@@ -253,9 +248,6 @@ receivers = ["roles"]
 
 [locks.class.ingest]
 receivers = ["ingest", "ingest_for"]
-
-[panic_freedom]
-crates = ["wire", "store"]
 "#;
 
     #[test]
@@ -268,7 +260,6 @@ crates = ["wire", "store"]
                 ("ingest".into(), vec!["ingest".into(), "ingest_for".into()]),
             ]
         );
-        assert_eq!(cfg.panic_free_crates, vec!["wire", "store"]);
     }
 
     #[test]

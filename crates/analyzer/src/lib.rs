@@ -2,21 +2,19 @@
 //!
 //! The TimeCrypt reproduction's concurrency and hot-path invariants
 //! (documented in `ARCHITECTURE.md` §"Static analysis") are enforced here
-//! as five mechanical rules over lexed source text:
+//! as four mechanical rules over lexed source text:
 //!
-//! 1. `panic-freedom` — no `.unwrap()`/`.expect(`/panicking macros in
-//!    non-test code of the hot-path crates.
-//! 2. `lock-ordering` — nested lock acquisitions must follow the
+//! 1. `lock-ordering` — nested lock acquisitions must follow the
 //!    documented order (config-driven), checked both within one function
 //!    body and across call chains via the workspace call graph.
-//! 3. `no-alloc` — `// lint: deny(alloc)` functions must not allocate.
-//! 4. `blocking-under-lock` — no store I/O, socket reads, or sleeps
+//! 2. `no-alloc` — `// lint: deny(alloc)` functions must not allocate.
+//! 3. `blocking-under-lock` — no store I/O, socket reads, or sleeps
 //!    (transitively) while holding a configured blocking-sensitive lock
 //!    class.
-//! 5. `atomics-ordering` — every `Ordering::*` usage must match the
+//! 4. `atomics-ordering` — every `Ordering::*` usage must match the
 //!    declared role of its atomic (counter / publish / gate).
 //!
-//! Rules 2, 4, and 5 are driven by an interprocedural layer: [`heldset`]
+//! Rules 1, 3, and 4 are driven by an interprocedural layer: [`heldset`]
 //! walks each function body tracking live lock guards, [`callgraph`]
 //! resolves call sites to workspace definitions (name-based,
 //! over-approximating) and propagates may-acquire / may-block summaries
@@ -24,7 +22,7 @@
 //!
 //! Deliberately dependency-free (crates.io is not assumed reachable) and
 //! parser-free: a comment/string-aware lexer ([`lexer`]) plus brace
-//! matching ([`scan`]) is enough for all five rules, keeps the gate under
+//! matching ([`scan`]) is enough for all four rules, keeps the gate under
 //! a second on the workspace, and cannot fall behind rustc's grammar.
 //!
 //! Per-statement escape hatch, reason mandatory:

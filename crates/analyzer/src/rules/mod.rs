@@ -1,4 +1,4 @@
-//! The five repo-specific rules. Each exposes `NAME` (the identifier
+//! The four repo-specific rules. Each exposes `NAME` (the identifier
 //! used in `lint: allow(...)`) and a check that appends [`Violation`]s.
 //! Per-file rules take a [`SourceFile`]; the interprocedural rules
 //! (`lock-ordering`, `blocking-under-lock`) run over the workspace call
@@ -8,7 +8,6 @@ pub mod atomics;
 pub mod blocking;
 pub mod lock_order;
 pub mod no_alloc;
-pub mod panic_freedom;
 
 use crate::callgraph;
 use crate::config::Config;
@@ -21,7 +20,6 @@ pub fn run_all(cfg: &Config, files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     for f in files {
         out.extend(f.directive_errors.iter().cloned());
-        panic_freedom::check(cfg, f, &mut out);
         no_alloc::check(f, &mut out);
         atomics::check(cfg, f, &mut out);
     }

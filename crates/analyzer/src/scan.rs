@@ -6,8 +6,7 @@ use crate::lexer::{self, Line};
 use crate::Violation;
 
 /// Rule identifiers, exactly as they appear in `lint: allow(<rule>)`.
-pub const RULES: [&str; 5] = [
-    "panic-freedom",
+pub const RULES: [&str; 4] = [
     "lock-ordering",
     "no-alloc",
     "blocking-under-lock",
@@ -352,9 +351,9 @@ mod tests {
     #[test]
     fn allow_directive_targets_same_or_next_line() {
         let f = file(
-            "x.unwrap(); // lint: allow(panic-freedom) — provable\n// lint: allow(no-alloc) — cold path\ny();\n",
+            "kv.get(k); // lint: allow(blocking-under-lock) — provable\n// lint: allow(no-alloc) — cold path\ny();\n",
         );
-        assert!(f.allowed(0, "panic-freedom"));
+        assert!(f.allowed(0, "blocking-under-lock"));
         assert!(!f.allowed(1, "no-alloc"));
         assert!(f.allowed(2, "no-alloc"));
         assert!(f.directive_errors.is_empty());
@@ -365,11 +364,11 @@ mod tests {
         // The directive sits on the acquisition line; the flagged token is
         // on the continuation line of the same method chain.
         let f = file(
-            "let g = self.queue.lock() // lint: allow(panic-freedom) — poisoning is fatal by design\n    .unwrap();\nother();\n",
+            "let v = self.kv // lint: allow(blocking-under-lock) — single-flight by design\n    .get(k);\nother();\n",
         );
-        assert!(f.allowed(0, "panic-freedom"));
-        assert!(f.allowed(1, "panic-freedom"));
-        assert!(!f.allowed(2, "panic-freedom"));
+        assert!(f.allowed(0, "blocking-under-lock"));
+        assert!(f.allowed(1, "blocking-under-lock"));
+        assert!(!f.allowed(2, "blocking-under-lock"));
         assert!(f.directive_errors.is_empty());
     }
 
@@ -396,9 +395,9 @@ mod tests {
 
     #[test]
     fn allow_without_reason_is_an_error() {
-        let f = file("x.unwrap(); // lint: allow(panic-freedom)\n");
+        let f = file("kv.get(k); // lint: allow(blocking-under-lock)\n");
         assert_eq!(f.directive_errors.len(), 1);
-        assert!(!f.allowed(0, "panic-freedom"));
+        assert!(!f.allowed(0, "blocking-under-lock"));
     }
 
     #[test]

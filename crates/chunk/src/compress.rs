@@ -41,7 +41,10 @@ impl Codec {
             Codec::Delta => 1,
             Codec::DeltaRle => 2,
             Codec::Gorilla => 3,
-            // lint: allow(panic-freedom) — private helper; every caller resolves `Auto` (via `compress_best`) before asking for a wire id, and `from_id` never yields it
+            #[allow(
+                clippy::unreachable,
+                reason = "private helper; every caller resolves `Auto` (via `compress_best`) before asking for a wire id, and `from_id` never yields it"
+            )]
             Codec::Auto => unreachable!("Auto is resolved before serialization"),
         }
     }
@@ -163,7 +166,10 @@ pub fn compress(codec: Codec, points: &[DataPoint]) -> Vec<u8> {
             encode_rle(&mut out, points.iter().map(|p| p.value));
         }
         Codec::Gorilla => encode_gorilla(&mut out, points),
-        // lint: allow(panic-freedom) — `Auto` returned early via `compress_best` at the top of this function
+        #[allow(
+            clippy::unreachable,
+            reason = "`Auto` returned early via `compress_best` at the top of this function"
+        )]
         Codec::Auto => unreachable!("handled above"),
     }
     out

@@ -16,6 +16,15 @@
 //! | [`bits`] | MSB-first bit reader/writer backing the Gorilla codec |
 //! | [`serialize`] | Chunk wire layout, payload encryption, chunk builder |
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
+
 pub mod bits;
 pub mod compress;
 pub mod model;

@@ -29,6 +29,15 @@
 //! secret data); the AES-NI path is constant-time by construction. Do not
 //! use the software path where timing side channels matter.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
+
 pub mod aes;
 pub mod ct;
 pub mod gcm;

@@ -47,6 +47,15 @@
 //! a region aged out by `rollup` surface [`ServerError::RangeDecayed`]
 //! (distinct from corruption).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
+
 pub mod engine;
 pub mod keystore;
 

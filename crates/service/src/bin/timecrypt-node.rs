@@ -31,6 +31,15 @@
 //! the surviving replica, or act as the survivor streaming its chunks
 //! out — no extra flags, every node speaks both sides.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
+
 use std::sync::Arc;
 use timecrypt_obs::{tc_error, tc_info};
 use timecrypt_server::ServerConfig;

@@ -29,6 +29,10 @@ impl ShardPool {
         let workers = (0..shards)
             .map(|i| {
                 let (tx, rx) = channel::<Task>();
+                #[allow(
+                    clippy::expect_used,
+                    reason = "one-time pool construction at service startup; spawn failure here means the process cannot run at all"
+                )]
                 let handle = std::thread::Builder::new()
                     .name(format!("tc-query-{i}"))
                     .spawn(move || {
@@ -38,7 +42,6 @@ impl ShardPool {
                             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
                         }
                     })
-                    // lint: allow(panic-freedom) — one-time pool construction at service startup; spawn failure here means the process cannot run at all
                     .expect("spawn query worker");
                 PoolWorker {
                     tx,

@@ -80,10 +80,13 @@ impl IngestWorker {
     /// Spawns the worker for `shard` over its replica set.
     pub(crate) fn spawn(shard: usize, backend: Arc<ShardReplicas>, queue_depth: usize) -> Self {
         let (tx, rx): (SyncSender<Job>, Receiver<Job>) = sync_channel(queue_depth);
+        #[allow(
+            clippy::expect_used,
+            reason = "one-time worker construction at service startup; spawn failure here means the process cannot run at all"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("tc-ingest-{shard}"))
             .spawn(move || run_worker(rx, backend))
-            // lint: allow(panic-freedom) — one-time worker construction at service startup; spawn failure here means the process cannot run at all
             .expect("spawn ingest worker");
         IngestWorker {
             tx,

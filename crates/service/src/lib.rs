@@ -76,6 +76,15 @@
 //! assert_eq!(svc.stats().shards.len(), 4);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
+
 pub mod backend;
 pub mod expose;
 pub(crate) mod fanout;

@@ -256,10 +256,13 @@ impl ShardedService {
 
     fn spawn_rebuild(&self, shard: usize, replicas: Arc<ShardReplicas>) {
         let shutdown = self.shutdown.clone();
+        #[allow(
+            clippy::expect_used,
+            reason = "rebuild workers are rare operator-triggered spawns; a spawn failure indicates resource exhaustion no error path could service"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("tc-rebuild-{shard}"))
             .spawn(move || replicas.rebuild_backup(&shutdown))
-            // lint: allow(panic-freedom) — rebuild workers are rare operator-triggered spawns; a spawn failure indicates resource exhaustion no error path could service
             .expect("spawn rebuild worker");
         let mut workers = self.rebuild_workers.lock();
         // Reap finished workers so repeated rebuild triggers on a

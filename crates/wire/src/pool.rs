@@ -227,8 +227,11 @@ pub struct PooledConn<'a> {
 
 impl PooledConn<'_> {
     /// The underlying connection.
+    #[allow(
+        clippy::expect_used,
+        reason = "`client` is `Some` from construction until drop; `discard` consumes the guard, so no caller can observe `None`"
+    )]
     pub fn client(&mut self) -> &mut Client {
-        // lint: allow(panic-freedom) — `client` is `Some` from construction until drop; `discard` consumes the guard, so no caller can observe `None`
         self.client.as_mut().expect("connection present until drop")
     }
 
