@@ -16,14 +16,9 @@
 //! | [`bits`] | MSB-first bit reader/writer backing the Gorilla codec |
 //! | [`serialize`] | Chunk wire layout, payload encryption, chunk builder |
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod bits;
 pub mod compress;

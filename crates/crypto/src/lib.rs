@@ -29,14 +29,9 @@
 //! secret data); the AES-NI path is constant-time by construction. Do not
 //! use the software path where timing side channels matter.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod aes;
 pub mod ct;

@@ -29,14 +29,9 @@
 //! proceed while an append is in flight — see `tree` module docs for the
 //! exactness argument.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod cache;
 pub mod digest;

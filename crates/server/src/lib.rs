@@ -47,14 +47,9 @@
 //! a region aged out by `rollup` surface [`ServerError::RangeDecayed`]
 //! (distinct from corruption).
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod engine;
 pub mod keystore;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use timecrypt_obs::counters::{process_start, PROCESS};
 use timecrypt_obs::prom::{quantile_log2, Kind, PromText, QUANTILES};
 use timecrypt_obs::HttpServer;
-use timecrypt_wire::messages::{ServiceStatsWire, ShardStatsWire, StatRow, StatValue};
+use timecrypt_wire::messages::{ServiceStatsWire, ShardStatsWire, StatValue};
 
 /// Emits one field's samples: a number is one sample, a histogram its
 /// three quantiles in seconds (`quantile` label convention).
@@ -42,14 +42,12 @@ fn samples(page: &mut PromText, name: &str, labels: &[(&str, &str)], value: Stat
 pub fn render_stats(stats: &ServiceStatsWire) -> String {
     let mut page = PromText::new();
 
-    let summary = |row: &&StatRow<ShardStatsWire>| {
-        row.family
-            .is_some_and(|family| family.kind == Kind::Summary)
-    };
-    let (summaries, scalars): (Vec<_>, Vec<_>) = ShardStatsWire::ROWS.iter().partition(summary);
-    for row in scalars.into_iter().chain(summaries) {
-        let Some(family) = &row.family else { continue };
-        page.header(family);
+    // Field order, but the latency summaries after every scalar family.
+    let rows = ShardStatsWire::ROWS.iter();
+    let mut rows: Vec<_> = rows.filter_map(|row| Some((row.family?, row))).collect();
+    rows.sort_by_key(|(family, _)| family.kind == Kind::Summary);
+    for (family, row) in rows {
+        page.header(&family);
         let mut all = ShardStatsWire::default();
         for shard in &stats.shards {
             (row.merge)(&mut all, shard);

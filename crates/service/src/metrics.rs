@@ -2,11 +2,9 @@
 //!
 //! Every field is a `timecrypt_obs` [`Counter`], [`Gauge`] or
 //! [`LatencyHist`] — relaxed atomics; the ingest hot path pays two bumps
-//! per chunk. [`ShardMetrics::snapshot`] copies them into the
-//! `ShardStatsWire` fields of the same names, and those fields declare the
-//! `/metrics` families (see `timecrypt_wire::messages`): a new per-shard
-//! metric is a field here, a field there with its family, and the line in
-//! `snapshot` the compiler asks for. Snapshots are not cross-counter
+//! per chunk. A snapshot copies them into the `ShardStatsWire` fields of
+//! the same names, which declare the `/metrics` families
+//! (`timecrypt_wire::messages`). Snapshots are not cross-counter
 //! consistent, which is fine for monitoring.
 
 use timecrypt_obs::counters::{Counter, Gauge};

@@ -19,14 +19,9 @@
 //! spans, and hands the handler exactly the pre-envelope bytes —
 //! untraced traffic is byte-identical to a build without tracing.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod codec;
 pub mod frame;

@@ -266,7 +266,9 @@ impl Stat for Vec<u64> {
     }
 }
 
-/// One sample-bearing field of the stats struct `S`: see [`wire_struct`].
+/// One field of the stats struct `S` that is a sample on `/metrics`, as
+/// the struct's declaration says after the field; `S::ROWS` has them in
+/// field order.
 pub struct StatRow<S: 'static> {
     /// The family the field opens; `None` when it is a further series of
     /// the family the row before it opened.
