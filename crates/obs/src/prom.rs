@@ -3,6 +3,7 @@
 //! derivation from its buckets.
 
 use crate::counters::Counter;
+use std::fmt::Write;
 use std::time::Duration;
 
 /// Number of log₂ buckets a full latency histogram carries: bucket `i`
@@ -64,8 +65,8 @@ impl PromText {
             Kind::Summary => "summary",
         };
         let Family { name, help, .. } = family;
-        self.buf
-            .push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(self.buf, "# HELP {name} {help}\n# TYPE {name} {kind}");
     }
 
     /// Emits one sample line with optional labels. Label values are
