@@ -1,6 +1,6 @@
 //! The in-process backend.
 
-use super::{Leg, ShardBackend, StreamStatResult};
+use super::{Leg, PendingBatch, ShardBackend, StreamStatResult};
 use crate::metrics::ShardOccupancy;
 use crate::node::ShardNode;
 use std::sync::Arc;
@@ -44,8 +44,10 @@ impl ShardBackend for LocalShard {
             .collect())
     }
 
-    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError> {
-        Ok(self.node.insert_run(self.shard, chunks))
+    /// Runs the batch: the engine stores from the caller's slices.
+    fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError> {
+        let verdicts = self.node.insert_run(self.shard, chunks);
+        Ok(Box::new(move || Ok(verdicts)))
     }
 
     fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {

@@ -12,7 +12,11 @@
 //!   *pipelined*: a leg's per-stream sub-queries stream onto one
 //!   connection with up to `PIPELINE_WINDOW` requests in flight ahead of
 //!   the responses being drained — one round trip of latency per leg,
-//!   without the buffer-deadlock an unbounded send loop would risk.
+//!   without the buffer-deadlock an unbounded send loop would risk. A
+//!   batch is one `InsertBatch` exchange in two steps — write the frame
+//!   ([`ShardBackend::begin_batch`]), read the verdicts
+//!   ([`ShardBackend::finish_batch`]) — so a thread submitting to several
+//!   shards has every frame on the wire before it waits for a reply.
 //!
 //! [`ShardReplicas`] composes one primary backend with an optional backup
 //! (replication factor R=2): mutations go primary-then-backup, reads fail
@@ -34,11 +38,20 @@ mod replicas;
 
 pub use local::LocalShard;
 pub use remote::RemoteShard;
+pub(crate) use replicas::ingest_runs;
 pub use replicas::ShardReplicas;
 
 use crate::metrics::ShardOccupancy;
 use timecrypt_server::{ServerError, StreamStat};
 use timecrypt_wire::messages::{Request, Response, ServiceStatsWire};
+
+/// Per-chunk ingest verdicts of one batch, in the batch's order.
+pub type Verdicts = Vec<Result<(), ServerError>>;
+
+/// A batch a backend has begun ([`ShardBackend::begin_batch`]): called, it
+/// reads the verdicts. A remote shard's holds the node connection the
+/// reply is owed on; an in-process shard's, the verdicts.
+pub type PendingBatch = Box<dyn FnOnce() -> Result<Verdicts, ServerError>>;
 
 /// One per-stream statistical sub-query outcome.
 pub(crate) type StreamStatResult = Result<StreamStat, ServerError>;
@@ -112,14 +125,16 @@ impl ShardSpec {
 /// Executes one shard's operations, wherever the shard runs. See the
 /// module docs for the error contract.
 ///
-/// Five methods. `call` carries every plain request/reply: stream
+/// Five operations. `call` carries every plain request/reply: stream
 /// creation, the rebuild seam's list / export / length probes and the
 /// node stats probe are functions over it, written once. The others are
 /// what a `call` cannot express: `stat_leg` pipelines a leg on one
 /// connection (in process, its sub-queries run in order on the calling
 /// thread), `insert_batch` frames borrowed chunk bytes and returns typed
-/// verdicts, `occupancy` probes one shard where a node's `Stats` covers
-/// all it hosts, and `endpoint` names the node.
+/// verdicts — as one call, or as its halves `begin_batch` and
+/// `finish_batch` with other shards' exchanges in between — `occupancy`
+/// probes one shard where a node's `Stats` covers all it hosts, and
+/// `endpoint` names the node.
 pub trait ShardBackend: Send + Sync + 'static {
     /// Dispatches one wire request and returns the shard's reply.
     fn call(&self, req: Request) -> Result<Response, ServerError>;
@@ -134,15 +149,26 @@ pub trait ShardBackend: Send + Sync + 'static {
         ts_e: i64,
     ) -> Result<Vec<(usize, StreamStatResult)>, ServerError>;
 
-    /// Ingests `chunks` — serialized chunk bytes, validated where they
-    /// entered the service — in order (per-stream submission order is the
-    /// service tier's ordering contract) and reports per-chunk verdicts.
-    /// Also the import side of the replica-rebuild seam: exported pages
-    /// are applied verbatim, and chunks rejected as out-of-order against
-    /// the replica's current length are expected when the copy races live
-    /// write-mirroring — the rebuild loop re-reads the length and
-    /// converges.
-    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError>;
+    /// Hands the shard `chunks` — serialized chunk bytes, validated where
+    /// they entered the service — to ingest in order (a stream has one
+    /// writer at a time: that, and nothing in this tier, orders a stream's
+    /// writes). A remote shard has the `InsertBatch` frame written when
+    /// this returns; an in-process one has run the batch.
+    fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError>;
+
+    /// The per-chunk verdicts of a batch this backend began.
+    fn finish_batch(&self, batch: PendingBatch) -> Result<Verdicts, ServerError> {
+        batch()
+    }
+
+    /// Begin and finish in one call: the import side of the
+    /// replica-rebuild seam. Exported pages are applied verbatim, and
+    /// chunks rejected as out-of-order against the replica's current
+    /// length are expected when the copy races live write-mirroring — the
+    /// rebuild loop re-reads the length and converges.
+    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Verdicts, ServerError> {
+        self.finish_batch(self.begin_batch(chunks)?)
+    }
 
     /// Stream occupancy: hosted stream count plus the shard's resident /
     /// hydration / eviction counters.

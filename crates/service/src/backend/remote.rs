@@ -1,13 +1,13 @@
 //! The backend for a shard hosted by a `timecrypt-node` process.
 
-use super::{Leg, ShardBackend, StreamStatResult, UNREACHABLE};
+use super::{Leg, PendingBatch, ShardBackend, StreamStatResult, Verdicts, UNREACHABLE};
 use crate::metrics::{ServiceMetrics, ShardOccupancy};
 use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::ServerError;
 use timecrypt_wire::messages::{Request, Response};
-use timecrypt_wire::pool::{ClientPool, PoolConfig};
+use timecrypt_wire::pool::{ClientPool, PoolConfig, PooledConn};
 
 /// A shard hosted by a `timecrypt-node` process, reached over TCP.
 pub struct RemoteShard {
@@ -71,17 +71,17 @@ impl ShardBackend for RemoteShard {
         }
     }
 
-    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Vec<Result<(), ServerError>>, ServerError> {
-        let _span = trace::stage("backend.exchange");
-        let m = self.metrics.shard(self.shard);
+    fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError> {
+        let span = trace::stage("backend.exchange");
         let ctx = trace_ctx();
-        let t = Instant::now();
+        let started = Instant::now();
+        let mut conn = self.pool.get().map_err(|_| UNREACHABLE)?;
         // Frame assembly is the one payload copy of this hop: each
         // chunk's bytes are appended as received, straight into the
         // connection's scratch buffer (no per-chunk `Vec<u8>`, no owned
-        // `Request`), whose capacity is reused across drains on the
+        // `Request`), whose capacity is reused across exchanges on the
         // pooled connection.
-        let reply = self.pool.call_with(|buf| {
+        let sent = conn.client().send_with(|buf| {
             if let Some(ctx) = ctx {
                 timecrypt_wire::messages::encode_trace_prefix(ctx, buf);
             }
@@ -91,34 +91,40 @@ impl ShardBackend for RemoteShard {
             }
             enc.finish();
         });
-        let elapsed = t.elapsed();
-        let results: Vec<Result<(), ServerError>> = match reply {
-            Ok(Response::Batch { errors }) => {
-                let mut results: Vec<Result<(), ServerError>> =
-                    chunks.iter().map(|_| Ok(())).collect();
-                for (idx, msg) in errors {
-                    if let Some(slot) = results.get_mut(idx as usize) {
-                        *slot = Err(ServerError::Remote(msg));
+        if sent.is_err() {
+            conn.discard();
+            return Err(UNREACHABLE);
+        }
+        // A reply is now owed on `conn`: read, the connection goes back to
+        // the pool; abandoned, it must not.
+        let mut owed = ReplyOwed(Some(conn));
+        let (metrics, shard, chunks) = (self.metrics.clone(), self.shard, chunks.len());
+        Ok(Box::new(move || {
+            let _span = span;
+            // Never retried: a reply that does not arrive leaves the
+            // batch's fate unknown.
+            let Some(Ok(reply)) = owed.0.as_mut().map(|c| c.client().recv()) else {
+                return Err(UNREACHABLE);
+            };
+            drop(owed.0.take());
+            let mut results: Verdicts = (0..chunks).map(|_| Ok(())).collect();
+            match reply {
+                Response::Batch { errors } => {
+                    for (idx, msg) in errors {
+                        if let Some(slot) = results.get_mut(idx as usize) {
+                            *slot = Err(ServerError::Remote(msg));
+                        }
                     }
                 }
-                results
+                // The node answered, but not with a batch verdict: fail
+                // every chunk with its message (transport is still fine).
+                Response::Error(msg) => results.fill_with(|| Err(ServerError::Remote(msg.clone()))),
+                _ => results
+                    .fill_with(|| Err(ServerError::Unavailable("unexpected remote batch reply"))),
             }
-            // The node answered, but not with a batch verdict: fail every
-            // chunk with the node's message (transport is still fine).
-            Ok(Response::Error(msg)) | Err(timecrypt_wire::transport::ClientError::Server(msg)) => {
-                chunks
-                    .iter()
-                    .map(|_| Err(ServerError::Remote(msg.clone())))
-                    .collect()
-            }
-            Ok(_) => chunks
-                .iter()
-                .map(|_| Err(ServerError::Unavailable("unexpected remote batch reply")))
-                .collect(),
-            Err(_) => return Err(UNREACHABLE),
-        };
-        crate::ingest::record_run_metrics(m, elapsed, &results);
-        Ok(results)
+            metrics.shard(shard).record_run(started.elapsed(), &results);
+            Ok(results)
+        }))
     }
 
     fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
@@ -140,6 +146,18 @@ impl ShardBackend for RemoteShard {
 
     fn endpoint(&self) -> Option<&str> {
         Some(self.pool.addr())
+    }
+}
+
+/// A node connection with a reply still to be read: dropped like that, it
+/// is discarded — in the pool it would answer the next request with it.
+struct ReplyOwed(Option<PooledConn>);
+
+impl Drop for ReplyOwed {
+    fn drop(&mut self) {
+        if let Some(conn) = self.0.take() {
+            conn.discard();
+        }
     }
 }
 

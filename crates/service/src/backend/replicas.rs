@@ -1,6 +1,8 @@
 //! One shard's replica set: failover, promotion and rebuild.
 
-use super::{clone_unavailable, Leg, ShardBackend, StreamStatResult, AMBIGUOUS, UNREACHABLE};
+use super::{
+    clone_unavailable, Leg, PendingBatch, ShardBackend, StreamStatResult, Verdicts, AMBIGUOUS,
+};
 use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -46,17 +48,15 @@ struct Roles {
 /// One shard's replica set: a primary backend plus an optional backup,
 /// with a health state machine that closes the R=2 loop.
 ///
-/// * **Mutations** (`write_then_mirror`: `call` of a mutation,
-///   `ingest_batch`, `create_stream`) go primary-then-backup. If the
-///   primary is unreachable
-///   the mutation fails *without* touching the backup — the backup only
-///   ever receives writes the primary received, in the same order, which
-///   is the invariant that keeps the replicas byte-identical. A backup
-///   failure (or a verdict diverging from the primary's) does not fail
-///   the operation; it ticks `replica_errors` and *demotes* an in-sync
-///   backup to the drifted state — a replica that provably missed an
-///   acknowledged write must never be promoted or serve failover reads,
-///   or acknowledged data would silently vanish.
+/// * **Mutations** ([`Write`]: `call` of a mutation, `ingest_batch` and
+///   the overlapped [`ingest_runs`], `create_stream`) go
+///   primary-then-backup: the backup only ever receives writes the
+///   primary received, in the same order, which is the invariant that
+///   keeps the replicas byte-identical. A backup failure (or a verdict
+///   diverging from the primary's) does not fail the operation; it ticks
+///   `replica_errors` and *demotes* an in-sync backup to the drifted
+///   state — a replica that provably missed an acknowledged write must
+///   never be promoted or serve failover reads.
 /// * **Reads** (`read_with_failover`: `call` of a read, `stat_leg`,
 ///   `occupancy`) go to the primary and fail over to an *in-sync* backup
 ///   when the primary is unreachable, ticking `failovers`. A rebuilding
@@ -80,10 +80,12 @@ struct Roles {
 ///   ingest means a drifted replica is always a *prefix* of its primary,
 ///   so an in-place copy from its current length converges.
 ///
-/// Per-stream write ordering on the backup follows from the service
-/// tier's existing contract: each stream's writes flow through one shard
-/// ingest worker (or one synchronous caller), so primary and backup see
-/// the same per-stream sequence.
+/// Per-stream write ordering is the caller's: *a stream has one writer at
+/// a time*, so primary and backup see the same per-stream sequence. Two
+/// writers racing one stream index can be accepted in one order by the
+/// primary and the other by the backup; each then reads a mirror verdict
+/// unlike its primary's, which is counted drift — the backup is demoted
+/// and a rebuild re-verifies it, the replicas never differ silently.
 pub struct ShardReplicas {
     shard: usize,
     metrics: Arc<ServiceMetrics>,
@@ -128,11 +130,6 @@ impl ShardReplicas {
             rebuilding: AtomicBool::new(false),
             mirror_drops: AtomicU32::new(0),
         }
-    }
-
-    /// This shard's metrics (shared with the ingest worker).
-    pub(crate) fn metrics(&self) -> &ShardMetrics {
-        self.m()
     }
 
     fn m(&self) -> &ShardMetrics {
@@ -283,51 +280,17 @@ impl ShardReplicas {
         }
     }
 
-    /// The write policy: primary first, then the mirror. `missed` counts
-    /// the acknowledged writes the backup lacks, given the primary's
-    /// outcome and the mirror's (`None`: backup unreachable). Every
-    /// mutation takes this path, replicated shard or not: the mirror
-    /// target must be re-read *after* the primary acknowledges, so a
-    /// backup attached (and even armed) while the call was in flight
-    /// still receives — or vetoes the arming of — the acknowledged write.
-    /// A snapshot-gated fast path would let an acked mutation bypass a
-    /// mid-flight attach.
-    ///
-    /// An unreachable primary fails the write *without* touching the
-    /// backup, which therefore never holds state the primary lacks. At
-    /// most two attempts: the retry runs only when the first attempt's
-    /// failure triggered (or lost the race to) a promotion — safe, because
-    /// the mirror only runs after the primary acknowledged client-side,
-    /// so a write whose ack was lost never reached the backup, and strict
-    /// next-index ingest rejects any duplicate that somehow did. With no
-    /// safe retry target the error is [`AMBIGUOUS`], not the generic
-    /// transport error, so callers know the write may have been applied.
-    fn write_then_mirror<T>(
-        &self,
-        op: impl Fn(&dyn ShardBackend) -> Result<T, ServerError>,
-        missed: impl Fn(&T, Option<&T>) -> u64,
-    ) -> Result<T, ServerError> {
-        let mut retried = false;
-        loop {
-            let primary = self.primary();
-            let Ok(out) = op(&*primary) else {
-                if self.note_primary_failure(&primary) && !retried {
-                    retried = true;
-                    continue;
-                }
-                return Err(AMBIGUOUS);
-            };
-            self.note_primary_ok();
-            if let Some(b) = self.mirror_target() {
-                // Unreachable backup or diverging verdict: the operation
-                // stands (the primary accepted it), but the replica missed
-                // it — `note_mirror_drift` decides against its *current*
-                // health whether that is drift or an expected mid-rebuild
-                // rejection.
-                let mirrored = op(&*b.backend).ok();
-                self.note_mirror_drift(&b.backend, missed(&out, mirrored.as_ref()));
-            }
-            return Ok(out);
+    /// Starts `op` under the write policy (see [`Write`]): it is begun on
+    /// the current primary.
+    fn begin_write<W: WriteOp>(&self, op: W) -> Write<'_, W> {
+        let primary = self.primary();
+        let sent = op.begin_on(&*primary);
+        Write {
+            replicas: self,
+            op,
+            primary: Some((primary, sent)),
+            out: Err(AMBIGUOUS),
+            mirror: None,
         }
     }
 
@@ -337,10 +300,7 @@ impl ShardReplicas {
     /// `Response::Error`, exactly what a wire client would see.
     pub(crate) fn call(&self, req: Request) -> Response {
         let reply = if req.is_mutation() {
-            self.write_then_mirror(
-                |b| b.call(req.clone()),
-                |resp, mirrored| u64::from(mirrored != Some(resp)),
-            )
+            self.begin_write(req).finish_mirror()
         } else {
             self.read_with_failover(|b| b.call(req.clone()))
         };
@@ -364,36 +324,17 @@ impl ShardReplicas {
             })
     }
 
-    /// Ingests an ordered batch under the write policy. Infallible: an
-    /// unreachable primary yields per-chunk [`AMBIGUOUS`] verdicts — the
-    /// batch may have been applied (in full or in prefix) before the
-    /// transport failed, so callers must not blindly re-submit.
-    pub(crate) fn ingest_batch(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
-        self.write_then_mirror(
-            |b| b.insert_batch(chunks),
-            |results, mirrored| match mirrored {
-                Some(mirrored) => results
-                    .iter()
-                    .zip(mirrored)
-                    .filter(|(a, b)| a.is_ok() != b.is_ok())
-                    .count() as u64,
-                // Whole-batch mirror failure: only the chunks the primary
-                // *accepted* diverge the replicas — chunks the primary
-                // itself rejected never landed on either side.
-                None => results.iter().filter(|r| r.is_ok()).count() as u64,
-            },
-        )
-        .unwrap_or_else(|_| {
-            self.m().ingest_errors.add(chunks.len() as u64);
-            chunks.iter().map(|_| Err(AMBIGUOUS)).collect()
-        })
+    /// Begins ingesting an ordered run under the write policy: its frame
+    /// is on its way to the primary (an in-process primary has run it).
+    /// `queue_depth` counts the run's chunks until its verdicts are read.
+    pub(crate) fn begin_ingest<'a>(&'a self, chunks: &'a [&'a [u8]]) -> Write<'a, Run<'a>> {
+        self.m().queue_depth.add(chunks.len() as u64);
+        self.begin_write(Run(chunks))
     }
 
-    /// Synchronous single-chunk ingest (the unbatched path).
-    pub(crate) fn insert(&self, chunk: &[u8]) -> Result<(), ServerError> {
-        self.ingest_batch(&[chunk])
-            .pop()
-            .unwrap_or(Err(UNREACHABLE))
+    /// Ingests an ordered run under the write policy, start to finish.
+    pub(crate) fn ingest_batch(&self, chunks: &[&[u8]]) -> Verdicts {
+        self.begin_ingest(chunks).settle()
     }
 
     /// Registers a stream: a [`call`](Self::call) like every other
@@ -660,6 +601,169 @@ impl ShardReplicas {
     }
 }
 
+/// What a write asks of one backend, in the two transport steps the write
+/// policy runs it in — on the primary, then again on the mirror.
+pub(crate) trait WriteOp {
+    /// What `begin_on` leaves in flight.
+    type Sent;
+    /// The backend's answer.
+    type Out;
+    fn begin_on(&self, b: &dyn ShardBackend) -> Result<Self::Sent, ServerError>;
+    fn finish_on(&self, b: &dyn ShardBackend, sent: Self::Sent) -> Result<Self::Out, ServerError>;
+    /// The acknowledged writes the backup lacks, given the primary's
+    /// answer and the mirror's (`None`: backup unreachable).
+    fn missed(&self, out: &Self::Out, mirrored: Option<&Self::Out>) -> u64;
+}
+
+/// A mutating request: one exchange, nothing to overlap. The mirror must
+/// return the primary's reply.
+impl WriteOp for Request {
+    type Sent = Response;
+    type Out = Response;
+    fn begin_on(&self, b: &dyn ShardBackend) -> Result<Response, ServerError> {
+        b.call(self.clone())
+    }
+    fn finish_on(&self, _: &dyn ShardBackend, reply: Response) -> Result<Response, ServerError> {
+        Ok(reply)
+    }
+    fn missed(&self, reply: &Response, mirrored: Option<&Response>) -> u64 {
+        u64::from(mirrored != Some(reply))
+    }
+}
+
+/// An ordered run of serialized chunks for one shard.
+pub(crate) struct Run<'a>(&'a [&'a [u8]]);
+
+impl WriteOp for Run<'_> {
+    type Sent = PendingBatch;
+    type Out = Verdicts;
+    fn begin_on(&self, b: &dyn ShardBackend) -> Result<PendingBatch, ServerError> {
+        b.begin_batch(self.0)
+    }
+    fn finish_on(&self, b: &dyn ShardBackend, sent: PendingBatch) -> Result<Verdicts, ServerError> {
+        b.finish_batch(sent)
+    }
+    fn missed(&self, results: &Verdicts, mirrored: Option<&Verdicts>) -> u64 {
+        let differ = |(a, b): &(&Result<(), _>, &Result<(), _>)| a.is_ok() != b.is_ok();
+        match mirrored {
+            Some(mirrored) => results.iter().zip(mirrored).filter(differ).count() as u64,
+            // Whole-run mirror failure: only the chunks the primary
+            // *accepted* diverge the replicas — chunks the primary itself
+            // rejected never landed on either side.
+            None => results.iter().filter(|r| r.is_ok()).count() as u64,
+        }
+    }
+}
+
+/// What [`WriteOp::begin_on`] returned for one backend.
+type Begun<W> = Result<<W as WriteOp>::Sent, ServerError>;
+
+/// One write under the write policy — primary first, then the mirror —
+/// which the caller may leave between its transport steps to drive other
+/// shards' writes: [`ShardReplicas::begin_write`] has begun it on the
+/// primary, [`finish_primary`](Self::finish_primary) reads the primary's
+/// answer and begins the mirror, [`finish_mirror`](Self::finish_mirror)
+/// reads the mirror's and accounts drift. Between steps it holds the
+/// backend it waits on, never the roles lock. Every mutation takes this
+/// path, replicated shard or not: the mirror target must be re-read
+/// *after* the primary acknowledges, so a backup attached (and even
+/// armed) while the call was in flight still receives — or vetoes the
+/// arming of — the acknowledged write. A snapshot-gated fast path would
+/// let an acked mutation bypass a mid-flight attach.
+///
+/// An unreachable primary fails the write *without* touching the backup,
+/// which therefore never holds state the primary lacks. At most two
+/// attempts: the retry runs only when the first attempt's failure
+/// triggered (or lost the race to) a promotion — safe, because the mirror
+/// only runs after the primary acknowledged client-side, so a write whose
+/// ack was lost never reached the backup, and strict next-index ingest
+/// rejects any duplicate that somehow did. With no safe retry target the
+/// error is [`AMBIGUOUS`], not the generic transport error, so callers
+/// know the write may have been applied.
+pub(crate) struct Write<'r, W: WriteOp> {
+    replicas: &'r ShardReplicas,
+    op: W,
+    /// The primary, with what `begin_on` left in flight there (or failed
+    /// with), until its answer is read.
+    primary: Option<(Arc<dyn ShardBackend>, Begun<W>)>,
+    /// The primary's answer: unknown until read.
+    out: Result<W::Out, ServerError>,
+    /// The mirror, begun once the primary acknowledged.
+    mirror: Option<(Arc<dyn ShardBackend>, Begun<W>)>,
+}
+
+impl<W: WriteOp> Write<'_, W> {
+    /// Reads the primary's answer and, if it acknowledged, begins the
+    /// mirror. Does nothing the second time.
+    pub(crate) fn finish_primary(&mut self) {
+        let Some((mut primary, mut sent)) = self.primary.take() else {
+            return;
+        };
+        let mut retried = false;
+        loop {
+            if let Ok(out) = sent.and_then(|sent| self.op.finish_on(&*primary, sent)) {
+                self.out = Ok(out);
+                break;
+            }
+            if !self.replicas.note_primary_failure(&primary) || retried {
+                return;
+            }
+            retried = true;
+            primary = self.replicas.primary();
+            sent = self.op.begin_on(&*primary);
+        }
+        self.replicas.note_primary_ok();
+        self.mirror = self.replicas.mirror_target().map(|b| {
+            let sent = self.op.begin_on(&*b.backend);
+            (b.backend, sent)
+        });
+    }
+
+    /// Runs the write to its end and returns the primary's answer. An
+    /// unreachable backup or a diverging answer does not fail it (the
+    /// primary accepted it), but the replica missed it:
+    /// `note_mirror_drift` decides against the replica's *current* health
+    /// whether that is drift or an expected mid-rebuild rejection.
+    pub(crate) fn finish_mirror(mut self) -> Result<W::Out, ServerError> {
+        self.finish_primary();
+        let out = self.out?;
+        if let Some((backup, sent)) = self.mirror {
+            let mirrored = sent.and_then(|sent| self.op.finish_on(&*backup, sent));
+            let missed = self.op.missed(&out, mirrored.ok().as_ref());
+            self.replicas.note_mirror_drift(&backup, missed);
+        }
+        Ok(out)
+    }
+}
+
+impl Write<'_, Run<'_>> {
+    /// [`finish_mirror`](Self::finish_mirror), infallible: an unreachable
+    /// primary yields per-chunk [`AMBIGUOUS`] verdicts — the run may have
+    /// been applied (in full or in prefix) before the transport failed, so
+    /// callers must not blindly re-submit.
+    pub(crate) fn settle(self) -> Verdicts {
+        let (m, chunks) = (self.replicas.m(), self.op.0.len());
+        let verdicts = self.finish_mirror().unwrap_or_else(|_| {
+            m.ingest_errors.add(chunks as u64);
+            (0..chunks).map(|_| Err(AMBIGUOUS)).collect()
+        });
+        m.queue_depth.sub(chunks as u64);
+        verdicts
+    }
+}
+
+/// Ingests one run per replica set with the sets' exchanges overlapped,
+/// on the calling thread: every primary has its run before any answer is
+/// awaited, each mirror is begun as soon as its own primary acknowledged,
+/// and the mirrors are read last. Verdicts come back per run, in order.
+pub(crate) fn ingest_runs<'a>(
+    runs: impl Iterator<Item = (&'a ShardReplicas, &'a [&'a [u8]])>,
+) -> Vec<Verdicts> {
+    let mut writes: Vec<_> = runs.map(|(r, chunks)| r.begin_ingest(chunks)).collect();
+    writes.iter_mut().for_each(Write::finish_primary);
+    writes.into_iter().map(Write::settle).collect()
+}
+
 /// Copy passes before a rebuild gives up (each pass re-lists streams and
 /// re-pages only what is still behind, so passes after the first are
 /// cheap). Multiple passes paper over transient survivor dial failures
@@ -700,6 +804,7 @@ fn export_page(backend: &dyn ShardBackend, stream: u128, from_idx: u64) -> Optio
 
 #[cfg(test)]
 mod tests {
+    use super::super::UNREACHABLE;
     use super::*;
     use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
     use timecrypt_core::StreamKeyMaterial;
@@ -718,11 +823,23 @@ mod tests {
         /// Runs once, inside the next operation that finds the shard down
         /// — how a test interleaves a state change with an in-flight call.
         while_down: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        /// The batch steps this shard ran, in order, under `name` — a log
+        /// several shards of one test can share.
+        steps: Steps,
+        name: &'static str,
     }
+
+    type Steps = Arc<parking_lot::Mutex<Vec<String>>>;
 
     impl StubShard {
         fn new() -> Arc<Self> {
+            Self::logging("", Arc::default())
+        }
+
+        fn logging(name: &'static str, steps: Steps) -> Arc<Self> {
             Arc::new(StubShard {
+                steps,
+                name,
                 engine: Arc::new(
                     TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap(),
                 ),
@@ -770,12 +887,18 @@ mod tests {
                 .collect())
         }
 
-        fn insert_batch(
-            &self,
-            chunks: &[&[u8]],
-        ) -> Result<Vec<Result<(), ServerError>>, ServerError> {
+        /// In process: the run is applied when it is begun.
+        fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError> {
+            self.steps.lock().push(format!("begin({})", self.name));
             self.ensure_up()?;
-            Ok(self.engine.insert_bytes_run(chunks))
+            let verdicts = self.engine.insert_bytes_run(chunks);
+            Ok(Box::new(move || Ok(verdicts)))
+        }
+
+        fn finish_batch(&self, batch: PendingBatch) -> Result<Verdicts, ServerError> {
+            self.steps.lock().push(format!("finish({})", self.name));
+            self.ensure_up()?;
+            batch()
         }
 
         fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
@@ -799,6 +922,11 @@ mod tests {
         .seal(&cfg, &keys, &mut rng)
         .unwrap()
         .to_bytes()
+    }
+
+    /// A run of one chunk.
+    fn insert(r: &ShardReplicas, chunk: &[u8]) -> Result<(), ServerError> {
+        r.ingest_batch(&[chunk]).pop().unwrap()
     }
 
     fn replicas(
@@ -860,7 +988,7 @@ mod tests {
                     _ => Ok(()),
                 },
                 Kind::MutCall => reply(r.call(Request::DeleteStream { stream: 2 })),
-                Kind::IngestBatch => r.insert(&sealed(1, 1, 6)).map_err(|e| e.to_string()),
+                Kind::IngestBatch => insert(r, &sealed(1, 1, 6)).map_err(|e| e.to_string()),
                 Kind::CreateStream => r.create_stream(3, 0, 10_000, 2).map_err(|e| e.to_string()),
             }
         }
@@ -957,7 +1085,7 @@ mod tests {
                 }
             };
             let served = kind.run(&r);
-            let m = r.metrics();
+            let m = r.m();
             Outcome {
                 served,
                 failovers: m.failovers.get(),
@@ -1034,10 +1162,87 @@ mod tests {
         assert!(verdicts[0].is_ok() && verdicts[2].is_ok());
         assert!(verdicts[1].is_err(), "out-of-order chunk rejected");
         assert_eq!(
-            r.metrics().replica_errors.get(),
+            r.m().replica_errors.get(),
             2,
             "only the two primary-accepted chunks diverged the replicas"
         );
+    }
+
+    /// Two replicated shards whose four backends log their batch steps to
+    /// one list, each holding an empty stream 1.
+    fn logged_pair() -> ([ShardReplicas; 2], [Arc<StubShard>; 4], Steps) {
+        let steps = Steps::default();
+        let stubs = ["P0", "M0", "P1", "M1"].map(|name| {
+            let stub = StubShard::logging(name, Arc::clone(&steps));
+            stub.create_stream(1);
+            stub
+        });
+        let [p0, m0, p1, m1] = stubs.clone();
+        let sets = [replicas(p0, Some(m0), 0), replicas(p1, Some(m1), 0)];
+        (sets, stubs, steps)
+    }
+
+    #[test]
+    fn runs_of_one_batch_overlap_across_shards_and_mirror_after_their_primary() {
+        let (sets, _stubs, steps) = logged_pair();
+        let chunk = sealed(1, 0, 5);
+        let run = [&chunk[..]];
+        let verdicts = ingest_runs(sets.iter().map(|r| (r, &run[..])));
+        assert!(verdicts.iter().flatten().all(Result::is_ok), "{verdicts:?}");
+        assert_eq!(
+            steps.lock().join(" "),
+            "begin(P0) begin(P1) finish(P0) begin(M0) finish(P1) begin(M1) finish(M0) finish(M1)"
+        );
+        for r in &sets {
+            assert_eq!((r.m().replica_errors.get(), r.m().in_sync.get()), (0, 1));
+            assert_eq!(r.m().queue_depth.get(), 0, "nothing left in flight");
+        }
+    }
+
+    #[test]
+    fn a_primary_that_fails_in_finish_never_reaches_its_mirror() {
+        // The frame went out, the reply never came: the run's fate on the
+        // primary is unknown, so the backup must not see it.
+        let (sets, [p0, m0, ..], steps) = logged_pair();
+        let chunk = sealed(1, 0, 5);
+        let run = [&chunk[..]];
+        let mut write = sets[0].begin_ingest(&run);
+        p0.set_up(false);
+        write.finish_primary();
+        let verdicts = write.settle();
+        assert_eq!(verdicts.len(), 1);
+        assert_eq!(
+            verdicts[0].as_ref().unwrap_err().to_string(),
+            AMBIGUOUS.to_string()
+        );
+        assert_eq!(steps.lock().join(" "), "begin(P0) finish(P0)");
+        assert_eq!(m0.engine.stream_info(1).unwrap().len, 0);
+        assert_eq!(sets[0].m().queue_depth.get(), 0);
+    }
+
+    #[test]
+    fn two_writers_racing_one_stream_index_are_counted_drift_not_silent_divergence() {
+        // "A stream has one writer at a time" broken: A and B both write
+        // chunk 0. The primary takes A's, the backup — which sees B's
+        // mirror first — takes B's. Each writer reads a mirror verdict
+        // unlike its primary's.
+        let (sets, [p0, m0, ..], _steps) = logged_pair();
+        let (a, b) = (sealed(1, 0, 5), sealed(1, 0, 6));
+        let (run_a, run_b) = ([&a[..]], [&b[..]]);
+        let mut write_a = sets[0].begin_ingest(&run_a);
+        let mut write_b = sets[0].begin_ingest(&run_b);
+        write_b.finish_primary();
+        write_a.finish_primary();
+        assert!(write_a.settle()[0].is_ok(), "the primary took A's chunk");
+        assert!(write_b.settle()[0].is_err(), "and refused B's");
+        assert_ne!(
+            p0.engine.export_chunks(1, 0, usize::MAX).unwrap(),
+            m0.engine.export_chunks(1, 0, usize::MAX).unwrap(),
+            "the replicas did diverge"
+        );
+        let m = sets[0].m();
+        assert_eq!(m.replica_errors.get(), 2, "once per writer");
+        assert_eq!(m.in_sync.get(), 0, "backup demoted until a rebuild");
     }
 
     #[test]
@@ -1054,19 +1259,19 @@ mod tests {
         primary.set_up(false);
         r.stat_leg(&leg, 0, 10_000);
         assert_eq!(
-            r.metrics().promotions.get(),
+            r.m().promotions.get(),
             0,
             "non-consecutive failures must not promote"
         );
         // The second consecutive strike — a write this time — promotes,
         // and the write is retried against the promoted backup.
-        r.insert(&sealed(1, 1, 6)).unwrap();
-        assert_eq!(r.metrics().promotions.get(), 1);
+        insert(&r, &sealed(1, 1, 6)).unwrap();
+        assert_eq!(r.m().promotions.get(), 1);
         // The promoted primary answers reads directly; strikes were reset.
-        let failovers = r.metrics().failovers.get();
+        let failovers = r.m().failovers.get();
         assert!(r.stat_leg(&leg, 0, 20_000)[0].1.is_ok());
-        assert_eq!(r.metrics().failovers.get(), failovers);
-        assert_eq!(r.metrics().promotions.get(), 1);
+        assert_eq!(r.m().failovers.get(), failovers);
+        assert_eq!(r.m().promotions.get(), 1);
     }
 
     #[test]
@@ -1085,7 +1290,7 @@ mod tests {
         let replacement = StubShard::new();
         r.attach_backup(replacement.clone()).unwrap();
         r.rebuild_backup(&AtomicBool::new(false));
-        let m = r.metrics();
+        let m = r.m();
         assert_eq!(m.rebuilds.get(), 1);
         assert_eq!(m.rebuild_chunks_copied.get(), 10);
         assert_eq!(m.in_sync.get(), 1);
@@ -1118,30 +1323,30 @@ mod tests {
             b.create_stream(1);
         }
         let r = replicas(primary.clone(), Some(backup.clone()), 1);
-        r.insert(&sealed(1, 0, 5)).unwrap();
-        assert_eq!(r.metrics().in_sync.get(), 1);
+        insert(&r, &sealed(1, 0, 5)).unwrap();
+        assert_eq!(r.m().in_sync.get(), 1);
         // The backup blips for one acknowledged write: drift is counted
         // AND the replica is demoted.
         backup.set_up(false);
-        r.insert(&sealed(1, 1, 6)).unwrap();
-        assert_eq!(r.metrics().replica_errors.get(), 1);
-        assert_eq!(r.metrics().in_sync.get(), 0, "demoted");
+        insert(&r, &sealed(1, 1, 6)).unwrap();
+        assert_eq!(r.m().replica_errors.get(), 1);
+        assert_eq!(r.m().in_sync.get(), 0, "demoted");
         // Back up but still behind: mirrored writes keep counting drift
         // (chunk 2 is rejected — the replica never got chunk 1).
         backup.set_up(true);
-        r.insert(&sealed(1, 2, 7)).unwrap();
-        assert_eq!(r.metrics().replica_errors.get(), 2);
+        insert(&r, &sealed(1, 2, 7)).unwrap();
+        assert_eq!(r.m().replica_errors.get(), 2);
         // Even promote_after=1 must not promote the drifted replica, and
         // reads must not fail over to its incomplete data.
         primary.set_up(false);
         assert!(r.stat_leg(&[(0, 1)], 0, 30_000)[0].1.is_err());
-        assert_eq!(r.metrics().promotions.get(), 0);
-        assert_eq!(r.metrics().failovers.get(), 0);
+        assert_eq!(r.m().promotions.get(), 0);
+        assert_eq!(r.m().failovers.get(), 0);
         primary.set_up(true);
         // A rebuild copies the missed chunks in place (a drifted replica
         // is always a prefix of its primary) and re-arms the loop.
         r.rebuild_backup(&AtomicBool::new(false));
-        let m = r.metrics();
+        let m = r.m();
         assert_eq!(m.rebuilds.get(), 1);
         assert_eq!(m.rebuild_chunks_copied.get(), 2);
         assert_eq!(m.in_sync.get(), 1);

@@ -14,11 +14,11 @@
 //!   independent engine shards by a stable hash of the stream id. Each
 //!   stream's state (aggregation tree, integrity ledger, live buffer)
 //!   lives in exactly one shard, so cross-stream contention disappears.
-//! * **Batched ingest** ([`ingest`]) — each shard owns a worker thread
-//!   draining a bounded queue. [`ShardedService::submit_batch`] partitions
-//!   a batch across shards *preserving per-stream submission order*, so
-//!   the engine's out-of-order chunk check keeps its meaning; the bounded
-//!   queue provides backpressure when producers outrun the store.
+//! * **Batched ingest** ([`ShardedService::submit_batch`]) — a batch is
+//!   partitioned across shards *preserving per-stream submission order*
+//!   and each shard's run is written from the submitter's thread, the
+//!   shards' exchanges overlapped; a submitter waiting for its own
+//!   verdicts is the backpressure when producers outrun the store.
 //! * **Scatter-gather queries** ([`ShardedService::get_stat_range`]) —
 //!   multi-stream statistical queries fan out across the owning shards in
 //!   parallel and merge per-stream HEAC digest sums with
@@ -28,13 +28,12 @@
 //! * **Intra-shard read parallelism** — the engine's read path takes no
 //!   exclusive stream lock (queries run against a published chunk-count
 //!   snapshot), so any number of client threads can query a shard — even
-//!   one hot stream — concurrently with each other and with its ingest
-//!   worker.
+//!   one hot stream — concurrently with each other and with its writer.
 //! * **Multi-node shard placement** ([`backend`], [`node`]) — the router
 //!   decides *which* shard owns a stream
 //!   ([`timecrypt_wire::messages::Request::route`] names the routing key
 //!   of every request, for the coordinator and the node alike); a
-//!   [`backend::ShardBackend`] — five methods, `backend/mod.rs` —
+//!   [`backend::ShardBackend`] — five operations, `backend/mod.rs` —
 //!   decides *where* that shard runs: in the coordinator's own
 //!   [`ShardNode`] ([`backend::LocalShard`], `backend/local.rs`) or on a
 //!   `timecrypt-node` process reached over the wire protocol
@@ -51,8 +50,8 @@
 //!   byte-identical); [`ShardedService::attach_replica`] then attaches a
 //!   replacement that a background worker rebuilds from the survivor
 //!   over chunked `ExportStream` pages before re-arming mirroring.
-//! * **Metrics** ([`metrics`]) — per-shard ingest/query counters, queue
-//!   depths, failover/replica-drift counters, and log₂ latency
+//! * **Metrics** ([`metrics`]) — per-shard ingest/query counters, chunks
+//!   in flight, failover/replica-drift counters, and log₂ latency
 //!   histograms, exposed over the wire through `Request::Stats`.
 //!
 //! The service implements [`timecrypt_wire::transport::Handler`], so it
@@ -83,7 +82,6 @@
 pub mod backend;
 pub mod expose;
 pub(crate) mod fanout;
-pub mod ingest;
 pub mod metrics;
 pub mod node;
 pub mod router;

@@ -22,7 +22,6 @@
 //! data error.
 
 use crate::backend::{StreamStatResult, UNROUTED};
-use crate::ingest::record_run_metrics;
 use crate::metrics::{store_stats, ServiceMetrics, ShardOccupancy};
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
@@ -164,7 +163,7 @@ impl ShardNode {
         let _span = trace::stage("engine.ingest");
         let t = Instant::now();
         let verdicts = engine.insert_bytes_run(chunks);
-        record_run_metrics(self.metrics.shard(shard), t.elapsed(), &verdicts);
+        self.metrics.shard(shard).record_run(t.elapsed(), &verdicts);
         verdicts
     }
 

@@ -1,11 +1,16 @@
-//! The sharded service: router + shard backends + ingest workers + metrics.
+//! The sharded service: router + shard backends + query workers + metrics.
+//!
+//! Ingest, single or batched, runs on the thread that submitted it: a
+//! batch is partitioned by shard as borrowed slices of the caller's
+//! buffer and each shard's run goes to its replica set from there, the
+//! shards' exchanges overlapped. Back-pressure is the submitter waiting
+//! for its own verdicts; nothing is queued.
 
 use crate::backend::{
-    clone_unavailable, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend,
+    clone_unavailable, ingest_runs, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend,
     ShardReplicas, ShardSpec, StreamStatResult, UNROUTED,
 };
 use crate::fanout::ShardPool;
-use crate::ingest::{IngestWorker, Job};
 use crate::metrics::{store_stats, ServiceMetrics};
 use crate::node::{NodeConfig, ShardNode};
 use crate::router::ShardRouter;
@@ -13,6 +18,7 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_obs::{trace, TraceContext};
+use timecrypt_server::engine::batch_errors;
 use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{Request, RequestRef, Response, Route, StatReply};
@@ -34,9 +40,6 @@ pub struct ServiceConfig {
     /// Connection-pool tuning for remote shards (one pool per remote
     /// backend; reconnect-with-backoff on failure).
     pub pool: PoolConfig,
-    /// Bounded ingest-queue depth per shard (backpressure threshold), in
-    /// jobs: one job is one submitted batch's chunks for that shard.
-    pub queue_depth: usize,
     /// Consecutive primary transport failures after which a replicated
     /// shard's in-sync backup is automatically *promoted* to primary
     /// (reads and writes flip to it; the shard then runs un-replicated
@@ -72,7 +75,6 @@ impl Default for ServiceConfig {
             shards: 4,
             topology: Vec::new(),
             pool: PoolConfig::default(),
-            queue_depth: 1024,
             promote_after: 3,
             query_deadline: std::time::Duration::from_secs(30),
             tracing: false,
@@ -104,7 +106,6 @@ impl Default for ServiceConfig {
 pub struct ShardedService {
     router: ShardRouter,
     backends: Vec<Arc<ShardReplicas>>,
-    workers: Vec<IngestWorker>,
     query_pool: ShardPool,
     metrics: Arc<ServiceMetrics>,
     kv: Arc<MeteredKv>,
@@ -126,7 +127,7 @@ impl ShardedService {
     /// run in one [`ShardNode`] over `kv` (wrapped in a [`MeteredKv`] so
     /// `Request::Stats` can report storage traffic), each engine
     /// recovering only the streams it owns; remote shards get a
-    /// connection pool to their node. One ingest worker per shard starts
+    /// connection pool to their node. One query worker per shard starts
     /// immediately.
     pub fn open(kv: Arc<dyn KvStore>, cfg: ServiceConfig) -> Result<Self, ServerError> {
         let specs: Vec<ShardSpec> = if cfg.topology.is_empty() {
@@ -182,16 +183,10 @@ impl ShardedService {
                 ))
             })
             .collect();
-        let workers = backends
-            .iter()
-            .enumerate()
-            .map(|(i, backend)| IngestWorker::spawn(i, backend.clone(), cfg.queue_depth))
-            .collect();
         let query_pool = ShardPool::new(specs.len());
         Ok(ShardedService {
             router,
             backends,
-            workers,
             query_pool,
             metrics,
             kv,
@@ -283,7 +278,7 @@ impl ShardedService {
 
     /// Mints a root trace context when [`ServiceConfig::tracing`] is on
     /// and the caller brought none (library use, untraced wire request) —
-    /// so the request's scatter-gather legs, ingest jobs, and mirror
+    /// so the request's scatter-gather legs, ingest runs, and mirror
     /// writes all share one trace id. The guard restores the previous
     /// context on drop.
     fn trace_root(&self) -> Option<trace::TraceGuard> {
@@ -309,70 +304,75 @@ impl ShardedService {
             .create_stream(stream, t0, delta_ms, digest_width)
     }
 
-    /// Synchronous single-chunk ingest (the unbatched path), bypassing the
-    /// queue: latency-sensitive callers pay no queueing delay, and ordering
-    /// versus batched ingest is preserved because
-    /// [`submit_batch`](Self::submit_batch) returns only after its jobs
-    /// completed. A convenience over the one ingest path: the chunk is
-    /// serialized here, once, and travels as bytes from then on.
+    /// Single-chunk ingest: a batch of one. A convenience over the one
+    /// ingest path: the chunk is serialized here, once, and travels as
+    /// bytes from then on.
     pub fn insert(&self, chunk: &EncryptedChunk) -> Result<(), ServerError> {
-        let _trace = self.trace_root();
-        self.replicas_for(chunk.stream).insert(&chunk.to_bytes())
+        let verdict = self.submit_routed(&[&chunk.to_bytes()]).pop();
+        verdict.unwrap_or(Err(ServerError::Unavailable("chunk received no verdict")))
     }
 
-    /// Batched ingest: partitions `chunks` across shard queues (keeping
-    /// each stream's chunks in their submission order), lets the shard
-    /// workers drain them in parallel, and returns per-chunk results in
-    /// input order. Blocks while queues are full — that is the
-    /// backpressure contract. A convenience over the one ingest path: each
-    /// chunk is serialized here, once, and joins the wire `InsertBatch`
-    /// route as bytes.
+    /// Batched ingest: partitions `chunks` by shard (keeping each stream's
+    /// chunks in their submission order), runs the shards' exchanges
+    /// overlapped on the calling thread, and returns per-chunk results in
+    /// input order. A stream has one writer at a time — the caller's
+    /// contract, as for [`insert`](Self::insert). A convenience over the
+    /// one ingest path: each chunk is serialized here, once, and joins the
+    /// wire `InsertBatch` route as bytes.
     pub fn submit_batch(&self, chunks: Vec<EncryptedChunk>) -> Vec<Result<(), ServerError>> {
-        self.submit_routed(chunks.iter().map(|c| (c.stream, c.to_bytes())).collect())
+        let bytes: Vec<Vec<u8>> = chunks.iter().map(EncryptedChunk::to_bytes).collect();
+        let views: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+        self.submit_routed(&views)
     }
 
     /// [`submit_batch`](Self::submit_batch) over the service's ingest
-    /// currency: validated serialized chunks, each with the stream id its
-    /// validation read (the routing key).
-    fn submit_routed(&self, chunks: Vec<(u128, Vec<u8>)>) -> Vec<Result<(), ServerError>> {
+    /// currency, serialized chunks, as slices of the buffer they arrived
+    /// in: each is validated (and its route read) through a borrowed
+    /// parse — a malformed one is rejected here, at its batch position —
+    /// and the received bytes reach the shards verbatim, copied nowhere on
+    /// the way.
+    fn submit_routed(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
         let _trace = self.trace_root();
-        let ctx = trace::current();
-        let n = chunks.len();
-        let (reply_tx, reply_rx) = channel();
         let route = trace::stage("route");
-        // One job per shard the batch touches: its chunks in submission
-        // order, each with its position in the batch.
-        let mut by_shard: Vec<(Vec<Vec<u8>>, Vec<usize>)> = Vec::new();
-        by_shard.resize_with(self.router.shards(), Default::default);
-        for (idx, (stream, bytes)) in chunks.into_iter().enumerate() {
-            let (slice, positions) = &mut by_shard[self.router.shard_of(stream)];
-            slice.push(bytes);
-            positions.push(idx);
-        }
-        for (shard, (chunks, positions)) in by_shard.into_iter().enumerate() {
-            if chunks.is_empty() {
-                continue;
+        let owner = |bytes: &[u8]| ChunkRef::parse(bytes).map(|c| self.router.shard_of(c.stream));
+        // A batch of one shard's chunks — every per-stream upload — is
+        // that shard's run as it stands.
+        if let Some(Ok(shard)) = chunks.first().map(|c| owner(c)) {
+            if chunks[1..]
+                .iter()
+                .all(|c| owner(c).is_ok_and(|s| s == shard))
+            {
+                drop(route);
+                return self.backends[shard].ingest_batch(chunks);
             }
-            self.workers[shard].submit(
-                &self.metrics.shard(shard).queue_depth,
-                Job {
-                    chunks,
-                    positions,
-                    reply: reply_tx.clone(),
-                    trace: ctx,
-                },
-            );
+        }
+        // Per shard: its chunks in submission order, each with its
+        // position in the batch.
+        let mut results = Vec::with_capacity(chunks.len());
+        let mut by_shard: Vec<(Vec<&[u8]>, Vec<usize>)> = Vec::new();
+        by_shard.resize_with(self.router.shards(), Default::default);
+        for (idx, &bytes) in chunks.iter().enumerate() {
+            results.push(match owner(bytes) {
+                Ok(shard) => {
+                    by_shard[shard].0.push(bytes);
+                    by_shard[shard].1.push(idx);
+                    Err(ServerError::Unavailable("chunk received no verdict"))
+                }
+                Err(_) => Err(ServerError::BadChunk),
+            });
         }
         drop(route);
-        drop(reply_tx);
-        // Placeholder for jobs whose worker never replied (only possible if
-        // a shard pipeline died): distinct from any engine verdict.
-        let mut results: Vec<Result<(), ServerError>> = Vec::with_capacity(n);
-        results.resize_with(n, || {
-            Err(ServerError::Unavailable("shard ingest worker unavailable"))
-        });
-        for (idx, result) in reply_rx.into_iter().flatten() {
-            results[idx] = result;
+        let touched = || {
+            by_shard
+                .iter()
+                .enumerate()
+                .filter(|(_, run)| !run.0.is_empty())
+        };
+        let verdicts = ingest_runs(touched().map(|(s, run)| (&*self.backends[s], &run.0[..])));
+        for ((_, run), verdicts) in touched().zip(verdicts) {
+            for (&idx, verdict) in run.1.iter().zip(verdicts) {
+                results[idx] = verdict;
+            }
         }
         results
     }
@@ -567,31 +567,12 @@ impl ShardedService {
         crate::expose::serve_stats(addr, move || svc.stats())
     }
 
-    /// One wire `InsertBatch`: each chunk is validated (and its route
-    /// read) through a borrowed parse — a malformed one is rejected here,
-    /// at its batch position — and the received bytes, copied once into
-    /// the job that crosses to the shard's ingest worker, go through the
-    /// sharded pipeline verbatim.
+    /// One wire `InsertBatch`: [`submit_routed`](Self::submit_routed) over
+    /// the frame's own slices, the failures rendered by batch position.
     fn insert_batch_bytes(&self, chunks: &[&[u8]]) -> Response {
-        let mut errors = Vec::new();
-        let mut routed = Vec::with_capacity(chunks.len());
-        let mut positions = Vec::with_capacity(chunks.len());
-        for (i, &bytes) in chunks.iter().enumerate() {
-            match ChunkRef::parse(bytes) {
-                Ok(c) => {
-                    routed.push((c.stream, bytes.to_vec()));
-                    positions.push(i as u32);
-                }
-                Err(_) => errors.push((i as u32, ServerError::BadChunk.to_string())),
-            }
+        Response::Batch {
+            errors: batch_errors(self.submit_routed(chunks)),
         }
-        for (pos, result) in positions.into_iter().zip(self.submit_routed(routed)) {
-            if let Err(e) = result {
-                errors.push((pos, e.to_string()));
-            }
-        }
-        errors.sort_by_key(|&(i, _)| i);
-        Response::Batch { errors }
     }
 
     /// The coordinator's single request dispatch, over the borrowed view
@@ -606,19 +587,13 @@ impl ShardedService {
         // and no envelope-supplied context is already current.
         let _trace = self.trace_root();
         match req {
-            // Ingest singles take the synchronous replicated path (typed
-            // errors rendered at this boundary), straight from the
-            // caller's buffer.
-            RequestRef::Insert { chunk } => {
-                let inserted = ChunkRef::parse(chunk)
-                    .map_err(|_| ServerError::BadChunk)
-                    .and_then(|c| self.replicas_for(c.stream).insert(chunk));
-                match inserted {
-                    Ok(()) => Response::Ok,
-                    // lint: allow(no-alloc) — error formatting on the rejection path only; accepted chunks stay allocation-free
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
+            // A single is a batch of one, straight from the caller's
+            // buffer (typed errors rendered at this boundary).
+            RequestRef::Insert { chunk } => match self.submit_routed(&[chunk]).pop() {
+                // lint: allow(no-alloc) — error formatting on the rejection path only
+                Some(Err(e)) => Response::Error(e.to_string()),
+                _ => Response::Ok,
+            },
             RequestRef::InsertBatch { chunks } => self.insert_batch_bytes(&chunks),
             // Routing needs only the record's stream id — peek it without
             // a full parse; the owning engine performs the one parse +
@@ -706,7 +681,6 @@ mod tests {
             Arc::new(MemKv::new()),
             ServiceConfig {
                 shards,
-                queue_depth: 16,
                 ..ServiceConfig::default()
             },
         )
@@ -1062,7 +1036,6 @@ mod tests {
             Arc::new(MemKv::new()),
             ServiceConfig {
                 topology: vec![ShardSpec::remote(addr_a), ShardSpec::remote(addr_b)],
-                queue_depth: 8,
                 ..ServiceConfig::default()
             },
         )

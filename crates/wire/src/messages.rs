@@ -332,9 +332,9 @@ wire_struct! {
         /// Sub-queries that returned an error.
         pub query_errors: u64 =
             [Counter "timecrypt_query_errors_total" "Sub-queries that returned an error."],
-        /// Jobs currently waiting in the shard's ingest queue.
-        pub queue_depth: u64 =
-            [Gauge "timecrypt_ingest_queue_depth" "Jobs waiting in each shard's ingest queue."],
+        /// Chunks submitted to the shard and not yet answered.
+        pub queue_depth: u64 = [Gauge "timecrypt_ingest_queue_depth"
+            "Chunks submitted to the shard and not yet answered."],
         /// Reads served by the backup replica after the primary was
         /// unreachable (always 0 without replication).
         pub failovers: u64 = [Counter "timecrypt_failovers_total"

@@ -5,9 +5,17 @@
 //! [`Client::call`] or the pipelined [`Client::send`]/[`Client::recv`]
 //! pair, and return it on drop; a connection that saw a transport error is
 //! discarded instead of returned, so one broken socket never poisons later
-//! calls. When no pooled connection is available the pool dials the
-//! endpoint, retrying with exponential backoff up to
+//! calls. A pooled connection is probed at checkout (a non-blocking
+//! peek): one the peer closed while it sat idle — a node reaps idle
+//! connections — or that holds bytes nobody asked for is dropped before a
+//! request is written to it, so no mutation is spent on a dead socket.
+//! When no pooled connection is usable the pool dials the endpoint,
+//! retrying with exponential backoff up to
 //! [`PoolConfig::connect_attempts`] before reporting the endpoint down.
+//! It keeps as many idle connections as were ever checked out at once
+//! (never fewer than [`PoolConfig::max_idle`]), so a steady set of
+//! concurrent callers reuses its sockets; the peer's idle reaping and the
+//! checkout probe retire what falls out of use.
 //!
 //! The pool deliberately does **not** retry requests: whether a failed
 //! exchange is safe to repeat depends on the request (statistical queries
@@ -17,14 +25,15 @@
 
 use crate::messages::Request;
 use crate::transport::{Client, ClientError};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Tuning knobs for a [`ClientPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Maximum idle connections retained (checked-out connections are
-    /// unbounded — concurrency is governed by the caller's thread count).
+    /// Idle connections always retained; more once more than this were
+    /// checked out at once (up to that high-water mark). Checked-out
+    /// connections are unbounded — the caller's thread count governs.
     pub max_idle: usize,
     /// Dial attempts per checkout before the endpoint counts as down.
     pub connect_attempts: u32,
@@ -51,37 +60,63 @@ impl Default for PoolConfig {
 
 /// A pool of blocking [`Client`] connections to one endpoint.
 pub struct ClientPool {
+    /// Shared with every checked-out [`PooledConn`].
+    shared: Arc<Shared>,
+}
+
+struct Shared {
     addr: String,
     cfg: PoolConfig,
-    idle: Mutex<Vec<Client>>,
+    idle: Mutex<Idle>,
+}
+
+#[derive(Default)]
+struct Idle {
+    conns: Vec<Client>,
+    /// Connections checked out now, and the most that ever were at once.
+    out: usize,
+    peak: usize,
+}
+
+impl Shared {
+    fn idle(&self) -> MutexGuard<'_, Idle> {
+        // A poisoning panic can only leave the idle list mid-push/pop,
+        // both of which keep it valid — recover rather than propagate.
+        self.idle
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 impl ClientPool {
     /// A pool dialing `addr` (`host:port`).
     pub fn new(addr: impl Into<String>, cfg: PoolConfig) -> Self {
         ClientPool {
-            addr: addr.into(),
-            cfg,
-            idle: Mutex::new(Vec::new()),
+            shared: Arc::new(Shared {
+                addr: addr.into(),
+                cfg,
+                idle: Mutex::default(),
+            }),
         }
     }
 
     /// The endpoint this pool dials.
     pub fn addr(&self) -> &str {
-        &self.addr
+        &self.shared.addr
     }
 
     /// Dials the endpoint, backing off exponentially between attempts.
     fn connect(&self) -> Result<Client, ClientError> {
-        let mut backoff = self.cfg.backoff;
-        let mut last_err = match Client::connect_with(&self.addr, self.cfg.io_timeout) {
+        let Shared { addr, cfg, .. } = &*self.shared;
+        let mut backoff = cfg.backoff;
+        let mut last_err = match Client::connect_with(addr, cfg.io_timeout) {
             Ok(c) => return Ok(c),
             Err(e) => e,
         };
-        for _ in 1..self.cfg.connect_attempts.max(1) {
+        for _ in 1..cfg.connect_attempts.max(1) {
             std::thread::sleep(backoff);
             backoff = backoff.saturating_mul(2);
-            match Client::connect_with(&self.addr, self.cfg.io_timeout) {
+            match Client::connect_with(addr, cfg.io_timeout) {
                 Ok(c) => return Ok(c),
                 Err(e) => last_err = e,
             }
@@ -89,48 +124,51 @@ impl ClientPool {
         Err(last_err)
     }
 
-    /// Checks a connection out: a pooled one if available, else a fresh
-    /// dial (with backoff). The returned guard gives `&mut Client` access
-    /// and returns the connection to the pool on drop unless
+    /// Checks a connection out: a pooled one if one is usable, else a
+    /// fresh dial (with backoff). The returned guard gives `&mut Client`
+    /// access and returns the connection to the pool on drop unless
     /// [`PooledConn::discard`] was called.
-    pub fn get(&self) -> Result<PooledConn<'_>, ClientError> {
-        // A poisoning panic can only leave the idle vec mid-push/pop,
-        // both of which keep it valid — recover rather than propagate.
-        let pooled = self
-            .idle
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop();
-        let mut client = match pooled {
-            Some(c) => c,
-            None => self.connect()?,
+    pub fn get(&self) -> Result<PooledConn, ClientError> {
+        self.check_out(false)
+    }
+
+    /// Dials a brand-new connection (with backoff), discarding every idle
+    /// pooled connection first. Use after a transport failure: if the
+    /// peer restarted, *all* pooled connections to it are stale.
+    pub fn fresh(&self) -> Result<PooledConn, ClientError> {
+        self.check_out(true)
+    }
+
+    fn check_out(&self, fresh: bool) -> Result<PooledConn, ClientError> {
+        let pooled = {
+            let mut idle = self.shared.idle();
+            idle.out += 1;
+            idle.peak = idle.peak.max(idle.out);
+            if fresh {
+                idle.conns.clear();
+            }
+            idle.conns.pop()
+        };
+        // From here the guard's drop gives the checkout back, dialed or not.
+        let mut conn = PooledConn {
+            pool: self.shared.clone(),
+            client: None,
         };
         // Re-arm the configured deadline on every checkout. A caller may
         // have tightened this connection's deadline to its remaining
         // budget before returning it; the next request must start from
         // the full per-operation allowance, not inherit that stale,
         // nearly-expired remainder.
-        if client.set_io_timeout(self.cfg.io_timeout).is_err() {
-            client = self.connect()?;
-        }
-        Ok(PooledConn {
-            pool: self,
-            client: Some(client),
-        })
-    }
-
-    /// Dials a brand-new connection (with backoff), discarding every idle
-    /// pooled connection first. Use after a transport failure: if the
-    /// peer restarted, *all* pooled connections to it are stale.
-    pub fn fresh(&self) -> Result<PooledConn<'_>, ClientError> {
-        self.idle
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        Ok(PooledConn {
-            pool: self,
-            client: Some(self.connect()?),
-        })
+        let usable = pooled.filter(Client::is_idle_and_open).and_then(|mut c| {
+            c.set_io_timeout(self.shared.cfg.io_timeout)
+                .ok()
+                .map(|()| c)
+        });
+        conn.client = Some(match usable {
+            Some(c) => c,
+            None => self.connect()?,
+        });
+        Ok(conn)
     }
 
     /// One request/response exchange on a pooled connection. Pooled
@@ -179,53 +217,16 @@ impl ClientPool {
             Ok(resp) => Ok(resp),
         }
     }
-
-    /// One exchange whose request body is written by `fill` directly into
-    /// the connection's scratch buffer ([`Client::send_with`]) — the
-    /// zero-copy path for bodies assembled from parts, e.g. a
-    /// [`BatchEncoder`](crate::messages::BatchEncoder) over serialized
-    /// chunks. No stale-connection retry is attempted: the primary user is
-    /// batched ingest, a mutation (see the module docs on retry policy).
-    /// An app-level `Response::Error` surfaces as [`ClientError::Server`],
-    /// matching [`call`](Self::call).
-    // lint: deny(alloc)
-    pub fn call_with(
-        &self,
-        fill: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<crate::messages::Response, ClientError> {
-        let mut conn = self.get()?;
-        let client = conn.client();
-        let result = client.send_with(fill).and_then(|()| client.recv());
-        match result {
-            Ok(crate::messages::Response::Error(msg)) => Err(ClientError::Server(msg)),
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                if matches!(e, ClientError::Frame(_)) {
-                    conn.discard();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn put_back(&self, client: Client) {
-        let mut idle = self
-            .idle
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if idle.len() < self.cfg.max_idle {
-            idle.push(client);
-        }
-    }
 }
 
-/// A checked-out pool connection; returns to the pool on drop.
-pub struct PooledConn<'a> {
-    pool: &'a ClientPool,
+/// A checked-out pool connection; returns to the pool on drop. Borrows
+/// nothing, so an exchange begun on it can be kept and finished later.
+pub struct PooledConn {
+    pool: Arc<Shared>,
     client: Option<Client>,
 }
 
-impl PooledConn<'_> {
+impl PooledConn {
     /// The underlying connection.
     #[allow(
         clippy::expect_used,
@@ -243,10 +244,15 @@ impl PooledConn<'_> {
     }
 }
 
-impl Drop for PooledConn<'_> {
+impl Drop for PooledConn {
     fn drop(&mut self) {
-        if let Some(c) = self.client.take() {
-            self.pool.put_back(c);
+        // Declared before the guard, so a connection that is not kept
+        // closes after the lock is released.
+        let client = self.client.take();
+        let mut idle = self.pool.idle();
+        idle.out -= 1;
+        if idle.conns.len() < self.pool.cfg.max_idle.max(idle.peak) {
+            idle.conns.extend(client);
         }
     }
 }
@@ -256,7 +262,7 @@ mod tests {
     use super::*;
     use crate::messages::{Request, Response};
     use crate::transport::Server;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn ping_server() -> Server {
         Server::bind(
@@ -278,14 +284,14 @@ mod tests {
             assert_eq!(pool.call(&Request::Ping).unwrap(), Response::Pong);
         }
         assert_eq!(
-            pool.idle.lock().unwrap().len(),
+            pool.shared.idle().conns.len(),
             1,
             "sequential calls share one pooled connection"
         );
     }
 
     #[test]
-    fn idle_cap_is_enforced() {
+    fn idle_cap_is_the_high_water_mark_of_checkouts_with_max_idle_as_floor() {
         let server = ping_server();
         let pool = ClientPool::new(
             server.addr().to_string(),
@@ -294,11 +300,104 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        // Four concurrently checked-out connections...
+        // One caller at a time never holds more than one connection, and
+        // a pool that kept three is trimmed to the floor as they cycle.
+        pool.shared
+            .idle()
+            .conns
+            .extend([dead_client(), dead_client()]);
+        drop(pool.get().unwrap());
+        assert_eq!(pool.shared.idle().conns.len(), 2);
+        // Four connections checked out at once are four the callers will
+        // want again: all are kept, and a fifth would not be.
         let conns: Vec<_> = (0..4).map(|_| pool.get().unwrap()).collect();
         drop(conns);
-        // ...but only two retained.
-        assert_eq!(pool.idle.lock().unwrap().len(), 2);
+        assert_eq!(pool.shared.idle().conns.len(), 4);
+        pool.shared.idle().conns.push(dead_client());
+        drop(pool.get().unwrap());
+        assert_eq!(pool.shared.idle().conns.len(), 4);
+    }
+
+    /// A server that answers every frame with `Pong` after `think`, counts
+    /// the connections it accepts and, with `idle`, closes one that has
+    /// sent nothing for that long — what `timecrypt-node --idle-timeout-ms`
+    /// does.
+    fn counting_server(
+        idle: Option<Duration>,
+        think: Duration,
+    ) -> (std::net::SocketAddr, Arc<AtomicUsize>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let count = accepted.clone();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                count.fetch_add(1, Ordering::SeqCst);
+                stream.set_read_timeout(idle).unwrap();
+                std::thread::spawn(move || {
+                    let mut pong = Vec::new();
+                    Response::Pong.encode_into(&mut pong);
+                    while crate::frame::read_frame(&mut stream).is_ok() {
+                        std::thread::sleep(think);
+                        if crate::frame::write_frame(&mut stream, &pong).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        (addr, accepted)
+    }
+
+    /// One mutation: the pool will not retry it.
+    fn insert(pool: &ClientPool) -> Result<Response, ClientError> {
+        let req = Request::Insert { chunk: vec![1] };
+        assert!(req.is_mutation());
+        pool.call(&req)
+    }
+
+    #[test]
+    fn a_connection_the_peer_reaped_is_replaced_at_checkout_even_for_a_mutation() {
+        let (addr, accepted) = counting_server(Some(Duration::from_millis(40)), Duration::ZERO);
+        let pool = ClientPool::new(addr.to_string(), PoolConfig::default());
+        assert_eq!(insert(&pool).unwrap(), Response::Pong);
+        assert_eq!(accepted.load(Ordering::SeqCst), 1);
+        // The server closes the idle connection; the pool still holds it.
+        std::thread::sleep(Duration::from_millis(120));
+        assert_eq!(pool.shared.idle().conns.len(), 1);
+        // A write to the closed socket would succeed and the mutation,
+        // never retried, would be lost with the missing reply.
+        assert_eq!(insert(&pool).unwrap(), Response::Pong);
+        assert_eq!(accepted.load(Ordering::SeqCst), 2, "dialed once more");
+    }
+
+    #[test]
+    fn concurrent_callers_beyond_max_idle_keep_their_connections() {
+        const CALLERS: usize = 12;
+        // Rounds, as connection threads serving clients in step produce
+        // them: every caller checks out only after all have returned, and
+        // the server thinks long enough that all twelve are in flight
+        // together.
+        let (addr, accepted) = counting_server(None, Duration::from_millis(2));
+        let pool = ClientPool::new(addr.to_string(), PoolConfig::default());
+        assert!(CALLERS > pool.shared.cfg.max_idle);
+        let round = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|scope| {
+            for _ in 0..CALLERS {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        round.wait();
+                        assert_eq!(insert(&pool).unwrap(), Response::Pong);
+                    }
+                });
+            }
+        });
+        let accepted = accepted.load(Ordering::SeqCst);
+        assert!(
+            accepted <= CALLERS + 2,
+            "{accepted} connections for {CALLERS} callers x 50 exchanges"
+        );
     }
 
     /// A connection whose peer is already gone: it dialed a listener that
@@ -317,7 +416,7 @@ mod tests {
         // once on a freshly dialed connection to the healthy endpoint.
         let server = ping_server();
         let pool = ClientPool::new(server.addr().to_string(), PoolConfig::default());
-        pool.idle.lock().unwrap().push(dead_client());
+        pool.shared.idle().conns.push(dead_client());
         assert_eq!(pool.call(&Request::Ping).unwrap(), Response::Pong);
     }
 
@@ -376,7 +475,7 @@ mod tests {
         assert!(start.elapsed() < Duration::from_millis(350));
         // Timed-out connections must not be returned to the pool: their
         // reply is still in flight and would answer the wrong request.
-        assert_eq!(pool.idle.lock().unwrap().len(), 0);
+        assert_eq!(pool.shared.idle().conns.len(), 0);
     }
 
     #[test]
@@ -391,27 +490,43 @@ mod tests {
                 .set_io_timeout(Some(Duration::from_millis(1)))
                 .unwrap();
         }
-        assert_eq!(pool.idle.lock().unwrap().len(), 1);
+        assert_eq!(pool.shared.idle().conns.len(), 1);
         // The next checkout must start from the configured 5 s allowance,
         // not the leftover 1 ms — the 60 ms reply then arrives in time.
         assert_eq!(pool.call(&Request::Ping).unwrap(), Response::Pong);
     }
 
     #[test]
-    fn mutations_are_not_retried_on_stale_connections() {
-        // Same stale-connection setup, but with a mutation: the failure
-        // must surface instead of being silently retried (the lost
-        // exchange might have been applied by the peer).
-        let server = ping_server();
-        let pool = ClientPool::new(server.addr().to_string(), PoolConfig::default());
-        pool.idle.lock().unwrap().push(dead_client());
+    fn mutations_are_not_retried_when_the_exchange_fails() {
+        // A peer that takes the request and hangs up without answering:
+        // the connection was fine at checkout, the exchange fails in the
+        // middle. A mutation must surface that instead of being silently
+        // retried (the peer might have applied it); a read is retried once
+        // on a fresh connection.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let pool = ClientPool::new(
+            listener.local_addr().unwrap().to_string(),
+            PoolConfig::default(),
+        );
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let count = accepted.clone();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                count.fetch_add(1, Ordering::SeqCst);
+                let _ = crate::frame::read_frame(&mut stream.unwrap());
+            }
+        });
         let req = Request::Insert { chunk: vec![1] };
         assert!(req.is_mutation());
         match pool.call(&req) {
             Err(ClientError::Frame(_)) => {}
-            other => panic!("mutation on a dead socket must fail, got {other:?}"),
+            other => panic!("a mutation whose reply is lost must fail, got {other:?}"),
         }
-        // The endpoint itself is healthy: the next call dials fresh.
-        assert_eq!(pool.call(&Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(accepted.load(Ordering::SeqCst), 1, "sent once");
+        assert!(matches!(
+            pool.call(&Request::Ping),
+            Err(ClientError::Frame(_))
+        ));
+        assert_eq!(accepted.load(Ordering::SeqCst), 3, "a read is tried twice");
     }
 }

@@ -116,7 +116,9 @@ pub struct Server {
 pub struct ServeOptions {
     /// Close a connection that has not delivered a complete frame for
     /// this long. Protects a node from leaked half-open connections
-    /// pinning threads forever; pooled clients redial transparently.
+    /// pinning threads forever; a [`ClientPool`](crate::pool::ClientPool)
+    /// sees the closed socket when it next checks the connection out and
+    /// dials instead, for reads and mutations alike.
     /// `None` (the default) keeps the historical wait-forever behaviour.
     pub idle_timeout: Option<Duration>,
 }
@@ -393,6 +395,19 @@ impl Client {
         sock.set_read_timeout(t)?;
         sock.set_write_timeout(t)?;
         Ok(())
+    }
+
+    /// Whether this connection, idle between exchanges, can carry another:
+    /// nothing waits to be read (no reply is owed, so bytes are garbage)
+    /// and the peer has not closed it — a write to a closed socket still
+    /// succeeds, so nothing later tells before the reply is missing.
+    pub(crate) fn is_idle_and_open(&self) -> bool {
+        let sock = self.writer.get_ref();
+        if !self.reader.buffer().is_empty() || sock.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let quiet = matches!(sock.peek(&mut [0]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        sock.set_nonblocking(false).is_ok() && quiet
     }
 
     /// Sends one request and waits for its response. An app-level

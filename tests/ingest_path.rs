@@ -1,0 +1,345 @@
+//! Deterministic guard for the shape of the ingest path (ROADMAP aims 1
+//! and 2: gate the counts that don't jitter, one way to do each thing),
+//! beside `grant_cost.rs` and `write_amplification.rs`. Batched ingest is
+//! what single ingest is — a call on the thread that received the frame:
+//!
+//! * a coordinator runs no ingest thread (the census line this prints is
+//!   what CI copies to the job summary);
+//! * the shards one batch touches are written to before any of them is
+//!   waited for, so their exchanges overlap;
+//! * a batch costs exactly one node call per shard it touches, however
+//!   many submitters are at work, and its verdicts come back by batch
+//!   position;
+//! * the coordinator's handling of an `InsertBatch` frame allocates a
+//!   constant number of blocks: no chunk is copied, no per-chunk or
+//!   per-shard vector built for a batch that belongs to one shard.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
+use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
+use timecrypt::core::StreamKeyMaterial;
+use timecrypt::crypto::{PrgKind, SecureRandom};
+use timecrypt::server::{ServerConfig, ServerError};
+use timecrypt::service::{
+    NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
+};
+use timecrypt::store::MemKv;
+use timecrypt::wire::messages::{Request, RequestRef, Response};
+use timecrypt::wire::pool::PoolConfig;
+use timecrypt::wire::transport::{Handler, Server};
+
+struct Counting;
+
+thread_local! {
+    /// Allocations and reallocations this thread has asked for (the
+    /// measured frames are handled on the test's own thread; the stub node
+    /// answering them runs on others).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// plain thread-local integer without a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.set(ALLOCS.get() + 1);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.set(ALLOCS.get() + 1);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The thread census reads the whole process, so the tests of this binary
+/// run one at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Serialized chunk `index` of `stream`, holding `points` points.
+fn sealed(stream: u128, index: u64, points: usize) -> Vec<u8> {
+    let cfg = StreamConfig {
+        schema: DigestSchema::sum_count(),
+        ..StreamConfig::new(stream, "m", 0, 10_000)
+    };
+    let keys =
+        StreamKeyMaterial::with_params(stream, [stream as u8; 16], 20, PrgKind::Aes).unwrap();
+    let mut rng = SecureRandom::from_seed_insecure(500 + index);
+    let t0 = index as i64 * 10_000;
+    PlainChunk {
+        stream,
+        index,
+        points: (0..points as i64)
+            .map(|i| DataPoint::new(t0 + i, i))
+            .collect(),
+    }
+    .seal(&cfg, &keys, &mut rng)
+    .unwrap()
+    .to_bytes()
+}
+
+/// The lowest stream id that `shards`-way routing gives to `shard`.
+fn stream_on(shard: usize, shards: usize) -> u128 {
+    let router = ShardRouter::new(shards);
+    (0..).find(|&id| router.shard_of(id) == shard).unwrap()
+}
+
+/// A coordinator over one remote shard per address.
+fn coordinator(addrs: &[String], io_timeout: Duration) -> ShardedService {
+    ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            topology: addrs.iter().map(ShardSpec::remote).collect(),
+            pool: PoolConfig {
+                io_timeout: Some(io_timeout),
+                ..PoolConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+fn batch_errors(reply: Response) -> Vec<(u32, String)> {
+    match reply {
+        Response::Batch { errors } => errors,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn an_idle_default_coordinator_runs_no_ingest_thread() {
+    let _serial = serial();
+    let svc = ShardedService::open(Arc::new(MemKv::new()), ServiceConfig::default()).unwrap();
+    // The service names every thread it starts `tc-<role>-<shard>`.
+    let mut census: BTreeMap<String, usize> = BTreeMap::new();
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap();
+        if let Some(role) = comm.trim().strip_prefix("tc-") {
+            let role = role.trim_end_matches(|c: char| c == '-' || c.is_ascii_digit());
+            *census.entry(role.to_string()).or_default() += 1;
+        }
+    }
+    let roles: Vec<String> = census.iter().map(|(r, n)| format!("{n} {r}")).collect();
+    println!(
+        "thread census of an idle default coordinator ({} shards): {} threads ({})",
+        svc.stats().shards.len(),
+        census.values().sum::<usize>(),
+        roles.join(", ")
+    );
+    assert!(!census.contains_key("ingest"), "{census:?}");
+    assert!(
+        census.contains_key("query"),
+        "the census sees named threads"
+    );
+}
+
+#[test]
+fn the_shards_of_one_batch_are_written_before_any_is_waited_for() {
+    let _serial = serial();
+    // Two stub nodes that answer an `InsertBatch` only once both have one
+    // in hand. Shards written in turn never get there: the first waits for
+    // a frame the coordinator will not send until the first has answered.
+    let both = Arc::new(Barrier::new(2));
+    let nodes: Vec<Server> = (0..2)
+        .map(|_| {
+            let both = both.clone();
+            let stub = move |req: Request| match req {
+                Request::InsertBatch { .. } => {
+                    both.wait();
+                    Response::Batch { errors: vec![] }
+                }
+                _ => Response::Error("stub".into()),
+            };
+            Server::bind("127.0.0.1:0", Arc::new(stub)).unwrap()
+        })
+        .collect();
+    let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+    let io_timeout = Duration::from_secs(3);
+    let svc = coordinator(&addrs, io_timeout);
+    let chunks = vec![sealed(stream_on(0, 2), 0, 1), sealed(stream_on(1, 2), 0, 1)];
+    let started = Instant::now();
+    let errors = batch_errors(svc.handle(Request::InsertBatch { chunks }));
+    assert_eq!(errors, vec![], "both shards answered");
+    assert!(
+        started.elapsed() < io_timeout / 2,
+        "took {:?}",
+        started.elapsed()
+    );
+}
+
+/// The next chunk of stream `id`, by the submitter's own count.
+fn next_chunk(next: &mut BTreeMap<u128, u64>, id: u128) -> Vec<u8> {
+    let index = next.entry(id).or_default();
+    *index += 1;
+    sealed(id, *index - 1, 1)
+}
+
+/// A real node that counts the `InsertBatch` frames it is sent.
+struct CountingNode {
+    node: ShardNode,
+    batches: Arc<AtomicU64>,
+}
+
+impl Handler for CountingNode {
+    fn handle(&self, req: Request) -> Response {
+        self.node.handle(req)
+    }
+
+    fn handle_frame(&self, body: &[u8]) -> Response {
+        if matches!(RequestRef::decode(body), Ok(RequestRef::InsertBatch { .. })) {
+            self.batches.fetch_add(1, Ordering::SeqCst);
+        }
+        self.node.handle_frame(body)
+    }
+}
+
+#[test]
+fn a_batch_is_one_node_call_per_shard_it_touches_and_verdicts_keep_their_positions() {
+    let _serial = serial();
+    const SHARDS: usize = 2;
+    const BATCHES: u64 = 500; // per submitter
+    let batches = Arc::new(AtomicU64::new(0));
+    let nodes: Vec<Server> = (0..SHARDS)
+        .map(|shard| {
+            let node = ShardNode::open(
+                Arc::new(MemKv::new()),
+                NodeConfig {
+                    total_shards: SHARDS,
+                    hosted: vec![shard],
+                    engine: ServerConfig::default(),
+                },
+            )
+            .unwrap();
+            let counting = CountingNode {
+                node,
+                batches: batches.clone(),
+            };
+            Server::bind("127.0.0.1:0", Arc::new(counting)).unwrap()
+        })
+        .collect();
+    let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+    let svc = coordinator(&addrs, Duration::from_secs(5));
+    let router = ShardRouter::new(SHARDS);
+    // Two submitters, sixteen streams each, none shared: a stream has one
+    // writer at a time.
+    let touched = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..2u128)
+            .map(|who| {
+                let svc = &svc;
+                scope.spawn(move || {
+                    let streams: Vec<u128> = (who * 16..who * 16 + 16).collect();
+                    let mut next: BTreeMap<u128, u64> = BTreeMap::new();
+                    for &id in &streams {
+                        svc.create_stream(id, 0, 10_000, 2).unwrap();
+                    }
+                    let mut touched = 0u64;
+                    for round in 0..BATCHES {
+                        // A device fleet's upload (one chunk of each
+                        // stream) in turn with a producer's (sixteen
+                        // chunks of one stream).
+                        let owners: Vec<u128> = if round % 2 == 0 {
+                            streams.clone()
+                        } else {
+                            vec![streams[round as usize % 16]; 16]
+                        };
+                        let mut chunks: Vec<Vec<u8>> =
+                            owners.iter().map(|&id| next_chunk(&mut next, id)).collect();
+                        let mut want = Vec::new();
+                        if round % 50 == 7 {
+                            // A malformed chunk in the middle and a replayed
+                            // one at the end: each is refused where it
+                            // stands, the sixteen around them are stored.
+                            chunks.insert(5, vec![0xFF; 40]);
+                            chunks.push(sealed(owners[0], 0, 1));
+                            let replay = ServerError::OutOfOrderChunk {
+                                expected: next[&owners[0]],
+                                got: 0,
+                            };
+                            want = vec![
+                                (5, ServerError::BadChunk.to_string()),
+                                (17, replay.to_string()),
+                            ];
+                        }
+                        let shards: BTreeSet<usize> =
+                            owners.iter().map(|&id| router.shard_of(id)).collect();
+                        touched += shards.len() as u64;
+                        let got = batch_errors(svc.handle(Request::InsertBatch { chunks }));
+                        assert_eq!(got, want, "submitter {who}, round {round}");
+                    }
+                    (touched, next)
+                })
+            })
+            .collect();
+        submitters
+            .into_iter()
+            .map(|s| s.join().unwrap())
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(
+        batches.load(Ordering::SeqCst),
+        touched.iter().map(|(n, _)| n).sum::<u64>(),
+        "node InsertBatch calls == shards touched, summed over {} batches",
+        2 * BATCHES
+    );
+    for (id, len) in touched.iter().flat_map(|(_, next)| next) {
+        match svc.handle(Request::StreamInfo { stream: *id }) {
+            Response::Info(info) => assert_eq!(info.len, *len, "stream {id}"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn handling_a_one_shard_insert_batch_frame_allocates_a_constant_number_of_blocks() {
+    let _serial = serial();
+    // One remote shard on a stub node that accepts everything: what the
+    // test's thread allocates is the coordinator's share — decode, route,
+    // frame, read the verdicts, reply.
+    let stub = |req: Request| match req {
+        Request::InsertBatch { .. } => Response::Batch { errors: vec![] },
+        _ => Response::Error("stub".into()),
+    };
+    let node = Server::bind("127.0.0.1:0", Arc::new(stub)).unwrap();
+    let svc = coordinator(&[node.addr().to_string()], Duration::from_secs(5));
+    let allocations = |chunks: u64, points: usize| {
+        let mut frame = Vec::new();
+        Request::InsertBatch {
+            chunks: (0..chunks).map(|i| sealed(1, i, points)).collect(),
+        }
+        .encode_into(&mut frame);
+        // The first frames dial the node and grow the connection's
+        // scratch buffer; neither is a frame's own cost.
+        for _ in 0..2 {
+            assert_eq!(batch_errors(svc.handle_frame(&frame)), vec![]);
+        }
+        let before = ALLOCS.get();
+        let reply = svc.handle_frame(&frame);
+        let allocs = ALLOCS.get() - before;
+        assert_eq!(batch_errors(reply), vec![]);
+        (allocs, frame.len())
+    };
+    let (base, base_bytes) = allocations(16, 1);
+    println!("allocations per 16-chunk InsertBatch frame on the coordinator: {base}");
+    assert!(base <= 6, "{base} allocations");
+    let (more_chunks, _) = allocations(128, 1);
+    assert_eq!(more_chunks, base, "eight times the chunks");
+    let (larger_chunks, bytes) = allocations(16, 400);
+    assert!(bytes > 8 * base_bytes);
+    assert_eq!(larger_chunks, base, "chunks of 400 points");
+}

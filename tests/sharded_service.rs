@@ -48,7 +48,6 @@ fn concurrent_producers_preserve_per_stream_order() {
             Arc::new(MemKv::new()),
             ServiceConfig {
                 shards: 4,
-                queue_depth: 8,
                 ..ServiceConfig::default()
             },
         )
