@@ -125,7 +125,7 @@ pub enum ServerError {
     Integrity(String),
     /// No attestation stored for the stream yet.
     NoAttestation(u128),
-    /// A service-tier component (e.g. a shard ingest worker) is not
+    /// A service-tier component (e.g. a shard's node) is not
     /// available to process the request.
     Unavailable(&'static str),
     /// An error reported by a remote shard node, carried verbatim. The
@@ -789,8 +789,8 @@ impl TimeCryptServer {
     /// nothing is copied through an intermediate `EncryptedChunk`.
     /// Unparseable entries report [`ServerError::BadChunk`] at their
     /// position. Each stream's chunks form one run: one ingest-lock
-    /// acquisition and one store commit, whether the batch is a whole drain
-    /// of the service tier's ingest workers or a single chunk. A run that
+    /// acquisition and one store commit, whether the batch is a shard's whole
+    /// share of a client upload or a single chunk. A run that
     /// panics fails its own chunks (`Unavailable`) and no other stream's.
     pub fn insert_bytes_run(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
         let mut out: Vec<Result<(), ServerError>> = Vec::with_capacity(chunks.len());

@@ -324,9 +324,8 @@ impl ShardReplicas {
             })
     }
 
-    /// Begins ingesting an ordered run under the write policy: its frame
-    /// is on its way to the primary (an in-process primary has run it).
-    /// `queue_depth` counts the run's chunks until its verdicts are read.
+    /// Begins ingesting an ordered run under the write policy;
+    /// `queue_depth` counts its chunks until their verdicts are read.
     pub(crate) fn begin_ingest<'a>(&'a self, chunks: &'a [&'a [u8]]) -> Write<'a, Run<'a>> {
         self.m().queue_depth.add(chunks.len() as u64);
         self.begin_write(Run(chunks))
@@ -665,11 +664,10 @@ type Begun<W> = Result<<W as WriteOp>::Sent, ServerError>;
 /// answer and begins the mirror, [`finish_mirror`](Self::finish_mirror)
 /// reads the mirror's and accounts drift. Between steps it holds the
 /// backend it waits on, never the roles lock. Every mutation takes this
-/// path, replicated shard or not: the mirror target must be re-read
-/// *after* the primary acknowledges, so a backup attached (and even
-/// armed) while the call was in flight still receives — or vetoes the
-/// arming of — the acknowledged write. A snapshot-gated fast path would
-/// let an acked mutation bypass a mid-flight attach.
+/// path, replicated shard or not: the mirror target is re-read *after*
+/// the primary acknowledges, so a backup attached (even armed) while the
+/// call was in flight still receives — or vetoes the arming of — the
+/// write; a snapshot-gated fast path would let it bypass the attach.
 ///
 /// An unreachable primary fails the write *without* touching the backup,
 /// which therefore never holds state the primary lacks. At most two
@@ -678,8 +676,7 @@ type Begun<W> = Result<<W as WriteOp>::Sent, ServerError>;
 /// only runs after the primary acknowledged client-side, so a write whose
 /// ack was lost never reached the backup, and strict next-index ingest
 /// rejects any duplicate that somehow did. With no safe retry target the
-/// error is [`AMBIGUOUS`], not the generic transport error, so callers
-/// know the write may have been applied.
+/// error is [`AMBIGUOUS`]: callers know the write may have been applied.
 pub(crate) struct Write<'r, W: WriteOp> {
     replicas: &'r ShardReplicas,
     op: W,

@@ -1,10 +1,9 @@
 //! The sharded service: router + shard backends + query workers + metrics.
 //!
 //! Ingest, single or batched, runs on the thread that submitted it: a
-//! batch is partitioned by shard as borrowed slices of the caller's
-//! buffer and each shard's run goes to its replica set from there, the
-//! shards' exchanges overlapped. Back-pressure is the submitter waiting
-//! for its own verdicts; nothing is queued.
+//! batch is partitioned by shard as slices of the caller's buffer and the
+//! shards' exchanges overlap. Back-pressure is the submitter waiting for
+//! its own verdicts; nothing is queued.
 
 use crate::backend::{
     clone_unavailable, ingest_runs, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend,
@@ -308,7 +307,12 @@ impl ShardedService {
     /// ingest path: the chunk is serialized here, once, and travels as
     /// bytes from then on.
     pub fn insert(&self, chunk: &EncryptedChunk) -> Result<(), ServerError> {
-        let verdict = self.submit_routed(&[&chunk.to_bytes()]).pop();
+        self.insert_bytes(&chunk.to_bytes())
+    }
+
+    /// One serialized chunk: a batch of one.
+    fn insert_bytes(&self, chunk: &[u8]) -> Result<(), ServerError> {
+        let verdict = self.submit_routed(&[chunk]).pop();
         verdict.unwrap_or(Err(ServerError::Unavailable("chunk received no verdict")))
     }
 
@@ -338,10 +342,7 @@ impl ShardedService {
         // A batch of one shard's chunks — every per-stream upload — is
         // that shard's run as it stands.
         if let Some(Ok(shard)) = chunks.first().map(|c| owner(c)) {
-            if chunks[1..]
-                .iter()
-                .all(|c| owner(c).is_ok_and(|s| s == shard))
-            {
+            if chunks[1..].iter().all(|c| owner(c).ok() == Some(shard)) {
                 drop(route);
                 return self.backends[shard].ingest_batch(chunks);
             }
@@ -587,12 +588,12 @@ impl ShardedService {
         // and no envelope-supplied context is already current.
         let _trace = self.trace_root();
         match req {
-            // A single is a batch of one, straight from the caller's
-            // buffer (typed errors rendered at this boundary).
-            RequestRef::Insert { chunk } => match self.submit_routed(&[chunk]).pop() {
+            // Straight from the caller's buffer (typed errors rendered at
+            // this boundary).
+            RequestRef::Insert { chunk } => match self.insert_bytes(chunk) {
+                Ok(()) => Response::Ok,
                 // lint: allow(no-alloc) — error formatting on the rejection path only
-                Some(Err(e)) => Response::Error(e.to_string()),
-                _ => Response::Ok,
+                Err(e) => Response::Error(e.to_string()),
             },
             RequestRef::InsertBatch { chunks } => self.insert_batch_bytes(&chunks),
             // Routing needs only the record's stream id — peek it without

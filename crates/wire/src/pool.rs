@@ -5,17 +5,17 @@
 //! [`Client::call`] or the pipelined [`Client::send`]/[`Client::recv`]
 //! pair, and return it on drop; a connection that saw a transport error is
 //! discarded instead of returned, so one broken socket never poisons later
-//! calls. A pooled connection is probed at checkout (a non-blocking
-//! peek): one the peer closed while it sat idle — a node reaps idle
-//! connections — or that holds bytes nobody asked for is dropped before a
-//! request is written to it, so no mutation is spent on a dead socket.
+//! calls. A pooled connection that sat idle for [`PROBE_IDLE`] is probed at
+//! checkout (a non-blocking peek): one the peer closed meanwhile — a node
+//! reaps idle connections — or that holds bytes nobody asked for is
+//! dropped before a request is written to it, so the first mutation
+//! after a quiet spell is not spent on a dead socket.
 //! When no pooled connection is usable the pool dials the endpoint,
 //! retrying with exponential backoff up to
 //! [`PoolConfig::connect_attempts`] before reporting the endpoint down.
 //! It keeps as many idle connections as were ever checked out at once
-//! (never fewer than [`PoolConfig::max_idle`]), so a steady set of
-//! concurrent callers reuses its sockets; the peer's idle reaping and the
-//! checkout probe retire what falls out of use.
+//! (never fewer than [`PoolConfig::max_idle`]), so concurrent callers reuse
+//! their sockets; the peer's idle reaping retires what falls out of use.
 //!
 //! The pool deliberately does **not** retry requests: whether a failed
 //! exchange is safe to repeat depends on the request (statistical queries
@@ -26,7 +26,12 @@
 use crate::messages::Request;
 use crate::transport::{Client, ClientError};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a pooled connection sits idle before a checkout probes it.
+/// One used a moment ago was not reaped, and probing every checkout cost
+/// a loaded coordinator several percent of its read throughput.
+pub const PROBE_IDLE: Duration = Duration::from_millis(10);
 
 /// Tuning knobs for a [`ClientPool`].
 #[derive(Debug, Clone)]
@@ -72,7 +77,8 @@ struct Shared {
 
 #[derive(Default)]
 struct Idle {
-    conns: Vec<Client>,
+    /// Each with when it was returned.
+    conns: Vec<(Client, Instant)>,
     /// Connections checked out now, and the most that ever were at once.
     out: usize,
     peak: usize,
@@ -154,16 +160,18 @@ impl ClientPool {
             pool: self.shared.clone(),
             client: None,
         };
-        // Re-arm the configured deadline on every checkout. A caller may
-        // have tightened this connection's deadline to its remaining
-        // budget before returning it; the next request must start from
-        // the full per-operation allowance, not inherit that stale,
-        // nearly-expired remainder.
-        let usable = pooled.filter(Client::is_idle_and_open).and_then(|mut c| {
-            c.set_io_timeout(self.shared.cfg.io_timeout)
-                .ok()
-                .map(|()| c)
-        });
+        // Probe a connection that sat idle, and re-arm the configured
+        // deadline on every checkout: a caller may have tightened this
+        // connection's deadline to its remaining budget before returning
+        // it; the next request must start from the full per-operation
+        // allowance, not inherit that stale, nearly-expired remainder.
+        let usable = pooled
+            .filter(|(c, since)| since.elapsed() < PROBE_IDLE || c.is_idle_and_open())
+            .and_then(|(mut c, _)| {
+                c.set_io_timeout(self.shared.cfg.io_timeout)
+                    .ok()
+                    .map(|()| c)
+            });
         conn.client = Some(match usable {
             Some(c) => c,
             None => self.connect()?,
@@ -252,7 +260,7 @@ impl Drop for PooledConn {
         let mut idle = self.pool.idle();
         idle.out -= 1;
         if idle.conns.len() < self.pool.cfg.max_idle.max(idle.peak) {
-            idle.conns.extend(client);
+            idle.conns.extend(client.map(|c| (c, Instant::now())));
         }
     }
 }
@@ -400,13 +408,14 @@ mod tests {
         );
     }
 
-    /// A connection whose peer is already gone: it dialed a listener that
-    /// was dropped before accepting, so the first exchange on it fails.
-    fn dead_client() -> Client {
+    /// A just-returned connection whose peer is already gone: it dialed a
+    /// listener that was dropped before accepting, so the first exchange
+    /// on it fails.
+    fn dead_client() -> (Client, Instant) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let client = Client::connect(listener.local_addr().unwrap()).unwrap();
         drop(listener);
-        client
+        (client, Instant::now())
     }
 
     #[test]
