@@ -48,8 +48,8 @@ struct Roles {
 /// One shard's replica set: a primary backend plus an optional backup,
 /// with a health state machine that closes the R=2 loop.
 ///
-/// * **Mutations** ([`Write`]: `call` of a mutation, `ingest_batch` and
-///   the overlapped [`ingest_runs`], `create_stream`) go
+/// * **Mutations** (`Write`: `call` of a mutation, `ingest_batch` and
+///   the overlapped `ingest_runs`, `create_stream`) go
 ///   primary-then-backup: the backup only ever receives writes the
 ///   primary received, in the same order, which is the invariant that
 ///   keeps the replicas byte-identical. A backup failure (or a verdict

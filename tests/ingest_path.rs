@@ -126,27 +126,35 @@ fn batch_errors(reply: Response) -> Vec<(u32, String)> {
 fn an_idle_default_coordinator_runs_no_ingest_thread() {
     let _serial = serial();
     let svc = ShardedService::open(Arc::new(MemKv::new()), ServiceConfig::default()).unwrap();
-    // The service names every thread it starts `tc-<role>-<shard>`.
-    let mut census: BTreeMap<String, usize> = BTreeMap::new();
-    for task in std::fs::read_dir("/proc/self/task").unwrap() {
-        let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap();
-        if let Some(role) = comm.trim().strip_prefix("tc-") {
-            let role = role.trim_end_matches(|c: char| c == '-' || c.is_ascii_digit());
-            *census.entry(role.to_string()).or_default() += 1;
+    // The service names every thread it starts `tc-<role>-<shard>`; a
+    // thread names itself as it starts, so read until the query workers
+    // (one per shard) all have.
+    let shards = svc.stats().shards.len();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let census = loop {
+        let mut census: BTreeMap<String, usize> = BTreeMap::new();
+        for task in std::fs::read_dir("/proc/self/task").unwrap() {
+            // A thread can exit between the listing and the read.
+            let comm = std::fs::read_to_string(task.unwrap().path().join("comm"));
+            if let Some(role) = comm.unwrap_or_default().trim().strip_prefix("tc-") {
+                let role = role.trim_end_matches(|c: char| c == '-' || c.is_ascii_digit());
+                *census.entry(role.to_string()).or_default() += 1;
+            }
         }
-    }
+        if census.get("query") == Some(&shards) || Instant::now() > deadline {
+            break census;
+        }
+        std::thread::yield_now();
+    };
     let roles: Vec<String> = census.iter().map(|(r, n)| format!("{n} {r}")).collect();
     println!(
         "thread census of an idle default coordinator ({} shards): {} threads ({})",
-        svc.stats().shards.len(),
+        shards,
         census.values().sum::<usize>(),
         roles.join(", ")
     );
     assert!(!census.contains_key("ingest"), "{census:?}");
-    assert!(
-        census.contains_key("query"),
-        "the census sees named threads"
-    );
+    assert_eq!(census.get("query"), Some(&shards), "one query worker each");
 }
 
 #[test]
