@@ -29,6 +29,35 @@ pub trait HomDigest: Clone + Send + Sync + 'static {
     fn decode(buf: &[u8]) -> Option<(Self, usize)>
     where
         Self: Sized;
+
+    /// True when every digest of one tree encodes to the same length, so
+    /// an index node that mixes entry lengths is corrupt.
+    const FIXED_LEN: bool = false;
+
+    /// Length of the digest encoded at the front of `buf`. (The index keeps
+    /// a node as its stored bytes; this and the two methods below work on a
+    /// digest where it lies. Their defaults go through `decode`, all a
+    /// strawman ciphertext needs; `Vec<u64>` touches the bytes alone.)
+    fn encoded_len_at(buf: &[u8]) -> Option<usize> {
+        Self::decode(buf).map(|(_, used)| used)
+    }
+
+    /// `self +=` the digest encoded at the front of `buf`; `None` if no
+    /// digest that can be added to `self` is encoded there.
+    fn add_encoded(&mut self, buf: &[u8]) -> Option<()> {
+        self.add_assign(&Self::decode(buf)?.0);
+        Some(())
+    }
+
+    /// Adds `self` into the digest encoded at `buf[at..]`, the last thing
+    /// in `buf`; `None`, and `buf` as it was, if none is encoded there.
+    fn add_to_encoded(&self, buf: &mut Vec<u8>, at: usize) -> Option<()> {
+        let (mut sum, _) = Self::decode(buf.get(at..)?)?;
+        sum.add_assign(self);
+        buf.truncate(at);
+        sum.encode(buf);
+        Some(())
+    }
 }
 
 impl HomDigest for Vec<u64> {
@@ -55,27 +84,111 @@ impl HomDigest for Vec<u64> {
     }
 
     fn decode(buf: &[u8]) -> Option<(Self, usize)> {
-        if buf.len() < 4 {
+        let total = Self::encoded_len_at(buf)?;
+        let (words, _) = buf[4..total].as_chunks::<8>();
+        let words = words.iter().map(|w| u64::from_le_bytes(*w));
+        Some((words.collect(), total))
+    }
+
+    const FIXED_LEN: bool = true;
+
+    fn encoded_len_at(buf: &[u8]) -> Option<usize> {
+        let width = u32::from_le_bytes(*buf.first_chunk()?) as usize;
+        let total = width.checked_mul(8)?.checked_add(4)?;
+        (total <= buf.len()).then_some(total)
+    }
+
+    fn add_encoded(&mut self, buf: &[u8]) -> Option<()> {
+        let (words, _) = buf.get(4..Self::encoded_len_at(buf)?)?.as_chunks::<8>();
+        if words.len() != self.len() {
             return None;
         }
-        let n = u32::from_le_bytes(buf[..4].try_into().ok()?) as usize;
-        let total = 4 + n * 8;
-        if buf.len() < total {
+        for (a, b) in self.iter_mut().zip(words) {
+            *a = a.wrapping_add(u64::from_le_bytes(*b));
+        }
+        Some(())
+    }
+
+    fn add_to_encoded(&self, buf: &mut Vec<u8>, at: usize) -> Option<()> {
+        let entry = buf.get_mut(at..)?;
+        if Self::encoded_len_at(entry)? != entry.len() || entry.len() != self.encoded_len() {
             return None;
         }
-        let mut v = Vec::with_capacity(n);
-        for i in 0..n {
-            v.push(u64::from_le_bytes(
-                buf[4 + i * 8..12 + i * 8].try_into().ok()?,
-            ));
+        for (a, b) in self.iter().zip(entry[4..].as_chunks_mut::<8>().0) {
+            *b = a.wrapping_add(u64::from_le_bytes(*b)).to_le_bytes();
         }
-        Some((v, total))
+        Some(())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `Vec<u64>` behind the required methods alone: every provided method
+    /// is the decode-based default a strawman ciphertext gets.
+    #[derive(Clone, Debug, PartialEq)]
+    pub(crate) struct ByDefault(pub Vec<u64>);
+
+    impl HomDigest for ByDefault {
+        fn zero_like(&self) -> Self {
+            ByDefault(self.0.zero_like())
+        }
+        fn add_assign(&mut self, other: &Self) {
+            self.0.add_assign(&other.0)
+        }
+        fn encoded_len(&self) -> usize {
+            self.0.encoded_len()
+        }
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out)
+        }
+        fn decode(buf: &[u8]) -> Option<(Self, usize)> {
+            <Vec<u64>>::decode(buf).map(|(d, used)| (ByDefault(d), used))
+        }
+    }
+
+    #[test]
+    fn the_allocation_free_overrides_do_what_the_defaults_do() {
+        let (a, b) = (vec![1u64, u64::MAX, 7], vec![5u64, 3, u64::MAX - 1]);
+        let mut buf = vec![0xEE; 5];
+        b.encode(&mut buf);
+        let entry = buf[5..].to_vec();
+        // Trailing bytes are the next entry's business; a cut one is none.
+        let long = [&entry[..], &[9; 3]].concat();
+        for bytes in [&entry[..], &long] {
+            assert_eq!(<Vec<u64>>::encoded_len_at(bytes), Some(entry.len()));
+            assert_eq!(ByDefault::encoded_len_at(bytes), Some(entry.len()));
+            let (mut fast, mut slow) = (a.clone(), ByDefault(a.clone()));
+            assert_eq!(fast.add_encoded(bytes), Some(()));
+            assert_eq!(slow.add_encoded(bytes), Some(()));
+            assert_eq!((&fast, &fast), (&slow.0, &vec![6, 2, 5]));
+        }
+        for cut in 0..entry.len() {
+            assert_eq!(<Vec<u64>>::encoded_len_at(&entry[..cut]), None);
+            assert_eq!(ByDefault::encoded_len_at(&entry[..cut]), None);
+            assert_eq!(a.clone().add_encoded(&entry[..cut]), None);
+            assert_eq!(ByDefault(a.clone()).add_encoded(&entry[..cut]), None);
+        }
+        // Into the encoding, which is the tail of a buffer: same bytes.
+        let (mut fast, mut slow) = (buf.clone(), buf.clone());
+        assert_eq!(a.add_to_encoded(&mut fast, 5), Some(()));
+        assert_eq!(ByDefault(a.clone()).add_to_encoded(&mut slow, 5), Some(()));
+        let mut sum = vec![0xEE; 5];
+        vec![6u64, 2, 5].encode(&mut sum);
+        assert_eq!((&fast, &slow), (&sum, &sum));
+        // Another width is refused and nothing is touched; so is an offset
+        // that is not where the last entry starts.
+        let narrow = vec![1u64, 2];
+        let mut narrow_entry = Vec::new();
+        narrow.encode(&mut narrow_entry);
+        assert_eq!(a.clone().add_encoded(&narrow_entry), None);
+        for at in [4, 6, buf.len(), buf.len() + 1] {
+            assert_eq!(a.add_to_encoded(&mut fast, at), None, "at {at}");
+        }
+        assert_eq!(narrow.add_to_encoded(&mut fast, 5), None);
+        assert_eq!(fast, sum);
+    }
 
     #[test]
     fn u64_vec_monoid_laws() {

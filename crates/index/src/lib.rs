@@ -15,7 +15,11 @@
 //! shrinks it to force misses). Node identifiers are computed from
 //! `(stream, level, index)` — no stored references (§4.6). A node is
 //! stored once, when it is full; the partial node of each level lives in
-//! memory and is rebuilt on open from the per-chunk level-0 records.
+//! memory and is rebuilt on open from the per-chunk level-0 records. In
+//! memory a node is the bytes it is stored as, one buffer: the cache's
+//! budget counts the bytes it actually holds, and a [`HomDigest`] is added
+//! up from its encoding where it lies (Table 2's point — a HEAC index is
+//! byte for byte the plaintext one — holds for RAM as for the store).
 //!
 //! # Locking model
 //!

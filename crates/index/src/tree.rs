@@ -22,6 +22,14 @@
 //! * `i/<stream>/<level><index>` — a **sealed** node: its k-th entry has
 //!   landed, so its bytes are final. Written once, when it seals.
 //!
+//! **A node is one buffer**: its record's bytes — a `u32` entry count, then
+//! the entries' encodings end to end — on the spine, in the cache and in a
+//! store batch alike. A sealed node read from the store is checked once
+//! (count, every entry's length prefix, one length for all where the digest
+//! has one, no byte left over) and kept as the buffer the store handed
+//! back; a query adds covered entries from it into the caller's accumulator
+//! ([`HomDigest::add_encoded`]); the cache charges a node what it holds.
+//!
 //! Nodes that are not full yet — one per level, the *open right spine* —
 //! live only in memory (the `frontier`). They are a pure function of the
 //! level-0 records, and a resident tree holds nothing else of its history:
@@ -54,7 +62,8 @@
 //! answers exactly for chunks `[0, len)`, resolving each node from the
 //! frontier first, then the cache, then the store:
 //!
-//! * `append` works on a private copy of the frontier. Its **commit
+//! * `append` works on a private copy of the frontier — shallow, but for
+//!   the open nodes it touches, each copied once as a block. Its **commit
 //!   point** comes after the store batch succeeded: it swaps the new
 //!   frontier in wholesale, then publishes the new `len` with a `Release`
 //!   store. A reader that observes `len == n` therefore finds every node
@@ -87,8 +96,8 @@ pub struct TreeConfig {
     /// Fan-out k. The paper's evaluation instantiates 64-ary trees.
     pub arity: usize,
     /// LRU cache budget in bytes for index nodes (split evenly across the
-    /// cache's lock stripes). Fig. 7's "small cache" variant uses 1 MB;
-    /// the default is generous.
+    /// cache's lock stripes, of which a small budget has one). Fig. 7's
+    /// "small cache" variant uses 1 MB; the default is generous.
     pub cache_bytes: usize,
 }
 
@@ -145,63 +154,103 @@ impl From<StoreError> for IndexError {
     }
 }
 
-/// One tree node: the per-child aggregates present so far.
-#[derive(Clone)]
-struct Node<D> {
-    entries: Vec<D>,
+/// One tree node: the bytes it is stored as (module docs, "A node is one
+/// buffer"), a `u32` entry count, then the entries' encodings end to end.
+struct Node {
+    bytes: Vec<u8>,
+    /// Where the last entry starts (`bytes.len()` while there is none).
+    last: usize,
 }
 
-impl<D: HomDigest> Node<D> {
-    fn encode(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(4 + self.entries.iter().map(|e| e.encoded_len()).sum::<usize>());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for e in &self.entries {
-            e.encode(&mut out);
+impl Clone for Node {
+    /// A writer's private copy: one allocation, one `memcpy`, with room for
+    /// one more entry like the last — all a single-chunk append adds.
+    fn clone(&self) -> Self {
+        let mut bytes = Vec::with_capacity(2 * self.bytes.len() - self.last);
+        bytes.extend_from_slice(&self.bytes);
+        let last = self.last;
+        Node { bytes, last }
+    }
+}
+
+impl Node {
+    fn empty() -> Node {
+        Node {
+            bytes: vec![0; 4],
+            last: 4,
         }
-        out
     }
 
-    fn decode(buf: &[u8]) -> Option<Self> {
-        if buf.len() < 4 {
+    /// Takes stored bytes as a node of `count` entries, checking once what
+    /// every later read relies on: the count, each entry's length prefix,
+    /// one length for all where the digest has one, and no byte left over.
+    fn checked<D: HomDigest>(bytes: Vec<u8>, count: usize) -> Option<Node> {
+        if u32::from_le_bytes(*bytes.first_chunk()?) as usize != count {
             return None;
         }
-        let n = u32::from_le_bytes(buf[..4].try_into().ok()?) as usize;
-        let mut pos = 4;
-        // The length prefix is untrusted stored data: clamp the
-        // pre-allocation by what the remaining buffer could possibly hold
-        // (every entry consumes at least one byte), so a corrupt node
-        // cannot demand a multi-GB allocation before the first entry
-        // fails to parse.
-        let mut entries = Vec::with_capacity(n.min(buf.len() - 4));
-        for _ in 0..n {
-            let (d, used) = D::decode(&buf[pos..])?;
-            entries.push(d);
-            pos += used;
+        let (mut last, mut end) = (4, 4);
+        for _ in 0..count {
+            let len = D::encoded_len_at(bytes.get(end..)?)?;
+            if D::FIXED_LEN && end > 4 && len != end - last {
+                return None;
+            }
+            (last, end) = (end, end + len);
         }
-        if pos != buf.len() {
-            return None;
-        }
-        Some(Node { entries })
+        (end == bytes.len()).then_some(Node { bytes, last })
     }
 
-    fn weight(&self) -> usize {
-        4 + self.entries.iter().map(|e| e.encoded_len()).sum::<usize>()
+    fn count(&self) -> usize {
+        (self.bytes.first_chunk()).map_or(0, |count| u32::from_le_bytes(*count) as usize)
+    }
+
+    /// The entries' encodings, in slot order.
+    fn entries<D: HomDigest>(&self) -> impl Iterator<Item = &[u8]> {
+        let mut rest = self.bytes.get(4..).unwrap_or_default();
+        std::iter::from_fn(move || {
+            let entry;
+            (entry, rest) = rest.split_at_checked(D::encoded_len_at(rest)?)?;
+            Some(entry)
+        })
+    }
+
+    /// The homomorphic sum of the entries; `None` for none.
+    fn sum<D: HomDigest>(&self) -> Option<D> {
+        let mut entries = self.entries::<D>();
+        let mut sum = D::decode(entries.next()?)?.0;
+        for entry in entries {
+            sum.add_encoded(entry)?;
+        }
+        Some(sum)
+    }
+
+    /// Appends an entry; `None`, and the node as it was, for one of another
+    /// length than the entries before it where [`checked`](Self::checked)
+    /// would refuse that.
+    fn push<D: HomDigest>(&mut self, entry: &D) -> Option<()> {
+        let count = self.count() as u32;
+        if D::FIXED_LEN && count > 0 && entry.encoded_len() != self.bytes.len() - self.last {
+            return None;
+        }
+        self.last = self.bytes.len();
+        entry.encode(&mut self.bytes);
+        self.bytes[..4].copy_from_slice(&(count + 1).to_le_bytes());
+        Some(())
     }
 }
 
 /// A node on its way to the store or the cache, with its position.
-type Placed<D> = ((u8, u64), Arc<Node<D>>);
+type Placed = ((u8, u64), Arc<Node>);
 
 /// The open right spine: per level the one node that is not full yet, plus
 /// the running total a new top level absorbs when the tree grows. Cloning
 /// is shallow (nodes are `Arc`ed); a writer copies a node on first touch
-/// ([`Arc::make_mut`]), so the shared frontier never sees half an append.
+/// ([`Arc::make_mut`], one buffer), so the shared frontier never sees half
+/// an append.
 #[derive(Clone)]
 struct Spine<D> {
     /// `open[ℓ-1]` is `(index, node)` of the level-ℓ node still accepting
     /// entries; `None` when the last node of that level is full.
-    open: Vec<Option<(u64, Arc<Node<D>>)>>,
+    open: Vec<Option<(u64, Arc<Node>)>>,
     /// Sum of every chunk pushed so far.
     total: Option<D>,
 }
@@ -209,12 +258,14 @@ struct Spine<D> {
 impl<D: HomDigest> Spine<D> {
     /// Ripples chunk `i`'s digest into the spine: a new level-1 entry, and
     /// per ancestor either one addition into the entry of the subtree the
-    /// chunk extends or, when the chunk starts a new subtree, a new entry.
-    /// Levels are maintained up to the lowest one whose single node covers
-    /// `[0, i]`. Nodes this chunk fills leave the spine through `sealed`.
-    /// No I/O: the spine (and so every sealed node) is a pure function of
-    /// the chunk digests pushed in order.
-    fn push(&mut self, k: u64, i: u64, digest: &D, sealed: &mut Vec<Placed<D>>) {
+    /// chunk extends — always the node's last — or, when the chunk starts a
+    /// new subtree, a new entry. Levels are maintained up to the lowest one
+    /// whose single node covers `[0, i]`. Nodes this chunk fills leave the
+    /// spine through `sealed`. No I/O: the spine (and so every sealed node)
+    /// is a pure function of the chunk digests pushed in order. `None` for
+    /// a digest that cannot be added to the ones before it.
+    // lint: deny(alloc)
+    fn push(&mut self, k: u64, i: u64, digest: D, sealed: &mut Vec<Placed>) -> Option<()> {
         let mut level = 1u8;
         let mut child = i; // index, one level down, of the subtree holding chunk i
         loop {
@@ -223,21 +274,20 @@ impl<D: HomDigest> Spine<D> {
                 self.open.push(None);
             }
             let at = &mut self.open[level as usize - 1];
-            let (open_index, node) = at.get_or_insert_with(|| {
-                let entries = Vec::new();
-                (index, Arc::new(Node { entries }))
-            });
+            let (open_index, node) = at.get_or_insert_with(|| (index, Arc::new(Node::empty())));
             debug_assert_eq!(*open_index, index, "spine out of step at level {level}");
-            let entries = &mut Arc::make_mut(node).entries;
-            if slot < entries.len() {
-                entries[slot].add_assign(digest);
+            let node = Arc::make_mut(node);
+            let count = node.count();
+            if slot < count {
+                debug_assert_eq!(slot + 1, count, "a chunk extends the last subtree");
+                digest.add_to_encoded(&mut node.bytes, node.last)?;
             } else {
-                if slot > entries.len() {
+                if let (true, Some(total)) = (slot > count, &self.total) {
                     // Only a brand-new top level starts past slot 0: the
                     // subtree to its left was the whole tree until now.
-                    entries.extend(self.total.clone());
+                    node.push(total)?;
                 }
-                entries.push(digest.clone());
+                node.push(&digest)?;
             }
             let span = span_at(level, k);
             if (i + 1).is_multiple_of(span) {
@@ -252,20 +302,11 @@ impl<D: HomDigest> Spine<D> {
             level += 1;
         }
         match &mut self.total {
-            Some(total) => total.add_assign(digest),
-            None => self.total = Some(digest.clone()),
+            Some(total) => total.add_assign(&digest),
+            None => self.total = Some(digest),
         }
+        Some(())
     }
-}
-
-/// The homomorphic sum of `entries`; `None` for none.
-fn sum_of<D: HomDigest>(entries: &[D]) -> Option<D> {
-    let (first, rest) = entries.split_first()?;
-    let mut sum = first.clone();
-    for entry in rest {
-        sum.add_assign(entry);
-    }
-    Some(sum)
 }
 
 /// Runtime statistics (cache behaviour, sizes) for the benchmarks.
@@ -275,6 +316,9 @@ pub struct TreeStats {
     pub cache_hits: u64,
     /// Index-node cache misses (KV fetches).
     pub cache_misses: u64,
+    /// Bytes the cache charges for the nodes it holds: their stored lengths,
+    /// within [`TreeConfig::cache_bytes`] unless a single node is larger.
+    pub cache_used_bytes: usize,
     /// Total serialized bytes (key + value) of all index nodes: the sealed
     /// ones in the store plus the open spine held in memory.
     pub stored_bytes: usize,
@@ -305,52 +349,54 @@ pub struct AggTree<D: HomDigest> {
     /// is unchanged at fill time — otherwise it could resurrect a node the
     /// decay just deleted. (Appends need no guard: sealed bytes are final.)
     cache_gen: AtomicU64,
-    cache: NodeCache<D>,
+    cache: NodeCache,
 }
 
-/// Lock stripes in the node cache. Concurrent queries take node-cache
+/// Most lock stripes in the node cache. Concurrent queries take node-cache
 /// locks from many reader threads at once; striping by node key keeps them
 /// off one global mutex. Eight stripes cover the practical parallelism (a
-/// handful of concurrent readers) without fragmenting the byte budget.
-const CACHE_STRIPES: usize = 8;
+/// handful of concurrent readers).
+const MAX_STRIPES: usize = 8;
+
+/// Least budget worth a stripe of its own. A stripe evicts alone: one that
+/// holds a single node (64-ary, 19-wide: 10 KB) drops its upper-level node
+/// on every leaf fill, so a small budget stays whole behind one lock.
+const MIN_STRIPE_BYTES: usize = 64 * 1024;
 
 /// The striped node cache: an LRU per stripe, each holding `Arc`ed nodes so
-/// a cache hit hands back a reference-count bump instead of deep-cloning
-/// the node's digest entries (the former per-visit clone was the single
-/// largest allocation source in the query hot loop).
-struct NodeCache<D> {
-    stripes: Vec<Stripe<D>>,
+/// a cache hit hands back a reference-count bump. A node's weight is its
+/// buffer's length: what it holds of the heap.
+struct NodeCache {
+    stripes: Vec<Stripe>,
 }
 
 /// One stripe: an independently locked LRU over `Arc`ed nodes.
-type Stripe<D> = Mutex<LruCache<(u8, u64), Arc<Node<D>>>>;
+type Stripe = Mutex<LruCache<(u8, u64), Arc<Node>>>;
 
-impl<D: HomDigest> NodeCache<D> {
+impl NodeCache {
     fn new(budget_bytes: usize) -> Self {
-        // Round the per-stripe budget up so tiny test budgets don't become
-        // zero-capacity stripes; the aggregate overshoot is ≤ 7 bytes.
-        let per_stripe = budget_bytes.div_ceil(CACHE_STRIPES);
-        NodeCache {
-            stripes: (0..CACHE_STRIPES)
-                .map(|_| Mutex::new(LruCache::new(per_stripe)))
-                .collect(),
-        }
+        let stripes = (budget_bytes / MIN_STRIPE_BYTES).clamp(1, MAX_STRIPES);
+        // Rounded down: the stripes together never hold more than the budget.
+        let stripe = || Mutex::new(LruCache::new(budget_bytes / stripes));
+        let stripes = (0..stripes).map(|_| stripe()).collect();
+        NodeCache { stripes }
     }
 
-    fn stripe(&self, key: &(u8, u64)) -> &Stripe<D> {
+    fn stripe(&self, key: &(u8, u64)) -> &Stripe {
         // Consecutive node indexes (the common locality pattern) land on
         // different stripes; mixing the level in (un-shifted — stripe
         // selection keeps only the low bits) keeps a node and its parent
         // at the same index from colliding systematically.
         let h = key.1 ^ (key.0 as u64);
-        &self.stripes[(h % CACHE_STRIPES as u64) as usize]
+        &self.stripes[(h % self.stripes.len() as u64) as usize]
     }
 
-    fn get(&self, key: &(u8, u64)) -> Option<Arc<Node<D>>> {
+    fn get(&self, key: &(u8, u64)) -> Option<Arc<Node>> {
         self.stripe(key).lock().get(key).cloned()
     }
 
-    fn put(&self, key: (u8, u64), node: Arc<Node<D>>, weight: usize) {
+    fn put(&self, key: (u8, u64), node: Arc<Node>) {
+        let weight = node.bytes.len();
         self.stripe(&key).lock().put(key, node, weight);
     }
 
@@ -358,11 +404,12 @@ impl<D: HomDigest> NodeCache<D> {
         self.stripe(key).lock().remove(key);
     }
 
-    /// Aggregate (hits, misses) across stripes.
-    fn stats(&self) -> (u64, u64) {
-        self.stripes.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = s.lock().stats();
-            (h + sh, m + sm)
+    /// Aggregate (hits, misses, bytes charged) across stripes.
+    fn stats(&self) -> (u64, u64, usize) {
+        self.stripes.iter().fold((0, 0, 0), |(h, m, used), s| {
+            let s = s.lock();
+            let (sh, sm) = s.stats();
+            (h + sh, m + sm, used + s.used_bytes())
         })
     }
 }
@@ -413,7 +460,7 @@ pub fn stored_chunk_count(kv: &dyn KvStore, stream: u128) -> Result<u64, IndexEr
 /// the stream's [`AggTree`] handle (the in-memory frontier dies with it).
 pub fn stream_keys(kv: &dyn KvStore, stream: u128) -> Result<Vec<Vec<u8>>, IndexError> {
     let mut keys = kv.scan_keys(&leaf_key(stream, 0)[..LEAF_PREFIX_LEN])?;
-    keys.extend(kv.scan_keys(&node_prefix(stream))?);
+    keys.extend(kv.scan_keys(&node_key(stream, 0, 0)[..NODE_PREFIX_LEN])?);
     Ok(keys)
 }
 
@@ -463,20 +510,33 @@ impl<D: HomDigest> AggTree<D> {
             let level = open.len() as u8 + 1;
             span = span_at(level, k);
             let index = n / span;
-            let sealed = index * k..n / span_at(level - 1, k);
-            let mut entries = sealed
-                .map(|child| self.subtree_sum(level - 1, child))
-                .collect::<Result<Vec<D>, _>>()?;
+            let mut node = self.node_of(level, index, n / span_at(level - 1, k) - index * k)?;
             // `total` is still the sum of the open node one level down.
-            entries.extend(total.take());
-            total = sum_of(&entries);
-            open.push((!entries.is_empty()).then(|| (index, Arc::new(Node { entries }))));
+            if let Some(below) = total.take() {
+                let pushed = node.push(&below);
+                pushed.ok_or(IndexError::CorruptNode { level, index })?;
+            }
+            node.bytes.shrink_to_fit();
+            total = node.sum();
+            open.push((node.count() > 0).then(|| (index, Arc::new(node))));
         }
         // The top node covers every chunk; at n = k^levels it has just sealed.
         if total.is_none() && n > 0 {
             total = Some(self.subtree_sum(open.len() as u8, 0)?);
         }
         Ok(Spine { open, total })
+    }
+
+    /// The first `children` entries of node `(level, index)`: the sums of the
+    /// complete subtrees under them.
+    fn node_of(&self, level: u8, index: u64, children: u64) -> Result<Node, IndexError> {
+        let mut node = Node::empty();
+        let first = index * self.cfg.arity as u64;
+        for child in first..first + children {
+            let pushed = node.push(&self.subtree_sum(level - 1, child)?);
+            pushed.ok_or(IndexError::CorruptNode { level, index })?;
+        }
+        Ok(node)
     }
 
     /// Sum of the chunks under the complete subtree `(level, index)`: the
@@ -488,17 +548,12 @@ impl<D: HomDigest> AggTree<D> {
             let record = leaf_record(self.kv.as_ref(), self.stream, index)?;
             return Ok(D::decode(&record).ok_or(corrupt)?.0);
         }
-        let k = self.cfg.arity as u64;
-        let entries = match self.kv.get(&node_key(self.stream, level, index))? {
-            Some(bytes) => match Node::decode(&bytes) {
-                Some(node) if node.entries.len() as u64 == k => node.entries,
-                _ => return Err(corrupt),
-            },
-            None => (index * k..(index + 1) * k)
-                .map(|child| self.subtree_sum(level - 1, child))
-                .collect::<Result<_, _>>()?,
+        let k = self.cfg.arity;
+        let node = match self.kv.get(&node_key(self.stream, level, index))? {
+            Some(bytes) => Node::checked::<D>(bytes, k),
+            None => Some(self.node_of(level, index, k as u64)?),
         };
-        sum_of(&entries).ok_or(corrupt)
+        node.and_then(|node| node.sum()).ok_or(corrupt)
     }
 
     /// Number of chunks ingested (a consistent snapshot: every chunk
@@ -566,27 +621,37 @@ impl<D: HomDigest> AggTree<D> {
         let mut spine = self.frontier.read().clone();
         let mut sealed = Vec::new();
         let mut leaf_keys = Vec::with_capacity(records.len());
+        let k = self.cfg.arity as u64;
         for (index, record) in (base..).zip(records) {
-            let (digest, _) =
-                D::decode(record.as_ref()).ok_or(IndexError::CorruptNode { level: 0, index })?;
-            spine.push(self.cfg.arity as u64, index, &digest, &mut sealed);
+            let corrupt = || IndexError::CorruptNode { level: 0, index };
+            let (digest, _) = D::decode(record.as_ref()).ok_or_else(corrupt)?;
+            let pushed = spine.push(k, index, digest, &mut sealed);
+            pushed.ok_or_else(corrupt)?;
             leaf_keys.push(leaf_key(self.stream, index));
         }
-        let nodes: Vec<_> = sealed
+        // The nodes this append holds alone are the copies it made: they
+        // give back what a run grew them by, so a published node is exact.
+        let open = spine.open.iter_mut().flatten().map(|(_, node)| node);
+        for node in open.chain(sealed.iter_mut().map(|(_, node)| node)) {
+            if let Some(node) = Arc::get_mut(node) {
+                node.bytes.shrink_to_fit();
+            }
+        }
+        let node_keys: Vec<_> = sealed
             .iter()
-            .map(|((level, index), node)| (node_key(self.stream, *level, *index), node.encode()))
+            .map(|((level, index), _)| node_key(self.stream, *level, *index))
             .collect();
         let leaves = leaf_keys.iter().zip(records);
         let leaves = leaves.map(|(key, record)| (&key[..], record.as_ref()));
-        let nodes = nodes.iter().map(|(key, value)| (&key[..], &value[..]));
+        let nodes = node_keys.iter().zip(&sealed);
+        let nodes = nodes.map(|(key, (_, node))| (&key[..], &node.bytes[..]));
         let puts = leaves
             .chain(nodes)
             .map(|(key, value)| WriteOp::Put { key, value });
         self.kv.write_batch(&puts.collect::<Vec<_>>())?;
         // Commit point: everything the new length promises is in the store.
         for (key, node) in sealed {
-            let weight = node.weight();
-            self.cache.put(key, node, weight);
+            self.cache.put(key, node);
         }
         // The old spine is freed after the lock is released, at return.
         let _old = std::mem::replace(&mut *self.frontier.write(), spine);
@@ -646,8 +711,10 @@ impl<D: HomDigest> AggTree<D> {
         acc.ok_or(IndexError::BadRange { start, end, len })
     }
 
-    /// Recursive combine: add fully-covered entries of `(level, index)`;
-    /// recurse into the (at most two) partially-covered children.
+    /// Recursive combine: add fully-covered entries of `(level, index)`,
+    /// from the node's buffer straight into `acc`; recurse into the (at
+    /// most two) partially-covered children.
+    // lint: deny(alloc)
     fn query_node(
         &self,
         level: u8,
@@ -669,17 +736,21 @@ impl<D: HomDigest> AggTree<D> {
         // At most two children partially overlap a contiguous range: the
         // slot containing `start` and the slot containing `end`.
         let mut partial: [Option<u64>; 2] = [None, None];
-        for (slot, entry) in node.entries.iter().enumerate() {
+        for (slot, entry) in node.entries::<D>().enumerate() {
             let c_lo = base + slot as u64 * child_span;
             let c_hi = c_lo + child_span;
-            if c_hi <= start || c_lo >= end {
+            if c_hi <= start {
                 continue;
             }
+            if c_lo >= end {
+                break;
+            }
             if start <= c_lo && c_hi <= end {
-                match acc {
-                    Some(a) => a.add_assign(entry),
-                    None => *acc = Some(entry.clone()),
-                }
+                let added = match acc {
+                    Some(acc) => acc.add_encoded(entry),
+                    None => D::decode(entry).map(|(first, _)| *acc = Some(first)),
+                };
+                added.ok_or(IndexError::CorruptNode { level, index })?;
             } else {
                 // Partial overlap: drill down. At level 1 children are
                 // chunks, which can't partially overlap a chunk-aligned
@@ -751,22 +822,23 @@ impl<D: HomDigest> AggTree<D> {
 
     /// Cache and size statistics.
     pub fn stats(&self) -> Result<TreeStats, IndexError> {
-        let (hits, misses) = self.cache.stats();
-        let sealed = self.kv.scan_prefix(&node_prefix(self.stream))?;
-        let spine = self.frontier.read().clone();
+        let (hits, misses, used) = self.cache.stats();
+        let key = node_key(self.stream, 0, 0);
+        let sealed = self.kv.scan_prefix(&key[..NODE_PREFIX_LEN])?;
+        let spine = self.frontier.read();
         let open = spine.open.iter().flatten();
-        let key_len = node_key(self.stream, 0, 0).len();
-        let open_bytes: usize = open.clone().map(|(_, n)| key_len + n.weight()).sum();
+        let open_bytes: usize = open.clone().map(|(_, n)| key.len() + n.bytes.len()).sum();
         Ok(TreeStats {
             cache_hits: hits,
             cache_misses: misses,
+            cache_used_bytes: used,
             stored_bytes: sealed.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>() + open_bytes,
             stored_nodes: sealed.len() + open.count(),
         })
     }
 
     /// The open node at `(level, index)`, if that position is on the spine.
-    fn open_node(&self, level: u8, index: u64) -> Option<Arc<Node<D>>> {
+    fn open_node(&self, level: u8, index: u64) -> Option<Arc<Node>> {
         let spine = self.frontier.read();
         match spine.open.get(level as usize - 1) {
             Some(Some((open, node))) if *open == index => Some(node.clone()),
@@ -774,7 +846,7 @@ impl<D: HomDigest> AggTree<D> {
         }
     }
 
-    fn load_node(&self, level: u8, index: u64) -> Result<Option<Arc<Node<D>>>, IndexError> {
+    fn load_node(&self, level: u8, index: u64) -> Result<Option<Arc<Node>>, IndexError> {
         let key = (level, index);
         if let Some(n) = self
             .open_node(level, index)
@@ -785,17 +857,18 @@ impl<D: HomDigest> AggTree<D> {
         let gen_before = self.cache_gen.load(Ordering::Acquire);
         match self.kv.get(&node_key(self.stream, level, index))? {
             Some(bytes) => {
-                let node =
-                    Arc::new(Node::decode(&bytes).ok_or(IndexError::CorruptNode { level, index })?);
+                // Only sealed nodes are stored: the record read is the node.
+                let node = Node::checked::<D>(bytes, self.cfg.arity)
+                    .ok_or(IndexError::CorruptNode { level, index })?;
+                let node = Arc::new(node);
                 // Read-aside fill, guarded by the seqlock generation: cache
                 // only if no decay overlapped the KV read, else the node
                 // may already be deleted — fine to return, not to cache.
                 if gen_before.is_multiple_of(2) {
-                    let w = node.weight();
                     let stripe = self.cache.stripe(&(level, index));
                     let mut cache = stripe.lock();
                     if self.cache_gen.load(Ordering::Acquire) == gen_before {
-                        cache.put((level, index), node.clone(), w);
+                        cache.put((level, index), node.clone(), node.bytes.len());
                     }
                 }
                 Ok(Some(node))
@@ -810,18 +883,16 @@ fn span_at(level: u8, k: u64) -> u64 {
     k.saturating_pow(level as u32)
 }
 
-fn node_prefix(stream: u128) -> Vec<u8> {
-    let mut key = Vec::with_capacity(18);
-    key.extend_from_slice(b"i/");
-    key.extend_from_slice(&stream.to_be_bytes());
-    key
-}
+/// Bytes of a sealed node's key that name the stream: `i/<stream>`.
+const NODE_PREFIX_LEN: usize = 18;
 
-fn node_key(stream: u128, level: u8, index: u64) -> Vec<u8> {
-    let mut key = node_prefix(stream);
-    key.push(b'/');
-    key.push(level);
-    key.extend_from_slice(&index.to_be_bytes());
+fn node_key(stream: u128, level: u8, index: u64) -> [u8; NODE_PREFIX_LEN + 10] {
+    let mut key = [0u8; NODE_PREFIX_LEN + 10];
+    key[..2].copy_from_slice(b"i/");
+    key[2..NODE_PREFIX_LEN].copy_from_slice(&stream.to_be_bytes());
+    key[NODE_PREFIX_LEN] = b'/';
+    key[NODE_PREFIX_LEN + 1] = level;
+    key[NODE_PREFIX_LEN + 2..].copy_from_slice(&index.to_be_bytes());
     key
 }
 
@@ -978,6 +1049,101 @@ mod tests {
     }
 
     #[test]
+    fn a_small_budget_is_one_cache_not_eight_slots() {
+        // 64 KiB over 10 KB nodes (64-ary, 19-wide): split eight ways, no
+        // stripe would hold two nodes, and the level-2 node every query of
+        // the sweep passes through would be evicted by each leaf node that
+        // lands in its stripe and read again.
+        let kv = Arc::new(MemKv::new());
+        let cfg = TreeConfig {
+            arity: 64,
+            cache_bytes: 64 << 10,
+        };
+        let digests: Vec<Vec<u64>> = (0..4096 + 64).map(|c| vec![c; 19]).collect();
+        let filled: AggTree<Vec<u64>> = AggTree::open(kv.clone(), 1, cfg.clone()).unwrap();
+        filled.append_batch(&digests).unwrap();
+        let t: AggTree<Vec<u64>> = AggTree::open(kv, 1, cfg).unwrap();
+        // (Leaf node 0 is the one the walk enters at, not through level 2.)
+        for leaf in 1..64 {
+            let (lo, hi) = (leaf * 64 + 1, (leaf + 1) * 64);
+            assert_eq!(t.query(lo, hi).unwrap()[0], (lo..hi).sum::<u64>());
+            assert!(t.cache.get(&(2, 0)).is_some(), "after leaf node {leaf}");
+        }
+        let stats = t.stats().unwrap();
+        assert_eq!(
+            stats.cache_misses,
+            1 + 63,
+            "node (2, 0) once, each leaf node once"
+        );
+        assert!(stats.cache_used_bytes <= 64 << 10, "{stats:?}");
+        assert_eq!(stats.cache_used_bytes, 6 * 9988);
+        // A budget with room for them is still striped.
+        assert_eq!(NodeCache::new(1 << 20).stripes.len(), MAX_STRIPES);
+        assert_eq!(NodeCache::new(200 << 10).stripes.len(), 3);
+    }
+
+    #[test]
+    fn a_digest_with_the_default_methods_builds_the_same_tree() {
+        // What a strawman ciphertext plugs in: nothing but the required
+        // methods. Same store bytes, same answers, reopened too.
+        use crate::digest::tests::ByDefault;
+        let (kv, plain_kv) = (Arc::new(MemKv::new()), Arc::new(MemKv::new()));
+        let cfg = TreeConfig {
+            arity: 4,
+            cache_bytes: 1 << 20,
+        };
+        let plain = open4(plain_kv.clone());
+        for n in 0..70u64 {
+            let t: AggTree<ByDefault> = AggTree::open(kv.clone(), 1, cfg.clone()).unwrap();
+            for (a, b) in [(0, n), (n / 3, n), (n / 2, n / 2 + 1)] {
+                let expected = plain.query(a, b).ok();
+                assert_eq!(
+                    t.query(a, b).ok().map(|d| d.0),
+                    expected,
+                    "[{a},{b}) of {n}"
+                );
+            }
+            t.append(ByDefault(vec![n, 1])).unwrap();
+            plain.append(vec![n, 1]).unwrap();
+            assert_eq!(dump(kv.as_ref()), dump(plain_kv.as_ref()), "length {n}");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every node the tree builds — sealed in the store, open on the
+        /// spine — passes the check stored bytes get, which finds the last
+        /// entry where the writer left it and hands the same bytes back.
+        #[test]
+        fn every_node_built_passes_the_check_unchanged(
+            arity in 2usize..=64,
+            width in 1usize..=32,
+            fill in 0u64..=4200,
+        ) {
+            let chunks = (fill % (arity * arity + arity + 1) as u64).max(1);
+            let kv = Arc::new(MemKv::new());
+            let cfg = TreeConfig { arity, cache_bytes: 1 << 20 };
+            let t: AggTree<Vec<u64>> = AggTree::open(kv.clone(), 1, cfg).unwrap();
+            let digests: Vec<Vec<u64>> = (0..chunks).map(|c| vec![c; width]).collect();
+            t.append_batch(&digests).unwrap();
+            let sealed = kv.scan_prefix(&node_key(1, 0, 0)[..NODE_PREFIX_LEN]).unwrap();
+            prop_assert_eq!(sealed.len() as u64, chunks / arity as u64 + chunks / (arity * arity) as u64);
+            for (_, bytes) in sealed {
+                let node = Node::checked::<Vec<u64>>(bytes.clone(), arity);
+                prop_assert_eq!(node.map(|n| n.bytes), Some(bytes));
+            }
+            for (_, open) in t.frontier.read().open.iter().flatten() {
+                let node = Node::checked::<Vec<u64>>(open.bytes.clone(), open.count()).unwrap();
+                prop_assert_eq!((&node.bytes, node.last), (&open.bytes, open.last));
+                prop_assert_eq!(open.bytes.capacity(), open.bytes.len());
+            }
+        }
+    }
+
+    #[test]
     fn root_query_is_cheap_on_power_of_k() {
         // Aggregating the entire index = reading the root (Fig. 5's right
         // edge). We can't measure time here, but we can check the query
@@ -1086,16 +1252,29 @@ mod tests {
         let kv = Arc::new(FailNthPut::default());
         let t = open4(kv.clone());
         fill(&t, 250);
-        let nodes = kv.scan_keys(&node_prefix(1)).unwrap().len();
+        let nodes = kv
+            .scan_keys(&node_key(1, 0, 0)[..NODE_PREFIX_LEN])
+            .unwrap()
+            .len();
         kv.arm(1);
         assert!(matches!(t.decay(128, 3), Err(IndexError::Store(_))));
-        assert_eq!(kv.scan_keys(&node_prefix(1)).unwrap().len(), nodes);
+        assert_eq!(
+            kv.scan_keys(&node_key(1, 0, 0)[..NODE_PREFIX_LEN])
+                .unwrap()
+                .len(),
+            nodes
+        );
         assert_exhaustive(&t, 250);
         let writes = kv.writes.load(Ordering::Relaxed);
         // 32 level-1 nodes and 8 level-2 nodes lie wholly before chunk 128.
         assert_eq!(t.decay(128, 3).unwrap(), 40);
         assert_eq!(kv.writes.load(Ordering::Relaxed), writes + 1);
-        assert_eq!(kv.scan_keys(&node_prefix(1)).unwrap().len(), nodes - 40);
+        assert_eq!(
+            kv.scan_keys(&node_key(1, 0, 0)[..NODE_PREFIX_LEN])
+                .unwrap()
+                .len(),
+            nodes - 40
+        );
         assert!(matches!(t.query(0, 1), Err(IndexError::Decayed { .. })));
         assert_eq!(t.query(0, 250).unwrap(), naive_sum(0, 250));
     }
@@ -1112,7 +1291,7 @@ mod tests {
     fn spine_bytes(t: &AggTree<Vec<u64>>) -> Vec<Option<(u64, Vec<u8>)>> {
         let open = t.frontier.read().open.clone();
         open.into_iter()
-            .map(|o| o.map(|(index, node)| (index, node.encode())))
+            .map(|o| o.map(|(index, node)| (index, node.bytes.clone())))
             .collect()
     }
 
@@ -1231,10 +1410,11 @@ mod tests {
     fn full_node_bytes(level: u8, index: u64, k: u64) -> Vec<u8> {
         let child = span_at(level - 1, k);
         let lo = index * span_at(level, k);
-        let entries = (0..k)
-            .map(|c| naive_sum(lo + c * child, lo + (c + 1) * child))
-            .collect();
-        Node::<Vec<u64>> { entries }.encode()
+        let mut bytes = (k as u32).to_le_bytes().to_vec();
+        for c in 0..k {
+            naive_sum(lo + c * child, lo + (c + 1) * child).encode(&mut bytes);
+        }
+        bytes
     }
 
     #[test]
@@ -1254,7 +1434,9 @@ mod tests {
             assert_eq!(dump(kv.as_ref()), dump(live_kv.as_ref()), "length {n}");
             // Exactly the full nodes are stored, with the bytes their
             // definition gives (what the parent commit wrote for them).
-            let stored: Vec<_> = kv.scan_prefix(&node_prefix(1)).unwrap();
+            let stored: Vec<_> = kv
+                .scan_prefix(&node_key(1, 0, 0)[..NODE_PREFIX_LEN])
+                .unwrap();
             let mut full = 0;
             for level in 1..=t.levels() {
                 for index in 0..n / span_at(level, 4) {

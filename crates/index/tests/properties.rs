@@ -2,9 +2,76 @@
 //! for every arity, length, and query range.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
-use timecrypt_index::{AggTree, HomDigest, TreeConfig};
-use timecrypt_store::MemKv;
+use timecrypt_index::{AggTree, HomDigest, IndexError, TreeConfig};
+use timecrypt_store::{KvStore, MemKv};
+
+/// Forwards to the system allocator, keeping per thread the largest single
+/// request: what a hostile length prefix would drive up.
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// plain thread-local integer without a destructor.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.set(LARGEST.get().max(layout.size()));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.set(LARGEST.get().max(new_size));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
+
+/// The stored bytes of a full arity-4 node with digests of these widths.
+fn node_bytes(widths: [usize; 4]) -> Vec<u8> {
+    let mut bytes = 4u32.to_le_bytes().to_vec();
+    for (slot, width) in widths.into_iter().enumerate() {
+        vec![slot as u64; width].encode(&mut bytes);
+    }
+    bytes
+}
+
+/// Arbitrary bytes, and sound nodes broken in ways that keep some of what
+/// a validator checks intact.
+fn hostile_node() -> impl Strategy<Value = Vec<u8>> {
+    let sound = || (2usize..20).prop_map(|w| node_bytes([w; 4]));
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..400),
+        // A count no buffer could hold, or one off by a few.
+        (sound(), prop_oneof![Just(u32::MAX), 0u32..4, 5u32..70]).prop_map(|(mut b, n)| {
+            b[..4].copy_from_slice(&n.to_le_bytes());
+            b
+        }),
+        // A width prefix that runs past the end, on any entry.
+        (sound(), 0usize..4, any::<u32>()).prop_map(|(mut b, slot, width)| {
+            let stride = (b.len() - 4) / 4;
+            let width = width.max(stride as u32);
+            b[4 + slot * stride..][..4].copy_from_slice(&width.to_le_bytes());
+            b
+        }),
+        // Widths that differ and still add up to the length they had.
+        (2usize..20, 1usize..2).prop_map(|(w, d)| node_bytes([w, w + d, w - d, w])),
+        (sound(), proptest::collection::vec(any::<u8>(), 1..40))
+            .prop_map(|(b, tail)| [b, tail].concat()),
+        (sound(), 1usize..40).prop_map(|(mut b, cut)| {
+            b.truncate(b.len().saturating_sub(cut));
+            b
+        }),
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -149,5 +216,37 @@ proptest! {
         prop_assert_eq!(tree.len(), values.len() as u64);
         let expect = values.iter().fold(0u64, |x, &y| x.wrapping_add(y));
         prop_assert_eq!(tree.query(0, values.len() as u64).unwrap(), vec![expect]);
+    }
+
+    /// A stored node is untrusted bytes: whatever is wrong with them, the
+    /// query that reads them and the open that sums them say `CorruptNode`
+    /// — no panic, and no allocation larger than the record itself (the
+    /// store's copy of it) or a small constant, whatever its prefixes claim.
+    #[test]
+    fn hostile_node_bytes_are_corrupt_node(bytes in hostile_node()) {
+        let kv: Arc<MemKv> = Arc::new(MemKv::new());
+        let cfg = TreeConfig { arity: 4, cache_bytes: 1 << 20 };
+        {
+            let tree: AggTree<Vec<u64>> = AggTree::open(kv.clone(), 7, cfg.clone()).unwrap();
+            tree.append_batch(&vec![vec![1u64; 3]; 8]).unwrap();
+        }
+        // A handle opened before the damage, so the query is what reads it.
+        let tree: AggTree<Vec<u64>> = AggTree::open(kv.clone(), 7, cfg.clone()).unwrap();
+        let key = [&b"i/"[..], &7u128.to_be_bytes(), b"/\x01", &0u64.to_be_bytes()].concat();
+        prop_assert!(kv.get(&key).unwrap().is_some(), "node (1, 0) is stored under this key");
+        kv.put(&key, &bytes).unwrap();
+        // The open probes and scans the store first, in small vectors of its own.
+        for (floor, read) in [(64, true), (4096, false)] {
+            LARGEST.set(0);
+            let result = match read {
+                true => tree.query(1, 3).map(|_| ()),
+                false => AggTree::<Vec<u64>>::open(kv.clone(), 7, cfg.clone()).map(|_| ()),
+            };
+            let largest = LARGEST.get();
+            let corrupt = matches!(result, Err(IndexError::CorruptNode { level: 1, index: 0 }));
+            prop_assert!(corrupt, "{:?} for {:?}", result, bytes);
+            let stored = bytes.len();
+            prop_assert!(largest <= stored.max(floor), "{} B asked for, {} stored", largest, stored);
+        }
     }
 }

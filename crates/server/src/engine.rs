@@ -1324,11 +1324,7 @@ pub fn merge_stream_stats(
         }
         let (lo, hi, part) = range.ok_or(ServerError::EmptyRange)?;
         match &mut agg {
-            Some(a) => {
-                for (x, y) in a.iter_mut().zip(part.iter()) {
-                    *x = x.wrapping_add(*y);
-                }
-            }
+            Some(agg) => agg.add_assign(&part),
             None => agg = Some(part),
         }
         parts.push((sid, lo, hi));

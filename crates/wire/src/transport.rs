@@ -36,9 +36,9 @@
 //! ```
 
 use crate::codec::WireError;
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::frame::{read_frame, write_frame_in, FrameError, PREFIX_LEN};
 use crate::messages::{split_trace, Request, RequestRef, Response};
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -285,10 +285,11 @@ fn serve_connection(
             .ok();
     }
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut writer = stream;
     // Per-connection reply scratch: every response on this connection is
-    // encoded into the same buffer, so steady-state serving allocates only
-    // what the messages themselves own.
+    // encoded into the same buffer, behind room for its length prefix, so
+    // steady-state serving allocates only what the messages themselves own
+    // and a reply of any size is one `write(2)`.
     let mut out = Vec::new();
     loop {
         let body = match read_frame(&mut reader) {
@@ -305,8 +306,9 @@ fn serve_connection(
         };
         let resp = handle_frame_traced(&*handler, &body);
         out.clear();
+        out.extend_from_slice(&[0; PREFIX_LEN]);
         resp.encode_into(&mut out);
-        write_frame(&mut writer, &out)?;
+        write_frame_in(&mut writer, &mut out)?;
         bound_scratch(&mut out);
     }
 }
@@ -349,9 +351,10 @@ impl From<io::Error> for ClientError {
 /// A blocking client connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     /// Per-connection request scratch: every frame sent on this connection
-    /// is encoded into the same buffer (capacity persists across sends).
+    /// is assembled in the same buffer, length prefix first (capacity
+    /// persists across sends), and leaves as one `write(2)`.
     scratch: Vec<u8>,
 }
 
@@ -361,10 +364,9 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
         Ok(Client {
             reader,
-            writer,
+            writer: stream,
             scratch: Vec::new(),
         })
     }
@@ -391,7 +393,7 @@ impl Client {
         // `reader` and `writer` hold dup'd fds of one socket; SO_RCVTIMEO /
         // SO_SNDTIMEO live on the shared file description, so arming via
         // either handle covers both directions of the connection.
-        let sock = self.writer.get_ref();
+        let sock = &self.writer;
         sock.set_read_timeout(t)?;
         sock.set_write_timeout(t)?;
         Ok(())
@@ -402,7 +404,7 @@ impl Client {
     /// and the peer has not closed it — a write to a closed socket still
     /// succeeds, so nothing later tells before the reply is missing.
     pub(crate) fn is_idle_and_open(&self) -> bool {
-        let sock = self.writer.get_ref();
+        let sock = &self.writer;
         if !self.reader.buffer().is_empty() || sock.set_nonblocking(true).is_err() {
             return false;
         }
@@ -453,8 +455,9 @@ impl Client {
     pub fn send_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ClientError> {
         let mut body = std::mem::take(&mut self.scratch);
         body.clear();
+        body.extend_from_slice(&[0; PREFIX_LEN]);
         fill(&mut body);
-        let result = write_frame(&mut self.writer, &body);
+        let result = write_frame_in(&mut self.writer, &mut body);
         bound_scratch(&mut body);
         self.scratch = body;
         if let Err(e) = &result {
