@@ -136,12 +136,19 @@ use crate::model::DataPoint;
 
 /// Compresses a chunk's points with `codec`.
 pub fn compress(codec: Codec, points: &[DataPoint]) -> Vec<u8> {
-    if codec == Codec::Auto {
-        return compress_best(points).1;
-    }
     let mut out = Vec::with_capacity(points.len() * 4 + 8);
+    compress_into(codec, points, &mut out);
+    out
+}
+
+/// [`compress`] appending to a caller-provided buffer (chunk sealing
+/// compresses straight into the payload, behind the nonce).
+pub fn compress_into(codec: Codec, points: &[DataPoint], out: &mut Vec<u8>) {
+    if codec == Codec::Auto {
+        return out.extend_from_slice(&compress_best(points).1);
+    }
     out.push(codec.id());
-    put_uvarint(&mut out, points.len() as u64);
+    put_uvarint(out, points.len() as u64);
     match codec {
         Codec::None => {
             for p in points {
@@ -153,8 +160,8 @@ pub fn compress(codec: Codec, points: &[DataPoint]) -> Vec<u8> {
             let mut prev_ts = 0i64;
             let mut prev_v = 0i64;
             for p in points {
-                put_uvarint(&mut out, zigzag(p.ts.wrapping_sub(prev_ts)));
-                put_uvarint(&mut out, zigzag(p.value.wrapping_sub(prev_v)));
+                put_uvarint(out, zigzag(p.ts.wrapping_sub(prev_ts)));
+                put_uvarint(out, zigzag(p.value.wrapping_sub(prev_v)));
                 prev_ts = p.ts;
                 prev_v = p.value;
             }
@@ -162,17 +169,16 @@ pub fn compress(codec: Codec, points: &[DataPoint]) -> Vec<u8> {
         Codec::DeltaRle => {
             // Two streams of (delta, run-length) pairs: timestamps first,
             // then values.
-            encode_rle(&mut out, points.iter().map(|p| p.ts));
-            encode_rle(&mut out, points.iter().map(|p| p.value));
+            encode_rle(out, points.iter().map(|p| p.ts));
+            encode_rle(out, points.iter().map(|p| p.value));
         }
-        Codec::Gorilla => encode_gorilla(&mut out, points),
+        Codec::Gorilla => encode_gorilla(out, points),
         #[allow(
             clippy::unreachable,
             reason = "`Auto` returned early via `compress_best` at the top of this function"
         )]
         Codec::Auto => unreachable!("handled above"),
     }
-    out
 }
 
 /// Compresses with every concrete codec and returns the winner and its

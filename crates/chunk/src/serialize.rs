@@ -10,9 +10,9 @@
 use crate::compress::{self, CodecError};
 use crate::model::{ChunkId, DataPoint, StreamConfig, StreamId};
 use std::sync::OnceLock;
-use timecrypt_core::heac::{encrypt_digest_with, ElementKeys, KeySource};
+use timecrypt_core::heac::{DigestCursor, KeySource};
 use timecrypt_core::keys::{payload_key, payload_key_from_leaves};
-use timecrypt_core::{CoreError, LeafCursor, StreamKeyMaterial, TreeKd};
+use timecrypt_core::{CoreError, StreamKeyMaterial, TreeKd};
 use timecrypt_crypto::gcm::NONCE_LEN;
 use timecrypt_crypto::{AesGcm128, GcmKeyCache, SecureRandom};
 
@@ -100,34 +100,31 @@ impl PlainChunk {
         keys: &StreamKeyMaterial,
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
-        self.seal_at(cfg, &keys.tree, &mut LeafCursor::new(), rng)
+        self.seal_at(cfg, &keys.tree, &mut DigestCursor::default(), rng)
     }
 
-    /// [`seal`](Self::seal) with the boundary leaves derived through
-    /// `cursor`, from wherever the previous chunk left it.
+    /// [`seal`](Self::seal) with the boundary leaves and their element
+    /// keys taken through `cursor`, from wherever the previous chunk left
+    /// it. The digest is encrypted where `schema.compute` left it and the
+    /// points are compressed straight into the payload, behind the nonce.
     fn seal_at(
         &self,
         cfg: &StreamConfig,
         tree: &TreeKd,
-        cursor: &mut LeafCursor,
+        cursor: &mut DigestCursor,
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
-        let digest = cfg.schema.compute(&self.points);
-        let (l0, l1) = cursor.boundary_leaves(tree, self.index)?;
-        let digest_ct =
-            encrypt_digest_with(&ElementKeys::new(&l0), &ElementKeys::new(&l1), &digest);
-        let compressed = compress::compress(cfg.codec, &self.points);
+        let mut digest_ct = cfg.schema.compute(&self.points);
+        let (l0, l1) = cursor.encrypt_digest(tree, self.index, &mut digest_ct)?;
         let gcm = AesGcm128::new(&payload_key_from_leaves(&l0, &l1));
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill(&mut nonce);
-        let mut payload = Vec::with_capacity(NONCE_LEN + compressed.len() + 16);
+        // Sized as `compress` sizes its own buffer, plus nonce and tag.
+        let mut payload = Vec::with_capacity(NONCE_LEN + self.points.len() * 4 + 8 + 16);
         payload.extend_from_slice(&nonce);
-        gcm.seal_into(
-            &nonce,
-            &Self::aad(self.stream, self.index),
-            &compressed,
-            &mut payload,
-        );
+        compress::compress_into(cfg.codec, &self.points, &mut payload);
+        let aad = Self::aad(self.stream, self.index);
+        gcm.seal_tail(&nonce, &aad, &mut payload, NONCE_LEN);
         Ok(EncryptedChunk {
             stream: self.stream,
             index: self.index,
@@ -145,23 +142,25 @@ impl PlainChunk {
 }
 
 /// The sealing state of one stream: its configuration, its key tree and
-/// the producer's place in that tree ([`LeafCursor`]).
+/// the producer's place in that tree's keystream ([`DigestCursor`]).
 ///
 /// Per sealed chunk it derives the two boundary leaves once — the digest
 /// keys and the payload key ([`payload_key_from_leaves`]) are both made
 /// from them — and assembles the `nonce || ct || tag` payload in place
-/// ([`AesGcm128::seal_into`]). Between chunks it carries the cursor:
+/// ([`AesGcm128::seal_tail`]). Between chunks it carries the cursor:
 /// sealing chunk `i + 1` after chunk `i` costs under two PRG calls instead
-/// of two root-to-leaf walks, and any other order costs at most those two
-/// walks. The saving lasts as long as the sealer does, so whatever seals a
-/// stream (a producer, a bulk loader) keeps one for the stream's life.
+/// of two root-to-leaf walks and one element-key PRF expansion instead of
+/// two, and any other order costs at most those two walks and two
+/// expansions. The saving lasts as long as the sealer does, so whatever
+/// seals a stream (a producer, a bulk loader) keeps one for the stream's
+/// life.
 ///
 /// Output is byte-identical to [`PlainChunk::seal`] driven by the same RNG
 /// stream (pinned by `sealer_matches_plain_seal`).
 pub struct ChunkSealer {
     cfg: StreamConfig,
     tree: TreeKd,
-    cursor: LeafCursor,
+    cursor: DigestCursor,
 }
 
 impl ChunkSealer {
@@ -170,13 +169,19 @@ impl ChunkSealer {
         ChunkSealer {
             cfg: cfg.clone(),
             tree: keys.tree.clone(),
-            cursor: LeafCursor::new(),
+            cursor: DigestCursor::default(),
         }
     }
 
     /// PRG invocations spent on key derivation so far.
     pub fn prg_calls(&self) -> u64 {
-        self.cursor.prg_calls()
+        self.cursor.leaves.prg_calls()
+    }
+
+    /// AES blocks spent on element keys so far
+    /// ([`DigestCursor::prf_blocks`]).
+    pub fn prf_blocks(&self) -> u64 {
+        self.cursor.prf_blocks()
     }
 
     /// Seals one chunk (any index; sequential indices are the fast path).
@@ -191,7 +196,7 @@ impl ChunkSealer {
     /// The payload key of `chunk`, for sealing its real-time records
     /// ([`SealedRecord::seal_with_key`]) before the chunk itself closes.
     pub fn payload_key(&mut self, chunk: ChunkId) -> Result<[u8; 16], ChunkError> {
-        let (l0, l1) = self.cursor.boundary_leaves(&self.tree, chunk)?;
+        let (l0, l1) = self.cursor.leaves.boundary_leaves(&self.tree, chunk)?;
         Ok(payload_key_from_leaves(&l0, &l1))
     }
 }

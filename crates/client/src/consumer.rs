@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_chunk::{DataPoint, StatSummary};
-use timecrypt_core::heac::{decrypt_range_sum, KeySource};
+use timecrypt_core::heac::{decrypt_range_in_place, KeySource};
 use timecrypt_core::resolution::{Envelope, ResolutionConsumer};
 use timecrypt_core::{CoreError, LeafCursor, TokenSet};
 use timecrypt_crypto::Seed128;
@@ -217,8 +217,9 @@ impl Consumer {
             .get_mut(&stream)
             .ok_or(ClientFault::Protocol("synced grants"))?;
         let (_, lo, hi) = reply.parts[0];
-        let plain = decrypt_range_sum(&keys.combined(), lo, hi, &reply.agg)?;
-        Ok(keys.descriptor.schema.interpret(&plain))
+        let mut agg = reply.agg;
+        decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
+        Ok(keys.descriptor.schema.interpret(&agg))
     }
 
     /// Multi-stream statistical query (§4.3 inter-streams): the server
@@ -240,14 +241,14 @@ impl Consumer {
             Response::Stat(s) => s,
             _ => return Err(ClientFault::Protocol("Stat")),
         };
-        let mut agg = reply.agg.clone();
+        let mut agg = reply.agg;
         let mut schema = None;
         for &(sid, lo, hi) in &reply.parts {
             let keys = self
                 .streams
                 .get_mut(&sid)
                 .ok_or(ClientFault::Protocol("synced grants"))?;
-            agg = decrypt_range_sum(&keys.combined(), lo, hi, &agg)?;
+            decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
             schema.get_or_insert_with(|| keys.descriptor.schema.clone());
         }
         let schema = schema.ok_or(ClientFault::Protocol("non-empty streams"))?;
@@ -312,14 +313,14 @@ impl Consumer {
         let proof = RangeProof::decode(&proof_bytes)
             .ok_or(ClientFault::Chunk("malformed range proof".into()))?;
         let (lo, hi) = (proof.lo as u64, proof.hi as u64);
-        let agg = verify_attested_range(stream, &att, owner_key, &proof)
+        let mut agg = verify_attested_range(stream, &att, owner_key, &proof)
             .map_err(|e| ClientFault::Chunk(format!("integrity check failed: {e}")))?;
         let keys = self
             .streams
             .get_mut(&stream)
             .ok_or(ClientFault::Protocol("synced grants"))?;
-        let plain = decrypt_range_sum(&keys.combined(), lo, hi, &agg)?;
-        Ok(keys.descriptor.schema.interpret(&plain))
+        decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
+        Ok(keys.descriptor.schema.interpret(&agg))
     }
 
     /// Raw retrieval with integrity verification: every returned chunk's

@@ -22,7 +22,7 @@
 //! one-time key.
 
 use crate::error::CoreError;
-use crate::kdtree::{LeafCursor, TokenSet, TreeKd};
+use crate::kdtree::{LeafCursor, TokenSet, TokenSource, TreeKd};
 use timecrypt_crypto::{fold_u64, Aes128, Seed128};
 
 /// A HEAC ciphertext element: a u64 in `Z_{2^64}`. Identical in size to the
@@ -38,6 +38,9 @@ pub struct ElementKeys {
 }
 
 impl ElementKeys {
+    /// Blocks per [`Aes128::encrypt_blocks`] call (512 bytes of stack).
+    const BATCH: usize = 32;
+
     /// Builds the per-chunk PRF from the chunk's tree leaf.
     pub fn new(leaf: &Seed128) -> Self {
         ElementKeys {
@@ -45,7 +48,8 @@ impl ElementKeys {
         }
     }
 
-    /// The 64-bit one-time key for digest element `j` of this chunk.
+    /// The 64-bit one-time key for digest element `j` of this chunk: the
+    /// one-block reference [`apply`](Self::apply) is held to.
     #[inline]
     pub fn key(&self, j: u32) -> u64 {
         let mut block = [0u8; 16];
@@ -54,9 +58,35 @@ impl ElementKeys {
         fold_u64(&block)
     }
 
+    /// Replaces every `words[j]` by `op(words[j], key(j))`, the keys
+    /// evaluated in batches through the cipher's eight-wide block pipeline.
+    // lint: deny(alloc)
+    pub fn apply(&self, words: &mut [u64], op: impl Fn(u64, u64) -> u64) {
+        let mut blocks = [[0u8; 16]; Self::BATCH];
+        for (n, run) in words.chunks_mut(Self::BATCH).enumerate() {
+            let blocks = &mut blocks[..run.len()];
+            for (block, j) in blocks.iter_mut().zip((n * Self::BATCH) as u32..) {
+                *block = [0u8; 16];
+                block[12..].copy_from_slice(&j.to_be_bytes());
+            }
+            self.cipher.encrypt_blocks(blocks);
+            for (word, block) in run.iter_mut().zip(blocks.iter()) {
+                *word = op(*word, fold_u64(block));
+            }
+        }
+    }
+
+    /// Writes the keys of elements `0..out.len()` into `out`.
+    // lint: deny(alloc)
+    pub fn keys_into(&self, out: &mut [u64]) {
+        self.apply(out, |_, key| key);
+    }
+
     /// Keys for elements `0..n` as a vector.
     pub fn keys(&self, n: usize) -> Vec<u64> {
-        (0..n as u32).map(|j| self.key(j)).collect()
+        let mut out = vec![0u64; n];
+        self.keys_into(&mut out);
+        out
     }
 }
 
@@ -80,16 +110,67 @@ impl KeySource for TokenSet {
     }
 }
 
-/// Owner/producer-side encryptor bound to a stream's key tree.
-///
-/// Holds a [`LeafCursor`], so an encryptor kept across a run of chunks
-/// derives chunk `i+1`'s boundary leaves from where chunk `i` left off —
-/// under two PRG calls per chunk in the append-only ingest order, at most
-/// two walks for any other. The amortisation lasts as long as the
-/// encryptor does: one built per chunk pays both walks every time.
+/// A sealer's place in a stream's keystream: its [`LeafCursor`] and, beside
+/// it, the *evaluated* element keys of the upper boundary leaf of the chunk
+/// encrypted last. Chunk `i` is encrypted under `k_i − k_{i+1}`, so chunk
+/// `i + 1` after chunk `i` expands one leaf's PRF (one AES key schedule,
+/// `width` blocks), not two. The carried keys are used only when they are
+/// the keys of the leaf asked for — compared by value, so in any order and
+/// over any source — and recomputed otherwise.
+#[derive(Clone, Default)]
+pub struct DigestCursor {
+    /// Where the boundary leaves are derived.
+    pub leaves: LeafCursor,
+    /// `keys` are the first element keys of `leaf`, once there is one.
+    leaf: Option<Seed128>,
+    keys: Vec<u64>,
+    prf_blocks: u64,
+}
+
+impl DigestCursor {
+    /// AES blocks spent on element keys so far. Every PRF expansion (one
+    /// key schedule) evaluates exactly the digest's width in blocks.
+    pub fn prf_blocks(&self) -> u64 {
+        self.prf_blocks
+    }
+
+    fn expand(&mut self, leaf: &Seed128, width: usize) {
+        self.keys.resize(width, 0);
+        ElementKeys::new(leaf).keys_into(&mut self.keys);
+        self.leaf = Some(*leaf);
+        self.prf_blocks += width as u64;
+    }
+
+    /// Encrypts the digest of chunk `i` where it lies,
+    /// `c_j = m_j + k_{i,j} − k_{i+1,j} (mod 2^64)`, and returns the boundary
+    /// leaves (what the payload key is made from). Leaf `i+1` must exist; a
+    /// refused chunk leaves the digest as it was.
+    pub fn encrypt_digest<S: TokenSource>(
+        &mut self,
+        src: &S,
+        chunk: u64,
+        digest: &mut [u64],
+    ) -> Result<(Seed128, Seed128), CoreError> {
+        let (l0, l1) = self.leaves.boundary_leaves(src, chunk)?;
+        if self.leaf != Some(l0) || self.keys.len() < digest.len() {
+            self.expand(&l0, digest.len());
+        }
+        add_assign(digest, &self.keys[..digest.len()]);
+        self.expand(&l1, digest.len());
+        for (m, k) in digest.iter_mut().zip(&self.keys) {
+            *m = m.wrapping_sub(*k);
+        }
+        Ok((l0, l1))
+    }
+}
+
+/// Owner/producer-side encryptor bound to a stream's key tree. It holds a
+/// [`DigestCursor`]: kept across a run of chunks it pays under two PRG calls
+/// and one PRF expansion per chunk in ingest order, at most two walks and
+/// two expansions for any other; one built per chunk pays those every time.
 pub struct HeacEncryptor<'a> {
     tree: &'a TreeKd,
-    cursor: std::cell::RefCell<LeafCursor>,
+    cursor: std::cell::RefCell<DigestCursor>,
 }
 
 impl<'a> HeacEncryptor<'a> {
@@ -97,73 +178,49 @@ impl<'a> HeacEncryptor<'a> {
     pub fn new(tree: &'a TreeKd) -> Self {
         HeacEncryptor {
             tree,
-            cursor: std::cell::RefCell::new(LeafCursor::new()),
+            cursor: Default::default(),
         }
     }
 
-    /// The boundary leaves `(leaf_i, leaf_{i+1})` of chunk `i`, derived
-    /// through (and advancing) the encryptor's cursor.
-    pub fn boundary_leaves(&self, chunk: u64) -> Result<(Seed128, Seed128), CoreError> {
-        self.cursor.borrow_mut().boundary_leaves(self.tree, chunk)
-    }
-
-    /// Encrypts the digest vector of chunk `i`:
-    /// `c_j = m_j + k_{i,j} − k_{i+1,j} (mod 2^64)`.
-    ///
-    /// Requires leaf `i+1` to exist (the stream must not exhaust the
-    /// keystream; with height 30+ this is never a practical concern).
+    /// [`DigestCursor::encrypt_digest`] of chunk `i` on a copy of `plain`.
     pub fn encrypt_digest(&self, chunk: u64, plain: &[u64]) -> Result<Vec<Ciphertext>, CoreError> {
-        let (l0, l1) = self.boundary_leaves(chunk)?;
-        Ok(encrypt_digest_with(
-            &ElementKeys::new(&l0),
-            &ElementKeys::new(&l1),
-            plain,
-        ))
+        let mut ct = plain.to_vec();
+        let mut cursor = self.cursor.borrow_mut();
+        cursor.encrypt_digest(self.tree, chunk, &mut ct)?;
+        Ok(ct)
     }
 }
 
-/// [`HeacEncryptor::encrypt_digest`] when the caller already expanded the
-/// boundary element-key PRFs.
-pub fn encrypt_digest_with(
-    k_i: &ElementKeys,
-    k_next: &ElementKeys,
-    plain: &[u64],
-) -> Vec<Ciphertext> {
-    plain
-        .iter()
-        .enumerate()
-        .map(|(j, &m)| {
-            let j = j as u32;
-            m.wrapping_add(k_i.key(j)).wrapping_sub(k_next.key(j))
-        })
-        .collect()
+/// Decrypts, where it lies, an in-range aggregate over chunks `[a, b)` — the
+/// element-wise wrapping sum of their encrypted digests — with boundary keys
+/// from any [`KeySource`]; an error leaves `agg` as it was. Cost: two leaf
+/// derivations + two batched AES blocks per element, independent of `b − a`
+/// (the key-canceling property).
+pub fn decrypt_range_in_place<K: KeySource>(
+    keys: &K,
+    a: u64,
+    b: u64,
+    agg: &mut [Ciphertext],
+) -> Result<(), CoreError> {
+    if a >= b {
+        return Err(CoreError::InvalidParams("empty decryption range"));
+    }
+    let (k_a, k_b) = (keys.leaf(a)?, keys.leaf(b)?);
+    ElementKeys::new(&k_a).apply(agg, u64::wrapping_sub);
+    ElementKeys::new(&k_b).apply(agg, u64::wrapping_add);
+    Ok(())
 }
 
-/// Decrypts an in-range aggregate over chunks `[a, b)` using boundary keys
-/// from any [`KeySource`]. `agg` is the element-wise wrapping sum of the
-/// encrypted digests of chunks `a..b`.
-///
-/// Cost: two leaf derivations + two AES calls per element — independent of
-/// `b − a` (the key-canceling property).
+/// [`decrypt_range_in_place`] on a copy of `agg`.
 pub fn decrypt_range_sum<K: KeySource>(
     keys: &K,
     a: u64,
     b: u64,
     agg: &[Ciphertext],
 ) -> Result<Vec<u64>, CoreError> {
-    if a >= b {
-        return Err(CoreError::InvalidParams("empty decryption range"));
-    }
-    let k_a = ElementKeys::new(&keys.leaf(a)?);
-    let k_b = ElementKeys::new(&keys.leaf(b)?);
-    Ok(agg
-        .iter()
-        .enumerate()
-        .map(|(j, &c)| {
-            let j = j as u32;
-            c.wrapping_sub(k_a.key(j)).wrapping_add(k_b.key(j))
-        })
-        .collect())
+    let mut plain = agg.to_vec();
+    decrypt_range_in_place(keys, a, b, &mut plain)?;
+    Ok(plain)
 }
 
 /// Server-side homomorphic addition: element-wise wrapping add. This is the
@@ -289,6 +346,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn batched_keys_match_the_one_block_reference() {
+        // Widths across the cipher's 8-block pipeline, its remainder and
+        // the 32-block scratch array.
+        let ek = ElementKeys::new(&tree().leaf(3).unwrap());
+        for width in 0..=70usize {
+            let reference: Vec<u64> = (0..width as u32).map(|j| ek.key(j)).collect();
+            let mut keys = vec![0xdead_beefu64; width];
+            ek.keys_into(&mut keys);
+            assert_eq!(keys, reference, "width {width}");
+            assert_eq!(ek.keys(width), reference);
+            let mut words: Vec<u64> = (0..width as u64).map(|j| j * j).collect();
+            ek.apply(&mut words, u64::wrapping_sub);
+            for (j, (w, k)) in words.iter().zip(&reference).enumerate() {
+                assert_eq!(*w, (j as u64 * j as u64).wrapping_sub(*k), "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn digest_cursor_matches_from_root_in_every_order() {
+        // Forward, repeated, backward, across gaps, another tree in between,
+        // a width change and the last leaf: always `m + k_i − k_{i+1}` by
+        // the one-block reference, with the PRF blocks counted.
+        let (t, other) = (tree(), TreeKd::new([1u8; 16], 16, PrgKind::Aes).unwrap());
+        let last = t.num_leaves() - 1;
+        let mut cursor = DigestCursor::default();
+        let mut carried = None;
+        let steps = [0u64, 1, 2, 2, 1, 9, 10, 11, last - 1, last, 5, 6, 7];
+        for (n, &i) in steps.iter().enumerate() {
+            let (src, width) = match n {
+                5 => (&other, 19),
+                11 => (&t, 40),
+                _ => (&t, 19),
+            };
+            let plain: Vec<u64> = (0..width).map(|j| i * 1000 + j).collect();
+            let mut ct = plain.clone();
+            let before = cursor.prf_blocks();
+            let got = cursor.encrypt_digest(src, i, &mut ct);
+            let spent = cursor.prf_blocks() - before;
+            if i == last {
+                assert_eq!(got, Err(CoreError::OutOfScope { index: last + 1 }));
+                assert_eq!((ct, spent), (plain, 0), "a refusal touches nothing");
+                continue;
+            }
+            let (l0, l1) = (src.leaf(i).unwrap(), src.leaf(i + 1).unwrap());
+            assert_eq!(got, Ok((l0, l1)));
+            let (k0, k1) = (ElementKeys::new(&l0), ElementKeys::new(&l1));
+            for (j, (c, m)) in ct.iter().zip(&plain).enumerate() {
+                let expect = m
+                    .wrapping_add(k0.key(j as u32))
+                    .wrapping_sub(k1.key(j as u32));
+                assert_eq!(*c, expect, "step {n} chunk {i} element {j}");
+            }
+            // Carried keys serve any digest they are wide enough for.
+            let sequential = carried.is_some_and(|(leaf, w)| leaf == l0 && w >= width);
+            assert_eq!(
+                spent,
+                if sequential { width } else { 2 * width },
+                "step {n}"
+            );
+            carried = Some((l1, width));
+        }
+    }
+
+    #[test]
+    fn failed_peel_leaves_the_aggregate_alone() {
+        let t = tree();
+        let ts = t.token_set(10, 19).unwrap();
+        let mut agg = vec![1u64, 2, 3];
+        assert_eq!(
+            decrypt_range_in_place(&ts, 10, 20, &mut agg),
+            Err(CoreError::OutOfScope { index: 20 })
+        );
+        assert_eq!(agg, [1, 2, 3]);
+        decrypt_range_in_place(&ts, 10, 19, &mut agg).unwrap();
+        assert_eq!(agg, decrypt_range_sum(&ts, 10, 19, &[1, 2, 3]).unwrap());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::error::CoreError;
 use crate::heac::KeySource;
 use crate::kdtree::TreeKd;
-use timecrypt_crypto::sha256::Sha256;
+use timecrypt_crypto::sha256::sha256;
 use timecrypt_crypto::{PrgKind, Seed128};
 
 /// Derives the AES-GCM key for chunk `i`'s raw payload from any key source
@@ -31,11 +31,12 @@ pub fn payload_key<K: KeySource>(keys: &K, chunk: u64) -> Result<[u8; 16], CoreE
 /// digest encryption; this entry point lets it reuse them for the payload
 /// key instead of walking the derivation tree a second time per chunk.
 pub fn payload_key_from_leaves(l0: &Seed128, l1: &Seed128) -> [u8; 16] {
-    let mut h = Sha256::new();
-    h.update(l0);
-    h.update(l1);
-    h.update(b"tc-payload");
-    let d = h.finalize();
+    // 42 bytes: one block, absorbed in one piece.
+    let mut msg = [0u8; 42];
+    msg[..16].copy_from_slice(l0);
+    msg[16..32].copy_from_slice(l1);
+    msg[32..].copy_from_slice(b"tc-payload");
+    let d = sha256(&msg);
     let mut k = [0u8; 16];
     k.copy_from_slice(&d[..16]);
     k

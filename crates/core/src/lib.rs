@@ -35,7 +35,10 @@ pub mod resolution;
 
 pub use dualkr::{DualKeyRegression, KrState, KrToken};
 pub use error::CoreError;
-pub use heac::{decrypt_range_sum, Ciphertext, ElementKeys, HeacEncryptor, KeySource};
+pub use heac::{
+    decrypt_range_in_place, decrypt_range_sum, Ciphertext, DigestCursor, ElementKeys,
+    HeacEncryptor, KeySource,
+};
 pub use kdtree::{AccessToken, LeafCursor, NodeLabel, TokenSet, TokenSource, TreeKd};
 pub use keys::StreamKeyMaterial;
 pub use resolution::{Envelope, ResolutionConsumer, ResolutionOwner};

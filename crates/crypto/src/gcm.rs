@@ -313,9 +313,16 @@ impl AesGcm128 {
     ) {
         let start = out.len();
         out.extend_from_slice(plaintext);
-        self.ctr_xor(nonce, &mut out[start..]);
-        let tag = self.tag(nonce, aad, &out[start..]);
-        out.extend_from_slice(&tag);
+        self.seal_tail(nonce, aad, out, start);
+    }
+
+    /// [`seal_into`](Self::seal_into) for a plaintext assembled in the output
+    /// buffer: encrypts `buf[from..]` where it lies and appends the tag.
+    // lint: deny(alloc)
+    pub fn seal_tail(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], buf: &mut Vec<u8>, from: usize) {
+        self.ctr_xor(nonce, &mut buf[from..]);
+        let tag = self.tag(nonce, aad, &buf[from..]);
+        buf.extend_from_slice(&tag);
     }
 
     /// Verifies and decrypts `ciphertext || tag` produced by [`seal`].

@@ -3,8 +3,8 @@
 //! TimeCrypt (NSDI 2020) relies on a small set of symmetric primitives:
 //!
 //! * **SHA-256 / HMAC-SHA-256** — used as one PRG instantiation for the key
-//!   derivation tree (`G0(x) = H(0||x)`, `G1(x) = H(1||x)`, paper §4.2.3) and
-//!   for the hash chains in dual key regression (§A.2).
+//!   derivation tree (`G0(x) = H(0||x)`, `G1(x) = H(1||x)`, paper §4.2.3),
+//!   for the hash chains in dual key regression (§A.2) and chunk payload keys.
 //! * **AES-128** — the other (and default, fastest) PRG instantiation
 //!   (`G0(x) = AES_x(0)`, `G1(x) = AES_x(1)`), with a hardware AES-NI fast
 //!   path and a portable software fallback. The paper's Fig. 6 compares
@@ -19,8 +19,14 @@
 //! and validated against published test vectors (FIPS-197, NIST GCM,
 //! RFC 6234, RFC 4231). The software AES implementation is a straightforward
 //! table-free byte-oriented implementation: it is intentionally simple and
-//! slow relative to AES-NI, which reproduces the performance ordering the
-//! paper reports in Fig. 6 (software AES > SHA-256 > AES-NI per derivation).
+//! slow relative to AES-NI. On the portable paths that reproduces the
+//! ordering the paper reports in Fig. 6 (software AES > SHA-256 > AES-NI per
+//! derivation); on a CPU with SHA extensions, which the paper's did not
+//! have, a SHA-256 derivation costs about what an AES-NI one does, so `fig6`
+//! labels its SHA-256 series with the path that ran. Three paths are picked
+//! at run time, each with its portable reference kept and tested against:
+//! AES rounds (`aes`), GHASH's multiply (`pclmulqdq`), SHA-256's compression
+//! (`sha`).
 //!
 //! # Security notes
 //!

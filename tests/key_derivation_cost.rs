@@ -11,8 +11,11 @@
 //! Before the cursor (PR 20), with a sealer built per chunk: 60 calls per
 //! sealed chunk (two walks) through either producer, 6 000 for 100
 //! real-time points of one chunk (two walks per point), twelve walks for a
-//! range read of six chunks. The guard prints its measured calls per
-//! sealed chunk; CI copies that line to the job summary.
+//! range read of six chunks. Element keys are counted the same way, in AES
+//! blocks (`ChunkSealer::prf_blocks`): 19 per chunk sealed in order since
+//! PR 28, 38 before it and for any other order. The guard prints its
+//! measured calls and blocks per sealed chunk; CI copies those lines to the
+//! job summary.
 
 use std::sync::Arc;
 use timecrypt::chunk::{ChunkSealer, DataPoint, PlainChunk, StreamConfig};
@@ -95,6 +98,38 @@ fn sequential_chunks_cost_about_two_prg_calls_each() {
     );
 }
 
+/// The digest keys of chunk `i` are `k_i − k_{i+1}`, each a PRF keyed by
+/// one leaf (one AES key schedule, one block per digest element). A sealer
+/// carries the evaluated `k_{i+1}` into chunk `i + 1`, so in ingest order a
+/// chunk expands one leaf, not two.
+#[test]
+fn sequential_chunks_cost_one_element_key_expansion_each() {
+    let cfg = StreamConfig::new(6, "m", 0, DELTA_MS as u64);
+    let width = cfg.schema.width() as u64;
+    assert_eq!(width, 19, "the standard digest");
+    let keys = StreamKeyMaterial::new(6, [6; 16]).unwrap();
+    let mut sealer = ChunkSealer::new(&cfg, &keys);
+    let mut rng = SecureRandom::from_seed_insecure(4);
+    for index in 0..CHUNKS {
+        let chunk = PlainChunk {
+            stream: 6,
+            index,
+            points: points(index..index + 1).collect(),
+        };
+        sealer.seal(&chunk, &mut rng).unwrap();
+        // Every expansion evaluates exactly `width` blocks, so the block
+        // count is the key-schedule count: two for the first chunk, one
+        // for each chunk after it.
+        assert_eq!(sealer.prf_blocks(), (index + 2) * width, "chunk {index}");
+    }
+    println!(
+        "element-key blocks per sealed chunk: {:.3} ({CHUNKS} sequential chunks, digest width \
+         {width}; one AES key schedule each; both boundaries expanded are {})",
+        sealer.prf_blocks() as f64 / CHUNKS as f64,
+        2 * width
+    );
+}
+
 #[test]
 fn live_points_of_one_chunk_share_one_key_derivation() {
     let (mut t, cfg, owner) = setup(3);
@@ -174,9 +209,11 @@ fn out_of_order_sealing_never_costs_more_than_two_walks() {
             index: index >> (64 - HEIGHT) & !1,
             points: Vec::new(),
         };
-        let before = sealer.prg_calls();
+        let before = (sealer.prg_calls(), sealer.prf_blocks());
         sealer.seal(&chunk, &mut rng).unwrap();
-        let spent = sealer.prg_calls() - before;
+        let spent = sealer.prg_calls() - before.0;
         assert!(spent <= 2 * HEIGHT, "chunk {}: {spent} calls", chunk.index);
+        let blocks = sealer.prf_blocks() - before.1;
+        assert!(blocks <= 2 * 19, "chunk {}: {blocks} blocks", chunk.index);
     }
 }
