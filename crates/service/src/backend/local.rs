@@ -1,9 +1,10 @@
 //! The in-process backend.
 
-use super::{Leg, PendingBatch, ShardBackend, StreamStatResult};
+use super::{Leg, LegResults, Pending, PendingBatch, ShardBackend};
 use crate::metrics::ShardOccupancy;
 use crate::node::ShardNode;
 use std::sync::Arc;
+use std::time::Instant;
 use timecrypt_server::ServerError;
 use timecrypt_wire::messages::{Request, Response};
 use timecrypt_wire::transport::Handler;
@@ -29,19 +30,24 @@ impl ShardBackend for LocalShard {
         Ok(self.node.handle(req))
     }
 
-    /// Sub-queries run in order on the calling thread. The engine's read
-    /// path takes no exclusive stream lock, so legs of concurrent callers
+    /// Nothing to send: the sub-queries run when the leg is finished, in
+    /// order, on the thread that finishes it — which has put the query's
+    /// remote legs on the wire by then. They are microseconds and run to
+    /// the end: the deadline is not consulted. The engine's read path
+    /// takes no exclusive stream lock, so legs of concurrent callers
     /// proceed in parallel even on one hot stream.
-    fn stat_leg(
+    fn begin_leg(
         &self,
         legs: &Leg,
         ts_s: i64,
         ts_e: i64,
-    ) -> Result<Vec<(usize, StreamStatResult)>, ServerError> {
-        Ok(legs
-            .iter()
-            .map(|&(pos, sid)| (pos, self.node.stream_stat(sid, ts_s, ts_e)))
-            .collect())
+        _deadline: Instant,
+    ) -> Result<Pending<LegResults>, ServerError> {
+        let (node, legs) = (self.node.clone(), legs.to_vec());
+        Ok(Box::new(move || {
+            let stat = |&(pos, sid)| (pos, node.stream_stat(sid, ts_s, ts_e));
+            Ok(legs.iter().map(stat).collect())
+        }))
     }
 
     /// Runs the batch: the engine stores from the caller's slices.

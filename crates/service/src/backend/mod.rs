@@ -15,8 +15,11 @@
 //!   without the buffer-deadlock an unbounded send loop would risk. A
 //!   batch is one `InsertBatch` exchange in two steps — write the frame
 //!   ([`ShardBackend::begin_batch`]), read the verdicts
-//!   ([`ShardBackend::finish_batch`]) — so a thread submitting to several
-//!   shards has every frame on the wire before it waits for a reply.
+//!   ([`ShardBackend::finish_batch`]) — and a leg likewise
+//!   ([`ShardBackend::begin_leg`] writes its first window of frames, the
+//!   [`Pending`] it returns drains the replies), so a thread addressing
+//!   several shards has every frame on the wire before it waits for a
+//!   reply. Nothing here starts a thread.
 //!
 //! [`ShardReplicas`] composes one primary backend with an optional backup
 //! (replication factor R=2): mutations go primary-then-backup, reads fail
@@ -42,23 +45,35 @@ pub(crate) use replicas::ingest_runs;
 pub use replicas::ShardReplicas;
 
 use crate::metrics::ShardOccupancy;
+use std::time::Instant;
 use timecrypt_server::{ServerError, StreamStat};
 use timecrypt_wire::messages::{Request, Response, ServiceStatsWire};
 
 /// Per-chunk ingest verdicts of one batch, in the batch's order.
 pub type Verdicts = Vec<Result<(), ServerError>>;
 
-/// A batch a backend has begun ([`ShardBackend::begin_batch`]): called, it
-/// reads the verdicts. A remote shard's holds the node connection the
-/// reply is owed on; an in-process shard's, the verdicts.
-pub type PendingBatch = Box<dyn FnOnce() -> Result<Verdicts, ServerError>>;
+/// An exchange a backend has begun: called, it reads the answer. It
+/// borrows nothing, so other shards' exchanges can be begun first. A
+/// remote shard's holds the node connection the reply is owed on; an
+/// in-process shard's, the answer or the work.
+pub type Pending<T> = Box<dyn FnOnce() -> Result<T, ServerError>>;
+
+/// A batch a backend has begun ([`ShardBackend::begin_batch`]).
+pub type PendingBatch = Pending<Verdicts>;
 
 /// One per-stream statistical sub-query outcome.
 pub(crate) type StreamStatResult = Result<StreamStat, ServerError>;
 
+/// A scatter-gather leg's outcomes, each with its position in the request.
+pub(crate) type LegResults = Vec<(usize, StreamStatResult)>;
+
 /// A scatter-gather leg: `(position in the request, stream id)` pairs, all
 /// owned by one shard.
 pub(crate) type Leg = [(usize, u128)];
+
+/// A leg cut short by [`crate::ServiceConfig::query_deadline`]: to the
+/// read policy a transport failure like a socket timeout (it strikes).
+pub(crate) const DEADLINE: ServerError = ServerError::Unavailable("query deadline exceeded");
 
 const UNREACHABLE: ServerError = ServerError::Unavailable("shard node unreachable");
 
@@ -128,26 +143,32 @@ impl ShardSpec {
 /// Five operations. `call` carries every plain request/reply: stream
 /// creation, the rebuild seam's list / export / length probes and the
 /// node stats probe are functions over it, written once. The others are
-/// what a `call` cannot express: `stat_leg` pipelines a leg on one
-/// connection (in process, its sub-queries run in order on the calling
-/// thread), `insert_batch` frames borrowed chunk bytes and returns typed
-/// verdicts — as one call, or as its halves `begin_batch` and
-/// `finish_batch` with other shards' exchanges in between — `occupancy`
+/// what a `call` cannot express: `begin_leg` pipelines a leg on one
+/// connection and hands back the half that reads the replies (in process,
+/// that half runs the sub-queries, in order, on the thread that calls it),
+/// `insert_batch` frames borrowed chunk bytes and returns typed verdicts
+/// — as one call, or as its halves `begin_batch` and `finish_batch` —
+/// with other shards' exchanges between the halves of either, `occupancy`
 /// probes one shard where a node's `Stats` covers all it hosts, and
 /// `endpoint` names the node.
 pub trait ShardBackend: Send + Sync + 'static {
     /// Dispatches one wire request and returns the shard's reply.
     fn call(&self, req: Request) -> Result<Response, ServerError>;
 
-    /// Executes one scatter-gather leg: a per-stream statistical sub-query
-    /// for every `(position, stream)` entry, returned with the positions
-    /// so the caller can merge in request order.
-    fn stat_leg(
+    /// Begins one scatter-gather leg: a per-stream statistical sub-query
+    /// for every `(position, stream)` entry, their outcomes returned with
+    /// the positions so the caller can merge in request order. A remote
+    /// shard has a first window of the sub-queries written when this
+    /// returns, and waits for no reply past `deadline` (one that arrived by
+    /// then is still read): the leg fails `Unavailable("query deadline
+    /// exceeded")`, a transport-level failure — the socket timed out.
+    fn begin_leg(
         &self,
         legs: &Leg,
         ts_s: i64,
         ts_e: i64,
-    ) -> Result<Vec<(usize, StreamStatResult)>, ServerError>;
+        deadline: Instant,
+    ) -> Result<Pending<LegResults>, ServerError>;
 
     /// Hands the shard `chunks` — serialized chunk bytes, validated where
     /// they entered the service — to ingest in order (a stream has one

@@ -1,12 +1,12 @@
 //! One shard's replica set: failover, promotion and rebuild.
 
-use super::{
-    clone_unavailable, Leg, PendingBatch, ShardBackend, StreamStatResult, Verdicts, AMBIGUOUS,
-};
+use super::{clone_unavailable, Leg, LegResults, PendingBatch, ShardBackend, Verdicts, AMBIGUOUS};
 use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use timecrypt_server::ServerError;
 use timecrypt_wire::messages::{Request, Response, StreamInfoWire};
 
@@ -57,11 +57,11 @@ struct Roles {
 ///   `replica_errors` and *demotes* an in-sync backup to the drifted
 ///   state — a replica that provably missed an acknowledged write must
 ///   never be promoted or serve failover reads.
-/// * **Reads** (`read_with_failover`: `call` of a read, `stat_leg`,
-///   `occupancy`) go to the primary and fail over to an *in-sync* backup
-///   when the primary is unreachable, ticking `failovers`. A rebuilding
-///   or drifted replica never serves reads — it would answer from
-///   incomplete data.
+/// * **Reads** (`read_with_failover`: `call` of a read, `occupancy`, and
+///   the second step of `begin_leg`) go to the primary and fail over to
+///   an *in-sync* backup when the primary is unreachable, ticking
+///   `failovers`. A rebuilding or drifted replica never serves reads — it
+///   would answer from incomplete data.
 /// * **Promotion.** Every primary transport failure counts a strike
 ///   (any success resets them). At `promote_after` consecutive strikes
 ///   with an in-sync backup attached, the backup *becomes* the primary:
@@ -244,18 +244,19 @@ impl ShardReplicas {
         self.roles.read().backup.clone()
     }
 
-    /// The read policy: the primary answers; when it is unreachable an
+    /// The read policy, over `roles` — a [`snapshot`](Self::snapshot) the
+    /// caller took: the primary answers; when it is unreachable an
     /// *in-sync* backup answers instead (one `failovers` tick), and when
     /// no backup may answer but the failure triggered (or lost the race
     /// to) a promotion, `op` is retried once against the new primary. The
     /// error is the last backend's.
     fn read_with_failover<T>(
         &self,
+        (mut primary, mut backup): (Arc<dyn ShardBackend>, Option<BackupState>),
         op: impl Fn(&dyn ShardBackend) -> Result<T, ServerError>,
     ) -> Result<T, ServerError> {
         let mut retried = false;
         loop {
-            let (primary, backup) = self.snapshot();
             let err = match op(&*primary) {
                 Ok(out) => {
                     self.note_primary_ok();
@@ -274,6 +275,7 @@ impl ShardReplicas {
             }
             if promoted && !retried {
                 retried = true;
+                (primary, backup) = self.snapshot();
                 continue;
             }
             return Err(err);
@@ -302,26 +304,39 @@ impl ShardReplicas {
         let reply = if req.is_mutation() {
             self.begin_write(req).finish_mirror()
         } else {
-            self.read_with_failover(|b| b.call(req.clone()))
+            self.read_with_failover(self.snapshot(), |b| b.call(req.clone()))
         };
         reply.unwrap_or_else(|e| Response::Error(e.to_string()))
     }
 
-    /// Executes one scatter-gather leg under the read policy (failover is
-    /// whole-leg). Infallible: a fully unreachable shard yields
-    /// per-position `Unavailable` results for the merge fold.
-    pub(crate) fn stat_leg(
-        &self,
-        legs: &Leg,
+    /// Begins one scatter-gather leg on the primary — a remote one then
+    /// has the sub-queries on the wire — and returns the step that reads
+    /// the answers, which the caller takes after beginning other shards'
+    /// legs. That step is the read policy over the roles as they were
+    /// here, its first attempt the leg as begun; a failover or a retry is
+    /// a whole leg on the thread that takes the step, and every attempt
+    /// ends by `deadline`. Infallible: a shard no replica of which
+    /// answered — unreachable, or cut short by the query's budget — yields
+    /// that `Unavailable` at every position, for the merge fold.
+    pub(crate) fn begin_leg<'a>(
+        &'a self,
+        legs: &'a Leg,
         ts_s: i64,
         ts_e: i64,
-    ) -> Vec<(usize, StreamStatResult)> {
-        self.read_with_failover(|b| b.stat_leg(legs, ts_s, ts_e))
-            .unwrap_or_else(|e| {
-                legs.iter()
-                    .map(|&(pos, _)| (pos, Err(clone_unavailable(&e))))
-                    .collect()
+        deadline: Instant,
+    ) -> impl FnOnce() -> LegResults + 'a {
+        let roles = self.snapshot();
+        let begun = Cell::new(Some(roles.0.begin_leg(legs, ts_s, ts_e, deadline)));
+        move || {
+            let leg = |b: &dyn ShardBackend| {
+                let begun = begun.take();
+                begun.unwrap_or_else(|| b.begin_leg(legs, ts_s, ts_e, deadline))?()
+            };
+            self.read_with_failover(roles, leg).unwrap_or_else(|e| {
+                let unanswered = |&(pos, _)| (pos, Err(clone_unavailable(&e)));
+                legs.iter().map(unanswered).collect()
             })
+        }
     }
 
     /// Begins ingesting an ordered run under the write policy;
@@ -366,7 +381,7 @@ impl ShardReplicas {
     /// backup-served probe is a failover like any other read). An
     /// unreachable shard reports zeros.
     pub(crate) fn occupancy(&self) -> ShardOccupancy {
-        self.read_with_failover(|b| b.occupancy())
+        self.read_with_failover(self.snapshot(), |b| b.occupancy())
             .unwrap_or_default()
     }
 
@@ -801,7 +816,7 @@ fn export_page(backend: &dyn ShardBackend, stream: u128, from_idx: u64) -> Optio
 
 #[cfg(test)]
 mod tests {
-    use super::super::UNREACHABLE;
+    use super::super::{Pending, UNREACHABLE};
     use super::*;
     use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
     use timecrypt_core::StreamKeyMaterial;
@@ -816,14 +831,37 @@ mod tests {
     /// signal the replica state machine keys off.
     struct StubShard {
         engine: Arc<TimeCryptServer>,
-        up: AtomicBool,
-        /// Runs once, inside the next operation that finds the shard down
-        /// — how a test interleaves a state change with an in-flight call.
-        while_down: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        /// Shared with the legs this shard has begun: their second step
+        /// asks it again.
+        reach: Arc<Reach>,
+        /// A leg is begun without asking whether the shard is up — frames
+        /// written to a node that has just hung — so an outage shows in
+        /// the leg's second step.
+        legs_begin_blind: AtomicBool,
         /// The batch steps this shard ran, in order, under `name` — a log
         /// several shards of one test can share.
         steps: Steps,
         name: &'static str,
+    }
+
+    struct Reach {
+        up: AtomicBool,
+        /// Runs once, inside the next operation that finds the shard down
+        /// — how a test interleaves a state change with an in-flight call.
+        while_down: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl Reach {
+        fn ensure_up(&self) -> Result<(), ServerError> {
+            if self.up.load(Ordering::Relaxed) {
+                return Ok(());
+            }
+            let hook = self.while_down.lock().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+            Err(UNREACHABLE)
+        }
     }
 
     type Steps = Arc<parking_lot::Mutex<Vec<String>>>;
@@ -840,24 +878,20 @@ mod tests {
                 engine: Arc::new(
                     TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap(),
                 ),
-                up: AtomicBool::new(true),
-                while_down: parking_lot::Mutex::new(None),
+                reach: Arc::new(Reach {
+                    up: AtomicBool::new(true),
+                    while_down: parking_lot::Mutex::new(None),
+                }),
+                legs_begin_blind: AtomicBool::new(false),
             })
         }
 
         fn set_up(&self, up: bool) {
-            self.up.store(up, Ordering::Relaxed);
+            self.reach.up.store(up, Ordering::Relaxed);
         }
 
         fn ensure_up(&self) -> Result<(), ServerError> {
-            if self.up.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            let hook = self.while_down.lock().take();
-            if let Some(hook) = hook {
-                hook();
-            }
-            Err(UNREACHABLE)
+            self.reach.ensure_up()
         }
 
         fn create_stream(&self, stream: u128) {
@@ -871,17 +905,22 @@ mod tests {
             Ok(self.engine.handle(req))
         }
 
-        fn stat_leg(
+        fn begin_leg(
             &self,
             legs: &Leg,
             ts_s: i64,
             ts_e: i64,
-        ) -> Result<Vec<(usize, StreamStatResult)>, ServerError> {
-            self.ensure_up()?;
-            Ok(legs
-                .iter()
-                .map(|&(pos, sid)| (pos, self.engine.stream_stat(sid, ts_s, ts_e)))
-                .collect())
+            _deadline: Instant,
+        ) -> Result<Pending<LegResults>, ServerError> {
+            if !self.legs_begin_blind.load(Ordering::Relaxed) {
+                self.ensure_up()?;
+            }
+            let (engine, reach, legs) = (self.engine.clone(), self.reach.clone(), legs.to_vec());
+            Ok(Box::new(move || {
+                reach.ensure_up()?;
+                let stat = |&(pos, sid)| (pos, engine.stream_stat(sid, ts_s, ts_e));
+                Ok(legs.iter().map(stat).collect())
+            }))
         }
 
         /// In process: the run is applied when it is begun.
@@ -926,6 +965,12 @@ mod tests {
         r.ingest_batch(&[chunk]).pop().unwrap()
     }
 
+    /// A leg, begun and settled, under a budget that never runs out.
+    fn stat_leg(r: &ShardReplicas, legs: &Leg, ts_s: i64, ts_e: i64) -> LegResults {
+        let deadline = Instant::now() + std::time::Duration::from_secs(3600);
+        r.begin_leg(legs, ts_s, ts_e, deadline)()
+    }
+
     fn replicas(
         primary: Arc<StubShard>,
         backup: Option<Arc<StubShard>>,
@@ -944,16 +989,21 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Kind {
         ReadCall,
+        /// The primary's outage shows as the leg is begun.
         StatLeg,
+        /// The leg is begun on the primary; its outage shows as the
+        /// answers are read.
+        StatLegCutInFinish,
         Occupancy,
         MutCall,
         IngestBatch,
         CreateStream,
     }
 
-    const KINDS: [Kind; 6] = [
+    const KINDS: [Kind; 7] = [
         Kind::ReadCall,
         Kind::StatLeg,
+        Kind::StatLegCutInFinish,
         Kind::Occupancy,
         Kind::MutCall,
         Kind::IngestBatch,
@@ -975,10 +1025,12 @@ mod tests {
             };
             match self {
                 Kind::ReadCall => reply(r.call(Request::StreamInfo { stream: 1 })),
-                Kind::StatLeg => match r.stat_leg(&[(0, 1)], 0, 10_000).pop().unwrap().1 {
-                    Ok(_) => Ok(()),
-                    Err(e) => Err(e.to_string()),
-                },
+                Kind::StatLeg | Kind::StatLegCutInFinish => {
+                    match stat_leg(r, &[(0, 1)], 0, 10_000).pop().unwrap().1 {
+                        Ok(_) => Ok(()),
+                        Err(e) => Err(e.to_string()),
+                    }
+                }
                 // An unreachable shard reports zeros.
                 Kind::Occupancy => match r.occupancy().streams {
                     0 => Err(UNREACHABLE.to_string()),
@@ -1048,6 +1100,8 @@ mod tests {
     impl Script {
         fn play(self, kind: Kind) -> Outcome {
             let primary = seeded();
+            let blind = matches!(kind, Kind::StatLegCutInFinish);
+            primary.legs_begin_blind.store(blind, Ordering::Relaxed);
             let r = match self {
                 Script::PrimaryDownBelowThreshold => {
                     primary.set_up(false);
@@ -1058,7 +1112,7 @@ mod tests {
                     r.attach_backup(seeded()).unwrap();
                     primary.set_up(false);
                     let armed = r.clone();
-                    *primary.while_down.lock() = Some(Box::new(move || {
+                    *primary.reach.while_down.lock() = Some(Box::new(move || {
                         assert!(armed.arm_if_no_drops(armed.mirror_drops.load(Ordering::Acquire)));
                     }));
                     r
@@ -1250,11 +1304,11 @@ mod tests {
         // One strike, then a recovery: the strike count must restart, so
         // a single later failure cannot promote.
         primary.set_up(false);
-        r.stat_leg(&leg, 0, 10_000);
+        stat_leg(&r, &leg, 0, 10_000);
         primary.set_up(true);
-        r.stat_leg(&leg, 0, 10_000);
+        stat_leg(&r, &leg, 0, 10_000);
         primary.set_up(false);
-        r.stat_leg(&leg, 0, 10_000);
+        stat_leg(&r, &leg, 0, 10_000);
         assert_eq!(
             r.m().promotions.get(),
             0,
@@ -1266,7 +1320,7 @@ mod tests {
         assert_eq!(r.m().promotions.get(), 1);
         // The promoted primary answers reads directly; strikes were reset.
         let failovers = r.m().failovers.get();
-        assert!(r.stat_leg(&leg, 0, 20_000)[0].1.is_ok());
+        assert!(stat_leg(&r, &leg, 0, 20_000)[0].1.is_ok());
         assert_eq!(r.m().failovers.get(), failovers);
         assert_eq!(r.m().promotions.get(), 1);
     }
@@ -1294,9 +1348,9 @@ mod tests {
         assert_eq!(replacement.engine.stream_count(), 2);
         // The rebuilt replica now serves failover reads byte-identically
         // and is promotion-eligible.
-        let healthy = r.stat_leg(&[(0, 1)], 0, 50_000);
+        let healthy = stat_leg(&r, &[(0, 1)], 0, 50_000);
         primary.set_up(false);
-        let failed_over = r.stat_leg(&[(0, 1)], 0, 50_000);
+        let failed_over = stat_leg(&r, &[(0, 1)], 0, 50_000);
         assert_eq!(format!("{healthy:?}"), format!("{failed_over:?}"));
         assert_eq!(m.failovers.get(), 1);
         assert_eq!(m.promotions.get(), 1, "promote_after=1");
@@ -1336,7 +1390,7 @@ mod tests {
         // Even promote_after=1 must not promote the drifted replica, and
         // reads must not fail over to its incomplete data.
         primary.set_up(false);
-        assert!(r.stat_leg(&[(0, 1)], 0, 30_000)[0].1.is_err());
+        assert!(stat_leg(&r, &[(0, 1)], 0, 30_000)[0].1.is_err());
         assert_eq!(r.m().promotions.get(), 0);
         assert_eq!(r.m().failovers.get(), 0);
         primary.set_up(true);
@@ -1348,7 +1402,7 @@ mod tests {
         assert_eq!(m.rebuild_chunks_copied.get(), 2);
         assert_eq!(m.in_sync.get(), 1);
         primary.set_up(false);
-        assert!(r.stat_leg(&[(0, 1)], 0, 30_000)[0].1.is_ok());
+        assert!(stat_leg(&r, &[(0, 1)], 0, 30_000)[0].1.is_ok());
         assert_eq!(m.failovers.get(), 1);
         assert_eq!(m.promotions.get(), 1);
     }

@@ -20,11 +20,13 @@
 //!   shards' exchanges overlapped; a submitter waiting for its own
 //!   verdicts is the backpressure when producers outrun the store.
 //! * **Scatter-gather queries** ([`ShardedService::get_stat_range`]) —
-//!   multi-stream statistical queries fan out across the owning shards in
-//!   parallel and merge per-stream HEAC digest sums with
-//!   [`timecrypt_server::merge_stream_stats`], the same fold the
-//!   single-engine path uses. Replies are byte-identical to a
-//!   single-engine deployment on the same workload.
+//!   a multi-stream statistical query is begun on every owning shard
+//!   (remote shards' nodes then work in parallel) and gathered, on the
+//!   caller's thread and inside one end-to-end budget; per-stream HEAC
+//!   digest sums merge with [`timecrypt_server::merge_stream_stats`], the
+//!   same fold the single-engine path uses. Replies are byte-identical
+//!   to a single-engine deployment on the same workload. The service
+//!   starts no thread for requests: they run on their callers'.
 //! * **Intra-shard read parallelism** — the engine's read path takes no
 //!   exclusive stream lock (queries run against a published chunk-count
 //!   snapshot), so any number of client threads can query a shard — even
@@ -81,7 +83,6 @@
 
 pub mod backend;
 pub mod expose;
-pub(crate) mod fanout;
 pub mod metrics;
 pub mod node;
 pub mod router;

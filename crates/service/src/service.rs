@@ -1,20 +1,21 @@
-//! The sharded service: router + shard backends + query workers + metrics.
+//! The sharded service: router + shard backends + metrics.
 //!
-//! Ingest, single or batched, runs on the thread that submitted it: a
-//! batch is partitioned by shard as slices of the caller's buffer and the
-//! shards' exchanges overlap. Back-pressure is the submitter waiting for
-//! its own verdicts; nothing is queued.
+//! A request runs on the thread that brought it. Ingest, single or
+//! batched: a batch is partitioned by shard as slices of the caller's
+//! buffer and the shards' exchanges overlap; back-pressure is the
+//! submitter waiting for its own verdicts. A statistical query likewise:
+//! every shard's leg is begun before any is waited for. Nothing is queued
+//! or handed to another thread; the service starts rebuild workers only.
 
 use crate::backend::{
-    clone_unavailable, ingest_runs, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend,
-    ShardReplicas, ShardSpec, StreamStatResult, UNROUTED,
+    ingest_runs, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend, ShardReplicas,
+    ShardSpec, StreamStatResult, UNROUTED,
 };
-use crate::fanout::ShardPool;
 use crate::metrics::{store_stats, ServiceMetrics};
 use crate::node::{NodeConfig, ShardNode};
 use crate::router::ShardRouter;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::engine::batch_errors;
@@ -51,10 +52,16 @@ pub struct ServiceConfig {
     /// Individual legs are already bounded by [`PoolConfig::io_timeout`]
     /// per socket operation, but a leg of many pipelined sub-queries can
     /// legally take `sub-queries × io_timeout`; this budget caps the
-    /// *whole* query. Legs that miss the deadline report per-position
+    /// *whole* query, whichever leg is the slow one: a reply is waited
+    /// for `min(io_timeout, what is left of the budget)`. A leg the budget
+    /// cuts short reports per-position
     /// `Unavailable("query deadline exceeded")` to the merge fold instead
-    /// of stalling the caller.
-    pub query_deadline: std::time::Duration,
+    /// of stalling the caller; its connection is discarded and its shard's
+    /// primary takes a strike, as for a socket timeout. A shard whose
+    /// replies arrived while another's spent the budget is still read: it
+    /// answered in time. (A dial is bounded by `io_timeout`, not by the
+    /// budget; in-process legs run to the end.)
+    pub query_deadline: Duration,
     /// Mint a root trace context for requests that arrive without one
     /// (library calls, untraced wire requests), so every scatter-gather
     /// leg and mirror write of one request shares one trace id across
@@ -75,7 +82,7 @@ impl Default for ServiceConfig {
             topology: Vec::new(),
             pool: PoolConfig::default(),
             promote_after: 3,
-            query_deadline: std::time::Duration::from_secs(30),
+            query_deadline: Duration::from_secs(30),
             tracing: false,
             engine: ServerConfig::default(),
         }
@@ -105,12 +112,11 @@ impl Default for ServiceConfig {
 pub struct ShardedService {
     router: ShardRouter,
     backends: Vec<Arc<ShardReplicas>>,
-    query_pool: ShardPool,
     metrics: Arc<ServiceMetrics>,
     kv: Arc<MeteredKv>,
     /// End-to-end budget for one scatter-gather query (see
     /// [`ServiceConfig::query_deadline`]).
-    query_deadline: std::time::Duration,
+    query_deadline: Duration,
     /// Mint root trace contexts for otherwise-untraced requests.
     tracing: bool,
     /// Pool tuning, retained for replicas attached after open.
@@ -126,8 +132,8 @@ impl ShardedService {
     /// run in one [`ShardNode`] over `kv` (wrapped in a [`MeteredKv`] so
     /// `Request::Stats` can report storage traffic), each engine
     /// recovering only the streams it owns; remote shards get a
-    /// connection pool to their node. One query worker per shard starts
-    /// immediately.
+    /// connection pool to their node, dialed on first use. No thread is
+    /// started.
     pub fn open(kv: Arc<dyn KvStore>, cfg: ServiceConfig) -> Result<Self, ServerError> {
         let specs: Vec<ShardSpec> = if cfg.topology.is_empty() {
             (0..cfg.shards).map(|_| ShardSpec::local()).collect()
@@ -182,11 +188,9 @@ impl ShardedService {
                 ))
             })
             .collect();
-        let query_pool = ShardPool::new(specs.len());
         Ok(ShardedService {
             router,
             backends,
-            query_pool,
             metrics,
             kv,
             query_deadline: cfg.query_deadline,
@@ -378,14 +382,18 @@ impl ShardedService {
         results
     }
 
-    /// Scatter-gather statistical query: per-stream sub-queries fan out to
-    /// the owning shards in parallel (one gather thread per involved
-    /// shard). A local leg's sub-queries run in order on the thread that
-    /// took the leg; remote legs are pipelined on one node connection.
-    /// Everything merges in request order with the same fold as the
-    /// single-engine path — so the reply is byte-identical to
+    /// Scatter-gather statistical query, on the calling thread: every
+    /// involved shard's leg of per-stream sub-queries is begun — a remote
+    /// shard's are then on the wire, pipelined on one node connection, and
+    /// the nodes work in parallel — then the legs are finished in turn, an
+    /// in-process leg running its sub-queries in order as its turn comes,
+    /// all within [`ServiceConfig::query_deadline`]. Everything merges in
+    /// request order with the same fold as the single-engine path — so
+    /// the reply is byte-identical to
     /// [`timecrypt_server::TimeCryptServer::get_stat_range`] on the same
-    /// data, wherever the shards run.
+    /// data, wherever the shards run. A panic in a sub-query unwinds the
+    /// caller (behind the TCP transport, that request's connection thread);
+    /// the legs it had begun drop their node connections.
     pub fn get_stat_range(
         &self,
         streams: &[u128],
@@ -393,97 +401,28 @@ impl ShardedService {
         ts_e: i64,
     ) -> Result<StatReply, ServerError> {
         let _trace = self.trace_root();
-        let ctx = trace::current();
-        // The whole-query budget starts before any leg is dispatched, so
-        // the inline leg's duration counts against it too.
-        let started = std::time::Instant::now();
+        // The whole-query budget starts before any leg is begun (capped at
+        // a year: `Duration::MAX` past now is no `Instant`).
+        let deadline = Instant::now() + self.query_deadline.min(Duration::from_secs(365 * 86_400));
         let route = trace::stage("route");
         // Partition `(position, stream)` pairs by owning shard.
         let mut by_shard: Vec<Vec<(usize, u128)>> = vec![Vec::new(); self.router.shards()];
         for (pos, &sid) in streams.iter().enumerate() {
             by_shard[self.router.shard_of(sid)].push((pos, sid));
         }
-        let mut involved: Vec<usize> = (0..by_shard.len())
-            .filter(|&s| !by_shard[s].is_empty())
-            .collect();
-        // The caller runs the heaviest leg inline; the persistent per-shard
-        // workers take the rest. A single-shard query therefore never
-        // crosses a thread boundary.
-        involved.sort_by_key(|&s| by_shard[s].len());
-        let inline_shard = involved.pop();
         drop(route);
-        let mut results: Vec<Option<StreamStatResult>> = Vec::with_capacity(streams.len());
-        results.resize_with(streams.len(), || None);
-        let (reply_tx, reply_rx) = channel();
-        let remote_legs = involved.len();
-        for &shard in &involved {
-            let legs = std::mem::take(&mut by_shard[shard]);
-            let backend = self.backends[shard].clone();
-            let reply = reply_tx.clone();
-            self.query_pool.exec(
-                shard,
-                Box::new(move || {
-                    // Pool workers are shared across requests: restore the
-                    // submitting request's trace context for this leg.
-                    let _trace = trace::set_current(ctx);
-                    // Contain engine panics so one poisoned query cannot kill
-                    // the shard's pool worker or strand the caller.
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        backend.stat_leg(&legs, ts_s, ts_e)
-                    }))
-                    .unwrap_or_else(|_| {
-                        legs.iter()
-                            .map(|&(pos, _)| {
-                                (pos, Err(ServerError::Unavailable("query worker panicked")))
-                            })
-                            .collect()
-                    });
-                    // A dropped caller just means nobody wants the result.
-                    let _ = reply.send(out);
-                }),
-            );
+        let involved = self.backends.iter().zip(&by_shard);
+        let begun: Vec<_> = involved
+            .filter(|(_, leg)| !leg.is_empty())
+            .map(|(shard, leg)| shard.begin_leg(leg, ts_s, ts_e, deadline))
+            .collect();
+        // A leg answers every position it was given.
+        let unanswered = |_| Err(ServerError::Unavailable("sub-query left unanswered"));
+        let mut results: Vec<StreamStatResult> = streams.iter().map(unanswered).collect();
+        for (pos, r) in begun.into_iter().flat_map(|finish| finish()) {
+            results[pos] = r;
         }
-        drop(reply_tx);
-        if let Some(shard) = inline_shard {
-            let legs = std::mem::take(&mut by_shard[shard]);
-            for (pos, r) in self.backends[shard].stat_leg(&legs, ts_s, ts_e) {
-                results[pos] = Some(r);
-            }
-        }
-        let mut deadline_hit = false;
-        for _ in 0..remote_legs {
-            // A closed channel means a leg was lost (worker torn down
-            // mid-query); the affected positions fall through to the
-            // Unavailable default below rather than stranding the caller.
-            // The deadline is the end-to-end backstop: a leg whose socket
-            // timeouts somehow never fire (many pipelined sub-queries,
-            // each individually under the per-op budget) must not stall
-            // the caller past the whole-query budget.
-            let left = self.query_deadline.saturating_sub(started.elapsed());
-            let leg = match reply_rx.recv_timeout(left) {
-                Ok(leg) => leg,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    timecrypt_obs::counters::TIMEOUTS.inc();
-                    deadline_hit = true;
-                    break;
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            for (pos, r) in leg {
-                results[pos] = Some(r);
-            }
-        }
-        let lost: ServerError = if deadline_hit {
-            ServerError::Unavailable("query deadline exceeded")
-        } else {
-            ServerError::Unavailable("query leg lost")
-        };
-        merge_stream_stats(
-            streams
-                .iter()
-                .zip(results)
-                .map(|(&sid, r)| (sid, r.unwrap_or(Err(clone_unavailable(&lost))))),
-        )
+        merge_stream_stats(streams.iter().copied().zip(results))
     }
 
     /// Wire metrics snapshot (per-shard counters + storage traffic).

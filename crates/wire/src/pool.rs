@@ -63,7 +63,8 @@ impl Default for PoolConfig {
     }
 }
 
-/// A pool of blocking [`Client`] connections to one endpoint.
+/// A pool of blocking [`Client`] connections to one endpoint; clones share it.
+#[derive(Clone)]
 pub struct ClientPool {
     /// Shared with every checked-out [`PooledConn`].
     shared: Arc<Shared>,
@@ -242,6 +243,15 @@ impl PooledConn {
     )]
     pub fn client(&mut self) -> &mut Client {
         self.client.as_mut().expect("connection present until drop")
+    }
+
+    /// Caps the deadline the checkout armed at `left`, a caller's remaining
+    /// budget (zero: the transport's 1 ms minimum — what has arrived is read).
+    pub fn cap_deadline(&mut self, left: Duration) -> Result<(), ClientError> {
+        match self.pool.cfg.io_timeout {
+            Some(armed) if armed <= left => Ok(()),
+            _ => self.client().set_io_timeout(Some(left)),
+        }
     }
 
     /// Drops the connection instead of returning it to the pool (call
@@ -495,9 +505,7 @@ mod tests {
         // its (nearly spent) remaining budget before returning it.
         {
             let mut conn = pool.get().unwrap();
-            conn.client()
-                .set_io_timeout(Some(Duration::from_millis(1)))
-                .unwrap();
+            conn.cap_deadline(Duration::from_millis(1)).unwrap();
         }
         assert_eq!(pool.shared.idle().conns.len(), 1);
         // The next checkout must start from the configured 5 s allowance,

@@ -359,25 +359,38 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a server.
+    /// Connects to a server, waiting for it as long as the OS does.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
-            reader,
-            writer: stream,
-            scratch: Vec::new(),
-        })
+        Self::connect_with(addr, None)
     }
 
-    /// Connects with a per-operation I/O deadline already armed
-    /// (see [`set_io_timeout`](Self::set_io_timeout)).
+    /// Connects with a per-operation I/O deadline already armed (see
+    /// [`set_io_timeout`](Self::set_io_timeout)). It bounds the dial too, of
+    /// each address in turn: a peer that swallows SYNs costs that, not minutes.
     pub fn connect_with<A: ToSocketAddrs>(
         addr: A,
         io_timeout: Option<Duration>,
     ) -> Result<Client, ClientError> {
-        let mut client = Self::connect(addr)?;
+        let stream = match io_timeout {
+            None => TcpStream::connect(addr)?,
+            Some(limit) => {
+                let mut dialed = Err(io::ErrorKind::AddrNotAvailable.into());
+                for addr in addr.to_socket_addrs()? {
+                    dialed = TcpStream::connect_timeout(&addr, limit.max(Duration::from_millis(1)));
+                    if dialed.is_ok() {
+                        break;
+                    }
+                }
+                dialed?
+            }
+        };
+        stream.set_nodelay(true).ok();
+        let reader = BufReader::new(stream.try_clone()?);
+        let mut client = Client {
+            reader,
+            writer: stream,
+            scratch: Vec::new(),
+        };
         client.set_io_timeout(io_timeout)?;
         Ok(client)
     }
@@ -599,6 +612,27 @@ mod tests {
         // SO_RCVTIMEO must fire near the deadline, not hang.
         assert!(start.elapsed() < Duration::from_secs(5));
         drop(hold);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_dial_is_bounded_by_the_io_timeout() {
+        // A listener that never accepts: once its accept backlog is full
+        // (std listens with a backlog of 128) Linux drops further SYNs, and
+        // an unbounded dial sits in the kernel's retries for two minutes.
+        let (_listener, addr) = silent_server();
+        let fill = |_| TcpStream::connect_timeout(&addr, Duration::from_millis(100));
+        let held: Vec<TcpStream> = (0..900).map_while(|i| fill(i).ok()).collect();
+        assert!(held.len() < 900, "the backlog never filled");
+        let start = std::time::Instant::now();
+        let limit = Duration::from_millis(150);
+        match Client::connect_with(addr, Some(limit)) {
+            Err(ClientError::Frame(e)) => assert!(e.is_timeout(), "got {e:?}"),
+            Ok(_) => panic!("dialed a listener whose backlog is full"),
+            Err(other) => panic!("expected a timeout, got {other:?}"),
+        }
+        let waited = start.elapsed();
+        assert!(waited >= limit && waited < limit * 10, "waited {waited:?}");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! * [`service`] — the sharded concurrent serving tier:
 //!   shard-routed backends (in-process engines and/or remote
 //!   `timecrypt-node` processes over TCP, with optional R=2
-//!   replication), batched ingest on the submitter's thread,
-//!   scatter-gather statistical queries, per-shard metrics.
+//!   replication), batched ingest and scatter-gather statistical
+//!   queries on the caller's thread, per-shard metrics.
 //! * [`client`] — producer, data owner, consumer.
 //! * [`wire`] — framing + TCP transport.
 //! * [`faults`] — deterministic fault injection: seeded

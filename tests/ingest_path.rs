@@ -3,8 +3,9 @@
 //! beside `grant_cost.rs` and `write_amplification.rs`. Batched ingest is
 //! what single ingest is — a call on the thread that received the frame:
 //!
-//! * a coordinator runs no ingest thread (the census line this prints is
-//!   what CI copies to the job summary);
+//! * a coordinator runs no thread of its own, idle or after a query over
+//!   all its shards (the census line this prints is what CI copies to the
+//!   job summary);
 //! * the shards one batch touches are written to before any of them is
 //!   waited for, so their exchanges overlap;
 //! * a batch costs exactly one node call per shard it touches, however
@@ -121,31 +122,29 @@ fn batch_errors(reply: Response) -> Vec<(u32, String)> {
     }
 }
 
+/// The service's threads by role: it names every thread it starts
+/// `tc-<role>-<shard>`.
+#[cfg(target_os = "linux")]
+fn thread_census() -> BTreeMap<String, usize> {
+    let mut census: BTreeMap<String, usize> = BTreeMap::new();
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        // A thread can exit between the listing and the read.
+        let comm = std::fs::read_to_string(task.unwrap().path().join("comm"));
+        if let Some(role) = comm.unwrap_or_default().trim().strip_prefix("tc-") {
+            let role = role.trim_end_matches(|c: char| c == '-' || c.is_ascii_digit());
+            *census.entry(role.to_string()).or_default() += 1;
+        }
+    }
+    census
+}
+
 #[test]
 #[cfg(target_os = "linux")]
-fn an_idle_default_coordinator_runs_no_ingest_thread() {
+fn an_idle_default_coordinator_runs_no_thread() {
     let _serial = serial();
     let svc = ShardedService::open(Arc::new(MemKv::new()), ServiceConfig::default()).unwrap();
-    // The service names every thread it starts `tc-<role>-<shard>`; a
-    // thread names itself as it starts, so read until the query workers
-    // (one per shard) all have.
     let shards = svc.stats().shards.len();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let census = loop {
-        let mut census: BTreeMap<String, usize> = BTreeMap::new();
-        for task in std::fs::read_dir("/proc/self/task").unwrap() {
-            // A thread can exit between the listing and the read.
-            let comm = std::fs::read_to_string(task.unwrap().path().join("comm"));
-            if let Some(role) = comm.unwrap_or_default().trim().strip_prefix("tc-") {
-                let role = role.trim_end_matches(|c: char| c == '-' || c.is_ascii_digit());
-                *census.entry(role.to_string()).or_default() += 1;
-            }
-        }
-        if census.get("query") == Some(&shards) || Instant::now() > deadline {
-            break census;
-        }
-        std::thread::yield_now();
-    };
+    let census = thread_census();
     let roles: Vec<String> = census.iter().map(|(r, n)| format!("{n} {r}")).collect();
     println!(
         "thread census of an idle default coordinator ({} shards): {} threads ({})",
@@ -153,8 +152,19 @@ fn an_idle_default_coordinator_runs_no_ingest_thread() {
         census.values().sum::<usize>(),
         roles.join(", ")
     );
-    assert!(!census.contains_key("ingest"), "{census:?}");
-    assert_eq!(census.get("query"), Some(&shards), "one query worker each");
+    assert!(census.is_empty(), "{census:?}");
+    // Nor does a query that every shard has a leg of start one.
+    let streams: Vec<u128> = (0..shards).map(|shard| stream_on(shard, shards)).collect();
+    for &id in &streams {
+        svc.create_stream(id, 0, 10_000, 2).unwrap();
+        let stored = batch_errors(svc.handle(Request::InsertBatch {
+            chunks: vec![sealed(id, 0, 1)],
+        }));
+        assert_eq!(stored, vec![]);
+    }
+    let reply = svc.get_stat_range(&streams, 0, 10_000).unwrap();
+    assert_eq!(reply.parts.len(), shards);
+    assert!(thread_census().is_empty(), "{:?}", thread_census());
 }
 
 #[test]

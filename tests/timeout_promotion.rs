@@ -5,7 +5,9 @@
 //! `promote_after × io_timeout` budget. Mutations whose exchange timed
 //! out are ambiguous (the hung node may have applied them) and must be
 //! reported as such, never silently duplicated. A scatter-gather query
-//! has its own, shorter end-to-end budget on top of the socket deadline.
+//! has its own, shorter end-to-end budget on top of the socket deadline,
+//! and waits for its slow legs together and on its own thread — never in
+//! turn, and never behind another caller's.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -198,17 +200,24 @@ fn reads_fail_over_from_hung_primary_within_one_deadline() {
     assert!(svc.stats().shards[0].failovers > 0);
 }
 
-/// The whole-query budget: a leg stuck behind a hung node is given up on
-/// at `query_deadline`, well before its socket deadline would fire, and
-/// the caller gets a typed answer instead of a stall. The shard's pool
-/// worker stays busy until the socket deadline; queries that do not touch
-/// the hung shard are unaffected.
-#[test]
-fn query_deadline_bounds_a_scatter_gather_over_a_hung_leg() {
-    const IO_TIMEOUT: Duration = Duration::from_secs(1);
-    const QUERY_DEADLINE: Duration = Duration::from_millis(200);
-    let (_node_a, addr_a) = spawn_shard_node(2, 0);
-    let (_node_b, addr_b) = spawn_shard_node(2, 1);
+const IO_TIMEOUT: Duration = Duration::from_secs(1);
+const QUERY_DEADLINE: Duration = Duration::from_millis(200);
+
+/// Two nodes (keep them alive), shard 1's behind the proxy, under a
+/// coordinator whose query budget is a fifth of its socket deadline; then
+/// `healthy` streams on shard 0 and `hung` on shard 1, one chunk in each.
+fn budget_cluster(
+    healthy: usize,
+    hung: usize,
+) -> (
+    [Server; 2],
+    FaultyTransport,
+    ShardedService,
+    Vec<u128>,
+    Vec<u128>,
+) {
+    let (node_a, addr_a) = spawn_shard_node(2, 0);
+    let (node_b, addr_b) = spawn_shard_node(2, 1);
     let proxy = FaultyTransport::spawn(addr_b, timecrypt::faults::FaultPlan::quiet()).unwrap();
     let svc = ShardedService::open(
         Arc::new(MemKv::new()),
@@ -229,17 +238,29 @@ fn query_deadline_bounds_a_scatter_gather_over_a_hung_leg() {
         },
     )
     .unwrap();
-    // Two streams on the healthy shard and one on the other: the caller
-    // runs the larger leg itself and waits for the smaller one.
     let router = svc.router();
     let on = |shard| (1..100u128).filter(move |&id| router.shard_of(id) == shard);
-    let healthy: Vec<u128> = on(0).take(2).collect();
-    let hung: u128 = on(1).next().unwrap();
-    let all = [healthy[0], hung, healthy[1]];
-    for id in all {
+    let healthy: Vec<u128> = on(0).take(healthy).collect();
+    let hung: Vec<u128> = on(1).take(hung).collect();
+    for &id in healthy.iter().chain(&hung) {
         svc.create_stream(id, 0, 10_000, 2).unwrap();
         svc.insert(&sealed(id, 0, 3)).unwrap();
     }
+    ([node_a, node_b], proxy, svc, healthy, hung)
+}
+
+/// The whole-query budget: a leg stuck behind a hung node is given up on
+/// at `query_deadline`, well before its socket deadline would fire, and
+/// the caller gets a typed answer instead of a stall. The leg's connection
+/// is discarded with it — nothing keeps waiting on the hung node; queries
+/// that do not touch the hung shard are unaffected.
+#[test]
+fn query_deadline_bounds_a_scatter_gather_over_a_hung_leg() {
+    // Two streams on the healthy shard and one on the other: the hung leg
+    // is the smaller one.
+    let (_nodes, proxy, svc, healthy, hung) = budget_cluster(2, 1);
+    let hung = hung[0];
+    let all = [healthy[0], hung, healthy[1]];
     assert_eq!(svc.get_stat_range(&all, 0, 10_000).unwrap().parts.len(), 3);
 
     proxy.black_hole();
@@ -258,4 +279,211 @@ fn query_deadline_bounds_a_scatter_gather_over_a_hung_leg() {
     assert!(timecrypt_obs::counters::TIMEOUTS.get() > timeouts);
     let reply = svc.get_stat_range(&healthy, 0, 10_000).unwrap();
     assert_eq!(reply.parts.len(), 2);
+}
+
+/// The budget bounds every leg, whichever the caller waits on first: the
+/// hung shard owning the query's larger leg, or its only one.
+#[test]
+fn query_deadline_bounds_the_largest_and_the_only_leg_too() {
+    let (_nodes, proxy, svc, healthy, hung) = budget_cluster(1, 2);
+    let larger_leg_hung = vec![hung[0], healthy[0], hung[1]];
+    let only_leg_hung = vec![hung[0]];
+    let reply = svc.get_stat_range(&larger_leg_hung, 0, 10_000).unwrap();
+    assert_eq!(reply.parts.len(), 3);
+
+    proxy.black_hole();
+    for streams in [larger_leg_hung, only_leg_hung] {
+        let timeouts = timecrypt_obs::counters::TIMEOUTS.get();
+        let t = Instant::now();
+        let err = svc.get_stat_range(&streams, 0, 10_000).unwrap_err();
+        let elapsed = t.elapsed();
+        assert_eq!(
+            err.to_string(),
+            "service unavailable: query deadline exceeded",
+            "{streams:?}"
+        );
+        assert!(elapsed >= QUERY_DEADLINE, "{streams:?}: early, {elapsed:?}");
+        assert!(elapsed < IO_TIMEOUT, "{streams:?}: waited {elapsed:?}");
+        assert!(timecrypt_obs::counters::TIMEOUTS.get() > timeouts);
+        // A query that avoids the hung shard right afterwards succeeds.
+        let reply = svc.get_stat_range(&healthy, 0, 10_000).unwrap();
+        assert_eq!(reply.parts.len(), 1);
+    }
+}
+
+/// A read the budget cuts short is a strike like a socket timeout, so a
+/// hung primary is still promoted away when every query gives up on it
+/// long before its socket would: `promote_after` queries answer "deadline
+/// exceeded" inside their budgets, the next is served by the promoted
+/// backup.
+#[test]
+fn reads_cut_short_by_the_budget_still_promote_a_hung_primary() {
+    const PROMOTE_AFTER: u32 = 2;
+    let (_node_a, addr_a) = spawn_node();
+    let (_node_b, addr_b) = spawn_node();
+    let proxy = FaultyTransport::spawn(addr_a, timecrypt::faults::FaultPlan::quiet()).unwrap();
+    let svc = ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            topology: vec![
+                ShardSpec::remote(proxy.addr().to_string()).with_backup(addr_b.to_string())
+            ],
+            pool: timecrypt::wire::pool::PoolConfig {
+                io_timeout: Some(IO_TIMEOUT),
+                ..Default::default()
+            },
+            promote_after: PROMOTE_AFTER,
+            query_deadline: QUERY_DEADLINE,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    svc.create_stream(1, 0, 10_000, 2).unwrap();
+    svc.insert(&sealed(1, 0, 7)).unwrap();
+    let healthy = svc.get_stat_range(&[1], 0, 10_000).unwrap();
+
+    proxy.black_hole();
+    for strike in 1..=PROMOTE_AFTER {
+        let t = Instant::now();
+        let err = svc.get_stat_range(&[1], 0, 10_000).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "service unavailable: query deadline exceeded",
+            "strike {strike}"
+        );
+        assert!(
+            t.elapsed() < IO_TIMEOUT,
+            "strike {strike}: {:?}",
+            t.elapsed()
+        );
+    }
+    assert_eq!(svc.stats().shards[0].promotions, 1);
+    assert_eq!(svc.get_stat_range(&[1], 0, 10_000).unwrap(), healthy);
+}
+
+/// Legs are finished in shard order, so a hung shard 0 has spent the budget
+/// by the time shard 1's replies are read. They arrived in time: shard 1 is
+/// not failed for it — no strike, no failover, its primary and in-sync
+/// backup stay as they are however many such queries run.
+#[test]
+fn a_budget_spent_on_a_hung_shard_is_no_strike_against_the_shards_read_after_it() {
+    const PROMOTE_AFTER: u32 = 2;
+    let (_hung_node, hung_addr) = spawn_shard_node(2, 0);
+    let (_node, addr) = spawn_shard_node(2, 1);
+    let (_backup, backup_addr) = spawn_shard_node(2, 1);
+    let quiet = timecrypt::faults::FaultPlan::quiet;
+    let proxy = FaultyTransport::spawn(hung_addr, quiet()).unwrap();
+    let svc = ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            topology: vec![
+                ShardSpec::remote(proxy.addr().to_string()),
+                ShardSpec::remote(addr.to_string()).with_backup(backup_addr.to_string()),
+            ],
+            pool: timecrypt::wire::pool::PoolConfig {
+                io_timeout: Some(IO_TIMEOUT),
+                ..Default::default()
+            },
+            promote_after: PROMOTE_AFTER,
+            query_deadline: QUERY_DEADLINE,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let router = svc.router();
+    let pair = [0, 1].map(|shard| {
+        (1..100u128)
+            .find(|&id| router.shard_of(id) == shard)
+            .unwrap()
+    });
+    for id in pair {
+        svc.create_stream(id, 0, 10_000, 2).unwrap();
+        svc.insert(&sealed(id, 0, 3)).unwrap();
+    }
+    let healthy = svc.get_stat_range(&pair[1..], 0, 10_000).unwrap();
+
+    proxy.black_hole();
+    for _ in 0..=PROMOTE_AFTER {
+        let err = svc.get_stat_range(&pair, 0, 10_000).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "service unavailable: query deadline exceeded"
+        );
+    }
+    proxy.set_plan(quiet());
+    let shard = &svc.stats().shards[1];
+    assert_eq!((shard.failovers, shard.promotions), (0, 0), "{shard:?}");
+    assert!(shard.in_sync, "{shard:?}");
+    assert_eq!(svc.get_stat_range(&pair[1..], 0, 10_000).unwrap(), healthy);
+}
+
+/// Every caller waits for its own legs, all of them at once: eight
+/// two-shard queries whose replies are each held 50 ms on the way back take
+/// about one delay — not one per leg, and not one per caller ahead in some
+/// shard's queue.
+#[test]
+fn concurrent_callers_do_not_queue_behind_one_another() {
+    use timecrypt::faults::{FaultPlan, NetDirection, NetFault, NetRule, Trigger};
+    const CALLERS: usize = 8;
+    const DELAY: Duration = Duration::from_millis(50);
+    let nodes = [spawn_shard_node(2, 0), spawn_shard_node(2, 1)];
+    let proxies = nodes
+        .each_ref()
+        .map(|(_, addr)| FaultyTransport::spawn(*addr, FaultPlan::quiet()).unwrap());
+    let svc = ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            topology: proxies
+                .iter()
+                .map(|p| ShardSpec::remote(p.addr().to_string()))
+                .collect(),
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let router = svc.router();
+    let pair = [0, 1].map(|shard| {
+        (1..100u128)
+            .find(|&id| router.shard_of(id) == shard)
+            .unwrap()
+    });
+    for id in pair {
+        svc.create_stream(id, 0, 10_000, 2).unwrap();
+        svc.insert(&sealed(id, 0, 3)).unwrap();
+    }
+    // One round of `CALLERS` queries released together: each caller's
+    // reply and how long it waited for it.
+    let round = || {
+        let start = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let t = Instant::now();
+                        (svc.get_stat_range(&pair, 0, 10_000).unwrap(), t.elapsed())
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|c| c.join().unwrap())
+                .collect::<Vec<_>>()
+        })
+    };
+    // Undelayed first: the replies to compare with, and every caller's
+    // two connections dialed.
+    let undelayed = round();
+    for proxy in &proxies {
+        proxy.set_plan(FaultPlan::quiet().with_net_rule(NetRule {
+            direction: Some(NetDirection::ToClient),
+            when: Trigger::EveryNth(1),
+            fault: NetFault::Delay(DELAY),
+        }));
+    }
+    for ((reply, waited), (undelayed, _)) in round().into_iter().zip(undelayed) {
+        assert_eq!(reply, undelayed);
+        assert!(waited >= DELAY, "not delayed: {waited:?}");
+        assert!(waited < DELAY * 4, "queued: waited {waited:?}");
+    }
 }
