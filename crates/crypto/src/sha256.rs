@@ -114,7 +114,6 @@ impl Sha256 {
     }
 
     /// Folds `blocks` — a whole number of 64-byte blocks — into `state`.
-    // lint: deny(alloc)
     fn compress(state: &mut [u32; 8], sha_ni: bool, blocks: &[u8]) {
         debug_assert_eq!(blocks.len() % 64, 0);
         #[cfg(target_arch = "x86_64")]

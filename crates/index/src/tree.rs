@@ -88,6 +88,7 @@ use crate::digest::HomDigest;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use timecrypt_obs::rank::{self, Ranked};
 use timecrypt_store::{KvStore, StoreError, WriteOp};
 
 /// Tree parameters.
@@ -264,7 +265,6 @@ impl<D: HomDigest> Spine<D> {
     /// spine through `sealed`. No I/O: the spine (and so every sealed node)
     /// is a pure function of the chunk digests pushed in order. `None` for
     /// a digest that cannot be added to the ones before it.
-    // lint: deny(alloc)
     fn push(&mut self, k: u64, i: u64, digest: D, sealed: &mut Vec<Placed>) -> Option<()> {
         let mut level = 1u8;
         let mut child = i; // index, one level down, of the subtree holding chunk i
@@ -338,11 +338,11 @@ pub struct AggTree<D: HomDigest> {
     len: AtomicU64,
     /// Serializes the write path (`append`, `decay`). Queries never take
     /// it — see the module docs for why reads stay exact regardless.
-    write: Mutex<()>,
+    write: Ranked<{ rank::WRITER }, Mutex<()>>,
     /// The open right spine. Readers take it shared for one lookup; the
     /// writer takes it exclusively only to swap in the next spine at its
     /// commit point. Never held across a store call.
-    frontier: RwLock<Spine<D>>,
+    frontier: Ranked<{ rank::FRONTIER }, RwLock<Spine<D>>>,
     /// Seqlock-style generation for the read-aside cache fill: odd while a
     /// `decay` is deleting nodes. A reader may cache node bytes it loaded
     /// from the store only if the generation was even before the load and
@@ -371,13 +371,13 @@ struct NodeCache {
 }
 
 /// One stripe: an independently locked LRU over `Arc`ed nodes.
-type Stripe = Mutex<LruCache<(u8, u64), Arc<Node>>>;
+type Stripe = Ranked<{ rank::STRIPE }, Mutex<LruCache<(u8, u64), Arc<Node>>>>;
 
 impl NodeCache {
     fn new(budget_bytes: usize) -> Self {
         let stripes = (budget_bytes / MIN_STRIPE_BYTES).clamp(1, MAX_STRIPES);
         // Rounded down: the stripes together never hold more than the budget.
-        let stripe = || Mutex::new(LruCache::new(budget_bytes / stripes));
+        let stripe = || Ranked::new(Mutex::new(LruCache::new(budget_bytes / stripes)));
         let stripes = (0..stripes).map(|_| stripe()).collect();
         NodeCache { stripes }
     }
@@ -392,22 +392,22 @@ impl NodeCache {
     }
 
     fn get(&self, key: &(u8, u64)) -> Option<Arc<Node>> {
-        self.stripe(key).lock().get(key).cloned()
+        self.stripe(key).lock(Mutex::lock).get(key).cloned()
     }
 
     fn put(&self, key: (u8, u64), node: Arc<Node>) {
         let weight = node.bytes.len();
-        self.stripe(&key).lock().put(key, node, weight);
+        self.stripe(&key).lock(Mutex::lock).put(key, node, weight);
     }
 
     fn remove(&self, key: &(u8, u64)) {
-        self.stripe(key).lock().remove(key);
+        self.stripe(key).lock(Mutex::lock).remove(key);
     }
 
     /// Aggregate (hits, misses, bytes charged) across stripes.
     fn stats(&self) -> (u64, u64, usize) {
         self.stripes.iter().fold((0, 0, 0), |(h, m, used), s| {
-            let s = s.lock();
+            let s = s.lock(Mutex::lock);
             let (sh, sm) = s.stats();
             (h + sh, m + sm, used + s.used_bytes())
         })
@@ -418,6 +418,8 @@ impl NodeCache {
 /// when `decay` errors out mid-flight (`?`), so a failed decay can't leave
 /// the generation odd for good (readers would stop caching).
 struct GenGuard<'a> {
+    /// `cache_gen`, bumped with `AcqRel`: the even value it publishes
+    /// follows the decay's deletes.
     gen: &'a AtomicU64,
 }
 
@@ -485,15 +487,15 @@ impl<D: HomDigest> AggTree<D> {
             stream,
             cfg,
             len: AtomicU64::new(len),
-            write: Mutex::new(()),
-            frontier: RwLock::new(Spine {
+            write: Ranked::new(Mutex::new(())),
+            frontier: Ranked::new(RwLock::new(Spine {
                 open: Vec::new(),
                 total: None,
-            }),
+            })),
             cache_gen: AtomicU64::new(0),
             cache,
         };
-        tree.frontier = RwLock::new(tree.stored_spine(len)?);
+        tree.frontier = Ranked::new(RwLock::new(tree.stored_spine(len)?));
         Ok(tree)
     }
 
@@ -615,10 +617,11 @@ impl<D: HomDigest> AggTree<D> {
         if records.is_empty() {
             return Ok(());
         }
-        let _write = self.write.lock();
-        // lint: allow(atomics-ordering) — stable: we hold `write`, the only mutator; Relaxed cannot observe a torn value of our own last Release store
+        let _write = self.write.lock(Mutex::lock);
+        // Relaxed: we hold `write`, the only mutator, so this is our own last
+        // Release store.
         let base = self.len.load(Ordering::Relaxed);
-        let mut spine = self.frontier.read().clone();
+        let mut spine = self.frontier.lock(RwLock::read).clone();
         let mut sealed = Vec::new();
         let mut leaf_keys = Vec::with_capacity(records.len());
         let k = self.cfg.arity as u64;
@@ -654,7 +657,7 @@ impl<D: HomDigest> AggTree<D> {
             self.cache.put(key, node);
         }
         // The old spine is freed after the lock is released, at return.
-        let _old = std::mem::replace(&mut *self.frontier.write(), spine);
+        let _old = std::mem::replace(&mut **self.frontier.lock(RwLock::write), spine);
         // Publish last: a reader that observes the new length is
         // guaranteed (Release/Acquire) to see the swap above.
         self.len
@@ -672,7 +675,7 @@ impl<D: HomDigest> AggTree<D> {
         hi: u64,
         mut tag: impl FnMut(u64, &[u8]) -> Result<Option<Vec<u8>>, IndexError>,
     ) -> Result<usize, IndexError> {
-        let _write = self.write.lock();
+        let _write = self.write.lock(Mutex::lock);
         let mut rewritten = Vec::new();
         for index in lo..hi.min(self.len()) {
             let mut record = leaf_record(self.kv.as_ref(), self.stream, index)?;
@@ -714,7 +717,6 @@ impl<D: HomDigest> AggTree<D> {
     /// Recursive combine: add fully-covered entries of `(level, index)`,
     /// from the node's buffer straight into `acc`; recurse into the (at
     /// most two) partially-covered children.
-    // lint: deny(alloc)
     fn query_node(
         &self,
         level: u8,
@@ -786,7 +788,7 @@ impl<D: HomDigest> AggTree<D> {
     /// Returns nodes removed. Serialized with `append`; a concurrent query
     /// drilling below the decayed level surfaces [`IndexError::Decayed`].
     pub fn decay(&self, before_chunk: u64, keep_level: u8) -> Result<usize, IndexError> {
-        let _write = self.write.lock();
+        let _write = self.write.lock(Mutex::lock);
         // Odd generation across the deletes: a reader that fetched a node
         // just before its deletion must not re-insert it into the cache.
         self.cache_gen.fetch_add(1, Ordering::AcqRel);
@@ -825,7 +827,7 @@ impl<D: HomDigest> AggTree<D> {
         let (hits, misses, used) = self.cache.stats();
         let key = node_key(self.stream, 0, 0);
         let sealed = self.kv.scan_prefix(&key[..NODE_PREFIX_LEN])?;
-        let spine = self.frontier.read();
+        let spine = self.frontier.lock(RwLock::read);
         let open = spine.open.iter().flatten();
         let open_bytes: usize = open.clone().map(|(_, n)| key.len() + n.bytes.len()).sum();
         Ok(TreeStats {
@@ -839,7 +841,7 @@ impl<D: HomDigest> AggTree<D> {
 
     /// The open node at `(level, index)`, if that position is on the spine.
     fn open_node(&self, level: u8, index: u64) -> Option<Arc<Node>> {
-        let spine = self.frontier.read();
+        let spine = self.frontier.lock(RwLock::read);
         match spine.open.get(level as usize - 1) {
             Some(Some((open, node))) if *open == index => Some(node.clone()),
             _ => None,
@@ -866,7 +868,7 @@ impl<D: HomDigest> AggTree<D> {
                 // may already be deleted — fine to return, not to cache.
                 if gen_before.is_multiple_of(2) {
                     let stripe = self.cache.stripe(&(level, index));
-                    let mut cache = stripe.lock();
+                    let mut cache = stripe.lock(Mutex::lock);
                     if self.cache_gen.load(Ordering::Acquire) == gen_before {
                         cache.put((level, index), node.clone(), node.bytes.len());
                     }
@@ -1135,7 +1137,7 @@ mod tests {
                 let node = Node::checked::<Vec<u64>>(bytes.clone(), arity);
                 prop_assert_eq!(node.map(|n| n.bytes), Some(bytes));
             }
-            for (_, open) in t.frontier.read().open.iter().flatten() {
+            for (_, open) in t.frontier.lock(RwLock::read).open.iter().flatten() {
                 let node = Node::checked::<Vec<u64>>(open.bytes.clone(), open.count()).unwrap();
                 prop_assert_eq!((&node.bytes, node.last), (&open.bytes, open.last));
                 prop_assert_eq!(open.bytes.capacity(), open.bytes.len());
@@ -1289,7 +1291,7 @@ mod tests {
 
     /// The open spine as `(index, encoded node)` per level.
     fn spine_bytes(t: &AggTree<Vec<u64>>) -> Vec<Option<(u64, Vec<u8>)>> {
-        let open = t.frontier.read().open.clone();
+        let open = t.frontier.lock(RwLock::read).open.clone();
         open.into_iter()
             .map(|o| o.map(|(index, node)| (index, node.bytes.clone())))
             .collect()
@@ -1522,11 +1524,9 @@ mod tests {
                 let at = format!("length {n}, keep_level {keep_level}");
                 assert_eq!(reopened.len(), n, "{at}");
                 assert_eq!(spine_bytes(&reopened), spine_bytes(&live), "{at}");
-                assert_eq!(
-                    reopened.frontier.read().total,
-                    live.frontier.read().total,
-                    "{at}"
-                );
+                // One frontier at a time: two are two locks of one rank.
+                let total = reopened.frontier.lock(RwLock::read).total.clone();
+                assert_eq!(total, live.frontier.lock(RwLock::read).total, "{at}");
                 assert_eq!(results(&reopened, n), results(&live, n), "{at}");
                 assert_eq!(reopened.query(0, n).unwrap(), naive_sum(0, n), "{at}");
             }

@@ -47,6 +47,7 @@ pub mod counters;
 pub mod http;
 pub mod log;
 pub mod prom;
+pub mod rank;
 pub mod trace;
 
 pub use http::HttpServer;

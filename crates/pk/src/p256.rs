@@ -87,7 +87,6 @@ pub(crate) fn limbs4(v: &BigUint) -> Limbs {
 
 impl Modulus {
     /// `carry·2²⁵⁶ + t`, known to be below `2m`, brought below `m`.
-    // lint: deny(alloc)
     #[inline(always)]
     fn correct(&self, t: Limbs, carry: u64) -> Limbs {
         let (mut d, mut borrow) = ([0u64; 4], 0);
@@ -104,7 +103,6 @@ impl Modulus {
     }
 
     /// `a + b mod m`.
-    // lint: deny(alloc)
     #[inline(always)]
     pub(crate) fn add(&self, a: &Limbs, b: &Limbs) -> Limbs {
         let (mut t, mut carry) = ([0u64; 4], 0);
@@ -115,7 +113,6 @@ impl Modulus {
     }
 
     /// `a − b mod m`: `m` is added back, masked by the borrow.
-    // lint: deny(alloc)
     #[inline(always)]
     fn sub(&self, a: &Limbs, b: &Limbs) -> Limbs {
         let (mut t, mut borrow) = ([0u64; 4], 0);
@@ -131,7 +128,6 @@ impl Modulus {
 
     /// CIOS Montgomery product `a·b·R⁻¹ mod m`. `b` must be below `m`; `a`
     /// may be any four limbs.
-    // lint: deny(alloc)
     #[inline(always)]
     pub(crate) fn mul(&self, a: &Limbs, b: &Limbs) -> Limbs {
         let mut t = [0u64; 6];
@@ -156,7 +152,6 @@ impl Modulus {
 
     /// `a⁻¹ mod m` by Fermat, `a^(m−2)`, Montgomery form in and out
     /// (`m` is prime; zero maps to zero). The exponent is public.
-    // lint: deny(alloc)
     pub(crate) fn inv(&self, a: &Limbs) -> Limbs {
         let mut e = self.m;
         e[0] -= 2; // neither modulus ends in a limb below 2
@@ -177,7 +172,6 @@ impl Modulus {
     }
 
     /// Out of Montgomery form: the canonical residue below `m`.
-    // lint: deny(alloc)
     pub(crate) fn to_raw(&self, a: &Limbs) -> Limbs {
         self.mul(a, &[1, 0, 0, 0])
     }
@@ -333,7 +327,6 @@ impl Jacobian {
 
     /// Doubling for `a = −3` (dbl-2001-b, 3M + 5S). The identity needs no
     /// branch: `Z = 0` gives `Z₃ = (Y + 0)² − Y² − 0 = 0`.
-    // lint: deny(alloc)
     fn double(&self) -> Jacobian {
         let f = &FIELD;
         let twice = |a: &Limbs| f.add(a, a);
@@ -360,7 +353,6 @@ impl Jacobian {
 
     /// General addition (add-2007-bl, 11M + 5S), with the two cases its
     /// formulas cannot express — equal operands, opposite operands.
-    // lint: deny(alloc)
     fn add(&self, q: &Jacobian) -> Jacobian {
         if self.is_identity() {
             return *q;
@@ -400,7 +392,6 @@ impl Jacobian {
 /// `Σ kᵢ·Pᵢ` over raw 256-bit scalars by a fixed 4-bit window: per term,
 /// the multiples `0·P … 15·P`; then, most significant window first, four
 /// doublings shared by all terms and one addition per term.
-// lint: deny(alloc)
 fn mul_sum<const N: usize>(terms: [(&Limbs, &Jacobian); N]) -> Jacobian {
     let mut tables = [[IDENTITY; 16]; N];
     for (table, (_, p)) in tables.iter_mut().zip(&terms) {

@@ -32,6 +32,7 @@ use timecrypt_index::{
     leaf_record, stored_chunk_count, stream_keys, AggTree, HomDigest, IndexError, TreeConfig,
 };
 use timecrypt_integrity::{RootAttestation, StreamLedger};
+use timecrypt_obs::rank::{self, Ranked};
 use timecrypt_obs::{counters, trace};
 use timecrypt_store::{KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
@@ -278,7 +279,7 @@ struct StreamState {
     ledger: RwLock<StreamLedger>,
     /// The per-stream ingest lock: held by `insert`, `rollup`, and
     /// `delete_range` (exclusive writers). The read path never takes it.
-    ingest: Mutex<()>,
+    ingest: Ranked<{ rank::INGEST }, Mutex<()>>,
 }
 
 /// One resident stream: its state handle plus the recency tick mirrored
@@ -308,8 +309,11 @@ struct StreamRegistry {
     /// taken *before* `registry`): the winner holds its stream's gate
     /// while opening the stream; concurrent cold touches queue on the
     /// gate instead of opening it again.
-    hydrating: HashMap<u128, Arc<Mutex<()>>>,
+    hydrating: HashMap<u128, Arc<Gate>>,
 }
+
+/// A stream's hydration gate.
+type Gate = Ranked<{ rank::HYDRATE }, Mutex<()>>;
 
 impl StreamRegistry {
     /// Resident lookup; a hit refreshes recency and clones the handle.
@@ -375,7 +379,7 @@ pub struct TimeCryptServer {
     kv: Arc<dyn KvStore>,
     cfg: ServerConfig,
     /// Stream directory + resident set + hydration gates.
-    registry: Mutex<StreamRegistry>,
+    registry: Ranked<{ rank::REGISTRY }, Mutex<StreamRegistry>>,
     /// Real-time upload buffer (§4.6): per stream, per not-yet-finalized
     /// chunk, the sealed records received so far. Volatile by design — the
     /// durable copy is the finalized chunk that supersedes these records.
@@ -453,7 +457,7 @@ impl TimeCryptServer {
         let server = TimeCryptServer {
             kv,
             cfg,
-            registry: Mutex::new(StreamRegistry::default()),
+            registry: Ranked::new(Mutex::new(StreamRegistry::default())),
             live: Mutex::new(HashMap::new()),
             hydrations: counters::Counter::new(),
             evictions: counters::Counter::new(),
@@ -486,7 +490,7 @@ impl TimeCryptServer {
                 },
             );
         }
-        server.registry.lock().directory = directory;
+        server.registry.lock(Mutex::lock).directory = directory;
         Ok(server)
     }
 
@@ -514,7 +518,7 @@ impl TimeCryptServer {
             digest_width,
         };
         {
-            let mut reg = self.registry.lock();
+            let mut reg = self.registry.lock(Mutex::lock);
             if reg.directory.contains_key(&stream) {
                 return Err(ServerError::StreamExists(stream));
             }
@@ -525,10 +529,14 @@ impl TimeCryptServer {
         bytes.extend_from_slice(&delta_ms.to_le_bytes());
         bytes.extend_from_slice(&digest_width.to_le_bytes());
         if let Err(e) = self.kv.put(&stream_meta_key(stream), &bytes) {
-            self.registry.lock().directory.remove(&stream);
+            self.registry.lock(Mutex::lock).directory.remove(&stream);
             return Err(e.into());
         }
-        let still_registered = self.registry.lock().directory.contains_key(&stream);
+        let still_registered = self
+            .registry
+            .lock(Mutex::lock)
+            .directory
+            .contains_key(&stream);
         if !still_registered {
             // Deleted while we were writing: delete_stream already ran its
             // purge, possibly before our put landed — remove the orphan.
@@ -542,7 +550,7 @@ impl TimeCryptServer {
     /// entries, in one store batch: a crash leaves the stream whole or gone.
     pub fn delete_stream(&self, stream: u128) -> Result<(), ServerError> {
         let dropped = {
-            let mut reg = self.registry.lock();
+            let mut reg = self.registry.lock(Mutex::lock);
             if reg.directory.remove(&stream).is_none() {
                 return Err(ServerError::NoSuchStream(stream));
             }
@@ -576,7 +584,7 @@ impl TimeCryptServer {
             // Fast path: resident hit (and the cap sweep, which is a
             // no-op length check while the set is within bounds).
             let gate = {
-                let mut reg = self.registry.lock();
+                let mut reg = self.registry.lock(Mutex::lock);
                 if let Some(st) = reg.touch(stream) {
                     let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
                     self.note_evictions(idle.len());
@@ -589,12 +597,12 @@ impl TimeCryptServer {
                 }
                 reg.hydrating.entry(stream).or_default().clone()
             };
-            let _hydrate = gate.lock();
+            let _hydrate = gate.lock(Mutex::lock);
             // Re-check under the gate: the previous holder may have
             // hydrated (take the hit), failed (inherit winnership), or
             // been superseded by a newer gate (retry).
             let meta = {
-                let mut reg = self.registry.lock();
+                let mut reg = self.registry.lock(Mutex::lock);
                 if let Some(st) = reg.touch(stream) {
                     Self::release_gate(&mut reg, stream, &gate);
                     return Ok(st);
@@ -613,15 +621,10 @@ impl TimeCryptServer {
                 meta
             };
             // We are the winner: open the stream with no registry lock
-            // held — resident hits on other streams proceed meanwhile.
-            //
-            // lint: allow(blocking-under-lock) — the hydration gate exists
-            // precisely to serialize these store reads: it is per-stream,
-            // ordered before `registry`, and held by at most the one
-            // winner plus waiters for this same stream, so blocking here
-            // stalls no one who isn't already waiting for this state.
+            // held — resident hits on other streams proceed meanwhile, and
+            // the gate may block (`rank::ORDER` says why).
             let hydrated = self.hydrate(stream, meta);
-            let mut reg = self.registry.lock();
+            let mut reg = self.registry.lock(Mutex::lock);
             Self::release_gate(&mut reg, stream, &gate);
             let st = Arc::new(hydrated?);
             if !reg.directory.contains_key(&stream) {
@@ -653,13 +656,13 @@ impl TimeCryptServer {
             meta,
             tree: AggTree::open(self.kv.clone(), stream, cfg)?,
             ledger: RwLock::new(StreamLedger::new(stream)),
-            ingest: Mutex::new(()),
+            ingest: Ranked::new(Mutex::new(())),
         })
     }
 
     /// Retires a hydration gate if it is still the registered one (a
     /// newer gate registered after a failed winner must stay in place).
-    fn release_gate(reg: &mut StreamRegistry, stream: u128, gate: &Arc<Mutex<()>>) {
+    fn release_gate(reg: &mut StreamRegistry, stream: u128, gate: &Arc<Gate>) {
         let ours = reg
             .hydrating
             .get(&stream)
@@ -719,7 +722,7 @@ impl TimeCryptServer {
     /// equivalence battery calls this after every operation to force a
     /// cold rehydration path. Returns the number of streams evicted.
     pub fn evict_idle_streams(&self) -> usize {
-        let mut reg = self.registry.lock();
+        let mut reg = self.registry.lock(Mutex::lock);
         let evicted = Self::sweep_to(&mut reg, 0);
         self.note_evictions(evicted.len());
         let n = evicted.len();
@@ -731,7 +734,7 @@ impl TimeCryptServer {
     /// Residency counters for the lazy-hydration layer.
     pub fn residency(&self) -> ResidencyStats {
         ResidencyStats {
-            resident: self.registry.lock().resident.len() as u64,
+            resident: self.registry.lock(Mutex::lock).resident.len() as u64,
             hydrations: self.hydrations.get(),
             evictions: self.evictions.get(),
         }
@@ -741,7 +744,7 @@ impl TimeCryptServer {
     /// without touching (or hydrating) its resident state.
     fn stream_meta(&self, stream: u128) -> Result<StreamMeta, ServerError> {
         self.registry
-            .lock()
+            .lock(Mutex::lock)
             .directory
             .get(&stream)
             .copied()
@@ -754,7 +757,7 @@ impl TimeCryptServer {
     /// probes.
     fn stream_len(&self, stream: u128) -> Result<u64, ServerError> {
         {
-            let mut reg = self.registry.lock();
+            let mut reg = self.registry.lock(Mutex::lock);
             if let Some(st) = reg.touch(stream) {
                 return Ok(st.tree.len());
             }
@@ -857,7 +860,7 @@ impl TimeCryptServer {
         // Exclusive per-stream ingest lock: serializes writers only.
         // Concurrent statistical/raw reads proceed against the previous
         // tree-length snapshot.
-        let _ingest = st.ingest.lock();
+        let _ingest = st.ingest.lock(Mutex::lock);
         let base = st.tree.len();
         let mut expected = base;
         // The level-0 record of each accepted chunk, in run order.
@@ -1155,7 +1158,7 @@ impl TimeCryptServer {
     pub fn delete_range(&self, stream: u128, ts_s: i64, ts_e: i64) -> Result<usize, ServerError> {
         let st = self.stream(stream)?;
         // Deletion is a writer: keep it serialized with inserts/rollups.
-        let _ingest = st.ingest.lock();
+        let _ingest = st.ingest.lock(Mutex::lock);
         let lo = st.meta.first_chunk_at_or_after(ts_s);
         let hi = st.meta.chunk_end_at_or_before(ts_e);
         let stub = |index, record: &[u8]| {
@@ -1176,7 +1179,7 @@ impl TimeCryptServer {
         keep_level: u8,
     ) -> Result<usize, ServerError> {
         let st = self.stream(stream)?;
-        let _ingest = st.ingest.lock();
+        let _ingest = st.ingest.lock(Mutex::lock);
         let cutoff = st.meta.chunk_end_at_or_before(before_ts).min(st.tree.len());
         Ok(st.tree.decay(cutoff, keep_level)?)
     }
@@ -1231,13 +1234,19 @@ impl TimeCryptServer {
     /// directory, not the resident set — see [`residency`](Self::residency)
     /// for the latter.
     pub fn stream_count(&self) -> usize {
-        self.registry.lock().directory.len()
+        self.registry.lock(Mutex::lock).directory.len()
     }
 
     /// Ids of every registered stream, ascending (deterministic order for
     /// replica rebuild and diagnostics).
     pub fn stream_ids(&self) -> Vec<u128> {
-        let mut ids: Vec<u128> = self.registry.lock().directory.keys().copied().collect();
+        let mut ids: Vec<u128> = self
+            .registry
+            .lock(Mutex::lock)
+            .directory
+            .keys()
+            .copied()
+            .collect();
         ids.sort_unstable();
         ids
     }
@@ -1353,12 +1362,10 @@ impl TimeCryptServer {
     /// path) straight to [`insert_bytes_run`](Self::insert_bytes_run);
     /// every other variant continues in
     /// [`dispatch_unborrowed`](Self::dispatch_unborrowed).
-    // lint: deny(alloc)
     fn dispatch(&self, req: RequestRef<'_>) -> Response {
         match req {
             RequestRef::Insert { chunk } => match self.insert_bytes(chunk) {
                 Ok(()) => Response::Ok,
-                // lint: allow(no-alloc) — error formatting on the rejection path only; accepted chunks stay allocation-free
                 Err(e) => Response::Error(e.to_string()),
             },
             RequestRef::InsertBatch { chunks } => Response::Batch {
@@ -1370,7 +1377,6 @@ impl TimeCryptServer {
                     .and_then(|r| self.insert_live(&r));
                 match buffered {
                     Ok(()) => Response::Ok,
-                    // lint: allow(no-alloc) — error formatting on the rejection path only
                     Err(e) => Response::Error(e.to_string()),
                 }
             }

@@ -7,6 +7,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use timecrypt_obs::rank::{self, Ranked};
 use timecrypt_server::ServerError;
 use timecrypt_wire::messages::{Request, Response, StreamInfoWire};
 
@@ -89,12 +90,14 @@ struct Roles {
 pub struct ShardReplicas {
     shard: usize,
     metrics: Arc<ServiceMetrics>,
-    roles: RwLock<Roles>,
+    roles: Ranked<{ rank::ROLES }, RwLock<Roles>>,
     /// Consecutive primary transport failures; reset by any success.
     strikes: AtomicU32,
     /// Strikes required to promote; `0` disables automatic promotion.
     promote_after: u32,
-    /// Guards against two rebuild workers copying the same shard at once.
+    /// Guards against two rebuild workers copying the same shard at once:
+    /// taken with `Acquire`, let go with `Release`, so a worker starts from
+    /// everything the last one wrote.
     rebuilding: AtomicBool,
     /// Generation counter of mirrored writes the backup missed (bumped
     /// under the roles lock). The rebuild worker compares it across its
@@ -116,7 +119,7 @@ impl ShardReplicas {
         ShardReplicas {
             shard,
             metrics,
-            roles: RwLock::new(Roles {
+            roles: Ranked::new(RwLock::new(Roles {
                 primary,
                 // A topology-configured backup mirrors from the first
                 // write, so it starts in sync.
@@ -124,7 +127,7 @@ impl ShardReplicas {
                     backend,
                     health: ReplicaHealth::InSync,
                 }),
-            }),
+            })),
             strikes: AtomicU32::new(0),
             promote_after,
             rebuilding: AtomicBool::new(false),
@@ -140,14 +143,14 @@ impl ShardReplicas {
     /// run against the snapshot — a concurrent promotion flips *later*
     /// operations, never one in flight.
     fn snapshot(&self) -> (Arc<dyn ShardBackend>, Option<BackupState>) {
-        let roles = self.roles.read();
+        let roles = self.roles.lock(RwLock::read);
         (roles.primary.clone(), roles.backup.clone())
     }
 
     /// The current primary alone (mutation paths re-read the backup via
     /// [`Self::mirror_target`] after the primary acknowledged).
     fn primary(&self) -> Arc<dyn ShardBackend> {
-        self.roles.read().primary.clone()
+        self.roles.lock(RwLock::read).primary.clone()
     }
 
     fn note_primary_ok(&self) {
@@ -165,7 +168,7 @@ impl ShardReplicas {
             // promotion must not leak a phantom strike onto the freshly
             // promoted primary (promotion resets the counter while
             // holding the write lock, which this read lock excludes).
-            let roles = self.roles.read();
+            let roles = self.roles.lock(RwLock::read);
             if !Arc::ptr_eq(&roles.primary, failed) {
                 // Already replaced; our operation can retry against the
                 // new primary.
@@ -178,7 +181,7 @@ impl ShardReplicas {
         if self.promote_after == 0 || strikes < self.promote_after {
             return false;
         }
-        let mut roles = self.roles.write();
+        let mut roles = self.roles.lock(RwLock::write);
         if !Arc::ptr_eq(&roles.primary, failed) {
             return true;
         }
@@ -217,7 +220,7 @@ impl ShardReplicas {
         if errors == 0 {
             return;
         }
-        let mut roles = self.roles.write();
+        let mut roles = self.roles.lock(RwLock::write);
         self.mirror_drops.fetch_add(1, Ordering::AcqRel);
         let Some(b) = &mut roles.backup else { return };
         if !Arc::ptr_eq(&b.backend, drifted) {
@@ -241,7 +244,7 @@ impl ShardReplicas {
     /// sync) while the slow primary call was in flight must still receive
     /// — or be held accountable for — this acknowledged write.
     fn mirror_target(&self) -> Option<BackupState> {
-        self.roles.read().backup.clone()
+        self.roles.lock(RwLock::read).backup.clone()
     }
 
     /// The read policy, over `roles` — a [`snapshot`](Self::snapshot) the
@@ -391,7 +394,7 @@ impl ShardReplicas {
     /// promotion-eligible until [`rebuild_backup`](Self::rebuild_backup)
     /// verifies the copy. Errors if a backup is already attached.
     pub(crate) fn attach_backup(&self, backend: Arc<dyn ShardBackend>) -> Result<(), ServerError> {
-        let mut roles = self.roles.write();
+        let mut roles = self.roles.lock(RwLock::write);
         if roles.backup.is_some() {
             return Err(ServerError::Unavailable(
                 "shard already has a backup replica",
@@ -420,7 +423,7 @@ impl ShardReplicas {
     /// ordered against the bumps too, rather than leaning on the lock it
     /// doesn't hold.
     fn arm_if_no_drops(&self, drops_before: u32) -> bool {
-        let mut roles = self.roles.write();
+        let mut roles = self.roles.lock(RwLock::write);
         if self.mirror_drops.load(Ordering::Acquire) != drops_before {
             return false;
         }
@@ -438,7 +441,7 @@ impl ShardReplicas {
     /// replica [`ReplicaHealth::Rebuilding`] while it copies and
     /// [`ReplicaHealth::Drifted`] when it gives up.
     fn set_backup_health(&self, health: ReplicaHealth) -> Option<Arc<dyn ShardBackend>> {
-        let mut roles = self.roles.write();
+        let mut roles = self.roles.lock(RwLock::write);
         let b = roles.backup.as_mut()?;
         b.health = health;
         self.m().in_sync.set(health == ReplicaHealth::InSync);
@@ -448,7 +451,7 @@ impl ShardReplicas {
     /// Whether a backup replica is currently attached (whatever its
     /// health) — the precondition for re-triggering a rebuild.
     pub(crate) fn has_backup(&self) -> bool {
-        self.roles.read().backup.is_some()
+        self.roles.lock(RwLock::read).backup.is_some()
     }
 
     /// Every backend currently attached to this shard (primary first,
@@ -456,7 +459,7 @@ impl ShardReplicas {
     /// aggregation walks these to find the distinct remote nodes whose
     /// store counters it should fold in.
     pub(crate) fn attached_backends(&self) -> Vec<Arc<dyn ShardBackend>> {
-        let roles = self.roles.read();
+        let roles = self.roles.lock(RwLock::read);
         let mut out = vec![roles.primary.clone()];
         if let Some(b) = &roles.backup {
             out.push(b.backend.clone());
@@ -493,7 +496,7 @@ impl ShardReplicas {
 
     fn rebuild_locked(&self, shutdown: &AtomicBool) {
         {
-            let roles = self.roles.read();
+            let roles = self.roles.lock(RwLock::read);
             match &roles.backup {
                 None => return,
                 Some(b) if b.health == ReplicaHealth::InSync => return,
@@ -505,7 +508,7 @@ impl ShardReplicas {
         let Some(replacement) = self.set_backup_health(ReplicaHealth::Rebuilding) else {
             return;
         };
-        let survivor = self.roles.read().primary.clone();
+        let survivor = self.roles.lock(RwLock::read).primary.clone();
         for _pass in 0..REBUILD_MAX_PASSES {
             if shutdown.load(Ordering::Relaxed) {
                 return;

@@ -236,7 +236,6 @@ impl ShardNode {
     /// buffer (the frame, on the wire path), batches as per-engine runs;
     /// every other variant continues in
     /// [`dispatch_unborrowed`](Self::dispatch_unborrowed).
-    // lint: deny(alloc)
     fn dispatch(&self, req: RequestRef<'_>) -> Response {
         match req {
             RequestRef::Insert { chunk } => match self.insert_views(&[chunk]).pop() {
@@ -255,7 +254,6 @@ impl ShardNode {
                     .and_then(|r| self.engine_for(r.stream)?.1.insert_live(&r));
                 match buffered {
                     Ok(()) => Response::Ok,
-                    // lint: allow(no-alloc) — error formatting on the rejection path only
                     Err(e) => Response::Error(e.to_string()),
                 }
             }

@@ -520,7 +520,6 @@ impl ShardedService {
     /// arms: chunks are validated and routed on a borrowed parse and the
     /// received bytes are forwarded verbatim; every other variant
     /// continues in [`dispatch_unborrowed`](Self::dispatch_unborrowed).
-    // lint: deny(alloc)
     fn dispatch(&self, req: RequestRef<'_>) -> Response {
         // Mint a root trace for requests that bypass the public methods
         // (single-stream delegations); a no-op unless tracing is enabled
@@ -531,7 +530,6 @@ impl ShardedService {
             // this boundary).
             RequestRef::Insert { chunk } => match self.insert_bytes(chunk) {
                 Ok(()) => Response::Ok,
-                // lint: allow(no-alloc) — error formatting on the rejection path only
                 Err(e) => Response::Error(e.to_string()),
             },
             RequestRef::InsertBatch { chunks } => self.insert_batch_bytes(&chunks),
@@ -540,10 +538,9 @@ impl ShardedService {
             // validation (and rejects what the peek let through).
             RequestRef::InsertLive { record } => match SealedRecord::peek_stream(record) {
                 Some(stream) => self.replicas_for(stream).call(Request::InsertLive {
-                    // lint: allow(no-alloc) — live records (one point each) are forwarded as an owned request
+                    // A live record (one point) is forwarded as an owned request.
                     record: record.to_vec(),
                 }),
-                // lint: allow(no-alloc) — error formatting on the rejection path only
                 None => Response::Error(ServerError::BadRecord.to_string()),
             },
             RequestRef::Other(req) => self.dispatch_unborrowed(req),

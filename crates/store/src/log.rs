@@ -613,6 +613,9 @@ struct Inner {
     appended: u64,
     /// Offset the next record starts at (buffered bytes included).
     tail: u64,
+    /// An append failed (a full disk, a file-size limit): read-only, what of
+    /// it reached the file is a torn tail replay truncates when reopened.
+    failed: bool,
 }
 
 impl Inner {
@@ -624,6 +627,24 @@ impl Inner {
             self.writer.flush()?;
         }
         Ok(Arc::clone(self.writer.get_ref()))
+    }
+
+    /// Writes `run` at the tail, and with `flush` to the file; on an error,
+    /// drops what of it the buffer holds, so none of it comes later.
+    fn append(&mut self, run: &[u8], flush: bool) -> Result<(), StoreError> {
+        if self.failed {
+            return Err(std::io::Error::other("read-only after a failed append").into());
+        }
+        let written = (self.writer.write_all(run)).and_then(|()| match flush {
+            true => self.writer.flush(),
+            false => Ok(()),
+        });
+        if written.is_err() {
+            let file = Arc::clone(self.writer.get_ref());
+            drop(std::mem::replace(&mut self.writer, BufWriter::new(file)).into_parts());
+            self.failed = true;
+        }
+        Ok(written?)
     }
 
     fn footprint(&self) -> LogStats {
@@ -723,6 +744,7 @@ impl LogKv {
             next_seq,
             appended: 0,
             tail: valid_len.max(MAGIC.len() as u64),
+            failed: false,
         };
         inner.publish();
         Ok(LogKv {
@@ -851,10 +873,7 @@ impl KvStore for LogKv {
                 run.extend_from_slice(&crc.to_le_bytes());
                 seq = seq.wrapping_add(1);
             }
-            inner.writer.write_all(&run)?;
-            if self.durability != Durability::Buffered {
-                inner.writer.flush()?;
-            }
+            inner.append(&run, self.durability != Durability::Buffered)?;
             for (op, key, value) in ops.iter().map(parts) {
                 let (offset, vlen) = (inner.tail, value.len() as u32);
                 inner.tail += record_len(key.len(), vlen);

@@ -82,24 +82,29 @@ impl MemKv {
 
 impl KvStore for MemKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         Ok(self.shard(key).read().get(key).cloned())
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         self.shard(key).write().insert(key.to_vec(), value.to_vec());
         Ok(())
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         self.shard(key).write().remove(key);
         Ok(())
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         Ok(self.scan(prefix, |k, v| (k.clone(), v.clone())))
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         Ok(self.scan(prefix, |k, _| k.clone()))
     }
 }

@@ -80,6 +80,7 @@ impl MeteredKv {
 
 impl KvStore for MeteredKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.get");
         self.gets.inc();
         let v = self.inner.get(key)?;
@@ -90,6 +91,7 @@ impl KvStore for MeteredKv {
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.put");
         self.puts.inc();
         self.bytes_written.add(value.len() as u64);
@@ -97,12 +99,14 @@ impl KvStore for MeteredKv {
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.delete");
         self.deletes.inc();
         self.inner.delete(key)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.scan");
         self.scans.inc();
         let hits = self.inner.scan_prefix(prefix)?;
@@ -112,6 +116,7 @@ impl KvStore for MeteredKv {
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.scan");
         self.scans.inc();
         self.inner.scan_keys(prefix)
@@ -120,6 +125,7 @@ impl KvStore for MeteredKv {
     /// Counted as the puts and deletes it carries, under one `store.batch`
     /// span.
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.batch");
         let (mut puts, mut bytes) = (0, 0);
         for op in ops {
@@ -172,5 +178,17 @@ mod tests {
         assert_eq!((c.gets, c.puts, c.deletes, c.scans), (2, 3, 2, 2));
         // One get hit and one value scan return the 5 bytes; the key scan none.
         assert_eq!((c.bytes_read, c.bytes_written), (10, 9));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "store call while `registry` is held")]
+    fn a_store_call_under_the_registry_panics() {
+        use parking_lot::Mutex;
+        use timecrypt_obs::rank::{self, Ranked};
+        let registry: Ranked<{ rank::REGISTRY }, _> = Ranked::new(Mutex::new(()));
+        let kv = MeteredKv::new(Arc::new(MemKv::new()));
+        let _registry = registry.lock(Mutex::lock);
+        let _ = kv.get(b"k");
     }
 }

@@ -209,7 +209,6 @@ pub(crate) trait Wire: Sized {
     fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError>;
 
     /// Appends a repeated field: `u32` element count, then the elements.
-    // lint: deny(alloc)
     fn put_slice(items: &[Self], w: &mut ByteWriter) {
         w.u32(items.len() as u32);
         for item in items {

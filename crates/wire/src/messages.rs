@@ -73,7 +73,6 @@ macro_rules! wire_struct {
         }
 
         impl Wire for $name {
-            // lint: deny(alloc)
             fn put(&self, w: &mut ByteWriter) {
                 $( self.$field.put(w); )*
             }
@@ -176,7 +175,6 @@ macro_rules! wire_enum {
             /// Appends the serialized message to `out`, reusing its capacity
             /// — the per-connection scratch-buffer path (byte-identical to
             /// [`encode`](Self::encode)).
-            // lint: deny(alloc)
             pub fn encode_into(&self, out: &mut Vec<u8>) {
                 let mut w = ByteWriter::with_vec(std::mem::take(out));
                 match self {

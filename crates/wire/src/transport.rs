@@ -464,7 +464,6 @@ impl Client {
     /// assembly path for bodies built from parts (e.g. a
     /// [`BatchEncoder`](crate::messages::BatchEncoder) over serialized
     /// chunks). `fill` must append exactly one valid encoded request.
-    // lint: deny(alloc)
     pub fn send_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ClientError> {
         let mut body = std::mem::take(&mut self.scratch);
         body.clear();

@@ -2,61 +2,25 @@
 //! counts that don't jitter), beside `index_ram.rs`. A node is one buffer —
 //! the bytes it is stored as — so a cached node must hold of the heap what
 //! the cache charges for it, a cold query must allocate per node it reads
-//! and not per entry, and an append must copy the open node it touches as a
-//! block, whatever the node already holds.
+//! and not per entry, a warm one only its accumulator, and an append must
+//! copy the open node it touches as a block, whatever the node already
+//! holds — the query's walk (`query_node`) and the spine's ripple
+//! (`Spine::push`) allocate nothing of their own.
 //!
-//! Counts only: the binary's global allocator keeps, per thread, the calls
-//! made and the bytes live as glibc's malloc sets them aside (see
-//! `index_ram.rs`). The guard prints its figures; none is a timing.
+//! Counts only: the binary's global allocator (`tests/common`) keeps, per
+//! thread, the calls made and the bytes live. The guard prints its
+//! figures; none is a timing.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 use timecrypt::index::{AggTree, TreeConfig};
-use timecrypt::store::{KvStore, MemKv};
+use timecrypt::store::{KvPairs, KvStore, MemKv, StoreError};
 
-struct Counting;
+mod common;
 
-thread_local! {
-    /// Bytes this thread allocated and has not freed, and the `alloc` and
-    /// `realloc` calls it made (a tree does its work on the caller's thread).
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static CALLS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// What malloc sets aside for a request of `size` bytes.
-fn chunk(size: usize) -> isize {
-    ((size + 8).next_multiple_of(16)).max(32) as isize
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the counters are
-// plain thread-local integers without destructors.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.set(LIVE.get() + chunk(layout.size()));
-        CALLS.set(CALLS.get() + 1);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.set(LIVE.get() - chunk(layout.size()));
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.set(LIVE.get() - chunk(layout.size()) + chunk(new_size));
-        CALLS.set(CALLS.get() + 1);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use common::{calls_of, live};
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocator calls `f` makes on this thread.
-fn calls_of<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = CALLS.get();
-    let out = f();
-    (CALLS.get() - before, out)
-}
+static ALLOCATOR: common::Counting = common::Counting;
 
 fn open(kv: &Arc<MemKv>, arity: usize) -> AggTree<Vec<u64>> {
     open_with_cache(kv, arity, 64 << 20)
@@ -81,13 +45,13 @@ fn a_cached_node_holds_what_the_cache_charges_for_it() {
     for width in [4, 19] {
         let kv = filled(64, width, NODES * 64);
         let tree = open(&kv, 64);
-        let start = LIVE.get();
+        let start = live();
         // All but the first chunk of each leaf node: the level-2 entry does
         // not answer that, so the sweep reads, and caches, every one.
         for node in 0..NODES {
             tree.query(node * 64 + 1, (node + 1) * 64).unwrap();
         }
-        let held = (LIVE.get() - start) as f64;
+        let held = (live() - start) as f64;
         let stats = tree.stats().unwrap();
         assert_eq!(stats.cache_misses, NODES);
         let weight = 4 + 64 * (4 + 8 * width);
@@ -117,30 +81,56 @@ fn a_cold_query_allocates_per_node_read_not_per_entry() {
         let warm_up = tree.stats().unwrap().cache_misses;
         let (calls, sum) = calls_of(|| tree.query(1, chunks - arity - 1).unwrap());
         assert_eq!(sum[0], (1..chunks - arity - 1).sum::<u64>());
-        let read = (tree.stats().unwrap().cache_misses - warm_up) as usize;
+        let read = tree.stats().unwrap().cache_misses - warm_up;
         println!("cold query, arity {arity}: {calls} allocations, {read} nodes read");
         assert!(read >= 2, "{read} nodes read");
         assert!(calls <= 4 * read, "{calls} allocations, {read} nodes read");
         per_node.push(calls as f64 / read as f64);
+        // Again, from the cache: the accumulator is all a walk allocates.
+        let (warm, _) = calls_of(|| tree.query(1, chunks - arity - 1).unwrap());
+        assert_eq!(tree.stats().unwrap().cache_misses - warm_up, read);
+        assert_eq!(warm, 1, "a warm query, arity {arity}");
     }
     let (narrow, wide) = (per_node[0], per_node[1]);
     assert!(wide <= narrow + 0.5, "{narrow} per node at 4, {wide} at 64");
 }
 
+/// A store that keeps nothing: what an append allocates is the tree's.
+struct Discard;
+
+impl KvStore for Discard {
+    fn get(&self, _: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        Ok(None)
+    }
+    fn put(&self, _: &[u8], _: &[u8]) -> Result<(), StoreError> {
+        Ok(())
+    }
+    fn delete(&self, _: &[u8]) -> Result<(), StoreError> {
+        Ok(())
+    }
+    fn scan_prefix(&self, _: &[u8]) -> Result<KvPairs, StoreError> {
+        Ok(Vec::new())
+    }
+}
+
 #[test]
 fn an_append_allocates_the_same_whatever_the_open_node_holds() {
-    let kv = Arc::new(MemKv::new());
-    let tree = open(&kv, 64);
+    let cfg = TreeConfig {
+        arity: 64,
+        cache_bytes: 64 << 20,
+    };
+    let tree = AggTree::open(Arc::new(Discard), 1, cfg).unwrap();
     let mut calls = Vec::new();
     for chunk in 0..63u64 {
         let digest = vec![chunk; 19];
         calls.push(calls_of(|| tree.append(digest).unwrap()).0);
     }
     // The open leaf node holds 1 entry before the second append, 62 before
-    // the last. (The difference there is, is the store's: `MemKv` starts a
-    // map node for each of the first few keys.)
+    // the last. Whatever it holds, an append encodes its record and decodes
+    // it back, copies the spine, the running total and the open node once
+    // each, and builds its key list and its batch: nine blocks.
     println!("allocations per append, first to 63rd: {calls:?}");
-    assert!(calls[1] <= 12, "{} allocations", calls[1]);
-    assert!(calls[62] <= calls[1], "{} against {}", calls[62], calls[1]);
+    assert!(calls[1] <= 9, "{} allocations", calls[1]);
+    assert!(calls[1..].iter().all(|&c| c == calls[1]), "{calls:?}");
     assert_eq!(tree.query(0, 63).unwrap()[0], (0..63).sum::<u64>());
 }

@@ -15,51 +15,23 @@
 //! 48 it occupies. The guard prints its "index bytes per live key" lines;
 //! CI copies them to the job summary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use timecrypt::store::{KvStore, LogKv, WriteOp};
 
-struct Counting;
+mod common;
 
-thread_local! {
-    /// Bytes this thread allocated and has not freed (`LogKv` does all its
-    /// work on the caller's thread, so tests do not disturb each other).
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-/// What malloc sets aside for a request of `size` bytes.
-fn chunk(size: usize) -> isize {
-    ((size + 8).next_multiple_of(16)).max(32) as isize
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// plain thread-local integer without a destructor.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.set(LIVE.get() + chunk(layout.size()));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.set(LIVE.get() - chunk(layout.size()));
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.set(LIVE.get() - chunk(layout.size()) + chunk(new_size));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use common::live;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: common::Counting = common::Counting;
 
 /// An empty store and the live bytes it starts from.
 fn store(name: &str) -> (LogKv, PathBuf, isize) {
     let path = std::env::temp_dir().join(format!("tc-index-ram-{}-{name}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let kv = LogKv::open(&path).unwrap();
-    (kv, path, LIVE.get())
+    (kv, path, live())
 }
 
 /// The level-0 key of chunk `index` of `stream`: 20 bytes of head, 8 of tail.
@@ -99,7 +71,7 @@ fn counting_keys_cost_a_location(
     ingest(&kv, heads, per_head, turn);
     let keys = heads as u64 * per_head;
     assert_eq!(kv.len() as u64, keys);
-    let (held, said) = ((LIVE.get() - start) as f64, kv.stats().index_bytes as f64);
+    let (held, said) = ((live() - start) as f64, kv.stats().index_bytes as f64);
     println!(
         "index bytes per live key, {shape} ({heads} heads x {per_head}, {turn} at a turn): \
          allocator {:.1}, index_bytes {:.1}",
@@ -122,7 +94,7 @@ fn counting_keys_cost_a_location(
 fn dashboard_shape_and_what_decay_and_deletion_give_back() {
     let (heads, per_head) = (32, 4560);
     let (kv, start) = counting_keys_cost_a_location("dashboard_read", heads, per_head, 16);
-    let full = LIVE.get() - start;
+    let full = live() - start;
     // Decay's pattern: the first nine tenths of every run, front to back.
     for stream in 0..heads {
         for i in 0..per_head * 9 / 10 {
@@ -131,7 +103,7 @@ fn dashboard_shape_and_what_decay_and_deletion_give_back() {
     }
     let left = heads as u64 * per_head / 10;
     assert_eq!(kv.len() as u64, left);
-    let held = LIVE.get() - start;
+    let held = live() - start;
     assert!(held < full / 5, "{held} B held of {full}");
     assert!(kv.stats().index_bytes < full as u64 / 5, "{:?}", kv.stats());
     // Every key of every head: the runs go, and their heads with them.
@@ -142,7 +114,7 @@ fn dashboard_shape_and_what_decay_and_deletion_give_back() {
     }
     assert_eq!(kv.len(), 0);
     assert_eq!(kv.stats().index_bytes, 0);
-    let held = LIVE.get() - start;
+    let held = live() - start;
     assert!(held < full / 100, "{held} B held of {full}");
 }
 
@@ -154,12 +126,12 @@ fn fleet_shape() {
 /// The map every key used to live in, as the yardstick: what `keys`,
 /// inserted in this order, cost in it on this allocator.
 fn in_the_old_map(keys: &[[u8; 28]]) -> isize {
-    let start = LIVE.get();
+    let start = live();
     let mut map: BTreeMap<Vec<u8>, (u64, u32)> = BTreeMap::new();
     for key in keys {
         map.insert(key.to_vec(), (8, 1));
     }
-    LIVE.get() - start
+    live() - start
 }
 
 /// Puts `keys` one by one; returns the bytes the store then holds.
@@ -170,7 +142,7 @@ fn held_after(name: &str, keys: &[[u8; 28]]) -> (isize, u64) {
     }
     assert_eq!(kv.len(), keys.len());
     std::fs::remove_file(path).unwrap();
-    (LIVE.get() - start, kv.stats().index_bytes)
+    (live() - start, kv.stats().index_bytes)
 }
 
 #[test]

@@ -13,10 +13,11 @@
 //!   position;
 //! * the coordinator's handling of an `InsertBatch` frame allocates a
 //!   constant number of blocks: no chunk is copied, no per-chunk or
-//!   per-shard vector built for a batch that belongs to one shard.
+//!   per-shard vector built for a batch that belongs to one shard;
+//! * a node's and an engine's `dispatch` add a fixed number of blocks to
+//!   the ingest run they hand the frame's chunks to — the same run an
+//!   engine fed directly allocates for.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -24,7 +25,7 @@ use std::time::{Duration, Instant};
 use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt::core::StreamKeyMaterial;
 use timecrypt::crypto::{PrgKind, SecureRandom};
-use timecrypt::server::{ServerConfig, ServerError};
+use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
 use timecrypt::service::{
     NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
 };
@@ -33,33 +34,10 @@ use timecrypt::wire::messages::{Request, RequestRef, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::{Handler, Server};
 
-struct Counting;
-
-thread_local! {
-    /// Allocations and reallocations this thread has asked for (the
-    /// measured frames are handled on the test's own thread; the stub node
-    /// answering them runs on others).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// plain thread-local integer without a destructor.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.set(ALLOCS.get() + 1);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.set(ALLOCS.get() + 1);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+mod common;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: common::Counting = common::Counting;
 
 /// The thread census reads the whole process, so the tests of this binary
 /// run one at a time.
@@ -346,18 +324,73 @@ fn handling_a_one_shard_insert_batch_frame_allocates_a_constant_number_of_blocks
         for _ in 0..2 {
             assert_eq!(batch_errors(svc.handle_frame(&frame)), vec![]);
         }
-        let before = ALLOCS.get();
+        let before = common::calls();
         let reply = svc.handle_frame(&frame);
-        let allocs = ALLOCS.get() - before;
+        let allocs = common::calls() - before;
         assert_eq!(batch_errors(reply), vec![]);
         (allocs, frame.len())
     };
     let (base, base_bytes) = allocations(16, 1);
     println!("allocations per 16-chunk InsertBatch frame on the coordinator: {base}");
-    assert!(base <= 6, "{base} allocations");
+    // The decoded list of chunk slices, the pending exchange with the
+    // node, the reply frame read back and its verdict list.
+    assert!(base <= 4, "{base} allocations");
     let (more_chunks, _) = allocations(128, 1);
     assert_eq!(more_chunks, base, "eight times the chunks");
     let (larger_chunks, bytes) = allocations(16, 400);
     assert!(bytes > 8 * base_bytes);
     assert_eq!(larger_chunks, base, "chunks of 400 points");
+}
+
+#[test]
+fn a_node_and_an_engine_add_a_fixed_number_of_blocks_to_the_run_they_dispatch() {
+    let _serial = serial();
+    let engine = || TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
+    let node = ShardNode::open(
+        Arc::new(MemKv::new()),
+        NodeConfig {
+            total_shards: 1,
+            hosted: vec![0],
+            engine: ServerConfig::default(),
+        },
+    )
+    .unwrap();
+    // Each handler beside an engine that is handed the same runs directly,
+    // from the same state: what the handler allocates beyond that engine
+    // is its dispatch's.
+    let (framed, beside_engine, beside_node) = (engine(), engine(), engine());
+    let pairs: [(&dyn Handler, &TimeCryptServer); 2] =
+        [(&framed, &beside_engine), (&node, &beside_node)];
+    for (handler, direct) in pairs {
+        let create = Request::CreateStream {
+            stream: 1,
+            t0: 0,
+            delta_ms: 10_000,
+            digest_width: 2,
+        };
+        assert_eq!(handler.handle(create), Response::Ok);
+        direct.create_stream(1, 0, 10_000, 2).unwrap();
+    }
+    let mut added = Vec::new();
+    for (first, size) in [(0, 4), (4, 16), (20, 128)] {
+        let chunks: Vec<Vec<u8>> = (first..first + size).map(|i| sealed(1, i, 1)).collect();
+        let mut frame = Vec::new();
+        Request::InsertBatch {
+            chunks: chunks.clone(),
+        }
+        .encode_into(&mut frame);
+        let views: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+        for (handler, direct) in pairs {
+            let (dispatched, reply) = common::calls_of(|| handler.handle_frame(&frame));
+            assert_eq!(batch_errors(reply), vec![]);
+            let (ran, verdicts) = common::calls_of(|| direct.insert_bytes_run(&views));
+            assert!(verdicts.iter().all(Result::is_ok));
+            added.push(dispatched - ran);
+        }
+    }
+    println!("allocations an engine's and a node's dispatch add, 4 / 16 / 128 chunks: {added:?}");
+    // An engine: the decoded list of chunk slices. A node: that, its
+    // verdict list, the one shard's entry and the shard's lists of slices
+    // and of positions, which grow by doubling.
+    assert_eq!(added, [1, 5, 1, 9, 1, 15]);
 }
