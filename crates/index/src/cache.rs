@@ -22,8 +22,6 @@ pub struct LruCache<K, V> {
     tick: u64,
     budget: usize,
     used: usize,
-    hits: u64,
-    misses: u64,
 }
 
 struct Entry<V> {
@@ -41,8 +39,6 @@ impl<K: Eq + Hash + Copy + Ord, V> LruCache<K, V> {
             tick: 0,
             budget,
             used: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -61,28 +57,14 @@ impl<K: Eq + Hash + Copy + Ord, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// (hits, misses) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Looks up `key`, refreshing its recency.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(key) {
-            Some(e) => {
-                self.hits += 1;
-                self.order.remove(&e.tick);
-                e.tick = tick;
-                self.order.insert(tick, *key);
-                Some(&e.value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let e = self.map.get_mut(key)?;
+        self.order.remove(&e.tick);
+        e.tick = self.tick;
+        self.order.insert(self.tick, *key);
+        Some(&e.value)
     }
 
     /// Inserts (or replaces) `key` with a value of `weight` bytes, evicting
@@ -147,7 +129,6 @@ mod tests {
         assert!(c.get(&1).is_none());
         c.put(1, "one".into(), 10);
         assert_eq!(c.get(&1), Some(&"one".to_string()));
-        assert_eq!(c.stats(), (1, 1));
     }
 
     #[test]

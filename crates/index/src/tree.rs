@@ -29,6 +29,7 @@
 //! has one, no byte left over) and kept as the buffer the store handed
 //! back; a query adds covered entries from it into the caller's accumulator
 //! ([`HomDigest::add_encoded`]); the cache charges a node what it holds.
+//! Only those store reads fill the cache, and the first builds it.
 //!
 //! Nodes that are not full yet — one per level, the *open right spine* —
 //! live only in memory (the `frontier`). They are a pure function of the
@@ -87,7 +88,8 @@ use crate::cache::LruCache;
 use crate::digest::HomDigest;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use timecrypt_obs::counters::{self, Counter};
 use timecrypt_obs::rank::{self, Ranked};
 use timecrypt_store::{KvStore, StoreError, WriteOp};
 
@@ -96,9 +98,10 @@ use timecrypt_store::{KvStore, StoreError, WriteOp};
 pub struct TreeConfig {
     /// Fan-out k. The paper's evaluation instantiates 64-ary trees.
     pub arity: usize,
-    /// LRU cache budget in bytes for index nodes (split evenly across the
-    /// cache's lock stripes, of which a small budget has one). Fig. 7's
-    /// "small cache" variant uses 1 MB; the default is generous.
+    /// LRU cache budget in bytes for the sealed nodes queries read from the
+    /// store (split evenly across its lock stripes, of which a small budget
+    /// has one; built by the first read, so a tree never read holds none).
+    /// Fig. 7's "small cache" variant uses 1 MB; the default is generous.
     pub cache_bytes: usize,
 }
 
@@ -239,7 +242,7 @@ impl Node {
     }
 }
 
-/// A node on its way to the store or the cache, with its position.
+/// A node on its way to the store, with its position.
 type Placed = ((u8, u64), Arc<Node>);
 
 /// The open right spine: per level the one node that is not full yet, plus
@@ -365,9 +368,15 @@ const MIN_STRIPE_BYTES: usize = 64 * 1024;
 
 /// The striped node cache: an LRU per stripe, each holding `Arc`ed nodes so
 /// a cache hit hands back a reference-count bump. A node's weight is its
-/// buffer's length: what it holds of the heap.
+/// buffer's length: what it holds of the heap. Only a query's store read
+/// fills it, and the first fill builds the stripes.
+#[derive(Default)]
 struct NodeCache {
-    stripes: Vec<Stripe>,
+    budget_bytes: usize,
+    built: OnceLock<Box<[Stripe]>>,
+    /// Lookups, counted here so that one before the first fill is a miss.
+    hits: Counter,
+    misses: Counter,
 }
 
 /// One stripe: an independently locked LRU over `Arc`ed nodes.
@@ -375,11 +384,20 @@ type Stripe = Ranked<{ rank::STRIPE }, Mutex<LruCache<(u8, u64), Arc<Node>>>>;
 
 impl NodeCache {
     fn new(budget_bytes: usize) -> Self {
-        let stripes = (budget_bytes / MIN_STRIPE_BYTES).clamp(1, MAX_STRIPES);
-        // Rounded down: the stripes together never hold more than the budget.
-        let stripe = || Ranked::new(Mutex::new(LruCache::new(budget_bytes / stripes)));
-        let stripes = (0..stripes).map(|_| stripe()).collect();
-        NodeCache { stripes }
+        NodeCache {
+            budget_bytes,
+            ..NodeCache::default()
+        }
+    }
+
+    /// The stripes, built by the first call.
+    fn stripes(&self) -> &[Stripe] {
+        self.built.get_or_init(|| {
+            let stripes = (self.budget_bytes / MIN_STRIPE_BYTES).clamp(1, MAX_STRIPES);
+            // Rounded down: the stripes together never hold more than the budget.
+            let stripe = || Ranked::new(Mutex::new(LruCache::new(self.budget_bytes / stripes)));
+            (0..stripes).map(|_| stripe()).collect()
+        })
     }
 
     fn stripe(&self, key: &(u8, u64)) -> &Stripe {
@@ -387,30 +405,33 @@ impl NodeCache {
         // different stripes; mixing the level in (un-shifted — stripe
         // selection keeps only the low bits) keeps a node and its parent
         // at the same index from colliding systematically.
-        let h = key.1 ^ (key.0 as u64);
-        &self.stripes[(h % self.stripes.len() as u64) as usize]
+        let (h, stripes) = (key.1 ^ (key.0 as u64), self.stripes());
+        &stripes[(h % stripes.len() as u64) as usize]
     }
 
     fn get(&self, key: &(u8, u64)) -> Option<Arc<Node>> {
-        self.stripe(key).lock(Mutex::lock).get(key).cloned()
-    }
-
-    fn put(&self, key: (u8, u64), node: Arc<Node>) {
-        let weight = node.bytes.len();
-        self.stripe(&key).lock(Mutex::lock).put(key, node, weight);
+        let built = self.built.get();
+        let node = built.and_then(|_| self.stripe(key).lock(Mutex::lock).get(key).cloned());
+        let (tree, process) = match node {
+            Some(_) => (&self.hits, &counters::INDEX_NODE_CACHE_HITS),
+            None => (&self.misses, &counters::INDEX_NODE_CACHE_MISSES),
+        };
+        tree.inc();
+        process.inc();
+        node
     }
 
     fn remove(&self, key: &(u8, u64)) {
-        self.stripe(key).lock(Mutex::lock).remove(key);
+        if self.built.get().is_some() {
+            self.stripe(key).lock(Mutex::lock).remove(key);
+        }
     }
 
-    /// Aggregate (hits, misses, bytes charged) across stripes.
+    /// (hits, misses, bytes charged across stripes).
     fn stats(&self) -> (u64, u64, usize) {
-        self.stripes.iter().fold((0, 0, 0), |(h, m, used), s| {
-            let s = s.lock(Mutex::lock);
-            let (sh, sm) = s.stats();
-            (h + sh, m + sm, used + s.used_bytes())
-        })
+        let stripes = self.built.get().into_iter().flatten();
+        let used = stripes.map(|s| s.lock(Mutex::lock).used_bytes()).sum();
+        (self.hits.get(), self.misses.get(), used)
     }
 }
 
@@ -632,10 +653,10 @@ impl<D: HomDigest> AggTree<D> {
             pushed.ok_or_else(corrupt)?;
             leaf_keys.push(leaf_key(self.stream, index));
         }
-        // The nodes this append holds alone are the copies it made: they
-        // give back what a run grew them by, so a published node is exact.
-        let open = spine.open.iter_mut().flatten().map(|(_, node)| node);
-        for node in open.chain(sealed.iter_mut().map(|(_, node)| node)) {
+        // The open nodes this append holds alone are the copies it made:
+        // they give back what a run grew them by, so a published node is
+        // exact. The sealed ones go to the store, and no further.
+        for (_, node) in spine.open.iter_mut().flatten() {
             if let Some(node) = Arc::get_mut(node) {
                 node.bytes.shrink_to_fit();
             }
@@ -653,9 +674,6 @@ impl<D: HomDigest> AggTree<D> {
             .map(|(key, value)| WriteOp::Put { key, value });
         self.kv.write_batch(&puts.collect::<Vec<_>>())?;
         // Commit point: everything the new length promises is in the store.
-        for (key, node) in sealed {
-            self.cache.put(key, node);
-        }
         // The old spine is freed after the lock is released, at return.
         let _old = std::mem::replace(&mut **self.frontier.lock(RwLock::write), spine);
         // Publish last: a reader that observes the new length is
@@ -850,10 +868,9 @@ impl<D: HomDigest> AggTree<D> {
 
     fn load_node(&self, level: u8, index: u64) -> Result<Option<Arc<Node>>, IndexError> {
         let key = (level, index);
-        if let Some(n) = self
-            .open_node(level, index)
-            .or_else(|| self.cache.get(&key))
-        {
+        // A spine node is no cache lookup: `get` counts sealed ones alone.
+        let cached = || self.cache.get(&key);
+        if let Some(n) = self.open_node(level, index).or_else(cached) {
             return Ok(Some(n));
         }
         let gen_before = self.cache_gen.load(Ordering::Acquire);
@@ -863,14 +880,14 @@ impl<D: HomDigest> AggTree<D> {
                 let node = Node::checked::<D>(bytes, self.cfg.arity)
                     .ok_or(IndexError::CorruptNode { level, index })?;
                 let node = Arc::new(node);
-                // Read-aside fill, guarded by the seqlock generation: cache
-                // only if no decay overlapped the KV read, else the node
-                // may already be deleted — fine to return, not to cache.
+                // Read-aside fill — the cache's only one, the first building
+                // it — guarded by the seqlock generation: cache only if no
+                // decay overlapped the KV read, else the node may already
+                // be deleted — fine to return, not to cache.
                 if gen_before.is_multiple_of(2) {
-                    let stripe = self.cache.stripe(&(level, index));
-                    let mut cache = stripe.lock(Mutex::lock);
+                    let mut cache = self.cache.stripe(&key).lock(Mutex::lock);
                     if self.cache_gen.load(Ordering::Acquire) == gen_before {
-                        cache.put((level, index), node.clone(), node.bytes.len());
+                        cache.put(key, node.clone(), node.bytes.len());
                     }
                 }
                 Ok(Some(node))
@@ -1080,8 +1097,37 @@ mod tests {
         assert!(stats.cache_used_bytes <= 64 << 10, "{stats:?}");
         assert_eq!(stats.cache_used_bytes, 6 * 9988);
         // A budget with room for them is still striped.
-        assert_eq!(NodeCache::new(1 << 20).stripes.len(), MAX_STRIPES);
-        assert_eq!(NodeCache::new(200 << 10).stripes.len(), 3);
+        assert_eq!(NodeCache::new(1 << 20).stripes().len(), MAX_STRIPES);
+        assert_eq!(NodeCache::new(200 << 10).stripes().len(), 3);
+    }
+
+    #[test]
+    fn a_sealed_node_is_a_cache_lookup_a_spine_node_is_not() {
+        // Arity 4, 10 chunks: level-1 nodes 0 and 1 sealed, 2 open.
+        let t = tree(4);
+        fill(&t, 10);
+        let (hits, misses) = (
+            &counters::INDEX_NODE_CACHE_HITS,
+            &counters::INDEX_NODE_CACHE_MISSES,
+        );
+        let process = (hits.get(), misses.get());
+        let lookups = || {
+            let stats = t.stats().unwrap();
+            (stats.cache_hits, stats.cache_misses)
+        };
+        assert_eq!(t.query(8, 10).unwrap(), naive_sum(8, 10));
+        assert_eq!(lookups(), (0, 0), "the open spine answered");
+        assert_eq!(
+            t.stats().unwrap().cache_used_bytes,
+            0,
+            "appends fill nothing"
+        );
+        for _ in 0..2 {
+            assert_eq!(t.query(1, 4).unwrap(), naive_sum(1, 4));
+        }
+        assert_eq!(lookups(), (1, 1), "read from the store, then cached");
+        // Process-wide, beside other tests' lookups.
+        assert!(hits.get() > process.0 && misses.get() > process.1);
     }
 
     #[test]

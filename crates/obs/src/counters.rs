@@ -107,6 +107,13 @@ process_families! {
     static LEDGER_BYTES: Counter = "timecrypt_ledger_bytes_loaded_total"
         "Bytes of the level-0 records (whole chunks) proof requests read back and hashed \
          into integrity ledgers: what proofs cost the store.";
+    /// Only a query's store read fills the node cache, so the two say what
+    /// filling on read costs: a miss is one store get.
+    static INDEX_NODE_CACHE_HITS: Counter = "timecrypt_index_node_cache_hits_total"
+        "Sealed index nodes queries found in the node cache \
+         (nodes on the open spine are not counted).";
+    static INDEX_NODE_CACHE_MISSES: Counter = "timecrypt_index_node_cache_misses_total"
+        "Sealed index nodes queries did not find in the node cache and asked the store for.";
     /// Dead over log bytes is the share of the file a compaction would
     /// reclaim. The four footprint gauges are last writer wins — they
     /// describe the one `LogKv` a node process runs — and stay zero in a

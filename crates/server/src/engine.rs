@@ -43,8 +43,9 @@ use timecrypt_wire::transport::{dispatch_frame, Handler};
 pub struct ServerConfig {
     /// Aggregation-tree fan-out (paper: 64).
     pub arity: usize,
-    /// Per-stream index-node cache budget in bytes (Fig. 7 "small cache"
-    /// sets this to 1 MB).
+    /// Per-stream budget in bytes for the sealed index nodes queries read
+    /// (Fig. 7 "small cache" sets this to 1 MB). Ingest caches nothing, and
+    /// a stream no query has read holds no cache at all.
     pub cache_bytes: usize,
     /// Upper bound on hydrated stream states held resident at once
     /// (`None` = unbounded, the compatibility default). When the resident

@@ -5,7 +5,8 @@
 //! and not per entry, a warm one only its accumulator, and an append must
 //! copy the open node it touches as a block, whatever the node already
 //! holds — the query's walk (`query_node`) and the spine's ripple
-//! (`Spine::push`) allocate nothing of their own.
+//! (`Spine::push`) allocate nothing of their own. Only a query's store read
+//! fills the cache: a written handle holds its open spine, no sealed node.
 //!
 //! Counts only: the binary's global allocator (`tests/common`) keeps, per
 //! thread, the calls made and the bytes live. The guard prints its
@@ -93,6 +94,60 @@ fn a_cold_query_allocates_per_node_read_not_per_entry() {
     }
     let (narrow, wide) = (per_node[0], per_node[1]);
     assert!(wide <= narrow + 0.5, "{narrow} per node at 4, {wide} at 64");
+}
+
+/// What dropping `tree` gives back to the heap: what it held.
+fn held(tree: AggTree<Vec<u64>>) -> isize {
+    let before = live();
+    drop(tree);
+    before - live()
+}
+
+/// A handle that appended `4 × 64 + 10` chunks of `width` as one run, and
+/// its store: four sealed leaf nodes, ten chunks open at level 1.
+fn written(width: usize) -> (Arc<MemKv>, AggTree<Vec<u64>>) {
+    let kv = Arc::new(MemKv::new());
+    let tree = open(&kv, 64);
+    let digests: Vec<Vec<u64>> = (0..4 * 64 + 10).map(|c| vec![c; width]).collect();
+    tree.append_batch(&digests).unwrap();
+    (kv, tree)
+}
+
+#[test]
+fn an_append_caches_nothing() {
+    for width in [4, 19] {
+        let (kv, tree) = written(width);
+        assert_eq!(tree.stats().unwrap().cache_used_bytes, 0, "width {width}");
+        // What a written handle holds is what one opened on its store
+        // rebuilds: the open spine, and none of the sealed history.
+        let (written_bytes, spine) = (held(tree), held(open(&kv, 64)));
+        println!(
+            "heap bytes a written tree holds, width {width}: {written_bytes} \
+             (its open spine: {spine})"
+        );
+        assert!(
+            written_bytes <= spine + 256,
+            "{written_bytes} B held, {spine} B of spine"
+        );
+        // Sealed leaf node 1: the first query over it reads it from the
+        // store, the second finds it cached.
+        let (_, tree) = written(width);
+        let misses_and_hits = || {
+            assert_eq!(tree.query(65, 128).unwrap()[0], (65..128).sum::<u64>());
+            let stats = tree.stats().unwrap();
+            (stats.cache_misses, stats.cache_hits)
+        };
+        assert_eq!(
+            misses_and_hits(),
+            (1, 0),
+            "width {width}: read from the store"
+        );
+        assert_eq!(
+            misses_and_hits(),
+            (1, 1),
+            "width {width}: then from the cache"
+        );
+    }
 }
 
 /// A store that keeps nothing: what an append allocates is the tree's.

@@ -11,14 +11,26 @@
 //! B-tree entries (`tests/index_ram.rs` holds `index_bytes` to what the
 //! allocator counts): 8 320 keys and a modelled 694 144 B for this ingest
 //! once, 4 224 keys and under 24 B each now.
+//!
+//! Above the log, a written stream no query has read holds its directory
+//! entry and its open spine: the index-node cache is filled by queries, not
+//! by the appends that seal the nodes. The binary's counting allocator
+//! (`tests/common`) measures that per stream; the guard prints "resident
+//! bytes per written stream", which CI copies to the job summary.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
+use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::service::{ServiceConfig, ShardedService};
 use timecrypt::store::{LogKv, LogStats};
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::Handler;
+
+mod common;
+
+#[global_allocator]
+static ALLOCATOR: common::Counting = common::Counting;
 
 const WIDTH: usize = 4;
 
@@ -90,6 +102,40 @@ fn index_footprint_is_independent_of_value_size() {
     // Ten times the points is several times the log, and the same index.
     assert!(large.log_bytes > 4 * small.log_bytes, "{small:?} {large:?}");
     assert!(large.index_bytes * 4 < large.log_bytes, "{large:?}");
+}
+
+/// The fleet workload's shape through one engine over a `LogKv`: 256
+/// streams × 175 six-point chunks of four-wide digests, 16 streams a batch,
+/// one chunk each. Per stream, what the engine and the log then hold: the
+/// directory entry, the open spine and the log's run of record locations —
+/// no sealed node, since only a query's read fills the node cache.
+#[test]
+fn a_written_stream_holds_its_spine_and_its_record_locations() {
+    const STREAMS: u128 = 256;
+    const CHUNKS: u64 = 175;
+    let path = tmp("written");
+    let log = Arc::new(LogKv::open(&path).unwrap());
+    let start = common::live();
+    let engine = TimeCryptServer::open(log, ServerConfig::default()).unwrap();
+    for stream in 0..STREAMS {
+        engine
+            .create_stream(stream, 0, 10_000, WIDTH as u32)
+            .unwrap();
+    }
+    for index in 0..CHUNKS {
+        for first in (0..STREAMS).step_by(16) {
+            let batch: Vec<_> = (first..first + 16)
+                .map(|s| chunk(s, index, 6).to_bytes())
+                .collect();
+            let views: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+            assert!(engine.insert_bytes_run(&views).iter().all(Result::is_ok));
+        }
+    }
+    let per_stream = (common::live() - start) / STREAMS as isize;
+    println!("resident bytes per written stream: {per_stream}");
+    assert!(per_stream <= 6_000, "{per_stream} B per written stream");
+    drop(engine);
+    std::fs::remove_file(path).unwrap();
 }
 
 #[test]
