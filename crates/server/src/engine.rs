@@ -23,8 +23,10 @@
 //! ARCHITECTURE.md "Stream lifecycle".
 
 use crate::keystore::KeyStore;
+use crate::stat::{StatLeg, StreamStat};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
+use std::num::NonZeroU64;
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_crypto::sha256::sha256_concat;
@@ -79,6 +81,8 @@ pub enum ServerError {
     NoSuchStream(u128),
     /// Stream already exists.
     StreamExists(u128),
+    /// A stream registered with a chunk interval of zero.
+    ZeroInterval,
     /// Chunk arrived out of order (must be exactly the next index).
     OutOfOrderChunk {
         /// Expected next index.
@@ -143,6 +147,7 @@ impl std::fmt::Display for ServerError {
         match self {
             ServerError::NoSuchStream(s) => write!(f, "no such stream {s:#x}"),
             ServerError::StreamExists(s) => write!(f, "stream {s:#x} already exists"),
+            ServerError::ZeroInterval => write!(f, "chunk interval must be at least 1 ms"),
             ServerError::OutOfOrderChunk { expected, got } => {
                 write!(f, "out-of-order chunk: expected {expected}, got {got}")
             }
@@ -201,10 +206,6 @@ impl From<IndexError> for ServerError {
     }
 }
 
-/// One stream's digest width plus, when the queried range covers at least
-/// one full chunk, the covered window and the homomorphic sum over it.
-pub type StreamStat = (u32, Option<(u64, u64, Vec<u64>)>);
-
 /// One chunk of an ingest run: its borrowed parse (what the validations
 /// read) and the bytes it was parsed from (stored, past their position).
 type RunItem<'a> = (ChunkRef<'a>, &'a [u8]);
@@ -228,33 +229,33 @@ pub type VerifiedRange = (Vec<u8>, Vec<u8>, Vec<Vec<u8>>);
 #[derive(Debug, Clone, Copy)]
 struct StreamMeta {
     t0: i64,
-    delta_ms: u64,
+    delta_ms: NonZeroU64,
     digest_width: u32,
 }
 
 impl StreamMeta {
+    /// The chunk `ts` falls in, for `ts` at or after `t0` — exact for any
+    /// two timestamps, as their distance is.
+    fn chunk_of(&self, ts: i64) -> u64 {
+        ts.abs_diff(self.t0) / self.delta_ms
+    }
+
     /// First chunk whose interval starts at or after `ts`.
     fn first_chunk_at_or_after(&self, ts: i64) -> u64 {
         if ts <= self.t0 {
             return 0;
         }
-        ((ts - self.t0) as u64).div_ceil(self.delta_ms)
+        ts.abs_diff(self.t0).div_ceil(self.delta_ms.get())
     }
 
     /// One past the last chunk whose interval ends at or before `ts`.
     fn chunk_end_at_or_before(&self, ts: i64) -> u64 {
-        if ts <= self.t0 {
-            return 0;
-        }
-        ((ts - self.t0) as u64) / self.delta_ms
+        self.chunk_containing(ts).unwrap_or(0)
     }
 
     /// Chunk containing `ts` (for raw retrieval).
     fn chunk_containing(&self, ts: i64) -> Option<u64> {
-        if ts < self.t0 {
-            return None;
-        }
-        Some(((ts - self.t0) as u64) / self.delta_ms)
+        (ts >= self.t0).then(|| self.chunk_of(ts))
     }
 }
 
@@ -479,6 +480,11 @@ impl TimeCryptServer {
                 continue;
             };
             let stream = u128::from_be_bytes(sid);
+            // A zero interval is as malformed as a short record: no
+            // registration can have written one.
+            let Some(delta_ms) = NonZeroU64::new(u64::from_le_bytes(delta)) else {
+                continue;
+            };
             if !owns(stream) {
                 continue;
             }
@@ -486,7 +492,7 @@ impl TimeCryptServer {
                 stream,
                 StreamMeta {
                     t0: i64::from_le_bytes(t0),
-                    delta_ms: u64::from_le_bytes(delta),
+                    delta_ms,
                     digest_width: u32::from_le_bytes(width),
                 },
             );
@@ -497,6 +503,8 @@ impl TimeCryptServer {
 
     /// Registers a stream. Registration writes the durable meta record and
     /// the directory entry only; the stream's state hydrates on first use.
+    /// A chunk interval of zero is refused ([`ServerError::ZeroInterval`]):
+    /// every windowed read divides by it.
     ///
     /// The directory entry is reserved under the registry lock, but the
     /// durable meta write happens *outside* it — a slow store write must
@@ -515,7 +523,7 @@ impl TimeCryptServer {
     ) -> Result<(), ServerError> {
         let meta = StreamMeta {
             t0,
-            delta_ms,
+            delta_ms: NonZeroU64::new(delta_ms).ok_or(ServerError::ZeroInterval)?,
             digest_width,
         };
         {
@@ -934,19 +942,12 @@ impl TimeCryptServer {
         ts_e: i64,
     ) -> Result<Vec<Vec<u8>>, ServerError> {
         let meta = self.stream_meta(stream)?;
-        let (t0, delta) = (meta.t0, meta.delta_ms);
         if ts_e <= ts_s {
             return Err(ServerError::EmptyRange);
         }
-        let first = if ts_s <= t0 {
-            0
-        } else {
-            ((ts_s - t0) as u64) / delta
-        };
-        let last_incl = if ts_e <= t0 {
+        let first = meta.chunk_of(ts_s.max(meta.t0));
+        let Some(last_incl) = meta.chunk_containing(ts_e - 1) else {
             return Ok(Vec::new());
-        } else {
-            ((ts_e - 1 - t0) as u64) / delta
         };
         let mut out = Vec::new();
         if let Some(buf) = self.live.lock().get(&stream) {
@@ -1093,7 +1094,7 @@ impl TimeCryptServer {
             return Err(ServerError::EmptyRange);
         }
         let len = self.stream_len(stream)?;
-        let first = meta.chunk_containing(ts_s.max(meta.t0)).unwrap_or(0);
+        let first = meta.chunk_of(ts_s.max(meta.t0));
         let last_incl = match meta.chunk_containing(ts_e - 1) {
             Some(c) => c.min(len.saturating_sub(1)),
             None => return Err(ServerError::EmptyRange),
@@ -1110,10 +1111,8 @@ impl TimeCryptServer {
     /// window and the homomorphic sum over it. `None` means the range is
     /// empty for this stream (the caller decides whether that is an error).
     ///
-    /// This is the fan-out unit of the sharded scatter-gather query path
-    /// (`timecrypt-service`): [`get_stat_range`](Self::get_stat_range) is a
-    /// sequential fold over it, so per-stream results merged in request
-    /// order reproduce the single-engine reply exactly.
+    /// [`StatLeg::fold`] reads it, stream by stream, for
+    /// [`stat_leg`](Self::stat_leg) and [`get_stat_range`](Self::get_stat_range).
     ///
     /// Takes no exclusive lock: any number of concurrent `stream_stat`
     /// calls proceed against each other and against an in-flight `insert`
@@ -1135,6 +1134,12 @@ impl TimeCryptServer {
         Ok((st.meta.digest_width, Some((lo, hi, part))))
     }
 
+    /// `streams` folded in request order up to the first that stops the
+    /// fold: a shard's leg of a scatter-gather query.
+    pub fn stat_leg(&self, streams: &[u128], ts_s: i64, ts_e: i64) -> StatLeg {
+        StatLeg::fold(streams.iter().map(|&sid| self.stream_stat(sid, ts_s, ts_e)))
+    }
+
     /// Statistical query over one or more streams: the homomorphic sum of
     /// all chunk digests fully inside `[ts_s, ts_e)`, per stream, combined.
     /// Returns the per-stream chunk boundaries (the client needs them to
@@ -1145,11 +1150,7 @@ impl TimeCryptServer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatReply, ServerError> {
-        merge_stream_stats(
-            streams
-                .iter()
-                .map(|&sid| (sid, self.stream_stat(sid, ts_s, ts_e))),
-        )
+        self.stat_leg(streams, ts_s, ts_e).into_reply(streams)
     }
 
     /// Deletes raw chunk payloads in `[ts_s, ts_e)` while keeping digests
@@ -1202,7 +1203,7 @@ impl TimeCryptServer {
             if ts_e <= ts_s {
                 return None;
             }
-            let lo = meta.chunk_containing(ts_s.max(meta.t0)).unwrap_or(0);
+            let lo = meta.chunk_of(ts_s.max(meta.t0));
             Some((lo, meta.chunk_containing(ts_e - 1)? + 1))
         })?;
         let deleted = "chunk payload deleted; raw completeness unprovable";
@@ -1225,7 +1226,7 @@ impl TimeCryptServer {
         Ok(StreamInfoWire {
             stream,
             t0: meta.t0,
-            delta_ms: meta.delta_ms,
+            delta_ms: meta.delta_ms.get(),
             digest_width: meta.digest_width,
             len,
         })
@@ -1313,38 +1314,6 @@ impl TimeCryptServer {
     }
 }
 
-/// Folds per-stream stat results (in request order) into one [`StatReply`],
-/// with the same error semantics as a sequential single-engine walk: the
-/// first stream that is unknown, empty, or width-incompatible aborts the
-/// query. Shared by the single-engine path and the sharded scatter-gather
-/// merge in `timecrypt-service`, which is what makes the two paths
-/// byte-identical on the wire.
-pub fn merge_stream_stats(
-    results: impl IntoIterator<Item = (u128, Result<StreamStat, ServerError>)>,
-) -> Result<StatReply, ServerError> {
-    let mut parts = Vec::new();
-    let mut agg: Option<Vec<u64>> = None;
-    let mut width: Option<u32> = None;
-    for (sid, result) in results {
-        let (w, range) = result?;
-        match width {
-            Some(prev) if prev != w => return Err(ServerError::IncompatibleStreams),
-            None => width = Some(w),
-            _ => {}
-        }
-        let (lo, hi, part) = range.ok_or(ServerError::EmptyRange)?;
-        match &mut agg {
-            Some(agg) => agg.add_assign(&part),
-            None => agg = Some(part),
-        }
-        parts.push((sid, lo, hi));
-    }
-    match agg {
-        Some(agg) => Ok(StatReply { parts, agg }),
-        None => Err(ServerError::EmptyRange),
-    }
-}
-
 /// Renders per-chunk batch verdicts into the wire's `(position, message)`
 /// error list (successes are implicit). Shared by every `InsertBatch`
 /// handler so error strings cannot diverge between deployment shapes.
@@ -1421,6 +1390,11 @@ impl TimeCryptServer {
                 ts_s,
                 ts_e,
             } => ok_or(self.get_stat_range(&streams, ts_s, ts_e), Response::Stat),
+            Request::GetStatLeg {
+                streams,
+                ts_s,
+                ts_e,
+            } => Response::StatLeg(self.stat_leg(&streams, ts_s, ts_e).into()),
             Request::DeleteRange { stream, ts_s, ts_e } => {
                 ok_or(self.delete_range(stream, ts_s, ts_e), |_| Response::Ok)
             }

@@ -53,8 +53,7 @@
 
 pub mod engine;
 pub mod keystore;
+pub mod stat;
 
-pub use engine::{
-    merge_stream_stats, ResidencyStats, ServerConfig, ServerError, StreamStat, TimeCryptServer,
-    EXPORT_PAGE_BYTES,
-};
+pub use engine::{ResidencyStats, ServerConfig, ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};
+pub use stat::{StatLeg, StreamStat};

@@ -1,11 +1,11 @@
 //! The in-process backend.
 
-use super::{Leg, LegResults, Pending, PendingBatch, ShardBackend};
+use super::{Leg, Pending, PendingBatch, ShardBackend};
 use crate::metrics::ShardOccupancy;
 use crate::node::ShardNode;
 use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_server::ServerError;
+use timecrypt_server::{ServerError, StatLeg};
 use timecrypt_wire::messages::{Request, Response};
 use timecrypt_wire::transport::Handler;
 
@@ -30,24 +30,22 @@ impl ShardBackend for LocalShard {
         Ok(self.node.handle(req))
     }
 
-    /// Nothing to send: the sub-queries run when the leg is finished, in
-    /// order, on the thread that finishes it — which has put the query's
-    /// remote legs on the wire by then. They are microseconds and run to
-    /// the end: the deadline is not consulted. The engine's read path
-    /// takes no exclusive stream lock, so legs of concurrent callers
-    /// proceed in parallel even on one hot stream.
+    /// Nothing to send: the node folds the leg when it is finished, on the
+    /// thread that finishes it — which has put the query's remote legs on
+    /// the wire by then. Its sub-queries are microseconds and run to the
+    /// end: the deadline is not consulted. The engine's read path takes no
+    /// exclusive stream lock, so legs of concurrent callers proceed in
+    /// parallel even on one hot stream.
     fn begin_leg(
         &self,
         legs: &Leg,
         ts_s: i64,
         ts_e: i64,
         _deadline: Instant,
-    ) -> Result<Pending<LegResults>, ServerError> {
-        let (node, legs) = (self.node.clone(), legs.to_vec());
-        Ok(Box::new(move || {
-            let stat = |&(pos, sid)| (pos, node.stream_stat(sid, ts_s, ts_e));
-            Ok(legs.iter().map(stat).collect())
-        }))
+    ) -> Result<Pending<StatLeg>, ServerError> {
+        let node = self.node.clone();
+        let streams: Vec<u128> = legs.iter().map(|&(_, sid)| sid).collect();
+        Ok(Box::new(move || Ok(node.stat_leg(&streams, ts_s, ts_e))))
     }
 
     /// Runs the batch: the engine stores from the caller's slices.

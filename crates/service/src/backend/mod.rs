@@ -8,18 +8,13 @@
 //! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
 //!   reached over the blocking TCP transport through a
 //!   [`ClientPool`](timecrypt_wire::pool::ClientPool)
-//!   (reconnect-with-backoff). Scatter-gather legs are
-//!   *pipelined*: a leg's per-stream sub-queries stream onto one
-//!   connection with up to `PIPELINE_WINDOW` requests in flight ahead of
-//!   the responses being drained — one round trip of latency per leg,
-//!   without the buffer-deadlock an unbounded send loop would risk. A
-//!   batch is one `InsertBatch` exchange in two steps — write the frame
-//!   ([`ShardBackend::begin_batch`]), read the verdicts
-//!   ([`ShardBackend::finish_batch`]) — and a leg likewise
-//!   ([`ShardBackend::begin_leg`] writes its first window of frames, the
-//!   [`Pending`] it returns drains the replies), so a thread addressing
-//!   several shards has every frame on the wire before it waits for a
-//!   reply. Nothing here starts a thread.
+//!   (reconnect-with-backoff). A batch is one `InsertBatch` exchange in
+//!   two steps — write the frame ([`ShardBackend::begin_batch`]), read the
+//!   verdicts ([`ShardBackend::finish_batch`]) — and a scatter-gather leg
+//!   one `GetStatLeg` exchange likewise ([`ShardBackend::begin_leg`]
+//!   writes the frame, the [`Pending`] it returns reads the node's fold of
+//!   the leg), so a thread addressing several shards has every frame on
+//!   the wire before it waits for a reply. Nothing here starts a thread.
 //!
 //! [`ShardReplicas`] composes one primary backend with an optional backup
 //! (replication factor R=2): mutations go primary-then-backup, reads fail
@@ -46,7 +41,7 @@ pub use replicas::ShardReplicas;
 
 use crate::metrics::ShardOccupancy;
 use std::time::Instant;
-use timecrypt_server::{ServerError, StreamStat};
+use timecrypt_server::{ServerError, StatLeg};
 use timecrypt_wire::messages::{Request, Response, ServiceStatsWire};
 
 /// Per-chunk ingest verdicts of one batch, in the batch's order.
@@ -60,12 +55,6 @@ pub type Pending<T> = Box<dyn FnOnce() -> Result<T, ServerError>>;
 
 /// A batch a backend has begun ([`ShardBackend::begin_batch`]).
 pub type PendingBatch = Pending<Verdicts>;
-
-/// One per-stream statistical sub-query outcome.
-pub(crate) type StreamStatResult = Result<StreamStat, ServerError>;
-
-/// A scatter-gather leg's outcomes, each with its position in the request.
-pub(crate) type LegResults = Vec<(usize, StreamStatResult)>;
 
 /// A scatter-gather leg: `(position in the request, stream id)` pairs, all
 /// owned by one shard.
@@ -143,10 +132,10 @@ impl ShardSpec {
 /// Five operations. `call` carries every plain request/reply: stream
 /// creation, the rebuild seam's list / export / length probes and the
 /// node stats probe are functions over it, written once. The others are
-/// what a `call` cannot express: `begin_leg` pipelines a leg on one
-/// connection and hands back the half that reads the replies (in process,
-/// that half runs the sub-queries, in order, on the thread that calls it),
-/// `insert_batch` frames borrowed chunk bytes and returns typed verdicts
+/// what a `call` cannot express: `begin_leg` sends a leg and hands back
+/// the half that reads the shard's fold of it (in process, that half runs
+/// the fold on the thread that calls it), `insert_batch` frames borrowed
+/// chunk bytes and returns typed verdicts
 /// — as one call, or as its halves `begin_batch` and `finish_batch` —
 /// with other shards' exchanges between the halves of either, `occupancy`
 /// probes one shard where a node's `Stats` covers all it hosts, and
@@ -155,20 +144,20 @@ pub trait ShardBackend: Send + Sync + 'static {
     /// Dispatches one wire request and returns the shard's reply.
     fn call(&self, req: Request) -> Result<Response, ServerError>;
 
-    /// Begins one scatter-gather leg: a per-stream statistical sub-query
-    /// for every `(position, stream)` entry, their outcomes returned with
-    /// the positions so the caller can merge in request order. A remote
-    /// shard has a first window of the sub-queries written when this
-    /// returns, and waits for no reply past `deadline` (one that arrived by
-    /// then is still read): the leg fails `Unavailable("query deadline
-    /// exceeded")`, a transport-level failure — the socket timed out.
+    /// Begins one scatter-gather leg: the shard's streams, in the order of
+    /// their request positions, folded ([`StatLeg::fold`]) up to the first
+    /// that stops the fold. A remote shard has the leg's one frame written
+    /// when this returns, and waits for no reply past `deadline` (one that
+    /// arrived by then is still read): the leg fails `Unavailable("query
+    /// deadline exceeded")`, a transport-level failure — the socket timed
+    /// out.
     fn begin_leg(
         &self,
         legs: &Leg,
         ts_s: i64,
         ts_e: i64,
         deadline: Instant,
-    ) -> Result<Pending<LegResults>, ServerError>;
+    ) -> Result<Pending<StatLeg>, ServerError>;
 
     /// Hands the shard `chunks` — serialized chunk bytes, validated where
     /// they entered the service — to ingest in order (a stream has one
@@ -211,14 +200,5 @@ pub(crate) fn node_stats(backend: &dyn ShardBackend) -> Option<ServiceStatsWire>
     match backend.call(Request::Stats) {
         Ok(Response::ServiceStats(stats)) => Some(stats),
         _ => None,
-    }
-}
-
-/// `ServerError` is not `Clone` (it can carry an `io::Error`); transport
-/// failures are always the static `Unavailable` case, which is.
-pub(crate) fn clone_unavailable(e: &ServerError) -> ServerError {
-    match e {
-        ServerError::Unavailable(what) => ServerError::Unavailable(what),
-        _ => UNREACHABLE,
     }
 }

@@ -1,6 +1,6 @@
 //! One shard's replica set: failover, promotion and rebuild.
 
-use super::{clone_unavailable, Leg, LegResults, PendingBatch, ShardBackend, Verdicts, AMBIGUOUS};
+use super::{Leg, PendingBatch, ShardBackend, Verdicts, AMBIGUOUS};
 use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
 use parking_lot::RwLock;
 use std::cell::Cell;
@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_obs::rank::{self, Ranked};
-use timecrypt_server::ServerError;
+use timecrypt_server::{ServerError, StatLeg};
 use timecrypt_wire::messages::{Request, Response, StreamInfoWire};
 
 /// Backup replica health. Write mirroring is armed in *every* state —
@@ -313,21 +313,21 @@ impl ShardReplicas {
     }
 
     /// Begins one scatter-gather leg on the primary — a remote one then
-    /// has the sub-queries on the wire — and returns the step that reads
-    /// the answers, which the caller takes after beginning other shards'
-    /// legs. That step is the read policy over the roles as they were
-    /// here, its first attempt the leg as begun; a failover or a retry is
-    /// a whole leg on the thread that takes the step, and every attempt
+    /// has its frame on the wire — and returns the step that reads the
+    /// shard's fold of it, which the caller takes after beginning other
+    /// shards' legs. That step is the read policy over the roles as they
+    /// were here, its first attempt the leg as begun; a failover or a retry
+    /// is a whole leg on the thread that takes the step, and every attempt
     /// ends by `deadline`. Infallible: a shard no replica of which
-    /// answered — unreachable, or cut short by the query's budget — yields
-    /// that `Unavailable` at every position, for the merge fold.
+    /// answered — unreachable, or cut short by the query's budget — stops
+    /// the leg at its first stream with that `Unavailable`.
     pub(crate) fn begin_leg<'a>(
         &'a self,
         legs: &'a Leg,
         ts_s: i64,
         ts_e: i64,
         deadline: Instant,
-    ) -> impl FnOnce() -> LegResults + 'a {
+    ) -> impl FnOnce() -> StatLeg + 'a {
         let roles = self.snapshot();
         let begun = Cell::new(Some(roles.0.begin_leg(legs, ts_s, ts_e, deadline)));
         move || {
@@ -335,10 +335,8 @@ impl ShardReplicas {
                 let begun = begun.take();
                 begun.unwrap_or_else(|| b.begin_leg(legs, ts_s, ts_e, deadline))?()
             };
-            self.read_with_failover(roles, leg).unwrap_or_else(|e| {
-                let unanswered = |&(pos, _)| (pos, Err(clone_unavailable(&e)));
-                legs.iter().map(unanswered).collect()
-            })
+            self.read_with_failover(roles, leg)
+                .unwrap_or_else(|e| StatLeg::fold([Err(e)]))
         }
     }
 
@@ -826,6 +824,7 @@ mod tests {
     use timecrypt_crypto::{PrgKind, SecureRandom};
     use timecrypt_server::{ServerConfig, TimeCryptServer};
     use timecrypt_store::MemKv;
+    use timecrypt_wire::messages::StatReply;
     use timecrypt_wire::transport::Handler;
 
     /// An in-process backend over its own store whose reachability the
@@ -914,15 +913,15 @@ mod tests {
             ts_s: i64,
             ts_e: i64,
             _deadline: Instant,
-        ) -> Result<Pending<LegResults>, ServerError> {
+        ) -> Result<Pending<StatLeg>, ServerError> {
             if !self.legs_begin_blind.load(Ordering::Relaxed) {
                 self.ensure_up()?;
             }
             let (engine, reach, legs) = (self.engine.clone(), self.reach.clone(), legs.to_vec());
             Ok(Box::new(move || {
                 reach.ensure_up()?;
-                let stat = |&(pos, sid)| (pos, engine.stream_stat(sid, ts_s, ts_e));
-                Ok(legs.iter().map(stat).collect())
+                let stat = |&(_, sid)| engine.stream_stat(sid, ts_s, ts_e);
+                Ok(StatLeg::fold(legs.iter().map(stat)))
             }))
         }
 
@@ -968,10 +967,17 @@ mod tests {
         r.ingest_batch(&[chunk]).pop().unwrap()
     }
 
-    /// A leg, begun and settled, under a budget that never runs out.
-    fn stat_leg(r: &ShardReplicas, legs: &Leg, ts_s: i64, ts_e: i64) -> LegResults {
+    /// A leg, begun and settled under a budget that never runs out, as the
+    /// reply of a query of its streams alone.
+    fn stat_leg(
+        r: &ShardReplicas,
+        legs: &Leg,
+        ts_s: i64,
+        ts_e: i64,
+    ) -> Result<StatReply, ServerError> {
         let deadline = Instant::now() + std::time::Duration::from_secs(3600);
-        r.begin_leg(legs, ts_s, ts_e, deadline)()
+        let streams: Vec<u128> = legs.iter().map(|&(_, sid)| sid).collect();
+        r.begin_leg(legs, ts_s, ts_e, deadline)().into_reply(&streams)
     }
 
     fn replicas(
@@ -1028,12 +1034,11 @@ mod tests {
             };
             match self {
                 Kind::ReadCall => reply(r.call(Request::StreamInfo { stream: 1 })),
-                Kind::StatLeg | Kind::StatLegCutInFinish => {
-                    match stat_leg(r, &[(0, 1)], 0, 10_000).pop().unwrap().1 {
-                        Ok(_) => Ok(()),
-                        Err(e) => Err(e.to_string()),
-                    }
-                }
+                Kind::StatLeg | Kind::StatLegCutInFinish => match stat_leg(r, &[(0, 1)], 0, 10_000)
+                {
+                    Ok(_) => Ok(()),
+                    Err(e) => Err(e.to_string()),
+                },
                 // An unreachable shard reports zeros.
                 Kind::Occupancy => match r.occupancy().streams {
                     0 => Err(UNREACHABLE.to_string()),
@@ -1307,11 +1312,11 @@ mod tests {
         // One strike, then a recovery: the strike count must restart, so
         // a single later failure cannot promote.
         primary.set_up(false);
-        stat_leg(&r, &leg, 0, 10_000);
+        stat_leg(&r, &leg, 0, 10_000).unwrap();
         primary.set_up(true);
-        stat_leg(&r, &leg, 0, 10_000);
+        stat_leg(&r, &leg, 0, 10_000).unwrap();
         primary.set_up(false);
-        stat_leg(&r, &leg, 0, 10_000);
+        stat_leg(&r, &leg, 0, 10_000).unwrap();
         assert_eq!(
             r.m().promotions.get(),
             0,
@@ -1323,7 +1328,7 @@ mod tests {
         assert_eq!(r.m().promotions.get(), 1);
         // The promoted primary answers reads directly; strikes were reset.
         let failovers = r.m().failovers.get();
-        assert!(stat_leg(&r, &leg, 0, 20_000)[0].1.is_ok());
+        assert!(stat_leg(&r, &leg, 0, 20_000).is_ok());
         assert_eq!(r.m().failovers.get(), failovers);
         assert_eq!(r.m().promotions.get(), 1);
     }
@@ -1393,7 +1398,7 @@ mod tests {
         // Even promote_after=1 must not promote the drifted replica, and
         // reads must not fail over to its incomplete data.
         primary.set_up(false);
-        assert!(stat_leg(&r, &[(0, 1)], 0, 30_000)[0].1.is_err());
+        assert!(stat_leg(&r, &[(0, 1)], 0, 30_000).is_err());
         assert_eq!(r.m().promotions.get(), 0);
         assert_eq!(r.m().failovers.get(), 0);
         primary.set_up(true);
@@ -1405,7 +1410,7 @@ mod tests {
         assert_eq!(m.rebuild_chunks_copied.get(), 2);
         assert_eq!(m.in_sync.get(), 1);
         primary.set_up(false);
-        assert!(stat_leg(&r, &[(0, 1)], 0, 30_000)[0].1.is_ok());
+        assert!(stat_leg(&r, &[(0, 1)], 0, 30_000).is_ok());
         assert_eq!(m.failovers.get(), 1);
         assert_eq!(m.promotions.get(), 1);
     }

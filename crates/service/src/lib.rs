@@ -20,13 +20,16 @@
 //!   shards' exchanges overlapped; a submitter waiting for its own
 //!   verdicts is the backpressure when producers outrun the store.
 //! * **Scatter-gather queries** ([`ShardedService::get_stat_range`]) —
-//!   a multi-stream statistical query is begun on every owning shard
-//!   (remote shards' nodes then work in parallel) and gathered, on the
-//!   caller's thread and inside one end-to-end budget; per-stream HEAC
-//!   digest sums merge with [`timecrypt_server::merge_stream_stats`], the
-//!   same fold the single-engine path uses. Replies are byte-identical
-//!   to a single-engine deployment on the same workload. The service
-//!   starts no thread for requests: they run on their callers'.
+//!   a multi-stream statistical query is begun on every owning shard as
+//!   one leg (a remote shard's is one `GetStatLeg` frame, so the nodes
+//!   work in parallel) and gathered, on the caller's thread and inside one
+//!   end-to-end budget. Each shard folds its leg with
+//!   [`timecrypt_server::StatLeg::fold`] — the fold a single engine
+//!   answers with — and the coordinator folds the legs' outcomes in
+//!   request order and adds their HEAC partial sums, so replies are
+//!   byte-identical to a single-engine deployment on the same workload.
+//!   The service starts no thread for requests: they run on their
+//!   callers'.
 //! * **Intra-shard read parallelism** — the engine's read path takes no
 //!   exclusive stream lock (queries run against a published chunk-count
 //!   snapshot), so any number of client threads can query a shard — even
@@ -39,8 +42,8 @@
 //!   decides *where* that shard runs: in the coordinator's own
 //!   [`ShardNode`] ([`backend::LocalShard`], `backend/local.rs`) or on a
 //!   `timecrypt-node` process reached over the wire protocol
-//!   ([`backend::RemoteShard`], `backend/remote.rs`: pipelined + pooled
-//!   TCP). [`ServiceConfig::topology`] maps each shard to `local` or
+//!   ([`backend::RemoteShard`], `backend/remote.rs`: pooled TCP, every
+//!   exchange one frame out and one reply). [`ServiceConfig::topology`] maps each shard to `local` or
 //!   `host:port`, optionally with a backup replica (R=2: writes go
 //!   primary-then-backup, reads fail over — one function per policy).
 //!   Replies stay byte-identical however shards are placed.

@@ -10,7 +10,7 @@
 use std::time::Duration;
 use timecrypt_obs::counters::{Counter, Gauge};
 use timecrypt_obs::prom::LatencyHist;
-use timecrypt_server::{ServerError, TimeCryptServer};
+use timecrypt_server::{ServerError, StatLeg, TimeCryptServer};
 use timecrypt_store::StoreCounters;
 use timecrypt_wire::messages::{ServiceStatsWire, ShardStatsWire};
 
@@ -110,6 +110,16 @@ impl ShardMetrics {
                 Err(_) => self.ingest_errors.inc(),
             }
         }
+    }
+
+    /// Records one remote leg the same way: its exchange time sampled once
+    /// per stream the node answered for, one error if one stopped the leg.
+    pub(crate) fn record_leg(&self, elapsed: Duration, leg: &StatLeg) {
+        let answered = leg.parts.len() + usize::from(leg.stop.is_some());
+        (0..answered).for_each(|_| self.query_latency.record(elapsed));
+        self.queries.add(answered as u64);
+        self.query_errors
+            .add(matches!(leg.stop, Some(Err(_))).into());
     }
 
     pub(crate) fn snapshot(&self, shard: u32, occ: ShardOccupancy) -> ShardStatsWire {

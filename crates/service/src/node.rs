@@ -10,7 +10,7 @@
 //! byte-identical however shards are placed. The shards a coordinator
 //! keeps in its own process run in a `ShardNode` too, over the
 //! coordinator's store; [`crate::backend::LocalShard`] calls the typed
-//! operations (`stream_stat`, `insert_run`) that the wire dispatch below
+//! operations (`stat_leg`, `insert_run`) that the wire dispatch below
 //! reaches for the same requests.
 //!
 //! **Topology invariant:** stream → shard assignment is
@@ -21,7 +21,7 @@
 //! signals a mis-routed coordinator or a total-shards mismatch, never a
 //! data error.
 
-use crate::backend::{StreamStatResult, UNROUTED};
+use crate::backend::UNROUTED;
 use crate::metrics::{store_stats, ServiceMetrics, ShardOccupancy};
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
@@ -30,7 +30,7 @@ use std::time::Instant;
 use timecrypt_chunk::serialize::{ChunkRef, SealedRecord};
 use timecrypt_obs::trace;
 use timecrypt_server::engine::batch_errors;
-use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError, TimeCryptServer};
+use timecrypt_server::{ServerConfig, ServerError, StatLeg, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{Request, RequestRef, Response, Route};
 use timecrypt_wire::transport::{dispatch_frame, Handler};
@@ -129,21 +129,23 @@ impl ShardNode {
         }
     }
 
-    /// One per-stream statistical sub-query with metrics: one latency
-    /// sample and one `queries` increment each, so `Request::Stats`
-    /// histogram totals and counters agree by construction.
-    pub(crate) fn stream_stat(&self, sid: u128, ts_s: i64, ts_e: i64) -> StreamStatResult {
-        let (shard, engine) = self.engine_for(sid)?;
-        let m = self.metrics.shard(shard);
-        let _span = trace::stage("engine.query");
-        let t = Instant::now();
-        let r = engine.stream_stat(sid, ts_s, ts_e);
-        m.query_latency.record(t.elapsed());
-        m.queries.inc();
-        if r.is_err() {
-            m.query_errors.inc();
-        }
-        r
+    /// `streams`, all hosted here, folded in request order up to the
+    /// first that stops the fold — what a `GetStatLeg` and a whole
+    /// `GetStatRange` are answered from. Each stream the fold reads is one
+    /// sub-query: one latency sample and one `queries` increment, so
+    /// `Request::Stats` histogram totals and counters agree by construction.
+    pub(crate) fn stat_leg(&self, streams: &[u128], ts_s: i64, ts_e: i64) -> StatLeg {
+        StatLeg::fold(streams.iter().map(|&sid| {
+            let (shard, engine) = self.engine_for(sid)?;
+            let m = self.metrics.shard(shard);
+            let _span = trace::stage("engine.query");
+            let t = Instant::now();
+            let r = engine.stream_stat(sid, ts_s, ts_e);
+            m.query_latency.record(t.elapsed());
+            m.queries.inc();
+            m.query_errors.add(r.is_err().into());
+            r
+        }))
     }
 
     /// One shard's ingest run: `chunks` (serialized, any stream mix, in
@@ -279,27 +281,22 @@ impl ShardNode {
             Route::Shard(shard) => {
                 delegate(self.engines.get(&(shard as usize)).ok_or(NOT_HOSTED), req)
             }
+            // A coordinator sends each leg as a `GetStatLeg`; a query whose
+            // streams are all hosted here is the same fold, as a reply.
             Route::Service => match req {
-                // The coordinator pipelines scatter-gather legs as one
-                // single-stream GetStatRange per stream, but any
-                // multi-stream query whose streams are all hosted here
-                // works too (same merge fold ⇒ same bytes as a single
-                // engine).
+                Request::GetStatLeg {
+                    streams,
+                    ts_s,
+                    ts_e,
+                } => Response::StatLeg(self.stat_leg(&streams, ts_s, ts_e).into()),
                 Request::GetStatRange {
                     streams,
                     ts_s,
                     ts_e,
-                } => {
-                    let merged = merge_stream_stats(
-                        streams
-                            .iter()
-                            .map(|&sid| (sid, self.stream_stat(sid, ts_s, ts_e))),
-                    );
-                    match merged {
-                        Ok(reply) => Response::Stat(reply),
-                        Err(e) => Response::Error(e.to_string()),
-                    }
-                }
+                } => match self.stat_leg(&streams, ts_s, ts_e).into_reply(&streams) {
+                    Ok(reply) => Response::Stat(reply),
+                    Err(e) => Response::Error(e.to_string()),
+                },
                 Request::Stats => Response::ServiceStats(self.stats()),
                 Request::Ping => Response::Pong,
                 _ => Response::Error(UNROUTED.to_string()),

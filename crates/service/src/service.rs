@@ -9,7 +9,7 @@
 
 use crate::backend::{
     ingest_runs, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend, ShardReplicas,
-    ShardSpec, StreamStatResult, UNROUTED,
+    ShardSpec, UNROUTED,
 };
 use crate::metrics::{store_stats, ServiceMetrics};
 use crate::node::{NodeConfig, ShardNode};
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::engine::batch_errors;
-use timecrypt_server::{merge_stream_stats, ServerConfig, ServerError};
+use timecrypt_server::{ServerConfig, ServerError, StatLeg};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{Request, RequestRef, Response, Route, StatReply};
 use timecrypt_wire::pool::PoolConfig;
@@ -49,18 +49,18 @@ pub struct ServiceConfig {
     /// topology is re-pointed by hand.
     pub promote_after: u32,
     /// End-to-end deadline for one scatter-gather statistical query.
-    /// Individual legs are already bounded by [`PoolConfig::io_timeout`]
-    /// per socket operation, but a leg of many pipelined sub-queries can
-    /// legally take `sub-queries × io_timeout`; this budget caps the
-    /// *whole* query, whichever leg is the slow one: a reply is waited
-    /// for `min(io_timeout, what is left of the budget)`. A leg the budget
-    /// cuts short reports per-position
-    /// `Unavailable("query deadline exceeded")` to the merge fold instead
-    /// of stalling the caller; its connection is discarded and its shard's
-    /// primary takes a strike, as for a socket timeout. A shard whose
-    /// replies arrived while another's spent the budget is still read: it
-    /// answered in time. (A dial is bounded by `io_timeout`, not by the
-    /// budget; in-process legs run to the end.)
+    /// A leg is one exchange, each socket operation bounded by
+    /// [`PoolConfig::io_timeout`], but the legs are finished in turn and
+    /// each may be retried or failed over, so a query could take a multiple
+    /// of it; this budget caps the *whole* query, whichever leg is the slow
+    /// one: a reply is waited for `min(io_timeout, what is left of the
+    /// budget)`. A leg the budget cuts short stops at its first stream with
+    /// `Unavailable("query deadline exceeded")` instead of stalling the
+    /// caller; its connection is discarded and its shard's primary takes a
+    /// strike, as for a socket timeout. A shard whose reply arrived while
+    /// another's spent the budget is still read: it answered in time. (A
+    /// dial is bounded by `io_timeout`, not by the budget; in-process legs
+    /// run to the end.)
     pub query_deadline: Duration,
     /// Mint a root trace context for requests that arrive without one
     /// (library calls, untraced wire requests), so every scatter-gather
@@ -383,13 +383,13 @@ impl ShardedService {
     }
 
     /// Scatter-gather statistical query, on the calling thread: every
-    /// involved shard's leg of per-stream sub-queries is begun — a remote
-    /// shard's are then on the wire, pipelined on one node connection, and
-    /// the nodes work in parallel — then the legs are finished in turn, an
-    /// in-process leg running its sub-queries in order as its turn comes,
-    /// all within [`ServiceConfig::query_deadline`]. Everything merges in
-    /// request order with the same fold as the single-engine path — so
-    /// the reply is byte-identical to
+    /// involved shard's leg is begun — a remote shard's is then one frame
+    /// on the wire, and the nodes work in parallel — then the legs are
+    /// finished in turn, an in-process leg folded as its turn comes, all
+    /// within [`ServiceConfig::query_deadline`]. The legs' outcomes are
+    /// folded again in request order and their partial sums added, with
+    /// the fold a single engine answers with — so the reply is
+    /// byte-identical to
     /// [`timecrypt_server::TimeCryptServer::get_stat_range`] on the same
     /// data, wherever the shards run. A panic in a sub-query unwinds the
     /// caller (behind the TCP transport, that request's connection thread);
@@ -411,18 +411,22 @@ impl ShardedService {
             by_shard[self.router.shard_of(sid)].push((pos, sid));
         }
         drop(route);
-        let involved = self.backends.iter().zip(&by_shard);
-        let begun: Vec<_> = involved
-            .filter(|(_, leg)| !leg.is_empty())
-            .map(|(shard, leg)| shard.begin_leg(leg, ts_s, ts_e, deadline))
+        let begun: Vec<_> = (self.backends.iter().zip(&by_shard))
+            .map(|(shard, leg)| {
+                (!leg.is_empty()).then(|| shard.begin_leg(leg, ts_s, ts_e, deadline))
+            })
             .collect();
-        // A leg answers every position it was given.
-        let unanswered = |_| Err(ServerError::Unavailable("sub-query left unanswered"));
-        let mut results: Vec<StreamStatResult> = streams.iter().map(unanswered).collect();
-        for (pos, r) in begun.into_iter().flat_map(|finish| finish()) {
-            results[pos] = r;
-        }
-        merge_stream_stats(streams.iter().copied().zip(results))
+        // Each shard's outcomes in its leg's order, which is request order.
+        let mut outcomes: Vec<_> = (begun.into_iter())
+            .map(|finish| finish.map(|finish| finish()).unwrap_or_default())
+            .map(StatLeg::into_outcomes)
+            .collect();
+        let unanswered = || Err(ServerError::Unavailable("sub-query left unanswered"));
+        let walk = streams.iter().map(|&sid| {
+            let leg = &mut outcomes[self.router.shard_of(sid)];
+            leg.next().unwrap_or_else(unanswered)
+        });
+        StatLeg::fold(walk).into_reply(streams)
     }
 
     /// Wire metrics snapshot (per-shard counters + storage traffic).
@@ -1005,40 +1009,6 @@ mod tests {
             snap.shards.iter().map(|s| s.ingested_chunks).sum::<u64>(),
             12
         );
-    }
-
-    #[test]
-    fn remote_legs_larger_than_the_pipeline_window_complete() {
-        // One shard, one node, 300 streams: a single scatter-gather leg
-        // carries more sub-queries than the pipelining window (128), so
-        // the windowed send/recv interleave is actually exercised.
-        const N: u128 = 300;
-        let (_node, addr) = spawn_node(1, vec![0]);
-        let svc = ShardedService::open(
-            Arc::new(MemKv::new()),
-            ServiceConfig {
-                topology: vec![ShardSpec::remote(addr)],
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        for id in 0..N {
-            svc.create_stream(id, 0, 10_000, 2).unwrap();
-        }
-        let all: Vec<u128> = (0..N).collect();
-        // Nothing ingested yet: every sub-query takes the empty-window
-        // path, so the width-probe round *also* exceeds the window.
-        let err = svc.get_stat_range(&all, 0, 10_000).unwrap_err();
-        assert_eq!(err.to_string(), ServerError::EmptyRange.to_string());
-        // With data everywhere, the stat round alone exceeds the window.
-        let results = svc.submit_batch(
-            all.iter()
-                .map(|&id| sealed_chunk(id, 0, id as i64))
-                .collect(),
-        );
-        assert!(results.iter().all(|r| r.is_ok()));
-        let reply = svc.get_stat_range(&all, 0, 10_000).unwrap();
-        assert_eq!(reply.parts.len(), N as usize);
     }
 
     #[test]

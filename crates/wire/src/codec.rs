@@ -305,6 +305,38 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A tag byte — 0 for `None`, 1 for `Some` — then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u8(self.is_some().into());
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => None,
+            1 => Some(T::take(r)?),
+            tag => return Err(WireError::BadTag(tag)),
+        })
+    }
+}
+
+/// A tag byte — 0 for `Ok`, 1 for `Err` — then the value.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            Ok(v) => v.put(w.u8(0)),
+            Err(e) => e.put(w.u8(1)),
+        }
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => Ok(T::take(r)?),
+            1 => Err(E::take(r)?),
+            tag => return Err(WireError::BadTag(tag)),
+        })
+    }
+}
+
 macro_rules! wire_tuple {
     ($($part:ident . $idx:tt),*) => {
         impl<$($part: Wire),*> Wire for ($($part,)*) {

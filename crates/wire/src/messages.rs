@@ -312,6 +312,22 @@ wire_struct! {
 }
 
 wire_struct! {
+    /// One shard's leg of a statistical query, folded in request order up
+    /// to the first stream that is unknown, empty, or of another width than
+    /// the leg's first ([`Response::StatLeg`]); never larger than the
+    /// [`StatReply`] of the same streams.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StatLegWire {
+        /// `(digest width, chunk_lo, chunk_hi)` per stream covered, in order.
+        pub parts: Vec<(u32, u64, u64)>,
+        /// The stream the fold stopped at: its error, or its digest width.
+        pub stop: Option<Result<u32, String>>,
+        /// Homomorphic sum over the covered windows; empty when none was.
+        pub agg: Vec<u64>,
+    }
+}
+
+wire_struct! {
     /// One shard's counters in a [`Response::ServiceStats`] reply.
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
     pub struct ShardStatsWire {
@@ -625,6 +641,17 @@ wire_enum! {
             /// First chunk index of the page.
             from_idx: u64,
         } => Stream(stream), mutates: false;
+        /// One shard's leg of a statistical query: the streams, all hosted
+        /// by the answering node, folded in order. Answered with
+        /// [`Response::StatLeg`].
+        26 = GetStatLeg {
+            /// The leg's streams, in request order.
+            streams: Vec<u128>,
+            /// Interval start (ms).
+            ts_s: i64,
+            /// Interval end (ms).
+            ts_e: i64,
+        } => Service, mutates: false;
     }
     reserved {
         /// Trace-context envelope: `[tag][u128 trace id][u64 span id][inner
@@ -704,6 +731,8 @@ wire_enum! {
             /// (`DeleteRange` decay) and the exportable prefix ends here.
             done: bool,
         };
+        /// A leg's fold ([`Request::GetStatLeg`]).
+        16 = StatLeg(leg: StatLegWire);
     }
     reserved {}
 }
@@ -1038,6 +1067,11 @@ mod tests {
                 stream: 9,
                 from_idx: 4096,
             },
+            Request::GetStatLeg {
+                streams: vec![3, 1],
+                ts_s: -10,
+                ts_e: 10,
+            },
             Request::Ping,
         ]
     }
@@ -1135,6 +1169,21 @@ mod tests {
                 next_idx: 0,
                 done: true,
             },
+            Response::StatLeg(StatLegWire {
+                parts: vec![(2, 0, 10), (2, 5, 7)],
+                stop: None,
+                agg: vec![1, u64::MAX],
+            }),
+            Response::StatLeg(StatLegWire {
+                parts: vec![(2, 0, 10)],
+                stop: Some(Ok(3)),
+                agg: vec![1, 2],
+            }),
+            Response::StatLeg(StatLegWire {
+                parts: vec![],
+                stop: Some(Err("no such stream 0x9".into())),
+                agg: vec![],
+            }),
             Response::Pong,
         ]
     }
@@ -1169,6 +1218,7 @@ mod tests {
         (23, "ListStreams"),
         (24, "ExportStream"),
         (25, "REQ_TRACED"), // the PR 6 trace envelope: no variant
+        (26, "GetStatLeg"),
     ];
 
     /// As [`REQUEST_LEDGER`], for responses.
@@ -1188,6 +1238,7 @@ mod tests {
         (13, "ServiceStats"),
         (14, "StreamList"),
         (15, "StreamChunks"),
+        (16, "StatLeg"),
     ];
 
     #[test]

@@ -198,7 +198,7 @@ impl ClientPool {
         req: &Request,
     ) -> Result<crate::messages::Response, ClientError> {
         let exchange = |client: &mut Client| -> Result<crate::messages::Response, ClientError> {
-            client.send_traced(ctx, req)?;
+            client.send_with(ctx, |body| req.encode_into(body))?;
             match client.recv()? {
                 crate::messages::Response::Error(msg) => Err(ClientError::Server(msg)),
                 resp => Ok(resp),

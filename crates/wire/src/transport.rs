@@ -4,8 +4,9 @@
 //! server answers requests in arrival order, so a client may either run
 //! one-in-one-out ([`Client::call`]) or *pipeline* — issue several
 //! [`Client::send`]s before draining the matching [`Client::recv`]s. The
-//! sharded service tier's `RemoteShard` uses pipelining to pack a whole
-//! scatter-gather leg into one connection; clients that want true
+//! sharded service tier's `RemoteShard` splits one exchange in two — the
+//! frame is sent when a batch or a scatter-gather leg is begun, its one
+//! reply read when it is finished; clients that want true
 //! parallelism open multiple connections (exactly how the paper's load
 //! generator drives 100 client threads — see [`crate::pool::ClientPool`]).
 //!
@@ -439,35 +440,27 @@ impl Client {
     /// The server answers in FIFO order, so after `n` sends exactly `n`
     /// [`recv`](Self::recv)s drain the matching responses.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        self.send_with(|body| req.encode_into(body))
-    }
-
-    /// Like [`send`](Self::send), but wraps the request in a
-    /// trace-context envelope when `ctx` is present. With `ctx == None`
-    /// the frame is byte-identical to [`send`](Self::send) — the
-    /// tracing-off path costs nothing on the wire.
-    pub fn send_traced(
-        &mut self,
-        ctx: Option<TraceContext>,
-        req: &Request,
-    ) -> Result<(), ClientError> {
-        self.send_with(|body| {
-            if let Some(c) = ctx {
-                crate::messages::encode_trace_prefix(c, body);
-            }
-            req.encode_into(body)
-        })
+        self.send_with(None, |body| req.encode_into(body))
     }
 
     /// Like [`send`](Self::send), but the caller writes the request body
     /// directly into the connection's scratch buffer — the zero-copy frame
     /// assembly path for bodies built from parts (e.g. a
     /// [`BatchEncoder`](crate::messages::BatchEncoder) over serialized
-    /// chunks). `fill` must append exactly one valid encoded request.
-    pub fn send_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ClientError> {
+    /// chunks) — behind a trace-context envelope when `ctx` is present
+    /// (with `None` the frame is byte-identical to an untraced build's).
+    /// `fill` must append exactly one valid encoded request.
+    pub fn send_with(
+        &mut self,
+        ctx: Option<TraceContext>,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ClientError> {
         let mut body = std::mem::take(&mut self.scratch);
         body.clear();
         body.extend_from_slice(&[0; PREFIX_LEN]);
+        if let Some(ctx) = ctx {
+            crate::messages::encode_trace_prefix(ctx, &mut body);
+        }
         fill(&mut body);
         let result = write_frame_in(&mut self.writer, &mut body);
         bound_scratch(&mut body);

@@ -8,7 +8,7 @@
 use timecrypt_wire::codec::{WireError, MAX_REPEATED};
 use timecrypt_wire::messages::{
     encode_trace_prefix, split_trace, Request, RequestRef, Response, ServiceStatsWire,
-    ShardStatsWire, StatReply, StreamInfoWire,
+    ShardStatsWire, StatLegWire, StatReply, StreamInfoWire,
 };
 use timecrypt_wire::TraceContext;
 
@@ -192,6 +192,22 @@ fn request_vectors() -> Vec<(Request, &'static str)> {
             },
             "18090000000000000000000000000000000010000000000000",
         ),
+        (
+            Request::GetStatLeg {
+                streams: vec![1, u128::MAX],
+                ts_s: -10,
+                ts_e: 10,
+            },
+            "1a0200000001000000000000000000000000000000fffffffffffffffffffffffffffffffff6ffffffffffffff0a00000000000000",
+        ),
+        (
+            Request::GetStatLeg {
+                streams: vec![],
+                ts_s: 0,
+                ts_e: 0,
+            },
+            "1a0000000000000000000000000000000000000000",
+        ),
         (Request::Ping, "0e"),
     ]
 }
@@ -331,6 +347,30 @@ fn response_vectors() -> Vec<(Response, &'static str)> {
             },
             "0f00000000ffffffffffffffff01",
         ),
+        (
+            Response::StatLeg(StatLegWire {
+                parts: vec![(2, 0, 10), (u32::MAX, 5, u64::MAX)],
+                stop: None,
+                agg: vec![1, u64::MAX],
+            }),
+            "10020000000200000000000000000000000a00000000000000ffffffff0500000000000000ffffffffffffffff00020000000100000000000000ffffffffffffffff",
+        ),
+        (
+            Response::StatLeg(StatLegWire {
+                parts: vec![(2, 0, 10)],
+                stop: Some(Ok(3)),
+                agg: vec![1, 2],
+            }),
+            "10010000000200000000000000000000000a000000000000000100030000000200000001000000000000000200000000000000",
+        ),
+        (
+            Response::StatLeg(StatLegWire {
+                parts: vec![],
+                stop: Some(Err("boom".into())),
+                agg: vec![],
+            }),
+            "1000000000010104000000626f6f6d00000000",
+        ),
         (Response::Pong, "08"),
     ]
 }
@@ -367,8 +407,8 @@ fn responses_encode_to_their_golden_bytes() {
 }
 
 /// Every variant has a vector: the sample lists above name each tag once
-/// at least (the first body byte is the tag; requests 1..=24, responses
-/// 1..=15 as shipped).
+/// at least (the first body byte is the tag; requests 1..=24 and 26 — 25
+/// is the trace envelope — responses 1..=16 as shipped).
 #[test]
 fn every_shipped_tag_has_a_vector() {
     let tags = |hexes: Vec<&str>| {
@@ -378,9 +418,9 @@ fn every_shipped_tag_has_a_vector() {
         t
     };
     let req = tags(request_vectors().into_iter().map(|(_, h)| h).collect());
-    assert_eq!(req, (1..=24).collect::<Vec<u8>>());
+    assert_eq!(req, (1..=26).filter(|&t| t != 25).collect::<Vec<u8>>());
     let resp = tags(response_vectors().into_iter().map(|(_, h)| h).collect());
-    assert_eq!(resp, (1..=15).collect::<Vec<u8>>());
+    assert_eq!(resp, (1..=16).collect::<Vec<u8>>());
 }
 
 #[test]
@@ -479,20 +519,36 @@ fn every_truncation_prefix_is_truncated_and_a_trailing_byte_is_trailing() {
 
 #[test]
 fn unknown_tags_are_bad_tags_whatever_follows() {
-    for tag in [0u8, 25, 26, 200, 255] {
+    for tag in [0u8, 25, 27, 200, 255] {
         assert_eq!(decode_request_both(&[tag]), Err(WireError::BadTag(tag)));
         assert_eq!(
             decode_request_both(&[tag, 1, 2, 3]),
             Err(WireError::BadTag(tag))
         );
     }
-    for tag in [0u8, 16, 25, 200, 255] {
+    for tag in [0u8, 17, 25, 200, 255] {
         assert_eq!(Response::decode(&[tag]), Err(WireError::BadTag(tag)));
         assert_eq!(
             Response::decode(&[tag, 1, 2, 3]),
             Err(WireError::BadTag(tag))
         );
     }
+}
+
+/// An option's or a result's tag byte is 0 or 1; any other value is the
+/// value's `BadTag`, not a guess.
+#[test]
+fn option_and_result_tags_above_one_are_bad_tags() {
+    // StatLeg: no parts, then the stop's option tag.
+    assert_eq!(
+        Response::decode(&unhex("100000000002")),
+        Err(WireError::BadTag(2))
+    );
+    // ... and a present stop's result tag.
+    assert_eq!(
+        Response::decode(&unhex("10000000000107")),
+        Err(WireError::BadTag(7))
+    );
 }
 
 #[test]
@@ -526,12 +582,13 @@ fn counted(tag: u8, head: &[u8], count: u32) -> Vec<u8> {
 #[test]
 fn repeated_counts_above_the_cap_are_too_large() {
     // (tag, bytes between the tag and the count) of every repeated field.
-    let requests: [(u8, Vec<u8>); 3] = [
+    let requests: [(u8, Vec<u8>); 4] = [
         (5, vec![]),       // GetStatRange.streams
         (12, vec![0; 24]), // PutEnvelopes.envelopes (after stream, resolution)
         (21, vec![]),      // InsertBatch.chunks
+        (26, vec![]),      // GetStatLeg.streams
     ];
-    let responses: [(u8, Vec<u8>); 10] = [
+    let responses: [(u8, Vec<u8>); 11] = [
         (3, vec![]),      // Chunks
         (4, vec![]),      // Stat.parts
         (5, vec![]),      // Blobs
@@ -542,6 +599,7 @@ fn repeated_counts_above_the_cap_are_too_large() {
         (13, vec![]),     // ServiceStats.shards
         (14, vec![]),     // StreamList
         (15, vec![]),     // StreamChunks.chunks
+        (16, vec![]),     // StatLeg.parts
     ];
     let cap = MAX_REPEATED as u32;
     for over in [cap + 1, u32::MAX] {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use timecrypt_wire::messages::{
     encode_trace_prefix, split_trace, Request, RequestRef, Response, ServiceStatsWire,
-    ShardStatsWire, StatReply, StreamInfoWire, TRACE_PREFIX_LEN,
+    ShardStatsWire, StatLegWire, StatReply, StreamInfoWire, TRACE_PREFIX_LEN,
 };
 use timecrypt_wire::TraceContext;
 
@@ -102,6 +102,16 @@ fn arb_request() -> impl Strategy<Value = Request> {
         any::<u32>().prop_map(|shard| Request::ListStreams { shard }),
         (any::<u128>(), any::<u64>())
             .prop_map(|(stream, from_idx)| Request::ExportStream { stream, from_idx }),
+        (
+            proptest::collection::vec(any::<u128>(), 0..10),
+            any::<i64>(),
+            any::<i64>()
+        )
+            .prop_map(|(streams, ts_s, ts_e)| Request::GetStatLeg {
+                streams,
+                ts_s,
+                ts_e
+            }),
     ]
 }
 
@@ -151,6 +161,19 @@ fn arb_response() -> impl Strategy<Value = Response> {
             proptest::collection::vec(any::<u64>(), 0..20),
         )
             .prop_map(|(parts, agg)| Response::Stat(StatReply { parts, agg })),
+        (
+            proptest::collection::vec((any::<u32>(), any::<u64>(), any::<u64>()), 0..6),
+            (0u8..3, any::<u32>(), "[ -~]{0,40}"),
+            proptest::collection::vec(any::<u64>(), 0..20),
+        )
+            .prop_map(|(parts, (pick, width, error), agg)| {
+                let stops = [None, Some(Ok(width)), Some(Err(error))];
+                Response::StatLeg(StatLegWire {
+                    parts,
+                    stop: stops.into_iter().nth(pick as usize).flatten(),
+                    agg,
+                })
+            }),
         arb_info().prop_map(Response::Info),
         proptest::collection::vec(arb_info(), 0..5).prop_map(Response::StreamList),
         proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..60), 0..4)

@@ -11,7 +11,8 @@
 //!              coordinator  (ShardedService, topology = remote)
 //!               shard 0 ──── primary node A, backup node B
 //!               shard 1 ──── primary node B, backup node A
-//!                        │ pipelined + pooled TCP
+//!                        │ pooled TCP: one frame per shard's leg
+//!                        │ (GetStatLeg) or batch (InsertBatch)
 //!              ┌─────────┴──────────┐
 //!              ▼                    ▼
 //!          node A                node B

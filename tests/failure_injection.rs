@@ -2,14 +2,17 @@
 //! tampering, corruption, and protocol misuse.
 
 use std::sync::Arc;
-use timecrypt::chunk::serialize::EncryptedChunk;
+use timecrypt::chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::faults::{FaultPlan, FaultyKv, OpKind, StoreFault, StoreRule, Trigger};
 use timecrypt::server::keystore::KeyStore;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::MemKv;
+use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
+use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
+use timecrypt::store::{KvStore, MemKv};
+use timecrypt::wire::messages::StatReply;
+use timecrypt::wire::transport::{Handler, Server};
 use timecrypt::wire::{Request, Response};
 
 fn setup() -> (Arc<TimeCryptServer>, InProcess, StreamConfig, DataOwner) {
@@ -188,6 +191,149 @@ fn queries_on_unknown_or_empty_streams_are_clean_errors() {
             ts_e: 5
         })
         .is_err());
+}
+
+/// Every windowed read divides by a stream's chunk interval: a zero one is
+/// refused at registration — the same message from an engine and through
+/// a coordinator, where it is an answer, not a fault: no strike, no
+/// failover — and a stored one is skipped at open like any malformed
+/// record. The reads after it are clean errors.
+#[test]
+fn a_zero_chunk_interval_is_refused_at_every_tier() {
+    let reads = || {
+        [
+            Request::GetStatRange {
+                streams: vec![7],
+                ts_s: 0,
+                ts_e: 20_000,
+            },
+            Request::GetRange {
+                stream: 7,
+                ts_s: 0,
+                ts_e: 20_000,
+            },
+            Request::GetLive {
+                stream: 7,
+                ts_s: 0,
+                ts_e: 20_000,
+            },
+        ]
+    };
+    let unknown = Response::Error(ServerError::NoSuchStream(7).to_string());
+    let store: Arc<dyn KvStore> = Arc::new(MemKv::new());
+    let engine = TimeCryptServer::open(store.clone(), ServerConfig::default()).unwrap();
+    let refused = engine.create_stream(7, 0, 0, 2).unwrap_err().to_string();
+    assert!(refused.contains("chunk interval"), "{refused}");
+    // A record an older build wrote: t0, Δ = 0, width.
+    let meta = [
+        &0i64.to_le_bytes()[..],
+        &0u64.to_le_bytes(),
+        &2u32.to_le_bytes(),
+    ]
+    .concat();
+    let key = [&b"s/"[..], &7u128.to_be_bytes()].concat();
+    store.put(&key, &meta).unwrap();
+    let reopened = TimeCryptServer::open(store, ServerConfig::default()).unwrap();
+    for req in reads() {
+        assert_eq!(reopened.handle(req), unknown);
+    }
+
+    // Over the wire, on a replicated shard that one strike would promote.
+    let node = || {
+        let cfg = NodeConfig {
+            total_shards: 1,
+            hosted: vec![0],
+            engine: ServerConfig::default(),
+        };
+        let node = ShardNode::open(Arc::new(MemKv::new()), cfg).unwrap();
+        Server::bind("127.0.0.1:0", Arc::new(node)).unwrap()
+    };
+    let (primary, backup) = (node(), node());
+    let svc = ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            topology: vec![ShardSpec::remote(primary.addr().to_string())
+                .with_backup(backup.addr().to_string())],
+            promote_after: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let err = svc.create_stream(7, 0, 0, 2).unwrap_err();
+    assert_eq!(err.to_string(), refused);
+    for req in reads() {
+        assert_eq!(svc.handle(req), unknown);
+    }
+    let shard = &svc.stats().shards[0];
+    assert_eq!(
+        (shard.failovers, shard.promotions, shard.replica_errors),
+        (0, 0, 0),
+        "{shard:?}"
+    );
+    assert!(shard.in_sync, "{shard:?}");
+}
+
+/// Window arithmetic is exact at the ends of the timestamp range: the
+/// distance from a negative `t0` to `i64::MAX` does not fit an `i64`.
+#[test]
+fn windows_reaching_the_ends_of_time_are_exact() {
+    let (server, ..) = setup();
+    server.create_stream(5, -10_000, 10_000, 2).unwrap();
+    for index in 0..2u64 {
+        let chunk = EncryptedChunk {
+            stream: 5,
+            index,
+            digest_ct: vec![index + 1; 2],
+            payload: vec![index as u8],
+        };
+        server.insert(&chunk).unwrap();
+    }
+    let live = SealedRecord {
+        stream: 5,
+        chunk: 2,
+        seq: 0,
+        payload: vec![9; 4],
+    };
+    server.insert_live(&live).unwrap();
+    let (min, max) = (i64::MIN, i64::MAX);
+    let stat = |ts_s, ts_e| {
+        server.handle(Request::GetStatRange {
+            streams: vec![5],
+            ts_s,
+            ts_e,
+        })
+    };
+    let reply = StatReply {
+        parts: vec![(5, 0, 2)],
+        agg: vec![3, 3],
+    };
+    assert_eq!(stat(min, max), Response::Stat(reply));
+    let empty = Response::Error(ServerError::EmptyRange.to_string());
+    assert_eq!(stat(max - 1, max), empty);
+    assert_eq!(stat(min, min + 1), empty);
+    let range = |ts_s, ts_e| {
+        server.handle(Request::GetRange {
+            stream: 5,
+            ts_s,
+            ts_e,
+        })
+    };
+    match range(min, max) {
+        Response::Chunks(chunks) => assert_eq!(chunks.len(), 2),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(range(max - 1, max), Response::Chunks(vec![]));
+    assert_eq!(range(min, min + 1), empty);
+    let live_in = |ts_s, ts_e| {
+        server.handle(Request::GetLive {
+            stream: 5,
+            ts_s,
+            ts_e,
+        })
+    };
+    assert_eq!(live_in(min, max), Response::Records(vec![live.to_bytes()]));
+    assert_eq!(live_in(max - 1, max), Response::Records(vec![]));
+    assert_eq!(live_in(min, min + 1), Response::Records(vec![]));
 }
 
 #[test]
