@@ -1,7 +1,6 @@
 //! The in-process backend.
 
 use super::{Leg, Pending, PendingBatch, ShardBackend};
-use crate::metrics::ShardOccupancy;
 use crate::node::ShardNode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,8 +25,10 @@ impl LocalShard {
 }
 
 impl ShardBackend for LocalShard {
-    fn call(&self, req: Request) -> Result<Response, ServerError> {
-        Ok(self.node.handle(req))
+    /// Runs the request: there is nothing to send.
+    fn begin_call(&self, req: Request, _deadline: Option<Instant>) -> Pending<Response> {
+        let reply = self.node.handle(req);
+        Box::new(move || Ok(reply))
     }
 
     /// Nothing to send: the node folds the leg when it is finished, on the
@@ -52,9 +53,5 @@ impl ShardBackend for LocalShard {
     fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError> {
         let verdicts = self.node.insert_run(self.shard, chunks);
         Ok(Box::new(move || Ok(verdicts)))
-    }
-
-    fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
-        self.node.occupancy(self.shard)
     }
 }

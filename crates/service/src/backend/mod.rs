@@ -8,13 +8,12 @@
 //! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
 //!   reached over the blocking TCP transport through a
 //!   [`ClientPool`](timecrypt_wire::pool::ClientPool)
-//!   (reconnect-with-backoff). A batch is one `InsertBatch` exchange in
-//!   two steps — write the frame ([`ShardBackend::begin_batch`]), read the
-//!   verdicts ([`ShardBackend::finish_batch`]) — and a scatter-gather leg
-//!   one `GetStatLeg` exchange likewise ([`ShardBackend::begin_leg`]
-//!   writes the frame, the [`Pending`] it returns reads the node's fold of
-//!   the leg), so a thread addressing several shards has every frame on
-//!   the wire before it waits for a reply. Nothing here starts a thread.
+//!   (reconnect-with-backoff). Every request is one exchange in two steps:
+//!   its frame is written when it is begun ([`ShardBackend::begin_call`],
+//!   [`ShardBackend::begin_leg`], [`ShardBackend::begin_batch`]) and its
+//!   one reply read when the [`Pending`] it returns is finished, so a
+//!   thread addressing several shards or nodes has every frame on the wire
+//!   before it waits for a reply. Nothing here starts a thread.
 //!
 //! [`ShardReplicas`] composes one primary backend with an optional backup
 //! (replication factor R=2): mutations go primary-then-backup, reads fail
@@ -39,10 +38,9 @@ pub use remote::RemoteShard;
 pub(crate) use replicas::ingest_runs;
 pub use replicas::ShardReplicas;
 
-use crate::metrics::ShardOccupancy;
 use std::time::Instant;
 use timecrypt_server::{ServerError, StatLeg};
-use timecrypt_wire::messages::{Request, Response, ServiceStatsWire};
+use timecrypt_wire::messages::{Request, Response};
 
 /// Per-chunk ingest verdicts of one batch, in the batch's order.
 pub type Verdicts = Vec<Result<(), ServerError>>;
@@ -64,7 +62,12 @@ pub(crate) type Leg = [(usize, u128)];
 /// read policy a transport failure like a socket timeout (it strikes).
 pub(crate) const DEADLINE: ServerError = ServerError::Unavailable("query deadline exceeded");
 
-const UNREACHABLE: ServerError = ServerError::Unavailable("shard node unreachable");
+pub(crate) const UNREACHABLE: ServerError = ServerError::Unavailable("shard node unreachable");
+
+/// The refusal of a backup on its primary's own node: one engine over one
+/// store, so every mirrored write would be a duplicate the node rejects.
+pub(crate) const SAME_NODE: ServerError =
+    ServerError::Unavailable("a backup replica must run on another node than its primary");
 
 /// The verdict for a mutation whose exchange failed at the transport
 /// level *after* it may have reached the primary (a timeout or severed
@@ -97,8 +100,8 @@ pub enum BackendSpec {
 pub struct ShardSpec {
     /// Where the shard's primary runs.
     pub primary: BackendSpec,
-    /// Optional backup replica. Must be remote: a "local" backup would
-    /// share the primary's store and self-corrupt.
+    /// Optional backup replica. Must be remote and not the primary's own
+    /// node: either would share the primary's store and self-corrupt.
     pub backup: Option<BackendSpec>,
 }
 
@@ -129,20 +132,27 @@ impl ShardSpec {
 /// Executes one shard's operations, wherever the shard runs. See the
 /// module docs for the error contract.
 ///
-/// Five operations. `call` carries every plain request/reply: stream
-/// creation, the rebuild seam's list / export / length probes and the
-/// node stats probe are functions over it, written once. The others are
-/// what a `call` cannot express: `begin_leg` sends a leg and hands back
-/// the half that reads the shard's fold of it (in process, that half runs
-/// the fold on the thread that calls it), `insert_batch` frames borrowed
-/// chunk bytes and returns typed verdicts
-/// — as one call, or as its halves `begin_batch` and `finish_batch` —
-/// with other shards' exchanges between the halves of either, `occupancy`
-/// probes one shard where a node's `Stats` covers all it hosts, and
-/// `endpoint` names the node.
+/// Four operations. `begin_call` carries every plain request/reply:
+/// stream creation, single-stream reads, the rebuild seam's list / export
+/// / length probes and a scrape's `Stats` are requests over it, and `call`
+/// is it begun and finished at once. The others are what an owned
+/// request cannot express: `begin_leg` sends a leg and hands back the
+/// half that reads the shard's fold of it (in process, that half runs the
+/// fold on the thread that calls it), `begin_batch` frames borrowed chunk
+/// bytes and its half returns typed verdicts — with other shards'
+/// exchanges between the halves of either — and `endpoint` names the
+/// node.
 pub trait ShardBackend: Send + Sync + 'static {
+    /// Begins one wire request; the [`Pending`] reads the shard's reply.
+    /// A remote shard has the frame written when this returns and waits
+    /// for no reply past `deadline` (one that arrived by then is still
+    /// read; `None`: each socket operation's `io_timeout` only).
+    fn begin_call(&self, req: Request, deadline: Option<Instant>) -> Pending<Response>;
+
     /// Dispatches one wire request and returns the shard's reply.
-    fn call(&self, req: Request) -> Result<Response, ServerError>;
+    fn call(&self, req: Request) -> Result<Response, ServerError> {
+        self.begin_call(req, None)()
+    }
 
     /// Begins one scatter-gather leg: the shard's streams, in the order of
     /// their request positions, folded ([`StatLeg::fold`]) up to the first
@@ -180,25 +190,10 @@ pub trait ShardBackend: Send + Sync + 'static {
         self.finish_batch(self.begin_batch(chunks)?)
     }
 
-    /// Stream occupancy: hosted stream count plus the shard's resident /
-    /// hydration / eviction counters.
-    fn occupancy(&self) -> Result<ShardOccupancy, ServerError>;
-
-    /// The remote endpoint (`host:port`) this backend dials, `None` for
-    /// in-process backends. Lets the coordinator's stats aggregation
-    /// dedup per-node probes when one node hosts several shards.
+    /// The node (`host:port`) this backend dials, `None` for the
+    /// coordinator's in-process node. A scrape asks each node once,
+    /// however many shards it hosts or replicates.
     fn endpoint(&self) -> Option<&str> {
         None
-    }
-}
-
-/// Full stats snapshot of the node behind `backend`. Asked of backends
-/// with an [`endpoint`](ShardBackend::endpoint) only: the coordinator
-/// reads its in-process node's counters directly, and summing them here
-/// would double-count.
-pub(crate) fn node_stats(backend: &dyn ShardBackend) -> Option<ServiceStatsWire> {
-    match backend.call(Request::Stats) {
-        Ok(Response::ServiceStats(stats)) => Some(stats),
-        _ => None,
     }
 }

@@ -1,7 +1,7 @@
 //! The backend for a shard hosted by a `timecrypt-node` process.
 
 use super::{Leg, Pending, PendingBatch, ShardBackend, Verdicts, DEADLINE, UNREACHABLE};
-use crate::metrics::{ServiceMetrics, ShardOccupancy};
+use crate::metrics::ServiceMetrics;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use timecrypt_obs::{trace, TraceContext};
@@ -30,6 +30,42 @@ impl RemoteShard {
             shard,
         }
     }
+
+    /// The one owned-request exchange: its frame is written here, its
+    /// reply read by the returned step. A pooled connection may be stale
+    /// (the node restarted under it), so a read whose exchange failed on a
+    /// connection it got is sent once more, on a fresh dial, while its
+    /// budget lasts; a mutation never is — the node may have applied it —
+    /// and a failed dial is final: it already retried with backoff.
+    fn exchange(
+        &self,
+        req: Request,
+        deadline: Option<Instant>,
+    ) -> impl FnOnce() -> Result<Response, ServerError> + use<> {
+        let span = trace::stage("backend.exchange");
+        let budget = move || deadline.is_none_or(|d| left(d).is_some());
+        let pool = self.pool.clone();
+        let checkout = move |fresh| {
+            if !budget() {
+                return Err(DEADLINE);
+            }
+            let conn = if fresh { pool.fresh() } else { pool.get() };
+            conn.map_err(|_| UNREACHABLE)
+        };
+        let conn = checkout(false);
+        let retry = conn.is_ok() && !req.is_mutation();
+        let begun = conn.and_then(|conn| send_frame(conn, |buf| req.encode_into(buf)));
+        move || {
+            let _span = span;
+            let reply = begun.and_then(|owed| owed.recv(deadline));
+            match reply {
+                Err(_) if retry && budget() => {
+                    send_frame(checkout(true)?, |buf| req.encode_into(buf))?.recv(deadline)
+                }
+                reply => reply,
+            }
+        }
+    }
 }
 
 /// The trace context to stamp on the next outgoing request: a child of
@@ -45,23 +81,13 @@ fn left(deadline: Instant) -> Option<Duration> {
 }
 
 impl ShardBackend for RemoteShard {
-    fn call(&self, req: Request) -> Result<Response, ServerError> {
-        let _span = trace::stage("backend.exchange");
-        match self.pool.call_traced(trace_ctx(), &req) {
-            Ok(resp) => Ok(resp),
-            // `ClientPool::call` surfaces `Response::Error` as a client
-            // error; re-wrap it — the node answered, the transport is fine.
-            Err(ClientError::Server(msg)) => Ok(Response::Error(msg)),
-            Err(_) => Err(UNREACHABLE),
-        }
+    fn begin_call(&self, req: Request, deadline: Option<Instant>) -> Pending<Response> {
+        Box::new(self.exchange(req, deadline))
     }
 
-    /// One `GetStatLeg` exchange: its frame is written here, so the caller
-    /// puts other shards' legs on the wire before it reads this one's reply
-    /// — the node's fold of the leg, one frame however many streams it has.
-    /// A pooled connection may be stale (the node restarted under it); the
-    /// leg is a read, so a failed exchange is sent again, once, on a fresh
-    /// dial while budget is left.
+    /// One `GetStatLeg` exchange, so the caller puts other shards' legs on
+    /// the wire before it reads this one's reply — the node's fold of the
+    /// leg, one frame however many streams it has.
     fn begin_leg(
         &self,
         legs: &Leg,
@@ -69,7 +95,6 @@ impl ShardBackend for RemoteShard {
         ts_e: i64,
         deadline: Instant,
     ) -> Result<Pending<StatLeg>, ServerError> {
-        let span = trace::stage("backend.exchange");
         let started = Instant::now();
         let streams = legs.iter().map(|&(_, sid)| sid).collect();
         let req = Request::GetStatLeg {
@@ -77,19 +102,10 @@ impl ShardBackend for RemoteShard {
             ts_s,
             ts_e,
         };
-        let (pool, metrics, shard) = (self.pool.clone(), self.metrics.clone(), self.shard);
-        let send = move |fresh| {
-            left(deadline).ok_or(DEADLINE)?;
-            send_frame(&pool, fresh, |buf| req.encode_into(buf))
-        };
-        let begun = send(false);
+        let reply = self.exchange(req, Some(deadline));
+        let (metrics, shard) = (self.metrics.clone(), self.shard);
         Ok(Box::new(move || {
-            let _span = span;
-            let mut reply = begun.and_then(|owed| owed.recv(Some(deadline)));
-            if reply.is_err() && left(deadline).is_some() {
-                reply = send(true).and_then(|owed| owed.recv(Some(deadline)));
-            }
-            let leg = match reply? {
+            let leg = match reply()? {
                 Response::StatLeg(leg) => StatLeg::from(leg),
                 // The node answered, but not with a fold: its message is
                 // the leg's first stream's error (the transport is fine).
@@ -111,7 +127,8 @@ impl ShardBackend for RemoteShard {
         // connection's scratch buffer (no per-chunk `Vec<u8>`, no owned
         // `Request`), whose capacity is reused across exchanges on the
         // pooled connection.
-        let owed = send_frame(&self.pool, false, |buf| {
+        let conn = self.pool.get().map_err(|_| UNREACHABLE)?;
+        let owed = send_frame(conn, |buf| {
             let mut enc = BatchEncoder::begin(buf);
             for c in chunks {
                 enc.append_with(c.len(), |out| out.extend_from_slice(c));
@@ -144,23 +161,6 @@ impl ShardBackend for RemoteShard {
         }))
     }
 
-    fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
-        match self.call(Request::Stats)? {
-            Response::ServiceStats(stats) => Ok(stats
-                .shards
-                .iter()
-                .find(|s| s.shard == self.shard as u32)
-                .map(|s| ShardOccupancy {
-                    streams: s.streams,
-                    resident_streams: s.resident_streams,
-                    hydrations: s.hydrations,
-                    evictions: s.evictions,
-                })
-                .unwrap_or_default()),
-            _ => Ok(ShardOccupancy::default()),
-        }
-    }
-
     fn endpoint(&self) -> Option<&str> {
         Some(self.pool.addr())
     }
@@ -168,15 +168,11 @@ impl ShardBackend for RemoteShard {
 
 /// The first half of every split exchange: writes one request frame —
 /// `fill` appends the body, behind the trace envelope when the caller is
-/// traced — on a connection from `pool` (`fresh`: a new dial, the idle ones
-/// dropped), and returns the connection the reply is owed on.
+/// traced — on `conn`, and returns the connection the reply is owed on.
 fn send_frame(
-    pool: &ClientPool,
-    fresh: bool,
+    mut conn: PooledConn,
     fill: impl FnOnce(&mut Vec<u8>),
 ) -> Result<ReplyOwed, ServerError> {
-    let conn = if fresh { pool.fresh() } else { pool.get() };
-    let mut conn = conn.map_err(|_| UNREACHABLE)?;
     let sent = conn.client().send_with(trace_ctx(), fill);
     // A frame that failed half-written leaves the connection unusable: the
     // owed reply's drop discards it.
@@ -215,5 +211,134 @@ impl Drop for ReplyOwed {
         if let Some(conn) = self.0.take() {
             conn.discard();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use timecrypt_obs::counters::TIMEOUTS;
+    use timecrypt_wire::{read_frame, write_frame};
+
+    /// A peer that counts the connections it accepts and serves each with
+    /// `serve` on a thread of its own.
+    fn peer(serve: fn(TcpStream)) -> (String, Arc<AtomicUsize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let count = accepted.clone();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                count.fetch_add(1, Ordering::SeqCst);
+                let stream = stream.unwrap();
+                std::thread::spawn(move || serve(stream));
+            }
+        });
+        (addr, accepted)
+    }
+
+    fn shard(addr: String, pool: PoolConfig) -> RemoteShard {
+        RemoteShard::new(addr, pool, Arc::new(ServiceMetrics::new(1)), 0)
+    }
+
+    fn unreachable(reply: Result<Response, ServerError>) -> bool {
+        reply.is_err_and(|e| e.to_string() == UNREACHABLE.to_string())
+    }
+
+    #[test]
+    fn stale_pooled_connection_recovers_for_reads() {
+        // The peer answers the first request on a connection and hangs up
+        // on the second — as a node that restarted under a pooled
+        // connection: the connection is open at checkout, the exchange on
+        // it fails, and a read is sent once more on a freshly dialed one.
+        static READ: AtomicUsize = AtomicUsize::new(0);
+        let (addr, accepted) = peer(|mut stream| {
+            let mut pong = Vec::new();
+            Response::Pong.encode_into(&mut pong);
+            if read_frame(&mut stream).is_ok() {
+                READ.fetch_add(1, Ordering::SeqCst);
+                let _ = write_frame(&mut stream, &pong);
+            }
+            if read_frame(&mut stream).is_ok() {
+                READ.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let shard = shard(addr, PoolConfig::default());
+        assert_eq!(shard.call(Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(shard.call(Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(accepted.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            READ.load(Ordering::SeqCst),
+            3,
+            "the second read went out on the pooled connection, then again"
+        );
+    }
+
+    #[test]
+    fn a_failed_dial_is_not_sent_again() {
+        // Nothing listens: each checkout dials twice, one backoff apart. A
+        // read whose dial failed is not retried, so it costs one backoff.
+        let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr();
+        let backoff = Duration::from_millis(250);
+        let shard = shard(
+            addr.unwrap().to_string(),
+            PoolConfig {
+                connect_attempts: 2,
+                backoff,
+                ..PoolConfig::default()
+            },
+        );
+        let start = Instant::now();
+        assert!(unreachable(shard.call(Request::Ping)));
+        let waited = start.elapsed();
+        assert!(waited >= backoff && waited < backoff * 2, "{waited:?}");
+    }
+
+    #[test]
+    fn mutations_are_not_retried_when_the_exchange_fails() {
+        // A peer that takes the request and hangs up without answering:
+        // the connection was fine at checkout, the exchange fails in the
+        // middle. A mutation must surface that instead of being silently
+        // retried (the peer might have applied it); a read is retried once
+        // on a fresh connection.
+        let (addr, accepted) = peer(|mut stream| {
+            let _ = read_frame(&mut stream);
+        });
+        let shard = shard(addr, PoolConfig::default());
+        let req = Request::DeleteStream { stream: 1 };
+        assert!(req.is_mutation());
+        assert!(
+            unreachable(shard.call(req)),
+            "a mutation whose reply is lost must fail"
+        );
+        assert_eq!(accepted.load(Ordering::SeqCst), 1, "sent once");
+        assert!(unreachable(shard.call(Request::Ping)));
+        assert_eq!(accepted.load(Ordering::SeqCst), 3, "a read is tried twice");
+    }
+
+    #[test]
+    fn io_timeout_fails_fast_against_hung_peer() {
+        let (addr, accepted) = peer(|mut stream| while read_frame(&mut stream).is_ok() {});
+        let shard = shard(
+            addr,
+            PoolConfig {
+                io_timeout: Some(Duration::from_millis(30)),
+                ..PoolConfig::default()
+            },
+        );
+        let (start, timeouts) = (Instant::now(), TIMEOUTS.get());
+        // Ping is a read, so it is sent once more on a fresh connection —
+        // which also times out. Two timeouts, then the error surfaces.
+        assert!(unreachable(shard.call(Request::Ping)));
+        assert!(start.elapsed() < Duration::from_millis(350));
+        assert!(TIMEOUTS.get() >= timeouts + 2);
+        assert_eq!(accepted.load(Ordering::SeqCst), 2);
+        // Timed-out connections must not be returned to the pool: their
+        // reply is still in flight and would answer the wrong request. The
+        // next exchange dials twice again.
+        assert!(unreachable(shard.call(Request::Ping)));
+        assert_eq!(accepted.load(Ordering::SeqCst), 4);
     }
 }

@@ -1,7 +1,7 @@
 //! One shard's replica set: failover, promotion and rebuild.
 
-use super::{Leg, PendingBatch, ShardBackend, Verdicts, AMBIGUOUS};
-use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
+use super::{Leg, PendingBatch, ShardBackend, Verdicts, AMBIGUOUS, SAME_NODE};
+use crate::metrics::{ServiceMetrics, ShardMetrics};
 use parking_lot::RwLock;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -34,7 +34,7 @@ enum ReplicaHealth {
 
 /// A backup replica and its lifecycle state.
 #[derive(Clone)]
-struct BackupState {
+pub(crate) struct BackupState {
     backend: Arc<dyn ShardBackend>,
     health: ReplicaHealth,
 }
@@ -58,8 +58,9 @@ struct Roles {
 ///   `replica_errors` and *demotes* an in-sync backup to the drifted
 ///   state — a replica that provably missed an acknowledged write must
 ///   never be promoted or serve failover reads.
-/// * **Reads** (`read_with_failover`: `call` of a read, `occupancy`, and
-///   the second step of `begin_leg`) go to the primary and fail over to
+/// * **Reads** (`read_with_failover`: `call` of a read, a scrape's
+///   per-shard lookup, and the second step of `begin_leg`) go to the
+///   primary and fail over to
 ///   an *in-sync* backup when the primary is unreachable, ticking
 ///   `failovers`. A rebuilding or drifted replica never serves reads — it
 ///   would answer from incomplete data.
@@ -142,7 +143,7 @@ impl ShardReplicas {
     /// A consistent snapshot of the current role assignment. Operations
     /// run against the snapshot — a concurrent promotion flips *later*
     /// operations, never one in flight.
-    fn snapshot(&self) -> (Arc<dyn ShardBackend>, Option<BackupState>) {
+    pub(crate) fn snapshot(&self) -> (Arc<dyn ShardBackend>, Option<BackupState>) {
         let roles = self.roles.lock(RwLock::read);
         (roles.primary.clone(), roles.backup.clone())
     }
@@ -253,7 +254,7 @@ impl ShardReplicas {
     /// no backup may answer but the failure triggered (or lost the race
     /// to) a promotion, `op` is retried once against the new primary. The
     /// error is the last backend's.
-    fn read_with_failover<T>(
+    pub(crate) fn read_with_failover<T>(
         &self,
         (mut primary, mut backup): (Arc<dyn ShardBackend>, Option<BackupState>),
         op: impl Fn(&dyn ShardBackend) -> Result<T, ServerError>,
@@ -378,25 +379,22 @@ impl ShardReplicas {
         }
     }
 
-    /// Stream occupancy of this shard, under the read policy (a
-    /// backup-served probe is a failover like any other read). An
-    /// unreachable shard reports zeros.
-    pub(crate) fn occupancy(&self) -> ShardOccupancy {
-        self.read_with_failover(self.snapshot(), |b| b.occupancy())
-            .unwrap_or_default()
-    }
-
     /// Attaches a replacement backup in the rebuilding state: write
     /// mirroring arms immediately (the replica must not miss writes while
     /// it catches up), but the replica serves no reads and is not
     /// promotion-eligible until [`rebuild_backup`](Self::rebuild_backup)
-    /// verifies the copy. Errors if a backup is already attached.
+    /// verifies the copy. Errors if a backup is already attached, or if
+    /// this one dials the node of the primary as it is now — a survivor
+    /// promoted since open included.
     pub(crate) fn attach_backup(&self, backend: Arc<dyn ShardBackend>) -> Result<(), ServerError> {
         let mut roles = self.roles.lock(RwLock::write);
         if roles.backup.is_some() {
             return Err(ServerError::Unavailable(
                 "shard already has a backup replica",
             ));
+        }
+        if backend.endpoint().is_some() && backend.endpoint() == roles.primary.endpoint() {
+            return Err(SAME_NODE);
         }
         roles.backup = Some(BackupState {
             backend,
@@ -902,9 +900,9 @@ mod tests {
     }
 
     impl ShardBackend for StubShard {
-        fn call(&self, req: Request) -> Result<Response, ServerError> {
-            self.ensure_up()?;
-            Ok(self.engine.handle(req))
+        fn begin_call(&self, req: Request, _deadline: Option<Instant>) -> Pending<Response> {
+            let reply = self.ensure_up().map(|()| self.engine.handle(req));
+            Box::new(move || reply)
         }
 
         fn begin_leg(
@@ -937,11 +935,6 @@ mod tests {
             self.steps.lock().push(format!("finish({})", self.name));
             self.ensure_up()?;
             batch()
-        }
-
-        fn occupancy(&self) -> Result<ShardOccupancy, ServerError> {
-            self.ensure_up()?;
-            Ok(ShardOccupancy::of(&self.engine))
         }
     }
 
@@ -1003,17 +996,15 @@ mod tests {
         /// The leg is begun on the primary; its outage shows as the
         /// answers are read.
         StatLegCutInFinish,
-        Occupancy,
         MutCall,
         IngestBatch,
         CreateStream,
     }
 
-    const KINDS: [Kind; 7] = [
+    const KINDS: [Kind; 6] = [
         Kind::ReadCall,
         Kind::StatLeg,
         Kind::StatLegCutInFinish,
-        Kind::Occupancy,
         Kind::MutCall,
         Kind::IngestBatch,
         Kind::CreateStream,
@@ -1038,11 +1029,6 @@ mod tests {
                 {
                     Ok(_) => Ok(()),
                     Err(e) => Err(e.to_string()),
-                },
-                // An unreachable shard reports zeros.
-                Kind::Occupancy => match r.occupancy().streams {
-                    0 => Err(UNREACHABLE.to_string()),
-                    _ => Ok(()),
                 },
                 Kind::MutCall => reply(r.call(Request::DeleteStream { stream: 2 })),
                 Kind::IngestBatch => insert(r, &sealed(1, 1, 6)).map_err(|e| e.to_string()),

@@ -38,7 +38,7 @@
 //!   decides *which* shard owns a stream
 //!   ([`timecrypt_wire::messages::Request::route`] names the routing key
 //!   of every request, for the coordinator and the node alike); a
-//!   [`backend::ShardBackend`] — five operations, `backend/mod.rs` —
+//!   [`backend::ShardBackend`] — four operations, `backend/mod.rs` —
 //!   decides *where* that shard runs: in the coordinator's own
 //!   [`ShardNode`] ([`backend::LocalShard`], `backend/local.rs`) or on a
 //!   `timecrypt-node` process reached over the wire protocol
@@ -93,7 +93,7 @@ pub mod service;
 
 pub use backend::{BackendSpec, ShardBackend, ShardSpec};
 pub use expose::{render_stats, serve_stats};
-pub use metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
+pub use metrics::{ServiceMetrics, ShardMetrics};
 pub use node::{NodeConfig, ShardNode};
 pub use router::ShardRouter;
 pub use service::{ServiceConfig, ShardedService};

@@ -10,53 +10,8 @@
 use std::time::Duration;
 use timecrypt_obs::counters::{Counter, Gauge};
 use timecrypt_obs::prom::LatencyHist;
-use timecrypt_server::{ServerError, StatLeg, TimeCryptServer};
-use timecrypt_store::StoreCounters;
-use timecrypt_wire::messages::{ServiceStatsWire, ShardStatsWire};
-
-/// A shard's stream occupancy: how many streams it hosts, how many are
-/// hydrated into RAM right now, and the lifetime hydration/eviction
-/// counters. Owned by the engines (see
-/// `timecrypt_server::TimeCryptServer::residency`), so snapshots take it
-/// as an argument rather than tracking it here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardOccupancy {
-    /// Streams hosted by the shard (the directory size).
-    pub streams: u64,
-    /// Streams currently hydrated and resident in RAM.
-    pub resident_streams: u64,
-    /// Cold-touch hydrations performed since the engine opened.
-    pub hydrations: u64,
-    /// Resident streams evicted since the engine opened.
-    pub evictions: u64,
-}
-
-impl ShardOccupancy {
-    /// The occupancy of the shard `engine` serves.
-    pub(crate) fn of(engine: &TimeCryptServer) -> Self {
-        let residency = engine.residency();
-        ShardOccupancy {
-            streams: engine.stream_count() as u64,
-            resident_streams: residency.resident,
-            hydrations: residency.hydrations,
-            evictions: residency.evictions,
-        }
-    }
-}
-
-/// A stats snapshot holding a metered store's traffic counters and no
-/// shards yet: what a coordinator or node starts its `Stats` reply from.
-pub(crate) fn store_stats(store: StoreCounters) -> ServiceStatsWire {
-    ServiceStatsWire {
-        shards: Vec::new(),
-        store_gets: store.gets,
-        store_puts: store.puts,
-        store_deletes: store.deletes,
-        store_scans: store.scans,
-        store_bytes_read: store.bytes_read,
-        store_bytes_written: store.bytes_written,
-    }
-}
+use timecrypt_server::{ServerError, StatLeg};
+use timecrypt_wire::messages::ShardStatsWire;
 
 /// One shard's counters. Counters track *backend operations performed by
 /// this process*: a coordinator with a backup replica performs (and
@@ -122,7 +77,10 @@ impl ShardMetrics {
             .add(matches!(leg.stop, Some(Err(_))).into());
     }
 
-    pub(crate) fn snapshot(&self, shard: u32, occ: ShardOccupancy) -> ShardStatsWire {
+    /// The shard's wire entry: these counters, and the engine-owned
+    /// figures of `occ` — its engine's occupancy, or its node's report of
+    /// it (`streams`, `resident_streams`, `hydrations`, `evictions`).
+    pub(crate) fn snapshot(&self, shard: u32, occ: &ShardStatsWire) -> ShardStatsWire {
         ShardStatsWire {
             shard,
             streams: occ.streams,
@@ -163,43 +121,5 @@ impl ServiceMetrics {
     /// Shard `i`'s counters.
     pub fn shard(&self, i: usize) -> &ShardMetrics {
         &self.shards[i]
-    }
-
-    /// Wire snapshot. `occupancy[i]` is shard `i`'s current stream
-    /// occupancy (owned by the engines, so passed in).
-    pub fn snapshot(&self, occupancy: &[ShardOccupancy]) -> ServiceStatsWire {
-        ServiceStatsWire {
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, m)| m.snapshot(i as u32, occupancy.get(i).copied().unwrap_or_default()))
-                .collect(),
-            ..Default::default()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_reports_all_shards() {
-        let m = ServiceMetrics::new(3);
-        m.shard(1).ingested_chunks.add(5);
-        let occ = |streams, resident_streams| ShardOccupancy {
-            streams,
-            resident_streams,
-            hydrations: resident_streams,
-            evictions: 0,
-        };
-        let snap = m.snapshot(&[occ(2, 1), occ(4, 3), occ(0, 0)]);
-        assert_eq!(snap.shards.len(), 3);
-        assert_eq!(snap.shards[1].ingested_chunks, 5);
-        assert_eq!(snap.shards[1].streams, 4);
-        assert_eq!(snap.shards[1].resident_streams, 3);
-        assert_eq!(snap.shards[1].hydrations, 3);
-        assert_eq!(snap.shards[2].shard, 2);
     }
 }

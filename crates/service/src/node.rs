@@ -22,7 +22,7 @@
 //! data error.
 
 use crate::backend::UNROUTED;
-use crate::metrics::{store_stats, ServiceMetrics, ShardOccupancy};
+use crate::metrics::ServiceMetrics;
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,7 +32,9 @@ use timecrypt_obs::trace;
 use timecrypt_server::engine::batch_errors;
 use timecrypt_server::{ServerConfig, ServerError, StatLeg, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
-use timecrypt_wire::messages::{Request, RequestRef, Response, Route};
+use timecrypt_wire::messages::{
+    Request, RequestRef, Response, Route, ServiceStatsWire, ShardStatsWire,
+};
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
 const NOT_HOSTED: ServerError =
@@ -169,14 +171,6 @@ impl ShardNode {
         verdicts
     }
 
-    /// Occupancy of one hosted shard's engine.
-    pub(crate) fn occupancy(&self, shard: usize) -> Result<ShardOccupancy, ServerError> {
-        self.engines
-            .get(&shard)
-            .map(|engine| ShardOccupancy::of(engine))
-            .ok_or(NOT_HOSTED)
-    }
-
     /// The wire ingest path, over serialized chunk views: chunks are
     /// routed to their owning shard by a borrowed header parse (payloads
     /// are never copied), each shard gets its sub-batch as one
@@ -208,13 +202,30 @@ impl ShardNode {
     }
 
     /// Node metrics snapshot: one entry per *hosted* shard (global shard
-    /// ids), plus the node store's traffic counters.
-    pub fn stats(&self) -> timecrypt_wire::messages::ServiceStatsWire {
-        let mut snap = store_stats(self.kv.counters());
+    /// ids) with its engine's occupancy, plus the node store's traffic
+    /// counters.
+    pub fn stats(&self) -> ServiceStatsWire {
+        let store = self.kv.counters();
+        let mut snap = ServiceStatsWire {
+            shards: Vec::new(),
+            store_gets: store.gets,
+            store_puts: store.puts,
+            store_deletes: store.deletes,
+            store_scans: store.scans,
+            store_bytes_read: store.bytes_read,
+            store_bytes_written: store.bytes_written,
+        };
         for (&shard, engine) in &self.engines {
-            let occ = ShardOccupancy::of(engine);
+            let residency = engine.residency();
+            let occ = ShardStatsWire {
+                streams: engine.stream_count() as u64,
+                resident_streams: residency.resident,
+                hydrations: residency.hydrations,
+                evictions: residency.evictions,
+                ..Default::default()
+            };
             snap.shards
-                .push(self.metrics.shard(shard).snapshot(shard as u32, occ));
+                .push(self.metrics.shard(shard).snapshot(shard as u32, &occ));
         }
         snap
     }

@@ -8,10 +8,10 @@
 //! or handed to another thread; the service starts rebuild workers only.
 
 use crate::backend::{
-    ingest_runs, node_stats, BackendSpec, LocalShard, RemoteShard, ShardBackend, ShardReplicas,
-    ShardSpec, UNROUTED,
+    ingest_runs, BackendSpec, LocalShard, Pending, RemoteShard, ShardBackend, ShardReplicas,
+    ShardSpec, SAME_NODE, UNREACHABLE, UNROUTED,
 };
-use crate::metrics::{store_stats, ServiceMetrics};
+use crate::metrics::ServiceMetrics;
 use crate::node::{NodeConfig, ShardNode};
 use crate::router::ShardRouter;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::engine::batch_errors;
 use timecrypt_server::{ServerConfig, ServerError, StatLeg};
 use timecrypt_store::{KvStore, MeteredKv};
-use timecrypt_wire::messages::{Request, RequestRef, Response, Route, StatReply};
+use timecrypt_wire::messages::{Request, RequestRef, Response, Route, ServiceStatsWire, StatReply};
 use timecrypt_wire::pool::PoolConfig;
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
@@ -150,6 +150,9 @@ impl ShardedService {
                 "local backup replicas are unsupported; point the backup at its own node",
             ));
         }
+        if specs.iter().any(|s| s.backup.as_ref() == Some(&s.primary)) {
+            return Err(SAME_NODE);
+        }
         let router = ShardRouter::new(specs.len());
         let kv = Arc::new(MeteredKv::new(kv));
         let metrics = Arc::new(ServiceMetrics::new(specs.len()));
@@ -210,9 +213,9 @@ impl ShardedService {
     /// counter ticks. Progress is observable in [`stats`](Self::stats)
     /// (`rebuild_chunks_copied`, `in_sync`).
     ///
-    /// Errors if `shard` is out of range, the spec is not remote (a local
-    /// backup would share the primary's store and self-corrupt), or the
-    /// shard already has a backup.
+    /// Errors if `shard` is out of range, the spec is not remote or names
+    /// the current primary's node (either would share the primary's store
+    /// and self-corrupt), or the shard already has a backup.
     pub fn attach_replica(&self, shard: usize, spec: BackendSpec) -> Result<(), ServerError> {
         let Some(replicas) = self.backends.get(shard) else {
             return Err(ServerError::Unavailable("no such shard"));
@@ -429,69 +432,55 @@ impl ShardedService {
         StatLeg::fold(walk).into_reply(streams)
     }
 
-    /// Wire metrics snapshot (per-shard counters + storage traffic).
-    /// Remote shards' stream counts are probed from their nodes — in
-    /// parallel, so an unreachable node costs one backoff'd dial, not one
-    /// per shard in sequence. The store counters cover this process's
-    /// shared store plus every distinct node currently attached.
-    pub fn stats(&self) -> timecrypt_wire::messages::ServiceStatsWire {
-        // Only a replica set that can dial a node pays for a probe thread;
-        // in-process sets read their counters on this one.
-        let occupancy: Vec<crate::metrics::ShardOccupancy> = std::thread::scope(|scope| {
-            let probes: Vec<_> = self
-                .backends
-                .iter()
-                .map(|b| {
-                    let dials = b.attached_backends().iter().any(|x| x.endpoint().is_some());
-                    dials.then(|| scope.spawn(|| b.occupancy()))
-                })
-                .collect();
-            probes
-                .into_iter()
-                .zip(&self.backends)
-                .map(|(probe, b)| match probe {
-                    Some(p) => p.join().unwrap_or_default(),
-                    None => b.occupancy(),
-                })
-                .collect()
-        });
-        let mut snap = self.metrics.snapshot(&occupancy);
-        snap.add_store(&store_stats(self.kv.counters()));
-        self.aggregate_remote_store(&mut snap);
-        snap
-    }
-
-    /// Folds the store counters of every distinct remote node into `snap`,
-    /// so coordinator stats cover cluster-wide storage traffic. Endpoints
-    /// are deduplicated first — a node hosting several shards (or serving
-    /// as both primary and mirror) is probed and counted exactly once.
-    /// In-process backends report no endpoint and are skipped (the local
-    /// store is already counted above).
-    fn aggregate_remote_store(&self, snap: &mut timecrypt_wire::messages::ServiceStatsWire) {
-        let mut seen = std::collections::HashSet::new();
-        let mut nodes: Vec<Arc<dyn ShardBackend>> = Vec::new();
-        for replicas in &self.backends {
-            for backend in replicas.attached_backends() {
-                if let Some(ep) = backend.endpoint() {
-                    if seen.insert(ep.to_string()) {
-                        nodes.push(backend);
-                    }
-                }
+    /// Wire metrics snapshot (per-shard counters + storage traffic), on
+    /// the calling thread: one `Stats` request is begun on every node an
+    /// attached backend runs on — the in-process one included, once — and
+    /// each reply is waited for until [`PoolConfig::io_timeout`] after its
+    /// own request was begun. The requests go out back to back, so hung
+    /// nodes cost one timeout together; a node whose dial hangs costs its
+    /// dial on top, but shortens no other node's wait. Each shard's stream
+    /// occupancy is its node's report, looked up under the read policy (a
+    /// backup-served lookup is a failover); the store counters are every
+    /// answering node's, each counted once.
+    pub fn stats(&self) -> ServiceStatsWire {
+        let io_timeout = self.pool_cfg.io_timeout;
+        let mut begun: Vec<(Option<String>, Pending<Response>)> = Vec::new();
+        for backend in self.backends.iter().flat_map(|r| r.attached_backends()) {
+            let node = backend.endpoint().map(str::to_owned);
+            if begun.iter().all(|(n, _)| *n != node) {
+                let deadline = io_timeout.and_then(|t| Instant::now().checked_add(t));
+                begun.push((node, backend.begin_call(Request::Stats, deadline)));
             }
         }
-        let remote: Vec<_> = std::thread::scope(|scope| {
-            let probes: Vec<_> = nodes
-                .iter()
-                .map(|b| scope.spawn(|| node_stats(&**b)))
-                .collect();
-            probes
-                .into_iter()
-                .map(|p| p.join().unwrap_or_default())
-                .collect()
-        });
-        for stats in remote.into_iter().flatten() {
-            snap.add_store(&stats);
+        let replies: Vec<_> = (begun.into_iter())
+            .filter_map(|(node, reply)| match reply() {
+                Ok(Response::ServiceStats(stats)) => Some((node, stats)),
+                _ => None,
+            })
+            .collect();
+        // Shard `shard`'s entry in the reply of the node `b` runs on.
+        let entry = |b: &dyn ShardBackend, shard: usize| {
+            let node = replies.iter().find(|(n, _)| n.as_deref() == b.endpoint());
+            let (_, stats) = node.ok_or(UNREACHABLE)?;
+            let found = stats.shards.iter().find(|s| s.shard == shard as u32);
+            Ok(found.cloned().unwrap_or_default())
+        };
+        // Looked up before the counters are read: the lookups' own
+        // failovers are in the snapshot.
+        let entries: Vec<_> = (self.backends.iter().enumerate())
+            .map(|(i, r)| r.read_with_failover(r.snapshot(), |b| entry(b, i)))
+            .map(Result::unwrap_or_default)
+            .collect();
+        let mut snap = ServiceStatsWire {
+            shards: (entries.iter().enumerate())
+                .map(|(i, occ)| self.metrics.shard(i).snapshot(i as u32, occ))
+                .collect(),
+            ..Default::default()
+        };
+        for (_, stats) in &replies {
+            snap.add_store(stats);
         }
+        snap
     }
 
     /// The metered storage handle shared by all local shards.
@@ -742,6 +731,42 @@ mod tests {
         .err()
         .expect("a local backup would share the primary's store");
         assert!(matches!(err, ServerError::Unavailable(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_backup_on_its_primarys_node_is_refused() {
+        // One engine over one store: every mirrored write would be a
+        // duplicate the node rejects. Refused at open, and when attached —
+        // against the primary as it is now, a promoted survivor included.
+        let (node_a, addr_a) = spawn_node(1, vec![0]);
+        let (_node_b, addr_b) = spawn_node(1, vec![0]);
+        let (_node_c, addr_c) = spawn_node(1, vec![0]);
+        let open = |spec: ShardSpec| {
+            let cfg = ServiceConfig {
+                topology: vec![spec],
+                promote_after: 1,
+                ..ServiceConfig::default()
+            };
+            ShardedService::open(Arc::new(MemKv::new()), cfg)
+        };
+        let same_node = ShardSpec::remote(&addr_a).with_backup(&addr_a);
+        let err = open(same_node)
+            .err()
+            .expect("a backup on its primary's node");
+        assert_eq!(err.to_string(), SAME_NODE.to_string());
+        let svc = open(ShardSpec::remote(&addr_a).with_backup(&addr_b)).unwrap();
+        svc.create_stream(1, 0, 10_000, 2).unwrap();
+        drop(node_a);
+        assert!(matches!(
+            svc.handle(Request::StreamInfo { stream: 1 }),
+            Response::Info(_)
+        ));
+        assert_eq!(svc.stats().shards[0].promotions, 1, "b is the primary");
+        let err = svc
+            .attach_replica(0, BackendSpec::Remote(addr_b))
+            .unwrap_err();
+        assert_eq!(err.to_string(), SAME_NODE.to_string());
+        svc.attach_replica(0, BackendSpec::Remote(addr_c)).unwrap();
     }
 
     #[test]

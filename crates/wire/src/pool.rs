@@ -1,29 +1,28 @@
 //! A blocking client-connection pool with reconnect-and-backoff.
 //!
 //! One [`ClientPool`] fronts one remote endpoint (in the sharded service
-//! tier: one shard node). Callers check a connection out, drive it with
-//! [`Client::call`] or the pipelined [`Client::send`]/[`Client::recv`]
-//! pair, and return it on drop; a connection that saw a transport error is
-//! discarded instead of returned, so one broken socket never poisons later
-//! calls. A pooled connection that sat idle for [`PROBE_IDLE`] is probed at
-//! checkout (a non-blocking peek): one the peer closed meanwhile — a node
-//! reaps idle connections — or that holds bytes nobody asked for is
-//! dropped before a request is written to it, so the first mutation
-//! after a quiet spell is not spent on a dead socket.
-//! When no pooled connection is usable the pool dials the endpoint,
-//! retrying with exponential backoff up to
+//! tier: one shard node) and only checks connections out: a caller takes
+//! one ([`ClientPool::get`], or [`ClientPool::fresh`] for a new dial),
+//! drives it with [`Client::send_with`] / [`Client::recv`], and returns it
+//! on drop; a connection that saw a transport error is discarded instead,
+//! so one broken socket never poisons later exchanges. A pooled connection
+//! that sat idle for [`PROBE_IDLE`] is probed at checkout (a non-blocking
+//! peek): one the peer closed meanwhile — a node reaps idle connections —
+//! or that holds bytes nobody asked for is dropped before a request is
+//! written to it, so the first mutation after a quiet spell is not spent
+//! on a dead socket. When no pooled connection is usable the pool dials
+//! the endpoint, retrying with exponential backoff up to
 //! [`PoolConfig::connect_attempts`] before reporting the endpoint down.
 //! It keeps as many idle connections as were ever checked out at once
 //! (never fewer than [`PoolConfig::max_idle`]), so concurrent callers reuse
 //! their sockets; the peer's idle reaping retires what falls out of use.
 //!
-//! The pool deliberately does **not** retry requests: whether a failed
+//! The pool sends no request, so it retries none: whether a failed
 //! exchange is safe to repeat depends on the request (statistical queries
 //! are idempotent, inserts are not — see
-//! [`Request::is_mutation`](crate::messages::Request::is_mutation)), so
-//! retry policy belongs to the caller.
+//! [`Request::is_mutation`](crate::messages::Request::is_mutation)), and
+//! that rule lives with the caller that sends it.
 
-use crate::messages::Request;
 use crate::transport::{Client, ClientError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -179,53 +178,6 @@ impl ClientPool {
         });
         Ok(conn)
     }
-
-    /// One request/response exchange on a pooled connection. Pooled
-    /// connections commonly go stale when the peer restarts, so a
-    /// transport failure is retried once on a freshly dialed connection —
-    /// but only for non-mutating requests, where a peer that secretly
-    /// processed the lost exchange changes nothing.
-    pub fn call(&self, req: &Request) -> Result<crate::messages::Response, ClientError> {
-        self.call_traced(None, req)
-    }
-
-    /// [`call`](Self::call) with an optional trace-context envelope on
-    /// the request (`None` is byte-identical to `call`). The retry on a
-    /// stale connection re-sends with the same context.
-    pub fn call_traced(
-        &self,
-        ctx: Option<timecrypt_obs::TraceContext>,
-        req: &Request,
-    ) -> Result<crate::messages::Response, ClientError> {
-        let exchange = |client: &mut Client| -> Result<crate::messages::Response, ClientError> {
-            client.send_with(ctx, |body| req.encode_into(body))?;
-            match client.recv()? {
-                crate::messages::Response::Error(msg) => Err(ClientError::Server(msg)),
-                resp => Ok(resp),
-            }
-        };
-        let mut conn = self.get()?;
-        match exchange(conn.client()) {
-            Err(ClientError::Frame(_)) if !req.is_mutation() => {
-                conn.discard();
-                let mut fresh = self.fresh()?;
-                let out = exchange(fresh.client());
-                if out.is_err() {
-                    fresh.discard();
-                }
-                out
-            }
-            Err(e) => {
-                // Mutation or app error: app errors leave the connection
-                // healthy; transport errors poison it.
-                if matches!(e, ClientError::Frame(_)) {
-                    conn.discard();
-                }
-                Err(e)
-            }
-            Ok(resp) => Ok(resp),
-        }
-    }
 }
 
 /// A checked-out pool connection; returns to the pool on drop. Borrows
@@ -294,12 +246,17 @@ mod tests {
         .unwrap()
     }
 
+    /// One exchange on a connection checked out of `pool`.
+    fn exchange(pool: &ClientPool, req: &Request) -> Result<Response, ClientError> {
+        pool.get()?.client().call(req)
+    }
+
     #[test]
     fn connections_are_reused() {
         let server = ping_server();
         let pool = ClientPool::new(server.addr().to_string(), PoolConfig::default());
         for _ in 0..10 {
-            assert_eq!(pool.call(&Request::Ping).unwrap(), Response::Pong);
+            assert_eq!(exchange(&pool, &Request::Ping).unwrap(), Response::Pong);
         }
         assert_eq!(
             pool.shared.idle().conns.len(),
@@ -368,11 +325,9 @@ mod tests {
         (addr, accepted)
     }
 
-    /// One mutation: the pool will not retry it.
+    /// One mutation: a write its caller will not retry.
     fn insert(pool: &ClientPool) -> Result<Response, ClientError> {
-        let req = Request::Insert { chunk: vec![1] };
-        assert!(req.is_mutation());
-        pool.call(&req)
+        exchange(pool, &Request::Insert { chunk: vec![1] })
     }
 
     #[test]
@@ -429,17 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_pooled_connection_recovers_for_reads() {
-        // A pooled connection went stale (peer restarted under it): the
-        // exchange fails, and for a non-mutating request the pool retries
-        // once on a freshly dialed connection to the healthy endpoint.
-        let server = ping_server();
-        let pool = ClientPool::new(server.addr().to_string(), PoolConfig::default());
-        pool.shared.idle().conns.push(dead_client());
-        assert_eq!(pool.call(&Request::Ping).unwrap(), Response::Pong);
-    }
-
-    #[test]
     fn down_endpoint_reports_transport_error() {
         let server = ping_server();
         let addr = server.addr();
@@ -452,9 +396,10 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        match pool.call(&Request::Ping) {
+        match pool.get() {
             Err(ClientError::Frame(_)) => {}
-            other => panic!("expected transport error, got {other:?}"),
+            Err(other) => panic!("expected transport error, got {other:?}"),
+            Ok(_) => panic!("checked out a connection to a down endpoint"),
         }
     }
 
@@ -474,30 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn io_timeout_fails_fast_against_hung_peer() {
-        let server = slow_server(Duration::from_millis(400));
-        let pool = ClientPool::new(
-            server.addr().to_string(),
-            PoolConfig {
-                io_timeout: Some(Duration::from_millis(30)),
-                ..PoolConfig::default()
-            },
-        );
-        let start = std::time::Instant::now();
-        // Ping is non-mutating, so the pool retries once on a fresh
-        // connection — which also times out. Two timeouts, then the error
-        // surfaces; well under the 400 ms the handler would make us wait.
-        match pool.call(&Request::Ping) {
-            Err(ClientError::Frame(e)) => assert!(e.is_timeout(), "got {e:?}"),
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert!(start.elapsed() < Duration::from_millis(350));
-        // Timed-out connections must not be returned to the pool: their
-        // reply is still in flight and would answer the wrong request.
-        assert_eq!(pool.shared.idle().conns.len(), 0);
-    }
-
-    #[test]
     fn checkout_rearms_full_deadline_on_pooled_connections() {
         let server = slow_server(Duration::from_millis(60));
         let pool = ClientPool::new(server.addr().to_string(), PoolConfig::default());
@@ -510,40 +431,6 @@ mod tests {
         assert_eq!(pool.shared.idle().conns.len(), 1);
         // The next checkout must start from the configured 5 s allowance,
         // not the leftover 1 ms — the 60 ms reply then arrives in time.
-        assert_eq!(pool.call(&Request::Ping).unwrap(), Response::Pong);
-    }
-
-    #[test]
-    fn mutations_are_not_retried_when_the_exchange_fails() {
-        // A peer that takes the request and hangs up without answering:
-        // the connection was fine at checkout, the exchange fails in the
-        // middle. A mutation must surface that instead of being silently
-        // retried (the peer might have applied it); a read is retried once
-        // on a fresh connection.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let pool = ClientPool::new(
-            listener.local_addr().unwrap().to_string(),
-            PoolConfig::default(),
-        );
-        let accepted = Arc::new(AtomicUsize::new(0));
-        let count = accepted.clone();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                count.fetch_add(1, Ordering::SeqCst);
-                let _ = crate::frame::read_frame(&mut stream.unwrap());
-            }
-        });
-        let req = Request::Insert { chunk: vec![1] };
-        assert!(req.is_mutation());
-        match pool.call(&req) {
-            Err(ClientError::Frame(_)) => {}
-            other => panic!("a mutation whose reply is lost must fail, got {other:?}"),
-        }
-        assert_eq!(accepted.load(Ordering::SeqCst), 1, "sent once");
-        assert!(matches!(
-            pool.call(&Request::Ping),
-            Err(ClientError::Frame(_))
-        ));
-        assert_eq!(accepted.load(Ordering::SeqCst), 3, "a read is tried twice");
+        assert_eq!(exchange(&pool, &Request::Ping).unwrap(), Response::Pong);
     }
 }

@@ -4,11 +4,12 @@
 //! server answers requests in arrival order, so a client may either run
 //! one-in-one-out ([`Client::call`]) or *pipeline* — issue several
 //! [`Client::send`]s before draining the matching [`Client::recv`]s. The
-//! sharded service tier's `RemoteShard` splits one exchange in two — the
-//! frame is sent when a batch or a scatter-gather leg is begun, its one
-//! reply read when it is finished; clients that want true
+//! sharded service tier's `RemoteShard` splits every exchange in two — the
+//! frame is sent when a request is begun, its one reply read when it is
+//! finished — on a connection checked out of a
+//! [`ClientPool`](crate::pool::ClientPool); clients that want true
 //! parallelism open multiple connections (exactly how the paper's load
-//! generator drives 100 client threads — see [`crate::pool::ClientPool`]).
+//! generator drives 100 client threads).
 //!
 //! ```rust
 //! use std::sync::Arc;
@@ -321,8 +322,6 @@ pub enum ClientError {
     Frame(FrameError),
     /// The server answered with `Response::Error`.
     Server(String),
-    /// The server answered with an unexpected response variant.
-    Unexpected(&'static str),
 }
 
 impl std::fmt::Display for ClientError {
@@ -330,7 +329,6 @@ impl std::fmt::Display for ClientError {
         match self {
             ClientError::Frame(e) => write!(f, "transport error: {e}"),
             ClientError::Server(msg) => write!(f, "server error: {msg}"),
-            ClientError::Unexpected(what) => write!(f, "unexpected response, wanted {what}"),
         }
     }
 }

@@ -6,6 +6,9 @@
 //!   one node are two frames for an 8-stream query (the line this prints
 //!   is what CI copies to the job summary), one shard's 300-stream leg is
 //!   one;
+//! * a scrape (`stats()`) asks each node once, however many shards it
+//!   hosts or replicates — one frame for two shards on one node (printed
+//!   and copied the same way);
 //! * one engine, a shard node, an in-process coordinator and a remote one
 //!   answer `GetStatRange` over the same store with the same bytes,
 //!   errors and their precedence included.
@@ -48,8 +51,8 @@ fn node(store: Arc<dyn KvStore>, shards: usize) -> Arc<ShardNode> {
 }
 
 /// A node hosting all `shards` over its own store, behind a frame counter,
-/// and a coordinator that reaches every shard on it.
-fn one_node(shards: usize) -> (Server, Arc<AtomicU64>, ShardedService) {
+/// and its address.
+fn counting_node(shards: usize) -> (Server, Arc<AtomicU64>, String) {
     let frames = Arc::new(AtomicU64::new(0));
     let counting = CountingNode {
         node: node(Arc::new(MemKv::new()), shards),
@@ -57,14 +60,22 @@ fn one_node(shards: usize) -> (Server, Arc<AtomicU64>, ShardedService) {
     };
     let server = Server::bind("127.0.0.1:0", Arc::new(counting)).unwrap();
     let addr = server.addr().to_string();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![ShardSpec::remote(addr); shards],
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    (server, frames, addr)
+}
+
+fn coordinator(topology: Vec<ShardSpec>) -> ShardedService {
+    let cfg = ServiceConfig {
+        topology,
+        ..ServiceConfig::default()
+    };
+    ShardedService::open(Arc::new(MemKv::new()), cfg).unwrap()
+}
+
+/// A counting node hosting all `shards`, and a coordinator that reaches
+/// every shard on it.
+fn one_node(shards: usize) -> (Server, Arc<AtomicU64>, ShardedService) {
+    let (server, frames, addr) = counting_node(shards);
+    let svc = coordinator(vec![ShardSpec::remote(addr); shards]);
     (server, frames, svc)
 }
 
@@ -111,6 +122,44 @@ fn a_query_is_one_frame_per_shard_two_shards_on_one_node() {
     let (reply, exchanges) = counted(&svc, &frames, &streams);
     println!("node exchanges per 8-stream query, two shards on one node: {exchanges}");
     assert_eq!((reply, exchanges), (Ok(8), 2));
+}
+
+/// `svc.stats()`'s count of each shard's streams, and the frames each of
+/// `nodes` received while it was taken.
+fn scraped(svc: &ShardedService, nodes: &[&AtomicU64]) -> (Vec<u64>, Vec<u64>) {
+    let before: Vec<u64> = nodes.iter().map(|n| n.load(Ordering::SeqCst)).collect();
+    let streams = svc.stats().shards.iter().map(|s| s.streams).collect();
+    let after = nodes.iter().map(|n| n.load(Ordering::SeqCst));
+    (streams, after.zip(before).map(|(a, b)| a - b).collect())
+}
+
+#[test]
+fn a_scrape_is_one_frame_per_node_two_shards_on_one_node() {
+    let (_node, frames, svc) = one_node(2);
+    let router = ShardRouter::new(2);
+    let on = |shard| (0..).find(|&id| router.shard_of(id) == shard).unwrap();
+    for id in [on(0), on(1)] {
+        svc.create_stream(id, 0, 10_000, 2).unwrap();
+    }
+    let (streams, exchanges) = scraped(&svc, &[&frames]);
+    println!(
+        "node exchanges per scrape, two shards on one node: {}",
+        exchanges[0]
+    );
+    assert_eq!((streams, exchanges), (vec![1, 1], vec![1]));
+    // R=2 crosswise: each node is one shard's primary and the other's
+    // backup, and is asked once.
+    let (_a, frames_a, addr_a) = counting_node(2);
+    let (_b, frames_b, addr_b) = counting_node(2);
+    let svc = coordinator(vec![
+        ShardSpec::remote(&addr_a).with_backup(&addr_b),
+        ShardSpec::remote(&addr_b).with_backup(&addr_a),
+    ]);
+    for id in [on(0), on(1)] {
+        svc.create_stream(id, 0, 10_000, 2).unwrap();
+    }
+    let (streams, exchanges) = scraped(&svc, &[&frames_a, &frames_b]);
+    assert_eq!((streams, exchanges), (vec![1, 1], vec![1, 1]));
 }
 
 #[test]

@@ -417,6 +417,116 @@ fn a_budget_spent_on_a_hung_shard_is_no_strike_against_the_shards_read_after_it(
     assert_eq!(svc.get_stat_range(&pair[1..], 0, 10_000).unwrap(), healthy);
 }
 
+/// A scrape begins every node's `Stats` before it reads any, and waits for
+/// each until `io_timeout` after its own request: hung nodes cost it one
+/// timeout together, however many there are, and what the healthy node
+/// answered is still in it.
+#[test]
+fn a_hung_node_costs_a_scrape_one_io_timeout_however_many_there_are() {
+    const IO_TIMEOUT: Duration = Duration::from_millis(200);
+    for hung in [1, 3] {
+        // Listeners nobody accepts on: the kernel completes the dial and
+        // takes the frame, and no reply ever comes.
+        let silent: Vec<_> = (0..hung)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let mut topology: Vec<_> = (silent.iter())
+            .map(|l| ShardSpec::remote(l.local_addr().unwrap().to_string()))
+            .collect();
+        let node = Arc::new(
+            ShardNode::open(
+                Arc::new(MemKv::new()),
+                NodeConfig {
+                    total_shards: hung + 1,
+                    hosted: vec![hung],
+                    engine: ServerConfig::default(),
+                },
+            )
+            .unwrap(),
+        );
+        let server = Server::bind("127.0.0.1:0", node.clone()).unwrap();
+        topology.push(ShardSpec::remote(server.addr().to_string()));
+        let svc = ShardedService::open(
+            Arc::new(MemKv::new()),
+            ServiceConfig {
+                topology,
+                pool: timecrypt::wire::pool::PoolConfig {
+                    io_timeout: Some(IO_TIMEOUT),
+                    ..Default::default()
+                },
+                promote_after: 0,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let router = svc.router();
+        let id = (1..).find(|&id| router.shard_of(id) == hung).unwrap();
+        svc.create_stream(id, 0, 10_000, 2).unwrap();
+        svc.insert(&sealed(id, 0, 3)).unwrap();
+
+        let t = Instant::now();
+        let snap = svc.stats();
+        let elapsed = t.elapsed();
+        assert!(elapsed < IO_TIMEOUT * 2, "{hung} hung: {elapsed:?}");
+        assert_eq!(snap.shards[hung].streams, 1, "{snap:?}");
+        let healthy = node.stats();
+        assert!(healthy.store_puts > 0);
+        assert_eq!(
+            (snap.store_puts, snap.store_bytes_written),
+            (healthy.store_puts, healthy.store_bytes_written)
+        );
+    }
+}
+
+/// A node whose dial hangs is asked first and spends more than an
+/// `io_timeout` before the scrape reaches the next node: the healthy shard
+/// after it is still asked, waited for its full timeout and read — no
+/// strike (with `promote_after: 1` that would promote), no failover.
+#[test]
+#[cfg(target_os = "linux")]
+fn a_node_whose_dial_hangs_costs_the_nodes_scraped_after_it_nothing() {
+    const IO_TIMEOUT: Duration = Duration::from_millis(200);
+    // A listener that never accepts: once its backlog is full Linux drops
+    // further SYNs, and each dial waits out its timeout.
+    let full = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let full_addr = full.local_addr().unwrap();
+    let fill = |_| std::net::TcpStream::connect_timeout(&full_addr, Duration::from_millis(100));
+    let held: Vec<_> = (0..900).map_while(|i| fill(i).ok()).collect();
+    assert!(held.len() < 900, "the backlog never filled");
+    let (_node, addr) = spawn_shard_node(2, 1);
+    let (_backup, backup_addr) = spawn_shard_node(2, 1);
+    let svc = ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            topology: vec![
+                ShardSpec::remote(full_addr.to_string()),
+                ShardSpec::remote(addr.to_string()).with_backup(backup_addr.to_string()),
+            ],
+            pool: timecrypt::wire::pool::PoolConfig {
+                connect_attempts: 2,
+                io_timeout: Some(IO_TIMEOUT),
+                ..Default::default()
+            },
+            promote_after: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let router = svc.router();
+    let id = (1..).find(|&id| router.shard_of(id) == 1).unwrap();
+    svc.create_stream(id, 0, 10_000, 2).unwrap();
+    svc.insert(&sealed(id, 0, 3)).unwrap();
+
+    let t = Instant::now();
+    let snap = svc.stats();
+    assert!(t.elapsed() >= IO_TIMEOUT * 2, "the dial did not hang");
+    let shard = &snap.shards[1];
+    assert_eq!(shard.streams, 1, "{snap:?}");
+    assert_eq!((shard.failovers, shard.promotions), (0, 0), "{shard:?}");
+    assert!(shard.in_sync, "{shard:?}");
+    assert!(snap.store_puts > 0, "{snap:?}");
+}
+
 /// Every caller waits for its own legs, all of them at once: eight
 /// two-shard queries whose replies are each held 50 ms on the way back take
 /// about one delay — not one per leg, and not one per caller ahead in some
