@@ -3,14 +3,15 @@
 //! One shard, primary + backup nodes (R=2), each over its own `MemKv`. The
 //! primary is killed mid-ingest: `promotion_ms` is the wall time until a
 //! write is acknowledged again (strike accumulation + automatic backup
-//! promotion), `rebuild_ms` is `attach_replica` → the replacement verified
-//! in sync (chunked `ExportStream` copy from the survivor), and
-//! `post_rebuild_query_ops_s` is scatter-gather throughput back at R=2.
+//! promotion), `rebuild_ms` is the `attach_replica` call, which returns
+//! once the replacement is verified in sync (chunked `ExportStream` copy
+//! from the survivor), and `post_rebuild_query_ops_s` is scatter-gather
+//! throughput back at R=2.
 //!
-//! No arguments. One JSON object on stdout; exits non-zero if promotion or
-//! rebuild does not complete within a minute, or a post-rebuild reply
-//! differs from a single engine's over the same chunks. Timings are
-//! printed, never compared.
+//! No arguments. One JSON object on stdout; exits non-zero if promotion
+//! does not complete within a minute, the rebuild gives up, or a
+//! post-rebuild reply differs from a single engine's over the same chunks.
+//! Timings are printed, never compared.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -118,18 +119,10 @@ fn main() {
             r.unwrap();
         }
     }
-    // Attach a replacement and wait for the background rebuild.
+    // Attach a replacement: the call returns with it rebuilt.
     let (_node_c, addr_c) = spawn_node();
     let t = Instant::now();
     svc.attach_replica(0, BackendSpec::Remote(addr_c)).unwrap();
-    loop {
-        let snap = svc.stats();
-        if snap.shards[0].rebuilds == 1 && snap.shards[0].in_sync {
-            break;
-        }
-        assert!(t.elapsed() < GIVE_UP, "replica rebuild did not complete");
-        std::thread::sleep(Duration::from_millis(2));
-    }
     let rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
     let rebuild_chunks_copied = svc.stats().shards[0].rebuild_chunks_copied;
     // Query throughput with the shard back at R=2.

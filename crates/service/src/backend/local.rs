@@ -1,10 +1,10 @@
 //! The in-process backend.
 
-use super::{Leg, Pending, PendingBatch, ShardBackend};
+use super::{Leg, Pending, ShardBackend, Verdicts};
 use crate::node::ShardNode;
 use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_server::{ServerError, StatLeg};
+use timecrypt_server::StatLeg;
 use timecrypt_wire::messages::{Request, Response};
 use timecrypt_wire::transport::Handler;
 
@@ -37,21 +37,15 @@ impl ShardBackend for LocalShard {
     /// end: the deadline is not consulted. The engine's read path takes no
     /// exclusive stream lock, so legs of concurrent callers proceed in
     /// parallel even on one hot stream.
-    fn begin_leg(
-        &self,
-        legs: &Leg,
-        ts_s: i64,
-        ts_e: i64,
-        _deadline: Instant,
-    ) -> Result<Pending<StatLeg>, ServerError> {
+    fn begin_leg(&self, legs: &Leg, ts_s: i64, ts_e: i64, _deadline: Instant) -> Pending<StatLeg> {
         let node = self.node.clone();
         let streams: Vec<u128> = legs.iter().map(|&(_, sid)| sid).collect();
-        Ok(Box::new(move || Ok(node.stat_leg(&streams, ts_s, ts_e))))
+        Box::new(move || Ok(node.stat_leg(&streams, ts_s, ts_e)))
     }
 
     /// Runs the batch: the engine stores from the caller's slices.
-    fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError> {
+    fn begin_batch(&self, chunks: &[&[u8]]) -> Pending<Verdicts> {
         let verdicts = self.node.insert_run(self.shard, chunks);
-        Ok(Box::new(move || Ok(verdicts)))
+        Box::new(move || Ok(verdicts))
     }
 }

@@ -21,13 +21,14 @@
 //! backup divergence are counted in the shard's
 //! [`metrics`](crate::metrics::ShardMetrics).
 //!
-//! Error contract: every trait method returns
+//! Error contract: a `begin_*` never fails; its [`Pending`] returns
 //! `Err(`[`ServerError::Unavailable`]`)` **only** for transport-level
-//! failure (the backend cannot be reached at all) — that is the signal
-//! [`ShardReplicas`] fails over on. Application-level errors travel inside
-//! the `Ok` payload: for remote backends as [`ServerError::Remote`], whose
-//! `Display` is the node's message verbatim, so wire replies stay
-//! byte-identical between single-process and multi-node deployments.
+//! failure — a checkout, send or reply that failed, or a budget spent —
+//! and that is the signal [`ShardReplicas`] fails over on.
+//! Application-level errors travel inside the `Ok` payload: for remote
+//! backends as [`ServerError::Remote`], whose `Display` is the node's
+//! message verbatim, so wire replies stay byte-identical between
+//! single-process and multi-node deployments.
 
 mod local;
 mod remote;
@@ -47,12 +48,10 @@ pub type Verdicts = Vec<Result<(), ServerError>>;
 
 /// An exchange a backend has begun: called, it reads the answer. It
 /// borrows nothing, so other shards' exchanges can be begun first. A
-/// remote shard's holds the node connection the reply is owed on; an
-/// in-process shard's, the answer or the work.
+/// remote shard's holds the node connection the reply is owed on, or the
+/// failure that kept the frame from going out; an in-process shard's, the
+/// answer or the work.
 pub type Pending<T> = Box<dyn FnOnce() -> Result<T, ServerError>>;
-
-/// A batch a backend has begun ([`ShardBackend::begin_batch`]).
-pub type PendingBatch = Pending<Verdicts>;
 
 /// A scatter-gather leg: `(position in the request, stream id)` pairs, all
 /// owned by one shard.
@@ -132,16 +131,16 @@ impl ShardSpec {
 /// Executes one shard's operations, wherever the shard runs. See the
 /// module docs for the error contract.
 ///
-/// Four operations. `begin_call` carries every plain request/reply:
-/// stream creation, single-stream reads, the rebuild seam's list / export
-/// / length probes and a scrape's `Stats` are requests over it, and `call`
-/// is it begun and finished at once. The others are what an owned
-/// request cannot express: `begin_leg` sends a leg and hands back the
-/// half that reads the shard's fold of it (in process, that half runs the
-/// fold on the thread that calls it), `begin_batch` frames borrowed chunk
-/// bytes and its half returns typed verdicts — with other shards'
-/// exchanges between the halves of either — and `endpoint` names the
-/// node.
+/// Four operations, three of them a `begin` returning a [`Pending`].
+/// `begin_call` carries every plain request/reply: stream creation,
+/// single-stream reads, the rebuild seam's list / export / length probes
+/// and a scrape's `Stats` are requests over it, and `call` is it begun
+/// and finished at once. The others are what an owned request cannot
+/// express: `begin_leg` sends a leg and its `Pending` reads the shard's
+/// fold of it (in process, that step runs the fold on the thread that
+/// takes it), `begin_batch` frames borrowed chunk bytes and its `Pending`
+/// returns typed verdicts — with other shards' exchanges between the
+/// steps of either — and `endpoint` names the node.
 pub trait ShardBackend: Send + Sync + 'static {
     /// Begins one wire request; the [`Pending`] reads the shard's reply.
     /// A remote shard has the frame written when this returns and waits
@@ -161,34 +160,15 @@ pub trait ShardBackend: Send + Sync + 'static {
     /// arrived by then is still read): the leg fails `Unavailable("query
     /// deadline exceeded")`, a transport-level failure — the socket timed
     /// out.
-    fn begin_leg(
-        &self,
-        legs: &Leg,
-        ts_s: i64,
-        ts_e: i64,
-        deadline: Instant,
-    ) -> Result<Pending<StatLeg>, ServerError>;
+    fn begin_leg(&self, legs: &Leg, ts_s: i64, ts_e: i64, deadline: Instant) -> Pending<StatLeg>;
 
     /// Hands the shard `chunks` — serialized chunk bytes, validated where
     /// they entered the service — to ingest in order (a stream has one
     /// writer at a time: that, and nothing in this tier, orders a stream's
-    /// writes). A remote shard has the `InsertBatch` frame written when
-    /// this returns; an in-process one has run the batch.
-    fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError>;
-
-    /// The per-chunk verdicts of a batch this backend began.
-    fn finish_batch(&self, batch: PendingBatch) -> Result<Verdicts, ServerError> {
-        batch()
-    }
-
-    /// Begin and finish in one call: the import side of the
-    /// replica-rebuild seam. Exported pages are applied verbatim, and
-    /// chunks rejected as out-of-order against the replica's current
-    /// length are expected when the copy races live write-mirroring — the
-    /// rebuild loop re-reads the length and converges.
-    fn insert_batch(&self, chunks: &[&[u8]]) -> Result<Verdicts, ServerError> {
-        self.finish_batch(self.begin_batch(chunks)?)
-    }
+    /// writes); the [`Pending`] reads the per-chunk verdicts. A remote
+    /// shard has the `InsertBatch` frame written when this returns; an
+    /// in-process one has run the batch.
+    fn begin_batch(&self, chunks: &[&[u8]]) -> Pending<Verdicts>;
 
     /// The node (`host:port`) this backend dials, `None` for the
     /// coordinator's in-process node. A scrape asks each node once,

@@ -1,6 +1,6 @@
 //! The backend for a shard hosted by a `timecrypt-node` process.
 
-use super::{Leg, Pending, PendingBatch, ShardBackend, Verdicts, DEADLINE, UNREACHABLE};
+use super::{Leg, Pending, ShardBackend, Verdicts, DEADLINE, UNREACHABLE};
 use crate::metrics::ServiceMetrics;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,13 +88,7 @@ impl ShardBackend for RemoteShard {
     /// One `GetStatLeg` exchange, so the caller puts other shards' legs on
     /// the wire before it reads this one's reply — the node's fold of the
     /// leg, one frame however many streams it has.
-    fn begin_leg(
-        &self,
-        legs: &Leg,
-        ts_s: i64,
-        ts_e: i64,
-        deadline: Instant,
-    ) -> Result<Pending<StatLeg>, ServerError> {
+    fn begin_leg(&self, legs: &Leg, ts_s: i64, ts_e: i64, deadline: Instant) -> Pending<StatLeg> {
         let started = Instant::now();
         let streams = legs.iter().map(|&(_, sid)| sid).collect();
         let req = Request::GetStatLeg {
@@ -104,7 +98,7 @@ impl ShardBackend for RemoteShard {
         };
         let reply = self.exchange(req, Some(deadline));
         let (metrics, shard) = (self.metrics.clone(), self.shard);
-        Ok(Box::new(move || {
+        Box::new(move || {
             let leg = match reply()? {
                 Response::StatLeg(leg) => StatLeg::from(leg),
                 // The node answered, but not with a fold: its message is
@@ -116,10 +110,10 @@ impl ShardBackend for RemoteShard {
             };
             metrics.shard(shard).record_leg(started.elapsed(), &leg);
             Ok(leg)
-        }))
+        })
     }
 
-    fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError> {
+    fn begin_batch(&self, chunks: &[&[u8]]) -> Pending<Verdicts> {
         let span = trace::stage("backend.exchange");
         let started = Instant::now();
         // Frame assembly is the one payload copy of this hop: each
@@ -127,20 +121,22 @@ impl ShardBackend for RemoteShard {
         // connection's scratch buffer (no per-chunk `Vec<u8>`, no owned
         // `Request`), whose capacity is reused across exchanges on the
         // pooled connection.
-        let conn = self.pool.get().map_err(|_| UNREACHABLE)?;
-        let owed = send_frame(conn, |buf| {
-            let mut enc = BatchEncoder::begin(buf);
-            for c in chunks {
-                enc.append_with(c.len(), |out| out.extend_from_slice(c));
-            }
-            enc.finish();
-        })?;
+        let conn = self.pool.get().map_err(|_| UNREACHABLE);
+        let owed = conn.and_then(|conn| {
+            send_frame(conn, |buf| {
+                let mut enc = BatchEncoder::begin(buf);
+                for c in chunks {
+                    enc.append_with(c.len(), |out| out.extend_from_slice(c));
+                }
+                enc.finish();
+            })
+        });
         let (metrics, shard, chunks) = (self.metrics.clone(), self.shard, chunks.len());
-        Ok(Box::new(move || {
+        Box::new(move || {
             let _span = span;
             // Never retried: a reply that does not arrive leaves the
             // batch's fate unknown.
-            let reply = owed.recv(None)?;
+            let reply = owed?.recv(None)?;
             let mut results: Verdicts = (0..chunks).map(|_| Ok(())).collect();
             match reply {
                 Response::Batch { errors } => {
@@ -158,7 +154,7 @@ impl ShardBackend for RemoteShard {
             }
             metrics.shard(shard).record_run(started.elapsed(), &results);
             Ok(results)
-        }))
+        })
     }
 
     fn endpoint(&self) -> Option<&str> {

@@ -1,6 +1,6 @@
 //! One shard's replica set: failover, promotion and rebuild.
 
-use super::{Leg, PendingBatch, ShardBackend, Verdicts, AMBIGUOUS, SAME_NODE};
+use super::{Leg, Pending, ShardBackend, Verdicts, AMBIGUOUS, SAME_NODE};
 use crate::metrics::{ServiceMetrics, ShardMetrics};
 use parking_lot::RwLock;
 use std::cell::Cell;
@@ -27,7 +27,7 @@ enum ReplicaHealth {
     /// untrusted for reads and promotion until a rebuild
     /// ([`crate::ShardedService::rebuild_replica`]) verifies it again.
     Drifted,
-    /// Catching up under a rebuild worker: mirrored-write rejections are
+    /// Catching up under a rebuild: mirrored-write rejections are
     /// expected (the copy has not reached them yet), not drift.
     Rebuilding,
 }
@@ -74,13 +74,12 @@ struct Roles {
 ///   replacement is attached.
 /// * **Rebuild.** `attach_backup` (driven by
 ///   [`crate::ShardedService::attach_replica`]) adds a replacement in
-///   the rebuilding state; a worker then drives `rebuild_backup`, which
+///   the rebuilding state; the caller then runs `rebuild_backup`, which
 ///   copies every hosted stream from the survivor, verifies chunk
 ///   counts, and flips the replica to in-sync — closing the loop. The
-///   same worker re-verifies a drifted replica
-///   ([`crate::ShardedService::rebuild_replica`]): strict next-index
-///   ingest means a drifted replica is always a *prefix* of its primary,
-///   so an in-place copy from its current length converges.
+///   same call re-verifies a drifted replica
+///   ([`crate::ShardedService::rebuild_replica`]) by copying from its
+///   current lengths.
 ///
 /// Per-stream write ordering is the caller's: *a stream has one writer at
 /// a time*, so primary and backup see the same per-stream sequence. Two
@@ -96,15 +95,16 @@ pub struct ShardReplicas {
     strikes: AtomicU32,
     /// Strikes required to promote; `0` disables automatic promotion.
     promote_after: u32,
-    /// Guards against two rebuild workers copying the same shard at once:
-    /// taken with `Acquire`, let go with `Release`, so a worker starts from
+    /// Guards against two rebuilds copying the same shard at once: taken
+    /// with `Acquire`, let go with `Release`, so a rebuild starts from
     /// everything the last one wrote.
     rebuilding: AtomicBool,
     /// Generation counter of mirrored writes the backup missed (bumped
-    /// under the roles lock). The rebuild worker compares it across its
-    /// verification pass: a drop in that window means an acknowledged
-    /// write may postdate the verified lengths, so the replica must not
-    /// be marked in sync yet — another pass picks the write up.
+    /// under the roles lock). A rebuild compares it across a pass, from
+    /// before the survivor lists its streams: a drop in that window means
+    /// an acknowledged write may postdate the listing or the verified
+    /// lengths, so the replica must not be marked in sync yet — another
+    /// pass picks the write up.
     mirror_drops: AtomicU32,
 }
 
@@ -216,7 +216,7 @@ impl ShardReplicas {
     /// rebuild ([`crate::ShardedService::rebuild_replica`]) re-verifies
     /// it. During a rebuild the rejection is expected (the copy has not
     /// reached this write yet) and only bumps `mirror_drops`, which the
-    /// rebuild worker checks before trusting its verification.
+    /// rebuild checks before trusting its verification.
     fn note_mirror_drift(&self, drifted: &Arc<dyn ShardBackend>, errors: u64) {
         if errors == 0 {
             return;
@@ -334,7 +334,7 @@ impl ShardReplicas {
         move || {
             let leg = |b: &dyn ShardBackend| {
                 let begun = begun.take();
-                begun.unwrap_or_else(|| b.begin_leg(legs, ts_s, ts_e, deadline))?()
+                begun.unwrap_or_else(|| b.begin_leg(legs, ts_s, ts_e, deadline))()
             };
             self.read_with_failover(roles, leg)
                 .unwrap_or_else(|e| StatLeg::fold([Err(e)]))
@@ -414,7 +414,7 @@ impl ShardReplicas {
     /// vetoes the arm, or after it — against a replica already marked in
     /// sync, where `note_mirror_drift` demotes it again. Either way no
     /// in-sync replica is missing an acknowledged write. The counter
-    /// itself uses AcqRel bumps and Acquire loads so the rebuild worker's
+    /// itself uses AcqRel bumps and Acquire loads so the rebuild's
     /// initial `drops_before` read — taken *outside* the lock — is
     /// ordered against the bumps too, rather than leaning on the lock it
     /// doesn't hold.
@@ -432,24 +432,6 @@ impl ShardReplicas {
         }
     }
 
-    /// Transitions the attached backup's health, returning its backend
-    /// when a transition happened. Used by the rebuild worker to mark the
-    /// replica [`ReplicaHealth::Rebuilding`] while it copies and
-    /// [`ReplicaHealth::Drifted`] when it gives up.
-    fn set_backup_health(&self, health: ReplicaHealth) -> Option<Arc<dyn ShardBackend>> {
-        let mut roles = self.roles.lock(RwLock::write);
-        let b = roles.backup.as_mut()?;
-        b.health = health;
-        self.m().in_sync.set(health == ReplicaHealth::InSync);
-        Some(b.backend.clone())
-    }
-
-    /// Whether a backup replica is currently attached (whatever its
-    /// health) — the precondition for re-triggering a rebuild.
-    pub(crate) fn has_backup(&self) -> bool {
-        self.roles.lock(RwLock::read).backup.is_some()
-    }
-
     /// Every backend currently attached to this shard (primary first,
     /// then the backup when present). The coordinator's stats
     /// aggregation walks these to find the distinct remote nodes whose
@@ -465,68 +447,78 @@ impl ShardReplicas {
 
     /// Copies every hosted stream from the survivor (the current primary)
     /// into the attached backup, verifies chunk counts, and arms
-    /// mirroring. Works for a freshly attached replacement *and* for
-    /// re-verifying a drifted replica: strict next-index ingest means an
-    /// out-of-sync replica is always a prefix of its primary, so copying
-    /// from its current length converges. Runs on a rebuild worker
-    /// thread; `shutdown` makes it return early (leaving the replica out
-    /// of sync) when the service is dropped mid-rebuild. Re-entrant calls
-    /// are no-ops while a rebuild of this shard is already running.
+    /// mirroring, on the calling thread. `Ok` exactly when the replica is
+    /// in sync on return: it was, or this call armed it. `Err` when no
+    /// backup is attached, when another caller's rebuild of this shard is
+    /// running, or when the rebuild gave up — after [`REBUILD_MAX_PASSES`]
+    /// (decayed payloads the survivor cannot export, an unreachable peer)
+    /// the replica is left *drifted*, and a later call retries.
+    ///
+    /// A drifted replica is re-verified by copying from its current
+    /// lengths, which is sound only while it is a prefix of its primary:
+    /// one that missed a mirrored `DeleteStream` still holds the stream,
+    /// and a copy moves chunks only, not grants, envelopes or
+    /// attestations. Both are known holes (ARCHITECTURE.md, "Rebuild
+    /// protocol").
     ///
     /// Convergence: mirroring is already armed, so a page import racing a
     /// mirrored write can be rejected by the replica's strict next-index
     /// check — whichever side loses, the loop re-reads the replica's
     /// length and re-pages, and both sides only ever advance the length
-    /// by exactly the next chunk. Streams whose old payloads were decayed
-    /// by `delete_range` cannot be fully copied; the worker then gives up
-    /// after [`REBUILD_MAX_PASSES`] and leaves the replica *drifted*
-    /// (visible as `in_sync: false` with `rebuilds` not advancing;
-    /// [`crate::ShardedService::rebuild_replica`] retries).
-    pub(crate) fn rebuild_backup(&self, shutdown: &AtomicBool) {
+    /// by exactly the next chunk.
+    pub(crate) fn rebuild_backup(&self) -> Result<(), ServerError> {
         if self.rebuilding.swap(true, Ordering::Acquire) {
-            return;
+            return Err(ServerError::Unavailable(
+                "a rebuild of this replica is already running",
+            ));
         }
-        self.rebuild_locked(shutdown);
+        let outcome = self.rebuild_locked();
         self.rebuilding.store(false, Ordering::Release);
+        outcome
     }
 
-    fn rebuild_locked(&self, shutdown: &AtomicBool) {
-        {
-            let roles = self.roles.lock(RwLock::read);
-            match &roles.backup {
-                None => return,
-                Some(b) if b.health == ReplicaHealth::InSync => return,
-                Some(_) => {}
+    fn rebuild_locked(&self) -> Result<(), ServerError> {
+        let replacement = {
+            let mut roles = self.roles.lock(RwLock::write);
+            let Some(b) = &mut roles.backup else {
+                return Err(ServerError::Unavailable(
+                    "shard has no backup replica to rebuild",
+                ));
+            };
+            if b.health == ReplicaHealth::InSync {
+                return Ok(());
             }
-        }
-        // Pause drift accounting while the copy is in flight: rejections
-        // of mirrored writes the copy has not reached yet are expected.
-        let Some(replacement) = self.set_backup_health(ReplicaHealth::Rebuilding) else {
-            return;
+            // Pause drift accounting while the copy is in flight:
+            // rejections of mirrored writes it has not reached are expected.
+            b.health = ReplicaHealth::Rebuilding;
+            b.backend.clone()
         };
-        let survivor = self.roles.lock(RwLock::read).primary.clone();
+        let survivor = self.primary();
         for _pass in 0..REBUILD_MAX_PASSES {
-            if shutdown.load(Ordering::Relaxed) {
-                return;
-            }
+            // Read before the listing: a stream created after it, whose
+            // mirror was dropped, is not listed, and only this generation
+            // keeps the pass from arming the replica without it.
+            let drops_before = self.mirror_drops.load(Ordering::Acquire);
             let Some(streams) = list_streams(&*survivor, self.shard) else {
                 // Survivor unreachable: nothing to copy from right now;
                 // try again next pass (the dial already backed off).
                 continue;
             };
-            let drops_before = self.mirror_drops.load(Ordering::Acquire);
-            if self.copy_pass(&*survivor, &*replacement, &streams, shutdown)
+            if self.copy_pass(&*survivor, &*replacement, &streams)
                 && self.verify_pass(&*survivor, &*replacement, &streams)
                 && self.arm_if_no_drops(drops_before)
             {
                 self.m().rebuilds.inc();
-                return;
+                return Ok(());
             }
         }
-        // Gave up (decayed payload gap, unreachable peer): the replica is
-        // visibly untrusted — mirror failures count as drift again, and a
-        // later `rebuild_replica` can retry.
-        self.set_backup_health(ReplicaHealth::Drifted);
+        // Gave up: visibly untrusted, mirror failures count as drift again.
+        if let Some(b) = &mut self.roles.lock(RwLock::write).backup {
+            b.health = ReplicaHealth::Drifted;
+        }
+        Err(ServerError::Unavailable(
+            "replica rebuild gave up; the replica stays drifted",
+        ))
     }
 
     /// One copy pass: pages every stream from the survivor into the
@@ -537,7 +529,6 @@ impl ShardReplicas {
         survivor: &dyn ShardBackend,
         replacement: &dyn ShardBackend,
         streams: &[StreamInfoWire],
-        shutdown: &AtomicBool,
     ) -> bool {
         let mut all_synced = true;
         for info in streams {
@@ -550,9 +541,6 @@ impl ShardReplicas {
                 digest_width: info.digest_width,
             });
             loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    return false;
-                }
                 let replica_len = stream_len(replacement, info.stream).unwrap_or(0);
                 let survivor_len = match stream_len(survivor, info.stream) {
                     Some(n) => n,
@@ -579,7 +567,7 @@ impl ShardReplicas {
                 // validates every chunk, so a corrupt one is rejected there
                 // and the stuck check below ends the pass.
                 let views: Vec<&[u8]> = page.iter().map(Vec::as_slice).collect();
-                let copied = replacement.insert_batch(&views).map_or(0, |verdicts| {
+                let copied = replacement.begin_batch(&views)().map_or(0, |verdicts| {
                     verdicts.iter().filter(|v| v.is_ok()).count() as u64
                 });
                 if copied > 0 {
@@ -614,30 +602,22 @@ impl ShardReplicas {
     }
 }
 
-/// What a write asks of one backend, in the two transport steps the write
-/// policy runs it in — on the primary, then again on the mirror.
+/// What a write asks of one backend — begun on the primary, then again on
+/// the mirror; each begin's [`Pending`] reads that backend's answer.
 pub(crate) trait WriteOp {
-    /// What `begin_on` leaves in flight.
-    type Sent;
     /// The backend's answer.
     type Out;
-    fn begin_on(&self, b: &dyn ShardBackend) -> Result<Self::Sent, ServerError>;
-    fn finish_on(&self, b: &dyn ShardBackend, sent: Self::Sent) -> Result<Self::Out, ServerError>;
+    fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Self::Out>;
     /// The acknowledged writes the backup lacks, given the primary's
     /// answer and the mirror's (`None`: backup unreachable).
     fn missed(&self, out: &Self::Out, mirrored: Option<&Self::Out>) -> u64;
 }
 
-/// A mutating request: one exchange, nothing to overlap. The mirror must
-/// return the primary's reply.
+/// A mutating request. The mirror must return the primary's reply.
 impl WriteOp for Request {
-    type Sent = Response;
     type Out = Response;
-    fn begin_on(&self, b: &dyn ShardBackend) -> Result<Response, ServerError> {
-        b.call(self.clone())
-    }
-    fn finish_on(&self, _: &dyn ShardBackend, reply: Response) -> Result<Response, ServerError> {
-        Ok(reply)
+    fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Response> {
+        b.begin_call(self.clone(), None)
     }
     fn missed(&self, reply: &Response, mirrored: Option<&Response>) -> u64 {
         u64::from(mirrored != Some(reply))
@@ -648,13 +628,9 @@ impl WriteOp for Request {
 pub(crate) struct Run<'a>(&'a [&'a [u8]]);
 
 impl WriteOp for Run<'_> {
-    type Sent = PendingBatch;
     type Out = Verdicts;
-    fn begin_on(&self, b: &dyn ShardBackend) -> Result<PendingBatch, ServerError> {
+    fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Verdicts> {
         b.begin_batch(self.0)
-    }
-    fn finish_on(&self, b: &dyn ShardBackend, sent: PendingBatch) -> Result<Verdicts, ServerError> {
-        b.finish_batch(sent)
     }
     fn missed(&self, results: &Verdicts, mirrored: Option<&Verdicts>) -> u64 {
         let differ = |(a, b): &(&Result<(), _>, &Result<(), _>)| a.is_ok() != b.is_ok();
@@ -668,8 +644,8 @@ impl WriteOp for Run<'_> {
     }
 }
 
-/// What [`WriteOp::begin_on`] returned for one backend.
-type Begun<W> = Result<<W as WriteOp>::Sent, ServerError>;
+/// A backend a write was begun on, with the step that reads its answer.
+type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
 
 /// One write under the write policy — primary first, then the mirror —
 /// which the caller may leave between its transport steps to drive other
@@ -694,25 +670,24 @@ type Begun<W> = Result<<W as WriteOp>::Sent, ServerError>;
 pub(crate) struct Write<'r, W: WriteOp> {
     replicas: &'r ShardReplicas,
     op: W,
-    /// The primary, with what `begin_on` left in flight there (or failed
-    /// with), until its answer is read.
-    primary: Option<(Arc<dyn ShardBackend>, Begun<W>)>,
+    /// The primary, until its answer is read.
+    primary: Option<Begun<W>>,
     /// The primary's answer: unknown until read.
     out: Result<W::Out, ServerError>,
     /// The mirror, begun once the primary acknowledged.
-    mirror: Option<(Arc<dyn ShardBackend>, Begun<W>)>,
+    mirror: Option<Begun<W>>,
 }
 
 impl<W: WriteOp> Write<'_, W> {
     /// Reads the primary's answer and, if it acknowledged, begins the
     /// mirror. Does nothing the second time.
     pub(crate) fn finish_primary(&mut self) {
-        let Some((mut primary, mut sent)) = self.primary.take() else {
+        let Some((mut primary, mut pending)) = self.primary.take() else {
             return;
         };
         let mut retried = false;
         loop {
-            if let Ok(out) = sent.and_then(|sent| self.op.finish_on(&*primary, sent)) {
+            if let Ok(out) = pending() {
                 self.out = Ok(out);
                 break;
             }
@@ -721,12 +696,12 @@ impl<W: WriteOp> Write<'_, W> {
             }
             retried = true;
             primary = self.replicas.primary();
-            sent = self.op.begin_on(&*primary);
+            pending = self.op.begin_on(&*primary);
         }
         self.replicas.note_primary_ok();
         self.mirror = self.replicas.mirror_target().map(|b| {
-            let sent = self.op.begin_on(&*b.backend);
-            (b.backend, sent)
+            let pending = self.op.begin_on(&*b.backend);
+            (b.backend, pending)
         });
     }
 
@@ -738,8 +713,8 @@ impl<W: WriteOp> Write<'_, W> {
     pub(crate) fn finish_mirror(mut self) -> Result<W::Out, ServerError> {
         self.finish_primary();
         let out = self.out?;
-        if let Some((backup, sent)) = self.mirror {
-            let mirrored = sent.and_then(|sent| self.op.finish_on(&*backup, sent));
+        if let Some((backup, pending)) = self.mirror {
+            let mirrored = pending();
             let missed = self.op.missed(&out, mirrored.ok().as_ref());
             self.replicas.note_mirror_drift(&backup, missed);
         }
@@ -815,7 +790,7 @@ fn export_page(backend: &dyn ShardBackend, stream: u128, from_idx: u64) -> Optio
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Pending, UNREACHABLE};
+    use super::super::UNREACHABLE;
     use super::*;
     use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
     use timecrypt_core::StreamKeyMaterial;
@@ -831,13 +806,12 @@ mod tests {
     /// signal the replica state machine keys off.
     struct StubShard {
         engine: Arc<TimeCryptServer>,
-        /// Shared with the legs this shard has begun: their second step
-        /// asks it again.
+        /// Shared with the legs and batches this shard has begun: their
+        /// `Pending` asks it again.
         reach: Arc<Reach>,
-        /// A leg is begun without asking whether the shard is up — frames
-        /// written to a node that has just hung — so an outage shows in
-        /// the leg's second step.
-        legs_begin_blind: AtomicBool,
+        /// Runs once, right after the shard answers its next
+        /// `ListStreams` — how a test interleaves a write with a rebuild.
+        after_list: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
         /// The batch steps this shard ran, in order, under `name` — a log
         /// several shards of one test can share.
         steps: Steps,
@@ -882,7 +856,7 @@ mod tests {
                     up: AtomicBool::new(true),
                     while_down: parking_lot::Mutex::new(None),
                 }),
-                legs_begin_blind: AtomicBool::new(false),
+                after_list: parking_lot::Mutex::new(None),
             })
         }
 
@@ -901,40 +875,45 @@ mod tests {
 
     impl ShardBackend for StubShard {
         fn begin_call(&self, req: Request, _deadline: Option<Instant>) -> Pending<Response> {
+            let list = matches!(req, Request::ListStreams { .. });
             let reply = self.ensure_up().map(|()| self.engine.handle(req));
+            if let Some(hook) = list.then(|| self.after_list.lock().take()).flatten() {
+                hook();
+            }
             Box::new(move || reply)
         }
 
+        /// The leg is begun without asking whether the shard is up —
+        /// frames written to a node that has just hung — so an outage
+        /// shows when its answers are read.
         fn begin_leg(
             &self,
             legs: &Leg,
             ts_s: i64,
             ts_e: i64,
             _deadline: Instant,
-        ) -> Result<Pending<StatLeg>, ServerError> {
-            if !self.legs_begin_blind.load(Ordering::Relaxed) {
-                self.ensure_up()?;
-            }
+        ) -> Pending<StatLeg> {
             let (engine, reach, legs) = (self.engine.clone(), self.reach.clone(), legs.to_vec());
-            Ok(Box::new(move || {
+            Box::new(move || {
                 reach.ensure_up()?;
                 let stat = |&(_, sid)| engine.stream_stat(sid, ts_s, ts_e);
                 Ok(StatLeg::fold(legs.iter().map(stat)))
-            }))
+            })
         }
 
-        /// In process: the run is applied when it is begun.
-        fn begin_batch(&self, chunks: &[&[u8]]) -> Result<PendingBatch, ServerError> {
+        /// In process: the run is applied when it is begun, if the shard
+        /// is up then; its verdicts are read if it is up when finished.
+        fn begin_batch(&self, chunks: &[&[u8]]) -> Pending<Verdicts> {
             self.steps.lock().push(format!("begin({})", self.name));
-            self.ensure_up()?;
-            let verdicts = self.engine.insert_bytes_run(chunks);
-            Ok(Box::new(move || Ok(verdicts)))
-        }
-
-        fn finish_batch(&self, batch: PendingBatch) -> Result<Verdicts, ServerError> {
-            self.steps.lock().push(format!("finish({})", self.name));
-            self.ensure_up()?;
-            batch()
+            let verdicts = self
+                .ensure_up()
+                .map(|()| self.engine.insert_bytes_run(chunks));
+            let (steps, reach, name) = (self.steps.clone(), self.reach.clone(), self.name);
+            Box::new(move || {
+                steps.lock().push(format!("finish({name})"));
+                reach.ensure_up()?;
+                verdicts
+            })
         }
     }
 
@@ -991,20 +970,17 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Kind {
         ReadCall,
-        /// The primary's outage shows as the leg is begun.
-        StatLeg,
         /// The leg is begun on the primary; its outage shows as the
         /// answers are read.
-        StatLegCutInFinish,
+        StatLeg,
         MutCall,
         IngestBatch,
         CreateStream,
     }
 
-    const KINDS: [Kind; 6] = [
+    const KINDS: [Kind; 5] = [
         Kind::ReadCall,
         Kind::StatLeg,
-        Kind::StatLegCutInFinish,
         Kind::MutCall,
         Kind::IngestBatch,
         Kind::CreateStream,
@@ -1025,8 +1001,7 @@ mod tests {
             };
             match self {
                 Kind::ReadCall => reply(r.call(Request::StreamInfo { stream: 1 })),
-                Kind::StatLeg | Kind::StatLegCutInFinish => match stat_leg(r, &[(0, 1)], 0, 10_000)
-                {
+                Kind::StatLeg => match stat_leg(r, &[(0, 1)], 0, 10_000) {
                     Ok(_) => Ok(()),
                     Err(e) => Err(e.to_string()),
                 },
@@ -1094,8 +1069,6 @@ mod tests {
     impl Script {
         fn play(self, kind: Kind) -> Outcome {
             let primary = seeded();
-            let blind = matches!(kind, Kind::StatLegCutInFinish);
-            primary.legs_begin_blind.store(blind, Ordering::Relaxed);
             let r = match self {
                 Script::PrimaryDownBelowThreshold => {
                     primary.set_up(false);
@@ -1334,7 +1307,7 @@ mod tests {
         let r = replicas(primary.clone(), None, 1);
         let replacement = StubShard::new();
         r.attach_backup(replacement.clone()).unwrap();
-        r.rebuild_backup(&AtomicBool::new(false));
+        r.rebuild_backup().unwrap();
         let m = r.m();
         assert_eq!(m.rebuilds.get(), 1);
         assert_eq!(m.rebuild_chunks_copied.get(), 10);
@@ -1388,9 +1361,10 @@ mod tests {
         assert_eq!(r.m().promotions.get(), 0);
         assert_eq!(r.m().failovers.get(), 0);
         primary.set_up(true);
-        // A rebuild copies the missed chunks in place (a drifted replica
-        // is always a prefix of its primary) and re-arms the loop.
-        r.rebuild_backup(&AtomicBool::new(false));
+        // A rebuild copies the missed chunks in place (this replica is a
+        // prefix of its primary: it missed chunks only) and re-arms the
+        // loop.
+        r.rebuild_backup().unwrap();
         let m = r.m();
         assert_eq!(m.rebuilds.get(), 1);
         assert_eq!(m.rebuild_chunks_copied.get(), 2);
@@ -1399,5 +1373,59 @@ mod tests {
         assert!(stat_leg(&r, &[(0, 1)], 0, 30_000).is_ok());
         assert_eq!(m.failovers.get(), 1);
         assert_eq!(m.promotions.get(), 1);
+    }
+
+    #[test]
+    fn a_rebuild_returns_its_outcome() {
+        let primary = seeded();
+        let r = Arc::new(replicas(primary.clone(), None, 0));
+        let refused = |r: &ShardReplicas| r.rebuild_backup().unwrap_err().to_string();
+        assert!(refused(&r).contains("no backup"), "{}", refused(&r));
+        let replacement = StubShard::new();
+        r.attach_backup(replacement.clone()).unwrap();
+        replacement.set_up(false);
+        assert!(refused(&r).contains("gave up"), "{}", refused(&r));
+        assert_eq!((r.m().rebuilds.get(), r.m().in_sync.get()), (0, 0));
+        replacement.set_up(true);
+        // A second caller is refused while the first one's copy runs.
+        let (racing, second) = (r.clone(), Arc::new(parking_lot::Mutex::new(String::new())));
+        let seen = second.clone();
+        *primary.after_list.lock() = Some(Box::new(move || *seen.lock() = refused(&racing)));
+        r.rebuild_backup().unwrap();
+        assert!(
+            second.lock().contains("already running"),
+            "{}",
+            second.lock()
+        );
+        // In sync already: the call succeeds and copies nothing.
+        r.rebuild_backup().unwrap();
+        assert_eq!((r.m().rebuilds.get(), r.m().in_sync.get()), (1, 1));
+    }
+
+    #[test]
+    fn a_stream_created_while_the_survivor_lists_its_streams_is_not_missed() {
+        // The survivor has answered `ListStreams` when a `CreateStream` is
+        // acknowledged whose mirror is dropped: the listing lacks the
+        // stream, so only the dropped mirror's generation can keep the
+        // pass from arming the replica without it.
+        let primary = StubShard::new();
+        primary.create_stream(1);
+        let r = Arc::new(replicas(primary.clone(), None, 0));
+        let replacement = StubShard::new();
+        r.attach_backup(replacement.clone()).unwrap();
+        let (racing, down) = (r.clone(), replacement.clone());
+        *primary.after_list.lock() = Some(Box::new(move || {
+            down.set_up(false);
+            racing.create_stream(9, 0, 10_000, 2).unwrap();
+            down.set_up(true);
+        }));
+        r.rebuild_backup().unwrap();
+        let m = r.m();
+        assert!(
+            replacement.engine.stream_info(9).is_ok(),
+            "in_sync={} but the replica lacks stream 9",
+            m.in_sync.get()
+        );
+        assert_eq!((m.rebuilds.get(), m.in_sync.get()), (1, 1));
     }
 }

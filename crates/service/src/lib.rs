@@ -28,8 +28,8 @@
 //!   answers with — and the coordinator folds the legs' outcomes in
 //!   request order and adds their HEAC partial sums, so replies are
 //!   byte-identical to a single-engine deployment on the same workload.
-//!   The service starts no thread for requests: they run on their
-//!   callers'.
+//!   The service starts no thread: requests and replica rebuilds run on
+//!   their callers'.
 //! * **Intra-shard read parallelism** — the engine's read path takes no
 //!   exclusive stream lock (queries run against a published chunk-count
 //!   snapshot), so any number of client threads can query a shard — even
@@ -53,8 +53,8 @@
 //!   [`ServiceConfig::promote_after`] consecutive operations has its
 //!   in-sync backup *promoted* (reads and writes flip, replies stay
 //!   byte-identical); [`ShardedService::attach_replica`] then attaches a
-//!   replacement that a background worker rebuilds from the survivor
-//!   over chunked `ExportStream` pages before re-arming mirroring.
+//!   replacement and rebuilds it from the survivor over chunked
+//!   `ExportStream` pages, returning once mirroring is re-armed.
 //! * **Metrics** ([`metrics`]) — per-shard ingest/query counters, chunks
 //!   in flight, failover/replica-drift counters, and log₂ latency
 //!   histograms, exposed over the wire through `Request::Stats`.

@@ -4,8 +4,9 @@
 //! batched: a batch is partitioned by shard as slices of the caller's
 //! buffer and the shards' exchanges overlap; back-pressure is the
 //! submitter waiting for its own verdicts. A statistical query likewise:
-//! every shard's leg is begun before any is waited for. Nothing is queued
-//! or handed to another thread; the service starts rebuild workers only.
+//! every shard's leg is begun before any is waited for. A replica rebuild
+//! runs on the thread that asked for it. Nothing is queued or handed to
+//! another thread; the service starts no thread.
 
 use crate::backend::{
     ingest_runs, BackendSpec, LocalShard, Pending, RemoteShard, ShardBackend, ShardReplicas,
@@ -17,7 +18,7 @@ use crate::router::ShardRouter;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
-use timecrypt_obs::{trace, TraceContext};
+use timecrypt_obs::trace;
 use timecrypt_server::engine::batch_errors;
 use timecrypt_server::{ServerConfig, ServerError, StatLeg};
 use timecrypt_store::{KvStore, MeteredKv};
@@ -62,14 +63,6 @@ pub struct ServiceConfig {
     /// dial is bounded by `io_timeout`, not by the budget; in-process legs
     /// run to the end.)
     pub query_deadline: Duration,
-    /// Mint a root trace context for requests that arrive without one
-    /// (library calls, untraced wire requests), so every scatter-gather
-    /// leg and mirror write of one request shares one trace id across
-    /// the cluster. Off by default: untraced operation keeps the wire
-    /// bytes identical to a build without tracing and adds no
-    /// per-request work. Requests arriving with a trace-context
-    /// envelope are propagated regardless of this flag.
-    pub tracing: bool,
     /// Per-shard engine configuration (local shards; nodes configure
     /// their own engines).
     pub engine: ServerConfig,
@@ -83,7 +76,6 @@ impl Default for ServiceConfig {
             pool: PoolConfig::default(),
             promote_after: 3,
             query_deadline: Duration::from_secs(30),
-            tracing: false,
             engine: ServerConfig::default(),
         }
     }
@@ -111,20 +103,14 @@ impl Default for ServiceConfig {
 /// ```
 pub struct ShardedService {
     router: ShardRouter,
-    backends: Vec<Arc<ShardReplicas>>,
+    backends: Vec<ShardReplicas>,
     metrics: Arc<ServiceMetrics>,
     kv: Arc<MeteredKv>,
     /// End-to-end budget for one scatter-gather query (see
     /// [`ServiceConfig::query_deadline`]).
     query_deadline: Duration,
-    /// Mint root trace contexts for otherwise-untraced requests.
-    tracing: bool,
     /// Pool tuning, retained for replicas attached after open.
     pool_cfg: PoolConfig,
-    /// Tells in-flight rebuild workers to stop when the service drops.
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-    /// Background replica-rebuild workers (joined on drop).
-    rebuild_workers: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl ShardedService {
@@ -178,17 +164,15 @@ impl ShardedService {
                 )),
             }
         };
-        let backends: Vec<Arc<ShardReplicas>> = specs
-            .iter()
-            .enumerate()
+        let backends = (specs.iter().enumerate())
             .map(|(shard, spec)| {
-                Arc::new(ShardReplicas::new(
+                ShardReplicas::new(
                     shard,
                     metrics.clone(),
                     open_backend(&spec.primary, shard),
                     spec.backup.as_ref().map(|b| open_backend(b, shard)),
                     cfg.promote_after,
-                ))
+                )
             })
             .collect();
         Ok(ShardedService {
@@ -197,25 +181,26 @@ impl ShardedService {
             metrics,
             kv,
             query_deadline: cfg.query_deadline,
-            tracing: cfg.tracing,
             pool_cfg: cfg.pool,
-            shutdown: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            rebuild_workers: parking_lot::Mutex::new(Vec::new()),
         })
     }
 
-    /// Attaches a replacement backup replica to `shard` and starts a
-    /// background rebuild: the replica immediately receives mirrored
-    /// writes, a worker copies every hosted stream from the survivor
-    /// (chunked `ExportStream` pages), verifies chunk counts, and only
-    /// then marks the replica in sync — at which point it serves failover
-    /// reads and is promotion-eligible, and the shard's `rebuilds`
-    /// counter ticks. Progress is observable in [`stats`](Self::stats)
-    /// (`rebuild_chunks_copied`, `in_sync`).
+    /// Attaches a replacement backup replica to `shard` and rebuilds it,
+    /// on the calling thread: the replica receives mirrored writes from
+    /// the moment it is attached, every hosted stream is copied from the
+    /// survivor (chunked `ExportStream` pages) and chunk counts are
+    /// verified; only then is the replica marked in sync — it serves
+    /// failover reads and is promotion-eligible — and the shard's
+    /// `rebuilds` counter ticks. A caller that wants the copy in the
+    /// background runs this on a thread of its own.
     ///
-    /// Errors if `shard` is out of range, the spec is not remote or names
-    /// the current primary's node (either would share the primary's store
-    /// and self-corrupt), or the shard already has a backup.
+    /// `Ok` exactly when the replica is in sync on return. Errors if
+    /// `shard` is out of range, the spec is not remote or names the
+    /// current primary's node (either would share the primary's store and
+    /// self-corrupt), or the shard already has a backup — nothing is
+    /// attached then — and when the rebuild gave up: the replica stays
+    /// attached and drifted, and [`rebuild_replica`](Self::rebuild_replica)
+    /// retries.
     pub fn attach_replica(&self, shard: usize, spec: BackendSpec) -> Result<(), ServerError> {
         let Some(replicas) = self.backends.get(shard) else {
             return Err(ServerError::Unavailable("no such shard"));
@@ -232,44 +217,22 @@ impl ShardedService {
             shard,
         ));
         replicas.attach_backup(backend)?;
-        self.spawn_rebuild(shard, replicas.clone());
-        Ok(())
+        replicas.rebuild_backup()
     }
 
-    /// Re-triggers the background rebuild of an attached backup that is
-    /// not in sync: a rebuild that gave up (survivor unreachable, decayed
-    /// payload gaps) or a replica demoted after drifting on a mirrored
-    /// write. Harmless when a rebuild of the shard is already running
-    /// (the worker exits immediately) or the replica is already in sync.
-    /// Errors if the shard does not exist or has no backup attached.
+    /// Rebuilds the attached backup of `shard` on the calling thread if it
+    /// is not in sync: a rebuild that gave up (survivor unreachable,
+    /// decayed payload gaps) or a replica demoted after drifting on a
+    /// mirrored write. `Ok` exactly when the replica is in sync on return.
+    /// Errors if the shard does not exist or has no backup, when another
+    /// caller's rebuild of the shard is still running, or when this one
+    /// gave up.
     pub fn rebuild_replica(&self, shard: usize) -> Result<(), ServerError> {
-        let Some(replicas) = self.backends.get(shard) else {
-            return Err(ServerError::Unavailable("no such shard"));
-        };
-        if !replicas.has_backup() {
-            return Err(ServerError::Unavailable(
-                "shard has no backup replica to rebuild",
-            ));
-        }
-        self.spawn_rebuild(shard, replicas.clone());
-        Ok(())
-    }
-
-    fn spawn_rebuild(&self, shard: usize, replicas: Arc<ShardReplicas>) {
-        let shutdown = self.shutdown.clone();
-        #[allow(
-            clippy::expect_used,
-            reason = "rebuild workers are rare operator-triggered spawns; a spawn failure indicates resource exhaustion no error path could service"
-        )]
-        let handle = std::thread::Builder::new()
-            .name(format!("tc-rebuild-{shard}"))
-            .spawn(move || replicas.rebuild_backup(&shutdown))
-            .expect("spawn rebuild worker");
-        let mut workers = self.rebuild_workers.lock();
-        // Reap finished workers so repeated rebuild triggers on a
-        // long-lived coordinator cannot grow the list without bound.
-        workers.retain(|h| !h.is_finished());
-        workers.push(handle);
+        let replicas = self
+            .backends
+            .get(shard)
+            .ok_or(ServerError::Unavailable("no such shard"))?;
+        replicas.rebuild_backup()
     }
 
     /// The router (shard-count and assignment probes).
@@ -278,20 +241,8 @@ impl ShardedService {
     }
 
     /// The replica set owning `stream`.
-    fn replicas_for(&self, stream: u128) -> &Arc<ShardReplicas> {
+    fn replicas_for(&self, stream: u128) -> &ShardReplicas {
         &self.backends[self.router.shard_of(stream)]
-    }
-
-    /// Mints a root trace context when [`ServiceConfig::tracing`] is on
-    /// and the caller brought none (library use, untraced wire request) —
-    /// so the request's scatter-gather legs, ingest runs, and mirror
-    /// writes all share one trace id. The guard restores the previous
-    /// context on drop.
-    fn trace_root(&self) -> Option<trace::TraceGuard> {
-        if self.tracing && trace::current().is_none() {
-            return Some(trace::set_current(Some(TraceContext::new_root())));
-        }
-        None
     }
 
     /// Registers a stream on its owning shard (replicated when the shard
@@ -305,7 +256,6 @@ impl ShardedService {
         delta_ms: u64,
         digest_width: u32,
     ) -> Result<(), ServerError> {
-        let _trace = self.trace_root();
         self.replicas_for(stream)
             .create_stream(stream, t0, delta_ms, digest_width)
     }
@@ -343,7 +293,6 @@ impl ShardedService {
     /// and the received bytes reach the shards verbatim, copied nowhere on
     /// the way.
     fn submit_routed(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
-        let _trace = self.trace_root();
         let route = trace::stage("route");
         let owner = |bytes: &[u8]| ChunkRef::parse(bytes).map(|c| self.router.shard_of(c.stream));
         // A batch of one shard's chunks — every per-stream upload — is
@@ -376,7 +325,7 @@ impl ShardedService {
                 .enumerate()
                 .filter(|(_, run)| !run.0.is_empty())
         };
-        let verdicts = ingest_runs(touched().map(|(s, run)| (&*self.backends[s], &run.0[..])));
+        let verdicts = ingest_runs(touched().map(|(s, run)| (&self.backends[s], &run.0[..])));
         for ((_, run), verdicts) in touched().zip(verdicts) {
             for (&idx, verdict) in run.1.iter().zip(verdicts) {
                 results[idx] = verdict;
@@ -403,7 +352,6 @@ impl ShardedService {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatReply, ServerError> {
-        let _trace = self.trace_root();
         // The whole-query budget starts before any leg is begun (capped at
         // a year: `Duration::MAX` past now is no `Instant`).
         let deadline = Instant::now() + self.query_deadline.min(Duration::from_secs(365 * 86_400));
@@ -514,10 +462,6 @@ impl ShardedService {
     /// received bytes are forwarded verbatim; every other variant
     /// continues in [`dispatch_unborrowed`](Self::dispatch_unborrowed).
     fn dispatch(&self, req: RequestRef<'_>) -> Response {
-        // Mint a root trace for requests that bypass the public methods
-        // (single-stream delegations); a no-op unless tracing is enabled
-        // and no envelope-supplied context is already current.
-        let _trace = self.trace_root();
         match req {
             // Straight from the caller's buffer (typed errors rendered at
             // this boundary).
@@ -570,19 +514,6 @@ impl ShardedService {
                 Request::Ping => Response::Pong,
                 _ => Response::Error(UNROUTED.to_string()),
             },
-        }
-    }
-}
-
-impl Drop for ShardedService {
-    fn drop(&mut self) {
-        // Stop in-flight replica rebuilds (they check the flag once per
-        // page) and wait for their threads, so a dropped service never
-        // leaves workers writing to a replica behind its back.
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        for handle in self.rebuild_workers.lock().drain(..) {
-            let _ = handle.join();
         }
     }
 }
@@ -877,11 +808,7 @@ mod tests {
         svc.create_stream(1, 0, 10_000, 2).unwrap();
         svc.attach_replica(0, BackendSpec::Remote(server.addr().to_string()))
             .unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while !svc.stats().shards[0].in_sync {
-            assert!(std::time::Instant::now() < deadline, "rebuild never armed");
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        assert!(svc.stats().shards[0].in_sync);
         for index in 0..10 {
             svc.insert(&sealed_chunk(1, index, 1)).unwrap();
         }

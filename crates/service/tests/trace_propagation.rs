@@ -142,32 +142,3 @@ fn replicated_write_mirrors_the_trace_id() {
         spans.len()
     );
 }
-
-/// The `tracing` config flag mints roots internally: a plain library
-/// call (no ambient context) still produces traced node-side spans.
-#[test]
-fn tracing_flag_mints_roots_for_untraced_callers() {
-    let (_na, addr_a) = spawn_node(1, vec![0]);
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![ShardSpec::remote(addr_a)],
-            tracing: true,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    svc.create_stream(9, 0, 10_000, 2).unwrap();
-    svc.insert(&sealed_chunk(9, 0, 1)).unwrap();
-    let reply = svc.get_stat_range(&[9], 0, 10_000).unwrap();
-    assert_eq!(reply.parts.len(), 1);
-    // Some root was minted and propagated: at least one serve span whose
-    // trace id we did not choose ourselves exists. We cannot know the
-    // random id, so assert via the ring that serve spans were recorded
-    // at all for this cluster's node after these two calls.
-    let spans: Vec<_> = timecrypt_obs::log::dump()
-        .into_iter()
-        .filter(|e| e.target == "wire" && e.msg.starts_with("span serve") && e.trace.is_some())
-        .collect();
-    assert!(!spans.is_empty(), "tracing=true must produce traced spans");
-}

@@ -3,9 +3,9 @@
 //! beside `grant_cost.rs` and `write_amplification.rs`. Batched ingest is
 //! what single ingest is — a call on the thread that received the frame:
 //!
-//! * a coordinator runs no thread of its own, idle or after a query over
-//!   all its shards (the census line this prints is what CI copies to the
-//!   job summary);
+//! * a coordinator runs no thread of its own, idle, after a query over
+//!   all its shards or after a replica rebuild (the census lines this
+//!   prints are what CI copies to the job summary);
 //! * the shards one batch touches are written to before any of them is
 //!   waited for, so their exchanges overlap;
 //! * a batch costs exactly one node call per shard it touches, however
@@ -27,7 +27,7 @@ use timecrypt::core::StreamKeyMaterial;
 use timecrypt::crypto::{PrgKind, SecureRandom};
 use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
 use timecrypt::service::{
-    NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
+    BackendSpec, NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
 };
 use timecrypt::store::MemKv;
 use timecrypt::wire::messages::{Request, RequestRef, Response};
@@ -143,6 +143,42 @@ fn an_idle_default_coordinator_runs_no_thread() {
     let reply = svc.get_stat_range(&streams, 0, 10_000).unwrap();
     assert_eq!(reply.parts.len(), shards);
     assert!(thread_census().is_empty(), "{:?}", thread_census());
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
+    let _serial = serial();
+    let svc = ShardedService::open(Arc::new(MemKv::new()), ServiceConfig::default()).unwrap();
+    let shards = svc.router().shards();
+    let id = stream_on(0, shards);
+    svc.create_stream(id, 0, 10_000, 2).unwrap();
+    let chunks = (0..4).map(|i| sealed(id, i, 1)).collect();
+    assert_eq!(
+        batch_errors(svc.handle(Request::InsertBatch { chunks })),
+        vec![]
+    );
+    let node = ShardNode::open(
+        Arc::new(MemKv::new()),
+        NodeConfig {
+            total_shards: shards,
+            hosted: vec![0],
+            engine: ServerConfig::default(),
+        },
+    )
+    .unwrap();
+    let backup = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
+    let spec = BackendSpec::Remote(backup.addr().to_string());
+    svc.attach_replica(0, spec).unwrap();
+    let census = thread_census();
+    let snap = svc.stats();
+    assert!(snap.shards[0].in_sync, "{snap:?}");
+    assert_eq!(snap.shards[0].rebuild_chunks_copied, 4);
+    println!(
+        "thread census after a replica rebuild: {} threads",
+        census.values().sum::<usize>()
+    );
+    assert!(census.is_empty(), "{census:?}");
 }
 
 #[test]

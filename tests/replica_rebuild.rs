@@ -7,11 +7,12 @@
 //! and rebuild it from the survivor over the chunked `ExportStream`
 //! protocol, and (3) survive a *second* primary death by promoting the
 //! rebuilt replica — proving the rebuilt node answers reads with the
-//! same bytes as a never-failed single-process deployment.
+//! same bytes as a never-failed single-process deployment. A second test
+//! rebuilds a replica while a writer appends, and fails over to it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt::server::ServerConfig;
@@ -19,7 +20,7 @@ use timecrypt::service::{
     BackendSpec, NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService,
 };
 use timecrypt::store::MemKv;
-use timecrypt::wire::messages::Request;
+use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::{Handler, Server};
 
 const STREAMS: [u128; 2] = [1, 2];
@@ -115,14 +116,6 @@ fn assert_identical(reference: &ShardedService, cluster: &ShardedService, chunks
     }
 }
 
-fn wait_for<F: Fn() -> bool>(what: &str, cond: F) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 #[test]
 fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() {
     // Never-failed single-process reference: the byte-identity oracle.
@@ -205,7 +198,7 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
                 .unwrap();
         }
         match cluster.handle(Request::StreamInfo { stream: id }) {
-            timecrypt::wire::messages::Response::Info(info) => {
+            Response::Info(info) => {
                 assert_eq!(info.len, 2 * BASE_CHUNKS, "no acknowledged write lost")
             }
             other => panic!("unexpected {other:?}"),
@@ -220,17 +213,13 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
         "promoted shard runs un-replicated until a replacement arrives: {snap:?}"
     );
 
-    // Phase 2: attach a replacement replica; a background worker rebuilds
-    // it from the survivor (chunked ExportStream pages), verifies chunk
-    // counts, and re-arms mirroring.
+    // Phase 2: attach a replacement replica; the call rebuilds it from the
+    // survivor (chunked ExportStream pages), verifies chunk counts, and
+    // re-arms mirroring before it returns.
     let (_node_c, addr_c) = spawn_node();
     cluster
         .attach_replica(0, BackendSpec::Remote(addr_c))
         .unwrap();
-    wait_for("replica rebuild to complete", || {
-        let s = cluster.stats();
-        s.shards[0].rebuilds == 1 && s.shards[0].in_sync
-    });
     let snap = cluster.stats();
     assert_eq!(
         snap.shards[0].rebuild_chunks_copied,
@@ -278,4 +267,107 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
         2 * BASE_CHUNKS + 2,
         "rebuilt replica as primary",
     );
+}
+
+/// A coordinator over one remote shard per topology entry, dialing fast.
+fn open_cluster(spec: ShardSpec) -> ShardedService {
+    let cfg = ServiceConfig {
+        topology: vec![spec],
+        pool: timecrypt::wire::pool::PoolConfig {
+            connect_attempts: 2,
+            backoff: Duration::from_millis(1),
+            ..Default::default()
+        },
+        promote_after: 2,
+        ..ServiceConfig::default()
+    };
+    ShardedService::open(Arc::new(MemKv::new()), cfg).unwrap()
+}
+
+#[test]
+fn a_rebuild_racing_live_writes_converges() {
+    // Eight streams hold a base load; a writer appends 50 runs of four
+    // chunks (run k to stream k % 8) while the main thread attaches and
+    // rebuilds a replica. Copy and mirroring race on every stream.
+    const IDS: u128 = 8;
+    const BASE: u64 = 16;
+    const RUNS: u64 = 50;
+    const RUN: u64 = 4;
+    let value = |id: u128, i: u64| (id as i64) * 11 + i as i64;
+    let reference = ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            shards: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let (node_a, addr_a) = spawn_node();
+    let cluster = open_cluster(ShardSpec::remote(&addr_a));
+    for id in 1..=IDS {
+        cluster.create_stream(id, 0, 10_000, 2).unwrap();
+        let base = (0..BASE).map(|i| sealed(id, i, value(id, i))).collect();
+        assert!(cluster.submit_batch(base).iter().all(Result::is_ok));
+    }
+    let mut next = [BASE; IDS as usize];
+    let runs: Vec<Vec<EncryptedChunk>> = (0..RUNS)
+        .map(|k| {
+            let id = (k as u128 % IDS) + 1;
+            let first = next[id as usize - 1];
+            next[id as usize - 1] += RUN;
+            (first..first + RUN)
+                .map(|i| sealed(id, i, value(id, i)))
+                .collect()
+        })
+        .collect();
+    let (_node_b, addr_b) = spawn_node();
+    let start = Barrier::new(2);
+    let attached = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            start.wait();
+            for run in runs {
+                assert!(cluster.submit_batch(run).iter().all(Result::is_ok));
+            }
+        });
+        start.wait();
+        cluster.attach_replica(0, BackendSpec::Remote(addr_b))
+    });
+    attached.expect("the rebuild converged");
+    let snap = cluster.stats();
+    assert_eq!(snap.shards[0].replica_errors, 0, "{snap:?}");
+    assert!(snap.shards[0].in_sync, "{snap:?}");
+
+    // The never-failed reference holds the same chunks.
+    for id in 1..=IDS {
+        reference.create_stream(id, 0, 10_000, 2).unwrap();
+        let all = (0..next[id as usize - 1]).map(|i| sealed(id, i, value(id, i)));
+        assert!(reference
+            .submit_batch(all.collect())
+            .iter()
+            .all(Result::is_ok));
+    }
+    // Kill the primary: the rebuilt replica answers, and is promoted.
+    let mut node_a = node_a;
+    node_a.shutdown();
+    drop(node_a);
+    for id in 1..=IDS {
+        let window = next[id as usize - 1] as i64 * 10_000;
+        for q in [
+            Request::StreamInfo { stream: id },
+            Request::GetRange {
+                stream: id,
+                ts_s: 0,
+                ts_e: window,
+            },
+            Request::GetStatRange {
+                streams: vec![id],
+                ts_s: 0,
+                ts_e: window,
+            },
+        ] {
+            let want = reference.handle(q.clone()).encode();
+            assert_eq!(cluster.handle(q.clone()).encode(), want, "{q:?}");
+        }
+    }
+    assert_eq!(cluster.stats().shards[0].promotions, 1);
 }
