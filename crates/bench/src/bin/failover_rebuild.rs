@@ -4,9 +4,9 @@
 //! primary is killed mid-ingest: `promotion_ms` is the wall time until a
 //! write is acknowledged again (strike accumulation + automatic backup
 //! promotion), `rebuild_ms` is the `attach_replica` call, which returns
-//! once the replacement is verified in sync (chunked `ExportStream` copy
-//! from the survivor), and `post_rebuild_query_ops_s` is scatter-gather
-//! throughput back at R=2.
+//! once the replacement is in sync (every stream's records copied from the
+//! survivor), and `post_rebuild_query_ops_s` is scatter-gather throughput
+//! back at R=2.
 //!
 //! No arguments. One JSON object on stdout; exits non-zero if promotion
 //! does not complete within a minute, the rebuild gives up, or a

@@ -129,6 +129,18 @@ impl<S: KvStore> KvStore for FaultyKv<S> {
         }
     }
 
+    fn scan_keys_after(
+        &self,
+        prefix: &[u8],
+        after: &[u8],
+        limit: usize,
+    ) -> Result<Vec<Vec<u8>>, StoreError> {
+        match self.decide(OpKind::Scan, prefix) {
+            None => self.inner.scan_keys_after(prefix, after, limit),
+            Some(_) => Err(injected_err()),
+        }
+    }
+
     /// One plan decision per batch, asked as the batch's first op (its kind
     /// and key) — a batch is one op to the counter triggers too. Any fault
     /// but a delay fails the batch with nothing applied, `TornWrite`

@@ -13,7 +13,8 @@
 //! Node storage goes through any [`timecrypt_store::KvStore`], with an LRU
 //! cache in front sized in bytes (the Fig. 7 "tiny 1 MB cache" experiment
 //! shrinks it to force misses). Node identifiers are computed from
-//! `(stream, level, index)` — no stored references (§4.6). A node is
+//! `(stream, level, index)` — no stored references (§4.6) — by [`keys`],
+//! which declares the key of every record a stream owns. A node is
 //! stored once, when it is full; the partial node of each level lives in
 //! memory and is rebuilt on open from the per-chunk level-0 records. In
 //! memory a node is the bytes it is stored as, one buffer: the cache's
@@ -39,10 +40,9 @@
 
 pub mod cache;
 pub mod digest;
+pub mod keys;
 pub mod tree;
 
 pub use cache::LruCache;
 pub use digest::HomDigest;
-pub use tree::{
-    leaf_record, stored_chunk_count, stream_keys, AggTree, IndexError, TreeConfig, TreeStats,
-};
+pub use tree::{leaf_record, stored_chunk_count, AggTree, IndexError, TreeConfig, TreeStats};

@@ -9,7 +9,7 @@
 //! partially-covered edges — O(2(k−1)·log_k n) additions worst case, the
 //! bound quoted in §6.1.
 //!
-//! # Persistence: two record kinds
+//! # Persistence: two record kinds ([`crate::keys`])
 //!
 //! * `il/<stream>/<chunk>` — the **level-0 record** of one chunk: the
 //!   caller's bytes, its encoded digest and then a *tag*, opaque here. The
@@ -86,6 +86,7 @@
 
 use crate::cache::LruCache;
 use crate::digest::HomDigest;
+use crate::keys;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -460,7 +461,7 @@ pub fn stored_chunk_count(kv: &dyn KvStore, stream: u128) -> Result<u64, IndexEr
     // Contiguous from 0, so at least `n` leaves iff leaf `n - 1` exists; its
     // exact key as a prefix probes for it. `lo` are present, `hi` too many.
     let at_least = |n: u64| {
-        let hit = kv.scan_keys(&leaf_key(stream, n - 1))?;
+        let hit = kv.scan_keys(&keys::leaf(stream, n - 1))?;
         Ok::<_, IndexError>(!hit.is_empty())
     };
     let (mut lo, mut hi) = (0, 1);
@@ -478,20 +479,11 @@ pub fn stored_chunk_count(kv: &dyn KvStore, stream: u128) -> Result<u64, IndexEr
     Ok(lo)
 }
 
-/// The keys of `stream`'s index records, level-0 and sealed, for the caller
-/// to delete in one batch with the rest of the stream. It must have dropped
-/// the stream's [`AggTree`] handle (the in-memory frontier dies with it).
-pub fn stream_keys(kv: &dyn KvStore, stream: u128) -> Result<Vec<Vec<u8>>, IndexError> {
-    let mut keys = kv.scan_keys(&leaf_key(stream, 0)[..LEAF_PREFIX_LEN])?;
-    keys.extend(kv.scan_keys(&node_key(stream, 0, 0)[..NODE_PREFIX_LEN])?);
-    Ok(keys)
-}
-
 /// Chunk `index`'s level-0 record, whole, without a tree handle (raw reads
 /// do not hydrate a stream). Missing below the stream's length, it is
 /// `CorruptNode` at level 0: batches are atomic, a gap is no crash state.
 pub fn leaf_record(kv: &dyn KvStore, stream: u128, index: u64) -> Result<Vec<u8>, IndexError> {
-    kv.get(&leaf_key(stream, index))?
+    kv.get(&keys::leaf(stream, index))?
         .ok_or(IndexError::CorruptNode { level: 0, index })
 }
 
@@ -572,7 +564,7 @@ impl<D: HomDigest> AggTree<D> {
             return Ok(D::decode(&record).ok_or(corrupt)?.0);
         }
         let k = self.cfg.arity;
-        let node = match self.kv.get(&node_key(self.stream, level, index))? {
+        let node = match self.kv.get(&keys::node(self.stream, level, index))? {
             Some(bytes) => Node::checked::<D>(bytes, k),
             None => Some(self.node_of(level, index, k as u64)?),
         };
@@ -651,7 +643,7 @@ impl<D: HomDigest> AggTree<D> {
             let (digest, _) = D::decode(record.as_ref()).ok_or_else(corrupt)?;
             let pushed = spine.push(k, index, digest, &mut sealed);
             pushed.ok_or_else(corrupt)?;
-            leaf_keys.push(leaf_key(self.stream, index));
+            leaf_keys.push(keys::leaf(self.stream, index));
         }
         // The open nodes this append holds alone are the copies it made:
         // they give back what a run grew them by, so a published node is
@@ -663,7 +655,7 @@ impl<D: HomDigest> AggTree<D> {
         }
         let node_keys: Vec<_> = sealed
             .iter()
-            .map(|((level, index), _)| node_key(self.stream, *level, *index))
+            .map(|((level, index), _)| keys::node(self.stream, *level, *index))
             .collect();
         let leaves = leaf_keys.iter().zip(records);
         let leaves = leaves.map(|(key, record)| (&key[..], record.as_ref()));
@@ -702,7 +694,7 @@ impl<D: HomDigest> AggTree<D> {
             if let Some(tag) = tag(index, &record)? {
                 record.truncate(digest_len);
                 record.extend_from_slice(&tag);
-                rewritten.push((leaf_key(self.stream, index), record));
+                rewritten.push((keys::leaf(self.stream, index), record));
             }
         }
         let puts = rewritten
@@ -822,8 +814,9 @@ impl<D: HomDigest> AggTree<D> {
             // Node n at `level` covers [n*span, (n+1)*span): fully before
             // the cutoff iff (n+1)*span <= before_chunk.
             let full_nodes = before_chunk / span_at(level, k);
-            let first = node_key(self.stream, level, 0);
-            let stored = self.kv.scan_keys(&first[..first.len() - 8])?;
+            let stored = self
+                .kv
+                .scan_keys(&keys::node(self.stream, level, 0)[..20])?;
             doomed.extend(stored.into_iter().filter_map(|key| {
                 let n = u64::from_be_bytes(*key.last_chunk()?);
                 (n < full_nodes).then_some(((level, n), key))
@@ -843,11 +836,11 @@ impl<D: HomDigest> AggTree<D> {
     /// Cache and size statistics.
     pub fn stats(&self) -> Result<TreeStats, IndexError> {
         let (hits, misses, used) = self.cache.stats();
-        let key = node_key(self.stream, 0, 0);
-        let sealed = self.kv.scan_prefix(&key[..NODE_PREFIX_LEN])?;
+        let sealed = self.kv.scan_prefix(&keys::head(keys::NODE, self.stream))?;
         let spine = self.frontier.lock(RwLock::read);
         let open = spine.open.iter().flatten();
-        let open_bytes: usize = open.clone().map(|(_, n)| key.len() + n.bytes.len()).sum();
+        let key_len = keys::node(self.stream, 0, 0).len();
+        let open_bytes: usize = open.clone().map(|(_, n)| key_len + n.bytes.len()).sum();
         Ok(TreeStats {
             cache_hits: hits,
             cache_misses: misses,
@@ -874,7 +867,7 @@ impl<D: HomDigest> AggTree<D> {
             return Ok(Some(n));
         }
         let gen_before = self.cache_gen.load(Ordering::Acquire);
-        match self.kv.get(&node_key(self.stream, level, index))? {
+        match self.kv.get(&keys::node(self.stream, level, index))? {
             Some(bytes) => {
                 // Only sealed nodes are stored: the record read is the node.
                 let node = Node::checked::<D>(bytes, self.cfg.arity)
@@ -900,31 +893,6 @@ impl<D: HomDigest> AggTree<D> {
 /// Chunks covered by one node at `level` (k^level).
 fn span_at(level: u8, k: u64) -> u64 {
     k.saturating_pow(level as u32)
-}
-
-/// Bytes of a sealed node's key that name the stream: `i/<stream>`.
-const NODE_PREFIX_LEN: usize = 18;
-
-fn node_key(stream: u128, level: u8, index: u64) -> [u8; NODE_PREFIX_LEN + 10] {
-    let mut key = [0u8; NODE_PREFIX_LEN + 10];
-    key[..2].copy_from_slice(b"i/");
-    key[2..NODE_PREFIX_LEN].copy_from_slice(&stream.to_be_bytes());
-    key[NODE_PREFIX_LEN] = b'/';
-    key[NODE_PREFIX_LEN + 1] = level;
-    key[NODE_PREFIX_LEN + 2..].copy_from_slice(&index.to_be_bytes());
-    key
-}
-
-/// Bytes of a level-0 key that name the stream: `il/<stream>/`.
-const LEAF_PREFIX_LEN: usize = 20;
-
-fn leaf_key(stream: u128, index: u64) -> [u8; LEAF_PREFIX_LEN + 8] {
-    let mut key = [0u8; LEAF_PREFIX_LEN + 8];
-    key[..3].copy_from_slice(b"il/");
-    key[3..19].copy_from_slice(&stream.to_be_bytes());
-    key[19] = b'/';
-    key[LEAF_PREFIX_LEN..].copy_from_slice(&index.to_be_bytes());
-    key
 }
 
 #[cfg(test)]
@@ -1177,7 +1145,7 @@ mod tests {
             let t: AggTree<Vec<u64>> = AggTree::open(kv.clone(), 1, cfg).unwrap();
             let digests: Vec<Vec<u64>> = (0..chunks).map(|c| vec![c; width]).collect();
             t.append_batch(&digests).unwrap();
-            let sealed = kv.scan_prefix(&node_key(1, 0, 0)[..NODE_PREFIX_LEN]).unwrap();
+            let sealed = kv.scan_prefix(&keys::head(keys::NODE, 1)).unwrap();
             prop_assert_eq!(sealed.len() as u64, chunks / arity as u64 + chunks / (arity * arity) as u64);
             for (_, bytes) in sealed {
                 let node = Node::checked::<Vec<u64>>(bytes.clone(), arity);
@@ -1300,16 +1268,11 @@ mod tests {
         let kv = Arc::new(FailNthPut::default());
         let t = open4(kv.clone());
         fill(&t, 250);
-        let nodes = kv
-            .scan_keys(&node_key(1, 0, 0)[..NODE_PREFIX_LEN])
-            .unwrap()
-            .len();
+        let nodes = kv.scan_keys(&keys::head(keys::NODE, 1)).unwrap().len();
         kv.arm(1);
         assert!(matches!(t.decay(128, 3), Err(IndexError::Store(_))));
         assert_eq!(
-            kv.scan_keys(&node_key(1, 0, 0)[..NODE_PREFIX_LEN])
-                .unwrap()
-                .len(),
+            kv.scan_keys(&keys::head(keys::NODE, 1)).unwrap().len(),
             nodes
         );
         assert_exhaustive(&t, 250);
@@ -1318,9 +1281,7 @@ mod tests {
         assert_eq!(t.decay(128, 3).unwrap(), 40);
         assert_eq!(kv.writes.load(Ordering::Relaxed), writes + 1);
         assert_eq!(
-            kv.scan_keys(&node_key(1, 0, 0)[..NODE_PREFIX_LEN])
-                .unwrap()
-                .len(),
+            kv.scan_keys(&keys::head(keys::NODE, 1)).unwrap().len(),
             nodes - 40
         );
         assert!(matches!(t.query(0, 1), Err(IndexError::Decayed { .. })));
@@ -1482,13 +1443,11 @@ mod tests {
             assert_eq!(dump(kv.as_ref()), dump(live_kv.as_ref()), "length {n}");
             // Exactly the full nodes are stored, with the bytes their
             // definition gives (what the parent commit wrote for them).
-            let stored: Vec<_> = kv
-                .scan_prefix(&node_key(1, 0, 0)[..NODE_PREFIX_LEN])
-                .unwrap();
+            let stored: Vec<_> = kv.scan_prefix(&keys::head(keys::NODE, 1)).unwrap();
             let mut full = 0;
             for level in 1..=t.levels() {
                 for index in 0..n / span_at(level, 4) {
-                    let bytes = kv.get(&node_key(1, level, index)).unwrap();
+                    let bytes = kv.get(&keys::node(1, level, index)).unwrap();
                     assert_eq!(bytes, Some(full_node_bytes(level, index, 4)));
                     full += 1;
                 }
@@ -1516,21 +1475,21 @@ mod tests {
             let cfg = TreeConfig::default();
             AggTree::<Vec<u64>>::open(kv.clone(), 1, TreeConfig { arity: 4, ..cfg })
         };
-        let leaf8 = kv.get(&leaf_key(1, 8)).unwrap().unwrap();
-        kv.delete(&leaf_key(1, 8)).unwrap();
+        let leaf8 = kv.get(&keys::leaf(1, 8)).unwrap().unwrap();
+        kv.delete(&keys::leaf(1, 8)).unwrap();
         assert_eq!(stored_chunk_count(kv.as_ref(), 1).unwrap(), 11);
         assert!(matches!(
             open(&kv),
             Err(IndexError::CorruptNode { level: 0, index: 8 })
         ));
         // A tail record whose bytes do not decode is refused the same way.
-        kv.put(&leaf_key(1, 8), &[1, 2, 3]).unwrap();
+        kv.put(&keys::leaf(1, 8), &[1, 2, 3]).unwrap();
         assert!(matches!(
             open(&kv),
             Err(IndexError::CorruptNode { level: 0, index: 8 })
         ));
-        kv.put(&leaf_key(1, 8), &leaf8).unwrap();
-        kv.delete(&leaf_key(1, 5)).unwrap();
+        kv.put(&keys::leaf(1, 8), &leaf8).unwrap();
+        kv.delete(&keys::leaf(1, 5)).unwrap();
         let t = open(&kv).unwrap();
         assert_exhaustive(&t, 11);
         let mut leaf4 = Vec::new();
@@ -1540,7 +1499,7 @@ mod tests {
             leaf_record(kv.as_ref(), 1, 5),
             Err(IndexError::CorruptNode { level: 0, index: 5 })
         ));
-        kv.put(&leaf_key(1, 5), &[1, 2, 3]).unwrap();
+        kv.put(&keys::leaf(1, 5), &[1, 2, 3]).unwrap();
         assert!(matches!(
             t.retag(5, 6, |_, _| Ok(None)),
             Err(IndexError::CorruptNode { level: 0, index: 5 })
@@ -1602,7 +1561,7 @@ mod tests {
         let t = open4(kv.clone());
         let mut bad = u32::MAX.to_le_bytes().to_vec();
         bad.extend_from_slice(&[0u8; 7]);
-        kv.put(&node_key(1, 1, 0), &bad).unwrap();
+        kv.put(&keys::node(1, 1, 0), &bad).unwrap();
         match t.query(0, 4) {
             Err(IndexError::CorruptNode { level: 1, index: 0 }) => {}
             other => panic!("expected CorruptNode, got {other:?}"),

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
-use timecrypt_index::{AggTree, HomDigest, IndexError, TreeConfig};
+use timecrypt_index::{keys, AggTree, HomDigest, IndexError, TreeConfig};
 use timecrypt_store::{KvStore, MemKv};
 
 /// Forwards to the system allocator, keeping per thread the largest single
@@ -232,7 +232,7 @@ proptest! {
         }
         // A handle opened before the damage, so the query is what reads it.
         let tree: AggTree<Vec<u64>> = AggTree::open(kv.clone(), 7, cfg.clone()).unwrap();
-        let key = [&b"i/"[..], &7u128.to_be_bytes(), b"/\x01", &0u64.to_be_bytes()].concat();
+        let key = keys::node(7, 1, 0);
         prop_assert!(kv.get(&key).unwrap().is_some(), "node (1, 0) is stored under this key");
         kv.put(&key, &bytes).unwrap();
         // The open probes and scans the store first, in small vectors of its own.

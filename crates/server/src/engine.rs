@@ -19,7 +19,10 @@
 //! hit). Eviction only removes a resident entry whose `Arc` has no
 //! in-flight references, so an operation holding a handle keeps using it
 //! safely after the stream leaves the resident set — and no stream ever
-//! has two live `StreamState`s (which would split its ingest mutex). See
+//! has two live `StreamState`s (which would split its ingest mutex). A
+//! creation, deletion or replica import holds the gate for its whole call;
+//! one that changes a registered stream's records *retires* the state it
+//! replaces, and a writer finding it so resolves the stream again. See
 //! ARCHITECTURE.md "Stream lifecycle".
 
 use crate::keystore::KeyStore;
@@ -31,12 +34,12 @@ use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_crypto::sha256::sha256_concat;
 use timecrypt_index::{
-    leaf_record, stored_chunk_count, stream_keys, AggTree, HomDigest, IndexError, TreeConfig,
+    keys, leaf_record, stored_chunk_count, AggTree, HomDigest, IndexError, TreeConfig,
 };
 use timecrypt_integrity::{RootAttestation, StreamLedger};
 use timecrypt_obs::rank::{self, Ranked};
 use timecrypt_obs::{counters, trace};
-use timecrypt_store::{KvStore, StoreError, WriteOp};
+use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
@@ -68,11 +71,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// Byte budget of one [`TimeCryptServer::export_chunks`] page: a replica
-/// rebuild ships each page as one `Response::StreamChunks` frame, so the
-/// page must stay far below the transport's 16 MiB frame cap. 4 MiB leaves
-/// a 4× margin for framing overhead, matching the ingest drain budget.
+/// Byte budget, keys and values, of one [`TimeCryptServer::export_stream`]
+/// page: a rebuild ships a page as one frame from the survivor and one to
+/// the replica, 4× under the transport's 16 MiB frame cap.
 pub const EXPORT_PAGE_BYTES: usize = 4 * 1024 * 1024;
+
+/// Keys one store scan of an export or import page reads at a time.
+const SCAN_KEYS: usize = 1024;
+
+/// What one import page changes: the keys to delete, the records to put.
+type PageWrites<'p> = (Vec<Vec<u8>>, Vec<&'p (Vec<u8>, Vec<u8>)>);
 
 /// Engine errors (mapped to `Response::Error` strings at the wire boundary).
 #[derive(Debug)]
@@ -105,6 +113,9 @@ pub enum ServerError {
     BadChunk,
     /// Live record bytes failed to parse.
     BadRecord,
+    /// A replica-import page whose keys do not ascend after its cursor or
+    /// are not all the stream's.
+    BadImport,
     /// Live record targets a chunk that is already finalized.
     StaleLiveRecord {
         /// The chunk the record claimed.
@@ -160,6 +171,7 @@ impl std::fmt::Display for ServerError {
             }
             ServerError::BadChunk => write!(f, "malformed chunk bytes"),
             ServerError::BadRecord => write!(f, "malformed live record bytes"),
+            ServerError::BadImport => write!(f, "import page out of order or not the stream's"),
             ServerError::StaleLiveRecord { chunk, next } => {
                 write!(
                     f,
@@ -234,6 +246,23 @@ struct StreamMeta {
 }
 
 impl StreamMeta {
+    /// The registration record's value: `t0 ‖ Δ ‖ width`, little-endian.
+    fn encode(&self) -> Vec<u8> {
+        let (t0, delta) = (self.t0.to_le_bytes(), self.delta_ms.get().to_le_bytes());
+        [&t0[..], &delta, &self.digest_width.to_le_bytes()].concat()
+    }
+
+    /// [`encode`](Self::encode)'s inverse; `None` for another length or Δ = 0.
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        let (t0, rest) = bytes.split_first_chunk::<8>()?;
+        let (delta, width) = rest.split_first_chunk::<8>()?;
+        Some(StreamMeta {
+            t0: i64::from_le_bytes(*t0),
+            delta_ms: NonZeroU64::new(u64::from_le_bytes(*delta))?,
+            digest_width: u32::from_le_bytes(width.try_into().ok()?),
+        })
+    }
+
     /// The chunk `ts` falls in, for `ts` at or after `t0` — exact for any
     /// two timestamps, as their distance is.
     fn chunk_of(&self, ts: i64) -> u64 {
@@ -281,7 +310,9 @@ struct StreamState {
     ledger: RwLock<StreamLedger>,
     /// The per-stream ingest lock: held by `insert`, `rollup`, and
     /// `delete_range` (exclusive writers). The read path never takes it.
-    ingest: Ranked<{ rank::INGEST }, Mutex<()>>,
+    /// It guards whether the state is *retired* (`retire`): a writer that
+    /// finds it so resolves the stream again.
+    ingest: Ranked<{ rank::INGEST }, Mutex<bool>>,
 }
 
 /// One resident stream: its state handle plus the recency tick mirrored
@@ -309,8 +340,10 @@ struct StreamRegistry {
     tick: u64,
     /// Per-stream single-flight hydration gates (lock class `hydrate`,
     /// taken *before* `registry`): the winner holds its stream's gate
-    /// while opening the stream; concurrent cold touches queue on the
-    /// gate instead of opening it again.
+    /// while opening the stream, a creation, deletion or import for its
+    /// whole call; concurrent cold touches queue on the gate instead of
+    /// opening the stream again. A stream's directory entry changes only
+    /// under it.
     hydrating: HashMap<u128, Arc<Gate>>,
 }
 
@@ -347,8 +380,8 @@ impl StreamRegistry {
         );
     }
 
-    /// Drops a stream from the resident set (unconditionally — callers on
-    /// the delete path intend to orphan in-flight references).
+    /// Drops a stream from the resident set (unconditionally: `retire`
+    /// marks the state in-flight references hold).
     fn remove_resident(&mut self, stream: u128) -> Option<Arc<StreamState>> {
         let r = self.resident.remove(&stream)?;
         self.order.remove(&r.tick);
@@ -392,13 +425,6 @@ pub struct TimeCryptServer {
     evictions: counters::Counter,
 }
 
-fn stream_meta_key(stream: u128) -> Vec<u8> {
-    let mut k = Vec::with_capacity(18);
-    k.extend_from_slice(b"s/");
-    k.extend_from_slice(&stream.to_be_bytes());
-    k
-}
-
 /// The `pn` of a stub: no frame (16 MiB cap) carries a payload that long.
 const STUB_PN: u32 = u32::MAX;
 
@@ -425,13 +451,6 @@ fn split_record(index: u64, record: &[u8]) -> Result<(&[u8], Option<&[u8; 32]>),
 /// `stream` was ingested as, from its full record.
 fn record_commitment(stream: u128, index: u64, record: &[u8]) -> [u8; 32] {
     sha256_concat(&EncryptedChunk::position(stream, index), record)
-}
-
-fn attestation_key(stream: u128) -> Vec<u8> {
-    let mut k = Vec::with_capacity(20);
-    k.extend_from_slice(b"att/");
-    k.extend_from_slice(&stream.to_be_bytes());
-    k
 }
 
 impl TimeCryptServer {
@@ -465,55 +484,28 @@ impl TimeCryptServer {
             evictions: counters::Counter::new(),
         };
         let mut directory: HashMap<u128, StreamMeta> = HashMap::new();
-        for (key, meta) in server.kv.scan_prefix(b"s/")? {
-            if key.len() != 18 || meta.len() != 20 {
-                continue;
-            }
-            // The guard above makes every conversion exact; a mismatch is
-            // skipped like any other malformed record rather than panicking.
-            let (Ok(sid), Ok(t0), Ok(delta), Ok(width)) = (
-                <[u8; 16]>::try_from(&key[2..]),
-                <[u8; 8]>::try_from(&meta[..8]),
-                <[u8; 8]>::try_from(&meta[8..16]),
-                <[u8; 4]>::try_from(&meta[16..]),
-            ) else {
+        for (key, value) in server.kv.scan_prefix(keys::META)? {
+            // A malformed record is skipped: no registration wrote it.
+            let (Some(stream), Some(meta)) = (keys::meta_stream(&key), StreamMeta::decode(&value))
+            else {
                 continue;
             };
-            let stream = u128::from_be_bytes(sid);
-            // A zero interval is as malformed as a short record: no
-            // registration can have written one.
-            let Some(delta_ms) = NonZeroU64::new(u64::from_le_bytes(delta)) else {
-                continue;
-            };
-            if !owns(stream) {
-                continue;
+            if owns(stream) {
+                directory.insert(stream, meta);
             }
-            directory.insert(
-                stream,
-                StreamMeta {
-                    t0: i64::from_le_bytes(t0),
-                    delta_ms,
-                    digest_width: u32::from_le_bytes(width),
-                },
-            );
         }
         server.registry.lock(Mutex::lock).directory = directory;
         Ok(server)
     }
 
     /// Registers a stream. Registration writes the durable meta record and
-    /// the directory entry only; the stream's state hydrates on first use.
+    /// then the directory entry; the stream's state hydrates on first use.
     /// A chunk interval of zero is refused ([`ServerError::ZeroInterval`]):
-    /// every windowed read divides by it.
-    ///
-    /// The directory entry is reserved under the registry lock, but the
-    /// durable meta write happens *outside* it — a slow store write must
-    /// not stall resident hits on every other stream. The reservation
-    /// makes concurrent `create_stream` calls for the same id lose with
-    /// `StreamExists` before they reach the store; if our own write
-    /// fails, or a concurrent `delete_stream` removed the reservation
-    /// while we were writing, we roll back (entry and orphan meta
-    /// record respectively).
+    /// every windowed read divides by it. The stream's hydration gate
+    /// orders it with a racing creation or deletion of the id; resident
+    /// hits on other streams go on meanwhile. An unregistered stream has no
+    /// resident state, so nothing is retired, and a refused creation of a
+    /// registered one leaves its state alone.
     pub fn create_stream(
         &self,
         stream: u128,
@@ -526,55 +518,108 @@ impl TimeCryptServer {
             delta_ms: NonZeroU64::new(delta_ms).ok_or(ServerError::ZeroInterval)?,
             digest_width,
         };
-        {
-            let mut reg = self.registry.lock(Mutex::lock);
-            if reg.directory.contains_key(&stream) {
+        self.gated(stream, || {
+            if self.stream_meta(stream).is_ok() {
                 return Err(ServerError::StreamExists(stream));
             }
+            self.kv.put(&keys::meta(stream), &meta.encode())?;
+            let mut reg = self.registry.lock(Mutex::lock);
             reg.directory.insert(stream, meta);
-        }
-        let mut bytes = Vec::with_capacity(20);
-        bytes.extend_from_slice(&t0.to_le_bytes());
-        bytes.extend_from_slice(&delta_ms.to_le_bytes());
-        bytes.extend_from_slice(&digest_width.to_le_bytes());
-        if let Err(e) = self.kv.put(&stream_meta_key(stream), &bytes) {
-            self.registry.lock(Mutex::lock).directory.remove(&stream);
-            return Err(e.into());
-        }
-        let still_registered = self
-            .registry
-            .lock(Mutex::lock)
-            .directory
-            .contains_key(&stream);
-        if !still_registered {
-            // Deleted while we were writing: delete_stream already ran its
-            // purge, possibly before our put landed — remove the orphan.
-            self.kv.delete(&stream_meta_key(stream))?;
-            return Err(ServerError::NoSuchStream(stream));
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
-    /// Deletes a stream with all chunks, index records, and key-store
-    /// entries, in one store batch: a crash leaves the stream whole or gone.
+    /// Deletes a stream with every record it owns, in one store batch: a
+    /// crash leaves the stream whole or gone. A deletion is the import of an
+    /// empty last page ([`import_stream`](Self::import_stream)), so a writer
+    /// holding the stream's state committed before the batch's keys were
+    /// read or finds the stream gone.
     pub fn delete_stream(&self, stream: u128) -> Result<(), ServerError> {
-        let dropped = {
-            let mut reg = self.registry.lock(Mutex::lock);
-            if reg.directory.remove(&stream).is_none() {
-                return Err(ServerError::NoSuchStream(stream));
+        self.gated(stream, || {
+            self.stream_meta(stream)?;
+            self.import_gated(stream, &[], &[], true).map(drop)
+        })
+    }
+
+    /// Runs `f` holding `stream`'s hydration gate: no cold touch, creation,
+    /// deletion or import of the stream runs meanwhile. Lock order: the
+    /// gate, then `registry` and `ingest` each alone.
+    fn gated<T>(
+        &self,
+        stream: u128,
+        f: impl FnOnce() -> Result<T, ServerError>,
+    ) -> Result<T, ServerError> {
+        loop {
+            let gate = {
+                let mut reg = self.registry.lock(Mutex::lock);
+                reg.hydrating.entry(stream).or_default().clone()
+            };
+            let _gate = gate.lock(Mutex::lock);
+            if !Self::claim_gate(&mut self.registry.lock(Mutex::lock), stream, &gate) {
+                continue;
             }
-            // An in-flight hydration of this stream re-checks the
-            // directory before publishing and discards its result.
-            reg.remove_resident(stream)
-        };
-        drop(dropped);
-        let mut keys = vec![stream_meta_key(stream), attestation_key(stream)];
-        keys.extend(stream_keys(self.kv.as_ref(), stream)?);
-        keys.extend(KeyStore::new(self.kv.as_ref()).stream_keys(stream)?);
-        let deletes: Vec<_> = keys.iter().map(|key| WriteOp::Delete { key }).collect();
-        self.kv.write_batch(&deletes)?;
-        self.live.lock().remove(&stream);
-        Ok(())
+            let out = f();
+            Self::release_gate(&mut self.registry.lock(Mutex::lock), stream, &gate);
+            return out;
+        }
+    }
+
+    /// Under `stream`'s gate, before its records change: drops its resident
+    /// state and *retires* it. A writer that held it finished first; one
+    /// that locks it later resolves the stream again and, like every cold
+    /// touch, waits on the gate for what the caller leaves.
+    fn retire(&self, stream: u128) {
+        let resident = self.registry.lock(Mutex::lock).remove_resident(stream);
+        if let Some(old) = resident {
+            **old.ingest.lock(Mutex::lock) = true;
+        }
+    }
+
+    /// Runs `f` on `stream`'s state under its ingest lock, as every writer
+    /// does; a state retired meanwhile is passed over for the current one.
+    fn write_locked<T>(
+        &self,
+        stream: u128,
+        f: impl FnOnce(&StreamState) -> T,
+    ) -> Result<T, ServerError> {
+        loop {
+            let st = self.stream(stream)?;
+            let retired = st.ingest.lock(Mutex::lock);
+            if !**retired {
+                return Ok(f(&st));
+            }
+        }
+    }
+
+    /// The keys `stream` owns after `after`, ascending: its heads in key
+    /// order, each read from the store [`SCAN_KEYS`] at a time from the
+    /// cursor on as the iterator is drawn.
+    fn keys_from<'a>(
+        &'a self,
+        stream: u128,
+        after: &[u8],
+    ) -> impl Iterator<Item = Result<Vec<u8>, ServerError>> + 'a {
+        let mut heads = keys::of_stream(stream).into_iter();
+        let mut head = heads.next();
+        let (mut cursor, mut scanned) = (after.to_vec(), Vec::new().into_iter());
+        std::iter::from_fn(move || loop {
+            if let Some(key) = scanned.next() {
+                cursor.clone_from(&key);
+                return Some(Ok(key));
+            }
+            match self.kv.scan_keys_after(head.as_ref()?, &cursor, SCAN_KEYS) {
+                Ok(keys) => {
+                    if keys.len() < SCAN_KEYS {
+                        head = heads.next();
+                    }
+                    scanned = keys.into_iter();
+                }
+                Err(e) => {
+                    head = None;
+                    return Some(Err(e.into()));
+                }
+            }
+        })
     }
 
     /// The stream's resident state, hydrating it from the store on a cold
@@ -620,12 +665,8 @@ impl TimeCryptServer {
                     Self::release_gate(&mut reg, stream, &gate);
                     return Err(ServerError::NoSuchStream(stream));
                 };
-                match reg.hydrating.get(&stream) {
-                    Some(g) if Arc::ptr_eq(g, &gate) => {}
-                    Some(_) => continue,
-                    None => {
-                        reg.hydrating.insert(stream, gate.clone());
-                    }
+                if !Self::claim_gate(&mut reg, stream, &gate) {
+                    continue;
                 }
                 meta
             };
@@ -635,11 +676,8 @@ impl TimeCryptServer {
             let hydrated = self.hydrate(stream, meta);
             let mut reg = self.registry.lock(Mutex::lock);
             Self::release_gate(&mut reg, stream, &gate);
+            // Still registered: the directory changes only under the gate.
             let st = Arc::new(hydrated?);
-            if !reg.directory.contains_key(&stream) {
-                // Deleted while hydrating: discard the rebuilt state.
-                return Err(ServerError::NoSuchStream(stream));
-            }
             self.hydrations.inc();
             reg.insert_resident(stream, st.clone());
             let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
@@ -665,8 +703,15 @@ impl TimeCryptServer {
             meta,
             tree: AggTree::open(self.kv.clone(), stream, cfg)?,
             ledger: RwLock::new(StreamLedger::new(stream)),
-            ingest: Ranked::new(Mutex::new(())),
+            ingest: Ranked::new(Mutex::new(false)),
         })
+    }
+
+    /// Registers `gate` as `stream`'s unless another one is (then retry):
+    /// only its registered gate's holder publishes or replaces a stream.
+    fn claim_gate(reg: &mut StreamRegistry, stream: u128, gate: &Arc<Gate>) -> bool {
+        let registered = reg.hydrating.entry(stream).or_insert_with(|| gate.clone());
+        Arc::ptr_eq(registered, gate)
     }
 
     /// Retires a hydration gate if it is still the registered one (a
@@ -862,49 +907,48 @@ impl TimeCryptServer {
         stream: u128,
         items: &[RunItem<'a>],
     ) -> Vec<Result<(), ServerError>> {
-        let Ok(st) = self.stream(stream) else {
-            let unknown = |_| Err(ServerError::NoSuchStream(stream));
-            return items.iter().map(unknown).collect();
-        };
         // Exclusive per-stream ingest lock: serializes writers only.
         // Concurrent statistical/raw reads proceed against the previous
         // tree-length snapshot.
-        let _ingest = st.ingest.lock(Mutex::lock);
-        let base = st.tree.len();
-        let mut expected = base;
-        // The level-0 record of each accepted chunk, in run order.
-        let mut records: Vec<&[u8]> = Vec::with_capacity(items.len());
-        let validate = |(chunk, bytes): &RunItem<'a>| {
-            let got = chunk.digest_ct.len() as u32;
-            if got != st.meta.digest_width {
-                let expected = st.meta.digest_width;
-                return Err(ServerError::WidthMismatch { expected, got });
+        let run = self.write_locked(stream, |st| {
+            let base = st.tree.len();
+            let mut expected = base;
+            // The level-0 record of each accepted chunk, in run order.
+            let mut records: Vec<&[u8]> = Vec::with_capacity(items.len());
+            let validate = |(chunk, bytes): &RunItem<'a>| {
+                let got = chunk.digest_ct.len() as u32;
+                if got != st.meta.digest_width {
+                    let expected = st.meta.digest_width;
+                    return Err(ServerError::WidthMismatch { expected, got });
+                }
+                if chunk.index != expected {
+                    let got = chunk.index;
+                    return Err(ServerError::OutOfOrderChunk { expected, got });
+                }
+                records.push(&bytes[EncryptedChunk::POSITION_LEN..]);
+                expected += 1;
+                Ok(())
+            };
+            let mut verdicts: Vec<_> = items.iter().map(validate).collect();
+            if let Err(e) = st.tree.append_records(&records) {
+                let mut first = Some(ServerError::from(e));
+                for verdict in verdicts.iter_mut().filter(|v| v.is_ok()) {
+                    *verdict = Err(first.take().unwrap_or(ServerError::Unavailable(
+                        "the store commit failed for an earlier chunk of this run",
+                    )));
+                }
+            } else if let Some(buf) = self.live.lock().get_mut(&stream) {
+                // The finalized chunks supersede their real-time records
+                // (§4.6 "dropping the encrypted records once the
+                // corresponding chunk is stored").
+                for index in base..expected {
+                    buf.remove(&index);
+                }
             }
-            if chunk.index != expected {
-                let got = chunk.index;
-                return Err(ServerError::OutOfOrderChunk { expected, got });
-            }
-            records.push(&bytes[EncryptedChunk::POSITION_LEN..]);
-            expected += 1;
-            Ok(())
-        };
-        let mut verdicts: Vec<_> = items.iter().map(validate).collect();
-        if let Err(e) = st.tree.append_records(&records) {
-            let mut first = Some(ServerError::from(e));
-            for verdict in verdicts.iter_mut().filter(|v| v.is_ok()) {
-                *verdict = Err(first.take().unwrap_or(ServerError::Unavailable(
-                    "the store commit failed for an earlier chunk of this run",
-                )));
-            }
-        } else if let Some(buf) = self.live.lock().get_mut(&stream) {
-            // The finalized chunks supersede their real-time records (§4.6
-            // "dropping the encrypted records once the corresponding chunk
-            // is stored").
-            for index in base..expected {
-                buf.remove(&index);
-            }
-        }
-        verdicts
+            verdicts
+        });
+        let unknown = |_| Err(ServerError::NoSuchStream(stream));
+        run.unwrap_or_else(|_| items.iter().map(unknown).collect())
     }
 
     /// Buffers one real-time record (§4.6). The record must target a chunk
@@ -979,7 +1023,7 @@ impl TimeCryptServer {
         if att.stream != stream {
             return Err(ServerError::Integrity("attestation stream mismatch".into()));
         }
-        if let Some(prev) = self.kv.get(&attestation_key(stream))? {
+        if let Some(prev) = self.kv.get(&keys::attestation(stream))? {
             if let Some(prev) = RootAttestation::decode(&prev) {
                 if att.epoch < prev.epoch {
                     return Err(ServerError::Integrity(
@@ -988,7 +1032,7 @@ impl TimeCryptServer {
                 }
             }
         }
-        self.kv.put(&attestation_key(stream), bytes)?;
+        self.kv.put(&keys::attestation(stream), bytes)?;
         Ok(())
     }
 
@@ -996,7 +1040,7 @@ impl TimeCryptServer {
     pub fn get_attestation(&self, stream: u128) -> Result<Vec<u8>, ServerError> {
         let _ = self.stream_meta(stream)?;
         self.kv
-            .get(&attestation_key(stream))?
+            .get(&keys::attestation(stream))?
             .ok_or(ServerError::NoAttestation(stream))
     }
 
@@ -1158,18 +1202,19 @@ impl TimeCryptServer {
     /// one store batch turns each full record of the range into its stub.
     /// Returns how many; a range of stubs writes nothing.
     pub fn delete_range(&self, stream: u128, ts_s: i64, ts_e: i64) -> Result<usize, ServerError> {
-        let st = self.stream(stream)?;
         // Deletion is a writer: keep it serialized with inserts/rollups.
-        let _ingest = st.ingest.lock(Mutex::lock);
-        let lo = st.meta.first_chunk_at_or_after(ts_s);
-        let hi = st.meta.chunk_end_at_or_before(ts_e);
-        let stub = |index, record: &[u8]| {
-            let (_, stub) = split_record(index, record)?;
-            let commitment = || record_commitment(stream, index, record);
-            let tag = || [&STUB_PN.to_le_bytes()[..], &commitment()].concat();
-            Ok(stub.is_none().then(tag))
-        };
-        Ok(st.tree.retag(lo, hi, stub)?)
+        let stubbed = self.write_locked(stream, |st| {
+            let lo = st.meta.first_chunk_at_or_after(ts_s);
+            let hi = st.meta.chunk_end_at_or_before(ts_e);
+            let stub = |index, record: &[u8]| {
+                let (_, stub) = split_record(index, record)?;
+                let commitment = || record_commitment(stream, index, record);
+                let tag = || [&STUB_PN.to_le_bytes()[..], &commitment()].concat();
+                Ok(stub.is_none().then(tag))
+            };
+            st.tree.retag(lo, hi, stub)
+        })?;
+        Ok(stubbed?)
     }
 
     /// Data decay: ages out index levels below `keep_level` for chunks
@@ -1180,10 +1225,11 @@ impl TimeCryptServer {
         before_ts: i64,
         keep_level: u8,
     ) -> Result<usize, ServerError> {
-        let st = self.stream(stream)?;
-        let _ingest = st.ingest.lock(Mutex::lock);
-        let cutoff = st.meta.chunk_end_at_or_before(before_ts).min(st.tree.len());
-        Ok(st.tree.decay(cutoff, keep_level)?)
+        let decayed = self.write_locked(stream, |st| {
+            let cutoff = st.meta.chunk_end_at_or_before(before_ts).min(st.tree.len());
+            st.tree.decay(cutoff, keep_level)
+        })?;
+        Ok(decayed?)
     }
 
     /// Verified raw retrieval (integrity extension): the chunks overlapping
@@ -1239,68 +1285,134 @@ impl TimeCryptServer {
         self.registry.lock(Mutex::lock).directory.len()
     }
 
-    /// Ids of every registered stream, ascending (deterministic order for
-    /// replica rebuild and diagnostics).
+    /// Every registered stream, ascending: the replica-rebuild listing.
     pub fn stream_ids(&self) -> Vec<u128> {
-        let mut ids: Vec<u128> = self
-            .registry
-            .lock(Mutex::lock)
-            .directory
-            .keys()
-            .copied()
-            .collect();
+        let mut ids = Vec::from_iter(self.registry.lock(Mutex::lock).directory.keys().copied());
         ids.sort_unstable();
         ids
     }
 
-    /// Metadata of every registered stream, ascending by id — the
-    /// enumeration half of the replica-rebuild protocol, shared by every
-    /// deployment shape (single engine, local shard, shard node) so the
-    /// listing semantics cannot diverge between them.
-    pub fn stream_infos(&self) -> Result<Vec<StreamInfoWire>, ServerError> {
-        self.stream_ids()
-            .into_iter()
-            .map(|sid| self.stream_info(sid))
-            .collect()
-    }
-
-    /// Pages raw sealed chunks for replica rebuild: serialized chunks of
-    /// `stream` starting at index `from_idx`, at most `max_bytes` of
-    /// payload per page (a page always carries at least one chunk when one
-    /// is available, so an oversized chunk cannot stall the export).
-    /// Returns `(chunks, next_idx, done)`; `done` means no further chunks
-    /// are exportable — the page reached the stream's published length, or
-    /// the next payload was deleted (`delete_range` decay) and the
-    /// contiguous exportable prefix ends here.
-    pub fn export_chunks(
+    /// One page of `stream`'s records after key `after`, in key order: at most
+    /// `max_bytes` of them but at least one, `true` when it holds the last.
+    /// Its keys are read from the cursor on, so a page costs what it holds,
+    /// wherever it starts.
+    pub fn export_stream(
         &self,
         stream: u128,
-        from_idx: u64,
+        after: &[u8],
         max_bytes: usize,
-    ) -> Result<(Vec<Vec<u8>>, u64, bool), ServerError> {
-        // Non-hydrating on purpose: a replica rebuild pages *every*
-        // stream of a shard, and pulling each one resident would thrash
-        // the LRU for state the export never reads (chunks come
-        // straight from the store). Like the read path, it answers for
-        // the chunk prefix published when the call began; the rebuild
-        // loop re-reads lengths per page, so a concurrent append is
-        // simply picked up by the next page.
-        let len = self.stream_len(stream)?;
-        let mut out = Vec::new();
-        let mut bytes = 0usize;
-        let mut idx = from_idx;
-        while idx < len {
-            let Some(chunk) = self.stored_chunk(stream, idx)? else {
-                break;
+    ) -> Result<(KvPairs, bool), ServerError> {
+        let (mut page, mut bytes) = (Vec::new(), 0);
+        for key in self.keys_from(stream, after) {
+            let key = key?;
+            // A key deleted since the scan is not the stream's any more.
+            let Some(value) = self.kv.get(&key)? else {
+                continue;
             };
-            if !out.is_empty() && bytes + chunk.len() > max_bytes {
-                return Ok((out, idx, false));
+            bytes += key.len() + value.len();
+            if bytes > max_bytes && !page.is_empty() {
+                return Ok((page, false));
             }
-            bytes += chunk.len();
-            out.push(chunk);
-            idx += 1;
+            page.push((key, value));
         }
-        Ok((out, idx, true))
+        Ok((page, true))
+    }
+
+    /// Makes `stream`'s records in the page's key interval — `(after, last
+    /// key]`, everything after `after` when `done` — equal to `records`, in
+    /// one store batch: the replica's side of an export page. A last page
+    /// without the registration record (the largest key) is a gone stream:
+    /// its interval is the whole stream. Refused unless the keys ascend
+    /// after `after` and are the stream's. Returns the chunks it wrote; a
+    /// page the store held already costs reads alone.
+    pub fn import_stream(
+        &self,
+        stream: u128,
+        after: &[u8],
+        records: &[(Vec<u8>, Vec<u8>)],
+        done: bool,
+    ) -> Result<u64, ServerError> {
+        let heads = keys::of_stream(stream);
+        let mut last = after;
+        for (key, _) in records {
+            if key.as_slice() <= last || !heads.iter().any(|head| key.starts_with(head)) {
+                return Err(ServerError::BadImport);
+            }
+            last = key;
+        }
+        self.gated(stream, || self.import_gated(stream, after, records, done))
+    }
+
+    /// [`import_stream`](Self::import_stream) under the stream's gate. What
+    /// the page changes is read first; only if it changes anything is the
+    /// resident state retired, the changes read again — a writer that held
+    /// the state has committed by then — and written. The directory entry
+    /// goes before the records, comes after them.
+    fn import_gated(
+        &self,
+        stream: u128,
+        after: &[u8],
+        records: &[(Vec<u8>, Vec<u8>)],
+        done: bool,
+    ) -> Result<u64, ServerError> {
+        let meta_key = keys::meta(stream);
+        let meta = records.last().filter(|(key, _)| *key == meta_key);
+        let from: &[u8] = if done && meta.is_none() { &[] } else { after };
+        let last = records.last().map_or(after, |(key, _)| key);
+        let end = (!done).then_some(last);
+        let (stale, puts) = self.page_writes(stream, from, end, records)?;
+        if stale.is_empty() && puts.is_empty() {
+            return Ok(0);
+        }
+        self.retire(stream);
+        let (stale, puts) = self.page_writes(stream, from, end, records)?;
+        let mut ops: Vec<_> = stale.iter().map(|key| WriteOp::Delete { key }).collect();
+        ops.extend(puts.iter().map(|(key, value)| WriteOp::Put { key, value }));
+        let chunks = puts.iter().filter(|(key, _)| key.starts_with(keys::LEAF));
+        let chunks = chunks.count() as u64;
+        // `Some` when the page says whether the stream is registered.
+        let covered =
+            meta_key.as_slice() > from && end.is_none_or(|end| meta_key.as_slice() <= end);
+        let registered = covered.then(|| meta.and_then(|(_, v)| StreamMeta::decode(v)));
+        if let Some(None) = registered {
+            self.live.lock().remove(&stream);
+            self.registry.lock(Mutex::lock).directory.remove(&stream);
+        }
+        self.kv.write_batch(&ops)?;
+        if let Some(Some(meta)) = registered {
+            let mut reg = self.registry.lock(Mutex::lock);
+            reg.directory.insert(stream, meta);
+        }
+        Ok(chunks)
+    }
+
+    /// What makes `stream`'s records after `from` — through `end`, when
+    /// given — equal to `records`: the keys to delete, and the records the
+    /// store does not hold as they are.
+    fn page_writes<'p>(
+        &self,
+        stream: u128,
+        from: &[u8],
+        end: Option<&[u8]>,
+        records: &'p [(Vec<u8>, Vec<u8>)],
+    ) -> Result<PageWrites<'p>, ServerError> {
+        let mut stale = Vec::new();
+        for key in self.keys_from(stream, from) {
+            let key = key?;
+            if end.is_some_and(|end| key.as_slice() > end) {
+                break;
+            }
+            if records.binary_search_by(|(k, _)| k.cmp(&key)).is_err() {
+                stale.push(key);
+            }
+        }
+        let mut puts = Vec::new();
+        for record in records {
+            if self.kv.get(&record.0)?.as_ref() != Some(&record.1) {
+                puts.push(record);
+            }
+        }
+        Ok((stale, puts))
     }
 
     /// Key-store facade.
@@ -1357,11 +1469,17 @@ impl TimeCryptServer {
     /// The arms of [`dispatch`](Self::dispatch) for requests that carry
     /// no bulk payload.
     fn dispatch_unborrowed(&self, req: Request) -> Response {
-        fn ok_or<T>(r: Result<T, ServerError>, f: impl FnOnce(T) -> Response) -> Response {
+        fn ok_or<T, E: Into<ServerError>>(
+            r: Result<T, E>,
+            f: impl FnOnce(T) -> Response,
+        ) -> Response {
             match r {
                 Ok(v) => f(v),
-                Err(e) => Response::Error(e.to_string()),
+                Err(e) => Response::Error(e.into().to_string()),
             }
+        }
+        fn acked<T>(_: T) -> Response {
+            Response::Ok
         }
         match req {
             // `RequestRef` carries ingest requests borrowed; one that was
@@ -1376,9 +1494,9 @@ impl TimeCryptServer {
                 digest_width,
             } => ok_or(
                 self.create_stream(stream, t0, delta_ms, digest_width),
-                |_| Response::Ok,
+                acked,
             ),
-            Request::DeleteStream { stream } => ok_or(self.delete_stream(stream), |_| Response::Ok),
+            Request::DeleteStream { stream } => ok_or(self.delete_stream(stream), acked),
             Request::GetLive { stream, ts_s, ts_e } => {
                 ok_or(self.get_live(stream, ts_s, ts_e), Response::Records)
             }
@@ -1396,45 +1514,34 @@ impl TimeCryptServer {
                 ts_e,
             } => Response::StatLeg(self.stat_leg(&streams, ts_s, ts_e).into()),
             Request::DeleteRange { stream, ts_s, ts_e } => {
-                ok_or(self.delete_range(stream, ts_s, ts_e), |_| Response::Ok)
+                ok_or(self.delete_range(stream, ts_s, ts_e), acked)
             }
             Request::Rollup {
                 stream,
                 before_ts,
                 keep_level,
-            } => ok_or(self.rollup(stream, before_ts, keep_level), |_| Response::Ok),
+            } => ok_or(self.rollup(stream, before_ts, keep_level), acked),
             Request::StreamInfo { stream } => ok_or(self.stream_info(stream), Response::Info),
             Request::PutGrant {
                 stream,
                 principal,
                 blob,
-            } => ok_or(
-                self.keystore()
-                    .put_grant(stream, &principal, &blob)
-                    .map_err(ServerError::from),
-                |_| Response::Ok,
-            ),
+            } => ok_or(self.keystore().put_grant(stream, &principal, &blob), acked),
             Request::GetGrants { stream, principal } => ok_or(
-                self.keystore()
-                    .get_grants(stream, &principal)
-                    .map_err(ServerError::from),
+                self.keystore().get_grants(stream, &principal),
                 Response::Blobs,
             ),
-            Request::RevokeGrants { stream, principal } => ok_or(
-                self.keystore()
-                    .revoke_grants(stream, &principal)
-                    .map_err(ServerError::from),
-                |_| Response::Ok,
-            ),
+            Request::RevokeGrants { stream, principal } => {
+                ok_or(self.keystore().revoke_grants(stream, &principal), acked)
+            }
             Request::PutEnvelopes {
                 stream,
                 resolution,
                 envelopes,
             } => ok_or(
                 self.keystore()
-                    .put_envelopes(stream, resolution, &envelopes)
-                    .map_err(ServerError::from),
-                |_| Response::Ok,
+                    .put_envelopes(stream, resolution, &envelopes),
+                acked,
             ),
             Request::GetEnvelopes {
                 stream,
@@ -1442,15 +1549,13 @@ impl TimeCryptServer {
                 lo,
                 hi,
             } => ok_or(
-                self.keystore()
-                    .get_envelopes(stream, resolution, lo, hi)
-                    .map_err(ServerError::from),
+                self.keystore().get_envelopes(stream, resolution, lo, hi),
                 Response::Envelopes,
             ),
             Request::PutAttestation {
                 stream,
                 attestation,
-            } => ok_or(self.put_attestation(stream, &attestation), |_| Response::Ok),
+            } => ok_or(self.put_attestation(stream, &attestation), acked),
             Request::GetAttestation { stream } => {
                 ok_or(self.get_attestation(stream), |a| Response::Blobs(vec![a]))
             }
@@ -1471,14 +1576,19 @@ impl TimeCryptServer {
             }
             // A single engine owns every stream: the shard id is a routing
             // concept of the service tier, so it is ignored here.
-            Request::ListStreams { .. } => ok_or(self.stream_infos(), Response::StreamList),
-            Request::ExportStream { stream, from_idx } => ok_or(
-                self.export_chunks(stream, from_idx, EXPORT_PAGE_BYTES),
-                |(chunks, next_idx, done)| Response::StreamChunks {
-                    chunks,
-                    next_idx,
-                    done,
-                },
+            Request::ListStreams { .. } => Response::StreamList(self.stream_ids()),
+            Request::ExportStream { stream, after } => ok_or(
+                self.export_stream(stream, &after, EXPORT_PAGE_BYTES),
+                |(records, done)| Response::StreamChunks { records, done },
+            ),
+            Request::ImportStream {
+                stream,
+                after,
+                records,
+                done,
+            } => ok_or(
+                self.import_stream(stream, &after, &records, done),
+                Response::Imported,
             ),
             Request::Ping => Response::Pong,
         }
@@ -1695,15 +1805,159 @@ mod tests {
         let s = server();
         ingest(&s, 4);
         s.keystore().put_grant(1, "alice", b"blob").unwrap();
+        s.keystore().put_envelopes(1, 6, &[(0, vec![1])]).unwrap();
+        s.keystore().put_grant(2, "alice", b"other").unwrap();
         s.delete_stream(1).unwrap();
         assert!(matches!(
             s.stream_info(1),
             Err(ServerError::NoSuchStream(1))
         ));
-        assert!(s.keystore().get_grants(1, "alice").unwrap().is_empty());
+        for head in keys::of_stream(1) {
+            assert!(s.kv().scan_keys(&head).unwrap().is_empty());
+        }
+        assert_eq!(s.keystore().get_grants(2, "alice").unwrap().len(), 1);
         // Stream can be recreated from scratch.
         s.create_stream(1, 0, 10_000, 3).unwrap();
         assert_eq!(s.stream_info(1).unwrap().len, 0);
+    }
+
+    /// A writer that holds the stream's state when the stream is deleted
+    /// either commits before the deletion reads its keys or finds the
+    /// stream gone: no chunk outlives the stream into the next one of its id.
+    #[test]
+    fn a_writer_racing_a_deletion_leaves_nothing_behind() {
+        use std::sync::Barrier;
+        use std::time::{Duration, Instant};
+        let s = server();
+        let cfg = StreamConfig {
+            schema: timecrypt_chunk::DigestSchema::sum_count(),
+            ..StreamConfig::new(1, "m", 0, 10_000)
+        };
+        let chunk = |index: u64| {
+            let points = vec![DataPoint::new(index as i64 * 10_000, 1)];
+            let plain = timecrypt_chunk::PlainChunk {
+                stream: 1,
+                index,
+                points,
+            };
+            let mut rng = SecureRandom::from_seed_insecure(index);
+            plain.seal(&cfg, &keys(), &mut rng).unwrap()
+        };
+        s.create_stream(1, 0, 10_000, 2).unwrap();
+        (0..2).for_each(|i| s.insert(&chunk(i)).unwrap());
+        let st = s.stream(1).unwrap();
+        let (held, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _ingest = st.ingest.lock(Mutex::lock);
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            let writer = scope.spawn(|| s.insert(&chunk(2)));
+            // The writer holds the state too, and waits for `ingest`.
+            while Arc::strong_count(&st) < 3 {
+                std::thread::yield_now();
+            }
+            let deleter = scope.spawn(|| s.delete_stream(1));
+            // A deletion that ignores `ingest` finishes now; one that waits
+            // for it would wait forever, so the wait is bounded — either
+            // order of writer and deletion is then correct.
+            let begun = Instant::now();
+            while !deleter.is_finished() && begun.elapsed() < Duration::from_millis(200) {
+                std::thread::yield_now();
+            }
+            release.wait();
+            // Acknowledged before the deletion, or refused after it.
+            if let Err(e) = writer.join().unwrap() {
+                assert!(matches!(e, ServerError::NoSuchStream(1)), "{e}");
+            }
+            deleter.join().unwrap().unwrap();
+        });
+        drop(st);
+        for head in keys::of_stream(1) {
+            assert!(s.kv().scan_keys(&head).unwrap().is_empty());
+        }
+        s.create_stream(1, 0, 10_000, 2).unwrap();
+        assert_eq!(s.stream_info(1).unwrap().len, 0);
+        (0..2).for_each(|i| s.insert(&chunk(i)).unwrap());
+        s.evict_idle_streams();
+        assert_eq!(s.stream_info(1).unwrap().len, 2);
+    }
+
+    #[test]
+    fn a_refused_creation_keeps_the_resident_state() {
+        let s = server();
+        ingest(&s, 4);
+        s.get_stat_range(&[1], 0, 40_000).unwrap();
+        let before = s.residency();
+        assert!(matches!(
+            s.create_stream(1, 0, 10_000, 2),
+            Err(ServerError::StreamExists(1))
+        ));
+        s.get_stat_range(&[1], 0, 40_000).unwrap();
+        assert_eq!(s.residency(), before, "no eviction, no rehydration");
+    }
+
+    /// Every record of `stream` in `s`, in key order.
+    fn keyspace(s: &TimeCryptServer, stream: u128) -> KvPairs {
+        let heads = keys::of_stream(stream);
+        let mut all: KvPairs = heads
+            .iter()
+            .flat_map(|h| s.kv().scan_prefix(h).unwrap())
+            .collect();
+        all.sort();
+        all
+    }
+
+    /// `to`'s import of `from`'s export pages of stream 1: the pages, and
+    /// the chunks they wrote.
+    fn copy_pages(from: &TimeCryptServer, to: &TimeCryptServer, max: usize) -> (usize, u64) {
+        let (mut after, mut pages, mut chunks) = (Vec::new(), 0, 0);
+        loop {
+            let (records, done) = from.export_stream(1, &after, max).unwrap();
+            chunks += to.import_stream(1, &after, &records, done).unwrap();
+            pages += 1;
+            match records.last() {
+                Some((key, _)) if !done => after.clone_from(key),
+                _ => return (pages, chunks),
+            }
+        }
+    }
+
+    #[test]
+    fn export_pages_import_only_what_differs() {
+        let (survivor, replica) = (server(), server());
+        ingest(&survivor, 40);
+        // More keys than one store scan reads, so pages cross scans.
+        let envelopes: Vec<(u64, Vec<u8>)> = (0..3000).map(|i| (i, vec![i as u8; 3])).collect();
+        survivor.keystore().put_envelopes(1, 6, &envelopes).unwrap();
+        let (pages, chunks) = copy_pages(&survivor, &replica, 4096);
+        assert!(pages > 10, "{pages} pages");
+        assert_eq!(chunks, 40);
+        let held = keyspace(&survivor, 1);
+        assert_eq!(keyspace(&replica, 1), held);
+        assert_eq!(replica.stream_info(1).unwrap().len, 40);
+        // Equal pages write nothing: the resident state stays.
+        replica.get_stat_range(&[1], 0, 400_000).unwrap();
+        let resident = replica.residency();
+        assert_eq!(copy_pages(&survivor, &replica, 4096).1, 0);
+        replica.get_stat_range(&[1], 0, 400_000).unwrap();
+        assert_eq!(replica.residency(), resident);
+        // A stray key, a missing one and a changed chunk: the pages that
+        // hold them are written, and only the chunk is counted.
+        let kv = replica.kv();
+        kv.put(&keys::envelope(1, 6, 5000), b"stray").unwrap();
+        kv.delete(&keys::envelope(1, 6, 17)).unwrap();
+        kv.put(&keys::leaf(1, 3), b"changed").unwrap();
+        assert_eq!(copy_pages(&survivor, &replica, 4096).1, 1);
+        assert_eq!(keyspace(&replica, 1), held);
+        // A page's keys must ascend after its cursor and be the stream's.
+        let bad = [(keys::meta(2), vec![])];
+        assert!(matches!(
+            replica.import_stream(1, &[], &bad, true),
+            Err(ServerError::BadImport)
+        ));
     }
 
     #[test]

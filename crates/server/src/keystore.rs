@@ -4,6 +4,7 @@
 //! encryption) and stored at the server's key-store" (§3.2). The server
 //! treats all of this as bytes; it cannot open grants or envelopes.
 
+use timecrypt_index::keys;
 use timecrypt_store::{KvStore, StoreError, WriteOp};
 
 /// Key-store facade over the shared KV.
@@ -17,31 +18,22 @@ impl<'a> KeyStore<'a> {
         KeyStore { kv }
     }
 
-    fn grant_prefix(stream: u128, principal: &str) -> Vec<u8> {
-        let mut k = Vec::with_capacity(24 + principal.len());
-        k.extend_from_slice(b"g/");
-        k.extend_from_slice(&stream.to_be_bytes());
-        k.push(b'/');
-        k.extend_from_slice(principal.as_bytes());
-        k.push(b'/');
-        k
-    }
-
     /// Appends a grant blob for `(stream, principal)`. Grants accumulate;
     /// each carries its own scope inside the sealed bytes.
     pub fn put_grant(&self, stream: u128, principal: &str, blob: &[u8]) -> Result<(), StoreError> {
-        let prefix = Self::grant_prefix(stream, principal);
-        let seq = self.kv.scan_keys(&prefix)?.len() as u64;
-        let mut key = prefix;
-        key.extend_from_slice(&seq.to_be_bytes());
-        self.kv.put(&key, blob)
+        let seq = self
+            .kv
+            .scan_keys(&keys::grant_prefix(stream, principal))?
+            .len();
+        self.kv
+            .put(&keys::grant(stream, principal, seq as u64), blob)
     }
 
     /// All grant blobs for `(stream, principal)` in insertion order.
     pub fn get_grants(&self, stream: u128, principal: &str) -> Result<Vec<Vec<u8>>, StoreError> {
         let mut hits = self
             .kv
-            .scan_prefix(&Self::grant_prefix(stream, principal))?;
+            .scan_prefix(&keys::grant_prefix(stream, principal))?;
         hits.sort();
         Ok(hits.into_iter().map(|(_, v)| v).collect())
     }
@@ -51,26 +43,10 @@ impl<'a> KeyStore<'a> {
     /// already-downloaded old-data keys remain usable, §3.3).
     /// One batch: a store fault leaves every grant in place.
     pub fn revoke_grants(&self, stream: u128, principal: &str) -> Result<usize, StoreError> {
-        let hits = self.kv.scan_keys(&Self::grant_prefix(stream, principal))?;
+        let hits = self.kv.scan_keys(&keys::grant_prefix(stream, principal))?;
         let ops: Vec<WriteOp<'_>> = hits.iter().map(|key| WriteOp::Delete { key }).collect();
         self.kv.write_batch(&ops)?;
         Ok(hits.len())
-    }
-
-    fn env_prefix(stream: u128, resolution: u64) -> Vec<u8> {
-        let mut k = Vec::with_capacity(36);
-        k.extend_from_slice(b"e/");
-        k.extend_from_slice(&stream.to_be_bytes());
-        k.push(b'/');
-        k.extend_from_slice(&resolution.to_be_bytes());
-        k.push(b'/');
-        k
-    }
-
-    fn env_key(stream: u128, resolution: u64, index: u64) -> Vec<u8> {
-        let mut k = Self::env_prefix(stream, resolution);
-        k.extend_from_slice(&index.to_be_bytes());
-        k
     }
 
     /// Stores resolution envelopes, as one batch: all of them or, on a
@@ -83,7 +59,7 @@ impl<'a> KeyStore<'a> {
     ) -> Result<(), StoreError> {
         let keys: Vec<Vec<u8>> = envelopes
             .iter()
-            .map(|(index, _)| Self::env_key(stream, resolution, *index))
+            .map(|(index, _)| keys::envelope(stream, resolution, *index))
             .collect();
         let ops: Vec<WriteOp<'_>> = keys
             .iter()
@@ -104,7 +80,7 @@ impl<'a> KeyStore<'a> {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
-        let prefix = Self::env_prefix(stream, resolution);
+        let prefix = keys::envelope_prefix(stream, resolution);
         let mut held: Vec<u64> = self
             .kv
             .scan_keys(&prefix)?
@@ -116,23 +92,11 @@ impl<'a> KeyStore<'a> {
         held.sort_unstable();
         let mut out = Vec::with_capacity(held.len());
         for index in held {
-            if let Some(blob) = self.kv.get(&Self::env_key(stream, resolution, index))? {
+            if let Some(blob) = self.kv.get(&keys::envelope(stream, resolution, index))? {
                 out.push((index, blob));
             }
         }
         Ok(out)
-    }
-
-    /// The key of everything key-store-related for a stream, for the
-    /// stream deletion's one batch.
-    pub fn stream_keys(&self, stream: u128) -> Result<Vec<Vec<u8>>, StoreError> {
-        let mut keys = Vec::new();
-        for prefix in [b"g/".as_slice(), b"e/".as_slice()] {
-            let mut p = prefix.to_vec();
-            p.extend_from_slice(&stream.to_be_bytes());
-            keys.extend(self.kv.scan_keys(&p)?);
-        }
-        Ok(keys)
     }
 }
 
@@ -203,20 +167,5 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("GetEnvelopes over the full index range must not walk 2^64 keys");
         assert_eq!(verdict, (true, true, true));
-    }
-
-    #[test]
-    fn stream_keys_cover_one_streams_material() {
-        let kv = MemKv::new();
-        let ks = KeyStore::new(&kv);
-        ks.put_grant(1, "alice", b"g0").unwrap();
-        ks.put_envelopes(1, 6, &[(0, vec![1])]).unwrap();
-        ks.put_grant(2, "alice", b"other").unwrap();
-        for key in ks.stream_keys(1).unwrap() {
-            kv.delete(&key).unwrap();
-        }
-        assert!(ks.get_grants(1, "alice").unwrap().is_empty());
-        assert!(ks.get_envelopes(1, 6, 0, 10).unwrap().is_empty());
-        assert_eq!(ks.get_grants(2, "alice").unwrap().len(), 1);
     }
 }

@@ -30,6 +30,10 @@
 //!   cold-touch hydration reads the store *outside* this lock, holding
 //!   only the stream's single-flight hydration gate (lock class
 //!   `hydrate`, ordered before `registry`).
+//! * **Hydration gate, whole call:** `create_stream`, `delete_stream` and
+//!   `import_stream`; a deletion, and an import that changes records,
+//!   retires the resident state under it, so a writer holding that state
+//!   finished first or resolves the stream again.
 //! * **Shared, lock-free:** `stream_stat` / `get_stat_range`, `get_range`,
 //!   `stream_info`, and `insert_live`'s staleness check — these read the
 //!   immutable stream metadata and query the aggregation tree against an
@@ -57,3 +61,4 @@ pub mod stat;
 
 pub use engine::{ResidencyStats, ServerConfig, ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};
 pub use stat::{StatLeg, StreamStat};
+pub use timecrypt_index::keys;

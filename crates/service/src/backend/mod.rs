@@ -133,7 +133,7 @@ impl ShardSpec {
 ///
 /// Four operations, three of them a `begin` returning a [`Pending`].
 /// `begin_call` carries every plain request/reply: stream creation,
-/// single-stream reads, the rebuild seam's list / export / length probes
+/// single-stream reads, the rebuild seam's list / export / import pages
 /// and a scrape's `Stats` are requests over it, and `call` is it begun
 /// and finished at once. The others are what an owned request cannot
 /// express: `begin_leg` sends a leg and its `Pending` reads the shard's

@@ -2,14 +2,16 @@
 
 use super::{Leg, Pending, ShardBackend, Verdicts, AMBIGUOUS, SAME_NODE};
 use crate::metrics::{ServiceMetrics, ShardMetrics};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
+use timecrypt_chunk::serialize::ChunkRef;
 use timecrypt_obs::rank::{self, Ranked};
 use timecrypt_server::{ServerError, StatLeg};
-use timecrypt_wire::messages::{Request, Response, StreamInfoWire};
+use timecrypt_wire::messages::{Request, Response, Route};
 
 /// Backup replica health. Write mirroring is armed in *every* state —
 /// the replica must not miss writes while it catches up — but only an
@@ -44,13 +46,16 @@ pub(crate) struct BackupState {
 struct Roles {
     primary: Arc<dyn ShardBackend>,
     backup: Option<BackupState>,
+    /// Streams of which a rebuilding backup missed a mirrored write since
+    /// their sweep: the rebuild sweeps them again.
+    missed: BTreeSet<u128>,
 }
 
 /// One shard's replica set: a primary backend plus an optional backup,
 /// with a health state machine that closes the R=2 loop.
 ///
 /// * **Mutations** (`Write`: `call` of a mutation, `ingest_batch` and
-///   the overlapped `ingest_runs`, `create_stream`) go
+///   the overlapped `ingest_runs`) go
 ///   primary-then-backup: the backup only ever receives writes the
 ///   primary received, in the same order, which is the invariant that
 ///   keeps the replicas byte-identical. A backup failure (or a verdict
@@ -75,11 +80,11 @@ struct Roles {
 /// * **Rebuild.** `attach_backup` (driven by
 ///   [`crate::ShardedService::attach_replica`]) adds a replacement in
 ///   the rebuilding state; the caller then runs `rebuild_backup`, which
-///   copies every hosted stream from the survivor, verifies chunk
-///   counts, and flips the replica to in-sync — closing the loop. The
-///   same call re-verifies a drifted replica
-///   ([`crate::ShardedService::rebuild_replica`]) by copying from its
-///   current lengths.
+///   sweeps each stream the survivor or the replica lists onto it, writes
+///   to that stream held off meanwhile, and flips the replica to in-sync —
+///   closing the loop. The same call brings a drifted replica back
+///   ([`crate::ShardedService::rebuild_replica`]), writing only the
+///   records it differs in.
 ///
 /// Per-stream write ordering is the caller's: *a stream has one writer at
 /// a time*, so primary and backup see the same per-stream sequence. Two
@@ -99,13 +104,19 @@ pub struct ShardReplicas {
     /// with `Acquire`, let go with `Release`, so a rebuild starts from
     /// everything the last one wrote.
     rebuilding: AtomicBool,
-    /// Generation counter of mirrored writes the backup missed (bumped
-    /// under the roles lock). A rebuild compares it across a pass, from
-    /// before the survivor lists its streams: a drop in that window means
-    /// an acknowledged write may postdate the listing or the verified
-    /// lengths, so the replica must not be marked in sync yet — another
-    /// pass picks the write up.
-    mirror_drops: AtomicU32,
+    /// The stream a rebuild is sweeping, if any: a write to it waits on
+    /// `swept` for the sweep to end.
+    barrier: RwLock<Option<u128>>,
+    swept: (Mutex<()>, Condvar),
+    /// Write admission: a write holds a share of the gate of the epoch it
+    /// was admitted in, `gates[epoch % 2]`, until its mirror is read. A
+    /// sweep sets `barrier`, advances `epoch` and takes the gate it left
+    /// exclusively for a moment — then every write admitted before saw the
+    /// barrier or has ended, and writes admitted meanwhile, to the other
+    /// gate, did not wait. A batch spanning shards is admitted to them in
+    /// ascending shard order.
+    gates: [RwLock<()>; 2],
+    epoch: AtomicU64,
 }
 
 impl ShardReplicas {
@@ -128,11 +139,15 @@ impl ShardReplicas {
                     backend,
                     health: ReplicaHealth::InSync,
                 }),
+                missed: BTreeSet::new(),
             })),
             strikes: AtomicU32::new(0),
             promote_after,
             rebuilding: AtomicBool::new(false),
-            mirror_drops: AtomicU32::new(0),
+            barrier: RwLock::new(None),
+            swept: Default::default(),
+            gates: Default::default(),
+            epoch: AtomicU64::new(0),
         }
     }
 
@@ -215,20 +230,19 @@ impl ShardReplicas {
     /// serve reads (acknowledged data would silently vanish) until a
     /// rebuild ([`crate::ShardedService::rebuild_replica`]) re-verifies
     /// it. During a rebuild the rejection is expected (the copy has not
-    /// reached this write yet) and only bumps `mirror_drops`, which the
-    /// rebuild checks before trusting its verification.
-    fn note_mirror_drift(&self, drifted: &Arc<dyn ShardBackend>, errors: u64) {
+    /// reached this write yet): the write's streams join `missed`, and the
+    /// rebuild sweeps them again.
+    fn note_mirror_drift(&self, drifted: &Arc<dyn ShardBackend>, (errors, streams): Missed) {
         if errors == 0 {
             return;
         }
         let mut roles = self.roles.lock(RwLock::write);
-        self.mirror_drops.fetch_add(1, Ordering::AcqRel);
         let Some(b) = &mut roles.backup else { return };
         if !Arc::ptr_eq(&b.backend, drifted) {
             return;
         }
         match b.health {
-            ReplicaHealth::Rebuilding => {}
+            ReplicaHealth::Rebuilding => roles.missed.extend(streams),
             ReplicaHealth::InSync => {
                 self.m().replica_errors.add(errors);
                 b.health = ReplicaHealth::Drifted;
@@ -286,13 +300,36 @@ impl ShardReplicas {
         }
     }
 
-    /// Starts `op` under the write policy (see [`Write`]): it is begun on
-    /// the current primary.
+    /// Starts `op` under the write policy (see [`Write`]): once no
+    /// rebuild sweeps a stream it writes, it is begun on the current
+    /// primary.
     fn begin_write<W: WriteOp>(&self, op: W) -> Write<'_, W> {
+        let admitted = loop {
+            let epoch = self.epoch.load(Ordering::SeqCst);
+            let gate = self.gates[epoch as usize % 2].read();
+            let barrier = *self.barrier.read();
+            // Advanced meanwhile: the gate taken may be one a sweep no
+            // longer waits for.
+            if self.epoch.load(Ordering::SeqCst) != epoch {
+                continue;
+            }
+            match barrier {
+                Some(stream) if op.streams().contains(&stream) => {
+                    drop(gate);
+                    let (lock, ended) = &self.swept;
+                    let mut held = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                    while *self.barrier.read() == Some(stream) {
+                        held = ended.wait(held).unwrap_or_else(PoisonError::into_inner);
+                    }
+                }
+                _ => break gate,
+            }
+        };
         let primary = self.primary();
         let sent = op.begin_on(&*primary);
         Write {
             replicas: self,
+            _admitted: admitted,
             op,
             primary: Some((primary, sent)),
             out: Err(AMBIGUOUS),
@@ -353,32 +390,6 @@ impl ShardReplicas {
         self.begin_ingest(chunks).settle()
     }
 
-    /// Registers a stream: a [`call`](Self::call) like every other
-    /// mutation, with the reply read back into a `Result`. An error —
-    /// the engine's own (`stream … already exists`) or an unreachable
-    /// shard's — is [`ServerError::Remote`] carrying the message
-    /// verbatim, so its `Display` is what a wire client would read
-    /// whether the shard is in-process or on a node; the typed variant
-    /// does not survive the seam.
-    pub(crate) fn create_stream(
-        &self,
-        stream: u128,
-        t0: i64,
-        delta_ms: u64,
-        digest_width: u32,
-    ) -> Result<(), ServerError> {
-        match self.call(Request::CreateStream {
-            stream,
-            t0,
-            delta_ms,
-            digest_width,
-        }) {
-            Response::Ok => Ok(()),
-            Response::Error(msg) => Err(ServerError::Remote(msg)),
-            _ => Err(ServerError::Unavailable("unexpected create-stream reply")),
-        }
-    }
-
     /// Attaches a replacement backup in the rebuilding state: write
     /// mirroring arms immediately (the replica must not miss writes while
     /// it catches up), but the replica serves no reads and is not
@@ -406,21 +417,15 @@ impl ShardReplicas {
     /// Marks the attached backup in sync: it now serves failover reads,
     /// divergence counts in `replica_errors`, and it is promotion-eligible.
     ///
-    /// The verified lengths are only trustworthy if no mirrored write was
-    /// dropped while they were being read — a write acknowledged during
-    /// verification whose mirror failed may postdate the verified
-    /// lengths. `mirror_drops` is bumped (and checked here) under the
-    /// roles write lock, so a drop either lands before this check and
-    /// vetoes the arm, or after it — against a replica already marked in
-    /// sync, where `note_mirror_drift` demotes it again. Either way no
-    /// in-sync replica is missing an acknowledged write. The counter
-    /// itself uses AcqRel bumps and Acquire loads so the rebuild's
-    /// initial `drops_before` read — taken *outside* the lock — is
-    /// ordered against the bumps too, rather than leaning on the lock it
-    /// doesn't hold.
-    fn arm_if_no_drops(&self, drops_before: u32) -> bool {
+    /// Only if the backup missed no mirrored write since the rebuild last
+    /// looked: `missed` is filled (and checked here) under the roles write
+    /// lock, so a miss either lands before this check and vetoes the arm,
+    /// or after it — against a replica already marked in sync, where
+    /// `note_mirror_drift` demotes it again. Either way no in-sync replica
+    /// is missing an acknowledged write.
+    fn arm(&self) -> bool {
         let mut roles = self.roles.lock(RwLock::write);
-        if self.mirror_drops.load(Ordering::Acquire) != drops_before {
+        if !roles.missed.is_empty() {
             return false;
         }
         if let Some(b) = &mut roles.backup {
@@ -445,27 +450,21 @@ impl ShardReplicas {
         out
     }
 
-    /// Copies every hosted stream from the survivor (the current primary)
-    /// into the attached backup, verifies chunk counts, and arms
-    /// mirroring, on the calling thread. `Ok` exactly when the replica is
-    /// in sync on return: it was, or this call armed it. `Err` when no
-    /// backup is attached, when another caller's rebuild of this shard is
-    /// running, or when the rebuild gave up — after [`REBUILD_MAX_PASSES`]
-    /// (decayed payloads the survivor cannot export, an unreachable peer)
-    /// the replica is left *drifted*, and a later call retries.
+    /// Makes the attached backup hold the survivor's (the current
+    /// primary's) records and arms it, on the calling thread. `Ok` exactly
+    /// when the replica is in sync on return: it was, or this call armed
+    /// it. `Err` when no backup is attached, when another caller's rebuild
+    /// of this shard is running, or when the rebuild gave up — after
+    /// [`REBUILD_MAX_PASSES`] (an unreachable peer, mirrored writes missed
+    /// as fast as they are swept) the replica is left *drifted*, and a
+    /// later call retries.
     ///
-    /// A drifted replica is re-verified by copying from its current
-    /// lengths, which is sound only while it is a prefix of its primary:
-    /// one that missed a mirrored `DeleteStream` still holds the stream,
-    /// and a copy moves chunks only, not grants, envelopes or
-    /// attestations. Both are known holes (ARCHITECTURE.md, "Rebuild
-    /// protocol").
-    ///
-    /// Convergence: mirroring is already armed, so a page import racing a
-    /// mirrored write can be rejected by the replica's strict next-index
-    /// check — whichever side loses, the loop re-reads the replica's
-    /// length and re-pages, and both sides only ever advance the length
-    /// by exactly the next chunk.
+    /// A pass lists the replica's streams and then the survivor's and
+    /// sweeps each listed stream not swept yet, or missed since: its
+    /// records copied page by page, writes to it held off (why that is
+    /// sound: ARCHITECTURE.md, "Rebuild protocol"). It arms the replica
+    /// once every listed stream is swept and the replica missed no
+    /// mirrored write since.
     pub(crate) fn rebuild_backup(&self) -> Result<(), ServerError> {
         if self.rebuilding.swap(true, Ordering::Acquire) {
             return Err(ServerError::Unavailable(
@@ -491,23 +490,36 @@ impl ShardReplicas {
             // Pause drift accounting while the copy is in flight:
             // rejections of mirrored writes it has not reached are expected.
             b.health = ReplicaHealth::Rebuilding;
-            b.backend.clone()
+            let backend = b.backend.clone();
+            roles.missed.clear();
+            backend
         };
         let survivor = self.primary();
+        let mut swept = BTreeSet::new();
         for _pass in 0..REBUILD_MAX_PASSES {
-            // Read before the listing: a stream created after it, whose
-            // mirror was dropped, is not listed, and only this generation
-            // keeps the pass from arming the replica without it.
-            let drops_before = self.mirror_drops.load(Ordering::Acquire);
-            let Some(streams) = list_streams(&*survivor, self.shard) else {
-                // Survivor unreachable: nothing to copy from right now;
-                // try again next pass (the dial already backed off).
+            for stream in std::mem::take(&mut self.roles.lock(RwLock::write).missed) {
+                swept.remove(&stream);
+            }
+            // A peer unreachable: nothing to compare right now; try again
+            // next pass (the dial already backed off).
+            let Some(held) = list_streams(&*replacement, self.shard) else {
                 continue;
             };
-            if self.copy_pass(&*survivor, &*replacement, &streams)
-                && self.verify_pass(&*survivor, &*replacement, &streams)
-                && self.arm_if_no_drops(drops_before)
-            {
+            let Some(wanted) = list_streams(&*survivor, self.shard) else {
+                continue;
+            };
+            let mut settled = true;
+            for &stream in held.union(&wanted) {
+                if swept.contains(&stream) {
+                    continue;
+                }
+                if self.sweep(&*survivor, &*replacement, stream) {
+                    swept.insert(stream);
+                } else {
+                    settled = false;
+                }
+            }
+            if settled && self.arm() {
                 self.m().rebuilds.inc();
                 return Ok(());
             }
@@ -521,84 +533,61 @@ impl ShardReplicas {
         ))
     }
 
-    /// One copy pass: pages every stream from the survivor into the
-    /// replacement until their lengths converge. Returns `false` when any
-    /// stream could not be brought up to date.
-    fn copy_pass(
-        &self,
-        survivor: &dyn ShardBackend,
-        replacement: &dyn ShardBackend,
-        streams: &[StreamInfoWire],
-    ) -> bool {
-        let mut all_synced = true;
-        for info in streams {
-            // Mirrored creates may have raced ahead: an existing stream
-            // is fine (`StreamExists` / its remote rendering).
-            let _ = replacement.call(Request::CreateStream {
-                stream: info.stream,
-                t0: info.t0,
-                delta_ms: info.delta_ms,
-                digest_width: info.digest_width,
-            });
-            loop {
-                let replica_len = stream_len(replacement, info.stream).unwrap_or(0);
-                let survivor_len = match stream_len(survivor, info.stream) {
-                    Some(n) => n,
-                    None => {
-                        all_synced = false;
-                        break;
-                    }
-                };
-                if replica_len >= survivor_len {
-                    break;
-                }
-                let Some(page) = export_page(survivor, info.stream, replica_len) else {
-                    all_synced = false;
-                    break;
-                };
-                if page.is_empty() {
-                    // `done` with nothing at this index: the payload was
-                    // decayed by delete_range — the exportable prefix ends
-                    // short of the survivor's length.
-                    all_synced = false;
-                    break;
-                }
-                // The page goes to the replacement as exported; its ingest
-                // validates every chunk, so a corrupt one is rejected there
-                // and the stuck check below ends the pass.
-                let views: Vec<&[u8]> = page.iter().map(Vec::as_slice).collect();
-                let copied = replacement.begin_batch(&views)().map_or(0, |verdicts| {
-                    verdicts.iter().filter(|v| v.is_ok()).count() as u64
-                });
-                if copied > 0 {
-                    self.m().rebuild_chunks_copied.add(copied);
-                } else if stream_len(replacement, info.stream).unwrap_or(0) <= replica_len {
-                    // No import landed *and* the mirror did not advance
-                    // the replica either: stuck, give this pass up.
-                    all_synced = false;
-                    break;
-                }
-            }
+    /// Copies `stream`'s records from the survivor into the replica with
+    /// no write to it in flight: the stream is set as the `barrier`, the
+    /// writes admitted before are waited for, and later ones to the stream
+    /// wait until its last page is imported. `true` when every page was:
+    /// the replica then holds what the survivor does, and a miss noted
+    /// before the sweep is void.
+    fn sweep(&self, survivor: &dyn ShardBackend, replica: &dyn ShardBackend, stream: u128) -> bool {
+        *self.barrier.write() = Some(stream);
+        let left = self.epoch.fetch_add(1, Ordering::SeqCst) as usize % 2;
+        drop(self.gates[left].write());
+        let copied = self.copy_stream(survivor, replica, stream);
+        if copied {
+            self.roles.lock(RwLock::write).missed.remove(&stream);
         }
-        all_synced
+        *self.barrier.write() = None;
+        let (lock, ended) = &self.swept;
+        drop(lock.lock().unwrap_or_else(PoisonError::into_inner));
+        ended.notify_all();
+        copied
     }
 
-    /// Verifies the copy: every survivor stream exists on the replacement
-    /// with at least the survivor's chunk count (reading the survivor
-    /// first — a mirrored write between the two reads only ever puts the
-    /// replica ahead of the snapshot, never behind).
-    fn verify_pass(
+    /// Imports `stream`'s pages from the survivor into the replica, in key
+    /// order, counting the chunks written. `false` when a page did not
+    /// arrive or was refused.
+    fn copy_stream(
         &self,
         survivor: &dyn ShardBackend,
-        replacement: &dyn ShardBackend,
-        streams: &[StreamInfoWire],
+        replica: &dyn ShardBackend,
+        stream: u128,
     ) -> bool {
-        streams.iter().all(|info| {
-            let Some(survivor_len) = stream_len(survivor, info.stream) else {
+        let mut after = Vec::new();
+        loop {
+            let export = Request::ExportStream {
+                stream,
+                after: after.clone(),
+            };
+            let Ok(Response::StreamChunks { records, done }) = survivor.call(export) else {
                 return false;
             };
-            stream_len(replacement, info.stream).is_some_and(|n| n >= survivor_len)
-        })
+            let next = records.last().map(|(key, _)| key.clone());
+            let import = Request::ImportStream {
+                stream,
+                after,
+                records,
+                done,
+            };
+            let Ok(Response::Imported(chunks)) = replica.call(import) else {
+                return false;
+            };
+            self.m().rebuild_chunks_copied.add(chunks);
+            match next {
+                Some(next) if !done => after = next,
+                _ => return true,
+            }
+        }
     }
 }
 
@@ -609,9 +598,15 @@ pub(crate) trait WriteOp {
     type Out;
     fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Self::Out>;
     /// The acknowledged writes the backup lacks, given the primary's
-    /// answer and the mirror's (`None`: backup unreachable).
-    fn missed(&self, out: &Self::Out, mirrored: Option<&Self::Out>) -> u64;
+    /// answer and the mirror's (`None`: backup unreachable), and the
+    /// streams whose stored records they change.
+    fn missed(&self, out: &Self::Out, mirrored: Option<&Self::Out>) -> Missed;
+    /// The streams whose stored records the write may change.
+    fn streams(&self) -> Vec<u128>;
 }
+
+/// How many acknowledged writes a backup lacks, and their streams.
+type Missed = (u64, Vec<u128>);
 
 /// A mutating request. The mirror must return the primary's reply.
 impl WriteOp for Request {
@@ -619,8 +614,19 @@ impl WriteOp for Request {
     fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Response> {
         b.begin_call(self.clone(), None)
     }
-    fn missed(&self, reply: &Response, mirrored: Option<&Response>) -> u64 {
-        u64::from(mirrored != Some(reply))
+    fn missed(&self, reply: &Response, mirrored: Option<&Response>) -> Missed {
+        match mirrored == Some(reply) {
+            true => (0, Vec::new()),
+            false => (1, self.streams()),
+        }
+    }
+    /// Its stream's. A mutation not routed by stream is a live record,
+    /// which changes none.
+    fn streams(&self) -> Vec<u128> {
+        match self.route() {
+            Route::Stream(stream) => vec![stream],
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -632,15 +638,27 @@ impl WriteOp for Run<'_> {
     fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Verdicts> {
         b.begin_batch(self.0)
     }
-    fn missed(&self, results: &Verdicts, mirrored: Option<&Verdicts>) -> u64 {
-        let differ = |(a, b): &(&Result<(), _>, &Result<(), _>)| a.is_ok() != b.is_ok();
-        match mirrored {
-            Some(mirrored) => results.iter().zip(mirrored).filter(differ).count() as u64,
+    fn missed(&self, results: &Verdicts, mirrored: Option<&Verdicts>) -> Missed {
+        let missed: Vec<&[u8]> = match mirrored {
+            Some(mirrored) => (self.0.iter().zip(results.iter().zip(mirrored)))
+                .filter(|(_, (a, b))| a.is_ok() != b.is_ok())
+                .map(|(chunk, _)| *chunk)
+                .collect(),
             // Whole-run mirror failure: only the chunks the primary
             // *accepted* diverge the replicas — chunks the primary itself
             // rejected never landed on either side.
-            None => results.iter().filter(|r| r.is_ok()).count() as u64,
-        }
+            None => (self.0.iter().zip(results))
+                .filter(|(_, r)| r.is_ok())
+                .map(|(chunk, _)| *chunk)
+                .collect(),
+        };
+        (missed.len() as u64, Run(&missed).streams())
+    }
+    fn streams(&self) -> Vec<u128> {
+        self.0
+            .iter()
+            .filter_map(|c| Some(ChunkRef::parse(c).ok()?.stream))
+            .collect()
     }
 }
 
@@ -653,7 +671,8 @@ type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
 /// primary, [`finish_primary`](Self::finish_primary) reads the primary's
 /// answer and begins the mirror, [`finish_mirror`](Self::finish_mirror)
 /// reads the mirror's and accounts drift. Between steps it holds the
-/// backend it waits on, never the roles lock. Every mutation takes this
+/// backend it waits on and its share of the shard's admission gate, never
+/// the roles lock. Every mutation takes this
 /// path, replicated shard or not: the mirror target is re-read *after*
 /// the primary acknowledges, so a backup attached (even armed) while the
 /// call was in flight still receives — or vetoes the arming of — the
@@ -669,6 +688,8 @@ type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
 /// error is [`AMBIGUOUS`]: callers know the write may have been applied.
 pub(crate) struct Write<'r, W: WriteOp> {
     replicas: &'r ShardReplicas,
+    /// Its share of the shard's admission gate, held until the write ends.
+    _admitted: RwLockReadGuard<'r, ()>,
     op: W,
     /// The primary, until its answer is read.
     primary: Option<Begun<W>>,
@@ -742,6 +763,8 @@ impl Write<'_, Run<'_>> {
 /// on the calling thread: every primary has its run before any answer is
 /// awaited, each mirror is begun as soon as its own primary acknowledged,
 /// and the mirrors are read last. Verdicts come back per run, in order.
+/// The runs come in ascending shard order: each is admitted while the
+/// earlier ones hold their admission (`ShardReplicas::gates`).
 pub(crate) fn ingest_runs<'a>(
     runs: impl Iterator<Item = (&'a ShardReplicas, &'a [&'a [u8]])>,
 ) -> Vec<Verdicts> {
@@ -750,40 +773,17 @@ pub(crate) fn ingest_runs<'a>(
     writes.into_iter().map(Write::settle).collect()
 }
 
-/// Copy passes before a rebuild gives up (each pass re-lists streams and
-/// re-pages only what is still behind, so passes after the first are
-/// cheap). Multiple passes paper over transient survivor dial failures
-/// and writes racing the verify read.
+/// Passes before a rebuild gives up. Each lists both replicas and sweeps
+/// only the streams not swept yet, or missed since; passes after the
+/// first cover transient dial failures and missed mirrored writes.
 const REBUILD_MAX_PASSES: usize = 16;
 
-/// A stream's chunk count on `backend`, `None` when the stream does not
-/// exist there (or the backend is unreachable — the caller's pass retries
-/// either way).
-fn stream_len(backend: &dyn ShardBackend, stream: u128) -> Option<u64> {
-    match backend.call(Request::StreamInfo { stream }) {
-        Ok(Response::Info(info)) => Some(info.len),
-        _ => None,
-    }
-}
-
-/// Metadata of every stream of `shard` hosted by `backend`, ascending by
-/// stream id (the export side of the replica-rebuild seam: the survivor
-/// enumerates what a replacement must copy). `None` when unreachable.
-fn list_streams(backend: &dyn ShardBackend, shard: usize) -> Option<Vec<StreamInfoWire>> {
-    let shard = shard as u32;
-    match backend.call(Request::ListStreams { shard }) {
-        Ok(Response::StreamList(infos)) => Some(infos),
-        _ => None,
-    }
-}
-
-/// One page of a stream's raw encrypted chunks starting at `from_idx`,
-/// sized under the wire frame cap (the export side of the replica-rebuild
-/// seam). Empty when nothing is exportable at `from_idx`; `None` when the
-/// stream is missing or the backend unreachable.
-fn export_page(backend: &dyn ShardBackend, stream: u128, from_idx: u64) -> Option<Vec<Vec<u8>>> {
-    match backend.call(Request::ExportStream { stream, from_idx }) {
-        Ok(Response::StreamChunks { chunks, .. }) => Some(chunks),
+/// The streams of `shard` on `backend`; `None` when unreachable.
+fn list_streams(backend: &dyn ShardBackend, shard: usize) -> Option<BTreeSet<u128>> {
+    match backend.call(Request::ListStreams {
+        shard: shard as u32,
+    }) {
+        Ok(Response::StreamList(streams)) => Some(streams.into_iter().collect()),
         _ => None,
     }
 }
@@ -792,10 +792,12 @@ fn export_page(backend: &dyn ShardBackend, stream: u128, from_idx: u64) -> Optio
 mod tests {
     use super::super::UNREACHABLE;
     use super::*;
+    use std::collections::VecDeque;
+    use timecrypt_chunk::serialize::EncryptedChunk;
     use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
     use timecrypt_core::StreamKeyMaterial;
     use timecrypt_crypto::{PrgKind, SecureRandom};
-    use timecrypt_server::{ServerConfig, TimeCryptServer};
+    use timecrypt_server::{keys, ServerConfig, TimeCryptServer};
     use timecrypt_store::MemKv;
     use timecrypt_wire::messages::StatReply;
     use timecrypt_wire::transport::Handler;
@@ -809,9 +811,9 @@ mod tests {
         /// Shared with the legs and batches this shard has begun: their
         /// `Pending` asks it again.
         reach: Arc<Reach>,
-        /// Runs once, right after the shard answers its next
-        /// `ListStreams` — how a test interleaves a write with a rebuild.
-        after_list: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        /// Hooks, in order: the first runs right after the shard answers a
+        /// request it picks — how a test interleaves writes with a rebuild.
+        after: parking_lot::Mutex<VecDeque<Hook>>,
         /// The batch steps this shard ran, in order, under `name` — a log
         /// several shards of one test can share.
         steps: Steps,
@@ -840,6 +842,15 @@ mod tests {
 
     type Steps = Arc<parking_lot::Mutex<Vec<String>>>;
 
+    /// Which requests a [`StubShard`] hook follows.
+    type Picks = fn(&Request) -> bool;
+
+    type Hook = (Picks, Box<dyn FnOnce() + Send>);
+
+    fn lists(req: &Request) -> bool {
+        matches!(req, Request::ListStreams { .. })
+    }
+
     impl StubShard {
         fn new() -> Arc<Self> {
             Self::logging("", Arc::default())
@@ -856,7 +867,7 @@ mod tests {
                     up: AtomicBool::new(true),
                     while_down: parking_lot::Mutex::new(None),
                 }),
-                after_list: parking_lot::Mutex::new(None),
+                after: parking_lot::Mutex::default(),
             })
         }
 
@@ -871,13 +882,23 @@ mod tests {
         fn create_stream(&self, stream: u128) {
             self.engine.create_stream(stream, 0, 10_000, 2).unwrap();
         }
+
+        /// Queues `hook` to run after the next request `picks` chooses,
+        /// once the hooks queued before it ran.
+        fn after(&self, picks: Picks, hook: impl FnOnce() + Send + 'static) {
+            self.after.lock().push_back((picks, Box::new(hook)));
+        }
     }
 
     impl ShardBackend for StubShard {
         fn begin_call(&self, req: Request, _deadline: Option<Instant>) -> Pending<Response> {
-            let list = matches!(req, Request::ListStreams { .. });
+            let picked = self
+                .after
+                .lock()
+                .front()
+                .is_some_and(|(picks, _)| picks(&req));
             let reply = self.ensure_up().map(|()| self.engine.handle(req));
-            if let Some(hook) = list.then(|| self.after_list.lock().take()).flatten() {
+            if let Some((_, hook)) = picked.then(|| self.after.lock().pop_front()).flatten() {
                 hook();
             }
             Box::new(move || reply)
@@ -1007,7 +1028,12 @@ mod tests {
                 },
                 Kind::MutCall => reply(r.call(Request::DeleteStream { stream: 2 })),
                 Kind::IngestBatch => insert(r, &sealed(1, 1, 6)).map_err(|e| e.to_string()),
-                Kind::CreateStream => r.create_stream(3, 0, 10_000, 2).map_err(|e| e.to_string()),
+                Kind::CreateStream => reply(r.call(Request::CreateStream {
+                    stream: 3,
+                    t0: 0,
+                    delta_ms: 10_000,
+                    digest_width: 2,
+                })),
             }
         }
     }
@@ -1080,7 +1106,7 @@ mod tests {
                     primary.set_up(false);
                     let armed = r.clone();
                     *primary.reach.while_down.lock() = Some(Box::new(move || {
-                        assert!(armed.arm_if_no_drops(armed.mirror_drops.load(Ordering::Acquire)));
+                        assert!(armed.arm());
                     }));
                     r
                 }
@@ -1254,8 +1280,8 @@ mod tests {
         assert!(write_a.settle()[0].is_ok(), "the primary took A's chunk");
         assert!(write_b.settle()[0].is_err(), "and refused B's");
         assert_ne!(
-            p0.engine.export_chunks(1, 0, usize::MAX).unwrap(),
-            m0.engine.export_chunks(1, 0, usize::MAX).unwrap(),
+            p0.engine.get_range(1, 0, 10_000).unwrap(),
+            m0.engine.get_range(1, 0, 10_000).unwrap(),
             "the replicas did diverge"
         );
         let m = sets[0].m();
@@ -1361,9 +1387,8 @@ mod tests {
         assert_eq!(r.m().promotions.get(), 0);
         assert_eq!(r.m().failovers.get(), 0);
         primary.set_up(true);
-        // A rebuild copies the missed chunks in place (this replica is a
-        // prefix of its primary: it missed chunks only) and re-arms the
-        // loop.
+        // A rebuild writes the records the replica differs in — the two
+        // chunks it lacks — and re-arms the loop.
         r.rebuild_backup().unwrap();
         let m = r.m();
         assert_eq!(m.rebuilds.get(), 1);
@@ -1390,7 +1415,7 @@ mod tests {
         // A second caller is refused while the first one's copy runs.
         let (racing, second) = (r.clone(), Arc::new(parking_lot::Mutex::new(String::new())));
         let seen = second.clone();
-        *primary.after_list.lock() = Some(Box::new(move || *seen.lock() = refused(&racing)));
+        primary.after(lists, move || *seen.lock() = refused(&racing));
         r.rebuild_backup().unwrap();
         assert!(
             second.lock().contains("already running"),
@@ -1406,19 +1431,26 @@ mod tests {
     fn a_stream_created_while_the_survivor_lists_its_streams_is_not_missed() {
         // The survivor has answered `ListStreams` when a `CreateStream` is
         // acknowledged whose mirror is dropped: the listing lacks the
-        // stream, so only the dropped mirror's generation can keep the
-        // pass from arming the replica without it.
-        let primary = StubShard::new();
+        // stream, and the replica already holds the one it lists, so only
+        // the missed mirror, noted against stream 9, keeps the pass from
+        // arming the replica without it.
+        let (primary, replacement) = (StubShard::new(), StubShard::new());
         primary.create_stream(1);
+        replacement.create_stream(1);
         let r = Arc::new(replicas(primary.clone(), None, 0));
-        let replacement = StubShard::new();
         r.attach_backup(replacement.clone()).unwrap();
         let (racing, down) = (r.clone(), replacement.clone());
-        *primary.after_list.lock() = Some(Box::new(move || {
+        primary.after(lists, move || {
             down.set_up(false);
-            racing.create_stream(9, 0, 10_000, 2).unwrap();
+            let create = Request::CreateStream {
+                stream: 9,
+                t0: 0,
+                delta_ms: 10_000,
+                digest_width: 2,
+            };
+            assert_eq!(racing.call(create), Response::Ok);
             down.set_up(true);
-        }));
+        });
         r.rebuild_backup().unwrap();
         let m = r.m();
         assert!(
@@ -1427,5 +1459,227 @@ mod tests {
             m.in_sync.get()
         );
         assert_eq!((m.rebuilds.get(), m.in_sync.get()), (1, 1));
+    }
+
+    /// Every record `stream` owns on `shard`, in key order.
+    fn keyspace(shard: &StubShard, stream: u128) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let heads = keys::of_stream(stream);
+        let kv = shard.engine.kv();
+        let mut all: Vec<_> = heads
+            .iter()
+            .flat_map(|h| kv.scan_prefix(h).unwrap())
+            .collect();
+        all.sort();
+        all
+    }
+
+    #[test]
+    fn a_rebuild_arms_though_a_write_lands_between_every_pair_of_listings() {
+        // Between the replica's listing and the survivor's, on every pass,
+        // a chunk is acknowledged on one of four streams: no two listings
+        // of the shard are taken without a write between them, and the
+        // first pass arms the replica all the same.
+        let primary = StubShard::new();
+        for id in 1..=4u128 {
+            primary.create_stream(id);
+            primary.engine.insert_bytes(&sealed(id, 0, 5)).unwrap();
+        }
+        let r = Arc::new(replicas(primary.clone(), None, 0));
+        let replacement = StubShard::new();
+        r.attach_backup(replacement.clone()).unwrap();
+        for pass in 0..REBUILD_MAX_PASSES as u64 {
+            let writer = r.clone();
+            let id = u128::from(pass % 4) + 1;
+            primary.after(lists, move || {
+                insert(&writer, &sealed(id, pass / 4 + 1, 6)).unwrap()
+            });
+        }
+        r.rebuild_backup().unwrap();
+        assert_eq!((r.m().rebuilds.get(), r.m().in_sync.get()), (1, 1));
+        let unused = primary.after.lock().len();
+        assert_eq!(unused, REBUILD_MAX_PASSES - 1, "one pass");
+        for id in 1..=4 {
+            assert_eq!(
+                keyspace(&replacement, id),
+                keyspace(&primary, id),
+                "stream {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_sweep_waits_for_the_write_in_flight_on_its_stream() {
+        // A run is on the primary, its mirror not begun, when the rebuild
+        // starts: the sweep of its stream waits for the run to end.
+        let primary = StubShard::new();
+        primary.create_stream(1);
+        let r = Arc::new(replicas(primary.clone(), None, 0));
+        let replacement = StubShard::new();
+        r.attach_backup(replacement.clone()).unwrap();
+        let chunk = sealed(1, 0, 5);
+        let run = [&chunk[..]];
+        let write = r.begin_ingest(&run);
+        let rebuilding = r.clone();
+        let rebuild = std::thread::spawn(move || rebuilding.rebuild_backup());
+        let begun = Instant::now();
+        while begun.elapsed() < std::time::Duration::from_millis(50) {
+            assert!(
+                !rebuild.is_finished(),
+                "the sweep ran under a write in flight"
+            );
+            std::thread::yield_now();
+        }
+        assert!(write.settle()[0].is_ok());
+        rebuild.join().unwrap().unwrap();
+        assert_eq!((r.m().in_sync.get(), r.m().replica_errors.get()), (1, 0));
+        assert_eq!(keyspace(&replacement, 1), keyspace(&primary, 1));
+    }
+
+    #[test]
+    fn a_write_to_the_stream_being_swept_waits_for_the_sweep() {
+        // The survivor has exported stream 1's page and the replica has
+        // not imported it yet when a writer appends to stream 1: it waits,
+        // is mirrored once the sweep ends, and the replica misses nothing.
+        let primary = StubShard::new();
+        primary.create_stream(1);
+        primary.engine.insert_bytes(&sealed(1, 0, 5)).unwrap();
+        let r = Arc::new(replicas(primary.clone(), None, 0));
+        let replacement = StubShard::new();
+        r.attach_backup(replacement.clone()).unwrap();
+        let writer = Arc::new(parking_lot::Mutex::new(None));
+        let (racing, spawned) = (r.clone(), writer.clone());
+        let exports = |req: &Request| matches!(req, Request::ExportStream { .. });
+        primary.after(exports, move || {
+            let write = std::thread::spawn(move || insert(&racing, &sealed(1, 1, 6)));
+            let begun = Instant::now();
+            while begun.elapsed() < std::time::Duration::from_millis(50) {
+                assert!(!write.is_finished(), "the write ran during the sweep");
+                std::thread::yield_now();
+            }
+            *spawned.lock() = Some(write);
+        });
+        r.rebuild_backup().unwrap();
+        let write = writer.lock().take().unwrap();
+        write.join().unwrap().unwrap();
+        let m = r.m();
+        assert_eq!(
+            (m.rebuilds.get(), m.in_sync.get(), m.replica_errors.get()),
+            (1, 1, 0)
+        );
+        assert_eq!(replacement.engine.stream_info(1).unwrap().len, 2);
+        assert_eq!(keyspace(&replacement, 1), keyspace(&primary, 1));
+    }
+
+    /// `reads`, answered by the primary and then — the primary down — by
+    /// the rebuilt replica it fails over to, which is promoted.
+    fn failover_replies(r: &ShardReplicas, primary: &StubShard, reads: &[Request]) {
+        let want: Vec<Response> = reads.iter().map(|q| r.call(q.clone())).collect();
+        primary.set_up(false);
+        for (q, want) in reads.iter().zip(want) {
+            assert_eq!(r.call(q.clone()), want, "{q:?}");
+        }
+        assert_eq!(r.m().promotions.get(), 1);
+    }
+
+    #[test]
+    fn a_backup_that_missed_a_stream_deletion_is_rebuilt_without_it() {
+        let (primary, backup) = (seeded(), seeded());
+        let r = replicas(primary.clone(), Some(backup.clone()), 1);
+        backup.set_up(false);
+        assert_eq!(r.call(Request::DeleteStream { stream: 2 }), Response::Ok);
+        backup.set_up(true);
+        r.rebuild_backup().unwrap();
+        let info = Request::StreamInfo { stream: 2 };
+        let gone = Response::Error(ServerError::NoSuchStream(2).to_string());
+        assert_eq!(r.call(info.clone()), gone);
+        failover_replies(&r, &primary, &[info]);
+    }
+
+    #[test]
+    fn a_rebuilt_replica_holds_grants_envelopes_and_the_attestation() {
+        let primary = seeded();
+        let r = replicas(primary.clone(), None, 1);
+        let mut rng = SecureRandom::from_seed_insecure(3);
+        let mut ledger = timecrypt_integrity::StreamLedger::new(1);
+        let chunk = sealed(1, 0, 5);
+        let digest = EncryptedChunk::from_bytes(&chunk).unwrap().digest_ct;
+        let commitment = timecrypt_integrity::chunk_commitment(&chunk);
+        ledger.append(commitment, digest).unwrap();
+        let key = timecrypt_pk::SigningKey::generate(&mut rng);
+        let attestation = ledger.attest(&key, &mut rng).encode();
+        let principal = || "bob".to_string();
+        for write in [
+            Request::PutGrant {
+                stream: 1,
+                principal: principal(),
+                blob: vec![7; 3],
+            },
+            Request::PutEnvelopes {
+                stream: 1,
+                resolution: 4,
+                envelopes: vec![(0, vec![9; 4])],
+            },
+            Request::PutAttestation {
+                stream: 1,
+                attestation,
+            },
+        ] {
+            assert_eq!(r.call(write), Response::Ok);
+        }
+        r.attach_backup(StubShard::new()).unwrap();
+        r.rebuild_backup().unwrap();
+        let reads = [
+            Request::GetGrants {
+                stream: 1,
+                principal: principal(),
+            },
+            Request::GetEnvelopes {
+                stream: 1,
+                resolution: 4,
+                lo: 0,
+                hi: 9,
+            },
+            Request::GetAttestation { stream: 1 },
+            Request::GetRangeProof {
+                stream: 1,
+                ts_s: 0,
+                ts_e: 10_000,
+            },
+        ];
+        assert_eq!(r.call(reads[0].clone()), Response::Blobs(vec![vec![7; 3]]));
+        assert!(matches!(
+            r.call(reads[3].clone()),
+            Response::Attested { .. }
+        ));
+        failover_replies(&r, &primary, &reads);
+    }
+
+    #[test]
+    fn a_rebuild_copies_a_stream_across_a_deleted_range() {
+        let primary = StubShard::new();
+        primary.create_stream(1);
+        for i in 0..4 {
+            primary.engine.insert_bytes(&sealed(1, i, 5)).unwrap();
+        }
+        let r = replicas(primary.clone(), None, 1);
+        let stub = Request::DeleteRange {
+            stream: 1,
+            ts_s: 10_000,
+            ts_e: 20_000,
+        };
+        assert_eq!(r.call(stub), Response::Ok);
+        r.attach_backup(StubShard::new()).unwrap();
+        r.rebuild_backup().unwrap();
+        assert_eq!(
+            r.m().rebuild_chunks_copied.get(),
+            4,
+            "the stub is a chunk's record"
+        );
+        let read = Request::GetRange {
+            stream: 1,
+            ts_s: 0,
+            ts_e: 40_000,
+        };
+        failover_replies(&r, &primary, &[read]);
     }
 }

@@ -26,10 +26,12 @@
 //! resumes where it left off.
 //!
 //! Nodes also serve the replica-rebuild protocol (`ListStreams` /
-//! `ExportStream`): a node can be attached to a coordinator as a
-//! replacement backup (`ShardedService::attach_replica`) and rebuilt from
-//! the surviving replica, or act as the survivor streaming its chunks
-//! out — no extra flags, every node speaks both sides.
+//! `ExportStream` / `ImportStream`): a node can be attached to a
+//! coordinator as a replacement backup (`ShardedService::attach_replica`)
+//! and rebuilt from the surviving replica, or act as the survivor paging
+//! its records out — no extra flags, every node speaks both sides. A
+//! coordinator refuses `ImportStream` from its clients: an import page is
+//! raw records, past ingest's checks, so only a rebuild sends one.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]

@@ -53,8 +53,9 @@
 //!   [`ServiceConfig::promote_after`] consecutive operations has its
 //!   in-sync backup *promoted* (reads and writes flip, replies stay
 //!   byte-identical); [`ShardedService::attach_replica`] then attaches a
-//!   replacement and rebuilds it from the survivor over chunked
-//!   `ExportStream` pages, returning once mirroring is re-armed.
+//!   replacement and copies the survivor's records into it stream by
+//!   stream (`ExportStream` / `ImportStream` pages), each stream's writes
+//!   held off while it is copied, returning once mirroring is re-armed.
 //! * **Metrics** ([`metrics`]) — per-shard ingest/query counters, chunks
 //!   in flight, failover/replica-drift counters, and log₂ latency
 //!   histograms, exposed over the wire through `Request::Stats`.

@@ -39,9 +39,9 @@ pub struct ShardMetrics {
     /// Backups promoted to primary after the primary stayed unreachable
     /// for [`crate::ServiceConfig::promote_after`] consecutive failures.
     pub promotions: Counter,
-    /// Replica rebuilds completed (copy verified, mirroring re-armed).
+    /// Replica rebuilds completed (every stream copied, mirroring re-armed).
     pub rebuilds: Counter,
-    /// Chunks copied survivor → replacement by rebuild workers.
+    /// Chunks (decay stubs included) rebuilds wrote to a replica.
     pub rebuild_chunks_copied: Counter,
     /// Whether a backup replica is attached *and* in sync (maintained by
     /// [`crate::backend::ShardReplicas`]; false while rebuilding or

@@ -187,12 +187,14 @@ impl ShardedService {
 
     /// Attaches a replacement backup replica to `shard` and rebuilds it,
     /// on the calling thread: the replica receives mirrored writes from
-    /// the moment it is attached, every hosted stream is copied from the
-    /// survivor (chunked `ExportStream` pages) and chunk counts are
-    /// verified; only then is the replica marked in sync — it serves
-    /// failover reads and is promotion-eligible — and the shard's
-    /// `rebuilds` counter ticks. A caller that wants the copy in the
-    /// background runs this on a thread of its own.
+    /// the moment it is attached, and each stream either replica lists is
+    /// copied from the survivor (`ExportStream` / `ImportStream` pages) —
+    /// a write to a stream waits while that stream is copied — until every
+    /// stream was and the replica missed no mirrored write since; only then
+    /// is the replica marked in sync — it serves failover reads and is
+    /// promotion-eligible — and the shard's `rebuilds` counter ticks. A
+    /// caller that wants the copy in the background runs this on a thread
+    /// of its own.
     ///
     /// `Ok` exactly when the replica is in sync on return. Errors if
     /// `shard` is out of range, the spec is not remote or names the
@@ -221,8 +223,8 @@ impl ShardedService {
     }
 
     /// Rebuilds the attached backup of `shard` on the calling thread if it
-    /// is not in sync: a rebuild that gave up (survivor unreachable,
-    /// decayed payload gaps) or a replica demoted after drifting on a
+    /// is not in sync: a rebuild that gave up (a peer unreachable, writes
+    /// outpacing the copy) or a replica demoted after drifting on a
     /// mirrored write. `Ok` exactly when the replica is in sync on return.
     /// Errors if the shard does not exist or has no backup, when another
     /// caller's rebuild of the shard is still running, or when this one
@@ -246,9 +248,9 @@ impl ShardedService {
     }
 
     /// Registers a stream on its owning shard (replicated when the shard
-    /// has a backup). An error is [`ServerError::Remote`] carrying the
-    /// shard's message verbatim — the engine's own rendering (`stream …
-    /// already exists`) whether the shard is in-process or on a node.
+    /// has a backup) by a `CreateStream` call. An error is
+    /// [`ServerError::Remote`] carrying the shard's message verbatim — the
+    /// engine's own rendering (`stream … already exists`) wherever it runs.
     pub fn create_stream(
         &self,
         stream: u128,
@@ -256,8 +258,17 @@ impl ShardedService {
         delta_ms: u64,
         digest_width: u32,
     ) -> Result<(), ServerError> {
-        self.replicas_for(stream)
-            .create_stream(stream, t0, delta_ms, digest_width)
+        let create = Request::CreateStream {
+            stream,
+            t0,
+            delta_ms,
+            digest_width,
+        };
+        match self.replicas_for(stream).call(create) {
+            Response::Ok => Ok(()),
+            Response::Error(msg) => Err(ServerError::Remote(msg)),
+            _ => Err(ServerError::Unavailable("unexpected create-stream reply")),
+        }
     }
 
     /// Single-chunk ingest: a batch of one. A convenience over the one
@@ -491,6 +502,11 @@ impl ShardedService {
             // `RequestRef` carries ingest requests borrowed; one that was
             // wrapped owned re-enters through its view.
             Route::Payload => req.with_ref(|view| self.dispatch(view)),
+            // A page of raw records skips ingest's validation: a rebuild
+            // sends it to a replica's node, and no client sends one here.
+            Route::Stream(_) if matches!(req, Request::ImportStream { .. }) => {
+                Response::Error(UNROUTED.to_string())
+            }
             // A single-stream request: delegate the whole request to the
             // owning shard's backend, which keeps error strings
             // byte-identical to a single-engine server.

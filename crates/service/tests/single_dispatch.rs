@@ -13,7 +13,7 @@ use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::{PrgKind, SecureRandom};
-use timecrypt_server::{ServerConfig, ServerError, TimeCryptServer};
+use timecrypt_server::{keys, ServerConfig, ServerError, TimeCryptServer};
 use timecrypt_service::{
     NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
 };
@@ -114,11 +114,17 @@ fn script(mine: u128, unknown: u128, foreign: u128, shard: u32) -> Vec<Request> 
         Request::ListStreams { shard: 9 }, // no such shard
         Request::ExportStream {
             stream: mine,
-            from_idx: 1,
+            after: keys::leaf(mine, 0).to_vec(),
         },
         Request::ExportStream {
             stream: foreign,
-            from_idx: 0,
+            after: vec![],
+        },
+        Request::ImportStream {
+            stream: mine,
+            after: vec![],
+            records: vec![(keys::attestation(mine), vec![1])],
+            done: false,
         },
         Request::Stats,
     ]
@@ -160,12 +166,15 @@ fn drive<H: Handler>(via_handle: &H, via_frame: &H, script: Vec<Request>) -> Vec
 
 /// What every handler must answer to the script, up to the rendering of
 /// the `foreign` entries (`foreign_error`), of shard 9 (`no_shard_9`:
-/// an engine lists its streams whatever the shard) and of `Stats`
-/// (`stats_shards`: the shards reported, `None` on a bare engine).
+/// an engine lists its streams whatever the shard), of the import
+/// (`imported`: its page, no chunk, written, or the coordinator's
+/// refusal) and of `Stats` (`stats_shards`: the shards reported, `None` on
+/// a bare engine).
 fn assert_expected(
     replies: &[Response],
     foreign_error: &str,
     no_shard_9: Option<&str>,
+    imported: bool,
     stats_shards: Option<&[u32]>,
 ) {
     let error = |e: ServerError| Response::Error(e.to_string());
@@ -203,16 +212,16 @@ fn assert_expected(
     }
     assert!(matches!(&replies[10], Response::Error(e) if e.contains("no such stream")));
     assert_eq!(replies[11], Response::Pong);
-    let listed = |reply: &Response| -> Vec<(u128, u64)> {
+    let listed = |reply: &Response| -> Vec<u128> {
         match reply {
-            Response::StreamList(infos) => infos.iter().map(|i| (i.stream, i.len)).collect(),
+            Response::StreamList(streams) => streams.clone(),
             other => panic!("expected a stream list, got {other:?}"),
         }
     };
     let Response::Info(mine) = &replies[9] else {
         unreachable!("checked above");
     };
-    let hosted: Vec<(u128, u64)> = vec![(mine.stream, 3)];
+    let hosted = vec![mine.stream];
     assert_eq!(listed(&replies[12]), hosted);
     match no_shard_9 {
         Some(error) => assert!(
@@ -223,19 +232,30 @@ fn assert_expected(
         None => assert_eq!(listed(&replies[13]), hosted),
     }
     match &replies[14] {
-        Response::StreamChunks {
-            chunks,
-            next_idx,
-            done,
-        } => assert_eq!((chunks.len(), *next_idx, *done), (2, 3, true)),
+        // Chunks 1 and 2, then the registration record.
+        Response::StreamChunks { records, done } => assert_eq!((records.len(), *done), (3, true)),
         other => panic!("expected an export page, got {other:?}"),
     }
-    assert!(
-        matches!(&replies[15], Response::Error(e) if e.contains(foreign_error)),
-        "{:?}",
-        replies[15]
-    );
-    match (&replies[16], stats_shards) {
+    // An engine holds no record of a stream it never registered; a node
+    // does not host the foreign one.
+    match &replies[15] {
+        Response::Error(e) => assert!(e.contains("not hosted") && e.contains(foreign_error)),
+        other => assert_eq!(
+            other,
+            &Response::StreamChunks {
+                records: vec![],
+                done: true
+            }
+        ),
+    }
+    // A page of raw records skips ingest's checks: no client writes one
+    // through the coordinator.
+    let refused = error(ServerError::Unavailable(
+        "request has no handler at this tier",
+    ));
+    let written = Response::Imported(0);
+    assert_eq!(replies[16], if imported { written } else { refused });
+    match (&replies[17], stats_shards) {
         (Response::ServiceStats(stats), Some(shards)) => {
             let reported: Vec<u32> = stats.shards.iter().map(|s| s.shard).collect();
             assert_eq!(reported, shards);
@@ -256,7 +276,7 @@ fn engine_answers_identically_from_both_entry_points() {
         .clone()
         .map(|kv| TimeCryptServer::open(kv, ServerConfig::default()).unwrap());
     let replies = drive(&a, &b, script(1, 2, 3, 0));
-    assert_expected(&replies, "no such stream", None, None);
+    assert_expected(&replies, "no such stream", None, true, None);
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
 }
 
@@ -278,6 +298,7 @@ fn shard_node_answers_identically_from_both_entry_points() {
         &replies,
         "not hosted on this node",
         Some("not hosted on this node"),
+        true,
         Some(&[0]),
     );
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
@@ -299,6 +320,7 @@ fn coordinator_answers_identically_from_both_entry_points() {
         &replies,
         "no such stream",
         Some("no such shard"),
+        false,
         Some(&[0, 1]),
     );
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
@@ -392,7 +414,7 @@ fn coordinator_stores_the_frames_chunk_bytes_verbatim() {
 
         let mut stored: Vec<Vec<u8>> = wire_stores
             .iter()
-            .flat_map(|kv| kv.scan_prefix(b"il/").unwrap())
+            .flat_map(|kv| kv.scan_prefix(keys::LEAF).unwrap())
             .map(|(_, value)| value)
             .collect();
         stored.sort();

@@ -10,7 +10,8 @@
 //! * [`LogKv`] — persistent append-only log with crash-recovery replay
 //!   (durability). Its in-memory index holds record locations only — 12
 //!   bytes per key for keys that count up under a shared head (a stream's
-//!   chunks, a level's nodes), key and location for the rest; the log
+//!   chunks, a level's nodes: the layout `timecrypt_index::keys`
+//!   declares), key and location for the rest; the log
 //!   file is the one copy of the values, read positionally and
 //!   re-validated on every read,
 //!
@@ -121,6 +122,23 @@ pub trait KvStore: Send + Sync {
             .map(|(k, _)| k)
             .collect())
     }
+    /// Up to `limit` keys that start with `prefix` and sort after `after`,
+    /// ascending: a bounded ordered scan, so a caller pages through a
+    /// prefix at the cost of a page per call. [`MemKv`] and [`LogKv`]
+    /// start at `after`; the default sorts a whole
+    /// [`scan_keys`](Self::scan_keys).
+    fn scan_keys_after(
+        &self,
+        prefix: &[u8],
+        after: &[u8],
+        limit: usize,
+    ) -> Result<Vec<Vec<u8>>, StoreError> {
+        let mut keys = self.scan_keys(prefix)?;
+        keys.retain(|key| key.as_slice() > after);
+        keys.sort_unstable();
+        keys.truncate(limit);
+        Ok(keys)
+    }
     /// Applies `ops` in order as one commit: **all of it or none of it**
     /// with respect to failure and crash. `Err` means no op took effect,
     /// and recovery after a crash finds either every op or none. There is
@@ -162,6 +180,14 @@ impl<S: KvStore + ?Sized> KvStore for Arc<S> {
     }
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
         (**self).scan_keys(prefix)
+    }
+    fn scan_keys_after(
+        &self,
+        prefix: &[u8],
+        after: &[u8],
+        limit: usize,
+    ) -> Result<Vec<Vec<u8>>, StoreError> {
+        (**self).scan_keys_after(prefix, after, limit)
     }
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
         (**self).write_batch(ops)
@@ -241,6 +267,46 @@ pub(crate) mod conformance {
             keys.sort();
             pairs.sort();
             assert_eq!(keys, pairs.into_iter().map(|(k, _)| k).collect::<Vec<_>>());
+        }
+    }
+
+    /// `scan_keys_after` is the sorted `scan_keys` past a cursor, cut at
+    /// its limit, for cursors between, on and inside keys — counting keys
+    /// (one `LogKv` run) among the others.
+    pub fn scan_keys_after(kv: &dyn KvStore) {
+        let counted = |n: u64| [&b"p/"[..], &n.to_be_bytes()].concat();
+        for n in (0..20).chain([300, u64::MAX]) {
+            kv.put(&counted(n), b"v").unwrap();
+        }
+        for key in [
+            &b"p"[..],
+            b"p/",
+            b"p/\x00",
+            b"p/x",
+            b"p/\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+        ] {
+            kv.put(key, b"v").unwrap();
+        }
+        kv.put(b"q/", b"v").unwrap();
+        let mut stored = kv.scan_keys(b"").unwrap();
+        stored.sort();
+        let mut cursors = vec![Vec::new(), b"q/0".to_vec()];
+        for key in &stored {
+            cursors.extend((0..=key.len()).map(|n| key[..n].to_vec()));
+            cursors.push([&key[..], b"\x00"].concat());
+        }
+        let tails = [&b"p/"[..], &counted(0)[..7], &counted(300)[..9]];
+        for prefix in [&b""[..], b"p", b"p/", b"q/"].into_iter().chain(tails) {
+            for after in &cursors {
+                let want: Vec<Vec<u8>> = (stored.iter())
+                    .filter(|k| k.starts_with(prefix) && k.as_slice() > after.as_slice())
+                    .cloned()
+                    .collect();
+                for limit in [0, 1, 3, usize::MAX] {
+                    let got = kv.scan_keys_after(prefix, after, limit).unwrap();
+                    assert_eq!(got, want[..limit.min(want.len())], "{prefix:?} {after:?}");
+                }
+            }
         }
     }
 

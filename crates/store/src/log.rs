@@ -328,6 +328,25 @@ fn join(head: &[u8], tail: u64) -> Vec<u8> {
     [head, &tail.to_be_bytes()].concat()
 }
 
+/// The least tail `t` for which `join(head, t)` sorts after `after`;
+/// `None` when no tail does.
+fn first_tail_after(head: &[u8], after: &[u8]) -> Option<u64> {
+    let Some(rest) = after.strip_prefix(head) else {
+        // The keys differ from `after` inside the head, or extend it.
+        let n = head.len().min(after.len());
+        return (head[..n] >= after[..n]).then_some(0);
+    };
+    let mut tail = [0; TAIL];
+    let n = rest.len().min(TAIL);
+    tail[..n].copy_from_slice(&rest[..n]);
+    let tail = u64::from_be_bytes(tail);
+    // A shorter rest, zero-padded, is a proper prefix of its key.
+    match rest.len() < TAIL {
+        true => Some(tail),
+        false => tail.checked_add(1),
+    }
+}
+
 /// The keys `head + base`, `head + (base + 1)`, … of one head, held as
 /// their locations alone. Both ends are live; a key deleted in between
 /// leaves a [`Loc::HOLE`].
@@ -408,7 +427,8 @@ const RUN_ENTRY_BYTES: u64 = 150;
 /// the successor of a key already held under the same head (see [`split`])
 /// joins that head's [`Run`], which its predecessor starts when it has none
 /// yet. `il/<stream>/` + chunk index, `i/<stream>/<level>` + node index,
-/// envelope and grant sequences all do. Every other key — too short, after
+/// envelope and grant sequences all do (`timecrypt_index::keys` declares
+/// them). Every other key — too short, after
 /// a gap, out of order, the only one of its head — sits in `side`, an
 /// ordered map, exactly as every key once did. A key is in one of the two
 /// and never both: `put` looks where the key belongs before it inserts.
@@ -544,25 +564,69 @@ impl Index {
     /// the rewritten log forms every run again before a stray key of its
     /// head could start another.
     fn range<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = (Vec<u8>, Loc)> + 'a {
+        let in_runs =
+            (self.runs_under(prefix)).flat_map(|(head, run, lo, hi)| run.between(head, lo, hi));
+        in_runs.chain(self.aside(prefix, Bound::Included(prefix)))
+    }
+
+    /// The runs of [`range`](Self::range), each with the span of its tails
+    /// that start with what `prefix` leaves of them.
+    fn runs_under<'a>(
+        &'a self,
+        prefix: &'a [u8],
+    ) -> impl Iterator<Item = (&'a [u8], &'a Run, u64, u64)> + 'a {
         let whole = self
             .runs
             .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(head, _)| head.starts_with(prefix))
-            .flat_map(|(head, run)| run.between(head, 0, u64::MAX));
+            .map(|(head, run)| (&head[..], run, 0, u64::MAX));
         let cut = (1..=prefix.len().min(TAIL)).filter_map(move |n| {
             let (head, part) = prefix.split_at(prefix.len() - n);
             let (head, run) = self.runs.get_key_value(head)?;
             let (mut lo, mut hi) = ([0; TAIL], [0xFF; TAIL]);
             lo[..n].copy_from_slice(part);
             hi[..n].copy_from_slice(part);
-            Some(run.between(head, u64::from_be_bytes(lo), u64::from_be_bytes(hi)))
+            Some((
+                &head[..],
+                run,
+                u64::from_be_bytes(lo),
+                u64::from_be_bytes(hi),
+            ))
         });
-        let aside = self
-            .side
-            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+        whole.chain(cut)
+    }
+
+    /// The side map's keys starting with `prefix`, from `from` on.
+    fn aside<'a>(
+        &'a self,
+        prefix: &'a [u8],
+        from: Bound<&'a [u8]>,
+    ) -> impl Iterator<Item = (Vec<u8>, Loc)> + 'a {
+        self.side
+            .range::<[u8], _>((from, Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, loc)| (k.clone(), *loc));
-        whole.chain(cut.flatten()).chain(aside)
+            .map(|(k, loc)| (k.clone(), *loc))
+    }
+
+    /// The first `limit` keys of [`range`](Self::range) after `after`, in
+    /// key order: each run's and the side map's first `limit` past it,
+    /// merged — a page costs the runs under the prefix times the page.
+    fn keys_after(&self, prefix: &[u8], after: &[u8], limit: usize) -> Vec<Vec<u8>> {
+        let mut keys = Vec::new();
+        for (head, run, lo, hi) in self.runs_under(prefix) {
+            if let Some(first) = first_tail_after(head, after) {
+                let past = run.between(head, lo.max(first), hi).take(limit);
+                keys.extend(past.map(|(key, _)| key));
+            }
+        }
+        let from = match after < prefix {
+            true => Bound::Included(prefix),
+            false => Bound::Excluded(after),
+        };
+        keys.extend(self.aside(prefix, from).take(limit).map(|(key, _)| key));
+        keys.sort_unstable();
+        keys.truncate(limit);
+        keys
     }
 
     /// Moves every live key to where [`write_snapshot`] put its record —
@@ -907,6 +971,15 @@ impl KvStore for LogKv {
         let inner = self.inner.lock();
         Ok(inner.index.range(prefix).map(|(k, _)| k).collect())
     }
+
+    fn scan_keys_after(
+        &self,
+        prefix: &[u8],
+        after: &[u8],
+        limit: usize,
+    ) -> Result<Vec<Vec<u8>>, StoreError> {
+        Ok(self.inner.lock().index.keys_after(prefix, after, limit))
+    }
 }
 
 /// Reads the whole put record of `key` at `loc` and validates it again:
@@ -1249,6 +1322,14 @@ mod tests {
     #[test]
     fn conformance_scan() {
         conformance::prefix_scan(&LogKv::open(tmp("scan")).unwrap());
+    }
+
+    #[test]
+    fn conformance_scan_keys_after() {
+        let kv = LogKv::open(tmp("after")).unwrap();
+        conformance::scan_keys_after(&kv);
+        let runs = kv.inner.lock().index.runs.len();
+        assert_eq!(runs, 1, "the counting keys are one run");
     }
 
     #[test]

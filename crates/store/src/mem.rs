@@ -49,16 +49,23 @@ impl MemKv {
         self.len() == 0
     }
 
-    /// `pick` of every entry whose key starts with `prefix`, shard by shard.
-    fn scan<T>(&self, prefix: &[u8], pick: impl Fn(&Vec<u8>, &Vec<u8>) -> T) -> Vec<T> {
+    /// `pick` of the first `limit` entries of each shard whose key starts
+    /// with `prefix`, from `from` on, shard by shard.
+    fn scan<T>(
+        &self,
+        prefix: &[u8],
+        from: Bound<&[u8]>,
+        limit: usize,
+        pick: impl Fn(&Vec<u8>, &Vec<u8>) -> T,
+    ) -> Vec<T> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let map = shard.read();
-            // Range from the prefix forward; stop at the first non-match.
-            let from = (Bound::Included(prefix), Bound::Unbounded);
-            let hits = map.range::<[u8], _>(from);
+            // Range from `from` forward; stop at the first non-match.
+            let hits = map.range::<[u8], _>((from, Bound::Unbounded));
             out.extend(
                 hits.take_while(|(k, _)| k.starts_with(prefix))
+                    .take(limit)
                     .map(|(k, v)| pick(k, v)),
             );
         }
@@ -100,12 +107,32 @@ impl KvStore for MemKv {
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
         timecrypt_obs::rank::assert_may_block();
-        Ok(self.scan(prefix, |k, v| (k.clone(), v.clone())))
+        let pair = |k: &Vec<u8>, v: &Vec<u8>| (k.clone(), v.clone());
+        Ok(self.scan(prefix, Bound::Included(prefix), usize::MAX, pair))
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
         timecrypt_obs::rank::assert_may_block();
-        Ok(self.scan(prefix, |k, _| k.clone()))
+        let key = |k: &Vec<u8>, _: &Vec<u8>| k.clone();
+        Ok(self.scan(prefix, Bound::Included(prefix), usize::MAX, key))
+    }
+
+    /// Each shard's first `limit` keys past the cursor, merged.
+    fn scan_keys_after(
+        &self,
+        prefix: &[u8],
+        after: &[u8],
+        limit: usize,
+    ) -> Result<Vec<Vec<u8>>, StoreError> {
+        timecrypt_obs::rank::assert_may_block();
+        let from = match after < prefix {
+            true => Bound::Included(prefix),
+            false => Bound::Excluded(after),
+        };
+        let mut keys = self.scan(prefix, from, limit, |k, _| k.clone());
+        keys.sort_unstable();
+        keys.truncate(limit);
+        Ok(keys)
     }
 }
 
@@ -132,6 +159,11 @@ mod tests {
     #[test]
     fn conformance_empty_value() {
         conformance::empty_value(&MemKv::new());
+    }
+
+    #[test]
+    fn conformance_scan_keys_after() {
+        conformance::scan_keys_after(&MemKv::new());
     }
 
     #[test]

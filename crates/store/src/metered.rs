@@ -25,7 +25,7 @@ pub struct StoreCounters {
     pub puts: u64,
     /// `delete` calls.
     pub deletes: u64,
-    /// `scan_prefix` and `scan_keys` calls.
+    /// `scan_prefix`, `scan_keys` and `scan_keys_after` calls.
     pub scans: u64,
     /// Total value bytes returned by `get` hits and `scan_prefix`.
     pub bytes_read: u64,
@@ -122,6 +122,18 @@ impl KvStore for MeteredKv {
         self.inner.scan_keys(prefix)
     }
 
+    fn scan_keys_after(
+        &self,
+        prefix: &[u8],
+        after: &[u8],
+        limit: usize,
+    ) -> Result<Vec<Vec<u8>>, StoreError> {
+        timecrypt_obs::rank::assert_may_block();
+        let _span = trace::stage("store.scan");
+        self.scans.inc();
+        self.inner.scan_keys_after(prefix, after, limit)
+    }
+
     /// Counted as the puts and deletes it carries, under one `store.batch`
     /// span.
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
@@ -155,6 +167,7 @@ mod tests {
         conformance::binary_safety(&kv());
         conformance::empty_value(&kv());
         conformance::write_batch(&kv());
+        conformance::scan_keys_after(&kv());
     }
 
     #[test]

@@ -362,11 +362,11 @@ wire_struct! {
         /// (the shard then runs un-replicated until a replacement is
         /// attached and rebuilt).
         pub promotions: u64 = [Counter "timecrypt_promotions_total" "Backups promoted to primary."],
-        /// Replica rebuilds completed: a freshly attached backup copied every
-        /// hosted stream from the survivor, verified chunk counts, and
-        /// re-armed write mirroring.
+        /// Replica rebuilds completed: a freshly attached backup copied the
+        /// survivor's differing streams until both listed the same
+        /// digests, and re-armed write mirroring.
         pub rebuilds: u64 = [Counter "timecrypt_rebuilds_total" "Replica rebuilds completed."],
-        /// Chunks copied survivor → replacement by rebuild workers.
+        /// Chunks copied survivor → replacement by rebuilds.
         pub rebuild_chunks_copied: u64 = [Counter "timecrypt_rebuild_chunks_copied_total"
             "Chunks copied from the survivor to the replacement by replica rebuilds."],
         /// True iff a backup replica is attached and in sync (write-mirrored,
@@ -624,22 +624,20 @@ wire_enum! {
         /// Service-layer metrics probe (shard counters, queue depths, latency
         /// histograms). Single-engine deployments answer with an error.
         22 = Stats => Service, mutates: false;
-        /// Metadata of every stream owned by one shard (replica rebuild: the
-        /// survivor enumerates what the replacement must copy). A single
-        /// engine answers with all of its streams regardless of `shard`.
+        /// Every stream one shard owns (replica rebuild). A single engine
+        /// answers with all of its streams regardless of `shard`.
         23 = ListStreams {
             /// Cluster-wide shard id whose streams to list.
             shard: u32,
         } => Shard(shard), mutates: false;
-        /// Page of a stream's raw encrypted chunks, starting at `from_idx`
-        /// (replica rebuild: chunked so every reply stays far under the
-        /// 16 MiB frame cap however large the stream is). Answered with
-        /// [`Response::StreamChunks`].
+        /// Page of a stream's store records after a key, in key order
+        /// (replica rebuild; paged far under the 16 MiB frame cap).
+        /// Answered with [`Response::StreamChunks`].
         24 = ExportStream {
             /// Stream id.
             stream: u128,
-            /// First chunk index of the page.
-            from_idx: u64,
+            /// The page starts after this key (empty: at the first).
+            after: Vec<u8>,
         } => Stream(stream), mutates: false;
         /// One shard's leg of a statistical query: the streams, all hosted
         /// by the answering node, folded in order. Answered with
@@ -652,6 +650,21 @@ wire_enum! {
             /// Interval end (ms).
             ts_e: i64,
         } => Service, mutates: false;
+        /// Replica rebuild: makes the replica's records of the stream in the
+        /// page's key interval — `(after, last key]`, or all after `after`
+        /// when `done` — equal to an exported page's, as one store batch,
+        /// and says what it wrote ([`Response::Imported`]). Nodes answer
+        /// it; a coordinator refuses it, so no client writes raw records.
+        27 = ImportStream {
+            /// Stream id.
+            stream: u128,
+            /// The page's cursor, as exported.
+            after: Vec<u8>,
+            /// The page's `(key, value)` records, ascending.
+            records: Vec<(Vec<u8>, Vec<u8>)>,
+            /// The page is the stream's last.
+            done: bool,
+        } => Stream(stream), mutates: true;
     }
     reserved {
         /// Trace-context envelope: `[tag][u128 trace id][u64 span id][inner
@@ -714,25 +727,21 @@ wire_enum! {
         };
         /// Service metrics snapshot ([`Request::Stats`]).
         13 = ServiceStats(stats: ServiceStatsWire);
-        /// Per-stream metadata of one shard ([`Request::ListStreams`]),
-        /// ascending by stream id.
-        14 = StreamList(infos: Vec<StreamInfoWire>);
-        /// One page of a stream's raw encrypted chunks
-        /// ([`Request::ExportStream`]): consecutive
-        /// `EncryptedChunk::to_bytes()` payloads starting at the requested
-        /// index.
+        /// The streams of one shard ([`Request::ListStreams`]), ascending.
+        14 = StreamList(streams: Vec<u128>);
+        /// One page of a stream's store records ([`Request::ExportStream`]):
+        /// its chunks, decay stubs included, and every other record it owns.
         15 = StreamChunks {
-            /// The page's chunk bytes, in index order.
-            chunks: Vec<Vec<u8>>,
-            /// Index to request the next page from.
-            next_idx: u64,
-            /// No further chunks are exportable: the page reached the end of
-            /// the stream, or the next payload has been deleted
-            /// (`DeleteRange` decay) and the exportable prefix ends here.
+            /// The page's `(key, value)` records, ascending.
+            records: Vec<(Vec<u8>, Vec<u8>)>,
+            /// The page holds the stream's last record.
             done: bool,
         };
         /// A leg's fold ([`Request::GetStatLeg`]).
         16 = StatLeg(leg: StatLegWire);
+        /// The chunks (`il/` records, decay stubs included) an
+        /// [`Request::ImportStream`] page wrote on the replica.
+        17 = Imported(chunks: u64);
     }
     reserved {}
 }
@@ -1065,12 +1074,18 @@ mod tests {
             Request::ListStreams { shard: 3 },
             Request::ExportStream {
                 stream: 9,
-                from_idx: 4096,
+                after: vec![b'i', b'/', 7],
             },
             Request::GetStatLeg {
                 streams: vec![3, 1],
                 ts_s: -10,
                 ts_e: 10,
+            },
+            Request::ImportStream {
+                stream: 10,
+                after: vec![],
+                records: vec![(vec![1], vec![2, 3]), (vec![4], vec![])],
+                done: true,
             },
             Request::Ping,
         ]
@@ -1142,31 +1157,15 @@ mod tests {
                 store_bytes_read: 4096,
                 store_bytes_written: 65_536,
             }),
-            Response::StreamList(vec![
-                StreamInfoWire {
-                    stream: 1,
-                    t0: -2,
-                    delta_ms: 10_000,
-                    digest_width: 2,
-                    len: 40,
-                },
-                StreamInfoWire {
-                    stream: 2,
-                    t0: 0,
-                    delta_ms: 1_000,
-                    digest_width: 3,
-                    len: 0,
-                },
-            ]),
+            Response::StreamList(vec![1, 2]),
             Response::StreamList(vec![]),
+            Response::Imported(2),
             Response::StreamChunks {
-                chunks: vec![vec![1, 2, 3], vec![], vec![9; 40]],
-                next_idx: 7,
+                records: vec![(vec![1, 2, 3], vec![]), (vec![9; 40], vec![5])],
                 done: false,
             },
             Response::StreamChunks {
-                chunks: vec![],
-                next_idx: 0,
+                records: vec![],
                 done: true,
             },
             Response::StatLeg(StatLegWire {
@@ -1219,6 +1218,7 @@ mod tests {
         (24, "ExportStream"),
         (25, "REQ_TRACED"), // the PR 6 trace envelope: no variant
         (26, "GetStatLeg"),
+        (27, "ImportStream"),
     ];
 
     /// As [`REQUEST_LEDGER`], for responses.
@@ -1239,6 +1239,7 @@ mod tests {
         (14, "StreamList"),
         (15, "StreamChunks"),
         (16, "StatLeg"),
+        (17, "Imported"),
     ];
 
     #[test]

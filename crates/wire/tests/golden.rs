@@ -188,9 +188,16 @@ fn request_vectors() -> Vec<(Request, &'static str)> {
         (
             Request::ExportStream {
                 stream: 9,
-                from_idx: 4096,
+                after: vec![b'i', b'/', 0xff],
             },
-            "18090000000000000000000000000000000010000000000000",
+            "180900000000000000000000000000000003000000692fff",
+        ),
+        (
+            Request::ExportStream {
+                stream: 9,
+                after: vec![],
+            },
+            "180900000000000000000000000000000000000000",
         ),
         (
             Request::GetStatLeg {
@@ -207,6 +214,24 @@ fn request_vectors() -> Vec<(Request, &'static str)> {
                 ts_e: 0,
             },
             "1a0000000000000000000000000000000000000000",
+        ),
+        (
+            Request::ImportStream {
+                stream: STREAM,
+                after: vec![1],
+                records: vec![(vec![2, 3], vec![4]), (vec![], vec![])],
+                done: true,
+            },
+            "1b100f0e0d0c0b0a0908070605040302010100000001020000000200000002030100000004000000000000000001",
+        ),
+        (
+            Request::ImportStream {
+                stream: 0,
+                after: vec![],
+                records: vec![],
+                done: false,
+            },
+            "1b00000000000000000000000000000000000000000000000000",
         ),
         (Request::Ping, "0e"),
     ]
@@ -312,40 +337,25 @@ fn response_vectors() -> Vec<(Response, &'static str)> {
             "0d00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
         ),
         (
-            Response::StreamList(vec![
-                StreamInfoWire {
-                    stream: 1,
-                    t0: -2,
-                    delta_ms: 10_000,
-                    digest_width: 2,
-                    len: 40,
-                },
-                StreamInfoWire {
-                    stream: 2,
-                    t0: 0,
-                    delta_ms: 1_000,
-                    digest_width: 3,
-                    len: 0,
-                },
-            ]),
-            "0e0200000001000000000000000000000000000000feffffffffffffff1027000000000000020000002800000000000000020000000000000000000000000000000000000000000000e803000000000000030000000000000000000000",
+            Response::StreamList(vec![1, u128::MAX]),
+            "0e0200000001000000000000000000000000000000ffffffffffffffffffffffffffffffff",
         ),
         (Response::StreamList(vec![]), "0e00000000"),
+        (Response::Imported(u64::MAX), "11ffffffffffffffff"),
+        (Response::Imported(0), "110000000000000000"),
         (
             Response::StreamChunks {
-                chunks: vec![vec![1, 2, 3], vec![]],
-                next_idx: 7,
+                records: vec![(vec![1, 2, 3], vec![]), (vec![], vec![9])],
                 done: false,
             },
-            "0f020000000300000001020300000000070000000000000000",
+            "0f02000000030000000102030000000000000000010000000900",
         ),
         (
             Response::StreamChunks {
-                chunks: vec![],
-                next_idx: u64::MAX,
+                records: vec![],
                 done: true,
             },
-            "0f00000000ffffffffffffffff01",
+            "0f0000000001",
         ),
         (
             Response::StatLeg(StatLegWire {
@@ -407,8 +417,8 @@ fn responses_encode_to_their_golden_bytes() {
 }
 
 /// Every variant has a vector: the sample lists above name each tag once
-/// at least (the first body byte is the tag; requests 1..=24 and 26 — 25
-/// is the trace envelope — responses 1..=16 as shipped).
+/// at least (the first body byte is the tag; requests 1..=24, 26 and 27 —
+/// 25 is the trace envelope — responses 1..=17 as shipped).
 #[test]
 fn every_shipped_tag_has_a_vector() {
     let tags = |hexes: Vec<&str>| {
@@ -418,9 +428,9 @@ fn every_shipped_tag_has_a_vector() {
         t
     };
     let req = tags(request_vectors().into_iter().map(|(_, h)| h).collect());
-    assert_eq!(req, (1..=26).filter(|&t| t != 25).collect::<Vec<u8>>());
+    assert_eq!(req, (1..=27).filter(|&t| t != 25).collect::<Vec<u8>>());
     let resp = tags(response_vectors().into_iter().map(|(_, h)| h).collect());
-    assert_eq!(resp, (1..=16).collect::<Vec<u8>>());
+    assert_eq!(resp, (1..=17).collect::<Vec<u8>>());
 }
 
 #[test]
@@ -519,14 +529,14 @@ fn every_truncation_prefix_is_truncated_and_a_trailing_byte_is_trailing() {
 
 #[test]
 fn unknown_tags_are_bad_tags_whatever_follows() {
-    for tag in [0u8, 25, 27, 200, 255] {
+    for tag in [0u8, 25, 28, 200, 255] {
         assert_eq!(decode_request_both(&[tag]), Err(WireError::BadTag(tag)));
         assert_eq!(
             decode_request_both(&[tag, 1, 2, 3]),
             Err(WireError::BadTag(tag))
         );
     }
-    for tag in [0u8, 17, 25, 200, 255] {
+    for tag in [0u8, 18, 25, 200, 255] {
         assert_eq!(Response::decode(&[tag]), Err(WireError::BadTag(tag)));
         assert_eq!(
             Response::decode(&[tag, 1, 2, 3]),
@@ -582,11 +592,12 @@ fn counted(tag: u8, head: &[u8], count: u32) -> Vec<u8> {
 #[test]
 fn repeated_counts_above_the_cap_are_too_large() {
     // (tag, bytes between the tag and the count) of every repeated field.
-    let requests: [(u8, Vec<u8>); 4] = [
+    let requests: [(u8, Vec<u8>); 5] = [
         (5, vec![]),       // GetStatRange.streams
         (12, vec![0; 24]), // PutEnvelopes.envelopes (after stream, resolution)
         (21, vec![]),      // InsertBatch.chunks
         (26, vec![]),      // GetStatLeg.streams
+        (27, vec![0; 20]), // ImportStream.records (after stream, an empty cursor)
     ];
     let responses: [(u8, Vec<u8>); 11] = [
         (3, vec![]),      // Chunks
@@ -598,7 +609,7 @@ fn repeated_counts_above_the_cap_are_too_large() {
         (12, vec![]),     // Batch.errors
         (13, vec![]),     // ServiceStats.shards
         (14, vec![]),     // StreamList
-        (15, vec![]),     // StreamChunks.chunks
+        (15, vec![]),     // StreamChunks.records
         (16, vec![]),     // StatLeg.parts
     ];
     let cap = MAX_REPEATED as u32;

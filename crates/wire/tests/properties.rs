@@ -100,8 +100,20 @@ fn arb_request() -> impl Strategy<Value = Request> {
             }
         ),
         any::<u32>().prop_map(|shard| Request::ListStreams { shard }),
-        (any::<u128>(), any::<u64>())
-            .prop_map(|(stream, from_idx)| Request::ExportStream { stream, from_idx }),
+        (any::<u128>(), proptest::collection::vec(any::<u8>(), 0..30))
+            .prop_map(|(stream, after)| Request::ExportStream { stream, after }),
+        (
+            any::<u128>(),
+            proptest::collection::vec(any::<u8>(), 0..30),
+            arb_records(),
+            any::<bool>()
+        )
+            .prop_map(|(stream, after, records, done)| Request::ImportStream {
+                stream,
+                after,
+                records,
+                done
+            }),
         (
             proptest::collection::vec(any::<u128>(), 0..10),
             any::<i64>(),
@@ -113,6 +125,16 @@ fn arb_request() -> impl Strategy<Value = Request> {
                 ts_e
             }),
     ]
+}
+
+fn arb_records() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec(any::<u8>(), 0..30),
+            proptest::collection::vec(any::<u8>(), 0..60),
+        ),
+        0..6,
+    )
 }
 
 fn arb_info() -> impl Strategy<Value = StreamInfoWire> {
@@ -175,7 +197,8 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 })
             }),
         arb_info().prop_map(Response::Info),
-        proptest::collection::vec(arb_info(), 0..5).prop_map(Response::StreamList),
+        proptest::collection::vec(any::<u128>(), 0..5).prop_map(Response::StreamList),
+        any::<u64>().prop_map(Response::Imported),
         proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..60), 0..4)
             .prop_map(Response::Blobs),
         proptest::collection::vec(
@@ -183,16 +206,8 @@ fn arb_response() -> impl Strategy<Value = Response> {
             0..8
         )
         .prop_map(Response::Envelopes),
-        (
-            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..60), 0..6),
-            any::<u64>(),
-            any::<bool>()
-        )
-            .prop_map(|(chunks, next_idx, done)| Response::StreamChunks {
-                chunks,
-                next_idx,
-                done
-            }),
+        (arb_records(), any::<bool>())
+            .prop_map(|(records, done)| Response::StreamChunks { records, done }),
         proptest::collection::vec((any::<u32>(), "[ -~]{0,40}"), 0..8)
             .prop_map(|errors| Response::Batch { errors }),
         (

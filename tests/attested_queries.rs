@@ -7,6 +7,7 @@ use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
+use timecrypt::index::keys;
 use timecrypt::pk::SigningKey;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::{LogKv, MemKv};
@@ -270,12 +271,7 @@ fn verified_raw_read_detects_chunk_substitution() {
     // ledger rebuilt from the forged record (after an eviction) the proof
     // misses the attested root.
     let kv = server.kv();
-    let mut key2 = b"il/".to_vec();
-    key2.extend_from_slice(&cfg.id.to_be_bytes());
-    key2.push(b'/');
-    let mut key3 = key2.clone();
-    key2.extend_from_slice(&2u64.to_be_bytes());
-    key3.extend_from_slice(&3u64.to_be_bytes());
+    let (key2, key3) = (keys::leaf(cfg.id, 2), keys::leaf(cfg.id, 3));
     let chunk2 = kv.get(&key2).unwrap().expect("chunk 2 exists");
     kv.put(&key3, &chunk2).unwrap();
     assert!(kv.scan_prefix(b"c/").unwrap().is_empty());
@@ -483,10 +479,7 @@ fn a_damaged_level0_record_fails_the_ledger_catch_up_as_corrupt_node() {
     let mut rng = SecureRandom::from_seed_insecure(9);
     let key = SigningKey::generate(&mut rng);
     ingest_attested(&mut t, &cfg, &owner, key, 700);
-    let mut leaf5 = b"il/".to_vec();
-    leaf5.extend_from_slice(&cfg.id.to_be_bytes());
-    leaf5.push(b'/');
-    leaf5.extend_from_slice(&5u64.to_be_bytes());
+    let leaf5 = keys::leaf(cfg.id, 5);
     let kv = server.kv();
     let record = kv.get(&leaf5).unwrap().expect("chunk 5's level-0 record");
     // `digest ‖ pn ‖ payload`: a record of another width in the same form.

@@ -7,6 +7,7 @@ use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::faults::{FaultPlan, FaultyKv, OpKind, StoreFault, StoreRule, Trigger};
+use timecrypt::index::keys;
 use timecrypt::server::keystore::KeyStore;
 use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
 use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
@@ -231,7 +232,7 @@ fn a_zero_chunk_interval_is_refused_at_every_tier() {
         &2u32.to_le_bytes(),
     ]
     .concat();
-    let key = [&b"s/"[..], &7u128.to_be_bytes()].concat();
+    let key = keys::meta(7);
     store.put(&key, &meta).unwrap();
     let reopened = TimeCryptServer::open(store, ServerConfig::default()).unwrap();
     for req in reads() {

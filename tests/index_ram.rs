@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use timecrypt::index::keys::{head, leaf, LEAF};
 use timecrypt::store::{KvStore, LogKv, WriteOp};
 
 mod common;
@@ -34,21 +35,13 @@ fn store(name: &str) -> (LogKv, PathBuf, isize) {
     (kv, path, live())
 }
 
-/// The level-0 key of chunk `index` of `stream`: 20 bytes of head, 8 of tail.
-fn leaf_key(stream: u128, index: u64) -> [u8; 28] {
-    let mut key = *b"il/................/........";
-    key[3..19].copy_from_slice(&stream.to_be_bytes());
-    key[20..].copy_from_slice(&index.to_be_bytes());
-    key
-}
-
 /// `heads` streams × `per_head` chunks, `turn` consecutive chunks of one
 /// stream per commit, the streams taking turns.
 fn ingest(kv: &LogKv, heads: u128, per_head: u64, turn: u64) {
     for base in (0..per_head).step_by(turn as usize) {
         for stream in 0..heads {
             let keys: Vec<_> = (base..per_head.min(base + turn))
-                .map(|i| leaf_key(stream, i))
+                .map(|i| leaf(stream, i))
                 .collect();
             let ops: Vec<_> = keys
                 .iter()
@@ -98,7 +91,7 @@ fn dashboard_shape_and_what_decay_and_deletion_give_back() {
     // Decay's pattern: the first nine tenths of every run, front to back.
     for stream in 0..heads {
         for i in 0..per_head * 9 / 10 {
-            kv.delete(&leaf_key(stream, i)).unwrap();
+            kv.delete(&leaf(stream, i)).unwrap();
         }
     }
     let left = heads as u64 * per_head / 10;
@@ -108,8 +101,8 @@ fn dashboard_shape_and_what_decay_and_deletion_give_back() {
     assert!(kv.stats().index_bytes < full as u64 / 5, "{:?}", kv.stats());
     // Every key of every head: the runs go, and their heads with them.
     for stream in 0..heads {
-        let keys = kv.scan_keys(&leaf_key(stream, 0)[..20]).unwrap();
-        let ops: Vec<_> = keys.iter().map(|key| WriteOp::Delete { key }).collect();
+        let held = kv.scan_keys(&head(LEAF, stream)).unwrap();
+        let ops: Vec<_> = held.iter().map(|key| WriteOp::Delete { key }).collect();
         kv.write_batch(&ops).unwrap();
     }
     assert_eq!(kv.len(), 0);
@@ -158,11 +151,11 @@ fn keys_that_do_not_count_cost_what_they_always_did() {
     // Random heads and tails; then one key under each of N heads, the
     // tails counting up across heads, which makes no two keys neighbours.
     let random: Vec<_> = (0..N)
-        .map(|_| leaf_key(u128::from(next()) << 64 | u128::from(next()), next()))
+        .map(|_| leaf(u128::from(next()) << 64 | u128::from(next()), next()))
         .collect();
-    let singletons: Vec<_> = (0..N).map(|i| leaf_key(u128::from(i), i)).collect();
+    let singletons: Vec<_> = (0..N).map(|i| leaf(u128::from(i), i)).collect();
     // And the shortest run there is, two keys, under each of N / 2 heads.
-    let pairs: Vec<_> = (0..N).map(|i| leaf_key(u128::from(i / 2), i % 2)).collect();
+    let pairs: Vec<_> = (0..N).map(|i| leaf(u128::from(i / 2), i % 2)).collect();
     let shapes = [
         ("random", random),
         ("singletons", singletons),
@@ -189,7 +182,7 @@ fn keys_that_do_not_count_cost_what_they_always_did() {
 
 #[test]
 fn both_ends_of_the_tail_space_allocate_next_to_nothing() {
-    let keys = [leaf_key(7, 0), leaf_key(7, u64::MAX)];
+    let keys = [leaf(7, 0), leaf(7, u64::MAX)];
     let (held, _) = held_after("ends", &keys);
     assert!(held < 1024, "{held} B for two keys");
     // And in the order that wraps: MAX is no predecessor of 0.

@@ -5,7 +5,9 @@
 //!
 //! * a coordinator runs no thread of its own, idle, after a query over
 //!   all its shards or after a replica rebuild (the census lines this
-//!   prints are what CI copies to the job summary);
+//!   prints are what CI copies to the job summary), and a quiescent
+//!   rebuild reads each of the survivor's records once, in one pass (its
+//!   "rebuild traffic" line goes to the job summary too);
 //! * the shards one batch touches are written to before any of them is
 //!   waited for, so their exchanges overlap;
 //! * a batch costs exactly one node call per shard it touches, however
@@ -29,7 +31,7 @@ use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
 use timecrypt::service::{
     BackendSpec, NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
 };
-use timecrypt::store::MemKv;
+use timecrypt::store::{MemKv, MeteredKv};
 use timecrypt::wire::messages::{Request, RequestRef, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::{Handler, Server};
@@ -149,7 +151,8 @@ fn an_idle_default_coordinator_runs_no_thread() {
 #[cfg(target_os = "linux")]
 fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
     let _serial = serial();
-    let svc = ShardedService::open(Arc::new(MemKv::new()), ServiceConfig::default()).unwrap();
+    let survivor = Arc::new(MeteredKv::new(Arc::new(MemKv::new())));
+    let svc = ShardedService::open(survivor.clone(), ServiceConfig::default()).unwrap();
     let shards = svc.router().shards();
     let id = stream_on(0, shards);
     svc.create_stream(id, 0, 10_000, 2).unwrap();
@@ -167,9 +170,18 @@ fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
         },
     )
     .unwrap();
+    // A pass lists the replica once.
+    let passes = Arc::new(AtomicU64::new(0));
+    let node = CountingNode {
+        node,
+        counts: |req| matches!(req, RequestRef::Other(Request::ListStreams { .. })),
+        seen: passes.clone(),
+    };
     let backup = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
     let spec = BackendSpec::Remote(backup.addr().to_string());
+    let before = survivor.counters().bytes_read;
     svc.attach_replica(0, spec).unwrap();
+    let read = survivor.counters().bytes_read - before;
     let census = thread_census();
     let snap = svc.stats();
     assert!(snap.shards[0].in_sync, "{snap:?}");
@@ -179,6 +191,17 @@ fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
         census.values().sum::<usize>()
     );
     assert!(census.is_empty(), "{census:?}");
+    // One sweep of the stream, one read of it; a listing reads none.
+    let records = survivor.inner().scan_prefix(b"").unwrap();
+    let stored: usize = records.iter().map(|(_, value)| value.len()).sum();
+    let (ratio, passes) = (read as f64 / stored as f64, passes.load(Ordering::SeqCst));
+    println!(
+        "rebuild traffic: {read} B read on the survivor for {stored} B stored ({ratio:.2}×), {passes} pass(es)"
+    );
+    assert!(
+        read as usize <= stored && passes == 1,
+        "{ratio:.2}×, {passes} pass(es)"
+    );
 }
 
 #[test]
@@ -222,10 +245,11 @@ fn next_chunk(next: &mut BTreeMap<u128, u64>, id: u128) -> Vec<u8> {
     sealed(id, *index - 1, 1)
 }
 
-/// A real node that counts the `InsertBatch` frames it is sent.
+/// A real node that counts the frames it is sent that `counts` picks.
 struct CountingNode {
     node: ShardNode,
-    batches: Arc<AtomicU64>,
+    counts: fn(&RequestRef<'_>) -> bool,
+    seen: Arc<AtomicU64>,
 }
 
 impl Handler for CountingNode {
@@ -234,8 +258,8 @@ impl Handler for CountingNode {
     }
 
     fn handle_frame(&self, body: &[u8]) -> Response {
-        if matches!(RequestRef::decode(body), Ok(RequestRef::InsertBatch { .. })) {
-            self.batches.fetch_add(1, Ordering::SeqCst);
+        if RequestRef::decode(body).is_ok_and(|req| (self.counts)(&req)) {
+            self.seen.fetch_add(1, Ordering::SeqCst);
         }
         self.node.handle_frame(body)
     }
@@ -260,7 +284,8 @@ fn a_batch_is_one_node_call_per_shard_it_touches_and_verdicts_keep_their_positio
             .unwrap();
             let counting = CountingNode {
                 node,
-                batches: batches.clone(),
+                counts: |req| matches!(req, RequestRef::InsertBatch { .. }),
+                seen: batches.clone(),
             };
             Server::bind("127.0.0.1:0", Arc::new(counting)).unwrap()
         })

@@ -1,8 +1,8 @@
 //! Scale end-to-end: a replicated 2-node cluster whose engines hold a
 //! bounded resident LRU must answer byte-identically to an uncapped
 //! single-process deployment while storing far more streams than the cap
-//! admits into RAM — including across primary failover and a chunked
-//! `ExportStream` replica rebuild.
+//! admits into RAM — including across primary failover and a paged
+//! `ExportStream` / `ImportStream` replica rebuild.
 //!
 //! Sized for `cargo test` by default; crank it to the paper-scale run
 //! with `TC_MANY_E2E_STREAMS=100000 TC_MANY_E2E_CAP=1000` (minutes, not
@@ -200,9 +200,9 @@ fn capped_cluster_matches_uncapped_reference_across_failover_and_rebuild() {
     assert_identical(&reference, &cluster, n, "after primary death");
     wait_for("promotion", || cluster.stats().shards[0].promotions == 1);
 
-    // Rebuild a replacement (also capped) from the survivor over chunked
-    // ExportStream pages — the export walk must not be confused by most
-    // streams being cold on the survivor.
+    // Rebuild a replacement (also capped) from the survivor's records —
+    // the export must not be confused by most streams being cold on the
+    // survivor, nor the import by most being cold on the replacement.
     let (_node_c, addr_c) = spawn_capped_node(cap);
     cluster
         .attach_replica(0, BackendSpec::Remote(addr_c))

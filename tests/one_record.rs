@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use timecrypt::chunk::serialize::{ChunkRef, EncryptedChunk};
 use timecrypt::crypto::SecureRandom;
-use timecrypt::index::IndexError;
+use timecrypt::index::{keys, IndexError};
 use timecrypt::integrity::{
     chunk_commitment, verify_attested_range, verify_attested_range_open, RangeProof,
     RootAttestation, StreamLedger,
@@ -30,12 +30,21 @@ fn ts(chunk: u64) -> i64 {
     (chunk * DELTA_MS) as i64
 }
 
-fn record_key(stream: u128, index: u64) -> Vec<u8> {
-    let mut key = b"il/".to_vec();
-    key.extend_from_slice(&stream.to_be_bytes());
-    key.push(b'/');
-    key.extend_from_slice(&index.to_be_bytes());
-    key
+/// The level-0 records a whole-stream export carries, in chunk order.
+fn exported_leaves(server: &TimeCryptServer, stream: u128) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let (records, done) = server
+        .export_stream(stream, &[], EXPORT_PAGE_BYTES)
+        .unwrap();
+    assert!(done, "one page");
+    let leaf = |(key, _): &(Vec<u8>, Vec<u8>)| key.starts_with(keys::LEAF);
+    records.into_iter().filter(leaf).collect()
+}
+
+/// Chunk `index`'s record as the store holds it, under its key.
+fn stored(kv: &dyn KvStore, stream: u128, index: u64) -> (Vec<u8>, Vec<u8>) {
+    let key = keys::leaf(stream, index).to_vec();
+    let record = kv.get(&key).unwrap().unwrap();
+    (key, record)
 }
 
 /// A stream of `payloads.len()` chunks of digest width `width`, ingested
@@ -141,14 +150,15 @@ proptest! {
         let n = a.n();
 
         prop_assert!(kv.scan_keys(b"c/").unwrap().is_empty());
-        prop_assert_eq!(kv.scan_keys(b"il/").unwrap().len() as u64, n);
+        prop_assert_eq!(kv.scan_keys(keys::LEAF).unwrap().len() as u64, n);
         for (index, sent) in (0u64..).zip(&a.sent) {
-            let record = kv.get(&record_key(stream, index)).unwrap().unwrap();
+            let record = kv.get(&keys::leaf(stream, index)).unwrap().unwrap();
             prop_assert_eq!(&record[..], &sent[EncryptedChunk::POSITION_LEN..]);
         }
         prop_assert_eq!(&a.read(0, n).unwrap(), &a.sent);
-        let exported = a.server.export_chunks(stream, 0, EXPORT_PAGE_BYTES).unwrap();
-        prop_assert_eq!(&exported, &(a.sent.clone(), n, true));
+        let records = a.sent.iter().map(|sent| sent[EncryptedChunk::POSITION_LEN..].to_vec());
+        let leaves = (0..n).map(|i| keys::leaf(stream, i).to_vec()).zip(records);
+        prop_assert_eq!(exported_leaves(&a.server, stream), leaves.collect::<Vec<_>>());
         let (att, proof, chunks) = a.server.get_verified_range(stream, 0, ts(n)).unwrap();
         prop_assert_eq!(&chunks, &a.sent);
         let leaves = verify_attested_range_open(
@@ -172,22 +182,21 @@ proptest! {
         prop_assert_eq!(a.server.delete_range(stream, ts(lo), ts(hi)).unwrap(), 0);
         prop_assert_eq!(kv.counters().puts, puts, "a second call writes nothing");
         for index in lo..hi {
-            let stub = kv.get(&record_key(stream, index)).unwrap().unwrap();
+            let stub = kv.get(&keys::leaf(stream, index)).unwrap().unwrap();
             let digest = &a.sent[index as usize][24..][..4 + 8 * width];
             let mut expected = digest.to_vec();
             expected.extend_from_slice(&[0xFF; 4]);
             expected.extend_from_slice(&chunk_commitment(&a.sent[index as usize]));
             prop_assert_eq!(stub, expected);
         }
-        // Raw reads skip, refuse, or stop at the stubs ...
+        // Raw reads skip or refuse the stubs, an export carries them ...
         let kept: Vec<Vec<u8>> = (0..n)
             .filter(|i| !(lo..hi).contains(i))
             .map(|i| a.sent[i as usize].clone())
             .collect();
         prop_assert_eq!(&a.read(0, n).unwrap(), &kept);
-        let exported = a.server.export_chunks(stream, 0, EXPORT_PAGE_BYTES).unwrap();
-        let prefix = if lo < hi { lo } else { n };
-        prop_assert_eq!(exported, (a.sent[..prefix as usize].to_vec(), prefix, true));
+        let records: Vec<_> = (0..n).map(|i| stored(kv.as_ref(), stream, i)).collect();
+        prop_assert_eq!(exported_leaves(&a.server, stream), records);
         match a.server.get_verified_range(stream, 0, ts(n)) {
             Ok((_, _, chunks)) => prop_assert_eq!((&chunks, lo), (&a.sent, hi)),
             Err(e) => {
@@ -230,8 +239,8 @@ proptest! {
         a.server.delete_range(77, ts(2), ts(3)).unwrap();
         // Chunk 1 takes the damage: a full record, the stub, or noise.
         let mut record = match base {
-            0 => kv.get(&record_key(77, 1)).unwrap().unwrap(),
-            1 => kv.get(&record_key(77, 2)).unwrap().unwrap(),
+            0 => kv.get(&keys::leaf(77, 1)).unwrap().unwrap(),
+            1 => kv.get(&keys::leaf(77, 2)).unwrap().unwrap(),
             _ => noise.clone(),
         };
         match mutation {
@@ -245,7 +254,7 @@ proptest! {
             }
             _ => {}
         }
-        kv.put(&record_key(77, 1), &record).unwrap();
+        kv.put(&keys::leaf(77, 1), &record).unwrap();
 
         let whole = [&EncryptedChunk::position(77, 1)[..], &record].concat();
         let full = ChunkRef::parse(&whole).is_ok();
@@ -261,13 +270,8 @@ proptest! {
             Ok(chunks) => prop_assert!(stub && chunks.len() == 1),
             Err(e) => prop_assert!(!full && !stub && corrupt(&e), "{e}"),
         }
-        match a.server.export_chunks(77, 0, EXPORT_PAGE_BYTES) {
-            Ok((chunks, next, done)) => {
-                prop_assert!(full || stub);
-                prop_assert_eq!((chunks.len(), next, done), (1 + full as usize, 1 + full as u64, true));
-            }
-            Err(e) => prop_assert!(!full && !stub && corrupt(&e), "{e}"),
-        }
+        // An export copies records, whatever they hold.
+        prop_assert_eq!(&exported_leaves(&a.server, 77)[1], &stored(kv.as_ref(), 77, 1));
         // The ledger catch-up also refuses a record of another width than
         // the stream's; what it accepts is the server's claim, for the
         // client to verify.
@@ -316,13 +320,15 @@ fn a_crash_truncated_delete_range_is_all_stubs_or_none() {
         )
         .unwrap();
         let read = server.get_range(stream, 0, ts(6)).unwrap();
-        let exported = server.export_chunks(stream, 0, EXPORT_PAGE_BYTES).unwrap();
+        let exported: Vec<_> = exported_leaves(&server, stream);
+        let full = |i: usize| sent[i][EncryptedChunk::POSITION_LEN..].to_vec();
+        let full_at = |i: usize| exported[i].1 == full(i);
         if cut < whole {
             assert_eq!(read, sent, "cut {cut}: a torn batch is no batch");
-            assert_eq!(exported, (sent.clone(), 6, true), "cut {cut}");
+            assert!((0..6).all(full_at), "cut {cut}");
         } else {
             assert_eq!(read, [&sent[..1], &sent[5..]].concat(), "the whole batch");
-            assert_eq!(exported, (sent[..1].to_vec(), 1, true));
+            assert!((0..6).all(|i| full_at(i) != (1..5).contains(&i)));
         }
     }
     std::fs::remove_file(&path).unwrap();

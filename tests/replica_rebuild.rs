@@ -4,22 +4,28 @@
 //! must (1) keep answering every query byte-identically (failover, then
 //! automatic promotion of the write-mirrored backup) and lose no
 //! acknowledged write, (2) accept a freshly attached replacement replica
-//! and rebuild it from the survivor over the chunked `ExportStream`
-//! protocol, and (3) survive a *second* primary death by promoting the
+//! and rebuild it from the survivor over `ExportStream` / `ImportStream`
+//! pages, and (3) survive a *second* primary death by promoting the
 //! rebuilt replica — proving the rebuilt node answers reads with the
 //! same bytes as a never-failed single-process deployment. A second test
-//! rebuilds a replica while a writer appends, and fails over to it.
+//! rebuilds a replica while a writer appends, puts grants, envelopes and
+//! an attestation and deletes a range, and fails over to it; a third
+//! rebuilds one under a writer that never pauses, from before the attach
+//! until after it returned.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
+use timecrypt::crypto::SecureRandom;
+use timecrypt::integrity::{chunk_commitment, StreamLedger};
+use timecrypt::pk::SigningKey;
 use timecrypt::server::ServerConfig;
 use timecrypt::service::{
     BackendSpec, NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService,
 };
-use timecrypt::store::MemKv;
+use timecrypt::store::{KvStore, MemKv, MeteredKv};
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::{Handler, Server};
 
@@ -41,7 +47,7 @@ fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
         timecrypt::crypto::PrgKind::Aes,
     )
     .unwrap();
-    let mut rng = timecrypt::crypto::SecureRandom::from_seed_insecure(400 + index);
+    let mut rng = SecureRandom::from_seed_insecure(400 + index);
     PlainChunk {
         stream: id,
         index,
@@ -213,9 +219,10 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
         "promoted shard runs un-replicated until a replacement arrives: {snap:?}"
     );
 
-    // Phase 2: attach a replacement replica; the call rebuilds it from the
-    // survivor (chunked ExportStream pages), verifies chunk counts, and
-    // re-arms mirroring before it returns.
+    // Phase 2: attach a replacement replica; the call sweeps the
+    // survivor's records into it (ExportStream / ImportStream pages) until
+    // a sweep of each stream finds them there, and re-arms mirroring
+    // before it returns.
     let (_node_c, addr_c) = spawn_node();
     cluster
         .attach_replica(0, BackendSpec::Remote(addr_c))
@@ -287,8 +294,10 @@ fn open_cluster(spec: ShardSpec) -> ShardedService {
 #[test]
 fn a_rebuild_racing_live_writes_converges() {
     // Eight streams hold a base load; a writer appends 50 runs of four
-    // chunks (run k to stream k % 8) while the main thread attaches and
-    // rebuilds a replica. Copy and mirroring race on every stream.
+    // chunks (run k to stream k % 8), and between them puts a grant,
+    // envelopes and an attestation and stubs a range, while the main
+    // thread attaches and rebuilds a replica. Copy and mirroring race on
+    // every stream.
     const IDS: u128 = 8;
     const BASE: u64 = 16;
     const RUNS: u64 = 50;
@@ -320,12 +329,45 @@ fn a_rebuild_racing_live_writes_converges() {
                 .collect()
         })
         .collect();
+    // The rest of the write vocabulary, one request every twelve runs.
+    let mut ledger = StreamLedger::new(1);
+    for i in 0..BASE {
+        let chunk = sealed(1, i, value(1, i));
+        let commitment = chunk_commitment(&chunk.to_bytes());
+        ledger.append(commitment, chunk.digest_ct).unwrap();
+    }
+    let mut rng = SecureRandom::from_seed_insecure(5);
+    let owner = SigningKey::generate(&mut rng);
+    let extras = [
+        Request::PutGrant {
+            stream: 3,
+            principal: "bob".into(),
+            blob: vec![7; 3],
+        },
+        Request::PutEnvelopes {
+            stream: 4,
+            resolution: 4,
+            envelopes: vec![(0, vec![9; 4]), (1, vec![8])],
+        },
+        Request::PutAttestation {
+            stream: 1,
+            attestation: ledger.attest(&owner, &mut rng).encode(),
+        },
+        Request::DeleteRange {
+            stream: 2,
+            ts_s: 20_000,
+            ts_e: 40_000,
+        },
+    ];
     let (_node_b, addr_b) = spawn_node();
     let start = Barrier::new(2);
     let attached = std::thread::scope(|scope| {
         scope.spawn(|| {
             start.wait();
-            for run in runs {
+            for (k, run) in runs.into_iter().enumerate() {
+                if k % 12 == 6 {
+                    assert_eq!(cluster.handle(extras[k / 12].clone()), Response::Ok);
+                }
                 assert!(cluster.submit_batch(run).iter().all(Result::is_ok));
             }
         });
@@ -345,6 +387,9 @@ fn a_rebuild_racing_live_writes_converges() {
             .submit_batch(all.collect())
             .iter()
             .all(Result::is_ok));
+    }
+    for extra in &extras {
+        assert_eq!(reference.handle(extra.clone()), Response::Ok);
     }
     // Kill the primary: the rebuilt replica answers, and is promoted.
     let mut node_a = node_a;
@@ -369,5 +414,165 @@ fn a_rebuild_racing_live_writes_converges() {
             assert_eq!(cluster.handle(q.clone()).encode(), want, "{q:?}");
         }
     }
+    let vocabulary = [
+        Request::GetGrants {
+            stream: 3,
+            principal: "bob".into(),
+        },
+        Request::GetEnvelopes {
+            stream: 4,
+            resolution: 4,
+            lo: 0,
+            hi: 9,
+        },
+        Request::GetAttestation { stream: 1 },
+        Request::GetRangeProof {
+            stream: 1,
+            ts_s: 0,
+            ts_e: BASE as i64 * 10_000,
+        },
+        Request::GetRange {
+            stream: 2,
+            ts_s: 0,
+            ts_e: 60_000,
+        },
+    ];
+    for q in vocabulary {
+        let want = reference.handle(q.clone());
+        assert!(!matches!(want, Response::Error(_)), "{q:?}: {want:?}");
+        assert_eq!(cluster.handle(q.clone()).encode(), want.encode(), "{q:?}");
+    }
     assert_eq!(cluster.stats().shards[0].promotions, 1);
+}
+
+/// A node that counts the `ListStreams` frames it answers: one per pass of
+/// a rebuild it is the replica of.
+struct CountingLists {
+    node: ShardNode,
+    lists: AtomicU64,
+}
+
+impl Handler for CountingLists {
+    fn handle(&self, req: Request) -> Response {
+        self.node.handle(req)
+    }
+
+    fn handle_frame(&self, body: &[u8]) -> Response {
+        if matches!(Request::decode(body), Ok(Request::ListStreams { .. })) {
+            self.lists.fetch_add(1, Ordering::SeqCst);
+        }
+        self.node.handle_frame(body)
+    }
+}
+
+/// A node hosting the cluster's single shard over `kv`.
+fn node_over(kv: Arc<dyn KvStore>) -> ShardNode {
+    let cfg = NodeConfig {
+        total_shards: 1,
+        hosted: vec![0],
+        engine: ServerConfig::default(),
+    };
+    ShardNode::open(kv, cfg).unwrap()
+}
+
+/// Every record `kv` holds, in key order.
+fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut all = kv.scan_prefix(b"").unwrap();
+    all.sort_unstable();
+    all
+}
+
+/// Attaches a replica to a shard of `streams` streams of `chunks` chunks
+/// while a writer appends one chunk to each of up to 16 streams per batch,
+/// round-robin, from before the call until well after it returned. Once
+/// the writer stopped, the replica's store must be the survivor's, byte
+/// for byte. Returns what the rebuild took, as a printable line.
+fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
+    let survivor = Arc::new(MeteredKv::new(Arc::new(MemKv::new())));
+    let node_a = Server::bind("127.0.0.1:0", Arc::new(node_over(survivor.clone()))).unwrap();
+    let replica_kv = Arc::new(MemKv::new());
+    let replica = Arc::new(CountingLists {
+        node: node_over(replica_kv.clone()),
+        lists: AtomicU64::new(0),
+    });
+    let node_b = Server::bind("127.0.0.1:0", replica.clone()).unwrap();
+    let cluster = open_cluster(ShardSpec::remote(node_a.addr().to_string()));
+    let value = |id: u128, i: u64| (id as i64) * 13 + i as i64;
+    for id in 0..streams {
+        cluster.create_stream(id, 0, 10_000, 2).unwrap();
+        let base = (0..chunks).map(|i| sealed(id, i, value(id, i))).collect();
+        assert!(cluster.submit_batch(base).iter().all(Result::is_ok));
+    }
+    let batch = streams.min(16);
+    let (written, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+    let wait_for = |n: u64| {
+        while written.load(Ordering::SeqCst) < n {
+            std::thread::yield_now();
+        }
+    };
+    let stored = |kv: &dyn KvStore| -> usize { dump(kv).iter().map(|(_, v)| v.len()).sum() };
+    let line = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (mut next, mut at) = (vec![chunks; streams as usize], 0);
+            while !stop.load(Ordering::SeqCst) {
+                let run: Vec<_> = (0..batch)
+                    .map(|_| {
+                        let (id, i) = (at, next[at as usize]);
+                        (next[at as usize], at) = (i + 1, (at + 1) % streams);
+                        sealed(id, i, value(id, i))
+                    })
+                    .collect();
+                assert!(cluster.submit_batch(run).iter().all(Result::is_ok));
+                written.fetch_add(batch as u64, Ordering::SeqCst);
+            }
+        });
+        wait_for(batch as u64);
+        let (begun, before) = (Instant::now(), written.load(Ordering::SeqCst));
+        let read = survivor.counters().bytes_read;
+        let attached = cluster.attach_replica(0, BackendSpec::Remote(node_b.addr().to_string()));
+        let (ms, read) = (begun.elapsed(), survivor.counters().bytes_read - read);
+        let during = written.load(Ordering::SeqCst) - before;
+        let held = stored(&**survivor.inner());
+        let (after, from) = (Instant::now(), written.load(Ordering::SeqCst));
+        if attached.is_ok() {
+            wait_for(from + 8 * streams.max(16) as u64);
+        }
+        let rate = |n: u64, t: Duration| n as f64 / t.as_secs_f64();
+        let later = rate(written.load(Ordering::SeqCst) - from, after.elapsed());
+        stop.store(true, Ordering::SeqCst);
+        attached.expect("the rebuild armed");
+        format!(
+            "rebuild under a writer that never pauses, {streams} streams × {chunks} chunks: \
+             {} pass(es), {:.1} ms, {read} B read on the survivor for {held} B stored \
+             ({:.2}×), writer {:.0} chunks/s during it, {later:.0} after",
+            replica.lists.load(Ordering::SeqCst),
+            ms.as_secs_f64() * 1e3,
+            read as f64 / held as f64,
+            rate(during, ms),
+        )
+    });
+    let snap = cluster.stats();
+    assert!(snap.shards[0].in_sync, "{snap:?}");
+    assert_eq!(snap.shards[0].replica_errors, 0, "{snap:?}");
+    assert!(
+        dump(&**survivor.inner()) == dump(&*replica_kv),
+        "the stores differ"
+    );
+    line
+}
+
+#[test]
+fn a_rebuild_under_a_writer_that_never_pauses_arms() {
+    println!("{}", rebuild_under_a_writer(8, 16));
+}
+
+/// The same at the scales a rebuild's cost depends on — many streams, and
+/// few long ones. Local runs only: `cargo test --release --test
+/// replica_rebuild -- --ignored --nocapture`.
+#[test]
+#[ignore]
+fn a_rebuild_under_a_writer_that_never_pauses_at_scale() {
+    for (streams, chunks) in [(2_000, 64), (8, 25_000)] {
+        println!("{}", rebuild_under_a_writer(streams, chunks));
+    }
 }
