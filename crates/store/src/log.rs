@@ -1,33 +1,44 @@
 //! Persistent append-only log engine with checksummed crash recovery.
 //!
-//! File layout: an 8-byte magic header (`TCLOG2\r\n` — the `\r\n` catches
+//! File layout: an 8-byte magic header (`TCLOG3\r\n` — the `\r\n` catches
 //! text-mode mangling, PNG-style) followed by records:
 //!
 //! ```text
-//! op(1) | seq(1) | key_len(u32 le) | val_len(u32 le) | key | value | crc32(u32 le)
+//! flags(1) | seq(1) | value length | key | value | crc32(u32 le)
+//!   key = key length | key bytes     (literal)
+//!       | run number | tail          (run form)
 //! ```
 //!
-//! `op` is 0 = put, 1 = delete, in its low bits; `seq` is a wrapping
-//! per-record sequence byte; the CRC32 (IEEE) footer covers everything
-//! before it.
+//! Lengths, run numbers and tails are LEB128 varints, the value's length
+//! first, so a record's head (every length it claims) is at most 32 bytes.
+//! `flags` holds the op (0 = put, 1 = delete), the run-form bit (`0x40`)
+//! and the continues bit (`0x80`); `seq` is a wrapping per-record sequence
+//! byte; the CRC32 (IEEE) footer covers every byte before it.
+//!
+//! **Key forms.** A record names its key by its head's run (see **Index**)
+//! when, *at the start of its batch*, the index holds a run under that head
+//! — numbered in the order the index created its runs — and the record
+//! cannot take the key out of it: a delete, or a put of a key the run spans
+//! or of the one after its last, with no delete of that head earlier in the
+//! batch. Every other key is spelled out. That saves ≈ 30 B a counting key.
 //!
 //! **Batches.** [`KvStore::write_batch`] appends its records back to back
 //! as one run, under one lock acquisition, one `write(2)` and one
-//! group-commit wait, and sets the *continues* bit (`0x80`) in the `op`
-//! byte of every record but the last: "the batch I belong to is not over".
-//! A single put or delete is a batch of one, so its `op` byte is plain and
-//! a log without batches is byte for byte what it always was — the frame
-//! costs nothing. Replay holds a batch's index updates back until the
-//! record that closes it validates, which is what makes the batch all or
-//! nothing across a crash. Readers may ignore the bit: a record is only
-//! reachable through the index, the index only ever holds records of
-//! closed batches, and a record's meaning does not depend on its
-//! neighbours. `compact()` writes plain records, one per live key.
+//! group-commit wait, and sets the continues bit in every record but the
+//! last: "the batch I belong to is not over" (a batch of one sets none).
+//! Replay holds a batch's index updates back until the record that closes
+//! it validates, which makes the batch all or nothing across a crash and
+//! resolves its run-form keys against the index as the writer found it; a
+//! record naming a run that index does not hold is
+//! [`StoreError::CorruptAt`]. Readers may ignore the bit: the index only
+//! ever holds records of closed batches. `compact()` re-appends the live
+//! records, one plain put per key, through the same encoder into a fresh
+//! index.
 //!
 //! The file is the only copy of the values. The in-memory index maps each
-//! live key to the location of its latest put record — offset and value
-//! length, nothing else — so resident memory grows with the number of
-//! keys, not with the bytes stored; the OS page cache is the only cache.
+//! live key to the location of its latest put record — offset and length,
+//! nothing else — so resident memory grows with the number of keys, not
+//! with the bytes stored; the OS page cache is the only cache.
 //!
 //! **Index.** Runs plus a side map (`Index`). A key whose last eight
 //! bytes, read as a big-endian integer, are one more than those of a key
@@ -37,15 +48,16 @@
 //! count up like that (≈ 14 B of RAM per key with the array's slack). Any
 //! other key sits, with its bytes, in an ordered map beside the runs
 //! (≈ 105–120 B per key). Which of the two holds a key is the index's own
-//! business: no record, key format or [`KvStore`] signature knows.
+//! business: no key format or [`KvStore`] signature knows.
 //!
 //! **Read path.** `get` / `scan_prefix` look locations up under the inner
 //! lock, clone the `Arc<File>` of the current log generation, release the
 //! lock and `pread` each whole record (`FileExt::read_exact_at`, so the
 //! crate builds on Unix only). A reader therefore never waits behind a
 //! writer's `write(2)` or an fsync. Every read re-checks the record's CRC
-//! and that its stored key is the requested one, so rot after open is
-//! [`StoreError::CorruptAt`] with that record's offset, not wrong bytes. `compact()` renames a rewritten file over the path and swaps the
+//! and that it names the requested key (its bytes, or its run and tail),
+//! so rot after open is [`StoreError::CorruptAt`] with that record's
+//! offset, not wrong bytes. `compact()` renames a rewritten file over the path and swaps the
 //! handle under the lock; a reader already holding the old generation's
 //! handle and locations finishes against the old (unlinked, still open)
 //! file and never sees a half-swapped log. Under `Durability::Buffered` a
@@ -85,10 +97,11 @@
 //! than it, with a prefix of it — a crash during file creation, treated
 //! as a torn tail at offset 0) is refused with [`StoreError::CorruptAt`]
 //! and left untouched: one flipped header bit must never cost the store.
+//! So is a log of an earlier format: this build reads `TCLOG3` only.
 
 use crate::{KvStore, StoreError, WriteOp};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::ops::Bound;
@@ -100,13 +113,15 @@ use timecrypt_obs::{counters, tc_warn};
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
-/// Set in the `op` byte of every record of a batch but its last.
+/// Set in the flags of a record whose key is stored as `(run, tail)`.
+const RUN_KEY: u8 = 0x40;
+/// Set in the flags of every record of a batch but its last.
 const OP_CONTINUES: u8 = 0x80;
 
-/// File magic for the checksummed format ("version 2").
-const MAGIC: &[u8; 8] = b"TCLOG2\r\n";
-/// Fixed bytes before the key: op, seq, key_len, val_len.
-const HDR: usize = 10;
+/// File magic for the checksummed, run-naming format ("version 3").
+const MAGIC: &[u8; 8] = b"TCLOG3\r\n";
+/// The most bytes a record's head takes: flags, seq and three varints.
+const MAX_HEAD: usize = 2 + 3 * 10;
 /// CRC32 footer bytes.
 const FOOTER: usize = 4;
 
@@ -281,37 +296,36 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 // -------------------------------------------------------------------------
 
-/// Where a live key's put record sits in the log; with the key's length
-/// the value length gives the record's whole extent. Twelve bytes, not
-/// sixteen: a [`Run`] holds one per key and nothing else.
+/// Where a live key's put record sits in the log: its offset and its
+/// whole length. Twelve bytes, not sixteen: a [`Run`] holds one per key
+/// and nothing else.
 #[derive(Clone, Copy)]
 #[repr(C, packed(4))]
 struct Loc {
     offset: u64,
-    vlen: u32,
+    len: u32,
 }
 
 impl Loc {
     /// The slot of a deleted key inside a [`Run`]. Offset 0 is the magic,
     /// never a record.
-    const HOLE: Loc = Loc { offset: 0, vlen: 0 };
+    const HOLE: Loc = Loc { offset: 0, len: 0 };
 
     fn live(self) -> Option<Loc> {
         (self.offset != 0).then_some(self)
     }
+
+    fn end(self) -> u64 {
+        self.offset + u64::from(self.len)
+    }
 }
 
-/// A write as the record it becomes: op byte, key, value.
+/// A write as the record it becomes: op, key, value.
 fn parts<'a>(op: &WriteOp<'a>) -> (u8, &'a [u8], &'a [u8]) {
     match *op {
         WriteOp::Put { key, value } => (OP_PUT, key, value),
         WriteOp::Delete { key } => (OP_DELETE, key, &[]),
     }
-}
-
-/// Bytes of a record holding `klen` key and `vlen` value bytes.
-fn record_len(klen: usize, vlen: u32) -> u64 {
-    (HDR + klen + FOOTER) as u64 + u64::from(vlen)
 }
 
 /// Bytes of a key that count: its big-endian `u64` tail.
@@ -347,10 +361,17 @@ fn first_tail_after(head: &[u8], after: &[u8]) -> Option<u64> {
     }
 }
 
+/// A key as [`Index::range`] hands it out: its bytes, its record's
+/// location and the number of the run that holds it, if one does.
+type Hit = (Vec<u8>, Loc, Option<u64>);
+
 /// The keys `head + base`, `head + (base + 1)`, … of one head, held as
 /// their locations alone. Both ends are live; a key deleted in between
 /// leaves a [`Loc::HOLE`].
 struct Run {
+    /// Given by the index when it creates the run, never reused: records
+    /// name their key by it.
+    number: u64,
     base: u64,
     locs: VecDeque<Loc>,
 }
@@ -391,12 +412,7 @@ impl Run {
     }
 
     /// The live keys with tails in `lo..=hi`, ascending, spelled out.
-    fn between<'a>(
-        &'a self,
-        head: &'a [u8],
-        lo: u64,
-        hi: u64,
-    ) -> impl Iterator<Item = (Vec<u8>, Loc)> + 'a {
+    fn between<'a>(&'a self, head: &'a [u8], lo: u64, hi: u64) -> impl Iterator<Item = Hit> + 'a {
         let last = self.base + (self.locs.len() as u64 - 1);
         let slots = match (self.slot(lo.max(self.base)), self.slot(hi.min(last))) {
             (Some(a), Some(b)) if a <= b => a..b + 1,
@@ -406,7 +422,9 @@ impl Run {
         slots
             .clone()
             .zip(self.locs.range(slots))
-            .filter_map(move |(i, loc)| Some((join(head, base + i as u64), loc.live()?)))
+            .filter_map(move |(i, loc)| {
+                Some((join(head, base + i as u64), loc.live()?, Some(self.number)))
+            })
     }
 }
 
@@ -418,7 +436,7 @@ impl Run {
 /// inserted in random order and 120 B in ascending order.
 const INDEX_ENTRY_BYTES: u64 = 84;
 /// The same per head of a run, whose map slot holds a [`Run`], not a `Loc`.
-const RUN_ENTRY_BYTES: u64 = 150;
+const RUN_ENTRY_BYTES: u64 = 158;
 
 /// The in-memory index — key → location of its latest put record, never
 /// the value — with the byte accounting [`LogKv::stats`] reports.
@@ -443,6 +461,11 @@ struct Index {
     /// Bytes of the keys of `side` and of the heads of `runs`.
     key_bytes: u64,
     dead_bytes: u64,
+    /// The number the next run created gets.
+    next_run: u64,
+    /// Each run's head by its number, while replay resolves run-form keys;
+    /// `None` once the log is open.
+    heads: Option<HashMap<u64, Vec<u8>>>,
 }
 
 impl Index {
@@ -452,13 +475,23 @@ impl Index {
         let old = match op {
             OP_PUT => self.put(key, loc),
             _ => {
-                self.dead_bytes += record_len(key.len(), 0);
+                self.dead_bytes += u64::from(loc.len);
                 self.remove(key)
             }
         };
         if let Some(old) = old {
-            self.dead_bytes += record_len(key.len(), old.vlen);
+            self.dead_bytes += u64::from(old.len);
         }
+    }
+
+    /// Applies `ops`, encoded from `at` on as records of `lens` bytes
+    /// ([`encode`]); returns where they end.
+    fn apply_all(&mut self, ops: &[WriteOp<'_>], lens: &[u32], mut at: u64) -> u64 {
+        for ((op, key, _), &len) in ops.iter().map(parts).zip(lens) {
+            self.apply(op, key, Loc { offset: at, len });
+            at += u64::from(len);
+        }
+        at
     }
 
     /// Points `key` at `loc`; returns the location it had.
@@ -486,9 +519,14 @@ impl Index {
                 return self.put_aside(key, loc);
             };
             let run = Run {
+                number: self.next_run,
                 base: tail - 1,
                 locs: VecDeque::from([first, loc]),
             };
+            self.next_run += 1;
+            if let Some(heads) = &mut self.heads {
+                heads.insert(run.number, head.to_vec());
+            }
             self.run_slots += run.locs.capacity();
             self.run_keys += 1; // `first`; `key` is counted below
             self.key_bytes += head.len() as u64;
@@ -525,6 +563,9 @@ impl Index {
                     if run.locs.is_empty() {
                         self.run_slots -= run.locs.capacity();
                         self.key_bytes -= head.len() as u64;
+                        if let Some(heads) = &mut self.heads {
+                            heads.remove(&run.number);
+                        }
                         self.runs.remove(head);
                     }
                     return old;
@@ -534,13 +575,15 @@ impl Index {
         self.take_aside(key)
     }
 
-    fn get(&self, key: &[u8]) -> Option<Loc> {
+    /// `key`'s location, and the number of the run that holds it, if one does.
+    fn get(&self, key: &[u8]) -> Option<(Loc, Option<u64>)> {
         let in_run = || {
             let (head, tail) = split(key)?;
             let run = self.runs.get(head)?;
-            Some(run.locs[run.slot(tail)?].live())
+            let loc = run.locs[run.slot(tail)?].live();
+            Some(loc.map(|loc| (loc, Some(run.number))))
         };
-        in_run().unwrap_or_else(|| self.side.get(key).copied())
+        in_run().unwrap_or_else(|| Some((*self.side.get(key)?, None)))
     }
 
     fn len(&self) -> usize {
@@ -560,10 +603,10 @@ impl Index {
     /// and — where the prefix ends inside a tail — of each of the at most
     /// eight heads it then spells out, the tails that start with the rest.
     /// Then the side map's, in key order. With an empty prefix this is the
-    /// order `compact` rewrites the log in — runs first, so that replaying
-    /// the rewritten log forms every run again before a stray key of its
-    /// head could start another.
-    fn range<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = (Vec<u8>, Loc)> + 'a {
+    /// order `compact` rewrites the log in — runs first, so that the
+    /// rewritten log forms every run again (up to its first hole) before a
+    /// stray key of its head could start another.
+    fn range<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = Hit> + 'a {
         let in_runs =
             (self.runs_under(prefix)).flat_map(|(head, run, lo, hi)| run.between(head, lo, hi));
         in_runs.chain(self.aside(prefix, Bound::Included(prefix)))
@@ -601,11 +644,11 @@ impl Index {
         &'a self,
         prefix: &'a [u8],
         from: Bound<&'a [u8]>,
-    ) -> impl Iterator<Item = (Vec<u8>, Loc)> + 'a {
+    ) -> impl Iterator<Item = Hit> + 'a {
         self.side
             .range::<[u8], _>((from, Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, loc)| (k.clone(), *loc))
+            .map(|(k, loc)| (k.clone(), *loc, None))
     }
 
     /// The first `limit` keys of [`range`](Self::range) after `after`, in
@@ -616,36 +659,183 @@ impl Index {
         for (head, run, lo, hi) in self.runs_under(prefix) {
             if let Some(first) = first_tail_after(head, after) {
                 let past = run.between(head, lo.max(first), hi).take(limit);
-                keys.extend(past.map(|(key, _)| key));
+                keys.extend(past.map(|(key, ..)| key));
             }
         }
         let from = match after < prefix {
             true => Bound::Included(prefix),
             false => Bound::Excluded(after),
         };
-        keys.extend(self.aside(prefix, from).take(limit).map(|(key, _)| key));
+        keys.extend(self.aside(prefix, from).take(limit).map(|(key, ..)| key));
         keys.sort_unstable();
         keys.truncate(limit);
         keys
     }
+}
 
-    /// Moves every live key to where [`write_snapshot`] put its record —
-    /// back to back after the magic, in [`range`](Self::range)'s order —
-    /// and returns the rewritten log's length.
-    fn relocate(&mut self) -> u64 {
-        let mut tail = MAGIC.len() as u64;
-        let in_runs = self.runs.iter_mut().flat_map(|(head, run)| {
-            let slots = run.locs.iter_mut().filter(|loc| loc.live().is_some());
-            slots.map(move |loc| (head.len() + TAIL, loc))
-        });
-        let aside = self.side.iter_mut().map(|(key, loc)| (key.len(), loc));
-        for (klen, loc) in in_runs.chain(aside) {
-            loc.offset = tail;
-            tail += record_len(klen, loc.vlen);
-        }
-        self.dead_bytes = 0;
-        tail
+// -------------------------------------------------------------------------
+// Records.
+
+/// Appends `n` as an LEB128 varint: seven bits a byte, low bits first.
+fn put_var(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
     }
+    out.push(n as u8);
+}
+
+/// Takes an LEB128 varint off the front of `buf`; `None` if it runs past
+/// the end of `buf` or past 64 bits.
+fn take_var(buf: &mut &[u8]) -> Option<u64> {
+    let mut n = 0;
+    for shift in (0..64).step_by(7) {
+        let (&byte, rest) = buf.split_first()?;
+        *buf = rest;
+        let bits = u64::from(byte & 0x7F);
+        if bits << shift >> shift != bits {
+            return None;
+        }
+        n |= bits << shift;
+        if byte & 0x80 == 0 {
+            return Some(n);
+        }
+    }
+    None
+}
+
+/// What a record's first bytes claim: everything before its key bytes.
+struct Head {
+    /// [`OP_PUT`] or [`OP_DELETE`].
+    op: u8,
+    /// The continues bit: the record's batch goes on after it.
+    more: bool,
+    seq: u8,
+    vlen: u64,
+    /// A run-form key's run number and tail.
+    run: Option<(u64, u64)>,
+    /// A literal key's length (0 in run form).
+    klen: u64,
+    /// Bytes of the head itself.
+    len: usize,
+}
+
+impl Head {
+    /// The head at the front of `buf`; `None` if it is cut short or is no
+    /// head (an unknown flag, a varint past 64 bits).
+    fn parse(buf: &[u8]) -> Option<Head> {
+        let (&[flags, seq], mut rest) = buf.split_first_chunk::<2>()?;
+        if flags & !(OP_DELETE | RUN_KEY | OP_CONTINUES) != 0 {
+            return None;
+        }
+        let vlen = take_var(&mut rest)?;
+        let (run, klen) = match flags & RUN_KEY {
+            0 => (None, take_var(&mut rest)?),
+            _ => (Some((take_var(&mut rest)?, take_var(&mut rest)?)), 0),
+        };
+        Some(Head {
+            op: flags & OP_DELETE,
+            more: flags & OP_CONTINUES != 0,
+            seq,
+            vlen,
+            run,
+            klen,
+            len: buf.len() - rest.len(),
+        })
+    }
+
+    /// The whole record's length: head, key bytes, value, footer.
+    fn extent(&self) -> Option<u64> {
+        let fixed = (self.len + FOOTER) as u64;
+        fixed.checked_add(self.klen)?.checked_add(self.vlen)
+    }
+}
+
+/// A record parsed out of a buffer: its head, its key's bytes if literal,
+/// its value, and its whole length.
+struct Record<'a> {
+    head: Head,
+    key: &'a [u8],
+    value: &'a [u8],
+    len: usize,
+}
+
+impl Record<'_> {
+    /// Whether this is a record of `key`, which the index holds in the run
+    /// numbered `run`, if in one.
+    fn names(&self, key: &[u8], run: Option<u64>) -> bool {
+        match self.head.run {
+            None => self.key == key,
+            Some((number, tail)) => {
+                run == Some(number) && split(key).is_some_and(|(_, t)| t == tail)
+            }
+        }
+    }
+}
+
+/// The record at the front of `buf`, if all of it is there and its CRC
+/// holds.
+fn parse(buf: &[u8]) -> Option<Record<'_>> {
+    let head = Head::parse(buf)?;
+    let len = usize::try_from(head.extent()?).ok()?;
+    let (body, footer) = buf.get(..len)?.split_at(len - FOOTER);
+    if footer != crc32(body).to_le_bytes() {
+        return None;
+    }
+    let (key, value) = body[head.len..].split_at(head.klen as usize);
+    Some(Record {
+        head,
+        key,
+        value,
+        len,
+    })
+}
+
+/// Encodes `ops` onto `out` as one batch's records, the first with
+/// sequence byte `seq`, and returns their lengths. Keys are named by the
+/// runs of `index` as it stands before the batch (module docs, "Key
+/// forms"); `named` is each such run as the batch sees it: number, base,
+/// and length as its puts grow it — `None` once it deletes from the head.
+fn encode<'a>(index: &Index, ops: &[WriteOp<'a>], seq: u8, out: &mut Vec<u8>) -> Vec<u32> {
+    let mut named: Vec<(&'a [u8], u64, u64, Option<u64>)> = Vec::new();
+    let mut name = |op, key: &'a [u8]| {
+        let (head, tail) = split(key)?;
+        let at = named.iter().position(|n| n.0 == head).or_else(|| {
+            let run = index.runs.get(head)?;
+            named.push((head, run.number, run.base, Some(run.locs.len() as u64)));
+            Some(named.len() - 1)
+        })?;
+        let (_, number, base, len) = &mut named[at];
+        if op == OP_PUT {
+            let len = len.as_mut()?;
+            let slot = tail.checked_sub(*base).filter(|slot| slot <= len)?;
+            *len += u64::from(slot == *len);
+        } else {
+            *len = None;
+        }
+        Some((*number, tail))
+    };
+    let mut lens = Vec::with_capacity(ops.len());
+    for (i, (op, key, value)) in ops.iter().map(parts).enumerate() {
+        let start = out.len();
+        let run = name(op, key);
+        let more = if i + 1 < ops.len() { OP_CONTINUES } else { 0 };
+        let form = if run.is_some() { RUN_KEY } else { 0 };
+        out.extend_from_slice(&[op | more | form, seq.wrapping_add(i as u8)]);
+        put_var(out, value.len() as u64);
+        match run {
+            Some((number, tail)) => [number, tail].into_iter().for_each(|n| put_var(out, n)),
+            None => {
+                put_var(out, key.len() as u64);
+                out.extend_from_slice(key);
+            }
+        }
+        out.extend_from_slice(value);
+        let crc = crc32(&out[start..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        lens.push((out.len() - start) as u32);
+    }
+    lens
 }
 
 /// Size accounting of a [`LogKv`]; `dead_bytes / log_bytes` is the share
@@ -777,17 +967,16 @@ impl LogKv {
         file.read_exact_at(head, 0)?;
         if !MAGIC.starts_with(head) {
             return Err(StoreError::CorruptAt {
-                what: "missing log magic",
+                what: "missing log magic: not a TCLOG3 log",
                 offset: 0,
             });
         }
-        let mut index = Index::default();
         // A strict prefix of the magic is a crash during file creation:
         // a torn tail at offset 0, truncated like any other.
-        let (next_seq, valid_len) = if head.len() < MAGIC.len() {
-            (0, 0)
+        let (index, next_seq, valid_len) = if head.len() < MAGIC.len() {
+            (Index::default(), 0, 0)
         } else {
-            replay(&path, &file, len, &mut index)?
+            replay(&path, &file, len)?
         };
         // Truncate any torn tail, then position at the end.
         file.set_len(valid_len)?;
@@ -865,16 +1054,17 @@ impl LogKv {
     }
 
     /// Rewrites the log to contain only live records (space reclamation for
-    /// data-decay workloads, §4.5 "data decay"), copying them file to file.
-    /// Fails, leaving log and index as they were, if a live record no
-    /// longer validates.
+    /// data-decay workloads, §4.5 "data decay"), re-appending them through
+    /// the write path's encoder into a fresh index — the one replaying the
+    /// rewritten log builds. Fails, leaving log and index as they were, if
+    /// a live record no longer validates.
     pub fn compact(&self) -> Result<(), StoreError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let old = inner.reader(inner.tail)?;
-        let file = write_snapshot(&self.path, &old, &inner.index, self.durability)?;
-        inner.tail = inner.index.relocate();
-        inner.next_seq = (inner.index.len() % 256) as u8;
+        let (file, index, tail) = rewrite(&self.path, &old, &inner.index, self.durability)?;
+        inner.next_seq = (index.len() % 256) as u8;
+        (inner.index, inner.tail) = (index, tail);
         inner.writer = BufWriter::new(Arc::clone(&file));
         inner.publish();
         // The rewritten file is a fresh fd: swap the fsync handle and mark
@@ -890,15 +1080,14 @@ impl LogKv {
 
 impl KvStore for LogKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let (file, loc) = {
+        let (file, loc, run) = {
             let mut inner = self.inner.lock();
-            let Some(loc) = inner.index.get(key) else {
+            let Some((loc, run)) = inner.index.get(key) else {
                 return Ok(None);
             };
-            let end = loc.offset + record_len(key.len(), loc.vlen);
-            (inner.reader(end)?, loc)
+            (inner.reader(loc.end())?, loc, run)
         };
-        read_value(&file, key, loc).map(Some)
+        read_value(&file, key, loc, run).map(Some)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
@@ -913,38 +1102,22 @@ impl KvStore for LogKv {
     /// continues bit — and applies them to the index: one lock acquisition,
     /// one `write(2)`, one group-commit wait.
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
-        let Some(last) = ops.len().checked_sub(1) else {
+        if ops.is_empty() {
             return Ok(());
-        };
+        }
         let lens = ops
             .iter()
             .map(parts)
-            .map(|(_, k, v)| HDR + k.len() + v.len() + FOOTER);
+            .map(|(_, k, v)| MAX_HEAD + k.len() + v.len() + FOOTER);
         let mut run = Vec::with_capacity(lens.sum());
         let my = {
             let mut guard = self.inner.lock();
             let inner = &mut *guard;
-            let mut seq = inner.next_seq;
-            for (i, (op, key, value)) in ops.iter().map(parts).enumerate() {
-                let start = run.len();
-                run.push(if i < last { op | OP_CONTINUES } else { op });
-                run.push(seq);
-                run.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                run.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                run.extend_from_slice(key);
-                run.extend_from_slice(value);
-                let crc = crc32(&run[start..]);
-                run.extend_from_slice(&crc.to_le_bytes());
-                seq = seq.wrapping_add(1);
-            }
+            let lens = encode(&inner.index, ops, inner.next_seq, &mut run);
             inner.append(&run, self.durability != Durability::Buffered)?;
-            for (op, key, value) in ops.iter().map(parts) {
-                let (offset, vlen) = (inner.tail, value.len() as u32);
-                inner.tail += record_len(key.len(), vlen);
-                inner.index.apply(op, key, Loc { offset, vlen });
-            }
+            inner.tail = inner.index.apply_all(ops, &lens, inner.tail);
             inner.publish();
-            inner.next_seq = seq;
+            inner.next_seq = inner.next_seq.wrapping_add(ops.len() as u8);
             inner.appended += 1;
             self.flushed.store(inner.appended, Ordering::Release);
             inner.appended
@@ -956,20 +1129,18 @@ impl KvStore for LogKv {
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
         let (file, hits) = {
             let mut inner = self.inner.lock();
-            let hits: Vec<(Vec<u8>, Loc)> = inner.index.range(prefix).collect();
-            let ends = hits
-                .iter()
-                .map(|(k, loc)| loc.offset + record_len(k.len(), loc.vlen));
-            (inner.reader(ends.max().unwrap_or(0))?, hits)
+            let hits: Vec<Hit> = inner.index.range(prefix).collect();
+            let end = hits.iter().map(|(_, loc, _)| loc.end()).max();
+            (inner.reader(end.unwrap_or(0))?, hits)
         };
         hits.into_iter()
-            .map(|(key, loc)| read_value(&file, &key, loc).map(|value| (key, value)))
+            .map(|(key, loc, run)| read_value(&file, &key, loc, run).map(|value| (key, value)))
             .collect()
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
         let inner = self.inner.lock();
-        Ok(inner.index.range(prefix).map(|(k, _)| k).collect())
+        Ok(inner.index.range(prefix).map(|(k, ..)| k).collect())
     }
 
     fn scan_keys_after(
@@ -982,90 +1153,31 @@ impl KvStore for LogKv {
     }
 }
 
-/// Reads the whole put record of `key` at `loc` and validates it again:
-/// CRC, op and stored key. Anything else there — rot since open, a file
-/// changed behind the store's back — is [`StoreError::CorruptAt`] with the
-/// record's offset, never wrong bytes.
-fn read_record(file: &File, key: &[u8], loc: Loc) -> Result<Vec<u8>, StoreError> {
-    let mut rec = vec![0u8; record_len(key.len(), loc.vlen) as usize];
+/// Reads the put record of `key` at `loc` and validates it again — CRC,
+/// op, and that it names `key`: its bytes, or `run`, the number of the run
+/// the index holds it in, and its tail — then cuts it down to the value in
+/// place. Anything else there — rot since open, a file changed behind the
+/// store's back — is [`StoreError::CorruptAt`] with the record's offset,
+/// never wrong bytes.
+fn read_value(file: &File, key: &[u8], loc: Loc, run: Option<u64>) -> Result<Vec<u8>, StoreError> {
+    let mut rec = vec![0u8; loc.len as usize];
     file.read_exact_at(&mut rec, loc.offset)?;
-    match parse_v2(&rec) {
-        Parsed::Record {
-            op: OP_PUT,
-            key: stored,
-            consumed,
-            ..
-        } if stored == key && consumed == rec.len() => Ok(rec),
-        _ => Err(StoreError::CorruptAt {
-            what: "record failed validation on read",
-            offset: loc.offset,
-        }),
-    }
-}
-
-/// [`read_record`], cut down to the value in place.
-fn read_value(file: &File, key: &[u8], loc: Loc) -> Result<Vec<u8>, StoreError> {
-    let mut rec = read_record(file, key, loc)?;
+    let vlen = match parse(&rec) {
+        Some(r) if r.head.op == OP_PUT && r.len == rec.len() && r.names(key, run) => r.value.len(),
+        _ => {
+            return Err(StoreError::CorruptAt {
+                what: "record failed validation on read",
+                offset: loc.offset,
+            })
+        }
+    };
     rec.truncate(rec.len() - FOOTER);
-    rec.drain(..HDR + key.len());
+    rec.drain(..rec.len() - vlen);
     Ok(rec)
 }
 
 // -------------------------------------------------------------------------
 // Replay.
-
-/// A record parsed out of the buffer, or why parsing stopped.
-enum Parsed<'a> {
-    Record {
-        /// [`OP_PUT`] or [`OP_DELETE`], the continues bit taken off.
-        op: u8,
-        /// The continues bit: the record's batch goes on after it.
-        more: bool,
-        seq: u8,
-        key: &'a [u8],
-        value: &'a [u8],
-        consumed: usize,
-    },
-    /// Too few bytes for a complete record (header truncated or claimed
-    /// extent runs past the end of the buffer).
-    Short,
-    /// A complete extent whose CRC footer does not match, or an unknown
-    /// op byte under a valid CRC.
-    Bad,
-}
-
-/// The key and value lengths the record header at the front of `buf`
-/// claims, if a whole header is there.
-fn header_lens(buf: &[u8]) -> Option<(u32, u32)> {
-    let &[_, _, k0, k1, k2, k3, v0, v1, v2, v3] = buf.first_chunk::<HDR>()?;
-    let lens = [[k0, k1, k2, k3], [v0, v1, v2, v3]].map(u32::from_le_bytes);
-    Some((lens[0], lens[1]))
-}
-
-fn parse_v2(buf: &[u8]) -> Parsed<'_> {
-    let Some((klen, vlen)) = header_lens(buf) else {
-        return Parsed::Short;
-    };
-    let Ok(total) = usize::try_from(record_len(klen as usize, vlen)) else {
-        return Parsed::Bad; // lengths overflow usize: impossible extent
-    };
-    let body_end = total - FOOTER;
-    let (Some(body), Some(footer)) = (buf.get(..body_end), buf.get(body_end..total)) else {
-        return Parsed::Short;
-    };
-    let (op, seq) = (body[0] & !OP_CONTINUES, body[1]);
-    if footer != crc32(body).to_le_bytes() || (op != OP_PUT && op != OP_DELETE) {
-        return Parsed::Bad;
-    }
-    Parsed::Record {
-        op,
-        more: body[0] & OP_CONTINUES != 0,
-        seq,
-        key: &body[HDR..HDR + klen as usize],
-        value: &body[HDR + klen as usize..],
-        consumed: total,
-    }
-}
 
 /// What replay holds of the file at a time, unless one record is larger.
 const WINDOW: u64 = 1 << 20;
@@ -1096,15 +1208,15 @@ impl Window<'_> {
         Ok(&self.buf[start..start + n as usize])
     }
 
-    /// Parses the record at `off`: hands [`parse_v2`] the extent the
-    /// header there claims, or what is left of the file if that is less.
-    fn parse_at(&mut self, off: u64) -> Result<Parsed<'_>, StoreError> {
+    /// Parses the record at `off`: hands [`parse`] the extent the head
+    /// there claims, or what is left of the file if that is less.
+    fn parse_at(&mut self, off: u64) -> Result<Option<Record<'_>>, StoreError> {
         let left = self.len - off;
-        let mut want = left.min(HDR as u64);
-        if let Some((klen, vlen)) = header_lens(self.slice(off, want)?) {
-            want = left.min(record_len(klen as usize, vlen));
+        let mut want = left.min(MAX_HEAD as u64);
+        if let Some(len) = Head::parse(self.slice(off, want)?).and_then(|h| h.extent()) {
+            want = left.min(len);
         }
-        Ok(parse_v2(self.slice(off, want)?))
+        Ok(parse(self.slice(off, want)?))
     }
 
     /// Does any complete, CRC-valid record start at or after `from`? Used
@@ -1114,7 +1226,7 @@ impl Window<'_> {
     /// backstops splices.
     fn any_valid_record_after(&mut self, from: u64) -> Result<bool, StoreError> {
         for q in from..self.len {
-            if matches!(self.parse_at(q)?, Parsed::Record { .. }) {
+            if self.parse_at(q)?.is_some() {
                 return Ok(true);
             }
         }
@@ -1122,10 +1234,14 @@ impl Window<'_> {
     }
 }
 
-/// Replays the `len`-byte log in `file` into `index`. Returns
-/// `(next_seq, tail)` where `tail` is the byte length of the valid prefix
+/// Replays the `len`-byte log in `file` into a fresh index. Returns it with
+/// `(next_seq, tail)`, where `tail` is the byte length of the valid prefix
 /// (magic included): everything up to the end of the last closed batch.
-fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, u64), StoreError> {
+fn replay(path: &Path, file: &File, len: u64) -> Result<(Index, u8, u64), StoreError> {
+    let mut index = Index {
+        heads: Some(HashMap::new()),
+        ..Index::default()
+    };
     let mut win = Window {
         file,
         len,
@@ -1137,55 +1253,50 @@ fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, 
     // The open batch: where it starts, and its records so far — held back
     // from the index until the record that closes it validates.
     let mut batch_start = pos;
-    let mut held: Vec<(u8, usize, Loc)> = Vec::new();
-    // Their keys, end to end (the window may have moved on by then).
+    let mut held: Vec<(u8, usize, u64, u32)> = Vec::new();
+    // Their keys, end to end (the window may have moved on by then), a
+    // run-form key resolved against the index as the batch found it.
     let mut held_keys: Vec<u8> = Vec::new();
     while pos < len {
-        match win.parse_at(pos)? {
-            Parsed::Record {
-                op,
-                more,
-                seq,
-                key,
-                value,
-                consumed,
-            } => {
-                if seq != next_seq {
-                    // Valid CRC but a broken sequence chain: records were
-                    // lost or spliced *before* this point.
-                    return Err(StoreError::CorruptAt {
-                        what: "record sequence chain broken",
-                        offset: pos,
-                    });
-                }
-                let vlen = value.len() as u32;
-                let loc = Loc { offset: pos, vlen };
-                next_seq = next_seq.wrapping_add(1);
-                pos += consumed as u64;
-                if more {
-                    held.push((op, key.len(), loc));
-                    held_keys.extend_from_slice(key);
-                } else {
-                    let mut keys = &held_keys[..];
-                    for (op, klen, loc) in held.drain(..) {
-                        let (held_key, rest) = keys.split_at(klen);
-                        index.apply(op, held_key, loc);
-                        keys = rest;
-                    }
-                    held_keys.clear();
-                    index.apply(op, key, loc);
-                    batch_start = pos;
-                }
+        let Some(rec) = win.parse_at(pos)? else {
+            if win.any_valid_record_after(pos + 1)? {
+                return Err(StoreError::CorruptAt {
+                    what: "invalid record followed by valid data",
+                    offset: pos,
+                });
             }
-            Parsed::Short | Parsed::Bad => {
-                if win.any_valid_record_after(pos + 1)? {
-                    return Err(StoreError::CorruptAt {
-                        what: "invalid record followed by valid data",
-                        offset: pos,
-                    });
-                }
-                break;
+            break;
+        };
+        let corrupt = move |what| Err(StoreError::CorruptAt { what, offset: pos });
+        if rec.head.seq != next_seq {
+            // Valid CRC but a broken sequence chain: records were lost or
+            // spliced *before* this point.
+            return corrupt("record sequence chain broken");
+        }
+        let start = held_keys.len();
+        match rec.head.run {
+            None => held_keys.extend_from_slice(rec.key),
+            Some((run, tail)) => {
+                let heads = index.heads.as_ref();
+                let Some(head) = heads.and_then(|heads| heads.get(&run)) else {
+                    return corrupt("record names a run the index does not hold");
+                };
+                held_keys.extend_from_slice(head);
+                held_keys.extend_from_slice(&tail.to_be_bytes());
             }
+        }
+        held.push((rec.head.op, held_keys.len() - start, pos, rec.len as u32));
+        next_seq = next_seq.wrapping_add(1);
+        pos += rec.len as u64;
+        if !rec.head.more {
+            let mut keys = &held_keys[..];
+            for (op, klen, offset, len) in held.drain(..) {
+                let (key, rest) = keys.split_at(klen);
+                index.apply(op, key, Loc { offset, len });
+                keys = rest;
+            }
+            held_keys.clear();
+            batch_start = pos;
         }
     }
     if batch_start < len {
@@ -1197,22 +1308,24 @@ fn replay(path: &Path, file: &File, len: u64, index: &mut Index) -> Result<(u8, 
             path.display()
         );
     }
+    index.heads = None;
     // The held records go with the tail; the chain resumes where they began.
-    Ok((next_seq.wrapping_sub(held.len() as u8), batch_start))
+    Ok((index, next_seq.wrapping_sub(held.len() as u8), batch_start))
 }
 
-/// Copies the live records of `index` out of `old` into a fresh checksummed
-/// log (magic + one plain put per key in [`Index::range`]'s order, on a new
-/// sequence chain, whatever batches the records arrived in) in
-/// a temp file, atomically renames it over `path`, and returns its handle,
-/// positioned at the end. Under `Fsync` the snapshot and its directory
-/// entry are both synced before the rename is trusted.
-fn write_snapshot(
+/// Re-appends the live records of `index`, read out of `old`, to a fresh
+/// log in a temp file — magic, then one plain put per key in
+/// [`Index::range`]'s order, each a batch of its own on a new sequence
+/// chain, through [`encode`] into a fresh index — atomically renames it
+/// over `path`, and returns its handle, positioned at the end, with that
+/// index and the log's length. Under `Fsync` the snapshot and its
+/// directory entry are both synced before the rename is trusted.
+fn rewrite(
     path: &Path,
     old: &File,
     index: &Index,
     durability: Durability,
-) -> Result<Arc<File>, StoreError> {
+) -> Result<(Arc<File>, Index, u64), StoreError> {
     let tmp_path = path.with_extension("compact");
     let mut w = BufWriter::new(
         File::options()
@@ -1223,13 +1336,17 @@ fn write_snapshot(
             .open(&tmp_path)?,
     );
     w.write_all(MAGIC)?;
-    for (seq, (key, loc)) in index.range(b"").enumerate() {
-        let mut rec = read_record(old, &key, loc)?;
-        let body_end = rec.len() - FOOTER;
-        (rec[0], rec[1]) = (OP_PUT, seq as u8);
-        let crc = crc32(&rec[..body_end]);
-        rec[body_end..].copy_from_slice(&crc.to_le_bytes());
+    let (mut fresh, mut tail, mut rec) = (Index::default(), MAGIC.len() as u64, Vec::new());
+    for (seq, (key, loc, run)) in index.range(b"").enumerate() {
+        let value = read_value(old, &key, loc, run)?;
+        let put = [WriteOp::Put {
+            key: &key,
+            value: &value,
+        }];
+        rec.clear();
+        let lens = encode(&fresh, &put, seq as u8, &mut rec);
         w.write_all(&rec)?;
+        tail = fresh.apply_all(&put, &lens, tail);
     }
     let file = w.into_inner().map_err(|e| e.into_error())?;
     if durability == Durability::Fsync {
@@ -1245,7 +1362,7 @@ fn write_snapshot(
             }
         }
     }
-    Ok(Arc::new(file))
+    Ok((Arc::new(file), fresh, tail))
 }
 
 #[cfg(test)]
@@ -1258,6 +1375,42 @@ mod tests {
         p.push(format!("timecrypt-logkv-{}-{name}.log", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    /// Head bytes of a literal record whose key and value are each under
+    /// 128 bytes: flags, seq, and two one-byte lengths.
+    const LITERAL_HEAD: usize = 4;
+
+    /// Bytes of such a record of a `klen`-byte key and a `vlen`-byte value.
+    fn literal(klen: usize, vlen: usize) -> u64 {
+        (LITERAL_HEAD + klen + vlen + FOOTER) as u64
+    }
+
+    /// The records of the log at `path`, after its magic, as `(offset,
+    /// run number)` — `None` for a literal key.
+    fn forms(path: &Path) -> Vec<(u64, Option<u64>)> {
+        let bytes = std::fs::read(path).unwrap();
+        let mut at = MAGIC.len();
+        let mut forms = Vec::new();
+        while at < bytes.len() {
+            let rec = parse(&bytes[at..]).expect("a valid record");
+            forms.push((at as u64, rec.head.run.map(|(run, _)| run)));
+            at += rec.len;
+        }
+        forms
+    }
+
+    /// Overwrites the record at `at` in `path` with `edit` applied to it
+    /// and a CRC that matches again.
+    fn restamp(path: &Path, at: u64, edit: impl FnOnce(&mut [u8])) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let len = parse(&bytes[at as usize..]).unwrap().len;
+        let rec = &mut bytes[at as usize..][..len];
+        edit(rec);
+        let crc = crc32(&rec[..len - FOOTER]);
+        rec[len - FOOTER..].copy_from_slice(&crc.to_le_bytes());
+        let f = OpenOptions::new().write(true).open(path).unwrap();
+        f.write_all_at(rec, at).unwrap();
     }
 
     #[test]
@@ -1422,7 +1575,7 @@ mod tests {
         // Flip one byte inside the first record's value region. The first
         // record starts right after the magic, at offset 8.
         let mut bytes = std::fs::read(&path).unwrap();
-        let victim = MAGIC.len() + HDR + 5 + 3; // inside "valuevaluevalue"
+        let victim = MAGIC.len() + LITERAL_HEAD + 5 + 3; // inside "valuevaluevalue"
         bytes[victim] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         match LogKv::open(&path) {
@@ -1478,7 +1631,11 @@ mod tests {
             std::fs::write(&path, &rotted).unwrap();
             match LogKv::open(&path) {
                 Err(StoreError::CorruptAt { what, offset }) => {
-                    assert_eq!((what, offset), ("missing log magic", 0), "byte {victim}");
+                    assert_eq!(
+                        (what, offset),
+                        ("missing log magic: not a TCLOG3 log", 0),
+                        "byte {victim}"
+                    );
                 }
                 other => panic!(
                     "byte {victim}: expected CorruptAt, got {:?}",
@@ -1487,6 +1644,22 @@ mod tests {
             }
             assert_eq!(std::fs::read(&path).unwrap(), rotted, "byte {victim}");
         }
+        // A log of the previous format is a foreign file like any other:
+        // refused, named, and left as it was.
+        let mut v2 = b"TCLOG2\r\n".to_vec();
+        v2.extend_from_slice(&[0, 0, 2, 0, 0, 0, 1, 0, 0, 0, b'k', b'1', b'v']);
+        v2.extend_from_slice(&crc32(&v2[MAGIC.len()..]).to_le_bytes());
+        std::fs::write(&path, &v2).unwrap();
+        match LogKv::open(&path) {
+            Err(e @ StoreError::CorruptAt { offset: 0, .. }) => {
+                assert!(e.to_string().contains("TCLOG3"), "{e}");
+            }
+            other => panic!(
+                "TCLOG2: expected CorruptAt, got {:?}",
+                other.map(|kv| kv.len())
+            ),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), v2);
         // A short file that is not a prefix of the magic is no torn header.
         std::fs::write(&path, b"TCX").unwrap();
         assert!(matches!(
@@ -1583,8 +1756,8 @@ mod tests {
         kv.put(b"second", b"other").unwrap();
         kv.put(b"third", b"more").unwrap();
         // Flip one byte inside "second"'s value through another handle.
-        let second_at = MAGIC.len() as u64 + record_len(5, 15);
-        let victim = second_at + (HDR + 6 + 2) as u64;
+        let second_at = MAGIC.len() as u64 + literal(5, 15);
+        let victim = second_at + (LITERAL_HEAD + 6 + 2) as u64;
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.write_all_at(b"X", victim).unwrap();
         match kv.get(b"second") {
@@ -1609,8 +1782,86 @@ mod tests {
         assert_eq!(kv.get(b"second").unwrap(), Some(b"again".to_vec()));
         kv.compact().unwrap();
         assert_eq!(kv.scan_prefix(b"").unwrap().len(), 3);
+        // Counting keys: the third of each head names its run. Its tail,
+        // then its run number, rewritten under a CRC that matches again —
+        // the read's key check, not the CRC, refuses both.
+        for head in [&b"g/"[..], b"h/"] {
+            for t in 0..3 {
+                kv.put(&join(head, t), b"counted").unwrap();
+            }
+        }
+        let victim = join(b"h/", 2);
+        let (at, run) = kv
+            .inner
+            .lock()
+            .index
+            .get(&victim)
+            .map(|(loc, run)| (loc.offset, run))
+            .unwrap();
+        let other_run = kv.inner.lock().index.runs[&b"g/"[..]].number;
+        assert!(run.is_some() && run != Some(other_run));
+        assert_eq!(forms(&path).last(), Some(&(at, run)));
+        let healthy = std::fs::read(&path).unwrap();
+        // A run-form head: flags, seq, value length, run number, tail.
+        for (byte, to) in [(4, 3), (3, other_run as u8)] {
+            let was = healthy[at as usize + byte];
+            restamp(&path, at, |rec| rec[byte] = to);
+            match kv.get(&victim) {
+                Err(StoreError::CorruptAt { offset, .. }) => assert_eq!(offset, at),
+                other => panic!("byte {byte}: expected CorruptAt, got {other:?}"),
+            }
+            restamp(&path, at, |rec| rec[byte] = was);
+            assert_eq!(kv.get(&victim).unwrap(), Some(b"counted".to_vec()));
+        }
         drop(kv);
         let _ = std::fs::remove_file(path.with_extension("compact"));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_record_names_only_a_run_its_batch_found_and_that_keeps_its_key() {
+        let path = tmp("forms");
+        let kv = LogKv::open(&path).unwrap();
+        let key = |t: u64| join(b"f/", t);
+        let keys: Vec<_> = (0..10).map(key).collect();
+        let put = |t: usize| WriteOp::Put {
+            key: &keys[t],
+            value: b"v",
+        };
+        let delete = |t: usize| WriteOp::Delete { key: &keys[t] };
+        // The batch that starts run 0 spells every key out.
+        kv.write_batch(&[put(0), put(1), put(2), put(3)]).unwrap();
+        // The next extends it by name; a put past a gap goes aside, so it
+        // is spelled out, and so is every put after a delete of the head.
+        kv.write_batch(&[put(4), put(5), put(9), delete(2), put(6), put(2)])
+            .unwrap();
+        // A delete names the run whatever it empties; a run started again
+        // after that is a new one, first named by the batch after it.
+        let empty: Vec<_> = [0, 1, 2, 3, 4, 5, 6, 9].map(delete).to_vec();
+        kv.write_batch(&empty).unwrap();
+        kv.write_batch(&[put(0), put(1)]).unwrap();
+        kv.write_batch(&[put(2)]).unwrap();
+        let (n, r0, r1) = (None, Some(0), Some(1));
+        let want = [
+            [n, n, n, n].as_slice(),
+            &[r0, r0, n, r0, n, n],
+            &[r0; 8],
+            &[n, n],
+            &[r1],
+        ]
+        .concat();
+        let runs: Vec<_> = forms(&path).into_iter().map(|(_, run)| run).collect();
+        assert_eq!(runs, want);
+        drop(kv);
+        // Replay resolves every name the way the writer meant it.
+        let kv = LogKv::open(&path).unwrap();
+        assert_eq!(kv.scan_keys(b"").unwrap(), keys[..3]);
+        // Compaction re-encodes into a fresh index: its run 0 forms at the
+        // second put and names the third.
+        kv.compact().unwrap();
+        let runs: Vec<_> = forms(&path).into_iter().map(|(_, run)| run).collect();
+        assert_eq!(runs, [n, n, r0]);
+        assert_eq!(kv.get(&keys[2]).unwrap(), Some(b"v".to_vec()));
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1624,8 +1875,8 @@ mod tests {
         kv.put(b"a", &[3; 7]).unwrap(); // supersedes the 100-byte record
         kv.delete(b"bb").unwrap(); // kills bb's put, and is dead itself
         kv.delete(b"absent").unwrap(); // only the delete record is dead
-        let live = record_len(1, 7);
-        let dead = record_len(1, 100) + record_len(2, 10) + record_len(2, 0) + record_len(6, 0);
+        let live = literal(1, 7);
+        let dead = literal(1, 100) + literal(2, 10) + literal(2, 0) + literal(6, 0);
         let want = LogStats {
             log_bytes: MAGIC.len() as u64 + live + dead,
             live_keys: 1,
@@ -1672,7 +1923,7 @@ mod tests {
         // The point of the test: nothing but reads moved bytes to the file.
         kv.put(b"tail", b"still buffered").unwrap();
         let on_disk = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(on_disk, kv.stats().log_bytes - record_len(4, 14));
+        assert_eq!(on_disk, kv.stats().log_bytes - literal(4, 14));
         assert_eq!(kv.get(b"tail").unwrap(), Some(b"still buffered".to_vec()));
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
@@ -1795,12 +2046,43 @@ mod tests {
                 1..5,
             )
         ) {
-            truncation_sweep(&steps);
+            truncation_sweep("sweep", &steps);
         }
     }
 
-    fn truncation_sweep(steps: &[(usize, Vec<GenOp>)]) {
-        let path = tmp("sweep-src");
+    /// The same sweep over records that name their run: a batch that starts
+    /// a run (its records literal), one that extends it, deletes inside it
+    /// and at both ends and puts after the deletes — one of them of the key
+    /// the front trim left outside the run — and past a gap, then a put and
+    /// a delete on their own.
+    #[test]
+    fn truncate_at_every_offset_over_run_form_records() {
+        let put = |t: u64| (join(b"r/", t), vec![t as u8; 3], false);
+        let delete = |t: u64| (join(b"r/", t), Vec::new(), true);
+        let starts: Vec<GenOp> = (0..33).map(put).collect();
+        let extends = (33..50).map(put);
+        let deletes = [
+            delete(5),
+            put(50),
+            delete(50),
+            delete(49),
+            put(5),
+            delete(0),
+            put(0),
+        ];
+        let mixed: Vec<GenOp> = extends.chain(deletes).chain((60..69).map(put)).collect();
+        let steps = [
+            (3, starts),
+            (3, mixed),
+            (0, vec![put(49)]),
+            (0, vec![delete(7)]),
+        ];
+        truncation_sweep("sweep-runs", &steps);
+    }
+
+    fn truncation_sweep(name: &str, steps: &[(usize, Vec<GenOp>)]) {
+        let path = tmp(&format!("{name}-src"));
+        let cut_path = tmp(&format!("{name}-cut"));
         // Per step: the byte offset it ends at and the state it leaves.
         let mut after = Vec::new();
         {
@@ -1820,7 +2102,6 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         assert_eq!(after.last().unwrap().0, full.len());
 
-        let cut_path = tmp("sweep-cut");
         let empty = BTreeMap::new();
         for cut in 0..=full.len() {
             std::fs::write(&cut_path, &full[..cut]).unwrap();
@@ -1879,7 +2160,7 @@ mod tests {
                 })
                 .collect();
             let start = kv.stats().log_bytes;
-            offsets.extend((0..n as u64).map(|i| start + i * record_len(2, 10)));
+            offsets.extend((0..n as u64).map(|i| start + i * literal(2, 10)));
             kv.write_batch(&ops).unwrap();
         }
         (path, offsets)
@@ -1893,7 +2174,7 @@ mod tests {
         // rest of its batch, and a whole later batch) follows the damage.
         for &at in &offsets[..8] {
             let mut rotted = healthy.clone();
-            rotted[at as usize + HDR + 1] ^= 0x10;
+            rotted[at as usize + LITERAL_HEAD + 1] ^= 0x10;
             std::fs::write(&path, &rotted).unwrap();
             match LogKv::open(&path) {
                 Err(StoreError::CorruptAt { offset, .. }) => assert_eq!(offset, at),

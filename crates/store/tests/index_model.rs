@@ -1,7 +1,11 @@
 //! Model test of `LogKv`'s index: whatever mix of runs and side-map
 //! entries a history leaves behind, the store answers like a
 //! `BTreeMap<Vec<u8>, Vec<u8>>` — live, after a reopen (replay rebuilds the
-//! index), after `compact()`, and after `compact()` and a reopen.
+//! index), after `compact()`, and after `compact()` and a reopen — and
+//! replay and compaction rebuild the index the live store holds, to the
+//! byte of `stats()`. Since a record may name its key by the number of its
+//! head's run, steps also create a run inside one batch and write more of
+//! its keys there, and empty a run by deletes before starting it again.
 //!
 //! The key alphabet is built to collide: keys too short to have a tail, an
 //! empty head, one head that is a proper prefix of another, and under each
@@ -108,13 +112,31 @@ fn apply(kv: &LogKv, model: &mut Model, (kind, head, t, n, value): &Step) {
             kv.write_batch(&ops).unwrap();
             keys.iter().for_each(|k| drop(model.remove(k)));
         }
-        _ => {
+        7 => {
             // A batch that puts, deletes and puts one key again.
             let key = key(*head, *t);
             let put = WriteOp::Put { key: &key, value };
             kv.write_batch(&[put, WriteOp::Delete { key: &key }, put])
                 .unwrap();
             model.insert(key, value.clone());
+        }
+        _ => {
+            // Empties the head, so its run goes; then one batch starts a
+            // run there again and writes more keys of it, which the log
+            // must spell out, and a put of the next key names the new run.
+            let all: Vec<_> = (0..20).map(|t| key(*head, t)).collect();
+            let ops: Vec<_> = all.iter().map(|key| WriteOp::Delete { key }).collect();
+            kv.write_batch(&ops).unwrap();
+            all.iter().for_each(|k| drop(model.remove(k)));
+            let keys: Vec<_> = (0..n + 2).map(|i| key(*head, (t + i) % 20)).collect();
+            let (last, first) = keys.split_last().unwrap();
+            let ops: Vec<_> = first
+                .iter()
+                .map(|key| WriteOp::Put { key, value })
+                .collect();
+            kv.write_batch(&ops).unwrap();
+            kv.put(last, value).unwrap();
+            model.extend(keys.into_iter().map(|k| (k, value.clone())));
         }
     }
 }
@@ -124,7 +146,7 @@ proptest! {
     #[test]
     fn the_index_answers_like_an_ordered_map(
         steps in proptest::collection::vec(
-            (0u8..8, 0usize..HEADS.len() + 1, 0u8..20, 1u8..9,
+            (0u8..9, 0usize..HEADS.len() + 1, 0u8..20, 1u8..9,
              proptest::collection::vec(any::<u8>(), 0..6)),
             1..60,
         ),
@@ -150,20 +172,30 @@ proptest! {
         kv.compact().unwrap();
         prop_assert_eq!(kv.stats().dead_bytes, 0);
         assert_same(&kv, &model, "compacted");
+        // Compaction leaves the index that replaying its output builds.
+        let copy = path.with_extension("copy");
+        std::fs::copy(&path, &copy).unwrap();
+        prop_assert_eq!(LogKv::open(&copy).unwrap().stats(), kv.stats(), "compacted");
         // More history on top of the rewritten log, then replay of both.
         for step in steps.iter().take(10) {
             apply(&kv, &mut model, step);
         }
         assert_same(&kv, &model, "compacted and written to");
+        let stats = kv.stats();
         drop(kv);
         let kv = LogKv::open(&path).unwrap();
+        prop_assert_eq!(kv.stats(), stats, "replay of the compacted log written to");
         assert_same(&kv, &model, "compacted and reopened");
-        // A compacted log is a function of its index: compacting the
-        // replayed one again changes no byte.
+        // A compacted log is a function of its index, and compaction leaves
+        // the index replaying it builds: compacting the store again and a
+        // copy of its compacted log opened afresh writes the same bytes.
         kv.compact().unwrap();
-        let once = std::fs::read(&path).unwrap();
+        std::fs::copy(&path, &copy).unwrap();
+        let replayed = LogKv::open(&copy).unwrap();
         kv.compact().unwrap();
-        prop_assert_eq!(std::fs::read(&path).unwrap(), once);
+        replayed.compact().unwrap();
+        prop_assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&copy).unwrap());
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&copy).unwrap();
     }
 }
