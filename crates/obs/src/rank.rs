@@ -12,10 +12,11 @@ use std::ops::{Deref, DerefMut};
 /// call may run while a lock of that rank is held.
 pub const ORDER: [(&str, bool); 7] = [
     ("roles", true),
-    // The per-stream hydration gate exists to serialize the store reads
-    // that open a stream: it is per stream, ordered before `registry`, and
-    // held by at most the one winner plus waiters for this same stream, so
-    // blocking under it stalls no one who is not already waiting for that.
+    // The stream gate exists to serialize the store reads that open a
+    // stream: it is one of a fixed array, shared by the streams of its
+    // stripe, and ordered before `registry`, so blocking under it stalls
+    // only the cold touches, creations, deletions and imports of that
+    // stripe's streams.
     ("hydrate", true),
     ("registry", false),
     ("ingest", true),

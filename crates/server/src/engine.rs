@@ -14,20 +14,21 @@
 //! The integrity ledger is no part of it: it is a cache of the level-0
 //! records that a proof request brings up to the attested size, and that
 //! eviction drops with the rest. Hydration is single-flight: concurrent
-//! cold touches of one stream open it exactly once (the winner holds the
-//! stream's hydration gate; losers queue on it and then take the resident
-//! hit). Eviction only removes a resident entry whose `Arc` has no
-//! in-flight references, so an operation holding a handle keeps using it
-//! safely after the stream leaves the resident set — and no stream ever
-//! has two live `StreamState`s (which would split its ingest mutex). A
-//! creation, deletion or replica import holds the gate for its whole call;
-//! one that changes a registered stream's records *retires* the state it
-//! replaces, and a writer finding it so resolves the stream again. See
-//! ARCHITECTURE.md "Stream lifecycle".
+//! cold touches of one stream open it exactly once (the first holds the
+//! stream's gate — one of a fixed array, shared by the streams of its
+//! stripe — until it has published the state; the others queue on it and
+//! then take the resident hit). Eviction only removes a resident entry
+//! whose `Arc` has no in-flight references, so an operation holding a
+//! handle keeps using it safely after the stream leaves the resident set —
+//! and no stream ever has two live `StreamState`s (which would split its
+//! ingest mutex). A creation, deletion or replica import holds the gate
+//! for its whole call; one that changes a registered stream's records
+//! *retires* the state it replaces, and a writer finding it so resolves
+//! the stream again. See ARCHITECTURE.md "Stream lifecycle".
 
 use crate::keystore::KeyStore;
 use crate::stat::{StatLeg, StreamStat};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU64;
 use std::sync::Arc;
@@ -37,7 +38,7 @@ use timecrypt_index::{
     keys, leaf_record, stored_chunk_count, AggTree, HomDigest, IndexError, TreeConfig,
 };
 use timecrypt_integrity::{RootAttestation, StreamLedger};
-use timecrypt_obs::rank::{self, Ranked};
+use timecrypt_obs::rank::{self, Held, Ranked};
 use timecrypt_obs::{counters, trace};
 use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
@@ -325,7 +326,7 @@ struct Resident {
 /// The stream registry: the always-complete directory plus the bounded
 /// resident set, all behind one mutex (`registry` in the documented lock
 /// order). Holders never block on the store — hydration reads run
-/// outside this lock, serialized per stream by a `hydrating` gate.
+/// outside this lock, serialized per stream by its `Gate`.
 #[derive(Default)]
 struct StreamRegistry {
     /// Every registered stream's metadata. Never evicted; this is what
@@ -338,17 +339,26 @@ struct StreamRegistry {
     order: BTreeMap<u64, u128>,
     /// Monotonic recency clock.
     tick: u64,
-    /// Per-stream single-flight hydration gates (lock class `hydrate`,
-    /// taken *before* `registry`): the winner holds its stream's gate
-    /// while opening the stream, a creation, deletion or import for its
-    /// whole call; concurrent cold touches queue on the gate instead of
-    /// opening the stream again. A stream's directory entry changes only
-    /// under it.
-    hydrating: HashMap<u128, Arc<Gate>>,
 }
 
-/// A stream's hydration gate.
+/// The gate of one stripe of streams (lock class `hydrate`, taken
+/// *before* `registry`): a cold touch holds its stream's while it opens
+/// and publishes the stream, a creation, deletion or import for its whole
+/// call; concurrent cold touches queue on it instead of opening the
+/// stream again. A stream's directory entry changes, and its state is
+/// published, only under its gate.
 type Gate = Ranked<{ rank::HYDRATE }, Mutex<()>>;
+
+/// Gates an engine keeps, created at open and never removed.
+const STRIPES: usize = 1024;
+
+/// The stripe of `stream`: its id's own bits, folded. Not a mix of them
+/// modulo `STRIPES`: the router picks a shard by such a mix modulo the
+/// shard count, so a shard's streams would reach only a fraction of the
+/// stripes.
+fn stripe(stream: u128) -> usize {
+    (stream as u64 ^ (stream >> 64) as u64) as usize % STRIPES
+}
 
 impl StreamRegistry {
     /// Resident lookup; a hit refreshes recency and clones the handle.
@@ -413,8 +423,10 @@ pub struct ResidencyStats {
 pub struct TimeCryptServer {
     kv: Arc<dyn KvStore>,
     cfg: ServerConfig,
-    /// Stream directory + resident set + hydration gates.
+    /// Stream directory + resident set.
     registry: Ranked<{ rank::REGISTRY }, Mutex<StreamRegistry>>,
+    /// Stream `s`'s gate is `stripes[stripe(s)]`.
+    stripes: [Gate; STRIPES],
     /// Real-time upload buffer (§4.6): per stream, per not-yet-finalized
     /// chunk, the sealed records received so far. Volatile by design — the
     /// durable copy is the finalized chunk that supersedes these records.
@@ -479,6 +491,7 @@ impl TimeCryptServer {
             kv,
             cfg,
             registry: Ranked::new(Mutex::new(StreamRegistry::default())),
+            stripes: [const { Ranked::new(Mutex::new(())) }; STRIPES],
             live: Mutex::new(HashMap::new()),
             hydrations: counters::Counter::new(),
             evictions: counters::Counter::new(),
@@ -501,11 +514,11 @@ impl TimeCryptServer {
     /// Registers a stream. Registration writes the durable meta record and
     /// then the directory entry; the stream's state hydrates on first use.
     /// A chunk interval of zero is refused ([`ServerError::ZeroInterval`]):
-    /// every windowed read divides by it. The stream's hydration gate
-    /// orders it with a racing creation or deletion of the id; resident
-    /// hits on other streams go on meanwhile. An unregistered stream has no
-    /// resident state, so nothing is retired, and a refused creation of a
-    /// registered one leaves its state alone.
+    /// every windowed read divides by it. The stream's gate orders it with
+    /// a racing creation or deletion of the id; resident hits go on
+    /// meanwhile. An unregistered stream has no resident state, so nothing
+    /// is retired, and a refused creation of a registered one leaves its
+    /// state alone.
     pub fn create_stream(
         &self,
         stream: u128,
@@ -518,15 +531,14 @@ impl TimeCryptServer {
             delta_ms: NonZeroU64::new(delta_ms).ok_or(ServerError::ZeroInterval)?,
             digest_width,
         };
-        self.gated(stream, || {
-            if self.stream_meta(stream).is_ok() {
-                return Err(ServerError::StreamExists(stream));
-            }
-            self.kv.put(&keys::meta(stream), &meta.encode())?;
-            let mut reg = self.registry.lock(Mutex::lock);
-            reg.directory.insert(stream, meta);
-            Ok(())
-        })
+        let _gate = self.gate(stream);
+        if self.stream_meta(stream).is_ok() {
+            return Err(ServerError::StreamExists(stream));
+        }
+        self.kv.put(&keys::meta(stream), &meta.encode())?;
+        let mut reg = self.registry.lock(Mutex::lock);
+        reg.directory.insert(stream, meta);
+        Ok(())
     }
 
     /// Deletes a stream with every record it owns, in one store batch: a
@@ -535,33 +547,16 @@ impl TimeCryptServer {
     /// holding the stream's state committed before the batch's keys were
     /// read or finds the stream gone.
     pub fn delete_stream(&self, stream: u128) -> Result<(), ServerError> {
-        self.gated(stream, || {
-            self.stream_meta(stream)?;
-            self.import_gated(stream, &[], &[], true).map(drop)
-        })
+        let _gate = self.gate(stream);
+        self.stream_meta(stream)?;
+        self.import_gated(stream, &[], &[], true).map(drop)
     }
 
-    /// Runs `f` holding `stream`'s hydration gate: no cold touch, creation,
-    /// deletion or import of the stream runs meanwhile. Lock order: the
+    /// Takes `stream`'s gate: until it is dropped, no cold touch, creation,
+    /// deletion or import of a stream of its stripe runs. Lock order: the
     /// gate, then `registry` and `ingest` each alone.
-    fn gated<T>(
-        &self,
-        stream: u128,
-        f: impl FnOnce() -> Result<T, ServerError>,
-    ) -> Result<T, ServerError> {
-        loop {
-            let gate = {
-                let mut reg = self.registry.lock(Mutex::lock);
-                reg.hydrating.entry(stream).or_default().clone()
-            };
-            let _gate = gate.lock(Mutex::lock);
-            if !Self::claim_gate(&mut self.registry.lock(Mutex::lock), stream, &gate) {
-                continue;
-            }
-            let out = f();
-            Self::release_gate(&mut self.registry.lock(Mutex::lock), stream, &gate);
-            return out;
-        }
+    fn gate(&self, stream: u128) -> Held<{ rank::HYDRATE }, MutexGuard<'_, ()>> {
+        self.stripes[stripe(stream)].lock(Mutex::lock)
     }
 
     /// Under `stream`'s gate, before its records change: drops its resident
@@ -622,77 +617,54 @@ impl TimeCryptServer {
         })
     }
 
-    /// The stream's resident state, hydrating it from the store on a cold
-    /// touch.
+    /// The stream's resident state, opened from the store on a cold touch.
     ///
-    /// Single-flight protocol: a cold touch registers (or joins) the
-    /// stream's hydration gate, then reads the store *outside* the
-    /// registry lock while holding only the gate. Losers block on the
-    /// gate and find the state resident when they wake; if the winner
-    /// failed (store error) or was superseded, the next waiter either
-    /// inherits winnership by re-registering the gate it already holds,
-    /// or retries against the newer gate. Lock order: `hydrate` (the
-    /// gate) strictly before `registry`.
+    /// Single flight: a cold touch takes the stream's gate and looks again
+    /// — a holder before it may have opened the stream or deleted it — and
+    /// otherwise opens the stream with no registry lock held and publishes
+    /// it before it lets the gate go, so the touches queued behind it take
+    /// the hit. Resident hits proceed meanwhile, and the gate may block
+    /// (`rank::ORDER` says why).
     fn stream(&self, stream: u128) -> Result<Arc<StreamState>, ServerError> {
-        loop {
-            // Fast path: resident hit (and the cap sweep, which is a
-            // no-op length check while the set is within bounds).
-            let gate = {
-                let mut reg = self.registry.lock(Mutex::lock);
-                if let Some(st) = reg.touch(stream) {
-                    let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
-                    self.note_evictions(idle.len());
-                    drop(reg);
-                    drop(idle);
-                    return Ok(st);
-                }
-                if !reg.directory.contains_key(&stream) {
-                    return Err(ServerError::NoSuchStream(stream));
-                }
-                reg.hydrating.entry(stream).or_default().clone()
-            };
-            let _hydrate = gate.lock(Mutex::lock);
-            // Re-check under the gate: the previous holder may have
-            // hydrated (take the hit), failed (inherit winnership), or
-            // been superseded by a newer gate (retry).
-            let meta = {
-                let mut reg = self.registry.lock(Mutex::lock);
-                if let Some(st) = reg.touch(stream) {
-                    Self::release_gate(&mut reg, stream, &gate);
-                    return Ok(st);
-                }
-                let Some(meta) = reg.directory.get(&stream).copied() else {
-                    Self::release_gate(&mut reg, stream, &gate);
-                    return Err(ServerError::NoSuchStream(stream));
-                };
-                if !Self::claim_gate(&mut reg, stream, &gate) {
-                    continue;
-                }
-                meta
-            };
-            // We are the winner: open the stream with no registry lock
-            // held — resident hits on other streams proceed meanwhile, and
-            // the gate may block (`rank::ORDER` says why).
-            let hydrated = self.hydrate(stream, meta);
-            let mut reg = self.registry.lock(Mutex::lock);
-            Self::release_gate(&mut reg, stream, &gate);
-            // Still registered: the directory changes only under the gate.
-            let st = Arc::new(hydrated?);
-            self.hydrations.inc();
-            reg.insert_resident(stream, st.clone());
-            let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
-            self.note_evictions(idle.len());
-            drop(reg);
-            // Evicted state (tree caches, ledgers) deallocates outside
-            // the registry lock.
-            drop(idle);
+        if let Some(st) = self.resident(stream)? {
             return Ok(st);
         }
+        let _gate = self.gate(stream);
+        if let Some(st) = self.resident(stream)? {
+            return Ok(st);
+        }
+        let st = Arc::new(self.hydrate(stream, self.stream_meta(stream)?)?);
+        self.hydrations.inc();
+        let mut reg = self.registry.lock(Mutex::lock);
+        reg.insert_resident(stream, st.clone());
+        let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
+        self.note_evictions(idle.len());
+        drop(reg);
+        // Evicted state (tree caches, ledgers) deallocates outside the
+        // registry lock.
+        drop(idle);
+        Ok(st)
+    }
+
+    /// `stream`'s resident state, its recency refreshed, after the cap
+    /// sweep (a no-op length check while the set is within bounds); `None`
+    /// when the stream is registered but cold.
+    fn resident(&self, stream: u128) -> Result<Option<Arc<StreamState>>, ServerError> {
+        let mut reg = self.registry.lock(Mutex::lock);
+        let Some(st) = reg.touch(stream) else {
+            let cold = reg.directory.contains_key(&stream).then_some(None);
+            return cold.ok_or(ServerError::NoSuchStream(stream));
+        };
+        let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
+        self.note_evictions(idle.len());
+        drop(reg);
+        drop(idle);
+        Ok(Some(st))
     }
 
     /// Builds one stream's resident state: the tree handle (its bounded
-    /// open) around an empty ledger. Runs outside the registry lock,
-    /// single-flighted per stream by the hydration gate.
+    /// open) around an empty ledger. Runs outside the registry lock, under
+    /// the stream's gate.
     fn hydrate(&self, stream: u128, meta: StreamMeta) -> Result<StreamState, ServerError> {
         let _stage = trace::stage("engine.hydrate");
         let cfg = TreeConfig {
@@ -705,25 +677,6 @@ impl TimeCryptServer {
             ledger: RwLock::new(StreamLedger::new(stream)),
             ingest: Ranked::new(Mutex::new(false)),
         })
-    }
-
-    /// Registers `gate` as `stream`'s unless another one is (then retry):
-    /// only its registered gate's holder publishes or replaces a stream.
-    fn claim_gate(reg: &mut StreamRegistry, stream: u128, gate: &Arc<Gate>) -> bool {
-        let registered = reg.hydrating.entry(stream).or_insert_with(|| gate.clone());
-        Arc::ptr_eq(registered, gate)
-    }
-
-    /// Retires a hydration gate if it is still the registered one (a
-    /// newer gate registered after a failed winner must stay in place).
-    fn release_gate(reg: &mut StreamRegistry, stream: u128, gate: &Arc<Gate>) {
-        let ours = reg
-            .hydrating
-            .get(&stream)
-            .is_some_and(|g| Arc::ptr_eq(g, gate));
-        if ours {
-            reg.hydrating.remove(&stream);
-        }
     }
 
     /// Cap-driven eviction sweep; no-op when uncapped.
@@ -795,7 +748,7 @@ impl TimeCryptServer {
     }
 
     /// Directory lookup: the stream's immutable registration metadata,
-    /// without touching (or hydrating) its resident state.
+    /// without touching (or opening) its resident state.
     fn stream_meta(&self, stream: u128) -> Result<StreamMeta, ServerError> {
         self.registry
             .lock(Mutex::lock)
@@ -810,16 +763,10 @@ impl TimeCryptServer {
     /// recency), a cold one from the index's level-0 keys — a few key
     /// probes.
     fn stream_len(&self, stream: u128) -> Result<u64, ServerError> {
-        {
-            let mut reg = self.registry.lock(Mutex::lock);
-            if let Some(st) = reg.touch(stream) {
-                return Ok(st.tree.len());
-            }
-            if !reg.directory.contains_key(&stream) {
-                return Err(ServerError::NoSuchStream(stream));
-            }
+        match self.resident(stream)? {
+            Some(st) => Ok(st.tree.len()),
+            None => Ok(stored_chunk_count(self.kv.as_ref(), stream)?),
         }
-        Ok(stored_chunk_count(self.kv.as_ref(), stream)?)
     }
 
     /// Ingests one sealed chunk: one record that holds the payload blob and
@@ -1264,7 +1211,7 @@ impl TimeCryptServer {
         ))
     }
 
-    /// Stream metadata. Non-hydrating: directory entry plus the published
+    /// Stream metadata. Opens no state: directory entry plus the published
     /// chunk count (resident tree or the index's level-0 keys).
     pub fn stream_info(&self, stream: u128) -> Result<StreamInfoWire, ServerError> {
         let meta = self.stream_meta(stream)?;
@@ -1340,7 +1287,8 @@ impl TimeCryptServer {
             }
             last = key;
         }
-        self.gated(stream, || self.import_gated(stream, after, records, done))
+        let _gate = self.gate(stream);
+        self.import_gated(stream, after, records, done)
     }
 
     /// [`import_stream`](Self::import_stream) under the stream's gate. What
@@ -1883,6 +1831,98 @@ mod tests {
         (0..2).for_each(|i| s.insert(&chunk(i)).unwrap());
         s.evict_idle_streams();
         assert_eq!(s.stream_info(1).unwrap().len, 2);
+    }
+
+    /// A store whose first `get` of `key`, once armed, parks until the test
+    /// lets it go.
+    struct ParkingKv {
+        kv: MemKv,
+        key: [u8; 28],
+        armed: std::sync::atomic::AtomicBool,
+        parked: std::sync::Barrier,
+        released: std::sync::Barrier,
+    }
+
+    impl KvStore for ParkingKv {
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+            if key == self.key && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                self.parked.wait();
+                self.released.wait();
+            }
+            self.kv.get(key)
+        }
+        fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+            self.kv.put(key, value)
+        }
+        fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+            self.kv.delete(key)
+        }
+        fn scan_prefix(&self, prefix: &[u8]) -> Result<KvPairs, StoreError> {
+            self.kv.scan_prefix(prefix)
+        }
+    }
+
+    #[test]
+    fn a_parked_hydration_stalls_no_other_stripe() {
+        // Stream 1's hydration holds its gate, parked in the store: a cold
+        // touch of stream 2 and the creation of stream 3, both in other
+        // stripes, complete meanwhile.
+        assert!(stripe(1) != stripe(2) && stripe(1) != stripe(3));
+        let kv = Arc::new(ParkingKv {
+            kv: MemKv::new(),
+            key: keys::leaf(1, 0),
+            armed: Default::default(),
+            parked: std::sync::Barrier::new(2),
+            released: std::sync::Barrier::new(2),
+        });
+        let s = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
+        for stream in [1, 2] {
+            let cfg = StreamConfig {
+                schema: timecrypt_chunk::DigestSchema::sum_count(),
+                ..StreamConfig::new(stream, "m", 0, 10_000)
+            };
+            s.create_stream(stream, 0, 10_000, 2).unwrap();
+            let points = vec![DataPoint::new(0, 1)];
+            let plain = timecrypt_chunk::PlainChunk {
+                stream,
+                index: 0,
+                points,
+            };
+            let mut rng = SecureRandom::from_seed_insecure(9);
+            s.insert(&plain.seal(&cfg, &keys(), &mut rng).unwrap())
+                .unwrap();
+        }
+        assert_eq!(s.evict_idle_streams(), 2);
+        kv.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        let s = &s;
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| s.stream_stat(1, 0, 10_000));
+            kv.parked.wait();
+            let (sent, others) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                let touched = s.stream_stat(2, 0, 10_000).is_ok();
+                sent.send((touched, s.create_stream(3, 0, 10_000, 2).is_ok()))
+            });
+            let others = others.recv_timeout(std::time::Duration::from_secs(10));
+            kv.released.wait();
+            assert_eq!(others, Ok((true, true)), "stalled by stream 1's hydration");
+            parked.join().unwrap().unwrap();
+        });
+    }
+
+    #[test]
+    fn the_streams_of_one_shard_spread_over_every_stripe() {
+        for shards in [2, 4, 8] {
+            let router = timecrypt_service::ShardRouter::new(shards);
+            let mut held = [0usize; STRIPES];
+            let ids = (0u128..).filter(|&id| router.shard_of(id) == 0);
+            ids.take(32 * STRIPES).for_each(|id| held[stripe(id)] += 1);
+            let (least, most) = (*held.iter().min().unwrap(), *held.iter().max().unwrap());
+            assert!(
+                least > 0 && most <= 3 * 32,
+                "{shards} shards: a stripe holds {least} to {most} of 32 × {STRIPES} ids"
+            );
+        }
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! * **Registry mutex (short critical sections):** every operation's
 //!   stream lookup — a resident hit is a map probe plus a recency bump;
 //!   cold-touch hydration reads the store *outside* this lock, holding
-//!   only the stream's single-flight hydration gate (lock class
-//!   `hydrate`, ordered before `registry`).
-//! * **Hydration gate, whole call:** `create_stream`, `delete_stream` and
+//!   only the stream's gate (lock class `hydrate`, ordered before
+//!   `registry`): one of a fixed array of 1 024 created at open, picked by
+//!   the stream id, so the streams of one stripe share it.
+//! * **Stream gate, whole call:** `create_stream`, `delete_stream` and
 //!   `import_stream`; a deletion, and an import that changes records,
 //!   retires the resident state under it, so a writer holding that state
 //!   finished first or resolves the stream again.

@@ -5,8 +5,8 @@ use crate::metrics::{ServiceMetrics, ShardMetrics};
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_chunk::serialize::ChunkRef;
 use timecrypt_obs::rank::{self, Ranked};
@@ -80,9 +80,11 @@ struct Roles {
 /// * **Rebuild.** `attach_backup` (driven by
 ///   [`crate::ShardedService::attach_replica`]) adds a replacement in
 ///   the rebuilding state; the caller then runs `rebuild_backup`, which
-///   sweeps each stream the survivor or the replica lists onto it, writes
-///   to that stream held off meanwhile, and flips the replica to in-sync —
-///   closing the loop. The same call brings a drifted replica back
+///   sweeps each stream the survivor or the replica lists onto it and
+///   flips the replica to in-sync — closing the loop. A sweep holds its
+///   stream's admission stripe exclusively, and every write holds a share
+///   of its streams' stripes, so no write to the stream is in flight
+///   while it is copied. The same call brings a drifted replica back
 ///   ([`crate::ShardedService::rebuild_replica`]), writing only the
 ///   records it differs in.
 ///
@@ -104,19 +106,23 @@ pub struct ShardReplicas {
     /// with `Acquire`, let go with `Release`, so a rebuild starts from
     /// everything the last one wrote.
     rebuilding: AtomicBool,
-    /// The stream a rebuild is sweeping, if any: a write to it waits on
-    /// `swept` for the sweep to end.
-    barrier: RwLock<Option<u128>>,
-    swept: (Mutex<()>, Condvar),
-    /// Write admission: a write holds a share of the gate of the epoch it
-    /// was admitted in, `gates[epoch % 2]`, until its mirror is read. A
-    /// sweep sets `barrier`, advances `epoch` and takes the gate it left
-    /// exclusively for a moment — then every write admitted before saw the
-    /// barrier or has ended, and writes admitted meanwhile, to the other
-    /// gate, did not wait. A batch spanning shards is admitted to them in
-    /// ascending shard order.
-    gates: [RwLock<()>; 2],
-    epoch: AtomicU64,
+    /// Write admission, per stream: a write holds a read lock on
+    /// `admission[stripe(s)]` for each stream `s` it writes, taken in
+    /// ascending stripe order, until its mirror is read; a sweep holds its
+    /// stream's exclusively while it copies the stream. A batch spanning
+    /// shards is admitted to them in ascending shard order.
+    admission: [RwLock<()>; STRIPES],
+}
+
+/// Admission stripes a shard keeps, created with it and never removed.
+const STRIPES: usize = 1024;
+
+/// The admission stripe of `stream`: its id's own bits, folded. Not a mix
+/// of them modulo `STRIPES`: [`crate::ShardRouter`] picks a shard by such
+/// a mix modulo the shard count, so a shard's streams would reach only a
+/// fraction of the stripes.
+fn stripe(stream: u128) -> usize {
+    (stream as u64 ^ (stream >> 64) as u64) as usize % STRIPES
 }
 
 impl ShardReplicas {
@@ -144,10 +150,7 @@ impl ShardReplicas {
             strikes: AtomicU32::new(0),
             promote_after,
             rebuilding: AtomicBool::new(false),
-            barrier: RwLock::new(None),
-            swept: Default::default(),
-            gates: Default::default(),
-            epoch: AtomicU64::new(0),
+            admission: [const { RwLock::new(()) }; STRIPES],
         }
     }
 
@@ -301,30 +304,25 @@ impl ShardReplicas {
     }
 
     /// Starts `op` under the write policy (see [`Write`]): once no
-    /// rebuild sweeps a stream it writes, it is begun on the current
-    /// primary.
+    /// rebuild sweeps a stream of its admission stripes, it is begun on
+    /// the current primary.
     fn begin_write<W: WriteOp>(&self, op: W) -> Write<'_, W> {
-        let admitted = loop {
-            let epoch = self.epoch.load(Ordering::SeqCst);
-            let gate = self.gates[epoch as usize % 2].read();
-            let barrier = *self.barrier.read();
-            // Advanced meanwhile: the gate taken may be one a sweep no
-            // longer waits for.
-            if self.epoch.load(Ordering::SeqCst) != epoch {
-                continue;
-            }
-            match barrier {
-                Some(stream) if op.streams().contains(&stream) => {
-                    drop(gate);
-                    let (lock, ended) = &self.swept;
-                    let mut held = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                    while *self.barrier.read() == Some(stream) {
-                        held = ended.wait(held).unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-                _ => break gate,
-            }
-        };
+        // The stripes of its streams as a bit set, drawn lowest first: in
+        // ascending order, each once, with nothing allocated.
+        let mut written = [0u64; STRIPES / 64];
+        for s in op.streams().map(stripe) {
+            written[s / 64] |= 1 << (s % 64);
+        }
+        let stripes = (written.into_iter().enumerate()).flat_map(|(word, mut bits)| {
+            std::iter::from_fn(move || {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits.wrapping_sub(1);
+                (bit < 64).then_some(word * 64 + bit)
+            })
+        });
+        let mut admitted = stripes.map(|s| self.admission[s].read());
+        // Drawn here, so the locks are held before the primary has the write.
+        let admitted = (admitted.next(), admitted.collect());
         let primary = self.primary();
         let sent = op.begin_on(&*primary);
         Write {
@@ -534,23 +532,17 @@ impl ShardReplicas {
     }
 
     /// Copies `stream`'s records from the survivor into the replica with
-    /// no write to it in flight: the stream is set as the `barrier`, the
-    /// writes admitted before are waited for, and later ones to the stream
-    /// wait until its last page is imported. `true` when every page was:
-    /// the replica then holds what the survivor does, and a miss noted
-    /// before the sweep is void.
+    /// no write to it in flight: its admission stripe is held exclusively,
+    /// so the writes admitted before end first and later ones wait until
+    /// its last page is imported. `true` when every page was: the replica
+    /// then holds what the survivor does, and a miss noted before the
+    /// sweep is void.
     fn sweep(&self, survivor: &dyn ShardBackend, replica: &dyn ShardBackend, stream: u128) -> bool {
-        *self.barrier.write() = Some(stream);
-        let left = self.epoch.fetch_add(1, Ordering::SeqCst) as usize % 2;
-        drop(self.gates[left].write());
+        let _swept = self.admission[stripe(stream)].write();
         let copied = self.copy_stream(survivor, replica, stream);
         if copied {
             self.roles.lock(RwLock::write).missed.remove(&stream);
         }
-        *self.barrier.write() = None;
-        let (lock, ended) = &self.swept;
-        drop(lock.lock().unwrap_or_else(PoisonError::into_inner));
-        ended.notify_all();
         copied
     }
 
@@ -602,7 +594,7 @@ pub(crate) trait WriteOp {
     /// streams whose stored records they change.
     fn missed(&self, out: &Self::Out, mirrored: Option<&Self::Out>) -> Missed;
     /// The streams whose stored records the write may change.
-    fn streams(&self) -> Vec<u128>;
+    fn streams(&self) -> impl Iterator<Item = u128> + '_;
 }
 
 /// How many acknowledged writes a backup lacks, and their streams.
@@ -617,16 +609,17 @@ impl WriteOp for Request {
     fn missed(&self, reply: &Response, mirrored: Option<&Response>) -> Missed {
         match mirrored == Some(reply) {
             true => (0, Vec::new()),
-            false => (1, self.streams()),
+            false => (1, self.streams().collect()),
         }
     }
     /// Its stream's. A mutation not routed by stream is a live record,
     /// which changes none.
-    fn streams(&self) -> Vec<u128> {
+    fn streams(&self) -> impl Iterator<Item = u128> + '_ {
         match self.route() {
-            Route::Stream(stream) => vec![stream],
-            _ => Vec::new(),
+            Route::Stream(stream) => Some(stream),
+            _ => None,
         }
+        .into_iter()
     }
 }
 
@@ -652,13 +645,10 @@ impl WriteOp for Run<'_> {
                 .map(|(chunk, _)| *chunk)
                 .collect(),
         };
-        (missed.len() as u64, Run(&missed).streams())
+        (missed.len() as u64, Run(&missed).streams().collect())
     }
-    fn streams(&self) -> Vec<u128> {
-        self.0
-            .iter()
-            .filter_map(|c| Some(ChunkRef::parse(c).ok()?.stream))
-            .collect()
+    fn streams(&self) -> impl Iterator<Item = u128> + '_ {
+        (self.0.iter()).filter_map(|c| Some(ChunkRef::parse(c).ok()?.stream))
     }
 }
 
@@ -671,8 +661,8 @@ type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
 /// primary, [`finish_primary`](Self::finish_primary) reads the primary's
 /// answer and begins the mirror, [`finish_mirror`](Self::finish_mirror)
 /// reads the mirror's and accounts drift. Between steps it holds the
-/// backend it waits on and its share of the shard's admission gate, never
-/// the roles lock. Every mutation takes this
+/// backend it waits on and its shares of the shard's admission stripes,
+/// never the roles lock. Every mutation takes this
 /// path, replicated shard or not: the mirror target is re-read *after*
 /// the primary acknowledges, so a backup attached (even armed) while the
 /// call was in flight still receives — or vetoes the arming of — the
@@ -688,8 +678,12 @@ type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
 /// error is [`AMBIGUOUS`]: callers know the write may have been applied.
 pub(crate) struct Write<'r, W: WriteOp> {
     replicas: &'r ShardReplicas,
-    /// Its share of the shard's admission gate, held until the write ends.
-    _admitted: RwLockReadGuard<'r, ()>,
+    /// Its shares of the shard's admission stripes, held until the write
+    /// ends: the first apart, so a write to one stripe allocates nothing.
+    _admitted: (
+        Option<RwLockReadGuard<'r, ()>>,
+        Vec<RwLockReadGuard<'r, ()>>,
+    ),
     op: W,
     /// The primary, until its answer is read.
     primary: Option<Begun<W>>,
@@ -764,7 +758,7 @@ impl Write<'_, Run<'_>> {
 /// awaited, each mirror is begun as soon as its own primary acknowledged,
 /// and the mirrors are read last. Verdicts come back per run, in order.
 /// The runs come in ascending shard order: each is admitted while the
-/// earlier ones hold their admission (`ShardReplicas::gates`).
+/// earlier ones hold their admission (`ShardReplicas::admission`).
 pub(crate) fn ingest_runs<'a>(
     runs: impl Iterator<Item = (&'a ShardReplicas, &'a [&'a [u8]])>,
 ) -> Vec<Verdicts> {
@@ -1568,6 +1562,55 @@ mod tests {
         );
         assert_eq!(replacement.engine.stream_info(1).unwrap().len, 2);
         assert_eq!(keyspace(&replacement, 1), keyspace(&primary, 1));
+    }
+
+    #[test]
+    fn a_write_to_another_stripe_goes_on_while_a_stream_is_swept() {
+        // The survivor has exported stream 1's page when a writer appends
+        // to stream 2, which is in another stripe: it completes during
+        // the sweep, and the rebuild still arms in one pass.
+        assert_ne!(stripe(1), stripe(2));
+        let primary = StubShard::new();
+        for id in [1, 2] {
+            primary.create_stream(id);
+            primary.engine.insert_bytes(&sealed(id, 0, 5)).unwrap();
+        }
+        let r = Arc::new(replicas(primary.clone(), None, 0));
+        let replacement = StubShard::new();
+        r.attach_backup(replacement.clone()).unwrap();
+        let racing = r.clone();
+        let exports = |req: &Request| matches!(req, Request::ExportStream { .. });
+        primary.after(exports, move || {
+            let (sent, written) = std::sync::mpsc::channel();
+            let write = std::thread::spawn(move || sent.send(insert(&racing, &sealed(2, 1, 6))));
+            let written = written.recv_timeout(std::time::Duration::from_secs(10));
+            assert!(
+                matches!(written, Ok(Ok(()))),
+                "the write waited for the sweep"
+            );
+            write.join().unwrap().unwrap();
+        });
+        r.rebuild_backup().unwrap();
+        let m = r.m();
+        assert_eq!((m.rebuilds.get(), m.in_sync.get()), (1, 1));
+        for id in [1, 2] {
+            assert_eq!(keyspace(&replacement, id), keyspace(&primary, id));
+        }
+    }
+
+    #[test]
+    fn the_streams_of_one_shard_spread_over_every_stripe() {
+        for shards in [2, 4, 8] {
+            let router = crate::ShardRouter::new(shards);
+            let mut held = [0usize; STRIPES];
+            let ids = (0u128..).filter(|&id| router.shard_of(id) == 0);
+            ids.take(32 * STRIPES).for_each(|id| held[stripe(id)] += 1);
+            let (least, most) = (*held.iter().min().unwrap(), *held.iter().max().unwrap());
+            assert!(
+                least > 0 && most <= 3 * 32,
+                "{shards} shards: a stripe holds {least} to {most} of 32 × {STRIPES} ids"
+            );
+        }
     }
 
     /// `reads`, answered by the primary and then — the primary down — by
