@@ -100,7 +100,7 @@ pub struct TreeConfig {
     /// Fan-out k. The paper's evaluation instantiates 64-ary trees.
     pub arity: usize,
     /// LRU cache budget in bytes for the sealed nodes queries read from the
-    /// store (split evenly across its lock stripes, of which a small budget
+    /// store (split evenly across its lock segments, of which a small budget
     /// has one; built by the first read, so a tree never read holds none).
     /// Fig. 7's "small cache" variant uses 1 MB; the default is generous.
     pub cache_bytes: usize,
@@ -356,32 +356,32 @@ pub struct AggTree<D: HomDigest> {
     cache: NodeCache,
 }
 
-/// Most lock stripes in the node cache. Concurrent queries take node-cache
-/// locks from many reader threads at once; striping by node key keeps them
-/// off one global mutex. Eight stripes cover the practical parallelism (a
+/// Most lock segments in the node cache. Concurrent queries take node-cache
+/// locks from many reader threads at once; splitting by node key keeps them
+/// off one global mutex. Eight segments cover the practical parallelism (a
 /// handful of concurrent readers).
-const MAX_STRIPES: usize = 8;
+const MAX_SEGMENTS: usize = 8;
 
-/// Least budget worth a stripe of its own. A stripe evicts alone: one that
+/// Least budget worth a segment of its own. A segment evicts alone: one that
 /// holds a single node (64-ary, 19-wide: 10 KB) drops its upper-level node
 /// on every leaf fill, so a small budget stays whole behind one lock.
-const MIN_STRIPE_BYTES: usize = 64 * 1024;
+const MIN_SEGMENT_BYTES: usize = 64 * 1024;
 
-/// The striped node cache: an LRU per stripe, each holding `Arc`ed nodes so
+/// The segmented node cache: an LRU per segment, each holding `Arc`ed nodes so
 /// a cache hit hands back a reference-count bump. A node's weight is its
 /// buffer's length: what it holds of the heap. Only a query's store read
-/// fills it, and the first fill builds the stripes.
+/// fills it, and the first fill builds the segments.
 #[derive(Default)]
 struct NodeCache {
     budget_bytes: usize,
-    built: OnceLock<Box<[Stripe]>>,
+    built: OnceLock<Box<[Segment]>>,
     /// Lookups, counted here so that one before the first fill is a miss.
     hits: Counter,
     misses: Counter,
 }
 
-/// One stripe: an independently locked LRU over `Arc`ed nodes.
-type Stripe = Ranked<{ rank::STRIPE }, Mutex<LruCache<(u8, u64), Arc<Node>>>>;
+/// One segment: an independently locked LRU over `Arc`ed nodes.
+type Segment = Ranked<{ rank::CACHE }, Mutex<LruCache<(u8, u64), Arc<Node>>>>;
 
 impl NodeCache {
     fn new(budget_bytes: usize) -> Self {
@@ -391,28 +391,28 @@ impl NodeCache {
         }
     }
 
-    /// The stripes, built by the first call.
-    fn stripes(&self) -> &[Stripe] {
+    /// The segments, built by the first call.
+    fn segments(&self) -> &[Segment] {
         self.built.get_or_init(|| {
-            let stripes = (self.budget_bytes / MIN_STRIPE_BYTES).clamp(1, MAX_STRIPES);
-            // Rounded down: the stripes together never hold more than the budget.
-            let stripe = || Ranked::new(Mutex::new(LruCache::new(self.budget_bytes / stripes)));
-            (0..stripes).map(|_| stripe()).collect()
+            let segments = (self.budget_bytes / MIN_SEGMENT_BYTES).clamp(1, MAX_SEGMENTS);
+            // Rounded down: the segments together never hold more than the budget.
+            let segment = || Ranked::new(Mutex::new(LruCache::new(self.budget_bytes / segments)));
+            (0..segments).map(|_| segment()).collect()
         })
     }
 
-    fn stripe(&self, key: &(u8, u64)) -> &Stripe {
+    fn segment(&self, key: &(u8, u64)) -> &Segment {
         // Consecutive node indexes (the common locality pattern) land on
-        // different stripes; mixing the level in (un-shifted — stripe
+        // different segments; mixing the level in (un-shifted — segment
         // selection keeps only the low bits) keeps a node and its parent
         // at the same index from colliding systematically.
-        let (h, stripes) = (key.1 ^ (key.0 as u64), self.stripes());
-        &stripes[(h % stripes.len() as u64) as usize]
+        let (h, segments) = (key.1 ^ (key.0 as u64), self.segments());
+        &segments[(h % segments.len() as u64) as usize]
     }
 
     fn get(&self, key: &(u8, u64)) -> Option<Arc<Node>> {
         let built = self.built.get();
-        let node = built.and_then(|_| self.stripe(key).lock(Mutex::lock).get(key).cloned());
+        let node = built.and_then(|_| self.segment(key).lock(Mutex::lock).get(key).cloned());
         let (tree, process) = match node {
             Some(_) => (&self.hits, &counters::INDEX_NODE_CACHE_HITS),
             None => (&self.misses, &counters::INDEX_NODE_CACHE_MISSES),
@@ -424,14 +424,14 @@ impl NodeCache {
 
     fn remove(&self, key: &(u8, u64)) {
         if self.built.get().is_some() {
-            self.stripe(key).lock(Mutex::lock).remove(key);
+            self.segment(key).lock(Mutex::lock).remove(key);
         }
     }
 
-    /// (hits, misses, bytes charged across stripes).
+    /// (hits, misses, bytes charged across segments).
     fn stats(&self) -> (u64, u64, usize) {
-        let stripes = self.built.get().into_iter().flatten();
-        let used = stripes.map(|s| s.lock(Mutex::lock).used_bytes()).sum();
+        let segments = self.built.get().into_iter().flatten();
+        let used = segments.map(|s| s.lock(Mutex::lock).used_bytes()).sum();
         (self.hits.get(), self.misses.get(), used)
     }
 }
@@ -828,7 +828,7 @@ impl<D: HomDigest> AggTree<D> {
             .map(|(_, key)| WriteOp::Delete { key })
             .collect();
         self.kv.write_batch(&deletes)?;
-        // One stripe lock per removal: readers wait one, not the whole decay.
+        // One segment lock per removal: readers wait one, not the whole decay.
         doomed.iter().for_each(|(node, _)| self.cache.remove(node));
         Ok(doomed.len())
     }
@@ -878,7 +878,7 @@ impl<D: HomDigest> AggTree<D> {
                 // decay overlapped the KV read, else the node may already
                 // be deleted — fine to return, not to cache.
                 if gen_before.is_multiple_of(2) {
-                    let mut cache = self.cache.stripe(&key).lock(Mutex::lock);
+                    let mut cache = self.cache.segment(&key).lock(Mutex::lock);
                     if self.cache_gen.load(Ordering::Acquire) == gen_before {
                         cache.put(key, node.clone(), node.bytes.len());
                     }
@@ -1038,9 +1038,9 @@ mod tests {
     #[test]
     fn a_small_budget_is_one_cache_not_eight_slots() {
         // 64 KiB over 10 KB nodes (64-ary, 19-wide): split eight ways, no
-        // stripe would hold two nodes, and the level-2 node every query of
+        // segment would hold two nodes, and the level-2 node every query of
         // the sweep passes through would be evicted by each leaf node that
-        // lands in its stripe and read again.
+        // lands in its segment and read again.
         let kv = Arc::new(MemKv::new());
         let cfg = TreeConfig {
             arity: 64,
@@ -1064,9 +1064,9 @@ mod tests {
         );
         assert!(stats.cache_used_bytes <= 64 << 10, "{stats:?}");
         assert_eq!(stats.cache_used_bytes, 6 * 9988);
-        // A budget with room for them is still striped.
-        assert_eq!(NodeCache::new(1 << 20).stripes().len(), MAX_STRIPES);
-        assert_eq!(NodeCache::new(200 << 10).stripes().len(), 3);
+        // A budget with room for them is still segmented.
+        assert_eq!(NodeCache::new(1 << 20).segments().len(), MAX_SEGMENTS);
+        assert_eq!(NodeCache::new(200 << 10).segments().len(), 3);
     }
 
     #[test]

@@ -15,20 +15,18 @@
 //! records that a proof request brings up to the attested size, and that
 //! eviction drops with the rest. Hydration is single-flight: concurrent
 //! cold touches of one stream open it exactly once (the first holds the
-//! stream's gate — one of a fixed array, shared by the streams of its
+//! stream's stripe — one of a fixed table, shared by the streams of its
 //! stripe — until it has published the state; the others queue on it and
 //! then take the resident hit). Eviction only removes a resident entry
 //! whose `Arc` has no in-flight references, so an operation holding a
-//! handle keeps using it safely after the stream leaves the resident set —
-//! and no stream ever has two live `StreamState`s (which would split its
-//! ingest mutex). A creation, deletion or replica import holds the gate
-//! for its whole call; one that changes a registered stream's records
-//! *retires* the state it replaces, and a writer finding it so resolves
-//! the stream again. See ARCHITECTURE.md "Stream lifecycle".
+//! handle keeps using it safely after the stream leaves the resident set.
+//! Every call that changes a stream's records holds its stripe throughout
+//! and resolves the state under it, so a deletion or import that drops the
+//! state leaves no writer holding it. See ARCHITECTURE.md "Stream lifecycle".
 
 use crate::keystore::KeyStore;
 use crate::stat::{StatLeg, StreamStat};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU64;
 use std::sync::Arc;
@@ -38,7 +36,7 @@ use timecrypt_index::{
     keys, leaf_record, stored_chunk_count, AggTree, HomDigest, IndexError, TreeConfig,
 };
 use timecrypt_integrity::{RootAttestation, StreamLedger};
-use timecrypt_obs::rank::{self, Held, Ranked};
+use timecrypt_obs::rank::{self, Ranked, Stripes};
 use timecrypt_obs::{counters, trace};
 use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
@@ -295,25 +293,20 @@ impl StreamMeta {
 /// aggregation tree is a shared handle whose queries run lock-free
 /// against a published `len` snapshot; the integrity ledger sits behind
 /// an `RwLock` (proof builders share it; one that finds it short of the
-/// attested size extends it exclusively); and the `ingest` mutex
+/// attested size extends it exclusively); and the stream's stripe
 /// serializes the write path only. Statistical and raw reads therefore
 /// never wait on an in-flight insert, and ingest never takes the ledger.
 struct StreamState {
     meta: StreamMeta,
     /// Shared-read aggregation tree: queries take `&self` and snapshot a
-    /// consistent length; appends are serialized by `ingest` (plus the
-    /// tree's own writer mutex as a backstop). Holds the open spine (at
-    /// most k−1 digests per level) and a node cache, not the history.
+    /// consistent length; appends are serialized by the stream's stripe
+    /// (and the tree's own writer mutex). Holds the open spine (at most
+    /// k−1 digests per level) and a node cache, not the history.
     tree: AggTree<Vec<u64>>,
     /// Integrity extension: the authenticated aggregation ledger over a
     /// prefix of the stream — a cache of its level-0 records, empty after
     /// hydration, extended only by [`TimeCryptServer::prove`].
     ledger: RwLock<StreamLedger>,
-    /// The per-stream ingest lock: held by `insert`, `rollup`, and
-    /// `delete_range` (exclusive writers). The read path never takes it.
-    /// It guards whether the state is *retired* (`retire`): a writer that
-    /// finds it so resolves the stream again.
-    ingest: Ranked<{ rank::INGEST }, Mutex<bool>>,
 }
 
 /// One resident stream: its state handle plus the recency tick mirrored
@@ -326,7 +319,7 @@ struct Resident {
 /// The stream registry: the always-complete directory plus the bounded
 /// resident set, all behind one mutex (`registry` in the documented lock
 /// order). Holders never block on the store — hydration reads run
-/// outside this lock, serialized per stream by its `Gate`.
+/// outside this lock, serialized per stream by its stripe.
 #[derive(Default)]
 struct StreamRegistry {
     /// Every registered stream's metadata. Never evicted; this is what
@@ -339,25 +332,6 @@ struct StreamRegistry {
     order: BTreeMap<u64, u128>,
     /// Monotonic recency clock.
     tick: u64,
-}
-
-/// The gate of one stripe of streams (lock class `hydrate`, taken
-/// *before* `registry`): a cold touch holds its stream's while it opens
-/// and publishes the stream, a creation, deletion or import for its whole
-/// call; concurrent cold touches queue on it instead of opening the
-/// stream again. A stream's directory entry changes, and its state is
-/// published, only under its gate.
-type Gate = Ranked<{ rank::HYDRATE }, Mutex<()>>;
-
-/// Gates an engine keeps, created at open and never removed.
-const STRIPES: usize = 1024;
-
-/// The stripe of `stream`: its id's own bits, folded. Not a mix of them
-/// modulo `STRIPES`: the router picks a shard by such a mix modulo the
-/// shard count, so a shard's streams would reach only a fraction of the
-/// stripes.
-fn stripe(stream: u128) -> usize {
-    (stream as u64 ^ (stream >> 64) as u64) as usize % STRIPES
 }
 
 impl StreamRegistry {
@@ -374,11 +348,8 @@ impl StreamRegistry {
         Some(r.state.clone())
     }
 
-    /// Publishes a hydrated stream as the most recently used entry.
+    /// Publishes a hydrated stream, not resident, as the most recent entry.
     fn insert_resident(&mut self, stream: u128, state: Arc<StreamState>) {
-        if let Some(prev) = self.resident.remove(&stream) {
-            self.order.remove(&prev.tick);
-        }
         self.tick += 1;
         self.order.insert(self.tick, stream);
         self.resident.insert(
@@ -390,8 +361,8 @@ impl StreamRegistry {
         );
     }
 
-    /// Drops a stream from the resident set (unconditionally: `retire`
-    /// marks the state in-flight references hold).
+    /// Drops a stream from the resident set, in-flight references or not:
+    /// under the stream's stripe, no writer holds it.
     fn remove_resident(&mut self, stream: u128) -> Option<Arc<StreamState>> {
         let r = self.resident.remove(&stream)?;
         self.order.remove(&r.tick);
@@ -412,8 +383,8 @@ pub struct ResidencyStats {
 }
 
 /// The server engine. Thread-safe with a per-stream read/write split:
-/// writes (`insert`, `rollup`, `delete_range`) are serialized by a
-/// per-stream ingest mutex (the paper's index updates are likewise
+/// writes (`insert`, `rollup`, `delete_range`, …) are serialized by the
+/// stream's stripe (the paper's index updates are likewise
 /// serialized per stream by append order), while statistical queries, raw
 /// reads, and proof builds take only shared state — so any number of
 /// readers proceed concurrently with each other *and* with an in-flight
@@ -425,8 +396,10 @@ pub struct TimeCryptServer {
     cfg: ServerConfig,
     /// Stream directory + resident set.
     registry: Ranked<{ rank::REGISTRY }, Mutex<StreamRegistry>>,
-    /// Stream `s`'s gate is `stripes[stripe(s)]`.
-    stripes: [Gate; STRIPES],
+    /// Each stream's one lock, taken before `registry`: held throughout by
+    /// every call that changes the stream's records (its directory entry
+    /// included), and by a cold touch while it opens and publishes it.
+    stripes: Stripes<{ rank::STREAM }, Mutex<()>>,
     /// Real-time upload buffer (§4.6): per stream, per not-yet-finalized
     /// chunk, the sealed records received so far. Volatile by design — the
     /// durable copy is the finalized chunk that supersedes these records.
@@ -491,7 +464,7 @@ impl TimeCryptServer {
             kv,
             cfg,
             registry: Ranked::new(Mutex::new(StreamRegistry::default())),
-            stripes: [const { Ranked::new(Mutex::new(())) }; STRIPES],
+            stripes: Stripes::default(),
             live: Mutex::new(HashMap::new()),
             hydrations: counters::Counter::new(),
             evictions: counters::Counter::new(),
@@ -514,10 +487,9 @@ impl TimeCryptServer {
     /// Registers a stream. Registration writes the durable meta record and
     /// then the directory entry; the stream's state hydrates on first use.
     /// A chunk interval of zero is refused ([`ServerError::ZeroInterval`]):
-    /// every windowed read divides by it. The stream's gate orders it with
-    /// a racing creation or deletion of the id; resident hits go on
-    /// meanwhile. An unregistered stream has no resident state, so nothing
-    /// is retired, and a refused creation of a registered one leaves its
+    /// every windowed read divides by it. The stream's stripe orders it
+    /// with a racing creation or deletion of the id; resident hits go on
+    /// meanwhile. A refused creation of a registered stream leaves its
     /// state alone.
     pub fn create_stream(
         &self,
@@ -531,7 +503,7 @@ impl TimeCryptServer {
             delta_ms: NonZeroU64::new(delta_ms).ok_or(ServerError::ZeroInterval)?,
             digest_width,
         };
-        let _gate = self.gate(stream);
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
         if self.stream_meta(stream).is_ok() {
             return Err(ServerError::StreamExists(stream));
         }
@@ -544,46 +516,12 @@ impl TimeCryptServer {
     /// Deletes a stream with every record it owns, in one store batch: a
     /// crash leaves the stream whole or gone. A deletion is the import of an
     /// empty last page ([`import_stream`](Self::import_stream)), so a writer
-    /// holding the stream's state committed before the batch's keys were
-    /// read or finds the stream gone.
+    /// of the stream committed before the batch's keys were read or finds
+    /// the stream gone.
     pub fn delete_stream(&self, stream: u128) -> Result<(), ServerError> {
-        let _gate = self.gate(stream);
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
         self.stream_meta(stream)?;
-        self.import_gated(stream, &[], &[], true).map(drop)
-    }
-
-    /// Takes `stream`'s gate: until it is dropped, no cold touch, creation,
-    /// deletion or import of a stream of its stripe runs. Lock order: the
-    /// gate, then `registry` and `ingest` each alone.
-    fn gate(&self, stream: u128) -> Held<{ rank::HYDRATE }, MutexGuard<'_, ()>> {
-        self.stripes[stripe(stream)].lock(Mutex::lock)
-    }
-
-    /// Under `stream`'s gate, before its records change: drops its resident
-    /// state and *retires* it. A writer that held it finished first; one
-    /// that locks it later resolves the stream again and, like every cold
-    /// touch, waits on the gate for what the caller leaves.
-    fn retire(&self, stream: u128) {
-        let resident = self.registry.lock(Mutex::lock).remove_resident(stream);
-        if let Some(old) = resident {
-            **old.ingest.lock(Mutex::lock) = true;
-        }
-    }
-
-    /// Runs `f` on `stream`'s state under its ingest lock, as every writer
-    /// does; a state retired meanwhile is passed over for the current one.
-    fn write_locked<T>(
-        &self,
-        stream: u128,
-        f: impl FnOnce(&StreamState) -> T,
-    ) -> Result<T, ServerError> {
-        loop {
-            let st = self.stream(stream)?;
-            let retired = st.ingest.lock(Mutex::lock);
-            if !**retired {
-                return Ok(f(&st));
-            }
-        }
+        self.import_locked(stream, &[], &[], true).map(drop)
     }
 
     /// The keys `stream` owns after `after`, ascending: its heads in key
@@ -619,17 +557,21 @@ impl TimeCryptServer {
 
     /// The stream's resident state, opened from the store on a cold touch.
     ///
-    /// Single flight: a cold touch takes the stream's gate and looks again
-    /// — a holder before it may have opened the stream or deleted it — and
-    /// otherwise opens the stream with no registry lock held and publishes
-    /// it before it lets the gate go, so the touches queued behind it take
-    /// the hit. Resident hits proceed meanwhile, and the gate may block
+    /// Single flight: a cold touch takes the stream's stripe and resolves
+    /// the stream under it, so the touches queued behind it take the hit.
+    /// Resident hits proceed meanwhile, and the stripe may block
     /// (`rank::ORDER` says why).
     fn stream(&self, stream: u128) -> Result<Arc<StreamState>, ServerError> {
         if let Some(st) = self.resident(stream)? {
             return Ok(st);
         }
-        let _gate = self.gate(stream);
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
+        self.resolve(stream)
+    }
+
+    /// Under `stream`'s stripe: its resident state, or else the stream
+    /// opened with no registry lock held and published.
+    fn resolve(&self, stream: u128) -> Result<Arc<StreamState>, ServerError> {
         if let Some(st) = self.resident(stream)? {
             return Ok(st);
         }
@@ -664,7 +606,7 @@ impl TimeCryptServer {
 
     /// Builds one stream's resident state: the tree handle (its bounded
     /// open) around an empty ledger. Runs outside the registry lock, under
-    /// the stream's gate.
+    /// the stream's stripe.
     fn hydrate(&self, stream: u128, meta: StreamMeta) -> Result<StreamState, ServerError> {
         let _stage = trace::stage("engine.hydrate");
         let cfg = TreeConfig {
@@ -675,7 +617,6 @@ impl TimeCryptServer {
             meta,
             tree: AggTree::open(self.kv.clone(), stream, cfg)?,
             ledger: RwLock::new(StreamLedger::new(stream)),
-            ingest: Ranked::new(Mutex::new(false)),
         })
     }
 
@@ -692,9 +633,8 @@ impl TimeCryptServer {
     /// The strong-count gate is sound because clones of a resident handle
     /// only originate under the registry lock (held here): a count of 1
     /// observed now cannot grow concurrently, so eviction never leaves a
-    /// stream with two live `StreamState`s — which would split its ingest
-    /// mutex across writers. Returns the evicted handles so the caller
-    /// drops them after unlocking.
+    /// stream with two live `StreamState`s. Returns the evicted handles so
+    /// the caller drops them after unlocking.
     fn sweep_to(reg: &mut StreamRegistry, target: usize) -> Vec<Arc<StreamState>> {
         if reg.resident.len() <= target {
             return Vec::new();
@@ -792,8 +732,8 @@ impl TimeCryptServer {
     /// serialization is canonical (see [`timecrypt_chunk::ChunkRef`]), so
     /// nothing is copied through an intermediate `EncryptedChunk`.
     /// Unparseable entries report [`ServerError::BadChunk`] at their
-    /// position. Each stream's chunks form one run: one ingest-lock
-    /// acquisition and one store commit, whether the batch is a shard's whole
+    /// position. Each stream's chunks form one run: one hold of the
+    /// stream's stripe and one store commit, whether the batch is a shard's whole
     /// share of a client upload or a single chunk. A run that
     /// panics fails its own chunks (`Unavailable`) and no other stream's.
     pub fn insert_bytes_run(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
@@ -839,8 +779,8 @@ impl TimeCryptServer {
         out
     }
 
-    /// One stream's ordered ingest run under a single ingest-lock
-    /// acquisition. Per-chunk semantics are those of chunk-at-a-time
+    /// One stream's ordered ingest run under one hold of its stripe.
+    /// Per-chunk semantics are those of chunk-at-a-time
     /// ingest: width and next-index validation per chunk (a rejected
     /// chunk does not advance the expected index). The accepted chunks
     /// then commit as **one** store batch — one level-0 record each and the
@@ -854,48 +794,49 @@ impl TimeCryptServer {
         stream: u128,
         items: &[RunItem<'a>],
     ) -> Vec<Result<(), ServerError>> {
-        // Exclusive per-stream ingest lock: serializes writers only.
-        // Concurrent statistical/raw reads proceed against the previous
-        // tree-length snapshot.
-        let run = self.write_locked(stream, |st| {
-            let base = st.tree.len();
-            let mut expected = base;
-            // The level-0 record of each accepted chunk, in run order.
-            let mut records: Vec<&[u8]> = Vec::with_capacity(items.len());
-            let validate = |(chunk, bytes): &RunItem<'a>| {
-                let got = chunk.digest_ct.len() as u32;
-                if got != st.meta.digest_width {
-                    let expected = st.meta.digest_width;
-                    return Err(ServerError::WidthMismatch { expected, got });
-                }
-                if chunk.index != expected {
-                    let got = chunk.index;
-                    return Err(ServerError::OutOfOrderChunk { expected, got });
-                }
-                records.push(&bytes[EncryptedChunk::POSITION_LEN..]);
-                expected += 1;
-                Ok(())
-            };
-            let mut verdicts: Vec<_> = items.iter().map(validate).collect();
-            if let Err(e) = st.tree.append_records(&records) {
-                let mut first = Some(ServerError::from(e));
-                for verdict in verdicts.iter_mut().filter(|v| v.is_ok()) {
-                    *verdict = Err(first.take().unwrap_or(ServerError::Unavailable(
-                        "the store commit failed for an earlier chunk of this run",
-                    )));
-                }
-            } else if let Some(buf) = self.live.lock().get_mut(&stream) {
-                // The finalized chunks supersede their real-time records
-                // (§4.6 "dropping the encrypted records once the
-                // corresponding chunk is stored").
-                for index in base..expected {
-                    buf.remove(&index);
-                }
-            }
-            verdicts
-        });
+        // The stream's stripe serializes writers only. Concurrent
+        // statistical/raw reads proceed against the previous tree-length
+        // snapshot.
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
         let unknown = |_| Err(ServerError::NoSuchStream(stream));
-        run.unwrap_or_else(|_| items.iter().map(unknown).collect())
+        let Ok(st) = self.resolve(stream) else {
+            return items.iter().map(unknown).collect();
+        };
+        let base = st.tree.len();
+        let mut expected = base;
+        // The level-0 record of each accepted chunk, in run order.
+        let mut records: Vec<&[u8]> = Vec::with_capacity(items.len());
+        let validate = |(chunk, bytes): &RunItem<'a>| {
+            let got = chunk.digest_ct.len() as u32;
+            if got != st.meta.digest_width {
+                let expected = st.meta.digest_width;
+                return Err(ServerError::WidthMismatch { expected, got });
+            }
+            if chunk.index != expected {
+                let got = chunk.index;
+                return Err(ServerError::OutOfOrderChunk { expected, got });
+            }
+            records.push(&bytes[EncryptedChunk::POSITION_LEN..]);
+            expected += 1;
+            Ok(())
+        };
+        let mut verdicts: Vec<_> = items.iter().map(validate).collect();
+        if let Err(e) = st.tree.append_records(&records) {
+            let mut first = Some(ServerError::from(e));
+            for verdict in verdicts.iter_mut().filter(|v| v.is_ok()) {
+                *verdict = Err(first.take().unwrap_or(ServerError::Unavailable(
+                    "the store commit failed for an earlier chunk of this run",
+                )));
+            }
+        } else if let Some(buf) = self.live.lock().get_mut(&stream) {
+            // The finalized chunks supersede their real-time records
+            // (§4.6 "dropping the encrypted records once the
+            // corresponding chunk is stored").
+            for index in base..expected {
+                buf.remove(&index);
+            }
+        }
+        verdicts
     }
 
     /// Buffers one real-time record (§4.6). The record must target a chunk
@@ -962,7 +903,9 @@ impl TimeCryptServer {
 
     /// Stores the owner's signed root attestation (integrity extension).
     /// Opaque except for a minimal sanity parse: the stream must match and
-    /// the epoch must not regress relative to the stored attestation.
+    /// the epoch must not regress relative to the stored attestation — a
+    /// check and a put made under the stream's stripe, so of two racing
+    /// attestations the later epoch is the one stored.
     pub fn put_attestation(&self, stream: u128, bytes: &[u8]) -> Result<(), ServerError> {
         let _ = self.stream_meta(stream)?;
         let att = RootAttestation::decode(bytes)
@@ -970,6 +913,7 @@ impl TimeCryptServer {
         if att.stream != stream {
             return Err(ServerError::Integrity("attestation stream mismatch".into()));
         }
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
         if let Some(prev) = self.kv.get(&keys::attestation(stream))? {
             if let Some(prev) = RootAttestation::decode(&prev) {
                 if att.epoch < prev.epoch {
@@ -1150,18 +1094,17 @@ impl TimeCryptServer {
     /// Returns how many; a range of stubs writes nothing.
     pub fn delete_range(&self, stream: u128, ts_s: i64, ts_e: i64) -> Result<usize, ServerError> {
         // Deletion is a writer: keep it serialized with inserts/rollups.
-        let stubbed = self.write_locked(stream, |st| {
-            let lo = st.meta.first_chunk_at_or_after(ts_s);
-            let hi = st.meta.chunk_end_at_or_before(ts_e);
-            let stub = |index, record: &[u8]| {
-                let (_, stub) = split_record(index, record)?;
-                let commitment = || record_commitment(stream, index, record);
-                let tag = || [&STUB_PN.to_le_bytes()[..], &commitment()].concat();
-                Ok(stub.is_none().then(tag))
-            };
-            st.tree.retag(lo, hi, stub)
-        })?;
-        Ok(stubbed?)
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
+        let st = self.resolve(stream)?;
+        let lo = st.meta.first_chunk_at_or_after(ts_s);
+        let hi = st.meta.chunk_end_at_or_before(ts_e);
+        let stub = |index, record: &[u8]| {
+            let (_, stub) = split_record(index, record)?;
+            let commitment = || record_commitment(stream, index, record);
+            let tag = || [&STUB_PN.to_le_bytes()[..], &commitment()].concat();
+            Ok(stub.is_none().then(tag))
+        };
+        Ok(st.tree.retag(lo, hi, stub)?)
     }
 
     /// Data decay: ages out index levels below `keep_level` for chunks
@@ -1172,11 +1115,10 @@ impl TimeCryptServer {
         before_ts: i64,
         keep_level: u8,
     ) -> Result<usize, ServerError> {
-        let decayed = self.write_locked(stream, |st| {
-            let cutoff = st.meta.chunk_end_at_or_before(before_ts).min(st.tree.len());
-            st.tree.decay(cutoff, keep_level)
-        })?;
-        Ok(decayed?)
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
+        let st = self.resolve(stream)?;
+        let cutoff = st.meta.chunk_end_at_or_before(before_ts).min(st.tree.len());
+        Ok(st.tree.decay(cutoff, keep_level)?)
     }
 
     /// Verified raw retrieval (integrity extension): the chunks overlapping
@@ -1287,16 +1229,15 @@ impl TimeCryptServer {
             }
             last = key;
         }
-        let _gate = self.gate(stream);
-        self.import_gated(stream, after, records, done)
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
+        self.import_locked(stream, after, records, done)
     }
 
-    /// [`import_stream`](Self::import_stream) under the stream's gate. What
-    /// the page changes is read first; only if it changes anything is the
-    /// resident state retired, the changes read again — a writer that held
-    /// the state has committed by then — and written. The directory entry
-    /// goes before the records, comes after them.
-    fn import_gated(
+    /// [`import_stream`](Self::import_stream) under the stream's stripe.
+    /// What the page changes is read first; only if it changes anything is
+    /// the resident state dropped and the changes written. The directory
+    /// entry goes before the records, comes after them.
+    fn import_locked(
         &self,
         stream: u128,
         after: &[u8],
@@ -1312,8 +1253,7 @@ impl TimeCryptServer {
         if stale.is_empty() && puts.is_empty() {
             return Ok(0);
         }
-        self.retire(stream);
-        let (stale, puts) = self.page_writes(stream, from, end, records)?;
+        let _dropped = self.registry.lock(Mutex::lock).remove_resident(stream);
         let mut ops: Vec<_> = stale.iter().map(|key| WriteOp::Delete { key }).collect();
         ops.extend(puts.iter().map(|(key, value)| WriteOp::Put { key, value }));
         let chunks = puts.iter().filter(|(key, _)| key.starts_with(keys::LEAF));
@@ -1470,27 +1410,35 @@ impl TimeCryptServer {
                 keep_level,
             } => ok_or(self.rollup(stream, before_ts, keep_level), acked),
             Request::StreamInfo { stream } => ok_or(self.stream_info(stream), Response::Info),
+            // The key store's writes change the stream's records too.
             Request::PutGrant {
                 stream,
                 principal,
                 blob,
-            } => ok_or(self.keystore().put_grant(stream, &principal, &blob), acked),
+            } => {
+                let _stripe = self.stripes.lock(stream, Mutex::lock);
+                ok_or(self.keystore().put_grant(stream, &principal, &blob), acked)
+            }
             Request::GetGrants { stream, principal } => ok_or(
                 self.keystore().get_grants(stream, &principal),
                 Response::Blobs,
             ),
             Request::RevokeGrants { stream, principal } => {
+                let _stripe = self.stripes.lock(stream, Mutex::lock);
                 ok_or(self.keystore().revoke_grants(stream, &principal), acked)
             }
             Request::PutEnvelopes {
                 stream,
                 resolution,
                 envelopes,
-            } => ok_or(
-                self.keystore()
-                    .put_envelopes(stream, resolution, &envelopes),
-                acked,
-            ),
+            } => {
+                let _stripe = self.stripes.lock(stream, Mutex::lock);
+                ok_or(
+                    self.keystore()
+                        .put_envelopes(stream, resolution, &envelopes),
+                    acked,
+                )
+            }
             Request::GetEnvelopes {
                 stream,
                 resolution,
@@ -1560,6 +1508,7 @@ mod tests {
     use timecrypt_core::heac::decrypt_range_sum;
     use timecrypt_core::StreamKeyMaterial;
     use timecrypt_crypto::{PrgKind, SecureRandom};
+    use timecrypt_obs::rank::stripe;
     use timecrypt_store::MemKv;
 
     fn server() -> TimeCryptServer {
@@ -1797,18 +1746,14 @@ mod tests {
         let (held, release) = (Barrier::new(2), Barrier::new(2));
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _ingest = st.ingest.lock(Mutex::lock);
+                let _stripe = s.stripes.lock(1, Mutex::lock);
                 held.wait();
                 release.wait();
             });
             held.wait();
             let writer = scope.spawn(|| s.insert(&chunk(2)));
-            // The writer holds the state too, and waits for `ingest`.
-            while Arc::strong_count(&st) < 3 {
-                std::thread::yield_now();
-            }
             let deleter = scope.spawn(|| s.delete_stream(1));
-            // A deletion that ignores `ingest` finishes now; one that waits
+            // A deletion that ignores the stripe finishes now; one that waits
             // for it would wait forever, so the wait is bounded — either
             // order of writer and deletion is then correct.
             let begun = Instant::now();
@@ -1833,25 +1778,52 @@ mod tests {
         assert_eq!(s.stream_info(1).unwrap().len, 2);
     }
 
-    /// A store whose first `get` of `key`, once armed, parks until the test
-    /// lets it go.
+    /// A store whose first `get` of `key` — its first `put`, with `on_put`
+    /// — once armed, parks until the test lets it go.
     struct ParkingKv {
         kv: MemKv,
-        key: [u8; 28],
+        key: Vec<u8>,
+        on_put: bool,
         armed: std::sync::atomic::AtomicBool,
         parked: std::sync::Barrier,
         released: std::sync::Barrier,
     }
 
-    impl KvStore for ParkingKv {
-        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+    impl ParkingKv {
+        fn new(key: &[u8], on_put: bool) -> Arc<Self> {
+            Arc::new(ParkingKv {
+                kv: MemKv::new(),
+                key: key.to_vec(),
+                on_put,
+                armed: Default::default(),
+                parked: std::sync::Barrier::new(2),
+                released: std::sync::Barrier::new(2),
+            })
+        }
+
+        fn arm(&self) {
+            self.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+
+        fn park(&self, key: &[u8]) {
             if key == self.key && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
                 self.parked.wait();
                 self.released.wait();
             }
+        }
+    }
+
+    impl KvStore for ParkingKv {
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+            if !self.on_put {
+                self.park(key);
+            }
             self.kv.get(key)
         }
         fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+            if self.on_put {
+                self.park(key);
+            }
             self.kv.put(key, value)
         }
         fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
@@ -1868,13 +1840,7 @@ mod tests {
         // touch of stream 2 and the creation of stream 3, both in other
         // stripes, complete meanwhile.
         assert!(stripe(1) != stripe(2) && stripe(1) != stripe(3));
-        let kv = Arc::new(ParkingKv {
-            kv: MemKv::new(),
-            key: keys::leaf(1, 0),
-            armed: Default::default(),
-            parked: std::sync::Barrier::new(2),
-            released: std::sync::Barrier::new(2),
-        });
+        let kv = ParkingKv::new(&keys::leaf(1, 0), false);
         let s = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
         for stream in [1, 2] {
             let cfg = StreamConfig {
@@ -1893,7 +1859,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(s.evict_idle_streams(), 2);
-        kv.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        kv.arm();
         let s = &s;
         std::thread::scope(|scope| {
             let parked = scope.spawn(|| s.stream_stat(1, 0, 10_000));
@@ -1910,19 +1876,89 @@ mod tests {
         });
     }
 
+    /// Both tiers pick a stream's lock by [`stripe`]: the engine's, and the
+    /// coordinator's admission, which sees every shard's streams.
     #[test]
     fn the_streams_of_one_shard_spread_over_every_stripe() {
+        // The first id past 0 to wrap to stripe 0 is the stripe count.
+        let stripes = (1..).find(|&id| stripe(id) == 0).unwrap() as usize;
         for shards in [2, 4, 8] {
             let router = timecrypt_service::ShardRouter::new(shards);
-            let mut held = [0usize; STRIPES];
+            let mut held = vec![0usize; stripes];
             let ids = (0u128..).filter(|&id| router.shard_of(id) == 0);
-            ids.take(32 * STRIPES).for_each(|id| held[stripe(id)] += 1);
+            ids.take(32 * stripes).for_each(|id| held[stripe(id)] += 1);
             let (least, most) = (*held.iter().min().unwrap(), *held.iter().max().unwrap());
             assert!(
                 least > 0 && most <= 3 * 32,
-                "{shards} shards: a stripe holds {least} to {most} of 32 × {STRIPES} ids"
+                "{shards} shards: a stripe holds {least} to {most} of 32 × {stripes} ids"
             );
         }
+    }
+
+    /// Two `PutGrant`s for one principal, the first parked in its put:
+    /// the second counts the grants only after the first is stored, so
+    /// both are kept.
+    #[test]
+    fn racing_grants_of_one_principal_are_both_kept() {
+        let kv = ParkingKv::new(&keys::grant(1, "alice", 0), true);
+        let s = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
+        let grant = |blob: &[u8]| {
+            s.handle(Request::PutGrant {
+                stream: 1,
+                principal: "alice".into(),
+                blob: blob.to_vec(),
+            })
+        };
+        kv.arm();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| grant(b"g0"));
+            kv.parked.wait();
+            let (sent, second) = std::sync::mpsc::channel();
+            scope.spawn(move || sent.send(grant(b"g1")));
+            let early = second.recv_timeout(std::time::Duration::from_millis(200));
+            kv.released.wait();
+            assert!(
+                early.is_err(),
+                "the second grant did not wait for the first"
+            );
+            assert_eq!(first.join().unwrap(), Response::Ok);
+            assert_eq!(second.recv().unwrap(), Response::Ok);
+        });
+        let grants = s.keystore().get_grants(1, "alice").unwrap();
+        assert_eq!(grants, [b"g0".to_vec(), b"g1".to_vec()]);
+    }
+
+    /// Epoch 6's attestation passed its check and is parked in its put when
+    /// epoch 7's arrives: 7 is the epoch stored.
+    #[test]
+    fn racing_attestations_store_the_later_epoch() {
+        let kv = ParkingKv::new(&keys::attestation(1), true);
+        let s = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
+        s.create_stream(1, 0, 10_000, 2).unwrap();
+        // An attestation decodes with any signature in range: r = s = 1.
+        let one = [&[0u8; 31][..], &[1]].concat();
+        let attestation = |epoch: u64| {
+            let head = [
+                &1u128.to_le_bytes()[..],
+                &0u64.to_le_bytes(),
+                &epoch.to_le_bytes(),
+            ];
+            [&head.concat()[..], &[0; 32], &one[..], &one[..]].concat()
+        };
+        let put = |epoch| s.put_attestation(1, &attestation(epoch));
+        kv.arm();
+        std::thread::scope(|scope| {
+            let sixth = scope.spawn(|| put(6));
+            kv.parked.wait();
+            let (sent, seventh) = std::sync::mpsc::channel();
+            scope.spawn(move || sent.send(put(7).is_ok()));
+            let early = seventh.recv_timeout(std::time::Duration::from_millis(200));
+            kv.released.wait();
+            sixth.join().unwrap().unwrap();
+            assert_eq!(early.or_else(|_| seventh.recv()), Ok(true));
+        });
+        let stored = RootAttestation::decode(&s.get_attestation(1).unwrap()).unwrap();
+        assert_eq!(stored.epoch, 7, "the stored epoch regressed");
     }
 
     #[test]

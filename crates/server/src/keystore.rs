@@ -19,7 +19,8 @@ impl<'a> KeyStore<'a> {
     }
 
     /// Appends a grant blob for `(stream, principal)`. Grants accumulate;
-    /// each carries its own scope inside the sealed bytes.
+    /// each carries its own scope inside the sealed bytes. A count, then a
+    /// put: the engine's dispatch runs it under the stream's stripe.
     pub fn put_grant(&self, stream: u128, principal: &str, blob: &[u8]) -> Result<(), StoreError> {
         let seq = self
             .kv

@@ -23,18 +23,18 @@
 //! the write path (§6 sells low-latency queries *concurrent with*
 //! sustained ingest):
 //!
-//! * **Exclusive (per-stream ingest mutex):** `insert`, `rollup`, and
-//!   `delete_range`. Writers serialize against each other only.
+//! * **The stream's stripe, whole call:** every call that changes a
+//!   stream's records — `insert`, `rollup`, `delete_range`,
+//!   `create_stream`, `delete_stream`, `import_stream`, and the key
+//!   store's and attestation's writes — and a cold touch while it opens
+//!   the stream. Writers serialize against each other only. A stream's
+//!   stripe (lock class `stream`, ordered before `registry`) is one of a
+//!   fixed table of 1 024 created at open, picked by the stream id, so
+//!   the streams of one stripe share it.
 //! * **Registry mutex (short critical sections):** every operation's
 //!   stream lookup — a resident hit is a map probe plus a recency bump;
-//!   cold-touch hydration reads the store *outside* this lock, holding
-//!   only the stream's gate (lock class `hydrate`, ordered before
-//!   `registry`): one of a fixed array of 1 024 created at open, picked by
-//!   the stream id, so the streams of one stripe share it.
-//! * **Stream gate, whole call:** `create_stream`, `delete_stream` and
-//!   `import_stream`; a deletion, and an import that changes records,
-//!   retires the resident state under it, so a writer holding that state
-//!   finished first or resolves the stream again.
+//!   cold-touch hydration reads the store *outside* this lock, under the
+//!   stream's stripe alone.
 //! * **Shared, lock-free:** `stream_stat` / `get_stat_range`, `get_range`,
 //!   `stream_info`, and `insert_live`'s staleness check — these read the
 //!   immutable stream metadata and query the aggregation tree against an

@@ -36,8 +36,8 @@ mod replicas;
 
 pub use local::LocalShard;
 pub use remote::RemoteShard;
-pub(crate) use replicas::ingest_runs;
 pub use replicas::ShardReplicas;
+pub(crate) use replicas::{ingest_runs, Admission};
 
 use std::time::Instant;
 use timecrypt_server::{ServerError, StatLeg};

@@ -2,14 +2,14 @@
 
 use super::{Leg, Pending, ShardBackend, Verdicts, AMBIGUOUS, SAME_NODE};
 use crate::metrics::{ServiceMetrics, ShardMetrics};
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::RwLock;
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_chunk::serialize::ChunkRef;
-use timecrypt_obs::rank::{self, Ranked};
+use timecrypt_obs::rank::{self, Ranked, Stripes};
 use timecrypt_server::{ServerError, StatLeg};
 use timecrypt_wire::messages::{Request, Response, Route};
 
@@ -84,7 +84,8 @@ struct Roles {
 ///   flips the replica to in-sync — closing the loop. A sweep holds its
 ///   stream's admission stripe exclusively, and every write holds a share
 ///   of its streams' stripes, so no write to the stream is in flight
-///   while it is copied. The same call brings a drifted replica back
+///   while it is copied. The stripes are one table shared by the
+///   coordinator's shards. The same call brings a drifted replica back
 ///   ([`crate::ShardedService::rebuild_replica`]), writing only the
 ///   records it differs in.
 ///
@@ -106,24 +107,14 @@ pub struct ShardReplicas {
     /// with `Acquire`, let go with `Release`, so a rebuild starts from
     /// everything the last one wrote.
     rebuilding: AtomicBool,
-    /// Write admission, per stream: a write holds a read lock on
-    /// `admission[stripe(s)]` for each stream `s` it writes, taken in
-    /// ascending stripe order, until its mirror is read; a sweep holds its
-    /// stream's exclusively while it copies the stream. A batch spanning
-    /// shards is admitted to them in ascending shard order.
-    admission: [RwLock<()>; STRIPES],
+    /// Write admission, per stream: a write holds read shares on its
+    /// streams' stripes until its mirror is read; a sweep holds its
+    /// stream's exclusively while it copies the stream.
+    admission: Arc<Admission>,
 }
 
-/// Admission stripes a shard keeps, created with it and never removed.
-const STRIPES: usize = 1024;
-
-/// The admission stripe of `stream`: its id's own bits, folded. Not a mix
-/// of them modulo `STRIPES`: [`crate::ShardRouter`] picks a shard by such
-/// a mix modulo the shard count, so a shard's streams would reach only a
-/// fraction of the stripes.
-fn stripe(stream: u128) -> usize {
-    (stream as u64 ^ (stream >> 64) as u64) as usize % STRIPES
-}
+/// The coordinator's write admission, shared by its shards.
+pub(crate) type Admission = Stripes<{ rank::ADMISSION }, RwLock<()>>;
 
 impl ShardReplicas {
     pub(crate) fn new(
@@ -132,6 +123,7 @@ impl ShardReplicas {
         primary: Arc<dyn ShardBackend>,
         backup: Option<Arc<dyn ShardBackend>>,
         promote_after: u32,
+        admission: Arc<Admission>,
     ) -> Self {
         metrics.shard(shard).in_sync.set(backup.is_some());
         ShardReplicas {
@@ -150,7 +142,7 @@ impl ShardReplicas {
             strikes: AtomicU32::new(0),
             promote_after,
             rebuilding: AtomicBool::new(false),
-            admission: [const { RwLock::new(()) }; STRIPES],
+            admission,
         }
     }
 
@@ -303,31 +295,13 @@ impl ShardReplicas {
         }
     }
 
-    /// Starts `op` under the write policy (see [`Write`]): once no
-    /// rebuild sweeps a stream of its admission stripes, it is begun on
-    /// the current primary.
+    /// Starts `op` under the write policy (see [`Write`]) on the current
+    /// primary. Its caller holds the admission shares of its streams.
     fn begin_write<W: WriteOp>(&self, op: W) -> Write<'_, W> {
-        // The stripes of its streams as a bit set, drawn lowest first: in
-        // ascending order, each once, with nothing allocated.
-        let mut written = [0u64; STRIPES / 64];
-        for s in op.streams().map(stripe) {
-            written[s / 64] |= 1 << (s % 64);
-        }
-        let stripes = (written.into_iter().enumerate()).flat_map(|(word, mut bits)| {
-            std::iter::from_fn(move || {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits.wrapping_sub(1);
-                (bit < 64).then_some(word * 64 + bit)
-            })
-        });
-        let mut admitted = stripes.map(|s| self.admission[s].read());
-        // Drawn here, so the locks are held before the primary has the write.
-        let admitted = (admitted.next(), admitted.collect());
         let primary = self.primary();
         let sent = op.begin_on(&*primary);
         Write {
             replicas: self,
-            _admitted: admitted,
             op,
             primary: Some((primary, sent)),
             out: Err(AMBIGUOUS),
@@ -341,6 +315,7 @@ impl ShardReplicas {
     /// `Response::Error`, exactly what a wire client would see.
     pub(crate) fn call(&self, req: Request) -> Response {
         let reply = if req.is_mutation() {
+            let _admitted = self.admission.lock_all(written(&req), RwLock::read);
             self.begin_write(req).finish_mirror()
         } else {
             self.read_with_failover(self.snapshot(), |b| b.call(req.clone()))
@@ -385,6 +360,7 @@ impl ShardReplicas {
 
     /// Ingests an ordered run under the write policy, start to finish.
     pub(crate) fn ingest_batch(&self, chunks: &[&[u8]]) -> Verdicts {
+        let _admitted = self.admission.lock_all(run_streams(chunks), RwLock::read);
         self.begin_ingest(chunks).settle()
     }
 
@@ -538,7 +514,7 @@ impl ShardReplicas {
     /// then holds what the survivor does, and a miss noted before the
     /// sweep is void.
     fn sweep(&self, survivor: &dyn ShardBackend, replica: &dyn ShardBackend, stream: u128) -> bool {
-        let _swept = self.admission[stripe(stream)].write();
+        let _swept = self.admission.lock(stream, RwLock::write);
         let copied = self.copy_stream(survivor, replica, stream);
         if copied {
             self.roles.lock(RwLock::write).missed.remove(&stream);
@@ -593,8 +569,6 @@ pub(crate) trait WriteOp {
     /// answer and the mirror's (`None`: backup unreachable), and the
     /// streams whose stored records they change.
     fn missed(&self, out: &Self::Out, mirrored: Option<&Self::Out>) -> Missed;
-    /// The streams whose stored records the write may change.
-    fn streams(&self) -> impl Iterator<Item = u128> + '_;
 }
 
 /// How many acknowledged writes a backup lacks, and their streams.
@@ -609,17 +583,17 @@ impl WriteOp for Request {
     fn missed(&self, reply: &Response, mirrored: Option<&Response>) -> Missed {
         match mirrored == Some(reply) {
             true => (0, Vec::new()),
-            false => (1, self.streams().collect()),
+            false => (1, written(self).into_iter().collect()),
         }
     }
-    /// Its stream's. A mutation not routed by stream is a live record,
-    /// which changes none.
-    fn streams(&self) -> impl Iterator<Item = u128> + '_ {
-        match self.route() {
-            Route::Stream(stream) => Some(stream),
-            _ => None,
-        }
-        .into_iter()
+}
+
+/// The stream whose stored records a mutation may change. One not routed
+/// by stream is a live record, which changes none.
+fn written(req: &Request) -> Option<u128> {
+    match req.route() {
+        Route::Stream(stream) => Some(stream),
+        _ => None,
     }
 }
 
@@ -645,11 +619,13 @@ impl WriteOp for Run<'_> {
                 .map(|(chunk, _)| *chunk)
                 .collect(),
         };
-        (missed.len() as u64, Run(&missed).streams().collect())
+        (missed.len() as u64, run_streams(&missed).collect())
     }
-    fn streams(&self) -> impl Iterator<Item = u128> + '_ {
-        (self.0.iter()).filter_map(|c| Some(ChunkRef::parse(c).ok()?.stream))
-    }
+}
+
+/// The streams of a run's chunks, in its order.
+fn run_streams<'a>(chunks: &'a [&[u8]]) -> impl Iterator<Item = u128> + 'a {
+    (chunks.iter()).filter_map(|c| Some(ChunkRef::parse(c).ok()?.stream))
 }
 
 /// A backend a write was begun on, with the step that reads its answer.
@@ -661,8 +637,8 @@ type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
 /// primary, [`finish_primary`](Self::finish_primary) reads the primary's
 /// answer and begins the mirror, [`finish_mirror`](Self::finish_mirror)
 /// reads the mirror's and accounts drift. Between steps it holds the
-/// backend it waits on and its shares of the shard's admission stripes,
-/// never the roles lock. Every mutation takes this
+/// backend it waits on, never the roles lock; its caller holds its
+/// streams' admission shares until it ends. Every mutation takes this
 /// path, replicated shard or not: the mirror target is re-read *after*
 /// the primary acknowledges, so a backup attached (even armed) while the
 /// call was in flight still receives — or vetoes the arming of — the
@@ -678,12 +654,6 @@ type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
 /// error is [`AMBIGUOUS`]: callers know the write may have been applied.
 pub(crate) struct Write<'r, W: WriteOp> {
     replicas: &'r ShardReplicas,
-    /// Its shares of the shard's admission stripes, held until the write
-    /// ends: the first apart, so a write to one stripe allocates nothing.
-    _admitted: (
-        Option<RwLockReadGuard<'r, ()>>,
-        Vec<RwLockReadGuard<'r, ()>>,
-    ),
     op: W,
     /// The primary, until its answer is read.
     primary: Option<Begun<W>>,
@@ -757,11 +727,14 @@ impl Write<'_, Run<'_>> {
 /// on the calling thread: every primary has its run before any answer is
 /// awaited, each mirror is begun as soon as its own primary acknowledged,
 /// and the mirrors are read last. Verdicts come back per run, in order.
-/// The runs come in ascending shard order: each is admitted while the
-/// earlier ones hold their admission (`ShardReplicas::admission`).
+/// All the runs' streams are admitted at once, on the sets' shared
+/// `admission`, before the first primary has its run.
 pub(crate) fn ingest_runs<'a>(
-    runs: impl Iterator<Item = (&'a ShardReplicas, &'a [&'a [u8]])>,
+    admission: &'a Admission,
+    runs: impl Iterator<Item = (&'a ShardReplicas, &'a [&'a [u8]])> + Clone,
 ) -> Vec<Verdicts> {
+    let streams = runs.clone().flat_map(|(_, chunks)| run_streams(chunks));
+    let _admitted = admission.lock_all(streams, RwLock::read);
     let mut writes: Vec<_> = runs.map(|(r, chunks)| r.begin_ingest(chunks)).collect();
     writes.iter_mut().for_each(Write::finish_primary);
     writes.into_iter().map(Write::settle).collect()
@@ -791,6 +764,7 @@ mod tests {
     use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
     use timecrypt_core::StreamKeyMaterial;
     use timecrypt_crypto::{PrgKind, SecureRandom};
+    use timecrypt_obs::rank::stripe;
     use timecrypt_server::{keys, ServerConfig, TimeCryptServer};
     use timecrypt_store::MemKv;
     use timecrypt_wire::messages::StatReply;
@@ -978,6 +952,7 @@ mod tests {
             primary,
             backup.map(|b| b as Arc<dyn ShardBackend>),
             promote_after,
+            Arc::default(),
         )
     }
 
@@ -1225,7 +1200,7 @@ mod tests {
         let (sets, _stubs, steps) = logged_pair();
         let chunk = sealed(1, 0, 5);
         let run = [&chunk[..]];
-        let verdicts = ingest_runs(sets.iter().map(|r| (r, &run[..])));
+        let verdicts = ingest_runs(&sets[0].admission, sets.iter().map(|r| (r, &run[..])));
         assert!(verdicts.iter().flatten().all(Result::is_ok), "{verdicts:?}");
         assert_eq!(
             steps.lock().join(" "),
@@ -1512,6 +1487,8 @@ mod tests {
         r.attach_backup(replacement.clone()).unwrap();
         let chunk = sealed(1, 0, 5);
         let run = [&chunk[..]];
+        // Admitted as `ingest_batch` admits it.
+        let admitted = r.admission.lock_all([1], RwLock::read);
         let write = r.begin_ingest(&run);
         let rebuilding = r.clone();
         let rebuild = std::thread::spawn(move || rebuilding.rebuild_backup());
@@ -1524,6 +1501,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(write.settle()[0].is_ok());
+        drop(admitted);
         rebuild.join().unwrap().unwrap();
         assert_eq!((r.m().in_sync.get(), r.m().replica_errors.get()), (1, 0));
         assert_eq!(keyspace(&replacement, 1), keyspace(&primary, 1));
@@ -1595,21 +1573,6 @@ mod tests {
         assert_eq!((m.rebuilds.get(), m.in_sync.get()), (1, 1));
         for id in [1, 2] {
             assert_eq!(keyspace(&replacement, id), keyspace(&primary, id));
-        }
-    }
-
-    #[test]
-    fn the_streams_of_one_shard_spread_over_every_stripe() {
-        for shards in [2, 4, 8] {
-            let router = crate::ShardRouter::new(shards);
-            let mut held = [0usize; STRIPES];
-            let ids = (0u128..).filter(|&id| router.shard_of(id) == 0);
-            ids.take(32 * STRIPES).for_each(|id| held[stripe(id)] += 1);
-            let (least, most) = (*held.iter().min().unwrap(), *held.iter().max().unwrap());
-            assert!(
-                least > 0 && most <= 3 * 32,
-                "{shards} shards: a stripe holds {least} to {most} of 32 × {STRIPES} ids"
-            );
         }
     }
 

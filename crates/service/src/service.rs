@@ -9,8 +9,8 @@
 //! another thread; the service starts no thread.
 
 use crate::backend::{
-    ingest_runs, BackendSpec, LocalShard, Pending, RemoteShard, ShardBackend, ShardReplicas,
-    ShardSpec, SAME_NODE, UNREACHABLE, UNROUTED,
+    ingest_runs, Admission, BackendSpec, LocalShard, Pending, RemoteShard, ShardBackend,
+    ShardReplicas, ShardSpec, SAME_NODE, UNREACHABLE, UNROUTED,
 };
 use crate::metrics::ServiceMetrics;
 use crate::node::{NodeConfig, ShardNode};
@@ -104,6 +104,8 @@ impl Default for ServiceConfig {
 pub struct ShardedService {
     router: ShardRouter,
     backends: Vec<ShardReplicas>,
+    /// Write admission, one table for every shard's streams.
+    admission: Arc<Admission>,
     metrics: Arc<ServiceMetrics>,
     kv: Arc<MeteredKv>,
     /// End-to-end budget for one scatter-gather query (see
@@ -164,6 +166,7 @@ impl ShardedService {
                 )),
             }
         };
+        let admission = Arc::new(Admission::default());
         let backends = (specs.iter().enumerate())
             .map(|(shard, spec)| {
                 ShardReplicas::new(
@@ -172,12 +175,14 @@ impl ShardedService {
                     open_backend(&spec.primary, shard),
                     spec.backup.as_ref().map(|b| open_backend(b, shard)),
                     cfg.promote_after,
+                    admission.clone(),
                 )
             })
             .collect();
         Ok(ShardedService {
             router,
             backends,
+            admission,
             metrics,
             kv,
             query_deadline: cfg.query_deadline,
@@ -189,7 +194,8 @@ impl ShardedService {
     /// on the calling thread: the replica receives mirrored writes from
     /// the moment it is attached, and each stream either replica lists is
     /// copied from the survivor (`ExportStream` / `ImportStream` pages) —
-    /// a write to a stream waits while that stream is copied — until every
+    /// a write waits while a stream of its stripe, on any shard, is
+    /// copied — until every
     /// stream was and the replica missed no mirrored write since; only then
     /// is the replica marked in sync — it serves failover reads and is
     /// promotion-eligible — and the shard's `rebuilds` counter ticks. A
@@ -336,7 +342,8 @@ impl ShardedService {
                 .enumerate()
                 .filter(|(_, run)| !run.0.is_empty())
         };
-        let verdicts = ingest_runs(touched().map(|(s, run)| (&self.backends[s], &run.0[..])));
+        let runs = touched().map(|(s, run)| (&self.backends[s], &run.0[..]));
+        let verdicts = ingest_runs(&self.admission, runs);
         for ((_, run), verdicts) in touched().zip(verdicts) {
             for (&idx, verdict) in run.1.iter().zip(verdicts) {
                 results[idx] = verdict;

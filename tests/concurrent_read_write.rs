@@ -1,5 +1,5 @@
 //! End-to-end read/write concurrency: statistical queries must not
-//! serialize behind the per-stream ingest lock, and every reply must be
+//! serialize behind the stream's write lock (its stripe), and every reply must be
 //! exact for the chunk prefix it observed — under both the bare engine
 //! and the sharded service.
 

@@ -72,7 +72,7 @@ fn a_cold_query_allocates_per_node_read_not_per_entry() {
     // leaf node, so a walk reads sealed nodes at levels 2 and 1 (the rest
     // of its path is the open spine). The first query reads other nodes
     // than the second: it is there so that the cache's own maps exist — one
-    // stripe at this budget — and what the second allocates is per node.
+    // segment at this budget — and what the second allocates is per node.
     let mut per_node = Vec::new();
     for (arity, chunks) in [(4u64, 60u64), (64, 5000)] {
         let kv = filled(arity as usize, 19, chunks);
