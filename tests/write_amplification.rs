@@ -14,28 +14,26 @@
 //! nothing amortises across a batch. In values, per 119 B chunk: 95 (the
 //! record: 4 + 8·4 digest, 4 + 55 payload) + 2308/64 (a full level-1 node,
 //! 4 + 64·36, once per 64 chunks) = 131.1 B; in the log, 105 + 2318/64 ≈
-//! 141.2 B per chunk, 1.19 per user byte (the benchmark's `fleet_ingest`,
-//! whose streams mostly end between seals, sits near 1.11). Records that
-//! spell their keys out (14 B of frame + 28, ≈ 173.7 log bytes per chunk,
-//! where this guard stood before records named their run) break the log
-//! ceiling; a second record per chunk (the payload copy this model no
-//! longer has: +119 B of values) breaks the put ceiling and both byte
-//! ceilings; rewriting a partial index node per append (≈ 1.3 KB per chunk
-//! on this load) blows them several times over.
+//! 141.2 B per chunk, 1.19 per user byte.
 //!
 //! **Dashboard-shaped**: 19-wide digests and a stream's 16 chunks per
 //! batch, so most records name a run their own batch extends. Per 284 B
 //! chunk: 260 (4 + 8·19 digest, 4 + 100 payload) + 9988/64 (4 + 64·156)
 //! = 416.1 value bytes; in the log ≈ 271 + 9998/64 ≈ 427.2, plus the
 //! spelled-out first batch of each stream (≈ 0.9 B per chunk over 512).
-//! Naming only the runs as the batch found them, not as it extends them
-//! (15 of 16 records spelled out, ≈ 454), or no run at all (≈ 458.7)
-//! breaks that ceiling.
 //!
-//! The guard prints its measured log bytes per user byte for both shapes;
-//! CI copies the lines to the job summary.
+//! Each shape then answers 64 statistical queries over all its streams
+//! from a freshly opened engine, with the benchmark workload's per-stream
+//! index cache (64 MiB fleet, 64 KiB dashboard).
+//!
+//! The figures are rows of the root `BENCH_ledger.json` — log bytes per
+//! user byte, and store gets and get bytes per statistical query — compared
+//! exactly; `TC_BLESS=1` rewrites the rows instead, and a change that moves
+//! one commits the file. The guard prints its rows; CI copies them to the
+//! job summary.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::{Durability, KvStore, LogKv, MeteredKv};
@@ -44,39 +42,55 @@ use timecrypt::store::{Durability, KvStore, LogKv, MeteredKv};
 /// header, 4 digest words, 55 B payload.
 const WIDTH: usize = 4;
 const PAYLOAD: usize = 55;
+const DELTA_MS: u64 = 60_000;
+const QUERIES: u64 = 64;
 
-/// What an ingest cost the store.
-struct Cost {
-    chunks: u64,
-    /// Puts and value bytes, as `MeteredKv` counts them.
-    puts: u64,
-    bytes: u64,
-    log_bytes: u64,
-    user_bytes: u64,
-}
-
-impl Cost {
-    fn report(&self, shape: &str) {
-        println!(
-            "write amplification ({shape}): {:.3} log bytes per user byte, {:.1} B per chunk",
-            self.log_bytes as f64 / self.user_bytes as f64,
-            self.log_bytes as f64 / self.chunks as f64
-        );
+/// Checks `rows` against `BENCH_ledger.json` exactly, or with `TC_BLESS`
+/// set writes them into it; prints each row.
+fn ledger(rows: &[(String, String)]) {
+    // The tests of this binary share the file.
+    static FILE: Mutex<()> = Mutex::new(());
+    let _file = FILE.lock().unwrap();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_ledger.json");
+    let text = std::fs::read_to_string(&path).unwrap_or_default();
+    let row = |line: &str| {
+        let (name, value) = line.trim().trim_end_matches(',').split_once(": ")?;
+        Some((name.trim_matches('"').to_string(), value.to_string()))
+    };
+    let mut committed: BTreeMap<String, String> = text.lines().filter_map(row).collect();
+    let measured: Vec<_> = rows.iter().map(|(n, v)| format!("{n}: {v}")).collect();
+    measured.iter().for_each(|row| println!("ledger row {row}"));
+    if std::env::var_os("TC_BLESS").is_some() {
+        committed.extend(rows.iter().cloned());
+        let lines = committed.iter().map(|(n, v)| format!("  \"{n}\": {v}"));
+        let lines: Vec<_> = lines.collect();
+        std::fs::write(&path, format!("{{\n{}\n}}\n", lines.join(",\n"))).unwrap();
+        return;
     }
+    let held = rows
+        .iter()
+        .map(|(n, _)| format!("{n}: {}", committed.get(n).map_or("-", String::as_str)));
+    let held: Vec<_> = held.collect();
+    assert_eq!(
+        held, measured,
+        "committed, measured (TC_BLESS=1 rewrites the file)"
+    );
 }
 
 /// Ingests `per_stream` chunks — `width`-wide digests, `payload`-byte
 /// payloads — into each of `streams` streams, `turn` consecutive chunks of
-/// every stream per `insert_bytes_run` (one store batch per stream).
-fn ingest(
-    name: &str,
-    streams: u128,
-    per_stream: u64,
-    turn: u64,
-    width: usize,
-    payload: usize,
-) -> Cost {
-    let path = std::env::temp_dir().join(format!("tc-write-amp-{name}-{}.log", std::process::id()));
+/// every stream per `insert_bytes_run` (one store batch per stream), then
+/// queries them through an engine opened on the store with `cache_bytes`.
+/// Returns the puts per chunk, the ingest's value bytes, and the ledger
+/// rows of `shape`.
+fn measure(
+    shape: &str,
+    (streams, per_stream, turn): (u128, u64, u64),
+    (width, payload): (usize, usize),
+    cache_bytes: usize,
+) -> (f64, u64, Vec<(String, String)>) {
+    let path =
+        std::env::temp_dir().join(format!("tc-write-amp-{shape}-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
     // `Flush`, the benchmark's durability: another test in this binary
     // counts the process's fsyncs.
@@ -85,7 +99,7 @@ fn ingest(
     let server = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
     for stream in 0..streams {
         server
-            .create_stream(stream, 0, 60_000, width as u32)
+            .create_stream(stream, 0, DELTA_MS, width as u32)
             .unwrap();
     }
     let (before, log_before) = (kv.counters(), log.stats().log_bytes);
@@ -109,81 +123,78 @@ fn ingest(
         assert!(server.insert_bytes_run(&views).iter().all(Result::is_ok));
     }
     let after = kv.counters();
+    let log_bytes = log.stats().log_bytes - log_before;
     // Nothing stores a chunk a second time.
     assert!(kv.scan_keys(b"c/").unwrap().is_empty());
-    let cost = Cost {
-        chunks: streams as u64 * per_stream,
-        puts: after.puts - before.puts,
-        bytes: after.bytes_written - before.bytes_written,
-        log_bytes: log.stats().log_bytes - log_before,
-        user_bytes,
+    drop(server);
+    let cfg = ServerConfig {
+        cache_bytes,
+        ..ServerConfig::default()
     };
+    let server = TimeCryptServer::open(kv.clone(), cfg).unwrap();
+    let all: Vec<u128> = (0..streams).collect();
+    let (mut x, reads) = (0x9E37_79B9_7F4A_7C15u64, kv.counters());
+    for _ in 0..QUERIES {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let lo = (x >> 33) % (per_stream - 1);
+        let hi = lo + 2 + (x >> 17) % (per_stream - lo - 1);
+        let (ts_s, ts_e) = ((lo * DELTA_MS) as i64, (hi * DELTA_MS) as i64);
+        let reply = server.get_stat_range(&all, ts_s, ts_e).unwrap();
+        let sum = (lo..hi).sum::<u64>().wrapping_mul(streams as u64);
+        assert_eq!(reply.agg, vec![sum; width], "[{lo}, {hi})");
+    }
+    let read = kv.counters();
     drop(server);
     std::fs::remove_file(path).unwrap();
-    cost
+    let chunks = streams as u64 * per_stream;
+    let per_query = |n: u64| format!("{:.2}", n as f64 / QUERIES as f64);
+    let rows = [
+        (
+            "store_bytes_per_user_byte",
+            format!("{:.4}", log_bytes as f64 / user_bytes as f64),
+        ),
+        ("store.gets_per_op.stat", per_query(read.gets - reads.gets)),
+        (
+            "store.get_bytes_per_op.stat",
+            per_query(read.bytes_read - reads.bytes_read),
+        ),
+    ];
+    let rows = rows.map(|(name, value)| (format!("write_amplification.{shape}.{name}"), value));
+    let puts = (after.puts - before.puts) as f64 / chunks as f64;
+    (
+        puts,
+        after.bytes_written - before.bytes_written,
+        rows.to_vec(),
+    )
 }
 
 #[test]
 fn fleet_ingest_store_writes_stay_under_the_byte_model() {
     // 200 chunks per stream at the default arity 64: three level-1 seals.
-    let cost = ingest("fleet", 8, 200, 1, WIDTH, PAYLOAD);
-    cost.report("fleet-shaped ingest, 119 B chunks");
-    let Cost {
-        chunks,
-        puts,
-        bytes,
-        log_bytes,
-        user_bytes,
-    } = cost;
-    assert_eq!(user_bytes, chunks * 119);
+    let (puts, bytes, rows) = measure("fleet", (8, 200, 1), (WIDTH, PAYLOAD), 64 << 20);
     // Puts: 1 per chunk + 1/64 sealed level-1 nodes (+ 1/4096 level-2).
     assert!(
-        puts * 4096 <= chunks * (4096 + 64 + 1),
-        "{puts} puts for {chunks} chunks"
+        puts <= 1.0 + 1.0 / 64.0 + 1.0 / 4096.0,
+        "{puts} puts per chunk"
     );
-    // Value bytes per chunk (`MeteredKv` counts values): 95 + 36.1 →
-    // ceiling 132, i.e. under 1.11× the user bytes.
-    assert!(
-        bytes <= chunks * 132,
-        "{bytes} B written for {chunks} chunks ({} per chunk)",
-        bytes / chunks
-    );
-    // Log bytes per chunk: 105 + 36.2 → ceiling 142.
-    assert!(
-        log_bytes <= chunks * 142,
-        "{log_bytes} log bytes for {chunks} chunks"
-    );
+    // Value bytes per chunk (`MeteredKv` counts values): 95 + 36.1.
+    assert!(bytes <= 8 * 200 * 132, "{bytes} B written");
+    ledger(&rows);
 }
 
 #[test]
 fn dashboard_ingest_store_writes_stay_under_the_byte_model() {
     // 512 chunks per stream, 16 a batch: 32 batches and eight level-1 seals.
-    let cost = ingest("dashboard", 4, 512, 16, 19, 100);
-    cost.report("dashboard-shaped ingest, 284 B chunks, 16 a batch");
-    let Cost {
-        chunks,
-        puts,
-        bytes,
-        log_bytes,
-        user_bytes,
-    } = cost;
-    assert_eq!(user_bytes, chunks * 284);
+    let (puts, bytes, rows) = measure("dashboard", (4, 512, 16), (19, 100), 64 << 10);
     assert!(
-        puts * 4096 <= chunks * (4096 + 64 + 1),
-        "{puts} puts for {chunks} chunks"
+        puts <= 1.0 + 1.0 / 64.0 + 1.0 / 4096.0,
+        "{puts} puts per chunk"
     );
-    // Value bytes per chunk: 260 + 156.1 → ceiling 417.
-    assert!(
-        bytes <= chunks * 417,
-        "{bytes} B written for {chunks} chunks ({} per chunk)",
-        bytes / chunks
-    );
-    // Log bytes per chunk: ≈ 271 + 156.2, + 0.9 for each stream's first
-    // batch → ceiling 430.
-    assert!(
-        log_bytes <= chunks * 430,
-        "{log_bytes} log bytes for {chunks} chunks"
-    );
+    // Value bytes per chunk: 260 + 156.1.
+    assert!(bytes <= 4 * 512 * 417, "{bytes} B written");
+    ledger(&rows);
 }
 
 /// The deployed durability (`timecrypt-node` defaults to `Fsync`): one
