@@ -136,6 +136,17 @@ impl HomDigest for ElGamalDigest {
         }
     }
 
+    fn sub_assign(&mut self, other: &Self) {
+        debug_assert_eq!(self.0.len(), other.0.len());
+        let c = curve();
+        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
+            *a = ElGamalCiphertext {
+                r: c.sub(&a.r, &b.r),
+                s: c.sub(&a.s, &b.s),
+            };
+        }
+    }
+
     fn encoded_len(&self) -> usize {
         let mut n = 4;
         for ct in &self.0 {
@@ -231,6 +242,9 @@ mod tests {
         sum.add_assign(&d);
         assert_eq!(kp.decrypt(&sum.0[0]), Some(14));
         assert_eq!(kp.decrypt(&sum.0[1]), Some(22));
+        // Subtraction undoes one.
+        sum.sub_assign(&d);
+        assert_eq!(kp.decrypt(&sum.0[0]), Some(7));
     }
 
     #[test]

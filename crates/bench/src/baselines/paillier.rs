@@ -136,6 +136,19 @@ impl PaillierPublic {
         }
     }
 
+    /// Homomorphic subtraction: multiplication by `b`'s inverse mod n²
+    /// (every ciphertext is a unit mod n²).
+    pub fn sub(&self, a: &PaillierCiphertext, b: &PaillierCiphertext) -> PaillierCiphertext {
+        let inverse =
+            b.c.modinv_odd(&self.n2)
+                .expect("a ciphertext is a unit mod n²");
+        PaillierCiphertext {
+            c: self.mont_n2.modmul(&a.c, &inverse),
+            key_id: self.key_id,
+            ct_bytes: self.ct_bytes,
+        }
+    }
+
     /// The additive identity: Enc(0) with r = 1, i.e. ciphertext 1.
     pub fn zero(&self) -> PaillierCiphertext {
         PaillierCiphertext {
@@ -183,6 +196,14 @@ impl HomDigest for PaillierDigest {
         for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
             let pb = lookup(a.key_id).expect("paillier key registered");
             *a = pb.add(a, b);
+        }
+    }
+
+    fn sub_assign(&mut self, other: &Self) {
+        debug_assert_eq!(self.0.len(), other.0.len());
+        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
+            let pb = lookup(a.key_id).expect("paillier key registered");
+            *a = pb.sub(a, b);
         }
     }
 
@@ -305,6 +326,9 @@ mod tests {
         let z = a.zero_like();
         a.add_assign(&z);
         assert_eq!(kp.decrypt(&a.0[0]), 11);
+        // Subtraction undoes it.
+        a.sub_assign(&b);
+        assert_eq!(kp.decrypt(&a.0[0]), 5);
     }
 
     #[test]

@@ -1,78 +1,29 @@
 //! Ablation studies for TimeCrypt's design choices (DESIGN.md §2).
 //!
-//! 1. **Index arity** — the paper instantiates 64-ary trees; this sweep
-//!    shows the ingest/query trade-off that motivates it (small k = deep
-//!    trees, many node touches per query; huge k = wide nodes, expensive
-//!    edge scans and node (de)serialization).
-//! 2. **Key canceling** — HEAC decryption with the `k_i − k_{i+1}` encoding
+//! 1. **Key canceling** — HEAC decryption with the `k_i − k_{i+1}` encoding
 //!    (two key derivations per range) vs the naive Castelluccia scheme
 //!    (one key derivation *per aggregated chunk*), the paper's §4.2.2
 //!    motivation.
-//! 3. **Digest width** — cost of supporting richer statistics (sum-only vs
+//! 2. **Digest width** — cost of supporting richer statistics (sum-only vs
 //!    the default sum/count/sumsq/histogram schema).
-//! 4. **Strided aggregation** (§7 "Performance") — HEAC is optimized for
+//! 3. **Strided aggregation** (§7 "Performance") — HEAC is optimized for
 //!    contiguous ranges; aggregating every second chunk forfeits key
 //!    canceling and decryption grows linearly with the number of segments.
-//! 5. **Compression codec** — per-codec ratio and speed on the mhealth-like
+//! 4. **Compression codec** — per-codec ratio and speed on the mhealth-like
 //!    signal, motivating the best-of Auto mode.
 //!
 //! ```sh
 //! cargo run -p timecrypt-bench --release --bin ablation
 //! ```
 
-use std::sync::Arc;
-use std::time::Instant;
 use timecrypt_bench::measure::{format_duration, time_avg};
 use timecrypt_core::heac::{decrypt_range_sum, ElementKeys, HeacEncryptor};
 use timecrypt_core::TreeKd;
 use timecrypt_crypto::{fold_u64, PrgKind};
-use timecrypt_index::{AggTree, TreeConfig};
-use timecrypt_store::MemKv;
 
 fn main() {
-    let n: u64 = 100_000;
-
-    // ── 1. Arity sweep ───────────────────────────────────────────────────
-    println!("=== Ablation 1: index arity (n = {n} chunks, sum digest) ===\n");
-    println!(
-        "{:>6} {:>12} {:>16} {:>16}",
-        "arity", "avg ingest", "query worst-case", "query aligned"
-    );
-    for arity in [2usize, 4, 8, 16, 32, 64, 128, 256] {
-        let tree: AggTree<Vec<u64>> = AggTree::open(
-            Arc::new(MemKv::new()),
-            1,
-            TreeConfig {
-                arity,
-                cache_bytes: 512 << 20,
-            },
-        )
-        .unwrap();
-        let start = Instant::now();
-        for i in 0..n {
-            tree.append(vec![i]).unwrap();
-        }
-        let ingest = start.elapsed() / n as u32;
-        let worst = time_avg(500, || {
-            std::hint::black_box(tree.query(1, n - 1).unwrap());
-        });
-        let aligned = time_avg(500, || {
-            std::hint::black_box(tree.query(0, 65_536).unwrap());
-        });
-        println!(
-            "{:>6} {:>12} {:>16} {:>16}",
-            arity,
-            format_duration(ingest),
-            format_duration(worst),
-            format_duration(aligned)
-        );
-    }
-    println!("\nExpected: query cost falls steeply from k=2 and flattens around");
-    println!("k=32..128 while ingest slowly rises with node width — the paper's");
-    println!("64-ary choice sits at that knee.\n");
-
-    // ── 2. Key canceling vs naive Castelluccia ───────────────────────────
-    println!("=== Ablation 2: key canceling (§4.2.2) ===\n");
+    // ── 1. Key canceling vs naive Castelluccia ───────────────────────────
+    println!("=== Ablation 1: key canceling (§4.2.2) ===\n");
     let kd = TreeKd::new([7u8; 16], 30, PrgKind::Aes).unwrap();
     let enc = HeacEncryptor::new(&kd);
     for range in [100u64, 1_000, 10_000] {
@@ -105,8 +56,8 @@ fn main() {
     println!("\nExpected: key-canceling is constant; naive grows linearly — the");
     println!("gap is why HEAC decryption is independent of aggregation size.\n");
 
-    // ── 3. Digest width ──────────────────────────────────────────────────
-    println!("=== Ablation 3: digest width (statistics richness) ===\n");
+    // ── 2. Digest width ──────────────────────────────────────────────────
+    println!("=== Ablation 2: digest width (statistics richness) ===\n");
     for (label, width) in [
         ("sum only", 1usize),
         ("sum+count", 2),
@@ -132,8 +83,8 @@ fn main() {
     println!("for wide digests — one AES block per element after the two leaf");
     println!("derivations are paid.\n");
 
-    // ── 4. Strided aggregation (§7 limitation) ───────────────────────────
-    println!("=== Ablation 4: contiguous vs strided aggregation (§7) ===\n");
+    // ── 3. Strided aggregation (§7 limitation) ───────────────────────────
+    println!("=== Ablation 3: contiguous vs strided aggregation (§7) ===\n");
     println!(
         "{:>8} {:>18} {:>18} {:>8}",
         "chunks", "contiguous dec", "every-2nd dec", "ratio"
@@ -178,8 +129,8 @@ fn main() {
     println!("paper states in §7 (\"suffers from alternative patterns, such as");
     println!("aggregating every second data chunk\").\n");
 
-    // ── 5. Compression codecs ────────────────────────────────────────────
-    println!("=== Ablation 5: compression codecs (500-pt mhealth-like chunk) ===\n");
+    // ── 4. Compression codecs ────────────────────────────────────────────
+    println!("=== Ablation 4: compression codecs (500-pt mhealth-like chunk) ===\n");
     {
         use timecrypt_chunk::compress::{compress, compress_best, Codec};
         use timecrypt_chunk::DataPoint;

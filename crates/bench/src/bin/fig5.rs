@@ -26,7 +26,6 @@ fn build<D: HomDigest>(n: u64, mut make: impl FnMut(u64) -> D) -> AggTree<D> {
         Arc::new(MemKv::new()),
         1,
         TreeConfig {
-            arity: 64,
             cache_bytes: 1 << 30,
         },
     )

@@ -81,10 +81,7 @@ fn drive<D: HomDigest>(
                         AggTree::open(
                             Arc::new(MemKv::new()),
                             (t * streams_per_thread + s) as u128,
-                            TreeConfig {
-                                arity: 64,
-                                cache_bytes,
-                            },
+                            TreeConfig { cache_bytes },
                         )
                         .unwrap()
                     })

@@ -30,7 +30,6 @@ fn build(encrypted: bool, kd: &TreeKd) -> AggTree<Vec<u64>> {
         Arc::new(MemKv::new()),
         1,
         TreeConfig {
-            arity: 64,
             cache_bytes: 1 << 30,
         },
     )

@@ -23,7 +23,6 @@ use timecrypt_store::MemKv;
 
 fn tree_cfg() -> TreeConfig {
     TreeConfig {
-        arity: 64,
         cache_bytes: 512 << 20,
     }
 }

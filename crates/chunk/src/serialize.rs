@@ -539,6 +539,11 @@ pub struct ChunkBuilder {
     cfg: StreamConfig,
     current: Option<(ChunkId, Vec<DataPoint>)>,
     next_expected: ChunkId,
+    /// The open chunk's last point's timestamp and where its interval ends
+    /// (`i64::MIN` while no chunk is open): a point in `[last, end)` joins
+    /// it without a division.
+    last: i64,
+    end: i64,
 }
 
 impl ChunkBuilder {
@@ -548,6 +553,8 @@ impl ChunkBuilder {
             cfg,
             current: None,
             next_expected: 0,
+            last: i64::MIN,
+            end: i64::MIN,
         }
     }
 
@@ -563,6 +570,21 @@ impl ChunkBuilder {
     /// Points must arrive in non-decreasing timestamp order; out-of-order or
     /// pre-epoch points are rejected.
     pub fn push(&mut self, p: DataPoint) -> Result<Vec<PlainChunk>, ChunkError> {
+        if let (true, Some((_, points))) =
+            ((self.last..self.end).contains(&p.ts), &mut self.current)
+        {
+            points.push(p);
+            self.last = p.ts;
+            return Ok(Vec::new());
+        }
+        self.push_past_the_open_chunk(p)
+    }
+
+    /// [`push`](Self::push) of a point the open chunk does not take: one
+    /// past its end, before its last point or with none open.
+    #[cold]
+    #[inline(never)]
+    fn push_past_the_open_chunk(&mut self, p: DataPoint) -> Result<Vec<PlainChunk>, ChunkError> {
         let chunk = self
             .cfg
             .chunk_of(p.ts)
@@ -581,6 +603,7 @@ impl ChunkBuilder {
                     }
                     points.push(p);
                     self.current = Some((cur, points));
+                    self.last = p.ts;
                     return Ok(emitted);
                 }
                 // Crossed a boundary: seal current, emit empties for gaps.
@@ -596,8 +619,6 @@ impl ChunkBuilder {
                         points: Vec::new(),
                     });
                 }
-                self.current = Some((chunk, vec![p]));
-                self.next_expected = chunk + 1;
             }
             None => {
                 // First point: emit empty chunks from next_expected (0 at
@@ -609,15 +630,18 @@ impl ChunkBuilder {
                         points: Vec::new(),
                     });
                 }
-                self.current = Some((chunk, vec![p]));
-                self.next_expected = chunk + 1;
             }
         }
+        self.current = Some((chunk, vec![p]));
+        self.next_expected = chunk + 1;
+        let end = self.cfg.t0 as i128 + (chunk as i128 + 1) * self.cfg.delta_ms as i128;
+        (self.last, self.end) = (p.ts, end.min(i64::MAX as i128) as i64);
         Ok(emitted)
     }
 
     /// Flushes the in-progress chunk (e.g. at stream close).
     pub fn flush(&mut self) -> Option<PlainChunk> {
+        self.end = i64::MIN;
         self.current.take().map(|(index, points)| PlainChunk {
             stream: self.cfg.id,
             index,

@@ -7,7 +7,7 @@
 //! and slower ciphertexts, letting the identical index code reproduce the
 //! paper's comparisons.
 
-/// A digest vector the index can aggregate: an additive monoid with a
+/// A digest vector the index can aggregate: an additive group with a
 /// byte-serializable representation.
 pub trait HomDigest: Clone + Send + Sync + 'static {
     /// A zero digest with the same shape (element count / parameters) as
@@ -16,6 +16,11 @@ pub trait HomDigest: Clone + Send + Sync + 'static {
 
     /// Homomorphic accumulation: `self += other`.
     fn add_assign(&mut self, other: &Self);
+
+    /// Homomorphic difference: `self -= other`, the inverse of
+    /// [`add_assign`](Self::add_assign) — two running sums' difference is
+    /// the sum of the digests between them.
+    fn sub_assign(&mut self, other: &Self);
 
     /// Serialized size in bytes (drives index-size accounting and the LRU
     /// cache budget).
@@ -30,14 +35,10 @@ pub trait HomDigest: Clone + Send + Sync + 'static {
     where
         Self: Sized;
 
-    /// True when every digest of one tree encodes to the same length, so
-    /// an index node that mixes entry lengths is corrupt.
-    const FIXED_LEN: bool = false;
-
-    /// Length of the digest encoded at the front of `buf`. (The index keeps
-    /// a node as its stored bytes; this and the two methods below work on a
-    /// digest where it lies. Their defaults go through `decode`, all a
-    /// strawman ciphertext needs; `Vec<u64>` touches the bytes alone.)
+    /// Length of the digest encoded at the front of `buf`. (The index reads
+    /// a digest where it lies in a stored record; this and the two methods
+    /// below go through `decode` by default, all a strawman ciphertext
+    /// needs; `Vec<u64>` touches the bytes alone.)
     fn encoded_len_at(buf: &[u8]) -> Option<usize> {
         Self::decode(buf).map(|(_, used)| used)
     }
@@ -49,13 +50,10 @@ pub trait HomDigest: Clone + Send + Sync + 'static {
         Some(())
     }
 
-    /// Adds `self` into the digest encoded at `buf[at..]`, the last thing
-    /// in `buf`; `None`, and `buf` as it was, if none is encoded there.
-    fn add_to_encoded(&self, buf: &mut Vec<u8>, at: usize) -> Option<()> {
-        let (mut sum, _) = Self::decode(buf.get(at..)?)?;
-        sum.add_assign(self);
-        buf.truncate(at);
-        sum.encode(buf);
+    /// `self -=` the digest encoded at the front of `buf`; `None` if no
+    /// digest that can be subtracted from `self` is encoded there.
+    fn sub_encoded(&mut self, buf: &[u8]) -> Option<()> {
+        self.sub_assign(&Self::decode(buf)?.0);
         Some(())
     }
 }
@@ -69,6 +67,13 @@ impl HomDigest for Vec<u64> {
         debug_assert_eq!(self.len(), other.len());
         for (a, b) in self.iter_mut().zip(other.iter()) {
             *a = a.wrapping_add(*b);
+        }
+    }
+
+    fn sub_assign(&mut self, other: &Self) {
+        debug_assert_eq!(self.len(), other.len());
+        for (a, b) in self.iter_mut().zip(other.iter()) {
+            *a = a.wrapping_sub(*b);
         }
     }
 
@@ -90,8 +95,6 @@ impl HomDigest for Vec<u64> {
         Some((words.collect(), total))
     }
 
-    const FIXED_LEN: bool = true;
-
     fn encoded_len_at(buf: &[u8]) -> Option<usize> {
         let width = u32::from_le_bytes(*buf.first_chunk()?) as usize;
         let total = width.checked_mul(8)?.checked_add(4)?;
@@ -99,26 +102,27 @@ impl HomDigest for Vec<u64> {
     }
 
     fn add_encoded(&mut self, buf: &[u8]) -> Option<()> {
-        let (words, _) = buf.get(4..Self::encoded_len_at(buf)?)?.as_chunks::<8>();
-        if words.len() != self.len() {
-            return None;
-        }
-        for (a, b) in self.iter_mut().zip(words) {
-            *a = a.wrapping_add(u64::from_le_bytes(*b));
-        }
-        Some(())
+        zip_encoded(self, buf, u64::wrapping_add)
     }
 
-    fn add_to_encoded(&self, buf: &mut Vec<u8>, at: usize) -> Option<()> {
-        let entry = buf.get_mut(at..)?;
-        if Self::encoded_len_at(entry)? != entry.len() || entry.len() != self.encoded_len() {
-            return None;
-        }
-        for (a, b) in self.iter().zip(entry[4..].as_chunks_mut::<8>().0) {
-            *b = a.wrapping_add(u64::from_le_bytes(*b)).to_le_bytes();
-        }
-        Some(())
+    fn sub_encoded(&mut self, buf: &[u8]) -> Option<()> {
+        zip_encoded(self, buf, u64::wrapping_sub)
     }
+}
+
+/// `digest[i] = op(digest[i], word i of buf)`; `None`, and `digest` as it
+/// was, unless `buf` starts with a digest of `digest`'s width.
+fn zip_encoded(digest: &mut [u64], buf: &[u8], op: fn(u64, u64) -> u64) -> Option<()> {
+    let (words, _) = buf
+        .get(4..<Vec<u64>>::encoded_len_at(buf)?)?
+        .as_chunks::<8>();
+    if words.len() != digest.len() {
+        return None;
+    }
+    for (a, b) in digest.iter_mut().zip(words) {
+        *a = op(*a, u64::from_le_bytes(*b));
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -136,6 +140,9 @@ pub(crate) mod tests {
         }
         fn add_assign(&mut self, other: &Self) {
             self.0.add_assign(&other.0)
+        }
+        fn sub_assign(&mut self, other: &Self) {
+            self.0.sub_assign(&other.0)
         }
         fn encoded_len(&self) -> usize {
             self.0.encoded_len()
@@ -163,31 +170,23 @@ pub(crate) mod tests {
             assert_eq!(fast.add_encoded(bytes), Some(()));
             assert_eq!(slow.add_encoded(bytes), Some(()));
             assert_eq!((&fast, &fast), (&slow.0, &vec![6, 2, 5]));
+            assert_eq!(fast.sub_encoded(bytes), Some(()));
+            assert_eq!(slow.sub_encoded(bytes), Some(()));
+            assert_eq!((&fast, &fast), (&slow.0, &a));
         }
         for cut in 0..entry.len() {
             assert_eq!(<Vec<u64>>::encoded_len_at(&entry[..cut]), None);
             assert_eq!(ByDefault::encoded_len_at(&entry[..cut]), None);
             assert_eq!(a.clone().add_encoded(&entry[..cut]), None);
-            assert_eq!(ByDefault(a.clone()).add_encoded(&entry[..cut]), None);
+            assert_eq!(ByDefault(a.clone()).sub_encoded(&entry[..cut]), None);
         }
-        // Into the encoding, which is the tail of a buffer: same bytes.
-        let (mut fast, mut slow) = (buf.clone(), buf.clone());
-        assert_eq!(a.add_to_encoded(&mut fast, 5), Some(()));
-        assert_eq!(ByDefault(a.clone()).add_to_encoded(&mut slow, 5), Some(()));
-        let mut sum = vec![0xEE; 5];
-        vec![6u64, 2, 5].encode(&mut sum);
-        assert_eq!((&fast, &slow), (&sum, &sum));
-        // Another width is refused and nothing is touched; so is an offset
-        // that is not where the last entry starts.
-        let narrow = vec![1u64, 2];
-        let mut narrow_entry = Vec::new();
-        narrow.encode(&mut narrow_entry);
-        assert_eq!(a.clone().add_encoded(&narrow_entry), None);
-        for at in [4, 6, buf.len(), buf.len() + 1] {
-            assert_eq!(a.add_to_encoded(&mut fast, at), None, "at {at}");
-        }
-        assert_eq!(narrow.add_to_encoded(&mut fast, 5), None);
-        assert_eq!(fast, sum);
+        // Another width is refused and nothing is touched.
+        let mut narrow = Vec::new();
+        vec![1u64, 2].encode(&mut narrow);
+        let mut fast = a.clone();
+        assert_eq!(fast.add_encoded(&narrow), None);
+        assert_eq!(fast.sub_encoded(&narrow), None);
+        assert_eq!(fast, a);
     }
 
     #[test]
@@ -206,6 +205,9 @@ pub(crate) mod tests {
         assert_eq!(ab, ba);
         // Wrapping.
         assert_eq!(ab[2], 2); // MAX + 3 wraps to 2
+                              // Subtraction undoes addition, wrapping.
+        ab.sub_assign(&b);
+        assert_eq!(ab, a);
     }
 
     #[test]

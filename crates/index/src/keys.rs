@@ -11,7 +11,7 @@
 //! | `att/` | the owner's latest root attestation | — |
 //! | `e/` | a resolution envelope | `/` resolution `/` envelope index |
 //! | `g/` | a grant blob | `/` principal `/` sequence number |
-//! | `i/` | a sealed index node | `/` level (one byte) node index |
+//! | `i/` | the index's decay cutoffs | — |
 //! | `il/` | a chunk: its level-0 index record | `/` chunk index |
 //! | `s/` | registration metadata | — |
 //!
@@ -21,7 +21,7 @@
 pub const META: &[u8] = b"s/";
 pub const ATTESTATION: &[u8] = b"att/";
 pub const LEAF: &[u8] = b"il/";
-pub const NODE: &[u8] = b"i/";
+pub const DECAY: &[u8] = b"i/";
 pub const GRANT: &[u8] = b"g/";
 pub const ENVELOPE: &[u8] = b"e/";
 
@@ -32,7 +32,7 @@ pub fn head(prefix: &[u8], stream: u128) -> Vec<u8> {
 
 /// The stream's six heads, in key order: the prefixes of its keys alone.
 pub fn of_stream(stream: u128) -> [Vec<u8>; 6] {
-    [ATTESTATION, ENVELOPE, GRANT, NODE, LEAF, META].map(|prefix| head(prefix, stream))
+    [ATTESTATION, ENVELOPE, GRANT, DECAY, LEAF, META].map(|prefix| head(prefix, stream))
 }
 
 /// The stream's registration record: its largest key.
@@ -62,15 +62,9 @@ pub fn leaf(stream: u128, index: u64) -> [u8; 28] {
     key
 }
 
-/// Sealed node `(level, index)`. Its first 20 bytes name stream and level.
-pub fn node(stream: u128, level: u8, index: u64) -> [u8; 28] {
-    let mut key = [0u8; 28];
-    key[..2].copy_from_slice(NODE);
-    key[2..18].copy_from_slice(&stream.to_be_bytes());
-    key[18] = b'/';
-    key[19] = level;
-    key[20..].copy_from_slice(&index.to_be_bytes());
-    key
+/// The stream's decay cutoffs: the one record `AggTree::decay` rewrites.
+pub fn decay(stream: u128) -> Vec<u8> {
+    head(DECAY, stream)
 }
 
 /// Where the grants of `(stream, principal)` start.
@@ -120,8 +114,7 @@ mod tests {
             leaf(s, 9).to_vec(),
             cat(&[b"il/", &id, b"/", &9u64.to_be_bytes()])
         );
-        let node_key = cat(&[b"i/", &id, b"/\x03", &9u64.to_be_bytes()]);
-        assert_eq!(node(s, 3, 9).to_vec(), node_key);
+        assert_eq!(decay(s), cat(&[b"i/", &id]));
         let grant_key = cat(&[b"g/", &id, b"/bob/", &2u64.to_be_bytes()]);
         assert_eq!(grant(s, "bob", 2), grant_key);
         let env_key = cat(&[
@@ -148,7 +141,7 @@ mod tests {
             meta(7),
             attestation(7),
             leaf(7, u64::MAX).to_vec(),
-            node(7, 1, 0).to_vec(),
+            decay(7),
             grant(7, "", 0),
             envelope(7, 0, 0),
         ];

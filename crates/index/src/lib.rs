@@ -1,38 +1,31 @@
-//! Encrypted statistical index: the k-ary time-partitioned aggregation tree
-//! (paper §4.5, Fig. 4).
+//! Encrypted statistical index: a running sum per chunk (paper §4.5,
+//! Fig. 4, as prefix sums).
 //!
-//! The server builds this tree bottom-up over the HEAC-encrypted chunk
-//! digests. Each node holds the digests of its k children; a parent entry is
-//! the homomorphic sum of a whole child subtree. Statistical range queries
-//! decompose into O(2(k−1)·log_k n) digest additions instead of a serial
-//! scan; appends touch log_k n nodes. Because HEAC addition *is* u64
-//! wrapping addition, the very same tree code serves the plaintext baseline
-//! (`Vec<u64>`), and — via the [`HomDigest`] abstraction — the Paillier and
-//! EC-ElGamal strawman ciphertexts in `timecrypt-bench`.
+//! The server stores, with each chunk, the homomorphic sum of the stream's
+//! HEAC-encrypted digests through it. A statistical range query is the
+//! difference of two such sums — two record reads at most — instead of a
+//! serial scan or a tree walk; an append rewrites nothing. Because HEAC
+//! addition *is* u64 wrapping addition, the very same code serves the
+//! plaintext baseline (`Vec<u64>`), and — via the [`HomDigest`]
+//! abstraction, whose subtraction a prefix difference needs — the Paillier
+//! and EC-ElGamal strawman ciphertexts in `timecrypt-bench`.
 //!
-//! Node storage goes through any [`timecrypt_store::KvStore`], with an LRU
-//! cache in front sized in bytes (the Fig. 7 "tiny 1 MB cache" experiment
-//! shrinks it to force misses). Node identifiers are computed from
-//! `(stream, level, index)` — no stored references (§4.6) — by [`keys`],
-//! which declares the key of every record a stream owns. A node is
-//! stored once, when it is full; the partial node of each level lives in
-//! memory and is rebuilt on open from the per-chunk level-0 records. In
-//! memory a node is the bytes it is stored as, one buffer: the cache's
-//! budget counts the bytes it actually holds, and a [`HomDigest`] is added
-//! up from its encoding where it lies (Table 2's point — a HEAC index is
-//! byte for byte the plaintext one — holds for RAM as for the store).
+//! Records go through any [`timecrypt_store::KvStore`], with an LRU cache
+//! of the running sums queries read in front, sized in bytes (the Fig. 7
+//! "tiny 1 MB cache" experiment shrinks it to force misses). Record keys
+//! are computed from `(stream, chunk)` — no stored references (§4.6) — by
+//! [`keys`], which declares the key of every record a stream owns.
 //!
 //! # Locking model
 //!
 //! [`AggTree`] is a *shared* handle: queries take `&self`, never block on
 //! the write path, and run against a consistent snapshot of the published
-//! chunk count (an atomic `len` with `Release`-publish / `Acquire`-read
-//! ordering). `append` and `decay` also take `&self` but are serialized by
-//! an internal writer mutex; the open nodes sit behind a read-write lock
-//! the writer takes only to swap them, the node cache behind its own
-//! mutexes, locked per node access. Any number of readers therefore
-//! proceed while an append is in flight — see `tree` module docs for the
-//! exactness argument.
+//! length, last running sum and decay cutoffs. `append`, `retag` and
+//! `decay` also take `&self` but are serialized by an internal writer
+//! mutex; the published state sits behind a read-write lock the writer
+//! takes only to publish, the cache behind its own mutexes, locked per
+//! lookup. Any number of readers therefore proceed while an append is in
+//! flight — see `tree` module docs.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]

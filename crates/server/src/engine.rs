@@ -9,8 +9,8 @@
 //! A stream's state (`StreamState`) is *hydrated* on first touch and parked
 //! in a recency-ordered resident set bounded by
 //! [`ServerConfig::max_resident_streams`]. Hydration is `AggTree::open`:
-//! the length by key probes, the open spine from at most k−1 records per
-//! level — O(k·log_k n) reads and resident bytes, whatever the history.
+//! the length by key probes and the stream's running sum from its last
+//! record — one read and O(1) resident bytes, whatever the history.
 //! The integrity ledger is no part of it: it is a cache of the level-0
 //! records that a proof request brings up to the attested size, and that
 //! eviction drops with the rest. Hydration is single-flight: concurrent
@@ -31,11 +31,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU64;
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
-use timecrypt_crypto::sha256::sha256_concat;
 use timecrypt_index::{
     keys, leaf_record, stored_chunk_count, AggTree, HomDigest, IndexError, TreeConfig,
 };
-use timecrypt_integrity::{RootAttestation, StreamLedger};
+use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
 use timecrypt_obs::rank::{self, Ranked, Stripes};
 use timecrypt_obs::{counters, trace};
 use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
@@ -45,11 +44,9 @@ use timecrypt_wire::transport::{dispatch_frame, Handler};
 /// Server-side tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Aggregation-tree fan-out (paper: 64).
-    pub arity: usize,
-    /// Per-stream budget in bytes for the sealed index nodes queries read
-    /// (Fig. 7 "small cache" sets this to 1 MB). Ingest caches nothing, and
-    /// a stream no query has read holds no cache at all.
+    /// Per-stream budget in bytes for the running sums queries read from
+    /// the store (Fig. 7 "small cache" sets this to 1 MB). Ingest caches
+    /// nothing, and a stream no query has read holds no cache at all.
     pub cache_bytes: usize,
     /// Upper bound on hydrated stream states held resident at once
     /// (`None` = unbounded, the compatibility default). When the resident
@@ -63,7 +60,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            arity: 64,
             cache_bytes: 64 * 1024 * 1024,
             max_resident_streams: None,
         }
@@ -126,11 +122,11 @@ pub enum ServerError {
     Store(StoreError),
     /// Index failure.
     Index(IndexError),
-    /// The queried window's fine-grained index nodes were aged out by a
-    /// rollup/decay: not corruption — the region is only answerable at a
+    /// The queried window needs a fine-grained index node a rollup/decay
+    /// aged out: not corruption — the region is only answerable at a
     /// coarser resolution.
     RangeDecayed {
-        /// Tree level of the missing node.
+        /// Tree level of the aged-out node.
         level: u8,
         /// Node index within that level.
         index: u64,
@@ -182,8 +178,8 @@ impl std::fmt::Display for ServerError {
             ServerError::RangeDecayed { level, index } => {
                 write!(
                     f,
-                    "range aged out by decay (missing index node at level {level} \
-                     index {index}): only coarser aggregates remain; widen the query \
+                    "range aged out by decay (index node at level {level} \
+                     index {index} aged out): only coarser aggregates remain; widen the query \
                      window or align it to the retained resolution"
                 )
             }
@@ -298,10 +294,10 @@ impl StreamMeta {
 /// never wait on an in-flight insert, and ingest never takes the ledger.
 struct StreamState {
     meta: StreamMeta,
-    /// Shared-read aggregation tree: queries take `&self` and snapshot a
-    /// consistent length; appends are serialized by the stream's stripe
-    /// (and the tree's own writer mutex). Holds the open spine (at most
-    /// k−1 digests per level) and a node cache, not the history.
+    /// Shared-read index: queries take `&self` and snapshot a consistent
+    /// length; appends are serialized by the stream's stripe (and the
+    /// index's own writer mutex). Holds the length, the last running sum
+    /// and a boundary cache, not the history.
     tree: AggTree<Vec<u64>>,
     /// Integrity extension: the authenticated aggregation ledger over a
     /// prefix of the stream — a cache of its level-0 records, empty after
@@ -413,29 +409,72 @@ pub struct TimeCryptServer {
 /// The `pn` of a stub: no frame (16 MiB cap) carries a payload that long.
 const STUB_PN: u32 = u32::MAX;
 
-/// The one decoder of a chunk's one record (the index's level-0 record of
-/// its position): `digest ‖ pn:u32 ‖ payload`, the validated ingest bytes
-/// past their `stream ‖ index`, or — its payload deleted — the *stub*
-/// `digest ‖ 0xFFFF_FFFF ‖ commitment[32]`. Yields the encoded digest and a
-/// stub's commitment: SHA-256 of the chunk as ingested, hashed when a full
-/// record is read back, never at ingest. Neither form: `CorruptNode`, level 0.
-fn split_record(index: u64, record: &[u8]) -> Result<(&[u8], Option<&[u8; 32]>), IndexError> {
-    let split = || {
-        let dn = u32::from_le_bytes(record.get(..4)?.try_into().ok()?) as usize;
-        let (digest, rest) = record.split_at_checked(dn.checked_mul(8)?.checked_add(4)?)?;
-        let (pn, body) = rest.split_first_chunk::<4>()?;
-        match u32::from_le_bytes(*pn) {
-            STUB_PN => Some((digest, Some(body.try_into().ok()?))),
-            pn => (body.len() == pn as usize).then_some((digest, None)),
-        }
-    };
-    split().ok_or(IndexError::CorruptNode { level: 0, index })
+/// One chunk's stored record, decoded. The record is the index's level-0
+/// record of the chunk's position: the stream's running sum through it
+/// (`timecrypt_index::tree`), then `pn:u32 ‖ payload` — the validated
+/// ingest bytes past their `stream ‖ index ‖ digest` — or, its payload
+/// deleted, the *stub* `0xFFFF_FFFF ‖ commitment[32]`, the commitment being
+/// SHA-256 of the chunk as ingested, hashed when a full record is read
+/// back, never at ingest.
+struct Record {
+    index: u64,
+    stored: Vec<u8>,
+    /// Where the running sum ends in `stored`.
+    sum_len: usize,
+    /// The chunk's own digest: its running sum minus the one before.
+    own: Vec<u64>,
+    /// A stub's commitment.
+    stub: Option<[u8; 32]>,
 }
 
-/// [`timecrypt_integrity::chunk_commitment`] of the bytes chunk `index` of
-/// `stream` was ingested as, from its full record.
-fn record_commitment(stream: u128, index: u64, record: &[u8]) -> [u8; 32] {
-    sha256_concat(&EncryptedChunk::position(stream, index), record)
+impl Record {
+    /// Chunk `index` from its stored bytes and the running sum of the
+    /// chunk before (none for chunk 0), with its own running sum. Neither
+    /// form, or a sum of another width than the one before: `CorruptNode`
+    /// at level 0.
+    fn decode(
+        index: u64,
+        stored: Vec<u8>,
+        before: Option<&Vec<u64>>,
+    ) -> Result<(Record, Vec<u64>), IndexError> {
+        let decoded = || {
+            let (sum, sum_len) = Vec::<u64>::decode(&stored)?;
+            let (pn, body) = stored[sum_len..].split_first_chunk::<4>()?;
+            let stub = match u32::from_le_bytes(*pn) {
+                STUB_PN => Some(body.try_into().ok()?),
+                pn => (body.len() == pn as usize).then_some(None)?,
+            };
+            let mut own = sum.clone();
+            if let Some(before) = before {
+                (before.len() == own.len()).then(|| own.sub_assign(before))?;
+            }
+            Some((own, sum_len, stub, sum))
+        };
+        let corrupt = IndexError::CorruptNode { level: 0, index };
+        let (own, sum_len, stub, sum) = decoded().ok_or(corrupt)?;
+        let record = Record {
+            index,
+            stored,
+            sum_len,
+            own,
+            stub,
+        };
+        Ok((record, sum))
+    }
+
+    /// The chunk as ingested: its position, its own digest, then the tail
+    /// of its record.
+    fn chunk(&self, stream: u128) -> Vec<u8> {
+        let mut chunk = EncryptedChunk::position(stream, self.index).to_vec();
+        self.own.encode(&mut chunk);
+        chunk.extend_from_slice(&self.stored[self.sum_len..]);
+        chunk
+    }
+
+    /// The chunk's commitment: a stub's, or that of the chunk as ingested.
+    fn commitment(&self, stream: u128) -> [u8; 32] {
+        (self.stub).unwrap_or_else(|| chunk_commitment(&self.chunk(stream)))
+    }
 }
 
 impl TimeCryptServer {
@@ -610,7 +649,6 @@ impl TimeCryptServer {
     fn hydrate(&self, stream: u128, meta: StreamMeta) -> Result<StreamState, ServerError> {
         let _stage = trace::stage("engine.hydrate");
         let cfg = TreeConfig {
-            arity: self.cfg.arity,
             cache_bytes: self.cfg.cache_bytes,
         };
         Ok(StreamState {
@@ -783,9 +821,9 @@ impl TimeCryptServer {
     /// Per-chunk semantics are those of chunk-at-a-time
     /// ingest: width and next-index validation per chunk (a rejected
     /// chunk does not advance the expected index). The accepted chunks
-    /// then commit as **one** store batch — one level-0 record each and the
-    /// index nodes they seal, through `AggTree::append_records` — followed
-    /// by the live-buffer cleanup. If the commit fails — a store fault, not a
+    /// then commit as **one** store batch — one level-0 record each,
+    /// through `AggTree::append_records` — followed by the live-buffer
+    /// cleanup. If the commit fails — a store fault, not a
     /// validation outcome — nothing of the run was stored or published:
     /// the first accepted chunk reports the real error, the rest report
     /// `Unavailable`.
@@ -935,6 +973,40 @@ impl TimeCryptServer {
             .ok_or(ServerError::NoAttestation(stream))
     }
 
+    /// The one decoder of `stream`'s stored records: chunks `lo..hi` in
+    /// order, each with its own digest — its running sum minus the one
+    /// before, for chunk `lo` that of record `lo − 1`, read first. Raw
+    /// reads, the ledger's catch-up and `delete_range` all read through
+    /// here; none hydrates the stream. The first error ends it.
+    fn records(
+        &self,
+        stream: u128,
+        lo: u64,
+        hi: u64,
+    ) -> impl Iterator<Item = Result<Record, IndexError>> + '_ {
+        let (mut next, mut before) = (lo.saturating_sub(1), None);
+        std::iter::from_fn(move || {
+            while next < hi {
+                let index = next;
+                next += 1;
+                let stored = leaf_record(self.kv.as_ref(), stream, index);
+                match stored.and_then(|stored| Record::decode(index, stored, before.as_ref())) {
+                    Ok((record, sum)) => {
+                        before = Some(sum);
+                        if index >= lo {
+                            return Some(Ok(record));
+                        }
+                    }
+                    Err(e) => {
+                        next = hi;
+                        return Some(Err(e));
+                    }
+                }
+            }
+            None
+        })
+    }
+
     /// The one path of both proof builders: the latest attestation and the
     /// range proof against it (`open`ing every in-range leaf or not) for
     /// the chunks of `window` that are both stored and attested, as
@@ -964,17 +1036,18 @@ impl TimeCryptServer {
         }
         if (st.ledger.read().len() as u64) < att.size {
             let mut ledger = st.ledger.write();
-            for index in ledger.len() as u64..att.size {
-                let corrupt = || IndexError::CorruptNode { level: 0, index };
-                let record = leaf_record(self.kv.as_ref(), stream, index)?;
-                let (digest, stub) = split_record(index, &record)?;
-                let hash = || record_commitment(stream, index, &record);
-                let (digest, _) = Vec::<u64>::decode(digest).ok_or_else(corrupt)?;
+            for record in self.records(stream, ledger.len() as u64, att.size) {
+                let record = record?;
+                let corrupt = IndexError::CorruptNode {
+                    level: 0,
+                    index: record.index,
+                };
+                let bytes = record.stored.len() as u64;
                 // The ledger refuses a digest of another width than its first.
-                let appended = ledger.append(stub.copied().unwrap_or_else(hash), digest);
-                appended.map_err(|_| corrupt())?;
+                let appended = ledger.append(record.commitment(stream), record.own);
+                appended.map_err(|_| corrupt)?;
                 counters::LEDGER_LEAVES.inc();
-                counters::LEDGER_BYTES.add(record.len() as u64);
+                counters::LEDGER_BYTES.add(bytes);
             }
         }
         // Proof builders share the ledger; only a catch-up excludes them.
@@ -1005,14 +1078,17 @@ impl TimeCryptServer {
         Ok((attestation, proof))
     }
 
-    /// Chunk `index` of `stream` exactly as ingested — its record with the
-    /// position put back from the key — or `None` where `delete_range` left
-    /// a stub. Every raw read goes through here; none hydrates the stream.
-    fn stored_chunk(&self, stream: u128, index: u64) -> Result<Option<Vec<u8>>, ServerError> {
-        let record = leaf_record(self.kv.as_ref(), stream, index)?;
-        let (_, stub) = split_record(index, &record)?;
-        let position = EncryptedChunk::position(stream, index);
-        Ok(stub.is_none().then(|| [&position[..], &record].concat()))
+    /// Chunks `lo..hi` of `stream` exactly as ingested, `None` where
+    /// `delete_range` left a stub: every raw read.
+    fn stored_chunks(
+        &self,
+        stream: u128,
+        lo: u64,
+        hi: u64,
+    ) -> Result<Vec<Option<Vec<u8>>>, ServerError> {
+        let chunk = |record: Record| record.stub.is_none().then(|| record.chunk(stream));
+        let chunks = self.records(stream, lo, hi).map(|record| record.map(chunk));
+        Ok(chunks.collect::<Result<_, _>>()?)
     }
 
     /// Raw range retrieval: the chunks overlapping `[ts_s, ts_e)`, as ingested.
@@ -1037,8 +1113,8 @@ impl TimeCryptServer {
         if len == 0 || first > last_incl {
             return Ok(Vec::new());
         }
-        let chunk = |i| self.stored_chunk(stream, i).transpose();
-        (first..=last_incl).filter_map(chunk).collect()
+        let chunks = self.stored_chunks(stream, first, last_incl + 1)?;
+        Ok(chunks.into_iter().flatten().collect())
     }
 
     /// One stream's contribution to a statistical range query: its digest
@@ -1090,21 +1166,26 @@ impl TimeCryptServer {
 
     /// Deletes raw chunk payloads in `[ts_s, ts_e)` while keeping digests
     /// in the index (Table 1 (7): "while maintaining per-chunk digest"):
-    /// one store batch turns each full record of the range into its stub.
-    /// Returns how many; a range of stubs writes nothing.
+    /// one store batch turns each full record of the range into its stub,
+    /// its running sum kept. Returns how many; a range of stubs writes
+    /// nothing.
     pub fn delete_range(&self, stream: u128, ts_s: i64, ts_e: i64) -> Result<usize, ServerError> {
         // Deletion is a writer: keep it serialized with inserts/rollups.
         let _stripe = self.stripes.lock(stream, Mutex::lock);
         let st = self.resolve(stream)?;
         let lo = st.meta.first_chunk_at_or_after(ts_s);
-        let hi = st.meta.chunk_end_at_or_before(ts_e);
-        let stub = |index, record: &[u8]| {
-            let (_, stub) = split_record(index, record)?;
-            let commitment = || record_commitment(stream, index, record);
-            let tag = || [&STUB_PN.to_le_bytes()[..], &commitment()].concat();
-            Ok(stub.is_none().then(tag))
-        };
-        Ok(st.tree.retag(lo, hi, stub)?)
+        let hi = st.meta.chunk_end_at_or_before(ts_e).min(st.tree.len());
+        let mut stubs = Vec::new();
+        for record in self.records(stream, lo, hi) {
+            let record = record?;
+            if record.stub.is_none() {
+                let mut stub = record.stored[..record.sum_len].to_vec();
+                stub.extend_from_slice(&STUB_PN.to_le_bytes());
+                stub.extend_from_slice(&record.commitment(stream));
+                stubs.push((record.index, stub));
+            }
+        }
+        Ok(st.tree.retag(&stubs)?)
     }
 
     /// Data decay: ages out index levels below `keep_level` for chunks
@@ -1141,16 +1222,11 @@ impl TimeCryptServer {
             let lo = meta.chunk_of(ts_s.max(meta.t0));
             Some((lo, meta.chunk_containing(ts_e - 1)? + 1))
         })?;
-        let deleted = "chunk payload deleted; raw completeness unprovable";
-        let chunk = |i| {
-            self.stored_chunk(stream, i)?
-                .ok_or(ServerError::Integrity(deleted.into()))
-        };
-        Ok((
-            attestation,
-            proof,
-            (lo..hi).map(chunk).collect::<Result<_, _>>()?,
-        ))
+        let deleted =
+            || ServerError::Integrity("chunk payload deleted; raw completeness unprovable".into());
+        let chunks = self.stored_chunks(stream, lo, hi)?.into_iter();
+        let chunks = chunks.map(|chunk| chunk.ok_or_else(deleted));
+        Ok((attestation, proof, chunks.collect::<Result<_, _>>()?))
     }
 
     /// Stream metadata. Opens no state: directory entry plus the published
@@ -2062,15 +2138,7 @@ mod tests {
     #[test]
     fn rollup_ages_out_fine_levels() {
         let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let s = TimeCryptServer::open(
-            kv,
-            ServerConfig {
-                arity: 4,
-                cache_bytes: 1 << 20,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let s = TimeCryptServer::open(kv, ServerConfig::default()).unwrap();
         let cfg = StreamConfig {
             schema: timecrypt_chunk::DigestSchema::sum_only(),
             ..StreamConfig::new(1, "m", 0, 10_000)
@@ -2078,7 +2146,7 @@ mod tests {
         let km = keys();
         let mut rng = SecureRandom::from_seed_insecure(7);
         s.create_stream(1, 0, 10_000, 1).unwrap();
-        for c in 0..64u64 {
+        for c in 0..130u64 {
             let chunk = timecrypt_chunk::PlainChunk {
                 stream: 1,
                 index: c,
@@ -2086,15 +2154,15 @@ mod tests {
             };
             s.insert(&chunk.seal(&cfg, &km, &mut rng).unwrap()).unwrap();
         }
-        let removed = s.rollup(1, 320_000, 2).unwrap();
-        assert!(removed > 0);
-        // Coarse query over the decayed region still works (level-2 spans 16).
-        let reply = s.get_stat_range(&[1], 0, 640_000).unwrap();
-        let dec = decrypt_range_sum(&km.tree, 0, 64, &reply.agg).unwrap();
-        assert_eq!(dec[0], (0..64).sum::<u64>());
+        // Level 1 before chunk 128: two 64-chunk nodes.
+        assert_eq!(s.rollup(1, 1_280_000, 2).unwrap(), 2);
+        // Coarse query over the decayed region still works.
+        let reply = s.get_stat_range(&[1], 0, 1_280_000).unwrap();
+        let dec = decrypt_range_sum(&km.tree, 0, 128, &reply.agg).unwrap();
+        assert_eq!(dec[0], (0..128).sum::<u64>());
         // A fine-grained query below the rolled-up level is a *decay*
         // error, not corruption: [0s, 10s) needs the level-1 node that
-        // rollup legitimately removed.
+        // rollup aged out.
         match s.get_stat_range(&[1], 0, 10_000) {
             Err(ServerError::RangeDecayed { level: 1, index: 0 }) => {}
             other => panic!("expected RangeDecayed, got {other:?}"),

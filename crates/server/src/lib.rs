@@ -9,8 +9,8 @@
 //! Instances are stateless apart from the KV store behind them ("TimeCrypt
 //! instances are stateless and therefore horizontally scalable", §3.2):
 //! [`TimeCryptServer::open`] builds a stream *directory* from the store
-//! in one scan and hydrates each stream's state (the tree handle: its
-//! length and open spine, O(k·log_k n) reads whatever the history) lazily
+//! in one scan and hydrates each stream's state (the index handle: its
+//! length and last running sum, one record read whatever the history) lazily
 //! on first touch, behind a resident LRU bounded by
 //! [`ServerConfig::max_resident_streams`] — so open time and resident RAM
 //! scale with the streams actually used, not the streams stored nor their

@@ -80,12 +80,7 @@ fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
 fn run_equivalence(ops: &[Op], evict_every_op: bool) {
     let kv_capped: Arc<dyn KvStore> = Arc::new(MemKv::new());
     let kv_uncapped: Arc<dyn KvStore> = Arc::new(MemKv::new());
-    // Arity 4: a stream's dozen-odd inserts cross index seal and growth
-    // boundaries, so rehydration rebuilds a non-trivial open frontier.
-    let cfg = ServerConfig {
-        arity: 4,
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig::default();
     let capped = TimeCryptServer::open(
         kv_capped.clone(),
         ServerConfig {

@@ -38,9 +38,9 @@ fn ingest(engine: &TimeCryptServer, stream: u128, chunks: u64) {
 #[test]
 fn concurrent_cold_touch_opens_the_stream_once() {
     // Seed a store, then reopen it cold behind a metered wrapper. A query
-    // over the whole 6-chunk stream is answered from the open spine, so
+    // over the whole 6-chunk stream is answered from the running sum, so
     // every store read is hydration's: the length probes (key scans) and
-    // the six level-0 records of the open level-1 node (gets).
+    // the last level-0 record (a get).
     let base: Arc<dyn KvStore> = Arc::new(MemKv::new());
     {
         let seeder = TimeCryptServer::open(base.clone(), ServerConfig::default()).unwrap();
@@ -83,7 +83,7 @@ fn concurrent_cold_touch_opens_the_stream_once() {
     assert_eq!(engine.evict_idle_streams(), 1);
     engine.stream_stat(1, 0, 6 * DELTA_MS as i64).unwrap();
     let alone = metered.counters();
-    assert_eq!(raced.gets - before.gets, 6);
+    assert_eq!(raced.gets - before.gets, 1);
     assert_eq!(
         (raced.gets - before.gets, raced.scans - before.scans),
         (alone.gets - raced.gets, alone.scans - raced.scans),

@@ -1,9 +1,9 @@
-//! Engine-level checks of the write-once index persistence: a run is one
-//! store commit, so a store fault fails it whole — nothing stored, nothing
+//! Engine-level checks of the index persistence: a run is one store
+//! commit, so a store fault fails it whole — nothing stored, nothing
 //! published — and a retry converges on the clean history; a cold stream's
-//! length comes from key probes alone; `delete_stream` leaves no index residue (stored or resident);
-//! rollup keeps its contract on sealed nodes across a rehydration.
-//! Arity 4, so short histories cross seal and growth boundaries.
+//! length comes from key probes alone; `delete_stream` leaves no index
+//! residue (stored or resident); rollup keeps its contract across a
+//! rehydration.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,11 +33,7 @@ fn seal(stream: u128, index: u64) -> Vec<u8> {
 }
 
 fn engine(kv: Arc<dyn KvStore>, streams: &[u128]) -> TimeCryptServer {
-    let cfg = ServerConfig {
-        arity: 4,
-        ..ServerConfig::default()
-    };
-    let server = TimeCryptServer::open(kv, cfg).unwrap();
+    let server = TimeCryptServer::open(kv, ServerConfig::default()).unwrap();
     for &stream in streams {
         server.create_stream(stream, 0, DELTA_MS, 2).unwrap();
     }
@@ -114,7 +110,7 @@ fn store_fault_fails_the_run_whole_and_retry_converges() {
     assert!(all_ok(insert_run(&clean, 1, 0..9)));
     let want = all_stats(&clean, 1, 9);
     // Chunks 3..9 on top of 0..3 are one commit: six level-0 records (the
-    // chunks), sealed nodes (1,0) and (1,1). Fail it.
+    // chunks, each with its running sum). Fail it.
     let kv = Arc::new(FailNthPut::default());
     let server = engine(kv.clone(), &[1]);
     assert!(all_ok(insert_run(&server, 1, 0..3)));
@@ -188,9 +184,9 @@ fn delete_stream_leaves_no_index_residue() {
     assert!(all_ok(insert_run(&server, 1, 0..22)));
     assert!(all_ok(insert_run(&server, 2, 0..7)));
     server.delete_stream(1).unwrap();
-    // Payloads, level-0 records, sealed nodes: all gone.
+    // Level-0 records, payloads and running sums: all gone.
     assert_eq!(dump(kv.as_ref()), only_stream_2);
-    // No resident frontier either: the recreated stream starts empty and
+    // No resident running sum either: the recreated stream starts empty and
     // answers for its new history only.
     server.create_stream(1, 0, DELTA_MS, 2).unwrap();
     assert_eq!(server.stream_info(1).unwrap().len, 0);
@@ -201,31 +197,32 @@ fn delete_stream_leaves_no_index_residue() {
 }
 
 #[test]
-fn rollup_keeps_its_contract_on_sealed_nodes_across_rehydration() {
+fn rollup_keeps_its_contract_across_rehydration() {
     let server = engine(Arc::new(MemKv::new()), &[1]);
-    assert!(all_ok(insert_run(&server, 1, 0..70)));
+    assert!(all_ok(insert_run(&server, 1, 0..140)));
     let ts = |i: u64| (i * DELTA_MS) as i64;
-    let full = server.get_stat_range(&[1], 0, ts(70)).unwrap();
-    let coarse = server.get_stat_range(&[1], 0, ts(16)).unwrap();
-    assert!(server.rollup(1, ts(32), 2).unwrap() > 0);
+    let full = server.get_stat_range(&[1], 0, ts(140)).unwrap();
+    let coarse = server.get_stat_range(&[1], 0, ts(128)).unwrap();
+    // Level 1 before chunk 128: two 64-chunk nodes.
+    assert_eq!(server.rollup(1, ts(130), 2).unwrap(), 2);
     for rehydrated in [false, true] {
         if rehydrated {
             server.evict_idle_streams();
         }
-        assert_eq!(server.get_stat_range(&[1], 0, ts(70)).unwrap(), full);
-        assert_eq!(server.get_stat_range(&[1], 0, ts(16)).unwrap(), coarse);
+        assert_eq!(server.get_stat_range(&[1], 0, ts(140)).unwrap(), full);
+        assert_eq!(server.get_stat_range(&[1], 0, ts(128)).unwrap(), coarse);
         assert!(matches!(
             server.get_stat_range(&[1], 0, ts(1)),
             Err(ServerError::RangeDecayed { level: 1, index: 0 })
         ));
-        // Past the cutoff, and in the open frontier, full resolution stays.
-        assert!(server.get_stat_range(&[1], ts(33), ts(34)).is_ok());
-        assert!(server.get_stat_range(&[1], ts(68), ts(70)).is_ok());
+        // Past the cutoff, full resolution stays.
+        assert!(server.get_stat_range(&[1], ts(129), ts(130)).is_ok());
+        assert!(server.get_stat_range(&[1], ts(138), ts(140)).is_ok());
     }
-    // The rehydrated stream keeps growing across the next seals.
-    assert!(all_ok(insert_run(&server, 1, 70..90)));
+    // The rehydrated stream keeps growing.
+    assert!(all_ok(insert_run(&server, 1, 140..160)));
     assert_eq!(
-        server.get_stat_range(&[1], 0, ts(90)).unwrap().parts,
-        vec![(1, 0, 90)]
+        server.get_stat_range(&[1], 0, ts(160)).unwrap().parts,
+        vec![(1, 0, 160)]
     );
 }

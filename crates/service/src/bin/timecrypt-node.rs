@@ -10,7 +10,7 @@
 //! timecrypt-node --listen 127.0.0.1:7070 --shards 4 --host 0,2
 //!     [--store /var/lib/timecrypt/node-a.log]   # persistent LogKv (default: in-memory)
 //!     [--durability fsync|flush|buffered]        # LogKv commit level (default: fsync)
-//!     [--arity 64] [--cache-bytes 67108864]     # engine tuning
+//!     [--cache-bytes 67108864]                   # engine tuning
 //!     [--max-resident 1024]                      # bound hydrated streams (default: unbounded)
 //!     [--metrics-addr 127.0.0.1:9090]           # Prometheus /metrics + /events
 //!     [--idle-timeout-ms 300000]                 # reap silent connections (default: 5 min; 0 = never)
@@ -51,7 +51,6 @@ struct Args {
     host: Vec<usize>,
     store: Option<String>,
     durability: Durability,
-    arity: usize,
     cache_bytes: usize,
     max_resident: Option<usize>,
     metrics_addr: Option<String>,
@@ -61,7 +60,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: timecrypt-node --listen HOST:PORT --shards TOTAL --host ID[,ID...] \
-         [--store PATH] [--durability fsync|flush|buffered] [--arity N] [--cache-bytes N] \
+         [--store PATH] [--durability fsync|flush|buffered] [--cache-bytes N] \
          [--max-resident N] [--metrics-addr HOST:PORT] [--idle-timeout-ms N]"
     );
     std::process::exit(2);
@@ -77,7 +76,6 @@ fn parse_args() -> Args {
         // A node is the durable tier of a cluster: acknowledged writes
         // must survive kill -9, so the strongest level is the default.
         durability: Durability::Fsync,
-        arity: defaults.arity,
         cache_bytes: defaults.cache_bytes,
         max_resident: defaults.max_resident_streams,
         metrics_addr: None,
@@ -114,7 +112,6 @@ fn parse_args() -> Args {
                     }
                 };
             }
-            "--arity" => args.arity = value("--arity").parse().unwrap_or_else(|_| usage()),
             "--cache-bytes" => {
                 args.cache_bytes = value("--cache-bytes").parse().unwrap_or_else(|_| usage());
             }
@@ -171,7 +168,6 @@ fn main() {
             total_shards: args.shards,
             hosted: args.host.clone(),
             engine: ServerConfig {
-                arity: args.arity,
                 cache_bytes: args.cache_bytes,
                 max_resident_streams: args.max_resident,
             },

@@ -612,7 +612,7 @@ mod tests {
         // One job per (batch, shard): a stream's 40 chunks in one batch
         // are one engine run and so one store commit — never cut in two by
         // the worker's greedy drain. Per run: 40 level-0 records — the
-        // chunks — + the index nodes it seals (one per 64 chunks).
+        // chunks, each with its running sum — and nothing else.
         #[derive(Default)]
         struct BatchSizes(MemKv, parking_lot::Mutex<Vec<usize>>);
         impl KvStore for BatchSizes {
@@ -641,13 +641,11 @@ mod tests {
         let svc = ShardedService::open(store.clone(), cfg).unwrap();
         svc.create_stream(1, 0, 10_000, 2).unwrap();
         let before = svc.kv().counters().puts;
-        let mut want = Vec::new();
         for repeat in 0..20u64 {
             let batch = (0..40).map(|i| sealed_chunk(1, repeat * 40 + i, 1));
             assert!(svc.submit_batch(batch.collect()).iter().all(Result::is_ok));
-            let seals = (repeat + 1) * 40 / 64 - repeat * 40 / 64;
-            want.push(40 + seals as usize);
         }
+        let want = vec![40; 20];
         assert_eq!(*store.1.lock(), want, "a run is exactly one store batch");
         // The service's meter counts the batches' ops as the puts they are.
         assert_eq!(

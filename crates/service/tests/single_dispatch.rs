@@ -369,7 +369,8 @@ fn cluster(remote: bool) -> (ShardedService, Vec<Arc<MemKv>>, Vec<Server>) {
 /// The coordinator forwards the bytes it received: what the store holds
 /// as a chunk's one record is exactly what the client put in the
 /// `InsertBatch` frame past the chunk's position (which the key carries),
-/// a raw read returns the frame's bytes whole, and `submit_batch` of the
+/// the digest summed into the stream's running sum, a raw read returns the
+/// frame's bytes whole, and `submit_batch` of the
 /// same chunks — serialized once on entry — joins the same path, down to
 /// identical stores and verdicts.
 #[test]
@@ -418,10 +419,22 @@ fn coordinator_stores_the_frames_chunk_bytes_verbatim() {
             .map(|(_, value)| value)
             .collect();
         stored.sort();
-        let mut expected: Vec<Vec<u8>> = sent[..accepted]
-            .iter()
-            .map(|bytes| bytes[EncryptedChunk::POSITION_LEN..].to_vec())
-            .collect();
+        // Each record is the chunk's bytes with its stream's running sum
+        // in place of its digest.
+        let mut sums = std::collections::HashMap::new();
+        let running = |bytes: &Vec<u8>| {
+            let chunk = EncryptedChunk::from_bytes(bytes).unwrap();
+            let sum: &mut Vec<u64> = sums.entry(chunk.stream).or_insert_with(|| vec![0; 2]);
+            sum.iter_mut()
+                .zip(&chunk.digest_ct)
+                .for_each(|(s, d)| *s = s.wrapping_add(*d));
+            let record = EncryptedChunk {
+                digest_ct: sum.clone(),
+                ..chunk
+            };
+            record.to_bytes()[EncryptedChunk::POSITION_LEN..].to_vec()
+        };
+        let mut expected: Vec<Vec<u8>> = sent[..accepted].iter().map(running).collect();
         expected.sort();
         assert_eq!(stored, expected, "stored values (remote={remote})");
         for kv in &wire_stores {

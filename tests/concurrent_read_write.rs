@@ -69,7 +69,6 @@ fn engine_readers_stay_exact_and_monotone_during_ingest() {
         TimeCryptServer::open(
             Arc::new(MemKv::new()),
             ServerConfig {
-                arity: 8,
                 // Small cache: readers also take the store miss path.
                 cache_bytes: 8 * 1024,
                 ..ServerConfig::default()

@@ -1,20 +1,15 @@
 //! Deterministic hydration-cost guard (ROADMAP aim 1: gate the counters
 //! that don't jitter), next to `write_amplification.rs`. A resident stream
-//! is its open spine, not its history: the first touch of a cold stream
-//! finds the length by key probes and rebuilds each open index node from
-//! the at most k−1 records under it — level-0 records for the level-1
-//! node, sealed nodes above — so it costs O(k·log_k n) store reads that
-//! follow `n mod k` per level, not `n`. And the integrity ledger is a
-//! cache only proof requests fill: ingest and statistical queries never
-//! read a level-0 record back for it.
+//! is its length and its running sum, not its history: the first touch of
+//! a cold stream finds the length by key probes and reads one record, the
+//! last, whose running sum answers every query that ends at the stream's
+//! end — one get whatever `n`. And the integrity ledger is a cache only
+//! proof requests fill: ingest and statistical queries never read a
+//! level-0 record back for it.
 //!
-//! Byte model at arity 64 and digest width 4: a sealed node is 2 308 B
-//! (4 + 64·36); a level-0 record is the chunk without its position — 36 B
-//! of digest, then the body, 4 + payload (48 B with this file's 8 B
-//! payloads). Re-pinned in PR 19, when the record became the chunk: the
-//! read *counts* are those of the `digest ‖ commitment` records before it
-//! (68 B each); the bytes of a first touch are the old bound with ≤ 63 tail
-//! bodies in place of 63 commitments, and a stream's first proof reads —
+//! Byte model at digest width 4: a level-0 record is the chunk without its
+//! position, its digest the running sum — 36 B, then the body, 4 + payload
+//! (48 B with this file's 8 B payloads). A stream's first proof reads —
 //! and hashes — every attested record whole: `n` gets, `Σ record bytes`.
 
 use std::sync::Arc;
@@ -51,13 +46,9 @@ fn ingest(server: &TimeCryptServer, stream: u128, range: std::ops::Range<u64>) {
 }
 
 #[test]
-fn first_touch_reads_the_open_spine_not_the_history() {
-    // Three levels at every length; the same absolute bounds at each:
-    // at most 63 records or nodes per level plus the length probes, and
-    // at most 63 level-0 records and 2·63 sealed nodes in bytes. (A replay
-    // of the level-0 records reads 48·n bytes: over the bound at 10 000.)
-    const MAX_READS: u64 = 3 * 63 + 40;
-    const MAX_BYTES: u64 = 63 * RECORD + 2 * 63 * 2308;
+fn first_touch_reads_one_record_not_the_history() {
+    // The same reads at every length: the length probes (key scans, and
+    // one prefix scan for the decay cutoffs) and the last record.
     for n in [10_000u64, 20_000, 40_000] {
         let base: Arc<dyn KvStore> = Arc::new(MemKv::new());
         {
@@ -74,10 +65,16 @@ fn first_touch_reads_the_open_spine_not_the_history() {
         let after = metered.counters();
         assert_eq!(reply.parts, vec![(1, 0, n)]);
         assert_eq!(reply.agg, vec![n * (n - 1) / 2; WIDTH]);
-        let reads = (after.gets - before.gets) + (after.scans - before.scans);
-        let bytes = after.bytes_read - before.bytes_read;
-        assert!(reads <= MAX_READS, "{n} chunks: {reads} store reads");
-        assert!(bytes <= MAX_BYTES, "{n} chunks: {bytes} B read");
+        let (gets, bytes) = (
+            after.gets - before.gets,
+            after.bytes_read - before.bytes_read,
+        );
+        assert_eq!((gets, bytes), (1, RECORD), "{n} chunks");
+        let probes = after.scans - before.scans;
+        assert!(
+            probes <= 2 * n.ilog2() as u64 + 3,
+            "{n} chunks: {probes} scans"
+        );
         // The handle it built answers like one that never closed.
         let (lo, hi) = (n / 3, n - 7);
         let reply = server

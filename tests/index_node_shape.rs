@@ -1,20 +1,19 @@
-//! Deterministic shape guard for index nodes (ROADMAP aim 1(c): gate the
-//! counts that don't jitter), beside `index_ram.rs`. A node is one buffer —
-//! the bytes it is stored as — so a cached node must hold of the heap what
-//! the cache charges for it, a cold query must allocate per node it reads
-//! and not per entry, a warm one only its accumulator, and an append must
-//! copy the open node it touches as a block, whatever the node already
-//! holds — the query's walk (`query_node`) and the spine's ripple
-//! (`Spine::push`) allocate nothing of their own. Only a query's store read
-//! fills the cache: a written handle holds its open spine, no sealed node.
+//! Deterministic shape guard for the index's boundary reads (ROADMAP aim
+//! 1(c): gate the counts that don't jitter), beside `index_ram.rs`. A range
+//! sum is the difference of two running sums, so a cold query reads at
+//! most two records whatever the history and allocates per record it
+//! reads, a warm one only its accumulator, and an append allocates the
+//! same whatever the stream holds. Only a query's store read fills the
+//! boundary cache, and a cached running sum must hold of the heap what the
+//! cache charges for it.
 //!
 //! Counts only: the binary's global allocator (`tests/common`) keeps, per
-//! thread, the calls made and the bytes live. The guard prints its
-//! figures; none is a timing.
+//! thread, the calls made and the bytes live; `MeteredKv` counts the store
+//! reads. The guard prints its figures; none is a timing.
 
 use std::sync::Arc;
 use timecrypt::index::{AggTree, TreeConfig};
-use timecrypt::store::{KvPairs, KvStore, MemKv, StoreError};
+use timecrypt::store::{KvPairs, KvStore, MemKv, MeteredKv, StoreError};
 
 mod common;
 
@@ -23,77 +22,66 @@ use common::{calls_of, live};
 #[global_allocator]
 static ALLOCATOR: common::Counting = common::Counting;
 
-fn open(kv: &Arc<MemKv>, arity: usize) -> AggTree<Vec<u64>> {
-    open_with_cache(kv, arity, 64 << 20)
-}
-
-fn open_with_cache(kv: &Arc<MemKv>, arity: usize, cache_bytes: usize) -> AggTree<Vec<u64>> {
-    let cfg = TreeConfig { arity, cache_bytes };
-    AggTree::open(kv.clone() as Arc<dyn KvStore>, 1, cfg).unwrap()
+fn open(kv: Arc<dyn KvStore>, cache_bytes: usize) -> AggTree<Vec<u64>> {
+    AggTree::open(kv, 1, TreeConfig { cache_bytes }).unwrap()
 }
 
 /// A store holding `chunks` digests of `width`, and no handle on it.
-fn filled(arity: usize, width: usize, chunks: u64) -> Arc<MemKv> {
+fn filled(width: usize, chunks: u64) -> Arc<MemKv> {
     let kv = Arc::new(MemKv::new());
     let digests: Vec<Vec<u64>> = (0..chunks).map(|c| vec![c; width]).collect();
-    open(&kv, arity).append_batch(&digests).unwrap();
+    open(kv.clone(), 64 << 20).append_batch(&digests).unwrap();
     kv
 }
 
 #[test]
 fn a_cached_node_holds_what_the_cache_charges_for_it() {
-    const NODES: u64 = 40;
+    const QUERIES: u64 = 1000;
     for width in [4, 19] {
-        let kv = filled(64, width, NODES * 64);
-        let tree = open(&kv, 64);
+        let tree = open(filled(width, 4 * QUERIES), 64 << 20);
         let start = live();
-        // All but the first chunk of each leaf node: the level-2 entry does
-        // not answer that, so the sweep reads, and caches, every one.
-        for node in 0..NODES {
-            tree.query(node * 64 + 1, (node + 1) * 64).unwrap();
+        // Two boundaries no query before read: each query caches two sums.
+        for q in 0..QUERIES {
+            tree.query(4 * q + 1, 4 * q + 3).unwrap();
         }
         let held = (live() - start) as f64;
         let stats = tree.stats().unwrap();
-        assert_eq!(stats.cache_misses, NODES);
-        let weight = 4 + 64 * (4 + 8 * width);
-        assert_eq!(stats.cache_used_bytes, NODES as usize * weight);
-        println!(
-            "heap bytes per cached node, width {width}: {:.0} held, {weight} charged",
-            held / NODES as f64
-        );
+        assert_eq!(stats.cache_misses, 2 * QUERIES);
         let charged = stats.cache_used_bytes as f64;
+        println!(
+            "heap bytes per cached running sum, width {width}: {:.0} held, {:.0} charged",
+            held / (2 * QUERIES) as f64,
+            charged / (2 * QUERIES) as f64
+        );
         assert!(held <= 1.15 * charged, "{held} B held, {charged} charged");
     }
 }
 
 #[test]
 fn a_cold_query_allocates_per_node_read_not_per_entry() {
-    // Three levels at either arity; both edges of each range fall inside a
-    // leaf node, so a walk reads sealed nodes at levels 2 and 1 (the rest
-    // of its path is the open spine). The first query reads other nodes
-    // than the second: it is there so that the cache's own maps exist — one
-    // segment at this budget — and what the second allocates is per node.
-    let mut per_node = Vec::new();
-    for (arity, chunks) in [(4u64, 60u64), (64, 5000)] {
-        let kv = filled(arity as usize, 19, chunks);
-        let tree = open_with_cache(&kv, arity as usize, 48 << 10);
-        assert_eq!(tree.levels(), 3);
-        tree.query(arity + 1, chunks - 3 * arity - 1).unwrap();
-        let warm_up = tree.stats().unwrap().cache_misses;
-        let (calls, sum) = calls_of(|| tree.query(1, chunks - arity - 1).unwrap());
-        assert_eq!(sum[0], (1..chunks - arity - 1).sum::<u64>());
-        let read = tree.stats().unwrap().cache_misses - warm_up;
-        println!("cold query, arity {arity}: {calls} allocations, {read} nodes read");
-        assert!(read >= 2, "{read} nodes read");
-        assert!(calls <= 4 * read, "{calls} allocations, {read} nodes read");
-        per_node.push(calls as f64 / read as f64);
-        // Again, from the cache: the accumulator is all a walk allocates.
-        let (warm, _) = calls_of(|| tree.query(1, chunks - arity - 1).unwrap());
-        assert_eq!(tree.stats().unwrap().cache_misses - warm_up, read);
-        assert_eq!(warm, 1, "a warm query, arity {arity}");
+    // Whatever the history: two records read, and a few allocations each.
+    // The first query reads other records than the second: it is there so
+    // that the cache's own maps exist.
+    for chunks in [60u64, 5000, 50_000] {
+        let kv = Arc::new(MeteredKv::new(filled(19, chunks)));
+        let tree = open(kv.clone(), 48 << 10);
+        tree.query(2, 5).unwrap();
+        let (lo, hi) = (chunks / 3, chunks - 7);
+        let before = kv.counters().gets;
+        let (calls, sum) = calls_of(|| tree.query(lo, hi).unwrap());
+        assert_eq!(sum[0], (lo..hi).sum::<u64>());
+        let read = kv.counters().gets - before;
+        println!("cold query over {chunks} chunks: {calls} allocations, {read} records read");
+        assert_eq!(read, 2, "{chunks} chunks");
+        assert!(
+            calls <= 4 * read,
+            "{calls} allocations, {read} records read"
+        );
+        // Again, from the cache: the accumulator is all a query allocates.
+        let (warm, _) = calls_of(|| tree.query(lo, hi).unwrap());
+        assert_eq!(kv.counters().gets - before, read);
+        assert_eq!(warm, 1, "a warm query over {chunks} chunks");
     }
-    let (narrow, wide) = (per_node[0], per_node[1]);
-    assert!(wide <= narrow + 0.5, "{narrow} per node at 4, {wide} at 64");
 }
 
 /// What dropping `tree` gives back to the heap: what it held.
@@ -103,54 +91,38 @@ fn held(tree: AggTree<Vec<u64>>) -> isize {
     before - live()
 }
 
-/// A handle that appended `4 × 64 + 10` chunks of `width` as one run, and
-/// its store: four sealed leaf nodes, ten chunks open at level 1.
-fn written(width: usize) -> (Arc<MemKv>, AggTree<Vec<u64>>) {
-    let kv = Arc::new(MemKv::new());
-    let tree = open(&kv, 64);
-    let digests: Vec<Vec<u64>> = (0..4 * 64 + 10).map(|c| vec![c; width]).collect();
-    tree.append_batch(&digests).unwrap();
-    (kv, tree)
-}
-
 #[test]
 fn an_append_caches_nothing() {
     for width in [4, 19] {
-        let (kv, tree) = written(width);
+        let written = || {
+            let kv = Arc::new(MemKv::new());
+            let tree = open(kv.clone(), 64 << 20);
+            let digests: Vec<Vec<u64>> = (0..4 * 64 + 10).map(|c| vec![c; width]).collect();
+            tree.append_batch(&digests).unwrap();
+            (kv, tree)
+        };
+        let (kv, tree) = written();
         assert_eq!(tree.stats().unwrap().cache_used_bytes, 0, "width {width}");
         // What a written handle holds is what one opened on its store
-        // rebuilds: the open spine, and none of the sealed history.
-        let (written_bytes, spine) = (held(tree), held(open(&kv, 64)));
-        println!(
-            "heap bytes a written tree holds, width {width}: {written_bytes} \
-             (its open spine: {spine})"
-        );
-        assert!(
-            written_bytes <= spine + 256,
-            "{written_bytes} B held, {spine} B of spine"
-        );
-        // Sealed leaf node 1: the first query over it reads it from the
-        // store, the second finds it cached.
-        let (_, tree) = written(width);
+        // holds: the last running sum, none of the history.
+        let (written_bytes, opened) = (held(tree), held(open(kv.clone(), 64 << 20)));
+        println!("heap bytes a written index holds, width {width}: {written_bytes}");
+        assert_eq!(written_bytes, opened, "width {width}");
+        assert!(written_bytes <= 8 * width as isize + 32, "width {width}");
+        // The first query over stored sums reads them, the second finds
+        // them cached.
+        let (_, tree) = written();
         let misses_and_hits = || {
             assert_eq!(tree.query(65, 128).unwrap()[0], (65..128).sum::<u64>());
             let stats = tree.stats().unwrap();
             (stats.cache_misses, stats.cache_hits)
         };
-        assert_eq!(
-            misses_and_hits(),
-            (1, 0),
-            "width {width}: read from the store"
-        );
-        assert_eq!(
-            misses_and_hits(),
-            (1, 1),
-            "width {width}: then from the cache"
-        );
+        assert_eq!(misses_and_hits(), (2, 0), "width {width}: from the store");
+        assert_eq!(misses_and_hits(), (2, 2), "width {width}: then the cache");
     }
 }
 
-/// A store that keeps nothing: what an append allocates is the tree's.
+/// A store that keeps nothing: what an append allocates is the index's.
 struct Discard;
 
 impl KvStore for Discard {
@@ -170,22 +142,17 @@ impl KvStore for Discard {
 
 #[test]
 fn an_append_allocates_the_same_whatever_the_open_node_holds() {
-    let cfg = TreeConfig {
-        arity: 64,
-        cache_bytes: 64 << 20,
-    };
-    let tree = AggTree::open(Arc::new(Discard), 1, cfg).unwrap();
+    let tree = open(Arc::new(Discard), 64 << 20);
     let mut calls = Vec::new();
-    for chunk in 0..63u64 {
+    for chunk in 0..200u64 {
         let digest = vec![chunk; 19];
         calls.push(calls_of(|| tree.append(digest).unwrap()).0);
     }
-    // The open leaf node holds 1 entry before the second append, 62 before
-    // the last. Whatever it holds, an append encodes its record and decodes
-    // it back, copies the spine, the running total and the open node once
-    // each, and builds its key list and its batch: nine blocks.
-    println!("allocations per append, first to 63rd: {calls:?}");
-    assert!(calls[1] <= 9, "{} allocations", calls[1]);
+    // Whatever the stream holds, an append encodes its record into a list
+    // and copies the running sum, then builds its stored record, its key
+    // list and its batch: six blocks.
+    println!("allocations per append, first to 200th: {:?}", &calls[..4]);
+    assert!(calls[1] <= 6, "{} allocations", calls[1]);
     assert!(calls[1..].iter().all(|&c| c == calls[1]), "{calls:?}");
-    assert_eq!(tree.query(0, 63).unwrap()[0], (0..63).sum::<u64>());
+    assert_eq!(tree.query(0, 200).unwrap()[0], (0..200).sum::<u64>());
 }

@@ -1,7 +1,9 @@
 //! One record per chunk: the chunk *is* its level-0 index record —
 //! `il/<stream>/<index>` → the serialized chunk without the position the
-//! key carries, `digest ‖ pn ‖ payload` — until `delete_range` turns the
-//! record into its stub, `digest ‖ 0xFFFF_FFFF ‖ commitment[32]`. Pinned
+//! key carries, its digest replaced by the stream's running sum,
+//! `sum ‖ pn ‖ payload` — until `delete_range` turns the record into its
+//! stub, `sum ‖ 0xFFFF_FFFF ‖ commitment[32]`. A chunk's own digest is its
+//! sum less the one before. Pinned
 //! here: every raw reader hands back exactly the ingested bytes and the
 //! commitment proofs rest on is the one the owner computed over them; the
 //! stub keeps digests, statistics and proofs as they were; `delete_range`
@@ -38,6 +40,24 @@ fn exported_leaves(server: &TimeCryptServer, stream: u128) -> Vec<(Vec<u8>, Vec<
     assert!(done, "one page");
     let leaf = |(key, _): &(Vec<u8>, Vec<u8>)| key.starts_with(keys::LEAF);
     records.into_iter().filter(leaf).collect()
+}
+
+/// The records a stream of chunks `sent` is stored as, in chunk order:
+/// each chunk past its position, its digest the stream's running sum.
+fn stored_forms(sent: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut sum: Option<Vec<u64>> = None;
+    let stored = |bytes: &Vec<u8>| {
+        let chunk = EncryptedChunk::from_bytes(bytes).unwrap();
+        let sum = sum.get_or_insert_with(|| vec![0; chunk.digest_ct.len()]);
+        let words = sum.iter_mut().zip(&chunk.digest_ct);
+        words.for_each(|(s, d)| *s = s.wrapping_add(*d));
+        let chunk = EncryptedChunk {
+            digest_ct: sum.clone(),
+            ..chunk
+        };
+        chunk.to_bytes()[EncryptedChunk::POSITION_LEN..].to_vec()
+    };
+    sent.iter().map(stored).collect()
 }
 
 /// Chunk `index`'s record as the store holds it, under its key.
@@ -151,13 +171,13 @@ proptest! {
 
         prop_assert!(kv.scan_keys(b"c/").unwrap().is_empty());
         prop_assert_eq!(kv.scan_keys(keys::LEAF).unwrap().len() as u64, n);
-        for (index, sent) in (0u64..).zip(&a.sent) {
+        let forms = stored_forms(&a.sent);
+        for (index, form) in (0u64..).zip(&forms) {
             let record = kv.get(&keys::leaf(stream, index)).unwrap().unwrap();
-            prop_assert_eq!(&record[..], &sent[EncryptedChunk::POSITION_LEN..]);
+            prop_assert_eq!(&record, form);
         }
         prop_assert_eq!(&a.read(0, n).unwrap(), &a.sent);
-        let records = a.sent.iter().map(|sent| sent[EncryptedChunk::POSITION_LEN..].to_vec());
-        let leaves = (0..n).map(|i| keys::leaf(stream, i).to_vec()).zip(records);
+        let leaves = (0..n).map(|i| keys::leaf(stream, i).to_vec()).zip(forms.clone());
         prop_assert_eq!(exported_leaves(&a.server, stream), leaves.collect::<Vec<_>>());
         let (att, proof, chunks) = a.server.get_verified_range(stream, 0, ts(n)).unwrap();
         prop_assert_eq!(&chunks, &a.sent);
@@ -183,8 +203,7 @@ proptest! {
         prop_assert_eq!(kv.counters().puts, puts, "a second call writes nothing");
         for index in lo..hi {
             let stub = kv.get(&keys::leaf(stream, index)).unwrap().unwrap();
-            let digest = &a.sent[index as usize][24..][..4 + 8 * width];
-            let mut expected = digest.to_vec();
+            let mut expected = forms[index as usize][..4 + 8 * width].to_vec();
             expected.extend_from_slice(&[0xFF; 4]);
             expected.extend_from_slice(&chunk_commitment(&a.sent[index as usize]));
             prop_assert_eq!(stub, expected);
@@ -262,36 +281,45 @@ proptest! {
         let stub = width.is_some_and(|w| {
             record.len() as u64 == 4 + 8 * w + 4 + 32 && record[record.len() - 36..][..4] == [0xFF; 4]
         });
+        // The record's sum less chunk 0's is chunk 1's own digest: only a
+        // sum of the stream's width has one.
+        let readable = (full || stub) && width == Some(3);
         let corrupt = |e: &ServerError| {
             matches!(e, ServerError::Index(IndexError::CorruptNode { level: 0, index: 1 }))
         };
         match a.server.get_range(77, 0, ts(3)) {
-            Ok(chunks) if full => prop_assert_eq!(&chunks[1], &whole),
-            Ok(chunks) => prop_assert!(stub && chunks.len() == 1),
-            Err(e) => prop_assert!(!full && !stub && corrupt(&e), "{e}"),
+            Ok(chunks) if full => {
+                let before = [&EncryptedChunk::position(77, 0)[..], &stored(kv.as_ref(), 77, 0).1].concat();
+                let before = EncryptedChunk::from_bytes(&before).unwrap().digest_ct;
+                let sum = EncryptedChunk::from_bytes(&whole).unwrap();
+                let own = sum.digest_ct.iter().zip(&before).map(|(s, b)| s.wrapping_sub(*b));
+                let chunk = EncryptedChunk { digest_ct: own.collect(), ..sum };
+                prop_assert!(readable);
+                prop_assert_eq!(&chunks[1], &chunk.to_bytes());
+            }
+            Ok(chunks) => prop_assert!(readable && stub && chunks.len() == 1),
+            Err(e) => prop_assert!(!readable && corrupt(&e), "{e}"),
         }
         // An export copies records, whatever they hold.
         prop_assert_eq!(&exported_leaves(&a.server, 77)[1], &stored(kv.as_ref(), 77, 1));
-        // The ledger catch-up also refuses a record of another width than
-        // the stream's; what it accepts is the server's claim, for the
-        // client to verify.
-        let provable = (full || stub) && width == Some(3);
+        // So does the ledger catch-up; what it accepts is the server's
+        // claim, for the client to verify.
         match a.server.get_range_proof(77, 0, ts(3)) {
-            Ok(_) => prop_assert!(provable),
-            Err(e) => prop_assert!(!provable && corrupt(&e), "{e}"),
+            Ok(_) => prop_assert!(readable),
+            Err(e) => prop_assert!(!readable && corrupt(&e), "{e}"),
         }
         match a.server.get_verified_range(77, 0, ts(2)) {
-            Ok(_) => prop_assert!(provable && full),
-            Err(e) if provable => prop_assert!(stub && e.to_string().contains("deleted"), "{e}"),
+            Ok(_) => prop_assert!(readable && full),
+            Err(e) if readable => prop_assert!(stub && e.to_string().contains("deleted"), "{e}"),
             Err(e) => prop_assert!(corrupt(&e), "{e}"),
         }
         // Decay stubs nothing of a range it cannot read all of.
         match a.server.delete_range(77, 0, ts(3)) {
             Ok(stubbed) => prop_assert_eq!(stubbed, 1 + full as usize),
-            Err(e) => prop_assert!(!full && !stub && corrupt(&e), "{e}"),
+            Err(e) => prop_assert!(!readable && corrupt(&e), "{e}"),
         }
         let chunk0_kept = a.read(0, 1).is_ok_and(|chunks| chunks.len() == 1);
-        prop_assert_eq!(chunk0_kept, !full && !stub);
+        prop_assert_eq!(chunk0_kept, !readable);
     }
 }
 
@@ -321,7 +349,7 @@ fn a_crash_truncated_delete_range_is_all_stubs_or_none() {
         .unwrap();
         let read = server.get_range(stream, 0, ts(6)).unwrap();
         let exported: Vec<_> = exported_leaves(&server, stream);
-        let full = |i: usize| sent[i][EncryptedChunk::POSITION_LEN..].to_vec();
+        let full = |i: usize| stored_forms(&sent)[i].clone();
         let full_at = |i: usize| exported[i].1 == full(i);
         if cut < whole {
             assert_eq!(read, sent, "cut {cut}: a torn batch is no batch");

@@ -1,26 +1,27 @@
 //! Deterministic write-amplification guard (ROADMAP aim 1(c): gate the
 //! counters that don't jitter). An ingest must cost the store what the byte
 //! model of one record per chunk says: per chunk its level-0 record — the
-//! chunk itself, without the position its key carries — plus one sealed
-//! node per k chunks per level, all of a stream's run in one commit. In a
-//! `LogKv` each record adds ≈ 10 B of frame: flags, sequence byte, value
-//! length, the run number and tail that name its key (one or two bytes
-//! each) and the CRC. A key is spelled out (28 B and its length) only
-//! where its head had no run when the record's batch started: a stream's
-//! first batch of chunks — its first two in the fleet shape, of one chunk
-//! each — and its first two nodes of a level.
+//! chunk itself, without the position its key carries, its digest swapped
+//! for the stream's running sum of the same length — and nothing else, all
+//! of a stream's run in one commit. In a `LogKv` each record adds ≈ 10 B of
+//! frame: flags, sequence byte, value length, the run number and tail that
+//! name its key (one or two bytes each) and the CRC. A key is spelled out
+//! (28 B and its length) only where its head had no run when the record's
+//! batch started: a stream's first batch of chunks — its first two in the
+//! fleet shape, of one chunk each.
 //!
 //! **Fleet-shaped**: many streams, one small chunk per stream per batch, so
-//! nothing amortises across a batch. In values, per 119 B chunk: 95 (the
-//! record: 4 + 8·4 digest, 4 + 55 payload) + 2308/64 (a full level-1 node,
-//! 4 + 64·36, once per 64 chunks) = 131.1 B; in the log, 105 + 2318/64 ≈
-//! 141.2 B per chunk, 1.19 per user byte.
+//! nothing amortises across a batch. Per 119 B chunk: 95 value bytes (the
+//! record: 4 + 8·4 sum, 4 + 55 payload); in the log ≈ 105, 0.88 per user
+//! byte. A sealed 64-ary node beside them (2 308 B per 64 chunks, the
+//! layout before running sums) made it 1.17.
 //!
 //! **Dashboard-shaped**: 19-wide digests and a stream's 16 chunks per
 //! batch, so most records name a run their own batch extends. Per 284 B
-//! chunk: 260 (4 + 8·19 digest, 4 + 100 payload) + 9988/64 (4 + 64·156)
-//! = 416.1 value bytes; in the log ≈ 271 + 9998/64 ≈ 427.2, plus the
-//! spelled-out first batch of each stream (≈ 0.9 B per chunk over 512).
+//! chunk: 260 value bytes (4 + 8·19 sum, 4 + 100 payload); in the log
+//! ≈ 271, plus the spelled-out first batch of each stream (≈ 0.9 B per
+//! chunk over 512): 0.96 per user byte, where the nodes (9 988 B per 64
+//! chunks) made it 1.51.
 //!
 //! Each shape then answers 64 statistical queries over all its streams
 //! from a freshly opened engine, with the benchmark workload's per-stream
@@ -172,35 +173,24 @@ fn measure(
 
 #[test]
 fn fleet_ingest_store_writes_stay_under_the_byte_model() {
-    // 200 chunks per stream at the default arity 64: three level-1 seals.
     let (puts, bytes, rows) = measure("fleet", (8, 200, 1), (WIDTH, PAYLOAD), 64 << 20);
-    // Puts: 1 per chunk + 1/64 sealed level-1 nodes (+ 1/4096 level-2).
-    assert!(
-        puts <= 1.0 + 1.0 / 64.0 + 1.0 / 4096.0,
-        "{puts} puts per chunk"
-    );
-    // Value bytes per chunk (`MeteredKv` counts values): 95 + 36.1.
-    assert!(bytes <= 8 * 200 * 132, "{bytes} B written");
+    // One put of the record's 95 value bytes per chunk (`MeteredKv`).
+    assert_eq!((puts, bytes), (1.0, 8 * 200 * 95));
     ledger(&rows);
 }
 
 #[test]
 fn dashboard_ingest_store_writes_stay_under_the_byte_model() {
-    // 512 chunks per stream, 16 a batch: 32 batches and eight level-1 seals.
+    // 512 chunks per stream, 16 a batch: 32 batches.
     let (puts, bytes, rows) = measure("dashboard", (4, 512, 16), (19, 100), 64 << 10);
-    assert!(
-        puts <= 1.0 + 1.0 / 64.0 + 1.0 / 4096.0,
-        "{puts} puts per chunk"
-    );
-    // Value bytes per chunk: 260 + 156.1.
-    assert!(bytes <= 4 * 512 * 417, "{bytes} B written");
+    assert_eq!((puts, bytes), (1.0, 4 * 512 * 260));
     ledger(&rows);
 }
 
 /// The deployed durability (`timecrypt-node` defaults to `Fsync`): one
 /// stream's 16-chunk upload is one commit, so it waits for one fsync —
-/// not one per record (17 of them: 16 level-0 records and the level-1
-/// node the run seals). The other test in this binary never fsyncs, so the
+/// not one per record (16 of them, the level-0 records). The other test in
+/// this binary never fsyncs, so the
 /// process-wide counter moves only here.
 #[test]
 fn an_ingest_run_under_fsync_waits_for_one_fsync() {
@@ -227,7 +217,7 @@ fn an_ingest_run_under_fsync_waits_for_one_fsync() {
     run(0..48);
     let (fsyncs, keys) = (timecrypt_obs::counters::FSYNCS.get(), log.len());
     run(48..64);
-    assert_eq!(log.len() - keys, 17);
+    assert_eq!(log.len() - keys, 16);
     assert_eq!(timecrypt_obs::counters::FSYNCS.get() - fsyncs, 1);
     drop(server);
     std::fs::remove_file(path).unwrap();
