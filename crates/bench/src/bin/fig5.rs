@@ -1,10 +1,10 @@
 //! Fig. 5: aggregate-query latency over varying interval sizes [0, 2^x].
 //!
-//! For TimeCrypt/plaintext the curve is flat-ish and *drops* at power-of-k
-//! boundaries (fewer tree levels touched; aggregating the whole index is
-//! just reading the root). The strawman schemes show a sawtooth from
-//! expensive on-the-fly homomorphic additions inside partially covered
-//! nodes. The paper caps the strawman at 2^20 chunks due to construction
+//! The paper's 64-ary tree gives TimeCrypt/plaintext a flat-ish curve and
+//! the strawman schemes a sawtooth from on-the-fly additions inside
+//! partially covered nodes. This index answers `[0, 2^x]` from one stored
+//! running sum, so every scheme's curve is flat: the cost of one record
+//! read and one decryption. The paper caps the strawman at 2^20 chunks due to construction
 //! cost; we cap at 2^8 by default (`--full` raises TimeCrypt/plaintext to
 //! 2^26 and strawman to 2^12).
 //!

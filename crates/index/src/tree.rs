@@ -360,10 +360,16 @@ impl<D: HomDigest> AggTree<D> {
             return Ok(());
         }
         let _write = self.write.lock(Mutex::lock);
-        let (base, mut sum) = {
+        let (base, sum) = {
             let published = self.published.lock(RwLock::read);
             (published.len, published.sum.clone())
         };
+        // A stream's first record starts from the zero of its digest's shape.
+        let zero = || D::decode(records.first()?.as_ref()).map(|(first, _)| first.zero_like());
+        let mut sum = sum.or_else(zero).ok_or(IndexError::CorruptNode {
+            level: 0,
+            index: base,
+        })?;
         let bytes = records.iter().map(|record| record.as_ref().len()).sum();
         let mut stored = Vec::with_capacity(bytes);
         let mut placed = Vec::with_capacity(records.len());
@@ -371,13 +377,9 @@ impl<D: HomDigest> AggTree<D> {
             let record = record.as_ref();
             let corrupt = || IndexError::CorruptNode { level: 0, index };
             let digest = D::encoded_len_at(record).ok_or_else(corrupt)?;
-            let added = match sum.as_mut() {
-                Some(sum) => sum.add_encoded(record),
-                None => D::decode(record).map(|(first, _)| sum = Some(first)),
-            };
-            added.ok_or_else(corrupt)?;
+            sum.add_encoded(record).ok_or_else(corrupt)?;
             let start = stored.len();
-            sum.iter().for_each(|sum| sum.encode(&mut stored));
+            sum.encode(&mut stored);
             stored.extend_from_slice(&record[digest..]);
             placed.push((keys::leaf(self.stream, index), start..stored.len()));
         }
@@ -391,7 +393,7 @@ impl<D: HomDigest> AggTree<D> {
         let _old = {
             let mut published = self.published.lock(RwLock::write);
             published.len = base + records.len() as u64;
-            std::mem::replace(&mut published.sum, sum)
+            published.sum.replace(sum)
         };
         Ok(())
     }

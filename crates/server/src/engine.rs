@@ -428,44 +428,36 @@ struct Record {
 }
 
 impl Record {
-    /// Chunk `index` from its stored bytes and the running sum of the
-    /// chunk before (none for chunk 0), with its own running sum. Neither
-    /// form, or a sum of another width than the one before: `CorruptNode`
-    /// at level 0.
-    fn decode(
-        index: u64,
-        stored: Vec<u8>,
-        before: Option<&Vec<u64>>,
-    ) -> Result<(Record, Vec<u64>), IndexError> {
+    /// Chunk `index` from its stored bytes and the encoded running sum of
+    /// the chunk before (none for chunk 0). Neither form, or a sum of
+    /// another width than the one before: `CorruptNode` at level 0.
+    fn decode(index: u64, stored: Vec<u8>, before: Option<&[u8]>) -> Result<Record, IndexError> {
         let decoded = || {
-            let (sum, sum_len) = Vec::<u64>::decode(&stored)?;
+            let (mut own, sum_len) = Vec::<u64>::decode(&stored)?;
             let (pn, body) = stored[sum_len..].split_first_chunk::<4>()?;
             let stub = match u32::from_le_bytes(*pn) {
                 STUB_PN => Some(body.try_into().ok()?),
                 pn => (body.len() == pn as usize).then_some(None)?,
             };
-            let mut own = sum.clone();
-            if let Some(before) = before {
-                (before.len() == own.len()).then(|| own.sub_assign(before))?;
-            }
-            Some((own, sum_len, stub, sum))
+            before.map_or(Some(()), |before| own.sub_encoded(before))?;
+            Some((own, sum_len, stub))
         };
         let corrupt = IndexError::CorruptNode { level: 0, index };
-        let (own, sum_len, stub, sum) = decoded().ok_or(corrupt)?;
-        let record = Record {
+        let (own, sum_len, stub) = decoded().ok_or(corrupt)?;
+        Ok(Record {
             index,
             stored,
             sum_len,
             own,
             stub,
-        };
-        Ok((record, sum))
+        })
     }
 
     /// The chunk as ingested: its position, its own digest, then the tail
     /// of its record.
     fn chunk(&self, stream: u128) -> Vec<u8> {
-        let mut chunk = EncryptedChunk::position(stream, self.index).to_vec();
+        let mut chunk = Vec::with_capacity(EncryptedChunk::POSITION_LEN + self.stored.len());
+        chunk.extend_from_slice(&EncryptedChunk::position(stream, self.index));
         self.own.encode(&mut chunk);
         chunk.extend_from_slice(&self.stored[self.sum_len..]);
         chunk
@@ -984,15 +976,18 @@ impl TimeCryptServer {
         lo: u64,
         hi: u64,
     ) -> impl Iterator<Item = Result<Record, IndexError>> + '_ {
-        let (mut next, mut before) = (lo.saturating_sub(1), None);
+        let (mut next, mut before) = (lo.saturating_sub(1), None::<Vec<u8>>);
         std::iter::from_fn(move || {
             while next < hi {
                 let index = next;
                 next += 1;
                 let stored = leaf_record(self.kv.as_ref(), stream, index);
-                match stored.and_then(|stored| Record::decode(index, stored, before.as_ref())) {
-                    Ok((record, sum)) => {
-                        before = Some(sum);
+                match stored.and_then(|stored| Record::decode(index, stored, before.as_deref())) {
+                    Ok(record) => {
+                        let sum = &record.stored[..record.sum_len];
+                        let before = before.get_or_insert_with(Vec::new);
+                        before.clear();
+                        before.extend_from_slice(sum);
                         if index >= lo {
                             return Some(Ok(record));
                         }

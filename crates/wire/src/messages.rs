@@ -509,7 +509,9 @@ wire_enum! {
             stream: u128,
             /// Cutoff time (ms): chunks before it decay.
             before_ts: i64,
-            /// Index level to keep (coarser levels survive).
+            /// Level of the 64-ary tree over the chunks to keep: windows
+            /// before the cutoff stay answerable at a granularity of
+            /// 64^(keep_level − 1) chunks.
             keep_level: u8,
         } => Stream(stream), mutates: true;
         /// Stream metadata probe.

@@ -6,8 +6,8 @@
 //!
 //! 1. `DeleteRange` drops aged raw chunk payloads **while keeping their
 //!    digests** — statistical history survives raw-data deletion,
-//! 2. `RollupStream` prunes fine index levels for old data — coarse
-//!    statistics stay queryable at a fraction of the index footprint,
+//! 2. `Rollup` ages out fine index levels for old data — coarse
+//!    statistics stay queryable,
 //! 3. fresh data remains fully readable at raw resolution.
 //!
 //! The server performs all of this on ciphertext: it never learns what it
