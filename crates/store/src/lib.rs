@@ -1,21 +1,18 @@
-//! Key-value storage engines (the paper's Cassandra substitute).
+//! Key-value storage engine (the paper's Cassandra substitute).
 //!
 //! TimeCrypt "can be plugged-in with any scalable key-value store for
 //! persisting data chunks and statistical indices" (§4.6). The prototype
-//! used Cassandra; this reproduction provides two interchangeable engines
-//! behind the [`KvStore`] trait:
+//! used Cassandra; this reproduction has one engine behind the
+//! [`KvStore`] trait, [`LogKv`]: an append-only log with crash-recovery
+//! replay. Its in-memory index holds record locations only — 12 bytes per
+//! key for keys that count up under a shared head (a stream's chunks: the
+//! layout `timecrypt_index::keys` declares), key and location for the
+//! rest; the log file is the one copy of the values, read positionally and
+//! re-validated on every read. The file is a [`LogFile`]: the [`OsFile`]
+//! a node opens by path, or the [`MemFile`] of [`MemKv`], the same engine
+//! in memory that every test, example and figure runs on.
 //!
-//! * [`MemKv`] — sharded in-memory hash map (the fast path; what the
-//!   co-located Cassandra + row-cache deployment approximates),
-//! * [`LogKv`] — persistent append-only log with crash-recovery replay
-//!   (durability). Its in-memory index holds record locations only — 12
-//!   bytes per key for keys that count up under a shared head (a stream's
-//!   chunks, a level's nodes: the layout `timecrypt_index::keys`
-//!   declares), key and location for the rest; the log
-//!   file is the one copy of the values, read positionally and
-//!   re-validated on every read,
-//!
-//! plus the [`MeteredKv`] decorator, which counts ops and bytes for the
+//! Beside it sits the [`MeteredKv`] decorator, which counts ops and bytes for the
 //! service tier's metrics (`timecrypt-faults` adds `FaultyKv`, which
 //! injects errors, torn writes and delays).
 //!
@@ -24,20 +21,20 @@
 //! The index and the engine commit a stream's whole ingest run, and a
 //! whole stream deletion, that way.
 //!
-//! Keys are arbitrary byte strings; TimeCrypt computes chunk/index-node keys
-//! on the fly from `(stream id, temporal range)` without storing references
-//! (§4.6 "storage model").
+//! Keys are arbitrary byte strings; TimeCrypt computes a chunk's key on the
+//! fly from `(stream id, chunk index)` without storing references (§4.6
+//! "storage model").
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
+pub mod file;
 pub mod log;
-pub mod mem;
 pub mod metered;
 
-pub use log::{Durability, LogKv, LogStats};
-pub use mem::MemKv;
+pub use file::{LogFile, MemFile, OsFile};
+pub use log::{Durability, LogKv, LogStats, MemKv};
 pub use metered::{MeteredKv, StoreCounters};
 
 use std::sync::Arc;
@@ -45,7 +42,7 @@ use std::sync::Arc;
 /// Storage error type.
 #[derive(Debug)]
 pub enum StoreError {
-    /// Underlying I/O failure (LogKv).
+    /// Underlying I/O failure.
     Io(std::io::Error),
     /// Log file corrupt at recovery.
     Corrupt(&'static str),
@@ -124,9 +121,8 @@ pub trait KvStore: Send + Sync {
     }
     /// Up to `limit` keys that start with `prefix` and sort after `after`,
     /// ascending: a bounded ordered scan, so a caller pages through a
-    /// prefix at the cost of a page per call. [`MemKv`] and [`LogKv`]
-    /// start at `after`; the default sorts a whole
-    /// [`scan_keys`](Self::scan_keys).
+    /// prefix at the cost of a page per call. [`LogKv`] starts at `after`;
+    /// the default sorts a whole [`scan_keys`](Self::scan_keys).
     fn scan_keys_after(
         &self,
         prefix: &[u8],
@@ -147,11 +143,11 @@ pub trait KvStore: Send + Sync {
     /// readers do it after the call returns (the index publishes `len`).
     ///
     /// The default is a loop over [`put`](Self::put) and
-    /// [`delete`](Self::delete), which keeps the promise only where those
-    /// cannot fail ([`MemKv`]) and in doubles that do not care (test
-    /// counters, the benchmark's timing wrapper, which then sees a batch as
-    /// its separate writes). [`LogKv`] commits a batch as one framed
-    /// append; every decorator in this workspace forwards the batch whole.
+    /// [`delete`](Self::delete), which keeps the promise only in doubles
+    /// that do not care (test counters, the benchmark's timing wrapper,
+    /// which then sees a batch as its separate writes). [`LogKv`] commits a
+    /// batch as one framed append; every decorator in this workspace
+    /// forwards the batch whole.
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
         for op in ops {
             match *op {

@@ -51,16 +51,17 @@
 //! business: no key format or [`KvStore`] signature knows.
 //!
 //! **Read path.** `get` / `scan_prefix` look locations up under the inner
-//! lock, clone the `Arc<File>` of the current log generation, release the
-//! lock and `pread` each whole record (`FileExt::read_exact_at`, so the
-//! crate builds on Unix only). A reader therefore never waits behind a
-//! writer's `write(2)` or an fsync. Every read re-checks the record's CRC
+//! lock, clone the handle of the current log generation (a [`LogFile`]),
+//! release the lock and read each whole record at its offset (`pread` on
+//! the [`OsFile`]). A reader therefore never waits behind a writer's
+//! `write(2)` or an fsync. Every read re-checks the record's CRC
 //! and that it names the requested key (its bytes, or its run and tail),
 //! so rot after open is [`StoreError::CorruptAt`] with that record's
-//! offset, not wrong bytes. `compact()` renames a rewritten file over the path and swaps the
-//! handle under the lock; a reader already holding the old generation's
-//! handle and locations finishes against the old (unlinked, still open)
-//! file and never sees a half-swapped log. Under `Durability::Buffered` a
+//! offset, not wrong bytes. `compact()` swaps a rewritten generation in
+//! under the file's name ([`LogFile::swap`]) and the handle under the lock;
+//! a reader already holding the old generation's handle and locations
+//! finishes against the old (unlinked, still open) file and never sees a
+//! half-swapped log. Under `Durability::Buffered` a
 //! read whose record lies past the bytes known to have left the write
 //! buffer flushes it first, so every durability level reads its own acked
 //! writes. `scan_keys` answers from the index alone.
@@ -98,18 +99,23 @@
 //! as a torn tail at offset 0) is refused with [`StoreError::CorruptAt`]
 //! and left untouched: one flipped header bit must never cost the store.
 //! So is a log of an earlier format: this build reads `TCLOG3` only.
+//!
+//! **Files.** The log is written through the five calls of [`LogFile`]:
+//! read at an offset, append, sync, truncate and the compaction swap.
+//! `LogKv` is the [`OsFile`] a node opens by path; [`MemKv`] is the same
+//! engine over a [`MemFile`], which every test, example and figure runs on.
 
+use crate::file::{LogFile, MemFile, OsFile};
 use crate::{KvStore, StoreError, WriteOp};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Write};
 use std::ops::Bound;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use timecrypt_obs::{counters, tc_warn};
+use timecrypt_obs::counters::{self, Gauge};
+use timecrypt_obs::{rank, tc_warn};
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -855,11 +861,11 @@ pub struct LogStats {
     pub dead_bytes: u64,
 }
 
-struct Inner {
+struct Inner<F: LogFile> {
     index: Index,
-    /// Buffers appends to the current log generation's handle, which
-    /// readers clone from here ([`Inner::reader`]).
-    writer: BufWriter<Arc<File>>,
+    /// Buffers appends to the current log generation, whose handle readers
+    /// clone from here ([`Inner::reader`]).
+    writer: BufWriter<Appender<F>>,
     /// Sequence byte the next record will carry (wrapping).
     next_seq: u8,
     /// Appends since open, a batch counting once (monotonic; group-commit
@@ -870,17 +876,33 @@ struct Inner {
     /// An append failed (a full disk, a file-size limit): read-only, what of
     /// it reached the file is a torn tail replay truncates when reopened.
     failed: bool,
+    /// This log's share of the process's footprint gauges.
+    published: LogStats,
 }
 
-impl Inner {
-    /// The handle to `pread` records ending at or before `end` through,
+/// Appends to one generation of the file, for the write buffer.
+struct Appender<F>(Arc<F>);
+
+impl<F: LogFile> Write for Appender<F> {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.0.append(bytes)?;
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl<F: LogFile> Inner<F> {
+    /// The handle to read records ending at or before `end` through,
     /// flushing the write buffer first if it still holds some of them
     /// (only `Durability::Buffered` leaves bytes there between appends).
-    fn reader(&mut self, end: u64) -> Result<Arc<File>, StoreError> {
+    fn reader(&mut self, end: u64) -> Result<Arc<F>, StoreError> {
         if end > self.tail.saturating_sub(self.writer.buffer().len() as u64) {
             self.writer.flush()?;
         }
-        Ok(Arc::clone(self.writer.get_ref()))
+        Ok(Arc::clone(&self.writer.get_ref().0))
     }
 
     /// Writes `run` at the tail, and with `flush` to the file; on an error,
@@ -894,7 +916,7 @@ impl Inner {
             false => Ok(()),
         });
         if written.is_err() {
-            let file = Arc::clone(self.writer.get_ref());
+            let file = Appender(Arc::clone(&self.writer.get_ref().0));
             drop(std::mem::replace(&mut self.writer, BufWriter::new(file)).into_parts());
             self.failed = true;
         }
@@ -910,13 +932,22 @@ impl Inner {
         }
     }
 
-    /// Publishes the footprint as this process's `timecrypt_store_*` gauges.
-    fn publish(&self) {
-        let s = self.footprint();
-        counters::STORE_LOG_BYTES.set(s.log_bytes);
-        counters::STORE_LIVE_KEYS.set(s.live_keys);
-        counters::STORE_INDEX_BYTES.set(s.index_bytes);
-        counters::STORE_DEAD_BYTES.set(s.dead_bytes);
+    /// Moves the `timecrypt_store_*` gauges, which sum over the process's
+    /// open logs, by this log's change to `now` since it last published.
+    fn publish(&mut self, now: LogStats) {
+        let was = std::mem::replace(&mut self.published, now);
+        let gauges: [(&Gauge, u64, u64); 4] = [
+            (&counters::STORE_LOG_BYTES, was.log_bytes, now.log_bytes),
+            (&counters::STORE_LIVE_KEYS, was.live_keys, now.live_keys),
+            (&counters::STORE_INDEX_BYTES, was.index_bytes, now.index_bytes),
+            (&counters::STORE_DEAD_BYTES, was.dead_bytes, now.dead_bytes),
+        ];
+        for (gauge, was, now) in gauges {
+            match now >= was {
+                true => gauge.add(now - was),
+                false => gauge.sub(was - now),
+            }
+        }
     }
 }
 
@@ -924,22 +955,26 @@ impl Inner {
 /// the log generation's handle so fsync never needs the inner lock. Lock
 /// order where both are held: inner → sync (compact swaps the handle);
 /// `commit` takes only this lock.
-struct SyncState {
+struct SyncState<F> {
     synced: u64,
-    file: Arc<File>,
+    file: Arc<F>,
 }
 
-/// Append-only persistent store.
-pub struct LogKv {
-    path: PathBuf,
+/// Append-only persistent store over a [`LogFile`]: the [`OsFile`] at a
+/// path ([`LogKv::open`]) unless named otherwise.
+pub struct LogKv<F: LogFile = OsFile> {
     durability: Durability,
-    inner: Mutex<Inner>,
-    /// Appends whose bytes reached the fd (flushed) — published after the
+    inner: Mutex<Inner<F>>,
+    /// Appends whose bytes reached the file (flushed) — published after the
     /// inner lock flushes, read by `commit` before fsync to learn what
     /// the syscall will cover.
     flushed: AtomicU64,
-    sync_state: Mutex<SyncState>,
+    sync_state: Mutex<SyncState<F>>,
 }
+
+/// The store of every test, example and figure: the log engine over a
+/// file in memory.
+pub type MemKv = LogKv<MemFile>;
 
 impl LogKv {
     /// Opens (or creates) a log file with the default [`Durability::Flush`],
@@ -954,17 +989,39 @@ impl LogKv {
     /// replay finds mid-file corruption (see the module docs for the
     /// torn-tail distinction); the file is not modified in either case.
     pub fn open_with(path: impl AsRef<Path>, durability: Durability) -> Result<Self, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .read(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
+        Self::over(OsFile::open(path.as_ref().to_path_buf())?, durability)
+    }
+
+    /// The log's path.
+    pub fn path(&self) -> PathBuf {
+        self.sync_state.lock().file.path().to_path_buf()
+    }
+}
+
+impl MemKv {
+    /// An empty log in memory, under [`Durability::Flush`].
+    pub fn new() -> Self {
+        let file = Arc::new(MemFile::holding(MAGIC.to_vec()));
+        let tail = MAGIC.len() as u64;
+        Self::assemble(file, Index::default(), 0, tail, Durability::Flush)
+    }
+}
+
+impl Default for MemKv {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<F: LogFile> LogKv<F> {
+    /// Opens the log `file` holds (an empty file becomes an empty log),
+    /// replaying its contents; fails as [`LogKv::open_with`] does.
+    pub fn over(file: F, durability: Durability) -> Result<Self, StoreError> {
+        // Cutting nothing, to learn the length.
+        let len = file.truncate(u64::MAX)?;
         let mut head = [0u8; MAGIC.len()];
         let head = &mut head[..len.min(MAGIC.len() as u64) as usize];
-        file.read_exact_at(head, 0)?;
+        file.read_at(head, 0)?;
         if !MAGIC.starts_with(head) {
             return Err(StoreError::CorruptAt {
                 what: "missing log magic: not a TCLOG3 log",
@@ -976,37 +1033,38 @@ impl LogKv {
         let (index, next_seq, valid_len) = if head.len() < MAGIC.len() {
             (Index::default(), 0, 0)
         } else {
-            replay(&path, &file, len)?
+            replay(&file, len)?
         };
-        // Truncate any torn tail, then position at the end.
-        file.set_len(valid_len)?;
-        file.seek(SeekFrom::End(0))?;
-        let file = Arc::new(file);
-        let mut writer = BufWriter::new(Arc::clone(&file));
+        file.truncate(valid_len)?;
         if valid_len == 0 {
-            writer.write_all(MAGIC)?;
-            writer.flush()?;
+            file.append(MAGIC)?;
         }
         if durability == Durability::Fsync {
-            file.sync_data()?;
-            counters::FSYNCS.inc();
+            file.sync()?;
         }
-        let inner = Inner {
+        let tail = valid_len.max(MAGIC.len() as u64);
+        Ok(Self::assemble(Arc::new(file), index, next_seq, tail, durability))
+    }
+
+    /// The store over `file`, whose valid bytes end at `tail`, once
+    /// `index` holds them.
+    fn assemble(file: Arc<F>, index: Index, next_seq: u8, tail: u64, durability: Durability) -> Self {
+        let mut inner = Inner {
             index,
-            writer,
+            writer: BufWriter::new(Appender(Arc::clone(&file))),
             next_seq,
             appended: 0,
-            tail: valid_len.max(MAGIC.len() as u64),
+            tail,
             failed: false,
+            published: LogStats::default(),
         };
-        inner.publish();
-        Ok(LogKv {
-            path,
+        inner.publish(inner.footprint());
+        LogKv {
             durability,
             inner: Mutex::new(inner),
             flushed: AtomicU64::new(0),
             sync_state: Mutex::new(SyncState { synced: 0, file }),
-        })
+        }
     }
 
     /// Group-commit fsync: make append number `my` durable, sharing the
@@ -1022,15 +1080,9 @@ impl LogKv {
         // Everything flushed to the fd before the syscall starts is
         // durable when it returns; snapshot the watermark first.
         let covered = self.flushed.load(Ordering::Acquire);
-        sync.file.sync_data()?;
-        counters::FSYNCS.inc();
+        sync.file.sync()?;
         sync.synced = sync.synced.max(covered);
         Ok(())
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The configured durability mode.
@@ -1062,14 +1114,14 @@ impl LogKv {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let old = inner.reader(inner.tail)?;
-        let (file, index, tail) = rewrite(&self.path, &old, &inner.index, self.durability)?;
+        let (file, index, tail) = rewrite(&*old, &inner.index, self.durability)?;
         inner.next_seq = (index.len() % 256) as u8;
         (inner.index, inner.tail) = (index, tail);
-        inner.writer = BufWriter::new(Arc::clone(&file));
-        inner.publish();
-        // The rewritten file is a fresh fd: swap the fsync handle and mark
-        // everything appended so far as covered by the rewrite. Readers
-        // that cloned the old handle finish on the old, unlinked file.
+        inner.writer = BufWriter::new(Appender(Arc::clone(&file)));
+        inner.publish(inner.footprint());
+        // The rewritten file is a fresh generation: swap the fsync handle
+        // and mark everything appended so far as covered by the rewrite.
+        // Readers that cloned the old handle finish on the old generation.
         let mut sync = self.sync_state.lock();
         sync.file = file;
         sync.synced = inner.appended;
@@ -1078,8 +1130,19 @@ impl LogKv {
     }
 }
 
-impl KvStore for LogKv {
+/// A closed log withdraws its share of the footprint gauges.
+impl<F: LogFile> Drop for LogKv<F> {
+    fn drop(&mut self) {
+        self.inner.get_mut().publish(LogStats::default());
+    }
+}
+
+/// Every call first checks that the thread holds no lock under which
+/// nothing may block (`rank::assert_may_block`); `put` and `delete` are
+/// `write_batch`.
+impl<F: LogFile> KvStore for LogKv<F> {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        rank::assert_may_block();
         let (file, loc, run) = {
             let mut inner = self.inner.lock();
             let Some((loc, run)) = inner.index.get(key) else {
@@ -1087,7 +1150,7 @@ impl KvStore for LogKv {
             };
             (inner.reader(loc.end())?, loc, run)
         };
-        read_value(&file, key, loc, run).map(Some)
+        read_value(&*file, key, loc, run).map(Some)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
@@ -1102,6 +1165,7 @@ impl KvStore for LogKv {
     /// continues bit — and applies them to the index: one lock acquisition,
     /// one `write(2)`, one group-commit wait.
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        rank::assert_may_block();
         if ops.is_empty() {
             return Ok(());
         }
@@ -1116,7 +1180,7 @@ impl KvStore for LogKv {
             let lens = encode(&inner.index, ops, inner.next_seq, &mut run);
             inner.append(&run, self.durability != Durability::Buffered)?;
             inner.tail = inner.index.apply_all(ops, &lens, inner.tail);
-            inner.publish();
+            inner.publish(inner.footprint());
             inner.next_seq = inner.next_seq.wrapping_add(ops.len() as u8);
             inner.appended += 1;
             self.flushed.store(inner.appended, Ordering::Release);
@@ -1127,6 +1191,7 @@ impl KvStore for LogKv {
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
+        rank::assert_may_block();
         let (file, hits) = {
             let mut inner = self.inner.lock();
             let hits: Vec<Hit> = inner.index.range(prefix).collect();
@@ -1134,11 +1199,12 @@ impl KvStore for LogKv {
             (inner.reader(end.unwrap_or(0))?, hits)
         };
         hits.into_iter()
-            .map(|(key, loc, run)| read_value(&file, &key, loc, run).map(|value| (key, value)))
+            .map(|(key, loc, run)| read_value(&*file, &key, loc, run).map(|value| (key, value)))
             .collect()
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
+        rank::assert_may_block();
         let inner = self.inner.lock();
         Ok(inner.index.range(prefix).map(|(k, ..)| k).collect())
     }
@@ -1149,31 +1215,45 @@ impl KvStore for LogKv {
         after: &[u8],
         limit: usize,
     ) -> Result<Vec<Vec<u8>>, StoreError> {
+        rank::assert_may_block();
         Ok(self.inner.lock().index.keys_after(prefix, after, limit))
     }
 }
 
+/// Records up to this long are read into the stack, so that a read of
+/// one allocates its value and nothing else.
+const STACK_RECORD: usize = 4096;
+
 /// Reads the put record of `key` at `loc` and validates it again — CRC,
 /// op, and that it names `key`: its bytes, or `run`, the number of the run
-/// the index holds it in, and its tail — then cuts it down to the value in
-/// place. Anything else there — rot since open, a file changed behind the
+/// the index holds it in, and its tail — then copies its value out.
+/// Anything else there — rot since open, a file changed behind the
 /// store's back — is [`StoreError::CorruptAt`] with the record's offset,
 /// never wrong bytes.
-fn read_value(file: &File, key: &[u8], loc: Loc, run: Option<u64>) -> Result<Vec<u8>, StoreError> {
-    let mut rec = vec![0u8; loc.len as usize];
-    file.read_exact_at(&mut rec, loc.offset)?;
-    let vlen = match parse(&rec) {
-        Some(r) if r.head.op == OP_PUT && r.len == rec.len() && r.names(key, run) => r.value.len(),
-        _ => {
-            return Err(StoreError::CorruptAt {
-                what: "record failed validation on read",
-                offset: loc.offset,
-            })
+fn read_value(
+    file: &impl LogFile,
+    key: &[u8],
+    loc: Loc,
+    run: Option<u64>,
+) -> Result<Vec<u8>, StoreError> {
+    let (mut stack, mut heap) = ([0u8; STACK_RECORD], Vec::new());
+    let rec = match stack.get_mut(..loc.len as usize) {
+        Some(rec) => rec,
+        None => {
+            heap.resize(loc.len as usize, 0);
+            &mut heap[..]
         }
     };
-    rec.truncate(rec.len() - FOOTER);
-    rec.drain(..rec.len() - vlen);
-    Ok(rec)
+    file.read_at(rec, loc.offset)?;
+    match parse(rec) {
+        Some(r) if r.head.op == OP_PUT && r.len == rec.len() && r.names(key, run) => {
+            Ok(r.value.to_vec())
+        }
+        _ => Err(StoreError::CorruptAt {
+            what: "record failed validation on read",
+            offset: loc.offset,
+        }),
+    }
 }
 
 // -------------------------------------------------------------------------
@@ -1184,8 +1264,8 @@ const WINDOW: u64 = 1 << 20;
 
 /// A window of the log's bytes that replay slides forward, so opening a
 /// log costs the index plus this buffer, not the file's size.
-struct Window<'f> {
-    file: &'f File,
+struct Window<'f, F> {
+    file: &'f F,
     /// The file's length when replay started.
     len: u64,
     /// File offset of `buf[0]`.
@@ -1193,7 +1273,7 @@ struct Window<'f> {
     buf: Vec<u8>,
 }
 
-impl Window<'_> {
+impl<F: LogFile> Window<'_, F> {
     /// Bytes `[off, off + n)` of the file (the caller keeps them inside
     /// `len`), read ahead from `off` when they are not all in the window.
     fn slice(&mut self, off: u64, n: u64) -> Result<&[u8], StoreError> {
@@ -1201,7 +1281,7 @@ impl Window<'_> {
             let fill = usize::try_from(n.max(WINDOW).min(self.len - off))
                 .map_err(|_| StoreError::Corrupt("record larger than the address space"))?;
             self.buf.resize(fill, 0);
-            self.file.read_exact_at(&mut self.buf, off)?;
+            self.file.read_at(&mut self.buf, off)?;
             self.base = off;
         }
         let start = (off - self.base) as usize;
@@ -1237,7 +1317,7 @@ impl Window<'_> {
 /// Replays the `len`-byte log in `file` into a fresh index. Returns it with
 /// `(next_seq, tail)`, where `tail` is the byte length of the valid prefix
 /// (magic included): everything up to the end of the last closed batch.
-fn replay(path: &Path, file: &File, len: u64) -> Result<(Index, u8, u64), StoreError> {
+fn replay(file: &impl LogFile, len: u64) -> Result<(Index, u8, u64), StoreError> {
     let mut index = Index {
         heads: Some(HashMap::new()),
         ..Index::default()
@@ -1302,10 +1382,9 @@ fn replay(path: &Path, file: &File, len: u64) -> Result<(Index, u8, u64), StoreE
     if batch_start < len {
         tc_warn!(
             "store.log",
-            "torn tail: truncating {} byte(s) at offset {} path={}",
+            "torn tail: truncating {} byte(s) at offset {} path={file}",
             len - batch_start,
             batch_start,
-            path.display()
         );
     }
     index.heads = None;
@@ -1313,55 +1392,34 @@ fn replay(path: &Path, file: &File, len: u64) -> Result<(Index, u8, u64), StoreE
     Ok((index, next_seq.wrapping_sub(held.len() as u8), batch_start))
 }
 
-/// Re-appends the live records of `index`, read out of `old`, to a fresh
-/// log in a temp file — magic, then one plain put per key in
+/// Re-appends the live records of `index`, read out of `old`, to the
+/// next generation of the file — magic, then one plain put per key in
 /// [`Index::range`]'s order, each a batch of its own on a new sequence
-/// chain, through [`encode`] into a fresh index — atomically renames it
-/// over `path`, and returns its handle, positioned at the end, with that
-/// index and the log's length. Under `Fsync` the snapshot and its
-/// directory entry are both synced before the rename is trusted.
-fn rewrite(
-    path: &Path,
-    old: &File,
+/// chain, through [`encode`] into a fresh index — swaps it in
+/// ([`LogFile::swap`], durable under `Fsync`) and returns its handle with
+/// that index and the log's length.
+fn rewrite<F: LogFile>(
+    old: &F,
     index: &Index,
     durability: Durability,
-) -> Result<(Arc<File>, Index, u64), StoreError> {
-    let tmp_path = path.with_extension("compact");
-    let mut w = BufWriter::new(
-        File::options()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .read(true)
-            .open(&tmp_path)?,
-    );
-    w.write_all(MAGIC)?;
-    let (mut fresh, mut tail, mut rec) = (Index::default(), MAGIC.len() as u64, Vec::new());
-    for (seq, (key, loc, run)) in index.range(b"").enumerate() {
-        let value = read_value(old, &key, loc, run)?;
-        let put = [WriteOp::Put {
-            key: &key,
-            value: &value,
-        }];
-        rec.clear();
-        let lens = encode(&fresh, &put, seq as u8, &mut rec);
-        w.write_all(&rec)?;
-        tail = fresh.apply_all(&put, &lens, tail);
-    }
-    let file = w.into_inner().map_err(|e| e.into_error())?;
-    if durability == Durability::Fsync {
-        file.sync_data()?;
-        counters::FSYNCS.inc();
-    }
-    std::fs::rename(&tmp_path, path)?;
-    if durability == Durability::Fsync {
-        // Make the rename itself durable.
-        if let Some(parent) = path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
+) -> Result<(Arc<F>, Index, u64), StoreError> {
+    let (mut fresh, mut tail) = (Index::default(), MAGIC.len() as u64);
+    let file = old.swap(durability == Durability::Fsync, |w| {
+        w.write_all(MAGIC)?;
+        let mut rec = Vec::new();
+        for (seq, (key, loc, run)) in index.range(b"").enumerate() {
+            let value = read_value(old, &key, loc, run)?;
+            let put = [WriteOp::Put {
+                key: &key,
+                value: &value,
+            }];
+            rec.clear();
+            let lens = encode(&fresh, &put, seq as u8, &mut rec);
+            w.write_all(&rec)?;
+            tail = fresh.apply_all(&put, &lens, tail);
         }
-    }
+        Ok(())
+    })?;
     Ok((Arc::new(file), fresh, tail))
 }
 
@@ -1369,12 +1427,72 @@ fn rewrite(
 mod tests {
     use super::*;
     use crate::conformance;
+    use std::fs::OpenOptions;
+    use std::os::unix::fs::FileExt;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("timecrypt-logkv-{}-{name}.log", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    /// A file a test makes, reads whole, overwrites and opens again. Each
+    /// test generic over it runs on both: the OS file at a temp path and
+    /// the file in memory.
+    trait TestFile: LogFile {
+        fn fresh(name: &str) -> Self;
+        fn contents(&self) -> Vec<u8>;
+        /// Replaces the bytes under the file's name, as another process
+        /// writing the file would.
+        fn set_contents(&self, bytes: &[u8]);
+        fn reopen(&self) -> Self;
+        fn remove(&self) {}
+    }
+
+    impl TestFile for OsFile {
+        fn fresh(name: &str) -> Self {
+            OsFile::open(tmp(name)).unwrap()
+        }
+        fn contents(&self) -> Vec<u8> {
+            std::fs::read(self.path()).unwrap()
+        }
+        fn set_contents(&self, bytes: &[u8]) {
+            std::fs::write(self.path(), bytes).unwrap();
+        }
+        fn reopen(&self) -> Self {
+            OsFile::open(self.path().to_path_buf()).unwrap()
+        }
+        fn remove(&self) {
+            let _ = std::fs::remove_file(self.path().with_extension("compact"));
+            std::fs::remove_file(self.path()).unwrap();
+        }
+    }
+
+    impl TestFile for MemFile {
+        fn fresh(_: &str) -> Self {
+            MemFile::default()
+        }
+        fn contents(&self) -> Vec<u8> {
+            self.reopen().bytes.read().clone()
+        }
+        fn set_contents(&self, bytes: &[u8]) {
+            *self.reopen().bytes.write() = bytes.to_vec();
+        }
+        fn reopen(&self) -> Self {
+            self.clone()
+        }
+    }
+
+    /// The log in `file`, opened again under [`Durability::Flush`].
+    fn reopen<F: TestFile>(file: &F) -> Result<LogKv<F>, StoreError> {
+        LogKv::over(file.reopen(), Durability::Flush)
+    }
+
+    /// Runs `test` on a fresh log under `mode` in each file.
+    fn on_each_file(name: &str, mode: Durability, test: impl Fn(&dyn KvStore)) {
+        test(&LogKv::open_with(tmp(name), mode).unwrap());
+        test(&LogKv::over(MemFile::default(), mode).unwrap());
     }
 
     /// Head bytes of a literal record whose key and value are each under
@@ -1469,17 +1587,22 @@ mod tests {
 
     #[test]
     fn conformance_basic() {
-        conformance::basic_ops(&LogKv::open(tmp("basic")).unwrap());
+        on_each_file("basic", Durability::Flush, conformance::basic_ops);
     }
 
     #[test]
     fn conformance_scan() {
-        conformance::prefix_scan(&LogKv::open(tmp("scan")).unwrap());
+        on_each_file("scan", Durability::Flush, conformance::prefix_scan);
     }
 
     #[test]
     fn conformance_scan_keys_after() {
-        let kv = LogKv::open(tmp("after")).unwrap();
+        scan_keys_after_in::<OsFile>();
+        scan_keys_after_in::<MemFile>();
+    }
+
+    fn scan_keys_after_in<F: TestFile>() {
+        let kv = reopen(&F::fresh("after")).unwrap();
         conformance::scan_keys_after(&kv);
         let runs = kv.inner.lock().index.runs.len();
         assert_eq!(runs, 1, "the counting keys are one run");
@@ -1487,12 +1610,12 @@ mod tests {
 
     #[test]
     fn conformance_binary() {
-        conformance::binary_safety(&LogKv::open(tmp("bin")).unwrap());
+        on_each_file("bin", Durability::Flush, conformance::binary_safety);
     }
 
     #[test]
     fn conformance_empty_value() {
-        conformance::empty_value(&LogKv::open(tmp("empty")).unwrap());
+        on_each_file("empty", Durability::Flush, conformance::empty_value);
     }
 
     #[test]
@@ -1501,7 +1624,7 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            conformance::write_batch(&LogKv::open_with(tmp(&format!("batch{i}")), mode).unwrap());
+            on_each_file(&format!("batch{i}"), mode, conformance::write_batch);
         }
     }
 
@@ -1516,13 +1639,69 @@ mod tests {
     #[test]
     fn conformance_fsync_mode() {
         let _serial = fsync_tests();
-        conformance::basic_ops(&LogKv::open_with(tmp("fsync"), Durability::Fsync).unwrap());
-        conformance::write_batch(&LogKv::open_with(tmp("fsync-b"), Durability::Fsync).unwrap());
+        on_each_file("fsync", Durability::Fsync, conformance::basic_ops);
+        on_each_file("fsync-b", Durability::Fsync, conformance::write_batch);
     }
 
     #[test]
     fn conformance_buffered_mode() {
-        conformance::basic_ops(&LogKv::open_with(tmp("buffered"), Durability::Buffered).unwrap());
+        on_each_file("buffered", Durability::Buffered, conformance::basic_ops);
+    }
+
+    /// Eight writers of 500 keys each, under their own prefixes: every key
+    /// is there after, and `len` counts them.
+    #[test]
+    fn concurrent_writers() {
+        concurrent_writers_in::<OsFile>();
+        concurrent_writers_in::<MemFile>();
+    }
+
+    fn concurrent_writers_in<F: TestFile>() {
+        let file = F::fresh("writers");
+        let kv = reopen(&file).unwrap();
+        assert!(kv.is_empty());
+        std::thread::scope(|s| {
+            for t in 0..8u8 {
+                let kv = &kv;
+                s.spawn(move || {
+                    for i in 0..500 {
+                        kv.put(format!("t{t}/k{i}").as_bytes(), &[t]).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(kv.len(), 8 * 500);
+        for t in 0..8 {
+            let prefix = format!("t{t}/");
+            assert_eq!(kv.scan_prefix(prefix.as_bytes()).unwrap().len(), 500);
+        }
+        kv.delete(b"t0/k0").unwrap();
+        assert_eq!(kv.len(), 8 * 500 - 1);
+        file.remove();
+    }
+
+    /// A store call under a lock no store call may run under panics in a
+    /// debug build, naming the lock's rank — on a bare log, with no
+    /// decorator in front to check it.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_store_call_under_a_no_block_rank_panics_naming_it() {
+        fn get_under<const RANK: u8>(kv: &LogKv) -> String {
+            let lock = rank::Ranked::<RANK, _>::new(std::sync::Mutex::new(()));
+            let _held = lock.lock(|m| m.lock().unwrap());
+            let get = std::panic::AssertUnwindSafe(|| kv.get(b"k"));
+            *std::panic::catch_unwind(get).unwrap_err().downcast::<String>().unwrap()
+        }
+        let path = tmp("rank");
+        let kv = LogKv::open(&path).unwrap();
+        let under = [
+            get_under::<{ rank::REGISTRY }>(&kv),
+            get_under::<{ rank::FRONTIER }>(&kv),
+            get_under::<{ rank::CACHE }>(&kv),
+        ];
+        assert_eq!(under, ["registry", "frontier", "cache"].map(|r| format!("store call while `{r}` is held")));
+        assert_eq!(kv.get(b"k").unwrap(), None);
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -1544,47 +1723,52 @@ mod tests {
 
     #[test]
     fn torn_tail_record_truncated() {
-        let path = tmp("torn");
-        {
-            let kv = LogKv::open(&path).unwrap();
-            kv.put(b"good", b"value").unwrap();
-        }
+        torn_tail_in::<OsFile>();
+        torn_tail_in::<MemFile>();
+    }
+
+    fn torn_tail_in<F: TestFile>() {
+        let file = F::fresh("torn");
+        reopen(&file).unwrap().put(b"good", b"value").unwrap();
         // Simulate a crash mid-append: write a partial record header.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&[OP_PUT, 1, 200, 0, 0]).unwrap();
-        }
-        let kv = LogKv::open(&path).unwrap();
+        file.append(&[OP_PUT, 1, 200, 0, 0]).unwrap();
+        let kv = reopen(&file).unwrap();
         assert_eq!(kv.get(b"good").unwrap(), Some(b"value".to_vec()));
         // Store still writable after recovery.
         kv.put(b"after", b"crash").unwrap();
         drop(kv);
-        let kv = LogKv::open(&path).unwrap();
+        let kv = reopen(&file).unwrap();
         assert_eq!(kv.get(b"after").unwrap(), Some(b"crash".to_vec()));
-        std::fs::remove_file(path).unwrap();
+        file.remove();
     }
 
     #[test]
     fn mid_file_corruption_is_hard_error_with_offset() {
-        let path = tmp("midcorrupt");
+        mid_file_corruption_in::<OsFile>();
+        mid_file_corruption_in::<MemFile>();
+    }
+
+    fn mid_file_corruption_in<F: TestFile>() {
+        let file = F::fresh("midcorrupt");
         {
-            let kv = LogKv::open(&path).unwrap();
+            let kv = reopen(&file).unwrap();
             kv.put(b"first", b"valuevaluevalue").unwrap();
             kv.put(b"second", b"other").unwrap();
         }
         // Flip one byte inside the first record's value region. The first
         // record starts right after the magic, at offset 8.
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = file.contents();
         let victim = MAGIC.len() + LITERAL_HEAD + 5 + 3; // inside "valuevaluevalue"
         bytes[victim] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        match LogKv::open(&path) {
+        file.set_contents(&bytes);
+        match reopen(&file) {
             Err(StoreError::CorruptAt { offset, .. }) => {
                 assert_eq!(offset, MAGIC.len() as u64, "offset should be record 0");
             }
             other => panic!("expected CorruptAt, got {:?}", other.map(|kv| kv.len())),
         }
-        std::fs::remove_file(path).unwrap();
+        assert_eq!(file.contents(), bytes, "file left untouched");
+        file.remove();
     }
 
     #[test]
@@ -1934,11 +2118,16 @@ mod tests {
 
     #[test]
     fn readers_race_a_writer_and_three_compactions() {
+        readers_race_in::<OsFile>();
+        readers_race_in::<MemFile>();
+    }
+
+    fn readers_race_in<F: TestFile>() {
         use std::sync::atomic::AtomicBool;
         const KEYS: usize = 64;
         const READERS: usize = 4;
-        let path = tmp("race");
-        let kv = LogKv::open(&path).unwrap();
+        let file = F::fresh("race");
+        let kv = reopen(&file).unwrap();
         // A value names its key and version, so a read of another key's
         // bytes or of a stale version shows.
         let value = |k: usize, version: u64| {
@@ -1997,7 +2186,7 @@ mod tests {
         });
         assert_eq!(kv.stats().dead_bytes, 0);
         assert_eq!(kv.len(), KEYS);
-        std::fs::remove_file(path).unwrap();
+        file.remove();
     }
 
     /// A generated write: key, value, and whether it is a delete instead.
@@ -2014,7 +2203,7 @@ mod tests {
 
     /// Writes step `i` of a generated log: a plain `put`/`delete` when its
     /// shape is 0, else one `write_batch` of 1, 2 or 33 ops.
-    fn write_step(kv: &LogKv, shape: usize, ops: &[GenOp]) -> usize {
+    fn write_step(kv: &impl KvStore, shape: usize, ops: &[GenOp]) -> usize {
         let n = [1, 1, 2, 33][shape];
         match (shape, &ops[0]) {
             (0, (key, _, true)) => kv.delete(key).unwrap(),
@@ -2046,7 +2235,8 @@ mod tests {
                 1..5,
             )
         ) {
-            truncation_sweep("sweep", &steps);
+            truncation_sweep::<OsFile>("sweep", &steps);
+            truncation_sweep::<MemFile>("sweep", &steps);
         }
     }
 
@@ -2077,16 +2267,17 @@ mod tests {
             (0, vec![put(49)]),
             (0, vec![delete(7)]),
         ];
-        truncation_sweep("sweep-runs", &steps);
+        truncation_sweep::<OsFile>("sweep-runs", &steps);
+        truncation_sweep::<MemFile>("sweep-runs", &steps);
     }
 
-    fn truncation_sweep(name: &str, steps: &[(usize, Vec<GenOp>)]) {
-        let path = tmp(&format!("{name}-src"));
-        let cut_path = tmp(&format!("{name}-cut"));
+    fn truncation_sweep<F: TestFile>(name: &str, steps: &[(usize, Vec<GenOp>)]) {
+        let file = F::fresh(&format!("{name}-src"));
+        let cut_file = F::fresh(&format!("{name}-cut"));
         // Per step: the byte offset it ends at and the state it leaves.
         let mut after = Vec::new();
         {
-            let kv = LogKv::open(&path).unwrap();
+            let kv = reopen(&file).unwrap();
             let mut state = BTreeMap::new();
             for (shape, ops) in steps {
                 let n = write_step(&kv, *shape, ops);
@@ -2099,13 +2290,13 @@ mod tests {
                 after.push((kv.stats().log_bytes as usize, state.clone()));
             }
         }
-        let full = std::fs::read(&path).unwrap();
+        let full = file.contents();
         assert_eq!(after.last().unwrap().0, full.len());
 
         let empty = BTreeMap::new();
         for cut in 0..=full.len() {
-            std::fs::write(&cut_path, &full[..cut]).unwrap();
-            let kv = match LogKv::open(&cut_path) {
+            cut_file.set_contents(&full[..cut]);
+            let kv = match reopen(&cut_file) {
                 Ok(kv) => kv,
                 Err(e) => panic!("offset {cut}: truncated log must open, got {e}"),
             };
@@ -2128,7 +2319,7 @@ mod tests {
             // sequence chain resumed where the kept prefix ends.
             kv.put(b"post-recovery", b"ok").unwrap();
             drop(kv);
-            let kv = LogKv::open(&cut_path).unwrap();
+            let kv = reopen(&cut_file).unwrap();
             assert_eq!(
                 kv.get(b"post-recovery").unwrap(),
                 Some(b"ok".to_vec()),
@@ -2137,12 +2328,12 @@ mod tests {
             assert_eq!(kv.len(), expect.len() + 1, "offset {cut}: second reopen");
             assert_eq!(
                 kv.stats().log_bytes,
-                std::fs::metadata(&cut_path).unwrap().len(),
+                cut_file.contents().len() as u64,
                 "offset {cut}: the second reopen truncated nothing"
             );
         }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&cut_path);
+        file.remove();
+        cut_file.remove();
     }
 
     /// Three batches of `n` puts; returns the path and each record's offset.
