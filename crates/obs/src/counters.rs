@@ -107,25 +107,27 @@ process_families! {
     static LEDGER_BYTES: Counter = "timecrypt_ledger_bytes_loaded_total"
         "Bytes of the level-0 records (whole chunks) proof requests read back and hashed \
          into integrity ledgers: what proofs cost the store.";
-    /// Only a query's store read fills the node cache, so the two say what
-    /// filling on read costs: a miss is one store get.
+    /// Only a query's store read fills the boundary cache, so the two say
+    /// what filling on read costs: a miss is one store get. (The families
+    /// keep the names of the index nodes the cache once held.)
     static INDEX_NODE_CACHE_HITS: Counter = "timecrypt_index_node_cache_hits_total"
-        "Sealed index nodes queries found in the node cache \
-         (nodes on the open spine are not counted).";
+        "Lookups of a boundary running sum that queries found in the index cache.";
     static INDEX_NODE_CACHE_MISSES: Counter = "timecrypt_index_node_cache_misses_total"
-        "Sealed index nodes queries did not find in the node cache and asked the store for.";
-    /// Dead over log bytes is the share of the file a compaction would
-    /// reclaim. The four footprint gauges are last writer wins — they
-    /// describe the one `LogKv` a node process runs — and stay zero in a
-    /// process without one.
+        "Lookups of a boundary running sum that queries did not find in the index cache \
+         and read from the store.";
+    /// Dead over log bytes is the share of the files a compaction would
+    /// reclaim. The four footprint gauges sum over the logs the process
+    /// has open — a node's one `LogKv`, and every in-memory `MemKv` beside
+    /// it — and a log withdraws its share when it is dropped.
     static STORE_LOG_BYTES: Gauge = "timecrypt_store_log_bytes"
-        "Length of the store's log file, buffered appends included.";
+        "Length of the process's open store logs, buffered appends included, summed.";
     static STORE_LIVE_KEYS: Gauge = "timecrypt_store_live_keys"
-        "Keys with a live value in the log store.";
+        "Keys with a live value in the process's open store logs, summed.";
     static STORE_INDEX_BYTES: Gauge = "timecrypt_store_index_bytes"
-        "Resident bytes of the log store's index: 12 per slot of a run, key + constant otherwise.";
+        "Resident bytes of the open store logs' indexes, summed: 12 per slot of a run, \
+         key + constant otherwise.";
     static STORE_DEAD_BYTES: Gauge = "timecrypt_store_dead_bytes"
-        "Log bytes held by superseded, deleted and delete records.";
+        "Bytes of the open store logs held by superseded, deleted and delete records, summed.";
 }
 
 static START: OnceLock<Instant> = OnceLock::new();

@@ -1,39 +1,30 @@
 //! The file under a [`LogKv`](crate::LogKv): the five calls the log makes
-//! of it, the OS file a node runs on, and a file in memory that every other
-//! store of the workspace runs on ([`MemKv`](crate::MemKv)).
-//!
-//! A value of a [`LogFile`] is one generation of the log, as an open file
-//! descriptor is: a reader that holds it finishes on it after a compaction
-//! [`swap`](LogFile::swap)ped the next generation in under the file's name.
+//! of it, the OS file a node runs on, and a file in memory. A value is one
+//! generation of the file, as an open descriptor is: a reader holding it
+//! finishes on it after a compaction swapped the next one in.
 
 use crate::StoreError;
 use parking_lot::{Mutex, RwLock};
-use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use timecrypt_obs::counters;
 
-/// What a [`LogKv`](crate::LogKv) asks of its file. Shown (`Display`) in
-/// the log's warnings.
-pub trait LogFile: fmt::Display + Send + Sync + Sized + 'static {
-    /// Fills `buf` with the bytes at `offset`; an error if the file ends
-    /// first.
+/// What a [`LogKv`](crate::LogKv) asks of its file.
+pub trait LogFile: Send + Sync + Sized + 'static {
+    /// Fills `buf` from `offset`; an error if the file ends first.
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
     /// Writes `bytes` at the end of the file.
     fn append(&self, bytes: &[u8]) -> io::Result<()>;
     /// Makes the appended bytes durable.
     fn sync(&self) -> io::Result<()>;
-    /// Cuts the file to `len` bytes if it is longer; returns the length it
-    /// then has.
+    /// Cuts the file to `len` bytes if it is longer; returns its length.
     fn truncate(&self, len: u64) -> io::Result<u64>;
-    /// The compaction swap: writes a new, empty generation of the file
-    /// through `fill` and, once that succeeded, installs it under the
-    /// file's name and returns it. With `durable`, its bytes and the swap
-    /// itself are durable before it returns. On an error, the name keeps
-    /// this generation.
+    /// The compaction swap: writes a new generation through `fill` and, if
+    /// that succeeds, installs it under the file's name and returns it —
+    /// with `durable`, after its bytes are synced, and durably.
     fn swap(
         &self,
         durable: bool,
@@ -41,11 +32,12 @@ pub trait LogFile: fmt::Display + Send + Sync + Sized + 'static {
     ) -> Result<Self, StoreError>;
 }
 
-/// The log on disk: a file opened for appends, read positionally
-/// (`pread`, so the crate builds on Unix only) and swapped by `rename(2)`.
+/// The log on disk: opened for appends, read with `pread` (so the crate
+/// builds on Unix only), swapped by writing a temp file beside it and
+/// renaming that over it.
 pub struct OsFile {
     file: File,
-    path: PathBuf,
+    pub(crate) path: PathBuf,
 }
 
 impl OsFile {
@@ -57,16 +49,6 @@ impl OsFile {
             .create(true)
             .open(&path)?;
         Ok(OsFile { file, path })
-    }
-
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl fmt::Display for OsFile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.path.display())
     }
 }
 
@@ -93,9 +75,6 @@ impl LogFile for OsFile {
         Ok(was.min(len))
     }
 
-    /// Writes the generation to a temp file beside the log and renames it
-    /// over the log's path; under `durable` syncs the temp file before and
-    /// the directory after.
     fn swap(
         &self,
         durable: bool,
@@ -111,34 +90,28 @@ impl LogFile for OsFile {
             next.sync()?;
         }
         std::fs::rename(&next.path, &self.path)?;
-        if durable {
-            if let Some(parent) = self.path.parent() {
-                if let Ok(dir) = File::open(parent) {
-                    let _ = dir.sync_all();
-                }
-            }
+        // Make the rename itself durable.
+        if let (true, Some(Ok(dir))) = (durable, self.path.parent().map(File::open)) {
+            let _ = dir.sync_all();
         }
-        Ok(OsFile {
-            file: next.file,
-            path: self.path.clone(),
-        })
+        let path = self.path.clone();
+        Ok(OsFile { path, ..next })
     }
 }
 
 /// One generation's bytes.
 type Bytes = Arc<RwLock<Vec<u8>>>;
 
-/// A log file in memory. A clone is the file opened again: it holds the
-/// generation its name holds now, so a test can reopen a log — after a
-/// compaction, or after cutting or flipping its bytes.
+/// A log file in memory. A clone is the file opened again — the generation
+/// under its name now — so a test can reopen a log, also after cutting or
+/// flipping its bytes.
 pub struct MemFile {
     pub(crate) bytes: Bytes,
-    /// The generation the file's name holds, shared by every clone.
+    /// The generation under the file's name, shared by every clone.
     name: Arc<Mutex<Bytes>>,
 }
 
 impl MemFile {
-    /// A file holding `bytes`.
     pub(crate) fn holding(bytes: Vec<u8>) -> Self {
         let bytes = Arc::new(RwLock::new(bytes));
         let name = Arc::new(Mutex::new(Arc::clone(&bytes)));
@@ -147,7 +120,6 @@ impl MemFile {
 }
 
 impl Default for MemFile {
-    /// An empty file.
     fn default() -> Self {
         MemFile::holding(Vec::new())
     }
@@ -155,24 +127,19 @@ impl Default for MemFile {
 
 impl Clone for MemFile {
     fn clone(&self) -> Self {
+        let bytes = Arc::clone(&self.name.lock());
         MemFile {
-            bytes: Arc::clone(&self.name.lock()),
+            bytes,
             name: Arc::clone(&self.name),
         }
-    }
-}
-
-impl fmt::Display for MemFile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("<memory>")
     }
 }
 
 impl LogFile for MemFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         let bytes = self.bytes.read();
-        let from = usize::try_from(offset).ok();
-        let src = from.and_then(|from| bytes.get(from..from.checked_add(buf.len())?));
+        let at = usize::try_from(offset).ok();
+        let src = at.and_then(|at| bytes.get(at..at.checked_add(buf.len())?));
         buf.copy_from_slice(src.ok_or(io::ErrorKind::UnexpectedEof)?);
         Ok(())
     }
@@ -194,16 +161,16 @@ impl LogFile for MemFile {
 
     fn swap(
         &self,
-        _durable: bool,
+        _: bool,
         fill: impl FnOnce(&mut dyn Write) -> Result<(), StoreError>,
     ) -> Result<Self, StoreError> {
         let mut bytes = Vec::new();
         fill(&mut bytes)?;
-        let next = MemFile {
-            bytes: Arc::new(RwLock::new(bytes)),
-            name: Arc::clone(&self.name),
-        };
+        let next = MemFile::holding(bytes);
         *self.name.lock() = Arc::clone(&next.bytes);
-        Ok(next)
+        Ok(MemFile {
+            name: Arc::clone(&self.name),
+            ..next
+        })
     }
 }

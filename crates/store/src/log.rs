@@ -114,8 +114,7 @@ use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use timecrypt_obs::counters::{self, Gauge};
-use timecrypt_obs::{rank, tc_warn};
+use timecrypt_obs::{counters, rank, tc_warn};
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -933,21 +932,14 @@ impl<F: LogFile> Inner<F> {
     }
 
     /// Moves the `timecrypt_store_*` gauges, which sum over the process's
-    /// open logs, by this log's change to `now` since it last published.
+    /// open logs, by this log's change since it last published: to `now`.
+    /// (A gauge wraps, so adding a difference that wrapped lowers it.)
     fn publish(&mut self, now: LogStats) {
         let was = std::mem::replace(&mut self.published, now);
-        let gauges: [(&Gauge, u64, u64); 4] = [
-            (&counters::STORE_LOG_BYTES, was.log_bytes, now.log_bytes),
-            (&counters::STORE_LIVE_KEYS, was.live_keys, now.live_keys),
-            (&counters::STORE_INDEX_BYTES, was.index_bytes, now.index_bytes),
-            (&counters::STORE_DEAD_BYTES, was.dead_bytes, now.dead_bytes),
-        ];
-        for (gauge, was, now) in gauges {
-            match now >= was {
-                true => gauge.add(now - was),
-                false => gauge.sub(was - now),
-            }
-        }
+        counters::STORE_LOG_BYTES.add(now.log_bytes.wrapping_sub(was.log_bytes));
+        counters::STORE_LIVE_KEYS.add(now.live_keys.wrapping_sub(was.live_keys));
+        counters::STORE_INDEX_BYTES.add(now.index_bytes.wrapping_sub(was.index_bytes));
+        counters::STORE_DEAD_BYTES.add(now.dead_bytes.wrapping_sub(was.dead_bytes));
     }
 }
 
@@ -994,7 +986,7 @@ impl LogKv {
 
     /// The log's path.
     pub fn path(&self) -> PathBuf {
-        self.sync_state.lock().file.path().to_path_buf()
+        self.sync_state.lock().file.path.clone()
     }
 }
 
@@ -1043,12 +1035,24 @@ impl<F: LogFile> LogKv<F> {
             file.sync()?;
         }
         let tail = valid_len.max(MAGIC.len() as u64);
-        Ok(Self::assemble(Arc::new(file), index, next_seq, tail, durability))
+        Ok(Self::assemble(
+            Arc::new(file),
+            index,
+            next_seq,
+            tail,
+            durability,
+        ))
     }
 
     /// The store over `file`, whose valid bytes end at `tail`, once
     /// `index` holds them.
-    fn assemble(file: Arc<F>, index: Index, next_seq: u8, tail: u64, durability: Durability) -> Self {
+    fn assemble(
+        file: Arc<F>,
+        index: Index,
+        next_seq: u8,
+        tail: u64,
+        durability: Durability,
+    ) -> Self {
         let mut inner = Inner {
             index,
             writer: BufWriter::new(Appender(Arc::clone(&file))),
@@ -1382,9 +1386,9 @@ fn replay(file: &impl LogFile, len: u64) -> Result<(Index, u8, u64), StoreError>
     if batch_start < len {
         tc_warn!(
             "store.log",
-            "torn tail: truncating {} byte(s) at offset {} path={file}",
+            "torn tail: truncating {} byte(s) at offset {}",
             len - batch_start,
-            batch_start,
+            batch_start
         );
     }
     index.heads = None;
@@ -1455,17 +1459,17 @@ mod tests {
             OsFile::open(tmp(name)).unwrap()
         }
         fn contents(&self) -> Vec<u8> {
-            std::fs::read(self.path()).unwrap()
+            std::fs::read(&self.path).unwrap()
         }
         fn set_contents(&self, bytes: &[u8]) {
-            std::fs::write(self.path(), bytes).unwrap();
+            std::fs::write(&self.path, bytes).unwrap();
         }
         fn reopen(&self) -> Self {
-            OsFile::open(self.path().to_path_buf()).unwrap()
+            OsFile::open(self.path.clone()).unwrap()
         }
         fn remove(&self) {
-            let _ = std::fs::remove_file(self.path().with_extension("compact"));
-            std::fs::remove_file(self.path()).unwrap();
+            let _ = std::fs::remove_file(self.path.with_extension("compact"));
+            std::fs::remove_file(&self.path).unwrap();
         }
     }
 
@@ -1690,7 +1694,10 @@ mod tests {
             let lock = rank::Ranked::<RANK, _>::new(std::sync::Mutex::new(()));
             let _held = lock.lock(|m| m.lock().unwrap());
             let get = std::panic::AssertUnwindSafe(|| kv.get(b"k"));
-            *std::panic::catch_unwind(get).unwrap_err().downcast::<String>().unwrap()
+            *std::panic::catch_unwind(get)
+                .unwrap_err()
+                .downcast::<String>()
+                .unwrap()
         }
         let path = tmp("rank");
         let kv = LogKv::open(&path).unwrap();
@@ -1699,7 +1706,10 @@ mod tests {
             get_under::<{ rank::FRONTIER }>(&kv),
             get_under::<{ rank::CACHE }>(&kv),
         ];
-        assert_eq!(under, ["registry", "frontier", "cache"].map(|r| format!("store call while `{r}` is held")));
+        assert_eq!(
+            under,
+            ["registry", "frontier", "cache"].map(|r| format!("store call while `{r}` is held"))
+        );
         assert_eq!(kv.get(b"k").unwrap(), None);
         std::fs::remove_file(path).unwrap();
     }

@@ -80,7 +80,6 @@ impl MeteredKv {
 
 impl KvStore for MeteredKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.get");
         self.gets.inc();
         let v = self.inner.get(key)?;
@@ -91,7 +90,6 @@ impl KvStore for MeteredKv {
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.put");
         self.puts.inc();
         self.bytes_written.add(value.len() as u64);
@@ -99,14 +97,12 @@ impl KvStore for MeteredKv {
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.delete");
         self.deletes.inc();
         self.inner.delete(key)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
-        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.scan");
         self.scans.inc();
         let hits = self.inner.scan_prefix(prefix)?;
@@ -116,7 +112,6 @@ impl KvStore for MeteredKv {
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
-        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.scan");
         self.scans.inc();
         self.inner.scan_keys(prefix)
@@ -128,7 +123,6 @@ impl KvStore for MeteredKv {
         after: &[u8],
         limit: usize,
     ) -> Result<Vec<Vec<u8>>, StoreError> {
-        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.scan");
         self.scans.inc();
         self.inner.scan_keys_after(prefix, after, limit)
@@ -137,7 +131,6 @@ impl KvStore for MeteredKv {
     /// Counted as the puts and deletes it carries, under one `store.batch`
     /// span.
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
-        timecrypt_obs::rank::assert_may_block();
         let _span = trace::stage("store.batch");
         let (mut puts, mut bytes) = (0, 0);
         for op in ops {

@@ -32,7 +32,9 @@ fn each_gauge_sums_over_the_open_logs_and_a_dropped_log_withdraws_its_share() {
     let on_disk = LogKv::open(&path).unwrap();
     let in_memory = MemKv::new();
     for n in 0..10u64 {
-        on_disk.put(&[b"d/", &n.to_be_bytes()[..]].concat(), b"value").unwrap();
+        on_disk
+            .put(&[b"d/", &n.to_be_bytes()[..]].concat(), b"value")
+            .unwrap();
     }
     on_disk.delete(b"d/\0\0\0\0\0\0\0\x03").unwrap();
     in_memory.put(b"key", b"value").unwrap();
@@ -41,7 +43,10 @@ fn each_gauge_sums_over_the_open_logs_and_a_dropped_log_withdraws_its_share() {
 
     // A third log opened empty adds its magic, not a reset to it.
     let empty = MemKv::new();
-    assert_eq!(gauges(), sum(&[on_disk.stats(), in_memory.stats(), empty.stats()]));
+    assert_eq!(
+        gauges(),
+        sum(&[on_disk.stats(), in_memory.stats(), empty.stats()])
+    );
     drop(empty);
     drop(in_memory);
     assert_eq!(gauges(), sum(&[on_disk.stats()]));

@@ -18,10 +18,10 @@
 //!   AES-GCM, PRGs (all from scratch).
 //! * [`chunk`] — data model, digests, compression,
 //!   chunk sealing.
-//! * [`index`] — the k-ary time-partitioned aggregation
-//!   tree with LRU node cache.
-//! * [`store`] — KV engines (memory / persistent log) and the
-//!   op-metering decorator.
+//! * [`index`] — the statistical index: a running sum per
+//!   chunk, with an LRU cache of the boundary sums queries read.
+//! * [`store`] — the KV engine (an append-only log, on disk or in
+//!   memory) and the op-metering decorator.
 //! * [`server`] — the untrusted server engine.
 //! * [`service`] — the sharded concurrent serving tier:
 //!   shard-routed backends (in-process engines and/or remote

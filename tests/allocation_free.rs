@@ -1,7 +1,7 @@
 //! The hot paths' allocation-free steps allocate nothing once their buffers
 //! are warm (ARCHITECTURE.md, "Checked invariants"). The others are counted
 //! beside their callers: each handler's `dispatch` in `ingest_path.rs`, the
-//! index walk and the spine's ripple in `index_node_shape.rs`, P-256's
+//! index's boundary reads and appends in `index_node_shape.rs`, P-256's
 //! arithmetic in `grant_cost.rs`.
 
 use std::net::TcpListener;

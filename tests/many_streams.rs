@@ -24,10 +24,9 @@ const DELTA_MS: u64 = 10_000;
 /// Every `HOT_EVERY`-th stream gets chunks; the rest exist only in the
 /// directory — the shape lazy hydration is for.
 const HOT_EVERY: u128 = 25;
-/// Chunks per hot stream: three sealed level-1 nodes and an 8-entry open
-/// one at the default arity 64, so every rehydration the LRU churn forces
-/// reads back a real spine — tail records and sealed siblings — not a
-/// three-record stream.
+/// Chunks per hot stream, so every rehydration the LRU churn forces finds
+/// a long stream's length and reads back its last running sum, not a
+/// three-record stream's.
 const CHUNKS: u64 = 200;
 
 fn env_usize(name: &str, default: usize) -> usize {
