@@ -109,7 +109,6 @@ use crate::file::{LogFile, MemFile, OsFile};
 use crate::{KvStore, StoreError, WriteOp};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufWriter, Write};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -860,11 +859,14 @@ pub struct LogStats {
     pub dead_bytes: u64,
 }
 
-struct Inner<F: LogFile> {
+struct Inner<F> {
     index: Index,
-    /// Buffers appends to the current log generation, whose handle readers
-    /// clone from here ([`Inner::reader`]).
-    writer: BufWriter<Appender<F>>,
+    /// The current log generation; readers clone its handle from here
+    /// ([`Inner::reader`]).
+    file: Arc<F>,
+    /// Appended bytes not yet in the file (`Durability::Buffered` only):
+    /// up to [`BUFFER`] of them, or until a read needs them.
+    buffered: Vec<u8>,
     /// Sequence byte the next record will carry (wrapping).
     next_seq: u8,
     /// Appends since open, a batch counting once (monotonic; group-commit
@@ -879,46 +881,40 @@ struct Inner<F: LogFile> {
     published: LogStats,
 }
 
-/// Appends to one generation of the file, for the write buffer.
-struct Appender<F>(Arc<F>);
-
-impl<F: LogFile> Write for Appender<F> {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        self.0.append(bytes)?;
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
+/// What `Durability::Buffered` holds back before it writes.
+const BUFFER: usize = 8 << 10;
 
 impl<F: LogFile> Inner<F> {
     /// The handle to read records ending at or before `end` through,
-    /// flushing the write buffer first if it still holds some of them
-    /// (only `Durability::Buffered` leaves bytes there between appends).
+    /// writing out the buffer first if it still holds some of them.
     fn reader(&mut self, end: u64) -> Result<Arc<F>, StoreError> {
-        if end > self.tail.saturating_sub(self.writer.buffer().len() as u64) {
-            self.writer.flush()?;
+        if end > self.tail - self.buffered.len() as u64 {
+            self.append(&[], true)?;
         }
-        Ok(Arc::clone(&self.writer.get_ref().0))
+        Ok(Arc::clone(&self.file))
     }
 
-    /// Writes `run` at the tail, and with `flush` to the file; on an error,
-    /// drops what of it the buffer holds, so none of it comes later.
+    /// Appends `run` at the tail: to the file with `flush` or once the
+    /// buffer would fill (straight from `run` if it holds nothing). On an
+    /// error the buffer is dropped, so none of it comes later, and the log
+    /// turns read-only.
     fn append(&mut self, run: &[u8], flush: bool) -> Result<(), StoreError> {
         if self.failed {
             return Err(std::io::Error::other("read-only after a failed append").into());
         }
-        let written = (self.writer.write_all(run)).and_then(|()| match flush {
-            true => self.writer.flush(),
-            false => Ok(()),
-        });
-        if written.is_err() {
-            let file = Appender(Arc::clone(&self.writer.get_ref().0));
-            drop(std::mem::replace(&mut self.writer, BufWriter::new(file)).into_parts());
-            self.failed = true;
+        if !flush && self.buffered.len() + run.len() < BUFFER {
+            self.buffered.extend_from_slice(run);
+            return Ok(());
         }
+        let written = match self.buffered.is_empty() {
+            true => self.file.append(run),
+            false => {
+                self.buffered.extend_from_slice(run);
+                self.file.append(&self.buffered)
+            }
+        };
+        self.buffered.clear();
+        self.failed = written.is_err();
         Ok(written?)
     }
 
@@ -1055,7 +1051,8 @@ impl<F: LogFile> LogKv<F> {
     ) -> Self {
         let mut inner = Inner {
             index,
-            writer: BufWriter::new(Appender(Arc::clone(&file))),
+            file: Arc::clone(&file),
+            buffered: Vec::new(),
             next_seq,
             appended: 0,
             tail,
@@ -1121,7 +1118,7 @@ impl<F: LogFile> LogKv<F> {
         let (file, index, tail) = rewrite(&*old, &inner.index, self.durability)?;
         inner.next_seq = (index.len() % 256) as u8;
         (inner.index, inner.tail) = (index, tail);
-        inner.writer = BufWriter::new(Appender(Arc::clone(&file)));
+        inner.file = Arc::clone(&file);
         inner.publish(inner.footprint());
         // The rewritten file is a fresh generation: swap the fsync handle
         // and mark everything appended so far as covered by the rewrite.
