@@ -13,7 +13,7 @@ use std::sync::Arc;
 use timecrypt_obs::counters;
 
 /// What a [`LogKv`](crate::LogKv) asks of its file.
-pub trait LogFile: Send + Sync + Sized + 'static {
+pub trait LogFile: Send + Sync + Sized {
     /// Fills `buf` from `offset`; an error if the file ends first.
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
     /// Writes `bytes` at the end of the file.

@@ -1222,39 +1222,48 @@ impl<F: LogFile> KvStore for LogKv<F> {
 }
 
 /// Records up to this long are read into the stack, so that a read of
-/// one allocates its value and nothing else.
+/// one allocates its value and nothing else; a longer one is read into the
+/// buffer it returns, cut down to the value in place.
 const STACK_RECORD: usize = 4096;
 
 /// Reads the put record of `key` at `loc` and validates it again — CRC,
 /// op, and that it names `key`: its bytes, or `run`, the number of the run
-/// the index holds it in, and its tail — then copies its value out.
-/// Anything else there — rot since open, a file changed behind the
-/// store's back — is [`StoreError::CorruptAt`] with the record's offset,
-/// never wrong bytes.
+/// the index holds it in, and its tail — and returns its value. Anything
+/// else there — rot since open, a file changed behind the store's back —
+/// is [`StoreError::CorruptAt`] with the record's offset, never wrong
+/// bytes.
 fn read_value(
     file: &impl LogFile,
     key: &[u8],
     loc: Loc,
     run: Option<u64>,
 ) -> Result<Vec<u8>, StoreError> {
+    let len = loc.len as usize;
     let (mut stack, mut heap) = ([0u8; STACK_RECORD], Vec::new());
-    let rec = match stack.get_mut(..loc.len as usize) {
+    let rec = match stack.get_mut(..len) {
         Some(rec) => rec,
         None => {
-            heap.resize(loc.len as usize, 0);
+            heap.resize(len, 0);
             &mut heap[..]
         }
     };
     file.read_at(rec, loc.offset)?;
-    match parse(rec) {
-        Some(r) if r.head.op == OP_PUT && r.len == rec.len() && r.names(key, run) => {
-            Ok(r.value.to_vec())
+    let vlen = match parse(rec) {
+        Some(r) if r.head.op == OP_PUT && r.len == len && r.names(key, run) => r.value.len(),
+        _ => {
+            return Err(StoreError::CorruptAt {
+                what: "record failed validation on read",
+                offset: loc.offset,
+            })
         }
-        _ => Err(StoreError::CorruptAt {
-            what: "record failed validation on read",
-            offset: loc.offset,
-        }),
+    };
+    let value = len - FOOTER - vlen..len - FOOTER;
+    if len <= STACK_RECORD {
+        return Ok(stack[value].to_vec());
     }
+    heap.truncate(value.end);
+    heap.drain(..value.start);
+    Ok(heap)
 }
 
 // -------------------------------------------------------------------------
