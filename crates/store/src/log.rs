@@ -85,10 +85,11 @@
 //!   lost history silently).
 //!
 //! Durability is a three-position knob ([`Durability`]): `Buffered`
-//! (bytes may sit in the `BufWriter`), `Flush` (write(2) per op — survives
-//! process death, not power loss; the historical behaviour and still the
-//! `open` default), and `Fsync` (group-commit `fdatasync` before ack —
-//! survives kill-9 and power loss; the node binary's default). Under
+//! (bytes may sit in the log's 8 KiB write buffer), `Flush` (write(2) per
+//! op — survives process death, not power loss; the historical behaviour
+//! and still the `open` default), and `Fsync` (group-commit `fdatasync`
+//! before ack — survives kill-9 and power loss; the node binary's
+//! default). Under
 //! `Fsync`, concurrent writers serialize appends on the inner lock but
 //! share fsyncs: each waiter checks the synced watermark and only issues
 //! the syscall if its append is not already covered. A batch is one
