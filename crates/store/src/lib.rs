@@ -12,9 +12,9 @@
 //! a node opens by path, or the [`MemFile`] of [`MemKv`], the same engine
 //! in memory that every test, example and figure runs on.
 //!
-//! Beside it sits the [`MeteredKv`] decorator, which counts ops and bytes for the
-//! service tier's metrics (`timecrypt-faults` adds `FaultyKv`, which
-//! injects errors, torn writes and delays).
+//! Beside it sits the [`MeteredKv`] decorator, which counts ops and bytes
+//! for the service tier's metrics (`timecrypt-faults` adds `FaultyKv`,
+//! which injects errors, torn writes and delays).
 //!
 //! Writes that belong together go through [`KvStore::write_batch`]: one
 //! failure-atomic commit (one log append, one fsync wait in [`LogKv`]).
