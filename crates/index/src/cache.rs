@@ -1,10 +1,10 @@
-//! Byte-budgeted LRU cache, for the running sums at query boundaries.
+//! Byte-budgeted LRU cache for the running sums queries read at their
+//! boundaries, each keyed by its chunk's index.
 //!
 //! The paper's server keeps hot index data in memory (caffeine LRU in the
-//! Java prototype) and fetches cold data from the KV store; here that is
-//! the running sums queries read, each keyed by its chunk's index. Cache
-//! size is a first-order performance knob: Fig. 7 includes an "extremely
-//! small (1 MB) index cache" configuration to show the miss-path cost.
+//! Java prototype) and fetches cold data from the KV store. Cache size is a
+//! first-order performance knob: Fig. 7 includes an "extremely small (1 MB)
+//! index cache" configuration to show the miss-path cost.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -154,8 +154,7 @@ impl<const RANK: u8, G> Drop for Held<RANK, G> {
 }
 
 /// Panics, in a debug build, if this thread holds a ranked lock under which
-/// nothing may block. Every operation of `LogKv`, the one store engine,
-/// calls it.
+/// nothing may block. Every operation of `LogKv`, the one store engine, calls it.
 #[inline]
 pub fn assert_may_block() {
     #[cfg(debug_assertions)]

@@ -6,7 +6,7 @@
 use crate::StoreError;
 use parking_lot::{Mutex, RwLock};
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -84,8 +84,7 @@ impl LogFile for OsFile {
         next.file.set_len(0)?;
         let mut w = BufWriter::new(&next.file);
         fill(&mut w)?;
-        w.flush()?;
-        drop(w);
+        w.into_inner().map_err(io::IntoInnerError::into_error)?;
         if durable {
             next.sync()?;
         }
@@ -119,29 +118,18 @@ impl MemFile {
     }
 }
 
-impl Default for MemFile {
-    fn default() -> Self {
-        MemFile::holding(Vec::new())
-    }
-}
-
 impl Clone for MemFile {
     fn clone(&self) -> Self {
-        let bytes = Arc::clone(&self.name.lock());
-        MemFile {
-            bytes,
-            name: Arc::clone(&self.name),
-        }
+        let (bytes, name) = (Arc::clone(&self.name.lock()), Arc::clone(&self.name));
+        MemFile { bytes, name }
     }
 }
 
 impl LogFile for MemFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         let bytes = self.bytes.read();
-        let at = usize::try_from(offset).ok();
-        let src = at.and_then(|at| bytes.get(at..at.checked_add(buf.len())?));
-        buf.copy_from_slice(src.ok_or(io::ErrorKind::UnexpectedEof)?);
-        Ok(())
+        let at = usize::try_from(offset).unwrap_or(usize::MAX);
+        bytes.get(at..).unwrap_or_default().read_exact(buf)
     }
 
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
@@ -166,11 +154,7 @@ impl LogFile for MemFile {
     ) -> Result<Self, StoreError> {
         let mut bytes = Vec::new();
         fill(&mut bytes)?;
-        let next = MemFile::holding(bytes);
-        *self.name.lock() = Arc::clone(&next.bytes);
-        Ok(MemFile {
-            name: Arc::clone(&self.name),
-            ..next
-        })
+        *self.name.lock() = Arc::new(RwLock::new(bytes));
+        Ok(self.clone())
     }
 }

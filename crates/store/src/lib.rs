@@ -193,9 +193,6 @@ impl<S: KvStore + ?Sized> KvStore for Arc<S> {
 /// Owned `(key, value)` pairs, as returned by [`KvStore::scan_prefix`].
 pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// Shared handle to a store.
-pub type SharedKv = Arc<dyn KvStore>;
-
 #[cfg(test)]
 pub(crate) mod conformance {
     //! A conformance suite every engine must pass; each engine's test module
@@ -308,7 +305,7 @@ pub(crate) mod conformance {
 
     pub fn binary_safety(kv: &dyn KvStore) {
         let key = [0u8, 255, 10, 13, 0];
-        // Values on both sides of the 4 KiB a `LogKv` reads on the stack.
+        // A value inside one page and one across three.
         for len in [1024, 10_000] {
             let val: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             kv.put(&key, &val).unwrap();

@@ -51,20 +51,22 @@
 //! business: no key format or [`KvStore`] signature knows.
 //!
 //! **Read path.** `get` / `scan_prefix` look locations up under the inner
-//! lock, clone the handle of the current log generation (a [`LogFile`]),
-//! release the lock and read each whole record at its offset (`pread` on
-//! the [`OsFile`]). A reader therefore never waits behind a writer's
-//! `write(2)` or an fsync. Every read re-checks the record's CRC
-//! and that it names the requested key (its bytes, or its run and tail),
-//! so rot after open is [`StoreError::CorruptAt`] with that record's
-//! offset, not wrong bytes. `compact()` swaps a rewritten generation in
-//! under the file's name ([`LogFile::swap`]) and the handle under the lock;
-//! a reader already holding the old generation's handle and locations
-//! finishes against the old (unlinked, still open) file and never sees a
-//! half-swapped log. Under `Durability::Buffered` a
-//! read whose record lies past the bytes known to have left the write
-//! buffer flushes it first, so every durability level reads its own acked
-//! writes. `scan_keys` answers from the index alone.
+//! lock, clone the handle of the current log generation — a [`LogFile`]:
+//! the [`OsFile`] a node opens by path, or the [`MemFile`] of [`MemKv`] —
+//! release the lock and read each record at its offset: its head, its key
+//! and value straight into the buffer returned, its footer (`pread`s on
+//! the `OsFile`). A reader therefore never waits behind a writer's
+//! `write(2)` or an fsync. Every read re-checks the record's CRC and that
+//! it names the requested key (its bytes, or its run and tail), so rot
+//! after open is [`StoreError::CorruptAt`] with that record's offset, not
+//! wrong bytes. `compact()` swaps a rewritten generation in under the
+//! file's name ([`LogFile::swap`]) and the handle under the lock; a reader
+//! already holding the old generation's handle and locations finishes
+//! against the old (unlinked, still open) file and never sees a
+//! half-swapped log. Under `Durability::Buffered` a read whose record lies
+//! past the bytes known to have left the write buffer flushes it first,
+//! so every durability level reads its own acked writes. `scan_keys`
+//! answers from the index alone.
 //!
 //! On open the log is streamed through a bounded window (1 MiB, or one
 //! record if larger) to rebuild the index, and the footer + the sequence
@@ -84,34 +86,23 @@
 //!   record (the pre-CRC format treated this exactly like a torn tail and
 //!   lost history silently).
 //!
-//! Durability is a three-position knob ([`Durability`]): `Buffered`
-//! (bytes may sit in the log's 8 KiB write buffer), `Flush` (write(2) per
-//! op — survives process death, not power loss; the historical behaviour
-//! and still the `open` default), and `Fsync` (group-commit `fdatasync`
-//! before ack — survives kill-9 and power loss; the node binary's
-//! default). Under
-//! `Fsync`, concurrent writers serialize appends on the inner lock but
-//! share fsyncs: each waiter checks the synced watermark and only issues
-//! the syscall if its append is not already covered. A batch is one
-//! append and waits once.
+//! Under [`Durability::Fsync`], concurrent writers serialize appends on
+//! the inner lock but share fsyncs: each waiter checks the synced
+//! watermark and only issues the syscall if its append is not already
+//! covered. A batch is one append and waits once.
 //!
 //! A non-empty file that does not begin with the magic (or, if shorter
 //! than it, with a prefix of it — a crash during file creation, treated
 //! as a torn tail at offset 0) is refused with [`StoreError::CorruptAt`]
 //! and left untouched: one flipped header bit must never cost the store.
 //! So is a log of an earlier format: this build reads `TCLOG3` only.
-//!
-//! **Files.** The log is written through the five calls of [`LogFile`]:
-//! read at an offset, append, sync, truncate and the compaction swap.
-//! `LogKv` is the [`OsFile`] a node opens by path; [`MemKv`] is the same
-//! engine over a [`MemFile`], which every test, example and figure runs on.
 
 use crate::file::{LogFile, MemFile, OsFile};
 use crate::{KvStore, StoreError, WriteOp};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Bound;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_obs::{counters, rank, tc_warn};
@@ -133,7 +124,7 @@ const FOOTER: usize = 4;
 /// How durable an acked `put`/`delete` is.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Durability {
-    /// Record bytes may remain in the userspace write buffer. Fastest;
+    /// Record bytes may remain in the log's 8 KiB write buffer. Fastest;
     /// an acked write can vanish if the *process* dies.
     Buffered,
     /// `write(2)` per op: bytes reach the OS page cache before ack.
@@ -754,28 +745,25 @@ impl Head {
         let fixed = (self.len + FOOTER) as u64;
         fixed.checked_add(self.klen)?.checked_add(self.vlen)
     }
-}
 
-/// A record parsed out of a buffer: its head, its key's bytes if literal,
-/// its value, and its whole length.
-struct Record<'a> {
-    head: Head,
-    key: &'a [u8],
-    value: &'a [u8],
-    len: usize,
-}
-
-impl Record<'_> {
-    /// Whether this is a record of `key`, which the index holds in the run
-    /// numbered `run`, if in one.
-    fn names(&self, key: &[u8], run: Option<u64>) -> bool {
-        match self.head.run {
-            None => self.key == key,
+    /// Whether a record with this head and `literal` key bytes is one of
+    /// `key`, which the index holds in the run numbered `run`, if in one.
+    fn names(&self, literal: &[u8], key: &[u8], run: Option<u64>) -> bool {
+        match self.run {
+            None => literal == key,
             Some((number, tail)) => {
                 run == Some(number) && split(key).is_some_and(|(_, t)| t == tail)
             }
         }
     }
+}
+
+/// A record parsed out of a buffer: its head, its key's bytes if literal,
+/// and its whole length.
+struct Record<'a> {
+    head: Head,
+    key: &'a [u8],
+    len: usize,
 }
 
 /// The record at the front of `buf`, if all of it is there and its CRC
@@ -787,13 +775,8 @@ fn parse(buf: &[u8]) -> Option<Record<'_>> {
     if footer != crc32(body).to_le_bytes() {
         return None;
     }
-    let (key, value) = body[head.len..].split_at(head.klen as usize);
-    Some(Record {
-        head,
-        key,
-        value,
-        len,
-    })
+    let key = &body[head.len..][..head.klen as usize];
+    Some(Record { head, key, len })
 }
 
 /// Encodes `ops` onto `out` as one batch's records, the first with
@@ -865,8 +848,9 @@ struct Inner<F> {
     /// The current log generation; readers clone its handle from here
     /// ([`Inner::reader`]).
     file: Arc<F>,
-    /// Appended bytes not yet in the file (`Durability::Buffered` only):
-    /// up to [`BUFFER`] of them, or until a read needs them.
+    /// Records encoded and not yet in the file: the batch being written,
+    /// and under `Durability::Buffered` those before it, up to [`BUFFER`]
+    /// bytes or until a read needs them.
     buffered: Vec<u8>,
     /// Sequence byte the next record will carry (wrapping).
     next_seq: u8,
@@ -890,32 +874,19 @@ impl<F: LogFile> Inner<F> {
     /// writing out the buffer first if it still holds some of them.
     fn reader(&mut self, end: u64) -> Result<Arc<F>, StoreError> {
         if end > self.tail - self.buffered.len() as u64 {
-            self.append(&[], true)?;
+            self.flush()?;
         }
         Ok(Arc::clone(&self.file))
     }
 
-    /// Appends `run` at the tail: to the file with `flush` or once the
-    /// buffer would fill (straight from `run` if it holds nothing). On an
-    /// error the buffer is dropped, so none of it comes later, and the log
-    /// turns read-only.
-    fn append(&mut self, run: &[u8], flush: bool) -> Result<(), StoreError> {
-        if self.failed {
-            return Err(std::io::Error::other("read-only after a failed append").into());
-        }
-        if !flush && self.buffered.len() + run.len() < BUFFER {
-            self.buffered.extend_from_slice(run);
-            return Ok(());
-        }
-        let written = match self.buffered.is_empty() {
-            true => self.file.append(run),
-            false => {
-                self.buffered.extend_from_slice(run);
-                self.file.append(&self.buffered)
-            }
-        };
+    /// Appends the buffer to the file and empties it, keeping at most
+    /// [`BUFFER`] of its capacity. On an error it is dropped, so none of it
+    /// comes later, and the log turns read-only.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        let written = self.file.append(&self.buffered);
         self.buffered.clear();
-        self.failed = written.is_err();
+        self.buffered.shrink_to(BUFFER);
+        self.failed |= written.is_err();
         Ok(written?)
     }
 
@@ -940,15 +911,6 @@ impl<F: LogFile> Inner<F> {
     }
 }
 
-/// The group-commit state: highest `appended` value known fsynced, plus
-/// the log generation's handle so fsync never needs the inner lock. Lock
-/// order where both are held: inner → sync (compact swaps the handle);
-/// `commit` takes only this lock.
-struct SyncState<F> {
-    synced: u64,
-    file: Arc<F>,
-}
-
 /// Append-only persistent store over a [`LogFile`]: the [`OsFile`] at a
 /// path ([`LogKv::open`]) unless named otherwise.
 pub struct LogKv<F: LogFile = OsFile> {
@@ -958,7 +920,10 @@ pub struct LogKv<F: LogFile = OsFile> {
     /// inner lock flushes, read by `commit` before fsync to learn what
     /// the syscall will cover.
     flushed: AtomicU64,
-    sync_state: Mutex<SyncState<F>>,
+    /// The group-commit watermark: the highest `appended` value known
+    /// fsynced. Lock order where both are held: inner → synced (`compact`
+    /// raises it); `commit` takes only this lock.
+    synced: Mutex<u64>,
 }
 
 /// The store of every test, example and figure: the log engine over a
@@ -980,19 +945,13 @@ impl LogKv {
     pub fn open_with(path: impl AsRef<Path>, durability: Durability) -> Result<Self, StoreError> {
         Self::over(OsFile::open(path.as_ref().to_path_buf())?, durability)
     }
-
-    /// The log's path.
-    pub fn path(&self) -> PathBuf {
-        self.sync_state.lock().file.path.clone()
-    }
 }
 
 impl MemKv {
     /// An empty log in memory, under [`Durability::Flush`].
     pub fn new() -> Self {
-        let file = Arc::new(MemFile::holding(MAGIC.to_vec()));
-        let tail = MAGIC.len() as u64;
-        Self::assemble(file, Index::default(), 0, tail, Durability::Flush)
+        let file = MemFile::holding(MAGIC.to_vec());
+        Self::assemble(file, Default::default(), Durability::Flush)
     }
 }
 
@@ -1005,7 +964,7 @@ impl Default for MemKv {
 impl<F: LogFile> LogKv<F> {
     /// Opens the log `file` holds (an empty file becomes an empty log),
     /// replaying its contents; fails as [`LogKv::open_with`] does.
-    pub fn over(file: F, durability: Durability) -> Result<Self, StoreError> {
+    pub(crate) fn over(file: F, durability: Durability) -> Result<Self, StoreError> {
         // Cutting nothing, to learn the length.
         let len = file.truncate(u64::MAX)?;
         let mut head = [0u8; MAGIC.len()];
@@ -1019,44 +978,30 @@ impl<F: LogFile> LogKv<F> {
         }
         // A strict prefix of the magic is a crash during file creation:
         // a torn tail at offset 0, truncated like any other.
-        let (index, next_seq, valid_len) = if head.len() < MAGIC.len() {
-            (Index::default(), 0, 0)
-        } else {
-            replay(&file, len)?
+        let replayed = match head.len() < MAGIC.len() {
+            true => Default::default(),
+            false => replay(&file, len)?,
         };
-        file.truncate(valid_len)?;
-        if valid_len == 0 {
+        file.truncate(replayed.2)?;
+        if replayed.2 == 0 {
             file.append(MAGIC)?;
         }
         if durability == Durability::Fsync {
             file.sync()?;
         }
-        let tail = valid_len.max(MAGIC.len() as u64);
-        Ok(Self::assemble(
-            Arc::new(file),
-            index,
-            next_seq,
-            tail,
-            durability,
-        ))
+        Ok(Self::assemble(file, replayed, durability))
     }
 
-    /// The store over `file`, whose valid bytes end at `tail`, once
-    /// `index` holds them.
-    fn assemble(
-        file: Arc<F>,
-        index: Index,
-        next_seq: u8,
-        tail: u64,
-        durability: Durability,
-    ) -> Self {
+    /// The store over `file` once replay returned what [`replay`] does of
+    /// it (a tail of 0: the file holds the magic alone).
+    fn assemble(file: F, (index, seq, tail): (Index, u8, u64), durability: Durability) -> Self {
         let mut inner = Inner {
             index,
-            file: Arc::clone(&file),
+            file: Arc::new(file),
             buffered: Vec::new(),
-            next_seq,
+            next_seq: seq,
             appended: 0,
-            tail,
+            tail: tail.max(MAGIC.len() as u64),
             failed: false,
             published: LogStats::default(),
         };
@@ -1065,31 +1010,28 @@ impl<F: LogFile> LogKv<F> {
             durability,
             inner: Mutex::new(inner),
             flushed: AtomicU64::new(0),
-            sync_state: Mutex::new(SyncState { synced: 0, file }),
+            synced: Mutex::new(0),
         }
     }
 
-    /// Group-commit fsync: make append number `my` durable, sharing the
-    /// syscall with every other record flushed before it started.
-    fn commit(&self, my: u64) -> Result<(), StoreError> {
+    /// Group-commit fsync: make append number `my`, written to `file`,
+    /// durable, sharing the syscall with every record flushed before it
+    /// started. A compaction that replaced `file` since raised the
+    /// watermark past `my`.
+    fn commit(&self, my: u64, file: &F) -> Result<(), StoreError> {
         if self.durability != Durability::Fsync {
             return Ok(());
         }
-        let mut sync = self.sync_state.lock();
-        if sync.synced >= my {
+        let mut synced = self.synced.lock();
+        if *synced >= my {
             return Ok(()); // another waiter's fsync already covered us
         }
-        // Everything flushed to the fd before the syscall starts is
+        // Everything flushed to the file before the syscall starts is
         // durable when it returns; snapshot the watermark first.
         let covered = self.flushed.load(Ordering::Acquire);
-        sync.file.sync()?;
-        sync.synced = sync.synced.max(covered);
+        file.sync()?;
+        *synced = (*synced).max(covered);
         Ok(())
-    }
-
-    /// The configured durability mode.
-    pub fn durability(&self) -> Durability {
-        self.durability
     }
 
     /// Number of live keys.
@@ -1108,34 +1050,52 @@ impl<F: LogFile> LogKv<F> {
     }
 
     /// Rewrites the log to contain only live records (space reclamation for
-    /// data-decay workloads, §4.5 "data decay"), re-appending them through
-    /// the write path's encoder into a fresh index — the one replaying the
-    /// rewritten log builds. Fails, leaving log and index as they were, if
-    /// a live record no longer validates.
+    /// data-decay workloads, §4.5 "data decay"): the file's next generation
+    /// gets the magic, then one plain put per key in [`Index::range`]'s
+    /// order, each a batch of its own on a new sequence chain, through the
+    /// write path's encoder into a fresh index — the one replaying the
+    /// rewritten log builds — and is swapped in ([`LogFile::swap`], durable
+    /// under `Fsync`). Fails, leaving log and index as they were, if a live
+    /// record no longer validates.
     pub fn compact(&self) -> Result<(), StoreError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let old = inner.reader(inner.tail)?;
-        let (file, index, tail) = rewrite(&*old, &inner.index, self.durability)?;
+        let (mut index, mut tail, mut rec) = (Index::default(), MAGIC.len() as u64, Vec::new());
+        let file = old.swap(self.durability == Durability::Fsync, |w| {
+            w.write_all(MAGIC)?;
+            for (seq, (key, loc, run)) in inner.index.range(b"").enumerate() {
+                let value = read_value(&*old, &key, loc, run)?;
+                let put = [WriteOp::Put {
+                    key: &key,
+                    value: &value,
+                }];
+                rec.clear();
+                let lens = encode(&index, &put, seq as u8, &mut rec);
+                w.write_all(&rec)?;
+                tail = index.apply_all(&put, &lens, tail);
+            }
+            Ok(())
+        })?;
         inner.next_seq = (index.len() % 256) as u8;
-        (inner.index, inner.tail) = (index, tail);
-        inner.file = Arc::clone(&file);
+        (inner.index, inner.tail, inner.file) = (index, tail, Arc::new(file));
         inner.publish(inner.footprint());
-        // The rewritten file is a fresh generation: swap the fsync handle
-        // and mark everything appended so far as covered by the rewrite.
-        // Readers that cloned the old handle finish on the old generation.
-        let mut sync = self.sync_state.lock();
-        sync.file = file;
-        sync.synced = inner.appended;
+        // The rewritten file is a fresh generation, and everything appended
+        // so far is covered by the rewrite. Readers that cloned the old
+        // handle finish on the old generation.
+        *self.synced.lock() = inner.appended;
         self.flushed.store(inner.appended, Ordering::Release);
         Ok(())
     }
 }
 
-/// A closed log withdraws its share of the footprint gauges.
+/// A closed log writes out its buffer (an error there is lost) and
+/// withdraws its share of the footprint gauges.
 impl<F: LogFile> Drop for LogKv<F> {
     fn drop(&mut self) {
-        self.inner.get_mut().publish(LogStats::default());
+        let inner = self.inner.get_mut();
+        let _ = inner.flush();
+        inner.publish(LogStats::default());
     }
 }
 
@@ -1171,25 +1131,25 @@ impl<F: LogFile> KvStore for LogKv<F> {
         if ops.is_empty() {
             return Ok(());
         }
-        let lens = ops
-            .iter()
-            .map(parts)
-            .map(|(_, k, v)| MAX_HEAD + k.len() + v.len() + FOOTER);
-        let mut run = Vec::with_capacity(lens.sum());
-        let my = {
+        let (my, file) = {
             let mut guard = self.inner.lock();
             let inner = &mut *guard;
-            let lens = encode(&inner.index, ops, inner.next_seq, &mut run);
-            inner.append(&run, self.durability != Durability::Buffered)?;
+            if inner.failed {
+                return Err(std::io::Error::other("read-only after a failed append").into());
+            }
+            let lens = encode(&inner.index, ops, inner.next_seq, &mut inner.buffered);
+            if self.durability != Durability::Buffered || inner.buffered.len() >= BUFFER {
+                inner.flush()?;
+            }
             inner.tail = inner.index.apply_all(ops, &lens, inner.tail);
             inner.publish(inner.footprint());
             inner.next_seq = inner.next_seq.wrapping_add(ops.len() as u8);
             inner.appended += 1;
             self.flushed.store(inner.appended, Ordering::Release);
-            inner.appended
+            (inner.appended, Arc::clone(&inner.file))
         };
         counters::STORE_BATCHES.inc();
-        self.commit(my)
+        self.commit(my, &file)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
@@ -1222,49 +1182,38 @@ impl<F: LogFile> KvStore for LogKv<F> {
     }
 }
 
-/// Records up to this long are read into the stack, so that a read of
-/// one allocates its value and nothing else; a longer one is read into the
-/// buffer it returns, cut down to the value in place.
-const STACK_RECORD: usize = 4096;
-
 /// Reads the put record of `key` at `loc` and validates it again — CRC,
 /// op, and that it names `key`: its bytes, or `run`, the number of the run
-/// the index holds it in, and its tail — and returns its value. Anything
-/// else there — rot since open, a file changed behind the store's back —
-/// is [`StoreError::CorruptAt`] with the record's offset, never wrong
-/// bytes.
+/// the index holds it in, and its tail — and returns its value. The head
+/// and the footer are read apart from the key and value, so the buffer
+/// returned is the only one allocated. Anything else there — rot since
+/// open, a file changed behind the store's back — is
+/// [`StoreError::CorruptAt`] with the record's offset, never wrong bytes.
 fn read_value(
     file: &impl LogFile,
     key: &[u8],
     loc: Loc,
     run: Option<u64>,
 ) -> Result<Vec<u8>, StoreError> {
-    let len = loc.len as usize;
-    let (mut stack, mut heap) = ([0u8; STACK_RECORD], Vec::new());
-    let rec = match stack.get_mut(..len) {
-        Some(rec) => rec,
-        None => {
-            heap.resize(len, 0);
-            &mut heap[..]
+    let mut head = [0u8; MAX_HEAD];
+    let head = &mut head[..(loc.len as usize).min(MAX_HEAD)];
+    file.read_at(head, loc.offset)?;
+    let put = |h: &Head| h.op == OP_PUT && h.extent() == Some(u64::from(loc.len));
+    if let Some(h) = Head::parse(head).filter(put) {
+        let klen = h.klen as usize;
+        let (mut body, mut footer) = (vec![0; klen + h.vlen as usize], [0; FOOTER]);
+        file.read_at(&mut body, loc.offset + h.len as u64)?;
+        file.read_at(&mut footer, loc.end() - FOOTER as u64)?;
+        let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &head[..h.len]), &body);
+        if footer == crc.to_le_bytes() && h.names(&body[..klen], key, run) {
+            body.drain(..klen);
+            return Ok(body);
         }
-    };
-    file.read_at(rec, loc.offset)?;
-    let vlen = match parse(rec) {
-        Some(r) if r.head.op == OP_PUT && r.len == len && r.names(key, run) => r.value.len(),
-        _ => {
-            return Err(StoreError::CorruptAt {
-                what: "record failed validation on read",
-                offset: loc.offset,
-            })
-        }
-    };
-    let value = len - FOOTER - vlen..len - FOOTER;
-    if len <= STACK_RECORD {
-        return Ok(stack[value].to_vec());
     }
-    heap.truncate(value.end);
-    heap.drain(..value.start);
-    Ok(heap)
+    Err(StoreError::CorruptAt {
+        what: "record failed validation on read",
+        offset: loc.offset,
+    })
 }
 
 // -------------------------------------------------------------------------
@@ -1403,43 +1352,13 @@ fn replay(file: &impl LogFile, len: u64) -> Result<(Index, u8, u64), StoreError>
     Ok((index, next_seq.wrapping_sub(held.len() as u8), batch_start))
 }
 
-/// Re-appends the live records of `index`, read out of `old`, to the
-/// next generation of the file — magic, then one plain put per key in
-/// [`Index::range`]'s order, each a batch of its own on a new sequence
-/// chain, through [`encode`] into a fresh index — swaps it in
-/// ([`LogFile::swap`], durable under `Fsync`) and returns its handle with
-/// that index and the log's length.
-fn rewrite<F: LogFile>(
-    old: &F,
-    index: &Index,
-    durability: Durability,
-) -> Result<(Arc<F>, Index, u64), StoreError> {
-    let (mut fresh, mut tail) = (Index::default(), MAGIC.len() as u64);
-    let file = old.swap(durability == Durability::Fsync, |w| {
-        w.write_all(MAGIC)?;
-        let mut rec = Vec::new();
-        for (seq, (key, loc, run)) in index.range(b"").enumerate() {
-            let value = read_value(old, &key, loc, run)?;
-            let put = [WriteOp::Put {
-                key: &key,
-                value: &value,
-            }];
-            rec.clear();
-            let lens = encode(&fresh, &put, seq as u8, &mut rec);
-            w.write_all(&rec)?;
-            tail = fresh.apply_all(&put, &lens, tail);
-        }
-        Ok(())
-    })?;
-    Ok((Arc::new(file), fresh, tail))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conformance;
     use std::fs::OpenOptions;
     use std::os::unix::fs::FileExt;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1482,7 +1401,7 @@ mod tests {
 
     impl TestFile for MemFile {
         fn fresh(_: &str) -> Self {
-            MemFile::default()
+            MemFile::holding(Vec::new())
         }
         fn contents(&self) -> Vec<u8> {
             self.reopen().bytes.read().clone()
@@ -1503,7 +1422,7 @@ mod tests {
     /// Runs `test` on a fresh log under `mode` in each file.
     fn on_each_file(name: &str, mode: Durability, test: impl Fn(&dyn KvStore)) {
         test(&LogKv::open_with(tmp(name), mode).unwrap());
-        test(&LogKv::over(MemFile::default(), mode).unwrap());
+        test(&LogKv::over(MemFile::holding(Vec::new()), mode).unwrap());
     }
 
     /// Head bytes of a literal record whose key and value are each under
@@ -2098,6 +2017,25 @@ mod tests {
         assert_eq!(kv.stats(), compacted);
         assert_eq!(compacted.log_bytes, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// `Buffered` loses acked writes when the process dies, not when the
+    /// log is closed.
+    #[test]
+    fn a_closed_buffered_log_writes_out_its_buffer() {
+        closed_buffered_in::<OsFile>();
+        closed_buffered_in::<MemFile>();
+    }
+
+    fn closed_buffered_in<F: TestFile>() {
+        let file = F::fresh("buffered-close");
+        let kv = LogKv::over(file.reopen(), Durability::Buffered).unwrap();
+        kv.put(b"k", b"acked").unwrap();
+        assert_eq!(file.contents().len(), MAGIC.len());
+        drop(kv);
+        let kv = reopen(&file).unwrap();
+        assert_eq!(kv.get(b"k").unwrap(), Some(b"acked".to_vec()));
+        file.remove();
     }
 
     #[test]
