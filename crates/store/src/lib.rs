@@ -305,7 +305,7 @@ pub(crate) mod conformance {
 
     pub fn binary_safety(kv: &dyn KvStore) {
         let key = [0u8, 255, 10, 13, 0];
-        // A value inside one page and one across three.
+        // Values on both sides of the 4 KiB a `LogKv` reads on the stack.
         for len in [1024, 10_000] {
             let val: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             kv.put(&key, &val).unwrap();

@@ -53,9 +53,8 @@
 //! **Read path.** `get` / `scan_prefix` look locations up under the inner
 //! lock, clone the handle of the current log generation — a [`LogFile`]:
 //! the [`OsFile`] a node opens by path, or the [`MemFile`] of [`MemKv`] —
-//! release the lock and read each record at its offset: its head, its key
-//! and value straight into the buffer returned, its footer (`pread`s on
-//! the `OsFile`). A reader therefore never waits behind a writer's
+//! release the lock and read each whole record at its offset (one `pread`
+//! on the `OsFile`). A reader therefore never waits behind a writer's
 //! `write(2)` or an fsync. Every read re-checks the record's CRC and that
 //! it names the requested key (its bytes, or its run and tail), so rot
 //! after open is [`StoreError::CorruptAt`] with that record's offset, not
@@ -758,8 +757,7 @@ impl Head {
     }
 }
 
-/// A record parsed out of a buffer: its head, its key's bytes if literal,
-/// and its whole length.
+/// A record parsed out of a buffer: its head, literal key bytes and length.
 struct Record<'a> {
     head: Head,
     key: &'a [u8],
@@ -1182,38 +1180,39 @@ impl<F: LogFile> KvStore for LogKv<F> {
     }
 }
 
-/// Reads the put record of `key` at `loc` and validates it again — CRC,
-/// op, and that it names `key`: its bytes, or `run`, the number of the run
-/// the index holds it in, and its tail — and returns its value. The head
-/// and the footer are read apart from the key and value, so the buffer
-/// returned is the only one allocated. Anything else there — rot since
-/// open, a file changed behind the store's back — is
-/// [`StoreError::CorruptAt`] with the record's offset, never wrong bytes.
+/// Records up to this long are read onto the stack, so that reading one
+/// allocates its value and nothing else.
+const STACK_RECORD: usize = 4096;
+
+/// Reads the put record of `key` at `loc` in one read, onto the stack if it
+/// fits, and validates it again — CRC, op, and that it names `key`: its
+/// bytes, or `run`, the number of the run the index holds it in, and its
+/// tail — and returns its value. Anything else there — rot since open, a
+/// file changed behind the store's back — is [`StoreError::CorruptAt`]
+/// with the record's offset, never wrong bytes.
 fn read_value(
     file: &impl LogFile,
     key: &[u8],
     loc: Loc,
     run: Option<u64>,
 ) -> Result<Vec<u8>, StoreError> {
-    let mut head = [0u8; MAX_HEAD];
-    let head = &mut head[..(loc.len as usize).min(MAX_HEAD)];
-    file.read_at(head, loc.offset)?;
-    let put = |h: &Head| h.op == OP_PUT && h.extent() == Some(u64::from(loc.len));
-    if let Some(h) = Head::parse(head).filter(put) {
-        let klen = h.klen as usize;
-        let (mut body, mut footer) = (vec![0; klen + h.vlen as usize], [0; FOOTER]);
-        file.read_at(&mut body, loc.offset + h.len as u64)?;
-        file.read_at(&mut footer, loc.end() - FOOTER as u64)?;
-        let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &head[..h.len]), &body);
-        if footer == crc.to_le_bytes() && h.names(&body[..klen], key, run) {
-            body.drain(..klen);
-            return Ok(body);
+    let len = loc.len as usize;
+    let mut stack = [0u8; STACK_RECORD];
+    let mut heap = vec![0u8; if len > STACK_RECORD { len } else { 0 }];
+    let rec = match heap.is_empty() {
+        true => &mut stack[..len],
+        false => &mut heap[..],
+    };
+    file.read_at(rec, loc.offset)?;
+    match parse(rec) {
+        Some(r) if r.head.op == OP_PUT && r.len == len && r.head.names(r.key, key, run) => {
+            Ok(rec[len - FOOTER - r.head.vlen as usize..len - FOOTER].to_vec())
         }
+        _ => Err(StoreError::CorruptAt {
+            what: "record failed validation on read",
+            offset: loc.offset,
+        }),
     }
-    Err(StoreError::CorruptAt {
-        what: "record failed validation on read",
-        offset: loc.offset,
-    })
 }
 
 // -------------------------------------------------------------------------
