@@ -1087,12 +1087,14 @@ impl<F: LogFile> LogKv<F> {
     }
 }
 
-/// A closed log writes out its buffer (an error there is lost) and
+/// A closed log writes out its buffer (an error there is logged) and
 /// withdraws its share of the footprint gauges.
 impl<F: LogFile> Drop for LogKv<F> {
     fn drop(&mut self) {
         let inner = self.inner.get_mut();
-        let _ = inner.flush();
+        if let Err(e) = inner.flush() {
+            tc_warn!("store.log", "closing: buffered records lost: {e}");
+        }
         inner.publish(LogStats::default());
     }
 }
