@@ -949,7 +949,7 @@ impl MemKv {
     /// An empty log in memory, under [`Durability::Flush`].
     pub fn new() -> Self {
         let file = MemFile::holding(MAGIC.to_vec());
-        Self::assemble(file, Default::default(), Durability::Flush)
+        Self::assemble(file, (Index::default(), 0, 0), Durability::Flush)
     }
 }
 
@@ -976,18 +976,18 @@ impl<F: LogFile> LogKv<F> {
         }
         // A strict prefix of the magic is a crash during file creation:
         // a torn tail at offset 0, truncated like any other.
-        let replayed = match head.len() < MAGIC.len() {
-            true => Default::default(),
+        let (index, seq, valid_len) = match head.len() < MAGIC.len() {
+            true => (Index::default(), 0, 0),
             false => replay(&file, len)?,
         };
-        file.truncate(replayed.2)?;
-        if replayed.2 == 0 {
+        file.truncate(valid_len)?;
+        if valid_len == 0 {
             file.append(MAGIC)?;
         }
         if durability == Durability::Fsync {
             file.sync()?;
         }
-        Ok(Self::assemble(file, replayed, durability))
+        Ok(Self::assemble(file, (index, seq, valid_len), durability))
     }
 
     /// The store over `file` once replay returned what [`replay`] does of
