@@ -33,11 +33,12 @@
 //! one commits the file. The guard prints its rows; CI copies them to the
 //! job summary.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::{Durability, KvStore, LogKv, MeteredKv};
+
+mod common;
 
 /// The fleet shape: 119 B sealed, the benchmark's DevOps chunk — 32 B
 /// header, 4 digest words, 55 B payload.
@@ -45,38 +46,6 @@ const WIDTH: usize = 4;
 const PAYLOAD: usize = 55;
 const DELTA_MS: u64 = 60_000;
 const QUERIES: u64 = 64;
-
-/// Checks `rows` against `BENCH_ledger.json` exactly, or with `TC_BLESS`
-/// set writes them into it; prints each row.
-fn ledger(rows: &[(String, String)]) {
-    // The tests of this binary share the file.
-    static FILE: Mutex<()> = Mutex::new(());
-    let _file = FILE.lock().unwrap();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_ledger.json");
-    let text = std::fs::read_to_string(&path).unwrap_or_default();
-    let row = |line: &str| {
-        let (name, value) = line.trim().trim_end_matches(',').split_once(": ")?;
-        Some((name.trim_matches('"').to_string(), value.to_string()))
-    };
-    let mut committed: BTreeMap<String, String> = text.lines().filter_map(row).collect();
-    let measured: Vec<_> = rows.iter().map(|(n, v)| format!("{n}: {v}")).collect();
-    measured.iter().for_each(|row| println!("ledger row {row}"));
-    if std::env::var_os("TC_BLESS").is_some() {
-        committed.extend(rows.iter().cloned());
-        let lines = committed.iter().map(|(n, v)| format!("  \"{n}\": {v}"));
-        let lines: Vec<_> = lines.collect();
-        std::fs::write(&path, format!("{{\n{}\n}}\n", lines.join(",\n"))).unwrap();
-        return;
-    }
-    let held = rows
-        .iter()
-        .map(|(n, _)| format!("{n}: {}", committed.get(n).map_or("-", String::as_str)));
-    let held: Vec<_> = held.collect();
-    assert_eq!(
-        held, measured,
-        "committed, measured (TC_BLESS=1 rewrites the file)"
-    );
-}
 
 /// Ingests `per_stream` chunks — `width`-wide digests, `payload`-byte
 /// payloads — into each of `streams` streams, `turn` consecutive chunks of
@@ -176,7 +145,7 @@ fn fleet_ingest_store_writes_stay_under_the_byte_model() {
     let (puts, bytes, rows) = measure("fleet", (8, 200, 1), (WIDTH, PAYLOAD), 64 << 20);
     // One put of the record's 95 value bytes per chunk (`MeteredKv`).
     assert_eq!((puts, bytes), (1.0, 8 * 200 * 95));
-    ledger(&rows);
+    common::ledger(&rows);
 }
 
 #[test]
@@ -184,7 +153,7 @@ fn dashboard_ingest_store_writes_stay_under_the_byte_model() {
     // 512 chunks per stream, 16 a batch: 32 batches.
     let (puts, bytes, rows) = measure("dashboard", (4, 512, 16), (19, 100), 64 << 10);
     assert_eq!((puts, bytes), (1.0, 4 * 512 * 260));
-    ledger(&rows);
+    common::ledger(&rows);
 }
 
 /// The deployed durability (`timecrypt-node` defaults to `Fsync`): one
