@@ -1,11 +1,12 @@
 //! Arbitrary-precision unsigned integers.
 //!
 //! Little-endian `u64` limbs, always normalized (no trailing zero limbs).
-//! Implements exactly the operations the Paillier/P-256 stack needs:
+//! Implements exactly the operations the strawman needs — Paillier's
+//! 2048–3072-bit numbers, Miller-Rabin — and the affine reference the
+//! product's P-256 is tested against (`tests/p256_reference.rs`):
 //! comparison, add/sub, schoolbook multiply, shifts, bit access, and binary
-//! long division. Hot modular paths do not run here: P-256 works on four
-//! limbs in [`crate::p256`], the strawman through its own Montgomery
-//! context in `timecrypt-bench`.
+//! long division. Hot modular paths do not run here but through the
+//! Montgomery context in [`super::mont`].
 
 /// An unsigned big integer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -10,8 +10,7 @@
 use std::collections::HashMap;
 use timecrypt_crypto::SecureRandom;
 use timecrypt_index::HomDigest;
-use timecrypt_pk::bn::BigUint;
-use timecrypt_pk::p256::{curve, Point};
+use timecrypt_pk::p256::{self, Point, Scalar, G};
 
 /// An EC-ElGamal ciphertext: `(R, S) = (rG, mG + rQ)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +24,7 @@ pub struct ElGamalCiphertext {
 /// Keypair + BSGS decryption table.
 pub struct EcElGamal {
     /// Secret scalar d.
-    d: BigUint,
+    d: Scalar,
     /// Public point Q = dG.
     pub q: Point,
     /// Baby-step table: x-coordinate bytes of iG → i, for i in [0, table).
@@ -40,15 +39,14 @@ impl EcElGamal {
     /// Generates a keypair able to decrypt sums up to `max_plaintext`
     /// (BSGS memory/time are both O(√max_plaintext)).
     pub fn generate(max_plaintext: u64, rng: &mut SecureRandom) -> Self {
-        let c = curve();
-        let d = c.random_scalar(rng);
-        let q = c.scalar_mul_base(&d);
+        let d = p256::random_scalar(rng);
+        let q = p256::scalar_mul_base(&d);
         let stride = (max_plaintext as f64).sqrt().ceil() as u64 + 1;
         let mut baby = HashMap::with_capacity(stride as usize);
-        let mut acc = Point::infinity();
+        let mut acc = Point::INFINITY;
         for i in 0..stride {
             baby.insert(point_fingerprint(&acc), i);
-            acc = c.add(&acc, &c.g);
+            acc = p256::add(&acc, &G);
         }
         EcElGamal {
             d,
@@ -61,48 +59,43 @@ impl EcElGamal {
 
     /// Encrypts `m` (must not exceed decryptable sums you intend to take).
     pub fn encrypt(&self, m: u64, rng: &mut SecureRandom) -> ElGamalCiphertext {
-        let c = curve();
-        let r = c.random_scalar(rng);
-        let rg = c.scalar_mul_base(&r);
-        let rq = c.scalar_mul(&r, &self.q);
-        let mg = c.scalar_mul_base(&BigUint::from_u64(m));
+        let r = p256::random_scalar(rng);
+        let rq = p256::scalar_mul(&r, &self.q);
         ElGamalCiphertext {
-            r: rg,
-            s: c.add(&mg, &rq),
+            r: p256::scalar_mul_base(&r),
+            s: p256::add(&p256::scalar_mul_base(&small(m)), &rq),
         }
     }
 
     /// Homomorphic addition (pointwise; needs no key).
     pub fn add(a: &ElGamalCiphertext, b: &ElGamalCiphertext) -> ElGamalCiphertext {
-        let c = curve();
         ElGamalCiphertext {
-            r: c.add(&a.r, &b.r),
-            s: c.add(&a.s, &b.s),
+            r: p256::add(&a.r, &b.r),
+            s: p256::add(&a.s, &b.s),
         }
     }
 
     /// The additive identity `(O, O)`.
     pub fn zero() -> ElGamalCiphertext {
         ElGamalCiphertext {
-            r: Point::infinity(),
-            s: Point::infinity(),
+            r: Point::INFINITY,
+            s: Point::INFINITY,
         }
     }
 
     /// Decrypts: recovers `mG = S − dR`, then solves the discrete log by
     /// baby-step/giant-step. Returns `None` if `m > max_plaintext`.
     pub fn decrypt(&self, ct: &ElGamalCiphertext) -> Option<u64> {
-        let c = curve();
-        let dr = c.scalar_mul(&self.d, &ct.r);
-        let mut mg = c.sub(&ct.s, &dr);
+        let dr = p256::scalar_mul(&self.d, &ct.r);
+        let mut mg = p256::sub(&ct.s, &dr);
         // Giant steps: subtract stride·G until we hit the baby table.
-        let giant = c.scalar_mul_base(&BigUint::from_u64(self.stride));
+        let giant = p256::scalar_mul_base(&small(self.stride));
         let max_giants = self.max_plaintext / self.stride + 1;
         for g in 0..=max_giants {
             if let Some(&i) = self.baby.get(&point_fingerprint(&mg)) {
                 return Some(g * self.stride + i);
             }
-            mg = c.sub(&mg, &giant);
+            mg = p256::sub(&mg, &giant);
         }
         None
     }
@@ -113,6 +106,13 @@ impl EcElGamal {
     pub fn ciphertext_bytes() -> usize {
         2 * 65
     }
+}
+
+/// `v` as a scalar.
+fn small(v: u64) -> Scalar {
+    let mut k = [0u8; 32];
+    k[24..].copy_from_slice(&v.to_be_bytes());
+    k
 }
 
 /// Key for the BSGS table: the encoded point (infinity handled).
@@ -138,11 +138,10 @@ impl HomDigest for ElGamalDigest {
 
     fn sub_assign(&mut self, other: &Self) {
         debug_assert_eq!(self.0.len(), other.0.len());
-        let c = curve();
         for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
             *a = ElGamalCiphertext {
-                r: c.sub(&a.r, &b.r),
-                s: c.sub(&a.s, &b.s),
+                r: p256::sub(&a.r, &b.r),
+                s: p256::sub(&a.s, &b.s),
             };
         }
     }

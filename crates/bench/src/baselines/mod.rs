@@ -1,11 +1,12 @@
 //! The paper's *strawman*: a private time series store whose chunk digests
 //! are encrypted with an additively homomorphic public-key scheme —
 //! Paillier or EC-ElGamal — representing encrypted databases like
-//! CryptDB/Talos (§6). Evaluation-only: built on the product's
-//! `timecrypt-pk` arithmetic, reachable from nothing outside this crate.
+//! CryptDB/Talos (§6). Evaluation-only: reachable from nothing outside
+//! this crate; EC-ElGamal runs on the product's `timecrypt-pk` curve.
 //!
 //! | Module | Content |
 //! |--------|---------|
+//! | [`bn`] | Arbitrary-precision unsigned integers (add/sub/mul/div/shift): Paillier's 2048–3072-bit numbers |
 //! | [`mont`] | Heap-limb Montgomery multiplication & modular exponentiation (CIOS), any odd modulus |
 //! | [`prime`] | Sieve + Miller-Rabin probable-prime generation |
 //! | [`paillier`] | Paillier cryptosystem with `g = n+1` fast path; 3072-bit for the 128-bit setting of Table 2 |
@@ -17,6 +18,7 @@
 //! digests in the Table 2 / Fig. 5 / Fig. 7 benchmarks.
 
 pub mod abe;
+pub mod bn;
 pub mod elgamal;
 pub mod mont;
 pub mod paillier;

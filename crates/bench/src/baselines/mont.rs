@@ -6,7 +6,7 @@
 //! `timecrypt_pk::p256`). The modulus must be odd (true for RSA-style
 //! moduli and `n²`).
 
-use timecrypt_pk::bn::BigUint;
+use super::bn::BigUint;
 
 /// A Montgomery context for one odd modulus.
 #[derive(Debug, Clone)]

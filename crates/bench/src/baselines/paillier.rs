@@ -8,12 +8,12 @@
 //! Ciphertexts are `n²`-sized — 768 bytes at 3072-bit keys versus
 //! TimeCrypt's 8 bytes, the 96x index expansion of Table 2.
 
+use super::bn::BigUint;
 use super::mont::Mont;
 use super::prime::gen_prime;
 use std::sync::{Arc, Mutex, OnceLock};
 use timecrypt_crypto::SecureRandom;
 use timecrypt_index::HomDigest;
-use timecrypt_pk::bn::BigUint;
 
 /// Public parameters (enough to encrypt and aggregate).
 #[derive(Debug, Clone)]

@@ -1,8 +1,8 @@
 //! Probable-prime generation: trial-division sieve + Miller-Rabin.
 
+use super::bn::BigUint;
 use super::mont::Mont;
 use timecrypt_crypto::SecureRandom;
-use timecrypt_pk::bn::BigUint;
 
 /// Small primes for trial division, generated by sieve at first use.
 fn small_primes() -> &'static [u64] {

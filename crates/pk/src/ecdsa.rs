@@ -8,50 +8,46 @@
 //! it authenticates public metadata, it does not guard long-lived secrets
 //! against local side channels.
 
-use crate::bn::BigUint;
-use crate::p256::{curve, limbs4, Point, ORDER};
+use crate::p256::{self, below, limbs, scalar, Limbs, Point, Scalar, ORDER};
 use timecrypt_crypto::{sha256, SecureRandom};
 
 /// An ECDSA signature: the standard `(r, s)` pair, each in `[1, n-1]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Signature {
     /// x-coordinate of the nonce point, mod the group order.
-    pub r: BigUint,
+    pub r: Scalar,
     /// Proof scalar `k⁻¹(z + r·d) mod n`.
-    pub s: BigUint,
+    pub s: Scalar,
+}
+
+/// `k` in `[1, n − 1]`.
+fn in_range(k: &Limbs) -> bool {
+    *k != [0; 4] && below(k, &ORDER.m)
 }
 
 impl Signature {
     /// Fixed 64-byte encoding: `r || s`, each 32 bytes big-endian.
     pub fn encode(&self) -> [u8; 64] {
         let mut out = [0u8; 64];
-        out[..32].copy_from_slice(&self.r.to_bytes_be_padded(32));
-        out[32..].copy_from_slice(&self.s.to_bytes_be_padded(32));
+        out[..32].copy_from_slice(&self.r);
+        out[32..].copy_from_slice(&self.s);
         out
     }
 
     /// Parses [`encode`](Self::encode) output; range-checks both scalars.
     pub fn decode(buf: &[u8]) -> Option<Self> {
-        if buf.len() != 64 {
+        let [r, s] = <&[u8; 64]>::try_from(buf).ok()?.as_chunks::<32>().0 else {
             return None;
-        }
-        let n = &curve().n;
-        let r = BigUint::from_bytes_be(&buf[..32]);
-        let s = BigUint::from_bytes_be(&buf[32..]);
-        if r.is_zero() || s.is_zero() {
-            return None;
-        }
-        if r.cmp_val(n) != std::cmp::Ordering::Less || s.cmp_val(n) != std::cmp::Ordering::Less {
-            return None;
-        }
-        Some(Signature { r, s })
+        };
+        let sig = Signature { r: *r, s: *s };
+        (in_range(&limbs(r)) && in_range(&limbs(s))).then_some(sig)
     }
 }
 
 /// A signing key (scalar `d`) with its public point `Q = d·G`.
 #[derive(Debug, Clone)]
 pub struct SigningKey {
-    d: BigUint,
+    d: Scalar,
     public: Point,
 }
 
@@ -63,39 +59,39 @@ pub struct VerifyingKey {
 }
 
 /// Message hash as an integer per SEC1 §4.1.3: the leftmost `log2(n)` bits.
-/// For P-256 with SHA-256 that is the whole 32-byte digest.
-fn hash_to_scalar(msg: &[u8]) -> BigUint {
-    BigUint::from_bytes_be(&sha256(msg))
+/// For P-256 with SHA-256 that is the whole 32-byte digest, unreduced.
+fn hash_to_scalar(msg: &[u8]) -> Limbs {
+    limbs(&sha256(msg))
 }
 
 impl SigningKey {
     /// Generates a fresh random key.
     pub fn generate(rng: &mut SecureRandom) -> Self {
-        let d = curve().random_scalar(rng);
-        Self::from_scalar(d).expect("random_scalar is in [1, n-1]")
+        let d = p256::random_scalar(rng);
+        SigningKey {
+            d,
+            public: p256::scalar_mul_base(&d),
+        }
     }
 
     /// Builds a key from a raw scalar; `None` if `d` is 0 or ≥ n.
-    pub fn from_scalar(d: BigUint) -> Option<Self> {
-        let c = curve();
-        if d.is_zero() || d.cmp_val(&c.n) != std::cmp::Ordering::Less {
-            return None;
-        }
-        let public = c.scalar_mul_base(&d);
-        Some(SigningKey { d, public })
+    pub fn from_scalar(d: Scalar) -> Option<Self> {
+        let key = || SigningKey {
+            d,
+            public: p256::scalar_mul_base(&d),
+        };
+        in_range(&limbs(&d)).then(key)
     }
 
     /// The verification key.
     pub fn verifying_key(&self) -> VerifyingKey {
-        VerifyingKey {
-            point: self.public.clone(),
-        }
+        VerifyingKey { point: self.public }
     }
 
     /// Signs `SHA-256(msg)` with a random per-signature nonce.
     pub fn sign(&self, msg: &[u8], rng: &mut SecureRandom) -> Signature {
         loop {
-            let k = curve().random_scalar(rng);
+            let k = p256::random_scalar(rng);
             if let Some(sig) = self.sign_with_nonce(msg, &k) {
                 return sig;
             }
@@ -107,48 +103,36 @@ impl SigningKey {
     ///
     /// Exposed so tests can pin the RFC 6979 known-answer nonce. NEVER reuse
     /// a nonce across two messages — doing so reveals the private key.
-    pub fn sign_with_nonce(&self, msg: &[u8], k: &BigUint) -> Option<Signature> {
-        let c = curve();
-        let z = hash_to_scalar(msg);
-        let (x, _) = c.scalar_mul_base(k).coords?;
-        let r = x.rem(&c.n);
-        if r.is_zero() {
-            return None;
-        }
-        // s = k⁻¹ (z + r·d) mod n
+    pub fn sign_with_nonce(&self, msg: &[u8], k: &Scalar) -> Option<Signature> {
         let n = &ORDER;
-        let k_inv = n.inv(&n.to_mont(&k.rem(&c.n)));
-        let rd = n.mul(&n.to_mont(&r), &n.to_mont(&self.d));
-        let s = n.mul(&k_inv, &n.add(&n.to_mont(&z), &rd));
-        let s = BigUint::from_limbs(n.to_raw(&s).to_vec());
-        if s.is_zero() {
-            return None;
-        }
-        Some(Signature { r, s })
+        let r = n.reduce(&p256::scalar_mul_base(k).x()?);
+        // s = k⁻¹ (z + r·d) mod n
+        let k_inv = n.inv(&n.to_mont(&limbs(k)));
+        let rd = n.mul(&n.to_mont(&r), &n.to_mont(&limbs(&self.d)));
+        let s = n.mul(&k_inv, &n.add(&n.to_mont(&hash_to_scalar(msg)), &rd));
+        let s = n.to_raw(&s);
+        (r != [0; 4] && s != [0; 4]).then(|| Signature {
+            r: scalar(&r),
+            s: scalar(&s),
+        })
     }
 }
 
 impl VerifyingKey {
     /// Verifies `sig` over `SHA-256(msg)`.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        let c = curve();
-        if self.point.is_infinity() || !c.is_on_curve(&self.point) {
-            return false;
-        }
-        let less = |a: &BigUint| !a.is_zero() && a.cmp_val(&c.n) == std::cmp::Ordering::Less;
-        if !less(&sig.r) || !less(&sig.s) {
+        let (r, s) = (limbs(&sig.r), limbs(&sig.s));
+        if self.point.is_infinity() || !in_range(&r) || !in_range(&s) {
             return false;
         }
         // u₁ = z·s⁻¹, u₂ = r·s⁻¹ mod n: one factor in Montgomery form, so
         // each product comes out of it as a raw scalar.
         let n = &ORDER;
-        let w = n.inv(&n.to_mont(&sig.s));
-        let u1 = n.mul(&limbs4(&hash_to_scalar(msg)), &w);
-        let u2 = n.mul(&limbs4(&sig.r), &w);
-        match c.mul_add_base(&u1, &u2, &self.point).coords {
-            None => false,
-            Some((x, _)) => x.rem(&c.n) == sig.r,
-        }
+        let w = n.inv(&n.to_mont(&s));
+        let u1 = n.mul(&hash_to_scalar(msg), &w);
+        let u2 = n.mul(&r, &w);
+        let x = p256::mul_add_base(&u1, &u2, &self.point).x();
+        x.is_some_and(|x| n.reduce(&x) == r)
     }
 
     /// SEC1 uncompressed encoding of the public point.
@@ -170,8 +154,9 @@ impl VerifyingKey {
 mod tests {
     use super::*;
 
-    fn h(s: &str) -> BigUint {
-        BigUint::from_hex(s).unwrap()
+    /// 64 hex digits as 32 bytes.
+    fn h(s: &str) -> Scalar {
+        std::array::from_fn(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).unwrap())
     }
 
     /// RFC 6979 §A.2.5, P-256 + SHA-256, message "sample": the full
@@ -181,13 +166,13 @@ mod tests {
         let d = h("C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721");
         let key = SigningKey::from_scalar(d).unwrap();
         let vk = key.verifying_key();
-        let (x, y) = vk.point.coords.clone().unwrap();
+        let sec1 = vk.encode();
         assert_eq!(
-            x,
+            sec1[1..33],
             h("60FED4BA255A9D31C961EB74C6356D68C049B8923B61FA6CE669622E60F29FB6")
         );
         assert_eq!(
-            y,
+            sec1[33..],
             h("7903FE1008B8BC99A41AE9E95628BC64F2F1B20C2D7E9F5177A3C294D4462299")
         );
 
@@ -246,11 +231,12 @@ mod tests {
         let mut rng = SecureRandom::from_seed_insecure(9);
         let key = SigningKey::generate(&mut rng);
         let sig = key.sign(b"msg", &mut rng);
-        let mut bad = sig.clone();
-        bad.s = bad.s.add_mod(&BigUint::one(), &curve().n);
+        let plus_one = |v: &Scalar| scalar(&ORDER.add(&limbs(v), &[1, 0, 0, 0]));
+        let mut bad = sig;
+        bad.s = plus_one(&bad.s);
         assert!(!key.verifying_key().verify(b"msg", &bad));
         let mut bad = sig;
-        bad.r = bad.r.add_mod(&BigUint::one(), &curve().n);
+        bad.r = plus_one(&bad.r);
         assert!(!key.verifying_key().verify(b"msg", &bad));
     }
 
@@ -293,7 +279,7 @@ mod tests {
 
     #[test]
     fn zero_and_oversize_scalars_rejected_as_keys() {
-        assert!(SigningKey::from_scalar(BigUint::zero()).is_none());
-        assert!(SigningKey::from_scalar(curve().n.clone()).is_none());
+        assert!(SigningKey::from_scalar([0; 32]).is_none());
+        assert!(SigningKey::from_scalar(scalar(&ORDER.m)).is_none());
     }
 }

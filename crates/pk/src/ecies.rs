@@ -6,15 +6,14 @@
 //! is the identity provider's job (the paper assumes Keybase; we assume the
 //! caller already resolved the key).
 
-use crate::bn::BigUint;
-use crate::p256::{curve, Point};
+use crate::p256::{self, Point, Scalar};
 use timecrypt_crypto::sha256::Sha256;
 use timecrypt_crypto::{AesGcm128, SecureRandom};
 
 /// A principal's ECIES keypair.
 pub struct EciesKeypair {
     /// Secret scalar.
-    d: BigUint,
+    d: Scalar,
     /// Public point (register this with the identity provider).
     pub public: Point,
 }
@@ -42,10 +41,11 @@ impl std::error::Error for EciesError {}
 impl EciesKeypair {
     /// Generates a fresh keypair.
     pub fn generate(rng: &mut SecureRandom) -> Self {
-        let c = curve();
-        let d = c.random_scalar(rng);
-        let public = c.scalar_mul_base(&d);
-        EciesKeypair { d, public }
+        let d = p256::random_scalar(rng);
+        EciesKeypair {
+            d,
+            public: p256::scalar_mul_base(&d),
+        }
     }
 
     /// Decrypts a blob sealed to this keypair's public key.
@@ -54,7 +54,7 @@ impl EciesKeypair {
         if eph.is_infinity() {
             return Err(EciesError::Malformed);
         }
-        let shared = curve().scalar_mul(&self.d, &eph);
+        let shared = p256::scalar_mul(&self.d, &eph);
         let key = kdf(&shared);
         let gcm = AesGcm128::new(&key);
         let rest = &blob[used..];
@@ -70,10 +70,9 @@ impl EciesKeypair {
 /// Seals `plaintext` to `recipient`'s public key:
 /// `ephemeral_point || nonce || AES-GCM(body)`.
 pub fn seal(recipient: &Point, plaintext: &[u8], rng: &mut SecureRandom) -> Vec<u8> {
-    let c = curve();
-    let e = c.random_scalar(rng);
-    let eph = c.scalar_mul_base(&e);
-    let shared = c.scalar_mul(&e, recipient);
+    let e = p256::random_scalar(rng);
+    let eph = p256::scalar_mul_base(&e);
+    let shared = p256::scalar_mul(&e, recipient);
     let key = kdf(&shared);
     let gcm = AesGcm128::new(&key);
     let mut nonce = [0u8; 12];

@@ -6,20 +6,17 @@
 //!
 //! | Module | Content |
 //! |--------|---------|
-//! | [`bn`] | Arbitrary-precision unsigned integers (add/sub/mul/div/shift): the form of scalars, coordinates and encodings at every boundary |
-//! | [`p256`] | NIST P-256: four-limb Montgomery field and scalar arithmetic on the stack, Jacobian points, fixed 4-bit-window scalar multiplication, one inversion per operation |
+//! | [`p256`] | NIST P-256 on four stack limbs end to end: Montgomery field and scalar arithmetic, `Copy` points with canonical coordinates, 32-byte scalars, Jacobian points, fixed 4-bit-window scalar multiplication, one inversion per operation |
 //! | [`ecdsa`] | ECDSA over P-256 — producers sign attestations, consumers verify them (`timecrypt-integrity`) |
 //! | [`ecies`] | ECIES hybrid encryption over P-256 — used by the client to seal grant blobs for principals (§3.2's "encrypted with the principal's public key") |
 //!
-//! The paper's strawman ciphers (Paillier, EC-ElGamal) are built on
-//! [`bn`] and this curve but are evaluation-only: they live in
-//! `timecrypt-bench`, with the heap-limb Montgomery context only they
-//! need, and nothing in the product can reach them.
+//! The paper's strawman ciphers (Paillier, EC-ElGamal) are evaluation-only:
+//! they live in `timecrypt-bench`, with the arbitrary-precision integers
+//! and heap-limb Montgomery context only they need, and nothing in the
+//! product can reach them. EC-ElGamal runs on this curve.
 
-pub mod bn;
 pub mod ecdsa;
 pub mod ecies;
 pub mod p256;
 
-pub use bn::BigUint;
 pub use ecdsa::{Signature, SigningKey, VerifyingKey};

@@ -3,17 +3,20 @@
 //! `index_ram.rs`. A grant is one ECIES seal on the owner's side and one
 //! open on the principal's (§3.2, Table 1 (8)); an attestation is one
 //! ECDSA signature and one verification (§3.3). All four stand on
-//! `pk/p256.rs`, whose field elements are four limbs on the stack: a
-//! scalar multiplication allocates for the `BigUint`s at its boundary and
-//! for nothing in between — the field operations, point `double` / `add`
-//! and the window loop `mul_sum` allocate nothing. So the five counts are
-//! rows of the root `BENCH_ledger.json`, compared exactly (`TC_BLESS=1`
-//! rewrites them): one allocation inside the field arithmetic is
-//! thousands per operation, one in `mul_sum` one more than the row.
+//! `pk/p256.rs`, four stack limbs end to end: points, scalars and
+//! signatures are fixed-width values, so a scalar multiplication allocates
+//! nothing — neither the field operations, point `double` / `add` and the
+//! window loop `mul_sum`, nor the conversions at its boundary. Signing and
+//! verifying allocate nothing at all; a seal allocates for its blob and an
+//! open for its plaintext, each with the key derivation's point encoding.
+//! The five counts are rows of the root `BENCH_ledger.json`, compared
+//! exactly (`TC_BLESS=1` rewrites them): one allocation inside the curve
+//! is thousands per operation.
 //!
 //! Before the fixed-limb curve every field add, sub and mul returned a
 //! fresh `Vec<u64>`: 67 941 allocations for one seal (two scalar
-//! multiplications), 100 930 for a grant and its sync.
+//! multiplications), 100 930 for a grant and its sync. With heap integers
+//! left at the curve's boundary they were 29 and 90.
 //!
 //! Counts only. The binary's global allocator (`tests/common`) keeps, per
 //! thread, how many times it was asked for memory. The guard prints its
