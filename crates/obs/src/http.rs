@@ -42,20 +42,13 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
         let accept_thread = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let render = render.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_one(stream, &*render);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => break,
-                }
-            }
+            let accept = || listener.accept().map(|(stream, _peer)| stream);
+            accept_loop(&stop_flag, "metrics", accept, |stream| {
+                let render = render.clone();
+                std::thread::spawn(move || {
+                    let _ = serve_one(stream, &*render);
+                });
+            });
         });
         Ok(HttpServer {
             addr,
@@ -81,6 +74,31 @@ impl HttpServer {
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// A server's accept loop, until `stop` is set: hands each connection
+/// `accept` yields to `serve`. `accept` is a non-blocking listener's; an
+/// empty queue and a failed accept alike — a peer that reset before it was
+/// taken, a process out of file descriptors — wait 1 ms and try again, the
+/// failure logged under `target`. Only `stop` ends the loop, so the port
+/// stays open for the next peer.
+pub fn accept_loop<C>(
+    stop: &AtomicBool,
+    target: &'static str,
+    mut accept: impl FnMut() -> std::io::Result<C>,
+    mut serve: impl FnMut(C),
+) {
+    while !stop.load(Ordering::Relaxed) {
+        match accept() {
+            Ok(conn) => serve(conn),
+            Err(e) => {
+                if e.kind() != std::io::ErrorKind::WouldBlock {
+                    crate::tc_warn!(target, "accept failed: {e}");
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
     }
 }
 
@@ -150,6 +168,25 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         let (head, body) = response.split_once("\r\n\r\n").unwrap();
         (head.to_string(), body.to_string())
+    }
+
+    #[test]
+    fn a_failed_accept_does_not_end_the_loop() {
+        use std::io::{Error, ErrorKind};
+        let stop = AtomicBool::new(false);
+        let mut accepts = [
+            Err(Error::from(ErrorKind::ConnectionAborted)),
+            Err(Error::from(ErrorKind::WouldBlock)),
+            Ok(7),
+        ]
+        .into_iter();
+        let mut served = Vec::new();
+        let accept = || accepts.next().unwrap_or(Err(ErrorKind::WouldBlock.into()));
+        accept_loop(&stop, "test", accept, |conn| {
+            served.push(conn);
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(served, [7]);
     }
 
     #[test]

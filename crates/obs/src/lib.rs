@@ -50,7 +50,7 @@ pub mod prom;
 pub mod rank;
 pub mod trace;
 
-pub use http::HttpServer;
+pub use http::{accept_loop, HttpServer};
 pub use log::{Event, Level};
 pub use trace::TraceContext;
 

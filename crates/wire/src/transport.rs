@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use timecrypt_obs::{tc_warn, trace, TraceContext};
+use timecrypt_obs::{accept_loop, tc_warn, trace, TraceContext};
 
 /// Retained capacity cap for per-connection scratch buffers. Reuse keeps
 /// steady-state serving allocation-free, but one oversized frame (a 4 MiB
@@ -148,31 +148,24 @@ impl Server {
         // A short accept timeout lets the loop observe the stop flag.
         listener.set_nonblocking(true)?;
         let accept_thread = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let handler = handler.clone();
-                        let stream = Arc::new(stream);
-                        {
-                            // Registry mutations keep the vec valid at
-                            // every panic point — recover from poisoning.
-                            let mut conns = conns2
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            // Drop registry entries whose connection ended.
-                            conns.retain(|w| w.strong_count() > 0);
-                            conns.push(Arc::downgrade(&stream));
-                        }
-                        std::thread::spawn(move || {
-                            let _ = serve_connection(&stream, handler, opts);
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                    Err(_) => break,
+            let accept = || listener.accept().map(|(stream, _peer)| stream);
+            accept_loop(&stop_flag, "wire", accept, |stream| {
+                let handler = handler.clone();
+                let stream = Arc::new(stream);
+                {
+                    // Registry mutations keep the vec valid at every panic
+                    // point — recover from poisoning.
+                    let mut conns = conns2
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    // Drop registry entries whose connection ended.
+                    conns.retain(|w| w.strong_count() > 0);
+                    conns.push(Arc::downgrade(&stream));
                 }
-            }
+                std::thread::spawn(move || {
+                    let _ = serve_connection(&stream, handler, opts);
+                });
+            });
         });
         Ok(Server {
             addr,
