@@ -196,7 +196,8 @@ impl Consumer {
     /// Issues a statistical query over `[ts_s, ts_e)` and decrypts the
     /// aggregate. Succeeds only if this principal's grants cover the
     /// boundary keys of the server-chosen chunk window — the cryptographic
-    /// access check (§4.2.3, §4.4.1).
+    /// access check (§4.2.3, §4.4.1). The one-stream
+    /// [`stat_query_multi`](Self::stat_query_multi).
     pub fn stat_query<T: Transport>(
         &mut self,
         transport: &mut T,
@@ -204,22 +205,7 @@ impl Consumer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatSummary, ClientFault> {
-        let reply = match transport.call(&Request::GetStatRange {
-            streams: vec![stream],
-            ts_s,
-            ts_e,
-        })? {
-            Response::Stat(s) => s,
-            _ => return Err(ClientFault::Protocol("Stat")),
-        };
-        let keys = self
-            .streams
-            .get_mut(&stream)
-            .ok_or(ClientFault::Protocol("synced grants"))?;
-        let (_, lo, hi) = reply.parts[0];
-        let mut agg = reply.agg;
-        decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
-        Ok(keys.descriptor.schema.interpret(&agg))
+        self.stat_query_multi(transport, &[stream], ts_s, ts_e)
     }
 
     /// Multi-stream statistical query (§4.3 inter-streams): the server
@@ -242,16 +228,19 @@ impl Consumer {
             _ => return Err(ClientFault::Protocol("Stat")),
         };
         let mut agg = reply.agg;
-        let mut schema = None;
+        let (first, _, _) = reply
+            .parts
+            .first()
+            .ok_or(ClientFault::Protocol("non-empty streams"))?;
         for &(sid, lo, hi) in &reply.parts {
             let keys = self
                 .streams
                 .get_mut(&sid)
                 .ok_or(ClientFault::Protocol("synced grants"))?;
             decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
-            schema.get_or_insert_with(|| keys.descriptor.schema.clone());
         }
-        let schema = schema.ok_or(ClientFault::Protocol("non-empty streams"))?;
+        // The loop found every part's stream, the first among them.
+        let schema = &self.streams[first].descriptor.schema;
         Ok(schema.interpret(&agg))
     }
 
@@ -492,6 +481,31 @@ mod tests {
             }
             self.inner.call(req)
         }
+    }
+
+    /// A server that answers a statistical query with no part.
+    struct Partless;
+
+    impl Transport for Partless {
+        fn call(&mut self, _: &Request) -> Result<Response, ClientFault> {
+            let reply = timecrypt_wire::StatReply {
+                parts: Vec::new(),
+                agg: vec![0; 4],
+            };
+            Ok(Response::Stat(reply))
+        }
+    }
+
+    #[test]
+    fn a_stat_reply_without_parts_is_an_error() {
+        let (mut t, cfg, mut owner) = setup();
+        let mut c = Consumer::new("c", &mut SecureRandom::from_seed_insecure(6));
+        owner
+            .grant_access(&mut t, "c", c.public_key(), 0, 5 * MIN)
+            .unwrap();
+        c.sync_grants(&mut t, cfg.id).unwrap();
+        let reply = c.stat_query(&mut Partless, cfg.id, MIN, 2 * MIN);
+        assert!(matches!(reply, Err(ClientFault::Protocol(_))), "{reply:?}");
     }
 
     #[test]
