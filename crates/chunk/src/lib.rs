@@ -27,7 +27,7 @@ pub mod schema;
 pub mod serialize;
 
 pub use compress::Codec;
-pub use model::{ChunkId, DataPoint, StreamConfig, StreamId};
+pub use model::{ChunkGrid, ChunkId, DataPoint, StreamConfig, StreamId};
 pub use schema::{DigestOp, DigestSchema, StatSummary};
 pub use serialize::{
     ChunkBuilder, ChunkRef, ChunkSealer, DigestWords, EncryptedChunk, PlainChunk, SealedRecord,

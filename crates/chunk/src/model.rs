@@ -1,5 +1,7 @@
 //! Core data model: points, streams, and the time→chunk mapping (§2, §4.3).
 
+use std::num::NonZeroU64;
+
 /// Stream identifier (the paper's UUID).
 pub type StreamId = u128;
 
@@ -63,13 +65,19 @@ impl StreamConfig {
         }
     }
 
+    /// The stream's chunk grid; `None` for Δ = 0.
+    pub fn grid(&self) -> Option<ChunkGrid> {
+        let delta_ms = NonZeroU64::new(self.delta_ms)?;
+        Some(ChunkGrid {
+            t0: self.t0,
+            delta_ms,
+        })
+    }
+
     /// Maps a timestamp to its chunk index. Timestamps before `t0` are not
-    /// valid for this stream.
+    /// valid for this stream, nor is any for Δ = 0.
     pub fn chunk_of(&self, ts: i64) -> Option<ChunkId> {
-        if ts < self.t0 {
-            return None;
-        }
-        Some(((ts - self.t0) as u64) / self.delta_ms)
+        self.grid()?.chunk_of(ts)
     }
 
     /// The chunk's half-open time interval `[start, end)` in ms.
@@ -79,15 +87,54 @@ impl StreamConfig {
     }
 
     /// Maps a half-open time range `[ts_s, ts_e)` to the half-open chunk
-    /// range fully *containing* it (for raw retrieval) — the first chunk
-    /// touching `ts_s` through the last chunk touching `ts_e − 1`.
+    /// range fully *containing* it (for raw retrieval) — see
+    /// [`ChunkGrid::containing`].
     pub fn chunk_range_containing(&self, ts_s: i64, ts_e: i64) -> Option<(ChunkId, ChunkId)> {
+        self.grid()?.containing(ts_s, ts_e)
+    }
+}
+
+/// A stream's chunk grid: chunk `i` covers `[t0 + i·Δ, t0 + (i + 1)·Δ)`.
+/// The one time→chunk mapping of clients and servers. It divides a
+/// timestamp's distance to `t0`, taken with `abs_diff`, so it is exact for
+/// any two `i64` timestamps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkGrid {
+    /// Epoch: timestamp of chunk 0's start, in ms.
+    pub t0: i64,
+    /// Chunk interval Δ in milliseconds.
+    pub delta_ms: NonZeroU64,
+}
+
+impl ChunkGrid {
+    /// The chunk `ts` falls in; `None` before `t0`.
+    pub fn chunk_of(&self, ts: i64) -> Option<ChunkId> {
+        (ts >= self.t0).then(|| ts.abs_diff(self.t0) / self.delta_ms)
+    }
+
+    /// The half-open chunk range containing `[ts_s, ts_e)` (for raw
+    /// retrieval): the first chunk touching `ts_s` through the last
+    /// touching `ts_e − 1`. `None` for an empty range or one that ends at
+    /// or before `t0`.
+    pub fn containing(&self, ts_s: i64, ts_e: i64) -> Option<(ChunkId, ChunkId)> {
         if ts_e <= ts_s {
             return None;
         }
-        let first = self.chunk_of(ts_s.max(self.t0))?;
         let last = self.chunk_of(ts_e - 1)?;
-        Some((first, last + 1))
+        Some((self.chunk_of(ts_s.max(self.t0))?, last + 1))
+    }
+
+    /// The half-open chunk range `[ts_s, ts_e)` covers whole (for
+    /// aggregates and grants): the first chunk starting at or after `ts_s`
+    /// to one past the last ending at or before `ts_e`. Empty when the
+    /// first is not below the second.
+    pub fn within(&self, ts_s: i64, ts_e: i64) -> (ChunkId, ChunkId) {
+        let lo = if ts_s > self.t0 {
+            ts_s.abs_diff(self.t0).div_ceil(self.delta_ms.get())
+        } else {
+            0
+        };
+        (lo, self.chunk_of(ts_e).unwrap_or(0))
     }
 }
 
@@ -129,5 +176,19 @@ mod tests {
         // Empty / inverted ranges.
         assert_eq!(c.chunk_range_containing(5_000, 5_000), None);
         assert_eq!(c.chunk_range_containing(9_000, 5_000), None);
+    }
+
+    #[test]
+    fn the_grid_reaches_the_ends_of_time() {
+        let c = StreamConfig::new(1, "hr", -1, 10_000);
+        let last = (i64::MAX as u64 + 1) / 10_000;
+        assert_eq!(c.chunk_of(i64::MAX), Some(last));
+        assert_eq!(c.chunk_range_containing(0, i64::MAX), Some((0, last + 1)));
+        let grid = c.grid().unwrap();
+        assert_eq!(grid.within(0, i64::MAX), (1, last));
+        assert_eq!(grid.within(i64::MIN, -1), (0, 0));
+        let zero = StreamConfig::new(1, "hr", 0, 0);
+        assert_eq!(zero.chunk_of(5), None);
+        assert_eq!(zero.chunk_range_containing(0, 5), None);
     }
 }

@@ -94,16 +94,9 @@ impl DataOwner {
         if ts_e <= ts_s {
             return Err(ClientFault::Chunk("empty grant window".into()));
         }
-        let lo = if ts_s <= self.cfg.t0 {
-            0
-        } else {
-            ((ts_s - self.cfg.t0) as u64).div_ceil(self.cfg.delta_ms)
-        };
-        let hi = if ts_e <= self.cfg.t0 {
-            0
-        } else {
-            ((ts_e - self.cfg.t0) as u64) / self.cfg.delta_ms
-        };
+        let zero = || ClientFault::Chunk("chunk interval is zero".into());
+        let grid = self.cfg.grid().ok_or_else(zero)?;
+        let (lo, hi) = grid.within(ts_s, ts_e);
         if lo >= hi {
             return Err(ClientFault::Chunk("grant window covers no chunk".into()));
         }
@@ -269,5 +262,38 @@ impl DataOwner {
             Response::Ok => Ok(()),
             _ => Err(ClientFault::Protocol("Ok")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Consumer, InProcess};
+    use std::sync::Arc;
+    use timecrypt_server::{ServerConfig, TimeCryptServer};
+    use timecrypt_store::MemKv;
+
+    #[test]
+    fn grant_windows_reach_the_ends_of_time() {
+        let server = TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default());
+        let mut t = InProcess::new(Arc::new(server.unwrap()));
+        let cfg = StreamConfig::new(1, "m", -1, 10_000);
+        let mut owner = DataOwner::new(cfg, SecureRandom::from_seed_insecure(1));
+        owner.create_stream(&mut t).unwrap();
+        let last = (i64::MAX as u64 + 1) / 10_000;
+        assert_eq!(owner.chunk_window(0, i64::MAX).unwrap(), (1, last));
+        let consumer = Consumer::new("c", &mut SecureRandom::from_seed_insecure(2));
+        let granted = owner.grant_access(&mut t, "c", consumer.public_key(), 0, i64::MAX);
+        assert!(
+            matches!(granted, Err(ClientFault::Access(_))),
+            "{granted:?}"
+        );
+
+        let zero = StreamConfig::new(2, "m", 0, 0);
+        let owner = DataOwner::new(zero, SecureRandom::from_seed_insecure(3));
+        assert!(matches!(
+            owner.chunk_window(0, 1),
+            Err(ClientFault::Chunk(_))
+        ));
     }
 }

@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU64;
 use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
+use timecrypt_chunk::ChunkGrid;
 use timecrypt_index::{
     keys, leaf_record, stored_chunk_count, AggTree, HomDigest, IndexError, TreeConfig,
 };
@@ -235,15 +236,17 @@ pub type VerifiedRange = (Vec<u8>, Vec<u8>, Vec<Vec<u8>>);
 /// in memory for every stream whether or not its state is resident.
 #[derive(Debug, Clone, Copy)]
 struct StreamMeta {
-    t0: i64,
-    delta_ms: NonZeroU64,
+    grid: ChunkGrid,
     digest_width: u32,
 }
 
 impl StreamMeta {
     /// The registration record's value: `t0 ‖ Δ ‖ width`, little-endian.
     fn encode(&self) -> Vec<u8> {
-        let (t0, delta) = (self.t0.to_le_bytes(), self.delta_ms.get().to_le_bytes());
+        let (t0, delta) = (
+            self.grid.t0.to_le_bytes(),
+            self.grid.delta_ms.get().to_le_bytes(),
+        );
         [&t0[..], &delta, &self.digest_width.to_le_bytes()].concat()
     }
 
@@ -251,35 +254,14 @@ impl StreamMeta {
     fn decode(bytes: &[u8]) -> Option<Self> {
         let (t0, rest) = bytes.split_first_chunk::<8>()?;
         let (delta, width) = rest.split_first_chunk::<8>()?;
-        Some(StreamMeta {
+        let grid = ChunkGrid {
             t0: i64::from_le_bytes(*t0),
             delta_ms: NonZeroU64::new(u64::from_le_bytes(*delta))?,
+        };
+        Some(StreamMeta {
+            grid,
             digest_width: u32::from_le_bytes(width.try_into().ok()?),
         })
-    }
-
-    /// The chunk `ts` falls in, for `ts` at or after `t0` — exact for any
-    /// two timestamps, as their distance is.
-    fn chunk_of(&self, ts: i64) -> u64 {
-        ts.abs_diff(self.t0) / self.delta_ms
-    }
-
-    /// First chunk whose interval starts at or after `ts`.
-    fn first_chunk_at_or_after(&self, ts: i64) -> u64 {
-        if ts <= self.t0 {
-            return 0;
-        }
-        ts.abs_diff(self.t0).div_ceil(self.delta_ms.get())
-    }
-
-    /// One past the last chunk whose interval ends at or before `ts`.
-    fn chunk_end_at_or_before(&self, ts: i64) -> u64 {
-        self.chunk_containing(ts).unwrap_or(0)
-    }
-
-    /// Chunk containing `ts` (for raw retrieval).
-    fn chunk_containing(&self, ts: i64) -> Option<u64> {
-        (ts >= self.t0).then(|| self.chunk_of(ts))
     }
 }
 
@@ -529,9 +511,9 @@ impl TimeCryptServer {
         delta_ms: u64,
         digest_width: u32,
     ) -> Result<(), ServerError> {
+        let delta_ms = NonZeroU64::new(delta_ms).ok_or(ServerError::ZeroInterval)?;
         let meta = StreamMeta {
-            t0,
-            delta_ms: NonZeroU64::new(delta_ms).ok_or(ServerError::ZeroInterval)?,
+            grid: ChunkGrid { t0, delta_ms },
             digest_width,
         };
         let _stripe = self.stripes.lock(stream, Mutex::lock);
@@ -907,10 +889,10 @@ impl TimeCryptServer {
         if ts_e <= ts_s {
             return Err(ServerError::EmptyRange);
         }
-        let first = meta.chunk_of(ts_s.max(meta.t0));
-        let Some(last_incl) = meta.chunk_containing(ts_e - 1) else {
+        let Some((first, end)) = meta.grid.containing(ts_s, ts_e) else {
             return Ok(Vec::new());
         };
+        let last_incl = end - 1;
         let mut out = Vec::new();
         if let Some(buf) = self.live.lock().get(&stream) {
             for (_, recs) in buf.range(first..=last_incl) {
@@ -1066,10 +1048,8 @@ impl TimeCryptServer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<(Vec<u8>, Vec<u8>), ServerError> {
-        let (attestation, proof, ..) = self.prove(stream, false, |meta| {
-            let lo = meta.first_chunk_at_or_after(ts_s);
-            Some((lo, meta.chunk_end_at_or_before(ts_e)))
-        })?;
+        let (attestation, proof, ..) =
+            self.prove(stream, false, |meta| Some(meta.grid.within(ts_s, ts_e)))?;
         Ok((attestation, proof))
     }
 
@@ -1100,11 +1080,11 @@ impl TimeCryptServer {
             return Err(ServerError::EmptyRange);
         }
         let len = self.stream_len(stream)?;
-        let first = meta.chunk_of(ts_s.max(meta.t0));
-        let last_incl = match meta.chunk_containing(ts_e - 1) {
-            Some(c) => c.min(len.saturating_sub(1)),
-            None => return Err(ServerError::EmptyRange),
-        };
+        let (first, end) = meta
+            .grid
+            .containing(ts_s, ts_e)
+            .ok_or(ServerError::EmptyRange)?;
+        let last_incl = (end - 1).min(len.saturating_sub(1));
         if len == 0 || first > last_incl {
             return Ok(Vec::new());
         }
@@ -1131,8 +1111,8 @@ impl TimeCryptServer {
         ts_e: i64,
     ) -> Result<StreamStat, ServerError> {
         let st = self.stream(stream)?;
-        let lo = st.meta.first_chunk_at_or_after(ts_s);
-        let hi = st.meta.chunk_end_at_or_before(ts_e).min(st.tree.len());
+        let (lo, hi) = st.meta.grid.within(ts_s, ts_e);
+        let hi = hi.min(st.tree.len());
         if lo >= hi {
             return Ok((st.meta.digest_width, None));
         }
@@ -1168,8 +1148,8 @@ impl TimeCryptServer {
         // Deletion is a writer: keep it serialized with inserts/rollups.
         let _stripe = self.stripes.lock(stream, Mutex::lock);
         let st = self.resolve(stream)?;
-        let lo = st.meta.first_chunk_at_or_after(ts_s);
-        let hi = st.meta.chunk_end_at_or_before(ts_e).min(st.tree.len());
+        let (lo, hi) = st.meta.grid.within(ts_s, ts_e);
+        let hi = hi.min(st.tree.len());
         let mut stubs = Vec::new();
         for record in self.records(stream, lo, hi) {
             let record = record?;
@@ -1193,7 +1173,9 @@ impl TimeCryptServer {
     ) -> Result<usize, ServerError> {
         let _stripe = self.stripes.lock(stream, Mutex::lock);
         let st = self.resolve(stream)?;
-        let cutoff = st.meta.chunk_end_at_or_before(before_ts).min(st.tree.len());
+        // The chunks wholly before `before_ts`.
+        let (_, cutoff) = st.meta.grid.within(i64::MIN, before_ts);
+        let cutoff = cutoff.min(st.tree.len());
         Ok(st.tree.decay(cutoff, keep_level)?)
     }
 
@@ -1210,13 +1192,8 @@ impl TimeCryptServer {
     ) -> Result<VerifiedRange, ServerError> {
         // Raw reads cover every chunk *overlapping* the interval, matching
         // get_range's semantics (not only fully-contained chunks).
-        let (attestation, proof, lo, hi) = self.prove(stream, true, |meta| {
-            if ts_e <= ts_s {
-                return None;
-            }
-            let lo = meta.chunk_of(ts_s.max(meta.t0));
-            Some((lo, meta.chunk_containing(ts_e - 1)? + 1))
-        })?;
+        let (attestation, proof, lo, hi) =
+            self.prove(stream, true, |meta| meta.grid.containing(ts_s, ts_e))?;
         let deleted =
             || ServerError::Integrity("chunk payload deleted; raw completeness unprovable".into());
         let chunks = self.stored_chunks(stream, lo, hi)?.into_iter();
@@ -1231,8 +1208,8 @@ impl TimeCryptServer {
         let len = self.stream_len(stream)?;
         Ok(StreamInfoWire {
             stream,
-            t0: meta.t0,
-            delta_ms: meta.delta_ms.get(),
+            t0: meta.grid.t0,
+            delta_ms: meta.grid.delta_ms.get(),
             digest_width: meta.digest_width,
             len,
         })
