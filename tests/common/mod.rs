@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The counting allocator: `System`, counted.
 pub struct Counting;
@@ -66,7 +66,7 @@ pub fn calls_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
 pub fn ledger(rows: &[(String, String)]) {
     // The tests of one binary share the file.
     static FILE: Mutex<()> = Mutex::new(());
-    let _file = FILE.lock().unwrap();
+    let _file = FILE.lock().unwrap_or_else(PoisonError::into_inner);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_ledger.json");
     let text = std::fs::read_to_string(&path).unwrap_or_default();
     let row = |line: &str| {
