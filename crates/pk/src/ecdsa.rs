@@ -3,7 +3,7 @@
 //! Used by the integrity extension (`timecrypt-integrity`) to let data
 //! owners sign Merkle root attestations that consumers verify — the
 //! Verena-style freshness/completeness add-on the paper names in §3.3.
-//! Built on the same from-scratch [`p256`](crate::p256) group arithmetic as
+//! Built on the same from-scratch [`p256`] group arithmetic as
 //! the EC-ElGamal baseline. Not constant-time (see the p256 module note);
 //! it authenticates public metadata, it does not guard long-lived secrets
 //! against local side channels.

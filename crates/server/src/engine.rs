@@ -892,10 +892,9 @@ impl TimeCryptServer {
         let Some((first, end)) = meta.grid.containing(ts_s, ts_e) else {
             return Ok(Vec::new());
         };
-        let last_incl = end - 1;
         let mut out = Vec::new();
         if let Some(buf) = self.live.lock().get(&stream) {
-            for (_, recs) in buf.range(first..=last_incl) {
+            for (_, recs) in buf.range(first..end) {
                 let mut recs = recs.clone();
                 recs.sort_by_key(|(seq, _)| *seq);
                 out.extend(recs.into_iter().map(|(_, bytes)| bytes));
@@ -1084,11 +1083,11 @@ impl TimeCryptServer {
             .grid
             .containing(ts_s, ts_e)
             .ok_or(ServerError::EmptyRange)?;
-        let last_incl = (end - 1).min(len.saturating_sub(1));
-        if len == 0 || first > last_incl {
+        let end = end.min(len);
+        if first >= end {
             return Ok(Vec::new());
         }
-        let chunks = self.stored_chunks(stream, first, last_incl + 1)?;
+        let chunks = self.stored_chunks(stream, first, end)?;
         Ok(chunks.into_iter().flatten().collect())
     }
 

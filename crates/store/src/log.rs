@@ -1049,7 +1049,7 @@ impl<F: LogFile> LogKv<F> {
 
     /// Rewrites the log to contain only live records (space reclamation for
     /// data-decay workloads, §4.5 "data decay"): the file's next generation
-    /// gets the magic, then one plain put per key in [`Index::range`]'s
+    /// gets the magic, then one plain put per key in `Index::range`'s
     /// order, each a batch of its own on a new sequence chain, through the
     /// write path's encoder into a fresh index — the one replaying the
     /// rewritten log builds — and is swapped in ([`LogFile::swap`], durable

@@ -15,8 +15,7 @@
 //!
 //! Before the fixed-limb curve every field add, sub and mul returned a
 //! fresh `Vec<u64>`: 67 941 allocations for one seal (two scalar
-//! multiplications), 100 930 for a grant and its sync. With heap integers
-//! left at the curve's boundary they were 29 and 90.
+//! multiplications), 100 930 for a grant and its sync.
 //!
 //! Counts only. The binary's global allocator (`tests/common`) keeps, per
 //! thread, how many times it was asked for memory. The guard prints its
