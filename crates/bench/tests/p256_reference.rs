@@ -224,4 +224,10 @@ fn unreduced_coordinate_is_rejected() {
         .unwrap();
     assert!(Point::decode(&sec1(&x, &y)).is_some());
     assert!(Point::decode(&sec1(&x.add(&m), &y)).is_none());
+    // And y: the curve point with y = 1 (x solved offline from
+    // x³ − 3x + b − 1 = 0 mod p), so that y + p fits 32 bytes too.
+    let x = hex("09e78d4ef60d05f750f6636209092bc43cbdd6b47e11a9de20a9feb2a50bb96c");
+    let y = BigUint::one();
+    assert!(Point::decode(&sec1(&x, &y)).is_some());
+    assert!(Point::decode(&sec1(&x, &y.add(&m))).is_none());
 }

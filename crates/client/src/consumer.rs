@@ -227,11 +227,13 @@ impl Consumer {
             Response::Stat(s) => s,
             _ => return Err(ClientFault::Protocol("Stat")),
         };
+        // One part per stream asked for, in the order asked: a server may
+        // not answer with another stream's window, nor with none.
+        let asked = streams.iter().copied();
+        if streams.is_empty() || !reply.parts.iter().map(|p| p.0).eq(asked) {
+            return Err(ClientFault::Protocol("one Stat part per stream asked"));
+        }
         let mut agg = reply.agg;
-        let (first, _, _) = reply
-            .parts
-            .first()
-            .ok_or(ClientFault::Protocol("non-empty streams"))?;
         for &(sid, lo, hi) in &reply.parts {
             let keys = self
                 .streams
@@ -239,8 +241,8 @@ impl Consumer {
                 .ok_or(ClientFault::Protocol("synced grants"))?;
             decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
         }
-        // The loop found every part's stream, the first among them.
-        let schema = &self.streams[first].descriptor.schema;
+        // The loop found every part's stream, and a part was `streams[0]`.
+        let schema = &self.streams[&streams[0]].descriptor.schema;
         Ok(schema.interpret(&agg))
     }
 
@@ -494,6 +496,63 @@ mod tests {
             };
             Ok(Response::Stat(reply))
         }
+    }
+
+    /// A server that answers a statistical query with stream `to`'s.
+    struct Swapping<'a> {
+        inner: &'a mut InProcess,
+        to: u128,
+    }
+
+    impl Transport for Swapping<'_> {
+        fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+            match *req {
+                Request::GetStatRange { ts_s, ts_e, .. } => {
+                    self.inner.call(&Request::GetStatRange {
+                        streams: vec![self.to],
+                        ts_s,
+                        ts_e,
+                    })
+                }
+                _ => self.inner.call(req),
+            }
+        }
+    }
+
+    #[test]
+    fn a_stat_reply_for_another_granted_stream_is_an_error() {
+        let (mut t, cfg, mut owner) = setup();
+        let other_cfg = StreamConfig::new(10, "hr", 0, 10_000);
+        let mut other = DataOwner::with_height(
+            other_cfg.clone(),
+            [4u8; 16],
+            24,
+            SecureRandom::from_seed_insecure(7),
+        );
+        other.create_stream(&mut t).unwrap();
+        let mut p = Producer::new(
+            other_cfg.clone(),
+            other.provision_producer(),
+            SecureRandom::from_seed_insecure(8),
+        );
+        for s in 0..5 * 60 {
+            p.push(&mut t, DataPoint::new(s * 1000, 7)).unwrap();
+        }
+        p.flush(&mut t).unwrap();
+        let mut c = Consumer::new("c", &mut SecureRandom::from_seed_insecure(9));
+        for o in [&mut owner, &mut other] {
+            o.grant_access(&mut t, "c", c.public_key(), 0, 5 * MIN)
+                .unwrap();
+        }
+        c.sync_grants(&mut t, cfg.id).unwrap();
+        c.sync_grants(&mut t, other_cfg.id).unwrap();
+        assert!(c.stat_query(&mut t, other_cfg.id, MIN, 2 * MIN).is_ok());
+        let mut swapping = Swapping {
+            inner: &mut t,
+            to: other_cfg.id,
+        };
+        let reply = c.stat_query(&mut swapping, cfg.id, MIN, 2 * MIN);
+        assert!(matches!(reply, Err(ClientFault::Protocol(_))), "{reply:?}");
     }
 
     #[test]

@@ -80,21 +80,35 @@ impl Drop for HttpServer {
 /// A server's accept loop, until `stop` is set: hands each connection
 /// `accept` yields to `serve`. `accept` is a non-blocking listener's; an
 /// empty queue and a failed accept alike — a peer that reset before it was
-/// taken, a process out of file descriptors — wait 1 ms and try again, the
-/// failure logged under `target`. Only `stop` ends the loop, so the port
-/// stays open for the next peer.
+/// taken, a process out of file descriptors — wait 1 ms and try again.
+/// Only `stop` ends the loop, so the port stays open for the next peer.
+///
+/// A run of failures is logged under `target` twice: its first error, and
+/// how many there were once an accept succeeds again. Out of descriptors,
+/// every retry fails; a line each would flush the flight recorder of what
+/// led up to it within seconds.
 pub fn accept_loop<C>(
     stop: &AtomicBool,
     target: &'static str,
     mut accept: impl FnMut() -> std::io::Result<C>,
     mut serve: impl FnMut(C),
 ) {
+    let mut failed = 0u64;
     while !stop.load(Ordering::Relaxed) {
         match accept() {
-            Ok(conn) => serve(conn),
+            Ok(conn) => {
+                if failed > 0 {
+                    crate::tc_warn!(target, "accepting again after {failed} failed accepts");
+                    failed = 0;
+                }
+                serve(conn)
+            }
             Err(e) => {
                 if e.kind() != std::io::ErrorKind::WouldBlock {
-                    crate::tc_warn!(target, "accept failed: {e}");
+                    if failed == 0 {
+                        crate::tc_warn!(target, "accept failed: {e}");
+                    }
+                    failed += 1;
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -187,6 +201,26 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(served, [7]);
+    }
+
+    #[test]
+    fn a_run_of_failed_accepts_is_logged_twice() {
+        use std::io::{Error, ErrorKind};
+        const TARGET: &str = "test.accept_run";
+        let stop = AtomicBool::new(false);
+        let failures = (0..500).map(|_| Err(Error::from(ErrorKind::Other)));
+        let mut accepts = failures.chain([Ok(())]);
+        let accept = || accepts.next().unwrap_or(Err(ErrorKind::WouldBlock.into()));
+        accept_loop(&stop, TARGET, accept, |()| {
+            stop.store(true, Ordering::Relaxed)
+        });
+        let lines: Vec<String> = (crate::log::dump().into_iter())
+            .filter(|e| e.target == TARGET)
+            .map(|e| e.msg)
+            .collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("accept failed"), "{lines:?}");
+        assert!(lines[1].contains("after 500 failed"), "{lines:?}");
     }
 
     #[test]
