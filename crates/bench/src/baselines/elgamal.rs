@@ -125,6 +125,9 @@ fn point_fingerprint(p: &Point) -> Vec<u8> {
 pub struct ElGamalDigest(pub Vec<ElGamalCiphertext>);
 
 impl HomDigest for ElGamalDigest {
+    /// Self-describing: a count, then each ciphertext.
+    type Layout = ();
+
     fn zero_like(&self) -> Self {
         ElGamalDigest(self.0.iter().map(|_| EcElGamal::zero()).collect())
     }
@@ -162,7 +165,7 @@ impl HomDigest for ElGamalDigest {
         }
     }
 
-    fn decode(buf: &[u8]) -> Option<(Self, usize)> {
+    fn decode((): (), buf: &[u8]) -> Option<(Self, usize)> {
         if buf.len() < 4 {
             return None;
         }
@@ -232,7 +235,7 @@ mod tests {
         let mut buf = Vec::new();
         d.encode(&mut buf);
         assert_eq!(buf.len(), d.encoded_len());
-        let (d2, used) = ElGamalDigest::decode(&buf).unwrap();
+        let (d2, used) = ElGamalDigest::decode((), &buf).unwrap();
         assert_eq!(used, buf.len());
         assert_eq!(d2, d);
         // Aggregation through the trait.

@@ -178,6 +178,9 @@ pub struct PaillierCiphertext {
 pub struct PaillierDigest(pub Vec<PaillierCiphertext>);
 
 impl HomDigest for PaillierDigest {
+    /// Self-describing: a count, then each ciphertext.
+    type Layout = ();
+
     fn zero_like(&self) -> Self {
         PaillierDigest(
             self.0
@@ -220,7 +223,7 @@ impl HomDigest for PaillierDigest {
         }
     }
 
-    fn decode(buf: &[u8]) -> Option<(Self, usize)> {
+    fn decode((): (), buf: &[u8]) -> Option<(Self, usize)> {
         if buf.len() < 4 {
             return None;
         }
@@ -309,7 +312,7 @@ mod tests {
         let mut buf = Vec::new();
         d.encode(&mut buf);
         assert_eq!(buf.len(), d.encoded_len());
-        let (d2, used) = PaillierDigest::decode(&buf).unwrap();
+        let (d2, used) = PaillierDigest::decode((), &buf).unwrap();
         assert_eq!(used, buf.len());
         assert_eq!(kp.decrypt(&d2.0[0]), 10);
         assert_eq!(kp.decrypt(&d2.0[1]), 20);

@@ -251,15 +251,16 @@ impl EncryptedChunk {
 
     /// Exact length of [`to_bytes`](Self::to_bytes) without serializing:
     /// fixed header (stream 16 + index 8 + two `u32` length prefixes 8)
-    /// plus the digest words and the payload. Frame-budget math (the
-    /// service tier's greedy ingest drain, export paging) depends on this
-    /// agreeing with the serializer — `encoded_len_matches_to_bytes`
+    /// plus the digest words and the payload. `encoded_len_matches_to_bytes`
     /// pins the two together.
     pub fn encoded_len(&self) -> usize {
         32 + self.digest_ct.len() * 8 + self.payload.len()
     }
 
-    /// Serializes for storage: all fields length-prefixed, little-endian.
+    /// Serializes the chunk as it travels and as a raw read returns it:
+    /// `stream ‖ index ‖ u32 width ‖ digest words ‖ u32 pn ‖ payload`,
+    /// little-endian. (The server stores less: its record of a chunk drops
+    /// the position and both lengths, which it knows.)
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
@@ -267,18 +268,32 @@ impl EncryptedChunk {
     }
 
     /// Appends [`to_bytes`](Self::to_bytes) into a caller-provided buffer —
-    /// the allocation-free path for frame assembly, where a whole ingest
-    /// drain is encoded into one reused per-connection buffer. Byte-
-    /// identical to `to_bytes` (pinned by the chunk property tests).
+    /// the allocation-free path for frame assembly, where a whole batch is
+    /// encoded into one reused per-connection buffer. Byte-identical to
+    /// `to_bytes` (pinned by the chunk property tests).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_len());
-        out.extend_from_slice(&Self::position(self.stream, self.index));
-        out.extend_from_slice(&(self.digest_ct.len() as u32).to_le_bytes());
-        for &d in &self.digest_ct {
+        let (stream, index) = (self.stream, self.index);
+        Self::encode_parts(stream, index, &self.digest_ct, &self.payload, out);
+    }
+
+    /// Appends the serialization of the chunk of these fields: the one
+    /// serializer, for a caller that holds them apart (the server putting a
+    /// stored chunk back together).
+    pub fn encode_parts(
+        stream: StreamId,
+        index: ChunkId,
+        digest_ct: &[u64],
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        out.reserve(32 + digest_ct.len() * 8 + payload.len());
+        out.extend_from_slice(&Self::position(stream, index));
+        out.extend_from_slice(&(digest_ct.len() as u32).to_le_bytes());
+        for &d in digest_ct {
             out.extend_from_slice(&d.to_le_bytes());
         }
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
     }
 
     /// Parses bytes produced by [`to_bytes`](Self::to_bytes).
@@ -292,7 +307,12 @@ impl EncryptedChunk {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DigestWords<'a>(&'a [u8]);
 
-impl DigestWords<'_> {
+impl<'a> DigestWords<'a> {
+    /// The words as they lie in the chunk's bytes.
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.0
+    }
+
     /// Number of words (the digest width).
     pub fn len(&self) -> usize {
         self.0.len() / 8

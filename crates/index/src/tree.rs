@@ -5,6 +5,9 @@
 //! `P_i = c_0 + … + c_i`, the homomorphic sum of the stream's digests
 //! through `i`, then a *tag*, opaque here: the record the caller appended,
 //! its own digest `c_i` swapped for `P_i` (the same length for `Vec<u64>`).
+//! Where a stored sum ends is the index's [`HomDigest::Layout`], given at
+//! open: a `Vec<u64>` sum is its words alone, so a tagged record needs the
+//! stream's width ([`AggTree::open_with`]).
 //! A range sum is one difference of two stored values (Ho, Agrawal, Megiddo
 //! & Srikant, "Range Queries in OLAP Data Cubes", SIGMOD 1997): `[lo, hi)`
 //! sums to `P_{hi−1} − P_{lo−1}`, and as HEAC addition is wrapping `u64`
@@ -158,6 +161,8 @@ struct Published<D> {
 pub struct AggTree<D: HomDigest> {
     kv: Arc<dyn KvStore>,
     stream: u128,
+    /// How a stored running sum is read.
+    layout: D::Layout,
     /// Serializes the writers (`append`, `retag`, `decay`). Queries never
     /// take it — see the module docs for why reads stay exact regardless.
     write: Ranked<{ rank::WRITER }, Mutex<()>>,
@@ -290,15 +295,28 @@ pub fn leaf_record(kv: &dyn KvStore, stream: u128, index: u64) -> Result<Vec<u8>
 }
 
 impl<D: HomDigest> AggTree<D> {
-    /// Opens (or creates) the index of `stream` on `kv`: its length from
-    /// [`stored_chunk_count`], its running sum from record `len − 1`, and
-    /// its decay cutoffs.
+    /// [`open_with`](Self::open_with) the default layout: for `Vec<u64>`,
+    /// an index whose records are their running sums alone, as
+    /// [`append`](Self::append) and [`append_batch`](Self::append_batch)
+    /// write them.
     pub fn open(kv: Arc<dyn KvStore>, stream: u128, cfg: TreeConfig) -> Result<Self, IndexError> {
+        Self::open_with(kv, stream, cfg, D::Layout::default())
+    }
+
+    /// Opens (or creates) the index of `stream` on `kv`, its running sums
+    /// read with `layout`: its length from [`stored_chunk_count`], its
+    /// running sum from record `len − 1`, and its decay cutoffs.
+    pub fn open_with(
+        kv: Arc<dyn KvStore>,
+        stream: u128,
+        cfg: TreeConfig,
+        layout: D::Layout,
+    ) -> Result<Self, IndexError> {
         let len = stored_chunk_count(kv.as_ref(), stream)?;
         let sum = match len.checked_sub(1) {
             Some(index) => {
                 let record = leaf_record(kv.as_ref(), stream, index)?;
-                let decoded = D::decode(&record).map(|(sum, _)| sum);
+                let decoded = D::decode(layout, &record).map(|(sum, _)| sum);
                 Some(decoded.ok_or(IndexError::CorruptNode { level: 0, index })?)
             }
             None => None,
@@ -310,6 +328,7 @@ impl<D: HomDigest> AggTree<D> {
         Ok(AggTree {
             kv,
             stream,
+            layout,
             write: Ranked::new(Mutex::new(())),
             published: Ranked::new(RwLock::new(Published { len, sum, cutoffs })),
             cache: PrefixCache::new(cfg.cache_bytes),
@@ -338,24 +357,34 @@ impl<D: HomDigest> AggTree<D> {
     /// digest alone; the store ends byte-identical to sequential
     /// [`append`](Self::append)s (`append_batch_matches_sequential_appends`).
     pub fn append_batch(&self, digests: &[D]) -> Result<(), IndexError> {
-        let encode = |digest: &D| {
-            let mut record = Vec::with_capacity(digest.encoded_len());
-            digest.encode(&mut record);
-            record
+        // Encoded end to end in one buffer, each its own record.
+        let mut encoded = Vec::with_capacity(digests.iter().map(D::encoded_len).sum());
+        digests
+            .iter()
+            .for_each(|digest| digest.encode(&mut encoded));
+        let mut rest = &encoded[..];
+        let mut record = |digest: &D| {
+            let (record, after) = rest
+                .split_at_checked(digest.encoded_len())
+                .unwrap_or((rest, &[]));
+            rest = after;
+            [record]
         };
-        self.append_records(&digests.iter().map(encode).collect::<Vec<_>>())
+        self.append_records(&digests.iter().map(&mut record).collect::<Vec<_>>())
     }
 
-    /// Appends a run of consecutive chunks (starting at the current `len`)
-    /// given as records `digest ‖ tag`. Each is stored with the running sum
-    /// in place of its digest — the run's records built end to end in one
-    /// buffer — and the run commits as one store batch; `len` is published
-    /// once, so readers never observe a torn middle.
+    /// Appends a run of consecutive chunks (starting at the current `len`),
+    /// each given as the `N` pieces its record `digest ‖ tag` is laid end to
+    /// end from, the digest leading the first. Each is stored with the
+    /// running sum in place of its digest — the run's records built end to
+    /// end in one buffer — and the run commits as one store batch; `len` is
+    /// published once, so readers never observe a torn middle.
     ///
-    /// A record that starts with no digest (`CorruptNode` at level 0) or a
-    /// store failure leaves the index and the store exactly as they were
-    /// (see the module docs); the caller may simply retry.
-    pub fn append_records(&self, records: &[impl AsRef<[u8]>]) -> Result<(), IndexError> {
+    /// A record whose first piece starts with no digest of the index's
+    /// layout (`CorruptNode` at level 0) or a store failure leaves the
+    /// index and the store exactly as they were (see the module docs); the
+    /// caller may simply retry.
+    pub fn append_records<const N: usize>(&self, records: &[[&[u8]; N]]) -> Result<(), IndexError> {
         if records.is_empty() {
             return Ok(());
         }
@@ -365,22 +394,28 @@ impl<D: HomDigest> AggTree<D> {
             (published.len, published.sum.clone())
         };
         // A stream's first record starts from the zero of its digest's shape.
-        let zero = || D::decode(records.first()?.as_ref()).map(|(first, _)| first.zero_like());
-        let mut sum = sum.or_else(zero).ok_or(IndexError::CorruptNode {
-            level: 0,
-            index: base,
-        })?;
-        let bytes = records.iter().map(|record| record.as_ref().len()).sum();
+        let first = || D::decode(self.layout, records.first()?.first()?);
+        let mut sum = sum
+            .or_else(|| first().map(|(first, _)| first.zero_like()))
+            .ok_or(IndexError::CorruptNode {
+                level: 0,
+                index: base,
+            })?;
+        let bytes = records.iter().flatten().map(|piece| piece.len()).sum();
         let mut stored = Vec::with_capacity(bytes);
         let mut placed = Vec::with_capacity(records.len());
         for (index, record) in (base..).zip(records) {
-            let record = record.as_ref();
+            let (first, rest) = record
+                .split_first()
+                .map_or((&[][..], &[][..]), |(f, r)| (*f, r));
             let corrupt = || IndexError::CorruptNode { level: 0, index };
-            let digest = D::encoded_len_at(record).ok_or_else(corrupt)?;
-            sum.add_encoded(record).ok_or_else(corrupt)?;
+            let digest = D::encoded_len_at(self.layout, first).ok_or_else(corrupt)?;
+            sum.add_encoded(self.layout, first).ok_or_else(corrupt)?;
             let start = stored.len();
             sum.encode(&mut stored);
-            stored.extend_from_slice(&record[digest..]);
+            stored.extend_from_slice(&first[digest..]);
+            rest.iter()
+                .for_each(|piece| stored.extend_from_slice(piece));
             placed.push((keys::leaf(self.stream, index), start..stored.len()));
         }
         let puts = placed.iter().map(|(key, at)| WriteOp::Put {
@@ -439,10 +474,10 @@ impl<D: HomDigest> AggTree<D> {
         };
         let mut sum = match last {
             Some(sum) => sum,
-            None => self.with_prefix(end - 1, |p| D::decode(p).map(|(sum, _)| sum))?,
+            None => self.with_prefix(end - 1, |p| D::decode(self.layout, p).map(|(sum, _)| sum))?,
         };
         if start > 0 {
-            self.with_prefix(start - 1, |p| sum.sub_encoded(p))?;
+            self.with_prefix(start - 1, |p| sum.sub_encoded(self.layout, p))?;
         }
         Ok(sum)
     }
@@ -460,7 +495,7 @@ impl<D: HomDigest> AggTree<D> {
             return hit.ok_or_else(corrupt);
         }
         let record = leaf_record(self.kv.as_ref(), self.stream, index)?;
-        let prefix = &record[..D::encoded_len_at(&record).ok_or_else(corrupt)?];
+        let prefix = &record[..D::encoded_len_at(self.layout, &record).ok_or_else(corrupt)?];
         let out = f(prefix).ok_or_else(corrupt)?;
         self.cache.put(index, prefix);
         Ok(out)
@@ -587,11 +622,12 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use timecrypt_store::MemKv;
 
+    /// Stream 1's index of width-2 sums, tags allowed.
     fn open(kv: Arc<dyn KvStore>) -> AggTree<Vec<u64>> {
         let cfg = TreeConfig {
             cache_bytes: 1 << 20,
         };
-        AggTree::open(kv, 1, cfg).unwrap()
+        AggTree::open_with(kv, 1, cfg, Some(2)).unwrap()
     }
 
     fn tree() -> AggTree<Vec<u64>> {
@@ -696,7 +732,7 @@ mod tests {
         }
         let stats = t.stats().unwrap();
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 7));
-        assert_eq!(stats.cache_used_bytes, 20 + ENTRY_BYTES);
+        assert_eq!(stats.cache_used_bytes, 16 + ENTRY_BYTES);
         // A small budget is one segment; one with room is segmented.
         assert_eq!(PrefixCache::new(1 << 20).segments().len(), MAX_SEGMENTS);
         assert_eq!(PrefixCache::new(200 << 10).segments().len(), 3);
@@ -832,29 +868,42 @@ mod tests {
         record
     }
 
+    /// Records given whole, each one piece.
+    fn whole(records: &[Vec<u8>]) -> Vec<[&[u8]; 1]> {
+        records.iter().map(|record| [&record[..]]).collect()
+    }
+
     #[test]
     fn failed_append_changes_nothing_and_retry_converges() {
         // Three chunks in; a run of 14 more, tags and all, is one batch.
+        // The reference appends each record as three pieces: the digest,
+        // its tag split unevenly.
         let clean_kv = Arc::new(MemKv::new());
         let clean = open(clean_kv.clone());
         for i in 0..17 {
-            clean.append_records(&[tagged(i)]).unwrap();
+            let record = tagged(i);
+            let (digest, tag) = record.split_at(16);
+            let (a, b) = tag.split_at(tag.len() / 2);
+            clean.append_records(&[[digest, a, b]]).unwrap();
         }
         let run: Vec<Vec<u8>> = (3..17).map(tagged).collect();
         let kv = Arc::new(FailNthPut::default());
         let t = open(kv.clone());
-        t.append_records(&[tagged(0), tagged(1), tagged(2)])
+        t.append_records(&whole(&[tagged(0), tagged(1), tagged(2)]))
             .unwrap();
         let before = dump(kv.as_ref());
         kv.arm(1);
-        assert!(matches!(t.append_records(&run), Err(IndexError::Store(_))));
+        assert!(matches!(
+            t.append_records(&whole(&run)),
+            Err(IndexError::Store(_))
+        ));
         // So does a run holding a record that starts with no digest, which
         // never reaches the store.
         let writes = kv.writes.load(Ordering::Relaxed);
         let mut bad = run.clone();
         bad[9].truncate(11);
         assert!(matches!(
-            t.append_records(&bad),
+            t.append_records(&whole(&bad)),
             Err(IndexError::CorruptNode {
                 level: 0,
                 index: 12
@@ -865,7 +914,7 @@ mod tests {
         assert_exhaustive(&t, 3);
         assert_eq!(dump(kv.as_ref()), before);
         assert_exhaustive(&open(kv.clone()), 3);
-        t.append_records(&run).unwrap();
+        t.append_records(&whole(&run)).unwrap();
         assert_eq!(kv.writes.load(Ordering::Relaxed) - writes, 1, "one commit");
         assert_exhaustive(&t, 17);
         assert_eq!(dump(kv.as_ref()), dump(clean_kv.as_ref()));
@@ -873,7 +922,7 @@ mod tests {
         for i in 0..17 {
             let mut stored = Vec::new();
             naive_sum(0, i + 1).encode(&mut stored);
-            stored.extend_from_slice(&tagged(i)[20..]);
+            stored.extend_from_slice(&tagged(i)[16..]);
             assert_eq!(leaf_record(kv.as_ref(), 1, i).unwrap(), stored);
         }
     }
@@ -882,11 +931,11 @@ mod tests {
     fn retag_rewrites_records_in_one_batch_and_nothing_the_index_answers() {
         let kv = Arc::new(FailNthPut::default());
         let t = open(kv.clone());
-        t.append_records(&(0..11).map(tagged).collect::<Vec<_>>())
+        t.append_records(&whole(&(0..11).map(tagged).collect::<Vec<_>>()))
             .unwrap();
         let stub = |i: u64| {
             let mut record = leaf_record(kv.as_ref(), 1, i).unwrap();
-            record.truncate(20);
+            record.truncate(16);
             record.extend_from_slice(&[0xEE; 3]);
             (i, record)
         };

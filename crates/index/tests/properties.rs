@@ -130,9 +130,10 @@ impl Model {
     }
 }
 
+/// Stream 1's index of width-2 sums, as the model's records hold them.
 fn open(kv: &Arc<MemKv>) -> AggTree<Vec<u64>> {
     let cfg = TreeConfig { cache_bytes: 4096 };
-    AggTree::open(kv.clone() as Arc<dyn KvStore>, 1, cfg).unwrap()
+    AggTree::open_with(kv.clone() as Arc<dyn KvStore>, 1, cfg, Some(2)).unwrap()
 }
 
 /// Windows to check over `n` chunks: around the 64-ary tree's node
@@ -196,13 +197,14 @@ proptest! {
                             model.record(i)
                         })
                         .collect();
+                    let records: Vec<[&[u8]; 1]> = records.iter().map(|r| [&r[..]]).collect();
                     tree.append_records(&records).unwrap();
                 }
                 Step::Reopen => tree = open(&kv),
                 Step::Retag(at) if n > 0 => {
                     let i = at % n;
                     let mut record = leaf_record(kv.as_ref(), 1, i).unwrap();
-                    record.truncate(20);
+                    record.truncate(16);
                     model.tags[i as usize] = vec![0xEE; (at % 40) as usize];
                     record.extend_from_slice(&model.tags[i as usize]);
                     prop_assert_eq!(tree.retag(&[(i, record)]).unwrap(), 1);
@@ -224,9 +226,10 @@ proptest! {
             }
             for i in [0, n / 2, n.saturating_sub(1)].into_iter().filter(|&i| i < n) {
                 let stored = leaf_record(kv.as_ref(), 1, i).unwrap();
-                let (mut own, used) = <Vec<u64>>::decode(&stored).unwrap();
+                let (mut own, used) = <Vec<u64>>::decode(Some(2), &stored).unwrap();
                 if i > 0 {
-                    own.sub_encoded(&leaf_record(kv.as_ref(), 1, i - 1).unwrap()).unwrap();
+                    let before = leaf_record(kv.as_ref(), 1, i - 1).unwrap();
+                    own.sub_encoded(Some(2), &before).unwrap();
                 }
                 let mut rebuilt = Vec::new();
                 own.encode(&mut rebuilt);
@@ -290,23 +293,20 @@ proptest! {
     /// A stored record is untrusted bytes: whatever is wrong with them, the
     /// query that reads them and the open that reads the last one say
     /// `CorruptNode` at level 0 — no panic, and no allocation larger than
-    /// the record itself (the store's copy of it) or a small constant,
-    /// whatever its width prefix claims. What still decodes is read as a
-    /// running sum: the server's claim, for the client to verify.
+    /// the record itself (the store's copy of it) or a small constant. A
+    /// record names no width of its own: what holds a running sum of the
+    /// index's width is read as one, the server's claim, for the client to
+    /// verify.
     #[test]
     fn hostile_record_bytes_are_corrupt_node(
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
-        width in any::<u32>(),
     ) {
-        let kv: Arc<MemKv> = Arc::new(MemKv::new());
-        open(&kv).append_batch(&vec![vec![1u64; 3]; 8]).unwrap();
+        let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
+        let open = || AggTree::<Vec<u64>>::open_with(kv.clone(), 1, TreeConfig::default(), Some(3));
+        open().unwrap().append_batch(&vec![vec![1u64; 3]; 8]).unwrap();
         // A handle opened before the damage, so the query is what reads it.
-        let tree = open(&kv);
-        let mut bytes = bytes;
-        if bytes.len() >= 4 && width % 2 == 0 {
-            bytes[..4].copy_from_slice(&width.to_le_bytes());
-        }
-        let sound = bytes.len() >= 28 && bytes[..4] == 3u32.to_le_bytes();
+        let tree = open().unwrap();
+        let sound = bytes.len() >= 24;
         // The query reads the damaged record first; the open probes and
         // scans the store first, in small vectors of its own.
         for (index, read, floor) in [(5u64, true, 64), (7, false, 4096)] {
@@ -314,7 +314,7 @@ proptest! {
             LARGEST.set(0);
             let result = match read {
                 true => tree.query(4, 6).map(|_| ()),
-                false => AggTree::<Vec<u64>>::open(kv.clone(), 1, TreeConfig::default()).map(|_| ()),
+                false => open().map(|_| ()),
             };
             let largest = LARGEST.get();
             match result {

@@ -214,10 +214,6 @@ impl From<IndexError> for ServerError {
     }
 }
 
-/// One chunk of an ingest run: its borrowed parse (what the validations
-/// read) and the bytes it was parsed from (stored, past their position).
-type RunItem<'a> = (ChunkRef<'a>, &'a [u8]);
-
 /// Placeholder verdict of a batch position until its stream's run reports
 /// (`insert_stream_run` yields one verdict per chunk, so it never
 /// survives): an error, so a missed position can not read as accepted.
@@ -388,16 +384,22 @@ pub struct TimeCryptServer {
     evictions: counters::Counter,
 }
 
-/// The `pn` of a stub: no frame (16 MiB cap) carries a payload that long.
-const STUB_PN: u32 = u32::MAX;
+/// The kind byte of a record that holds its chunk's payload.
+const CHUNK: u8 = 1;
+
+/// The kind byte of a stub: a record whose payload `delete_range` replaced
+/// by its commitment.
+const STUB: u8 = 2;
 
 /// One chunk's stored record, decoded. The record is the index's level-0
 /// record of the chunk's position: the stream's running sum through it
-/// (`timecrypt_index::tree`), then `pn:u32 ‖ payload` — the validated
-/// ingest bytes past their `stream ‖ index ‖ digest` — or, its payload
-/// deleted, the *stub* `0xFFFF_FFFF ‖ commitment[32]`, the commitment being
-/// SHA-256 of the chunk as ingested, hashed when a full record is read
-/// back, never at ingest.
+/// (`timecrypt_index::tree`, `8·width` bytes), a kind byte, then what the
+/// server cannot re-derive — `CHUNK ‖ payload`, the validated ingest bytes
+/// less their position and both lengths, or, the payload deleted, the
+/// *stub* `STUB ‖ commitment[32]`, the commitment being SHA-256 of the chunk
+/// as ingested, hashed when a full record is read back, never at ingest.
+/// The width is the stream's registration and the payload's length the
+/// record's own; the kind byte tells a stub from a 32-byte payload.
 struct Record {
     index: u64,
     stored: Vec<u8>,
@@ -410,18 +412,24 @@ struct Record {
 }
 
 impl Record {
-    /// Chunk `index` from its stored bytes and the encoded running sum of
-    /// the chunk before (none for chunk 0). Neither form, or a sum of
-    /// another width than the one before: `CorruptNode` at level 0.
-    fn decode(index: u64, stored: Vec<u8>, before: Option<&[u8]>) -> Result<Record, IndexError> {
+    /// Chunk `index` of a stream of digest width `width` from its stored
+    /// bytes and the encoded running sum of the chunk before (none for
+    /// chunk 0). Neither form: `CorruptNode` at level 0.
+    fn decode(
+        index: u64,
+        width: u32,
+        stored: Vec<u8>,
+        before: Option<&[u8]>,
+    ) -> Result<Record, IndexError> {
         let decoded = || {
-            let (mut own, sum_len) = Vec::<u64>::decode(&stored)?;
-            let (pn, body) = stored[sum_len..].split_first_chunk::<4>()?;
-            let stub = match u32::from_le_bytes(*pn) {
-                STUB_PN => Some(body.try_into().ok()?),
-                pn => (body.len() == pn as usize).then_some(None)?,
+            let layout = Some(width as usize);
+            let (mut own, sum_len) = Vec::<u64>::decode(layout, &stored)?;
+            let stub = match stored[sum_len..].split_first()? {
+                (&CHUNK, _) => None,
+                (&STUB, commitment) => Some(commitment.try_into().ok()?),
+                _ => return None,
             };
-            before.map_or(Some(()), |before| own.sub_encoded(before))?;
+            before.map_or(Some(()), |before| own.sub_encoded(layout, before))?;
             Some((own, sum_len, stub))
         };
         let corrupt = IndexError::CorruptNode { level: 0, index };
@@ -435,13 +443,12 @@ impl Record {
         })
     }
 
-    /// The chunk as ingested: its position, its own digest, then the tail
-    /// of its record.
+    /// The chunk as ingested, serialized again from its position, its own
+    /// digest and the payload its record holds.
     fn chunk(&self, stream: u128) -> Vec<u8> {
-        let mut chunk = Vec::with_capacity(EncryptedChunk::POSITION_LEN + self.stored.len());
-        chunk.extend_from_slice(&EncryptedChunk::position(stream, self.index));
-        self.own.encode(&mut chunk);
-        chunk.extend_from_slice(&self.stored[self.sum_len..]);
+        let payload = &self.stored[self.sum_len + 1..];
+        let mut chunk = Vec::new();
+        EncryptedChunk::encode_parts(stream, self.index, &self.own, payload, &mut chunk);
         chunk
     }
 
@@ -627,7 +634,12 @@ impl TimeCryptServer {
         };
         Ok(StreamState {
             meta,
-            tree: AggTree::open(self.kv.clone(), stream, cfg)?,
+            tree: AggTree::open_with(
+                self.kv.clone(),
+                stream,
+                cfg,
+                Some(meta.digest_width as usize),
+            )?,
             ledger: RwLock::new(StreamLedger::new(stream)),
         })
     }
@@ -740,9 +752,11 @@ impl TimeCryptServer {
     /// The engine's one ingest implementation: a batch of serialized
     /// chunks, any stream mix (per-stream order is the caller's submission
     /// order), verdicts in input order. Each chunk is validated through a
-    /// borrowed parse and the *input bytes* are what is stored — the
-    /// serialization is canonical (see [`timecrypt_chunk::ChunkRef`]), so
-    /// nothing is copied through an intermediate `EncryptedChunk`.
+    /// borrowed parse, and its digest and payload are stored straight from
+    /// the input bytes — the serialization is canonical (see
+    /// [`timecrypt_chunk::ChunkRef`]), so the chunk as ingested is what
+    /// a raw read serializes again, and nothing is copied through an
+    /// intermediate `EncryptedChunk`.
     /// Unparseable entries report [`ServerError::BadChunk`] at their
     /// position. Each stream's chunks form one run: one hold of the
     /// stream's stripe and one store commit, whether the batch is a shard's whole
@@ -753,7 +767,7 @@ impl TimeCryptServer {
         // Per stream, in first-appearance order: its parsed chunks with
         // their bytes (submission order) and their batch positions.
         let mut order: Vec<u128> = Vec::new();
-        let mut runs: HashMap<u128, (Vec<RunItem<'_>>, Vec<usize>)> = HashMap::new();
+        let mut runs: HashMap<u128, (Vec<ChunkRef<'_>>, Vec<usize>)> = HashMap::new();
         for (pos, &bytes) in chunks.iter().enumerate() {
             match ChunkRef::parse(bytes) {
                 Ok(chunk) => {
@@ -761,7 +775,7 @@ impl TimeCryptServer {
                         order.push(chunk.stream);
                         Default::default()
                     });
-                    run.push((chunk, bytes));
+                    run.push(chunk);
                     positions.push(pos);
                     out.push(Err(NO_VERDICT));
                 }
@@ -804,7 +818,7 @@ impl TimeCryptServer {
     fn insert_stream_run<'a>(
         &self,
         stream: u128,
-        items: &[RunItem<'a>],
+        items: &[ChunkRef<'a>],
     ) -> Vec<Result<(), ServerError>> {
         // The stream's stripe serializes writers only. Concurrent
         // statistical/raw reads proceed against the previous tree-length
@@ -816,9 +830,10 @@ impl TimeCryptServer {
         };
         let base = st.tree.len();
         let mut expected = base;
-        // The level-0 record of each accepted chunk, in run order.
-        let mut records: Vec<&[u8]> = Vec::with_capacity(items.len());
-        let validate = |(chunk, bytes): &RunItem<'a>| {
+        // The level-0 record of each accepted chunk, in run order, as the
+        // pieces the index lays end to end: `digest ‖ CHUNK ‖ payload`.
+        let mut records: Vec<[&[u8]; 3]> = Vec::with_capacity(items.len());
+        let validate = |chunk: &ChunkRef<'a>| {
             let got = chunk.digest_ct.len() as u32;
             if got != st.meta.digest_width {
                 let expected = st.meta.digest_width;
@@ -828,7 +843,7 @@ impl TimeCryptServer {
                 let got = chunk.index;
                 return Err(ServerError::OutOfOrderChunk { expected, got });
             }
-            records.push(&bytes[EncryptedChunk::POSITION_LEN..]);
+            records.push([chunk.digest_ct.as_bytes(), &[CHUNK], chunk.payload]);
             expected += 1;
             Ok(())
         };
@@ -946,14 +961,16 @@ impl TimeCryptServer {
             .ok_or(ServerError::NoAttestation(stream))
     }
 
-    /// The one decoder of `stream`'s stored records: chunks `lo..hi` in
-    /// order, each with its own digest — its running sum minus the one
-    /// before, for chunk `lo` that of record `lo − 1`, read first. Raw
-    /// reads, the ledger's catch-up and `delete_range` all read through
-    /// here; none hydrates the stream. The first error ends it.
+    /// The one decoder of `stream`'s stored records, its digests `width`
+    /// words: chunks `lo..hi` in order, each with its own digest — its
+    /// running sum minus the one before, for chunk `lo` that of record
+    /// `lo − 1`, read first. Raw reads, the ledger's catch-up and
+    /// `delete_range` all read through here; none hydrates the stream. The
+    /// first error ends it.
     fn records(
         &self,
         stream: u128,
+        width: u32,
         lo: u64,
         hi: u64,
     ) -> impl Iterator<Item = Result<Record, IndexError>> + '_ {
@@ -963,7 +980,8 @@ impl TimeCryptServer {
                 let index = next;
                 next += 1;
                 let stored = leaf_record(self.kv.as_ref(), stream, index);
-                match stored.and_then(|stored| Record::decode(index, stored, before.as_deref())) {
+                let before_sum = before.as_deref();
+                match stored.and_then(|stored| Record::decode(index, width, stored, before_sum)) {
                     Ok(record) => {
                         let sum = &record.stored[..record.sum_len];
                         let before = before.get_or_insert_with(Vec::new);
@@ -1012,7 +1030,8 @@ impl TimeCryptServer {
         }
         if (st.ledger.read().len() as u64) < att.size {
             let mut ledger = st.ledger.write();
-            for record in self.records(stream, ledger.len() as u64, att.size) {
+            let width = st.meta.digest_width;
+            for record in self.records(stream, width, ledger.len() as u64, att.size) {
                 let record = record?;
                 let corrupt = IndexError::CorruptNode {
                     level: 0,
@@ -1060,8 +1079,11 @@ impl TimeCryptServer {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<Option<Vec<u8>>>, ServerError> {
+        let width = self.stream_meta(stream)?.digest_width;
         let chunk = |record: Record| record.stub.is_none().then(|| record.chunk(stream));
-        let chunks = self.records(stream, lo, hi).map(|record| record.map(chunk));
+        let chunks = self
+            .records(stream, width, lo, hi)
+            .map(|record| record.map(chunk));
         Ok(chunks.collect::<Result<_, _>>()?)
     }
 
@@ -1150,11 +1172,11 @@ impl TimeCryptServer {
         let (lo, hi) = st.meta.grid.within(ts_s, ts_e);
         let hi = hi.min(st.tree.len());
         let mut stubs = Vec::new();
-        for record in self.records(stream, lo, hi) {
+        for record in self.records(stream, st.meta.digest_width, lo, hi) {
             let record = record?;
             if record.stub.is_none() {
                 let mut stub = record.stored[..record.sum_len].to_vec();
-                stub.extend_from_slice(&STUB_PN.to_le_bytes());
+                stub.push(STUB);
                 stub.extend_from_slice(&record.commitment(stream));
                 stubs.push((record.index, stub));
             }

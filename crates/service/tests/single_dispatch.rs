@@ -367,10 +367,9 @@ fn cluster(remote: bool) -> (ShardedService, Vec<Arc<MemKv>>, Vec<Server>) {
 }
 
 /// The coordinator forwards the bytes it received: what the store holds
-/// as a chunk's one record is exactly what the client put in the
-/// `InsertBatch` frame past the chunk's position (which the key carries),
-/// the digest summed into the stream's running sum, a raw read returns the
-/// frame's bytes whole, and `submit_batch` of the
+/// as a chunk's one record is the stream's running sum through the chunk,
+/// then the payload bytes the client put in the `InsertBatch` frame, a raw
+/// read returns the frame's bytes whole, and `submit_batch` of the
 /// same chunks — serialized once on entry — joins the same path, down to
 /// identical stores and verdicts.
 #[test]
@@ -419,8 +418,8 @@ fn coordinator_stores_the_frames_chunk_bytes_verbatim() {
             .map(|(_, value)| value)
             .collect();
         stored.sort();
-        // Each record is the chunk's bytes with its stream's running sum
-        // in place of its digest.
+        // Each record is its stream's running sum through the chunk, the
+        // chunk kind byte, then the chunk's payload bytes.
         let mut sums = std::collections::HashMap::new();
         let running = |bytes: &Vec<u8>| {
             let chunk = EncryptedChunk::from_bytes(bytes).unwrap();
@@ -428,11 +427,10 @@ fn coordinator_stores_the_frames_chunk_bytes_verbatim() {
             sum.iter_mut()
                 .zip(&chunk.digest_ct)
                 .for_each(|(s, d)| *s = s.wrapping_add(*d));
-            let record = EncryptedChunk {
-                digest_ct: sum.clone(),
-                ..chunk
-            };
-            record.to_bytes()[EncryptedChunk::POSITION_LEN..].to_vec()
+            let mut record: Vec<u8> = sum.iter().flat_map(|w| w.to_le_bytes()).collect();
+            record.push(1);
+            record.extend_from_slice(&chunk.payload);
+            record
         };
         let mut expected: Vec<Vec<u8>> = sent[..accepted].iter().map(running).collect();
         expected.sort();

@@ -482,14 +482,15 @@ fn a_damaged_level0_record_fails_the_ledger_catch_up_as_corrupt_node() {
     let leaf5 = keys::leaf(cfg.id, 5);
     let kv = server.kv();
     let record = kv.get(&leaf5).unwrap().expect("chunk 5's level-0 record");
-    // `digest ‖ pn ‖ payload`: a record of another width in the same form.
-    let width = u32::from_le_bytes(record[..4].try_into().unwrap()) as usize;
-    let mut other_width = ((width + 1) as u32).to_le_bytes().to_vec();
-    other_width.extend_from_slice(&vec![0; 8 * (width + 1)]);
-    other_width.extend_from_slice(&record[4 + 8 * width..]);
+    // `sum ‖ kind ‖ payload`, the sum the stream's width: the record cut
+    // before its kind byte, cut inside its sum, and a record of another
+    // width in the same form (a zero word of its sum where the kind lies).
+    let width = server.stream_info(cfg.id).unwrap().digest_width as usize;
+    let mut other_width = vec![0; 8 * (width + 1)];
+    other_width.extend_from_slice(&record[8 * width..]);
     for damaged in [
         None,
-        Some(&record[..record.len() - 1]),
+        Some(&record[..8 * width]),
         Some(&record[..3]),
         Some(&other_width[..]),
     ] {

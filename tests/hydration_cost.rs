@@ -7,10 +7,12 @@
 //! proof requests fill: ingest and statistical queries never read a
 //! level-0 record back for it.
 //!
-//! Byte model at digest width 4: a level-0 record is the chunk without its
-//! position, its digest the running sum — 36 B, then the body, 4 + payload
-//! (48 B with this file's 8 B payloads). A stream's first proof reads —
-//! and hashes — every attested record whole: `n` gets, `Σ record bytes`.
+//! Byte model at digest width 4: a level-0 record is the stream's running
+//! sum, 32 B (its words alone: the width is the stream's), a kind byte,
+//! then the payload (41 B with this file's 8 B payloads); the chunk's
+//! position and both of its length prefixes are not stored. A stream's
+//! first proof reads — and hashes — every attested record whole: `n`
+//! gets, `Σ record bytes`.
 
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
@@ -23,8 +25,8 @@ use timecrypt::store::{KvStore, MemKv, MeteredKv};
 const WIDTH: usize = 4;
 const DELTA_MS: u64 = 10_000;
 const PAYLOAD: usize = 8;
-/// A level-0 record: the encoded digest, then `pn ‖ payload`.
-const RECORD: u64 = (4 + 8 * WIDTH + 4 + PAYLOAD) as u64;
+/// A level-0 record: the running sum's words, then `kind ‖ payload`.
+const RECORD: u64 = (8 * WIDTH + 1 + PAYLOAD) as u64;
 
 fn chunk(stream: u128, index: u64) -> Vec<u8> {
     EncryptedChunk {

@@ -1,9 +1,11 @@
 //! One record per chunk: the chunk *is* its level-0 index record —
-//! `il/<stream>/<index>` → the serialized chunk without the position the
-//! key carries, its digest replaced by the stream's running sum,
-//! `sum ‖ pn ‖ payload` — until `delete_range` turns the record into its
-//! stub, `sum ‖ 0xFFFF_FFFF ‖ commitment[32]`. A chunk's own digest is its
-//! sum less the one before. Pinned
+//! `il/<stream>/<index>` → what the server cannot re-derive of the chunk:
+//! the stream's running sum in place of its digest, a kind byte, the
+//! payload, `sum[8·w] ‖ 0x01 ‖ payload` (the position is the key's, the
+//! width the stream's, the payload's length the record's) — until
+//! `delete_range` turns the record into its stub, `sum ‖ 0x02 ‖
+//! commitment[32]`. A chunk's own digest is its sum less the one before.
+//! Pinned
 //! here: every raw reader hands back exactly the ingested bytes and the
 //! commitment proofs rest on is the one the owner computed over them; the
 //! stub keeps digests, statistics and proofs as they were; `delete_range`
@@ -13,7 +15,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use timecrypt::chunk::serialize::{ChunkRef, EncryptedChunk};
+use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::crypto::SecureRandom;
 use timecrypt::index::{keys, IndexError};
 use timecrypt::integrity::{
@@ -43,7 +45,8 @@ fn exported_leaves(server: &TimeCryptServer, stream: u128) -> Vec<(Vec<u8>, Vec<
 }
 
 /// The records a stream of chunks `sent` is stored as, in chunk order:
-/// each chunk past its position, its digest the stream's running sum.
+/// the stream's running sum through each, its words alone, then the kind
+/// byte of a chunk and the chunk's payload.
 fn stored_forms(sent: &[Vec<u8>]) -> Vec<Vec<u8>> {
     let mut sum: Option<Vec<u64>> = None;
     let stored = |bytes: &Vec<u8>| {
@@ -51,11 +54,10 @@ fn stored_forms(sent: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let sum = sum.get_or_insert_with(|| vec![0; chunk.digest_ct.len()]);
         let words = sum.iter_mut().zip(&chunk.digest_ct);
         words.for_each(|(s, d)| *s = s.wrapping_add(*d));
-        let chunk = EncryptedChunk {
-            digest_ct: sum.clone(),
-            ..chunk
-        };
-        chunk.to_bytes()[EncryptedChunk::POSITION_LEN..].to_vec()
+        let mut record: Vec<u8> = sum.iter().flat_map(|w| w.to_le_bytes()).collect();
+        record.push(0x01);
+        record.extend_from_slice(&chunk.payload);
+        record
     };
     sent.iter().map(stored).collect()
 }
@@ -203,8 +205,8 @@ proptest! {
         prop_assert_eq!(kv.counters().puts, puts, "a second call writes nothing");
         for index in lo..hi {
             let stub = kv.get(&keys::leaf(stream, index)).unwrap().unwrap();
-            let mut expected = forms[index as usize][..4 + 8 * width].to_vec();
-            expected.extend_from_slice(&[0xFF; 4]);
+            let mut expected = forms[index as usize][..8 * width].to_vec();
+            expected.push(0x02);
             expected.extend_from_slice(&chunk_commitment(&a.sent[index as usize]));
             prop_assert_eq!(stub, expected);
         }
@@ -239,15 +241,17 @@ proptest! {
     }
 
     /// Arbitrary bytes where a level-0 record should be: mutations of a
-    /// full record and of a stub (truncated, extended, a length prefix
-    /// overwritten, a byte flipped) and plain noise. What is neither form
-    /// is `CorruptNode` at level 0 for every reader — no panic, and no
-    /// allocation a length prefix asked for; what is a form reads as one.
-    /// The reference for "a full record" is the chunk parser itself.
+    /// full record whose payload is 32 bytes, of the stub beside it — the
+    /// same length, told apart by the kind byte alone — and of chunk 1 in
+    /// the form records had before they dropped the two length prefixes
+    /// (truncated, extended, a prefix's worth of bytes overwritten, the
+    /// kind byte set, a byte flipped), and plain noise. What is neither
+    /// form is `CorruptNode` at level 0 for every reader — no panic; what
+    /// is a form reads as one.
     #[test]
     fn the_record_decoder_refuses_what_is_neither_form(
-        base in 0usize..3,
-        mutation in 0usize..5,
+        base in 0usize..4,
+        mutation in 0usize..6,
         at in any::<usize>(),
         value in any::<u32>(),
         noise in proptest::collection::vec(any::<u8>(), 0..120),
@@ -256,10 +260,12 @@ proptest! {
         let payloads = vec![vec![7u8; 5], vec![8u8; 32], vec![9u8; 40]];
         let a = attested(kv.clone(), 77, 3, &payloads);
         a.server.delete_range(77, ts(2), ts(3)).unwrap();
-        // Chunk 1 takes the damage: a full record, the stub, or noise.
+        // Chunk 1 takes the damage: a full record, the stub, the old form
+        // or noise.
         let mut record = match base {
             0 => kv.get(&keys::leaf(77, 1)).unwrap().unwrap(),
             1 => kv.get(&keys::leaf(77, 2)).unwrap().unwrap(),
+            2 => old_form(&stored(kv.as_ref(), 77, 1).1, 3),
             _ => noise.clone(),
         };
         match mutation {
@@ -267,7 +273,8 @@ proptest! {
             1 => record.extend_from_slice(&noise),
             2 if record.len() >= 4 => record[..4].copy_from_slice(&value.to_le_bytes()),
             3 if record.len() >= 32 => record[28..32].copy_from_slice(&value.to_le_bytes()),
-            4 if !record.is_empty() => {
+            4 if record.len() > 24 => record[24] = value as u8,
+            5 if !record.is_empty() => {
                 let at = at % record.len();
                 record[at] ^= 1 + (value % 255) as u8;
             }
@@ -275,26 +282,23 @@ proptest! {
         }
         kv.put(&keys::leaf(77, 1), &record).unwrap();
 
-        let whole = [&EncryptedChunk::position(77, 1)[..], &record].concat();
-        let full = ChunkRef::parse(&whole).is_ok();
-        let width = record.get(..4).map(|w| u32::from_le_bytes(w.try_into().unwrap()) as u64);
-        let stub = width.is_some_and(|w| {
-            record.len() as u64 == 4 + 8 * w + 4 + 32 && record[record.len() - 36..][..4] == [0xFF; 4]
-        });
-        // The record's sum less chunk 0's is chunk 1's own digest: only a
-        // sum of the stream's width has one.
-        let readable = (full || stub) && width == Some(3);
+        // The stream's width is 3: a sum of 24 bytes, then the kind.
+        let full = record.get(24) == Some(&0x01);
+        let stub = record.get(24) == Some(&0x02) && record.len() == 24 + 1 + 32;
+        let readable = full || stub;
         let corrupt = |e: &ServerError| {
             matches!(e, ServerError::Index(IndexError::CorruptNode { level: 0, index: 1 }))
         };
         match a.server.get_range(77, 0, ts(3)) {
             Ok(chunks) if full => {
-                let before = [&EncryptedChunk::position(77, 0)[..], &stored(kv.as_ref(), 77, 0).1].concat();
-                let before = EncryptedChunk::from_bytes(&before).unwrap().digest_ct;
-                let sum = EncryptedChunk::from_bytes(&whole).unwrap();
-                let own = sum.digest_ct.iter().zip(&before).map(|(s, b)| s.wrapping_sub(*b));
-                let chunk = EncryptedChunk { digest_ct: own.collect(), ..sum };
-                prop_assert!(readable);
+                let before = words(&stored(kv.as_ref(), 77, 0).1[..24]);
+                let own = words(&record[..24]).into_iter().zip(before);
+                let chunk = EncryptedChunk {
+                    stream: 77,
+                    index: 1,
+                    digest_ct: own.map(|(s, b)| s.wrapping_sub(b)).collect(),
+                    payload: record[25..].to_vec(),
+                };
                 prop_assert_eq!(&chunks[1], &chunk.to_bytes());
             }
             Ok(chunks) => prop_assert!(readable && stub && chunks.len() == 1),
@@ -320,6 +324,54 @@ proptest! {
         }
         let chunk0_kept = a.read(0, 1).is_ok_and(|chunks| chunks.len() == 1);
         prop_assert_eq!(chunk0_kept, !readable);
+    }
+}
+
+/// Little-endian words.
+fn words(bytes: &[u8]) -> Vec<u64> {
+    let (words, _) = bytes.as_chunks::<8>();
+    words.iter().map(|w| u64::from_le_bytes(*w)).collect()
+}
+
+/// `record`, a record of a stream of width `width`, in the form records had
+/// before they dropped the two length prefixes: `u32 width ‖ sum ‖ u32 pn ‖
+/// payload`, or a stub's `… ‖ 0xFFFF_FFFF ‖ commitment[32]`.
+fn old_form(record: &[u8], width: usize) -> Vec<u8> {
+    let (sum, rest) = record.split_at(8 * width);
+    let (kind, body) = rest.split_first().unwrap();
+    let pn = match kind {
+        0x01 => body.len() as u32,
+        _ => u32::MAX,
+    };
+    [
+        &(width as u32).to_le_bytes()[..],
+        sum,
+        &pn.to_le_bytes(),
+        body,
+    ]
+    .concat()
+}
+
+/// A record in the old form is `CorruptNode` where it is read, a full one
+/// and a stub: the byte where the kind now lies is the fifth of the old
+/// sum's last word, zero for this stream's sums — no kind. (That byte is
+/// any byte for large sums; the store's format version, `TCLOG4`, is what
+/// refuses a store written in the old form whole.)
+#[test]
+fn a_record_in_the_old_form_is_corrupt_node() {
+    let kv = Arc::new(MemKv::new());
+    let payloads = vec![vec![7u8; 5], vec![8u8; 32], vec![9u8; 40]];
+    let a = attested(kv.clone(), 77, 3, &payloads);
+    a.server.delete_range(77, ts(2), ts(3)).unwrap();
+    for index in [1, 2] {
+        let (key, record) = stored(kv.as_ref(), 77, index);
+        kv.put(&key, &old_form(&record, 3)).unwrap();
+        let err = a.server.get_range(77, 0, ts(3)).unwrap_err();
+        assert!(
+            matches!(err, ServerError::Index(IndexError::CorruptNode { level: 0, index: at }) if at == index),
+            "chunk {index}: {err}"
+        );
+        kv.put(&key, &record).unwrap();
     }
 }
 

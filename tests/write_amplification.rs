@@ -1,9 +1,11 @@
 //! Deterministic write-amplification guard (ROADMAP aim 1(c): gate the
 //! counters that don't jitter). An ingest must cost the store what the byte
-//! model of one record per chunk says: per chunk its level-0 record — the
-//! chunk itself, without the position its key carries, its digest swapped
-//! for the stream's running sum of the same length — and nothing else, all
-//! of a stream's run in one commit. In a `LogKv` each record adds ≈ 10 B of
+//! model of one record per chunk says: per chunk its level-0 record — what
+//! the server cannot re-derive of the chunk: the stream's running sum in
+//! place of its digest (8 B a word, no width: that is the stream's), a kind
+//! byte and the payload (no length: that is the record's own), and not the
+//! position its key carries — and nothing else, all of a stream's run in
+//! one commit. In a `LogKv` each record adds ≈ 10 B of
 //! frame: flags, sequence byte, value length, the run number and tail that
 //! name its key (one or two bytes each) and the CRC. A key is spelled out
 //! (28 B and its length) only where its head had no run when the record's
@@ -11,17 +13,18 @@
 //! fleet shape, of one chunk each.
 //!
 //! **Fleet-shaped**: many streams, one small chunk per stream per batch, so
-//! nothing amortises across a batch. Per 119 B chunk: 95 value bytes (the
-//! record: 4 + 8·4 sum, 4 + 55 payload); in the log ≈ 105, 0.88 per user
-//! byte. A sealed 64-ary node beside them (2 308 B per 64 chunks, the
-//! layout before running sums) made it 1.17.
+//! nothing amortises across a batch. Per 119 B chunk: 88 value bytes (the
+//! record: 8·4 sum, 1 + 55 payload); in the log ≈ 98, 0.82 per user byte.
+//! The two length prefixes the record no longer repeats made it 0.88, and
+//! a sealed 64-ary node beside them (2 308 B per 64 chunks, the layout
+//! before running sums) 1.17.
 //!
 //! **Dashboard-shaped**: 19-wide digests and a stream's 16 chunks per
 //! batch, so most records name a run their own batch extends. Per 284 B
-//! chunk: 260 value bytes (4 + 8·19 sum, 4 + 100 payload); in the log
-//! ≈ 271, plus the spelled-out first batch of each stream (≈ 0.9 B per
-//! chunk over 512): 0.96 per user byte, where the nodes (9 988 B per 64
-//! chunks) made it 1.51.
+//! chunk: 253 value bytes (8·19 sum, 1 + 100 payload); in the log ≈ 264,
+//! plus the spelled-out first batch of each stream (≈ 0.9 B per chunk over
+//! 512): 0.93 per user byte, where the length prefixes made it 0.96 and
+//! the nodes (9 988 B per 64 chunks) 1.51.
 //!
 //! Each shape then answers 64 statistical queries over all its streams
 //! from a freshly opened engine, with the benchmark workload's per-stream
@@ -143,8 +146,8 @@ fn measure(
 #[test]
 fn fleet_ingest_store_writes_stay_under_the_byte_model() {
     let (puts, bytes, rows) = measure("fleet", (8, 200, 1), (WIDTH, PAYLOAD), 64 << 20);
-    // One put of the record's 95 value bytes per chunk (`MeteredKv`).
-    assert_eq!((puts, bytes), (1.0, 8 * 200 * 95));
+    // One put of the record's 88 value bytes per chunk (`MeteredKv`).
+    assert_eq!((puts, bytes), (1.0, 8 * 200 * 88));
     common::ledger(&rows);
 }
 
@@ -152,7 +155,7 @@ fn fleet_ingest_store_writes_stay_under_the_byte_model() {
 fn dashboard_ingest_store_writes_stay_under_the_byte_model() {
     // 512 chunks per stream, 16 a batch: 32 batches.
     let (puts, bytes, rows) = measure("dashboard", (4, 512, 16), (19, 100), 64 << 10);
-    assert_eq!((puts, bytes), (1.0, 4 * 512 * 260));
+    assert_eq!((puts, bytes), (1.0, 4 * 512 * 253));
     common::ledger(&rows);
 }
 
