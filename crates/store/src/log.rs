@@ -1,6 +1,6 @@
 //! Persistent append-only log engine with checksummed crash recovery.
 //!
-//! File layout: an 8-byte magic header (`TCLOG3\r\n` — the `\r\n` catches
+//! File layout: an 8-byte magic header (`TCLOG4\r\n` — the `\r\n` catches
 //! text-mode mangling, PNG-style) followed by records:
 //!
 //! ```text
@@ -94,7 +94,14 @@
 //! than it, with a prefix of it — a crash during file creation, treated
 //! as a torn tail at offset 0) is refused with [`StoreError::CorruptAt`]
 //! and left untouched: one flipped header bit must never cost the store.
-//! So is a log of an earlier format: this build reads `TCLOG3` only.
+//! So is a log of an earlier format: this build reads `TCLOG4` only.
+//!
+//! The magic's digit is the store's one on-disk format version. It covers
+//! the record framing above *and* the forms of the values the engine keeps
+//! in the log, so a change to either bumps it: version 3 framed records
+//! as they are framed now, but held a chunk's level-0 record with two
+//! length prefixes (`timecrypt_server`'s engine docs), and a build that
+//! opened it would read each record in the wrong form.
 
 use crate::file::{LogFile, MemFile, OsFile};
 use crate::{KvStore, StoreError, WriteOp};
@@ -113,8 +120,9 @@ const RUN_KEY: u8 = 0x40;
 /// Set in the flags of every record of a batch but its last.
 const OP_CONTINUES: u8 = 0x80;
 
-/// File magic for the checksummed, run-naming format ("version 3").
-const MAGIC: &[u8; 8] = b"TCLOG3\r\n";
+/// File magic: the store's one on-disk format version ("version 4"; see
+/// the module docs for what a version covers).
+const MAGIC: &[u8; 8] = b"TCLOG4\r\n";
 /// The most bytes a record's head takes: flags, seq and three varints.
 const MAX_HEAD: usize = 2 + 3 * 10;
 /// CRC32 footer bytes.
@@ -970,7 +978,7 @@ impl<F: LogFile> LogKv<F> {
         file.read_at(head, 0)?;
         if !MAGIC.starts_with(head) {
             return Err(StoreError::CorruptAt {
-                what: "missing log magic: not a TCLOG3 log",
+                what: "missing log magic: not a TCLOG4 log",
                 offset: 0,
             });
         }
@@ -1736,6 +1744,31 @@ mod tests {
     }
 
     #[test]
+    fn a_version_3_log_is_refused_whole_and_left_as_it_was() {
+        // Framed as this build frames records, but holding values in forms
+        // it no longer reads: refused before any record is read.
+        let path = tmp("version3");
+        {
+            let kv = LogKv::open(&path).unwrap();
+            kv.put(b"il/chunk", b"a record in the old form").unwrap();
+        }
+        let mut v3 = std::fs::read(&path).unwrap();
+        v3[..MAGIC.len()].copy_from_slice(b"TCLOG3\r\n");
+        std::fs::write(&path, &v3).unwrap();
+        match LogKv::open(&path) {
+            Err(StoreError::CorruptAt { what, offset: 0 }) => {
+                assert_eq!(what, "missing log magic: not a TCLOG4 log");
+            }
+            other => panic!(
+                "TCLOG3: expected CorruptAt, got {:?}",
+                other.map(|kv| kv.len())
+            ),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), v3);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
     fn rotted_magic_is_hard_error_and_leaves_the_file_untouched() {
         // One flipped bit in the header must not send a healthy log down
         // a path that rewrites it: every magic byte in turn.
@@ -1754,7 +1787,7 @@ mod tests {
                 Err(StoreError::CorruptAt { what, offset }) => {
                     assert_eq!(
                         (what, offset),
-                        ("missing log magic: not a TCLOG3 log", 0),
+                        ("missing log magic: not a TCLOG4 log", 0),
                         "byte {victim}"
                     );
                 }
@@ -1773,7 +1806,7 @@ mod tests {
         std::fs::write(&path, &v2).unwrap();
         match LogKv::open(&path) {
             Err(e @ StoreError::CorruptAt { offset: 0, .. }) => {
-                assert!(e.to_string().contains("TCLOG3"), "{e}");
+                assert!(e.to_string().contains("TCLOG4"), "{e}");
             }
             other => panic!(
                 "TCLOG2: expected CorruptAt, got {:?}",
