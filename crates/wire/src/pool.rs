@@ -78,10 +78,18 @@ struct Shared {
 #[derive(Default)]
 struct Idle {
     /// Each with when it was returned.
-    conns: Vec<(Client, Instant)>,
+    conns: Vec<Pooled>,
     /// Connections checked out now, and the most that ever were at once.
     out: usize,
     peak: usize,
+}
+
+/// An idle connection: when it was returned, and whether a caller capped
+/// its deadline ([`PooledConn::cap_deadline`]) below the configured one.
+struct Pooled {
+    client: Client,
+    since: Instant,
+    capped: bool,
 }
 
 impl Shared {
@@ -159,19 +167,27 @@ impl ClientPool {
         let mut conn = PooledConn {
             pool: self.shared.clone(),
             client: None,
+            capped: false,
         };
         // Probe a connection that sat idle, and re-arm the configured
-        // deadline on every checkout: a caller may have tightened this
-        // connection's deadline to its remaining budget before returning
-        // it; the next request must start from the full per-operation
-        // allowance, not inherit that stale, nearly-expired remainder.
+        // deadline on one a caller capped to its remaining budget before
+        // returning it: the next request must start from the full
+        // per-operation allowance, not inherit that stale, nearly-expired
+        // remainder. Every other connection still holds the configured
+        // deadline, and is handed out without the two syscalls.
         let usable = pooled
-            .filter(|(c, since)| since.elapsed() < PROBE_IDLE || c.is_idle_and_open())
-            .and_then(|(mut c, _)| {
-                c.set_io_timeout(self.shared.cfg.io_timeout)
-                    .ok()
-                    .map(|()| c)
-            });
+            .filter(|p| p.since.elapsed() < PROBE_IDLE || p.client.is_idle_and_open())
+            .and_then(
+                |Pooled {
+                     mut client, capped, ..
+                 }| match capped {
+                    true => client
+                        .set_io_timeout(self.shared.cfg.io_timeout)
+                        .ok()
+                        .map(|()| client),
+                    false => Some(client),
+                },
+            );
         conn.client = Some(match usable {
             Some(c) => c,
             None => self.connect()?,
@@ -185,6 +201,8 @@ impl ClientPool {
 pub struct PooledConn {
     pool: Arc<Shared>,
     client: Option<Client>,
+    /// Whether [`cap_deadline`](Self::cap_deadline) tightened the deadline.
+    capped: bool,
 }
 
 impl PooledConn {
@@ -202,7 +220,10 @@ impl PooledConn {
     pub fn cap_deadline(&mut self, left: Duration) -> Result<(), ClientError> {
         match self.pool.cfg.io_timeout {
             Some(armed) if armed <= left => Ok(()),
-            _ => self.client().set_io_timeout(Some(left)),
+            _ => {
+                self.capped = true;
+                self.client().set_io_timeout(Some(left))
+            }
         }
     }
 
@@ -222,7 +243,12 @@ impl Drop for PooledConn {
         let mut idle = self.pool.idle();
         idle.out -= 1;
         if idle.conns.len() < self.pool.cfg.max_idle.max(idle.peak) {
-            idle.conns.extend(client.map(|c| (c, Instant::now())));
+            let (since, capped) = (Instant::now(), self.capped);
+            idle.conns.extend(client.map(|client| Pooled {
+                client,
+                since,
+                capped,
+            }));
         }
     }
 }
@@ -376,11 +402,16 @@ mod tests {
     /// A just-returned connection whose peer is already gone: it dialed a
     /// listener that was dropped before accepting, so the first exchange
     /// on it fails.
-    fn dead_client() -> (Client, Instant) {
+    fn dead_client() -> Pooled {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let client = Client::connect(listener.local_addr().unwrap()).unwrap();
         drop(listener);
-        (client, Instant::now())
+        let (since, capped) = (Instant::now(), false);
+        Pooled {
+            client,
+            since,
+            capped,
+        }
     }
 
     #[test]
@@ -432,5 +463,31 @@ mod tests {
         // The next checkout must start from the configured 5 s allowance,
         // not the leftover 1 ms — the 60 ms reply then arrives in time.
         assert_eq!(exchange(&pool, &Request::Ping).unwrap(), Response::Pong);
+    }
+
+    #[test]
+    fn checkout_rearms_only_a_connection_whose_deadline_was_capped() {
+        let server = ping_server();
+        let pool = ClientPool::new(server.addr().to_string(), PoolConfig::default());
+        let armed = PoolConfig::default().io_timeout;
+        // A deadline set behind the pool's back marks a connection the
+        // checkout did not re-arm: it is handed out as it was returned.
+        let marked = Some(Duration::from_secs(7));
+        pool.get().unwrap().client().set_io_timeout(marked).unwrap();
+        let mut conn = pool.get().unwrap();
+        assert_eq!(conn.client().io_timeout(), marked, "no re-arm");
+        // A capped one is re-armed at its next checkout, and only that one.
+        conn.cap_deadline(Duration::from_millis(3)).unwrap();
+        drop(conn);
+        let mut conn = pool.get().unwrap();
+        assert_eq!(conn.client().io_timeout(), armed, "re-armed");
+        conn.client().set_io_timeout(marked).unwrap();
+        drop(conn);
+        assert_eq!(pool.get().unwrap().client().io_timeout(), marked);
+        assert_eq!(
+            pool.shared.idle().conns.len(),
+            1,
+            "one connection throughout"
+        );
     }
 }

@@ -404,6 +404,12 @@ impl Client {
         Ok(())
     }
 
+    /// The deadline armed on the socket, as the OS reports it.
+    #[cfg(test)]
+    pub(crate) fn io_timeout(&self) -> Option<Duration> {
+        self.writer.read_timeout().ok().flatten()
+    }
+
     /// Whether this connection, idle between exchanges, can carry another:
     /// nothing waits to be read (no reply is owed, so bytes are garbage)
     /// and the peer has not closed it — a write to a closed socket still
