@@ -91,8 +91,14 @@ pub fn write_frame_in<W: Write>(w: &mut W, frame: &mut [u8]) -> Result<(), Frame
     Ok(())
 }
 
+/// Most bytes a frame's body is given before any of it arrived: a length
+/// prefix is the peer's claim, so the body grows from here as bytes come.
+pub const READ_AHEAD: usize = 64 * 1024;
+
 /// Reads one frame. Returns [`FrameError::Closed`] on clean EOF before the
-/// length prefix.
+/// length prefix. The body is allocated as it arrives — at most
+/// [`READ_AHEAD`] up front, then doubling, never beyond the prefix's
+/// length — so a peer that claims 16 MiB and sends nothing costs 64 KiB.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     let mut len_buf = [0u8; 4];
     // Distinguish clean close (0 bytes) from a torn prefix.
@@ -112,8 +118,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    while body.len() < len {
+        let (filled, step) = (
+            body.len(),
+            (len - body.len()).min(body.len().max(READ_AHEAD)),
+        );
+        body.reserve_exact(step);
+        body.resize(filled + step, 0);
+        r.read_exact(&mut body[filled..])?;
+    }
     Ok(body)
 }
 
@@ -192,6 +206,28 @@ mod tests {
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         let mut cur = Cursor::new(buf);
         assert!(matches!(read_frame(&mut cur), Err(FrameError::TooLarge(_))));
+    }
+
+    #[test]
+    fn a_body_grows_as_it_arrives_and_ends_at_its_length() {
+        // Frames below, at and past the read-ahead read whole, the last
+        // with its doubling cut at its length. (`tests/ingest_path.rs`
+        // counts what a prefix followed by nothing allocates.)
+        for len in [
+            0,
+            1,
+            READ_AHEAD - 1,
+            READ_AHEAD,
+            READ_AHEAD + 1,
+            5 * READ_AHEAD / 2,
+        ] {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &body).unwrap();
+            let read = read_frame(&mut Cursor::new(wire)).unwrap();
+            assert_eq!((read.len(), read.capacity()), (len, len));
+            assert_eq!(read, body);
+        }
     }
 
     #[test]

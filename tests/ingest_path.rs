@@ -18,7 +18,9 @@
 //!   per-shard vector built for a batch that belongs to one shard;
 //! * a node's and an engine's `dispatch` add a fixed number of blocks to
 //!   the ingest run they hand the frame's chunks to — the same run an
-//!   engine fed directly allocates for.
+//!   engine fed directly allocates for;
+//! * a frame's body is allocated as its bytes arrive: a length prefix
+//!   claiming the largest frame, then nothing, costs the read-ahead.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -454,4 +456,30 @@ fn a_node_and_an_engine_add_a_fixed_number_of_blocks_to_the_run_they_dispatch() 
     // verdict list, the one shard's entry and the shard's lists of slices
     // and of positions, which grow by doubling.
     assert_eq!(added, [1, 5, 1, 9, 1, 15]);
+}
+
+#[test]
+fn a_claimed_frame_length_is_allocated_as_its_bytes_arrive() {
+    use std::io::Read;
+    use timecrypt::wire::frame::{read_frame, FrameError, MAX_FRAME, READ_AHEAD};
+    /// The prefix, then EOF; at that read, what the thread holds.
+    struct ThenNothing<'a>(&'a [u8], isize, isize);
+    impl Read for ThenNothing<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                self.2 = self.2.max(common::live() - self.1);
+            }
+            self.0.read(buf)
+        }
+    }
+    let prefix = (MAX_FRAME as u32).to_le_bytes();
+    let mut peer = ThenNothing(&prefix, common::live(), 0);
+    let read = read_frame(&mut peer);
+    assert!(matches!(read, Err(FrameError::Io(_))), "{read:?}");
+    println!("bytes held when a 16 MiB claim met EOF: {}", peer.2);
+    assert!(
+        peer.2 > 0 && peer.2 as usize <= READ_AHEAD + 64,
+        "{} B",
+        peer.2
+    );
 }
