@@ -12,9 +12,9 @@ use std::hash::Hash;
 /// An LRU cache bounded by the total byte weight of its values.
 ///
 /// Keys must be `Copy`: the recency index stores a second copy of every
-/// key, and the hot paths (`get` refreshes recency on every index-node
-/// touch) must not pay a heap clone per lookup. The index keys are
-/// `(level, index)` pairs, which are naturally copyable.
+/// key, and the hot paths (`get` refreshes recency on every lookup of a
+/// query's boundary) must not pay a heap clone per lookup. The index keys
+/// its running sums by chunk index, a `u64`.
 pub struct LruCache<K, V> {
     map: HashMap<K, Entry<V>>,
     /// Recency: logical clock per entry; eviction removes the minimum.
