@@ -118,12 +118,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let mut body = Vec::new();
+    let mut body = vec![0u8; len.min(READ_AHEAD)];
+    r.read_exact(&mut body)?;
     while body.len() < len {
-        let (filled, step) = (
-            body.len(),
-            (len - body.len()).min(body.len().max(READ_AHEAD)),
-        );
+        let filled = body.len();
+        let step = (len - filled).min(filled);
         body.reserve_exact(step);
         body.resize(filled + step, 0);
         r.read_exact(&mut body[filled..])?;
