@@ -177,17 +177,11 @@ impl ClientPool {
         // deadline, and is handed out without the two syscalls.
         let usable = pooled
             .filter(|p| p.since.elapsed() < PROBE_IDLE || p.client.is_idle_and_open())
-            .and_then(
-                |Pooled {
-                     mut client, capped, ..
-                 }| match capped {
-                    true => client
-                        .set_io_timeout(self.shared.cfg.io_timeout)
-                        .ok()
-                        .map(|()| client),
-                    false => Some(client),
-                },
-            );
+            .and_then(|mut p| {
+                let io_timeout = self.shared.cfg.io_timeout;
+                let armed = !p.capped || p.client.set_io_timeout(io_timeout).is_ok();
+                armed.then_some(p.client)
+            });
         conn.client = Some(match usable {
             Some(c) => c,
             None => self.connect()?,
