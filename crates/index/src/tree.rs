@@ -364,9 +364,7 @@ impl<D: HomDigest> AggTree<D> {
             .for_each(|digest| digest.encode(&mut encoded));
         let mut rest = &encoded[..];
         let mut record = |digest: &D| {
-            let (record, after) = rest
-                .split_at_checked(digest.encoded_len())
-                .unwrap_or((rest, &[]));
+            let (record, after) = rest.split_at(digest.encoded_len().min(rest.len()));
             rest = after;
             [record]
         };
