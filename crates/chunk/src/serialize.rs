@@ -272,8 +272,7 @@ impl EncryptedChunk {
     /// encoded into one reused per-connection buffer. Byte-identical to
     /// `to_bytes` (pinned by the chunk property tests).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let (stream, index) = (self.stream, self.index);
-        Self::encode_parts(stream, index, &self.digest_ct, &self.payload, out);
+        Self::encode_parts(self.stream, self.index, &self.digest_ct, &self.payload, out);
     }
 
     /// Appends the serialization of the chunk of these fields: the one

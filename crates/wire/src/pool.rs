@@ -400,11 +400,10 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let client = Client::connect(listener.local_addr().unwrap()).unwrap();
         drop(listener);
-        let (since, capped) = (Instant::now(), false);
         Pooled {
             client,
-            since,
-            capped,
+            since: Instant::now(),
+            capped: false,
         }
     }
 
