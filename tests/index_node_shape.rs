@@ -9,7 +9,10 @@
 //!
 //! Counts only: the binary's global allocator (`tests/common`) keeps, per
 //! thread, the calls made and the bytes live; `MeteredKv` counts the store
-//! reads. The guard prints its figures; none is a timing.
+//! reads. The guard prints its figures; none is a timing. What a cached sum
+//! holds and is charged, and what a producer-shaped sweep holds and reads
+//! per query, are rows of the root `BENCH_ledger.json`, compared exactly
+//! (`TC_BLESS=1` rewrites them).
 
 use std::sync::Arc;
 use timecrypt::index::{AggTree, TreeConfig};
@@ -40,21 +43,64 @@ fn a_cached_node_holds_what_the_cache_charges_for_it() {
     for width in [4, 19] {
         let tree = open(filled(width, 4 * QUERIES), 64 << 20);
         let start = live();
-        // Two boundaries no query before read: each query caches two sums.
-        for q in 0..QUERIES {
-            tree.query(4 * q + 1, 4 * q + 3).unwrap();
+        // Two boundaries no query before read, each read three times: from
+        // the store, then from the cache.
+        for _ in 0..3 {
+            for q in 0..QUERIES {
+                tree.query(4 * q + 1, 4 * q + 3).unwrap();
+            }
         }
         let held = (live() - start) as f64;
         let stats = tree.stats().unwrap();
-        assert_eq!(stats.cache_misses, 2 * QUERIES);
-        let charged = stats.cache_used_bytes as f64;
-        println!(
-            "heap bytes per cached running sum, width {width}: {:.0} held, {:.0} charged",
-            held / (2 * QUERIES) as f64,
-            charged / (2 * QUERIES) as f64
+        assert_eq!(
+            (stats.cache_misses, stats.cache_hits),
+            (2 * QUERIES, 4 * QUERIES)
         );
-        assert!(held <= 1.15 * charged, "{held} B held, {charged} charged");
+        let per_sum = |bytes: f64| format!("{:.2}", bytes / (2 * QUERIES) as f64);
+        let charged = stats.cache_used_bytes as f64;
+        let row = |name: &str| format!("index_node_shape.w{width}.{name}");
+        common::ledger(&[
+            (row("heap_bytes_per_cached_sum"), per_sum(held)),
+            (row("charged_bytes_per_cached_sum"), per_sum(charged)),
+        ]);
     }
+}
+
+/// The producer workload's check sweep over one stream: 4 160 chunks of
+/// 19-wide digests (260 uploads of 16), a 64 MiB budget, and the ≈ 940
+/// statistical windows one of its streams is asked, drawn as the benchmark
+/// draws them (`window` in `benchmark/src/workloads.rs`). What the cache
+/// then holds and what the store served, per query, are ledger rows.
+#[test]
+fn a_producer_sweep_holds_and_reads_per_query() {
+    const CHUNKS: u64 = 4160;
+    const QUERIES: u64 = 940;
+    let kv = Arc::new(MeteredKv::new(filled(19, CHUNKS)));
+    let tree = open(kv.clone(), 64 << 20);
+    let (start, gets) = (live(), kv.counters().gets);
+    let mut state = 7u64;
+    let mut below = |n: u64| splitmix(&mut state) % n;
+    for _ in 0..QUERIES {
+        let lo = below(CHUNKS - 1);
+        let hi = lo + 2 + below(CHUNKS - lo - 1);
+        assert_eq!(tree.query(lo, hi).unwrap()[0], (lo..hi).sum::<u64>());
+    }
+    let per_query = |n: f64| format!("{:.2}", n / QUERIES as f64);
+    let held = (live() - start) as f64;
+    let read = (kv.counters().gets - gets) as f64;
+    let row = |name: &str| format!("index_node_shape.producer_sweep.{name}");
+    common::ledger(&[
+        (row("heap_bytes_per_query"), per_query(held)),
+        (row("gets_per_query"), per_query(read)),
+    ]);
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //! Above the log, a written stream no query has read holds its directory
 //! entry and its running sum: the boundary cache is filled by queries, not
 //! by appends. The binary's counting allocator (`tests/common`) measures
-//! that per stream; the guard prints "resident bytes per written stream",
-//! which CI copies to the job summary.
+//! that per stream, a row of the root `BENCH_ledger.json` compared exactly
+//! (`TC_BLESS=1` rewrites it); CI copies the row to the job summary.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -131,13 +131,13 @@ fn a_written_stream_holds_its_running_sum_and_its_record_locations() {
         }
     }
     let per_stream = (common::live() - start) / STREAMS as isize;
-    println!("resident bytes per written stream: {per_stream}");
     // At least the run of 12-byte locations: the count sees the log.
     let floor = 12 * CHUNKS as isize;
-    assert!(
-        per_stream <= 6_000 && per_stream >= floor,
-        "{per_stream} B per written stream"
-    );
+    assert!(per_stream >= floor, "{per_stream} B per written stream");
+    common::ledger(&[(
+        "store_residency.fleet.resident_bytes_per_written_stream".into(),
+        per_stream.to_string(),
+    )]);
     drop(engine);
     std::fs::remove_file(path).unwrap();
 }
