@@ -33,8 +33,7 @@ pub trait HomDigest: Clone + Send + Sync + 'static {
     /// the sum of the digests between them.
     fn sub_assign(&mut self, other: &Self);
 
-    /// Serialized size in bytes (drives index-size accounting and the LRU
-    /// cache budget).
+    /// Serialized size in bytes: what [`encode`](Self::encode) appends.
     fn encoded_len(&self) -> usize;
 
     /// Appends the serialized form to `out`.

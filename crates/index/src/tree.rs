@@ -26,24 +26,18 @@
 //!
 //! **A resident index is `(len, P_{len−1})`.** [`AggTree::open`] finds the
 //! length by [`stored_chunk_count`] (O(log n) key probes, no value read)
-//! and reads the one record `len − 1`. The boundary cache holds the other
-//! running sums queries read, within [`TreeConfig::cache_bytes`], each
-//! charged what it holds of the heap; only those reads fill it, and the
-//! first builds it.
+//! and reads the one record `len − 1`. The boundary cache holds other
+//! running sums queries read twice, within [`TreeConfig::cache_bytes`],
+//! charged exactly what it holds of the heap; only those reads fill it, and
+//! the first builds it.
 //!
 //! **Commit = one batch.** An append — one chunk or a run — hands its
 //! records to the store as one [`KvStore::write_batch`]: all of it or none
 //! of it, across failure and crash. A failed append left nothing behind,
 //! in the store or in memory, and a retry is a first try.
 //!
-//! **Decay keeps the paper's granularity.** [`AggTree::decay`] ages out a
-//! region below a level of the 64-ary tree over the chunks (the paper's,
-//! §4.5): the nodes of the levels under `keep_level` that lie wholly before
-//! a cutoff. Nothing is deleted — no node is stored — so decay records each
-//! level's cutoff in the stream's one `i/` record, and a query that the
-//! tree would have answered from an aged-out node is [`IndexError::Decayed`]:
-//! one whose covering node is aged out, or with a boundary strictly inside
-//! an aged-out node.
+//! **Decay keeps the paper's granularity** (§4.5): nothing is deleted, and
+//! [`AggTree::decay`] records per-level cutoffs in the stream's `i/` record.
 //!
 //! # Concurrency: shared readers, serialized writers
 //!
@@ -55,10 +49,10 @@
 //! writer publishes after its store write succeeded, so a reader that sees
 //! length `n` finds every record below `n` in the store.
 
-use crate::cache::LruCache;
 use crate::digest::HomDigest;
 use crate::keys;
 use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use timecrypt_obs::counters::{self, Counter};
 use timecrypt_obs::rank::{self, Ranked};
@@ -67,10 +61,11 @@ use timecrypt_store::{KvStore, StoreError, WriteOp};
 /// Index parameters.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
-    /// LRU budget in bytes for the running sums queries read from the store
-    /// (split evenly across its lock segments, of which a small budget has
-    /// one; built by the first read, so an index never read holds none).
-    /// Fig. 7's "small cache" variant uses 1 MB; the default is generous.
+    /// Heap budget in bytes of the boundary cache, charged exactly: the
+    /// running sums it keeps — each from its second store read on — their
+    /// map, and a bit per chunk read once; `0` caches nothing. Split across
+    /// lock segments (one per 64 KiB, 1–8) that the index's first read
+    /// builds. Fig. 7's "small cache" variant uses 1 MB.
     pub cache_bytes: usize,
 }
 
@@ -108,13 +103,11 @@ impl std::fmt::Display for IndexError {
             IndexError::CorruptNode { level, index } => {
                 write!(f, "corrupt index node at level {level} index {index}")
             }
-            IndexError::Decayed { level, index } => {
-                write!(
-                    f,
-                    "index node at level {level} index {index} was aged out by decay; \
-                     only coarser aggregates remain for this region"
-                )
-            }
+            IndexError::Decayed { level, index } => write!(
+                f,
+                "index node at level {level} index {index} was aged out by decay; \
+                 only coarser aggregates remain for this region"
+            ),
             IndexError::BadRange { start, end, len } => {
                 write!(f, "bad query range [{start}, {end}) over {len} chunks")
             }
@@ -137,8 +130,8 @@ pub struct TreeStats {
     pub cache_hits: u64,
     /// Boundary-cache misses (store reads).
     pub cache_misses: u64,
-    /// Bytes the cache charges for the running sums it holds, within
-    /// [`TreeConfig::cache_bytes`].
+    /// Heap bytes the cache holds — its sums and their map, and the bits of
+    /// the chunks read once — within [`TreeConfig::cache_bytes`].
     pub cache_used_bytes: usize,
     /// Total serialized bytes (key + value) of the stream's index records:
     /// its level-0 records and its decay cutoffs.
@@ -173,24 +166,16 @@ pub struct AggTree<D: HomDigest> {
     cache: PrefixCache,
 }
 
-/// Most lock segments in the boundary cache. Concurrent queries take cache
-/// locks from many reader threads at once; splitting by chunk index keeps
-/// them off one global mutex. Eight segments cover the practical
-/// parallelism (a handful of concurrent readers).
+/// Most lock segments in the boundary cache, split by chunk index so that
+/// concurrent queries (a handful of readers) do not share one mutex.
 const MAX_SEGMENTS: usize = 8;
 
 /// Least budget worth a segment of its own: a segment evicts alone, so a
 /// small budget stays whole behind one lock.
 const MIN_SEGMENT_BYTES: usize = 64 * 1024;
 
-/// What a cached running sum holds of the heap besides its bytes: its
-/// block's header and rounding, its hash-table slot at the table's load,
-/// and its recency entry.
-const ENTRY_BYTES: usize = 128;
-
-/// The segmented boundary cache: an LRU per segment of encoded running
-/// sums by chunk index. Only a query's store read fills it, and the first
-/// fill builds the segments.
+/// The segmented boundary cache, a [`Slab`] per segment: filled only by a
+/// query's second store read of a sum; the first read builds the segments.
 #[derive(Default)]
 struct PrefixCache {
     budget_bytes: usize,
@@ -200,42 +185,33 @@ struct PrefixCache {
     misses: Counter,
 }
 
-/// One segment: an independently locked LRU.
-type Segment = Ranked<{ rank::CACHE }, Mutex<LruCache<u64, Box<[u8]>>>>;
+/// One segment: an independently locked slab.
+type Segment = Ranked<{ rank::CACHE }, Mutex<Slab>>;
 
 impl PrefixCache {
-    fn new(budget_bytes: usize) -> Self {
-        PrefixCache {
-            budget_bytes,
-            ..PrefixCache::default()
-        }
-    }
-
-    /// The segments, built by the first call.
-    fn segments(&self) -> &[Segment] {
-        self.built.get_or_init(|| {
+    /// Chunk `index`'s segment (built by the first call) and bit in it.
+    fn segment(&self, index: u64) -> (&Segment, u64) {
+        let segments = self.built.get_or_init(|| {
             let segments = (self.budget_bytes / MIN_SEGMENT_BYTES).clamp(1, MAX_SEGMENTS);
             // Rounded down: the segments together never hold more than the budget.
-            let segment = || Ranked::new(Mutex::new(LruCache::new(self.budget_bytes / segments)));
-            (0..segments).map(|_| segment()).collect()
-        })
-    }
-
-    fn segment(&self, index: u64) -> &Segment {
-        let segments = self.segments();
-        &segments[(index % segments.len() as u64) as usize]
+            let budget = self.budget_bytes / segments;
+            let slab = || Slab {
+                budget,
+                ..Slab::default()
+            };
+            (0..segments)
+                .map(|_| Ranked::new(Mutex::new(slab())))
+                .collect()
+        });
+        let n = segments.len() as u64;
+        (&segments[(index % n) as usize], index / n)
     }
 
     /// `f` of the running sum through chunk `index`, under its segment's
     /// lock, if it is cached; counts the lookup.
     fn with<R>(&self, index: u64, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let built = self.built.get();
-        let hit = built.and_then(|_| {
-            self.segment(index)
-                .lock(Mutex::lock)
-                .get(&index)
-                .map(|p| f(p))
-        });
+        let hit = built.and_then(|_| self.segment(index).0.lock(Mutex::lock).get(index).map(f));
         let (tree, process) = match hit {
             Some(_) => (&self.hits, &counters::INDEX_NODE_CACHE_HITS),
             None => (&self.misses, &counters::INDEX_NODE_CACHE_MISSES),
@@ -245,17 +221,175 @@ impl PrefixCache {
         hit
     }
 
-    fn put(&self, index: u64, prefix: &[u8]) {
-        let mut segment = self.segment(index).lock(Mutex::lock);
-        segment.put(index, Box::from(prefix), prefix.len() + ENTRY_BYTES);
+    /// A query read `prefix`, the sum through chunk `index`, from the store:
+    /// the first such read sets the chunk's bit, a later one admits it.
+    fn read(&self, index: u64, prefix: &[u8]) {
+        if self.budget_bytes > 0 {
+            let (segment, bit) = self.segment(index);
+            let mut slab = segment.lock(Mutex::lock);
+            if slab.mark(bit) {
+                slab.admit(index, prefix);
+            }
+        }
     }
 
     /// (hits, misses, bytes charged across segments).
     fn stats(&self) -> (u64, u64, usize) {
         let segments = self.built.get().into_iter().flatten();
-        let used = segments.map(|s| s.lock(Mutex::lock).used_bytes()).sum();
+        let used = segments.map(|s| s.lock(Mutex::lock).charged()).sum();
         (self.hits.get(), self.misses.get(), used)
     }
+}
+
+/// One segment's running sums, within its budget of heap, charged exactly.
+///
+/// **Admission on second read**, TinyLFU's doorkeeper made exact by dense
+/// keys: a store read sets the chunk's bit in `seen`, and only a read that
+/// finds it set admits the sum. A boundary read once costs a bit, not a slot.
+///
+/// **A slab, evicted by CLOCK.** A hit sets its slot's reference bit; no
+/// hit or admission reorders, boxes or frees. A full slab admits into the
+/// first slot from the hand whose bit is clear, clearing those it passes.
+/// Room doubles as far as the budget affords, and shrinks as `seen` grows.
+#[derive(Default)]
+struct Slab {
+    budget: usize,
+    /// Bytes of a sum, the first admitted one's: `8·width` for HEAC.
+    stride: usize,
+    /// Slots allocated: each per-slot vector's capacity, and half of what
+    /// the map is made for, so that its tombstones never make it grow.
+    room: usize,
+    /// Slot `s` is bytes `s·stride..(s + 1)·stride`, the sum of `chunks[s]`.
+    sums: Vec<u8>,
+    chunks: Vec<u64>,
+    referenced: Vec<bool>,
+    slots: HashMap<u64, u32>,
+    hand: usize,
+    /// Bit `i % 64` of word `i / 64`: the segment's `i`-th chunk was read.
+    seen: Vec<u64>,
+}
+
+impl Slab {
+    fn get(&mut self, chunk: u64) -> Option<&[u8]> {
+        let slot = *self.slots.get(&chunk)? as usize;
+        self.referenced[slot] = true;
+        Some(&self.sums[slot * self.stride..][..self.stride])
+    }
+
+    /// Sets `bit` of `seen`; true if it was set. The bits come first in the
+    /// budget, and one it cannot hold at all is never set.
+    fn mark(&mut self, bit: u64) -> bool {
+        let word = usize::try_from(bit / 64).unwrap_or(usize::MAX);
+        if word >= self.seen.len() {
+            let words = (word.min(self.budget / 8) + 1).next_power_of_two();
+            if words > self.budget / 8 {
+                return false;
+            }
+            exact(&mut self.seen, words);
+            self.seen.resize(words, 0);
+            self.resize(self.room.min(self.most()));
+        }
+        let (at, mask) = (&mut self.seen[word], 1 << (bit % 64));
+        std::mem::replace(at, *at | mask) & mask != 0
+    }
+
+    fn admit(&mut self, chunk: u64, sum: &[u8]) {
+        if self.stride == 0 {
+            self.stride = sum.len();
+        }
+        let len = self.chunks.len();
+        if sum.len() != self.stride {
+            return;
+        }
+        if len == self.room {
+            // 7·2^k slots are half of what a map of 16·2^k buckets holds.
+            self.resize((2 * len).max(7).min(self.most()).max(len));
+        }
+        let slot = if len < self.room {
+            self.chunks.push(chunk);
+            self.referenced.push(false);
+            self.sums.extend_from_slice(sum);
+            len
+        } else {
+            let Some(slot) = self.victim() else {
+                return;
+            };
+            self.slots.remove(&self.chunks[slot]);
+            self.chunks[slot] = chunk;
+            self.sums[slot * self.stride..][..self.stride].copy_from_slice(sum);
+            slot
+        };
+        self.slots.insert(chunk, slot as u32);
+    }
+
+    /// CLOCK: the first slot from the hand whose reference bit is clear.
+    fn victim(&mut self) -> Option<usize> {
+        let n = self.chunks.len();
+        (n > 0).then(|| loop {
+            let slot = self.hand % n;
+            self.hand = slot + 1;
+            if !std::mem::take(&mut self.referenced[slot]) {
+                return slot;
+            }
+        })
+    }
+
+    /// Allocates `room` slots exactly, dropping the sums of any past it.
+    fn resize(&mut self, room: usize) {
+        if room != self.room {
+            self.chunks.truncate(room);
+            self.referenced.truncate(room);
+            self.sums.truncate(room * self.stride);
+            exact(&mut self.chunks, room);
+            exact(&mut self.referenced, room);
+            exact(&mut self.sums, room * self.stride);
+            self.slots = HashMap::with_capacity(2 * room);
+            self.slots.extend(self.chunks.iter().copied().zip(0..));
+            self.room = room;
+        }
+    }
+
+    /// Heap bytes with `room` slots: a sum, a chunk and a reference bit
+    /// each, a map made for twice as many, and the bits.
+    fn cost(&self, room: usize) -> usize {
+        room * (self.stride + 9) + map_bytes(2 * room) + 8 * self.seen.capacity()
+    }
+
+    /// The most slots the budget affords.
+    fn most(&self) -> usize {
+        let (mut lo, mut hi) = (0, self.budget / (self.stride + 9));
+        while lo < hi {
+            let mid = (lo + hi).div_ceil(2);
+            (lo, hi) = match self.cost(mid) <= self.budget {
+                true => (mid, hi),
+                false => (lo, mid - 1),
+            };
+        }
+        lo
+    }
+
+    fn charged(&self) -> usize {
+        self.cost(self.room)
+    }
+}
+
+/// What a `HashMap<u64, u32>` made for `n` entries allocates: a power of
+/// two of buckets at most 7/8 full, each a 16-byte entry and a control
+/// byte, and a group of 16 control bytes more (the standard library's).
+fn map_bytes(n: usize) -> usize {
+    let buckets = match n {
+        0 => return 0,
+        1..4 => 4,
+        4..8 => 8,
+        _ => (n * 8 / 7).next_power_of_two(),
+    };
+    buckets * (size_of::<(u64, u32)>() + 1) + 16
+}
+
+/// Sets `v`'s capacity to exactly `capacity`, at least its length.
+fn exact<T>(v: &mut Vec<T>, capacity: usize) {
+    v.shrink_to(capacity);
+    v.reserve_exact(capacity - v.len());
 }
 
 /// The chunk count persisted for `stream` — the number of its level-0
@@ -331,7 +465,10 @@ impl<D: HomDigest> AggTree<D> {
             layout,
             write: Ranked::new(Mutex::new(())),
             published: Ranked::new(RwLock::new(Published { len, sum, cutoffs })),
-            cache: PrefixCache::new(cfg.cache_bytes),
+            cache: PrefixCache {
+                budget_bytes: cfg.cache_bytes,
+                ..PrefixCache::default()
+            },
         })
     }
 
@@ -495,7 +632,7 @@ impl<D: HomDigest> AggTree<D> {
         let record = leaf_record(self.kv.as_ref(), self.stream, index)?;
         let prefix = &record[..D::encoded_len_at(self.layout, &record).ok_or_else(corrupt)?];
         let out = f(prefix).ok_or_else(corrupt)?;
-        self.cache.put(index, prefix);
+        self.cache.read(index, prefix);
         Ok(out)
     }
 
@@ -544,11 +681,8 @@ impl<D: HomDigest> AggTree<D> {
             keys::head(keys::LEAF, self.stream),
             keys::decay(self.stream),
         ] {
-            let records = self.kv.scan_prefix(&head)?;
-            stored_bytes += records
-                .iter()
-                .map(|(k, v)| k.len() + v.len())
-                .sum::<usize>();
+            let records = self.kv.scan_prefix(&head)?.into_iter();
+            stored_bytes += records.map(|(k, v)| k.len() + v.len()).sum::<usize>();
         }
         Ok(TreeStats {
             cache_hits: hits,
@@ -567,11 +701,8 @@ fn span(level: u8) -> u64 {
 /// Levels of the 64-ary tree over `n` chunks: the lowest whose one node
 /// spans them all, at least 1.
 fn levels(n: u64) -> u8 {
-    let mut level = 1;
-    while span(level) < n {
-        level += 1;
-    }
-    level
+    // `span` saturates: level 11 spans every `u64`.
+    (1..11).find(|&level| span(level) >= n).unwrap_or(11)
 }
 
 /// `Decayed` at the first aged-out node the tree's walk of `[start, end)`
@@ -720,20 +851,46 @@ mod tests {
 
     #[test]
     fn tiny_cache_still_correct() {
-        // A 200-byte cache holds one running sum: every query hammers the
-        // store but answers stay exact (Fig. 7 small-cache shape).
+        // A 200-byte cache holds one running sum beside its bits: every
+        // query hammers the store but answers stay exact (Fig. 7
+        // small-cache shape).
         let kv = Arc::new(MemKv::new());
         let t: AggTree<Vec<u64>> = AggTree::open(kv, 3, TreeConfig { cache_bytes: 200 }).unwrap();
         fill(&t, 200);
-        for (a, b) in [(0u64, 199u64), (17, 113), (198, 199), (17, 113)] {
+        for (a, b) in [(0u64, 199u64), (17, 113), (198, 199), (17, 113), (17, 50)] {
             assert_eq!(t.query(a, b).unwrap(), naive_sum(a, b));
         }
+        // 198, 112 and 16 are admitted on their second reads, each in the
+        // one slot: the last query finds 16 there.
         let stats = t.stats().unwrap();
-        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 7));
-        assert_eq!(stats.cache_used_bytes, 16 + ENTRY_BYTES);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 8));
+        // Four words of bits; one slot of 16 + 9 bytes and a map of 4 buckets.
+        assert_eq!(stats.cache_used_bytes, 32 + 25 + 4 * 17 + 16);
         // A small budget is one segment; one with room is segmented.
-        assert_eq!(PrefixCache::new(1 << 20).segments().len(), MAX_SEGMENTS);
-        assert_eq!(PrefixCache::new(200 << 10).segments().len(), 3);
+        let segments = |budget_bytes| {
+            let cache = PrefixCache {
+                budget_bytes,
+                ..PrefixCache::default()
+            };
+            cache.segment(0);
+            cache.built.get().unwrap().len()
+        };
+        assert_eq!(segments(1 << 20), MAX_SEGMENTS);
+        assert_eq!(segments(200 << 10), 3);
+    }
+
+    #[test]
+    fn a_zero_budget_holds_no_sum_and_no_bits() {
+        let t: AggTree<Vec<u64>> =
+            AggTree::open(Arc::new(MemKv::new()), 1, TreeConfig { cache_bytes: 0 }).unwrap();
+        fill(&t, 100);
+        for _ in 0..3 {
+            assert_eq!(t.query(10, 20).unwrap(), naive_sum(10, 20));
+        }
+        let stats = t.stats().unwrap();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 6));
+        assert_eq!(stats.cache_used_bytes, 0);
+        assert!(t.cache.built.get().is_none(), "no segment was built");
     }
 
     #[test]
@@ -753,12 +910,61 @@ mod tests {
         assert_eq!(lookups(), (0, 0), "the published sum answered");
         let used = t.stats().unwrap().cache_used_bytes;
         assert_eq!(used, 0, "appends fill nothing");
-        for _ in 0..2 {
+        for _ in 0..3 {
             assert_eq!(t.query(1, 4).unwrap(), naive_sum(1, 4));
         }
-        assert_eq!(lookups(), (2, 2), "read from the store, then cached");
+        assert_eq!(
+            lookups(),
+            (2, 4),
+            "read from the store twice, admitted by the second read, then cached"
+        );
         // Process-wide, beside other tests' lookups.
         assert!(hits.get() > process.0 && misses.get() > process.1);
+    }
+
+    #[test]
+    fn the_slab_evicts_by_clock_and_charges_within_its_budget() {
+        // Room for four sums of one word: admitted on second reads, found
+        // on the third, and a referenced slot outlives a cold one.
+        let mut slab = Slab {
+            budget: 8 + 4 * (8 + 9) + map_bytes(8),
+            ..Slab::default()
+        };
+        fn read_as(slab: &mut Slab, chunk: u64, sum: &[u8]) {
+            if slab.mark(chunk) {
+                slab.admit(chunk, sum);
+            }
+        }
+        let read = |slab: &mut Slab, chunk: u64| {
+            if slab.get(chunk).is_none() {
+                read_as(slab, chunk, &chunk.to_le_bytes());
+            }
+        };
+        for chunk in [0, 1, 2, 3] {
+            read(&mut slab, chunk);
+            assert!(slab.get(chunk).is_none(), "a first read admits nothing");
+            read(&mut slab, chunk);
+        }
+        assert_eq!(slab.room, 4);
+        assert_eq!(slab.charged(), slab.budget);
+        // 0 and 2 hit; 4 takes the first cold slot past the hand (1's), 5
+        // the next (3's), both bits cleared on the way.
+        for chunk in [0, 2, 4, 4, 5, 5] {
+            read(&mut slab, chunk);
+        }
+        let held: Vec<bool> = (0..6).map(|c| slab.get(c).is_some()).collect();
+        assert_eq!(held, [true, false, true, false, true, true]);
+        assert_eq!(slab.get(4), Some(&4u64.to_le_bytes()[..]));
+        // A sum of another length is never admitted.
+        read_as(&mut slab, 6, &[6]);
+        read_as(&mut slab, 6, &[6]);
+        assert!(slab.get(6).is_none());
+        assert_eq!(slab.charged(), slab.budget);
+        // A chunk whose bit needs more words: the slab gives up slots to
+        // hold it, and stays within the budget.
+        read_as(&mut slab, 200, &200u64.to_le_bytes());
+        assert_eq!((slab.seen.len(), slab.room), (4, 3));
+        assert!(slab.charged() <= slab.budget);
     }
 
     #[test]

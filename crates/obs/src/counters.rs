@@ -107,14 +107,16 @@ process_families! {
     static LEDGER_BYTES: Counter = "timecrypt_ledger_bytes_loaded_total"
         "Bytes of the level-0 records (whole chunks) proof requests read back and hashed \
          into integrity ledgers: what proofs cost the store.";
-    /// Only a query's store read fills the boundary cache, so the two say
-    /// what filling on read costs: a miss is one store get. (The families
-    /// keep the names of the index nodes the cache once held.)
+    /// Only a query's store read fills the boundary cache, and only its
+    /// second of a sum, so the two say what filling on read costs: a miss
+    /// is one store get. (The families keep the names of the index nodes
+    /// the cache once held.)
     static INDEX_NODE_CACHE_HITS: Counter = "timecrypt_index_node_cache_hits_total"
-        "Lookups of a boundary running sum that queries found in the index cache.";
+        "Lookups of a boundary running sum that queries found in the index cache, which \
+         keeps a sum from its second store read on.";
     static INDEX_NODE_CACHE_MISSES: Counter = "timecrypt_index_node_cache_misses_total"
         "Lookups of a boundary running sum that queries did not find in the index cache \
-         and read from the store.";
+         and read from the store; a sum's first read is always one.";
     /// Dead over log bytes is the share of the files a compaction would
     /// reclaim. The four footprint gauges sum over the logs the process
     /// has open — a node's one `LogKv`, and every in-memory `MemKv` beside

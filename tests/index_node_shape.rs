@@ -44,7 +44,7 @@ fn a_cached_node_holds_what_the_cache_charges_for_it() {
         let tree = open(filled(width, 4 * QUERIES), 64 << 20);
         let start = live();
         // Two boundaries no query before read, each read three times: from
-        // the store, then from the cache.
+        // the store, again from the store to admit it, then from the cache.
         for _ in 0..3 {
             for q in 0..QUERIES {
                 tree.query(4 * q + 1, 4 * q + 3).unwrap();
@@ -54,7 +54,7 @@ fn a_cached_node_holds_what_the_cache_charges_for_it() {
         let stats = tree.stats().unwrap();
         assert_eq!(
             (stats.cache_misses, stats.cache_hits),
-            (2 * QUERIES, 4 * QUERIES)
+            (4 * QUERIES, 2 * QUERIES)
         );
         let per_sum = |bytes: f64| format!("{:.2}", bytes / (2 * QUERIES) as f64);
         let charged = stats.cache_used_bytes as f64;
@@ -95,6 +95,35 @@ fn a_producer_sweep_holds_and_reads_per_query() {
     ]);
 }
 
+/// Random windows over a stream 40 times what its one segment can hold,
+/// each queried twice so that its boundaries are admitted: the slab evicts
+/// on most admissions and its bits grow under it, and what it is charged
+/// stays within the budget and is what it holds of the heap.
+#[test]
+fn under_eviction_churn_the_charge_stays_within_the_budget() {
+    const CHUNKS: u64 = 20_000;
+    const BUDGET: usize = 48 << 10;
+    let tree = open(filled(19, CHUNKS), BUDGET);
+    let start = live();
+    let mut state = 23u64;
+    for q in 1..=2000 {
+        let lo = splitmix(&mut state) % (CHUNKS - 1);
+        let hi = lo + 2 + splitmix(&mut state) % (CHUNKS - lo - 1);
+        for _ in 0..2 {
+            assert_eq!(tree.query(lo, hi).unwrap()[0], (lo..hi).sum::<u64>());
+        }
+        // `stats` sizes the stream's records too: not after every query.
+        if q % 100 == 0 {
+            assert!(tree.stats().unwrap().cache_used_bytes <= BUDGET);
+        }
+    }
+    let stats = tree.stats().unwrap();
+    assert!(stats.cache_hits > 0 && stats.cache_misses > 2000);
+    let (held, charged) = ((live() - start) as f64, stats.cache_used_bytes as f64);
+    println!("under churn: {held} B held, {charged} B charged of {BUDGET}");
+    assert!(held <= 1.05 * charged, "{held} B held, {charged} charged");
+}
+
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -107,7 +136,7 @@ fn splitmix(state: &mut u64) -> u64 {
 fn a_cold_query_allocates_per_node_read_not_per_entry() {
     // Whatever the history: two records read, and a few allocations each.
     // The first query reads other records than the second: it is there so
-    // that the cache's own maps exist.
+    // that the cache's segments exist.
     for chunks in [60u64, 5000, 50_000] {
         let kv = Arc::new(MeteredKv::new(filled(19, chunks)));
         let tree = open(kv.clone(), 48 << 10);
@@ -123,9 +152,12 @@ fn a_cold_query_allocates_per_node_read_not_per_entry() {
             calls <= 4 * read,
             "{calls} allocations, {read} records read"
         );
-        // Again, from the cache: the accumulator is all a query allocates.
+        // Again: read a second time, so admitted; then from the cache, and
+        // the accumulator is all a query allocates.
+        tree.query(lo, hi).unwrap();
+        assert_eq!(kv.counters().gets - before, 2 * read);
         let (warm, _) = calls_of(|| tree.query(lo, hi).unwrap());
-        assert_eq!(kv.counters().gets - before, read);
+        assert_eq!(kv.counters().gets - before, 2 * read);
         assert_eq!(warm, 1, "a warm query over {chunks} chunks");
     }
 }
@@ -155,8 +187,8 @@ fn an_append_caches_nothing() {
         println!("heap bytes a written index holds, width {width}: {written_bytes}");
         assert_eq!(written_bytes, opened, "width {width}");
         assert!(written_bytes <= 8 * width as isize + 32, "width {width}");
-        // The first query over stored sums reads them, the second finds
-        // them cached.
+        // The first two queries over stored sums read them, the second
+        // admits them, and the third finds them cached.
         let (_, tree) = written();
         let misses_and_hits = || {
             assert_eq!(tree.query(65, 128).unwrap()[0], (65..128).sum::<u64>());
@@ -164,7 +196,8 @@ fn an_append_caches_nothing() {
             (stats.cache_misses, stats.cache_hits)
         };
         assert_eq!(misses_and_hits(), (2, 0), "width {width}: from the store");
-        assert_eq!(misses_and_hits(), (2, 2), "width {width}: then the cache");
+        assert_eq!(misses_and_hits(), (4, 0), "width {width}: and again");
+        assert_eq!(misses_and_hits(), (4, 2), "width {width}: then the cache");
     }
 }
 
