@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 use timecrypt_obs::tc_debug;
+use timecrypt_wire::frame::{PREFIX_LEN, READ_AHEAD};
 use timecrypt_wire::MAX_FRAME;
 
 /// Poll granularity for noticing `stop()`/plan swaps while blocked in a
@@ -159,7 +160,7 @@ fn pump(
 ) {
     let mut index = 0u64;
     let mut swallowing = false;
-    while let Ok(Some(body)) = read_frame_interruptible(&mut from, &stop_flag) {
+    while let Ok(Some(frame)) = read_frame_interruptible(&mut from, &stop_flag) {
         let decision = plan_snapshot(&plan).net_fault(dir, index).cloned();
         index += 1;
         if swallowing {
@@ -175,7 +176,9 @@ fn pump(
             Some(NetFault::Sever) => break,
             None => {}
         }
-        if forward(&mut to, &body).is_err() {
+        // Prefix and body in one write: two would be two segments under
+        // `TCP_NODELAY`.
+        if to.write_all(&frame).and_then(|()| to.flush()).is_err() {
             break;
         }
     }
@@ -183,32 +186,35 @@ fn pump(
     let _ = to.shutdown(Shutdown::Both);
 }
 
-fn forward(to: &mut TcpStream, body: &[u8]) -> io::Result<()> {
-    to.write_all(&(body.len() as u32).to_le_bytes())?;
-    to.write_all(body)?;
-    to.flush()
-}
-
-/// Reads one `u32 le length || body` frame, retrying on read-timeout
-/// ticks (preserving partial state) so a blocked pump can notice `stop`.
-/// `Ok(None)` on clean EOF at a frame boundary.
+/// Reads one `u32 le length || body` frame whole, prefix included,
+/// retrying on read-timeout ticks (preserving partial state) so a blocked
+/// pump can notice `stop`. `Ok(None)` on clean EOF at a frame boundary. The
+/// length is the peer's claim, so the frame grows as bytes come, as
+/// `read_frame` grows a body: [`READ_AHEAD`] at most before any arrived,
+/// then doubling.
 fn read_frame_interruptible(
     from: &mut TcpStream,
     stop_flag: &AtomicBool,
 ) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    if !fill(from, &mut len_buf, stop_flag, true)? {
+    let mut prefix = [0u8; PREFIX_LEN];
+    if !fill(from, &mut prefix, stop_flag, true)? {
         return Ok(None);
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
+    let len = u32::from_le_bytes(prefix) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::other("proxy: oversized frame"));
     }
-    let mut body = vec![0u8; len];
-    if !fill(from, &mut body, stop_flag, false)? {
-        return Err(io::ErrorKind::UnexpectedEof.into());
+    let total = PREFIX_LEN + len;
+    let mut frame = Vec::with_capacity(total.min(READ_AHEAD));
+    frame.extend_from_slice(&prefix);
+    while frame.len() < total {
+        let filled = frame.len();
+        let end = total.min(2 * filled.max(READ_AHEAD / 2));
+        frame.reserve_exact(end - filled);
+        frame.resize(end, 0);
+        fill(from, &mut frame[filled..], stop_flag, false)?;
     }
-    Ok(Some(body))
+    Ok(Some(frame))
 }
 
 /// Fills `buf`, tolerating timeout ticks. Returns `Ok(false)` on EOF
@@ -241,4 +247,30 @@ fn fill(
         }
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use timecrypt_wire::{read_frame, write_frame};
+
+    #[test]
+    fn frames_longer_than_the_read_ahead_arrive_whole() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let proxy =
+            FaultyTransport::spawn(upstream.local_addr().unwrap(), FaultPlan::quiet()).unwrap();
+        let mut client = TcpStream::connect(proxy.addr()).unwrap();
+        let (mut server, _) = upstream.accept().unwrap();
+        for len in [
+            0,
+            1,
+            READ_AHEAD - PREFIX_LEN,
+            READ_AHEAD,
+            5 * READ_AHEAD / 2,
+        ] {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            write_frame(&mut client, &body).unwrap();
+            assert_eq!(read_frame(&mut server).unwrap(), body, "{len} B");
+        }
+    }
 }
