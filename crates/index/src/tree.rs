@@ -250,7 +250,8 @@ impl PrefixCache {
 /// **A slab, evicted by CLOCK.** A hit sets its slot's reference bit; no
 /// hit or admission reorders, boxes or frees. A full slab admits into the
 /// first slot from the hand whose bit is clear, clearing those it passes.
-/// Room doubles as far as the budget affords, and shrinks as `seen` grows.
+/// Room grows by a quarter as far as the budget affords, and shrinks as
+/// `seen` grows.
 #[derive(Default)]
 struct Slab {
     budget: usize,
@@ -302,8 +303,8 @@ impl Slab {
             return;
         }
         if len == self.room {
-            // 7·2^k slots are half of what a map of 16·2^k buckets holds.
-            self.resize((2 * len).max(7).min(self.most()).max(len));
+            // By a quarter, so that a fifth of the slab at most lies unused.
+            self.resize((len + len / 4).max(7).min(self.most()).max(len));
         }
         let slot = if len < self.room {
             self.chunks.push(chunk);

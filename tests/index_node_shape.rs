@@ -3,9 +3,10 @@
 //! sum is the difference of two running sums, so a cold query reads at
 //! most two records whatever the history and allocates per record it
 //! reads, a warm one only its accumulator, and an append allocates the
-//! same whatever the stream holds. Only a query's store read fills the
-//! boundary cache, and a cached running sum must hold of the heap what the
-//! cache charges for it.
+//! same whatever the stream holds. Only a query's second store read of a
+//! running sum admits it to the boundary cache (the first sets the chunk's
+//! bit), and the cache must hold of the heap what it charges, within its
+//! budget.
 //!
 //! Counts only: the binary's global allocator (`tests/common`) keeps, per
 //! thread, the calls made and the bytes live; `MeteredKv` counts the store
