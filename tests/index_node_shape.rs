@@ -96,7 +96,7 @@ fn a_producer_sweep_holds_and_reads_per_query() {
     ]);
 }
 
-/// Random windows over a stream 40 times what its one segment can hold,
+/// Random windows over a stream some 80 times what its one segment holds,
 /// each queried twice so that its boundaries are admitted: the slab evicts
 /// on most admissions and its bits grow under it, and what it is charged
 /// stays within the budget and is what it holds of the heap.
