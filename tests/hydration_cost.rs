@@ -1,11 +1,11 @@
 //! Deterministic hydration-cost guard (ROADMAP aim 1: gate the counters
-//! that don't jitter), next to `write_amplification.rs`. A resident stream
-//! is its length and its running sum, not its history: the first touch of
-//! a cold stream finds the length by key probes and reads one record, the
-//! last, whose running sum answers every query that ends at the stream's
-//! end — one get whatever `n`. And the integrity ledger is a cache only
-//! proof requests fill: ingest and statistical queries never read a
-//! level-0 record back for it.
+//! that don't jitter), next to `write_amplification.rs`; the reads are rows
+//! of the root `BENCH_ledger.json`. A resident stream is its length and its
+//! running sum, not its history: the first touch of a cold stream finds the
+//! length by key probes and reads one record, the last, whose running sum
+//! answers every query that ends at the stream's end — one get whatever
+//! `n`. And the integrity ledger is a cache only proof requests fill: ingest
+//! and statistical queries never read a level-0 record back for it.
 //!
 //! Byte model at digest width 4: a level-0 record is the stream's running
 //! sum, 32 B (its words alone: the width is the stream's), a kind byte,
@@ -21,6 +21,8 @@ use timecrypt::integrity::{
 };
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::{KvStore, MemKv, MeteredKv};
+use timecrypt::wire::StatReply;
+mod common;
 
 const WIDTH: usize = 4;
 const DELTA_MS: u64 = 10_000;
@@ -38,6 +40,17 @@ fn chunk(stream: u128, index: u64) -> Vec<u8> {
     .to_bytes()
 }
 
+/// The row `hydration_cost.<name>`.
+fn row(name: impl std::fmt::Display, value: impl ToString) -> (String, String) {
+    (format!("hydration_cost.{name}"), value.to_string())
+}
+
+/// The statistical reply over chunks `[lo, hi)` of `stream`.
+fn stat(server: &TimeCryptServer, stream: u128, lo: u64, hi: u64) -> StatReply {
+    let (lo, hi) = ((lo * DELTA_MS) as i64, (hi * DELTA_MS) as i64);
+    server.get_stat_range(&[stream], lo, hi).unwrap()
+}
+
 /// Ingests chunks `range` of `stream` in runs of 500.
 fn ingest(server: &TimeCryptServer, stream: u128, range: std::ops::Range<u64>) {
     let chunks: Vec<Vec<u8>> = range.map(|index| chunk(stream, index)).collect();
@@ -51,6 +64,7 @@ fn ingest(server: &TimeCryptServer, stream: u128, range: std::ops::Range<u64>) {
 fn first_touch_reads_one_record_not_the_history() {
     // The same reads at every length: the length probes (key scans, and
     // one prefix scan for the decay cutoffs) and the last record.
+    let (mut rows, mut first) = (Vec::new(), None);
     for n in [10_000u64, 20_000, 40_000] {
         let base: Arc<dyn KvStore> = Arc::new(MemKv::new());
         {
@@ -61,29 +75,25 @@ fn first_touch_reads_one_record_not_the_history() {
         let metered = Arc::new(MeteredKv::new(base));
         let server = TimeCryptServer::open(metered.clone(), ServerConfig::default()).unwrap();
         let before = metered.counters();
-        let reply = server
-            .get_stat_range(&[1], 0, (n * DELTA_MS) as i64)
-            .unwrap();
+        let reply = stat(&server, 1, 0, n);
         let after = metered.counters();
         assert_eq!(reply.parts, vec![(1, 0, n)]);
         assert_eq!(reply.agg, vec![n * (n - 1) / 2; WIDTH]);
-        let (gets, bytes) = (
-            after.gets - before.gets,
-            after.bytes_read - before.bytes_read,
-        );
-        assert_eq!((gets, bytes), (1, RECORD), "{n} chunks");
+        let gets = after.gets - before.gets;
+        let read = (gets, after.bytes_read - before.bytes_read);
+        assert_eq!(*first.get_or_insert(read), read, "{n} chunks");
         let probes = after.scans - before.scans;
-        assert!(
-            probes <= 2 * n.ilog2() as u64 + 3,
-            "{n} chunks: {probes} scans"
-        );
+        assert!(probes <= 2 * n.ilog2() as u64 + 3, "{n}: {probes} scans");
+        rows.push(row(format!("first_touch.scans.n{n}"), probes));
         // The handle it built answers like one that never closed.
         let (lo, hi) = (n / 3, n - 7);
-        let reply = server
-            .get_stat_range(&[1], (lo * DELTA_MS) as i64, (hi * DELTA_MS) as i64)
-            .unwrap();
+        let reply = stat(&server, 1, lo, hi);
         assert_eq!(reply.agg, vec![(lo..hi).sum::<u64>(); WIDTH]);
     }
+    let (gets, bytes) = first.unwrap();
+    rows.push(row("first_touch.gets", gets));
+    rows.push(row("first_touch.bytes", bytes));
+    common::ledger(&rows);
 }
 
 /// The one test in this binary that requests proofs: the counter it reads
@@ -134,12 +144,8 @@ fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
     // rehydration: no ledger.
     upload(0..300);
     ingest(&server, 2, 0..1);
-    let stat = |stream, chunks: u64| {
-        server
-            .get_stat_range(&[stream], 0, (chunks * DELTA_MS) as i64)
-            .unwrap()
-    };
-    assert_eq!(stat(1, 300).agg, vec![(0..300).sum::<u64>(); WIDTH]);
+    let all = stat(&server, 1, 0, 300);
+    assert_eq!(all.agg, vec![(0..300).sum::<u64>(); WIDTH]);
     assert!(server.residency().evictions >= 2, "the cap of 1 churned");
     assert_eq!(loaded() - start, 0);
 
@@ -151,14 +157,17 @@ fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
         f();
         let after = kv.counters();
         assert_eq!(after.scans, before.scans);
-        (
-            after.gets - before.gets,
-            after.bytes_read - before.bytes_read,
-        )
+        let gets = after.gets - before.gets;
+        (gets, after.bytes_read - before.bytes_read)
     };
     let attestation = server.get_attestation(1).unwrap().len() as u64;
     let first = reads(&|| assert_eq!(prove(10, 200), vec![(10..200).sum::<u64>(); WIDTH]));
-    assert_eq!(first, (1 + 300, attestation + 300 * RECORD));
+    let each = |n: u64| format!("{:.2}", n as f64 / 300.0);
+    let (gets, bytes) = (each(first.0 - 1), each(first.1 - attestation));
+    common::ledger(&[
+        row("first_proof.gets_per_record", gets),
+        row("first_proof.bytes_per_record", bytes),
+    ]);
     assert_eq!(loaded() - start, 300);
     assert_eq!(loaded_bytes() - start_bytes, 300 * RECORD);
     let second = reads(&|| assert_eq!(prove(0, 300), vec![(0..300).sum::<u64>(); WIDTH]));
@@ -174,7 +183,7 @@ fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
     // Touching stream 2 evicts stream 1 (cap 1) and its ledger with it:
     // the next proof starts from zero again.
     let evictions = server.residency().evictions;
-    stat(2, 1);
+    stat(&server, 2, 0, 1);
     assert_eq!(server.residency().evictions, evictions + 1);
     assert_eq!(prove(0, 350), vec![(0..350).sum::<u64>(); WIDTH]);
     assert_eq!(loaded() - start, 700);
