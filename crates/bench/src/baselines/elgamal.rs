@@ -7,9 +7,9 @@
 //! configurable plaintext range (the reason Table 2 lists EC-ElGamal
 //! decryption as expensive/N-A on constrained devices).
 
+use super::column::Digest;
 use std::collections::HashMap;
 use timecrypt_crypto::SecureRandom;
-use timecrypt_index::HomDigest;
 use timecrypt_pk::p256::{self, Point, Scalar, G};
 
 /// An EC-ElGamal ciphertext: `(R, S) = (rG, mG + rQ)`.
@@ -120,18 +120,13 @@ fn point_fingerprint(p: &Point) -> Vec<u8> {
     p.encode()
 }
 
-/// A digest vector of EC-ElGamal ciphertexts for the aggregation index.
+/// A digest vector of EC-ElGamal ciphertexts, the running sums of a
+/// [`Column`](super::column::Column).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElGamalDigest(pub Vec<ElGamalCiphertext>);
 
-impl HomDigest for ElGamalDigest {
-    /// Self-describing: a count, then each ciphertext.
-    type Layout = ();
-
-    fn zero_like(&self) -> Self {
-        ElGamalDigest(self.0.iter().map(|_| EcElGamal::zero()).collect())
-    }
-
+/// Self-describing: a count, then each ciphertext.
+impl Digest for ElGamalDigest {
     fn add_assign(&mut self, other: &Self) {
         debug_assert_eq!(self.0.len(), other.0.len());
         for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
@@ -149,14 +144,6 @@ impl HomDigest for ElGamalDigest {
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        let mut n = 4;
-        for ct in &self.0 {
-            n += ct.r.encode().len() + ct.s.encode().len();
-        }
-        n
-    }
-
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
         for ct in &self.0 {
@@ -165,7 +152,7 @@ impl HomDigest for ElGamalDigest {
         }
     }
 
-    fn decode((): (), buf: &[u8]) -> Option<(Self, usize)> {
+    fn decode(buf: &[u8]) -> Option<Self> {
         if buf.len() < 4 {
             return None;
         }
@@ -179,7 +166,7 @@ impl HomDigest for ElGamalDigest {
             pos += used;
             cts.push(ElGamalCiphertext { r, s });
         }
-        Some((ElGamalDigest(cts), pos))
+        (pos == buf.len()).then_some(ElGamalDigest(cts))
     }
 }
 
@@ -234,13 +221,11 @@ mod tests {
         let d = ElGamalDigest(vec![kp.encrypt(7, &mut rng), kp.encrypt(11, &mut rng)]);
         let mut buf = Vec::new();
         d.encode(&mut buf);
-        assert_eq!(buf.len(), d.encoded_len());
-        let (d2, used) = ElGamalDigest::decode((), &buf).unwrap();
-        assert_eq!(used, buf.len());
-        assert_eq!(d2, d);
+        assert_eq!(buf.len(), 4 + 2 * EcElGamal::ciphertext_bytes());
+        assert_eq!(ElGamalDigest::decode(&buf), Some(d.clone()));
+        assert_eq!(ElGamalDigest::decode(&buf[..buf.len() - 1]), None);
         // Aggregation through the trait.
-        let mut sum = d.zero_like();
-        sum.add_assign(&d);
+        let mut sum = d.clone();
         sum.add_assign(&d);
         assert_eq!(kp.decrypt(&sum.0[0]), Some(14));
         assert_eq!(kp.decrypt(&sum.0[1]), Some(22));

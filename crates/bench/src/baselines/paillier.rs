@@ -9,11 +9,11 @@
 //! TimeCrypt's 8 bytes, the 96x index expansion of Table 2.
 
 use super::bn::BigUint;
+use super::column::Digest;
 use super::mont::Mont;
 use super::prime::gen_prime;
 use std::sync::{Arc, Mutex, OnceLock};
 use timecrypt_crypto::SecureRandom;
-use timecrypt_index::HomDigest;
 
 /// Public parameters (enough to encrypt and aggregate).
 #[derive(Debug, Clone)]
@@ -26,7 +26,7 @@ pub struct PaillierPublic {
     mont_n2: Mont,
     /// Serialized ciphertext size in bytes.
     ct_bytes: usize,
-    /// Registry id for [`HomDigest`] decoding.
+    /// Registry id for [`Digest::decode`].
     key_id: u64,
 }
 
@@ -172,28 +172,13 @@ pub struct PaillierCiphertext {
     ct_bytes: usize,
 }
 
-/// A digest vector of Paillier ciphertexts, pluggable into the aggregation
-/// index.
+/// A digest vector of Paillier ciphertexts, the running sums of a
+/// [`Column`](super::column::Column).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaillierDigest(pub Vec<PaillierCiphertext>);
 
-impl HomDigest for PaillierDigest {
-    /// Self-describing: a count, then each ciphertext.
-    type Layout = ();
-
-    fn zero_like(&self) -> Self {
-        PaillierDigest(
-            self.0
-                .iter()
-                .map(|ct| PaillierCiphertext {
-                    c: BigUint::one(),
-                    key_id: ct.key_id,
-                    ct_bytes: ct.ct_bytes,
-                })
-                .collect(),
-        )
-    }
-
+/// Self-describing: a count, then each ciphertext.
+impl Digest for PaillierDigest {
     fn add_assign(&mut self, other: &Self) {
         debug_assert_eq!(self.0.len(), other.0.len());
         for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
@@ -210,11 +195,8 @@ impl HomDigest for PaillierDigest {
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        // 4-byte count + per-element (8-byte key id + fixed-size residue).
-        4 + self.0.iter().map(|ct| 8 + ct.ct_bytes).sum::<usize>()
-    }
-
+    /// A 4-byte count, then per element an 8-byte key id and the
+    /// fixed-size residue.
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
         for ct in &self.0 {
@@ -223,7 +205,7 @@ impl HomDigest for PaillierDigest {
         }
     }
 
-    fn decode((): (), buf: &[u8]) -> Option<(Self, usize)> {
+    fn decode(buf: &[u8]) -> Option<Self> {
         if buf.len() < 4 {
             return None;
         }
@@ -249,7 +231,7 @@ impl HomDigest for PaillierDigest {
                 ct_bytes,
             });
         }
-        Some((PaillierDigest(cts), pos))
+        (pos == buf.len()).then_some(PaillierDigest(cts))
     }
 }
 
@@ -311,9 +293,9 @@ mod tests {
         ]);
         let mut buf = Vec::new();
         d.encode(&mut buf);
-        assert_eq!(buf.len(), d.encoded_len());
-        let (d2, used) = PaillierDigest::decode((), &buf).unwrap();
-        assert_eq!(used, buf.len());
+        assert_eq!(buf.len(), 4 + 2 * (8 + kp.public.ciphertext_bytes()));
+        let d2 = PaillierDigest::decode(&buf).unwrap();
+        assert!(PaillierDigest::decode(&buf[..buf.len() - 1]).is_none());
         assert_eq!(kp.decrypt(&d2.0[0]), 10);
         assert_eq!(kp.decrypt(&d2.0[1]), 20);
     }
@@ -325,9 +307,8 @@ mod tests {
         let b = PaillierDigest(vec![kp.public.encrypt(6, &mut rng)]);
         a.add_assign(&b);
         assert_eq!(kp.decrypt(&a.0[0]), 11);
-        // zero_like is the identity.
-        let z = a.zero_like();
-        a.add_assign(&z);
+        // Zero is the identity.
+        a.add_assign(&PaillierDigest(vec![kp.public.zero()]));
         assert_eq!(kp.decrypt(&a.0[0]), 11);
         // Subtraction undoes it.
         a.sub_assign(&b);

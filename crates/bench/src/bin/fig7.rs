@@ -17,13 +17,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_bench::baselines::{EcElGamal, ElGamalDigest, Paillier, PaillierDigest};
+use timecrypt_bench::baselines::{
+    Column, EcElGamal, ElGamalDigest, Paillier, PaillierDigest, RangeSums,
+};
 use timecrypt_bench::workload::{DevOpsWorkload, MHealthWorkload};
 use timecrypt_core::heac::{decrypt_range_sum, HeacEncryptor};
 use timecrypt_core::TreeKd;
 use timecrypt_crypto::{PrgKind, SecureRandom};
-use timecrypt_index::{AggTree, HomDigest, TreeConfig};
-use timecrypt_store::MemKv;
+use timecrypt_index::AggTree;
 
 struct Totals {
     records: AtomicU64,
@@ -35,7 +36,7 @@ struct Totals {
 /// Drives `threads` workers for `chunks_per_stream` chunks each over
 /// `streams_per_thread` streams; 4 statistical queries per chunk ingest.
 #[allow(clippy::too_many_arguments)]
-fn drive<D: HomDigest>(
+fn drive<I: RangeSums + 'static>(
     label: &str,
     threads: usize,
     streams_per_thread: usize,
@@ -43,8 +44,8 @@ fn drive<D: HomDigest>(
     records_per_chunk: u64,
     cache_bytes: usize,
     digest_for: impl Fn(u64, u64) -> Vec<u64> + Send + Sync + 'static,
-    make: impl Fn(&[u64], u64) -> D + Send + Sync + 'static,
-    post: impl Fn(D, u64, u64) + Send + Sync + 'static,
+    make: impl Fn(&[u64], u64) -> I::Sum + Send + Sync + 'static,
+    post: impl Fn(I::Sum, u64, u64) + Send + Sync + 'static,
 ) {
     let totals = Arc::new(Totals {
         records: AtomicU64::new(0),
@@ -74,24 +75,17 @@ fn drive<D: HomDigest>(
             let make = make.clone();
             let post = post.clone();
             std::thread::spawn(move || {
-                // Each stream gets its own tree over a shared-nothing store
+                // Each stream gets its own index over a shared-nothing store
                 // (the paper's streams are independent Cassandra rows).
-                let mut trees: Vec<AggTree<D>> = (0..streams_per_thread)
-                    .map(|s| {
-                        AggTree::open(
-                            Arc::new(MemKv::new()),
-                            (t * streams_per_thread + s) as u128,
-                            TreeConfig { cache_bytes },
-                        )
-                        .unwrap()
-                    })
+                let mut trees: Vec<I> = (0..streams_per_thread)
+                    .map(|_| I::open(cache_bytes))
                     .collect();
                 for chunk in 0..chunks_per_stream {
                     for (s, tree) in trees.iter_mut().enumerate() {
                         let sid = t * streams_per_thread + s;
                         let plain = &prepared[sid][chunk as usize];
                         let t0 = Instant::now();
-                        tree.append(make(plain, chunk)).unwrap();
+                        tree.append(make(plain, chunk));
                         totals
                             .ingest_ns
                             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -99,11 +93,11 @@ fn drive<D: HomDigest>(
                             .records
                             .fetch_add(records_per_chunk, Ordering::Relaxed);
                         // 4:1 read:write — four queries per ingest.
-                        let len = tree.len();
+                        let len = chunk + 1;
                         for q in 0..4u64 {
                             let lo = (q * len / 5).min(len - 1);
                             let t0 = Instant::now();
-                            let d = tree.query(lo, len).unwrap();
+                            let d = tree.query(lo, len);
                             post(d, lo, len);
                             totals
                                 .query_ns
@@ -176,7 +170,7 @@ fn main() {
     );
 
     // ── Plaintext ────────────────────────────────────────────────────────
-    drive(
+    drive::<AggTree>(
         "Plaintext",
         threads,
         streams,
@@ -193,7 +187,7 @@ fn main() {
     // ── TimeCrypt ────────────────────────────────────────────────────────
     let kd = Arc::new(TreeKd::new([7u8; 16], 30, PrgKind::Aes).unwrap());
     let kd2 = kd.clone();
-    drive(
+    drive::<AggTree>(
         "TimeCrypt",
         threads,
         streams,
@@ -214,7 +208,7 @@ fn main() {
     // ── TimeCrypt, 1 MB index cache (Fig. 7c "S" variant) ───────────────
     let kd = Arc::new(TreeKd::new([7u8; 16], 30, PrgKind::Aes).unwrap());
     let kd2 = kd.clone();
-    drive(
+    drive::<AggTree>(
         "TimeCrypt (1MB cache)",
         threads,
         streams,
@@ -237,7 +231,7 @@ fn main() {
     println!("  generating Paillier-3072 keypair...");
     let paillier = Arc::new(Paillier::generate(3072, &mut rng));
     let pp = paillier.clone();
-    drive(
+    drive::<Column<_>>(
         "Paillier (scaled)",
         1,
         1,
@@ -256,7 +250,7 @@ fn main() {
 
     let elgamal = Arc::new(EcElGamal::generate(1 << 20, &mut rng));
     let eg = elgamal.clone();
-    drive(
+    drive::<Column<_>>(
         "EC-ElGamal (scaled)",
         1,
         1,

@@ -11,46 +11,42 @@
 //! (whose per-op cost is 3–4 orders of magnitude higher — exactly the point
 //! of the table). `--full` raises TimeCrypt/plaintext to 1M.
 
-use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_bench::baselines::{EcElGamal, ElGamalDigest, Paillier, PaillierDigest};
+use timecrypt_bench::baselines::{
+    Column, EcElGamal, ElGamalDigest, Paillier, PaillierDigest, RangeSums,
+};
 use timecrypt_bench::measure::{format_bytes, format_duration, time_avg};
 use timecrypt_core::heac::{decrypt_range_sum, HeacEncryptor};
 use timecrypt_core::TreeKd;
 use timecrypt_crypto::{PrgKind, SecureRandom};
-use timecrypt_index::{AggTree, HomDigest, TreeConfig};
-use timecrypt_store::MemKv;
+use timecrypt_index::AggTree;
 
-fn tree_cfg() -> TreeConfig {
-    TreeConfig {
-        cache_bytes: 512 << 20,
-    }
-}
-
-/// Ingests `n` digests produced by `make`, returning (avg ingest, tree).
-fn run_ingest<D: HomDigest>(
+/// Ingests `n` digests produced by `make`, returning (avg ingest, index).
+fn run_ingest<I: RangeSums>(
     n: u64,
-    mut make: impl FnMut(u64) -> D,
-) -> (std::time::Duration, AggTree<D>) {
-    let kv = Arc::new(MemKv::new());
-    let tree: AggTree<D> = AggTree::open(kv, 1, tree_cfg()).unwrap();
+    mut make: impl FnMut(u64) -> I::Sum,
+) -> (std::time::Duration, I) {
+    let mut index = I::open(512 << 20);
     let start = Instant::now();
     for i in 0..n {
-        tree.append(make(i)).unwrap();
+        index.append(make(i));
     }
-    (start.elapsed() / n as u32, tree)
+    (start.elapsed() / n as u32, index)
 }
 
-/// Worst-case-alignment queries: [1, n-1) forces drill-down on both edges.
-fn run_query<D: HomDigest>(
-    tree: &AggTree<D>,
+/// Worst-case queries, `[1, n−1)`: neither boundary is the last chunk,
+/// whose running sum the product index holds, so each reads two running
+/// sums (records, or the product's cache) and subtracts — the most any
+/// query of a running-sum index reads.
+fn run_query<I: RangeSums>(
+    index: &I,
     n: u64,
     iters: u64,
-    mut post: impl FnMut(D),
+    mut post: impl FnMut(I::Sum),
 ) -> std::time::Duration {
     let start = Instant::now();
     for _ in 0..iters {
-        let d = tree.query(1, n - 1).unwrap();
+        let d = index.query(1, n - 1);
         post(d);
     }
     start.elapsed() / iters as u32
@@ -67,7 +63,7 @@ fn main() {
     let mut rng = SecureRandom::from_seed_insecure(1);
 
     println!(
-        "=== Table 2: index micro-operations (sum digest, 64-ary tree, 128-bit security) ===\n"
+        "=== Table 2: index micro-operations (sum digest, running-sum index, 128-bit security) ===\n"
     );
 
     // ── Micro ADD ──────────────────────────────────────────────────────
@@ -106,7 +102,7 @@ fn main() {
     );
     for &n in tc_sizes {
         // Plaintext: digest in the clear.
-        let (ingest, tree) = run_ingest(n, |i| vec![i]);
+        let (ingest, tree): (_, AggTree) = run_ingest(n, |i| vec![i]);
         let size = tree.stats().unwrap().stored_bytes;
         let query = run_query(&tree, n, 2_000, |d| {
             std::hint::black_box(d[0]);
@@ -123,7 +119,7 @@ fn main() {
         // TimeCrypt: HEAC-encrypted digest; ingest includes encryption,
         // query includes boundary-key decryption.
         let enc = HeacEncryptor::new(&kd);
-        let (ingest, tree) = run_ingest(n, |i| enc.encrypt_digest(i, &[i]).unwrap());
+        let (ingest, tree): (_, AggTree) = run_ingest(n, |i| enc.encrypt_digest(i, &[i]).unwrap());
         let size = tree.stats().unwrap().stored_bytes;
         let query = run_query(&tree, n, 2_000, |d| {
             std::hint::black_box(decrypt_range_sum(&kd, 1, n - 1, &d).unwrap());
@@ -140,12 +136,12 @@ fn main() {
 
     // ── Strawman schemes ───────────────────────────────────────────────
     for &n in straw_sizes {
-        let (ingest, tree) = run_ingest(n, |i| {
+        let (ingest, tree): (_, Column<_>) = run_ingest(n, |i| {
             PaillierDigest(vec![paillier
                 .public
                 .encrypt(i, &mut SecureRandom::from_seed_insecure(i))])
         });
-        let size = tree.stats().unwrap().stored_bytes;
+        let size = tree.stored_bytes();
         let query = run_query(&tree, n, 5, |d| {
             std::hint::black_box(paillier.decrypt(&d.0[0]));
         });
@@ -158,12 +154,12 @@ fn main() {
             format_duration(query)
         );
 
-        let (ingest, tree) = run_ingest(n, |i| {
+        let (ingest, tree): (_, Column<_>) = run_ingest(n, |i| {
             ElGamalDigest(vec![
                 elgamal.encrypt(i % 100, &mut SecureRandom::from_seed_insecure(i))
             ])
         });
-        let size = tree.stats().unwrap().stored_bytes;
+        let size = tree.stored_bytes();
         let query = run_query(&tree, n, 5, |d| {
             std::hint::black_box(elgamal.decrypt(&d.0[0]));
         });

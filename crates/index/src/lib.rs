@@ -4,11 +4,11 @@
 //! The server stores, with each chunk, the homomorphic sum of the stream's
 //! HEAC-encrypted digests through it. A statistical range query is the
 //! difference of two such sums — two record reads at most — instead of a
-//! serial scan or a tree walk; an append rewrites nothing. Because HEAC
-//! addition *is* u64 wrapping addition, the very same code serves the
-//! plaintext baseline (`Vec<u64>`), and — via the [`HomDigest`]
-//! abstraction, whose subtraction a prefix difference needs — the Paillier
-//! and EC-ElGamal strawman ciphertexts in `timecrypt-bench`.
+//! serial scan or a tree walk; an append rewrites nothing. HEAC addition
+//! *is* wrapping `u64` addition (Table 2: zero expansion), so a sum is
+//! words ([`decode_sum`], [`fold_sum`]) and plaintext digests sum the same
+//! way; the strawman ciphertexts keep a column of their own in
+//! `timecrypt-bench`.
 //!
 //! Records go through any [`timecrypt_store::KvStore`], with a cache of the
 //! running sums queries read twice in front, sized in bytes (the Fig. 7
@@ -22,9 +22,8 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-pub mod digest;
 pub mod keys;
 pub mod tree;
 
-pub use digest::HomDigest;
-pub use tree::{leaf_record, stored_chunk_count, AggTree, IndexError, TreeConfig, TreeStats};
+pub use tree::{decode_sum, fold_sum, leaf_record, stored_chunk_count};
+pub use tree::{AggTree, IndexError, TreeConfig, TreeStats};

@@ -2,12 +2,12 @@
 //! Fig. 4, as prefix sums).
 //!
 //! Chunk `i`'s level-0 record `il/<stream>/<i>` ([`crate::keys`]) holds
-//! `P_i = c_0 + … + c_i`, the homomorphic sum of the stream's digests
-//! through `i`, then a *tag*, opaque here: the record the caller appended,
-//! its own digest `c_i` swapped for `P_i` (the same length for `Vec<u64>`).
-//! Where a stored sum ends is the index's [`HomDigest::Layout`], given at
-//! open: a `Vec<u64>` sum is its words alone, so a tagged record needs the
-//! stream's width ([`AggTree::open_with`]).
+//! `P_i = c_0 + … + c_i`, the sum of the stream's HEAC digests through `i`,
+//! then a *tag*, opaque here: the record the caller appended, its own digest
+//! `c_i` swapped for `P_i`. A sum is its words, 8 little-endian bytes each
+//! ([`decode_sum`], [`fold_sum`]), ending where the index's width says: the
+//! record whole ([`AggTree::open`]), or the stream's width for a tagged
+//! record ([`AggTree::open_with`]).
 //! A range sum is one difference of two stored values (Ho, Agrawal, Megiddo
 //! & Srikant, "Range Queries in OLAP Data Cubes", SIGMOD 1997): `[lo, hi)`
 //! sums to `P_{hi−1} − P_{lo−1}`, and as HEAC addition is wrapping `u64`
@@ -49,10 +49,10 @@
 //! writer publishes after its store write succeeded, so a reader that sees
 //! length `n` finds every record below `n` in the store.
 
-use crate::digest::HomDigest;
 use crate::keys;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 use timecrypt_obs::counters::{self, Counter};
 use timecrypt_obs::rank::{self, Ranked};
@@ -139,31 +139,33 @@ pub struct TreeStats {
 }
 
 /// What a writer publishes: all a resident index holds besides its cache.
-struct Published<D> {
+struct Published {
     /// Chunks appended.
     len: u64,
     /// `P_{len−1}`, the running sum through the last chunk.
-    sum: Option<D>,
+    sum: Option<Vec<u64>>,
     /// At `[ℓ − 1]`: the chunk before which level ℓ is aged out, a multiple
     /// of its span (no trailing zero).
     cutoffs: Vec<u64>,
 }
 
-/// The index of one stream, generic over the digest representation
-/// (HEAC/plaintext `Vec<u64>`, or a strawman ciphertext).
-pub struct AggTree<D: HomDigest> {
+/// The index of one stream, a column of running sums of HEAC words. `D` is
+/// a marker (every sum is a `Vec<u64>`) so that `AggTree::<Vec<u64>>` names it.
+pub struct AggTree<D = Vec<u64>> {
     kv: Arc<dyn KvStore>,
     stream: u128,
-    /// How a stored running sum is read.
-    layout: D::Layout,
+    /// How a stored running sum is read: `Some(w)`, the first `8·w` bytes
+    /// of a tagged record; `None`, the record is the sum alone.
+    width: Option<usize>,
     /// Serializes the writers (`append`, `retag`, `decay`). Queries never
     /// take it — see the module docs for why reads stay exact regardless.
     write: Ranked<{ rank::WRITER }, Mutex<()>>,
     /// Readers take it shared for one snapshot; a writer takes it
     /// exclusively only to publish what it stored. Never held across a
     /// store call.
-    published: Ranked<{ rank::FRONTIER }, RwLock<Published<D>>>,
+    published: Ranked<{ rank::FRONTIER }, RwLock<Published>>,
     cache: PrefixCache,
+    marker: PhantomData<D>,
 }
 
 /// Most lock segments in the boundary cache, split by chunk index so that
@@ -421,6 +423,48 @@ pub fn stored_chunk_count(kv: &dyn KvStore, stream: u128) -> Result<u64, IndexEr
     Ok(lo)
 }
 
+/// The words of the running sum encoded at the front of `bytes`: their
+/// first `8·w` bytes for `width` `Some(w)`, or all of them, whole words,
+/// for `None`. `None` if `bytes` hold no such sum.
+pub fn decode_sum(width: Option<usize>, bytes: &[u8]) -> Option<Vec<u64>> {
+    let (words, _) = bytes[..sum_len(width, bytes)?].as_chunks::<8>();
+    Some(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+}
+
+/// `sum[i] = op(sum[i], word i)` of the running sum encoded at the front of
+/// `bytes`, read as [`decode_sum`] reads it: `op` is `u64::wrapping_add`,
+/// HEAC's addition, or `u64::wrapping_sub`, its inverse. `None`, and `sum`
+/// as it was, unless `bytes` start with a sum of `sum`'s width.
+pub fn fold_sum(
+    sum: &mut [u64],
+    width: Option<usize>,
+    bytes: &[u8],
+    op: fn(u64, u64) -> u64,
+) -> Option<()> {
+    let (words, _) = bytes[..sum_len(width, bytes)?].as_chunks::<8>();
+    if words.len() != sum.len() {
+        return None;
+    }
+    for (a, b) in sum.iter_mut().zip(words) {
+        *a = op(*a, u64::from_le_bytes(*b));
+    }
+    Some(())
+}
+
+/// Length in bytes of the sum encoded at the front of `bytes`.
+fn sum_len(width: Option<usize>, bytes: &[u8]) -> Option<usize> {
+    match width {
+        Some(width) => width.checked_mul(8).filter(|&len| len <= bytes.len()),
+        None => bytes.len().is_multiple_of(8).then_some(bytes.len()),
+    }
+}
+
+/// Appends the encoding of `sum`: its words, 8 little-endian bytes each.
+fn encode_sum(sum: &[u64], out: &mut Vec<u8>) {
+    sum.iter()
+        .for_each(|word| out.extend_from_slice(&word.to_le_bytes()));
+}
+
 /// Chunk `index`'s level-0 record, whole, without an index handle (raw
 /// reads do not hydrate a stream). Missing below the stream's length, it is
 /// `CorruptNode` at level 0: batches are atomic, a gap is no crash state.
@@ -429,29 +473,37 @@ pub fn leaf_record(kv: &dyn KvStore, stream: u128, index: u64) -> Result<Vec<u8>
         .ok_or(IndexError::CorruptNode { level: 0, index })
 }
 
-impl<D: HomDigest> AggTree<D> {
-    /// [`open_with`](Self::open_with) the default layout: for `Vec<u64>`,
-    /// an index whose records are their running sums alone, as
-    /// [`append`](Self::append) and [`append_batch`](Self::append_batch)
-    /// write them.
+impl AggTree {
+    /// Opens (or creates) the index of `stream` on `kv` whose records are
+    /// their running sums alone, as [`append`](Self::append) and
+    /// [`append_batch`](Self::append_batch) write them.
     pub fn open(kv: Arc<dyn KvStore>, stream: u128, cfg: TreeConfig) -> Result<Self, IndexError> {
-        Self::open_with(kv, stream, cfg, D::Layout::default())
+        Self::open_at(kv, stream, cfg, None)
     }
 
-    /// Opens (or creates) the index of `stream` on `kv`, its running sums
-    /// read with `layout`: its length from [`stored_chunk_count`], its
-    /// running sum from record `len − 1`, and its decay cutoffs.
+    /// Opens (or creates) the index of `stream` on `kv` whose records are
+    /// tagged: each starts with a running sum of `width` words.
     pub fn open_with(
         kv: Arc<dyn KvStore>,
         stream: u128,
         cfg: TreeConfig,
-        layout: D::Layout,
+        width: usize,
+    ) -> Result<Self, IndexError> {
+        Self::open_at(kv, stream, cfg, Some(width))
+    }
+
+    /// Its length ([`stored_chunk_count`]), last sum and decay cutoffs.
+    fn open_at(
+        kv: Arc<dyn KvStore>,
+        stream: u128,
+        cfg: TreeConfig,
+        width: Option<usize>,
     ) -> Result<Self, IndexError> {
         let len = stored_chunk_count(kv.as_ref(), stream)?;
         let sum = match len.checked_sub(1) {
             Some(index) => {
                 let record = leaf_record(kv.as_ref(), stream, index)?;
-                let decoded = D::decode(layout, &record).map(|(sum, _)| sum);
+                let decoded = decode_sum(width, &record);
                 Some(decoded.ok_or(IndexError::CorruptNode { level: 0, index })?)
             }
             None => None,
@@ -463,13 +515,14 @@ impl<D: HomDigest> AggTree<D> {
         Ok(AggTree {
             kv,
             stream,
-            layout,
+            width,
             write: Ranked::new(Mutex::new(())),
             published: Ranked::new(RwLock::new(Published { len, sum, cutoffs })),
             cache: PrefixCache {
                 budget_bytes: cfg.cache_bytes,
                 ..PrefixCache::default()
             },
+            marker: PhantomData,
         })
     }
 
@@ -487,25 +540,19 @@ impl<D: HomDigest> AggTree<D> {
     /// Appends the next chunk's digest (chunk index = current `len`).
     /// Appends are serialized internally; concurrent queries proceed
     /// against the previous `len` snapshot and stay exact (module docs).
-    pub fn append(&self, digest: D) -> Result<(), IndexError> {
+    pub fn append(&self, digest: Vec<u64>) -> Result<(), IndexError> {
         self.append_batch(std::slice::from_ref(&digest))
     }
 
     /// [`append_records`](Self::append_records) for chunks that are their
     /// digest alone; the store ends byte-identical to sequential
     /// [`append`](Self::append)s (`append_batch_matches_sequential_appends`).
-    pub fn append_batch(&self, digests: &[D]) -> Result<(), IndexError> {
+    pub fn append_batch(&self, digests: &[Vec<u64>]) -> Result<(), IndexError> {
         // Encoded end to end in one buffer, each its own record.
-        let mut encoded = Vec::with_capacity(digests.iter().map(D::encoded_len).sum());
-        digests
-            .iter()
-            .for_each(|digest| digest.encode(&mut encoded));
+        let mut encoded = Vec::with_capacity(8 * digests.iter().map(Vec::len).sum::<usize>());
+        digests.iter().for_each(|d| encode_sum(d, &mut encoded));
         let mut rest = &encoded[..];
-        let mut record = |digest: &D| {
-            let (record, after) = rest.split_at(digest.encoded_len().min(rest.len()));
-            rest = after;
-            [record]
-        };
+        let mut record = |d: &Vec<u64>| [rest.split_off(..8 * d.len()).unwrap_or_default()];
         self.append_records(&digests.iter().map(&mut record).collect::<Vec<_>>())
     }
 
@@ -517,7 +564,7 @@ impl<D: HomDigest> AggTree<D> {
     /// published once, so readers never observe a torn middle.
     ///
     /// A record whose first piece starts with no digest of the index's
-    /// layout (`CorruptNode` at level 0) or a store failure leaves the
+    /// width (`CorruptNode` at level 0) or a store failure leaves the
     /// index and the store exactly as they were (see the module docs); the
     /// caller may simply retry.
     pub fn append_records<const N: usize>(&self, records: &[[&[u8]; N]]) -> Result<(), IndexError> {
@@ -529,14 +576,7 @@ impl<D: HomDigest> AggTree<D> {
             let published = self.published.lock(RwLock::read);
             (published.len, published.sum.clone())
         };
-        // A stream's first record starts from the zero of its digest's shape.
-        let first = || D::decode(self.layout, records.first()?.first()?);
-        let mut sum = sum
-            .or_else(|| first().map(|(first, _)| first.zero_like()))
-            .ok_or(IndexError::CorruptNode {
-                level: 0,
-                index: base,
-            })?;
+        let mut sum = sum.unwrap_or_default();
         let bytes = records.iter().flatten().map(|piece| piece.len()).sum();
         let mut stored = Vec::with_capacity(bytes);
         let mut placed = Vec::with_capacity(records.len());
@@ -545,11 +585,14 @@ impl<D: HomDigest> AggTree<D> {
                 .split_first()
                 .map_or((&[][..], &[][..]), |(f, r)| (*f, r));
             let corrupt = || IndexError::CorruptNode { level: 0, index };
-            let digest = D::encoded_len_at(self.layout, first).ok_or_else(corrupt)?;
-            sum.add_encoded(self.layout, first).ok_or_else(corrupt)?;
+            // A stream's first record starts from zero, of its digest's width.
+            if sum.is_empty() {
+                sum = vec![0; sum_len(self.width, first).ok_or_else(corrupt)? / 8];
+            }
+            fold_sum(&mut sum, self.width, first, u64::wrapping_add).ok_or_else(corrupt)?;
             let start = stored.len();
-            sum.encode(&mut stored);
-            stored.extend_from_slice(&first[digest..]);
+            encode_sum(&sum, &mut stored);
+            stored.extend_from_slice(&first[8 * sum.len()..]);
             rest.iter()
                 .for_each(|piece| stored.extend_from_slice(piece));
             placed.push((keys::leaf(self.stream, index), start..stored.len()));
@@ -597,7 +640,7 @@ impl<D: HomDigest> AggTree<D> {
     /// sum of their digests, `P_{end−1} − P_{start−1}`. Runs against a
     /// single snapshot taken at entry, so it is exact even while an append
     /// is in flight.
-    pub fn query(&self, start: u64, end: u64) -> Result<D, IndexError> {
+    pub fn query(&self, start: u64, end: u64) -> Result<Vec<u64>, IndexError> {
         let _span = timecrypt_obs::trace::stage("index.walk");
         let last = {
             let published = self.published.lock(RwLock::read);
@@ -610,10 +653,11 @@ impl<D: HomDigest> AggTree<D> {
         };
         let mut sum = match last {
             Some(sum) => sum,
-            None => self.with_prefix(end - 1, |p| D::decode(self.layout, p).map(|(sum, _)| sum))?,
+            None => self.with_prefix(end - 1, |p| decode_sum(self.width, p))?,
         };
         if start > 0 {
-            self.with_prefix(start - 1, |p| sum.sub_encoded(self.layout, p))?;
+            let sub = |p: &[u8]| fold_sum(&mut sum, self.width, p, u64::wrapping_sub);
+            self.with_prefix(start - 1, sub)?;
         }
         Ok(sum)
     }
@@ -631,7 +675,7 @@ impl<D: HomDigest> AggTree<D> {
             return hit.ok_or_else(corrupt);
         }
         let record = leaf_record(self.kv.as_ref(), self.stream, index)?;
-        let prefix = &record[..D::encoded_len_at(self.layout, &record).ok_or_else(corrupt)?];
+        let prefix = &record[..sum_len(self.width, &record).ok_or_else(corrupt)?];
         let out = f(prefix).ok_or_else(corrupt)?;
         self.cache.read(index, prefix);
         Ok(out)
@@ -757,7 +801,7 @@ mod tests {
         let cfg = TreeConfig {
             cache_bytes: 1 << 20,
         };
-        AggTree::open_with(kv, 1, cfg, Some(2)).unwrap()
+        AggTree::open_with(kv, 1, cfg, 2).unwrap()
     }
 
     fn tree() -> AggTree<Vec<u64>> {
@@ -809,7 +853,7 @@ mod tests {
         assert_exhaustive(&t, 100);
         for i in 0..100 {
             let mut sum = Vec::new();
-            naive_sum(0, i + 1).encode(&mut sum);
+            encode_sum(&naive_sum(0, i + 1), &mut sum);
             assert_eq!(leaf_record(kv.as_ref(), 1, i).unwrap(), sum);
         }
         // No other record: no node at any level.
@@ -969,24 +1013,56 @@ mod tests {
     }
 
     #[test]
-    fn a_digest_with_the_default_methods_builds_the_same_index() {
-        // What a strawman ciphertext plugs in: nothing but the required
-        // methods. Same store bytes, same answers, reopened too.
-        use crate::digest::tests::ByDefault;
-        let (kv, plain_kv) = (Arc::new(MemKv::new()), Arc::new(MemKv::new()));
-        let plain = open(plain_kv.clone());
-        for n in 0..70u64 {
-            let t: AggTree<ByDefault> =
-                AggTree::open(kv.clone(), 1, TreeConfig::default()).unwrap();
-            for (a, b) in [(0, n), (n / 3, n), (n / 2, n / 2 + 1)] {
-                let expected = plain.query(a, b).ok();
-                let got = t.query(a, b).ok().map(|d| d.0);
-                assert_eq!(got, expected, "[{a},{b}) of {n}");
-            }
-            t.append(ByDefault(vec![n, 1])).unwrap();
-            plain.append(vec![n, 1]).unwrap();
-            assert_eq!(dump(kv.as_ref()), dump(plain_kv.as_ref()), "length {n}");
+    fn a_sum_is_read_and_folded_only_whole_and_of_the_width() {
+        let (a, b) = (vec![1u64, u64::MAX, 7], vec![5u64, 3, u64::MAX - 1]);
+        let mut entry = Vec::new();
+        encode_sum(&b, &mut entry);
+        let words: Vec<u8> = b.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(entry, words, "the words alone");
+        // Trailing bytes are the tag under a width; with none, the bytes
+        // are the sum. Addition wraps, and subtraction undoes it.
+        let long = [&entry[..], &[9; 3]].concat();
+        for (width, bytes) in [(Some(3), &entry[..]), (Some(3), &long), (None, &entry)] {
+            assert_eq!(decode_sum(width, bytes).as_ref(), Some(&b));
+            let mut sum = a.clone();
+            assert_eq!(
+                fold_sum(&mut sum, width, bytes, u64::wrapping_add),
+                Some(())
+            );
+            assert_eq!(sum, [6, 2, 5]);
+            assert_eq!(
+                fold_sum(&mut sum, width, bytes, u64::wrapping_sub),
+                Some(())
+            );
+            assert_eq!(sum, a);
         }
+        assert_eq!(decode_sum(None, &long), None);
+        // A cut sum is refused, and the target left as it was.
+        for cut in 0..entry.len() {
+            for width in [Some(3), None] {
+                let whole = width.is_none() && cut % 8 == 0;
+                let decoded = decode_sum(width, &entry[..cut]);
+                assert_eq!(decoded.map(|sum| 8 * sum.len()), whole.then_some(cut));
+                let mut sum = a.clone();
+                assert_eq!(
+                    fold_sum(&mut sum, width, &entry[..cut], u64::wrapping_add),
+                    None
+                );
+                assert_eq!(sum, a);
+            }
+        }
+        // So is a sum of another width.
+        let mut narrow = Vec::new();
+        encode_sum(&[1, 2], &mut narrow);
+        let mut sum = a.clone();
+        for (width, bytes) in [(Some(2), &narrow), (None, &narrow), (Some(2), &entry)] {
+            assert_eq!(fold_sum(&mut sum, width, bytes, u64::wrapping_add), None);
+            assert_eq!(fold_sum(&mut sum, width, bytes, u64::wrapping_sub), None);
+        }
+        assert_eq!(sum, a);
+        // Width 0 is no bytes, whatever follows; no width overflows.
+        assert_eq!(decode_sum(Some(0), &entry), Some(vec![]));
+        assert_eq!(decode_sum(Some(usize::MAX), &entry), None);
     }
 
     /// A [`MemKv`] whose write number `fail_at` (counted from 1; a batch is
@@ -1068,7 +1144,7 @@ mod tests {
     /// `[i, 1]`, then `i mod 5` bytes of its own.
     fn tagged(i: u64) -> Vec<u8> {
         let mut record = Vec::new();
-        vec![i, 1].encode(&mut record);
+        encode_sum(&[i, 1], &mut record);
         record.extend_from_slice(&i.to_be_bytes()[..(i % 5) as usize]);
         record
     }
@@ -1126,7 +1202,7 @@ mod tests {
         // Each record is the running sum, then the caller's tag.
         for i in 0..17 {
             let mut stored = Vec::new();
-            naive_sum(0, i + 1).encode(&mut stored);
+            encode_sum(&naive_sum(0, i + 1), &mut stored);
             stored.extend_from_slice(&tagged(i)[16..]);
             assert_eq!(leaf_record(kv.as_ref(), 1, i).unwrap(), stored);
         }

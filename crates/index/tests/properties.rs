@@ -7,7 +7,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
-use timecrypt_index::{keys, leaf_record, AggTree, HomDigest, IndexError, TreeConfig};
+use timecrypt_index::{decode_sum, fold_sum, keys, leaf_record, AggTree, IndexError, TreeConfig};
 use timecrypt_store::{KvStore, MemKv};
 
 /// Forwards to the system allocator, keeping per thread the largest single
@@ -117,23 +117,27 @@ impl Model {
         self.walk(Self::levels(end), 0, start, end)?;
         let digests = &self.digests[start as usize..end as usize];
         let mut sum = vec![0u64; 2];
-        digests.iter().for_each(|d| sum.add_assign(d));
+        for d in digests {
+            sum = vec![sum[0].wrapping_add(d[0]), sum[1].wrapping_add(d[1])];
+        }
         Ok(sum)
     }
 
     /// Chunk `i`'s record as ingested: its digest, then its tag.
     fn record(&self, i: u64) -> Vec<u8> {
-        let mut record = Vec::new();
-        self.digests[i as usize].encode(&mut record);
-        record.extend_from_slice(&self.tags[i as usize]);
-        record
+        let digest = self.digests[i as usize]
+            .iter()
+            .flat_map(|w| w.to_le_bytes());
+        digest
+            .chain(self.tags[i as usize].iter().copied())
+            .collect()
     }
 }
 
 /// Stream 1's index of width-2 sums, as the model's records hold them.
 fn open(kv: &Arc<MemKv>) -> AggTree<Vec<u64>> {
     let cfg = TreeConfig { cache_bytes: 4096 };
-    AggTree::open_with(kv.clone() as Arc<dyn KvStore>, 1, cfg, Some(2)).unwrap()
+    AggTree::open_with(kv.clone() as Arc<dyn KvStore>, 1, cfg, 2).unwrap()
 }
 
 /// Windows to check over `n` chunks: around the 64-ary tree's node
@@ -226,47 +230,16 @@ proptest! {
             }
             for i in [0, n / 2, n.saturating_sub(1)].into_iter().filter(|&i| i < n) {
                 let stored = leaf_record(kv.as_ref(), 1, i).unwrap();
-                let (mut own, used) = <Vec<u64>>::decode(Some(2), &stored).unwrap();
+                let mut own = decode_sum(Some(2), &stored).unwrap();
                 if i > 0 {
                     let before = leaf_record(kv.as_ref(), 1, i - 1).unwrap();
-                    own.sub_encoded(Some(2), &before).unwrap();
+                    fold_sum(&mut own, Some(2), &before, u64::wrapping_sub).unwrap();
                 }
-                let mut rebuilt = Vec::new();
-                own.encode(&mut rebuilt);
-                rebuilt.extend_from_slice(&stored[used..]);
+                let mut rebuilt: Vec<u8> = own.iter().flat_map(|w| w.to_le_bytes()).collect();
+                rebuilt.extend_from_slice(&stored[16..]);
                 prop_assert_eq!(rebuilt, model.record(i), "chunk {}", i);
             }
         }
-    }
-
-    /// The in-place digest accumulate (`&mut self` add_assign, what the
-    /// query uses) agrees with the clone-heavy reference fold, in every
-    /// operand order, and subtraction undoes it.
-    #[test]
-    fn digest_accumulate_matches_clone_fold(
-        width in 1usize..8,
-        rows in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 8), 1..20),
-    ) {
-        let digests: Vec<Vec<u64>> = rows.iter().map(|r| r[..width].to_vec()).collect();
-        let clone_fold = digests.iter().skip(1).fold(digests[0].clone(), |acc, d| {
-            let mut ab = acc.clone();
-            ab.add_assign(&d.clone());
-            ab
-        });
-        let mut in_place = digests[0].clone();
-        for d in &digests[1..] {
-            in_place.add_assign(d);
-        }
-        prop_assert_eq!(&in_place, &clone_fold);
-        let mut reversed = digests.last().unwrap().clone();
-        for d in digests[..digests.len() - 1].iter().rev() {
-            reversed.add_assign(d);
-        }
-        prop_assert_eq!(&in_place, &reversed);
-        for d in &digests[1..] {
-            in_place.sub_assign(d);
-        }
-        prop_assert_eq!(&in_place, &digests[0]);
     }
 
     /// Cache size never affects results, only speed.
@@ -302,7 +275,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
     ) {
         let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let open = || AggTree::<Vec<u64>>::open_with(kv.clone(), 1, TreeConfig::default(), Some(3));
+        let open = || AggTree::<Vec<u64>>::open_with(kv.clone(), 1, TreeConfig::default(), 3);
         open().unwrap().append_batch(&vec![vec![1u64; 3]; 8]).unwrap();
         // A handle opened before the damage, so the query is what reads it.
         let tree = open().unwrap();

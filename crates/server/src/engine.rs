@@ -33,7 +33,7 @@ use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_chunk::ChunkGrid;
 use timecrypt_index::{
-    keys, leaf_record, stored_chunk_count, AggTree, HomDigest, IndexError, TreeConfig,
+    decode_sum, fold_sum, keys, leaf_record, stored_chunk_count, AggTree, IndexError, TreeConfig,
 };
 use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
 use timecrypt_obs::rank::{self, Ranked, Stripes};
@@ -278,7 +278,7 @@ struct StreamState {
     /// length; appends are serialized by the stream's stripe (and the
     /// index's own writer mutex). Holds the length, the last running sum
     /// and a boundary cache, not the history.
-    tree: AggTree<Vec<u64>>,
+    tree: AggTree,
     /// Integrity extension: the authenticated aggregation ledger over a
     /// prefix of the stream — a cache of its level-0 records, empty after
     /// hydration, extended only by [`TimeCryptServer::prove`].
@@ -424,14 +424,16 @@ impl Record {
         before: Option<&[u8]>,
     ) -> Result<Record, IndexError> {
         let decoded = || {
-            let layout = Some(width as usize);
-            let (mut own, sum_len) = Vec::<u64>::decode(layout, &stored)?;
+            let width = Some(width as usize);
+            let mut own = decode_sum(width, &stored)?;
+            let sum_len = 8 * own.len();
             let stub = match stored[sum_len..].split_first()? {
                 (&CHUNK, _) => None,
                 (&STUB, commitment) => Some(commitment.try_into().ok()?),
                 _ => return None,
             };
-            before.map_or(Some(()), |before| own.sub_encoded(layout, before))?;
+            let sub = |before| fold_sum(&mut own, width, before, u64::wrapping_sub);
+            before.map_or(Some(()), sub)?;
             Some((own, sum_len, stub))
         };
         let corrupt = IndexError::CorruptNode { level: 0, index };
@@ -636,12 +638,7 @@ impl TimeCryptServer {
         };
         Ok(StreamState {
             meta,
-            tree: AggTree::open_with(
-                self.kv.clone(),
-                stream,
-                cfg,
-                Some(meta.digest_width as usize),
-            )?,
+            tree: AggTree::open_with(self.kv.clone(), stream, cfg, meta.digest_width as usize)?,
             ledger: RwLock::new(StreamLedger::new(stream)),
         })
     }

@@ -6,7 +6,7 @@
 //! else `EmptyRange`.
 
 use crate::engine::ServerError;
-use timecrypt_index::HomDigest;
+use timecrypt_core::heac;
 use timecrypt_wire::messages::{StatLegWire, StatReply};
 
 /// One stream's digest width plus, when the queried range covers at least
@@ -39,7 +39,7 @@ impl StatLeg {
                     if leg.agg.is_empty() {
                         leg.agg = part;
                     } else if !part.is_empty() {
-                        leg.agg.add_assign(&part);
+                        heac::add_assign(&mut leg.agg, &part);
                     }
                     continue;
                 }
