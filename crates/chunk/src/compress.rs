@@ -444,6 +444,29 @@ mod tests {
             .collect()
     }
 
+    /// The delta payload's bytes, pinned: every sealed chunk, stored record
+    /// and wire frame holds them. The 500 regular points are pinned by
+    /// length and SHA-256.
+    #[test]
+    fn delta_payload_bytes_are_pinned() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let golden = |points: &[DataPoint]| hex(&compress(Codec::Delta, points));
+        assert_eq!(golden(&[]), "0100");
+        assert_eq!(golden(&[DataPoint::new(-42, 7)]), "0101530e");
+        let extremes = [
+            DataPoint::new(i64::MIN, i64::MAX),
+            DataPoint::new(i64::MAX, i64::MIN),
+        ];
+        assert_eq!(
+            golden(&extremes),
+            "0102ffffffffffffffffff01feffffffffffffffff010102"
+        );
+        let regular = compress(Codec::Delta, &sample_points());
+        let digest = hex(&timecrypt_crypto::sha256(&regular));
+        let pinned = "9d90259e6a5c1857b743f1a9afd34af2bce3e1e22734406226a164ed94c91c29";
+        assert_eq!((regular.len(), digest.as_str()), (1006, pinned));
+    }
+
     #[test]
     fn varint_roundtrip() {
         let mut buf = Vec::new();

@@ -84,6 +84,11 @@ impl Producer {
         self.sealer.prg_calls()
     }
 
+    /// AES blocks spent on digest element keys so far.
+    pub fn prf_blocks(&self) -> u64 {
+        self.sealer.prf_blocks()
+    }
+
     /// Feeds one point; uploads any chunks it completes.
     pub fn push<T: Transport>(
         &mut self,
@@ -267,6 +272,11 @@ impl BatchingProducer {
     /// PRG invocations spent deriving keys so far.
     pub fn prg_calls(&self) -> u64 {
         self.sealer.prg_calls()
+    }
+
+    /// AES blocks spent on digest element keys so far.
+    pub fn prf_blocks(&self) -> u64 {
+        self.sealer.prf_blocks()
     }
 
     /// Feeds one point; seals any completed chunks into the pending batch
