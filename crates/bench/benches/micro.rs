@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
 use timecrypt_bench::baselines::{EcElGamal, Paillier};
-use timecrypt_chunk::compress::{compress, decompress, Codec};
+use timecrypt_chunk::compress::{compress, decompress};
 use timecrypt_chunk::DataPoint;
 use timecrypt_core::dualkr::chain_walk;
 use timecrypt_core::heac::{add_assign, decrypt_range_sum, HeacEncryptor};
@@ -85,15 +85,13 @@ fn bench_compression(c: &mut Criterion) {
     let points: Vec<DataPoint> = (0..500)
         .map(|i| DataPoint::new(i * 20, 70 + (i % 7)))
         .collect();
-    for codec in [Codec::Delta, Codec::DeltaRle, Codec::Gorilla, Codec::Auto] {
-        g.bench_function(format!("{codec:?}_500pts"), |b| {
-            b.iter(|| std::hint::black_box(compress(codec, &points)))
-        });
-        let enc = compress(codec, &points);
-        g.bench_function(format!("{codec:?}_decode"), |b| {
-            b.iter(|| std::hint::black_box(decompress(&enc).unwrap()))
-        });
-    }
+    g.bench_function("delta_500pts", |b| {
+        b.iter(|| std::hint::black_box(compress(&points)))
+    });
+    let enc = compress(&points);
+    g.bench_function("delta_decode", |b| {
+        b.iter(|| std::hint::black_box(decompress(&enc).unwrap()))
+    });
     g.finish();
 }
 

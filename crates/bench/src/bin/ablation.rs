@@ -1,4 +1,4 @@
-//! Ablation studies for TimeCrypt's design choices (DESIGN.md §2).
+//! Ablation studies for TimeCrypt's design choices (paper §4.2.2, §4.5, §7).
 //!
 //! 1. **Key canceling** — HEAC decryption with the `k_i − k_{i+1}` encoding
 //!    (two key derivations per range) vs the naive Castelluccia scheme
@@ -9,8 +9,6 @@
 //! 3. **Strided aggregation** (§7 "Performance") — HEAC is optimized for
 //!    contiguous ranges; aggregating every second chunk forfeits key
 //!    canceling and decryption grows linearly with the number of segments.
-//! 4. **Compression codec** — per-codec ratio and speed on the mhealth-like
-//!    signal, motivating the best-of Auto mode.
 //!
 //! ```sh
 //! cargo run -p timecrypt-bench --release --bin ablation
@@ -128,37 +126,4 @@ fn main() {
     println!("linearly with the number of disjoint segments — the limitation the");
     println!("paper states in §7 (\"suffers from alternative patterns, such as");
     println!("aggregating every second data chunk\").\n");
-
-    // ── 4. Compression codecs ────────────────────────────────────────────
-    println!("=== Ablation 4: compression codecs (500-pt mhealth-like chunk) ===\n");
-    {
-        use timecrypt_chunk::compress::{compress, compress_best, Codec};
-        use timecrypt_chunk::DataPoint;
-        let points: Vec<DataPoint> = (0..500)
-            .map(|i| DataPoint::new(1_700_000_000_000 + i * 20, 70 + (i % 7) - 3))
-            .collect();
-        let raw = compress(Codec::None, &points).len();
-        println!(
-            "{:>10} {:>10} {:>8} {:>12}",
-            "codec", "bytes", "ratio", "encode"
-        );
-        for codec in Codec::CONCRETE {
-            let size = compress(codec, &points).len();
-            let t = time_avg(2_000, || {
-                std::hint::black_box(compress(codec, &points));
-            });
-            println!(
-                "{:>10} {:>10} {:>7.1}x {:>12}",
-                format!("{codec:?}"),
-                size,
-                raw as f64 / size as f64,
-                format_duration(t)
-            );
-        }
-        let (winner, best) = compress_best(&points);
-        println!(
-            "\nAuto picks {winner:?} at {} bytes for this signal.",
-            best.len()
-        );
-    }
 }

@@ -71,10 +71,7 @@ impl MHealthWorkload {
     /// Stream configuration for metric `m` of device `device`.
     pub fn stream_config(&self, device: u64, m: u32) -> StreamConfig {
         let id = ((device as u128) << 32) | m as u128 | 1 << 100;
-        StreamConfig {
-            source: format!("device-{device}"),
-            ..StreamConfig::new(id, format!("metric-{m}"), 0, self.delta_ms)
-        }
+        StreamConfig::new(id, format!("metric-{m}"), 0, self.delta_ms)
     }
 
     /// Generates the points of chunk `chunk` for one stream: a plausible
@@ -129,7 +126,6 @@ impl DevOpsWorkload {
             DigestOp::Histogram { bounds: vec![50] },
         ]);
         StreamConfig {
-            source: format!("host-{host}"),
             schema,
             ..StreamConfig::new(id, format!("cpu-{m}"), 0, self.delta_ms)
         }

@@ -35,32 +35,26 @@ pub struct StreamConfig {
     pub id: StreamId,
     /// Human-readable metric name (e.g. "heart_rate").
     pub metric: String,
-    /// Data source description (e.g. a device id).
-    pub source: String,
     /// Epoch: timestamp of chunk 0's start, in ms.
     pub t0: i64,
     /// Chunk interval Δ in milliseconds — the smallest unit of server-side
     /// processing and the granularity of the keystream (§4.3). The paper
     /// uses Δ = 10 s for mhealth and 60 s for DevOps.
     pub delta_ms: u64,
-    /// Payload compression codec.
-    pub codec: crate::compress::Codec,
     /// Digest layout: which statistics the stream supports (§4.5).
     pub schema: crate::schema::DigestSchema,
 }
 
 impl StreamConfig {
     /// A reasonable default configuration: 10 s chunks (the paper's mhealth
-    /// setting), delta compression, and the default statistics set
+    /// setting) and the default statistics set
     /// (sum, count, sum-of-squares, 16-bin histogram over `bounds`).
     pub fn new(id: StreamId, metric: impl Into<String>, t0: i64, delta_ms: u64) -> Self {
         StreamConfig {
             id,
             metric: metric.into(),
-            source: String::new(),
             t0,
             delta_ms,
-            codec: crate::compress::Codec::Delta,
             schema: crate::schema::DigestSchema::standard(),
         }
     }

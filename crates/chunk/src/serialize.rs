@@ -122,7 +122,7 @@ impl PlainChunk {
         // Sized as `compress` sizes its own buffer, plus nonce and tag.
         let mut payload = Vec::with_capacity(NONCE_LEN + self.points.len() * 4 + 8 + 16);
         payload.extend_from_slice(&nonce);
-        compress::compress_into(cfg.codec, &self.points, &mut payload);
+        compress::compress_into(&self.points, &mut payload);
         let aad = Self::aad(self.stream, self.index);
         gcm.seal_tail(&nonce, &aad, &mut payload, NONCE_LEN);
         Ok(EncryptedChunk {

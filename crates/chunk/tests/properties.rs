@@ -1,7 +1,7 @@
-//! Property-based tests for the chunk layer: codecs, digests, sealing.
+//! Property-based tests for the chunk layer: payload encoding, digests, sealing.
 
 use proptest::prelude::*;
-use timecrypt_chunk::compress::{compress, decompress, Codec};
+use timecrypt_chunk::compress::{compress, decompress};
 use timecrypt_chunk::schema::{DigestOp, DigestSchema};
 use timecrypt_chunk::serialize::{ChunkSealer, EncryptedChunk, PlainChunk};
 use timecrypt_chunk::{DataPoint, StreamConfig};
@@ -18,23 +18,10 @@ fn arb_points(max: usize) -> impl Strategy<Value = Vec<DataPoint>> {
 }
 
 proptest! {
-    /// Every codec round-trips arbitrary (even hostile) point vectors,
-    /// including the best-of [`Codec::Auto`] selection.
+    /// Delta coding round-trips arbitrary (even hostile) point vectors.
     #[test]
-    fn codecs_roundtrip(points in arb_points(200)) {
-        for codec in Codec::CONCRETE.into_iter().chain([Codec::Auto]) {
-            let enc = compress(codec, &points);
-            prop_assert_eq!(decompress(&enc).unwrap(), points.clone(), "{:?}", codec);
-        }
-    }
-
-    /// Auto never produces a larger encoding than any concrete codec.
-    #[test]
-    fn auto_is_never_worse(points in arb_points(150)) {
-        let auto = compress(Codec::Auto, &points);
-        for codec in Codec::CONCRETE {
-            prop_assert!(auto.len() <= compress(codec, &points).len(), "{:?}", codec);
-        }
+    fn payload_roundtrips(points in arb_points(200)) {
+        prop_assert_eq!(decompress(&compress(&points)).unwrap(), points);
     }
 
     /// Decompression never panics on arbitrary bytes — it returns Ok or Err.
