@@ -1,20 +1,147 @@
-//! The data producer: a device writing an encrypted stream.
+//! The data producers: a device writing an encrypted stream.
 
 use crate::transport::{ClientFault, Transport};
-use timecrypt_chunk::{ChunkBuilder, ChunkSealer, DataPoint, SealedRecord, StreamConfig};
+use timecrypt_chunk::{
+    ChunkBuilder, ChunkRef, ChunkSealer, DataPoint, PlainChunk, SealedRecord, StreamConfig,
+};
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::SecureRandom;
 use timecrypt_wire::messages::{Request, Response};
 
-/// A producer for one stream: batches, digests, seals, uploads (§4.1, §4.6).
-pub struct Producer {
-    /// Sealing state, kept for the life of the stream: every sealed chunk
-    /// and every real-time record derives its keys from where the last
-    /// one left the key-tree cursor.
+fn chunk_fault(e: impl std::fmt::Display) -> ClientFault {
+    ClientFault::Chunk(e.to_string())
+}
+
+/// What both producers share: the stream's sealing state, kept for the
+/// life of the stream (every sealed chunk and every real-time record
+/// derives its keys from where the last one left the key-tree cursor),
+/// and the sealed chunks the server has not acknowledged, oldest first.
+/// A chunk is sealed once: a send that fails leaves its chunks at the
+/// front of the queue, so the next `push` or `flush` retries the same
+/// bytes in the same order and the producer's chunk indices never run
+/// ahead of the server's.
+struct Outbox {
     sealer: ChunkSealer,
     builder: ChunkBuilder,
     rng: SecureRandom,
+    queue: Vec<Vec<u8>>,
+    /// Chunks per `InsertBatch`; `None` sends one `Insert` per chunk.
+    batch: Option<usize>,
     chunks_sent: u64,
+    batches_sent: u64,
+}
+
+impl Outbox {
+    fn new(
+        cfg: StreamConfig,
+        keys: &StreamKeyMaterial,
+        rng: SecureRandom,
+        batch: Option<usize>,
+    ) -> Self {
+        Outbox {
+            sealer: ChunkSealer::new(&cfg, keys),
+            builder: ChunkBuilder::new(cfg),
+            rng,
+            queue: Vec::new(),
+            batch,
+            chunks_sent: 0,
+            batches_sent: 0,
+        }
+    }
+
+    /// Seals `chunks` into the queue.
+    fn seal(&mut self, chunks: impl IntoIterator<Item = PlainChunk>) -> Result<(), ClientFault> {
+        for chunk in chunks {
+            let sealed = self
+                .sealer
+                .seal(&chunk, &mut self.rng)
+                .map_err(chunk_fault)?;
+            self.queue.push(sealed.to_bytes());
+        }
+        Ok(())
+    }
+
+    /// Feeds one point to the builder and seals *everything* it completes
+    /// (a point that skips chunk windows completes several at once) before
+    /// anything is sent.
+    fn push(&mut self, point: DataPoint) -> Result<(), ClientFault> {
+        let done = self.builder.push(point).map_err(chunk_fault)?;
+        self.seal(done)
+    }
+
+    /// Sends queued chunks, oldest first: while a whole request's worth is
+    /// queued, or with `all` until none is. A request carries the first
+    /// chunks of the queue (one `Insert`, or an `InsertBatch` of at most a
+    /// batch, which keeps a queue grown during an outage under the
+    /// transport's frame cap), and they stay queued while it is out. The
+    /// chunks the server stored then leave the queue, each handed to
+    /// `acked`; after a fault, a malformed reply or a refusal, the rest
+    /// stay at its front, in order.
+    fn ship<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        all: bool,
+        mut acked: impl FnMut(&[u8]) -> Result<(), ClientFault>,
+    ) -> Result<(), ClientFault> {
+        let size = self.batch.unwrap_or(1);
+        while self.queue.len() >= size || all && !self.queue.is_empty() {
+            let window = self.queue.len().min(size);
+            let mut taken = self.queue[..window].iter_mut().map(std::mem::take);
+            let req = match self.batch {
+                Some(_) => Request::InsertBatch {
+                    chunks: taken.collect(),
+                },
+                None => Request::Insert {
+                    chunk: taken.next().unwrap_or_default(),
+                },
+            };
+            let reply = transport.call(&req);
+            match req {
+                Request::InsertBatch { chunks } => {
+                    self.queue.iter_mut().zip(chunks).for_each(|(q, c)| *q = c)
+                }
+                Request::Insert { chunk } => self.queue[0] = chunk,
+                _ => {}
+            }
+            // The error list is server-controlled: a well-formed reply has
+            // at most one entry per chunk, each within the request.
+            let errors = match (reply?, self.batch) {
+                (Response::Ok, None) => Vec::new(),
+                (Response::Batch { errors }, Some(_)) => errors,
+                (_, None) => return Err(ClientFault::Protocol("Ok")),
+                (_, Some(_)) => return Err(ClientFault::Protocol("Batch")),
+            };
+            if errors.len() > window || errors.iter().any(|&(idx, _)| idx as usize >= window) {
+                return Err(ClientFault::Protocol("Batch within bounds"));
+            }
+            self.batches_sent += 1;
+            let (mut at, mut fault) = (0, Ok(()));
+            self.queue.retain(|chunk| {
+                at += 1;
+                let stored = at <= window && !errors.iter().any(|&(idx, _)| idx as usize == at - 1);
+                if stored {
+                    self.chunks_sent += 1;
+                    if fault.is_ok() {
+                        fault = acked(chunk);
+                    }
+                }
+                !stored
+            });
+            fault?;
+            if let Some((idx, msg)) = errors.into_iter().next() {
+                return Err(ClientFault::Chunk(format!(
+                    "batch chunk {idx} rejected: {msg}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A producer for one stream: batches, digests, seals, uploads (§4.1, §4.6),
+/// one `Insert` per chunk.
+pub struct Producer {
+    out: Outbox,
     /// Real-time mode state: `(open chunk, next seq within it, the chunk's
     /// payload key)`.
     live: Option<(u64, u32, [u8; 16])>,
@@ -28,10 +155,7 @@ impl Producer {
     /// tree root is the stream's master secret).
     pub fn new(cfg: StreamConfig, keys: StreamKeyMaterial, rng: SecureRandom) -> Self {
         Producer {
-            sealer: ChunkSealer::new(&cfg, &keys),
-            builder: ChunkBuilder::new(cfg),
-            rng,
-            chunks_sent: 0,
+            out: Outbox::new(cfg, &keys, rng, None),
             live: None,
             records_sent: 0,
             attester: None,
@@ -58,9 +182,9 @@ impl Producer {
             .attester
             .as_mut()
             .ok_or(ClientFault::Chunk("producer has no attestation key".into()))?;
-        let att = ledger.attest(key, &mut self.rng);
+        let att = ledger.attest(key, &mut self.out.rng);
         match transport.call(&Request::PutAttestation {
-            stream: self.config().id,
+            stream: self.out.builder.config().id,
             attestation: att.encode(),
         })? {
             Response::Ok => Ok(()),
@@ -70,39 +194,36 @@ impl Producer {
 
     /// The stream configuration.
     pub fn config(&self) -> &StreamConfig {
-        self.builder.config()
+        self.out.builder.config()
     }
 
     /// Chunks successfully uploaded.
     pub fn chunks_sent(&self) -> u64 {
-        self.chunks_sent
+        self.out.chunks_sent
     }
 
     /// PRG invocations spent deriving keys so far (sealed chunks and
     /// real-time records).
     pub fn prg_calls(&self) -> u64 {
-        self.sealer.prg_calls()
+        self.out.sealer.prg_calls()
     }
 
     /// AES blocks spent on digest element keys so far.
     pub fn prf_blocks(&self) -> u64 {
-        self.sealer.prf_blocks()
+        self.out.sealer.prf_blocks()
     }
 
-    /// Feeds one point; uploads any chunks it completes.
+    /// Feeds one point; uploads any chunks it completes. The point is
+    /// consumed before anything is sent, so an `Err` refers to uploading
+    /// sealed chunks: they stay queued and go first on the next `push` or
+    /// [`flush`](Self::flush).
     pub fn push<T: Transport>(
         &mut self,
         transport: &mut T,
         point: DataPoint,
     ) -> Result<(), ClientFault> {
-        let done = self
-            .builder
-            .push(point)
-            .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-        for chunk in done {
-            self.upload(transport, chunk)?;
-        }
-        Ok(())
+        self.out.push(point)?;
+        self.ship(transport)
     }
 
     /// Records uploaded in real-time mode.
@@ -121,23 +242,23 @@ impl Producer {
         transport: &mut T,
         point: DataPoint,
     ) -> Result<(), ClientFault> {
-        let cfg = self.builder.config();
-        let stream = cfg.id;
-        let chunk = cfg
+        let out = &mut self.out;
+        let stream = out.builder.config().id;
+        let chunk = out
+            .builder
+            .config()
             .chunk_of(point.ts)
             .ok_or(ClientFault::Chunk("timestamp before stream epoch".into()))?;
         let (_, seq, key) = match &mut self.live {
             Some(live) if live.0 == chunk => live,
             // A new open chunk: its records all share one payload key.
-            live => {
-                let key = self
-                    .sealer
-                    .payload_key(chunk)
-                    .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-                live.insert((chunk, 0, key))
-            }
+            live => live.insert((
+                chunk,
+                0,
+                out.sealer.payload_key(chunk).map_err(chunk_fault)?,
+            )),
         };
-        let record = SealedRecord::seal_with_key(stream, chunk, *seq, point, key, &mut self.rng);
+        let record = SealedRecord::seal_with_key(stream, chunk, *seq, point, key, &mut out.rng);
         *seq += 1;
         match transport.call(&Request::InsertLive {
             record: record.to_bytes(),
@@ -148,46 +269,28 @@ impl Producer {
         self.push(transport, point)
     }
 
-    /// Flushes the in-progress chunk (stream close / end of epoch).
+    /// Flushes the in-progress chunk (stream close / end of epoch), and
+    /// anything still queued.
     pub fn flush<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientFault> {
-        if let Some(chunk) = self.builder.flush() {
-            self.upload(transport, chunk)?;
-        }
-        Ok(())
+        let tail = self.out.builder.flush();
+        self.out.seal(tail)?;
+        self.ship(transport)
     }
 
-    fn upload<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        chunk: timecrypt_chunk::PlainChunk,
-    ) -> Result<(), ClientFault> {
-        let sealed = self
-            .sealer
-            .seal(&chunk, &mut self.rng)
-            .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-        // The request owns the bytes for the call; the ledger gets them back.
-        let req = Request::Insert {
-            chunk: sealed.to_bytes(),
-        };
-        let reply = transport.call(&req)?;
-        let Request::Insert { chunk: bytes } = req else {
-            unreachable!("constructed above")
-        };
-        match reply {
-            Response::Ok => {
-                self.chunks_sent += 1;
-                if let Some((_, ledger)) = &mut self.attester {
-                    ledger
-                        .append(
-                            timecrypt_integrity::chunk_commitment(&bytes),
-                            sealed.digest_ct,
-                        )
-                        .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-                }
-                Ok(())
-            }
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+    /// Sends every queued chunk; with the integrity extension on, each one
+    /// stored is mirrored into the ledger.
+    fn ship<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientFault> {
+        let attester = &mut self.attester;
+        self.out.ship(transport, true, |bytes| {
+            let Some((_, ledger)) = attester else {
+                return Ok(());
+            };
+            let digest = ChunkRef::parse(bytes).map_err(chunk_fault)?.digest_ct;
+            let commitment = timecrypt_integrity::chunk_commitment(bytes);
+            ledger
+                .append(commitment, digest.iter().collect())
+                .map_err(chunk_fault)
+        })
     }
 }
 
@@ -228,14 +331,7 @@ impl Producer {
 /// assert_eq!(producer.batches_sent(), 3, "4 + 4 + flushed 2");
 /// ```
 pub struct BatchingProducer {
-    /// Sealing state, kept for the life of the stream (see [`Producer`]).
-    sealer: ChunkSealer,
-    builder: ChunkBuilder,
-    rng: SecureRandom,
-    batch: Vec<Vec<u8>>,
-    batch_size: usize,
-    chunks_sent: u64,
-    batches_sent: u64,
+    out: Outbox,
 }
 
 impl BatchingProducer {
@@ -249,34 +345,28 @@ impl BatchingProducer {
     ) -> Self {
         assert!(batch_size >= 1, "batch size must be at least 1");
         BatchingProducer {
-            sealer: ChunkSealer::new(&cfg, &keys),
-            builder: ChunkBuilder::new(cfg),
-            rng,
-            batch: Vec::with_capacity(batch_size),
-            batch_size,
-            chunks_sent: 0,
-            batches_sent: 0,
+            out: Outbox::new(cfg, &keys, rng, Some(batch_size)),
         }
     }
 
     /// Chunks acknowledged by the server so far.
     pub fn chunks_sent(&self) -> u64 {
-        self.chunks_sent
+        self.out.chunks_sent
     }
 
     /// Batches shipped so far.
     pub fn batches_sent(&self) -> u64 {
-        self.batches_sent
+        self.out.batches_sent
     }
 
     /// PRG invocations spent deriving keys so far.
     pub fn prg_calls(&self) -> u64 {
-        self.sealer.prg_calls()
+        self.out.sealer.prg_calls()
     }
 
     /// AES blocks spent on digest element keys so far.
     pub fn prf_blocks(&self) -> u64 {
-        self.sealer.prf_blocks()
+        self.out.sealer.prf_blocks()
     }
 
     /// Feeds one point; seals any completed chunks into the pending batch
@@ -291,105 +381,15 @@ impl BatchingProducer {
         transport: &mut T,
         point: DataPoint,
     ) -> Result<(), ClientFault> {
-        let done = self
-            .builder
-            .push(point)
-            .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-        // Seal *everything* the builder completed (a point that skips chunk
-        // windows completes several chunks at once) before any shipping, so
-        // a ship failure can never drop a sealed-but-unsent chunk.
-        for chunk in done {
-            self.seal_into_batch(&chunk)?;
-        }
-        while self.batch.len() >= self.batch_size {
-            self.ship(transport, self.batch_size)?;
-        }
-        Ok(())
+        self.out.push(point)?;
+        self.out.ship(transport, false, |_| Ok(()))
     }
 
     /// Seals the in-progress chunk and ships everything still buffered.
     pub fn flush<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientFault> {
-        if let Some(chunk) = self.builder.flush() {
-            self.seal_into_batch(&chunk)?;
-        }
-        while !self.batch.is_empty() {
-            let window = self.batch.len().min(self.batch_size);
-            self.ship(transport, window)?;
-        }
-        Ok(())
-    }
-
-    /// Seals `chunk` and queues its bytes. A queued chunk is never sealed
-    /// again: a failed ship retries the same bytes.
-    fn seal_into_batch(&mut self, chunk: &timecrypt_chunk::PlainChunk) -> Result<(), ClientFault> {
-        let sealed = self
-            .sealer
-            .seal(chunk, &mut self.rng)
-            .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-        self.batch.push(sealed.to_bytes());
-        Ok(())
-    }
-
-    /// Ships the first `window` queued chunks (one wire frame — the window
-    /// keeps a buffer grown during an outage under the transport's frame
-    /// cap). On failure the unacknowledged sealed chunks return to the
-    /// *front* of `self.batch` in order, so the caller can retry with
-    /// another [`flush`](Self::flush) once the fault clears — the
-    /// producer's chunk-index stream never desynchronizes from the server.
-    fn ship<T: Transport>(&mut self, transport: &mut T, window: usize) -> Result<(), ClientFault> {
-        debug_assert!(window >= 1 && window <= self.batch.len());
-        let req = Request::InsertBatch {
-            chunks: self.batch.drain(..window).collect(),
-        };
-        let reply = transport.call(&req);
-        let Request::InsertBatch { chunks } = req else {
-            unreachable!("constructed above")
-        };
-        let sent = chunks.len() as u64;
-        let requeue_front = |batch: &mut Vec<Vec<u8>>, chunks: Vec<Vec<u8>>| {
-            batch.splice(..0, chunks);
-        };
-        match reply {
-            Err(e) => {
-                // Transport fault: nothing acknowledged; retry everything.
-                requeue_front(&mut self.batch, chunks);
-                Err(e)
-            }
-            Ok(Response::Batch { errors }) => {
-                // The error list is server-controlled: a well-formed reply
-                // has at most one entry per chunk, each within the batch.
-                if errors.len() as u64 > sent || errors.iter().any(|&(idx, _)| idx as u64 >= sent) {
-                    requeue_front(&mut self.batch, chunks);
-                    return Err(ClientFault::Protocol("Batch within bounds"));
-                }
-                self.batches_sent += 1;
-                self.chunks_sent += sent - errors.len() as u64;
-                if errors.is_empty() {
-                    return Ok(());
-                }
-                // Re-queue every rejected chunk, preserving order, so a
-                // later flush retries exactly what the server refused.
-                let rejected: std::collections::BTreeSet<u32> =
-                    errors.iter().map(|&(idx, _)| idx).collect();
-                requeue_front(
-                    &mut self.batch,
-                    chunks
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(i, _)| rejected.contains(&(*i as u32)))
-                        .map(|(_, c)| c)
-                        .collect(),
-                );
-                let (idx, msg) = errors.into_iter().next().expect("non-empty errors");
-                Err(ClientFault::Chunk(format!(
-                    "batch chunk {idx} rejected: {msg}"
-                )))
-            }
-            Ok(_) => {
-                requeue_front(&mut self.batch, chunks);
-                Err(ClientFault::Protocol("Batch"))
-            }
-        }
+        let tail = self.out.builder.flush();
+        self.out.seal(tail)?;
+        self.out.ship(transport, true, |_| Ok(()))
     }
 }
 
@@ -401,21 +401,17 @@ mod tests {
     use std::sync::Arc;
     use timecrypt_wire::messages::Response;
 
+    fn keys() -> StreamKeyMaterial {
+        StreamKeyMaterial::with_params(1, [5u8; 16], 20, timecrypt_crypto::PrgKind::Aes).unwrap()
+    }
+
+    fn rng() -> SecureRandom {
+        SecureRandom::from_seed_insecure(2)
+    }
+
     fn producer(batch_size: usize) -> BatchingProducer {
         let cfg = StreamConfig::new(1, "m", 0, 10_000);
-        let keys = timecrypt_core::StreamKeyMaterial::with_params(
-            1,
-            [5u8; 16],
-            20,
-            timecrypt_crypto::PrgKind::Aes,
-        )
-        .unwrap();
-        BatchingProducer::new(
-            cfg,
-            keys,
-            timecrypt_crypto::SecureRandom::from_seed_insecure(2),
-            batch_size,
-        )
+        BatchingProducer::new(cfg, keys(), rng(), batch_size)
     }
 
     /// 1 Hz points over Δ=10 s: every 10th point completes a chunk.
@@ -463,8 +459,8 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
-    /// A transport that fails its first `InsertBatch`, then delegates to a
-    /// real handler.
+    /// A transport that fails its first `Insert` or `InsertBatch`, then
+    /// delegates to a real handler.
     struct FailOnce<T> {
         inner: T,
         failed: bool,
@@ -472,7 +468,8 @@ mod tests {
 
     impl<T: crate::transport::Transport> crate::transport::Transport for FailOnce<T> {
         fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
-            if !self.failed && matches!(req, Request::InsertBatch { .. }) {
+            let insert = matches!(req, Request::Insert { .. } | Request::InsertBatch { .. });
+            if !self.failed && insert {
                 self.failed = true;
                 return Err(ClientFault::Transport("injected fault".into()));
             }
@@ -482,30 +479,45 @@ mod tests {
 
     #[test]
     fn gap_filling_chunks_survive_a_ship_failure() {
-        let server = std::sync::Arc::new(
-            timecrypt_server::TimeCryptServer::open(
-                Arc::new(timecrypt_store::MemKv::new()),
-                timecrypt_server::ServerConfig::default(),
-            )
-            .unwrap(),
-        );
-        let width = StreamConfig::new(1, "m", 0, 10_000).schema.width() as u32;
-        server.create_stream(1, 0, 10_000, width).unwrap();
-        let mut t = FailOnce {
-            inner: InProc::new(server.clone()),
-            failed: false,
-        };
-        let mut p = producer(1);
-        p.push(&mut t, DataPoint::new(0, 7)).unwrap();
-        // Skipping to chunk 3's window completes chunks 0, 1, 2 at once;
-        // the first (failing) ship must not lose the gap-fill chunks.
-        let err = p.push(&mut t, DataPoint::new(35_000, 8)).unwrap_err();
-        assert!(matches!(err, ClientFault::Transport(_)), "{err:?}");
-        assert_eq!(p.chunks_sent(), 0);
-        // Fault cleared: everything queued lands, in index order.
-        p.flush(&mut t).unwrap();
-        assert_eq!(p.chunks_sent(), 4, "chunks 0..=2 plus the flushed tail");
-        assert_eq!(server.stream_info(1).unwrap().len, 4);
+        let cfg = StreamConfig::new(1, "m", 0, 10_000);
+        for batched in [true, false] {
+            let server = std::sync::Arc::new(
+                timecrypt_server::TimeCryptServer::open(
+                    Arc::new(timecrypt_store::MemKv::new()),
+                    timecrypt_server::ServerConfig::default(),
+                )
+                .unwrap(),
+            );
+            let width = cfg.schema.width() as u32;
+            server.create_stream(1, 0, 10_000, width).unwrap();
+            let mut t = FailOnce {
+                inner: InProc::new(server.clone()),
+                failed: false,
+            };
+            let (mut single, mut batching) =
+                (Producer::new(cfg.clone(), keys(), rng()), producer(1));
+            // Pushes a point, or flushes; the chunks acknowledged so far.
+            let mut step = |point: Option<DataPoint>| {
+                let done = match (batched, point) {
+                    (true, Some(p)) => batching.push(&mut t, p),
+                    (true, None) => batching.flush(&mut t),
+                    (false, Some(p)) => single.push(&mut t, p),
+                    (false, None) => single.flush(&mut t),
+                };
+                (done, batching.chunks_sent() + single.chunks_sent())
+            };
+            assert!(matches!(step(Some(DataPoint::new(0, 7))), (Ok(()), 0)));
+            // Skipping to chunk 3's window completes chunks 0, 1, 2 at once;
+            // the first (failing) send must not lose the gap-fill chunks.
+            let (err, sent) = step(Some(DataPoint::new(35_000, 8)));
+            assert!(matches!(err, Err(ClientFault::Transport(_))), "{err:?}");
+            assert_eq!(sent, 0);
+            // Fault cleared: everything queued lands, in index order.
+            let (done, sent) = step(None);
+            done.unwrap();
+            assert_eq!(sent, 4, "chunks 0..=2 plus the flushed tail");
+            assert_eq!(server.stream_info(1).unwrap().len, 4, "batched: {batched}");
+        }
     }
 
     /// Records every chunk the server acknowledged, in order; refuses the
@@ -633,6 +645,6 @@ mod tests {
         );
         assert_eq!(p.chunks_sent(), 0, "no accounting from a malformed reply");
         // The sealed chunk is still queued for retry.
-        assert_eq!(p.batch.len(), 1);
+        assert_eq!(p.out.queue.len(), 1);
     }
 }
