@@ -24,7 +24,6 @@
 //! and resolves the state under it, so a deletion or import that drops the
 //! state leaves no writer holding it. See ARCHITECTURE.md "Stream lifecycle".
 
-use crate::keystore::KeyStore;
 use crate::stat::{StatLeg, StreamStat};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -368,14 +367,14 @@ pub struct ResidencyStats {
 /// bounded resident LRU (see the module docs); the crate docs spell out
 /// which operation takes which lock.
 pub struct TimeCryptServer {
-    kv: Arc<dyn KvStore>,
+    pub(crate) kv: Arc<dyn KvStore>,
     cfg: ServerConfig,
     /// Stream directory + resident set.
     registry: Ranked<{ rank::REGISTRY }, Mutex<StreamRegistry>>,
     /// Each stream's one lock, taken before `registry`: held throughout by
     /// every call that changes the stream's records (its directory entry
     /// included), and by a cold touch while it opens and publishes it.
-    stripes: Stripes<{ rank::STREAM }, Mutex<()>>,
+    pub(crate) stripes: Stripes<{ rank::STREAM }, Mutex<()>>,
     /// Real-time upload buffer (§4.6): per stream, per not-yet-finalized
     /// chunk, the sealed records received so far. Volatile by design — the
     /// durable copy is the finalized chunk that supersedes these records.
@@ -1371,11 +1370,6 @@ impl TimeCryptServer {
         Ok((stale, puts))
     }
 
-    /// Key-store facade.
-    pub fn keystore(&self) -> KeyStore<'_> {
-        KeyStore::new(self.kv.as_ref())
-    }
-
     /// Underlying store (diagnostics, size accounting in benches).
     pub fn kv(&self) -> &Arc<dyn KvStore> {
         &self.kv
@@ -1478,42 +1472,29 @@ impl TimeCryptServer {
                 keep_level,
             } => ok_or(self.rollup(stream, before_ts, keep_level), acked),
             Request::StreamInfo { stream } => ok_or(self.stream_info(stream), Response::Info),
-            // The key store's writes change the stream's records too.
             Request::PutGrant {
                 stream,
                 principal,
                 blob,
-            } => {
-                let _stripe = self.stripes.lock(stream, Mutex::lock);
-                ok_or(self.keystore().put_grant(stream, &principal, &blob), acked)
+            } => ok_or(self.put_grant(stream, &principal, &blob), acked),
+            Request::GetGrants { stream, principal } => {
+                ok_or(self.get_grants(stream, &principal), Response::Blobs)
             }
-            Request::GetGrants { stream, principal } => ok_or(
-                self.keystore().get_grants(stream, &principal),
-                Response::Blobs,
-            ),
             Request::RevokeGrants { stream, principal } => {
-                let _stripe = self.stripes.lock(stream, Mutex::lock);
-                ok_or(self.keystore().revoke_grants(stream, &principal), acked)
+                ok_or(self.revoke_grants(stream, &principal), acked)
             }
             Request::PutEnvelopes {
                 stream,
                 resolution,
                 envelopes,
-            } => {
-                let _stripe = self.stripes.lock(stream, Mutex::lock);
-                ok_or(
-                    self.keystore()
-                        .put_envelopes(stream, resolution, &envelopes),
-                    acked,
-                )
-            }
+            } => ok_or(self.put_envelopes(stream, resolution, &envelopes), acked),
             Request::GetEnvelopes {
                 stream,
                 resolution,
                 lo,
                 hi,
             } => ok_or(
-                self.keystore().get_envelopes(stream, resolution, lo, hi),
+                self.get_envelopes(stream, resolution, lo, hi),
                 Response::Envelopes,
             ),
             Request::PutAttestation {
@@ -1769,9 +1750,9 @@ mod tests {
     fn delete_stream_purges_everything() {
         let s = server();
         ingest(&s, 4);
-        s.keystore().put_grant(1, "alice", b"blob").unwrap();
-        s.keystore().put_envelopes(1, 6, &[(0, vec![1])]).unwrap();
-        s.keystore().put_grant(2, "alice", b"other").unwrap();
+        s.put_grant(1, "alice", b"blob").unwrap();
+        s.put_envelopes(1, 6, &[(0, vec![1])]).unwrap();
+        s.put_grant(2, "alice", b"other").unwrap();
         s.delete_stream(1).unwrap();
         assert!(matches!(
             s.stream_info(1),
@@ -1780,7 +1761,7 @@ mod tests {
         for head in keys::of_stream(1) {
             assert!(s.kv().scan_keys(&head).unwrap().is_empty());
         }
-        assert_eq!(s.keystore().get_grants(2, "alice").unwrap().len(), 1);
+        assert_eq!(s.get_grants(2, "alice").unwrap().len(), 1);
         // Stream can be recreated from scratch.
         s.create_stream(1, 0, 10_000, 3).unwrap();
         assert_eq!(s.stream_info(1).unwrap().len, 0);
@@ -1963,20 +1944,14 @@ mod tests {
         }
     }
 
-    /// Two `PutGrant`s for one principal, the first parked in its put:
+    /// Two grants for one principal, the first parked in its put:
     /// the second counts the grants only after the first is stored, so
     /// both are kept.
     #[test]
     fn racing_grants_of_one_principal_are_both_kept() {
         let kv = ParkingKv::new(&keys::grant(1, "alice", 0), true);
         let s = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
-        let grant = |blob: &[u8]| {
-            s.handle(Request::PutGrant {
-                stream: 1,
-                principal: "alice".into(),
-                blob: blob.to_vec(),
-            })
-        };
+        let grant = |blob: &[u8]| s.put_grant(1, "alice", blob);
         kv.arm();
         std::thread::scope(|scope| {
             let first = scope.spawn(|| grant(b"g0"));
@@ -1989,10 +1964,10 @@ mod tests {
                 early.is_err(),
                 "the second grant did not wait for the first"
             );
-            assert_eq!(first.join().unwrap(), Response::Ok);
-            assert_eq!(second.recv().unwrap(), Response::Ok);
+            first.join().unwrap().unwrap();
+            second.recv().unwrap().unwrap();
         });
-        let grants = s.keystore().get_grants(1, "alice").unwrap();
+        let grants = s.get_grants(1, "alice").unwrap();
         assert_eq!(grants, [b"g0".to_vec(), b"g1".to_vec()]);
     }
 
@@ -2075,7 +2050,7 @@ mod tests {
         ingest(&survivor, 40);
         // More keys than one store scan reads, so pages cross scans.
         let envelopes: Vec<(u64, Vec<u8>)> = (0..3000).map(|i| (i, vec![i as u8; 3])).collect();
-        survivor.keystore().put_envelopes(1, 6, &envelopes).unwrap();
+        survivor.put_envelopes(1, 6, &envelopes).unwrap();
         let (pages, chunks) = copy_pages(&survivor, &replica, 4096);
         assert!(pages > 10, "{pages} pages");
         assert_eq!(chunks, 40);

@@ -2,26 +2,22 @@
 //!
 //! "Access tokens are encrypted with the principal's public key (hybrid
 //! encryption) and stored at the server's key-store" (§3.2). The server
-//! treats all of this as bytes; it cannot open grants or envelopes.
+//! treats all of this as bytes; it cannot open grants or envelopes. The
+//! key store is these five calls on the engine: each write holds the
+//! stream's stripe, as every call that changes a stream's records does.
 
+use crate::engine::TimeCryptServer;
+use parking_lot::Mutex;
 use timecrypt_index::keys;
-use timecrypt_store::{KvStore, StoreError, WriteOp};
+use timecrypt_store::{StoreError, WriteOp};
 
-/// Key-store facade over the shared KV.
-pub struct KeyStore<'a> {
-    kv: &'a dyn KvStore,
-}
-
-impl<'a> KeyStore<'a> {
-    /// Wraps the server's KV store.
-    pub fn new(kv: &'a dyn KvStore) -> Self {
-        KeyStore { kv }
-    }
-
+impl TimeCryptServer {
     /// Appends a grant blob for `(stream, principal)`. Grants accumulate;
     /// each carries its own scope inside the sealed bytes. A count, then a
-    /// put: the engine's dispatch runs it under the stream's stripe.
+    /// put, both under the stream's stripe: of two racing grants of one
+    /// principal, the second counts the first.
     pub fn put_grant(&self, stream: u128, principal: &str, blob: &[u8]) -> Result<(), StoreError> {
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
         let seq = self
             .kv
             .scan_keys(&keys::grant_prefix(stream, principal))?
@@ -44,6 +40,7 @@ impl<'a> KeyStore<'a> {
     /// already-downloaded old-data keys remain usable, §3.3).
     /// One batch: a store fault leaves every grant in place.
     pub fn revoke_grants(&self, stream: u128, principal: &str) -> Result<usize, StoreError> {
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
         let hits = self.kv.scan_keys(&keys::grant_prefix(stream, principal))?;
         let ops: Vec<WriteOp<'_>> = hits.iter().map(|key| WriteOp::Delete { key }).collect();
         self.kv.write_batch(&ops)?;
@@ -58,6 +55,7 @@ impl<'a> KeyStore<'a> {
         resolution: u64,
         envelopes: &[(u64, Vec<u8>)],
     ) -> Result<(), StoreError> {
+        let _stripe = self.stripes.lock(stream, Mutex::lock);
         let keys: Vec<Vec<u8>> = envelopes
             .iter()
             .map(|(index, _)| keys::envelope(stream, resolution, *index))
@@ -103,13 +101,17 @@ impl<'a> KeyStore<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{ServerConfig, TimeCryptServer};
+    use std::sync::Arc;
     use timecrypt_store::MemKv;
+
+    fn server() -> TimeCryptServer {
+        TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap()
+    }
 
     #[test]
     fn grants_accumulate_in_order() {
-        let kv = MemKv::new();
-        let ks = KeyStore::new(&kv);
+        let ks = server();
         ks.put_grant(1, "alice", b"g0").unwrap();
         ks.put_grant(1, "alice", b"g1").unwrap();
         ks.put_grant(1, "bob", b"h0").unwrap();
@@ -123,8 +125,7 @@ mod tests {
 
     #[test]
     fn revocation_clears_grants() {
-        let kv = MemKv::new();
-        let ks = KeyStore::new(&kv);
+        let ks = server();
         ks.put_grant(1, "alice", b"g0").unwrap();
         ks.put_grant(1, "alice", b"g1").unwrap();
         assert_eq!(ks.revoke_grants(1, "alice").unwrap(), 2);
@@ -133,8 +134,7 @@ mod tests {
 
     #[test]
     fn envelope_window_fetch() {
-        let kv = MemKv::new();
-        let ks = KeyStore::new(&kv);
+        let ks = server();
         let envs: Vec<(u64, Vec<u8>)> = (0..10u64).map(|i| (i, vec![i as u8])).collect();
         ks.put_envelopes(1, 6, &envs).unwrap();
         let got = ks.get_envelopes(1, 6, 3, 7).unwrap();
@@ -151,8 +151,7 @@ mod tests {
     fn full_range_window_returns_the_stored_envelopes_promptly() {
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let kv = MemKv::new();
-            let ks = KeyStore::new(&kv);
+            let ks = server();
             let envs = vec![(0, vec![1]), (7, vec![]), (u64::MAX, vec![2, 3])];
             ks.put_envelopes(1, 6, &envs).unwrap();
             // Neighbouring namespaces that must not leak into the reply.

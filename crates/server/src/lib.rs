@@ -57,7 +57,7 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod engine;
-pub mod keystore;
+mod keystore;
 pub mod stat;
 
 pub use engine::{ResidencyStats, ServerConfig, ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};

@@ -8,7 +8,6 @@ use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::faults::{FaultPlan, FaultyKv, OpKind, StoreFault, StoreRule, Trigger};
 use timecrypt::index::keys;
-use timecrypt::server::keystore::KeyStore;
 use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
 use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
 use timecrypt::store::{KvStore, MemKv};
@@ -131,12 +130,12 @@ fn corrupted_grant_blob_fails_closed() {
         .grant_access(&mut t, "c", c.public_key(), 0, 10_000)
         .unwrap();
     // The server corrupts the stored grant.
-    let blobs = server.keystore().get_grants(11, "c").unwrap();
+    let blobs = server.get_grants(11, "c").unwrap();
     let mut bad = blobs[0].clone();
     let last = bad.len() - 1;
     bad[last] ^= 1;
-    server.keystore().revoke_grants(11, "c").unwrap();
-    server.keystore().put_grant(11, "c", &bad).unwrap();
+    server.revoke_grants(11, "c").unwrap();
+    server.put_grant(11, "c", &bad).unwrap();
     assert!(c.sync_grants(&mut t, cfg.id).is_err(), "ECIES must reject");
 }
 
@@ -151,13 +150,10 @@ fn corrupted_envelope_fails_closed() {
         .grant_resolution_access(&mut t, "c", c.public_key(), 0, 120_000, 6)
         .unwrap();
     // Corrupt one stored envelope before the consumer syncs.
-    let envs = server.keystore().get_envelopes(11, 6, 0, 10).unwrap();
+    let envs = server.get_envelopes(11, 6, 0, 10).unwrap();
     let (idx, mut blob) = envs[0].clone();
     blob[0] ^= 1;
-    server
-        .keystore()
-        .put_envelopes(11, 6, &[(idx, blob)])
-        .unwrap();
+    server.put_envelopes(11, 6, &[(idx, blob)]).unwrap();
     assert!(
         c.sync_grants(&mut t, cfg.id).is_err(),
         "AEAD must reject the envelope"
@@ -366,8 +362,8 @@ fn faulted_put_envelopes_leaves_nothing_behind() {
     let mut faulted = 0;
     // Fail the k-th store write the call issues, for every k it could reach.
     for k in 0..envs.len() as u64 {
-        let kv = FaultyKv::new(MemKv::new(), FaultPlan::quiet());
-        let ks = KeyStore::new(&kv);
+        let kv = Arc::new(FaultyKv::new(MemKv::new(), FaultPlan::quiet()));
+        let ks = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
         ks.put_envelopes(11, 6, &[(9, vec![9])]).unwrap();
         fail_nth(&kv, OpKind::Put, b"e/", k);
         let result = ks.put_envelopes(11, 6, &envs);
@@ -394,8 +390,8 @@ fn faulted_revoke_grants_leaves_every_grant_in_place() {
     let mut faulted = 0;
     // Op 0 of the call is its key scan; the writes follow.
     for k in 1..=grants.len() as u64 {
-        let kv = FaultyKv::new(MemKv::new(), FaultPlan::quiet());
-        let ks = KeyStore::new(&kv);
+        let kv = Arc::new(FaultyKv::new(MemKv::new(), FaultPlan::quiet()));
+        let ks = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
         for blob in grants {
             ks.put_grant(11, "c", blob).unwrap();
         }
