@@ -7,7 +7,7 @@
 //! the paper does for the comparison ("This results in an overhead of 53 ms
 //! per chunk (80-bit security), considering only one attribute", "to
 //! decrypt, ABE requires 13 ms per chunk"). The TimeCrypt side of the
-//! comparison is measured for real; see DESIGN.md §5.
+//! comparison is measured for real.
 
 use std::time::Duration;
 

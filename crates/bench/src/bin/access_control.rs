@@ -3,7 +3,8 @@
 //!
 //! TimeCrypt numbers are measured; ABE numbers replay the paper's published
 //! constants (53 ms/chunk grant, 13 ms/chunk decrypt at 80-bit security
-//! with one attribute) — see DESIGN.md §5.
+//! with one attribute), as the paper's own comparison does; the reason is
+//! in `baselines/abe.rs`.
 //!
 //! ```sh
 //! cargo run -p timecrypt-bench --release --bin access_control

@@ -5,8 +5,9 @@
 //! Paillier-1024, P-256, TimeCrypt with a 2^30-key hash tree, exactly the
 //! paper's setting). The IoT column is *modeled* by scaling the measured
 //! laptop cost with the per-primitive IoT/laptop ratios from the paper's
-//! own Table 3 (OpenMote, 32-bit ARM M3 @ 32 MHz) — see DESIGN.md §5 for
-//! why this substitution preserves the comparison.
+//! own Table 3 (OpenMote, 32-bit ARM M3 @ 32 MHz): there is no such board
+//! to run on, and scaling each scheme's own measured cost by the paper's
+//! ratio for its primitive keeps the comparison between schemes.
 //!
 //! ```sh
 //! cargo run -p timecrypt-bench --release --bin table3
