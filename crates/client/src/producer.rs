@@ -63,20 +63,20 @@ impl Outbox {
 
     /// Feeds one point to the builder and seals *everything* it completes
     /// (a point that skips chunk windows completes several at once) before
-    /// anything is sent.
+    /// anything is sent. Every point pushed takes this path, and most
+    /// complete nothing.
     fn push(&mut self, point: DataPoint) -> Result<(), ClientFault> {
         let done = self.builder.push(point).map_err(chunk_fault)?;
+        if done.is_empty() {
+            return Ok(());
+        }
         self.seal(done)
     }
 
     /// Sends queued chunks, oldest first: while a whole request's worth is
-    /// queued, or with `all` until none is. A request carries the first
-    /// chunks of the queue (one `Insert`, or an `InsertBatch` of at most a
-    /// batch, which keeps a queue grown during an outage under the
-    /// transport's frame cap), and they stay queued while it is out. The
-    /// chunks the server stored then leave the queue, each handed to
-    /// `acked`; after a fault, a malformed reply or a refusal, the rest
-    /// stay at its front, in order.
+    /// queued, or with `all` until none is; each chunk the server stored is
+    /// handed to `acked`.
+    #[inline]
     fn ship<T: Transport>(
         &mut self,
         transport: &mut T,
@@ -85,56 +85,74 @@ impl Outbox {
     ) -> Result<(), ClientFault> {
         let size = self.batch.unwrap_or(1);
         while self.queue.len() >= size || all && !self.queue.is_empty() {
-            let window = self.queue.len().min(size);
-            let mut taken = self.queue[..window].iter_mut().map(std::mem::take);
-            let req = match self.batch {
-                Some(_) => Request::InsertBatch {
-                    chunks: taken.collect(),
-                },
-                None => Request::Insert {
-                    chunk: taken.next().unwrap_or_default(),
-                },
-            };
-            let reply = transport.call(&req);
-            match req {
-                Request::InsertBatch { chunks } => {
-                    self.queue.iter_mut().zip(chunks).for_each(|(q, c)| *q = c)
-                }
-                Request::Insert { chunk } => self.queue[0] = chunk,
-                _ => {}
-            }
-            // The error list is server-controlled: a well-formed reply has
-            // at most one entry per chunk, each within the request.
-            let errors = match (reply?, self.batch) {
-                (Response::Ok, None) => Vec::new(),
-                (Response::Batch { errors }, Some(_)) => errors,
-                (_, None) => return Err(ClientFault::Protocol("Ok")),
-                (_, Some(_)) => return Err(ClientFault::Protocol("Batch")),
-            };
-            if errors.len() > window || errors.iter().any(|&(idx, _)| idx as usize >= window) {
-                return Err(ClientFault::Protocol("Batch within bounds"));
-            }
-            self.batches_sent += 1;
-            let (mut at, mut fault) = (0, Ok(()));
-            self.queue.retain(|chunk| {
-                at += 1;
-                let stored = at <= window && !errors.iter().any(|&(idx, _)| idx as usize == at - 1);
-                if stored {
-                    self.chunks_sent += 1;
-                    if fault.is_ok() {
-                        fault = acked(chunk);
-                    }
-                }
-                !stored
-            });
-            fault?;
-            if let Some((idx, msg)) = errors.into_iter().next() {
-                return Err(ClientFault::Chunk(format!(
-                    "batch chunk {idx} rejected: {msg}"
-                )));
-            }
+            self.send(transport, self.queue.len().min(size), &mut acked)?;
         }
         Ok(())
+    }
+
+    /// Sends the first `window` queued chunks in one request: one `Insert`,
+    /// or an `InsertBatch` of at most a batch, which keeps a queue grown
+    /// during an outage under the transport's frame cap. They stay queued
+    /// while it is out. The chunks the server stored then leave the queue;
+    /// after a fault, a malformed reply or a refusal, the rest stay at its
+    /// front, in order. Kept out of line: it runs once a request, while
+    /// `ship`'s check runs once a point, and inlined into the push path it
+    /// made pushing a point measurably slower.
+    #[inline(never)]
+    fn send<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        window: usize,
+        acked: &mut impl FnMut(&[u8]) -> Result<(), ClientFault>,
+    ) -> Result<(), ClientFault> {
+        let mut taken = self.queue[..window].iter_mut().map(std::mem::take);
+        let req = match self.batch {
+            Some(_) => Request::InsertBatch {
+                chunks: taken.collect(),
+            },
+            None => Request::Insert {
+                chunk: taken.next().unwrap_or_default(),
+            },
+        };
+        let reply = transport.call(&req);
+        match req {
+            Request::InsertBatch { chunks } => {
+                self.queue.iter_mut().zip(chunks).for_each(|(q, c)| *q = c)
+            }
+            Request::Insert { chunk } => self.queue[0] = chunk,
+            _ => {}
+        }
+        // The error list is server-controlled: a well-formed reply has at
+        // most one entry per chunk, each within the request.
+        let errors = match (reply?, self.batch) {
+            (Response::Ok, None) => Vec::new(),
+            (Response::Batch { errors }, Some(_)) => errors,
+            (_, None) => return Err(ClientFault::Protocol("Ok")),
+            (_, Some(_)) => return Err(ClientFault::Protocol("Batch")),
+        };
+        if errors.len() > window || errors.iter().any(|&(idx, _)| idx as usize >= window) {
+            return Err(ClientFault::Protocol("Batch within bounds"));
+        }
+        self.batches_sent += 1;
+        let (mut at, mut fault) = (0, Ok(()));
+        self.queue.retain(|chunk| {
+            at += 1;
+            let stored = at <= window && !errors.iter().any(|&(idx, _)| idx as usize == at - 1);
+            if stored {
+                self.chunks_sent += 1;
+                if fault.is_ok() {
+                    fault = acked(chunk);
+                }
+            }
+            !stored
+        });
+        fault?;
+        match errors.into_iter().next() {
+            Some((idx, msg)) => Err(ClientFault::Chunk(format!(
+                "batch chunk {idx} rejected: {msg}"
+            ))),
+            None => Ok(()),
+        }
     }
 }
 
