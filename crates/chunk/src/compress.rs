@@ -10,9 +10,9 @@
 //!
 //! Encoded layout: the codec byte `1`, the point count (varint), then per
 //! point the zigzag varints of its timestamp's and its value's difference
-//! from the previous point (from zero for the first). The leading byte is
-//! delta coding's id from when the crate had other codecs; a payload that
-//! leads with any other byte is refused.
+//! from the previous point (from zero for the first). The leading byte
+//! keeps every stored chunk's bytes as they are; a payload that leads with
+//! any other byte is refused.
 
 use crate::model::DataPoint;
 
