@@ -60,9 +60,10 @@ fn halves(mut push: impl FnMut(DataPoint) -> (u64, u64)) -> [(u64, u64); 2] {
 
 /// Key derivation per chunk sealed in order, through each producer, and
 /// the sealed payload bytes of a chunk of 6 and of 500 fixed points: rows
-/// of the root `BENCH_ledger.json`. The guard itself asserts only that the
-/// cost does not grow with the stream: the second half of the chunks
-/// costs no more than the first.
+/// of the root `BENCH_ledger.json`. This test asserts only that the cost
+/// does not grow with the stream: the second half of the chunks costs no
+/// more than the first. The two `sequential_chunks_*` tests below hold the
+/// per-chunk bounds.
 #[test]
 fn in_order_sealing_costs_the_same_per_chunk_at_any_length() {
     let (mut t, cfg, owner) = setup(1);
@@ -116,6 +117,87 @@ fn in_order_sealing_costs_the_same_per_chunk_at_any_length() {
         rows.push((row, sealed.payload.len().to_string()));
     }
     common::ledger(&rows);
+}
+
+#[test]
+fn sequential_chunks_cost_about_two_prg_calls_each() {
+    let (mut t, cfg, owner) = setup(1);
+    let mut single = Producer::new(
+        cfg.clone(),
+        owner.provision_producer(),
+        SecureRandom::from_seed_insecure(2),
+    );
+    // The second point closes chunk 0: one walk to leaf 0, one edge to 1.
+    for p in points(0..2) {
+        single.push(&mut t, p).unwrap();
+    }
+    assert_eq!(single.chunks_sent(), 1);
+    assert!(single.prg_calls() <= HEIGHT + 2, "{}", single.prg_calls());
+    for p in points(2..CHUNKS + 1) {
+        single.push(&mut t, p).unwrap();
+    }
+    assert_eq!(single.chunks_sent(), CHUNKS);
+    let per_chunk = single.prg_calls() as f64 / CHUNKS as f64;
+    assert!(
+        per_chunk <= 2.1,
+        "Producer: {per_chunk} PRG calls per chunk"
+    );
+
+    let (mut t, cfg, owner) = setup(2);
+    let mut batching = BatchingProducer::new(
+        cfg,
+        owner.provision_producer(),
+        SecureRandom::from_seed_insecure(2),
+        16,
+    );
+    for p in points(0..CHUNKS) {
+        batching.push(&mut t, p).unwrap();
+    }
+    batching.flush(&mut t).unwrap();
+    assert_eq!(batching.chunks_sent(), CHUNKS);
+    let per_chunk_batched = batching.prg_calls() as f64 / CHUNKS as f64;
+    assert!(
+        per_chunk_batched <= 2.1,
+        "BatchingProducer: {per_chunk_batched} PRG calls per chunk"
+    );
+    println!(
+        "PRG calls per sealed chunk: {per_chunk:.3} through Producer, {per_chunk_batched:.3} \
+         through BatchingProducer ({CHUNKS} sequential chunks, tree height {HEIGHT}; two walks \
+         from the root are {})",
+        2 * HEIGHT
+    );
+}
+
+/// The digest keys of chunk `i` are `k_i − k_{i+1}`, each a PRF keyed by
+/// one leaf (one AES key schedule, one block per digest element). A sealer
+/// carries the evaluated `k_{i+1}` into chunk `i + 1`, so in ingest order a
+/// chunk expands one leaf, not two.
+#[test]
+fn sequential_chunks_cost_one_element_key_expansion_each() {
+    let cfg = StreamConfig::new(6, "m", 0, DELTA_MS as u64);
+    let width = cfg.schema.width() as u64;
+    assert_eq!(width, 19, "the standard digest");
+    let keys = StreamKeyMaterial::new(6, [6; 16]).unwrap();
+    let mut sealer = ChunkSealer::new(&cfg, &keys);
+    let mut rng = SecureRandom::from_seed_insecure(4);
+    for index in 0..CHUNKS {
+        let chunk = PlainChunk {
+            stream: 6,
+            index,
+            points: points(index..index + 1).collect(),
+        };
+        sealer.seal(&chunk, &mut rng).unwrap();
+        // Every expansion evaluates exactly `width` blocks, so the block
+        // count is the key-schedule count: two for the first chunk, one
+        // for each chunk after it.
+        assert_eq!(sealer.prf_blocks(), (index + 2) * width, "chunk {index}");
+    }
+    println!(
+        "element-key blocks per sealed chunk: {:.3} ({CHUNKS} sequential chunks, digest width \
+         {width}; one AES key schedule each; both boundaries expanded are {})",
+        sealer.prf_blocks() as f64 / CHUNKS as f64,
+        2 * width
+    );
 }
 
 #[test]
