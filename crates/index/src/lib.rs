@@ -11,7 +11,7 @@
 //! `timecrypt-bench`.
 //!
 //! Records go through any [`timecrypt_store::KvStore`], with a cache of the
-//! running sums queries read twice in front, sized in bytes (the Fig. 7
+//! running sums queries re-read in front, capped in bytes (the Fig. 7
 //! "tiny 1 MB cache" experiment shrinks it to force misses). Record keys
 //! are computed from `(stream, chunk)` — no stored references (§4.6) — by
 //! [`keys`], which declares the key of every record a stream owns.

@@ -27,9 +27,11 @@
 //! **A resident index is `(len, P_{len−1})`.** [`AggTree::open`] finds the
 //! length by [`stored_chunk_count`] (O(log n) key probes, no value read)
 //! and reads the one record `len − 1`. The boundary cache holds other
-//! running sums queries read twice, within [`TreeConfig::cache_bytes`],
-//! charged exactly what it holds of the heap; only those reads fill it, and
-//! the first builds it.
+//! running sums queries read: a sum's second store read admits it, and the
+//! cache grows past a floor of a few sums only when a sum it evicted is
+//! read again, so its memory follows the sums queries re-read, up to
+//! [`TreeConfig::cache_bytes`], charged exactly what it holds of the heap.
+//! Only those reads fill it, and the first builds it.
 //!
 //! **Commit = one batch.** An append — one chunk or a run — hands its
 //! records to the store as one [`KvStore::write_batch`]: all of it or none
@@ -61,11 +63,13 @@ use timecrypt_store::{KvStore, StoreError, WriteOp};
 /// Index parameters.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
-    /// Heap budget in bytes of the boundary cache, charged exactly: the
-    /// running sums it keeps — each from its second store read on — their
-    /// map, and a bit per chunk read once; `0` caches nothing. Split across
-    /// lock segments (one per 64 KiB, 1–8) that the index's first read
-    /// builds. Fig. 7's "small cache" variant uses 1 MB.
+    /// Heap budget in bytes of the boundary cache, a hard cap charged
+    /// exactly: the running sums it keeps, their map, and two bits per chunk
+    /// read (read before; evicted since); `0` caches nothing. A sum's second
+    /// store read admits it, and the cache grows only when a sum it evicted
+    /// is read again, so it holds the sums queries re-read, within this.
+    /// Split across lock segments (one per 64 KiB, 1–8) that the index's
+    /// first read builds. Fig. 7's "small cache" variant uses 1 MB.
     pub cache_bytes: usize,
 }
 
@@ -131,7 +135,8 @@ pub struct TreeStats {
     /// Boundary-cache misses (store reads).
     pub cache_misses: u64,
     /// Heap bytes the cache holds — its sums and their map, and the bits of
-    /// the chunks read once — within [`TreeConfig::cache_bytes`].
+    /// the chunks read and of the sums evicted — within
+    /// [`TreeConfig::cache_bytes`].
     pub cache_used_bytes: usize,
     /// Total serialized bytes (key + value) of the stream's index records:
     /// its level-0 records and its decay cutoffs.
@@ -177,7 +182,7 @@ const MAX_SEGMENTS: usize = 8;
 const MIN_SEGMENT_BYTES: usize = 64 * 1024;
 
 /// The segmented boundary cache, a [`Slab`] per segment: filled only by a
-/// query's second store read of a sum; the first read builds the segments.
+/// query's later store reads of a sum; the first read builds the segments.
 #[derive(Default)]
 struct PrefixCache {
     budget_bytes: usize,
@@ -197,12 +202,8 @@ impl PrefixCache {
             let segments = (self.budget_bytes / MIN_SEGMENT_BYTES).clamp(1, MAX_SEGMENTS);
             // Rounded down: the segments together never hold more than the budget.
             let budget = self.budget_bytes / segments;
-            let slab = || Slab {
-                budget,
-                ..Slab::default()
-            };
             (0..segments)
-                .map(|_| Ranked::new(Mutex::new(slab())))
+                .map(|_| Ranked::new(Mutex::new(Slab::new(budget))))
                 .collect()
         });
         let n = segments.len() as u64;
@@ -212,8 +213,10 @@ impl PrefixCache {
     /// `f` of the running sum through chunk `index`, under its segment's
     /// lock, if it is cached; counts the lookup.
     fn with<R>(&self, index: u64, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let built = self.built.get();
-        let hit = built.and_then(|_| self.segment(index).0.lock(Mutex::lock).get(index).map(f));
+        let hit = self.built.get().and_then(|_| {
+            let (segment, bit) = self.segment(index);
+            segment.lock(Mutex::lock).get(bit).map(f)
+        });
         let (tree, process) = match hit {
             Some(_) => (&self.hits, &counters::INDEX_NODE_CACHE_HITS),
             None => (&self.misses, &counters::INDEX_NODE_CACHE_MISSES),
@@ -230,7 +233,7 @@ impl PrefixCache {
             let (segment, bit) = self.segment(index);
             let mut slab = segment.lock(Mutex::lock);
             if slab.mark(bit) {
-                slab.admit(index, prefix);
+                slab.admit(bit, prefix);
             }
         }
     }
@@ -238,12 +241,16 @@ impl PrefixCache {
     /// (hits, misses, bytes charged across segments).
     fn stats(&self) -> (u64, u64, usize) {
         let segments = self.built.get().into_iter().flatten();
-        let used = segments.map(|s| s.lock(Mutex::lock).charged()).sum();
+        let used = segments.map(|s| s.lock(Mutex::lock).charged).sum();
         (self.hits.get(), self.misses.get(), used)
     }
 }
 
+/// Fewest slots a slab that admits anything holds, budget permitting.
+const FLOOR: usize = 7;
+
 /// One segment's running sums, within its budget of heap, charged exactly.
+/// A segment's `i`-th chunk is its bit `i` and its key in the slab.
 ///
 /// **Admission on second read**, TinyLFU's doorkeeper made exact by dense
 /// keys: a store read sets the chunk's bit in `seen`, and only a read that
@@ -251,9 +258,15 @@ impl PrefixCache {
 ///
 /// **A slab, evicted by CLOCK.** A hit sets its slot's reference bit; no
 /// hit or admission reorders, boxes or frees. A full slab admits into the
-/// first slot from the hand whose bit is clear, clearing those it passes.
-/// Room grows by a quarter as far as the budget affords, and shrinks as
-/// `seen` grows.
+/// first slot from the hand whose bit is clear, clearing those it passes,
+/// and sets the evicted chunk's bit in `ghost`.
+///
+/// **Sized by its ghost hits** (CAR's rule, Bansal & Modha, FAST 2004): an
+/// admission that finds its own `ghost` bit set — a sum evicted, then read
+/// again — clears it and grows the slab by a quarter, as far as the budget
+/// affords; any other admission into a full slab replaces the victim in
+/// place. So the slab holds the sums queries re-read, from a floor of
+/// [`FLOOR`] slots, and shrinks as the bits grow.
 #[derive(Default)]
 struct Slab {
     budget: usize,
@@ -270,30 +283,44 @@ struct Slab {
     hand: usize,
     /// Bit `i % 64` of word `i / 64`: the segment's `i`-th chunk was read.
     seen: Vec<u64>,
+    /// As `seen`, and as long: the chunk's sum was evicted since it was
+    /// last admitted.
+    ghost: Vec<u64>,
+    /// [`Slab::cost`] of `room`, as the process gauge holds it.
+    charged: usize,
 }
 
 impl Slab {
+    fn new(budget: usize) -> Slab {
+        let mut slab = Slab::default();
+        slab.budget = budget;
+        slab
+    }
+
     fn get(&mut self, chunk: u64) -> Option<&[u8]> {
         let slot = *self.slots.get(&chunk)? as usize;
         self.referenced[slot] = true;
         Some(&self.sums[slot * self.stride..][..self.stride])
     }
 
-    /// Sets `bit` of `seen`; true if it was set. The bits come first in the
-    /// budget, and one it cannot hold at all is never set.
+    /// Sets `bit` of `seen`; true if it was set. The bits, both maps of
+    /// them, come first in the budget, and one it cannot hold at all is
+    /// never set.
     fn mark(&mut self, bit: u64) -> bool {
         let word = usize::try_from(bit / 64).unwrap_or(usize::MAX);
         if word >= self.seen.len() {
-            let words = (word.min(self.budget / 8) + 1).next_power_of_two();
-            if words > self.budget / 8 {
+            let most = self.budget / 16;
+            let words = (word.min(most) + 1).next_power_of_two();
+            if words > most {
                 return false;
             }
-            exact(&mut self.seen, words);
-            self.seen.resize(words, 0);
+            for bits in [&mut self.seen, &mut self.ghost] {
+                exact(bits, words);
+                bits.resize(words, 0);
+            }
             self.resize(self.room.min(self.most()));
         }
-        let (at, mask) = (&mut self.seen[word], 1 << (bit % 64));
-        std::mem::replace(at, *at | mask) & mask != 0
+        flip(&mut self.seen, bit, true)
     }
 
     fn admit(&mut self, chunk: u64, sum: &[u8]) {
@@ -304,9 +331,10 @@ impl Slab {
         if sum.len() != self.stride {
             return;
         }
-        if len == self.room {
+        let ghost = flip(&mut self.ghost, chunk, false);
+        if len == self.room && (ghost || len < FLOOR) {
             // By a quarter, so that a fifth of the slab at most lies unused.
-            self.resize((len + len / 4).max(7).min(self.most()).max(len));
+            self.resize((len + len / 4).max(FLOOR).min(self.most()).max(len));
         }
         let slot = if len < self.room {
             self.chunks.push(chunk);
@@ -317,8 +345,9 @@ impl Slab {
             let Some(slot) = self.victim() else {
                 return;
             };
-            self.slots.remove(&self.chunks[slot]);
-            self.chunks[slot] = chunk;
+            let evicted = std::mem::replace(&mut self.chunks[slot], chunk);
+            self.slots.remove(&evicted);
+            flip(&mut self.ghost, evicted, true);
             self.sums[slot * self.stride..][..self.stride].copy_from_slice(sum);
             slot
         };
@@ -337,7 +366,8 @@ impl Slab {
         })
     }
 
-    /// Allocates `room` slots exactly, dropping the sums of any past it.
+    /// Allocates `room` slots exactly, dropping the sums of any past it, and
+    /// moves the process gauge by what the slab's charge changed.
     fn resize(&mut self, room: usize) {
         if room != self.room {
             self.chunks.truncate(room);
@@ -350,12 +380,16 @@ impl Slab {
             self.slots.extend(self.chunks.iter().copied().zip(0..));
             self.room = room;
         }
+        let now = self.cost(room);
+        let was = std::mem::replace(&mut self.charged, now);
+        counters::INDEX_BOUNDARY_CACHE_BYTES.add((now as u64).wrapping_sub(was as u64));
     }
 
     /// Heap bytes with `room` slots: a sum, a chunk and a reference bit
-    /// each, a map made for twice as many, and the bits.
+    /// each, a map made for twice as many, and both maps of bits.
     fn cost(&self, room: usize) -> usize {
-        room * (self.stride + 9) + map_bytes(2 * room) + 8 * self.seen.capacity()
+        let bits = self.seen.capacity() + self.ghost.capacity();
+        room * (self.stride + 9) + map_bytes(2 * room) + 8 * bits
     }
 
     /// The most slots the budget affords.
@@ -370,10 +404,24 @@ impl Slab {
         }
         lo
     }
+}
 
-    fn charged(&self) -> usize {
-        self.cost(self.room)
+/// A stream's eviction drops its slabs: the gauge loses their charge.
+impl Drop for Slab {
+    fn drop(&mut self) {
+        counters::INDEX_BOUNDARY_CACHE_BYTES.sub(self.charged as u64);
     }
+}
+
+/// Sets bit `i` of `bits` to `to`; whether it was set. `i` is within them.
+fn flip(bits: &mut [u64], i: u64, to: bool) -> bool {
+    let (word, mask) = (&mut bits[(i / 64) as usize], 1 << (i % 64));
+    let was = *word & mask != 0;
+    match to {
+        true => *word |= mask,
+        false => *word &= !mask,
+    }
+    was
 }
 
 /// What a `HashMap<u64, u32>` made for `n` entries allocates: a power of
@@ -895,36 +943,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_cache_still_correct() {
-        // A 200-byte cache holds one running sum beside its bits: every
-        // query hammers the store but answers stay exact (Fig. 7
-        // small-cache shape).
-        let kv = Arc::new(MemKv::new());
-        let t: AggTree<Vec<u64>> = AggTree::open(kv, 3, TreeConfig { cache_bytes: 200 }).unwrap();
-        fill(&t, 200);
-        for (a, b) in [(0u64, 199u64), (17, 113), (198, 199), (17, 113), (17, 50)] {
-            assert_eq!(t.query(a, b).unwrap(), naive_sum(a, b));
-        }
-        // 198, 112 and 16 are admitted on their second reads, each in the
-        // one slot: the last query finds 16 there.
-        let stats = t.stats().unwrap();
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 8));
-        // Four words of bits; one slot of 16 + 9 bytes and a map of 4 buckets.
-        assert_eq!(stats.cache_used_bytes, 32 + 25 + 4 * 17 + 16);
-        // A small budget is one segment; one with room is segmented.
-        let segments = |budget_bytes| {
-            let cache = PrefixCache {
-                budget_bytes,
-                ..PrefixCache::default()
-            };
-            cache.segment(0);
-            cache.built.get().unwrap().len()
-        };
-        assert_eq!(segments(1 << 20), MAX_SEGMENTS);
-        assert_eq!(segments(200 << 10), 3);
-    }
-
-    #[test]
     fn a_zero_budget_holds_no_sum_and_no_bits() {
         let t: AggTree<Vec<u64>> =
             AggTree::open(Arc::new(MemKv::new()), 1, TreeConfig { cache_bytes: 0 }).unwrap();
@@ -967,49 +985,104 @@ mod tests {
         assert!(hits.get() > process.0 && misses.get() > process.1);
     }
 
-    #[test]
-    fn the_slab_evicts_by_clock_and_charges_within_its_budget() {
-        // Room for four sums of one word: admitted on second reads, found
-        // on the third, and a referenced slot outlives a cold one.
-        let mut slab = Slab {
-            budget: 8 + 4 * (8 + 9) + map_bytes(8),
-            ..Slab::default()
-        };
-        fn read_as(slab: &mut Slab, chunk: u64, sum: &[u8]) {
-            if slab.mark(chunk) {
-                slab.admit(chunk, sum);
-            }
+    /// A query's read of chunk `chunk`'s one-word sum, as `PrefixCache`
+    /// makes it: from the slab, else from the store, marking or admitting
+    /// it. True on a hit.
+    fn read(slab: &mut Slab, chunk: u64) -> bool {
+        let hit = slab.get(chunk).is_some();
+        if !hit && slab.mark(chunk) {
+            slab.admit(chunk, &chunk.to_le_bytes());
         }
-        let read = |slab: &mut Slab, chunk: u64| {
-            if slab.get(chunk).is_none() {
-                read_as(slab, chunk, &chunk.to_le_bytes());
-            }
-        };
-        for chunk in [0, 1, 2, 3] {
+        hit
+    }
+
+    /// Chunks whose sums `slab` holds, and those it evicted, of `0..n`.
+    fn held_and_ghosts(slab: &Slab, n: u64) -> (Vec<u64>, Vec<u64>) {
+        let held = (0..n).filter(|c| slab.slots.contains_key(c)).collect();
+        let ghosts = (0..n).filter(|&c| slab.ghost[c as usize / 64] >> (c % 64) & 1 == 1);
+        (held, ghosts.collect())
+    }
+
+    #[test]
+    fn sums_admitted_and_never_re_read_leave_the_slab_at_its_floor() {
+        let mut slab = Slab::new(1 << 20);
+        // Admitted on their second reads: a first read admits nothing.
+        for chunk in 0..FLOOR as u64 {
+            assert!(!read(&mut slab, chunk) && slab.get(chunk).is_none());
             read(&mut slab, chunk);
-            assert!(slab.get(chunk).is_none(), "a first read admits nothing");
+        }
+        // CLOCK: 0 and 2 hit; 7 takes the first cold slot past the hand
+        // (1's), 8 the next (3's), both reference bits cleared on the way.
+        assert!(read(&mut slab, 0) && read(&mut slab, 2));
+        for chunk in [7, 7, 8, 8] {
+            read(&mut slab, chunk);
+        }
+        let (held, ghosts) = held_and_ghosts(&slab, 9);
+        assert_eq!((held, ghosts), (vec![0, 2, 4, 5, 6, 7, 8], vec![1, 3]));
+        // Ninety more sums read twice and never again: each replaces a
+        // victim in place, and the slab stays at its floor.
+        for chunk in 9..100 {
+            read(&mut slab, chunk);
+            read(&mut slab, chunk);
+        }
+        assert_eq!(slab.room, FLOOR);
+        let (held, ghosts) = held_and_ghosts(&slab, 100);
+        assert_eq!((held.len(), ghosts.len()), (FLOOR, 100 - FLOOR));
+        assert_eq!(slab.charged, slab.cost(FLOOR));
+    }
+
+    #[test]
+    fn re_reads_of_evicted_sums_grow_the_slab_until_they_hit() {
+        let mut slab = Slab::new(1 << 20);
+        // Forty sums read in turn, four times: marked; admitted, evicting
+        // one another at the floor; each admitted back on its re-read,
+        // which grows the full slab by a quarter; then all hit.
+        let passes: Vec<_> = (0..4)
+            .map(|_| {
+                let hits = (0..40).filter(|&chunk| read(&mut slab, chunk)).count();
+                (hits, slab.room)
+            })
+            .collect();
+        assert_eq!(passes, [(0, 0), (0, 7), (7, 41), (40, 41)]);
+        assert_eq!(held_and_ghosts(&slab, 40).1, Vec::<u64>::new());
+        assert_eq!(slab.charged, slab.cost(41));
+    }
+
+    #[test]
+    fn growth_stops_at_the_budget_with_the_ghost_bits_charged() {
+        // Room for four sums of one word beside both words of bits.
+        let mut slab = Slab::new(16 + 4 * (8 + 9) + map_bytes(8));
+        for chunk in (0..4).flat_map(|_| 0..12) {
             read(&mut slab, chunk);
         }
         assert_eq!(slab.room, 4);
-        assert_eq!(slab.charged(), slab.budget);
-        // 0 and 2 hit; 4 takes the first cold slot past the hand (1's), 5
-        // the next (3's), both bits cleared on the way.
-        for chunk in [0, 2, 4, 4, 5, 5] {
-            read(&mut slab, chunk);
-        }
-        let held: Vec<bool> = (0..6).map(|c| slab.get(c).is_some()).collect();
-        assert_eq!(held, [true, false, true, false, true, true]);
-        assert_eq!(slab.get(4), Some(&4u64.to_le_bytes()[..]));
+        assert_eq!((slab.seen.capacity(), slab.ghost.capacity()), (1, 1));
+        assert_eq!(slab.charged, slab.budget);
+        let (held, ghosts) = held_and_ghosts(&slab, 12);
+        assert_eq!((held.len(), ghosts.len()), (4, 8));
         // A sum of another length is never admitted.
-        read_as(&mut slab, 6, &[6]);
-        read_as(&mut slab, 6, &[6]);
-        assert!(slab.get(6).is_none());
-        assert_eq!(slab.charged(), slab.budget);
-        // A chunk whose bit needs more words: the slab gives up slots to
-        // hold it, and stays within the budget.
-        read_as(&mut slab, 200, &200u64.to_le_bytes());
-        assert_eq!((slab.seen.len(), slab.room), (4, 3));
-        assert!(slab.charged() <= slab.budget);
+        for _ in 0..2 {
+            if slab.mark(12) {
+                slab.admit(12, &[12]);
+            }
+        }
+        assert!(slab.get(12).is_none());
+        // A chunk whose bits need more words: the slab gives up slots to
+        // hold them, and stays within the budget.
+        read(&mut slab, 200);
+        assert_eq!((slab.seen.len(), slab.ghost.len(), slab.room), (4, 4, 3));
+        assert!(slab.charged <= slab.budget);
+        // A small budget is one segment; one with room is segmented.
+        let segments = |budget_bytes| {
+            let cache = PrefixCache {
+                budget_bytes,
+                ..PrefixCache::default()
+            };
+            cache.segment(0);
+            cache.built.get().unwrap().len()
+        };
+        assert_eq!(segments(1 << 20), MAX_SEGMENTS);
+        assert_eq!(segments(200 << 10), 3);
     }
 
     #[test]

@@ -112,11 +112,19 @@ process_families! {
     /// is one store get. (The families keep the names of the index nodes
     /// the cache once held.)
     static INDEX_NODE_CACHE_HITS: Counter = "timecrypt_index_node_cache_hits_total"
-        "Lookups of a boundary running sum that queries found in the index cache, which \
-         keeps a sum from its second store read on.";
+        "Lookups of a boundary running sum that queries found in the index cache. A sum is \
+         admitted by its second store read, and the cache grows only when a sum it evicted \
+         is read again.";
     static INDEX_NODE_CACHE_MISSES: Counter = "timecrypt_index_node_cache_misses_total"
         "Lookups of a boundary running sum that queries did not find in the index cache \
-         and read from the store; a sum's first read is always one.";
+         and read from the store: a sum's first and second reads, and a re-read of one \
+         the cache evicted.";
+    /// Moved by each resize of a stream's cache segment, and by the
+    /// stream's eviction, which drops its cache.
+    static INDEX_BOUNDARY_CACHE_BYTES: Gauge = "timecrypt_index_boundary_cache_bytes"
+        "Heap bytes charged to the boundary caches of the process's resident streams, \
+         summed: cached running sums, their maps, and two bits per chunk read (read before; \
+         evicted since).";
     /// Dead over log bytes is the share of the files a compaction would
     /// reclaim. The four footprint gauges sum over the logs the process
     /// has open — a node's one `LogKv`, and every in-memory `MemKv` beside

@@ -45,10 +45,12 @@ use timecrypt_wire::transport::{dispatch_frame, Handler};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Per-stream heap budget in bytes for the running sums queries read
-    /// from the store, charged exactly ([`TreeConfig::cache_bytes`]; Fig. 7
-    /// "small cache" sets this to 1 MB). A sum is kept from its second read
-    /// on; ingest caches nothing, and a stream no query has read holds no
-    /// cache at all.
+    /// from the store, a hard cap charged exactly
+    /// ([`TreeConfig::cache_bytes`]; Fig. 7 "small cache" sets this to
+    /// 1 MB). A sum's second read admits it, and a stream's cache grows
+    /// only when queries re-read a sum it evicted, so it holds what they
+    /// re-read; ingest caches nothing, and a stream no query has read holds
+    /// no cache at all.
     pub cache_bytes: usize,
     /// Upper bound on hydrated stream states held resident at once
     /// (`None` = unbounded, the compatibility default). When the resident

@@ -17,11 +17,14 @@
 //!
 //! Counts only, read from `TreeStats`: the hit share and the bytes charged
 //! are rows of the root `BENCH_ledger.json`, compared exactly
-//! (`TC_BLESS=1` rewrites them); CI copies them to the job summary.
+//! (`TC_BLESS=1` rewrites them); CI copies them to the job summary. The
+//! process gauge `timecrypt_index_boundary_cache_bytes` holds what the one
+//! live index is charged, and nothing once it is dropped.
 
 use std::sync::Arc;
 use timecrypt::index::{AggTree, TreeConfig};
 use timecrypt::store::MemKv;
+use timecrypt_obs::counters::INDEX_BOUNDARY_CACHE_BYTES;
 
 mod common;
 
@@ -61,9 +64,13 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// The shape's ledger rows: the share of lookups served, and the bytes
-/// charged at the end.
+/// charged at the end, which the process gauge holds.
 fn rows(shape: &str, tree: &AggTree<Vec<u64>>) -> Vec<(String, String)> {
     let stats = tree.stats().unwrap();
+    assert_eq!(
+        INDEX_BOUNDARY_CACHE_BYTES.get(),
+        stats.cache_used_bytes as u64
+    );
     let lookups = stats.cache_hits + stats.cache_misses;
     println!(
         "boundary cache, {shape}: {} of {lookups} lookups hit, {} B charged",
@@ -101,5 +108,7 @@ fn three_query_shapes() {
     let fleet = filled(4, 180);
     random_windows(&fleet, 2430, 11);
     ledger.extend(rows("fleet", &fleet));
+    drop(fleet);
+    assert_eq!(INDEX_BOUNDARY_CACHE_BYTES.get(), 0);
     common::ledger(&ledger);
 }
