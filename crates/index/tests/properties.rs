@@ -242,11 +242,15 @@ proptest! {
         }
     }
 
-    /// Cache size never affects results, only speed.
+    /// Cache size never affects results, only speed. A seeded sequence of
+    /// queries over a few windows, so that their boundaries are read again
+    /// and again, gets the same replies at every budget: none, too small for
+    /// a bit, one slot, and slabs that admit, evict and grow. And no cache
+    /// is ever charged more than its budget.
     #[test]
     fn cache_size_is_semantically_invisible(
         values in proptest::collection::vec(0u64..1000, 10..150),
-        cache in 0usize..4096,
+        seed in any::<u64>(),
     ) {
         let build = |cache_bytes: usize| {
             let tree: AggTree<Vec<u64>> =
@@ -256,10 +260,30 @@ proptest! {
             }
             tree
         };
-        let (big, tiny) = (build(1 << 24), build(cache));
+        let budgets = [0, 1, 200, 4 << 10, 64 << 10];
+        let (big, trees) = (build(1 << 24), budgets.map(build));
         let n = values.len() as u64;
-        for (a, b) in [(0u64, n), (1, n), (n / 2, n / 2 + 1), (0, n / 2 + 1), (1, n - 1)] {
-            prop_assert_eq!(big.query(a, b).unwrap(), tiny.query(a, b).unwrap());
+        let mut x = seed;
+        let mut below = |k: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 20) % k
+        };
+        let windows: Vec<(u64, u64)> = (0..16)
+            .map(|_| {
+                let lo = below(n - 1);
+                (lo, lo + 2 + below(n - lo - 1))
+            })
+            .collect();
+        for _ in 0..120 {
+            let (a, b) = windows[below(16) as usize];
+            let want = big.query(a, b).unwrap();
+            for (tree, budget) in trees.iter().zip(budgets) {
+                prop_assert_eq!(&tree.query(a, b).unwrap(), &want);
+                let used = tree.stats().unwrap().cache_used_bytes;
+                prop_assert!(used <= budget, "{} B charged of {}", used, budget);
+            }
         }
     }
 
