@@ -233,6 +233,16 @@ impl Consumer {
         if streams.is_empty() || !reply.parts.iter().map(|p| p.0).eq(asked) {
             return Err(ClientFault::Protocol("one Stat part per stream asked"));
         }
+        let first = self.descriptor(streams[0]);
+        let width = first
+            .ok_or(ClientFault::Protocol("synced grants"))?
+            .schema
+            .width();
+        if reply.agg.len() != width {
+            return Err(ClientFault::Protocol(
+                "a Stat aggregate of the schema's width",
+            ));
+        }
         let mut agg = reply.agg;
         for &(sid, lo, hi) in &reply.parts {
             let keys = self
@@ -310,6 +320,11 @@ impl Consumer {
             .streams
             .get_mut(&stream)
             .ok_or(ClientFault::Protocol("synced grants"))?;
+        if agg.len() != keys.descriptor.schema.width() {
+            return Err(ClientFault::Protocol(
+                "an attested aggregate of the schema's width",
+            ));
+        }
         decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
         Ok(keys.descriptor.schema.interpret(&agg))
     }
@@ -498,6 +513,22 @@ mod tests {
         }
     }
 
+    /// A server whose statistical replies keep `keep` words of the aggregate.
+    struct Narrowing<'a> {
+        inner: &'a mut InProcess,
+        keep: usize,
+    }
+
+    impl Transport for Narrowing<'_> {
+        fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+            let mut reply = self.inner.call(req)?;
+            if let Response::Stat(stat) = &mut reply {
+                stat.agg.truncate(self.keep);
+            }
+            Ok(reply)
+        }
+    }
+
     /// A server that answers a statistical query with stream `to`'s.
     struct Swapping<'a> {
         inner: &'a mut InProcess,
@@ -565,6 +596,26 @@ mod tests {
         c.sync_grants(&mut t, cfg.id).unwrap();
         let reply = c.stat_query(&mut Partless, cfg.id, MIN, 2 * MIN);
         assert!(matches!(reply, Err(ClientFault::Protocol(_))), "{reply:?}");
+    }
+
+    #[test]
+    fn a_stat_reply_narrower_than_the_schema_is_an_error() {
+        let (mut t, cfg, mut owner) = setup();
+        let mut c = Consumer::new("c", &mut SecureRandom::from_seed_insecure(6));
+        owner
+            .grant_access(&mut t, "c", c.public_key(), 0, 5 * MIN)
+            .unwrap();
+        c.sync_grants(&mut t, cfg.id).unwrap();
+        let width = c.descriptor(cfg.id).unwrap().schema.width();
+        for keep in [0, width - 1] {
+            let mut narrowing = Narrowing {
+                inner: &mut t,
+                keep,
+            };
+            let reply = c.stat_query(&mut narrowing, cfg.id, MIN, 2 * MIN);
+            assert!(matches!(reply, Err(ClientFault::Protocol(_))), "{reply:?}");
+        }
+        assert!(c.stat_query(&mut t, cfg.id, MIN, 2 * MIN).is_ok());
     }
 
     #[test]
