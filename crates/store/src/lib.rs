@@ -4,13 +4,14 @@
 //! persisting data chunks and statistical indices" (§4.6). The prototype
 //! used Cassandra; this reproduction has one engine behind the
 //! [`KvStore`] trait, [`LogKv`]: an append-only log with crash-recovery
-//! replay. Its in-memory index holds record locations only — 12 bytes per
-//! key for keys that count up under a shared head (a stream's chunks: the
-//! layout `timecrypt_index::keys` declares), key and location for the
-//! rest; the log file is the one copy of the values, read positionally and
-//! re-validated on every read. The file is a [`LogFile`]: the [`OsFile`]
-//! a node opens by path, or the [`MemFile`] of [`MemKv`], the same engine
-//! in memory that every test, example and figure runs on.
+//! replay. Its in-memory index holds record locations only — block-coded
+//! at two to four bytes per key for keys that count up under a shared head
+//! (a stream's chunks: the layout `timecrypt_index::keys` declares), key
+//! and location for the rest; the log file is the one copy of the values,
+//! read positionally and re-validated on every read. The file is a
+//! [`LogFile`]: the [`OsFile`] a node opens by path, or the [`MemFile`] of
+//! [`MemKv`], the same engine in memory that every test, example and
+//! figure runs on.
 //!
 //! Beside it sits the [`MeteredKv`] decorator, which counts ops and bytes
 //! for the service tier's metrics (`timecrypt-faults` adds `FaultyKv`,

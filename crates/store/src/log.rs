@@ -43,10 +43,15 @@
 //! **Index.** Runs plus a side map (`Index`). A key whose last eight
 //! bytes, read as a big-endian integer, are one more than those of a key
 //! already held with the same bytes before them is not stored at all: its
-//! location is appended to that head's run, an array indexed by the
-//! integer, at 12 bytes and no allocation. The keys written in volume all
-//! count up like that (≈ 14 B of RAM per key with the array's slack). Any
-//! other key sits, with its bytes, in an ordered map beside the runs
+//! location is appended to that head's run, indexed by the integer. A run
+//! codes its locations in blocks of 32, each location as a varint length
+//! and the zigzag varint of its gap from the record before it in the block
+//! — 0 for records written back to back — so a location takes two to four
+//! bytes, a lookup decodes one block and a write re-codes one. The keys
+//! written in volume all count up like that: ≈ 3 B of RAM per key when a
+//! stream's chunks land 16 to a batch, ≈ 6.4 B when each batch holds one
+//! chunk of 16 streams (`tests/index_ram.rs`). Any other key sits, with
+//! its bytes and a 12-byte location, in an ordered map beside the runs
 //! (≈ 105–120 B per key). Which of the two holds a key is the index's own
 //! business: no key format or [`KvStore`] signature knows.
 //!
@@ -300,8 +305,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 // -------------------------------------------------------------------------
 
 /// Where a live key's put record sits in the log: its offset and its
-/// whole length. Twelve bytes, not sixteen: a [`Run`] holds one per key
-/// and nothing else.
+/// whole length. Twelve bytes, not sixteen, in the side map; a [`Run`]
+/// codes each of its keys' in two to four ([`put_slot`]).
 #[derive(Clone, Copy)]
 #[repr(C, packed(4))]
 struct Loc {
@@ -310,14 +315,6 @@ struct Loc {
 }
 
 impl Loc {
-    /// The slot of a deleted key inside a [`Run`]. Offset 0 is the magic,
-    /// never a record.
-    const HOLE: Loc = Loc { offset: 0, len: 0 };
-
-    fn live(self) -> Option<Loc> {
-        (self.offset != 0).then_some(self)
-    }
-
     fn end(self) -> u64 {
         self.offset + u64::from(self.len)
     }
@@ -368,66 +365,314 @@ fn first_tail_after(head: &[u8], after: &[u8]) -> Option<u64> {
 /// location and the number of the run that holds it, if one does.
 type Hit = (Vec<u8>, Loc, Option<u64>);
 
-/// The keys `head + base`, `head + (base + 1)`, … of one head, held as
-/// their locations alone. Both ends are live; a key deleted in between
-/// leaves a [`Loc::HOLE`].
+/// Slots per block of a [`Run`]. A head's block `b` spans the tails
+/// `32·b ..= 32·b + 31`, so a location is found by decoding one block.
+const BLOCK: u64 = 32;
+
+/// Appends a slot to a block whose last live record so far ends at `end`
+/// (0 before its first): the varint of the record's length — 0 for a hole,
+/// which is all a hole takes — then the zigzag varint of its offset less
+/// `end`. Records written back to back are a gap of 0, so most slots are
+/// two to four bytes.
+fn put_slot(out: &mut Vec<u8>, end: &mut u64, slot: Option<Loc>) {
+    let Some(loc) = slot else {
+        return out.push(0);
+    };
+    put_var(out, u64::from(loc.len));
+    let gap = loc.offset.wrapping_sub(*end) as i64;
+    put_var(out, ((gap << 1) ^ (gap >> 63)) as u64);
+    *end = loc.offset.wrapping_add(u64::from(loc.len));
+}
+
+/// A block of the one slot `loc`.
+fn block_of(loc: Loc) -> Box<[u8]> {
+    let mut block = Vec::new();
+    put_slot(&mut block, &mut 0, Some(loc));
+    seal(block)
+}
+
+/// `bytes` as a block, zero-padded to all that malloc sets aside for them
+/// ([`chunk`]), so that a block grows in place until that is full.
+fn seal(mut bytes: Vec<u8>) -> Box<[u8]> {
+    let size = chunk(bytes.len()) as usize - 8;
+    bytes.reserve_exact(size - bytes.len());
+    bytes.resize(size, 0);
+    bytes.into_boxed_slice()
+}
+
+/// What malloc sets aside for `n` bytes: an 8-byte header, 16-byte
+/// granules, 32 at least (glibc's; `tests/index_ram.rs` counts the same).
+fn chunk(n: usize) -> u64 {
+    (n + 8).next_multiple_of(16).max(32) as u64
+}
+
+/// A block's slots in order, as [`put_slot`] wrote them; `None` is a hole.
+/// Its padding reads as holes: callers take as many as it holds.
+struct Slots<'a> {
+    rest: &'a [u8],
+    /// Where the last live record read ends.
+    end: u64,
+}
+
+fn slots(block: &[u8]) -> Slots<'_> {
+    Slots {
+        rest: block,
+        end: 0,
+    }
+}
+
+impl Iterator for Slots<'_> {
+    type Item = Option<Loc>;
+
+    fn next(&mut self) -> Option<Option<Loc>> {
+        let len = take_var(&mut self.rest)?;
+        if len == 0 {
+            return Some(None);
+        }
+        let gap = take_var(&mut self.rest)?;
+        let offset = self.end.wrapping_add((gap >> 1) ^ (gap & 1).wrapping_neg());
+        self.end = offset.wrapping_add(len);
+        let len = len as u32;
+        Some(Some(Loc { offset, len }))
+    }
+}
+
+/// The keys `head + base`, …, `head + last` of one head, held as their
+/// locations alone, [`BLOCK`] slots a block; the first block starts at
+/// `base`. Both ends are live; a key deleted in between leaves a hole.
 struct Run {
     /// Given by the index when it creates the run, never reused: records
     /// name their key by it.
     number: u64,
     base: u64,
-    locs: VecDeque<Loc>,
+    last: u64,
+    blocks: Blocks,
+}
+
+enum Blocks {
+    /// A run inside one block: that block, one allocation.
+    One(Box<[u8]>),
+    /// Boxed, so that a run of one block does not carry the deque.
+    Many(Box<Many>),
+}
+
+struct Many {
+    blocks: VecDeque<Box<[u8]>>,
+    /// What the blocks charge ([`chunk`]).
+    bytes: u64,
 }
 
 impl Run {
-    /// The slot of `tail`, if the run spans it.
-    fn slot(&self, tail: u64) -> Option<usize> {
-        let i = usize::try_from(tail.checked_sub(self.base)?).ok()?;
-        (i < self.locs.len()).then_some(i)
+    /// A run of the keys `tail` and `tail + 1`.
+    fn pair(number: u64, tail: u64, first: Loc, second: Loc) -> Run {
+        let mut run = Run {
+            number,
+            base: tail,
+            last: tail,
+            blocks: Blocks::One(block_of(first)),
+        };
+        run.push(second);
+        run
     }
 
-    /// Appends the successor of the last key. Grows by a quarter, not by
+    /// Slots from the first key to the last, holes included.
+    fn len(&self) -> u64 {
+        self.last - self.base + 1
+    }
+
+    /// The tail of block `b`'s first slot.
+    fn start(&self, b: usize) -> u64 {
+        match b {
+            0 => self.base,
+            _ => (self.base / BLOCK + b as u64) * BLOCK,
+        }
+    }
+
+    /// The block that holds `tail` and its slot there, if the run spans it.
+    fn at(&self, tail: u64) -> Option<(usize, usize)> {
+        if tail < self.base || tail > self.last {
+            return None;
+        }
+        let b = (tail / BLOCK - self.base / BLOCK) as usize;
+        Some((b, (tail - self.start(b)) as usize))
+    }
+
+    fn last_block(&self) -> usize {
+        match &self.blocks {
+            Blocks::One(_) => 0,
+            Blocks::Many(many) => many.blocks.len() - 1,
+        }
+    }
+
+    /// Block `b`'s bytes and the number of its slots.
+    fn block(&self, b: usize) -> (&[u8], usize) {
+        let block = match &self.blocks {
+            Blocks::One(block) => block,
+            Blocks::Many(many) => &many.blocks[b],
+        };
+        let start = self.start(b);
+        let n = self.last.min(start | (BLOCK - 1)) - start + 1;
+        (block, n as usize)
+    }
+
+    /// Block `b` as `edit` leaves its bytes.
+    fn edit(&mut self, b: usize, edit: impl FnOnce(&mut Vec<u8>)) {
+        let (block, charged) = match &mut self.blocks {
+            Blocks::One(block) => (block, None),
+            Blocks::Many(many) => (&mut many.blocks[b], Some(&mut many.bytes)),
+        };
+        let was = chunk(block.len());
+        let mut bytes = std::mem::take(block).into_vec();
+        edit(&mut bytes);
+        *block = seal(bytes);
+        if let Some(charged) = charged {
+            *charged = *charged + chunk(block.len()) - was;
+        }
+    }
+
+    /// The location of `tail`, if the run holds it.
+    fn get(&self, tail: u64) -> Option<Loc> {
+        let (b, i) = self.at(tail)?;
+        slots(self.block(b).0).nth(i)?
+    }
+
+    /// Puts `slot` in the place of `tail` and returns what was there;
+    /// `None` if the run does not span `tail`. Re-codes one block.
+    fn set(&mut self, tail: u64, slot: Option<Loc>) -> Option<Option<Loc>> {
+        let (b, i) = self.at(tail)?;
+        let (block, n) = self.block(b);
+        let mut all = [None; BLOCK as usize];
+        all.iter_mut()
+            .zip(slots(block))
+            .for_each(|(s, read)| *s = read);
+        let old = std::mem::replace(&mut all[i], slot);
+        self.edit(b, |bytes| {
+            bytes.clear();
+            let mut end = 0;
+            all[..n].iter().for_each(|&s| put_slot(bytes, &mut end, s));
+        });
+        Some(old)
+    }
+
+    /// Appends the successor of the last key: to the last block, or as a
+    /// new one if it starts a block. The deque grows by a quarter, not by
     /// doubling: a run is O(history), and its slack is RAM per stored key.
     fn push(&mut self, loc: Loc) {
-        if self.locs.len() == self.locs.capacity() {
-            self.locs.reserve_exact((self.locs.len() / 4).max(4));
+        self.last += 1;
+        let b = self.last_block();
+        if !self.last.is_multiple_of(BLOCK) {
+            let (block, n) = self.block(b);
+            let mut read = slots(block);
+            for _ in read.by_ref().take(n - 1) {}
+            let (mut end, used) = (read.end, block.len() - read.rest.len());
+            return self.edit(b, |bytes| {
+                bytes.truncate(used);
+                put_slot(bytes, &mut end, Some(loc));
+            });
         }
-        self.locs.push_back(loc);
+        let block = block_of(loc);
+        let added = chunk(block.len());
+        match &mut self.blocks {
+            Blocks::One(first) => {
+                let bytes = chunk(first.len()) + added;
+                let blocks = VecDeque::from([std::mem::take(first), block]);
+                self.blocks = Blocks::Many(Box::new(Many { blocks, bytes }));
+            }
+            Blocks::Many(many) => {
+                if many.blocks.len() == many.blocks.capacity() {
+                    many.blocks.reserve_exact((many.blocks.len() / 4).max(4));
+                }
+                many.blocks.push_back(block);
+                many.bytes += added;
+            }
+        }
     }
 
-    /// Deletes the key in slot `i`: the ends close up over holes (decay
-    /// trims the front, a rollback pops the back), the middle keeps one,
-    /// and a run left half empty gives its memory back.
-    fn remove(&mut self, i: usize) -> Option<Loc> {
-        let old = std::mem::replace(&mut self.locs[i], Loc::HOLE).live();
-        while self.locs.back().is_some_and(|l| l.live().is_none()) {
-            self.locs.pop_back();
+    /// Drops the first or the last block, which holds no live key (so the
+    /// run has another); a run left in one block gives the deque back, one
+    /// left half empty its slack.
+    fn pop(&mut self, front: bool) {
+        let Blocks::Many(many) = &mut self.blocks else {
+            return;
+        };
+        let gone = match front {
+            true => many.blocks.pop_front(),
+            false => many.blocks.pop_back(),
+        };
+        many.bytes -= gone.map_or(0, |block| chunk(block.len()));
+        if many.blocks.len() == 1 {
+            self.blocks = Blocks::One(many.blocks.pop_front().unwrap_or_default());
+        } else if many.blocks.len() < many.blocks.capacity() / 2 {
+            many.blocks.shrink_to_fit();
         }
-        // What is left, if anything, now ends on a live key: this stops there.
-        while self.locs.front().is_some_and(|l| l.live().is_none()) {
-            self.locs.pop_front();
-            self.base += 1;
-        }
-        if self.locs.len() < self.locs.capacity() / 2 {
-            self.locs.shrink_to_fit();
-        }
-        old
     }
 
-    /// The live keys with tails in `lo..=hi`, ascending, spelled out.
+    /// Deletes `tail`, which is not the run's only key, and returns what
+    /// its slot held; `None` if the run does not span it. The ends close up
+    /// over holes — decay trims the front, a rollback pops the back — and
+    /// drop the blocks left empty; the middle keeps a hole. A hole is one
+    /// byte, so closing up cuts bytes off a block and re-codes nothing.
+    fn remove(&mut self, tail: u64) -> Option<Option<Loc>> {
+        let old = self.set(tail, None)?;
+        if tail == self.last {
+            loop {
+                let b = self.last_block();
+                let (block, n) = self.block(b);
+                let mut read = slots(block);
+                let live = read
+                    .by_ref()
+                    .take(n)
+                    .enumerate()
+                    .filter(|(_, s)| s.is_some());
+                if let Some((j, _)) = live.last() {
+                    let cut = block.len() - read.rest.len() - (n - 1 - j);
+                    self.last = self.start(b) + j as u64;
+                    break self.edit(b, |bytes| bytes.truncate(cut));
+                }
+                self.last = self.start(b) - 1;
+                self.pop(false);
+            }
+        }
+        if tail == self.base {
+            loop {
+                let (block, n) = self.block(0);
+                if let Some(p) = slots(block).take(n).position(|s| s.is_some()) {
+                    self.base += p as u64;
+                    break self.edit(0, |bytes| drop(bytes.drain(..p)));
+                }
+                self.base = self.start(1);
+                self.pop(true);
+            }
+        }
+        Some(old)
+    }
+
+    /// What the run's blocks and deque charge, as malloc sets them aside.
+    fn bytes(&self) -> u64 {
+        match &self.blocks {
+            Blocks::One(block) => chunk(block.len()),
+            Blocks::Many(many) => {
+                let deque = many.blocks.capacity() * size_of::<Box<[u8]>>();
+                many.bytes + chunk(deque) + chunk(size_of::<Many>())
+            }
+        }
+    }
+
+    /// The live keys with tails in `lo..=hi`, ascending, spelled out: the
+    /// blocks that span them, decoded in order.
     fn between<'a>(&'a self, head: &'a [u8], lo: u64, hi: u64) -> impl Iterator<Item = Hit> + 'a {
-        let last = self.base + (self.locs.len() as u64 - 1);
-        let slots = match (self.slot(lo.max(self.base)), self.slot(hi.min(last))) {
-            (Some(a), Some(b)) if a <= b => a..b + 1,
+        let (lo, hi) = (lo.max(self.base), hi.min(self.last));
+        let blocks = match (self.at(lo), self.at(hi)) {
+            (Some((a, _)), Some((b, _))) if lo <= hi => a..b + 1,
             _ => 0..0,
         };
-        let base = self.base;
-        slots
-            .clone()
-            .zip(self.locs.range(slots))
-            .filter_map(move |(i, loc)| {
-                Some((join(head, base + i as u64), loc.live()?, Some(self.number)))
-            })
+        let all = blocks.flat_map(move |b| {
+            let ((block, n), start) = (self.block(b), self.start(b));
+            (start..=start + (n as u64 - 1)).zip(slots(block))
+        });
+        all.skip_while(move |&(t, _)| t < lo)
+            .take_while(move |&(t, _)| t <= hi)
+            .filter_map(move |(t, slot)| Some((join(head, t), slot?, Some(self.number))))
     }
 }
 
@@ -438,8 +683,10 @@ impl Run {
 /// `tests/index_ram.rs`, where the allocator counts 105 B per 28-byte key
 /// inserted in random order and 120 B in ascending order.
 const INDEX_ENTRY_BYTES: u64 = 84;
-/// The same per head of a run, whose map slot holds a [`Run`], not a `Loc`.
-const RUN_ENTRY_BYTES: u64 = 158;
+/// The same per head of a run, whose map slot holds a [`Run`], not a `Loc`
+/// (its blocks are charged as [`Run::bytes`]): 189 B per run of two keys
+/// by the allocator's count, 20 of them the head's bytes and 32 its block.
+const RUN_ENTRY_BYTES: u64 = 138;
 
 /// The in-memory index — key → location of its latest put record, never
 /// the value — with the byte accounting [`LogKv::stats`] reports.
@@ -459,8 +706,8 @@ struct Index {
     runs: BTreeMap<Vec<u8>, Run>,
     /// Live keys in `runs` (their slots less the holes).
     run_keys: usize,
-    /// Slots allocated in `runs`, live or not.
-    run_slots: usize,
+    /// What the runs' blocks charge ([`Run::bytes`]).
+    run_bytes: u64,
     /// Bytes of the keys of `side` and of the heads of `runs`.
     key_bytes: u64,
     dead_bytes: u64,
@@ -503,17 +750,17 @@ impl Index {
             return self.put_aside(key, loc);
         };
         if let Some(run) = self.runs.get_mut(head) {
-            if let Some(i) = run.slot(tail) {
-                let old = std::mem::replace(&mut run.locs[i], loc).live();
+            let before = run.bytes();
+            if let Some(old) = run.set(tail, Some(loc)) {
+                self.run_bytes = self.run_bytes + run.bytes() - before;
                 self.run_keys += usize::from(old.is_none());
                 return old;
             }
-            if tail.checked_sub(run.base) != Some(run.locs.len() as u64) {
+            if run.last.checked_add(1) != Some(tail) {
                 return self.put_aside(key, loc);
             }
-            let before = run.locs.capacity();
             run.push(loc);
-            self.run_slots += run.locs.capacity() - before;
+            self.run_bytes = self.run_bytes + run.bytes() - before;
         } else {
             // No run under this head yet: the predecessor, if it is here,
             // starts one with this key.
@@ -521,16 +768,12 @@ impl Index {
             let Some(first) = pred.and_then(|t| self.take_aside(&join(head, t))) else {
                 return self.put_aside(key, loc);
             };
-            let run = Run {
-                number: self.next_run,
-                base: tail - 1,
-                locs: VecDeque::from([first, loc]),
-            };
+            let run = Run::pair(self.next_run, tail - 1, first, loc);
             self.next_run += 1;
             if let Some(heads) = &mut self.heads {
                 heads.insert(run.number, head.to_vec());
             }
-            self.run_slots += run.locs.capacity();
+            self.run_bytes += run.bytes();
             self.run_keys += 1; // `first`; `key` is counted below
             self.key_bytes += head.len() as u64;
             self.runs.insert(head.to_vec(), run);
@@ -558,19 +801,20 @@ impl Index {
     fn remove(&mut self, key: &[u8]) -> Option<Loc> {
         if let Some((head, tail)) = split(key) {
             if let Some(run) = self.runs.get_mut(head) {
-                if let Some(i) = run.slot(tail) {
-                    let before = run.locs.capacity();
-                    let old = run.remove(i);
-                    self.run_slots = self.run_slots + run.locs.capacity() - before;
-                    self.run_keys -= usize::from(old.is_some());
-                    if run.locs.is_empty() {
-                        self.run_slots -= run.locs.capacity();
-                        self.key_bytes -= head.len() as u64;
-                        if let Some(heads) = &mut self.heads {
-                            heads.remove(&run.number);
-                        }
-                        self.runs.remove(head);
+                if (run.base, run.last) == (tail, tail) {
+                    // Its only key: the run goes, and its head with it.
+                    self.run_bytes -= run.bytes();
+                    self.run_keys -= 1;
+                    self.key_bytes -= head.len() as u64;
+                    if let Some(heads) = &mut self.heads {
+                        heads.remove(&run.number);
                     }
+                    return self.runs.remove(head).and_then(|run| run.get(tail));
+                }
+                let before = run.bytes();
+                if let Some(old) = run.remove(tail) {
+                    self.run_bytes = self.run_bytes + run.bytes() - before;
+                    self.run_keys -= usize::from(old.is_some());
                     return old;
                 }
             }
@@ -583,10 +827,9 @@ impl Index {
         let in_run = || {
             let (head, tail) = split(key)?;
             let run = self.runs.get(head)?;
-            let loc = run.locs[run.slot(tail)?].live();
-            Some(loc.map(|loc| (loc, Some(run.number))))
+            Some((run.get(tail)?, Some(run.number)))
         };
-        in_run().unwrap_or_else(|| Some((*self.side.get(key)?, None)))
+        in_run().or_else(|| Some((*self.side.get(key)?, None)))
     }
 
     fn len(&self) -> usize {
@@ -598,7 +841,7 @@ impl Index {
         self.key_bytes
             + INDEX_ENTRY_BYTES * self.side.len() as u64
             + RUN_ENTRY_BYTES * self.runs.len() as u64
-            + (self.run_slots * size_of::<Loc>()) as u64
+            + self.run_bytes
     }
 
     /// Keys starting with `prefix` and their locations. Of the runs: every
@@ -796,7 +1039,7 @@ fn encode<'a>(index: &Index, ops: &[WriteOp<'a>], seq: u8, out: &mut Vec<u8>) ->
         let (head, tail) = split(key)?;
         let at = named.iter().position(|n| n.0 == head).or_else(|| {
             let run = index.runs.get(head)?;
-            named.push((head, run.number, run.base, Some(run.locs.len() as u64)));
+            named.push((head, run.number, run.base, Some(run.len())));
             Some(named.len() - 1)
         })?;
         let (_, number, base, len) = &mut named[at];
@@ -810,6 +1053,12 @@ fn encode<'a>(index: &Index, ops: &[WriteOp<'a>], seq: u8, out: &mut Vec<u8>) ->
         Some((*number, tail))
     };
     let mut lens = Vec::with_capacity(ops.len());
+    // The records' room in one step: a head and a footer at most each.
+    let room = ops
+        .iter()
+        .map(parts)
+        .map(|(_, k, v)| MAX_HEAD + k.len() + v.len() + FOOTER);
+    out.reserve(room.sum());
     for (i, (op, key, value)) in ops.iter().map(parts).enumerate() {
         let start = out.len();
         let run = name(op, key);
@@ -840,10 +1089,11 @@ pub struct LogStats {
     pub log_bytes: u64,
     /// Keys with a live value.
     pub live_keys: u64,
-    /// Resident bytes of the index, from what it holds: 12 per slot
-    /// allocated to a run of counting keys, plus per run and per other key
-    /// its bytes and a constant calibrated against a counting allocator
-    /// (`tests/index_ram.rs`) — independent of value sizes by construction.
+    /// Resident bytes of the index, from what it holds: the blocks of the
+    /// runs of counting keys as malloc sets them aside, plus per run and
+    /// per other key its bytes and a constant calibrated against a counting
+    /// allocator (`tests/index_ram.rs`) — independent of value sizes by
+    /// construction.
     pub index_bytes: u64,
     /// Bytes of superseded puts, deleted puts and delete records.
     pub dead_bytes: u64,
@@ -885,13 +1135,16 @@ impl<F: LogFile> Inner<F> {
         Ok(Arc::clone(&self.file))
     }
 
-    /// Appends the buffer to the file and empties it, keeping at most
-    /// [`BUFFER`] of its capacity. On an error it is dropped, so none of it
-    /// comes later, and the log turns read-only.
+    /// Appends the buffer to the file and empties it, keeping its capacity
+    /// if that is at most [`BUFFER`] and giving a larger one back whole: a
+    /// large batch's bytes do not stay resident. On an error it is dropped,
+    /// so none of it comes later, and the log turns read-only.
     fn flush(&mut self) -> Result<(), StoreError> {
         let written = self.file.append(&self.buffered);
         self.buffered.clear();
-        self.buffered.shrink_to(BUFFER);
+        if self.buffered.capacity() > BUFFER {
+            self.buffered = Vec::new();
+        }
         self.failed |= written.is_err();
         Ok(written?)
     }
@@ -1970,6 +2223,40 @@ mod tests {
         drop(kv);
         let _ = std::fs::remove_file(path.with_extension("compact"));
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// One block at the extremes — gaps of ±2^63 and of none, lengths of
+    /// `u32::MAX`, holes first, last and in every slot — reads back as
+    /// written, its padding unread.
+    #[test]
+    fn a_block_reads_back_its_slots_at_the_extremes() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        let live = [(min, u32::MAX), (max, 1), (0, u32::MAX), (-1, 7), (min, 1)];
+        let mut end = 0u64;
+        let mut extremes: Vec<_> = live
+            .iter()
+            .map(|&(gap, len)| {
+                let offset = end.wrapping_add(gap as u64);
+                end = offset.wrapping_add(u64::from(len));
+                Some((offset, len))
+            })
+            .collect();
+        extremes.insert(0, None);
+        extremes.insert(3, None);
+        extremes.push(None);
+        let alternating = (0..BLOCK).map(|i| (i % 2 == 1).then_some((i << 60, 9)));
+        let shapes = [extremes, vec![None; BLOCK as usize], alternating.collect()];
+        for want in shapes {
+            let (mut block, mut end) = (Vec::new(), 0);
+            for slot in &want {
+                let loc = slot.map(|(offset, len)| Loc { offset, len });
+                put_slot(&mut block, &mut end, loc);
+            }
+            let block = seal(block);
+            let read = slots(&block).take(want.len());
+            let read: Vec<_> = read.map(|s| s.map(|l| (l.offset, l.len))).collect();
+            assert_eq!(read, want);
+        }
     }
 
     #[test]

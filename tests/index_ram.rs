@@ -4,10 +4,12 @@
 //! whose size follows the history stored, so what a stored key costs in RAM
 //! is the node's scaling limit. Keys that count up under a shared head —
 //! every high-volume key this system writes — must cost a record location
-//! each (12 B and the slack of a vector that grows by a quarter), not a
-//! B-tree entry with its own heap-allocated key (≈ 129 B); keys that do not
-//! must cost no more than that entry did; and deletes must give the memory
-//! back. `LogStats::index_bytes` has to say what the allocator says.
+//! each, block-coded in two to four bytes (≈ 3 B a key at the dashboard
+//! shape, ≈ 6.4 B at the fleet shape, with the blocks' padding and the
+//! runs' heads), not a B-tree entry with its own heap-allocated key
+//! (≈ 129 B); keys that do not must cost no more than that entry did; and
+//! deletes must give the memory back. `LogStats::index_bytes` has to say
+//! what the allocator says.
 //!
 //! Counts only — no RSS read. The binary's global allocator keeps, per
 //! thread, the bytes live as glibc's malloc sets them aside (an 8-byte

@@ -94,8 +94,8 @@ fn index_footprint_is_independent_of_value_size() {
     assert_eq!(small.index_bytes, large.index_bytes);
     // Per stream: its meta record and one record per chunk.
     assert_eq!(small.live_keys, 64 * (1 + 64));
-    // The chunks are a run of 12-byte locations with a quarter's slack at
-    // most; the meta record is an ordinary entry.
+    // The chunks are a run of block-coded locations, a few bytes each; the
+    // meta record is an ordinary entry.
     assert!(small.index_bytes < 24 * small.live_keys, "{small:?}");
     assert_eq!(small.dead_bytes, large.dead_bytes);
     // Ten times the points is several times the log, and the same index.
@@ -131,8 +131,9 @@ fn a_written_stream_holds_its_running_sum_and_its_record_locations() {
         }
     }
     let per_stream = (common::live() - start) / STREAMS as isize;
-    // At least the run of 12-byte locations: the count sees the log.
-    let floor = 12 * CHUNKS as isize;
+    // At least the run of record locations, a gap byte and a length byte
+    // per chunk: the count sees the log.
+    let floor = 2 * CHUNKS as isize;
     assert!(per_stream >= floor, "{per_stream} B per written stream");
     common::ledger(&[(
         "store_residency.fleet.resident_bytes_per_written_stream".into(),
