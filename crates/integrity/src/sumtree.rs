@@ -390,7 +390,9 @@ impl RangeProof {
     /// in chunk order. Rejects proofs that summarize any in-range subtree:
     /// a server cannot hide a chunk inside an aggregate.
     pub fn verify_open(&self, root: &Hash) -> Result<Vec<SumLeaf>, VerifyError> {
-        let mut leaves = Vec::with_capacity(self.hi - self.lo);
+        // Grown as leaves verify, not sized up front: `lo`, `hi` and `n`
+        // are the server's claims until `verify_inner` has checked them.
+        let mut leaves = Vec::new();
         self.verify_inner(root, Some(&mut leaves))?;
         if leaves.len() != self.hi - self.lo {
             return Err(VerifyError::MalformedProof);

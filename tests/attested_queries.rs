@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
+use timecrypt::client::{ClientFault, Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::index::keys;
 use timecrypt::pk::SigningKey;
@@ -285,6 +285,43 @@ fn verified_raw_read_detects_chunk_substitution() {
         .verified_get_range(&mut t, cfg.id, &vk, 0, 100_000)
         .unwrap_err();
     assert!(err.to_string().contains("integrity check failed"), "{err}");
+}
+
+/// A server that sends its genuine attestation beside a range proof whose
+/// `lo` it moved past `hi`.
+struct Backwards<'a>(&'a mut InProcess);
+
+impl Transport for Backwards<'_> {
+    fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+        let mut reply = self.0.call(req)?;
+        if let Response::VerifiedChunks { proof, .. } = &mut reply {
+            let hi = u64::from_le_bytes(proof[16..24].try_into().unwrap());
+            proof[8..16].copy_from_slice(&(hi + 1).to_le_bytes());
+        }
+        Ok(reply)
+    }
+}
+
+#[test]
+fn a_backwards_range_proof_is_an_error_not_a_panic() {
+    let (_, mut t) = setup(Arc::new(MemKv::new()));
+    let cfg = StreamConfig::new(4, "hr", 0, 10_000);
+    let mut owner = owner_for(&cfg, 1);
+    owner.create_stream(&mut t).unwrap();
+    let mut rng = SecureRandom::from_seed_insecure(9);
+    let key = SigningKey::generate(&mut rng);
+    let vk = key.verifying_key();
+    ingest_attested(&mut t, &cfg, &owner, key, 100);
+    let mut c = Consumer::new("c", &mut rng);
+    owner
+        .grant_access(&mut t, "c", c.public_key(), 0, 100_000)
+        .unwrap();
+    c.sync_grants(&mut t, cfg.id).unwrap();
+    let reply = c.verified_get_range(&mut Backwards(&mut t), cfg.id, &vk, 0, 100_000);
+    assert!(reply.is_err(), "{reply:?}");
+    assert!(c
+        .verified_get_range(&mut t, cfg.id, &vk, 0, 100_000)
+        .is_ok());
 }
 
 #[test]
