@@ -49,7 +49,7 @@
 //! — 0 for records written back to back — so a location takes two to four
 //! bytes, a lookup decodes one block and a write re-codes one. The keys
 //! written in volume all count up like that: ≈ 3 B of RAM per key when a
-//! stream's chunks land 16 to a batch, ≈ 6.4 B when each batch holds one
+//! stream's chunks land 16 to a batch, ≈ 6.6 B when each batch holds one
 //! chunk of 16 streams (`tests/index_ram.rs`). Any other key sits, with
 //! its bytes and a 12-byte location, in an ordered map beside the runs
 //! (≈ 105–120 B per key). Which of the two holds a key is the index's own
@@ -460,6 +460,11 @@ struct Many {
     blocks: VecDeque<Box<[u8]>>,
     /// What the blocks charge ([`chunk`]).
     bytes: u64,
+    /// The last block's used bytes and the end of its last record, as the
+    /// push that wrote it last left them, so that the next push need not
+    /// decode it. Every other write of a block clears it (popping the last
+    /// block is always followed by a write of the one before).
+    open: Option<(usize, u64)>,
 }
 
 impl Run {
@@ -519,7 +524,10 @@ impl Run {
     fn edit(&mut self, b: usize, edit: impl FnOnce(&mut Vec<u8>)) {
         let (block, charged) = match &mut self.blocks {
             Blocks::One(block) => (block, None),
-            Blocks::Many(many) => (&mut many.blocks[b], Some(&mut many.bytes)),
+            Blocks::Many(many) => {
+                many.open = None;
+                (&mut many.blocks[b], Some(&mut many.bytes))
+            }
         };
         let was = chunk(block.len());
         let mut bytes = std::mem::take(block).into_vec();
@@ -561,14 +569,26 @@ impl Run {
         self.last += 1;
         let b = self.last_block();
         if !self.last.is_multiple_of(BLOCK) {
-            let (block, n) = self.block(b);
-            let mut read = slots(block);
-            for _ in read.by_ref().take(n - 1) {}
-            let (mut end, used) = (read.end, block.len() - read.rest.len());
-            return self.edit(b, |bytes| {
+            let open = match &self.blocks {
+                Blocks::One(_) => None,
+                Blocks::Many(many) => many.open,
+            };
+            let (used, mut end) = open.unwrap_or_else(|| {
+                let (block, n) = self.block(b);
+                let mut read = slots(block);
+                for _ in read.by_ref().take(n - 1) {}
+                (block.len() - read.rest.len(), read.end)
+            });
+            let mut now = used;
+            self.edit(b, |bytes| {
                 bytes.truncate(used);
                 put_slot(bytes, &mut end, Some(loc));
+                now = bytes.len();
             });
+            if let Blocks::Many(many) = &mut self.blocks {
+                many.open = Some((now, end));
+            }
+            return;
         }
         let block = block_of(loc);
         let added = chunk(block.len());
@@ -576,7 +596,11 @@ impl Run {
             Blocks::One(first) => {
                 let bytes = chunk(first.len()) + added;
                 let blocks = VecDeque::from([std::mem::take(first), block]);
-                self.blocks = Blocks::Many(Box::new(Many { blocks, bytes }));
+                self.blocks = Blocks::Many(Box::new(Many {
+                    blocks,
+                    bytes,
+                    open: None,
+                }));
             }
             Blocks::Many(many) => {
                 if many.blocks.len() == many.blocks.capacity() {
@@ -584,6 +608,7 @@ impl Run {
                 }
                 many.blocks.push_back(block);
                 many.bytes += added;
+                many.open = None;
             }
         }
     }

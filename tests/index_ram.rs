@@ -5,7 +5,7 @@
 //! is the node's scaling limit. Keys that count up under a shared head —
 //! every high-volume key this system writes — must cost a record location
 //! each, block-coded in two to four bytes (≈ 3 B a key at the dashboard
-//! shape, ≈ 6.4 B at the fleet shape, with the blocks' padding and the
+//! shape, ≈ 6.6 B at the fleet shape, with the blocks' padding and the
 //! runs' heads), not a B-tree entry with its own heap-allocated key
 //! (≈ 129 B); keys that do not must cost no more than that entry did; and
 //! deletes must give the memory back. `LogStats::index_bytes` has to say
