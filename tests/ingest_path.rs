@@ -13,12 +13,9 @@
 //! * a batch costs exactly one node call per shard it touches, however
 //!   many submitters are at work, and its verdicts come back by batch
 //!   position;
-//! * the coordinator's handling of an `InsertBatch` frame allocates a
-//!   constant number of blocks: no chunk is copied, no per-chunk or
-//!   per-shard vector built for a batch that belongs to one shard;
-//! * a node's and an engine's `dispatch` add a fixed number of blocks to
-//!   the ingest run they hand the frame's chunks to — the same run an
-//!   engine fed directly allocates for;
+//! * what the coordinator's, a node's and an engine's handling of an
+//!   `InsertBatch` frame allocate, and the engine's run, are ledger rows;
+//!   the coordinator's and an engine's do not grow with the chunks;
 //! * a frame's body is allocated as its bytes arrive: a length prefix
 //!   claiming the largest frame, then nothing, costs the read-ahead.
 
@@ -387,22 +384,26 @@ fn handling_a_one_shard_insert_batch_frame_allocates_a_constant_number_of_blocks
         for _ in 0..2 {
             assert_eq!(batch_errors(svc.handle_frame(&frame)), vec![]);
         }
-        let before = common::calls();
-        let reply = svc.handle_frame(&frame);
-        let allocs = common::calls() - before;
+        let (allocs, reply) = common::calls_of(|| svc.handle_frame(&frame));
         assert_eq!(batch_errors(reply), vec![]);
         (allocs, frame.len())
     };
-    let (base, base_bytes) = allocations(16, 1);
-    println!("allocations per 16-chunk InsertBatch frame on the coordinator: {base}");
-    // The decoded list of chunk slices, the pending exchange with the
-    // node, the reply frame read back and its verdict list.
-    assert!(base <= 4, "{base} allocations");
-    let (more_chunks, _) = allocations(128, 1);
-    assert_eq!(more_chunks, base, "eight times the chunks");
+    // The decoded list of chunk slices, the pending exchange with the node,
+    // the reply frame read back and its verdict list, whatever the chunks.
+    let counts = SIZES.map(|n| allocations(n, 1).0);
     let (larger_chunks, bytes) = allocations(16, 400);
-    assert!(bytes > 8 * base_bytes);
-    assert_eq!(larger_chunks, base, "chunks of 400 points");
+    assert!(bytes > 8 * allocations(16, 1).1);
+    assert_eq!(counts, [larger_chunks; 3]);
+    common::ledger(&ledger_rows("coordinator_dispatch", counts));
+}
+
+const SIZES: [u64; 3] = [4, 16, 128];
+
+/// `ingest_path.<what>.allocations.n<size>` rows, one per [`SIZES`].
+fn ledger_rows(what: &str, counts: [u64; 3]) -> Vec<(String, String)> {
+    let what = format!("ingest_path.{what}.allocations");
+    let row = |(n, c): (u64, u64)| (format!("{what}.n{n}"), c.to_string());
+    SIZES.into_iter().zip(counts).map(row).collect()
 }
 
 #[test]
@@ -434,28 +435,28 @@ fn a_node_and_an_engine_add_a_fixed_number_of_blocks_to_the_run_they_dispatch() 
         assert_eq!(handler.handle(create), Response::Ok);
         direct.create_stream(1, 0, 10_000, 2).unwrap();
     }
-    let mut added = Vec::new();
-    for (first, size) in [(0, 4), (4, 16), (20, 128)] {
-        let chunks: Vec<Vec<u8>> = (first..first + size).map(|i| sealed(1, i, 1)).collect();
+    let mut counts = [[0; 3]; 3];
+    for (i, first) in [0, 4, 20].into_iter().enumerate() {
+        let chunks: Vec<Vec<u8>> = (first..first + SIZES[i]).map(|i| sealed(1, i, 1)).collect();
         let mut frame = Vec::new();
         Request::InsertBatch {
             chunks: chunks.clone(),
         }
         .encode_into(&mut frame);
         let views: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-        for (handler, direct) in pairs {
+        for (row, (handler, direct)) in pairs.into_iter().enumerate() {
             let (dispatched, reply) = common::calls_of(|| handler.handle_frame(&frame));
             assert_eq!(batch_errors(reply), vec![]);
             let (ran, verdicts) = common::calls_of(|| direct.insert_bytes_run(&views));
             assert!(verdicts.iter().all(Result::is_ok));
-            added.push(dispatched - ran);
+            (counts[row][i], counts[2][i]) = (dispatched - ran, ran);
         }
     }
-    println!("allocations an engine's and a node's dispatch add, 4 / 16 / 128 chunks: {added:?}");
-    // An engine: the decoded list of chunk slices. A node: that, its
-    // verdict list, the one shard's entry and the shard's lists of slices
-    // and of positions, which grow by doubling.
-    assert_eq!(added, [1, 5, 1, 9, 1, 15]);
+    // An engine: the decoded list of chunk slices, at every size.
+    assert_eq!(counts[0], [counts[0][0]; 3]);
+    let names = ["engine_dispatch", "node_dispatch", "engine_run"];
+    let rows = (names.into_iter().zip(counts)).flat_map(|(n, c)| ledger_rows(n, c));
+    common::ledger(&rows.collect::<Vec<_>>());
 }
 
 #[test]
