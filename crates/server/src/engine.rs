@@ -24,6 +24,7 @@
 //! and resolves the state under it, so a deletion or import that drops the
 //! state leaves no writer holding it. See ARCHITECTURE.md "Stream lifecycle".
 
+use crate::runs::{batch_errors, Runs};
 use crate::stat::{StatLeg, StreamStat};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -216,11 +217,6 @@ impl From<IndexError> for ServerError {
         }
     }
 }
-
-/// Placeholder verdict of a batch position until its stream's run reports
-/// (`insert_stream_run` yields one verdict per chunk, so it never
-/// survives): an error, so a missed position can not read as accepted.
-const NO_VERDICT: ServerError = ServerError::Unavailable("chunk received no verdict");
 
 /// Buffered real-time records of one stream: per open chunk, the `(seq,
 /// sealed bytes)` records received so far.
@@ -744,65 +740,35 @@ impl TimeCryptServer {
     /// Single-chunk ingest from serialized bytes: the length-1 call of
     /// [`insert_bytes_run`](Self::insert_bytes_run).
     pub fn insert_bytes(&self, bytes: &[u8]) -> Result<(), ServerError> {
-        self.insert_bytes_run(&[bytes])
-            .pop()
-            .unwrap_or(Err(NO_VERDICT))
+        self.insert_bytes_run(&[bytes]).into_iter().collect()
     }
 
     /// The engine's one ingest implementation: a batch of serialized
     /// chunks, any stream mix (per-stream order is the caller's submission
-    /// order), verdicts in input order. Each chunk is validated through a
-    /// borrowed parse, and its digest and payload are stored straight from
-    /// the input bytes — the serialization is canonical (see
-    /// [`timecrypt_chunk::ChunkRef`]), so the chunk as ingested is what
-    /// a raw read serializes again, and nothing is copied through an
-    /// intermediate `EncryptedChunk`.
-    /// Unparseable entries report [`ServerError::BadChunk`] at their
-    /// position. Each stream's chunks form one run: one hold of the
-    /// stream's stripe and one store commit, whether the batch is a shard's whole
-    /// share of a client upload or a single chunk. A run that
-    /// panics fails its own chunks (`Unavailable`) and no other stream's.
+    /// order), verdicts in input order. The batch is split by stream
+    /// ([`Runs`]): unparseable entries report [`ServerError::BadChunk`] at
+    /// their position, and each stream's chunks form one run — one hold of
+    /// the stream's stripe and one store commit, whether the batch is a
+    /// shard's whole share of a client upload or a single chunk. Each
+    /// chunk's digest and payload are stored straight from the input bytes
+    /// through a borrowed parse — the serialization is canonical (see
+    /// [`timecrypt_chunk::ChunkRef`]), so the chunk as ingested is what a
+    /// raw read serializes again, and nothing is copied through an
+    /// intermediate `EncryptedChunk`. A run that panics fails its own
+    /// chunks (`Unavailable`) and no other stream's.
     pub fn insert_bytes_run(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
-        let mut out: Vec<Result<(), ServerError>> = Vec::with_capacity(chunks.len());
-        // Per stream, in first-appearance order: its parsed chunks with
-        // their bytes (submission order) and their batch positions.
-        let mut order: Vec<u128> = Vec::new();
-        let mut runs: HashMap<u128, (Vec<ChunkRef<'_>>, Vec<usize>)> = HashMap::new();
-        for (pos, &bytes) in chunks.iter().enumerate() {
-            match ChunkRef::parse(bytes) {
-                Ok(chunk) => {
-                    let (run, positions) = runs.entry(chunk.stream).or_insert_with(|| {
-                        order.push(chunk.stream);
-                        Default::default()
-                    });
-                    run.push(chunk);
-                    positions.push(pos);
-                    out.push(Err(NO_VERDICT));
-                }
-                Err(_) => out.push(Err(ServerError::BadChunk)),
-            }
-        }
-        for stream in order {
-            // `order` records each stream exactly once, when its run is created.
-            let Some((run, positions)) = runs.remove(&stream) else {
-                continue;
-            };
+        let runs = Runs::split(chunks, |chunk| chunk.stream);
+        runs.verdicts(runs.iter().map(|(stream, run)| {
             // Panic containment is per stream run: a poisoned stream must
             // not make chunks of *other* streams — possibly already
             // durably committed by their own runs — report failure, or a
             // replica mirror would skip writes the primary actually holds.
-            let verdicts = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.insert_stream_run(stream, &run)
-            }))
-            .unwrap_or_else(|_| {
+            let ingest = || self.insert_stream_run(stream, run);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(ingest)).unwrap_or_else(|_| {
                 let panicked = |_| Err(ServerError::Unavailable("shard engine panicked"));
                 run.iter().map(panicked).collect()
-            });
-            for (pos, verdict) in positions.into_iter().zip(verdicts) {
-                out[pos] = verdict;
-            }
-        }
-        out
+            })
+        }))
     }
 
     /// One stream's ordered ingest run under one hold of its stripe.
@@ -818,7 +784,7 @@ impl TimeCryptServer {
     fn insert_stream_run<'a>(
         &self,
         stream: u128,
-        items: &[ChunkRef<'a>],
+        items: &[&'a [u8]],
     ) -> Vec<Result<(), ServerError>> {
         // The stream's stripe serializes writers only. Concurrent
         // statistical/raw reads proceed against the previous tree-length
@@ -833,7 +799,8 @@ impl TimeCryptServer {
         // The level-0 record of each accepted chunk, in run order, as the
         // pieces the index lays end to end: `digest ‖ CHUNK ‖ payload`.
         let mut records: Vec<[&[u8]; 3]> = Vec::with_capacity(items.len());
-        let validate = |chunk: &ChunkRef<'a>| {
+        let validate = |bytes: &&'a [u8]| {
+            let chunk = ChunkRef::parse(bytes).map_err(|_| ServerError::BadChunk)?;
             let got = chunk.digest_ct.len() as u32;
             if got != st.meta.digest_width {
                 let expected = st.meta.digest_width;
@@ -1376,17 +1343,6 @@ impl TimeCryptServer {
     pub fn kv(&self) -> &Arc<dyn KvStore> {
         &self.kv
     }
-}
-
-/// Renders per-chunk batch verdicts into the wire's `(position, message)`
-/// error list (successes are implicit). Shared by every `InsertBatch`
-/// handler so error strings cannot diverge between deployment shapes.
-pub fn batch_errors(verdicts: Vec<Result<(), ServerError>>) -> Vec<(u32, String)> {
-    verdicts
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, v)| v.err().map(|e| (i as u32, e.to_string())))
-        .collect()
 }
 
 impl TimeCryptServer {

@@ -58,6 +58,7 @@
 
 pub mod engine;
 mod keystore;
+pub mod runs;
 pub mod stat;
 
 pub use engine::{ResidencyStats, ServerConfig, ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};

@@ -38,13 +38,11 @@ pub use local::LocalShard;
 pub use remote::RemoteShard;
 pub use replicas::ShardReplicas;
 pub(crate) use replicas::{ingest_runs, Admission};
+pub use timecrypt_server::runs::Verdicts;
 
 use std::time::Instant;
 use timecrypt_server::{ServerError, StatLeg};
 use timecrypt_wire::messages::{Request, Response};
-
-/// Per-chunk ingest verdicts of one batch, in the batch's order.
-pub type Verdicts = Vec<Result<(), ServerError>>;
 
 /// An exchange a backend has begun: called, it reads the answer. It
 /// borrows nothing, so other shards' exchanges can be begun first. A

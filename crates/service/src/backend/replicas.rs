@@ -54,8 +54,8 @@ struct Roles {
 /// One shard's replica set: a primary backend plus an optional backup,
 /// with a health state machine that closes the R=2 loop.
 ///
-/// * **Mutations** (`Write`: `call` of a mutation, `ingest_batch` and
-///   the overlapped `ingest_runs`) go
+/// * **Mutations** (`Write`: `call` of a mutation and the overlapped
+///   `ingest_runs`) go
 ///   primary-then-backup: the backup only ever receives writes the
 ///   primary received, in the same order, which is the invariant that
 ///   keeps the replicas byte-identical. A backup failure (or a verdict
@@ -356,12 +356,6 @@ impl ShardReplicas {
     pub(crate) fn begin_ingest<'a>(&'a self, chunks: &'a [&'a [u8]]) -> Write<'a, Run<'a>> {
         self.m().queue_depth.add(chunks.len() as u64);
         self.begin_write(Run(chunks))
-    }
-
-    /// Ingests an ordered run under the write policy, start to finish.
-    pub(crate) fn ingest_batch(&self, chunks: &[&[u8]]) -> Verdicts {
-        let _admitted = self.admission.lock_all(run_streams(chunks), RwLock::read);
-        self.begin_ingest(chunks).settle()
     }
 
     /// Attaches a replacement backup in the rebuilding state: write
@@ -732,12 +726,17 @@ impl Write<'_, Run<'_>> {
 pub(crate) fn ingest_runs<'a>(
     admission: &'a Admission,
     runs: impl Iterator<Item = (&'a ShardReplicas, &'a [&'a [u8]])> + Clone,
-) -> Vec<Verdicts> {
+) -> impl Iterator<Item = Verdicts> {
     let streams = runs.clone().flat_map(|(_, chunks)| run_streams(chunks));
     let _admitted = admission.lock_all(streams, RwLock::read);
-    let mut writes: Vec<_> = runs.map(|(r, chunks)| r.begin_ingest(chunks)).collect();
-    writes.iter_mut().for_each(Write::finish_primary);
-    writes.into_iter().map(Write::settle).collect()
+    // The first run's write is held inline, as `lock_all` holds its first
+    // guard: a one-run batch allocates nothing here.
+    let mut begun = runs.map(|(r, chunks)| r.begin_ingest(chunks));
+    let (mut first, mut rest): (Option<_>, Vec<_>) = (begun.next(), begun.collect());
+    (first.iter_mut().chain(&mut rest)).for_each(Write::finish_primary);
+    let first = first.map(Write::settle);
+    let rest: Vec<_> = rest.into_iter().map(Write::settle).collect();
+    first.into_iter().chain(rest)
 }
 
 /// Passes before a rebuild gives up. Each lists both replicas and sweeps
@@ -923,9 +922,16 @@ mod tests {
         .to_bytes()
     }
 
+    /// A run on one replica set, start to finish.
+    fn ingest(r: &ShardReplicas, chunks: &[&[u8]]) -> Verdicts {
+        ingest_runs(&r.admission, std::iter::once((r, chunks)))
+            .flatten()
+            .collect()
+    }
+
     /// A run of one chunk.
     fn insert(r: &ShardReplicas, chunk: &[u8]) -> Result<(), ServerError> {
-        r.ingest_batch(&[chunk]).pop().unwrap()
+        ingest(r, &[chunk]).into_iter().collect()
     }
 
     /// A leg, begun and settled under a budget that never runs out, as the
@@ -1171,7 +1177,7 @@ mod tests {
         let r = replicas(primary, Some(backup.clone()), 0);
         backup.set_up(false);
         let batch = [sealed(1, 0, 5), sealed(1, 9, 6), sealed(1, 1, 7)];
-        let verdicts = r.ingest_batch(&batch.each_ref().map(Vec::as_slice));
+        let verdicts = ingest(&r, &batch.each_ref().map(Vec::as_slice));
         assert!(verdicts[0].is_ok() && verdicts[2].is_ok());
         assert!(verdicts[1].is_err(), "out-of-order chunk rejected");
         assert_eq!(
@@ -1200,7 +1206,8 @@ mod tests {
         let (sets, _stubs, steps) = logged_pair();
         let chunk = sealed(1, 0, 5);
         let run = [&chunk[..]];
-        let verdicts = ingest_runs(&sets[0].admission, sets.iter().map(|r| (r, &run[..])));
+        let runs = sets.iter().map(|r| (r, &run[..]));
+        let verdicts: Vec<_> = ingest_runs(&sets[0].admission, runs).collect();
         assert!(verdicts.iter().flatten().all(Result::is_ok), "{verdicts:?}");
         assert_eq!(
             steps.lock().join(" "),
@@ -1487,7 +1494,7 @@ mod tests {
         r.attach_backup(replacement.clone()).unwrap();
         let chunk = sealed(1, 0, 5);
         let run = [&chunk[..]];
-        // Admitted as `ingest_batch` admits it.
+        // Admitted as `ingest_runs` admits it.
         let admitted = r.admission.lock_all([1], RwLock::read);
         let write = r.begin_ingest(&run);
         let rebuilding = r.clone();

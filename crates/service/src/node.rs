@@ -27,9 +27,9 @@ use crate::router::ShardRouter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_chunk::serialize::{ChunkRef, SealedRecord};
+use timecrypt_chunk::serialize::SealedRecord;
 use timecrypt_obs::trace;
-use timecrypt_server::engine::batch_errors;
+use timecrypt_server::runs::{batch_errors, Runs};
 use timecrypt_server::{ServerConfig, ServerError, StatLeg, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{
@@ -171,34 +171,15 @@ impl ShardNode {
         verdicts
     }
 
-    /// The wire ingest path, over serialized chunk views: chunks are
-    /// routed to their owning shard by a borrowed header parse (payloads
-    /// are never copied), each shard gets its sub-batch as one
-    /// [`insert_run`](Self::insert_run), and the failures come back as
-    /// `(batch position, error string)` in batch order — the same strings
-    /// whether the batch is an `InsertBatch` or the single chunk of an
-    /// `Insert`.
+    /// The wire ingest path, over serialized chunk views: the batch is
+    /// split by owning shard ([`Runs`]; payloads are never copied), each
+    /// shard gets its run as one [`insert_run`](Self::insert_run), and
+    /// the failures come back as `(batch position, error string)` in batch
+    /// order — the same strings whether the batch is an `InsertBatch` or
+    /// the single chunk of an `Insert`.
     fn insert_views(&self, chunks: &[&[u8]]) -> Vec<(u32, String)> {
-        let mut verdicts: Vec<Result<(), ServerError>> = Vec::with_capacity(chunks.len());
-        // Per-shard sub-batches, each preserving batch order.
-        let mut by_shard: BTreeMap<usize, (Vec<&[u8]>, Vec<usize>)> = BTreeMap::new();
-        for (pos, &bytes) in chunks.iter().enumerate() {
-            verdicts.push(match ChunkRef::parse(bytes) {
-                Ok(c) => {
-                    let entry = by_shard.entry(self.router.shard_of(c.stream)).or_default();
-                    entry.0.push(bytes);
-                    entry.1.push(pos);
-                    Err(ServerError::Unavailable("chunk received no verdict"))
-                }
-                Err(_) => Err(ServerError::BadChunk),
-            });
-        }
-        for (shard, (views, positions)) in by_shard {
-            for (pos, verdict) in positions.into_iter().zip(self.insert_run(shard, &views)) {
-                verdicts[pos] = verdict;
-            }
-        }
-        batch_errors(verdicts)
+        let runs = Runs::split(chunks, |chunk| self.router.shard_of(chunk.stream));
+        batch_errors(runs.verdicts(runs.iter().map(|(shard, run)| self.insert_run(shard, run))))
     }
 
     /// Node metrics snapshot: one entry per *hosted* shard (global shard

@@ -17,9 +17,9 @@ use crate::node::{NodeConfig, ShardNode};
 use crate::router::ShardRouter;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
+use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_obs::trace;
-use timecrypt_server::engine::batch_errors;
+use timecrypt_server::runs::{batch_errors, Runs};
 use timecrypt_server::{ServerConfig, ServerError, StatLeg};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{Request, RequestRef, Response, Route, ServiceStatsWire, StatReply};
@@ -286,8 +286,7 @@ impl ShardedService {
 
     /// One serialized chunk: a batch of one.
     fn insert_bytes(&self, chunk: &[u8]) -> Result<(), ServerError> {
-        let verdict = self.submit_routed(&[chunk]).pop();
-        verdict.unwrap_or(Err(ServerError::Unavailable("chunk received no verdict")))
+        self.submit_routed(&[chunk]).into_iter().collect()
     }
 
     /// Batched ingest: partitions `chunks` by shard (keeping each stream's
@@ -311,45 +310,10 @@ impl ShardedService {
     /// the way.
     fn submit_routed(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
         let route = trace::stage("route");
-        let owner = |bytes: &[u8]| ChunkRef::parse(bytes).map(|c| self.router.shard_of(c.stream));
-        // A batch of one shard's chunks — every per-stream upload — is
-        // that shard's run as it stands.
-        if let Some(Ok(shard)) = chunks.first().map(|c| owner(c)) {
-            if chunks[1..].iter().all(|c| owner(c).ok() == Some(shard)) {
-                drop(route);
-                return self.backends[shard].ingest_batch(chunks);
-            }
-        }
-        // Per shard: its chunks in submission order, each with its
-        // position in the batch.
-        let mut results = Vec::with_capacity(chunks.len());
-        let mut by_shard: Vec<(Vec<&[u8]>, Vec<usize>)> = Vec::new();
-        by_shard.resize_with(self.router.shards(), Default::default);
-        for (idx, &bytes) in chunks.iter().enumerate() {
-            results.push(match owner(bytes) {
-                Ok(shard) => {
-                    by_shard[shard].0.push(bytes);
-                    by_shard[shard].1.push(idx);
-                    Err(ServerError::Unavailable("chunk received no verdict"))
-                }
-                Err(_) => Err(ServerError::BadChunk),
-            });
-        }
+        let runs = Runs::split(chunks, |chunk| self.router.shard_of(chunk.stream));
         drop(route);
-        let touched = || {
-            by_shard
-                .iter()
-                .enumerate()
-                .filter(|(_, run)| !run.0.is_empty())
-        };
-        let runs = touched().map(|(s, run)| (&self.backends[s], &run.0[..]));
-        let verdicts = ingest_runs(&self.admission, runs);
-        for ((_, run), verdicts) in touched().zip(verdicts) {
-            for (&idx, verdict) in run.1.iter().zip(verdicts) {
-                results[idx] = verdict;
-            }
-        }
-        results
+        let shards = runs.iter().map(|(shard, run)| (&self.backends[shard], run));
+        runs.verdicts(ingest_runs(&self.admission, shards))
     }
 
     /// Scatter-gather statistical query, on the calling thread: every
@@ -466,14 +430,6 @@ impl ShardedService {
         crate::expose::serve_stats(addr, move || svc.stats())
     }
 
-    /// One wire `InsertBatch`: [`submit_routed`](Self::submit_routed) over
-    /// the frame's own slices, the failures rendered by batch position.
-    fn insert_batch_bytes(&self, chunks: &[&[u8]]) -> Response {
-        Response::Batch {
-            errors: batch_errors(self.submit_routed(chunks)),
-        }
-    }
-
     /// The coordinator's single request dispatch, over the borrowed view
     /// both [`Handler`] entry points produce. This half holds the ingest
     /// arms: chunks are validated and routed on a borrowed parse and the
@@ -487,7 +443,9 @@ impl ShardedService {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Error(e.to_string()),
             },
-            RequestRef::InsertBatch { chunks } => self.insert_batch_bytes(&chunks),
+            RequestRef::InsertBatch { chunks } => Response::Batch {
+                errors: batch_errors(self.submit_routed(&chunks)),
+            },
             // Routing needs only the record's stream id — peek it without
             // a full parse; the owning engine performs the one parse +
             // validation (and rejects what the peek let through).

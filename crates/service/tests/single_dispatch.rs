@@ -127,6 +127,14 @@ fn script(mine: u128, unknown: u128, foreign: u128, shard: u32) -> Vec<Request> 
             done: false,
         },
         Request::Stats,
+        Request::InsertBatch {
+            chunks: vec![
+                vec![4, 5, 6], // malformed, first of one stream's chunks
+                sealed(mine, 3).to_bytes(),
+                vec![7, 8], // malformed
+                sealed(mine, 4).to_bytes(),
+            ],
+        },
     ]
 }
 
@@ -267,6 +275,9 @@ fn assert_expected(
         (Response::Error(e), None) => assert!(e.contains("single-engine"), "{e}"),
         (other, _) => panic!("unexpected stats reply {other:?}"),
     }
+    let bad = ServerError::BadChunk.to_string();
+    let errors = vec![(0, bad.clone()), (2, bad)];
+    assert_eq!(replies[18], Response::Batch { errors });
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //!   position;
 //! * what the coordinator's, a node's and an engine's handling of an
 //!   `InsertBatch` frame allocate, and the engine's run, are ledger rows;
-//!   the coordinator's and an engine's do not grow with the chunks;
+//!   no dispatch grows with the chunks;
 //! * a frame's body is allocated as its bytes arrive: a length prefix
 //!   claiming the largest frame, then nothing, costs the read-ahead.
 
@@ -452,8 +452,8 @@ fn a_node_and_an_engine_add_a_fixed_number_of_blocks_to_the_run_they_dispatch() 
             (counts[row][i], counts[2][i]) = (dispatched - ran, ran);
         }
     }
-    // An engine: the decoded list of chunk slices, at every size.
-    assert_eq!(counts[0], [counts[0][0]; 3]);
+    // Each dispatch: the decoded list of chunk slices, at every size.
+    assert_eq!(counts[..2], [[counts[0][0]; 3]; 2]);
     let names = ["engine_dispatch", "node_dispatch", "engine_run"];
     let rows = (names.into_iter().zip(counts)).flat_map(|(n, c)| ledger_rows(n, c));
     common::ledger(&rows.collect::<Vec<_>>());
