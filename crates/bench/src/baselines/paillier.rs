@@ -95,14 +95,6 @@ impl Paillier {
         let m = Mont::new(&pb.n).modmul(&l, &self.mu);
         m.low_u64()
     }
-
-    /// Decrypts to the full residue mod n (for values exceeding u64).
-    pub fn decrypt_full(&self, ct: &PaillierCiphertext) -> BigUint {
-        let pb = &self.public;
-        let x = pb.mont_n2.pow(&ct.c, &self.lambda);
-        let l = x.sub(&BigUint::one()).div_rem(&pb.n).0;
-        Mont::new(&pb.n).modmul(&l, &self.mu)
-    }
 }
 
 impl PaillierPublic {

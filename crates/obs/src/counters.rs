@@ -134,8 +134,9 @@ process_families! {
     static STORE_LIVE_KEYS: Gauge = "timecrypt_store_live_keys"
         "Keys with a live value in the process's open store logs, summed.";
     static STORE_INDEX_BYTES: Gauge = "timecrypt_store_index_bytes"
-        "Resident bytes of the open store logs' indexes, summed: 12 per slot of a run, \
-         key + constant otherwise.";
+        "Resident bytes of the open store logs' indexes, summed: a run of counting keys \
+         its block-coded locations (about 2 to 4 B per key) + constant, any other key \
+         its bytes + constant.";
     static STORE_DEAD_BYTES: Gauge = "timecrypt_store_dead_bytes"
         "Bytes of the open store logs held by superseded, deleted and delete records, summed.";
 }

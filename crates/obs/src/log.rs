@@ -29,7 +29,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 pub enum Level {
     /// Finest-grained spans and per-operation detail.
     Trace = 0,
-    /// Per-request spans and diagnostics (ring-buffer default).
+    /// Per-request spans and diagnostics (the least the ring buffer keeps).
     Debug = 1,
     /// Lifecycle events (stderr default).
     Info = 2,
@@ -144,13 +144,15 @@ impl Ring {
 /// The process-global logger.
 pub struct Logger {
     stderr_level: AtomicU8,
-    ring_level: AtomicU8,
     /// `(target prefix, level)` overrides from `TC_LOG`, longest first.
     overrides: Vec<(String, u8)>,
     ring: Ring,
 }
 
 static LOGGER: OnceLock<Logger> = OnceLock::new();
+
+/// The least level the flight recorder keeps.
+const RING_LEVEL: Level = Level::Debug;
 
 /// Default ring capacity; override with `TC_RING=<capacity>`.
 const DEFAULT_RING: usize = 2048;
@@ -182,7 +184,6 @@ fn logger() -> &'static Logger {
             .unwrap_or(DEFAULT_RING);
         Logger {
             stderr_level: AtomicU8::new(default_level),
-            ring_level: AtomicU8::new(Level::Debug as u8),
             overrides,
             ring: Ring::new(ring_cap),
         }
@@ -205,7 +206,7 @@ fn stderr_threshold(l: &Logger, target: &str) -> u8 {
 pub fn enabled(level: Level, target: &str) -> bool {
     let l = logger();
     let v = level as u8;
-    v >= stderr_threshold(l, target) || v >= l.ring_level.load(Ordering::Relaxed)
+    v >= stderr_threshold(l, target) || v >= RING_LEVEL as u8
 }
 
 /// Records one event: into the ring if it passes the ring level, onto
@@ -226,7 +227,7 @@ pub fn log(level: Level, target: &'static str, msg: String) {
     if (level as u8) >= stderr_threshold(l, target) {
         eprintln!("{}", event.render());
     }
-    if (level as u8) >= l.ring_level.load(Ordering::Relaxed) {
+    if level >= RING_LEVEL {
         l.ring.push(event);
     }
 }
@@ -242,14 +243,6 @@ pub fn dump() -> Vec<Event> {
 pub fn set_stderr_level(level: Option<Level>) {
     logger()
         .stderr_level
-        .store(level.map_or(LEVEL_OFF, |l| l as u8), Ordering::Relaxed);
-}
-
-/// Overrides the ring-buffer threshold at runtime. `None` disables ring
-/// capture.
-pub fn set_ring_level(level: Option<Level>) {
-    logger()
-        .ring_level
         .store(level.map_or(LEVEL_OFF, |l| l as u8), Ordering::Relaxed);
 }
 
