@@ -7,7 +7,7 @@
 //! frame a coordinator sends a node — is its one run as it stands.
 
 use crate::ServerError::{self, BadChunk};
-use std::iter::repeat_with;
+use std::iter::{repeat_n, repeat_with};
 use timecrypt_chunk::serialize::ChunkRef;
 
 /// Per-chunk ingest verdicts, in the order of the chunks they judge.
@@ -45,7 +45,7 @@ impl<'a, K: Copy + Ord> Runs<'a, K> {
         let whole = first.filter(|_| shared == batch.len());
         let mut keyed = Vec::new();
         if whole.is_none() {
-            let keys = std::iter::repeat_n(first, shared).chain(keys);
+            let keys = repeat_n(first, shared).chain(keys);
             keyed.reserve_exact(batch.len());
             keyed.extend((0..).zip(keys).filter_map(|(pos, k)| Some((k?, pos))));
             keyed.sort_unstable();

@@ -154,7 +154,7 @@ impl ShardNode {
     /// submission order) go to the shard's engine as one zero-copy batch
     /// and the verdicts come back typed, in input order. Where every
     /// chunk this process stores enters its engine — a frame's chunks
-    /// after [`insert_views`](Self::insert_views) routed them, a
+    /// after [`insert_views`](Self::insert_views) split them, a
     /// coordinator's through its in-process backend.
     pub(crate) fn insert_run(
         &self,

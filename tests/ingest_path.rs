@@ -13,9 +13,8 @@
 //! * a batch costs exactly one node call per shard it touches, however
 //!   many submitters are at work, and its verdicts come back by batch
 //!   position;
-//! * what the coordinator's, a node's and an engine's handling of an
-//!   `InsertBatch` frame allocate, and the engine's run, are ledger rows;
-//!   no dispatch grows with the chunks;
+//! * the allocations of each tier's `InsertBatch` dispatch and of the
+//!   engine's run are ledger rows, no dispatch's growing with the chunks;
 //! * a frame's body is allocated as its bytes arrive: a length prefix
 //!   claiming the largest frame, then nothing, costs the read-ahead.
 
