@@ -17,9 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use timecrypt_bench::workload::presealed;
 use timecrypt_server::{ServerConfig, TimeCryptServer};
-use timecrypt_service::{
-    BackendSpec, NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService,
-};
+use timecrypt_service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
 use timecrypt_store::MemKv;
 use timecrypt_wire::messages::StatReply;
 use timecrypt_wire::pool::PoolConfig;
@@ -122,7 +120,7 @@ fn main() {
     // Attach a replacement: the call returns with it rebuilt.
     let (_node_c, addr_c) = spawn_node();
     let t = Instant::now();
-    svc.attach_replica(0, BackendSpec::Remote(addr_c)).unwrap();
+    svc.attach_replica(0, addr_c).unwrap();
     let rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
     let rebuild_chunks_copied = svc.stats().shards[0].rebuild_chunks_copied;
     // Query throughput with the shard back at R=2.

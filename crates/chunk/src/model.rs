@@ -73,19 +73,6 @@ impl StreamConfig {
     pub fn chunk_of(&self, ts: i64) -> Option<ChunkId> {
         self.grid()?.chunk_of(ts)
     }
-
-    /// The chunk's half-open time interval `[start, end)` in ms.
-    pub fn chunk_interval(&self, chunk: ChunkId) -> (i64, i64) {
-        let start = self.t0 + (chunk * self.delta_ms) as i64;
-        (start, start + self.delta_ms as i64)
-    }
-
-    /// Maps a half-open time range `[ts_s, ts_e)` to the half-open chunk
-    /// range fully *containing* it (for raw retrieval) — see
-    /// [`ChunkGrid::containing`].
-    pub fn chunk_range_containing(&self, ts_s: i64, ts_e: i64) -> Option<(ChunkId, ChunkId)> {
-        self.grid()?.containing(ts_s, ts_e)
-    }
 }
 
 /// A stream's chunk grid: chunk `i` covers `[t0 + i·Δ, t0 + (i + 1)·Δ)`.
@@ -150,26 +137,15 @@ mod tests {
     }
 
     #[test]
-    fn chunk_interval_roundtrips() {
-        let c = cfg();
-        for chunk in [0u64, 1, 5, 1000] {
-            let (s, e) = c.chunk_interval(chunk);
-            assert_eq!(c.chunk_of(s), Some(chunk));
-            assert_eq!(c.chunk_of(e - 1), Some(chunk));
-            assert_eq!(c.chunk_of(e), Some(chunk + 1));
-        }
-    }
-
-    #[test]
-    fn chunk_range_containing_covers_query() {
-        let c = cfg();
+    fn containing_covers_query() {
+        let grid = cfg().grid().unwrap();
         // Query [5s, 25s) touches chunks 0, 1, 2.
-        assert_eq!(c.chunk_range_containing(5_000, 25_000), Some((0, 3)));
+        assert_eq!(grid.containing(5_000, 25_000), Some((0, 3)));
         // Exactly one chunk.
-        assert_eq!(c.chunk_range_containing(1_000, 11_000), Some((0, 1)));
+        assert_eq!(grid.containing(1_000, 11_000), Some((0, 1)));
         // Empty / inverted ranges.
-        assert_eq!(c.chunk_range_containing(5_000, 5_000), None);
-        assert_eq!(c.chunk_range_containing(9_000, 5_000), None);
+        assert_eq!(grid.containing(5_000, 5_000), None);
+        assert_eq!(grid.containing(9_000, 5_000), None);
     }
 
     #[test]
@@ -177,12 +153,16 @@ mod tests {
         let c = StreamConfig::new(1, "hr", -1, 10_000);
         let last = (i64::MAX as u64 + 1) / 10_000;
         assert_eq!(c.chunk_of(i64::MAX), Some(last));
-        assert_eq!(c.chunk_range_containing(0, i64::MAX), Some((0, last + 1)));
         let grid = c.grid().unwrap();
+        assert_eq!(grid.containing(0, i64::MAX), Some((0, last + 1)));
         assert_eq!(grid.within(0, i64::MAX), (1, last));
         assert_eq!(grid.within(i64::MIN, -1), (0, 0));
         let zero = StreamConfig::new(1, "hr", 0, 0);
         assert_eq!(zero.chunk_of(5), None);
-        assert_eq!(zero.chunk_range_containing(0, 5), None);
+        assert_eq!(
+            zero.grid(),
+            None,
+            "no grid, so no chunk range contains a query"
+        );
     }
 }

@@ -134,27 +134,16 @@ impl DualKeyRegression {
                 hi: self.n,
             });
         }
-        // Checkpoints sit at indices n, then multiples of stride going down:
-        // primary_cp[0] = n, and for cp index c>0, position = the largest
-        // multiple of stride at or below n that equals (n - …); we stored one
-        // every time idx % stride == 0, descending. Find the smallest
-        // checkpoint position ≥ i.
-        let (cp_pos, cp_state) = if i == self.n {
+        // `primary_cp[0]` sits at `n` and `primary_cp[k]`, k ≥ 1, at the
+        // k-th multiple of `stride` below `n`, counting down from the
+        // highest; the walk starts at the nearest of them at or above `i`.
+        let target = i.div_ceil(self.stride) * self.stride;
+        let (cp_pos, cp_state) = if target >= self.n {
             (self.n, self.primary_cp[0])
         } else {
-            // Positions: multiples of stride ≤ n, stored in descending order
-            // starting at primary_cp[1] (pos = largest multiple ≤ n-1? —
-            // positions are exactly the multiples of stride in [0, n)).
-            let target = i.div_ceil(self.stride) * self.stride; // smallest multiple ≥ i
-            if target >= self.n {
-                (self.n, self.primary_cp[0])
-            } else {
-                // primary_cp[1] holds the highest multiple of stride < n; the
-                // list descends by `stride` each entry.
-                let highest = ((self.n - 1) / self.stride) * self.stride;
-                let slot = 1 + ((highest - target) / self.stride) as usize;
-                (target, self.primary_cp[slot])
-            }
+            let highest = ((self.n - 1) / self.stride) * self.stride;
+            let slot = 1 + ((highest - target) / self.stride) as usize;
+            (target, self.primary_cp[slot])
         };
         let mut s = cp_state;
         for _ in i..cp_pos {
@@ -239,8 +228,7 @@ impl KrConsumer {
         Ok(())
     }
 
-    /// Derives key `i`. Cost: `(upper − i) + (i − lower)` hash steps —
-    /// for bulk access use [`keys_range`](Self::keys_range).
+    /// Derives key `i`. Cost: `(upper − i) + (i − lower)` hash steps.
     pub fn key(&self, i: u64) -> Result<[u8; 16], CoreError> {
         let (lo, hi) = self.interval();
         if i < lo || i > hi {
@@ -255,48 +243,6 @@ impl KrConsumer {
             s2 = step(&s2);
         }
         Ok(derive_key(&s1, &s2))
-    }
-
-    /// Derives all keys in `[a, b]` (inclusive, within the share) with
-    /// linear total work: O(hi − a) for the primary walk plus O(b − lo) for
-    /// the secondary walk.
-    pub fn keys_range(&self, a: u64, b: u64) -> Result<Vec<[u8; 16]>, CoreError> {
-        let (lo, hi) = self.interval();
-        if a < lo || b > hi || a > b {
-            return Err(CoreError::KrOutOfBounds {
-                index: if a < lo { a } else { b },
-                lo,
-                hi,
-            });
-        }
-        // Primary states for b down to a: walk from `upper` once, recording.
-        let count = (b - a + 1) as usize;
-        let mut primaries = vec![[0u8; 32]; count];
-        let mut s1 = self.token.upper.state;
-        let mut idx = hi;
-        loop {
-            if idx <= b {
-                primaries[(idx - a) as usize] = s1;
-            }
-            if idx == a {
-                break;
-            }
-            s1 = step(&s1);
-            idx -= 1;
-        }
-        // Secondary forward walk from lower to a..b.
-        let mut s2 = self.token.lower.state;
-        for _ in lo..a {
-            s2 = step(&s2);
-        }
-        let mut out = Vec::with_capacity(count);
-        for (offset, p) in primaries.iter().enumerate() {
-            out.push(derive_key(p, &s2));
-            if offset + 1 < count {
-                s2 = step(&s2);
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -363,18 +309,6 @@ mod tests {
         }
         assert!(c.key(99).is_err());
         assert!(c.key(201).is_err());
-    }
-
-    #[test]
-    fn keys_range_matches_single_derivation() {
-        let k = kr(500);
-        let c = KrConsumer::new(k.share(50, 80).unwrap());
-        let bulk = c.keys_range(55, 70).unwrap();
-        for (off, key) in bulk.iter().enumerate() {
-            assert_eq!(*key, c.key(55 + off as u64).unwrap());
-        }
-        assert!(c.keys_range(40, 60).is_err());
-        assert!(c.keys_range(60, 90).is_err());
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl ResolutionOwner {
         self.resolution
     }
 
-    /// Largest envelope index supported.
-    pub fn max_envelopes(&self) -> u64 {
-        self.kr.max_index()
-    }
-
     /// Seals envelope `m`: the tree leaf at chunk `m · r` encrypted under
     /// `k̄_m`. The owner uploads these to the server key store as the stream
     /// grows.

@@ -18,19 +18,6 @@ pub fn fold_u64(x: &Seed128) -> u64 {
     ((v >> 64) as u64) ^ (v as u64)
 }
 
-/// Folds a 256-bit value (e.g. a SHA-256 digest) to 64 bits by XORing all
-/// four 64-bit words. Used by dual key regression key derivation.
-#[inline]
-pub fn fold_u64_wide(x: &[u8; 32]) -> u64 {
-    let mut acc = 0u64;
-    let mut word = [0u8; 8];
-    for chunk in x.chunks_exact(8) {
-        word.copy_from_slice(chunk);
-        acc ^= u64::from_be_bytes(word);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,7 +25,6 @@ mod tests {
     #[test]
     fn fold_zero_is_zero() {
         assert_eq!(fold_u64(&[0u8; 16]), 0);
-        assert_eq!(fold_u64_wide(&[0u8; 32]), 0);
     }
 
     #[test]

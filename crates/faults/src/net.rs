@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-use timecrypt_obs::tc_debug;
+use timecrypt_obs::{accept_loop, tc_debug};
 use timecrypt_wire::frame::{PREFIX_LEN, READ_AHEAD};
 use timecrypt_wire::MAX_FRAME;
 
@@ -56,7 +56,14 @@ impl FaultyTransport {
         let accepter = {
             let shared = Arc::clone(&shared);
             let stop_flag = Arc::clone(&stop_flag);
-            thread::spawn(move || accept_loop(listener, upstream, shared, stop_flag))
+            thread::spawn(move || {
+                let accept = || listener.accept().map(|(client, _)| client);
+                accept_loop(&stop_flag, "faults.net", accept, |client| {
+                    if let Err(e) = splice(client, upstream, &shared, &stop_flag) {
+                        tc_debug!("faults.net", "proxy conn setup failed: {e}");
+                    }
+                })
+            })
         };
         Ok(FaultyTransport {
             local,
@@ -103,28 +110,6 @@ impl FaultyTransport {
 impl Drop for FaultyTransport {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    upstream: SocketAddr,
-    plan: SharedPlan,
-    stop_flag: Arc<AtomicBool>,
-) {
-    while !stop_flag.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                if let Err(e) = splice(client, upstream, &plan, &stop_flag) {
-                    tc_debug!("faults.net", "proxy conn setup failed: {e}");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(TICK),
-            Err(e) => {
-                tc_debug!("faults.net", "proxy accept failed: {e}");
-                thread::sleep(TICK);
-            }
-        }
     }
 }
 

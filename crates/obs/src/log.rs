@@ -19,7 +19,7 @@
 //! event and bumps [`DROPPED_EVENTS`](crate::counters::DROPPED_EVENTS) instead.
 
 use crate::trace::{self, TraceContext};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -143,7 +143,7 @@ impl Ring {
 
 /// The process-global logger.
 pub struct Logger {
-    stderr_level: AtomicU8,
+    stderr_level: u8,
     /// `(target prefix, level)` overrides from `TC_LOG`, longest first.
     overrides: Vec<(String, u8)>,
     ring: Ring,
@@ -183,7 +183,7 @@ fn logger() -> &'static Logger {
             .and_then(|v| v.parse().ok())
             .unwrap_or(DEFAULT_RING);
         Logger {
-            stderr_level: AtomicU8::new(default_level),
+            stderr_level: default_level,
             overrides,
             ring: Ring::new(ring_cap),
         }
@@ -197,7 +197,7 @@ fn stderr_threshold(l: &Logger, target: &str) -> u8 {
             return *level;
         }
     }
-    l.stderr_level.load(Ordering::Relaxed)
+    l.stderr_level
 }
 
 /// Would an event at `level` for `target` be recorded by either sink?
@@ -235,15 +235,6 @@ pub fn log(level: Level, target: &'static str, msg: String) {
 /// Snapshot of the flight recorder, oldest event first.
 pub fn dump() -> Vec<Event> {
     logger().ring.dump()
-}
-
-/// Overrides the stderr threshold at runtime (tests, signal handlers).
-/// `None` silences stderr entirely. Per-target `TC_LOG` overrides keep
-/// winning for their targets.
-pub fn set_stderr_level(level: Option<Level>) {
-    logger()
-        .stderr_level
-        .store(level.map_or(LEVEL_OFF, |l| l as u8), Ordering::Relaxed);
 }
 
 /// Chains a panic hook that replays the flight recorder to stderr after
@@ -311,8 +302,8 @@ mod tests {
 
     #[test]
     fn logged_events_reach_the_ring() {
-        set_stderr_level(None); // keep test output clean
-        log(Level::Info, "log-test", "hello count=2".into());
+        // Below the default stderr level: the test output stays clean.
+        log(Level::Debug, "log-test", "hello count=2".into());
         let events = dump();
         assert!(events
             .iter()

@@ -24,7 +24,7 @@
 //! and resolves the state under it, so a deletion or import that drops the
 //! state leaves no writer holding it. See ARCHITECTURE.md "Stream lifecycle".
 
-use crate::runs::{batch_errors, Runs};
+use crate::runs::{ingest_reply, Runs};
 use crate::stat::{StatLeg, StreamStat};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -1347,31 +1347,19 @@ impl TimeCryptServer {
 
 impl TimeCryptServer {
     /// The engine's single request dispatch, over the borrowed view both
-    /// [`Handler`] entry points produce. This half holds the ingest arms:
-    /// chunk bytes go from the caller's buffer (the frame, on the wire
-    /// path) straight to [`insert_bytes_run`](Self::insert_bytes_run);
-    /// every other variant continues in
+    /// [`Handler`] entry points produce: chunk bytes go from the caller's
+    /// buffer (the frame, on the wire path) straight to
+    /// [`insert_bytes_run`](Self::insert_bytes_run), a live record to
+    /// [`insert_live`](Self::insert_live) ([`ingest_reply`] renders the
+    /// reply); every other variant continues in
     /// [`dispatch_unborrowed`](Self::dispatch_unborrowed).
     fn dispatch(&self, req: RequestRef<'_>) -> Response {
-        match req {
-            RequestRef::Insert { chunk } => match self.insert_bytes(chunk) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Error(e.to_string()),
-            },
-            RequestRef::InsertBatch { chunks } => Response::Batch {
-                errors: batch_errors(self.insert_bytes_run(&chunks)),
-            },
-            RequestRef::InsertLive { record } => {
-                let buffered = SealedRecord::from_bytes(record)
-                    .map_err(|_| ServerError::BadRecord)
-                    .and_then(|r| self.insert_live(&r));
-                match buffered {
-                    Ok(()) => Response::Ok,
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            RequestRef::Other(req) => self.dispatch_unborrowed(req),
-        }
+        let live = |record: &[u8]| {
+            let record = SealedRecord::from_bytes(record).map_err(|_| ServerError::BadRecord)?;
+            self.insert_live(&record)
+        };
+        ingest_reply(req, |chunks| self.insert_bytes_run(chunks), live)
+            .unwrap_or_else(|req| self.dispatch_unborrowed(req))
     }
 
     /// The arms of [`dispatch`](Self::dispatch) for requests that carry

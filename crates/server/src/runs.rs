@@ -1,14 +1,17 @@
-//! The one split of an ingest batch into runs, by a key of each chunk's
-//! header: the coordinator's and a node's by shard, the engine's by stream
-//! (chunks are stored per stream, paper §4.6). Each chunk is parsed once;
-//! one that does not parse is [`ServerError::BadChunk`] at its position,
+//! The one split of a fan-out into runs, and the one ingest reply. A
+//! batch of items — serialized chunks, or a statistical query's stream ids
+//! — is split by a key of each item: the coordinator's and a node's by
+//! shard, the engine's by stream (chunks are stored per stream, paper
+//! §4.6). Items without a key (a chunk that does not parse) join no run;
 //! the others join their key's run in submission order. A batch whose
-//! chunks all parse and share one key — every per-stream upload, every
-//! frame a coordinator sends a node — is its one run as it stands.
+//! items all share one key — every per-stream upload, every frame a
+//! coordinator sends a node, every one-shard query — is its one run as it
+//! stands. Each run's results are scattered back in batch order.
 
 use crate::ServerError::{self, BadChunk};
 use std::iter::{repeat_n, repeat_with};
 use timecrypt_chunk::serialize::ChunkRef;
+use timecrypt_wire::messages::{Request, RequestRef, Response};
 
 /// Per-chunk ingest verdicts, in the order of the chunks they judge.
 pub type Verdicts = Vec<Result<(), ServerError>>;
@@ -20,24 +23,24 @@ fn no_verdict() -> Result<(), ServerError> {
 }
 
 /// A batch split into runs by key, in key order.
-pub struct Runs<'a, K> {
-    batch: &'a [&'a [u8]],
-    /// The key of a batch that is one run: every chunk parses and has it.
+pub struct Runs<'a, T, K> {
+    batch: &'a [T],
+    /// The key of a batch that is one run: every item has it.
     whole: Option<K>,
-    /// Otherwise the chunks that parse, as `(key, batch position)` sorted:
-    /// each run is a stretch of one key, in submission order.
+    /// Otherwise the keyed items, as `(key, batch position)` sorted: each
+    /// run is a stretch of one key, in submission order.
     keyed: Vec<(K, usize)>,
-    /// The chunks of `keyed`, in its order.
-    views: Vec<&'a [u8]>,
+    /// The items of `keyed`, in its order.
+    views: Vec<T>,
 }
 
-impl<'a, K: Copy + Ord> Runs<'a, K> {
-    /// Splits `batch` by the `key` of each chunk's parsed header.
-    pub fn split(batch: &'a [&'a [u8]], key: impl Fn(&ChunkRef<'_>) -> K) -> Self {
-        let parsed = |c: &&[u8]| ChunkRef::parse(c).ok().map(|c| key(&c));
-        let mut keys = batch.iter().map(parsed).peekable();
+impl<'a, T: Copy, K: Copy + Ord> Runs<'a, T, K> {
+    /// Splits `batch` by the `key` of each item; an item whose key is
+    /// `None` joins no run.
+    pub fn split_by(batch: &'a [T], key: impl Fn(&T) -> Option<K>) -> Self {
+        let mut keys = batch.iter().map(key).peekable();
         let first = keys.peek().copied().flatten();
-        // The leading chunks that parse and share the first one's key.
+        // The leading items that share the first one's key.
         let mut shared = 0;
         while first.is_some() && keys.next_if_eq(&first).is_some() {
             shared += 1;
@@ -59,8 +62,8 @@ impl<'a, K: Copy + Ord> Runs<'a, K> {
         }
     }
 
-    /// The runs, in key order: each key with its chunks in submission order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &[&'a [u8]])> + Clone {
+    /// The runs, in key order: each key with its items in submission order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &[T])> + Clone {
         let mut end = 0;
         let runs = self.keyed.chunk_by(|a, b| a.0 == b.0).map(move |run| {
             end += run.len();
@@ -69,35 +72,75 @@ impl<'a, K: Copy + Ord> Runs<'a, K> {
         self.whole.map(|k| (k, self.batch)).into_iter().chain(runs)
     }
 
-    /// The batch's verdicts, in batch order, from each run's, given in the
-    /// order of [`iter`](Self::iter).
-    pub fn verdicts(&self, per_run: impl IntoIterator<Item = Verdicts>) -> Verdicts {
+    /// The batch's results, in batch order, from each run's, given in the
+    /// order of [`iter`](Self::iter): an unkeyed item's is `unkeyed()`, and
+    /// one past the end of its run's is `unanswered()`.
+    pub fn scatter<R>(
+        &self,
+        per_run: impl IntoIterator<Item = Vec<R>>,
+        mut unkeyed: impl FnMut() -> R,
+        mut unanswered: impl FnMut() -> R,
+    ) -> Vec<R> {
         let mut per_run = per_run.into_iter().chain(repeat_with(Vec::new));
         if self.whole.is_some() {
-            let mut verdicts = per_run.next().unwrap_or_default();
-            verdicts.resize_with(self.batch.len(), no_verdict);
-            return verdicts;
+            let mut out = per_run.next().unwrap_or_default();
+            out.resize_with(self.batch.len(), unanswered);
+            return out;
         }
-        let mut out: Verdicts = self.batch.iter().map(|_| Err(BadChunk)).collect();
-        for (run, verdicts) in self.keyed.chunk_by(|a, b| a.0 == b.0).zip(per_run) {
-            let verdicts = verdicts.into_iter().chain(repeat_with(no_verdict));
-            for (&(_, pos), verdict) in run.iter().zip(verdicts) {
-                out[pos] = verdict;
+        let mut out: Vec<R> = self.batch.iter().map(|_| unkeyed()).collect();
+        for (run, results) in self.keyed.chunk_by(|a, b| a.0 == b.0).zip(per_run) {
+            let results = results.into_iter().chain(repeat_with(&mut unanswered));
+            for (&(_, pos), result) in run.iter().zip(results) {
+                out[pos] = result;
             }
         }
         out
     }
 }
 
-/// Renders per-chunk batch verdicts into the wire's `(position, message)`
-/// error list (successes are implicit). Shared by every `InsertBatch`
-/// handler so error strings cannot diverge between deployment shapes.
-pub fn batch_errors(verdicts: Verdicts) -> Vec<(u32, String)> {
-    verdicts
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, v)| v.err().map(|e| (i as u32, e.to_string())))
-        .collect()
+impl<'a, K: Copy + Ord> Runs<'a, &'a [u8], K> {
+    /// Splits a batch of serialized chunks by the `key` of each chunk's
+    /// parsed header; a chunk that does not parse joins no run.
+    pub fn split(batch: &'a [&'a [u8]], key: impl Fn(&ChunkRef<'_>) -> K) -> Self {
+        Self::split_by(batch, |c| ChunkRef::parse(c).ok().map(|c| key(&c)))
+    }
+
+    /// The batch's verdicts, in batch order, from each run's, given in the
+    /// order of [`iter`](Self::iter): [`ServerError::BadChunk`] where a
+    /// chunk did not parse.
+    pub fn verdicts(&self, per_run: impl IntoIterator<Item = Verdicts>) -> Verdicts {
+        self.scatter(per_run, || Err(BadChunk), no_verdict)
+    }
+}
+
+/// The reply to an ingest request, at every tier: `Insert` is a batch of
+/// one and `InsertBatch` its `(position, message)` errors (successes are
+/// implicit), both from `run` — the tier's ingest of serialized chunks,
+/// verdicts in batch order — and `InsertLive` the outcome of `live` over
+/// the record's bytes. Error strings are the `ServerError` renderings, so
+/// they cannot diverge between deployment shapes. Any other request is
+/// handed back.
+pub fn ingest_reply(
+    req: RequestRef<'_>,
+    run: impl FnOnce(&[&[u8]]) -> Verdicts,
+    live: impl FnOnce(&[u8]) -> Result<(), ServerError>,
+) -> Result<Response, Request> {
+    let acked = |outcome: Result<(), ServerError>| match outcome {
+        Ok(()) => Response::Ok,
+        Err(e) => Response::Error(e.to_string()),
+    };
+    Ok(match req {
+        RequestRef::Insert { chunk } => acked(run(&[chunk]).into_iter().collect()),
+        RequestRef::InsertBatch { chunks } => {
+            let failed = (0..).zip(run(&chunks));
+            let errors = failed.filter_map(|(pos, v)| Some((pos, v.err()?.to_string())));
+            Response::Batch {
+                errors: errors.collect(),
+            }
+        }
+        RequestRef::InsertLive { record } => acked(live(record)),
+        RequestRef::Other(req) => return Err(req),
+    })
 }
 
 #[cfg(test)]
@@ -164,6 +207,48 @@ mod tests {
         let spec = [(1, 0), (2, 0), (1, 1), (9, 0), (2, 1)].map(Some);
         let runs = vec![(1, vec![0, 1]), (2, vec![0, 1]), (9, vec![0])];
         assert_eq!(split(&spec), (false, runs, "1.0 2.0 1.1 none 2.1".into()));
+    }
+
+    /// Whether a batch was borrowed whole, its runs, and its results.
+    type Scattered = (bool, Vec<(u8, Vec<u128>)>, Vec<u128>);
+
+    /// `streams` split by `shard`, each run answered with its streams' ids
+    /// up to its first id of 9 (9 and the rest of its run unanswered):
+    /// whether the batch was borrowed whole, the runs, and the scattered
+    /// answers, 0 for an unanswered stream (every stream has a key, so
+    /// the unkeyed placeholder, `u128::MAX`, shows nowhere).
+    fn scatter(streams: &[u128], shard: fn(u128) -> u8) -> Scattered {
+        let runs = Runs::split_by(streams, |&s| Some(shard(s)));
+        let whole = runs.iter().any(|(_, run)| std::ptr::eq(run, streams));
+        let answer = |run: &[u128]| run.iter().copied().take_while(|&s| s != 9).collect();
+        let answers = runs.iter().map(|(_, run)| answer(run));
+        let scattered = runs.scatter(answers, || u128::MAX, || 0);
+        let seen = runs.iter().map(|(k, run)| (k, run.to_vec()));
+        (whole, seen.collect(), scattered)
+    }
+
+    #[test]
+    fn streams_of_one_key_are_borrowed_whole() {
+        let one = scatter(&[5, 3, 7], |_| 1);
+        assert_eq!(one, (true, vec![(1, vec![5, 3, 7])], vec![5, 3, 7]));
+    }
+
+    #[test]
+    fn interleaved_streams_scatter_back_in_request_order() {
+        let odd = |s: u128| (s % 2) as u8;
+        let runs = vec![(0, vec![4, 2, 6]), (1, vec![1, 5, 3])];
+        let got = scatter(&[4, 1, 2, 5, 6, 3], odd);
+        assert_eq!(got, (false, runs, vec![4, 1, 2, 5, 6, 3]));
+    }
+
+    #[test]
+    fn a_run_that_answers_short_leaves_its_later_positions_unanswered() {
+        let odd = |s: u128| (s % 2) as u8;
+        let runs = vec![(0, vec![4, 2]), (1, vec![1, 9, 3])];
+        let got = scatter(&[4, 1, 9, 2, 3], odd);
+        assert_eq!(got, (false, runs, vec![4, 1, 0, 2, 0]));
+        let whole = scatter(&[1, 9, 3], odd);
+        assert_eq!(whole, (true, vec![(1, vec![1, 9, 3])], vec![1, 0, 0]));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The [`crate::ShardRouter`] decides *which* shard owns a stream; a
 //! [`ShardBackend`] decides *where* that shard runs. Two implementations:
 //!
-//! * [`LocalShard`] — one shard of the coordinator's in-process
-//!   [`ShardNode`](crate::ShardNode), called directly (the default).
+//! * the coordinator's in-process [`ShardNode`](crate::ShardNode) itself
+//!   (its `Arc` handle; `node.rs`), called directly (the default).
 //! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
 //!   reached over the blocking TCP transport through a
 //!   [`ClientPool`](timecrypt_wire::pool::ClientPool)
@@ -30,11 +30,9 @@
 //! message verbatim, so wire replies stay byte-identical between
 //! single-process and multi-node deployments.
 
-mod local;
 mod remote;
 mod replicas;
 
-pub use local::LocalShard;
 pub use remote::RemoteShard;
 pub use replicas::ShardReplicas;
 pub(crate) use replicas::{ingest_runs, Admission};
@@ -51,9 +49,9 @@ use timecrypt_wire::messages::{Request, Response};
 /// answer or the work.
 pub type Pending<T> = Box<dyn FnOnce() -> Result<T, ServerError>>;
 
-/// A scatter-gather leg: `(position in the request, stream id)` pairs, all
-/// owned by one shard.
-pub(crate) type Leg = [(usize, u128)];
+/// A scatter-gather leg: the ids of a query's streams one shard owns, in
+/// request order.
+pub(crate) type Leg = [u128];
 
 /// A leg cut short by [`crate::ServiceConfig::query_deadline`]: to the
 /// read policy a transport failure like a socket timeout (it strikes).
@@ -82,7 +80,7 @@ pub(crate) const AMBIGUOUS: ServerError =
 pub(crate) const UNROUTED: ServerError =
     ServerError::Unavailable("request has no handler at this tier");
 
-/// Where a shard (or its backup replica) runs.
+/// Where a shard's primary runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendSpec {
     /// In this process, over the coordinator's shared KV store.
@@ -97,9 +95,9 @@ pub enum BackendSpec {
 pub struct ShardSpec {
     /// Where the shard's primary runs.
     pub primary: BackendSpec,
-    /// Optional backup replica. Must be remote and not the primary's own
-    /// node: either would share the primary's store and self-corrupt.
-    pub backup: Option<BackendSpec>,
+    /// The node (`host:port`) of an optional backup replica; not the
+    /// primary's own, whose store the primary's engine already owns.
+    pub backup: Option<String>,
 }
 
 impl ShardSpec {
@@ -121,7 +119,7 @@ impl ShardSpec {
 
     /// Adds a remote backup replica at `addr`.
     pub fn with_backup(mut self, addr: impl Into<String>) -> Self {
-        self.backup = Some(BackendSpec::Remote(addr.into()));
+        self.backup = Some(addr.into());
         self
     }
 }
@@ -151,14 +149,15 @@ pub trait ShardBackend: Send + Sync + 'static {
         self.begin_call(req, None)()
     }
 
-    /// Begins one scatter-gather leg: the shard's streams, in the order of
-    /// their request positions, folded ([`StatLeg::fold`]) up to the first
-    /// that stops the fold. A remote shard has the leg's one frame written
-    /// when this returns, and waits for no reply past `deadline` (one that
+    /// Begins one scatter-gather leg: the shard's `streams`, in request
+    /// order, folded ([`StatLeg::fold`]) up to the first that stops the
+    /// fold. A remote shard has the leg's one frame written when this
+    /// returns, and waits for no reply past `deadline` (one that
     /// arrived by then is still read): the leg fails `Unavailable("query
     /// deadline exceeded")`, a transport-level failure — the socket timed
     /// out.
-    fn begin_leg(&self, legs: &Leg, ts_s: i64, ts_e: i64, deadline: Instant) -> Pending<StatLeg>;
+    fn begin_leg(&self, streams: &Leg, ts_s: i64, ts_e: i64, deadline: Instant)
+        -> Pending<StatLeg>;
 
     /// Hands the shard `chunks` — serialized chunk bytes, validated where
     /// they entered the service — to ingest in order (a stream has one

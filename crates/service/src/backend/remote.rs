@@ -88,11 +88,16 @@ impl ShardBackend for RemoteShard {
     /// One `GetStatLeg` exchange, so the caller puts other shards' legs on
     /// the wire before it reads this one's reply — the node's fold of the
     /// leg, one frame however many streams it has.
-    fn begin_leg(&self, legs: &Leg, ts_s: i64, ts_e: i64, deadline: Instant) -> Pending<StatLeg> {
+    fn begin_leg(
+        &self,
+        streams: &Leg,
+        ts_s: i64,
+        ts_e: i64,
+        deadline: Instant,
+    ) -> Pending<StatLeg> {
         let started = Instant::now();
-        let streams = legs.iter().map(|&(_, sid)| sid).collect();
         let req = Request::GetStatLeg {
-            streams,
+            streams: streams.to_vec(),
             ts_s,
             ts_e,
         };

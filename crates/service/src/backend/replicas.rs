@@ -334,17 +334,17 @@ impl ShardReplicas {
     /// the leg at its first stream with that `Unavailable`.
     pub(crate) fn begin_leg<'a>(
         &'a self,
-        legs: &'a Leg,
+        streams: &'a Leg,
         ts_s: i64,
         ts_e: i64,
         deadline: Instant,
     ) -> impl FnOnce() -> StatLeg + 'a {
         let roles = self.snapshot();
-        let begun = Cell::new(Some(roles.0.begin_leg(legs, ts_s, ts_e, deadline)));
+        let begun = Cell::new(Some(roles.0.begin_leg(streams, ts_s, ts_e, deadline)));
         move || {
             let leg = |b: &dyn ShardBackend| {
                 let begun = begun.take();
-                begun.unwrap_or_else(|| b.begin_leg(legs, ts_s, ts_e, deadline))()
+                begun.unwrap_or_else(|| b.begin_leg(streams, ts_s, ts_e, deadline))()
             };
             self.read_with_failover(roles, leg)
                 .unwrap_or_else(|e| StatLeg::fold([Err(e)]))
@@ -876,16 +876,17 @@ mod tests {
         /// shows when its answers are read.
         fn begin_leg(
             &self,
-            legs: &Leg,
+            streams: &Leg,
             ts_s: i64,
             ts_e: i64,
             _deadline: Instant,
         ) -> Pending<StatLeg> {
-            let (engine, reach, legs) = (self.engine.clone(), self.reach.clone(), legs.to_vec());
+            let (engine, reach) = (self.engine.clone(), self.reach.clone());
+            let streams = streams.to_vec();
             Box::new(move || {
                 reach.ensure_up()?;
-                let stat = |&(_, sid)| engine.stream_stat(sid, ts_s, ts_e);
-                Ok(StatLeg::fold(legs.iter().map(stat)))
+                let stat = |&sid| engine.stream_stat(sid, ts_s, ts_e);
+                Ok(StatLeg::fold(streams.iter().map(stat)))
             })
         }
 
@@ -938,13 +939,12 @@ mod tests {
     /// reply of a query of its streams alone.
     fn stat_leg(
         r: &ShardReplicas,
-        legs: &Leg,
+        streams: &Leg,
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatReply, ServerError> {
         let deadline = Instant::now() + std::time::Duration::from_secs(3600);
-        let streams: Vec<u128> = legs.iter().map(|&(_, sid)| sid).collect();
-        r.begin_leg(legs, ts_s, ts_e, deadline)().into_reply(&streams)
+        r.begin_leg(streams, ts_s, ts_e, deadline)().into_reply(streams)
     }
 
     fn replicas(
@@ -997,7 +997,7 @@ mod tests {
             };
             match self {
                 Kind::ReadCall => reply(r.call(Request::StreamInfo { stream: 1 })),
-                Kind::StatLeg => match stat_leg(r, &[(0, 1)], 0, 10_000) {
+                Kind::StatLeg => match stat_leg(r, &[1], 0, 10_000) {
                     Ok(_) => Ok(()),
                     Err(e) => Err(e.to_string()),
                 },
@@ -1269,7 +1269,7 @@ mod tests {
     fn only_consecutive_strikes_promote() {
         let primary = seeded();
         let r = replicas(primary.clone(), Some(seeded()), 2);
-        let leg = [(0usize, 1u128)];
+        let leg = [1u128];
         // One strike, then a recovery: the strike count must restart, so
         // a single later failure cannot promote.
         primary.set_up(false);
@@ -1317,9 +1317,9 @@ mod tests {
         assert_eq!(replacement.engine.stream_count(), 2);
         // The rebuilt replica now serves failover reads byte-identically
         // and is promotion-eligible.
-        let healthy = stat_leg(&r, &[(0, 1)], 0, 50_000);
+        let healthy = stat_leg(&r, &[1], 0, 50_000);
         primary.set_up(false);
-        let failed_over = stat_leg(&r, &[(0, 1)], 0, 50_000);
+        let failed_over = stat_leg(&r, &[1], 0, 50_000);
         assert_eq!(format!("{healthy:?}"), format!("{failed_over:?}"));
         assert_eq!(m.failovers.get(), 1);
         assert_eq!(m.promotions.get(), 1, "promote_after=1");
@@ -1359,7 +1359,7 @@ mod tests {
         // Even promote_after=1 must not promote the drifted replica, and
         // reads must not fail over to its incomplete data.
         primary.set_up(false);
-        assert!(stat_leg(&r, &[(0, 1)], 0, 30_000).is_err());
+        assert!(stat_leg(&r, &[1], 0, 30_000).is_err());
         assert_eq!(r.m().promotions.get(), 0);
         assert_eq!(r.m().failovers.get(), 0);
         primary.set_up(true);
@@ -1371,7 +1371,7 @@ mod tests {
         assert_eq!(m.rebuild_chunks_copied.get(), 2);
         assert_eq!(m.in_sync.get(), 1);
         primary.set_up(false);
-        assert!(stat_leg(&r, &[(0, 1)], 0, 30_000).is_ok());
+        assert!(stat_leg(&r, &[1], 0, 30_000).is_ok());
         assert_eq!(m.failovers.get(), 1);
         assert_eq!(m.promotions.get(), 1);
     }

@@ -40,13 +40,14 @@
 //!   of every request, for the coordinator and the node alike); a
 //!   [`backend::ShardBackend`] — four operations, `backend/mod.rs` —
 //!   decides *where* that shard runs: in the coordinator's own
-//!   [`ShardNode`] ([`backend::LocalShard`], `backend/local.rs`) or on a
-//!   `timecrypt-node` process reached over the wire protocol
+//!   [`ShardNode`], whose handle is the in-process backend (`node.rs`), or
+//!   on a `timecrypt-node` process reached over the wire protocol
 //!   ([`backend::RemoteShard`], `backend/remote.rs`: pooled TCP, every
-//!   exchange one frame out and one reply). [`ServiceConfig::topology`] maps each shard to `local` or
-//!   `host:port`, optionally with a backup replica (R=2: writes go
-//!   primary-then-backup, reads fail over — one function per policy).
-//!   Replies stay byte-identical however shards are placed.
+//!   exchange one frame out and one reply). [`ServiceConfig::topology`]
+//!   maps each shard to `local` or `host:port`, optionally with a backup
+//!   replica on another node (R=2: writes go primary-then-backup, reads
+//!   fail over — one function per policy). Replies stay byte-identical
+//!   however shards are placed.
 //! * **Replica promotion + rebuild** ([`backend::ShardReplicas`],
 //!   `backend/replicas.rs`) — a
 //!   primary that stays unreachable for

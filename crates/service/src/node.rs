@@ -9,9 +9,10 @@
 //! a single-process server does — which is what keeps coordinator replies
 //! byte-identical however shards are placed. The shards a coordinator
 //! keeps in its own process run in a `ShardNode` too, over the
-//! coordinator's store; [`crate::backend::LocalShard`] calls the typed
-//! operations (`stat_leg`, `insert_run`) that the wire dispatch below
-//! reaches for the same requests.
+//! coordinator's store, and the node's handle is their backend
+//! ([`ShardBackend`] for `Arc<ShardNode>`): it calls the typed operations
+//! (`stat_leg`, `ingest`) that the wire dispatch below reaches for the
+//! same requests.
 //!
 //! **Topology invariant:** stream → shard assignment is
 //! `ShardRouter::shard_of(stream)` over the *cluster-wide* shard count, so
@@ -21,7 +22,7 @@
 //! signals a mis-routed coordinator or a total-shards mismatch, never a
 //! data error.
 
-use crate::backend::UNROUTED;
+use crate::backend::{Leg, Pending, ShardBackend, Verdicts, UNROUTED};
 use crate::metrics::ServiceMetrics;
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
@@ -29,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_chunk::serialize::SealedRecord;
 use timecrypt_obs::trace;
-use timecrypt_server::runs::{batch_errors, Runs};
+use timecrypt_server::runs::{ingest_reply, Runs};
 use timecrypt_server::{ServerConfig, ServerError, StatLeg, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{
@@ -136,7 +137,7 @@ impl ShardNode {
     /// `GetStatRange` are answered from. Each stream the fold reads is one
     /// sub-query: one latency sample and one `queries` increment, so
     /// `Request::Stats` histogram totals and counters agree by construction.
-    pub(crate) fn stat_leg(&self, streams: &[u128], ts_s: i64, ts_e: i64) -> StatLeg {
+    fn stat_leg(&self, streams: &[u128], ts_s: i64, ts_e: i64) -> StatLeg {
         StatLeg::fold(streams.iter().map(|&sid| {
             let (shard, engine) = self.engine_for(sid)?;
             let m = self.metrics.shard(shard);
@@ -150,36 +151,25 @@ impl ShardNode {
         }))
     }
 
-    /// One shard's ingest run: `chunks` (serialized, any stream mix, in
-    /// submission order) go to the shard's engine as one zero-copy batch
-    /// and the verdicts come back typed, in input order. Where every
-    /// chunk this process stores enters its engine — a frame's chunks
-    /// after [`insert_views`](Self::insert_views) split them, a
-    /// coordinator's through its in-process backend.
-    pub(crate) fn insert_run(
-        &self,
-        shard: usize,
-        chunks: &[&[u8]],
-    ) -> Vec<Result<(), ServerError>> {
-        let Some(engine) = self.engines.get(&shard) else {
-            return chunks.iter().map(|_| Err(NOT_HOSTED)).collect();
-        };
-        let _span = trace::stage("engine.ingest");
-        let t = Instant::now();
-        let verdicts = engine.insert_bytes_run(chunks);
-        self.metrics.shard(shard).record_run(t.elapsed(), &verdicts);
-        verdicts
-    }
-
-    /// The wire ingest path, over serialized chunk views: the batch is
-    /// split by owning shard ([`Runs`]; payloads are never copied), each
-    /// shard gets its run as one [`insert_run`](Self::insert_run), and
-    /// the failures come back as `(batch position, error string)` in batch
-    /// order — the same strings whether the batch is an `InsertBatch` or
-    /// the single chunk of an `Insert`.
-    fn insert_views(&self, chunks: &[&[u8]]) -> Vec<(u32, String)> {
+    /// The node's one ingest path, over serialized chunk views (any
+    /// stream mix, in submission order) — a frame's chunks and the
+    /// coordinator's in-process runs alike. The batch is split by owning
+    /// shard ([`Runs`]; payloads are never copied, and a batch of one
+    /// shard, as every batch a coordinator sends is, is borrowed whole),
+    /// each shard's run goes to its engine as one zero-copy batch, and the
+    /// verdicts come back typed, in batch order.
+    fn ingest(&self, chunks: &[&[u8]]) -> Verdicts {
         let runs = Runs::split(chunks, |chunk| self.router.shard_of(chunk.stream));
-        batch_errors(runs.verdicts(runs.iter().map(|(shard, run)| self.insert_run(shard, run))))
+        runs.verdicts(runs.iter().map(|(shard, run)| {
+            let Some(engine) = self.engines.get(&shard) else {
+                return run.iter().map(|_| Err(NOT_HOSTED)).collect();
+            };
+            let _span = trace::stage("engine.ingest");
+            let t = Instant::now();
+            let verdicts = engine.insert_bytes_run(run);
+            self.metrics.shard(shard).record_run(t.elapsed(), &verdicts);
+            verdicts
+        }))
     }
 
     /// Node metrics snapshot: one entry per *hosted* shard (global shard
@@ -225,34 +215,18 @@ impl ShardNode {
 
 impl ShardNode {
     /// The node's single request dispatch, over the borrowed view both
-    /// [`Handler`] entry points produce. This half holds the ingest arms
-    /// — chunk bytes are parsed and stored as borrows of the caller's
-    /// buffer (the frame, on the wire path), batches as per-engine runs;
-    /// every other variant continues in
-    /// [`dispatch_unborrowed`](Self::dispatch_unborrowed).
+    /// [`Handler`] entry points produce: chunk bytes are stored as borrows
+    /// of the caller's buffer (the frame, on the wire path) through
+    /// [`ingest`](Self::ingest), a live record goes to its stream's engine
+    /// ([`ingest_reply`] renders the reply); every other variant continues
+    /// in [`dispatch_unborrowed`](Self::dispatch_unborrowed).
     fn dispatch(&self, req: RequestRef<'_>) -> Response {
-        match req {
-            RequestRef::Insert { chunk } => match self.insert_views(&[chunk]).pop() {
-                None => Response::Ok,
-                Some((_, msg)) => Response::Error(msg),
-            },
-            // Batched runs per owning engine preserve the batch's
-            // per-stream order; error strings match the single-engine and
-            // coordinator-local paths (same `ServerError` renderings).
-            RequestRef::InsertBatch { chunks } => Response::Batch {
-                errors: self.insert_views(&chunks),
-            },
-            RequestRef::InsertLive { record } => {
-                let buffered = SealedRecord::from_bytes(record)
-                    .map_err(|_| ServerError::BadRecord)
-                    .and_then(|r| self.engine_for(r.stream)?.1.insert_live(&r));
-                match buffered {
-                    Ok(()) => Response::Ok,
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            RequestRef::Other(req) => self.dispatch_unborrowed(req),
-        }
+        let live = |record: &[u8]| {
+            let record = SealedRecord::from_bytes(record).map_err(|_| ServerError::BadRecord)?;
+            self.engine_for(record.stream)?.1.insert_live(&record)
+        };
+        ingest_reply(req, |chunks| self.ingest(chunks), live)
+            .unwrap_or_else(|req| self.dispatch_unborrowed(req))
     }
 
     /// The arms of [`dispatch`](Self::dispatch) for requests that carry
@@ -304,6 +278,42 @@ impl Handler for ShardNode {
 
     fn handle_frame(&self, body: &[u8]) -> Response {
         dispatch_frame(body, |view| self.dispatch(view))
+    }
+}
+
+/// The coordinator's in-process backend: the node itself, called directly
+/// instead of over a connection. Each operation is the one the node's wire
+/// dispatch reaches for the same request, so a shard behaves the same on
+/// either side of the seam.
+impl ShardBackend for Arc<ShardNode> {
+    /// Runs the request: there is nothing to send.
+    fn begin_call(&self, req: Request, _deadline: Option<Instant>) -> Pending<Response> {
+        let reply = self.handle(req);
+        Box::new(move || Ok(reply))
+    }
+
+    /// Nothing to send: the node folds the leg when it is finished, on the
+    /// thread that finishes it — which has put the query's remote legs on
+    /// the wire by then. Its sub-queries are microseconds and run to the
+    /// end: the deadline is not consulted. The engine's read path takes no
+    /// exclusive stream lock, so legs of concurrent callers proceed in
+    /// parallel even on one hot stream.
+    fn begin_leg(
+        &self,
+        streams: &Leg,
+        ts_s: i64,
+        ts_e: i64,
+        _deadline: Instant,
+    ) -> Pending<StatLeg> {
+        let (node, streams) = (self.clone(), streams.to_vec());
+        Box::new(move || Ok(node.stat_leg(&streams, ts_s, ts_e)))
+    }
+
+    /// Runs the batch through the node's one ingest path, its frames'
+    /// too: the engine stores from the caller's slices.
+    fn begin_batch(&self, chunks: &[&[u8]]) -> Pending<Verdicts> {
+        let verdicts = self.ingest(chunks);
+        Box::new(move || Ok(verdicts))
     }
 }
 

@@ -9,8 +9,8 @@
 //! another thread; the service starts no thread.
 
 use crate::backend::{
-    ingest_runs, Admission, BackendSpec, LocalShard, Pending, RemoteShard, ShardBackend,
-    ShardReplicas, ShardSpec, SAME_NODE, UNREACHABLE, UNROUTED,
+    ingest_runs, Admission, BackendSpec, Pending, RemoteShard, ShardBackend, ShardReplicas,
+    ShardSpec, Verdicts, SAME_NODE, UNREACHABLE, UNROUTED,
 };
 use crate::metrics::ServiceMetrics;
 use crate::node::{NodeConfig, ShardNode};
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_obs::trace;
-use timecrypt_server::runs::{batch_errors, Runs};
+use timecrypt_server::runs::{ingest_reply, Runs};
 use timecrypt_server::{ServerConfig, ServerError, StatLeg};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{Request, RequestRef, Response, Route, ServiceStatsWire, StatReply};
@@ -131,14 +131,11 @@ impl ShardedService {
         if specs.is_empty() {
             return Err(ServerError::Unavailable("shard count must be at least 1"));
         }
-        if specs.iter().any(|s| s.backup == Some(BackendSpec::Local)) {
-            // Two engines over one store would both own the same streams
-            // and corrupt each other's index writes.
-            return Err(ServerError::Unavailable(
-                "local backup replicas are unsupported; point the backup at its own node",
-            ));
-        }
-        if specs.iter().any(|s| s.backup.as_ref() == Some(&s.primary)) {
+        let same_node = |s: &ShardSpec| match &s.primary {
+            BackendSpec::Remote(primary) => s.backup.as_ref() == Some(primary),
+            BackendSpec::Local => false,
+        };
+        if specs.iter().any(same_node) {
             return Err(SAME_NODE);
         }
         let router = ShardRouter::new(specs.len());
@@ -155,25 +152,22 @@ impl ShardedService {
                 engine: cfg.engine.clone(),
             },
         )?);
-        let open_backend = |spec: &BackendSpec, shard: usize| -> Arc<dyn ShardBackend> {
-            match spec {
-                BackendSpec::Local => Arc::new(LocalShard::new(node.clone(), shard)),
-                BackendSpec::Remote(addr) => Arc::new(RemoteShard::new(
-                    addr.clone(),
-                    cfg.pool.clone(),
-                    metrics.clone(),
-                    shard,
-                )),
-            }
+        let remote = |addr: &String, shard| -> Arc<dyn ShardBackend> {
+            let (pool, metrics) = (cfg.pool.clone(), metrics.clone());
+            Arc::new(RemoteShard::new(addr.clone(), pool, metrics, shard))
         };
         let admission = Arc::new(Admission::default());
         let backends = (specs.iter().enumerate())
             .map(|(shard, spec)| {
+                let primary = match &spec.primary {
+                    BackendSpec::Local => Arc::new(node.clone()),
+                    BackendSpec::Remote(addr) => remote(addr, shard),
+                };
                 ShardReplicas::new(
                     shard,
                     metrics.clone(),
-                    open_backend(&spec.primary, shard),
-                    spec.backup.as_ref().map(|b| open_backend(b, shard)),
+                    primary,
+                    spec.backup.as_ref().map(|addr| remote(addr, shard)),
                     cfg.promote_after,
                     admission.clone(),
                 )
@@ -202,24 +196,19 @@ impl ShardedService {
     /// caller that wants the copy in the background runs this on a thread
     /// of its own.
     ///
-    /// `Ok` exactly when the replica is in sync on return. Errors if
-    /// `shard` is out of range, the spec is not remote or names the
-    /// current primary's node (either would share the primary's store and
-    /// self-corrupt), or the shard already has a backup — nothing is
-    /// attached then — and when the rebuild gave up: the replica stays
+    /// `addr` is the replica's node (`host:port`). `Ok` exactly when the
+    /// replica is in sync on return. Errors if `shard` is out of range,
+    /// `addr` is the current primary's node (whose store the primary's
+    /// engine already owns), or the shard already has a backup — nothing
+    /// is attached then — and when the rebuild gave up: the replica stays
     /// attached and drifted, and [`rebuild_replica`](Self::rebuild_replica)
     /// retries.
-    pub fn attach_replica(&self, shard: usize, spec: BackendSpec) -> Result<(), ServerError> {
+    pub fn attach_replica(&self, shard: usize, addr: impl Into<String>) -> Result<(), ServerError> {
         let Some(replicas) = self.backends.get(shard) else {
             return Err(ServerError::Unavailable("no such shard"));
         };
-        let BackendSpec::Remote(addr) = spec else {
-            return Err(ServerError::Unavailable(
-                "local backup replicas are unsupported; point the backup at its own node",
-            ));
-        };
         let backend: Arc<dyn ShardBackend> = Arc::new(RemoteShard::new(
-            addr,
+            addr.into(),
             self.pool_cfg.clone(),
             self.metrics.clone(),
             shard,
@@ -270,23 +259,16 @@ impl ShardedService {
             delta_ms,
             digest_width,
         };
-        match self.replicas_for(stream).call(create) {
-            Response::Ok => Ok(()),
-            Response::Error(msg) => Err(ServerError::Remote(msg)),
-            _ => Err(ServerError::Unavailable("unexpected create-stream reply")),
-        }
+        acked(self.replicas_for(stream).call(create))
     }
 
     /// Single-chunk ingest: a batch of one. A convenience over the one
     /// ingest path: the chunk is serialized here, once, and travels as
     /// bytes from then on.
     pub fn insert(&self, chunk: &EncryptedChunk) -> Result<(), ServerError> {
-        self.insert_bytes(&chunk.to_bytes())
-    }
-
-    /// One serialized chunk: a batch of one.
-    fn insert_bytes(&self, chunk: &[u8]) -> Result<(), ServerError> {
-        self.submit_routed(&[chunk]).into_iter().collect()
+        self.submit_routed(&[&chunk.to_bytes()])
+            .into_iter()
+            .collect()
     }
 
     /// Batched ingest: partitions `chunks` by shard (keeping each stream's
@@ -308,7 +290,7 @@ impl ShardedService {
     /// parse — a malformed one is rejected here, at its batch position —
     /// and the received bytes reach the shards verbatim, copied nowhere on
     /// the way.
-    fn submit_routed(&self, chunks: &[&[u8]]) -> Vec<Result<(), ServerError>> {
+    fn submit_routed(&self, chunks: &[&[u8]]) -> Verdicts {
         let route = trace::stage("route");
         let runs = Runs::split(chunks, |chunk| self.router.shard_of(chunk.stream));
         drop(route);
@@ -338,28 +320,15 @@ impl ShardedService {
         // a year: `Duration::MAX` past now is no `Instant`).
         let deadline = Instant::now() + self.query_deadline.min(Duration::from_secs(365 * 86_400));
         let route = trace::stage("route");
-        // Partition `(position, stream)` pairs by owning shard.
-        let mut by_shard: Vec<Vec<(usize, u128)>> = vec![Vec::new(); self.router.shards()];
-        for (pos, &sid) in streams.iter().enumerate() {
-            by_shard[self.router.shard_of(sid)].push((pos, sid));
-        }
+        let runs = Runs::split_by(streams, |&sid| Some(self.router.shard_of(sid)));
         drop(route);
-        let begun: Vec<_> = (self.backends.iter().zip(&by_shard))
-            .map(|(shard, leg)| {
-                (!leg.is_empty()).then(|| shard.begin_leg(leg, ts_s, ts_e, deadline))
-            })
+        let begun: Vec<_> = (runs.iter())
+            .map(|(shard, leg)| self.backends[shard].begin_leg(leg, ts_s, ts_e, deadline))
             .collect();
-        // Each shard's outcomes in its leg's order, which is request order.
-        let mut outcomes: Vec<_> = (begun.into_iter())
-            .map(|finish| finish.map(|finish| finish()).unwrap_or_default())
-            .map(StatLeg::into_outcomes)
-            .collect();
+        // Each leg's outcomes, in its order, which is request order.
+        let outcomes = (begun.into_iter()).map(|finish| finish().into_outcomes().collect());
         let unanswered = || Err(ServerError::Unavailable("sub-query left unanswered"));
-        let walk = streams.iter().map(|&sid| {
-            let leg = &mut outcomes[self.router.shard_of(sid)];
-            leg.next().unwrap_or_else(unanswered)
-        });
-        StatLeg::fold(walk).into_reply(streams)
+        StatLeg::fold(runs.scatter(outcomes, unanswered, unanswered)).into_reply(streams)
     }
 
     /// Wire metrics snapshot (per-shard counters + storage traffic), on
@@ -431,33 +400,24 @@ impl ShardedService {
     }
 
     /// The coordinator's single request dispatch, over the borrowed view
-    /// both [`Handler`] entry points produce. This half holds the ingest
-    /// arms: chunks are validated and routed on a borrowed parse and the
-    /// received bytes are forwarded verbatim; every other variant
+    /// both [`Handler`] entry points produce: chunks are validated and
+    /// routed on a borrowed parse and the received bytes are forwarded
+    /// verbatim ([`ingest_reply`] renders the reply); every other variant
     /// continues in [`dispatch_unborrowed`](Self::dispatch_unborrowed).
     fn dispatch(&self, req: RequestRef<'_>) -> Response {
-        match req {
-            // Straight from the caller's buffer (typed errors rendered at
-            // this boundary).
-            RequestRef::Insert { chunk } => match self.insert_bytes(chunk) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Error(e.to_string()),
-            },
-            RequestRef::InsertBatch { chunks } => Response::Batch {
-                errors: batch_errors(self.submit_routed(&chunks)),
-            },
-            // Routing needs only the record's stream id — peek it without
-            // a full parse; the owning engine performs the one parse +
-            // validation (and rejects what the peek let through).
-            RequestRef::InsertLive { record } => match SealedRecord::peek_stream(record) {
-                Some(stream) => self.replicas_for(stream).call(Request::InsertLive {
-                    // A live record (one point) is forwarded as an owned request.
-                    record: record.to_vec(),
-                }),
-                None => Response::Error(ServerError::BadRecord.to_string()),
-            },
-            RequestRef::Other(req) => self.dispatch_unborrowed(req),
-        }
+        // Routing a live record needs only its stream id, peeked without a
+        // full parse; the owning engine performs the one parse and
+        // validation (and rejects what the peek let through).
+        let live = |record: &[u8]| {
+            let stream = SealedRecord::peek_stream(record).ok_or(ServerError::BadRecord)?;
+            // A live record (one point) is forwarded as an owned request.
+            let forward = Request::InsertLive {
+                record: record.to_vec(),
+            };
+            acked(self.replicas_for(stream).call(forward))
+        };
+        ingest_reply(req, |chunks| self.submit_routed(chunks), live)
+            .unwrap_or_else(|req| self.dispatch_unborrowed(req))
     }
 
     /// The arms of [`dispatch`](Self::dispatch) for requests that carry
@@ -496,6 +456,16 @@ impl ShardedService {
                 _ => Response::Error(UNROUTED.to_string()),
             },
         }
+    }
+}
+
+/// A shard's reply to a request answered `Ok` or with an error: an error
+/// is [`ServerError::Remote`] carrying the shard's message verbatim.
+fn acked(reply: Response) -> Result<(), ServerError> {
+    match reply {
+        Response::Ok => Ok(()),
+        Response::Error(msg) => Err(ServerError::Remote(msg)),
+        _ => Err(ServerError::Unavailable("unexpected shard reply")),
     }
 }
 
@@ -627,23 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn local_backup_replicas_are_rejected() {
-        let err = ShardedService::open(
-            Arc::new(MemKv::new()),
-            ServiceConfig {
-                topology: vec![ShardSpec {
-                    primary: BackendSpec::Local,
-                    backup: Some(BackendSpec::Local),
-                }],
-                ..ServiceConfig::default()
-            },
-        )
-        .err()
-        .expect("a local backup would share the primary's store");
-        assert!(matches!(err, ServerError::Unavailable(_)), "{err:?}");
-    }
-
-    #[test]
     fn a_backup_on_its_primarys_node_is_refused() {
         // One engine over one store: every mirrored write would be a
         // duplicate the node rejects. Refused at open, and when attached —
@@ -672,11 +625,9 @@ mod tests {
             Response::Info(_)
         ));
         assert_eq!(svc.stats().shards[0].promotions, 1, "b is the primary");
-        let err = svc
-            .attach_replica(0, BackendSpec::Remote(addr_b))
-            .unwrap_err();
+        let err = svc.attach_replica(0, addr_b).unwrap_err();
         assert_eq!(err.to_string(), SAME_NODE.to_string());
-        svc.attach_replica(0, BackendSpec::Remote(addr_c)).unwrap();
+        svc.attach_replica(0, addr_c).unwrap();
     }
 
     #[test]
@@ -785,8 +736,7 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", node.clone()).unwrap();
         let svc = service(1);
         svc.create_stream(1, 0, 10_000, 2).unwrap();
-        svc.attach_replica(0, BackendSpec::Remote(server.addr().to_string()))
-            .unwrap();
+        svc.attach_replica(0, server.addr().to_string()).unwrap();
         assert!(svc.stats().shards[0].in_sync);
         for index in 0..10 {
             svc.insert(&sealed_chunk(1, index, 1)).unwrap();

@@ -297,8 +297,8 @@ fn crc32_tables(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// One-shot CRC32 of `data` (exposed for tests and tooling).
-pub fn crc32(data: &[u8]) -> u32 {
+/// One-shot CRC32 of `data`.
+fn crc32(data: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, data)
 }
 

@@ -14,7 +14,7 @@
 //! the endpoint, retrying with exponential backoff up to
 //! [`PoolConfig::connect_attempts`] before reporting the endpoint down.
 //! It keeps as many idle connections as were ever checked out at once
-//! (never fewer than [`PoolConfig::max_idle`]), so concurrent callers reuse
+//! (never fewer than [`IDLE_FLOOR`]), so concurrent callers reuse
 //! their sockets; the peer's idle reaping retires what falls out of use.
 //!
 //! The pool sends no request, so it retries none: whether a failed
@@ -32,13 +32,14 @@ use std::time::{Duration, Instant};
 /// a loaded coordinator several percent of its read throughput.
 pub const PROBE_IDLE: Duration = Duration::from_millis(10);
 
+/// Idle connections a pool always retains; more once more than this were
+/// checked out at once (up to that high-water mark). Checked-out
+/// connections are unbounded — the caller's thread count governs.
+pub const IDLE_FLOOR: usize = 4;
+
 /// Tuning knobs for a [`ClientPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Idle connections always retained; more once more than this were
-    /// checked out at once (up to that high-water mark). Checked-out
-    /// connections are unbounded — the caller's thread count governs.
-    pub max_idle: usize,
     /// Dial attempts per checkout before the endpoint counts as down.
     pub connect_attempts: u32,
     /// Backoff before the second dial attempt; doubles per attempt.
@@ -54,7 +55,6 @@ pub struct PoolConfig {
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            max_idle: 4,
             connect_attempts: 4,
             backoff: Duration::from_millis(2),
             io_timeout: Some(Duration::from_secs(5)),
@@ -236,7 +236,7 @@ impl Drop for PooledConn {
         let client = self.client.take();
         let mut idle = self.pool.idle();
         idle.out -= 1;
-        if idle.conns.len() < self.pool.cfg.max_idle.max(idle.peak) {
+        if idle.conns.len() < IDLE_FLOOR.max(idle.peak) {
             let (since, capped) = (Instant::now(), self.capped);
             idle.conns.extend(client.map(|client| Pooled {
                 client,
@@ -286,31 +286,25 @@ mod tests {
     }
 
     #[test]
-    fn idle_cap_is_the_high_water_mark_of_checkouts_with_max_idle_as_floor() {
+    fn idle_cap_is_the_high_water_mark_of_checkouts_above_the_floor() {
         let server = ping_server();
-        let pool = ClientPool::new(
-            server.addr().to_string(),
-            PoolConfig {
-                max_idle: 2,
-                ..PoolConfig::default()
-            },
-        );
+        let pool = ClientPool::new(server.addr().to_string(), PoolConfig::default());
         // One caller at a time never holds more than one connection, and
-        // a pool that kept three is trimmed to the floor as they cycle.
-        pool.shared
-            .idle()
-            .conns
-            .extend([dead_client(), dead_client()]);
+        // a pool that kept one over the floor is trimmed to it as they
+        // cycle.
+        let dead = (0..=IDLE_FLOOR).map(|_| dead_client());
+        pool.shared.idle().conns.extend(dead);
         drop(pool.get().unwrap());
-        assert_eq!(pool.shared.idle().conns.len(), 2);
-        // Four connections checked out at once are four the callers will
-        // want again: all are kept, and a fifth would not be.
-        let conns: Vec<_> = (0..4).map(|_| pool.get().unwrap()).collect();
+        assert_eq!(pool.shared.idle().conns.len(), IDLE_FLOOR);
+        // Connections checked out at once beyond the floor are ones the
+        // callers will want again: all are kept, and one more would not be.
+        let peak = IDLE_FLOOR + 2;
+        let conns: Vec<_> = (0..peak).map(|_| pool.get().unwrap()).collect();
         drop(conns);
-        assert_eq!(pool.shared.idle().conns.len(), 4);
+        assert_eq!(pool.shared.idle().conns.len(), peak);
         pool.shared.idle().conns.push(dead_client());
         drop(pool.get().unwrap());
-        assert_eq!(pool.shared.idle().conns.len(), 4);
+        assert_eq!(pool.shared.idle().conns.len(), peak);
     }
 
     /// A server that answers every frame with `Pong` after `think`, counts
@@ -366,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_callers_beyond_max_idle_keep_their_connections() {
+    fn concurrent_callers_beyond_the_idle_floor_keep_their_connections() {
         const CALLERS: usize = 12;
         // Rounds, as connection threads serving clients in step produce
         // them: every caller checks out only after all have returned, and
@@ -374,7 +368,7 @@ mod tests {
         // together.
         let (addr, accepted) = counting_server(None, Duration::from_millis(2));
         let pool = ClientPool::new(addr.to_string(), PoolConfig::default());
-        assert!(CALLERS > pool.shared.cfg.max_idle);
+        const { assert!(CALLERS > IDLE_FLOOR) };
         let round = std::sync::Barrier::new(CALLERS);
         std::thread::scope(|scope| {
             for _ in 0..CALLERS {

@@ -237,10 +237,8 @@ fn render_stages(stages: &[trace::StageTotal]) -> String {
 /// Handles one decoded frame: peels the optional trace envelope (so the
 /// handler sees exactly the pre-envelope bytes), stamps the context into
 /// the thread-local for the handler's spans, and accounts stage timings
-/// for the slow-request log. Shared by the TCP server loop; exposed so
-/// alternative transports (in-process loopback, tests) serve traced
-/// frames identically.
-pub fn handle_frame_traced(handler: &dyn Handler, body: &[u8]) -> Response {
+/// for the slow-request log: the TCP server loop's step per frame.
+fn handle_frame_traced(handler: &dyn Handler, body: &[u8]) -> Response {
     let (ctx, inner) = match split_trace(body) {
         Ok(split) => split,
         Err(e) => return bad_request(&e),

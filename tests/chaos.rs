@@ -174,7 +174,6 @@ fn chaos_iteration(seed: u64) -> u64 {
                 connect_attempts: 2,
                 backoff: Duration::from_millis(1),
                 io_timeout: Some(Duration::from_millis(250)),
-                ..Default::default()
             },
             // Promotion is exercised by tests/timeout_promotion.rs; here
             // it stays off so a backup that drifted during the storm can

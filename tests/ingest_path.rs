@@ -27,7 +27,7 @@ use timecrypt::core::StreamKeyMaterial;
 use timecrypt::crypto::{PrgKind, SecureRandom};
 use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
 use timecrypt::service::{
-    BackendSpec, NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
+    NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
 };
 use timecrypt::store::{MemKv, MeteredKv};
 use timecrypt::wire::messages::{Request, RequestRef, Response};
@@ -176,7 +176,7 @@ fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
         seen: passes.clone(),
     };
     let backup = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
-    let spec = BackendSpec::Remote(backup.addr().to_string());
+    let spec = backup.addr().to_string();
     let before = survivor.counters().bytes_read;
     svc.attach_replica(0, spec).unwrap();
     let read = survivor.counters().bytes_read - before;

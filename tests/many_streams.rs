@@ -13,9 +13,7 @@ use std::time::{Duration, Instant};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt::server::ServerConfig;
-use timecrypt::service::{
-    BackendSpec, NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService,
-};
+use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
 use timecrypt::store::MemKv;
 use timecrypt::wire::messages::Request;
 use timecrypt::wire::transport::{Handler, Server};
@@ -203,9 +201,7 @@ fn capped_cluster_matches_uncapped_reference_across_failover_and_rebuild() {
     // the export must not be confused by most streams being cold on the
     // survivor, nor the import by most being cold on the replacement.
     let (_node_c, addr_c) = spawn_capped_node(cap);
-    cluster
-        .attach_replica(0, BackendSpec::Remote(addr_c))
-        .unwrap();
+    cluster.attach_replica(0, addr_c).unwrap();
     let snap = cluster.stats();
     assert_eq!(
         snap.shards[0].rebuild_chunks_copied, ingested,

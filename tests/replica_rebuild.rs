@@ -22,9 +22,7 @@ use timecrypt::crypto::SecureRandom;
 use timecrypt::integrity::{chunk_commitment, StreamLedger};
 use timecrypt::pk::SigningKey;
 use timecrypt::server::ServerConfig;
-use timecrypt::service::{
-    BackendSpec, NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService,
-};
+use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
 use timecrypt::store::{KvStore, MemKv, MeteredKv};
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::{Handler, Server};
@@ -224,9 +222,7 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
     // a sweep of each stream finds them there, and re-arms mirroring
     // before it returns.
     let (_node_c, addr_c) = spawn_node();
-    cluster
-        .attach_replica(0, BackendSpec::Remote(addr_c))
-        .unwrap();
+    cluster.attach_replica(0, addr_c).unwrap();
     let snap = cluster.stats();
     assert_eq!(
         snap.shards[0].rebuild_chunks_copied,
@@ -372,7 +368,7 @@ fn a_rebuild_racing_live_writes_converges() {
             }
         });
         start.wait();
-        cluster.attach_replica(0, BackendSpec::Remote(addr_b))
+        cluster.attach_replica(0, addr_b)
     });
     attached.expect("the rebuild converged");
     let snap = cluster.stats();
@@ -529,7 +525,7 @@ fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
         wait_for(batch as u64);
         let (begun, before) = (Instant::now(), written.load(Ordering::SeqCst));
         let read = survivor.counters().bytes_read;
-        let attached = cluster.attach_replica(0, BackendSpec::Remote(node_b.addr().to_string()));
+        let attached = cluster.attach_replica(0, node_b.addr().to_string());
         let (ms, read) = (begun.elapsed(), survivor.counters().bytes_read - read);
         let during = written.load(Ordering::SeqCst) - before;
         let held = stored(&**survivor.inner());

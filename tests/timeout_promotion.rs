@@ -87,7 +87,6 @@ fn hung_primary_promotes_within_timeout_budget() {
                 connect_attempts: 2,
                 backoff: Duration::from_millis(1),
                 io_timeout: Some(IO_TIMEOUT),
-                ..Default::default()
             },
             promote_after: PROMOTE_AFTER,
             ..ServiceConfig::default()
@@ -174,7 +173,6 @@ fn reads_fail_over_from_hung_primary_within_one_deadline() {
                 connect_attempts: 2,
                 backoff: Duration::from_millis(1),
                 io_timeout: Some(IO_TIMEOUT),
-                ..Default::default()
             },
             // Promotion disabled: this test isolates failover reads.
             promote_after: 0,
@@ -230,7 +228,6 @@ fn budget_cluster(
                 connect_attempts: 2,
                 backoff: Duration::from_millis(1),
                 io_timeout: Some(IO_TIMEOUT),
-                ..Default::default()
             },
             promote_after: 0,
             query_deadline: QUERY_DEADLINE,
