@@ -3,9 +3,9 @@
 //! statistical query reads at most two running sums, and the cache keeps
 //! those queries read again, within its budget. What share of the lookups
 //! it serves and what it is charged for that depend on how often a
-//! boundary is re-read, so three query shapes of the benchmark's
-//! workloads (`benchmark/src/workloads.rs`) replay through one index each,
-//! at the benchmark's 64 MiB budget:
+//! boundary is re-read, so four query shapes of the benchmark's workloads
+//! (`benchmark/src/workloads.rs`) replay through one index each, at the
+//! benchmark's 64 MiB budget but for `dashboard`'s:
 //!
 //! - `producer`: 4 160 chunks and the 940 random windows one stream of
 //!   `producer_ingest` is asked, two lookups each;
@@ -13,7 +13,11 @@
 //!   windows `[q·len/5, len)` (Fig. 7) queried after each append, as in
 //!   `steady_mix`;
 //! - `fleet`: 180 chunks and 2 430 random windows, about 27 lookups per
-//!   boundary, as a stream of `fleet_ingest` is read.
+//!   boundary, as a stream of `fleet_ingest` is read;
+//! - `dashboard`: 4 560 chunks and the 6 667 random windows one stream of
+//!   `dashboard_read` is asked, at its 64 KiB budget: the one shape whose
+//!   budget binds. Its windows are misaligned in time, but each covers
+//!   whole chunks `[lo, hi)`, and those are what the index is asked.
 //!
 //! Counts only, read from `TreeStats`: the hit share and the bytes charged
 //! are rows of the root `BENCH_ledger.json`, compared exactly
@@ -28,11 +32,10 @@ use timecrypt_obs::counters::INDEX_BOUNDARY_CACHE_BYTES;
 
 mod common;
 
-/// A fresh index of `chunks` digests of `width` words, chunk `c`'s all `c`.
-fn filled(width: usize, chunks: u64) -> AggTree<Vec<u64>> {
-    let cfg = TreeConfig {
-        cache_bytes: 64 << 20,
-    };
+/// A fresh index of `chunks` digests of `width` words, chunk `c`'s all `c`,
+/// with a boundary cache of `cache_bytes`.
+fn filled(width: usize, chunks: u64, cache_bytes: usize) -> AggTree<Vec<u64>> {
+    let cfg = TreeConfig { cache_bytes };
     let tree = AggTree::open(Arc::new(MemKv::new()), 1, cfg).unwrap();
     let digests: Vec<Vec<u64>> = (0..chunks).map(|c| vec![c; width]).collect();
     tree.append_batch(&digests).unwrap();
@@ -88,14 +91,14 @@ fn rows(shape: &str, tree: &AggTree<Vec<u64>>) -> Vec<(String, String)> {
 
 /// One test, the shapes one after another: one index at a time.
 #[test]
-fn three_query_shapes() {
+fn four_query_shapes() {
     let mut ledger = Vec::new();
-    let producer = filled(19, 4160);
+    let producer = filled(19, 4160, 64 << 20);
     random_windows(&producer, 940, 7);
     ledger.extend(rows("producer", &producer));
     drop(producer);
 
-    let steady = filled(19, 512);
+    let steady = filled(19, 512, 64 << 20);
     for len in 513..=841 {
         steady.append(vec![len - 1; 19]).unwrap();
         for q in 0..4 {
@@ -105,10 +108,17 @@ fn three_query_shapes() {
     ledger.extend(rows("steady", &steady));
     drop(steady);
 
-    let fleet = filled(4, 180);
+    let fleet = filled(4, 180, 64 << 20);
     random_windows(&fleet, 2430, 11);
     ledger.extend(rows("fleet", &fleet));
     drop(fleet);
+
+    let dashboard = filled(19, 4560, 64 << 10);
+    random_windows(&dashboard, 6667, 13);
+    let stats = dashboard.stats().unwrap();
+    assert!(stats.cache_used_bytes <= 64 << 10);
+    ledger.extend(rows("dashboard", &dashboard));
+    drop(dashboard);
     assert_eq!(INDEX_BOUNDARY_CACHE_BYTES.get(), 0);
     common::ledger(&ledger);
 }
