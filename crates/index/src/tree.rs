@@ -53,7 +53,7 @@
 
 use crate::keys;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 use timecrypt_obs::counters::{self, Counter};
@@ -64,10 +64,11 @@ use timecrypt_store::{KvStore, StoreError, WriteOp};
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
     /// Heap budget in bytes of the boundary cache, a hard cap charged
-    /// exactly: the running sums it keeps, their map, and two bits per chunk
-    /// read (read before; evicted since); `0` caches nothing. A sum's second
-    /// store read admits it, and the cache grows only when a sum it evicted
-    /// is read again, so it holds the sums queries re-read, within this.
+    /// exactly: the running sums it keeps, a tag and a reference bit each,
+    /// their slot table, and two bits per chunk read (read before; evicted
+    /// since); `0` caches nothing. A sum's second store read admits it, and
+    /// the cache grows only when a sum it evicted is read again, so it
+    /// holds the sums queries re-read, within this.
     /// Split across lock segments (one per 64 KiB, 1–8) that the index's
     /// first read builds. Fig. 7's "small cache" variant uses 1 MB.
     pub cache_bytes: usize,
@@ -134,8 +135,8 @@ pub struct TreeStats {
     pub cache_hits: u64,
     /// Boundary-cache misses (store reads).
     pub cache_misses: u64,
-    /// Heap bytes the cache holds — its sums and their map, and the bits of
-    /// the chunks read and of the sums evicted — within
+    /// Heap bytes the cache holds — its sums, their tags and slot table,
+    /// and the bits of the chunks read and of the sums evicted — within
     /// [`TreeConfig::cache_bytes`].
     pub cache_used_bytes: usize,
     /// Total serialized bytes (key + value) of the stream's index records:
@@ -249,8 +250,12 @@ impl PrefixCache {
 /// Fewest slots a slab that admits anything holds, budget permitting.
 const FLOOR: usize = 7;
 
+/// An empty entry of a slab's slot table.
+const EMPTY: u32 = u32::MAX;
+
 /// One segment's running sums, within its budget of heap, charged exactly.
-/// A segment's `i`-th chunk is its bit `i` and its key in the slab.
+/// A segment's `i`-th chunk is its bit `i` and its tag in the slab; a bit
+/// past `u32` is never set, so never admitted.
 ///
 /// **Admission on second read**, TinyLFU's doorkeeper made exact by dense
 /// keys: a store read sets the chunk's bit in `seen`, and only a read that
@@ -260,6 +265,14 @@ const FLOOR: usize = 7;
 /// hit or admission reorders, boxes or frees. A full slab admits into the
 /// first slot from the hand whose bit is clear, clearing those it passes,
 /// and sets the evicted chunk's bit in `ghost`.
+///
+/// **Found by a table of slot numbers**: open addressing over a power of
+/// two at least twice `room` long, a multiplicative hash of the tag and
+/// linear probing; an eviction deletes by backward shift (Knuth, TAOCP
+/// vol. 3, §6.4, Algorithm R), so the table holds no tombstone and never
+/// fills. Queries choose the tags, so the multiplier is an odd one drawn
+/// per slab (multiply-shift, Dietzfelbinger et al., J. Algorithms 1997):
+/// no reader can pick tags that pile into one probe run.
 ///
 /// **Sized by its ghost hits** (CAR's rule, Bansal & Modha, FAST 2004): an
 /// admission that finds its own `ghost` bit set — a sum evicted, then read
@@ -272,14 +285,18 @@ struct Slab {
     budget: usize,
     /// Bytes of a sum, the first admitted one's: `8·width` for HEAC.
     stride: usize,
-    /// Slots allocated: each per-slot vector's capacity, and half of what
-    /// the map is made for, so that its tombstones never make it grow.
+    /// Slots allocated: each per-slot vector's capacity.
     room: usize,
-    /// Slot `s` is bytes `s·stride..(s + 1)·stride`, the sum of `chunks[s]`.
+    /// Slot `s` is bytes `s·stride..(s + 1)·stride`, the sum of the chunk
+    /// tagged `tags[s]`.
     sums: Vec<u8>,
-    chunks: Vec<u64>,
+    tags: Vec<u32>,
     referenced: Vec<bool>,
-    slots: HashMap<u64, u32>,
+    /// Slot numbers at their tags' probe positions, [`EMPTY`] elsewhere;
+    /// [`table_len`] of `room` long.
+    table: Vec<u32>,
+    /// The hash's odd multiplier.
+    multiplier: u32,
     hand: usize,
     /// Bit `i % 64` of word `i / 64`: the segment's `i`-th chunk was read.
     seen: Vec<u64>,
@@ -294,20 +311,85 @@ impl Slab {
     fn new(budget: usize) -> Slab {
         let mut slab = Slab::default();
         slab.budget = budget;
+        slab.multiplier = RandomState::new().hash_one(budget) as u32 | 1;
         slab
     }
 
     fn get(&mut self, chunk: u64) -> Option<&[u8]> {
-        let slot = *self.slots.get(&chunk)? as usize;
+        let slot = self.slot(chunk)?;
         self.referenced[slot] = true;
         Some(&self.sums[slot * self.stride..][..self.stride])
     }
 
+    /// The slot holding `chunk`'s sum, if one does.
+    fn slot(&self, chunk: u64) -> Option<usize> {
+        let tag = u32::try_from(chunk).ok()?;
+        let at = self.position(tag)?;
+        Some(self.table[at] as usize)
+    }
+
+    /// Where `tag`'s slot number lies in the table, if it is held.
+    fn position(&self, tag: u32) -> Option<usize> {
+        let mask = self.table.len().checked_sub(1)?;
+        let mut at = self.home(tag);
+        loop {
+            match self.table[at] {
+                EMPTY => return None,
+                slot if self.tags[slot as usize] == tag => return Some(at),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The first probe position of `tag`: the top bits of its product with
+    /// the multiplier. The table is not empty.
+    fn home(&self, tag: u32) -> usize {
+        let shift = u32::BITS - self.table.len().trailing_zeros();
+        (tag.wrapping_mul(self.multiplier) >> shift) as usize
+    }
+
+    /// Enters `slot`, by its tag, at the first empty position from its home.
+    fn place(&mut self, slot: usize) {
+        let mask = self.table.len() - 1;
+        let mut at = self.home(self.tags[slot]);
+        while self.table[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.table[at] = slot as u32;
+    }
+
+    /// Empties position `hole`, then fills each hole with the next entry
+    /// `at` of its run whose home does not lie cyclically in `(hole, at]`,
+    /// so that no probe meets a gap before its tag.
+    fn unplace(&mut self, mut hole: usize) {
+        let mask = self.table.len() - 1;
+        let mut at = hole;
+        loop {
+            self.table[hole] = EMPTY;
+            loop {
+                at = (at + 1) & mask;
+                let slot = self.table[at];
+                if slot == EMPTY {
+                    return;
+                }
+                let home = self.home(self.tags[slot as usize]);
+                if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
+                    self.table[hole] = slot;
+                    hole = at;
+                    break;
+                }
+            }
+        }
+    }
+
     /// Sets `bit` of `seen`; true if it was set. The bits, both maps of
-    /// them, come first in the budget, and one it cannot hold at all is
-    /// never set.
+    /// them, come first in the budget, and one it cannot hold at all, or
+    /// past `u32`, is never set.
     fn mark(&mut self, bit: u64) -> bool {
-        let word = usize::try_from(bit / 64).unwrap_or(usize::MAX);
+        if u32::try_from(bit).is_err() {
+            return false;
+        }
+        let word = (bit / 64) as usize;
         if word >= self.seen.len() {
             let most = self.budget / 16;
             let words = (word.min(most) + 1).next_power_of_two();
@@ -323,21 +405,31 @@ impl Slab {
         flip(&mut self.seen, bit, true)
     }
 
+    /// Admits `sum` for `chunk`, whose bit is set.
     fn admit(&mut self, chunk: u64, sum: &[u8]) {
         if self.stride == 0 {
             self.stride = sum.len();
         }
-        let len = self.chunks.len();
-        if sum.len() != self.stride {
+        let len = self.tags.len();
+        // Two readers that missed it at once both admit it: the later one
+        // finds it held.
+        if sum.len() != self.stride || self.slot(chunk).is_some() {
             return;
         }
         let ghost = flip(&mut self.ghost, chunk, false);
         if len == self.room && (ghost || len < FLOOR) {
-            // By a quarter, so that a fifth of the slab at most lies unused.
-            self.resize((len + len / 4).max(FLOOR).min(self.most()).max(len));
+            // By a quarter, so that a fifth of the slab at most lies unused;
+            // a step to within a quarter of the most the budget affords
+            // takes it all, so that no run of last small steps leaves freed
+            // blocks behind in the allocator.
+            let (step, most) = ((len + len / 4).max(FLOOR), self.most());
+            let room = if 4 * step >= 3 * most { most } else { step };
+            self.resize(room.max(len));
         }
+        // Its bit is set, so it fits in `u32`.
+        let tag = chunk as u32;
         let slot = if len < self.room {
-            self.chunks.push(chunk);
+            self.tags.push(tag);
             self.referenced.push(false);
             self.sums.extend_from_slice(sum);
             len
@@ -345,18 +437,21 @@ impl Slab {
             let Some(slot) = self.victim() else {
                 return;
             };
-            let evicted = std::mem::replace(&mut self.chunks[slot], chunk);
-            self.slots.remove(&evicted);
-            flip(&mut self.ghost, evicted, true);
+            let evicted = self.tags[slot];
+            if let Some(at) = self.position(evicted) {
+                self.unplace(at);
+            }
+            self.tags[slot] = tag;
+            flip(&mut self.ghost, u64::from(evicted), true);
             self.sums[slot * self.stride..][..self.stride].copy_from_slice(sum);
             slot
         };
-        self.slots.insert(chunk, slot as u32);
+        self.place(slot);
     }
 
     /// CLOCK: the first slot from the hand whose reference bit is clear.
     fn victim(&mut self) -> Option<usize> {
-        let n = self.chunks.len();
+        let n = self.tags.len();
         (n > 0).then(|| loop {
             let slot = self.hand % n;
             self.hand = slot + 1;
@@ -370,31 +465,31 @@ impl Slab {
     /// moves the process gauge by what the slab's charge changed.
     fn resize(&mut self, room: usize) {
         if room != self.room {
-            self.chunks.truncate(room);
+            self.tags.truncate(room);
             self.referenced.truncate(room);
             self.sums.truncate(room * self.stride);
-            exact(&mut self.chunks, room);
+            exact(&mut self.tags, room);
             exact(&mut self.referenced, room);
             exact(&mut self.sums, room * self.stride);
-            self.slots = HashMap::with_capacity(2 * room);
-            self.slots.extend(self.chunks.iter().copied().zip(0..));
+            self.table = vec![EMPTY; table_len(room)];
             self.room = room;
+            (0..self.tags.len()).for_each(|slot| self.place(slot));
         }
         let now = self.cost(room);
         let was = std::mem::replace(&mut self.charged, now);
         counters::INDEX_BOUNDARY_CACHE_BYTES.add((now as u64).wrapping_sub(was as u64));
     }
 
-    /// Heap bytes with `room` slots: a sum, a chunk and a reference bit
-    /// each, a map made for twice as many, and both maps of bits.
+    /// Heap bytes with `room` slots: a sum, a tag and a reference bit
+    /// each, their table, and both maps of bits.
     fn cost(&self, room: usize) -> usize {
         let bits = self.seen.capacity() + self.ghost.capacity();
-        room * (self.stride + 9) + map_bytes(2 * room) + 8 * bits
+        room * (self.stride + 5) + 4 * table_len(room) + 8 * bits
     }
 
     /// The most slots the budget affords.
     fn most(&self) -> usize {
-        let (mut lo, mut hi) = (0, self.budget / (self.stride + 9));
+        let (mut lo, mut hi) = (0, self.budget / (self.stride + 5));
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
             (lo, hi) = match self.cost(mid) <= self.budget {
@@ -424,17 +519,13 @@ fn flip(bits: &mut [u64], i: u64, to: bool) -> bool {
     was
 }
 
-/// What a `HashMap<u64, u32>` made for `n` entries allocates: a power of
-/// two of buckets at most 7/8 full, each a 16-byte entry and a control
-/// byte, and a group of 16 control bytes more (the standard library's).
-fn map_bytes(n: usize) -> usize {
-    let buckets = match n {
-        0 => return 0,
-        1..4 => 4,
-        4..8 => 8,
-        _ => (n * 8 / 7).next_power_of_two(),
-    };
-    buckets * (size_of::<(u64, u32)>() + 1) + 16
+/// Entries in the slot table of `room` slots: the least power of two at
+/// least twice as many, so that it is at most half full; none for none.
+fn table_len(room: usize) -> usize {
+    match room {
+        0 => 0,
+        _ => (2 * room).next_power_of_two(),
+    }
 }
 
 /// Sets `v`'s capacity to exactly `capacity`, at least its length.
@@ -841,6 +932,7 @@ fn decode_cutoffs(bytes: &[u8]) -> Result<Vec<u64>, IndexError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use timecrypt_store::MemKv;
 
@@ -998,7 +1090,7 @@ mod tests {
 
     /// Chunks whose sums `slab` holds, and those it evicted, of `0..n`.
     fn held_and_ghosts(slab: &Slab, n: u64) -> (Vec<u64>, Vec<u64>) {
-        let held = (0..n).filter(|c| slab.slots.contains_key(c)).collect();
+        let held = (0..n).filter(|&c| slab.slot(c).is_some()).collect();
         let ghosts = (0..n).filter(|&c| slab.ghost[c as usize / 64] >> (c % 64) & 1 == 1);
         (held, ghosts.collect())
     }
@@ -1050,14 +1142,17 @@ mod tests {
 
     #[test]
     fn growth_stops_at_the_budget_with_the_ghost_bits_charged() {
-        // Room for four sums of one word beside both words of bits.
-        let mut slab = Slab::new(16 + 4 * (8 + 9) + map_bytes(8));
+        // Room for three sums of one word, their tags, reference bits and
+        // a table of 8 slot numbers, beside both maps of four words of
+        // bits; or for four beside one word each, and not five.
+        let mut slab = Slab::new(64 + 3 * (8 + 5) + 4 * 8);
         for chunk in (0..4).flat_map(|_| 0..12) {
             read(&mut slab, chunk);
         }
         assert_eq!(slab.room, 4);
         assert_eq!((slab.seen.capacity(), slab.ghost.capacity()), (1, 1));
-        assert_eq!(slab.charged, slab.budget);
+        assert_eq!(slab.charged, 16 + 4 * (8 + 5) + 4 * 8);
+        assert!(slab.cost(5) > slab.budget);
         let (held, ghosts) = held_and_ghosts(&slab, 12);
         assert_eq!((held.len(), ghosts.len()), (4, 8));
         // A sum of another length is never admitted.
@@ -1071,7 +1166,7 @@ mod tests {
         // hold them, and stays within the budget.
         read(&mut slab, 200);
         assert_eq!((slab.seen.len(), slab.ghost.len(), slab.room), (4, 4, 3));
-        assert!(slab.charged <= slab.budget);
+        assert_eq!(slab.charged, slab.budget);
         // A small budget is one segment; one with room is segmented.
         let segments = |budget_bytes| {
             let cache = PrefixCache {
@@ -1083,6 +1178,80 @@ mod tests {
         };
         assert_eq!(segments(1 << 20), MAX_SEGMENTS);
         assert_eq!(segments(200 << 10), 3);
+    }
+
+    /// Each entry of `slab`'s table as `(tag, position, home)`.
+    fn entries(slab: &Slab) -> Vec<(u32, usize, usize)> {
+        let full = (0..).zip(&slab.table).filter(|&(_, &slot)| slot != EMPTY);
+        let entry = |(at, &slot): (usize, &u32)| {
+            let tag = slab.tags[slot as usize];
+            (tag, at, slab.home(tag))
+        };
+        full.map(entry).collect()
+    }
+
+    #[test]
+    fn the_slot_table_finds_what_the_slab_holds_through_churn() {
+        const CHUNKS: u64 = 512;
+        // Eight words in each map of bits, and 37 slots at most: a table
+        // of 128 for re-reads of random chunks to collide in, hashed by
+        // one fixed multiplier (Fibonacci's, ⌊2³²/φ⌋).
+        let mut slab = Slab::new(128 + 1000);
+        slab.multiplier = 0x9e37_79b9;
+        let mut state = 5u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb) >> 31
+        };
+        let (mut wrapped, mut shifted) = (0, 0);
+        for _ in 0..10_000 {
+            let (before, room) = (entries(&slab), slab.room);
+            let chunk = next() % CHUNKS;
+            read(&mut slab, chunk);
+            // A second reader that missed the sum too admits it again.
+            if next() % 4 == 0 && slab.mark(chunk) {
+                slab.admit(chunk, &chunk.to_le_bytes());
+            }
+            // The model: each held tag's slot, from the slab's own tags,
+            // which are distinct.
+            let model: BTreeMap<u64, usize> = (0..)
+                .zip(&slab.tags)
+                .map(|(slot, &tag)| (u64::from(tag), slot))
+                .collect();
+            assert_eq!(model.len(), slab.tags.len());
+            for chunk in 0..CHUNKS {
+                assert_eq!(slab.slot(chunk), model.get(&chunk).copied(), "{chunk}");
+            }
+            // No tombstone: one entry per slot, each reached from its home
+            // through full positions only.
+            let now = entries(&slab);
+            assert_eq!(now.len(), slab.tags.len());
+            let mask = slab.table.len().wrapping_sub(1);
+            for &(_, at, home) in &now {
+                let probe = (0..=at.wrapping_sub(home) & mask).map(|i| (home + i) & mask);
+                assert!(probe.map(|p| slab.table[p]).all(|slot| slot != EMPTY));
+                wrapped += usize::from(at < home);
+            }
+            // Outside a resize, an entry that moved was shifted back by a
+            // delete.
+            if slab.room == room {
+                let moved = |&(tag, at, _): &(u32, usize, usize)| {
+                    now.iter().any(|&(t, a, _)| t == tag && a != at)
+                };
+                shifted += before.iter().filter(|e| moved(e)).count();
+            }
+        }
+        assert_eq!(slab.room, slab.most());
+        assert!(
+            wrapped > 0 && shifted > 0,
+            "{wrapped} wrapped, {shifted} shifted"
+        );
+        assert_eq!(slab.charged, slab.cost(slab.room));
+        // A chunk past `u32` has no bit and never a slot.
+        let mut slab = Slab::new(1 << 40);
+        assert!(!slab.mark(1 << 32) && !slab.mark(1 << 32));
+        assert!(slab.seen.is_empty() && slab.slot(1 << 32).is_none());
     }
 
     #[test]

@@ -123,8 +123,8 @@ process_families! {
     /// stream's eviction, which drops its cache.
     static INDEX_BOUNDARY_CACHE_BYTES: Gauge = "timecrypt_index_boundary_cache_bytes"
         "Heap bytes charged to the boundary caches of the process's resident streams, \
-         summed: cached running sums, their maps, and two bits per chunk read (read before; \
-         evicted since).";
+         summed: cached running sums, a tag and a reference bit each, their slot tables, and \
+         two bits per chunk read (read before; evicted since).";
     /// Dead over log bytes is the share of the files a compaction would
     /// reclaim. The four footprint gauges sum over the logs the process
     /// has open — a node's one `LogKv`, and every in-memory `MemKv` beside

@@ -116,10 +116,10 @@ impl<'a, K: Copy + Ord> Runs<'a, &'a [u8], K> {
 /// The reply to an ingest request, at every tier: `Insert` is a batch of
 /// one and `InsertBatch` its `(position, message)` errors (successes are
 /// implicit), both from `run` — the tier's ingest of serialized chunks,
-/// verdicts in batch order — and `InsertLive` the outcome of `live` over
-/// the record's bytes. Error strings are the `ServerError` renderings, so
-/// they cannot diverge between deployment shapes. Any other request is
-/// handed back.
+/// verdicts in batch order, a chunk past the end of them unacked — and
+/// `InsertLive` the outcome of `live` over the record's bytes. Error
+/// strings are the `ServerError` renderings, so they cannot diverge between
+/// deployment shapes. Any other request is handed back.
 pub fn ingest_reply(
     req: RequestRef<'_>,
     run: impl FnOnce(&[&[u8]]) -> Verdicts,
@@ -129,10 +129,15 @@ pub fn ingest_reply(
         Ok(()) => Response::Ok,
         Err(e) => Response::Error(e.to_string()),
     };
+    let verdicts = |chunks: &[&[u8]]| {
+        let mut verdicts = run(chunks);
+        verdicts.resize_with(chunks.len(), no_verdict);
+        verdicts
+    };
     Ok(match req {
-        RequestRef::Insert { chunk } => acked(run(&[chunk]).into_iter().collect()),
+        RequestRef::Insert { chunk } => acked(verdicts(&[chunk]).remove(0)),
         RequestRef::InsertBatch { chunks } => {
-            let failed = (0..).zip(run(&chunks));
+            let failed = (0..).zip(verdicts(&chunks));
             let errors = failed.filter_map(|(pos, v)| Some((pos, v.err()?.to_string())));
             Response::Batch {
                 errors: errors.collect(),
@@ -249,6 +254,24 @@ mod tests {
         assert_eq!(got, (false, runs, vec![4, 1, 0, 2, 0]));
         let whole = scatter(&[1, 9, 3], odd);
         assert_eq!(whole, (true, vec![(1, vec![1, 9, 3])], vec![1, 0, 0]));
+    }
+
+    #[test]
+    fn an_ingest_reply_acks_no_chunk_its_run_gave_no_verdict() {
+        let chunks: [&[u8]; 3] = [b"a", b"b", b"c"];
+        let reply = |req, answered| {
+            let run = |_: &[&[u8]]| (0..answered).map(|_| Ok(())).collect();
+            ingest_reply(req, run, |_| Ok(())).unwrap()
+        };
+        let none = no_verdict().unwrap_err().to_string();
+        let insert = || RequestRef::Insert { chunk: chunks[0] };
+        assert_eq!(reply(insert(), 0), Response::Error(none.clone()));
+        assert_eq!(reply(insert(), 1), Response::Ok);
+        let batch = RequestRef::InsertBatch {
+            chunks: chunks.to_vec(),
+        };
+        let errors = vec![(1, none.clone()), (2, none)];
+        assert_eq!(reply(batch, 1), Response::Batch { errors });
     }
 
     #[test]

@@ -115,8 +115,7 @@ fn four_query_shapes() {
 
     let dashboard = filled(19, 4560, 64 << 10);
     random_windows(&dashboard, 6667, 13);
-    let stats = dashboard.stats().unwrap();
-    assert!(stats.cache_used_bytes <= 64 << 10);
+    assert!(dashboard.stats().unwrap().cache_used_bytes <= 64 << 10);
     ledger.extend(rows("dashboard", &dashboard));
     drop(dashboard);
     assert_eq!(INDEX_BOUNDARY_CACHE_BYTES.get(), 0);
