@@ -21,7 +21,10 @@
 //!
 //! Counts only, read from `TreeStats`: the hit share and the bytes charged
 //! are rows of the root `BENCH_ledger.json`, compared exactly
-//! (`TC_BLESS=1` rewrites them); CI copies them to the job summary. The
+//! (`TC_BLESS=1` rewrites them); CI copies them to the job summary. So are
+//! the bytes the dashboard replay frees, as the binary's counting allocator
+//! (`tests/common`) sees them: a cache that grows by moving what it holds
+//! frees the old copy at each step, and the allocator may keep it. The
 //! process gauge `timecrypt_index_boundary_cache_bytes` holds what the one
 //! live index is charged, and nothing once it is dropped.
 
@@ -31,6 +34,9 @@ use timecrypt::store::MemKv;
 use timecrypt_obs::counters::INDEX_BOUNDARY_CACHE_BYTES;
 
 mod common;
+
+#[global_allocator]
+static ALLOCATOR: common::Counting = common::Counting;
 
 /// A fresh index of `chunks` digests of `width` words, chunk `c`'s all `c`,
 /// with a boundary cache of `cache_bytes`.
@@ -114,9 +120,16 @@ fn four_query_shapes() {
     drop(fleet);
 
     let dashboard = filled(19, 4560, 64 << 10);
+    let freed = common::freed();
     random_windows(&dashboard, 6667, 13);
+    let freed = common::freed() - freed;
     assert!(dashboard.stats().unwrap().cache_used_bytes <= 64 << 10);
     ledger.extend(rows("dashboard", &dashboard));
+    println!("boundary cache, dashboard: the replay freed {freed} B");
+    ledger.push((
+        "boundary_cache.dashboard.freed_bytes".into(),
+        freed.to_string(),
+    ));
     drop(dashboard);
     assert_eq!(INDEX_BOUNDARY_CACHE_BYTES.get(), 0);
     common::ledger(&ledger);

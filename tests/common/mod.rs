@@ -1,7 +1,8 @@
 //! The allocation guards' counting allocator, installed by each binary's
-//! own `#[global_allocator]`. Per thread, it counts calls and the bytes live
-//! as glibc's malloc sets them aside (an 8-byte header, 16-byte granules, 32
-//! at least), so tests running side by side do not disturb each other. And
+//! own `#[global_allocator]`. Per thread, it counts calls, the bytes live
+//! and the bytes freed as glibc's malloc sets them aside (an 8-byte header,
+//! 16-byte granules, 32 at least), so tests running side by side do not
+//! disturb each other. And
 //! [`ledger`], which compares a guard's rows with the root
 //! `BENCH_ledger.json`.
 
@@ -18,6 +19,7 @@ pub struct Counting;
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// What malloc sets aside for a request of `size` bytes.
@@ -35,10 +37,13 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.set(LIVE.get() - chunk(layout.size()));
+        FREED.set(FREED.get() + chunk(layout.size()) as u64);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE.set(LIVE.get() - chunk(layout.size()) + chunk(new_size));
+        // The old block is freed, whether or not it grew in place.
+        FREED.set(FREED.get() + chunk(layout.size()) as u64);
         CALLS.set(CALLS.get() + 1);
         System.realloc(ptr, layout, new_size)
     }
@@ -52,6 +57,12 @@ pub fn calls() -> u64 {
 /// Bytes this thread allocated and has not freed.
 pub fn live() -> isize {
     LIVE.get()
+}
+
+/// Bytes this thread has freed: each `dealloc`'s block, and the old block
+/// of each `realloc`.
+pub fn freed() -> u64 {
+    FREED.get()
 }
 
 /// Allocator calls `f` makes on this thread, and what it returned.
