@@ -55,6 +55,7 @@ use crate::keys;
 use parking_lot::{Mutex, RwLock};
 use std::hash::{BuildHasher, RandomState};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use timecrypt_obs::counters::{self, Counter};
 use timecrypt_obs::rank::{self, Ranked};
@@ -261,10 +262,18 @@ const EMPTY: u32 = u32::MAX;
 /// keys: a store read sets the chunk's bit in `seen`, and only a read that
 /// finds it set admits the sum. A boundary read once costs a bit, not a slot.
 ///
-/// **A slab, evicted by CLOCK.** A hit sets its slot's reference bit; no
-/// hit or admission reorders, boxes or frees. A full slab admits into the
-/// first slot from the hand whose bit is clear, clearing those it passes,
-/// and sets the evicted chunk's bit in `ghost`.
+/// **Slots in blocks that never move.** A slot is a sum, its chunk's tag
+/// and its reference bit, side by side. Each growth step appends one block
+/// of exactly the slots it adds, so no step moves, copies or frees a slot
+/// the slab holds; only the slot table, the maps of bits and the list of
+/// blocks are reallocated. Slot numbers count up across the blocks in
+/// order, so slot `s` is found by walking the blocks' lengths, from the
+/// last, the largest.
+///
+/// **Evicted by CLOCK.** A hit sets its slot's reference bit; no hit or
+/// admission reorders, boxes or frees. A full slab admits into the first
+/// slot from the hand whose bit is clear, clearing those it passes, and
+/// sets the evicted chunk's bit in `ghost`.
 ///
 /// **Found by a table of slot numbers**: open addressing over a power of
 /// two at least twice `room` long, a multiplicative hash of the tag and
@@ -279,19 +288,22 @@ const EMPTY: u32 = u32::MAX;
 /// again — clears it and grows the slab by a quarter, as far as the budget
 /// affords; any other admission into a full slab replaces the victim in
 /// place. So the slab holds the sums queries re-read, from a floor of
-/// [`FLOOR`] slots, and shrinks as the bits grow.
+/// [`FLOOR`] slots. It shrinks only as the maps of bits grow, and then
+/// drops its last blocks and trims the one left last: the one path that
+/// frees a slot.
 #[derive(Default)]
 struct Slab {
     budget: usize,
     /// Bytes of a sum, the first admitted one's: `8·width` for HEAC.
     stride: usize,
-    /// Slots allocated: each per-slot vector's capacity.
+    /// Slots allocated, across the blocks.
     room: usize,
-    /// Slot `s` is bytes `s·stride..(s + 1)·stride`, the sum of the chunk
-    /// tagged `tags[s]`.
-    sums: Vec<u8>,
-    tags: Vec<u32>,
-    referenced: Vec<bool>,
+    /// Slots filled, from slot 0.
+    len: usize,
+    /// The slots, in order, `stride + 5` bytes each: the sum, the chunk's
+    /// tag (4 bytes, little-endian), then the reference bit (a byte). The
+    /// list's capacity is its length.
+    blocks: Vec<Box<[u8]>>,
     /// Slot numbers at their tags' probe positions, [`EMPTY`] elsewhere;
     /// [`table_len`] of `room` long.
     table: Vec<u32>,
@@ -317,8 +329,10 @@ impl Slab {
 
     fn get(&mut self, chunk: u64) -> Option<&[u8]> {
         let slot = self.slot(chunk)?;
-        self.referenced[slot] = true;
-        Some(&self.sums[slot * self.stride..][..self.stride])
+        let stride = self.stride;
+        let entry = self.entry_mut(slot);
+        entry[stride + 4] = 1;
+        Some(&entry[..stride])
     }
 
     /// The slot holding `chunk`'s sum, if one does.
@@ -328,6 +342,38 @@ impl Slab {
         Some(self.table[at] as usize)
     }
 
+    /// The block `slot` lies in, and its bytes there.
+    fn locate(&self, slot: usize) -> (usize, Range<usize>) {
+        let width = self.stride + 5;
+        let (at, mut start) = (slot * width, self.room * width);
+        for (block, bytes) in self.blocks.iter().enumerate().rev() {
+            start -= bytes.len();
+            if at >= start {
+                return (block, at - start..at - start + width);
+            }
+        }
+        // No block: there is no slot to find.
+        (0, at..at + width)
+    }
+
+    /// Slot `slot`'s bytes: sum, tag and reference bit.
+    fn entry(&self, slot: usize) -> &[u8] {
+        let (block, bytes) = self.locate(slot);
+        &self.blocks[block][bytes]
+    }
+
+    fn entry_mut(&mut self, slot: usize) -> &mut [u8] {
+        let (block, bytes) = self.locate(slot);
+        &mut self.blocks[block][bytes]
+    }
+
+    /// The tag of the chunk whose sum `slot` holds.
+    fn tag(&self, slot: usize) -> u32 {
+        let mut tag = [0; 4];
+        tag.copy_from_slice(&self.entry(slot)[self.stride..][..4]);
+        u32::from_le_bytes(tag)
+    }
+
     /// Where `tag`'s slot number lies in the table, if it is held.
     fn position(&self, tag: u32) -> Option<usize> {
         let mask = self.table.len().checked_sub(1)?;
@@ -335,7 +381,7 @@ impl Slab {
         loop {
             match self.table[at] {
                 EMPTY => return None,
-                slot if self.tags[slot as usize] == tag => return Some(at),
+                slot if self.tag(slot as usize) == tag => return Some(at),
                 _ => at = (at + 1) & mask,
             }
         }
@@ -351,7 +397,7 @@ impl Slab {
     /// Enters `slot`, by its tag, at the first empty position from its home.
     fn place(&mut self, slot: usize) {
         let mask = self.table.len() - 1;
-        let mut at = self.home(self.tags[slot]);
+        let mut at = self.home(self.tag(slot));
         while self.table[at] != EMPTY {
             at = (at + 1) & mask;
         }
@@ -372,7 +418,7 @@ impl Slab {
                 if slot == EMPTY {
                     return;
                 }
-                let home = self.home(self.tags[slot as usize]);
+                let home = self.home(self.tag(slot as usize));
                 if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
                     self.table[hole] = slot;
                     hole = at;
@@ -410,7 +456,7 @@ impl Slab {
         if self.stride == 0 {
             self.stride = sum.len();
         }
-        let len = self.tags.len();
+        let len = self.len;
         // Two readers that missed it at once both admit it: the later one
         // finds it held.
         if sum.len() != self.stride || self.slot(chunk).is_some() {
@@ -418,62 +464,75 @@ impl Slab {
         }
         let ghost = flip(&mut self.ghost, chunk, false);
         if len == self.room && (ghost || len < FLOOR) {
-            // By a quarter, so that a fifth of the slab at most lies unused;
-            // a step to within a quarter of the most the budget affords
-            // takes it all, so that no run of last small steps leaves freed
-            // blocks behind in the allocator.
-            let (step, most) = ((len + len / 4).max(FLOOR), self.most());
-            let room = if 4 * step >= 3 * most { most } else { step };
+            // By a quarter, so that a fifth of the slab at most lies unused.
+            let room = (len + len / 4).max(FLOOR).min(self.most());
             self.resize(room.max(len));
         }
-        // Its bit is set, so it fits in `u32`.
-        let tag = chunk as u32;
         let slot = if len < self.room {
-            self.tags.push(tag);
-            self.referenced.push(false);
-            self.sums.extend_from_slice(sum);
+            self.len += 1;
             len
         } else {
             let Some(slot) = self.victim() else {
                 return;
             };
-            let evicted = self.tags[slot];
+            let evicted = self.tag(slot);
             if let Some(at) = self.position(evicted) {
                 self.unplace(at);
             }
-            self.tags[slot] = tag;
             flip(&mut self.ghost, u64::from(evicted), true);
-            self.sums[slot * self.stride..][..self.stride].copy_from_slice(sum);
             slot
         };
+        // Its bit is set, so it fits in `u32`; a new sum is unreferenced.
+        let stride = self.stride;
+        let entry = self.entry_mut(slot);
+        entry[..stride].copy_from_slice(sum);
+        entry[stride..][..4].copy_from_slice(&(chunk as u32).to_le_bytes());
+        entry[stride + 4] = 0;
         self.place(slot);
     }
 
     /// CLOCK: the first slot from the hand whose reference bit is clear.
     fn victim(&mut self) -> Option<usize> {
-        let n = self.tags.len();
+        let (n, stride) = (self.len, self.stride);
         (n > 0).then(|| loop {
             let slot = self.hand % n;
             self.hand = slot + 1;
-            if !std::mem::take(&mut self.referenced[slot]) {
+            if std::mem::take(&mut self.entry_mut(slot)[stride + 4]) == 0 {
                 return slot;
             }
         })
     }
 
-    /// Allocates `room` slots exactly, dropping the sums of any past it, and
-    /// moves the process gauge by what the slab's charge changed.
+    /// Gives the slab `room` slots, and moves the process gauge by what
+    /// its charge changed. Growth appends a block of exactly the new
+    /// slots; a shrink drops the blocks past `room`, trims the last one
+    /// left, and drops the sums past it. The slot table is rebuilt only
+    /// when its length changes or slots go.
     fn resize(&mut self, room: usize) {
-        if room != self.room {
-            self.tags.truncate(room);
-            self.referenced.truncate(room);
-            self.sums.truncate(room * self.stride);
-            exact(&mut self.tags, room);
-            exact(&mut self.referenced, room);
-            exact(&mut self.sums, room * self.stride);
+        let (was, width) = (std::mem::replace(&mut self.room, room), self.stride + 5);
+        if room > was {
+            self.blocks.reserve_exact(1);
+            self.blocks
+                .push(vec![0; (room - was) * width].into_boxed_slice());
+        } else if room < was {
+            let (keep, mut end) = (room * width, was * width);
+            while let Some(last) = self.blocks.last_mut() {
+                let start = end - last.len();
+                if start < keep {
+                    if end > keep {
+                        *last = last[..keep - start].into();
+                    }
+                    break;
+                }
+                self.blocks.pop();
+                end = start;
+            }
+            self.blocks.shrink_to_fit();
+            self.len = self.len.min(room);
+        }
+        if room < was || self.table.len() != table_len(room) {
             self.table = vec![EMPTY; table_len(room)];
-            self.room = room;
-            (0..self.tags.len()).for_each(|slot| self.place(slot));
+            (0..self.len).for_each(|slot| self.place(slot));
         }
         let now = self.cost(room);
         let was = std::mem::replace(&mut self.charged, now);
@@ -1081,9 +1140,14 @@ mod tests {
     /// makes it: from the slab, else from the store, marking or admitting
     /// it. True on a hit.
     fn read(slab: &mut Slab, chunk: u64) -> bool {
+        read_as(slab, chunk, &chunk.to_le_bytes())
+    }
+
+    /// As [`read`], of the sum `sum`.
+    fn read_as(slab: &mut Slab, chunk: u64, sum: &[u8]) -> bool {
         let hit = slab.get(chunk).is_some();
         if !hit && slab.mark(chunk) {
-            slab.admit(chunk, &chunk.to_le_bytes());
+            slab.admit(chunk, sum);
         }
         hit
     }
@@ -1180,11 +1244,109 @@ mod tests {
         assert_eq!(segments(200 << 10), 3);
     }
 
+    /// The 19 words `19·chunk + j` of `chunk`'s sum.
+    fn wide(chunk: u64) -> Vec<u8> {
+        (0..19)
+            .flat_map(|j| (19 * chunk + j).to_le_bytes())
+            .collect()
+    }
+
+    /// Checks `slab` against `model`, the chunk each slot holds and where
+    /// its sum lay when the slot was first filled.
+    fn assert_held(slab: &Slab, model: &[(u64, *const u8)]) {
+        assert_eq!(slab.len, model.len());
+        let bytes: usize = slab.blocks.iter().map(|block| block.len()).sum();
+        assert_eq!(bytes, slab.room * (slab.stride + 5));
+        for (slot, &(chunk, at)) in model.iter().enumerate() {
+            assert_eq!(slab.slot(chunk), Some(slot), "chunk {chunk}");
+            assert_eq!(slab.tag(slot), chunk as u32);
+            let sum = &slab.entry(slot)[..slab.stride];
+            assert_eq!(sum.as_ptr(), at, "slot {slot} moved");
+            let words = (19 * chunk..).map(u64::to_le_bytes);
+            assert!(sum.chunks(8).zip(words).all(|(a, b)| a == b), "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn growth_appends_a_block_and_moves_no_held_sum() {
+        // Nineteen-word sums at the dashboard's 64 KiB, read at random
+        // (seeded) from a thousand chunks: ghost hits grow the slab from
+        // its floor to the most the budget affords.
+        let mut slab = Slab::new(64 << 10);
+        let mut state = 11u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb) >> 31
+        };
+        let mut model: Vec<(u64, *const u8)> = Vec::new();
+        let (mut reads, mut steps, mut wrapped, mut after_most) = (0, 0, 0, 0);
+        while after_most < 2000 {
+            reads += 1;
+            let (room, blocks, hand) = (slab.room, slab.blocks.len(), slab.hand);
+            let chunk = next() % 1000;
+            read_as(&mut slab, chunk, &wide(chunk));
+            let grew = slab.room > room;
+            if grew {
+                // One block of exactly the new slots.
+                steps += 1;
+                assert_eq!(slab.blocks.len(), blocks + 1);
+                let block = slab.blocks[blocks].len();
+                assert_eq!(block, (slab.room - room) * (slab.stride + 5));
+            }
+            // A fill takes the next slot; an admission into a full slab
+            // keeps the slot where it lay.
+            if let Some(slot) = slab.slot(chunk) {
+                let at = slab.entry(slot).as_ptr();
+                match model.get_mut(slot) {
+                    Some(held) => held.0 = chunk,
+                    None => model.push((chunk, at)),
+                }
+            }
+            if grew || reads % 32 == 0 {
+                assert_held(&slab, &model);
+            }
+            wrapped += usize::from(slab.hand < hand && slab.blocks.len() > 1);
+            after_most += usize::from(slab.room == slab.most());
+        }
+        assert!(steps >= 15 && wrapped > 0, "{steps} steps, {wrapped} wraps");
+        assert_eq!(slab.charged, slab.cost(slab.room));
+        // A chunk whose bits need 64 times the words: the slab gives up
+        // its last blocks and trims the one left last, which alone moves.
+        let (room, blocks) = (slab.room, slab.blocks.len());
+        read_as(&mut slab, 60_000, &wide(60_000));
+        assert!(slab.room < room && slab.blocks.len() < blocks);
+        assert_eq!(
+            (slab.seen.len(), slab.charged),
+            (1024, slab.cost(slab.room))
+        );
+        assert!(slab.charged <= slab.budget);
+        let last = slab.blocks.last().map_or(0, |block| block.len());
+        let kept = slab.room - last / (slab.stride + 5);
+        model.truncate(slab.len);
+        for (slot, held) in model.iter_mut().enumerate().skip(kept) {
+            held.1 = slab.entry(slot).as_ptr();
+        }
+        assert_held(&slab, &model);
+        // And CLOCK goes on across the blocks left.
+        for read in 0..2000 {
+            let chunk = next() % 1000;
+            read_as(&mut slab, chunk, &wide(chunk));
+            if let Some(slot) = slab.slot(chunk) {
+                model[slot].0 = chunk;
+            }
+            if read % 32 == 0 {
+                assert_held(&slab, &model);
+            }
+        }
+        assert_held(&slab, &model);
+    }
+
     /// Each entry of `slab`'s table as `(tag, position, home)`.
     fn entries(slab: &Slab) -> Vec<(u32, usize, usize)> {
         let full = (0..).zip(&slab.table).filter(|&(_, &slot)| slot != EMPTY);
         let entry = |(at, &slot): (usize, &u32)| {
-            let tag = slab.tags[slot as usize];
+            let tag = slab.tag(slot as usize);
             (tag, at, slab.home(tag))
         };
         full.map(entry).collect()
@@ -1215,18 +1377,17 @@ mod tests {
             }
             // The model: each held tag's slot, from the slab's own tags,
             // which are distinct.
-            let model: BTreeMap<u64, usize> = (0..)
-                .zip(&slab.tags)
-                .map(|(slot, &tag)| (u64::from(tag), slot))
+            let model: BTreeMap<u64, usize> = (0..slab.len)
+                .map(|slot| (u64::from(slab.tag(slot)), slot))
                 .collect();
-            assert_eq!(model.len(), slab.tags.len());
+            assert_eq!(model.len(), slab.len);
             for chunk in 0..CHUNKS {
                 assert_eq!(slab.slot(chunk), model.get(&chunk).copied(), "{chunk}");
             }
             // No tombstone: one entry per slot, each reached from its home
             // through full positions only.
             let now = entries(&slab);
-            assert_eq!(now.len(), slab.tags.len());
+            assert_eq!(now.len(), slab.len);
             let mask = slab.table.len().wrapping_sub(1);
             for &(_, at, home) in &now {
                 let probe = (0..=at.wrapping_sub(home) & mask).map(|i| (home + i) & mask);

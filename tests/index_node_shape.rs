@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 use timecrypt::index::{AggTree, TreeConfig};
-use timecrypt::store::{KvPairs, KvStore, MemKv, MeteredKv, StoreError};
+use timecrypt::store::{KvPairs, KvStore, MemKv, MeteredKv, StoreError, WriteOp};
 
 mod common;
 
@@ -127,6 +127,68 @@ fn under_eviction_churn_the_charge_stays_within_the_budget() {
     let (held, charged) = ((live() - start) as f64, stats.cache_used_bytes as f64);
     println!("under churn: {held} B held, {charged} B charged of {BUDGET}");
     assert!(held <= 1.05 * charged, "{held} B held, {charged} charged");
+}
+
+/// A `MemKv` whose scans find nothing, so that `stats` sizes no records
+/// and a test can read the cache's charge after every query.
+struct Unscanned(MemKv);
+
+impl KvStore for Unscanned {
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        self.0.get(key)
+    }
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        self.0.put(key, value)
+    }
+    fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+        self.0.delete(key)
+    }
+    fn scan_prefix(&self, _: &[u8]) -> Result<KvPairs, StoreError> {
+        Ok(Vec::new())
+    }
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        self.0.write_batch(ops)
+    }
+}
+
+/// The one path that frees a cached sum, at the dashboard's budget: a
+/// stream read while it grows from 4 560 chunks to 40 000 needs eight times
+/// the words of bits (2 KiB to 16 KiB, both maps), and its one 64 KiB
+/// segment gives up slots for them, from 378 at most to 287. Each round
+/// appends 256 chunks, then reads back every boundary read before — every
+/// 15th chunk of the first 4 560, and the one before the last of each
+/// earlier round — against the one before the new last. So each sum the
+/// cache still holds is read back once a round, and after every query the
+/// reply is the store's and the charge within the budget.
+#[test]
+fn a_growing_stream_shrinks_its_slab_and_keeps_what_it_holds() {
+    const BUDGET: usize = 64 << 10;
+    let kv: Arc<dyn KvStore> = Arc::new(Unscanned(MemKv::new()));
+    let tree = open(kv, BUDGET);
+    let digests = |chunks: std::ops::Range<u64>| chunks.map(|c| vec![c; 19]).collect::<Vec<_>>();
+    tree.append_batch(&digests(0..4560)).unwrap();
+    let mut boundaries: Vec<u64> = (0..4560).step_by(15).collect();
+    let mut misses = Vec::new();
+    while tree.len() < 40_000 {
+        let len = tree.len();
+        tree.append_batch(&digests(len..len + 256)).unwrap();
+        let (hi, before) = (tree.len() - 1, tree.stats().unwrap().cache_misses);
+        for &b in &boundaries {
+            // The store's sums are those of the digests `[c; 19]`.
+            let want = (b + 1 + hi - 1) * (hi - b - 1) / 2;
+            assert!(tree.query(b + 1, hi).unwrap().iter().all(|&w| w == want));
+            let charged = tree.stats().unwrap().cache_used_bytes;
+            assert!(charged <= BUDGET, "{charged} B charged at {len} chunks");
+        }
+        misses.push(tree.stats().unwrap().cache_misses - before);
+        boundaries.push(hi - 1);
+    }
+    // Once the slab had grown, a round missed only its new boundary, read
+    // twice to be admitted, through the shrink at 8 192 chunks; after the
+    // one at 16 384 it holds fewer sums than a round reads back.
+    println!("misses per round, at 4 816 chunks and on: {misses:?}");
+    assert!(misses[3..40].iter().all(|&m| m == 2), "{misses:?}");
+    assert!(misses.last() > Some(&2), "{misses:?}");
 }
 
 fn splitmix(state: &mut u64) -> u64 {
