@@ -30,7 +30,8 @@
 //! running sums queries read: a sum's second store read admits it, and the
 //! cache grows past a floor of a few sums only when a sum it evicted is
 //! read again, so its memory follows the sums queries re-read, up to
-//! [`TreeConfig::cache_bytes`], charged exactly what it holds of the heap.
+//! [`TreeConfig::cache_bytes`], charged what its slots, slot table and bits
+//! hold of the heap.
 //! Only those reads fill it, and the first builds it.
 //!
 //! **Commit = one batch.** An append — one chunk or a run — hands its
@@ -254,7 +255,8 @@ const FLOOR: usize = 7;
 /// An empty entry of a slab's slot table.
 const EMPTY: u32 = u32::MAX;
 
-/// One segment's running sums, within its budget of heap, charged exactly.
+/// One segment's running sums, within its budget of heap, charged the
+/// capacity of its slots, slot table and bits.
 /// A segment's `i`-th chunk is its bit `i` and its tag in the slab; a bit
 /// past `u32` is never set, so never admitted.
 ///
