@@ -371,19 +371,23 @@ impl Slab {
 
     /// The tag of the chunk whose sum `slot` holds.
     fn tag(&self, slot: usize) -> u32 {
-        let mut tag = [0; 4];
-        tag.copy_from_slice(&self.entry(slot)[self.stride..][..4]);
-        u32::from_le_bytes(tag)
+        tag_of(&self.entry(slot)[self.stride..])
     }
 
     /// Where `tag`'s slot number lies in the table, if it is held.
     fn position(&self, tag: u32) -> Option<usize> {
+        self.probe(tag, |slot| self.tag(slot as usize) == tag)
+    }
+
+    /// The first position on `tag`'s probe run whose slot number `found`
+    /// accepts, if one does before an empty one.
+    fn probe(&self, tag: u32, found: impl Fn(u32) -> bool) -> Option<usize> {
         let mask = self.table.len().checked_sub(1)?;
         let mut at = self.home(tag);
         loop {
             match self.table[at] {
                 EMPTY => return None,
-                slot if self.tag(slot as usize) == tag => return Some(at),
+                slot if found(slot) => return Some(at),
                 _ => at = (at + 1) & mask,
             }
         }
@@ -396,10 +400,11 @@ impl Slab {
         (tag.wrapping_mul(self.multiplier) >> shift) as usize
     }
 
-    /// Enters `slot`, by its tag, at the first empty position from its home.
-    fn place(&mut self, slot: usize) {
+    /// Enters `slot`, by its `tag`, at the first empty position from its
+    /// home.
+    fn place(&mut self, slot: usize, tag: u32) {
         let mask = self.table.len() - 1;
-        let mut at = self.home(self.tag(slot));
+        let mut at = self.home(tag);
         while self.table[at] != EMPTY {
             at = (at + 1) & mask;
         }
@@ -474,33 +479,34 @@ impl Slab {
             self.len += 1;
             len
         } else {
-            let Some(slot) = self.victim() else {
+            let Some((slot, evicted)) = self.victim() else {
                 return;
             };
-            let evicted = self.tag(slot);
-            if let Some(at) = self.position(evicted) {
+            if let Some(at) = self.probe(evicted, |held| held as usize == slot) {
                 self.unplace(at);
             }
             flip(&mut self.ghost, u64::from(evicted), true);
             slot
         };
         // Its bit is set, so it fits in `u32`; a new sum is unreferenced.
-        let stride = self.stride;
+        let (stride, tag) = (self.stride, chunk as u32);
         let entry = self.entry_mut(slot);
         entry[..stride].copy_from_slice(sum);
-        entry[stride..][..4].copy_from_slice(&(chunk as u32).to_le_bytes());
+        entry[stride..][..4].copy_from_slice(&tag.to_le_bytes());
         entry[stride + 4] = 0;
-        self.place(slot);
+        self.place(slot, tag);
     }
 
-    /// CLOCK: the first slot from the hand whose reference bit is clear.
-    fn victim(&mut self) -> Option<usize> {
+    /// CLOCK: the first slot from the hand whose reference bit is clear,
+    /// and its tag.
+    fn victim(&mut self) -> Option<(usize, u32)> {
         let (n, stride) = (self.len, self.stride);
         (n > 0).then(|| loop {
             let slot = self.hand % n;
             self.hand = slot + 1;
-            if std::mem::take(&mut self.entry_mut(slot)[stride + 4]) == 0 {
-                return slot;
+            let entry = self.entry_mut(slot);
+            if std::mem::take(&mut entry[stride + 4]) == 0 {
+                return (slot, tag_of(&entry[stride..]));
             }
         })
     }
@@ -534,7 +540,7 @@ impl Slab {
         }
         if room < was || self.table.len() != table_len(room) {
             self.table = vec![EMPTY; table_len(room)];
-            (0..self.len).for_each(|slot| self.place(slot));
+            (0..self.len).for_each(|slot| self.place(slot, self.tag(slot)));
         }
         let now = self.cost(room);
         let was = std::mem::replace(&mut self.charged, now);
@@ -567,6 +573,13 @@ impl Drop for Slab {
     fn drop(&mut self) {
         counters::INDEX_BOUNDARY_CACHE_BYTES.sub(self.charged as u64);
     }
+}
+
+/// The tag that `bytes`, an entry past its sum, begins with.
+fn tag_of(bytes: &[u8]) -> u32 {
+    let mut tag = [0; 4];
+    tag.copy_from_slice(&bytes[..4]);
+    u32::from_le_bytes(tag)
 }
 
 /// Sets bit `i` of `bits` to `to`; whether it was set. `i` is within them.
