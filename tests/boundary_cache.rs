@@ -23,8 +23,8 @@
 //! are rows of the root `BENCH_ledger.json`, compared exactly
 //! (`TC_BLESS=1` rewrites them); CI copies them to the job summary. So are
 //! the bytes the dashboard replay frees, as the binary's counting allocator
-//! (`tests/common`) sees them: a cache that grows by moving what it holds
-//! frees the old copy at each step, and the allocator may keep it. The
+//! (`tests/common`) sees them: a cache that moved what it holds to grow
+//! would free the old copy at each step, and the allocator may keep it. The
 //! process gauge `timecrypt_index_boundary_cache_bytes` holds what the one
 //! live index is charged, and nothing once it is dropped.
 

@@ -2,9 +2,8 @@
 //! own `#[global_allocator]`. Per thread, it counts calls, the bytes live
 //! and the bytes freed as glibc's malloc sets them aside (an 8-byte header,
 //! 16-byte granules, 32 at least), so tests running side by side do not
-//! disturb each other. And
-//! [`ledger`], which compares a guard's rows with the root
-//! `BENCH_ledger.json`.
+//! disturb each other. And [`ledger`], which compares a guard's rows with
+//! the root `BENCH_ledger.json`.
 
 #![allow(dead_code)] // each binary reads what it needs
 
