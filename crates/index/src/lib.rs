@@ -11,8 +11,9 @@
 //! `timecrypt-bench`.
 //!
 //! Records go through any [`timecrypt_store::KvStore`], with a cache of the
-//! running sums queries re-read in front, capped in bytes (the Fig. 7
-//! "tiny 1 MB cache" experiment shrinks it to force misses). Record keys
+//! running sums queries re-read in front ([`cache`]), one per node and
+//! capped in bytes (the Fig. 7 "tiny 1 MB cache" experiment shrinks it to
+//! force misses). Record keys
 //! are computed from `(stream, chunk)` — no stored references (§4.6) — by
 //! [`keys`], which declares the key of every record a stream owns.
 //! [`AggTree`] is a *shared* handle: queries never block on the write path
@@ -22,8 +23,10 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
+pub mod cache;
 pub mod keys;
 pub mod tree;
 
-pub use tree::{decode_sum, fold_sum, leaf_record, stored_chunk_count};
+pub use cache::BoundaryCache;
+pub use tree::{decode_sum, fold_sum, leaf_record, stored_chunk_count, DEFAULT_CACHE_BYTES};
 pub use tree::{AggTree, IndexError, TreeConfig, TreeStats};

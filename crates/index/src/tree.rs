@@ -26,13 +26,11 @@
 //!
 //! **A resident index is `(len, P_{len−1})`.** [`AggTree::open`] finds the
 //! length by [`stored_chunk_count`] (O(log n) key probes, no value read)
-//! and reads the one record `len − 1`. The boundary cache holds other
-//! running sums queries read: a sum's second store read admits it, and the
-//! cache grows past a floor of a few sums only when a sum it evicted is
-//! read again, so its memory follows the sums queries re-read, up to
-//! [`TreeConfig::cache_bytes`], charged what its slots, slot table and bits
-//! hold of the heap.
-//! Only those reads fill it, and the first builds it.
+//! and reads the one record `len − 1`. Other running sums queries read go
+//! through a [`BoundaryCache`], the index's own or its node's, keyed by a
+//! life each open draws afresh: a sum's second store read admits it, and
+//! the cache's budget ([`TreeConfig::cache_bytes`]) bounds every index it
+//! serves together. Only those reads fill it.
 //!
 //! **Commit = one batch.** An append — one chunk or a run — hands its
 //! records to the store as one [`KvStore::write_batch`]: all of it or none
@@ -52,12 +50,12 @@
 //! writer publishes after its store write succeeded, so a reader that sees
 //! length `n` finds every record below `n` in the store.
 
+use crate::cache::BoundaryCache;
 use crate::keys;
 use parking_lot::{Mutex, RwLock};
-use std::hash::{BuildHasher, RandomState};
 use std::marker::PhantomData;
-use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use timecrypt_obs::counters::{self, Counter};
 use timecrypt_obs::rank::{self, Ranked};
 use timecrypt_store::{KvStore, StoreError, WriteOp};
@@ -65,21 +63,21 @@ use timecrypt_store::{KvStore, StoreError, WriteOp};
 /// Index parameters.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
-    /// Heap budget in bytes of the boundary cache, a hard cap charged
-    /// exactly: the running sums it keeps, a tag and a reference bit each,
-    /// their slot table, and two bits per chunk read (read before; evicted
-    /// since); `0` caches nothing. A sum's second store read admits it, and
-    /// the cache grows only when a sum it evicted is read again, so it
-    /// holds the sums queries re-read, within this.
-    /// Split across lock segments (one per 64 KiB, 1–8) that the index's
-    /// first read builds. Fig. 7's "small cache" variant uses 1 MB.
+    /// Heap budget in bytes of the index's own [`BoundaryCache`], a hard
+    /// cap: the running sums it keeps, a bit per chunk read, and the
+    /// tables that find them; `0` caches nothing. A sum's second store
+    /// read admits it. Fig. 7's "small cache" variant uses 1 MB.
     pub cache_bytes: usize,
 }
+
+/// The boundary cache's budget unless one is configured: a node's, and a
+/// standalone index's.
+pub const DEFAULT_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
 impl Default for TreeConfig {
     fn default() -> Self {
         TreeConfig {
-            cache_bytes: 256 * 1024 * 1024,
+            cache_bytes: DEFAULT_CACHE_BYTES,
         }
     }
 }
@@ -137,9 +135,8 @@ pub struct TreeStats {
     pub cache_hits: u64,
     /// Boundary-cache misses (store reads).
     pub cache_misses: u64,
-    /// Heap bytes the cache holds — its sums, their tags and slot table,
-    /// and the bits of the chunks read and of the sums evicted — within
-    /// [`TreeConfig::cache_bytes`].
+    /// Heap bytes the boundary cache the index reads through is charged,
+    /// for every index it serves: a node's, when the index is a node's.
     pub cache_used_bytes: usize,
     /// Total serialized bytes (key + value) of the stream's index records:
     /// its level-0 records and its decay cutoffs.
@@ -172,440 +169,31 @@ pub struct AggTree<D = Vec<u64>> {
     /// exclusively only to publish what it stored. Never held across a
     /// store call.
     published: Ranked<{ rank::FRONTIER }, RwLock<Published>>,
-    cache: PrefixCache,
+    cache: Cache,
+    /// This open's key in the cache: no other open of the cache had it.
+    life: u64,
+    /// Lookups in the cache, counted here so that one before the first
+    /// fill is a miss.
+    hits: Counter,
+    misses: Counter,
     marker: PhantomData<D>,
 }
 
-/// Most lock segments in the boundary cache, split by chunk index so that
-/// concurrent queries (a handful of readers) do not share one mutex.
-const MAX_SEGMENTS: usize = 8;
-
-/// Least budget worth a segment of its own: a segment evicts alone, so a
-/// small budget stays whole behind one lock.
-const MIN_SEGMENT_BYTES: usize = 64 * 1024;
-
-/// The segmented boundary cache, a [`Slab`] per segment: filled only by a
-/// query's later store reads of a sum; the first read builds the segments.
-#[derive(Default)]
-struct PrefixCache {
-    budget_bytes: usize,
-    built: OnceLock<Box<[Segment]>>,
-    /// Lookups, counted here so that one before the first fill is a miss.
-    hits: Counter,
-    misses: Counter,
+/// The boundary cache an index reads through: its own, or its node's.
+enum Cache {
+    Own(BoundaryCache),
+    Node(Arc<BoundaryCache>),
 }
 
-/// One segment: an independently locked slab.
-type Segment = Ranked<{ rank::CACHE }, Mutex<Slab>>;
+impl std::ops::Deref for Cache {
+    type Target = BoundaryCache;
 
-impl PrefixCache {
-    /// Chunk `index`'s segment (built by the first call) and bit in it.
-    fn segment(&self, index: u64) -> (&Segment, u64) {
-        let segments = self.built.get_or_init(|| {
-            let segments = (self.budget_bytes / MIN_SEGMENT_BYTES).clamp(1, MAX_SEGMENTS);
-            // Rounded down: the segments together never hold more than the budget.
-            let budget = self.budget_bytes / segments;
-            (0..segments)
-                .map(|_| Ranked::new(Mutex::new(Slab::new(budget))))
-                .collect()
-        });
-        let n = segments.len() as u64;
-        (&segments[(index % n) as usize], index / n)
-    }
-
-    /// `f` of the running sum through chunk `index`, under its segment's
-    /// lock, if it is cached; counts the lookup.
-    fn with<R>(&self, index: u64, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let hit = self.built.get().and_then(|_| {
-            let (segment, bit) = self.segment(index);
-            segment.lock(Mutex::lock).get(bit).map(f)
-        });
-        let (tree, process) = match hit {
-            Some(_) => (&self.hits, &counters::INDEX_NODE_CACHE_HITS),
-            None => (&self.misses, &counters::INDEX_NODE_CACHE_MISSES),
-        };
-        tree.inc();
-        process.inc();
-        hit
-    }
-
-    /// A query read `prefix`, the sum through chunk `index`, from the store:
-    /// the first such read sets the chunk's bit, a later one admits it.
-    fn read(&self, index: u64, prefix: &[u8]) {
-        if self.budget_bytes > 0 {
-            let (segment, bit) = self.segment(index);
-            let mut slab = segment.lock(Mutex::lock);
-            if slab.mark(bit) {
-                slab.admit(bit, prefix);
-            }
+    fn deref(&self) -> &BoundaryCache {
+        match self {
+            Cache::Own(cache) => cache,
+            Cache::Node(cache) => cache,
         }
     }
-
-    /// (hits, misses, bytes charged across segments).
-    fn stats(&self) -> (u64, u64, usize) {
-        let segments = self.built.get().into_iter().flatten();
-        let used = segments.map(|s| s.lock(Mutex::lock).charged).sum();
-        (self.hits.get(), self.misses.get(), used)
-    }
-}
-
-/// Fewest slots a slab that admits anything holds, budget permitting.
-const FLOOR: usize = 7;
-
-/// An empty entry of a slab's slot table.
-const EMPTY: u32 = u32::MAX;
-
-/// One segment's running sums, within its budget of heap, charged the
-/// capacity of its slots, slot table and bits.
-/// A segment's `i`-th chunk is its bit `i` and its tag in the slab; a bit
-/// past `u32` is never set, so never admitted.
-///
-/// **Admission on second read**, TinyLFU's doorkeeper made exact by dense
-/// keys: a store read sets the chunk's bit in `seen`, and only a read that
-/// finds it set admits the sum. A boundary read once costs a bit, not a slot.
-///
-/// **Slots in blocks that never move.** A slot is a sum, its chunk's tag
-/// and its reference bit, side by side. Each growth step appends one block
-/// of exactly the slots it adds, so no step moves, copies or frees a slot
-/// the slab holds; only the slot table, the maps of bits and the list of
-/// blocks are reallocated. Slot numbers count up across the blocks in
-/// order, so slot `s` is found by walking the blocks' lengths, from the
-/// last, the largest.
-///
-/// **Evicted by CLOCK.** A hit sets its slot's reference bit; no hit or
-/// admission reorders, boxes or frees. A full slab admits into the first
-/// slot from the hand whose bit is clear, clearing those it passes, and
-/// sets the evicted chunk's bit in `ghost`.
-///
-/// **Found by a table of slot numbers**: open addressing over a power of
-/// two at least twice `room` long, a multiplicative hash of the tag and
-/// linear probing; an eviction deletes by backward shift (Knuth, TAOCP
-/// vol. 3, §6.4, Algorithm R), so the table holds no tombstone and never
-/// fills. Queries choose the tags, so the multiplier is an odd one drawn
-/// per slab (multiply-shift, Dietzfelbinger et al., J. Algorithms 1997):
-/// no reader can pick tags that pile into one probe run.
-///
-/// **Sized by its ghost hits** (CAR's rule, Bansal & Modha, FAST 2004): an
-/// admission that finds its own `ghost` bit set — a sum evicted, then read
-/// again — clears it and grows the slab by a quarter, as far as the budget
-/// affords; any other admission into a full slab replaces the victim in
-/// place. So the slab holds the sums queries re-read, from a floor of
-/// [`FLOOR`] slots. It shrinks only as the maps of bits grow, and then
-/// drops its last blocks and trims the one left last: the one path that
-/// frees a slot.
-#[derive(Default)]
-struct Slab {
-    budget: usize,
-    /// Bytes of a sum, the first admitted one's: `8·width` for HEAC.
-    stride: usize,
-    /// Slots allocated, across the blocks.
-    room: usize,
-    /// Slots filled, from slot 0.
-    len: usize,
-    /// The slots, in order, `stride + 5` bytes each: the sum, the chunk's
-    /// tag (4 bytes, little-endian), then the reference bit (a byte). The
-    /// list's capacity is its length.
-    blocks: Vec<Box<[u8]>>,
-    /// Slot numbers at their tags' probe positions, [`EMPTY`] elsewhere;
-    /// [`table_len`] of `room` long.
-    table: Vec<u32>,
-    /// The hash's odd multiplier.
-    multiplier: u32,
-    hand: usize,
-    /// Bit `i % 64` of word `i / 64`: the segment's `i`-th chunk was read.
-    seen: Vec<u64>,
-    /// As `seen`, and as long: the chunk's sum was evicted since it was
-    /// last admitted.
-    ghost: Vec<u64>,
-    /// [`Slab::cost`] of `room`, as the process gauge holds it.
-    charged: usize,
-}
-
-impl Slab {
-    fn new(budget: usize) -> Slab {
-        let mut slab = Slab::default();
-        slab.budget = budget;
-        slab.multiplier = RandomState::new().hash_one(budget) as u32 | 1;
-        slab
-    }
-
-    fn get(&mut self, chunk: u64) -> Option<&[u8]> {
-        let slot = self.slot(chunk)?;
-        let stride = self.stride;
-        let entry = self.entry_mut(slot);
-        entry[stride + 4] = 1;
-        Some(&entry[..stride])
-    }
-
-    /// The slot holding `chunk`'s sum, if one does.
-    fn slot(&self, chunk: u64) -> Option<usize> {
-        let tag = u32::try_from(chunk).ok()?;
-        let at = self.position(tag)?;
-        Some(self.table[at] as usize)
-    }
-
-    /// The block `slot` lies in, and its bytes there.
-    fn locate(&self, slot: usize) -> (usize, Range<usize>) {
-        let width = self.stride + 5;
-        let (at, mut start) = (slot * width, self.room * width);
-        for (block, bytes) in self.blocks.iter().enumerate().rev() {
-            start -= bytes.len();
-            if at >= start {
-                return (block, at - start..at - start + width);
-            }
-        }
-        // No block: there is no slot to find.
-        (0, at..at + width)
-    }
-
-    /// Slot `slot`'s bytes: sum, tag and reference bit.
-    fn entry(&self, slot: usize) -> &[u8] {
-        let (block, bytes) = self.locate(slot);
-        &self.blocks[block][bytes]
-    }
-
-    fn entry_mut(&mut self, slot: usize) -> &mut [u8] {
-        let (block, bytes) = self.locate(slot);
-        &mut self.blocks[block][bytes]
-    }
-
-    /// The tag of the chunk whose sum `slot` holds.
-    fn tag(&self, slot: usize) -> u32 {
-        tag_of(&self.entry(slot)[self.stride..])
-    }
-
-    /// Where `tag`'s slot number lies in the table, if it is held.
-    fn position(&self, tag: u32) -> Option<usize> {
-        self.probe(tag, |slot| self.tag(slot as usize) == tag)
-    }
-
-    /// The first position on `tag`'s probe run whose slot number `found`
-    /// accepts, if one does before an empty one.
-    fn probe(&self, tag: u32, found: impl Fn(u32) -> bool) -> Option<usize> {
-        let mask = self.table.len().checked_sub(1)?;
-        let mut at = self.home(tag);
-        loop {
-            match self.table[at] {
-                EMPTY => return None,
-                slot if found(slot) => return Some(at),
-                _ => at = (at + 1) & mask,
-            }
-        }
-    }
-
-    /// The first probe position of `tag`: the top bits of its product with
-    /// the multiplier. The table is not empty.
-    fn home(&self, tag: u32) -> usize {
-        let shift = u32::BITS - self.table.len().trailing_zeros();
-        (tag.wrapping_mul(self.multiplier) >> shift) as usize
-    }
-
-    /// Enters `slot`, by its `tag`, at the first empty position from its
-    /// home.
-    fn place(&mut self, slot: usize, tag: u32) {
-        let mask = self.table.len() - 1;
-        let mut at = self.home(tag);
-        while self.table[at] != EMPTY {
-            at = (at + 1) & mask;
-        }
-        self.table[at] = slot as u32;
-    }
-
-    /// Empties position `hole`, then fills each hole with the next entry
-    /// `at` of its run whose home does not lie cyclically in `(hole, at]`,
-    /// so that no probe meets a gap before its tag.
-    fn unplace(&mut self, mut hole: usize) {
-        let mask = self.table.len() - 1;
-        let mut at = hole;
-        loop {
-            self.table[hole] = EMPTY;
-            loop {
-                at = (at + 1) & mask;
-                let slot = self.table[at];
-                if slot == EMPTY {
-                    return;
-                }
-                let home = self.home(self.tag(slot as usize));
-                if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
-                    self.table[hole] = slot;
-                    hole = at;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Sets `bit` of `seen`; true if it was set. The bits, both maps of
-    /// them, come first in the budget, and one it cannot hold at all, or
-    /// past `u32`, is never set.
-    fn mark(&mut self, bit: u64) -> bool {
-        if u32::try_from(bit).is_err() {
-            return false;
-        }
-        let word = (bit / 64) as usize;
-        if word >= self.seen.len() {
-            let most = self.budget / 16;
-            let words = (word.min(most) + 1).next_power_of_two();
-            if words > most {
-                return false;
-            }
-            for bits in [&mut self.seen, &mut self.ghost] {
-                exact(bits, words);
-                bits.resize(words, 0);
-            }
-            self.resize(self.room.min(self.most()));
-        }
-        flip(&mut self.seen, bit, true)
-    }
-
-    /// Admits `sum` for `chunk`, whose bit is set.
-    fn admit(&mut self, chunk: u64, sum: &[u8]) {
-        if self.stride == 0 {
-            self.stride = sum.len();
-        }
-        let len = self.len;
-        // Two readers that missed it at once both admit it: the later one
-        // finds it held.
-        if sum.len() != self.stride || self.slot(chunk).is_some() {
-            return;
-        }
-        let ghost = flip(&mut self.ghost, chunk, false);
-        if len == self.room && (ghost || len < FLOOR) {
-            // By a quarter, so that a fifth of the slab at most lies unused.
-            let room = (len + len / 4).max(FLOOR).min(self.most());
-            self.resize(room.max(len));
-        }
-        let slot = if len < self.room {
-            self.len += 1;
-            len
-        } else {
-            let Some((slot, evicted)) = self.victim() else {
-                return;
-            };
-            if let Some(at) = self.probe(evicted, |held| held as usize == slot) {
-                self.unplace(at);
-            }
-            flip(&mut self.ghost, u64::from(evicted), true);
-            slot
-        };
-        // Its bit is set, so it fits in `u32`; a new sum is unreferenced.
-        let (stride, tag) = (self.stride, chunk as u32);
-        let entry = self.entry_mut(slot);
-        entry[..stride].copy_from_slice(sum);
-        entry[stride..][..4].copy_from_slice(&tag.to_le_bytes());
-        entry[stride + 4] = 0;
-        self.place(slot, tag);
-    }
-
-    /// CLOCK: the first slot from the hand whose reference bit is clear,
-    /// and its tag.
-    fn victim(&mut self) -> Option<(usize, u32)> {
-        let (n, stride) = (self.len, self.stride);
-        (n > 0).then(|| loop {
-            let slot = self.hand % n;
-            self.hand = slot + 1;
-            let entry = self.entry_mut(slot);
-            if std::mem::take(&mut entry[stride + 4]) == 0 {
-                return (slot, tag_of(&entry[stride..]));
-            }
-        })
-    }
-
-    /// Gives the slab `room` slots, and moves the process gauge by what
-    /// its charge changed. Growth appends a block of exactly the new
-    /// slots; a shrink drops the blocks past `room`, trims the last one
-    /// left, and drops the sums past it. The slot table is rebuilt only
-    /// when its length changes or slots go.
-    fn resize(&mut self, room: usize) {
-        let (was, width) = (std::mem::replace(&mut self.room, room), self.stride + 5);
-        if room > was {
-            self.blocks.reserve_exact(1);
-            self.blocks
-                .push(vec![0; (room - was) * width].into_boxed_slice());
-        } else if room < was {
-            let (keep, mut end) = (room * width, was * width);
-            while let Some(last) = self.blocks.last_mut() {
-                let start = end - last.len();
-                if start < keep {
-                    if end > keep {
-                        *last = last[..keep - start].into();
-                    }
-                    break;
-                }
-                self.blocks.pop();
-                end = start;
-            }
-            self.blocks.shrink_to_fit();
-            self.len = self.len.min(room);
-        }
-        if room < was || self.table.len() != table_len(room) {
-            self.table = vec![EMPTY; table_len(room)];
-            (0..self.len).for_each(|slot| self.place(slot, self.tag(slot)));
-        }
-        let now = self.cost(room);
-        let was = std::mem::replace(&mut self.charged, now);
-        counters::INDEX_BOUNDARY_CACHE_BYTES.add((now as u64).wrapping_sub(was as u64));
-    }
-
-    /// Heap bytes with `room` slots: a sum, a tag and a reference bit
-    /// each, their table, and both maps of bits.
-    fn cost(&self, room: usize) -> usize {
-        let bits = self.seen.capacity() + self.ghost.capacity();
-        room * (self.stride + 5) + 4 * table_len(room) + 8 * bits
-    }
-
-    /// The most slots the budget affords.
-    fn most(&self) -> usize {
-        let (mut lo, mut hi) = (0, self.budget / (self.stride + 5));
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            (lo, hi) = match self.cost(mid) <= self.budget {
-                true => (mid, hi),
-                false => (lo, mid - 1),
-            };
-        }
-        lo
-    }
-}
-
-/// A stream's eviction drops its slabs: the gauge loses their charge.
-impl Drop for Slab {
-    fn drop(&mut self) {
-        counters::INDEX_BOUNDARY_CACHE_BYTES.sub(self.charged as u64);
-    }
-}
-
-/// The tag that `bytes`, an entry past its sum, begins with.
-fn tag_of(bytes: &[u8]) -> u32 {
-    let mut tag = [0; 4];
-    tag.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(tag)
-}
-
-/// Sets bit `i` of `bits` to `to`; whether it was set. `i` is within them.
-fn flip(bits: &mut [u64], i: u64, to: bool) -> bool {
-    let (word, mask) = (&mut bits[(i / 64) as usize], 1 << (i % 64));
-    let was = *word & mask != 0;
-    match to {
-        true => *word |= mask,
-        false => *word &= !mask,
-    }
-    was
-}
-
-/// Entries in the slot table of `room` slots: the least power of two at
-/// least twice as many, so that it is at most half full; none for none.
-fn table_len(room: usize) -> usize {
-    match room {
-        0 => 0,
-        _ => (2 * room).next_power_of_two(),
-    }
-}
-
-/// Sets `v`'s capacity to exactly `capacity`, at least its length.
-fn exact<T>(v: &mut Vec<T>, capacity: usize) {
-    v.shrink_to(capacity);
-    v.reserve_exact(capacity - v.len());
 }
 
 /// The chunk count persisted for `stream` — the number of its level-0
@@ -689,27 +277,30 @@ pub fn leaf_record(kv: &dyn KvStore, stream: u128, index: u64) -> Result<Vec<u8>
 impl AggTree {
     /// Opens (or creates) the index of `stream` on `kv` whose records are
     /// their running sums alone, as [`append`](Self::append) and
-    /// [`append_batch`](Self::append_batch) write them.
+    /// [`append_batch`](Self::append_batch) write them, with a boundary
+    /// cache of its own.
     pub fn open(kv: Arc<dyn KvStore>, stream: u128, cfg: TreeConfig) -> Result<Self, IndexError> {
-        Self::open_at(kv, stream, cfg, None)
+        let cache = Cache::Own(BoundaryCache::new(cfg.cache_bytes));
+        Self::open_at(kv, stream, cache, None)
     }
 
     /// Opens (or creates) the index of `stream` on `kv` whose records are
-    /// tagged: each starts with a running sum of `width` words.
+    /// tagged: each starts with a running sum of `width` words. It reads
+    /// through `cache`, which other indexes may share.
     pub fn open_with(
         kv: Arc<dyn KvStore>,
         stream: u128,
-        cfg: TreeConfig,
+        cache: &Arc<BoundaryCache>,
         width: usize,
     ) -> Result<Self, IndexError> {
-        Self::open_at(kv, stream, cfg, Some(width))
+        Self::open_at(kv, stream, Cache::Node(cache.clone()), Some(width))
     }
 
     /// Its length ([`stored_chunk_count`]), last sum and decay cutoffs.
     fn open_at(
         kv: Arc<dyn KvStore>,
         stream: u128,
-        cfg: TreeConfig,
+        cache: Cache,
         width: Option<usize>,
     ) -> Result<Self, IndexError> {
         let len = stored_chunk_count(kv.as_ref(), stream)?;
@@ -731,10 +322,10 @@ impl AggTree {
             width,
             write: Ranked::new(Mutex::new(())),
             published: Ranked::new(RwLock::new(Published { len, sum, cutoffs })),
-            cache: PrefixCache {
-                budget_bytes: cfg.cache_bytes,
-                ..PrefixCache::default()
-            },
+            life: cache.lives.fetch_add(1, Ordering::Relaxed),
+            cache,
+            hits: Counter::new(),
+            misses: Counter::new(),
             marker: PhantomData,
         })
     }
@@ -884,13 +475,20 @@ impl AggTree {
         mut f: impl FnMut(&[u8]) -> Option<R>,
     ) -> Result<R, IndexError> {
         let corrupt = || IndexError::CorruptNode { level: 0, index };
-        if let Some(hit) = self.cache.with(index, &mut f) {
+        let hit = self.cache.get((self.stream, self.life, index), &mut f);
+        let (tree, process) = match hit {
+            Some(_) => (&self.hits, &counters::INDEX_NODE_CACHE_HITS),
+            None => (&self.misses, &counters::INDEX_NODE_CACHE_MISSES),
+        };
+        tree.inc();
+        process.inc();
+        if let Some(hit) = hit {
             return hit.ok_or_else(corrupt);
         }
         let record = leaf_record(self.kv.as_ref(), self.stream, index)?;
         let prefix = &record[..sum_len(self.width, &record).ok_or_else(corrupt)?];
         let out = f(prefix).ok_or_else(corrupt)?;
-        self.cache.read(index, prefix);
+        self.cache.read((self.stream, self.life, index), prefix);
         Ok(out)
     }
 
@@ -933,7 +531,6 @@ impl AggTree {
 
     /// Cache and size statistics.
     pub fn stats(&self) -> Result<TreeStats, IndexError> {
-        let (hits, misses, used) = self.cache.stats();
         let mut stored_bytes = 0;
         for head in [
             keys::head(keys::LEAF, self.stream),
@@ -943,9 +540,9 @@ impl AggTree {
             stored_bytes += records.map(|(k, v)| k.len() + v.len()).sum::<usize>();
         }
         Ok(TreeStats {
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_used_bytes: used,
+            cache_hits: self.hits.get(),
+            cache_misses: self.misses.get(),
+            cache_used_bytes: self.cache.charged(),
             stored_bytes,
         })
     }
@@ -1006,16 +603,12 @@ fn decode_cutoffs(bytes: &[u8]) -> Result<Vec<u64>, IndexError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use timecrypt_store::MemKv;
 
     /// Stream 1's index of width-2 sums, tags allowed.
     fn open(kv: Arc<dyn KvStore>) -> AggTree<Vec<u64>> {
-        let cfg = TreeConfig {
-            cache_bytes: 1 << 20,
-        };
-        AggTree::open_with(kv, 1, cfg, 2).unwrap()
+        AggTree::open_with(kv, 1, &Arc::new(BoundaryCache::new(1 << 20)), 2).unwrap()
     }
 
     fn tree() -> AggTree<Vec<u64>> {
@@ -1119,7 +712,6 @@ mod tests {
         let stats = t.stats().unwrap();
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 6));
         assert_eq!(stats.cache_used_bytes, 0);
-        assert!(t.cache.built.get().is_none(), "no segment was built");
     }
 
     #[test]
@@ -1149,285 +741,6 @@ mod tests {
         );
         // Process-wide, beside other tests' lookups.
         assert!(hits.get() > process.0 && misses.get() > process.1);
-    }
-
-    /// A query's read of chunk `chunk`'s one-word sum, as `PrefixCache`
-    /// makes it: from the slab, else from the store, marking or admitting
-    /// it. True on a hit.
-    fn read(slab: &mut Slab, chunk: u64) -> bool {
-        read_as(slab, chunk, &chunk.to_le_bytes())
-    }
-
-    /// As [`read`], of the sum `sum`.
-    fn read_as(slab: &mut Slab, chunk: u64, sum: &[u8]) -> bool {
-        let hit = slab.get(chunk).is_some();
-        if !hit && slab.mark(chunk) {
-            slab.admit(chunk, sum);
-        }
-        hit
-    }
-
-    /// Chunks whose sums `slab` holds, and those it evicted, of `0..n`.
-    fn held_and_ghosts(slab: &Slab, n: u64) -> (Vec<u64>, Vec<u64>) {
-        let held = (0..n).filter(|&c| slab.slot(c).is_some()).collect();
-        let ghosts = (0..n).filter(|&c| slab.ghost[c as usize / 64] >> (c % 64) & 1 == 1);
-        (held, ghosts.collect())
-    }
-
-    #[test]
-    fn sums_admitted_and_never_re_read_leave_the_slab_at_its_floor() {
-        let mut slab = Slab::new(1 << 20);
-        // Admitted on their second reads: a first read admits nothing.
-        for chunk in 0..FLOOR as u64 {
-            assert!(!read(&mut slab, chunk) && slab.get(chunk).is_none());
-            read(&mut slab, chunk);
-        }
-        // CLOCK: 0 and 2 hit; 7 takes the first cold slot past the hand
-        // (1's), 8 the next (3's), both reference bits cleared on the way.
-        assert!(read(&mut slab, 0) && read(&mut slab, 2));
-        for chunk in [7, 7, 8, 8] {
-            read(&mut slab, chunk);
-        }
-        let (held, ghosts) = held_and_ghosts(&slab, 9);
-        assert_eq!((held, ghosts), (vec![0, 2, 4, 5, 6, 7, 8], vec![1, 3]));
-        // Ninety more sums read twice and never again: each replaces a
-        // victim in place, and the slab stays at its floor.
-        for chunk in 9..100 {
-            read(&mut slab, chunk);
-            read(&mut slab, chunk);
-        }
-        assert_eq!(slab.room, FLOOR);
-        let (held, ghosts) = held_and_ghosts(&slab, 100);
-        assert_eq!((held.len(), ghosts.len()), (FLOOR, 100 - FLOOR));
-        assert_eq!(slab.charged, slab.cost(FLOOR));
-    }
-
-    #[test]
-    fn re_reads_of_evicted_sums_grow_the_slab_until_they_hit() {
-        let mut slab = Slab::new(1 << 20);
-        // Forty sums read in turn, four times: marked; admitted, evicting
-        // one another at the floor; each admitted back on its re-read,
-        // which grows the full slab by a quarter; then all hit.
-        let passes: Vec<_> = (0..4)
-            .map(|_| {
-                let hits = (0..40).filter(|&chunk| read(&mut slab, chunk)).count();
-                (hits, slab.room)
-            })
-            .collect();
-        assert_eq!(passes, [(0, 0), (0, 7), (7, 41), (40, 41)]);
-        assert_eq!(held_and_ghosts(&slab, 40).1, Vec::<u64>::new());
-        assert_eq!(slab.charged, slab.cost(41));
-    }
-
-    #[test]
-    fn growth_stops_at_the_budget_with_the_ghost_bits_charged() {
-        // Room for three sums of one word, their tags, reference bits and
-        // a table of 8 slot numbers, beside both maps of four words of
-        // bits; or for four beside one word each, and not five.
-        let mut slab = Slab::new(64 + 3 * (8 + 5) + 4 * 8);
-        for chunk in (0..4).flat_map(|_| 0..12) {
-            read(&mut slab, chunk);
-        }
-        assert_eq!(slab.room, 4);
-        assert_eq!((slab.seen.capacity(), slab.ghost.capacity()), (1, 1));
-        assert_eq!(slab.charged, 16 + 4 * (8 + 5) + 4 * 8);
-        assert!(slab.cost(5) > slab.budget);
-        let (held, ghosts) = held_and_ghosts(&slab, 12);
-        assert_eq!((held.len(), ghosts.len()), (4, 8));
-        // A sum of another length is never admitted.
-        for _ in 0..2 {
-            if slab.mark(12) {
-                slab.admit(12, &[12]);
-            }
-        }
-        assert!(slab.get(12).is_none());
-        // A chunk whose bits need more words: the slab gives up slots to
-        // hold them, and stays within the budget.
-        read(&mut slab, 200);
-        assert_eq!((slab.seen.len(), slab.ghost.len(), slab.room), (4, 4, 3));
-        assert_eq!(slab.charged, slab.budget);
-        // A small budget is one segment; one with room is segmented.
-        let segments = |budget_bytes| {
-            let cache = PrefixCache {
-                budget_bytes,
-                ..PrefixCache::default()
-            };
-            cache.segment(0);
-            cache.built.get().unwrap().len()
-        };
-        assert_eq!(segments(1 << 20), MAX_SEGMENTS);
-        assert_eq!(segments(200 << 10), 3);
-    }
-
-    /// The 19 words `19·chunk + j` of `chunk`'s sum.
-    fn wide(chunk: u64) -> Vec<u8> {
-        (0..19)
-            .flat_map(|j| (19 * chunk + j).to_le_bytes())
-            .collect()
-    }
-
-    /// Checks `slab` against `model`, the chunk each slot holds and where
-    /// its sum lay when the slot was first filled.
-    fn assert_held(slab: &Slab, model: &[(u64, *const u8)]) {
-        assert_eq!(slab.len, model.len());
-        let bytes: usize = slab.blocks.iter().map(|block| block.len()).sum();
-        assert_eq!(bytes, slab.room * (slab.stride + 5));
-        for (slot, &(chunk, at)) in model.iter().enumerate() {
-            assert_eq!(slab.slot(chunk), Some(slot), "chunk {chunk}");
-            assert_eq!(slab.tag(slot), chunk as u32);
-            let sum = &slab.entry(slot)[..slab.stride];
-            assert_eq!(sum.as_ptr(), at, "slot {slot} moved");
-            let words = (19 * chunk..).map(u64::to_le_bytes);
-            assert!(sum.chunks(8).zip(words).all(|(a, b)| a == b), "slot {slot}");
-        }
-    }
-
-    #[test]
-    fn growth_appends_a_block_and_moves_no_held_sum() {
-        // Nineteen-word sums at the dashboard's 64 KiB, read at random
-        // (seeded) from a thousand chunks: ghost hits grow the slab from
-        // its floor to the most the budget affords.
-        let mut slab = Slab::new(64 << 10);
-        let mut state = 11u64;
-        let mut next = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb) >> 31
-        };
-        let mut model: Vec<(u64, *const u8)> = Vec::new();
-        let (mut reads, mut steps, mut wrapped, mut after_most) = (0, 0, 0, 0);
-        while after_most < 2000 {
-            reads += 1;
-            let (room, blocks, hand) = (slab.room, slab.blocks.len(), slab.hand);
-            let chunk = next() % 1000;
-            read_as(&mut slab, chunk, &wide(chunk));
-            let grew = slab.room > room;
-            if grew {
-                // One block of exactly the new slots.
-                steps += 1;
-                assert_eq!(slab.blocks.len(), blocks + 1);
-                let block = slab.blocks[blocks].len();
-                assert_eq!(block, (slab.room - room) * (slab.stride + 5));
-            }
-            // A fill takes the next slot; an admission into a full slab
-            // keeps the slot where it lay.
-            if let Some(slot) = slab.slot(chunk) {
-                let at = slab.entry(slot).as_ptr();
-                match model.get_mut(slot) {
-                    Some(held) => held.0 = chunk,
-                    None => model.push((chunk, at)),
-                }
-            }
-            if grew || reads % 32 == 0 {
-                assert_held(&slab, &model);
-            }
-            wrapped += usize::from(slab.hand < hand && slab.blocks.len() > 1);
-            after_most += usize::from(slab.room == slab.most());
-        }
-        assert!(steps >= 15 && wrapped > 0, "{steps} steps, {wrapped} wraps");
-        assert_eq!(slab.charged, slab.cost(slab.room));
-        // A chunk whose bits need 64 times the words: the slab gives up
-        // its last blocks and trims the one left last, which alone moves.
-        let (room, blocks) = (slab.room, slab.blocks.len());
-        read_as(&mut slab, 60_000, &wide(60_000));
-        assert!(slab.room < room && slab.blocks.len() < blocks);
-        assert_eq!(
-            (slab.seen.len(), slab.charged),
-            (1024, slab.cost(slab.room))
-        );
-        assert!(slab.charged <= slab.budget);
-        let last = slab.blocks.last().map_or(0, |block| block.len());
-        let kept = slab.room - last / (slab.stride + 5);
-        model.truncate(slab.len);
-        for (slot, held) in model.iter_mut().enumerate().skip(kept) {
-            held.1 = slab.entry(slot).as_ptr();
-        }
-        assert_held(&slab, &model);
-        // And CLOCK goes on across the blocks left.
-        for read in 0..2000 {
-            let chunk = next() % 1000;
-            read_as(&mut slab, chunk, &wide(chunk));
-            if let Some(slot) = slab.slot(chunk) {
-                model[slot].0 = chunk;
-            }
-            if read % 32 == 0 {
-                assert_held(&slab, &model);
-            }
-        }
-        assert_held(&slab, &model);
-    }
-
-    /// Each entry of `slab`'s table as `(tag, position, home)`.
-    fn entries(slab: &Slab) -> Vec<(u32, usize, usize)> {
-        let full = (0..).zip(&slab.table).filter(|&(_, &slot)| slot != EMPTY);
-        let entry = |(at, &slot): (usize, &u32)| {
-            let tag = slab.tag(slot as usize);
-            (tag, at, slab.home(tag))
-        };
-        full.map(entry).collect()
-    }
-
-    #[test]
-    fn the_slot_table_finds_what_the_slab_holds_through_churn() {
-        const CHUNKS: u64 = 512;
-        // Eight words in each map of bits, and 37 slots at most: a table
-        // of 128 for re-reads of random chunks to collide in, hashed by
-        // one fixed multiplier (Fibonacci's, ⌊2³²/φ⌋).
-        let mut slab = Slab::new(128 + 1000);
-        slab.multiplier = 0x9e37_79b9;
-        let mut state = 5u64;
-        let mut next = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb) >> 31
-        };
-        let (mut wrapped, mut shifted) = (0, 0);
-        for _ in 0..10_000 {
-            let (before, room) = (entries(&slab), slab.room);
-            let chunk = next() % CHUNKS;
-            read(&mut slab, chunk);
-            // A second reader that missed the sum too admits it again.
-            if next() % 4 == 0 && slab.mark(chunk) {
-                slab.admit(chunk, &chunk.to_le_bytes());
-            }
-            // The model: each held tag's slot, from the slab's own tags,
-            // which are distinct.
-            let model: BTreeMap<u64, usize> = (0..slab.len)
-                .map(|slot| (u64::from(slab.tag(slot)), slot))
-                .collect();
-            assert_eq!(model.len(), slab.len);
-            for chunk in 0..CHUNKS {
-                assert_eq!(slab.slot(chunk), model.get(&chunk).copied(), "{chunk}");
-            }
-            // No tombstone: one entry per slot, each reached from its home
-            // through full positions only.
-            let now = entries(&slab);
-            assert_eq!(now.len(), slab.len);
-            let mask = slab.table.len().wrapping_sub(1);
-            for &(_, at, home) in &now {
-                let probe = (0..=at.wrapping_sub(home) & mask).map(|i| (home + i) & mask);
-                assert!(probe.map(|p| slab.table[p]).all(|slot| slot != EMPTY));
-                wrapped += usize::from(at < home);
-            }
-            // Outside a resize, an entry that moved was shifted back by a
-            // delete.
-            if slab.room == room {
-                let moved = |&(tag, at, _): &(u32, usize, usize)| {
-                    now.iter().any(|&(t, a, _)| t == tag && a != at)
-                };
-                shifted += before.iter().filter(|e| moved(e)).count();
-            }
-        }
-        assert_eq!(slab.room, slab.most());
-        assert!(
-            wrapped > 0 && shifted > 0,
-            "{wrapped} wrapped, {shifted} shifted"
-        );
-        assert_eq!(slab.charged, slab.cost(slab.room));
-        // A chunk past `u32` has no bit and never a slot.
-        let mut slab = Slab::new(1 << 40);
-        assert!(!slab.mark(1 << 32) && !slab.mark(1 << 32));
-        assert!(slab.seen.is_empty() && slab.slot(1 << 32).is_none());
     }
 
     #[test]

@@ -7,7 +7,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
-use timecrypt_index::{decode_sum, fold_sum, keys, leaf_record, AggTree, IndexError, TreeConfig};
+use timecrypt_index::{
+    decode_sum, fold_sum, keys, leaf_record, AggTree, BoundaryCache, IndexError, TreeConfig,
+};
 use timecrypt_store::{KvStore, MemKv};
 
 /// Forwards to the system allocator, keeping per thread the largest single
@@ -136,8 +138,8 @@ impl Model {
 
 /// Stream 1's index of width-2 sums, as the model's records hold them.
 fn open(kv: &Arc<MemKv>) -> AggTree<Vec<u64>> {
-    let cfg = TreeConfig { cache_bytes: 4096 };
-    AggTree::open_with(kv.clone() as Arc<dyn KvStore>, 1, cfg, 2).unwrap()
+    let cache = Arc::new(BoundaryCache::new(4096));
+    AggTree::open_with(kv.clone() as Arc<dyn KvStore>, 1, &cache, 2).unwrap()
 }
 
 /// Windows to check over `n` chunks: around the 64-ary tree's node
@@ -245,8 +247,8 @@ proptest! {
     /// Cache size never affects results, only speed. A seeded sequence of
     /// queries over a few windows, so that their boundaries are read again
     /// and again, gets the same replies at every budget: none, too small for
-    /// a bit, one slot, and slabs that admit, evict and grow. And no cache
-    /// is ever charged more than its budget.
+    /// a mark, a few sums, and caches that admit, evict and grow. And no
+    /// cache is ever charged more than its budget.
     #[test]
     fn cache_size_is_semantically_invisible(
         values in proptest::collection::vec(0u64..1000, 10..150),
@@ -299,7 +301,8 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
     ) {
         let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let open = || AggTree::<Vec<u64>>::open_with(kv.clone(), 1, TreeConfig::default(), 3);
+        let cache = Arc::new(BoundaryCache::new(1 << 20));
+        let open = || AggTree::<Vec<u64>>::open_with(kv.clone(), 1, &cache, 3);
         open().unwrap().append_batch(&vec![vec![1u64; 3]; 8]).unwrap();
         // A handle opened before the damage, so the query is what reads it.
         let tree = open().unwrap();

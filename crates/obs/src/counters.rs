@@ -112,19 +112,19 @@ process_families! {
     /// is one store get. (The families keep the names of the index nodes
     /// the cache once held.)
     static INDEX_NODE_CACHE_HITS: Counter = "timecrypt_index_node_cache_hits_total"
-        "Lookups of a boundary running sum that queries found in the index cache. A sum is \
-         admitted by its second store read, and the cache grows only when a sum it evicted \
-         is read again.";
+        "Lookups of a boundary running sum that queries found in the boundary cache, one \
+         per node, shared by its engines under one budget. A sum is admitted by its second \
+         store read.";
     static INDEX_NODE_CACHE_MISSES: Counter = "timecrypt_index_node_cache_misses_total"
-        "Lookups of a boundary running sum that queries did not find in the index cache \
-         and read from the store: a sum's first and second reads, and a re-read of one \
-         the cache evicted.";
-    /// Moved by each resize of a stream's cache segment, and by the
-    /// stream's eviction, which drops its cache.
+        "Lookups of a boundary running sum that queries did not find in the boundary cache \
+         and read from the store: a sum's first and second reads, and a re-read of one the \
+         cache evicted.";
+    /// Moved by each admission and eviction of a cache, and by the drop of
+    /// a node, which drops its cache.
     static INDEX_BOUNDARY_CACHE_BYTES: Gauge = "timecrypt_index_boundary_cache_bytes"
-        "Heap bytes charged to the boundary caches of the process's resident streams, \
-         summed: cached running sums, a tag and a reference bit each, their slot tables, and \
-         two bits per chunk read (read before; evicted since).";
+        "Heap bytes charged to the process's boundary caches, one per node, summed: cached \
+         running sums, a bit per chunk read, and the tables that find them, each cache \
+         within its node's budget.";
     /// Dead over log bytes is the share of the files a compaction would
     /// reclaim. The four footprint gauges sum over the logs the process
     /// has open — a node's one `LogKv`, and every in-memory `MemKv` beside

@@ -33,7 +33,8 @@ use std::sync::Arc;
 use timecrypt_chunk::serialize::{ChunkRef, EncryptedChunk, SealedRecord};
 use timecrypt_chunk::ChunkGrid;
 use timecrypt_index::{
-    decode_sum, fold_sum, keys, leaf_record, stored_chunk_count, AggTree, IndexError, TreeConfig,
+    decode_sum, fold_sum, keys, leaf_record, stored_chunk_count, AggTree, BoundaryCache,
+    IndexError, DEFAULT_CACHE_BYTES,
 };
 use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
 use timecrypt_obs::rank::{self, Ranked, Stripes};
@@ -45,13 +46,11 @@ use timecrypt_wire::transport::{dispatch_frame, Handler};
 /// Server-side tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Per-stream heap budget in bytes for the running sums queries read
-    /// from the store, a hard cap charged exactly
-    /// ([`TreeConfig::cache_bytes`]; Fig. 7 "small cache" sets this to
-    /// 1 MB). A sum's second read admits it, and a stream's cache grows
-    /// only when queries re-read a sum it evicted, so it holds what they
-    /// re-read; ingest caches nothing, and a stream no query has read holds
-    /// no cache at all.
+    /// Heap budget in bytes, per node, of the boundary cache: the running
+    /// sums queries read from the store, for every stream of every engine
+    /// the node hosts, a hard cap ([`BoundaryCache`];
+    /// Fig. 7 "small cache" sets this to 1 MB). A sum's second read admits
+    /// it; ingest caches nothing. An engine opened alone is its own node.
     pub cache_bytes: usize,
     /// Upper bound on hydrated stream states held resident at once
     /// (`None` = unbounded, the compatibility default). When the resident
@@ -65,7 +64,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            cache_bytes: 64 * 1024 * 1024,
+            cache_bytes: DEFAULT_CACHE_BYTES,
             max_resident_streams: None,
         }
     }
@@ -274,7 +273,7 @@ struct StreamState {
     /// Shared-read index: queries take `&self` and snapshot a consistent
     /// length; appends are serialized by the stream's stripe (and the
     /// index's own writer mutex). Holds the length, the last running sum
-    /// and a boundary cache, not the history.
+    /// and its life in the node's boundary cache, not the history.
     tree: AggTree,
     /// Integrity extension: the authenticated aggregation ledger over a
     /// prefix of the stream — a cache of its level-0 records, empty after
@@ -367,6 +366,8 @@ pub struct ResidencyStats {
 pub struct TimeCryptServer {
     pub(crate) kv: Arc<dyn KvStore>,
     cfg: ServerConfig,
+    /// The node's boundary cache, which every stream's index reads through.
+    cache: Arc<BoundaryCache>,
     /// Stream directory + resident set.
     registry: Ranked<{ rank::REGISTRY }, Mutex<StreamRegistry>>,
     /// Each stream's one lock, taken before `registry`: held throughout by
@@ -461,15 +462,19 @@ impl Record {
 
 impl TimeCryptServer {
     /// Opens the engine over a KV store, recovering all registered streams.
+    /// Its boundary cache is its own, of `cfg.cache_bytes`.
     pub fn open(kv: Arc<dyn KvStore>, cfg: ServerConfig) -> Result<Self, ServerError> {
-        Self::open_filtered(kv, cfg, |_| true)
+        let cache = Arc::new(BoundaryCache::new(cfg.cache_bytes));
+        Self::open_filtered(kv, cfg, cache, |_| true)
     }
 
-    /// Opens the engine recovering only streams accepted by `owns`. This is
-    /// the per-shard constructor used by `timecrypt-service`: N engines can
-    /// share one KV store as long as their filters partition the stream-id
-    /// space, so each stream's state (index tree, ledger, live buffer) lives
-    /// in exactly one engine.
+    /// Opens the engine recovering only streams accepted by `owns`, its
+    /// indexes reading through `cache` (whose budget, not
+    /// `cfg.cache_bytes`, bounds it). This is the per-shard constructor
+    /// used by `timecrypt-service`: N engines can share one KV store and
+    /// one cache as long as their filters partition the stream-id space,
+    /// so each stream's state (index tree, ledger, live buffer) lives in
+    /// exactly one engine.
     ///
     /// Opening replays *nothing*: one scan of the stream-meta prefix
     /// builds the directory, and per-stream state (tree handle, ledger)
@@ -479,11 +484,13 @@ impl TimeCryptServer {
     pub fn open_filtered(
         kv: Arc<dyn KvStore>,
         cfg: ServerConfig,
+        cache: Arc<BoundaryCache>,
         owns: impl Fn(u128) -> bool,
     ) -> Result<Self, ServerError> {
         let server = TimeCryptServer {
             kv,
             cfg,
+            cache,
             registry: Ranked::new(Mutex::new(StreamRegistry::default())),
             stripes: Stripes::default(),
             live: Mutex::new(HashMap::new()),
@@ -603,8 +610,8 @@ impl TimeCryptServer {
         let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
         self.note_evictions(idle.len());
         drop(reg);
-        // Evicted state (tree caches, ledgers) deallocates outside the
-        // registry lock.
+        // Evicted state (trees, ledgers) deallocates outside the registry
+        // lock; the cache ages out an evicted tree's sums.
         drop(idle);
         Ok(st)
     }
@@ -630,12 +637,10 @@ impl TimeCryptServer {
     /// the stream's stripe.
     fn hydrate(&self, stream: u128, meta: StreamMeta) -> Result<StreamState, ServerError> {
         let _stage = trace::stage("engine.hydrate");
-        let cfg = TreeConfig {
-            cache_bytes: self.cfg.cache_bytes,
-        };
+        let width = meta.digest_width as usize;
         Ok(StreamState {
             meta,
-            tree: AggTree::open_with(self.kv.clone(), stream, cfg, meta.digest_width as usize)?,
+            tree: AggTree::open_with(self.kv.clone(), stream, &self.cache, width)?,
             ledger: RwLock::new(StreamLedger::new(stream)),
         })
     }

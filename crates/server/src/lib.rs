@@ -63,4 +63,4 @@ pub mod stat;
 
 pub use engine::{ResidencyStats, ServerConfig, ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};
 pub use stat::{StatLeg, StreamStat};
-pub use timecrypt_index::keys;
+pub use timecrypt_index::{keys, BoundaryCache};

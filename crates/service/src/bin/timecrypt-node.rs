@@ -10,7 +10,7 @@
 //! timecrypt-node --listen 127.0.0.1:7070 --shards 4 --host 0,2
 //!     [--store /var/lib/timecrypt/node-a.log]   # persistent LogKv (default: in-memory)
 //!     [--durability fsync|flush|buffered]        # LogKv commit level (default: fsync)
-//!     [--cache-bytes 67108864]                   # engine tuning
+//!     [--cache-bytes 67108864]                   # boundary cache budget, per node
 //!     [--max-resident 1024]                      # bound hydrated streams (default: unbounded)
 //!     [--metrics-addr 127.0.0.1:9090]           # Prometheus /metrics + /events
 //!     [--idle-timeout-ms 300000]                 # reap silent connections (default: 5 min; 0 = never)

@@ -31,7 +31,7 @@ use std::time::Instant;
 use timecrypt_chunk::serialize::SealedRecord;
 use timecrypt_obs::trace;
 use timecrypt_server::runs::{ingest_reply, Runs};
-use timecrypt_server::{ServerConfig, ServerError, StatLeg, TimeCryptServer};
+use timecrypt_server::{BoundaryCache, ServerConfig, ServerError, StatLeg, TimeCryptServer};
 use timecrypt_store::{KvStore, MeteredKv};
 use timecrypt_wire::messages::{
     Request, RequestRef, Response, Route, ServiceStatsWire, ShardStatsWire,
@@ -48,7 +48,8 @@ pub struct NodeConfig {
     pub total_shards: usize,
     /// Shard ids hosted by this node (each `< total_shards`).
     pub hosted: Vec<usize>,
-    /// Engine configuration for every hosted shard.
+    /// Engine configuration for every hosted shard; its `cache_bytes` is
+    /// the budget of the node's one boundary cache, which they share.
     pub engine: ServerConfig,
 }
 
@@ -65,7 +66,8 @@ pub struct ShardNode {
 impl ShardNode {
     /// Opens one filtered engine per hosted shard over `kv` (wrapped in a
     /// [`MeteredKv`] so `Request::Stats` reports the node's storage
-    /// traffic), recovering each shard's streams from the store.
+    /// traffic) and one boundary cache they share, recovering each shard's
+    /// streams from the store.
     pub fn open(kv: Arc<dyn KvStore>, cfg: NodeConfig) -> Result<Self, ServerError> {
         if cfg.total_shards == 0 {
             return Err(ServerError::Unavailable(
@@ -91,6 +93,7 @@ impl ShardNode {
         cfg: NodeConfig,
     ) -> Result<Self, ServerError> {
         let router = ShardRouter::new(cfg.total_shards);
+        let cache = Arc::new(BoundaryCache::new(cfg.engine.cache_bytes));
         let mut engines = BTreeMap::new();
         for &shard in &cfg.hosted {
             if shard >= cfg.total_shards {
@@ -105,6 +108,7 @@ impl ShardNode {
                 Arc::new(TimeCryptServer::open_filtered(
                     shared,
                     cfg.engine.clone(),
+                    cache.clone(),
                     |stream| router.shard_of(stream) == shard,
                 )?),
             );

@@ -25,8 +25,8 @@ use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::MemKv;
 
 fn main() {
-    let server =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
+    let kv = Arc::new(MemKv::new());
+    let server = Arc::new(TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap());
     let mut t = InProcess::new(server.clone());
 
     // A week of power-meter readings, Δ = 60 s, one reading per 10 s.
@@ -73,15 +73,25 @@ fn main() {
 
     // ── Retention policy: raw data older than 2 days is deleted ─────────
     let cutoff = 2 * 24 * 3_600_000i64;
-    let before = kv_bytes(&server);
+    let (live, log) = (kv_bytes(&server), kv.stats().log_bytes);
     owner.delete_range(&mut t, 0, week_ms - cutoff).unwrap();
     // …and the index decays to coarse levels for the same period.
     owner.rollup(&mut t, week_ms - cutoff, 1).unwrap();
-    let after = kv_bytes(&server);
+    // The live records shrink; the log only grows, by the records the
+    // decay rewrote, until a compaction gives the dead ones back.
+    let (live_after, log_after) = (kv_bytes(&server), kv.stats().log_bytes);
+    let moved = |was: u64, now: u64| {
+        let verb = if now < was { "shrank" } else { "grew" };
+        format!(
+            "{verb} {:.1} MB -> {:.1} MB",
+            was as f64 / 1e6,
+            now as f64 / 1e6
+        )
+    };
     println!(
-        "decay applied: store shrank {:.1} MB -> {:.1} MB",
-        before as f64 / 1e6,
-        after as f64 / 1e6
+        "decay applied: live keys and values {}; the log {} (nothing compacts it)",
+        moved(live, live_after),
+        moved(log, log_after)
     );
 
     // Statistics over the decayed period are intact (digests were kept)…
@@ -105,13 +115,11 @@ fn main() {
     println!("fresh data:    last-hour raw points = {}", fresh.len());
 }
 
-/// Rough store footprint: sum of key+value lengths.
-fn kv_bytes(server: &TimeCryptServer) -> usize {
-    server
-        .kv()
-        .scan_prefix(b"")
-        .unwrap()
+/// Live store footprint: the sum of the live keys' and values' lengths.
+fn kv_bytes(server: &TimeCryptServer) -> u64 {
+    let records = server.kv().scan_prefix(b"").unwrap();
+    records
         .iter()
-        .map(|(k, v)| k.len() + v.len())
+        .map(|(k, v)| (k.len() + v.len()) as u64)
         .sum()
 }

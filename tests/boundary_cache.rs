@@ -23,15 +23,27 @@
 //! are rows of the root `BENCH_ledger.json`, compared exactly
 //! (`TC_BLESS=1` rewrites them); CI copies them to the job summary. So are
 //! the bytes the dashboard replay frees, as the binary's counting allocator
-//! (`tests/common`) sees them: a cache that moved what it holds to grow
-//! would free the old copy at each step, and the allocator may keep it. The
-//! process gauge `timecrypt_index_boundary_cache_bytes` holds what the one
-//! live index is charged, and nothing once it is dropped.
+//! (`tests/common`) sees them: a cache that moved what it holds would free
+//! the old copy, and the allocator may keep it. The process gauge
+//! `timecrypt_index_boundary_cache_bytes` holds what the one live index is
+//! charged, and nothing once it is dropped.
+//!
+//! Beside the shapes, the node's bound: one `ShardNode` of two shards, one
+//! cache of 64 KiB for both engines, and 2 000 streams each read in the same
+//! window three times. Its charge, the gauge's, stays within the budget
+//! however many streams are read (`boundary_cache.node.*` rows).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::index::{AggTree, TreeConfig};
+use timecrypt::server::ServerConfig;
+use timecrypt::service::{NodeConfig, ShardNode};
 use timecrypt::store::MemKv;
-use timecrypt_obs::counters::INDEX_BOUNDARY_CACHE_BYTES;
+use timecrypt::wire::messages::{Request, Response};
+use timecrypt::wire::transport::Handler;
+use timecrypt_obs::counters::{
+    INDEX_BOUNDARY_CACHE_BYTES, INDEX_NODE_CACHE_HITS, INDEX_NODE_CACHE_MISSES,
+};
 
 mod common;
 
@@ -95,9 +107,13 @@ fn rows(shape: &str, tree: &AggTree<Vec<u64>>) -> Vec<(String, String)> {
     ]
 }
 
+/// The tests of this binary, one at a time: each reads the process gauge.
+static GAUGE: Mutex<()> = Mutex::new(());
+
 /// One test, the shapes one after another: one index at a time.
 #[test]
 fn four_query_shapes() {
+    let _gauge = GAUGE.lock().unwrap_or_else(PoisonError::into_inner);
     let mut ledger = Vec::new();
     let producer = filled(19, 4160, 64 << 20);
     random_windows(&producer, 940, 7);
@@ -133,4 +149,79 @@ fn four_query_shapes() {
     drop(dashboard);
     assert_eq!(INDEX_BOUNDARY_CACHE_BYTES.get(), 0);
     common::ledger(&ledger);
+}
+
+#[test]
+fn one_budget_bounds_a_node_of_2000_streams() {
+    const BUDGET: usize = 64 << 10;
+    const STREAMS: u128 = 2000;
+    let _gauge = GAUGE.lock().unwrap_or_else(PoisonError::into_inner);
+    let node = ShardNode::open(
+        Arc::new(MemKv::new()),
+        NodeConfig {
+            total_shards: 2,
+            hosted: vec![0, 1],
+            engine: ServerConfig {
+                cache_bytes: BUDGET,
+                ..ServerConfig::default()
+            },
+        },
+    )
+    .unwrap();
+    let call = |request| match node.handle(request) {
+        Response::Error(e) => panic!("{e}"),
+        reply => reply,
+    };
+    // 32 chunks a stream, chunk `c`'s digest four words of `c`, a second
+    // apart; each stream is read over chunks [5, 30) three times.
+    for stream in 1..=STREAMS {
+        call(Request::CreateStream {
+            stream,
+            t0: 0,
+            delta_ms: 1000,
+            digest_width: 4,
+        });
+        let chunk = |c: u64| {
+            let mut bytes = Vec::new();
+            EncryptedChunk::encode_parts(stream, c, &[c; 4], b"x", &mut bytes);
+            bytes
+        };
+        let chunks = (0..32).map(chunk).collect();
+        call(Request::InsertBatch { chunks });
+    }
+    let (hits, misses) = (INDEX_NODE_CACHE_HITS.get(), INDEX_NODE_CACHE_MISSES.get());
+    let mut charged = Vec::new();
+    for stream in 1..=STREAMS {
+        for _ in 0..3 {
+            let streams = vec![stream];
+            let reply = call(Request::GetStatRange {
+                streams,
+                ts_s: 5000,
+                ts_e: 30_000,
+            });
+            let Response::Stat(reply) = reply else {
+                panic!("{reply:?}");
+            };
+            assert_eq!(reply.agg, [(5..30).sum::<u64>(); 4]);
+        }
+        if stream % 500 == 0 {
+            charged.push(INDEX_BOUNDARY_CACHE_BYTES.get());
+        }
+    }
+    let (hits, misses) = (
+        INDEX_NODE_CACHE_HITS.get() - hits,
+        INDEX_NODE_CACHE_MISSES.get() - misses,
+    );
+    println!("boundary cache, node: {charged:?} B charged at 500, 1 000, 1 500 and 2 000 streams");
+    assert!(charged.iter().all(|&c| c <= BUDGET as u64), "{charged:?}");
+    common::ledger(&[
+        (
+            "boundary_cache.node.hit_share".into(),
+            format!("{:.4}", hits as f64 / (hits + misses) as f64),
+        ),
+        (
+            "boundary_cache.node.charged_bytes".into(),
+            charged[3].to_string(),
+        ),
+    ]);
 }

@@ -5,8 +5,8 @@
 //! reads, a warm one only its accumulator, and an append allocates the
 //! same whatever the stream holds. Only a query's second store read of a
 //! running sum admits it to the boundary cache (the first sets the chunk's
-//! bit), the cache grows past its floor only to take back a sum it evicted,
-//! and it must hold of the heap what it charges, within its budget.
+//! bit), and the cache must hold of the heap what it charges, within its
+//! budget.
 //!
 //! Counts only: the binary's global allocator (`tests/common`) keeps, per
 //! thread, the calls made and the bytes live; `MeteredKv` counts the store
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 use timecrypt::index::{AggTree, TreeConfig};
-use timecrypt::store::{KvPairs, KvStore, MemKv, MeteredKv, StoreError, WriteOp};
+use timecrypt::store::{KvPairs, KvStore, MemKv, MeteredKv, StoreError};
 
 mod common;
 
@@ -50,10 +50,8 @@ fn a_cached_node_holds_what_the_cache_charges_for_it() {
             }
         };
         // Two boundaries no query before read, each read four times: from
-        // the store; again from the store to admit it, into segments at
-        // their floor, so most are evicted again; from the store once more,
-        // a re-read of an evicted sum, which grows its segment to hold it;
-        // then from the cache.
+        // the store, which sets its chunk's bit; again from the store, which
+        // admits it; then twice from the cache.
         (0..3).for_each(|_| sweep());
         let before = tree.stats().unwrap();
         sweep();
@@ -100,10 +98,10 @@ fn a_producer_sweep_holds_and_reads_per_query() {
     ]);
 }
 
-/// Random windows over a stream some 80 times what its one segment holds,
-/// each queried twice so that its boundaries are admitted: the slab evicts
-/// on most admissions and its bits grow under it, and what it is charged
-/// stays within the budget and is what it holds of the heap.
+/// Random windows over a stream some 80 times what its one stripe holds,
+/// each queried twice so that its boundaries are admitted: the cache evicts
+/// on most admissions, and what it is charged stays within the budget and
+/// is what it holds of the heap.
 #[test]
 fn under_eviction_churn_the_charge_stays_within_the_budget() {
     const CHUNKS: u64 = 20_000;
@@ -129,68 +127,6 @@ fn under_eviction_churn_the_charge_stays_within_the_budget() {
     assert!(held <= 1.05 * charged, "{held} B held, {charged} charged");
 }
 
-/// A `MemKv` whose scans find nothing, so that `stats` sizes no records
-/// and a test can read the cache's charge after every query.
-struct Unscanned(MemKv);
-
-impl KvStore for Unscanned {
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.0.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.0.put(key, value)
-    }
-    fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.0.delete(key)
-    }
-    fn scan_prefix(&self, _: &[u8]) -> Result<KvPairs, StoreError> {
-        Ok(Vec::new())
-    }
-    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
-        self.0.write_batch(ops)
-    }
-}
-
-/// The one path that frees a cached sum, at the dashboard's budget: a
-/// stream read while it grows from 4 560 chunks to 40 000 needs eight times
-/// the words of bits (2 KiB to 16 KiB, both maps), and its one 64 KiB
-/// segment gives up slots for them, from 378 at most to 287. Each round
-/// appends 256 chunks, then reads back every boundary read before — every
-/// 15th chunk of the first 4 560, and the one before the last of each
-/// earlier round — against the one before the new last. So each sum the
-/// cache still holds is read back once a round, and after every query the
-/// reply is the store's and the charge within the budget.
-#[test]
-fn a_growing_stream_shrinks_its_slab_and_keeps_what_it_holds() {
-    const BUDGET: usize = 64 << 10;
-    let kv: Arc<dyn KvStore> = Arc::new(Unscanned(MemKv::new()));
-    let tree = open(kv, BUDGET);
-    let digests = |chunks: std::ops::Range<u64>| chunks.map(|c| vec![c; 19]).collect::<Vec<_>>();
-    tree.append_batch(&digests(0..4560)).unwrap();
-    let mut boundaries: Vec<u64> = (0..4560).step_by(15).collect();
-    let mut misses = Vec::new();
-    while tree.len() < 40_000 {
-        let len = tree.len();
-        tree.append_batch(&digests(len..len + 256)).unwrap();
-        let (hi, before) = (tree.len() - 1, tree.stats().unwrap().cache_misses);
-        for &b in &boundaries {
-            // The store's sums are those of the digests `[c; 19]`.
-            let want = (b + 1 + hi - 1) * (hi - b - 1) / 2;
-            assert!(tree.query(b + 1, hi).unwrap().iter().all(|&w| w == want));
-            let charged = tree.stats().unwrap().cache_used_bytes;
-            assert!(charged <= BUDGET, "{charged} B charged at {len} chunks");
-        }
-        misses.push(tree.stats().unwrap().cache_misses - before);
-        boundaries.push(hi - 1);
-    }
-    // Once the slab had grown, a round missed only its new boundary, read
-    // twice to be admitted, through the shrink at 8 192 chunks; after the
-    // one at 16 384 it holds fewer sums than a round reads back.
-    println!("misses per round, at 4 816 chunks and on: {misses:?}");
-    assert!(misses[3..40].iter().all(|&m| m == 2), "{misses:?}");
-    assert!(misses.last() > Some(&2), "{misses:?}");
-}
-
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -203,7 +139,7 @@ fn splitmix(state: &mut u64) -> u64 {
 fn a_cold_query_allocates_per_node_read_not_per_entry() {
     // Whatever the history: two records read, and a few allocations each.
     // The first query reads other records than the second: it is there so
-    // that the cache's segments exist.
+    // that the cache's stripes exist.
     for chunks in [60u64, 5000, 50_000] {
         let kv = Arc::new(MeteredKv::new(filled(19, chunks)));
         let tree = open(kv.clone(), 48 << 10);
