@@ -59,7 +59,8 @@ pub struct NodeConfig {
 pub struct ShardNode {
     router: ShardRouter,
     engines: BTreeMap<usize, Arc<TimeCryptServer>>,
-    metrics: Arc<ServiceMetrics>,
+    /// Per-shard counters; a coordinator reads its in-process node's.
+    pub(crate) metrics: Arc<ServiceMetrics>,
     kv: Arc<MeteredKv>,
 }
 
@@ -79,19 +80,15 @@ impl ShardNode {
                 "a node must host at least one shard",
             ));
         }
-        let metrics = Arc::new(ServiceMetrics::new(cfg.total_shards));
-        Self::open_over(Arc::new(MeteredKv::new(kv)), metrics, cfg)
+        Self::open_hosting(kv, cfg)
     }
 
-    /// [`open`](Self::open) over a store meter and shard metrics the
-    /// caller keeps a handle to: how a [`crate::ShardedService`] hosts its
-    /// in-process shards (none of them, for an all-remote topology) and
-    /// still reads their counters directly.
-    pub(crate) fn open_over(
-        kv: Arc<MeteredKv>,
-        metrics: Arc<ServiceMetrics>,
-        cfg: NodeConfig,
-    ) -> Result<Self, ServerError> {
+    /// [`open`](Self::open), hosting no shard too: how a
+    /// [`crate::ShardedService`] hosts its in-process shards (none, for an
+    /// all-remote topology). The one place a node's store is metered.
+    pub(crate) fn open_hosting(kv: Arc<dyn KvStore>, cfg: NodeConfig) -> Result<Self, ServerError> {
+        let kv = Arc::new(MeteredKv::new(kv));
+        let metrics = Arc::new(ServiceMetrics::new(cfg.total_shards));
         let router = ShardRouter::new(cfg.total_shards);
         let cache = Arc::new(BoundaryCache::new(cfg.engine.cache_bytes));
         let mut engines = BTreeMap::new();
@@ -124,6 +121,11 @@ impl ShardNode {
     /// The shard ids this node hosts, ascending.
     pub fn hosted(&self) -> Vec<usize> {
         self.engines.keys().copied().collect()
+    }
+
+    /// The metered store every hosted engine runs over.
+    pub fn kv(&self) -> &Arc<MeteredKv> {
+        &self.kv
     }
 
     /// The engine owning `stream`, or [`ServerError::Unavailable`] when

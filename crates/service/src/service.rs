@@ -12,7 +12,6 @@ use crate::backend::{
     ingest_runs, Admission, BackendSpec, Pending, RemoteShard, ShardBackend, ShardReplicas,
     ShardSpec, Verdicts, SAME_NODE, UNREACHABLE, UNROUTED,
 };
-use crate::metrics::ServiceMetrics;
 use crate::node::{NodeConfig, ShardNode};
 use crate::router::ShardRouter;
 use std::sync::Arc;
@@ -106,8 +105,8 @@ pub struct ShardedService {
     backends: Vec<ShardReplicas>,
     /// Write admission, one table for every shard's streams.
     admission: Arc<Admission>,
-    metrics: Arc<ServiceMetrics>,
-    kv: Arc<MeteredKv>,
+    /// The in-process shards' host: its store meter and shard metrics.
+    node: Arc<ShardNode>,
     /// End-to-end budget for one scatter-gather query (see
     /// [`ServiceConfig::query_deadline`]).
     query_deadline: Duration,
@@ -117,8 +116,8 @@ pub struct ShardedService {
 
 impl ShardedService {
     /// Opens the service. The shards the topology places in this process
-    /// run in one [`ShardNode`] over `kv` (wrapped in a [`MeteredKv`] so
-    /// `Request::Stats` can report storage traffic), each engine
+    /// run in one [`ShardNode`] over `kv`, whose store meter and shard
+    /// metrics the service reads (`Request::Stats`), each engine
     /// recovering only the streams it owns; remote shards get a
     /// connection pool to their node, dialed on first use. No thread is
     /// started.
@@ -139,11 +138,8 @@ impl ShardedService {
             return Err(SAME_NODE);
         }
         let router = ShardRouter::new(specs.len());
-        let kv = Arc::new(MeteredKv::new(kv));
-        let metrics = Arc::new(ServiceMetrics::new(specs.len()));
-        let node = Arc::new(ShardNode::open_over(
-            kv.clone(),
-            metrics.clone(),
+        let node = Arc::new(ShardNode::open_hosting(
+            kv,
             NodeConfig {
                 total_shards: specs.len(),
                 hosted: (0..specs.len())
@@ -152,6 +148,7 @@ impl ShardedService {
                 engine: cfg.engine.clone(),
             },
         )?);
+        let metrics = node.metrics.clone();
         let remote = |addr: &String, shard| -> Arc<dyn ShardBackend> {
             let (pool, metrics) = (cfg.pool.clone(), metrics.clone());
             Arc::new(RemoteShard::new(addr.clone(), pool, metrics, shard))
@@ -177,8 +174,7 @@ impl ShardedService {
             router,
             backends,
             admission,
-            metrics,
-            kv,
+            node,
             query_deadline: cfg.query_deadline,
             pool_cfg: cfg.pool,
         })
@@ -210,7 +206,7 @@ impl ShardedService {
         let backend: Arc<dyn ShardBackend> = Arc::new(RemoteShard::new(
             addr.into(),
             self.pool_cfg.clone(),
-            self.metrics.clone(),
+            self.node.metrics.clone(),
             shard,
         ));
         replicas.attach_backup(backend)?;
@@ -372,7 +368,7 @@ impl ShardedService {
             .collect();
         let mut snap = ServiceStatsWire {
             shards: (entries.iter().enumerate())
-                .map(|(i, occ)| self.metrics.shard(i).snapshot(i as u32, occ))
+                .map(|(i, occ)| self.node.metrics.shard(i).snapshot(i as u32, occ))
                 .collect(),
             ..Default::default()
         };
@@ -384,7 +380,7 @@ impl ShardedService {
 
     /// The metered storage handle shared by all local shards.
     pub fn kv(&self) -> &Arc<MeteredKv> {
-        &self.kv
+        self.node.kv()
     }
 
     /// Starts a Prometheus `/metrics` listener on `addr` (port 0 for

@@ -1706,9 +1706,12 @@ mod tests {
         LogKv::over(file.reopen(), Durability::Flush)
     }
 
-    /// Runs `test` on a fresh log under `mode` in each file.
+    /// Runs `test` on a fresh log under `mode` in each file, and removes
+    /// the OS file.
     fn on_each_file(name: &str, mode: Durability, test: impl Fn(&dyn KvStore)) {
-        test(&LogKv::open_with(tmp(name), mode).unwrap());
+        let path = tmp(name);
+        test(&LogKv::open_with(&path, mode).unwrap());
+        std::fs::remove_file(path).unwrap();
         test(&LogKv::over(MemFile::holding(Vec::new()), mode).unwrap());
     }
 
@@ -1819,10 +1822,12 @@ mod tests {
     }
 
     fn scan_keys_after_in<F: TestFile>() {
-        let kv = reopen(&F::fresh("after")).unwrap();
+        let file = F::fresh("after");
+        let kv = reopen(&file).unwrap();
         conformance::scan_keys_after(&kv);
         let runs = kv.inner.lock().index.runs.len();
         assert_eq!(runs, 1, "the counting keys are one run");
+        file.remove();
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Integration tests for the cryptographic access-control semantics
 //! (paper §4.3, §4.4, Table 1 (8)–(10)).
 
-use std::sync::Arc;
+use common::{Deployment, Spec};
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
 use timecrypt::crypto::SecureRandom;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::MemKv;
+
+mod common;
 
 const MIN: i64 = 60_000;
 
 fn setup(seconds: i64) -> (InProcess, StreamConfig, DataOwner) {
-    let server =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
+    let server = Deployment::build(&Spec::engine()).engine();
     let mut t = InProcess::new(server);
     let cfg = StreamConfig::new(9, "hr", 0, 10_000);
     let mut owner = DataOwner::with_height(

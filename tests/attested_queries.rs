@@ -3,18 +3,21 @@
 //! consumer verifies-then-decrypts — over the in-process transport and the
 //! real TCP transport, plus persistence of the ledger across restarts.
 
+use common::{Deployment, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{ClientFault, Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::index::keys;
 use timecrypt::pk::SigningKey;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::{LogKv, MemKv};
+use timecrypt::server::TimeCryptServer;
 use timecrypt::wire::messages::{Request, Response};
 
-fn setup(kv: Arc<dyn timecrypt::store::KvStore>) -> (Arc<TimeCryptServer>, InProcess) {
-    let server = Arc::new(TimeCryptServer::open(kv, ServerConfig::default()).unwrap());
+mod common;
+
+/// An engine over a store in memory, and a transport to it.
+fn setup() -> (Arc<TimeCryptServer>, InProcess) {
+    let server = Deployment::build(&Spec::engine()).engine();
     (server.clone(), InProcess::new(server))
 }
 
@@ -52,7 +55,7 @@ fn ingest_attested(
 
 #[test]
 fn verified_query_end_to_end_in_process() {
-    let (_, mut t) = setup(Arc::new(MemKv::new()));
+    let (_, mut t) = setup();
     let cfg = StreamConfig::new(1, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -86,7 +89,7 @@ fn verified_query_end_to_end_in_process() {
 
 #[test]
 fn chunks_after_last_attestation_are_not_provable_yet() {
-    let (_, mut t) = setup(Arc::new(MemKv::new()));
+    let (_, mut t) = setup();
     let cfg = StreamConfig::new(2, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -124,7 +127,7 @@ fn chunks_after_last_attestation_are_not_provable_yet() {
 
 #[test]
 fn attestation_epoch_regression_rejected_by_server() {
-    let (_, mut t) = setup(Arc::new(MemKv::new()));
+    let (_, mut t) = setup();
     let cfg = StreamConfig::new(3, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -170,7 +173,7 @@ fn attestation_epoch_regression_rejected_by_server() {
 
 #[test]
 fn no_attestation_is_a_clean_error() {
-    let (_, mut t) = setup(Arc::new(MemKv::new()));
+    let (_, mut t) = setup();
     let cfg = StreamConfig::new(4, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -187,9 +190,7 @@ fn no_attestation_is_a_clean_error() {
 
 #[test]
 fn ledger_and_attestation_survive_server_restart() {
-    let dir = std::env::temp_dir().join(format!("tc-attest-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("log.kv");
+    let d = Deployment::build(&Spec::engine().on_disk());
     let cfg = StreamConfig::new(5, "hr", 0, 10_000);
     let mut rng = SecureRandom::from_seed_insecure(9);
     let key = SigningKey::generate(&mut rng);
@@ -197,13 +198,14 @@ fn ledger_and_attestation_survive_server_restart() {
 
     let mut owner = owner_for(&cfg, 1);
     {
-        let (_, mut t) = setup(Arc::new(LogKv::open(&path).unwrap()));
+        let mut t = InProcess::new(d.engine());
         owner.create_stream(&mut t).unwrap();
         ingest_attested(&mut t, &cfg, &owner, key, 300);
     }
 
     // Reopen over the same log: ledger rebuilt from persisted leaves.
-    let (_, mut t) = setup(Arc::new(LogKv::open(&path).unwrap()));
+    d.restart(0);
+    let mut t = InProcess::new(d.engine());
     let mut c = Consumer::new("c", &mut rng);
     owner
         .grant_access(&mut t, "c", c.public_key(), 0, 300_000)
@@ -214,12 +216,11 @@ fn ledger_and_attestation_survive_server_restart() {
         .unwrap();
     assert_eq!(verified.count, Some(300));
     assert_eq!(verified.sum, Some((0..300).sum::<i64>()));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn verified_raw_read_matches_plain_read() {
-    let (_, mut t) = setup(Arc::new(MemKv::new()));
+    let (_, mut t) = setup();
     let cfg = StreamConfig::new(7, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -245,7 +246,7 @@ fn verified_raw_read_matches_plain_read() {
 
 #[test]
 fn verified_raw_read_detects_chunk_substitution() {
-    let (server, mut t) = setup(Arc::new(MemKv::new()));
+    let (server, mut t) = setup();
     let cfg = StreamConfig::new(8, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -304,7 +305,7 @@ impl Transport for Backwards<'_> {
 
 #[test]
 fn a_backwards_range_proof_is_an_error_not_a_panic() {
-    let (_, mut t) = setup(Arc::new(MemKv::new()));
+    let (_, mut t) = setup();
     let cfg = StreamConfig::new(4, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -328,7 +329,7 @@ fn a_backwards_range_proof_is_an_error_not_a_panic() {
 fn verified_raw_read_fails_after_payload_decay() {
     // delete_range keeps digests (Table 1 (7)) — statistical queries still
     // verify, but raw completeness is honestly reported as unprovable.
-    let (_, mut t) = setup(Arc::new(MemKv::new()));
+    let (_, mut t) = setup();
     let cfg = StreamConfig::new(9, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -367,11 +368,9 @@ fn verified_raw_read_fails_after_payload_decay() {
 
 #[test]
 fn verified_query_over_tcp() {
-    use timecrypt::wire::{Client, Server};
-    let kv = Arc::new(MemKv::new());
-    let server = Arc::new(TimeCryptServer::open(kv, ServerConfig::default()).unwrap());
-    let mut tcp = Server::bind("127.0.0.1:0", server).unwrap();
-    let addr = tcp.addr();
+    use timecrypt::wire::Client;
+    let d = Deployment::build(&Spec::engine());
+    let addr = d.serve();
 
     let mut t = Client::connect(addr).unwrap();
     let cfg = StreamConfig::new(6, "hr", 0, 10_000);
@@ -391,7 +390,6 @@ fn verified_query_over_tcp() {
         .verified_stat_query(&mut t, cfg.id, &vk, 0, 120_000)
         .unwrap();
     assert_eq!(verified.count, Some(120));
-    tcp.shutdown();
 }
 
 /// The three attested replies over `[lo_s, hi_s)` seconds: attestation,
@@ -417,8 +415,8 @@ fn evicting_between_every_request_changes_no_attested_reply() {
     // request: each proof rebuilds the ledger from the level-0 records.
     // Attestation, proof and verified-range replies must be the same
     // bytes — and the proofs must verify against the owner's signed root.
-    let (_, mut kept) = setup(Arc::new(MemKv::new()));
-    let (churned_server, mut churned) = setup(Arc::new(MemKv::new()));
+    let (_, mut kept) = setup();
+    let (churned_server, mut churned) = setup();
     let cfg = StreamConfig::new(11, "hr", 0, 10_000);
     let key = SigningKey::generate(&mut SecureRandom::from_seed_insecure(9));
     let producer = |t: &mut InProcess| {
@@ -470,8 +468,9 @@ fn an_attestation_ahead_of_the_stored_stream_is_refused_before_any_read() {
     // The owner attested 12 chunks; this server holds 10 (a lagging
     // replica, a truncated store). Both proof builders refuse with the
     // same explicit error, having read nothing but the attestation.
-    let kv = Arc::new(timecrypt::store::MeteredKv::new(Arc::new(MemKv::new())));
-    let (server, mut t) = setup(kv.clone());
+    let d = Deployment::build(&Spec::engine());
+    let (server, kv) = (d.engine(), d.meter(0));
+    let mut t = InProcess::new(server.clone());
     let cfg = StreamConfig::new(12, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();
@@ -509,7 +508,7 @@ fn a_damaged_level0_record_fails_the_ledger_catch_up_as_corrupt_node() {
     // corruption, not a crash state. Chunk 5 of 70 lies under a sealed
     // level-1 node and is no length probe: hydration and statistical
     // queries never read it; the ledger catch-up does, and reports it.
-    let (server, mut t) = setup(Arc::new(MemKv::new()));
+    let (server, mut t) = setup();
     let cfg = StreamConfig::new(13, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();

@@ -33,14 +33,13 @@
 //! window three times. Its charge, the gauge's, stays within the budget
 //! however many streams are read (`boundary_cache.node.*` rows).
 
+use common::{Deployment, Spec};
 use std::sync::{Arc, Mutex, PoisonError};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::index::{AggTree, TreeConfig};
 use timecrypt::server::ServerConfig;
-use timecrypt::service::{NodeConfig, ShardNode};
 use timecrypt::store::MemKv;
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::transport::Handler;
 use timecrypt_obs::counters::{
     INDEX_BOUNDARY_CACHE_BYTES, INDEX_NODE_CACHE_HITS, INDEX_NODE_CACHE_MISSES,
 };
@@ -156,19 +155,11 @@ fn one_budget_bounds_a_node_of_2000_streams() {
     const BUDGET: usize = 64 << 10;
     const STREAMS: u128 = 2000;
     let _gauge = GAUGE.lock().unwrap_or_else(PoisonError::into_inner);
-    let node = ShardNode::open(
-        Arc::new(MemKv::new()),
-        NodeConfig {
-            total_shards: 2,
-            hosted: vec![0, 1],
-            engine: ServerConfig {
-                cache_bytes: BUDGET,
-                ..ServerConfig::default()
-            },
-        },
-    )
-    .unwrap();
-    let call = |request| match node.handle(request) {
+    let node = Deployment::build(&Spec::node(2).engine_cfg(ServerConfig {
+        cache_bytes: BUDGET,
+        ..ServerConfig::default()
+    }));
+    let call = |request| match node.call(request) {
         Response::Error(e) => panic!("{e}"),
         reply => reply,
     };

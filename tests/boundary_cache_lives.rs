@@ -10,13 +10,12 @@
 //! read three times, so that their boundaries are cached, and its stat
 //! replies must equal those of a fresh engine holding the same records.
 
-use std::sync::Arc;
+use common::{Deployment, Spec};
 use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::service::{NodeConfig, ShardNode};
-use timecrypt::store::MemKv;
+use timecrypt::server::ServerConfig;
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::transport::Handler;
+
+mod common;
 
 /// Chunks per stream, a second apart.
 const CHUNKS: u64 = 40;
@@ -24,21 +23,8 @@ const CHUNKS: u64 = 40;
 /// The windows read, in seconds: each boundary is a stored running sum.
 const WINDOWS: [(i64, i64); 3] = [(5, 30), (10, 39), (1, 20)];
 
-/// The two tiers, over fresh stores, with `cfg` for their engines.
-fn tiers(cfg: ServerConfig) -> Vec<Box<dyn Handler>> {
-    let node = NodeConfig {
-        total_shards: 2,
-        hosted: vec![0, 1],
-        engine: cfg.clone(),
-    };
-    vec![
-        Box::new(TimeCryptServer::open(Arc::new(MemKv::new()), cfg).unwrap()),
-        Box::new(ShardNode::open(Arc::new(MemKv::new()), node).unwrap()),
-    ]
-}
-
-fn call(tier: &dyn Handler, request: Request) -> Response {
-    match tier.handle(request) {
+fn call(tier: &Deployment, request: Request) -> Response {
+    match tier.call(request) {
         Response::Error(e) => panic!("{e}"),
         reply => reply,
     }
@@ -46,7 +32,7 @@ fn call(tier: &dyn Handler, request: Request) -> Response {
 
 /// Creates `stream` and ingests its chunks, chunk `c`'s digest four words
 /// of `seed · c + 1`.
-fn fill(tier: &dyn Handler, stream: u128, seed: u64) {
+fn fill(tier: &Deployment, stream: u128, seed: u64) {
     call(
         tier,
         Request::CreateStream {
@@ -66,7 +52,7 @@ fn fill(tier: &dyn Handler, stream: u128, seed: u64) {
 }
 
 /// The stat replies of `stream`'s windows, each read three times.
-fn read(tier: &dyn Handler, stream: u128) -> Vec<Response> {
+fn read(tier: &Deployment, stream: u128) -> Vec<Response> {
     let window = |&(s, e): &(i64, i64)| {
         let request = || Request::GetStatRange {
             streams: vec![stream],
@@ -82,15 +68,15 @@ fn read(tier: &dyn Handler, stream: u128) -> Vec<Response> {
 
 /// What a fresh engine holding only `stream` of `seed` answers.
 fn fresh(stream: u128, seed: u64) -> Vec<Response> {
-    let engine = TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
+    let engine = Deployment::build(&Spec::engine());
     fill(&engine, stream, seed);
     read(&engine, stream)
 }
 
 #[test]
 fn a_stream_deleted_and_created_again_reads_its_new_data() {
-    for tier in tiers(ServerConfig::default()) {
-        let tier = tier.as_ref();
+    for spec in [Spec::engine(), Spec::node(2)] {
+        let tier = &Deployment::build(&spec);
         fill(tier, 7, 3);
         assert_eq!(read(tier, 7), fresh(7, 3));
         call(tier, Request::DeleteStream { stream: 7 });
@@ -101,15 +87,15 @@ fn a_stream_deleted_and_created_again_reads_its_new_data() {
 
 #[test]
 fn a_stream_imported_over_while_resident_reads_the_import() {
-    let source = TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
+    let source = Deployment::build(&Spec::engine());
     fill(&source, 8, 11);
-    for tier in tiers(ServerConfig::default()) {
-        let tier = tier.as_ref();
+    for spec in [Spec::engine(), Spec::node(2)] {
+        let tier = &Deployment::build(&spec);
         fill(tier, 8, 3);
         assert_eq!(read(tier, 8), fresh(8, 3));
         let mut after = Vec::new();
         loop {
-            let (records, done) = source.export_stream(8, &after, 1 << 10).unwrap();
+            let (records, done) = source.engine().export_stream(8, &after, 1 << 10).unwrap();
             let last = records.last().map(|(key, _)| key.clone());
             let (stream, after_page) = (8, after.clone());
             call(
@@ -136,8 +122,8 @@ fn a_stream_evicted_and_rehydrated_reads_the_same() {
         max_resident_streams: Some(1),
         ..ServerConfig::default()
     };
-    for tier in tiers(cfg) {
-        let tier = tier.as_ref();
+    for spec in [Spec::engine(), Spec::node(2)] {
+        let tier = &Deployment::build(&spec.engine_cfg(cfg.clone()));
         fill(tier, 9, 3);
         fill(tier, 10, 5);
         for _ in 0..3 {

@@ -36,19 +36,14 @@
 //! from `seed + iteration`, so any failure is reproducible by pinning
 //! `TC_CHAOS_SEED` to the printed value).
 
-use std::sync::Arc;
+use common::{dial_fast, same_replies, sealed, Deployment, Fault, Spec};
 use std::time::{Duration, Instant};
-use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
-use timecrypt::core::StreamKeyMaterial;
-use timecrypt::crypto::{PrgKind, SecureRandom};
-use timecrypt::faults::{faulty, FaultPlan, FaultyTransport};
-use timecrypt::server::ServerConfig;
-use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
+use timecrypt::faults::FaultPlan;
 use timecrypt::store::log::Durability;
-use timecrypt::store::{KvStore, LogKv, MemKv, StoreError};
+use timecrypt::store::{KvStore, LogKv, StoreError};
 use timecrypt::wire::messages::Request;
-use timecrypt::wire::transport::{Handler, Server};
+
+mod common;
 
 const TOTAL_SHARDS: usize = 2;
 const STREAMS: u128 = 5;
@@ -59,25 +54,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-fn keys(id: u128) -> StreamKeyMaterial {
-    StreamKeyMaterial::with_params(id, [(id as u8).wrapping_add(17); 16], 20, PrgKind::Aes).unwrap()
-}
-
-fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
-    let cfg = StreamConfig {
-        schema: DigestSchema::sum_count(),
-        ..StreamConfig::new(id, "m", 0, 10_000)
-    };
-    let mut rng = SecureRandom::from_seed_insecure(9000 + index * 131 + id as u64);
-    PlainChunk {
-        stream: id,
-        index,
-        points: vec![DataPoint::new(index as i64 * 10_000, value)],
-    }
-    .seal(&cfg, &keys(id), &mut rng)
-    .unwrap()
 }
 
 /// Happy paths, partial ranges, and error paths — both deployments must
@@ -128,61 +104,25 @@ fn query_battery() -> Vec<Request> {
 fn chaos_iteration(seed: u64) -> u64 {
     // Fault-free single-process reference: the ground truth for what the
     // cluster must converge to.
-    let reference = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: TOTAL_SHARDS,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let reference = Deployment::build(&Spec::coordinator(TOTAL_SHARDS)).service();
 
     // Two nodes over fault-injectable stores, each reached through a
-    // fault-injecting TCP proxy. Handles are kept so the storm can be
-    // switched on and off.
-    let spawn_faulty_node = || {
-        let store = faulty(
-            Arc::new(MemKv::new()) as Arc<dyn KvStore>,
-            FaultPlan::quiet(),
-        );
-        let node = ShardNode::open(
-            store.clone(),
-            NodeConfig {
-                total_shards: TOTAL_SHARDS,
-                hosted: (0..TOTAL_SHARDS).collect(),
-                engine: ServerConfig::default(),
-            },
-        )
-        .unwrap();
-        let server = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
-        let proxy = FaultyTransport::spawn(server.addr(), FaultPlan::quiet()).unwrap();
-        (server, proxy, store)
-    };
-    let (_node_a, proxy_a, store_a) = spawn_faulty_node();
-    let (_node_b, proxy_b, store_b) = spawn_faulty_node();
-
-    let cluster = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![
-                ShardSpec::remote(proxy_a.addr().to_string())
-                    .with_backup(proxy_b.addr().to_string()),
-                ShardSpec::remote(proxy_b.addr().to_string())
-                    .with_backup(proxy_a.addr().to_string()),
-            ],
-            pool: timecrypt::wire::pool::PoolConfig {
-                connect_attempts: 2,
-                backoff: Duration::from_millis(1),
-                io_timeout: Some(Duration::from_millis(250)),
-            },
-            // Promotion is exercised by tests/timeout_promotion.rs; here
-            // it stays off so a backup that drifted during the storm can
-            // never be promoted over the primary holding the acked data.
-            promote_after: 0,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    // fault-injecting TCP proxy, both quiet until the storm.
+    // Promotion is exercised by tests/timeout_promotion.rs; here it stays
+    // off so a backup that drifted during the storm can never be promoted
+    // over the primary holding the acked data.
+    let mut cfg = dial_fast(0);
+    cfg.pool.io_timeout = Some(Duration::from_millis(250));
+    let quiet = FaultPlan::quiet;
+    let spec = Spec::remote(TOTAL_SHARDS, 2, 2)
+        .fault(Fault::Store(quiet()))
+        .fault(Fault::Proxy(0, quiet()))
+        .fault(Fault::Proxy(1, quiet()))
+        .service(cfg);
+    let d = Deployment::build(&spec);
+    let cluster = d.service();
+    let (store_a, store_b) = (d.faulty(0), d.faulty(1));
+    let (proxy_a, proxy_b) = (d.proxy(0), d.proxy(1));
 
     // Streams are created before the storm; the storm covers ingest.
     for id in 0..STREAMS {
@@ -230,14 +170,8 @@ fn chaos_iteration(seed: u64) -> u64 {
     proxy_b.set_plan(FaultPlan::quiet());
 
     let recovery = Instant::now();
-    for q in query_battery() {
-        let want = reference.handle(q.clone()).encode();
-        let got = cluster.handle(q.clone()).encode();
-        assert_eq!(
-            want, got,
-            "seed {seed}: reply mismatch after the storm for {q:?}"
-        );
-    }
+    let after = format!("seed {seed}: after the storm");
+    same_replies(&*reference, &*cluster, query_battery(), &after);
     assert!(
         recovery.elapsed() < Duration::from_secs(30),
         "seed {seed}: recovery battery took {:?}",
@@ -391,22 +325,11 @@ fn kill9_mid_append_preserves_acked_records_and_flags_corruption() {
 // node killed mid-batch
 // ---------------------------------------------------------------------------
 
-/// A node process over the log at `path`: both shards, like `timecrypt-node`.
-fn node_over(path: &std::path::Path) -> (ShardNode, Arc<LogKv>) {
-    let log = Arc::new(LogKv::open(path).unwrap());
-    let cfg = NodeConfig {
-        total_shards: TOTAL_SHARDS,
-        hosted: (0..TOTAL_SHARDS).collect(),
-        engine: ServerConfig::default(),
-    };
-    (ShardNode::open(log.clone(), cfg).unwrap(), log)
-}
-
 /// One stream's run as the `InsertBatch` a coordinator sends; `Ok` when
 /// every chunk was accepted.
-fn insert_run(node: &ShardNode, id: u128, chunks: std::ops::Range<u64>) -> Result<(), String> {
+fn insert_run(node: &Deployment, id: u128, chunks: std::ops::Range<u64>) -> Result<(), String> {
     let chunks = chunks.map(|i| sealed(id, i, i as i64).to_bytes()).collect();
-    match node.handle(Request::InsertBatch { chunks }) {
+    match node.call(Request::InsertBatch { chunks }) {
         timecrypt::wire::Response::Batch { errors } if errors.is_empty() => Ok(()),
         other => Err(format!("{other:?}")),
     }
@@ -414,14 +337,13 @@ fn insert_run(node: &ShardNode, id: u128, chunks: std::ops::Range<u64>) -> Resul
 
 #[test]
 fn node_killed_mid_batch_keeps_acked_chunks_drops_the_run_and_takes_the_retry() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("tc-chaos-midbatch-{}.log", std::process::id()));
-    let cut_path = dir.join(format!("tc-chaos-midbatch-{}.cut", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    // A node process over a log: both shards, like `timecrypt-node`.
+    let node = Deployment::build(&Spec::node(TOTAL_SHARDS).on_disk());
+    let path = node.path(0);
     // Streams 1 and 2 are acked history; stream 1's second run (chunks
     // 70..86, sealing nothing; the first sealed a level-1 node) is the one
     // in flight when the node dies.
-    let battery = |node: &ShardNode| -> Vec<Vec<u8>> {
+    let battery = |node: &Deployment| -> Vec<Vec<u8>> {
         let window = 100 * 10_000;
         let stat = |streams: Vec<u128>| Request::GetStatRange {
             streams,
@@ -442,26 +364,27 @@ fn node_killed_mid_batch_keeps_acked_chunks_drops_the_run_and_takes_the_retry() 
             info(1),
             info(2),
         ]
-        .map(|q| node.handle(q).encode())
+        .map(|q| node.call(q).encode())
         .into()
     };
-    let (acked_len, acked_keys, acked_replies, full_replies) = {
-        let (node, log) = node_over(&path);
-        for id in [1, 2] {
-            let create = Request::CreateStream {
-                stream: id,
-                t0: 0,
-                delta_ms: 10_000,
-                digest_width: 2,
-            };
-            assert_eq!(node.handle(create), timecrypt::wire::Response::Ok);
-        }
-        insert_run(&node, 1, 0..70).unwrap();
-        insert_run(&node, 2, 0..5).unwrap();
-        let acked = (log.stats().log_bytes, log.len(), battery(&node));
-        insert_run(&node, 1, 70..86).unwrap();
-        (acked.0, acked.1, acked.2, battery(&node))
-    };
+    for id in [1, 2] {
+        let create = Request::CreateStream {
+            stream: id,
+            t0: 0,
+            delta_ms: 10_000,
+            digest_width: 2,
+        };
+        assert_eq!(node.call(create), timecrypt::wire::Response::Ok);
+    }
+    insert_run(&node, 1, 0..70).unwrap();
+    insert_run(&node, 2, 0..5).unwrap();
+    let log = node.log(0);
+    let (acked_len, acked_keys) = (log.stats().log_bytes, log.len());
+    let acked_replies = battery(&node);
+    insert_run(&node, 1, 70..86).unwrap();
+    let full_replies = battery(&node);
+    drop(log);
+    node.kill(0);
     let full = std::fs::read(&path).unwrap();
     assert!(
         full.len() as u64 > acked_len + 16 * 60,
@@ -473,8 +396,9 @@ fn node_killed_mid_batch_keeps_acked_chunks_drops_the_run_and_takes_the_retry() 
         .chain((acked_len + 400..full.len() as u64).step_by(37))
         .chain([full.len() as u64 - 1]);
     for cut in cuts {
-        std::fs::write(&cut_path, &full[..cut as usize]).unwrap();
-        let (node, log) = node_over(&cut_path);
+        std::fs::write(&path, &full[..cut as usize]).unwrap();
+        node.restart(0);
+        let log = node.log(0);
         assert_eq!(
             log.stats().log_bytes,
             acked_len,
@@ -484,13 +408,8 @@ fn node_killed_mid_batch_keeps_acked_chunks_drops_the_run_and_takes_the_retry() 
         assert_eq!(battery(&node), acked_replies, "cut {cut}: acked history");
         insert_run(&node, 1, 70..86).unwrap_or_else(|e| panic!("cut {cut}: retry: {e}"));
         assert_eq!(battery(&node), full_replies, "cut {cut}: after the retry");
-        drop(node);
-        assert_eq!(
-            std::fs::read(&cut_path).unwrap(),
-            full,
-            "cut {cut}: same log"
-        );
+        drop(log);
+        node.kill(0);
+        assert_eq!(std::fs::read(&path).unwrap(), full, "cut {cut}: same log");
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&cut_path);
 }

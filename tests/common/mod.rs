@@ -3,9 +3,18 @@
 //! and the bytes freed as glibc's malloc sets them aside (an 8-byte header,
 //! 16-byte granules, 32 at least), so tests running side by side do not
 //! disturb each other. And [`ledger`], which compares a guard's rows with
-//! the root `BENCH_ledger.json`.
+//! the root `BENCH_ledger.json`; [`Deployment`], every tier a test runs
+//! on, built from a [`Spec`]; and [`sealed`], the chunks they feed it.
 
 #![allow(dead_code)] // each binary reads what it needs
+
+mod deploy;
+mod streams;
+
+#[allow(unused_imports)] // each binary reads what it needs
+pub use deploy::*;
+#[allow(unused_imports)]
+pub use streams::*;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -3,48 +3,22 @@
 //! exact for the chunk prefix it observed — under both the bare engine
 //! and the sharded service.
 
+use common::{keys, sealed, Deployment, Spec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt::core::heac::decrypt_range_sum;
-use timecrypt::core::StreamKeyMaterial;
-use timecrypt::crypto::{PrgKind, SecureRandom};
-use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
-use timecrypt::service::{ServiceConfig, ShardedService};
-use timecrypt::store::MemKv;
+use timecrypt::server::{ServerConfig, ServerError};
+
+mod common;
 
 const DELTA_MS: u64 = 10_000;
 
-fn keys(id: u128) -> StreamKeyMaterial {
-    StreamKeyMaterial::with_params(id, [(id as u8).wrapping_add(7); 16], 22, PrgKind::Aes).unwrap()
-}
-
-fn stream_cfg(id: u128) -> StreamConfig {
-    StreamConfig {
-        schema: DigestSchema::sum_count(),
-        ..StreamConfig::new(id, "rw", 0, DELTA_MS)
-    }
-}
-
-/// Seals chunks `0..n` of `stream`, chunk `c` holding one point of value
-/// `c` — so the sum over `[0, hi)` has the closed form `hi·(hi−1)/2` and
-/// the count is `hi`.
+/// Chunks `0..n` of `stream`, chunk `c` holding one point of value `c` —
+/// so the sum over `[0, hi)` has the closed form `hi·(hi−1)/2` and the
+/// count is `hi`.
 fn sealed_prefix(id: u128, n: u64) -> Vec<EncryptedChunk> {
-    let cfg = stream_cfg(id);
-    let km = keys(id);
-    let mut rng = SecureRandom::from_seed_insecure(500 + id as u64);
-    (0..n)
-        .map(|c| {
-            PlainChunk {
-                stream: id,
-                index: c,
-                points: vec![DataPoint::new(c as i64 * DELTA_MS as i64, c as i64)],
-            }
-            .seal(&cfg, &km, &mut rng)
-            .unwrap()
-        })
-        .collect()
+    (0..n).map(|c| sealed(id, c, c as i64)).collect()
 }
 
 /// Asserts one statistical reply is internally exact: whatever prefix
@@ -65,17 +39,12 @@ fn assert_reply_exact(id: u128, reply: &timecrypt::wire::messages::StatReply) ->
 fn engine_readers_stay_exact_and_monotone_during_ingest() {
     const N: u64 = 400;
     const READERS: usize = 4;
-    let server = Arc::new(
-        TimeCryptServer::open(
-            Arc::new(MemKv::new()),
-            ServerConfig {
-                // Small cache: readers also take the store miss path.
-                cache_bytes: 8 * 1024,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let server = Deployment::build(&Spec::engine().engine_cfg(ServerConfig {
+        // Small cache: readers also take the store miss path.
+        cache_bytes: 8 * 1024,
+        ..ServerConfig::default()
+    }))
+    .engine();
     server.create_stream(1, 0, DELTA_MS, 2).unwrap();
     let chunks = sealed_prefix(1, N);
     let done = Arc::new(AtomicBool::new(false));
@@ -131,16 +100,7 @@ fn service_readers_stay_exact_during_batched_ingest() {
     // stream and the queries share an engine), ingest flowing through the
     // shard's worker queue.
     const N: u64 = 300;
-    let svc = Arc::new(
-        ShardedService::open(
-            Arc::new(MemKv::new()),
-            ServiceConfig {
-                shards: 1,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let svc = Deployment::build(&Spec::coordinator(1)).service();
     svc.create_stream(1, 0, DELTA_MS, 2).unwrap();
     let chunks = sealed_prefix(1, N);
     let done = Arc::new(AtomicBool::new(false));

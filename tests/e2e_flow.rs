@@ -1,16 +1,15 @@
 //! End-to-end integration: owner → producer → server → consumer, spanning
 //! every crate through the public facade.
 
-use std::sync::Arc;
+use common::{Deployment, Spec};
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
 use timecrypt::crypto::SecureRandom;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::MemKv;
+
+mod common;
 
 fn setup() -> (InProcess, StreamConfig, DataOwner) {
-    let server =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
+    let server = Deployment::build(&Spec::engine()).engine();
     let transport = InProcess::new(server);
     let cfg = StreamConfig::new(1, "hr", 0, 10_000);
     let owner = DataOwner::with_height(
@@ -153,8 +152,7 @@ fn producer_stream_continuity_across_gaps() {
 
 #[test]
 fn multi_stream_query_needs_all_grants() {
-    let server =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
+    let server = Deployment::build(&Spec::engine()).engine();
     let mut t = InProcess::new(server);
     let cfg1 = StreamConfig::new(1, "a", 0, 10_000);
     let cfg2 = StreamConfig::new(2, "b", 0, 10_000);

@@ -1,6 +1,7 @@
 //! Failure-injection integration tests: the system must fail *closed* under
 //! tampering, corruption, and protocol misuse.
 
+use common::{Deployment, Fault, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt::chunk::{DataPoint, StreamConfig};
@@ -8,16 +9,17 @@ use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::faults::{FaultPlan, FaultyKv, OpKind, StoreFault, StoreRule, Trigger};
 use timecrypt::index::keys;
-use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
-use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
-use timecrypt::store::{KvStore, MemKv};
+use timecrypt::server::{ServerError, TimeCryptServer};
+use timecrypt::service::ServiceConfig;
+use timecrypt::store::KvStore;
 use timecrypt::wire::messages::StatReply;
-use timecrypt::wire::transport::{Handler, Server};
+use timecrypt::wire::transport::Handler;
 use timecrypt::wire::{Request, Response};
 
+mod common;
+
 fn setup() -> (Arc<TimeCryptServer>, InProcess, StreamConfig, DataOwner) {
-    let server =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
+    let server = Deployment::build(&Spec::engine()).engine();
     let t = InProcess::new(server.clone());
     let cfg = StreamConfig::new(11, "m", 0, 10_000);
     let owner = DataOwner::with_height(
@@ -217,45 +219,31 @@ fn a_zero_chunk_interval_is_refused_at_every_tier() {
         ]
     };
     let unknown = Response::Error(ServerError::NoSuchStream(7).to_string());
-    let store: Arc<dyn KvStore> = Arc::new(MemKv::new());
-    let engine = TimeCryptServer::open(store.clone(), ServerConfig::default()).unwrap();
-    let refused = engine.create_stream(7, 0, 0, 2).unwrap_err().to_string();
+    let d = Deployment::build(&Spec::engine());
+    let refused = d
+        .engine()
+        .create_stream(7, 0, 0, 2)
+        .unwrap_err()
+        .to_string();
     assert!(refused.contains("chunk interval"), "{refused}");
-    // A record an older build wrote: t0, Δ = 0, width.
     let meta = [
         &0i64.to_le_bytes()[..],
         &0u64.to_le_bytes(),
         &2u32.to_le_bytes(),
     ]
     .concat();
-    let key = keys::meta(7);
-    store.put(&key, &meta).unwrap();
-    let reopened = TimeCryptServer::open(store, ServerConfig::default()).unwrap();
+    d.meter(0).put(&keys::meta(7), &meta).unwrap();
+    d.restart(0);
     for req in reads() {
-        assert_eq!(reopened.handle(req), unknown);
+        assert_eq!(d.call(req), unknown);
     }
 
-    // Over the wire, on a replicated shard that one strike would promote.
-    let node = || {
-        let cfg = NodeConfig {
-            total_shards: 1,
-            hosted: vec![0],
-            engine: ServerConfig::default(),
-        };
-        let node = ShardNode::open(Arc::new(MemKv::new()), cfg).unwrap();
-        Server::bind("127.0.0.1:0", Arc::new(node)).unwrap()
+    let cfg = ServiceConfig {
+        promote_after: 1,
+        ..ServiceConfig::default()
     };
-    let (primary, backup) = (node(), node());
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![ShardSpec::remote(primary.addr().to_string())
-                .with_backup(backup.addr().to_string())],
-            promote_after: 1,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let cluster = Deployment::build(&Spec::remote(1, 2, 2).service(cfg));
+    let svc = cluster.service();
     let err = svc.create_stream(7, 0, 0, 2).unwrap_err();
     assert_eq!(err.to_string(), refused);
     for req in reads() {
@@ -347,7 +335,13 @@ fn stat_query_with_zero_streams_rejected() {
 
 /// A `MemKv` behind a `FaultyKv` whose `nth` op from now, if it is an `op`
 /// under `prefix`, fails.
-fn fail_nth(kv: &FaultyKv<MemKv>, op: OpKind, prefix: &[u8], nth: u64) {
+/// An engine over a quiet `FaultyKv`, and the `FaultyKv`.
+fn faulty_engine() -> (Arc<FaultyKv<Arc<dyn KvStore>>>, Arc<TimeCryptServer>) {
+    let d = Deployment::build(&Spec::engine().fault(Fault::Store(FaultPlan::quiet())));
+    (d.faulty(0), d.engine())
+}
+
+fn fail_nth(kv: &FaultyKv<Arc<dyn KvStore>>, op: OpKind, prefix: &[u8], nth: u64) {
     kv.set_plan(FaultPlan::quiet().with_store_rule(StoreRule {
         op: Some(op),
         key_prefix: prefix.to_vec(),
@@ -362,8 +356,7 @@ fn faulted_put_envelopes_leaves_nothing_behind() {
     let mut faulted = 0;
     // Fail the k-th store write the call issues, for every k it could reach.
     for k in 0..envs.len() as u64 {
-        let kv = Arc::new(FaultyKv::new(MemKv::new(), FaultPlan::quiet()));
-        let ks = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
+        let (kv, ks) = faulty_engine();
         ks.put_envelopes(11, 6, &[(9, vec![9])]).unwrap();
         fail_nth(&kv, OpKind::Put, b"e/", k);
         let result = ks.put_envelopes(11, 6, &envs);
@@ -390,8 +383,7 @@ fn faulted_revoke_grants_leaves_every_grant_in_place() {
     let mut faulted = 0;
     // Op 0 of the call is its key scan; the writes follow.
     for k in 1..=grants.len() as u64 {
-        let kv = Arc::new(FaultyKv::new(MemKv::new(), FaultPlan::quiet()));
-        let ks = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
+        let (kv, ks) = faulty_engine();
         for blob in grants {
             ks.put_grant(11, "c", blob).unwrap();
         }

@@ -22,15 +22,13 @@
 //! "allocations per …" lines and, for the record, the median time of each
 //! operation (printed, never asserted); CI copies both to the job summary.
 
-use std::sync::Arc;
+use common::{Deployment, Spec};
 use std::time::Instant;
 use timecrypt::chunk::StreamConfig;
 use timecrypt::client::{Consumer, DataOwner, InProcess};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::pk::ecies::{self, EciesKeypair};
 use timecrypt::pk::SigningKey;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::MemKv;
 
 mod common;
 
@@ -83,8 +81,7 @@ fn public_key_operations_allocate_at_their_boundary_only() {
 
 #[test]
 fn a_grant_and_its_sync_allocate_a_few_hundred_times() {
-    let server =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
+    let server = Deployment::build(&Spec::engine()).engine();
     let mut t = InProcess::new(server);
     let cfg = StreamConfig::new(1, "m", 0, 10_000);
     let mut owner = DataOwner::new(cfg.clone(), SecureRandom::from_seed_insecure(1));

@@ -14,13 +14,12 @@
 //! first proof reads — and hashes — every attested record whole: `n`
 //! gets, `Σ record bytes`.
 
-use std::sync::Arc;
+use common::{Deployment, Spec};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::integrity::{
     chunk_commitment, verify_attested_range, RangeProof, RootAttestation, StreamLedger,
 };
 use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::{KvStore, MemKv, MeteredKv};
 use timecrypt::wire::StatReply;
 mod common;
 
@@ -66,14 +65,13 @@ fn first_touch_reads_one_record_not_the_history() {
     // one prefix scan for the decay cutoffs) and the last record.
     let (mut rows, mut first) = (Vec::new(), None);
     for n in [10_000u64, 20_000, 40_000] {
-        let base: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        {
-            let seeder = TimeCryptServer::open(base.clone(), ServerConfig::default()).unwrap();
-            seeder.create_stream(1, 0, DELTA_MS, WIDTH as u32).unwrap();
-            ingest(&seeder, 1, 0..n);
-        }
-        let metered = Arc::new(MeteredKv::new(base));
-        let server = TimeCryptServer::open(metered.clone(), ServerConfig::default()).unwrap();
+        let d = Deployment::build(&Spec::engine());
+        d.engine()
+            .create_stream(1, 0, DELTA_MS, WIDTH as u32)
+            .unwrap();
+        ingest(&d.engine(), 1, 0..n);
+        d.restart(0);
+        let (server, metered) = (d.engine(), d.meter(0));
         let before = metered.counters();
         let reply = stat(&server, 1, 0, n);
         let after = metered.counters();
@@ -102,15 +100,11 @@ fn first_touch_reads_one_record_not_the_history() {
 fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
     let loaded = || timecrypt_obs::counters::LEDGER_LEAVES.get();
     let loaded_bytes = || timecrypt_obs::counters::LEDGER_BYTES.get();
-    let kv = Arc::new(MeteredKv::new(Arc::new(MemKv::new())));
-    let server = TimeCryptServer::open(
-        kv.clone(),
-        ServerConfig {
-            max_resident_streams: Some(1),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let d = Deployment::build(&Spec::engine().engine_cfg(ServerConfig {
+        max_resident_streams: Some(1),
+        ..ServerConfig::default()
+    }));
+    let (server, kv) = (d.engine(), d.meter(0));
     let mut rng = timecrypt::crypto::SecureRandom::from_seed_insecure(5);
     let key = timecrypt::pk::SigningKey::generate(&mut rng);
     let mut owner = StreamLedger::new(1);

@@ -18,19 +18,17 @@
 //! * a frame's body is allocated as its bytes arrive: a length prefix
 //!   claiming the largest frame, then nothing, costs the read-ahead.
 
+use common::{Deployment, Spec};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt::core::StreamKeyMaterial;
 use timecrypt::crypto::{PrgKind, SecureRandom};
-use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
-use timecrypt::service::{
-    NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
-};
-use timecrypt::store::{MemKv, MeteredKv};
-use timecrypt::wire::messages::{Request, RequestRef, Response};
+use timecrypt::server::{ServerError, TimeCryptServer};
+use timecrypt::service::{ServiceConfig, ShardRouter, ShardSpec, ShardedService};
+use timecrypt::store::MemKv;
+use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::{Handler, Server};
 
@@ -77,20 +75,27 @@ fn stream_on(shard: usize, shards: usize) -> u128 {
     (0..).find(|&id| router.shard_of(id) == shard).unwrap()
 }
 
-/// A coordinator over one remote shard per address.
-fn coordinator(addrs: &[String], io_timeout: Duration) -> ShardedService {
-    ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: addrs.iter().map(ShardSpec::remote).collect(),
-            pool: PoolConfig {
-                io_timeout: Some(io_timeout),
-                ..PoolConfig::default()
-            },
-            ..ServiceConfig::default()
+/// A coordinator's config whose socket deadline is `io_timeout`.
+fn deadline(io_timeout: Duration) -> ServiceConfig {
+    ServiceConfig {
+        pool: PoolConfig {
+            io_timeout: Some(io_timeout),
+            ..PoolConfig::default()
         },
-    )
-    .unwrap()
+        ..ServiceConfig::default()
+    }
+}
+
+/// A coordinator over one listener per address: stubs, not nodes.
+fn over_stubs(nodes: &[Server], io_timeout: Duration) -> ShardedService {
+    let topology = nodes
+        .iter()
+        .map(|n| ShardSpec::remote(n.addr().to_string()));
+    let cfg = ServiceConfig {
+        topology: topology.collect(),
+        ..deadline(io_timeout)
+    };
+    ShardedService::open(Arc::new(MemKv::new()), cfg).unwrap()
 }
 
 fn batch_errors(reply: Response) -> Vec<(u32, String)> {
@@ -120,7 +125,8 @@ fn thread_census() -> BTreeMap<String, usize> {
 #[cfg(target_os = "linux")]
 fn an_idle_default_coordinator_runs_no_thread() {
     let _serial = serial();
-    let svc = ShardedService::open(Arc::new(MemKv::new()), ServiceConfig::default()).unwrap();
+    let d = Deployment::build(&Spec::coordinator(4));
+    let svc = d.service();
     let shards = svc.stats().shards.len();
     let census = thread_census();
     let roles: Vec<String> = census.iter().map(|(r, n)| format!("{n} {r}")).collect();
@@ -149,8 +155,8 @@ fn an_idle_default_coordinator_runs_no_thread() {
 #[cfg(target_os = "linux")]
 fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
     let _serial = serial();
-    let survivor = Arc::new(MeteredKv::new(Arc::new(MemKv::new())));
-    let svc = ShardedService::open(survivor.clone(), ServiceConfig::default()).unwrap();
+    let d = Deployment::build(&Spec::coordinator(4));
+    let (svc, survivor) = (d.service(), d.meter(0));
     let shards = svc.router().shards();
     let id = stream_on(0, shards);
     svc.create_stream(id, 0, 10_000, 2).unwrap();
@@ -159,26 +165,10 @@ fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
         batch_errors(svc.handle(Request::InsertBatch { chunks })),
         vec![]
     );
-    let node = ShardNode::open(
-        Arc::new(MemKv::new()),
-        NodeConfig {
-            total_shards: shards,
-            hosted: vec![0],
-            engine: ServerConfig::default(),
-        },
-    )
-    .unwrap();
     // A pass lists the replica once.
-    let passes = Arc::new(AtomicU64::new(0));
-    let node = CountingNode {
-        node,
-        counts: |req| matches!(req, RequestRef::Other(Request::ListStreams { .. })),
-        seen: passes.clone(),
-    };
-    let backup = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
-    let spec = backup.addr().to_string();
+    let backup = d.add_node();
     let before = survivor.counters().bytes_read;
-    svc.attach_replica(0, spec).unwrap();
+    svc.attach_replica(0, d.addr(backup)).unwrap();
     let read = survivor.counters().bytes_read - before;
     let census = thread_census();
     let snap = svc.stats();
@@ -192,7 +182,10 @@ fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
     // One sweep of the stream, one read of it; a listing reads none.
     let records = survivor.inner().scan_prefix(b"").unwrap();
     let stored: usize = records.iter().map(|(_, value)| value.len()).sum();
-    let (ratio, passes) = (read as f64 / stored as f64, passes.load(Ordering::SeqCst));
+    let (ratio, passes) = (
+        read as f64 / stored as f64,
+        d.frames_of(backup, "ListStreams"),
+    );
     println!(
         "rebuild traffic: {read} B read on the survivor for {stored} B stored ({ratio:.2}×), {passes} pass(es)"
     );
@@ -222,9 +215,8 @@ fn the_shards_of_one_batch_are_written_before_any_is_waited_for() {
             Server::bind("127.0.0.1:0", Arc::new(stub)).unwrap()
         })
         .collect();
-    let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
     let io_timeout = Duration::from_secs(3);
-    let svc = coordinator(&addrs, io_timeout);
+    let svc = over_stubs(&nodes, io_timeout);
     let chunks = vec![sealed(stream_on(0, 2), 0, 1), sealed(stream_on(1, 2), 0, 1)];
     let started = Instant::now();
     let errors = batch_errors(svc.handle(Request::InsertBatch { chunks }));
@@ -243,53 +235,14 @@ fn next_chunk(next: &mut BTreeMap<u128, u64>, id: u128) -> Vec<u8> {
     sealed(id, *index - 1, 1)
 }
 
-/// A real node that counts the frames it is sent that `counts` picks.
-struct CountingNode {
-    node: ShardNode,
-    counts: fn(&RequestRef<'_>) -> bool,
-    seen: Arc<AtomicU64>,
-}
-
-impl Handler for CountingNode {
-    fn handle(&self, req: Request) -> Response {
-        self.node.handle(req)
-    }
-
-    fn handle_frame(&self, body: &[u8]) -> Response {
-        if RequestRef::decode(body).is_ok_and(|req| (self.counts)(&req)) {
-            self.seen.fetch_add(1, Ordering::SeqCst);
-        }
-        self.node.handle_frame(body)
-    }
-}
-
 #[test]
 fn a_batch_is_one_node_call_per_shard_it_touches_and_verdicts_keep_their_positions() {
     let _serial = serial();
     const SHARDS: usize = 2;
     const BATCHES: u64 = 500; // per submitter
-    let batches = Arc::new(AtomicU64::new(0));
-    let nodes: Vec<Server> = (0..SHARDS)
-        .map(|shard| {
-            let node = ShardNode::open(
-                Arc::new(MemKv::new()),
-                NodeConfig {
-                    total_shards: SHARDS,
-                    hosted: vec![shard],
-                    engine: ServerConfig::default(),
-                },
-            )
-            .unwrap();
-            let counting = CountingNode {
-                node,
-                counts: |req| matches!(req, RequestRef::InsertBatch { .. }),
-                seen: batches.clone(),
-            };
-            Server::bind("127.0.0.1:0", Arc::new(counting)).unwrap()
-        })
-        .collect();
-    let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
-    let svc = coordinator(&addrs, Duration::from_secs(5));
+    let spec = Spec::remote(SHARDS, SHARDS, 1).service(deadline(Duration::from_secs(5)));
+    let d = Deployment::build(&spec);
+    let svc = d.service();
     let router = ShardRouter::new(SHARDS);
     // Two submitters, sixteen streams each, none shared: a stream has one
     // writer at a time.
@@ -347,7 +300,9 @@ fn a_batch_is_one_node_call_per_shard_it_touches_and_verdicts_keep_their_positio
             .collect::<Vec<_>>()
     });
     assert_eq!(
-        batches.load(Ordering::SeqCst),
+        (0..SHARDS)
+            .map(|n| d.frames_of(n, "InsertBatch"))
+            .sum::<u64>(),
         touched.iter().map(|(n, _)| n).sum::<u64>(),
         "node InsertBatch calls == shards touched, summed over {} batches",
         2 * BATCHES
@@ -370,8 +325,8 @@ fn handling_a_one_shard_insert_batch_frame_allocates_a_constant_number_of_blocks
         Request::InsertBatch { .. } => Response::Batch { errors: vec![] },
         _ => Response::Error("stub".into()),
     };
-    let node = Server::bind("127.0.0.1:0", Arc::new(stub)).unwrap();
-    let svc = coordinator(&[node.addr().to_string()], Duration::from_secs(5));
+    let node = [Server::bind("127.0.0.1:0", Arc::new(stub)).unwrap()];
+    let svc = over_stubs(&node, Duration::from_secs(5));
     let allocations = |chunks: u64, points: usize| {
         let mut frame = Vec::new();
         Request::InsertBatch {
@@ -408,22 +363,14 @@ fn ledger_rows(what: &str, counts: [u64; 3]) -> Vec<(String, String)> {
 #[test]
 fn a_node_and_an_engine_add_a_fixed_number_of_blocks_to_the_run_they_dispatch() {
     let _serial = serial();
-    let engine = || TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
-    let node = ShardNode::open(
-        Arc::new(MemKv::new()),
-        NodeConfig {
-            total_shards: 1,
-            hosted: vec![0],
-            engine: ServerConfig::default(),
-        },
-    )
-    .unwrap();
+    let engine = || Deployment::build(&Spec::engine()).engine();
+    let node = Deployment::build(&Spec::node(1)).node(0);
     // Each handler beside an engine that is handed the same runs directly,
     // from the same state: what the handler allocates beyond that engine
     // is its dispatch's.
     let (framed, beside_engine, beside_node) = (engine(), engine(), engine());
     let pairs: [(&dyn Handler, &TimeCryptServer); 2] =
-        [(&framed, &beside_engine), (&node, &beside_node)];
+        [(&*framed, &*beside_engine), (&*node, &*beside_node)];
     for (handler, direct) in pairs {
         let create = Request::CreateStream {
             stream: 1,

@@ -16,13 +16,11 @@
 //! PR 28, 38 before it and for any other order. Both counts per sealed
 //! chunk are rows of the root `BENCH_ledger.json`.
 
-use std::sync::Arc;
+use common::{Deployment, Spec};
 use timecrypt::chunk::{ChunkSealer, DataPoint, PlainChunk, StreamConfig};
 use timecrypt::client::{BatchingProducer, Consumer, DataOwner, InProcess, Producer};
 use timecrypt::core::StreamKeyMaterial;
 use timecrypt::crypto::SecureRandom;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::MemKv;
 
 mod common;
 
@@ -31,8 +29,7 @@ const DELTA_MS: i64 = 10_000;
 const CHUNKS: u64 = 4096;
 
 fn setup(stream: u128) -> (InProcess, StreamConfig, DataOwner) {
-    let server =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
+    let server = Deployment::build(&Spec::engine()).engine();
     let mut transport = InProcess::new(server);
     let cfg = StreamConfig::new(stream, "m", 0, DELTA_MS as u64);
     let mut owner = DataOwner::with_height(

@@ -8,15 +8,13 @@
 //! with `TC_MANY_E2E_STREAMS=100000 TC_MANY_E2E_CAP=1000` (minutes, not
 //! CI material).
 
-use std::sync::Arc;
+use common::{dial_fast, same_replies, sealed, Deployment, Spec};
 use std::time::{Duration, Instant};
-use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt::server::ServerConfig;
-use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
-use timecrypt::store::MemKv;
+use timecrypt::service::ServiceConfig;
 use timecrypt::wire::messages::Request;
-use timecrypt::wire::transport::{Handler, Server};
+
+mod common;
 
 const DELTA_MS: u64 = 10_000;
 /// Every `HOT_EVERY`-th stream gets chunks; the rest exist only in the
@@ -32,47 +30,6 @@ fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
-    let cfg = StreamConfig {
-        schema: DigestSchema::sum_count(),
-        ..StreamConfig::new(id, "m", 0, DELTA_MS)
-    };
-    let keys = timecrypt::core::StreamKeyMaterial::with_params(
-        id,
-        [(id as u8).wrapping_add(9); 16],
-        22,
-        timecrypt::crypto::PrgKind::Aes,
-    )
-    .unwrap();
-    let mut rng = timecrypt::crypto::SecureRandom::from_seed_insecure(id as u64 ^ (index << 32));
-    PlainChunk {
-        stream: id,
-        index,
-        points: vec![DataPoint::new(index as i64 * DELTA_MS as i64, value)],
-    }
-    .seal(&cfg, &keys, &mut rng)
-    .unwrap()
-}
-
-/// A node hosting the cluster's single shard with a bounded resident LRU.
-fn spawn_capped_node(cap: usize) -> (Server, String) {
-    let node = ShardNode::open(
-        Arc::new(MemKv::new()),
-        NodeConfig {
-            total_shards: 1,
-            hosted: vec![0],
-            engine: ServerConfig {
-                max_resident_streams: Some(cap),
-                ..ServerConfig::default()
-            },
-        },
-    )
-    .unwrap();
-    let server = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
-    let addr = server.addr().to_string();
-    (server, addr)
 }
 
 /// Queries spanning hot, cold, and absent streams — enough distinct hot
@@ -110,14 +67,6 @@ fn battery(n: u128) -> Vec<Request> {
     reqs
 }
 
-fn assert_identical(reference: &ShardedService, cluster: &ShardedService, n: u128, when: &str) {
-    for q in battery(n) {
-        let a = reference.handle(q.clone()).encode();
-        let b = cluster.handle(q.clone()).encode();
-        assert_eq!(a, b, "{when}: reply mismatch for {q:?}");
-    }
-}
-
 fn wait_for<F: Fn() -> bool>(what: &str, cond: F) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while !cond() {
@@ -132,30 +81,17 @@ fn capped_cluster_matches_uncapped_reference_across_failover_and_rebuild() {
     let cap = env_usize("TC_MANY_E2E_CAP", 12);
 
     // Uncapped, never-failed, single-process reference: the oracle.
-    let reference = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: 1,
-            ..ServiceConfig::default()
+    let reference = Deployment::build(&Spec::coordinator(1)).service();
+    // One shard on two nodes, each engine under a bounded resident LRU.
+    let cfg = ServiceConfig {
+        engine: ServerConfig {
+            max_resident_streams: Some(cap),
+            ..ServerConfig::default()
         },
-    )
-    .unwrap();
-    let (node_a, addr_a) = spawn_capped_node(cap);
-    let (_node_b, addr_b) = spawn_capped_node(cap);
-    let cluster = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![ShardSpec::remote(&addr_a).with_backup(&addr_b)],
-            pool: timecrypt::wire::pool::PoolConfig {
-                connect_attempts: 2,
-                backoff: Duration::from_millis(1),
-                ..Default::default()
-            },
-            promote_after: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+        ..dial_fast(2)
+    };
+    let d = Deployment::build(&Spec::remote(1, 2, 2).service(cfg));
+    let cluster = d.service();
 
     // Directory-heavy workload: n streams, chunks only on every 25th.
     let mut ingested = 0u64;
@@ -171,7 +107,7 @@ fn capped_cluster_matches_uncapped_reference_across_failover_and_rebuild() {
             }
         }
     }
-    assert_identical(&reference, &cluster, n, "healthy capped cluster");
+    same_replies(&*reference, &*cluster, battery(n), "healthy capped cluster");
 
     // The cap held while the battery churned far more streams than fit.
     let snap = cluster.stats();
@@ -191,23 +127,21 @@ fn capped_cluster_matches_uncapped_reference_across_failover_and_rebuild() {
 
     // Kill the primary: reads fail over to the capped backup and must
     // stay byte-identical; promotion restores writes.
-    let mut node_a = node_a;
-    node_a.shutdown();
-    drop(node_a);
-    assert_identical(&reference, &cluster, n, "after primary death");
+    d.kill(0);
+    same_replies(&*reference, &*cluster, battery(n), "after primary death");
     wait_for("promotion", || cluster.stats().shards[0].promotions == 1);
 
     // Rebuild a replacement (also capped) from the survivor's records —
     // the export must not be confused by most streams being cold on the
     // survivor, nor the import by most being cold on the replacement.
-    let (_node_c, addr_c) = spawn_capped_node(cap);
-    cluster.attach_replica(0, addr_c).unwrap();
+    let node_c = d.add_node();
+    cluster.attach_replica(0, d.addr(node_c)).unwrap();
     let snap = cluster.stats();
     assert_eq!(
         snap.shards[0].rebuild_chunks_copied, ingested,
         "every chunk copied exactly once: {snap:?}"
     );
-    assert_identical(&reference, &cluster, n, "after rebuild");
+    same_replies(&*reference, &*cluster, battery(n), "after rebuild");
     let snap = cluster.stats();
     assert!(
         snap.shards[0].resident_streams <= cap as u64,

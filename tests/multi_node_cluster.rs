@@ -4,58 +4,33 @@
 //! to a single engine), including error paths — and must keep doing so
 //! after the primary node of a replicated shard is killed.
 
+use common::{dial_fast, keys, same_replies, sealed, stream_cfg, Deployment, Spec};
 use std::sync::Arc;
-use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
+use std::time::Duration;
+use timecrypt::chunk::DataPoint;
 use timecrypt::client::{BatchingProducer, InProc, Transport};
 use timecrypt::core::heac::decrypt_range_sum;
-use timecrypt::core::StreamKeyMaterial;
-use timecrypt::crypto::{PrgKind, SecureRandom};
-use timecrypt::server::ServerConfig;
-use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
+use timecrypt::crypto::SecureRandom;
+use timecrypt::service::{ServiceConfig, ShardSpec, ShardedService};
 use timecrypt::store::MemKv;
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::transport::{Handler, Server};
+use timecrypt::wire::pool::PoolConfig;
+use timecrypt::wire::transport::Handler;
+
+mod common;
 
 const TOTAL_SHARDS: usize = 2;
 
-fn keys(id: u128) -> StreamKeyMaterial {
-    StreamKeyMaterial::with_params(id, [(id as u8).wrapping_add(9); 16], 22, PrgKind::Aes).unwrap()
-}
-
-fn stream_cfg(id: u128) -> StreamConfig {
-    StreamConfig {
-        schema: DigestSchema::sum_count(),
-        ..StreamConfig::new(id, "m", 0, 10_000)
+/// Feeds each of `tiers` `streams` streams of `chunks` chunks, chunk `i`
+/// of stream `id` holding `id · k + i`.
+fn feed(tiers: [&ShardedService; 2], streams: u128, chunks: u64, k: i64) {
+    for svc in tiers {
+        for id in 0..streams {
+            svc.create_stream(id, 0, 10_000, 2).unwrap();
+            let run = (0..chunks).map(|i| sealed(id, i, id as i64 * k + i as i64));
+            assert!(svc.submit_batch(run.collect()).iter().all(Result::is_ok));
+        }
     }
-}
-
-fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
-    let mut rng = SecureRandom::from_seed_insecure(7000 + index);
-    PlainChunk {
-        stream: id,
-        index,
-        points: vec![DataPoint::new(index as i64 * 10_000, value)],
-    }
-    .seal(&stream_cfg(id), &keys(id), &mut rng)
-    .unwrap()
-}
-
-/// A node hosting every shard over its own store (primary for some,
-/// backup for the rest), behind a real TCP server.
-fn spawn_node() -> (Server, String) {
-    let node = ShardNode::open(
-        Arc::new(MemKv::new()),
-        NodeConfig {
-            total_shards: TOTAL_SHARDS,
-            hosted: (0..TOTAL_SHARDS).collect(),
-            engine: ServerConfig::default(),
-        },
-    )
-    .unwrap();
-    let server = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
-    let addr = server.addr().to_string();
-    (server, addr)
 }
 
 /// The query battery both deployments must answer identically — happy
@@ -120,70 +95,29 @@ fn two_node_cluster_replies_match_single_process_even_after_killing_a_node() {
     const CHUNKS: u64 = 10;
 
     // Single-process reference deployment.
-    let reference = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: TOTAL_SHARDS,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let reference = Deployment::build(&Spec::coordinator(TOTAL_SHARDS)).service();
 
     // Cluster: shard 0 primary on node A (backup B), shard 1 primary on
     // node B (backup A).
-    let (node_a, addr_a) = spawn_node();
-    let (_node_b, addr_b) = spawn_node();
-    let cluster = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![
-                ShardSpec::remote(&addr_a).with_backup(&addr_b),
-                ShardSpec::remote(&addr_b).with_backup(&addr_a),
-            ],
-            pool: timecrypt::wire::pool::PoolConfig {
-                connect_attempts: 2,
-                backoff: std::time::Duration::from_millis(1),
-                ..Default::default()
-            },
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let d = Deployment::build(&Spec::remote(TOTAL_SHARDS, 2, 2).service(dial_fast(3)));
+    let cluster = d.service();
 
     // Identical workload to both (sealing is deterministic per seed/key).
-    for id in 0..STREAMS {
-        reference.create_stream(id, 0, 10_000, 2).unwrap();
-        cluster.create_stream(id, 0, 10_000, 2).unwrap();
-    }
-    for id in 0..STREAMS {
-        let chunks: Vec<EncryptedChunk> = (0..CHUNKS)
-            .map(|i| sealed(id, i, (id as i64) * 3 + i as i64))
-            .collect();
-        for r in reference.submit_batch(chunks.clone()) {
-            r.unwrap();
-        }
-        for r in cluster.submit_batch(chunks) {
-            r.unwrap();
-        }
-    }
+    feed([&reference, &cluster], STREAMS, CHUNKS, 3);
 
-    for q in query_battery(STREAMS, CHUNKS) {
-        let a = reference.handle(q.clone()).encode();
-        let b = cluster.handle(q.clone()).encode();
-        assert_eq!(a, b, "reply mismatch for {q:?}");
-    }
+    same_replies(
+        &*reference,
+        &*cluster,
+        query_battery(STREAMS, CHUNKS),
+        "healthy",
+    );
 
     // Kill node A: every shard still has a live replica (shard 0's backup,
     // shard 1's primary — both on node B).
-    let mut node_a = node_a;
-    node_a.shutdown();
-    drop(node_a);
+    d.kill(0);
 
-    for q in query_battery(STREAMS, CHUNKS) {
-        let a = reference.handle(q.clone()).encode();
-        let b = cluster.handle(q.clone()).encode();
-        assert_eq!(a, b, "reply mismatch after node kill for {q:?}");
-    }
+    let battery = query_battery(STREAMS, CHUNKS);
+    same_replies(&*reference, &*cluster, battery, "after node kill");
     let stats = cluster.stats();
     assert!(
         stats.shards.iter().map(|s| s.failovers).sum::<u64>() > 0,
@@ -199,41 +133,11 @@ fn two_node_cluster_replies_match_single_process_even_after_killing_a_node() {
 /// counters keep advancing deterministically.
 #[test]
 fn replication_metrics_are_exact_under_induced_outages() {
-    // Cluster agreement: the coordinator runs one shard, so the nodes
-    // must too (spawn_node's TOTAL_SHARDS=2 nodes would disagree).
-    let spawn_one = || {
-        let node = ShardNode::open(
-            Arc::new(MemKv::new()),
-            NodeConfig {
-                total_shards: 1,
-                hosted: vec![0],
-                engine: ServerConfig::default(),
-            },
-        )
-        .unwrap();
-        let server = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
-        let addr = server.addr().to_string();
-        (server, addr)
-    };
     let replicated_cluster = || {
-        let (node_a, addr_a) = spawn_one();
-        let (node_b, addr_b) = spawn_one();
-        let svc = ShardedService::open(
-            Arc::new(MemKv::new()),
-            ServiceConfig {
-                // One replicated shard: every stream lands on it, so
-                // expected counter values follow directly from the ops.
-                topology: vec![ShardSpec::remote(&addr_a).with_backup(&addr_b)],
-                pool: timecrypt::wire::pool::PoolConfig {
-                    connect_attempts: 2,
-                    backoff: std::time::Duration::from_millis(1),
-                    ..Default::default()
-                },
-                promote_after: 0,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        // One replicated shard: every stream lands on it, so expected
+        // counter values follow directly from the ops.
+        let d = Deployment::build(&Spec::remote(1, 2, 2).service(dial_fast(0)));
+        let svc = d.service();
         svc.create_stream(1, 0, 10_000, 2).unwrap();
         svc.insert(&sealed(1, 0, 3)).unwrap();
         svc.insert(&sealed(1, 1, 4)).unwrap();
@@ -244,15 +148,14 @@ fn replication_metrics_are_exact_under_induced_outages() {
             "healthy cluster: {snap:?}"
         );
         assert!(snap.shards[0].in_sync, "{snap:?}");
-        (node_a, node_b, svc)
+        (d, svc)
     };
 
     // Backup outage: writes keep landing on the primary; every
     // primary-accepted write counts one replica error, rejected writes
     // count none, and reads never fail over.
-    let (_node_a, mut node_b, svc) = replicated_cluster();
-    node_b.shutdown();
-    drop(node_b);
+    let (d, svc) = replicated_cluster();
+    d.kill(1);
     svc.insert(&sealed(1, 2, 5)).unwrap(); // accepted → +1
     let err = svc.insert(&sealed(1, 9, 6)); // out of order → rejected → +0
     assert!(err.is_err());
@@ -268,14 +171,13 @@ fn replication_metrics_are_exact_under_induced_outages() {
         !snap.shards[0].in_sync,
         "a backup that missed an acknowledged write is demoted: {snap:?}"
     );
-    drop(svc);
+    drop((svc, d));
 
     // Primary outage: every read (scatter-gather leg or stream-count
     // probe) fails over and is counted; the backup is never written, so
     // `replica_errors` stays put while writes fail cleanly.
-    let (mut node_a, _node_b, svc) = replicated_cluster();
-    node_a.shutdown();
-    drop(node_a);
+    let (d, svc) = replicated_cluster();
+    d.kill(0);
     for _ in 0..3 {
         svc.get_stat_range(&[1], 0, 20_000).unwrap(); // backup-served → +1 each
     }
@@ -306,44 +208,23 @@ fn replication_metrics_are_exact_under_induced_outages() {
 fn mixed_local_remote_topology_matches_all_local() {
     const STREAMS: u128 = 6;
     const CHUNKS: u64 = 8;
-    let all_local = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: TOTAL_SHARDS,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let (_node, addr) = spawn_node();
+    let all_local = Deployment::build(&Spec::coordinator(TOTAL_SHARDS)).service();
+    // A node of both shards serving the second, beside the coordinator's own.
+    let node = Deployment::build(&Spec::node(TOTAL_SHARDS));
     let mixed = ShardedService::open(
         Arc::new(MemKv::new()),
         ServiceConfig {
-            topology: vec![ShardSpec::local(), ShardSpec::remote(&addr)],
+            topology: vec![
+                ShardSpec::local(),
+                ShardSpec::remote(node.serve().to_string()),
+            ],
             ..ServiceConfig::default()
         },
     )
     .unwrap();
 
-    for id in 0..STREAMS {
-        all_local.create_stream(id, 0, 10_000, 2).unwrap();
-        mixed.create_stream(id, 0, 10_000, 2).unwrap();
-    }
-    for id in 0..STREAMS {
-        let chunks: Vec<EncryptedChunk> = (0..CHUNKS)
-            .map(|i| sealed(id, i, (id as i64) * 5 + i as i64))
-            .collect();
-        for r in all_local.submit_batch(chunks.clone()) {
-            r.unwrap();
-        }
-        for r in mixed.submit_batch(chunks) {
-            r.unwrap();
-        }
-    }
-    for q in query_battery(STREAMS, CHUNKS) {
-        let a = all_local.handle(q.clone()).encode();
-        let b = mixed.handle(q.clone()).encode();
-        assert_eq!(a, b, "reply mismatch for {q:?}");
-    }
+    feed([&all_local, &mixed], STREAMS, CHUNKS, 5);
+    same_replies(&*all_local, &mixed, query_battery(STREAMS, CHUNKS), "mixed");
 
     // Batched wire path with mixed verdicts: positions + strings must
     // match wherever each chunk's shard runs.
@@ -370,18 +251,8 @@ fn mixed_local_remote_topology_matches_all_local() {
 /// the owning node, the aggregate decrypts to the right closed form.
 #[test]
 fn batching_producer_roundtrip_through_cluster() {
-    let (_node_a, addr_a) = spawn_node();
-    let (_node_b, addr_b) = spawn_node();
-    let svc = Arc::new(
-        ShardedService::open(
-            Arc::new(MemKv::new()),
-            ServiceConfig {
-                topology: vec![ShardSpec::remote(addr_a), ShardSpec::remote(addr_b)],
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let d = Deployment::build(&Spec::remote(TOTAL_SHARDS, 2, 1));
+    let svc = d.service();
     let id = 42u128;
     svc.create_stream(id, 0, 10_000, 2).unwrap();
     let mut transport = InProc::new(svc.clone());
@@ -416,44 +287,21 @@ fn batching_producer_roundtrip_through_cluster() {
 /// serving without being rebuilt.
 #[test]
 fn node_restart_recovers_and_coordinator_reconnects() {
-    let log_path = std::env::temp_dir().join(format!("tc-node-restart-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&log_path);
-    let open_node = |listen: &str| -> Server {
-        let node = ShardNode::open(
-            Arc::new(timecrypt::store::LogKv::open(&log_path).unwrap()),
-            NodeConfig {
-                total_shards: 1,
-                hosted: vec![0],
-                engine: ServerConfig::default(),
-            },
-        )
-        .unwrap();
-        Server::bind(listen, Arc::new(node)).unwrap()
-    };
-    let node = open_node("127.0.0.1:0");
-    let addr = node.addr().to_string();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![ShardSpec::remote(&addr)],
-            pool: timecrypt::wire::pool::PoolConfig {
-                connect_attempts: 8,
-                backoff: std::time::Duration::from_millis(2),
-                ..Default::default()
-            },
-            ..ServiceConfig::default()
+    let d = Deployment::build(&Spec::remote(1, 1, 1).on_disk().service(ServiceConfig {
+        pool: PoolConfig {
+            connect_attempts: 8,
+            backoff: Duration::from_millis(2),
+            ..Default::default()
         },
-    )
-    .unwrap();
+        ..ServiceConfig::default()
+    }));
+    let svc = d.service();
     svc.create_stream(1, 0, 10_000, 2).unwrap();
     svc.insert(&sealed(1, 0, 11)).unwrap();
     let before = svc.get_stat_range(&[1], 0, 10_000).unwrap();
 
     // Restart the node on the same address, recovering from the log.
-    let mut node = node;
-    node.shutdown();
-    drop(node);
-    let _node = open_node(&addr);
+    d.restart(0);
 
     let after = svc.get_stat_range(&[1], 0, 10_000).unwrap();
     assert_eq!(before, after, "recovered node serves identical data");
@@ -463,5 +311,4 @@ fn node_restart_recovers_and_coordinator_reconnects() {
         Response::Info(i) => assert_eq!(i.len, 2),
         other => panic!("unexpected {other:?}"),
     }
-    let _ = std::fs::remove_file(&log_path);
 }

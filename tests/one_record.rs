@@ -13,6 +13,7 @@
 //! decoder of both forms refuses everything else as `CorruptNode` at
 //! level 0 (ROADMAP 9(b) decode audit).
 
+use common::{Deployment, Spec};
 use proptest::prelude::*;
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
@@ -23,8 +24,8 @@ use timecrypt::integrity::{
     RootAttestation, StreamLedger,
 };
 use timecrypt::pk::SigningKey;
-use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};
-use timecrypt::store::{KvStore, LogKv, MemKv, MeteredKv};
+use timecrypt::server::{ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};
+use timecrypt::store::KvStore;
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::Handler;
 
@@ -75,14 +76,14 @@ fn stored(kv: &dyn KvStore, stream: u128, index: u64) -> (Vec<u8>, Vec<u8>) {
 /// as one run and attested by its owner: the engine, the bytes it was
 /// handed, and the owner's key.
 struct Attested {
-    server: TimeCryptServer,
+    server: Arc<TimeCryptServer>,
     stream: u128,
     sent: Vec<Vec<u8>>,
     key: SigningKey,
 }
 
-fn attested(kv: Arc<dyn KvStore>, stream: u128, width: usize, payloads: &[Vec<u8>]) -> Attested {
-    let server = TimeCryptServer::open(kv, ServerConfig::default()).unwrap();
+fn attested(d: &Deployment, stream: u128, width: usize, payloads: &[Vec<u8>]) -> Attested {
+    let server = d.engine();
     server
         .create_stream(stream, 0, DELTA_MS, width as u32)
         .unwrap();
@@ -169,8 +170,8 @@ proptest! {
             .zip(&lens)
             .map(|(i, &len)| (0..len).map(|b| fill ^ i ^ b as u8).collect())
             .collect();
-        let kv = Arc::new(MemKv::new());
-        let a = attested(kv.clone(), stream, width, &payloads);
+        let d = Deployment::build(&Spec::engine());
+        let (a, kv) = (attested(&d, stream, width, &payloads), d.meter(0));
         let n = a.n();
 
         let forms = stored_forms(&a.sent);
@@ -253,9 +254,9 @@ proptest! {
         value in any::<u32>(),
         noise in proptest::collection::vec(any::<u8>(), 0..120),
     ) {
-        let kv = Arc::new(MemKv::new());
+        let d = Deployment::build(&Spec::engine());
         let payloads = vec![vec![7u8; 5], vec![8u8; 32], vec![9u8; 40]];
-        let a = attested(kv.clone(), 77, 3, &payloads);
+        let (a, kv) = (attested(&d, 77, 3, &payloads), d.meter(0));
         a.server.delete_range(77, ts(2), ts(3)).unwrap();
         // Chunk 1 takes the damage: a full record, the stub, the old form
         // or noise.
@@ -356,9 +357,9 @@ fn old_form(record: &[u8], width: usize) -> Vec<u8> {
 /// refuses a store written in the old form whole.)
 #[test]
 fn a_record_in_the_old_form_is_corrupt_node() {
-    let kv = Arc::new(MemKv::new());
+    let d = Deployment::build(&Spec::engine());
     let payloads = vec![vec![7u8; 5], vec![8u8; 32], vec![9u8; 40]];
-    let a = attested(kv.clone(), 77, 3, &payloads);
+    let (a, kv) = (attested(&d, 77, 3, &payloads), d.meter(0));
     a.server.delete_range(77, ts(2), ts(3)).unwrap();
     for index in [1, 2] {
         let (key, record) = stored(kv.as_ref(), 77, index);
@@ -380,14 +381,14 @@ fn a_record_in_the_old_form_is_corrupt_node() {
 /// and attestation, puts per stubbed chunk, and the second call's puts.
 #[test]
 fn a_crash_truncated_delete_range_is_all_stubs_or_none() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("tc-one-record-{}.log", std::process::id()));
-    let cut_path = dir.join(format!("tc-one-record-{}-cut.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    let d = Deployment::build(&Spec::engine().on_disk());
     let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 20 + i as usize]).collect();
-    let log = Arc::new(LogKv::open(&path).unwrap());
-    let kv = Arc::new(MeteredKv::new(log.clone()));
-    let a = attested(kv.clone(), 5, 2, &payloads);
+    let (a, kv, log, path) = (
+        attested(&d, 5, 2, &payloads),
+        d.meter(0),
+        d.log(0),
+        d.path(0),
+    );
     let (before, puts) = (log.stats().log_bytes, kv.counters().puts);
     assert_eq!(a.server.delete_range(5, ts(1), ts(5)).unwrap(), 4);
     let stubs = kv.counters().puts - puts;
@@ -407,15 +408,14 @@ fn a_crash_truncated_delete_range_is_all_stubs_or_none() {
     ]);
     let (stream, sent, whole) = (a.stream, a.sent.clone(), log.stats().log_bytes);
     drop((a, log, kv));
+    d.kill(0);
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(bytes.len() as u64, whole);
     for cut in before..=whole {
-        std::fs::write(&cut_path, &bytes[..cut as usize]).unwrap();
-        let server = TimeCryptServer::open(
-            Arc::new(LogKv::open(&cut_path).unwrap()),
-            ServerConfig::default(),
-        )
-        .unwrap();
+        d.kill(0);
+        std::fs::write(&path, &bytes[..cut as usize]).unwrap();
+        d.restart(0);
+        let server = d.engine();
         let read = server.get_range(stream, 0, ts(6)).unwrap();
         let exported: Vec<_> = exported_leaves(&server, stream);
         let full = |i: usize| stored_forms(&sent)[i].clone();
@@ -428,6 +428,4 @@ fn a_crash_truncated_delete_range_is_all_stubs_or_none() {
             assert!((0..6).all(|i| full_at(i) != (1..5).contains(&i)));
         }
     }
-    std::fs::remove_file(&path).unwrap();
-    std::fs::remove_file(&cut_path).unwrap();
 }

@@ -5,16 +5,17 @@
 //! producer `push_live` → server live buffer → consumer `get_range_live`,
 //! and the supersede-on-chunk-finalize behaviour.
 
+use common::{Deployment, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
 use timecrypt::crypto::SecureRandom;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::MemKv;
+use timecrypt::server::TimeCryptServer;
+
+mod common;
 
 fn setup() -> (Arc<TimeCryptServer>, InProcess, StreamConfig, DataOwner) {
-    let server =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
+    let server = Deployment::build(&Spec::engine()).engine();
     let transport = InProcess::new(server.clone());
     let cfg = StreamConfig::new(5, "hr", 0, 10_000);
     let owner = DataOwner::with_height(

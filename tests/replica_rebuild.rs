@@ -13,62 +13,34 @@
 //! rebuilds one under a writer that never pauses, from before the attach
 //! until after it returned.
 
+use common::{dial_fast, same_replies, sealed, Deployment, Spec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::integrity::{chunk_commitment, StreamLedger};
 use timecrypt::pk::SigningKey;
-use timecrypt::server::ServerConfig;
-use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
-use timecrypt::store::{KvStore, MemKv, MeteredKv};
+use timecrypt::service::ShardedService;
+use timecrypt::store::KvStore;
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::transport::{Handler, Server};
+use timecrypt::wire::transport::Handler;
+
+mod common;
 
 const STREAMS: [u128; 2] = [1, 2];
 const BASE_CHUNKS: u64 = 5;
 
-fn stream_cfg(id: u128) -> StreamConfig {
-    StreamConfig {
-        schema: DigestSchema::sum_count(),
-        ..StreamConfig::new(id, "m", 0, 10_000)
-    }
+/// The cluster's single shard on `nodes` nodes, `replicas` of them
+/// holding it, under a coordinator that dials fast and promotes after two
+/// strikes.
+fn cluster(nodes: usize, replicas: usize) -> Deployment {
+    Deployment::build(&Spec::remote(1, nodes, replicas).service(dial_fast(2)))
 }
 
-fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
-    let keys = timecrypt::core::StreamKeyMaterial::with_params(
-        id,
-        [(id as u8).wrapping_add(3); 16],
-        22,
-        timecrypt::crypto::PrgKind::Aes,
-    )
-    .unwrap();
-    let mut rng = SecureRandom::from_seed_insecure(400 + index);
-    PlainChunk {
-        stream: id,
-        index,
-        points: vec![DataPoint::new(index as i64 * 10_000, value)],
-    }
-    .seal(&stream_cfg(id), &keys, &mut rng)
-    .unwrap()
-}
-
-/// A node hosting the cluster's single shard over its own store.
-fn spawn_node() -> (Server, String) {
-    let node = ShardNode::open(
-        Arc::new(MemKv::new()),
-        NodeConfig {
-            total_shards: 1,
-            hosted: vec![0],
-            engine: ServerConfig::default(),
-        },
-    )
-    .unwrap();
-    let server = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
-    let addr = server.addr().to_string();
-    (server, addr)
+/// The never-failed single-process reference: the byte-identity oracle.
+fn reference() -> Deployment {
+    Deployment::build(&Spec::coordinator(1))
 }
 
 /// Inserts with retries: an acknowledged write is one that returned `Ok`.
@@ -112,42 +84,10 @@ fn battery(chunks: u64) -> Vec<Request> {
     ]
 }
 
-fn assert_identical(reference: &ShardedService, cluster: &ShardedService, chunks: u64, when: &str) {
-    for q in battery(chunks) {
-        let a = reference.handle(q.clone()).encode();
-        let b = cluster.handle(q.clone()).encode();
-        assert_eq!(a, b, "{when}: reply mismatch for {q:?}");
-    }
-}
-
 #[test]
 fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() {
-    // Never-failed single-process reference: the byte-identity oracle.
-    let reference = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: 1,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-
-    let (node_a, addr_a) = spawn_node();
-    let (node_b, addr_b) = spawn_node();
-    let cluster = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![ShardSpec::remote(&addr_a).with_backup(&addr_b)],
-            pool: timecrypt::wire::pool::PoolConfig {
-                connect_attempts: 2,
-                backoff: Duration::from_millis(1),
-                ..Default::default()
-            },
-            promote_after: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let (reference, d) = (reference().service(), cluster(2, 2));
+    let cluster = d.service();
 
     // Phase 0: identical base workload to both deployments.
     for &id in &STREAMS {
@@ -159,7 +99,12 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
             cluster.insert(&c).unwrap();
         }
     }
-    assert_identical(&reference, &cluster, BASE_CHUNKS, "healthy cluster");
+    same_replies(
+        &*reference,
+        &*cluster,
+        battery(BASE_CHUNKS),
+        "healthy cluster",
+    );
     let prefix_reply = cluster
         .get_stat_range(&STREAMS, 0, BASE_CHUNKS as i64 * 10_000)
         .unwrap();
@@ -169,7 +114,6 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
     // or change bytes (failover covers the gap, promotion closes it) —
     // while the main thread keeps writing; every write is retried until
     // acknowledged, and promotion must restore write availability.
-    let mut node_a = node_a;
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let queries_run = scope.spawn(|| {
@@ -183,7 +127,7 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
             }
             n
         });
-        node_a.shutdown();
+        d.kill(0);
         for i in BASE_CHUNKS..2 * BASE_CHUNKS {
             for &id in &STREAMS {
                 insert_acked(&cluster, &sealed(id, i, (id as i64) * 7 + i as i64));
@@ -192,7 +136,6 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
         stop.store(true, Ordering::Relaxed);
         assert!(queries_run.join().unwrap() > 0, "query thread never ran");
     });
-    drop(node_a);
 
     // Every acknowledged write is durable on the promoted primary.
     for &id in &STREAMS {
@@ -208,7 +151,12 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
             other => panic!("unexpected {other:?}"),
         }
     }
-    assert_identical(&reference, &cluster, 2 * BASE_CHUNKS, "after promotion");
+    same_replies(
+        &*reference,
+        &*cluster,
+        battery(2 * BASE_CHUNKS),
+        "after promotion",
+    );
     let snap = cluster.stats();
     assert_eq!(snap.shards[0].promotions, 1, "{snap:?}");
     assert!(snap.shards[0].failovers > 0, "{snap:?}");
@@ -221,8 +169,8 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
     // survivor's records into it (ExportStream / ImportStream pages) until
     // a sweep of each stream finds them there, and re-arms mirroring
     // before it returns.
-    let (_node_c, addr_c) = spawn_node();
-    cluster.attach_replica(0, addr_c).unwrap();
+    let node_c = d.add_node();
+    cluster.attach_replica(0, d.addr(node_c)).unwrap();
     let snap = cluster.stats();
     assert_eq!(
         snap.shards[0].rebuild_chunks_copied,
@@ -247,13 +195,11 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
     // Phase 3: kill the promoted primary too. Reads fail over to the
     // REBUILT replica and promote it — the rebuilt node answers with the
     // same bytes as the never-failed reference.
-    let mut node_b = node_b;
-    node_b.shutdown();
-    drop(node_b);
-    assert_identical(
-        &reference,
-        &cluster,
-        2 * BASE_CHUNKS + 1,
+    d.kill(1);
+    same_replies(
+        &*reference,
+        &*cluster,
+        battery(2 * BASE_CHUNKS + 1),
         "rebuilt replica serving",
     );
     let snap = cluster.stats();
@@ -264,27 +210,12 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
         insert_acked(&cluster, &c);
         reference.insert(&c).unwrap();
     }
-    assert_identical(
-        &reference,
-        &cluster,
-        2 * BASE_CHUNKS + 2,
+    same_replies(
+        &*reference,
+        &*cluster,
+        battery(2 * BASE_CHUNKS + 2),
         "rebuilt replica as primary",
     );
-}
-
-/// A coordinator over one remote shard per topology entry, dialing fast.
-fn open_cluster(spec: ShardSpec) -> ShardedService {
-    let cfg = ServiceConfig {
-        topology: vec![spec],
-        pool: timecrypt::wire::pool::PoolConfig {
-            connect_attempts: 2,
-            backoff: Duration::from_millis(1),
-            ..Default::default()
-        },
-        promote_after: 2,
-        ..ServiceConfig::default()
-    };
-    ShardedService::open(Arc::new(MemKv::new()), cfg).unwrap()
 }
 
 #[test]
@@ -299,16 +230,8 @@ fn a_rebuild_racing_live_writes_converges() {
     const RUNS: u64 = 50;
     const RUN: u64 = 4;
     let value = |id: u128, i: u64| (id as i64) * 11 + i as i64;
-    let reference = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: 1,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let (node_a, addr_a) = spawn_node();
-    let cluster = open_cluster(ShardSpec::remote(&addr_a));
+    let (reference, d) = (reference().service(), cluster(1, 1));
+    let cluster = d.service();
     for id in 1..=IDS {
         cluster.create_stream(id, 0, 10_000, 2).unwrap();
         let base = (0..BASE).map(|i| sealed(id, i, value(id, i))).collect();
@@ -355,7 +278,7 @@ fn a_rebuild_racing_live_writes_converges() {
             ts_e: 40_000,
         },
     ];
-    let (_node_b, addr_b) = spawn_node();
+    let node_b = d.add_node();
     let start = Barrier::new(2);
     let attached = std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -368,7 +291,7 @@ fn a_rebuild_racing_live_writes_converges() {
             }
         });
         start.wait();
-        cluster.attach_replica(0, addr_b)
+        cluster.attach_replica(0, d.addr(node_b))
     });
     attached.expect("the rebuild converged");
     let snap = cluster.stats();
@@ -388,12 +311,10 @@ fn a_rebuild_racing_live_writes_converges() {
         assert_eq!(reference.handle(extra.clone()), Response::Ok);
     }
     // Kill the primary: the rebuilt replica answers, and is promoted.
-    let mut node_a = node_a;
-    node_a.shutdown();
-    drop(node_a);
+    d.kill(0);
     for id in 1..=IDS {
         let window = next[id as usize - 1] as i64 * 10_000;
-        for q in [
+        let reads = [
             Request::StreamInfo { stream: id },
             Request::GetRange {
                 stream: id,
@@ -405,10 +326,8 @@ fn a_rebuild_racing_live_writes_converges() {
                 ts_s: 0,
                 ts_e: window,
             },
-        ] {
-            let want = reference.handle(q.clone()).encode();
-            assert_eq!(cluster.handle(q.clone()).encode(), want, "{q:?}");
-        }
+        ];
+        same_replies(&*reference, &*cluster, reads, "rebuilt replica");
     }
     let vocabulary = [
         Request::GetGrants {
@@ -441,36 +360,6 @@ fn a_rebuild_racing_live_writes_converges() {
     assert_eq!(cluster.stats().shards[0].promotions, 1);
 }
 
-/// A node that counts the `ListStreams` frames it answers: one per pass of
-/// a rebuild it is the replica of.
-struct CountingLists {
-    node: ShardNode,
-    lists: AtomicU64,
-}
-
-impl Handler for CountingLists {
-    fn handle(&self, req: Request) -> Response {
-        self.node.handle(req)
-    }
-
-    fn handle_frame(&self, body: &[u8]) -> Response {
-        if matches!(Request::decode(body), Ok(Request::ListStreams { .. })) {
-            self.lists.fetch_add(1, Ordering::SeqCst);
-        }
-        self.node.handle_frame(body)
-    }
-}
-
-/// A node hosting the cluster's single shard over `kv`.
-fn node_over(kv: Arc<dyn KvStore>) -> ShardNode {
-    let cfg = NodeConfig {
-        total_shards: 1,
-        hosted: vec![0],
-        engine: ServerConfig::default(),
-    };
-    ShardNode::open(kv, cfg).unwrap()
-}
-
 /// Every record `kv` holds, in key order.
 fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
     let mut all = kv.scan_prefix(b"").unwrap();
@@ -484,15 +373,10 @@ fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
 /// the writer stopped, the replica's store must be the survivor's, byte
 /// for byte. Returns what the rebuild took, as a printable line.
 fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
-    let survivor = Arc::new(MeteredKv::new(Arc::new(MemKv::new())));
-    let node_a = Server::bind("127.0.0.1:0", Arc::new(node_over(survivor.clone()))).unwrap();
-    let replica_kv = Arc::new(MemKv::new());
-    let replica = Arc::new(CountingLists {
-        node: node_over(replica_kv.clone()),
-        lists: AtomicU64::new(0),
-    });
-    let node_b = Server::bind("127.0.0.1:0", replica.clone()).unwrap();
-    let cluster = open_cluster(ShardSpec::remote(node_a.addr().to_string()));
+    let d = cluster(1, 1);
+    let (cluster, survivor) = (d.service(), d.meter(0));
+    let replica = d.add_node();
+    let replica_kv = d.meter(replica).inner().clone();
     let value = |id: u128, i: u64| (id as i64) * 13 + i as i64;
     for id in 0..streams {
         cluster.create_stream(id, 0, 10_000, 2).unwrap();
@@ -525,7 +409,7 @@ fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
         wait_for(batch as u64);
         let (begun, before) = (Instant::now(), written.load(Ordering::SeqCst));
         let read = survivor.counters().bytes_read;
-        let attached = cluster.attach_replica(0, node_b.addr().to_string());
+        let attached = cluster.attach_replica(0, d.addr(replica));
         let (ms, read) = (begun.elapsed(), survivor.counters().bytes_read - read);
         let during = written.load(Ordering::SeqCst) - before;
         let held = stored(&**survivor.inner());
@@ -541,7 +425,7 @@ fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
             "rebuild under a writer that never pauses, {streams} streams × {chunks} chunks: \
              {} pass(es), {:.1} ms, {read} B read on the survivor for {held} B stored \
              ({:.2}×), writer {:.0} chunks/s during it, {later:.0} after",
-            replica.lists.load(Ordering::SeqCst),
+            d.frames_of(replica, "ListStreams"),
             ms.as_secs_f64() * 1e3,
             read as f64 / held as f64,
             rate(during, ms),

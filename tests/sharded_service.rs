@@ -2,40 +2,16 @@
 //! across shards, per-stream ordering under the batched ingest pipeline,
 //! and byte-identical equivalence with the single-engine path.
 
-use std::sync::Arc;
+use common::{keys, same_replies, sealed, stream_cfg, Deployment, Spec};
 use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
+use timecrypt::chunk::DataPoint;
 use timecrypt::client::{BatchingProducer, InProc, Transport};
 use timecrypt::core::heac::decrypt_range_sum;
-use timecrypt::core::StreamKeyMaterial;
-use timecrypt::crypto::{PrgKind, SecureRandom};
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::service::{ServiceConfig, ShardedService};
-use timecrypt::store::MemKv;
+use timecrypt::crypto::SecureRandom;
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::Handler;
 
-fn keys(id: u128) -> StreamKeyMaterial {
-    StreamKeyMaterial::with_params(id, [(id as u8).wrapping_add(3); 16], 22, PrgKind::Aes).unwrap()
-}
-
-fn stream_cfg(id: u128) -> StreamConfig {
-    StreamConfig {
-        schema: DigestSchema::sum_count(),
-        ..StreamConfig::new(id, "m", 0, 10_000)
-    }
-}
-
-fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
-    let mut rng = SecureRandom::from_seed_insecure(1000 + index);
-    PlainChunk {
-        stream: id,
-        index,
-        points: vec![DataPoint::new(index as i64 * 10_000, value)],
-    }
-    .seal(&stream_cfg(id), &keys(id), &mut rng)
-    .unwrap()
-}
+mod common;
 
 /// Many concurrent producers, one stream each, batched ingest: every chunk
 /// must land, in order, on the right shard.
@@ -43,16 +19,7 @@ fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
 fn concurrent_producers_preserve_per_stream_order() {
     const STREAMS: u128 = 16;
     const CHUNKS: u64 = 40;
-    let svc = Arc::new(
-        ShardedService::open(
-            Arc::new(MemKv::new()),
-            ServiceConfig {
-                shards: 4,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let svc = Deployment::build(&Spec::coordinator(4)).service();
     for id in 0..STREAMS {
         svc.create_stream(id, 0, 10_000, 2).unwrap();
     }
@@ -113,15 +80,8 @@ fn concurrent_producers_preserve_per_stream_order() {
 fn sharded_replies_match_single_engine_byte_for_byte() {
     const STREAMS: u128 = 9;
     const CHUNKS: u64 = 12;
-    let single = TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: 3,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let single = Deployment::build(&Spec::engine()).engine();
+    let svc = Deployment::build(&Spec::coordinator(3)).service();
 
     // Identical workload to both deployments (same chunk bytes: sealing is
     // deterministic given the same seed/key material).
@@ -193,27 +153,16 @@ fn sharded_replies_match_single_engine_byte_for_byte() {
         Request::StreamInfo { stream: 77 },
         Request::Ping,
     ];
-    for q in queries {
-        let a = single.handle(q.clone()).encode();
-        let b = svc.handle(q.clone()).encode();
-        assert_eq!(a, b, "reply mismatch for {q:?}");
-    }
+    same_replies(&*single, &*svc, queries, "sharded");
 }
 
 /// The batched wire path (`InsertBatch`) reports per-chunk errors with
 /// batch positions, on both deployments identically.
 #[test]
 fn insert_batch_error_positions_match_single_engine() {
-    let single = TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    for engine_like in [&single as &dyn Handler, &svc as &dyn Handler] {
+    let single = Deployment::build(&Spec::engine()).engine();
+    let svc = Deployment::build(&Spec::coordinator(2)).service();
+    for engine_like in [&*single as &dyn Handler, &*svc as &dyn Handler] {
         engine_like.handle(Request::CreateStream {
             stream: 1,
             t0: 0,
@@ -259,16 +208,7 @@ fn insert_batch_error_positions_match_single_engine() {
 /// aggregate.
 #[test]
 fn batching_producer_roundtrip_through_service() {
-    let svc = Arc::new(
-        ShardedService::open(
-            Arc::new(MemKv::new()),
-            ServiceConfig {
-                shards: 2,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let svc = Deployment::build(&Spec::coordinator(2)).service();
     let id = 42u128;
     svc.create_stream(id, 0, 10_000, 2).unwrap();
     let mut transport = InProc::new(svc.clone());
@@ -304,14 +244,7 @@ fn batching_producer_roundtrip_through_service() {
 /// metered store's traffic.
 #[test]
 fn stats_request_reports_service_state() {
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            shards: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let svc = Deployment::build(&Spec::coordinator(2)).service();
     for id in 0..6u128 {
         svc.create_stream(id, 0, 10_000, 2).unwrap();
         svc.insert(&sealed(id, 0, 1)).unwrap();
@@ -338,6 +271,6 @@ fn stats_request_reports_service_state() {
         other => panic!("unexpected {other:?}"),
     }
     // Single engines refuse the probe.
-    let single = TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
+    let single = Deployment::build(&Spec::engine()).engine();
     assert!(matches!(single.handle(Request::Stats), Response::Error(_)));
 }

@@ -3,81 +3,27 @@
 //!
 //! * a coordinator sends each remote shard's leg as one frame, whatever
 //!   its length and whether or not its windows are empty — two shards on
-//!   one node are two frames for an 8-stream query (the line this prints
-//!   is what CI copies to the job summary), one shard's 300-stream leg is
-//!   one;
+//!   one node are two frames for an 8-stream query, one shard's 300-stream
+//!   leg is one;
 //! * a scrape (`stats()`) asks each node once, however many shards it
-//!   hosts or replicates — one frame for two shards on one node (printed
-//!   and copied the same way);
-//! * one engine, a shard node, an in-process coordinator and a remote one
-//!   answer `GetStatRange` over the same store with the same bytes,
-//!   errors and their precedence included.
+//!   hosts or replicates — one frame for two shards on one node, one per
+//!   node for two crosswise R=2 nodes;
+//! * an engine, a shard node, in-process coordinators of 1, 2 and 4
+//!   shards, a remote one and an R=2 one, fed the same requests, answer
+//!   `GetStatRange` with the same bytes, errors and their precedence
+//!   included.
+//!
+//! The frame counts are `stat_path.frames.*` rows of the root
+//! `BENCH_ledger.json`, read from each node's frame count in the
+//! deployment; CI copies them to the job summary.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use common::{Deployment, Spec};
 use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::server::{ServerConfig, ServerError, TimeCryptServer};
-use timecrypt::service::{
-    NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardSpec, ShardedService,
-};
-use timecrypt::store::{KvStore, MemKv};
+use timecrypt::server::ServerError;
+use timecrypt::service::ShardRouter;
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::transport::{Handler, Server};
 
-/// A real node that counts the frames it is sent.
-struct CountingNode {
-    node: Arc<ShardNode>,
-    frames: Arc<AtomicU64>,
-}
-
-impl Handler for CountingNode {
-    fn handle(&self, req: Request) -> Response {
-        self.node.handle(req)
-    }
-
-    fn handle_frame(&self, body: &[u8]) -> Response {
-        self.frames.fetch_add(1, Ordering::SeqCst);
-        self.node.handle_frame(body)
-    }
-}
-
-fn node(store: Arc<dyn KvStore>, shards: usize) -> Arc<ShardNode> {
-    let cfg = NodeConfig {
-        total_shards: shards,
-        hosted: (0..shards).collect(),
-        engine: ServerConfig::default(),
-    };
-    Arc::new(ShardNode::open(store, cfg).unwrap())
-}
-
-/// A node hosting all `shards` over its own store, behind a frame counter,
-/// and its address.
-fn counting_node(shards: usize) -> (Server, Arc<AtomicU64>, String) {
-    let frames = Arc::new(AtomicU64::new(0));
-    let counting = CountingNode {
-        node: node(Arc::new(MemKv::new()), shards),
-        frames: frames.clone(),
-    };
-    let server = Server::bind("127.0.0.1:0", Arc::new(counting)).unwrap();
-    let addr = server.addr().to_string();
-    (server, frames, addr)
-}
-
-fn coordinator(topology: Vec<ShardSpec>) -> ShardedService {
-    let cfg = ServiceConfig {
-        topology,
-        ..ServiceConfig::default()
-    };
-    ShardedService::open(Arc::new(MemKv::new()), cfg).unwrap()
-}
-
-/// A counting node hosting all `shards`, and a coordinator that reaches
-/// every shard on it.
-fn one_node(shards: usize) -> (Server, Arc<AtomicU64>, ShardedService) {
-    let (server, frames, addr) = counting_node(shards);
-    let svc = coordinator(vec![ShardSpec::remote(addr); shards]);
-    (server, frames, svc)
-}
+mod common;
 
 /// Chunk `index` of `stream`, its digest `width` words of `value`: the
 /// server neither decrypts nor checks digests.
@@ -90,22 +36,24 @@ fn chunk(stream: u128, index: u64, width: usize, value: u64) -> EncryptedChunk {
     }
 }
 
-/// `svc`'s reply to a query of `streams` over the first chunk interval,
-/// and the frames the node received while it answered.
-fn counted(
-    svc: &ShardedService,
-    frames: &AtomicU64,
-    streams: &[u128],
-) -> (Result<usize, String>, u64) {
-    let before = frames.load(Ordering::SeqCst);
-    let reply = svc.get_stat_range(streams, 0, 10_000);
+/// `d`'s reply to a query of `streams` over the first chunk interval, and
+/// the frames node 0 received while it answered.
+fn counted(d: &Deployment, streams: &[u128]) -> (Result<usize, String>, u64) {
+    let before = d.frames(0);
+    let reply = d.service().get_stat_range(streams, 0, 10_000);
     let reply = reply.map(|r| r.parts.len()).map_err(|e| e.to_string());
-    (reply, frames.load(Ordering::SeqCst) - before)
+    (reply, d.frames(0) - before)
+}
+
+/// A `stat_path.frames.<what>` ledger row.
+fn row(what: &str, frames: u64) -> (String, String) {
+    (format!("stat_path.frames.{what}"), frames.to_string())
 }
 
 #[test]
 fn a_query_is_one_frame_per_shard_two_shards_on_one_node() {
-    let (_node, frames, svc) = one_node(2);
+    let d = Deployment::build(&Spec::remote(2, 1, 1));
+    let svc = d.service();
     let router = ShardRouter::new(2);
     let on = |shard| (0..).filter(move |&id| router.shard_of(id) == shard);
     let streams: Vec<u128> = on(0).take(4).chain(on(1).take(4)).collect();
@@ -115,115 +63,105 @@ fn a_query_is_one_frame_per_shard_two_shards_on_one_node() {
     // Every window empty: each leg stops at its first stream, and the
     // reply carries the width the query's precedence needs.
     let empty = Err(ServerError::EmptyRange.to_string());
-    assert_eq!(counted(&svc, &frames, &streams), (empty, 2));
+    assert_eq!(counted(&d, &streams), (empty, 2));
     for &id in &streams {
         svc.insert(&chunk(id, 0, 2, id as u64)).unwrap();
     }
-    let (reply, exchanges) = counted(&svc, &frames, &streams);
-    println!("node exchanges per 8-stream query, two shards on one node: {exchanges}");
-    assert_eq!((reply, exchanges), (Ok(8), 2));
+    let (reply, exchanges) = counted(&d, &streams);
+    assert_eq!(reply, Ok(8));
+    common::ledger(&[row("query8.two_shards_one_node", exchanges)]);
 }
 
-/// `svc.stats()`'s count of each shard's streams, and the frames each of
-/// `nodes` received while it was taken.
-fn scraped(svc: &ShardedService, nodes: &[&AtomicU64]) -> (Vec<u64>, Vec<u64>) {
-    let before: Vec<u64> = nodes.iter().map(|n| n.load(Ordering::SeqCst)).collect();
-    let streams = svc.stats().shards.iter().map(|s| s.streams).collect();
-    let after = nodes.iter().map(|n| n.load(Ordering::SeqCst));
+/// `d.service().stats()`'s count of each shard's streams, and the frames
+/// each of `d`'s `nodes` received while it was taken.
+fn scraped(d: &Deployment, nodes: usize) -> (Vec<u64>, Vec<u64>) {
+    let before: Vec<u64> = (0..nodes).map(|n| d.frames(n)).collect();
+    let streams = d
+        .service()
+        .stats()
+        .shards
+        .iter()
+        .map(|s| s.streams)
+        .collect();
+    let after = (0..nodes).map(|n| d.frames(n));
     (streams, after.zip(before).map(|(a, b)| a - b).collect())
 }
 
 #[test]
 fn a_scrape_is_one_frame_per_node_two_shards_on_one_node() {
-    let (_node, frames, svc) = one_node(2);
     let router = ShardRouter::new(2);
     let on = |shard| (0..).find(|&id| router.shard_of(id) == shard).unwrap();
-    for id in [on(0), on(1)] {
-        svc.create_stream(id, 0, 10_000, 2).unwrap();
+    // One node hosting both shards, then R=2 crosswise: each node is one
+    // shard's primary and the other's backup, and is asked once.
+    let mut rows = Vec::new();
+    for (what, nodes, replicas) in [("two_shards_one_node", 1, 1), ("crosswise_r2", 2, 2)] {
+        let d = Deployment::build(&Spec::remote(2, nodes, replicas));
+        for id in [on(0), on(1)] {
+            d.service().create_stream(id, 0, 10_000, 2).unwrap();
+        }
+        let (streams, exchanges) = scraped(&d, nodes);
+        assert_eq!(streams, vec![1, 1]);
+        for (n, frames) in exchanges.into_iter().enumerate() {
+            rows.push(row(&format!("scrape.{what}.node{n}"), frames));
+        }
     }
-    let (streams, exchanges) = scraped(&svc, &[&frames]);
-    println!(
-        "node exchanges per scrape, two shards on one node: {}",
-        exchanges[0]
-    );
-    assert_eq!((streams, exchanges), (vec![1, 1], vec![1]));
-    // R=2 crosswise: each node is one shard's primary and the other's
-    // backup, and is asked once.
-    let (_a, frames_a, addr_a) = counting_node(2);
-    let (_b, frames_b, addr_b) = counting_node(2);
-    let svc = coordinator(vec![
-        ShardSpec::remote(&addr_a).with_backup(&addr_b),
-        ShardSpec::remote(&addr_b).with_backup(&addr_a),
-    ]);
-    for id in [on(0), on(1)] {
-        svc.create_stream(id, 0, 10_000, 2).unwrap();
-    }
-    let (streams, exchanges) = scraped(&svc, &[&frames_a, &frames_b]);
-    assert_eq!((streams, exchanges), (vec![1, 1], vec![1, 1]));
+    common::ledger(&rows);
 }
 
 #[test]
 fn a_300_stream_leg_is_one_frame() {
     const N: u128 = 300;
-    let (_node, frames, svc) = one_node(1);
+    let d = Deployment::build(&Spec::remote(1, 1, 1));
+    let svc = d.service();
     let all: Vec<u128> = (0..N).collect();
     for &id in &all {
         svc.create_stream(id, 0, 10_000, 2).unwrap();
     }
     let empty = Err(ServerError::EmptyRange.to_string());
-    assert_eq!(counted(&svc, &frames, &all), (empty, 1));
+    assert_eq!(counted(&d, &all), (empty, 1));
     let chunks = all.iter().map(|&id| chunk(id, 0, 2, 1)).collect();
     assert!(svc.submit_batch(chunks).iter().all(Result::is_ok));
-    assert_eq!(counted(&svc, &frames, &all), (Ok(N as usize), 1));
+    assert_eq!(counted(&d, &all), (Ok(N as usize), 1));
 }
 
 #[test]
 fn every_tier_answers_get_stat_range_with_the_same_bytes() {
-    let store: Arc<dyn KvStore> = Arc::new(MemKv::new());
-    let engine = TimeCryptServer::open(store.clone(), ServerConfig::default()).unwrap();
+    let tiers = [
+        ("engine", Spec::engine()),
+        ("node", Spec::node(2)),
+        ("in-process coordinator, 1 shard", Spec::coordinator(1)),
+        ("in-process coordinator, 2 shards", Spec::coordinator(2)),
+        ("in-process coordinator, 4 shards", Spec::coordinator(4)),
+        ("remote coordinator", Spec::remote(2, 1, 1)),
+        ("R=2 coordinator", Spec::remote(2, 2, 2)),
+    ]
+    .map(|(tier, spec)| (tier, Deployment::build(&spec)));
     let router = ShardRouter::new(2);
     let mut on = [0, 1].map(|shard| (1..).filter(move |&id| router.shard_of(id) == shard));
     let mut next = |shard: usize| on[shard].next().unwrap();
-    // Width 2 with data on both shards, width 3 with data, both widths
-    // empty, and never registered.
+    // Width 2 with data on both shards of two, width 3 with data, both
+    // widths empty, and never registered; each tier fed the same requests.
     let (a, b, c) = (next(0), next(1), next(1));
     let (e, f) = (next(0), next(1));
     let (u0, u1) = (next(0), next(1));
     for (id, width, chunks) in [(a, 2, 3), (b, 2, 3), (c, 3, 3), (e, 2, 0), (f, 3, 0)] {
-        engine.create_stream(id, 0, 10_000, width).unwrap();
-        for index in 0..chunks {
+        let create = Request::CreateStream {
+            stream: id,
+            t0: 0,
+            delta_ms: 10_000,
+            digest_width: width,
+        };
+        let inserts = (0..chunks).map(|index| {
             let value = ((id as u64) << 8) | index;
-            engine
-                .insert(&chunk(id, index, width as usize, value))
-                .unwrap();
+            let chunk = chunk(id, index, width as usize, value).to_bytes();
+            Request::Insert { chunk }
+        });
+        for req in [create].into_iter().chain(inserts) {
+            for (tier, d) in &tiers {
+                assert_eq!(d.call(req.clone()), Response::Ok, "{tier}");
+            }
         }
     }
-    // The other tiers over the same store.
-    let node = node(store.clone(), 2);
-    let local = ShardedService::open(
-        store,
-        ServiceConfig {
-            shards: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let server = Server::bind("127.0.0.1:0", node.clone()).unwrap();
-    let addr = server.addr().to_string();
-    let remote = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![ShardSpec::remote(addr); 2],
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let tiers: [(&str, &dyn Handler); 4] = [
-        ("engine", &engine),
-        ("node", &*node),
-        ("in-process coordinator", &local),
-        ("remote coordinator", &remote),
-    ];
     let ok = |parts| Ok::<usize, String>(parts);
     let err = |e: ServerError| Err::<usize, String>(e.to_string());
     let incompatible = || err(ServerError::IncompatibleStreams);
@@ -259,7 +197,9 @@ fn every_tier_answers_get_stat_range_with_the_same_bytes() {
             ts_s,
             ts_e,
         };
-        let replies = tiers.map(|(tier, handler)| (tier, handler.handle(req.clone())));
+        let replies = tiers
+            .each_ref()
+            .map(|(tier, d)| (tier, d.call(req.clone())));
         let got = match &replies[0].1 {
             Response::Stat(reply) => Ok(reply.parts.len()),
             Response::Error(e) => Err(e.clone()),

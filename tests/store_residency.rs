@@ -18,14 +18,12 @@
 //! that per stream, a row of the root `BENCH_ledger.json` compared exactly
 //! (`TC_BLESS=1` rewrites it); CI copies the row to the job summary.
 
-use std::path::PathBuf;
+use common::{Deployment, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::service::{ServiceConfig, ShardedService};
 use timecrypt::store::{LogKv, LogStats};
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::transport::Handler;
 
 mod common;
 
@@ -33,16 +31,6 @@ mod common;
 static ALLOCATOR: common::Counting = common::Counting;
 
 const WIDTH: usize = 4;
-
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "timecrypt-residency-{}-{name}.log",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&p);
-    p
-}
 
 /// A sealed chunk shaped like `points` points at 4 B each (the benchmark's
 /// 500-point chunks compress to ≈ 1.6 KB).
@@ -55,22 +43,13 @@ fn chunk(stream: u128, index: u64, points: usize) -> EncryptedChunk {
     }
 }
 
-fn service(log: &Arc<LogKv>) -> ShardedService {
-    let cfg = ServiceConfig {
-        shards: 2,
-        ..ServiceConfig::default()
-    };
-    ShardedService::open(log.clone(), cfg).unwrap()
-}
-
 /// 64 streams × 64 chunks, a batch holding one chunk of every stream, so
 /// every chunk is its own run and its own store commit.
 fn ingest(points: usize) -> LogStats {
     const STREAMS: u128 = 64;
     const CHUNKS: u64 = 64;
-    let path = tmp(&format!("ingest-{points}"));
-    let log = Arc::new(LogKv::open(&path).unwrap());
-    let svc = service(&log);
+    let d = Deployment::build(&Spec::coordinator(2).on_disk());
+    let svc = d.service();
     for stream in 0..STREAMS {
         svc.create_stream(stream, 0, 10_000, WIDTH as u32).unwrap();
     }
@@ -79,11 +58,10 @@ fn ingest(points: usize) -> LogStats {
         assert!(svc.submit_batch(batch).iter().all(Result::is_ok));
     }
     drop(svc);
-    let stats = log.stats();
-    assert_eq!(stats.log_bytes, std::fs::metadata(&path).unwrap().len());
+    let stats = d.log(0).stats();
+    assert_eq!(stats.log_bytes, std::fs::metadata(d.path(0)).unwrap().len());
     // Every record is written once: ingest supersedes nothing.
     assert_eq!(stats.dead_bytes, 0, "{points} points/chunk");
-    std::fs::remove_file(path).unwrap();
     stats
 }
 
@@ -112,8 +90,12 @@ fn index_footprint_is_independent_of_value_size() {
 fn a_written_stream_holds_its_running_sum_and_its_record_locations() {
     const STREAMS: u128 = 256;
     const CHUNKS: u64 = 175;
-    let path = tmp("written");
-    let log = Arc::new(LogKv::open(&path).unwrap());
+    // The engine's open is part of what is counted, its log's is not: the
+    // engine is opened by hand over the deployment's file, which the
+    // deployment removes.
+    let d = Deployment::build(&Spec::engine().on_disk());
+    d.kill(0);
+    let log = Arc::new(LogKv::open(d.path(0)).unwrap());
     let start = common::live();
     let engine = TimeCryptServer::open(log, ServerConfig::default()).unwrap();
     for stream in 0..STREAMS {
@@ -139,16 +121,13 @@ fn a_written_stream_holds_its_running_sum_and_its_record_locations() {
         "store_residency.fleet.resident_bytes_per_written_stream".into(),
         per_stream.to_string(),
     )]);
-    drop(engine);
-    std::fs::remove_file(path).unwrap();
 }
 
 #[test]
 fn deleting_a_stream_reads_no_value_bytes() {
     const CHUNKS: u64 = 1000;
-    let path = tmp("delete");
-    let log = Arc::new(LogKv::open(&path).unwrap());
-    let svc = service(&log);
+    let d = Deployment::build(&Spec::coordinator(2).on_disk());
+    let (svc, log) = (d.service(), d.log(0));
     svc.create_stream(7, 0, 10_000, WIDTH as u32).unwrap();
     for base in (0..CHUNKS).step_by(50) {
         let batch = (base..base + 50).map(|i| chunk(7, i, 50)).collect();
@@ -156,12 +135,12 @@ fn deleting_a_stream_reads_no_value_bytes() {
     }
     let live = log.len();
     assert_eq!(live as u64, 1 + CHUNKS, "meta, chunks");
-    let before = svc.kv().counters();
+    let before = d.meter(0).counters();
     assert!(matches!(
-        svc.handle(Request::DeleteStream { stream: 7 }),
+        d.call(Request::DeleteStream { stream: 7 }),
         Response::Ok
     ));
-    let after = svc.kv().counters();
+    let after = d.meter(0).counters();
     assert_eq!(log.len(), 0, "every record of the stream is gone");
     // One delete per record the stream holds, and none for a record it
     // does not (it has no attestation).
@@ -174,6 +153,4 @@ fn deleting_a_stream_reads_no_value_bytes() {
         (0, 0),
         "a delete enumerates keys; it must not fetch what it deletes"
     );
-    drop(svc);
-    std::fs::remove_file(path).unwrap();
 }

@@ -1,20 +1,17 @@
 //! Integration tests for the networked deployment and durable storage.
 
-use std::sync::Arc;
+use common::{Deployment, Spec};
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{Consumer, DataOwner, Producer};
 use timecrypt::crypto::SecureRandom;
-use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::{LogKv, MemKv};
-use timecrypt::wire::transport::Server as TcpServer;
 use timecrypt::wire::Client as TcpClient;
+
+mod common;
 
 #[test]
 fn full_flow_over_tcp() {
-    let engine =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
-    let tcp = TcpServer::bind("127.0.0.1:0", engine).unwrap();
-    let addr = tcp.addr();
+    let engine = Deployment::build(&Spec::engine());
+    let addr = engine.serve();
 
     let cfg = StreamConfig::new(5, "m", 0, 10_000);
     let mut owner = DataOwner::with_height(
@@ -54,10 +51,8 @@ fn full_flow_over_tcp() {
 
 #[test]
 fn concurrent_tcp_producers_distinct_streams() {
-    let engine =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
-    let tcp = TcpServer::bind("127.0.0.1:0", engine).unwrap();
-    let addr = tcp.addr();
+    let engine = Deployment::build(&Spec::engine());
+    let addr = engine.serve();
 
     let handles: Vec<_> = (0..4u128)
         .map(|i| {
@@ -102,9 +97,7 @@ fn concurrent_tcp_producers_distinct_streams() {
 
 #[test]
 fn persistence_across_server_restart() {
-    let path =
-        std::env::temp_dir().join(format!("timecrypt-it-persist-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    let d = Deployment::build(&Spec::engine().on_disk());
 
     let cfg = StreamConfig::new(7, "m", 0, 10_000);
     let mut owner = DataOwner::with_height(
@@ -118,14 +111,7 @@ fn persistence_across_server_restart() {
 
     // First server lifetime: ingest + grant.
     {
-        let engine = Arc::new(
-            TimeCryptServer::open(
-                Arc::new(LogKv::open(&path).unwrap()),
-                ServerConfig::default(),
-            )
-            .unwrap(),
-        );
-        let mut t = timecrypt::client::InProcess::new(engine);
+        let mut t = timecrypt::client::InProcess::new(d.engine());
         owner.create_stream(&mut t).unwrap();
         let mut p = Producer::new(
             cfg.clone(),
@@ -142,15 +128,9 @@ fn persistence_across_server_restart() {
     }
 
     // Second lifetime: everything recovers from the log.
+    d.restart(0);
     {
-        let engine = Arc::new(
-            TimeCryptServer::open(
-                Arc::new(LogKv::open(&path).unwrap()),
-                ServerConfig::default(),
-            )
-            .unwrap(),
-        );
-        let mut t = timecrypt::client::InProcess::new(engine);
+        let mut t = timecrypt::client::InProcess::new(d.engine());
         c.sync_grants(&mut t, cfg.id).unwrap();
         let s = c.stat_query(&mut t, cfg.id, 0, 200_000).unwrap();
         assert_eq!(s.count, Some(200));
@@ -158,16 +138,13 @@ fn persistence_across_server_restart() {
         let pts = c.get_range(&mut t, cfg.id, 0, 10_000).unwrap();
         assert_eq!(pts.len(), 10);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn malformed_frames_do_not_kill_the_server() {
     use std::io::Write;
-    let engine =
-        Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
-    let tcp = TcpServer::bind("127.0.0.1:0", engine).unwrap();
-    let addr = tcp.addr();
+    let engine = Deployment::build(&Spec::engine());
+    let addr = engine.serve();
 
     // A hostile client sends a garbage body; the server answers an error
     // (or drops the connection) and keeps serving others.

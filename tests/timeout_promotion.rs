@@ -9,56 +9,44 @@
 //! and waits for its slow legs together and on its own thread — never in
 //! turn, and never behind another caller's.
 
+use common::{sealed, Deployment, Fault, Spec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
-use timecrypt::core::StreamKeyMaterial;
-use timecrypt::crypto::{PrgKind, SecureRandom};
-use timecrypt::faults::FaultyTransport;
-use timecrypt::server::ServerConfig;
-use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
+use timecrypt::faults::{FaultPlan, FaultyTransport};
+use timecrypt::service::{ServiceConfig, ShardSpec, ShardedService};
 use timecrypt::store::MemKv;
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::transport::{Handler, Server};
+use timecrypt::wire::pool::PoolConfig;
+use timecrypt::wire::transport::Handler;
 
-fn keys(id: u128) -> StreamKeyMaterial {
-    StreamKeyMaterial::with_params(id, [(id as u8).wrapping_add(3); 16], 20, PrgKind::Aes).unwrap()
-}
+mod common;
 
-fn sealed(id: u128, index: u64, value: i64) -> EncryptedChunk {
-    let cfg = StreamConfig {
-        schema: DigestSchema::sum_count(),
-        ..StreamConfig::new(id, "m", 0, 10_000)
-    };
-    let mut rng = SecureRandom::from_seed_insecure(400 + index);
-    PlainChunk {
-        stream: id,
-        index,
-        points: vec![DataPoint::new(index as i64 * 10_000, value)],
-    }
-    .seal(&cfg, &keys(id), &mut rng)
-    .unwrap()
-}
-
-fn spawn_node() -> (Server, std::net::SocketAddr) {
-    spawn_shard_node(1, 0)
-}
-
-/// A node hosting `shard` of `total` over its own store.
-fn spawn_shard_node(total: usize, shard: usize) -> (Server, std::net::SocketAddr) {
-    let node = ShardNode::open(
-        Arc::new(MemKv::new()),
-        NodeConfig {
-            total_shards: total,
-            hosted: vec![shard],
-            engine: ServerConfig::default(),
+/// A coordinator config with the socket deadline `io_timeout`, dialing
+/// `connect_attempts` times 1 ms apart, promoting after `promote_after`
+/// strikes.
+fn cfg(io_timeout: Duration, connect_attempts: u32, promote_after: u32) -> ServiceConfig {
+    ServiceConfig {
+        pool: PoolConfig {
+            connect_attempts,
+            backoff: Duration::from_millis(1),
+            io_timeout: Some(io_timeout),
         },
-    )
-    .unwrap();
-    let server = Server::bind("127.0.0.1:0", Arc::new(node)).unwrap();
-    let addr = server.addr();
-    (server, addr)
+        promote_after,
+        ..ServiceConfig::default()
+    }
+}
+
+/// One shard on node 0, behind a quiet proxy, and its backup on node 1.
+fn hung_primary(service: ServiceConfig) -> Deployment {
+    let proxy = Fault::Proxy(0, FaultPlan::quiet());
+    Deployment::build(&Spec::remote(1, 2, 2).fault(proxy).service(service))
+}
+
+/// A node of `shards` shards over its own store, served; and its address.
+fn served_node(shards: usize) -> (Deployment, String) {
+    let node = Deployment::build(&Spec::node(shards));
+    let addr = node.serve().to_string();
+    (node, addr)
 }
 
 /// The hung-primary scenario end to end: black-holing the primary's
@@ -73,26 +61,9 @@ fn hung_primary_promotes_within_timeout_budget() {
     const IO_TIMEOUT: Duration = Duration::from_millis(150);
     const PROMOTE_AFTER: u32 = 2;
 
-    let (_node_a, addr_a) = spawn_node();
-    let (_node_b, addr_b) = spawn_node();
     // Primary is reached through a fault proxy; the backup is direct.
-    let proxy = FaultyTransport::spawn(addr_a, timecrypt::faults::FaultPlan::quiet()).unwrap();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![
-                ShardSpec::remote(proxy.addr().to_string()).with_backup(addr_b.to_string())
-            ],
-            pool: timecrypt::wire::pool::PoolConfig {
-                connect_attempts: 2,
-                backoff: Duration::from_millis(1),
-                io_timeout: Some(IO_TIMEOUT),
-            },
-            promote_after: PROMOTE_AFTER,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let d = hung_primary(cfg(IO_TIMEOUT, 2, PROMOTE_AFTER));
+    let (svc, proxy) = (d.service(), d.proxy(0));
 
     // Healthy phase: stream + one chunk through the proxy, mirrored to
     // the backup.
@@ -160,26 +131,9 @@ fn hung_primary_promotes_within_timeout_budget() {
 #[test]
 fn reads_fail_over_from_hung_primary_within_one_deadline() {
     const IO_TIMEOUT: Duration = Duration::from_millis(150);
-    let (_node_a, addr_a) = spawn_node();
-    let (_node_b, addr_b) = spawn_node();
-    let proxy = FaultyTransport::spawn(addr_a, timecrypt::faults::FaultPlan::quiet()).unwrap();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![
-                ShardSpec::remote(proxy.addr().to_string()).with_backup(addr_b.to_string())
-            ],
-            pool: timecrypt::wire::pool::PoolConfig {
-                connect_attempts: 2,
-                backoff: Duration::from_millis(1),
-                io_timeout: Some(IO_TIMEOUT),
-            },
-            // Promotion disabled: this test isolates failover reads.
-            promote_after: 0,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    // Promotion disabled: this test isolates failover reads.
+    let d = hung_primary(cfg(IO_TIMEOUT, 2, 0));
+    let (svc, proxy) = (d.service(), d.proxy(0));
     svc.create_stream(1, 0, 10_000, 2).unwrap();
     svc.insert(&sealed(1, 0, 5)).unwrap();
     let healthy = svc.get_stat_range(&[1], 0, 10_000).unwrap();
@@ -201,40 +155,20 @@ fn reads_fail_over_from_hung_primary_within_one_deadline() {
 const IO_TIMEOUT: Duration = Duration::from_secs(1);
 const QUERY_DEADLINE: Duration = Duration::from_millis(200);
 
-/// Two nodes (keep them alive), shard 1's behind the proxy, under a
-/// coordinator whose query budget is a fifth of its socket deadline; then
+/// Two nodes, shard 1's behind a proxy, under a coordinator whose query
+/// budget is a fifth of its socket deadline.
+fn budget_spec() -> Spec {
+    let service = ServiceConfig {
+        query_deadline: QUERY_DEADLINE,
+        ..cfg(IO_TIMEOUT, 2, 0)
+    };
+    Spec::remote(2, 2, 1)
+        .fault(Fault::Proxy(1, FaultPlan::quiet()))
+        .service(service)
+}
+
 /// `healthy` streams on shard 0 and `hung` on shard 1, one chunk in each.
-fn budget_cluster(
-    healthy: usize,
-    hung: usize,
-) -> (
-    [Server; 2],
-    FaultyTransport,
-    ShardedService,
-    Vec<u128>,
-    Vec<u128>,
-) {
-    let (node_a, addr_a) = spawn_shard_node(2, 0);
-    let (node_b, addr_b) = spawn_shard_node(2, 1);
-    let proxy = FaultyTransport::spawn(addr_b, timecrypt::faults::FaultPlan::quiet()).unwrap();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![
-                ShardSpec::remote(addr_a.to_string()),
-                ShardSpec::remote(proxy.addr().to_string()),
-            ],
-            pool: timecrypt::wire::pool::PoolConfig {
-                connect_attempts: 2,
-                backoff: Duration::from_millis(1),
-                io_timeout: Some(IO_TIMEOUT),
-            },
-            promote_after: 0,
-            query_deadline: QUERY_DEADLINE,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+fn streams_on_both(svc: &ShardedService, healthy: usize, hung: usize) -> (Vec<u128>, Vec<u128>) {
     let router = svc.router();
     let on = |shard| (1..100u128).filter(move |&id| router.shard_of(id) == shard);
     let healthy: Vec<u128> = on(0).take(healthy).collect();
@@ -243,7 +177,7 @@ fn budget_cluster(
         svc.create_stream(id, 0, 10_000, 2).unwrap();
         svc.insert(&sealed(id, 0, 3)).unwrap();
     }
-    ([node_a, node_b], proxy, svc, healthy, hung)
+    (healthy, hung)
 }
 
 /// The whole-query budget: a leg stuck behind a hung node is given up on
@@ -255,7 +189,9 @@ fn budget_cluster(
 fn query_deadline_bounds_a_scatter_gather_over_a_hung_leg() {
     // Two streams on the healthy shard and one on the other: the hung leg
     // is the smaller one.
-    let (_nodes, proxy, svc, healthy, hung) = budget_cluster(2, 1);
+    let d = Deployment::build(&budget_spec());
+    let (svc, proxy) = (d.service(), d.proxy(1));
+    let (healthy, hung) = streams_on_both(&svc, 2, 1);
     let hung = hung[0];
     let all = [healthy[0], hung, healthy[1]];
     assert_eq!(svc.get_stat_range(&all, 0, 10_000).unwrap().parts.len(), 3);
@@ -282,7 +218,9 @@ fn query_deadline_bounds_a_scatter_gather_over_a_hung_leg() {
 /// hung shard owning the query's larger leg, or its only one.
 #[test]
 fn query_deadline_bounds_the_largest_and_the_only_leg_too() {
-    let (_nodes, proxy, svc, healthy, hung) = budget_cluster(1, 2);
+    let d = Deployment::build(&budget_spec());
+    let (svc, proxy) = (d.service(), d.proxy(1));
+    let (healthy, hung) = streams_on_both(&svc, 1, 2);
     let larger_leg_hung = vec![hung[0], healthy[0], hung[1]];
     let only_leg_hung = vec![hung[0]];
     let reply = svc.get_stat_range(&larger_leg_hung, 0, 10_000).unwrap();
@@ -316,25 +254,16 @@ fn query_deadline_bounds_the_largest_and_the_only_leg_too() {
 #[test]
 fn reads_cut_short_by_the_budget_still_promote_a_hung_primary() {
     const PROMOTE_AFTER: u32 = 2;
-    let (_node_a, addr_a) = spawn_node();
-    let (_node_b, addr_b) = spawn_node();
-    let proxy = FaultyTransport::spawn(addr_a, timecrypt::faults::FaultPlan::quiet()).unwrap();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![
-                ShardSpec::remote(proxy.addr().to_string()).with_backup(addr_b.to_string())
-            ],
-            pool: timecrypt::wire::pool::PoolConfig {
-                io_timeout: Some(IO_TIMEOUT),
-                ..Default::default()
-            },
-            promote_after: PROMOTE_AFTER,
-            query_deadline: QUERY_DEADLINE,
-            ..ServiceConfig::default()
+    let d = hung_primary(ServiceConfig {
+        pool: PoolConfig {
+            io_timeout: Some(IO_TIMEOUT),
+            ..Default::default()
         },
-    )
-    .unwrap();
+        promote_after: PROMOTE_AFTER,
+        query_deadline: QUERY_DEADLINE,
+        ..ServiceConfig::default()
+    });
+    let (svc, proxy) = (d.service(), d.proxy(0));
     svc.create_stream(1, 0, 10_000, 2).unwrap();
     svc.insert(&sealed(1, 0, 7)).unwrap();
     let healthy = svc.get_stat_range(&[1], 0, 10_000).unwrap();
@@ -365,19 +294,21 @@ fn reads_cut_short_by_the_budget_still_promote_a_hung_primary() {
 #[test]
 fn a_budget_spent_on_a_hung_shard_is_no_strike_against_the_shards_read_after_it() {
     const PROMOTE_AFTER: u32 = 2;
-    let (_hung_node, hung_addr) = spawn_shard_node(2, 0);
-    let (_node, addr) = spawn_shard_node(2, 1);
-    let (_backup, backup_addr) = spawn_shard_node(2, 1);
-    let quiet = timecrypt::faults::FaultPlan::quiet;
-    let proxy = FaultyTransport::spawn(hung_addr, quiet()).unwrap();
+    // Shard 0 unreplicated behind a proxy, shard 1 replicated: no `Spec`
+    // places replicas unevenly, so the coordinator is built by hand.
+    let (_hung_node, hung_addr) = served_node(2);
+    let (_node, addr) = served_node(2);
+    let (_backup, backup_addr) = served_node(2);
+    let quiet = FaultPlan::quiet;
+    let proxy = FaultyTransport::spawn(hung_addr.parse().unwrap(), quiet()).unwrap();
     let svc = ShardedService::open(
         Arc::new(MemKv::new()),
         ServiceConfig {
             topology: vec![
                 ShardSpec::remote(proxy.addr().to_string()),
-                ShardSpec::remote(addr.to_string()).with_backup(backup_addr.to_string()),
+                ShardSpec::remote(addr).with_backup(backup_addr),
             ],
-            pool: timecrypt::wire::pool::PoolConfig {
+            pool: PoolConfig {
                 io_timeout: Some(IO_TIMEOUT),
                 ..Default::default()
             },
@@ -430,24 +361,13 @@ fn a_hung_node_costs_a_scrape_one_io_timeout_however_many_there_are() {
         let mut topology: Vec<_> = (silent.iter())
             .map(|l| ShardSpec::remote(l.local_addr().unwrap().to_string()))
             .collect();
-        let node = Arc::new(
-            ShardNode::open(
-                Arc::new(MemKv::new()),
-                NodeConfig {
-                    total_shards: hung + 1,
-                    hosted: vec![hung],
-                    engine: ServerConfig::default(),
-                },
-            )
-            .unwrap(),
-        );
-        let server = Server::bind("127.0.0.1:0", node.clone()).unwrap();
-        topology.push(ShardSpec::remote(server.addr().to_string()));
+        let (node, addr) = served_node(hung + 1);
+        topology.push(ShardSpec::remote(addr));
         let svc = ShardedService::open(
             Arc::new(MemKv::new()),
             ServiceConfig {
                 topology,
-                pool: timecrypt::wire::pool::PoolConfig {
+                pool: PoolConfig {
                     io_timeout: Some(IO_TIMEOUT),
                     ..Default::default()
                 },
@@ -466,7 +386,7 @@ fn a_hung_node_costs_a_scrape_one_io_timeout_however_many_there_are() {
         let elapsed = t.elapsed();
         assert!(elapsed < IO_TIMEOUT * 2, "{hung} hung: {elapsed:?}");
         assert_eq!(snap.shards[hung].streams, 1, "{snap:?}");
-        let healthy = node.stats();
+        let healthy = node.node(0).stats();
         assert!(healthy.store_puts > 0);
         assert_eq!(
             (snap.store_puts, snap.store_bytes_written),
@@ -490,16 +410,16 @@ fn a_node_whose_dial_hangs_costs_the_nodes_scraped_after_it_nothing() {
     let fill = |_| std::net::TcpStream::connect_timeout(&full_addr, Duration::from_millis(100));
     let held: Vec<_> = (0..900).map_while(|i| fill(i).ok()).collect();
     assert!(held.len() < 900, "the backlog never filled");
-    let (_node, addr) = spawn_shard_node(2, 1);
-    let (_backup, backup_addr) = spawn_shard_node(2, 1);
+    let (_node, addr) = served_node(2);
+    let (_backup, backup_addr) = served_node(2);
     let svc = ShardedService::open(
         Arc::new(MemKv::new()),
         ServiceConfig {
             topology: vec![
                 ShardSpec::remote(full_addr.to_string()),
-                ShardSpec::remote(addr.to_string()).with_backup(backup_addr.to_string()),
+                ShardSpec::remote(addr).with_backup(backup_addr),
             ],
-            pool: timecrypt::wire::pool::PoolConfig {
+            pool: PoolConfig {
                 connect_attempts: 2,
                 io_timeout: Some(IO_TIMEOUT),
                 ..Default::default()
@@ -530,24 +450,14 @@ fn a_node_whose_dial_hangs_costs_the_nodes_scraped_after_it_nothing() {
 /// shard's queue.
 #[test]
 fn concurrent_callers_do_not_queue_behind_one_another() {
-    use timecrypt::faults::{FaultPlan, NetDirection, NetFault, NetRule, Trigger};
+    use timecrypt::faults::{NetDirection, NetFault, NetRule, Trigger};
     const CALLERS: usize = 8;
     const DELAY: Duration = Duration::from_millis(50);
-    let nodes = [spawn_shard_node(2, 0), spawn_shard_node(2, 1)];
-    let proxies = nodes
-        .each_ref()
-        .map(|(_, addr)| FaultyTransport::spawn(*addr, FaultPlan::quiet()).unwrap());
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: proxies
-                .iter()
-                .map(|p| ShardSpec::remote(p.addr().to_string()))
-                .collect(),
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let spec = Spec::remote(2, 2, 1)
+        .fault(Fault::Proxy(0, FaultPlan::quiet()))
+        .fault(Fault::Proxy(1, FaultPlan::quiet()));
+    let d = Deployment::build(&spec);
+    let (svc, proxies) = (d.service(), [d.proxy(0), d.proxy(1)]);
     let router = svc.router();
     let pair = [0, 1].map(|shard| {
         (1..100u128)
@@ -581,7 +491,7 @@ fn concurrent_callers_do_not_queue_behind_one_another() {
     // Undelayed first: the replies to compare with, and every caller's
     // two connections dialed.
     let undelayed = round();
-    for proxy in &proxies {
+    for proxy in proxies {
         proxy.set_plan(FaultPlan::quiet().with_net_rule(NetRule {
             direction: Some(NetDirection::ToClient),
             when: Trigger::EveryNth(1),

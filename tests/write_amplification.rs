@@ -36,10 +36,11 @@
 //! one commits the file. The guard prints its rows; CI copies them to the
 //! job summary.
 
+use common::{Deployment, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::{Durability, KvStore, LogKv, MeteredKv};
+use timecrypt::store::{Durability, KvStore, LogKv};
 
 mod common;
 
@@ -53,7 +54,8 @@ const QUERIES: u64 = 64;
 /// Ingests `per_stream` chunks — `width`-wide digests, `payload`-byte
 /// payloads — into each of `streams` streams, `turn` consecutive chunks of
 /// every stream per `insert_bytes_run` (one store batch per stream), then
-/// queries them through an engine opened on the store with `cache_bytes`.
+/// queries them through the engine opened again on the store; both engines
+/// have `cache_bytes`, which only queries fill.
 /// Returns the puts per chunk, the ingest's value bytes, and the ledger
 /// rows of `shape`.
 fn measure(
@@ -62,14 +64,14 @@ fn measure(
     (width, payload): (usize, usize),
     cache_bytes: usize,
 ) -> (f64, u64, Vec<(String, String)>) {
-    let path =
-        std::env::temp_dir().join(format!("tc-write-amp-{shape}-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
     // `Flush`, the benchmark's durability: another test in this binary
     // counts the process's fsyncs.
-    let log = Arc::new(LogKv::open_with(&path, Durability::Flush).unwrap());
-    let kv = Arc::new(MeteredKv::new(log.clone()));
-    let server = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
+    let cfg = ServerConfig {
+        cache_bytes,
+        ..ServerConfig::default()
+    };
+    let d = Deployment::build(&Spec::engine().on_disk().engine_cfg(cfg));
+    let (server, kv, log) = (d.engine(), d.meter(0), d.log(0));
     for stream in 0..streams {
         server
             .create_stream(stream, 0, DELTA_MS, width as u32)
@@ -99,12 +101,9 @@ fn measure(
     let log_bytes = log.stats().log_bytes - log_before;
     // Nothing stores a chunk a second time.
     assert!(kv.scan_keys(b"c/").unwrap().is_empty());
-    drop(server);
-    let cfg = ServerConfig {
-        cache_bytes,
-        ..ServerConfig::default()
-    };
-    let server = TimeCryptServer::open(kv.clone(), cfg).unwrap();
+    drop((server, kv, log));
+    d.restart(0);
+    let (server, kv) = (d.engine(), d.meter(0));
     let all: Vec<u128> = (0..streams).collect();
     let (mut x, reads) = (0x9E37_79B9_7F4A_7C15u64, kv.counters());
     for _ in 0..QUERIES {
@@ -119,8 +118,6 @@ fn measure(
         assert_eq!(reply.agg, vec![sum; width], "[{lo}, {hi})");
     }
     let read = kv.counters();
-    drop(server);
-    std::fs::remove_file(path).unwrap();
     let chunks = streams as u64 * per_stream;
     let per_query = |n: u64| format!("{:.2}", n as f64 / QUERIES as f64);
     let rows = [
@@ -166,9 +163,10 @@ fn dashboard_ingest_store_writes_stay_under_the_byte_model() {
 /// process-wide counter moves only here.
 #[test]
 fn an_ingest_run_under_fsync_waits_for_one_fsync() {
-    let path = std::env::temp_dir().join(format!("tc-run-fsync-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let log = Arc::new(LogKv::open_with(&path, Durability::Fsync).unwrap());
+    // No `Spec` names a durability: the deployment's file, opened by hand.
+    let d = Deployment::build(&Spec::engine().on_disk());
+    d.kill(0);
+    let log = Arc::new(LogKv::open_with(d.path(0), Durability::Fsync).unwrap());
     let server = TimeCryptServer::open(log.clone(), ServerConfig::default()).unwrap();
     server.create_stream(1, 0, 60_000, WIDTH as u32).unwrap();
     let run = |chunks: std::ops::Range<u64>| {
@@ -191,6 +189,4 @@ fn an_ingest_run_under_fsync_waits_for_one_fsync() {
     run(48..64);
     assert_eq!(log.len() - keys, 16);
     assert_eq!(timecrypt_obs::counters::FSYNCS.get() - fsyncs, 1);
-    drop(server);
-    std::fs::remove_file(path).unwrap();
 }
