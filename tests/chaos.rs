@@ -36,7 +36,7 @@
 //! from `seed + iteration`, so any failure is reproducible by pinning
 //! `TC_CHAOS_SEED` to the printed value).
 
-use common::{dial_fast, same_replies, sealed, Deployment, Fault, Spec};
+use common::{dial_fast, same_replies, sealed, Deployment, Fault, Spec, TempPath};
 use std::time::{Duration, Instant};
 use timecrypt::faults::FaultPlan;
 use timecrypt::store::log::Durability;
@@ -245,17 +245,13 @@ fn chaos_child_writer() {
 /// `CorruptAt` naming the offset instead of silently dropping history.
 #[test]
 fn kill9_mid_append_preserves_acked_records_and_flags_corruption() {
-    let pid = std::process::id();
-    let log = std::env::temp_dir().join(format!("tc-chaos-kill9-{pid}.log"));
-    let ack = std::env::temp_dir().join(format!("tc-chaos-kill9-{pid}.ack"));
-    let _ = std::fs::remove_file(&log);
-    let _ = std::fs::remove_file(&ack);
+    let (log, ack) = (TempPath::new("kill9.log"), TempPath::new("kill9.ack"));
 
     let exe = std::env::current_exe().unwrap();
     let mut child = std::process::Command::new(exe)
         .args(["chaos_child_writer", "--exact", "--nocapture"])
-        .env("TC_CHAOS_LOG", &log)
-        .env("TC_CHAOS_ACK", &ack)
+        .env("TC_CHAOS_LOG", log.as_ref())
+        .env("TC_CHAOS_ACK", ack.as_ref())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -316,9 +312,6 @@ fn kill9_mid_append_preserves_acked_records_and_flags_corruption() {
         Ok(_) => panic!("recovery accepted a mid-file corrupted log"),
         Err(other) => panic!("expected CorruptAt, got: {other}"),
     }
-
-    let _ = std::fs::remove_file(&log);
-    let _ = std::fs::remove_file(&ack);
 }
 
 // ---------------------------------------------------------------------------

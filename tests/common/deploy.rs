@@ -28,13 +28,13 @@ pub enum Tier {
     Node { shards: usize },
     /// A coordinator whose `shards` run in its own process.
     Coordinator { shards: usize },
-    /// A coordinator of `shards` on `nodes` loopback nodes, each hosting
-    /// every shard: shard `i`'s primary is node `i % nodes`, and with
-    /// `replicas: 2` its backup is the next node.
+    /// A coordinator of `shards` on `nodes` loopback nodes: shard `i`'s
+    /// primary is node `i % nodes`, and with `backup` its backup is the
+    /// next node. A node hosts the shards placed on it, and no other.
     Remote {
         shards: usize,
         nodes: usize,
-        replicas: usize,
+        backup: bool,
     },
 }
 
@@ -50,7 +50,7 @@ pub enum File {
 /// An injector, quiet or not, that the deployment builds in.
 #[derive(Clone, Debug)]
 pub enum Fault {
-    /// A `FaultyKv` under every store.
+    /// A `FaultyKv` under the store of each host the spec builds.
     Store(FaultPlan),
     /// A `FaultyTransport` in front of remote node `n`: the coordinator
     /// dials it in the node's place.
@@ -90,11 +90,13 @@ impl Spec {
         Spec::of(Tier::Coordinator { shards })
     }
 
+    /// A remote coordinator at R = `replicas`, 1 or 2.
     pub fn remote(shards: usize, nodes: usize, replicas: usize) -> Spec {
+        assert!(matches!(replicas, 1 | 2), "R = {replicas}");
         Spec::of(Tier::Remote {
             shards,
             nodes,
-            replicas,
+            backup: replicas == 2,
         })
     }
 
@@ -142,7 +144,7 @@ impl<F: LogFile> Log for LogKv<F> {
 
 /// A fresh log in `file`, or the one at `path` opened again: the one
 /// place a file kind is made.
-fn open_log(file: File, path: Option<&Path>) -> Arc<dyn Log> {
+fn open_log(file: File, path: Option<&TempPath>) -> Arc<dyn Log> {
     match file {
         File::Mem => Arc::new(MemKv::new()),
         File::Os => Arc::new(LogKv::open(path.expect("an OS file's path")).unwrap()),
@@ -189,10 +191,39 @@ impl Handler for Counted {
     }
 }
 
+/// A fresh path in the temp dir, removed when it drops, a panicking
+/// test's too.
+pub struct TempPath(PathBuf);
+
+impl TempPath {
+    pub fn new(name: &str) -> TempPath {
+        static PATHS: AtomicU64 = AtomicU64::new(0);
+        let n = PATHS.fetch_add(1, Ordering::Relaxed);
+        let name = format!("timecrypt-test-{}-{n}-{name}", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_file(&path);
+        TempPath(path)
+    }
+}
+
+impl AsRef<Path> for TempPath {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// One store and what runs over it: the deployment's tier, or a remote
 /// node behind its listener. Its OS file goes with it.
 struct Host {
-    path: Option<PathBuf>,
+    path: Option<TempPath>,
+    /// The shards a node on this host hosts.
+    hosted: Vec<usize>,
     /// The log while it is open; one without a path stays for a restart.
     log: Option<Arc<dyn Log>>,
     faulty: Option<Arc<FaultyKv<Arc<dyn KvStore>>>>,
@@ -200,14 +231,6 @@ struct Host {
     server: Option<Server>,
     addr: Option<SocketAddr>,
     frames: Arc<Frames>,
-}
-
-impl Drop for Host {
-    fn drop(&mut self) {
-        if let Some(path) = &self.path {
-            let _ = std::fs::remove_file(path);
-        }
-    }
 }
 
 /// A built [`Spec`].
@@ -232,31 +255,34 @@ impl Deployment {
         let Tier::Remote {
             shards,
             nodes,
-            replicas,
+            backup,
         } = spec.tier
         else {
-            d.add_host(false);
+            let proxied = spec.faults.iter().any(|f| matches!(f, Fault::Proxy(..)));
+            assert!(!proxied, "a proxy in front of a remote node only");
+            d.add_host((0..d.shards()).collect(), false);
             return d;
         };
-        for _ in 0..nodes {
-            d.add_host(true);
+        // Shard `i` on node `i % nodes`, its backup on the next.
+        let on = |n: usize, i: usize| i % nodes == n || (backup && (i + 1) % nodes == n);
+        for n in 0..nodes {
+            d.add_host((0..shards).filter(|&i| on(n, i)).collect(), true);
         }
         let mut addrs: Vec<String> = (0..nodes).map(|n| d.addr(n)).collect();
         for fault in &spec.faults {
             if let Fault::Proxy(n, plan) = fault {
+                assert!(*n < nodes, "a proxy in front of node {n} of {nodes}");
                 let upstream = d.addr(*n).parse().unwrap();
                 let proxy = FaultyTransport::spawn(upstream, plan.clone()).unwrap();
                 addrs[*n] = proxy.addr().to_string();
                 d.proxies.push((*n, proxy));
             }
         }
+        let primary = |i: usize| ShardSpec::remote(&addrs[i % nodes]);
         let topology = (0..shards)
-            .map(|i| {
-                let primary = ShardSpec::remote(&addrs[i % nodes]);
-                match replicas {
-                    1 => primary,
-                    _ => primary.with_backup(&addrs[(i + 1) % nodes]),
-                }
+            .map(|i| match backup {
+                false => primary(i),
+                true => primary(i).with_backup(&addrs[(i + 1) % nodes]),
             })
             .collect();
         let cfg = ServiceConfig {
@@ -276,26 +302,19 @@ impl Deployment {
     fn shards(&self) -> usize {
         match self.spec.tier {
             Tier::Engine => 1,
-            Tier::Node { shards } | Tier::Coordinator { shards } | Tier::Remote { shards, .. } => {
-                shards
-            }
+            Tier::Node { shards } | Tier::Coordinator { shards } => shards,
+            Tier::Remote { shards, .. } => shards,
         }
     }
 
-    /// Opens one more store and what runs over it — a node behind a
-    /// listener when `remote` — and returns its index.
-    fn add_host(&self, remote: bool) -> usize {
-        static FILES: AtomicU64 = AtomicU64::new(0);
-        let path = matches!(self.spec.file, File::Os).then(|| {
-            let n = FILES.fetch_add(1, Ordering::Relaxed);
-            let name = format!("timecrypt-deploy-{}-{n}.log", std::process::id());
-            let path = std::env::temp_dir().join(name);
-            let _ = std::fs::remove_file(&path);
-            path
-        });
+    /// Opens one more store and what runs over it — a node of the `hosted`
+    /// shards behind a listener when `remote` — and returns its index.
+    fn add_host(&self, hosted: Vec<usize>, remote: bool) -> usize {
+        let path = matches!(self.spec.file, File::Os).then(|| TempPath::new("deploy.log"));
         let mut hosts = self.hosts();
         hosts.push(Host {
             path,
+            hosted,
             log: None,
             faulty: None,
             running: None,
@@ -310,7 +329,7 @@ impl Deployment {
 
     /// Opens the host's tier over its log, and its listener on its address.
     fn start(&self, host: &mut Host) {
-        let log = (host.log).get_or_insert_with(|| open_log(self.spec.file, host.path.as_deref()));
+        let log = (host.log).get_or_insert_with(|| open_log(self.spec.file, host.path.as_ref()));
         let mut kv: Arc<dyn KvStore> = log.clone();
         for fault in &self.spec.faults {
             if let Fault::Store(plan) = fault {
@@ -322,10 +341,9 @@ impl Deployment {
         let (engine, shards) = (self.spec.service.engine.clone(), self.shards());
         let running = match (host.addr, self.spec.tier) {
             (Some(_), _) | (None, Tier::Node { .. }) => {
-                let hosted = (0..shards).collect();
                 let cfg = NodeConfig {
                     total_shards: shards,
-                    hosted,
+                    hosted: host.hosted.clone(),
                     engine,
                 };
                 Running::Node(Arc::new(ShardNode::open(kv, cfg).unwrap()))
@@ -417,7 +435,8 @@ impl Deployment {
 
     /// The OS file under store `i`.
     pub fn path(&self, i: usize) -> PathBuf {
-        self.hosts()[i].path.clone().expect("an OS file")
+        let hosts = self.hosts();
+        hosts[i].path.as_ref().expect("an OS file").0.clone()
     }
 
     /// The `FaultyKv` under store `i`.
@@ -450,10 +469,13 @@ impl Deployment {
         self.hosts()[n].frames[tag].load(Ordering::SeqCst)
     }
 
-    /// Starts one more loopback node of the cluster's shards, for a replica
-    /// to attach; returns its index.
-    pub fn add_node(&self) -> usize {
-        self.add_host(true)
+    /// Starts one more loopback node, hosting `shard` of the cluster's
+    /// shards, for a replica to attach; returns its index.
+    pub fn add_node(&self, shard: usize) -> usize {
+        let faults = &self.spec.faults;
+        let faulty = faults.iter().any(|f| matches!(f, Fault::Store(_)));
+        assert!(!faulty, "a spare node over a faulty store");
+        self.add_host(vec![shard], true)
     }
 
     /// Kills what runs on store `i` (a remote node's listener too, severing
@@ -469,6 +491,11 @@ impl Deployment {
         if host.path.is_some() {
             host.log = None;
         }
+    }
+
+    /// How many stores the deployment runs on: one, or one per remote node.
+    pub fn stores(&self) -> usize {
+        self.hosts().len()
     }
 
     /// Kills store `i`'s tier or node, then opens it again over the same

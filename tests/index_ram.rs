@@ -20,21 +20,19 @@
 //! copies them to the job summary.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use timecrypt::index::keys::{head, leaf, LEAF};
 use timecrypt::store::{KvStore, LogKv, WriteOp};
 
 mod common;
 
-use common::live;
+use common::{live, TempPath};
 
 #[global_allocator]
 static ALLOCATOR: common::Counting = common::Counting;
 
 /// An empty store and the live bytes it starts from.
-fn store(name: &str) -> (LogKv, PathBuf, isize) {
-    let path = std::env::temp_dir().join(format!("tc-index-ram-{}-{name}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+fn store(name: &str) -> (LogKv, TempPath, isize) {
+    let path = TempPath::new(&format!("{name}.log"));
     let kv = LogKv::open(&path).unwrap();
     (kv, path, live())
 }
@@ -64,7 +62,7 @@ fn counting_keys_cost_a_location(
     per_head: u64,
     turn: u64,
 ) -> (LogKv, isize) {
-    let (kv, path, start) = store(shape);
+    let (kv, _path, start) = store(shape);
     ingest(&kv, heads, per_head, turn);
     let keys = heads as u64 * per_head;
     assert_eq!(kv.len() as u64, keys);
@@ -79,7 +77,6 @@ fn counting_keys_cost_a_location(
         (row("allocator_bytes"), per_key(held)),
         (row("index_bytes"), per_key(said)),
     ]);
-    std::fs::remove_file(path).unwrap();
     (kv, start)
 }
 
@@ -123,7 +120,7 @@ fn held_after(name: &str, keys: &[[u8; 28]]) -> (isize, u64) {
         kv.put(key, b"v").unwrap();
     }
     assert_eq!(kv.len(), keys.len());
-    std::fs::remove_file(path).unwrap();
+    drop(path);
     (live() - start, kv.stats().index_bytes)
 }
 

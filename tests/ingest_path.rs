@@ -166,7 +166,7 @@ fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
         vec![]
     );
     // A pass lists the replica once.
-    let backup = d.add_node();
+    let backup = d.add_node(0);
     let before = survivor.counters().bytes_read;
     svc.attach_replica(0, d.addr(backup)).unwrap();
     let read = survivor.counters().bytes_read - before;

@@ -7,18 +7,13 @@
 //! byte — a torn tail is cut there, and damage before a valid batch is
 //! `CorruptAt`.
 
+use common::TempPath;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use timecrypt::store::{KvStore, LogKv, StoreError, WriteOp};
 
-type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+mod common;
 
-fn tmp(name: &str) -> PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("tc-log-damage-{}-{name}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 
 fn counting(stream: u8, tail: u64) -> Vec<u8> {
     [&b"il/"[..], &[stream], &tail.to_be_bytes()].concat()
@@ -45,7 +40,7 @@ fn write(kv: &LogKv, model: &mut Model, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
 /// The log's bytes, and after the compaction and after each batch
 /// appended since, where the log ends and what it holds.
 fn history() -> (Vec<u8>, Vec<(u64, Model)>) {
-    let path = tmp("history");
+    let path = TempPath::new("history.log");
     let kv = LogKv::open(&path).unwrap();
     let mut model = Model::new();
     let put = |key: Vec<u8>, fill: u8| (key, Some(vec![fill; 1 + fill as usize % 5]));
@@ -84,14 +79,13 @@ fn history() -> (Vec<u8>, Vec<(u64, Model)>) {
     }
     drop(kv);
     let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(path).unwrap();
     (bytes, marks)
 }
 
 #[test]
 fn a_damaged_log_opens_as_the_batches_before_the_damage_or_is_corrupt_at() {
     let (bytes, marks) = history();
-    let path = tmp("case");
+    let path = TempPath::new("case.log");
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     let mut next = move || {
         x ^= x << 13;
@@ -133,5 +127,4 @@ fn a_damaged_log_opens_as_the_batches_before_the_damage_or_is_corrupt_at() {
         opened > 0 && corrupt > 0,
         "{opened} opened, {corrupt} corrupt"
     );
-    std::fs::remove_file(path).unwrap();
 }

@@ -134,7 +134,7 @@ fn capped_cluster_matches_uncapped_reference_across_failover_and_rebuild() {
     // Rebuild a replacement (also capped) from the survivor's records —
     // the export must not be confused by most streams being cold on the
     // survivor, nor the import by most being cold on the replacement.
-    let node_c = d.add_node();
+    let node_c = d.add_node(0);
     cluster.attach_replica(0, d.addr(node_c)).unwrap();
     let snap = cluster.stats();
     assert_eq!(

@@ -169,7 +169,7 @@ fn primary_death_promotes_then_replacement_rebuilds_and_survives_second_death() 
     // survivor's records into it (ExportStream / ImportStream pages) until
     // a sweep of each stream finds them there, and re-arms mirroring
     // before it returns.
-    let node_c = d.add_node();
+    let node_c = d.add_node(0);
     cluster.attach_replica(0, d.addr(node_c)).unwrap();
     let snap = cluster.stats();
     assert_eq!(
@@ -278,7 +278,7 @@ fn a_rebuild_racing_live_writes_converges() {
             ts_e: 40_000,
         },
     ];
-    let node_b = d.add_node();
+    let node_b = d.add_node(0);
     let start = Barrier::new(2);
     let attached = std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -375,7 +375,7 @@ fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
 fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
     let d = cluster(1, 1);
     let (cluster, survivor) = (d.service(), d.meter(0));
-    let replica = d.add_node();
+    let replica = d.add_node(0);
     let replica_kv = d.meter(replica).inner().clone();
     let value = |id: u128, i: u64| (id as i64) * 13 + i as i64;
     for id in 0..streams {

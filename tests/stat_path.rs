@@ -11,7 +11,7 @@
 //! * an engine, a shard node, in-process coordinators of 1, 2 and 4
 //!   shards, a remote one and an R=2 one, fed the same requests, answer
 //!   `GetStatRange` with the same bytes, errors and their precedence
-//!   included.
+//!   included — warm, and again once each has reopened its store cold.
 //!
 //! The frame counts are `stat_path.frames.*` rows of the root
 //! `BENCH_ledger.json`, read from each node's frame count in the
@@ -191,27 +191,36 @@ fn every_tier_answers_get_stat_range_with_the_same_bytes() {
         (vec![a, b], (0, 5_000), empty()),
         (vec![], (0, 30_000), empty()),
     ];
-    for (streams, (ts_s, ts_e), want) in table {
-        let req = Request::GetStatRange {
-            streams: streams.clone(),
-            ts_s,
-            ts_e,
-        };
-        let replies = tiers
-            .each_ref()
-            .map(|(tier, d)| (tier, d.call(req.clone())));
-        let got = match &replies[0].1 {
-            Response::Stat(reply) => Ok(reply.parts.len()),
-            Response::Error(e) => Err(e.clone()),
-            other => panic!("{streams:?}: {other:?}"),
-        };
-        assert_eq!(got, want, "{streams:?} [{ts_s}, {ts_e})");
-        for (tier, reply) in &replies[1..] {
-            assert_eq!(
-                reply.encode(),
-                replies[0].1.encode(),
-                "{tier} on {streams:?} [{ts_s}, {ts_e}): {reply:?}"
-            );
+    // Warm, then each tier reopened cold over its own store: a shard's
+    // recovery reads only its streams, and no index state survives.
+    for when in ["warm", "recovered"] {
+        if when == "recovered" {
+            for (_, d) in &tiers {
+                (0..d.stores()).for_each(|i| d.restart(i));
+            }
+        }
+        for (streams, (ts_s, ts_e), want) in &table {
+            let req = Request::GetStatRange {
+                streams: streams.clone(),
+                ts_s: *ts_s,
+                ts_e: *ts_e,
+            };
+            let replies = tiers
+                .each_ref()
+                .map(|(tier, d)| (tier, d.call(req.clone())));
+            let got = match &replies[0].1 {
+                Response::Stat(reply) => Ok(reply.parts.len()),
+                Response::Error(e) => Err(e.clone()),
+                other => panic!("{when} {streams:?}: {other:?}"),
+            };
+            assert_eq!(&got, want, "{when} {streams:?} [{ts_s}, {ts_e})");
+            for (tier, reply) in &replies[1..] {
+                assert_eq!(
+                    reply.encode(),
+                    replies[0].1.encode(),
+                    "{when} {tier} on {streams:?} [{ts_s}, {ts_e}): {reply:?}"
+                );
+            }
         }
     }
 }

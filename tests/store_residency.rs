@@ -91,11 +91,9 @@ fn a_written_stream_holds_its_running_sum_and_its_record_locations() {
     const STREAMS: u128 = 256;
     const CHUNKS: u64 = 175;
     // The engine's open is part of what is counted, its log's is not: the
-    // engine is opened by hand over the deployment's file, which the
-    // deployment removes.
-    let d = Deployment::build(&Spec::engine().on_disk());
-    d.kill(0);
-    let log = Arc::new(LogKv::open(d.path(0)).unwrap());
+    // engine is opened by hand.
+    let path = common::TempPath::new("written.log");
+    let log = Arc::new(LogKv::open(&path).unwrap());
     let start = common::live();
     let engine = TimeCryptServer::open(log, ServerConfig::default()).unwrap();
     for stream in 0..STREAMS {

@@ -12,7 +12,7 @@
 use common::{sealed, Deployment, Fault, Spec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use timecrypt::faults::{FaultPlan, FaultyTransport};
+use timecrypt::faults::FaultPlan;
 use timecrypt::service::{ServiceConfig, ShardSpec, ShardedService};
 use timecrypt::store::MemKv;
 use timecrypt::wire::messages::{Request, Response};
@@ -42,11 +42,28 @@ fn hung_primary(service: ServiceConfig) -> Deployment {
     Deployment::build(&Spec::remote(1, 2, 2).fault(proxy).service(service))
 }
 
-/// A node of `shards` shards over its own store, served; and its address.
-fn served_node(shards: usize) -> (Deployment, String) {
-    let node = Deployment::build(&Spec::node(shards));
-    let addr = node.serve().to_string();
-    (node, addr)
+/// A coordinator of two shards, built by hand since no `Spec` replicates
+/// one shard and not the other: shard 0 unreplicated at `shard_0`, or on
+/// node 0 behind a quiet proxy; shard 1 on node 1, its backup on a spare.
+fn shard_1_replicated(
+    shard_0: Option<String>,
+    service: ServiceConfig,
+) -> (Deployment, ShardedService) {
+    let proxy = Fault::Proxy(0, FaultPlan::quiet());
+    let d = Deployment::build(&Spec::remote(2, 2, 1).fault(proxy));
+    let backup = d.add_node(1);
+    let topology = vec![
+        ShardSpec::remote(shard_0.unwrap_or_else(|| d.proxy(0).addr().to_string())),
+        ShardSpec::remote(d.addr(1)).with_backup(d.addr(backup)),
+    ];
+    let svc = ShardedService::open(
+        Arc::new(MemKv::new()),
+        ServiceConfig {
+            topology,
+            ..service
+        },
+    );
+    (d, svc.unwrap())
 }
 
 /// The hung-primary scenario end to end: black-holing the primary's
@@ -294,30 +311,18 @@ fn reads_cut_short_by_the_budget_still_promote_a_hung_primary() {
 #[test]
 fn a_budget_spent_on_a_hung_shard_is_no_strike_against_the_shards_read_after_it() {
     const PROMOTE_AFTER: u32 = 2;
-    // Shard 0 unreplicated behind a proxy, shard 1 replicated: no `Spec`
-    // places replicas unevenly, so the coordinator is built by hand.
-    let (_hung_node, hung_addr) = served_node(2);
-    let (_node, addr) = served_node(2);
-    let (_backup, backup_addr) = served_node(2);
-    let quiet = FaultPlan::quiet;
-    let proxy = FaultyTransport::spawn(hung_addr.parse().unwrap(), quiet()).unwrap();
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![
-                ShardSpec::remote(proxy.addr().to_string()),
-                ShardSpec::remote(addr).with_backup(backup_addr),
-            ],
-            pool: PoolConfig {
-                io_timeout: Some(IO_TIMEOUT),
-                ..Default::default()
-            },
-            promote_after: PROMOTE_AFTER,
-            query_deadline: QUERY_DEADLINE,
-            ..ServiceConfig::default()
+    // Shard 0 unreplicated behind a proxy, shard 1 replicated.
+    let service = ServiceConfig {
+        pool: PoolConfig {
+            io_timeout: Some(IO_TIMEOUT),
+            ..Default::default()
         },
-    )
-    .unwrap();
+        promote_after: PROMOTE_AFTER,
+        query_deadline: QUERY_DEADLINE,
+        ..ServiceConfig::default()
+    };
+    let (d, svc) = shard_1_replicated(None, service);
+    let proxy = d.proxy(0);
     let router = svc.router();
     let pair = [0, 1].map(|shard| {
         (1..100u128)
@@ -338,7 +343,7 @@ fn a_budget_spent_on_a_hung_shard_is_no_strike_against_the_shards_read_after_it(
             "service unavailable: query deadline exceeded"
         );
     }
-    proxy.set_plan(quiet());
+    proxy.set_plan(FaultPlan::quiet());
     let shard = &svc.stats().shards[1];
     assert_eq!((shard.failovers, shard.promotions), (0, 0), "{shard:?}");
     assert!(shard.in_sync, "{shard:?}");
@@ -361,8 +366,9 @@ fn a_hung_node_costs_a_scrape_one_io_timeout_however_many_there_are() {
         let mut topology: Vec<_> = (silent.iter())
             .map(|l| ShardSpec::remote(l.local_addr().unwrap().to_string()))
             .collect();
-        let (node, addr) = served_node(hung + 1);
-        topology.push(ShardSpec::remote(addr));
+        // One node per shard; the silent listeners stand in for the first.
+        let d = Deployment::build(&Spec::remote(hung + 1, hung + 1, 1));
+        topology.push(ShardSpec::remote(d.addr(hung)));
         let svc = ShardedService::open(
             Arc::new(MemKv::new()),
             ServiceConfig {
@@ -386,7 +392,7 @@ fn a_hung_node_costs_a_scrape_one_io_timeout_however_many_there_are() {
         let elapsed = t.elapsed();
         assert!(elapsed < IO_TIMEOUT * 2, "{hung} hung: {elapsed:?}");
         assert_eq!(snap.shards[hung].streams, 1, "{snap:?}");
-        let healthy = node.node(0).stats();
+        let healthy = d.node(hung).stats();
         assert!(healthy.store_puts > 0);
         assert_eq!(
             (snap.store_puts, snap.store_bytes_written),
@@ -410,25 +416,16 @@ fn a_node_whose_dial_hangs_costs_the_nodes_scraped_after_it_nothing() {
     let fill = |_| std::net::TcpStream::connect_timeout(&full_addr, Duration::from_millis(100));
     let held: Vec<_> = (0..900).map_while(|i| fill(i).ok()).collect();
     assert!(held.len() < 900, "the backlog never filled");
-    let (_node, addr) = served_node(2);
-    let (_backup, backup_addr) = served_node(2);
-    let svc = ShardedService::open(
-        Arc::new(MemKv::new()),
-        ServiceConfig {
-            topology: vec![
-                ShardSpec::remote(full_addr.to_string()),
-                ShardSpec::remote(addr).with_backup(backup_addr),
-            ],
-            pool: PoolConfig {
-                connect_attempts: 2,
-                io_timeout: Some(IO_TIMEOUT),
-                ..Default::default()
-            },
-            promote_after: 1,
-            ..ServiceConfig::default()
+    let service = ServiceConfig {
+        pool: PoolConfig {
+            connect_attempts: 2,
+            io_timeout: Some(IO_TIMEOUT),
+            ..Default::default()
         },
-    )
-    .unwrap();
+        promote_after: 1,
+        ..ServiceConfig::default()
+    };
+    let (_d, svc) = shard_1_replicated(Some(full_addr.to_string()), service);
     let router = svc.router();
     let id = (1..).find(|&id| router.shard_of(id) == 1).unwrap();
     svc.create_stream(id, 0, 10_000, 2).unwrap();

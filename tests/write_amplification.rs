@@ -163,10 +163,9 @@ fn dashboard_ingest_store_writes_stay_under_the_byte_model() {
 /// process-wide counter moves only here.
 #[test]
 fn an_ingest_run_under_fsync_waits_for_one_fsync() {
-    // No `Spec` names a durability: the deployment's file, opened by hand.
-    let d = Deployment::build(&Spec::engine().on_disk());
-    d.kill(0);
-    let log = Arc::new(LogKv::open_with(d.path(0), Durability::Fsync).unwrap());
+    // No `Spec` names a durability: the log is opened by hand.
+    let path = common::TempPath::new("fsync.log");
+    let log = Arc::new(LogKv::open_with(&path, Durability::Fsync).unwrap());
     let server = TimeCryptServer::open(log.clone(), ServerConfig::default()).unwrap();
     server.create_stream(1, 0, 60_000, WIDTH as u32).unwrap();
     let run = |chunks: std::ops::Range<u64>| {
