@@ -31,7 +31,10 @@
 //! Beside the shapes, the node's bound: one `ShardNode` of two shards, one
 //! cache of 64 KiB for both engines, and 2 000 streams each read in the same
 //! window three times. Its charge, the gauge's, stays within the budget
-//! however many streams are read (`boundary_cache.node.*` rows).
+//! however many streams are read (`boundary_cache.node.*` rows). And the
+//! shape `steady_mix` runs: 32 `steady` streams on one node under the
+//! benchmark's 64 MiB, each grown from 512 to 677 chunks in turn
+//! (`boundary_cache.steady_node.*`).
 
 use common::{Deployment, Spec};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -150,69 +153,135 @@ fn four_query_shapes() {
     common::ledger(&ledger);
 }
 
+/// A node of two shards, one cache of `cache_bytes` for both engines.
+fn node(cache_bytes: usize) -> Deployment {
+    Deployment::build(&Spec::node(2).engine_cfg(ServerConfig {
+        cache_bytes,
+        ..ServerConfig::default()
+    }))
+}
+
+/// `node`'s reply to `request`, which must not be an error.
+fn call(node: &Deployment, request: Request) -> Response {
+    match node.call(request) {
+        Response::Error(e) => panic!("{e}"),
+        reply => reply,
+    }
+}
+
+/// Creates `stream`, a chunk a second, with digests of `width` words.
+fn create(node: &Deployment, stream: u128, width: u32) {
+    call(
+        node,
+        Request::CreateStream {
+            stream,
+            t0: 0,
+            delta_ms: 1000,
+            digest_width: width,
+        },
+    );
+}
+
+/// Appends `chunks` to `stream`, chunk `c`'s digest `width` words of `c`.
+fn insert(node: &Deployment, stream: u128, chunks: std::ops::Range<u64>, width: usize) {
+    let chunk = |c: u64| {
+        let mut bytes = Vec::new();
+        EncryptedChunk::encode_parts(stream, c, &vec![c; width], b"x", &mut bytes);
+        bytes
+    };
+    let chunks = chunks.map(chunk).collect();
+    call(node, Request::InsertBatch { chunks });
+}
+
+/// Queries chunks `[lo, hi)` of `stream` and checks the reply.
+fn stat(node: &Deployment, stream: u128, lo: u64, hi: u64, width: usize) {
+    let reply = call(
+        node,
+        Request::GetStatRange {
+            streams: vec![stream],
+            ts_s: lo as i64 * 1000,
+            ts_e: hi as i64 * 1000,
+        },
+    );
+    let Response::Stat(reply) = reply else {
+        panic!("{reply:?}");
+    };
+    assert_eq!(reply.agg, vec![(lo..hi).sum::<u64>(); width]);
+}
+
+/// The node's ledger rows: the share of the lookups since `from` (hits,
+/// misses) served, and `charged` bytes.
+fn node_rows(shape: &str, from: (u64, u64), charged: u64) -> Vec<(String, String)> {
+    let (hits, misses) = (
+        INDEX_NODE_CACHE_HITS.get() - from.0,
+        INDEX_NODE_CACHE_MISSES.get() - from.1,
+    );
+    println!(
+        "boundary cache, {shape}: {hits} of {} lookups hit, {charged} B charged",
+        hits + misses
+    );
+    let row = |name: &str| format!("boundary_cache.{shape}.{name}");
+    vec![
+        (
+            row("hit_share"),
+            format!("{:.4}", hits as f64 / (hits + misses) as f64),
+        ),
+        (row("charged_bytes"), charged.to_string()),
+    ]
+}
+
+fn lookups() -> (u64, u64) {
+    (INDEX_NODE_CACHE_HITS.get(), INDEX_NODE_CACHE_MISSES.get())
+}
+
 #[test]
 fn one_budget_bounds_a_node_of_2000_streams() {
     const BUDGET: usize = 64 << 10;
     const STREAMS: u128 = 2000;
     let _gauge = GAUGE.lock().unwrap_or_else(PoisonError::into_inner);
-    let node = Deployment::build(&Spec::node(2).engine_cfg(ServerConfig {
-        cache_bytes: BUDGET,
-        ..ServerConfig::default()
-    }));
-    let call = |request| match node.call(request) {
-        Response::Error(e) => panic!("{e}"),
-        reply => reply,
-    };
+    let node = node(BUDGET);
     // 32 chunks a stream, chunk `c`'s digest four words of `c`, a second
     // apart; each stream is read over chunks [5, 30) three times.
     for stream in 1..=STREAMS {
-        call(Request::CreateStream {
-            stream,
-            t0: 0,
-            delta_ms: 1000,
-            digest_width: 4,
-        });
-        let chunk = |c: u64| {
-            let mut bytes = Vec::new();
-            EncryptedChunk::encode_parts(stream, c, &[c; 4], b"x", &mut bytes);
-            bytes
-        };
-        let chunks = (0..32).map(chunk).collect();
-        call(Request::InsertBatch { chunks });
+        create(&node, stream, 4);
+        insert(&node, stream, 0..32, 4);
     }
-    let (hits, misses) = (INDEX_NODE_CACHE_HITS.get(), INDEX_NODE_CACHE_MISSES.get());
+    let from = lookups();
     let mut charged = Vec::new();
     for stream in 1..=STREAMS {
         for _ in 0..3 {
-            let streams = vec![stream];
-            let reply = call(Request::GetStatRange {
-                streams,
-                ts_s: 5000,
-                ts_e: 30_000,
-            });
-            let Response::Stat(reply) = reply else {
-                panic!("{reply:?}");
-            };
-            assert_eq!(reply.agg, [(5..30).sum::<u64>(); 4]);
+            stat(&node, stream, 5, 30, 4);
         }
         if stream % 500 == 0 {
             charged.push(INDEX_BOUNDARY_CACHE_BYTES.get());
         }
     }
-    let (hits, misses) = (
-        INDEX_NODE_CACHE_HITS.get() - hits,
-        INDEX_NODE_CACHE_MISSES.get() - misses,
-    );
     println!("boundary cache, node: {charged:?} B charged at 500, 1 000, 1 500 and 2 000 streams");
     assert!(charged.iter().all(|&c| c <= BUDGET as u64), "{charged:?}");
-    common::ledger(&[
-        (
-            "boundary_cache.node.hit_share".into(),
-            format!("{:.4}", hits as f64 / (hits + misses) as f64),
-        ),
-        (
-            "boundary_cache.node.charged_bytes".into(),
-            charged[3].to_string(),
-        ),
-    ]);
+    common::ledger(&node_rows("node", from, charged[3]));
+}
+
+/// `steady_mix`'s shape on the node it runs on: 32 streams of 512 chunks
+/// of 19 words under the benchmark's 64 MiB, grown in turn, each append
+/// followed by the four windows `[q·len/5, len)`.
+#[test]
+fn steady_streams_share_a_node() {
+    const STREAMS: u128 = 32;
+    let _gauge = GAUGE.lock().unwrap_or_else(PoisonError::into_inner);
+    let node = node(64 << 20);
+    for stream in 1..=STREAMS {
+        create(&node, stream, 19);
+        insert(&node, stream, 0..512, 19);
+    }
+    let from = lookups();
+    for len in 513..=677 {
+        for stream in 1..=STREAMS {
+            insert(&node, stream, len - 1..len, 19);
+            for q in 0..4 {
+                stat(&node, stream, q * len / 5, len, 19);
+            }
+        }
+    }
+    let charged = INDEX_BOUNDARY_CACHE_BYTES.get();
+    common::ledger(&node_rows("steady_node", from, charged));
 }
