@@ -1,6 +1,12 @@
 //! The boundary cache: running sums queries read from the store more than
 //! once, for every index of a node, within one budget of heap. Each open of
 //! an [`AggTree`](crate::AggTree) is a life, which keys its sums afresh.
+//!
+//! A stripe holds its working set, not its whole share: CLOCK evicts past a
+//! target that starts at `FLOOR` and grows, up to the share, only as a
+//! query reads a sum again that the stripe evicted. A block evicted with sums
+//! stays a ghost, a bit per sum, while the stripe holds as many blocks as it
+//! has ghosts (or one): CAR's signal (Bansal & Modha, FAST 2004), per block.
 
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{hash_map::DefaultHasher, HashMap, VecDeque};
@@ -8,11 +14,15 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 use timecrypt_obs::counters::INDEX_BOUNDARY_CACHE_BYTES as GAUGE;
+use timecrypt_obs::counters::INDEX_BOUNDARY_CACHE_TARGET_BYTES as TARGET;
 use timecrypt_obs::rank::{self, Held, Ranked};
 
 /// Most stripes, and the least budget worth one.
 const STRIPES: usize = 16;
 const STRIPE_BYTES: usize = 64 * 1024;
+
+/// A stripe's first target, in bytes, if its share is no less.
+const FLOOR: usize = 2 * 1024;
 
 /// Chunks per block: a bit per chunk read, and the sums a second read admits.
 const CHUNKS: u64 = 32;
@@ -25,31 +35,41 @@ pub struct BoundaryCache {
     budget: usize,
     /// Lives drawn: each index open takes the next.
     pub(crate) lives: AtomicU64,
-    stripes: OnceLock<Box<[Ranked<{ rank::CACHE }, Mutex<Blocks>>]>>,
+    stripes: OnceLock<Stripes>,
 }
 
-/// A stripe's blocks, by life and chunk / [`CHUNKS`], in CLOCK's order.
+/// A stripe's blocks, by life and chunk / [`CHUNKS`]: those held, in CLOCK's
+/// order, and its ghosts, oldest first, no more than it holds (or one).
 #[derive(Default)]
 struct Blocks {
     map: HashMap<(u64, u64), Block, BuildHasherDefault<DefaultHasher>>,
     clock: VecDeque<(u64, u64)>,
+    ghosts: VecDeque<(u64, u64)>,
     sums: usize,
+    /// Bytes CLOCK lets it be charged, within its share of the budget.
+    target: usize,
 }
 
-/// Its chunks' bits read, a reference bit, and its sums, each its place in
-/// the block, then the sum.
+/// Its chunks' bits read, and of its sums evicted since it was queued as a
+/// ghost; a reference bit; whether it is held, and queued; and its sums,
+/// each its place in the block, then the sum.
 #[derive(Default)]
 struct Block {
     seen: u32,
+    ghost: u32,
     stride: u16,
     referenced: bool,
+    held: bool,
+    queued: bool,
     sums: Vec<u8>,
 }
 
+type Stripes = Box<[Ranked<{ rank::CACHE }, Mutex<Blocks>>]>;
 type Stripe<'a> = Held<{ rank::CACHE }, MutexGuard<'a, Blocks>>;
 
 impl BoundaryCache {
-    /// An empty cache of `budget` bytes; its first read allocates.
+    /// An empty cache of `budget` bytes; its first read allocates, unless
+    /// the budget cannot hold a stripe: then, as at `0`, it caches nothing.
     pub fn new(budget: usize) -> Self {
         let mut cache = Self::default();
         cache.budget = budget;
@@ -66,52 +86,57 @@ impl BoundaryCache {
 
     /// A query read `sum`, the sum at `(stream, life, chunk)`, from the store.
     pub(crate) fn read(&self, at @ (_, _, chunk): (u128, u64, u64), sum: &[u8]) {
-        let (Ok(stride), true) = (u16::try_from(1 + sum.len()), self.budget > 0) else {
+        let room = self.budget >= size_of::<Mutex<Blocks>>();
+        let (Ok(stride), true) = (u16::try_from(1 + sum.len()), room) else {
             return;
         };
-        let n = (self.budget / STRIPE_BYTES).clamp(1, STRIPES);
-        (self.stripes).get_or_init(|| (0..n).map(|_| Ranked::default()).collect());
+        let share = self.budget / self.built().len();
         let Some((mut guard, key)) = self.stripe(at) else {
             return;
         };
-        let (before, blocks) = (guard.charged(), &mut *guard);
-        if !blocks.map.contains_key(&key) {
+        let (before, target) = (guard.charged(), guard.target);
+        let blocks: &mut Blocks = &mut guard;
+        let block = blocks.map.entry(key).or_default();
+        if !std::mem::replace(&mut block.held, true) {
             blocks.clock.push_back(key);
         }
-        let (block, bit) = (blocks.map.entry(key).or_default(), 1 << (chunk % CHUNKS));
+        let bit = 1 << (chunk % CHUNKS);
+        let fits = block.sums.is_empty() || block.stride == stride;
         block.referenced = true;
-        if block.seen & bit == 0 {
+        if block.ghost & bit != 0 && fits {
+            // Read again since it was evicted: back at once, with room for it.
+            block.ghost &= !bit;
+            blocks.sums += block.admit(chunk, stride, sum);
+            blocks.target = share.min(blocks.target + usize::from(stride));
+        } else if block.seen & bit == 0 {
             block.seen |= bit;
-        } else if (block.sums.is_empty() || block.stride == stride) && block.find(chunk).is_none() {
-            block.stride = stride;
-            let was = block.sums.capacity();
-            block.sums.reserve(stride.into());
-            block.sums.push((chunk % CHUNKS) as u8);
-            block.sums.extend_from_slice(sum);
-            blocks.sums += block.sums.capacity() - was;
+        } else if fits && block.find(chunk).is_none() {
+            blocks.sums += block.admit(chunk, stride, sum);
         }
-        // CLOCK: a block looked into since the hand passed goes round again.
-        while blocks.charged() > self.budget / n {
-            let Some(key) = blocks.clock.pop_front() else {
-                (blocks.map, blocks.clock) = Default::default();
-                break;
-            };
-            match blocks.map.remove(&key) {
-                Some(mut block) if block.referenced => {
-                    block.referenced = false;
-                    blocks.clock.push_back(key);
-                    blocks.map.insert(key, block);
-                }
-                block => blocks.sums -= block.map_or(0, |block| block.sums.capacity()),
-            }
-        }
+        blocks.evict();
         GAUGE.add((blocks.charged() as u64).wrapping_sub(before as u64));
+        TARGET.add((blocks.target - target) as u64);
     }
 
     /// Bytes charged, across the stripes: within the budget.
     pub(crate) fn charged(&self) -> usize {
         let stripes = self.stripes.get().into_iter().flatten();
         stripes.map(|s| s.lock(Mutex::lock).charged()).sum()
+    }
+
+    /// The stripes, built by the first read, each at its first target.
+    fn built(&self) -> &[Ranked<{ rank::CACHE }, Mutex<Blocks>>] {
+        self.stripes.get_or_init(|| {
+            let n = (self.budget / STRIPE_BYTES).clamp(1, STRIPES);
+            let target = FLOOR.min(self.budget / n);
+            TARGET.add((n * target) as u64);
+            GAUGE.add((n * size_of::<Mutex<Blocks>>()) as u64);
+            let stripes: Stripes = (0..n).map(|_| Ranked::default()).collect();
+            for stripe in &stripes {
+                stripe.lock(Mutex::lock).target = target;
+            }
+            stripes
+        })
     }
 
     /// The stripe of `(stream, life, chunk)`, locked, and its block's key.
@@ -126,15 +151,60 @@ impl BoundaryCache {
 impl Drop for BoundaryCache {
     fn drop(&mut self) {
         GAUGE.sub(self.charged() as u64);
+        let stripes = self.stripes.get().into_iter().flatten();
+        TARGET.sub(stripes.map(|s| s.lock(Mutex::lock).target as u64).sum());
     }
 }
 
 impl Blocks {
-    /// Heap bytes: table slots (7 in 8 used), clock, sums, and malloc's 16 B a block.
+    /// Heap bytes: the stripe, its table (slots 7 in 8 used, 16 tags more),
+    /// clock and ghosts, sums, and malloc's 16 B a block held.
     fn charged(&self) -> usize {
         let slots = (8 * self.map.capacity()).div_ceil(7);
-        let table = slots * (size_of::<((u64, u64), Block)>() + 1);
-        table + 16 * (self.clock.capacity() + self.map.len()) + self.sums
+        let table = slots * (size_of::<((u64, u64), Block)>() + 1) + 16 * usize::from(slots > 0);
+        let keys = self.clock.capacity() + self.ghosts.capacity() + self.clock.len();
+        size_of::<Mutex<Self>>() + table + 16 * keys + self.sums
+    }
+
+    /// CLOCK, while charged past the target: a block looked into since the
+    /// hand passed goes round again, and one that held sums stays a ghost.
+    fn evict(&mut self) {
+        while self.charged() > self.target {
+            let Some(key) = self.clock.pop_front() else {
+                // Nothing held: the tables shrink to the ghosts, or go too.
+                self.map.shrink_to_fit();
+                self.clock.shrink_to_fit();
+                self.ghosts.shrink_to_fit();
+                if self.charged() > self.target {
+                    (self.map, self.ghosts) = Default::default();
+                }
+                return;
+            };
+            let block = self.map.entry(key).or_default();
+            if std::mem::take(&mut block.referenced) {
+                self.clock.push_back(key);
+                continue;
+            }
+            let sums = std::mem::take(&mut block.sums);
+            let stride = block.stride.max(1).into();
+            block.ghost |= sums.chunks(stride).fold(0, |mask, sum| mask | 1 << sum[0]);
+            block.held = false;
+            self.sums -= sums.capacity();
+            if block.ghost == 0 && !block.queued {
+                self.map.remove(&key);
+            } else if !std::mem::replace(&mut block.queued, true) {
+                self.ghosts.push_back(key);
+            }
+            // The oldest ghosts go, past one or the blocks held; a block
+            // held again since it was queued forgets its evicted sums.
+            while self.ghosts.len() > self.clock.len().max(1) {
+                let key = self.ghosts.pop_front().unwrap_or_default();
+                match self.map.get_mut(&key) {
+                    Some(block) if block.held => (block.ghost, block.queued) = (0, false),
+                    _ => drop(self.map.remove(&key)),
+                }
+            }
+        }
     }
 }
 
@@ -144,6 +214,17 @@ impl Block {
         let mut sums = self.sums.chunks(self.stride.max(1).into());
         let sum = sums.find(|sum| u64::from(sum[0]) == chunk % CHUNKS)?;
         Some(&sum[1..])
+    }
+
+    /// Holds `sum`, of `chunk`, `stride` bytes with its place; the bytes it
+    /// grew by.
+    fn admit(&mut self, chunk: u64, stride: u16, sum: &[u8]) -> usize {
+        let was = self.sums.capacity();
+        self.stride = stride;
+        self.sums.reserve(stride.into());
+        self.sums.push((chunk % CHUNKS) as u8);
+        self.sums.extend_from_slice(sum);
+        self.sums.capacity() - was
     }
 }
 
@@ -181,15 +262,42 @@ mod tests {
             .is_some_and(|(blocks, key)| blocks.map.get(&key).and_then(|b| b.find(chunk)).is_some())
     }
 
-    /// Each stripe is charged its blocks' sums and tables, within its share.
+    /// Each stripe's (charged, target, ghosts).
+    fn stripes(cache: &BoundaryCache) -> Vec<(usize, usize, usize)> {
+        let stripes = cache.stripes.get().into_iter().flatten();
+        let each = |blocks: &Blocks| (blocks.charged(), blocks.target, blocks.ghosts.len());
+        stripes.map(|s| each(&s.lock(Mutex::lock))).collect()
+    }
+
+    /// Each stripe is charged its sums and tables, within its target, within
+    /// its share; it remembers no block that is neither held nor a ghost.
     fn assert_charged(cache: &BoundaryCache) {
         let stripes = cache.stripes.get().map_or(&[][..], |s| &s[..]);
         for stripe in stripes {
             let blocks = stripe.lock(Mutex::lock);
             let sums: usize = blocks.map.values().map(|b| b.sums.capacity()).sum();
-            assert_eq!((blocks.sums, blocks.map.len()), (sums, blocks.clock.len()));
-            assert!(blocks.charged() <= cache.budget / stripes.len());
+            let held = blocks.map.values().filter(|b| b.held).count();
+            assert_eq!((blocks.sums, held), (sums, blocks.clock.len()));
+            let queued = blocks.map.values().filter(|b| b.queued).count();
+            assert_eq!(queued, blocks.ghosts.len());
+            assert!(blocks.map.len() <= held + queued);
+            assert!(blocks.ghosts.len() <= held.max(1));
+            assert!(blocks.charged() <= blocks.target);
+            assert!(blocks.target <= cache.budget / stripes.len());
         }
+    }
+
+    /// A cache of `budget` whose stripes' targets have grown to their
+    /// shares, as reads of sums they evicted would grow them.
+    fn grown(budget: usize) -> BoundaryCache {
+        let cache = BoundaryCache::new(budget);
+        let stripes = cache.built();
+        for stripe in stripes {
+            let mut blocks = stripe.lock(Mutex::lock);
+            TARGET.add((budget / stripes.len() - blocks.target) as u64);
+            blocks.target = budget / stripes.len();
+        }
+        cache
     }
 
     #[test]
@@ -219,10 +327,84 @@ mod tests {
     }
 
     #[test]
+    fn sums_read_twice_leave_the_target_at_the_floor() {
+        // 4 000 sums of 19 words, each read twice and never again: the
+        // stripes evict them at the floor and remember them as ghosts.
+        let cache = BoundaryCache::new(1 << 20);
+        for chunk in 0..4000 {
+            admit(&cache, 1, chunk, 19);
+            for (charged, target, _) in stripes(&cache) {
+                assert!(
+                    charged <= target && target == FLOOR,
+                    "{charged} of {target}"
+                );
+            }
+        }
+        assert_charged(&cache);
+        assert!(stripes(&cache).iter().all(|&(_, _, ghosts)| ghosts > 0));
+        assert!(cache.charged() <= STRIPES * FLOOR);
+    }
+
+    #[test]
+    fn a_cyclic_sweep_past_the_floor_is_learnt_until_every_read_hits() {
+        // One stripe; each sweep holds more than the floor: three blocks of
+        // four-word sums, or one of 19-word sums. A target left at the floor
+        // misses most of every pass; and a stripe that kept no ghost while
+        // it held no block would forget the lone block as it evicted it.
+        for (chunks, words) in [(96, 4), (32, 19)] {
+            let cache = BoundaryCache::new(64 << 10);
+            let pass = || (0..chunks).filter(|&c| query(&cache, 1, c, words)).count();
+            let hits: Vec<usize> = (0..12).map(|_| pass()).collect();
+            assert_eq!(hits[8..], [chunks as usize; 4], "{hits:?}");
+            let [(charged, target, _)] = stripes(&cache)[..] else {
+                panic!("one stripe");
+            };
+            assert!(charged > FLOOR && target > FLOOR);
+            assert_charged(&cache);
+        }
+    }
+
+    #[test]
+    fn after_every_read_the_charge_is_within_the_target_within_the_share() {
+        // Seeded reads of two widths, a hot 64 chunks among 2 000, at five
+        // budgets of one, four and sixteen stripes.
+        for budget in [1 << 10, 5 << 10, 64 << 10, 300 << 10, 4 << 20] {
+            let cache = BoundaryCache::new(budget);
+            let mut state = budget as u64;
+            let mut grew = 0;
+            for read in 0..6000 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (life, pick) = ((state >> 60) % 4, state >> 33);
+                let chunk = if pick & 1 == 0 {
+                    pick % 64
+                } else {
+                    pick % 2000
+                };
+                query(&cache, life, chunk >> 1, [4, 19][life as usize % 2]);
+                for (charged, target, _) in stripes(&cache) {
+                    assert!(charged <= target && target <= budget / stripes(&cache).len());
+                    grew = grew.max(target);
+                }
+                if read % 1000 == 0 {
+                    assert_charged(&cache);
+                }
+            }
+            assert!(
+                grew > FLOOR.min(budget) || budget < FLOOR,
+                "{budget}: {grew}"
+            );
+        }
+    }
+
+    #[test]
     fn sums_re_read_are_held_and_charged_a_few_bytes_beside_their_words() {
         // Random reads of 2 000 chunks' sums of four words, each read about
-        // 30 times, as the fleet's boundaries are: once every block is
-        // looked into between two passes of the hand, every read hits.
+        // 30 times, as the fleet's boundaries are. The stripes' floors hold
+        // half of them, and each sum past that costs a miss or so as a
+        // ghost before its stripe's target has grown to hold it; then every
+        // read hits.
         let cache = BoundaryCache::new(4 << 20);
         let mut state = 5u64;
         let mut read = || {
@@ -232,7 +414,7 @@ mod tests {
             query(&cache, 7, (state >> 33) % 2000, 4)
         };
         let hits: Vec<bool> = (0..60_000).map(|_| read()).collect();
-        assert!(hits.iter().filter(|&&hit| hit).count() > 55_000);
+        assert!(hits.iter().filter(|&&hit| hit).count() > 52_000);
         assert!(hits[40_000..].iter().all(|&hit| hit));
         assert!((0..2000).all(|chunk| held(&cache, 7, chunk)));
         assert_charged(&cache);
@@ -243,9 +425,10 @@ mod tests {
 
     #[test]
     fn clock_evicts_blocks_not_looked_into_since_the_hand_passed() {
-        // One stripe, with room for twelve blocks of 32 sums of 19 words
-        // (4 896 bytes each), their table and their clock, and not for 13.
-        let cache = BoundaryCache::new(12 * 4896 + 4000);
+        // One stripe grown to its share, with room for twelve blocks of 32
+        // sums of 19 words (4 896 bytes each), their table and their clock,
+        // and not for 13.
+        let cache = grown(12 * 4896 + 4000);
         let fill = |block: u64| (32 * block..32 * block + 32).for_each(|c| admit(&cache, 1, c, 19));
         let held_blocks = || {
             (0..20)
@@ -254,7 +437,7 @@ mod tests {
         };
         (0..12).for_each(fill);
         assert_eq!(held_blocks(), (0..12).collect::<Vec<_>>());
-        // The 13th block's sums pass the budget: the hand clears every
+        // The 13th block's sums pass the target: the hand clears every
         // block's bit, then evicts the first.
         fill(12);
         assert_eq!(held_blocks(), (1..13).collect::<Vec<_>>());
@@ -269,7 +452,7 @@ mod tests {
     #[test]
     fn many_lives_share_one_budget() {
         // Each life's eight sums are read back while the next lives fill,
-        // so the budget binds: the oldest lives give way.
+        // so the target grows until the 40 lives read back fit.
         let cache = BoundaryCache::new(64 << 10);
         for life in 0..2000 {
             (0..8).for_each(|chunk| admit(&cache, life, chunk, 19));

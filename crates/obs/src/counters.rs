@@ -123,8 +123,15 @@ process_families! {
     /// a node, which drops its cache.
     static INDEX_BOUNDARY_CACHE_BYTES: Gauge = "timecrypt_index_boundary_cache_bytes"
         "Heap bytes charged to the process's boundary caches, one per node, summed: cached \
-         running sums, a bit per chunk read, and the tables that find them, each cache \
-         within its node's budget.";
+         running sums, a bit per chunk read, the ghosts of evicted blocks, and the stripes \
+         and tables that find them, each stripe within its target.";
+    /// Moved by a stripe's first read and by each read of a sum the stripe
+    /// evicted, and by the drop of a node, which drops its cache.
+    static INDEX_BOUNDARY_CACHE_TARGET_BYTES: Gauge = "timecrypt_index_boundary_cache_target_bytes"
+        "Bytes the process's boundary caches may be charged before CLOCK evicts, summed over \
+         their stripes: each stripe's target starts at a floor and grows, up to its share of \
+         its node's budget, by a sum's bytes whenever a query reads again from the store a \
+         sum the stripe evicted.";
     /// Dead over log bytes is the share of the files a compaction would
     /// reclaim. The four footprint gauges sum over the logs the process
     /// has open — a node's one `LogKv`, and every in-memory `MemKv` beside

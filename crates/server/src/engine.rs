@@ -48,9 +48,12 @@ use timecrypt_wire::transport::{dispatch_frame, Handler};
 pub struct ServerConfig {
     /// Heap budget in bytes, per node, of the boundary cache: the running
     /// sums queries read from the store, for every stream of every engine
-    /// the node hosts, a hard cap ([`BoundaryCache`];
-    /// Fig. 7 "small cache" sets this to 1 MB). A sum's second read admits
-    /// it; ingest caches nothing. An engine opened alone is its own node.
+    /// the node hosts ([`BoundaryCache`]; Fig. 7 "small cache" sets this to
+    /// 1 MB). A hard cap, not a size: each stripe of the cache holds what
+    /// queries read again, from a small floor up to its share of the
+    /// budget, and grows only when a query reads again a sum it evicted. A
+    /// sum's second read admits it; ingest caches nothing. An engine
+    /// opened alone is its own node.
     pub cache_bytes: usize,
     /// Upper bound on hydrated stream states held resident at once
     /// (`None` = unbounded, the compatibility default). When the resident

@@ -1,7 +1,8 @@
 //! Deterministic traffic of the index's boundary cache (ROADMAP aim 1(c):
 //! gate the counts that don't jitter), beside `index_node_shape.rs`. A
 //! statistical query reads at most two running sums, and the cache keeps
-//! those queries read again, within its budget. What share of the lookups
+//! those queries read again, within targets that grow, up to its budget,
+//! only as queries read again what it evicted. What share of the lookups
 //! it serves and what it is charged for that depend on how often a
 //! boundary is re-read, so four query shapes of the benchmark's workloads
 //! (`benchmark/src/workloads.rs`) replay through one index each, at the
@@ -16,7 +17,7 @@
 //!   boundary, as a stream of `fleet_ingest` is read;
 //! - `dashboard`: 4 560 chunks and the 6 667 random windows one stream of
 //!   `dashboard_read` is asked, at its 64 KiB budget: the one shape whose
-//!   budget binds. Its windows are misaligned in time, but each covers
+//!   budget is a single stripe. Its windows are misaligned in time, but each covers
 //!   whole chunks `[lo, hi)`, and those are what the index is asked.
 //!
 //! Counts only, read from `TreeStats`: the hit share and the bytes charged
@@ -26,7 +27,8 @@
 //! (`tests/common`) sees them: a cache that moved what it holds would free
 //! the old copy, and the allocator may keep it. The process gauge
 //! `timecrypt_index_boundary_cache_bytes` holds what the one live index is
-//! charged, and nothing once it is dropped.
+//! charged, and nothing once it is dropped; so does
+//! `timecrypt_index_boundary_cache_target_bytes` of its targets.
 //!
 //! Beside the shapes, the node's bound: one `ShardNode` of two shards, one
 //! cache of 64 KiB for both engines, and 2 000 streams each read in the same
@@ -44,7 +46,8 @@ use timecrypt::server::ServerConfig;
 use timecrypt::store::MemKv;
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt_obs::counters::{
-    INDEX_BOUNDARY_CACHE_BYTES, INDEX_NODE_CACHE_HITS, INDEX_NODE_CACHE_MISSES,
+    INDEX_BOUNDARY_CACHE_BYTES, INDEX_BOUNDARY_CACHE_TARGET_BYTES, INDEX_NODE_CACHE_HITS,
+    INDEX_NODE_CACHE_MISSES,
 };
 
 mod common;
@@ -94,6 +97,7 @@ fn rows(shape: &str, tree: &AggTree<Vec<u64>>) -> Vec<(String, String)> {
         INDEX_BOUNDARY_CACHE_BYTES.get(),
         stats.cache_used_bytes as u64
     );
+    assert!(INDEX_BOUNDARY_CACHE_BYTES.get() <= INDEX_BOUNDARY_CACHE_TARGET_BYTES.get());
     let lookups = stats.cache_hits + stats.cache_misses;
     println!(
         "boundary cache, {shape}: {} of {lookups} lookups hit, {} B charged",
@@ -150,6 +154,7 @@ fn four_query_shapes() {
     ));
     drop(dashboard);
     assert_eq!(INDEX_BOUNDARY_CACHE_BYTES.get(), 0);
+    assert_eq!(INDEX_BOUNDARY_CACHE_TARGET_BYTES.get(), 0);
     common::ledger(&ledger);
 }
 
@@ -283,5 +288,6 @@ fn steady_streams_share_a_node() {
         }
     }
     let charged = INDEX_BOUNDARY_CACHE_BYTES.get();
+    assert!(charged <= INDEX_BOUNDARY_CACHE_TARGET_BYTES.get());
     common::ledger(&node_rows("steady_node", from, charged));
 }
