@@ -36,7 +36,9 @@
 //! however many streams are read (`boundary_cache.node.*` rows). And the
 //! shape `steady_mix` runs: 32 `steady` streams on one node under the
 //! benchmark's 64 MiB, each grown from 512 to 677 chunks in turn
-//! (`boundary_cache.steady_node.*`).
+//! (`boundary_cache.steady_node.*`); and the read stage `fleet_ingest`
+//! runs: its 64 readable streams on one node, each window over a group of
+//! eight (`boundary_cache.fleet_node.*`).
 
 use common::{Deployment, Spec};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -200,10 +202,16 @@ fn insert(node: &Deployment, stream: u128, chunks: std::ops::Range<u64>, width: 
 
 /// Queries chunks `[lo, hi)` of `stream` and checks the reply.
 fn stat(node: &Deployment, stream: u128, lo: u64, hi: u64, width: usize) {
+    stat_of(node, vec![stream], lo, hi, width);
+}
+
+/// Queries chunks `[lo, hi)` of `streams` together and checks the reply.
+fn stat_of(node: &Deployment, streams: Vec<u128>, lo: u64, hi: u64, width: usize) {
+    let n = streams.len() as u64;
     let reply = call(
         node,
         Request::GetStatRange {
-            streams: vec![stream],
+            streams,
             ts_s: lo as i64 * 1000,
             ts_e: hi as i64 * 1000,
         },
@@ -211,7 +219,7 @@ fn stat(node: &Deployment, stream: u128, lo: u64, hi: u64, width: usize) {
     let Response::Stat(reply) = reply else {
         panic!("{reply:?}");
     };
-    assert_eq!(reply.agg, vec![(lo..hi).sum::<u64>(); width]);
+    assert_eq!(reply.agg, vec![n * (lo..hi).sum::<u64>(); width]);
 }
 
 /// The node's ledger rows: the share of the lookups since `from` (hits,
@@ -290,4 +298,33 @@ fn steady_streams_share_a_node() {
     let charged = INDEX_BOUNDARY_CACHE_BYTES.get();
     assert!(charged <= INDEX_BOUNDARY_CACHE_TARGET_BYTES.get());
     common::ledger(&node_rows("steady_node", from, charged));
+}
+
+/// `fleet_ingest`'s read stage on the node it runs on: the 64 streams its
+/// consumers read, 180 chunks of four words each, under the benchmark's
+/// 64 MiB. Two consumers in turn ask 9 600 windows each, every window of
+/// one of the consumer's four groups of eight streams.
+#[test]
+fn fleet_streams_share_a_node() {
+    const STREAMS: u128 = 64;
+    const CHUNKS: u64 = 180;
+    let _gauge = GAUGE.lock().unwrap_or_else(PoisonError::into_inner);
+    let node = node(64 << 20);
+    for stream in 1..=STREAMS {
+        create(&node, stream, 4);
+        insert(&node, stream, 0..CHUNKS, 4);
+    }
+    let from = lookups();
+    let mut state = 17u64;
+    for _ in 0..9600 {
+        for consumer in 0..2 {
+            let group = 4 * consumer + splitmix(&mut state) as u128 % 4;
+            let lo = splitmix(&mut state) % (CHUNKS - 1);
+            let hi = lo + 2 + splitmix(&mut state) % (CHUNKS - lo - 1);
+            stat_of(&node, (8 * group + 1..=8 * group + 8).collect(), lo, hi, 4);
+        }
+    }
+    let charged = INDEX_BOUNDARY_CACHE_BYTES.get();
+    assert!(charged <= INDEX_BOUNDARY_CACHE_TARGET_BYTES.get());
+    common::ledger(&node_rows("fleet_node", from, charged));
 }
