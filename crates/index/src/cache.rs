@@ -222,7 +222,7 @@ impl Block {
     fn admit(&mut self, chunk: u64, stride: u16, sum: &[u8]) -> usize {
         let was = self.sums.capacity();
         self.stride = stride;
-        self.sums.reserve_exact(stride.into());
+        self.sums.reserve(stride.into());
         self.sums.push((chunk % CHUNKS) as u8);
         self.sums.extend_from_slice(sum);
         self.sums.capacity() - was
