@@ -41,7 +41,7 @@ pub struct BoundaryCache {
 }
 
 /// A stripe's blocks, by life and chunk / [`CHUNKS`], in CLOCK's order, and
-/// the ghosts of those it evicted, oldest first.
+/// the ghosts of those it evicted, oldest first: key, bits read, sums held.
 #[derive(Default)]
 struct Blocks {
     map: HashMap<(u64, u64), Block, BuildHasherDefault<DefaultHasher>>,
@@ -64,7 +64,6 @@ struct Block {
     sums: Vec<u8>,
 }
 
-/// An evicted block: its key, its chunks' bits read, and of its sums.
 type Ghost = ((u64, u64), u32, u32);
 type Stripes = Box<[Ranked<{ rank::CACHE }, Mutex<Blocks>>]>;
 type Stripe<'a> = Held<{ rank::CACHE }, MutexGuard<'a, Blocks>>;
@@ -101,7 +100,7 @@ impl BoundaryCache {
         let (before, target) = (guard.charged(), guard.target);
         let (blocks, bit): (&mut Blocks, u32) = (&mut guard, 1 << (chunk % CHUNKS));
         if !blocks.map.contains_key(&key) {
-            // Held again: a ghost's bits come back with it.
+            // Held anew, or again: then a ghost's bits come back with it.
             let at = blocks.ghosts.iter().position(|g| g.0 == key);
             let ghost = at.and_then(|at| blocks.ghosts.remove(at));
             let block = blocks.map.entry(key).or_default();
@@ -118,8 +117,8 @@ impl BoundaryCache {
             blocks.sums += block.admit(chunk, stride, sum);
         }
         if again {
-            // Read again since it was evicted: room for what that cost, or for
-            // an eighth more if that is more, to learn a working set quickly.
+            // Read again since it was evicted: grow by what that cost, or by an
+            // eighth if that is more, so a working set is learnt in a few reads.
             let grown = (blocks.charged() - before).max(blocks.target / 8);
             blocks.target = share.min(blocks.target + grown);
         }

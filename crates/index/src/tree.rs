@@ -66,9 +66,9 @@ pub struct TreeConfig {
     /// Heap budget in bytes of the index's own [`BoundaryCache`], a hard
     /// cap: the running sums it keeps, a bit per chunk read, the ghosts of
     /// blocks it evicted, and the tables that find them, within targets
-    /// that grow only as queries read again what it evicted; `0` caches
-    /// nothing. A sum's second store read admits it. Fig. 7's "small
-    /// cache" variant uses 1 MB.
+    /// that grow as queries read again what it evicted and fall as it
+    /// evicts sums no query found; `0` caches nothing. A sum's second
+    /// store read admits it. Fig. 7's "small cache" variant uses 1 MB.
     pub cache_bytes: usize,
 }
 

@@ -51,9 +51,10 @@ pub struct ServerConfig {
     /// the node hosts ([`BoundaryCache`]; Fig. 7 "small cache" sets this to
     /// 1 MB). A hard cap, not a size: each stripe of the cache holds what
     /// queries read again, from a small floor up to its share of the
-    /// budget, and grows only when a query reads again a sum it evicted. A
-    /// sum's second read admits it; ingest caches nothing. An engine
-    /// opened alone is its own node.
+    /// budget. It grows when a query reads again a sum it evicted, and
+    /// falls back when it evicts sums no query found. A sum's second read
+    /// admits it; ingest caches nothing. An engine opened alone is its own
+    /// node.
     pub cache_bytes: usize,
     /// Upper bound on hydrated stream states held resident at once
     /// (`None` = unbounded, the compatibility default). When the resident
