@@ -384,6 +384,11 @@ impl Deployment {
         self.handler().handle(req)
     }
 
+    /// The tier's reply to the request frame `body`.
+    pub fn call_frame(&self, body: &[u8]) -> Response {
+        self.handler().handle_frame(body)
+    }
+
     /// The tier's `Handler`.
     fn handler(&self) -> Arc<dyn Handler> {
         match &self.coordinator {

@@ -1,8 +1,9 @@
 //! Integration tests for the sharded service tier: concurrent producers
 //! across shards, per-stream ordering under the batched ingest pipeline,
-//! and byte-identical equivalence with the single-engine path.
+//! a producer's round trip and the stats probe. Byte-identical equivalence
+//! with the single-engine path is `placement_equivalence.rs`'s.
 
-use common::{keys, same_replies, sealed, stream_cfg, Deployment, Spec};
+use common::{keys, sealed, stream_cfg, Deployment, Spec};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::chunk::DataPoint;
 use timecrypt::client::{BatchingProducer, InProc, Transport};
@@ -72,135 +73,6 @@ fn concurrent_producers_preserve_per_stream_order() {
         stats.shards.iter().map(|s| s.ingested_chunks).sum::<u64>(),
         STREAMS as u64 * CHUNKS
     );
-}
-
-/// The sharded service and a single engine, fed the same workload, must
-/// produce byte-identical wire replies for every query — including errors.
-#[test]
-fn sharded_replies_match_single_engine_byte_for_byte() {
-    const STREAMS: u128 = 9;
-    const CHUNKS: u64 = 12;
-    let single = Deployment::build(&Spec::engine()).engine();
-    let svc = Deployment::build(&Spec::coordinator(3)).service();
-
-    // Identical workload to both deployments (same chunk bytes: sealing is
-    // deterministic given the same seed/key material).
-    for id in 0..STREAMS {
-        single.create_stream(id, 0, 10_000, 2).unwrap();
-        svc.create_stream(id, 0, 10_000, 2).unwrap();
-    }
-    for id in 0..STREAMS {
-        let chunks: Vec<EncryptedChunk> = (0..CHUNKS)
-            .map(|i| sealed(id, i, (id as i64) * 7 + i as i64))
-            .collect();
-        for c in &chunks {
-            single.insert(c).unwrap();
-        }
-        for r in svc.submit_batch(chunks) {
-            r.unwrap();
-        }
-    }
-
-    let all: Vec<u128> = (0..STREAMS).collect();
-    let queries = vec![
-        // Multi-stream scatter-gather across all shards.
-        Request::GetStatRange {
-            streams: all.clone(),
-            ts_s: 0,
-            ts_e: 120_000,
-        },
-        // Reversed order must reproduce reversed parts.
-        Request::GetStatRange {
-            streams: all.iter().rev().copied().collect(),
-            ts_s: 0,
-            ts_e: 120_000,
-        },
-        // Partial window.
-        Request::GetStatRange {
-            streams: all.clone(),
-            ts_s: 15_000,
-            ts_e: 95_000,
-        },
-        // Single stream.
-        Request::GetStatRange {
-            streams: vec![4],
-            ts_s: 0,
-            ts_e: 50_000,
-        },
-        // Raw range.
-        Request::GetRange {
-            stream: 5,
-            ts_s: 0,
-            ts_e: 70_000,
-        },
-        Request::StreamInfo { stream: 2 },
-        // Error paths must match too.
-        Request::GetStatRange {
-            streams: vec![3, 99],
-            ts_s: 0,
-            ts_e: 120_000,
-        },
-        Request::GetStatRange {
-            streams: vec![],
-            ts_s: 0,
-            ts_e: 120_000,
-        },
-        Request::GetStatRange {
-            streams: all.clone(),
-            ts_s: 0,
-            ts_e: 1,
-        },
-        Request::StreamInfo { stream: 77 },
-        Request::Ping,
-    ];
-    same_replies(&*single, &*svc, queries, "sharded");
-}
-
-/// The batched wire path (`InsertBatch`) reports per-chunk errors with
-/// batch positions, on both deployments identically.
-#[test]
-fn insert_batch_error_positions_match_single_engine() {
-    let single = Deployment::build(&Spec::engine()).engine();
-    let svc = Deployment::build(&Spec::coordinator(2)).service();
-    for engine_like in [&*single as &dyn Handler, &*svc as &dyn Handler] {
-        engine_like.handle(Request::CreateStream {
-            stream: 1,
-            t0: 0,
-            delta_ms: 10_000,
-            digest_width: 2,
-        });
-        engine_like.handle(Request::CreateStream {
-            stream: 2,
-            t0: 0,
-            delta_ms: 10_000,
-            digest_width: 2,
-        });
-    }
-    let batch = Request::InsertBatch {
-        chunks: vec![
-            sealed(1, 0, 5).to_bytes(),
-            vec![0xde, 0xad], // malformed
-            sealed(2, 0, 6).to_bytes(),
-            sealed(1, 3, 9).to_bytes(), // out of order
-            sealed(9, 0, 1).to_bytes(), // unknown stream
-        ],
-    };
-    let a = single.handle(batch.clone());
-    let b = svc.handle(batch);
-    assert_eq!(
-        a.encode(),
-        b.encode(),
-        "batch replies differ: {a:?} vs {b:?}"
-    );
-    match a {
-        Response::Batch { errors } => {
-            assert_eq!(errors.len(), 3);
-            assert_eq!(errors[0].0, 1);
-            assert_eq!(errors[1].0, 3);
-            assert_eq!(errors[2].0, 4);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
 }
 
 /// End-to-end through the client: a `BatchingProducer` over the in-process
