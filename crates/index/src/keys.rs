@@ -10,12 +10,14 @@
 //! |---|---|---|
 //! | `att/` | the owner's latest root attestation | — |
 //! | `e/` | a resolution envelope | `/` resolution `/` envelope index |
-//! | `g/` | a grant blob | `/` principal `/` sequence number |
+//! | `g/` | a grant blob | `/` principal's length, principal `/` sequence number |
 //! | `i/` | the index's decay cutoffs | — |
 //! | `il/` | a chunk: its level-0 index record | `/` chunk index |
 //! | `s/` | registration metadata | — |
 //!
-//! Numbers are `u64` big-endian, so a prefix's keys sort by them.
+//! Numbers are `u64` big-endian, so a prefix's keys sort by them. A
+//! principal is the one name of variable length: a `u32` big-endian length
+//! goes before it, so no principal's keys lie under another's prefix.
 
 // The six prefixes, by the records the table above names.
 pub const META: &[u8] = b"s/";
@@ -68,13 +70,40 @@ pub fn decay(stream: u128) -> Vec<u8> {
 }
 
 /// Where the grants of `(stream, principal)` start.
-pub fn grant_prefix(stream: u128, principal: &str) -> Vec<u8> {
-    under(GRANT, stream, principal.as_bytes())
+pub fn grant_prefix(stream: u128, principal: &str) -> Result<Vec<u8>, PrincipalTooLong> {
+    let name = [&length(principal.len())?[..], principal.as_bytes()].concat();
+    Ok(under(GRANT, stream, &name))
 }
 
 /// Grant number `seq` of `(stream, principal)`.
-pub fn grant(stream: u128, principal: &str, seq: u64) -> Vec<u8> {
-    numbered(grant_prefix(stream, principal), seq)
+pub fn grant(stream: u128, principal: &str, seq: u64) -> Result<Vec<u8>, PrincipalTooLong> {
+    Ok(numbered(grant_prefix(stream, principal)?, seq))
+}
+
+/// A principal whose length does not fit its `u32` prefix. No wire frame
+/// (16 MiB at most) carries one; an in-process caller is refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrincipalTooLong(pub usize);
+
+impl std::fmt::Display for PrincipalTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "a principal of {} bytes is longer than 2^32 - 1", self.0)
+    }
+}
+
+impl std::error::Error for PrincipalTooLong {}
+
+impl From<PrincipalTooLong> for timecrypt_store::StoreError {
+    fn from(e: PrincipalTooLong) -> Self {
+        Self::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+    }
+}
+
+/// A principal's length prefix.
+fn length(len: usize) -> Result<[u8; 4], PrincipalTooLong> {
+    u32::try_from(len)
+        .map(u32::to_be_bytes)
+        .map_err(|_| PrincipalTooLong(len))
 }
 
 /// Where the envelopes of `(stream, resolution)` start.
@@ -115,8 +144,8 @@ mod tests {
             cat(&[b"il/", &id, b"/", &9u64.to_be_bytes()])
         );
         assert_eq!(decay(s), cat(&[b"i/", &id]));
-        let grant_key = cat(&[b"g/", &id, b"/bob/", &2u64.to_be_bytes()]);
-        assert_eq!(grant(s, "bob", 2), grant_key);
+        let grant_key = cat(&[b"g/", &id, b"/\0\0\0\x03bob/", &2u64.to_be_bytes()]);
+        assert_eq!(grant(s, "bob", 2), Ok(grant_key));
         let env_key = cat(&[
             b"e/",
             &id,
@@ -142,7 +171,7 @@ mod tests {
             attestation(7),
             leaf(7, u64::MAX).to_vec(),
             decay(7),
-            grant(7, "", 0),
+            grant(7, "", 0).unwrap(),
             envelope(7, 0, 0),
         ];
         for key in &owned {
@@ -150,5 +179,45 @@ mod tests {
             assert!(*key <= meta(7));
             assert!(of_stream(8).iter().all(|h| !key.starts_with(h)));
         }
+    }
+
+    /// A key of each constructor, beside the prefix a scan of its family
+    /// reads: a grant's `(stream, principal)`, an envelope's `(stream,
+    /// resolution)`; the other keys are their own family.
+    fn key_and_family((kind, stream, name, n): &(u8, u64, String, u64)) -> (Vec<u8>, Vec<u8>) {
+        let (stream, n) = (u128::from(*stream), *n);
+        match kind {
+            0 => (meta(stream), meta(stream)),
+            1 => (attestation(stream), attestation(stream)),
+            2 => (leaf(stream, n).to_vec(), leaf(stream, n).to_vec()),
+            3 => (decay(stream), decay(stream)),
+            4 => (
+                grant(stream, name, n).unwrap(),
+                grant_prefix(stream, name).unwrap(),
+            ),
+            _ => (envelope(stream, n % 3, n), envelope_prefix(stream, n % 3)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        /// No key of one tuple lies under another tuple's prefix, whatever
+        /// its principal holds: `alice/x`'s grants are not `alice`'s.
+        #[test]
+        fn no_key_lies_under_another_tuples_prefix(
+            a in (0u8..6, 0u64..2, "[a/\0]{0,4}", 0u64..4),
+            b in (0u8..6, 0u64..2, "[a/\0]{0,4}", 0u64..4),
+        ) {
+            let ((key, family), (_, other)) = (key_and_family(&a), key_and_family(&b));
+            proptest::prop_assert_eq!(key.starts_with(&other), family == other, "{a:?} {b:?}");
+        }
+    }
+
+    #[test]
+    fn a_principal_longer_than_its_prefix_can_say_is_refused() {
+        assert_eq!(length(u32::MAX as usize), Ok([0xff; 4]));
+        let long = u32::MAX as usize + 1;
+        assert_eq!(length(long), Err(PrincipalTooLong(long)));
     }
 }

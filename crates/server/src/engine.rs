@@ -1904,7 +1904,7 @@ mod tests {
     /// both are kept.
     #[test]
     fn racing_grants_of_one_principal_are_both_kept() {
-        let kv = ParkingKv::new(&keys::grant(1, "alice", 0), true);
+        let kv = ParkingKv::new(&keys::grant(1, "alice", 0).unwrap(), true);
         let s = TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap();
         let grant = |blob: &[u8]| s.put_grant(1, "alice", blob);
         kv.arm();

@@ -20,17 +20,17 @@ impl TimeCryptServer {
         let _stripe = self.stripes.lock(stream, Mutex::lock);
         let seq = self
             .kv
-            .scan_keys(&keys::grant_prefix(stream, principal))?
+            .scan_keys(&keys::grant_prefix(stream, principal)?)?
             .len();
         self.kv
-            .put(&keys::grant(stream, principal, seq as u64), blob)
+            .put(&keys::grant(stream, principal, seq as u64)?, blob)
     }
 
     /// All grant blobs for `(stream, principal)` in insertion order.
     pub fn get_grants(&self, stream: u128, principal: &str) -> Result<Vec<Vec<u8>>, StoreError> {
         let mut hits = self
             .kv
-            .scan_prefix(&keys::grant_prefix(stream, principal))?;
+            .scan_prefix(&keys::grant_prefix(stream, principal)?)?;
         hits.sort();
         Ok(hits.into_iter().map(|(_, v)| v).collect())
     }
@@ -41,7 +41,7 @@ impl TimeCryptServer {
     /// One batch: a store fault leaves every grant in place.
     pub fn revoke_grants(&self, stream: u128, principal: &str) -> Result<usize, StoreError> {
         let _stripe = self.stripes.lock(stream, Mutex::lock);
-        let hits = self.kv.scan_keys(&keys::grant_prefix(stream, principal))?;
+        let hits = self.kv.scan_keys(&keys::grant_prefix(stream, principal)?)?;
         let ops: Vec<WriteOp<'_>> = hits.iter().map(|key| WriteOp::Delete { key }).collect();
         self.kv.write_batch(&ops)?;
         Ok(hits.len())

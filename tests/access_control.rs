@@ -125,6 +125,18 @@ fn two_principals_isolated() {
     assert!(b.stat_query(&mut t, cfg.id, 0, 5 * MIN).is_err());
 }
 
+/// A principal's grants are its own, whatever another's name holds:
+/// `alice` is served none of `alice/x`'s, and revoking `alice` leaves them.
+#[test]
+fn a_principal_named_by_anothers_prefix_holds_none_of_its_grants() {
+    let server = Deployment::build(&Spec::engine()).engine();
+    server.put_grant(7, "alice/x", b"x").unwrap();
+    server.put_grant(7, "alice", b"a").unwrap();
+    assert_eq!(server.get_grants(7, "alice").unwrap(), [b"a"]);
+    assert_eq!(server.revoke_grants(7, "alice").unwrap(), 1);
+    assert_eq!(server.get_grants(7, "alice/x").unwrap(), [b"x"]);
+}
+
 #[test]
 fn revocation_removes_grants_and_preserves_old_access() {
     let (mut t, cfg, mut owner) = setup(10 * 60);

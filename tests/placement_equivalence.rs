@@ -25,7 +25,8 @@
 //!   replay, a wrong width, an unknown stream, malformed bytes;
 //! - `InsertLive` for a finalized, the open or a later chunk, or
 //!   malformed; `GetLive`;
-//! - `PutGrant`, `GetGrants`, `RevokeGrants` of three principals;
+//! - `PutGrant`, `GetGrants`, `RevokeGrants` of seven principals: `alice`,
+//!   `bob`, empty, two that `alice`'s name prefixes, `/` and 7 bytes, 1 KiB;
 //!   `PutEnvelopes` (an index may repeat), `GetEnvelopes` up to `u64::MAX`;
 //! - `PutAttestation` (the size held or one more, epochs that may regress,
 //!   another stream's, malformed), `GetAttestation`, `GetRangeProof`,
@@ -83,6 +84,18 @@ const EXCLUDED: [&str; 5] = [
 
 /// A stream no history creates.
 const UNKNOWN: u128 = u128::MAX;
+
+/// Principals: two that `alice`'s name prefixes, one that a grant number
+/// follows, and `k`, drawn as 1 KiB of it.
+const PRINCIPALS: [&str; 7] = [
+    "alice",
+    "bob",
+    "",
+    "alice/x",
+    "alice/",
+    "/\0\0\0\0\0\0\x01",
+    "k",
+];
 
 /// SplitMix64: the source of every draw.
 struct Rng(u64);
@@ -509,7 +522,10 @@ impl Draw {
     fn request(&mut self) -> Request {
         let stream = self.id();
         let len = self.model.streams.get(&stream).map_or(0, Stream::len);
-        let principal = ["alice", "bob", ""][self.rng.below(3) as usize].to_string();
+        let principal = match self.rng.pick(&PRINCIPALS) {
+            "k" => "k".repeat(1024),
+            name => name.to_string(),
+        };
         let windowed: [fn(Window) -> Request; 6] = [
             |(stream, ts_s, ts_e)| Request::GetRange { stream, ts_s, ts_e },
             |(stream, ts_s, ts_e)| Request::DeleteRange { stream, ts_s, ts_e },
