@@ -71,8 +71,8 @@ pub fn decay(stream: u128) -> Vec<u8> {
 
 /// Where the grants of `(stream, principal)` start.
 pub fn grant_prefix(stream: u128, principal: &str) -> Result<Vec<u8>, PrincipalTooLong> {
-    let name = [&length(principal.len())?[..], principal.as_bytes()].concat();
-    Ok(under(GRANT, stream, &name))
+    let (len, name) = (length(principal.len())?, principal.as_bytes());
+    Ok([&head(GRANT, stream)[..], b"/", &len, name, b"/"].concat())
 }
 
 /// Grant number `seq` of `(stream, principal)`.

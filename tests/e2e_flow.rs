@@ -8,16 +8,18 @@ use timecrypt::crypto::SecureRandom;
 
 mod common;
 
+/// An engine, and stream 1 created on it by its owner.
 fn setup() -> (InProcess, StreamConfig, DataOwner) {
     let server = Deployment::build(&Spec::engine()).engine();
-    let transport = InProcess::new(server);
+    let mut transport = InProcess::new(server);
     let cfg = StreamConfig::new(1, "hr", 0, 10_000);
-    let owner = DataOwner::with_height(
+    let mut owner = DataOwner::with_height(
         cfg.clone(),
         [7u8; 16],
         24,
         SecureRandom::from_seed_insecure(1),
     );
+    owner.create_stream(&mut transport).unwrap();
     (transport, cfg, owner)
 }
 
@@ -34,18 +36,20 @@ fn ingest(t: &mut InProcess, cfg: &StreamConfig, owner: &DataOwner, seconds: i64
     p.flush(t).unwrap();
 }
 
+/// Consumer `name`, granted `[0, end)` of `owner`'s stream and synced.
+fn reader(t: &mut InProcess, owner: &mut DataOwner, name: &str, seed: u64, end: i64) -> Consumer {
+    let mut c = Consumer::new(name, &mut SecureRandom::from_seed_insecure(seed));
+    owner.grant_access(t, name, c.public_key(), 0, end).unwrap();
+    c.sync_grants(t, owner.config().id).unwrap();
+    c
+}
+
 #[test]
 fn full_lifecycle_statistics_match_ground_truth() {
     let (mut t, cfg, mut owner) = setup();
-    owner.create_stream(&mut t).unwrap();
     ingest(&mut t, &cfg, &owner, 600);
 
-    let mut rng = SecureRandom::from_seed_insecure(3);
-    let mut alice = Consumer::new("alice", &mut rng);
-    owner
-        .grant_access(&mut t, "alice", alice.public_key(), 0, 600_000)
-        .unwrap();
-    alice.sync_grants(&mut t, cfg.id).unwrap();
+    let mut alice = reader(&mut t, &mut owner, "alice", 3, 600_000);
 
     // Whole range.
     let s = alice.stat_query(&mut t, cfg.id, 0, 600_000).unwrap();
@@ -72,14 +76,8 @@ fn full_lifecycle_statistics_match_ground_truth() {
 #[test]
 fn min_max_via_histogram() {
     let (mut t, cfg, mut owner) = setup();
-    owner.create_stream(&mut t).unwrap();
     ingest(&mut t, &cfg, &owner, 600);
-    let mut rng = SecureRandom::from_seed_insecure(4);
-    let mut c = Consumer::new("c", &mut rng);
-    owner
-        .grant_access(&mut t, "c", c.public_key(), 0, 600_000)
-        .unwrap();
-    c.sync_grants(&mut t, cfg.id).unwrap();
+    let mut c = reader(&mut t, &mut owner, "c", 4, 600_000);
     let s = c.stat_query(&mut t, cfg.id, 0, 600_000).unwrap();
     let h = s.histogram.unwrap();
     // Values 0..600: standard schema bins are [64i, 64(i+1)); min bin is
@@ -95,8 +93,7 @@ fn min_max_via_histogram() {
 
 #[test]
 fn unsynced_consumer_cannot_query() {
-    let (mut t, cfg, mut owner) = setup();
-    owner.create_stream(&mut t).unwrap();
+    let (mut t, cfg, owner) = setup();
     ingest(&mut t, &cfg, &owner, 60);
     let mut rng = SecureRandom::from_seed_insecure(5);
     let mut mallory = Consumer::new("mallory", &mut rng);
@@ -108,7 +105,6 @@ fn unsynced_consumer_cannot_query() {
 #[test]
 fn grant_is_sealed_to_the_right_principal() {
     let (mut t, cfg, mut owner) = setup();
-    owner.create_stream(&mut t).unwrap();
     ingest(&mut t, &cfg, &owner, 60);
     let mut rng = SecureRandom::from_seed_insecure(6);
     let alice = Consumer::new("alice", &mut rng);
@@ -127,7 +123,6 @@ fn grant_is_sealed_to_the_right_principal() {
 #[test]
 fn producer_stream_continuity_across_gaps() {
     let (mut t, cfg, mut owner) = setup();
-    owner.create_stream(&mut t).unwrap();
     let mut p = Producer::new(
         cfg.clone(),
         owner.provision_producer(),
@@ -139,12 +134,7 @@ fn producer_stream_continuity_across_gaps() {
     p.flush(&mut t).unwrap();
     assert_eq!(p.chunks_sent(), 7); // chunks 0..=6
 
-    let mut rng = SecureRandom::from_seed_insecure(8);
-    let mut c = Consumer::new("c", &mut rng);
-    owner
-        .grant_access(&mut t, "c", c.public_key(), 0, 70_000)
-        .unwrap();
-    c.sync_grants(&mut t, cfg.id).unwrap();
+    let mut c = reader(&mut t, &mut owner, "c", 8, 70_000);
     let s = c.stat_query(&mut t, cfg.id, 0, 70_000).unwrap();
     assert_eq!(s.count, Some(2));
     assert_eq!(s.sum, Some(12));
@@ -152,23 +142,10 @@ fn producer_stream_continuity_across_gaps() {
 
 #[test]
 fn multi_stream_query_needs_all_grants() {
-    let server = Deployment::build(&Spec::engine()).engine();
-    let mut t = InProcess::new(server);
-    let cfg1 = StreamConfig::new(1, "a", 0, 10_000);
+    let (mut t, cfg1, mut o1) = setup();
     let cfg2 = StreamConfig::new(2, "b", 0, 10_000);
-    let mut o1 = DataOwner::with_height(
-        cfg1.clone(),
-        [1u8; 16],
-        20,
-        SecureRandom::from_seed_insecure(1),
-    );
-    let mut o2 = DataOwner::with_height(
-        cfg2.clone(),
-        [2u8; 16],
-        20,
-        SecureRandom::from_seed_insecure(2),
-    );
-    o1.create_stream(&mut t).unwrap();
+    let rng = SecureRandom::from_seed_insecure(2);
+    let mut o2 = DataOwner::with_height(cfg2.clone(), [2u8; 16], 20, rng);
     o2.create_stream(&mut t).unwrap();
     ingest(&mut t, &cfg1, &o1, 100);
     ingest(&mut t, &cfg2, &o2, 100);
@@ -194,14 +171,8 @@ fn multi_stream_query_needs_all_grants() {
 #[test]
 fn delete_range_keeps_statistics_drops_raw() {
     let (mut t, cfg, mut owner) = setup();
-    owner.create_stream(&mut t).unwrap();
     ingest(&mut t, &cfg, &owner, 600);
-    let mut rng = SecureRandom::from_seed_insecure(11);
-    let mut c = Consumer::new("c", &mut rng);
-    owner
-        .grant_access(&mut t, "c", c.public_key(), 0, 600_000)
-        .unwrap();
-    c.sync_grants(&mut t, cfg.id).unwrap();
+    let mut c = reader(&mut t, &mut owner, "c", 11, 600_000);
 
     // Age out the first 5 minutes of raw payloads.
     owner.delete_range(&mut t, 0, 300_000).unwrap();
@@ -223,15 +194,9 @@ fn delete_range_keeps_statistics_drops_raw() {
 #[test]
 fn rollup_preserves_coarse_queries() {
     let (mut t, cfg, mut owner) = setup();
-    owner.create_stream(&mut t).unwrap();
     ingest(&mut t, &cfg, &owner, 1000);
     owner.rollup(&mut t, 500_000, 2).unwrap();
-    let mut rng = SecureRandom::from_seed_insecure(10);
-    let mut c = Consumer::new("c", &mut rng);
-    owner
-        .grant_access(&mut t, "c", c.public_key(), 0, 1_000_000)
-        .unwrap();
-    c.sync_grants(&mut t, cfg.id).unwrap();
+    let mut c = reader(&mut t, &mut owner, "c", 10, 1_000_000);
     let s = c.stat_query(&mut t, cfg.id, 0, 1_000_000).unwrap();
     assert_eq!(s.count, Some(1000));
 }

@@ -6,7 +6,7 @@
 //! while everything stays encrypted: the verified aggregate is a HEAC
 //! ciphertext the consumer then decrypts with its boundary keys.
 
-use timecrypt::chunk::{DataPoint, PlainChunk, StreamConfig};
+use timecrypt::chunk::{DataPoint, EncryptedChunk, PlainChunk, StreamConfig};
 use timecrypt::core::{decrypt_range_sum, StreamKeyMaterial};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::integrity::{chunk_commitment, verify_attested_range, AttestError, StreamLedger};
@@ -23,6 +23,17 @@ struct World {
     server_ledger: StreamLedger,
     owner_key: SigningKey,
     rng: SecureRandom,
+    chunks: Vec<EncryptedChunk>,
+}
+
+/// A ledger of `chunks`, as the server builds it on upload.
+fn ledger_of<'a>(chunks: impl IntoIterator<Item = &'a EncryptedChunk>) -> StreamLedger {
+    let mut ledger = StreamLedger::new(STREAM);
+    for chunk in chunks {
+        let commitment = chunk_commitment(&chunk.to_bytes());
+        ledger.append(commitment, chunk.digest_ct.clone()).unwrap();
+    }
+    ledger
 }
 
 /// Producer seals CHUNKS chunks (value = global point index); owner and
@@ -32,37 +43,29 @@ fn build_world() -> World {
     let keys = StreamKeyMaterial::with_params(STREAM, [3u8; 16], 24, Default::default()).unwrap();
     let mut rng = SecureRandom::from_seed_insecure(99);
     let owner_key = SigningKey::generate(&mut rng);
-    let mut owner_ledger = StreamLedger::new(STREAM);
-    let mut server_ledger = StreamLedger::new(STREAM);
-    for i in 0..CHUNKS {
-        let points: Vec<DataPoint> = (0..PTS_PER_CHUNK)
-            .map(|p| {
+    let chunks: Vec<_> = (0..CHUNKS)
+        .map(|i| {
+            let points = (0..PTS_PER_CHUNK).map(|p| {
                 let global = i as i64 * PTS_PER_CHUNK + p;
                 DataPoint::new(i as i64 * 10_000 + p * 1_000, global)
-            })
-            .collect();
-        let sealed = PlainChunk {
-            stream: STREAM,
-            index: i,
-            points,
-        }
-        .seal(&cfg, &keys, &mut rng)
-        .unwrap();
-        let commitment = chunk_commitment(&sealed.to_bytes());
-        owner_ledger
-            .append(commitment, sealed.digest_ct.clone())
-            .unwrap();
-        server_ledger
-            .append(commitment, sealed.digest_ct.clone())
-            .unwrap();
-    }
+            });
+            let points = points.collect();
+            let plain = PlainChunk {
+                stream: STREAM,
+                index: i,
+                points,
+            };
+            plain.seal(&cfg, &keys, &mut rng).unwrap()
+        })
+        .collect();
     World {
         cfg,
         keys,
-        owner_ledger,
-        server_ledger,
+        owner_ledger: ledger_of(&chunks),
+        server_ledger: ledger_of(&chunks),
         owner_key,
         rng,
+        chunks,
     }
 }
 
@@ -101,41 +104,10 @@ fn verified_aggregate_decrypts_to_ground_truth() {
 fn server_substituting_a_digest_is_caught_before_decryption() {
     let mut w = build_world();
     let att = w.owner_ledger.attest(&w.owner_key, &mut w.rng);
-    // The server replays chunk 5's digest in place of chunk 6's (a replay
-    // the base system would silently aggregate). Rebuild a cheating ledger.
-    let cfg = w.cfg.clone();
-    let mut cheat = StreamLedger::new(STREAM);
-    let mut rng = SecureRandom::from_seed_insecure(99);
-    let _ = SigningKey::generate(&mut rng); // consume the same rng prefix
-    let mut prev_bytes: Option<Vec<u8>> = None;
-    for i in 0..CHUNKS {
-        let points: Vec<DataPoint> = (0..PTS_PER_CHUNK)
-            .map(|p| {
-                let global = i as i64 * PTS_PER_CHUNK + p;
-                DataPoint::new(i as i64 * 10_000 + p * 1_000, global)
-            })
-            .collect();
-        let sealed = PlainChunk {
-            stream: STREAM,
-            index: i,
-            points,
-        }
-        .seal(&cfg, &w.keys, &mut rng)
-        .unwrap();
-        let bytes = sealed.to_bytes();
-        if i == 6 {
-            let replay = prev_bytes.clone().unwrap();
-            let replay_chunk = timecrypt::chunk::EncryptedChunk::from_bytes(&replay).unwrap();
-            cheat
-                .append(chunk_commitment(&replay), replay_chunk.digest_ct)
-                .unwrap();
-        } else {
-            cheat
-                .append(chunk_commitment(&bytes), sealed.digest_ct.clone())
-                .unwrap();
-        }
-        prev_bytes = Some(bytes);
-    }
+    // The server replays chunk 5 in place of chunk 6 (a replay the base
+    // system would silently aggregate), in a cheating ledger.
+    let replayed = (0..CHUNKS as usize).map(|i| &w.chunks[if i == 6 { 5 } else { i }]);
+    let cheat = ledger_of(replayed);
     let forged = cheat
         .prove_range(0, CHUNKS as usize, att.size as usize)
         .unwrap();

@@ -1,12 +1,11 @@
-//! End-to-end multi-node cluster tests: a coordinator scatter-gathering
-//! over shard nodes on loopback TCP must produce replies byte-identical
-//! to the single-process sharded service (which is itself byte-identical
-//! to a single engine), including error paths — and must keep doing so
-//! after the primary node of a replicated shard is killed.
+//! End-to-end multi-node cluster tests: what `placement_equivalence.rs`'s
+//! histories do not draw. A coordinator over loopback shard nodes answers
+//! as a single-process service after a node is killed for good, and with
+//! one shard local and one remote; replication metrics are exact under
+//! outages; the batching producer runs against a cluster.
 
 use common::{dial_fast, keys, same_replies, sealed, stream_cfg, Deployment, Spec};
 use std::sync::Arc;
-use std::time::Duration;
 use timecrypt::chunk::DataPoint;
 use timecrypt::client::{BatchingProducer, InProc, Transport};
 use timecrypt::core::heac::decrypt_range_sum;
@@ -14,8 +13,6 @@ use timecrypt::crypto::SecureRandom;
 use timecrypt::service::{ServiceConfig, ShardSpec, ShardedService};
 use timecrypt::store::MemKv;
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::pool::PoolConfig;
-use timecrypt::wire::transport::Handler;
 
 mod common;
 
@@ -33,8 +30,8 @@ fn feed(tiers: [&ShardedService; 2], streams: u128, chunks: u64, k: i64) {
     }
 }
 
-/// The query battery both deployments must answer identically — happy
-/// paths and error paths.
+/// The queries both deployments must answer identically: every shard's
+/// streams, a raw read, an info and an unknown stream's error.
 fn query_battery(streams: u128, chunks: u64) -> Vec<Request> {
     let all: Vec<u128> = (0..streams).collect();
     let window = chunks as i64 * 10_000;
@@ -54,41 +51,23 @@ fn query_battery(streams: u128, chunks: u64) -> Vec<Request> {
             ts_s: 15_000,
             ts_e: window - 15_000,
         },
-        Request::GetStatRange {
-            streams: vec![3],
-            ts_s: 0,
-            ts_e: window / 2,
-        },
         Request::GetRange {
             stream: 5,
             ts_s: 0,
             ts_e: window,
         },
         Request::StreamInfo { stream: 2 },
-        // Error paths.
         Request::GetStatRange {
             streams: vec![3, 99],
             ts_s: 0,
             ts_e: window,
         },
-        Request::GetStatRange {
-            streams: vec![],
-            ts_s: 0,
-            ts_e: window,
-        },
-        Request::GetStatRange {
-            streams: all,
-            ts_s: 0,
-            ts_e: 1,
-        },
-        Request::StreamInfo { stream: 77 },
-        Request::Ping,
     ]
 }
 
 /// A 2-node replicated cluster and a single-process service, fed the same
-/// workload, answer the battery byte-identically — before *and after* one
-/// node is killed (reads fail over to the surviving replicas).
+/// workload, answer the battery byte-identically after one node is killed
+/// (reads fail over to the surviving replicas).
 #[test]
 fn two_node_cluster_replies_match_single_process_even_after_killing_a_node() {
     const STREAMS: u128 = 8;
@@ -104,13 +83,6 @@ fn two_node_cluster_replies_match_single_process_even_after_killing_a_node() {
 
     // Identical workload to both (sealing is deterministic per seed/key).
     feed([&reference, &cluster], STREAMS, CHUNKS, 3);
-
-    same_replies(
-        &*reference,
-        &*cluster,
-        query_battery(STREAMS, CHUNKS),
-        "healthy",
-    );
 
     // Kill node A: every shard still has a live replica (shard 0's backup,
     // shard 1's primary — both on node B).
@@ -202,8 +174,7 @@ fn replication_metrics_are_exact_under_induced_outages() {
 }
 
 /// Mixed placement — one local shard, one remote — behaves exactly like
-/// the all-local service for the same workload, and the batched wire
-/// ingest path reports identical per-chunk error positions.
+/// the all-local service for the same workload.
 #[test]
 fn mixed_local_remote_topology_matches_all_local() {
     const STREAMS: u128 = 6;
@@ -225,25 +196,6 @@ fn mixed_local_remote_topology_matches_all_local() {
 
     feed([&all_local, &mixed], STREAMS, CHUNKS, 5);
     same_replies(&*all_local, &mixed, query_battery(STREAMS, CHUNKS), "mixed");
-
-    // Batched wire path with mixed verdicts: positions + strings must
-    // match wherever each chunk's shard runs.
-    let batch = Request::InsertBatch {
-        chunks: vec![
-            sealed(1, CHUNKS, 1).to_bytes(),
-            vec![0xde, 0xad],                    // malformed
-            sealed(2, CHUNKS + 3, 1).to_bytes(), // out of order
-            sealed(99, 0, 1).to_bytes(),         // unknown stream
-            sealed(3, CHUNKS, 1).to_bytes(),
-        ],
-    };
-    let a = all_local.handle(batch.clone());
-    let b = mixed.handle(batch);
-    assert_eq!(
-        a.encode(),
-        b.encode(),
-        "batch verdicts differ: {a:?} vs {b:?}"
-    );
 }
 
 /// The client stack (BatchingProducer + consumer-style decrypt) works
@@ -269,6 +221,7 @@ fn batching_producer_roundtrip_through_cluster() {
     }
     producer.flush(&mut transport).unwrap();
     assert_eq!(producer.chunks_sent(), 10);
+    assert!(producer.batches_sent() >= 3);
     let reply = match transport.call(&Request::GetStatRange {
         streams: vec![id],
         ts_s: 0,
@@ -280,35 +233,4 @@ fn batching_producer_roundtrip_through_cluster() {
     let dec = decrypt_range_sum(&keys(id).tree, 0, 10, &reply.agg).unwrap();
     assert_eq!(dec[0] as i64, (0..100i64).sum::<i64>());
     assert_eq!(dec[1], 100);
-}
-
-/// A node restart with a persistent store recovers its shards' streams;
-/// the coordinator's pooled connections reconnect (with backoff) and keep
-/// serving without being rebuilt.
-#[test]
-fn node_restart_recovers_and_coordinator_reconnects() {
-    let d = Deployment::build(&Spec::remote(1, 1, 1).on_disk().service(ServiceConfig {
-        pool: PoolConfig {
-            connect_attempts: 8,
-            backoff: Duration::from_millis(2),
-            ..Default::default()
-        },
-        ..ServiceConfig::default()
-    }));
-    let svc = d.service();
-    svc.create_stream(1, 0, 10_000, 2).unwrap();
-    svc.insert(&sealed(1, 0, 11)).unwrap();
-    let before = svc.get_stat_range(&[1], 0, 10_000).unwrap();
-
-    // Restart the node on the same address, recovering from the log.
-    d.restart(0);
-
-    let after = svc.get_stat_range(&[1], 0, 10_000).unwrap();
-    assert_eq!(before, after, "recovered node serves identical data");
-    // Ingest resumes where the stream left off.
-    svc.insert(&sealed(1, 1, 12)).unwrap();
-    match svc.handle(Request::StreamInfo { stream: 1 }) {
-        Response::Info(i) => assert_eq!(i.len, 2),
-        other => panic!("unexpected {other:?}"),
-    }
 }

@@ -1,14 +1,12 @@
 //! Integration tests for the sharded service tier: concurrent producers
 //! across shards, per-stream ordering under the batched ingest pipeline,
-//! a producer's round trip and the stats probe. Byte-identical equivalence
-//! with the single-engine path is `placement_equivalence.rs`'s.
+//! and the stats probe. Byte-identical equivalence with the single-engine
+//! path is `placement_equivalence.rs`'s; the batching producer's round
+//! trip is `multi_node_cluster.rs`'s.
 
-use common::{keys, sealed, stream_cfg, Deployment, Spec};
+use common::{keys, sealed, Deployment, Spec};
 use timecrypt::chunk::serialize::EncryptedChunk;
-use timecrypt::chunk::DataPoint;
-use timecrypt::client::{BatchingProducer, InProc, Transport};
 use timecrypt::core::heac::decrypt_range_sum;
-use timecrypt::crypto::SecureRandom;
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::Handler;
 
@@ -73,43 +71,6 @@ fn concurrent_producers_preserve_per_stream_order() {
         stats.shards.iter().map(|s| s.ingested_chunks).sum::<u64>(),
         STREAMS as u64 * CHUNKS
     );
-}
-
-/// End-to-end through the client: a `BatchingProducer` over the in-process
-/// handler transport, then a consumer-style decrypt of a scatter-gather
-/// aggregate.
-#[test]
-fn batching_producer_roundtrip_through_service() {
-    let svc = Deployment::build(&Spec::coordinator(2)).service();
-    let id = 42u128;
-    svc.create_stream(id, 0, 10_000, 2).unwrap();
-    let mut transport = InProc::new(svc.clone());
-    let mut producer = BatchingProducer::new(
-        stream_cfg(id),
-        keys(id),
-        SecureRandom::from_seed_insecure(5),
-        4,
-    );
-    // 100 points at 1 Hz over Δ=10 s chunks → 10 full chunks.
-    for i in 0..100i64 {
-        producer
-            .push(&mut transport, DataPoint::new(i * 1000, i))
-            .unwrap();
-    }
-    producer.flush(&mut transport).unwrap();
-    assert_eq!(producer.chunks_sent(), 10);
-    assert!(producer.batches_sent() >= 3);
-    let reply = match transport.call(&Request::GetStatRange {
-        streams: vec![id],
-        ts_s: 0,
-        ts_e: 100_000,
-    }) {
-        Ok(Response::Stat(s)) => s,
-        other => panic!("unexpected {other:?}"),
-    };
-    let dec = decrypt_range_sum(&keys(id).tree, 0, 10, &reply.agg).unwrap();
-    assert_eq!(dec[0] as i64, (0..100i64).sum::<i64>());
-    assert_eq!(dec[1], 100);
 }
 
 /// `Request::Stats` over the wire handler reports shard occupancy and the

@@ -2,38 +2,42 @@
 
 use common::{Deployment, Spec};
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, Producer};
+use timecrypt::client::{Consumer, DataOwner, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::wire::Client as TcpClient;
 
 mod common;
+
+/// Stream `id` created over `t` by its owner (key bytes `key`, seed
+/// `seed`), then `secs` seconds of 1 Hz points of `value(s)` produced
+/// (seed `seed + 1`).
+fn produce(
+    t: &mut impl Transport,
+    id: u128,
+    (key, seed): (u8, u64),
+    secs: i64,
+    value: impl Fn(i64) -> i64,
+) -> (StreamConfig, DataOwner) {
+    let cfg = StreamConfig::new(id, "m", 0, 10_000);
+    let rng = SecureRandom::from_seed_insecure(seed);
+    let mut owner = DataOwner::with_height(cfg.clone(), [key; 16], 20, rng);
+    owner.create_stream(t).unwrap();
+    let rng = SecureRandom::from_seed_insecure(seed + 1);
+    let mut p = Producer::new(cfg.clone(), owner.provision_producer(), rng);
+    for s in 0..secs {
+        p.push(t, DataPoint::new(s * 1000, value(s))).unwrap();
+    }
+    p.flush(t).unwrap();
+    (cfg, owner)
+}
 
 #[test]
 fn full_flow_over_tcp() {
     let engine = Deployment::build(&Spec::engine());
     let addr = engine.serve();
 
-    let cfg = StreamConfig::new(5, "m", 0, 10_000);
-    let mut owner = DataOwner::with_height(
-        cfg.clone(),
-        [9u8; 16],
-        20,
-        SecureRandom::from_seed_insecure(1),
-    );
     let mut conn = TcpClient::connect(addr).unwrap();
-    owner.create_stream(&mut conn).unwrap();
-
-    let mut producer = Producer::new(
-        cfg.clone(),
-        owner.provision_producer(),
-        SecureRandom::from_seed_insecure(2),
-    );
-    for s in 0..120 {
-        producer
-            .push(&mut conn, DataPoint::new(s * 1000, s))
-            .unwrap();
-    }
-    producer.flush(&mut conn).unwrap();
+    let (cfg, mut owner) = produce(&mut conn, 5, (9, 1), 120, |s| s);
 
     let mut rng = SecureRandom::from_seed_insecure(3);
     let mut c = Consumer::new("c", &mut rng);
@@ -57,26 +61,10 @@ fn concurrent_tcp_producers_distinct_streams() {
     let handles: Vec<_> = (0..4u128)
         .map(|i| {
             std::thread::spawn(move || {
-                let cfg = StreamConfig::new(100 + i, "m", 0, 10_000);
-                let mut owner = DataOwner::with_height(
-                    cfg.clone(),
-                    [i as u8; 16],
-                    20,
-                    SecureRandom::from_seed_insecure(i as u64),
-                );
                 let mut conn = TcpClient::connect(addr).unwrap();
-                owner.create_stream(&mut conn).unwrap();
-                let mut p = Producer::new(
-                    cfg.clone(),
-                    owner.provision_producer(),
-                    SecureRandom::from_seed_insecure(50 + i as u64),
-                );
-                for s in 0..60 {
-                    p.push(&mut conn, DataPoint::new(s * 1000, i as i64))
-                        .unwrap();
-                }
-                p.flush(&mut conn).unwrap();
-                (cfg, owner)
+                produce(&mut conn, 100 + i, (i as u8, 50 + 2 * i as u64), 60, |_| {
+                    i as i64
+                })
             })
         })
         .collect();
@@ -99,35 +87,18 @@ fn concurrent_tcp_producers_distinct_streams() {
 fn persistence_across_server_restart() {
     let d = Deployment::build(&Spec::engine().on_disk());
 
-    let cfg = StreamConfig::new(7, "m", 0, 10_000);
-    let mut owner = DataOwner::with_height(
-        cfg.clone(),
-        [5u8; 16],
-        20,
-        SecureRandom::from_seed_insecure(1),
-    );
     let mut rng = SecureRandom::from_seed_insecure(2);
     let mut c = Consumer::new("c", &mut rng);
 
     // First server lifetime: ingest + grant.
-    {
-        let mut t = timecrypt::client::InProcess::new(d.engine());
-        owner.create_stream(&mut t).unwrap();
-        let mut p = Producer::new(
-            cfg.clone(),
-            owner.provision_producer(),
-            SecureRandom::from_seed_insecure(3),
-        );
-        for s in 0..200 {
-            p.push(&mut t, DataPoint::new(s * 1000, s)).unwrap();
-        }
-        p.flush(&mut t).unwrap();
-        owner
-            .grant_access(&mut t, "c", c.public_key(), 0, 200_000)
-            .unwrap();
-    }
+    let mut t = timecrypt::client::InProcess::new(d.engine());
+    let (cfg, mut owner) = produce(&mut t, 7, (5, 3), 200, |s| s);
+    owner
+        .grant_access(&mut t, "c", c.public_key(), 0, 200_000)
+        .unwrap();
 
     // Second lifetime: everything recovers from the log.
+    drop(t);
     d.restart(0);
     {
         let mut t = timecrypt::client::InProcess::new(d.engine());
