@@ -34,6 +34,8 @@ cleanup() {
   git -C "$repo" worktree prune
 }
 trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 cleanup
 git -C "$repo" worktree add --quiet --detach "$tree" HEAD
 
