@@ -15,19 +15,19 @@
 # profile. All builds share one `CARGO_TARGET_DIR` (default
 # `target/mutants`), so a patch rebuilds only the crates it touches.
 #
-# A mutant is killed when every named test fails (a timeout counts), and
-# survives when one passes. A patch that no longer applies is stale; one
-# whose tests no longer build is broken. Neither counts as killed. The
-# last line tallies them: `mutants: K killed, S survived, T stale,
-# B broken`. Exit status: 0 when all are killed, 1 when one survived,
-# 2 when none survived but one is stale or broken. The worktree is
-# removed on exit, an error or an interrupt included.
+# A mutant is killed when every named test fails (ten minutes without an
+# end counts as a failure), and survives when one passes. A patch that no
+# longer applies is stale; one whose tests no longer build is broken.
+# Neither counts as killed. The last line tallies them: `mutants: K
+# killed, S survived, T stale, B broken`. Exit status: 0 when all are
+# killed, 1 when one survived, 2 when none survived but one is stale or
+# broken. The worktree is removed on exit, an error or an interrupt
+# included.
 set -euo pipefail
 
-repo=$(git rev-parse --show-toplevel)
+repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 tree="${TMPDIR:-/tmp}/timecrypt-mutants"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$repo/target/mutants}"
-per_test_timeout="${MUTANT_TEST_TIMEOUT:-600}"
 
 cleanup() {
   git -C "$repo" worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"
@@ -76,7 +76,7 @@ for patch in "${patches[@]}"; do
       break
     fi
     # shellcheck disable=SC2046
-    if (cd "$tree" && timeout "$per_test_timeout" cargo test -q $(target_of "$file") -- "$test") \
+    if (cd "$tree" && timeout 600 cargo test -q $(target_of "$file") -- "$test") \
         >/dev/null 2>&1; then
       verdict="survived ($killer passed)"
       break
