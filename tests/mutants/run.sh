@@ -13,7 +13,9 @@
 # `git worktree` of HEAD (committed files only) under `$TMPDIR`, reset
 # between patches; only the named tests run, in the default (debug)
 # profile. All builds share one `CARGO_TARGET_DIR` (default
-# `target/mutants`), so a patch rebuilds only the crates it touches.
+# `target/mutants`), so a patch rebuilds only the crates it touches. The
+# worktree's path is fixed, so that a later run reuses those builds: run
+# one at a time per `$TMPDIR`.
 #
 # A mutant is killed when every named test fails (ten minutes without an
 # end counts as a failure), and survives when one passes. A patch that no
