@@ -4,11 +4,15 @@
 //! 16-byte granules, 32 at least), so tests running side by side do not
 //! disturb each other. And [`ledger`], which compares a guard's rows with
 //! the root `BENCH_ledger.json`; [`Deployment`], every tier a test runs
-//! on, built from a [`Spec`]; and [`sealed`], the chunks they feed it.
+//! on, built from a [`Spec`]; [`sealed`], the chunks they feed it; and
+//! [`history`], the generated request histories, checked against
+//! [`model`].
 
 #![allow(dead_code)] // each binary reads what it needs
 
 mod deploy;
+pub mod history;
+pub mod model;
 mod streams;
 
 #[allow(unused_imports)] // each binary reads what it needs

@@ -18,671 +18,29 @@
 //! holds at most one stream resident. A failing history is shrunk, one
 //! step dropped at a time while it still fails, and printed with its seed.
 //!
-//! What a history draws, one line per choice:
-//! - `CreateStream`: new and registered ids, Δ of 0, 1, 1 000, 10 000 or
-//!   `u64::MAX`, `t0` of `i64::MIN`, −1, 0, 5 000 or `i64::MAX`, width 0–3;
-//! - `Insert` and `InsertBatch` (streams mixed): the next chunk, a gap, a
-//!   replay, a wrong width, an unknown stream, malformed bytes;
-//! - `InsertLive` for a finalized, the open or a later chunk, or
-//!   malformed; `GetLive`;
-//! - `PutGrant`, `GetGrants`, `RevokeGrants` of seven principals: `alice`,
-//!   `bob`, empty, two that `alice`'s name prefixes, `/` and 7 bytes, 1 KiB;
-//!   `PutEnvelopes` (an index may repeat), `GetEnvelopes` up to `u64::MAX`;
-//! - `PutAttestation` (the size held or one more, epochs that may regress,
-//!   another stream's, malformed), `GetAttestation`, `GetRangeProof`,
-//!   `GetVerifiedRange`;
-//! - `DeleteRange`, `Rollup` (keep levels 0–3), `DeleteStream`;
-//! - `GetStatRange` over 0–4 streams of mixed widths, unknown and empty
-//!   ones included; `GetRange`; `StreamInfo`;
-//! - `Ping`, undecodable frames, and a restart of every store;
-//! - window ends at `i64::MIN`, `i64::MAX`, a drawn stream's chunk
-//!   boundary or one ms either side of it, or near 0.
-//!
-//! Chunks are server-opaque bytes, as `stat_path.rs` seals them, and an
-//! attestation's root and signature are fixed, as the server checks
-//! neither: no crypto runs per request.
-//!
-//! Not drawn, as their replies differ by tier by design:
-//! - `Stats`: the answering tier's counters and latencies; an engine
-//!   refuses it;
-//! - `ListStreams`: names a shard, which an engine ignores, a node must
-//!   host and a coordinator must have;
-//! - `ExportStream`, `ImportStream`: a rebuild's pages of raw records in
-//!   the store's key layout, which a coordinator refuses to import; the
-//!   merged stores are compared instead;
-//! - `GetStatLeg`: a node's share of a fold, which a coordinator refuses;
-//!   every sharded `GetStatRange` folds legs.
+//! What a history draws, and what it leaves out, is `common::history`'s
+//! doc; the model is `common::model`.
 //!
 //! The tier-1 run's tallies are `placement_equivalence.*` rows of the root
 //! `BENCH_ledger.json`, so a change that shrinks what the generator covers
 //! fails with a one-row diff. CI sweeps 10⁴ more histories in release.
 
+use common::history::{history, kind, shrink, Step, EXCLUDED};
+use common::model::{batch, Model};
 use common::{Deployment, Spec};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::{Range, RangeInclusive};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{PoisonError, RwLock};
-use timecrypt::chunk::serialize::{EncryptedChunk, SealedRecord};
-use timecrypt::integrity::RootAttestation;
-use timecrypt::pk::Signature;
-use timecrypt::server::{ServerConfig, ServerError};
-use timecrypt::service::ShardRouter;
-use timecrypt::wire::messages::{Request, Response, StatReply, StreamInfoWire};
+use timecrypt::chunk::serialize::EncryptedChunk;
+use timecrypt::server::ServerConfig;
+use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::pool::PROBE_IDLE;
 
 mod common;
 
-/// Histories the tier-1 run draws, and request kinds none draws.
+/// Histories the tier-1 run draws.
 const HISTORIES: u64 = 1_000;
-const EXCLUDED: [&str; 5] = [
-    "Stats",
-    "ListStreams",
-    "ExportStream",
-    "ImportStream",
-    "GetStatLeg",
-];
-
-/// A stream no history creates.
-const UNKNOWN: u128 = u128::MAX;
-
-/// Principals: two that `alice`'s name prefixes, one that a grant number
-/// follows, and `k`, drawn as 1 KiB of it.
-const PRINCIPALS: [&str; 7] = [
-    "alice",
-    "bob",
-    "",
-    "alice/x",
-    "alice/",
-    "/\0\0\0\0\0\0\x01",
-    "k",
-];
-
-/// SplitMix64: the source of every draw.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<T: Copy>(&mut self, of: &[T]) -> T {
-        of[self.below(of.len() as u64) as usize]
-    }
-
-    fn bytes(&mut self, most: u64) -> Vec<u8> {
-        (0..self.below(most + 1))
-            .map(|_| self.next() as u8)
-            .collect()
-    }
-}
-
-/// One step of a history.
-#[derive(Clone, Debug)]
-enum Step {
-    Call(Request),
-    /// A frame no request decodes from.
-    Frame(Vec<u8>),
-    /// Every store of every deployment reopened.
-    Restart,
-}
-
-/// A registered stream, as the model holds it: its grid, width and
-/// chunks, each its digest and, until `DeleteRange`, its bytes.
-#[derive(Clone)]
-struct Stream {
-    t0: i64,
-    delta: u64,
-    width: u32,
-    chunks: BTreeMap<u64, (Vec<u64>, Option<Vec<u8>>)>,
-    /// A rollup aged its index: the model predicts no stat reply.
-    decayed: bool,
-}
-
-impl Stream {
-    fn len(&self) -> u64 {
-        self.chunks.len() as u64
-    }
-
-    /// The chunk `ts` falls in; `None` before `t0`. In `i128`, so the model
-    /// shares no arithmetic with the engine's grid.
-    fn chunk_of(&self, ts: i64) -> Option<i128> {
-        (ts >= self.t0).then(|| (ts as i128 - self.t0 as i128) / self.delta as i128)
-    }
-
-    /// The held chunks `[ts_s, ts_e)` covers whole, if any.
-    fn within(&self, ts_s: i64, ts_e: i64) -> Option<(u64, u64)> {
-        let after = (ts_s as i128 - self.t0 as i128).max(0) as u128;
-        let lo = after.div_ceil(self.delta as u128);
-        let hi = self.chunk_of(ts_e).unwrap_or(0).min(self.len() as i128) as u128;
-        (lo < hi).then_some((lo as u64, hi as u64))
-    }
-
-    /// The chunks `[ts_s, ts_e)` touches; `None` for a window that ends at
-    /// or before `t0`.
-    fn touching(&self, ts_s: i64, ts_e: i64) -> Option<RangeInclusive<i128>> {
-        let last = self.chunk_of(ts_e - 1)?;
-        Some(self.chunk_of(ts_s.max(self.t0))?..=last)
-    }
-}
-
-/// What the engine holds, in SNIPPETS.md snippet 1's shape: each stream's
-/// chunks by index, and beside them the grants, envelopes and live
-/// records. Attestations and proofs it does not hold: their replies are
-/// compared across tiers only.
-#[derive(Clone, Default)]
-struct Model {
-    streams: HashMap<u128, Stream>,
-    grants: HashMap<(u128, String), Vec<Vec<u8>>>,
-    envelopes: HashMap<(u128, u64), BTreeMap<u64, Vec<u8>>>,
-    live: HashMap<u128, Live>,
-}
-
-/// A stream's live records by chunk, each with its sequence number.
-type Live = BTreeMap<u64, Vec<(u32, Vec<u8>)>>;
-
-fn error(e: ServerError) -> Response {
-    Response::Error(e.to_string())
-}
-
-/// The reply to a batch of these verdicts.
-fn batch(verdicts: impl Iterator<Item = Result<(), ServerError>>) -> Response {
-    let failed = verdicts
-        .enumerate()
-        .filter_map(|(i, v)| Some((i as u32, v.err()?.to_string())));
-    Response::Batch {
-        errors: failed.collect(),
-    }
-}
-
-impl Model {
-    fn stream(&self, id: u128) -> Result<&Stream, ServerError> {
-        self.streams.get(&id).ok_or(ServerError::NoSuchStream(id))
-    }
-
-    fn insert(&mut self, bytes: &[u8]) -> Result<(), ServerError> {
-        let chunk = EncryptedChunk::from_bytes(bytes).map_err(|_| ServerError::BadChunk)?;
-        let s = self.streams.get_mut(&chunk.stream);
-        let s = s.ok_or(ServerError::NoSuchStream(chunk.stream))?;
-        let (expected, got) = (s.width, chunk.digest_ct.len() as u32);
-        if got != expected {
-            return Err(ServerError::WidthMismatch { expected, got });
-        }
-        let (expected, got) = (s.len(), chunk.index);
-        if got != expected {
-            return Err(ServerError::OutOfOrderChunk { expected, got });
-        }
-        s.chunks
-            .insert(got, (chunk.digest_ct, Some(bytes.to_vec())));
-        if let Some(live) = self.live.get_mut(&chunk.stream) {
-            live.remove(&got);
-        }
-        Ok(())
-    }
-
-    /// The reply to a query of `streams`: folded in request order up to
-    /// the first unknown, empty or other-width stream. `None` when one
-    /// decayed.
-    fn stat(&self, streams: &[u128], ts_s: i64, ts_e: i64) -> Option<Response> {
-        let (mut parts, mut agg, mut width) = (Vec::new(), Vec::new(), None);
-        for &id in streams {
-            let s = match self.stream(id) {
-                Ok(s) if s.decayed => return None,
-                Ok(s) => s,
-                Err(e) => return Some(error(e)),
-            };
-            let Some((lo, hi)) = s
-                .within(ts_s, ts_e)
-                .filter(|_| width.is_none_or(|w| w == s.width))
-            else {
-                let conflict = width.is_some_and(|w| w != s.width);
-                // A width conflict ranks before an empty window; a later
-                // unknown stream is never asked for.
-                return Some(error(match conflict {
-                    true => ServerError::IncompatibleStreams,
-                    false => ServerError::EmptyRange,
-                }));
-            };
-            width = Some(s.width);
-            parts.push((id, lo, hi));
-            agg.resize(s.width as usize, 0);
-            for (digest, _) in s.chunks.range(lo..hi).map(|(_, c)| c) {
-                agg.iter_mut()
-                    .zip(digest)
-                    .for_each(|(a, d)| *a = d.wrapping_add(*a));
-            }
-        }
-        Some(match parts.is_empty() {
-            true => error(ServerError::EmptyRange),
-            false => Response::Stat(StatReply { parts, agg }),
-        })
-    }
-
-    /// Applies `step`; returns the reply the engine must give, or `None`
-    /// where the model predicts none.
-    fn apply(&mut self, step: &Step) -> Option<Response> {
-        let ok_or = |result: Result<(), ServerError>| result.map_or_else(error, |()| Response::Ok);
-        let req = match step {
-            Step::Call(req) => req.clone(),
-            Step::Frame(_) => return None,
-            Step::Restart => {
-                self.live.clear();
-                return None;
-            }
-        };
-        Some(match req {
-            Request::CreateStream {
-                stream,
-                t0,
-                delta_ms: delta,
-                digest_width: width,
-            } => ok_or(match (delta, self.streams.contains_key(&stream)) {
-                (0, _) => Err(ServerError::ZeroInterval),
-                (_, true) => Err(ServerError::StreamExists(stream)),
-                _ => {
-                    let (chunks, decayed) = (BTreeMap::new(), false);
-                    let s = Stream {
-                        t0,
-                        delta,
-                        width,
-                        chunks,
-                        decayed,
-                    };
-                    self.streams.insert(stream, s);
-                    Ok(())
-                }
-            }),
-            Request::DeleteStream { stream } => ok_or(match self.streams.remove(&stream) {
-                None => Err(ServerError::NoSuchStream(stream)),
-                Some(_) => {
-                    self.grants.retain(|(id, _), _| *id != stream);
-                    self.envelopes.retain(|(id, _), _| *id != stream);
-                    self.live.remove(&stream);
-                    Ok(())
-                }
-            }),
-            Request::Insert { chunk } => ok_or(self.insert(&chunk)),
-            Request::InsertBatch { chunks } => batch(chunks.iter().map(|c| self.insert(c))),
-            Request::GetRange { stream, ts_s, ts_e } => match self.stream(stream) {
-                Err(e) => error(e),
-                Ok(_) if ts_e <= ts_s => error(ServerError::EmptyRange),
-                Ok(s) => match s.touching(ts_s, ts_e) {
-                    None => error(ServerError::EmptyRange),
-                    Some(range) => {
-                        let held = s
-                            .chunks
-                            .iter()
-                            .filter(|(&i, _)| range.contains(&(i as i128)));
-                        Response::Chunks(held.filter_map(|(_, c)| c.1.clone()).collect())
-                    }
-                },
-            },
-            Request::GetStatRange {
-                streams,
-                ts_s,
-                ts_e,
-            } => return self.stat(&streams, ts_s, ts_e),
-            Request::DeleteRange { stream, ts_s, ts_e } => {
-                let s = self.streams.get_mut(&stream);
-                let s = s.ok_or(ServerError::NoSuchStream(stream));
-                ok_or(s.map(|s| {
-                    if let Some((lo, hi)) = s.within(ts_s, ts_e) {
-                        s.chunks.range_mut(lo..hi).for_each(|(_, c)| c.1 = None);
-                    }
-                }))
-            }
-            Request::Rollup { stream, .. } => {
-                let s = self.streams.get_mut(&stream);
-                ok_or(
-                    s.map(|s| s.decayed = true)
-                        .ok_or(ServerError::NoSuchStream(stream)),
-                )
-            }
-            Request::StreamInfo { stream } => match self.stream(stream) {
-                Err(e) => error(e),
-                Ok(s) => Response::Info(StreamInfoWire {
-                    stream,
-                    t0: s.t0,
-                    delta_ms: s.delta,
-                    digest_width: s.width,
-                    len: s.len(),
-                }),
-            },
-            Request::PutGrant {
-                stream,
-                principal,
-                blob,
-            } => {
-                self.grants
-                    .entry((stream, principal))
-                    .or_default()
-                    .push(blob);
-                Response::Ok
-            }
-            Request::GetGrants { stream, principal } => Response::Blobs(
-                self.grants
-                    .get(&(stream, principal))
-                    .cloned()
-                    .unwrap_or_default(),
-            ),
-            Request::RevokeGrants { stream, principal } => {
-                self.grants.remove(&(stream, principal));
-                Response::Ok
-            }
-            Request::PutEnvelopes {
-                stream,
-                resolution,
-                envelopes,
-            } => {
-                self.envelopes
-                    .entry((stream, resolution))
-                    .or_default()
-                    .extend(envelopes);
-                Response::Ok
-            }
-            Request::GetEnvelopes {
-                stream,
-                resolution,
-                lo,
-                hi,
-            } => {
-                let held = self
-                    .envelopes
-                    .get(&(stream, resolution))
-                    .into_iter()
-                    .flatten();
-                let window = held.filter(|(i, _)| (lo..=hi).contains(*i));
-                Response::Envelopes(window.map(|(&i, e)| (i, e.clone())).collect())
-            }
-            Request::Ping => Response::Pong,
-            Request::InsertLive { record } => {
-                let Ok(record) = SealedRecord::from_bytes(&record) else {
-                    return Some(error(ServerError::BadRecord));
-                };
-                let (chunk, next) = match self.stream(record.stream) {
-                    Ok(s) => (record.chunk, s.len()),
-                    Err(e) => return Some(error(e)),
-                };
-                if chunk < next {
-                    return Some(error(ServerError::StaleLiveRecord { chunk, next }));
-                }
-                let held = self.live.entry(record.stream).or_default();
-                held.entry(chunk)
-                    .or_default()
-                    .push((record.seq, record.to_bytes()));
-                Response::Ok
-            }
-            Request::GetLive { stream, ts_s, ts_e } => match self.stream(stream) {
-                Err(e) => error(e),
-                Ok(_) if ts_e <= ts_s => error(ServerError::EmptyRange),
-                Ok(s) => {
-                    let range = s.touching(ts_s, ts_e);
-                    let live = self.live.get(&stream).into_iter().flatten();
-                    let live = live
-                        .filter(|(&i, _)| range.as_ref().is_some_and(|r| r.contains(&(i as i128))));
-                    let records = live.flat_map(|(_, held)| {
-                        let mut held = held.clone();
-                        held.sort_by_key(|(seq, _)| *seq);
-                        held.into_iter().map(|(_, bytes)| bytes)
-                    });
-                    Response::Records(records.collect())
-                }
-            },
-            _ => return None,
-        })
-    }
-}
-
-/// A stream and a window, `[ts_s, ts_e)`, over it.
-type Window = (u128, i64, i64);
-
-/// The generator: a history's model so far, and its draws.
-struct Draw {
-    rng: Rng,
-    model: Model,
-    /// Stream ids: two on each shard of four, so both shards of two hold
-    /// some.
-    pool: Vec<u128>,
-}
-
-impl Draw {
-    /// A stream id: most often a registered one.
-    fn id(&mut self) -> u128 {
-        let mut registered: Vec<u128> = self.model.streams.keys().copied().collect();
-        registered.sort_unstable();
-        match self.rng.below(10) {
-            0 => UNKNOWN,
-            1..=6 if !registered.is_empty() => self.rng.pick(&registered),
-            _ => self.rng.pick(&self.pool),
-        }
-    }
-
-    /// A timestamp: an end of time, by a chunk boundary of `id`, or near 0.
-    fn ts(&mut self, id: u128) -> i64 {
-        match (self.rng.below(8), self.model.streams.get(&id)) {
-            (0, _) => i64::MIN,
-            (1, _) => i64::MAX,
-            (2..=5, Some(s)) => {
-                let edge = s.t0 as i128 + self.rng.below(s.len() + 3) as i128 * s.delta as i128;
-                let edge = edge + self.rng.pick(&[-1, 0, 0, 1]);
-                edge.clamp(i64::MIN.into(), i64::MAX.into()) as i64
-            }
-            _ => self.rng.below(120_000) as i64 - 20_000,
-        }
-    }
-
-    /// A window over `id`'s grid, most often the right way round.
-    fn window(&mut self, id: u128) -> Window {
-        let (a, b) = (self.ts(id), self.ts(id));
-        match self.rng.below(4) {
-            0 => (id, a, b),
-            _ => (id, a.min(b), a.max(b)),
-        }
-    }
-
-    /// `bytes`, one time in `n` malformed: cut, one byte long, or noise.
-    fn damaged(&mut self, n: u64, mut bytes: Vec<u8>) -> Vec<u8> {
-        match (self.rng.below(n), self.rng.below(3)) {
-            (0, 0) => bytes.truncate(self.rng.below(bytes.len() as u64) as usize),
-            (0, 1) => bytes.push(0),
-            (0, _) => bytes = self.rng.bytes(40),
-            _ => {}
-        }
-        bytes
-    }
-
-    /// Chunk bytes of `stream`, as `model` holds it: most often its next
-    /// chunk.
-    fn chunk(&mut self, model: &Model, stream: u128) -> Vec<u8> {
-        let s = model.streams.get(&stream);
-        let (width, next) = s.map_or((self.rng.below(4) as u32, 0), |s| (s.width, s.len()));
-        let index = match self.rng.below(10) {
-            0 => next + 1 + self.rng.below(3),
-            1 => next.saturating_sub(1),
-            _ => next,
-        };
-        let width = (width + u32::from(self.rng.below(10) == 0)) % 4;
-        let digest_ct = (0..width).map(|_| self.rng.next()).collect();
-        let payload = self.rng.bytes(5);
-        let chunk = EncryptedChunk {
-            stream,
-            index,
-            digest_ct,
-            payload,
-        };
-        self.damaged(12, chunk.to_bytes())
-    }
-
-    fn request(&mut self) -> Request {
-        let stream = self.id();
-        let len = self.model.streams.get(&stream).map_or(0, Stream::len);
-        let principal = match self.rng.pick(&PRINCIPALS) {
-            "k" => "k".repeat(1024),
-            name => name.to_string(),
-        };
-        let windowed: [fn(Window) -> Request; 6] = [
-            |(stream, ts_s, ts_e)| Request::GetRange { stream, ts_s, ts_e },
-            |(stream, ts_s, ts_e)| Request::DeleteRange { stream, ts_s, ts_e },
-            |(stream, ts_s, ts_e)| Request::GetLive { stream, ts_s, ts_e },
-            |(stream, ts_s, ts_e)| Request::GetRangeProof { stream, ts_s, ts_e },
-            |(stream, ts_s, ts_e)| Request::GetVerifiedRange { stream, ts_s, ts_e },
-            |(stream, ts_s, ts_e)| Request::GetStatRange {
-                streams: vec![stream],
-                ts_s,
-                ts_e,
-            },
-        ];
-        match self.rng.below(100) {
-            0..=11 => Request::CreateStream {
-                stream: self.rng.pick(&self.pool),
-                t0: self.rng.pick(&[0, 0, 5_000, -1, i64::MIN, i64::MAX]),
-                delta_ms: self.rng.pick(&[10_000, 10_000, 1_000, 1, 0, u64::MAX]),
-                digest_width: self.rng.pick(&[0, 1, 2, 2, 3]),
-            },
-            12..=25 => Request::Insert {
-                chunk: self.chunk(&self.model.clone(), stream),
-            },
-            26..=33 => {
-                let mut pending = self.model.clone();
-                let chunks = (0..1 + self.rng.below(6)).map(|_| {
-                    let stream = self.id();
-                    let chunk = self.chunk(&pending, stream);
-                    let _ = pending.insert(&chunk);
-                    chunk
-                });
-                Request::InsertBatch {
-                    chunks: chunks.collect(),
-                }
-            }
-            34..=36 => {
-                let chunk = (len + self.rng.below(3)).saturating_sub(1);
-                let (seq, payload) = (self.rng.below(3) as u32, self.rng.bytes(4));
-                let record = SealedRecord {
-                    stream,
-                    chunk,
-                    seq,
-                    payload,
-                }
-                .to_bytes();
-                Request::InsertLive {
-                    record: self.damaged(6, record),
-                }
-            }
-            37..=38 => Request::PutGrant {
-                stream,
-                principal,
-                blob: self.rng.bytes(6),
-            },
-            39..=40 => Request::GetGrants { stream, principal },
-            41 => Request::RevokeGrants { stream, principal },
-            42..=43 => {
-                let resolution = self.rng.pick(&[1, 64, u64::MAX]);
-                let index = [0, 1, 2, u64::MAX];
-                let envelopes =
-                    (0..self.rng.below(4)).map(|_| (self.rng.pick(&index), self.rng.bytes(4)));
-                Request::PutEnvelopes {
-                    stream,
-                    resolution,
-                    envelopes: envelopes.collect(),
-                }
-            }
-            44..=45 => Request::GetEnvelopes {
-                stream,
-                resolution: self.rng.pick(&[1, 64, u64::MAX]),
-                lo: self.rng.pick(&[0, 1, 2, u64::MAX]),
-                hi: self.rng.pick(&[0, 1, 2, u64::MAX]),
-            },
-            46..=48 => {
-                let signed = RootAttestation {
-                    stream: if self.rng.below(10) == 0 {
-                        self.id()
-                    } else {
-                        stream
-                    },
-                    size: len + self.rng.below(2),
-                    epoch: self.rng.below(4),
-                    root: [7; 32],
-                    sig: Signature {
-                        r: [1; 32],
-                        s: [1; 32],
-                    },
-                };
-                Request::PutAttestation {
-                    stream,
-                    attestation: self.damaged(10, signed.encode()),
-                }
-            }
-            49 => Request::GetAttestation { stream },
-            50..=51 => Request::Rollup {
-                stream,
-                before_ts: self.ts(stream),
-                keep_level: self.rng.below(4) as u8,
-            },
-            52..=53 => Request::DeleteStream { stream },
-            54..=69 => {
-                let streams: Vec<u128> = (0..self.rng.below(5)).map(|_| self.id()).collect();
-                let (_, ts_s, ts_e) = self.window(streams.first().copied().unwrap_or(stream));
-                Request::GetStatRange {
-                    streams,
-                    ts_s,
-                    ts_e,
-                }
-            }
-            70..=93 => {
-                let window = self.window(stream);
-                windowed[self.rng.below(windowed.len() as u64) as usize](window)
-            }
-            94..=97 => Request::StreamInfo { stream },
-            _ => Request::Ping,
-        }
-    }
-
-    fn step(&mut self) -> Step {
-        match self.rng.below(50) {
-            0 => Step::Restart,
-            1 => {
-                let mut body = self.request().encode();
-                match self.rng.below(4) {
-                    0 => body = vec![self.rng.pick(&[0, 25, 200, 255])],
-                    1 => body.clear(),
-                    2 => body.push(0),
-                    _ => _ = body.pop(),
-                }
-                Step::Frame(body)
-            }
-            _ => Step::Call(self.request()),
-        }
-    }
-}
-
-/// History `seed`: 4 to 27 steps.
-fn history(seed: u64) -> Vec<Step> {
-    let router = ShardRouter::new(4);
-    let mut taken = [0; 4];
-    let pool = (1..).filter(|&id| {
-        taken[router.shard_of(id)] += 1;
-        taken[router.shard_of(id)] <= 2
-    });
-    let pool = pool.take(8).collect();
-    let mut draw = Draw {
-        rng: Rng(seed),
-        model: Model::default(),
-        pool,
-    };
-    let mut steps = Vec::new();
-    for _ in 0..4 + draw.rng.below(24) {
-        let step = draw.step();
-        draw.model.apply(&step);
-        steps.push(step);
-    }
-    steps
-}
 
 /// The seven deployments; the first answers for the rest.
 fn tiers() -> Vec<(&'static str, Deployment)> {
@@ -811,18 +169,6 @@ fn check(steps: &[Step]) -> Result<u64, String> {
     })
 }
 
-/// Drops one step at a time while the history still fails.
-fn shrink(mut steps: Vec<Step>) -> Vec<Step> {
-    for i in (0..steps.len()).rev() {
-        let mut fewer = steps.clone();
-        fewer.remove(i);
-        if check(&fewer).is_err() {
-            steps = fewer;
-        }
-    }
-    steps
-}
-
 /// What a run of histories covered: histories, replies compared, request
 /// kinds drawn, restarts.
 type Tally = (u64, u64, BTreeSet<&'static str>, u64);
@@ -835,7 +181,7 @@ fn histories(seeds: Range<u64>) -> Tally {
         for seed in seeds.clone().skip(first).step_by(2) {
             let steps = history(seed);
             let replies = check(&steps).unwrap_or_else(|why| {
-                let shrunk = shrink(steps.clone());
+                let shrunk = shrink(steps.clone(), |steps| check(steps).is_err());
                 let why = check(&shrunk).err().unwrap_or(why);
                 let shown: Vec<String> = shrunk.iter().map(|s| format!("{s:?}")).collect();
                 let lens = (steps.len(), shrunk.len());
@@ -863,12 +209,6 @@ fn histories(seeds: Range<u64>) -> Tally {
         all.2.extend(other.2);
         all
     })
-}
-
-/// The name of `req`'s kind.
-fn kind(req: &Request) -> &'static str {
-    let tag = req.encode()[0];
-    Request::TAGS.iter().find(|(t, _)| *t == tag).unwrap().1
 }
 
 /// A tally's `placement_equivalence.*` ledger rows.
