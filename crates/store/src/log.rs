@@ -1247,8 +1247,10 @@ impl Default for MemKv {
 
 impl<F: LogFile> LogKv<F> {
     /// Opens the log `file` holds (an empty file becomes an empty log),
-    /// replaying its contents; fails as [`LogKv::open_with`] does.
-    pub(crate) fn over(file: F, durability: Durability) -> Result<Self, StoreError> {
+    /// replaying its contents; fails as [`LogKv::open_with`] does. Any
+    /// [`LogFile`] will do: a test hands in one that records what the log
+    /// asks of it, to replay every state a crash could leave.
+    pub fn over(file: F, durability: Durability) -> Result<Self, StoreError> {
         // Cutting nothing, to learn the length.
         let len = file.truncate(u64::MAX)?;
         let mut head = [0u8; MAGIC.len()];

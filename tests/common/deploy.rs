@@ -6,6 +6,7 @@
 //! restarted over the same file; an OS file is removed when the deployment
 //! drops, a panicking test's too.
 
+use super::recording::Recording;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +15,9 @@ use std::time::Duration;
 use timecrypt::faults::{FaultPlan, FaultyKv, FaultyTransport};
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
-use timecrypt::store::{KvStore, LogFile, LogKv, LogStats, MemKv, MeteredKv};
+use timecrypt::store::{
+    Durability, KvStore, LogFile, LogKv, LogStats, MemKv, MeteredKv, StoreError,
+};
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::{Handler, Server};
@@ -39,12 +42,15 @@ pub enum Tier {
 }
 
 /// The file under each store.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub enum File {
     /// `MemKv`: the log in memory.
     Mem,
     /// `LogKv` at a temp path, removed when the deployment drops.
     Os,
+    /// A `LogKv` under `Durability::Fsync` over this recorded file in
+    /// memory, opened again at each restart; one store only.
+    Recording(Recording),
 }
 
 /// An injector, quiet or not, that the deployment builds in.
@@ -130,6 +136,7 @@ impl Spec {
 pub trait Log: KvStore {
     fn stats(&self) -> LogStats;
     fn len(&self) -> usize;
+    fn compact(&self) -> Result<(), StoreError>;
 }
 
 impl<F: LogFile> Log for LogKv<F> {
@@ -140,14 +147,19 @@ impl<F: LogFile> Log for LogKv<F> {
     fn len(&self) -> usize {
         LogKv::len(self)
     }
+
+    fn compact(&self) -> Result<(), StoreError> {
+        LogKv::compact(self)
+    }
 }
 
 /// A fresh log in `file`, or the one at `path` opened again: the one
 /// place a file kind is made.
-fn open_log(file: File, path: Option<&TempPath>) -> Arc<dyn Log> {
+fn open_log(file: &File, path: Option<&TempPath>) -> Arc<dyn Log> {
     match file {
         File::Mem => Arc::new(MemKv::new()),
         File::Os => Arc::new(LogKv::open(path.expect("an OS file's path")).unwrap()),
+        File::Recording(file) => Arc::new(LogKv::over(file.file(), Durability::Fsync).unwrap()),
     }
 }
 
@@ -224,7 +236,7 @@ struct Host {
     path: Option<TempPath>,
     /// The shards a node on this host hosts.
     hosted: Vec<usize>,
-    /// The log while it is open; one without a path stays for a restart.
+    /// The log while it is open; one in memory stays for a restart.
     log: Option<Arc<dyn Log>>,
     faulty: Option<Arc<FaultyKv<Arc<dyn KvStore>>>>,
     running: Option<Running>,
@@ -329,7 +341,7 @@ impl Deployment {
 
     /// Opens the host's tier over its log, and its listener on its address.
     fn start(&self, host: &mut Host) {
-        let log = (host.log).get_or_insert_with(|| open_log(self.spec.file, host.path.as_ref()));
+        let log = (host.log).get_or_insert_with(|| open_log(&self.spec.file, host.path.as_ref()));
         let mut kv: Arc<dyn KvStore> = log.clone();
         for fault in &self.spec.faults {
             if let Fault::Store(plan) = fault {
@@ -493,7 +505,7 @@ impl Deployment {
         }
         host.running = None;
         host.faulty = None;
-        if host.path.is_some() {
+        if !matches!(self.spec.file, File::Mem) {
             host.log = None;
         }
     }

@@ -70,7 +70,7 @@ pub const PRINCIPALS: [&str; 7] = [
 ];
 
 /// SplitMix64: the source of every draw.
-pub struct Rng(u64);
+pub struct Rng(pub u64);
 
 impl Rng {
     pub fn next(&mut self) -> u64 {
@@ -112,8 +112,7 @@ pub type Window = (u128, i64, i64);
 pub struct Draw {
     pub rng: Rng,
     pub model: Model,
-    /// Stream ids: two on each shard of four, so both shards of two hold
-    /// some.
+    /// Stream ids: [`pool`].
     pub pool: Vec<u128>,
 }
 
@@ -188,10 +187,7 @@ impl Draw {
     pub fn request(&mut self) -> Request {
         let stream = self.id();
         let len = self.model.streams.get(&stream).map_or(0, Stream::len);
-        let principal = match self.rng.pick(&PRINCIPALS) {
-            "k" => "k".repeat(1024),
-            name => name.to_string(),
-        };
+        let principal = principal(self.rng.pick(&PRINCIPALS));
         let windowed: [fn(Window) -> Request; 6] = [
             |(stream, ts_s, ts_e)| Request::GetRange { stream, ts_s, ts_e },
             |(stream, ts_s, ts_e)| Request::DeleteRange { stream, ts_s, ts_e },
@@ -327,19 +323,32 @@ impl Draw {
     }
 }
 
-/// History `seed`: 4 to 27 steps.
-pub fn history(seed: u64) -> Vec<Step> {
+/// The ids every history draws its streams from: two on each shard of
+/// four, so both shards of two hold some.
+pub fn pool() -> Vec<u128> {
     let router = ShardRouter::new(4);
     let mut taken = [0; 4];
     let pool = (1..).filter(|&id| {
         taken[router.shard_of(id)] += 1;
         taken[router.shard_of(id)] <= 2
     });
-    let pool = pool.take(8).collect();
+    pool.take(8).collect()
+}
+
+/// The principal `name` stands for: `k` is 1 KiB of it.
+pub fn principal(name: &str) -> String {
+    match name {
+        "k" => "k".repeat(1024),
+        name => name.to_string(),
+    }
+}
+
+/// History `seed`: 4 to 27 steps.
+pub fn history(seed: u64) -> Vec<Step> {
     let mut draw = Draw {
         rng: Rng(seed),
         model: Model::default(),
-        pool,
+        pool: pool(),
     };
     let mut steps = Vec::new();
     for _ in 0..4 + draw.rng.below(24) {

@@ -13,10 +13,13 @@
 mod deploy;
 pub mod history;
 pub mod model;
+mod recording;
 mod streams;
 
 #[allow(unused_imports)] // each binary reads what it needs
 pub use deploy::*;
+#[allow(unused_imports)]
+pub use recording::*;
 #[allow(unused_imports)]
 pub use streams::*;
 
