@@ -159,7 +159,7 @@ fn open_log(file: &File, path: Option<&TempPath>) -> Arc<dyn Log> {
     match file {
         File::Mem => Arc::new(MemKv::new()),
         File::Os => Arc::new(LogKv::open(path.expect("an OS file's path")).unwrap()),
-        File::Recording(file) => Arc::new(LogKv::over(file.file(), Durability::Fsync).unwrap()),
+        File::Recording(file) => Arc::new(LogKv::over(file.clone(), Durability::Fsync).unwrap()),
     }
 }
 

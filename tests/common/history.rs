@@ -37,6 +37,7 @@
 //! - `GetStatLeg`: a node's share of a fold, which a coordinator refuses;
 //!   every sharded `GetStatRange` folds legs.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use timecrypt::chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt::integrity::RootAttestation;
 use timecrypt::pk::Signature;
@@ -359,16 +360,35 @@ pub fn history(seed: u64) -> Vec<Step> {
     steps
 }
 
-/// Drops one step at a time while the history still `fails`.
-pub fn shrink(mut steps: Vec<Step>, fails: impl Fn(&[Step]) -> bool) -> Vec<Step> {
-    for i in (0..steps.len()).rev() {
-        let mut fewer = steps.clone();
-        fewer.remove(i);
-        if fails(&fewer) {
-            steps = fewer;
+/// History `seed` and what `check` made of it. A failure, a panic
+/// included, is shrunk while it still fails and panics with the seed, why
+/// it failed and the steps left, one per line.
+pub fn checked<T>(seed: u64, check: impl Fn(&[Step]) -> Result<T, String>) -> (Vec<Step>, T) {
+    let caught = |steps: &[Step]| {
+        catch_unwind(AssertUnwindSafe(|| check(steps))).unwrap_or_else(|panic| {
+            let why = panic.downcast_ref::<String>().cloned();
+            let why = why.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
+            Err(format!("panicked: {}", why.unwrap_or_default()))
+        })
+    };
+    let steps = history(seed);
+    match caught(&steps) {
+        Ok(out) => (steps, out),
+        Err(why) => {
+            // Shrunk: one step dropped at a time while it still fails.
+            let mut shrunk = steps.clone();
+            for i in (0..steps.len()).rev() {
+                let fewer = [&shrunk[..i], &shrunk[i + 1..]].concat();
+                if caught(&fewer).is_err() {
+                    shrunk = fewer;
+                }
+            }
+            let why = caught(&shrunk).err().unwrap_or(why);
+            let shown: String = shrunk.iter().map(|s| format!("\n{s:?}")).collect();
+            let lens = (steps.len(), shrunk.len());
+            panic!("seed {seed} fails ({lens:?} steps): {why}{shown}")
         }
     }
-    steps
 }
 
 /// The name of `req`'s kind.

@@ -1,11 +1,10 @@
-//! A log file in memory that records what its log asks of it: the bytes of
-//! each append that has some, each sync, each truncation that cut bytes and each compaction
-//! swap. A crash sweep replays that record to build every state a crash
-//! could leave the file in.
+//! A log file in memory that records what its logs ask of it: the bytes of
+//! each append, each sync and each compaction swap. A crash sweep replays
+//! the record to build every state a crash could leave the file in; a run
+//! without a crash cuts nothing, so a truncation is not recorded.
 
-use std::fmt;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use timecrypt::store::{LogFile, StoreError};
 
 /// What a log asked of its file, in the order it asked.
@@ -14,108 +13,69 @@ pub enum Call {
     Append(Vec<u8>),
     /// The appended bytes are durable.
     Sync,
-    /// The file was cut to this length.
-    Truncate(u64),
     /// A compaction installed this generation, durably, in one step.
     Swap(Vec<u8>),
 }
 
-/// One generation's bytes.
-type Bytes = Arc<Mutex<Vec<u8>>>;
-
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Tape {
-    /// The generation under the file's name.
-    name: Bytes,
+    bytes: Vec<u8>,
     calls: Vec<Call>,
 }
 
-/// A recorded file, as a `Spec` names it; a clone is the same file.
-#[derive(Clone, Default)]
+/// A recorded file; a clone is the same file. It holds one generation: a
+/// read still under way when a compaction swaps the next one in reads the
+/// new bytes, so a test compacts between requests.
+#[derive(Clone, Debug, Default)]
 pub struct Recording(Arc<Mutex<Tape>>);
-
-impl fmt::Debug for Recording {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Recording({} calls)", self.0.lock().unwrap().calls.len())
-    }
-}
 
 impl Recording {
     /// A file holding `bytes`, nothing recorded yet.
     pub fn holding(bytes: Vec<u8>) -> Recording {
-        let tape = Tape {
-            name: Arc::new(Mutex::new(bytes)),
-            calls: Vec::new(),
-        };
-        Recording(Arc::new(Mutex::new(tape)))
+        let calls = Vec::new();
+        Recording(Arc::new(Mutex::new(Tape { bytes, calls })))
     }
 
-    /// The file opened again: the generation under its name now.
-    pub fn file(&self) -> RecordingFile {
-        let bytes = Arc::clone(&self.0.lock().unwrap().name);
-        RecordingFile {
-            bytes,
-            tape: self.clone(),
-        }
+    fn tape(&self) -> MutexGuard<'_, Tape> {
+        self.0.lock().unwrap()
     }
 
-    /// The bytes under the file's name.
     pub fn bytes(&self) -> Vec<u8> {
-        self.0.lock().unwrap().name.lock().unwrap().clone()
+        self.tape().bytes.clone()
     }
 
     /// What the logs over the file asked of it so far.
     pub fn calls(&self) -> Vec<Call> {
-        self.0.lock().unwrap().calls.clone()
+        self.tape().calls.clone()
     }
 }
 
-/// One generation of a [`Recording`], as a log holds it open.
-pub struct RecordingFile {
-    bytes: Bytes,
-    tape: Recording,
-}
-
-impl RecordingFile {
-    /// Records `call` if this is the generation under the file's name: a
-    /// sync of a generation a compaction replaced makes nothing durable.
-    fn record(&self, call: Call) {
-        let mut tape = self.tape.0.lock().unwrap();
-        if Arc::ptr_eq(&tape.name, &self.bytes) {
-            tape.calls.push(call);
-        }
-    }
-}
-
-impl LogFile for RecordingFile {
+impl LogFile for Recording {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        let bytes = self.bytes.lock().unwrap();
         let at = usize::try_from(offset).unwrap_or(usize::MAX);
-        bytes.get(at..).unwrap_or_default().read_exact(buf)
+        let tape = self.tape();
+        tape.bytes.get(at..).unwrap_or_default().read_exact(buf)
     }
 
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        self.bytes.lock().unwrap().extend_from_slice(bytes);
+        let mut tape = self.tape();
+        tape.bytes.extend_from_slice(bytes);
         if !bytes.is_empty() {
-            self.record(Call::Append(bytes.to_vec()));
+            tape.calls.push(Call::Append(bytes.to_vec()));
         }
         Ok(())
     }
 
     fn sync(&self) -> io::Result<()> {
-        self.record(Call::Sync);
+        self.tape().calls.push(Call::Sync);
         Ok(())
     }
 
     fn truncate(&self, len: u64) -> io::Result<u64> {
-        let mut bytes = self.bytes.lock().unwrap();
-        let was = bytes.len() as u64;
-        bytes.truncate(len.min(was) as usize);
-        drop(bytes);
-        if was > len {
-            self.record(Call::Truncate(len));
-        }
-        Ok(was.min(len))
+        let mut tape = self.tape();
+        tape.bytes
+            .truncate(usize::try_from(len).unwrap_or(usize::MAX));
+        Ok(tape.bytes.len() as u64)
     }
 
     fn swap(
@@ -125,14 +85,9 @@ impl LogFile for RecordingFile {
     ) -> Result<Self, StoreError> {
         let mut bytes = Vec::new();
         fill(&mut bytes)?;
-        let mut tape = self.tape.0.lock().unwrap();
+        let mut tape = self.tape();
         tape.calls.push(Call::Swap(bytes.clone()));
-        tape.name = Arc::new(Mutex::new(bytes));
-        let bytes = Arc::clone(&tape.name);
-        drop(tape);
-        Ok(RecordingFile {
-            bytes,
-            tape: self.tape.clone(),
-        })
+        tape.bytes = bytes;
+        Ok(self.clone())
     }
 }

@@ -1,72 +1,50 @@
-//! Crash recovery by generation: every state a crash can leave a store's
-//! log in, under the traffic the engine serves (the method of ALICE, Pillai
-//! et al., OSDI 2014, and CrashMonkey, Mohan et al., OSDI 2018).
+//! Crash recovery by generation (the method of ALICE, Pillai et al., OSDI
+//! 2014, and CrashMonkey, Mohan et al., OSDI 2018): every state a crash can
+//! leave a store's log in, under the traffic the engine serves.
 //!
-//! Each seeded history of `common::history` runs on an engine and on a
-//! two-shard node, each over a recorded file (`File::Recording`, under
-//! `Durability::Fsync`), with the log compacted once halfway. What the log
-//! asked of its file gives the states a crash can leave ([`states`]): each
-//! synced prefix and compacted generation; each append dropped, or torn at
-//! each record boundary inside it and at two seeded offsets; and a few
-//! synced states with a seeded byte flipped. Each state is opened again,
-//! the tier over it, and checked ([`check`]):
-//! - **Open:** it fails only as `CorruptAt`, and only on a flipped state.
+//! Each history of `common::history` runs on an engine and on a two-shard
+//! node over a recorded file (`File::Recording`, `Durability::Fsync`), the
+//! log compacted before the middle step. What the log asked of its file
+//! gives the states a crash can leave ([`states`]): each synced prefix and
+//! compacted generation; each append dropped, or torn at each record
+//! boundary inside it and at two seeded offsets; and three synced states
+//! with a seeded byte flipped. Each is opened, and the tier over it:
+//! - **Open:** only a flipped state fails, as `CorruptAt` at the record it
+//!   flipped, the file untouched.
 //! - **Log after recovery:** it holds the whole batches before the cut or
-//!   the flip and no byte more (batches end where a record's continues bit
-//!   is clear): so every batch synced before its ack is there.
-//! - **Batches:** it holds what a clean open of those bytes holds, so each
-//!   batch is whole or absent.
+//!   the flip and no byte more, so each batch synced before its ack is
+//!   there; and what a clean open of them holds, so each is whole or absent.
 //! - **Replies:** each stream answers byte for byte as the tier did after
-//!   the last step acked before the crash, or after the step in flight.
-//!   The live buffer is volatile by design (§4.6) and is not asked.
-//! - **After recovery:** two batches, the second naming the run of keys
-//!   the first starts, survive a second open, which truncates nothing.
+//!   the last step acked before the crash or after the step in flight. The
+//!   live buffer, volatile by design (§4.6), is not asked.
+//! - **After recovery:** two batches, the second naming the run of keys the
+//!   first starts, survive a second open, which truncates nothing.
 //!
-//! A failing history is shrunk with the generator's shrinker, and the panic
-//! names its seed, the tier and the state. The tier-1 run's tallies are
-//! `crash_sweep.*` rows of the root `BENCH_ledger.json`.
+//! A failing history is shrunk and printed with its seed, tier and state;
+//! the tallies are `crash_sweep.*` rows of the root `BENCH_ledger.json`.
 
-use common::history::{history, kind, pool, principal, shrink, Rng, Step, EXCLUDED, PRINCIPALS};
+use common::history::{checked, kind, pool, principal, Rng, Step, EXCLUDED, PRINCIPALS};
 use common::{Call, Deployment, File, Recording, Spec};
 use std::collections::{BTreeSet, HashSet};
-use std::fmt;
-use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use timecrypt::store::{Durability, KvStore, LogFile, LogKv, StoreError, WriteOp};
+use timecrypt::store::{Durability, KvPairs, KvStore, LogKv, StoreError, WriteOp};
 use timecrypt::wire::messages::Request;
 
 mod common;
 
 /// Histories the tier-1 run sweeps.
 const HISTORIES: u64 = 100;
-/// Flipped states per history and tier.
-const FLIPS: usize = 3;
 /// The bytes of the magic every log opens with, `TCLOG4\r\n`.
 const MAGIC: usize = 8;
 
 /// A state a crash can leave: the first `cut` bytes of `image`, a whole
-/// log, with a byte flipped.
-#[derive(Clone)]
+/// log, the byte at `flip.0` xored with `flip.1`; left after the log made
+/// `calls` calls of its file.
+#[derive(Clone, Debug)]
 struct State {
     image: Vec<u8>,
     cut: usize,
-    /// The offset flipped and the bits.
     flip: Option<(usize, u8)>,
-    /// The calls the log had made of its file when it was left.
     calls: usize,
-    /// The bytes synced then.
-    synced: usize,
-}
-
-impl fmt::Debug for State {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (cut, len, calls) = (self.cut, self.image.len(), self.calls);
-        write!(f, "bytes 0..{cut} of {len} after call {calls}")?;
-        match self.flip {
-            Some((at, bits)) => write!(f, ", byte {at} ^ {bits:#04x}"),
-            None => Ok(()),
-        }
-    }
 }
 
 impl State {
@@ -78,121 +56,84 @@ impl State {
         bytes
     }
 
-    /// The length the log must open at: the whole batches before the cut
-    /// and the flip. A torn magic is a fresh log; `None`, a damaged one.
+    /// The length the log opens at: the whole batches before the cut and
+    /// the flip, or a fresh log's magic if the cut tore that; `None` if the
+    /// magic is flipped.
     fn kept(&self) -> Option<usize> {
-        if self.cut < MAGIC {
-            return Some(MAGIC);
-        }
         let upto = self.flip.map_or(self.cut, |(at, _)| at);
-        let ends = batch_ends(&self.image).into_iter().chain([MAGIC]);
-        ends.filter(|&end| end <= upto).max()
-    }
-}
-
-/// A varint at `at` in `bytes`, which `at` moves past.
-fn varint(bytes: &[u8], at: &mut usize) -> usize {
-    let mut n = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = bytes[*at];
-        *at += 1;
-        n |= usize::from(byte & 0x7F) << shift;
-        if byte < 0x80 {
-            break;
+        let ends = ends(&self.image).into_iter().filter(|(_, closes)| *closes);
+        let ends = ends.map(|(end, _)| end).chain([MAGIC]);
+        match self.cut < MAGIC {
+            true => Some(MAGIC),
+            false => ends.filter(|&end| end <= upto).max(),
         }
     }
-    n
 }
 
 /// Where each record of the whole log `image` ends, and whether it closes
-/// its batch: a record is `flags | seq | value length | key | value |
-/// crc32`, its key `length | bytes` or, under flag `0x40`, `run | tail`;
-/// flag `0x80` says its batch goes on.
-fn record_ends(image: &[u8]) -> Vec<(usize, bool)> {
+/// its batch. A record is `flags | seq | value length | key | value |
+/// crc32`, its key `length | bytes` or, under flag `0x40`, `run | tail`,
+/// each length, run and tail a varint; under flag `0x80` the batch goes on.
+fn ends(image: &[u8]) -> Vec<(usize, bool)> {
+    let varint = |at: &mut usize| {
+        let len = image[*at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+        *at += len;
+        let bytes = image[*at - len..*at].iter().rev();
+        bytes.fold(0, |n, b| n << 7 | usize::from(b & 0x7F))
+    };
     let (mut at, mut ends) = (MAGIC, Vec::new());
     while at < image.len() {
         let flags = image[at];
-        let mut p = at + 2;
-        let value = varint(image, &mut p);
-        let key = match flags & 0x40 {
-            0 => varint(image, &mut p),
-            _ => {
-                varint(image, &mut p);
-                varint(image, &mut p);
-                0
-            }
-        };
-        at = p + key + value + 4;
+        at += 2;
+        let value = varint(&mut at);
+        let key = varint(&mut at);
+        if flags & 0x40 == 0 {
+            at += key;
+        } else {
+            varint(&mut at);
+        }
+        at += value + 4;
         ends.push((at, flags & 0x80 == 0));
     }
     ends
 }
 
-fn batch_ends(image: &[u8]) -> Vec<usize> {
-    let ends = record_ends(image).into_iter();
-    ends.filter_map(|(end, closes)| closes.then_some(end))
-        .collect()
-}
-
 /// The states a crash can leave the file that received `calls` in, its
-/// seeded cuts drawn from `rng`.
+/// seeded cuts and flips drawn from `rng`.
 fn states(calls: &[Call], rng: &mut Rng) -> Vec<State> {
-    let (mut file, mut synced, mut states) = (Vec::new(), 0, Vec::new());
-    let whole = |file: &Vec<u8>, calls, synced| State {
-        image: file.clone(),
-        cut: file.len(),
-        flip: None,
-        calls,
-        synced,
+    let (mut file, mut states) = (Vec::new(), Vec::new());
+    let mut state = |image: &Vec<u8>, cut, calls| {
+        let (image, flip) = (image.clone(), None);
+        states.push(State {
+            image,
+            cut,
+            flip,
+            calls,
+        });
     };
     for (i, call) in calls.iter().enumerate() {
         match call {
             Call::Append(bytes) => {
                 let image = [&file[..], bytes].concat();
-                let inside = record_ends(&image).into_iter().map(|(end, _)| end);
+                let inside = ends(&image).into_iter().map(|(end, _)| end);
                 let inside = inside.filter(|&end| end > file.len() && end < image.len());
-                let seeded = (0..2).map(|_| file.len() + rng.below(bytes.len() as u64) as usize);
-                let cuts: BTreeSet<usize> = inside.chain(seeded).chain([file.len()]).collect();
-                for cut in cuts {
-                    let image = image.clone();
-                    let flip = None;
-                    states.push(State {
-                        image,
-                        cut,
-                        flip,
-                        calls: i,
-                        synced,
-                    });
-                }
+                let seeded = [0, 1].map(|_| file.len() + rng.below(bytes.len() as u64) as usize);
+                let cuts: BTreeSet<_> = inside.chain(seeded).chain([file.len()]).collect();
+                cuts.into_iter().for_each(|cut| state(&image, cut, i));
                 file = image;
             }
-            Call::Sync => {
-                synced = file.len();
-                states.push(whole(&file, i + 1, synced));
-            }
-            Call::Truncate(len) => {
-                file.truncate(*len as usize);
-                synced = synced.min(file.len());
-            }
+            Call::Sync => state(&file, file.len(), i + 1),
             Call::Swap(bytes) => {
-                (file, synced) = (bytes.clone(), bytes.len());
-                states.push(whole(&file, i + 1, synced));
+                file.clone_from(bytes);
+                state(&file, file.len(), i + 1);
             }
         }
     }
-    let whole: Vec<State> = states
-        .iter()
-        .filter(|s| s.cut == s.image.len())
-        .cloned()
-        .collect();
-    for _ in 0..FLIPS {
-        let state = &whole[rng.below(whole.len() as u64) as usize];
-        let at = rng.below(state.cut as u64) as usize;
-        let flip = Some((at, 1 + rng.below(255) as u8));
-        states.push(State {
-            flip,
-            ..state.clone()
-        });
+    for _ in 0..3 {
+        let state = states[rng.below(states.len() as u64) as usize].clone();
+        let cut = state.image.len();
+        let flip = Some((rng.below(cut as u64) as usize, 1 + rng.below(255) as u8));
+        states.push(State { cut, flip, ..state });
     }
     let mut seen = HashSet::new();
     states.retain(|state| seen.insert(state.bytes()));
@@ -204,8 +145,15 @@ type Replies = Vec<Vec<Vec<u8>>>;
 
 fn replies(d: &Deployment) -> Replies {
     let reads = |stream| {
-        let (ts_s, ts_e) = (i64::MIN, i64::MAX);
-        let streams = vec![stream];
+        let (ts_s, ts_e, streams) = (i64::MIN, i64::MAX, vec![stream]);
+        let grants = PRINCIPALS.map(principal);
+        let grants = grants.map(|principal| Request::GetGrants { stream, principal });
+        let envelopes = [1, 64, u64::MAX].map(|resolution| Request::GetEnvelopes {
+            stream,
+            resolution,
+            lo: 0,
+            hi: u64::MAX,
+        });
         let reads = [
             Request::StreamInfo { stream },
             Request::GetRange { stream, ts_s, ts_e },
@@ -216,16 +164,6 @@ fn replies(d: &Deployment) -> Replies {
             },
             Request::GetAttestation { stream },
         ];
-        let grants = PRINCIPALS.map(|p| Request::GetGrants {
-            stream,
-            principal: principal(p),
-        });
-        let envelopes = [1, 64, u64::MAX].map(|resolution| Request::GetEnvelopes {
-            stream,
-            resolution,
-            lo: 0,
-            hi: u64::MAX,
-        });
         reads.into_iter().chain(grants).chain(envelopes)
     };
     let replies = |stream| reads(stream).map(|q| d.call(q).encode()).collect();
@@ -234,58 +172,36 @@ fn replies(d: &Deployment) -> Replies {
 
 /// The tier of `spec` over `file`.
 fn over(spec: &Spec, file: &Recording) -> Deployment {
-    let file = File::Recording(file.clone());
-    Deployment::build(&Spec {
-        file,
-        ..spec.clone()
-    })
+    let mut spec = spec.clone();
+    spec.file = File::Recording(file.clone());
+    Deployment::build(&spec)
 }
 
-/// Runs `steps` on `spec` over a recorded file, compacting the log before
-/// the middle step. Returns what the log asked of the file, and after the
-/// open and each step the calls made so far and the replies.
-fn run(spec: &Spec, steps: &[Step]) -> (Vec<Call>, Vec<(usize, Replies)>) {
-    let file = Recording::default();
-    let d = over(spec, &file);
-    let mut marks = vec![(file.calls().len(), replies(&d))];
-    for (j, step) in steps.iter().enumerate() {
-        if j == steps.len() / 2 {
-            d.log(0).compact().unwrap();
-        }
-        match step {
-            Step::Call(req) => _ = d.call(req.clone()),
-            Step::Frame(body) => _ = d.call_frame(body),
-            Step::Restart => d.restart(0),
-        }
-        marks.push((file.calls().len(), replies(&d)));
-    }
-    (file.calls(), marks)
-}
-
-/// Every record of a store, in key order.
-type Records = Vec<(Vec<u8>, Vec<u8>)>;
-
-fn dump(kv: &(impl KvStore + ?Sized)) -> Result<Records, String> {
-    let mut records = kv
-        .scan_prefix(b"")
-        .map_err(|e| format!("a scan failed: {e}"))?;
+/// Every record of `kv`, in key order.
+fn dump(kv: &(impl KvStore + ?Sized)) -> Result<KvPairs, String> {
+    let mut records = kv.scan_prefix(b"").map_err(|e| e.to_string())?;
     records.sort();
     Ok(records)
 }
 
-/// A log over a file holding `bytes`.
-fn open(bytes: Vec<u8>) -> Result<LogKv<impl LogFile>, StoreError> {
-    LogKv::over(Recording::holding(bytes).file(), Durability::Fsync)
-}
-
-/// Opens `state` and the tier of `spec` over it, and checks them against
-/// the tier's replies `marks` ([`run`]); returns whether the log opened.
-fn check(spec: &Spec, state: &State, marks: &[(usize, Replies)]) -> Result<bool, String> {
-    let kept = match (open(state.bytes()), state.kept()) {
-        (Err(StoreError::CorruptAt { .. }), _) if state.flip.is_some() => return Ok(false),
+/// Opens `state` and the tier of `spec` over it and checks them against
+/// what the tier answered after its open and after each step: `marks`,
+/// the calls made by then and the replies. Counts the state, whether it is
+/// damaged and whether it then opened, and the synced batches it holds.
+fn check(spec: &Spec, state: &State, marks: &[(usize, Replies)]) -> Result<[u64; 4], String> {
+    let file = Recording::holding(state.bytes());
+    let kept = match (LogKv::over(file.clone(), Durability::Fsync), state.flip) {
+        (Err(StoreError::CorruptAt { offset, .. }), Some((at, _))) => {
+            let ends = ends(&state.image).into_iter().map(|(end, _)| end);
+            let record = ends.chain([MAGIC]).filter(|&end| end <= at).max();
+            let record = record.unwrap_or(0) as u64;
+            return match offset == record && file.bytes() == state.bytes() {
+                true => Ok([1, 1, 0, 0]),
+                false => Err(format!("corrupt at {offset}, not {record}, or changed")),
+            };
+        }
         (Err(e), _) => return Err(format!("the log does not open: {e}")),
-        (Ok(_), None) => return Err("the log opens with its magic damaged".into()),
-        (Ok(_), Some(kept)) => kept,
+        (Ok(_), _) => state.kept().ok_or("the log opens with its magic flipped")?,
     };
     let file = Recording::holding(state.bytes());
     let d = over(spec, &file);
@@ -293,23 +209,20 @@ fn check(spec: &Spec, state: &State, marks: &[(usize, Replies)]) -> Result<bool,
     if len != kept {
         return Err(format!("the log keeps {len} bytes, not {kept}"));
     }
-    let held = dump(&*d.log(0))?;
-    let clean = open(state.image[..kept].to_vec()).map_err(|e| e.to_string())?;
-    if held != dump(&clean)? {
+    let clean = Recording::holding(state.image[..kept].to_vec());
+    let clean = LogKv::over(clean, Durability::Fsync).map_err(|e| e.to_string())?;
+    if dump(&*d.log(0))? != dump(&clean)? {
         return Err("the log holds other records than its whole batches".into());
     }
     if state.flip.is_none() {
-        let floor = marks.iter().rposition(|(calls, _)| *calls <= state.calls);
-        let floor = floor.unwrap_or(0);
+        let acked = marks.iter().rposition(|(calls, _)| *calls <= state.calls);
+        let acked = acked.unwrap_or(0);
+        let then = &marks[acked..marks.len().min(acked + 2)];
         for (k, now) in replies(&d).iter().enumerate() {
-            if !marks[floor..]
-                .iter()
-                .take(2)
-                .any(|(_, then)| then[k] == *now)
-            {
+            if !then.iter().any(|(_, then)| then[k] == *now) {
+                let stream = pool()[k];
                 return Err(format!(
-                    "stream {} answers as after no step from {floor} on",
-                    pool()[k]
+                    "stream {stream} answers as after no step from {acked}"
                 ));
             }
         }
@@ -323,130 +236,70 @@ fn check(spec: &Spec, state: &State, marks: &[(usize, Replies)]) -> Result<bool,
     written.map_err(|e| format!("a write after recovery failed: {e}"))?;
     let (held, len) = (dump(&*log)?, file.bytes().len());
     drop((log, d));
-    let again = LogKv::over(file.file(), Durability::Fsync);
+    let again = LogKv::over(file.clone(), Durability::Fsync);
     let again = again.map_err(|e| format!("the second open failed: {e}"))?;
     if file.bytes().len() != len || dump(&again)? != held {
         return Err("the second open lost what was written after recovery".into());
     }
-    Ok(true)
+    let synced = ends(&state.image)
+        .into_iter()
+        .filter(|&(end, closes)| closes && end <= kept);
+    Ok(match state.flip {
+        Some(_) => [1, 1, 1, 0],
+        None => [1, 0, 0, synced.count() as u64],
+    })
 }
 
-/// What a sweep covered.
-#[derive(Default)]
-struct Tally {
-    histories: u64,
-    states: u64,
-    damaged: u64,
-    /// Damaged states whose log opened.
-    opened: u64,
-    /// Synced batches checked present, summed over the undamaged states.
-    synced_batches: u64,
-    /// The request kinds drawn.
-    kinds: BTreeSet<&'static str>,
-}
-
-impl Tally {
-    fn add(&mut self, other: Tally) {
-        self.histories += other.histories;
-        self.states += other.states;
-        self.damaged += other.damaged;
-        self.opened += other.opened;
-        self.synced_batches += other.synced_batches;
-        self.kinds.extend(other.kinds);
-    }
-}
-
-/// Sweeps every crash state of `steps` on both tiers, adding to `tally`;
-/// returns the first failure.
-fn sweep(seed: u64, steps: &[Step], tally: &mut Tally) -> Result<(), String> {
+/// Sweeps every crash state of `steps` on both tiers; sums what [`check`]
+/// counts.
+fn sweep(seed: u64, steps: &[Step]) -> Result<[u64; 4], String> {
+    let mut tally = [0; 4];
     for (tier, spec) in [("engine", Spec::engine()), ("2-shard node", Spec::node(2))] {
-        let (calls, marks) = run(&spec, steps);
-        for state in states(&calls, &mut Rng(seed)) {
-            let checked = check(&spec, &state, &marks);
-            let opened = checked.map_err(|why| format!("{tier}, {state:?}: {why}"))?;
-            tally.states += 1;
-            if state.flip.is_some() {
-                tally.damaged += 1;
-                tally.opened += u64::from(opened);
-            } else {
-                let synced = batch_ends(&state.image).into_iter();
-                tally.synced_batches += synced.filter(|&end| end <= state.synced).count() as u64;
+        let file = Recording::default();
+        let d = over(&spec, &file);
+        let mut marks = vec![(file.calls().len(), replies(&d))];
+        for (j, step) in steps.iter().enumerate() {
+            if j == steps.len() / 2 {
+                d.log(0).compact().unwrap();
             }
+            match step {
+                Step::Call(req) => _ = d.call(req.clone()),
+                Step::Frame(body) => _ = d.call_frame(body),
+                Step::Restart => d.restart(0),
+            }
+            marks.push((file.calls().len(), replies(&d)));
+        }
+        for state in states(&file.calls(), &mut Rng(seed)) {
+            let counts = check(&spec, &state, &marks);
+            let counts = counts.map_err(|why| format!("{tier}, {state:?}: {why}"))?;
+            tally.iter_mut().zip(counts).for_each(|(n, add)| *n += add);
         }
     }
-    Ok(())
-}
-
-/// [`sweep`], a panic included.
-fn swept(seed: u64, steps: &[Step], tally: &mut Tally) -> Result<(), String> {
-    let sweep = AssertUnwindSafe(|| sweep(seed, steps, tally));
-    catch_unwind(sweep).unwrap_or_else(|panic| {
-        let why = panic.downcast_ref::<String>().cloned();
-        let why = why.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
-        Err(format!("panicked: {}", why.unwrap_or_default()))
-    })
-}
-
-/// Sweeps the histories of `seeds` on two threads; panics with the first
-/// failing seed's history, shrunk.
-fn histories(seeds: Range<u64>) -> Tally {
-    let worker = |first: usize| {
-        let mut tally = Tally::default();
-        for seed in seeds.clone().skip(first).step_by(2) {
-            let steps = history(seed);
-            if let Err(why) = swept(seed, &steps, &mut tally) {
-                let fails = |steps: &[Step]| swept(seed, steps, &mut Tally::default()).is_err();
-                let shrunk = shrink(steps.clone(), fails);
-                let why = swept(seed, &shrunk, &mut Tally::default())
-                    .err()
-                    .unwrap_or(why);
-                let shown: Vec<String> = shrunk.iter().map(|s| format!("{s:?}")).collect();
-                let lens = (steps.len(), shrunk.len());
-                panic!(
-                    "seed {seed} fails ({lens:?} steps): {why}\n{}",
-                    shown.join("\n")
-                );
-            }
-            tally.histories += 1;
-            let kinds = steps.iter().filter_map(|step| match step {
-                Step::Call(req) => Some(kind(req)),
-                _ => None,
-            });
-            tally.kinds.extend(kinds);
-        }
-        tally
-    };
-    std::thread::scope(|scope| {
-        let workers = [0, 1].map(|first| scope.spawn(move || worker(first)));
-        let [mut all, other] = workers.map(|w| w.join().unwrap());
-        all.add(other);
-        all
-    })
-}
-
-/// A tally's `crash_sweep.*` ledger rows.
-fn rows(tally: &Tally) -> Vec<(String, String)> {
-    let counts = [
-        ("histories", tally.histories),
-        ("states", tally.states),
-        ("damaged_states", tally.damaged),
-        ("synced_batches_checked", tally.synced_batches),
-    ];
-    let row = |(what, n): (&str, u64)| (format!("crash_sweep.{what}"), n.to_string());
-    counts.map(row).to_vec()
+    Ok(tally)
 }
 
 #[test]
 fn every_crash_state_of_generated_histories_recovers_whole_batches() {
-    let tally = histories(0..HISTORIES);
-    let kinds = Request::TAGS.iter().map(|(_, kind)| *kind);
-    let drawn: BTreeSet<_> = kinds.filter(|kind| !EXCLUDED.contains(kind)).collect();
-    assert_eq!(tally.kinds, drawn, "every request kind but the excluded");
-    let (damaged, opened) = (tally.damaged, tally.opened);
-    println!("damaged logs: {opened} opened, {} CorruptAt", damaged - opened);
-    assert!(
-        0 < opened && opened < damaged,
-        "{opened} of {damaged} damaged logs opened"
-    );
-    common::ledger(&rows(&tally));
+    let (mut tally, mut kinds) = ([0; 4], BTreeSet::new());
+    for seed in 0..HISTORIES {
+        let (steps, swept) = checked(seed, |steps| sweep(seed, steps));
+        tally.iter_mut().zip(swept).for_each(|(n, add)| *n += add);
+        kinds.extend(steps.iter().filter_map(|step| match step {
+            Step::Call(req) => Some(kind(req)),
+            _ => None,
+        }));
+    }
+    let every = Request::TAGS.iter().map(|(_, kind)| *kind);
+    let drawn: BTreeSet<_> = every.filter(|kind| !EXCLUDED.contains(kind)).collect();
+    assert_eq!(kinds, drawn, "every request kind but the excluded");
+    let [states, damaged, opened, synced] = tally;
+    println!("damaged logs: {opened} opened, the rest CorruptAt");
+    assert!(0 < opened && opened < damaged, "both outcomes of damage");
+    let rows = [
+        ("histories", HISTORIES),
+        ("states", states),
+        ("damaged_states", damaged),
+        ("synced_batches_checked", synced),
+    ];
+    common::ledger(&rows.map(|(what, n)| (format!("crash_sweep.{what}"), n.to_string())));
 }

@@ -25,12 +25,11 @@
 //! `BENCH_ledger.json`, so a change that shrinks what the generator covers
 //! fails with a one-row diff. CI sweeps 10⁴ more histories in release.
 
-use common::history::{history, kind, shrink, Step, EXCLUDED};
+use common::history::{checked, kind, Step, EXCLUDED};
 use common::model::{batch, Model};
 use common::{Deployment, Spec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{PoisonError, RwLock};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::server::ServerConfig;
@@ -160,15 +159,6 @@ fn run(steps: &[Step]) -> Result<u64, String> {
     }
 }
 
-/// [`run`], a panic included.
-fn check(steps: &[Step]) -> Result<u64, String> {
-    catch_unwind(AssertUnwindSafe(|| run(steps))).unwrap_or_else(|panic| {
-        let why = panic.downcast_ref::<String>().cloned();
-        let why = why.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
-        Err(format!("panicked: {}", why.unwrap_or_default()))
-    })
-}
-
 /// What a run of histories covered: histories, replies compared, request
 /// kinds drawn, restarts.
 type Tally = (u64, u64, BTreeSet<&'static str>, u64);
@@ -179,17 +169,7 @@ fn histories(seeds: Range<u64>) -> Tally {
     let worker = |first: usize| {
         let mut tally = Tally::default();
         for seed in seeds.clone().skip(first).step_by(2) {
-            let steps = history(seed);
-            let replies = check(&steps).unwrap_or_else(|why| {
-                let shrunk = shrink(steps.clone(), |steps| check(steps).is_err());
-                let why = check(&shrunk).err().unwrap_or(why);
-                let shown: Vec<String> = shrunk.iter().map(|s| format!("{s:?}")).collect();
-                let lens = (steps.len(), shrunk.len());
-                panic!(
-                    "seed {seed} fails ({lens:?} steps): {why}\n{}",
-                    shown.join("\n")
-                )
-            });
+            let (steps, replies) = checked(seed, run);
             tally.0 += 1;
             tally.1 += replies;
             for step in &steps {
