@@ -1662,9 +1662,6 @@ mod tests {
     trait TestFile: LogFile {
         fn fresh(name: &str) -> Self;
         fn contents(&self) -> Vec<u8>;
-        /// Replaces the bytes under the file's name, as another process
-        /// writing the file would.
-        fn set_contents(&self, bytes: &[u8]);
         fn reopen(&self) -> Self;
         fn remove(&self) {}
     }
@@ -1675,9 +1672,6 @@ mod tests {
         }
         fn contents(&self) -> Vec<u8> {
             std::fs::read(&self.path).unwrap()
-        }
-        fn set_contents(&self, bytes: &[u8]) {
-            std::fs::write(&self.path, bytes).unwrap();
         }
         fn reopen(&self) -> Self {
             OsFile::open(self.path.clone()).unwrap()
@@ -1694,9 +1688,6 @@ mod tests {
         }
         fn contents(&self) -> Vec<u8> {
             self.reopen().bytes.read().clone()
-        }
-        fn set_contents(&self, bytes: &[u8]) {
-            *self.reopen().bytes.write() = bytes.to_vec();
         }
         fn reopen(&self) -> Self {
             self.clone()
@@ -1935,73 +1926,6 @@ mod tests {
     }
 
     #[test]
-    fn persistence_across_reopen() {
-        let path = tmp("persist");
-        {
-            let kv = LogKv::open(&path).unwrap();
-            kv.put(b"k1", b"v1").unwrap();
-            kv.put(b"k2", b"v2").unwrap();
-            kv.delete(b"k1").unwrap();
-            kv.put(b"k3", b"v3-final").unwrap();
-        }
-        let kv = LogKv::open(&path).unwrap();
-        assert_eq!(kv.get(b"k1").unwrap(), None);
-        assert_eq!(kv.get(b"k2").unwrap(), Some(b"v2".to_vec()));
-        assert_eq!(kv.get(b"k3").unwrap(), Some(b"v3-final".to_vec()));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn torn_tail_record_truncated() {
-        torn_tail_in::<OsFile>();
-        torn_tail_in::<MemFile>();
-    }
-
-    fn torn_tail_in<F: TestFile>() {
-        let file = F::fresh("torn");
-        reopen(&file).unwrap().put(b"good", b"value").unwrap();
-        // Simulate a crash mid-append: write a partial record header.
-        file.append(&[OP_PUT, 1, 200, 0, 0]).unwrap();
-        let kv = reopen(&file).unwrap();
-        assert_eq!(kv.get(b"good").unwrap(), Some(b"value".to_vec()));
-        // Store still writable after recovery.
-        kv.put(b"after", b"crash").unwrap();
-        drop(kv);
-        let kv = reopen(&file).unwrap();
-        assert_eq!(kv.get(b"after").unwrap(), Some(b"crash".to_vec()));
-        file.remove();
-    }
-
-    #[test]
-    fn mid_file_corruption_is_hard_error_with_offset() {
-        mid_file_corruption_in::<OsFile>();
-        mid_file_corruption_in::<MemFile>();
-    }
-
-    fn mid_file_corruption_in<F: TestFile>() {
-        let file = F::fresh("midcorrupt");
-        {
-            let kv = reopen(&file).unwrap();
-            kv.put(b"first", b"valuevaluevalue").unwrap();
-            kv.put(b"second", b"other").unwrap();
-        }
-        // Flip one byte inside the first record's value region. The first
-        // record starts right after the magic, at offset 8.
-        let mut bytes = file.contents();
-        let victim = MAGIC.len() + LITERAL_HEAD + 5 + 3; // inside "valuevaluevalue"
-        bytes[victim] ^= 0xFF;
-        file.set_contents(&bytes);
-        match reopen(&file) {
-            Err(StoreError::CorruptAt { offset, .. }) => {
-                assert_eq!(offset, MAGIC.len() as u64, "offset should be record 0");
-            }
-            other => panic!("expected CorruptAt, got {:?}", other.map(|kv| kv.len())),
-        }
-        assert_eq!(file.contents(), bytes, "file left untouched");
-        file.remove();
-    }
-
-    #[test]
     fn spliced_sequence_chain_is_hard_error() {
         let path_a = tmp("splice-a");
         let path_b = tmp("splice-b");
@@ -2168,22 +2092,6 @@ mod tests {
         let kv = LogKv::open(&path).unwrap();
         assert_eq!(kv.len(), 11);
         assert_eq!(kv.get(b"k95").unwrap(), Some(b"xxxxxxxxxxxxxxxx".to_vec()));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn compaction_under_fsync_durability() {
-        let _serial = fsync_tests();
-        let path = tmp("compact-fsync");
-        let kv = LogKv::open_with(&path, Durability::Fsync).unwrap();
-        for i in 0..20 {
-            kv.put(format!("k{i}").as_bytes(), b"v").unwrap();
-        }
-        kv.compact().unwrap();
-        kv.put(b"post", b"compact").unwrap();
-        drop(kv);
-        let kv = LogKv::open(&path).unwrap();
-        assert_eq!(kv.len(), 21);
         std::fs::remove_file(path).unwrap();
     }
 
@@ -2509,189 +2417,6 @@ mod tests {
             .collect()
     }
 
-    /// Writes step `i` of a generated log: a plain `put`/`delete` when its
-    /// shape is 0, else one `write_batch` of 1, 2 or 33 ops.
-    fn write_step(kv: &impl KvStore, shape: usize, ops: &[GenOp]) -> usize {
-        let n = [1, 1, 2, 33][shape];
-        match (shape, &ops[0]) {
-            (0, (key, _, true)) => kv.delete(key).unwrap(),
-            (0, (key, value, false)) => kv.put(key, value).unwrap(),
-            _ => kv.write_batch(&as_ops(&ops[..n])).unwrap(),
-        }
-        n
-    }
-
-    // The satellite crash-recovery property: truncating a populated log
-    // at EVERY byte offset and reopening must recover exactly the writes
-    // whose batch is fully contained in the kept prefix — a cut anywhere
-    // inside a batch loses the whole batch and nothing before it — and
-    // the store must accept appends afterwards. Logs interleave single
-    // records with batches of 1, 2 and 33 ops, puts and deletes over a
-    // small key space; the offset sweep inside each case is exhaustive.
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
-        #[test]
-        fn truncate_at_every_offset_recovers_longest_valid_prefix(
-            steps in proptest::collection::vec(
-                (0usize..4,
-                 proptest::collection::vec(
-                    (proptest::collection::vec(0u8..6, 1..4),
-                     proptest::collection::vec(proptest::any::<u8>(), 0..10),
-                     proptest::any::<bool>()),
-                    33,
-                 )),
-                1..5,
-            )
-        ) {
-            truncation_sweep::<OsFile>("sweep", &steps);
-            truncation_sweep::<MemFile>("sweep", &steps);
-        }
-    }
-
-    /// The same sweep over records that name their run: a batch that starts
-    /// a run (its records literal), one that extends it, deletes inside it
-    /// and at both ends and puts after the deletes — one of them of the key
-    /// the front trim left outside the run — and past a gap, then a put and
-    /// a delete on their own.
-    #[test]
-    fn truncate_at_every_offset_over_run_form_records() {
-        let put = |t: u64| (join(b"r/", t), vec![t as u8; 3], false);
-        let delete = |t: u64| (join(b"r/", t), Vec::new(), true);
-        let starts: Vec<GenOp> = (0..33).map(put).collect();
-        let extends = (33..50).map(put);
-        let deletes = [
-            delete(5),
-            put(50),
-            delete(50),
-            delete(49),
-            put(5),
-            delete(0),
-            put(0),
-        ];
-        let mixed: Vec<GenOp> = extends.chain(deletes).chain((60..69).map(put)).collect();
-        let steps = [
-            (3, starts),
-            (3, mixed),
-            (0, vec![put(49)]),
-            (0, vec![delete(7)]),
-        ];
-        truncation_sweep::<OsFile>("sweep-runs", &steps);
-        truncation_sweep::<MemFile>("sweep-runs", &steps);
-    }
-
-    fn truncation_sweep<F: TestFile>(name: &str, steps: &[(usize, Vec<GenOp>)]) {
-        let file = F::fresh(&format!("{name}-src"));
-        let cut_file = F::fresh(&format!("{name}-cut"));
-        // Per step: the byte offset it ends at and the state it leaves.
-        let mut after = Vec::new();
-        {
-            let kv = reopen(&file).unwrap();
-            let mut state = BTreeMap::new();
-            for (shape, ops) in steps {
-                let n = write_step(&kv, *shape, ops);
-                for (key, value, delete) in &ops[..n] {
-                    match delete {
-                        true => state.remove(key),
-                        false => state.insert(key.clone(), value.clone()),
-                    };
-                }
-                after.push((kv.stats().log_bytes as usize, state.clone()));
-            }
-        }
-        let full = file.contents();
-        assert_eq!(after.last().unwrap().0, full.len());
-
-        let empty = BTreeMap::new();
-        for cut in 0..=full.len() {
-            cut_file.set_contents(&full[..cut]);
-            let kv = match reopen(&cut_file) {
-                Ok(kv) => kv,
-                Err(e) => panic!("offset {cut}: truncated log must open, got {e}"),
-            };
-            // Expected: exactly the steps whose whole extent fits in `cut`.
-            let (end, expect) = after
-                .iter()
-                .rev()
-                .find(|(end, _)| *end <= cut)
-                .map_or((MAGIC.len(), &empty), |(end, state)| (*end, state));
-            let mut got = kv.scan_prefix(b"").unwrap();
-            got.sort();
-            let want: Vec<_> = expect.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            assert_eq!(got, want, "offset {cut}: recovered state");
-            assert_eq!(
-                kv.stats().log_bytes as usize,
-                end,
-                "offset {cut}: kept prefix"
-            );
-            // Post-recovery appends must round-trip across reopen: the
-            // sequence chain resumed where the kept prefix ends.
-            kv.put(b"post-recovery", b"ok").unwrap();
-            drop(kv);
-            let kv = reopen(&cut_file).unwrap();
-            assert_eq!(
-                kv.get(b"post-recovery").unwrap(),
-                Some(b"ok".to_vec()),
-                "offset {cut}: post-recovery append lost"
-            );
-            assert_eq!(kv.len(), expect.len() + 1, "offset {cut}: second reopen");
-            assert_eq!(
-                kv.stats().log_bytes,
-                cut_file.contents().len() as u64,
-                "offset {cut}: the second reopen truncated nothing"
-            );
-        }
-        file.remove();
-        cut_file.remove();
-    }
-
-    /// Three batches of `n` puts; returns the path and each record's offset.
-    fn three_batches(name: &str, n: usize) -> (PathBuf, Vec<u64>) {
-        let path = tmp(name);
-        let kv = LogKv::open(&path).unwrap();
-        let mut offsets = Vec::new();
-        for b in 0..3u8 {
-            let keys: Vec<[u8; 2]> = (0..n as u8).map(|i| [b, i]).collect();
-            let ops: Vec<_> = keys
-                .iter()
-                .map(|key| WriteOp::Put {
-                    key,
-                    value: b"0123456789",
-                })
-                .collect();
-            let start = kv.stats().log_bytes;
-            offsets.extend((0..n as u64).map(|i| start + i * literal(2, 10)));
-            kv.write_batch(&ops).unwrap();
-        }
-        (path, offsets)
-    }
-
-    #[test]
-    fn damage_inside_a_batch_before_a_valid_batch_is_corrupt_at_not_a_tail() {
-        let (path, offsets) = three_batches("batch-rot", 4);
-        let healthy = std::fs::read(&path).unwrap();
-        // Every record of the first two batches in turn: valid data (the
-        // rest of its batch, and a whole later batch) follows the damage.
-        for &at in &offsets[..8] {
-            let mut rotted = healthy.clone();
-            rotted[at as usize + LITERAL_HEAD + 1] ^= 0x10;
-            std::fs::write(&path, &rotted).unwrap();
-            match LogKv::open(&path) {
-                Err(StoreError::CorruptAt { offset, .. }) => assert_eq!(offset, at),
-                other => panic!("record at {at}: got {:?}", other.map(|kv| kv.len())),
-            }
-            assert_eq!(std::fs::read(&path).unwrap(), rotted, "file left untouched");
-        }
-        // A cleared continues bit fails the CRC like any other flip.
-        let mut rotted = healthy.clone();
-        rotted[offsets[0] as usize] &= !OP_CONTINUES;
-        std::fs::write(&path, &rotted).unwrap();
-        assert!(matches!(
-            LogKv::open(&path),
-            Err(StoreError::CorruptAt { offset, .. }) if offset == offsets[0]
-        ));
-        std::fs::remove_file(path).unwrap();
-    }
-
     #[test]
     fn compaction_of_a_batched_log_equals_compaction_of_single_writes() {
         let ops: Vec<GenOp> = (0..40u8)
@@ -2703,8 +2428,11 @@ mod tests {
         kv.write_batch(&as_ops(&ops[33..])).unwrap();
         kv.compact().unwrap();
         let one_by_one = LogKv::open(&single).unwrap();
-        for op in &ops {
-            write_step(&one_by_one, 0, std::slice::from_ref(op));
+        for (key, value, delete) in &ops {
+            match delete {
+                true => one_by_one.delete(key).unwrap(),
+                false => one_by_one.put(key, value).unwrap(),
+            }
         }
         assert_ne!(
             std::fs::read(&batched).unwrap().len(),
