@@ -84,8 +84,9 @@ fn index_footprint_is_independent_of_value_size() {
 /// The fleet workload's shape through one engine over a `LogKv`: 256
 /// streams × 175 six-point chunks of four-wide digests, 16 streams a batch,
 /// one chunk each. Per stream, what the engine and the log then hold: the
-/// directory entry, the running sum and the log's run of record locations —
-/// no cached sum, since only a query's read fills the boundary cache.
+/// directory entry, its length and last running sum, its ingest state and
+/// the log's run of block-coded record locations — no cached sum, since
+/// only a query's read fills the boundary cache.
 #[test]
 fn a_written_stream_holds_its_running_sum_and_its_record_locations() {
     const STREAMS: u128 = 256;
