@@ -7,8 +7,9 @@
 //! log compacted before the middle step. What the log asked of its file
 //! gives the states a crash can leave ([`states`]): each synced prefix and
 //! compacted generation; each append dropped, or torn at each record
-//! boundary inside it and at two seeded offsets; and three synced states
-//! with a seeded byte flipped. Each is opened, and the tier over it:
+//! boundary inside it and at two seeded offsets; and three whole logs the
+//! file held, a seeded byte flipped in each. Each is opened, and the tier
+//! over it:
 //! - **Open:** only a flipped state fails, as `CorruptAt` at the record it
 //!   flipped, the file untouched.
 //! - **Log after recovery:** it holds the whole batches before the cut or
