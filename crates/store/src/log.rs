@@ -2070,8 +2070,9 @@ mod tests {
 
     #[test]
     fn compaction_preserves_live_data() {
+        let _serial = fsync_tests();
         let path = tmp("compact");
-        let kv = LogKv::open(&path).unwrap();
+        let kv = LogKv::open_with(&path, Durability::Fsync).unwrap();
         for i in 0..100 {
             kv.put(format!("k{i}").as_bytes(), b"xxxxxxxxxxxxxxxx")
                 .unwrap();

@@ -10,8 +10,9 @@
 //! boundary inside it and at two seeded offsets; and three whole logs the
 //! file held, a seeded byte flipped in each. Each is opened, and the tier
 //! over it:
-//! - **Open:** only a flipped state fails, as `CorruptAt` at the record it
-//!   flipped, the file untouched.
+//! - **Open:** a state fails exactly when a flip lies before its last
+//!   record, as `CorruptAt` at the record it flipped, the file untouched; a
+//!   flip in the last record is a torn tail.
 //! - **Log after recovery:** it holds the whole batches before the cut or
 //!   the flip and no byte more, so each batch synced before its ack is
 //!   there; and what a clean open of them holds, so each is whole or absent.
@@ -58,16 +59,19 @@ impl State {
     }
 
     /// The length the log opens at: the whole batches before the cut and
-    /// the flip, or a fresh log's magic if the cut tore that; `None` if the
-    /// magic is flipped.
-    fn kept(&self) -> Option<usize> {
+    /// the flip, or a fresh log's magic if the cut tore that.
+    fn kept(&self) -> usize {
         let upto = self.flip.map_or(self.cut, |(at, _)| at);
         let ends = ends(&self.image).into_iter().filter(|(_, closes)| *closes);
-        let ends = ends.map(|(end, _)| end).chain([MAGIC]);
-        match self.cut < MAGIC {
-            true => Some(MAGIC),
-            false => ends.filter(|&end| end <= upto).max(),
-        }
+        let ends = ends.map(|(end, _)| end).filter(|&end| end <= upto);
+        ends.max().unwrap_or(MAGIC)
+    }
+
+    /// Whether the log opens: unflipped, or flipped in its last record, a
+    /// torn tail; a flip anywhere else has valid records after it.
+    fn opens(&self) -> bool {
+        let last = ends(&self.image).iter().rev().nth(1).map_or(MAGIC, |r| r.0);
+        self.flip.is_none_or(|(at, _)| at >= last)
     }
 }
 
@@ -185,14 +189,16 @@ fn dump(kv: &(impl KvStore + ?Sized)) -> Result<KvPairs, String> {
     Ok(records)
 }
 
-/// Opens `state` and the tier of `spec` over it and checks them against
-/// what the tier answered after its open and after each step: `marks`,
-/// the calls made by then and the replies. Counts the state, whether it is
-/// damaged and whether it then opened, and the synced batches it holds.
+/// Opens `state`, then the tier of `spec` over a fresh copy (its replay
+/// sees the damage too), and checks them against what the tier answered
+/// after its open and each step: `marks`, the calls made and the replies.
+/// Counts the state, whether it is damaged and opened, and synced batches.
 fn check(spec: &Spec, state: &State, marks: &[(usize, Replies)]) -> Result<[u64; 4], String> {
     let file = Recording::holding(state.bytes());
     let kept = match (LogKv::over(file.clone(), Durability::Fsync), state.flip) {
-        (Err(StoreError::CorruptAt { offset, .. }), Some((at, _))) => {
+        (Ok(_), _) if state.opens() => state.kept(),
+        (Ok(_), _) => return Err("the log opens over valid records after its damage".into()),
+        (Err(StoreError::CorruptAt { offset, .. }), Some((at, _))) if !state.opens() => {
             let ends = ends(&state.image).into_iter().map(|(end, _)| end);
             let record = ends.chain([MAGIC]).filter(|&end| end <= at).max();
             let record = record.unwrap_or(0) as u64;
@@ -202,7 +208,6 @@ fn check(spec: &Spec, state: &State, marks: &[(usize, Replies)]) -> Result<[u64;
             };
         }
         (Err(e), _) => return Err(format!("the log does not open: {e}")),
-        (Ok(_), _) => state.kept().ok_or("the log opens with its magic flipped")?,
     };
     let file = Recording::holding(state.bytes());
     let d = over(spec, &file);
@@ -222,9 +227,8 @@ fn check(spec: &Spec, state: &State, marks: &[(usize, Replies)]) -> Result<[u64;
         for (k, now) in replies(&d).iter().enumerate() {
             if !then.iter().any(|(_, then)| then[k] == *now) {
                 let stream = pool()[k];
-                return Err(format!(
-                    "stream {stream} answers as after no step from {acked}"
-                ));
+                let why = format!("stream {stream} answers as after no step from {acked}");
+                return Err(why);
             }
         }
     }
@@ -242,13 +246,10 @@ fn check(spec: &Spec, state: &State, marks: &[(usize, Replies)]) -> Result<[u64;
     if file.bytes().len() != len || dump(&again)? != held {
         return Err("the second open lost what was written after recovery".into());
     }
-    let synced = ends(&state.image)
-        .into_iter()
-        .filter(|&(end, closes)| closes && end <= kept);
-    Ok(match state.flip {
-        Some(_) => [1, 1, 1, 0],
-        None => [1, 0, 0, synced.count() as u64],
-    })
+    let damaged = u64::from(state.flip.is_some());
+    let closed = ends(&state.image).into_iter().filter(|(_, closes)| *closes);
+    let synced = closed.filter(|&(end, _)| end <= kept).count() as u64;
+    Ok([1, damaged, damaged, synced * (1 - damaged)])
 }
 
 /// Sweeps every crash state of `steps` on both tiers; sums what [`check`]
