@@ -95,6 +95,14 @@ impl DigestSchema {
     /// wrapping mod 2^64 to match the HEAC plaintext space.
     pub fn compute(&self, points: &[DataPoint]) -> Vec<u64> {
         let mut out = vec![0u64; self.width];
+        self.compute_into(points, &mut out);
+        out
+    }
+
+    /// [`compute`](Self::compute) into `out` (`width` words). A histogram
+    /// with ascending bounds finds each point's bin by binary search,
+    /// without a branch on the value; others scan.
+    pub fn compute_into(&self, points: &[DataPoint], out: &mut [u64]) {
         let mut off = 0usize;
         for op in &self.ops {
             match op {
@@ -112,18 +120,28 @@ impl DigestSchema {
                     });
                 }
                 DigestOp::Histogram { bounds } => {
-                    for p in points {
-                        let bin = bounds
-                            .iter()
-                            .position(|&b| p.value < b)
-                            .unwrap_or(bounds.len());
-                        out[off + bin] = out[off + bin].wrapping_add(1);
+                    let bins = &mut out[off..off + bounds.len() + 1];
+                    bins.fill(0);
+                    // The first bin whose bound exceeds the value: for
+                    // ascending bounds, the number of bounds at or below it.
+                    if bounds.is_sorted() {
+                        for p in points {
+                            let bin = bounds.partition_point(|&b| b <= p.value);
+                            bins[bin] = bins[bin].wrapping_add(1);
+                        }
+                    } else {
+                        for p in points {
+                            let bin = bounds
+                                .iter()
+                                .position(|&b| p.value < b)
+                                .unwrap_or(bounds.len());
+                            bins[bin] = bins[bin].wrapping_add(1);
+                        }
                     }
                 }
             }
             off += op.width();
         }
-        out
     }
 
     /// Interprets a decrypted aggregate digest.

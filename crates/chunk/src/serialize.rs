@@ -2,19 +2,27 @@
 //!
 //! The producer path is: accumulate points → cut at Δ boundaries
 //! ([`ChunkBuilder`]) → compute the plaintext digest → HEAC-encrypt the
-//! digest and AES-GCM-encrypt the compressed payload ([`ChunkSealer::seal`],
-//! one sealer per stream; [`PlainChunk::seal`] is the stateless reference)
-//! → ship the [`EncryptedChunk`] to the server. The server indexes the
-//! digest ciphertext and stores the payload blob; it can read neither.
+//! digest and AES-GCM-encrypt the compressed payload ([`ChunkSealer`], one
+//! per stream; [`PlainChunk::seal`] is the stateless form) → ship the
+//! chunk's bytes to the server. The server indexes the digest ciphertext
+//! and stores the payload blob; it can read neither.
+//!
+//! Both seal forms run one kernel, `seal_with`: the digest, the boundary
+//! leaves and their element keys, the payload key and the payload's GCM in
+//! one call, compiled once per [`Backend`] inside one `target_feature`
+//! function and chosen once per sealer.
 
 use crate::compress::{self, CodecError};
 use crate::model::{ChunkId, DataPoint, StreamConfig, StreamId};
 use std::sync::OnceLock;
-use timecrypt_core::heac::{DigestCursor, KeySource};
-use timecrypt_core::keys::{payload_key, payload_key_from_leaves};
+use timecrypt_core::heac::{DigestCursor, KeySource, On};
+use timecrypt_core::keys::{payload_key, payload_key_with};
 use timecrypt_core::{CoreError, StreamKeyMaterial, TreeKd};
-use timecrypt_crypto::gcm::NONCE_LEN;
-use timecrypt_crypto::{AesGcm128, GcmKeyCache, SecureRandom};
+#[cfg(target_arch = "x86_64")]
+use timecrypt_crypto::backend::AesNi;
+use timecrypt_crypto::backend::{Backend, Portable};
+use timecrypt_crypto::gcm::{seal_once, NONCE_LEN, TAG_LEN};
+use timecrypt_crypto::{GcmKeyCache, SecureRandom};
 
 /// Process-wide cache of payload-key GCM instances.
 ///
@@ -92,45 +100,25 @@ impl PlainChunk {
     ///
     /// The one-shot form: both boundary leaves are derived from the root
     /// (two walks of the key tree). Anything that seals a stream's chunks
-    /// one after another keeps a [`ChunkSealer`] instead; this is the
-    /// reference its output is pinned to.
+    /// one after another keeps a [`ChunkSealer`] instead; its output is
+    /// this one's, byte for byte.
     pub fn seal(
         &self,
         cfg: &StreamConfig,
         keys: &StreamKeyMaterial,
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
-        self.seal_at(cfg, &keys.tree, &mut DigestCursor::default(), rng)
-    }
-
-    /// [`seal`](Self::seal) with the boundary leaves and their element
-    /// keys taken through `cursor`, from wherever the previous chunk left
-    /// it. The digest is encrypted where `schema.compute` left it and the
-    /// points are compressed straight into the payload, behind the nonce.
-    fn seal_at(
-        &self,
-        cfg: &StreamConfig,
-        tree: &TreeKd,
-        cursor: &mut DigestCursor,
-        rng: &mut SecureRandom,
-    ) -> Result<EncryptedChunk, ChunkError> {
-        let mut digest_ct = cfg.schema.compute(&self.points);
-        let (l0, l1) = cursor.encrypt_digest(tree, self.index, &mut digest_ct)?;
-        let gcm = AesGcm128::new(&payload_key_from_leaves(&l0, &l1));
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill(&mut nonce);
-        // Sized as `compress` sizes its own buffer, plus nonce and tag.
-        let mut payload = Vec::with_capacity(NONCE_LEN + self.points.len() * 4 + 8 + 16);
-        payload.extend_from_slice(&nonce);
-        compress::compress_into(&self.points, &mut payload);
-        let aad = Self::aad(self.stream, self.index);
-        gcm.seal_tail(&nonce, &aad, &mut payload, NONCE_LEN);
-        Ok(EncryptedChunk {
-            stream: self.stream,
-            index: self.index,
-            digest_ct,
-            payload,
-        })
+        let mut cursor = DigestCursor::default();
+        let kernel = Kernel::detect(false);
+        seal_chunk(
+            kernel,
+            cfg,
+            &keys.tree,
+            &mut cursor,
+            self,
+            rng,
+            &mut Vec::new(),
+        )
     }
 
     fn aad(stream: StreamId, index: ChunkId) -> [u8; 24] {
@@ -141,36 +129,208 @@ impl PlainChunk {
     }
 }
 
-/// The sealing state of one stream: its configuration, its key tree and
-/// the producer's place in that tree's keystream ([`DigestCursor`]).
+/// Seals `chunk` into an [`EncryptedChunk`]: two allocations, its digest
+/// and its payload, each of its exact size.
+fn seal_chunk(
+    kernel: Kernel,
+    cfg: &StreamConfig,
+    tree: &TreeKd,
+    cursor: &mut DigestCursor,
+    chunk: &PlainChunk,
+    rng: &mut SecureRandom,
+    plain: &mut Vec<u8>,
+) -> Result<EncryptedChunk, ChunkError> {
+    let (mut digest_ct, mut payload) = (Vec::new(), Vec::new());
+    kernel.seal(Job {
+        cfg,
+        tree,
+        cursor,
+        chunk,
+        rng,
+        digest: &mut digest_ct,
+        plain,
+        out: &mut payload,
+        wire: false,
+    })?;
+    Ok(EncryptedChunk {
+        stream: chunk.stream,
+        index: chunk.index,
+        digest_ct,
+        payload,
+    })
+}
+
+/// The sealing kernel a sealer runs, chosen once from what the CPU offers.
+#[derive(Clone, Copy)]
+enum Kernel {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    AesNi(AesNi<false>),
+    #[cfg(target_arch = "x86_64")]
+    AesNiSha(AesNi<true>),
+}
+
+impl Kernel {
+    fn detect(force_software: bool) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if !force_software {
+            if let Some(b) = AesNi::<true>::detect() {
+                return Kernel::AesNiSha(b);
+            }
+            if let Some(b) = AesNi::<false>::detect() {
+                return Kernel::AesNi(b);
+            }
+        }
+        let _ = force_software;
+        Kernel::Portable
+    }
+
+    fn seal(self, job: Job<'_>) -> Result<(), CoreError> {
+        match self {
+            Kernel::Portable => seal_with(Portable, job),
+            // SAFETY: an `AesNi<false>` exists only where its `detect`
+            // found `aes`, `pclmulqdq`, `sse2` and `ssse3`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::AesNi(b) => unsafe { seal_aesni(b, job) },
+            // SAFETY: an `AesNi<true>` exists only where its `detect`
+            // found those and `sha` and `sse4.1`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::AesNiSha(b) => unsafe { seal_aesni_sha(b, job) },
+        }
+    }
+}
+
+/// One chunk to seal, and where its bytes go.
+struct Job<'a> {
+    cfg: &'a StreamConfig,
+    tree: &'a TreeKd,
+    cursor: &'a mut DigestCursor,
+    chunk: &'a PlainChunk,
+    rng: &'a mut SecureRandom,
+    /// The digest: its ciphertext, `width` words, once sealed.
+    digest: &'a mut Vec<u64>,
+    /// Scratch for the compressed points.
+    plain: &'a mut Vec<u8>,
+    /// What the chunk is appended to: its wire bytes
+    /// ([`EncryptedChunk::to_bytes`]) with `wire`, its payload without.
+    out: &'a mut Vec<u8>,
+    wire: bool,
+}
+
+/// [`seal_with`] on AES-NI and `pclmulqdq`, the SHA-256 block portable.
 ///
-/// Per sealed chunk it derives the two boundary leaves once — the digest
-/// keys and the payload key ([`payload_key_from_leaves`]) are both made
-/// from them — and assembles the `nonce || ct || tag` payload in place
-/// ([`AesGcm128::seal_tail`]). Between chunks it carries the cursor:
-/// sealing chunk `i + 1` after chunk `i` costs under two PRG calls instead
-/// of two root-to-leaf walks and one element-key PRF expansion instead of
-/// two, and any other order costs at most those two walks and two
-/// expansions. The saving lasts as long as the sealer does, so whatever
-/// seals a stream (a producer, a bulk loader) keeps one for the stream's
-/// life.
+/// # Safety
+/// The CPU must support the target features enabled here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "aes,pclmulqdq,sse2,ssse3")]
+unsafe fn seal_aesni(b: AesNi<false>, job: Job<'_>) -> Result<(), CoreError> {
+    seal_with(b, job)
+}
+
+/// [`seal_with`] on AES-NI, `pclmulqdq` and the SHA extensions.
+///
+/// # Safety
+/// The CPU must support the target features enabled here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sha,sse4.1")]
+unsafe fn seal_aesni_sha(b: AesNi<true>, job: Job<'_>) -> Result<(), CoreError> {
+    seal_with(b, job)
+}
+
+/// The sealing kernel: the digest in one pass over the points; the
+/// boundary leaves through the cursor, each PRG step one AES block with
+/// its key schedule beside it; the element keys of each leaf the cursor
+/// does not carry; the payload key, one SHA-256 block; the compressed
+/// points sealed under it ([`seal_once`]). Inlined whole into each backend's
+/// entry, so no primitive is a call and no AES key is expanded into
+/// memory. A refused chunk (a leaf out of the tree) appends nothing and
+/// draws nothing from `rng`.
+#[inline(always)]
+fn seal_with<B: Backend>(b: B, job: Job<'_>) -> Result<(), CoreError> {
+    let Job {
+        cfg,
+        tree,
+        cursor,
+        chunk,
+        rng,
+        digest,
+        plain,
+        out,
+        wire,
+    } = job;
+    digest.resize(cfg.schema.width(), 0);
+    cfg.schema.compute_into(&chunk.points, digest);
+    let (l0, l1) = cursor.encrypt_digest_with(tree, chunk.index, digest, On(b))?;
+    let key = payload_key_with(b, &l0, &l1);
+    plain.clear();
+    compress::compress_into(&chunk.points, plain);
+    let mut nonce = [0u8; NONCE_LEN];
+    rng.fill(&mut nonce);
+    let payload_len = NONCE_LEN + plain.len() + TAG_LEN;
+    if wire {
+        out.reserve(EncryptedChunk::HEAD_LEN + digest.len() * 8 + payload_len);
+        EncryptedChunk::encode_head(chunk.stream, chunk.index, digest, payload_len, out);
+    } else {
+        out.reserve(payload_len);
+    }
+    out.extend_from_slice(&nonce);
+    let aad = PlainChunk::aad(chunk.stream, chunk.index);
+    seal_once(b, &key, &nonce, &aad, plain, out);
+    Ok(())
+}
+
+/// The sealing state of one stream: its configuration, its key tree, the
+/// producer's place in that tree's keystream ([`DigestCursor`]) and the
+/// kernel it seals with, chosen once.
+///
+/// Between chunks it carries the cursor: sealing chunk `i + 1` after chunk
+/// `i` costs under two PRG calls instead of two root-to-leaf walks and one
+/// element-key PRF expansion instead of two, and any other order costs at
+/// most those two walks and two expansions. The saving lasts as long as the
+/// sealer does, so whatever seals a stream (a producer, a bulk loader)
+/// keeps one for the stream's life.
 ///
 /// Output is byte-identical to [`PlainChunk::seal`] driven by the same RNG
-/// stream (pinned by `sealer_matches_plain_seal`).
+/// stream, on either kernel (pinned by `tests/seal_kernel.rs`).
 pub struct ChunkSealer {
     cfg: StreamConfig,
     tree: TreeKd,
     cursor: DigestCursor,
+    kernel: Kernel,
+    /// Scratch: the digest of a chunk sealed to wire bytes, and the
+    /// compressed points of any chunk.
+    digest: Vec<u64>,
+    plain: Vec<u8>,
 }
 
 impl ChunkSealer {
-    /// A sealer for `cfg`'s stream over the owner key material.
+    /// A sealer for `cfg`'s stream over the owner key material, on the
+    /// CPU's AES, carry-less multiply and SHA instructions where it has
+    /// them.
     pub fn new(cfg: &StreamConfig, keys: &StreamKeyMaterial) -> Self {
+        Self::with_force_software(cfg, keys, false)
+    }
+
+    /// [`new`](Self::new), optionally on the portable kernel whatever the
+    /// CPU offers (what the tests hold the hardware one to). Same bytes.
+    pub fn with_force_software(
+        cfg: &StreamConfig,
+        keys: &StreamKeyMaterial,
+        force_software: bool,
+    ) -> Self {
         ChunkSealer {
             cfg: cfg.clone(),
             tree: keys.tree.clone(),
             cursor: DigestCursor::default(),
+            kernel: Kernel::detect(force_software),
+            digest: Vec::new(),
+            plain: Vec::new(),
         }
+    }
+
+    /// True if this sealer runs the hardware kernel.
+    pub fn is_hardware(&self) -> bool {
+        !matches!(self.kernel, Kernel::Portable)
     }
 
     /// PRG invocations spent on key derivation so far.
@@ -190,14 +350,46 @@ impl ChunkSealer {
         chunk: &PlainChunk,
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
-        chunk.seal_at(&self.cfg, &self.tree, &mut self.cursor, rng)
+        let plain = &mut self.plain;
+        seal_chunk(
+            self.kernel,
+            &self.cfg,
+            &self.tree,
+            &mut self.cursor,
+            chunk,
+            rng,
+            plain,
+        )
+    }
+
+    /// [`seal`](Self::seal) appending the chunk's wire bytes
+    /// ([`EncryptedChunk::to_bytes`]) to `out`, reserved at their exact
+    /// length: into an empty buffer, one allocation a chunk. A refused
+    /// chunk appends nothing.
+    pub fn seal_into(
+        &mut self,
+        chunk: &PlainChunk,
+        rng: &mut SecureRandom,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ChunkError> {
+        Ok(self.kernel.seal(Job {
+            cfg: &self.cfg,
+            tree: &self.tree,
+            cursor: &mut self.cursor,
+            chunk,
+            rng,
+            digest: &mut self.digest,
+            plain: &mut self.plain,
+            out,
+            wire: true,
+        })?)
     }
 
     /// The payload key of `chunk`, for sealing its real-time records
     /// ([`SealedRecord::seal_with_key`]) before the chunk itself closes.
     pub fn payload_key(&mut self, chunk: ChunkId) -> Result<[u8; 16], ChunkError> {
         let (l0, l1) = self.cursor.leaves.boundary_leaves(&self.tree, chunk)?;
-        Ok(payload_key_from_leaves(&l0, &l1))
+        Ok(timecrypt_core::keys::payload_key_from_leaves(&l0, &l1))
     }
 }
 
@@ -254,7 +446,7 @@ impl EncryptedChunk {
     /// plus the digest words and the payload. `encoded_len_matches_to_bytes`
     /// pins the two together.
     pub fn encoded_len(&self) -> usize {
-        32 + self.digest_ct.len() * 8 + self.payload.len()
+        Self::HEAD_LEN + self.digest_ct.len() * 8 + self.payload.len()
     }
 
     /// Serializes the chunk as it travels and as a raw read returns it:
@@ -285,14 +477,29 @@ impl EncryptedChunk {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) {
-        out.reserve(32 + digest_ct.len() * 8 + payload.len());
+        out.reserve(Self::HEAD_LEN + digest_ct.len() * 8 + payload.len());
+        Self::encode_head(stream, index, digest_ct, payload.len(), out);
+        out.extend_from_slice(payload);
+    }
+
+    /// The bytes before the digest words and the payload's: position and
+    /// the two length prefixes.
+    const HEAD_LEN: usize = Self::POSITION_LEN + 8;
+
+    /// Appends everything of the serialization but the payload's bytes.
+    fn encode_head(
+        stream: StreamId,
+        index: ChunkId,
+        digest_ct: &[u64],
+        payload_len: usize,
+        out: &mut Vec<u8>,
+    ) {
         out.extend_from_slice(&Self::position(stream, index));
         out.extend_from_slice(&(digest_ct.len() as u32).to_le_bytes());
         for &d in digest_ct {
             out.extend_from_slice(&d.to_le_bytes());
         }
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
+        out.extend_from_slice(&(payload_len as u32).to_le_bytes());
     }
 
     /// Parses bytes produced by [`to_bytes`](Self::to_bytes).
@@ -549,6 +756,9 @@ impl SealedRecord {
 pub struct ChunkBuilder {
     cfg: StreamConfig,
     current: Option<(ChunkId, Vec<DataPoint>)>,
+    /// The points of the chunk closed last: what the next one is sized for,
+    /// so a stream of steady chunks allocates each once.
+    last_len: usize,
     next_expected: ChunkId,
     /// The open chunk's last point's timestamp and where its interval ends
     /// (`i64::MIN` while no chunk is open): a point in `[last, end)` joins
@@ -563,6 +773,7 @@ impl ChunkBuilder {
         ChunkBuilder {
             cfg,
             current: None,
+            last_len: 0,
             next_expected: 0,
             last: i64::MIN,
             end: i64::MIN,
@@ -618,6 +829,7 @@ impl ChunkBuilder {
                     return Ok(emitted);
                 }
                 // Crossed a boundary: seal current, emit empties for gaps.
+                self.last_len = points.len();
                 emitted.push(PlainChunk {
                     stream: self.cfg.id,
                     index: cur,
@@ -643,7 +855,9 @@ impl ChunkBuilder {
                 }
             }
         }
-        self.current = Some((chunk, vec![p]));
+        let mut points = Vec::with_capacity(self.last_len.max(1));
+        points.push(p);
+        self.current = Some((chunk, points));
         self.next_expected = chunk + 1;
         let end = self.cfg.t0 as i128 + (chunk as i128 + 1) * self.cfg.delta_ms as i128;
         (self.last, self.end) = (p.ts, end.min(i64::MAX as i128) as i64);
@@ -653,7 +867,9 @@ impl ChunkBuilder {
     /// Flushes the in-progress chunk (e.g. at stream close).
     pub fn flush(&mut self) -> Option<PlainChunk> {
         self.end = i64::MIN;
-        self.current.take().map(|(index, points)| PlainChunk {
+        let (index, points) = self.current.take()?;
+        self.last_len = points.len();
+        Some(PlainChunk {
             stream: self.cfg.id,
             index,
             points,

@@ -49,14 +49,15 @@ impl Outbox {
         }
     }
 
-    /// Seals `chunks` into the queue.
+    /// Seals `chunks` into the queue, each straight to its wire bytes in a
+    /// buffer of their exact length.
     fn seal(&mut self, chunks: impl IntoIterator<Item = PlainChunk>) -> Result<(), ClientFault> {
         for chunk in chunks {
-            let sealed = self
-                .sealer
-                .seal(&chunk, &mut self.rng)
+            let mut bytes = Vec::new();
+            self.sealer
+                .seal_into(&chunk, &mut self.rng, &mut bytes)
                 .map_err(chunk_fault)?;
-            self.queue.push(sealed.to_bytes());
+            self.queue.push(bytes);
         }
         Ok(())
     }

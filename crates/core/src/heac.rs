@@ -23,7 +23,8 @@
 
 use crate::error::CoreError;
 use crate::kdtree::{LeafCursor, TokenSet, TokenSource, TreeKd};
-use timecrypt_crypto::{fold_u64, Aes128, Seed128};
+use timecrypt_crypto::backend::Backend;
+use timecrypt_crypto::{fold_u64, Aes128, Prg, PrgKind, Seed128};
 
 /// A HEAC ciphertext element: a u64 in `Z_{2^64}`. Identical in size to the
 /// plaintext — zero ciphertext expansion (Table 2: 8.1 MB index for both
@@ -132,9 +133,10 @@ impl DigestCursor {
         self.prf_blocks
     }
 
-    fn expand(&mut self, leaf: &Seed128, width: usize) {
+    #[inline(always)]
+    fn expand(&mut self, leaf: &Seed128, width: usize, on: impl Primitives) {
         self.keys.resize(width, 0);
-        ElementKeys::new(leaf).keys_into(&mut self.keys);
+        on.element_keys(leaf, &mut self.keys);
         self.leaf = Some(*leaf);
         self.prf_blocks += width as u64;
     }
@@ -149,17 +151,123 @@ impl DigestCursor {
         chunk: u64,
         digest: &mut [u64],
     ) -> Result<(Seed128, Seed128), CoreError> {
-        let (l0, l1) = self.leaves.boundary_leaves(src, chunk)?;
+        self.encrypt_digest_with(src, chunk, digest, Detected)
+    }
+
+    /// [`encrypt_digest`](Self::encrypt_digest) with its PRG steps and
+    /// element keys computed by `on` (the chunk sealing kernel passes its
+    /// backend's, inlined).
+    #[inline(always)]
+    pub fn encrypt_digest_with<S: TokenSource>(
+        &mut self,
+        src: &S,
+        chunk: u64,
+        digest: &mut [u64],
+        on: impl Primitives,
+    ) -> Result<(Seed128, Seed128), CoreError> {
+        let (l0, l1) = self.leaves.boundary_leaves_with(src, chunk, on)?;
         if self.leaf != Some(l0) || self.keys.len() < digest.len() {
-            self.expand(&l0, digest.len());
+            self.expand(&l0, digest.len(), on);
         }
         add_assign(digest, &self.keys[..digest.len()]);
-        self.expand(&l1, digest.len());
+        self.expand(&l1, digest.len(), on);
         for (m, k) in digest.iter_mut().zip(&self.keys) {
             *m = m.wrapping_sub(*k);
         }
         Ok((l0, l1))
     }
+}
+
+/// How the key tree's PRG steps and a leaf's element keys are computed:
+/// each by its own primitive ([`Detected`]), or all on one backend inside
+/// a kernel compiled for it ([`On`]). Every implementation computes the
+/// same values.
+pub trait Primitives: Copy {
+    /// `prg.child(x, bit)`.
+    fn child(self, prg: PrgKind, x: &Seed128, bit: bool) -> Seed128;
+
+    /// `ElementKeys::new(leaf).keys_into(out)`.
+    fn element_keys(self, leaf: &Seed128, out: &mut [u64]);
+}
+
+/// Each primitive on its own: the tree's [`Prg`] and [`ElementKeys`], each
+/// on the path it detects.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Detected;
+
+impl Primitives for Detected {
+    #[inline]
+    fn child(self, prg: PrgKind, x: &Seed128, bit: bool) -> Seed128 {
+        prg.child(x, bit)
+    }
+
+    #[inline]
+    fn element_keys(self, leaf: &Seed128, out: &mut [u64]) {
+        ElementKeys::new(leaf).keys_into(out);
+    }
+}
+
+/// Every primitive on backend `B`, each AES key schedule run beside the
+/// blocks it keys ([`Backend::aes_keying`]). Inlined, so it is meant for a
+/// kernel compiled with the backend's target features.
+#[derive(Clone, Copy, Debug)]
+pub struct On<B>(pub B);
+
+impl<B: Backend> Primitives for On<B> {
+    #[inline(always)]
+    fn child(self, prg: PrgKind, x: &Seed128, bit: bool) -> Seed128 {
+        if prg != PrgKind::Aes {
+            return prg.child(x, bit);
+        }
+        // `0^127 || bit`: the bit is the last byte's low bit.
+        let mut block = [u128::from(bit) << 120];
+        self.0.aes_keying(x, &mut block);
+        block[0].to_le_bytes()
+    }
+
+    /// The key schedule runs beside the first eight blocks; the rest reuse
+    /// its round keys, eight at a time.
+    #[inline(always)]
+    fn element_keys(self, leaf: &Seed128, out: &mut [u64]) {
+        let mut blocks: [u128; 8] = std::array::from_fn(block);
+        let keys = self.0.aes_keying(leaf, &mut blocks);
+        let (head, rest) = out.split_at_mut(out.len().min(8));
+        for (word, &block) in head.iter_mut().zip(&blocks) {
+            *word = fold(block);
+        }
+        /// Keys `first..` into `run`, `N` blocks wide.
+        #[inline(always)]
+        fn run<B: Backend, const N: usize>(
+            b: B,
+            keys: &B::RoundKeys,
+            first: usize,
+            run: &mut [u64],
+        ) {
+            let mut blocks: [u128; N] = std::array::from_fn(|j| block(first + j));
+            b.aes_with(keys, &mut blocks);
+            for (word, &block) in run.iter_mut().zip(&blocks) {
+                *word = fold(block);
+            }
+        }
+        for (n, words) in rest.chunks_mut(8).enumerate() {
+            match words.len() {
+                ..=4 => run::<B, 4>(self.0, &keys, 8 * (n + 1), words),
+                _ => run::<B, 8>(self.0, &keys, 8 * (n + 1), words),
+            }
+        }
+    }
+}
+
+/// Element-key block `j`: `j` big-endian in the last four bytes.
+#[inline(always)]
+fn block(j: usize) -> u128 {
+    u128::from((j as u32).to_be()) << 96
+}
+
+/// An element key: the fold of its block read big-endian.
+#[inline(always)]
+fn fold(x: u128) -> u64 {
+    ((x >> 64) as u64 ^ x as u64).swap_bytes()
 }
 
 /// Owner/producer-side encryptor bound to a stream's key tree. It holds a
@@ -408,6 +516,33 @@ mod tests {
                 "step {n}"
             );
             carried = Some((l1, width));
+        }
+    }
+
+    #[test]
+    fn every_backend_derives_what_the_primitives_derive() {
+        use timecrypt_crypto::backend::Portable;
+        let leaf = tree().leaf(5).unwrap();
+        let check = |on: &dyn Fn(&mut [u64]), children: &dyn Fn(PrgKind, bool) -> Seed128| {
+            for width in 0..=70usize {
+                let mut keys = vec![0xdead_beef; width];
+                on(&mut keys);
+                assert_eq!(keys, ElementKeys::new(&leaf).keys(width), "width {width}");
+            }
+            for prg in [PrgKind::Aes, PrgKind::AesSoftware, PrgKind::Sha256] {
+                for bit in [false, true] {
+                    assert_eq!(children(prg, bit), prg.child(&leaf, bit), "{prg:?}");
+                }
+            }
+        };
+        check(&|out| On(Portable).element_keys(&leaf, out), &|prg, bit| {
+            On(Portable).child(prg, &leaf, bit)
+        });
+        #[cfg(target_arch = "x86_64")]
+        if let Some(b) = timecrypt_crypto::backend::AesNi::<false>::detect() {
+            check(&|out| On(b).element_keys(&leaf, out), &|prg, bit| {
+                On(b).child(prg, &leaf, bit)
+            });
         }
     }
 

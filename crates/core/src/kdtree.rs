@@ -9,8 +9,9 @@
 //! property of the PRG — no parent, sibling, or leaf outside it.
 
 use crate::error::CoreError;
+use crate::heac::{Detected, Primitives};
 use std::ops::Range;
-use timecrypt_crypto::{Prg, PrgKind, Seed128};
+use timecrypt_crypto::{PrgKind, Seed128};
 
 /// Maximum supported tree height. 63 keeps leaf indices in `u64` and makes
 /// the keystream "virtually infinite" (the paper's phrase); the evaluation
@@ -68,17 +69,19 @@ pub trait TokenSource {
 }
 
 /// The one descent loop every derivation shares: walks `levels` edges down
-/// from `v`, reading the turns from bit `levels − 1` of `bits` (the first
-/// edge) to bit 0, and hands each node it reaches to `each`.
+/// from `v` by `prg`'s steps computed `on` some primitives, reading the
+/// turns from bit `levels − 1` of `bits` (the first edge) to bit 0, and
+/// hands each node it reaches to `each`.
+#[inline(always)]
 fn descend(
-    prg: PrgKind,
+    (on, prg): (impl Primitives, PrgKind),
     mut v: Seed128,
     levels: u8,
     bits: u64,
     mut each: impl FnMut(Seed128),
 ) -> Seed128 {
     for level in (0..levels).rev() {
-        v = prg.child(&v, (bits >> level) & 1 == 1);
+        v = on.child(prg, &v, (bits >> level) & 1 == 1);
         each(v);
     }
     v
@@ -90,7 +93,7 @@ fn leaf_from_token<S: TokenSource>(src: &S, i: u64) -> Result<Seed128, CoreError
     // A token's range is aligned to its span, so the low bits of `i` are
     // the turns below it.
     let levels = src.height() - t.label.depth;
-    Ok(descend(src.prg(), t.node, levels, i, |_| {}))
+    Ok(descend((Detected, src.prg()), t.node, levels, i, |_| {}))
 }
 
 /// The owner-side key-derivation tree: secret root seed + height + PRG choice.
@@ -162,7 +165,7 @@ impl TreeKd {
             ));
         }
         Ok(descend(
-            self.prg,
+            (Detected, self.prg),
             self.root.node,
             label.depth,
             label.index,
@@ -390,6 +393,18 @@ impl LeafCursor {
     /// Derives leaf `i` of `src`, reusing the part of the previous path
     /// that leads to it.
     pub fn leaf<S: TokenSource>(&mut self, src: &S, i: u64) -> Result<Seed128, CoreError> {
+        self.leaf_with(src, i, Detected)
+    }
+
+    /// [`leaf`](Self::leaf) with each PRG step taken by `on` (the chunk
+    /// sealing kernel passes its backend's, inlined).
+    #[inline(always)]
+    pub fn leaf_with<S: TokenSource>(
+        &mut self,
+        src: &S,
+        i: u64,
+        on: impl Primitives,
+    ) -> Result<Seed128, CoreError> {
         let token = src.covering(i)?;
         let levels = src.height() - token.label.depth;
         let same_path = self.path.len() == levels as usize + 1
@@ -410,7 +425,8 @@ impl LeafCursor {
         self.path.truncate(keep as usize + 1);
         let from = self.path[keep as usize];
         let path = &mut self.path;
-        Ok(descend(src.prg(), from, levels - keep, i, |node| {
+        let step = (on, src.prg());
+        Ok(descend(step, from, levels - keep, i, |node| {
             path.push(node)
         }))
     }
@@ -422,8 +438,20 @@ impl LeafCursor {
         src: &S,
         chunk: u64,
     ) -> Result<(Seed128, Seed128), CoreError> {
-        let l0 = self.leaf(src, chunk)?;
-        let l1 = self.leaf(src, chunk + 1)?;
+        self.boundary_leaves_with(src, chunk, Detected)
+    }
+
+    /// [`boundary_leaves`](Self::boundary_leaves) on `on`, as
+    /// [`leaf_with`](Self::leaf_with).
+    #[inline(always)]
+    pub fn boundary_leaves_with<S: TokenSource>(
+        &mut self,
+        src: &S,
+        chunk: u64,
+        on: impl Primitives,
+    ) -> Result<(Seed128, Seed128), CoreError> {
+        let l0 = self.leaf_with(src, chunk, on)?;
+        let l1 = self.leaf_with(src, chunk + 1, on)?;
         Ok((l0, l1))
     }
 }
@@ -431,6 +459,7 @@ impl LeafCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timecrypt_crypto::Prg;
 
     fn tree(h: u8) -> TreeKd {
         TreeKd::new([7u8; 16], h, PrgKind::Sha256).unwrap()

@@ -13,7 +13,8 @@
 use crate::error::CoreError;
 use crate::heac::KeySource;
 use crate::kdtree::TreeKd;
-use timecrypt_crypto::sha256::sha256;
+use timecrypt_crypto::backend::Backend;
+use timecrypt_crypto::sha256::{sha256, sha256_short};
 use timecrypt_crypto::{PrgKind, Seed128};
 
 /// Derives the AES-GCM key for chunk `i`'s raw payload from any key source
@@ -31,14 +32,29 @@ pub fn payload_key<K: KeySource>(keys: &K, chunk: u64) -> Result<[u8; 16], CoreE
 /// digest encryption; this entry point lets it reuse them for the payload
 /// key instead of walking the derivation tree a second time per chunk.
 pub fn payload_key_from_leaves(l0: &Seed128, l1: &Seed128) -> [u8; 16] {
-    // 42 bytes: one block, absorbed in one piece.
+    truncate(sha256(&payload_key_message(l0, l1)))
+}
+
+/// [`payload_key_from_leaves`] on backend `b`: the message is one SHA-256
+/// block once padded, so this is one compression.
+#[inline(always)]
+pub fn payload_key_with<B: Backend>(b: B, l0: &Seed128, l1: &Seed128) -> [u8; 16] {
+    truncate(sha256_short(b, &payload_key_message(l0, l1)))
+}
+
+#[inline(always)]
+fn payload_key_message(l0: &Seed128, l1: &Seed128) -> [u8; 42] {
     let mut msg = [0u8; 42];
     msg[..16].copy_from_slice(l0);
     msg[16..32].copy_from_slice(l1);
     msg[32..].copy_from_slice(b"tc-payload");
-    let d = sha256(&msg);
+    msg
+}
+
+#[inline(always)]
+fn truncate(digest: [u8; 32]) -> [u8; 16] {
     let mut k = [0u8; 16];
-    k.copy_from_slice(&d[..16]);
+    k.copy_from_slice(&digest[..16]);
     k
 }
 

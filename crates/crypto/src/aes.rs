@@ -184,9 +184,9 @@ impl Aes128 {
     }
 }
 
-/// FIPS-197 key expansion for AES-128 (software; also feeds the AES-NI path —
-/// round keys are identical either way).
-fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
+/// FIPS-197 key expansion for AES-128 (software; the AES-NI path's round
+/// keys are identical).
+pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
     let mut w = [[0u8; 4]; 44];
     for i in 0..4 {
         w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
@@ -269,7 +269,7 @@ fn mix_columns(state: &mut [u8; 16]) {
 }
 
 /// Portable AES-128 encryption of one block.
-fn soft_encrypt_block(rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
+pub(crate) fn soft_encrypt_block(rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
     add_round_key(block, &rk[0]);
     for round_key in &rk[1..10] {
         sub_bytes(block);
@@ -283,11 +283,37 @@ fn soft_encrypt_block(rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod aesni {
-    //! Hardware AES path using the AES-NI instruction set.
+pub mod aesni {
+    //! Hardware AES on the AES-NI instruction set.
+    //!
+    //! The `#[inline(always)]` bodies carry no `target_feature` of their
+    //! own: they are meant to be inlined into a function compiled with
+    //! `aes` and `ssse3` — the kernels below, and the chunk sealing kernel
+    //! — where every intrinsic becomes one instruction and the round keys
+    //! stay in registers. Called anywhere else they are still correct, one
+    //! call per intrinsic.
     use std::arch::x86_64::*;
 
-    /// AES-128 key expansion with AES-NI (FIPS-197 §5.2, vectorized).
+    /// The eleven round keys of one AES-128 key.
+    pub type RoundKeys = [__m128i; 11];
+
+    /// The block whose bytes are `x`'s little-endian bytes.
+    #[inline(always)]
+    pub fn to_vector(x: u128) -> __m128i {
+        // SAFETY: `u128` and `__m128i` are both 16 bytes of plain integer
+        // data, every bit pattern valid for either; on little-endian x86 a
+        // vector's bytes in memory are the integer's little-endian bytes.
+        unsafe { std::mem::transmute::<u128, __m128i>(x) }
+    }
+
+    /// The inverse of [`to_vector`].
+    #[inline(always)]
+    pub fn from_vector(v: __m128i) -> u128 {
+        // SAFETY: as in `to_vector`.
+        unsafe { std::mem::transmute::<__m128i, u128>(v) }
+    }
+
+    /// Round key `i` from round key `i − 1` (FIPS-197 §5.2, vectorized).
     ///
     /// Each round needs `SubWord(RotWord(w3)) ^ rcon`: `pshufb` puts
     /// `RotWord(w3)` in all four columns, and on four equal columns
@@ -296,29 +322,128 @@ mod aesni {
     /// latency, which a key schedule per PRG call pays ten times over.
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports the `aes` and `ssse3` target
-    /// features; the intrinsics fault as undefined instructions otherwise.
-    /// All callers sit behind the runtime detection in
+    /// The CPU must support the `aes` and `ssse3` target features.
+    #[inline(always)]
+    pub unsafe fn next_round_key(k: __m128i, i: usize) -> __m128i {
+        let rot_word = _mm_set1_epi32(0x0c0f_0e0d);
+        let rcon = _mm_set1_epi32(i32::from(super::RCON[i]));
+        let sub = _mm_aesenclast_si128(_mm_shuffle_epi8(k, rot_word), rcon);
+        // w0, w0^w1, w0^w1^w2, w0^w1^w2^w3 of the previous round key.
+        let k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+        let k = _mm_xor_si128(k, _mm_slli_si128(k, 8));
+        _mm_xor_si128(k, sub)
+    }
+
+    /// Encrypts `blocks` under `key` with its schedule run beside them:
+    /// round key `i` is made, then used on every block, before round key
+    /// `i + 1` — no round key is stored and loaded back before its first
+    /// use. Returns the round keys, for more blocks under the same key.
+    ///
+    /// # Safety
+    /// The CPU must support the `aes` and `ssse3` target features.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)]
+    pub unsafe fn encrypt_keying<const N: usize>(
+        key: &[u8; 16],
+        blocks: &mut [__m128i; N],
+    ) -> RoundKeys {
+        let mut k = _mm_loadu_si128(key.as_ptr().cast());
+        let mut rk = [k; 11];
+        // Index loops on purpose: iterator adapters are not always inlined
+        // into a `target_feature` function, and a call per round costs
+        // 25 ns a key.
+        for b in 0..N {
+            blocks[b] = _mm_xor_si128(blocks[b], k);
+        }
+        for i in 1..11 {
+            k = next_round_key(k, i);
+            rk[i] = k;
+            for b in 0..N {
+                blocks[b] = if i < 10 {
+                    _mm_aesenc_si128(blocks[b], k)
+                } else {
+                    _mm_aesenclast_si128(blocks[b], k)
+                };
+            }
+        }
+        rk
+    }
+
+    /// Encrypts `blocks` under held round keys, round by round across all
+    /// of them: each round's `aesenc` is issued for every block before the
+    /// next round, so the instruction's latency overlaps across blocks
+    /// instead of stalling one dependency chain.
+    ///
+    /// # Safety
+    /// The CPU must support the `aes` target feature.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)]
+    pub unsafe fn encrypt_with<const N: usize>(rk: &RoundKeys, blocks: &mut [__m128i; N]) {
+        for b in 0..N {
+            blocks[b] = _mm_xor_si128(blocks[b], rk[0]);
+        }
+        for i in 1..10 {
+            for b in 0..N {
+                blocks[b] = _mm_aesenc_si128(blocks[b], rk[i]);
+            }
+        }
+        for b in 0..N {
+            blocks[b] = _mm_aesenclast_si128(blocks[b], rk[10]);
+        }
+    }
+
+    /// [`encrypt_with`] over byte blocks of any count: eight at a time,
+    /// and the last up to seven as four or eight (a padding block costs an
+    /// `aesenc` a round in a pipeline that is waiting on latency anyway).
+    ///
+    /// # Safety
+    /// The CPU must support the `aes` target feature.
+    #[inline(always)]
+    unsafe fn encrypt_slice(rk: &RoundKeys, blocks: &mut [[u8; 16]]) {
+        /// Encrypts the first `N` blocks of `run`, or all of it if fewer.
+        #[inline(always)]
+        unsafe fn run<const N: usize>(rk: &RoundKeys, run: &mut [[u8; 16]]) {
+            let mut b = [_mm_setzero_si128(); N];
+            for (b, block) in b.iter_mut().zip(run.iter()) {
+                *b = _mm_loadu_si128(block.as_ptr().cast());
+            }
+            encrypt_with(rk, &mut b);
+            for (block, b) in run.iter_mut().zip(b) {
+                _mm_storeu_si128(block.as_mut_ptr().cast(), b);
+            }
+        }
+        let mut eights = blocks.chunks_exact_mut(8);
+        for r in &mut eights {
+            run::<8>(rk, r);
+        }
+        match eights.into_remainder() {
+            [] => {}
+            rest @ [_, _, _, _, _, ..] => run::<8>(rk, rest),
+            rest => run::<4>(rk, rest),
+        }
+    }
+
+    /// The round keys of `key`.
+    ///
+    /// # Safety
+    /// The CPU must support the `aes` and `ssse3` target features; the
+    /// instructions fault as undefined otherwise. All callers sit behind
+    /// the runtime detection in
     /// [`Aes128::with_force_software`](super::Aes128::with_force_software).
     #[target_feature(enable = "aes,ssse3")]
     pub(super) unsafe fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
-        let rot_word = _mm_set1_epi32(0x0c0f_0e0d);
-        let mut rk = [[0u8; 16]; 11];
-        let mut k = _mm_loadu_si128(key.as_ptr() as *const __m128i);
-        _mm_storeu_si128(rk[0].as_mut_ptr() as *mut __m128i, k);
-        // An index loop on purpose: iterator adapters are not inlined into a
-        // `target_feature` function, and a call per round costs 25 ns a key.
-        #[allow(clippy::needless_range_loop)]
-        for i in 1..11 {
-            let rcon = _mm_set1_epi32(i32::from(super::RCON[i]));
-            let sub = _mm_aesenclast_si128(_mm_shuffle_epi8(k, rot_word), rcon);
-            // w0, w0^w1, w0^w1^w2, w0^w1^w2^w3 of the previous round key.
-            k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-            k = _mm_xor_si128(k, _mm_slli_si128(k, 8));
-            k = _mm_xor_si128(k, sub);
-            _mm_storeu_si128(rk[i].as_mut_ptr() as *mut __m128i, k);
-        }
-        rk
+        let rk = encrypt_keying::<0>(key, &mut []);
+        rk.map(|k| {
+            let mut out = [0u8; 16];
+            _mm_storeu_si128(out.as_mut_ptr().cast(), k);
+            out
+        })
+    }
+
+    fn load(rk: &[[u8; 16]; 11]) -> RoundKeys {
+        // SAFETY: an unaligned 16-byte load from a 16-byte array; `sse2`
+        // is part of the x86_64 baseline.
+        rk.map(|k| unsafe { _mm_loadu_si128(k.as_ptr().cast()) })
     }
 
     /// Encrypts one block with pre-expanded round keys.
@@ -327,48 +452,16 @@ mod aesni {
     /// Caller must ensure the CPU supports the `aes` target feature.
     #[target_feature(enable = "aes")]
     pub(super) unsafe fn encrypt_block(rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
-        let mut b = _mm_loadu_si128(block.as_ptr() as *const __m128i);
-        b = _mm_xor_si128(b, _mm_loadu_si128(rk[0].as_ptr() as *const __m128i));
-        for round_key in rk.iter().take(10).skip(1) {
-            b = _mm_aesenc_si128(b, _mm_loadu_si128(round_key.as_ptr() as *const __m128i));
-        }
-        b = _mm_aesenclast_si128(b, _mm_loadu_si128(rk[10].as_ptr() as *const __m128i));
-        _mm_storeu_si128(block.as_mut_ptr() as *mut __m128i, b);
+        encrypt_slice(&load(rk), std::slice::from_mut(block));
     }
 
-    /// Encrypts blocks eight-wide interleaved: each round's `aesenc` is
-    /// issued for all eight blocks before the next round, so the ~4-cycle
-    /// instruction latency overlaps across blocks instead of stalling a
-    /// single dependency chain.
+    /// Encrypts blocks eight-wide interleaved ([`encrypt_slice`]).
     ///
     /// # Safety
     /// Caller must ensure the CPU supports the `aes` target feature.
     #[target_feature(enable = "aes")]
     pub(super) unsafe fn encrypt_blocks(rk: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-        let keys: [__m128i; 11] =
-            std::array::from_fn(|i| _mm_loadu_si128(rk[i].as_ptr() as *const __m128i));
-        let mut chunks = blocks.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            let mut b: [__m128i; 8] =
-                std::array::from_fn(|i| _mm_loadu_si128(chunk[i].as_ptr() as *const __m128i));
-            for x in &mut b {
-                *x = _mm_xor_si128(*x, keys[0]);
-            }
-            for key in &keys[1..10] {
-                for x in &mut b {
-                    *x = _mm_aesenc_si128(*x, *key);
-                }
-            }
-            for x in &mut b {
-                *x = _mm_aesenclast_si128(*x, keys[10]);
-            }
-            for i in 0..8 {
-                _mm_storeu_si128(chunk[i].as_mut_ptr() as *mut __m128i, b[i]);
-            }
-        }
-        for block in chunks.into_remainder() {
-            encrypt_block(rk, block);
-        }
+        encrypt_slice(&load(rk), blocks);
     }
 }
 

@@ -6,6 +6,7 @@
 //! compressed data points and authenticates them.
 
 use crate::aes::Aes128;
+use crate::backend::Backend;
 use crate::ct::ct_eq;
 
 /// GCM authentication tag length in bytes.
@@ -58,10 +59,17 @@ fn gf128_mul(x: u128, y: u128) -> u128 {
     z
 }
 
+/// A block of at most 16 bytes as GHASH reads it, zero-padded.
+#[inline(always)]
 fn block_to_u128(b: &[u8]) -> u128 {
-    let mut buf = [0u8; 16];
-    buf[..b.len()].copy_from_slice(b);
-    u128::from_be_bytes(buf)
+    match <[u8; 16]>::try_from(b) {
+        Ok(full) => u128::from_be_bytes(full),
+        Err(_) => {
+            let mut buf = [0u8; 16];
+            buf[..b.len()].copy_from_slice(b);
+            u128::from_be_bytes(buf)
+        }
+    }
 }
 
 /// Multiplication by `x` in the GCM bit convention (one right shift with
@@ -93,22 +101,19 @@ fn mulx4(z: u128) -> u128 {
 }
 
 /// The per-key GHASH state. Where the CPU multiplies carry-less
-/// (`pclmulqdq`) it is `H` itself and a block costs four multiplies and a
-/// shift-and-xor reduction; elsewhere it is the 4-bit table of the portable
-/// path. Either way constructing one stays cheap — no table of powers of
-/// `H` — because the payload cipher builds one per chunk key.
+/// (`pclmulqdq`) it is `H¹…H⁴`, so a run of four ciphertext blocks costs
+/// sixteen multiplies and one reduction ([`clmul::ghash`]); elsewhere it is
+/// the 4-bit table of the portable path. Either way constructing one stays
+/// cheap — a few multiplies, no table of all powers of `H`.
 // Inline on purpose: a box would cost the per-chunk-key construction an
 // allocation to save bytes no one keeps for long.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum GhashKey {
-    /// `H`, for [`mul_clmul`].
+    /// `H¹…H⁴`, for [`clmul::ghash`].
     #[cfg(target_arch = "x86_64")]
-    Clmul(u128),
-    /// `table[n] = n·H` for every 4-bit pattern `n` (placed in the top
-    /// nibble of the u128, i.e. the lowest-degree coefficients of the field
-    /// element): one block multiplication is 32 table lookups instead of
-    /// 128 shift/xor rounds. Built from three `mulx` applications plus xors.
+    Clmul([u128; 4]),
+    /// The portable path's table ([`table`]).
     Table([u128; 16]),
 }
 
@@ -118,21 +123,14 @@ impl GhashKey {
         if !force_table
             && std::arch::is_x86_feature_detected!("pclmulqdq")
             && std::arch::is_x86_feature_detected!("sse2")
+            && std::arch::is_x86_feature_detected!("ssse3")
         {
-            return GhashKey::Clmul(h);
+            // SAFETY: the target features `powers_clmul` is compiled for
+            // were detected on the lines above.
+            return GhashKey::Clmul(unsafe { powers_clmul(h) });
         }
         let _ = force_table;
-        let mut table = [0u128; 16];
-        // Top nibble bit 3 (u128 bit 127) is the coefficient of x^0, so
-        // pattern 8 is the multiplicative identity times H.
-        table[8] = h;
-        table[4] = mulx(h);
-        table[2] = mulx(table[4]);
-        table[1] = mulx(table[2]);
-        for n in [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15] {
-            table[n] = table[n & 8] ^ table[n & 4] ^ table[n & 2] ^ table[n & 1];
-        }
-        GhashKey::Table(table)
+        GhashKey::Table(table(h))
     }
 
     /// GHASH over AAD and ciphertext.
@@ -140,18 +138,36 @@ impl GhashKey {
         match self {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the `Clmul` variant is only built in `new`, after
-            // both target features `ghash_clmul` is compiled for were
+            // the target features `ghash_clmul` is compiled for were
             // detected on this CPU.
-            GhashKey::Clmul(h) => unsafe { ghash_clmul(*h, aad, ct) },
+            GhashKey::Clmul(powers) => unsafe { ghash_clmul(powers, aad, ct) },
             GhashKey::Table(table) => ghash_with(|x| mul_table(table, x), aad, ct),
         }
     }
 }
 
+/// `table[n] = n·H` for every 4-bit pattern `n` (placed in the top nibble
+/// of the u128, i.e. the lowest-degree coefficients of the field element):
+/// one block multiplication is 32 table lookups instead of 128 shift/xor
+/// rounds. Built from three `mulx` applications plus xors.
+pub(crate) fn table(h: u128) -> [u128; 16] {
+    let mut table = [0u128; 16];
+    // Top nibble bit 3 (u128 bit 127) is the coefficient of x^0, so
+    // pattern 8 is the multiplicative identity times H.
+    table[8] = h;
+    table[4] = mulx(h);
+    table[2] = mulx(table[4]);
+    table[1] = mulx(table[2]);
+    for n in [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15] {
+        table[n] = table[n & 8] ^ table[n & 4] ^ table[n & 2] ^ table[n & 1];
+    }
+    table
+}
+
 /// `x · H` via the precomputed table (Horner over the 32 nibbles of `x`,
 /// highest-degree nibble first). Bit-identical to `gf128_mul(x, h)`.
 #[inline]
-fn mul_table(table: &[u128; 16], x: u128) -> u128 {
+pub(crate) fn mul_table(table: &[u128; 16], x: u128) -> u128 {
     let mut z = 0u128;
     let mut k = 0;
     while k < 128 {
@@ -163,7 +179,7 @@ fn mul_table(table: &[u128; 16], x: u128) -> u128 {
 
 /// GHASH over AAD and ciphertext, given the multiplication by `H`.
 #[inline(always)]
-fn ghash_with(mul: impl Fn(u128) -> u128, aad: &[u8], ct: &[u8]) -> u128 {
+pub(crate) fn ghash_with(mul: impl Fn(u128) -> u128, aad: &[u8], ct: &[u8]) -> u128 {
     let mut y = 0u128;
     for chunk in aad.chunks(16) {
         y = mul(y ^ block_to_u128(chunk));
@@ -171,63 +187,307 @@ fn ghash_with(mul: impl Fn(u128) -> u128, aad: &[u8], ct: &[u8]) -> u128 {
     for chunk in ct.chunks(16) {
         y = mul(y ^ block_to_u128(chunk));
     }
-    let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
-    mul(y ^ lens)
+    mul(y ^ lengths(aad, ct))
 }
 
-/// [`ghash_with`] multiplying by `h` with [`mul_clmul`]: the block loop is
-/// compiled with the multiply inlined into it.
+/// GHASH's last block: the bit lengths of the AAD and the ciphertext.
+#[inline(always)]
+fn lengths(aad: &[u8], ct: &[u8]) -> u128 {
+    ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8)
+}
+
+/// [`clmul::ghash`] over `H¹…H⁴`.
+///
+/// # Safety
+/// The CPU must support `pclmulqdq`, `sse2` and `ssse3`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse2,ssse3")]
+unsafe fn ghash_clmul(powers: &[u128; 4], aad: &[u8], ct: &[u8]) -> u128 {
+    clmul::ghash(powers, true, aad, ct)
+}
+
+/// `H¹…H⁴`.
 ///
 /// # Safety
 /// The CPU must support `pclmulqdq` and `sse2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "pclmulqdq", enable = "sse2")]
-unsafe fn ghash_clmul(h: u128, aad: &[u8], ct: &[u8]) -> u128 {
-    // SAFETY: this function's own target features are `mul_clmul`'s.
-    ghash_with(|x| unsafe { mul_clmul(x, h) }, aad, ct)
+unsafe fn powers_clmul(h: u128) -> [u128; 4] {
+    clmul::powers(h)
 }
 
-/// `x · h` in GF(2^128) with four carry-less 64×64 multiplies.
-/// Bit-identical to `gf128_mul(x, h)`.
-///
-/// GCM numbers a block's bits from the other end than the integer the
-/// block loads as, so the integer product of `x` and `h` is the field
-/// product bit-reversed within 255 bits (Gueron & Kounavis, "Intel
-/// Carry-Less Multiplication Instruction and its Usage for Computing the
-/// GCM Mode", 2010, §"bit-reflection peculiarity"). One left shift makes it
-/// the 256-bit reversal; in that picture the *low* half holds the
-/// high-degree terms, `x^128 = x^7 + x^2 + x + 1` folds them into the high
-/// half with right shifts, and the (at most seven) bits those shifts push
-/// out are folded a second time via the left shifts.
-///
-/// # Safety
-/// The CPU must support `pclmulqdq` and `sse2`.
 #[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "pclmulqdq", enable = "sse2")]
-unsafe fn mul_clmul(x: u128, h: u128) -> u128 {
-    use std::arch::x86_64::{__m128i, _mm_clmulepi64_si128, _mm_xor_si128};
-    // SAFETY (of the transmutes): `u128` and `__m128i` are both 16 bytes
-    // of plain integer data, every bit pattern valid for either; on
-    // little-endian x86 the low u64 of the u128 is lane 0.
-    let lanes = |v: u128| std::mem::transmute::<u128, __m128i>(v);
-    let int = |v: __m128i| std::mem::transmute::<__m128i, u128>(v);
-    let (a, b) = (lanes(x), lanes(h));
-    let lo = int(_mm_clmulepi64_si128(a, b, 0x00));
-    let hi = int(_mm_clmulepi64_si128(a, b, 0x11));
-    let mid = int(_mm_xor_si128(
-        _mm_clmulepi64_si128(a, b, 0x01),
-        _mm_clmulepi64_si128(a, b, 0x10),
-    ));
-    let (lo, hi) = (lo ^ (mid << 64), hi ^ (mid >> 64));
-    let (lo, hi) = (lo << 1, (hi << 1) | (lo >> 127));
-    let fold = lo ^ (lo << 127) ^ (lo << 126) ^ (lo << 121);
-    hi ^ fold ^ (fold >> 1) ^ (fold >> 2) ^ (fold >> 7)
+pub mod clmul {
+    //! GHASH on the carry-less multiply, as `#[inline(always)]` bodies for
+    //! a caller compiled with `pclmulqdq` and `ssse3` (see
+    //! [`crate::aes::aesni`]). Field elements stay in vector registers: a
+    //! block loads byte-reversed, which is the `u128` the portable path
+    //! reads it as (`u128::from_be_bytes`), lane 0 its low half.
+    use std::arch::x86_64::*;
+
+    /// Reverses the bytes of a loaded block.
+    #[inline(always)]
+    unsafe fn bswap(x: __m128i) -> __m128i {
+        _mm_shuffle_epi8(
+            x,
+            _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        )
+    }
+
+    /// A full 16-byte block as a field element.
+    #[inline(always)]
+    unsafe fn load(block: &[u8; 16]) -> __m128i {
+        bswap(_mm_loadu_si128(block.as_ptr().cast()))
+    }
+
+    #[inline(always)]
+    fn lanes(v: u128) -> __m128i {
+        // SAFETY: `u128` and `__m128i` are both 16 bytes of plain integer
+        // data, every bit pattern valid for either; on little-endian x86
+        // the low u64 of the u128 is lane 0.
+        unsafe { std::mem::transmute::<u128, __m128i>(v) }
+    }
+
+    #[inline(always)]
+    fn int(v: __m128i) -> u128 {
+        // SAFETY: as in `lanes`.
+        unsafe { std::mem::transmute::<__m128i, u128>(v) }
+    }
+
+    /// The 256-bit carry-less product of `x` and `h`, unreduced, as
+    /// `(low, high)` halves. Reduction is linear, so products summed here
+    /// are reduced once ([`reduce`]).
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` and `sse2`.
+    #[inline(always)]
+    pub unsafe fn mul_wide(a: __m128i, b: __m128i) -> (__m128i, __m128i) {
+        let lo = _mm_clmulepi64_si128(a, b, 0x00);
+        let hi = _mm_clmulepi64_si128(a, b, 0x11);
+        let mid = _mm_xor_si128(
+            _mm_clmulepi64_si128(a, b, 0x01),
+            _mm_clmulepi64_si128(a, b, 0x10),
+        );
+        (
+            _mm_xor_si128(lo, _mm_slli_si128(mid, 8)),
+            _mm_xor_si128(hi, _mm_srli_si128(mid, 8)),
+        )
+    }
+
+    /// The field element of an unreduced product.
+    ///
+    /// GCM numbers a block's bits from the other end than the integer the
+    /// block loads as, so the integer product of `x` and `h` is the field
+    /// product bit-reversed within 255 bits (Gueron & Kounavis, "Intel
+    /// Carry-Less Multiplication Instruction and its Usage for Computing
+    /// the GCM Mode", 2010, §"bit-reflection peculiarity"). One left shift
+    /// makes it the 256-bit reversal; in that picture the *low* half holds
+    /// the high-degree terms, `x^128 = x^7 + x^2 + x + 1` folds them into
+    /// the high half with right shifts, and the (at most seven) bits those
+    /// shifts push out are folded a second time via the left shifts.
+    ///
+    /// # Safety
+    /// The CPU must support `sse2`.
+    #[inline(always)]
+    pub unsafe fn reduce((lo, hi): (__m128i, __m128i)) -> __m128i {
+        // (hi:lo) << 1.
+        let carry_lo = _mm_srli_epi64(lo, 63);
+        let carry_hi = _mm_srli_epi64(hi, 63);
+        let lo = _mm_or_si128(_mm_slli_epi64(lo, 1), _mm_slli_si128(carry_lo, 8));
+        let hi = _mm_or_si128(_mm_slli_epi64(hi, 1), _mm_slli_si128(carry_hi, 8));
+        let hi = _mm_or_si128(hi, _mm_srli_si128(carry_lo, 8));
+        // fold = lo ^ lo << 127 ^ lo << 126 ^ lo << 121.
+        let t = _mm_xor_si128(_mm_slli_epi64(lo, 63), _mm_slli_epi64(lo, 62));
+        let t = _mm_xor_si128(t, _mm_slli_epi64(lo, 57));
+        let fold = _mm_xor_si128(lo, _mm_slli_si128(t, 8));
+        // hi ^ fold ^ fold >> 1 ^ fold >> 2 ^ fold >> 7: the bits each
+        // lane-wise right shift drops from lane 1 enter lane 0's top.
+        let up = _mm_srli_si128(fold, 8);
+        let r = _mm_xor_si128(_mm_srli_epi64(fold, 1), _mm_slli_epi64(up, 63));
+        let r = _mm_xor_si128(
+            r,
+            _mm_xor_si128(_mm_srli_epi64(fold, 2), _mm_slli_epi64(up, 62)),
+        );
+        let r = _mm_xor_si128(
+            r,
+            _mm_xor_si128(_mm_srli_epi64(fold, 7), _mm_slli_epi64(up, 57)),
+        );
+        _mm_xor_si128(_mm_xor_si128(hi, fold), r)
+    }
+
+    /// `x · h` in GF(2^128). Bit-identical to `gf128_mul(x, h)`.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` and `sse2`.
+    #[inline(always)]
+    pub unsafe fn mul(x: u128, h: u128) -> u128 {
+        int(reduce(mul_wide(lanes(x), lanes(h))))
+    }
+
+    /// `[H, H², H³, H⁴]`.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` and `sse2`.
+    #[inline(always)]
+    pub unsafe fn powers(h: u128) -> [u128; 4] {
+        let h2 = mul(h, h);
+        [h, h2, mul(h2, h), mul(h2, h2)]
+    }
+
+    /// GHASH over AAD and ciphertext. With `aggregate`, `powers` holds
+    /// `H¹…H⁴` and each run of four ciphertext blocks is folded as
+    /// `(Y ⊕ X₁)·H⁴ ⊕ X₂·H³ ⊕ X₃·H² ⊕ X₄·H`, one reduction for the four;
+    /// without, only `powers[0] = H` is read, one reduction a block.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq`, `sse2` and `ssse3`.
+    #[inline(always)]
+    pub unsafe fn ghash(powers: &[u128; 4], aggregate: bool, aad: &[u8], ct: &[u8]) -> u128 {
+        let p = powers.map(lanes);
+        let mut y = absorb(_mm_setzero_si128(), p[0], aad);
+        let mut rest = ct;
+        if aggregate {
+            let mut fours = ct.chunks_exact(64);
+            for four in &mut fours {
+                let (mut lo, mut hi) = mul_wide(_mm_xor_si128(y, block(four, 0)), p[3]);
+                for i in 1..4 {
+                    let (l, h) = mul_wide(block(four, i), p[3 - i]);
+                    (lo, hi) = (_mm_xor_si128(lo, l), _mm_xor_si128(hi, h));
+                }
+                y = reduce((lo, hi));
+            }
+            rest = fours.remainder();
+        }
+        y = absorb(y, p[0], rest);
+        let lengths = lanes(super::lengths(aad, ct));
+        int(reduce(mul_wide(_mm_xor_si128(y, lengths), p[0])))
+    }
+
+    /// Block `i` of `blocks`, a whole number of blocks.
+    #[inline(always)]
+    unsafe fn block(blocks: &[u8], i: usize) -> __m128i {
+        let block = <&[u8; 16]>::try_from(&blocks[16 * i..16 * i + 16]);
+        load(block.unwrap_or(&[0; 16]))
+    }
+
+    /// Folds `data` into `y` a block at a time, the last zero-padded.
+    #[inline(always)]
+    unsafe fn absorb(mut y: __m128i, h: __m128i, data: &[u8]) -> __m128i {
+        let mut full = data.chunks_exact(16);
+        for b in &mut full {
+            y = reduce(mul_wide(_mm_xor_si128(y, block(b, 0)), h));
+        }
+        if !full.remainder().is_empty() {
+            let last = lanes(super::block_to_u128(full.remainder()));
+            y = reduce(mul_wide(_mm_xor_si128(y, last), h));
+        }
+        y
+    }
 }
 
 /// Keystream blocks generated per batched AES call: enough to feed the
 /// eight-wide AES-NI interleave in [`Aes128::encrypt_blocks`].
 const CTR_BATCH: usize = 8;
+
+#[inline(always)]
+fn counter_block(nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    block[..12].copy_from_slice(nonce);
+    block[12..].copy_from_slice(&counter.to_be_bytes());
+    block
+}
+
+/// XORs `data` with the keystream from counter `first` on, `encrypt`
+/// turning counter blocks into keystream [`CTR_BATCH`] at a time.
+#[inline(always)]
+fn ctr_xor_with(
+    nonce: &[u8; NONCE_LEN],
+    first: u32,
+    data: &mut [u8],
+    mut encrypt: impl FnMut(&mut [[u8; 16]]),
+) {
+    let mut counter = first;
+    let j = u128::from_be_bytes(counter_block(nonce, 0));
+    let mut ks = [[0u8; 16]; CTR_BATCH];
+    for run in data.chunks_mut(16 * CTR_BATCH) {
+        let nblocks = run.len().div_ceil(16);
+        for (i, block) in ks[..nblocks].iter_mut().enumerate() {
+            *block = (j | u128::from(counter.wrapping_add(i as u32))).to_be_bytes();
+        }
+        counter = counter.wrapping_add(nblocks as u32);
+        encrypt(&mut ks[..nblocks]);
+        xor_into(run, &ks);
+    }
+}
+
+#[inline(always)]
+fn xor_into(data: &mut [u8], keystream: &[[u8; 16]]) {
+    for (chunk, key) in data.chunks_mut(16).zip(keystream) {
+        match <&mut [u8; 16]>::try_from(&mut *chunk) {
+            Ok(full) => {
+                *full = (u128::from_ne_bytes(*full) ^ u128::from_ne_bytes(*key)).to_ne_bytes()
+            }
+            Err(_) => chunk.iter_mut().zip(key).for_each(|(b, k)| *b ^= k),
+        }
+    }
+}
+
+/// Seals `plaintext` under a key used for nothing else, appending
+/// `ct || tag` to `out` — byte-identical to
+/// [`AesGcm128::new(key).seal_into(..)`](AesGcm128::seal_into), without the
+/// instance. The key schedule runs beside the first four blocks the key
+/// encrypts — `H`, `E(J0)` and the first two keystream blocks — and the
+/// rest of the keystream reuses its round keys, eight blocks at a time;
+/// every counter block is made in registers. GHASH multiplies by `H` alone
+/// unless the ciphertext is long enough to pay for `H²…H⁴`.
+#[inline(always)]
+pub fn seal_once<B: Backend>(
+    b: B,
+    key: &[u8; 16],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    plaintext: &[u8],
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    out.extend_from_slice(plaintext);
+    let data = &mut out[start..];
+    // Counter block `i` as a backend block: the nonce, then `i` big-endian.
+    let j = u128::from_le_bytes(counter_block(nonce, 0));
+    let ctr = |i: u32| j | u128::from(i.to_be()) << 96;
+    let mut first = [0, ctr(1), ctr(2), ctr(3)];
+    let keys = b.aes_keying(key, &mut first);
+    let (head, tail) = data.split_at_mut(data.len().min(32));
+    xor_blocks(head, &first[2..]);
+    for (n, run) in tail.chunks_mut(16 * CTR_BATCH).enumerate() {
+        let first = 4 + (n * CTR_BATCH) as u32;
+        let mut ks: [u128; CTR_BATCH] = std::array::from_fn(|i| ctr(first.wrapping_add(i as u32)));
+        b.aes_with(&keys, &mut ks);
+        xor_blocks(run, &ks);
+    }
+    let h = first[0].swap_bytes();
+    let ghash = b.ghash_key(h, data.len() >= AGGREGATE_FROM);
+    let s = b.ghash(&ghash, aad, data);
+    out.extend_from_slice(&(s ^ first[1].swap_bytes()).to_be_bytes());
+}
+
+/// XORs `data` with backend blocks of keystream.
+#[inline(always)]
+fn xor_blocks(data: &mut [u8], keystream: &[u128]) {
+    for (chunk, key) in data.chunks_mut(16).zip(keystream) {
+        match <&mut [u8; 16]>::try_from(&mut *chunk) {
+            Ok(full) => *full = (u128::from_le_bytes(*full) ^ key).to_le_bytes(),
+            Err(_) => chunk
+                .iter_mut()
+                .zip(key.to_le_bytes())
+                .for_each(|(b, k)| *b ^= k),
+        }
+    }
+}
+
+/// The ciphertext length from which [`seal_once`] computes `H²…H⁴` for
+/// GHASH's four-block folding: two folds pay for the powers.
+const AGGREGATE_FROM: usize = 128;
 
 /// AES-128-GCM instance bound to one key.
 ///
@@ -260,34 +520,14 @@ impl AesGcm128 {
         }
     }
 
-    fn counter_block(nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[..12].copy_from_slice(nonce);
-        block[12..].copy_from_slice(&counter.to_be_bytes());
-        block
-    }
-
     fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-        let mut counter = 2u32; // Counter 1 is reserved for the tag mask.
-        let mut ks = [[0u8; 16]; CTR_BATCH];
-        for run in data.chunks_mut(16 * CTR_BATCH) {
-            let nblocks = run.len().div_ceil(16);
-            for (i, block) in ks[..nblocks].iter_mut().enumerate() {
-                *block = Self::counter_block(nonce, counter.wrapping_add(i as u32));
-            }
-            counter = counter.wrapping_add(nblocks as u32);
-            self.cipher.encrypt_blocks(&mut ks[..nblocks]);
-            for (chunk, key) in run.chunks_mut(16).zip(ks.iter()) {
-                for (b, k) in chunk.iter_mut().zip(key.iter()) {
-                    *b ^= k;
-                }
-            }
-        }
+        // Counter 1 is reserved for the tag mask.
+        ctr_xor_with(nonce, 2, data, |ks| self.cipher.encrypt_blocks(ks));
     }
 
     fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
         let s = self.ghash.ghash(aad, ct);
-        let j0 = Self::counter_block(nonce, 1);
+        let j0 = counter_block(nonce, 1);
         let ek_j0 = u128::from_be_bytes(self.cipher.encrypt(&j0));
         (s ^ ek_j0).to_be_bytes()
     }
@@ -585,9 +825,7 @@ mod tests {
         let xs = operands();
         let hs = [1u128 << 127, 1, 0xdeadbeefcafebabe1122334455667788];
         for &h in hs.iter().chain(&xs[xs.len() - 8..]) {
-            let GhashKey::Table(table) = GhashKey::new(h, true) else {
-                panic!("forced table path");
-            };
+            let table = table(h);
             for &x in &xs {
                 let expect = gf128_mul(x, h);
                 assert_eq!(mul_table(&table, x), expect, "table x={x:#x} h={h:#x}");
@@ -595,7 +833,7 @@ mod tests {
                 if std::arch::is_x86_feature_detected!("pclmulqdq") {
                     // SAFETY: `pclmulqdq` detected just above; `sse2` is
                     // part of the x86_64 baseline.
-                    let got = unsafe { mul_clmul(x, h) };
+                    let got = unsafe { clmul::mul(x, h) };
                     assert_eq!(got, expect, "clmul x={x:#x} h={h:#x}");
                 }
             }
@@ -667,6 +905,40 @@ mod tests {
         let off = GcmKeyCache::new(0);
         let d = off.get(&k1);
         assert_eq!(d.seal(&[0u8; 12], b"", b"p"), a.seal(&[0u8; 12], b"", b"p"));
+    }
+
+    #[test]
+    fn one_shot_seal_matches_the_instance_on_both_backends() {
+        // Every plaintext length across the four blocks keyed with the
+        // schedule, the eight-block keystream runs and the length from
+        // which GHASH folds four blocks at a time.
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 53 + 7) as u8).collect();
+        let (key, nonce) = ([0x3cu8; 16], [9u8; 12]);
+        let gcm = AesGcm128::with_force_software(&key, true);
+        for len in 0..=data.len() {
+            let expected = gcm.seal(&nonce, b"aad of 24 bytes, exactly", &data[..len]);
+            let seal = |seal: &dyn Fn(&mut Vec<u8>)| {
+                let mut out = vec![0xee];
+                seal(&mut out);
+                assert_eq!(out[0], 0xee);
+                assert!(out[1..] == expected[..], "len {len}");
+            };
+            let aad = b"aad of 24 bytes, exactly";
+            seal(&|out| {
+                seal_once(
+                    crate::backend::Portable,
+                    &key,
+                    &nonce,
+                    aad,
+                    &data[..len],
+                    out,
+                )
+            });
+            #[cfg(target_arch = "x86_64")]
+            if let Some(b) = crate::backend::AesNi::<false>::detect() {
+                seal(&|out| seal_once(b, &key, &nonce, aad, &data[..len], out));
+            }
+        }
     }
 
     #[test]

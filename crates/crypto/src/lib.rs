@@ -40,6 +40,7 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod aes;
+pub mod backend;
 pub mod ct;
 pub mod gcm;
 pub mod lmh;

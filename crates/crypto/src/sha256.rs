@@ -3,6 +3,8 @@
 //! Used by the SHA-256 PRG instantiation of the key derivation tree
 //! (paper §4.2.3 / Fig. 6) and by the dual-key-regression hash chains (§A.2).
 
+use crate::backend::Backend;
+
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
@@ -132,7 +134,7 @@ impl Sha256 {
 
 /// One block by the FIPS 180-4 §6.2.2 loop: the portable path, and the
 /// reference for the accelerated one.
-fn compress_portable(state: &mut [u32; 8], block: &[u8]) {
+pub(crate) fn compress_portable(state: &mut [u32; 8], block: &[u8]) {
     let mut w = [0u32; 64];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
@@ -172,12 +174,12 @@ fn compress_portable(state: &mut [u32; 8], block: &[u8]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod shani {
+pub(crate) mod shani {
     //! The compression function on the x86 SHA extensions.
     use std::arch::x86_64::*;
 
     /// Whether this CPU has what [`compress`] is compiled for.
-    pub(super) fn available() -> bool {
+    pub(crate) fn available() -> bool {
         std::arch::is_x86_feature_detected!("sha")
             && std::arch::is_x86_feature_detected!("ssse3")
             && std::arch::is_x86_feature_detected!("sse4.1")
@@ -194,6 +196,16 @@ mod shani {
     /// target features ([`available`]); the instructions fault otherwise.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        compress_body(state, blocks)
+    }
+
+    /// [`compress`]'s body, for a caller compiled with its target features
+    /// (the chunk sealing kernel), into which it is inlined.
+    ///
+    /// # Safety
+    /// As [`compress`].
+    #[inline(always)]
+    pub(crate) unsafe fn compress_body(state: &mut [u32; 8], blocks: &[u8]) {
         // Big-endian words out of each 16 message bytes.
         let swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
         let dcba = _mm_loadu_si128(state.as_ptr().cast());
@@ -237,6 +249,26 @@ mod shani {
             _mm_alignr_epi8(dchg, feba, 8),
         );
     }
+}
+
+/// SHA-256 of a message of at most 55 bytes — one block once padded —
+/// compressed by `b`; longer messages go to [`sha256`].
+#[inline(always)]
+pub fn sha256_short<B: Backend>(b: B, msg: &[u8]) -> [u8; 32] {
+    if msg.len() > 55 {
+        return sha256(msg);
+    }
+    let mut block = [0u8; 64];
+    block[..msg.len()].copy_from_slice(msg);
+    block[msg.len()] = 0x80;
+    block[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    b.sha256_compress(&mut state, &block);
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// One-shot SHA-256.
