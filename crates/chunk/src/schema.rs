@@ -99,10 +99,10 @@ impl DigestSchema {
         out
     }
 
-    /// [`compute`](Self::compute) into `out` (`width` words). A histogram
-    /// with ascending bounds finds each point's bin by binary search,
-    /// without a branch on the value; others scan.
+    /// [`compute`](Self::compute) into `out` (`width` words): one pass over
+    /// the points per statistic.
     pub fn compute_into(&self, points: &[DataPoint], out: &mut [u64]) {
+        out.fill(0);
         let mut off = 0usize;
         for op in &self.ops {
             match op {
@@ -120,23 +120,12 @@ impl DigestSchema {
                     });
                 }
                 DigestOp::Histogram { bounds } => {
-                    let bins = &mut out[off..off + bounds.len() + 1];
-                    bins.fill(0);
-                    // The first bin whose bound exceeds the value: for
-                    // ascending bounds, the number of bounds at or below it.
-                    if bounds.is_sorted() {
-                        for p in points {
-                            let bin = bounds.partition_point(|&b| b <= p.value);
-                            bins[bin] = bins[bin].wrapping_add(1);
-                        }
-                    } else {
-                        for p in points {
-                            let bin = bounds
-                                .iter()
-                                .position(|&b| p.value < b)
-                                .unwrap_or(bounds.len());
-                            bins[bin] = bins[bin].wrapping_add(1);
-                        }
+                    for p in points {
+                        let bin = bounds
+                            .iter()
+                            .position(|&b| p.value < b)
+                            .unwrap_or(bounds.len());
+                        out[off + bin] = out[off + bin].wrapping_add(1);
                     }
                 }
             }

@@ -131,6 +131,26 @@ impl Aes128 {
         }
     }
 
+    /// Encrypts `blocks` under `key` without keeping its round keys: on
+    /// AES-NI the key schedule runs beside the blocks, round keys in
+    /// registers — the cost model of a PRG step, whose key is the node it
+    /// expands. Bit-identical to `Aes128::new(key)` encrypting each.
+    pub fn encrypt_once<const N: usize>(key: &[u8; 16], blocks: &mut [[u8; 16]; N]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("aes")
+            && std::arch::is_x86_feature_detected!("ssse3")
+        {
+            // SAFETY: both target features `encrypt_once` is compiled for
+            // were detected on the line above.
+            unsafe { aesni::encrypt_once(key, blocks) };
+            return;
+        }
+        let rk = expand_key(key);
+        for block in blocks {
+            soft_encrypt_block(&rk, block);
+        }
+    }
+
     /// Returns true if this instance will use hardware AES instructions.
     pub fn is_hardware(&self) -> bool {
         #[cfg(target_arch = "x86_64")]
@@ -393,8 +413,9 @@ pub mod aesni {
     }
 
     /// [`encrypt_with`] over byte blocks of any count: eight at a time,
-    /// and the last up to seven as four or eight (a padding block costs an
-    /// `aesenc` a round in a pipeline that is waiting on latency anyway).
+    /// and the last up to seven one, four or eight wide (a padding block
+    /// costs an `aesenc` a round in a pipeline that is waiting on latency
+    /// anyway).
     ///
     /// # Safety
     /// The CPU must support the `aes` target feature.
@@ -402,24 +423,29 @@ pub mod aesni {
     unsafe fn encrypt_slice(rk: &RoundKeys, blocks: &mut [[u8; 16]]) {
         /// Encrypts the first `N` blocks of `run`, or all of it if fewer.
         #[inline(always)]
+        #[allow(clippy::needless_range_loop)]
         unsafe fn run<const N: usize>(rk: &RoundKeys, run: &mut [[u8; 16]]) {
+            let n = run.len().min(N);
             let mut b = [_mm_setzero_si128(); N];
-            for (b, block) in b.iter_mut().zip(run.iter()) {
-                *b = _mm_loadu_si128(block.as_ptr().cast());
+            for i in 0..n {
+                b[i] = _mm_loadu_si128(run[i].as_ptr().cast());
             }
             encrypt_with(rk, &mut b);
-            for (block, b) in run.iter_mut().zip(b) {
-                _mm_storeu_si128(block.as_mut_ptr().cast(), b);
+            for i in 0..n {
+                _mm_storeu_si128(run[i].as_mut_ptr().cast(), b[i]);
             }
         }
-        let mut eights = blocks.chunks_exact_mut(8);
-        for r in &mut eights {
-            run::<8>(rk, r);
+        let mut at = 0;
+        while blocks.len() - at >= 8 {
+            run::<8>(rk, &mut blocks[at..]);
+            at += 8;
         }
-        match eights.into_remainder() {
-            [] => {}
-            rest @ [_, _, _, _, _, ..] => run::<8>(rk, rest),
-            rest => run::<4>(rk, rest),
+        let rest = &mut blocks[at..];
+        match rest.len() {
+            0 => {}
+            1 => run::<1>(rk, rest),
+            2..=4 => run::<4>(rk, rest),
+            _ => run::<8>(rk, rest),
         }
     }
 
@@ -433,17 +459,39 @@ pub mod aesni {
     #[target_feature(enable = "aes,ssse3")]
     pub(super) unsafe fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
         let rk = encrypt_keying::<0>(key, &mut []);
-        rk.map(|k| {
-            let mut out = [0u8; 16];
-            _mm_storeu_si128(out.as_mut_ptr().cast(), k);
-            out
-        })
+        let mut out = [[0u8; 16]; 11];
+        for (i, k) in rk.into_iter().enumerate() {
+            _mm_storeu_si128(out[i].as_mut_ptr().cast(), k);
+        }
+        out
     }
 
+    /// Encrypts `blocks` under `key` used for nothing else
+    /// ([`encrypt_keying`]).
+    ///
+    /// # Safety
+    /// The CPU must support the `aes` and `ssse3` target features.
+    #[target_feature(enable = "aes,ssse3")]
+    pub(super) unsafe fn encrypt_once<const N: usize>(key: &[u8; 16], blocks: &mut [[u8; 16]; N]) {
+        let mut b = [_mm_setzero_si128(); N];
+        for i in 0..N {
+            b[i] = _mm_loadu_si128(blocks[i].as_ptr().cast());
+        }
+        encrypt_keying(key, &mut b);
+        for i in 0..N {
+            _mm_storeu_si128(blocks[i].as_mut_ptr().cast(), b[i]);
+        }
+    }
+
+    #[inline(always)]
     fn load(rk: &[[u8; 16]; 11]) -> RoundKeys {
-        // SAFETY: an unaligned 16-byte load from a 16-byte array; `sse2`
-        // is part of the x86_64 baseline.
-        rk.map(|k| unsafe { _mm_loadu_si128(k.as_ptr().cast()) })
+        let mut out = [to_vector(0); 11];
+        for i in 0..11 {
+            // SAFETY: an unaligned 16-byte load from a 16-byte array;
+            // `sse2` is part of the x86_64 baseline.
+            out[i] = unsafe { _mm_loadu_si128(rk[i].as_ptr().cast()) };
+        }
+        out
     }
 
     /// Encrypts one block with pre-expanded round keys.
@@ -576,6 +624,10 @@ mod tests {
         ];
         for _ in 0..2000 {
             assert_eq!(Aes128::new(&key).round_keys, expand_key(&key), "{key:x?}");
+            let mut once = [[0u8; 16], key];
+            Aes128::encrypt_once(&key, &mut once);
+            let soft = Aes128::with_force_software(&key, true);
+            assert_eq!(once, [soft.encrypt(&[0; 16]), soft.encrypt(&key)], "{key:x?}");
             let x = u128::from_le_bytes(key);
             key = (x.wrapping_mul(0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645) | 1)
                 .rotate_left(29)

@@ -112,7 +112,11 @@ impl<const SHA: bool> AesNi<SHA> {
     }
 }
 
+// Index loops on purpose: iterator adapters and closures are not always
+// inlined into a `target_feature` function, and one left out of line calls
+// every intrinsic in it.
 #[cfg(target_arch = "x86_64")]
+#[allow(clippy::needless_range_loop)]
 impl<const SHA: bool> Backend for AesNi<SHA> {
     type RoundKeys = crate::aes::aesni::RoundKeys;
     type GhashKey = ([u128; 4], bool);
@@ -120,21 +124,31 @@ impl<const SHA: bool> Backend for AesNi<SHA> {
     #[inline(always)]
     fn aes_keying<const N: usize>(self, key: &[u8; 16], blocks: &mut [u128; N]) -> Self::RoundKeys {
         use crate::aes::aesni::{encrypt_keying, from_vector, to_vector};
-        let mut b = blocks.map(to_vector);
+        let mut b = [to_vector(0); N];
+        for i in 0..N {
+            b[i] = to_vector(blocks[i]);
+        }
         // SAFETY: an `AesNi` exists only where `detect` found `aes` and
         // `ssse3`.
         let keys = unsafe { encrypt_keying(key, &mut b) };
-        *blocks = b.map(from_vector);
+        for i in 0..N {
+            blocks[i] = from_vector(b[i]);
+        }
         keys
     }
 
     #[inline(always)]
     fn aes_with<const N: usize>(self, keys: &Self::RoundKeys, blocks: &mut [u128; N]) {
         use crate::aes::aesni::{encrypt_with, from_vector, to_vector};
-        let mut b = blocks.map(to_vector);
+        let mut b = [to_vector(0); N];
+        for i in 0..N {
+            b[i] = to_vector(blocks[i]);
+        }
         // SAFETY: an `AesNi` exists only where `detect` found `aes`.
         unsafe { encrypt_with(keys, &mut b) };
-        *blocks = b.map(from_vector);
+        for i in 0..N {
+            blocks[i] = from_vector(b[i]);
+        }
     }
 
     #[inline(always)]
