@@ -225,13 +225,21 @@ impl<B: Backend> Primitives for On<B> {
         block[0].to_le_bytes()
     }
 
-    /// The key schedule runs beside the first eight blocks; the rest reuse
-    /// its round keys, eight at a time.
+    /// The key schedule runs beside the first four or eight blocks; the
+    /// rest reuse its round keys, eight at a time.
     #[inline(always)]
     fn element_keys(self, leaf: &Seed128, out: &mut [u64]) {
+        if out.len() <= 4 {
+            let mut blocks: [u128; 4] = std::array::from_fn(block);
+            self.0.aes_keying(leaf, &mut blocks);
+            for (word, &block) in out.iter_mut().zip(&blocks) {
+                *word = fold(block);
+            }
+            return;
+        }
         let mut blocks: [u128; 8] = std::array::from_fn(block);
         let keys = self.0.aes_keying(leaf, &mut blocks);
-        let (head, rest) = out.split_at_mut(out.len().min(8));
+        let (head, rest) = out.split_at_mut(8.min(out.len()));
         for (word, &block) in head.iter_mut().zip(&blocks) {
             *word = fold(block);
         }
