@@ -16,7 +16,7 @@ use crate::compress::{self, CodecError};
 use crate::model::{ChunkId, DataPoint, StreamConfig, StreamId};
 use std::sync::OnceLock;
 use timecrypt_core::heac::{DigestCursor, KeySource, On};
-use timecrypt_core::keys::{payload_key, payload_key_with};
+use timecrypt_core::keys::{payload_key, payload_key_from_leaves, payload_key_with};
 use timecrypt_core::{CoreError, StreamKeyMaterial, TreeKd};
 #[cfg(target_arch = "x86_64")]
 use timecrypt_crypto::backend::AesNi;
@@ -237,14 +237,14 @@ unsafe fn seal_aesni_sha(b: AesNi<true>, job: Job<'_>) -> Result<(), CoreError> 
     seal_with(b, job)
 }
 
-/// The sealing kernel: the digest in one pass over the points; the
-/// boundary leaves through the cursor, each PRG step one AES block with
-/// its key schedule beside it; the element keys of each leaf the cursor
-/// does not carry; the payload key, one SHA-256 block; the compressed
-/// points sealed under it ([`seal_once`]). Inlined whole into each backend's
-/// entry, so no primitive is a call and no AES key is expanded into
-/// memory. A refused chunk (a leaf out of the tree) appends nothing and
-/// draws nothing from `rng`.
+/// The sealing kernel: the digest, computed into its buffer; the boundary
+/// leaves through the cursor, each PRG step one AES block with its key
+/// schedule beside it; the element keys of each leaf the cursor does not
+/// carry; the payload key, one SHA-256 block; the compressed points sealed
+/// under it ([`seal_once`]), appended at their exact length. Inlined whole
+/// into each backend's entry, so no primitive is a call and no AES key is
+/// expanded into memory. A refused chunk (a leaf out of the tree) appends
+/// nothing and draws nothing from `rng`.
 #[inline(always)]
 fn seal_with<B: Backend>(b: B, job: Job<'_>) -> Result<(), CoreError> {
     let Job {
@@ -350,7 +350,6 @@ impl ChunkSealer {
         chunk: &PlainChunk,
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
-        let plain = &mut self.plain;
         seal_chunk(
             self.kernel,
             &self.cfg,
@@ -358,7 +357,7 @@ impl ChunkSealer {
             &mut self.cursor,
             chunk,
             rng,
-            plain,
+            &mut self.plain,
         )
     }
 
@@ -389,7 +388,7 @@ impl ChunkSealer {
     /// ([`SealedRecord::seal_with_key`]) before the chunk itself closes.
     pub fn payload_key(&mut self, chunk: ChunkId) -> Result<[u8; 16], ChunkError> {
         let (l0, l1) = self.cursor.leaves.boundary_leaves(&self.tree, chunk)?;
-        Ok(timecrypt_core::keys::payload_key_from_leaves(&l0, &l1))
+        Ok(payload_key_from_leaves(&l0, &l1))
     }
 }
 

@@ -627,7 +627,11 @@ mod tests {
             let mut once = [[0u8; 16], key];
             Aes128::encrypt_once(&key, &mut once);
             let soft = Aes128::with_force_software(&key, true);
-            assert_eq!(once, [soft.encrypt(&[0; 16]), soft.encrypt(&key)], "{key:x?}");
+            assert_eq!(
+                once,
+                [soft.encrypt(&[0; 16]), soft.encrypt(&key)],
+                "{key:x?}"
+            );
             let x = u128::from_le_bytes(key);
             key = (x.wrapping_mul(0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645) | 1)
                 .rotate_left(29)

@@ -223,6 +223,7 @@ pub mod clmul {
     //! [`crate::aes::aesni`]). Field elements stay in vector registers: a
     //! block loads byte-reversed, which is the `u128` the portable path
     //! reads it as (`u128::from_be_bytes`), lane 0 its low half.
+    use crate::aes::aesni::{from_vector as int, to_vector as lanes};
     use std::arch::x86_64::*;
 
     /// Reverses the bytes of a loaded block.
@@ -238,20 +239,6 @@ pub mod clmul {
     #[inline(always)]
     unsafe fn load(block: &[u8; 16]) -> __m128i {
         bswap(_mm_loadu_si128(block.as_ptr().cast()))
-    }
-
-    #[inline(always)]
-    fn lanes(v: u128) -> __m128i {
-        // SAFETY: `u128` and `__m128i` are both 16 bytes of plain integer
-        // data, every bit pattern valid for either; on little-endian x86
-        // the low u64 of the u128 is lane 0.
-        unsafe { std::mem::transmute::<u128, __m128i>(v) }
-    }
-
-    #[inline(always)]
-    fn int(v: __m128i) -> u128 {
-        // SAFETY: as in `lanes`.
-        unsafe { std::mem::transmute::<__m128i, u128>(v) }
     }
 
     /// The 256-bit carry-less product of `x` and `h`, unreduced, as
