@@ -384,38 +384,30 @@ fn counter_block(nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 16] {
     block
 }
 
-/// XORs `data` with the keystream from counter `first` on, `encrypt`
-/// turning counter blocks into keystream [`CTR_BATCH`] at a time.
+/// Counter block `i` as a backend block: the nonce (from
+/// [`counter_block`]`(nonce, 0)` read little-endian), then `i` big-endian.
+#[inline(always)]
+fn ctr(j: u128, i: u32) -> u128 {
+    j | u128::from(i.to_be()) << 96
+}
+
+/// XORs `data` with the keystream from counter `first` on: `encrypt` turns
+/// [`CTR_BATCH`] counter blocks into keystream, of which the first `n` are
+/// used.
 #[inline(always)]
 fn ctr_xor_with(
     nonce: &[u8; NONCE_LEN],
     first: u32,
     data: &mut [u8],
-    mut encrypt: impl FnMut(&mut [[u8; 16]]),
+    mut encrypt: impl FnMut(&mut [u128; CTR_BATCH], usize),
 ) {
-    let mut counter = first;
-    let j = u128::from_be_bytes(counter_block(nonce, 0));
-    let mut ks = [[0u8; 16]; CTR_BATCH];
-    for run in data.chunks_mut(16 * CTR_BATCH) {
-        let nblocks = run.len().div_ceil(16);
-        for (i, block) in ks[..nblocks].iter_mut().enumerate() {
-            *block = (j | u128::from(counter.wrapping_add(i as u32))).to_be_bytes();
-        }
-        counter = counter.wrapping_add(nblocks as u32);
-        encrypt(&mut ks[..nblocks]);
-        xor_into(run, &ks);
-    }
-}
-
-#[inline(always)]
-fn xor_into(data: &mut [u8], keystream: &[[u8; 16]]) {
-    for (chunk, key) in data.chunks_mut(16).zip(keystream) {
-        match <&mut [u8; 16]>::try_from(&mut *chunk) {
-            Ok(full) => {
-                *full = (u128::from_ne_bytes(*full) ^ u128::from_ne_bytes(*key)).to_ne_bytes()
-            }
-            Err(_) => chunk.iter_mut().zip(key).for_each(|(b, k)| *b ^= k),
-        }
+    let j = u128::from_le_bytes(counter_block(nonce, 0));
+    for (n, run) in data.chunks_mut(16 * CTR_BATCH).enumerate() {
+        let first = first.wrapping_add((n * CTR_BATCH) as u32);
+        let mut ks: [u128; CTR_BATCH] =
+            std::array::from_fn(|i| ctr(j, first.wrapping_add(i as u32)));
+        encrypt(&mut ks, run.len().div_ceil(16));
+        xor_blocks(run, &ks);
     }
 }
 
@@ -439,19 +431,12 @@ pub fn seal_once<B: Backend>(
     let start = out.len();
     out.extend_from_slice(plaintext);
     let data = &mut out[start..];
-    // Counter block `i` as a backend block: the nonce, then `i` big-endian.
     let j = u128::from_le_bytes(counter_block(nonce, 0));
-    let ctr = |i: u32| j | u128::from(i.to_be()) << 96;
-    let mut first = [0, ctr(1), ctr(2), ctr(3)];
+    let mut first = [0, ctr(j, 1), ctr(j, 2), ctr(j, 3)];
     let keys = b.aes_keying(key, &mut first);
     let (head, tail) = data.split_at_mut(data.len().min(32));
     xor_blocks(head, &first[2..]);
-    for (n, run) in tail.chunks_mut(16 * CTR_BATCH).enumerate() {
-        let first = 4 + (n * CTR_BATCH) as u32;
-        let mut ks: [u128; CTR_BATCH] = std::array::from_fn(|i| ctr(first.wrapping_add(i as u32)));
-        b.aes_with(&keys, &mut ks);
-        xor_blocks(run, &ks);
-    }
+    ctr_xor_with(nonce, 4, tail, |ks, _| b.aes_with(&keys, ks));
     let h = first[0].swap_bytes();
     let ghash = b.ghash_key(h, data.len() >= AGGREGATE_FROM);
     let s = b.ghash(&ghash, aad, data);
@@ -509,7 +494,11 @@ impl AesGcm128 {
 
     fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
         // Counter 1 is reserved for the tag mask.
-        ctr_xor_with(nonce, 2, data, |ks| self.cipher.encrypt_blocks(ks));
+        ctr_xor_with(nonce, 2, data, |ks, n| {
+            let mut blocks = ks.map(u128::to_le_bytes);
+            self.cipher.encrypt_blocks(&mut blocks[..n]);
+            *ks = blocks.map(u128::from_le_bytes);
+        });
     }
 
     fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {

@@ -26,7 +26,9 @@
 //! labels its SHA-256 series with the path that ran. Three paths are picked
 //! at run time, each with its portable reference kept and tested against:
 //! AES rounds (`aes`), GHASH's multiply (`pclmulqdq`), SHA-256's compression
-//! (`sha`).
+//! (`sha`). [`backend`] exposes the three as one set of `#[inline(always)]`
+//! block primitives, for the chunk sealing kernel to be compiled over once
+//! per path.
 //!
 //! # Security notes
 //!
