@@ -165,7 +165,8 @@ impl DigestCursor {
         digest: &mut [u64],
         on: impl Primitives,
     ) -> Result<(Seed128, Seed128), CoreError> {
-        let (l0, l1) = self.leaves.boundary_leaves_with(src, chunk, on)?;
+        let l0 = self.leaves.leaf_with(src, chunk, on)?;
+        let l1 = self.leaves.leaf_with(src, chunk + 1, on)?;
         if self.leaf != Some(l0) || self.keys.len() < digest.len() {
             self.expand(&l0, digest.len(), on);
         }

@@ -74,7 +74,8 @@ pub trait TokenSource {
 /// hands each node it reaches to `each`.
 #[inline(always)]
 fn descend(
-    (on, prg): (impl Primitives, PrgKind),
+    on: impl Primitives,
+    prg: PrgKind,
     mut v: Seed128,
     levels: u8,
     bits: u64,
@@ -93,7 +94,7 @@ fn leaf_from_token<S: TokenSource>(src: &S, i: u64) -> Result<Seed128, CoreError
     // A token's range is aligned to its span, so the low bits of `i` are
     // the turns below it.
     let levels = src.height() - t.label.depth;
-    Ok(descend((Detected, src.prg()), t.node, levels, i, |_| {}))
+    Ok(descend(Detected, src.prg(), t.node, levels, i, |_| {}))
 }
 
 /// The owner-side key-derivation tree: secret root seed + height + PRG choice.
@@ -165,7 +166,8 @@ impl TreeKd {
             ));
         }
         Ok(descend(
-            (Detected, self.prg),
+            Detected,
+            self.prg,
             self.root.node,
             label.depth,
             label.index,
@@ -425,8 +427,7 @@ impl LeafCursor {
         self.path.truncate(keep as usize + 1);
         let from = self.path[keep as usize];
         let path = &mut self.path;
-        let step = (on, src.prg());
-        Ok(descend(step, from, levels - keep, i, |node| {
+        Ok(descend(on, src.prg(), from, levels - keep, i, |node| {
             path.push(node)
         }))
     }
@@ -438,20 +439,8 @@ impl LeafCursor {
         src: &S,
         chunk: u64,
     ) -> Result<(Seed128, Seed128), CoreError> {
-        self.boundary_leaves_with(src, chunk, Detected)
-    }
-
-    /// [`boundary_leaves`](Self::boundary_leaves) on `on`, as
-    /// [`leaf_with`](Self::leaf_with).
-    #[inline(always)]
-    pub fn boundary_leaves_with<S: TokenSource>(
-        &mut self,
-        src: &S,
-        chunk: u64,
-        on: impl Primitives,
-    ) -> Result<(Seed128, Seed128), CoreError> {
-        let l0 = self.leaf_with(src, chunk, on)?;
-        let l1 = self.leaf_with(src, chunk + 1, on)?;
+        let l0 = self.leaf(src, chunk)?;
+        let l1 = self.leaf(src, chunk + 1)?;
         Ok((l0, l1))
     }
 }

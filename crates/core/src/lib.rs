@@ -36,8 +36,8 @@ pub mod resolution;
 pub use dualkr::{DualKeyRegression, KrState, KrToken};
 pub use error::CoreError;
 pub use heac::{
-    decrypt_range_in_place, decrypt_range_sum, Ciphertext, Detected, DigestCursor, ElementKeys,
-    HeacEncryptor, KeySource, On, Primitives,
+    decrypt_range_in_place, decrypt_range_sum, Ciphertext, DigestCursor, ElementKeys,
+    HeacEncryptor, KeySource,
 };
 pub use kdtree::{AccessToken, LeafCursor, NodeLabel, TokenSet, TokenSource, TreeKd};
 pub use keys::StreamKeyMaterial;

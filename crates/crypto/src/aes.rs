@@ -457,11 +457,12 @@ pub mod aesni {
     /// the runtime detection in
     /// [`Aes128::with_force_software`](super::Aes128::with_force_software).
     #[target_feature(enable = "aes,ssse3")]
+    #[allow(clippy::needless_range_loop)]
     pub(super) unsafe fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
         let rk = encrypt_keying::<0>(key, &mut []);
         let mut out = [[0u8; 16]; 11];
-        for (i, k) in rk.into_iter().enumerate() {
-            _mm_storeu_si128(out[i].as_mut_ptr().cast(), k);
+        for i in 0..11 {
+            _mm_storeu_si128(out[i].as_mut_ptr().cast(), rk[i]);
         }
         out
     }
