@@ -5,7 +5,7 @@
 //! (one walk from the root). The paper sweeps 2^5 … 2^60 keys and finds
 //! AES-NI fastest (2.5 µs at 2^30), SHA-256 in the middle, software AES
 //! slowest (its SHA-256 ran in software; on a CPU with SHA extensions ours
-//! does not, and the column header says which path ran). That from-root
+//! does not, and the column header says which backend ran). That from-root
 //! series is the paper's curve and stays as is; the last column is what a
 //! producer pays per key when it consumes the keystream in order through a
 //! `LeafCursor` (AES-NI): flat in h, under two PRG calls per key.
@@ -16,13 +16,14 @@
 
 use timecrypt_bench::measure::time_avg;
 use timecrypt_core::{LeafCursor, TreeKd};
-use timecrypt_crypto::{PrgKind, Sha256};
+use timecrypt_crypto::{Dispatch, PrgKind};
 
 fn main() {
     let prgs = [PrgKind::AesSoftware, PrgKind::Sha256, PrgKind::Aes];
     println!("=== Fig. 6: single key derivation cost vs number of keys 2^h ===\n");
     print!("{:>4}", "h");
-    let sha_ni = Sha256::new().is_hardware();
+    let backend = Dispatch::detect();
+    let sha_ni = backend.has_sha();
     for p in prgs {
         let label = match p {
             PrgKind::Sha256 if sha_ni => "SHA256 (NI)",
@@ -63,7 +64,7 @@ fn main() {
         println!("NOTE: the SHA256 column ran on this CPU's SHA extensions (the paper's had none)");
         println!("and sits at or below AES-NI; on the portable path it is the middle series.");
     }
-    if !std::arch::is_x86_feature_detected!("aes") {
+    if !backend.is_hardware() {
         println!("NOTE: this CPU lacks AES-NI; the AES-NI column fell back to software.");
     }
 }

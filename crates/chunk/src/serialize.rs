@@ -9,34 +9,17 @@
 //!
 //! Both seal forms run one kernel, `seal_with`: the digest, the boundary
 //! leaves and their element keys, the payload key and the payload's GCM in
-//! one call, compiled once per [`Backend`] inside one `target_feature`
-//! function and chosen once per sealer.
+//! one call, a [`Job`](timecrypt_crypto::Job) that [`Dispatch::run`] runs
+//! on the backend chosen once per sealer.
 
 use crate::compress::{self, CodecError};
 use crate::model::{ChunkId, DataPoint, StreamConfig, StreamId};
-use std::sync::OnceLock;
-use timecrypt_core::heac::{DigestCursor, KeySource, On};
+use timecrypt_core::heac::{DigestCursor, KeySource};
 use timecrypt_core::keys::{payload_key, payload_key_from_leaves, payload_key_with};
 use timecrypt_core::{CoreError, StreamKeyMaterial, TreeKd};
-#[cfg(target_arch = "x86_64")]
-use timecrypt_crypto::backend::AesNi;
-use timecrypt_crypto::backend::{Backend, Portable};
+use timecrypt_crypto::backend::{Backend, Dispatch};
 use timecrypt_crypto::gcm::{seal_once, NONCE_LEN, TAG_LEN};
-use timecrypt_crypto::{GcmKeyCache, SecureRandom};
-
-/// Process-wide cache of payload-key GCM instances.
-///
-/// Payload keys are per-chunk, but one chunk's key is reused many times in
-/// the hot paths: every real-time record targeting an open chunk is sealed
-/// (and later opened) under the same key, and consumers walking a range
-/// revisit each chunk's cipher for its live records. Caching the expanded
-/// round keys + GHASH table makes those repeats a map lookup instead of a
-/// key schedule. The cache holds cipher state only (never plaintext), and
-/// an evicted key is simply re-derived — so the bound is a pure perf knob.
-fn payload_ciphers() -> &'static GcmKeyCache {
-    static CACHE: OnceLock<GcmKeyCache> = OnceLock::new();
-    CACHE.get_or_init(|| GcmKeyCache::new(64))
-}
+use timecrypt_crypto::{AesGcm128, SecureRandom};
 
 /// Reads `N` bytes of `buf` starting at `at` into a fixed array without
 /// panicking: short input zero-pads the tail. Every caller length-checks
@@ -109,9 +92,8 @@ impl PlainChunk {
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
         let mut cursor = DigestCursor::default();
-        let kernel = Kernel::detect(false);
         seal_chunk(
-            kernel,
+            Dispatch::detect(),
             cfg,
             &keys.tree,
             &mut cursor,
@@ -132,7 +114,7 @@ impl PlainChunk {
 /// Seals `chunk` into an [`EncryptedChunk`]: two allocations, its digest
 /// and its payload, each of its exact size.
 fn seal_chunk(
-    kernel: Kernel,
+    dispatch: Dispatch,
     cfg: &StreamConfig,
     tree: &TreeKd,
     cursor: &mut DigestCursor,
@@ -141,7 +123,7 @@ fn seal_chunk(
     plain: &mut Vec<u8>,
 ) -> Result<EncryptedChunk, ChunkError> {
     let (mut digest_ct, mut payload) = (Vec::new(), Vec::new());
-    kernel.seal(Job {
+    dispatch.run(Job {
         cfg,
         tree,
         cursor,
@@ -158,46 +140,6 @@ fn seal_chunk(
         digest_ct,
         payload,
     })
-}
-
-/// The sealing kernel a sealer runs, chosen once from what the CPU offers.
-#[derive(Clone, Copy)]
-enum Kernel {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    AesNi(AesNi<false>),
-    #[cfg(target_arch = "x86_64")]
-    AesNiSha(AesNi<true>),
-}
-
-impl Kernel {
-    fn detect(force_software: bool) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if !force_software {
-            if let Some(b) = AesNi::<true>::detect() {
-                return Kernel::AesNiSha(b);
-            }
-            if let Some(b) = AesNi::<false>::detect() {
-                return Kernel::AesNi(b);
-            }
-        }
-        let _ = force_software;
-        Kernel::Portable
-    }
-
-    fn seal(self, job: Job<'_>) -> Result<(), CoreError> {
-        match self {
-            Kernel::Portable => seal_with(Portable, job),
-            // SAFETY: an `AesNi<false>` exists only where its `detect`
-            // found `aes`, `pclmulqdq`, `sse2` and `ssse3`.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::AesNi(b) => unsafe { seal_aesni(b, job) },
-            // SAFETY: an `AesNi<true>` exists only where its `detect`
-            // found those and `sha` and `sse4.1`.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::AesNiSha(b) => unsafe { seal_aesni_sha(b, job) },
-        }
-    }
 }
 
 /// One chunk to seal, and where its bytes go.
@@ -217,24 +159,13 @@ struct Job<'a> {
     wire: bool,
 }
 
-/// [`seal_with`] on AES-NI and `pclmulqdq`, the SHA-256 block portable.
-///
-/// # Safety
-/// The CPU must support the target features enabled here.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "aes,pclmulqdq,sse2,ssse3")]
-unsafe fn seal_aesni(b: AesNi<false>, job: Job<'_>) -> Result<(), CoreError> {
-    seal_with(b, job)
-}
+impl timecrypt_crypto::Job for Job<'_> {
+    type Output = Result<(), CoreError>;
 
-/// [`seal_with`] on AES-NI, `pclmulqdq` and the SHA extensions.
-///
-/// # Safety
-/// The CPU must support the target features enabled here.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sha,sse4.1")]
-unsafe fn seal_aesni_sha(b: AesNi<true>, job: Job<'_>) -> Result<(), CoreError> {
-    seal_with(b, job)
+    #[inline(always)]
+    fn run<B: Backend>(self, b: B) -> Self::Output {
+        seal_with(b, self)
+    }
 }
 
 /// The sealing kernel: the digest, computed into its buffer; the boundary
@@ -242,9 +173,9 @@ unsafe fn seal_aesni_sha(b: AesNi<true>, job: Job<'_>) -> Result<(), CoreError> 
 /// schedule beside it; the element keys of each leaf the cursor does not
 /// carry; the payload key, one SHA-256 block; the compressed points sealed
 /// under it ([`seal_once`]), appended at their exact length. Inlined whole
-/// into each backend's entry, so no primitive is a call and no AES key is
-/// expanded into memory. A refused chunk (a leaf out of the tree) appends
-/// nothing and draws nothing from `rng`.
+/// into each backend's entry ([`Dispatch::run`]), so no primitive is a
+/// call and no AES key is expanded into memory. A refused chunk (a leaf out
+/// of the tree) appends nothing and draws nothing from `rng`.
 #[inline(always)]
 fn seal_with<B: Backend>(b: B, job: Job<'_>) -> Result<(), CoreError> {
     let Job {
@@ -260,7 +191,7 @@ fn seal_with<B: Backend>(b: B, job: Job<'_>) -> Result<(), CoreError> {
     } = job;
     digest.resize(cfg.schema.width(), 0);
     cfg.schema.compute_into(&chunk.points, digest);
-    let (l0, l1) = cursor.encrypt_digest_with(tree, chunk.index, digest, On(b))?;
+    let (l0, l1) = cursor.encrypt_digest_with(tree, chunk.index, digest, b)?;
     let key = payload_key_with(b, &l0, &l1);
     plain.clear();
     compress::compress_into(&chunk.points, plain);
@@ -281,7 +212,7 @@ fn seal_with<B: Backend>(b: B, job: Job<'_>) -> Result<(), CoreError> {
 
 /// The sealing state of one stream: its configuration, its key tree, the
 /// producer's place in that tree's keystream ([`DigestCursor`]) and the
-/// kernel it seals with, chosen once.
+/// backend it seals on, chosen once.
 ///
 /// Between chunks it carries the cursor: sealing chunk `i + 1` after chunk
 /// `i` costs under two PRG calls instead of two root-to-leaf walks and one
@@ -291,12 +222,12 @@ fn seal_with<B: Backend>(b: B, job: Job<'_>) -> Result<(), CoreError> {
 /// keeps one for the stream's life.
 ///
 /// Output is byte-identical to [`PlainChunk::seal`] driven by the same RNG
-/// stream, on either kernel (pinned by `tests/seal_kernel.rs`).
+/// stream, on every backend (pinned by `tests/seal_kernel.rs`).
 pub struct ChunkSealer {
     cfg: StreamConfig,
     tree: TreeKd,
     cursor: DigestCursor,
-    kernel: Kernel,
+    dispatch: Dispatch,
     /// Scratch: the digest of a chunk sealed to wire bytes, and the
     /// compressed points of any chunk.
     digest: Vec<u64>,
@@ -308,29 +239,21 @@ impl ChunkSealer {
     /// CPU's AES, carry-less multiply and SHA instructions where it has
     /// them.
     pub fn new(cfg: &StreamConfig, keys: &StreamKeyMaterial) -> Self {
-        Self::with_force_software(cfg, keys, false)
+        Self::with_dispatch(cfg, keys, Dispatch::detect())
     }
 
-    /// [`new`](Self::new), optionally on the portable kernel whatever the
-    /// CPU offers (what the tests hold the hardware one to). Same bytes.
-    pub fn with_force_software(
-        cfg: &StreamConfig,
-        keys: &StreamKeyMaterial,
-        force_software: bool,
-    ) -> Self {
+    /// [`new`](Self::new) on `dispatch`'s backend
+    /// ([`Dispatch::PORTABLE`] is what the tests hold the hardware ones
+    /// to). Same bytes.
+    pub fn with_dispatch(cfg: &StreamConfig, keys: &StreamKeyMaterial, dispatch: Dispatch) -> Self {
         ChunkSealer {
             cfg: cfg.clone(),
             tree: keys.tree.clone(),
             cursor: DigestCursor::default(),
-            kernel: Kernel::detect(force_software),
+            dispatch,
             digest: Vec::new(),
             plain: Vec::new(),
         }
-    }
-
-    /// True if this sealer runs the hardware kernel.
-    pub fn is_hardware(&self) -> bool {
-        !matches!(self.kernel, Kernel::Portable)
     }
 
     /// PRG invocations spent on key derivation so far.
@@ -351,7 +274,7 @@ impl ChunkSealer {
         rng: &mut SecureRandom,
     ) -> Result<EncryptedChunk, ChunkError> {
         seal_chunk(
-            self.kernel,
+            self.dispatch,
             &self.cfg,
             &self.tree,
             &mut self.cursor,
@@ -371,7 +294,7 @@ impl ChunkSealer {
         rng: &mut SecureRandom,
         out: &mut Vec<u8>,
     ) -> Result<(), ChunkError> {
-        Ok(self.kernel.seal(Job {
+        Ok(self.dispatch.run(Job {
             cfg: &self.cfg,
             tree: &self.tree,
             cursor: &mut self.cursor,
@@ -410,13 +333,22 @@ impl EncryptedChunk {
     /// Opens the payload with any key source covering leaves
     /// `index, index+1` and returns the decompressed points.
     pub fn open_payload<K: KeySource>(&self, keys: &K) -> Result<Vec<DataPoint>, ChunkError> {
+        self.open_payload_on(Dispatch::detect(), keys)
+    }
+
+    /// [`open_payload`](Self::open_payload) with its GCM on `dispatch`'s
+    /// backend.
+    pub fn open_payload_on<K: KeySource>(
+        &self,
+        dispatch: Dispatch,
+        keys: &K,
+    ) -> Result<Vec<DataPoint>, ChunkError> {
         if self.payload.len() < NONCE_LEN {
             return Err(ChunkError::Malformed("payload shorter than nonce"));
         }
         let key = payload_key(keys, self.index)?;
-        let gcm = payload_ciphers().get(&key);
         let nonce: [u8; NONCE_LEN] = take_arr(&self.payload, 0);
-        let compressed = gcm
+        let compressed = AesGcm128::on(dispatch, &key)
             .open(
                 &nonce,
                 &PlainChunk::aad(self.stream, self.index),
@@ -661,9 +593,6 @@ impl SealedRecord {
         key: &[u8; 16],
         rng: &mut SecureRandom,
     ) -> Self {
-        // The cache makes the per-record cost one AES-GCM pass, not a key
-        // schedule + pass.
-        let gcm = payload_ciphers().get(key);
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill(&mut nonce);
         let mut plain = [0u8; 16];
@@ -671,7 +600,7 @@ impl SealedRecord {
         plain[8..].copy_from_slice(&point.value.to_le_bytes());
         let mut payload = Vec::with_capacity(NONCE_LEN + 32);
         payload.extend_from_slice(&nonce);
-        gcm.seal_into(
+        AesGcm128::new(key).seal_into(
             &nonce,
             &Self::live_aad(stream, chunk, seq),
             &plain,
@@ -691,9 +620,8 @@ impl SealedRecord {
             return Err(ChunkError::Malformed("record shorter than nonce"));
         }
         let key = payload_key(keys, self.chunk)?;
-        let gcm = payload_ciphers().get(&key);
         let nonce: [u8; NONCE_LEN] = take_arr(&self.payload, 0);
-        let plain = gcm
+        let plain = AesGcm128::new(&key)
             .open(
                 &nonce,
                 &Self::live_aad(self.stream, self.chunk, self.seq),

@@ -280,6 +280,25 @@ mod tests {
     }
 
     #[test]
+    fn every_prg_wire_byte_roundtrips() {
+        let kinds = [PrgKind::Aes, PrgKind::AesSoftware, PrgKind::Sha256];
+        for (byte, prg) in (0u8..).zip(kinds) {
+            assert_eq!((encode_prg(prg), decode_prg(byte)), (byte, Ok(prg)));
+            let g = Grant::Full {
+                descriptor: StreamDescriptor {
+                    prg,
+                    ..descriptor()
+                },
+                chunk_lo: 0,
+                chunk_hi: 1,
+                tokens: Vec::new(),
+            };
+            assert_eq!(Grant::decode(&g.encode()).unwrap(), g);
+        }
+        assert_eq!(decode_prg(3), Err(WireError::BadTag(3)));
+    }
+
+    #[test]
     fn resolution_grant_roundtrip() {
         let g = Grant::Resolution {
             descriptor: descriptor(),

@@ -23,8 +23,8 @@
 
 use crate::error::CoreError;
 use crate::kdtree::{LeafCursor, TokenSet, TokenSource, TreeKd};
-use timecrypt_crypto::backend::Backend;
-use timecrypt_crypto::{fold_u64, Aes128, Prg, PrgKind, Seed128};
+use timecrypt_crypto::backend::{Backend, Dispatch, Job};
+use timecrypt_crypto::Seed128;
 
 /// A HEAC ciphertext element: a u64 in `Z_{2^64}`. Identical in size to the
 /// plaintext — zero ciphertext expansion (Table 2: 8.1 MB index for both
@@ -33,47 +33,58 @@ pub type Ciphertext = u64;
 
 /// Per-chunk element-key generator: a PRF keyed by the chunk's tree leaf.
 ///
-/// `key(j) = fold64(AES_leaf(j))` — one AES block per digest element.
+/// `key(j) = fold64(AES_leaf(j))` — one AES block per digest element, on
+/// the backend [`Dispatch::detect`] picked.
+#[derive(Clone, Copy)]
 pub struct ElementKeys {
-    cipher: Aes128,
+    leaf: Seed128,
+}
+
+/// [`apply_keys`] as a [`Job`].
+struct Apply<'a, F> {
+    leaf: &'a Seed128,
+    first: usize,
+    words: &'a mut [u64],
+    op: F,
+}
+
+impl<F: Fn(u64, u64) -> u64 + Copy> Job for Apply<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<B: Backend>(self, b: B) {
+        apply_keys(b, self.leaf, self.first, self.words, self.op);
+    }
 }
 
 impl ElementKeys {
-    /// Blocks per [`Aes128::encrypt_blocks`] call (512 bytes of stack).
-    const BATCH: usize = 32;
-
     /// Builds the per-chunk PRF from the chunk's tree leaf.
     pub fn new(leaf: &Seed128) -> Self {
-        ElementKeys {
-            cipher: Aes128::new(leaf),
-        }
+        ElementKeys { leaf: *leaf }
     }
 
-    /// The 64-bit one-time key for digest element `j` of this chunk: the
-    /// one-block reference [`apply`](Self::apply) is held to.
-    #[inline]
+    /// The 64-bit one-time key for digest element `j` of this chunk, its
+    /// block keyed alone: the reference [`apply`](Self::apply) is held to.
     pub fn key(&self, j: u32) -> u64 {
-        let mut block = [0u8; 16];
-        block[12..].copy_from_slice(&j.to_be_bytes());
-        self.cipher.encrypt_block(&mut block);
-        fold_u64(&block)
+        let mut key = [0];
+        self.apply_from(j as usize, &mut key, |_, key| key);
+        key[0]
     }
 
-    /// Replaces every `words[j]` by `op(words[j], key(j))`, the keys
-    /// evaluated in batches through the cipher's eight-wide block pipeline.
-    pub fn apply(&self, words: &mut [u64], op: impl Fn(u64, u64) -> u64) {
-        let mut blocks = [[0u8; 16]; Self::BATCH];
-        for (n, run) in words.chunks_mut(Self::BATCH).enumerate() {
-            let blocks = &mut blocks[..run.len()];
-            for (block, j) in blocks.iter_mut().zip((n * Self::BATCH) as u32..) {
-                *block = [0u8; 16];
-                block[12..].copy_from_slice(&j.to_be_bytes());
-            }
-            self.cipher.encrypt_blocks(blocks);
-            for (word, block) in run.iter_mut().zip(blocks.iter()) {
-                *word = op(*word, fold_u64(block));
-            }
-        }
+    /// Replaces every `words[j]` by `op(words[j], key(j))`.
+    pub fn apply(&self, words: &mut [u64], op: impl Fn(u64, u64) -> u64 + Copy) {
+        self.apply_from(0, words, op);
+    }
+
+    /// [`apply_keys`] from key `first` on, on the detected backend.
+    fn apply_from(&self, first: usize, words: &mut [u64], op: impl Fn(u64, u64) -> u64 + Copy) {
+        let leaf = &self.leaf;
+        Dispatch::detect().run(Apply {
+            leaf,
+            first,
+            words,
+            op,
+        });
     }
 
     /// Writes the keys of elements `0..out.len()` into `out`.
@@ -87,6 +98,68 @@ impl ElementKeys {
         self.keys_into(&mut out);
         out
     }
+}
+
+/// Replaces `words[n]` by `op(words[n], key(first + n))` under `leaf`'s
+/// element keys, on `b`: the key schedule runs beside the first four or
+/// eight blocks, the rest reuse its round keys, eight at a time.
+#[inline(always)]
+fn apply_keys<B: Backend>(
+    b: B,
+    leaf: &Seed128,
+    first: usize,
+    words: &mut [u64],
+    op: impl Fn(u64, u64) -> u64 + Copy,
+) {
+    if words.len() <= 4 {
+        let mut blocks: [u128; 4] = std::array::from_fn(|j| block(first + j));
+        b.aes_keying(leaf, &mut blocks);
+        for (word, &block) in words.iter_mut().zip(&blocks) {
+            *word = op(*word, fold(block));
+        }
+        return;
+    }
+    let mut blocks: [u128; 8] = std::array::from_fn(|j| block(first + j));
+    let keys = b.aes_keying(leaf, &mut blocks);
+    let (head, rest) = words.split_at_mut(8.min(words.len()));
+    for (word, &block) in head.iter_mut().zip(&blocks) {
+        *word = op(*word, fold(block));
+    }
+    /// Keys `first..` into `run`, `N` blocks wide.
+    #[inline(always)]
+    fn run<B: Backend, const N: usize>(
+        b: B,
+        keys: &B::RoundKeys,
+        first: usize,
+        run: &mut [u64],
+        op: impl Fn(u64, u64) -> u64,
+    ) {
+        let mut blocks: [u128; N] = std::array::from_fn(|j| block(first + j));
+        b.aes_with(keys, &mut blocks);
+        for (word, &block) in run.iter_mut().zip(&blocks) {
+            *word = op(*word, fold(block));
+        }
+    }
+    for (n, words) in rest.chunks_mut(8).enumerate() {
+        let at = first + 8 * (n + 1);
+        match words.len() {
+            ..=4 => run::<B, 4>(b, &keys, at, words, op),
+            _ => run::<B, 8>(b, &keys, at, words, op),
+        }
+    }
+}
+
+/// Element-key block `j`: `j` big-endian in the last four bytes.
+#[inline(always)]
+fn block(j: usize) -> u128 {
+    u128::from((j as u32).to_be()) << 96
+}
+
+/// An element key: the fold of its block read big-endian
+/// ([`fold_u64`](timecrypt_crypto::fold_u64)).
+#[inline(always)]
+fn fold(x: u128) -> u64 {
+    ((x >> 64) as u64 ^ x as u64).swap_bytes()
 }
 
 /// A source of keystream leaves. The owner derives from the full tree; a
@@ -134,9 +207,9 @@ impl DigestCursor {
     }
 
     #[inline(always)]
-    fn expand(&mut self, leaf: &Seed128, width: usize, on: impl Primitives) {
+    fn expand<B: Backend>(&mut self, leaf: &Seed128, width: usize, b: B) {
         self.keys.resize(width, 0);
-        on.element_keys(leaf, &mut self.keys);
+        apply_keys(b, leaf, 0, &mut self.keys, |_, key| key);
         self.leaf = Some(*leaf);
         self.prf_blocks += width as u64;
     }
@@ -151,132 +224,39 @@ impl DigestCursor {
         chunk: u64,
         digest: &mut [u64],
     ) -> Result<(Seed128, Seed128), CoreError> {
-        self.encrypt_digest_with(src, chunk, digest, Detected)
+        struct Encrypt<'a, S>(&'a mut DigestCursor, &'a S, u64, &'a mut [u64]);
+        impl<S: TokenSource> Job for Encrypt<'_, S> {
+            type Output = Result<(Seed128, Seed128), CoreError>;
+            #[inline(always)]
+            fn run<B: Backend>(self, b: B) -> Self::Output {
+                self.0.encrypt_digest_with(self.1, self.2, self.3, b)
+            }
+        }
+        Dispatch::detect().run(Encrypt(self, src, chunk, digest))
     }
 
     /// [`encrypt_digest`](Self::encrypt_digest) with its PRG steps and
-    /// element keys computed by `on` (the chunk sealing kernel passes its
-    /// backend's, inlined).
+    /// element keys on `b`, inlined (the chunk sealing kernel's job).
     #[inline(always)]
-    pub fn encrypt_digest_with<S: TokenSource>(
+    pub fn encrypt_digest_with<S: TokenSource, B: Backend>(
         &mut self,
         src: &S,
         chunk: u64,
         digest: &mut [u64],
-        on: impl Primitives,
+        b: B,
     ) -> Result<(Seed128, Seed128), CoreError> {
-        let l0 = self.leaves.leaf_with(src, chunk, on)?;
-        let l1 = self.leaves.leaf_with(src, chunk + 1, on)?;
+        let l0 = self.leaves.leaf_with(src, chunk, b)?;
+        let l1 = self.leaves.leaf_with(src, chunk + 1, b)?;
         if self.leaf != Some(l0) || self.keys.len() < digest.len() {
-            self.expand(&l0, digest.len(), on);
+            self.expand(&l0, digest.len(), b);
         }
         add_assign(digest, &self.keys[..digest.len()]);
-        self.expand(&l1, digest.len(), on);
+        self.expand(&l1, digest.len(), b);
         for (m, k) in digest.iter_mut().zip(&self.keys) {
             *m = m.wrapping_sub(*k);
         }
         Ok((l0, l1))
     }
-}
-
-/// How the key tree's PRG steps and a leaf's element keys are computed:
-/// each by its own primitive ([`Detected`]), or all on one backend inside
-/// a kernel compiled for it ([`On`]). Every implementation computes the
-/// same values.
-pub trait Primitives: Copy {
-    /// `prg.child(x, bit)`.
-    fn child(self, prg: PrgKind, x: &Seed128, bit: bool) -> Seed128;
-
-    /// `ElementKeys::new(leaf).keys_into(out)`.
-    fn element_keys(self, leaf: &Seed128, out: &mut [u64]);
-}
-
-/// Each primitive on its own: the tree's [`Prg`] and [`ElementKeys`], each
-/// on the path it detects.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Detected;
-
-impl Primitives for Detected {
-    #[inline]
-    fn child(self, prg: PrgKind, x: &Seed128, bit: bool) -> Seed128 {
-        prg.child(x, bit)
-    }
-
-    #[inline]
-    fn element_keys(self, leaf: &Seed128, out: &mut [u64]) {
-        ElementKeys::new(leaf).keys_into(out);
-    }
-}
-
-/// Every primitive on backend `B`, each AES key schedule run beside the
-/// blocks it keys ([`Backend::aes_keying`]). Inlined, so it is meant for a
-/// kernel compiled with the backend's target features.
-#[derive(Clone, Copy, Debug)]
-pub struct On<B>(pub B);
-
-impl<B: Backend> Primitives for On<B> {
-    #[inline(always)]
-    fn child(self, prg: PrgKind, x: &Seed128, bit: bool) -> Seed128 {
-        if prg != PrgKind::Aes {
-            return prg.child(x, bit);
-        }
-        // `0^127 || bit`: the bit is the last byte's low bit.
-        let mut block = [u128::from(bit) << 120];
-        self.0.aes_keying(x, &mut block);
-        block[0].to_le_bytes()
-    }
-
-    /// The key schedule runs beside the first four or eight blocks; the
-    /// rest reuse its round keys, eight at a time.
-    #[inline(always)]
-    fn element_keys(self, leaf: &Seed128, out: &mut [u64]) {
-        if out.len() <= 4 {
-            let mut blocks: [u128; 4] = std::array::from_fn(block);
-            self.0.aes_keying(leaf, &mut blocks);
-            for (word, &block) in out.iter_mut().zip(&blocks) {
-                *word = fold(block);
-            }
-            return;
-        }
-        let mut blocks: [u128; 8] = std::array::from_fn(block);
-        let keys = self.0.aes_keying(leaf, &mut blocks);
-        let (head, rest) = out.split_at_mut(8.min(out.len()));
-        for (word, &block) in head.iter_mut().zip(&blocks) {
-            *word = fold(block);
-        }
-        /// Keys `first..` into `run`, `N` blocks wide.
-        #[inline(always)]
-        fn run<B: Backend, const N: usize>(
-            b: B,
-            keys: &B::RoundKeys,
-            first: usize,
-            run: &mut [u64],
-        ) {
-            let mut blocks: [u128; N] = std::array::from_fn(|j| block(first + j));
-            b.aes_with(keys, &mut blocks);
-            for (word, &block) in run.iter_mut().zip(&blocks) {
-                *word = fold(block);
-            }
-        }
-        for (n, words) in rest.chunks_mut(8).enumerate() {
-            match words.len() {
-                ..=4 => run::<B, 4>(self.0, &keys, 8 * (n + 1), words),
-                _ => run::<B, 8>(self.0, &keys, 8 * (n + 1), words),
-            }
-        }
-    }
-}
-
-/// Element-key block `j`: `j` big-endian in the last four bytes.
-#[inline(always)]
-fn block(j: usize) -> u128 {
-    u128::from((j as u32).to_be()) << 96
-}
-
-/// An element key: the fold of its block read big-endian.
-#[inline(always)]
-fn fold(x: u128) -> u64 {
-    ((x >> 64) as u64 ^ x as u64).swap_bytes()
 }
 
 /// Owner/producer-side encryptor bound to a stream's key tree. It holds a
@@ -529,30 +509,33 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_derives_what_the_primitives_derive() {
-        use timecrypt_crypto::backend::Portable;
-        let leaf = tree().leaf(5).unwrap();
-        let check = |on: &dyn Fn(&mut [u64]), children: &dyn Fn(PrgKind, bool) -> Seed128| {
-            for width in 0..=70usize {
-                let mut keys = vec![0xdead_beef; width];
-                on(&mut keys);
-                assert_eq!(keys, ElementKeys::new(&leaf).keys(width), "width {width}");
+    fn every_backend_derives_the_one_block_keys() {
+        struct Keys<'a>(&'a Seed128, usize, &'a mut [u64]);
+        impl Job for Keys<'_> {
+            type Output = ();
+            fn run<B: Backend>(self, b: B) {
+                apply_keys(b, self.0, self.1, self.2, |_, key| key);
             }
-            for prg in [PrgKind::Aes, PrgKind::AesSoftware, PrgKind::Sha256] {
-                for bit in [false, true] {
-                    assert_eq!(children(prg, bit), prg.child(&leaf, bit), "{prg:?}");
-                }
-            }
-        };
-        check(&|out| On(Portable).element_keys(&leaf, out), &|prg, bit| {
-            On(Portable).child(prg, &leaf, bit)
-        });
-        #[cfg(target_arch = "x86_64")]
-        if let Some(b) = timecrypt_crypto::backend::AesNi::<false>::detect() {
-            check(&|out| On(b).element_keys(&leaf, out), &|prg, bit| {
-                On(b).child(prg, &leaf, bit)
-            });
         }
+        let leaf = tree().leaf(5).unwrap();
+        let one = |j: usize| {
+            let mut key = [0];
+            Dispatch::PORTABLE.run(Keys(&leaf, j, &mut key));
+            key[0]
+        };
+        let reference: Vec<u64> = (0..80).map(one).collect();
+        for d in Dispatch::all() {
+            for (first, width) in (0..=70).map(|w| (0, w)).chain([(3, 9), (8, 70), (1, 4)]) {
+                let mut keys = vec![0xdead_beef; width];
+                d.run(Keys(&leaf, first, &mut keys));
+                assert_eq!(
+                    keys,
+                    reference[first..first + width],
+                    "{d:?} {first}+{width}"
+                );
+            }
+        }
+        assert_eq!(ElementKeys::new(&leaf).keys(80), reference);
     }
 
     #[test]

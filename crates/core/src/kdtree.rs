@@ -9,9 +9,9 @@
 //! property of the PRG — no parent, sibling, or leaf outside it.
 
 use crate::error::CoreError;
-use crate::heac::{Detected, Primitives};
 use std::ops::Range;
-use timecrypt_crypto::{PrgKind, Seed128};
+use timecrypt_crypto::backend::{Backend, Dispatch, Job};
+use timecrypt_crypto::{Prg, PrgKind, Seed128};
 
 /// Maximum supported tree height. 63 keeps leaf indices in `u64` and makes
 /// the keystream "virtually infinite" (the paper's phrase); the evaluation
@@ -69,12 +69,12 @@ pub trait TokenSource {
 }
 
 /// The one descent loop every derivation shares: walks `levels` edges down
-/// from `v` by `prg`'s steps computed `on` some primitives, reading the
-/// turns from bit `levels − 1` of `bits` (the first edge) to bit 0, and
-/// hands each node it reaches to `each`.
+/// from `v` by `prg`'s steps on `b`, reading the turns from bit
+/// `levels − 1` of `bits` (the first edge) to bit 0, and hands each node it
+/// reaches to `each`.
 #[inline(always)]
-fn descend(
-    on: impl Primitives,
+fn descend<B: Backend>(
+    b: B,
     prg: PrgKind,
     mut v: Seed128,
     levels: u8,
@@ -82,10 +82,24 @@ fn descend(
     mut each: impl FnMut(Seed128),
 ) -> Seed128 {
     for level in (0..levels).rev() {
-        v = on.child(prg, &v, (bits >> level) & 1 == 1);
+        v = prg.child(b, &v, (bits >> level) & 1 == 1);
         each(v);
     }
     v
+}
+
+/// [`descend`] from `v`, the nodes passed, on the backend
+/// [`Dispatch::detect`] picked.
+fn walk(prg: PrgKind, v: Seed128, levels: u8, bits: u64) -> Seed128 {
+    struct Walk(PrgKind, Seed128, u8, u64);
+    impl Job for Walk {
+        type Output = Seed128;
+        #[inline(always)]
+        fn run<B: Backend>(self, b: B) -> Seed128 {
+            descend(b, self.0, self.1, self.2, self.3, |_| {})
+        }
+    }
+    Dispatch::detect().run(Walk(prg, v, levels, bits))
 }
 
 /// Leaf `i` of `src` by a walk from the token that covers it.
@@ -94,7 +108,7 @@ fn leaf_from_token<S: TokenSource>(src: &S, i: u64) -> Result<Seed128, CoreError
     // A token's range is aligned to its span, so the low bits of `i` are
     // the turns below it.
     let levels = src.height() - t.label.depth;
-    Ok(descend(Detected, src.prg(), t.node, levels, i, |_| {}))
+    Ok(walk(src.prg(), t.node, levels, i))
 }
 
 /// The owner-side key-derivation tree: secret root seed + height + PRG choice.
@@ -165,14 +179,7 @@ impl TreeKd {
                 "node index out of range for depth",
             ));
         }
-        Ok(descend(
-            Detected,
-            self.prg,
-            self.root.node,
-            label.depth,
-            label.index,
-            |_| {},
-        ))
+        Ok(walk(self.prg, self.root.node, label.depth, label.index))
     }
 
     /// Derives leaf `i` (the `i`-th keystream element) by walking from the
@@ -395,17 +402,25 @@ impl LeafCursor {
     /// Derives leaf `i` of `src`, reusing the part of the previous path
     /// that leads to it.
     pub fn leaf<S: TokenSource>(&mut self, src: &S, i: u64) -> Result<Seed128, CoreError> {
-        self.leaf_with(src, i, Detected)
+        struct Leaf<'a, S>(&'a mut LeafCursor, &'a S, u64);
+        impl<S: TokenSource> Job for Leaf<'_, S> {
+            type Output = Result<Seed128, CoreError>;
+            #[inline(always)]
+            fn run<B: Backend>(self, b: B) -> Self::Output {
+                self.0.leaf_with(self.1, self.2, b)
+            }
+        }
+        Dispatch::detect().run(Leaf(self, src, i))
     }
 
-    /// [`leaf`](Self::leaf) with each PRG step taken by `on` (the chunk
-    /// sealing kernel passes its backend's, inlined).
+    /// [`leaf`](Self::leaf) with each PRG step on `b`, inlined (the chunk
+    /// sealing kernel's job).
     #[inline(always)]
-    pub fn leaf_with<S: TokenSource>(
+    pub fn leaf_with<S: TokenSource, B: Backend>(
         &mut self,
         src: &S,
         i: u64,
-        on: impl Primitives,
+        b: B,
     ) -> Result<Seed128, CoreError> {
         let token = src.covering(i)?;
         let levels = src.height() - token.label.depth;
@@ -427,7 +442,7 @@ impl LeafCursor {
         self.path.truncate(keep as usize + 1);
         let from = self.path[keep as usize];
         let path = &mut self.path;
-        Ok(descend(on, src.prg(), from, levels - keep, i, |node| {
+        Ok(descend(b, src.prg(), from, levels - keep, i, |node| {
             path.push(node)
         }))
     }
@@ -448,7 +463,7 @@ impl LeafCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timecrypt_crypto::Prg;
+    use timecrypt_crypto::backend::Portable;
 
     fn tree(h: u8) -> TreeKd {
         TreeKd::new([7u8; 16], h, PrgKind::Sha256).unwrap()
@@ -477,9 +492,9 @@ mod tests {
         // Leaf 5 = 0b101: right, left, right from the root.
         let prg = PrgKind::Sha256;
         let mut v = [7u8; 16];
-        v = prg.child(&v, true);
-        v = prg.child(&v, false);
-        v = prg.child(&v, true);
+        v = prg.child(Portable, &v, true);
+        v = prg.child(Portable, &v, false);
+        v = prg.child(Portable, &v, true);
         assert_eq!(t.leaf(5).unwrap(), v);
     }
 

@@ -1,5 +1,6 @@
-//! AES-128 block cipher (FIPS 197), with a portable software implementation
-//! and a hardware AES-NI fast path.
+//! AES-128 block cipher (FIPS 197): the portable software implementation
+//! and the AES-NI bodies [`Backend`](crate::backend::Backend) runs them
+//! through.
 //!
 //! TimeCrypt uses AES-128 in three places:
 //! * as the default PRG for the key derivation tree (`G0(x) = AES_x(0)`,
@@ -81,128 +82,6 @@ const fn make_rcon() -> [u8; 11] {
 }
 
 const RCON: [u8; 11] = make_rcon();
-
-/// AES-128 with pre-expanded round keys.
-///
-/// Dispatches between the AES-NI implementation (when the CPU supports it)
-/// and the portable software implementation. The choice is made once at
-/// construction and stored, so per-block encryption has no detection cost.
-#[derive(Clone)]
-pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
-    #[cfg(target_arch = "x86_64")]
-    use_aesni: bool,
-}
-
-impl Aes128 {
-    /// Expands `key` into the 11 round keys. Uses AES-NI when available.
-    pub fn new(key: &[u8; 16]) -> Self {
-        Self::with_force_software(key, false)
-    }
-
-    /// Like [`Aes128::new`] but optionally forcing the software path even on
-    /// AES-NI-capable hardware. Used by the Fig. 6 benchmark to compare
-    /// software AES vs AES-NI key-derivation cost.
-    pub fn with_force_software(key: &[u8; 16], force_software: bool) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let use_aesni = !force_software
-                && std::arch::is_x86_feature_detected!("aes")
-                && std::arch::is_x86_feature_detected!("ssse3");
-            let round_keys = if use_aesni {
-                // SAFETY: `use_aesni` implies both feature checks returned
-                // true on this line's path, so the `aes` and `ssse3` target
-                // features required by `expand_key` are present on this CPU.
-                unsafe { aesni::expand_key(key) }
-            } else {
-                expand_key(key)
-            };
-            Aes128 {
-                round_keys,
-                use_aesni,
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = force_software;
-            Aes128 {
-                round_keys: expand_key(key),
-            }
-        }
-    }
-
-    /// Encrypts `blocks` under `key` without keeping its round keys: on
-    /// AES-NI the key schedule runs beside the blocks, round keys in
-    /// registers — the cost model of a PRG step, whose key is the node it
-    /// expands. Bit-identical to `Aes128::new(key)` encrypting each.
-    pub fn encrypt_once<const N: usize>(key: &[u8; 16], blocks: &mut [[u8; 16]; N]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("aes")
-            && std::arch::is_x86_feature_detected!("ssse3")
-        {
-            // SAFETY: both target features `encrypt_once` is compiled for
-            // were detected on the line above.
-            unsafe { aesni::encrypt_once(key, blocks) };
-            return;
-        }
-        let rk = expand_key(key);
-        for block in blocks {
-            soft_encrypt_block(&rk, block);
-        }
-    }
-
-    /// Returns true if this instance will use hardware AES instructions.
-    pub fn is_hardware(&self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.use_aesni
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
-    /// Encrypts a single 16-byte block in place.
-    #[inline]
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        #[cfg(target_arch = "x86_64")]
-        if self.use_aesni {
-            // SAFETY: `use_aesni` is only set when the `aes` feature was
-            // detected at construction time.
-            unsafe { aesni::encrypt_block(&self.round_keys, block) };
-            return;
-        }
-        soft_encrypt_block(&self.round_keys, block);
-    }
-
-    /// Encrypts a block, returning the ciphertext.
-    #[inline]
-    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.encrypt_block(&mut out);
-        out
-    }
-
-    /// Encrypts a run of blocks in place. On AES-NI hardware the blocks are
-    /// interleaved eight at a time, so the per-round `aesenc` latency of one
-    /// block is hidden behind the other seven — the throughput win that makes
-    /// batched CTR keystream generation (GCM bulk encryption) several times
-    /// faster than block-at-a-time calls. The result is bit-identical to
-    /// calling [`encrypt_block`](Self::encrypt_block) per block.
-    pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-        #[cfg(target_arch = "x86_64")]
-        if self.use_aesni {
-            // SAFETY: `use_aesni` is only set when the `aes` feature was
-            // detected at construction time.
-            unsafe { aesni::encrypt_blocks(&self.round_keys, blocks) };
-            return;
-        }
-        for block in blocks {
-            soft_encrypt_block(&self.round_keys, block);
-        }
-    }
-}
 
 /// FIPS-197 key expansion for AES-128 (software; the AES-NI path's round
 /// keys are identical).
@@ -307,11 +186,9 @@ pub mod aesni {
     //! Hardware AES on the AES-NI instruction set.
     //!
     //! The `#[inline(always)]` bodies carry no `target_feature` of their
-    //! own: they are meant to be inlined into a function compiled with
-    //! `aes` and `ssse3` — the kernels below, and the chunk sealing kernel
-    //! — where every intrinsic becomes one instruction and the round keys
-    //! stay in registers. Called anywhere else they are still correct, one
-    //! call per intrinsic.
+    //! own: [`AesNi`](crate::backend::AesNi) inlines them into a job's
+    //! entry, compiled with `aes` and `ssse3`, where every intrinsic
+    //! becomes one instruction and the round keys stay in registers.
     use std::arch::x86_64::*;
 
     /// The eleven round keys of one AES-128 key.
@@ -411,112 +288,26 @@ pub mod aesni {
             blocks[b] = _mm_aesenclast_si128(blocks[b], rk[10]);
         }
     }
-
-    /// [`encrypt_with`] over byte blocks of any count: eight at a time,
-    /// and the last up to seven one, four or eight wide (a padding block
-    /// costs an `aesenc` a round in a pipeline that is waiting on latency
-    /// anyway).
-    ///
-    /// # Safety
-    /// The CPU must support the `aes` target feature.
-    #[inline(always)]
-    unsafe fn encrypt_slice(rk: &RoundKeys, blocks: &mut [[u8; 16]]) {
-        /// Encrypts the first `N` blocks of `run`, or all of it if fewer.
-        #[inline(always)]
-        #[allow(clippy::needless_range_loop)]
-        unsafe fn run<const N: usize>(rk: &RoundKeys, run: &mut [[u8; 16]]) {
-            let n = run.len().min(N);
-            let mut b = [_mm_setzero_si128(); N];
-            for i in 0..n {
-                b[i] = _mm_loadu_si128(run[i].as_ptr().cast());
-            }
-            encrypt_with(rk, &mut b);
-            for i in 0..n {
-                _mm_storeu_si128(run[i].as_mut_ptr().cast(), b[i]);
-            }
-        }
-        let mut at = 0;
-        while blocks.len() - at >= 8 {
-            run::<8>(rk, &mut blocks[at..]);
-            at += 8;
-        }
-        let rest = &mut blocks[at..];
-        match rest.len() {
-            0 => {}
-            1 => run::<1>(rk, rest),
-            2..=4 => run::<4>(rk, rest),
-            _ => run::<8>(rk, rest),
-        }
-    }
-
-    /// The round keys of `key`.
-    ///
-    /// # Safety
-    /// The CPU must support the `aes` and `ssse3` target features; the
-    /// instructions fault as undefined otherwise. All callers sit behind
-    /// the runtime detection in
-    /// [`Aes128::with_force_software`](super::Aes128::with_force_software).
-    #[target_feature(enable = "aes,ssse3")]
-    #[allow(clippy::needless_range_loop)]
-    pub(super) unsafe fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
-        let rk = encrypt_keying::<0>(key, &mut []);
-        let mut out = [[0u8; 16]; 11];
-        for i in 0..11 {
-            _mm_storeu_si128(out[i].as_mut_ptr().cast(), rk[i]);
-        }
-        out
-    }
-
-    /// Encrypts `blocks` under `key` used for nothing else
-    /// ([`encrypt_keying`]).
-    ///
-    /// # Safety
-    /// The CPU must support the `aes` and `ssse3` target features.
-    #[target_feature(enable = "aes,ssse3")]
-    pub(super) unsafe fn encrypt_once<const N: usize>(key: &[u8; 16], blocks: &mut [[u8; 16]; N]) {
-        let mut b = [_mm_setzero_si128(); N];
-        for i in 0..N {
-            b[i] = _mm_loadu_si128(blocks[i].as_ptr().cast());
-        }
-        encrypt_keying(key, &mut b);
-        for i in 0..N {
-            _mm_storeu_si128(blocks[i].as_mut_ptr().cast(), b[i]);
-        }
-    }
-
-    #[inline(always)]
-    fn load(rk: &[[u8; 16]; 11]) -> RoundKeys {
-        let mut out = [to_vector(0); 11];
-        for i in 0..11 {
-            // SAFETY: an unaligned 16-byte load from a 16-byte array;
-            // `sse2` is part of the x86_64 baseline.
-            out[i] = unsafe { _mm_loadu_si128(rk[i].as_ptr().cast()) };
-        }
-        out
-    }
-
-    /// Encrypts one block with pre-expanded round keys.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports the `aes` target feature.
-    #[target_feature(enable = "aes")]
-    pub(super) unsafe fn encrypt_block(rk: &[[u8; 16]; 11], block: &mut [u8; 16]) {
-        encrypt_slice(&load(rk), std::slice::from_mut(block));
-    }
-
-    /// Encrypts blocks eight-wide interleaved ([`encrypt_slice`]).
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports the `aes` target feature.
-    #[target_feature(enable = "aes")]
-    pub(super) unsafe fn encrypt_blocks(rk: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-        encrypt_slice(&load(rk), blocks);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::testing::each_backend;
+
+    /// `pt` under `key` on every backend this CPU has, keyed beside the
+    /// schedule and under its round keys, and on the software cipher.
+    fn check_every_backend(key: &[u8; 16], pt: &[u8; 16], ct: &[u8; 16]) {
+        let mut block = *pt;
+        soft_encrypt_block(&expand_key(key), &mut block);
+        assert_eq!(&block, ct, "software");
+        let (pt, ct) = (u128::from_le_bytes(*pt), u128::from_le_bytes(*ct));
+        each_backend(|d, b| {
+            let (mut first, mut more) = ([pt; 8], [pt; 4]);
+            b.aes(key, &mut first, &mut more);
+            assert_eq!((first, more), ([ct; 8], [ct; 4]), "{d:?}");
+        });
+    }
 
     #[test]
     fn sbox_known_entries() {
@@ -551,10 +342,7 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        let soft = Aes128::with_force_software(&key, true);
-        assert_eq!(soft.encrypt(&pt), expected);
-        let auto = Aes128::new(&key);
-        assert_eq!(auto.encrypt(&pt), expected);
+        check_every_backend(&key, &pt, &expected);
     }
 
     #[test]
@@ -592,57 +380,27 @@ mod tests {
             0x3a, 0xd7, 0x7b, 0xb4, 0x0d, 0x7a, 0x36, 0x60, 0xa8, 0x9e, 0xca, 0xf3, 0x24, 0x66,
             0xef, 0x97,
         ];
-        assert_eq!(Aes128::with_force_software(&key, true).encrypt(&pt), ct);
+        check_every_backend(&key, &pt, &ct);
     }
 
     #[test]
-    fn encrypt_blocks_matches_per_block() {
-        // Equivalence across lengths that hit the 8-wide interleave, its
-        // remainder path, and the empty case — for both implementations.
-        for force_soft in [false, true] {
-            let c = Aes128::with_force_software(&[0x2cu8; 16], force_soft);
-            for n in [0usize, 1, 7, 8, 9, 16, 23, 64] {
-                let mut batched: Vec<[u8; 16]> =
-                    (0..n).map(|i| [(i as u8).wrapping_mul(29); 16]).collect();
-                let singly: Vec<[u8; 16]> = batched.iter().map(|b| c.encrypt(b)).collect();
-                c.encrypt_blocks(&mut batched);
-                assert_eq!(batched, singly, "n={n} soft={force_soft}");
-            }
-        }
-    }
-
-    #[test]
-    fn hardware_and_software_agree() {
-        let hw = Aes128::new(&[7u8; 16]);
-        if !hw.is_hardware() {
-            return; // Nothing to compare on this machine.
-        }
-        // The two key expansions, over keys of every byte pattern an LCG
-        // reaches in 2 000 steps and the FIPS-197 Appendix A key.
+    fn every_backend_agrees_with_the_software_cipher() {
+        // Keys of every byte pattern an LCG reaches in 2 000 steps from the
+        // FIPS-197 Appendix A key, each block its key or zero.
         let mut key = [
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
             0x4f, 0x3c,
         ];
         for _ in 0..2000 {
-            assert_eq!(Aes128::new(&key).round_keys, expand_key(&key), "{key:x?}");
-            let mut once = [[0u8; 16], key];
-            Aes128::encrypt_once(&key, &mut once);
-            let soft = Aes128::with_force_software(&key, true);
-            assert_eq!(
-                once,
-                [soft.encrypt(&[0; 16]), soft.encrypt(&key)],
-                "{key:x?}"
-            );
+            for pt in [[0u8; 16], key] {
+                let mut ct = pt;
+                soft_encrypt_block(&expand_key(&key), &mut ct);
+                check_every_backend(&key, &pt, &ct);
+            }
             let x = u128::from_le_bytes(key);
             key = (x.wrapping_mul(0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645) | 1)
                 .rotate_left(29)
                 .to_le_bytes();
-        }
-        let sw = Aes128::with_force_software(&[7u8; 16], true);
-        for i in 0..64u8 {
-            let mut block = [i; 16];
-            block[0] = i.wrapping_mul(37);
-            assert_eq!(hw.encrypt(&block), sw.encrypt(&block));
         }
     }
 }

@@ -5,8 +5,7 @@
 //! (§4.3). The digest is HEAC-encrypted separately; GCM protects the bulk
 //! compressed data points and authenticates them.
 
-use crate::aes::Aes128;
-use crate::backend::Backend;
+use crate::backend::{Backend, Dispatch, Job};
 use crate::ct::ct_eq;
 
 /// GCM authentication tag length in bytes.
@@ -35,30 +34,6 @@ impl std::fmt::Display for GcmError {
 
 impl std::error::Error for GcmError {}
 
-/// Multiplication in GF(2^128) using the GCM bit convention
-/// (block bytes loaded big-endian, reduction polynomial
-/// x^128 + x^7 + x^2 + x + 1, bit 0 = most significant).
-///
-/// Reference implementation: the hot path is one of the two multiplies
-/// behind [`GhashKey`]; this bitwise version remains the ground truth both
-/// are tested against.
-#[cfg(test)]
-fn gf128_mul(x: u128, y: u128) -> u128 {
-    let mut z = 0u128;
-    let mut v = x;
-    for i in 0..128 {
-        if (y >> (127 - i)) & 1 == 1 {
-            z ^= v;
-        }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= 0xe1u128 << 120;
-        }
-    }
-    z
-}
-
 /// A block of at most 16 bytes as GHASH reads it, zero-padded.
 #[inline(always)]
 fn block_to_u128(b: &[u8]) -> u128 {
@@ -73,8 +48,7 @@ fn block_to_u128(b: &[u8]) -> u128 {
 }
 
 /// Multiplication by `x` in the GCM bit convention (one right shift with
-/// conditional reduction) — the primitive both [`gf128_mul`] and the
-/// precomputed-table path are built from.
+/// conditional reduction) — the primitive the table path is built from.
 #[inline]
 const fn mulx(v: u128) -> u128 {
     (v >> 1) ^ ((v & 1) * (0xe1u128 << 120))
@@ -98,52 +72,6 @@ const REM4: [u128; 16] = {
 #[inline]
 fn mulx4(z: u128) -> u128 {
     (z >> 4) ^ REM4[(z & 0xf) as usize]
-}
-
-/// The per-key GHASH state. Where the CPU multiplies carry-less
-/// (`pclmulqdq`) it is `H¹…H⁴`, so a run of four ciphertext blocks costs
-/// sixteen multiplies and one reduction ([`clmul::ghash`]); elsewhere it is
-/// the 4-bit table of the portable path. Either way constructing one stays
-/// cheap — a few multiplies, no table of all powers of `H`.
-// Inline on purpose: a box would cost the per-chunk-key construction an
-// allocation to save bytes no one keeps for long.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-enum GhashKey {
-    /// `H¹…H⁴`, for [`clmul::ghash`].
-    #[cfg(target_arch = "x86_64")]
-    Clmul([u128; 4]),
-    /// The portable path's table ([`table`]).
-    Table([u128; 16]),
-}
-
-impl GhashKey {
-    fn new(h: u128, force_table: bool) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if !force_table
-            && std::arch::is_x86_feature_detected!("pclmulqdq")
-            && std::arch::is_x86_feature_detected!("sse2")
-            && std::arch::is_x86_feature_detected!("ssse3")
-        {
-            // SAFETY: the target features `powers_clmul` is compiled for
-            // were detected on the lines above.
-            return GhashKey::Clmul(unsafe { powers_clmul(h) });
-        }
-        let _ = force_table;
-        GhashKey::Table(table(h))
-    }
-
-    /// GHASH over AAD and ciphertext.
-    fn ghash(&self, aad: &[u8], ct: &[u8]) -> u128 {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Clmul` variant is only built in `new`, after
-            // the target features `ghash_clmul` is compiled for were
-            // detected on this CPU.
-            GhashKey::Clmul(powers) => unsafe { ghash_clmul(powers, aad, ct) },
-            GhashKey::Table(table) => ghash_with(|x| mul_table(table, x), aad, ct),
-        }
-    }
 }
 
 /// `table[n] = n·H` for every 4-bit pattern `n` (placed in the top nibble
@@ -196,30 +124,10 @@ fn lengths(aad: &[u8], ct: &[u8]) -> u128 {
     ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8)
 }
 
-/// [`clmul::ghash`] over `H¹…H⁴`.
-///
-/// # Safety
-/// The CPU must support `pclmulqdq`, `sse2` and `ssse3`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "pclmulqdq,sse2,ssse3")]
-unsafe fn ghash_clmul(powers: &[u128; 4], aad: &[u8], ct: &[u8]) -> u128 {
-    clmul::ghash(powers, true, aad, ct)
-}
-
-/// `H¹…H⁴`.
-///
-/// # Safety
-/// The CPU must support `pclmulqdq` and `sse2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "pclmulqdq", enable = "sse2")]
-unsafe fn powers_clmul(h: u128) -> [u128; 4] {
-    clmul::powers(h)
-}
-
 #[cfg(target_arch = "x86_64")]
 pub mod clmul {
     //! GHASH on the carry-less multiply, as `#[inline(always)]` bodies for
-    //! a caller compiled with `pclmulqdq` and `ssse3` (see
+    //! a job compiled with `pclmulqdq` and `ssse3` (see
     //! [`crate::aes::aesni`]). Field elements stay in vector registers: a
     //! block loads byte-reversed, which is the `u128` the portable path
     //! reads it as (`u128::from_be_bytes`), lane 0 its low half.
@@ -372,53 +280,72 @@ pub mod clmul {
     }
 }
 
-/// Keystream blocks generated per batched AES call: enough to feed the
-/// eight-wide AES-NI interleave in [`Aes128::encrypt_blocks`].
+/// Keystream blocks made per AES call past the first two.
 const CTR_BATCH: usize = 8;
 
-#[inline(always)]
-fn counter_block(nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 16] {
-    let mut block = [0u8; 16];
-    block[..12].copy_from_slice(nonce);
-    block[12..].copy_from_slice(&counter.to_be_bytes());
-    block
-}
-
-/// Counter block `i` as a backend block: the nonce (from
-/// [`counter_block`]`(nonce, 0)` read little-endian), then `i` big-endian.
+/// Counter block `i` as a backend block: the nonce (`j`, its bytes read
+/// little-endian), then `i` big-endian.
 #[inline(always)]
 fn ctr(j: u128, i: u32) -> u128 {
     j | u128::from(i.to_be()) << 96
 }
 
-/// XORs `data` with the keystream from counter `first` on: `encrypt` turns
-/// [`CTR_BATCH`] counter blocks into keystream, of which the first `n` are
-/// used.
-#[inline(always)]
-fn ctr_xor_with(
-    nonce: &[u8; NONCE_LEN],
-    first: u32,
-    data: &mut [u8],
-    mut encrypt: impl FnMut(&mut [u128; CTR_BATCH], usize),
-) {
-    let j = u128::from_le_bytes(counter_block(nonce, 0));
-    for (n, run) in data.chunks_mut(16 * CTR_BATCH).enumerate() {
-        let first = first.wrapping_add((n * CTR_BATCH) as u32);
-        let mut ks: [u128; CTR_BATCH] =
-            std::array::from_fn(|i| ctr(j, first.wrapping_add(i as u32)));
-        encrypt(&mut ks, run.len().div_ceil(16));
-        xor_blocks(run, &ks);
+/// The ciphertext length from which GHASH folds four blocks at a time:
+/// two folds pay for `H²…H⁴`.
+const AGGREGATE_FROM: usize = 128;
+
+/// The GCM of one message under a key used for nothing else: the key
+/// schedule runs beside the first four blocks the key encrypts — `H`,
+/// `E(J0)` and the first two keystream blocks — and the rest of the
+/// keystream reuses its round keys, eight blocks at a time; every counter
+/// block is made in registers.
+struct Once<B: Backend> {
+    b: B,
+    keys: B::RoundKeys,
+    /// The nonce, as [`ctr`] takes it.
+    j: u128,
+    /// `H`, `E(J0)`, then keystream blocks 2 and 3.
+    first: [u128; 4],
+}
+
+impl<B: Backend> Once<B> {
+    #[inline(always)]
+    fn new(b: B, key: &[u8; 16], nonce: &[u8; NONCE_LEN]) -> Self {
+        let mut j = [0u8; 16];
+        j[..NONCE_LEN].copy_from_slice(nonce);
+        let j = u128::from_le_bytes(j);
+        let mut first = [0, ctr(j, 1), ctr(j, 2), ctr(j, 3)];
+        let keys = b.aes_keying(key, &mut first);
+        Once { b, keys, j, first }
+    }
+
+    /// XORs `data` with the keystream from counter 2 on.
+    #[inline(always)]
+    fn ctr_xor(&self, data: &mut [u8]) {
+        let (head, tail) = data.split_at_mut(data.len().min(32));
+        xor_blocks(head, &self.first[2..]);
+        for (n, run) in tail.chunks_mut(16 * CTR_BATCH).enumerate() {
+            let first = 4u32.wrapping_add((n * CTR_BATCH) as u32);
+            let mut ks: [u128; CTR_BATCH] =
+                std::array::from_fn(|i| ctr(self.j, first.wrapping_add(i as u32)));
+            self.b.aes_with(&self.keys, &mut ks);
+            xor_blocks(run, &ks);
+        }
+    }
+
+    /// The tag of `ct` under `aad`. GHASH multiplies by `H` alone unless
+    /// the ciphertext is long enough to pay for `H²…H⁴`.
+    #[inline(always)]
+    fn tag(&self, aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+        let h = self.first[0].swap_bytes();
+        let ghash = self.b.ghash_key(h, ct.len() >= AGGREGATE_FROM);
+        let s = self.b.ghash(&ghash, aad, ct);
+        (s ^ self.first[1].swap_bytes()).to_be_bytes()
     }
 }
 
 /// Seals `plaintext` under a key used for nothing else, appending
-/// `ct || tag` to `out` — byte-identical to
-/// [`AesGcm128::new(key).seal_into(..)`](AesGcm128::seal_into), without the
-/// instance. The key schedule runs beside the first four blocks the key
-/// encrypts — `H`, `E(J0)` and the first two keystream blocks — and the
-/// rest of the keystream reuses its round keys, eight blocks at a time;
-/// every counter block is made in registers. GHASH multiplies by `H` alone
-/// unless the ciphertext is long enough to pay for `H²…H⁴`.
+/// `ct || tag` to `out`.
 #[inline(always)]
 pub fn seal_once<B: Backend>(
     b: B,
@@ -428,19 +355,36 @@ pub fn seal_once<B: Backend>(
     plaintext: &[u8],
     out: &mut Vec<u8>,
 ) {
+    let gcm = Once::new(b, key, nonce);
     let start = out.len();
     out.extend_from_slice(plaintext);
-    let data = &mut out[start..];
-    let j = u128::from_le_bytes(counter_block(nonce, 0));
-    let mut first = [0, ctr(j, 1), ctr(j, 2), ctr(j, 3)];
-    let keys = b.aes_keying(key, &mut first);
-    let (head, tail) = data.split_at_mut(data.len().min(32));
-    xor_blocks(head, &first[2..]);
-    ctr_xor_with(nonce, 4, tail, |ks, _| b.aes_with(&keys, ks));
-    let h = first[0].swap_bytes();
-    let ghash = b.ghash_key(h, data.len() >= AGGREGATE_FROM);
-    let s = b.ghash(&ghash, aad, data);
-    out.extend_from_slice(&(s ^ first[1].swap_bytes()).to_be_bytes());
+    gcm.ctr_xor(&mut out[start..]);
+    let tag = gcm.tag(aad, &out[start..]);
+    out.extend_from_slice(&tag);
+}
+
+/// Verifies and decrypts `ciphertext || tag` that [`seal_once`] sealed,
+/// appending the plaintext to `out`: the tag is checked before anything is
+/// decrypted, and nothing is appended when it fails.
+#[inline(always)]
+pub fn open_once<B: Backend>(
+    b: B,
+    key: &[u8; 16],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    ciphertext: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), GcmError> {
+    let at = ciphertext.len().checked_sub(TAG_LEN);
+    let (ct, tag) = ciphertext.split_at(at.ok_or(GcmError::TooShort)?);
+    let gcm = Once::new(b, key, nonce);
+    if !ct_eq(&gcm.tag(aad, ct), tag) {
+        return Err(GcmError::TagMismatch);
+    }
+    let start = out.len();
+    out.extend_from_slice(ct);
+    gcm.ctr_xor(&mut out[start..]);
+    Ok(())
 }
 
 /// XORs `data` with backend blocks of keystream.
@@ -457,55 +401,55 @@ fn xor_blocks(data: &mut [u8], keystream: &[u128]) {
     }
 }
 
-/// The ciphertext length from which [`seal_once`] computes `H²…H⁴` for
-/// GHASH's four-block folding: two folds pay for the powers.
-const AGGREGATE_FROM: usize = 128;
-
-/// AES-128-GCM instance bound to one key.
+/// AES-128-GCM under one key, on the backend [`Dispatch::detect`] picked.
 ///
-/// Construction expands the AES round keys and derives the GHASH key
-/// once; every `seal`/`open` under the same key reuses both. Callers
-/// that encrypt many items under one key (live-record batches, chunk
-/// sealing) should construct the instance once — or use a key cache —
-/// instead of re-deriving per item.
+/// It holds the key only: every `seal`/`open` is one [`seal_once`] /
+/// [`open_once`], its key schedule run beside its first blocks and its
+/// GHASH key made beside them, so building one per key costs nothing and
+/// keeping one saves nothing.
 #[derive(Clone)]
 pub struct AesGcm128 {
-    cipher: Aes128,
-    ghash: GhashKey,
+    key: [u8; 16],
+    dispatch: Dispatch,
+}
+
+/// One [`AesGcm128`] call as a [`Job`]: `(gcm, nonce, aad, input, out,
+/// seal)`, a seal of `input` or, without `seal`, an open.
+struct Call<'a>(
+    &'a AesGcm128,
+    &'a [u8; 12],
+    &'a [u8],
+    &'a [u8],
+    &'a mut Vec<u8>,
+    bool,
+);
+
+impl Job for Call<'_> {
+    type Output = Result<(), GcmError>;
+
+    #[inline(always)]
+    fn run<B: Backend>(self, b: B) -> Self::Output {
+        let Call(gcm, nonce, aad, input, out, seal) = self;
+        if seal {
+            seal_once(b, &gcm.key, nonce, aad, input, out);
+            return Ok(());
+        }
+        open_once(b, &gcm.key, nonce, aad, input, out)
+    }
 }
 
 impl AesGcm128 {
     /// Creates a GCM instance for `key`.
     pub fn new(key: &[u8; 16]) -> Self {
-        Self::with_force_software(key, false)
+        Self::on(Dispatch::detect(), key)
     }
 
-    /// [`new`](Self::new), optionally keeping both AES and GHASH on their
-    /// portable paths whatever the CPU offers (what the tests compare the
-    /// accelerated paths against).
-    fn with_force_software(key: &[u8; 16], force_software: bool) -> Self {
-        let cipher = Aes128::with_force_software(key, force_software);
-        let h = u128::from_be_bytes(cipher.encrypt(&[0u8; 16]));
+    /// [`new`](Self::new) on `dispatch`'s backend.
+    pub fn on(dispatch: Dispatch, key: &[u8; 16]) -> Self {
         AesGcm128 {
-            cipher,
-            ghash: GhashKey::new(h, force_software),
+            key: *key,
+            dispatch,
         }
-    }
-
-    fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-        // Counter 1 is reserved for the tag mask.
-        ctr_xor_with(nonce, 2, data, |ks, n| {
-            let mut blocks = ks.map(u128::to_le_bytes);
-            self.cipher.encrypt_blocks(&mut blocks[..n]);
-            *ks = blocks.map(u128::from_le_bytes);
-        });
-    }
-
-    fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
-        let s = self.ghash.ghash(aad, ct);
-        let j0 = counter_block(nonce, 1);
-        let ek_j0 = u128::from_be_bytes(self.cipher.encrypt(&j0));
-        (s ^ ek_j0).to_be_bytes()
     }
 
     /// Encrypts `plaintext` with associated data `aad`, appending the 16-byte
@@ -516,9 +460,7 @@ impl AesGcm128 {
         out
     }
 
-    /// [`seal`](Self::seal) appending into a caller-provided buffer: the
-    /// allocation-free path for callers that assemble `nonce || ct || tag`
-    /// payloads (chunk sealing reuses one buffer per chunk run).
+    /// [`seal`](Self::seal) appending into a caller-provided buffer.
     pub fn seal_into(
         &self,
         nonce: &[u8; NONCE_LEN],
@@ -526,17 +468,10 @@ impl AesGcm128 {
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) {
-        let start = out.len();
-        out.extend_from_slice(plaintext);
-        self.seal_tail(nonce, aad, out, start);
-    }
-
-    /// [`seal_into`](Self::seal_into) for a plaintext assembled in the output
-    /// buffer: encrypts `buf[from..]` where it lies and appends the tag.
-    pub fn seal_tail(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], buf: &mut Vec<u8>, from: usize) {
-        self.ctr_xor(nonce, &mut buf[from..]);
-        let tag = self.tag(nonce, aad, &buf[from..]);
-        buf.extend_from_slice(&tag);
+        // A seal cannot fail.
+        let _ = self
+            .dispatch
+            .run(Call(self, nonce, aad, plaintext, out, true));
     }
 
     /// Verifies and decrypts `ciphertext || tag` produced by [`seal`].
@@ -562,87 +497,37 @@ impl AesGcm128 {
         ciphertext: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), GcmError> {
-        if ciphertext.len() < TAG_LEN {
-            return Err(GcmError::TooShort);
-        }
-        let (ct, tag) = ciphertext.split_at(ciphertext.len() - TAG_LEN);
-        let expected = self.tag(nonce, aad, ct);
-        if !ct_eq(&expected, tag) {
-            return Err(GcmError::TagMismatch);
-        }
-        let start = out.len();
-        out.extend_from_slice(ct);
-        self.ctr_xor(nonce, &mut out[start..]);
-        Ok(())
-    }
-}
-
-/// A small thread-safe cache of [`AesGcm128`] instances keyed by key bytes.
-///
-/// The chunk layer derives a fresh payload key per chunk, but several
-/// operations reuse one chunk's key many times — every real-time record of
-/// an open chunk is sealed/opened under the same key, and a consumer
-/// decrypting a range revisits boundary chunks. Caching the expanded round
-/// keys + GHASH table turns those repeats into a lookup. Bounded LRU-ish
-/// (insertion order, moves hits to the back) so long-lived processes cannot
-/// accumulate unbounded key material.
-pub struct GcmKeyCache {
-    slots: std::sync::Mutex<std::collections::VecDeque<([u8; 16], std::sync::Arc<AesGcm128>)>>,
-    cap: usize,
-}
-
-impl GcmKeyCache {
-    /// A cache retaining at most `cap` keys (`cap == 0` disables caching).
-    pub fn new(cap: usize) -> Self {
-        GcmKeyCache {
-            slots: std::sync::Mutex::new(std::collections::VecDeque::new()),
-            cap,
-        }
-    }
-
-    /// The cipher for `key`, constructed on first use.
-    pub fn get(&self, key: &[u8; 16]) -> std::sync::Arc<AesGcm128> {
-        if self.cap == 0 {
-            return std::sync::Arc::new(AesGcm128::new(key));
-        }
-        {
-            // The deque stays valid at every panic point, so poisoning is
-            // recoverable here and below.
-            let mut slots = self
-                .slots
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let pos = slots.iter().position(|(k, _)| k == key);
-            if let Some(hit) = pos.and_then(|p| slots.remove(p)) {
-                let cipher = hit.1.clone();
-                slots.push_back(hit);
-                return cipher;
-            }
-        }
-        // Miss: derive *outside* the lock — the key schedule + GHASH table
-        // is the expensive part, and concurrent readers on distinct keys
-        // must not serialize behind it. Two racing misses both derive;
-        // the loser's insert just refreshes the same (deterministic)
-        // cipher state, so correctness is unaffected.
-        let cipher = std::sync::Arc::new(AesGcm128::new(key));
-        let mut slots = self
-            .slots
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(pos) = slots.iter().position(|(k, _)| k == key) {
-            slots.remove(pos);
-        }
-        if slots.len() >= self.cap {
-            slots.pop_front();
-        }
-        slots.push_back((*key, cipher.clone()));
-        cipher
+        self.dispatch
+            .run(Call(self, nonce, aad, ciphertext, out, false))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Multiplication in GF(2^128) using the GCM bit convention
+    /// (block bytes loaded big-endian, reduction polynomial
+    /// x^128 + x^7 + x^2 + x + 1, bit 0 = most significant).
+    ///
+    /// Reference implementation: the backends multiply by the table
+    /// ([`mul_table`]) or carry-less ([`clmul`]); this bitwise version remains
+    /// the ground truth both are tested against.
+    fn gf128_mul(x: u128, y: u128) -> u128 {
+        let mut z = 0u128;
+        let mut v = x;
+        for i in 0..128 {
+            if (y >> (127 - i)) & 1 == 1 {
+                z ^= v;
+            }
+            let lsb = v & 1;
+            v >>= 1;
+            if lsb == 1 {
+                v ^= 0xe1u128 << 120;
+            }
+        }
+        z
+    }
 
     fn from_hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -651,19 +536,16 @@ mod tests {
             .collect()
     }
 
-    /// The cipher for `key` on the path the CPU selects and on the portable
-    /// one: every vector below must hold on both.
-    fn both_paths(key: &[u8; 16]) -> [AesGcm128; 2] {
-        [
-            AesGcm128::new(key),
-            AesGcm128::with_force_software(key, true),
-        ]
+    /// The cipher for `key` on every backend this CPU has: every vector
+    /// below must hold on each.
+    fn each_backend(key: &[u8; 16]) -> Vec<AesGcm128> {
+        Dispatch::all().map(|d| AesGcm128::on(d, key)).collect()
     }
 
     #[test]
     fn nist_test_case_1_empty() {
         // McGrew-Viega test case 1: zero key, zero IV, empty plaintext.
-        for gcm in both_paths(&[0u8; 16]) {
+        for gcm in each_backend(&[0u8; 16]) {
             let nonce = [0u8; 12];
             let out = gcm.seal(&nonce, &[], &[]);
             assert_eq!(out, from_hex("58e2fccefa7e3061367f1d57a4e7455a"));
@@ -672,7 +554,7 @@ mod tests {
 
     #[test]
     fn nist_test_case_2_one_block() {
-        for gcm in both_paths(&[0u8; 16]) {
+        for gcm in each_backend(&[0u8; 16]) {
             let nonce = [0u8; 12];
             let out = gcm.seal(&nonce, &[], &[0u8; 16]);
             assert_eq!(
@@ -697,7 +579,7 @@ mod tests {
              21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
         );
         let expected_tag = from_hex("4d5c2af327cd64a62cf35abd2ba6fab4");
-        for gcm in both_paths(&key) {
+        for gcm in each_backend(&key) {
             let out = gcm.seal(&nonce, &[], &pt);
             assert_eq!(&out[..pt.len()], &expected_ct[..]);
             assert_eq!(&out[pt.len()..], &expected_tag[..]);
@@ -717,7 +599,7 @@ mod tests {
         );
         let aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
         let expected_tag = from_hex("5bc94fbc3221a5db94fae95ae7121a47");
-        for gcm in both_paths(&key) {
+        for gcm in each_backend(&key) {
             let out = gcm.seal(&nonce, &aad, &pt);
             assert_eq!(&out[pt.len()..], &expected_tag[..]);
             assert_eq!(gcm.open(&nonce, &aad, &out).unwrap(), pt);
@@ -726,43 +608,33 @@ mod tests {
 
     #[test]
     fn tamper_detection() {
-        let gcm = AesGcm128::new(&[9u8; 16]);
         let nonce = [1u8; 12];
-        let mut sealed = gcm.seal(&nonce, b"aad", b"some payload");
-        sealed[3] ^= 0x01;
-        assert_eq!(
-            gcm.open(&nonce, b"aad", &sealed),
-            Err(GcmError::TagMismatch)
-        );
+        for gcm in each_backend(&[9u8; 16]) {
+            for len in [0, 12, 200] {
+                let sealed = gcm.seal(&nonce, b"aad", &vec![7; len]);
+                for at in [0, len / 2, len, len + TAG_LEN - 1] {
+                    let mut bad = sealed.clone();
+                    bad[at] ^= 0x01;
+                    let mut out = vec![0x33];
+                    let got = gcm.open_into(&nonce, b"aad", &bad, &mut out);
+                    assert_eq!((got, out), (Err(GcmError::TagMismatch), vec![0x33]));
+                }
+            }
+        }
     }
 
     #[test]
-    fn wrong_aad_rejected() {
-        let gcm = AesGcm128::new(&[9u8; 16]);
+    fn wrong_aad_key_or_length_rejected() {
         let nonce = [1u8; 12];
-        let sealed = gcm.seal(&nonce, b"aad", b"some payload");
-        assert_eq!(
-            gcm.open(&nonce, b"oad", &sealed),
-            Err(GcmError::TagMismatch)
-        );
-    }
-
-    #[test]
-    fn wrong_key_rejected() {
-        let gcm = AesGcm128::new(&[9u8; 16]);
-        let other = AesGcm128::new(&[10u8; 16]);
-        let nonce = [1u8; 12];
-        let sealed = gcm.seal(&nonce, &[], b"payload");
-        assert_eq!(other.open(&nonce, &[], &sealed), Err(GcmError::TagMismatch));
-    }
-
-    #[test]
-    fn truncated_rejected() {
-        let gcm = AesGcm128::new(&[9u8; 16]);
-        assert_eq!(
-            gcm.open(&[0u8; 12], &[], &[1, 2, 3]),
-            Err(GcmError::TooShort)
-        );
+        let (gcms, others) = (each_backend(&[9u8; 16]), each_backend(&[10u8; 16]));
+        for (gcm, other) in gcms.iter().zip(&others) {
+            let sealed = gcm.seal(&nonce, b"aad", b"some payload");
+            let mismatch = Err(GcmError::TagMismatch);
+            assert_eq!(gcm.open(&nonce, b"oad", &sealed), mismatch);
+            assert_eq!(other.open(&nonce, b"aad", &sealed), mismatch);
+            let short = gcm.open(&[0u8; 12], &[], &[1, 2, 3]);
+            assert_eq!(short, Err(GcmError::TooShort));
+        }
     }
 
     #[test]
@@ -795,44 +667,36 @@ mod tests {
     }
 
     #[test]
-    fn every_mul_matches_bitwise_gf128_mul() {
-        // The table path and (where the CPU has it) the carry-less path
-        // must agree with the reference bitwise multiplication.
+    fn table_mul_matches_bitwise_gf128_mul() {
         let xs = operands();
         let hs = [1u128 << 127, 1, 0xdeadbeefcafebabe1122334455667788];
         for &h in hs.iter().chain(&xs[xs.len() - 8..]) {
             let table = table(h);
             for &x in &xs {
-                let expect = gf128_mul(x, h);
-                assert_eq!(mul_table(&table, x), expect, "table x={x:#x} h={h:#x}");
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("pclmulqdq") {
-                    // SAFETY: `pclmulqdq` detected just above; `sse2` is
-                    // part of the x86_64 baseline.
-                    let got = unsafe { clmul::mul(x, h) };
-                    assert_eq!(got, expect, "clmul x={x:#x} h={h:#x}");
-                }
+                assert_eq!(mul_table(&table, x), gf128_mul(x, h), "x={x:#x} h={h:#x}");
             }
         }
     }
 
     #[test]
-    fn ghash_paths_agree_on_every_length() {
+    fn ghash_backends_agree_on_every_length() {
         // Block-boundary handling: every AAD and ciphertext length from
-        // empty to just past eight blocks, selected path == table path ==
-        // the bitwise reference.
+        // empty to just past eight blocks, on every backend, folding four
+        // blocks at a time or not, against the bitwise reference.
         let data: Vec<u8> = (0..129u32).map(|i| (i * 37 + 11) as u8).collect();
-        for &h in &operands()[3..8] {
-            let (fast, table) = (GhashKey::new(h, false), GhashKey::new(h, true));
-            for len in 0..=129 {
-                let reference = ghash_with(|x| gf128_mul(x, h), &data[..len], &data[len..]);
-                assert_eq!(table.ghash(&data[..len], &data[len..]), reference);
-                assert_eq!(fast.ghash(&data[..len], &data[len..]), reference);
-                let reference = ghash_with(|x| gf128_mul(x, h), &data[..5], &data[..len]);
-                assert_eq!(table.ghash(&data[..5], &data[..len]), reference);
-                assert_eq!(fast.ghash(&data[..5], &data[..len]), reference, "len {len}");
+        crate::backend::testing::each_backend(|d, b| {
+            for &h in &operands()[3..8] {
+                for len in 0..=129 {
+                    for (aad, ct) in [(&data[..len], &data[len..]), (&data[..5], &data[..len])] {
+                        let reference = ghash_with(|x| gf128_mul(x, h), aad, ct);
+                        for aggregate in [false, true] {
+                            let got = b.ghash(h, aggregate, aad, ct);
+                            assert_eq!(got, reference, "{d:?} len {len} {aggregate}");
+                        }
+                    }
+                }
             }
-        }
+        });
     }
 
     #[test]
@@ -861,58 +725,22 @@ mod tests {
     }
 
     #[test]
-    fn key_cache_returns_equivalent_ciphers_and_honors_cap() {
-        let cache = GcmKeyCache::new(2);
-        let k1 = [1u8; 16];
-        let a = cache.get(&k1);
-        let b = cache.get(&k1);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "second lookup is a hit");
-        let sealed = a.seal(&[0u8; 12], b"x", b"payload");
-        assert_eq!(
-            AesGcm128::new(&k1).open(&[0u8; 12], b"x", &sealed).unwrap(),
-            b"payload"
-        );
-        // Fill past the cap: k1 (front) is evicted, a fresh instance returns.
-        cache.get(&[2u8; 16]);
-        cache.get(&[3u8; 16]);
-        let c = cache.get(&k1);
-        assert!(!std::sync::Arc::ptr_eq(&a, &c), "evicted key re-derives");
-        // Disabled cache still works.
-        let off = GcmKeyCache::new(0);
-        let d = off.get(&k1);
-        assert_eq!(d.seal(&[0u8; 12], b"", b"p"), a.seal(&[0u8; 12], b"", b"p"));
-    }
-
-    #[test]
-    fn one_shot_seal_matches_the_instance_on_both_backends() {
+    fn every_backend_seals_the_same_bytes_at_every_length() {
         // Every plaintext length across the four blocks keyed with the
         // schedule, the eight-block keystream runs and the length from
         // which GHASH folds four blocks at a time.
         let data: Vec<u8> = (0..300u32).map(|i| (i * 53 + 7) as u8).collect();
-        let (key, nonce) = ([0x3cu8; 16], [9u8; 12]);
-        let gcm = AesGcm128::with_force_software(&key, true);
+        let (nonce, aad) = ([9u8; 12], b"aad of 24 bytes, exactly");
+        let gcms = each_backend(&[0x3cu8; 16]);
         for len in 0..=data.len() {
-            let expected = gcm.seal(&nonce, b"aad of 24 bytes, exactly", &data[..len]);
-            let seal = |seal: &dyn Fn(&mut Vec<u8>)| {
+            let expected = gcms[0].seal(&nonce, aad, &data[..len]);
+            for gcm in &gcms {
                 let mut out = vec![0xee];
-                seal(&mut out);
-                assert_eq!(out[0], 0xee);
-                assert!(out[1..] == expected[..], "len {len}");
-            };
-            let aad = b"aad of 24 bytes, exactly";
-            seal(&|out| {
-                seal_once(
-                    crate::backend::Portable,
-                    &key,
-                    &nonce,
-                    aad,
-                    &data[..len],
-                    out,
-                )
-            });
-            #[cfg(target_arch = "x86_64")]
-            if let Some(b) = crate::backend::AesNi::<false>::detect() {
-                seal(&|out| seal_once(b, &key, &nonce, aad, &data[..len], out));
+                gcm.seal_into(&nonce, aad, &data[..len], &mut out);
+                assert!(out[0] == 0xee && out[1..] == expected[..], "len {len}");
+                out.truncate(1);
+                gcm.open_into(&nonce, aad, &expected, &mut out).unwrap();
+                assert!(out[0] == 0xee && out[1..] == data[..len], "len {len}");
             }
         }
     }

@@ -2,13 +2,12 @@
 //!
 //! TimeCrypt (NSDI 2020) relies on a small set of symmetric primitives:
 //!
-//! * **SHA-256 / HMAC-SHA-256** — used as one PRG instantiation for the key
-//!   derivation tree (`G0(x) = H(0||x)`, `G1(x) = H(1||x)`, paper §4.2.3),
-//!   for the hash chains in dual key regression (§A.2) and chunk payload keys.
+//! * **SHA-256** — one PRG instantiation for the key derivation tree
+//!   (`G0(x) = H(0||x)`, `G1(x) = H(1||x)`, paper §4.2.3), the hash chains
+//!   in dual key regression (§A.2) and chunk payload keys.
 //! * **AES-128** — the other (and default, fastest) PRG instantiation
-//!   (`G0(x) = AES_x(0)`, `G1(x) = AES_x(1)`), with a hardware AES-NI fast
-//!   path and a portable software fallback. The paper's Fig. 6 compares
-//!   exactly these three PRG choices.
+//!   (`G0(x) = AES_x(0)`, `G1(x) = AES_x(1)`), on AES-NI or in software.
+//!   The paper's Fig. 6 compares exactly these three PRG choices.
 //! * **AES-128-GCM** — randomized authenticated encryption for raw chunk
 //!   payloads (§4.1: "data points per chunk are compressed and encrypted
 //!   with AES-GCM-128").
@@ -17,18 +16,18 @@
 //!
 //! Everything here is implemented from scratch (no external crypto crates)
 //! and validated against published test vectors (FIPS-197, NIST GCM,
-//! RFC 6234, RFC 4231). The software AES implementation is a straightforward
-//! table-free byte-oriented implementation: it is intentionally simple and
-//! slow relative to AES-NI. On the portable paths that reproduces the
-//! ordering the paper reports in Fig. 6 (software AES > SHA-256 > AES-NI per
-//! derivation); on a CPU with SHA extensions, which the paper's did not
-//! have, a SHA-256 derivation costs about what an AES-NI one does, so `fig6`
-//! labels its SHA-256 series with the path that ran. Three paths are picked
-//! at run time, each with its portable reference kept and tested against:
-//! AES rounds (`aes`), GHASH's multiply (`pclmulqdq`), SHA-256's compression
-//! (`sha`). [`backend`] exposes the three as one set of `#[inline(always)]`
-//! block primitives, for the chunk sealing kernel to be compiled over once
-//! per path.
+//! RFC 6234). The software AES is table-free and byte-oriented, simple
+//! and slow next to AES-NI, which reproduces Fig. 6's ordering (software
+//! AES > SHA-256 > AES-NI); on a CPU with SHA extensions, which the
+//! paper's did not have, a SHA-256 step costs about what an AES-NI one
+//! does, so `fig6` labels its SHA-256 series with the backend that ran.
+//!
+//! One road leads to a primitive: [`backend`] detects the CPU once and
+//! runs work written over its [`Backend`] trait — portable, or on AES-NI,
+//! `pclmulqdq` and the SHA extensions — inside one `target_feature`
+//! function per backend. Every keyed primitive is generic over it
+//! (`gcm::seal_once`, `gcm::open_once`, [`Prg`], [`Sha256`]), and the tests
+//! hold every backend the CPU has to the same vectors.
 //!
 //! # Security notes
 //!
@@ -50,12 +49,12 @@ pub mod prg;
 pub mod rng;
 pub mod sha256;
 
-pub use aes::Aes128;
-pub use gcm::{AesGcm128, GcmKeyCache};
+pub use backend::{Backend, Dispatch, Job};
+pub use gcm::AesGcm128;
 pub use lmh::fold_u64;
-pub use prg::{AesNiPrg, AesSoftPrg, Prg, PrgKind, Sha256Prg};
+pub use prg::{Prg, PrgKind, Sha256Prg};
 pub use rng::SecureRandom;
-pub use sha256::{hmac_sha256, sha256, Sha256};
+pub use sha256::{sha256, Sha256};
 
 /// The security parameter in bytes: all tree nodes, seeds, and PRG states are
 /// 128-bit values, matching the paper's 128-bit security evaluation setting.

@@ -1,9 +1,10 @@
-//! SHA-256 and HMAC-SHA-256, implemented from FIPS 180-4.
+//! SHA-256, implemented from FIPS 180-4.
 //!
 //! Used by the SHA-256 PRG instantiation of the key derivation tree
-//! (paper §4.2.3 / Fig. 6) and by the dual-key-regression hash chains (§A.2).
+//! (paper §4.2.3 / Fig. 6), by the dual-key-regression hash chains (§A.2),
+//! for chunk payload keys and for chunk commitments.
 
-use crate::backend::Backend;
+use crate::backend::{Backend, Dispatch, Job, Portable};
 
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -24,11 +25,9 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Incremental SHA-256 hasher.
-///
-/// Blocks are compressed with the CPU's SHA extensions where it has them —
-/// detected when the hasher is made, as [`Aes128`](crate::Aes128) detects
-/// AES-NI — and by the FIPS 180-4 loop, the tests' reference, elsewhere.
+/// Incremental SHA-256 hasher, its blocks compressed on backend `B`:
+/// [`new`](Sha256::new) hashes portably, [`on`](Self::on) inside a job.
+/// The one-shot [`sha256`] runs on the backend [`Dispatch::detect`] picked.
 ///
 /// ```
 /// use timecrypt_crypto::sha256::Sha256;
@@ -39,13 +38,12 @@ const H0: [u32; 8] = [
 /// fn hex(b: &[u8]) -> String { b.iter().map(|x| format!("{x:02x}")).collect() }
 /// ```
 #[derive(Clone)]
-pub struct Sha256 {
+pub struct Sha256<B = Portable> {
+    b: B,
     state: [u32; 8],
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
-    /// Set once, by [`new`](Self::new): no `compress` call detects anything.
-    sha_ni: bool,
 }
 
 impl Default for Sha256 {
@@ -55,27 +53,27 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the portable compression.
     pub fn new() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        let sha_ni = shani::available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let sha_ni = false;
+        Self::on(Portable)
+    }
+}
+
+impl<B: Backend> Sha256<B> {
+    /// Creates a fresh hasher compressing on `b`.
+    #[inline(always)]
+    pub fn on(b: B) -> Self {
         Sha256 {
+            b,
             state: H0,
             buf: [0u8; 64],
             buf_len: 0,
             total_len: 0,
-            sha_ni,
         }
     }
 
-    /// True if this hasher compresses with the CPU's SHA extensions.
-    pub fn is_hardware(&self) -> bool {
-        self.sha_ni
-    }
-
     /// Absorbs `data` into the hash state.
+    #[inline(always)]
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
@@ -86,50 +84,41 @@ impl Sha256 {
             if self.buf_len < 64 {
                 return;
             }
-            Self::compress(&mut self.state, self.sha_ni, &self.buf);
+            self.b.sha256_compress(&mut self.state, &self.buf);
         }
         // Full blocks are compressed where they lie.
-        let (blocks, tail) = data.split_at(data.len() & !63);
-        if !blocks.is_empty() {
-            Self::compress(&mut self.state, self.sha_ni, blocks);
+        let (blocks, tail) = data.as_chunks::<64>();
+        for block in blocks {
+            self.b.sha256_compress(&mut self.state, block);
         }
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
 
     /// Finishes the hash and returns the 32-byte digest.
+    #[inline(always)]
     pub fn finalize(mut self) -> [u8; 32] {
         // Padding: 0x80, zeros to byte 56 of a block, the bit length.
         self.buf[self.buf_len] = 0x80;
         self.buf[self.buf_len + 1..].fill(0);
         if self.buf_len >= 56 {
-            Self::compress(&mut self.state, self.sha_ni, &self.buf);
+            self.b.sha256_compress(&mut self.state, &self.buf);
             self.buf = [0u8; 64];
         }
         self.buf[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
-        Self::compress(&mut self.state, self.sha_ni, &self.buf);
-        let mut out = [0u8; 32];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        self.b.sha256_compress(&mut self.state, &self.buf);
+        digest(self.state)
     }
+}
 
-    /// Folds `blocks` — a whole number of 64-byte blocks — into `state`.
-    fn compress(state: &mut [u32; 8], sha_ni: bool, blocks: &[u8]) {
-        debug_assert_eq!(blocks.len() % 64, 0);
-        #[cfg(target_arch = "x86_64")]
-        if sha_ni {
-            // SAFETY: `sha_ni` is only set by `new`, from
-            // `shani::available()`: the `sha`, `ssse3` and `sse4.1`
-            // features `shani::compress` requires were detected on this CPU.
-            return unsafe { shani::compress(state, blocks) };
-        }
-        let _ = sha_ni;
-        for block in blocks.chunks_exact(64) {
-            compress_portable(state, block);
-        }
+/// The digest of a final state.
+#[inline(always)]
+fn digest(state: [u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
+    out
 }
 
 /// One block by the FIPS 180-4 §6.2.2 loop: the portable path, and the
@@ -178,34 +167,20 @@ pub(crate) mod shani {
     //! The compression function on the x86 SHA extensions.
     use std::arch::x86_64::*;
 
-    /// Whether this CPU has what [`compress`] is compiled for.
-    pub(crate) fn available() -> bool {
-        std::arch::is_x86_feature_detected!("sha")
-            && std::arch::is_x86_feature_detected!("ssse3")
-            && std::arch::is_x86_feature_detected!("sse4.1")
-    }
-
-    /// Folds `blocks` (a whole number of 64-byte blocks) into `state`.
-    /// `sha256rnds2` does two rounds on the state split as `(ABEF, CDGH)`;
-    /// `sha256msg1` / `sha256msg2` extend the message schedule four words
-    /// at a time, so a block is sixteen groups of four rounds over a window
-    /// of the last four word groups.
+    /// Folds one 64-byte block into `state`. `sha256rnds2` does two
+    /// rounds on the state split as `(ABEF, CDGH)`; `sha256msg1` /
+    /// `sha256msg2` extend the message schedule four words at a time, so a
+    /// block is sixteen groups of four rounds over a window of the last
+    /// four word groups. `#[inline(always)]`, for a job compiled with the
+    /// target features below.
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports the `sha`, `ssse3` and `sse4.1`
-    /// target features ([`available`]); the instructions fault otherwise.
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
-        compress_body(state, blocks)
-    }
-
-    /// [`compress`]'s body, for a caller compiled with its target features
-    /// (the chunk sealing kernel), into which it is inlined.
-    ///
-    /// # Safety
-    /// As [`compress`].
+    /// The CPU must support the `sha`, `sse2`, `ssse3` and `sse4.1` target
+    /// features; the instructions fault otherwise.
     #[inline(always)]
-    pub(crate) unsafe fn compress_body(state: &mut [u32; 8], blocks: &[u8]) {
+    // The macro's last group writes a schedule word no group reads.
+    #[allow(unused_assignments)]
+    pub(crate) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         // Big-endian words out of each 16 message bytes.
         let swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
         let dcba = _mm_loadu_si128(state.as_ptr().cast());
@@ -214,7 +189,7 @@ pub(crate) mod shani {
         let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
         let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
         let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
-        for block in blocks.chunks_exact(64) {
+        {
             let (abef_in, cdgh_in) = (abef, cdgh);
             // `w[g % 4]` holds W[4g..4g + 4] while group `g` needs it.
             let mut w: [__m128i; 4] = std::array::from_fn(|i| {
@@ -264,85 +239,38 @@ pub fn sha256_short<B: Backend>(b: B, msg: &[u8]) -> [u8; 32] {
     block[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
     let mut state = H0;
     b.sha256_compress(&mut state, &block);
-    let mut out = [0u8; 32];
-    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
-        bytes.copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    digest(state)
 }
 
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    sha256_concat(data, &[])
 }
 
 /// One-shot SHA-256 over the concatenation of two byte strings, avoiding an
 /// intermediate allocation. Used heavily by the PRG (`H(0||x)`, `H(1||x)`).
 pub fn sha256_concat(a: &[u8], b: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(a);
-    h.update(b);
-    h.finalize()
-}
-
-/// HMAC-SHA-256 (RFC 2104) with an arbitrary-length key.
-pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    hmac_with(Sha256::new, key, data)
-}
-
-/// [`hmac_sha256`] over hashers made by `new` (the tests pass a portable one).
-fn hmac_with(new: impl Fn() -> Sha256, key: &[u8], data: &[u8]) -> [u8; 32] {
-    let hash = |a: &[u8], b: &[u8]| {
-        let mut h = new();
-        h.update(a);
-        h.update(b);
-        h.finalize()
-    };
-    let mut k = [0u8; 64];
-    if key.len() > 64 {
-        k[..32].copy_from_slice(&hash(key, &[]));
-    } else {
-        k[..key.len()].copy_from_slice(key);
+    struct Hash<'a>(&'a [u8], &'a [u8]);
+    impl Job for Hash<'_> {
+        type Output = [u8; 32];
+        #[inline(always)]
+        fn run<B: Backend>(self, b: B) -> [u8; 32] {
+            let mut h = Sha256::on(b);
+            h.update(self.0);
+            h.update(self.1);
+            h.finalize()
+        }
     }
-    let inner_digest = hash(&k.map(|b| b ^ 0x36), data);
-    hash(&k.map(|b| b ^ 0x5c), &inner_digest)
+    Dispatch::detect().run(Hash(a, b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A hasher on the FIPS 180-4 loop whatever the CPU offers.
-    fn portable() -> Sha256 {
-        Sha256 {
-            sha_ni: false,
-            ..Sha256::new()
-        }
-    }
-
-    /// Every test runs on both compression paths: the one `new` picked for
-    /// this CPU and the FIPS 180-4 loop.
-    const PATHS: [fn() -> Sha256; 2] = [Sha256::new, portable];
+    use crate::backend::testing::each_backend;
 
     fn hex(b: &[u8]) -> String {
         b.iter().map(|x| format!("{x:02x}")).collect()
-    }
-
-    fn digest(new: fn() -> Sha256, parts: &[&[u8]]) -> [u8; 32] {
-        let mut h = new();
-        for part in parts {
-            h.update(part);
-        }
-        h.finalize()
-    }
-
-    #[test]
-    fn portable_constructor_is_portable() {
-        assert!(!portable().is_hardware());
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(Sha256::new().is_hardware(), shani::available());
     }
 
     #[test]
@@ -376,15 +304,18 @@ mod tests {
                 "594847328451bdfa85056225462cc1d867d877fb388df0ce35f25ab5562bfbb5",
             ),
         ];
-        for new in PATHS {
+        each_backend(|d, b| {
             for (input, expected) in vectors {
-                assert_eq!(hex(&digest(new, &[input])), expected);
+                assert_eq!(hex(&b.sha256(&[input])), expected, "{d:?}");
             }
+        });
+        for (input, expected) in vectors {
+            assert_eq!(hex(&sha256(input)), expected);
         }
     }
 
     #[test]
-    fn every_length_and_split_agrees_across_paths() {
+    fn every_length_and_split_agrees_across_backends() {
         // Lengths across the one- and two-block padding edges (55/56, 63/64,
         // 119/120 …), each cut in two at every point: the buffered prefix,
         // the in-place full blocks and the tail all get every size.
@@ -397,71 +328,16 @@ mod tests {
             .collect();
         for len in 0..=data.len() {
             let data = &data[..len];
-            let reference = digest(portable, &[data]);
+            let mut h = Sha256::new();
+            h.update(data);
+            let reference = h.finalize();
             assert_eq!(sha256(data), reference, "len {len}");
-            for split in 0..=len {
-                let parts = [&data[..split], &data[split..]];
-                for new in PATHS {
-                    assert_eq!(digest(new, &parts), reference, "len {len} split {split}");
+            each_backend(|d, b| {
+                for split in 0..=len {
+                    let parts = [&data[..split], &data[split..]];
+                    assert_eq!(b.sha256(&parts), reference, "{d:?} len {len} split {split}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        for new in PATHS {
-            for split in [0usize, 1, 63, 64, 65, 127, 500, 999, 1000] {
-                let got = digest(new, &[&data[..split], &data[split..]]);
-                assert_eq!(got, sha256(&data), "split at {split}");
-            }
-        }
-    }
-
-    #[test]
-    fn hmac_rfc4231_cases() {
-        let case4_key: Vec<u8> = (1..=25).collect();
-        let cases: [(&[u8], &[u8], &str); 6] = [
-            (
-                &[0x0b; 20],
-                b"Hi There",
-                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
-            ),
-            (
-                b"Jefe",
-                b"what do ya want for nothing?",
-                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
-            ),
-            (
-                &[0xaa; 20],
-                &[0xdd; 50],
-                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
-            ),
-            (
-                &case4_key,
-                &[0xcd; 50],
-                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
-            ),
-            // Cases 6 and 7: 131-byte keys (hashed first).
-            (
-                &[0xaa; 131],
-                b"Test Using Larger Than Block-Size Key - Hash Key First",
-                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
-            ),
-            (
-                &[0xaa; 131],
-                b"This is a test using a larger than block-size key and a larger \
-                  than block-size data. The key needs to be hashed before being \
-                  used by the HMAC algorithm.",
-                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
-            ),
-        ];
-        for (key, data, expected) in cases {
-            assert_eq!(hex(&hmac_sha256(key, data)), expected);
-            for new in PATHS {
-                assert_eq!(hex(&hmac_with(new, key, data)), expected);
-            }
+            });
         }
     }
 

@@ -72,16 +72,11 @@ fn sealing_and_opening_into_warm_buffers_allocates_nothing() {
     let calls = calls_when_warm(|| {
         sealed.clear();
         gcm.seal_into(&nonce, b"aad", &plain, &mut sealed);
-        let first = sealed.len();
-        sealed.extend_from_slice(&plain);
-        gcm.seal_tail(&nonce, b"aad", &mut sealed, first);
         opened.clear();
-        let ct = &sealed[..first];
-        gcm.open_into(&nonce, b"aad", ct, &mut opened).unwrap();
+        gcm.open_into(&nonce, b"aad", &sealed, &mut opened).unwrap();
     });
     assert_eq!(calls, 0);
     assert_eq!(opened, plain);
-    assert_eq!(sealed[..sealed.len() / 2], sealed[sealed.len() / 2..]);
 }
 
 #[test]

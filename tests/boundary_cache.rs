@@ -40,6 +40,7 @@
 //! runs: its 64 readable streams on one node, each window over a group of
 //! eight (`boundary_cache.fleet_node.*`).
 
+use common::history::Rng;
 use common::{Deployment, Spec};
 use std::sync::{Arc, Mutex, PoisonError};
 use timecrypt::chunk::serialize::EncryptedChunk;
@@ -75,20 +76,11 @@ fn query(tree: &AggTree<Vec<u64>>, lo: u64, hi: u64) {
 /// `queries` random windows of at least two chunks, drawn as the
 /// benchmark's read stages draw them.
 fn random_windows(tree: &AggTree<Vec<u64>>, queries: u64, seed: u64) {
-    let (len, mut state) = (tree.len(), seed);
-    let mut below = |n: u64| splitmix(&mut state) % n;
+    let (len, mut rng) = (tree.len(), Rng(seed));
     for _ in 0..queries {
-        let lo = below(len - 1);
-        query(tree, lo, lo + 2 + below(len - lo - 1));
+        let lo = rng.below(len - 1);
+        query(tree, lo, lo + 2 + rng.below(len - lo - 1));
     }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The shape's ledger rows: the share of lookups served, and the bytes
@@ -315,12 +307,12 @@ fn fleet_streams_share_a_node() {
         insert(&node, stream, 0..CHUNKS, 4);
     }
     let from = lookups();
-    let mut state = 17u64;
+    let mut rng = Rng(17);
     for _ in 0..9600 {
         for consumer in 0..2 {
-            let group = 4 * consumer + splitmix(&mut state) as u128 % 4;
-            let lo = splitmix(&mut state) % (CHUNKS - 1);
-            let hi = lo + 2 + splitmix(&mut state) % (CHUNKS - lo - 1);
+            let group = 4 * consumer + rng.next() as u128 % 4;
+            let lo = rng.below(CHUNKS - 1);
+            let hi = lo + 2 + rng.below(CHUNKS - lo - 1);
             stat_of(&node, (8 * group + 1..=8 * group + 8).collect(), lo, hi, 4);
         }
     }

@@ -21,6 +21,7 @@ use timecrypt::store::{KvPairs, KvStore, MemKv, MeteredKv, StoreError};
 
 mod common;
 
+use common::history::Rng;
 use common::{calls_of, live};
 
 #[global_allocator]
@@ -81,11 +82,10 @@ fn a_producer_sweep_holds_and_reads_per_query() {
     let kv = Arc::new(MeteredKv::new(filled(19, CHUNKS)));
     let tree = open(kv.clone(), 64 << 20);
     let (start, gets) = (live(), kv.counters().gets);
-    let mut state = 7u64;
-    let mut below = |n: u64| splitmix(&mut state) % n;
+    let mut rng = Rng(7);
     for _ in 0..QUERIES {
-        let lo = below(CHUNKS - 1);
-        let hi = lo + 2 + below(CHUNKS - lo - 1);
+        let lo = rng.below(CHUNKS - 1);
+        let hi = lo + 2 + rng.below(CHUNKS - lo - 1);
         assert_eq!(tree.query(lo, hi).unwrap()[0], (lo..hi).sum::<u64>());
     }
     let per_query = |n: f64| format!("{:.2}", n / QUERIES as f64);
@@ -108,10 +108,10 @@ fn under_eviction_churn_the_charge_stays_within_the_budget() {
     const BUDGET: usize = 48 << 10;
     let tree = open(filled(19, CHUNKS), BUDGET);
     let start = live();
-    let mut state = 23u64;
+    let mut rng = Rng(23);
     for q in 1..=2000 {
-        let lo = splitmix(&mut state) % (CHUNKS - 1);
-        let hi = lo + 2 + splitmix(&mut state) % (CHUNKS - lo - 1);
+        let lo = rng.below(CHUNKS - 1);
+        let hi = lo + 2 + rng.below(CHUNKS - lo - 1);
         for _ in 0..2 {
             assert_eq!(tree.query(lo, hi).unwrap()[0], (lo..hi).sum::<u64>());
         }
@@ -125,14 +125,6 @@ fn under_eviction_churn_the_charge_stays_within_the_budget() {
     let (held, charged) = ((live() - start) as f64, stats.cache_used_bytes as f64);
     println!("under churn: {held} B held, {charged} B charged of {BUDGET}");
     assert!(held <= 1.05 * charged, "{held} B held, {charged} charged");
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[test]

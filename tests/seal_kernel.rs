@@ -9,11 +9,11 @@
 //!   composition of separate primitives that sealing was before it became
 //!   one kernel; a stored chunk's bytes do not change with the code that
 //!   seals it, so the file is never rewritten.
-//! - A generated check seals random chunks on both kernels and compares
+//! - A generated check seals random chunks on every backend and compares
 //!   each with a composition of the public primitives written here:
 //!   `TreeKd::leaf`, `ElementKeys`, `sha256`, `AesGcm128`.
-//! - A producer's allocator calls per chunk are rows of the root
-//!   `BENCH_ledger.json`.
+//! - A producer's allocator calls per chunk, and a consumer's per chunk
+//!   opened, are rows of the root `BENCH_ledger.json`.
 
 use common::history::Rng;
 use timecrypt::chunk::compress::compress;
@@ -22,7 +22,7 @@ use timecrypt::chunk::{
 };
 use timecrypt::client::{BatchingProducer, ClientFault, Producer, Transport};
 use timecrypt::core::{CoreError, ElementKeys, StreamKeyMaterial, TreeKd};
-use timecrypt::crypto::{sha256, AesGcm128, PrgKind, SecureRandom};
+use timecrypt::crypto::{sha256, AesGcm128, Dispatch, PrgKind, SecureRandom};
 use timecrypt::wire::messages::{Request, Response};
 
 mod common;
@@ -84,13 +84,9 @@ fn sealed_chunks_are_the_golden_bytes() {
         StreamConfig::new(7, "golden", 0, DELTA as u64),
         golden_keys(),
     );
-    for software in [false, true] {
-        let mut sealer = ChunkSealer::with_force_software(&cfg, &keys, software);
-        assert_eq!(
-            sealer.is_hardware(),
-            !software && ChunkSealer::new(&cfg, &keys).is_hardware()
-        );
-        let mut wire = ChunkSealer::with_force_software(&cfg, &keys, software);
+    for dispatch in Dispatch::all() {
+        let mut sealer = ChunkSealer::with_dispatch(&cfg, &keys, dispatch);
+        let mut wire = ChunkSealer::with_dispatch(&cfg, &keys, dispatch);
         let rng = || SecureRandom::from_seed_insecure(2020);
         let (mut rng, mut wire_rng, mut one_shot_rng) = (rng(), rng(), rng());
         for (n, index, bytes) in golden() {
@@ -99,7 +95,7 @@ fn sealed_chunks_are_the_golden_bytes() {
                 index,
                 points: points(index, n),
             };
-            let at = format!("{n} points, chunk {index}, software {software}");
+            let at = format!("{n} points, chunk {index}, {dispatch:?}");
             let sealed = sealer.seal(&chunk, &mut rng).unwrap();
             assert!(sealed.to_bytes() == bytes, "{at}");
             let mut out = vec![0xaa];
@@ -248,10 +244,11 @@ fn the_kernel_seals_what_the_public_primitives_compose() {
             ..StreamConfig::new(9, "kernel", 0, DELTA as u64)
         };
         let leaves = keys.tree.num_leaves();
-        let mut sealers =
-            [false, true].map(|software| ChunkSealer::with_force_software(&cfg, &keys, software));
+        let sealer = |dispatch| ChunkSealer::with_dispatch(&cfg, &keys, dispatch);
+        let mut sealers: Vec<_> = Dispatch::all().map(sealer).collect();
         let streams = || SecureRandom::from_seed_insecure(seed);
-        let (mut oracle_rng, mut rngs) = (streams(), [streams(), streams()]);
+        let mut rngs: Vec<_> = sealers.iter().map(|_| streams()).collect();
+        let mut oracle_rng = streams();
         let mut index = rng.below(leaves);
         for step in 0..8 {
             index = next_index(&mut rng, index, leaves);
@@ -280,10 +277,9 @@ fn the_kernel_seals_what_the_public_primitives_compose() {
             refused += expected.is_err() as u32;
             points += chunk.points.len();
         }
-        let [hardware, software] = &sealers;
-        assert_eq!(
-            (hardware.prg_calls(), hardware.prf_blocks()),
-            (software.prg_calls(), software.prf_blocks()),
+        let costs = sealers.iter().map(|s| (s.prg_calls(), s.prf_blocks()));
+        assert!(
+            costs.clone().all(|c| Some(c) == costs.clone().next()),
             "seed {seed}"
         );
     }
@@ -338,5 +334,28 @@ fn producers_allocate_a_few_calls_per_chunk() {
         });
         assert_eq!((single.chunks_sent(), batching.chunks_sent()), (79, 64));
     }
+    common::ledger(&rows);
+}
+
+/// Allocator calls per chunk a consumer's `open_payload` makes, over the
+/// golden chunks of 6 and 500 points: the GCM plaintext and the decoded
+/// points. One row a size: every backend must count the same.
+#[test]
+fn consumers_allocate_a_few_calls_per_open() {
+    let (tree, mut rows) = (golden_keys().tree, Vec::new());
+    for n in [6, 500] {
+        let chunks = golden().into_iter().filter(|g| g.0 == n);
+        let chunks: Vec<_> = chunks
+            .map(|g| EncryptedChunk::from_bytes(&g.2).unwrap())
+            .collect();
+        for d in Dispatch::all() {
+            let open = |c: &EncryptedChunk| c.open_payload_on(d, &tree).unwrap().len();
+            let (calls, points) = common::calls_of(|| chunks.iter().map(open).sum::<usize>());
+            assert_eq!(points, 3 * n, "{d:?}");
+            let row = format!("seal_kernel.consumer.allocations_per_open.p{n}");
+            rows.push((row, format!("{:.3}", calls as f64 / 3.0)));
+        }
+    }
+    rows.dedup();
     common::ledger(&rows);
 }
