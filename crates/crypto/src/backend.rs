@@ -246,7 +246,8 @@ impl Dispatch {
         match self.0 {
             Kind::Portable => portable(job),
             // SAFETY: a `Kind::AesNi` is made only by `detect`, where the
-            // CPU has every feature `aesni` is compiled for.
+            // CPU has every feature `aesni` is compiled for, and by `all`,
+            // which makes no kind above the one `detect` found.
             #[cfg(target_arch = "x86_64")]
             Kind::AesNi => unsafe { aesni(job) },
             // SAFETY: as above, and the CPU has `sha` and `sse4.1`.

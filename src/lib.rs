@@ -14,8 +14,8 @@
 //!
 //! * [`core`] — HEAC: key-derivation tree, key canceling,
 //!   dual key regression, resolution envelopes (the paper's contribution).
-//! * [`crypto`] — SHA-256/HMAC, AES-128 (+AES-NI),
-//!   AES-GCM, PRGs (all from scratch).
+//! * [`crypto`] — SHA-256, AES-128, AES-GCM, PRGs (all from scratch),
+//!   each on the one backend detected for the CPU (portable or AES-NI).
 //! * [`chunk`] — data model, digests, compression,
 //!   chunk sealing.
 //! * [`index`] — the statistical index: a running sum per
