@@ -9,7 +9,7 @@ use timecrypt_chunk::DataPoint;
 use timecrypt_core::dualkr::chain_walk;
 use timecrypt_core::heac::{add_assign, decrypt_range_sum, HeacEncryptor};
 use timecrypt_core::TreeKd;
-use timecrypt_crypto::{AesGcm128, PrgKind, SecureRandom, Sha256};
+use timecrypt_crypto::{sha256, AesGcm128, PrgKind, SecureRandom};
 use timecrypt_index::{AggTree, TreeConfig};
 use timecrypt_store::MemKv;
 
@@ -17,11 +17,7 @@ fn bench_crypto(c: &mut Criterion) {
     let mut g = c.benchmark_group("crypto");
     let data = vec![0xabu8; 1024];
     g.bench_function("sha256_1k", |b| {
-        b.iter(|| {
-            let mut h = Sha256::new();
-            h.update(&data);
-            std::hint::black_box(h.finalize())
-        })
+        b.iter(|| std::hint::black_box(sha256(&data)))
     });
     let gcm = AesGcm128::new(&[7u8; 16]);
     let nonce = [1u8; 12];

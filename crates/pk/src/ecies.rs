@@ -7,7 +7,7 @@
 //! caller already resolved the key).
 
 use crate::p256::{self, Point, Scalar};
-use timecrypt_crypto::sha256::Sha256;
+use timecrypt_crypto::sha256::sha256_concat;
 use timecrypt_crypto::{AesGcm128, SecureRandom};
 
 /// A principal's ECIES keypair.
@@ -85,10 +85,7 @@ pub fn seal(recipient: &Point, plaintext: &[u8], rng: &mut SecureRandom) -> Vec<
 
 /// SHA-256 KDF over the shared point's encoding.
 fn kdf(shared: &Point) -> [u8; 16] {
-    let mut h = Sha256::new();
-    h.update(&shared.encode());
-    h.update(b"tc-ecies-kdf");
-    let d = h.finalize();
+    let d = sha256_concat(&shared.encode(), b"tc-ecies-kdf");
     let mut k = [0u8; 16];
     k.copy_from_slice(&d[..16]);
     k
