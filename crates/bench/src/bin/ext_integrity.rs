@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_bench::measure::{format_duration, time_avg};
 use timecrypt_chunk::{DataPoint, StreamConfig};
-use timecrypt_client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt_client::{Consumer, DataOwner, InProc, Producer};
 use timecrypt_crypto::SecureRandom;
 use timecrypt_integrity::{chunk_commitment, SumLeaf, SumTree};
 use timecrypt_pk::SigningKey;
@@ -114,7 +114,7 @@ fn main() {
     println!("=== 4. E2E: verified_stat_query vs stat_query (4k chunks) ===\n");
     let server =
         Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
-    let mut t = InProcess::new(server);
+    let mut t = InProc::new(server);
     let cfg = StreamConfig::new(1, "hr", 0, 10_000);
     let mut owner = DataOwner::with_height(
         cfg.clone(),

@@ -438,7 +438,7 @@ impl Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataOwner, InProcess, Producer};
+    use crate::{DataOwner, InProc, Producer};
     use std::sync::Arc;
     use timecrypt_chunk::StreamConfig;
     use timecrypt_crypto::SecureRandom;
@@ -448,11 +448,11 @@ mod tests {
     const MIN: i64 = 60_000;
 
     /// Twenty minutes of one-second points in 10-second chunks.
-    fn setup() -> (InProcess, StreamConfig, DataOwner) {
+    fn setup() -> (InProc<TimeCryptServer>, StreamConfig, DataOwner) {
         let server = Arc::new(
             TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap(),
         );
-        let mut t = InProcess::new(server);
+        let mut t = InProc::new(server);
         let cfg = StreamConfig::new(9, "hr", 0, 10_000);
         let mut owner = DataOwner::with_height(
             cfg.clone(),
@@ -485,7 +485,7 @@ mod tests {
 
     /// A transport that fails every call from the `fail_from`-th on.
     struct Flaky<'a> {
-        inner: &'a mut InProcess,
+        inner: &'a mut InProc<TimeCryptServer>,
         calls: usize,
         fail_from: usize,
     }
@@ -515,7 +515,7 @@ mod tests {
 
     /// A server whose statistical replies keep `keep` words of the aggregate.
     struct Narrowing<'a> {
-        inner: &'a mut InProcess,
+        inner: &'a mut InProc<TimeCryptServer>,
         keep: usize,
     }
 
@@ -531,7 +531,7 @@ mod tests {
 
     /// A server that answers a statistical query with stream `to`'s.
     struct Swapping<'a> {
-        inner: &'a mut InProcess,
+        inner: &'a mut InProc<TimeCryptServer>,
         to: u128,
     }
 

@@ -27,4 +27,4 @@ pub use consumer::Consumer;
 pub use grants::{Grant, StreamDescriptor};
 pub use owner::DataOwner;
 pub use producer::{BatchingProducer, Producer};
-pub use transport::{ClientFault, InProc, InProcess, Transport};
+pub use transport::{ClientFault, InProc, Transport};

@@ -268,7 +268,7 @@ impl DataOwner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Consumer, InProcess};
+    use crate::{Consumer, InProc};
     use std::sync::Arc;
     use timecrypt_server::{ServerConfig, TimeCryptServer};
     use timecrypt_store::MemKv;
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn grant_windows_reach_the_ends_of_time() {
         let server = TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default());
-        let mut t = InProcess::new(Arc::new(server.unwrap()));
+        let mut t = InProc::new(Arc::new(server.unwrap()));
         let cfg = StreamConfig::new(1, "m", -1, 10_000);
         let mut owner = DataOwner::new(cfg, SecureRandom::from_seed_insecure(1));
         owner.create_stream(&mut t).unwrap();

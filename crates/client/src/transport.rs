@@ -1,7 +1,6 @@
 //! Transport abstraction: TCP or in-process.
 
 use std::sync::Arc;
-use timecrypt_server::TimeCryptServer;
 use timecrypt_wire::messages::{Request, Response};
 use timecrypt_wire::transport::{ClientError, Handler};
 
@@ -55,14 +54,11 @@ impl Transport for timecrypt_wire::Client {
     }
 }
 
-/// In-process transport over the single server engine (no sockets, no
-/// serialization of the frame layer — message encode/decode still happens,
-/// mirroring the paper's co-located microbenchmarks).
-pub type InProcess = InProc<TimeCryptServer>;
-
 /// In-process transport over *any* request handler — the single engine, the
-/// sharded `timecrypt-service` tier, or a test double. This is how clients
-/// talk to a co-located sharded service without a socket in between.
+/// sharded `timecrypt-service` tier, or a test double: no sockets and no
+/// frame layer (message encode/decode still happens, mirroring the paper's
+/// co-located microbenchmarks). This is how clients talk to a co-located
+/// engine or service without a socket in between.
 #[derive(Clone)]
 pub struct InProc<H: ?Sized> {
     handler: Arc<H>,

@@ -11,7 +11,7 @@
 use crate::error::CoreError;
 use std::ops::Range;
 use timecrypt_crypto::backend::{Backend, Dispatch, Job};
-use timecrypt_crypto::{Prg, PrgKind, Seed128};
+use timecrypt_crypto::{PrgKind, Seed128};
 
 /// Maximum supported tree height. 63 keeps leaf indices in `u64` and makes
 /// the keystream "virtually infinite" (the paper's phrase); the evaluation
@@ -607,7 +607,7 @@ mod tests {
 
     #[test]
     fn all_prgs_consistent_between_tree_and_tokens() {
-        for prg in [PrgKind::Aes, PrgKind::AesSoftware, PrgKind::Sha256] {
+        for prg in [PrgKind::Aes, PrgKind::Sha256] {
             let t = TreeKd::new([3u8; 16], 10, prg).unwrap();
             let ts = t.token_set(100, 300).unwrap();
             for i in [100u64, 101, 200, 299, 300] {

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use timecrypt_core::{CoreError, LeafCursor, TokenSet, TokenSource, TreeKd};
 use timecrypt_crypto::{PrgKind, Seed128};
 
-const PRGS: [PrgKind; 3] = [PrgKind::Aes, PrgKind::AesSoftware, PrgKind::Sha256];
+const PRGS: [PrgKind; 3] = [PrgKind::Aes, PrgKind::Aes, PrgKind::Sha256];
 
 /// Turns raw `(kind, value)` draws into an index sequence over `n` leaves
 /// that mixes every access order: ascending, descending, repeated, random,

@@ -26,7 +26,7 @@
 //! runs work written over its [`Backend`] trait — portable, or on AES-NI,
 //! `pclmulqdq` and the SHA extensions — inside one `target_feature`
 //! function per backend. Every keyed primitive is generic over it
-//! (`gcm::seal_once`, `gcm::open_once`, [`Prg`], [`Sha256`]), and the tests
+//! (`gcm::seal_once`, `gcm::open_once`, [`PrgKind`], [`Sha256`]), and the tests
 //! hold every backend the CPU has to the same vectors.
 //!
 //! # Security notes
@@ -52,7 +52,7 @@ pub mod sha256;
 pub use backend::{Backend, Dispatch, Job};
 pub use gcm::AesGcm128;
 pub use lmh::fold_u64;
-pub use prg::{Prg, PrgKind, Sha256Prg};
+pub use prg::PrgKind;
 pub use rng::SecureRandom;
 pub use sha256::{sha256, Sha256};
 

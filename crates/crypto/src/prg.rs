@@ -4,39 +4,18 @@
 //! either with a hash function (`G0(x) = H(0||x)`, `G1(x) = H(1||x)`) or a
 //! block cipher (`G0(x) = B_x(0)`, `G1(x) = B_x(1)` with `x` as the key),
 //! and Fig. 6 compares software AES, SHA-256, and AES-NI — concluding AES-NI
-//! is the best candidate. [`PrgKind`] names the three as data (a tree's
-//! configuration, a grant's wire byte); each step runs on the backend of
-//! the job that takes it, software AES always on [`Portable`].
+//! is the best candidate. [`PrgKind`] names the two constructions as data
+//! (a tree's configuration, a grant's wire byte); each step runs on the
+//! backend of the job that takes it, so software AES is [`PrgKind::Aes`] on
+//! [`Portable`](crate::backend::Portable).
 
-use crate::backend::{Backend, Portable};
+use crate::backend::Backend;
 use crate::sha256::sha256_short;
 use crate::Seed128;
 
-/// A length-doubling PRG `{0,1}^128 -> {0,1}^256`, exposed as the two halves
-/// `G0` and `G1` used as left/right children in the GGM tree.
-pub trait Prg {
-    /// Derives one child on backend `b`: `bit = false` gives `G0(x)`,
-    /// `bit = true` gives `G1(x)`.
-    fn child<B: Backend>(&self, b: B, x: &Seed128, bit: bool) -> Seed128;
-}
-
-/// SHA-256 based PRG: `G0(x) = trunc128(H(0 || x))`, `G1(x) = trunc128(H(1 || x))`.
-#[derive(Clone, Copy, Default)]
-pub struct Sha256Prg;
-
-impl Prg for Sha256Prg {
-    #[inline(always)]
-    fn child<B: Backend>(&self, b: B, x: &Seed128, bit: bool) -> Seed128 {
-        let mut msg = [0u8; 17];
-        msg[0] = bit as u8;
-        msg[1..].copy_from_slice(x);
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&sha256_short(b, &msg)[..16]);
-        out
-    }
-}
-
-/// The PRG a tree is built with, as data.
+/// The length-doubling PRG `{0,1}^128 -> {0,1}^256` a tree is built with,
+/// as data: its two halves `G0` and `G1` are the left and right children
+/// in the GGM tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PrgKind {
     /// AES with the parent node as the key, `G_bit(x) = AES_x(0^127 || bit)`,
@@ -47,38 +26,30 @@ pub enum PrgKind {
     /// per-level rekeying) — beside the block it keys.
     #[default]
     Aes,
-    /// The same construction on the portable software AES, whatever the
-    /// job's backend (Fig. 6's slowest series).
-    AesSoftware,
-    /// [`Sha256Prg`].
+    /// SHA-256: `G0(x) = trunc128(H(0 || x))`, `G1(x) = trunc128(H(1 || x))`.
     Sha256,
 }
 
 impl PrgKind {
-    /// Name as used in Fig. 6 labels.
-    pub fn label(self) -> &'static str {
-        match self {
-            PrgKind::Aes => "AES-NI",
-            PrgKind::AesSoftware => "AES",
-            PrgKind::Sha256 => "SHA256",
-        }
-    }
-}
-
-impl Prg for PrgKind {
+    /// Derives one child on backend `b`: `bit = false` gives `G0(x)`,
+    /// `bit = true` gives `G1(x)`.
     #[inline(always)]
-    fn child<B: Backend>(&self, b: B, x: &Seed128, bit: bool) -> Seed128 {
-        /// `AES_x(0^127 || bit)`: the bit is the last byte's low bit.
-        #[inline(always)]
-        fn aes<B: Backend>(b: B, x: &Seed128, bit: bool) -> Seed128 {
-            let mut block = [u128::from(bit) << 120];
-            b.aes_keying(x, &mut block);
-            block[0].to_le_bytes()
-        }
+    pub fn child<B: Backend>(self, b: B, x: &Seed128, bit: bool) -> Seed128 {
         match self {
-            PrgKind::Aes => aes(b, x, bit),
-            PrgKind::AesSoftware => aes(Portable, x, bit),
-            PrgKind::Sha256 => Sha256Prg.child(b, x, bit),
+            // `AES_x(0^127 || bit)`: the bit is the last byte's low bit.
+            PrgKind::Aes => {
+                let mut block = [u128::from(bit) << 120];
+                b.aes_keying(x, &mut block);
+                block[0].to_le_bytes()
+            }
+            PrgKind::Sha256 => {
+                let mut msg = [0u8; 17];
+                msg[0] = bit as u8;
+                msg[1..].copy_from_slice(x);
+                let mut out = [0u8; 16];
+                out.copy_from_slice(&sha256_short(b, &msg)[..16]);
+                out
+            }
         }
     }
 }
@@ -88,13 +59,13 @@ mod tests {
     use super::*;
     use crate::backend::{Dispatch, Job};
 
-    const KINDS: [PrgKind; 3] = [PrgKind::Aes, PrgKind::AesSoftware, PrgKind::Sha256];
+    const KINDS: [PrgKind; 2] = [PrgKind::Aes, PrgKind::Sha256];
 
     /// `G0(x)` and `G1(x)` of every kind, on `d`.
-    fn children(d: Dispatch, x: Seed128) -> [[Seed128; 2]; 3] {
+    fn children(d: Dispatch, x: Seed128) -> [[Seed128; 2]; 2] {
         struct Children(Seed128);
         impl Job for Children {
-            type Output = [[Seed128; 2]; 3];
+            type Output = [[Seed128; 2]; 2];
             fn run<B: Backend>(self, b: B) -> Self::Output {
                 KINDS.map(|k| [false, true].map(|bit| k.child(b, &self.0, bit)))
             }
@@ -117,14 +88,12 @@ mod tests {
     #[test]
     fn every_backend_derives_the_same_children() {
         let x = [0x5au8; 16];
-        let [aes, soft, sha] = children(Dispatch::PORTABLE, x);
-        // Software AES is the same construction as AES.
-        assert_eq!(aes, soft);
+        let [aes, sha] = children(Dispatch::PORTABLE, x);
         // The SHA-256 step is `trunc128(H(bit || x))`.
         let h = |bit: u8| crate::sha256::sha256_concat(&[bit], &x)[..16].to_vec();
         assert_eq!([sha[0].to_vec(), sha[1].to_vec()], [h(0), h(1)]);
         for d in Dispatch::all() {
-            assert_eq!(children(d, x), [aes, soft, sha], "{d:?}");
+            assert_eq!(children(d, x), [aes, sha], "{d:?}");
         }
     }
 

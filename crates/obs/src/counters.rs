@@ -94,6 +94,10 @@ process_families! {
     /// machinery.
     static TIMEOUTS: Counter = "timecrypt_timeouts_total"
         "I/O deadlines expired (socket timeouts and query-budget hits).";
+    /// A mutation's cost beside a read's: reads are never probed.
+    static POOL_PROBES: Counter = "timecrypt_pool_probes_total"
+        "Pooled node connections peeked at checkout, before a request that may not be sent \
+         again (a mutation) was written to them.";
     static FSYNCS: Counter = "timecrypt_fsyncs_total"
         "fsync/fdatasync calls issued by Fsync-durability stores.";
     static STORE_BATCHES: Counter = "timecrypt_store_batches_total"

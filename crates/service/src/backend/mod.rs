@@ -8,7 +8,9 @@
 //! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
 //!   reached over the blocking TCP transport through a
 //!   [`ClientPool`](timecrypt_wire::pool::ClientPool)
-//!   (reconnect-with-backoff). Every request is one exchange in two steps:
+//!   (reconnect-with-backoff; a mutation's pooled connection is probed
+//!   before it is written to, a read that failed on one is sent once more
+//!   on a fresh dial). Every request is one exchange in two steps:
 //!   its frame is written when it is begun ([`ShardBackend::begin_call`],
 //!   [`ShardBackend::begin_leg`], [`ShardBackend::begin_batch`]) and its
 //!   one reply read when the [`Pending`] it returns is finished, so a

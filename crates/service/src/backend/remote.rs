@@ -33,10 +33,12 @@ impl RemoteShard {
 
     /// The one owned-request exchange: its frame is written here, its
     /// reply read by the returned step. A pooled connection may be stale
-    /// (the node restarted under it), so a read whose exchange failed on a
-    /// connection it got is sent once more, on a fresh dial, while its
-    /// budget lasts; a mutation never is — the node may have applied it —
-    /// and a failed dial is final: it already retried with backoff.
+    /// (the node restarted under it). A mutation is never sent twice — the
+    /// node may have applied it — so its connection is probed before the
+    /// frame is written. A read is not probed, and one whose exchange
+    /// failed on a connection it got is sent once more, on a fresh dial,
+    /// while its budget lasts. A failed dial is final: it already retried
+    /// with backoff.
     fn exchange(
         &self,
         req: Request,
@@ -44,16 +46,16 @@ impl RemoteShard {
     ) -> impl FnOnce() -> Result<Response, ServerError> + use<> {
         let span = trace::stage("backend.exchange");
         let budget = move || deadline.is_none_or(|d| left(d).is_some());
-        let pool = self.pool.clone();
+        let (pool, once) = (self.pool.clone(), req.is_mutation());
         let checkout = move |fresh| {
             if !budget() {
                 return Err(DEADLINE);
             }
-            let conn = if fresh { pool.fresh() } else { pool.get() };
+            let conn = if fresh { pool.fresh() } else { pool.get(once) };
             conn.map_err(|_| UNREACHABLE)
         };
         let conn = checkout(false);
-        let retry = conn.is_ok() && !req.is_mutation();
+        let retry = conn.is_ok() && !once;
         let begun = conn.and_then(|conn| send_frame(conn, |buf| req.encode_into(buf)));
         move || {
             let _span = span;
@@ -125,8 +127,8 @@ impl ShardBackend for RemoteShard {
         // chunk's bytes are appended as received, straight into the
         // connection's scratch buffer (no per-chunk `Vec<u8>`, no owned
         // `Request`), whose capacity is reused across exchanges on the
-        // pooled connection.
-        let conn = self.pool.get().map_err(|_| UNREACHABLE);
+        // pooled connection, probed first: a batch is never sent twice.
+        let conn = self.pool.get(true).map_err(|_| UNREACHABLE);
         let owed = conn.and_then(|conn| {
             send_frame(conn, |buf| {
                 let mut enc = BatchEncoder::begin(buf);
@@ -325,7 +327,7 @@ mod tests {
         let shard = shard(
             addr,
             PoolConfig {
-                io_timeout: Some(Duration::from_millis(30)),
+                io_timeout: Duration::from_millis(30),
                 ..PoolConfig::default()
             },
         );

@@ -343,7 +343,7 @@ impl ShardedService {
         for backend in self.backends.iter().flat_map(|r| r.attached_backends()) {
             let node = backend.endpoint().map(str::to_owned);
             if begun.iter().all(|(n, _)| *n != node) {
-                let deadline = io_timeout.and_then(|t| Instant::now().checked_add(t));
+                let deadline = Instant::now().checked_add(io_timeout);
                 begun.push((node, backend.begin_call(Request::Stats, deadline)));
             }
         }

@@ -125,11 +125,13 @@ macro_rules! wire_enum {
             }
 
             /// True for requests that change server state. The distinction
-            /// drives two policies in multi-node deployments: replicated
-            /// writes go primary-then-backup while reads may fail over, and
-            /// the pooled TCP client retries only non-mutating requests on a
-            /// stale connection (a lost mutating exchange may already have
-            /// been applied).
+            /// drives the policies of multi-node deployments: replicated
+            /// writes go primary-then-backup while reads may fail over; and
+            /// a coordinator sends a mutation at most once — a lost
+            /// mutating exchange may already have been applied — so it
+            /// probes the pooled connection before writing one, while a
+            /// read goes out unprobed and is sent once more, on a fresh
+            /// connection, if its exchange fails on a stale one.
             pub fn is_mutation(&self) -> bool {
                 match self {
                     $( Self::$variant { .. } => $mutates, )*

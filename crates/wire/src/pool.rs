@@ -5,32 +5,30 @@
 //! one ([`ClientPool::get`], or [`ClientPool::fresh`] for a new dial),
 //! drives it with [`Client::send_with`] / [`Client::recv`], and returns it
 //! on drop; a connection that saw a transport error is discarded instead,
-//! so one broken socket never poisons later exchanges. A pooled connection
-//! that sat idle for [`PROBE_IDLE`] is probed at checkout (a non-blocking
-//! peek): one the peer closed meanwhile — a node reaps idle connections —
-//! or that holds bytes nobody asked for is dropped before a request is
-//! written to it, so the first mutation after a quiet spell is not spent
-//! on a dead socket. When no pooled connection is usable the pool dials
-//! the endpoint, retrying with exponential backoff up to
-//! [`PoolConfig::connect_attempts`] before reporting the endpoint down.
-//! It keeps as many idle connections as were ever checked out at once
-//! (never fewer than [`IDLE_FLOOR`]), so concurrent callers reuse
-//! their sockets; the peer's idle reaping retires what falls out of use.
+//! so one broken socket never poisons later exchanges. A caller about to
+//! write a request it may not send again asks for a probe: the pooled
+//! connection is peeked without blocking, and one the peer closed — it
+//! restarted, or reaped the connection as idle — or that holds bytes
+//! nobody asked for is dropped before the request is written to it. A
+//! request that may be repeated skips the probe: its caller sends it once
+//! more on a fresh dial if the exchange fails. When no pooled connection
+//! is usable the pool dials the endpoint, retrying with exponential
+//! backoff up to [`PoolConfig::connect_attempts`] before reporting the
+//! endpoint down. It keeps as many idle connections as were ever checked
+//! out at once (never fewer than [`IDLE_FLOOR`]), so concurrent callers
+//! reuse their sockets; the peer's idle reaping retires what falls out of
+//! use.
 //!
-//! The pool sends no request, so it retries none: whether a failed
-//! exchange is safe to repeat depends on the request (statistical queries
-//! are idempotent, inserts are not — see
+//! The pool sends no request, so it decides neither retry nor probe:
+//! whether a failed exchange is safe to repeat depends on the request
+//! (statistical queries are idempotent, inserts are not — see
 //! [`Request::is_mutation`](crate::messages::Request::is_mutation)), and
 //! that rule lives with the caller that sends it.
 
 use crate::transport::{Client, ClientError};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-/// How long a pooled connection sits idle before a checkout probes it.
-/// One used a moment ago was not reaped, and probing every checkout cost
-/// a loaded coordinator several percent of its read throughput.
-pub const PROBE_IDLE: Duration = Duration::from_millis(10);
+use std::time::Duration;
+use timecrypt_obs::counters::POOL_PROBES;
 
 /// Idle connections a pool always retains; more once more than this were
 /// checked out at once (up to that high-water mark). Checked-out
@@ -48,8 +46,8 @@ pub struct PoolConfig {
     /// connection. A send or receive that stalls this long fails with a
     /// timeout ([`FrameError::is_timeout`](crate::frame::FrameError::is_timeout))
     /// instead of hanging the calling thread; the connection is then
-    /// discarded. `None` waits forever (the pre-deadline behaviour).
-    pub io_timeout: Option<Duration>,
+    /// discarded.
+    pub io_timeout: Duration,
 }
 
 impl Default for PoolConfig {
@@ -57,7 +55,7 @@ impl Default for PoolConfig {
         PoolConfig {
             connect_attempts: 4,
             backoff: Duration::from_millis(2),
-            io_timeout: Some(Duration::from_secs(5)),
+            io_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -77,18 +75,16 @@ struct Shared {
 
 #[derive(Default)]
 struct Idle {
-    /// Each with when it was returned.
     conns: Vec<Pooled>,
     /// Connections checked out now, and the most that ever were at once.
     out: usize,
     peak: usize,
 }
 
-/// An idle connection: when it was returned, and whether a caller capped
-/// its deadline ([`PooledConn::cap_deadline`]) below the configured one.
+/// An idle connection, and whether a caller capped its deadline
+/// ([`PooledConn::cap_deadline`]) below the configured one.
 struct Pooled {
     client: Client,
-    since: Instant,
     capped: bool,
 }
 
@@ -122,38 +118,35 @@ impl ClientPool {
     /// Dials the endpoint, backing off exponentially between attempts.
     fn connect(&self) -> Result<Client, ClientError> {
         let Shared { addr, cfg, .. } = &*self.shared;
-        let mut backoff = cfg.backoff;
-        let mut last_err = match Client::connect_with(addr, cfg.io_timeout) {
-            Ok(c) => return Ok(c),
-            Err(e) => e,
-        };
+        let (mut backoff, io_timeout) = (cfg.backoff, Some(cfg.io_timeout));
         for _ in 1..cfg.connect_attempts.max(1) {
+            if let Ok(c) = Client::connect_with(addr, io_timeout) {
+                return Ok(c);
+            }
             std::thread::sleep(backoff);
             backoff = backoff.saturating_mul(2);
-            match Client::connect_with(addr, cfg.io_timeout) {
-                Ok(c) => return Ok(c),
-                Err(e) => last_err = e,
-            }
         }
-        Err(last_err)
+        Client::connect_with(addr, io_timeout)
     }
 
     /// Checks a connection out: a pooled one if one is usable, else a
-    /// fresh dial (with backoff). The returned guard gives `&mut Client`
-    /// access and returns the connection to the pool on drop unless
-    /// [`PooledConn::discard`] was called.
-    pub fn get(&self) -> Result<PooledConn, ClientError> {
-        self.check_out(false)
+    /// fresh dial (with backoff). With `probe` — the request written next
+    /// may not be sent again — a pooled connection is probed first, and
+    /// one the peer closed is dropped for a dial. The returned guard gives
+    /// `&mut Client` access and returns the connection to the pool on drop
+    /// unless [`PooledConn::discard`] was called.
+    pub fn get(&self, probe: bool) -> Result<PooledConn, ClientError> {
+        self.check_out(false, probe)
     }
 
     /// Dials a brand-new connection (with backoff), discarding every idle
     /// pooled connection first. Use after a transport failure: if the
     /// peer restarted, *all* pooled connections to it are stale.
     pub fn fresh(&self) -> Result<PooledConn, ClientError> {
-        self.check_out(true)
+        self.check_out(true, false)
     }
 
-    fn check_out(&self, fresh: bool) -> Result<PooledConn, ClientError> {
+    fn check_out(&self, fresh: bool, probe: bool) -> Result<PooledConn, ClientError> {
         let pooled = {
             let mut idle = self.shared.idle();
             idle.out += 1;
@@ -169,19 +162,21 @@ impl ClientPool {
             client: None,
             capped: false,
         };
-        // Probe a connection that sat idle, and re-arm the configured
-        // deadline on one a caller capped to its remaining budget before
+        // Probe when asked, and re-arm the configured deadline on a
+        // connection a caller capped to its remaining budget before
         // returning it: the next request must start from the full
         // per-operation allowance, not inherit that stale, nearly-expired
         // remainder. Every other connection still holds the configured
         // deadline, and is handed out without the two syscalls.
-        let usable = pooled
-            .filter(|p| p.since.elapsed() < PROBE_IDLE || p.client.is_idle_and_open())
-            .and_then(|mut p| {
-                let io_timeout = self.shared.cfg.io_timeout;
-                let armed = !p.capped || p.client.set_io_timeout(io_timeout).is_ok();
-                armed.then_some(p.client)
-            });
+        let open = |p: &Pooled| {
+            POOL_PROBES.inc();
+            p.client.is_idle_and_open()
+        };
+        let usable = pooled.filter(|p| !probe || open(p)).and_then(|mut p| {
+            let io_timeout = Some(self.shared.cfg.io_timeout);
+            let armed = !p.capped || p.client.set_io_timeout(io_timeout).is_ok();
+            armed.then_some(p.client)
+        });
         conn.client = Some(match usable {
             Some(c) => c,
             None => self.connect()?,
@@ -212,13 +207,11 @@ impl PooledConn {
     /// Caps the deadline the checkout armed at `left`, a caller's remaining
     /// budget (zero: the transport's 1 ms minimum — what has arrived is read).
     pub fn cap_deadline(&mut self, left: Duration) -> Result<(), ClientError> {
-        match self.pool.cfg.io_timeout {
-            Some(armed) if armed <= left => Ok(()),
-            _ => {
-                self.capped = true;
-                self.client().set_io_timeout(Some(left))
-            }
+        if self.pool.cfg.io_timeout <= left {
+            return Ok(());
         }
+        self.capped = true;
+        self.client().set_io_timeout(Some(left))
     }
 
     /// Drops the connection instead of returning it to the pool (call
@@ -237,12 +230,9 @@ impl Drop for PooledConn {
         let mut idle = self.pool.idle();
         idle.out -= 1;
         if idle.conns.len() < IDLE_FLOOR.max(idle.peak) {
-            let (since, capped) = (Instant::now(), self.capped);
-            idle.conns.extend(client.map(|client| Pooled {
-                client,
-                since,
-                capped,
-            }));
+            let capped = self.capped;
+            idle.conns
+                .extend(client.map(|client| Pooled { client, capped }));
         }
     }
 }
@@ -266,9 +256,10 @@ mod tests {
         .unwrap()
     }
 
-    /// One exchange on a connection checked out of `pool`.
+    /// One exchange on a connection checked out of `pool`, probed when
+    /// `req` is a mutation, as a coordinator checks out.
     fn exchange(pool: &ClientPool, req: &Request) -> Result<Response, ClientError> {
-        pool.get()?.client().call(req)
+        pool.get(req.is_mutation())?.client().call(req)
     }
 
     #[test]
@@ -294,16 +285,16 @@ mod tests {
         // cycle.
         let dead = (0..=IDLE_FLOOR).map(|_| dead_client());
         pool.shared.idle().conns.extend(dead);
-        drop(pool.get().unwrap());
+        drop(pool.get(false).unwrap());
         assert_eq!(pool.shared.idle().conns.len(), IDLE_FLOOR);
         // Connections checked out at once beyond the floor are ones the
         // callers will want again: all are kept, and one more would not be.
         let peak = IDLE_FLOOR + 2;
-        let conns: Vec<_> = (0..peak).map(|_| pool.get().unwrap()).collect();
+        let conns: Vec<_> = (0..peak).map(|_| pool.get(false).unwrap()).collect();
         drop(conns);
         assert_eq!(pool.shared.idle().conns.len(), peak);
         pool.shared.idle().conns.push(dead_client());
-        drop(pool.get().unwrap());
+        drop(pool.get(false).unwrap());
         assert_eq!(pool.shared.idle().conns.len(), peak);
     }
 
@@ -345,18 +336,26 @@ mod tests {
     }
 
     #[test]
-    fn a_connection_the_peer_reaped_is_replaced_at_checkout_even_for_a_mutation() {
+    fn a_connection_the_peer_reaped_is_replaced_at_a_mutations_checkout_only() {
         let (addr, accepted) = counting_server(Some(Duration::from_millis(40)), Duration::ZERO);
         let pool = ClientPool::new(addr.to_string(), PoolConfig::default());
+        let reaped = || {
+            // The server closes the idle connection; the pool still holds it.
+            std::thread::sleep(Duration::from_millis(120));
+            assert_eq!(pool.shared.idle().conns.len(), 1);
+        };
         assert_eq!(insert(&pool).unwrap(), Response::Pong);
         assert_eq!(accepted.load(Ordering::SeqCst), 1);
-        // The server closes the idle connection; the pool still holds it.
-        std::thread::sleep(Duration::from_millis(120));
-        assert_eq!(pool.shared.idle().conns.len(), 1);
+        reaped();
         // A write to the closed socket would succeed and the mutation,
         // never retried, would be lost with the missing reply.
         assert_eq!(insert(&pool).unwrap(), Response::Pong);
         assert_eq!(accepted.load(Ordering::SeqCst), 2, "dialed once more");
+        // A read is not probed: its exchange fails on the closed socket,
+        // and its caller sends it again on a fresh dial.
+        reaped();
+        assert!(exchange(&pool, &Request::Ping).is_err());
+        assert_eq!(accepted.load(Ordering::SeqCst), 2, "not dialed");
     }
 
     #[test]
@@ -396,7 +395,6 @@ mod tests {
         drop(listener);
         Pooled {
             client,
-            since: Instant::now(),
             capped: false,
         }
     }
@@ -414,7 +412,7 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        match pool.get() {
+        match pool.get(false) {
             Err(ClientError::Frame(_)) => {}
             Err(other) => panic!("expected transport error, got {other:?}"),
             Ok(_) => panic!("checked out a connection to a down endpoint"),
@@ -443,7 +441,7 @@ mod tests {
         // Simulate a caller that tightened the connection's deadline to
         // its (nearly spent) remaining budget before returning it.
         {
-            let mut conn = pool.get().unwrap();
+            let mut conn = pool.get(false).unwrap();
             conn.cap_deadline(Duration::from_millis(1)).unwrap();
         }
         assert_eq!(pool.shared.idle().conns.len(), 1);
@@ -456,21 +454,25 @@ mod tests {
     fn checkout_rearms_only_a_connection_whose_deadline_was_capped() {
         let server = ping_server();
         let pool = ClientPool::new(server.addr().to_string(), PoolConfig::default());
-        let armed = PoolConfig::default().io_timeout;
+        let armed = Some(PoolConfig::default().io_timeout);
         // A deadline set behind the pool's back marks a connection the
         // checkout did not re-arm: it is handed out as it was returned.
         let marked = Some(Duration::from_secs(7));
-        pool.get().unwrap().client().set_io_timeout(marked).unwrap();
-        let mut conn = pool.get().unwrap();
+        pool.get(false)
+            .unwrap()
+            .client()
+            .set_io_timeout(marked)
+            .unwrap();
+        let mut conn = pool.get(false).unwrap();
         assert_eq!(conn.client().io_timeout(), marked, "no re-arm");
         // A capped one is re-armed at its next checkout, and only that one.
         conn.cap_deadline(Duration::from_millis(3)).unwrap();
         drop(conn);
-        let mut conn = pool.get().unwrap();
+        let mut conn = pool.get(false).unwrap();
         assert_eq!(conn.client().io_timeout(), armed, "re-armed");
         conn.client().set_io_timeout(marked).unwrap();
         drop(conn);
-        assert_eq!(pool.get().unwrap().client().io_timeout(), marked);
+        assert_eq!(pool.get(false).unwrap().client().io_timeout(), marked);
         assert_eq!(
             pool.shared.idle().conns.len(),
             1,

@@ -118,9 +118,10 @@ pub struct Server {
 pub struct ServeOptions {
     /// Close a connection that has not delivered a complete frame for
     /// this long. Protects a node from leaked half-open connections
-    /// pinning threads forever; a [`ClientPool`](crate::pool::ClientPool)
-    /// sees the closed socket when it next checks the connection out and
-    /// dials instead, for reads and mutations alike.
+    /// pinning threads forever. A [`ClientPool`](crate::pool::ClientPool)
+    /// checkout for a mutation probes the connection, sees the closed
+    /// socket and dials instead; a read fails on it and its caller sends
+    /// it again on a fresh dial.
     /// `None` (the default) keeps the historical wait-forever behaviour.
     pub idle_timeout: Option<Duration>,
 }
@@ -138,7 +139,19 @@ impl Server {
         handler: Arc<dyn Handler>,
         opts: ServeOptions,
     ) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
+        Self::from_listener(TcpListener::bind(addr)?, handler, opts)
+    }
+
+    /// Serves on `listener`, already bound. The server closes it when it
+    /// stops; a caller that keeps a clone (`TcpListener::try_clone`) keeps
+    /// the port, and what dials it meanwhile waits in the backlog for the
+    /// next server on that clone — a restart no other socket can take the
+    /// port from.
+    pub fn from_listener(
+        listener: TcpListener,
+        handler: Arc<dyn Handler>,
+        opts: ServeOptions,
+    ) -> io::Result<Server> {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::MemKv;
@@ -27,7 +27,7 @@ use timecrypt::store::MemKv;
 fn main() {
     let kv = Arc::new(MemKv::new());
     let server = Arc::new(TimeCryptServer::open(kv.clone(), ServerConfig::default()).unwrap());
-    let mut t = InProcess::new(server.clone());
+    let mut t = InProc::new(server.clone());
 
     // A week of power-meter readings, Δ = 60 s, one reading per 10 s.
     let cfg = StreamConfig::new(0xDECA, "power_w", 0, 60_000);

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, DigestOp, DigestSchema, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::MemKv;
@@ -36,7 +36,7 @@ fn stream_cfg(host: u32) -> StreamConfig {
 fn main() {
     let server =
         Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
-    let mut t = InProcess::new(server.clone());
+    let mut t = InProc::new(server.clone());
     let mut rng = SecureRandom::from_entropy();
 
     // The datacenter operator owns all host streams.

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::MemKv;
@@ -29,7 +29,7 @@ const HOUR: i64 = 60 * MIN;
 fn main() {
     let server =
         Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
-    let mut t = InProcess::new(server.clone());
+    let mut t = InProc::new(server.clone());
 
     // Alice's heart-rate stream: Δ = 10 s.
     let cfg = StreamConfig::new(0xA11CE, "heart_rate", 0, 10_000);

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::MemKv;
@@ -19,7 +19,7 @@ fn main() {
     // ── Server side (untrusted): engine over a KV store ────────────────
     let server =
         Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
-    let mut transport = InProcess::new(server.clone());
+    let mut transport = InProc::new(server.clone());
 
     // ── Data owner: create the stream and hold the master key ──────────
     // Heart-rate stream: epoch t0 = 0 ms, Δ = 10 s chunks.

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::store::MemKv;
@@ -22,7 +22,7 @@ use timecrypt::store::MemKv;
 fn main() {
     let server =
         Arc::new(TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap());
-    let mut transport = InProcess::new(server.clone());
+    let mut transport = InProc::new(server.clone());
 
     // ICU bedside monitor: Δ = 10 s chunks, 1 Hz samples.
     let cfg = StreamConfig::new(0xBED, "spo2", 0, 10_000);

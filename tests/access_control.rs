@@ -3,16 +3,16 @@
 
 use common::{Deployment, Spec};
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 
 mod common;
 
 const MIN: i64 = 60_000;
 
-fn setup(seconds: i64) -> (InProcess, StreamConfig, DataOwner) {
+fn setup(seconds: i64) -> (impl Transport, StreamConfig, DataOwner) {
     let server = Deployment::build(&Spec::engine()).engine();
-    let mut t = InProcess::new(server);
+    let mut t = InProc::new(server);
     let cfg = StreamConfig::new(9, "hr", 0, 10_000);
     let mut owner = DataOwner::with_height(
         cfg.clone(),

@@ -6,7 +6,7 @@
 use common::{Deployment, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{ClientFault, Consumer, DataOwner, InProcess, Producer, Transport};
+use timecrypt::client::{ClientFault, Consumer, DataOwner, InProc, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::index::keys;
 use timecrypt::pk::SigningKey;
@@ -16,9 +16,9 @@ use timecrypt::wire::messages::{Request, Response};
 mod common;
 
 /// An engine over a store in memory, and a transport to it.
-fn setup() -> (Arc<TimeCryptServer>, InProcess) {
+fn setup() -> (Arc<TimeCryptServer>, InProc<TimeCryptServer>) {
     let server = Deployment::build(&Spec::engine()).engine();
-    (server.clone(), InProcess::new(server))
+    (server.clone(), InProc::new(server))
 }
 
 fn owner_for(cfg: &StreamConfig, seed: u64) -> DataOwner {
@@ -198,14 +198,14 @@ fn ledger_and_attestation_survive_server_restart() {
 
     let mut owner = owner_for(&cfg, 1);
     {
-        let mut t = InProcess::new(d.engine());
+        let mut t = InProc::new(d.engine());
         owner.create_stream(&mut t).unwrap();
         ingest_attested(&mut t, &cfg, &owner, key, 300);
     }
 
     // Reopen over the same log: ledger rebuilt from persisted leaves.
     d.restart(0);
-    let mut t = InProcess::new(d.engine());
+    let mut t = InProc::new(d.engine());
     let mut c = Consumer::new("c", &mut rng);
     owner
         .grant_access(&mut t, "c", c.public_key(), 0, 300_000)
@@ -290,7 +290,7 @@ fn verified_raw_read_detects_chunk_substitution() {
 
 /// A server that sends its genuine attestation beside a range proof whose
 /// `lo` it moved past `hi`.
-struct Backwards<'a>(&'a mut InProcess);
+struct Backwards<'a>(&'a mut InProc<TimeCryptServer>);
 
 impl Transport for Backwards<'_> {
     fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
@@ -394,7 +394,7 @@ fn verified_query_over_tcp() {
 
 /// The three attested replies over `[lo_s, hi_s)` seconds: attestation,
 /// range proof, verified raw range.
-fn attested_replies(t: &mut InProcess, stream: u128, lo_s: i64, hi_s: i64) -> Vec<Response> {
+fn attested_replies(t: &mut impl Transport, stream: u128, lo_s: i64, hi_s: i64) -> Vec<Response> {
     let (ts_s, ts_e) = (lo_s * 1000, hi_s * 1000);
     [
         Request::GetAttestation { stream },
@@ -419,7 +419,7 @@ fn evicting_between_every_request_changes_no_attested_reply() {
     let (churned_server, mut churned) = setup();
     let cfg = StreamConfig::new(11, "hr", 0, 10_000);
     let key = SigningKey::generate(&mut SecureRandom::from_seed_insecure(9));
-    let producer = |t: &mut InProcess| {
+    let producer = |t: &mut InProc<TimeCryptServer>| {
         let mut owner = owner_for(&cfg, 1);
         owner.create_stream(t).unwrap();
         let rng = SecureRandom::from_seed_insecure(2);
@@ -470,7 +470,7 @@ fn an_attestation_ahead_of_the_stored_stream_is_refused_before_any_read() {
     // same explicit error, having read nothing but the attestation.
     let d = Deployment::build(&Spec::engine());
     let (server, kv) = (d.engine(), d.meter(0));
-    let mut t = InProcess::new(server.clone());
+    let mut t = InProc::new(server.clone());
     let cfg = StreamConfig::new(12, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);
     owner.create_stream(&mut t).unwrap();

@@ -112,7 +112,7 @@ fn chaos_iteration(seed: u64) -> u64 {
     // off so a backup that drifted during the storm can never be promoted
     // over the primary holding the acked data.
     let mut cfg = dial_fast(0);
-    cfg.pool.io_timeout = Some(Duration::from_millis(250));
+    cfg.pool.io_timeout = Duration::from_millis(250);
     let quiet = FaultPlan::quiet;
     let spec = Spec::remote(TOTAL_SHARDS, 2, 2)
         .fault(Fault::Store(quiet()))

@@ -2,12 +2,15 @@
 //! faults and its service config; [`Deployment::build`] opens it, answers
 //! [`call`](Deployment::call) through the tier's `Handler`, and hands out
 //! what it built: the engine, node or coordinator, each store's meter, each
-//! remote node's frame count, proxy and log. A node can be killed and
-//! restarted over the same file; an OS file is removed when the deployment
-//! drops, a panicking test's too.
+//! remote node's frame count, proxy and log. A node can be killed, which
+//! releases a remote node's port, and restarted over the same file, a
+//! remote node on the listener it had; an OS file is removed when the
+//! deployment drops, a panicking test's too.
 
 use super::recording::Recording;
-use std::net::SocketAddr;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -20,7 +23,7 @@ use timecrypt::store::{
 };
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::pool::PoolConfig;
-use timecrypt::wire::transport::{Handler, Server};
+use timecrypt::wire::transport::{Handler, ServeOptions, Server};
 
 /// What answers [`Deployment::call`].
 #[derive(Clone, Copy, Debug)]
@@ -241,6 +244,8 @@ struct Host {
     faulty: Option<Arc<FaultyKv<Arc<dyn KvStore>>>>,
     running: Option<Running>,
     server: Option<Server>,
+    /// A remote node's bound port, kept across its restarts.
+    listener: Option<TcpListener>,
     addr: Option<SocketAddr>,
     frames: Arc<Frames>,
 }
@@ -331,7 +336,8 @@ impl Deployment {
             faulty: None,
             running: None,
             server: None,
-            addr: remote.then(|| "127.0.0.1:0".parse().unwrap()),
+            listener: None,
+            addr: remote.then(loopback),
             frames: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
         });
         let at = hosts.len() - 1;
@@ -339,7 +345,8 @@ impl Deployment {
         at
     }
 
-    /// Opens the host's tier over its log, and its listener on its address.
+    /// Opens the host's tier over its log, and serves a remote node on its
+    /// listener, bound to its address first if the host has none.
     fn start(&self, host: &mut Host) {
         let log = (host.log).get_or_insert_with(|| open_log(&self.spec.file, host.path.as_ref()));
         let mut kv: Arc<dyn KvStore> = log.clone();
@@ -378,7 +385,12 @@ impl Deployment {
                 node: node.clone(),
                 frames: host.frames.clone(),
             };
-            let server = Server::bind(addr, Arc::new(counted)).unwrap();
+            let listener = match &host.listener {
+                Some(listener) => listener,
+                None => host.listener.insert(TcpListener::bind(addr).unwrap()),
+            };
+            let (listener, opts) = (listener.try_clone().unwrap(), ServeOptions::default());
+            let server = Server::from_listener(listener, Arc::new(counted), opts).unwrap();
             host.addr = Some(server.addr());
             host.server = Some(server);
         }
@@ -495,11 +507,18 @@ impl Deployment {
         self.add_host(vec![shard], true)
     }
 
-    /// Kills what runs on store `i` (a remote node's listener too, severing
-    /// its connections) and closes an OS file's log.
+    /// Kills what runs on store `i` (a remote node's server too, severing
+    /// its connections, and its listener: the port is released) and closes
+    /// an OS file's log.
     pub fn kill(&self, i: usize) {
         let mut hosts = self.hosts();
-        let host = &mut hosts[i];
+        self.stop(&mut hosts[i]);
+        hosts[i].listener = None;
+    }
+
+    /// Stops what runs on the host, severing a remote node's connections,
+    /// and closes an OS file's log; a remote node's listener stays bound.
+    fn stop(&self, host: &mut Host) {
         if let Some(mut server) = host.server.take() {
             server.shutdown();
         }
@@ -515,11 +534,12 @@ impl Deployment {
         self.hosts().len()
     }
 
-    /// Kills store `i`'s tier or node, then opens it again over the same
-    /// file, a remote node on the same address.
+    /// Stops store `i`'s tier or node, then opens it again over the same
+    /// file, a remote node on the listener it had: connections it served
+    /// are severed, and the port is never free for another socket to take.
     pub fn restart(&self, i: usize) {
-        self.kill(i);
         let mut hosts = self.hosts();
+        self.stop(&mut hosts[i]);
         self.start(&mut hosts[i]);
     }
 
@@ -530,6 +550,17 @@ impl Deployment {
         self.served.lock().unwrap().push(server);
         addr
     }
+}
+
+/// A loopback address of the node's own, `127.a.b.c` at random (Linux
+/// routes all of `127/8` to `lo`; `127.255.255.255` is broadcast): the port
+/// `kill` releases can then be taken only by a socket bound to that
+/// address, so the coordinator's dials to it are refused, never answered
+/// by a node another test process bound on `127.0.0.1`.
+fn loopback() -> SocketAddr {
+    let hash = RandomState::new().build_hasher().finish();
+    let [a, b, c, ..] = hash.to_le_bytes();
+    SocketAddr::from(([127, a.min(254), b, c], 0))
 }
 
 /// A coordinator config that dials a node twice, 1 ms apart, and promotes

@@ -3,15 +3,15 @@
 
 use common::{Deployment, Spec};
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 
 mod common;
 
 /// An engine, and stream 1 created on it by its owner.
-fn setup() -> (InProcess, StreamConfig, DataOwner) {
+fn setup() -> (impl Transport, StreamConfig, DataOwner) {
     let server = Deployment::build(&Spec::engine()).engine();
-    let mut transport = InProcess::new(server);
+    let mut transport = InProc::new(server);
     let cfg = StreamConfig::new(1, "hr", 0, 10_000);
     let mut owner = DataOwner::with_height(
         cfg.clone(),
@@ -24,7 +24,7 @@ fn setup() -> (InProcess, StreamConfig, DataOwner) {
 }
 
 /// Ingests `seconds` of 1 Hz data with value = second index.
-fn ingest(t: &mut InProcess, cfg: &StreamConfig, owner: &DataOwner, seconds: i64) {
+fn ingest(t: &mut impl Transport, cfg: &StreamConfig, owner: &DataOwner, seconds: i64) {
     let mut p = Producer::new(
         cfg.clone(),
         owner.provision_producer(),
@@ -37,7 +37,13 @@ fn ingest(t: &mut InProcess, cfg: &StreamConfig, owner: &DataOwner, seconds: i64
 }
 
 /// Consumer `name`, granted `[0, end)` of `owner`'s stream and synced.
-fn reader(t: &mut InProcess, owner: &mut DataOwner, name: &str, seed: u64, end: i64) -> Consumer {
+fn reader(
+    t: &mut impl Transport,
+    owner: &mut DataOwner,
+    name: &str,
+    seed: u64,
+    end: i64,
+) -> Consumer {
     let mut c = Consumer::new(name, &mut SecureRandom::from_seed_insecure(seed));
     owner.grant_access(t, name, c.public_key(), 0, end).unwrap();
     c.sync_grants(t, owner.config().id).unwrap();

@@ -5,7 +5,7 @@ use common::{Deployment, Fault, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer, Transport};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::faults::{FaultPlan, FaultyKv, OpKind, StoreFault, StoreRule, Trigger};
 use timecrypt::index::keys;
@@ -18,9 +18,14 @@ use timecrypt::wire::{Request, Response};
 mod common;
 
 /// An engine, and stream 11 created on it by its owner.
-fn setup() -> (Arc<TimeCryptServer>, InProcess, StreamConfig, DataOwner) {
+fn setup() -> (
+    Arc<TimeCryptServer>,
+    impl Transport,
+    StreamConfig,
+    DataOwner,
+) {
     let server = Deployment::build(&Spec::engine()).engine();
-    let mut t = InProcess::new(server.clone());
+    let mut t = InProc::new(server.clone());
     let cfg = StreamConfig::new(11, "m", 0, 10_000);
     let mut owner = DataOwner::with_height(
         cfg.clone(),
@@ -32,7 +37,7 @@ fn setup() -> (Arc<TimeCryptServer>, InProcess, StreamConfig, DataOwner) {
     (server, t, cfg, owner)
 }
 
-fn ingest(t: &mut InProcess, cfg: &StreamConfig, owner: &DataOwner, secs: i64) {
+fn ingest(t: &mut impl Transport, cfg: &StreamConfig, owner: &DataOwner, secs: i64) {
     let mut p = Producer::new(
         cfg.clone(),
         owner.provision_producer(),

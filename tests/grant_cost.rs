@@ -25,7 +25,7 @@
 use common::{Deployment, Spec};
 use std::time::Instant;
 use timecrypt::chunk::StreamConfig;
-use timecrypt::client::{Consumer, DataOwner, InProcess};
+use timecrypt::client::{Consumer, DataOwner, InProc};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::pk::ecies::{self, EciesKeypair};
 use timecrypt::pk::SigningKey;
@@ -82,7 +82,7 @@ fn public_key_operations_allocate_at_their_boundary_only() {
 #[test]
 fn a_grant_and_its_sync_allocate_a_few_hundred_times() {
     let server = Deployment::build(&Spec::engine()).engine();
-    let mut t = InProcess::new(server);
+    let mut t = InProc::new(server);
     let cfg = StreamConfig::new(1, "m", 0, 10_000);
     let mut owner = DataOwner::new(cfg.clone(), SecureRandom::from_seed_insecure(1));
     owner.create_stream(&mut t).unwrap();

@@ -79,7 +79,7 @@ fn stream_on(shard: usize, shards: usize) -> u128 {
 fn deadline(io_timeout: Duration) -> ServiceConfig {
     ServiceConfig {
         pool: PoolConfig {
-            io_timeout: Some(io_timeout),
+            io_timeout,
             ..PoolConfig::default()
         },
         ..ServiceConfig::default()

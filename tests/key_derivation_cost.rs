@@ -18,7 +18,7 @@
 
 use common::{Deployment, Spec};
 use timecrypt::chunk::{ChunkSealer, DataPoint, PlainChunk, StreamConfig};
-use timecrypt::client::{BatchingProducer, Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{BatchingProducer, Consumer, DataOwner, InProc, Producer, Transport};
 use timecrypt::core::StreamKeyMaterial;
 use timecrypt::crypto::SecureRandom;
 
@@ -28,9 +28,9 @@ const HEIGHT: u64 = 30;
 const DELTA_MS: i64 = 10_000;
 const CHUNKS: u64 = 4096;
 
-fn setup(stream: u128) -> (InProcess, StreamConfig, DataOwner) {
+fn setup(stream: u128) -> (impl Transport, StreamConfig, DataOwner) {
     let server = Deployment::build(&Spec::engine()).engine();
-    let mut transport = InProcess::new(server);
+    let mut transport = InProc::new(server);
     let cfg = StreamConfig::new(stream, "m", 0, DELTA_MS as u64);
     let mut owner = DataOwner::with_height(
         cfg.clone(),

@@ -1,8 +1,9 @@
 //! End-to-end multi-node cluster tests: what `placement_equivalence.rs`'s
 //! histories do not draw. A coordinator over loopback shard nodes answers
 //! as a single-process service after a node is killed for good, and with
-//! one shard local and one remote; replication metrics are exact under
-//! outages; the batching producer runs against a cluster.
+//! one shard local and one remote; a mutation sent the moment a node has
+//! restarted is applied; replication metrics are exact under outages; the
+//! batching producer runs against a cluster.
 
 use common::{dial_fast, keys, same_replies, sealed, stream_cfg, Deployment, Spec};
 use std::sync::Arc;
@@ -95,6 +96,36 @@ fn two_node_cluster_replies_match_single_process_even_after_killing_a_node() {
         stats.shards.iter().map(|s| s.failovers).sum::<u64>() > 0,
         "failovers recorded: {stats:?}"
     );
+}
+
+/// A node restarts under the coordinator's pooled connection, which the
+/// last mutation used: the next mutation, sent at once, gets the engine's
+/// reply, as a batch and as a plain call. Its checkout probes the severed
+/// connection and dials past it; a mutation written to it would have an
+/// unknown outcome, which the coordinator may not retry.
+#[test]
+fn a_mutation_sent_as_a_node_restarts_gets_the_engines_reply() {
+    let (engine, d) = (
+        Deployment::build(&Spec::engine()),
+        Deployment::build(&Spec::remote(1, 1, 1)),
+    );
+    let create = |stream| Request::CreateStream {
+        stream,
+        t0: 0,
+        delta_ms: 10_000,
+        digest_width: 2,
+    };
+    let insert = |i| Request::Insert {
+        chunk: sealed(0, i, i as i64).to_bytes(),
+    };
+    let mutations = (0..50).flat_map(|i| [insert(i), create(i as u128 + 1)]);
+    for (n, req) in [create(0)].into_iter().chain(mutations).enumerate() {
+        if n > 0 {
+            d.restart(0);
+        }
+        let (reply, want) = (d.call(req.clone()), engine.call(req.clone()));
+        assert_eq!(reply, want, "mutation {n} after a restart: {req:?}");
+    }
 }
 
 /// Replication metrics are exact, not merely non-zero: a backup outage

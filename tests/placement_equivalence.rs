@@ -30,11 +30,9 @@ use common::model::{batch, Model};
 use common::{Deployment, Spec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::{PoisonError, RwLock};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::server::ServerConfig;
 use timecrypt::wire::messages::{Request, Response};
-use timecrypt::wire::pool::PROBE_IDLE;
 
 mod common;
 
@@ -77,40 +75,22 @@ fn records(d: &Deployment) -> Result<BTreeMap<Vec<u8>, Vec<u8>>, String> {
     Ok(merged)
 }
 
-/// A restart rebinds each remote node's port: no other history may take it
-/// meanwhile, so a restart waits for the steps in flight and holds off the
-/// rest.
-static PORTS: RwLock<()> = RwLock::new(());
-
 /// Runs `steps` through every tier; returns the replies compared, or what
 /// differed first.
 fn run(steps: &[Step]) -> Result<u64, String> {
-    let tiers = {
-        let _ports = PORTS.read().unwrap_or_else(PoisonError::into_inner);
-        tiers()
-    };
+    let tiers = tiers();
     let (mut model, mut compared) = (Model::default(), 0);
     for (j, step) in steps.iter().enumerate() {
         let replies: Vec<Response> = match step {
             Step::Restart => {
-                let ports = PORTS.write().unwrap_or_else(PoisonError::into_inner);
                 for (_, d) in &tiers {
                     (0..d.stores()).for_each(|i| d.restart(i));
                 }
-                drop(ports);
-                // A coordinator probes a pooled connection idle this long
-                // before writing to it; a mutation sent sooner on one the
-                // restart severed has an unknown outcome, by design.
-                std::thread::sleep(PROBE_IDLE);
                 model.apply(step);
                 continue;
             }
-            Step::Frame(body) => {
-                let _ports = PORTS.read().unwrap_or_else(PoisonError::into_inner);
-                tiers.iter().map(|(_, d)| d.call_frame(body)).collect()
-            }
+            Step::Frame(body) => tiers.iter().map(|(_, d)| d.call_frame(body)).collect(),
             Step::Call(req) => {
-                let _ports = PORTS.read().unwrap_or_else(PoisonError::into_inner);
                 let tiers = tiers.iter().enumerate();
                 // The 4-shard and R=2 coordinators take a batch whose chunks
                 // all parse through `submit_batch` in place of `handle`.

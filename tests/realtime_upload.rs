@@ -8,15 +8,20 @@
 use common::{Deployment, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProcess, Producer};
+use timecrypt::client::{Consumer, DataOwner, InProc, Producer, Transport};
 use timecrypt::crypto::SecureRandom;
 use timecrypt::server::TimeCryptServer;
 
 mod common;
 
-fn setup() -> (Arc<TimeCryptServer>, InProcess, StreamConfig, DataOwner) {
+fn setup() -> (
+    Arc<TimeCryptServer>,
+    impl Transport,
+    StreamConfig,
+    DataOwner,
+) {
     let server = Deployment::build(&Spec::engine()).engine();
-    let transport = InProcess::new(server.clone());
+    let transport = InProc::new(server.clone());
     let cfg = StreamConfig::new(5, "hr", 0, 10_000);
     let owner = DataOwner::with_height(
         cfg.clone(),
@@ -27,7 +32,12 @@ fn setup() -> (Arc<TimeCryptServer>, InProcess, StreamConfig, DataOwner) {
     (server, transport, cfg, owner)
 }
 
-fn consumer(t: &mut InProcess, owner: &mut DataOwner, cfg: &StreamConfig, until: i64) -> Consumer {
+fn consumer(
+    t: &mut impl Transport,
+    owner: &mut DataOwner,
+    cfg: &StreamConfig,
+    until: i64,
+) -> Consumer {
     let mut rng = SecureRandom::from_seed_insecure(33);
     let mut c = Consumer::new("alice", &mut rng);
     owner

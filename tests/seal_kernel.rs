@@ -231,12 +231,7 @@ fn the_kernel_seals_what_the_public_primitives_compose() {
             0..=70 => seed as usize,
             _ => rng.below(71) as usize,
         };
-        let prg = rng.pick(&[
-            PrgKind::Aes,
-            PrgKind::Aes,
-            PrgKind::AesSoftware,
-            PrgKind::Sha256,
-        ]);
+        let prg = rng.pick(&[PrgKind::Aes, PrgKind::Aes, PrgKind::Aes, PrgKind::Sha256]);
         let height = 3 + rng.below(18) as u8;
         let keys = StreamKeyMaterial::with_params(9, [seed as u8; 16], height, prg).unwrap();
         let cfg = StreamConfig {

@@ -8,20 +8,42 @@
 //! * a scrape (`stats()`) asks each node once, however many shards it
 //!   hosts or replicates — one frame for two shards on one node, one per
 //!   node for two crosswise R=2 nodes;
+//! * a coordinator probes a pooled node connection before each exchange
+//!   of a batch, which it may not send twice, and before no leg of a
+//!   query, which it may — one probe per shard for an 8-stream
+//!   `InsertBatch` on two shards of one node, none for the query.
 //!
 //! That every tier answers `GetStatRange` with the same bytes, errors and
 //! their precedence included, is `placement_equivalence.rs`'s.
 //!
 //! The frame counts are `stat_path.frames.*` rows of the root
 //! `BENCH_ledger.json`, read from each node's frame count in the
-//! deployment; CI copies them to the job summary.
+//! deployment, and the probe counts `stat_path.probes.*` rows, read from
+//! the process's `timecrypt_pool_probes_total`; CI copies them to the job
+//! summary.
 
 use common::{Deployment, Spec};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::server::ServerError;
 use timecrypt::service::ShardRouter;
+use timecrypt_obs::counters::POOL_PROBES;
 
 mod common;
+
+/// The tests of this binary, one at a time: each mutates through a pool,
+/// and one reads the process's probe counter.
+fn serial() -> MutexGuard<'static, ()> {
+    static PROBES: Mutex<()> = Mutex::new(());
+    PROBES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What `f` returns, and the pooled connections probed meanwhile.
+fn probed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = POOL_PROBES.get();
+    let out = f();
+    (out, POOL_PROBES.get() - before)
+}
 
 /// Chunk `index` of `stream`, its digest `width` words of `value`: the
 /// server neither decrypts nor checks digests.
@@ -50,6 +72,7 @@ fn row(what: &str, frames: u64) -> (String, String) {
 
 #[test]
 fn a_query_is_one_frame_per_shard_two_shards_on_one_node() {
+    let _serial = serial();
     let d = Deployment::build(&Spec::remote(2, 1, 1));
     let svc = d.service();
     let router = ShardRouter::new(2);
@@ -62,12 +85,20 @@ fn a_query_is_one_frame_per_shard_two_shards_on_one_node() {
     // reply carries the width the query's precedence needs.
     let empty = Err(ServerError::EmptyRange.to_string());
     assert_eq!(counted(&d, &streams), (empty, 2));
-    for &id in &streams {
-        svc.insert(&chunk(id, 0, 2, id as u64)).unwrap();
-    }
-    let (reply, exchanges) = counted(&d, &streams);
+    let chunks = streams
+        .iter()
+        .map(|&id| chunk(id, 0, 2, id as u64))
+        .collect();
+    let (verdicts, batch_probes) = probed(|| svc.submit_batch(chunks));
+    assert!(verdicts.iter().all(Result::is_ok));
+    let ((reply, exchanges), query_probes) = probed(|| counted(&d, &streams));
     assert_eq!(reply, Ok(8));
-    common::ledger(&[row("query8.two_shards_one_node", exchanges)]);
+    let probes = |what: &str, n: u64| (format!("stat_path.probes.{what}"), n.to_string());
+    common::ledger(&[
+        row("query8.two_shards_one_node", exchanges),
+        probes("insert_batch8.two_shards_one_node", batch_probes),
+        probes("query8.two_shards_one_node", query_probes),
+    ]);
 }
 
 /// `d.service().stats()`'s count of each shard's streams, and the frames
@@ -87,6 +118,7 @@ fn scraped(d: &Deployment, nodes: usize) -> (Vec<u64>, Vec<u64>) {
 
 #[test]
 fn a_scrape_is_one_frame_per_node_two_shards_on_one_node() {
+    let _serial = serial();
     let router = ShardRouter::new(2);
     let on = |shard| (0..).find(|&id| router.shard_of(id) == shard).unwrap();
     // One node hosting both shards, then R=2 crosswise: each node is one
@@ -108,6 +140,7 @@ fn a_scrape_is_one_frame_per_node_two_shards_on_one_node() {
 
 #[test]
 fn a_300_stream_leg_is_one_frame() {
+    let _serial = serial();
     const N: u128 = 300;
     let d = Deployment::build(&Spec::remote(1, 1, 1));
     let svc = d.service();

@@ -29,7 +29,7 @@ fn cfg(io_timeout: Duration, connect_attempts: u32, promote_after: u32) -> Servi
         pool: PoolConfig {
             connect_attempts,
             backoff: Duration::from_millis(1),
-            io_timeout: Some(io_timeout),
+            io_timeout,
         },
         promote_after,
         ..ServiceConfig::default()
@@ -273,7 +273,7 @@ fn reads_cut_short_by_the_budget_still_promote_a_hung_primary() {
     const PROMOTE_AFTER: u32 = 2;
     let d = hung_primary(ServiceConfig {
         pool: PoolConfig {
-            io_timeout: Some(IO_TIMEOUT),
+            io_timeout: IO_TIMEOUT,
             ..Default::default()
         },
         promote_after: PROMOTE_AFTER,
@@ -314,7 +314,7 @@ fn a_budget_spent_on_a_hung_shard_is_no_strike_against_the_shards_read_after_it(
     // Shard 0 unreplicated behind a proxy, shard 1 replicated.
     let service = ServiceConfig {
         pool: PoolConfig {
-            io_timeout: Some(IO_TIMEOUT),
+            io_timeout: IO_TIMEOUT,
             ..Default::default()
         },
         promote_after: PROMOTE_AFTER,
@@ -374,7 +374,7 @@ fn a_hung_node_costs_a_scrape_one_io_timeout_however_many_there_are() {
             ServiceConfig {
                 topology,
                 pool: PoolConfig {
-                    io_timeout: Some(IO_TIMEOUT),
+                    io_timeout: IO_TIMEOUT,
                     ..Default::default()
                 },
                 promote_after: 0,
@@ -419,7 +419,7 @@ fn a_node_whose_dial_hangs_costs_the_nodes_scraped_after_it_nothing() {
     let service = ServiceConfig {
         pool: PoolConfig {
             connect_attempts: 2,
-            io_timeout: Some(IO_TIMEOUT),
+            io_timeout: IO_TIMEOUT,
             ..Default::default()
         },
         promote_after: 1,
