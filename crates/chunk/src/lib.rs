@@ -12,7 +12,7 @@
 //! |--------|---------|
 //! | [`model`] | Data points, stream metadata, time↔chunk-index mapping |
 //! | [`schema`] | Digest layout: which statistics a stream supports, digest computation, client-side interpretation (mean/var/min/max/histogram) |
-//! | [`compress`] | The payload's one encoding: delta + zigzag + varint, the TSDB-standard substitution for the paper's zlib default |
+//! | [`compress`] | The payload's one encoding: zigzag deltas bit-packed 64 to a block against the block's smallest (frame of reference), the substitution for the paper's zlib default |
 //! | [`serialize`] | Chunk wire layout, payload encryption, chunk builder |
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -712,33 +712,42 @@ impl ChunkBuilder {
         &self.cfg
     }
 
-    /// Pushes a point. Returns the completed chunks this push sealed off
-    /// (normally zero or one; multiple if the point skipped over empty Δ
-    /// windows — empty chunks are emitted to keep the keystream contiguous).
+    /// Pushes a point, appending to `done` the chunks it completes
+    /// (normally none or one; several if the point skipped over empty Δ
+    /// windows — empty chunks are emitted to keep the keystream
+    /// contiguous). A caller that keeps `done` allocates no list a chunk.
     ///
     /// Points must arrive in non-decreasing timestamp order; out-of-order or
-    /// pre-epoch points are rejected.
-    pub fn push(&mut self, p: DataPoint) -> Result<Vec<PlainChunk>, ChunkError> {
+    /// pre-epoch points are rejected and append nothing.
+    pub fn push(&mut self, p: DataPoint, done: &mut Vec<PlainChunk>) -> Result<(), ChunkError> {
         if let (true, Some((_, points))) =
             ((self.last..self.end).contains(&p.ts), &mut self.current)
         {
             points.push(p);
             self.last = p.ts;
-            return Ok(Vec::new());
+            return Ok(());
         }
-        self.push_past_the_open_chunk(p)
+        self.push_past_the_open_chunk(p, done)
     }
 
     /// [`push`](Self::push) of a point the open chunk does not take: one
     /// past its end, before its last point or with none open.
     #[cold]
     #[inline(never)]
-    fn push_past_the_open_chunk(&mut self, p: DataPoint) -> Result<Vec<PlainChunk>, ChunkError> {
+    fn push_past_the_open_chunk(
+        &mut self,
+        p: DataPoint,
+        done: &mut Vec<PlainChunk>,
+    ) -> Result<(), ChunkError> {
         let chunk = self
             .cfg
             .chunk_of(p.ts)
             .ok_or(ChunkError::Malformed("timestamp before stream epoch"))?;
-        let mut emitted = Vec::new();
+        let empty = |index| PlainChunk {
+            stream: self.cfg.id,
+            index,
+            points: Vec::new(),
+        };
         match self.current.take() {
             Some((cur, mut points)) => {
                 if chunk < cur {
@@ -753,34 +762,20 @@ impl ChunkBuilder {
                     points.push(p);
                     self.current = Some((cur, points));
                     self.last = p.ts;
-                    return Ok(emitted);
+                    return Ok(());
                 }
                 // Crossed a boundary: seal current, emit empties for gaps.
                 self.last_len = points.len();
-                emitted.push(PlainChunk {
+                done.push(PlainChunk {
                     stream: self.cfg.id,
                     index: cur,
                     points,
                 });
-                for empty in (cur + 1)..chunk {
-                    emitted.push(PlainChunk {
-                        stream: self.cfg.id,
-                        index: empty,
-                        points: Vec::new(),
-                    });
-                }
+                done.extend((cur + 1..chunk).map(empty));
             }
-            None => {
-                // First point: emit empty chunks from next_expected (0 at
-                // start) up to the point's chunk.
-                for empty in self.next_expected..chunk {
-                    emitted.push(PlainChunk {
-                        stream: self.cfg.id,
-                        index: empty,
-                        points: Vec::new(),
-                    });
-                }
-            }
+            // First point: emit empty chunks from next_expected (0 at
+            // start) up to the point's chunk.
+            None => done.extend((self.next_expected..chunk).map(empty)),
         }
         let mut points = Vec::with_capacity(self.last_len.max(1));
         points.push(p);
@@ -788,7 +783,7 @@ impl ChunkBuilder {
         self.next_expected = chunk + 1;
         let end = self.cfg.t0 as i128 + (chunk as i128 + 1) * self.cfg.delta_ms as i128;
         (self.last, self.end) = (p.ts, end.min(i64::MAX as i128) as i64);
-        Ok(emitted)
+        Ok(())
     }
 
     /// Flushes the in-progress chunk (e.g. at stream close).
@@ -1134,10 +1129,11 @@ mod tests {
     #[test]
     fn builder_cuts_at_delta() {
         let cfg = StreamConfig::new(1, "m", 0, 10_000);
-        let mut b = ChunkBuilder::new(cfg);
-        assert!(b.push(DataPoint::new(0, 1)).unwrap().is_empty());
-        assert!(b.push(DataPoint::new(9_999, 2)).unwrap().is_empty());
-        let done = b.push(DataPoint::new(10_000, 3)).unwrap();
+        let (mut b, mut done) = (ChunkBuilder::new(cfg), Vec::new());
+        b.push(DataPoint::new(0, 1), &mut done).unwrap();
+        b.push(DataPoint::new(9_999, 2), &mut done).unwrap();
+        assert!(done.is_empty());
+        b.push(DataPoint::new(10_000, 3), &mut done).unwrap();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].index, 0);
         assert_eq!(done[0].points.len(), 2);
@@ -1149,10 +1145,10 @@ mod tests {
     #[test]
     fn builder_fills_gaps_with_empty_chunks() {
         let cfg = StreamConfig::new(1, "m", 0, 10_000);
-        let mut b = ChunkBuilder::new(cfg);
-        b.push(DataPoint::new(500, 1)).unwrap();
+        let (mut b, mut done) = (ChunkBuilder::new(cfg), Vec::new());
+        b.push(DataPoint::new(500, 1), &mut done).unwrap();
         // Jump to chunk 4: chunks 0 (with data), 1-3 (empty) are emitted.
-        let done = b.push(DataPoint::new(42_000, 2)).unwrap();
+        b.push(DataPoint::new(42_000, 2), &mut done).unwrap();
         assert_eq!(done.len(), 4);
         assert_eq!(done[0].points.len(), 1);
         assert!(done[1..].iter().all(|c| c.points.is_empty()));
@@ -1162,10 +1158,10 @@ mod tests {
     #[test]
     fn builder_leading_gap() {
         let cfg = StreamConfig::new(1, "m", 0, 10_000);
-        let mut b = ChunkBuilder::new(cfg);
+        let (mut b, mut done) = (ChunkBuilder::new(cfg), Vec::new());
         // First point lands in chunk 2: chunks 0 and 1 are emitted empty so
         // the keystream mapping stays aligned with wall-clock time.
-        let done = b.push(DataPoint::new(25_000, 1)).unwrap();
+        b.push(DataPoint::new(25_000, 1), &mut done).unwrap();
         assert_eq!(done.len(), 2);
         assert!(done.iter().all(|c| c.points.is_empty()));
     }
@@ -1173,10 +1169,12 @@ mod tests {
     #[test]
     fn builder_rejects_within_chunk_regression() {
         let cfg = StreamConfig::new(1, "m", 0, 10_000);
-        let mut b = ChunkBuilder::new(cfg);
-        b.push(DataPoint::new(15_000, 1)).unwrap();
-        assert!(b.push(DataPoint::new(14_999, 2)).is_err());
-        assert!(b.push(DataPoint::new(5_000, 2)).is_err());
+        let (mut b, mut done) = (ChunkBuilder::new(cfg), Vec::new());
+        b.push(DataPoint::new(15_000, 1), &mut done).unwrap();
+        assert!(b.push(DataPoint::new(14_999, 2), &mut done).is_err());
+        assert!(b.push(DataPoint::new(5_000, 2), &mut done).is_err());
+        // The empty chunk 0 the first point completed; the refusals add none.
+        assert_eq!(done.len(), 1);
     }
 
     #[test]

@@ -79,7 +79,9 @@ proptest! {
             } else {
                 ts += if kind < 8 { step.rem_euclid(3) } else { step };
                 let p = DataPoint::new(ts, i as i64);
-                (builder.push(p).map_err(|_| ()), reference.push(&cfg, p))
+                let mut done = Vec::new();
+                let got = builder.push(p, &mut done).map(|()| done).map_err(|_| ());
+                (got, reference.push(&cfg, p))
             };
             prop_assert_eq!(got, want, "step {}", i);
         }

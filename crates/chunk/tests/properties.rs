@@ -1,7 +1,7 @@
 //! Property-based tests for the chunk layer: payload encoding, digests, sealing.
 
 use proptest::prelude::*;
-use timecrypt_chunk::compress::{compress, decompress};
+use timecrypt_chunk::compress::{compress, decompress, BLOCK};
 use timecrypt_chunk::schema::{DigestOp, DigestSchema};
 use timecrypt_chunk::serialize::{ChunkSealer, EncryptedChunk, PlainChunk};
 use timecrypt_chunk::{DataPoint, StreamConfig};
@@ -17,7 +17,57 @@ fn arb_points(max: usize) -> impl Strategy<Value = Vec<DataPoint>> {
     })
 }
 
+/// Series as sensors write them: a steady step with a jump now and then,
+/// values walking a few units with an outlier now and then.
+fn arb_series(max: usize) -> impl Strategy<Value = Vec<DataPoint>> {
+    let moves = proptest::collection::vec((-3i64..4, 0u8..32), 0..max);
+    (any::<i64>(), 1i64..100_000, moves).prop_map(|(start, step, moves)| {
+        let (mut ts, mut value) = (start, 0i64);
+        let point = |(walk, rare): (i64, u8)| {
+            ts = ts.wrapping_add(if rare == 0 { step << 20 } else { step });
+            value = value.wrapping_add(if rare == 1 { walk << 40 } else { walk });
+            DataPoint { ts, value }
+        };
+        moves.into_iter().map(point).collect()
+    })
+}
+
+/// The encoding the block codec replaced (codec byte 1): the point count,
+/// then per point the zigzag varints of its timestamp's and its value's
+/// difference from the previous point's. The reference for its sizes.
+fn varint_per_delta(points: &[DataPoint]) -> Vec<u8> {
+    fn put(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let zigzag = |v: i64| ((v << 1) ^ (v >> 63)) as u64;
+    let mut out = vec![1];
+    put(&mut out, points.len() as u64);
+    let mut prev = DataPoint { ts: 0, value: 0 };
+    for p in points {
+        put(&mut out, zigzag(p.ts.wrapping_sub(prev.ts)));
+        put(&mut out, zigzag(p.value.wrapping_sub(prev.value)));
+        prev = *p;
+    }
+    out
+}
+
 proptest! {
+    /// The block codec is never more than one header byte a block of each
+    /// stream larger than a varint a delta, and round-trips what it codes.
+    #[test]
+    fn payload_is_at_most_a_byte_a_block_past_varints(
+        points in prop_oneof![arb_points(300), arb_series(300)],
+    ) {
+        let blocks = points.len().saturating_sub(1).div_ceil(BLOCK);
+        let enc = compress(&points);
+        prop_assert!(enc.len() <= varint_per_delta(&points).len() + 2 * blocks);
+        prop_assert_eq!(decompress(&enc).unwrap(), points);
+    }
+
     /// Delta coding round-trips arbitrary (even hostile) point vectors.
     #[test]
     fn payload_roundtrips(points in arb_points(200)) {

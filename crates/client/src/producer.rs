@@ -23,6 +23,9 @@ fn chunk_fault(e: impl std::fmt::Display) -> ClientFault {
 struct Outbox {
     sealer: ChunkSealer,
     builder: ChunkBuilder,
+    /// The chunks the builder completed, sealed at once: kept, so pushing
+    /// a point allocates no list.
+    done: Vec<PlainChunk>,
     rng: SecureRandom,
     queue: Vec<Vec<u8>>,
     /// Chunks per `InsertBatch`; `None` sends one `Insert` per chunk.
@@ -41,6 +44,7 @@ impl Outbox {
         Outbox {
             sealer: ChunkSealer::new(&cfg, keys),
             builder: ChunkBuilder::new(cfg),
+            done: Vec::new(),
             rng,
             queue: Vec::new(),
             batch,
@@ -49,10 +53,10 @@ impl Outbox {
         }
     }
 
-    /// Seals `chunks` into the queue, each straight to its wire bytes in a
-    /// buffer of their exact length.
-    fn seal(&mut self, chunks: impl IntoIterator<Item = PlainChunk>) -> Result<(), ClientFault> {
-        for chunk in chunks {
+    /// Seals the completed chunks into the queue, each straight to its wire
+    /// bytes in a buffer of their exact length.
+    fn seal(&mut self) -> Result<(), ClientFault> {
+        for chunk in self.done.drain(..) {
             let mut bytes = Vec::new();
             self.sealer
                 .seal_into(&chunk, &mut self.rng, &mut bytes)
@@ -67,11 +71,19 @@ impl Outbox {
     /// anything is sent. Every point pushed takes this path, and most
     /// complete nothing.
     fn push(&mut self, point: DataPoint) -> Result<(), ClientFault> {
-        let done = self.builder.push(point).map_err(chunk_fault)?;
-        if done.is_empty() {
+        self.builder
+            .push(point, &mut self.done)
+            .map_err(chunk_fault)?;
+        if self.done.is_empty() {
             return Ok(());
         }
-        self.seal(done)
+        self.seal()
+    }
+
+    /// Seals the in-progress chunk into the queue.
+    fn close(&mut self) -> Result<(), ClientFault> {
+        self.done.extend(self.builder.flush());
+        self.seal()
     }
 
     /// Sends queued chunks, oldest first: while a whole request's worth is
@@ -291,8 +303,7 @@ impl Producer {
     /// Flushes the in-progress chunk (stream close / end of epoch), and
     /// anything still queued.
     pub fn flush<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientFault> {
-        let tail = self.out.builder.flush();
-        self.out.seal(tail)?;
+        self.out.close()?;
         self.ship(transport)
     }
 
@@ -406,8 +417,7 @@ impl BatchingProducer {
 
     /// Seals the in-progress chunk and ships everything still buffered.
     pub fn flush<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientFault> {
-        let tail = self.out.builder.flush();
-        self.out.seal(tail)?;
+        self.out.close()?;
         self.out.ship(transport, true, |_| Ok(()))
     }
 }
@@ -602,7 +612,9 @@ mod tests {
             };
             for half in [&before, &after] {
                 for &p in half {
-                    builder.push(p).unwrap().into_iter().for_each(&mut seal);
+                    let mut done = Vec::new();
+                    builder.push(p, &mut done).unwrap();
+                    done.into_iter().for_each(&mut seal);
                 }
                 builder.flush().into_iter().for_each(&mut seal);
             }

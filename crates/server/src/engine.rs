@@ -1532,14 +1532,13 @@ mod tests {
         server
             .create_stream(1, 0, 10_000, cfg.schema.width() as u32)
             .unwrap();
-        let mut builder = ChunkBuilder::new(cfg.clone());
+        let (mut builder, mut done) = (ChunkBuilder::new(cfg.clone()), Vec::new());
         for c in 0..n {
             for i in 0..10 {
                 let ts = c as i64 * 10_000 + i * 1000;
-                for done in builder
-                    .push(DataPoint::new(ts, (c * 10 + i as u64) as i64))
-                    .unwrap()
-                {
+                let p = DataPoint::new(ts, (c * 10 + i as u64) as i64);
+                builder.push(p, &mut done).unwrap();
+                for done in done.drain(..) {
                     server
                         .insert(&done.seal(&cfg, &km, &mut rng).unwrap())
                         .unwrap();

@@ -47,7 +47,9 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Serialized chunk `index` of `stream`, holding `points` points.
+/// Serialized chunk `index` of `stream`, holding `points` points a
+/// millisecond apart, of seeded random 16-bit values: a chunk's bytes grow
+/// with its points, as a chunk of sensor readings does.
 fn sealed(stream: u128, index: u64, points: usize) -> Vec<u8> {
     let cfg = StreamConfig {
         schema: DigestSchema::sum_count(),
@@ -56,12 +58,12 @@ fn sealed(stream: u128, index: u64, points: usize) -> Vec<u8> {
     let keys =
         StreamKeyMaterial::with_params(stream, [stream as u8; 16], 20, PrgKind::Aes).unwrap();
     let mut rng = SecureRandom::from_seed_insecure(500 + index);
-    let t0 = index as i64 * 10_000;
+    let (t0, mut values) = (index as i64 * 10_000, common::history::Rng(index));
     PlainChunk {
         stream,
         index,
         points: (0..points as i64)
-            .map(|i| DataPoint::new(t0 + i, i))
+            .map(|i| DataPoint::new(t0 + i, values.below(1 << 16) as i64))
             .collect(),
     }
     .seal(&cfg, &keys, &mut rng)

@@ -56,7 +56,7 @@ fn halves(mut push: impl FnMut(DataPoint) -> (u64, u64)) -> [(u64, u64); 2] {
 }
 
 /// Key derivation per chunk sealed in order, through each producer, and
-/// the sealed payload bytes of a chunk of 6 and of 500 fixed points: rows
+/// the sealed payload bytes of a chunk of 6, 50 and 500 fixed points: rows
 /// of the root `BENCH_ledger.json`. This test asserts only that the cost
 /// does not grow with the stream: the second half of the chunks costs no
 /// more than the first. The two `sequential_chunks_*` tests below hold the
@@ -102,7 +102,7 @@ fn in_order_sealing_costs_the_same_per_chunk_at_any_length() {
         (CHUNKS, CHUNKS)
     );
     let mut sealer = ChunkSealer::new(&cfg, &StreamKeyMaterial::new(1, [1; 16]).unwrap());
-    for n in [6, 500] {
+    for n in [6, 50, 500] {
         let points = (0..n).map(|i| DataPoint::new(i * 20, 70 + i % 7)).collect();
         let chunk = PlainChunk {
             stream: 1,

@@ -5,10 +5,13 @@
 //!   (`EncryptedChunk::to_bytes`) of nine chunks: 6, 50 and 500 points at
 //!   indices 0, 1 and 2^20 − 3 of a height-20 tree, one sealer and one
 //!   seeded RNG across all nine, so they are sealed in order, after a jump
-//!   forward and after a jump back. The file was written by the
+//!   forward and after a jump back. The file was first written by the
 //!   composition of separate primitives that sealing was before it became
 //!   one kernel; a stored chunk's bytes do not change with the code that
-//!   seals it, so the file is never rewritten.
+//!   seals it. It was rewritten once, for the block payload codec (codec
+//!   byte 2): every chunk's position, width, digest words and nonce are
+//!   those first bytes, and only its payload length, ciphertext and tag
+//!   changed.
 //! - A generated check seals random chunks on every backend and compares
 //!   each with a composition of the public primitives written here:
 //!   `TreeKd::leaf`, `ElementKeys`, `sha256`, `AesGcm128`.
@@ -298,8 +301,9 @@ impl Transport for NoServer {
 }
 
 /// Allocator calls per chunk a producer makes, from the first point of a
-/// chunk to the shipped bytes: the builder's points, the chunks a point
-/// completes, the sealed bytes and, batched, the batch's list of chunks.
+/// chunk to the shipped bytes: the builder's points, the sealed bytes and,
+/// batched, the batch's list of chunks (the list of chunks a point
+/// completes is the producer's own, kept).
 /// Counted over 64 chunks of `n` points after 16 to warm the queue.
 #[test]
 fn producers_allocate_a_few_calls_per_chunk() {

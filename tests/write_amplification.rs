@@ -13,17 +13,19 @@
 //! fleet shape, of one chunk each.
 //!
 //! **Fleet-shaped**: many streams, one small chunk per stream per batch, so
-//! nothing amortises across a batch. Per 119 B chunk: 88 value bytes (the
-//! record: 8·4 sum, 1 + 55 payload); in the log ≈ 98, 0.82 per user byte.
-//! The two length prefixes the record no longer repeats made it 0.88, and
-//! a sealed 64-ary node beside them (2 308 B per 64 chunks, the layout
-//! before running sums) 1.17.
+//! nothing amortises across a batch. Per 108 B chunk: 77 value bytes (the
+//! record: 8·4 sum, 1 + 44 payload); in the log ≈ 87, 0.80 per user byte.
+//! The frame is a larger share of a smaller chunk: at the 55 B payload of
+//! a varint a delta it was 0.82; the two length prefixes the record no
+//! longer repeats made that 0.88, and a sealed 64-ary node beside them
+//! (2 308 B per 64 chunks, the layout before running sums) 1.17.
 //!
 //! **Dashboard-shaped**: 19-wide digests and a stream's 16 chunks per
-//! batch, so most records name a run their own batch extends. Per 284 B
-//! chunk: 253 value bytes (8·19 sum, 1 + 100 payload); in the log ≈ 264,
-//! plus the spelled-out first batch of each stream (≈ 0.9 B per chunk over
-//! 512): 0.93 per user byte, where the length prefixes made it 0.96 and
+//! batch, so most records name a run their own batch extends. Per 244 B
+//! chunk, the benchmark's 50-point mHealth chunk: 213 value bytes (8·19
+//! sum, 1 + 60 payload); in the log ≈ 224, plus the spelled-out first
+//! batch of each stream (≈ 0.9 B per chunk over 512): 0.92 per user byte.
+//! At a 100 B payload it was 0.93, with the length prefixes 0.96 and with
 //! the nodes (9 988 B per 64 chunks) 1.51.
 //!
 //! Each shape then answers 64 statistical queries over all its streams
@@ -44,10 +46,11 @@ use timecrypt::store::{Durability, KvStore, LogKv};
 
 mod common;
 
-/// The fleet shape: 119 B sealed, the benchmark's DevOps chunk — 32 B
-/// header, 4 digest words, 55 B payload.
+/// The fleet shape: 108 B sealed, the benchmark's DevOps chunk — 32 B
+/// header, 4 digest words, 44 B payload (12 nonce, 16 coded points, 16
+/// tag).
 const WIDTH: usize = 4;
-const PAYLOAD: usize = 55;
+const PAYLOAD: usize = 44;
 const DELTA_MS: u64 = 60_000;
 const QUERIES: u64 = 64;
 
@@ -143,16 +146,16 @@ fn measure(
 #[test]
 fn fleet_ingest_store_writes_stay_under_the_byte_model() {
     let (puts, bytes, rows) = measure("fleet", (8, 200, 1), (WIDTH, PAYLOAD), 64 << 20);
-    // One put of the record's 88 value bytes per chunk (`MeteredKv`).
-    assert_eq!((puts, bytes), (1.0, 8 * 200 * 88));
+    // One put of the record's 77 value bytes per chunk (`MeteredKv`).
+    assert_eq!((puts, bytes), (1.0, 8 * 200 * 77));
     common::ledger(&rows);
 }
 
 #[test]
 fn dashboard_ingest_store_writes_stay_under_the_byte_model() {
     // 512 chunks per stream, 16 a batch: 32 batches.
-    let (puts, bytes, rows) = measure("dashboard", (4, 512, 16), (19, 100), 64 << 10);
-    assert_eq!((puts, bytes), (1.0, 4 * 512 * 253));
+    let (puts, bytes, rows) = measure("dashboard", (4, 512, 16), (19, 60), 64 << 10);
+    assert_eq!((puts, bytes), (1.0, 4 * 512 * 213));
     common::ledger(&rows);
 }
 
