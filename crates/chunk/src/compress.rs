@@ -62,15 +62,11 @@ type Decoded = Result<(), CodecError>;
 
 /// LEB128 unsigned varint encode.
 fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
+    out.push(v as u8);
 }
 
 /// LEB128 unsigned varint decode; advances `pos`.
@@ -113,42 +109,46 @@ pub fn compress(points: &[DataPoint]) -> Vec<u8> {
     out
 }
 
-/// [`compress`] appending to a caller-provided buffer (chunk sealing
-/// compresses straight into the sealer's scratch), a block at a time
-/// through a stack buffer.
+/// [`compress`] appending to a caller's buffer (chunk sealing compresses
+/// straight into the sealer's scratch), a block at a time.
 pub fn compress_into(points: &[DataPoint], out: &mut Vec<u8>) {
     out.push(CODEC);
     put_uvarint(out, points.len() as u64);
-    let Some(first) = points.first() else { return };
-    put_uvarint(out, zigzag(first.ts));
-    put_uvarint(out, zigzag(first.value));
-    let mut codes = [0u64; BLOCK];
+    // A short chunk's codes go through a buffer that costs nothing to zero
+    // (a 64-code one is a 512-byte store on every call).
+    match points.len() {
+        0 => {}
+        1..=8 => put_points::<8>(points, out),
+        _ => put_points::<BLOCK>(points, out),
+    }
+}
+
+/// Appends one or more points' heads and streams through an `N`-code buffer
+/// (`N` is [`BLOCK`], or no less than the codes in a stream).
+fn put_points<const N: usize>(points: &[DataPoint], out: &mut Vec<u8>) {
+    put_uvarint(out, zigzag(points[0].ts));
+    put_uvarint(out, zigzag(points[0].value));
+    let mut codes = [0u64; N];
     let mut stream = |field: fn(&DataPoint) -> i64| {
-        let mut prev = field(first);
+        let mut prev = field(&points[0]);
         for block in points[1..].chunks(BLOCK) {
+            let codes = &mut codes[..block.len()];
+            let (mut min, mut max) = (u64::MAX, 0);
             for (code, p) in codes.iter_mut().zip(block) {
                 *code = zigzag(field(p).wrapping_sub(prev));
+                (min, max) = (min.min(*code), max.max(*code));
                 prev = field(p);
             }
-            put_block(out, &codes[..block.len()]);
+            put_block(out, codes, min, 64 - (max - min).leading_zeros());
         }
     };
     stream(|p| p.ts);
     stream(|p| p.value);
 }
 
-/// Appends one block of codes (at least one): packed against its smallest
-/// code, or plain varints where those take fewer bytes.
+/// Appends a block of one or more codes, `width` bits past `min`: packed, or varints if shorter.
 #[inline(always)]
-fn put_block(out: &mut Vec<u8>, codes: &[u64]) {
-    // Four lanes, so no compare waits on the one before.
-    let quads = codes.chunks_exact(4);
-    let rest = quads.remainder().iter().fold(u64::MAX, |lo, &c| lo.min(c));
-    let lanes = quads.fold([rest; 4], |lo, q| std::array::from_fn(|j| lo[j].min(q[j])));
-    let min = lanes.into_iter().fold(u64::MAX, u64::min);
-    // The widest remainder's top bit is the top bit of them all.
-    let spread = codes.iter().fold(0, |or, &c| or | (c - min));
-    let width = 64 - spread.leading_zeros();
+fn put_block(out: &mut Vec<u8>, codes: &[u64], min: u64, width: u32) {
     let varint_len = |v: u64| (70 - (v | 1).leading_zeros() as usize) / 7;
     let packed = varint_len(min) + (codes.len() * width as usize).div_ceil(8);
     if packed > codes.len() && codes.iter().map(|&c| varint_len(c)).sum::<usize>() < packed {
@@ -175,8 +175,7 @@ fn put_block(out: &mut Vec<u8>, codes: &[u64]) {
     out.truncate(out.len() - 8 + bits.div_ceil(8) as usize);
 }
 
-/// Decompresses a payload produced by [`compress`]. Allocates only the
-/// points it returns.
+/// Decodes a payload of [`compress`], allocating only the points returned.
 pub fn decompress(data: &[u8]) -> Result<Vec<DataPoint>, CodecError> {
     match data.first() {
         None => return Err(CodecError::Truncated),
@@ -185,9 +184,10 @@ pub fn decompress(data: &[u8]) -> Result<Vec<DataPoint>, CodecError> {
     }
     let mut pos = 1;
     let n = get_uvarint(data, &mut pos)?;
-    // Every 64 codes of a stream take two bytes at least, so a count of more
-    // than 64 points a remaining byte is refused before anything is reserved.
-    if n > (data.len() - pos) as u64 * BLOCK as u64 {
+    // Two heads and two streams of `n − 1` codes, a block two bytes at
+    // least, take `2 + 4·⌈(n − 1)/64⌉` bytes: a count past 16 points a
+    // remaining byte is refused before anything is reserved.
+    if n > (data.len() - pos) as u64 * 16 {
         return Err(CodecError::Truncated);
     }
     let Some(steps) = n.checked_sub(1) else {
@@ -354,18 +354,24 @@ mod tests {
     }
 
     #[test]
+    fn delta_compresses_regular_data() {
+        // 500 points at fixed rate with small value wobble: delta coding
+        // must beat raw 16-bytes-per-point materially.
+        let points = sample_points();
+        let delta = compress(&points).len();
+        assert!(delta < points.len() * 16 / 4, "delta {delta}");
+    }
+
+    #[test]
     fn any_other_codec_byte_is_refused() {
         let mut enc = compress(&sample_points());
         for id in [0, 1, 3, 255] {
             enc[0] = id;
             assert_eq!(decompress(&enc), Err(CodecError::UnknownCodec(id)));
         }
-        // A payload of the varint-a-delta encoding (codec byte 1): one point.
-        let parent = [1, 1, 0x53, 0x0e];
-        assert_eq!(decompress(&parent), Err(CodecError::UnknownCodec(1)));
     }
 
-    /// A count of more than 64 points a byte after it is refused before
+    /// A count of more than 16 points a byte after it is refused before
     /// anything is reserved: `1 << 60` points would abort the process.
     #[test]
     fn counts_past_the_bytes_left_are_refused() {
@@ -376,13 +382,13 @@ mod tests {
             decompress(&enc)
         };
         assert_eq!(claim(1 << 60, 8), Err(CodecError::Truncated));
-        assert_eq!(claim(64 * 3 + 1, 3), Err(CodecError::Truncated));
-        // At 64 a byte the count passes; these bytes are one point's heads
-        // and a width-0 block of step 0, then the value stream is cut short.
-        assert_eq!(claim(64 * 3, 3), Err(CodecError::Truncated));
-        let mut ok = vec![CODEC, 2, 0, 0, 0, 0];
-        ok.extend([0, 0]);
-        assert_eq!(decompress(&ok).unwrap(), vec![DataPoint::new(0, 0); 2]);
+        assert_eq!(claim(16 * 3 + 1, 3), Err(CodecError::Truncated));
+        // At 16 a byte the count passes; these bytes are one point's heads
+        // and a block header, then the base is cut short.
+        assert_eq!(claim(16 * 3, 3), Err(CodecError::Truncated));
+        // The densest payload, `16·(6 − 2) + 1` points in six bytes: the
+        // heads and two width-0 blocks of 64 codes.
+        assert_eq!(claim(65, 6).unwrap(), vec![DataPoint::new(0, 0); 65]);
     }
 
     #[test]
