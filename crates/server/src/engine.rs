@@ -1972,6 +1972,67 @@ mod tests {
         assert_eq!(s.residency(), before, "no eviction, no rehydration");
     }
 
+    /// The engine's resident streams, ascending.
+    fn resident(s: &TimeCryptServer) -> Vec<u128> {
+        let mut ids = Vec::from_iter(s.registry.lock(Mutex::lock).resident.keys().copied());
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Seeded touch / hold / release steps under caps 1–8, checked after
+    /// each against a reference LRU: a touch makes its stream the warmest
+    /// and then evicts the coldest idle streams until the cap holds, never
+    /// one with an in-flight handle (the touched one included); a release
+    /// evicts nothing.
+    #[test]
+    fn eviction_takes_the_coldest_idle_stream() {
+        const STREAMS: u128 = 12;
+        for cap in 1..=8 {
+            for seed in 0..8u64 {
+                let cfg = ServerConfig {
+                    max_resident_streams: Some(cap),
+                    ..ServerConfig::default()
+                };
+                let s = TimeCryptServer::open(Arc::new(MemKv::new()), cfg).unwrap();
+                for id in 0..STREAMS {
+                    s.create_stream(id, 0, 10_000, 2).unwrap();
+                }
+                // The reference: resident streams, coldest first.
+                let (mut lru, mut held) = (Vec::<u128>::new(), Vec::new());
+                let mut x = (cap as u64) << 32 | (seed + 1);
+                for step in 0..200 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let id = (x >> 8) as u128 % STREAMS;
+                    match x % 4 {
+                        0 if !held.is_empty() => {
+                            held.swap_remove((x >> 32) as usize % held.len());
+                        }
+                        kind => {
+                            let st = s.stream(id).unwrap();
+                            lru.retain(|&r| r != id);
+                            lru.push(id);
+                            let busy = |r: &u128| *r == id || held.iter().any(|(h, _)| h == r);
+                            while lru.len() > cap {
+                                let Some(coldest) = lru.iter().position(|r| !busy(r)) else {
+                                    break;
+                                };
+                                lru.remove(coldest);
+                            }
+                            if kind == 1 {
+                                held.push((id, st));
+                            }
+                        }
+                    }
+                    let mut want = lru.clone();
+                    want.sort_unstable();
+                    assert_eq!(resident(&s), want, "cap {cap}, seed {seed}, step {step}");
+                }
+            }
+        }
+    }
+
     /// Every record of `stream` in `s`, in key order.
     fn keyspace(s: &TimeCryptServer, stream: u128) -> KvPairs {
         let heads = keys::of_stream(stream);

@@ -22,7 +22,7 @@ use common::{Deployment, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::server::{ServerConfig, TimeCryptServer};
-use timecrypt::store::{LogKv, LogStats};
+use timecrypt::store::{LogKv, LogStats, MemKv};
 use timecrypt::wire::messages::{Request, Response};
 
 mod common;
@@ -119,6 +119,36 @@ fn a_written_stream_holds_its_running_sum_and_its_record_locations() {
     common::ledger(&[(
         "store_residency.fleet.resident_bytes_per_written_stream".into(),
         per_stream.to_string(),
+    )]);
+}
+
+/// A resident stream's touch, counted: 64 streams of 4 chunks, each read
+/// once so every one is resident, then 10 000 `stream_stat` calls round
+/// robin over the whole of each stream, the benchmark's uncapped engine.
+/// The row is the allocator calls a call makes, its query's and its touch's.
+#[test]
+fn a_resident_stat_allocates_only_for_its_query() {
+    const STREAMS: u128 = 64;
+    const CALLS: u64 = 10_000;
+    let engine = TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
+    for stream in 0..STREAMS {
+        engine
+            .create_stream(stream, 0, 10_000, WIDTH as u32)
+            .unwrap();
+        for index in 0..4 {
+            engine.insert(&chunk(stream, index, 6)).unwrap();
+        }
+        engine.stream_stat(stream, 0, 40_000).unwrap();
+    }
+    let (calls, ()) = common::calls_of(|| {
+        for call in 0..CALLS {
+            let stat = engine.stream_stat(call as u128 % STREAMS, 0, 40_000);
+            assert!(stat.unwrap().1.is_some());
+        }
+    });
+    common::ledger(&[(
+        "store_residency.resident_stat.allocations_per_call".into(),
+        format!("{:.4}", calls as f64 / CALLS as f64),
     )]);
 }
 
