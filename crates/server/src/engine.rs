@@ -1,29 +1,8 @@
-//! The server engine: stream directory, lazy-hydrated stream state,
-//! ingest path, query engine.
-//!
-//! # Stream lifecycle (lazy hydration)
-//!
-//! The engine never keeps every stream's state in memory. Opening a store
-//! builds only a *directory* — one small metadata record per registered
-//! stream — so open time is O(streams' meta records), not O(history).
-//! A stream's state (`StreamState`) is *hydrated* on first touch and parked
-//! in a recency-ordered resident set bounded by
-//! [`ServerConfig::max_resident_streams`]. Hydration is `AggTree::open`:
-//! the length by key probes and the stream's running sum from its last
-//! record — one read and O(1) resident bytes, whatever the history.
-//! The integrity ledger is no part of it: it is a cache of the level-0
-//! records that a proof request brings up to the attested size, and that
-//! eviction drops with the rest. Hydration is single-flight: concurrent
-//! cold touches of one stream open it exactly once (the first holds the
-//! stream's stripe — one of a fixed table, shared by the streams of its
-//! stripe — until it has published the state; the others queue on it and
-//! then take the resident hit). Eviction only removes a resident entry
-//! whose `Arc` has no in-flight references, so an operation holding a
-//! handle keeps using it safely after the stream leaves the resident set.
-//! Every call that changes a stream's records holds its stripe throughout
-//! and resolves the state under it, so a deletion or import that drops the
-//! state leaves no writer holding it. See ARCHITECTURE.md "Stream lifecycle".
+//! The server engine: ingest path, query engine, and the stripes and
+//! single-flight cold touch in front of the stream residency
+//! ([`crate::residency`], which documents the stream lifecycle).
 
+use crate::residency::{Residency, StreamMeta};
 use crate::runs::{ingest_reply, Runs};
 use crate::stat::{StatLeg, StreamStat};
 use parking_lot::{Mutex, RwLock};
@@ -37,7 +16,7 @@ use timecrypt_index::{
     IndexError, DEFAULT_CACHE_BYTES,
 };
 use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
-use timecrypt_obs::rank::{self, Ranked, Stripes};
+use timecrypt_obs::rank::{self, Stripes};
 use timecrypt_obs::{counters, trace};
 use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
@@ -230,39 +209,6 @@ type LiveBuffer = BTreeMap<u64, Vec<(u32, Vec<u8>)>>;
 /// [`TimeCryptServer::get_verified_range`].
 pub type VerifiedRange = (Vec<u8>, Vec<u8>, Vec<Vec<u8>>);
 
-/// A stream's immutable registration metadata: the directory entry kept
-/// in memory for every stream whether or not its state is resident.
-#[derive(Debug, Clone, Copy)]
-struct StreamMeta {
-    grid: ChunkGrid,
-    digest_width: u32,
-}
-
-impl StreamMeta {
-    /// The registration record's value: `t0 ‖ Δ ‖ width`, little-endian.
-    fn encode(&self) -> Vec<u8> {
-        let (t0, delta) = (
-            self.grid.t0.to_le_bytes(),
-            self.grid.delta_ms.get().to_le_bytes(),
-        );
-        [&t0[..], &delta, &self.digest_width.to_le_bytes()].concat()
-    }
-
-    /// [`encode`](Self::encode)'s inverse; `None` for another length or Δ = 0.
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let (t0, rest) = bytes.split_first_chunk::<8>()?;
-        let (delta, width) = rest.split_first_chunk::<8>()?;
-        let grid = ChunkGrid {
-            t0: i64::from_le_bytes(*t0),
-            delta_ms: NonZeroU64::new(u64::from_le_bytes(*delta))?,
-        };
-        Some(StreamMeta {
-            grid,
-            digest_width: u32::from_le_bytes(width.try_into().ok()?),
-        })
-    }
-}
-
 /// Per-stream server state (the hydrated, resident part).
 ///
 /// Read/write split: the registration metadata is immutable; the
@@ -272,7 +218,7 @@ impl StreamMeta {
 /// attested size extends it exclusively); and the stream's stripe
 /// serializes the write path only. Statistical and raw reads therefore
 /// never wait on an in-flight insert, and ingest never takes the ledger.
-struct StreamState {
+pub(crate) struct StreamState {
     meta: StreamMeta,
     /// Shared-read index: queries take `&self` and snapshot a consistent
     /// length; appends are serialized by the stream's stripe (and the
@@ -285,95 +231,21 @@ struct StreamState {
     ledger: RwLock<StreamLedger>,
 }
 
-/// One resident stream: its state handle plus the recency tick mirrored
-/// in [`StreamRegistry::order`].
-struct Resident {
-    state: Arc<StreamState>,
-    tick: u64,
-}
-
-/// The stream registry: the always-complete directory plus the bounded
-/// resident set, all behind one mutex (`registry` in the documented lock
-/// order). Holders never block on the store — hydration reads run
-/// outside this lock, serialized per stream by its stripe.
-#[derive(Default)]
-struct StreamRegistry {
-    /// Every registered stream's metadata. Never evicted; this is what
-    /// makes existence checks and chunk-window math O(1) without I/O.
-    directory: HashMap<u128, StreamMeta>,
-    /// Hydrated streams by id; `Resident::tick` mirrors `order`.
-    resident: HashMap<u128, Resident>,
-    /// Recency order: tick → stream id, coldest first (ticks are unique,
-    /// so a `BTreeMap` gives O(log n) touch and cold-end sweeps).
-    order: BTreeMap<u64, u128>,
-    /// Monotonic recency clock.
-    tick: u64,
-}
-
-impl StreamRegistry {
-    /// Resident lookup; a hit refreshes recency and clones the handle.
-    /// Every outstanding clone of a resident handle originates here or in
-    /// the publish path — always under the registry lock — which is what
-    /// makes the strong-count eviction gate in `sweep_to` sound.
-    fn touch(&mut self, stream: u128) -> Option<Arc<StreamState>> {
-        let r = self.resident.get_mut(&stream)?;
-        self.order.remove(&r.tick);
-        self.tick += 1;
-        r.tick = self.tick;
-        self.order.insert(self.tick, stream);
-        Some(r.state.clone())
-    }
-
-    /// Publishes a hydrated stream, not resident, as the most recent entry.
-    fn insert_resident(&mut self, stream: u128, state: Arc<StreamState>) {
-        self.tick += 1;
-        self.order.insert(self.tick, stream);
-        self.resident.insert(
-            stream,
-            Resident {
-                state,
-                tick: self.tick,
-            },
-        );
-    }
-
-    /// Drops a stream from the resident set, in-flight references or not:
-    /// under the stream's stripe, no writer holds it.
-    fn remove_resident(&mut self, stream: u128) -> Option<Arc<StreamState>> {
-        let r = self.resident.remove(&stream)?;
-        self.order.remove(&r.tick);
-        Some(r.state)
-    }
-}
-
-/// Point-in-time counters for the lazy-hydration layer (surfaced through
-/// the service tier's `ShardStatsWire`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResidencyStats {
-    /// Streams currently hydrated.
-    pub resident: u64,
-    /// Hydrations performed since open (cold-touch stream opens).
-    pub hydrations: u64,
-    /// Resident streams evicted since open.
-    pub evictions: u64,
-}
-
 /// The server engine. Thread-safe with a per-stream read/write split:
 /// writes (`insert`, `rollup`, `delete_range`, …) are serialized by the
 /// stream's stripe (the paper's index updates are likewise
 /// serialized per stream by append order), while statistical queries, raw
 /// reads, and proof builds take only shared state — so any number of
 /// readers proceed concurrently with each other *and* with an in-flight
-/// insert on the same stream. Stream state is demand-loaded behind a
-/// bounded resident LRU (see the module docs); the crate docs spell out
+/// insert on the same stream. Stream state is demand-loaded into a
+/// bounded resident set ([`crate::residency`]); the crate docs spell out
 /// which operation takes which lock.
 pub struct TimeCryptServer {
     pub(crate) kv: Arc<dyn KvStore>,
-    cfg: ServerConfig,
     /// The node's boundary cache, which every stream's index reads through.
     cache: Arc<BoundaryCache>,
     /// Stream directory + resident set.
-    registry: Ranked<{ rank::REGISTRY }, Mutex<StreamRegistry>>,
+    pub(crate) residency: Residency,
     /// Each stream's one lock, taken before `registry`: held throughout by
     /// every call that changes the stream's records (its directory entry
     /// included), and by a cold touch while it opens and publishes it.
@@ -382,10 +254,6 @@ pub struct TimeCryptServer {
     /// chunk, the sealed records received so far. Volatile by design — the
     /// durable copy is the finalized chunk that supersedes these records.
     live: Mutex<HashMap<u128, LiveBuffer>>,
-    /// Cold-touch stream opens since the engine opened.
-    hydrations: counters::Counter,
-    /// Resident streams evicted since open.
-    evictions: counters::Counter,
 }
 
 /// The kind byte of a record that holds its chunk's payload.
@@ -491,29 +359,13 @@ impl TimeCryptServer {
         cache: Arc<BoundaryCache>,
         owns: impl Fn(u128) -> bool,
     ) -> Result<Self, ServerError> {
-        let server = TimeCryptServer {
+        Ok(TimeCryptServer {
+            residency: Residency::open(kv.as_ref(), cfg.max_resident_streams, owns)?,
             kv,
-            cfg,
             cache,
-            registry: Ranked::new(Mutex::new(StreamRegistry::default())),
             stripes: Stripes::default(),
             live: Mutex::new(HashMap::new()),
-            hydrations: counters::Counter::new(),
-            evictions: counters::Counter::new(),
-        };
-        let mut directory: HashMap<u128, StreamMeta> = HashMap::new();
-        for (key, value) in server.kv.scan_prefix(keys::META)? {
-            // A malformed record is skipped: no registration wrote it.
-            let (Some(stream), Some(meta)) = (keys::meta_stream(&key), StreamMeta::decode(&value))
-            else {
-                continue;
-            };
-            if owns(stream) {
-                directory.insert(stream, meta);
-            }
-        }
-        server.registry.lock(Mutex::lock).directory = directory;
-        Ok(server)
+        })
     }
 
     /// Registers a stream. Registration writes the durable meta record and
@@ -536,12 +388,11 @@ impl TimeCryptServer {
             digest_width,
         };
         let _stripe = self.stripes.lock(stream, Mutex::lock);
-        if self.stream_meta(stream).is_ok() {
+        if self.residency.meta(stream).is_ok() {
             return Err(ServerError::StreamExists(stream));
         }
         self.kv.put(&keys::meta(stream), &meta.encode())?;
-        let mut reg = self.registry.lock(Mutex::lock);
-        reg.directory.insert(stream, meta);
+        self.residency.register(stream, meta);
         Ok(())
     }
 
@@ -552,7 +403,7 @@ impl TimeCryptServer {
     /// the stream gone.
     pub fn delete_stream(&self, stream: u128) -> Result<(), ServerError> {
         let _stripe = self.stripes.lock(stream, Mutex::lock);
-        self.stream_meta(stream)?;
+        self.residency.meta(stream)?;
         self.import_locked(stream, &[], &[], true).map(drop)
     }
 
@@ -593,8 +444,8 @@ impl TimeCryptServer {
     /// the stream under it, so the touches queued behind it take the hit.
     /// Resident hits proceed meanwhile, and the stripe may block
     /// (`rank::ORDER` says why).
-    fn stream(&self, stream: u128) -> Result<Arc<StreamState>, ServerError> {
-        if let Some(st) = self.resident(stream)? {
+    pub(crate) fn stream(&self, stream: u128) -> Result<Arc<StreamState>, ServerError> {
+        if let Some(st) = self.residency.touch(stream)? {
             return Ok(st);
         }
         let _stripe = self.stripes.lock(stream, Mutex::lock);
@@ -604,36 +455,12 @@ impl TimeCryptServer {
     /// Under `stream`'s stripe: its resident state, or else the stream
     /// opened with no registry lock held and published.
     fn resolve(&self, stream: u128) -> Result<Arc<StreamState>, ServerError> {
-        if let Some(st) = self.resident(stream)? {
+        if let Some(st) = self.residency.touch(stream)? {
             return Ok(st);
         }
-        let st = Arc::new(self.hydrate(stream, self.stream_meta(stream)?)?);
-        self.hydrations.inc();
-        let mut reg = self.registry.lock(Mutex::lock);
-        reg.insert_resident(stream, st.clone());
-        let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
-        self.note_evictions(idle.len());
-        drop(reg);
-        // Evicted state (trees, ledgers) deallocates outside the registry
-        // lock; the cache ages out an evicted tree's sums.
-        drop(idle);
+        let st = Arc::new(self.hydrate(stream, self.residency.meta(stream)?)?);
+        self.residency.publish(stream, st.clone());
         Ok(st)
-    }
-
-    /// `stream`'s resident state, its recency refreshed, after the cap
-    /// sweep (a no-op length check while the set is within bounds); `None`
-    /// when the stream is registered but cold.
-    fn resident(&self, stream: u128) -> Result<Option<Arc<StreamState>>, ServerError> {
-        let mut reg = self.registry.lock(Mutex::lock);
-        let Some(st) = reg.touch(stream) else {
-            let cold = reg.directory.contains_key(&stream).then_some(None);
-            return cold.ok_or(ServerError::NoSuchStream(stream));
-        };
-        let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
-        self.note_evictions(idle.len());
-        drop(reg);
-        drop(idle);
-        Ok(Some(st))
     }
 
     /// Builds one stream's resident state: the tree handle (its bounded
@@ -649,90 +476,12 @@ impl TimeCryptServer {
         })
     }
 
-    /// Cap-driven eviction sweep; no-op when uncapped.
-    fn sweep(reg: &mut StreamRegistry, cap: Option<usize>) -> Vec<Arc<StreamState>> {
-        match cap {
-            Some(target) => Self::sweep_to(reg, target),
-            None => Vec::new(),
-        }
-    }
-
-    /// Evicts cold resident streams (coldest recency first) until at most
-    /// `target` remain, skipping any stream with an in-flight reference.
-    /// The strong-count gate is sound because clones of a resident handle
-    /// only originate under the registry lock (held here): a count of 1
-    /// observed now cannot grow concurrently, so eviction never leaves a
-    /// stream with two live `StreamState`s. Returns the evicted handles so
-    /// the caller drops them after unlocking.
-    fn sweep_to(reg: &mut StreamRegistry, target: usize) -> Vec<Arc<StreamState>> {
-        if reg.resident.len() <= target {
-            return Vec::new();
-        }
-        let mut evicted = Vec::new();
-        let order: Vec<(u64, u128)> = reg.order.iter().map(|(&t, &s)| (t, s)).collect();
-        for (tick, stream) in order {
-            if reg.resident.len() <= target {
-                break;
-            }
-            let idle = reg
-                .resident
-                .get(&stream)
-                .is_some_and(|r| Arc::strong_count(&r.state) == 1);
-            if !idle {
-                continue;
-            }
-            if let Some(r) = reg.resident.remove(&stream) {
-                reg.order.remove(&tick);
-                evicted.push(r.state);
-            }
-        }
-        evicted
-    }
-
-    fn note_evictions(&self, n: usize) {
-        self.evictions.add(n as u64);
-    }
-
-    /// Evicts every resident stream with no in-flight references,
-    /// regardless of the configured cap. Maintenance / test hook: the
-    /// equivalence battery calls this after every operation to force a
-    /// cold rehydration path. Returns the number of streams evicted.
-    pub fn evict_idle_streams(&self) -> usize {
-        let mut reg = self.registry.lock(Mutex::lock);
-        let evicted = Self::sweep_to(&mut reg, 0);
-        self.note_evictions(evicted.len());
-        let n = evicted.len();
-        drop(reg);
-        drop(evicted);
-        n
-    }
-
-    /// Residency counters for the lazy-hydration layer.
-    pub fn residency(&self) -> ResidencyStats {
-        ResidencyStats {
-            resident: self.registry.lock(Mutex::lock).resident.len() as u64,
-            hydrations: self.hydrations.get(),
-            evictions: self.evictions.get(),
-        }
-    }
-
-    /// Directory lookup: the stream's immutable registration metadata,
-    /// without touching (or opening) its resident state.
-    fn stream_meta(&self, stream: u128) -> Result<StreamMeta, ServerError> {
-        self.registry
-            .lock(Mutex::lock)
-            .directory
-            .get(&stream)
-            .copied()
-            .ok_or(ServerError::NoSuchStream(stream))
-    }
-
     /// The stream's published chunk count without forcing hydration: a
     /// resident stream answers from its tree handle (refreshing its
     /// recency), a cold one from the index's level-0 keys — a few key
     /// probes.
     fn stream_len(&self, stream: u128) -> Result<u64, ServerError> {
-        match self.resident(stream)? {
+        match self.residency.touch(stream)? {
             Some(st) => Ok(st.tree.len()),
             None => Ok(stored_chunk_count(self.kv.as_ref(), stream)?),
         }
@@ -876,7 +625,7 @@ impl TimeCryptServer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<Vec<Vec<u8>>, ServerError> {
-        let meta = self.stream_meta(stream)?;
+        let meta = self.residency.meta(stream)?;
         if ts_e <= ts_s {
             return Err(ServerError::EmptyRange);
         }
@@ -909,7 +658,7 @@ impl TimeCryptServer {
     /// check and a put made under the stream's stripe, so of two racing
     /// attestations the later epoch is the one stored.
     pub fn put_attestation(&self, stream: u128, bytes: &[u8]) -> Result<(), ServerError> {
-        let _ = self.stream_meta(stream)?;
+        let _ = self.residency.meta(stream)?;
         let att = RootAttestation::decode(bytes)
             .ok_or(ServerError::Integrity("malformed attestation".into()))?;
         if att.stream != stream {
@@ -931,7 +680,7 @@ impl TimeCryptServer {
 
     /// The latest stored attestation for a stream.
     pub fn get_attestation(&self, stream: u128) -> Result<Vec<u8>, ServerError> {
-        let _ = self.stream_meta(stream)?;
+        let _ = self.residency.meta(stream)?;
         self.kv
             .get(&keys::attestation(stream))?
             .ok_or(ServerError::NoAttestation(stream))
@@ -1055,7 +804,7 @@ impl TimeCryptServer {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<Option<Vec<u8>>>, ServerError> {
-        let width = self.stream_meta(stream)?.digest_width;
+        let width = self.residency.meta(stream)?.digest_width;
         let chunk = |record: Record| record.stub.is_none().then(|| record.chunk(stream));
         let chunks = self
             .records(stream, width, lo, hi)
@@ -1072,7 +821,7 @@ impl TimeCryptServer {
     ) -> Result<Vec<Vec<u8>>, ServerError> {
         // No hydrated state needed: chunk-window math comes from the
         // directory, the length from `stream_len`.
-        let meta = self.stream_meta(stream)?;
+        let meta = self.residency.meta(stream)?;
         if ts_e <= ts_s {
             return Err(ServerError::EmptyRange);
         }
@@ -1201,7 +950,7 @@ impl TimeCryptServer {
     /// Stream metadata. Opens no state: directory entry plus the published
     /// chunk count (resident tree or the index's level-0 keys).
     pub fn stream_info(&self, stream: u128) -> Result<StreamInfoWire, ServerError> {
-        let meta = self.stream_meta(stream)?;
+        let meta = self.residency.meta(stream)?;
         let len = self.stream_len(stream)?;
         Ok(StreamInfoWire {
             stream,
@@ -1210,20 +959,6 @@ impl TimeCryptServer {
             digest_width: meta.digest_width,
             len,
         })
-    }
-
-    /// Number of registered streams (shard-occupancy metric). Counts the
-    /// directory, not the resident set — see [`residency`](Self::residency)
-    /// for the latter.
-    pub fn stream_count(&self) -> usize {
-        self.registry.lock(Mutex::lock).directory.len()
-    }
-
-    /// Every registered stream, ascending: the replica-rebuild listing.
-    pub fn stream_ids(&self) -> Vec<u128> {
-        let mut ids = Vec::from_iter(self.registry.lock(Mutex::lock).directory.keys().copied());
-        ids.sort_unstable();
-        ids
     }
 
     /// One page of `stream`'s records after key `after`, in key order: at most
@@ -1298,7 +1033,7 @@ impl TimeCryptServer {
         if stale.is_empty() && puts.is_empty() {
             return Ok(0);
         }
-        let _dropped = self.registry.lock(Mutex::lock).remove_resident(stream);
+        let _dropped = self.residency.remove(stream);
         let mut ops: Vec<_> = stale.iter().map(|key| WriteOp::Delete { key }).collect();
         ops.extend(puts.iter().map(|(key, value)| WriteOp::Put { key, value }));
         let chunks = puts.iter().filter(|(key, _)| key.starts_with(keys::LEAF));
@@ -1309,12 +1044,11 @@ impl TimeCryptServer {
         let registered = covered.then(|| meta.and_then(|(_, v)| StreamMeta::decode(v)));
         if let Some(None) = registered {
             self.live.lock().remove(&stream);
-            self.registry.lock(Mutex::lock).directory.remove(&stream);
+            self.residency.unregister(stream);
         }
         self.kv.write_batch(&ops)?;
         if let Some(Some(meta)) = registered {
-            let mut reg = self.registry.lock(Mutex::lock);
-            reg.directory.insert(stream, meta);
+            self.residency.register(stream, meta);
         }
         Ok(chunks)
     }
@@ -1970,67 +1704,6 @@ mod tests {
         ));
         s.get_stat_range(&[1], 0, 40_000).unwrap();
         assert_eq!(s.residency(), before, "no eviction, no rehydration");
-    }
-
-    /// The engine's resident streams, ascending.
-    fn resident(s: &TimeCryptServer) -> Vec<u128> {
-        let mut ids = Vec::from_iter(s.registry.lock(Mutex::lock).resident.keys().copied());
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Seeded touch / hold / release steps under caps 1–8, checked after
-    /// each against a reference LRU: a touch makes its stream the warmest
-    /// and then evicts the coldest idle streams until the cap holds, never
-    /// one with an in-flight handle (the touched one included); a release
-    /// evicts nothing.
-    #[test]
-    fn eviction_takes_the_coldest_idle_stream() {
-        const STREAMS: u128 = 12;
-        for cap in 1..=8 {
-            for seed in 0..8u64 {
-                let cfg = ServerConfig {
-                    max_resident_streams: Some(cap),
-                    ..ServerConfig::default()
-                };
-                let s = TimeCryptServer::open(Arc::new(MemKv::new()), cfg).unwrap();
-                for id in 0..STREAMS {
-                    s.create_stream(id, 0, 10_000, 2).unwrap();
-                }
-                // The reference: resident streams, coldest first.
-                let (mut lru, mut held) = (Vec::<u128>::new(), Vec::new());
-                let mut x = (cap as u64) << 32 | (seed + 1);
-                for step in 0..200 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let id = (x >> 8) as u128 % STREAMS;
-                    match x % 4 {
-                        0 if !held.is_empty() => {
-                            held.swap_remove((x >> 32) as usize % held.len());
-                        }
-                        kind => {
-                            let st = s.stream(id).unwrap();
-                            lru.retain(|&r| r != id);
-                            lru.push(id);
-                            let busy = |r: &u128| *r == id || held.iter().any(|(h, _)| h == r);
-                            while lru.len() > cap {
-                                let Some(coldest) = lru.iter().position(|r| !busy(r)) else {
-                                    break;
-                                };
-                                lru.remove(coldest);
-                            }
-                            if kind == 1 {
-                                held.push((id, st));
-                            }
-                        }
-                    }
-                    let mut want = lru.clone();
-                    want.sort_unstable();
-                    assert_eq!(resident(&s), want, "cap {cap}, seed {seed}, step {step}");
-                }
-            }
-        }
     }
 
     /// Every record of `stream` in `s`, in key order.

@@ -58,9 +58,11 @@
 
 pub mod engine;
 mod keystore;
+pub mod residency;
 pub mod runs;
 pub mod stat;
 
-pub use engine::{ResidencyStats, ServerConfig, ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};
+pub use engine::{ServerConfig, ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};
+pub use residency::ResidencyStats;
 pub use stat::{StatLeg, StreamStat};
 pub use timecrypt_index::{keys, BoundaryCache};
