@@ -1021,7 +1021,7 @@ mod tests {
             // sealed under it, are the from-root ones.
             let live = c.index + 1;
             let key = sealer.payload_key(live).unwrap();
-            assert_eq!(key, keys.payload_key(live).unwrap());
+            assert_eq!(key, payload_key(&keys.tree, live).unwrap());
             let p = DataPoint::new(live as i64 * 10_000, 5);
             let from_root = SealedRecord::seal(7, live, 3, p, &keys.tree, &mut rng_a).unwrap();
             assert_eq!(

@@ -22,7 +22,7 @@
 //! one-time key.
 
 use crate::error::CoreError;
-use crate::kdtree::{LeafCursor, TokenSet, TokenSource, TreeKd};
+use crate::kdtree::{boundary_leaves, LeafCursor, TokenSet, TokenSource, TreeKd};
 use timecrypt_crypto::backend::{Backend, Dispatch, Job};
 use timecrypt_crypto::Seed128;
 
@@ -168,17 +168,32 @@ fn fold(x: u128) -> u64 {
 pub trait KeySource {
     /// Returns leaf `i` if this principal's key material covers it.
     fn leaf(&self, i: u64) -> Result<Seed128, CoreError>;
+
+    /// Chunk `i`'s boundary leaves `(leaf_i, leaf_{i+1})`, which its
+    /// payload key is made from: two [`leaf`](Self::leaf) calls, or one
+    /// descent from a tree or a token set.
+    fn boundary_leaves(&self, i: u64) -> Result<(Seed128, Seed128), CoreError> {
+        Ok((self.leaf(i)?, self.leaf(i + 1)?))
+    }
 }
 
 impl KeySource for TreeKd {
     fn leaf(&self, i: u64) -> Result<Seed128, CoreError> {
         TreeKd::leaf(self, i)
     }
+
+    fn boundary_leaves(&self, i: u64) -> Result<(Seed128, Seed128), CoreError> {
+        boundary_leaves(self, i)
+    }
 }
 
 impl KeySource for TokenSet {
     fn leaf(&self, i: u64) -> Result<Seed128, CoreError> {
         TokenSet::leaf(self, i)
+    }
+
+    fn boundary_leaves(&self, i: u64) -> Result<(Seed128, Seed128), CoreError> {
+        boundary_leaves(self, i)
     }
 }
 

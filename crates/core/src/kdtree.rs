@@ -111,6 +111,25 @@ fn leaf_from_token<S: TokenSource>(src: &S, i: u64) -> Result<Seed128, CoreError
     Ok(walk(src.prg(), t.node, levels, i))
 }
 
+/// Leaves `i` and `i + 1` of `src`, both walked from the token that covers
+/// `i` when it covers `i + 1` too: one descent to the deepest node above
+/// both, then the few levels below it for each — `levels + split` PRG
+/// steps, not `2·levels`.
+pub(crate) fn boundary_leaves<S: TokenSource>(
+    src: &S,
+    i: u64,
+) -> Result<(Seed128, Seed128), CoreError> {
+    let t = src.covering(i)?;
+    let (prg, levels) = (src.prg(), src.height() - t.label.depth);
+    // `i` and `i + 1` differ in their low `split` bits alone.
+    let split = (u64::BITS - (i ^ (i + 1)).leading_zeros()) as u8;
+    if split > levels {
+        return Ok((walk(prg, t.node, levels, i), leaf_from_token(src, i + 1)?));
+    }
+    let above = walk(prg, t.node, levels - split, i >> split);
+    Ok((walk(prg, above, split, i), walk(prg, above, split, i + 1)))
+}
+
 /// The owner-side key-derivation tree: secret root seed + height + PRG choice.
 ///
 /// Only the data owner (and producers it provisions) hold a `TreeKd`;
@@ -496,6 +515,22 @@ mod tests {
         v = prg.child(Portable, &v, false);
         v = prg.child(Portable, &v, true);
         assert_eq!(t.leaf(5).unwrap(), v);
+    }
+
+    #[test]
+    fn boundary_leaves_are_leaves_i_and_i_plus_one() {
+        let t = tree(6);
+        let grant = t.token_set(5, 41).unwrap();
+        for i in 0..66 {
+            let want = t.leaf(i).and_then(|l| Ok((l, t.leaf(i + 1)?)));
+            assert_eq!(boundary_leaves(&t, i).ok(), want.ok(), "tree, chunk {i}");
+            let want = grant.leaf(i).and_then(|l| Ok((l, grant.leaf(i + 1)?)));
+            assert_eq!(
+                boundary_leaves(&grant, i).ok(),
+                want.ok(),
+                "grant, chunk {i}"
+            );
+        }
     }
 
     #[test]

@@ -21,8 +21,7 @@ use timecrypt_crypto::{PrgKind, Seed128};
 /// that covers leaves `i` and `i+1`:
 /// `key = trunc128(H(leaf_i || leaf_{i+1} || "tc-payload"))`.
 pub fn payload_key<K: KeySource>(keys: &K, chunk: u64) -> Result<[u8; 16], CoreError> {
-    let l0 = keys.leaf(chunk)?;
-    let l1 = keys.leaf(chunk + 1)?;
+    let (l0, l1) = keys.boundary_leaves(chunk)?;
     Ok(payload_key_from_leaves(&l0, &l1))
 }
 
@@ -90,11 +89,6 @@ impl StreamKeyMaterial {
             tree: TreeKd::new(root, height, prg)?,
         })
     }
-
-    /// The AES-GCM payload key for chunk `i`.
-    pub fn payload_key(&self, chunk: u64) -> Result<[u8; 16], CoreError> {
-        payload_key(&self.tree, chunk)
-    }
 }
 
 #[cfg(test)]
@@ -104,17 +98,20 @@ mod tests {
     #[test]
     fn payload_keys_differ_per_chunk() {
         let m = StreamKeyMaterial::with_params(1, [9u8; 16], 10, PrgKind::Aes).unwrap();
-        let k0 = m.payload_key(0).unwrap();
-        let k1 = m.payload_key(1).unwrap();
+        let k0 = payload_key(&m.tree, 0).unwrap();
+        let k1 = payload_key(&m.tree, 1).unwrap();
         assert_ne!(k0, k1);
-        assert_eq!(k0, m.payload_key(0).unwrap());
+        assert_eq!(k0, payload_key(&m.tree, 0).unwrap());
     }
 
     #[test]
     fn consumer_with_tokens_derives_same_payload_key() {
         let m = StreamKeyMaterial::with_params(1, [9u8; 16], 10, PrgKind::Aes).unwrap();
         let ts = m.tree.token_set(4, 9).unwrap();
-        assert_eq!(payload_key(&ts, 5).unwrap(), m.payload_key(5).unwrap());
+        assert_eq!(
+            payload_key(&ts, 5).unwrap(),
+            payload_key(&m.tree, 5).unwrap()
+        );
         // Chunk 9 needs leaf 10, outside the grant.
         assert!(payload_key(&ts, 9).is_err());
     }
