@@ -477,9 +477,8 @@ impl TimeCryptServer {
     }
 
     /// The stream's published chunk count without forcing hydration: a
-    /// resident stream answers from its tree handle (refreshing its
-    /// recency), a cold one from the index's level-0 keys — a few key
-    /// probes.
+    /// resident stream answers from its tree handle (stamped as touched),
+    /// a cold one from the index's level-0 keys — a few key probes.
     fn stream_len(&self, stream: u128) -> Result<u64, ServerError> {
         match self.residency.touch(stream)? {
             Some(st) => Ok(st.tree.len()),

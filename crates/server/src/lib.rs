@@ -14,7 +14,7 @@
 //! on first touch, behind a resident LRU bounded by
 //! [`ServerConfig::max_resident_streams`] — so open time and resident RAM
 //! scale with the streams actually used, not the streams stored nor their
-//! length (see the `engine` module docs for the hydration state machine).
+//! length (see the [`residency`] module docs for the stream lifecycle).
 //! The integrity ledger is a per-stream cache only proof requests fill.
 //!
 //! # Locking model
@@ -32,9 +32,9 @@
 //!   fixed table of 1 024 created at open, picked by the stream id, so
 //!   the streams of one stripe share it.
 //! * **Registry mutex (short critical sections):** every operation's
-//!   stream lookup — a resident hit is a map probe plus a recency bump;
-//!   cold-touch hydration reads the store *outside* this lock, under the
-//!   stream's stripe alone.
+//!   stream lookup — a resident hit is a map probe that stamps the entry
+//!   with the next tick; cold-touch hydration reads the store *outside*
+//!   this lock, under the stream's stripe alone.
 //! * **Shared, lock-free:** `stream_stat` / `get_stat_range`, `get_range`,
 //!   `stream_info`, and `insert_live`'s staleness check — these read the
 //!   immutable stream metadata and query the aggregation tree against an

@@ -206,7 +206,8 @@ impl Residency {
     /// sound because clones of a resident handle only originate under the
     /// registry lock (held here): a count of 1 observed now cannot grow
     /// concurrently, so eviction never leaves a stream with two live
-    /// `StreamState`s.
+    /// `StreamState`s. Each victim costs one scan of the set: a cap sweep
+    /// evicts one or a few, `evict_idle_streams` every idle stream.
     fn sweep(&self, mut reg: Locked<'_>, target: usize) -> usize {
         let mut victims = Vec::new();
         while reg.resident.len() > target {
@@ -261,7 +262,7 @@ impl TimeCryptServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ServerConfig, TimeCryptServer};
+    use crate::ServerConfig;
     use timecrypt_store::MemKv;
 
     /// The engine's resident streams, ascending.
