@@ -1,6 +1,7 @@
 //! The hot paths' allocation-free steps allocate nothing once their buffers
-//! are warm (ARCHITECTURE.md, "Checked invariants"). The others are counted
-//! beside their callers: each handler's `dispatch` in `ingest_path.rs`, the
+//! are warm (ARCHITECTURE.md, "Checked invariants"), and a store read
+//! allocates its value alone (a ledger row). The others are counted beside
+//! their callers: each handler's `dispatch` in `ingest_path.rs`, the
 //! index's boundary reads and appends in `index_node_shape.rs`, P-256's
 //! arithmetic in `grant_cost.rs`.
 
@@ -8,6 +9,7 @@ use std::net::TcpListener;
 use timecrypt::chunk::EncryptedChunk;
 use timecrypt::core::ElementKeys;
 use timecrypt::crypto::{sha256, AesGcm128, Sha256};
+use timecrypt::store::{KvStore, MemKv};
 use timecrypt::wire::messages::{Request, Response, StatReply};
 use timecrypt::wire::Client;
 
@@ -100,4 +102,27 @@ fn element_keys_allocate_nothing() {
         keys.apply(&mut words, u64::wrapping_sub);
     });
     assert_eq!((calls, words), (0, [0; 19]));
+}
+
+/// 10 000 warm `get`s on a `MemKv`, round robin over counting keys (held
+/// in runs) and other keys (held in the side map), every value under the
+/// 4 KiB a read takes on the stack. The row is the allocator calls a `get`
+/// makes: its value's.
+#[test]
+fn a_store_get_allocates_its_value_alone() {
+    const GETS: usize = 10_000;
+    let kv = MemKv::new();
+    let counting = (0..64u64).map(|n| [&b"il/7/"[..], &n.to_be_bytes()].concat());
+    let others = (0..64u64).map(|n| format!("meta/{n}").into_bytes());
+    let keys: Vec<Vec<u8>> = counting.chain(others).collect();
+    for (i, key) in keys.iter().enumerate() {
+        kv.put(key, &vec![i as u8; 1 + 31 * i]).unwrap();
+    }
+    let get = |i: usize| assert!(kv.get(&keys[i % keys.len()]).unwrap().is_some());
+    (0..keys.len()).for_each(get);
+    let (calls, ()) = common::calls_of(|| (0..GETS).for_each(get));
+    common::ledger(&[(
+        "store_log.get.allocations_per_call".into(),
+        format!("{:.4}", calls as f64 / GETS as f64),
+    )]);
 }
