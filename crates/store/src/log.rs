@@ -31,9 +31,7 @@
 //! resolves its run-form keys against the index as the writer found it; a
 //! record naming a run that index does not hold is
 //! [`StoreError::CorruptAt`]. Readers may ignore the bit: the index only
-//! ever holds records of closed batches. `compact()` re-appends the live
-//! records, one plain put per key, through the same encoder into a fresh
-//! index.
+//! ever holds records of closed batches.
 //!
 //! The file is the only copy of the values. The in-memory index maps each
 //! live key to the location of its latest put record — offset and length,
@@ -56,21 +54,18 @@
 //! business: no key format or [`KvStore`] signature knows.
 //!
 //! **Read path.** `get` / `scan_prefix` look locations up under the inner
-//! lock, clone the handle of the current log generation — a [`LogFile`]:
-//! the [`OsFile`] a node opens by path, or the [`MemFile`] of [`MemKv`] —
-//! release the lock and read each whole record at its offset (one `pread`
-//! on the `OsFile`). A reader therefore never waits behind a writer's
-//! `write(2)` or an fsync. Every read re-checks the record's CRC and that
-//! it names the requested key (its bytes, or its run and tail), so rot
-//! after open is [`StoreError::CorruptAt`] with that record's offset, not
-//! wrong bytes. `compact()` swaps a rewritten generation in under the
-//! file's name ([`LogFile::swap`]) and the handle under the lock; a reader
-//! already holding the old generation's handle and locations finishes
-//! against the old (unlinked, still open) file and never sees a
-//! half-swapped log. Under `Durability::Buffered` a read whose record lies
-//! past the bytes known to have left the write buffer flushes it first,
-//! so every durability level reads its own acked writes. `scan_keys`
-//! answers from the index alone.
+//! lock, release it and read each whole record at its offset from the
+//! log's one file — a [`LogFile`]: the [`OsFile`] a node opens by path, or
+//! the [`MemFile`] of [`MemKv`] — one `pread` on the `OsFile`. A reader
+//! therefore never waits behind a writer's `write(2)` or an fsync, and
+//! holds no file handle of its own: the file lives as long as the log, and
+//! a record, once written, never moves. Every read re-checks the record's
+//! CRC and that it names the requested key (its bytes, or its run and
+//! tail), so rot after open is [`StoreError::CorruptAt`] with that
+//! record's offset, not wrong bytes. Under `Durability::Buffered` a read
+//! whose record lies past the bytes known to have left the write buffer
+//! flushes it first, so every durability level reads its own acked writes.
+//! `scan_keys` answers from the index alone.
 //!
 //! On open the log is streamed through a bounded window (1 MiB, or one
 //! record if larger) to rebuild the index, and the footer + the sequence
@@ -115,7 +110,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Bound;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use timecrypt_obs::{counters, rank, tc_warn};
 
 const OP_PUT: u8 = 0;
@@ -873,10 +867,7 @@ impl Index {
     /// key of a head that extends the prefix, heads and tails ascending,
     /// and — where the prefix ends inside a tail — of each of the at most
     /// eight heads it then spells out, the tails that start with the rest.
-    /// Then the side map's, in key order. With an empty prefix this is the
-    /// order `compact` rewrites the log in — runs first, so that the
-    /// rewritten log forms every run again (up to its first hole) before a
-    /// stray key of its head could start another.
+    /// Then the side map's, in key order.
     fn range<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = Hit> + 'a {
         let in_runs =
             (self.runs_under(prefix)).flat_map(|(head, run, lo, hi)| run.between(head, lo, hi));
@@ -1124,11 +1115,8 @@ pub struct LogStats {
     pub dead_bytes: u64,
 }
 
-struct Inner<F> {
+struct Inner {
     index: Index,
-    /// The current log generation; readers clone its handle from here
-    /// ([`Inner::reader`]).
-    file: Arc<F>,
     /// Records encoded and not yet in the file: the batch being written,
     /// and under `Durability::Buffered` those before it, up to [`BUFFER`]
     /// bytes or until a read needs them.
@@ -1150,22 +1138,22 @@ struct Inner<F> {
 /// What `Durability::Buffered` holds back before it writes.
 const BUFFER: usize = 8 << 10;
 
-impl<F: LogFile> Inner<F> {
-    /// The handle to read records ending at or before `end` through,
-    /// writing out the buffer first if it still holds some of them.
-    fn reader(&mut self, end: u64) -> Result<Arc<F>, StoreError> {
+impl Inner {
+    /// Makes the records ending at or before `end` readable in `file`:
+    /// writes out the buffer if it still holds some of them.
+    fn readable(&mut self, file: &impl LogFile, end: u64) -> Result<(), StoreError> {
         if end > self.tail - self.buffered.len() as u64 {
-            self.flush()?;
+            self.flush(file)?;
         }
-        Ok(Arc::clone(&self.file))
+        Ok(())
     }
 
-    /// Appends the buffer to the file and empties it, keeping its capacity
+    /// Appends the buffer to `file` and empties it, keeping its capacity
     /// if that is at most [`BUFFER`] and giving a larger one back whole: a
     /// large batch's bytes do not stay resident. On an error it is dropped,
     /// so none of it comes later, and the log turns read-only.
-    fn flush(&mut self) -> Result<(), StoreError> {
-        let written = self.file.append(&self.buffered);
+    fn flush(&mut self, file: &impl LogFile) -> Result<(), StoreError> {
+        let written = file.append(&self.buffered);
         self.buffered.clear();
         if self.buffered.capacity() > BUFFER {
             self.buffered = Vec::new();
@@ -1199,14 +1187,16 @@ impl<F: LogFile> Inner<F> {
 /// path ([`LogKv::open`]) unless named otherwise.
 pub struct LogKv<F: LogFile = OsFile> {
     durability: Durability,
-    inner: Mutex<Inner<F>>,
+    /// The log's one file, for its whole life: read after the inner lock
+    /// is released, synced by `commit`.
+    file: F,
+    inner: Mutex<Inner>,
     /// Appends whose bytes reached the file (flushed) — published after the
     /// inner lock flushes, read by `commit` before fsync to learn what
     /// the syscall will cover.
     flushed: AtomicU64,
     /// The group-commit watermark: the highest `appended` value known
-    /// fsynced. Lock order where both are held: inner → synced (`compact`
-    /// raises it); `commit` takes only this lock.
+    /// fsynced. Only `commit` takes this lock, and never under `inner`.
     synced: Mutex<u64>,
 }
 
@@ -1227,7 +1217,7 @@ impl LogKv {
     /// replay finds mid-file corruption (see the module docs for the
     /// torn-tail distinction); the file is not modified in either case.
     pub fn open_with(path: impl AsRef<Path>, durability: Durability) -> Result<Self, StoreError> {
-        Self::over(OsFile::open(path.as_ref().to_path_buf())?, durability)
+        Self::over(OsFile::open(path.as_ref())?, durability)
     }
 }
 
@@ -1283,7 +1273,6 @@ impl<F: LogFile> LogKv<F> {
     fn assemble(file: F, (index, seq, tail): (Index, u8, u64), durability: Durability) -> Self {
         let mut inner = Inner {
             index,
-            file: Arc::new(file),
             buffered: Vec::new(),
             next_seq: seq,
             appended: 0,
@@ -1294,17 +1283,16 @@ impl<F: LogFile> LogKv<F> {
         inner.publish(inner.footprint());
         LogKv {
             durability,
+            file,
             inner: Mutex::new(inner),
             flushed: AtomicU64::new(0),
             synced: Mutex::new(0),
         }
     }
 
-    /// Group-commit fsync: make append number `my`, written to `file`,
-    /// durable, sharing the syscall with every record flushed before it
-    /// started. A compaction that replaced `file` since raised the
-    /// watermark past `my`.
-    fn commit(&self, my: u64, file: &F) -> Result<(), StoreError> {
+    /// Group-commit fsync: make append number `my` durable, sharing the
+    /// syscall with every record flushed before it started.
+    fn commit(&self, my: u64) -> Result<(), StoreError> {
         if self.durability != Durability::Fsync {
             return Ok(());
         }
@@ -1315,7 +1303,7 @@ impl<F: LogFile> LogKv<F> {
         // Everything flushed to the file before the syscall starts is
         // durable when it returns; snapshot the watermark first.
         let covered = self.flushed.load(Ordering::Acquire);
-        file.sync()?;
+        self.file.sync()?;
         *synced = (*synced).max(covered);
         Ok(())
     }
@@ -1334,45 +1322,6 @@ impl<F: LogFile> LogKv<F> {
     pub fn stats(&self) -> LogStats {
         self.inner.lock().footprint()
     }
-
-    /// Rewrites the log to contain only live records (space reclamation for
-    /// data-decay workloads, §4.5 "data decay"): the file's next generation
-    /// gets the magic, then one plain put per key in `Index::range`'s
-    /// order, each a batch of its own on a new sequence chain, through the
-    /// write path's encoder into a fresh index — the one replaying the
-    /// rewritten log builds — and is swapped in ([`LogFile::swap`], durable
-    /// under `Fsync`). Fails, leaving log and index as they were, if a live
-    /// record no longer validates.
-    pub fn compact(&self) -> Result<(), StoreError> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let old = inner.reader(inner.tail)?;
-        let (mut index, mut tail, mut rec) = (Index::default(), MAGIC.len() as u64, Vec::new());
-        let file = old.swap(self.durability == Durability::Fsync, |w| {
-            w.write_all(MAGIC)?;
-            for (seq, (key, loc, run)) in inner.index.range(b"").enumerate() {
-                let value = read_value(&*old, &key, loc, run)?;
-                let put = [WriteOp::Put {
-                    key: &key,
-                    value: &value,
-                }];
-                rec.clear();
-                let lens = encode(&index, &put, seq as u8, &mut rec);
-                w.write_all(&rec)?;
-                tail = index.apply_all(&put, &lens, tail);
-            }
-            Ok(())
-        })?;
-        inner.next_seq = (index.len() % 256) as u8;
-        (inner.index, inner.tail, inner.file) = (index, tail, Arc::new(file));
-        inner.publish(inner.footprint());
-        // The rewritten file is a fresh generation, and everything appended
-        // so far is covered by the rewrite. Readers that cloned the old
-        // handle finish on the old generation.
-        *self.synced.lock() = inner.appended;
-        self.flushed.store(inner.appended, Ordering::Release);
-        Ok(())
-    }
 }
 
 /// A closed log writes out its buffer (an error there is logged) and
@@ -1380,7 +1329,7 @@ impl<F: LogFile> LogKv<F> {
 impl<F: LogFile> Drop for LogKv<F> {
     fn drop(&mut self) {
         let inner = self.inner.get_mut();
-        if let Err(e) = inner.flush() {
+        if let Err(e) = inner.flush(&self.file) {
             tc_warn!("store.log", "closing: buffered records lost: {e}");
         }
         inner.publish(LogStats::default());
@@ -1393,14 +1342,15 @@ impl<F: LogFile> Drop for LogKv<F> {
 impl<F: LogFile> KvStore for LogKv<F> {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
         rank::assert_may_block();
-        let (file, loc, run) = {
+        let (loc, run) = {
             let mut inner = self.inner.lock();
             let Some((loc, run)) = inner.index.get(key) else {
                 return Ok(None);
             };
-            (inner.reader(loc.end())?, loc, run)
+            inner.readable(&self.file, loc.end())?;
+            (loc, run)
         };
-        read_value(&*file, key, loc, run).map(Some)
+        read_value(&self.file, key, loc, run).map(Some)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
@@ -1419,7 +1369,7 @@ impl<F: LogFile> KvStore for LogKv<F> {
         if ops.is_empty() {
             return Ok(());
         }
-        let (my, file) = {
+        let my = {
             let mut guard = self.inner.lock();
             let inner = &mut *guard;
             if inner.failed {
@@ -1427,29 +1377,30 @@ impl<F: LogFile> KvStore for LogKv<F> {
             }
             let lens = encode(&inner.index, ops, inner.next_seq, &mut inner.buffered);
             if self.durability != Durability::Buffered || inner.buffered.len() >= BUFFER {
-                inner.flush()?;
+                inner.flush(&self.file)?;
             }
             inner.tail = inner.index.apply_all(ops, &lens, inner.tail);
             inner.publish(inner.footprint());
             inner.next_seq = inner.next_seq.wrapping_add(ops.len() as u8);
             inner.appended += 1;
             self.flushed.store(inner.appended, Ordering::Release);
-            (inner.appended, Arc::clone(&inner.file))
+            inner.appended
         };
         counters::STORE_BATCHES.inc();
-        self.commit(my, &file)
+        self.commit(my)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
         rank::assert_may_block();
-        let (file, hits) = {
+        let hits = {
             let mut inner = self.inner.lock();
             let hits: Vec<Hit> = inner.index.range(prefix).collect();
             let end = hits.iter().map(|(_, loc, _)| loc.end()).max();
-            (inner.reader(end.unwrap_or(0))?, hits)
+            inner.readable(&self.file, end.unwrap_or(0))?;
+            hits
         };
         hits.into_iter()
-            .map(|(key, loc, run)| read_value(&*file, &key, loc, run).map(|value| (key, value)))
+            .map(|(key, loc, run)| read_value(&self.file, &key, loc, run).map(|value| (key, value)))
             .collect()
     }
 
@@ -1648,6 +1599,7 @@ mod tests {
     use std::fs::OpenOptions;
     use std::os::unix::fs::FileExt;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1656,47 +1608,49 @@ mod tests {
         p
     }
 
-    /// A file a test makes, reads whole, overwrites and opens again. Each
-    /// test generic over it runs on both: the OS file at a temp path and
-    /// the file in memory.
-    trait TestFile: LogFile {
+    /// A file a test makes, reads whole and opens again. Each test generic
+    /// over it runs on both: the OS file at a temp path and the file in
+    /// memory.
+    trait TestFile {
+        type File: LogFile;
         fn fresh(name: &str) -> Self;
         fn contents(&self) -> Vec<u8>;
-        fn reopen(&self) -> Self;
+        fn open(&self) -> Self::File;
         fn remove(&self) {}
     }
 
-    impl TestFile for OsFile {
+    impl TestFile for PathBuf {
+        type File = OsFile;
         fn fresh(name: &str) -> Self {
-            OsFile::open(tmp(name)).unwrap()
+            tmp(name)
         }
         fn contents(&self) -> Vec<u8> {
-            std::fs::read(&self.path).unwrap()
+            std::fs::read(self).unwrap()
         }
-        fn reopen(&self) -> Self {
-            OsFile::open(self.path.clone()).unwrap()
+        fn open(&self) -> OsFile {
+            OsFile::open(self).unwrap()
         }
         fn remove(&self) {
-            let _ = std::fs::remove_file(self.path.with_extension("compact"));
-            std::fs::remove_file(&self.path).unwrap();
+            std::fs::remove_file(self).unwrap();
         }
     }
 
     impl TestFile for MemFile {
+        type File = MemFile;
         fn fresh(_: &str) -> Self {
             MemFile::holding(Vec::new())
         }
         fn contents(&self) -> Vec<u8> {
-            self.reopen().bytes.read().clone()
+            self.bytes.read().clone()
         }
-        fn reopen(&self) -> Self {
+        fn open(&self) -> MemFile {
             self.clone()
         }
     }
 
     /// The log in `file`, opened again under [`Durability::Flush`].
-    fn reopen<F: TestFile>(file: &F) -> Result<LogKv<F>, StoreError> {
-        LogKv::over(file.reopen(), Durability::Flush)
+    fn reopen<F: TestFile>(file: &F) -> Result<LogKv<F::File>, StoreError> {
+        LogKv::over(file.open(), Durability::Flush)
     }
 
     /// Runs `test` on a fresh log under `mode` in each file, and removes
@@ -1810,7 +1764,7 @@ mod tests {
 
     #[test]
     fn conformance_scan_keys_after() {
-        scan_keys_after_in::<OsFile>();
+        scan_keys_after_in::<PathBuf>();
         scan_keys_after_in::<MemFile>();
     }
 
@@ -1867,7 +1821,7 @@ mod tests {
     /// is there after, and `len` counts them.
     #[test]
     fn concurrent_writers() {
-        concurrent_writers_in::<OsFile>();
+        concurrent_writers_in::<PathBuf>();
         concurrent_writers_in::<MemFile>();
     }
 
@@ -2069,34 +2023,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_live_data() {
-        let _serial = fsync_tests();
-        let path = tmp("compact");
-        let kv = LogKv::open_with(&path, Durability::Fsync).unwrap();
-        for i in 0..100 {
-            kv.put(format!("k{i}").as_bytes(), b"xxxxxxxxxxxxxxxx")
-                .unwrap();
-        }
-        for i in 0..90 {
-            kv.delete(format!("k{i}").as_bytes()).unwrap();
-        }
-        let size_before = std::fs::metadata(&path).unwrap().len();
-        kv.compact().unwrap();
-        let size_after = std::fs::metadata(&path).unwrap().len();
-        assert!(
-            size_after < size_before / 2,
-            "{size_after} vs {size_before}"
-        );
-        assert_eq!(kv.len(), 10);
-        kv.put(b"post-compact", b"1").unwrap();
-        drop(kv);
-        let kv = LogKv::open(&path).unwrap();
-        assert_eq!(kv.len(), 11);
-        assert_eq!(kv.get(b"k95").unwrap(), Some(b"xxxxxxxxxxxxxxxx".to_vec()));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
     fn bit_rot_after_open_fails_that_read_with_the_record_offset() {
         let path = tmp("rot-on-read");
         let kv = LogKv::open(&path).unwrap();
@@ -2119,17 +2045,13 @@ mod tests {
         assert_eq!(kv.get(b"first").unwrap(), Some(b"valuevaluevalue".to_vec()));
         assert_eq!(kv.get(b"third").unwrap(), Some(b"more".to_vec()));
         assert_eq!(kv.scan_keys(b"").unwrap().len(), 3);
-        // Compaction refuses to launder the rot and leaves the store as
-        // it was; overwriting the key heals it.
-        assert!(matches!(
-            kv.compact(),
-            Err(StoreError::CorruptAt { offset, .. }) if offset == second_at
-        ));
-        assert_eq!(kv.get(b"third").unwrap(), Some(b"more".to_vec()));
+        // Overwriting the key heals it.
         kv.put(b"second", b"again").unwrap();
         assert_eq!(kv.get(b"second").unwrap(), Some(b"again".to_vec()));
-        kv.compact().unwrap();
         assert_eq!(kv.scan_prefix(b"").unwrap().len(), 3);
+        // The dead record's byte back (of "other"), so that every record
+        // parses again for `forms`.
+        f.write_all_at(b"h", victim).unwrap();
         // Counting keys: the third of each head names its run. Its tail,
         // then its run number, rewritten under a CRC that matches again —
         // the read's key check, not the CRC, refuses both.
@@ -2162,7 +2084,6 @@ mod tests {
             assert_eq!(kv.get(&victim).unwrap(), Some(b"counted".to_vec()));
         }
         drop(kv);
-        let _ = std::fs::remove_file(path.with_extension("compact"));
         std::fs::remove_file(path).unwrap();
     }
 
@@ -2238,17 +2159,11 @@ mod tests {
         // Replay resolves every name the way the writer meant it.
         let kv = LogKv::open(&path).unwrap();
         assert_eq!(kv.scan_keys(b"").unwrap(), keys[..3]);
-        // Compaction re-encodes into a fresh index: its run 0 forms at the
-        // second put and names the third.
-        kv.compact().unwrap();
-        let runs: Vec<_> = forms(&path).into_iter().map(|(_, run)| run).collect();
-        assert_eq!(runs, [n, n, r0]);
-        assert_eq!(kv.get(&keys[2]).unwrap(), Some(b"v".to_vec()));
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
-    fn stats_count_dead_bytes_on_overwrite_delete_replay_and_compaction() {
+    fn stats_count_dead_bytes_on_overwrite_delete_and_replay() {
         let path = tmp("stats");
         let kv = LogKv::open(&path).unwrap();
         assert_eq!(kv.stats().log_bytes, MAGIC.len() as u64);
@@ -2270,14 +2185,6 @@ mod tests {
         drop(kv);
         let kv = LogKv::open(&path).unwrap();
         assert_eq!(kv.stats(), want, "replay rebuilds the same accounting");
-        kv.compact().unwrap();
-        let compacted = LogStats {
-            log_bytes: MAGIC.len() as u64 + live,
-            dead_bytes: 0,
-            ..want
-        };
-        assert_eq!(kv.stats(), compacted);
-        assert_eq!(compacted.log_bytes, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(path).unwrap();
     }
 
@@ -2285,13 +2192,13 @@ mod tests {
     /// log is closed.
     #[test]
     fn a_closed_buffered_log_writes_out_its_buffer() {
-        closed_buffered_in::<OsFile>();
+        closed_buffered_in::<PathBuf>();
         closed_buffered_in::<MemFile>();
     }
 
     fn closed_buffered_in<F: TestFile>() {
         let file = F::fresh("buffered-close");
-        let kv = LogKv::over(file.reopen(), Durability::Buffered).unwrap();
+        let kv = LogKv::over(file.open(), Durability::Buffered).unwrap();
         kv.put(b"k", b"acked").unwrap();
         assert_eq!(file.contents().len(), MAGIC.len());
         drop(kv);
@@ -2334,8 +2241,8 @@ mod tests {
     }
 
     #[test]
-    fn readers_race_a_writer_and_three_compactions() {
-        readers_race_in::<OsFile>();
+    fn readers_race_a_writer() {
+        readers_race_in::<PathBuf>();
         readers_race_in::<MemFile>();
     }
 
@@ -2380,80 +2287,23 @@ mod tests {
                     }
                 });
             }
-            // Each phase waits until the readers have made progress since
-            // the last one, so reads bracket every overwrite round and
-            // every compaction.
+            // Each round waits until the readers have made progress since
+            // the last one, so reads bracket every overwrite round.
             let mut seen = 0;
-            let mut readers_advance = || {
-                while reads.load(Ordering::Acquire) < seen + 8 * READERS as u64 {
-                    std::thread::yield_now();
-                }
-                seen = reads.load(Ordering::Acquire);
-            };
             for round in 1..=3u64 {
                 for (k, ack) in acked.iter().enumerate() {
                     kv.put(&[b'r', k as u8], &value(k, round)).unwrap();
                     ack.store(round, Ordering::Release);
                 }
-                readers_advance();
-                kv.compact().unwrap();
-                readers_advance();
+                while reads.load(Ordering::Acquire) < seen + 8 * READERS as u64 {
+                    std::thread::yield_now();
+                }
+                seen = reads.load(Ordering::Acquire);
             }
             done.store(true, Ordering::Release);
         });
-        assert_eq!(kv.stats().dead_bytes, 0);
         assert_eq!(kv.len(), KEYS);
         file.remove();
-    }
-
-    /// A generated write: key, value, and whether it is a delete instead.
-    type GenOp = (Vec<u8>, Vec<u8>, bool);
-
-    fn as_ops(ops: &[GenOp]) -> Vec<WriteOp<'_>> {
-        ops.iter()
-            .map(|(key, value, delete)| match delete {
-                true => WriteOp::Delete { key },
-                false => WriteOp::Put { key, value },
-            })
-            .collect()
-    }
-
-    #[test]
-    fn compaction_of_a_batched_log_equals_compaction_of_single_writes() {
-        let ops: Vec<GenOp> = (0..40u8)
-            .map(|i| (vec![b'k', i % 13], vec![i; 5 + i as usize % 7], i % 5 == 4))
-            .collect();
-        let (batched, single) = (tmp("compact-batched"), tmp("compact-single"));
-        let kv = LogKv::open(&batched).unwrap();
-        kv.write_batch(&as_ops(&ops[..33])).unwrap();
-        kv.write_batch(&as_ops(&ops[33..])).unwrap();
-        kv.compact().unwrap();
-        let one_by_one = LogKv::open(&single).unwrap();
-        for (key, value, delete) in &ops {
-            match delete {
-                true => one_by_one.delete(key).unwrap(),
-                false => one_by_one.put(key, value).unwrap(),
-            }
-        }
-        assert_ne!(
-            std::fs::read(&batched).unwrap().len(),
-            std::fs::read(&single).unwrap().len(),
-            "compaction dropped the dead records"
-        );
-        one_by_one.compact().unwrap();
-        assert_eq!(
-            std::fs::read(&batched).unwrap(),
-            std::fs::read(&single).unwrap()
-        );
-        // Reads after the rewrite, and a reopen of it, see the same data.
-        let mut live = kv.scan_prefix(b"").unwrap();
-        drop(kv);
-        let mut reopened = LogKv::open(&batched).unwrap().scan_prefix(b"").unwrap();
-        live.sort();
-        reopened.sort();
-        assert_eq!(live, reopened);
-        std::fs::remove_file(batched).unwrap();
-        std::fs::remove_file(single).unwrap();
     }
 
     #[test]

@@ -50,9 +50,6 @@ fn each_gauge_sums_over_the_open_logs_and_a_dropped_log_withdraws_its_share() {
     drop(empty);
     drop(in_memory);
     assert_eq!(gauges(), sum(&[on_disk.stats()]));
-
-    on_disk.compact().unwrap();
-    assert_eq!(gauges(), sum(&[on_disk.stats()]));
     drop(on_disk);
     assert_eq!(gauges(), [0; 4]);
     std::fs::remove_file(path).unwrap();

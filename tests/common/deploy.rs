@@ -18,9 +18,7 @@ use std::time::Duration;
 use timecrypt::faults::{FaultPlan, FaultyKv, FaultyTransport};
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
-use timecrypt::store::{
-    Durability, KvStore, LogFile, LogKv, LogStats, MemKv, MeteredKv, StoreError,
-};
+use timecrypt::store::{Durability, KvStore, LogFile, LogKv, LogStats, MemKv, MeteredKv};
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::{Handler, ServeOptions, Server};
@@ -139,7 +137,6 @@ impl Spec {
 pub trait Log: KvStore {
     fn stats(&self) -> LogStats;
     fn len(&self) -> usize;
-    fn compact(&self) -> Result<(), StoreError>;
 }
 
 impl<F: LogFile> Log for LogKv<F> {
@@ -149,10 +146,6 @@ impl<F: LogFile> Log for LogKv<F> {
 
     fn len(&self) -> usize {
         LogKv::len(self)
-    }
-
-    fn compact(&self) -> Result<(), StoreError> {
-        LogKv::compact(self)
     }
 }
 

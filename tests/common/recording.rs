@@ -1,11 +1,11 @@
 //! A log file in memory that records what its logs ask of it: the bytes of
-//! each append, each sync and each compaction swap. A crash sweep replays
-//! the record to build every state a crash could leave the file in; a run
-//! without a crash cuts nothing, so a truncation is not recorded.
+//! each append, and each sync. A crash sweep replays the record to build
+//! every state a crash could leave the file in; a run without a crash cuts
+//! nothing, so a truncation is not recorded.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::sync::{Arc, Mutex, MutexGuard};
-use timecrypt::store::{LogFile, StoreError};
+use timecrypt::store::LogFile;
 
 /// What a log asked of its file, in the order it asked.
 #[derive(Clone, Debug)]
@@ -13,8 +13,6 @@ pub enum Call {
     Append(Vec<u8>),
     /// The appended bytes are durable.
     Sync,
-    /// A compaction installed this generation, durably, in one step.
-    Swap(Vec<u8>),
 }
 
 #[derive(Debug, Default)]
@@ -23,9 +21,7 @@ struct Tape {
     calls: Vec<Call>,
 }
 
-/// A recorded file; a clone is the same file. It holds one generation: a
-/// read still under way when a compaction swaps the next one in reads the
-/// new bytes, so a test compacts between requests.
+/// A recorded file; a clone is the same file.
 #[derive(Clone, Debug, Default)]
 pub struct Recording(Arc<Mutex<Tape>>);
 
@@ -76,18 +72,5 @@ impl LogFile for Recording {
         tape.bytes
             .truncate(usize::try_from(len).unwrap_or(usize::MAX));
         Ok(tape.bytes.len() as u64)
-    }
-
-    fn swap(
-        &self,
-        _: bool,
-        fill: impl FnOnce(&mut dyn Write) -> Result<(), StoreError>,
-    ) -> Result<Self, StoreError> {
-        let mut bytes = Vec::new();
-        fill(&mut bytes)?;
-        let mut tape = self.tape();
-        tape.calls.push(Call::Swap(bytes.clone()));
-        tape.bytes = bytes;
-        Ok(self.clone())
     }
 }

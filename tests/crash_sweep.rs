@@ -3,13 +3,12 @@
 //! leave a store's log in, under the traffic the engine serves.
 //!
 //! Each history of `common::history` runs on an engine and on a two-shard
-//! node over a recorded file (`File::Recording`, `Durability::Fsync`), the
-//! log compacted before the middle step. What the log asked of its file
-//! gives the states a crash can leave ([`states`]): each synced prefix and
-//! compacted generation; each append dropped, or torn at each record
-//! boundary inside it and at two seeded offsets; and three whole logs the
-//! file held, a seeded byte flipped in each. Each is opened, and the tier
-//! over it:
+//! node over a recorded file (`File::Recording`, `Durability::Fsync`), one
+//! file for the log's life. What the log asked of its file gives the
+//! states a crash can leave ([`states`]): each synced prefix; each append
+//! dropped, or torn at each record boundary inside it and at two seeded
+//! offsets; and three whole logs the file held, a seeded byte flipped in
+//! each. Each is opened, and the tier over it:
 //! - **Open:** a state fails exactly when a flip lies before its last
 //!   record, as `CorruptAt` at the record it flipped, the file untouched; a
 //!   flip in the last record is a torn tail.
@@ -128,10 +127,6 @@ fn states(calls: &[Call], rng: &mut Rng) -> Vec<State> {
                 file = image;
             }
             Call::Sync => state(&file, file.len(), i + 1),
-            Call::Swap(bytes) => {
-                file.clone_from(bytes);
-                state(&file, file.len(), i + 1);
-            }
         }
     }
     for _ in 0..3 {
@@ -260,10 +255,7 @@ fn sweep(seed: u64, steps: &[Step]) -> Result<[u64; 4], String> {
         let file = Recording::default();
         let d = over(&spec, &file);
         let mut marks = vec![(file.calls().len(), replies(&d))];
-        for (j, step) in steps.iter().enumerate() {
-            if j == steps.len() / 2 {
-                d.log(0).compact().unwrap();
-            }
+        for step in steps {
             match step {
                 Step::Call(req) => _ = d.call(req.clone()),
                 Step::Frame(body) => _ = d.call_frame(body),
