@@ -40,6 +40,15 @@ impl OsFile {
     }
 }
 
+/// Makes the name of the file at `path` durable: syncs the directory that
+/// holds it (`.` for a bare file name).
+pub(crate) fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    counters::FSYNCS.inc();
+    Ok(())
+}
+
 impl LogFile for OsFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         self.file.read_exact_at(buf, offset)

@@ -103,7 +103,7 @@
 //! length prefixes (`timecrypt_server`'s engine docs), and a build that
 //! opened it would read each record in the wrong form.
 
-use crate::file::{LogFile, MemFile, OsFile};
+use crate::file::{sync_parent, LogFile, MemFile, OsFile};
 use crate::{KvStore, StoreError, WriteOp};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -1212,12 +1212,23 @@ impl LogKv {
     }
 
     /// Opens (or creates) a log file with an explicit durability mode.
+    /// Under [`Durability::Fsync`], an open that writes the magic — that
+    /// creates the log — syncs the directory too, after the file: the
+    /// file's name survives power loss with its bytes.
     ///
     /// Fails with [`StoreError::CorruptAt`] if the file lacks the magic or
     /// replay finds mid-file corruption (see the module docs for the
     /// torn-tail distinction); the file is not modified in either case.
     pub fn open_with(path: impl AsRef<Path>, durability: Durability) -> Result<Self, StoreError> {
-        Self::over(OsFile::open(path.as_ref())?, durability)
+        let path = path.as_ref();
+        let file = OsFile::open(path)?;
+        let fsync = durability == Durability::Fsync;
+        let creates = fsync && file.truncate(u64::MAX)? < MAGIC.len() as u64;
+        let kv = Self::over(file, durability)?;
+        if creates {
+            sync_parent(path)?;
+        }
+        Ok(kv)
     }
 }
 
@@ -2000,6 +2011,26 @@ mod tests {
             "each uncontended fsync-mode put must fsync"
         );
         drop(kv);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A log created under `Fsync` syncs its file and the directory that
+    /// names it; opened again, its file alone.
+    #[test]
+    fn a_log_created_under_fsync_syncs_its_directory() {
+        let _serial = fsync_tests();
+        let path = tmp("fsyncdir");
+        let fsyncs = || counters::FSYNCS.get();
+        let before = fsyncs();
+        drop(LogKv::open_with(&path, Durability::Fsync).unwrap());
+        assert_eq!(fsyncs() - before, 2, "the file and its directory");
+        let before = fsyncs();
+        drop(LogKv::open_with(&path, Durability::Fsync).unwrap());
+        assert_eq!(fsyncs() - before, 1, "the file alone");
+        // A bare file name's directory is `.`, not the empty path.
+        let before = fsyncs();
+        sync_parent(Path::new("node.log")).unwrap();
+        assert_eq!(fsyncs() - before, 1);
         std::fs::remove_file(path).unwrap();
     }
 
