@@ -184,7 +184,8 @@ fn apply(kv: &LogKv, model: &mut Model, (kind, head, t, n, value): &Step) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // 48 cases, or more under `PROPTEST_CASES` (CI's release sweep).
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(48)))]
     #[test]
     fn the_index_answers_like_an_ordered_map(
         steps in proptest::collection::vec(

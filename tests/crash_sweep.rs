@@ -27,6 +27,7 @@
 use common::history::{checked, kind, pool, principal, Rng, Step, EXCLUDED, PRINCIPALS};
 use common::{Call, Deployment, File, Recording, Spec};
 use std::collections::{BTreeSet, HashSet};
+use std::ops::Range;
 use timecrypt::store::{Durability, KvPairs, KvStore, LogKv, StoreError, WriteOp};
 use timecrypt::wire::messages::Request;
 
@@ -272,10 +273,11 @@ fn sweep(seed: u64, steps: &[Step]) -> Result<[u64; 4], String> {
     Ok(tally)
 }
 
-#[test]
-fn every_crash_state_of_generated_histories_recovers_whole_batches() {
+/// Sweeps the histories of `seeds`: the sum of what [`sweep`] counts, and
+/// the request kinds the histories drew.
+fn histories(seeds: Range<u64>) -> ([u64; 4], BTreeSet<&'static str>) {
     let (mut tally, mut kinds) = ([0; 4], BTreeSet::new());
-    for seed in 0..HISTORIES {
+    for seed in seeds {
         let (steps, swept) = checked(seed, |steps| sweep(seed, steps));
         tally.iter_mut().zip(swept).for_each(|(n, add)| *n += add);
         kinds.extend(steps.iter().filter_map(|step| match step {
@@ -283,17 +285,39 @@ fn every_crash_state_of_generated_histories_recovers_whole_batches() {
             _ => None,
         }));
     }
-    let every = Request::TAGS.iter().map(|(_, kind)| *kind);
-    let drawn: BTreeSet<_> = every.filter(|kind| !EXCLUDED.contains(kind)).collect();
-    assert_eq!(kinds, drawn, "every request kind but the excluded");
-    let [states, damaged, opened, synced] = tally;
-    println!("damaged logs: {opened} opened, the rest CorruptAt");
-    assert!(0 < opened && opened < damaged, "both outcomes of damage");
+    (tally, kinds)
+}
+
+/// The `crash_sweep.*` rows of `histories` histories and their tally.
+fn rows(histories: u64, [states, damaged, _, synced]: [u64; 4]) -> Vec<(String, String)> {
     let rows = [
-        ("histories", HISTORIES),
+        ("histories", histories),
         ("states", states),
         ("damaged_states", damaged),
         ("synced_batches_checked", synced),
     ];
-    common::ledger(&rows.map(|(what, n)| (format!("crash_sweep.{what}"), n.to_string())));
+    rows.map(|(what, n)| (format!("crash_sweep.{what}"), n.to_string()))
+        .to_vec()
+}
+
+#[test]
+fn every_crash_state_of_generated_histories_recovers_whole_batches() {
+    let (tally, kinds) = histories(0..HISTORIES);
+    let every = Request::TAGS.iter().map(|(_, kind)| *kind);
+    let drawn: BTreeSet<_> = every.filter(|kind| !EXCLUDED.contains(kind)).collect();
+    assert_eq!(kinds, drawn, "every request kind but the excluded");
+    let [_, damaged, opened, _] = tally;
+    println!("damaged logs: {opened} opened, the rest CorruptAt");
+    assert!(0 < opened && opened < damaged, "both outcomes of damage");
+    common::ledger(&rows(HISTORIES, tally));
+}
+
+#[test]
+#[ignore = "10³ histories: run it in release (CI does)"]
+fn a_thousand_more_histories_recover_whole_batches() {
+    const MORE: u64 = 1_000;
+    let (tally, _) = histories(HISTORIES..HISTORIES + MORE);
+    for (name, value) in rows(MORE, tally) {
+        println!("sweep row {name}: {value}");
+    }
 }
