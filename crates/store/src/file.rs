@@ -40,13 +40,11 @@ impl OsFile {
     }
 }
 
-/// Makes the name of the file at `path` durable: syncs the directory that
-/// holds it (`.` for a bare file name).
+/// Syncs the directory that names the file at `path` (`.` for a bare name).
 pub(crate) fn sync_parent(path: &Path) -> io::Result<()> {
     let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
-    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
-    counters::FSYNCS.inc();
-    Ok(())
+    let synced = File::open(dir.unwrap_or(Path::new(".")))?.sync_all();
+    synced.map(|()| counters::FSYNCS.inc())
 }
 
 impl LogFile for OsFile {

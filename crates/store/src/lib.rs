@@ -7,9 +7,10 @@
 //! replay. Its in-memory index holds record locations only — block-coded
 //! at two to four bytes per key for keys that count up under a shared head
 //! (a stream's chunks: the layout `timecrypt_index::keys` declares), key
-//! and location for the rest; the log file is the one copy of the values,
-//! read positionally and re-validated on every read. The file is a
-//! [`LogFile`]: the [`OsFile`] a node opens by path, or the [`MemFile`] of
+//! and location for the rest; the log file, one for the log's life, is the
+//! one copy of the values, read positionally (a read holds no handle of
+//! its own) and re-validated on every read. It is a [`LogFile`] of four
+//! calls: the [`OsFile`] a node opens by path, or the [`MemFile`] of
 //! [`MemKv`], the same engine in memory that every test, example and
 //! figure runs on.
 //!

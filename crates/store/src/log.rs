@@ -54,18 +54,16 @@
 //! business: no key format or [`KvStore`] signature knows.
 //!
 //! **Read path.** `get` / `scan_prefix` look locations up under the inner
-//! lock, release it and read each whole record at its offset from the
-//! log's one file — a [`LogFile`]: the [`OsFile`] a node opens by path, or
-//! the [`MemFile`] of [`MemKv`] — one `pread` on the `OsFile`. A reader
-//! therefore never waits behind a writer's `write(2)` or an fsync, and
-//! holds no file handle of its own: the file lives as long as the log, and
-//! a record, once written, never moves. Every read re-checks the record's
-//! CRC and that it names the requested key (its bytes, or its run and
-//! tail), so rot after open is [`StoreError::CorruptAt`] with that
-//! record's offset, not wrong bytes. Under `Durability::Buffered` a read
-//! whose record lies past the bytes known to have left the write buffer
-//! flushes it first, so every durability level reads its own acked writes.
-//! `scan_keys` answers from the index alone.
+//! lock, release it and read each whole record at its offset in the log's
+//! one file, a [`LogFile`] (one `pread` on the [`OsFile`]), so a reader
+//! never waits behind a writer's `write(2)` or an fsync. Every read
+//! re-checks the record's CRC and that it names the requested key (its
+//! bytes, or its run and tail), so rot after open is
+//! [`StoreError::CorruptAt`] with that record's offset, not wrong bytes.
+//! Under `Durability::Buffered` a read whose record lies past the bytes
+//! known to have left the write buffer flushes it first, so every
+//! durability level reads its own acked writes. `scan_keys` answers from
+//! the index alone.
 //!
 //! On open the log is streamed through a bounded window (1 MiB, or one
 //! record if larger) to rebuild the index, and the footer + the sequence
@@ -753,16 +751,6 @@ impl Index {
         }
     }
 
-    /// Applies `ops`, encoded from `at` on as records of `lens` bytes
-    /// ([`encode`]); returns where they end.
-    fn apply_all(&mut self, ops: &[WriteOp<'_>], lens: &[u32], mut at: u64) -> u64 {
-        for ((op, key, _), &len) in ops.iter().map(parts).zip(lens) {
-            self.apply(op, key, Loc { offset: at, len });
-            at += u64::from(len);
-        }
-        at
-    }
-
     /// Points `key` at `loc`; returns the location it had.
     fn put(&mut self, key: &[u8], loc: Loc) -> Option<Loc> {
         let Some((head, tail)) = split(key) else {
@@ -1139,8 +1127,7 @@ struct Inner {
 const BUFFER: usize = 8 << 10;
 
 impl Inner {
-    /// Makes the records ending at or before `end` readable in `file`:
-    /// writes out the buffer if it still holds some of them.
+    /// Writes the buffer out to `file` if it holds records ending by `end`.
     fn readable(&mut self, file: &impl LogFile, end: u64) -> Result<(), StoreError> {
         if end > self.tail - self.buffered.len() as u64 {
             self.flush(file)?;
@@ -1183,17 +1170,14 @@ impl Inner {
     }
 }
 
-/// Append-only persistent store over a [`LogFile`]: the [`OsFile`] at a
-/// path ([`LogKv::open`]) unless named otherwise.
+/// Append-only persistent store over one [`LogFile`] for its whole life:
+/// the [`OsFile`] at a path ([`LogKv::open`]) unless named otherwise.
 pub struct LogKv<F: LogFile = OsFile> {
     durability: Durability,
-    /// The log's one file, for its whole life: read after the inner lock
-    /// is released, synced by `commit`.
     file: F,
     inner: Mutex<Inner>,
-    /// Appends whose bytes reached the file (flushed) — published after the
-    /// inner lock flushes, read by `commit` before fsync to learn what
-    /// the syscall will cover.
+    /// Appends whose bytes reached the file, published under `inner`; read
+    /// by `commit` before its fsync to learn what the syscall will cover.
     flushed: AtomicU64,
     /// The group-commit watermark: the highest `appended` value known
     /// fsynced. Only `commit` takes this lock, and never under `inner`.
@@ -1211,22 +1195,18 @@ impl LogKv {
         Self::open_with(path, Durability::default())
     }
 
-    /// Opens (or creates) a log file with an explicit durability mode.
-    /// Under [`Durability::Fsync`], an open that writes the magic — that
-    /// creates the log — syncs the directory too, after the file: the
-    /// file's name survives power loss with its bytes.
+    /// Opens (or creates) a log file with an explicit durability mode;
+    /// under [`Durability::Fsync`], creating it syncs its directory too.
     ///
     /// Fails with [`StoreError::CorruptAt`] if the file lacks the magic or
     /// replay finds mid-file corruption (see the module docs for the
     /// torn-tail distinction); the file is not modified in either case.
     pub fn open_with(path: impl AsRef<Path>, durability: Durability) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        let file = OsFile::open(path)?;
-        let fsync = durability == Durability::Fsync;
-        let creates = fsync && file.truncate(u64::MAX)? < MAGIC.len() as u64;
+        let file = OsFile::open(path.as_ref())?;
+        let creates = file.truncate(u64::MAX)? < MAGIC.len() as u64;
         let kv = Self::over(file, durability)?;
-        if creates {
-            sync_parent(path)?;
+        if creates && durability == Durability::Fsync {
+            sync_parent(path.as_ref())?;
         }
         Ok(kv)
     }
@@ -1390,7 +1370,17 @@ impl<F: LogFile> KvStore for LogKv<F> {
             if self.durability != Durability::Buffered || inner.buffered.len() >= BUFFER {
                 inner.flush(&self.file)?;
             }
-            inner.tail = inner.index.apply_all(ops, &lens, inner.tail);
+            for ((op, key, _), len) in ops.iter().map(parts).zip(lens) {
+                inner.index.apply(
+                    op,
+                    key,
+                    Loc {
+                        offset: inner.tail,
+                        len,
+                    },
+                );
+                inner.tail += u64::from(len);
+            }
             inner.publish(inner.footprint());
             inner.next_seq = inner.next_seq.wrapping_add(ops.len() as u8);
             inner.appended += 1;
