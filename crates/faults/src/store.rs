@@ -1,9 +1,10 @@
 //! [`FaultyKv`]: a `KvStore` decorator that injects scheduled faults.
 //!
-//! Follows the decorator idiom of `MeteredKv`: wraps any inner store,
-//! consults the shared [`FaultPlan`] on every op, and keeps a
-//! per-decorator op counter so a plan's `Nth`/`EveryNth`/`PerMillion`
-//! triggers replay exactly under single-threaded drivers. A plan whose
+//! Wraps any inner store, consults the shared [`FaultPlan`] on every op,
+//! and keeps a per-decorator op counter so a plan's
+//! `Nth`/`EveryNth`/`PerMillion` triggers replay exactly under
+//! single-threaded drivers. An op it fails reaches the inner store, and so
+//! its [`KvStore::counters`], only as a torn put's prefix. A plan whose
 //! only rule always fires a [`StoreFault::Delay`] makes it a
 //! latency-modelled store (a remote storage tier): one delay per op, one
 //! per batch.
@@ -12,7 +13,7 @@ use crate::plan::{FaultPlan, OpKind, StoreFault};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
+use timecrypt_store::{KvPairs, KvStore, StoreCounters, StoreError, WriteOp};
 
 /// Fault-injecting store decorator. See the crate docs for the plan
 /// model; `set_plan` swaps the schedule at runtime (e.g. to go quiet
@@ -156,6 +157,10 @@ impl<S: KvStore> KvStore for FaultyKv<S> {
             None => self.inner.write_batch(ops),
             Some(_) => Err(injected_err()),
         }
+    }
+
+    fn counters(&self) -> StoreCounters {
+        self.inner.counters()
     }
 }
 

@@ -8,7 +8,7 @@ use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::{PrgKind, SecureRandom};
 use timecrypt_server::{ServerConfig, TimeCryptServer};
-use timecrypt_store::{KvStore, MemKv, MeteredKv};
+use timecrypt_store::{KvStore, MemKv};
 
 const DELTA_MS: u64 = 10_000;
 
@@ -37,7 +37,7 @@ fn ingest(engine: &TimeCryptServer, stream: u128, chunks: u64) {
 
 #[test]
 fn concurrent_cold_touch_opens_the_stream_once() {
-    // Seed a store, then reopen it cold behind a metered wrapper. A query
+    // Seed a store, then reopen it cold, counting its calls. A query
     // over the whole 6-chunk stream is answered from the running sum, so
     // every store read is hydration's: the length probes (key scans) and
     // the last level-0 record (a get).
@@ -46,11 +46,9 @@ fn concurrent_cold_touch_opens_the_stream_once() {
         let seeder = TimeCryptServer::open(base.clone(), ServerConfig::default()).unwrap();
         ingest(&seeder, 1, 6);
     }
-    let metered = Arc::new(MeteredKv::new(base));
-    let shared: Arc<dyn KvStore> = metered.clone();
     let engine = Arc::new(
         TimeCryptServer::open(
-            shared,
+            base.clone(),
             ServerConfig {
                 max_resident_streams: Some(4),
                 ..ServerConfig::default()
@@ -58,7 +56,7 @@ fn concurrent_cold_touch_opens_the_stream_once() {
         )
         .unwrap(),
     );
-    let before = metered.counters();
+    let before = base.counters();
     let threads = 8;
     let barrier = Arc::new(Barrier::new(threads));
     let replies: Vec<_> = (0..threads)
@@ -75,14 +73,14 @@ fn concurrent_cold_touch_opens_the_stream_once() {
     for r in &replies[1..] {
         assert_eq!(r, &replies[0], "racing cold reads diverged");
     }
-    let raced = metered.counters();
+    let raced = base.counters();
     let residency = engine.residency();
     assert_eq!(residency.hydrations, 1, "exactly one hydration counted");
     assert_eq!(residency.resident, 1);
     // The race read exactly what one cold touch alone reads.
     assert_eq!(engine.evict_idle_streams(), 1);
     engine.stream_stat(1, 0, 6 * DELTA_MS as i64).unwrap();
-    let alone = metered.counters();
+    let alone = base.counters();
     assert_eq!(raced.gets - before.gets, 1);
     assert_eq!(
         (raced.gets - before.gets, raced.scans - before.scans),

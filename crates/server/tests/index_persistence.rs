@@ -11,7 +11,7 @@ use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::{PrgKind, SecureRandom};
 use timecrypt_server::{ServerConfig, ServerError, TimeCryptServer};
-use timecrypt_store::{KvPairs, KvStore, LogKv, MemKv, MeteredKv, StoreError, WriteOp};
+use timecrypt_store::{KvPairs, KvStore, LogKv, MemKv, StoreError, WriteOp};
 
 const DELTA_MS: u64 = 10_000;
 
@@ -141,8 +141,8 @@ fn cold_stream_length_is_a_few_key_probes() {
     const CHUNKS: u64 = 5_000;
     let path = std::env::temp_dir().join(format!("tc-cold-len-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let metered = Arc::new(MeteredKv::new(Arc::new(LogKv::open(&path).unwrap())));
-    let server = engine(metered.clone(), &[1]);
+    let log = Arc::new(LogKv::open(&path).unwrap());
+    let server = engine(log.clone(), &[1]);
     let chunk = |index| timecrypt_chunk::serialize::EncryptedChunk {
         stream: 1,
         index,
@@ -155,9 +155,9 @@ fn cold_stream_length_is_a_few_key_probes() {
         assert!(all_ok(server.insert_bytes_run(&views)));
     }
     assert_eq!(server.evict_idle_streams(), 1);
-    let before = metered.counters();
+    let before = log.counters();
     assert_eq!(server.stream_info(1).unwrap().len, CHUNKS);
-    let after = metered.counters();
+    let after = log.counters();
     assert_eq!(server.residency().resident, 0, "the length did not hydrate");
     assert_eq!(
         (

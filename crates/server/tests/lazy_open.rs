@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use timecrypt_server::{ServerConfig, TimeCryptServer};
-use timecrypt_store::{KvStore, MemKv, MeteredKv};
+use timecrypt_store::{KvStore, MemKv};
 
 const STORED: u128 = 10_000;
 
@@ -18,18 +18,16 @@ fn open_cost_scales_with_touched_streams_not_stored() {
             seeder.create_stream(s, 0, 10_000, 2).unwrap();
         }
     }
-    let metered = Arc::new(MeteredKv::new(base));
-    let shared: Arc<dyn KvStore> = metered.clone();
-    let before = metered.counters();
+    let before = base.counters();
     let engine = TimeCryptServer::open(
-        shared,
+        base.clone(),
         ServerConfig {
             max_resident_streams: Some(64),
             ..ServerConfig::default()
         },
     )
     .unwrap();
-    let opened = metered.counters();
+    let opened = base.counters();
     assert_eq!(
         opened.scans - before.scans,
         1,
@@ -45,7 +43,7 @@ fn open_cost_scales_with_touched_streams_not_stored() {
     for s in [17u128, 4_242, 9_999] {
         engine.stream_stat(s, 0, 100_000).unwrap();
     }
-    let touched = metered.counters();
+    let touched = base.counters();
     let reads = (touched.gets - opened.gets) + (touched.scans - opened.scans);
     assert!(
         reads <= 12,

@@ -32,7 +32,7 @@ use timecrypt_chunk::serialize::SealedRecord;
 use timecrypt_obs::trace;
 use timecrypt_server::runs::{ingest_reply, Runs};
 use timecrypt_server::{BoundaryCache, ServerConfig, ServerError, StatLeg, TimeCryptServer};
-use timecrypt_store::{KvStore, MeteredKv};
+use timecrypt_store::KvStore;
 use timecrypt_wire::messages::{
     Request, RequestRef, Response, Route, ServiceStatsWire, ShardStatsWire,
 };
@@ -61,13 +61,13 @@ pub struct ShardNode {
     engines: BTreeMap<usize, Arc<TimeCryptServer>>,
     /// Per-shard counters; a coordinator reads its in-process node's.
     pub(crate) metrics: Arc<ServiceMetrics>,
-    kv: Arc<MeteredKv>,
+    kv: Arc<dyn KvStore>,
 }
 
 impl ShardNode {
-    /// Opens one filtered engine per hosted shard over `kv` (wrapped in a
-    /// [`MeteredKv`] so `Request::Stats` reports the node's storage
-    /// traffic) and one boundary cache they share, recovering each shard's
+    /// Opens one filtered engine per hosted shard over `kv`, whose
+    /// [`KvStore::counters`] `Request::Stats` reports as the node's storage
+    /// traffic, and one boundary cache they share, recovering each shard's
     /// streams from the store.
     pub fn open(kv: Arc<dyn KvStore>, cfg: NodeConfig) -> Result<Self, ServerError> {
         if cfg.total_shards == 0 {
@@ -85,9 +85,8 @@ impl ShardNode {
 
     /// [`open`](Self::open), hosting no shard too: how a
     /// [`crate::ShardedService`] hosts its in-process shards (none, for an
-    /// all-remote topology). The one place a node's store is metered.
+    /// all-remote topology).
     pub(crate) fn open_hosting(kv: Arc<dyn KvStore>, cfg: NodeConfig) -> Result<Self, ServerError> {
-        let kv = Arc::new(MeteredKv::new(kv));
         let metrics = Arc::new(ServiceMetrics::new(cfg.total_shards));
         let router = ShardRouter::new(cfg.total_shards);
         let cache = Arc::new(BoundaryCache::new(cfg.engine.cache_bytes));
@@ -99,11 +98,10 @@ impl ShardNode {
             if engines.contains_key(&shard) {
                 continue;
             }
-            let shared: Arc<dyn KvStore> = kv.clone();
             engines.insert(
                 shard,
                 Arc::new(TimeCryptServer::open_filtered(
-                    shared,
+                    kv.clone(),
                     cfg.engine.clone(),
                     cache.clone(),
                     |stream| router.shard_of(stream) == shard,
@@ -123,8 +121,8 @@ impl ShardNode {
         self.engines.keys().copied().collect()
     }
 
-    /// The metered store every hosted engine runs over.
-    pub fn kv(&self) -> &Arc<MeteredKv> {
+    /// The store every hosted engine runs over.
+    pub fn kv(&self) -> &Arc<dyn KvStore> {
         &self.kv
     }
 

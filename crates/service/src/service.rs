@@ -20,7 +20,7 @@ use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_obs::trace;
 use timecrypt_server::runs::{ingest_reply, Runs};
 use timecrypt_server::{ServerConfig, ServerError, StatLeg};
-use timecrypt_store::{KvStore, MeteredKv};
+use timecrypt_store::KvStore;
 use timecrypt_wire::messages::{Request, RequestRef, Response, Route, ServiceStatsWire, StatReply};
 use timecrypt_wire::pool::PoolConfig;
 use timecrypt_wire::transport::{dispatch_frame, Handler};
@@ -378,8 +378,8 @@ impl ShardedService {
         snap
     }
 
-    /// The metered storage handle shared by all local shards.
-    pub fn kv(&self) -> &Arc<MeteredKv> {
+    /// The store shared by all local shards.
+    pub fn kv(&self) -> &Arc<dyn KvStore> {
         self.node.kv()
     }
 
@@ -564,16 +564,16 @@ mod tests {
         };
         let svc = ShardedService::open(store.clone(), cfg).unwrap();
         svc.create_stream(1, 0, 10_000, 2).unwrap();
-        let before = svc.kv().counters().puts;
+        let before = store.0.counters().puts;
         for repeat in 0..20u64 {
             let batch = (0..40).map(|i| sealed_chunk(1, repeat * 40 + i, 1));
             assert!(svc.submit_batch(batch.collect()).iter().all(Result::is_ok));
         }
         let want = vec![40; 20];
         assert_eq!(*store.1.lock(), want, "a run is exactly one store batch");
-        // The service's meter counts the batches' ops as the puts they are.
+        // The log counts the batches' ops as the puts they are.
         assert_eq!(
-            svc.kv().counters().puts - before,
+            store.0.counters().puts - before,
             want.iter().sum::<usize>() as u64
         );
     }
@@ -680,7 +680,7 @@ mod tests {
         assert_eq!(total, 8);
         let streams: u64 = snap.shards.iter().map(|s| s.streams).sum();
         assert_eq!(streams, 8);
-        assert!(snap.store_puts > 0, "metered store saw writes");
+        assert!(snap.store_puts > 0, "the store counted writes");
         assert!(snap.store_bytes_written > 0, "byte traffic surfaced");
     }
 
@@ -707,7 +707,7 @@ mod tests {
         assert!(snap.store_puts >= 2, "puts={}", snap.store_puts);
         assert!(snap.store_bytes_written > 0);
         // Local-only deployments are unchanged: no remote probe, counters
-        // straight from the in-process metered store.
+        // straight from the in-process node's store.
         let local = service(1);
         local.create_stream(1, 0, 10_000, 2).unwrap();
         local.insert(&sealed_chunk(1, 0, 1)).unwrap();

@@ -12,10 +12,9 @@
 //! its own) and re-validated on every read. It is a [`LogFile`] of four
 //! calls: the [`OsFile`] a node opens by path, or the [`MemFile`] of
 //! [`MemKv`], the same engine in memory that every test, example and
-//! figure runs on.
-//!
-//! Beside it sits the [`MeteredKv`] decorator, which counts ops and bytes
-//! for the service tier's metrics (`timecrypt-faults` adds `FaultyKv`,
+//! figure runs on. It counts the calls made of it and the value bytes they
+//! move ([`KvStore::counters`], the service tier's store metrics) and opens
+//! a `store.*` stage span per call (`timecrypt-faults` adds `FaultyKv`,
 //! which injects errors, torn writes and delays).
 //!
 //! Writes that belong together go through [`KvStore::write_batch`]: one
@@ -33,11 +32,9 @@
 
 pub mod file;
 pub mod log;
-pub mod metered;
 
 pub use file::{LogFile, MemFile, OsFile};
 pub use log::{Durability, LogKv, LogStats, MemKv};
-pub use metered::{MeteredKv, StoreCounters};
 
 use std::sync::Arc;
 
@@ -96,6 +93,25 @@ pub enum WriteOp<'a> {
         /// The key.
         key: &'a [u8],
     },
+}
+
+/// The calls made of a store, a failed one included, and the value bytes
+/// they moved: a snapshot ([`KvStore::counters`]), or as a [`LogKv`] counts
+/// them, in relaxed atomics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreCounters<T = u64> {
+    /// `get` calls.
+    pub gets: T,
+    /// `put` calls, and the puts of `write_batch` calls.
+    pub puts: T,
+    /// `delete` calls, and the deletes of `write_batch` calls.
+    pub deletes: T,
+    /// `scan_prefix`, `scan_keys` and `scan_keys_after` calls.
+    pub scans: T,
+    /// Total value bytes returned by `get` hits and `scan_prefix`.
+    pub bytes_read: T,
+    /// Total value bytes of the puts.
+    pub bytes_written: T,
 }
 
 /// Minimal key-value interface the server engine needs: point get/put/delete,
@@ -159,6 +175,11 @@ pub trait KvStore: Send + Sync {
         }
         Ok(())
     }
+    /// The calls made of this store so far and the bytes they moved;
+    /// [`LogKv`] counts them, and the default is zeros.
+    fn counters(&self) -> StoreCounters {
+        StoreCounters::default()
+    }
 }
 
 /// Shared handles delegate, so decorators can wrap an `Arc<dyn KvStore>`
@@ -189,6 +210,9 @@ impl<S: KvStore + ?Sized> KvStore for Arc<S> {
     }
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
         (**self).write_batch(ops)
+    }
+    fn counters(&self) -> StoreCounters {
+        (**self).counters()
     }
 }
 

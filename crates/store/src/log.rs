@@ -102,13 +102,14 @@
 //! opened it would read each record in the wrong form.
 
 use crate::file::{sync_parent, LogFile, MemFile, OsFile};
-use crate::{KvStore, StoreError, WriteOp};
+use crate::{KvPairs, KvStore, StoreCounters, StoreError, WriteOp};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Bound;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use timecrypt_obs::{counters, rank, tc_warn};
+use timecrypt_obs::counters::{self, Counter};
+use timecrypt_obs::{rank, tc_warn, trace};
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -1182,6 +1183,8 @@ pub struct LogKv<F: LogFile = OsFile> {
     /// The group-commit watermark: the highest `appended` value known
     /// fsynced. Only `commit` takes this lock, and never under `inner`.
     synced: Mutex<u64>,
+    /// What [`KvStore::counters`] reads, counted at the call.
+    meter: StoreCounters<Counter>,
 }
 
 /// The store of every test, example and figure: the log engine over a
@@ -1278,6 +1281,7 @@ impl<F: LogFile> LogKv<F> {
             inner: Mutex::new(inner),
             flushed: AtomicU64::new(0),
             synced: Mutex::new(0),
+            meter: StoreCounters::default(),
         }
     }
 
@@ -1313,50 +1317,19 @@ impl<F: LogFile> LogKv<F> {
     pub fn stats(&self) -> LogStats {
         self.inner.lock().footprint()
     }
-}
 
-/// A closed log writes out its buffer (an error there is logged) and
-/// withdraws its share of the footprint gauges.
-impl<F: LogFile> Drop for LogKv<F> {
-    fn drop(&mut self) {
-        let inner = self.inner.get_mut();
-        if let Err(e) = inner.flush(&self.file) {
-            tc_warn!("store.log", "closing: buffered records lost: {e}");
-        }
-        inner.publish(LogStats::default());
-    }
-}
-
-/// Every call first checks that the thread holds no lock under which
-/// nothing may block (`rank::assert_may_block`); `put` and `delete` are
-/// `write_batch`.
-impl<F: LogFile> KvStore for LogKv<F> {
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+    /// Counts `ops` as the puts and deletes they are under a `stage` span,
+    /// then appends them as one run of records — all but the last carrying
+    /// the continues bit — and applies them to the index: one lock
+    /// acquisition, one `write(2)`, one group-commit wait.
+    fn write(&self, stage: &'static str, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        let _span = trace::stage(stage);
         rank::assert_may_block();
-        let (loc, run) = {
-            let mut inner = self.inner.lock();
-            let Some((loc, run)) = inner.index.get(key) else {
-                return Ok(None);
-            };
-            inner.readable(&self.file, loc.end())?;
-            (loc, run)
-        };
-        read_value(&self.file, key, loc, run).map(Some)
-    }
-
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.write_batch(&[WriteOp::Put { key, value }])
-    }
-
-    fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.write_batch(&[WriteOp::Delete { key }])
-    }
-
-    /// Appends `ops` as one run of records — all but the last carrying the
-    /// continues bit — and applies them to the index: one lock acquisition,
-    /// one `write(2)`, one group-commit wait.
-    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
-        rank::assert_may_block();
+        let puts = ops.iter().filter(|op| parts(op).0 == OP_PUT).count();
+        let bytes: usize = ops.iter().map(|op| parts(op).2.len()).sum();
+        self.meter.puts.add(puts as u64);
+        self.meter.deletes.add((ops.len() - puts) as u64);
+        self.meter.bytes_written.add(bytes as u64);
         if ops.is_empty() {
             return Ok(());
         }
@@ -1390,9 +1363,62 @@ impl<F: LogFile> KvStore for LogKv<F> {
         counters::STORE_BATCHES.inc();
         self.commit(my)
     }
+}
+
+/// A closed log writes out its buffer (an error there is logged) and
+/// withdraws its share of the footprint gauges.
+impl<F: LogFile> Drop for LogKv<F> {
+    fn drop(&mut self) {
+        let inner = self.inner.get_mut();
+        if let Err(e) = inner.flush(&self.file) {
+            tc_warn!("store.log", "closing: buffered records lost: {e}");
+        }
+        inner.publish(LogStats::default());
+    }
+}
+
+/// Opens a read's `stage` span, checks that the thread may block, and
+/// counts the call on `calls`.
+fn enter(stage: &'static str, calls: &Counter) -> trace::Span {
+    let span = trace::stage(stage);
+    rank::assert_may_block();
+    calls.inc();
+    span
+}
+
+/// Every call opens its `store.*` stage span, checks that the thread holds
+/// no lock under which nothing may block (`rank::assert_may_block`) and is
+/// counted, a failed one too; `put` and `delete` are one-op batches.
+impl<F: LogFile> KvStore for LogKv<F> {
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        let _span = enter("store.get", &self.meter.gets);
+        let (loc, run) = {
+            let mut inner = self.inner.lock();
+            let Some((loc, run)) = inner.index.get(key) else {
+                return Ok(None);
+            };
+            inner.readable(&self.file, loc.end())?;
+            (loc, run)
+        };
+        let value = read_value(&self.file, key, loc, run)?;
+        self.meter.bytes_read.add(value.len() as u64);
+        Ok(Some(value))
+    }
+
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        self.write("store.put", &[WriteOp::Put { key, value }])
+    }
+
+    fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+        self.write("store.delete", &[WriteOp::Delete { key }])
+    }
+
+    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+        self.write("store.batch", ops)
+    }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
-        rank::assert_may_block();
+        let _span = enter("store.scan", &self.meter.scans);
         let hits = {
             let mut inner = self.inner.lock();
             let hits: Vec<Hit> = inner.index.range(prefix).collect();
@@ -1400,13 +1426,16 @@ impl<F: LogFile> KvStore for LogKv<F> {
             inner.readable(&self.file, end.unwrap_or(0))?;
             hits
         };
-        hits.into_iter()
+        let pairs: KvPairs = (hits.into_iter())
             .map(|(key, loc, run)| read_value(&self.file, &key, loc, run).map(|value| (key, value)))
-            .collect()
+            .collect::<Result<_, _>>()?;
+        let bytes = pairs.iter().map(|(_, v)| v.len() as u64).sum();
+        self.meter.bytes_read.add(bytes);
+        Ok(pairs)
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
-        rank::assert_may_block();
+        let _span = enter("store.scan", &self.meter.scans);
         let inner = self.inner.lock();
         Ok(inner.index.range(prefix).map(|(k, ..)| k).collect())
     }
@@ -1417,8 +1446,20 @@ impl<F: LogFile> KvStore for LogKv<F> {
         after: &[u8],
         limit: usize,
     ) -> Result<Vec<Vec<u8>>, StoreError> {
-        rank::assert_may_block();
+        let _span = enter("store.scan", &self.meter.scans);
         Ok(self.inner.lock().index.keys_after(prefix, after, limit))
+    }
+
+    fn counters(&self) -> StoreCounters {
+        let m = &self.meter;
+        StoreCounters {
+            gets: m.gets.get(),
+            puts: m.puts.get(),
+            deletes: m.deletes.get(),
+            scans: m.scans.get(),
+            bytes_read: m.bytes_read.get(),
+            bytes_written: m.bytes_written.get(),
+        }
     }
 }
 
@@ -1878,6 +1919,82 @@ mod tests {
         );
         assert_eq!(kv.get(b"k").unwrap(), None);
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// A file in memory whose appends fail once it is `full`.
+    struct Full {
+        file: MemFile,
+        full: std::sync::atomic::AtomicBool,
+    }
+
+    impl LogFile for Full {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+            self.file.read_at(buf, offset)
+        }
+        fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
+            match self.full.load(Ordering::Relaxed) {
+                true => Err(std::io::Error::other("disk full")),
+                false => self.file.append(bytes),
+            }
+        }
+        fn sync(&self) -> std::io::Result<()> {
+            self.file.sync()
+        }
+        fn truncate(&self, len: u64) -> std::io::Result<u64> {
+            self.file.truncate(len)
+        }
+    }
+
+    /// Every call is counted at the call, a write the log refuses too, with
+    /// the value bytes it moved, and opens its stage span.
+    #[test]
+    fn counts_each_call_and_its_value_bytes_under_its_span() {
+        let file = Full {
+            file: MemFile::holding(Vec::new()),
+            full: Default::default(),
+        };
+        let kv = LogKv::over(file, Durability::Flush).unwrap();
+        let scope = timecrypt_obs::trace::begin_request();
+        kv.put(b"k", b"12345").unwrap();
+        kv.get(b"k").unwrap();
+        kv.get(b"missing").unwrap();
+        kv.scan_prefix(b"").unwrap();
+        kv.scan_keys(b"").unwrap();
+        kv.scan_keys_after(b"", b"", 1).unwrap();
+        kv.delete(b"k").unwrap();
+        // A batch counts as the writes it carries.
+        let put = |key, value| WriteOp::Put { key, value };
+        let batch = [
+            put(b"a", b"123"),
+            WriteOp::Delete { key: b"k" },
+            put(b"b", b"4"),
+        ];
+        kv.write_batch(&batch).unwrap();
+        let c = kv.counters();
+        assert_eq!((c.gets, c.puts, c.deletes, c.scans), (2, 3, 2, 3));
+        // One get hit and one value scan return the 5 bytes; key scans none.
+        assert_eq!((c.bytes_read, c.bytes_written), (10, 9));
+        // The append that fails, then a write the read-only log refuses.
+        kv.file.full.store(true, Ordering::Relaxed);
+        kv.put(b"c", b"67").unwrap_err();
+        kv.write_batch(&[put(b"d", b"8")]).unwrap_err();
+        let c = kv.counters();
+        assert_eq!((c.puts, c.bytes_written), (5, 12));
+        let (_, stages) = scope.finish();
+        let count = |stage| {
+            stages
+                .iter()
+                .find(|t| t.stage == stage)
+                .map_or(0, |t| t.count)
+        };
+        let spans = [
+            "store.get",
+            "store.put",
+            "store.delete",
+            "store.scan",
+            "store.batch",
+        ];
+        assert_eq!(spans.map(count), [2, 2, 1, 3, 2]);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   chunk sealing.
 //! * [`index`] — the statistical index: a running sum per
 //!   chunk, with an LRU cache of the boundary sums queries read.
-//! * [`store`] — the KV engine (an append-only log, on disk or in
-//!   memory) and the op-metering decorator.
+//! * [`store`] — the KV engine: an append-only log, on disk or in
+//!   memory, that counts the calls made of it.
 //! * [`server`] — the untrusted server engine.
 //! * [`service`] — the sharded concurrent serving tier:
 //!   shard-routed backends (in-process engines and/or remote

@@ -1,15 +1,15 @@
 //! The hot paths' allocation-free steps allocate nothing once their buffers
-//! are warm (ARCHITECTURE.md, "Checked invariants"), and a store read
-//! allocates its value alone (a ledger row). The others are counted beside
-//! their callers: each handler's `dispatch` in `ingest_path.rs`, the
-//! index's boundary reads and appends in `index_node_shape.rs`, P-256's
-//! arithmetic in `grant_cost.rs`.
+//! are warm (ARCHITECTURE.md, "Checked invariants"), a store read
+//! allocates its value alone, and a store batch's calls are counted (two
+//! ledger rows). The others are counted beside their callers: each
+//! handler's `dispatch` in `ingest_path.rs`, the index's boundary reads and
+//! appends in `index_node_shape.rs`, P-256's arithmetic in `grant_cost.rs`.
 
 use std::net::TcpListener;
 use timecrypt::chunk::EncryptedChunk;
 use timecrypt::core::ElementKeys;
 use timecrypt::crypto::{sha256, AesGcm128, Sha256};
-use timecrypt::store::{KvStore, MemKv};
+use timecrypt::store::{KvStore, MemKv, WriteOp};
 use timecrypt::wire::messages::{Request, Response, StatReply};
 use timecrypt::wire::Client;
 
@@ -124,5 +124,33 @@ fn a_store_get_allocates_its_value_alone() {
     common::ledger(&[(
         "store_log.get.allocations_per_call".into(),
         format!("{:.4}", calls as f64 / GETS as f64),
+    )]);
+}
+
+/// 1 000 warm `write_batch`es on a `MemKv`, each of 16 puts of 64-byte
+/// values under the next counting keys of one stream, as an ingest run
+/// commits them. The row is the allocator calls a batch makes, the growth
+/// of the file and of the index amortised over the thousand.
+#[test]
+fn a_warm_store_batch_counts_its_allocator_calls() {
+    const BATCHES: u64 = 1_000;
+    let kv = MemKv::new();
+    let keys: Vec<Vec<u8>> = (0..(BATCHES + 1) * 16)
+        .map(|n| [&b"il/7/"[..], &n.to_be_bytes()].concat())
+        .collect();
+    let value = [5u8; 64];
+    let mut ops = Vec::with_capacity(16);
+    let mut batch = |b: u64| {
+        ops.clear();
+        let run = &keys[b as usize * 16..][..16];
+        ops.extend(run.iter().map(|key| WriteOp::Put { key, value: &value }));
+        kv.write_batch(&ops).unwrap();
+    };
+    batch(0);
+    let (calls, ()) = common::calls_of(|| (1..=BATCHES).for_each(&mut batch));
+    assert_eq!(kv.len() as u64, (BATCHES + 1) * 16);
+    common::ledger(&[(
+        "store_log.batch16.allocations_per_call".into(),
+        format!("{:.4}", calls as f64 / BATCHES as f64),
     )]);
 }

@@ -469,7 +469,7 @@ fn an_attestation_ahead_of_the_stored_stream_is_refused_before_any_read() {
     // replica, a truncated store). Both proof builders refuse with the
     // same explicit error, having read nothing but the attestation.
     let d = Deployment::build(&Spec::engine());
-    let (server, kv) = (d.engine(), d.meter(0));
+    let (server, kv) = (d.engine(), d.log(0));
     let mut t = InProc::new(server.clone());
     let cfg = StreamConfig::new(12, "hr", 0, 10_000);
     let mut owner = owner_for(&cfg, 1);

@@ -1,11 +1,11 @@
 //! Deployments built from data. A [`Spec`] names a tier, its file, its
 //! faults and its service config; [`Deployment::build`] opens it, answers
 //! [`call`](Deployment::call) through the tier's `Handler`, and hands out
-//! what it built: the engine, node or coordinator, each store's meter, each
-//! remote node's frame count, proxy and log. A node can be killed, which
-//! releases a remote node's port, and restarted over the same file, a
-//! remote node on the listener it had; an OS file is removed when the
-//! deployment drops, a panicking test's too.
+//! what it built: the engine, node or coordinator, each store's log (which
+//! counts the calls made of it), each remote node's frame count and proxy.
+//! A node can be killed, which releases a remote node's port, and
+//! restarted over the same file, a remote node on the listener it had; an
+//! OS file is removed when the deployment drops, a panicking test's too.
 
 use super::recording::Recording;
 use std::collections::hash_map::RandomState;
@@ -18,7 +18,7 @@ use std::time::Duration;
 use timecrypt::faults::{FaultPlan, FaultyKv, FaultyTransport};
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
-use timecrypt::store::{Durability, KvStore, LogFile, LogKv, LogStats, MemKv, MeteredKv};
+use timecrypt::store::{Durability, KvStore, LogFile, LogKv, LogStats, MemKv};
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::{Handler, ServeOptions, Server};
@@ -133,7 +133,8 @@ impl Spec {
     }
 }
 
-/// The log a store runs on, whichever its file.
+/// The log a store runs on, whichever its file; its `counters()` are the
+/// calls made of it.
 pub trait Log: KvStore {
     fn stats(&self) -> LogStats;
     fn len(&self) -> usize;
@@ -162,7 +163,7 @@ fn open_log(file: &File, path: Option<&TempPath>) -> Arc<dyn Log> {
 /// What runs over a store.
 #[derive(Clone)]
 enum Running {
-    Engine(Arc<TimeCryptServer>, Arc<MeteredKv>),
+    Engine(Arc<TimeCryptServer>),
     Node(Arc<ShardNode>),
     Service(Arc<ShardedService>),
 }
@@ -170,7 +171,7 @@ enum Running {
 impl Running {
     fn handler(&self) -> Arc<dyn Handler> {
         match self {
-            Running::Engine(engine, _) => engine.clone(),
+            Running::Engine(engine) => engine.clone(),
             Running::Node(node) => node.clone(),
             Running::Service(svc) => svc.clone(),
         }
@@ -361,9 +362,7 @@ impl Deployment {
                 Running::Node(Arc::new(ShardNode::open(kv, cfg).unwrap()))
             }
             (None, Tier::Engine) => {
-                let meter = Arc::new(MeteredKv::new(kv));
-                let engine = TimeCryptServer::open(meter.clone(), engine).unwrap();
-                Running::Engine(Arc::new(engine), meter)
+                Running::Engine(Arc::new(TimeCryptServer::open(kv, engine).unwrap()))
             }
             (None, _) => {
                 let cfg = ServiceConfig {
@@ -417,7 +416,7 @@ impl Deployment {
     /// The engine of a `Tier::Engine` deployment.
     pub fn engine(&self) -> Arc<TimeCryptServer> {
         match self.running(0) {
-            Running::Engine(engine, _) => engine,
+            Running::Engine(engine) => engine,
             _ => panic!("not an engine"),
         }
     }
@@ -441,16 +440,8 @@ impl Deployment {
         }
     }
 
-    /// The meter over store `i` (remote node `i`'s, or the tier's at 0).
-    pub fn meter(&self, i: usize) -> Arc<MeteredKv> {
-        match self.running(i) {
-            Running::Engine(_, meter) => meter,
-            Running::Node(node) => node.kv().clone(),
-            Running::Service(svc) => svc.kv().clone(),
-        }
-    }
-
-    /// The log under store `i`.
+    /// The log under store `i` (remote node `i`'s, or the tier's at 0),
+    /// which counts the calls made of it.
     pub fn log(&self, i: usize) -> Arc<dyn Log> {
         self.hosts()[i].log.clone().expect("the log is open")
     }

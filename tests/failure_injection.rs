@@ -178,7 +178,7 @@ fn a_zero_chunk_interval_is_refused_at_every_tier() {
     let d = Deployment::build(&Spec::engine());
     assert!(d.engine().create_stream(7, 0, 0, 2).is_err());
     let meta = [0i64.to_le_bytes(), 0u64.to_le_bytes()].concat();
-    d.meter(0)
+    d.log(0)
         .put(&keys::meta(7), &[&meta[..], &2u32.to_le_bytes()].concat())
         .unwrap();
     d.restart(0);

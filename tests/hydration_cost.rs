@@ -71,10 +71,10 @@ fn first_touch_reads_one_record_not_the_history() {
             .unwrap();
         ingest(&d.engine(), 1, 0..n);
         d.restart(0);
-        let (server, metered) = (d.engine(), d.meter(0));
-        let before = metered.counters();
+        let (server, log) = (d.engine(), d.log(0));
+        let before = log.counters();
         let reply = stat(&server, 1, 0, n);
-        let after = metered.counters();
+        let after = log.counters();
         assert_eq!(reply.parts, vec![(1, 0, n)]);
         assert_eq!(reply.agg, vec![n * (n - 1) / 2; WIDTH]);
         let gets = after.gets - before.gets;
@@ -104,7 +104,7 @@ fn only_proof_requests_fill_the_ledger_and_eviction_drops_it() {
         max_resident_streams: Some(1),
         ..ServerConfig::default()
     }));
-    let (server, kv) = (d.engine(), d.meter(0));
+    let (server, kv) = (d.engine(), d.log(0));
     let mut rng = timecrypt::crypto::SecureRandom::from_seed_insecure(5);
     let key = timecrypt::pk::SigningKey::generate(&mut rng);
     let mut owner = StreamLedger::new(1);

@@ -9,7 +9,7 @@
 //! budget.
 //!
 //! Counts only: the binary's global allocator (`tests/common`) keeps, per
-//! thread, the calls made and the bytes live; `MeteredKv` counts the store
+//! thread, the calls made and the bytes live; the store counts its own
 //! reads. The guard prints its figures; none is a timing. What a cached sum
 //! holds and is charged, and what a producer-shaped sweep holds and reads
 //! per query, are rows of the root `BENCH_ledger.json`, compared exactly
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 use timecrypt::index::{AggTree, TreeConfig};
-use timecrypt::store::{KvPairs, KvStore, MemKv, MeteredKv, StoreError};
+use timecrypt::store::{KvPairs, KvStore, MemKv, StoreError};
 
 mod common;
 
@@ -79,7 +79,7 @@ fn a_cached_node_holds_what_the_cache_charges_for_it() {
 fn a_producer_sweep_holds_and_reads_per_query() {
     const CHUNKS: u64 = 4160;
     const QUERIES: u64 = 940;
-    let kv = Arc::new(MeteredKv::new(filled(19, CHUNKS)));
+    let kv = filled(19, CHUNKS);
     let tree = open(kv.clone(), 64 << 20);
     let (start, gets) = (live(), kv.counters().gets);
     let mut rng = Rng(7);
@@ -133,7 +133,7 @@ fn a_cold_query_allocates_per_node_read_not_per_entry() {
     // The first query reads other records than the second: it is there so
     // that the cache's stripes exist.
     for chunks in [60u64, 5000, 50_000] {
-        let kv = Arc::new(MeteredKv::new(filled(19, chunks)));
+        let kv = filled(19, chunks);
         let tree = open(kv.clone(), 48 << 10);
         tree.query(2, 5).unwrap();
         let (lo, hi) = (chunks / 3, chunks - 7);

@@ -158,7 +158,7 @@ fn an_idle_default_coordinator_runs_no_thread() {
 fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
     let _serial = serial();
     let d = Deployment::build(&Spec::coordinator(4));
-    let (svc, survivor) = (d.service(), d.meter(0));
+    let (svc, survivor) = (d.service(), d.log(0));
     let shards = svc.router().shards();
     let id = stream_on(0, shards);
     svc.create_stream(id, 0, 10_000, 2).unwrap();
@@ -182,7 +182,7 @@ fn a_default_coordinator_rebuilds_a_replica_on_the_callers_thread() {
     );
     assert!(census.is_empty(), "{census:?}");
     // One sweep of the stream, one read of it; a listing reads none.
-    let records = survivor.inner().scan_prefix(b"").unwrap();
+    let records = survivor.scan_prefix(b"").unwrap();
     let stored: usize = records.iter().map(|(_, value)| value.len()).sum();
     let (ratio, passes) = (
         read as f64 / stored as f64,

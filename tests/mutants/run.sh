@@ -46,7 +46,7 @@ target_of() {
   local file=$1 dir
   case "$file" in
     tests/*.rs) dir=. ;;
-    crates/*/*) dir=$(cut -d/ -f1-2 <<<"$file") ;;
+    crates/*/* | vendor/*/*) dir=$(cut -d/ -f1-2 <<<"$file") ;;
     *) echo "unknown test file $file" >&2; return 1 ;;
   esac
   local pkg

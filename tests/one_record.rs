@@ -171,7 +171,7 @@ proptest! {
             .map(|(i, &len)| (0..len).map(|b| fill ^ i ^ b as u8).collect())
             .collect();
         let d = Deployment::build(&Spec::engine());
-        let (a, kv) = (attested(&d, stream, width, &payloads), d.meter(0));
+        let (a, kv) = (attested(&d, stream, width, &payloads), d.log(0));
         let n = a.n();
 
         let forms = stored_forms(&a.sent);
@@ -256,7 +256,7 @@ proptest! {
     ) {
         let d = Deployment::build(&Spec::engine());
         let payloads = vec![vec![7u8; 5], vec![8u8; 32], vec![9u8; 40]];
-        let (a, kv) = (attested(&d, 77, 3, &payloads), d.meter(0));
+        let (a, kv) = (attested(&d, 77, 3, &payloads), d.log(0));
         a.server.delete_range(77, ts(2), ts(3)).unwrap();
         // Chunk 1 takes the damage: a full record, the stub, the old form
         // or noise.
@@ -359,7 +359,7 @@ fn old_form(record: &[u8], width: usize) -> Vec<u8> {
 fn a_record_in_the_old_form_is_corrupt_node() {
     let d = Deployment::build(&Spec::engine());
     let payloads = vec![vec![7u8; 5], vec![8u8; 32], vec![9u8; 40]];
-    let (a, kv) = (attested(&d, 77, 3, &payloads), d.meter(0));
+    let (a, kv) = (attested(&d, 77, 3, &payloads), d.log(0));
     a.server.delete_range(77, ts(2), ts(3)).unwrap();
     for index in [1, 2] {
         let (key, record) = stored(kv.as_ref(), 77, index);
@@ -382,10 +382,10 @@ fn a_record_in_the_old_form_is_corrupt_node() {
 fn a_delete_range_puts_one_stub_per_chunk_and_nothing_when_repeated() {
     let d = Deployment::build(&Spec::engine());
     let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 20 + i as usize]).collect();
-    let (a, kv, log) = (attested(&d, 5, 2, &payloads), d.meter(0), d.log(0));
-    let puts = kv.counters().puts;
+    let (a, log) = (attested(&d, 5, 2, &payloads), d.log(0));
+    let puts = log.counters().puts;
     assert_eq!(a.server.delete_range(5, ts(1), ts(5)).unwrap(), 4);
-    let stubs = kv.counters().puts - puts;
+    let stubs = log.counters().puts - puts;
     assert_eq!(a.server.delete_range(5, ts(1), ts(5)).unwrap(), 0);
     let row = |name: &str, n: u64, of: u64| {
         let value = format!("{:.2}", n as f64 / of as f64);
@@ -396,7 +396,7 @@ fn a_delete_range_puts_one_stub_per_chunk_and_nothing_when_repeated() {
         row("store_puts_per_stubbed_chunk", stubs, 4),
         row(
             "store_puts_per_repeated_delete_range",
-            kv.counters().puts - puts - stubs,
+            log.counters().puts - puts - stubs,
             1,
         ),
     ]);

@@ -374,9 +374,9 @@ fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
 /// for byte. Returns what the rebuild took, as a printable line.
 fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
     let d = cluster(1, 1);
-    let (cluster, survivor) = (d.service(), d.meter(0));
+    let (cluster, survivor) = (d.service(), d.log(0));
     let replica = d.add_node(0);
-    let replica_kv = d.meter(replica).inner().clone();
+    let replica_kv = d.log(replica);
     let value = |id: u128, i: u64| (id as i64) * 13 + i as i64;
     for id in 0..streams {
         cluster.create_stream(id, 0, 10_000, 2).unwrap();
@@ -412,7 +412,7 @@ fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
         let attached = cluster.attach_replica(0, d.addr(replica));
         let (ms, read) = (begun.elapsed(), survivor.counters().bytes_read - read);
         let during = written.load(Ordering::SeqCst) - before;
-        let held = stored(&**survivor.inner());
+        let held = stored(&*survivor);
         let (after, from) = (Instant::now(), written.load(Ordering::SeqCst));
         if attached.is_ok() {
             wait_for(from + 8 * streams.max(16) as u64);
@@ -434,10 +434,7 @@ fn rebuild_under_a_writer(streams: u128, chunks: u64) -> String {
     let snap = cluster.stats();
     assert!(snap.shards[0].in_sync, "{snap:?}");
     assert_eq!(snap.shards[0].replica_errors, 0, "{snap:?}");
-    assert!(
-        dump(&**survivor.inner()) == dump(&*replica_kv),
-        "the stores differ"
-    );
+    assert!(dump(&*survivor) == dump(&*replica_kv), "the stores differ");
     line
 }
 

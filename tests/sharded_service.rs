@@ -4,9 +4,11 @@
 //! path is `placement_equivalence.rs`'s; the batching producer's round
 //! trip is `multi_node_cluster.rs`'s.
 
-use common::{keys, sealed, Deployment, Spec};
+use common::{keys, sealed, Deployment, Fault, Spec};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::core::heac::decrypt_range_sum;
+use timecrypt::faults::{FaultPlan, StoreFault, StoreRule, Trigger};
+use timecrypt::store::StoreCounters;
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::Handler;
 
@@ -74,7 +76,7 @@ fn concurrent_producers_preserve_per_stream_order() {
 }
 
 /// `Request::Stats` over the wire handler reports shard occupancy and the
-/// metered store's traffic.
+/// store's own traffic counters.
 #[test]
 fn stats_request_reports_service_state() {
     let svc = Deployment::build(&Spec::coordinator(2)).service();
@@ -106,4 +108,65 @@ fn stats_request_reports_service_state() {
     // Single engines refuse the probe.
     let single = Deployment::build(&Spec::engine()).engine();
     assert!(matches!(single.handle(Request::Stats), Response::Error(_)));
+}
+
+/// A node's `Stats` store fields are its log's own counters after every
+/// kind of store call, with a `FaultyKv` between them too: an op the
+/// injector fails never reaches the log, so neither counts it.
+#[test]
+fn node_stats_are_its_logs_counters() {
+    let quiet = Spec::node(2).fault(Fault::Store(FaultPlan::quiet()));
+    for spec in [Spec::node(2), quiet] {
+        let (d, faulty) = (Deployment::build(&spec), !spec.faults.is_empty());
+        // Every fifth op fails once the node is open (a node that failed
+        // to open would count nothing).
+        if faulty {
+            d.faulty(0)
+                .set_plan(FaultPlan::quiet().with_store_rule(StoreRule {
+                    op: None,
+                    key_prefix: Vec::new(),
+                    when: Trigger::EveryNth(5),
+                    fault: StoreFault::Error,
+                }));
+        }
+        for stream in 0..6u128 {
+            let (t0, delta_ms, digest_width) = (0, 10_000, 2);
+            d.call(Request::CreateStream {
+                stream,
+                t0,
+                delta_ms,
+                digest_width,
+            });
+            for index in 0..3 {
+                let chunk = sealed(stream, index, 1).to_bytes();
+                d.call(Request::Insert { chunk });
+            }
+        }
+        let (ts_s, ts_e) = (0, 30_000);
+        for stream in 0..6u128 {
+            let streams = vec![stream];
+            d.call(Request::GetStatRange {
+                streams,
+                ts_s,
+                ts_e,
+            });
+            d.call(Request::GetRange { stream, ts_s, ts_e });
+        }
+        d.call(Request::DeleteStream { stream: 0 });
+        let (stats, log) = (d.node(0).stats(), d.log(0).counters());
+        let reported = StoreCounters {
+            gets: stats.store_gets,
+            puts: stats.store_puts,
+            deletes: stats.store_deletes,
+            scans: stats.store_scans,
+            bytes_read: stats.store_bytes_read,
+            bytes_written: stats.store_bytes_written,
+        };
+        assert_eq!(reported, log);
+        let kinds = [log.gets, log.puts, log.deletes, log.scans, log.bytes_read];
+        match faulty {
+            false => assert!(kinds.iter().all(|&n| n > 0), "{log:?}"),
+            true => assert!(d.faulty(0).injected_total() > 0, "no op failed"),
+        }
+    }
 }

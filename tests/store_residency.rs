@@ -164,12 +164,12 @@ fn deleting_a_stream_reads_no_value_bytes() {
     }
     let live = log.len();
     assert_eq!(live as u64, 1 + CHUNKS, "meta, chunks");
-    let before = d.meter(0).counters();
+    let before = d.log(0).counters();
     assert!(matches!(
         d.call(Request::DeleteStream { stream: 7 }),
         Response::Ok
     ));
-    let after = d.meter(0).counters();
+    let after = d.log(0).counters();
     assert_eq!(log.len(), 0, "every record of the stream is gone");
     // One delete per record the stream holds, and none for a record it
     // does not (it has no attestation).

@@ -74,13 +74,13 @@ fn measure(
         ..ServerConfig::default()
     };
     let d = Deployment::build(&Spec::engine().on_disk().engine_cfg(cfg));
-    let (server, kv, log) = (d.engine(), d.meter(0), d.log(0));
+    let (server, log) = (d.engine(), d.log(0));
     for stream in 0..streams {
         server
             .create_stream(stream, 0, DELTA_MS, width as u32)
             .unwrap();
     }
-    let (before, log_before) = (kv.counters(), log.stats().log_bytes);
+    let (before, log_before) = (log.counters(), log.stats().log_bytes);
     let mut user_bytes = 0u64;
     for first in (0..per_stream).step_by(turn as usize) {
         let batch: Vec<Vec<u8>> = (0..streams)
@@ -100,13 +100,13 @@ fn measure(
         let views: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
         assert!(server.insert_bytes_run(&views).iter().all(Result::is_ok));
     }
-    let after = kv.counters();
+    let after = log.counters();
     let log_bytes = log.stats().log_bytes - log_before;
     // Nothing stores a chunk a second time.
-    assert!(kv.scan_keys(b"c/").unwrap().is_empty());
-    drop((server, kv, log));
+    assert!(log.scan_keys(b"c/").unwrap().is_empty());
+    drop((server, log));
     d.restart(0);
-    let (server, kv) = (d.engine(), d.meter(0));
+    let (server, kv) = (d.engine(), d.log(0));
     let all: Vec<u128> = (0..streams).collect();
     let (mut x, reads) = (0x9E37_79B9_7F4A_7C15u64, kv.counters());
     for _ in 0..QUERIES {
@@ -146,7 +146,7 @@ fn measure(
 #[test]
 fn fleet_ingest_store_writes_stay_under_the_byte_model() {
     let (puts, bytes, rows) = measure("fleet", (8, 200, 1), (WIDTH, PAYLOAD), 64 << 20);
-    // One put of the record's 77 value bytes per chunk (`MeteredKv`).
+    // One put of the record's 77 value bytes per chunk (the log's counters).
     assert_eq!((puts, bytes), (1.0, 8 * 200 * 77));
     common::ledger(&rows);
 }
