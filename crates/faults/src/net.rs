@@ -12,11 +12,11 @@
 //! Frame counters are per connection and per direction, so a plan's
 //! `Nth`-style triggers replay under single-connection drivers.
 
-use crate::plan::{FaultPlan, NetDirection, NetFault};
+use crate::plan::{FaultPlan, NetDirection, NetFault, PlanSlot};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 use timecrypt_obs::{accept_loop, tc_debug};
@@ -27,14 +27,7 @@ use timecrypt_wire::MAX_FRAME;
 /// socket read.
 const TICK: Duration = Duration::from_millis(25);
 
-type SharedPlan = Arc<Mutex<Arc<FaultPlan>>>;
-
-fn plan_snapshot(plan: &SharedPlan) -> Arc<FaultPlan> {
-    match plan.lock() {
-        Ok(p) => Arc::clone(&p),
-        Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-    }
-}
+type SharedPlan = Arc<PlanSlot>;
 
 /// Fault-injecting TCP proxy; see the module docs.
 pub struct FaultyTransport {
@@ -51,7 +44,7 @@ impl FaultyTransport {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared: SharedPlan = Arc::new(Mutex::new(Arc::new(plan)));
+        let shared: SharedPlan = Arc::new(PlanSlot::new(plan));
         let stop_flag = Arc::new(AtomicBool::new(false));
         let accepter = {
             let shared = Arc::clone(&shared);
@@ -81,11 +74,7 @@ impl FaultyTransport {
     /// Replaces the schedule for frames not yet forwarded (existing
     /// connections pick it up on their next frame).
     pub fn set_plan(&self, plan: FaultPlan) {
-        let shared = Arc::new(plan);
-        match self.plan.lock() {
-            Ok(mut p) => *p = shared,
-            Err(poisoned) => *poisoned.into_inner() = shared,
-        }
+        self.plan.set(plan);
     }
 
     /// Convenience: from now on swallow every client → server frame while
@@ -146,7 +135,7 @@ fn pump(
     let mut index = 0u64;
     let mut swallowing = false;
     while let Ok(Some(frame)) = read_frame_interruptible(&mut from, &stop_flag) {
-        let decision = plan_snapshot(&plan).net_fault(dir, index).cloned();
+        let decision = plan.get().net_fault(dir, index).cloned();
         index += 1;
         if swallowing {
             continue;

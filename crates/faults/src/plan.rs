@@ -1,13 +1,15 @@
-//! Seeded fault schedules shared by the store decorator, the transport
-//! proxy, the chaos test, and the `faults` bench phase.
+//! Seeded fault schedules shared by the file injector, the transport
+//! proxy and the tests that drive them.
 //!
-//! A [`FaultPlan`] is pure data: a seed plus a list of rules. Every
-//! injection decision is a deterministic function of `(seed, rule index,
-//! op index)`, so a chaos run is replayed by reusing its printed seed —
-//! no RNG state is shared between decorated components, and two
-//! decorators built from the same plan make independent but reproducible
-//! decisions.
+//! A [`FaultPlan`] is pure data: a seed plus a list of rules, file-side
+//! ([`FileRule`], keyed by the call of a log's file) and transport-side
+//! ([`NetRule`], keyed by frame direction). Every injection decision is a
+//! deterministic function of `(seed, rule index, call or frame index)`,
+//! so a chaos run is replayed by reusing its printed seed — no RNG state
+//! is shared between injectors, and two built from the same plan make
+//! independent but reproducible decisions.
 
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// SplitMix64 finalizer: a well-mixed 64-bit hash used for per-op fault
@@ -20,66 +22,31 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Tiny deterministic generator (SplitMix64 stream) for building
-/// randomized plans and picking chaos workloads. Not cryptographic.
-#[derive(Clone, Debug)]
-pub struct DetRng {
-    state: u64,
-}
-
-impl DetRng {
-    /// Seeds the stream.
-    pub fn new(seed: u64) -> Self {
-        DetRng { state: seed }
-    }
-
-    /// Next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix64(self.state)
-    }
-
-    /// Uniform value in `[0, bound)`; returns 0 for `bound == 0`.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-}
-
-/// Which store operation a [`StoreRule`] applies to.
+/// Which call of a log's file a [`FileRule`] applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpKind {
-    /// `KvStore::get`.
-    Get,
-    /// `KvStore::put`, and a `KvStore::write_batch` whose first op is a put.
-    Put,
-    /// `KvStore::delete`, and a `write_batch` whose first op is a delete.
-    Delete,
-    /// `KvStore::scan_prefix`.
-    Scan,
+pub enum FileCall {
+    /// `LogFile::read_at`: a record read, or replay at open.
+    ReadAt,
+    /// `LogFile::append`: one batch, or a buffer of them.
+    Append,
+    /// `LogFile::sync`: a group commit's fsync.
+    Sync,
 }
 
-/// What a matching store rule injects.
-#[derive(Clone, Debug)]
-pub enum StoreFault {
-    /// Fail the op with an injected `StoreError::Io` without touching the
-    /// inner store (a transient backend error).
+/// What a matching file rule injects.
+#[derive(Clone, Copy, Debug)]
+pub enum FileFault {
+    /// Fail the call with `EIO`, the file untouched.
     Error,
-    /// Sleep before performing the op (a slow disk / compaction stall).
+    /// Sleep before the call (a slow disk, a remote storage tier).
     Delay(Duration),
-    /// For `put`: persist only a deterministic prefix of the value, then
-    /// report failure. The caller never sees an ack; the store is left
-    /// holding a torn value — exactly the state a mid-write crash leaves
-    /// behind a single-record writer. Every other op, `write_batch`
-    /// included, treats this as [`StoreFault::Error`]: a batch torn by a
-    /// crash is a batch recovery discards.
-    TornWrite,
+    /// On an append: a seeded strict prefix of the bytes reaches the file,
+    /// then the call fails with `ENOSPC` (a full disk). Any other call
+    /// fails as [`FileFault::Error`] does.
+    ShortAppend,
 }
 
-/// When a rule fires, in terms of the decorator's op counter.
+/// When a rule fires, in terms of the injector's call or frame counter.
 #[derive(Clone, Copy, Debug)]
 pub enum Trigger {
     /// Exactly the n-th matching op (0-based), once.
@@ -105,17 +72,16 @@ impl Trigger {
     }
 }
 
-/// One store-side injection rule.
+/// One file-side injection rule, matched against the count of its kind
+/// of call.
 #[derive(Clone, Debug)]
-pub struct StoreRule {
-    /// Restrict to one op type; `None` matches every op.
-    pub op: Option<OpKind>,
-    /// Restrict to keys with this prefix; empty matches every key.
-    pub key_prefix: Vec<u8>,
+pub struct FileRule {
+    /// The call it applies to.
+    pub call: FileCall,
     /// When the rule fires.
     pub when: Trigger,
     /// What it injects.
-    pub fault: StoreFault,
+    pub fault: FileFault,
 }
 
 /// Traffic direction through the [`FaultyTransport`](crate::FaultyTransport)
@@ -163,8 +129,8 @@ pub struct FaultPlan {
     /// Seed all probabilistic triggers derive from; printing it is enough
     /// to replay the run.
     pub seed: u64,
-    /// Store-side rules, evaluated in order; first match wins.
-    pub store_rules: Vec<StoreRule>,
+    /// File-side rules, evaluated in order; first match wins.
+    pub file_rules: Vec<FileRule>,
     /// Transport-side rules, evaluated in order; first match wins.
     pub net_rules: Vec<NetRule>,
 }
@@ -175,9 +141,9 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Builder: appends a store rule.
-    pub fn with_store_rule(mut self, rule: StoreRule) -> Self {
-        self.store_rules.push(rule);
+    /// Builder: appends a file rule.
+    pub fn with_file_rule(mut self, rule: FileRule) -> Self {
+        self.file_rules.push(rule);
         self
     }
 
@@ -187,35 +153,33 @@ impl FaultPlan {
         self
     }
 
-    /// The randomized chaos schedule: moderate rates of transient store
-    /// errors and delays plus per-frame transport drops/delays, all
-    /// derived from `seed`. Severity is tuned so a retrying client makes
-    /// progress (no unconditional black-hole/sever — the chaos test adds
-    /// those explicitly when it wants them).
+    /// The randomized chaos schedule: moderate rates of read errors and
+    /// append and sync delays at the file, plus per-frame transport
+    /// drops/delays, all derived from `seed`. Severity is tuned so a
+    /// retrying client makes progress: no append or sync error (either
+    /// turns a log read-only until its node restarts) and no unconditional
+    /// black-hole/sever (the chaos test adds those explicitly when it
+    /// wants them).
     pub fn randomized(seed: u64) -> Self {
         // Domain separation: plan construction must not reuse the raw seed
         // stream that per-op triggers draw from.
-        let mut rng = DetRng::new(seed ^ 0x5eed_91a7_0fa1_7c0d);
-        let store_err = 5_000 + rng.below(20_000) as u32; // 0.5%–2.5%
-        let store_delay = 5_000 + rng.below(10_000) as u32; // 0.5%–1.5%
-        let delay_ms = 1 + rng.below(10); // 1–10 ms stalls
-        let net_drop = 2_000 + rng.below(8_000) as u32; // 0.2%–1%
-        let net_delay = 5_000 + rng.below(10_000) as u32;
+        let draw = |i, bound| mix64(mix64(seed ^ 0x5eed_91a7_0fa1_7c0d) ^ i) % bound;
+        let read_err = 5_000 + draw(0, 20_000) as u32; // 0.5%–2.5%
+        let file_delay = 50_000 + draw(1, 100_000) as u32; // 5%–15%
+        let delay = Duration::from_millis(1 + draw(2, 10)); // 1–10 ms stalls
+        let net_drop = 2_000 + draw(3, 8_000) as u32; // 0.2%–1%
+        let net_delay = 5_000 + draw(4, 10_000) as u32;
+        let file_rule = |call, p, fault| FileRule {
+            call,
+            when: Trigger::PerMillion(p),
+            fault,
+        };
         FaultPlan {
             seed,
-            store_rules: vec![
-                StoreRule {
-                    op: None,
-                    key_prefix: Vec::new(),
-                    when: Trigger::PerMillion(store_err),
-                    fault: StoreFault::Error,
-                },
-                StoreRule {
-                    op: Some(OpKind::Put),
-                    key_prefix: Vec::new(),
-                    when: Trigger::PerMillion(store_delay),
-                    fault: StoreFault::Delay(Duration::from_millis(delay_ms)),
-                },
+            file_rules: vec![
+                file_rule(FileCall::ReadAt, read_err, FileFault::Error),
+                file_rule(FileCall::Append, file_delay, FileFault::Delay(delay)),
+                file_rule(FileCall::Sync, file_delay, FileFault::Delay(delay)),
             ],
             net_rules: vec![
                 NetRule {
@@ -226,18 +190,16 @@ impl FaultPlan {
                 NetRule {
                     direction: Some(NetDirection::ToClient),
                     when: Trigger::PerMillion(net_delay),
-                    fault: NetFault::Delay(Duration::from_millis(delay_ms)),
+                    fault: NetFault::Delay(delay),
                 },
             ],
         }
     }
 
-    /// First store rule matching `(op, key)` that fires at `index`.
-    pub fn store_fault(&self, op: OpKind, key: &[u8], index: u64) -> Option<&StoreFault> {
-        self.store_rules.iter().enumerate().find_map(|(i, r)| {
-            let op_ok = r.op.is_none() || r.op == Some(op);
-            let key_ok = key.starts_with(&r.key_prefix);
-            (op_ok && key_ok && r.when.fires(self.seed, i, index)).then_some(&r.fault)
+    /// First file rule for `call` that fires at its `index`-th call.
+    pub fn file_fault(&self, call: FileCall, index: u64) -> Option<&FileFault> {
+        self.file_rules.iter().enumerate().find_map(|(i, r)| {
+            (r.call == call && r.when.fires(self.seed, i, index)).then_some(&r.fault)
         })
     }
 
@@ -247,6 +209,25 @@ impl FaultPlan {
             let dir_ok = r.direction.is_none() || r.direction == Some(direction);
             (dir_ok && r.when.fires(self.seed, i, index)).then_some(&r.fault)
         })
+    }
+}
+
+/// The plan an injector holds, swapped while it runs: each decision reads
+/// the plan in place at that moment, and one in flight keeps the plan it
+/// read.
+pub(crate) struct PlanSlot(Mutex<Arc<FaultPlan>>);
+
+impl PlanSlot {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
+        PlanSlot(Mutex::new(Arc::new(plan)))
+    }
+
+    pub(crate) fn set(&self, plan: FaultPlan) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(plan);
+    }
+
+    pub(crate) fn get(&self) -> Arc<FaultPlan> {
+        Arc::clone(&self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -277,20 +258,15 @@ mod tests {
     }
 
     #[test]
-    fn store_rule_matching_respects_op_and_prefix() {
-        let plan = FaultPlan {
-            seed: 1,
-            store_rules: vec![StoreRule {
-                op: Some(OpKind::Put),
-                key_prefix: b"chunk/".to_vec(),
-                when: Trigger::EveryNth(1),
-                fault: StoreFault::Error,
-            }],
-            net_rules: Vec::new(),
-        };
-        assert!(plan.store_fault(OpKind::Put, b"chunk/1", 0).is_some());
-        assert!(plan.store_fault(OpKind::Get, b"chunk/1", 0).is_none());
-        assert!(plan.store_fault(OpKind::Put, b"index/1", 0).is_none());
+    fn file_rule_matching_respects_the_call() {
+        let plan = FaultPlan::quiet().with_file_rule(FileRule {
+            call: FileCall::Append,
+            when: Trigger::EveryNth(1),
+            fault: FileFault::Error,
+        });
+        assert!(plan.file_fault(FileCall::Append, 0).is_some());
+        assert!(plan.file_fault(FileCall::ReadAt, 0).is_none());
+        assert!(plan.file_fault(FileCall::Sync, 0).is_none());
     }
 
     #[test]
@@ -299,7 +275,7 @@ mod tests {
         let b = FaultPlan::randomized(42);
         let decisions = |p: &FaultPlan| -> Vec<bool> {
             (0..256)
-                .map(|i| p.store_fault(OpKind::Put, b"k", i).is_some())
+                .map(|i| p.file_fault(FileCall::ReadAt, i).is_some())
                 .collect()
         };
         assert_eq!(decisions(&a), decisions(&b));

@@ -35,7 +35,8 @@
 //! **Commit = one batch.** An append — one chunk or a run — hands its
 //! records to the store as one [`KvStore::write_batch`]: all of it or none
 //! of it, across failure and crash. A failed append left nothing behind,
-//! in the store or in memory, and a retry is a first try.
+//! in the store or in memory, and a retry (on the log reopened, which a
+//! failed append leaves read-only) is a first try.
 //!
 //! **Decay keeps the paper's granularity** (§4.5): nothing is deleted, and
 //! [`AggTree::decay`] records per-level cutoffs in the stream's `i/` record.
@@ -605,8 +606,8 @@ fn decode_cutoffs(bytes: &[u8]) -> Result<Vec<u64>, IndexError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use timecrypt_store::MemKv;
+    use timecrypt_faults::{FaultPlan, FaultyFile, FileCall, FileFault, FileRule, Trigger};
+    use timecrypt_store::{Durability, LogKv, MemFile, MemKv};
 
     /// Stream 1's index of width-2 sums, tags allowed.
     fn open(kv: Arc<dyn KvStore>) -> AggTree<Vec<u64>> {
@@ -798,58 +799,52 @@ mod tests {
         assert_eq!(decode_sum(Some(usize::MAX), &entry), None);
     }
 
-    /// A [`MemKv`] whose write number `fail_at` (counted from 1; a batch is
-    /// one write, applied whole or not at all) fails.
-    #[derive(Default)]
-    struct FailNthPut {
-        inner: MemKv,
-        writes: AtomicU64,
-        fail_at: AtomicU64,
+    type Faulty = FaultyFile<MemFile>;
+
+    /// A log over a quiet faulty file in memory, and the file.
+    fn faulty_log() -> (Arc<dyn KvStore>, Faulty) {
+        let file = FaultyFile::new(MemFile::default(), FaultPlan::quiet());
+        (reopen(&file), file)
     }
 
-    impl FailNthPut {
-        fn arm(&self, nth: u64) {
-            let now = self.writes.load(Ordering::Relaxed);
-            self.fail_at.store(now + nth, Ordering::Relaxed);
-        }
+    /// The log in `file`, opened again: a log whose append failed is
+    /// read-only until then.
+    fn reopen(file: &Faulty) -> Arc<dyn KvStore> {
+        Arc::new(LogKv::over(file.clone(), Durability::Flush).unwrap())
     }
 
-    impl KvStore for FailNthPut {
-        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-            self.inner.get(key)
-        }
-        fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-            self.write_batch(&[WriteOp::Put { key, value }])
-        }
-        fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-            self.inner.delete(key)
-        }
-        fn scan_prefix(&self, prefix: &[u8]) -> Result<timecrypt_store::KvPairs, StoreError> {
-            self.inner.scan_prefix(prefix)
-        }
-        fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
-            let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
-            if n == self.fail_at.load(Ordering::Relaxed) {
-                return Err(StoreError::Corrupt("injected write failure"));
-            }
-            self.inner.write_batch(ops)
-        }
+    /// Fails the file's next append: the next write, a batch being one.
+    fn fail_next_append(file: &Faulty) {
+        file.set_plan(FaultPlan::quiet().with_file_rule(FileRule {
+            call: FileCall::Append,
+            when: Trigger::Nth(file.calls(FileCall::Append)),
+            fault: FileFault::Error,
+        }));
+    }
+
+    fn appends(file: &Faulty) -> u64 {
+        file.calls(FileCall::Append)
     }
 
     #[test]
     fn decay_ages_out_fine_levels_keeps_coarse_and_survives_a_reopen() {
-        let kv = Arc::new(FailNthPut::default());
-        let t = open(kv.clone());
+        let (kv, file) = faulty_log();
+        let t = open(kv);
         fill(&t, 3 * 4096 + 100);
         let n = t.len();
-        // A faulted decay changes nothing; its retry is one write.
-        kv.arm(1);
+        // A faulted decay changes nothing; its retry, on the log reopened
+        // over its file, is one write.
+        fail_next_append(&file);
         assert!(matches!(t.decay(8192, 3), Err(IndexError::Store(_))));
         assert_eq!(t.query(0, 1).unwrap(), naive_sum(0, 1));
-        let writes = kv.writes.load(Ordering::Relaxed);
+        drop(t);
+        let kv = reopen(&file);
+        let t = open(kv.clone());
+        assert_eq!(t.query(0, 1).unwrap(), naive_sum(0, 1));
+        let writes = appends(&file);
         // Levels 1 and 2 before chunk 8192: 128 leaf nodes and two above.
         assert_eq!(t.decay(8192, 3).unwrap(), 128 + 2);
-        assert_eq!(kv.writes.load(Ordering::Relaxed), writes + 1, "one write");
+        assert_eq!(appends(&file), writes + 1, "one write");
         assert_eq!(t.decay(8000, 3).unwrap(), 0, "nothing newly aged out");
         for t in [t, open(kv.clone())] {
             // Fine queries inside the aged-out region are a decay error.
@@ -901,19 +896,19 @@ mod tests {
             clean.append_records(&[[digest, a, b]]).unwrap();
         }
         let run: Vec<Vec<u8>> = (3..17).map(tagged).collect();
-        let kv = Arc::new(FailNthPut::default());
+        let (kv, file) = faulty_log();
         let t = open(kv.clone());
         t.append_records(&whole(&[tagged(0), tagged(1), tagged(2)]))
             .unwrap();
         let before = dump(kv.as_ref());
-        kv.arm(1);
+        fail_next_append(&file);
         assert!(matches!(
             t.append_records(&whole(&run)),
             Err(IndexError::Store(_))
         ));
         // So does a run holding a record that starts with no digest, which
         // never reaches the store.
-        let writes = kv.writes.load(Ordering::Relaxed);
+        let writes = appends(&file);
         let mut bad = run.clone();
         bad[9].truncate(11);
         assert!(matches!(
@@ -923,13 +918,19 @@ mod tests {
                 index: 12
             })
         ));
-        assert_eq!(kv.writes.load(Ordering::Relaxed), writes);
+        assert_eq!(appends(&file), writes);
         // Nothing stored, nothing published, and a fresh handle agrees.
         assert_exhaustive(&t, 3);
         assert_eq!(dump(kv.as_ref()), before);
         assert_exhaustive(&open(kv.clone()), 3);
+        // The retry, on the log reopened over its file.
+        drop((t, kv));
+        let kv = reopen(&file);
+        let t = open(kv.clone());
+        assert_exhaustive(&t, 3);
+        let writes = appends(&file);
         t.append_records(&whole(&run)).unwrap();
-        assert_eq!(kv.writes.load(Ordering::Relaxed) - writes, 1, "one commit");
+        assert_eq!(appends(&file) - writes, 1, "one commit");
         assert_exhaustive(&t, 17);
         assert_eq!(dump(kv.as_ref()), dump(clean_kv.as_ref()));
         // Each record is the running sum, then the caller's tag.
@@ -943,7 +944,7 @@ mod tests {
 
     #[test]
     fn retag_rewrites_records_in_one_batch_and_nothing_the_index_answers() {
-        let kv = Arc::new(FailNthPut::default());
+        let (kv, file) = faulty_log();
         let t = open(kv.clone());
         t.append_records(&whole(&(0..11).map(tagged).collect::<Vec<_>>()))
             .unwrap();
@@ -955,12 +956,17 @@ mod tests {
         };
         let stubs: Vec<_> = [2, 4, 6, 8].map(stub).into();
         let before = dump(kv.as_ref());
-        kv.arm(1);
+        fail_next_append(&file);
         assert!(matches!(t.retag(&stubs), Err(IndexError::Store(_))));
         assert_eq!(dump(kv.as_ref()), before, "all of the batch or none");
-        let writes = kv.writes.load(Ordering::Relaxed);
+        // The retry, on the log reopened over its file.
+        drop((t, kv));
+        let kv = reopen(&file);
+        let t = open(kv.clone());
+        assert_eq!(dump(kv.as_ref()), before);
+        let writes = appends(&file);
         assert_eq!(t.retag(&stubs).unwrap(), 4);
-        assert_eq!(kv.writes.load(Ordering::Relaxed) - writes, 1, "one commit");
+        assert_eq!(appends(&file) - writes, 1, "one commit");
         for (i, record) in &stubs {
             assert_eq!(&leaf_record(kv.as_ref(), 1, *i).unwrap(), record);
         }
@@ -968,7 +974,7 @@ mod tests {
         assert_exhaustive(&open(kv.clone()), 11);
         // None written; and never a chunk not appended yet.
         assert_eq!(t.retag(&[]).unwrap(), 0);
-        assert_eq!(kv.writes.load(Ordering::Relaxed) - writes, 1);
+        assert_eq!(appends(&file) - writes, 1);
         assert!(matches!(
             t.retag(&[(11, vec![])]),
             Err(IndexError::BadRange { start: 11, .. })

@@ -1015,7 +1015,8 @@ impl TimeCryptServer {
     /// [`import_stream`](Self::import_stream) under the stream's stripe.
     /// What the page changes is read first; only if it changes anything is
     /// the resident state dropped and the changes written. The directory
-    /// entry goes before the records, comes after them.
+    /// entry goes before the records (and comes back if their write
+    /// fails), comes after them.
     fn import_locked(
         &self,
         stream: u128,
@@ -1041,11 +1042,20 @@ impl TimeCryptServer {
         let covered =
             meta_key.as_slice() > from && end.is_none_or(|end| meta_key.as_slice() <= end);
         let registered = covered.then(|| meta.and_then(|(_, v)| StreamMeta::decode(v)));
-        if let Some(None) = registered {
-            self.live.lock().remove(&stream);
-            self.residency.unregister(stream);
+        let unregistered = match registered {
+            Some(None) => {
+                let live = self.live.lock().remove(&stream);
+                self.residency.unregister(stream).map(|meta| (meta, live))
+            }
+            _ => None,
+        };
+        if let Err(e) = self.kv.write_batch(&ops) {
+            if let Some((meta, live)) = unregistered {
+                self.residency.register(stream, meta);
+                self.live.lock().extend(live.map(|live| (stream, live)));
+            }
+            return Err(e.into());
         }
-        self.kv.write_batch(&ops)?;
         if let Some(Some(meta)) = registered {
             self.residency.register(stream, meta);
         }

@@ -156,9 +156,9 @@ impl Residency {
         self.lock().directory.insert(stream, meta);
     }
 
-    /// Removes the stream's directory entry.
-    pub(crate) fn unregister(&self, stream: u128) {
-        self.lock().directory.remove(&stream);
+    /// Removes the stream's directory entry, and returns it.
+    pub(crate) fn unregister(&self, stream: u128) -> Option<StreamMeta> {
+        self.lock().directory.remove(&stream)
     }
 
     /// The stream's resident state, stamped as touched now, after the cap

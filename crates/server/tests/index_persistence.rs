@@ -1,17 +1,18 @@
 //! Engine-level checks of the index persistence: a run is one store
-//! commit, so a store fault fails it whole — nothing stored, nothing
-//! published — and a retry converges on the clean history; a cold stream's
+//! commit, so a failed append fails it whole — nothing stored, nothing
+//! published — and a retry on the log reopened over its file converges on
+//! the clean history; a cold stream's
 //! length comes from key probes alone; `delete_stream` leaves no index
 //! residue (stored or resident); rollup keeps its contract across a
 //! rehydration.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_chunk::{DataPoint, DigestSchema, PlainChunk, StreamConfig};
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::{PrgKind, SecureRandom};
+use timecrypt_faults::{FaultPlan, FaultyFile, FileCall, FileFault, FileRule, Trigger};
 use timecrypt_server::{ServerConfig, ServerError, TimeCryptServer};
-use timecrypt_store::{KvPairs, KvStore, LogKv, MemKv, StoreError, WriteOp};
+use timecrypt_store::{Durability, KvPairs, KvStore, LogKv, MemFile, MemKv};
 
 const DELTA_MS: u64 = 10_000;
 
@@ -72,37 +73,6 @@ fn dump(kv: &dyn KvStore) -> KvPairs {
     all
 }
 
-/// A [`MemKv`] whose write number `fail_at` (counted from 1; a batch is
-/// one write, applied whole or not at all) fails.
-#[derive(Default)]
-struct FailNthPut {
-    inner: MemKv,
-    writes: AtomicU64,
-    fail_at: AtomicU64,
-}
-
-impl KvStore for FailNthPut {
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.inner.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.write_batch(&[WriteOp::Put { key, value }])
-    }
-    fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.inner.delete(key)
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Result<KvPairs, StoreError> {
-        self.inner.scan_prefix(prefix)
-    }
-    fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
-        let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
-        if n == self.fail_at.load(Ordering::Relaxed) {
-            return Err(StoreError::Corrupt("injected write failure"));
-        }
-        self.inner.write_batch(ops)
-    }
-}
-
 #[test]
 fn store_fault_fails_the_run_whole_and_retry_converges() {
     let clean_kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
@@ -110,19 +80,27 @@ fn store_fault_fails_the_run_whole_and_retry_converges() {
     assert!(all_ok(insert_run(&clean, 1, 0..9)));
     let want = all_stats(&clean, 1, 9);
     // Chunks 3..9 on top of 0..3 are one commit: six level-0 records (the
-    // chunks, each with its running sum). Fail it.
-    let kv = Arc::new(FailNthPut::default());
+    // chunks, each with its running sum). Fail its append.
+    let file = FaultyFile::new(MemFile::default(), FaultPlan::quiet());
+    let reopen =
+        || -> Arc<dyn KvStore> { Arc::new(LogKv::over(file.clone(), Durability::Flush).unwrap()) };
+    let appends = || file.calls(FileCall::Append);
+    let kv = reopen();
     let server = engine(kv.clone(), &[1]);
     assert!(all_ok(insert_run(&server, 1, 0..3)));
     let before = (all_stats(&server, 1, 3), dump(kv.as_ref()));
-    let writes = kv.writes.load(Ordering::Relaxed);
-    kv.fail_at.store(writes + 1, Ordering::Relaxed);
+    let writes = appends();
+    file.set_plan(FaultPlan::quiet().with_file_rule(FileRule {
+        call: FileCall::Append,
+        when: Trigger::Nth(writes),
+        fault: FileFault::Error,
+    }));
     let verdicts = insert_run(&server, 1, 3..9);
     assert!(matches!(verdicts[0], Err(ServerError::Index(_))));
     assert!(verdicts[1..]
         .iter()
         .all(|v| matches!(v, Err(ServerError::Unavailable(_)))));
-    assert_eq!(kv.writes.load(Ordering::Relaxed), writes + 1, "one commit");
+    assert_eq!(appends(), writes + 1, "one commit");
     // Nothing stored, nothing published — resident or after a cold
     // rehydration.
     assert_eq!(dump(kv.as_ref()), before.1);
@@ -130,6 +108,11 @@ fn store_fault_fails_the_run_whole_and_retry_converges() {
     assert_eq!(all_stats(&server, 1, 3), before.0);
     server.evict_idle_streams();
     assert_eq!(server.stream_info(1).unwrap().len, 3);
+    assert_eq!(all_stats(&server, 1, 3), before.0);
+    // The retry, on an engine over the log reopened over its file.
+    drop((server, kv));
+    let kv = reopen();
+    let server = engine(kv.clone(), &[]);
     assert_eq!(all_stats(&server, 1, 3), before.0);
     assert!(all_ok(insert_run(&server, 1, 3..9)), "retry");
     assert_eq!(all_stats(&server, 1, 9), want);

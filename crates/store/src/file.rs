@@ -71,9 +71,9 @@ impl LogFile for OsFile {
     }
 }
 
-/// A log file in memory. A clone is the same file opened again, so a test
-/// can reopen a log, also after cutting or flipping its bytes.
-#[derive(Clone)]
+/// A log file in memory, empty by default. A clone is the same file opened
+/// again, so a test can reopen a log, also after cutting or flipping bytes.
+#[derive(Clone, Default)]
 pub struct MemFile {
     pub(crate) bytes: Arc<RwLock<Vec<u8>>>,
 }

@@ -14,8 +14,8 @@
 //! [`MemKv`], the same engine in memory that every test, example and
 //! figure runs on. It counts the calls made of it and the value bytes they
 //! move ([`KvStore::counters`], the service tier's store metrics) and opens
-//! a `store.*` stage span per call (`timecrypt-faults` adds `FaultyKv`,
-//! which injects errors, torn writes and delays).
+//! a `store.*` stage span per call (`timecrypt-faults` adds `FaultyFile`,
+//! a file that injects errors, short appends and delays under the log).
 //!
 //! Writes that belong together go through [`KvStore::write_batch`]: one
 //! failure-atomic commit (one log append, one fsync wait in [`LogKv`]).

@@ -86,7 +86,8 @@
 //! Under [`Durability::Fsync`], concurrent writers serialize appends on
 //! the inner lock but share fsyncs: each waiter checks the synced
 //! watermark and only issues the syscall if its append is not already
-//! covered. A batch is one append and waits once.
+//! covered. A batch is one append and waits once. A failed append or
+//! sync turns the log read-only until it is reopened.
 //!
 //! A non-empty file that does not begin with the magic (or, if shorter
 //! than it, with a prefix of it — a crash during file creation, treated
@@ -1117,8 +1118,8 @@ struct Inner {
     appended: u64,
     /// Offset the next record starts at (buffered bytes included).
     tail: u64,
-    /// An append failed (a full disk, a file-size limit): read-only, what of
-    /// it reached the file is a torn tail replay truncates when reopened.
+    /// An append or a sync failed (a full disk, an I/O error): read-only,
+    /// what reached the file is a torn tail replay truncates when reopened.
     failed: bool,
     /// This log's share of the process's footprint gauges.
     published: LogStats,
@@ -1181,7 +1182,7 @@ pub struct LogKv<F: LogFile = OsFile> {
     /// by `commit` before its fsync to learn what the syscall will cover.
     flushed: AtomicU64,
     /// The group-commit watermark: the highest `appended` value known
-    /// fsynced. Only `commit` takes this lock, and never under `inner`.
+    /// fsynced. Only `commit` takes it, never under `inner` (`failed` under it).
     synced: Mutex<u64>,
     /// What [`KvStore::counters`] reads, counted at the call.
     meter: StoreCounters<Counter>,
@@ -1286,7 +1287,8 @@ impl<F: LogFile> LogKv<F> {
     }
 
     /// Group-commit fsync: make append number `my` durable, sharing the
-    /// syscall with every record flushed before it started.
+    /// syscall with every record flushed before it started. A failed sync
+    /// turns the log read-only and fails the waiters it did not cover.
     fn commit(&self, my: u64) -> Result<(), StoreError> {
         if self.durability != Durability::Fsync {
             return Ok(());
@@ -1295,10 +1297,13 @@ impl<F: LogFile> LogKv<F> {
         if *synced >= my {
             return Ok(()); // another waiter's fsync already covered us
         }
+        if self.inner.lock().failed {
+            return Err(read_only());
+        }
         // Everything flushed to the file before the syscall starts is
         // durable when it returns; snapshot the watermark first.
         let covered = self.flushed.load(Ordering::Acquire);
-        self.file.sync()?;
+        (self.file.sync()).inspect_err(|_| self.inner.lock().failed = true)?;
         *synced = (*synced).max(covered);
         Ok(())
     }
@@ -1337,7 +1342,7 @@ impl<F: LogFile> LogKv<F> {
             let mut guard = self.inner.lock();
             let inner = &mut *guard;
             if inner.failed {
-                return Err(std::io::Error::other("read-only after a failed append").into());
+                return Err(read_only());
             }
             let lens = encode(&inner.index, ops, inner.next_seq, &mut inner.buffered);
             if self.durability != Durability::Buffered || inner.buffered.len() >= BUFFER {
@@ -1363,6 +1368,11 @@ impl<F: LogFile> LogKv<F> {
         counters::STORE_BATCHES.inc();
         self.commit(my)
     }
+}
+
+/// What a write to a log whose append or sync failed is answered.
+fn read_only() -> StoreError {
+    std::io::Error::other("read-only after a failed write").into()
 }
 
 /// A closed log writes out its buffer (an error there is logged) and
@@ -1921,10 +1931,25 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
-    /// A file in memory whose appends fail once it is `full`.
+    /// A file in memory whose appends fail once it is `full`, and whose
+    /// syncs fail while it is `failing`; it counts the syncs it was asked
+    /// for.
     struct Full {
         file: MemFile,
         full: std::sync::atomic::AtomicBool,
+        failing: std::sync::atomic::AtomicBool,
+        syncs: std::sync::atomic::AtomicU64,
+    }
+
+    impl Full {
+        fn over(file: &MemFile) -> Self {
+            Full {
+                file: file.clone(),
+                full: Default::default(),
+                failing: Default::default(),
+                syncs: Default::default(),
+            }
+        }
     }
 
     impl LogFile for Full {
@@ -1938,7 +1963,11 @@ mod tests {
             }
         }
         fn sync(&self) -> std::io::Result<()> {
-            self.file.sync()
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            match self.failing.load(Ordering::Relaxed) {
+                true => Err(std::io::Error::other("EIO")),
+                false => self.file.sync(),
+            }
         }
         fn truncate(&self, len: u64) -> std::io::Result<u64> {
             self.file.truncate(len)
@@ -1949,10 +1978,7 @@ mod tests {
     /// the value bytes it moved, and opens its stage span.
     #[test]
     fn counts_each_call_and_its_value_bytes_under_its_span() {
-        let file = Full {
-            file: MemFile::holding(Vec::new()),
-            full: Default::default(),
-        };
+        let file = Full::over(&MemFile::holding(Vec::new()));
         let kv = LogKv::over(file, Durability::Flush).unwrap();
         let scope = timecrypt_obs::trace::begin_request();
         kv.put(b"k", b"12345").unwrap();
@@ -1995,6 +2021,34 @@ mod tests {
             "store.batch",
         ];
         assert_eq!(spans.map(count), [2, 2, 1, 3, 2]);
+    }
+
+    /// Under `Fsync` the batch whose sync fails is refused, and so is every
+    /// later write, though the file would sync again: a sync after a failed
+    /// one can succeed without the pages the kernel dropped. A group-commit
+    /// waiter the failed sync did not cover fails without a sync of its
+    /// own. Reads go on, and the log reopened over its file writes again.
+    #[test]
+    fn a_failed_sync_ends_the_logs_writes() {
+        let mem = MemFile::holding(Vec::new());
+        let kv = LogKv::over(Full::over(&mem), Durability::Fsync).unwrap();
+        kv.put(b"a", b"1").unwrap();
+        kv.file.failing.store(true, Ordering::Relaxed);
+        kv.put(b"b", b"2").unwrap_err();
+        kv.file.failing.store(false, Ordering::Relaxed);
+        let syncs = kv.file.syncs.load(Ordering::Relaxed);
+        kv.put(b"c", b"3").unwrap_err();
+        let put = |key, value| WriteOp::Put { key, value };
+        kv.write_batch(&[put(b"d", b"4")]).unwrap_err();
+        // The batch the failed sync was for, waited on again.
+        kv.commit(2).unwrap_err();
+        assert_eq!(kv.file.syncs.load(Ordering::Relaxed), syncs, "no sync");
+        assert_eq!(kv.get(b"a").unwrap().as_deref(), Some(&b"1"[..]));
+        assert_eq!(kv.get(b"c").unwrap(), None);
+        drop(kv);
+        let kv = LogKv::over(Full::over(&mem), Durability::Fsync).unwrap();
+        kv.put(b"c", b"3").unwrap();
+        assert_eq!(kv.get(b"c").unwrap().as_deref(), Some(&b"3"[..]));
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! * [`client`] — producer, data owner, consumer.
 //! * [`wire`] — framing + TCP transport.
 //! * [`faults`] — deterministic fault injection: seeded
-//!   `FaultPlan` schedules, a `FaultyKv` store decorator, a
-//!   `FaultyTransport` frame-level proxy (chaos tests).
+//!   `FaultPlan` schedules, a `FaultyFile` under a log (errors, delays,
+//!   short appends), a `FaultyTransport` frame-level proxy (chaos tests).
 //! * [`pk`] — the public-key substrate: bignum/Montgomery arithmetic,
 //!   P-256, ECDSA (attestations), ECIES (sealed grants).
 //! * [`integrity`] — the Verena-style extension

@@ -2,10 +2,14 @@
 //!
 //! Three scenarios:
 //!
-//! 1. **Seeded cluster chaos** — a replicated 2-node cluster whose stores
-//!    *and* network paths run a seeded randomized [`FaultPlan`] during
-//!    ingest. Writers retry until acked (treating an out-of-order
-//!    rejection after an ambiguous timeout as "already applied"). Once
+//! 1. **Seeded cluster chaos** — a replicated 2-node cluster whose log
+//!    files *and* network paths run a seeded randomized [`FaultPlan`]
+//!    during ingest: read errors and append and sync delays at the file
+//!    (no append or sync error: it turns a node's log read-only until the
+//!    node restarts, and the storm restarts none), dropped and delayed
+//!    frames on the wire. Writers retry until acked (treating an
+//!    out-of-order rejection after an ambiguous timeout as "already
+//!    applied"). Once
 //!    the storm quiets, the cluster must answer a query battery
 //!    *byte-identically* to a fault-free single-process reference fed
 //!    the same chunks — zero acked writes lost, zero duplicated — and
@@ -99,14 +103,14 @@ fn query_battery() -> Vec<Request> {
 }
 
 /// One iteration of the cluster chaos scenario; returns the total number
-/// of store-level faults actually injected (so the soak can prove the
+/// of file-level faults actually injected (so the soak can prove the
 /// storm was not vacuous).
 fn chaos_iteration(seed: u64) -> u64 {
     // Fault-free single-process reference: the ground truth for what the
     // cluster must converge to.
     let reference = Deployment::build(&Spec::coordinator(TOTAL_SHARDS)).service();
 
-    // Two nodes over fault-injectable stores, each reached through a
+    // Two nodes over fault-injectable log files, each reached through a
     // fault-injecting TCP proxy, both quiet until the storm.
     // Promotion is exercised by tests/timeout_promotion.rs; here it stays
     // off so a backup that drifted during the storm can never be promoted
@@ -115,13 +119,13 @@ fn chaos_iteration(seed: u64) -> u64 {
     cfg.pool.io_timeout = Duration::from_millis(250);
     let quiet = FaultPlan::quiet;
     let spec = Spec::remote(TOTAL_SHARDS, 2, 2)
-        .fault(Fault::Store(quiet()))
+        .fault(Fault::File(quiet()))
         .fault(Fault::Proxy(0, quiet()))
         .fault(Fault::Proxy(1, quiet()))
         .service(cfg);
     let d = Deployment::build(&spec);
     let cluster = d.service();
-    let (store_a, store_b) = (d.faulty(0), d.faulty(1));
+    let (file_a, file_b) = (d.faulty(0), d.faulty(1));
     let (proxy_a, proxy_b) = (d.proxy(0), d.proxy(1));
 
     // Streams are created before the storm; the storm covers ingest.
@@ -130,10 +134,10 @@ fn chaos_iteration(seed: u64) -> u64 {
         cluster.create_stream(id, 0, 10_000, 2).unwrap();
     }
 
-    // Storm on: every store op and every wire frame may fault, per a
+    // Storm on: every file call and every wire frame may fault, per a
     // plan derived deterministically from the seed.
-    store_a.set_plan(FaultPlan::randomized(seed));
-    store_b.set_plan(FaultPlan::randomized(seed ^ 0xb));
+    file_a.set_plan(FaultPlan::randomized(seed));
+    file_b.set_plan(FaultPlan::randomized(seed ^ 0xb));
     proxy_a.set_plan(FaultPlan::randomized(seed ^ 0xc));
     proxy_b.set_plan(FaultPlan::randomized(seed ^ 0xd));
 
@@ -160,12 +164,12 @@ fn chaos_iteration(seed: u64) -> u64 {
             reference.insert(&chunk).unwrap();
         }
     }
-    let injected = store_a.injected_total() + store_b.injected_total();
+    let injected = file_a.injected_total() + file_b.injected_total();
 
     // Storm off; the cluster must now converge to the reference within a
     // bounded window and answer the battery byte-identically.
-    store_a.set_plan(FaultPlan::quiet());
-    store_b.set_plan(FaultPlan::quiet());
+    file_a.set_plan(FaultPlan::quiet());
+    file_b.set_plan(FaultPlan::quiet());
     proxy_a.set_plan(FaultPlan::quiet());
     proxy_b.set_plan(FaultPlan::quiet());
 
@@ -196,7 +200,7 @@ fn seeded_cluster_chaos_preserves_acked_writes_and_reply_identity() {
     }
     assert!(
         injected_total > 0,
-        "the storm must actually inject store faults (seed {seed}, {iters} iters)"
+        "the storm must actually inject file faults (seed {seed}, {iters} iters)"
     );
 }
 

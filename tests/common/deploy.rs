@@ -15,10 +15,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-use timecrypt::faults::{FaultPlan, FaultyKv, FaultyTransport};
+use timecrypt::faults::{FaultPlan, FaultyFile, FaultyTransport};
 use timecrypt::server::{ServerConfig, TimeCryptServer};
 use timecrypt::service::{NodeConfig, ServiceConfig, ShardNode, ShardSpec, ShardedService};
-use timecrypt::store::{Durability, KvStore, LogFile, LogKv, LogStats, MemKv};
+use timecrypt::store::{Durability, KvStore, LogFile, LogKv, LogStats, MemFile, MemKv};
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::{Handler, ServeOptions, Server};
@@ -57,8 +57,9 @@ pub enum File {
 /// An injector, quiet or not, that the deployment builds in.
 #[derive(Clone, Debug)]
 pub enum Fault {
-    /// A `FaultyKv` under the store of each host the spec builds.
-    Store(FaultPlan),
+    /// A `FaultyFile` under the log of each host the spec builds, over its
+    /// file in memory; a restart opens the log over it again.
+    File(FaultPlan),
     /// A `FaultyTransport` in front of remote node `n`: the coordinator
     /// dials it in the node's place.
     Proxy(usize, FaultPlan),
@@ -150,15 +151,21 @@ impl<F: LogFile> Log for LogKv<F> {
     }
 }
 
-/// A fresh log in `file`, or the one at `path` opened again: the one
-/// place a file kind is made.
-fn open_log(file: &File, path: Option<&TempPath>) -> Arc<dyn Log> {
+/// A fresh log in `file`, or the one at `path` or in `faulty` opened
+/// again: the one place a file kind is made.
+fn open_log(file: &File, path: Option<&TempPath>, faulty: Option<&Faulty>) -> Arc<dyn Log> {
     match file {
-        File::Mem => Arc::new(MemKv::new()),
+        File::Mem => match faulty {
+            Some(faulty) => Arc::new(LogKv::over(faulty.clone(), Durability::Flush).unwrap()),
+            None => Arc::new(MemKv::new()),
+        },
         File::Os => Arc::new(LogKv::open(path.expect("an OS file's path")).unwrap()),
         File::Recording(file) => Arc::new(LogKv::over(file.clone(), Durability::Fsync).unwrap()),
     }
 }
+
+/// The file under a log a `Fault::File` builds in.
+pub type Faulty = FaultyFile<MemFile>;
 
 /// What runs over a store.
 #[derive(Clone)]
@@ -233,9 +240,10 @@ struct Host {
     path: Option<TempPath>,
     /// The shards a node on this host hosts.
     hosted: Vec<usize>,
-    /// The log while it is open; one in memory stays for a restart.
+    /// The log while it is open; one in memory stays for a restart, unless
+    /// it is over a faulty file.
     log: Option<Arc<dyn Log>>,
-    faulty: Option<Arc<FaultyKv<Arc<dyn KvStore>>>>,
+    faulty: Option<Faulty>,
     running: Option<Running>,
     server: Option<Server>,
     /// A remote node's bound port, kept across its restarts.
@@ -322,12 +330,20 @@ impl Deployment {
     /// shards behind a listener when `remote` — and returns its index.
     fn add_host(&self, hosted: Vec<usize>, remote: bool) -> usize {
         let path = matches!(self.spec.file, File::Os).then(|| TempPath::new("deploy.log"));
+        let faulty = self.spec.faults.iter().find_map(|fault| match fault {
+            Fault::File(plan) => Some(FaultyFile::new(MemFile::default(), plan.clone())),
+            Fault::Proxy(..) => None,
+        });
+        assert!(
+            faulty.is_none() || matches!(self.spec.file, File::Mem),
+            "a faulty file in memory only"
+        );
         let mut hosts = self.hosts();
         hosts.push(Host {
             path,
             hosted,
             log: None,
-            faulty: None,
+            faulty,
             running: None,
             server: None,
             listener: None,
@@ -342,15 +358,9 @@ impl Deployment {
     /// Opens the host's tier over its log, and serves a remote node on its
     /// listener, bound to its address first if the host has none.
     fn start(&self, host: &mut Host) {
-        let log = (host.log).get_or_insert_with(|| open_log(&self.spec.file, host.path.as_ref()));
-        let mut kv: Arc<dyn KvStore> = log.clone();
-        for fault in &self.spec.faults {
-            if let Fault::Store(plan) = fault {
-                let faulty = Arc::new(FaultyKv::new(kv.clone(), plan.clone()));
-                host.faulty = Some(faulty.clone());
-                kv = faulty;
-            }
-        }
+        let (file, path, faulty) = (&self.spec.file, host.path.as_ref(), host.faulty.as_ref());
+        let log = (host.log).get_or_insert_with(|| open_log(file, path, faulty));
+        let kv: Arc<dyn KvStore> = log.clone();
         let (engine, shards) = (self.spec.service.engine.clone(), self.shards());
         let running = match (host.addr, self.spec.tier) {
             (Some(_), _) | (None, Tier::Node { .. }) => {
@@ -452,9 +462,9 @@ impl Deployment {
         hosts[i].path.as_ref().expect("an OS file").0.clone()
     }
 
-    /// The `FaultyKv` under store `i`.
-    pub fn faulty(&self, i: usize) -> Arc<FaultyKv<Arc<dyn KvStore>>> {
-        self.hosts()[i].faulty.clone().expect("a faulty store")
+    /// The `FaultyFile` under store `i`'s log.
+    pub fn faulty(&self, i: usize) -> Faulty {
+        self.hosts()[i].faulty.clone().expect("a faulty file")
     }
 
     /// The proxy in front of remote node `n`.
@@ -486,8 +496,8 @@ impl Deployment {
     /// shards, for a replica to attach; returns its index.
     pub fn add_node(&self, shard: usize) -> usize {
         let faults = &self.spec.faults;
-        let faulty = faults.iter().any(|f| matches!(f, Fault::Store(_)));
-        assert!(!faulty, "a spare node over a faulty store");
+        let faulty = faults.iter().any(|f| matches!(f, Fault::File(_)));
+        assert!(!faulty, "a spare node over a faulty file");
         self.add_host(vec![shard], true)
     }
 
@@ -507,8 +517,7 @@ impl Deployment {
             server.shutdown();
         }
         host.running = None;
-        host.faulty = None;
-        if !matches!(self.spec.file, File::Mem) {
+        if !matches!(self.spec.file, File::Mem) || host.faulty.is_some() {
             host.log = None;
         }
     }

@@ -1,17 +1,19 @@
 //! Failure-injection integration tests: the system must fail *closed* under
 //! tampering, corruption, and protocol misuse.
 
-use common::{Deployment, Fault, Spec};
+use common::{sealed, Deployment, Fault, Faulty, Spec};
 use std::sync::Arc;
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::chunk::{DataPoint, StreamConfig};
-use timecrypt::client::{Consumer, DataOwner, InProc, Producer, Transport};
+use timecrypt::client::{
+    BatchingProducer, ClientFault, Consumer, DataOwner, InProc, Producer, Transport,
+};
 use timecrypt::crypto::SecureRandom;
-use timecrypt::faults::{FaultPlan, FaultyKv, OpKind, StoreFault, StoreRule, Trigger};
+use timecrypt::faults::{FaultPlan, FileCall, FileFault, FileRule, Trigger};
 use timecrypt::index::keys;
 use timecrypt::server::{ServerError, TimeCryptServer};
 use timecrypt::service::ServiceConfig;
-use timecrypt::store::KvStore;
+use timecrypt::store::{KvStore, LogFile};
 use timecrypt::wire::transport::Handler;
 use timecrypt::wire::{Request, Response};
 
@@ -200,70 +202,286 @@ fn a_zero_chunk_interval_is_refused_at_every_tier() {
     assert_eq!((strikes, shard.in_sync), ((0, 0, 0), true), "{shard:?}");
 }
 
-/// An engine over a quiet `FaultyKv`, and the `FaultyKv`.
-fn faulty_engine() -> (Arc<FaultyKv<Arc<dyn KvStore>>>, Arc<TimeCryptServer>) {
-    let d = Deployment::build(&Spec::engine().fault(Fault::Store(FaultPlan::quiet())));
-    (d.faulty(0), d.engine())
-}
-
-/// Sets `kv` to fail its `nth` op from now, if it is an `op` under `prefix`.
-fn fail_nth(kv: &FaultyKv<Arc<dyn KvStore>>, op: OpKind, prefix: &[u8], nth: u64) {
-    kv.set_plan(FaultPlan::quiet().with_store_rule(StoreRule {
-        op: Some(op),
-        key_prefix: prefix.to_vec(),
-        when: Trigger::Nth(kv.ops_total() + nth),
-        fault: StoreFault::Error,
+/// Sets `file` to inject `fault` at its `k`-th append from now (0-based).
+fn fault_append(file: &Faulty, k: u64, fault: FileFault) {
+    file.set_plan(FaultPlan::quiet().with_file_rule(FileRule {
+        call: FileCall::Append,
+        when: Trigger::Nth(file.calls(FileCall::Append) + k),
+        fault,
     }));
 }
 
-#[test]
-fn faulted_put_envelopes_leaves_nothing_behind() {
-    let envs: Vec<(u64, Vec<u8>)> = (0..4u64).map(|i| (i, vec![i as u8; 3])).collect();
-    let mut faulted = 0;
-    // Fail the k-th store write the call issues, for every k it could reach.
-    for k in 0..envs.len() as u64 {
-        let (kv, ks) = faulty_engine();
-        ks.put_envelopes(11, 6, &[(9, vec![9])]).unwrap();
-        fail_nth(&kv, OpKind::Put, b"e/", k);
-        let result = ks.put_envelopes(11, 6, &envs);
-        kv.set_plan(FaultPlan::quiet());
-        let held = ks.get_envelopes(11, 6, 0, 16).unwrap();
-        match result {
-            Err(_) => {
-                faulted += 1;
-                assert_eq!(
-                    held,
-                    [(9, vec![9])],
-                    "write {k} failed: nothing of the call"
-                );
-            }
-            Ok(()) => assert_eq!(held.len(), envs.len() + 1, "write {k}"),
-        }
-    }
-    assert!(faulted > 0, "the plan never reached the call");
+/// Stream 11 with 70 chunks (a run of 64 seals a level-1 node), a grant
+/// and a level of envelopes: the history every write below runs on.
+fn history() -> Vec<Request> {
+    let chunks = |r: std::ops::Range<u64>| r.map(|i| sealed(11, i, i as i64).to_bytes()).collect();
+    vec![
+        Request::CreateStream {
+            stream: 11,
+            t0: 0,
+            delta_ms: 10_000,
+            digest_width: 2,
+        },
+        Request::InsertBatch {
+            chunks: chunks(0..64),
+        },
+        Request::InsertBatch {
+            chunks: chunks(64..70),
+        },
+        Request::PutGrant {
+            stream: 11,
+            principal: "c".into(),
+            blob: b"g0".to_vec(),
+        },
+        Request::PutGrant {
+            stream: 11,
+            principal: "c".into(),
+            blob: b"g1".to_vec(),
+        },
+        Request::PutEnvelopes {
+            stream: 11,
+            resolution: 6,
+            envelopes: vec![(9, vec![9])],
+        },
+    ]
 }
 
+/// One of each engine call that writes.
+fn writes() -> Vec<Request> {
+    let chunks = (70..86)
+        .map(|i| sealed(11, i, i as i64).to_bytes())
+        .collect();
+    vec![
+        Request::PutEnvelopes {
+            stream: 11,
+            resolution: 6,
+            envelopes: (0..4u64).map(|i| (i, vec![i as u8; 3])).collect(),
+        },
+        Request::RevokeGrants {
+            stream: 11,
+            principal: "c".into(),
+        },
+        Request::PutGrant {
+            stream: 11,
+            principal: "d".into(),
+            blob: b"g2".to_vec(),
+        },
+        Request::InsertBatch { chunks },
+        Request::DeleteRange {
+            stream: 11,
+            ts_s: 0,
+            ts_e: 300_000,
+        },
+        Request::Rollup {
+            stream: 11,
+            before_ts: 640_000,
+            keep_level: 2,
+        },
+        Request::DeleteStream { stream: 11 },
+        Request::CreateStream {
+            stream: 12,
+            t0: 0,
+            delta_ms: 10_000,
+            digest_width: 2,
+        },
+    ]
+}
+
+/// What the engine answers about everything `history` and `writes` touch,
+/// and what its log holds, as bytes.
+fn holds(d: &Deployment) -> Vec<Vec<u8>> {
+    let (ts_s, ts_e) = (0, 1_000_000);
+    let reads = [
+        Request::GetStatRange {
+            streams: vec![11],
+            ts_s,
+            ts_e,
+        },
+        Request::GetStatRange {
+            streams: vec![11],
+            ts_s: 10_000,
+            ts_e: 20_000,
+        },
+        Request::GetRange {
+            stream: 11,
+            ts_s,
+            ts_e,
+        },
+        Request::StreamInfo { stream: 11 },
+        Request::StreamInfo { stream: 12 },
+        Request::GetGrants {
+            stream: 11,
+            principal: "c".into(),
+        },
+        Request::GetGrants {
+            stream: 11,
+            principal: "d".into(),
+        },
+        Request::GetEnvelopes {
+            stream: 11,
+            resolution: 6,
+            lo: 0,
+            hi: 16,
+        },
+    ];
+    let mut held: Vec<_> = reads.map(|q| d.call(q).encode()).into();
+    let mut log = d.log(0).scan_prefix(b"").unwrap();
+    log.sort();
+    held.extend(log.into_iter().map(|(k, v)| [k, v].concat()));
+    held
+}
+
+/// Fails the k-th append of each engine call that writes, for every k the
+/// call reaches, with an error and with a short append: the call fails,
+/// and the engine and its log hold none of it, also reopened over the file
+/// (which cuts what a short append left); a call no fault reached holds
+/// all of it, as on an engine that never faulted.
 #[test]
-fn faulted_revoke_grants_leaves_every_grant_in_place() {
-    let grants = [&b"g0"[..], b"g1", b"g2"];
-    let mut faulted = 0;
-    // Op 0 of the call is its key scan; the writes follow.
-    for k in 1..=grants.len() as u64 {
-        let (kv, ks) = faulty_engine();
-        for blob in grants {
-            ks.put_grant(11, "c", blob).unwrap();
+fn a_failed_append_leaves_all_of_an_engine_call_or_none() {
+    let refused = |reply: &Response| match reply {
+        Response::Error(_) => true,
+        Response::Batch { errors } => !errors.is_empty(),
+        _ => false,
+    };
+    let run = |d: &Deployment, requests: Vec<Request>| {
+        for q in requests {
+            assert!(!refused(&d.call(q.clone())), "{q:?}");
         }
-        fail_nth(&kv, OpKind::Delete, b"g/", k);
-        let result = ks.revoke_grants(11, "c");
-        kv.set_plan(FaultPlan::quiet());
-        let held = ks.get_grants(11, "c").unwrap();
-        match result {
-            Err(_) => {
-                faulted += 1;
-                assert_eq!(held, grants, "write {k} failed: nothing revoked");
+    };
+    let mut checked = 0;
+    let faults = [FileFault::Error, FileFault::ShortAppend];
+    for (write, fault) in writes()
+        .into_iter()
+        .flat_map(|w| faults.map(|f| (w.clone(), f)))
+    {
+        let tag = write.encode()[0];
+        let name = Request::TAGS.iter().find(|(t, _)| *t == tag).unwrap().1;
+        let clean = Deployment::build(&Spec::engine());
+        run(
+            &clean,
+            history().into_iter().chain([write.clone()]).collect(),
+        );
+        let all = holds(&clean);
+        for k in 0.. {
+            let d = Deployment::build(&Spec::engine().fault(Fault::File(FaultPlan::quiet())));
+            run(&d, history());
+            let (file, none) = (d.faulty(0), holds(&d));
+            let injected = file.injected_total();
+            fault_append(&file, k, fault);
+            let reply = d.call(write.clone());
+            file.set_plan(FaultPlan::quiet());
+            if file.injected_total() == injected {
+                assert!(!refused(&reply), "{name}: {reply:?}");
+                assert!(holds(&d) == all, "{name}: all of it");
+                break;
             }
-            Ok(n) => assert_eq!((n, held.len()), (grants.len(), 0), "write {k}"),
+            assert!(
+                refused(&reply),
+                "{name}, {fault:?} at append {k}: {reply:?}"
+            );
+            assert!(
+                holds(&d) == none,
+                "{name}, {fault:?} at append {k}: none of it"
+            );
+            d.restart(0);
+            assert!(
+                holds(&d) == none,
+                "{name}, {fault:?} at append {k}: reopened"
+            );
+            checked += 1;
         }
     }
-    assert!(faulted > 0, "the plan never reached the call");
+    common::ledger(&[(
+        "failure_injection.append_faults_checked".into(),
+        checked.to_string(),
+    )]);
+}
+
+/// A full disk, end to end. A short append (a seeded prefix of the batch,
+/// then `ENOSPC`) fails a client's ingest run; the log turns read-only, so
+/// later writes are refused with its error, and every read answers as
+/// before the run. A restart opens the log over the file again: the torn
+/// tail is cut, every acked chunk is there and nothing of the run, and the
+/// client's retry of the run lands.
+#[test]
+fn a_full_disk_fails_the_run_and_a_restart_takes_the_retry() {
+    /// A client's transport to whatever runs on the deployment now.
+    struct Through<'a>(&'a Deployment);
+    impl Transport for Through<'_> {
+        fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+            match self.0.call(req.clone()) {
+                Response::Error(e) => Err(ClientFault::Transport(e)),
+                other => Ok(other),
+            }
+        }
+    }
+    let cfg = StreamConfig::new(11, "m", 0, 10_000);
+    let upload = |d: &Deployment, secs: std::ops::Range<i64>| {
+        let mut t = Through(d);
+        let rng = SecureRandom::from_seed_insecure;
+        let mut owner = DataOwner::with_height(cfg.clone(), [4; 16], 20, rng(1));
+        owner.create_stream(&mut t).unwrap();
+        let mut p = BatchingProducer::new(cfg.clone(), owner.provision_producer(), rng(2), 16);
+        for s in secs.clone() {
+            p.push(&mut t, DataPoint::new(s * 1000, s)).unwrap();
+        }
+        p.flush(&mut t).unwrap();
+        p
+    };
+    let battery = |d: &Deployment| -> Vec<Vec<u8>> {
+        let reads = [
+            Request::GetStatRange {
+                streams: vec![11],
+                ts_s: 0,
+                ts_e: 320_000,
+            },
+            Request::GetRange {
+                stream: 11,
+                ts_s: 0,
+                ts_e: 320_000,
+            },
+            Request::StreamInfo { stream: 11 },
+        ];
+        reads.map(|q| d.call(q).encode()).into()
+    };
+    let clean = Deployment::build(&Spec::engine());
+    let mut p = upload(&clean, 0..160);
+    let mut t = Through(&clean);
+    (160..320).for_each(|s| p.push(&mut t, DataPoint::new(s * 1000, s)).unwrap());
+    p.flush(&mut t).unwrap();
+    let want = battery(&clean);
+
+    let d = Deployment::build(&Spec::engine().fault(Fault::File(FaultPlan::quiet())));
+    let mut p = upload(&d, 0..160);
+    let (file, acked) = (d.faulty(0), battery(&d));
+    let acked_len = d.log(0).stats().log_bytes;
+    fault_append(&file, 0, FileFault::ShortAppend);
+    let mut t = Through(&d);
+    // Chunks 16..32: one `InsertBatch`, sent by the flush.
+    (160..320).for_each(|s| p.push(&mut t, DataPoint::new(s * 1000, s)).unwrap());
+    p.flush(&mut t).unwrap_err();
+    assert_eq!(file.injected_total(), 1);
+    assert!(file.truncate(u64::MAX).unwrap() > acked_len, "a torn tail");
+    let create = Request::CreateStream {
+        stream: 12,
+        t0: 0,
+        delta_ms: 10_000,
+        digest_width: 2,
+    };
+    match d.call(create) {
+        Response::Error(e) => assert!(e.contains("read-only after a failed write"), "{e}"),
+        other => panic!("a write after the full disk: {other:?}"),
+    }
+    assert_eq!(battery(&d), acked, "reads answer as before the run");
+
+    d.restart(0);
+    assert_eq!(
+        file.truncate(u64::MAX).unwrap(),
+        acked_len,
+        "the tail is cut"
+    );
+    assert_eq!(d.log(0).stats().log_bytes, acked_len);
+    assert_eq!(battery(&d), acked, "every acked chunk, none of the run");
+    p.flush(&mut Through(&d)).unwrap();
+    assert_eq!(battery(&d), want, "the retry lands");
 }

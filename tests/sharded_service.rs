@@ -7,7 +7,7 @@
 use common::{keys, sealed, Deployment, Fault, Spec};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::core::heac::decrypt_range_sum;
-use timecrypt::faults::{FaultPlan, StoreFault, StoreRule, Trigger};
+use timecrypt::faults::{FaultPlan, FileCall, FileFault, FileRule, Trigger};
 use timecrypt::store::StoreCounters;
 use timecrypt::wire::messages::{Request, Response};
 use timecrypt::wire::transport::Handler;
@@ -111,22 +111,21 @@ fn stats_request_reports_service_state() {
 }
 
 /// A node's `Stats` store fields are its log's own counters after every
-/// kind of store call, with a `FaultyKv` between them too: an op the
-/// injector fails never reaches the log, so neither counts it.
+/// kind of store call, with a `FaultyFile` under the log too: a call whose
+/// read the file fails is counted all the same.
 #[test]
 fn node_stats_are_its_logs_counters() {
-    let quiet = Spec::node(2).fault(Fault::Store(FaultPlan::quiet()));
+    let quiet = Spec::node(2).fault(Fault::File(FaultPlan::quiet()));
     for spec in [Spec::node(2), quiet] {
         let (d, faulty) = (Deployment::build(&spec), !spec.faults.is_empty());
-        // Every fifth op fails once the node is open (a node that failed
+        // Every fifth read fails once the node is open (a node that failed
         // to open would count nothing).
         if faulty {
             d.faulty(0)
-                .set_plan(FaultPlan::quiet().with_store_rule(StoreRule {
-                    op: None,
-                    key_prefix: Vec::new(),
+                .set_plan(FaultPlan::quiet().with_file_rule(FileRule {
+                    call: FileCall::ReadAt,
                     when: Trigger::EveryNth(5),
-                    fault: StoreFault::Error,
+                    fault: FileFault::Error,
                 }));
         }
         for stream in 0..6u128 {
@@ -164,9 +163,9 @@ fn node_stats_are_its_logs_counters() {
         };
         assert_eq!(reported, log);
         let kinds = [log.gets, log.puts, log.deletes, log.scans, log.bytes_read];
-        match faulty {
-            false => assert!(kinds.iter().all(|&n| n > 0), "{log:?}"),
-            true => assert!(d.faulty(0).injected_total() > 0, "no op failed"),
+        assert!(kinds.iter().all(|&n| n > 0), "{log:?}");
+        if faulty {
+            assert!(d.faulty(0).injected_total() > 0, "no read failed");
         }
     }
 }
