@@ -331,37 +331,38 @@ fn holds(d: &Deployment) -> Vec<Vec<u8>> {
     held
 }
 
-/// Fails the k-th append of each engine call that writes, for every k the
-/// call reaches, with an error and with a short append: the call fails,
-/// and the engine and its log hold none of it, also reopened over the file
-/// (which cuts what a short append left); a call no fault reached holds
-/// all of it, as on an engine that never faulted.
-#[test]
-fn a_failed_append_leaves_all_of_an_engine_call_or_none() {
-    let refused = |reply: &Response| match reply {
+fn refused(reply: &Response) -> bool {
+    match reply {
         Response::Error(_) => true,
         Response::Batch { errors } => !errors.is_empty(),
         _ => false,
-    };
-    let run = |d: &Deployment, requests: Vec<Request>| {
-        for q in requests {
-            assert!(!refused(&d.call(q.clone())), "{q:?}");
-        }
-    };
+    }
+}
+
+fn run(d: &Deployment, requests: Vec<Request>) {
+    for q in requests {
+        assert!(!refused(&d.call(q.clone())), "{q:?}");
+    }
+}
+
+/// Fails the k-th append of `write` on `history`, for every k the call
+/// reaches, with an error and with a short append: the call fails, and the
+/// engine and its log hold none of it, also reopened over the file (which
+/// cuts what a short append left); `none_of_it` checks the same of the
+/// faulted engine in the call's own terms. A call no fault reached holds
+/// all of it, as on an engine that never faulted. Returns the (fault, k)
+/// points checked.
+fn sweep(write: &Request, none_of_it: impl Fn(&Deployment)) -> u64 {
+    let tag = write.encode()[0];
+    let name = Request::TAGS.iter().find(|(t, _)| *t == tag).unwrap().1;
+    let clean = Deployment::build(&Spec::engine());
+    run(
+        &clean,
+        history().into_iter().chain([write.clone()]).collect(),
+    );
+    let all = holds(&clean);
     let mut checked = 0;
-    let faults = [FileFault::Error, FileFault::ShortAppend];
-    for (write, fault) in writes()
-        .into_iter()
-        .flat_map(|w| faults.map(|f| (w.clone(), f)))
-    {
-        let tag = write.encode()[0];
-        let name = Request::TAGS.iter().find(|(t, _)| *t == tag).unwrap().1;
-        let clean = Deployment::build(&Spec::engine());
-        run(
-            &clean,
-            history().into_iter().chain([write.clone()]).collect(),
-        );
-        let all = holds(&clean);
+    for fault in [FileFault::Error, FileFault::ShortAppend] {
         for k in 0.. {
             let d = Deployment::build(&Spec::engine().fault(Fault::File(FaultPlan::quiet())));
             run(&d, history());
@@ -383,18 +384,67 @@ fn a_failed_append_leaves_all_of_an_engine_call_or_none() {
                 holds(&d) == none,
                 "{name}, {fault:?} at append {k}: none of it"
             );
+            none_of_it(&d);
             d.restart(0);
             assert!(
                 holds(&d) == none,
                 "{name}, {fault:?} at append {k}: reopened"
             );
+            none_of_it(&d);
             checked += 1;
         }
     }
+    checked
+}
+
+/// Every engine call that writes, swept as above.
+#[test]
+fn a_failed_append_leaves_all_of_an_engine_call_or_none() {
+    let checked: u64 = writes().iter().map(|w| sweep(w, |_| ())).sum();
     common::ledger(&[(
         "failure_injection.append_faults_checked".into(),
         checked.to_string(),
     )]);
+}
+
+/// A `PutEnvelopes` whose append fails stores none of its envelopes: the
+/// level holds the one envelope `history` put there.
+#[test]
+fn faulted_put_envelopes_leaves_nothing_behind() {
+    let write = Request::PutEnvelopes {
+        stream: 11,
+        resolution: 6,
+        envelopes: (0..4u64).map(|i| (i, vec![i as u8; 3])).collect(),
+    };
+    let held = |d: &Deployment| {
+        let get = Request::GetEnvelopes {
+            stream: 11,
+            resolution: 6,
+            lo: 0,
+            hi: 16,
+        };
+        assert_eq!(d.call(get), Response::Envelopes(vec![(9, vec![9])]));
+    };
+    assert!(sweep(&write, held) > 0, "the plan never reached the call");
+}
+
+/// A `RevokeGrants` whose append fails revokes nothing: both of the
+/// principal's grants are still in place.
+#[test]
+fn faulted_revoke_grants_leaves_every_grant_in_place() {
+    let write = Request::RevokeGrants {
+        stream: 11,
+        principal: "c".into(),
+    };
+    let held = |d: &Deployment| {
+        let get = Request::GetGrants {
+            stream: 11,
+            principal: "c".into(),
+        };
+        let grants = vec![b"g0".to_vec(), b"g1".to_vec()];
+        assert_eq!(d.call(get), Response::Blobs(grants));
+    };
+    assert!(sweep(&write, held) > 0, "the plan never reached the call");
 }
 
 /// A full disk, end to end. A short append (a seeded prefix of the batch,
