@@ -1,6 +1,6 @@
-//! Tiny measurement helpers for the harness binaries (Criterion handles the
-//! statistically rigorous micro numbers; these drive the paper-shaped
-//! tables).
+//! Tiny measurement helpers for the harness binaries: these drive the
+//! paper-shaped tables. The repo benchmark (`benchmark/`) times the
+//! deployment and its per-layer probes.
 
 use std::time::{Duration, Instant};
 

@@ -232,6 +232,18 @@ mod tests {
         assert_eq!(kv.scan_keys(b"").unwrap().len(), 3);
     }
 
+    /// A closed log whose buffer is empty appends nothing, so a plan cannot
+    /// fault a close that has no records to lose.
+    #[test]
+    fn a_closed_log_with_an_empty_buffer_appends_nothing() {
+        let file = FaultyFile::new(MemFile::default(), FaultPlan::quiet());
+        let kv = LogKv::over(file.clone(), Durability::Flush).unwrap();
+        kv.put(b"a", b"1").unwrap();
+        let appends = file.calls(FileCall::Append);
+        drop(kv);
+        assert_eq!(file.calls(FileCall::Append) - appends, 0);
+    }
+
     /// `Nth` fires once; a clone counts and injects with its original.
     #[test]
     fn nth_fires_once_and_a_clone_is_the_same_file_under_the_same_plan() {

@@ -11,7 +11,9 @@
 //!   and short appends (`ENOSPC`) by kind of call, where a disk would.
 //! * [`FaultyTransport`] — an in-process TCP proxy that drops, delays,
 //!   black-holes, or severs individual length-prefixed frames, modelling
-//!   lossy links, hung-but-alive peers, and hard partitions.
+//!   lossy links, hung-but-alive peers, and hard partitions. It accepts on
+//!   a `timecrypt_obs::Listener`, whose stop severs its connections, and
+//!   reads frames with `timecrypt_wire::read_frame`.
 //!
 //! Shared by the root tests' deployments (`tests/common/deploy.rs`), the
 //! index and engine tests of a failed write, `tests/chaos.rs` and the

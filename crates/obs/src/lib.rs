@@ -1,7 +1,8 @@
 //! Observability primitives for the TimeCrypt reproduction: structured
 //! leveled logging with a bounded in-memory flight recorder, trace
-//! contexts with RAII timing spans, and Prometheus-text metrics
-//! exposition over a minimal HTTP/1.0 listener.
+//! contexts with RAII timing spans, Prometheus-text metrics exposition
+//! over a minimal HTTP/1.0 server, and the [`Listener`] every TCP service
+//! accepts and severs its connections with.
 //!
 //! The crate is std-only and dependency-free by design (builds run with
 //! crates.io unreachable) and is shared by every layer: the wire
@@ -45,12 +46,14 @@
 
 pub mod counters;
 pub mod http;
+pub mod listener;
 pub mod log;
 pub mod prom;
 pub mod rank;
 pub mod trace;
 
-pub use http::{accept_loop, HttpServer};
+pub use http::HttpServer;
+pub use listener::Listener;
 pub use log::{Event, Level};
 pub use trace::TraceContext;
 

@@ -42,18 +42,6 @@ pub enum Level {
 /// One level past `Error`: nothing passes. The parsed form of `off`.
 const LEVEL_OFF: u8 = 5;
 
-impl Level {
-    fn label(self) -> &'static str {
-        match self {
-            Level::Trace => "TRACE",
-            Level::Debug => "DEBUG",
-            Level::Info => "INFO ",
-            Level::Warn => "WARN ",
-            Level::Error => "ERROR",
-        }
-    }
-}
-
 /// Parses a level name; `off` maps to [`LEVEL_OFF`], unknown to `None`.
 fn parse_level(s: &str) -> Option<u8> {
     Some(match s.trim().to_ascii_lowercase().as_str() {
@@ -88,22 +76,12 @@ impl Event {
         let secs = self.ts_ms / 1000;
         let (h, m, s) = (secs / 3600 % 24, secs / 60 % 60, secs % 60);
         let ms = self.ts_ms % 1000;
-        match self.trace {
-            Some(t) => format!(
-                "{h:02}:{m:02}:{s:02}.{ms:03} {} {}: {} trace={:032x}/{:016x}",
-                self.level.label(),
-                self.target,
-                self.msg,
-                t.trace_id,
-                t.span_id,
-            ),
-            None => format!(
-                "{h:02}:{m:02}:{s:02}.{ms:03} {} {}: {}",
-                self.level.label(),
-                self.target,
-                self.msg
-            ),
-        }
+        let label = ["TRACE", "DEBUG", "INFO ", "WARN ", "ERROR"][self.level as usize];
+        let (target, msg) = (self.target, &self.msg);
+        let trace = (self.trace).map_or(String::new(), |t| {
+            format!(" trace={:032x}/{:016x}", t.trace_id, t.span_id)
+        });
+        format!("{h:02}:{m:02}:{s:02}.{ms:03} {label} {target}: {msg}{trace}")
     }
 }
 

@@ -87,7 +87,7 @@ impl TraceContext {
 
 thread_local! {
     static CURRENT: Cell<Option<TraceContext>> = const { Cell::new(None) };
-    static SCOPE: RefCell<Option<ScopeData>> = const { RefCell::new(None) };
+    static SCOPE: RefCell<Option<Vec<StageTotal>>> = const { RefCell::new(None) };
 }
 
 /// The trace context active on this thread, if any.
@@ -133,25 +133,6 @@ impl StageTotal {
     }
 }
 
-struct ScopeData {
-    stages: Vec<StageTotal>,
-}
-
-impl ScopeData {
-    fn record(&mut self, stage: &'static str, us: u64) {
-        if let Some(t) = self.stages.iter_mut().find(|t| t.stage == stage) {
-            t.count += 1;
-            t.total_us += us;
-        } else {
-            self.stages.push(StageTotal {
-                stage,
-                count: 1,
-                total_us: us,
-            });
-        }
-    }
-}
-
 /// Opens a request scope on this thread: until [`finish`]ed (or
 /// dropped), completed [`stage`]/[`span`] spans on the thread aggregate
 /// into it. Scopes nest — an inner scope shadows the outer one and
@@ -160,11 +141,7 @@ impl ScopeData {
 /// [`finish`]: RequestScope::finish
 #[must_use = "the scope closes (discarding its stages) when dropped"]
 pub fn begin_request() -> RequestScope {
-    let prev = SCOPE.with(|s| {
-        s.replace(Some(ScopeData {
-            stages: Vec::with_capacity(8),
-        }))
-    });
+    let prev = SCOPE.with(|s| s.replace(Some(Vec::with_capacity(8))));
     RequestScope {
         prev: Some(prev),
         start: Instant::now(),
@@ -175,25 +152,17 @@ pub fn begin_request() -> RequestScope {
 pub struct RequestScope {
     /// The shadowed outer scope; `Some` until finish/drop restores it.
     #[allow(clippy::option_option)]
-    prev: Option<Option<ScopeData>>,
+    prev: Option<Option<Vec<StageTotal>>>,
     start: Instant,
 }
 
 impl RequestScope {
-    /// Time since the scope opened.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     /// Closes the scope: restores the shadowed outer scope and returns
     /// the total elapsed time plus the per-stage breakdown (in first-
     /// completion order).
     pub fn finish(mut self) -> (Duration, Vec<StageTotal>) {
         let data = SCOPE.with(|s| s.replace(self.prev.take().expect("scope finished once")));
-        (
-            self.start.elapsed(),
-            data.map(|d| d.stages).unwrap_or_default(),
-        )
+        (self.start.elapsed(), data.unwrap_or_default())
     }
 }
 
@@ -248,8 +217,18 @@ impl Drop for Span {
         let Some(start) = self.start else { return };
         let us = start.elapsed().as_micros() as u64;
         SCOPE.with(|s| {
-            if let Some(data) = s.borrow_mut().as_mut() {
-                data.record(self.stage, us);
+            let mut scope = s.borrow_mut();
+            let Some(stages) = scope.as_mut() else { return };
+            match stages.iter_mut().find(|t| t.stage == self.stage) {
+                Some(t) => {
+                    t.count += 1;
+                    t.total_us += us;
+                }
+                None => stages.push(StageTotal {
+                    stage: self.stage,
+                    count: 1,
+                    total_us: us,
+                }),
             }
         });
         if let Some(target) = self.event_target {

@@ -164,8 +164,8 @@ pub trait KvStore: Send + Sync {
     /// [`delete`](Self::delete), which keeps the promise only in doubles
     /// that do not care (test counters, the benchmark's timing wrapper,
     /// which then sees a batch as its separate writes). [`LogKv`] commits a
-    /// batch as one framed append; every decorator in this workspace
-    /// forwards the batch whole.
+    /// batch as one framed append, and a shared handle (`Arc<S>`) forwards
+    /// it whole.
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
         for op in ops {
             match *op {
@@ -182,8 +182,9 @@ pub trait KvStore: Send + Sync {
     }
 }
 
-/// Shared handles delegate, so decorators can wrap an `Arc<dyn KvStore>`
-/// (e.g. the fault-injection layer) without a newtype at every call site.
+/// Shared handles delegate, so an `Arc` of a store (an engine's
+/// `Arc<dyn KvStore>`, a test's `Arc<LogKv>`) is a store without a newtype
+/// at every call site.
 impl<S: KvStore + ?Sized> KvStore for Arc<S> {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
         (**self).get(key)

@@ -1375,13 +1375,15 @@ fn read_only() -> StoreError {
     std::io::Error::other("read-only after a failed write").into()
 }
 
-/// A closed log writes out its buffer (an error there is logged) and
-/// withdraws its share of the footprint gauges.
+/// A closed log writes out its buffer, if it holds records (an error
+/// there is logged), and withdraws its share of the footprint gauges.
 impl<F: LogFile> Drop for LogKv<F> {
     fn drop(&mut self) {
         let inner = self.inner.get_mut();
-        if let Err(e) = inner.flush(&self.file) {
-            tc_warn!("store.log", "closing: buffered records lost: {e}");
+        if !inner.buffered.is_empty() {
+            if let Err(e) = inner.flush(&self.file) {
+                tc_warn!("store.log", "closing: buffered records lost: {e}");
+            }
         }
         inner.publish(LogStats::default());
     }

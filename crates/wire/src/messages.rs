@@ -399,13 +399,13 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Service-layer metrics snapshot: per-shard counters plus storage-backend
-    /// op counts (when the deployment meters its KV store).
+    /// Service-layer metrics snapshot: per-shard counters plus the calls
+    /// made of the store the tier was opened over, as its log counts them.
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
     pub struct ServiceStatsWire {
         /// Per-shard counters, in shard order.
         pub shards: Vec<ShardStatsWire> = -,
-        /// KV `get` operations observed by the metered store.
+        /// KV `get` calls the store's log counted.
         pub store_gets: u64 = [Counter "timecrypt_store_ops_total"
             "KV operations observed by the metered store." {op = "get"}],
         /// KV `put` operations.

@@ -1,4 +1,6 @@
 //! Blocking TCP transport: thread-per-connection server + pipelined client.
+//! The server's accept thread, connection threads and stop are
+//! `timecrypt_obs::Listener`'s, as the `/metrics` page's are.
 //!
 //! The request/response discipline per connection is strict FIFO: the
 //! server answers requests in arrival order, so a client may either run
@@ -42,11 +44,9 @@ use crate::frame::{read_frame, write_frame_in, FrameError, PREFIX_LEN};
 use crate::messages::{split_trace, Request, RequestRef, Response};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
-use timecrypt_obs::{accept_loop, tc_warn, trace, TraceContext};
+use timecrypt_obs::{tc_warn, trace, Listener, TraceContext};
 
 /// Retained capacity cap for per-connection scratch buffers. Reuse keeps
 /// steady-state serving allocation-free, but one oversized frame (a 4 MiB
@@ -107,10 +107,7 @@ where
 /// dropped server really is gone — which is what lets tests (and the
 /// replication failover path) treat shutdown as a node crash.
 pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    conns: Arc<std::sync::Mutex<Vec<std::sync::Weak<TcpStream>>>>,
+    listener: Listener,
 }
 
 /// Server-side connection policy.
@@ -152,70 +149,21 @@ impl Server {
         handler: Arc<dyn Handler>,
         opts: ServeOptions,
     ) -> io::Result<Server> {
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let conns: Arc<std::sync::Mutex<Vec<std::sync::Weak<TcpStream>>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
-        let conns2 = conns.clone();
-        // A short accept timeout lets the loop observe the stop flag.
-        listener.set_nonblocking(true)?;
-        let accept_thread = std::thread::spawn(move || {
-            let accept = || listener.accept().map(|(stream, _peer)| stream);
-            accept_loop(&stop_flag, "wire", accept, |stream| {
-                let handler = handler.clone();
-                let stream = Arc::new(stream);
-                {
-                    // Registry mutations keep the vec valid at every panic
-                    // point — recover from poisoning.
-                    let mut conns = conns2
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    // Drop registry entries whose connection ended.
-                    conns.retain(|w| w.strong_count() > 0);
-                    conns.push(Arc::downgrade(&stream));
-                }
-                std::thread::spawn(move || {
-                    let _ = serve_connection(&stream, handler, opts);
-                });
-            });
-        });
-        Ok(Server {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            conns,
-        })
+        let listener = Listener::spawn(listener, "wire", move |stream| {
+            let _ = serve_connection(&stream, handler.clone(), opts);
+        })?;
+        Ok(Server { listener })
     }
 
     /// The bound address (for ephemeral-port tests).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Stops accepting new connections and severs established ones (their
     /// threads observe the closed socket and exit).
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for conn in self
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain(..)
-        {
-            if let Some(stream) = conn.upgrade() {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.listener.stop();
     }
 }
 

@@ -29,10 +29,12 @@
 //!   replication), batched ingest and scatter-gather statistical
 //!   queries on the caller's thread, per-shard metrics.
 //! * [`client`] — producer, data owner, consumer.
-//! * [`wire`] — framing + TCP transport.
+//! * [`wire`] — framing + TCP transport (its server accepts and severs
+//!   connections with `timecrypt_obs::Listener`, as `/metrics` does).
 //! * [`faults`] — deterministic fault injection: seeded
 //!   `FaultPlan` schedules, a `FaultyFile` under a log (errors, delays,
-//!   short appends), a `FaultyTransport` frame-level proxy (chaos tests).
+//!   short appends), a `FaultyTransport` frame-level proxy (chaos tests)
+//!   on the same listener, reading frames with the wire's reader.
 //! * [`pk`] — the public-key substrate: bignum/Montgomery arithmetic,
 //!   P-256, ECDSA (attestations), ECIES (sealed grants).
 //! * [`integrity`] — the Verena-style extension
