@@ -1,17 +1,22 @@
 //! The data consumer: a principal querying within its granted scope.
 
 use crate::grants::{Grant, StreamDescriptor};
-use crate::transport::{ClientFault, Transport};
+use crate::transport::{chunk_fault, ClientFault, Exchange, Transport};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_chunk::{DataPoint, StatSummary};
 use timecrypt_core::heac::{decrypt_range_in_place, KeySource};
 use timecrypt_core::resolution::{Envelope, ResolutionConsumer};
 use timecrypt_core::{CoreError, LeafCursor, TokenSet};
 use timecrypt_crypto::Seed128;
+use timecrypt_integrity::{
+    chunk_commitment, verify_attested_range, verify_attested_range_open, AttestError, RangeProof,
+    RootAttestation,
+};
 use timecrypt_pk::ecies::EciesKeypair;
-use timecrypt_wire::messages::{Request, Response};
+use timecrypt_wire::messages::Request;
 
 /// Per-stream key material reconstructed from grants.
 struct StreamKeys {
@@ -103,13 +108,10 @@ impl Consumer {
         transport: &mut T,
         stream: u128,
     ) -> Result<usize, ClientFault> {
-        let blobs = match transport.call(&Request::GetGrants {
+        let blobs = transport.blobs(&Request::GetGrants {
             stream,
             principal: self.principal.clone(),
-        })? {
-            Response::Blobs(b) => b,
-            _ => return Err(ClientFault::Protocol("Blobs")),
-        };
+        })?;
         let mut fresh: Option<StreamKeys> = None;
         for blob in &blobs {
             let plain = self
@@ -162,16 +164,13 @@ impl Consumer {
             } => {
                 let (lo, hi) = (token.lower.index, token.upper.index);
                 // Fetch and open the envelopes for the window.
-                let envs = match transport.call(&Request::GetEnvelopes {
-                    stream: keys.descriptor.stream,
-                    resolution,
-                    lo,
-                    hi,
-                })? {
-                    Response::Envelopes(e) => e,
-                    _ => return Err(ClientFault::Protocol("Envelopes")),
-                };
-                let envelopes: Vec<Envelope> = envs
+                let envelopes: Vec<Envelope> = transport
+                    .envelopes(&Request::GetEnvelopes {
+                        stream: keys.descriptor.stream,
+                        resolution,
+                        lo,
+                        hi,
+                    })?
                     .into_iter()
                     .map(|(index, blob)| Envelope { index, blob })
                     .collect();
@@ -191,6 +190,13 @@ impl Consumer {
     /// A stream's descriptor (after [`sync_grants`](Self::sync_grants)).
     pub fn descriptor(&self, stream: u128) -> Option<&StreamDescriptor> {
         self.streams.get(&stream).map(|s| &s.descriptor)
+    }
+
+    /// The key material synced for `stream`, which every read decrypts with.
+    fn keys(&mut self, stream: u128) -> Result<&mut StreamKeys, ClientFault> {
+        self.streams
+            .get_mut(&stream)
+            .ok_or(ClientFault::Protocol("synced grants"))
     }
 
     /// Issues a statistical query over `[ts_s, ts_e)` and decrypts the
@@ -219,41 +225,39 @@ impl Consumer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatSummary, ClientFault> {
-        let reply = match transport.call(&Request::GetStatRange {
+        let reply = transport.stat(&Request::GetStatRange {
             streams: streams.to_vec(),
             ts_s,
             ts_e,
-        })? {
-            Response::Stat(s) => s,
-            _ => return Err(ClientFault::Protocol("Stat")),
-        };
+        })?;
         // One part per stream asked for, in the order asked: a server may
         // not answer with another stream's window, nor with none.
         let asked = streams.iter().copied();
         if streams.is_empty() || !reply.parts.iter().map(|p| p.0).eq(asked) {
             return Err(ClientFault::Protocol("one Stat part per stream asked"));
         }
-        let first = self.descriptor(streams[0]);
-        let width = first
-            .ok_or(ClientFault::Protocol("synced grants"))?
-            .schema
-            .width();
-        if reply.agg.len() != width {
-            return Err(ClientFault::Protocol(
-                "a Stat aggregate of the schema's width",
-            ));
+        let width = "a Stat aggregate of the schema's width";
+        self.decrypt(reply.agg, &reply.parts, width)
+    }
+
+    /// Decrypts an aggregate over `parts`, `(stream, lo, hi)` each and at
+    /// least one, peeling each stream's boundary keys, and reads it with the
+    /// first stream's schema; an aggregate of another width is
+    /// `Protocol(width)`.
+    fn decrypt(
+        &mut self,
+        mut agg: Vec<u64>,
+        parts: &[(u128, u64, u64)],
+        width: &'static str,
+    ) -> Result<StatSummary, ClientFault> {
+        let first = parts[0].0;
+        if agg.len() != self.keys(first)?.descriptor.schema.width() {
+            return Err(ClientFault::Protocol(width));
         }
-        let mut agg = reply.agg;
-        for &(sid, lo, hi) in &reply.parts {
-            let keys = self
-                .streams
-                .get_mut(&sid)
-                .ok_or(ClientFault::Protocol("synced grants"))?;
-            decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
+        for &(stream, lo, hi) in parts {
+            decrypt_range_in_place(&self.keys(stream)?.combined(), lo, hi, &mut agg)?;
         }
-        // The loop found every part's stream, and a part was `streams[0]`.
-        let schema = &self.streams[&streams[0]].descriptor.schema;
-        Ok(schema.interpret(&agg))
+        Ok(self.keys(first)?.descriptor.schema.interpret(&agg))
     }
 
     /// Retrieves and decrypts raw points in `[ts_s, ts_e)` (Table 1 (5)).
@@ -265,23 +269,28 @@ impl Consumer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<Vec<DataPoint>, ClientFault> {
-        let chunks = match transport.call(&Request::GetRange { stream, ts_s, ts_e })? {
-            Response::Chunks(c) => c,
-            _ => return Err(ClientFault::Protocol("Chunks")),
-        };
-        let keys = self
-            .streams
-            .get_mut(&stream)
-            .ok_or(ClientFault::Protocol("synced grants"))?
-            .combined();
+        let chunks = transport.chunks(&Request::GetRange { stream, ts_s, ts_e })?;
+        self.open(stream, chunks, ts_s..ts_e, |_, bytes| {
+            EncryptedChunk::from_bytes(bytes).map_err(chunk_fault)
+        })
+    }
+
+    /// Opens sealed `chunks` with `stream`'s keys and keeps their points in
+    /// `span`; `parse` reads chunk `i` from its bytes, with whatever checks
+    /// the read makes of them first. Each chunk's bytes are freed once it
+    /// is open.
+    fn open(
+        &mut self,
+        stream: u128,
+        chunks: Vec<Vec<u8>>,
+        span: Range<i64>,
+        mut parse: impl FnMut(usize, &[u8]) -> Result<EncryptedChunk, ClientFault>,
+    ) -> Result<Vec<DataPoint>, ClientFault> {
+        let keys = self.keys(stream)?.combined();
         let mut out = Vec::new();
-        for bytes in chunks {
-            let chunk = EncryptedChunk::from_bytes(&bytes)
-                .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-            let points = chunk
-                .open_payload(&keys)
-                .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-            out.extend(points.into_iter().filter(|p| p.ts >= ts_s && p.ts < ts_e));
+        for (i, bytes) in chunks.into_iter().enumerate() {
+            let points = parse(i, &bytes)?.open_payload(&keys).map_err(chunk_fault)?;
+            out.extend(points.into_iter().filter(|p| span.contains(&p.ts)));
         }
         Ok(out)
     }
@@ -303,30 +312,12 @@ impl Consumer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatSummary, ClientFault> {
-        use timecrypt_integrity::{verify_attested_range, RangeProof, RootAttestation};
-        let (att_bytes, proof_bytes) =
-            match transport.call(&Request::GetRangeProof { stream, ts_s, ts_e })? {
-                Response::Attested { attestation, proof } => (attestation, proof),
-                _ => return Err(ClientFault::Protocol("Attested")),
-            };
-        let att = RootAttestation::decode(&att_bytes)
-            .ok_or(ClientFault::Chunk("malformed attestation".into()))?;
-        let proof = RangeProof::decode(&proof_bytes)
-            .ok_or(ClientFault::Chunk("malformed range proof".into()))?;
-        let (lo, hi) = (proof.lo as u64, proof.hi as u64);
-        let mut agg = verify_attested_range(stream, &att, owner_key, &proof)
-            .map_err(|e| ClientFault::Chunk(format!("integrity check failed: {e}")))?;
-        let keys = self
-            .streams
-            .get_mut(&stream)
-            .ok_or(ClientFault::Protocol("synced grants"))?;
-        if agg.len() != keys.descriptor.schema.width() {
-            return Err(ClientFault::Protocol(
-                "an attested aggregate of the schema's width",
-            ));
-        }
-        decrypt_range_in_place(&keys.combined(), lo, hi, &mut agg)?;
-        Ok(keys.descriptor.schema.interpret(&agg))
+        let (att, proof) = transport.attested(&Request::GetRangeProof { stream, ts_s, ts_e })?;
+        let (proof, agg) = check_attested(&att, &proof, |att, proof| {
+            verify_attested_range(stream, att, owner_key, proof)
+        })?;
+        let parts = [(stream, proof.lo as u64, proof.hi as u64)];
+        self.decrypt(agg, &parts, "an attested aggregate of the schema's width")
     }
 
     /// Raw retrieval with integrity verification: every returned chunk's
@@ -343,24 +334,11 @@ impl Consumer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<Vec<DataPoint>, ClientFault> {
-        use timecrypt_integrity::{
-            chunk_commitment, verify_attested_range_open, RangeProof, RootAttestation,
-        };
-        let (att_bytes, proof_bytes, chunks) =
-            match transport.call(&Request::GetVerifiedRange { stream, ts_s, ts_e })? {
-                Response::VerifiedChunks {
-                    attestation,
-                    proof,
-                    chunks,
-                } => (attestation, proof, chunks),
-                _ => return Err(ClientFault::Protocol("VerifiedChunks")),
-            };
-        let att = RootAttestation::decode(&att_bytes)
-            .ok_or(ClientFault::Chunk("malformed attestation".into()))?;
-        let proof = RangeProof::decode(&proof_bytes)
-            .ok_or(ClientFault::Chunk("malformed range proof".into()))?;
-        let leaves = verify_attested_range_open(stream, &att, owner_key, &proof)
-            .map_err(|e| ClientFault::Chunk(format!("integrity check failed: {e}")))?;
+        let (att, proof, chunks) =
+            transport.verified_chunks(&Request::GetVerifiedRange { stream, ts_s, ts_e })?;
+        let (proof, leaves) = check_attested(&att, &proof, |att, proof| {
+            verify_attested_range_open(stream, att, owner_key, proof)
+        })?;
         if chunks.len() != leaves.len() {
             return Err(ClientFault::Chunk(format!(
                 "server returned {} chunks but the proof covers {}",
@@ -368,33 +346,21 @@ impl Consumer {
                 leaves.len()
             )));
         }
-        let keys = self
-            .streams
-            .get_mut(&stream)
-            .ok_or(ClientFault::Protocol("synced grants"))?
-            .combined();
-        let mut out = Vec::new();
-        for (i, (bytes, leaf)) in chunks.iter().zip(&leaves).enumerate() {
+        self.open(stream, chunks, ts_s..ts_e, |i, bytes| {
+            let (at, leaf) = (proof.lo + i, &leaves[i]);
             if chunk_commitment(bytes) != leaf.commitment {
                 return Err(ClientFault::Chunk(format!(
-                    "chunk {} bytes do not match the attested commitment",
-                    proof.lo + i
+                    "chunk {at} bytes do not match the attested commitment"
                 )));
             }
-            let chunk =
-                EncryptedChunk::from_bytes(bytes).map_err(|e| ClientFault::Chunk(e.to_string()))?;
-            if chunk.index != (proof.lo + i) as u64 || chunk.digest_ct != leaf.sum {
+            let chunk = EncryptedChunk::from_bytes(bytes).map_err(chunk_fault)?;
+            if chunk.index != at as u64 || chunk.digest_ct != leaf.sum {
                 return Err(ClientFault::Chunk(format!(
-                    "chunk {} header/digest inconsistent with the attested leaf",
-                    proof.lo + i
+                    "chunk {at} header/digest inconsistent with the attested leaf"
                 )));
             }
-            let points = chunk
-                .open_payload(&keys)
-                .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-            out.extend(points.into_iter().filter(|p| p.ts >= ts_s && p.ts < ts_e));
-        }
-        Ok(out)
+            Ok(chunk)
+        })
     }
 
     /// Like [`get_range`](Self::get_range) but also merges real-time
@@ -411,28 +377,33 @@ impl Consumer {
         ts_e: i64,
     ) -> Result<Vec<DataPoint>, ClientFault> {
         let mut out = self.get_range(transport, stream, ts_s, ts_e)?;
-        let records = match transport.call(&Request::GetLive { stream, ts_s, ts_e })? {
-            Response::Records(r) => r,
-            _ => return Err(ClientFault::Protocol("Records")),
-        };
-        let keys = self
-            .streams
-            .get_mut(&stream)
-            .ok_or(ClientFault::Protocol("synced grants"))?
-            .combined();
+        let records = transport.records(&Request::GetLive { stream, ts_s, ts_e })?;
+        let keys = self.keys(stream)?.combined();
         for bytes in records {
-            let record =
-                SealedRecord::from_bytes(&bytes).map_err(|e| ClientFault::Chunk(e.to_string()))?;
-            let point = record
-                .open(&keys)
-                .map_err(|e| ClientFault::Chunk(e.to_string()))?;
-            if point.ts >= ts_s && point.ts < ts_e {
+            let record = SealedRecord::from_bytes(&bytes).map_err(chunk_fault)?;
+            let point = record.open(&keys).map_err(chunk_fault)?;
+            if (ts_s..ts_e).contains(&point.ts) {
                 out.push(point);
             }
         }
         out.sort_by_key(|p| p.ts);
         Ok(out)
     }
+}
+
+/// Decodes an attested reply's attestation and range proof and checks them
+/// with `verify`: the proof, and what `verify` authenticated.
+fn check_attested<R>(
+    attestation: &[u8],
+    proof: &[u8],
+    verify: impl FnOnce(&RootAttestation, &RangeProof) -> Result<R, AttestError>,
+) -> Result<(RangeProof, R), ClientFault> {
+    let att =
+        RootAttestation::decode(attestation).ok_or_else(|| chunk_fault("malformed attestation"))?;
+    let proof = RangeProof::decode(proof).ok_or_else(|| chunk_fault("malformed range proof"))?;
+    let checked = verify(&att, &proof);
+    let checked = checked.map_err(|e| chunk_fault(format!("integrity check failed: {e}")))?;
+    Ok((proof, checked))
 }
 
 #[cfg(test)]
@@ -444,6 +415,7 @@ mod tests {
     use timecrypt_crypto::SecureRandom;
     use timecrypt_server::{ServerConfig, TimeCryptServer};
     use timecrypt_store::MemKv;
+    use timecrypt_wire::messages::Response;
 
     const MIN: i64 = 60_000;
 

@@ -17,6 +17,10 @@
 //! ([`timecrypt_wire::Client`]) or an in-process server handle (used by the
 //! benchmarks to separate engine cost from network cost).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod consumer;
 pub mod grants;
 pub mod owner;

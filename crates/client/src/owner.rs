@@ -1,15 +1,15 @@
 //! The data owner: stream lifecycle and access policy (§3.2, §4.4, Table 1).
 
 use crate::grants::{Grant, StreamDescriptor};
-use crate::transport::{ClientFault, Transport};
-use std::collections::HashMap;
+use crate::transport::{ClientFault, Exchange, Transport};
+use std::collections::hash_map::{Entry, HashMap};
 use timecrypt_chunk::StreamConfig;
 use timecrypt_core::resolution::ResolutionOwner;
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::SecureRandom;
 use timecrypt_pk::ecies;
 use timecrypt_pk::p256::Point;
-use timecrypt_wire::messages::{Request, Response};
+use timecrypt_wire::messages::Request;
 
 /// The data owner of one stream.
 pub struct DataOwner {
@@ -34,6 +34,10 @@ impl DataOwner {
         tree_height: u8,
         rng: SecureRandom,
     ) -> Self {
+        #[allow(
+            clippy::expect_used,
+            reason = "a height the caller picks; a bad one is a programming error, as with `new`'s 30"
+        )]
         let keys = StreamKeyMaterial::with_params(cfg.id, root, tree_height, Default::default())
             .expect("valid tree params");
         DataOwner {
@@ -68,25 +72,19 @@ impl DataOwner {
 
     /// Registers the stream at the server (Table 1 (1)).
     pub fn create_stream<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientFault> {
-        match transport.call(&Request::CreateStream {
+        transport.ack(&Request::CreateStream {
             stream: self.cfg.id,
             t0: self.cfg.t0,
             delta_ms: self.cfg.delta_ms,
             digest_width: self.cfg.schema.width() as u32,
-        })? {
-            Response::Ok => Ok(()),
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+        })
     }
 
     /// Deletes the stream (Table 1 (2)).
     pub fn delete_stream<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientFault> {
-        match transport.call(&Request::DeleteStream {
+        transport.ack(&Request::DeleteStream {
             stream: self.cfg.id,
-        })? {
-            Response::Ok => Ok(()),
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+        })
     }
 
     /// Maps a timestamp range to the chunk range `[lo, hi)` it fully covers.
@@ -141,9 +139,7 @@ impl DataOwner {
         resolution: u64,
     ) -> Result<(), ClientFault> {
         let (lo, hi) = self.chunk_window(ts_s, ts_e)?;
-        self.ensure_resolution(transport, resolution)?;
-        let ro = self.resolutions.get(&resolution).expect("just ensured");
-        let token = ro.share_chunks(lo, hi.saturating_sub(0))?;
+        let token = self.publish(transport, resolution)?.share_chunks(lo, hi)?;
         let grant = Grant::Resolution {
             descriptor: self.descriptor(),
             resolution,
@@ -161,35 +157,42 @@ impl DataOwner {
         transport: &mut T,
         resolution: u64,
     ) -> Result<(), ClientFault> {
-        if !self.resolutions.contains_key(&resolution) {
-            let ro =
-                ResolutionOwner::new(resolution, self.rng.seed256(), self.rng.seed256(), 1 << 20)?;
-            self.resolutions.insert(resolution, ro);
-        }
-        // How far has the stream got?
-        let len = match transport.call(&Request::StreamInfo {
-            stream: self.cfg.id,
-        })? {
-            Response::Info(i) => i.len,
-            _ => return Err(ClientFault::Protocol("Info")),
+        self.publish(transport, resolution).map(|_| ())
+    }
+
+    /// [`ensure_resolution`](Self::ensure_resolution), handing back the
+    /// resolution's owner.
+    fn publish<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        resolution: u64,
+    ) -> Result<&ResolutionOwner, ClientFault> {
+        let ro = match self.resolutions.entry(resolution) {
+            Entry::Occupied(ro) => ro.into_mut(),
+            Entry::Vacant(slot) => slot.insert(ResolutionOwner::new(
+                resolution,
+                self.rng.seed256(),
+                self.rng.seed256(),
+                1 << 20,
+            )?),
         };
+        // How far has the stream got?
+        let stream = self.cfg.id;
+        let len = transport.info(&Request::StreamInfo { stream })?.len;
         if len == 0 {
-            return Ok(());
+            return Ok(ro);
         }
         // Boundary leaves 0..=len are defined once `len` chunks exist (leaf
         // `len` is the closing boundary of the final chunk), so envelopes up
         // to boundary chunk `len` can be published.
-        let ro = self.resolutions.get(&resolution).expect("present");
         let envs = ro.seal_up_to(&self.keys.tree, len)?;
-        let wire_envs: Vec<(u64, Vec<u8>)> = envs.into_iter().map(|e| (e.index, e.blob)).collect();
-        match transport.call(&Request::PutEnvelopes {
-            stream: self.cfg.id,
+        let envelopes = envs.into_iter().map(|e| (e.index, e.blob)).collect();
+        transport.ack(&Request::PutEnvelopes {
+            stream,
             resolution,
-            envelopes: wire_envs,
-        })? {
-            Response::Ok => Ok(()),
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+            envelopes,
+        })?;
+        Ok(ro)
     }
 
     fn put_grant<T: Transport>(
@@ -200,14 +203,11 @@ impl DataOwner {
         grant: &Grant,
     ) -> Result<(), ClientFault> {
         let blob = ecies::seal(principal_pk, &grant.encode(), &mut self.rng);
-        match transport.call(&Request::PutGrant {
+        transport.ack(&Request::PutGrant {
             stream: self.cfg.id,
             principal: principal.to_string(),
             blob,
-        })? {
-            Response::Ok => Ok(()),
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+        })
     }
 
     /// Revokes a principal (Table 1 (10)): clears their stored grants and —
@@ -219,13 +219,10 @@ impl DataOwner {
         transport: &mut T,
         principal: &str,
     ) -> Result<(), ClientFault> {
-        match transport.call(&Request::RevokeGrants {
+        transport.ack(&Request::RevokeGrants {
             stream: self.cfg.id,
             principal: principal.to_string(),
-        })? {
-            Response::Ok => Ok(()),
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+        })
     }
 
     /// Ages out fine index levels before `before_ts` (Table 1 (3)).
@@ -235,14 +232,11 @@ impl DataOwner {
         before_ts: i64,
         keep_level: u8,
     ) -> Result<(), ClientFault> {
-        match transport.call(&Request::Rollup {
+        transport.ack(&Request::Rollup {
             stream: self.cfg.id,
             before_ts,
             keep_level,
-        })? {
-            Response::Ok => Ok(()),
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+        })
     }
 
     /// Deletes raw chunk payloads in `[ts_s, ts_e)` while the per-chunk
@@ -254,14 +248,11 @@ impl DataOwner {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<(), ClientFault> {
-        match transport.call(&Request::DeleteRange {
+        transport.ack(&Request::DeleteRange {
             stream: self.cfg.id,
             ts_s,
             ts_e,
-        })? {
-            Response::Ok => Ok(()),
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+        })
     }
 }
 

@@ -1,16 +1,12 @@
 //! The data producers: a device writing an encrypted stream.
 
-use crate::transport::{ClientFault, Transport};
+use crate::transport::{chunk_fault, ClientFault, Exchange, Transport};
 use timecrypt_chunk::{
     ChunkBuilder, ChunkRef, ChunkSealer, DataPoint, PlainChunk, SealedRecord, StreamConfig,
 };
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::SecureRandom;
-use timecrypt_wire::messages::{Request, Response};
-
-fn chunk_fault(e: impl std::fmt::Display) -> ClientFault {
-    ClientFault::Chunk(e.to_string())
-}
+use timecrypt_wire::messages::Request;
 
 /// What both producers share: the stream's sealing state, kept for the
 /// life of the stream (every sealed chunk and every real-time record
@@ -32,6 +28,9 @@ struct Outbox {
     batch: Option<usize>,
     chunks_sent: u64,
     batches_sent: u64,
+    /// A send ended without a well-formed reply: the server may hold
+    /// chunks it did not acknowledge.
+    unsure: bool,
 }
 
 impl Outbox {
@@ -50,6 +49,7 @@ impl Outbox {
             batch,
             chunks_sent: 0,
             batches_sent: 0,
+            unsure: false,
         }
     }
 
@@ -98,26 +98,32 @@ impl Outbox {
     ) -> Result<(), ClientFault> {
         let size = self.batch.unwrap_or(1);
         while self.queue.len() >= size || all && !self.queue.is_empty() {
-            self.send(transport, self.queue.len().min(size), &mut acked)?;
+            self.send(transport, size, &mut acked)?;
         }
         Ok(())
     }
 
-    /// Sends the first `window` queued chunks in one request: one `Insert`,
+    /// Sends the first `size` queued chunks in one request: one `Insert`,
     /// or an `InsertBatch` of at most a batch, which keeps a queue grown
     /// during an outage under the transport's frame cap. They stay queued
     /// while it is out. The chunks the server stored then leave the queue;
     /// after a fault, a malformed reply or a refusal, the rest stay at its
-    /// front, in order. Kept out of line: it runs once a request, while
-    /// `ship`'s check runs once a point, and inlined into the push path it
-    /// made pushing a point measurably slower.
+    /// front, in order. Without a well-formed reply, the next send
+    /// [reconciles](Self::reconcile) first.
+    /// Kept out of line: it runs once a request, while `ship`'s check runs
+    /// once a point, and inlined into the push path it made pushing a
+    /// point measurably slower.
     #[inline(never)]
     fn send<T: Transport>(
         &mut self,
         transport: &mut T,
-        window: usize,
+        size: usize,
         acked: &mut impl FnMut(&[u8]) -> Result<(), ClientFault>,
     ) -> Result<(), ClientFault> {
+        if self.unsure {
+            return self.reconcile(transport, acked);
+        }
+        let window = self.queue.len().min(size);
         let mut taken = self.queue[..window].iter_mut().map(std::mem::take);
         let req = match self.batch {
             Some(_) => Request::InsertBatch {
@@ -127,7 +133,11 @@ impl Outbox {
                 chunk: taken.next().unwrap_or_default(),
             },
         };
-        let reply = transport.call(&req);
+        self.unsure = true;
+        let reply = match self.batch {
+            Some(_) => transport.batch(&req),
+            None => transport.ack(&req).map(|()| Vec::new()),
+        };
         match req {
             Request::InsertBatch { chunks } => {
                 self.queue.iter_mut().zip(chunks).for_each(|(q, c)| *q = c)
@@ -137,35 +147,60 @@ impl Outbox {
         }
         // The error list is server-controlled: a well-formed reply has at
         // most one entry per chunk, each within the request.
-        let errors = match (reply?, self.batch) {
-            (Response::Ok, None) => Vec::new(),
-            (Response::Batch { errors }, Some(_)) => errors,
-            (_, None) => return Err(ClientFault::Protocol("Ok")),
-            (_, Some(_)) => return Err(ClientFault::Protocol("Batch")),
-        };
+        let errors = reply?;
         if errors.len() > window || errors.iter().any(|&(idx, _)| idx as usize >= window) {
             return Err(ClientFault::Protocol("Batch within bounds"));
         }
+        self.unsure = false;
         self.batches_sent += 1;
-        let (mut at, mut fault) = (0, Ok(()));
-        self.queue.retain(|chunk| {
-            at += 1;
-            let stored = at <= window && !errors.iter().any(|&(idx, _)| idx as usize == at - 1);
-            if stored {
-                self.chunks_sent += 1;
-                if fault.is_ok() {
-                    fault = acked(chunk);
-                }
-            }
-            !stored
-        });
-        fault?;
+        let rejected = |at: usize| errors.iter().any(|&(idx, _)| idx as usize == at);
+        self.settle(|at, _| at < window && !rejected(at), acked)?;
         match errors.into_iter().next() {
             Some((idx, msg)) => Err(ClientFault::Chunk(format!(
                 "batch chunk {idx} rejected: {msg}"
             ))),
             None => Ok(()),
         }
+    }
+
+    /// The server may have stored what a failed send never heard back
+    /// about. The stream has one producer (§4.6), so the chunks it holds
+    /// are the queued ones below its length: they are acked and leave the
+    /// queue, and only the rest are sent again.
+    fn reconcile<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        acked: &mut impl FnMut(&[u8]) -> Result<(), ClientFault>,
+    ) -> Result<(), ClientFault> {
+        let stream = self.builder.config().id;
+        let len = transport.info(&Request::StreamInfo { stream })?.len;
+        self.unsure = false;
+        self.settle(
+            |_, bytes| ChunkRef::parse(bytes).is_ok_and(|c| c.index < len),
+            acked,
+        )
+    }
+
+    /// Takes the queued chunks `stored` picks, by queue position, out of
+    /// the queue: each is counted as sent and handed to `acked`, in order.
+    fn settle(
+        &mut self,
+        mut stored: impl FnMut(usize, &[u8]) -> bool,
+        acked: &mut impl FnMut(&[u8]) -> Result<(), ClientFault>,
+    ) -> Result<(), ClientFault> {
+        let (mut at, mut fault) = (0, Ok(()));
+        self.queue.retain(|chunk| {
+            let keep = !stored(at, chunk);
+            at += 1;
+            if !keep {
+                self.chunks_sent += 1;
+                if fault.is_ok() {
+                    fault = acked(chunk);
+                }
+            }
+            keep
+        });
+        fault
     }
 }
 
@@ -214,13 +249,10 @@ impl Producer {
             .as_mut()
             .ok_or(ClientFault::Chunk("producer has no attestation key".into()))?;
         let att = ledger.attest(key, &mut self.out.rng);
-        match transport.call(&Request::PutAttestation {
+        transport.ack(&Request::PutAttestation {
             stream: self.out.builder.config().id,
             attestation: att.encode(),
-        })? {
-            Response::Ok => Ok(()),
-            _ => Err(ClientFault::Protocol("Ok")),
-        }
+        })
     }
 
     /// The stream configuration.
@@ -291,12 +323,10 @@ impl Producer {
         };
         let record = SealedRecord::seal_with_key(stream, chunk, *seq, point, key, &mut out.rng);
         *seq += 1;
-        match transport.call(&Request::InsertLive {
+        transport.ack(&Request::InsertLive {
             record: record.to_bytes(),
-        })? {
-            Response::Ok => self.records_sent += 1,
-            _ => return Err(ClientFault::Protocol("Ok")),
-        }
+        })?;
+        self.records_sent += 1;
         self.push(transport, point)
     }
 
@@ -428,7 +458,7 @@ mod tests {
     use crate::transport::InProc;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use timecrypt_wire::messages::Response;
+    use timecrypt_wire::messages::{Response, StreamInfoWire};
 
     fn keys() -> StreamKeyMaterial {
         StreamKeyMaterial::with_params(1, [5u8; 16], 20, timecrypt_crypto::PrgKind::Aes).unwrap()
@@ -573,6 +603,14 @@ mod tests {
                     self.acked.extend(chunks.iter().cloned());
                     Ok(Response::Batch { errors: vec![] })
                 }
+                // A server's length: the chunks it acknowledged.
+                Request::StreamInfo { stream } => Ok(Response::Info(StreamInfoWire {
+                    stream: *stream,
+                    t0: 0,
+                    delta_ms: 10_000,
+                    digest_width: 0,
+                    len: self.acked.len() as u64,
+                })),
                 _ => Ok(Response::Ok),
             }
         }
@@ -677,5 +715,56 @@ mod tests {
         assert_eq!(p.chunks_sent(), 0, "no accounting from a malformed reply");
         // The sealed chunk is still queued for retry.
         assert_eq!(p.out.queue.len(), 1);
+    }
+
+    /// Delivers every request, but loses the reply to the first
+    /// `InsertBatch`: the server stored the batch, the producer hears a
+    /// fault.
+    struct LostAck<T> {
+        inner: T,
+        lost: bool,
+    }
+
+    impl<T: crate::transport::Transport> crate::transport::Transport for LostAck<T> {
+        fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+            let reply = self.inner.call(req);
+            if !self.lost && matches!(req, Request::InsertBatch { .. }) {
+                self.lost = true;
+                return Err(ClientFault::Transport("reply lost".into()));
+            }
+            reply
+        }
+    }
+
+    #[test]
+    fn an_ambiguous_ack_is_reconciled_not_resent() {
+        use crate::{Consumer, DataOwner};
+        let server = timecrypt_server::TimeCryptServer::open(
+            Arc::new(timecrypt_store::MemKv::new()),
+            timecrypt_server::ServerConfig::default(),
+        );
+        let mut t = LostAck {
+            inner: InProc::new(Arc::new(server.unwrap())),
+            lost: false,
+        };
+        let cfg = StreamConfig::new(1, "m", 0, 10_000);
+        let mut owner = DataOwner::with_height(cfg.clone(), [5u8; 16], 20, rng());
+        owner.create_stream(&mut t).unwrap();
+        let mut p = BatchingProducer::new(cfg.clone(), owner.provision_producer(), rng(), 2);
+        // Chunks 0 and 1 land, but their ack is lost.
+        assert!(feed(&mut p, &mut t, 0..21).is_err());
+        assert_eq!(p.chunks_sent(), 0);
+        feed(&mut p, &mut t, 21..60).unwrap();
+        p.flush(&mut t).unwrap();
+        assert_eq!(p.chunks_sent(), 6, "chunks 0..=5, each stored once");
+
+        let mut c = Consumer::new("c", &mut SecureRandom::from_seed_insecure(3));
+        owner
+            .grant_access(&mut t, "c", c.public_key(), 0, 60_000)
+            .unwrap();
+        c.sync_grants(&mut t, cfg.id).unwrap();
+        let read = c.get_range(&mut t, cfg.id, 0, 60_000).unwrap();
+        let ts: Vec<i64> = read.iter().map(|p| p.ts).collect();
+        assert_eq!(ts, (0..60).map(|s| s * 1000).collect::<Vec<_>>());
     }
 }

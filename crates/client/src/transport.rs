@@ -1,13 +1,15 @@
-//! Transport abstraction: TCP or in-process.
+//! Transport abstraction: TCP or in-process, and the client's one reply
+//! reader over both.
 
 use std::sync::Arc;
-use timecrypt_wire::messages::{Request, Response};
+use timecrypt_wire::messages::{Request, Response, StatReply, StreamInfoWire};
 use timecrypt_wire::transport::{ClientError, Handler};
 
 /// Client-side failure type shared by all roles.
 #[derive(Debug)]
 pub enum ClientFault {
-    /// Transport / server error.
+    /// A transport failure, or the server's refusal (`Response::Error`):
+    /// its message, verbatim, whichever transport carried it.
     Transport(String),
     /// The server replied with an unexpected variant.
     Protocol(&'static str),
@@ -32,7 +34,10 @@ impl std::error::Error for ClientFault {}
 
 impl From<ClientError> for ClientFault {
     fn from(e: ClientError) -> Self {
-        ClientFault::Transport(e.to_string())
+        match e {
+            ClientError::Server(msg) => refusal(msg),
+            ClientError::Frame(_) => ClientFault::Transport(e.to_string()),
+        }
     }
 }
 
@@ -40,6 +45,16 @@ impl From<timecrypt_core::CoreError> for ClientFault {
     fn from(e: timecrypt_core::CoreError) -> Self {
         ClientFault::Access(e)
     }
+}
+
+/// A server's refusal, as every transport renders it.
+fn refusal(msg: String) -> ClientFault {
+    ClientFault::Transport(msg)
+}
+
+/// A chunk, record or proof that cannot be sealed, parsed or opened.
+pub(crate) fn chunk_fault(e: impl std::fmt::Display) -> ClientFault {
+    ClientFault::Chunk(e.to_string())
 }
 
 /// Anything that can carry a request to a TimeCrypt server.
@@ -55,10 +70,11 @@ impl Transport for timecrypt_wire::Client {
 }
 
 /// In-process transport over *any* request handler — the single engine, the
-/// sharded `timecrypt-service` tier, or a test double: no sockets and no
-/// frame layer (message encode/decode still happens, mirroring the paper's
-/// co-located microbenchmarks). This is how clients talk to a co-located
-/// engine or service without a socket in between.
+/// sharded `timecrypt-service` tier, or a test double: no sockets, no frame
+/// layer and no message encoding (the handler is handed a clone of the
+/// request, mirroring the paper's co-located microbenchmarks). This is how
+/// clients talk to a co-located engine or service without a socket in
+/// between.
 #[derive(Clone)]
 pub struct InProc<H: ?Sized> {
     handler: Arc<H>,
@@ -74,8 +90,43 @@ impl<H: Handler + ?Sized> InProc<H> {
 impl<H: Handler + ?Sized> Transport for InProc<H> {
     fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
         match self.handler.handle(req.clone()) {
-            Response::Error(e) => Err(ClientFault::Transport(e)),
+            Response::Error(e) => Err(refusal(e)),
             other => Ok(other),
         }
     }
 }
+
+/// One reader per expected `Response` variant: it sends through
+/// [`Transport::call`] and returns what the variant carries, or
+/// `ClientFault::Protocol` naming the variant for any other reply.
+macro_rules! readers {
+    ($($name:ident: $variant:ident $fields:tt => $carried:expr, $ty:ty;)*) => {$(
+        fn $name(&mut self, req: &Request) -> Result<$ty, ClientFault> {
+            match self.call(req)? {
+                Response::$variant $fields => Ok($carried),
+                _ => Err(ClientFault::Protocol(stringify!($variant))),
+            }
+        }
+    )*};
+}
+
+/// The client's one reply reader, over every [`Transport`]: each exchange
+/// of the owner, the producers and the consumer is one call of it, with the
+/// request as its only argument.
+pub(crate) trait Exchange: Transport {
+    readers! {
+        ack: Ok {} => (), ();
+        batch: Batch { errors } => errors, Vec<(u32, String)>;
+        blobs: Blobs(blobs) => blobs, Vec<Vec<u8>>;
+        envelopes: Envelopes(envelopes) => envelopes, Vec<(u64, Vec<u8>)>;
+        info: Info(info) => info, StreamInfoWire;
+        stat: Stat(reply) => reply, StatReply;
+        chunks: Chunks(chunks) => chunks, Vec<Vec<u8>>;
+        records: Records(records) => records, Vec<Vec<u8>>;
+        attested: Attested { attestation, proof } => (attestation, proof), (Vec<u8>, Vec<u8>);
+        verified_chunks: VerifiedChunks { attestation, proof, chunks } =>
+            (attestation, proof, chunks), (Vec<u8>, Vec<u8>, Vec<Vec<u8>>);
+    }
+}
+
+impl<T: Transport + ?Sized> Exchange for T {}

@@ -10,10 +10,11 @@
 //! rules always fire a [`FileFault::Delay`] makes it a slow disk (a remote
 //! storage tier): one delay per call, a batch being one append.
 
-use crate::plan::{mix64, FaultPlan, FileCall, FileFault, PlanSlot};
+use crate::plan::{FaultPlan, FileCall, FileFault, PlanSlot};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use timecrypt_obs::mix64;
 use timecrypt_store::LogFile;
 
 const EIO: i32 = 5;

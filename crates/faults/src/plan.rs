@@ -11,16 +11,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-/// SplitMix64 finalizer: a well-mixed 64-bit hash used for per-op fault
-/// decisions. Pure function of its input, so decisions replay exactly.
-#[inline]
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use timecrypt_obs::mix64;
 
 /// Which call of a log's file a [`FileRule`] applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -201,14 +201,14 @@ impl std::fmt::Display for AttestError {
 
 impl std::error::Error for AttestError {}
 
-/// Consumer side: checks owner signature + size binding + range proof, and
-/// returns the authenticated digest sum for the proof's `[lo, hi)`.
-pub fn verify_attested_range(
+/// What both verifications check first: the attestation covers `stream`,
+/// carries the owner's signature, and sizes the proof's tree.
+fn check_binding(
     stream: u128,
     attestation: &RootAttestation,
     owner_key: &VerifyingKey,
     proof: &RangeProof,
-) -> Result<Vec<u64>, AttestError> {
+) -> Result<(), AttestError> {
     if attestation.stream != stream {
         return Err(AttestError::StreamMismatch);
     }
@@ -218,6 +218,18 @@ pub fn verify_attested_range(
     if proof.n as u64 != attestation.size {
         return Err(AttestError::SizeMismatch);
     }
+    Ok(())
+}
+
+/// Consumer side: checks owner signature + size binding + range proof, and
+/// returns the authenticated digest sum for the proof's `[lo, hi)`.
+pub fn verify_attested_range(
+    stream: u128,
+    attestation: &RootAttestation,
+    owner_key: &VerifyingKey,
+    proof: &RangeProof,
+) -> Result<Vec<u64>, AttestError> {
+    check_binding(stream, attestation, owner_key, proof)?;
     proof.verify(&attestation.root).map_err(AttestError::Proof)
 }
 
@@ -230,15 +242,7 @@ pub fn verify_attested_range_open(
     owner_key: &VerifyingKey,
     proof: &RangeProof,
 ) -> Result<Vec<SumLeaf>, AttestError> {
-    if attestation.stream != stream {
-        return Err(AttestError::StreamMismatch);
-    }
-    if !attestation.verify(owner_key) {
-        return Err(AttestError::BadSignature);
-    }
-    if proof.n as u64 != attestation.size {
-        return Err(AttestError::SizeMismatch);
-    }
+    check_binding(stream, attestation, owner_key, proof)?;
     proof
         .verify_open(&attestation.root)
         .map_err(AttestError::Proof)

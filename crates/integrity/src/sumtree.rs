@@ -206,15 +206,7 @@ impl SumTree {
     /// Builds the authenticated range proof for chunk indices `[lo, hi)`
     /// against the tree over the first `n` leaves.
     pub fn range_proof(&self, lo: usize, hi: usize, n: usize) -> Result<RangeProof, SumTreeError> {
-        if lo >= hi || hi > n || n > self.leaves.len() {
-            return Err(SumTreeError::BadRange);
-        }
-        Ok(RangeProof {
-            n,
-            lo,
-            hi,
-            root_node: self.build_proof(0, n, lo, hi, true, false),
-        })
+        self.proof(lo, hi, n, false)
     }
 
     /// Like [`range_proof`](Self::range_proof) but every in-range leaf is
@@ -229,6 +221,17 @@ impl SumTree {
         hi: usize,
         n: usize,
     ) -> Result<RangeProof, SumTreeError> {
+        self.proof(lo, hi, n, true)
+    }
+
+    /// A range proof, `open` or not.
+    fn proof(
+        &self,
+        lo: usize,
+        hi: usize,
+        n: usize,
+        open: bool,
+    ) -> Result<RangeProof, SumTreeError> {
         if lo >= hi || hi > n || n > self.leaves.len() {
             return Err(SumTreeError::BadRange);
         }
@@ -236,7 +239,7 @@ impl SumTree {
             n,
             lo,
             hi,
-            root_node: self.build_proof(0, n, lo, hi, true, true),
+            root_node: self.build_proof(0, n, lo, hi, true, open),
         })
     }
 }
@@ -467,9 +470,7 @@ impl RangeProof {
 
 fn encode_sum(sum: &[u64], out: &mut Vec<u8>) {
     out.extend_from_slice(&(sum.len() as u32).to_le_bytes());
-    for v in sum {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    le_bytes(sum, out);
 }
 
 fn decode_sum(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
@@ -504,19 +505,15 @@ fn encode_node(node: &ProofNode, out: &mut Vec<u8>) {
             hash,
             sum,
             in_range,
-        } => {
-            out.push(TAG_SUBTREE);
-            out.extend_from_slice(hash);
-            encode_sum(sum, out);
-            out.push(u8::from(*in_range));
         }
-        ProofNode::Leaf {
-            commitment,
+        | ProofNode::Leaf {
+            commitment: hash,
             sum,
             in_range,
         } => {
-            out.push(TAG_LEAF);
-            out.extend_from_slice(commitment);
+            let leaf = matches!(node, ProofNode::Leaf { .. });
+            out.push(if leaf { TAG_LEAF } else { TAG_SUBTREE });
+            out.extend_from_slice(hash);
             encode_sum(sum, out);
             out.push(u8::from(*in_range));
         }
@@ -578,7 +575,7 @@ fn verify_node(
     let fully_in = lo <= span_lo && span_hi <= hi;
     let disjoint = span_hi <= lo || hi <= span_lo;
     let span_len = span_hi - span_lo;
-    match node {
+    let (hash, sum) = match node {
         ProofNode::Leaf {
             commitment,
             sum,
@@ -592,21 +589,12 @@ fn verify_node(
                 sum: sum.clone(),
             };
             let hash = hash_leaf(&leaf);
-            let range_sum = if fully_in {
-                sum.clone()
-            } else {
-                vec![0u64; sum.len()]
-            };
             if fully_in {
                 if let Some(out) = open.as_deref_mut() {
                     out.push(leaf);
                 }
             }
-            Ok(Verified {
-                hash,
-                sum: sum.clone(),
-                range_sum,
-            })
+            (hash, sum)
         }
         ProofNode::Subtree {
             hash,
@@ -616,22 +604,11 @@ fn verify_node(
             // Summaries are only legal for subtrees wholly inside or wholly
             // outside the range; a partial overlap must be expanded — and in
             // open mode, in-range subtrees must be expanded to leaves too.
-            if span_len < 2 || *in_range != fully_in || (!fully_in && !disjoint) {
+            let partial = !fully_in && !disjoint;
+            if span_len < 2 || *in_range != fully_in || partial || fully_in && open.is_some() {
                 return Err(VerifyError::MalformedProof);
             }
-            if fully_in && open.is_some() {
-                return Err(VerifyError::MalformedProof);
-            }
-            let range_sum = if fully_in {
-                sum.clone()
-            } else {
-                vec![0u64; sum.len()]
-            };
-            Ok(Verified {
-                hash: *hash,
-                sum: sum.clone(),
-                range_sum,
-            })
+            (*hash, sum)
         }
         ProofNode::Node { left, right } => {
             if span_len < 2 {
@@ -643,13 +620,23 @@ fn verify_node(
             if l.sum.len() != r.sum.len() {
                 return Err(VerifyError::WidthMismatch);
             }
-            Ok(Verified {
+            return Ok(Verified {
                 hash: hash_node(&l.hash, &r.hash, &l.sum, &r.sum),
                 sum: add_sums(&l.sum, &r.sum),
                 range_sum: add_sums(&l.range_sum, &r.range_sum),
-            })
+            });
         }
-    }
+    };
+    let range_sum = if fully_in {
+        sum.clone()
+    } else {
+        vec![0u64; sum.len()]
+    };
+    Ok(Verified {
+        hash,
+        sum: sum.clone(),
+        range_sum,
+    })
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@
 //! }
 //! let (total, stages) = scope.finish();
 //! assert_eq!(stages.len(), 1);
-//! assert!(total >= stages[0].total());
+//! assert!(total.as_micros() >= u128::from(stages[0].total_us));
 //! ```
 
 pub mod counters;
@@ -55,7 +55,7 @@ pub mod trace;
 pub use http::HttpServer;
 pub use listener::Listener;
 pub use log::{Event, Level};
-pub use trace::TraceContext;
+pub use trace::{mix64, TraceContext};
 
 /// Logs at an explicit [`Level`]; the format arguments are not evaluated
 /// unless the event passes the level filters.
@@ -90,10 +90,4 @@ macro_rules! tc_info {
 #[macro_export]
 macro_rules! tc_debug {
     ($target:expr, $($arg:tt)+) => { $crate::tc_log!($crate::Level::Debug, $target, $($arg)+) };
-}
-
-/// Logs a trace event.
-#[macro_export]
-macro_rules! tc_trace {
-    ($target:expr, $($arg:tt)+) => { $crate::tc_log!($crate::Level::Trace, $target, $($arg)+) };
 }

@@ -2,7 +2,7 @@
 //! server, the `/metrics` page and the fault proxy. Each keeps only what
 //! it does with a connection.
 
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -23,17 +23,18 @@ impl Listener {
     /// Accepts on `listener`, already bound, and runs `serve` on each
     /// connection; a failed accept is logged under `target`. A stop severs
     /// the connection as long as an `Arc` of it is held: what `serve` hands
-    /// it to must keep one.
+    /// it to must keep one. The accept thread is named `accept:<port>`.
     pub fn spawn(
         listener: TcpListener,
         target: &'static str,
         serve: impl Fn(Arc<TcpStream>) + Send + Sync + 'static,
     ) -> std::io::Result<Listener> {
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
         let stop = Arc::new(AtomicBool::new(false));
         let (flag, serve) = (stop.clone(), Arc::new(serve));
-        let accept_thread = std::thread::spawn(move || {
+        let named = std::thread::Builder::new().name(format!("accept:{}", addr.port()));
+        let accept_thread = named.spawn(move || {
             let mut conns: Vec<Weak<TcpStream>> = Vec::new();
             let accept = || listener.accept().map(|(stream, _peer)| Arc::new(stream));
             accept_loop(&flag, target, accept, |stream| {
@@ -45,7 +46,7 @@ impl Listener {
             for stream in conns.iter().filter_map(Weak::upgrade) {
                 let _ = stream.shutdown(Shutdown::Both);
             }
-        });
+        })?;
         Ok(Listener {
             addr,
             stop,
@@ -59,11 +60,22 @@ impl Listener {
     }
 
     /// Stops accepting and severs every connection still open: their reads
-    /// and writes meet the closed socket, and their threads end.
+    /// and writes meet the closed socket, and their threads end. One
+    /// loopback connection wakes the accept thread from `accept`; if it
+    /// cannot be made (descriptors exhausted), the thread ends at its next
+    /// accept, a peer's or a failed one, and `stop` returns without it.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let ip = match self.addr.ip() {
+            ip if !ip.is_unspecified() => ip,
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        if let Some(thread) = self.accept_thread.take() {
+            match TcpStream::connect((ip, self.addr.port())) {
+                Ok(_) => drop(thread.join()),
+                Err(e) => crate::tc_warn!("obs.listener", "stop: wake-up connect failed: {e}"),
+            }
         }
     }
 }
@@ -75,10 +87,10 @@ impl Drop for Listener {
 }
 
 /// The accept loop, until `stop` is set: hands each connection `accept`
-/// yields to `serve`. `accept` is a non-blocking listener's; an empty queue
-/// and a failed accept alike — a peer that reset before it was taken, a
-/// process out of file descriptors — wait 1 ms and try again. Only `stop`
-/// ends the loop, so the port stays open for the next peer.
+/// yields to `serve`, once it has seen `stop` unset. `accept` blocks; a
+/// failed accept — a peer that reset before it was taken, a process out of
+/// file descriptors — waits 1 ms and tries again. Only `stop` ends the
+/// loop, so the port stays open for the next peer.
 ///
 /// A run of failures is logged under `target` twice: its first error, and
 /// how many there were once an accept succeeds again. Out of descriptors,
@@ -91,8 +103,8 @@ fn accept_loop<C>(
     mut serve: impl FnMut(C),
 ) {
     let mut failed = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        match accept() {
+    while let (accepted, false) = (accept(), stop.load(Ordering::Relaxed)) {
+        match accepted {
             Ok(conn) => {
                 if failed > 0 {
                     crate::tc_warn!(target, "accepting again after {failed} failed accepts");
@@ -101,12 +113,10 @@ fn accept_loop<C>(
                 serve(conn)
             }
             Err(e) => {
-                if e.kind() != std::io::ErrorKind::WouldBlock {
-                    if failed == 0 {
-                        crate::tc_warn!(target, "accept failed: {e}");
-                    }
-                    failed += 1;
+                if failed == 0 {
+                    crate::tc_warn!(target, "accept failed: {e}");
                 }
+                failed += 1;
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
@@ -155,6 +165,45 @@ mod tests {
         assert_eq!(lines.len(), 2, "{lines:?}");
         assert!(lines[0].starts_with("accept failed"), "{lines:?}");
         assert!(lines[1].contains("after 500 failed"), "{lines:?}");
+    }
+
+    /// An idle listener's accept thread sleeps in `accept`: over 300 ms it
+    /// is switched out a handful of times at most (a 1 ms poll is ~300).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_idle_listener_sleeps_in_accept() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut listener = Listener::spawn(listener, "test", |_| {}).unwrap();
+        let name = format!("accept:{}", listener.addr().port());
+        // The accept thread's `voluntary_ctxt_switches`, read under /proc.
+        let switches = || {
+            let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+            let named = |task: &std::path::PathBuf| {
+                let comm = std::fs::read_to_string(task.join("comm"));
+                comm.is_ok_and(|comm| comm.trim_end() == name)
+            };
+            let task = tasks.map(|t| t.unwrap().path()).find(named)?;
+            let status = std::fs::read_to_string(task.join("status")).unwrap();
+            let line = status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+            Some(line.unwrap().trim().parse::<u64>().unwrap())
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let before = loop {
+            match switches() {
+                Some(n) => break n,
+                None if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10))
+                }
+                None => panic!("no thread named {name}"),
+            }
+        };
+        std::thread::sleep(Duration::from_millis(300));
+        let during = switches().unwrap() - before;
+        assert!(during <= 5, "{during} switches in 300 ms idle");
+        listener.stop();
+        assert_eq!(switches(), None, "the accept thread ended");
     }
 
     /// Connections whose serve threads block in a read all end at the

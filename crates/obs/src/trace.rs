@@ -37,9 +37,9 @@ pub struct TraceContext {
     pub span_id: u64,
 }
 
-/// SplitMix64: a tiny bijective mixer, good enough to spread a counter
-/// into ids that don't collide across processes once seeded.
-fn mix(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer: a bijective, full-avalanche 64-bit mix. It
+/// spreads a counter into trace ids, fault decisions and shard placements.
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -55,14 +55,15 @@ fn seed() -> u64 {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
         let marker: u8 = 0;
-        mix(nanos) ^ mix(u64::from(std::process::id())) ^ mix(std::ptr::addr_of!(marker) as u64)
+        let marker = std::ptr::addr_of!(marker) as u64;
+        mix64(nanos) ^ mix64(u64::from(std::process::id())) ^ mix64(marker)
     })
 }
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 fn next_span_id() -> u64 {
-    mix(seed() ^ NEXT_ID.fetch_add(1, Ordering::Relaxed))
+    mix64(seed() ^ NEXT_ID.fetch_add(1, Ordering::Relaxed))
 }
 
 impl TraceContext {
@@ -124,13 +125,6 @@ pub struct StageTotal {
     pub count: u64,
     /// Summed duration in microseconds.
     pub total_us: u64,
-}
-
-impl StageTotal {
-    /// The summed duration as a [`Duration`].
-    pub fn total(&self) -> Duration {
-        Duration::from_micros(self.total_us)
-    }
 }
 
 /// Opens a request scope on this thread: until [`finish`]ed (or

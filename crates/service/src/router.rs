@@ -16,6 +16,8 @@
 //!    modulo so that sequential stream ids (the common allocation pattern)
 //!    spread evenly instead of striping.
 
+use timecrypt_obs::mix64;
+
 /// Routes stream ids to shards by stable hash.
 ///
 /// ```
@@ -53,14 +55,6 @@ impl ShardRouter {
     pub fn shard_of(&self, stream: u128) -> usize {
         (mix64((stream as u64) ^ (stream >> 64) as u64) % self.shards as u64) as usize
     }
-}
-
-/// SplitMix64 finalizer: a full-avalanche 64-bit mix.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -415,8 +415,8 @@ impl Deployment {
         self.handler().handle_frame(body)
     }
 
-    /// The tier's `Handler`.
-    fn handler(&self) -> Arc<dyn Handler> {
+    /// The tier's `Handler`, which an in-process client can wrap.
+    pub fn handler(&self) -> Arc<dyn Handler> {
         match &self.coordinator {
             Some(svc) => svc.clone(),
             None => self.running(0).handler(),
