@@ -12,6 +12,8 @@ use timecrypt::crypto::SecureRandom;
 use timecrypt::integrity::{chunk_commitment, verify_attested_range, AttestError, StreamLedger};
 use timecrypt::pk::SigningKey;
 
+mod common;
+
 const STREAM: u128 = 77;
 const CHUNKS: u64 = 40;
 const PTS_PER_CHUNK: i64 = 10;
@@ -146,4 +148,31 @@ fn integrity_composes_with_access_control() {
         .unwrap();
     let ct = verify_attested_range(STREAM, &att, &vk, &proof).unwrap();
     assert!(decrypt_range_sum(&tokens, 0, 8, &ct).is_err());
+}
+
+/// Proof bytes on the wire, over 1 024 chunks of width-3 digests: a closed
+/// proof of one chunk and of 100, and an open proof of 16.
+#[test]
+fn proof_bytes_are_ledger_rows() {
+    let mut ledger = StreamLedger::new(STREAM);
+    for i in 0..1024u64 {
+        let digest = vec![i, 1, i * i];
+        ledger
+            .append(chunk_commitment(&i.to_le_bytes()), digest)
+            .unwrap();
+    }
+    let mut rows = Vec::new();
+    for (name, lo, hi, open) in [
+        ("closed_1_of_1024", 500, 501, false),
+        ("closed_100_of_1024", 300, 400, false),
+        ("open_16_of_1024", 300, 316, true),
+    ] {
+        let proof = match open {
+            true => ledger.prove_range_open(lo, hi, 1024),
+            false => ledger.prove_range(lo, hi, 1024),
+        };
+        let bytes = proof.unwrap().encode().len();
+        rows.push((format!("integrity.proof_bytes.{name}"), bytes.to_string()));
+    }
+    common::ledger(&rows);
 }

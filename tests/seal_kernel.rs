@@ -15,8 +15,8 @@
 //! - A generated check seals random chunks on every backend and compares
 //!   each with a composition of the public primitives written here:
 //!   `TreeKd::leaf`, `ElementKeys`, `sha256`, `AesGcm128`.
-//! - A producer's allocator calls per chunk, and a consumer's per chunk
-//!   opened, are rows of the root `BENCH_ledger.json`.
+//! - A producer's allocator calls per chunk and per live point, and a
+//!   consumer's per chunk opened, are rows of the root `BENCH_ledger.json`.
 
 use common::history::Rng;
 use timecrypt::chunk::compress::compress;
@@ -334,6 +334,31 @@ fn producers_allocate_a_few_calls_per_chunk() {
         assert_eq!((single.chunks_sent(), batching.chunks_sent()), (79, 64));
     }
     common::ledger(&rows);
+}
+
+/// Allocator calls per point a producer's real-time upload (`push_live`)
+/// makes: the sealed record, its bytes and the chunk the point also joins.
+/// Counted over 64 chunks of 6 points after 16 to warm the queue.
+#[test]
+fn a_live_point_allocates_a_few_calls() {
+    let cfg = StreamConfig::new(3, "alloc", 0, DELTA as u64);
+    let keys = StreamKeyMaterial::new(3, [3; 16]).unwrap();
+    let mut producer = Producer::new(cfg, keys, SecureRandom::from_seed_insecure(4));
+    let mut feed = |chunks: std::ops::Range<i64>| {
+        for c in chunks {
+            for k in 0..6 {
+                let point = DataPoint::new(c * DELTA + k * (DELTA / 6), k);
+                producer.push_live(&mut NoServer, point).unwrap();
+            }
+        }
+    };
+    feed(0..16);
+    let (calls, ()) = common::calls_of(|| feed(16..80));
+    let per_point = format!("{:.3}", calls as f64 / (64.0 * 6.0));
+    common::ledger(&[(
+        "seal_kernel.producer.allocations_per_live_point".into(),
+        per_point,
+    )]);
 }
 
 /// Allocator calls per chunk a consumer's `open_payload` makes, over the
