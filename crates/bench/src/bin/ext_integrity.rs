@@ -51,11 +51,11 @@ fn main() {
         let root = tree.root();
         let (lo, hi) = (n / 4, n / 4 + 1_000.min(n / 2));
         let prove = time_avg(50, || {
-            std::hint::black_box(tree.range_proof(lo, hi, n).unwrap());
+            std::hint::black_box(tree.range_proof(lo, hi, n, false).unwrap());
         });
-        let proof = tree.range_proof(lo, hi, n).unwrap();
+        let proof = tree.range_proof(lo, hi, n, false).unwrap();
         let verify = time_avg(200, || {
-            std::hint::black_box(proof.verify(&root).unwrap());
+            std::hint::black_box(proof.verify(&root, n, lo, hi).unwrap());
         });
         println!(
             "{:>10} {:>12} {:>12} {:>12}",
@@ -77,9 +77,9 @@ fn main() {
     println!("{:>10} {:>12} {:>12}", "range", "verify", "proof bytes");
     for log_r in [0usize, 4, 8, 12, 15] {
         let r = 1 << log_r;
-        let proof = tree.range_proof(0, r, n).unwrap();
+        let proof = tree.range_proof(0, r, n, false).unwrap();
         let verify = time_avg(200, || {
-            std::hint::black_box(proof.verify(&root).unwrap());
+            std::hint::black_box(proof.verify(&root, n, 0, r).unwrap());
         });
         println!(
             "{:>10} {:>12} {:>12}",

@@ -4,9 +4,10 @@ use crate::grants::{Grant, StreamDescriptor};
 use crate::transport::{chunk_fault, ClientFault, Exchange, Transport};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::ops::Range;
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
-use timecrypt_chunk::{DataPoint, StatSummary};
+use timecrypt_chunk::{ChunkGrid, DataPoint, StatSummary};
 use timecrypt_core::heac::{decrypt_range_in_place, KeySource};
 use timecrypt_core::resolution::{Envelope, ResolutionConsumer};
 use timecrypt_core::{CoreError, LeafCursor, TokenSet};
@@ -301,9 +302,9 @@ impl Consumer {
     /// replays, reorders, or mis-sums chunks is detected. `owner_key` is the
     /// owner's attestation verifying key (from the identity provider).
     ///
-    /// The proven window is the queried interval clamped to the latest
-    /// attestation — chunks uploaded after the owner's last `attest` are
-    /// not yet provable.
+    /// The proven window is the chunks the queried interval covers whole,
+    /// clamped to the latest attestation — chunks uploaded after the
+    /// owner's last `attest` are not yet provable.
     pub fn verified_stat_query<T: Transport>(
         &mut self,
         transport: &mut T,
@@ -312,19 +313,21 @@ impl Consumer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatSummary, ClientFault> {
-        let (att, proof) = transport.attested(&Request::GetRangeProof { stream, ts_s, ts_e })?;
-        let (proof, agg) = check_attested(&att, &proof, |att, proof| {
-            verify_attested_range(stream, att, owner_key, proof)
+        let reply = transport.attested(&Request::GetRangeProof { stream, ts_s, ts_e })?;
+        let window = |grid: ChunkGrid| Some(grid.within(ts_s, ts_e));
+        let (lo, hi, agg) = self.check_attested(stream, reply, window, |att, proof, lo, hi| {
+            verify_attested_range(stream, att, owner_key, proof, lo, hi)
         })?;
-        let parts = [(stream, proof.lo as u64, proof.hi as u64)];
+        let parts = [(stream, lo as u64, hi as u64)];
         self.decrypt(agg, &parts, "an attested aggregate of the schema's width")
     }
 
     /// Raw retrieval with integrity verification: every returned chunk's
     /// bytes are checked against its attested commitment (and its digest
     /// ciphertext against the attested digest) before decryption, so a
-    /// server cannot substitute, reorder, truncate, or omit chunks within
-    /// the attested window. Completes the Verena-style extension for raw
+    /// server cannot substitute, reorder, truncate, or omit chunks of the
+    /// window asked for (the chunks `[ts_s, ts_e)` touches, clamped to the
+    /// latest attestation). Completes the Verena-style extension for raw
     /// reads, complementing [`verified_stat_query`](Self::verified_stat_query).
     pub fn verified_get_range<T: Transport>(
         &mut self,
@@ -336,9 +339,11 @@ impl Consumer {
     ) -> Result<Vec<DataPoint>, ClientFault> {
         let (att, proof, chunks) =
             transport.verified_chunks(&Request::GetVerifiedRange { stream, ts_s, ts_e })?;
-        let (proof, leaves) = check_attested(&att, &proof, |att, proof| {
-            verify_attested_range_open(stream, att, owner_key, proof)
-        })?;
+        let window = |grid: ChunkGrid| grid.containing(ts_s, ts_e);
+        let (lo, _, leaves) =
+            self.check_attested(stream, (att, proof), window, |att, proof, lo, hi| {
+                verify_attested_range_open(stream, att, owner_key, proof, lo, hi)
+            })?;
         if chunks.len() != leaves.len() {
             return Err(ClientFault::Chunk(format!(
                 "server returned {} chunks but the proof covers {}",
@@ -347,7 +352,7 @@ impl Consumer {
             )));
         }
         self.open(stream, chunks, ts_s..ts_e, |i, bytes| {
-            let (at, leaf) = (proof.lo + i, &leaves[i]);
+            let (at, leaf) = (lo + i, &leaves[i]);
             if chunk_commitment(bytes) != leaf.commitment {
                 return Err(ClientFault::Chunk(format!(
                     "chunk {at} bytes do not match the attested commitment"
@@ -361,6 +366,34 @@ impl Consumer {
             }
             Ok(chunk)
         })
+    }
+
+    /// Decodes an attested reply's attestation and range proof and checks
+    /// them with `verify` over the chunk window `[lo, hi)`, which this
+    /// consumer works out as the engine does: `window` of `stream`'s chunk
+    /// grid, `hi` clamped to the attested size. Returns the window and what
+    /// `verify` authenticated; the server's word on the window counts for
+    /// nothing.
+    fn check_attested<R>(
+        &mut self,
+        stream: u128,
+        (attestation, proof): (Vec<u8>, Vec<u8>),
+        window: impl FnOnce(ChunkGrid) -> Option<(u64, u64)>,
+        verify: impl FnOnce(&RootAttestation, &RangeProof, usize, usize) -> Result<R, AttestError>,
+    ) -> Result<(usize, usize, R), ClientFault> {
+        let att = RootAttestation::decode(&attestation)
+            .ok_or_else(|| chunk_fault("malformed attestation"))?;
+        let proof =
+            RangeProof::decode(&proof).ok_or_else(|| chunk_fault("malformed range proof"))?;
+        let d = &self.keys(stream)?.descriptor;
+        let grid = NonZeroU64::new(d.delta_ms).map(|delta_ms| ChunkGrid { t0: d.t0, delta_ms });
+        let (lo, hi) = grid
+            .and_then(window)
+            .ok_or_else(|| chunk_fault("empty window"))?;
+        let (lo, hi) = (lo as usize, hi.min(att.size) as usize);
+        let checked = verify(&att, &proof, lo, hi);
+        let checked = checked.map_err(|e| chunk_fault(format!("integrity check failed: {e}")))?;
+        Ok((lo, hi, checked))
     }
 
     /// Like [`get_range`](Self::get_range) but also merges real-time
@@ -389,21 +422,6 @@ impl Consumer {
         out.sort_by_key(|p| p.ts);
         Ok(out)
     }
-}
-
-/// Decodes an attested reply's attestation and range proof and checks them
-/// with `verify`: the proof, and what `verify` authenticated.
-fn check_attested<R>(
-    attestation: &[u8],
-    proof: &[u8],
-    verify: impl FnOnce(&RootAttestation, &RangeProof) -> Result<R, AttestError>,
-) -> Result<(RangeProof, R), ClientFault> {
-    let att =
-        RootAttestation::decode(attestation).ok_or_else(|| chunk_fault("malformed attestation"))?;
-    let proof = RangeProof::decode(proof).ok_or_else(|| chunk_fault("malformed range proof"))?;
-    let checked = verify(&att, &proof);
-    let checked = checked.map_err(|e| chunk_fault(format!("integrity check failed: {e}")))?;
-    Ok((proof, checked))
 }
 
 #[cfg(test)]

@@ -18,7 +18,6 @@ pub struct DataOwner {
     /// Resolution keystreams created so far, by granularity (in chunks).
     resolutions: HashMap<u64, ResolutionOwner>,
     rng: SecureRandom,
-    tree_height: u8,
 }
 
 impl DataOwner {
@@ -45,7 +44,6 @@ impl DataOwner {
             keys,
             resolutions: HashMap::new(),
             rng,
-            tree_height,
         }
     }
 
@@ -64,7 +62,7 @@ impl DataOwner {
             stream: self.cfg.id,
             t0: self.cfg.t0,
             delta_ms: self.cfg.delta_ms,
-            tree_height: self.tree_height,
+            tree_height: self.keys.tree.height(),
             prg: self.keys.tree.prg(),
             schema: self.cfg.schema.clone(),
         }

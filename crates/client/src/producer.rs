@@ -247,7 +247,7 @@ impl Producer {
         let (key, ledger) = self
             .attester
             .as_mut()
-            .ok_or(ClientFault::Chunk("producer has no attestation key".into()))?;
+            .ok_or_else(|| ClientFault::Chunk("producer has no attestation key".into()))?;
         let att = ledger.attest(key, &mut self.out.rng);
         transport.ack(&Request::PutAttestation {
             stream: self.out.builder.config().id,
@@ -311,7 +311,7 @@ impl Producer {
             .builder
             .config()
             .chunk_of(point.ts)
-            .ok_or(ClientFault::Chunk("timestamp before stream epoch".into()))?;
+            .ok_or_else(|| ClientFault::Chunk("timestamp before stream epoch".into()))?;
         let (_, seq, key) = match &mut self.live {
             Some(live) if live.0 == chunk => live,
             // A new open chunk: its records all share one payload key.

@@ -6,8 +6,9 @@
 //! statement. The server maintains the same ledger from the chunks it
 //! stores and serves [`RangeProof`]s against it. A consumer that trusts the
 //! owner's verifying key gets completeness and correctness for every range
-//! aggregate: [`verify_attested_range`] checks the signature, the size
-//! binding, and the proof in one step.
+//! aggregate: [`verify_attested_range`] checks the attestation's stream and
+//! signature, then the proof over the consumer's own window of a tree of
+//! the attested size.
 
 use crate::sumtree::{Hash, RangeProof, SumLeaf, SumTree, SumTreeError, VerifyError};
 use timecrypt_crypto::{sha256, SecureRandom};
@@ -91,7 +92,7 @@ impl RootAttestation {
 ///
 /// Both sides run one — the owner/producer as the source of truth it signs,
 /// the server as the structure it proves against.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StreamLedger {
     stream: u128,
     tree: SumTree,
@@ -153,25 +154,17 @@ impl StreamLedger {
     }
 
     /// Server side: proof that chunks `[lo, hi)` sum to the returned
-    /// aggregate under the attestation covering `attested_size` chunks.
+    /// aggregate under the attestation covering `attested_size` chunks;
+    /// `open` exposes every chunk commitment of the window (for verified raw
+    /// retrieval — [`RangeProof::verify_open`]).
     pub fn prove_range(
         &self,
         lo: usize,
         hi: usize,
         attested_size: usize,
+        open: bool,
     ) -> Result<RangeProof, SumTreeError> {
-        self.tree.range_proof(lo, hi, attested_size)
-    }
-
-    /// Server side: open proof exposing every in-range chunk commitment
-    /// (for verified raw retrieval — [`RangeProof::verify_open`]).
-    pub fn prove_range_open(
-        &self,
-        lo: usize,
-        hi: usize,
-        attested_size: usize,
-    ) -> Result<RangeProof, SumTreeError> {
-        self.tree.range_proof_open(lo, hi, attested_size)
+        self.tree.range_proof(lo, hi, attested_size, open)
     }
 }
 
@@ -180,8 +173,6 @@ impl StreamLedger {
 pub enum AttestError {
     /// The attestation signature is invalid for the given key.
     BadSignature,
-    /// The proof's tree size differs from the attested size.
-    SizeMismatch,
     /// The attestation covers a different stream than expected.
     StreamMismatch,
     /// The embedded range proof failed.
@@ -192,7 +183,6 @@ impl std::fmt::Display for AttestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AttestError::BadSignature => write!(f, "invalid attestation signature"),
-            AttestError::SizeMismatch => write!(f, "proof size differs from attested size"),
             AttestError::StreamMismatch => write!(f, "attestation covers a different stream"),
             AttestError::Proof(e) => write!(f, "range proof invalid: {e}"),
         }
@@ -201,13 +191,12 @@ impl std::fmt::Display for AttestError {
 
 impl std::error::Error for AttestError {}
 
-/// What both verifications check first: the attestation covers `stream`,
-/// carries the owner's signature, and sizes the proof's tree.
+/// What both verifications check first: the attestation covers `stream`
+/// and carries the owner's signature. Its size is the proof's tree size.
 fn check_binding(
     stream: u128,
     attestation: &RootAttestation,
     owner_key: &VerifyingKey,
-    proof: &RangeProof,
 ) -> Result<(), AttestError> {
     if attestation.stream != stream {
         return Err(AttestError::StreamMismatch);
@@ -215,36 +204,40 @@ fn check_binding(
     if !attestation.verify(owner_key) {
         return Err(AttestError::BadSignature);
     }
-    if proof.n as u64 != attestation.size {
-        return Err(AttestError::SizeMismatch);
-    }
     Ok(())
 }
 
-/// Consumer side: checks owner signature + size binding + range proof, and
-/// returns the authenticated digest sum for the proof's `[lo, hi)`.
+/// Consumer side: checks the attestation and the proof of chunks `[lo, hi)`
+/// of a tree of the attested size, and returns the window's authenticated
+/// digest sum.
 pub fn verify_attested_range(
     stream: u128,
     attestation: &RootAttestation,
     owner_key: &VerifyingKey,
     proof: &RangeProof,
+    lo: usize,
+    hi: usize,
 ) -> Result<Vec<u64>, AttestError> {
-    check_binding(stream, attestation, owner_key, proof)?;
-    proof.verify(&attestation.root).map_err(AttestError::Proof)
+    check_binding(stream, attestation, owner_key)?;
+    let (root, n) = (&attestation.root, attestation.size as usize);
+    proof.verify(root, n, lo, hi).map_err(AttestError::Proof)
 }
 
-/// Consumer side, open variant: checks owner signature + size binding and
-/// returns every in-range chunk's authenticated `(commitment, digest)` —
-/// the basis for verified raw retrieval.
+/// Consumer side, open variant: checks the attestation and the open proof
+/// of `[lo, hi)`, and returns each chunk's authenticated `(commitment,
+/// digest)` — the basis for verified raw retrieval.
 pub fn verify_attested_range_open(
     stream: u128,
     attestation: &RootAttestation,
     owner_key: &VerifyingKey,
     proof: &RangeProof,
+    lo: usize,
+    hi: usize,
 ) -> Result<Vec<SumLeaf>, AttestError> {
-    check_binding(stream, attestation, owner_key, proof)?;
+    check_binding(stream, attestation, owner_key)?;
+    let (root, n) = (&attestation.root, attestation.size as usize);
     proof
-        .verify_open(&attestation.root)
+        .verify_open(root, n, lo, hi)
         .map_err(AttestError::Proof)
 }
 
@@ -270,8 +263,8 @@ mod tests {
     fn honest_flow_verifies_and_returns_sum() {
         let (mut owner, server, key, mut rng) = setup(12);
         let att = owner.attest(&key, &mut rng);
-        let proof = server.prove_range(3, 9, att.size as usize).unwrap();
-        let sum = verify_attested_range(9, &att, &key.verifying_key(), &proof).unwrap();
+        let proof = server.prove_range(3, 9, att.size as usize, false).unwrap();
+        let sum = verify_attested_range(9, &att, &key.verifying_key(), &proof, 3, 9).unwrap();
         let expect: u64 = (3..9).map(|i| i * 3).sum();
         assert_eq!(sum, vec![expect, (3..9).sum::<u64>(), 6]);
     }
@@ -309,13 +302,13 @@ mod tests {
         }
         // It cannot even produce a proof for the attested size (one short);
         // padding with a forged chunk still fails the root check.
-        assert!(cheat.prove_range(0, 10, 10).is_err());
+        assert!(cheat.prove_range(0, 10, 10, false).is_err());
         cheat
             .append(chunk_commitment(b"forged"), vec![0, 0, 1])
             .unwrap();
-        let forged = cheat.prove_range(0, 10, 10).unwrap();
+        let forged = cheat.prove_range(0, 10, 10, false).unwrap();
         assert!(matches!(
-            verify_attested_range(9, &att, &key.verifying_key(), &forged),
+            verify_attested_range(9, &att, &key.verifying_key(), &forged, 0, 10),
             Err(AttestError::Proof(_))
         ));
     }
@@ -325,27 +318,29 @@ mod tests {
         let (mut owner, mut server, key, mut rng) = setup(8);
         let att = owner.attest(&key, &mut rng);
         // Server appends two more chunks, then proves against the larger
-        // tree — size binding must reject it.
+        // tree. The verifier reads the proof as a tree of the attested
+        // size, 8, whatever size it was built for.
         for i in 8u64..10 {
             server
                 .append(chunk_commitment(&i.to_le_bytes()), vec![i * 3, i, 1])
                 .unwrap();
         }
-        let proof = server.prove_range(0, 10, 10).unwrap();
-        assert_eq!(
-            verify_attested_range(9, &att, &key.verifying_key(), &proof),
-            Err(AttestError::SizeMismatch)
-        );
+        let vk = key.verifying_key();
+        for (lo, hi) in [(0, 8), (0, 10), (2, 5)] {
+            let proof = server.prove_range(lo, hi, 10, false).unwrap();
+            let stale = verify_attested_range(9, &att, &vk, &proof, lo, hi);
+            assert!(matches!(stale, Err(AttestError::Proof(_))), "{stale:?}");
+        }
     }
 
     #[test]
     fn wrong_owner_key_rejected() {
         let (mut owner, server, key, mut rng) = setup(6);
         let att = owner.attest(&key, &mut rng);
-        let proof = server.prove_range(0, 6, 6).unwrap();
+        let proof = server.prove_range(0, 6, 6, false).unwrap();
         let other = SigningKey::generate(&mut rng);
         assert_eq!(
-            verify_attested_range(9, &att, &other.verifying_key(), &proof),
+            verify_attested_range(9, &att, &other.verifying_key(), &proof, 0, 6),
             Err(AttestError::BadSignature)
         );
     }
@@ -354,9 +349,9 @@ mod tests {
     fn wrong_stream_rejected() {
         let (mut owner, server, key, mut rng) = setup(6);
         let att = owner.attest(&key, &mut rng);
-        let proof = server.prove_range(0, 6, 6).unwrap();
+        let proof = server.prove_range(0, 6, 6, false).unwrap();
         assert_eq!(
-            verify_attested_range(10, &att, &key.verifying_key(), &proof),
+            verify_attested_range(10, &att, &key.verifying_key(), &proof, 0, 6),
             Err(AttestError::StreamMismatch)
         );
     }

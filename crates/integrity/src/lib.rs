@@ -16,8 +16,10 @@
 //! The owner signs `(stream, size, epoch, root)` after uploading chunks.
 //! The honest-but-curious (or now actively lying) server proves each range
 //! aggregate against the signed root. Consumers verify with the owner's
-//! public key: a server that drops, duplicates, reorders, tampers with, or
-//! mis-sums chunks cannot produce a valid proof. The proven aggregate is
+//! public key, over the window they asked for and a tree of the attested
+//! size: a server that drops, duplicates, reorders, tampers with, or
+//! mis-sums chunks, or proves a narrower window, cannot produce a valid
+//! proof. The proven aggregate is
 //! still an HEAC ciphertext — integrity verification composes with, and is
 //! independent of, decryption rights.
 //!
@@ -35,8 +37,9 @@
 //!     server.append(c, vec![i, 1]).unwrap();   // server ingests them
 //! }
 //! let att = owner.attest(&owner_key, &mut rng);
-//! let proof = server.prove_range(2, 8, att.size as usize).unwrap();
-//! let sum = verify_attested_range(7, &att, &owner_key.verifying_key(), &proof).unwrap();
+//! let proof = server.prove_range(2, 8, att.size as usize, false).unwrap();
+//! // The consumer names the window; the size is the attestation's.
+//! let sum = verify_attested_range(7, &att, &owner_key.verifying_key(), &proof, 2, 8).unwrap();
 //! assert_eq!(sum, vec![(2..8).sum::<u64>(), 6]);
 //! ```
 

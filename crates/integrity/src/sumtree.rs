@@ -17,8 +17,13 @@
 //!
 //! Because a parent's preimage contains its children's sums, any claimed
 //! subtree sum is verified one level up during root recomputation; only the
-//! proof's root-level node needs expansion, which [`SumTree::range_proof`]
-//! guarantees.
+//! proof's root needs expansion, which [`SumTree::range_proof`] guarantees.
+//!
+//! A proof is its tree and nothing else. The verifier brings the tree size
+//! (from the owner's attestation) and the window (from its own query), and
+//! from them works out each node's span, whether that span counts, and
+//! whether a summary may stand there: a server cannot name a narrower
+//! window than the one asked for.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -93,16 +98,6 @@ pub struct SumTree {
     /// tree: the lock is held per memo probe/insert, never across the
     /// recursive walk.
     memo: Mutex<SubtreeMemo>,
-}
-
-impl Clone for SumTree {
-    fn clone(&self) -> Self {
-        SumTree {
-            leaves: self.leaves.clone(),
-            width: self.width,
-            memo: Mutex::new(self.memo.lock().clone()),
-        }
-    }
 }
 
 /// Memoized `(base, size) → (hash, sum)` summaries of aligned complete
@@ -204,28 +199,12 @@ impl SumTree {
     }
 
     /// Builds the authenticated range proof for chunk indices `[lo, hi)`
-    /// against the tree over the first `n` leaves.
-    pub fn range_proof(&self, lo: usize, hi: usize, n: usize) -> Result<RangeProof, SumTreeError> {
-        self.proof(lo, hi, n, false)
-    }
-
-    /// Like [`range_proof`](Self::range_proof) but every in-range leaf is
-    /// opened individually (size O(m + log n) instead of O(log n)). Verify
-    /// with [`RangeProof::verify_open`] to additionally recover the
-    /// authenticated per-chunk commitments — the basis for verified *raw*
-    /// chunk retrieval, where each returned chunk's bytes are checked
-    /// against its attested commitment.
-    pub fn range_proof_open(
-        &self,
-        lo: usize,
-        hi: usize,
-        n: usize,
-    ) -> Result<RangeProof, SumTreeError> {
-        self.proof(lo, hi, n, true)
-    }
-
-    /// A range proof, `open` or not.
-    fn proof(
+    /// against the tree over the first `n` leaves: O(log n) nodes, or, when
+    /// `open`, every chunk of the window as its own leaf (O(m + log n)), so
+    /// [`RangeProof::verify_open`] recovers each chunk's commitment — the
+    /// basis for verified *raw* retrieval, where each returned chunk's bytes
+    /// are checked against its attested commitment.
+    pub fn range_proof(
         &self,
         lo: usize,
         hi: usize,
@@ -235,12 +214,7 @@ impl SumTree {
         if lo >= hi || hi > n || n > self.leaves.len() {
             return Err(SumTreeError::BadRange);
         }
-        Ok(RangeProof {
-            n,
-            lo,
-            hi,
-            root_node: self.build_proof(0, n, lo, hi, true, open),
-        })
+        Ok(RangeProof(self.build_proof(0, n, lo, hi, open, true)))
     }
 }
 
@@ -260,28 +234,20 @@ fn subtree(leaves: &[SumLeaf]) -> (Hash, Vec<u64>) {
     }
 }
 
-/// One node of a [`RangeProof`].
+/// One node of a [`RangeProof`]. Its span is not written down: the
+/// verifier works it out from the tree size and the RFC 6962 split.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProofNode {
-    /// A whole subtree summarized as `(hash, sum)`. `in_range` says whether
-    /// its leaves are all inside (sum counts) or all outside (sum is context
-    /// needed only to recompute the parent hash) the queried range.
-    Subtree {
-        /// Subtree hash as stored in the parent preimage.
+    /// A span summarized as the `(hash, sum)` its parent's hash binds. One
+    /// chunk wide it is a leaf: `hash` is the chunk's commitment, and the
+    /// verifier hashes it as a leaf. A wider summary lies wholly outside
+    /// the window, or wholly inside it in a closed proof, and is never the
+    /// root of a tree of more than one chunk.
+    Summary {
+        /// The span's hash, or a leaf's commitment.
         hash: Hash,
-        /// Subtree digest sum as stored in the parent preimage.
+        /// The span's digest sum.
         sum: Vec<u64>,
-        /// Whether the subtree lies inside the queried range.
-        in_range: bool,
-    },
-    /// A single leaf, opened so the verifier recomputes its hash.
-    Leaf {
-        /// The chunk commitment.
-        commitment: Hash,
-        /// The chunk digest sum.
-        sum: Vec<u64>,
-        /// Whether this leaf is inside the queried range.
-        in_range: bool,
     },
     /// An interior node whose children are given; the verifier recomputes
     /// its hash, which binds both children's sums.
@@ -293,56 +259,47 @@ pub enum ProofNode {
     },
 }
 
-/// An authenticated aggregate for chunk range `[lo, hi)` of an `n`-leaf tree.
+/// An authenticated aggregate: the proof tree alone. The window it proves
+/// and the size of the tree are the verifier's, never the prover's.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeProof {
-    /// Tree size the proof is computed against (must match the attestation).
-    pub n: usize,
-    /// Range start (inclusive chunk index).
-    pub lo: usize,
-    /// Range end (exclusive chunk index).
-    pub hi: usize,
-    root_node: ProofNode,
-}
+pub struct RangeProof(pub ProofNode);
 
 impl SumTree {
-    /// Builds the proof tree for the span `[base, base+len)` intersected
-    /// with `[lo, hi)`. `expand_root` forces the top node open so every
-    /// claimed sum is bound by a hash the verifier recomputes; `open` also
-    /// expands fully-in-range subtrees down to their leaves.
+    /// The proof tree for the span `[base, base+len)` and window `[lo, hi)`.
+    /// A span wholly outside the window, or wholly inside it when not
+    /// `open`, is summarized unless it is the `top`, which is expanded so
+    /// every claimed sum is bound by a hash the verifier recomputes.
     fn build_proof(
         &self,
         base: usize,
         len: usize,
         lo: usize,
         hi: usize,
-        expand_root: bool,
         open: bool,
+        top: bool,
     ) -> ProofNode {
-        let span = (base, base + len);
-        let fully_in = lo <= span.0 && span.1 <= hi;
-        let disjoint = span.1 <= lo || hi <= span.0;
+        let (inside, outside) = place(base, base + len, lo, hi);
         if len == 1 {
-            return ProofNode::Leaf {
-                commitment: self.leaves[base].commitment,
-                sum: self.leaves[base].sum.clone(),
-                in_range: fully_in,
-            };
+            let leaf = &self.leaves[base];
+            let (hash, sum) = (leaf.commitment, leaf.sum.clone());
+            return ProofNode::Summary { hash, sum };
         }
-        if (disjoint || (fully_in && !open)) && !expand_root {
+        if (outside || inside && !open) && !top {
             let (hash, sum) = self.node(base, len);
-            return ProofNode::Subtree {
-                hash,
-                sum,
-                in_range: fully_in,
-            };
+            return ProofNode::Summary { hash, sum };
         }
         let k = split_point(len);
         ProofNode::Node {
-            left: Box::new(self.build_proof(base, k, lo, hi, false, open)),
-            right: Box::new(self.build_proof(base + k, len - k, lo, hi, false, open)),
+            left: Box::new(self.build_proof(base, k, lo, hi, open, false)),
+            right: Box::new(self.build_proof(base + k, len - k, lo, hi, open, false)),
         }
     }
+}
+
+/// Whether the span `[base, end)` lies wholly inside `[lo, hi)`, and
+/// whether wholly outside it.
+fn place(base: usize, end: usize, lo: usize, hi: usize) -> (bool, bool) {
+    (lo <= base && end <= hi, end <= lo || hi <= base)
 }
 
 /// Outcome of verifying one proof node: its hash, full sum, and the portion
@@ -358,11 +315,11 @@ struct Verified {
 pub enum VerifyError {
     /// Recomputed root hash does not match the attested root.
     RootMismatch,
-    /// Proof shape is inconsistent with the claimed tree size/range
-    /// (e.g. a partially-covered subtree was not expanded, or a summarized
-    /// node's `in_range` flag contradicts the span).
+    /// Proof shape is inconsistent with the tree size and window: a node
+    /// below a leaf, a summary at the root of a wider tree, or a summary
+    /// over a partly covered span (or, in an open proof, a covered one).
     MalformedProof,
-    /// Claimed range is empty or exceeds the tree.
+    /// The window is empty or exceeds the tree.
     BadRange,
     /// Digest widths disagree within the proof.
     WidthMismatch,
@@ -382,42 +339,52 @@ impl std::fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 impl RangeProof {
-    /// Verifies this proof against an attested `root` and returns the
-    /// authenticated digest sum over `[lo, hi)`.
-    pub fn verify(&self, root: &Hash) -> Result<Vec<u64>, VerifyError> {
-        self.verify_inner(root, None).map(|v| v.range_sum)
+    /// Verifies this proof of chunks `[lo, hi)` of an `n`-chunk tree against
+    /// an attested `root` and returns the authenticated digest sum over the
+    /// window.
+    pub fn verify(
+        &self,
+        root: &Hash,
+        n: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Result<Vec<u64>, VerifyError> {
+        self.check(root, n, lo, hi, None).map(|v| v.range_sum)
     }
 
-    /// Verifies an *open* proof (from [`SumTree::range_proof_open`]) and
-    /// returns every in-range leaf — `(commitment, digest sum)` per chunk,
-    /// in chunk order. Rejects proofs that summarize any in-range subtree:
-    /// a server cannot hide a chunk inside an aggregate.
-    pub fn verify_open(&self, root: &Hash) -> Result<Vec<SumLeaf>, VerifyError> {
-        // Grown as leaves verify, not sized up front: `lo`, `hi` and `n`
-        // are the server's claims until `verify_inner` has checked them.
+    /// Verifies an *open* proof (`SumTree::range_proof(.., true)`) and
+    /// returns every leaf of `[lo, hi)` — `(commitment, digest sum)` per
+    /// chunk, in chunk order. Rejects a proof that summarizes any span of
+    /// the window: a server cannot hide a chunk inside an aggregate.
+    pub fn verify_open(
+        &self,
+        root: &Hash,
+        n: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Result<Vec<SumLeaf>, VerifyError> {
         let mut leaves = Vec::new();
-        self.verify_inner(root, Some(&mut leaves))?;
-        if leaves.len() != self.hi - self.lo {
-            return Err(VerifyError::MalformedProof);
-        }
+        self.check(root, n, lo, hi, Some(&mut leaves))?;
         Ok(leaves)
     }
 
-    fn verify_inner(
+    fn check(
         &self,
         root: &Hash,
-        open: Option<&mut Vec<SumLeaf>>,
+        n: usize,
+        lo: usize,
+        hi: usize,
+        mut open: Option<&mut Vec<SumLeaf>>,
     ) -> Result<Verified, VerifyError> {
-        if self.lo >= self.hi || self.hi > self.n {
+        if lo >= hi || hi > n {
             return Err(VerifyError::BadRange);
         }
-        // The root itself must be opened (Node or Leaf): a bare Subtree
-        // summary at the top would leave its sum bound by nothing.
-        if matches!(self.root_node, ProofNode::Subtree { .. }) {
+        // A summary at the top of a wider tree would leave its sum bound by
+        // nothing.
+        if n > 1 && matches!(self.0, ProofNode::Summary { .. }) {
             return Err(VerifyError::MalformedProof);
         }
-        let mut open = open;
-        let v = verify_node(&self.root_node, 0, self.n, self.lo, self.hi, &mut open)?;
+        let v = verify_node(&self.0, 0, n, lo, hi, &mut open)?;
         if v.hash != *root {
             return Err(VerifyError::RootMismatch);
         }
@@ -425,9 +392,8 @@ impl RangeProof {
     }
 }
 
-const TAG_SUBTREE: u8 = 0;
-const TAG_LEAF: u8 = 1;
-const TAG_NODE: u8 = 2;
+const TAG_SUMMARY: u8 = 0;
+const TAG_NODE: u8 = 1;
 
 /// Decoder recursion/size limits: a proof over 2^48 chunks stays far below
 /// both, while hostile input cannot blow the stack or memory.
@@ -435,42 +401,21 @@ const MAX_PROOF_DEPTH: usize = 64;
 const MAX_SUM_WIDTH: usize = 4096;
 
 impl RangeProof {
-    /// Serializes the proof for the wire: `n || lo || hi || tree`.
+    /// Serializes the proof for the wire: the tree in preorder, a node as
+    /// its tag, a summary as its tag, hash and sum.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.n as u64).to_le_bytes());
-        out.extend_from_slice(&(self.lo as u64).to_le_bytes());
-        out.extend_from_slice(&(self.hi as u64).to_le_bytes());
-        encode_node(&self.root_node, &mut out);
+        encode_node(&self.0, &mut out);
         out
     }
 
     /// Parses [`encode`](Self::encode) output. Structure-validates only;
     /// semantic checks happen in [`verify`](Self::verify).
     pub fn decode(buf: &[u8]) -> Option<Self> {
-        if buf.len() < 24 {
-            return None;
-        }
-        let n = u64::from_le_bytes(buf[0..8].try_into().ok()?) as usize;
-        let lo = u64::from_le_bytes(buf[8..16].try_into().ok()?) as usize;
-        let hi = u64::from_le_bytes(buf[16..24].try_into().ok()?) as usize;
-        let mut pos = 24;
-        let root_node = decode_node(buf, &mut pos, 0)?;
-        if pos != buf.len() {
-            return None;
-        }
-        Some(RangeProof {
-            n,
-            lo,
-            hi,
-            root_node,
-        })
+        let mut pos = 0;
+        let root = decode_node(buf, &mut pos, 0)?;
+        (pos == buf.len()).then_some(RangeProof(root))
     }
-}
-
-fn encode_sum(sum: &[u64], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(sum.len() as u32).to_le_bytes());
-    le_bytes(sum, out);
 }
 
 fn decode_sum(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
@@ -501,21 +446,11 @@ fn decode_hash(buf: &[u8], pos: &mut usize) -> Option<Hash> {
 
 fn encode_node(node: &ProofNode, out: &mut Vec<u8>) {
     match node {
-        ProofNode::Subtree {
-            hash,
-            sum,
-            in_range,
-        }
-        | ProofNode::Leaf {
-            commitment: hash,
-            sum,
-            in_range,
-        } => {
-            let leaf = matches!(node, ProofNode::Leaf { .. });
-            out.push(if leaf { TAG_LEAF } else { TAG_SUBTREE });
+        ProofNode::Summary { hash, sum } => {
+            out.push(TAG_SUMMARY);
             out.extend_from_slice(hash);
-            encode_sum(sum, out);
-            out.push(u8::from(*in_range));
+            out.extend_from_slice(&(sum.len() as u32).to_le_bytes());
+            le_bytes(sum, out);
         }
         ProofNode::Node { left, right } => {
             out.push(TAG_NODE);
@@ -532,28 +467,10 @@ fn decode_node(buf: &[u8], pos: &mut usize, depth: usize) -> Option<ProofNode> {
     let tag = *buf.get(*pos)?;
     *pos += 1;
     match tag {
-        TAG_SUBTREE | TAG_LEAF => {
+        TAG_SUMMARY => {
             let hash = decode_hash(buf, pos)?;
             let sum = decode_sum(buf, pos)?;
-            let in_range = match *buf.get(*pos)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            *pos += 1;
-            Some(if tag == TAG_SUBTREE {
-                ProofNode::Subtree {
-                    hash,
-                    sum,
-                    in_range,
-                }
-            } else {
-                ProofNode::Leaf {
-                    commitment: hash,
-                    sum,
-                    in_range,
-                }
-            })
+            Some(ProofNode::Summary { hash, sum })
         }
         TAG_NODE => {
             let left = Box::new(decode_node(buf, pos, depth + 1)?);
@@ -564,59 +481,42 @@ fn decode_node(buf: &[u8], pos: &mut usize, depth: usize) -> Option<ProofNode> {
     }
 }
 
+/// Verifies `node` as the span `[base, end)` of a proof of `[lo, hi)`,
+/// collecting the window's leaves into `open` when given.
 fn verify_node(
     node: &ProofNode,
-    span_lo: usize,
-    span_hi: usize,
+    base: usize,
+    end: usize,
     lo: usize,
     hi: usize,
     open: &mut Option<&mut Vec<SumLeaf>>,
 ) -> Result<Verified, VerifyError> {
-    let fully_in = lo <= span_lo && span_hi <= hi;
-    let disjoint = span_hi <= lo || hi <= span_lo;
-    let span_len = span_hi - span_lo;
+    let (inside, outside) = place(base, end, lo, hi);
     let (hash, sum) = match node {
-        ProofNode::Leaf {
-            commitment,
-            sum,
-            in_range,
-        } => {
-            if span_len != 1 || *in_range != fully_in {
-                return Err(VerifyError::MalformedProof);
-            }
+        ProofNode::Summary { hash, sum } if end - base == 1 => {
             let leaf = SumLeaf {
-                commitment: *commitment,
+                commitment: *hash,
                 sum: sum.clone(),
             };
             let hash = hash_leaf(&leaf);
-            if fully_in {
-                if let Some(out) = open.as_deref_mut() {
-                    out.push(leaf);
-                }
+            if let (true, Some(out)) = (inside, open.as_deref_mut()) {
+                out.push(leaf);
             }
             (hash, sum)
         }
-        ProofNode::Subtree {
-            hash,
-            sum,
-            in_range,
-        } => {
-            // Summaries are only legal for subtrees wholly inside or wholly
-            // outside the range; a partial overlap must be expanded — and in
-            // open mode, in-range subtrees must be expanded to leaves too.
-            let partial = !fully_in && !disjoint;
-            if span_len < 2 || *in_range != fully_in || partial || fully_in && open.is_some() {
+        ProofNode::Summary { hash, sum } => {
+            if !(outside || inside && open.is_none()) {
                 return Err(VerifyError::MalformedProof);
             }
             (*hash, sum)
         }
         ProofNode::Node { left, right } => {
-            if span_len < 2 {
+            if end - base < 2 {
                 return Err(VerifyError::MalformedProof);
             }
-            let k = split_point(span_len);
-            let l = verify_node(left, span_lo, span_lo + k, lo, hi, open)?;
-            let r = verify_node(right, span_lo + k, span_hi, lo, hi, open)?;
+            let k = base + split_point(end - base);
+            let l = verify_node(left, base, k, lo, hi, open)?;
+            let r = verify_node(right, k, end, lo, hi, open)?;
             if l.sum.len() != r.sum.len() {
                 return Err(VerifyError::WidthMismatch);
             }
@@ -627,7 +527,7 @@ fn verify_node(
             });
         }
     };
-    let range_sum = if fully_in {
+    let range_sum = if inside {
         sum.clone()
     } else {
         vec![0u64; sum.len()]
@@ -664,15 +564,30 @@ mod tests {
         })
     }
 
+    /// A summary's span `(base, end)`, hash and sum; true stops the walk.
+    type Visit<'a> = dyn FnMut((usize, usize), &mut Hash, &mut Vec<u64>) -> bool + 'a;
+
+    /// Calls `f` with each summary of `node`, the span `[base, base+len)`,
+    /// until `f` returns true.
+    fn find(node: &mut ProofNode, base: usize, len: usize, f: &mut Visit) -> bool {
+        match node {
+            ProofNode::Summary { hash, sum } => f((base, base + len), hash, sum),
+            ProofNode::Node { left, right } => {
+                let k = split_point(len);
+                find(left, base, k, f) || find(right, base + k, len - k, f)
+            }
+        }
+    }
+
     #[test]
     fn all_ranges_verify_and_match_naive_sums() {
         let t = tree_of(19, 3);
         let root = t.root();
         for lo in 0..19 {
             for hi in lo + 1..=19 {
-                let proof = t.range_proof(lo, hi, 19).unwrap();
+                let proof = t.range_proof(lo, hi, 19, false).unwrap();
                 let sum = proof
-                    .verify(&root)
+                    .verify(&root, 19, lo, hi)
                     .unwrap_or_else(|e| panic!("[{lo},{hi}): {e}"));
                 assert_eq!(sum, naive_sum(lo, hi, 3), "[{lo},{hi})");
             }
@@ -684,8 +599,8 @@ mod tests {
         let t = tree_of(25, 2);
         for n in [1usize, 2, 7, 16, 24] {
             let root = t.root_at(n).unwrap();
-            let proof = t.range_proof(0, n, n).unwrap();
-            assert_eq!(proof.verify(&root).unwrap(), naive_sum(0, n, 2));
+            let proof = t.range_proof(0, n, n, false).unwrap();
+            assert_eq!(proof.verify(&root, n, 0, n).unwrap(), naive_sum(0, n, 2));
         }
     }
 
@@ -693,29 +608,17 @@ mod tests {
     fn tampered_sum_is_detected() {
         let t = tree_of(16, 2);
         let root = t.root();
-        let mut proof = t.range_proof(4, 12, 16).unwrap();
-        // Find any in-range sum in the proof and inflate it.
-        fn tamper(node: &mut ProofNode) -> bool {
-            match node {
-                ProofNode::Subtree {
-                    sum,
-                    in_range: true,
-                    ..
-                }
-                | ProofNode::Leaf {
-                    sum,
-                    in_range: true,
-                    ..
-                } => {
-                    sum[0] = sum[0].wrapping_add(1);
-                    true
-                }
-                ProofNode::Node { left, right } => tamper(left) || tamper(right),
-                _ => false,
+        let mut proof = t.range_proof(4, 12, 16, false).unwrap();
+        // Inflate the sum of a summary inside the window.
+        let inflated = find(&mut proof.0, 0, 16, &mut |(base, end), _, sum| {
+            let inside = 4 <= base && end <= 12;
+            if inside {
+                sum[0] = sum[0].wrapping_add(1);
             }
-        }
-        assert!(tamper(&mut proof.root_node));
-        assert!(proof.verify(&root).is_err());
+            inside
+        });
+        assert!(inflated);
+        assert!(proof.verify(&root, 16, 4, 12).is_err());
     }
 
     #[test]
@@ -723,28 +626,15 @@ mod tests {
         // Even sums outside the queried range are bound by the parent hash.
         let t = tree_of(16, 1);
         let root = t.root();
-        let mut proof = t.range_proof(0, 4, 16).unwrap();
-        fn tamper(node: &mut ProofNode) -> bool {
-            match node {
-                ProofNode::Subtree {
-                    sum,
-                    in_range: false,
-                    ..
-                }
-                | ProofNode::Leaf {
-                    sum,
-                    in_range: false,
-                    ..
-                } => {
-                    sum[0] = sum[0].wrapping_sub(7);
-                    true
-                }
-                ProofNode::Node { left, right } => tamper(left) || tamper(right),
-                _ => false,
+        let mut proof = t.range_proof(0, 4, 16, false).unwrap();
+        let deflated = find(&mut proof.0, 0, 16, &mut |(base, _), _, sum| {
+            if base >= 4 {
+                sum[0] = sum[0].wrapping_sub(7);
             }
-        }
-        assert!(tamper(&mut proof.root_node));
-        assert!(proof.verify(&root).is_err());
+            base >= 4
+        });
+        assert!(deflated);
+        assert!(proof.verify(&root, 16, 0, 4).is_err());
     }
 
     #[test]
@@ -759,60 +649,50 @@ mod tests {
                 cheat.push(leaf(i, 2)).unwrap();
             }
         }
-        let forged = cheat.range_proof(0, 15, 15).unwrap();
-        assert!(forged.verify(&root).is_err());
+        let forged = cheat.range_proof(0, 15, 15, false).unwrap();
+        assert!(forged.verify(&root, 16, 0, 15).is_err());
+        assert!(forged.verify(&root, 16, 0, 16).is_err());
     }
 
     #[test]
-    fn bare_subtree_root_rejected() {
-        // A proof that summarizes the whole tree in one Subtree node would
-        // leave its sum unbound — the verifier must refuse it.
+    fn a_summary_root_is_rejected() {
+        // A proof that summarizes the whole tree in one node, with the
+        // true root hash, would leave its sum unbound: the verifier must
+        // refuse it.
         let t = tree_of(8, 1);
         let (hash, sum) = subtree(&t.leaves);
-        let proof = RangeProof {
-            n: 8,
-            lo: 0,
-            hi: 8,
-            root_node: ProofNode::Subtree {
-                hash,
-                sum: add_sums(&sum, &[9]),
-                in_range: true,
-            },
-        };
-        assert_eq!(proof.verify(&t.root()), Err(VerifyError::MalformedProof));
+        let sum = add_sums(&sum, &[9]);
+        let proof = RangeProof(ProofNode::Summary { hash, sum });
+        assert_eq!(hash, t.root());
+        for (lo, hi) in [(0, 8), (2, 3)] {
+            let refused = proof.verify(&t.root(), 8, lo, hi);
+            assert_eq!(refused, Err(VerifyError::MalformedProof));
+        }
     }
 
     #[test]
     fn partially_covered_summary_rejected() {
-        // Hand-build a proof that summarizes a half-covered subtree.
+        // Hand-build a proof that summarizes both halves of a window
+        // covering half of each: the hashes are the true ones.
         let t = tree_of(4, 1);
         let (lh, ls) = subtree(&t.leaves[..2]);
         let (rh, rs) = subtree(&t.leaves[2..]);
-        let proof = RangeProof {
-            n: 4,
-            lo: 1,
-            hi: 3, // covers half of each child
-            root_node: ProofNode::Node {
-                left: Box::new(ProofNode::Subtree {
-                    hash: lh,
-                    sum: ls,
-                    in_range: true,
-                }),
-                right: Box::new(ProofNode::Subtree {
-                    hash: rh,
-                    sum: rs,
-                    in_range: false,
-                }),
-            },
-        };
-        assert_eq!(proof.verify(&t.root()), Err(VerifyError::MalformedProof));
+        let proof = RangeProof(ProofNode::Node {
+            left: Box::new(ProofNode::Summary { hash: lh, sum: ls }),
+            right: Box::new(ProofNode::Summary { hash: rh, sum: rs }),
+        });
+        let refused = proof.verify(&t.root(), 4, 1, 3);
+        assert_eq!(refused, Err(VerifyError::MalformedProof));
+        // The same tree is a proof of a window that covers the halves whole.
+        assert_eq!(proof.verify(&t.root(), 4, 0, 2), Ok(naive_sum(0, 2, 1)));
     }
 
     #[test]
     fn single_leaf_tree_proof() {
         let t = tree_of(1, 4);
-        let proof = t.range_proof(0, 1, 1).unwrap();
-        assert_eq!(proof.verify(&t.root()).unwrap(), naive_sum(0, 1, 4));
+        let proof = t.range_proof(0, 1, 1, false).unwrap();
+        let sum = proof.verify(&t.root(), 1, 0, 1);
+        assert_eq!(sum.unwrap(), naive_sum(0, 1, 4));
     }
 
     #[test]
@@ -824,10 +704,16 @@ mod tests {
     #[test]
     fn bad_ranges_rejected() {
         let t = tree_of(8, 1);
-        assert!(t.range_proof(3, 3, 8).is_err(), "empty");
-        assert!(t.range_proof(5, 4, 8).is_err(), "inverted");
-        assert!(t.range_proof(0, 9, 9).is_err(), "past end");
-        assert!(t.range_proof(0, 9, 8).is_err(), "hi > n");
+        assert!(t.range_proof(3, 3, 8, false).is_err(), "empty");
+        assert!(t.range_proof(5, 4, 8, false).is_err(), "inverted");
+        assert!(t.range_proof(0, 9, 9, false).is_err(), "past end");
+        assert!(t.range_proof(0, 9, 8, false).is_err(), "hi > n");
+        // The verifier refuses such windows before reading the proof.
+        let proof = t.range_proof(0, 8, 8, false).unwrap();
+        for (lo, hi, n) in [(3, 3, 8), (5, 4, 8), (0, 9, 8), (9, 20, 8)] {
+            let refused = proof.verify(&t.root(), n, lo, hi);
+            assert_eq!(refused, Err(VerifyError::BadRange), "[{lo},{hi}) of {n}");
+        }
     }
 
     #[test]
@@ -835,58 +721,56 @@ mod tests {
         let t = tree_of(21, 2);
         let root = t.root();
         for (lo, hi) in [(0usize, 21usize), (5, 13), (20, 21), (0, 1)] {
-            let proof = t.range_proof_open(lo, hi, 21).unwrap();
+            let proof = t.range_proof(lo, hi, 21, true).unwrap();
             let leaves = proof
-                .verify_open(&root)
+                .verify_open(&root, 21, lo, hi)
                 .unwrap_or_else(|e| panic!("[{lo},{hi}): {e}"));
             assert_eq!(leaves.len(), hi - lo);
             for (off, l) in leaves.iter().enumerate() {
                 assert_eq!(*l, leaf((lo + off) as u64, 2), "[{lo},{hi}) leaf {off}");
             }
             // The open proof also verifies as a plain aggregate proof.
-            assert_eq!(proof.verify(&root).unwrap(), naive_sum(lo, hi, 2));
+            let sum = proof.verify(&root, 21, lo, hi);
+            assert_eq!(sum.unwrap(), naive_sum(lo, hi, 2));
             // Codec round-trip preserves it.
             let decoded = RangeProof::decode(&proof.encode()).unwrap();
-            assert_eq!(decoded.verify_open(&root).unwrap().len(), hi - lo);
+            let leaves = decoded.verify_open(&root, 21, lo, hi);
+            assert_eq!(leaves.unwrap().len(), hi - lo);
         }
     }
 
     #[test]
     fn summarized_proof_rejected_by_verify_open() {
-        // A compact proof hides interior leaves inside Subtree summaries;
+        // A compact proof hides interior leaves inside summaries;
         // verify_open must refuse it (a server cannot hide chunks).
         let t = tree_of(32, 1);
-        let compact = t.range_proof(0, 32, 32).unwrap();
+        let compact = t.range_proof(0, 32, 32, false).unwrap();
         assert_eq!(
-            compact.verify_open(&t.root()),
+            compact.verify_open(&t.root(), 32, 0, 32),
             Err(VerifyError::MalformedProof)
         );
         // …while the open form of the same range passes.
-        let open = t.range_proof_open(0, 32, 32).unwrap();
-        assert_eq!(open.verify_open(&t.root()).unwrap().len(), 32);
+        let open = t.range_proof(0, 32, 32, true).unwrap();
+        let leaves = open.verify_open(&t.root(), 32, 0, 32);
+        assert_eq!(leaves.unwrap().len(), 32);
     }
 
     #[test]
     fn open_proof_with_tampered_commitment_rejected() {
         let t = tree_of(16, 1);
         let root = t.root();
-        let mut proof = t.range_proof_open(4, 8, 16).unwrap();
-        fn tamper(node: &mut ProofNode) -> bool {
-            match node {
-                ProofNode::Leaf {
-                    commitment,
-                    in_range: true,
-                    ..
-                } => {
-                    commitment[0] ^= 1;
-                    true
-                }
-                ProofNode::Node { left, right } => tamper(left) || tamper(right),
-                _ => false,
+        let mut proof = t.range_proof(4, 8, 16, true).unwrap();
+        // A one-chunk summary inside the window: a leaf, its hash the
+        // chunk's commitment.
+        let flipped = find(&mut proof.0, 0, 16, &mut |(base, end), hash, _| {
+            let leaf = end - base == 1 && (4..8).contains(&base);
+            if leaf {
+                hash[0] ^= 1;
             }
-        }
-        assert!(tamper(&mut proof.root_node));
-        assert!(proof.verify_open(&root).is_err());
+            leaf
+        });
+        assert!(flipped);
+        assert!(proof.verify_open(&root, 16, 4, 8).is_err());
     }
 
     #[test]
@@ -894,27 +778,28 @@ mod tests {
         let t = tree_of(19, 3);
         let root = t.root();
         for (lo, hi) in [(0usize, 19usize), (5, 6), (3, 17)] {
-            let proof = t.range_proof(lo, hi, 19).unwrap();
+            let proof = t.range_proof(lo, hi, 19, false).unwrap();
             let bytes = proof.encode();
             let decoded = RangeProof::decode(&bytes).unwrap();
             assert_eq!(decoded, proof, "[{lo},{hi})");
-            assert_eq!(decoded.verify(&root).unwrap(), naive_sum(lo, hi, 3));
+            let sum = decoded.verify(&root, 19, lo, hi);
+            assert_eq!(sum.unwrap(), naive_sum(lo, hi, 3));
         }
     }
 
     #[test]
     fn proof_decode_rejects_garbage_and_truncation() {
         let t = tree_of(8, 2);
-        let bytes = t.range_proof(2, 6, 8).unwrap().encode();
+        let bytes = t.range_proof(2, 6, 8, false).unwrap().encode();
         assert!(RangeProof::decode(&[]).is_none());
-        for cut in [10, 24, 30, bytes.len() - 1] {
+        for cut in [1, 10, 24, 30, bytes.len() - 1] {
             assert!(RangeProof::decode(&bytes[..cut]).is_none(), "cut {cut}");
         }
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(RangeProof::decode(&extended).is_none(), "trailing byte");
         let mut bad_tag = bytes;
-        bad_tag[24] = 9;
+        bad_tag[0] = 9;
         assert!(RangeProof::decode(&bad_tag).is_none(), "unknown tag");
     }
 
@@ -922,8 +807,7 @@ mod tests {
     fn proof_decode_depth_bomb_rejected() {
         // A chain of TAG_NODE bytes nests one level each: past the depth
         // cap the decoder must bail rather than recurse unboundedly.
-        let mut buf = vec![0u8; 24];
-        buf.extend(std::iter::repeat_n(TAG_NODE, 100_000));
+        let buf = vec![TAG_NODE; 100_000];
         assert!(RangeProof::decode(&buf).is_none());
     }
 
@@ -934,16 +818,13 @@ mod tests {
         fn count(node: &ProofNode) -> usize {
             match node {
                 ProofNode::Node { left, right } => 1 + count(left) + count(right),
-                _ => 1,
+                ProofNode::Summary { .. } => 1,
             }
         }
         let t = tree_of(1024, 1);
-        let proof = t.range_proof(500, 501, 1024).unwrap();
-        assert!(
-            count(&proof.root_node) <= 2 * 11 + 1,
-            "{}",
-            count(&proof.root_node)
-        );
-        assert_eq!(proof.verify(&t.root()).unwrap(), naive_sum(500, 501, 1));
+        let proof = t.range_proof(500, 501, 1024, false).unwrap();
+        assert!(count(&proof.0) <= 2 * 11 + 1, "{}", count(&proof.0));
+        let sum = proof.verify(&t.root(), 1024, 500, 501);
+        assert_eq!(sum.unwrap(), naive_sum(500, 501, 1));
     }
 }

@@ -772,11 +772,8 @@ impl TimeCryptServer {
         // Proof builders share the ledger; only a catch-up excludes them.
         let ledger = st.ledger.read();
         let (from, to, size) = (lo as usize, hi as usize, att.size as usize);
-        let proof = match open {
-            true => ledger.prove_range_open(from, to, size),
-            false => ledger.prove_range(from, to, size),
-        }
-        .map_err(|e| ServerError::Integrity(e.to_string()))?;
+        let proof = ledger.prove_range(from, to, size, open);
+        let proof = proof.map_err(|e| ServerError::Integrity(e.to_string()))?;
         Ok((att_bytes, proof.encode(), lo, hi))
     }
 

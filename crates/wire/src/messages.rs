@@ -407,7 +407,7 @@ wire_struct! {
         pub shards: Vec<ShardStatsWire> = -,
         /// KV `get` calls the store's log counted.
         pub store_gets: u64 = [Counter "timecrypt_store_ops_total"
-            "KV operations observed by the metered store." {op = "get"}],
+            "KV operations the store's log counted." {op = "get"}],
         /// KV `put` operations.
         pub store_puts: u64 = [{op = "put"}],
         /// KV `delete` operations.
@@ -417,7 +417,7 @@ wire_struct! {
         /// Value bytes returned by `get`/`scan_prefix` (the paper's
         /// Cassandra-side read traffic, §4.6).
         pub store_bytes_read: u64 = [Counter "timecrypt_store_bytes_total"
-            "Bytes moved through the metered store." {dir = "read"}],
+            "Value bytes read and written, as the store's log counted them." {dir = "read"}],
         /// Value bytes written by `put`.
         pub store_bytes_written: u64 = [{dir = "written"}],
     }

@@ -80,9 +80,10 @@ fn main() {
     let vk = owner_key.verifying_key();
     let (lo, hi) = (6 * 360usize, 12 * 360usize); // chunk indices at Δ = 10 s
     let proof = server_ledger
-        .prove_range(lo, hi, attestation.size as usize)
+        .prove_range(lo, hi, attestation.size as usize, false)
         .unwrap();
-    let verified_ct = verify_attested_range(STREAM, &attestation, &vk, &proof).unwrap();
+    // The consumer verifies the window it asked for, not one the server names.
+    let verified_ct = verify_attested_range(STREAM, &attestation, &vk, &proof, lo, hi).unwrap();
     println!("range proof for chunks [{lo},{hi}) verified against the signed root");
 
     // Only now decrypt (here with the owner's own keys; a consumer would use
@@ -122,9 +123,9 @@ fn main() {
         .append(chunk_commitment(&last.to_bytes()), last.digest_ct.clone())
         .unwrap();
     let forged = cheating
-        .prove_range(lo, hi, attestation.size as usize)
+        .prove_range(lo, hi, attestation.size as usize, false)
         .unwrap();
-    match verify_attested_range(STREAM, &attestation, &vk, &forged) {
+    match verify_attested_range(STREAM, &attestation, &vk, &forged, lo, hi) {
         Err(e) => println!("cheating server caught: {e}"),
         Ok(_) => unreachable!("a forged history must not verify"),
     }

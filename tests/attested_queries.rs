@@ -288,18 +288,20 @@ fn verified_raw_read_detects_chunk_substitution() {
     assert!(err.to_string().contains("integrity check failed"), "{err}");
 }
 
-/// A server that sends its genuine attestation beside a range proof whose
-/// `lo` it moved past `hi`.
+/// A server that answers a verified read with its genuine reply for the
+/// first 100 s, whatever was asked.
 struct Backwards<'a>(&'a mut InProc<TimeCryptServer>);
 
 impl Transport for Backwards<'_> {
     fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
-        let mut reply = self.0.call(req)?;
-        if let Response::VerifiedChunks { proof, .. } = &mut reply {
-            let hi = u64::from_le_bytes(proof[16..24].try_into().unwrap());
-            proof[8..16].copy_from_slice(&(hi + 1).to_le_bytes());
+        match *req {
+            Request::GetVerifiedRange { stream, .. } => self.0.call(&Request::GetVerifiedRange {
+                stream,
+                ts_s: 0,
+                ts_e: 100_000,
+            }),
+            _ => self.0.call(req),
         }
-        Ok(reply)
     }
 }
 
@@ -318,11 +320,66 @@ fn a_backwards_range_proof_is_an_error_not_a_panic() {
         .grant_access(&mut t, "c", c.public_key(), 0, 100_000)
         .unwrap();
     c.sync_grants(&mut t, cfg.id).unwrap();
-    let reply = c.verified_get_range(&mut Backwards(&mut t), cfg.id, &vk, 0, 100_000);
+    // Asked past the 10 attested chunks, the consumer's window [15, 20)
+    // clamps to the backwards [15, 10): refused, whatever the reply.
+    let reply = c.verified_get_range(&mut Backwards(&mut t), cfg.id, &vk, 150_000, 200_000);
     assert!(reply.is_err(), "{reply:?}");
     assert!(c
         .verified_get_range(&mut t, cfg.id, &vk, 0, 100_000)
         .is_ok());
+}
+
+/// A server that proves a window one chunk (Δ = 10 s) shorter than the one
+/// asked for: it moves the start of every proof request one Δ later.
+struct Later<'a>(&'a mut InProc<TimeCryptServer>);
+
+impl Transport for Later<'_> {
+    fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+        let later = match *req {
+            Request::GetRangeProof { stream, ts_s, ts_e } => Request::GetRangeProof {
+                stream,
+                ts_s: ts_s + 10_000,
+                ts_e,
+            },
+            Request::GetVerifiedRange { stream, ts_s, ts_e } => Request::GetVerifiedRange {
+                stream,
+                ts_s: ts_s + 10_000,
+                ts_e,
+            },
+            _ => req.clone(),
+        };
+        self.0.call(&later)
+    }
+}
+
+#[test]
+fn a_proof_one_chunk_short_answers_the_asked_window_or_is_refused() {
+    // The consumer takes its window from its own request, never from the
+    // server: a proof of a narrower window either proves the asked one (a
+    // leaf outside the server's window is still the asked window's leaf)
+    // or fails, and a raw read missing a chunk is refused.
+    let (_, mut t) = setup();
+    let cfg = StreamConfig::new(14, "hr", 0, 10_000);
+    let mut owner = owner_for(&cfg, 1);
+    owner.create_stream(&mut t).unwrap();
+    let mut rng = SecureRandom::from_seed_insecure(9);
+    let key = SigningKey::generate(&mut rng);
+    let vk = key.verifying_key();
+    ingest_attested(&mut t, &cfg, &owner, key, 600);
+    let mut c = Consumer::new("c", &mut rng);
+    owner
+        .grant_access(&mut t, "c", c.public_key(), 0, 600_000)
+        .unwrap();
+    c.sync_grants(&mut t, cfg.id).unwrap();
+
+    let (ts_s, ts_e) = (100_000, 300_000);
+    if let Ok(stat) = c.verified_stat_query(&mut Later(&mut t), cfg.id, &vk, ts_s, ts_e) {
+        assert_eq!(stat.count, Some(200), "the asked window's count");
+        assert_eq!(stat.sum, Some((100..300).sum::<i64>()));
+    }
+    if let Ok(points) = c.verified_get_range(&mut Later(&mut t), cfg.id, &vk, ts_s, ts_e) {
+        assert_eq!(points.len(), 200, "every point of the asked window");
+    }
 }
 
 #[test]
@@ -453,11 +510,11 @@ fn evicting_between_every_request_changes_no_attested_reply() {
             };
             let att = RootAttestation::decode(attestation).unwrap();
             let proof = RangeProof::decode(proof).unwrap();
-            assert_eq!(
-                (att.size, proof.n as i64),
-                (attested as u64 / 10, attested / 10)
-            );
-            verify_attested_range(cfg.id, &att, &key.verifying_key(), &proof)
+            assert_eq!(att.size, attested as u64 / 10, "{at}");
+            // The window the consumer works out: whole chunks, clamped.
+            let (lo, hi) = cfg.grid().unwrap().within(lo_s * 1000, hi_s * 1000);
+            let (lo, hi) = (lo as usize, hi.min(att.size) as usize);
+            verify_attested_range(cfg.id, &att, &key.verifying_key(), &proof, lo, hi)
                 .unwrap_or_else(|e| panic!("{at}: {e}"));
         }
     }

@@ -84,10 +84,12 @@ fn verified_aggregate_decrypts_to_ground_truth() {
     for (lo, hi) in [(0u64, CHUNKS), (3, 17), (39, 40), (0, 1)] {
         let proof = w
             .server_ledger
-            .prove_range(lo as usize, hi as usize, att.size as usize)
+            .prove_range(lo as usize, hi as usize, att.size as usize, false)
             .unwrap();
-        // Consumer: authenticate first, then decrypt the proven ciphertext.
-        let agg_ct = verify_attested_range(STREAM, &att, &vk, &proof).unwrap();
+        // Consumer: authenticate its window first, then decrypt the proven
+        // ciphertext.
+        let window = (lo as usize, hi as usize);
+        let agg_ct = verify_attested_range(STREAM, &att, &vk, &proof, window.0, window.1).unwrap();
         let plain = decrypt_range_sum(&w.keys.tree, lo, hi, &agg_ct).unwrap();
         // Element order follows the stream's digest schema; element 0 is Sum,
         // element 1 is Count in the standard schema.
@@ -111,11 +113,11 @@ fn server_substituting_a_digest_is_caught_before_decryption() {
     let replayed = (0..CHUNKS as usize).map(|i| &w.chunks[if i == 6 { 5 } else { i }]);
     let cheat = ledger_of(replayed);
     let forged = cheat
-        .prove_range(0, CHUNKS as usize, att.size as usize)
+        .prove_range(0, CHUNKS as usize, att.size as usize, false)
         .unwrap();
     let vk = w.owner_key.verifying_key();
     assert!(matches!(
-        verify_attested_range(STREAM, &att, &vk, &forged),
+        verify_attested_range(STREAM, &att, &vk, &forged, 0, CHUNKS as usize),
         Err(AttestError::Proof(_))
     ));
 }
@@ -135,18 +137,18 @@ fn integrity_composes_with_access_control() {
     // In-range verified aggregate decrypts.
     let proof = w
         .server_ledger
-        .prove_range(8, 16, att.size as usize)
+        .prove_range(8, 16, att.size as usize, false)
         .unwrap();
-    let ct = verify_attested_range(STREAM, &att, &vk, &proof).unwrap();
+    let ct = verify_attested_range(STREAM, &att, &vk, &proof, 8, 16).unwrap();
     let plain = decrypt_range_sum(&tokens, 8, 16, &ct).unwrap();
     assert_eq!(plain[0] as i64, expected_sum(8, 16));
 
     // Out-of-range aggregate verifies but cannot be decrypted.
     let proof = w
         .server_ledger
-        .prove_range(0, 8, att.size as usize)
+        .prove_range(0, 8, att.size as usize, false)
         .unwrap();
-    let ct = verify_attested_range(STREAM, &att, &vk, &proof).unwrap();
+    let ct = verify_attested_range(STREAM, &att, &vk, &proof, 0, 8).unwrap();
     assert!(decrypt_range_sum(&tokens, 0, 8, &ct).is_err());
 }
 
@@ -167,11 +169,11 @@ fn proof_bytes_are_ledger_rows() {
         ("closed_100_of_1024", 300, 400, false),
         ("open_16_of_1024", 300, 316, true),
     ] {
-        let proof = match open {
-            true => ledger.prove_range_open(lo, hi, 1024),
-            false => ledger.prove_range(lo, hi, 1024),
-        };
-        let bytes = proof.unwrap().encode().len();
+        let bytes = ledger
+            .prove_range(lo, hi, 1024, open)
+            .unwrap()
+            .encode()
+            .len();
         rows.push((format!("integrity.proof_bytes.{name}"), bytes.to_string()));
     }
     common::ledger(&rows);

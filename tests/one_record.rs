@@ -144,7 +144,8 @@ impl Attested {
             RootAttestation::decode(&att).unwrap(),
             RangeProof::decode(&proof).unwrap(),
         );
-        verify_attested_range(self.stream, &a, &self.key.verifying_key(), &p).unwrap();
+        let (vk, window) = (self.key.verifying_key(), (lo as usize, hi as usize));
+        verify_attested_range(self.stream, &a, &vk, &p, window.0, window.1).unwrap();
         (att, proof)
     }
 }
@@ -189,6 +190,8 @@ proptest! {
             &RootAttestation::decode(&att).unwrap(),
             &a.key.verifying_key(),
             &RangeProof::decode(&proof).unwrap(),
+            0,
+            n as usize,
         )
         .unwrap();
         for (leaf, sent) in leaves.iter().zip(&a.sent) {
