@@ -1,7 +1,7 @@
 //! The hot paths' allocation-free steps allocate nothing once their buffers
 //! are warm (ARCHITECTURE.md, "Checked invariants"), a store read
-//! allocates its value alone, and a store batch's calls are counted (two
-//! ledger rows). The others are counted beside their callers: each
+//! allocates its value alone, and a lone put's and a store batch's calls
+//! are counted (three ledger rows). The others are counted beside their callers: each
 //! handler's `dispatch` in `ingest_path.rs`, the index's boundary reads and
 //! appends in `index_node_shape.rs`, P-256's arithmetic in `grant_cost.rs`.
 
@@ -152,5 +152,25 @@ fn a_warm_store_batch_counts_its_allocator_calls() {
     common::ledger(&[(
         "store_log.batch16.allocations_per_call".into(),
         format!("{:.4}", calls as f64 / BATCHES as f64),
+    )]);
+}
+
+/// 1 000 warm lone `put`s on a `MemKv`, each of a 64-byte value under the
+/// next counting key of one stream. The row is the allocator calls a put
+/// makes, the growth of the file and of the index amortised as above.
+#[test]
+fn a_warm_lone_put_counts_its_allocator_calls() {
+    const PUTS: u64 = 1_000;
+    let kv = MemKv::new();
+    let keys: Vec<Vec<u8>> = (0..=PUTS)
+        .map(|n| [&b"il/7/"[..], &n.to_be_bytes()].concat())
+        .collect();
+    let put = |n: u64| kv.put(&keys[n as usize], &[5; 64]).unwrap();
+    put(0);
+    let (calls, ()) = common::calls_of(|| (1..=PUTS).for_each(put));
+    assert_eq!(kv.len() as u64, PUTS + 1);
+    common::ledger(&[(
+        "store_log.put.allocations_per_call".into(),
+        format!("{:.4}", calls as f64 / PUTS as f64),
     )]);
 }
