@@ -1,7 +1,7 @@
 //! The backend for a shard hosted by a `timecrypt-node` process.
 
 use super::{Leg, Pending, ShardBackend, Verdicts, DEADLINE, UNREACHABLE};
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{record_leg, record_run, ShardMetrics};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use timecrypt_obs::{trace, TraceContext};
@@ -13,7 +13,7 @@ use timecrypt_wire::transport::ClientError;
 /// A shard hosted by a `timecrypt-node` process, reached over TCP.
 pub struct RemoteShard {
     pool: ClientPool,
-    metrics: Arc<ServiceMetrics>,
+    metrics: Arc<[ShardMetrics]>,
     shard: usize,
 }
 
@@ -21,7 +21,7 @@ impl RemoteShard {
     pub(crate) fn new(
         addr: String,
         pool_cfg: PoolConfig,
-        metrics: Arc<ServiceMetrics>,
+        metrics: Arc<[ShardMetrics]>,
         shard: usize,
     ) -> Self {
         RemoteShard {
@@ -115,7 +115,7 @@ impl ShardBackend for RemoteShard {
                     "unexpected remote stat reply",
                 ))]),
             };
-            metrics.shard(shard).record_leg(started.elapsed(), &leg);
+            record_leg(&metrics[shard], started.elapsed(), &leg);
             Ok(leg)
         })
     }
@@ -159,7 +159,7 @@ impl ShardBackend for RemoteShard {
                 _ => results
                     .fill_with(|| Err(ServerError::Unavailable("unexpected remote batch reply"))),
             }
-            metrics.shard(shard).record_run(started.elapsed(), &results);
+            record_run(&metrics[shard], started.elapsed(), &results);
             Ok(results)
         })
     }
@@ -243,7 +243,7 @@ mod tests {
     }
 
     fn shard(addr: String, pool: PoolConfig) -> RemoteShard {
-        RemoteShard::new(addr, pool, Arc::new(ServiceMetrics::new(1)), 0)
+        RemoteShard::new(addr, pool, Arc::new([ShardMetrics::default()]), 0)
     }
 
     fn unreachable(reply: Result<Response, ServerError>) -> bool {

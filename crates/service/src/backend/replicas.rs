@@ -1,7 +1,7 @@
 //! One shard's replica set: failover, promotion and rebuild.
 
 use super::{Leg, Pending, ShardBackend, Verdicts, AMBIGUOUS, SAME_NODE};
-use crate::metrics::{ServiceMetrics, ShardMetrics};
+use crate::metrics::ShardMetrics;
 use parking_lot::RwLock;
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -97,7 +97,7 @@ struct Roles {
 /// and a rebuild re-verifies it, the replicas never differ silently.
 pub struct ShardReplicas {
     shard: usize,
-    metrics: Arc<ServiceMetrics>,
+    metrics: Arc<[ShardMetrics]>,
     roles: Ranked<{ rank::ROLES }, RwLock<Roles>>,
     /// Consecutive primary transport failures; reset by any success.
     strikes: AtomicU32,
@@ -119,13 +119,13 @@ pub(crate) type Admission = Stripes<{ rank::ADMISSION }, RwLock<()>>;
 impl ShardReplicas {
     pub(crate) fn new(
         shard: usize,
-        metrics: Arc<ServiceMetrics>,
+        metrics: Arc<[ShardMetrics]>,
         primary: Arc<dyn ShardBackend>,
         backup: Option<Arc<dyn ShardBackend>>,
         promote_after: u32,
         admission: Arc<Admission>,
     ) -> Self {
-        metrics.shard(shard).in_sync.set(backup.is_some());
+        metrics[shard].in_sync.set(backup.is_some());
         ShardReplicas {
             shard,
             metrics,
@@ -147,7 +147,7 @@ impl ShardReplicas {
     }
 
     fn m(&self) -> &ShardMetrics {
-        self.metrics.shard(self.shard)
+        &self.metrics[self.shard]
     }
 
     /// A consistent snapshot of the current role assignment. Operations
@@ -954,7 +954,7 @@ mod tests {
     ) -> ShardReplicas {
         ShardReplicas::new(
             0,
-            Arc::new(ServiceMetrics::new(1)),
+            Arc::new([ShardMetrics::default()]),
             primary,
             backup.map(|b| b as Arc<dyn ShardBackend>),
             promote_after,

@@ -95,7 +95,7 @@ pub mod service;
 
 pub use backend::{BackendSpec, ShardBackend, ShardSpec};
 pub use expose::{render_stats, serve_stats};
-pub use metrics::{ServiceMetrics, ShardMetrics};
+pub use metrics::ShardMetrics;
 pub use node::{NodeConfig, ShardNode};
 pub use router::ShardRouter;
 pub use service::{ServiceConfig, ShardedService};

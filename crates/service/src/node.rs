@@ -23,7 +23,7 @@
 //! data error.
 
 use crate::backend::{Leg, Pending, ShardBackend, Verdicts, UNROUTED};
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{record_run, ShardMetrics};
 use crate::router::ShardRouter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -60,7 +60,7 @@ pub struct ShardNode {
     router: ShardRouter,
     engines: BTreeMap<usize, Arc<TimeCryptServer>>,
     /// Per-shard counters; a coordinator reads its in-process node's.
-    pub(crate) metrics: Arc<ServiceMetrics>,
+    pub(crate) metrics: Arc<[ShardMetrics]>,
     kv: Arc<dyn KvStore>,
 }
 
@@ -87,7 +87,6 @@ impl ShardNode {
     /// [`crate::ShardedService`] hosts its in-process shards (none, for an
     /// all-remote topology).
     pub(crate) fn open_hosting(kv: Arc<dyn KvStore>, cfg: NodeConfig) -> Result<Self, ServerError> {
-        let metrics = Arc::new(ServiceMetrics::new(cfg.total_shards));
         let router = ShardRouter::new(cfg.total_shards);
         let cache = Arc::new(BoundaryCache::new(cfg.engine.cache_bytes));
         let mut engines = BTreeMap::new();
@@ -111,7 +110,7 @@ impl ShardNode {
         Ok(ShardNode {
             router,
             engines,
-            metrics,
+            metrics: (0..cfg.total_shards).map(|_| Default::default()).collect(),
             kv,
         })
     }
@@ -144,11 +143,11 @@ impl ShardNode {
     fn stat_leg(&self, streams: &[u128], ts_s: i64, ts_e: i64) -> StatLeg {
         StatLeg::fold(streams.iter().map(|&sid| {
             let (shard, engine) = self.engine_for(sid)?;
-            let m = self.metrics.shard(shard);
+            let m = &self.metrics[shard];
             let _span = trace::stage("engine.query");
             let t = Instant::now();
             let r = engine.stream_stat(sid, ts_s, ts_e);
-            m.query_latency.record(t.elapsed());
+            m.query_hist_us.record(t.elapsed());
             m.queries.inc();
             m.query_errors.add(r.is_err().into());
             r
@@ -171,7 +170,7 @@ impl ShardNode {
             let _span = trace::stage("engine.ingest");
             let t = Instant::now();
             let verdicts = engine.insert_bytes_run(run);
-            self.metrics.shard(shard).record_run(t.elapsed(), &verdicts);
+            record_run(&self.metrics[shard], t.elapsed(), &verdicts);
             verdicts
         }))
     }
@@ -192,15 +191,14 @@ impl ShardNode {
         };
         for (&shard, engine) in &self.engines {
             let residency = engine.residency();
-            let occ = ShardStatsWire {
+            snap.shards.push(ShardStatsWire {
+                shard: shard as u32,
                 streams: engine.stream_count() as u64,
                 resident_streams: residency.resident,
                 hydrations: residency.hydrations,
                 evictions: residency.evictions,
-                ..Default::default()
-            };
-            snap.shards
-                .push(self.metrics.shard(shard).snapshot(shard as u32, &occ));
+                ..self.metrics[shard].snapshot()
+            });
         }
         snap
     }

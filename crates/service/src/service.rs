@@ -21,7 +21,9 @@ use timecrypt_obs::trace;
 use timecrypt_server::runs::{ingest_reply, Runs};
 use timecrypt_server::{ServerConfig, ServerError, StatLeg};
 use timecrypt_store::KvStore;
-use timecrypt_wire::messages::{Request, RequestRef, Response, Route, ServiceStatsWire, StatReply};
+use timecrypt_wire::messages::{
+    Request, RequestRef, Response, Route, ServiceStatsWire, ShardStatsWire, StatReply,
+};
 use timecrypt_wire::pool::PoolConfig;
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
@@ -368,7 +370,14 @@ impl ShardedService {
             .collect();
         let mut snap = ServiceStatsWire {
             shards: (entries.iter().enumerate())
-                .map(|(i, occ)| self.node.metrics.shard(i).snapshot(i as u32, occ))
+                .map(|(i, occ)| ShardStatsWire {
+                    shard: i as u32,
+                    streams: occ.streams,
+                    resident_streams: occ.resident_streams,
+                    hydrations: occ.hydrations,
+                    evictions: occ.evictions,
+                    ..self.node.metrics[i].snapshot()
+                })
                 .collect(),
             ..Default::default()
         };

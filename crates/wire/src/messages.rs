@@ -12,7 +12,8 @@
 //! `Wire` form (`codec.rs`).
 
 use crate::codec::{ByteReader, ByteWriter, Wire, WireError, MAX_REPEATED};
-use timecrypt_obs::prom::{Family, Kind};
+use timecrypt_obs::counters::{Counter, Gauge};
+use timecrypt_obs::prom::{Family, Kind, LatencyHist};
 use timecrypt_obs::TraceContext;
 
 /// Declares a struct that travels inside a message: the type, and a
@@ -24,8 +25,31 @@ use timecrypt_obs::TraceContext;
 /// series of the family the field before it opened, `= -` is a field that
 /// is no sample (a label, a nested list). Its `ROWS` are those
 /// declarations in field order — what renders a snapshot and what adds two
-/// up; a field that says nothing does not compile.
+/// up; a field that says nothing does not compile. Declared `pub struct
+/// Name as Cells`, it also gets `Cells`: one live [`Stat::Cell`] per sample
+/// field, under that field's name and doc, read back by `Cells::snapshot`.
 macro_rules! wire_struct {
+    (@cells $name:ident $cells:ident [ $( $(#[$m:meta])* $f:ident: $t:ty; )* ]) => {
+        #[doc = concat!("The live cells of [`", stringify!($name), "`]'s samples: relaxed atomics,")]
+        /// bumped where the events happen; a snapshot is not consistent across them.
+        #[derive(Default)]
+        pub struct $cells { $( $(#[$m])* pub $f: <$t as Stat>::Cell, )* }
+
+        impl $cells {
+            /// Every sample read from its cell; the other fields at their defaults.
+            pub fn snapshot(&self) -> $name {
+                $name { $( $f: Stat::read(&self.$f), )* ..Default::default() }
+            }
+        }
+    };
+    (@cells $name:ident [ $($no_cells:tt)* ] $($rest:tt)*) => {};
+    (@cells $name:ident $cells:ident [ $($done:tt)* ]
+        $(#[$m:meta])* $f:ident: $t:ty [ $($row:tt)* ], $($rest:tt)*) => {
+        wire_struct!(@cells $name $cells [ $($done)* $(#[$m])* $f: $t; ] $($rest)*);
+    };
+    (@cells $name:ident $cells:ident [ $($done:tt)* ] $(#[$m:meta])* $f:ident: $t:ty, $($rest:tt)*) => {
+        wire_struct!(@cells $name $cells [ $($done)* ] $($rest)*);
+    };
     (@family) => { None };
     (@family $kind:ident $family:literal $help:literal) => {
         Some(Family { name: $family, help: $help, kind: Kind::$kind })
@@ -43,13 +67,14 @@ macro_rules! wire_struct {
     };
     (
         $(#[$meta:meta])*
-        pub struct $name:ident {
+        pub struct $name:ident $( as $cells:ident )? {
             $(
                 $(#[$fmeta:meta])*
                 pub $field:ident : $fty:ty = $( - )? $( [ $( $row:tt )* ] )?
             ),* $(,)?
         }
     ) => {
+        wire_struct!(@cells $name $($cells)? [] $( $(#[$fmeta])* $field: $fty $([$($row)*])?, )*);
         wire_struct! {
             $(#[$meta])*
             pub struct $name { $( $(#[$fmeta])* pub $field: $fty ),* }
@@ -225,34 +250,47 @@ pub enum StatValue<'a> {
     Hist(&'a [u64]),
 }
 
-/// A field of a stats struct: its `/metrics` value, and how another
-/// snapshot's value adds to it.
+/// A field of a stats struct: its `/metrics` value, how another
+/// snapshot's value adds to it, and the live cell a process counts it in.
 pub trait Stat {
+    /// What the field is counted in between snapshots.
+    type Cell: Default;
     /// The field's current value.
     fn value(&self) -> StatValue<'_>;
     /// Adds `other` to this field.
     fn merge(&mut self, other: &Self);
+    /// The field as its cell holds it now.
+    fn read(cell: &Self::Cell) -> Self;
 }
 
 impl Stat for u64 {
+    type Cell = Counter;
     fn value(&self) -> StatValue<'_> {
         StatValue::Num(*self as f64)
     }
     fn merge(&mut self, other: &u64) {
         *self += other;
     }
+    fn read(cell: &Counter) -> u64 {
+        cell.get()
+    }
 }
 
 impl Stat for bool {
+    type Cell = Gauge;
     fn value(&self) -> StatValue<'_> {
         StatValue::Num(u8::from(*self).into())
     }
     fn merge(&mut self, other: &bool) {
         *self |= other;
     }
+    fn read(cell: &Gauge) -> bool {
+        cell.get() != 0
+    }
 }
 
 impl Stat for Vec<u64> {
+    type Cell = LatencyHist;
     fn value(&self) -> StatValue<'_> {
         StatValue::Hist(self)
     }
@@ -263,6 +301,9 @@ impl Stat for Vec<u64> {
         for (sum, count) in self.iter_mut().zip(other) {
             *sum += count;
         }
+    }
+    fn read(cell: &LatencyHist) -> Vec<u64> {
+        cell.snapshot()
     }
 }
 
@@ -330,9 +371,10 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// One shard's counters in a [`Response::ServiceStats`] reply.
+    /// One shard's counters in a [`Response::ServiceStats`] reply; a
+    /// process counts them in a [`ShardMetrics`].
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    pub struct ShardStatsWire {
+    pub struct ShardStatsWire as ShardMetrics {
         /// Shard index.
         pub shard: u32 = -,
         /// Streams owned by this shard.
@@ -991,6 +1033,20 @@ mod tests {
         assert!(ShardStatsWire::ROWS
             .iter()
             .all(|r| r.family.is_some() && r.label.is_empty()));
+
+        // Each sample has a cell of its name, and a snapshot reads it; the
+        // label field stays at its default.
+        let cells = ShardMetrics::default();
+        cells.queries.add(3);
+        cells.in_sync.set(true);
+        cells
+            .query_hist_us
+            .record(std::time::Duration::from_micros(3));
+        let snap = cells.snapshot();
+        assert_eq!(
+            (snap.shard, snap.queries, snap.in_sync, snap.query_hist_us),
+            (0, 3, true, vec![0, 0, 1])
+        );
     }
 
     fn all_requests() -> Vec<Request> {
