@@ -137,9 +137,9 @@ process_families! {
          its node's budget, by a sum's bytes whenever a query reads again from the store a \
          sum the stripe evicted.";
     /// Dead over log bytes is the share of the files a compaction would
-    /// reclaim. The four footprint gauges sum over the logs the process
-    /// has open — a node's one `LogKv`, and every in-memory `MemKv` beside
-    /// it — and a log withdraws its share when it is dropped.
+    /// reclaim. The five store gauges sum over the logs the process has
+    /// open — a node's one `LogKv`, and every in-memory `MemKv` beside it —
+    /// and a log withdraws its share when it is dropped.
     static STORE_LOG_BYTES: Gauge = "timecrypt_store_log_bytes"
         "Length of the process's open store logs, buffered appends included, summed.";
     static STORE_LIVE_KEYS: Gauge = "timecrypt_store_live_keys"
@@ -150,6 +150,8 @@ process_families! {
          its bytes + constant.";
     static STORE_DEAD_BYTES: Gauge = "timecrypt_store_dead_bytes"
         "Bytes of the open store logs held by superseded, deleted and delete records, summed.";
+    static STORE_READ_ONLY: Gauge = "timecrypt_store_read_only"
+        "Open store logs that a failed append or sync turned read-only until they are reopened.";
 }
 
 static START: OnceLock<Instant> = OnceLock::new();

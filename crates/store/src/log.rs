@@ -87,7 +87,8 @@
 //! the inner lock but share fsyncs: each waiter checks the synced
 //! watermark and only issues the syscall if its append is not already
 //! covered. A batch is one append and waits once. A failed append or
-//! sync turns the log read-only until it is reopened.
+//! sync turns the log read-only until it is reopened, and
+//! `timecrypt_store_read_only` counts it until it is dropped.
 //!
 //! A non-empty file that does not begin with the magic (or, if shorter
 //! than it, with a prefix of it — a crash during file creation, treated
@@ -1034,59 +1035,6 @@ fn parse(buf: &[u8]) -> Option<Record<'_>> {
     Some(Record { head, key, len })
 }
 
-/// Encodes `ops` onto `out` as one batch's records, the first with
-/// sequence byte `seq`, and returns their lengths. Keys are named by the
-/// runs of `index` as it stands before the batch (module docs, "Key
-/// forms"); `named` is each such run as the batch sees it: number, base,
-/// and length as its puts grow it — `None` once it deletes from the head.
-fn encode<'a>(index: &Index, ops: &[WriteOp<'a>], seq: u8, out: &mut Vec<u8>) -> Vec<u32> {
-    let mut named: Vec<(&'a [u8], u64, u64, Option<u64>)> = Vec::new();
-    let mut name = |op, key: &'a [u8]| {
-        let (head, tail) = split(key)?;
-        let at = named.iter().position(|n| n.0 == head).or_else(|| {
-            let run = index.runs.get(head)?;
-            named.push((head, run.number, run.base, Some(run.len())));
-            Some(named.len() - 1)
-        })?;
-        let (_, number, base, len) = &mut named[at];
-        if op == OP_PUT {
-            let len = len.as_mut()?;
-            let slot = tail.checked_sub(*base).filter(|slot| slot <= len)?;
-            *len += u64::from(slot == *len);
-        } else {
-            *len = None;
-        }
-        Some((*number, tail))
-    };
-    let mut lens = Vec::with_capacity(ops.len());
-    // The records' room in one step: a head and a footer at most each.
-    let room = ops
-        .iter()
-        .map(parts)
-        .map(|(_, k, v)| MAX_HEAD + k.len() + v.len() + FOOTER);
-    out.reserve(room.sum());
-    for (i, (op, key, value)) in ops.iter().map(parts).enumerate() {
-        let start = out.len();
-        let run = name(op, key);
-        let more = if i + 1 < ops.len() { OP_CONTINUES } else { 0 };
-        let form = if run.is_some() { RUN_KEY } else { 0 };
-        out.extend_from_slice(&[op | more | form, seq.wrapping_add(i as u8)]);
-        put_var(out, value.len() as u64);
-        match run {
-            Some((number, tail)) => [number, tail].into_iter().for_each(|n| put_var(out, n)),
-            None => {
-                put_var(out, key.len() as u64);
-                out.extend_from_slice(key);
-            }
-        }
-        out.extend_from_slice(value);
-        let crc = crc32(&out[start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        lens.push((out.len() - start) as u32);
-    }
-    lens
-}
-
 /// Size accounting of a [`LogKv`]; `dead_bytes / log_bytes` is the share
 /// of the file a compaction would reclaim.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1103,8 +1051,11 @@ pub struct LogStats {
     pub index_bytes: u64,
     /// Bytes of superseded puts, deleted puts and delete records.
     pub dead_bytes: u64,
+    /// A failed append or sync turned the log read-only.
+    pub read_only: bool,
 }
 
+#[derive(Default)]
 struct Inner {
     index: Index,
     /// Records encoded and not yet in the file: the batch being written,
@@ -1123,6 +1074,9 @@ struct Inner {
     failed: bool,
     /// This log's share of the process's footprint gauges.
     published: LogStats,
+    /// [`encode`](Self::encode)'s scratch, kept for its capacity.
+    lens: Vec<u32>,
+    named: Vec<(usize, u64, u64, Option<u64>)>,
 }
 
 /// What `Durability::Buffered` holds back before it writes.
@@ -1147,7 +1101,7 @@ impl Inner {
         if self.buffered.capacity() > BUFFER {
             self.buffered = Vec::new();
         }
-        self.failed |= written.is_err();
+        written.is_err().then(|| self.fail());
         Ok(written?)
     }
 
@@ -1157,7 +1111,14 @@ impl Inner {
             live_keys: self.index.len() as u64,
             index_bytes: self.index.bytes(),
             dead_bytes: self.index.dead_bytes,
+            read_only: self.failed,
         }
+    }
+
+    /// Turns the log read-only, and says so on the `/metrics` page.
+    fn fail(&mut self) {
+        self.failed = true;
+        self.publish(self.footprint());
     }
 
     /// Moves the `timecrypt_store_*` gauges, which sum over the process's
@@ -1169,6 +1130,62 @@ impl Inner {
         counters::STORE_LIVE_KEYS.add(now.live_keys.wrapping_sub(was.live_keys));
         counters::STORE_INDEX_BYTES.add(now.index_bytes.wrapping_sub(was.index_bytes));
         counters::STORE_DEAD_BYTES.add(now.dead_bytes.wrapping_sub(was.dead_bytes));
+        counters::STORE_READ_ONLY.add(u64::from(now.read_only).wrapping_sub(was.read_only.into()));
+    }
+
+    /// Encodes `ops` onto the buffer as one batch's records, the first with
+    /// the next sequence byte, and sets `lens` to their lengths. Keys are
+    /// named by the runs of the index as it stands before the batch (module
+    /// docs, "Key forms"); `named` is each such run as the batch sees it: the
+    /// op that first named it, number, base, and length as its puts grow it
+    /// — `None` once it deletes from the head.
+    fn encode(&mut self, ops: &[WriteOp<'_>]) {
+        let (out, named) = (&mut self.buffered, &mut self.named);
+        named.clear();
+        let names = |i: usize, head| split(parts(&ops[i]).1).is_some_and(|(h, _)| h == head);
+        let mut name = |i, op, key| {
+            let (head, tail) = split(key)?;
+            let at = named.iter().position(|n| names(n.0, head)).or_else(|| {
+                let run = self.index.runs.get(head)?;
+                named.push((i, run.number, run.base, Some(run.len())));
+                Some(named.len() - 1)
+            })?;
+            let (_, number, base, len) = &mut named[at];
+            if op == OP_PUT {
+                let len = len.as_mut()?;
+                let slot = tail.checked_sub(*base).filter(|slot| slot <= len)?;
+                *len += u64::from(slot == *len);
+            } else {
+                *len = None;
+            }
+            Some((*number, tail))
+        };
+        // The records' room in one step: a head and a footer at most each.
+        let room = ops
+            .iter()
+            .map(parts)
+            .map(|(_, k, v)| MAX_HEAD + k.len() + v.len() + FOOTER);
+        out.reserve(room.sum());
+        self.lens.clear();
+        for (i, (op, key, value)) in ops.iter().map(parts).enumerate() {
+            let start = out.len();
+            let run = name(i, op, key);
+            let more = if i + 1 < ops.len() { OP_CONTINUES } else { 0 };
+            let form = if run.is_some() { RUN_KEY } else { 0 };
+            out.extend_from_slice(&[op | more | form, self.next_seq.wrapping_add(i as u8)]);
+            put_var(out, value.len() as u64);
+            match run {
+                Some((number, tail)) => [number, tail].into_iter().for_each(|n| put_var(out, n)),
+                None => {
+                    put_var(out, key.len() as u64);
+                    out.extend_from_slice(key);
+                }
+            }
+            out.extend_from_slice(value);
+            let crc = crc32(&out[start..]);
+            out.extend_from_slice(&crc.to_le_bytes());
+            self.lens.push((out.len() - start) as u32);
+        }
     }
 }
 
@@ -1268,12 +1285,9 @@ impl<F: LogFile> LogKv<F> {
     fn assemble(file: F, (index, seq, tail): (Index, u8, u64), durability: Durability) -> Self {
         let mut inner = Inner {
             index,
-            buffered: Vec::new(),
             next_seq: seq,
-            appended: 0,
             tail: tail.max(MAGIC.len() as u64),
-            failed: false,
-            published: LogStats::default(),
+            ..Default::default()
         };
         inner.publish(inner.footprint());
         LogKv {
@@ -1303,7 +1317,7 @@ impl<F: LogFile> LogKv<F> {
         // Everything flushed to the file before the syscall starts is
         // durable when it returns; snapshot the watermark first.
         let covered = self.flushed.load(Ordering::Acquire);
-        (self.file.sync()).inspect_err(|_| self.inner.lock().failed = true)?;
+        (self.file.sync()).inspect_err(|_| self.inner.lock().fail())?;
         *synced = (*synced).max(covered);
         Ok(())
     }
@@ -1344,11 +1358,11 @@ impl<F: LogFile> LogKv<F> {
             if inner.failed {
                 return Err(read_only());
             }
-            let lens = encode(&inner.index, ops, inner.next_seq, &mut inner.buffered);
+            inner.encode(ops);
             if self.durability != Durability::Buffered || inner.buffered.len() >= BUFFER {
                 inner.flush(&self.file)?;
             }
-            for ((op, key, _), len) in ops.iter().map(parts).zip(lens) {
+            for ((op, key, _), &len) in ops.iter().map(parts).zip(&inner.lens) {
                 inner.index.apply(
                     op,
                     key,
@@ -2373,6 +2387,7 @@ mod tests {
             live_keys: 1,
             index_bytes: 1 + INDEX_ENTRY_BYTES,
             dead_bytes: dead,
+            read_only: false,
         };
         assert_eq!(kv.stats(), want);
         assert_eq!(want.log_bytes, std::fs::metadata(&path).unwrap().len());

@@ -2,7 +2,7 @@
 //! tampering, corruption, and protocol misuse.
 
 use common::{sealed, Deployment, Fault, Faulty, Spec};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use timecrypt::chunk::serialize::EncryptedChunk;
 use timecrypt::chunk::{DataPoint, StreamConfig};
 use timecrypt::client::{
@@ -16,6 +16,7 @@ use timecrypt::service::ServiceConfig;
 use timecrypt::store::{KvStore, LogFile};
 use timecrypt::wire::transport::Handler;
 use timecrypt::wire::{Request, Response};
+use timecrypt_obs::counters::STORE_READ_ONLY;
 
 mod common;
 
@@ -202,6 +203,13 @@ fn a_zero_chunk_interval_is_refused_at_every_tier() {
     assert_eq!((strikes, shard.in_sync), ((0, 0, 0), true), "{shard:?}");
 }
 
+/// Held by the tests that fail appends: `timecrypt_store_read_only` counts
+/// the read-only logs of the whole process.
+fn faulting() -> MutexGuard<'static, ()> {
+    static FAULTING: Mutex<()> = Mutex::new(());
+    FAULTING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Sets `file` to inject `fault` at its `k`-th append from now (0-based).
 fn fault_append(file: &Faulty, k: u64, fault: FileFault) {
     file.set_plan(FaultPlan::quiet().with_file_rule(FileRule {
@@ -353,6 +361,7 @@ fn run(d: &Deployment, requests: Vec<Request>) {
 /// all of it, as on an engine that never faulted. Returns the (fault, k)
 /// points checked.
 fn sweep(write: &Request, none_of_it: impl Fn(&Deployment)) -> u64 {
+    let _faulting = faulting();
     let tag = write.encode()[0];
     let name = Request::TAGS.iter().find(|(t, _)| *t == tag).unwrap().1;
     let clean = Deployment::build(&Spec::engine());
@@ -448,13 +457,15 @@ fn faulted_revoke_grants_leaves_every_grant_in_place() {
 }
 
 /// A full disk, end to end. A short append (a seeded prefix of the batch,
-/// then `ENOSPC`) fails a client's ingest run; the log turns read-only, so
-/// later writes are refused with its error, and every read answers as
-/// before the run. A restart opens the log over the file again: the torn
-/// tail is cut, every acked chunk is there and nothing of the run, and the
-/// client's retry of the run lands.
+/// then `ENOSPC`) fails a client's ingest run; the log turns read-only, and
+/// says so on `/metrics`, so later writes are refused with its error, and
+/// every read answers as before the run. A restart opens the log over the
+/// file again: the torn tail is cut, every acked chunk is there and nothing
+/// of the run, the log writes again, and the client's retry of the run
+/// lands.
 #[test]
 fn a_full_disk_fails_the_run_and_a_restart_takes_the_retry() {
+    let _faulting = faulting();
     /// A client's transport to whatever runs on the deployment now.
     struct Through<'a>(&'a Deployment);
     impl Transport for Through<'_> {
@@ -509,8 +520,15 @@ fn a_full_disk_fails_the_run_and_a_restart_takes_the_retry() {
     let mut t = Through(&d);
     // Chunks 16..32: one `InsertBatch`, sent by the flush.
     (160..320).for_each(|s| p.push(&mut t, DataPoint::new(s * 1000, s)).unwrap());
+    assert_eq!(STORE_READ_ONLY.get(), 0);
     p.flush(&mut t).unwrap_err();
     assert_eq!(file.injected_total(), 1);
+    assert!(d.log(0).stats().read_only);
+    assert_eq!(
+        STORE_READ_ONLY.get(),
+        1,
+        "the gauge counts the read-only log"
+    );
     assert!(file.truncate(u64::MAX).unwrap() > acked_len, "a torn tail");
     let create = Request::CreateStream {
         stream: 12,
@@ -525,6 +543,7 @@ fn a_full_disk_fails_the_run_and_a_restart_takes_the_retry() {
     assert_eq!(battery(&d), acked, "reads answer as before the run");
 
     d.restart(0);
+    assert_eq!(STORE_READ_ONLY.get(), 0, "the reopened log writes");
     assert_eq!(
         file.truncate(u64::MAX).unwrap(),
         acked_len,
