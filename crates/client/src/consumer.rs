@@ -80,6 +80,9 @@ pub struct Consumer {
     pub principal: String,
     keypair: EciesKeypair,
     streams: HashMap<u128, StreamKeys>,
+    /// Per stream, the newest `(epoch, size)` a verified read proved:
+    /// kept apart from the keys, so a grant sync does not forget it.
+    verified: HashMap<u128, (u64, u64)>,
 }
 
 impl Consumer {
@@ -90,6 +93,7 @@ impl Consumer {
             principal: principal.into(),
             keypair: EciesKeypair::generate(rng),
             streams: HashMap::new(),
+            verified: HashMap::new(),
         }
     }
 
@@ -304,7 +308,9 @@ impl Consumer {
     ///
     /// The proven window is the chunks the queried interval covers whole,
     /// clamped to the latest attestation — chunks uploaded after the
-    /// owner's last `attest` are not yet provable.
+    /// owner's last `attest` are not yet provable. A verified read under an
+    /// older attestation than this consumer verified before is refused as
+    /// stale; its first verified read of a stream has nothing to compare.
     pub fn verified_stat_query<T: Transport>(
         &mut self,
         transport: &mut T,
@@ -373,7 +379,8 @@ impl Consumer {
     /// consumer works out as the engine does: `window` of `stream`'s chunk
     /// grid, `hi` clamped to the attested size. Returns the window and what
     /// `verify` authenticated; the server's word on the window counts for
-    /// nothing.
+    /// nothing. An attestation of an older epoch or fewer chunks than one
+    /// this consumer verified before is stale: a replay, refused.
     fn check_attested<R>(
         &mut self,
         stream: u128,
@@ -383,6 +390,13 @@ impl Consumer {
     ) -> Result<(usize, usize, R), ClientFault> {
         let att = RootAttestation::decode(&attestation)
             .ok_or_else(|| chunk_fault("malformed attestation"))?;
+        let (epoch, size) = self.verified.get(&stream).copied().unwrap_or_default();
+        if att.epoch < epoch || att.size < size {
+            return Err(chunk_fault(format!(
+                "stale attestation: epoch {} of {} chunks, after epoch {epoch} of {size}",
+                att.epoch, att.size
+            )));
+        }
         let proof =
             RangeProof::decode(&proof).ok_or_else(|| chunk_fault("malformed range proof"))?;
         let d = &self.keys(stream)?.descriptor;
@@ -393,6 +407,7 @@ impl Consumer {
         let (lo, hi) = (lo as usize, hi.min(att.size) as usize);
         let checked = verify(&att, &proof, lo, hi);
         let checked = checked.map_err(|e| chunk_fault(format!("integrity check failed: {e}")))?;
+        self.verified.insert(stream, (att.epoch, att.size));
         Ok((lo, hi, checked))
     }
 

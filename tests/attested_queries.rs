@@ -615,3 +615,68 @@ fn a_damaged_level0_record_fails_the_ledger_catch_up_as_corrupt_node() {
     kv.put(&leaf5, &record).unwrap();
     assert!(server.get_range_proof(cfg.id, 0, 700_000).is_ok());
 }
+
+/// A server that answers every proof request with `reply`, recorded
+/// earlier: an older attestation and its proof, replayed.
+struct Replay<'a>(&'a mut InProc<TimeCryptServer>, Response);
+
+impl Transport for Replay<'_> {
+    fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
+        match req {
+            Request::GetRangeProof { .. } => Ok(self.1.clone()),
+            _ => self.0.call(req),
+        }
+    }
+}
+
+#[test]
+fn a_replayed_older_attestation_is_refused_as_stale() {
+    // Verified at epoch 1 over 20 chunks, the consumer refuses the epoch-0
+    // reply of 10 a transport recorded, also after syncing its grants again.
+    let (_, mut t) = setup();
+    let cfg = StreamConfig::new(15, "hr", 0, 10_000);
+    let mut owner = owner_for(&cfg, 1);
+    owner.create_stream(&mut t).unwrap();
+    let mut rng = SecureRandom::from_seed_insecure(9);
+    let key = SigningKey::generate(&mut rng);
+    let vk = key.verifying_key();
+    let mut p = ingest_attested(&mut t, &cfg, &owner, key, 100);
+    let mut c = Consumer::new("c", &mut rng);
+    owner
+        .grant_access(&mut t, "c", c.public_key(), 0, 200_000)
+        .unwrap();
+    c.sync_grants(&mut t, cfg.id).unwrap();
+    let (ts_s, ts_e) = (0, 200_000);
+    let proof = Request::GetRangeProof {
+        stream: cfg.id,
+        ts_s,
+        ts_e,
+    };
+    let epoch0 = t.call(&proof).unwrap();
+    let stat = c.verified_stat_query(&mut t, cfg.id, &vk, ts_s, ts_e);
+    assert_eq!(stat.unwrap().count, Some(100), "epoch 0: 10 chunks");
+
+    (100..200).for_each(|s| p.push(&mut t, DataPoint::new(s * 1000, s)).unwrap());
+    p.flush(&mut t).unwrap();
+    p.attest(&mut t).unwrap();
+    let stat = c.verified_stat_query(&mut t, cfg.id, &vk, ts_s, ts_e);
+    assert_eq!(stat.unwrap().count, Some(200), "epoch 1: 20 chunks");
+
+    for resync in [false, true] {
+        if resync {
+            c.sync_grants(&mut t, cfg.id).unwrap();
+        }
+        let replayed =
+            c.verified_stat_query(&mut Replay(&mut t, epoch0.clone()), cfg.id, &vk, ts_s, ts_e);
+        match replayed {
+            Err(ClientFault::Chunk(e)) => assert!(e.contains("stale attestation"), "{e}"),
+            other => panic!("a replayed epoch-0 reply (resync {resync}): {other:?}"),
+        }
+    }
+    let stat = c.verified_stat_query(&mut t, cfg.id, &vk, ts_s, ts_e);
+    assert_eq!(
+        stat.unwrap().count,
+        Some(200),
+        "the current reply still verifies"
+    );
+}
