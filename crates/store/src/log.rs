@@ -87,8 +87,7 @@
 //! the inner lock but share fsyncs: each waiter checks the synced
 //! watermark and only issues the syscall if its append is not already
 //! covered. A batch is one append and waits once. A failed append or
-//! sync turns the log read-only until it is reopened, and
-//! `timecrypt_store_read_only` counts it until it is dropped.
+//! sync turns the log read-only until it is reopened.
 //!
 //! A non-empty file that does not begin with the magic (or, if shorter
 //! than it, with a prefix of it — a crash during file creation, treated
@@ -1134,11 +1133,10 @@ impl Inner {
     }
 
     /// Encodes `ops` onto the buffer as one batch's records, the first with
-    /// the next sequence byte, and sets `lens` to their lengths. Keys are
-    /// named by the runs of the index as it stands before the batch (module
-    /// docs, "Key forms"); `named` is each such run as the batch sees it: the
-    /// op that first named it, number, base, and length as its puts grow it
-    /// — `None` once it deletes from the head.
+    /// the next sequence byte, and their lengths into `lens`. Keys are named
+    /// by the runs of the index before the batch (module docs, "Key forms");
+    /// `named` is each such run as the batch sees it: the op that named it,
+    /// number, base, and length as puts grow it — `None` once it deletes.
     fn encode(&mut self, ops: &[WriteOp<'_>]) {
         let (out, named) = (&mut self.buffered, &mut self.named);
         named.clear();
@@ -1167,6 +1165,7 @@ impl Inner {
             .map(|(_, k, v)| MAX_HEAD + k.len() + v.len() + FOOTER);
         out.reserve(room.sum());
         self.lens.clear();
+        self.lens.reserve(ops.len());
         for (i, (op, key, value)) in ops.iter().map(parts).enumerate() {
             let start = out.len();
             let run = name(i, op, key);
@@ -1372,6 +1371,9 @@ impl<F: LogFile> LogKv<F> {
                     },
                 );
                 inner.tail += u64::from(len);
+            }
+            if inner.lens.capacity() > 1 << 10 {
+                (inner.lens, inner.named) = Default::default(); // a large batch's, not kept
             }
             inner.publish(inner.footprint());
             inner.next_seq = inner.next_seq.wrapping_add(ops.len() as u8);
