@@ -1100,7 +1100,9 @@ impl Inner {
         if self.buffered.capacity() > BUFFER {
             self.buffered = Vec::new();
         }
-        written.is_err().then(|| self.fail());
+        if written.is_err() {
+            self.fail();
+        }
         Ok(written?)
     }
 
