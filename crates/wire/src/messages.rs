@@ -42,7 +42,9 @@ macro_rules! wire_struct {
             }
         }
     };
-    (@cells $name:ident [ $($no_cells:tt)* ] $($rest:tt)*) => {};
+    (@cells $name:ident [] $($rest:tt)*) => {};
+    // One field at a time: a field's docs repeat apart from its row, so no
+    // one repetition can keep the fields with a row and their docs both.
     (@cells $name:ident $cells:ident [ $($done:tt)* ]
         $(#[$m:meta])* $f:ident: $t:ty [ $($row:tt)* ], $($rest:tt)*) => {
         wire_struct!(@cells $name $cells [ $($done)* $(#[$m])* $f: $t; ] $($rest)*);
