@@ -1,17 +1,19 @@
 //! The hot paths' allocation-free steps allocate nothing once their buffers
 //! are warm (ARCHITECTURE.md, "Checked invariants"), a store read
 //! allocates its value alone, and a lone put's and a store batch's calls
-//! are counted (three ledger rows). The others are counted beside their callers: each
+//! are counted, as are a warm ping's at either end of a connection (five
+//! ledger rows). The others are counted beside their callers: each
 //! handler's `dispatch` in `ingest_path.rs`, the index's boundary reads and
 //! appends in `index_node_shape.rs`, P-256's arithmetic in `grant_cost.rs`.
 
 use std::net::TcpListener;
+use std::sync::{Arc, Mutex};
 use timecrypt::chunk::EncryptedChunk;
 use timecrypt::core::ElementKeys;
 use timecrypt::crypto::{sha256, AesGcm128, Sha256};
 use timecrypt::store::{KvStore, MemKv, WriteOp};
 use timecrypt::wire::messages::{Request, Response, StatReply};
-use timecrypt::wire::Client;
+use timecrypt::wire::{Client, Server};
 
 mod common;
 
@@ -65,6 +67,54 @@ fn a_warm_client_sends_without_allocating() {
     assert_eq!(calls_when_warm(|| client.send(&req).unwrap()), 0);
     drop(client);
     assert!(drain.join().unwrap().unwrap() > 2 * 16 * 300);
+}
+
+const PINGS: u64 = 100;
+
+/// A hundred warm `Ping` calls on one connection. The row is the allocator
+/// calls a call makes on the client's thread: its frame sent and its reply
+/// read back (the server's are on threads of its own).
+#[test]
+fn a_warm_client_ping_counts_its_allocator_calls() {
+    let server = Server::bind("127.0.0.1:0", Arc::new(|_: Request| Response::Pong)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let calls = calls_when_warm(|| {
+        for _ in 0..PINGS {
+            assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+        }
+    });
+    assert_eq!(calls % PINGS, 0, "every ping allocates alike: {calls}");
+    common::ledger(&[(
+        "wire.client.allocations_per_ping".into(),
+        (calls / PINGS).to_string(),
+    )]);
+}
+
+/// A hundred warm `Ping` frames served on one connection. The handler runs
+/// on the connection thread and records that thread's allocator calls at
+/// each frame; the row is what the serve loop makes between two frames:
+/// the request read, the reply written, the slow-request log's scope.
+#[test]
+fn a_warm_serve_loop_counts_its_allocator_calls_per_ping() {
+    let seen = Arc::new(Mutex::new(Vec::with_capacity(PINGS as usize + 2)));
+    let record = seen.clone();
+    let handler = move |_: Request| {
+        record.lock().unwrap().push(common::calls());
+        Response::Pong
+    };
+    let server = Server::bind("127.0.0.1:0", Arc::new(handler)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for _ in 0..PINGS + 2 {
+        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+    }
+    // From the second frame on, the loop's buffers are warm.
+    let seen = seen.lock().unwrap();
+    let calls = seen[PINGS as usize + 1] - seen[1];
+    assert_eq!(calls % PINGS, 0, "every ping allocates alike: {calls}");
+    common::ledger(&[(
+        "wire.serve_loop.allocations_per_ping".into(),
+        (calls / PINGS).to_string(),
+    )]);
 }
 
 #[test]
