@@ -24,7 +24,7 @@ use timecrypt_store::KvStore;
 use timecrypt_wire::messages::{
     Request, RequestRef, Response, Route, ServiceStatsWire, ShardStatsWire, StatReply,
 };
-use timecrypt_wire::pool::PoolConfig;
+use timecrypt_wire::pool::{ClientPool, PoolConfig};
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
 /// Service-level tuning knobs.
@@ -152,8 +152,12 @@ impl ShardedService {
         )?);
         let metrics = node.metrics.clone();
         let remote = |addr: &String, shard| -> Arc<dyn ShardBackend> {
-            let (pool, metrics) = (cfg.pool.clone(), metrics.clone());
-            Arc::new(RemoteShard::new(addr.clone(), pool, metrics, shard))
+            let (pool, metrics) = (ClientPool::new(addr, cfg.pool.clone()), metrics.clone());
+            Arc::new(RemoteShard {
+                pool,
+                metrics,
+                shard,
+            })
         };
         let admission = Arc::new(Admission::default());
         let backends = (specs.iter().enumerate())
@@ -205,12 +209,11 @@ impl ShardedService {
         let Some(replicas) = self.backends.get(shard) else {
             return Err(ServerError::Unavailable("no such shard"));
         };
-        let backend: Arc<dyn ShardBackend> = Arc::new(RemoteShard::new(
-            addr.into(),
-            self.pool_cfg.clone(),
-            self.node.metrics.clone(),
+        let backend: Arc<dyn ShardBackend> = Arc::new(RemoteShard {
+            pool: ClientPool::new(addr, self.pool_cfg.clone()),
+            metrics: self.node.metrics.clone(),
             shard,
-        ));
+        });
         replicas.attach_backup(backend)?;
         replicas.rebuild_backup()
     }
@@ -355,12 +358,14 @@ impl ShardedService {
                 _ => None,
             })
             .collect();
-        // Shard `shard`'s entry in the reply of the node `b` runs on.
+        // Shard `shard`'s occupancy in the reply of the node `b` runs on.
         let entry = |b: &dyn ShardBackend, shard: usize| {
             let node = replies.iter().find(|(n, _)| n.as_deref() == b.endpoint());
             let (_, stats) = node.ok_or(UNREACHABLE)?;
             let found = stats.shards.iter().find(|s| s.shard == shard as u32);
-            Ok(found.cloned().unwrap_or_default())
+            Ok(found.map_or([0; 4], |s| {
+                [s.streams, s.resident_streams, s.hydrations, s.evictions]
+            }))
         };
         // Looked up before the counters are read: the lookups' own
         // failovers are in the snapshot.
@@ -369,15 +374,17 @@ impl ShardedService {
             .map(Result::unwrap_or_default)
             .collect();
         let mut snap = ServiceStatsWire {
-            shards: (entries.iter().enumerate())
-                .map(|(i, occ)| ShardStatsWire {
-                    shard: i as u32,
-                    streams: occ.streams,
-                    resident_streams: occ.resident_streams,
-                    hydrations: occ.hydrations,
-                    evictions: occ.evictions,
-                    ..self.node.metrics[i].snapshot()
-                })
+            shards: (entries.into_iter().enumerate())
+                .map(
+                    |(i, [streams, resident_streams, hydrations, evictions])| ShardStatsWire {
+                        shard: i as u32,
+                        streams,
+                        resident_streams,
+                        hydrations,
+                        evictions,
+                        ..self.node.metrics[i].snapshot()
+                    },
+                )
                 .collect(),
             ..Default::default()
         };

@@ -100,6 +100,14 @@ pub const READ_AHEAD: usize = 64 * 1024;
 /// [`READ_AHEAD`] up front, then doubling, never beyond the prefix's
 /// length — so a peer that claims 16 MiB and sends nothing costs 64 KiB.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
+    let mut body = Vec::new();
+    read_frame_into(r, &mut body)?;
+    Ok(body)
+}
+
+/// [`read_frame`] into `body`, a buffer a connection keeps: cleared
+/// first, it grows past its capacity only as bytes arrive.
+pub fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> Result<(), FrameError> {
     let mut len_buf = [0u8; 4];
     // Distinguish clean close (0 bytes) from a torn prefix.
     let mut got = 0usize;
@@ -118,8 +126,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let mut body = vec![0u8; len.min(READ_AHEAD)];
-    r.read_exact(&mut body)?;
+    let ahead = len.min(READ_AHEAD);
+    body.clear();
+    body.reserve_exact(ahead);
+    body.resize(ahead, 0);
+    r.read_exact(body)?;
     while body.len() < len {
         let filled = body.len();
         let step = (len - filled).min(filled);
@@ -127,7 +138,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
         body.resize(filled + step, 0);
         r.read_exact(&mut body[filled..])?;
     }
-    Ok(body)
+    Ok(())
 }
 
 #[cfg(test)]

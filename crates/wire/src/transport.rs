@@ -6,12 +6,14 @@
 //! server answers requests in arrival order, so a client may either run
 //! one-in-one-out ([`Client::call`]) or *pipeline* — issue several
 //! [`Client::send`]s before draining the matching [`Client::recv`]s. The
-//! sharded service tier's `RemoteShard` splits every exchange in two — the
-//! frame is sent when a request is begun, its one reply read when it is
-//! finished — on a connection checked out of a
-//! [`ClientPool`](crate::pool::ClientPool); clients that want true
-//! parallelism open multiple connections (exactly how the paper's load
-//! generator drives 100 client threads).
+//! sharded service tier's coordinator → node requests are each one
+//! [`Exchange`](crate::pool::Exchange) of a
+//! [`ClientPool`](crate::pool::ClientPool): the frame is sent when a
+//! request is begun, its one reply read when it is finished. Clients that
+//! want true parallelism open multiple connections (exactly how the
+//! paper's load generator drives 100 client threads). Each end reads and
+//! writes one socket through one per-connection buffer, so a warm
+//! connection allocates only what the messages themselves own.
 //!
 //! ```rust
 //! use std::sync::Arc;
@@ -40,7 +42,7 @@
 //! ```
 
 use crate::codec::WireError;
-use crate::frame::{read_frame, write_frame_in, FrameError, PREFIX_LEN};
+use crate::frame::{read_frame_into, write_frame_in, FrameError, PREFIX_LEN};
 use crate::messages::{split_trace, Request, RequestRef, Response};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -238,16 +240,16 @@ fn serve_connection(
             .set_read_timeout(Some(idle.max(Duration::from_millis(1))))
             .ok();
     }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    // Per-connection reply scratch: every response on this connection is
-    // encoded into the same buffer, behind room for its length prefix, so
-    // steady-state serving allocates only what the messages themselves own
-    // and a reply of any size is one `write(2)`.
-    let mut out = Vec::new();
+    let (mut reader, mut writer) = (BufReader::new(stream), stream);
+    // Per-connection frame scratch: each request is read into the same
+    // buffer, and its reply encoded there behind room for its length
+    // prefix once the handler is done with the request, so steady-state
+    // serving allocates only what the messages themselves own and a reply
+    // of any size is one `write(2)`.
+    let mut frame = Vec::new();
     loop {
-        let body = match read_frame(&mut reader) {
-            Ok(b) => b,
+        match read_frame_into(&mut reader, &mut frame) {
+            Ok(()) => {}
             Err(FrameError::Closed) => return Ok(()),
             Err(e) if e.is_timeout() => {
                 // Idle (or mid-frame stalled) past the deadline: close.
@@ -258,12 +260,12 @@ fn serve_connection(
             }
             Err(e) => return Err(e),
         };
-        let resp = handle_frame_traced(&*handler, &body);
-        out.clear();
-        out.extend_from_slice(&[0; PREFIX_LEN]);
-        resp.encode_into(&mut out);
-        write_frame_in(&mut writer, &mut out)?;
-        bound_scratch(&mut out);
+        let resp = handle_frame_traced(&*handler, &frame);
+        frame.clear();
+        frame.extend_from_slice(&[0; PREFIX_LEN]);
+        resp.encode_into(&mut frame);
+        write_frame_in(&mut writer, &mut frame)?;
+        bound_scratch(&mut frame);
     }
 }
 
@@ -301,12 +303,12 @@ impl From<io::Error> for ClientError {
 
 /// A blocking client connection.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Per-connection request scratch: every frame sent on this connection
-    /// is assembled in the same buffer, length prefix first (capacity
-    /// persists across sends), and leaves as one `write(2)`.
-    scratch: Vec<u8>,
+    /// Read through the buffer; written through `get_mut`.
+    conn: BufReader<TcpStream>,
+    /// Per-connection frame scratch: every request is assembled in it,
+    /// length prefix first, and leaves as one `write(2)`; every reply is
+    /// read into it. Its capacity persists across frames.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -336,11 +338,9 @@ impl Client {
             }
         };
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
         let mut client = Client {
-            reader,
-            writer: stream,
-            scratch: Vec::new(),
+            conn: BufReader::new(stream),
+            frame: Vec::new(),
         };
         client.set_io_timeout(io_timeout)?;
         Ok(client)
@@ -354,10 +354,7 @@ impl Client {
     /// OS interprets a zero timeout as "block forever".
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
         let t = timeout.map(|d| d.max(Duration::from_millis(1)));
-        // `reader` and `writer` hold dup'd fds of one socket; SO_RCVTIMEO /
-        // SO_SNDTIMEO live on the shared file description, so arming via
-        // either handle covers both directions of the connection.
-        let sock = &self.writer;
+        let sock = self.conn.get_ref();
         sock.set_read_timeout(t)?;
         sock.set_write_timeout(t)?;
         Ok(())
@@ -366,7 +363,7 @@ impl Client {
     /// The deadline armed on the socket, as the OS reports it.
     #[cfg(test)]
     pub(crate) fn io_timeout(&self) -> Option<Duration> {
-        self.writer.read_timeout().ok().flatten()
+        self.conn.get_ref().read_timeout().ok().flatten()
     }
 
     /// Whether this connection, idle between exchanges, can carry another:
@@ -374,8 +371,9 @@ impl Client {
     /// and the peer has not closed it — a write to a closed socket still
     /// succeeds, so nothing later tells before the reply is missing.
     pub(crate) fn is_idle_and_open(&self) -> bool {
-        let sock = &self.writer;
-        if !self.reader.buffer().is_empty() || sock.set_nonblocking(true).is_err() {
+        timecrypt_obs::counters::POOL_PROBES.inc();
+        let sock = self.conn.get_ref();
+        if !self.conn.buffer().is_empty() || sock.set_nonblocking(true).is_err() {
             return false;
         }
         let quiet = matches!(sock.peek(&mut [0]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
@@ -399,34 +397,28 @@ impl Client {
         self.send_with(None, |body| req.encode_into(body))
     }
 
-    /// Like [`send`](Self::send), but the caller writes the request body
-    /// directly into the connection's scratch buffer — the zero-copy frame
-    /// assembly path for bodies built from parts (e.g. a
+    /// Like [`send`](Self::send), but `fill` writes the request body
+    /// directly into the connection's frame buffer — the pool's exchange
+    /// path, zero-copy for bodies built from parts (a
     /// [`BatchEncoder`](crate::messages::BatchEncoder) over serialized
     /// chunks) — behind a trace-context envelope when `ctx` is present
     /// (with `None` the frame is byte-identical to an untraced build's).
     /// `fill` must append exactly one valid encoded request.
-    pub fn send_with(
+    pub(crate) fn send_with(
         &mut self,
         ctx: Option<TraceContext>,
         fill: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), ClientError> {
-        let mut body = std::mem::take(&mut self.scratch);
-        body.clear();
-        body.extend_from_slice(&[0; PREFIX_LEN]);
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; PREFIX_LEN]);
         if let Some(ctx) = ctx {
-            crate::messages::encode_trace_prefix(ctx, &mut body);
+            crate::messages::encode_trace_prefix(ctx, frame);
         }
-        fill(&mut body);
-        let result = write_frame_in(&mut self.writer, &mut body);
-        bound_scratch(&mut body);
-        self.scratch = body;
-        if let Err(e) = &result {
-            if e.is_timeout() {
-                timecrypt_obs::counters::TIMEOUTS.inc();
-            }
-        }
-        Ok(result?)
+        fill(frame);
+        let sent = write_frame_in(self.conn.get_mut(), frame);
+        bound_scratch(frame);
+        Ok(sent.inspect_err(count_timeout)?)
     }
 
     /// Receives the next response of a pipelined exchange. Unlike
@@ -434,12 +426,16 @@ impl Client {
     /// as a *value* — a pipelined caller must keep draining the remaining
     /// responses even when one request failed.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let body = read_frame(&mut self.reader).inspect_err(|e| {
-            if e.is_timeout() {
-                timecrypt_obs::counters::TIMEOUTS.inc();
-            }
-        })?;
-        Ok(Response::decode(&body).map_err(FrameError::Wire)?)
+        read_frame_into(&mut self.conn, &mut self.frame).inspect_err(count_timeout)?;
+        let reply = Response::decode(&self.frame).map_err(FrameError::Wire);
+        bound_scratch(&mut self.frame);
+        Ok(reply?)
+    }
+}
+
+fn count_timeout(e: &FrameError) {
+    if e.is_timeout() {
+        timecrypt_obs::counters::TIMEOUTS.inc();
     }
 }
 

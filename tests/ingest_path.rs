@@ -344,8 +344,9 @@ fn handling_a_one_shard_insert_batch_frame_allocates_a_constant_number_of_blocks
         assert_eq!(batch_errors(reply), vec![]);
         (allocs, frame.len())
     };
-    // The decoded list of chunk slices, the pending exchange with the node,
-    // the reply frame read back and its verdict list, whatever the chunks.
+    // The decoded list of chunk slices, the pending exchange with the node
+    // and its verdict list, whatever the chunks: the reply is read into the
+    // connection's buffer.
     let counts = SIZES.map(|n| allocations(n, 1).0);
     let (larger_chunks, bytes) = allocations(16, 400);
     assert!(bytes > 8 * allocations(16, 1).1);
