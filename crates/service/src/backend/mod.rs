@@ -6,12 +6,11 @@
 //! * the coordinator's in-process [`ShardNode`](crate::ShardNode) itself
 //!   (its `Arc` handle; `node.rs`), called directly (the default).
 //! * [`RemoteShard`] — a shard hosted by a `timecrypt-node` process,
-//!   reached over the blocking TCP transport through a
-//!   [`ClientPool`](timecrypt_wire::pool::ClientPool)
-//!   (reconnect-with-backoff; a mutation's pooled connection is probed
-//!   before it is written to, a read that failed on one is sent once more
-//!   on a fresh dial). Every request is one exchange in two steps:
-//!   its frame is written when it is begun ([`ShardBackend::begin_call`],
+//!   reached over the blocking TCP transport. Every request is one
+//!   [`Exchange`](timecrypt_wire::pool::Exchange) of the node's
+//!   [`ClientPool`](timecrypt_wire::pool::ClientPool), which owns its
+//!   checkout, probe, budget, resend and discard: its frame is written
+//!   when it is begun ([`ShardBackend::begin_call`],
 //!   [`ShardBackend::begin_leg`], [`ShardBackend::begin_batch`]) and its
 //!   one reply read when the [`Pending`] it returns is finished, so a
 //!   thread addressing several shards or nodes has every frame on the wire
@@ -46,8 +45,7 @@ use timecrypt_wire::messages::{Request, Response};
 
 /// An exchange a backend has begun: called, it reads the answer. It
 /// borrows nothing, so other shards' exchanges can be begun first. A
-/// remote shard's holds the node connection the reply is owed on, or the
-/// failure that kept the frame from going out; an in-process shard's, the
+/// remote shard's holds the pool's `Exchange`; an in-process shard's, the
 /// answer or the work.
 pub type Pending<T> = Box<dyn FnOnce() -> Result<T, ServerError>>;
 

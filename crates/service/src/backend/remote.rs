@@ -19,7 +19,7 @@ pub struct RemoteShard {
 }
 
 /// An exchange's reply; no reply is a transport-level failure.
-fn reply(exchange: Exchange) -> Result<Response, ServerError> {
+fn recv(exchange: Exchange) -> Result<Response, ServerError> {
     exchange.recv().map_err(|e| match e {
         Failed::Deadline => DEADLINE,
         Failed::Unreachable => UNREACHABLE,
@@ -29,7 +29,7 @@ fn reply(exchange: Exchange) -> Result<Response, ServerError> {
 impl ShardBackend for RemoteShard {
     fn begin_call(&self, req: Request, deadline: Option<Instant>) -> Pending<Response> {
         let exchange = self.pool.send(Body::Request(req), deadline);
-        Box::new(move || reply(exchange))
+        Box::new(move || recv(exchange))
     }
 
     /// One `GetStatLeg` exchange, so the caller puts other shards' legs on
@@ -51,7 +51,7 @@ impl ShardBackend for RemoteShard {
         let exchange = self.pool.send(Body::Request(req), Some(deadline));
         let (metrics, shard) = (self.metrics.clone(), self.shard);
         Box::new(move || {
-            let leg = match reply(exchange)? {
+            let leg = match recv(exchange)? {
                 Response::StatLeg(leg) => StatLeg::from(leg),
                 // The node answered, but not with a fold: its message is
                 // the leg's first stream's error (the transport is fine).
@@ -73,7 +73,7 @@ impl ShardBackend for RemoteShard {
         let exchange = self.pool.send(Body::Batch(chunks), None);
         let (metrics, shard, chunks) = (self.metrics.clone(), self.shard, chunks.len());
         Box::new(move || {
-            let reply = reply(exchange)?;
+            let reply = recv(exchange)?;
             let mut results: Verdicts = (0..chunks).map(|_| Ok(())).collect();
             match reply {
                 Response::Batch { errors } => {

@@ -199,7 +199,7 @@ impl ClientPool {
         let mut conn = PooledConn {
             pool: self.shared.clone(),
             client: None,
-            read: false,
+            reusable: false,
         };
         conn.client = Some(match pooled.filter(|c| !probe || c.is_idle_and_open()) {
             Some(c) => c,
@@ -256,8 +256,8 @@ struct PooledConn {
     pool: Arc<Shared>,
     /// `Some` once dialed or taken from the pool.
     client: Option<Client>,
-    /// The reply is read and the configured deadline armed.
-    read: bool,
+    /// Its reply is read and the configured deadline armed.
+    reusable: bool,
 }
 
 impl PooledConn {
@@ -290,7 +290,7 @@ impl PooledConn {
             ClientError::Frame(e) if e.is_timeout() && !within(deadline) => Failed::Deadline,
             _ => Failed::Unreachable,
         })?;
-        self.read = capped.is_none() || client.set_io_timeout(Some(io_timeout)).is_ok();
+        self.reusable = capped.is_none() || client.set_io_timeout(Some(io_timeout)).is_ok();
         Ok(reply)
     }
 }
@@ -302,7 +302,7 @@ impl Drop for PooledConn {
         let client = self.client.take();
         let mut idle = self.pool.idle();
         idle.out -= 1;
-        if self.read && idle.conns.len() < IDLE_FLOOR.max(idle.peak) {
+        if self.reusable && idle.conns.len() < IDLE_FLOOR.max(idle.peak) {
             idle.conns.extend(client);
         }
     }

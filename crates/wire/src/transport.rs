@@ -369,7 +369,8 @@ impl Client {
     /// Whether this connection, idle between exchanges, can carry another:
     /// nothing waits to be read (no reply is owed, so bytes are garbage)
     /// and the peer has not closed it — a write to a closed socket still
-    /// succeeds, so nothing later tells before the reply is missing.
+    /// succeeds, so nothing later tells before the reply is missing. Each
+    /// probe counts in `timecrypt_pool_probes_total`.
     pub(crate) fn is_idle_and_open(&self) -> bool {
         timecrypt_obs::counters::POOL_PROBES.inc();
         let sock = self.conn.get_ref();
