@@ -434,6 +434,7 @@ impl Client {
     }
 }
 
+/// A socket deadline that fired counts in `timecrypt_timeouts_total`.
 fn count_timeout(e: &FrameError) {
     if e.is_timeout() {
         timecrypt_obs::counters::TIMEOUTS.inc();
