@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use timecrypt::chunk::StreamConfig;
 use timecrypt::client::{Consumer, DataOwner, InProc, Transport};
 use timecrypt::crypto::SecureRandom;
+use timecrypt::wire::messages::Request;
 use timecrypt::wire::Client;
 
 mod common;
@@ -48,4 +49,23 @@ fn a_refusal_reads_the_same_over_every_transport_and_tier() {
     assert!(seen.iter().flatten().all(transport), "{seen:?}");
     let renderings = seen.iter().map(BTreeSet::len).max().unwrap_or(0);
     common::ledger(&[("client.refusal_renderings".into(), renderings.to_string())]);
+}
+
+/// A refusal on the wire: the `Response` a `GetRange` of the unknown
+/// stream 99 is answered with, the same bytes on every tier (the
+/// `wire.refusal_bytes.no_such_stream` row of the root `BENCH_ledger.json`).
+#[test]
+fn a_refusal_is_the_same_bytes_on_every_tier() {
+    let unknown = Request::GetRange {
+        stream: 99,
+        ts_s: 0,
+        ts_e: 60_000,
+    };
+    let tiers = [Spec::engine(), Spec::coordinator(2), Spec::remote(2, 2, 1)];
+    let replies: BTreeSet<Vec<u8>> = (tiers.iter())
+        .map(|spec| Deployment::build(spec).call(unknown.clone()).encode())
+        .collect();
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    let bytes = replies.first().map_or(0, Vec::len).to_string();
+    common::ledger(&[("wire.refusal_bytes.no_such_stream".into(), bytes)]);
 }
