@@ -122,9 +122,9 @@ impl Consumer {
             let plain = self
                 .keypair
                 .open(blob)
-                .map_err(|e| ClientFault::Transport(format!("grant unsealing failed: {e}")))?;
+                .map_err(|e| chunk_fault(format!("grant unsealing failed: {e}")))?;
             let grant = Grant::decode(&plain)
-                .map_err(|e| ClientFault::Transport(format!("grant decode failed: {e}")))?;
+                .map_err(|e| chunk_fault(format!("grant decode failed: {e}")))?;
             if grant.descriptor().stream != stream {
                 return Err(ClientFault::Protocol("grants of the requested stream"));
             }

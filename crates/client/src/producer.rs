@@ -6,7 +6,7 @@ use timecrypt_chunk::{
 };
 use timecrypt_core::StreamKeyMaterial;
 use timecrypt_crypto::SecureRandom;
-use timecrypt_wire::messages::Request;
+use timecrypt_wire::messages::{RefusalKind, Request};
 
 /// What both producers share: the stream's sealing state, kept for the
 /// life of the stream (every sealed chunk and every real-time record
@@ -108,7 +108,8 @@ impl Outbox {
     /// during an outage under the transport's frame cap. They stay queued
     /// while it is out. The chunks the server stored then leave the queue;
     /// after a fault, a malformed reply or a refusal, the rest stay at its
-    /// front, in order. Without a well-formed reply, the next send
+    /// front, in order. Without a well-formed reply, or with a chunk whose
+    /// outcome the server does not know, the next send
     /// [reconciles](Self::reconcile) first.
     /// Kept out of line: it runs once a request, while `ship`'s check runs
     /// once a point, and inlined into the push path it made pushing a
@@ -151,14 +152,13 @@ impl Outbox {
         if errors.len() > window || errors.iter().any(|&(idx, _)| idx as usize >= window) {
             return Err(ClientFault::Protocol("Batch within bounds"));
         }
-        self.unsure = false;
+        // A chunk of unknown outcome may be stored: the server's length decides.
+        self.unsure = (errors.iter()).any(|(_, refusal)| refusal.kind == RefusalKind::Ambiguous);
         self.batches_sent += 1;
         let rejected = |at: usize| errors.iter().any(|&(idx, _)| idx as usize == at);
         self.settle(|at, _| at < window && !rejected(at), acked)?;
         match errors.into_iter().next() {
-            Some((idx, msg)) => Err(ClientFault::Chunk(format!(
-                "batch chunk {idx} rejected: {msg}"
-            ))),
+            Some((_, refusal)) => Err(ClientFault::Refused(refusal)),
             None => Ok(()),
         }
     }
@@ -458,7 +458,7 @@ mod tests {
     use crate::transport::InProc;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use timecrypt_wire::messages::{Response, StreamInfoWire};
+    use timecrypt_wire::messages::{Refusal, Response, StreamInfoWire};
 
     fn keys() -> StreamKeyMaterial {
         StreamKeyMaterial::with_params(1, [5u8; 16], 20, timecrypt_crypto::PrgKind::Aes).unwrap()
@@ -495,7 +495,7 @@ mod tests {
                 if calls2.fetch_add(1, Ordering::Relaxed) == 0 {
                     Response::Batch {
                         errors: (0..chunks.len() as u32)
-                            .map(|i| (i, "down".into()))
+                            .map(|i| (i, Refusal::new(RefusalKind::Unavailable, "down")))
                             .collect(),
                     }
                 } else {
@@ -510,7 +510,7 @@ mod tests {
         // the sealed chunks stay queued.
         feed(&mut p, &mut t, 0..20).unwrap();
         let err = p.flush(&mut t).unwrap_err();
-        assert!(matches!(err, ClientFault::Chunk(_)), "{err:?}");
+        assert!(matches!(err, ClientFault::Refused(_)), "{err:?}");
         assert_eq!(p.chunks_sent(), 0);
         // Retry without sealing anything new: the queued chunks go through.
         p.flush(&mut t).unwrap();
@@ -700,7 +700,9 @@ mod tests {
     fn out_of_bounds_error_list_is_a_protocol_fault() {
         let handler = |req: Request| match req {
             Request::InsertBatch { .. } => Response::Batch {
-                errors: vec![(0, "a".into()), (7, "out of range".into())],
+                errors: [0, 7]
+                    .map(|at| (at, Refusal::new(RefusalKind::Conflict, "")))
+                    .into(),
             },
             _ => Response::Ok,
         };

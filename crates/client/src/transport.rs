@@ -2,20 +2,24 @@
 //! reader over both.
 
 use std::sync::Arc;
-use timecrypt_wire::messages::{Request, Response, StatReply, StreamInfoWire};
+use timecrypt_wire::messages::{Refusal, Request, Response, StatReply, StreamInfoWire};
 use timecrypt_wire::transport::{ClientError, Handler};
 
 /// Client-side failure type shared by all roles.
 #[derive(Debug)]
 pub enum ClientFault {
-    /// A transport failure, or the server's refusal (`Response::Error`):
-    /// its message, verbatim, whichever transport carried it.
+    /// No well-formed reply: the connection failed, or the reply did not
+    /// decode.
     Transport(String),
+    /// The server's refusal (`Response::Error`), whole, whichever transport
+    /// carried it.
+    Refused(Refusal),
     /// The server replied with an unexpected variant.
     Protocol(&'static str),
     /// Local key material can't decrypt / derive (access control).
     Access(timecrypt_core::CoreError),
-    /// Chunk handling error.
+    /// A chunk, record, proof or grant that cannot be sealed, parsed or
+    /// opened.
     Chunk(String),
 }
 
@@ -23,6 +27,7 @@ impl std::fmt::Display for ClientFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientFault::Transport(e) => write!(f, "transport: {e}"),
+            ClientFault::Refused(refusal) => write!(f, "refused: {}", refusal.reason),
             ClientFault::Protocol(w) => write!(f, "protocol: expected {w}"),
             ClientFault::Access(e) => write!(f, "access: {e}"),
             ClientFault::Chunk(e) => write!(f, "chunk: {e}"),
@@ -35,7 +40,7 @@ impl std::error::Error for ClientFault {}
 impl From<ClientError> for ClientFault {
     fn from(e: ClientError) -> Self {
         match e {
-            ClientError::Server(msg) => refusal(msg),
+            ClientError::Refused(refusal) => ClientFault::Refused(refusal),
             ClientError::Frame(_) => ClientFault::Transport(e.to_string()),
         }
     }
@@ -47,12 +52,7 @@ impl From<timecrypt_core::CoreError> for ClientFault {
     }
 }
 
-/// A server's refusal, as every transport renders it.
-fn refusal(msg: String) -> ClientFault {
-    ClientFault::Transport(msg)
-}
-
-/// A chunk, record or proof that cannot be sealed, parsed or opened.
+/// A chunk, record, proof or grant that cannot be sealed, parsed or opened.
 pub(crate) fn chunk_fault(e: impl std::fmt::Display) -> ClientFault {
     ClientFault::Chunk(e.to_string())
 }
@@ -90,7 +90,7 @@ impl<H: Handler + ?Sized> InProc<H> {
 impl<H: Handler + ?Sized> Transport for InProc<H> {
     fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
         match self.handler.handle(req.clone()) {
-            Response::Error(e) => Err(refusal(e)),
+            Response::Error(refusal) => Err(ClientFault::Refused(refusal)),
             other => Ok(other),
         }
     }
@@ -116,7 +116,7 @@ macro_rules! readers {
 pub(crate) trait Exchange: Transport {
     readers! {
         ack: Ok {} => (), ();
-        batch: Batch { errors } => errors, Vec<(u32, String)>;
+        batch: Batch { errors } => errors, Vec<(u32, Refusal)>;
         blobs: Blobs(blobs) => blobs, Vec<Vec<u8>>;
         envelopes: Envelopes(envelopes) => envelopes, Vec<(u64, Vec<u8>)>;
         info: Info(info) => info, StreamInfoWire;

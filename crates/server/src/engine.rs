@@ -4,7 +4,7 @@
 
 use crate::residency::{Residency, StreamMeta};
 use crate::runs::{ingest_reply, Runs};
-use crate::stat::{StatLeg, StreamStat};
+use crate::stat::{self, StatLeg, StreamStat};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU64;
@@ -19,7 +19,8 @@ use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
 use timecrypt_obs::rank::{self, Stripes};
 use timecrypt_obs::{counters, trace};
 use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
-use timecrypt_wire::messages::{Request, RequestRef, Response, StatReply, StreamInfoWire};
+use timecrypt_wire::messages::{Refusal, RefusalKind, StatReply, StreamInfoWire};
+use timecrypt_wire::messages::{Request, RequestRef, Response};
 use timecrypt_wire::transport::{dispatch_frame, Handler};
 
 /// Server-side tuning knobs.
@@ -64,7 +65,7 @@ const SCAN_KEYS: usize = 1024;
 /// What one import page changes: the keys to delete, the records to put.
 type PageWrites<'p> = (Vec<Vec<u8>>, Vec<&'p (Vec<u8>, Vec<u8>)>);
 
-/// Engine errors (mapped to `Response::Error` strings at the wire boundary).
+/// Engine errors; at the wire boundary each is answered as its [`Refusal`].
 #[derive(Debug)]
 pub enum ServerError {
     /// Unknown stream id.
@@ -127,12 +128,12 @@ pub enum ServerError {
     /// A service-tier component (e.g. a shard's node) is not
     /// available to process the request.
     Unavailable(&'static str),
-    /// An error reported by a remote shard node, carried verbatim. The
-    /// `Display` impl prints the remote's message unchanged, which is what
-    /// keeps wire replies byte-identical between a single-process service
-    /// and a multi-node cluster: the remote rendered its engine error with
-    /// the same `ServerError::to_string` this process would have used.
-    Remote(String),
+    /// A mutation whose exchange failed after it may have reached the
+    /// primary: it may have been applied, so it is not blindly sent again.
+    Ambiguous,
+    /// Another process's refusal, whole: its `Display` is the reason, so
+    /// replies are byte-identical however the shards are placed.
+    Refused(Refusal),
 }
 
 impl std::fmt::Display for ServerError {
@@ -175,12 +176,38 @@ impl std::fmt::Display for ServerError {
                 write!(f, "no attestation stored for stream {s:#x}")
             }
             ServerError::Unavailable(what) => write!(f, "service unavailable: {what}"),
-            ServerError::Remote(msg) => write!(f, "{msg}"),
+            ServerError::Ambiguous => write!(
+                f,
+                "service unavailable: mutation outcome unknown: shard unreachable mid-exchange"
+            ),
+            ServerError::Refused(refusal) => f.write_str(&refusal.reason),
         }
     }
 }
 
 impl std::error::Error for ServerError {}
+
+/// The refusal an error is answered with: the one map from an engine
+/// error to a [`RefusalKind`], and its rendering as the reason.
+impl From<ServerError> for Refusal {
+    fn from(e: ServerError) -> Self {
+        use {RefusalKind as K, ServerError as E};
+        let kind = match e {
+            E::Refused(refusal) => return refusal,
+            E::NoSuchStream(_) => K::NoSuchStream,
+            E::StreamExists(_) | E::OutOfOrderChunk { .. } => K::Conflict,
+            E::StaleLiveRecord { .. } => K::Conflict,
+            E::ZeroInterval | E::WidthMismatch { .. } | E::EmptyRange => K::BadRequest,
+            E::IncompatibleStreams | E::BadChunk | E::BadRecord | E::BadImport => K::BadRequest,
+            E::RangeDecayed { .. } | E::Integrity(_) | E::NoAttestation(_) => K::BadRequest,
+            E::Store(StoreError::ReadOnly) => K::ReadOnly,
+            E::Index(IndexError::Store(StoreError::ReadOnly)) => K::ReadOnly,
+            E::Store(_) | E::Index(_) | E::Unavailable(_) => K::Unavailable,
+            E::Ambiguous => K::Ambiguous,
+        };
+        Refusal::new(kind, e.to_string())
+    }
+}
 
 impl From<StoreError> for ServerError {
     fn from(e: StoreError) -> Self {
@@ -839,7 +866,7 @@ impl TimeCryptServer {
     /// window and the homomorphic sum over it. `None` means the range is
     /// empty for this stream (the caller decides whether that is an error).
     ///
-    /// [`StatLeg::fold`] reads it, stream by stream, for
+    /// [`stat::fold`] reads it, stream by stream, for
     /// [`stat_leg`](Self::stat_leg) and [`get_stat_range`](Self::get_stat_range).
     ///
     /// Takes no exclusive lock: any number of concurrent `stream_stat`
@@ -865,7 +892,7 @@ impl TimeCryptServer {
     /// `streams` folded in request order up to the first that stops the
     /// fold: a shard's leg of a scatter-gather query.
     pub fn stat_leg(&self, streams: &[u128], ts_s: i64, ts_e: i64) -> StatLeg {
-        StatLeg::fold(streams.iter().map(|&sid| self.stream_stat(sid, ts_s, ts_e)))
+        stat::fold(streams.iter().map(|&sid| self.stream_stat(sid, ts_s, ts_e)))
     }
 
     /// Statistical query over one or more streams: the homomorphic sum of
@@ -878,7 +905,7 @@ impl TimeCryptServer {
         ts_s: i64,
         ts_e: i64,
     ) -> Result<StatReply, ServerError> {
-        self.stat_leg(streams, ts_s, ts_e).into_reply(streams)
+        stat::reply(self.stat_leg(streams, ts_s, ts_e), streams)
     }
 
     /// Deletes raw chunk payloads in `[ts_s, ts_e)` while keeping digests
@@ -1118,10 +1145,7 @@ impl TimeCryptServer {
             r: Result<T, E>,
             f: impl FnOnce(T) -> Response,
         ) -> Response {
-            match r {
-                Ok(v) => f(v),
-                Err(e) => Response::Error(e.into().to_string()),
-            }
+            r.map_or_else(|e| Response::Error(e.into().into()), f)
         }
         fn acked<T>(_: T) -> Response {
             Response::Ok
@@ -1157,7 +1181,7 @@ impl TimeCryptServer {
                 streams,
                 ts_s,
                 ts_e,
-            } => Response::StatLeg(self.stat_leg(&streams, ts_s, ts_e).into()),
+            } => Response::StatLeg(self.stat_leg(&streams, ts_s, ts_e)),
             Request::DeleteRange { stream, ts_s, ts_e } => {
                 ok_or(self.delete_range(stream, ts_s, ts_e), acked)
             }
@@ -1211,9 +1235,10 @@ impl TimeCryptServer {
                     chunks,
                 },
             ),
-            Request::Stats => {
-                Response::Error("service stats unavailable: single-engine deployment".into())
-            }
+            Request::Stats => Response::Error(Refusal::new(
+                RefusalKind::Unavailable,
+                "service stats unavailable: single-engine deployment",
+            )),
             // A single engine owns every stream: the shard id is a routing
             // concept of the service tier, so it is ignored here.
             Request::ListStreams { .. } => Response::StreamList(self.stream_ids()),
@@ -1361,10 +1386,9 @@ mod tests {
             s.stream_info(9),
             Err(ServerError::NoSuchStream(9))
         ));
-        assert!(matches!(
-            s.get_stat_range(&[9], 0, 10),
-            Err(ServerError::NoSuchStream(9))
-        ));
+        // A statistical query folds its streams' errors into its refusal.
+        let refused = Refusal::from(s.get_stat_range(&[9], 0, 10).unwrap_err());
+        assert_eq!(refused, ServerError::NoSuchStream(9).into());
     }
 
     #[test]
@@ -1791,7 +1815,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match s.handle(Request::StreamInfo { stream: 99 }) {
-            Response::Error(e) => assert!(e.contains("no such stream")),
+            Response::Error(e) => assert_eq!(e, ServerError::NoSuchStream(99).into()),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1824,15 +1848,12 @@ mod tests {
         // A fine-grained query below the rolled-up level is a *decay*
         // error, not corruption: [0s, 10s) needs the level-1 node that
         // rollup aged out.
-        match s.get_stat_range(&[1], 0, 10_000) {
-            Err(ServerError::RangeDecayed { level: 1, index: 0 }) => {}
-            other => panic!("expected RangeDecayed, got {other:?}"),
-        }
-        let msg = s.get_stat_range(&[1], 0, 10_000).unwrap_err().to_string();
-        assert!(
-            msg.contains("decay") && msg.contains("coarser"),
-            "error must read as an aging condition: {msg}"
-        );
+        // It is refused as a request the stored data cannot answer, not as
+        // a storage fault.
+        let refusal = Refusal::from(s.get_stat_range(&[1], 0, 10_000).unwrap_err());
+        let decayed = ServerError::RangeDecayed { level: 1, index: 0 };
+        assert_eq!(refusal, decayed.into());
+        assert_eq!(refusal.kind, RefusalKind::BadRequest);
     }
 
     #[test]

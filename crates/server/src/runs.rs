@@ -114,20 +114,19 @@ impl<'a, K: Copy + Ord> Runs<'a, &'a [u8], K> {
 }
 
 /// The reply to an ingest request, at every tier: `Insert` is a batch of
-/// one and `InsertBatch` its `(position, message)` errors (successes are
+/// one and `InsertBatch` its `(position, refusal)` errors (successes are
 /// implicit), both from `run` — the tier's ingest of serialized chunks,
 /// verdicts in batch order, a chunk past the end of them unacked — and
-/// `InsertLive` the outcome of `live` over the record's bytes. Error
-/// strings are the `ServerError` renderings, so they cannot diverge between
-/// deployment shapes. Any other request is handed back.
+/// `InsertLive` the outcome of `live` over the record's bytes. Each error
+/// is answered as its `Refusal`, so it cannot diverge between deployment
+/// shapes. Any other request is handed back.
 pub fn ingest_reply(
     req: RequestRef<'_>,
     run: impl FnOnce(&[&[u8]]) -> Verdicts,
     live: impl FnOnce(&[u8]) -> Result<(), ServerError>,
 ) -> Result<Response, Request> {
-    let acked = |outcome: Result<(), ServerError>| match outcome {
-        Ok(()) => Response::Ok,
-        Err(e) => Response::Error(e.to_string()),
+    let acked = |outcome: Result<(), ServerError>| {
+        outcome.map_or_else(|e| Response::Error(e.into()), |()| Response::Ok)
     };
     let verdicts = |chunks: &[&[u8]]| {
         let mut verdicts = run(chunks);
@@ -138,10 +137,9 @@ pub fn ingest_reply(
         RequestRef::Insert { chunk } => acked(verdicts(&[chunk]).remove(0)),
         RequestRef::InsertBatch { chunks } => {
             let failed = (0..).zip(verdicts(&chunks));
-            let errors = failed.filter_map(|(pos, v)| Some((pos, v.err()?.to_string())));
-            Response::Batch {
-                errors: errors.collect(),
-            }
+            let errors = failed.filter_map(|(pos, v)| Some((pos, v.err()?.into())));
+            let errors = errors.collect();
+            Response::Batch { errors }
         }
         RequestRef::InsertLive { record } => acked(live(record)),
         RequestRef::Other(req) => return Err(req),
@@ -153,6 +151,7 @@ mod tests {
     use super::*;
     use crate::ServerError::{OutOfOrderChunk, Unavailable};
     use timecrypt_chunk::serialize::EncryptedChunk;
+    use timecrypt_wire::messages::Refusal;
 
     /// `spec` as a batch — `Some((stream, index))` a chunk, `None` a
     /// malformed one — split by stream. Each run answers its chunks with
@@ -263,7 +262,7 @@ mod tests {
             let run = |_: &[&[u8]]| (0..answered).map(|_| Ok(())).collect();
             ingest_reply(req, run, |_| Ok(())).unwrap()
         };
-        let none = no_verdict().unwrap_err().to_string();
+        let none: Refusal = no_verdict().unwrap_err().into();
         let insert = || RequestRef::Insert { chunk: chunks[0] };
         assert_eq!(reply(insert(), 0), Response::Error(none.clone()));
         assert_eq!(reply(insert(), 1), Response::Ok);

@@ -13,6 +13,7 @@ use timecrypt_crypto::{PrgKind, SecureRandom};
 use timecrypt_faults::{FaultPlan, FaultyFile, FileCall, FileFault, FileRule, Trigger};
 use timecrypt_server::{ServerConfig, ServerError, TimeCryptServer};
 use timecrypt_store::{Durability, KvPairs, KvStore, LogKv, MemFile, MemKv};
+use timecrypt_wire::messages::Refusal;
 
 const DELTA_MS: u64 = 10_000;
 
@@ -194,10 +195,9 @@ fn rollup_keeps_its_contract_across_rehydration() {
         }
         assert_eq!(server.get_stat_range(&[1], 0, ts(140)).unwrap(), full);
         assert_eq!(server.get_stat_range(&[1], 0, ts(128)).unwrap(), coarse);
-        assert!(matches!(
-            server.get_stat_range(&[1], 0, ts(1)),
-            Err(ServerError::RangeDecayed { level: 1, index: 0 })
-        ));
+        let decayed = ServerError::RangeDecayed { level: 1, index: 0 };
+        let refused = server.get_stat_range(&[1], 0, ts(1)).unwrap_err();
+        assert_eq!(Refusal::from(refused), decayed.into());
         // Past the cutoff, full resolution stays.
         assert!(server.get_stat_range(&[1], ts(129), ts(130)).is_ok());
         assert!(server.get_stat_range(&[1], ts(138), ts(140)).is_ok());

@@ -26,10 +26,14 @@
 //! `Err(`[`ServerError::Unavailable`]`)` **only** for transport-level
 //! failure — a checkout, send or reply that failed, or a budget spent —
 //! and that is the signal [`ShardReplicas`] fails over on.
-//! Application-level errors travel inside the `Ok` payload: for remote
-//! backends as [`ServerError::Remote`], whose `Display` is the node's
-//! message verbatim, so wire replies stay byte-identical between
-//! single-process and multi-node deployments.
+//! Application-level errors travel inside the `Ok` payload: a node's
+//! refusal as the [`Refusal`](timecrypt_wire::messages::Refusal) it sent,
+//! kind and reason, in [`ServerError::Refused`], whose `Display` is the
+//! reason verbatim, so wire replies stay byte-identical between
+//! single-process and multi-node deployments. A write whose primary failed
+//! after it may have arrived is [`ServerError::Ambiguous`]; a refusal's
+//! kind is decided once, where `timecrypt-server` maps a `ServerError` to
+//! its `Refusal`.
 
 mod remote;
 mod replicas;
@@ -63,16 +67,6 @@ pub(crate) const UNREACHABLE: ServerError = ServerError::Unavailable("shard node
 /// store, so every mirrored write would be a duplicate the node rejects.
 pub(crate) const SAME_NODE: ServerError =
     ServerError::Unavailable("a backup replica must run on another node than its primary");
-
-/// The verdict for a mutation whose exchange failed at the transport
-/// level *after* it may have reached the primary (a timeout or severed
-/// connection mid-exchange): the write's fate is unknown, so the service
-/// must not blindly retry it — the peer may have applied it, and a
-/// duplicate would be acknowledged-then-rejected downstream. Callers
-/// that want at-least-once semantics re-submit explicitly and treat the
-/// engine's strict next-index rejection as "already applied".
-pub(crate) const AMBIGUOUS: ServerError =
-    ServerError::Unavailable("mutation outcome unknown: shard unreachable mid-exchange");
 
 /// The reply to a request whose [`Route`](timecrypt_wire::messages::Route)
 /// says the serving tier answers it itself, but which the tier has no arm
@@ -150,7 +144,7 @@ pub trait ShardBackend: Send + Sync + 'static {
     }
 
     /// Begins one scatter-gather leg: the shard's `streams`, in request
-    /// order, folded ([`StatLeg::fold`]) up to the first that stops the
+    /// order, folded ([`stat::fold`](timecrypt_server::stat::fold)) up to the first that stops the
     /// fold. A remote shard has the leg's one frame written when this
     /// returns, and waits for no reply past `deadline` (one that
     /// arrived by then is still read): the leg fails `Unavailable("query

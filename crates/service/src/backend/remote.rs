@@ -7,7 +7,7 @@ use super::{Leg, Pending, ShardBackend, Verdicts, DEADLINE, UNREACHABLE};
 use crate::metrics::{record_leg, record_run, ShardMetrics};
 use std::sync::Arc;
 use std::time::Instant;
-use timecrypt_server::{ServerError, StatLeg};
+use timecrypt_server::{stat, ServerError, StatLeg};
 use timecrypt_wire::messages::{Request, Response};
 use timecrypt_wire::pool::{Body, ClientPool, Exchange, Failed};
 
@@ -52,11 +52,11 @@ impl ShardBackend for RemoteShard {
         let (metrics, shard) = (self.metrics.clone(), self.shard);
         Box::new(move || {
             let leg = match recv(exchange)? {
-                Response::StatLeg(leg) => StatLeg::from(leg),
-                // The node answered, but not with a fold: its message is
+                Response::StatLeg(leg) => leg,
+                // The node answered, but not with a fold: its refusal is
                 // the leg's first stream's error (the transport is fine).
-                Response::Error(msg) => StatLeg::fold([Err(ServerError::Remote(msg))]),
-                _ => StatLeg::fold([Err(ServerError::Unavailable(
+                Response::Error(refusal) => stat::fold([Err(ServerError::Refused(refusal))]),
+                _ => stat::fold([Err(ServerError::Unavailable(
                     "unexpected remote stat reply",
                 ))]),
             };
@@ -77,15 +77,15 @@ impl ShardBackend for RemoteShard {
             let mut results: Verdicts = (0..chunks).map(|_| Ok(())).collect();
             match reply {
                 Response::Batch { errors } => {
-                    for (idx, msg) in errors {
+                    for (idx, refusal) in errors {
                         if let Some(slot) = results.get_mut(idx as usize) {
-                            *slot = Err(ServerError::Remote(msg));
+                            *slot = Err(ServerError::Refused(refusal));
                         }
                     }
                 }
                 // The node answered, but not with a batch verdict: fail
-                // every chunk with its message (transport is still fine).
-                Response::Error(msg) => results.fill_with(|| Err(ServerError::Remote(msg.clone()))),
+                // every chunk with its refusal (transport is still fine).
+                Response::Error(r) => results.fill_with(|| Err(ServerError::Refused(r.clone()))),
                 _ => results
                     .fill_with(|| Err(ServerError::Unavailable("unexpected remote batch reply"))),
             }

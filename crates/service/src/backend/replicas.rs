@@ -1,6 +1,6 @@
 //! One shard's replica set: failover, promotion and rebuild.
 
-use super::{Leg, Pending, ShardBackend, Verdicts, AMBIGUOUS, SAME_NODE};
+use super::{Leg, Pending, ShardBackend, Verdicts, SAME_NODE};
 use crate::metrics::ShardMetrics;
 use parking_lot::RwLock;
 use std::cell::Cell;
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_chunk::serialize::ChunkRef;
 use timecrypt_obs::rank::{self, Ranked, Stripes};
-use timecrypt_server::{ServerError, StatLeg};
+use timecrypt_server::{stat, ServerError, StatLeg};
 use timecrypt_wire::messages::{Request, Response, Route};
 
 /// Backup replica health. Write mirroring is armed in *every* state —
@@ -304,7 +304,7 @@ impl ShardReplicas {
             replicas: self,
             op,
             primary: Some((primary, sent)),
-            out: Err(AMBIGUOUS),
+            out: Err(ServerError::Ambiguous),
             mirror: None,
         }
     }
@@ -320,7 +320,7 @@ impl ShardReplicas {
         } else {
             self.read_with_failover(self.snapshot(), |b| b.call(req.clone()))
         };
-        reply.unwrap_or_else(|e| Response::Error(e.to_string()))
+        reply.unwrap_or_else(|e| Response::Error(e.into()))
     }
 
     /// Begins one scatter-gather leg on the primary — a remote one then
@@ -347,7 +347,7 @@ impl ShardReplicas {
                 begun.unwrap_or_else(|| b.begin_leg(streams, ts_s, ts_e, deadline))()
             };
             self.read_with_failover(roles, leg)
-                .unwrap_or_else(|e| StatLeg::fold([Err(e)]))
+                .unwrap_or_else(|e| stat::fold([Err(e)]))
         }
     }
 
@@ -645,7 +645,8 @@ type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
 /// only runs after the primary acknowledged client-side, so a write whose
 /// ack was lost never reached the backup, and strict next-index ingest
 /// rejects any duplicate that somehow did. With no safe retry target the
-/// error is [`AMBIGUOUS`]: callers know the write may have been applied.
+/// error is [`ServerError::Ambiguous`]: callers know the write may have
+/// been applied.
 pub(crate) struct Write<'r, W: WriteOp> {
     replicas: &'r ShardReplicas,
     op: W,
@@ -703,14 +704,14 @@ impl<W: WriteOp> Write<'_, W> {
 
 impl Write<'_, Run<'_>> {
     /// [`finish_mirror`](Self::finish_mirror), infallible: an unreachable
-    /// primary yields per-chunk [`AMBIGUOUS`] verdicts — the run may have
+    /// primary yields per-chunk [`ServerError::Ambiguous`] verdicts — the run may have
     /// been applied (in full or in prefix) before the transport failed, so
     /// callers must not blindly re-submit.
     pub(crate) fn settle(self) -> Verdicts {
         let (m, chunks) = (self.replicas.m(), self.op.0.len());
         let verdicts = self.finish_mirror().unwrap_or_else(|_| {
             m.ingest_errors.add(chunks as u64);
-            (0..chunks).map(|_| Err(AMBIGUOUS)).collect()
+            (0..chunks).map(|_| Err(ServerError::Ambiguous)).collect()
         });
         m.queue_depth.sub(chunks as u64);
         verdicts
@@ -766,7 +767,7 @@ mod tests {
     use timecrypt_obs::rank::stripe;
     use timecrypt_server::{keys, ServerConfig, TimeCryptServer};
     use timecrypt_store::MemKv;
-    use timecrypt_wire::messages::StatReply;
+    use timecrypt_wire::messages::{Refusal, StatReply};
     use timecrypt_wire::transport::Handler;
 
     /// An in-process backend over its own store whose reachability the
@@ -885,8 +886,8 @@ mod tests {
             let streams = streams.to_vec();
             Box::new(move || {
                 reach.ensure_up()?;
-                let stat = |&sid| engine.stream_stat(sid, ts_s, ts_e);
-                Ok(StatLeg::fold(streams.iter().map(stat)))
+                let stream_stat = |&sid| engine.stream_stat(sid, ts_s, ts_e);
+                Ok(stat::fold(streams.iter().map(stream_stat)))
             })
         }
 
@@ -944,7 +945,7 @@ mod tests {
         ts_e: i64,
     ) -> Result<StatReply, ServerError> {
         let deadline = Instant::now() + std::time::Duration::from_secs(3600);
-        r.begin_leg(streams, ts_s, ts_e, deadline)().into_reply(streams)
+        stat::reply(r.begin_leg(streams, ts_s, ts_e, deadline)(), streams)
     }
 
     fn replicas(
@@ -988,8 +989,8 @@ mod tests {
         }
 
         /// Runs the operation against a [`seeded`] shard; `Err` carries
-        /// the rendered error.
-        fn run(self, r: &ShardReplicas) -> Result<(), String> {
+        /// the refusal it is answered with.
+        fn run(self, r: &ShardReplicas) -> Result<(), Refusal> {
             let reply = |resp| match resp {
                 Response::Ok | Response::Info(_) => Ok(()),
                 Response::Error(e) => Err(e),
@@ -999,10 +1000,10 @@ mod tests {
                 Kind::ReadCall => reply(r.call(Request::StreamInfo { stream: 1 })),
                 Kind::StatLeg => match stat_leg(r, &[1], 0, 10_000) {
                     Ok(_) => Ok(()),
-                    Err(e) => Err(e.to_string()),
+                    Err(e) => Err(e.into()),
                 },
                 Kind::MutCall => reply(r.call(Request::DeleteStream { stream: 2 })),
-                Kind::IngestBatch => insert(r, &sealed(1, 1, 6)).map_err(|e| e.to_string()),
+                Kind::IngestBatch => insert(r, &sealed(1, 1, 6)).map_err(Refusal::from),
                 Kind::CreateStream => reply(r.call(Request::CreateStream {
                     stream: 3,
                     t0: 0,
@@ -1060,7 +1061,7 @@ mod tests {
 
     #[derive(Debug, PartialEq)]
     struct Outcome {
-        served: Result<(), String>,
+        served: Result<(), Refusal>,
         failovers: u64,
         promotions: u64,
         replica_errors: u64,
@@ -1125,7 +1126,12 @@ mod tests {
             };
             // An unanswered read reports the transport failure; a write
             // whose primary was unreachable is ambiguous, never retried.
-            let unserved = Err(if write { AMBIGUOUS } else { UNREACHABLE }.to_string());
+            let unserved = Err(if write {
+                ServerError::Ambiguous
+            } else {
+                UNREACHABLE
+            }
+            .into());
             match (self, write) {
                 (Script::PrimaryDownBelowThreshold, _) => quiet(unserved, false),
                 (Script::PrimaryDownPromotes, _) => Outcome {
@@ -1231,10 +1237,7 @@ mod tests {
         write.finish_primary();
         let verdicts = write.settle();
         assert_eq!(verdicts.len(), 1);
-        assert_eq!(
-            verdicts[0].as_ref().unwrap_err().to_string(),
-            AMBIGUOUS.to_string()
-        );
+        assert!(matches!(verdicts[0], Err(ServerError::Ambiguous)));
         assert_eq!(steps.lock().join(" "), "begin(P0) finish(P0)");
         assert_eq!(m0.engine.stream_info(1).unwrap().len, 0);
         assert_eq!(sets[0].m().queue_depth.get(), 0);
@@ -1380,24 +1383,24 @@ mod tests {
     fn a_rebuild_returns_its_outcome() {
         let primary = seeded();
         let r = Arc::new(replicas(primary.clone(), None, 0));
-        let refused = |r: &ShardReplicas| r.rebuild_backup().unwrap_err().to_string();
-        assert!(refused(&r).contains("no backup"), "{}", refused(&r));
+        let refused = |r: &ShardReplicas| Refusal::from(r.rebuild_backup().unwrap_err());
+        let unavailable = |what| Refusal::from(ServerError::Unavailable(what));
+        let no_backup = unavailable("shard has no backup replica to rebuild");
+        assert_eq!(refused(&r), no_backup);
         let replacement = StubShard::new();
         r.attach_backup(replacement.clone()).unwrap();
         replacement.set_up(false);
-        assert!(refused(&r).contains("gave up"), "{}", refused(&r));
+        let gave_up = unavailable("replica rebuild gave up; the replica stays drifted");
+        assert_eq!(refused(&r), gave_up);
         assert_eq!((r.m().rebuilds.get(), r.m().in_sync.get()), (0, 0));
         replacement.set_up(true);
         // A second caller is refused while the first one's copy runs.
-        let (racing, second) = (r.clone(), Arc::new(parking_lot::Mutex::new(String::new())));
+        let (racing, second) = (r.clone(), Arc::new(parking_lot::Mutex::new(None)));
         let seen = second.clone();
-        primary.after(lists, move || *seen.lock() = refused(&racing));
+        primary.after(lists, move || *seen.lock() = Some(refused(&racing)));
         r.rebuild_backup().unwrap();
-        assert!(
-            second.lock().contains("already running"),
-            "{}",
-            second.lock()
-        );
+        let running = unavailable("a rebuild of this replica is already running");
+        assert_eq!(second.lock().take(), Some(running));
         // In sync already: the call succeeds and copies nothing.
         r.rebuild_backup().unwrap();
         assert_eq!((r.m().rebuilds.get(), r.m().in_sync.get()), (1, 1));
@@ -1603,7 +1606,7 @@ mod tests {
         backup.set_up(true);
         r.rebuild_backup().unwrap();
         let info = Request::StreamInfo { stream: 2 };
-        let gone = Response::Error(ServerError::NoSuchStream(2).to_string());
+        let gone = Response::Error(ServerError::NoSuchStream(2).into());
         assert_eq!(r.call(info.clone()), gone);
         failover_replies(&r, &primary, &[info]);
     }

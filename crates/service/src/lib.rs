@@ -24,7 +24,7 @@
 //!   one leg (a remote shard's is one `GetStatLeg` frame, so the nodes
 //!   work in parallel) and gathered, on the caller's thread and inside one
 //!   end-to-end budget. Each shard folds its leg with
-//!   [`timecrypt_server::StatLeg::fold`] — the fold a single engine
+//!   [`timecrypt_server::stat::fold`] — the fold a single engine
 //!   answers with — and the coordinator folds the legs' outcomes in
 //!   request order and adds their HEAC partial sums, so replies are
 //!   byte-identical to a single-engine deployment on the same workload.

@@ -31,7 +31,7 @@ use std::time::Instant;
 use timecrypt_chunk::serialize::SealedRecord;
 use timecrypt_obs::trace;
 use timecrypt_server::runs::{ingest_reply, Runs};
-use timecrypt_server::{BoundaryCache, ServerConfig, ServerError, StatLeg, TimeCryptServer};
+use timecrypt_server::{stat, BoundaryCache, ServerConfig, ServerError, StatLeg, TimeCryptServer};
 use timecrypt_store::KvStore;
 use timecrypt_wire::messages::{
     Request, RequestRef, Response, Route, ServiceStatsWire, ShardStatsWire,
@@ -141,7 +141,7 @@ impl ShardNode {
     /// sub-query: one latency sample and one `queries` increment, so
     /// `Request::Stats` histogram totals and counters agree by construction.
     fn stat_leg(&self, streams: &[u128], ts_s: i64, ts_e: i64) -> StatLeg {
-        StatLeg::fold(streams.iter().map(|&sid| {
+        stat::fold(streams.iter().map(|&sid| {
             let (shard, engine) = self.engine_for(sid)?;
             let m = &self.metrics[shard];
             let _span = trace::stage("engine.query");
@@ -236,9 +236,8 @@ impl ShardNode {
     fn dispatch_unborrowed(&self, req: Request) -> Response {
         // A request addressed to one hosted engine delegates to that
         // engine's own handler — byte-identical to a single-engine server.
-        let delegate = |engine: Result<&Arc<TimeCryptServer>, ServerError>, req| match engine {
-            Ok(engine) => engine.handle(req),
-            Err(e) => Response::Error(e.to_string()),
+        let delegate = |engine: Result<&Arc<TimeCryptServer>, ServerError>, req| {
+            engine.map_or_else(|e| Response::Error(e.into()), |engine| engine.handle(req))
         };
         match req.route() {
             // `RequestRef` carries ingest requests borrowed; one that was
@@ -256,18 +255,16 @@ impl ShardNode {
                     streams,
                     ts_s,
                     ts_e,
-                } => Response::StatLeg(self.stat_leg(&streams, ts_s, ts_e).into()),
+                } => Response::StatLeg(self.stat_leg(&streams, ts_s, ts_e)),
                 Request::GetStatRange {
                     streams,
                     ts_s,
                     ts_e,
-                } => match self.stat_leg(&streams, ts_s, ts_e).into_reply(&streams) {
-                    Ok(reply) => Response::Stat(reply),
-                    Err(e) => Response::Error(e.to_string()),
-                },
+                } => stat::reply(self.stat_leg(&streams, ts_s, ts_e), &streams)
+                    .map_or_else(|e| Response::Error(e.into()), Response::Stat),
                 Request::Stats => Response::ServiceStats(self.stats()),
                 Request::Ping => Response::Pong,
-                _ => Response::Error(UNROUTED.to_string()),
+                _ => Response::Error(UNROUTED.into()),
             },
         }
     }
@@ -407,7 +404,7 @@ mod tests {
             delta_ms: 10_000,
             digest_width: 2,
         }) {
-            Response::Error(msg) => assert!(msg.contains("not hosted"), "{msg}"),
+            Response::Error(refusal) => assert_eq!(refusal, NOT_HOSTED.into()),
             other => panic!("unexpected {other:?}"),
         }
         // Ingest + query on the hosted stream.
@@ -492,7 +489,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match n.handle(Request::StreamInfo { stream: b }) {
-            Response::Error(msg) => assert!(msg.contains("not hosted"), "{msg}"),
+            Response::Error(refusal) => assert_eq!(refusal, NOT_HOSTED.into()),
             other => panic!("unexpected {other:?}"),
         }
     }

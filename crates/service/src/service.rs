@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_obs::trace;
 use timecrypt_server::runs::{ingest_reply, Runs};
-use timecrypt_server::{ServerConfig, ServerError, StatLeg};
+use timecrypt_server::{stat, ServerConfig, ServerError};
 use timecrypt_store::KvStore;
 use timecrypt_wire::messages::{
     Request, RequestRef, Response, Route, ServiceStatsWire, ShardStatsWire, StatReply,
@@ -245,7 +245,7 @@ impl ShardedService {
 
     /// Registers a stream on its owning shard (replicated when the shard
     /// has a backup) by a `CreateStream` call. An error is
-    /// [`ServerError::Remote`] carrying the shard's message verbatim — the
+    /// [`ServerError::Refused`] carrying the shard's refusal whole — the
     /// engine's own rendering (`stream … already exists`) wherever it runs.
     pub fn create_stream(
         &self,
@@ -327,9 +327,10 @@ impl ShardedService {
             .map(|(shard, leg)| self.backends[shard].begin_leg(leg, ts_s, ts_e, deadline))
             .collect();
         // Each leg's outcomes, in its order, which is request order.
-        let outcomes = (begun.into_iter()).map(|finish| finish().into_outcomes().collect());
+        let outcomes = (begun.into_iter()).map(|finish| stat::outcomes(finish()).collect());
         let unanswered = || Err(ServerError::Unavailable("sub-query left unanswered"));
-        StatLeg::fold(runs.scatter(outcomes, unanswered, unanswered)).into_reply(streams)
+        let folded = stat::fold(runs.scatter(outcomes, unanswered, unanswered));
+        stat::reply(folded, streams)
     }
 
     /// Wire metrics snapshot (per-shard counters + storage traffic), on
@@ -442,7 +443,7 @@ impl ShardedService {
             // A page of raw records skips ingest's validation: a rebuild
             // sends it to a replica's node, and no client sends one here.
             Route::Stream(_) if matches!(req, Request::ImportStream { .. }) => {
-                Response::Error(UNROUTED.to_string())
+                Response::Error(UNROUTED.into())
             }
             // A single-stream request: delegate the whole request to the
             // owning shard's backend, which keeps error strings
@@ -451,7 +452,7 @@ impl ShardedService {
             // The stream-list probe addresses a shard, not a stream.
             Route::Shard(shard) => match self.backends.get(shard as usize) {
                 Some(replicas) => replicas.call(req),
-                None => Response::Error(ServerError::Unavailable("no such shard").to_string()),
+                None => Response::Error(ServerError::Unavailable("no such shard").into()),
             },
             // Multi-stream and service-level requests are handled here.
             Route::Service => match req {
@@ -459,24 +460,22 @@ impl ShardedService {
                     streams,
                     ts_s,
                     ts_e,
-                } => match self.get_stat_range(&streams, ts_s, ts_e) {
-                    Ok(reply) => Response::Stat(reply),
-                    Err(e) => Response::Error(e.to_string()),
-                },
+                } => (self.get_stat_range(&streams, ts_s, ts_e))
+                    .map_or_else(|e| Response::Error(e.into()), Response::Stat),
                 Request::Stats => Response::ServiceStats(self.stats()),
                 Request::Ping => Response::Pong,
-                _ => Response::Error(UNROUTED.to_string()),
+                _ => Response::Error(UNROUTED.into()),
             },
         }
     }
 }
 
 /// A shard's reply to a request answered `Ok` or with an error: an error
-/// is [`ServerError::Remote`] carrying the shard's message verbatim.
+/// is [`ServerError::Refused`] carrying the shard's refusal whole.
 fn acked(reply: Response) -> Result<(), ServerError> {
     match reply {
         Response::Ok => Ok(()),
-        Response::Error(msg) => Err(ServerError::Remote(msg)),
+        Response::Error(refusal) => Err(ServerError::Refused(refusal)),
         _ => Err(ServerError::Unavailable("unexpected shard reply")),
     }
 }
@@ -498,6 +497,7 @@ mod tests {
     use timecrypt_core::StreamKeyMaterial;
     use timecrypt_crypto::{PrgKind, SecureRandom};
     use timecrypt_store::{KvPairs, KvStore, MemKv, StoreError, WriteOp};
+    use timecrypt_wire::messages::Refusal;
     use timecrypt_wire::transport::Server;
 
     fn service(shards: usize) -> ShardedService {
@@ -817,10 +817,9 @@ mod tests {
                 .unwrap();
         assert_eq!(sharded, single);
         // Error semantics survive the split too: first bad stream aborts.
-        assert!(matches!(
-            svc.get_stat_range(&[1, 2, 3, 4, 5, 6, 7, 77], 0, 20_000),
-            Err(ServerError::NoSuchStream(77))
-        ));
+        let refused = svc.get_stat_range(&[1, 2, 3, 4, 5, 6, 7, 77], 0, 20_000);
+        let refused = Refusal::from(refused.unwrap_err());
+        assert_eq!(refused, ServerError::NoSuchStream(77).into());
     }
 
     #[test]

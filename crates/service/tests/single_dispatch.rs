@@ -14,7 +14,7 @@ use timecrypt_chunk::serialize::EncryptedChunk;
 use timecrypt_server::{keys, ServerConfig, ServerError, TimeCryptServer};
 use timecrypt_service::{NodeConfig, ServiceConfig, ShardNode, ShardRouter, ShardedService};
 use timecrypt_store::{KvStore, MemKv};
-use timecrypt_wire::messages::{Request, Response, ShardStatsWire};
+use timecrypt_wire::messages::{Refusal, RefusalKind, Request, Response, ShardStatsWire};
 use timecrypt_wire::transport::Handler;
 
 const DELTA_MS: u64 = 10_000;
@@ -119,7 +119,7 @@ fn drive<H: Handler>(via_handle: &H, via_frame: &H, script: Vec<Request>) -> Vec
     replies
 }
 
-/// What every handler must answer to the script, up to the rendering of
+/// What every handler must answer to the script, up to the refusal of
 /// the `foreign` chunk and page (`foreign_error`, where the handler refuses
 /// them; else the chunk is of no such stream), of shard 9 (`no_shard_9`:
 /// an engine lists its streams whatever the shard), of the import
@@ -128,9 +128,9 @@ fn drive<H: Handler>(via_handle: &H, via_frame: &H, script: Vec<Request>) -> Vec
 /// engine).
 fn assert_expected(
     replies: &[Response],
-    mine: u128,
-    foreign_error: Option<&str>,
-    no_shard_9: Option<&str>,
+    (mine, foreign): (u128, u128),
+    foreign_error: Option<Refusal>,
+    no_shard_9: Option<Refusal>,
     imported: bool,
     stats_shards: Option<&[u32]>,
 ) {
@@ -138,11 +138,9 @@ fn assert_expected(
     let Response::Batch { errors } = &replies[1] else {
         panic!("expected a batch verdict, got {:?}", replies[1]);
     };
-    let unhosted = foreign_error.unwrap_or("no such stream");
-    assert!(
-        errors.len() == 1 && errors[0].0 == 3 && errors[0].1.contains(unhosted),
-        "{errors:?}"
-    );
+    let unhosted =
+        (foreign_error.clone()).unwrap_or_else(|| ServerError::NoSuchStream(foreign).into());
+    assert_eq!(errors, &[(3, unhosted)]);
     let listed = |reply: &Response| -> Vec<u128> {
         match reply {
             Response::StreamList(streams) => streams.clone(),
@@ -151,11 +149,7 @@ fn assert_expected(
     };
     assert_eq!(listed(&replies[2]), vec![mine]);
     match no_shard_9 {
-        Some(error) => assert!(
-            matches!(&replies[3], Response::Error(e) if e.contains(error)),
-            "{:?}",
-            replies[3]
-        ),
+        Some(error) => assert_eq!(replies[3], Response::Error(error)),
         None => assert_eq!(listed(&replies[3]), vec![mine]),
     }
     match &replies[4] {
@@ -166,7 +160,7 @@ fn assert_expected(
     // An engine holds no record of a stream it never registered; a node
     // does not host the foreign one.
     match (&replies[5], foreign_error) {
-        (Response::Error(e), Some(error)) => assert!(e.contains(error), "{e}"),
+        (Response::Error(e), Some(error)) => assert_eq!(e, &error),
         (other, _) => assert_eq!(
             other,
             &Response::StreamChunks {
@@ -177,9 +171,8 @@ fn assert_expected(
     }
     // A page of raw records skips ingest's checks: no client writes one
     // through the coordinator.
-    let refused = Response::Error(
-        ServerError::Unavailable("request has no handler at this tier").to_string(),
-    );
+    let refused =
+        Response::Error(ServerError::Unavailable("request has no handler at this tier").into());
     let written = Response::Imported(0);
     assert_eq!(replies[6], if imported { written } else { refused });
     match (&replies[7], stats_shards) {
@@ -191,7 +184,7 @@ fn assert_expected(
             assert_eq!(total(|s| s.ingested_chunks), 3);
             assert!(stats.store_puts > 0 && stats.store_bytes_written > 0);
         }
-        (Response::Error(e), None) => assert!(e.contains("single-engine"), "{e}"),
+        (Response::Error(e), None) => assert_eq!(e.kind, RefusalKind::Unavailable, "{e:?}"),
         (other, _) => panic!("unexpected stats reply {other:?}"),
     }
 }
@@ -203,7 +196,7 @@ fn engine_answers_tier_specific_requests_alike_from_both_entry_points() {
         .clone()
         .map(|kv| TimeCryptServer::open(kv, ServerConfig::default()).unwrap());
     let replies = drive(&a, &b, script(1, 3, 0));
-    assert_expected(&replies, 1, None, None, true, None);
+    assert_expected(&replies, (1, 3), None, None, true, None);
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
 }
 
@@ -221,8 +214,17 @@ fn shard_node_answers_tier_specific_requests_alike_from_both_entry_points() {
     let mine = streams_on_shard(2, 0, 1)[0];
     let foreign = streams_on_shard(2, 1, 1)[0];
     let replies = drive(&a, &b, script(mine, foreign, 0));
-    let not_hosted = Some("not hosted on this node");
-    assert_expected(&replies, mine, not_hosted, not_hosted, true, Some(&[0]));
+    let not_hosted = ServerError::Unavailable("stream's shard is not hosted on this node");
+    let not_hosted = Some(Refusal::from(not_hosted));
+    let ids = (mine, foreign);
+    assert_expected(
+        &replies,
+        ids,
+        not_hosted.clone(),
+        not_hosted,
+        true,
+        Some(&[0]),
+    );
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
 }
 
@@ -238,7 +240,7 @@ fn coordinator_answers_tier_specific_requests_alike_from_both_entry_points() {
     });
     let shard = ShardRouter::new(2).shard_of(1) as u32;
     let replies = drive(&a, &b, script(1, 3, shard));
-    let no_shard = Some("no such shard");
-    assert_expected(&replies, 1, None, no_shard, false, Some(&[0, 1]));
+    let no_shard = Some(ServerError::Unavailable("no such shard").into());
+    assert_expected(&replies, (1, 3), None, no_shard, false, Some(&[0, 1]));
     assert_eq!(dump(&*stores[0]), dump(&*stores[1]));
 }

@@ -56,6 +56,9 @@ pub enum StoreError {
         /// Byte offset of the first invalid record.
         offset: u64,
     },
+    /// A write to a log whose append or sync failed: it takes none until
+    /// it is reopened.
+    ReadOnly,
 }
 
 impl std::fmt::Display for StoreError {
@@ -66,6 +69,7 @@ impl std::fmt::Display for StoreError {
             StoreError::CorruptAt { what, offset } => {
                 write!(f, "storage log corrupt at byte {offset}: {what}")
             }
+            StoreError::ReadOnly => write!(f, "storage I/O error: read-only after a failed write"),
         }
     }
 }

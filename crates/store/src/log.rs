@@ -1313,7 +1313,7 @@ impl<F: LogFile> LogKv<F> {
             return Ok(()); // another waiter's fsync already covered us
         }
         if self.inner.lock().failed {
-            return Err(read_only());
+            return Err(StoreError::ReadOnly);
         }
         // Everything flushed to the file before the syscall starts is
         // durable when it returns; snapshot the watermark first.
@@ -1357,7 +1357,7 @@ impl<F: LogFile> LogKv<F> {
             let mut guard = self.inner.lock();
             let inner = &mut *guard;
             if inner.failed {
-                return Err(read_only());
+                return Err(StoreError::ReadOnly);
             }
             inner.encode(ops);
             if self.durability != Durability::Buffered || inner.buffered.len() >= BUFFER {
@@ -1386,11 +1386,6 @@ impl<F: LogFile> LogKv<F> {
         counters::STORE_BATCHES.inc();
         self.commit(my)
     }
-}
-
-/// What a write to a log whose append or sync failed is answered.
-fn read_only() -> StoreError {
-    std::io::Error::other("read-only after a failed write").into()
 }
 
 /// A closed log writes out its buffer, if it holds records (an error

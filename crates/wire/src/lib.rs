@@ -32,7 +32,8 @@ pub mod transport;
 pub use codec::{ByteReader, ByteWriter, WireError};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use messages::{
-    Request, Response, ServiceStatsWire, ShardStatsWire, StatLegWire, StatReply, StreamInfoWire,
+    Refusal, RefusalKind, Request, Response, ServiceStatsWire, ShardStatsWire, StatLeg, StatReply,
+    StreamInfoWire,
 };
 pub use pool::{ClientPool, PoolConfig};
 pub use timecrypt_obs::TraceContext;

@@ -111,7 +111,8 @@ macro_rules! wire_struct {
     };
 }
 
-/// Declares a message enum from its table. An entry reads `tag = Variant
+/// Declares a message enum — or a kind, whose entries are bare — from its
+/// table. An entry reads `tag = Variant
 /// { fields }` (or `Variant(name: Type)`, or a bare `Variant`), with `as
 /// NAME` after the variant where hand-written code needs the tag as a
 /// const; `reserved` lists tag values of the same space that are taken but
@@ -206,28 +207,21 @@ macro_rules! wire_enum {
             /// [`encode`](Self::encode)).
             pub fn encode_into(&self, out: &mut Vec<u8>) {
                 let mut w = ByteWriter::with_vec(std::mem::take(out));
-                match self {
-                    $(
-                        Self::$variant $( ( $tname ) )? $( { $( $field ),* } )? => {
-                            w.u8($tag);
-                            $( $tname.put(&mut w); )?
-                            $( $( $field.put(&mut w); )* )?
-                        }
-                    )*
-                }
+                self.put(&mut w);
                 *out = w.into_bytes();
             }
 
             /// Parses a message body, every field owned.
             pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
                 let mut r = ByteReader::new(buf);
-                let msg = Self::take_tagged(r.u8()?, &mut r)?;
+                let msg = Self::take(&mut r)?;
                 r.finish()?;
                 Ok(msg)
             }
 
             /// Parses the fields of the message tagged `tag`.
             #[deny(unreachable_patterns)] // a tag value declared twice does not compile
+            #[allow(unused_variables)] // a kind's entries read nothing past the tag
             fn take_tagged(tag: u8, r: &mut ByteReader<'_>) -> Result<Self, WireError> {
                 Ok(match tag {
                     $(
@@ -238,6 +232,24 @@ macro_rules! wire_enum {
                     $( $rtag => return Err(WireError::BadTag($rtag)), )*
                     unknown => return Err(WireError::BadTag(unknown)),
                 })
+            }
+        }
+
+        impl Wire for $name {
+            fn put(&self, w: &mut ByteWriter) {
+                match self {
+                    $(
+                        Self::$variant $( ( $tname ) )? $( { $( $field ),* } )? => {
+                            w.u8($tag);
+                            $( $tname.put(w); )?
+                            $( $( $field.put(w); )* )?
+                        }
+                    )*
+                }
+            }
+
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                Self::take_tagged(r.u8()?, r)
             }
         }
     };
@@ -356,17 +368,57 @@ wire_struct! {
     }
 }
 
+wire_enum! {
+    /// What a [`Refusal`] tells its caller to do next: one byte on the wire.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RefusalKind {
+        /// The stream is not registered.
+        0 = NoSuchStream;
+        /// The request contradicts what is stored (exists, out of order).
+        1 = Conflict;
+        /// The request is malformed, or asks what the stored data cannot answer.
+        2 = BadRequest;
+        /// The node's log failed a write and takes none until it is reopened.
+        3 = ReadOnly;
+        /// Not served here: a node unreachable or not hosting it, a storage fault.
+        4 = Unavailable;
+        /// A write whose reply was lost after it may have reached the store.
+        5 = Ambiguous;
+    }
+    reserved {}
+}
+
+wire_struct! {
+    /// A server's refusal, as every tier and transport carries it: callers
+    /// act on its kind and show its reason.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Refusal {
+        /// What the caller may do next.
+        pub kind: RefusalKind,
+        /// The server's rendering of its error; no stack detail.
+        pub reason: String,
+    }
+}
+
+impl Refusal {
+    /// A refusal of `kind` for `reason`.
+    pub fn new(kind: RefusalKind, reason: impl Into<String>) -> Self {
+        let reason = reason.into();
+        Refusal { kind, reason }
+    }
+}
+
 wire_struct! {
     /// One shard's leg of a statistical query, folded in request order up
     /// to the first stream that is unknown, empty, or of another width than
     /// the leg's first ([`Response::StatLeg`]); never larger than the
     /// [`StatReply`] of the same streams.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct StatLegWire {
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct StatLeg {
         /// `(digest width, chunk_lo, chunk_hi)` per stream covered, in order.
         pub parts: Vec<(u32, u64, u64)>,
-        /// The stream the fold stopped at: its error, or its digest width.
-        pub stop: Option<Result<u32, String>>,
+        /// The stream the fold stopped at: its refusal, or its digest width.
+        pub stop: Option<Result<u32, Refusal>>,
         /// Homomorphic sum over the covered windows; empty when none was.
         pub agg: Vec<u64>,
     }
@@ -730,9 +782,8 @@ wire_enum! {
     pub enum Response {
         /// Success without payload.
         1 = Ok;
-        /// Failure with a human-readable reason. The server maps internal
-        /// errors to strings; no stack detail crosses the wire.
-        2 = Error(reason: String);
+        /// The request was refused.
+        2 = Error(refusal: Refusal);
         /// Raw encrypted chunks (each `EncryptedChunk::to_bytes()`).
         3 = Chunks(chunks: Vec<Vec<u8>>);
         /// Statistical aggregate.
@@ -766,12 +817,12 @@ wire_enum! {
             chunks: Vec<Vec<u8>>,
         };
         /// Per-chunk outcome of an [`Request::InsertBatch`]: `(batch index,
-        /// error string)` for each failed chunk, empty when everything landed.
+        /// refusal)` for each failed chunk, empty when everything landed.
         /// Successes are implicit — the producer only needs to know what to
         /// retry or surface.
         12 = Batch {
-            /// `(index into the batch, server error string)` per failure.
-            errors: Vec<(u32, String)>,
+            /// `(index into the batch, refusal)` per failure.
+            errors: Vec<(u32, Refusal)>,
         };
         /// Service metrics snapshot ([`Request::Stats`]).
         13 = ServiceStats(stats: ServiceStatsWire);
@@ -786,7 +837,7 @@ wire_enum! {
             done: bool,
         };
         /// A leg's fold ([`Request::GetStatLeg`]).
-        16 = StatLeg(leg: StatLegWire);
+        16 = StatLeg(leg: StatLeg);
         /// The chunks (`il/` records, decay stubs included) an
         /// [`Request::ImportStream`] page wrote on the replica.
         17 = Imported(chunks: u64);
@@ -1156,7 +1207,7 @@ mod tests {
     fn all_responses() -> Vec<Response> {
         vec![
             Response::Ok,
-            Response::Error("boom".into()),
+            Response::Error(Refusal::new(RefusalKind::BadRequest, "boom")),
             Response::Chunks(vec![vec![], vec![1, 2]]),
             Response::Records(vec![vec![9], vec![]]),
             Response::Stat(StatReply {
@@ -1182,7 +1233,10 @@ mod tests {
                 chunks: vec![vec![4], vec![]],
             },
             Response::Batch {
-                errors: vec![(3, "out-of-order".into()), (7, "width".into())],
+                errors: vec![
+                    (3, Refusal::new(RefusalKind::Conflict, "out-of-order")),
+                    (7, Refusal::new(RefusalKind::Ambiguous, "width")),
+                ],
             },
             Response::Batch { errors: vec![] },
             Response::ServiceStats(ServiceStatsWire {
@@ -1230,19 +1284,22 @@ mod tests {
                 records: vec![],
                 done: true,
             },
-            Response::StatLeg(StatLegWire {
+            Response::StatLeg(StatLeg {
                 parts: vec![(2, 0, 10), (2, 5, 7)],
                 stop: None,
                 agg: vec![1, u64::MAX],
             }),
-            Response::StatLeg(StatLegWire {
+            Response::StatLeg(StatLeg {
                 parts: vec![(2, 0, 10)],
                 stop: Some(Ok(3)),
                 agg: vec![1, 2],
             }),
-            Response::StatLeg(StatLegWire {
+            Response::StatLeg(StatLeg {
                 parts: vec![],
-                stop: Some(Err("no such stream 0x9".into())),
+                stop: Some(Err(Refusal::new(
+                    RefusalKind::NoSuchStream,
+                    "no such stream 0x9",
+                ))),
                 agg: vec![],
             }),
             Response::Pong,
@@ -1443,6 +1500,19 @@ mod tests {
             let bytes = resp.encode();
             assert_eq!(Response::decode(&bytes).unwrap(), resp, "{resp:?}");
         }
+    }
+
+    #[test]
+    fn refusal_kinds_are_the_bytes_from_zero_and_no_other_byte_is_one() {
+        for (byte, (tag, name)) in (0u8..).zip(RefusalKind::TAGS) {
+            let kind = RefusalKind::decode(&[byte]).unwrap();
+            assert_eq!(
+                (*tag, format!("{kind:?}"), kind.encode()),
+                (byte, name.to_string(), vec![byte])
+            );
+        }
+        let past = RefusalKind::TAGS.len() as u8;
+        assert_eq!(RefusalKind::decode(&[past]), Err(WireError::BadTag(past)));
     }
 
     #[test]

@@ -312,6 +312,7 @@ impl Drop for PooledConn {
 mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame};
+    use crate::messages::{Refusal, RefusalKind};
     use crate::transport::Server;
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -323,7 +324,7 @@ mod tests {
             Arc::new(|req: Request| match req {
                 Request::Ping => Response::Pong,
                 Request::Insert { chunk } => Response::Chunks(vec![chunk]),
-                _ => Response::Error("unhandled".into()),
+                _ => Response::Error(Refusal::new(RefusalKind::BadRequest, "unhandled")),
             }),
         )
         .unwrap()

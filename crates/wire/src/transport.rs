@@ -17,7 +17,7 @@
 //!
 //! ```rust
 //! use std::sync::Arc;
-//! use timecrypt_wire::messages::{Request, Response};
+//! use timecrypt_wire::messages::{Refusal, RefusalKind, Request, Response};
 //! use timecrypt_wire::transport::{Client, Server};
 //!
 //! // Any `Fn(Request) -> Response` is a handler; real deployments pass an
@@ -26,7 +26,7 @@
 //!     "127.0.0.1:0", // port 0: ephemeral
 //!     Arc::new(|req: Request| match req {
 //!         Request::Ping => Response::Pong,
-//!         _ => Response::Error("unhandled".into()),
+//!         _ => Response::Error(Refusal::new(RefusalKind::BadRequest, "unhandled")),
 //!     }),
 //! )
 //! .unwrap();
@@ -43,7 +43,7 @@
 
 use crate::codec::WireError;
 use crate::frame::{read_frame_into, write_frame_in, FrameError, PREFIX_LEN};
-use crate::messages::{split_trace, Request, RequestRef, Response};
+use crate::messages::{split_trace, Refusal, RefusalKind, Request, RequestRef, Response};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
@@ -92,7 +92,8 @@ pub fn dispatch_frame(body: &[u8], dispatch: impl FnOnce(RequestRef<'_>) -> Resp
 }
 
 fn bad_request(e: &WireError) -> Response {
-    Response::Error(format!("bad request: {e}"))
+    let reason = format!("bad request: {e}");
+    Response::Error(Refusal::new(RefusalKind::BadRequest, reason))
 }
 
 impl<F> Handler for F
@@ -275,14 +276,14 @@ pub enum ClientError {
     /// Connection / framing failure.
     Frame(FrameError),
     /// The server answered with `Response::Error`.
-    Server(String),
+    Refused(Refusal),
 }
 
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientError::Frame(e) => write!(f, "transport error: {e}"),
-            ClientError::Server(msg) => write!(f, "server error: {msg}"),
+            ClientError::Refused(refusal) => write!(f, "server error: {}", refusal.reason),
         }
     }
 }
@@ -382,11 +383,11 @@ impl Client {
     }
 
     /// Sends one request and waits for its response. An app-level
-    /// [`Response::Error`] is surfaced as [`ClientError::Server`].
+    /// [`Response::Error`] is surfaced as [`ClientError::Refused`].
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         self.send(req)?;
         match self.recv()? {
-            Response::Error(msg) => Err(ClientError::Server(msg)),
+            Response::Error(refusal) => Err(ClientError::Refused(refusal)),
             resp => Ok(resp),
         }
     }
@@ -446,6 +447,10 @@ mod tests {
     use super::*;
     use crate::messages::StatReply;
 
+    fn unhandled() -> Response {
+        Response::Error(Refusal::new(RefusalKind::BadRequest, "unhandled"))
+    }
+
     fn echo_server() -> Server {
         Server::bind(
             "127.0.0.1:0",
@@ -456,7 +461,7 @@ mod tests {
                     parts: streams.iter().map(|&s| (s, 0, 1)).collect(),
                     agg: vec![42],
                 }),
-                _ => Response::Error("unhandled".into()),
+                _ => unhandled(),
             }),
         )
         .unwrap()
@@ -484,7 +489,7 @@ mod tests {
         let server = echo_server();
         let mut client = Client::connect(server.addr()).unwrap();
         match client.call(&Request::DeleteStream { stream: 1 }) {
-            Err(ClientError::Server(msg)) => assert_eq!(msg, "unhandled"),
+            Err(ClientError::Refused(refusal)) => assert_eq!(Response::Error(refusal), unhandled()),
             other => panic!("expected server error, got {other:?}"),
         }
     }
@@ -521,7 +526,7 @@ mod tests {
         for i in 0..32u8 {
             assert_eq!(client.recv().unwrap(), Response::Chunks(vec![vec![i]]));
         }
-        assert_eq!(client.recv().unwrap(), Response::Error("unhandled".into()));
+        assert_eq!(client.recv().unwrap(), unhandled());
         assert_eq!(client.recv().unwrap(), Response::Pong);
     }
 

@@ -7,8 +7,8 @@
 
 use timecrypt_wire::codec::{WireError, MAX_REPEATED};
 use timecrypt_wire::messages::{
-    encode_trace_prefix, split_trace, Request, RequestRef, Response, ServiceStatsWire,
-    ShardStatsWire, StatLegWire, StatReply, StreamInfoWire,
+    encode_trace_prefix, split_trace, Refusal, RefusalKind, Request, RequestRef, Response,
+    ServiceStatsWire, ShardStatsWire, StatLeg, StatReply, StreamInfoWire,
 };
 use timecrypt_wire::TraceContext;
 
@@ -263,8 +263,30 @@ fn full_shard() -> ShardStatsWire {
 fn response_vectors() -> Vec<(Response, &'static str)> {
     vec![
         (Response::Ok, "01"),
-        (Response::Error("boom".into()), "0204000000626f6f6d"),
-        (Response::Error(String::new()), "0200000000"),
+        (
+            Response::Error(Refusal::new(RefusalKind::Unavailable, "boom")),
+            "020404000000626f6f6d",
+        ),
+        (
+            Response::Error(Refusal::new(RefusalKind::NoSuchStream, "")),
+            "020000000000",
+        ),
+        (
+            Response::Error(Refusal::new(RefusalKind::Conflict, "")),
+            "020100000000",
+        ),
+        (
+            Response::Error(Refusal::new(RefusalKind::BadRequest, "")),
+            "020200000000",
+        ),
+        (
+            Response::Error(Refusal::new(RefusalKind::ReadOnly, "")),
+            "020300000000",
+        ),
+        (
+            Response::Error(Refusal::new(RefusalKind::Ambiguous, "")),
+            "020500000000",
+        ),
         (Response::Chunks(vec![vec![], vec![1, 2]]), "030200000000000000020000000102"),
         (Response::Chunks(vec![]), "0300000000"),
         (Response::Records(vec![vec![9], vec![]]), "0902000000010000000900000000"),
@@ -315,9 +337,12 @@ fn response_vectors() -> Vec<(Response, &'static str)> {
         ),
         (
             Response::Batch {
-                errors: vec![(3, "out-of-order".into()), (u32::MAX, String::new())],
+                errors: vec![
+                    (3, Refusal::new(RefusalKind::Conflict, "out-of-order")),
+                    (u32::MAX, Refusal::new(RefusalKind::Ambiguous, "")),
+                ],
             },
-            "0c02000000030000000c0000006f75742d6f662d6f72646572ffffffff00000000",
+            "0c0200000003000000010c0000006f75742d6f662d6f72646572ffffffff0500000000",
         ),
         (Response::Batch { errors: vec![] }, "0c00000000"),
         (
@@ -358,7 +383,7 @@ fn response_vectors() -> Vec<(Response, &'static str)> {
             "0f0000000001",
         ),
         (
-            Response::StatLeg(StatLegWire {
+            Response::StatLeg(StatLeg {
                 parts: vec![(2, 0, 10), (u32::MAX, 5, u64::MAX)],
                 stop: None,
                 agg: vec![1, u64::MAX],
@@ -366,7 +391,7 @@ fn response_vectors() -> Vec<(Response, &'static str)> {
             "10020000000200000000000000000000000a00000000000000ffffffff0500000000000000ffffffffffffffff00020000000100000000000000ffffffffffffffff",
         ),
         (
-            Response::StatLeg(StatLegWire {
+            Response::StatLeg(StatLeg {
                 parts: vec![(2, 0, 10)],
                 stop: Some(Ok(3)),
                 agg: vec![1, 2],
@@ -374,12 +399,12 @@ fn response_vectors() -> Vec<(Response, &'static str)> {
             "10010000000200000000000000000000000a000000000000000100030000000200000001000000000000000200000000000000",
         ),
         (
-            Response::StatLeg(StatLegWire {
+            Response::StatLeg(StatLeg {
                 parts: vec![],
-                stop: Some(Err("boom".into())),
+                stop: Some(Err(Refusal::new(RefusalKind::ReadOnly, "boom"))),
                 agg: vec![],
             }),
-            "1000000000010104000000626f6f6d00000000",
+            "100000000001010304000000626f6f6d00000000",
         ),
         (Response::Pong, "08"),
     ]
@@ -562,15 +587,24 @@ fn option_and_result_tags_above_one_are_bad_tags() {
 }
 
 #[test]
-fn invalid_utf8_is_bad_string() {
-    // Response::Error with a two-byte string that is not UTF-8.
+fn a_refusal_kind_past_the_last_is_a_bad_tag() {
+    // Response::Error, then the kind byte.
     assert_eq!(
-        Response::decode(&unhex("0202000000fffe")),
+        Response::decode(&unhex("020600000000")),
+        Err(WireError::BadTag(6))
+    );
+}
+
+#[test]
+fn invalid_utf8_is_bad_string() {
+    // Response::Error with a two-byte reason that is not UTF-8.
+    assert_eq!(
+        Response::decode(&unhex("020002000000fffe")),
         Err(WireError::BadString)
     );
-    // Response::Batch: one entry, index 0, bad string.
+    // Response::Batch: one entry, index 0, bad reason.
     assert_eq!(
-        Response::decode(&unhex("0c010000000000000002000000fffe")),
+        Response::decode(&unhex("0c01000000000000000002000000fffe")),
         Err(WireError::BadString)
     );
     // Request::GetGrants: stream 0, bad principal.

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use timecrypt_wire::messages::{
-    encode_trace_prefix, split_trace, Request, RequestRef, Response, ServiceStatsWire,
-    ShardStatsWire, StatLegWire, StatReply, StreamInfoWire, TRACE_PREFIX_LEN,
+    encode_trace_prefix, split_trace, Refusal, RefusalKind, Request, RequestRef, Response,
+    ServiceStatsWire, ShardStatsWire, StatLeg, StatReply, StreamInfoWire, TRACE_PREFIX_LEN,
 };
 use timecrypt_wire::TraceContext;
 
@@ -154,11 +154,20 @@ fn arb_info() -> impl Strategy<Value = StreamInfoWire> {
         })
 }
 
+fn arb_refusal() -> impl Strategy<Value = Refusal> {
+    let kinds = 0..RefusalKind::TAGS.len() as u8;
+    let refusal = |(kind, reason): (u8, String)| {
+        let kind = RefusalKind::decode(&[kind]).expect("a declared kind");
+        Refusal::new(kind, reason)
+    };
+    (kinds, "[ -~]{0,60}").prop_map(refusal)
+}
+
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Ok),
         Just(Response::Pong),
-        "[ -~]{0,60}".prop_map(Response::Error),
+        arb_refusal().prop_map(Response::Error),
         proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..60), 0..8)
             .prop_map(Response::Chunks),
         proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..60), 0..8)
@@ -185,12 +194,12 @@ fn arb_response() -> impl Strategy<Value = Response> {
             .prop_map(|(parts, agg)| Response::Stat(StatReply { parts, agg })),
         (
             proptest::collection::vec((any::<u32>(), any::<u64>(), any::<u64>()), 0..6),
-            (0u8..3, any::<u32>(), "[ -~]{0,40}"),
+            (0u8..3, any::<u32>(), arb_refusal()),
             proptest::collection::vec(any::<u64>(), 0..20),
         )
             .prop_map(|(parts, (pick, width, error), agg)| {
                 let stops = [None, Some(Ok(width)), Some(Err(error))];
-                Response::StatLeg(StatLegWire {
+                Response::StatLeg(StatLeg {
                     parts,
                     stop: stops.into_iter().nth(pick as usize).flatten(),
                     agg,
@@ -208,7 +217,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         .prop_map(Response::Envelopes),
         (arb_records(), any::<bool>())
             .prop_map(|(records, done)| Response::StreamChunks { records, done }),
-        proptest::collection::vec((any::<u32>(), "[ -~]{0,40}"), 0..8)
+        proptest::collection::vec((any::<u32>(), arb_refusal()), 0..8)
             .prop_map(|errors| Response::Batch { errors }),
         (
             proptest::collection::vec(

@@ -163,7 +163,7 @@ fn node(cache_bytes: usize) -> Deployment {
 /// `node`'s reply to `request`, which must not be an error.
 fn call(node: &Deployment, request: Request) -> Response {
     match node.call(request) {
-        Response::Error(e) => panic!("{e}"),
+        Response::Error(e) => panic!("{e:?}"),
         reply => reply,
     }
 }

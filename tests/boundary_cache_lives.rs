@@ -25,7 +25,7 @@ const WINDOWS: [(i64, i64); 3] = [(5, 30), (10, 39), (1, 20)];
 
 fn call(tier: &Deployment, request: Request) -> Response {
     match tier.call(request) {
-        Response::Error(e) => panic!("{e}"),
+        Response::Error(e) => panic!("{e:?}"),
         reply => reply,
     }
 }

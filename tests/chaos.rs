@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use timecrypt::faults::FaultPlan;
 use timecrypt::store::log::Durability;
 use timecrypt::store::{KvStore, LogKv, StoreError};
-use timecrypt::wire::messages::Request;
+use timecrypt::wire::messages::{Refusal, RefusalKind, Request};
 
 mod common;
 
@@ -151,12 +151,12 @@ fn chaos_iteration(seed: u64) -> u64 {
             let mut attempts = 0u32;
             loop {
                 attempts += 1;
-                match cluster.insert(&chunk) {
+                match cluster.insert(&chunk).map_err(Refusal::from) {
                     Ok(()) => break,
-                    Err(e) if e.to_string().contains("out-of-order") => break,
+                    Err(e) if e.kind == RefusalKind::Conflict => break,
                     Err(e) => assert!(
                         attempts < 200,
-                        "seed {seed}: chunk ({id},{index}) never acked: {e}"
+                        "seed {seed}: chunk ({id},{index}) never acked: {e:?}"
                     ),
                 }
             }

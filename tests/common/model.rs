@@ -65,14 +65,14 @@ pub struct Model {
 pub type Live = BTreeMap<u64, Vec<(u32, Vec<u8>)>>;
 
 pub fn error(e: ServerError) -> Response {
-    Response::Error(e.to_string())
+    Response::Error(e.into())
 }
 
 /// The reply to a batch of these verdicts.
 pub fn batch(verdicts: impl Iterator<Item = Result<(), ServerError>>) -> Response {
     let failed = verdicts
         .enumerate()
-        .filter_map(|(i, v)| Some((i as u32, v.err()?.to_string())));
+        .filter_map(|(i, v)| Some((i as u32, v.err()?.into())));
     Response::Batch {
         errors: failed.collect(),
     }

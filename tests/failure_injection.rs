@@ -13,7 +13,7 @@ use timecrypt::faults::{FaultPlan, FileCall, FileFault, FileRule, Trigger};
 use timecrypt::index::keys;
 use timecrypt::server::{ServerError, TimeCryptServer};
 use timecrypt::service::ServiceConfig;
-use timecrypt::store::{KvStore, LogFile};
+use timecrypt::store::{KvStore, LogFile, StoreError};
 use timecrypt::wire::transport::Handler;
 use timecrypt::wire::{Request, Response};
 use timecrypt_obs::counters::STORE_READ_ONLY;
@@ -185,7 +185,7 @@ fn a_zero_chunk_interval_is_refused_at_every_tier() {
         .put(&keys::meta(7), &[&meta[..], &2u32.to_le_bytes()].concat())
         .unwrap();
     d.restart(0);
-    let unknown = Response::Error(ServerError::NoSuchStream(7).to_string());
+    let unknown = Response::Error(ServerError::NoSuchStream(7).into());
     for req in reads.clone() {
         assert_eq!(d.call(req), unknown);
     }
@@ -471,7 +471,7 @@ fn a_full_disk_fails_the_run_and_a_restart_takes_the_retry() {
     impl Transport for Through<'_> {
         fn call(&mut self, req: &Request) -> Result<Response, ClientFault> {
             match self.0.call(req.clone()) {
-                Response::Error(e) => Err(ClientFault::Transport(e)),
+                Response::Error(e) => Err(ClientFault::Refused(e)),
                 other => Ok(other),
             }
         }
@@ -537,7 +537,7 @@ fn a_full_disk_fails_the_run_and_a_restart_takes_the_retry() {
         digest_width: 2,
     };
     match d.call(create) {
-        Response::Error(e) => assert!(e.contains("read-only after a failed write"), "{e}"),
+        Response::Error(e) => assert_eq!(e, ServerError::Store(StoreError::ReadOnly).into()),
         other => panic!("a write after the full disk: {other:?}"),
     }
     assert_eq!(battery(&d), acked, "reads answer as before the run");

@@ -28,7 +28,7 @@ use timecrypt::crypto::{PrgKind, SecureRandom};
 use timecrypt::server::{ServerError, TimeCryptServer};
 use timecrypt::service::{ServiceConfig, ShardRouter, ShardSpec, ShardedService};
 use timecrypt::store::MemKv;
-use timecrypt::wire::messages::{Request, Response};
+use timecrypt::wire::messages::{Refusal, RefusalKind, Request, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::{Handler, Server};
 
@@ -100,7 +100,7 @@ fn over_stubs(nodes: &[Server], io_timeout: Duration) -> ShardedService {
     ShardedService::open(Arc::new(MemKv::new()), cfg).unwrap()
 }
 
-fn batch_errors(reply: Response) -> Vec<(u32, String)> {
+fn batch_errors(reply: Response) -> Vec<(u32, Refusal)> {
     match reply {
         Response::Batch { errors } => errors,
         other => panic!("unexpected {other:?}"),
@@ -212,7 +212,7 @@ fn the_shards_of_one_batch_are_written_before_any_is_waited_for() {
                     both.wait();
                     Response::Batch { errors: vec![] }
                 }
-                _ => Response::Error("stub".into()),
+                _ => Response::Error(Refusal::new(RefusalKind::BadRequest, "stub")),
             };
             Server::bind("127.0.0.1:0", Arc::new(stub)).unwrap()
         })
@@ -281,10 +281,7 @@ fn a_batch_is_one_node_call_per_shard_it_touches_and_verdicts_keep_their_positio
                                 expected: next[&owners[0]],
                                 got: 0,
                             };
-                            want = vec![
-                                (5, ServerError::BadChunk.to_string()),
-                                (17, replay.to_string()),
-                            ];
+                            want = vec![(5, ServerError::BadChunk.into()), (17, replay.into())];
                         }
                         let shards: BTreeSet<usize> =
                             owners.iter().map(|&id| router.shard_of(id)).collect();
@@ -325,7 +322,7 @@ fn handling_a_one_shard_insert_batch_frame_allocates_a_constant_number_of_blocks
     // frame, read the verdicts, reply.
     let stub = |req: Request| match req {
         Request::InsertBatch { .. } => Response::Batch { errors: vec![] },
-        _ => Response::Error("stub".into()),
+        _ => Response::Error(Refusal::new(RefusalKind::BadRequest, "stub")),
     };
     let node = [Server::bind("127.0.0.1:0", Arc::new(stub)).unwrap()];
     let svc = over_stubs(&node, Duration::from_secs(5));

@@ -26,7 +26,7 @@ use timecrypt::integrity::{
 use timecrypt::pk::SigningKey;
 use timecrypt::server::{ServerError, TimeCryptServer, EXPORT_PAGE_BYTES};
 use timecrypt::store::KvStore;
-use timecrypt::wire::messages::{Request, Response};
+use timecrypt::wire::messages::{Refusal, Request, Response};
 use timecrypt::wire::transport::Handler;
 
 mod common;
@@ -125,7 +125,7 @@ impl Attested {
     }
 
     /// `GetRange` over chunks `[lo, hi)` as the wire returns it.
-    fn read(&self, lo: u64, hi: u64) -> Result<Vec<Vec<u8>>, String> {
+    fn read(&self, lo: u64, hi: u64) -> Result<Vec<Vec<u8>>, Refusal> {
         let (stream, ts_s, ts_e) = (self.stream, ts(lo), ts(hi));
         match self.server.handle(Request::GetRange { stream, ts_s, ts_e }) {
             Response::Chunks(chunks) => Ok(chunks),
@@ -315,7 +315,11 @@ proptest! {
         }
         match a.server.get_verified_range(77, 0, ts(2)) {
             Ok(_) => prop_assert!(readable && full),
-            Err(e) if readable => prop_assert!(stub && e.to_string().contains("deleted"), "{e}"),
+            Err(e) if readable => {
+                let deleted = "chunk payload deleted; raw completeness unprovable";
+                let deleted = matches!(&e, ServerError::Integrity(m) if m == deleted);
+                prop_assert!(stub && deleted, "{e}")
+            }
             Err(e) => prop_assert!(corrupt(&e), "{e}"),
         }
         // Decay stubs nothing of a range it cannot read all of.

@@ -12,10 +12,14 @@
 use common::{sealed, Deployment, Fault, Spec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use timecrypt::faults::FaultPlan;
+use timecrypt::chunk::{DataPoint, StreamConfig};
+use timecrypt::client::{BatchingProducer, ClientFault, DataOwner, InProc};
+use timecrypt::crypto::SecureRandom;
+use timecrypt::faults::{FaultPlan, NetDirection, NetFault, NetRule, Trigger};
+use timecrypt::server::ServerError;
 use timecrypt::service::{ServiceConfig, ShardSpec, ShardedService};
 use timecrypt::store::MemKv;
-use timecrypt::wire::messages::{Request, Response};
+use timecrypt::wire::messages::{Refusal, RefusalKind, Request, Response};
 use timecrypt::wire::pool::PoolConfig;
 use timecrypt::wire::transport::Handler;
 
@@ -99,14 +103,9 @@ fn hung_primary_promotes_within_timeout_budget() {
         promoted_after_attempts += 1;
         match svc.insert(&sealed(1, 1, 8)) {
             Ok(()) => break,
-            Err(e) => {
-                // Each timed-out attempt is ambiguous: the hung primary
-                // may have applied the write.
-                assert!(
-                    e.to_string().contains("mutation outcome unknown"),
-                    "expected ambiguous-ack error, got: {e}"
-                );
-            }
+            // Each timed-out attempt is ambiguous: the hung primary may
+            // have applied the write.
+            Err(e) => assert!(matches!(e, ServerError::Ambiguous), "{e}"),
         }
         assert!(
             promoted_after_attempts <= PROMOTE_AFTER + 1,
@@ -500,4 +499,52 @@ fn concurrent_callers_do_not_queue_behind_one_another() {
         assert!(waited >= DELAY, "not delayed: {waited:?}");
         assert!(waited < DELAY * 4, "queued: waited {waited:?}");
     }
+}
+
+/// A node stores a batch and its reply is lost: the coordinator answers
+/// each of the batch's chunks as ambiguous, and the producer asks the
+/// stream's length before it sends again, as after a reply it never got.
+/// Taken as plain refusals, the verdicts kept chunks 4–7 queued, and every
+/// later upload was refused as out of order.
+#[test]
+fn an_ambiguous_batch_verdict_is_reconciled_and_later_uploads_land() {
+    let spec = Spec::remote(1, 1, 1).fault(Fault::Proxy(0, FaultPlan::quiet()));
+    let d = Deployment::build(&spec.service(cfg(Duration::from_millis(200), 2, 0)));
+    let mut t = InProc::new(d.handler());
+    let stream = StreamConfig::new(5, "m", 0, 10_000);
+    let rng = SecureRandom::from_seed_insecure;
+    let mut owner = DataOwner::new(stream.clone(), rng(1));
+    owner.create_stream(&mut t).unwrap();
+    let mut p = BatchingProducer::new(stream, owner.provision_producer(), rng(2), 4);
+    // 1 Hz points over 10 s chunks: the point at 40 s completes chunk 3,
+    // and chunks 0–3 ship.
+    for s in 0..80 {
+        p.push(&mut t, DataPoint::new(s * 1000, s)).unwrap();
+    }
+    // The node stores chunks 4–7; its reply does not arrive.
+    let lost = NetRule {
+        direction: Some(NetDirection::ToClient),
+        when: Trigger::EveryNth(1),
+        fault: NetFault::Drop,
+    };
+    d.proxy(0).set_plan(FaultPlan::quiet().with_net_rule(lost));
+    let unknown = p.push(&mut t, DataPoint::new(80_000, 80)).unwrap_err();
+    let ambiguous = |r: &Refusal| r.kind == RefusalKind::Ambiguous;
+    assert!(
+        matches!(&unknown, ClientFault::Refused(r) if ambiguous(r)),
+        "{unknown:?}"
+    );
+    d.proxy(0).set_plan(FaultPlan::quiet());
+    for s in 81..200 {
+        p.push(&mut t, DataPoint::new(s * 1000, s)).unwrap();
+    }
+    p.flush(&mut t).unwrap();
+    let Response::Info(info) = d.call(Request::StreamInfo { stream: 5 }) else {
+        panic!("no stream info");
+    };
+    assert_eq!(
+        (info.len, p.chunks_sent()),
+        (20, 20),
+        "chunks 0–19, each once"
+    );
 }
