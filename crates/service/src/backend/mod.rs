@@ -144,12 +144,12 @@ pub trait ShardBackend: Send + Sync + 'static {
     }
 
     /// Begins one scatter-gather leg: the shard's `streams`, in request
-    /// order, folded ([`stat::fold`](timecrypt_server::stat::fold)) up to the first that stops the
-    /// fold. A remote shard has the leg's one frame written when this
-    /// returns, and waits for no reply past `deadline` (one that
-    /// arrived by then is still read): the leg fails `Unavailable("query
-    /// deadline exceeded")`, a transport-level failure — the socket timed
-    /// out.
+    /// order, folded ([`stat::fold`](timecrypt_server::stat::fold)) up to
+    /// the first that stops the fold. A remote shard has the leg's one
+    /// frame written when this returns, and waits for no reply past
+    /// `deadline` (one that arrived by then is still read): the leg fails
+    /// `Unavailable("query deadline exceeded")`, a transport-level failure
+    /// — the socket timed out.
     fn begin_leg(&self, streams: &Leg, ts_s: i64, ts_e: i64, deadline: Instant)
         -> Pending<StatLeg>;
 

@@ -704,9 +704,9 @@ impl<W: WriteOp> Write<'_, W> {
 
 impl Write<'_, Run<'_>> {
     /// [`finish_mirror`](Self::finish_mirror), infallible: an unreachable
-    /// primary yields per-chunk [`ServerError::Ambiguous`] verdicts — the run may have
-    /// been applied (in full or in prefix) before the transport failed, so
-    /// callers must not blindly re-submit.
+    /// primary yields per-chunk [`ServerError::Ambiguous`] verdicts — the
+    /// run may have been applied (in full or in prefix) before the
+    /// transport failed, so callers must not blindly re-submit.
     pub(crate) fn settle(self) -> Verdicts {
         let (m, chunks) = (self.replicas.m(), self.op.0.len());
         let verdicts = self.finish_mirror().unwrap_or_else(|_| {

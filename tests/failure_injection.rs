@@ -13,9 +13,9 @@ use timecrypt::faults::{FaultPlan, FileCall, FileFault, FileRule, Trigger};
 use timecrypt::index::keys;
 use timecrypt::server::{ServerError, TimeCryptServer};
 use timecrypt::service::ServiceConfig;
-use timecrypt::store::{KvStore, LogFile, StoreError};
+use timecrypt::store::{KvStore, LogFile};
 use timecrypt::wire::transport::Handler;
-use timecrypt::wire::{Request, Response};
+use timecrypt::wire::{Refusal, RefusalKind, Request, Response};
 use timecrypt_obs::counters::STORE_READ_ONLY;
 
 mod common;
@@ -537,7 +537,14 @@ fn a_full_disk_fails_the_run_and_a_restart_takes_the_retry() {
         digest_width: 2,
     };
     match d.call(create) {
-        Response::Error(e) => assert_eq!(e, ServerError::Store(StoreError::ReadOnly).into()),
+        // The reason is the rendering a read-only log's error always had.
+        Response::Error(e) => assert_eq!(
+            e,
+            Refusal::new(
+                RefusalKind::ReadOnly,
+                "storage: storage I/O error: read-only after a failed write"
+            )
+        ),
         other => panic!("a write after the full disk: {other:?}"),
     }
     assert_eq!(battery(&d), acked, "reads answer as before the run");

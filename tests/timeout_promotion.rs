@@ -529,9 +529,10 @@ fn an_ambiguous_batch_verdict_is_reconciled_and_later_uploads_land() {
     };
     d.proxy(0).set_plan(FaultPlan::quiet().with_net_rule(lost));
     let unknown = p.push(&mut t, DataPoint::new(80_000, 80)).unwrap_err();
-    let ambiguous = |r: &Refusal| r.kind == RefusalKind::Ambiguous;
+    let reason = "service unavailable: mutation outcome unknown: shard unreachable mid-exchange";
+    let ambiguous = Refusal::new(RefusalKind::Ambiguous, reason);
     assert!(
-        matches!(&unknown, ClientFault::Refused(r) if ambiguous(r)),
+        matches!(&unknown, ClientFault::Refused(r) if *r == ambiguous),
         "{unknown:?}"
     );
     d.proxy(0).set_plan(FaultPlan::quiet());
