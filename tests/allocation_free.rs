@@ -1,10 +1,11 @@
 //! The hot paths' allocation-free steps allocate nothing once their buffers
 //! are warm (ARCHITECTURE.md, "Checked invariants"), a store read
 //! allocates its value alone, and a lone put's and a store batch's calls
-//! are counted, as are a warm ping's at either end of a connection (five
-//! ledger rows). The others are counted beside their callers: each
-//! handler's `dispatch` in `ingest_path.rs`, the index's boundary reads and
-//! appends in `index_node_shape.rs`, P-256's arithmetic in `grant_cost.rs`.
+//! are counted, as are a warm ping's at either end of a connection and a
+//! traced one's at the serving end (six ledger rows). The others are
+//! counted beside their callers: each handler's `dispatch` in
+//! `ingest_path.rs`, the index's boundary reads and appends in
+//! `index_node_shape.rs`, P-256's arithmetic in `grant_cost.rs`.
 
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
@@ -12,8 +13,8 @@ use timecrypt::chunk::EncryptedChunk;
 use timecrypt::core::ElementKeys;
 use timecrypt::crypto::{sha256, AesGcm128, Sha256};
 use timecrypt::store::{KvStore, MemKv, WriteOp};
-use timecrypt::wire::messages::{Request, Response, StatReply};
-use timecrypt::wire::{Client, Server};
+use timecrypt::wire::messages::{encode_trace_prefix, Request, Response, StatReply};
+use timecrypt::wire::{read_frame, write_frame, Client, Server, TraceContext};
 
 mod common;
 
@@ -113,6 +114,37 @@ fn a_warm_serve_loop_counts_its_allocator_calls_per_ping() {
     assert_eq!(calls % PINGS, 0, "every ping allocates alike: {calls}");
     common::ledger(&[(
         "wire.serve_loop.allocations_per_ping".into(),
+        (calls / PINGS).to_string(),
+    )]);
+}
+
+/// The same warm loop over frames that carry a trace envelope, written to
+/// a raw socket (a `Client` writes none). The row is what the loop makes
+/// between two traced frames: the untraced row's, and the `span serve`
+/// event each traced request leaves in the flight recorder.
+#[test]
+fn a_warm_serve_loop_counts_its_allocator_calls_per_traced_ping() {
+    let seen = Arc::new(Mutex::new(Vec::with_capacity(PINGS as usize + 2)));
+    let record = seen.clone();
+    let handler = move |_: Request| {
+        record.lock().unwrap().push(common::calls());
+        Response::Pong
+    };
+    let server = Server::bind("127.0.0.1:0", Arc::new(handler)).unwrap();
+    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut body = Vec::new();
+    encode_trace_prefix(TraceContext::new_root(), &mut body);
+    Request::Ping.encode_into(&mut body);
+    for _ in 0..PINGS + 2 {
+        write_frame(&mut conn, &body).unwrap();
+        let reply = read_frame(&mut conn).unwrap();
+        assert_eq!(Response::decode(&reply).unwrap(), Response::Pong);
+    }
+    let seen = seen.lock().unwrap();
+    let calls = seen[PINGS as usize + 1] - seen[1];
+    assert_eq!(calls % PINGS, 0, "every ping allocates alike: {calls}");
+    common::ledger(&[(
+        "wire.serve_loop.allocations_per_traced_ping".into(),
         (calls / PINGS).to_string(),
     )]);
 }
