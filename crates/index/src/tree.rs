@@ -59,6 +59,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use timecrypt_obs::counters::{self, Counter};
 use timecrypt_obs::rank::{self, Ranked};
+use timecrypt_obs::{trace, Stage};
 use timecrypt_store::{KvStore, StoreError, WriteOp};
 
 /// Index parameters.
@@ -448,7 +449,7 @@ impl AggTree {
     /// single snapshot taken at entry, so it is exact even while an append
     /// is in flight.
     pub fn query(&self, start: u64, end: u64) -> Result<Vec<u64>, IndexError> {
-        let _span = timecrypt_obs::trace::stage("index.walk");
+        let _span = trace::stage(Stage::IndexWalk);
         let last = {
             let published = self.published.lock(RwLock::read);
             let len = published.len;

@@ -1,8 +1,8 @@
 //! Observability primitives for the TimeCrypt reproduction: structured
 //! leveled logging with a bounded in-memory flight recorder, trace
-//! contexts with RAII timing spans, Prometheus-text metrics exposition
-//! over a minimal HTTP/1.0 server, and the [`Listener`] every TCP service
-//! accepts and severs its connections with.
+//! contexts and the request path's timed stages, Prometheus-text metrics
+//! exposition over a minimal HTTP/1.0 server, and the [`Listener`] every
+//! TCP service accepts and severs its connections with.
 //!
 //! The crate is std-only and dependency-free by design (builds run with
 //! crates.io unreachable) and is shared by every layer: the wire
@@ -36,12 +36,14 @@
 //! let _guard = trace::set_current(Some(ctx));
 //! let scope = trace::begin_request();
 //! {
-//!     let _walk = trace::stage("index.walk");
+//!     let _walk = trace::stage(trace::Stage::IndexWalk);
 //!     // ... work ...
 //! }
 //! let (total, stages) = scope.finish();
-//! assert_eq!(stages.len(), 1);
-//! assert!(total.as_micros() >= u128::from(stages[0].total_us));
+//! let walk = stages.get(trace::Stage::IndexWalk);
+//! assert_eq!(walk.count, 1);
+//! assert!(total.as_micros() >= u128::from(walk.total_us));
+//! assert!(stages.to_string().starts_with("index.walk="));
 //! ```
 
 pub mod counters;
@@ -55,7 +57,7 @@ pub mod trace;
 pub use http::HttpServer;
 pub use listener::Listener;
 pub use log::{Event, Level};
-pub use trace::{mix64, TraceContext};
+pub use trace::{mix64, Stage, TraceContext};
 
 /// Logs at an explicit [`Level`]; the format arguments are not evaluated
 /// unless the event passes the level filters.

@@ -7,9 +7,9 @@
 //!   variable (default `info`). `TC_LOG` takes a default level plus
 //!   optional per-target overrides: `TC_LOG=info,wire=debug,node=trace`.
 //!   `off` silences a target (or everything).
-//! - a **ring buffer** of the most recent events (default capacity 2048,
-//!   override with `TC_RING`), kept at `debug` and above so span events
-//!   are available for post-mortem dumps even when stderr is quiet.
+//! - a **ring buffer** of the most recent 2 048 events, kept at `debug`
+//!   and above so span events are available for post-mortem dumps even
+//!   when stderr is quiet.
 //!   [`dump`] returns the buffered events oldest-first;
 //!   [`install_panic_hook`] replays them to stderr when a thread panics.
 //!
@@ -132,8 +132,8 @@ static LOGGER: OnceLock<Logger> = OnceLock::new();
 /// The least level the flight recorder keeps.
 const RING_LEVEL: Level = Level::Debug;
 
-/// Default ring capacity; override with `TC_RING=<capacity>`.
-const DEFAULT_RING: usize = 2048;
+/// The flight recorder's capacity, in events.
+const RING_CAPACITY: usize = 2048;
 
 fn logger() -> &'static Logger {
     LOGGER.get_or_init(|| {
@@ -156,14 +156,10 @@ fn logger() -> &'static Logger {
         }
         // Longest prefix first so `wire.pool` beats `wire`.
         overrides.sort_by_key(|(t, _)| std::cmp::Reverse(t.len()));
-        let ring_cap = std::env::var("TC_RING")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_RING);
         Logger {
             stderr_level: default_level,
             overrides,
-            ring: Ring::new(ring_cap),
+            ring: Ring::new(RING_CAPACITY),
         }
     })
 }

@@ -1,4 +1,4 @@
-//! Trace contexts, RAII timing spans, and per-request stage accounting.
+//! Trace contexts, and per-request stage accounting.
 //!
 //! A [`TraceContext`] is a `(trace id, span id)` pair. The trace id is
 //! minted once per client-visible operation and carried across every
@@ -7,21 +7,14 @@
 //! on the receiving side — so one query's scatter-gather legs and one
 //! replicated write's primary+mirror legs all log under the same id.
 //!
-//! Two span flavors with different costs:
-//!
-//! - [`stage`] aggregates into the thread's active *request scope* (see
-//!   [`begin_request`]): per stage name, a count and a total duration.
-//!   When no scope is active on the thread it skips even the clock
-//!   read, which is what makes store-op granularity affordable.
-//! - [`span`] additionally emits a `Debug` event on completion (with the
-//!   current trace context attached), feeding the flight recorder — one
-//!   per request/leg, not per store op.
-//!
-//! The request scope is what the slow-request log renders: the caller
-//! holding the scope calls [`RequestScope::finish`] and gets the total
-//! plus the per-stage breakdown.
+//! A [`Stage`] names one timed step of the request path. [`stage`] times
+//! it into the thread's open *request scope* ([`begin_request`]), a fixed
+//! table of a count and a total duration per stage, and with no scope open
+//! skips even the clock read, so it is affordable per store op. The scope's
+//! holder gets the total and the table from [`RequestScope::finish`].
 
 use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -88,7 +81,7 @@ impl TraceContext {
 
 thread_local! {
     static CURRENT: Cell<Option<TraceContext>> = const { Cell::new(None) };
-    static SCOPE: RefCell<Option<Vec<StageTotal>>> = const { RefCell::new(None) };
+    static SCOPE: RefCell<Option<Stages>> = const { RefCell::new(None) };
 }
 
 /// The trace context active on this thread, if any.
@@ -116,93 +109,128 @@ impl Drop for TraceGuard {
     }
 }
 
+/// Declares [`Stage`] and each stage's name in the slow-request log.
+macro_rules! stages {
+    ($($(#[$doc:meta])* $stage:ident = $name:literal,)+) => {
+        /// A timed stage of the request path, in path order: a request
+        /// scope holds one [`StageTotal`] per stage.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stage {
+            $($(#[$doc])* $stage,)+
+        }
+
+        /// The stages' names, by [`Stage`] index.
+        const NAMES: &[&str] = &[$($name),+];
+    };
+}
+
+stages! {
+    /// The coordinator splits a request's streams or chunks by shard.
+    Route = "route",
+    /// One coordinator-to-node exchange, from its frame sent to its reply.
+    BackendExchange = "backend.exchange",
+    /// A stream's resident state built from its stored records.
+    EngineHydrate = "engine.hydrate",
+    /// One stream's statistical query on a node.
+    EngineQuery = "engine.query",
+    /// One shard's ingest run on a node.
+    EngineIngest = "engine.ingest",
+    /// The index walk of a statistical range query.
+    IndexWalk = "index.walk",
+    /// One store read of a key.
+    StoreGet = "store.get",
+    /// One store scan of a prefix, of its values or its keys.
+    StoreScan = "store.scan",
+    /// One store put.
+    StorePut = "store.put",
+    /// One store delete.
+    StoreDelete = "store.delete",
+    /// One store batch of writes.
+    StoreBatch = "store.batch",
+}
+
+impl Stage {
+    /// How many stages there are.
+    pub const COUNT: usize = NAMES.len();
+}
+
 /// Aggregated time of one stage within a request scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTotal {
-    /// Stage name (`"engine.query"`, `"store.get"`, ...).
-    pub stage: &'static str,
     /// Completed spans of this stage within the scope.
     pub count: u64,
     /// Summed duration in microseconds.
     pub total_us: u64,
 }
 
-/// Opens a request scope on this thread: until [`finish`]ed (or
-/// dropped), completed [`stage`]/[`span`] spans on the thread aggregate
-/// into it. Scopes nest — an inner scope shadows the outer one and
-/// restores it on drop.
+/// A request scope's table: one [`StageTotal`] per [`Stage`]. Displays
+/// the stages that ran, in path order, as `name=Nus/count`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stages([StageTotal; Stage::COUNT]);
+
+impl Stages {
+    /// The total of one stage.
+    pub fn get(&self, stage: Stage) -> StageTotal {
+        self.0[stage as usize]
+    }
+}
+
+impl fmt::Display for Stages {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sep = "";
+        for (name, t) in NAMES.iter().zip(&self.0).filter(|(_, t)| t.count > 0) {
+            write!(f, "{sep}{name}={}us/{}", t.total_us, t.count)?;
+            sep = " ";
+        }
+        Ok(())
+    }
+}
+
+/// Opens the thread's request scope, its table reset: until [`finish`]ed
+/// (or dropped), completed [`stage`] spans on the thread add into it.
 ///
 /// [`finish`]: RequestScope::finish
 #[must_use = "the scope closes (discarding its stages) when dropped"]
 pub fn begin_request() -> RequestScope {
-    let prev = SCOPE.with(|s| s.replace(Some(Vec::with_capacity(8))));
+    SCOPE.set(Some(Stages::default()));
     RequestScope {
-        prev: Some(prev),
         start: Instant::now(),
     }
 }
 
-/// An open request scope (see [`begin_request`]).
+/// An open request scope (see [`begin_request`]); dropping it closes it.
 pub struct RequestScope {
-    /// The shadowed outer scope; `Some` until finish/drop restores it.
-    #[allow(clippy::option_option)]
-    prev: Option<Option<Vec<StageTotal>>>,
     start: Instant,
 }
 
 impl RequestScope {
-    /// Closes the scope: restores the shadowed outer scope and returns
-    /// the total elapsed time plus the per-stage breakdown (in first-
-    /// completion order).
-    pub fn finish(mut self) -> (Duration, Vec<StageTotal>) {
-        let data = SCOPE.with(|s| s.replace(self.prev.take().expect("scope finished once")));
-        (self.start.elapsed(), data.unwrap_or_default())
+    /// Closes the scope: returns the total elapsed time and the table.
+    pub fn finish(self) -> (Duration, Stages) {
+        (self.start.elapsed(), SCOPE.take().unwrap_or_default())
     }
 }
 
 impl Drop for RequestScope {
     fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            SCOPE.with(|s| *s.borrow_mut() = prev);
-        }
+        SCOPE.set(None);
     }
 }
 
-/// Is a request scope active on this thread?
-fn scope_active() -> bool {
-    SCOPE.with(|s| s.borrow().is_some())
-}
-
-/// An in-flight timing span; records on drop.
+/// An in-flight timing span; adds into its stage's slot on drop.
 #[must_use = "a span measures until dropped"]
 pub struct Span {
-    /// `None` when recording would go nowhere (no scope, no event).
+    /// `None` when no scope was open: nothing to add into.
     start: Option<Instant>,
-    stage: &'static str,
-    /// Emit a `Debug` event on completion under this target.
-    event_target: Option<&'static str>,
+    stage: Stage,
 }
 
-/// A scope-only span: aggregates into the thread's request scope (see
-/// [`begin_request`]). Free — not even a clock read — when no scope is
-/// active, so it is safe at store-op granularity.
-pub fn stage(name: &'static str) -> Span {
+/// Times `stage` into the thread's request scope (see [`begin_request`]).
+/// Free — one thread-local read, not even a clock read — when no scope is
+/// open, so it is safe at store-op granularity.
+pub fn stage(stage: Stage) -> Span {
     Span {
-        start: scope_active().then(Instant::now),
-        stage: name,
-        event_target: None,
-    }
-}
-
-/// A logging span: aggregates like [`stage`] *and* emits a `Debug` event
-/// on completion (carrying the thread's trace context). One per
-/// request or scatter-gather leg, not per store op.
-pub fn span(target: &'static str, name: &'static str) -> Span {
-    let event = crate::log::enabled(crate::Level::Debug, target);
-    Span {
-        start: (event || scope_active()).then(Instant::now),
-        stage: name,
-        event_target: event.then_some(target),
+        start: SCOPE.with_borrow(Option::is_some).then(Instant::now),
+        stage,
     }
 }
 
@@ -210,28 +238,13 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let us = start.elapsed().as_micros() as u64;
-        SCOPE.with(|s| {
-            let mut scope = s.borrow_mut();
-            let Some(stages) = scope.as_mut() else { return };
-            match stages.iter_mut().find(|t| t.stage == self.stage) {
-                Some(t) => {
-                    t.count += 1;
-                    t.total_us += us;
-                }
-                None => stages.push(StageTotal {
-                    stage: self.stage,
-                    count: 1,
-                    total_us: us,
-                }),
+        SCOPE.with_borrow_mut(|scope| {
+            if let Some(Stages(totals)) = scope {
+                let t = &mut totals[self.stage as usize];
+                t.count += 1;
+                t.total_us += us;
             }
         });
-        if let Some(target) = self.event_target {
-            crate::log::log(
-                crate::Level::Debug,
-                target,
-                format!("span {} us={us}", self.stage),
-            );
-        }
     }
 }
 
@@ -265,60 +278,46 @@ mod tests {
     fn stages_aggregate_into_the_scope() {
         let scope = begin_request();
         for _ in 0..3 {
-            let _s = stage("store.get");
+            let _s = stage(Stage::StoreGet);
         }
         {
-            let _s = stage("engine.query");
+            let _s = stage(Stage::EngineQuery);
         }
         let (_, stages) = scope.finish();
-        let get = stages.iter().find(|t| t.stage == "store.get").unwrap();
-        assert_eq!(get.count, 3);
-        assert_eq!(
-            stages
-                .iter()
-                .find(|t| t.stage == "engine.query")
-                .unwrap()
-                .count,
-            1
-        );
+        assert_eq!(stages.get(Stage::StoreGet).count, 3);
+        assert_eq!(stages.get(Stage::EngineQuery).count, 1);
+        assert_eq!(stages.get(Stage::Route), StageTotal::default());
+    }
+
+    #[test]
+    fn a_finished_scope_renders_the_stages_that_ran_in_path_order() {
+        let mut stages = Stages::default();
+        stages.0[Stage::StoreBatch as usize] = StageTotal {
+            count: 2,
+            total_us: 40,
+        };
+        stages.0[Stage::Route as usize] = StageTotal {
+            count: 1,
+            total_us: 7,
+        };
+        assert_eq!(stages.to_string(), "route=7us/1 store.batch=40us/2");
+        assert_eq!(Stages::default().to_string(), "");
+        assert_eq!(NAMES.len(), Stage::StoreBatch as usize + 1);
     }
 
     #[test]
     fn stage_without_scope_is_disabled() {
-        let s = stage("noop");
+        let s = stage(Stage::StoreGet);
         assert!(s.start.is_none(), "no scope: the span skips the clock");
     }
 
     #[test]
-    fn scopes_nest_and_restore() {
-        let outer = begin_request();
+    fn dropping_a_scope_clears_it_and_the_next_stage_reads_no_clock() {
         {
-            let _o = stage("outer.work");
-            let inner = begin_request();
-            {
-                let _i = stage("inner.work");
-            }
-            let (_, inner_stages) = inner.finish();
-            assert_eq!(inner_stages.len(), 1);
-            assert_eq!(inner_stages[0].stage, "inner.work");
+            let _scope = begin_request();
+            assert!(stage(Stage::IndexWalk).start.is_some());
         }
-        let (_, outer_stages) = outer.finish();
-        // outer.work completed after the inner scope closed, so it landed
-        // in the restored outer scope.
-        assert_eq!(outer_stages.len(), 1);
-        assert_eq!(outer_stages[0].stage, "outer.work");
-    }
-
-    #[test]
-    fn dropping_a_scope_restores_the_outer_one() {
-        let outer = begin_request();
-        {
-            let _inner = begin_request();
-        } // dropped without finish
-        {
-            let _s = stage("after.drop");
-        }
-        let (_, stages) = outer.finish();
-        assert_eq!(stages.len(), 1, "outer scope still records after drop");
+        assert!(SCOPE.with_borrow(Option::is_none));
+        assert!(stage(Stage::IndexWalk).start.is_none());
     }
 }

@@ -17,7 +17,7 @@ use timecrypt_index::{
 };
 use timecrypt_integrity::{chunk_commitment, RootAttestation, StreamLedger};
 use timecrypt_obs::rank::{self, Stripes};
-use timecrypt_obs::{counters, trace};
+use timecrypt_obs::{counters, trace, Stage};
 use timecrypt_store::{KvPairs, KvStore, StoreError, WriteOp};
 use timecrypt_wire::messages::{Refusal, RefusalKind, StatReply, StreamInfoWire};
 use timecrypt_wire::messages::{Request, RequestRef, Response};
@@ -494,7 +494,7 @@ impl TimeCryptServer {
     /// open) around an empty ledger. Runs outside the registry lock, under
     /// the stream's stripe.
     fn hydrate(&self, stream: u128, meta: StreamMeta) -> Result<StreamState, ServerError> {
-        let _stage = trace::stage("engine.hydrate");
+        let _stage = trace::stage(Stage::EngineHydrate);
         let width = meta.digest_width as usize;
         Ok(StreamState {
             meta,

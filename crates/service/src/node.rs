@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_chunk::serialize::SealedRecord;
-use timecrypt_obs::trace;
+use timecrypt_obs::{trace, Stage};
 use timecrypt_server::runs::{ingest_reply, Runs};
 use timecrypt_server::{stat, BoundaryCache, ServerConfig, ServerError, StatLeg, TimeCryptServer};
 use timecrypt_store::KvStore;
@@ -144,7 +144,7 @@ impl ShardNode {
         stat::fold(streams.iter().map(|&sid| {
             let (shard, engine) = self.engine_for(sid)?;
             let m = &self.metrics[shard];
-            let _span = trace::stage("engine.query");
+            let _span = trace::stage(Stage::EngineQuery);
             let t = Instant::now();
             let r = engine.stream_stat(sid, ts_s, ts_e);
             m.query_hist_us.record(t.elapsed());
@@ -167,7 +167,7 @@ impl ShardNode {
             let Some(engine) = self.engines.get(&shard) else {
                 return run.iter().map(|_| Err(NOT_HOSTED)).collect();
             };
-            let _span = trace::stage("engine.ingest");
+            let _span = trace::stage(Stage::EngineIngest);
             let t = Instant::now();
             let verdicts = engine.insert_bytes_run(run);
             record_run(&self.metrics[shard], t.elapsed(), &verdicts);

@@ -17,7 +17,7 @@ use crate::router::ShardRouter;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
-use timecrypt_obs::trace;
+use timecrypt_obs::{trace, Stage};
 use timecrypt_server::runs::{ingest_reply, Runs};
 use timecrypt_server::{stat, ServerConfig, ServerError};
 use timecrypt_store::KvStore;
@@ -292,7 +292,7 @@ impl ShardedService {
     /// and the received bytes reach the shards verbatim, copied nowhere on
     /// the way.
     fn submit_routed(&self, chunks: &[&[u8]]) -> Verdicts {
-        let route = trace::stage("route");
+        let route = trace::stage(Stage::Route);
         let runs = Runs::split(chunks, |chunk| self.router.shard_of(chunk.stream));
         drop(route);
         let shards = runs.iter().map(|(shard, run)| (&self.backends[shard], run));
@@ -320,7 +320,7 @@ impl ShardedService {
         // The whole-query budget starts before any leg is begun (capped at
         // a year: `Duration::MAX` past now is no `Instant`).
         let deadline = Instant::now() + self.query_deadline.min(Duration::from_secs(365 * 86_400));
-        let route = trace::stage("route");
+        let route = trace::stage(Stage::Route);
         let runs = Runs::split_by(streams, |&sid| Some(self.router.shard_of(sid)));
         drop(route);
         let begun: Vec<_> = (runs.iter())

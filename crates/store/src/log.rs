@@ -110,7 +110,7 @@ use std::ops::Bound;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use timecrypt_obs::counters::{self, Counter};
-use timecrypt_obs::{rank, tc_warn, trace};
+use timecrypt_obs::{rank, tc_warn, trace, Stage};
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -1342,7 +1342,7 @@ impl<F: LogFile> LogKv<F> {
     /// then appends them as one run of records — all but the last carrying
     /// the continues bit — and applies them to the index: one lock
     /// acquisition, one `write(2)`, one group-commit wait.
-    fn write(&self, stage: &'static str, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
+    fn write(&self, stage: Stage, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
         let _span = trace::stage(stage);
         rank::assert_may_block();
         let puts = ops.iter().filter(|op| parts(op).0 == OP_PUT).count();
@@ -1404,7 +1404,7 @@ impl<F: LogFile> Drop for LogKv<F> {
 
 /// Opens a read's `stage` span, checks that the thread may block, and
 /// counts the call on `calls`.
-fn enter(stage: &'static str, calls: &Counter) -> trace::Span {
+fn enter(stage: Stage, calls: &Counter) -> trace::Span {
     let span = trace::stage(stage);
     rank::assert_may_block();
     calls.inc();
@@ -1416,7 +1416,7 @@ fn enter(stage: &'static str, calls: &Counter) -> trace::Span {
 /// counted, a failed one too; `put` and `delete` are one-op batches.
 impl<F: LogFile> KvStore for LogKv<F> {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let _span = enter("store.get", &self.meter.gets);
+        let _span = enter(Stage::StoreGet, &self.meter.gets);
         let (loc, run) = {
             let mut inner = self.inner.lock();
             let Some((loc, run)) = inner.index.get(key) else {
@@ -1431,19 +1431,19 @@ impl<F: LogFile> KvStore for LogKv<F> {
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.write("store.put", &[WriteOp::Put { key, value }])
+        self.write(Stage::StorePut, &[WriteOp::Put { key, value }])
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.write("store.delete", &[WriteOp::Delete { key }])
+        self.write(Stage::StoreDelete, &[WriteOp::Delete { key }])
     }
 
     fn write_batch(&self, ops: &[WriteOp<'_>]) -> Result<(), StoreError> {
-        self.write("store.batch", ops)
+        self.write(Stage::StoreBatch, ops)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
-        let _span = enter("store.scan", &self.meter.scans);
+        let _span = enter(Stage::StoreScan, &self.meter.scans);
         let hits = {
             let mut inner = self.inner.lock();
             let hits: Vec<Hit> = inner.index.range(prefix).collect();
@@ -1460,7 +1460,7 @@ impl<F: LogFile> KvStore for LogKv<F> {
     }
 
     fn scan_keys(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
-        let _span = enter("store.scan", &self.meter.scans);
+        let _span = enter(Stage::StoreScan, &self.meter.scans);
         let inner = self.inner.lock();
         Ok(inner.index.range(prefix).map(|(k, ..)| k).collect())
     }
@@ -1471,7 +1471,7 @@ impl<F: LogFile> KvStore for LogKv<F> {
         after: &[u8],
         limit: usize,
     ) -> Result<Vec<Vec<u8>>, StoreError> {
-        let _span = enter("store.scan", &self.meter.scans);
+        let _span = enter(Stage::StoreScan, &self.meter.scans);
         Ok(self.inner.lock().index.keys_after(prefix, after, limit))
     }
 
@@ -2022,20 +2022,14 @@ mod tests {
         let c = kv.counters();
         assert_eq!((c.puts, c.bytes_written), (5, 12));
         let (_, stages) = scope.finish();
-        let count = |stage| {
-            stages
-                .iter()
-                .find(|t| t.stage == stage)
-                .map_or(0, |t| t.count)
-        };
         let spans = [
-            "store.get",
-            "store.put",
-            "store.delete",
-            "store.scan",
-            "store.batch",
+            Stage::StoreGet,
+            Stage::StorePut,
+            Stage::StoreDelete,
+            Stage::StoreScan,
+            Stage::StoreBatch,
         ];
-        assert_eq!(spans.map(count), [2, 2, 1, 3, 2]);
+        assert_eq!(spans.map(|stage| stages.get(stage).count), [2, 2, 1, 3, 2]);
     }
 
     /// Under `Fsync` the batch whose sync fails is refused, and so is every

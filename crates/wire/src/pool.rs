@@ -32,7 +32,7 @@ use crate::messages::{BatchEncoder, Request, Response};
 use crate::transport::{Client, ClientError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use timecrypt_obs::trace;
+use timecrypt_obs::{trace, Stage};
 
 /// Idle connections a pool always retains; more once more than this were
 /// checked out at once (up to that high-water mark). Checked-out
@@ -156,7 +156,7 @@ impl ClientPool {
     /// [`Exchange`] borrows nothing; it waits for no reply past
     /// `deadline` (`None`: each socket operation's `io_timeout` only).
     pub fn send(&self, body: Body<'_>, deadline: Option<Instant>) -> Exchange {
-        let span = trace::stage("backend.exchange");
+        let span = trace::stage(Stage::BackendExchange);
         let once = !matches!(&body, Body::Request(req) if !req.is_mutation());
         let conn = self.check_out(false, once, deadline);
         let resend = conn.is_ok() && !once;

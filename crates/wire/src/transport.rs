@@ -13,7 +13,9 @@
 //! want true parallelism open multiple connections (exactly how the
 //! paper's load generator drives 100 client threads). Each end reads and
 //! writes one socket through one per-connection buffer, so a warm
-//! connection allocates only what the messages themselves own.
+//! connection allocates only what the messages themselves own. A served
+//! request's stages are timed (`timecrypt_obs::Stage`): one taking 1 s or
+//! more logs a `slow request` warning, a traced one a `span serve` event.
 //!
 //! ```rust
 //! use std::sync::Arc;
@@ -46,9 +48,9 @@ use crate::frame::{read_frame_into, write_frame_in, FrameError, PREFIX_LEN};
 use crate::messages::{split_trace, Refusal, RefusalKind, Request, RequestRef, Response};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
-use timecrypt_obs::{tc_warn, trace, Listener, TraceContext};
+use timecrypt_obs::{tc_debug, tc_warn, trace, Listener, TraceContext};
 
 /// Retained capacity cap for per-connection scratch buffers. Reuse keeps
 /// steady-state serving allocation-free, but one oversized frame (a 4 MiB
@@ -170,62 +172,31 @@ impl Server {
     }
 }
 
-/// The slow-request threshold: requests whose server-side handling takes
-/// at least this long are logged at `Warn` with their per-stage
-/// breakdown. Configured by the `TC_SLOW_MS` environment variable
-/// (milliseconds; `0` disables the slow log *and* per-request stage
-/// accounting); defaults to 1000 ms.
-fn slow_threshold() -> Option<Duration> {
-    static THRESHOLD: OnceLock<Option<Duration>> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        let ms = std::env::var("TC_SLOW_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(1000);
-        (ms > 0).then(|| Duration::from_millis(ms))
-    })
-}
-
-/// Renders a stage breakdown for the slow-request log.
-fn render_stages(stages: &[trace::StageTotal]) -> String {
-    let mut out = String::new();
-    for t in stages {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(&format!("{}={}us/{}", t.stage, t.total_us, t.count));
-    }
-    out
-}
+/// Requests whose server-side handling takes at least this long are logged
+/// at `Warn` with the stages that ran.
+const SLOW_REQUEST: Duration = Duration::from_secs(1);
 
 /// Handles one decoded frame: peels the optional trace envelope (so the
 /// handler sees exactly the pre-envelope bytes), stamps the context into
-/// the thread-local for the handler's spans, and accounts stage timings
-/// for the slow-request log: the TCP server loop's step per frame.
+/// the thread-local for the handler's events, and times the request's
+/// stages for the slow-request log: the TCP server loop's step per frame.
 fn handle_frame_traced(handler: &dyn Handler, body: &[u8]) -> Response {
     let (ctx, inner) = match split_trace(body) {
         Ok(split) => split,
         Err(e) => return bad_request(&e),
     };
     let _trace_guard = ctx.map(|c| trace::set_current(Some(c)));
-    let scope = slow_threshold().map(|_| trace::begin_request());
-    let resp = {
-        // One span event per served request when traced: this is the
-        // node-side record a scatter-gather leg leaves in the flight
-        // recorder under the coordinator's trace id.
-        let _serve_span = ctx.is_some().then(|| trace::span("wire", "serve"));
-        handler.handle_frame(inner)
-    };
-    if let (Some(scope), Some(limit)) = (scope, slow_threshold()) {
-        let (total, stages) = scope.finish();
-        if total >= limit {
-            tc_warn!(
-                "wire",
-                "slow request total_ms={} {}",
-                total.as_millis(),
-                render_stages(&stages)
-            );
-        }
+    let scope = trace::begin_request();
+    let resp = handler.handle_frame(inner);
+    let (total, stages) = scope.finish();
+    if ctx.is_some() {
+        // The node-side record a traced request (a scatter-gather leg)
+        // leaves in the flight recorder, under the caller's trace id.
+        tc_debug!("wire", "span serve us={}", total.as_micros());
+    }
+    let ms = total.as_millis();
+    if total >= SLOW_REQUEST {
+        tc_warn!("wire", "slow request total_ms={ms} {stages}");
     }
     resp
 }

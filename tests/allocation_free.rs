@@ -94,7 +94,8 @@ fn a_warm_client_ping_counts_its_allocator_calls() {
 /// A hundred warm `Ping` frames served on one connection. The handler runs
 /// on the connection thread and records that thread's allocator calls at
 /// each frame; the row is what the serve loop makes between two frames:
-/// the request read, the reply written, the slow-request log's scope.
+/// the request read, the reply written and the stage scope of the
+/// slow-request log, a fixed table, allocate nothing once warm.
 #[test]
 fn a_warm_serve_loop_counts_its_allocator_calls_per_ping() {
     let seen = Arc::new(Mutex::new(Vec::with_capacity(PINGS as usize + 2)));
@@ -120,8 +121,8 @@ fn a_warm_serve_loop_counts_its_allocator_calls_per_ping() {
 
 /// The same warm loop over frames that carry a trace envelope, written to
 /// a raw socket (a `Client` writes none). The row is what the loop makes
-/// between two traced frames: the untraced row's, and the `span serve`
-/// event each traced request leaves in the flight recorder.
+/// between two traced frames: the untraced row's, and the message of the
+/// `span serve` event each traced request leaves in the flight recorder.
 #[test]
 fn a_warm_serve_loop_counts_its_allocator_calls_per_traced_ping() {
     let seen = Arc::new(Mutex::new(Vec::with_capacity(PINGS as usize + 2)));
