@@ -1,11 +1,13 @@
 //! A minimal HTTP/1.0 listener for metrics exposition.
 //!
-//! Serves two fixed routes:
+//! Serves three fixed routes:
 //!
 //! - `GET /metrics` — the caller-provided render closure (Prometheus
 //!   text format, `text/plain; version=0.0.4`);
 //! - `GET /events` — the flight recorder dump ([`crate::log::dump`]),
-//!   one rendered event per line, oldest first.
+//!   one rendered event per line, oldest first;
+//! - `GET /readyz` — `200 ready` while no store log of the process is
+//!   read-only (`timecrypt_store_read_only` is 0), `503` while one is.
 //!
 //! One request per connection, `Connection: close` — exactly what a
 //! Prometheus scraper or `curl` needs, and nothing more. Request heads
@@ -74,6 +76,13 @@ fn serve_one(stream: &TcpStream, render: &dyn Fn() -> String) -> std::io::Result
             let events = crate::log::dump().into_iter().map(|e| e.render() + "\n");
             ("200 OK", "text/plain", events.collect())
         }
+        ("GET", "/readyz") => match crate::counters::STORE_READ_ONLY.get() {
+            0 => ("200 OK", "text/plain", "ready\n".to_string()),
+            n => {
+                let why = format!("not ready: {n} store log(s) read-only after a failed write\n");
+                ("503 Service Unavailable", "text/plain", why)
+            }
+        },
         ("GET", _) => ("404 Not Found", "text/plain", "not found\n".to_string()),
         _ => (
             "405 Method Not Allowed",
