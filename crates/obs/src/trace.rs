@@ -151,7 +151,7 @@ stages! {
 
 impl Stage {
     /// How many stages there are.
-    pub const COUNT: usize = NAMES.len();
+    pub(crate) const COUNT: usize = NAMES.len();
 }
 
 /// Aggregated time of one stage within a request scope.
@@ -165,7 +165,7 @@ pub struct StageTotal {
 
 /// A request scope's table: one [`StageTotal`] per [`Stage`]. Displays
 /// the stages that ran, in path order, as `name=Nus/count`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Stages([StageTotal; Stage::COUNT]);
 
 impl Stages {
