@@ -291,17 +291,17 @@ mod tests {
 
     #[test]
     fn a_finished_scope_renders_the_stages_that_ran_in_path_order() {
-        let mut stages = Stages::default();
-        stages.0[Stage::StoreBatch as usize] = StageTotal {
-            count: 2,
-            total_us: 40,
-        };
-        stages.0[Stage::Route as usize] = StageTotal {
-            count: 1,
-            total_us: 7,
-        };
-        assert_eq!(stages.to_string(), "route=7us/1 store.batch=40us/2");
-        assert_eq!(Stages::default().to_string(), "");
+        let scope = begin_request();
+        for s in [Stage::StoreBatch, Stage::StoreBatch, Stage::Route] {
+            let _s = stage(s);
+        }
+        let (_, stages) = scope.finish();
+        let (route, batch) = (stages.get(Stage::Route), stages.get(Stage::StoreBatch));
+        let want = format!(
+            "route={}us/1 store.batch={}us/2",
+            route.total_us, batch.total_us
+        );
+        assert_eq!(stages.to_string(), want);
         assert_eq!(NAMES.len(), Stage::StoreBatch as usize + 1);
     }
 
