@@ -456,6 +456,42 @@ fn faulted_revoke_grants_leaves_every_grant_in_place() {
     assert!(sweep(&write, held) > 0, "the plan never reached the call");
 }
 
+/// ROADMAP's F1 probe, a FOUND line of CHANGES.md (item 38): four chunks
+/// are acked on both replicas, then a short append on the primary's file
+/// refuses the fifth. The primary's refusal is mirrored and the backup
+/// applies the chunk the client saw refused; nothing is promoted. The rows
+/// are today's values, which item 38 turns to 0 and 1.
+#[test]
+fn a_chunk_the_primary_refuses_on_a_full_disk_reaches_the_backup() {
+    let _faulting = faulting();
+    let spec = Spec::remote(1, 2, 2).service(common::dial_fast(1));
+    let d = Deployment::build(&spec.fault(Fault::File(FaultPlan::quiet())));
+    let svc = d.service();
+    svc.create_stream(11, 0, 10_000, 2).unwrap();
+    for i in 0..4 {
+        svc.insert(&sealed(11, i, 5)).unwrap();
+    }
+    fault_append(&d.faulty(0), 0, FileFault::ShortAppend);
+    let refused = svc.insert(&sealed(11, 4, 5)).unwrap_err();
+    assert_eq!(Refusal::from(refused).kind, RefusalKind::Unavailable);
+    let len = |n| match d.node(n).handle(Request::StreamInfo { stream: 11 }) {
+        Response::Info(info) => info.len,
+        other => panic!("node {n}: {other:?}"),
+    };
+    assert_eq!(len(0), 4, "the primary holds the acked chunks");
+    let shard = &svc.stats().shards[0];
+    common::ledger(&[
+        (
+            "failure_injection.read_only_promotions".into(),
+            shard.promotions.to_string(),
+        ),
+        (
+            "failure_injection.refused_chunks_on_backup".into(),
+            (len(1) - len(0)).to_string(),
+        ),
+    ]);
+}
+
 /// A full disk, end to end. A short append (a seeded prefix of the batch,
 /// then `ENOSPC`) fails a client's ingest run; the log turns read-only, and
 /// says so on `/metrics`, so later writes are refused with its error, and

@@ -2,8 +2,9 @@
 //! histories do not draw. A coordinator over loopback shard nodes answers
 //! as a single-process service after a node is killed for good, and with
 //! one shard local and one remote; a mutation sent the moment a node has
-//! restarted is applied; replication metrics are exact under outages; the
-//! batching producer runs against a cluster.
+//! restarted is applied; replication metrics are exact under outages, and
+//! a refused mutation is no missed mirror; the batching producer runs
+//! against a cluster.
 
 use common::{dial_fast, keys, same_replies, sealed, stream_cfg, Deployment, Spec};
 use std::sync::Arc;
@@ -202,6 +203,53 @@ fn replication_metrics_are_exact_under_induced_outages() {
         snap.shards[0].in_sync,
         "the backup stays in sync — it missed nothing acknowledged: {snap:?}"
     );
+}
+
+/// One refused mutation of each stream-routed kind a primary can refuse
+/// (a grant or an envelope is taken for any stream) while the backup's
+/// node is down: the primary stores nothing, so the backup missed nothing.
+/// The row is the shard's `replica_errors`.
+#[test]
+fn a_refused_mutation_with_the_backup_down_is_no_missed_mirror() {
+    let d = Deployment::build(&Spec::remote(1, 2, 2).service(dial_fast(0)));
+    let svc = d.service();
+    svc.create_stream(1, 0, 10_000, 2).unwrap();
+    d.kill(1);
+    // Stream 1 exists; stream 7 does not.
+    let stream = 7;
+    let refused = [
+        Request::CreateStream {
+            stream: 1,
+            t0: 0,
+            delta_ms: 10_000,
+            digest_width: 2,
+        },
+        Request::DeleteStream { stream },
+        Request::DeleteRange {
+            stream,
+            ts_s: 0,
+            ts_e: 10_000,
+        },
+        Request::Rollup {
+            stream,
+            before_ts: 10_000,
+            keep_level: 1,
+        },
+        Request::PutAttestation {
+            stream,
+            attestation: vec![3],
+        },
+    ];
+    for req in refused {
+        assert!(req.is_mutation(), "{req:?}");
+        let reply = d.call(req.clone());
+        assert!(matches!(reply, Response::Error(_)), "{req:?}: {reply:?}");
+    }
+    let shard = &svc.stats().shards[0];
+    common::ledger(&[(
+        "replication.refused_write_demotions".into(),
+        shard.replica_errors.to_string(),
+    )]);
 }
 
 /// Mixed placement — one local shard, one remote — behaves exactly like
