@@ -40,7 +40,7 @@ mod replicas;
 
 pub use remote::RemoteShard;
 pub use replicas::ShardReplicas;
-pub(crate) use replicas::{ingest_runs, Admission};
+pub(crate) use replicas::{ingest_runs, Admission, Policy};
 pub use timecrypt_server::runs::Verdicts;
 
 use std::time::Instant;

@@ -3,7 +3,6 @@
 use super::{Leg, Pending, ShardBackend, Verdicts, SAME_NODE};
 use crate::metrics::ShardMetrics;
 use parking_lot::RwLock;
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -54,29 +53,23 @@ struct Roles {
 /// One shard's replica set: a primary backend plus an optional backup,
 /// with a health state machine that closes the R=2 loop.
 ///
-/// * **Mutations** (`Write`: `call` of a mutation and the overlapped
-///   `ingest_runs`) go
-///   primary-then-backup: the backup only ever receives writes the
-///   primary received, in the same order, which is the invariant that
-///   keeps the replicas byte-identical. A backup failure (or a verdict
-///   diverging from the primary's) does not fail the operation; it ticks
-///   `replica_errors` and *demotes* an in-sync backup to the drifted
-///   state — a replica that provably missed an acknowledged write must
-///   never be promoted or serve failover reads.
-/// * **Reads** (`read_with_failover`: `call` of a read, a scrape's
-///   per-shard lookup, and the second step of `begin_leg`) go to the
-///   primary and fail over to
-///   an *in-sync* backup when the primary is unreachable, ticking
-///   `failovers`. A rebuilding or drifted replica never serves reads — it
-///   would answer from incomplete data.
-/// * **Promotion.** Every primary transport failure counts a strike
-///   (any success resets them). At `promote_after` consecutive strikes
-///   with an in-sync backup attached, the backup *becomes* the primary:
-///   reads and writes flip to it, `promotions` ticks, and the operation
-///   that crossed the threshold is retried once against the new primary.
-///   Replies stay byte-identical because the backup received every
-///   acknowledged write. The shard then runs un-replicated until a
-///   replacement is attached.
+/// * **Writes** (`Write`: a mutating `call` and the overlapped
+///   `ingest_runs`) go primary-then-backup, in the same order. Both
+///   answer [`Verdicts`], and one rule (`missed`) judges the mirror. A
+///   miss does not fail the operation; it ticks `replica_errors` and
+///   *demotes* an in-sync backup to the drifted state — a replica that
+///   provably missed an acknowledged write must never be promoted or
+///   serve failover reads.
+/// * **The primary step** (`on_primary`), one for reads and writes: the
+///   primary answers; each transport failure is a strike (any success
+///   resets them). Only a read — `call` of a read, a scrape's per-shard
+///   lookup, the step `begin_leg` returns — then fails over to an
+///   *in-sync* backup, ticking `failovers`: a rebuilding or drifted
+///   replica would answer from incomplete data. At `promote_after`
+///   consecutive strikes with an in-sync backup attached, the backup
+///   *becomes* the primary: `promotions` ticks, and the operation that
+///   crossed the threshold is retried once against it. The shard then
+///   runs un-replicated until a replacement is attached.
 /// * **Rebuild.** `attach_backup` (driven by
 ///   [`crate::ShardedService::attach_replica`]) adds a replacement in
 ///   the rebuilding state; the caller then runs `rebuild_backup`, which
@@ -150,18 +143,12 @@ impl ShardReplicas {
         &self.metrics[self.shard]
     }
 
-    /// A consistent snapshot of the current role assignment. Operations
-    /// run against the snapshot — a concurrent promotion flips *later*
-    /// operations, never one in flight.
-    pub(crate) fn snapshot(&self) -> (Arc<dyn ShardBackend>, Option<BackupState>) {
+    /// A consistent snapshot of the current role assignment, the one way
+    /// the roles are read. Operations run against a snapshot — a
+    /// concurrent promotion flips *later* operations, never one in flight.
+    pub(crate) fn snapshot(&self) -> Snapshot {
         let roles = self.roles.lock(RwLock::read);
         (roles.primary.clone(), roles.backup.clone())
-    }
-
-    /// The current primary alone (mutation paths re-read the backup via
-    /// [`Self::mirror_target`] after the primary acknowledged).
-    fn primary(&self) -> Arc<dyn ShardBackend> {
-        self.roles.lock(RwLock::read).primary.clone()
     }
 
     fn note_primary_ok(&self) {
@@ -227,7 +214,12 @@ impl ShardReplicas {
     /// it. During a rebuild the rejection is expected (the copy has not
     /// reached this write yet): the write's streams join `missed`, and the
     /// rebuild sweeps them again.
-    fn note_mirror_drift(&self, drifted: &Arc<dyn ShardBackend>, (errors, streams): Missed) {
+    fn note_mirror_drift(
+        &self,
+        drifted: &Arc<dyn ShardBackend>,
+        errors: u64,
+        streams: impl Iterator<Item = u128>,
+    ) {
         if errors == 0 {
             return;
         }
@@ -249,28 +241,25 @@ impl ShardReplicas {
         }
     }
 
-    /// The backup to mirror a just-acknowledged write to, re-read *after*
-    /// the primary call returned: a replica attached (or verified in
-    /// sync) while the slow primary call was in flight must still receive
-    /// — or be held accountable for — this acknowledged write.
-    fn mirror_target(&self) -> Option<BackupState> {
-        self.roles.lock(RwLock::read).backup.clone()
-    }
-
-    /// The read policy, over `roles` — a [`snapshot`](Self::snapshot) the
-    /// caller took: the primary answers; when it is unreachable an
-    /// *in-sync* backup answers instead (one `failovers` tick), and when
-    /// no backup may answer but the failure triggered (or lost the race
-    /// to) a promotion, `op` is retried once against the new primary. The
-    /// error is the last backend's.
-    pub(crate) fn read_with_failover<T>(
+    /// The primary step, one for every operation, over `roles` — a
+    /// [`snapshot`](Self::snapshot) the caller took: the first attempt is
+    /// `begun`, the exchange the caller began on `roles`' primary, if any,
+    /// else `attempt` on it. A transport failure strikes the primary; a
+    /// read is then answered by an *in-sync* backup instead (one
+    /// `failovers` tick), and when none answers but the failure triggered
+    /// (or lost the race to) a promotion, `attempt` is retried once
+    /// against the new primary. The error is the last backend's.
+    pub(crate) fn on_primary<T>(
         &self,
-        (mut primary, mut backup): (Arc<dyn ShardBackend>, Option<BackupState>),
-        op: impl Fn(&dyn ShardBackend) -> Result<T, ServerError>,
+        (mut primary, mut backup): Snapshot,
+        policy: Policy,
+        begun: Option<Pending<T>>,
+        attempt: impl Fn(&dyn ShardBackend) -> Result<T, ServerError>,
     ) -> Result<T, ServerError> {
+        let mut out = begun.map_or_else(|| attempt(&*primary), |begun| begun());
         let mut retried = false;
         loop {
-            let err = match op(&*primary) {
+            let err = match out {
                 Ok(out) => {
                     self.note_primary_ok();
                     return Ok(out);
@@ -280,45 +269,56 @@ impl ShardReplicas {
             // Strikes count on an un-replicated shard too: a replica
             // attached later can be promoted as soon as it is in sync.
             let promoted = self.note_primary_failure(&primary);
-            // Only an in-sync backup may answer reads — a rebuilding or
-            // drifted replica would answer from incomplete data.
-            if let Some(b) = backup.filter(|b| b.health == ReplicaHealth::InSync) {
+            // A write the primary may have applied must not land on the
+            // backup alone; a rebuilding or drifted replica would answer
+            // from incomplete data.
+            let answers = |b: &BackupState| b.health == ReplicaHealth::InSync;
+            if let Some(b) = backup.filter(answers).filter(|_| policy == Policy::Read) {
                 self.m().failovers.inc();
-                return op(&*b.backend);
+                return attempt(&*b.backend);
             }
-            if promoted && !retried {
-                retried = true;
-                (primary, backup) = self.snapshot();
-                continue;
+            if !promoted || retried {
+                return Err(err);
             }
-            return Err(err);
+            retried = true;
+            (primary, backup) = self.snapshot();
+            out = attempt(&*primary);
         }
     }
 
-    /// Starts `op` under the write policy (see [`Write`]) on the current
-    /// primary. Its caller holds the admission shares of its streams.
-    fn begin_write<W: WriteOp>(&self, op: W) -> Write<'_, W> {
-        let primary = self.primary();
-        let sent = op.begin_on(&*primary);
+    /// Begins `change` under the write policy (see [`Write`]) on the
+    /// current primary. Its caller holds the admission shares of its
+    /// streams.
+    fn begin_write<'a>(&'a self, change: Change<'a>) -> Write<'a> {
+        let roles = self.snapshot();
+        let begun = change.begin_on(&*roles.0);
         Write {
             replicas: self,
-            op,
-            primary: Some((primary, sent)),
+            change,
+            primary: Some((roles, begun)),
             out: Err(ServerError::Ambiguous),
             mirror: None,
         }
     }
 
-    /// Dispatches one wire request under the write policy (mutations; the
-    /// mirror must return the primary's reply) or the read policy.
-    /// Infallible at this level: an unreachable shard becomes a
-    /// `Response::Error`, exactly what a wire client would see.
+    /// Runs one mutating request under the write policy. Its verdict is
+    /// the shard's: `Ok`, or the shard's refusal whole in
+    /// [`ServerError::Refused`]; [`ServerError::Ambiguous`] when the
+    /// primary did not answer.
+    pub(crate) fn mutate(&self, req: Request) -> Result<(), ServerError> {
+        let _admitted = self.admission.lock_all(written(&req), RwLock::read);
+        let verdicts = self.begin_write(Change::Request(req)).finish_mirror()?;
+        verdicts.into_iter().collect()
+    }
+
+    /// Dispatches one wire request: a mutation under the write policy, a
+    /// read under the read policy. Infallible at this level: an
+    /// unreachable shard becomes a `Response::Error`, exactly what a wire
+    /// client would see.
     pub(crate) fn call(&self, req: Request) -> Response {
-        let reply = if req.is_mutation() {
-            let _admitted = self.admission.lock_all(written(&req), RwLock::read);
-            self.begin_write(req).finish_mirror()
-        } else {
-            self.read_with_failover(self.snapshot(), |b| b.call(req.clone()))
+        let reply = match req.is_mutation() {
+            true => self.mutate(req).map(|()| Response::Ok),
+            false => self.on_primary(self.snapshot(), Policy::Read, None, |b| b.call(req.clone())),
         };
         reply.unwrap_or_else(|e| Response::Error(e.into()))
     }
@@ -326,7 +326,7 @@ impl ShardReplicas {
     /// Begins one scatter-gather leg on the primary — a remote one then
     /// has its frame on the wire — and returns the step that reads the
     /// shard's fold of it, which the caller takes after beginning other
-    /// shards' legs. That step is the read policy over the roles as they
+    /// shards' legs. That step is the primary step over the roles as they
     /// were here, its first attempt the leg as begun; a failover or a retry
     /// is a whole leg on the thread that takes the step, and every attempt
     /// ends by `deadline`. Infallible: a shard no replica of which
@@ -340,22 +340,19 @@ impl ShardReplicas {
         deadline: Instant,
     ) -> impl FnOnce() -> StatLeg + 'a {
         let roles = self.snapshot();
-        let begun = Cell::new(Some(roles.0.begin_leg(streams, ts_s, ts_e, deadline)));
+        let begun = roles.0.begin_leg(streams, ts_s, ts_e, deadline);
         move || {
-            let leg = |b: &dyn ShardBackend| {
-                let begun = begun.take();
-                begun.unwrap_or_else(|| b.begin_leg(streams, ts_s, ts_e, deadline))()
-            };
-            self.read_with_failover(roles, leg)
+            let leg = |b: &dyn ShardBackend| b.begin_leg(streams, ts_s, ts_e, deadline)();
+            self.on_primary(roles, Policy::Read, Some(begun), leg)
                 .unwrap_or_else(|e| stat::fold([Err(e)]))
         }
     }
 
     /// Begins ingesting an ordered run under the write policy;
     /// `queue_depth` counts its chunks until their verdicts are read.
-    pub(crate) fn begin_ingest<'a>(&'a self, chunks: &'a [&'a [u8]]) -> Write<'a, Run<'a>> {
+    pub(crate) fn begin_ingest<'a>(&'a self, chunks: &'a [&'a [u8]]) -> Write<'a> {
         self.m().queue_depth.add(chunks.len() as u64);
-        self.begin_write(Run(chunks))
+        self.begin_write(Change::Run(chunks))
     }
 
     /// Attaches a replacement backup in the rebuilding state: write
@@ -410,12 +407,10 @@ impl ShardReplicas {
     /// aggregation walks these to find the distinct remote nodes whose
     /// store counters it should fold in.
     pub(crate) fn attached_backends(&self) -> Vec<Arc<dyn ShardBackend>> {
-        let roles = self.roles.lock(RwLock::read);
-        let mut out = vec![roles.primary.clone()];
-        if let Some(b) = &roles.backup {
-            out.push(b.backend.clone());
-        }
-        out
+        let (primary, backup) = self.snapshot();
+        std::iter::once(primary)
+            .chain(backup.map(|b| b.backend))
+            .collect()
     }
 
     /// Makes the attached backup hold the survivor's (the current
@@ -462,7 +457,7 @@ impl ShardReplicas {
             roles.missed.clear();
             backend
         };
-        let survivor = self.primary();
+        let (survivor, _) = self.snapshot();
         let mut swept = BTreeSet::new();
         for _pass in 0..REBUILD_MAX_PASSES {
             for stream in std::mem::take(&mut self.roles.lock(RwLock::write).missed) {
@@ -553,32 +548,54 @@ impl ShardReplicas {
     }
 }
 
-/// What a write asks of one backend — begun on the primary, then again on
-/// the mirror; each begin's [`Pending`] reads that backend's answer.
-pub(crate) trait WriteOp {
-    /// The backend's answer.
-    type Out;
-    fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Self::Out>;
-    /// The acknowledged writes the backup lacks, given the primary's
-    /// answer and the mirror's (`None`: backup unreachable), and the
-    /// streams whose stored records they change.
-    fn missed(&self, out: &Self::Out, mirrored: Option<&Self::Out>) -> Missed;
+/// A snapshot of one shard's roles: its primary and its backup, if any.
+pub(crate) type Snapshot = (Arc<dyn ShardBackend>, Option<BackupState>);
+
+/// Which operations an in-sync backup may answer when the primary does
+/// not: reads only.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Policy {
+    Read,
+    Write,
 }
 
-/// How many acknowledged writes a backup lacks, and their streams.
-type Missed = (u64, Vec<u128>);
+/// What a write changes, on the primary and then on the mirror; each
+/// answers one verdict per item.
+pub(crate) enum Change<'a> {
+    /// A mutating request: one item, its reply read through [`acked`].
+    Request(Request),
+    /// An ordered run of serialized chunks for one shard: an item a chunk.
+    Run(&'a [&'a [u8]]),
+}
 
-/// A mutating request. The mirror must return the primary's reply.
-impl WriteOp for Request {
-    type Out = Response;
-    fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Response> {
-        b.begin_call(self.clone(), None)
-    }
-    fn missed(&self, reply: &Response, mirrored: Option<&Response>) -> Missed {
-        match mirrored == Some(reply) {
-            true => (0, Vec::new()),
-            false => (1, written(self).into_iter().collect()),
+impl Change<'_> {
+    fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Verdicts> {
+        match self {
+            Change::Request(req) => {
+                let reply = b.begin_call(req.clone(), None);
+                Box::new(move || Ok(vec![acked(reply()?)]))
+            }
+            Change::Run(chunks) => b.begin_batch(chunks),
         }
+    }
+
+    /// The stream whose stored records item `i` changes.
+    fn stream_of(&self, i: usize) -> Option<u128> {
+        match self {
+            Change::Request(req) => written(req),
+            Change::Run(chunks) => chunk_stream(chunks.get(i)?),
+        }
+    }
+}
+
+/// A shard's reply to a request answered `Ok` or with an error, as a
+/// verdict: an error is [`ServerError::Refused`] carrying the shard's
+/// refusal whole.
+fn acked(reply: Response) -> Result<(), ServerError> {
+    match reply {
+        Response::Ok => Ok(()),
+        Response::Error(refusal) => Err(ServerError::Refused(refusal)),
+        _ => Err(ServerError::Unavailable("unexpected shard reply")),
     }
 }
 
@@ -591,124 +608,99 @@ fn written(req: &Request) -> Option<u128> {
     }
 }
 
-/// An ordered run of serialized chunks for one shard.
-pub(crate) struct Run<'a>(&'a [&'a [u8]]);
+/// The stream of a serialized chunk.
+fn chunk_stream(chunk: &[u8]) -> Option<u128> {
+    Some(ChunkRef::parse(chunk).ok()?.stream)
+}
 
-impl WriteOp for Run<'_> {
-    type Out = Verdicts;
-    fn begin_on(&self, b: &dyn ShardBackend) -> Pending<Verdicts> {
-        b.begin_batch(self.0)
-    }
-    fn missed(&self, results: &Verdicts, mirrored: Option<&Verdicts>) -> Missed {
-        let missed: Vec<&[u8]> = match mirrored {
-            Some(mirrored) => (self.0.iter().zip(results.iter().zip(mirrored)))
-                .filter(|(_, (a, b))| a.is_ok() != b.is_ok())
-                .map(|(chunk, _)| *chunk)
-                .collect(),
-            // Whole-run mirror failure: only the chunks the primary
-            // *accepted* diverge the replicas — chunks the primary itself
-            // rejected never landed on either side.
-            None => (self.0.iter().zip(results))
-                .filter(|(_, r)| r.is_ok())
-                .map(|(chunk, _)| *chunk)
-                .collect(),
-        };
-        (missed.len() as u64, run_streams(&missed).collect())
+/// The one missed-mirror rule, for an item of any write: the backup missed
+/// it when its verdict and the primary's differ in `is_ok`, or — the
+/// backup not answering — when the primary accepted it (what the primary
+/// refused is stored on neither side).
+fn missed(primary: &Result<(), ServerError>, mirrored: Option<&Result<(), ServerError>>) -> bool {
+    match mirrored {
+        Some(mirrored) => mirrored.is_ok() != primary.is_ok(),
+        None => primary.is_ok(),
     }
 }
 
-/// The streams of a run's chunks, in its order.
-fn run_streams<'a>(chunks: &'a [&[u8]]) -> impl Iterator<Item = u128> + 'a {
-    (chunks.iter()).filter_map(|c| Some(ChunkRef::parse(c).ok()?.stream))
-}
-
-/// A backend a write was begun on, with the step that reads its answer.
-type Begun<W> = (Arc<dyn ShardBackend>, Pending<<W as WriteOp>::Out>);
-
-/// One write under the write policy — primary first, then the mirror —
-/// which the caller may leave between its transport steps to drive other
-/// shards' writes: [`ShardReplicas::begin_write`] has begun it on the
-/// primary, [`finish_primary`](Self::finish_primary) reads the primary's
-/// answer and begins the mirror, [`finish_mirror`](Self::finish_mirror)
-/// reads the mirror's and accounts drift. Between steps it holds the
-/// backend it waits on, never the roles lock; its caller holds its
-/// streams' admission shares until it ends. Every mutation takes this
+/// One write under the write policy, which the caller may leave between
+/// its transport steps to drive other shards' writes:
+/// [`ShardReplicas::begin_write`] has begun its [`Change`] on the primary,
+/// [`finish_primary`](Self::finish_primary) runs the primary step and
+/// begins the mirror, [`finish_mirror`](Self::finish_mirror) reads the
+/// mirror's verdicts and accounts the items it missed. Between steps it
+/// holds the backend it waits on, never the roles lock; its caller holds
+/// its streams' admission shares until it ends. Every mutation takes this
 /// path, replicated shard or not: the mirror target is re-read *after*
-/// the primary acknowledges, so a backup attached (even armed) while the
-/// call was in flight still receives — or vetoes the arming of — the
-/// write; a snapshot-gated fast path would let it bypass the attach.
+/// the primary answers, so a backup attached (even armed) while the call
+/// was in flight still receives — or vetoes the arming of — the write.
 ///
 /// An unreachable primary fails the write *without* touching the backup,
-/// which therefore never holds state the primary lacks. At most two
-/// attempts: the retry runs only when the first attempt's failure
-/// triggered (or lost the race to) a promotion — safe, because the mirror
-/// only runs after the primary acknowledged client-side, so a write whose
-/// ack was lost never reached the backup, and strict next-index ingest
-/// rejects any duplicate that somehow did. With no safe retry target the
-/// error is [`ServerError::Ambiguous`]: callers know the write may have
-/// been applied.
-pub(crate) struct Write<'r, W: WriteOp> {
+/// with [`ServerError::Ambiguous`] unless a promotion let the primary
+/// step retry it (safe: a write whose answer was lost never reached the
+/// backup). A primary that answered is mirrored, its refusals included,
+/// so a backup can hold a write its primary refused — a full disk's
+/// refused chunk (ROADMAP item 38, open).
+pub(crate) struct Write<'r> {
     replicas: &'r ShardReplicas,
-    op: W,
-    /// The primary, until its answer is read.
-    primary: Option<Begun<W>>,
-    /// The primary's answer: unknown until read.
-    out: Result<W::Out, ServerError>,
-    /// The mirror, begun once the primary acknowledged.
-    mirror: Option<Begun<W>>,
+    change: Change<'r>,
+    /// The roles it was begun on and its exchange on their primary, until
+    /// the primary's answer is read.
+    primary: Option<(Snapshot, Pending<Verdicts>)>,
+    /// The primary's verdicts: unknown until read.
+    out: Result<Verdicts, ServerError>,
+    /// The mirror, begun once the primary answered.
+    mirror: Option<(Arc<dyn ShardBackend>, Pending<Verdicts>)>,
 }
 
-impl<W: WriteOp> Write<'_, W> {
-    /// Reads the primary's answer and, if it acknowledged, begins the
-    /// mirror. Does nothing the second time.
+impl Write<'_> {
+    /// Reads the primary's verdicts and, if it answered, begins the
+    /// mirror on the backup attached now. Does nothing the second time.
     pub(crate) fn finish_primary(&mut self) {
-        let Some((mut primary, mut pending)) = self.primary.take() else {
+        let Some((roles, begun)) = self.primary.take() else {
             return;
         };
-        let mut retried = false;
-        loop {
-            if let Ok(out) = pending() {
-                self.out = Ok(out);
-                break;
-            }
-            if !self.replicas.note_primary_failure(&primary) || retried {
-                return;
-            }
-            retried = true;
-            primary = self.replicas.primary();
-            pending = self.op.begin_on(&*primary);
-        }
-        self.replicas.note_primary_ok();
-        self.mirror = self.replicas.mirror_target().map(|b| {
-            let pending = self.op.begin_on(&*b.backend);
+        let (replicas, change) = (self.replicas, &self.change);
+        let attempt = |b: &dyn ShardBackend| change.begin_on(b)();
+        let Ok(out) = replicas.on_primary(roles, Policy::Write, Some(begun), attempt) else {
+            return;
+        };
+        self.out = Ok(out);
+        self.mirror = replicas.snapshot().1.map(|b| {
+            let pending = change.begin_on(&*b.backend);
             (b.backend, pending)
         });
     }
 
-    /// Runs the write to its end and returns the primary's answer. An
-    /// unreachable backup or a diverging answer does not fail it (the
-    /// primary accepted it), but the replica missed it:
-    /// `note_mirror_drift` decides against the replica's *current* health
-    /// whether that is drift or an expected mid-rebuild rejection.
-    pub(crate) fn finish_mirror(mut self) -> Result<W::Out, ServerError> {
+    /// Runs the write to its end and returns the primary's verdicts. A
+    /// missed mirror does not fail it, but `note_mirror_drift` decides
+    /// against the replica's *current* health whether that is drift or an
+    /// expected mid-rebuild rejection.
+    pub(crate) fn finish_mirror(mut self) -> Result<Verdicts, ServerError> {
         self.finish_primary();
         let out = self.out?;
         if let Some((backup, pending)) = self.mirror {
             let mirrored = pending();
-            let missed = self.op.missed(&out, mirrored.ok().as_ref());
-            self.replicas.note_mirror_drift(&backup, missed);
+            let mirrored = |i| mirrored.as_ref().ok().and_then(|m| m.get(i));
+            let items = out.iter().enumerate();
+            let missed = || items.clone().filter(|&(i, v)| missed(v, mirrored(i)));
+            let streams = missed().filter_map(|(i, _)| self.change.stream_of(i));
+            (self.replicas).note_mirror_drift(&backup, missed().count() as u64, streams);
         }
         Ok(out)
     }
-}
 
-impl Write<'_, Run<'_>> {
-    /// [`finish_mirror`](Self::finish_mirror), infallible: an unreachable
-    /// primary yields per-chunk [`ServerError::Ambiguous`] verdicts — the
-    /// run may have been applied (in full or in prefix) before the
-    /// transport failed, so callers must not blindly re-submit.
+    /// [`finish_mirror`](Self::finish_mirror) of a run, infallible: an
+    /// unreachable primary yields per-chunk [`ServerError::Ambiguous`]
+    /// verdicts — the run may have been applied (in full or in prefix)
+    /// before the transport failed, so callers must not blindly re-submit.
     pub(crate) fn settle(self) -> Verdicts {
-        let (m, chunks) = (self.replicas.m(), self.op.0.len());
+        let chunks = match self.change {
+            Change::Run(chunks) => chunks.len(),
+            Change::Request(_) => 1,
+        };
+        let m = self.replicas.m();
         let verdicts = self.finish_mirror().unwrap_or_else(|_| {
             m.ingest_errors.add(chunks as u64);
             (0..chunks).map(|_| Err(ServerError::Ambiguous)).collect()
@@ -728,7 +720,9 @@ pub(crate) fn ingest_runs<'a>(
     admission: &'a Admission,
     runs: impl Iterator<Item = (&'a ShardReplicas, &'a [&'a [u8]])> + Clone,
 ) -> impl Iterator<Item = Verdicts> {
-    let streams = runs.clone().flat_map(|(_, chunks)| run_streams(chunks));
+    let streams = runs
+        .clone()
+        .flat_map(|(_, run)| run.iter().filter_map(|c| chunk_stream(c)));
     let _admitted = admission.lock_all(streams, RwLock::read);
     // The first run's write is held inline, as `lock_all` holds its first
     // guard: a one-run batch allocates nothing here.
@@ -1048,15 +1042,19 @@ mod tests {
         /// First with the primary up (the mirror is armed and rejects),
         /// then with it down (even `promote_after = 1` must not promote).
         BackupStillRebuilding,
+        /// The primary refuses every write kind, the backup is down: the
+        /// refusal was stored on neither side, so nothing was missed.
+        PrimaryRefusesBackupDown,
     }
 
-    const SCRIPTS: [Script; 6] = [
+    const SCRIPTS: [Script; 7] = [
         Script::PrimaryDownBelowThreshold,
         Script::PrimaryDownPromotes,
         Script::PrimaryDownBackupInSync,
         Script::BackupUnreachableOnMirror,
         Script::BackupRejectsMirror,
         Script::BackupStillRebuilding,
+        Script::PrimaryRefusesBackupDown,
     ];
 
     #[derive(Debug, PartialEq)]
@@ -1066,6 +1064,7 @@ mod tests {
         promotions: u64,
         replica_errors: u64,
         in_sync: bool,
+        strikes: u32,
     }
 
     impl Script {
@@ -1103,6 +1102,11 @@ mod tests {
                     primary.set_up(false);
                     r
                 }
+                Script::PrimaryRefusesBackupDown => {
+                    let backup = seeded();
+                    backup.set_up(false);
+                    Arc::new(replicas(diverged(), Some(backup), 1))
+                }
             };
             let served = kind.run(&r);
             let m = r.m();
@@ -1112,18 +1116,22 @@ mod tests {
                 promotions: m.promotions.get(),
                 replica_errors: m.replica_errors.get(),
                 in_sync: m.in_sync.get() == 1,
+                strikes: r.strikes.load(Ordering::Relaxed),
             }
         }
 
-        /// What every kind of one policy must report.
-        fn expected(self, write: bool) -> Outcome {
+        /// What `kind` must report: every kind of one policy alike, but
+        /// for the refusal each write kind is served.
+        fn expected(self, kind: Kind) -> Outcome {
             let quiet = |served, in_sync| Outcome {
                 served,
                 failovers: 0,
                 promotions: 0,
                 replica_errors: 0,
                 in_sync,
+                strikes: 0,
             };
+            let write = kind.is_write();
             // An unanswered read reports the transport failure; a write
             // whose primary was unreachable is ambiguous, never retried.
             let unserved = Err(if write {
@@ -1132,17 +1140,22 @@ mod tests {
                 UNREACHABLE
             }
             .into());
+            // One strike, with no promotion to retry against.
+            let struck = |outcome| Outcome {
+                strikes: 1,
+                ..outcome
+            };
             match (self, write) {
-                (Script::PrimaryDownBelowThreshold, _) => quiet(unserved, false),
+                (Script::PrimaryDownBelowThreshold, _) => struck(quiet(unserved, false)),
                 (Script::PrimaryDownPromotes, _) => Outcome {
                     promotions: 1,
                     ..quiet(Ok(()), false)
                 },
                 (Script::PrimaryDownBackupInSync, false) => Outcome {
                     failovers: 1,
-                    ..quiet(Ok(()), true)
+                    ..struck(quiet(Ok(()), true))
                 },
-                (Script::PrimaryDownBackupInSync, true) => quiet(unserved, true),
+                (Script::PrimaryDownBackupInSync, true) => struck(quiet(unserved, true)),
                 (Script::BackupUnreachableOnMirror | Script::BackupRejectsMirror, false) => {
                     quiet(Ok(()), true)
                 }
@@ -1152,7 +1165,13 @@ mod tests {
                         ..quiet(Ok(()), false)
                     }
                 }
-                (Script::BackupStillRebuilding, _) => quiet(unserved, false),
+                (Script::BackupStillRebuilding, _) => struck(quiet(unserved, false)),
+                // The refusal an unreplicated primary serves.
+                (Script::PrimaryRefusesBackupDown, _) => {
+                    let served = kind.run(&replicas(diverged(), None, 0));
+                    assert!(served.is_err() || !write, "{kind:?} was not refused");
+                    quiet(served, true)
+                }
             }
         }
     }
@@ -1163,7 +1182,7 @@ mod tests {
             for kind in KINDS {
                 assert_eq!(
                     script.play(kind),
-                    script.expected(kind.is_write()),
+                    script.expected(kind),
                     "{script:?} × {kind:?}"
                 );
             }

@@ -9,7 +9,7 @@
 //! another thread; the service starts no thread.
 
 use crate::backend::{
-    ingest_runs, Admission, BackendSpec, Pending, RemoteShard, ShardBackend, ShardReplicas,
+    ingest_runs, Admission, BackendSpec, Pending, Policy, RemoteShard, ShardBackend, ShardReplicas,
     ShardSpec, Verdicts, SAME_NODE, UNREACHABLE, UNROUTED,
 };
 use crate::node::{NodeConfig, ShardNode};
@@ -260,7 +260,7 @@ impl ShardedService {
             delta_ms,
             digest_width,
         };
-        acked(self.replicas_for(stream).call(create))
+        self.replicas_for(stream).mutate(create)
     }
 
     /// Single-chunk ingest: a batch of one. A convenience over the one
@@ -371,7 +371,7 @@ impl ShardedService {
         // Looked up before the counters are read: the lookups' own
         // failovers are in the snapshot.
         let entries: Vec<_> = (self.backends.iter().enumerate())
-            .map(|(i, r)| r.read_with_failover(r.snapshot(), |b| entry(b, i)))
+            .map(|(i, r)| r.on_primary(r.snapshot(), Policy::Read, None, |b| entry(b, i)))
             .map(Result::unwrap_or_default)
             .collect();
         let mut snap = ServiceStatsWire {
@@ -427,7 +427,7 @@ impl ShardedService {
             let forward = Request::InsertLive {
                 record: record.to_vec(),
             };
-            acked(self.replicas_for(stream).call(forward))
+            self.replicas_for(stream).mutate(forward)
         };
         ingest_reply(req, |chunks| self.submit_routed(chunks), live)
             .unwrap_or_else(|req| self.dispatch_unborrowed(req))
@@ -467,16 +467,6 @@ impl ShardedService {
                 _ => Response::Error(UNROUTED.into()),
             },
         }
-    }
-}
-
-/// A shard's reply to a request answered `Ok` or with an error: an error
-/// is [`ServerError::Refused`] carrying the shard's refusal whole.
-fn acked(reply: Response) -> Result<(), ServerError> {
-    match reply {
-        Response::Ok => Ok(()),
-        Response::Error(refusal) => Err(ServerError::Refused(refusal)),
-        _ => Err(ServerError::Unavailable("unexpected shard reply")),
     }
 }
 
